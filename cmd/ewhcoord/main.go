@@ -10,11 +10,9 @@
 // With no -workers flag it spawns in-process workers, which makes a
 // single-binary demo of the full network path. -jobs N runs the join N
 // times over the one dialed session (the dial-amortization the session
-// protocol exists for); -dial-per-job falls back to the one-shot v2
-// transport for comparison, and -multiway runs the 3-way chain join
-// pipeline distributed end to end — by default with the direct
-// worker→worker re-shuffle of the stage-1 intermediate (-relay forces the
-// coordinator-relay baseline). -planin executes a plan artifact written by
+// protocol exists for), and -multiway runs the 3-way chain join pipeline
+// distributed end to end, the stage-1 intermediate re-shuffling directly
+// worker→worker. -planin executes a plan artifact written by
 // ewhplan -planout, skipping the planning phase entirely (plan once,
 // execute many); -timeout arms dial and per-operation IO deadlines and
 // -job-timeout a per-job liveness deadline, so a hung worker fails a job
@@ -59,9 +57,7 @@ func main() {
 		j          = flag.Int("j", 4, "number of regions J")
 		seed       = flag.Uint64("seed", 42, "random seed")
 		jobs       = flag.Int("jobs", 1, "jobs to run over the one dialed session")
-		dialPerJob = flag.Bool("dial-per-job", false, "use the one-shot v2 transport (dials every worker per job)")
 		mway       = flag.Bool("multiway", false, "run the 3-way chain join pipeline instead of a 2-way join")
-		relay      = flag.Bool("relay", false, "with -multiway: force the coordinator-relay baseline instead of the peer shuffle")
 		stage2     = flag.String("stage2-scheme", "auto", "with -multiway: peer-path stage-2 scheme (auto, hash, ci, csio; auto = CSIO via distributed statistics)")
 		planin     = flag.String("planin", "", "execute a plan artifact (ewhplan -planout) instead of planning: plan once, execute many")
 		timeout    = flag.Duration("timeout", 0, "dial and per-operation IO deadline on worker connections (0: none)")
@@ -186,32 +182,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *relay && mode != multiway.Stage2Auto {
-			fatal(fmt.Errorf("-relay re-plans stage 2 on the coordinator; -stage2-scheme %v applies to the peer path only", mode))
-		}
-		runMultiway(addrs, *tenant, r1, r2, *n, *j, *seed, model, timeouts, retry, *relay, mode, engine)
-		return
-	}
-
-	if *dialPerJob {
-		if *timeout > 0 {
-			fmt.Fprintln(os.Stderr, "ewhcoord: -timeout applies to session connections only; the one-shot v2 transport ignores it")
-		}
-		if *retries > 0 {
-			fmt.Fprintln(os.Stderr, "ewhcoord: -retries applies to session connections only; the one-shot v2 transport fails fast")
-		}
-		start := time.Now()
-		var res *exec.Result
-		var err error
-		for i := 0; i < *jobs; i++ {
-			res, err = netexec.Run(addrs, r1, r2, cond, scheme, model,
-				exec.Config{Seed: execSeed, Engine: engine})
-			if err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Printf("%d job(s), dial-per-job, total %v\n", *jobs, time.Since(start).Round(time.Millisecond))
-		printResult(res, addrs)
+		runMultiway(addrs, *tenant, r1, r2, *n, *j, *seed, model, timeouts, retry, mode, engine)
 		return
 	}
 
@@ -236,13 +207,12 @@ func main() {
 
 // runMultiway executes the 3-way chain join R1 ⋈ Mid ⋈ R3 distributed over
 // the session: the Mid relation's B keys ship as a payload segment and both
-// stages run on the remote workers. By default the stage-1 intermediate
-// re-shuffles directly worker→worker under a broadcast plan artifact, with
-// the stage-2 scheme selected by -stage2-scheme (auto = a genuine CSIO plan
-// built from distributed statistics); -relay forces the coordinator-relay
-// baseline.
+// stages run on the remote workers. The stage-1 intermediate re-shuffles
+// directly worker→worker under a broadcast plan artifact, with the stage-2
+// scheme selected by -stage2-scheme (auto = a genuine CSIO plan built from
+// distributed statistics).
 func runMultiway(addrs []string, tenant string, r1, r2 []join.Key, n, j int, seed uint64, model cost.Model,
-	timeouts netexec.Timeouts, retry exec.RetryPolicy, relay bool, stage2 multiway.Stage2Mode,
+	timeouts netexec.Timeouts, retry exec.RetryPolicy, stage2 multiway.Stage2Mode,
 	engine exec.JoinEngine) {
 
 	mid := multiway.MidRelation{
@@ -258,21 +228,13 @@ func runMultiway(addrs []string, tenant string, r1, r2 []join.Key, n, j int, see
 		fatal(err)
 	}
 	defer sess.Close()
-	run := func(rt exec.Runtime, q multiway.Query, opts core.Options, cfg exec.Config) (*multiway.Result, error) {
-		return multiway.ExecuteOverStage2(rt, q, opts, cfg, stage2)
-	}
-	mode := fmt.Sprintf("peer shuffle, stage-2 %v", stage2)
-	if relay {
-		run = multiway.ExecuteOverRelay
-		mode = "coordinator relay"
-	}
-	res, err := run(sess, q, core.Options{J: j, Model: model, Seed: seed},
-		exec.Config{Seed: seed + 2, Retry: retry, Engine: engine})
+	res, err := multiway.ExecuteOverStage2(sess, q, core.Options{J: j, Model: model, Seed: seed},
+		exec.Config{Seed: seed + 2, Retry: retry, Engine: engine}, stage2)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("multiway (%s): |R1 ⋈ Mid ⋈ R3| = %d (intermediate %d, %d pairs relayed through coordinator)\n",
-		mode, res.Output, res.Intermediate, sess.RelayedPairs())
+	fmt.Printf("multiway (peer shuffle, stage-2 %v): |R1 ⋈ Mid ⋈ R3| = %d (intermediate %d, %d pairs relayed through coordinator)\n",
+		stage2, res.Output, res.Intermediate, sess.RelayedPairs())
 	for i, st := range res.Stages {
 		if st.Exec == nil {
 			fmt.Printf("  stage %d: %s\n", i+1, st.Scheme)

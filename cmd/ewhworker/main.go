@@ -1,7 +1,7 @@
 // Command ewhworker runs a join worker server for the networked execution
-// mode: it accepts jobs from an ewhcoord coordinator — one-shot v1/v2
-// connections or persistent v3 sessions — joins the tuples it receives and
-// reports its metrics.
+// mode: it accepts persistent sessions from ewhcoord coordinators (and
+// peer-mesh links from fellow workers), joins the tuples each numbered job
+// ships and reports its metrics.
 //
 // On SIGINT/SIGTERM the worker shuts down gracefully: it stops accepting,
 // drains every in-flight job (bounded by -drain), then exits 0. -fail-after

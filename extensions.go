@@ -158,16 +158,6 @@ func ExecuteMultiwayOverStage2(rt Runtime, q MultiwayQuery, opts Options, cfg Ex
 	return multiway.ExecuteOverStage2(rt, q, opts, cfg, mode)
 }
 
-// ExecuteMultiwayOverRelay forces the coordinator-relay strategy on any
-// runtime: stage-1 matches stream back as pairs, the coordinator
-// materializes the intermediate, re-plans it with a fresh equi-weight
-// histogram and re-shuffles it itself. It is the tracked baseline the peer
-// path is measured against — and the path that keeps CSIO output balancing
-// for stage 2.
-func ExecuteMultiwayOverRelay(rt Runtime, q MultiwayQuery, opts Options, cfg ExecConfig) (*MultiwayResult, error) {
-	return multiway.ExecuteOverRelay(rt, q, opts, cfg)
-}
-
 // Assignment maps histogram regions onto machines of heterogeneous capacity
 // (§A5). Plan with J = a few × machine count, then assign.
 type Assignment = partition.Assignment

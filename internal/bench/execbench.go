@@ -89,9 +89,8 @@ func spinCalibration() (int64, time.Duration) {
 
 // ExecBench times the engine's hot paths: the shuffle (fan-out-1 and
 // replicating), the full CSIO band-join execution, the local merge-sweep
-// count in isolation, and the distributed (netexec) path over loopback TCP
-// workers — both the v2 binary protocol and its v1 gob baseline, so the
-// wire-format advantage stays a tracked number.
+// count in isolation, and the distributed (netexec) path: session jobs,
+// multiway pipelines and a continuous join over loopback TCP workers.
 func ExecBench(cfg Config) (*ExecBenchReport, error) {
 	cfg.Defaults()
 	n := 200000 * cfg.Scale
@@ -183,14 +182,19 @@ func ExecBench(cfg Config) (*ExecBenchReport, error) {
 		defer w.Close()
 		addrs[i] = w.Addr()
 	}
-	runNetRow := func(name string, run func(addrs []string, r1, r2 []join.Key,
-		cond join.Condition, s partition.Scheme, model cost.Model,
-		cfg exec.Config) (*exec.Result, error),
-		s partition.Scheme, ra, rb []join.Key, cond join.Condition) error {
-
+	// The workers are dialed ONCE — every rep is a numbered job over the open
+	// connections. The payload row ships each tuple with an 8-byte payload
+	// segment against an empty R2, isolating the payload wire path (encode,
+	// ship, decode into pooled flat buffers).
+	sess, err := netexec.Dial(addrs)
+	if err != nil {
+		return nil, fmt.Errorf("execbench: dial session: %w", err)
+	}
+	defer sess.Close()
+	runNetRow := func(name string, s partition.Scheme, ra, rb []join.Key, cond join.Condition) error {
 		var best *exec.Result
 		for i := 0; i < execBenchReps; i++ {
-			res, err := run(addrs, ra, rb, cond, s, cost.DefaultBand,
+			res, err := exec.RunOver(sess, ra, rb, cond, s, cost.DefaultBand,
 				exec.Config{Seed: cfg.Seed, Mappers: 4})
 			if err != nil {
 				return fmt.Errorf("execbench: %s: %w", name, err)
@@ -206,45 +210,17 @@ func ExecBench(cfg Config) (*ExecBenchReport, error) {
 		})
 		return nil
 	}
-	if err := runNetRow("netexec-shuffle-binary", netexec.Run, hash, r1, empty, join.Equi{}); err != nil {
+	if err := runNetRow("netexec-session-shuffle", hash, r1, empty, join.Equi{}); err != nil {
 		return nil, err
 	}
-	if err := runNetRow("netexec-shuffle-gob", netexec.RunGob, hash, r1, empty, join.Equi{}); err != nil {
-		return nil, err
-	}
-	if err := runNetRow("netexec-csio-band-binary", netexec.Run, csio.Scheme, r1, r2, band); err != nil {
-		return nil, err
-	}
-	if err := runNetRow("netexec-csio-band-gob", netexec.RunGob, csio.Scheme, r1, r2, band); err != nil {
-		return nil, err
-	}
-
-	// Persistent-session rows: the same workers, dialed ONCE — every rep is
-	// a numbered job over the open connections, so the session-vs-binary
-	// delta on the shuffle row is the tracked dial-amortization win. The
-	// payload row ships each tuple with an 8-byte payload segment against
-	// an empty R2, isolating the v3 payload wire path (encode, ship, decode
-	// into pooled flat buffers).
-	sess, err := netexec.Dial(addrs)
-	if err != nil {
-		return nil, fmt.Errorf("execbench: dial session: %w", err)
-	}
-	defer sess.Close()
-	sessRun := func(_ []string, ra, rb []join.Key, cond join.Condition,
-		s partition.Scheme, model cost.Model, cfg exec.Config) (*exec.Result, error) {
-		return exec.RunOver(sess, ra, rb, cond, s, model, cfg)
-	}
-	if err := runNetRow("netexec-session-shuffle", sessRun, hash, r1, empty, join.Equi{}); err != nil {
-		return nil, err
-	}
-	if err := runNetRow("netexec-session-csio-band", sessRun, csio.Scheme, r1, r2, band); err != nil {
+	if err := runNetRow("netexec-session-csio-band", csio.Scheme, r1, r2, band); err != nil {
 		return nil, err
 	}
 	// The distributed insert-while-probe row: an equi count job whose chunks
 	// feed the workers' hash builds as they decode (relation 2 probes the
 	// sealed build chunk by chunk, never materializing). The auto engine
 	// resolves to hash for equi, so this is the default session equi path.
-	if err := runNetRow("netexec-session-hashjoin-overlap", sessRun, hash, r1, r2, join.Equi{}); err != nil {
+	if err := runNetRow("netexec-session-hashjoin-overlap", hash, r1, r2, join.Equi{}); err != nil {
 		return nil, err
 	}
 
@@ -273,16 +249,13 @@ func ExecBench(cfg Config) (*ExecBenchReport, error) {
 		NetworkTuples: bestPay.NetworkTuples, MaxWork: bestPay.MaxWork,
 	})
 
-	// Multiway pipeline rows over the same session: the coordinator-relay
-	// strategy (stage-1 matches stream back as pairs and the re-planned
-	// intermediate re-scatters from the coordinator) against the direct
+	// Multiway pipeline rows over the same session, all through the direct
 	// worker→worker peer shuffle (the intermediate never transits the
 	// coordinator) — once with the pre-broadcast content-insensitive Hash
 	// stage-2 plan and once with the distributed-statistics CSIO plan
 	// (workers summarize their intermediates, the coordinator replans and
-	// broadcasts a second PLAN frame). The relay row is both peer rows'
-	// tracked baseline; the csio-vs-hash delta prices the statistics
-	// exchange.
+	// broadcasts a second PLAN frame); the csio-vs-hash delta prices the
+	// statistics exchange.
 	midB := make([]join.Key, n)
 	r3 := make([]join.Key, n)
 	for i := range midB {
@@ -340,9 +313,6 @@ func ExecBench(cfg Config) (*ExecBenchReport, error) {
 		return func(rt exec.Runtime, q multiway.Query, opts core.Options, cfg exec.Config) (*multiway.Result, error) {
 			return multiway.ExecuteOverStage2(rt, q, opts, cfg, mode)
 		}
-	}
-	if err := runMwayRow("netexec-relay-multiway", multiway.ExecuteOverRelay); err != nil {
-		return nil, err
 	}
 	if err := runMwayRow("netexec-peer-multiway", peerMode(multiway.Stage2Hash)); err != nil {
 		return nil, err

@@ -3,9 +3,10 @@ package exec_test
 // The netexec side of the cross-check harness lives in an external test
 // package: netexec imports exec, so the loopback comparison cannot sit in
 // package exec itself. It drives the same scheme × condition × mapper-count
-// grid as crosscheck_test.go and requires the distributed run to be
-// BIT-IDENTICAL to the in-process engine — same per-worker input and output
-// counts, same aggregates — since both sides now share exec.ShufflePair.
+// grid as crosscheck_test.go over one session to loopback workers and
+// requires the distributed run to be BIT-IDENTICAL to the in-process engine
+// — same per-worker input and output counts, same aggregates — since both
+// runtimes consume the same exec.ShufflePair blocks.
 
 import (
 	"fmt"
@@ -48,9 +49,9 @@ func startLoopbackWorkers(t *testing.T, n int) []string {
 	return addrs
 }
 
-func TestCrossCheckNetexecAgainstExec(t *testing.T) {
+func TestCrossCheckSessionAgainstExec(t *testing.T) {
 	const maxWorkers = 8
-	addrs := startLoopbackWorkers(t, maxWorkers)
+	sess := dialLoopbackSession(t, maxWorkers)
 	mapperCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 
 	for seed := uint64(300); seed < 303; seed++ {
@@ -107,10 +108,10 @@ func TestCrossCheckNetexecAgainstExec(t *testing.T) {
 				for _, mappers := range mapperCounts {
 					cfg := exec.Config{Seed: seed + 4, Mappers: mappers}
 					local := exec.Run(r1, r2, tc.cond, s, netModel, cfg)
-					net, err := netexec.Run(addrs, r1, r2, tc.cond, s, netModel, cfg)
+					net, err := exec.RunOver(sess, r1, r2, tc.cond, s, netModel, cfg)
 					id := fmt.Sprintf("seed %d %s/%s mappers=%d", seed, tc.name, s.Name(), mappers)
 					if err != nil {
-						t.Fatalf("%s: netexec: %v", id, err)
+						t.Fatalf("%s: session: %v", id, err)
 					}
 					if net.Output != want {
 						t.Errorf("%s: net output %d, want ground truth %d", id, net.Output, want)

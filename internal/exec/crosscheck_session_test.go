@@ -122,54 +122,6 @@ func TestCrossCheckSessionTuples(t *testing.T) {
 	}
 }
 
-func TestCrossCheckSessionRunOverSchemes(t *testing.T) {
-	// The bare-key session path against exec.Run and against the one-shot
-	// netexec.Run: all three transports must agree on every metric.
-	const maxWorkers = 8
-	addrs := startLoopbackWorkers(t, maxWorkers)
-	sess, err := netexec.Dial(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = sess.Close() })
-
-	for seed := uint64(500); seed < 502; seed++ {
-		rng := stats.NewRNG(seed)
-		domain := 100 + rng.Int64n(500)
-		r1 := netRandKeys(400+int(rng.Int64n(600)), domain, seed+1)
-		r2 := netRandKeys(400+int(rng.Int64n(600)), domain, seed+2)
-		for _, cond := range []join.Condition{join.Equi{}, join.NewBand(3), join.Inequality{Op: join.LessEq}} {
-			opts := core.Options{J: 6, Model: netModel, Seed: seed + 3}
-			ci, err := core.PlanCI(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mappers := range []int{1, 4} {
-				cfg := exec.Config{Seed: seed + 4, Mappers: mappers}
-				id := fmt.Sprintf("seed %d %v mappers=%d", seed, cond, mappers)
-				local := exec.Run(r1, r2, cond, ci.Scheme, netModel, cfg)
-				oneShot, err := netexec.Run(addrs, r1, r2, cond, ci.Scheme, netModel, cfg)
-				if err != nil {
-					t.Fatalf("%s: one-shot: %v", id, err)
-				}
-				sessRes, err := exec.RunOver(sess, r1, r2, cond, ci.Scheme, netModel, cfg)
-				if err != nil {
-					t.Fatalf("%s: session: %v", id, err)
-				}
-				for w := range local.Workers {
-					if sessRes.Workers[w] != local.Workers[w] || oneShot.Workers[w] != local.Workers[w] {
-						t.Errorf("%s: worker %d metrics differ: sess %+v oneshot %+v local %+v",
-							id, w, sessRes.Workers[w], oneShot.Workers[w], local.Workers[w])
-					}
-				}
-				if sessRes.Output != local.Output || sessRes.NetworkTuples != local.NetworkTuples {
-					t.Errorf("%s: aggregates differ: sess %v local %v", id, sessRes, local)
-				}
-			}
-		}
-	}
-}
-
 func TestCrossCheckSessionMultiway(t *testing.T) {
 	// The coordinator-relay path (the tracked baseline): bit-identical to
 	// the in-process engine including every per-worker metric, because both

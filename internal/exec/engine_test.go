@@ -49,7 +49,12 @@ func TestForCondResolution(t *testing.T) {
 }
 
 func TestCountOwnedEnginesAgree(t *testing.T) {
-	for _, cond := range []join.Condition{join.Equi{}, join.NewBand(0), join.NewBand(2)} {
+	if CountOwned(EngineAuto, nil, []join.Key{1}, join.Equi{}) != 0 ||
+		CountOwned(EngineAuto, []join.Key{1}, nil, join.NewBand(1)) != 0 {
+		t.Error("an empty side must count 0")
+	}
+	for _, cond := range []join.Condition{join.Equi{}, join.NewBand(0), join.NewBand(2), join.NewBand(4),
+		join.Inequality{Op: join.Less}, join.Inequality{Op: join.GreaterEq}} {
 		r1 := zipfKeys(2000, 300, 0.8, 100)
 		r2 := zipfKeys(1500, 300, 0.8, 101)
 		want := localjoin.NestedLoopCount(r1, r2, cond)

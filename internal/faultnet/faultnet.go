@@ -1,9 +1,9 @@
 // Package faultnet injects deterministic network faults into the netexec
 // wire protocols for testing recovery paths. It wraps a worker's
 // net.Listener so every accepted connection passes through a scriptable
-// frame-aware tap: the tap sniffs the 6-byte protocol prelude, follows the
+// frame-aware tap: the tap reads the 6-byte protocol prelude, follows the
 // framing of whichever protocol version the connection speaks (v3 sessions,
-// v2 one-shots, v4 peer mesh; anything else is opaque), counts matching
+// v4 peer mesh; anything else is opaque), counts matching
 // frames per rule and fires each rule's action exactly once at a precise
 // frame boundary — kill after the N-th block, reset on the first stats
 // frame, stall mid-transfer, or run an arbitrary hook (e.g. Close a victim
@@ -33,12 +33,6 @@ import (
 const (
 	// FrameAny matches every frame regardless of type.
 	FrameAny byte = 0
-
-	// v2 one-shot frames.
-	FrameHandshake byte = 1
-	FrameBlockV2   byte = 2
-	FrameEOSV2     byte = 3
-	FrameMetricsV2 byte = 4
 
 	// v3 session frames.
 	FrameOpenJob     byte = 10
@@ -78,7 +72,6 @@ const (
 
 // Protocol versions as they appear in the wire prelude.
 const (
-	VersionOneShot = 2
 	VersionSession = 3
 	VersionPeer    = 4
 )
@@ -346,7 +339,7 @@ const (
 	stateAwaitVersion        // outbound: waiting for the inbound prelude's verdict
 	stateHeader              // collecting a frame header
 	statePayload             // skipping payload bytes
-	stateOpaque              // unframed traffic (v1 gob, unknown magic)
+	stateOpaque              // unframed traffic (unknown magic or version)
 )
 
 // preludeLen is magic "EWHB" + u16 version.
@@ -368,8 +361,8 @@ type tracker struct {
 }
 
 // headerLen returns the frame header length for the connection's protocol
-// version: v3 sessions carry [type u8][job u32][len u32], v2 one-shots and
-// v4 peer links carry [type u8][len u32].
+// version: v3 sessions carry [type u8][job u32][len u32], v4 peer links
+// carry [type u8][len u32].
 func (t *tracker) headerLen() int {
 	if t.conn.version.Load() == VersionSession {
 		return 9
@@ -390,7 +383,7 @@ func (t *tracker) feed(p []byte) error {
 			// traffic, so the inbound prelude has been parsed by now; an
 			// unknown version means unframed traffic either way.
 			switch t.conn.version.Load() {
-			case VersionSession, VersionOneShot, VersionPeer:
+			case VersionSession, VersionPeer:
 				t.state = stateHeader
 			default:
 				t.state = stateOpaque
@@ -410,7 +403,7 @@ func (t *tracker) feed(p []byte) error {
 			}
 			v := binary.LittleEndian.Uint16(t.buf[4:6])
 			switch v {
-			case VersionSession, VersionOneShot, VersionPeer:
+			case VersionSession, VersionPeer:
 				t.conn.version.Store(uint32(v))
 				t.state = stateHeader
 			default:

@@ -44,8 +44,8 @@ func zipfKeys(n int, domain int64, z float64, seed uint64) []join.Key {
 // BenchmarkLocalJoinEngines is the engine × condition × distribution matrix
 // over one worker's hot path: every local count engine against the equi and
 // band conditions it serves, on uniform, duplicate-heavy and Zipf-skewed
-// keys. Count/AutoCount copy-and-sort per call (the non-owning entry
-// points); CountSorted amortizes the sort outside the loop; HashCount is the
+// keys. Count copies and sorts per call (the non-owning entry
+// point); CountSorted amortizes the sort outside the loop; HashCount is the
 // map-based baseline the radix-hash engine replaces; EngineCount and
 // MergeCount are the two real engines behind exec's selection knob.
 func BenchmarkLocalJoinEngines(b *testing.B) {
@@ -72,10 +72,8 @@ func BenchmarkLocalJoinEngines(b *testing.B) {
 			{"equi/hash-map", func() int64 { return HashCount(d.r1, d.r2) }},
 			{"equi/merge-sorted", func() int64 { return CountSorted(s1, s2, join.Equi{}) }},
 			{"equi/merge-count", func() int64 { return Count(d.r1, d.r2, join.Equi{}) }},
-			{"equi/auto", func() int64 { return AutoCount(d.r1, d.r2, join.Equi{}) }},
 			{"band/merge-sorted", func() int64 { return CountSorted(s1, s2, band) }},
 			{"band/merge-count", func() int64 { return Count(d.r1, d.r2, band) }},
-			{"band/auto", func() int64 { return AutoCount(d.r1, d.r2, band) }},
 		}
 		for _, e := range engines {
 			b.Run(d.name+"/"+e.name, func(b *testing.B) {

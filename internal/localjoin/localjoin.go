@@ -107,29 +107,3 @@ func Emit(r1, r2 []join.Key, cond join.Condition, fn func(a, b join.Key)) {
 		}
 	}
 }
-
-// AutoCount picks the partitioned hash engine (EngineCount) for
-// pure-equality conditions and the sort-merge Count otherwise. Neither
-// input is mutated.
-func AutoCount(r1, r2 []join.Key, cond join.Condition) int64 {
-	if EquiLike(cond) {
-		return EngineCount(r1, r2)
-	}
-	return Count(r1, r2, cond)
-}
-
-// AutoCountOwned is AutoCount for callers that own their buffers, like the
-// engine's reduce phase over its flat shuffle output: non-equality conditions
-// sort r1 and r2 IN PLACE (no defensive copies) before the merge sweep, and
-// equality takes the copy-free partitioned hash engine.
-func AutoCountOwned(r1, r2 []join.Key, cond join.Condition) int64 {
-	if len(r1) == 0 || len(r2) == 0 {
-		return 0
-	}
-	if EquiLike(cond) {
-		return EngineCount(r1, r2)
-	}
-	keysort.Sort(r1)
-	keysort.Sort(r2)
-	return CountSorted(r1, r2, cond)
-}

@@ -30,9 +30,6 @@ func TestCountMatchesNestedLoop(t *testing.T) {
 		if got := Count(r1, r2, c); got != want {
 			t.Errorf("%v: Count = %d, want %d", c, got, want)
 		}
-		if got := AutoCount(r1, r2, c); got != want {
-			t.Errorf("%v: AutoCount = %d, want %d", c, got, want)
-		}
 	}
 }
 
@@ -111,10 +108,10 @@ func TestCountSortedAndOwnedMatchNestedLoop(t *testing.T) {
 			want := NestedLoopCount(r1, r2, c)
 			s1 := append([]join.Key(nil), r1...)
 			s2 := append([]join.Key(nil), r2...)
-			if got := AutoCountOwned(s1, s2, c); got != want {
-				t.Errorf("seed %d %v: AutoCountOwned = %d, want %d", seed, c, got, want)
+			if got := MergeCountOwned(s1, s2, c); got != want {
+				t.Errorf("seed %d %v: MergeCountOwned = %d, want %d", seed, c, got, want)
 			}
-			// AutoCountOwned may have sorted s1/s2 in place; CountSorted over
+			// MergeCountOwned sorted s1/s2 in place; CountSorted over
 			// explicitly sorted copies must agree regardless.
 			s1 = append(s1[:0], r1...)
 			s2 = append(s2[:0], r2...)

@@ -199,8 +199,8 @@ func encodeKeyPayload(dst []byte, k join.Key) []byte {
 // with the auto stage-2 mode — a genuine CSIO stage-2 plan built from
 // distributed statistics, so the intermediate never transits the
 // coordinator even for the content-sensitive schemes the paper evaluates
-// under skew. Other transports take the coordinator-relay path
-// (ExecuteOverRelay), which remains the tracked baseline.
+// under skew. Runtimes without a stage interface (exec.Local) take the
+// coordinator-relay path (ExecuteOverRelay).
 func ExecuteOver(rt exec.Runtime, q Query, opts core.Options, cfg exec.Config) (*Result, error) {
 	return ExecuteOverStage2(rt, q, opts, cfg, Stage2Auto)
 }
@@ -391,8 +391,9 @@ func replanStage2(summaries []*stats.Summary, q Query, opts core.Options) (parti
 // fresh equi-weight histogram and joined on the same runtime. Planning
 // (statistics, histograms) stays on the coordinator, exactly as the paper's
 // coordinator builds the equi-weight histogram before each shuffle. Results
-// are bit-identical across runtimes for a fixed cfg. It is the tracked
-// baseline the peer-shuffle path is measured against.
+// are bit-identical across runtimes for a fixed cfg. It is what ExecuteOver
+// falls back to on a runtime without a stage interface, and the reference
+// the peer-shuffle crosschecks compare against.
 func ExecuteOverRelay(rt exec.Runtime, q Query, opts core.Options, cfg exec.Config) (*Result, error) {
 	if err := validate(q, &opts); err != nil {
 		return nil, err

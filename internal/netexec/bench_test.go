@@ -4,13 +4,12 @@ import (
 	"encoding/binary"
 	"testing"
 
-	"ewh/internal/cost"
 	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/partition"
 )
 
-// startBenchWorkers mirrors startWorkers for benchmarks.
+// startBenchWorkers mirrors startWorkerSet for benchmarks.
 func startBenchWorkers(b *testing.B, n int) []string {
 	b.Helper()
 	addrs := make([]string, n)
@@ -26,46 +25,35 @@ func startBenchWorkers(b *testing.B, n int) []string {
 	return addrs
 }
 
-// The shuffle-isolating benchmark pair: R2 is empty, so the workers' local
-// join is a no-op and the wall time is the wire path — routing, encode,
-// ship, decode. The acceptance bar for the v2 protocol is ≥2× over the gob
-// baseline here.
-
-// runFn abstracts the transport under test; makeRun-style setup (e.g.
-// dialing a session) happens before the timer starts.
-type runFn func(addrs []string, r1, r2 []join.Key, cond join.Condition,
-	scheme partition.Scheme, model cost.Model, cfg exec.Config) (*exec.Result, error)
-
-// sessionRun dials a persistent session to addrs (untimed setup) and
-// returns a runFn dispatching numbered jobs over it — each timed iteration
-// is one job on the already-open connections.
-func sessionRun(b *testing.B, addrs []string) runFn {
+// benchSession dials a persistent session to n fresh loopback workers
+// (untimed setup): each timed iteration is one numbered job over the
+// already-open connections.
+func benchSession(b *testing.B, n int) *Session {
 	b.Helper()
-	sess, err := Dial(addrs)
+	sess, err := Dial(startBenchWorkers(b, n))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { _ = sess.Close() })
-	return func(addrs []string, r1, r2 []join.Key, cond join.Condition,
-		scheme partition.Scheme, model cost.Model, cfg exec.Config) (*exec.Result, error) {
-		return exec.RunOver(sess, r1, r2, cond, scheme, model, cfg)
-	}
+	return sess
 }
 
-func benchShuffle(b *testing.B, makeRun func(b *testing.B, addrs []string) runFn) {
+// BenchmarkLoopbackShuffleSession isolates the wire path: R2 is empty, so
+// the workers' local join is a no-op and the wall time is routing, encode,
+// ship, decode.
+func BenchmarkLoopbackShuffleSession(b *testing.B) {
 	const n = 200000
 	r1 := randKeys(n, n, 1)
 	hash, err := partition.NewHash(4, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	addrs := startBenchWorkers(b, 4)
-	run := makeRun(b, addrs)
+	sess := benchSession(b, 4)
 	cfg := exec.Config{Seed: 2, Mappers: 4}
 	b.SetBytes(8 * n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := run(addrs, r1, nil, join.Equi{}, hash, model, cfg)
+		res, err := exec.RunOver(sess, r1, nil, join.Equi{}, hash, model, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,21 +62,6 @@ func benchShuffle(b *testing.B, makeRun func(b *testing.B, addrs []string) runFn
 		}
 	}
 }
-
-// perJobRun adapts the one-shot transports (Run, RunGob) to the setup
-// signature.
-func perJobRun(fn runFn) func(*testing.B, []string) runFn {
-	return func(*testing.B, []string) runFn { return fn }
-}
-
-func BenchmarkLoopbackShuffleBinary(b *testing.B) { benchShuffle(b, perJobRun(Run)) }
-func BenchmarkLoopbackShuffleGob(b *testing.B)    { benchShuffle(b, perJobRun(RunGob)) }
-
-// BenchmarkLoopbackShuffleSession is the persistent-session counterpart of
-// the per-job-dial binary shuffle: the session is dialed once outside the
-// timed loop, so each iteration is one numbered job over the already-open
-// connections — the dial/teardown per job that Run pays is amortized away.
-func BenchmarkLoopbackShuffleSession(b *testing.B) { benchShuffle(b, sessionRun) }
 
 // BenchmarkLoopbackPayloadSession times the payload wire path in isolation:
 // R1 ships 200k tuples each carrying an 8-byte payload segment against an
@@ -106,12 +79,7 @@ func BenchmarkLoopbackPayloadSession(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	addrs := startBenchWorkers(b, 4)
-	sess, err := Dial(addrs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = sess.Close() })
+	sess := benchSession(b, 4)
 	enc := func(dst []byte, p join.Key) []byte {
 		return binary.LittleEndian.AppendUint64(dst, uint64(p))
 	}
@@ -130,26 +98,20 @@ func BenchmarkLoopbackPayloadSession(b *testing.B) {
 	}
 }
 
-// The end-to-end pair: a full band join over the wire, dominated by
-// shuffle + local join together.
-
-func benchBandJoin(b *testing.B, makeRun func(b *testing.B, addrs []string) runFn) {
+// BenchmarkLoopbackBandJoinSession is the end-to-end counterpart: a full
+// band join over the wire, dominated by shuffle + local join together.
+func BenchmarkLoopbackBandJoinSession(b *testing.B) {
 	const n = 100000
 	r1 := randKeys(n, n, 3)
 	r2 := randKeys(n, n, 4)
 	cond := join.NewBand(2)
 	ci := partition.NewCI(4)
-	addrs := startBenchWorkers(b, 4)
-	run := makeRun(b, addrs)
+	sess := benchSession(b, 4)
 	cfg := exec.Config{Seed: 5, Mappers: 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run(addrs, r1, r2, cond, ci, model, cfg); err != nil {
+		if _, err := exec.RunOver(sess, r1, r2, cond, ci, model, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkLoopbackBandJoinBinary(b *testing.B)  { benchBandJoin(b, perJobRun(Run)) }
-func BenchmarkLoopbackBandJoinGob(b *testing.B)     { benchBandJoin(b, perJobRun(RunGob)) }
-func BenchmarkLoopbackBandJoinSession(b *testing.B) { benchBandJoin(b, sessionRun) }

@@ -309,10 +309,6 @@ func TestFaultnetFrameParity(t *testing.T) {
 		mine     byte
 		mirrored byte
 	}{
-		{"handshake", frameHandshake, faultnet.FrameHandshake},
-		{"v2 block", frameBlock, faultnet.FrameBlockV2},
-		{"v2 eos", frameEOS, faultnet.FrameEOSV2},
-		{"v2 metrics", frameMetrics, faultnet.FrameMetricsV2},
 		{"open job", frameV3OpenJob, faultnet.FrameOpenJob},
 		{"rel head", frameV3RelHead, faultnet.FrameRelHead},
 		{"block", frameV3Block, faultnet.FrameBlock},
@@ -345,8 +341,7 @@ func TestFaultnetFrameParity(t *testing.T) {
 			t.Errorf("%s: netexec %d, faultnet %d", p.name, p.mine, p.mirrored)
 		}
 	}
-	if protoVersion != faultnet.VersionOneShot || protoVersionSession != faultnet.VersionSession ||
-		protoVersionPeer != faultnet.VersionPeer {
+	if protoVersionSession != faultnet.VersionSession || protoVersionPeer != faultnet.VersionPeer {
 		t.Error("protocol version constants diverged")
 	}
 }

@@ -8,63 +8,36 @@
 // partitioning schemes, same shuffle, same metrics — demonstrating that
 // nothing in the EWH design depends on shared memory.
 //
-// The production transport is the v3 session protocol (Dial/Session,
-// implementing exec.Runtime): one persistent connection per worker with
-// numbered jobs multiplexed over it, so N jobs cost one dial per worker.
-// The v2 one-shot path (Run, one dial per worker per job) is retained as
-// the tracked per-job-dial baseline, and the v1 gob protocol (RunGob) as
-// the wire-format baseline; workers sniff each connection's opening bytes
-// and serve all three, and the benchmark suite keeps the paths honest
-// against each other. See wire.go for the framing and DESIGN.md for the
-// session protocol and its versioning rules.
+// There is one transport: the session protocol (Dial/Session, implementing
+// exec.Runtime) keeps one persistent connection per worker and multiplexes
+// numbered jobs over it, so N jobs cost one dial per worker. Every
+// connection opens with the 6-byte prelude "EWHB" + version; workers speak
+// exactly two versions — 3, a coordinator session, and 4, a worker→worker
+// peer-mesh link (peer.go) — and close anything else. See wire.go for the
+// framing and DESIGN.md's "Transport" section for the frame table and the
+// worker-side job lifecycle.
 package netexec
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"runtime/debug"
 	"sync"
-	"time"
-
 	"sync/atomic"
 
-	"ewh/internal/cost"
 	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
-	"ewh/internal/partition"
-	"ewh/internal/stats"
 )
 
-// handshake opens a job on a worker. N1/N2 carry the exact per-relation
-// tuple counts the coordinator's shuffle computed, so the worker allocates
-// its receive buffers exactly once at exactly the right size (v2 only; the
-// v1 gob path ignores them and grows buffers batch by batch).
-type handshake struct {
-	WorkerID int
-	Cond     join.Spec
-	Wi, Wo   float64
-	N1, N2   int64
-}
-
-// batch carries a chunk of routed tuples on the v1 gob path; Rel is 1 or 2.
-type batch struct {
-	Rel  int8
-	Keys []join.Key
-	// EOS marks the end of the job's tuple stream.
-	EOS bool
-}
-
 // metrics is the worker's report. PayBytes1/PayBytes2 report the payload
-// segment bytes received per relation (v3 session jobs only), so the
-// coordinator can assert the payload path end to end. PeerCounts, present
+// segment bytes received per relation, so the coordinator can assert the
+// payload path end to end. PeerCounts, present
 // only on stage-1 plan jobs, is the sender's per-receiver routed tuple
 // counts — the ONLY thing about the re-shuffled intermediate the
 // coordinator ever receives.
@@ -155,10 +128,10 @@ type planSpec struct {
 // job (and streams the right relation) WHILE stage 1 still runs, before any
 // count exists. SenderCounts is empty; the exact counts follow in a
 // frameV3PeerBind once every stage-1 metrics frame has landed, and the
-// worker parks on the transfer token exactly as it already does for slow
-// peer transfers. Pre-bind buffering stays capped by the per-transfer
-// declared-count ceiling; the tenant charge for the assembled block moves to
-// assembly time, where its size is first known.
+// worker parks on the transfer token exactly as it does for slow peer
+// transfers. Pre-bind buffering stays capped by the per-transfer
+// declared-count ceiling; either way the tenant is charged for the assembled
+// block at assembly time, where its size is first known.
 type peerJobOpen struct {
 	WorkerID       int
 	Cond           join.Spec
@@ -188,10 +161,7 @@ type planCancel struct {
 	Token uint64
 }
 
-// BatchSize is the number of keys per shipped batch on the v1 gob path.
-const BatchSize = 8192
-
-// MaxRelationTuples bounds the per-relation count a v2 handshake may
+// MaxRelationTuples bounds the per-relation count a relation head may
 // declare (1G keys = 8 GiB). The worker allocates receive buffers from the
 // declared counts before any data arrives, so without this cap one
 // malformed or hostile connection could OOM the whole worker process.
@@ -200,11 +170,11 @@ const MaxRelationTuples = 1 << 30
 // connBufSize sizes the per-connection buffered reader/writer.
 const connBufSize = 64 << 10
 
-// Worker is a join worker server. One-shot connections (v1 gob, v2 binary)
-// process a single job each; v3 session connections stay open and serve
-// numbered jobs until the coordinator hangs up. The connection's opening
-// bytes select the protocol. Close kills the worker abruptly (listener and
-// every live connection); Shutdown drains in-flight jobs first.
+// Worker is a join worker server. Session connections stay open and serve
+// numbered jobs until the coordinator hangs up; peer connections carry other
+// workers' stage-1 contributions. The connection's prelude selects which.
+// Close kills the worker abruptly (listener and every live connection);
+// Shutdown drains in-flight jobs first.
 type Worker struct {
 	ln     net.Listener
 	closed chan struct{}
@@ -255,17 +225,15 @@ type Worker struct {
 }
 
 // connState tracks one accepted connection for shutdown: active counts the
-// connection's in-flight jobs (one for the whole lifetime of a v1/v2
-// connection, per open job for v3 sessions). peer marks inbound peer-mesh
-// connections, which Shutdown must keep open until the job drain completes —
-// an in-flight stage-2 job may still be receiving tuples over them;
-// classified flips once the protocol sniff has run, so the drain never
-// closes a connection it cannot yet tell apart from a peer transfer.
+// connection's open jobs. session flips once the prelude has identified a
+// coordinator session — the only kind Shutdown may close while idle: an
+// inbound peer-mesh connection must stay open until the job drain completes
+// (an in-flight stage-2 job may still be receiving tuples over it), and a
+// connection whose prelude has not arrived yet might be one.
 type connState struct {
-	conn       net.Conn
-	active     int // guarded by Worker.mu
-	peer       bool
-	classified bool
+	conn    net.Conn
+	active  int  // guarded by Worker.mu
+	session bool // guarded by Worker.mu
 }
 
 // ListenWorker starts a worker on addr ("127.0.0.1:0" picks a free port).
@@ -404,15 +372,12 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 	w.mu.Lock()
 	w.draining = true
 	for cs := range w.conns {
-		// Peer-mesh connections are never "idle" in the job sense: an
-		// in-flight stage-2 job may still be receiving tuples over them, so
-		// they only close once the drain completes — and an unclassified
-		// connection (accepted, prelude not yet parsed) might BE one, so it
-		// is spared too. The drain itself also covers this worker's OUTBOUND
-		// peer transfers — a stage-1 plan job streams its contributions to
-		// peers before it replies, so jobs.Wait returning means every
-		// outbound transfer has flushed.
-		if cs.active == 0 && cs.classified && !cs.peer {
+		// Only idle coordinator sessions close now (see connState). The drain
+		// itself also covers this worker's OUTBOUND peer transfers — a
+		// stage-1 plan job streams its contributions to peers before it
+		// replies, so jobs.Wait returning means every outbound transfer has
+		// flushed.
+		if cs.active == 0 && cs.session {
 			_ = cs.conn.Close()
 		}
 	}
@@ -444,15 +409,6 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 	w.mu.Unlock()
 	w.closePeers()
 	return nil
-}
-
-// classify records the outcome of a connection's protocol sniff for the
-// shutdown logic.
-func (w *Worker) classify(cs *connState, peer bool) {
-	w.mu.Lock()
-	cs.classified = true
-	cs.peer = peer
-	w.mu.Unlock()
 }
 
 // beginJob registers an in-flight job on cs. It refuses (returns false)
@@ -505,12 +461,13 @@ func (w *Worker) Serve() error {
 	}
 }
 
-// handle sniffs the protocol: magic-opening connections carry a version
-// that selects the v2 one-shot or v3 session handler, anything else is
-// treated as a v1 gob stream. A panic while serving one connection must not
-// take down the worker process (and every other in-flight job with it), so
-// it is contained here; the coordinator sees the closed connection as a
-// job failure.
+// handle reads the connection's prelude and dispatches to the session or
+// the peer handler. Bytes that are not the prelude — wrong magic, or a hangup
+// before six bytes arrived — close the connection with no reply and no job
+// accounting: nothing past the fixed-size read ever parses untrusted input.
+// A panic while serving one connection must not take down the worker process
+// (and every other in-flight job with it), so it is contained here; the
+// coordinator sees the closed connection as a job failure.
 func (w *Worker) handle(conn net.Conn) {
 	cs := &connState{conn: conn}
 	w.mu.Lock()
@@ -541,399 +498,24 @@ func (w *Worker) handle(conn net.Conn) {
 		}
 	}()
 	tc := newTimedConn(conn, w.timeouts.IO)
-	br := bufio.NewReaderSize(tc, connBufSize)
-	head, err := br.Peek(len(protoMagic))
-	if err == nil && bytes.Equal(head, protoMagic[:]) {
-		var prelude [len(protoMagic) + 2]byte
-		if _, err := io.ReadFull(br, prelude[:]); err != nil {
-			return
-		}
-		switch v := binary.LittleEndian.Uint16(prelude[len(protoMagic):]); v {
-		case protoVersion:
-			w.classify(cs, false)
-			w.handleBinary(br, conn, cs)
-		case protoVersionSession:
-			w.classify(cs, false)
-			w.handleSession(br, tc, cs)
-		case protoVersionPeer:
-			w.classify(cs, true)
-			w.handlePeer(br, tc)
-		default:
-			bw := bufio.NewWriterSize(conn, 512)
-			_ = writeGobFrame(bw, frameMetrics, metrics{
-				Err: fmt.Sprintf("protocol version %d, worker speaks %d, %d and %d",
-					v, protoVersion, protoVersionSession, protoVersionPeer)})
-			_ = bw.Flush()
-		}
-		return
-	}
-	w.classify(cs, false)
-	w.handleGob(br, conn, cs)
-}
-
-// handleBinary serves one v2 job (the prelude was already consumed by the
-// protocol sniff): handshake, exactly-sized pooled receive buffers, block
-// decode, in-place local join, metrics frame.
-func (w *Worker) handleBinary(br *bufio.Reader, conn net.Conn, cs *connState) {
-	if !w.beginJob(cs) {
-		bw := bufio.NewWriterSize(conn, 512)
-		_ = writeGobFrame(bw, frameMetrics, metrics{Err: "worker shutting down"})
-		_ = bw.Flush()
-		return
-	}
-	defer w.endJob(cs)
-	bw := bufio.NewWriterSize(conn, connBufSize)
-	fail := func(err error) {
-		_ = writeGobFrame(bw, frameMetrics, metrics{Err: err.Error()})
-		_ = bw.Flush()
-		// Drain what the coordinator is still streaming before the deferred
-		// close: closing with unread data in the receive buffer sends RST,
-		// which would destroy the queued error frame before the coordinator
-		// reads it. Bounded by a deadline so a wedged peer can't pin the
-		// goroutine.
-		_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-		_, _ = io.Copy(io.Discard, br)
-	}
-
-	var hs handshake
-	if err := readGobFrame(br, frameHandshake, &hs); err != nil {
-		fail(fmt.Errorf("handshake: %w", err))
-		return
-	}
-	cond, err := hs.Cond.Condition()
-	if err != nil {
-		fail(err)
-		return
-	}
-	if hs.N1 < 0 || hs.N2 < 0 || hs.N1 > MaxRelationTuples || hs.N2 > MaxRelationTuples {
-		fail(fmt.Errorf("relation counts %d/%d outside [0, %d]", hs.N1, hs.N2, MaxRelationTuples))
-		return
-	}
-	r1 := exec.GetKeyBuffer(int(hs.N1))
-	r2 := exec.GetKeyBuffer(int(hs.N2))
-	defer func() {
-		exec.PutKeyBuffer(r1)
-		exec.PutKeyBuffer(r2)
-	}()
-	var pos1, pos2 int
-stream:
-	for {
-		typ, n, err := readFrameHeader(br)
-		if err != nil {
-			fail(fmt.Errorf("frame: %w", err))
-			return
-		}
-		switch typ {
-		case frameBlock:
-			if err := readKeyBlock(br, n, r1, r2, &pos1, &pos2); err != nil {
-				fail(fmt.Errorf("block: %w", err))
-				return
-			}
-		case frameEOS:
-			break stream
-		default:
-			fail(fmt.Errorf("unexpected frame type %d mid-stream", typ))
-			return
-		}
-	}
-	if pos1 != len(r1) || pos2 != len(r2) {
-		fail(fmt.Errorf("stream ended at %d/%d tuples, handshake declared %d/%d",
-			pos1, pos2, len(r1), len(r2)))
-		return
-	}
-	start := time.Now()
-	// The worker owns the pooled buffers outright, so the join sorts them in
-	// place — no defensive clones on the remote hot path either.
-	out := localjoin.AutoCountOwned(r1, r2, cond)
-	_ = writeGobFrame(bw, frameMetrics, metrics{
-		InputR1: hs.N1,
-		InputR2: hs.N2,
-		Output:  out,
-		Nanos:   time.Since(start).Nanoseconds(),
-	})
-	_ = bw.Flush()
-}
-
-// handleGob serves one v1 job (the seed protocol): gob handshake, gob tuple
-// batches appended into growing buffers, local join, gob metrics.
-func (w *Worker) handleGob(br *bufio.Reader, conn net.Conn, cs *connState) {
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-
-	fail := func(err error) {
-		_ = enc.Encode(metrics{Err: err.Error()})
-	}
-	if !w.beginJob(cs) {
-		fail(fmt.Errorf("worker shutting down"))
-		return
-	}
-	defer w.endJob(cs)
-
-	var hs handshake
-	if err := dec.Decode(&hs); err != nil {
-		fail(fmt.Errorf("handshake: %w", err))
-		return
-	}
-	cond, err := hs.Cond.Condition()
-	if err != nil {
-		fail(err)
-		return
-	}
-	var r1, r2 []join.Key
-	for {
-		var b batch
-		if err := dec.Decode(&b); err != nil {
-			fail(fmt.Errorf("batch: %w", err))
-			return
-		}
-		if b.EOS {
-			break
-		}
-		switch b.Rel {
-		case 1:
-			r1 = append(r1, b.Keys...)
-		case 2:
-			r2 = append(r2, b.Keys...)
-		default:
-			fail(fmt.Errorf("batch for unknown relation %d", b.Rel))
-			return
-		}
-	}
-	start := time.Now()
-	out := localjoin.AutoCount(r1, r2, cond)
-	_ = enc.Encode(metrics{
-		InputR1: int64(len(r1)),
-		InputR2: int64(len(r2)),
-		Output:  out,
-		Nanos:   time.Since(start).Nanoseconds(),
-	})
-}
-
-// Run shuffles the relations to the remote workers with the v2 binary
-// protocol and returns the aggregated result. The routing happens once on
-// the coordinator via the engine's batch-routed two-pass shuffle
-// (exec.ShufflePair, honoring cfg.Seed and cfg.Mappers), so each worker's
-// blocks are read straight out of contiguous flat memory; with the same cfg
-// the per-worker tuple sets are identical to an in-process exec.Run. The
-// scheme must not need more workers than addrs provides; extra addresses
-// stay idle.
-func Run(addrs []string, r1, r2 []join.Key, cond join.Condition,
-	scheme partition.Scheme, model cost.Model, cfg exec.Config) (*exec.Result, error) {
-
-	j := scheme.Workers()
-	if j > len(addrs) {
-		return nil, fmt.Errorf("netexec: scheme needs %d workers, only %d addresses", j, len(addrs))
-	}
-	spec, err := join.SpecOf(cond)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-
-	s1, s2 := exec.ShufflePair(r1, r2, scheme, cfg)
-	res := &exec.Result{Scheme: scheme.Name() + "@net", Workers: make([]exec.WorkerMetrics, j)}
-	errs := make([]error, j)
-	var wg sync.WaitGroup
-	for wID := 0; wID < j; wID++ {
-		wg.Add(1)
-		go func(wID int) {
-			defer wg.Done()
-			m, err := runWorkerJob(addrs[wID], wID, spec, model, s1.Worker(wID), s2.Worker(wID))
-			if err != nil {
-				errs[wID] = err
-				return
-			}
-			recordWorker(&res.Workers[wID], m, model)
-		}(wID)
-	}
-	wg.Wait()
-	s1.Release()
-	s2.Release()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	aggregate(res, start, cfg.BytesPerTuple)
-	return res, nil
-}
-
-// runWorkerJob ships one worker's relations over a v2 connection.
-func runWorkerJob(addr string, workerID int, spec join.Spec, model cost.Model,
-	r1, r2 []join.Key) (*metrics, error) {
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("netexec: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	bw := bufio.NewWriterSize(conn, connBufSize)
-
 	var prelude [len(protoMagic) + 2]byte
-	copy(prelude[:], protoMagic[:])
-	binary.LittleEndian.PutUint16(prelude[len(protoMagic):], protoVersion)
-	if _, err := bw.Write(prelude[:]); err != nil {
-		return nil, fmt.Errorf("netexec: prelude to %s: %w", addr, err)
+	if _, err := io.ReadFull(tc, prelude[:]); err != nil || [4]byte(prelude[:4]) != protoMagic {
+		return
 	}
-	hs := handshake{WorkerID: workerID, Cond: spec, Wi: model.Wi, Wo: model.Wo,
-		N1: int64(len(r1)), N2: int64(len(r2))}
-	if err := writeGobFrame(bw, frameHandshake, hs); err != nil {
-		return nil, fmt.Errorf("netexec: handshake to %s: %w", addr, err)
+	br := bufio.NewReaderSize(tc, connBufSize)
+	switch v := binary.LittleEndian.Uint16(prelude[len(protoMagic):]); v {
+	case protoVersionSession:
+		w.mu.Lock()
+		cs.session = true
+		w.mu.Unlock()
+		w.handleSession(br, tc, cs)
+	case protoVersionPeer:
+		w.handlePeer(br, tc)
+	default:
+		bw := bufio.NewWriterSize(conn, 512)
+		_ = writeGobFrame(bw, frameMetrics, metrics{
+			Err: fmt.Sprintf("protocol version %d, worker speaks %d and %d",
+				v, protoVersionSession, protoVersionPeer)})
+		_ = bw.Flush()
 	}
-	if err := writeKeyBlocks(bw, 1, r1); err != nil {
-		return nil, fmt.Errorf("netexec: send to %s: %w", addr, err)
-	}
-	if err := writeKeyBlocks(bw, 2, r2); err != nil {
-		return nil, fmt.Errorf("netexec: send to %s: %w", addr, err)
-	}
-	if err := writeFrameHeader(bw, frameEOS, 0); err != nil {
-		return nil, fmt.Errorf("netexec: eos to %s: %w", addr, err)
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, fmt.Errorf("netexec: flush to %s: %w", addr, err)
-	}
-	var m metrics
-	if err := readGobFrame(bufio.NewReaderSize(conn, 512), frameMetrics, &m); err != nil {
-		return nil, fmt.Errorf("netexec: metrics from %s: %w", addr, err)
-	}
-	if m.Err != "" {
-		return nil, fmt.Errorf("netexec: worker %s: %s", addr, m.Err)
-	}
-	return &m, nil
-}
-
-// RunGob is the v1 baseline: tuples are routed one at a time on the
-// coordinator into per-worker append buffers and shipped as gob-encoded
-// batches. It is retained (and served by the same workers) as the
-// measured-against baseline for the binary protocol in the benchmark suite,
-// and as the compatibility path for per-tuple Scheme implementations outside
-// internal/partition. Only cfg.Seed and cfg.BytesPerTuple are honored — the
-// v1 path has no mapper parallelism.
-func RunGob(addrs []string, r1, r2 []join.Key, cond join.Condition,
-	scheme partition.Scheme, model cost.Model, cfg exec.Config) (*exec.Result, error) {
-
-	j := scheme.Workers()
-	if j > len(addrs) {
-		return nil, fmt.Errorf("netexec: scheme needs %d workers, only %d addresses", j, len(addrs))
-	}
-	spec, err := join.SpecOf(cond)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-
-	// Route locally into per-worker buffers (the mapper side), one tuple at
-	// a time.
-	perWorker1 := make([][]join.Key, j)
-	perWorker2 := make([][]join.Key, j)
-	rng := stats.NewRNG(cfg.Seed)
-	var buf []int
-	for _, k := range r1 {
-		buf = scheme.RouteR1(k, rng, buf[:0])
-		for _, w := range buf {
-			perWorker1[w] = append(perWorker1[w], k)
-		}
-	}
-	for _, k := range r2 {
-		buf = scheme.RouteR2(k, rng, buf[:0])
-		for _, w := range buf {
-			perWorker2[w] = append(perWorker2[w], k)
-		}
-	}
-
-	res := &exec.Result{Scheme: scheme.Name() + "@gob", Workers: make([]exec.WorkerMetrics, j)}
-	errs := make([]error, j)
-	var wg sync.WaitGroup
-	for wID := 0; wID < j; wID++ {
-		wg.Add(1)
-		go func(wID int) {
-			defer wg.Done()
-			m, err := runWorkerJobGob(addrs[wID], wID, spec, model, perWorker1[wID], perWorker2[wID])
-			if err != nil {
-				errs[wID] = err
-				return
-			}
-			recordWorker(&res.Workers[wID], m, model)
-		}(wID)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	aggregate(res, start, cfg.BytesPerTuple)
-	return res, nil
-}
-
-func runWorkerJobGob(addr string, workerID int, spec join.Spec, model cost.Model,
-	r1, r2 []join.Key) (*metrics, error) {
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("netexec: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-
-	if err := enc.Encode(handshake{WorkerID: workerID, Cond: spec, Wi: model.Wi, Wo: model.Wo}); err != nil {
-		return nil, fmt.Errorf("netexec: handshake to %s: %w", addr, err)
-	}
-	send := func(rel int8, keys []join.Key) error {
-		for off := 0; off < len(keys); off += BatchSize {
-			end := off + BatchSize
-			if end > len(keys) {
-				end = len(keys)
-			}
-			if err := enc.Encode(batch{Rel: rel, Keys: keys[off:end]}); err != nil {
-				return fmt.Errorf("netexec: send to %s: %w", addr, err)
-			}
-		}
-		return nil
-	}
-	if err := send(1, r1); err != nil {
-		return nil, err
-	}
-	if err := send(2, r2); err != nil {
-		return nil, err
-	}
-	if err := enc.Encode(batch{EOS: true}); err != nil {
-		return nil, fmt.Errorf("netexec: eos to %s: %w", addr, err)
-	}
-	var m metrics
-	if err := dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("netexec: metrics from %s: %w", addr, err)
-	}
-	if m.Err != "" {
-		return nil, fmt.Errorf("netexec: worker %s: %s", addr, m.Err)
-	}
-	return &m, nil
-}
-
-// recordWorker folds one worker's reply into the result slot.
-func recordWorker(wm *exec.WorkerMetrics, m *metrics, model cost.Model) {
-	wm.InputR1 = m.InputR1
-	wm.InputR2 = m.InputR2
-	wm.Output = m.Output
-	wm.Work = model.Weight(float64(m.InputR1+m.InputR2), float64(m.Output))
-}
-
-// aggregate computes the run-level metrics from the per-worker slots.
-// bytesPerTuple falls back to exec's shared default so the two engines
-// report the same memory metric for the same configuration.
-func aggregate(res *exec.Result, start time.Time, bytesPerTuple int) {
-	if bytesPerTuple <= 0 {
-		bytesPerTuple = exec.DefaultBytesPerTuple
-	}
-	for _, m := range res.Workers {
-		res.Output += m.Output
-		res.NetworkTuples += m.Input()
-		res.MemoryBytes += m.Input() * int64(bytesPerTuple)
-		res.TotalWork += m.Work
-		if m.Work > res.MaxWork {
-			res.MaxWork = m.Work
-		}
-	}
-	res.WallTime = time.Since(start)
 }

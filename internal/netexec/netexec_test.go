@@ -2,36 +2,28 @@ package netexec
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"ewh/internal/core"
 	"ewh/internal/cost"
 	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
+	"ewh/internal/partition"
 	"ewh/internal/stats"
 )
 
 var model = cost.Model{Wi: 1, Wo: 0.2}
-
-func startWorkers(t *testing.T, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		w, err := ListenWorker("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = w.Addr()
-		go func() { _ = w.Serve() }()
-		t.Cleanup(func() { _ = w.Close() })
-	}
-	return addrs
-}
 
 func randKeys(n int, domain int64, seed uint64) []join.Key {
 	r := stats.NewRNG(seed)
@@ -42,85 +34,27 @@ func randKeys(n int, domain int64, seed uint64) []join.Key {
 	return out
 }
 
-func TestNetRunMatchesLocal(t *testing.T) {
-	r1 := randKeys(3000, 1500, 1)
-	r2 := randKeys(3000, 1500, 2)
-	cond := join.NewBand(2)
-	plan, err := core.PlanCSIO(r1, r2, cond, core.Options{J: 4, Model: model, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := startWorkers(t, plan.Scheme.Workers())
-
-	netRes, err := Run(addrs, r1, r2, cond, plan.Scheme, model, exec.Config{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	localRes := exec.Run(r1, r2, cond, plan.Scheme, model, exec.Config{Seed: 4})
-	if netRes.Output != localRes.Output {
-		t.Fatalf("net output %d != local %d", netRes.Output, localRes.Output)
-	}
-	if want := localjoin.NestedLoopCount(r1, r2, cond); netRes.Output != want {
-		t.Fatalf("net output %d != ground truth %d", netRes.Output, want)
-	}
-	if netRes.NetworkTuples != localRes.NetworkTuples {
-		t.Fatalf("net shipped %d != local %d", netRes.NetworkTuples, localRes.NetworkTuples)
-	}
-	if !strings.HasSuffix(netRes.Scheme, "@net") {
-		t.Errorf("scheme label %q", netRes.Scheme)
-	}
-}
-
-func TestNetRunCIScheme(t *testing.T) {
-	// The randomized CI scheme also works over the wire (routing happens on
-	// the coordinator, so the random choices are made once).
-	r1 := randKeys(1000, 800, 5)
-	r2 := randKeys(1000, 800, 6)
-	cond := join.Equi{}
-	plan, err := core.PlanCI(core.Options{J: 4, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := startWorkers(t, 4)
-	res, err := Run(addrs, r1, r2, cond, plan.Scheme, model, exec.Config{Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := localjoin.NestedLoopCount(r1, r2, cond); res.Output != want {
-		t.Fatalf("output %d, want %d", res.Output, want)
-	}
-}
-
-func TestNetRunTooFewWorkers(t *testing.T) {
+func TestSessionTooFewWorkers(t *testing.T) {
 	plan, err := core.PlanCI(core.Options{J: 8, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := startWorkers(t, 2)
-	if _, err := Run(addrs, nil, nil, join.Equi{}, plan.Scheme, model, exec.Config{Seed: 1}); err == nil {
-		t.Fatal("scheme wider than worker pool accepted")
+	_, addrs := startWorkerSet(t, 2)
+	sess := dialSession(t, addrs)
+	_, err = exec.RunOver(sess, nil, nil, join.Equi{}, plan.Scheme, model, exec.Config{Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "session has 2") {
+		t.Fatalf("scheme wider than the session: got %v", err)
 	}
 }
 
-func TestNetRunDialFailure(t *testing.T) {
+func TestSessionUnsupportedCondition(t *testing.T) {
 	plan, err := core.PlanCI(core.Options{J: 1, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run([]string{"127.0.0.1:1"}, []join.Key{1}, []join.Key{1},
-		join.Equi{}, plan.Scheme, model, exec.Config{Seed: 1})
-	if err == nil {
-		t.Fatal("dead worker address accepted")
-	}
-}
-
-func TestNetRunUnsupportedCondition(t *testing.T) {
-	plan, err := core.PlanCI(core.Options{J: 1, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := startWorkers(t, 1)
-	_, err = Run(addrs, []join.Key{1}, []join.Key{1}, badCond{}, plan.Scheme, model, exec.Config{Seed: 1})
+	_, addrs := startWorkerSet(t, 1)
+	sess := dialSession(t, addrs)
+	_, err = exec.RunOver(sess, []join.Key{1}, []join.Key{1}, badCond{}, plan.Scheme, model, exec.Config{Seed: 1})
 	if err == nil {
 		t.Fatal("unspecable condition accepted")
 	}
@@ -166,7 +100,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNetRunSkewedCSIO(t *testing.T) {
+func TestSessionSkewedCSIO(t *testing.T) {
 	r := stats.NewRNG(8)
 	z := stats.NewZipf(600, 0.9)
 	r1 := make([]join.Key, 2000)
@@ -180,8 +114,9 @@ func TestNetRunSkewedCSIO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := startWorkers(t, plan.Scheme.Workers())
-	res, err := Run(addrs, r1, r2, cond, plan.Scheme, model, exec.Config{Seed: 10})
+	_, addrs := startWorkerSet(t, plan.Scheme.Workers())
+	sess := dialSession(t, addrs)
+	res, err := exec.RunOver(sess, r1, r2, cond, plan.Scheme, model, exec.Config{Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,211 +125,283 @@ func TestNetRunSkewedCSIO(t *testing.T) {
 	}
 }
 
-func TestNetRunConcurrentJobs(t *testing.T) {
-	// One worker pool serves two jobs concurrently (each job is one
-	// connection; the worker handles connections independently).
-	r1 := randKeys(800, 500, 20)
-	r2 := randKeys(800, 500, 21)
-	cond := join.NewBand(1)
-	plan, err := core.PlanCI(core.Options{J: 2, Model: model})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := startWorkers(t, 2)
-	want := localjoin.NestedLoopCount(r1, r2, cond)
-	done := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func(seed uint64) {
-			res, err := Run(addrs, r1, r2, cond, plan.Scheme, model, exec.Config{Seed: seed})
-			if err == nil && res.Output != want {
-				err = fmt.Errorf("output %d, want %d", res.Output, want)
-			}
-			done <- err
-		}(uint64(30 + i))
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestRunGobMatchesBinary(t *testing.T) {
-	// The same worker pool serves both wire protocols (sniffed per
-	// connection), and the v1 gob baseline must agree with the v2 binary
-	// path on every aggregate for a deterministic scheme.
-	r1 := randKeys(4000, 2000, 40)
-	r2 := randKeys(4000, 2000, 41)
-	cond := join.NewBand(2)
-	plan, err := core.PlanCSIO(r1, r2, cond, core.Options{J: 4, Model: model, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := startWorkers(t, plan.Scheme.Workers())
-	cfg := exec.Config{Seed: 43}
-	bin, err := Run(addrs, r1, r2, cond, plan.Scheme, model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gobRes, err := RunGob(addrs, r1, r2, cond, plan.Scheme, model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bin.Output != gobRes.Output || bin.NetworkTuples != gobRes.NetworkTuples {
-		t.Fatalf("binary (out=%d net=%d) != gob (out=%d net=%d)",
-			bin.Output, bin.NetworkTuples, gobRes.Output, gobRes.NetworkTuples)
-	}
-	for w := range bin.Workers {
-		if bin.Workers[w] != gobRes.Workers[w] {
-			t.Fatalf("worker %d metrics differ: binary %+v, gob %+v",
-				w, bin.Workers[w], gobRes.Workers[w])
-		}
-	}
-	if !strings.HasSuffix(bin.Scheme, "@net") || !strings.HasSuffix(gobRes.Scheme, "@gob") {
-		t.Errorf("scheme labels %q / %q", bin.Scheme, gobRes.Scheme)
-	}
-	if want := localjoin.NestedLoopCount(r1, r2, cond); bin.Output != want {
-		t.Fatalf("output %d, want ground truth %d", bin.Output, want)
-	}
-}
-
-// dialV2 opens a raw v2 connection for protocol-level fault injection.
-func dialV2(t *testing.T, addr string, version uint16) (*bufio.Writer, net.Conn) {
+// dialRaw opens a connection and writes raw opening bytes — the entry point
+// for everything a worker must survive before (or instead of) a prelude.
+func dialRaw(t *testing.T, addr string, opening []byte) net.Conn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = conn.Close() })
-	bw := bufio.NewWriter(conn)
-	var prelude [6]byte
-	copy(prelude[:], protoMagic[:])
-	binary.LittleEndian.PutUint16(prelude[4:], version)
-	if _, err := bw.Write(prelude[:]); err != nil {
+	if _, err := conn.Write(opening); err != nil {
 		t.Fatal(err)
 	}
-	return bw, conn
+	return conn
 }
 
-func readErrMetrics(t *testing.T, conn net.Conn) string {
+// expectClosedSilently asserts the worker hangs up on conn without having
+// written a single byte (a close with our bytes still unread is a reset).
+func expectClosedSilently(t *testing.T, conn net.Conn) {
 	t.Helper()
-	var m metrics
-	if err := readGobFrame(bufio.NewReader(conn), frameMetrics, &m); err != nil {
-		t.Fatalf("reading metrics reply: %v", err)
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var b [1]byte
+	n, err := conn.Read(b[:])
+	if n != 0 || (err != io.EOF && !errors.Is(err, syscall.ECONNRESET)) {
+		t.Fatalf("worker answered a non-prelude connection: read %d bytes, err %v", n, err)
 	}
-	return m.Err
 }
 
 func TestVersionMismatchRejected(t *testing.T) {
-	addrs := startWorkers(t, 1)
-	bw, conn := dialV2(t, addrs[0], protoVersion+7)
-	if err := bw.Flush(); err != nil {
+	ws, addrs := startWorkerSet(t, 1)
+	ws[0].FailAfterJobs(1 << 30) // arms the completed-job counter
+	prelude := append(append([]byte{}, protoMagic[:]...), 0, 0)
+	binary.LittleEndian.PutUint16(prelude[4:], protoVersionPeer+7)
+	conn := dialRaw(t, addrs[0], prelude)
+	br := bufio.NewReader(conn)
+	typ, n, err := readFrameHeader(br)
+	if err != nil || typ != frameMetrics {
+		t.Fatalf("refusal frame: type %d, err %v", typ, err)
+	}
+	var m metrics
+	if err := readGobPayload(br, n, &m); err != nil {
 		t.Fatal(err)
 	}
-	if msg := readErrMetrics(t, conn); !strings.Contains(msg, "version") {
-		t.Fatalf("error %q does not mention the version", msg)
+	want := fmt.Sprintf("protocol version %d, worker speaks %d and %d",
+		protoVersionPeer+7, protoVersionSession, protoVersionPeer)
+	if m.Err != want {
+		t.Fatalf("refusal %q, want %q", m.Err, want)
+	}
+	expectClosedSilently(t, conn) // nothing after the refusal but the hangup
+	assertNoJobsBegun(t, ws[0])
+}
+
+func TestGarbagePreludeClosedSilently(t *testing.T) {
+	// Bytes that are not the prelude used to fall through to a gob decoder;
+	// now the connection closes with no reply and no job accounting.
+	ws, addrs := startWorkerSet(t, 1)
+	ws[0].FailAfterJobs(1 << 30) // arms the completed-job counter
+	for _, tc := range []struct {
+		name    string
+		opening []byte
+	}{
+		{"wrong magic", []byte("GET / HTTP/1.1\r\n\r\n")},
+		{"gob-like", []byte{0x1f, 0xff, 0x81, 0x03, 0x01, 0x01, 0x09, 'h', 'a', 'n', 'd'}},
+		{"short magic then EOF", []byte("EWH")},
+		{"magic and half a version then EOF", []byte("EWHB\x03")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := dialRaw(t, addrs[0], tc.opening)
+			if len(tc.opening) < len(protoMagic)+2 {
+				if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			expectClosedSilently(t, conn)
+		})
+	}
+	assertNoJobsBegun(t, ws[0])
+	// The worker still serves a well-formed session afterwards.
+	sess := dialSession(t, addrs)
+	r1 := randKeys(200, 100, 64)
+	if _, err := exec.RunOver(sess, r1, r1, join.Equi{}, partition.NewCI(1), model, exec.Config{Seed: 65}); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestDeclaredCountEnforced(t *testing.T) {
-	spec, err := join.SpecOf(join.Equi{})
-	if err != nil {
-		t.Fatal(err)
+// assertNoJobsBegun checks that nothing the test threw at w reached beginJob
+// (every begun job ends, and FailAfterJobs makes endJob count): the refused
+// connections are gone and no job completed.
+func assertNoJobsBegun(t *testing.T, w *Worker) {
+	t.Helper()
+	waitFor(t, "refused connections to be dropped", func() bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return len(w.conns) == 0
+	})
+	if n := w.jobsDone.Load(); n != 0 {
+		t.Fatalf("%d jobs begun by connections that never opened one", n)
 	}
-	addrs := startWorkers(t, 1)
+}
 
-	// EOS before the declared tuples arrived.
-	bw, conn := dialV2(t, addrs[0], protoVersion)
-	hs := handshake{Cond: spec, N1: 5, N2: 0}
-	if err := writeGobFrame(bw, frameHandshake, hs); err != nil {
+func TestShutdownSparesConnectionMidPrelude(t *testing.T) {
+	// A connection that has been accepted but has not finished its prelude
+	// might be an inbound peer link an in-flight job depends on, so the
+	// graceful drain's idle sweep must not close it — only the final
+	// post-drain sweep may.
+	ws, addrs := startWorkerSet(t, 1)
+	w := ws[0]
+	dialSession(t, addrs) // an idle, identified session: the sweep's prey
+	half := dialRaw(t, addrs[0], []byte("EWH"))
+	// Hold a job open so Shutdown parks in its drain between the two sweeps.
+	bw, _ := dialV3(t, addrs[0])
+	sendOpenJob(t, bw, 1, false)
+	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrameHeader(bw, frameEOS, 0); err != nil {
+	waitFor(t, "two identified sessions, one with a job, and one unknown", func() bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		sessions, active := 0, 0
+		for cs := range w.conns {
+			active += cs.active
+			if cs.session {
+				sessions++
+			}
+		}
+		return len(w.conns) == 3 && sessions == 2 && active == 1
+	})
+	shut := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		shut <- w.Shutdown(ctx)
+	}()
+	waitFor(t, "the idle session to be swept", func() bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return len(w.conns) == 2
+	})
+	// Mid-drain: the half-prelude connection is still open — finishing the
+	// prelude as a peer link now gets it served, not refused.
+	if _, err := half.Write([]byte{'B', protoVersionPeer, 0}); err != nil {
+		t.Fatalf("mid-prelude connection was closed by the drain sweep: %v", err)
+	}
+	_ = half.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	var b [1]byte
+	if _, err := half.Read(b[:]); err == nil || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("mid-prelude connection not left open during the drain: %v", err)
+	}
+	// Release the drain.
+	if err := writeV3FrameHeader(bw, frameV3Abort, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if msg := readErrMetrics(t, conn); !strings.Contains(msg, "declared") {
+	if err := <-shut; err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	expectClosedSilently(t, half)
+}
+
+// waitFor polls cond until it holds or the test times out.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+func TestSessionDeclaredCountEnforced(t *testing.T) {
+	_, addrs := startWorkerSet(t, 1)
+
+	// EOS before the declared tuples arrived.
+	bw, conn := dialV3(t, addrs[0])
+	sendOpenJob(t, bw, 1, false)
+	if err := writeRelHead(bw, 1, 1, 5, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRelHead(bw, 1, 2, 0, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeV3FrameHeader(bw, frameV3EOS, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if msg := readV3ErrMetrics(t, conn, 1); !strings.Contains(msg, "declared") {
 		t.Fatalf("truncated stream accepted: %q", msg)
 	}
 
-	// More tuples than declared.
-	bw, conn = dialV2(t, addrs[0], protoVersion)
-	hs = handshake{Cond: spec, N1: 1, N2: 0}
-	if err := writeGobFrame(bw, frameHandshake, hs); err != nil {
+	// More tuples than declared; same connection, next job.
+	sendOpenJob(t, bw, 2, false)
+	if err := writeRelHead(bw, 2, 1, 1, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeKeyBlocks(bw, 1, []join.Key{1, 2, 3}); err != nil {
+	if err := writeKeyBlocksV3(bw, 2, 1, []join.Key{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRelHead(bw, 2, 2, 0, false, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeV3FrameHeader(bw, frameV3EOS, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if msg := readErrMetrics(t, conn); !strings.Contains(msg, "overflow") {
+	if msg := readV3ErrMetrics(t, conn, 2); !strings.Contains(msg, "overflow") {
 		t.Fatalf("overflowing block accepted: %q", msg)
 	}
 }
 
-func TestUnknownRelationRejected(t *testing.T) {
-	spec, err := join.SpecOf(join.Equi{})
-	if err != nil {
+func TestSessionUnknownRelationRejected(t *testing.T) {
+	_, addrs := startWorkerSet(t, 1)
+	bw, conn := dialV3(t, addrs[0])
+	sendOpenJob(t, bw, 1, false)
+	if err := writeRelHead(bw, 1, 1, 1, false, 0); err != nil {
 		t.Fatal(err)
 	}
-	addrs := startWorkers(t, 1)
-	bw, conn := dialV2(t, addrs[0], protoVersion)
-	if err := writeGobFrame(bw, frameHandshake, handshake{Cond: spec, N1: 1, N2: 1}); err != nil {
+	if err := writeKeyBlocksV3(bw, 1, 3, []join.Key{9}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeKeyBlocks(bw, 3, []join.Key{9}); err != nil {
+	if err := writeV3FrameHeader(bw, frameV3EOS, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if msg := readErrMetrics(t, conn); !strings.Contains(msg, "relation") {
+	if msg := readV3ErrMetrics(t, conn, 1); !strings.Contains(msg, "unknown relation 3") {
 		t.Fatalf("block for relation 3 accepted: %q", msg)
 	}
 }
 
-func TestMultiBlockRelation(t *testing.T) {
+func TestSessionMultiBlockRelation(t *testing.T) {
 	// A relation larger than one block frame still reassembles exactly:
 	// exercise the split path by writing two explicit blocks for R1.
-	spec, err := join.SpecOf(join.NewBand(1))
+	_, addrs := startWorkerSet(t, 1)
+	bw, conn := dialV3(t, addrs[0])
+	r1 := randKeys(1000, 400, 60)
+	r2 := randKeys(1000, 400, 61)
+	cond := join.NewBand(1)
+	spec, err := join.SpecOf(cond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := startWorkers(t, 1)
-	bw, conn := dialV2(t, addrs[0], protoVersion)
-	r1 := randKeys(1000, 400, 60)
-	r2 := randKeys(1000, 400, 61)
-	if err := writeGobFrame(bw, frameHandshake,
-		handshake{Cond: spec, N1: int64(len(r1)), N2: int64(len(r2))}); err != nil {
+	if err := writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeKeyBlocks(bw, 1, r1[:300]); err != nil {
+	if err := writeRelHead(bw, 1, 1, len(r1), false, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeKeyBlocks(bw, 1, r1[300:]); err != nil {
+	if err := writeKeyBlocksV3(bw, 1, 1, r1[:300]); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeKeyBlocks(bw, 2, r2); err != nil {
+	if err := writeKeyBlocksV3(bw, 1, 1, r1[300:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrameHeader(bw, frameEOS, 0); err != nil {
+	if err := writeRelHead(bw, 1, 2, len(r2), false, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeKeyBlocksV3(bw, 1, 2, r2); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeV3FrameHeader(bw, frameV3EOS, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	var m metrics
-	if err := readGobFrame(bufio.NewReader(conn), frameMetrics, &m); err != nil {
-		t.Fatal(err)
-	}
+	m := readV3Metrics(t, conn, 1)
 	if m.Err != "" {
 		t.Fatal(m.Err)
 	}
-	cond := join.NewBand(1)
 	if want := localjoin.NestedLoopCount(r1, r2, cond); m.Output != want {
 		t.Fatalf("output %d, want %d", m.Output, want)
 	}

@@ -519,41 +519,13 @@ func (w *Worker) evictFinishedLocked() bool {
 	return len(w.peerStates) < maxPeerStates
 }
 
-// bindPeerJob attaches a stage-2 job to its transfer state with the
-// coordinator-announced per-sender counts.
-func (w *Worker) bindPeerJob(token uint64, senderCounts []int64) (*peerJobState, error) {
-	var total int64
-	for s, c := range senderCounts {
-		if c < 0 || c > MaxRelationTuples {
-			return nil, fmt.Errorf("sender %d count %d outside [0, %d]", s, c, MaxRelationTuples)
-		}
-		total += c
-	}
-	if total > MaxRelationTuples {
-		return nil, fmt.Errorf("peer transfer of %d tuples exceeds relation limit %d", total, MaxRelationTuples)
-	}
-	st := w.peerState(token)
-	if st == nil {
-		return nil, fmt.Errorf("transfer table full (%d tokens)", maxPeerStates)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.expected != nil {
-		return nil, fmt.Errorf("transfer token %d already bound", token)
-	}
-	st.expected = senderCounts
-	st.checkReadyLocked()
-	return st, nil
-}
-
-// bindPeerCounts is the late-bind half of a counts-deferred peer job: a
-// frameV3PeerBind delivers the exact per-sender counts after stage 1
-// finished, with the stage-2 job already parked on the transfer's ready
-// channel. It mirrors bindPeerJob's validations, but with no job context to
-// fail it POISONS the state instead — the parked job observes the error
-// through its ready wake-up and replies it. A token with no tracked state is
-// ignored (the job failed at open and already replied; the coordinator's
-// await surfaces that reply first).
+// bindPeerCounts binds a transfer to the coordinator-announced per-sender
+// counts — carried by the stage-2 job's open or, for a stage-overlapped
+// (counts-deferred) job, by a late frameV3PeerBind once stage 1 finished. The
+// bind is keyed by token, not job: a bad or duplicate bind POISONS the state
+// and the job parked on its ready channel replies the error. A token with no
+// tracked state is ignored (the job failed at open and already replied; the
+// coordinator's await surfaces that reply first).
 func (w *Worker) bindPeerCounts(token uint64, senderCounts []int64) {
 	w.peersMu.Lock()
 	st := w.peerStates[token]
@@ -565,13 +537,13 @@ func (w *Worker) bindPeerCounts(token uint64, senderCounts []int64) {
 	var bad error
 	for s, c := range senderCounts {
 		if c < 0 || c > MaxRelationTuples {
-			bad = fmt.Errorf("late bind names sender %d count %d outside [0, %d]", s, c, MaxRelationTuples)
+			bad = fmt.Errorf("bind names sender %d count %d outside [0, %d]", s, c, MaxRelationTuples)
 			break
 		}
 		total += c
 	}
 	if bad == nil && total > MaxRelationTuples {
-		bad = fmt.Errorf("late bind of %d tuples exceeds relation limit %d", total, MaxRelationTuples)
+		bad = fmt.Errorf("bind of %d tuples exceeds relation limit %d", total, MaxRelationTuples)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -36,10 +36,8 @@ func meshSend(t *testing.T, w *Worker, token uint64, sender int, keys []join.Key
 // awaitTransfer binds the transfer and waits for assembly.
 func awaitTransfer(t *testing.T, w *Worker, token uint64, counts []int64) *peerJobState {
 	t.Helper()
-	st, err := w.bindPeerJob(token, counts)
-	if err != nil {
-		t.Fatalf("bind: %v", err)
-	}
+	st := w.peerState(token)
+	w.bindPeerCounts(token, counts)
 	select {
 	case <-st.ready:
 	case <-time.After(10 * time.Second):

@@ -1,8 +1,10 @@
 package netexec
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -224,5 +226,77 @@ func TestDialWithRejectsUnreachableWorker(t *testing.T) {
 	_, err := DialWith([]string{"127.0.0.1:1"}, Timeouts{Dial: 500 * time.Millisecond})
 	if err == nil {
 		t.Fatal("dial to dead address succeeded")
+	}
+}
+
+// TestPeerJobExitTombstonesTransfer pins the single retire path: however a
+// peer-fed job leaves before consuming its transfer — ABORT or the
+// coordinator hanging up — the bound token ends as the same buffer-less
+// failed tombstone, so a late contribution is swallowed instead of
+// assembling into a block nobody will read (and the table slot stays
+// evictable).
+func TestPeerJobExitTombstonesTransfer(t *testing.T) {
+	ws, addrs := startWorkerSet(t, 1)
+	w := ws[0]
+	spec, err := join.SpecOf(join.Equi{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func(token uint64) *peerJobState {
+		w.peersMu.Lock()
+		defer w.peersMu.Unlock()
+		return w.peerStates[token]
+	}
+	for _, tc := range []struct {
+		name  string
+		leave func(bw *bufio.Writer, conn net.Conn) error
+	}{
+		{"abort", func(bw *bufio.Writer, _ net.Conn) error {
+			if err := writeV3FrameHeader(bw, frameV3Abort, 1, 0); err != nil {
+				return err
+			}
+			return bw.Flush()
+		}},
+		{"hangup", func(_ *bufio.Writer, conn net.Conn) error { return conn.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			token := newPeerToken()
+			bw, conn := dialV3(t, addrs[0])
+			po := peerJobOpen{Cond: spec, Token: token, SenderCounts: []int64{1}}
+			if err := writeV3GobFrame(bw, frameV3OpenPeerJob, 1, po); err != nil {
+				t.Fatal(err)
+			}
+			if err := bw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the job to bind its transfer", func() bool { return state(token) != nil })
+			if err := tc.leave(bw, conn); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the transfer to be tombstoned", func() bool {
+				st := state(token)
+				st.mu.Lock()
+				defer st.mu.Unlock()
+				return st.done && st.err != nil
+			})
+			// The late contribution the coordinator announced arrives anyway.
+			pc := meshSend(t, w, token, 0, []join.Key{7}, nil)
+			defer pc.close()
+			// A second send on the same link is ordered after the first, so
+			// once ITS transfer assembles the late frames have been handled.
+			probe := newPeerToken()
+			if err := pc.sendContribution(Timeouts{}, probe, 0, []join.Key{1}, nil); err != nil {
+				t.Fatal(err)
+			}
+			awaitTransfer(t, w, probe, []int64{1})
+			w.dropPeerState(probe)
+			st := state(token)
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			if !st.done || st.err == nil || st.flat != nil || len(st.contrib) != 0 {
+				t.Fatalf("token state after %s: done=%v err=%v flat=%v contributions=%d, want a buffer-less failed tombstone",
+					tc.name, st.done, st.err, st.flat != nil, len(st.contrib))
+			}
+		})
 	}
 }

@@ -19,7 +19,7 @@ import (
 // Session is the persistent-connection transport implementing exec.Runtime:
 // Dial opens one connection per worker and handshakes once, then any number
 // of numbered jobs multiplex over those connections — the dial cost is
-// amortized across the whole session instead of paid per job as in Run.
+// amortized across the whole session instead of paid per job.
 // Jobs stream each relation as soon as its shuffle completes, so socket
 // writes overlap the other relation's still-running scatter.
 //

@@ -82,12 +82,16 @@ func TestSessionMatchesLocalAcrossJobs(t *testing.T) {
 	}
 	_, addrs := startWorkerSet(t, plan.Scheme.Workers())
 	sess := dialSession(t, addrs)
+	want := localjoin.NestedLoopCount(r1, r2, cond)
 
 	// N numbered jobs over the same dialed connections — the amortization
 	// the session protocol exists for.
 	for jobN := 0; jobN < 3; jobN++ {
 		cfg := exec.Config{Seed: 73 + uint64(jobN)}
 		local := exec.Run(r1, r2, cond, plan.Scheme, model, cfg)
+		if local.Output != want {
+			t.Fatalf("job %d: local output %d != ground truth %d", jobN, local.Output, want)
+		}
 		net, err := exec.RunOver(sess, r1, r2, cond, plan.Scheme, model, cfg)
 		if err != nil {
 			t.Fatalf("job %d: %v", jobN, err)
@@ -263,28 +267,31 @@ func dialV3(t *testing.T, addr string) (*bufio.Writer, net.Conn) {
 	return bw, conn
 }
 
-// readV3ErrMetrics reads reply frames until the job's metrics and returns
-// its error string.
-func readV3ErrMetrics(t *testing.T, conn net.Conn, wantJob uint32) string {
+// readV3Metrics reads the job's metrics reply frame.
+func readV3Metrics(t *testing.T, conn net.Conn, wantJob uint32) metrics {
 	t.Helper()
 	br := bufio.NewReader(conn)
-	for {
-		typ, job, n, err := readV3FrameHeader(br)
-		if err != nil {
-			t.Fatalf("reading reply: %v", err)
-		}
-		if typ != frameV3Metrics {
-			t.Fatalf("unexpected reply frame %d", typ)
-		}
-		if job != wantJob {
-			t.Fatalf("reply for job %d, want %d", job, wantJob)
-		}
-		var m metrics
-		if err := readGobPayload(br, n, &m); err != nil {
-			t.Fatal(err)
-		}
-		return m.Err
+	typ, job, n, err := readV3FrameHeader(br)
+	if err != nil {
+		t.Fatalf("reading reply: %v", err)
 	}
+	if typ != frameV3Metrics {
+		t.Fatalf("unexpected reply frame %d", typ)
+	}
+	if job != wantJob {
+		t.Fatalf("reply for job %d, want %d", job, wantJob)
+	}
+	var m metrics
+	if err := readGobPayload(br, n, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// readV3ErrMetrics returns the error string of the job's metrics reply.
+func readV3ErrMetrics(t *testing.T, conn net.Conn, wantJob uint32) string {
+	t.Helper()
+	return readV3Metrics(t, conn, wantJob).Err
 }
 
 func sendOpenJob(t *testing.T, bw *bufio.Writer, id uint32, wantPairs bool) {

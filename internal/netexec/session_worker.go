@@ -20,15 +20,21 @@ import (
 	"ewh/internal/stats"
 )
 
-// This file is the worker side of the v3 session protocol: one read loop
-// per connection demultiplexes numbered jobs, each job decodes into
-// exactly-sized pooled buffers exactly like a v2 one-shot, and the join
-// runs in its own goroutine at the job's EOS so the read loop keeps
-// draining the next job's frames while a previous join executes. Job-level
-// protocol violations fail only that job (its remaining frames are read
-// and discarded, then an error metrics frame replies); frame-level
-// corruption is connection-fatal — framing is the only thing that lets the
-// two sides stay in sync.
+// This file is the worker side of the session protocol: one read loop per
+// connection demultiplexes numbered jobs. Every job walks the same path —
+// openJob registers it, headFrame/dataFrame decode its relations into
+// exactly-sized pooled buffers, finishJob joins and replies in its own
+// goroutine at the job's EOS (so the read loop keeps draining the next
+// job's frames while a previous join executes), and retire is the single
+// exit, shared with ABORT and connection teardown. The job kinds differ only
+// in where relation 1 comes from (coordinator blocks, chunks, or the peer
+// mesh) and where the matches go (a count, pairs, or a plan's peers); a
+// stream job swaps the finish goroutine for a long-lived one
+// (stream_worker.go) but opens and retires like the rest. Job-level protocol
+// violations fail only that job (its remaining frames are read and
+// discarded, then an error metrics frame replies); frame-level corruption is
+// connection-fatal — framing is the only thing that lets the two sides stay
+// in sync.
 
 // sessRel is one relation of an in-flight session job.
 type sessRel struct {
@@ -107,14 +113,14 @@ type sessJob struct {
 	// the wire, instead of assembling flat blocks at the tails.
 	feed *buildFeeder
 
-	// w and tenant key the job's quota accounting; charged is the byte
-	// reservation release() credits back (see tenant.go).
-	w       *Worker
-	tenant  string
+	// ws is the connection the job arrived on; its tenant keys the job's
+	// quota accounting. charged is the byte reservation release() credits
+	// back (see tenant.go).
+	ws      *workerSession
 	charged int64
-	// releaseSlot returns the job's admission slot (idempotent); nil when the
-	// job was never admitted (rejected at open, or no admission configured —
-	// admitJob's noop covers the latter before it is stored here).
+	// releaseSlot returns the job's admission slot (idempotent); nil while the
+	// job holds none (rejected at open, peer-fed and still awaiting its
+	// transfer, or a stream, which admits per window).
 	releaseSlot func()
 
 	// plan, when set, marks a stage-1 plan job: the join's matches are
@@ -122,26 +128,30 @@ type sessJob struct {
 	// streamed to peers instead of returning as pairs.
 	plan *planSpec
 	// peerFed marks a stage-2 job whose relation 1 arrives over the peer
-	// mesh; peerSt is its bound transfer state and token its transfer id.
-	// peerDeferred marks a counts-deferred (stage-overlapped) open: the
-	// tenant charge for the assembled transfer happens at assembly, when the
-	// size is first known.
-	peerFed      bool
-	peerDeferred bool
-	peerSt       *peerJobState
-	token        uint64
+	// mesh; peerSt is its transfer state and token its transfer id.
+	// peerTaken flips once the join took the assembled block out of the
+	// transfer table, so retire leaves the token alone.
+	peerFed   bool
+	peerTaken bool
+	peerSt    *peerJobState
+	token     uint64
 
 	// stream, when set, marks a long-lived continuous-join stream job (see
 	// stream_worker.go): its frames feed a dedicated goroutine and the job
-	// never reaches finishSessionJob.
+	// never reaches finishJob.
 	stream *sessStream
 }
 
 // fail records the job's first error; subsequent data frames for the job
-// are drained and discarded.
+// are drained and discarded. A stream's goroutine owns its reply path, so it
+// is told too.
 func (j *sessJob) fail(err error) {
-	if j.err == nil {
-		j.err = err
+	if j.err != nil {
+		return
+	}
+	j.err = err
+	if j.stream != nil {
+		j.stream.feed(streamEvent{kind: evStreamFail, err: err})
 	}
 }
 
@@ -165,12 +175,12 @@ func (j *sessJob) release() {
 		j.feed.stop()
 	}
 	if j.stream != nil {
-		// Same contract for a stream job's goroutine: teardown and abort land
-		// here (the EOS path finalizes itself and retires the job first).
+		// Same contract for a stream job's goroutine (a no-op wait when the
+		// goroutine itself retires the job after its EOS).
 		j.stream.stop()
 	}
 	if j.charged > 0 {
-		j.w.creditTenant(j.tenant, j.charged)
+		j.ws.w.creditTenant(j.ws.tenant, j.charged)
 		j.charged = 0
 	}
 }
@@ -178,7 +188,7 @@ func (j *sessJob) release() {
 // charge reserves n buffered bytes against the job's tenant budget; release
 // credits the whole reservation back.
 func (j *sessJob) charge(n int64) error {
-	if err := j.w.chargeTenant(j.tenant, n); err != nil {
+	if err := j.ws.w.chargeTenant(j.ws.tenant, n); err != nil {
 		return err
 	}
 	j.charged += n
@@ -255,34 +265,182 @@ func (t *plan2Table) cancel(token uint64) {
 	}
 }
 
-// handleSession serves one v3 connection until the coordinator hangs up or
-// the worker shuts down.
+// workerSession is the worker side of one session connection: the state its
+// read loop and the goroutines of its in-flight jobs share.
+type workerSession struct {
+	w    *Worker
+	cs   *connState
+	conn net.Conn
+
+	wmu sync.Mutex // serializes reply frames across concurrent job goroutines
+	bw  *bufio.Writer
+
+	pt *plan2Table
+	// done closes when the coordinator hangs up, abandoning every wait a job
+	// of this connection is parked in (admission, peer transfer, PLAN2) —
+	// their reply has nowhere to go anyway.
+	done chan struct{}
+
+	// Read-loop state. tenant is the session's identity for admission and
+	// quota accounting, declared by an optional HELLO before the first job
+	// ("" is anonymous); tenantFixed latches at the hello or the first job
+	// open, whichever comes first. jobs is the demux table: a job leaves it
+	// at its EOS or ABORT.
+	tenant      string
+	tenantFixed bool
+	jobs        map[uint32]*sessJob
+}
+
+// reply writes one gob reply frame for job id and flushes it.
+func (ws *workerSession) reply(typ byte, id uint32, v any) error {
+	ws.wmu.Lock()
+	defer ws.wmu.Unlock()
+	if err := writeV3GobFrame(ws.bw, typ, id, v); err != nil {
+		return err
+	}
+	return ws.bw.Flush()
+}
+
+// retire is the one way a job leaves the worker — after its reply, on ABORT,
+// and when the connection dies under it: recycle its buffers and stop its
+// helper goroutines, give back its admission slot, tombstone a peer transfer
+// it never consumed (so late contributions swallow instead of assembling
+// into a block nobody will read), and only then retire its drain accounting.
+func (ws *workerSession) retire(j *sessJob) {
+	j.release()
+	if j.releaseSlot != nil {
+		j.releaseSlot()
+	}
+	if j.peerFed && !j.peerTaken {
+		ws.w.dropPeerState(j.token)
+	}
+	if j.counted {
+		ws.w.endJob(ws.cs)
+	}
+}
+
+// openJob is the prologue OPENJOB, OPENPEERJOB and STREAMOPEN share: refuse a
+// reused job number, register the job (table and drain accounting), decode
+// the frame's gob message into msg and resolve the three fields every open
+// carries, which head reads back out of msg. It returns nil when the frame is
+// connection-fatal (job number reuse, undecodable open). A job a draining
+// worker refuses, or one naming an unknown condition, comes back FAILED: its
+// frames drain and its reply carries the error.
+func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int, msg any,
+	head func() (workerID int, cond join.Spec, engine int)) *sessJob {
+
+	if ws.jobs[id] != nil {
+		return nil
+	}
+	ws.tenantFixed = true
+	j := &sessJob{id: id, ws: ws}
+	ws.jobs[id] = j
+	j.counted = ws.w.beginJob(ws.cs)
+	if err := readGobPayload(br, n, msg); err != nil {
+		return nil
+	}
+	workerID, spec, engine := head()
+	j.workerID = workerID
+	if !j.counted {
+		j.fail(errors.New("worker shutting down"))
+		return j
+	}
+	cond, err := spec.Condition()
+	if err != nil {
+		j.fail(err)
+		return j
+	}
+	j.cond = cond
+	j.engine = ws.w.effectiveEngine(engine)
+	return j
+}
+
+// headFrame serves the three fixed-layout relation frames (RELHEAD,
+// CHUNKHEAD, CHUNKTAIL). It reports false when the connection must die:
+// unknown job, wrong frame length, I/O error. A declaration the job cannot
+// accept fails only the job.
+func (ws *workerSession) headFrame(br *bufio.Reader, typ byte, id uint32, n int) bool {
+	var buf [relHeadLen]byte // the longest of the three
+	h := buf[:relHeadLen]
+	switch typ {
+	case frameV3ChunkHead:
+		h = buf[:chunkHeadLen]
+	case frameV3ChunkTail:
+		h = buf[:chunkTailLen]
+	}
+	j := ws.jobs[id]
+	if j == nil || n != len(h) {
+		return false
+	}
+	if _, err := io.ReadFull(br, h); err != nil {
+		return false
+	}
+	if j.err != nil {
+		return true
+	}
+	r, err := j.rel(h[0])
+	if err == nil {
+		switch typ {
+		case frameV3RelHead:
+			err = j.relHead(r, h)
+		case frameV3ChunkHead:
+			err = j.chunkHead(r, h)
+		default:
+			err = j.chunkTail(r, h)
+		}
+	}
+	if err != nil {
+		j.fail(err)
+	}
+	return true
+}
+
+// dataFrame serves the variable-length data frames (BLOCK, PAY, CHUNK and a
+// stream's BASE/WIN keys). A frame for a failed job is consumed and dropped;
+// a *protoErr from the decoder — which has consumed the frame — fails only
+// the job; anything else (unknown job, frame shorter than its sub-header,
+// I/O error) reports false: the connection's framing is lost.
+func (ws *workerSession) dataFrame(br *bufio.Reader, typ byte, id uint32, n int) bool {
+	j := ws.jobs[id]
+	stream := typ == frameV3StreamBase || typ == frameV3StreamWin
+	if j == nil || (stream && j.stream == nil) {
+		return false
+	}
+	if j.err != nil {
+		_, err := io.CopyN(io.Discard, br, int64(n))
+		return err == nil
+	}
+	var err error
+	switch typ {
+	case frameV3Block:
+		err = j.readBlock(br, n)
+	case frameV3Pay:
+		err = j.readPayBlock(br, n)
+	case frameV3Chunk:
+		err = j.readChunk(br, n)
+	default:
+		err = j.readStreamKeys(br, n, typ)
+	}
+	if pe, ok := err.(*protoErr); ok {
+		j.fail(pe)
+		return true
+	}
+	return err == nil
+}
+
+// handleSession serves one session connection until the coordinator hangs up
+// or the worker shuts down. Returning is connection-fatal: framing is the
+// only thing that keeps the two sides in sync, so any frame the loop cannot
+// account for ends the connection, and teardown retires the jobs still
+// streaming in — there is nothing to reply to.
 func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
-	bw := bufio.NewWriterSize(conn, connBufSize)
-	var wmu sync.Mutex // serializes reply frames across concurrent job joins
-	pt := newPlan2Table()
-	jobs := make(map[uint32]*sessJob)
-	// tenant is the session's identity for admission and quota accounting,
-	// declared by an optional HELLO before the first job; "" is anonymous.
-	tenant := ""
-	helloSeen := false
-	sawJob := false
-	// connDone aborts peer-fed jobs still waiting on transfers when the
-	// coordinator hangs up — their reply has nowhere to go anyway.
-	connDone := make(chan struct{})
-	defer close(connDone)
+	ws := &workerSession{w: w, cs: cs, conn: conn,
+		bw: bufio.NewWriterSize(conn, connBufSize), pt: newPlan2Table(),
+		done: make(chan struct{}), jobs: make(map[uint32]*sessJob)}
 	defer func() {
-		// Connection gone with jobs still streaming in: nothing to reply to,
-		// just recycle their buffers, give back their admission slots and
-		// retire their drain accounting.
-		for _, j := range jobs {
-			j.release()
-			if j.releaseSlot != nil {
-				j.releaseSlot()
-			}
-			if j.counted {
-				w.endJob(cs)
-			}
+		close(ws.done)
+		for _, j := range ws.jobs {
+			ws.retire(j)
 		}
 	}()
 
@@ -298,44 +456,24 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			// Tenancy is declared once, before any job; a late or duplicate
 			// hello (or an oversized tenant id) is connection-fatal — the
 			// accounting key cannot change under in-flight jobs.
-			if helloSeen || sawJob {
-				return
-			}
 			var sh sessionHello
-			if err := readGobPayload(br, n, &sh); err != nil {
+			if ws.tenantFixed || readGobPayload(br, n, &sh) != nil || len(sh.Tenant) > maxTenantLen {
 				return
 			}
-			if len(sh.Tenant) > maxTenantLen {
-				return
-			}
-			tenant = sh.Tenant
-			helloSeen = true
+			ws.tenant, ws.tenantFixed = sh.Tenant, true
 
 		case frameV3OpenJob:
-			if jobs[id] != nil {
-				return // job number reuse is connection-fatal
-			}
-			sawJob = true
-			j := &sessJob{id: id, w: w, tenant: tenant}
-			jobs[id] = j
-			j.counted = w.beginJob(cs)
 			var jo jobOpen
-			if err := readGobPayload(br, n, &jo); err != nil {
+			j := ws.openJob(br, id, n, &jo, func() (int, join.Spec, int) {
+				return jo.WorkerID, jo.Cond, jo.Engine
+			})
+			if j == nil {
 				return
 			}
-			if !j.counted {
-				j.fail(fmt.Errorf("worker shutting down"))
-				continue
-			}
-			cond, err := jo.Cond.Condition()
-			if err != nil {
-				j.fail(err)
-				continue
-			}
-			j.cond = cond
-			j.workerID = jo.WorkerID
 			j.wantPairs = jo.WantPairs
-			j.engine = w.effectiveEngine(jo.Engine)
+			if j.err != nil {
+				continue
+			}
 			// Admission happens HERE, before the job's data frames are read:
 			// an un-admitted job buffers nothing worker-side — its frames stay
 			// in the kernel socket buffer, TCP backpressure stalls the
@@ -345,21 +483,60 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			// per job on a connection, so every earlier job here is fully
 			// received, and slot holders only ever do finite compute (plan jobs
 			// release before their stats park; peer-fed jobs admit only after
-			// their transfer assembled). A rejection fails just this job — its
-			// frames drain via the j.err path and the reply carries the typed
-			// code.
-			releaseSlot, aerr := w.admitJob(tenant, w.kill, connDone)
+			// their transfer assembled; a stream admits per window). A
+			// rejection fails just this job — its frames drain and the reply
+			// carries the typed code.
+			releaseSlot, aerr := w.admitJob(ws.tenant, w.kill, ws.done)
+			if errors.Is(aerr, errAbandoned) {
+				return // worker killed: the connection is going down anyway
+			}
 			if aerr != nil {
-				if errors.Is(aerr, errAdmitAbandoned) {
-					return // worker killed: the connection is going down anyway
-				}
 				j.fail(aerr)
 				continue
 			}
 			j.releaseSlot = releaseSlot
 
+		case frameV3OpenPeerJob:
+			var po peerJobOpen
+			j := ws.openJob(br, id, n, &po, func() (int, join.Spec, int) {
+				return po.WorkerID, po.Cond, po.Engine
+			})
+			if j == nil {
+				return
+			}
+			j.peerFed, j.token = true, po.Token
+			if j.err != nil {
+				continue
+			}
+			// Attach to (or create) the token's transfer state. The exact
+			// per-sender counts bind it now or — the stage-overlapped open,
+			// sent while stage 1 still runs — in a late PEERBIND; either way
+			// the job parks on the state at its EOS. Pre-bind buffering stays
+			// capped by the per-transfer declared-count ceiling.
+			if j.peerSt = w.peerState(po.Token); j.peerSt == nil {
+				j.fail(fmt.Errorf("transfer table full (%d tokens)", maxPeerStates))
+			} else if !po.CountsDeferred {
+				w.bindPeerCounts(po.Token, po.SenderCounts)
+			}
+
+		case frameV3StreamOpen:
+			var so streamOpen
+			j := ws.openJob(br, id, n, &so, func() (int, join.Spec, int) {
+				return so.WorkerID, so.Cond, so.Engine
+			})
+			if j == nil {
+				return
+			}
+			// The stream goroutine is the job's only reply path, so it spawns
+			// even for a job that is dead on arrival — it starts poisoned with
+			// j.err, and every window reply (and the final metrics) carries
+			// the error. A stream holds no admission slot: the goroutine
+			// acquires one around each window's probe instead, so an idle
+			// stream never starves the fair scheduler.
+			j.stream = newSessStream(j, &so)
+
 		case frameV3Plan:
-			j := jobs[id]
+			j := ws.jobs[id]
 			if j == nil {
 				return // plan for an unopened job is connection-fatal
 			}
@@ -367,10 +544,8 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			if err := readGobPayload(br, n, &ps); err != nil {
 				return
 			}
-			if j.err != nil {
-				continue
-			}
 			switch {
+			case j.err != nil:
 			case j.plan != nil:
 				j.fail(fmt.Errorf("job carries two plans"))
 			case j.wantPairs:
@@ -381,71 +556,12 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 				j.plan = &ps
 			}
 
-		case frameV3OpenPeerJob:
-			if jobs[id] != nil {
-				return
-			}
-			sawJob = true
-			j := &sessJob{id: id, peerFed: true, w: w, tenant: tenant}
-			jobs[id] = j
-			j.counted = w.beginJob(cs)
-			var po peerJobOpen
-			if err := readGobPayload(br, n, &po); err != nil {
-				return
-			}
-			if !j.counted {
-				j.fail(fmt.Errorf("worker shutting down"))
-				continue
-			}
-			cond, err := po.Cond.Condition()
-			if err != nil {
-				j.fail(err)
-				continue
-			}
-			j.cond = cond
-			j.workerID = po.WorkerID
-			j.token = po.Token
-			j.engine = w.effectiveEngine(po.Engine)
-			if po.CountsDeferred {
-				// Stage-overlapped open: the exact counts arrive in a late
-				// PEERBIND once stage 1 finishes. Attach to (or create) the
-				// transfer state unbound; the tenant charge moves to assembly,
-				// where the transfer's size is first known. Pre-bind buffering
-				// stays capped by the per-transfer declared-count ceiling.
-				st := w.peerState(po.Token)
-				if st == nil {
-					j.fail(fmt.Errorf("transfer table full (%d tokens)", maxPeerStates))
-					continue
-				}
-				j.peerDeferred = true
-				j.peerSt = st
-				continue
-			}
-			// The peer transfer's assembled block is buffered on this worker
-			// on the tenant's behalf: charge it before binding allocates.
-			var peerTuples int64
-			for _, c := range po.SenderCounts {
-				if c > 0 {
-					peerTuples += c
-				}
-			}
-			if err := j.charge(8 * peerTuples); err != nil {
-				j.fail(err)
-				continue
-			}
-			st, err := w.bindPeerJob(po.Token, po.SenderCounts)
-			if err != nil {
-				j.fail(err)
-				continue
-			}
-			j.peerSt = st
-
 		case frameV3Plan2:
 			var ps planSpec
 			if err := readGobPayload(br, n, &ps); err != nil {
 				return
 			}
-			pt.deliver(id, &ps)
+			ws.pt.deliver(id, &ps)
 
 		case frameV3PeerBind:
 			var pb peerBind
@@ -464,313 +580,65 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			// after registering (see runPlanJob), so the cancel cannot be
 			// lost to that race.
 			w.dropPeerState(pc.Token)
-			pt.cancel(pc.Token)
+			ws.pt.cancel(pc.Token)
 
-		case frameV3RelHead:
-			j := jobs[id]
-			if j == nil || n != relHeadLen {
-				return
-			}
-			var h [relHeadLen]byte
-			if _, err := io.ReadFull(br, h[:]); err != nil {
-				return
-			}
-			if j.err != nil {
-				continue
-			}
-			r, err := j.rel(h[0])
-			if err != nil {
-				j.fail(err)
-				continue
-			}
-			if j.peerFed && h[0] == 1 {
-				j.fail(fmt.Errorf("relation 1 of a peer-fed job arrives from peers, not the coordinator"))
-				continue
-			}
-			if r.declared {
-				j.fail(fmt.Errorf("relation %d declared twice", h[0]))
-				continue
-			}
-			count := int64(binary.LittleEndian.Uint32(h[2:]))
-			payBytes := int64(binary.LittleEndian.Uint32(h[6:]))
-			if count > MaxRelationTuples {
-				j.fail(fmt.Errorf("relation count %d outside [0, %d]", count, MaxRelationTuples))
-				continue
-			}
-			if payBytes > MaxRelationPayloadBytes {
-				j.fail(fmt.Errorf("payload bytes %d outside [0, %d]", payBytes, MaxRelationPayloadBytes))
-				continue
-			}
-			// Charge the tenant for the receive buffers BEFORE allocating
-			// them: a rejected job buffers nothing (its data frames drain via
-			// the j.err path), so an over-budget tenant degrades to typed
-			// rejections instead of memory growth.
-			if err := j.charge(8*count + payBytes); err != nil {
-				j.fail(err)
-				continue
-			}
-			r.declared = true
-			r.n = int(count)
-			r.keys = exec.GetKeyBuffer(r.n)
-			if h[1]&relFlagPayload != 0 {
-				r.hasPay = true
-				r.payBytes = int(payBytes)
-				r.pay = getByteBuf(r.payBytes)
-				r.off = make([]uint32, r.n+1)
-			}
-
-		case frameV3Block:
-			j := jobs[id]
-			if j == nil {
-				return
-			}
-			if j.err != nil {
-				if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
-					return
-				}
-				continue
-			}
-			if err := j.readBlock(br, n); err != nil {
-				if _, ok := err.(*protoErr); ok {
-					j.fail(err)
-					continue
-				}
-				return // I/O failure: connection-fatal
-			}
-
-		case frameV3Pay:
-			j := jobs[id]
-			if j == nil {
-				return
-			}
-			if j.err != nil {
-				if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
-					return
-				}
-				continue
-			}
-			if err := j.readPayBlock(br, n); err != nil {
-				if _, ok := err.(*protoErr); ok {
-					j.fail(err)
-					continue
-				}
+		case frameV3RelHead, frameV3ChunkHead, frameV3ChunkTail:
+			if !ws.headFrame(br, typ, id, n) {
 				return
 			}
 
-		case frameV3ChunkHead:
-			j := jobs[id]
-			if j == nil || n != chunkHeadLen {
-				return // malformed head (or unopened job) is connection-fatal
-			}
-			var h [chunkHeadLen]byte
-			if _, err := io.ReadFull(br, h[:]); err != nil {
+		case frameV3Block, frameV3Pay, frameV3Chunk, frameV3StreamBase, frameV3StreamWin:
+			if !ws.dataFrame(br, typ, id, n) {
 				return
-			}
-			if j.err != nil {
-				continue
-			}
-			r, err := j.rel(h[0])
-			if err != nil {
-				j.fail(err)
-				continue
-			}
-			switch {
-			case j.peerFed && h[0] == 1:
-				j.fail(fmt.Errorf("relation 1 of a peer-fed job arrives from peers, not the coordinator"))
-			case r.declared:
-				j.fail(fmt.Errorf("relation %d declared twice", h[0]))
-			case h[1] != 0:
-				j.fail(fmt.Errorf("chunked relation %d declares flags %d (bare-key only)", h[0], h[1]))
-			default:
-				chunks := int64(binary.LittleEndian.Uint32(h[2:]))
-				if chunks < 1 || chunks > maxRelationChunks {
-					j.fail(fmt.Errorf("chunked relation %d declares %d mappers, limit %d",
-						h[0], chunks, maxRelationChunks))
-					continue
-				}
-				r.declared = true
-				r.streaming = true
-				r.chunks = int(chunks)
-				// Insert-while-probe: a job whose effective engine resolves
-				// to hash streams its chunks through a feeder goroutine
-				// (hashfeed.go) instead of accumulating parts. A count-only
-				// job builds relation 1 as chunks land and probes relation 2
-				// against the sealed (or cache-shared) build chunk by chunk;
-				// a pairs job absorbs both relations off the read loop and
-				// pre-builds the PairTable at relation 2's tail, emitting the
-				// stream at finish. Plan jobs need materialized
-				// arrival-ordered payload blocks, so they keep the assemble
-				// path.
-				switch {
-				case h[0] == 1 && j.plan == nil &&
-					j.engine.ForCond(j.cond) == exec.EngineHash:
-					j.feed = newBuildFeeder(w.buildCache, int(chunks), j.wantPairs)
-					r.fed = true
-				case h[0] == 2 && j.feed != nil:
-					r.fed = true
-				default:
-					r.parts = make([][][]join.Key, chunks)
-				}
 			}
 
-		case frameV3Chunk:
-			j := jobs[id]
-			if j == nil {
+		case frameV3StreamBaseEnd, frameV3StreamWinEnd:
+			// End frames always reach the goroutine, failed stream or not: a
+			// window end is what makes it reply, and the coordinator collects
+			// windows in lockstep.
+			var buf [streamWinHdrLen]byte
+			h := buf[:]
+			if typ == frameV3StreamBaseEnd {
+				h = buf[:streamBaseHdrLen]
+			}
+			j := ws.jobs[id]
+			if j == nil || j.stream == nil || n != len(h) {
 				return
 			}
-			if j.err != nil {
-				if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
-					return
-				}
-				continue
-			}
-			if err := j.readChunk(br, n); err != nil {
-				if _, ok := err.(*protoErr); ok {
-					j.fail(err)
-					continue
-				}
-				return // I/O failure: connection-fatal
-			}
-
-		case frameV3ChunkTail:
-			j := jobs[id]
-			if j == nil || n != chunkTailLen {
+			if _, err := io.ReadFull(br, h); err != nil {
 				return
 			}
-			var h [chunkTailLen]byte
-			if _, err := io.ReadFull(br, h[:]); err != nil {
-				return
+			// Both layouts end [epoch u32][total u32]; a window end leads
+			// with its window number.
+			ev := streamEvent{kind: evStreamBaseEnd,
+				epoch: binary.LittleEndian.Uint32(h[len(h)-8:]),
+				total: int(binary.LittleEndian.Uint32(h[len(h)-4:]))}
+			if typ == frameV3StreamWinEnd {
+				ev.kind, ev.win = evStreamWinEnd, binary.LittleEndian.Uint32(h)
 			}
-			if j.err != nil {
-				continue
-			}
-			r, err := j.rel(h[0])
-			if err != nil {
-				j.fail(err)
-				continue
-			}
-			count := int(binary.LittleEndian.Uint32(h[1:]))
-			payBytes := int(binary.LittleEndian.Uint32(h[5:]))
-			switch {
-			case !r.streaming:
-				j.fail(fmt.Errorf("tail for non-streaming relation %d", h[0]))
-			case payBytes != 0:
-				j.fail(fmt.Errorf("chunked relation %d tail declares %d payload bytes (bare-key only)",
-					h[0], payBytes))
-			case r.pos != count:
-				j.fail(fmt.Errorf("chunked relation %d streamed %d tuples, tail declares %d",
-					h[0], r.pos, count))
-			case r.fed:
-				// A fed relation never materializes: record completion (so
-				// validateComplete passes) and tell the feeder — relation 1's
-				// tail seals the build and unblocks probing.
-				j.feed.feedTail(int(h[0]))
-				r.streaming = false
-				r.n = r.pos
-			default:
-				r.assemble()
-			}
-
-		case frameV3StreamOpen:
-			if jobs[id] != nil {
-				return // job number reuse is connection-fatal
-			}
-			sawJob = true
-			j := &sessJob{id: id, w: w, tenant: tenant}
-			jobs[id] = j
-			j.counted = w.beginJob(cs)
-			var so streamOpen
-			if err := readGobPayload(br, n, &so); err != nil {
-				return
-			}
-			cond, cerr := so.Cond.Condition()
-			if cerr != nil {
-				cond = join.Equi{} // placeholder; the stream is poisoned below
-			}
-			j.workerID = so.WorkerID
-			// The stream goroutine is the job's only reply path, so it spawns
-			// even for a job that is dead on arrival — the poison makes every
-			// window reply (and the final metrics) carry the error. A stream
-			// holds no admission slot: the goroutine acquires one around each
-			// window's probe instead, so an idle stream never starves the
-			// fair scheduler.
-			j.stream = newSessStream(w, j, &so, cond, bw, &wmu, cs, conn, connDone)
-			if !j.counted {
-				j.failStream(fmt.Errorf("worker shutting down"))
-			} else if cerr != nil {
-				j.failStream(cerr)
-			}
-
-		case frameV3StreamBase, frameV3StreamWin:
-			j := jobs[id]
-			if j == nil || j.stream == nil {
-				return // stream frame without a stream job is connection-fatal
-			}
-			hdrLen, kind := streamBaseHdrLen, evStreamBase
-			if typ == frameV3StreamWin {
-				hdrLen, kind = streamWinHdrLen, evStreamWin
-			}
-			win, epoch, keys, err := j.readStreamKeys(br, n, hdrLen)
-			if err != nil {
-				if pe, ok := err.(*protoErr); ok {
-					j.failStream(pe)
-					continue
-				}
-				return // I/O failure: connection-fatal
-			}
-			j.stream.feed(streamEvent{kind: kind, win: win, epoch: epoch, keys: keys})
-
-		case frameV3StreamBaseEnd:
-			j := jobs[id]
-			if j == nil || j.stream == nil || n != streamBaseHdrLen {
-				return
-			}
-			var h [streamBaseHdrLen]byte
-			if _, err := io.ReadFull(br, h[:]); err != nil {
-				return
-			}
-			j.stream.feed(streamEvent{kind: evStreamBaseEnd,
-				epoch: binary.LittleEndian.Uint32(h[0:]),
-				total: int(binary.LittleEndian.Uint32(h[4:]))})
-
-		case frameV3StreamWinEnd:
-			j := jobs[id]
-			if j == nil || j.stream == nil || n != streamWinHdrLen {
-				return
-			}
-			var h [streamWinHdrLen]byte
-			if _, err := io.ReadFull(br, h[:]); err != nil {
-				return
-			}
-			j.stream.feed(streamEvent{kind: evStreamWinEnd,
-				win:   binary.LittleEndian.Uint32(h[0:]),
-				epoch: binary.LittleEndian.Uint32(h[4:]),
-				total: int(binary.LittleEndian.Uint32(h[8:]))})
+			j.stream.feed(ev)
 
 		case frameV3EOS:
-			j := jobs[id]
+			j := ws.jobs[id]
 			if j == nil || n != 0 {
 				return
 			}
-			delete(jobs, id)
-			if j.stream != nil {
-				// The goroutine replies the aggregate metrics and finalizes
-				// its own accounting — the job already left the table, so no
-				// teardown release will run for it.
+			delete(ws.jobs, id)
+			switch {
+			case j.stream != nil:
+				// The goroutine replies the aggregate metrics and retires the
+				// job itself as it exits.
 				j.stream.feed(streamEvent{kind: evStreamEOS})
 				continue
-			}
-			if j.feed != nil {
+			case j.feed != nil:
 				// Chunks the feeder consumed before this frame decoded were
 				// overlapped with the stream — the counter the coordinator's
 				// BuildOverlappedChunks aggregates.
 				j.feed.markEOS()
 			}
-			if j.peerFed {
-				go w.finishPeerSessionJob(j, bw, &wmu, cs, conn, connDone)
-			} else {
-				go w.finishSessionJob(j, bw, &wmu, cs, conn, connDone, pt)
-			}
+			// The join runs in its own goroutine so this loop keeps consuming
+			// the next job's frames.
+			go w.finishJob(ws, j)
 
 		case frameV3Abort:
 			// The coordinator abandoned the job mid-send (a validation
@@ -779,24 +647,124 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			if n != 0 {
 				return
 			}
-			if j := jobs[id]; j != nil {
-				delete(jobs, id)
-				j.release()
-				if j.releaseSlot != nil {
-					j.releaseSlot()
-				}
-				if j.peerFed {
-					w.dropPeerState(j.token)
-				}
-				if j.counted {
-					w.endJob(cs)
-				}
+			if j := ws.jobs[id]; j != nil {
+				delete(ws.jobs, id)
+				ws.retire(j)
 			}
 
 		default:
 			return // unknown frame type: connection-fatal
 		}
 	}
+}
+
+// relHead declares a flat relation: exact tuple count and payload bytes, from
+// which both receive buffers allocate before any data frame arrives.
+func (j *sessJob) relHead(r *sessRel, h []byte) error {
+	if err := j.declarable(r, h[0]); err != nil {
+		return err
+	}
+	count := int64(binary.LittleEndian.Uint32(h[2:]))
+	payBytes := int64(binary.LittleEndian.Uint32(h[6:]))
+	if count > MaxRelationTuples {
+		return fmt.Errorf("relation count %d outside [0, %d]", count, MaxRelationTuples)
+	}
+	if payBytes > MaxRelationPayloadBytes {
+		return fmt.Errorf("payload bytes %d outside [0, %d]", payBytes, MaxRelationPayloadBytes)
+	}
+	// Charge the tenant for the receive buffers BEFORE allocating them: a
+	// rejected job buffers nothing (its data frames drain via the j.err
+	// path), so an over-budget tenant degrades to typed rejections instead of
+	// memory growth.
+	if err := j.charge(8*count + payBytes); err != nil {
+		return err
+	}
+	r.declared = true
+	r.n = int(count)
+	r.keys = exec.GetKeyBuffer(r.n)
+	if h[1]&relFlagPayload != 0 {
+		r.hasPay = true
+		r.payBytes = int(payBytes)
+		r.pay = getByteBuf(r.payBytes)
+		r.off = make([]uint32, r.n+1)
+	}
+	return nil
+}
+
+// declarable refuses a second declaration of relation tag, and any
+// declaration of a peer-fed job's relation 1.
+func (j *sessJob) declarable(r *sessRel, tag byte) error {
+	if j.peerFed && tag == 1 {
+		return fmt.Errorf("relation 1 of a peer-fed job arrives from peers, not the coordinator")
+	}
+	if r.declared {
+		return fmt.Errorf("relation %d declared twice", tag)
+	}
+	return nil
+}
+
+// chunkHead declares a chunk-streamed relation: only the mapper count is
+// known up front; the tail carries the exact totals.
+func (j *sessJob) chunkHead(r *sessRel, h []byte) error {
+	if err := j.declarable(r, h[0]); err != nil {
+		return err
+	}
+	if h[1] != 0 {
+		return fmt.Errorf("chunked relation %d declares flags %d (bare-key only)", h[0], h[1])
+	}
+	chunks := int64(binary.LittleEndian.Uint32(h[2:]))
+	if chunks < 1 || chunks > maxRelationChunks {
+		return fmt.Errorf("chunked relation %d declares %d mappers, limit %d",
+			h[0], chunks, maxRelationChunks)
+	}
+	r.declared = true
+	r.streaming = true
+	r.chunks = int(chunks)
+	// Insert-while-probe: a job whose effective engine resolves to hash
+	// streams its chunks through a feeder goroutine (hashfeed.go) instead of
+	// accumulating parts. A count-only job builds relation 1 as chunks land
+	// and probes relation 2 against the sealed (or cache-shared) build chunk
+	// by chunk; a pairs job absorbs both relations off the read loop and
+	// pre-builds the PairTable at relation 2's tail, emitting the stream at
+	// finish. Plan jobs need materialized arrival-ordered payload blocks, so
+	// they keep the assemble path.
+	switch {
+	case h[0] == 1 && j.plan == nil && j.engine.ForCond(j.cond) == exec.EngineHash:
+		j.feed = newBuildFeeder(j.ws.w.buildCache, int(chunks), j.wantPairs)
+		r.fed = true
+	case h[0] == 2 && j.feed != nil:
+		r.fed = true
+	default:
+		r.parts = make([][][]join.Key, chunks)
+	}
+	return nil
+}
+
+// chunkTail closes a chunk-streamed relation, cross-checking the running
+// count against the tail's exact total.
+func (j *sessJob) chunkTail(r *sessRel, h []byte) error {
+	count := int(binary.LittleEndian.Uint32(h[1:]))
+	payBytes := int(binary.LittleEndian.Uint32(h[5:]))
+	switch {
+	case !r.streaming:
+		return fmt.Errorf("tail for non-streaming relation %d", h[0])
+	case payBytes != 0:
+		return fmt.Errorf("chunked relation %d tail declares %d payload bytes (bare-key only)",
+			h[0], payBytes)
+	case r.pos != count:
+		return fmt.Errorf("chunked relation %d streamed %d tuples, tail declares %d",
+			h[0], r.pos, count)
+	case r.fed:
+		// A fed relation never materializes: record completion (so
+		// validateComplete passes) and tell the feeder — relation 1's tail
+		// seals the build and unblocks probing.
+		j.feed.feedTail(int(h[0]))
+		r.streaming = false
+		r.n = r.pos
+	default:
+		r.assemble()
+	}
+	return nil
 }
 
 // protoErr marks a job-level protocol violation: the job fails with an
@@ -816,6 +784,17 @@ func protoErrf(format string, args ...any) *protoErr {
 	return &protoErr{msg: fmt.Sprintf(format, args...)}
 }
 
+// drainFrame consumes the rest bytes left of a data frame its decoder
+// rejected, so the stream stays in sync for the connection's other jobs, and
+// returns e. What is drained is what the FRAME header declared, not what an
+// embedded count implies: the frame length is the framing contract.
+func drainFrame(br *bufio.Reader, rest int, e *protoErr) error {
+	if _, err := io.CopyN(io.Discard, br, int64(rest)); err != nil {
+		return err
+	}
+	return e
+}
+
 // readBlock decodes one v3 key block frame into the job's receive buffer.
 // The frame's payload bytes are fully consumed even on a job-level error; a
 // frame too short to even hold the sub-header is connection-fatal (the
@@ -830,16 +809,7 @@ func (j *sessJob) readBlock(br *bufio.Reader, n int) error {
 		return err
 	}
 	count := int(binary.LittleEndian.Uint32(bh[1:]))
-	// Drain what the FRAME header declared (not what the embedded count
-	// implies): the frame length is the framing contract, so consuming
-	// exactly n keeps the stream in sync for the connection's other jobs
-	// even when the two disagree.
-	drain := func(e *protoErr) error {
-		if _, err := io.CopyN(io.Discard, br, int64(n-blockHeaderLen)); err != nil {
-			return err
-		}
-		return e
-	}
+	drain := func(e *protoErr) error { return drainFrame(br, n-blockHeaderLen, e) }
 	if n != blockHeaderLen+8*count {
 		return drain(protoErrf("block frame length %d inconsistent with count %d", n, count))
 	}
@@ -877,12 +847,7 @@ func (j *sessJob) readChunk(br *bufio.Reader, n int) error {
 		return err
 	}
 	count := int(binary.LittleEndian.Uint32(h[3:]))
-	drain := func(e *protoErr) error {
-		if _, err := io.CopyN(io.Discard, br, int64(n-chunkHeaderLen)); err != nil {
-			return err
-		}
-		return e
-	}
+	drain := func(e *protoErr) error { return drainFrame(br, n-chunkHeaderLen, e) }
 	if n != chunkHeaderLen+8*count {
 		return drain(protoErrf("chunk frame length %d inconsistent with count %d", n, count))
 	}
@@ -935,12 +900,7 @@ func (j *sessJob) readPayBlock(br *bufio.Reader, n int) error {
 	}
 	count := int(binary.LittleEndian.Uint32(bh[1:]))
 	rest := n - blockHeaderLen
-	drain := func(e *protoErr) error {
-		if _, err := io.CopyN(io.Discard, br, int64(rest)); err != nil {
-			return err
-		}
-		return e
-	}
+	drain := func(e *protoErr) error { return drainFrame(br, rest, e) }
 	if rest < 4*count {
 		return drain(protoErrf("payload frame length %d too short for %d lengths", n, count))
 	}
@@ -997,9 +957,15 @@ func (j *sessJob) readPayBlock(br *bufio.Reader, n int) error {
 }
 
 // validateComplete checks a job's stream against its declarations at EOS.
+// A peer-fed job's relation 1 is exempt: it arrives over the mesh (the
+// declaration frames refuse it from the coordinator) and awaitPeerBlock
+// installs it.
 func (j *sessJob) validateComplete() error {
 	for i := range j.rels {
 		r := &j.rels[i]
+		if j.peerFed && i == 0 {
+			continue
+		}
 		if !r.declared {
 			return fmt.Errorf("relation %d never declared", i+1)
 		}
@@ -1017,84 +983,68 @@ func (j *sessJob) validateComplete() error {
 	return nil
 }
 
-// errPlanJobAbandoned marks a plan job whose stats wait ended with nothing
-// to reply to (worker killed, coordinator hung up): the job exits silently,
-// releasing its buffers, instead of writing a reply nobody reads.
-var errPlanJobAbandoned = errors.New("plan job abandoned")
-
-// finishSessionJob runs one drained job's join and replies. It runs in its
-// own goroutine so the connection's read loop keeps consuming subsequent
-// jobs; replies serialize on wmu.
-func (w *Worker) finishSessionJob(j *sessJob, bw *bufio.Writer, wmu *sync.Mutex, cs *connState,
-	conn net.Conn, connDone <-chan struct{}, pt *plan2Table) {
+// finishJob runs one drained job's join and replies. It runs in its own
+// goroutine so the connection's read loop keeps consuming subsequent jobs;
+// replies serialize on the session's write lock. An abandoned job (worker
+// killed or coordinator gone while it waited) exits silently — the
+// coordinator sees the broken connection.
+func (w *Worker) finishJob(ws *workerSession, j *sessJob) {
 	defer func() {
 		if r := recover(); r != nil {
 			fmt.Fprintf(os.Stderr, "netexec: worker: recovered in session job %d from %s: %v\n%s",
-				j.id, conn.RemoteAddr(), r, debug.Stack())
+				j.id, ws.conn.RemoteAddr(), r, debug.Stack())
 		}
 	}()
-	defer j.release()
-	// The admission slot was acquired at job open (see handleSession); a job
-	// rejected there carries j.err and no slot.
-	releaseSlot := j.releaseSlot
-	if releaseSlot == nil {
-		releaseSlot = func() {}
+	defer ws.retire(j)
+	m, err := ws.runJob(j)
+	if errors.Is(err, errAbandoned) {
+		return
 	}
-	defer releaseSlot()
-	if j.counted {
-		defer w.endJob(cs)
+	if err != nil {
+		m = metrics{Err: err.Error(), Code: rejectCode(err)}
+		// A failed mesh transfer indicts the PEER, not this worker: lift the
+		// address out of the error so the coordinator excludes the right
+		// machine.
+		var pf *peerFaultError
+		if errors.As(err, &pf) {
+			m.FaultAddr = pf.addr
+		}
 	}
-	reply := func(m metrics) {
-		wmu.Lock()
-		_ = writeV3GobFrame(bw, frameV3Metrics, j.id, m)
-		_ = bw.Flush()
-		wmu.Unlock()
-	}
+	_ = ws.reply(frameV3Metrics, j.id, m)
+}
+
+// runJob validates the drained job, obtains relation 1 from the mesh when it
+// is peer-fed, and joins under the job's effective engine.
+func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 	if j.err == nil {
 		j.err = j.validateComplete()
 	}
+	if j.err == nil && j.peerFed {
+		j.err = ws.awaitPeerBlock(j)
+	}
 	if j.err != nil {
-		reply(metrics{Err: j.err.Error(), Code: rejectCode(j.err)})
-		return
+		return metrics{}, j.err
 	}
 	r1, r2 := &j.rels[0], &j.rels[1]
-	if j.plan != nil {
-		// Stage-1 plan job: join, materialize the matched stage-2 keys,
-		// (for a stats-deferred plan: summarize them and await the
-		// replanned artifact,) re-shuffle them by the plan and stream each
-		// share straight to its peer. Only the count vector returns.
-		start := time.Now()
-		out, counts, err := w.runPlanJob(j, r1, r2, bw, wmu, connDone, pt, releaseSlot)
-		if errors.Is(err, errPlanJobAbandoned) {
-			return
-		}
-		if err != nil {
-			m := metrics{Err: err.Error(), Code: rejectCode(err)}
-			// A failed mesh transfer indicts the PEER, not this worker: lift
-			// the address out of the error so the coordinator excludes the
-			// right machine.
-			var pf *peerFaultError
-			if errors.As(err, &pf) {
-				m.FaultAddr = pf.addr
-			}
-			reply(m)
-			return
-		}
-		reply(metrics{
-			InputR1:    int64(r1.n),
-			InputR2:    int64(r2.n),
-			Output:     out,
-			Nanos:      time.Since(start).Nanoseconds(),
-			PayBytes1:  int64(r1.payBytes),
-			PayBytes2:  int64(r2.payBytes),
-			PeerCounts: counts,
-			Engine:     int(j.engine.ForCond(j.cond)),
-		})
-		return
+	m := metrics{
+		InputR1:   int64(r1.n),
+		InputR2:   int64(r2.n),
+		PayBytes1: int64(r1.payBytes),
+		PayBytes2: int64(r2.payBytes),
+		Engine:    int(j.engine.ForCond(j.cond)),
 	}
 	start := time.Now()
-	var out, overlapped int64
 	switch {
+	case j.plan != nil:
+		// Stage-1 plan job: join, materialize the matched stage-2 keys, (for
+		// a stats-deferred plan: summarize them and await the replanned
+		// artifact,) re-shuffle them by the plan and stream each share
+		// straight to its peer. Only the count vector returns.
+		out, counts, err := ws.runPlanJob(j, r1, r2)
+		if err != nil {
+			return metrics{}, err
+		}
+		m.Output, m.PeerCounts = out, counts
 	case j.wantPairs:
 		// The pair join must not sort the blocks in place: indices refer to
 		// arrival order on both sides of the wire. Chunks stream back as
@@ -1103,9 +1053,9 @@ func (w *Worker) finishSessionJob(j *sessJob, bw *bufio.Writer, wmu *sync.Mutex,
 		// path's PairTable reproduces the merge argsort's partner order), so
 		// the selection stays a pure performance knob here too.
 		emit := func(chunk []exec.PairIdx) {
-			wmu.Lock()
-			_ = writePairsFrame(bw, j.id, chunk)
-			wmu.Unlock()
+			ws.wmu.Lock()
+			_ = writePairsFrame(ws.bw, j.id, chunk)
+			ws.wmu.Unlock()
 		}
 		if j.feed != nil {
 			// Chunk-streamed hash pairs: the feeder absorbed relation 1's
@@ -1113,35 +1063,81 @@ func (w *Worker) finishSessionJob(j *sessJob, bw *bufio.Writer, wmu *sync.Mutex,
 			// flat relation 2 to index now); the emission itself shares
 			// hashJoinPairs' streamer, so the pair stream — flush boundaries
 			// included — is bit-identical to the flat path's.
-			out, overlapped = j.feed.finishPairs(r2.keys, emit)
+			m.Output, m.BuildOverlapped = j.feed.finishPairs(r2.keys, emit)
 		} else {
-			out = exec.JoinPairsEngine(j.engine, r1.keys, r2.keys, j.cond, emit)
+			m.Output = exec.JoinPairsEngine(j.engine, r1.keys, r2.keys, j.cond, emit)
 		}
 	case j.feed != nil:
 		// Insert-while-probe: the feeder built (and for a chunked relation 2,
 		// probed) while the stream was still arriving; collect its results.
 		// A relation 2 that arrived flat probes the finished build here.
 		build, count, ov, _ := j.feed.finish()
-		out, overlapped = count, ov
+		m.Output, m.BuildOverlapped = count, ov
 		if r2.keys != nil {
-			out += build.ProbeCount(r2.keys)
+			m.Output += build.ProbeCount(r2.keys)
 		}
+	case j.peerFed:
+		// Uncached — a transfer's assembled block is job-unique, so caching
+		// it would only churn the LRU.
+		m.Output = exec.CountOwned(j.engine, r1.keys, r2.keys, j.cond)
 	default:
 		// Flat count-only job: the job owns its buffers outright, so the
-		// merge engine sorts in place, as v2; the hash engine consults the
-		// worker's shared build cache.
-		out = w.countFlat(j.engine, r1.keys, r2.keys, j.cond)
+		// merge engine sorts in place; the hash engine consults the worker's
+		// shared build cache.
+		m.Output = ws.w.countFlat(j.engine, r1.keys, r2.keys, j.cond)
 	}
-	reply(metrics{
-		InputR1:         int64(r1.n),
-		InputR2:         int64(r2.n),
-		Output:          out,
-		Nanos:           time.Since(start).Nanoseconds(),
-		PayBytes1:       int64(r1.payBytes),
-		PayBytes2:       int64(r2.payBytes),
-		BuildOverlapped: overlapped,
-		Engine:          int(j.engine.ForCond(j.cond)),
-	})
+	m.Nanos = time.Since(start).Nanoseconds()
+	return m, nil
+}
+
+// awaitPeerBlock installs a peer-fed job's relation 1: the block the transfer
+// table assembled from the stage-1 senders' contributions. The wait ends when
+// the transfer completes, fails, the worker is killed, or the coordinator
+// hangs up.
+func (ws *workerSession) awaitPeerBlock(j *sessJob) error {
+	w, st := ws.w, j.peerSt
+	select {
+	case <-st.ready:
+	case <-w.kill:
+		return errAbandoned
+	case <-ws.done:
+		return errAbandoned
+	}
+	// Admission: acquire only once the transfer is fully assembled — a
+	// peer-fed job waiting in the admission queue must not hold a slot while
+	// its relation 1 still depends on stage-1 jobs that may be queued behind
+	// it on OTHER workers (the classic cross-worker pipeline deadlock).
+	releaseSlot, err := w.admitJob(ws.tenant, w.kill, ws.done)
+	if err != nil {
+		return err
+	}
+	j.releaseSlot = releaseSlot
+	st.mu.Lock()
+	flat, stErr := st.flat, st.err
+	st.flat = nil // the job owns it now
+	if st.flatPay != nil {
+		// The session's peer-fed join is keys-only; an assembled payload
+		// segment has no consumer here yet, so recycle it.
+		putByteBuf(st.flatPay)
+		st.flatPay, st.flatOff = nil, nil
+	}
+	st.mu.Unlock()
+	w.finishPeerState(j.token)
+	j.peerTaken = true
+	if stErr == nil && flat == nil {
+		// Defensive: a ready state must either fail or carry the block;
+		// losing it (e.g. a concurrent discard) must not join empty input.
+		stErr = fmt.Errorf("transfer state discarded before the join")
+	}
+	if stErr != nil {
+		return fmt.Errorf("peer transfer %d: %v", j.token, stErr)
+	}
+	r1 := &j.rels[0]
+	r1.keys, r1.n = flat, len(flat) // release() recycles it with the job's other buffers
+	// The block is buffered on the tenant's behalf from here on; its size was
+	// first known at assembly, so this is where it is charged (release
+	// credits it back with the rest of the job's reservation).
+	return j.charge(8 * int64(len(flat)))
 }
 
 // countFlat joins two fully materialized key blocks the job owns under its
@@ -1174,10 +1170,8 @@ func (w *Worker) countFlat(e exec.JoinEngine, r1, r2 []join.Key, cond join.Condi
 // cancel, a kill, or the coordinator hanging up) arrives. It returns the
 // match count and the per-receiver count vector. Errors name the peer
 // address.
-func (w *Worker) runPlanJob(j *sessJob, r1, r2 *sessRel, bw *bufio.Writer, wmu *sync.Mutex,
-	connDone <-chan struct{}, pt *plan2Table, releaseSlot func()) (int64, []int64, error) {
-
-	ps := j.plan
+func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64, error) {
+	w, pt, ps := ws.w, ws.pt, j.plan
 	decodePlan := func() (*planio.Artifact, error) {
 		art, err := planio.Decode(ps.Plan)
 		if err != nil {
@@ -1221,9 +1215,9 @@ func (w *Worker) runPlanJob(j *sessJob, r1, r2 *sessRel, bw *bufio.Writer, wmu *
 	// Per-tenant intermediate quota: the stage-1 match materialization is the
 	// one allocation the relation heads could not announce, so it is checked
 	// against the tenant's budget the moment its size is known.
-	if lim := w.tenantMaxIntermediate(j.tenant); lim > 0 && int64(len(inter)) > lim {
+	if lim := w.tenantMaxIntermediate(ws.tenant); lim > 0 && int64(len(inter)) > lim {
 		return 0, nil, quotaErrf("tenant %q stage-1 intermediate holds %d tuples, budget %d",
-			j.tenant, len(inter), lim)
+			ws.tenant, len(inter), lim)
 	}
 	sender := j.workerID
 
@@ -1246,27 +1240,26 @@ func (w *Worker) runPlanJob(j *sessJob, r1, r2 *sessRel, bw *bufio.Writer, wmu *
 			pt.remove(j.id)
 			return 0, nil, fmt.Errorf("stage-2 statistics plan cancelled by coordinator")
 		}
-		wmu.Lock()
-		werr := writeV3FrameHeader(bw, frameV3Stats, j.id, len(enc))
+		ws.wmu.Lock()
+		werr := writeV3FrameHeader(ws.bw, frameV3Stats, j.id, len(enc))
 		if werr == nil {
-			_, werr = bw.Write(enc)
+			_, werr = ws.bw.Write(enc)
 		}
 		if werr == nil {
-			werr = bw.Flush()
+			werr = ws.bw.Flush()
 		}
-		wmu.Unlock()
+		ws.wmu.Unlock()
 		if werr != nil {
 			pt.remove(j.id)
-			return 0, nil, errPlanJobAbandoned // connection dead; nothing to reply to
+			return 0, nil, errAbandoned // connection dead; nothing to reply to
 		}
 		// Release the execution slot across the park: the compute is done and
 		// the wait is on the COORDINATOR (merging every worker's summary), so
 		// holding a slot here could let one query's parked fleet starve the
 		// jobs whose stats the coordinator is still waiting for. The release
-		// is once-guarded, so the caller's deferred release stays a no-op; the
-		// post-park re-shuffle runs unslotted (routing + socket writes, not
-		// join compute).
-		releaseSlot()
+		// is once-guarded, so retire's stays a no-op; the post-park re-shuffle
+		// runs unslotted (routing + socket writes, not join compute).
+		j.releaseSlot()
 		select {
 		case ps2 := <-wt.ch:
 			if ps2 == nil {
@@ -1275,10 +1268,10 @@ func (w *Worker) runPlanJob(j *sessJob, r1, r2 *sessRel, bw *bufio.Writer, wmu *
 			ps.Plan, ps.Peers, ps.Self = ps2.Plan, ps2.Peers, ps2.Self
 		case <-w.kill:
 			pt.remove(j.id)
-			return 0, nil, errPlanJobAbandoned
-		case <-connDone:
+			return 0, nil, errAbandoned
+		case <-ws.done:
 			pt.remove(j.id)
-			return 0, nil, errPlanJobAbandoned
+			return 0, nil, errAbandoned
 		}
 	}
 
@@ -1310,124 +1303,4 @@ func (w *Worker) runPlanJob(j *sessJob, r1, r2 *sessRel, bw *bufio.Writer, wmu *
 		}
 	}
 	return out, counts, nil
-}
-
-// finishPeerSessionJob completes a stage-2 peer-fed job: relation 2 (the
-// coordinator-streamed right relation) is validated as usual, relation 1 is
-// the assembled peer transfer. The wait ends when the transfer completes,
-// fails, the worker is killed, or the coordinator hangs up.
-func (w *Worker) finishPeerSessionJob(j *sessJob, bw *bufio.Writer, wmu *sync.Mutex, cs *connState,
-	conn net.Conn, connDone <-chan struct{}) {
-
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "netexec: worker: recovered in peer job %d from %s: %v\n%s",
-				j.id, conn.RemoteAddr(), r, debug.Stack())
-		}
-	}()
-	defer j.release()
-	if j.counted {
-		defer w.endJob(cs)
-	}
-	reply := func(m metrics) {
-		wmu.Lock()
-		_ = writeV3GobFrame(bw, frameV3Metrics, j.id, m)
-		_ = bw.Flush()
-		wmu.Unlock()
-	}
-	if j.err == nil {
-		r2 := &j.rels[1]
-		switch {
-		case j.rels[0].declared:
-			j.err = fmt.Errorf("relation 1 of a peer-fed job arrived from the coordinator")
-		case !r2.declared:
-			j.err = fmt.Errorf("relation 2 never declared")
-		case r2.streaming:
-			j.err = fmt.Errorf("chunked relation 2 never received its tail")
-		case r2.pos != r2.n:
-			j.err = fmt.Errorf("relation 2 ended at %d tuples, head declared %d", r2.pos, r2.n)
-		case r2.hasPay && (r2.payPos != r2.payBytes || r2.payTup != r2.n):
-			j.err = fmt.Errorf("relation 2 payload ended at %d bytes/%d tuples, head declared %d/%d",
-				r2.payPos, r2.payTup, r2.payBytes, r2.n)
-		}
-	}
-	if j.err != nil {
-		if j.peerSt != nil {
-			w.dropPeerState(j.token)
-		}
-		reply(metrics{Err: j.err.Error(), Code: rejectCode(j.err)})
-		return
-	}
-	st := j.peerSt
-	select {
-	case <-st.ready:
-	case <-w.kill:
-		w.dropPeerState(j.token)
-		return // abrupt close: the coordinator sees the broken connection
-	case <-connDone:
-		w.dropPeerState(j.token)
-		return
-	}
-	// Admission: acquire only once the transfer is fully assembled — a
-	// peer-fed job waiting in the admission queue must not hold a slot while
-	// its relation 1 still depends on stage-1 jobs that may be queued behind
-	// it on OTHER workers (the classic cross-worker pipeline deadlock).
-	releaseSlot, aerr := w.admitJob(j.tenant, w.kill, connDone)
-	if aerr != nil {
-		w.dropPeerState(j.token)
-		if errors.Is(aerr, errAdmitAbandoned) {
-			return
-		}
-		reply(metrics{Err: aerr.Error(), Code: rejectCode(aerr)})
-		return
-	}
-	defer releaseSlot()
-	st.mu.Lock()
-	flat, stErr := st.flat, st.err
-	st.flat = nil // the job owns it now
-	if st.flatPay != nil {
-		// The session's peer-fed join is keys-only; an assembled payload
-		// segment has no consumer here yet, so recycle it.
-		putByteBuf(st.flatPay)
-		st.flatPay, st.flatOff = nil, nil
-	}
-	st.mu.Unlock()
-	w.finishPeerState(j.token)
-	if stErr == nil && flat == nil {
-		// Defensive: a ready state must either fail or carry the block;
-		// losing it (e.g. a concurrent discard) must not join empty input.
-		stErr = fmt.Errorf("transfer state discarded before the join")
-	}
-	if stErr != nil {
-		reply(metrics{Err: fmt.Sprintf("peer transfer %d: %v", j.token, stErr)})
-		return
-	}
-	if j.peerDeferred {
-		// Counts-deferred open: the transfer's size is known only now; charge
-		// the assembled block against the tenant budget (release credits it
-		// back with the rest of the job's reservation).
-		if err := j.charge(8 * int64(len(flat))); err != nil {
-			exec.PutKeyBuffer(flat)
-			reply(metrics{Err: err.Error(), Code: rejectCode(err)})
-			return
-		}
-	}
-	r2 := &j.rels[1]
-	start := time.Now()
-	// The job owns both blocks outright: count under the job's effective
-	// engine (the peer open's per-job hint, resolved against the worker
-	// default at open), uncached — a transfer's assembled block is job-unique,
-	// so caching it would only churn the LRU.
-	out := exec.CountOwned(j.engine, flat, r2.keys, j.cond)
-	n1 := int64(len(flat))
-	exec.PutKeyBuffer(flat)
-	reply(metrics{
-		InputR1:   n1,
-		InputR2:   int64(r2.n),
-		Output:    out,
-		Nanos:     time.Since(start).Nanoseconds(),
-		PayBytes1: 0,
-		PayBytes2: int64(r2.payBytes),
-		Engine:    int(j.engine.ForCond(j.cond)),
-	})
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"runtime/debug"
 	"sync"
@@ -85,18 +84,12 @@ const streamFeedCap = 8
 // sessStream is one stream job's state. The read loop owns frame decode and
 // tenant charging; everything else lives in the goroutine.
 type sessStream struct {
-	w        *Worker
-	j        *sessJob
-	bw       *bufio.Writer
-	wmu      *sync.Mutex
-	cs       *connState
-	conn     net.Conn
-	connDone <-chan struct{}
+	ws *workerSession
+	j  *sessJob
 
-	workerID int
-	cond     join.Condition
-	engine   exec.JoinEngine // resolved for cond: EngineHash or EngineMerge
-	st       exec.StatsSpec
+	cond   join.Condition
+	engine exec.JoinEngine // resolved for cond: EngineHash or EngineMerge
+	st     exec.StatsSpec
 
 	ch    chan streamEvent
 	done  chan struct{}
@@ -125,20 +118,24 @@ type sessStream struct {
 	sawEOS        bool
 }
 
-func newSessStream(w *Worker, j *sessJob, so *streamOpen, cond join.Condition,
-	bw *bufio.Writer, wmu *sync.Mutex, cs *connState, conn net.Conn,
-	connDone <-chan struct{}) *sessStream {
-
+// newSessStream starts the goroutine for a freshly opened stream job. A job
+// that failed at open (j.err set, possibly without a condition) starts
+// poisoned.
+func newSessStream(j *sessJob, so *streamOpen) *sessStream {
+	cond := j.cond
+	if cond == nil {
+		cond = join.Equi{} // placeholder; the stream is poisoned
+	}
 	s := &sessStream{
-		w: w, j: j, bw: bw, wmu: wmu, cs: cs, conn: conn, connDone: connDone,
-		workerID: so.WorkerID,
-		cond:     cond,
-		engine:   w.effectiveEngine(so.Engine).ForCond(cond),
+		ws: j.ws, j: j,
+		cond:   cond,
+		engine: j.engine.ForCond(cond),
 		st: exec.StatsSpec{Cap: so.StatsCap, Buckets: so.StatsBuckets,
 			Seed: so.StatsSeed, Adaptive: so.StatsAdaptive},
-		ch:    make(chan streamEvent, streamFeedCap),
-		done:  make(chan struct{}),
-		start: time.Now(),
+		ch:     make(chan streamEvent, streamFeedCap),
+		done:   make(chan struct{}),
+		failed: j.err,
+		start:  time.Now(),
 	}
 	go s.run()
 	return s
@@ -147,10 +144,10 @@ func newSessStream(w *Worker, j *sessJob, so *streamOpen, cond join.Condition,
 // feed hands one event to the goroutine. Read-loop side only.
 func (s *sessStream) feed(ev streamEvent) { s.ch <- ev }
 
-// stop terminates the goroutine from OUTSIDE it (connection teardown,
-// abort): close the channel, wait, and sweep whatever tenant reservation
-// the exit path did not credit. Idempotent. The EOS path never comes here —
-// the goroutine finalizes itself after replying metrics.
+// stop terminates the goroutine (connection teardown, abort): close the
+// channel, wait, and sweep whatever tenant reservation the exit path did not
+// credit. Idempotent, and a plain sweep once the goroutine has exited — which
+// is how the EOS path's own retire passes through here.
 func (s *sessStream) stop() {
 	s.stopO.Do(func() { close(s.ch) })
 	<-s.done
@@ -160,14 +157,14 @@ func (s *sessStream) stop() {
 // sweep credits the tenant for every byte still reserved.
 func (s *sessStream) sweep() {
 	if n := s.charged.Swap(0); n > 0 {
-		s.w.creditTenant(s.j.tenant, n)
+		s.ws.w.creditTenant(s.ws.tenant, n)
 	}
 }
 
 // charge reserves n receive-buffer bytes against the stream's tenant.
 // Read-loop side.
 func (s *sessStream) charge(n int64) error {
-	if err := s.w.chargeTenant(s.j.tenant, n); err != nil {
+	if err := s.ws.w.chargeTenant(s.ws.tenant, n); err != nil {
 		return err
 	}
 	s.charged.Add(n)
@@ -178,7 +175,7 @@ func (s *sessStream) charge(n int64) error {
 func (s *sessStream) credit(n int64) {
 	if n > 0 {
 		s.charged.Add(-n)
-		s.w.creditTenant(s.j.tenant, n)
+		s.ws.w.creditTenant(s.ws.tenant, n)
 	}
 }
 
@@ -190,13 +187,21 @@ func (s *sessStream) fail(err error) {
 	}
 }
 
-// run is the stream goroutine.
+// run is the stream goroutine. After an EOS the read loop has already taken
+// the job out of its table, so the goroutine retires the job itself on the
+// way out — once done is closed, so retire's stop does not wait on its own
+// caller.
 func (s *sessStream) run() {
-	defer close(s.done)
+	defer func() {
+		close(s.done)
+		if s.sawEOS {
+			s.ws.retire(s.j)
+		}
+	}()
 	defer func() {
 		if r := recover(); r != nil {
 			fmt.Fprintf(os.Stderr, "netexec: worker: recovered in stream job %d from %s: %v\n%s",
-				s.j.id, s.conn.RemoteAddr(), r, debug.Stack())
+				s.j.id, s.ws.conn.RemoteAddr(), r, debug.Stack())
 		}
 	}()
 	for ev := range s.ch {
@@ -274,7 +279,7 @@ func (s *sessStream) onBaseEnd(ev streamEvent) {
 	case ev.total != s.baseN:
 		s.fail(fmt.Errorf("stream base received %d tuples, end declares %d", s.baseN, ev.total))
 	default:
-		release, err := s.w.admitJob(s.j.tenant, s.w.kill, s.connDone)
+		release, err := s.ws.w.admitJob(s.ws.tenant, s.ws.w.kill, s.ws.done)
 		if err != nil {
 			s.fail(err)
 			return
@@ -344,13 +349,13 @@ func (s *sessStream) onWinEnd(ev streamEvent) {
 		s.fail(fmt.Errorf("stream window %d received %d tuples, end declares %d",
 			ev.win, len(s.winKeys), ev.total))
 	default:
-		release, err := s.w.admitJob(s.j.tenant, s.w.kill, s.connDone)
+		release, err := s.ws.w.admitJob(s.ws.tenant, s.ws.w.kill, s.ws.done)
 		if err != nil {
 			s.fail(err)
 			break
 		}
 		r.Input = int64(len(s.winKeys))
-		if sum := exec.SummarizeWindow(s.winKeys, s.st, s.workerID, ev.win); sum != nil {
+		if sum := exec.SummarizeWindow(s.winKeys, s.st, s.j.workerID, ev.win); sum != nil {
 			enc, err := planio.EncodeSummary(sum)
 			if err != nil {
 				release()
@@ -380,9 +385,7 @@ func (s *sessStream) onWinEnd(ev streamEvent) {
 	s.reply(frameV3StreamRep, r)
 }
 
-// onEOS replies the stream's aggregate metrics and finalizes: the EOS path
-// owns its own cleanup because the read loop retired the job from its table
-// before feeding the event (no teardown release will follow).
+// onEOS replies the stream's aggregate metrics; run retires the job next.
 func (s *sessStream) onEOS() {
 	s.sawEOS = true
 	m := metrics{
@@ -396,69 +399,51 @@ func (s *sessStream) onEOS() {
 		m = metrics{Err: s.failed.Error(), Code: rejectCode(s.failed)}
 	}
 	s.reply(frameV3Metrics, m)
-	s.sweep()
-	if s.j.counted {
-		s.w.endJob(s.cs)
-	}
 }
 
 // reply writes one gob frame under the connection's write lock. A write
 // failure poisons the stream; the read loop will observe the dead
 // connection on its own.
 func (s *sessStream) reply(typ byte, v any) {
-	s.wmu.Lock()
-	err := writeV3GobFrame(s.bw, typ, s.j.id, v)
-	if err == nil {
-		err = s.bw.Flush()
-	}
-	s.wmu.Unlock()
-	if err != nil {
+	if err := s.ws.reply(typ, s.j.id, v); err != nil {
 		s.fail(fmt.Errorf("stream reply: %w", err))
 	}
 }
 
-// readStreamKeys decodes one stream chunk frame's sub-header and keys. The
-// hdrLen distinguishes base frames (epoch, count) from window frames
-// (window, epoch, count). Job-level failures drain the payload and poison
-// the stream rather than killing the connection, mirroring readChunk.
-func (j *sessJob) readStreamKeys(br *bufio.Reader, n, hdrLen int) (win, epoch uint32, keys []join.Key, err error) {
+// readStreamKeys decodes one stream BASE or WIN frame — sub-header
+// (epoch, count) or (window, epoch, count), then the keys into a pooled
+// buffer charged to the tenant — and hands it to the goroutine. Job-level
+// failures drain the payload and return a *protoErr, mirroring readChunk.
+func (j *sessJob) readStreamKeys(br *bufio.Reader, n int, typ byte) error {
+	ev := streamEvent{kind: evStreamBase}
+	hdrLen := streamBaseHdrLen
+	if typ == frameV3StreamWin {
+		ev.kind, hdrLen = evStreamWin, streamWinHdrLen
+	}
 	if n < hdrLen {
-		return 0, 0, nil, fmt.Errorf("stream frame length %d below sub-header size", n)
+		return fmt.Errorf("stream frame length %d below sub-header size", n)
 	}
 	var h [streamWinHdrLen]byte
 	if _, err := io.ReadFull(br, h[:hdrLen]); err != nil {
-		return 0, 0, nil, err
+		return err
 	}
-	var count int
-	if hdrLen == streamWinHdrLen {
-		win = binary.LittleEndian.Uint32(h[0:])
-		epoch = binary.LittleEndian.Uint32(h[4:])
-		count = int(binary.LittleEndian.Uint32(h[8:]))
-	} else {
-		epoch = binary.LittleEndian.Uint32(h[0:])
-		count = int(binary.LittleEndian.Uint32(h[4:]))
+	if typ == frameV3StreamWin {
+		ev.win = binary.LittleEndian.Uint32(h[0:])
 	}
-	drain := func(e *protoErr) (uint32, uint32, []join.Key, error) {
-		if _, err := io.CopyN(io.Discard, br, int64(n-hdrLen)); err != nil {
-			return 0, 0, nil, err
-		}
-		return 0, 0, nil, e
-	}
+	ev.epoch = binary.LittleEndian.Uint32(h[hdrLen-8:])
+	count := int(binary.LittleEndian.Uint32(h[hdrLen-4:]))
+	drain := func(e *protoErr) error { return drainFrame(br, n-hdrLen, e) }
 	if n != hdrLen+8*count {
 		return drain(protoErrf("stream frame length %d inconsistent with count %d", n, count))
 	}
 	if err := j.stream.charge(8 * int64(count)); err != nil {
 		return drain(&protoErr{msg: err.Error(), cause: err})
 	}
-	buf := exec.GetKeyBuffer(count)
-	if err := readKeysLE(br, buf); err != nil {
-		exec.PutKeyBuffer(buf)
-		return 0, 0, nil, err
+	ev.keys = exec.GetKeyBuffer(count)
+	if err := readKeysLE(br, ev.keys); err != nil {
+		exec.PutKeyBuffer(ev.keys)
+		return err
 	}
-	return win, epoch, buf, nil
-}
-
-// failStream poisons the stream with a job-level error from the read loop.
-func (j *sessJob) failStream(err error) {
-	j.stream.feed(streamEvent{kind: evStreamFail, err: err})
+	j.stream.feed(ev)
+	return nil
 }

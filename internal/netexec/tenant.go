@@ -166,7 +166,7 @@ func (w *Worker) tenantMaxIntermediate(tenant string) int64 {
 
 // admitJob acquires one execution slot for the tenant, waiting in its fair
 // queue under the configured bounds. The returned release is idempotent.
-// kill/connDone abort the wait silently (errAdmitAbandoned): the worker died
+// kill/connDone abort the wait silently (errAbandoned): the worker died
 // or the coordinator hung up, so there is nothing to reply to.
 func (w *Worker) admitJob(tenant string, kill, connDone <-chan struct{}) (func(), error) {
 	if w.admit == nil {
@@ -246,9 +246,10 @@ func (t *tenantTable) usedBytes(tenant string) int64 {
 	return t.used[tenant]
 }
 
-// errAdmitAbandoned marks an admission wait that ended because the worker
-// was killed or the coordinator hung up: exit silently, nothing to reply to.
-var errAdmitAbandoned = errors.New("admission wait abandoned")
+// errAbandoned marks a job wait (admission queue, peer transfer, PLAN2) that
+// ended because the worker was killed or the coordinator hung up: the job
+// exits silently, nothing to reply to.
+var errAbandoned = errors.New("job wait abandoned")
 
 // AdmissionStats is a worker admitter's cumulative picture, for tests and
 // load-test introspection.
@@ -360,7 +361,7 @@ func (a *admitter) chargeLocked(q *admitQueue) {
 
 // acquire blocks until the tenant is granted an execution slot, its queue
 // overflows or its wait exceeds the deadline (typed ErrAdmission), or
-// kill/connDone end the wait (errAdmitAbandoned). The returned release is
+// kill/connDone end the wait (errAbandoned). The returned release is
 // idempotent and must be called exactly once per successful acquire.
 func (a *admitter) acquire(tenant string, kill, connDone <-chan struct{}) (func(), error) {
 	a.mu.Lock()
@@ -402,10 +403,10 @@ func (a *admitter) acquire(tenant string, kill, connDone <-chan struct{}) (func(
 		return a.releaseFunc(), nil
 	case <-kill:
 		a.abandon(wt)
-		return nil, errAdmitAbandoned
+		return nil, errAbandoned
 	case <-connDone:
 		a.abandon(wt)
-		return nil, errAdmitAbandoned
+		return nil, errAbandoned
 	}
 }
 

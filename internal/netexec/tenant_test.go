@@ -211,8 +211,8 @@ func TestAdmitterAbandon(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	close(connDone)
-	if err := <-errc; err != errAdmitAbandoned {
-		t.Fatalf("abandoned wait: got %v, want errAdmitAbandoned", err)
+	if err := <-errc; err != errAbandoned {
+		t.Fatalf("abandoned wait: got %v, want errAbandoned", err)
 	}
 	hold()
 	rel, err := a.acquire("t", never, never)

@@ -13,47 +13,38 @@ import (
 	"ewh/internal/join"
 )
 
-// Wire protocol v2 ("EWHB"): length-prefixed binary framing with a versioned
-// handshake. All integers are little-endian. One TCP connection carries one
-// job:
+// Wire framing ("EWHB"). All integers are little-endian. Every connection
+// opens with the prelude
 //
-//	coordinator → worker: magic "EWHB" | uint16 version
-//	coordinator → worker: frame(handshake)   gob payload, carries exact counts
-//	coordinator → worker: frame(block)...    one contiguous key block per
-//	                                         (relation); [rel u8][count u32][count×8 key bytes]
-//	coordinator → worker: frame(eos)
-//	worker → coordinator: frame(metrics)     gob payload
+//	magic "EWHB" | uint16 version
 //
-// Every frame is [type u8][payloadLen u32][payload]. The control plane
-// (handshake, metrics — once per job) rides gob inside its frame for
-// flexibility; the data plane (key blocks) is raw fixed-width binary so the
-// coordinator encodes straight out of the shuffle's contiguous per-worker
-// slices and the worker decodes straight into an exactly-sized flat buffer
-// whose size the handshake announced. The v1 protocol (a bare gob stream,
-// tuple-batch-at-a-time) is still accepted by workers — the first bytes of a
-// connection distinguish the two — and remains exercised as the benchmark
-// baseline (RunGob).
+// and the version fixes the framing of everything after it:
+//
+//	version 3, coordinator session: [type u8][job u32][payloadLen u32][payload]
+//	version 4, worker→worker peer:  [type u8][payloadLen u32][payload]
+//
+// Control frames (opens, plans, metrics — a few per job) carry gob inside
+// their frame for flexibility; data frames (key blocks, chunks, payloads,
+// pairs) are raw fixed-width binary, so the coordinator encodes straight out
+// of the shuffle's contiguous per-worker slices and the worker decodes
+// straight into exactly-sized pooled buffers. DESIGN.md's "Transport"
+// section is the normative frame table.
 const (
-	protoVersion = 2
-	// protoVersionSession is the v3 persistent-session protocol: the same
-	// magic opens the connection, after which numbered jobs multiplex over
-	// it until either side closes. See session.go and the "Session
-	// protocol" section of DESIGN.md.
+	// protoVersionSession is the persistent-session protocol: numbered jobs
+	// multiplex over the connection until either side closes (session.go).
 	protoVersionSession = 3
 	// protoVersionPeer opens a worker→worker peer-transfer connection on the
 	// same listener: one sender streams stage-1 match contributions to one
-	// receiver, identified by 64-bit transfer tokens (see peer.go and the
-	// "Peer shuffle" section of DESIGN.md).
+	// receiver, identified by 64-bit transfer tokens (peer.go).
 	protoVersionPeer = 4
 
-	frameHandshake = 1
-	frameBlock     = 2
-	frameEOS       = 3
-	frameMetrics   = 4
+	// frameMetrics is the one frame a worker writes outside both versions'
+	// framing: the version-mismatch refusal, a gob metrics in the job-less
+	// [type u8][payloadLen u32] envelope, sent before the connection closes.
+	frameMetrics = 4
 
-	// v3 session frames. Every v3 frame header carries a job number, so
-	// one connection interleaves many jobs' frames; 10+ keeps the two
-	// protocols' type spaces visibly disjoint.
+	// Session frames. Every header carries a job number, so one connection
+	// interleaves many jobs' frames.
 	frameV3OpenJob = 10 // coord→worker gob jobOpen
 	frameV3RelHead = 11 // coord→worker [rel u8][flags u8][count u32][payBytes u32]
 	frameV3Block   = 12 // coord→worker [rel u8][count u32][count×8 LE keys]
@@ -125,10 +116,10 @@ const (
 	frameV3StreamWinEnd  = 37 // coord→worker [window u32][epoch u32][total u32]
 	frameV3StreamRep     = 38 // worker→coord gob streamWinReply
 
-	// Peer-mesh frames (worker→worker connections, protoVersionPeer). They
-	// use the v2-style [type u8][len u32] framing; the 64-bit transfer token
-	// rides in each payload, so peer transfers are immune to session job-id
-	// collisions across coordinators.
+	// Peer-mesh frames (worker→worker connections, protoVersionPeer). Their
+	// headers carry no job number; the 64-bit transfer token rides in each
+	// payload, so peer transfers are immune to session job-id collisions
+	// across coordinators.
 	framePeerHead  = 30 // [token u64][sender u32][count u32] — declares one sender's contribution
 	framePeerBlock = 31 // [token u64][sender u32][count u32][count×8 LE keys]
 	framePeerPay   = 32 // [token u64][sender u32][count u32][count×4 LE lens][bytes]
@@ -188,9 +179,7 @@ const (
 // keeps a malformed coordinator from OOMing the worker process.
 const MaxRelationPayloadBytes = 1 << 30
 
-// protoMagic opens every v2 connection. The v1 gob stream can never start
-// with these bytes: gob messages open with a small varint length whose first
-// byte is far below 'E'.
+// protoMagic opens every connection.
 var protoMagic = [4]byte{'E', 'W', 'H', 'B'}
 
 // scratchPool recycles the chunk buffers the key codec stages through.
@@ -232,54 +221,6 @@ func writeGobFrame(w io.Writer, typ byte, v any) error {
 	}
 	_, err := w.Write(buf.Bytes())
 	return err
-}
-
-// readGobFrame reads one frame, requires it to have the given type, and gob
-// decodes its payload into v.
-func readGobFrame(r io.Reader, wantTyp byte, v any) error {
-	typ, n, err := readFrameHeader(r)
-	if err != nil {
-		return err
-	}
-	if typ != wantTyp {
-		return fmt.Errorf("frame type %d, want %d", typ, wantTyp)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return err
-	}
-	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
-}
-
-// writeKeyBlocks streams one relation's contiguous per-worker key slice as
-// block frames (one block unless the slice exceeds maxBlockKeys). Keys are
-// staged through a pooled scratch buffer in fixed-width little-endian, so
-// the cost per key is one PutUint64 — no per-batch slice headers, no
-// reflection.
-func writeKeyBlocks(w *bufio.Writer, rel int8, keys []join.Key) error {
-	scratch := getScratch()
-	defer putScratch(scratch)
-	buf := *scratch
-	for len(keys) > 0 {
-		n := len(keys)
-		if n > maxBlockKeys {
-			n = maxBlockKeys
-		}
-		if err := writeFrameHeader(w, frameBlock, blockHeaderLen+8*n); err != nil {
-			return err
-		}
-		var bh [blockHeaderLen]byte
-		bh[0] = byte(rel)
-		binary.LittleEndian.PutUint32(bh[1:], uint32(n))
-		if _, err := w.Write(bh[:]); err != nil {
-			return err
-		}
-		if err := writeKeysLE(w, keys[:n], buf); err != nil {
-			return err
-		}
-		keys = keys[n:]
-	}
-	return nil
 }
 
 // v3FrameHeaderLen is [type u8][job u32][payloadLen u32].
@@ -348,8 +289,11 @@ func writeRelHead(w io.Writer, job uint32, rel int8, count int, hasPay bool, pay
 	return err
 }
 
-// writeKeyBlocksV3 is writeKeyBlocks with the session frame header: one
-// relation's contiguous per-worker key slice as v3 block frames.
+// writeKeyBlocksV3 streams one relation's contiguous per-worker key slice as
+// block frames (one block unless the slice exceeds maxBlockKeys). Keys are
+// staged through a pooled scratch buffer in fixed-width little-endian, so
+// the cost per key is one PutUint64 — no per-batch slice headers, no
+// reflection.
 func writeKeyBlocksV3(w *bufio.Writer, job uint32, rel int8, keys []join.Key) error {
 	scratch := getScratch()
 	defer putScratch(scratch)
@@ -378,7 +322,7 @@ func writeKeyBlocksV3(w *bufio.Writer, job uint32, rel int8, keys []join.Key) er
 
 // readKeysLE decodes len(dst) little-endian keys from r into dst, staged
 // through a pooled scratch buffer — the inverse of writeKeysLE, shared by
-// every key-block decode path (one-shot, session, peer mesh).
+// every key-block decode path (session, peer mesh).
 func readKeysLE(r io.Reader, dst []join.Key) error {
 	scratch := getScratch()
 	defer putScratch(scratch)
@@ -740,37 +684,4 @@ func putByteBuf(b []byte) {
 	}
 	b = b[:0]
 	byteBufPool.Put(&b)
-}
-
-// readKeyBlock decodes one block frame's payload (already past the frame
-// header; payloadLen bytes follow) and appends its keys into dst starting at
-// *pos, which it advances. dst is the exactly-sized flat buffer the
-// handshake's counts allocated; overflowing it is a protocol error.
-func readKeyBlock(r io.Reader, payloadLen int, rel1, rel2 []join.Key, pos1, pos2 *int) error {
-	var bh [blockHeaderLen]byte
-	if _, err := io.ReadFull(r, bh[:]); err != nil {
-		return err
-	}
-	count := int(binary.LittleEndian.Uint32(bh[1:]))
-	if payloadLen != blockHeaderLen+8*count {
-		return fmt.Errorf("block frame length %d inconsistent with count %d", payloadLen, count)
-	}
-	var dst []join.Key
-	var pos *int
-	switch bh[0] {
-	case 1:
-		dst, pos = rel1, pos1
-	case 2:
-		dst, pos = rel2, pos2
-	default:
-		return fmt.Errorf("block for unknown relation %d", bh[0])
-	}
-	if *pos+count > len(dst) {
-		return fmt.Errorf("relation %d overflows declared count %d", bh[0], len(dst))
-	}
-	if err := readKeysLE(r, dst[*pos:*pos+count]); err != nil {
-		return err
-	}
-	*pos += count
-	return nil
 }
