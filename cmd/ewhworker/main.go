@@ -20,7 +20,6 @@ import (
 	"syscall"
 	"time"
 
-	"ewh/internal/exec"
 	"ewh/internal/netexec"
 )
 
@@ -34,7 +33,6 @@ func main() {
 	queueDeadline := flag.Duration("queue-deadline", 0, "admission control: max queue wait before typed rejection (0: wait forever)")
 	tenantBytes := flag.Int64("tenant-max-bytes", 0, "default per-tenant buffered relation byte budget (0: unlimited)")
 	tenantInter := flag.Int64("tenant-max-intermediate", 0, "default per-tenant stage-1 intermediate tuple budget per plan job (0: unlimited)")
-	engineStr := flag.String("join-engine", "auto", "default local-join engine for jobs opened with auto (auto, merge, hash)")
 	cacheBytes := flag.Int64("build-cache-bytes", netexec.DefaultBuildCacheBytes, "build-side hash-join cache budget in bytes (<= 0: disable sharing)")
 	weights := netexec.TenantWeights{}
 	flag.Var(weights, "tenant-weight", "tenant scheduling weight as name=w (repeatable); weighted tenants keep the default tenant budgets")
@@ -45,12 +43,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ewhworker:", err)
 		os.Exit(1)
 	}
-	engine, err := exec.ParseJoinEngine(*engineStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ewhworker:", err)
-		os.Exit(1)
-	}
-	w.SetJoinEngine(engine)
 	if *cacheBytes != netexec.DefaultBuildCacheBytes {
 		w.SetBuildCacheBytes(*cacheBytes)
 	}

@@ -196,14 +196,6 @@ func Refine(plan *PlanResult, measuredOutput []int64, opts Options) (*PlanResult
 	return core.Refine(plan, measuredOutput, opts)
 }
 
-// EncodePlan serializes a plan to JSON so a coordinator can persist it or
-// ship it to another process. Decoded plans route and execute identically;
-// only Refine needs the original in-memory plan.
-func EncodePlan(plan *PlanResult) ([]byte, error) { return core.EncodePlan(plan) }
-
-// DecodePlan reconstructs a plan serialized by EncodePlan.
-func DecodePlan(data []byte) (*PlanResult, error) { return core.DecodePlan(data) }
-
 // StreamConfig tunes a continuous windowed join (see ExecuteStream).
 type StreamConfig = streamjoin.Config
 

@@ -103,15 +103,16 @@ func TestFacadeRefineAndSerialize(t *testing.T) {
 		t.Fatalf("refined plan changed the join result: %d vs %d", res2.Output, res.Output)
 	}
 
-	data, err := ewh.EncodePlan(plan)
+	data, err := ewh.EncodePlanArtifact(&ewh.PlanArtifact{Scheme: plan.Scheme, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ewh.DecodePlan(data)
+	back, err := ewh.DecodePlanArtifact(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res3 := ewh.Execute(r1, r2, cond, back, ewh.DefaultBandModel, ewh.ExecConfig{Seed: 17})
+	res3 := ewh.Execute(r1, r2, cond, &ewh.PlanResult{Scheme: back.Scheme}, ewh.DefaultBandModel,
+		ewh.ExecConfig{Seed: back.Seed})
 	if res3.Output != res.Output {
 		t.Fatalf("decoded plan changed the join result: %d vs %d", res3.Output, res.Output)
 	}

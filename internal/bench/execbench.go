@@ -50,42 +50,10 @@ type ExecBenchReport struct {
 
 const execBenchReps = 5
 
-// CalibrationRow names the machine-speed calibration entry: a fixed
-// xorshift spin no repo change can affect, so the ratio of its wall time
-// across two reports measures hardware speed, not code. The regression gate
-// normalizes wall comparisons by it, making a committed baseline portable
-// across runners; its deterministic checksum rides in Output so the exact-
-// output rule also validates the spin itself.
-const CalibrationRow = "calibrate-spin"
-
 // StreamDriftRow names the continuous-join benchmark entry: a stream job
 // whose window distribution flips mid-stream, forcing a drift-triggered
-// replan every run. Its wall time and modeled makespan depend on windows
-// genuinely overlapping across workers, so the regression gate refuses to
-// compare it across parallelism shapes (see CheckExecBenchAgainst).
+// replan every run (the row errors out if the flip fires none).
 const StreamDriftRow = "netexec-stream-drift"
-
-// spinCalibration runs the calibration loop (min wall over the usual reps).
-func spinCalibration() (int64, time.Duration) {
-	var best time.Duration
-	var sum uint64
-	for rep := 0; rep < execBenchReps; rep++ {
-		s := uint64(0x9E3779B97F4A7C15)
-		var acc uint64
-		start := time.Now()
-		for i := 0; i < 1<<25; i++ {
-			s ^= s << 13
-			s ^= s >> 7
-			s ^= s << 17
-			acc += s
-		}
-		if d := time.Since(start); best == 0 || d < best {
-			best = d
-		}
-		sum = acc
-	}
-	return int64(sum), best
-}
 
 // ExecBench times the engine's hot paths: the shuffle (fan-out-1 and
 // replicating), the full CSIO band-join execution, the local merge-sweep
@@ -96,12 +64,6 @@ func ExecBench(cfg Config) (*ExecBenchReport, error) {
 	n := 200000 * cfg.Scale
 	rep := &ExecBenchReport{GOMAXPROCS: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU(),
 		Scale: cfg.Scale, Seed: cfg.Seed}
-
-	spinSum, spinWall := spinCalibration()
-	rep.Rows = append(rep.Rows, ExecBenchRow{
-		Name: CalibrationRow, Scheme: "-", Mappers: 1,
-		WallNS: spinWall.Nanoseconds(), Output: spinSum,
-	})
 
 	rng := stats.NewRNG(cfg.Seed)
 	r1 := make([]join.Key, n)

@@ -100,55 +100,22 @@ func hashJoinPairs(r1, r2 []join.Key, flush func([]PairIdx)) int64 {
 	if len(r1) == 0 || len(r2) == 0 {
 		return 0
 	}
-	s := NewPairStreamer(localjoin.NewPairTable(r2), flush)
-	s.Probe(r1)
-	return s.Finish()
-}
-
-// PairStreamer is the hash engine's pair emission decomposed for streaming
-// transports: relation 1 arrives as successive arrival-ordered slices
-// (Probe), probed against a PairTable built over the complete relation 2.
-// Because hashJoinPairs itself runs on a PairStreamer with a single Probe
-// call, a chunked relation 1 produces the bit-identical pair stream —
-// including the pairChunk flush boundaries, which the one pooled buffer
-// carries across Probe calls — by construction, not by parallel maintenance.
-type PairStreamer struct {
-	t     *localjoin.PairTable
-	flush func([]PairIdx)
-	buf   []PairIdx
-	base  uint32 // relation-1 tuples consumed by earlier Probe calls
-	out   int64
-}
-
-// NewPairStreamer wraps a sealed PairTable over relation 2 and the flush
-// sink the pair chunks stream to.
-func NewPairStreamer(t *localjoin.PairTable, flush func([]PairIdx)) *PairStreamer {
-	return &PairStreamer{t: t, flush: flush, buf: getPairBuf()}
-}
-
-// Probe emits the partners of the next relation-1 slice, continuing the
-// global arrival-order indexing from the previous call.
-func (s *PairStreamer) Probe(r1 []join.Key) {
+	t := localjoin.NewPairTable(r2)
+	buf := getPairBuf()
+	var out int64
 	for i1, k := range r1 {
-		for _, i2 := range s.t.Partners(k) {
-			s.buf = append(s.buf, PairIdx{I1: s.base + uint32(i1), I2: i2})
-			s.out++
-			if len(s.buf) == pairChunk {
-				s.flush(s.buf)
-				s.buf = s.buf[:0]
+		for _, i2 := range t.Partners(k) {
+			buf = append(buf, PairIdx{I1: uint32(i1), I2: i2})
+			out++
+			if len(buf) == pairChunk {
+				flush(buf)
+				buf = buf[:0]
 			}
 		}
 	}
-	s.base += uint32(len(r1))
-}
-
-// Finish flushes the final partial chunk, recycles the buffer and returns
-// the total pair count. The streamer is dead afterwards.
-func (s *PairStreamer) Finish() int64 {
-	if len(s.buf) > 0 {
-		s.flush(s.buf)
+	if len(buf) > 0 {
+		flush(buf)
 	}
-	putPairBuf(s.buf)
-	s.buf = nil
-	return s.out
+	putPairBuf(buf)
+	return out
 }

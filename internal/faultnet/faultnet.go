@@ -67,7 +67,6 @@ const (
 	// v4 peer-mesh frames.
 	FramePeerHead  byte = 30
 	FramePeerBlock byte = 31
-	FramePeerPay   byte = 32
 )
 
 // Protocol versions as they appear in the wire prelude.

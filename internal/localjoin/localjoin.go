@@ -54,28 +54,6 @@ func CountSorted(s1, s2 []join.Key, cond join.Condition) int64 {
 	return out
 }
 
-// HashCount returns |r1 ⋈ r2| for an equality join via a multiplicity map —
-// O(n1+n2) and the right choice when the condition is join.Equi or a
-// zero-width band.
-func HashCount(r1, r2 []join.Key) int64 {
-	if len(r1) == 0 || len(r2) == 0 {
-		return 0
-	}
-	small, large := r1, r2
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	mult := make(map[join.Key]int64, len(small))
-	for _, k := range small {
-		mult[k]++
-	}
-	var out int64
-	for _, k := range large {
-		out += mult[k]
-	}
-	return out
-}
-
 // NestedLoopCount is the O(n1·n2) reference implementation used by tests as
 // ground truth.
 func NestedLoopCount(r1, r2 []join.Key, cond join.Condition) int64 {
@@ -88,22 +66,4 @@ func NestedLoopCount(r1, r2 []join.Key, cond join.Condition) int64 {
 		}
 	}
 	return out
-}
-
-// Emit calls fn for every matching pair, in R1 order with R2 partners
-// ascending, using the sorted monotonic join. It materializes the full
-// result and so is meant for small inputs (tests, examples).
-func Emit(r1, r2 []join.Key, cond join.Condition, fn func(a, b join.Key)) {
-	if len(r1) == 0 || len(r2) == 0 {
-		return
-	}
-	sorted := slices.Clone(r2)
-	keysort.Sort(sorted)
-	for _, a := range r1 {
-		lo, hi := cond.JoinableRange(a)
-		i, _ := slices.BinarySearch(sorted, lo)
-		for ; i < len(sorted) && sorted[i] <= hi; i++ {
-			fn(a, sorted[i])
-		}
-	}
 }

@@ -1,0 +1,371 @@
+package netexec
+
+import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"ewh/internal/exec"
+	"ewh/internal/faultnet"
+	"ewh/internal/join"
+	"ewh/internal/partition"
+	"ewh/internal/planio"
+)
+
+// baseline is the one place this package's tests snapshot, and later
+// re-check, what a finished scenario must have given back.
+type baseline struct {
+	t          *testing.T
+	goroutines int
+}
+
+func snapshotBaseline(t *testing.T) *baseline {
+	return &baseline{t: t, goroutines: runtime.NumGoroutine()}
+}
+
+// goroutinesSettled asserts the goroutine count is back at the snapshot. The
+// +2 allowance absorbs runtime helpers; the poll absorbs teardown races (a
+// read loop observing its closed connection).
+func (b *baseline) goroutinesSettled() {
+	b.t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > b.goroutines+2 {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			b.t.Errorf("goroutines leaked: baseline %d, now %d\n%s",
+				b.goroutines, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// returned asserts the four things every sub-job must give back however it
+// ended. With the session still open: no reply handler left registered on any
+// connection, no job left in flight on any worker connection, no byte left
+// reserved against the tenant. Then, with session and workers torn down: the
+// goroutine count back at the snapshot.
+func (b *baseline) returned(sess *Session, ws []*Worker, tenant string) {
+	b.t.Helper()
+	waitFor(b.t, "every connection's pending table to empty", func() bool {
+		for _, c := range sess.conns {
+			c.mu.Lock()
+			n := len(c.pending)
+			c.mu.Unlock()
+			if n != 0 {
+				return false
+			}
+		}
+		return true
+	})
+	waitFor(b.t, "every worker connection's in-flight count to reach zero", func() bool {
+		for _, w := range ws {
+			w.mu.Lock()
+			active := 0
+			for cs := range w.conns {
+				active += cs.active
+			}
+			w.mu.Unlock()
+			if active != 0 {
+				return false
+			}
+		}
+		return true
+	})
+	waitFor(b.t, "the tenant's reservation to be credited back", func() bool {
+		for _, w := range ws {
+			if w.tenants.usedBytes(tenant) != 0 {
+				return false
+			}
+		}
+		return true
+	})
+	_ = sess.Close()
+	for _, w := range ws {
+		_ = w.Close()
+	}
+	b.goroutinesSettled()
+}
+
+// TestStreamCloseAfterJobFaultRetiresWorkerJob pins Close's abort: a stream a
+// job-level fault broke on a HEALTHY connection (here a quota rejection —
+// Collect returns it) still holds a poisoned job, its goroutine and its drain
+// accounting on the worker, and Close must retire them. Skipping the
+// connection because its fault is sticky left the worker undrainable for as
+// long as the session stayed open.
+func TestStreamCloseAfterJobFaultRetiresWorkerJob(t *testing.T) {
+	ws, addrs := startTenantWorkerSet(t, 1, AdmissionConfig{},
+		map[string]TenantPolicy{"small": {MaxBytes: 1024}})
+	sess, err := DialTenant(context.Background(), "small", addrs, Timeouts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	st, err := sess.OpenStream(exec.StreamSpec{Cond: join.Equi{},
+		Stats: exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SendBase(1, [][]join.Key{randKeys(500, 250, 90)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SendWindow(0, 1, [][]join.Key{randKeys(10, 250, 91)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Collect(0, 1); !errors.Is(err, ErrQuota) {
+		t.Fatalf("over-budget base: Collect returned %v, want ErrQuota", err)
+	}
+	if err := st.Close(); !errors.Is(err, ErrQuota) {
+		t.Fatalf("Close returned %v, want the stream's sticky ErrQuota", err)
+	}
+	c := sess.conns[0]
+	c.mu.Lock()
+	pending := len(c.pending)
+	c.mu.Unlock()
+	if pending != 0 {
+		t.Fatalf("%d reply handlers still registered after Close", pending)
+	}
+	// The session stays open — as a pooled one would — and the worker must
+	// drain anyway: nothing of the stream is left in flight on it.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := ws[0].Shutdown(ctx); err != nil {
+		t.Fatalf("worker still holds the closed stream's job: Shutdown: %v", err)
+	}
+	if used := ws[0].tenants.usedBytes("small"); used != 0 {
+		t.Fatalf("closed stream left %d bytes reserved", used)
+	}
+}
+
+// The return-to-baseline table: every coordinator sub-job kind crossed with
+// every way a sub-job can end, each cell asserting baseline.returned.
+
+const (
+	tableWorkers = 2
+	tableTenant  = "tabled"
+	tableBudget  = 16 << 10 // per-worker tenant byte budget in the quota column
+	tableSmall   = 200      // keys per relation: far inside the budget
+	tableBig     = 8000     // keys per relation: each worker's share blows it
+)
+
+// tableInputs is how an outcome bends a kind's inputs: big grows what the
+// kind's own sub-job buffers past the tenant budget, invalid plants a
+// declaration the coordinator refuses before framing it.
+type tableInputs struct{ big, invalid bool }
+
+func (in tableInputs) size() int {
+	if in.big {
+		return tableBig
+	}
+	return tableSmall
+}
+
+// invalidPayloads declares a tuple beyond the per-tuple wire limit.
+func invalidPayloads(int) exec.PayloadBlock {
+	return exec.PayloadBlock{Off: []uint32{0, maxPayFrameBytes + 1}}
+}
+
+// tableRel wraps one shuffled relation as a resolved job input; withKeys
+// attaches each tuple's own key as its 8-byte payload (the stage-2 routing
+// key a plan job needs on relation 2).
+func tableRel(s *exec.KeyShuffle, withKeys, invalid bool) *exec.RelFuture {
+	rd := exec.RelData{Keys: s}
+	switch {
+	case invalid:
+		rd.Payloads = invalidPayloads
+	case withKeys:
+		rd.Payloads = func(w int) exec.PayloadBlock {
+			pb := exec.PayloadBlock{Off: []uint32{0}}
+			for _, k := range s.Worker(w) {
+				pb.Flat = binary.LittleEndian.AppendUint64(pb.Flat, uint64(k))
+				pb.Off = append(pb.Off, uint32(len(pb.Flat)))
+			}
+			return pb
+		}
+	}
+	return exec.ResolvedRelFuture(rd)
+}
+
+func tablePlain(sess *Session, in tableInputs) error {
+	n := in.size()
+	s1, s2 := exec.ShufflePair(randKeys(n, int64(n), 500), randKeys(n, int64(n), 501),
+		partition.NewCI(tableWorkers), exec.Config{Seed: 502})
+	defer s1.Release()
+	defer s2.Release()
+	job := &exec.Job{Cond: join.Equi{}, Workers: tableWorkers,
+		R1: tableRel(s1, false, in.invalid), R2: tableRel(s2, false, false)}
+	return sess.RunJob(job, make([]exec.WorkerMetrics, tableWorkers))
+}
+
+// tableStages drives one two-stage pipeline: n keys drawn from [0, domain) in
+// each stage-1 relation, tableSmall in the stage-2 right relation;
+// badFirst/badNext plant the invalid declaration in the stage-1 job or the
+// peer job's relation.
+func tableStages(sess *Session, deferred bool, n int, domain int64, badFirst, badNext bool) error {
+	scheme, err := partition.NewHash(tableWorkers, nil)
+	if err != nil {
+		return err
+	}
+	plan, err := planio.Encode(&planio.Artifact{Scheme: scheme, Seed: 510})
+	if err != nil {
+		return err
+	}
+	cfg := exec.Config{Seed: 511}
+	s1, s2 := exec.ShufflePair(randKeys(n, domain, 512), randKeys(n, domain, 513), scheme, cfg)
+	s3 := exec.ShuffleKeys(randKeys(tableSmall, domain, 514), scheme, 2, cfg)
+	defer s1.Release()
+	defer s2.Release()
+	defer s3.Release()
+	first := &exec.Job{Cond: join.Equi{}, Workers: tableWorkers,
+		R1: tableRel(s1, false, badFirst), R2: tableRel(s2, true, false)}
+	next := &exec.PlanJob{Plan: plan, Workers: tableWorkers, Cond: join.Equi{},
+		R2: tableRel(s3, false, badNext)}
+	if deferred {
+		next.Plan, next.Workers = nil, 0
+		next.Stats = &exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 515}
+		next.Replan = func([][]byte) ([]byte, int, error) { return plan, tableWorkers, nil }
+	}
+	_, err = sess.RunStages(first, next,
+		make([]exec.WorkerMetrics, tableWorkers), make([]exec.WorkerMetrics, tableWorkers))
+	return err
+}
+
+func tableStream(sess *Session, in tableInputs) error {
+	st, err := sess.OpenStream(exec.StreamSpec{Cond: join.Equi{},
+		Stats: exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 520}})
+	if err != nil {
+		return err
+	}
+	shares := func(keys []join.Key) [][]join.Key {
+		half := len(keys) / tableWorkers
+		return [][]join.Key{keys[:half], keys[half:]}
+	}
+	window := shares(randKeys(tableSmall, tableSmall, 521))
+	if in.invalid {
+		window = window[:1] // one share for two workers: refused before the wire
+	}
+	err = st.SendBase(1, shares(randKeys(in.size(), tableSmall, 522)))
+	if err == nil {
+		err = st.SendWindow(0, 1, window)
+	}
+	if err == nil {
+		_, err = st.Collect(0, 1)
+	}
+	return errors.Join(err, st.Close())
+}
+
+func TestSubJobsReturnToBaseline(t *testing.T) {
+	kinds := []struct {
+		name string
+		run  func(*Session, tableInputs) error
+		// sendFrame is an inbound frame only this kind's send carries: where
+		// a connection death lands mid-send. The replyN-th outbound replyFrame
+		// on the tapped worker is the reply this kind's await is parked on:
+		// stalling it starves the liveness deadline.
+		sendFrame, replyFrame byte
+		replyN                int
+	}{
+		{"plain", tablePlain, faultnet.FrameBlock, faultnet.FrameMetrics, 1},
+		{"stage-1 plan", func(s *Session, in tableInputs) error {
+			return tableStages(s, false, in.size(), int64(in.size()), in.invalid, false)
+		}, faultnet.FramePlan, faultnet.FrameMetrics, 1},
+		{"stats stage", func(s *Session, in tableInputs) error {
+			return tableStages(s, true, in.size(), int64(in.size()), in.invalid, false)
+		}, faultnet.FramePlan2, faultnet.FrameStats, 1},
+		{"peer", func(s *Session, in tableInputs) error {
+			// What a peer job buffers is the intermediate: duplicate-heavy
+			// stage-1 keys make the block it assembles blow the budget.
+			domain := int64(tableSmall)
+			if in.big {
+				domain = 4
+			}
+			return tableStages(s, false, tableSmall, domain, false, in.invalid)
+		}, faultnet.FrameOpenPeerJob, faultnet.FrameMetrics, 2},
+		{"stream", tableStream, faultnet.FrameStreamWin, faultnet.FrameStreamRep, 1},
+	}
+	type cell struct {
+		in       tableInputs
+		budget   int64
+		rule     *faultnet.Rule
+		timeouts Timeouts
+		check    func(error) bool
+	}
+	faultKind := func(want FaultKind) func(error) bool {
+		return func(err error) bool {
+			for _, f := range Faults(err) {
+				if f.Kind == want {
+					return true
+				}
+			}
+			return false
+		}
+	}
+	for _, k := range kinds {
+		outcomes := []struct {
+			name string
+			cell cell
+		}{
+			{"success", cell{check: func(err error) bool { return err == nil }}},
+			{"worker error reply", cell{in: tableInputs{big: true}, budget: tableBudget,
+				check: func(err error) bool { return errors.Is(err, ErrQuota) }}},
+			{"validation abort", cell{in: tableInputs{invalid: true},
+				check: func(err error) bool {
+					// Refused on this side: an error, and no worker to blame.
+					for _, f := range Faults(err) {
+						if f.RetryableFault() {
+							return false
+						}
+					}
+					return err != nil
+				}}},
+			{"connection death mid-send", cell{
+				rule:  &faultnet.Rule{Dir: faultnet.In, Frame: k.sendFrame, Action: faultnet.ActClose},
+				check: faultKind(FaultConnLost)}},
+			{"liveness deadline", cell{
+				rule:     &faultnet.Rule{Dir: faultnet.Out, Frame: k.replyFrame, N: k.replyN, Action: faultnet.ActStall},
+				timeouts: Timeouts{Job: 300 * time.Millisecond},
+				check:    faultKind(FaultTimeout)}},
+		}
+		for _, o := range outcomes {
+			c := o.cell
+			t.Run(k.name+"/"+o.name, func(t *testing.T) {
+				b := snapshotBaseline(t)
+				var script *faultnet.Script
+				if c.rule != nil {
+					script = faultnet.NewScript(*c.rule)
+				}
+				ws := make([]*Worker, tableWorkers)
+				addrs := make([]string, tableWorkers)
+				for i := range ws {
+					ln, err := net.Listen("tcp", "127.0.0.1:0")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i == 0 {
+						// Worker 0 is the tapped one; a nil script is transparent.
+						ln = faultnet.Wrap(ln, script)
+					}
+					w := ListenWorkerOn(ln)
+					w.SetTenantPolicy(tableTenant, TenantPolicy{MaxBytes: c.budget})
+					ws[i], addrs[i] = w, w.Addr()
+					go func() { _ = w.Serve() }()
+				}
+				sess, err := DialTenant(context.Background(), tableTenant, addrs, c.timeouts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := k.run(sess, c.in); !c.check(err) {
+					t.Errorf("ended with %v, not as a %s", err, o.name)
+				}
+				if !script.Fired() {
+					t.Error("the scripted fault never fired")
+				}
+				b.returned(sess, ws, tableTenant)
+			})
+		}
+	}
+}

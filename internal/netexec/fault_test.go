@@ -334,7 +334,6 @@ func TestFaultnetFrameParity(t *testing.T) {
 		{"stream rep", frameV3StreamRep, faultnet.FrameStreamRep},
 		{"peer head", framePeerHead, faultnet.FramePeerHead},
 		{"peer block", framePeerBlock, faultnet.FramePeerBlock},
-		{"peer pay", framePeerPay, faultnet.FramePeerPay},
 	}
 	for _, p := range pairs {
 		if p.mine != p.mirrored {

@@ -41,13 +41,7 @@ type feedEvent struct {
 // interleaves with the stream instead of running after it.
 const feedCap = 8
 
-// buildFeeder runs one fed job's incremental build/probe (count mode), or —
-// for a pair-streaming job — absorbs both relations' chunks off the read
-// loop and pre-builds the PairTable over relation 2 at its tail (pair mode),
-// so the table construction overlaps the tail frames' decode and the
-// connection's other jobs instead of starting after EOS. Pair EMISSION stays
-// in the job's finish goroutine (finishPairs): a job that fails between the
-// tail and EOS must reply an error without having streamed any pairs.
+// buildFeeder runs one fed job's incremental build/probe.
 type buildFeeder struct {
 	cache *localjoin.BuildCache
 	ch    chan feedEvent
@@ -66,33 +60,17 @@ type buildFeeder struct {
 	count      int64                     // probe matches so far
 	overlapped int64
 	cacheHit   bool
-
-	// Pair-mode state: both relations' pooled chunk buffers accumulate
-	// per-mapper in arrival order (never materializing relation 1 flat — its
-	// parts probe the table directly, mapper-major); relation 2 assembles at
-	// its tail into r2flat and indexes into ptab.
-	pairs  bool
-	parts  [2][][][]join.Key // parts[rel-1][mapper] = ordered pooled sub-blocks
-	r2flat []join.Key        // pooled; nil when relation 2 arrived flat (job-owned)
-	ptab   *localjoin.PairTable
 }
 
 // newBuildFeeder starts the feeder for a job whose relation 1 streams in
-// mappers chunk sub-streams. cache may be nil (no build sharing). wantPairs
-// selects pair mode — chunk absorption plus PairTable pre-build — over the
-// count mode's incremental build/probe.
-func newBuildFeeder(cache *localjoin.BuildCache, mappers int, wantPairs bool) *buildFeeder {
+// mappers chunk sub-streams. cache may be nil (no build sharing).
+func newBuildFeeder(cache *localjoin.BuildCache, mappers int) *buildFeeder {
 	f := &buildFeeder{
-		cache: cache,
-		ch:    make(chan feedEvent, feedCap),
-		done:  make(chan struct{}),
-		pairs: wantPairs,
-	}
-	if wantPairs {
-		f.parts[0] = make([][][]join.Key, 0, mappers)
-	} else {
-		f.build = localjoin.NewBuild()
-		f.digests = make([][]localjoin.ChunkDigest, mappers)
+		cache:   cache,
+		ch:      make(chan feedEvent, feedCap),
+		done:    make(chan struct{}),
+		build:   localjoin.NewBuild(),
+		digests: make([][]localjoin.ChunkDigest, mappers),
 	}
 	go f.run()
 	return f
@@ -116,10 +94,6 @@ func (f *buildFeeder) markEOS() { f.eosSeen.Store(true) }
 // run is the feeder goroutine: drain events until the channel closes.
 func (f *buildFeeder) run() {
 	defer close(f.done)
-	if f.pairs {
-		f.runPairs()
-		return
-	}
 	for ev := range f.ch {
 		switch {
 		case ev.keys != nil && ev.rel == 1:
@@ -147,66 +121,6 @@ func (f *buildFeeder) run() {
 		default: // rel 2 tail: nothing to do, totals validated by the read loop
 		}
 	}
-}
-
-// runPairs is the feeder loop's pair mode: chunks of either relation park
-// per-mapper in arrival order (moving the copy-and-assemble work that used
-// to block the read loop into this goroutine), and relation 2's tail
-// assembles its flat block and builds the PairTable — overlapping the
-// remaining frames' decode. Relation 1 is never flattened: finishPairs
-// probes its parts mapper-major, which IS its arrival order.
-func (f *buildFeeder) runPairs() {
-	for ev := range f.ch {
-		switch {
-		case ev.keys != nil:
-			if !f.eosSeen.Load() {
-				f.overlapped++
-			}
-			f.addPart(ev.rel, ev.mapper, ev.keys)
-		case ev.rel == 2:
-			f.sealPairs()
-		default: // rel-1 tail: nothing to finalize until the table exists
-		}
-	}
-}
-
-// addPart parks one pooled chunk buffer under its relation and mapper,
-// growing the mapper table on demand (relation 2's mapper count is declared
-// on its own chunk head, which the feeder never sees).
-func (f *buildFeeder) addPart(rel, mapper int, keys []join.Key) {
-	ps := f.parts[rel-1]
-	for len(ps) <= mapper {
-		ps = append(ps, nil)
-	}
-	ps[mapper] = append(ps[mapper], keys)
-	f.parts[rel-1] = ps
-}
-
-// sealPairs assembles relation 2 mapper-major into one pooled flat block —
-// the same layout sessRel.assemble produces, so arrival indices match every
-// other transport — and builds the PairTable over it.
-func (f *buildFeeder) sealPairs() {
-	total := 0
-	for _, ps := range f.parts[1] {
-		for _, p := range ps {
-			total += len(p)
-		}
-	}
-	if total == 0 {
-		return // empty relation 2: no table, finishPairs emits nothing
-	}
-	flat := exec.GetKeyBuffer(total)
-	pos := 0
-	for _, ps := range f.parts[1] {
-		for _, p := range ps {
-			copy(flat[pos:], p)
-			pos += len(p)
-			exec.PutKeyBuffer(p)
-		}
-	}
-	f.parts[1] = nil
-	f.r2flat = flat
-	f.ptab = localjoin.NewPairTable(flat)
 }
 
 // seal finishes the build side: combine the per-chunk digests in canonical
@@ -240,37 +154,18 @@ func (f *buildFeeder) seal() {
 	f.pending = nil
 }
 
-// halt closes the event channel (no feed calls may follow — callers stop
-// feeding on the same code paths that call this) and waits for the feeder
-// goroutine, leaving its accumulated state readable. Idempotent.
-func (f *buildFeeder) halt() {
-	f.stopO.Do(func() { close(f.ch) })
-	<-f.done
-}
-
-// stop terminates the feeder and recycles every buffer it still holds —
-// parked probe chunks, pair-mode parts, the assembled relation-2 block.
-// Every job exit path lands here (via sessJob.release); after finishPairs
-// consumed the pair-mode state the release loops see nil. Idempotent; safe
+// stop terminates the feeder — close the event channel (no feed calls may
+// follow: callers stop feeding on the same code paths that call this), wait
+// for the goroutine — and recycles the probe chunks it still had parked.
+// Every job exit path lands here (via sessJob.release). Idempotent; safe
 // after finish.
 func (f *buildFeeder) stop() {
-	f.halt()
+	f.stopO.Do(func() { close(f.ch) })
+	<-f.done
 	for _, keys := range f.pending {
 		exec.PutKeyBuffer(keys)
 	}
 	f.pending = nil
-	for rel := range f.parts {
-		for _, ps := range f.parts[rel] {
-			for _, p := range ps {
-				exec.PutKeyBuffer(p)
-			}
-		}
-		f.parts[rel] = nil
-	}
-	if f.r2flat != nil {
-		exec.PutKeyBuffer(f.r2flat)
-		f.r2flat, f.ptab = nil, nil
-	}
 }
 
 // finish stops the feeder and returns its results. The build is sealed even
@@ -283,37 +178,4 @@ func (f *buildFeeder) finish() (build *localjoin.Build, count, overlapped int64,
 		f.sealed = true
 	}
 	return f.build, f.count, f.overlapped, f.cacheHit
-}
-
-// finishPairs completes a pair-mode feeder: relation 1's parked parts probe
-// the PairTable mapper-major (their arrival order, so indices match every
-// other transport) and the pair chunks stream through emit. Runs in the
-// job's finish goroutine only after validateComplete passed — a failed job
-// never emits pairs. r2 supplies the flat relation-2 block for the mixed
-// case (chunked relation 1, flat relation 2), where the feeder never saw
-// relation 2; a table pre-built at the chunk tail wins. Returns the pair
-// count and the overlapped-chunk tally.
-func (f *buildFeeder) finishPairs(r2 []join.Key, emit func([]exec.PairIdx)) (int64, int64) {
-	f.halt()
-	defer f.stop() // recycles the parts and the assembled block probed below
-	t := f.ptab
-	if t == nil {
-		n1 := 0
-		for _, ps := range f.parts[0] {
-			for _, p := range ps {
-				n1 += len(p)
-			}
-		}
-		if n1 == 0 || len(r2) == 0 {
-			return 0, f.overlapped // empty side: no table, no flush (as hashJoinPairs)
-		}
-		t = localjoin.NewPairTable(r2)
-	}
-	s := exec.NewPairStreamer(t, emit)
-	for _, ps := range f.parts[0] {
-		for _, p := range ps {
-			s.Probe(p)
-		}
-	}
-	return s.Finish(), f.overlapped
 }

@@ -172,53 +172,10 @@ func TestPoolBuildCacheHit(t *testing.T) {
 	}
 }
 
-// TestWorkerEngineDefault pins the worker-side knob: a fleet set to
-// EngineMerge runs auto-opened equi jobs on the merge path (no overlap), and
-// the coordinator's explicit hash request overrides it.
-func TestWorkerEngineDefault(t *testing.T) {
-	ws, addrs := startWorkerSet(t, 2)
-	for _, w := range ws {
-		w.SetJoinEngine(exec.EngineMerge)
-	}
-	r1 := zipfKeys(20000, 3000, 0.8, 160)
-	r2 := zipfKeys(20000, 3000, 0.8, 161)
-	scheme := partition.NewCI(2)
-	cfg := exec.Config{Seed: 162, Mappers: 12}
-	want := exec.Run(r1, r2, join.Equi{}, scheme, model, cfg)
-
-	sess, err := DialTenant(context.Background(), "", addrs, Timeouts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	res, err := exec.RunOver(sess, r1, r2, join.Equi{}, scheme, model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Output != want.Output {
-		t.Fatalf("merge-default output %d, want %d", res.Output, want.Output)
-	}
-	if n := sess.BuildOverlappedChunks(); n != 0 {
-		t.Fatalf("merge-default fleet overlapped %d chunks", n)
-	}
-	cfg.Engine = exec.EngineHash
-	res, err = exec.RunOver(sess, r1, r2, join.Equi{}, scheme, model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Output != want.Output {
-		t.Fatalf("explicit-hash output %d, want %d", res.Output, want.Output)
-	}
-	if n := sess.BuildOverlappedChunks(); n <= 0 {
-		t.Fatal("explicit hash request did not override the merge fleet default")
-	}
-}
-
-// TestChunkStreamedPairsBitIdentical pins the pair-capable feeder: an equi
-// pairs job whose relations arrive as CHUNK streams must emit the pair
-// stream bit-identically to the flat path — same pairs, same order, same
-// flush (frame) boundaries — while absorbing its chunks through the feeder
-// instead of assembling on the read loop.
+// TestChunkStreamedPairsBitIdentical pins a hand-built chunk-streamed pairs
+// job (no driver builds one): its relations assemble from the CHUNK streams
+// and it must emit the pair stream bit-identically to the flat path — same
+// pairs, same order, same flush (frame) boundaries.
 func TestChunkStreamedPairsBitIdentical(t *testing.T) {
 	_, addrs := startWorkerSet(t, 2)
 	sess, err := DialTenant(context.Background(), "", addrs, Timeouts{})
@@ -230,8 +187,7 @@ func TestChunkStreamedPairsBitIdentical(t *testing.T) {
 	r1 := zipfKeys(30000, 4000, 0.8, 170)
 	r2 := zipfKeys(30000, 4000, 0.8, 171)
 	scheme := partition.NewCI(2)
-	// Mappers above feedCap so the feeder must interleave with the stream;
-	// the zipf output volume forces several pairChunk flushes per worker.
+	// The zipf output volume forces several pairChunk flushes per worker.
 	cfg := exec.Config{Seed: 172, Mappers: 12, Engine: exec.EngineHash}
 
 	run := func(chunked bool) [][][]exec.PairIdx {
@@ -261,11 +217,7 @@ func TestChunkStreamedPairsBitIdentical(t *testing.T) {
 	}
 
 	flat := run(false)
-	before := sess.BuildOverlappedChunks()
 	streamed := run(true)
-	if got := sess.BuildOverlappedChunks() - before; got <= 0 {
-		t.Fatalf("chunk-streamed pairs job fed %d chunks through the feeder", got)
-	}
 	for w := range flat {
 		if len(flat[w]) < 2 {
 			t.Fatalf("worker %d emitted %d flush chunks; need several to pin boundaries", w, len(flat[w]))
@@ -290,18 +242,13 @@ func TestChunkStreamedPairsBitIdentical(t *testing.T) {
 }
 
 // TestPeerStageJobsHonorCoordinatorEngine pins the engine hint on the peer
-// open frame. Stage-2 jobs are opened by PEER workers (frameV3OpenPeerJob),
-// not the coordinator, so before the hint existed they silently resolved the
-// WORKER's default engine no matter what the coordinator asked for. A
-// merge-default fleet driven with an explicit coordinator `hash` must now
-// resolve every sub-job — the peer-fed stage-2 jobs included — to hash,
-// while an absent hint (EngineAuto on the wire, what an old coordinator
-// sends) keeps the worker-default behavior.
+// open frame. Stage-2 jobs open with frameV3OpenPeerJob, not OPENJOB, so
+// before the hint existed they resolved auto no matter what the coordinator
+// asked for. An explicit coordinator selection must now reach every sub-job —
+// the peer-fed stage-2 jobs included. Merge is the discriminating run: an
+// equi job that lost its hint would resolve auto to hash.
 func TestPeerStageJobsHonorCoordinatorEngine(t *testing.T) {
-	ws, addrs := startWorkerSet(t, 3)
-	for _, w := range ws {
-		w.SetJoinEngine(exec.EngineMerge)
-	}
+	_, addrs := startWorkerSet(t, 3)
 	r1 := randKeys(1200, 600, 240)
 	r2 := randKeys(1000, 600, 241)
 	r3 := randKeys(900, 2000, 242)
@@ -310,44 +257,31 @@ func TestPeerStageJobsHonorCoordinatorEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := stagePlanFor(t, join.Equi{}, 3, 91)
-
-	// Coordinator-selected hash: stage 1 fans out scheme1.Workers() plan
-	// jobs, the plan fans out sp.Scheme.Workers() peer-opened stage-2 jobs,
-	// and every one of them must report the hash engine back.
-	sessHash := dialSession(t, addrs)
-	cfgHash := exec.Config{Seed: 17, Mappers: 2, Engine: exec.EngineHash}
-	res1h, res2h, err := exec.RunStagesOver(sessHash, exec.WrapKeys(r1), tuplesWithPayloadKeys(r2),
-		join.Equi{}, scheme1, sp, r3, model, cfgHash, nil, encodeKeyLE8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := sessHash.EngineUses(exec.EngineMerge); n != 0 {
-		t.Fatalf("%d sub-jobs fell back to the worker merge default under coordinator hash", n)
-	}
+	// Stage 1 fans out scheme1.Workers() plan jobs, the plan fans out
+	// sp.Scheme.Workers() peer-fed stage-2 jobs, and every one of them must
+	// report the selected engine back.
 	want := int64(scheme1.Workers() + sp.Scheme.Workers())
-	if got := sessHash.EngineUses(exec.EngineHash); got != want {
-		t.Fatalf("EngineUses(hash) = %d, want %d (stage-1 + peer stage-2 sub-jobs)", got, want)
-	}
 
-	// No coordinator selection: the hint decodes as EngineAuto and the merge
-	// fleet default wins everywhere — the behavior old coordinators keep.
-	sessAuto := dialSession(t, addrs)
-	cfgAuto := exec.Config{Seed: 17, Mappers: 2}
-	res1a, res2a, err := exec.RunStagesOver(sessAuto, exec.WrapKeys(r1), tuplesWithPayloadKeys(r2),
-		join.Equi{}, scheme1, sp, r3, model, cfgAuto, nil, encodeKeyLE8)
-	if err != nil {
-		t.Fatal(err)
+	var outs [2][2]int64
+	for i, e := range []exec.JoinEngine{exec.EngineHash, exec.EngineMerge} {
+		sess := dialSession(t, addrs)
+		cfg := exec.Config{Seed: 17, Mappers: 2, Engine: e}
+		res1, res2, err := exec.RunStagesOver(sess, exec.WrapKeys(r1), tuplesWithPayloadKeys(r2),
+			join.Equi{}, scheme1, sp, r3, model, cfg, nil, encodeKeyLE8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other := exec.EngineHash + exec.EngineMerge - e
+		if n := sess.EngineUses(other); n != 0 {
+			t.Fatalf("%d sub-jobs resolved %v under coordinator %v", n, other, e)
+		}
+		if got := sess.EngineUses(e); got != want {
+			t.Fatalf("EngineUses(%v) = %d, want %d (stage-1 + peer stage-2 sub-jobs)", e, got, want)
+		}
+		outs[i] = [2]int64{res1.Output, res2.Output}
 	}
-	if n := sessAuto.EngineUses(exec.EngineHash); n != 0 {
-		t.Fatalf("%d sub-jobs ran hash although the coordinator never asked for it", n)
-	}
-	if got := sessAuto.EngineUses(exec.EngineMerge); got != want {
-		t.Fatalf("EngineUses(merge) = %d, want %d with no coordinator selection", got, want)
-	}
-
 	// Engine selection must not perturb the answer.
-	if res1h.Output != res1a.Output || res2h.Output != res2a.Output {
-		t.Fatalf("engine selection changed outputs: hash (%d,%d) vs default (%d,%d)",
-			res1h.Output, res2h.Output, res1a.Output, res2a.Output)
+	if outs[0] != outs[1] {
+		t.Fatalf("engine selection changed outputs: hash %v vs merge %v", outs[0], outs[1])
 	}
 }

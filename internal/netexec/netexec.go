@@ -13,9 +13,11 @@
 // numbered jobs over it, so N jobs cost one dial per worker. Every
 // connection opens with the 6-byte prelude "EWHB" + version; workers speak
 // exactly two versions — 3, a coordinator session, and 4, a worker→worker
-// peer-mesh link (peer.go) — and close anything else. See wire.go for the
-// framing and DESIGN.md's "Transport" section for the frame table and the
-// worker-side job lifecycle.
+// peer-mesh link (peer.go) — and close anything else. Both ends run one job
+// lifecycle each: the coordinator's subJob (open/send/await/close,
+// session.go) against the worker's openJob → headFrame/dataFrame → finishJob
+// → retire (session_worker.go). See wire.go for the framing and DESIGN.md's
+// "Transport" section for the frame table and both lifecycles.
 package netexec
 
 import (
@@ -119,36 +121,29 @@ type planSpec struct {
 }
 
 // peerJobOpen opens a stage-2 job whose relation 1 arrives from peer workers
-// rather than from the coordinator. SenderCounts[s] is the exact tuple count
-// sender s routed to this worker (reported by the stage-1 metrics), so the
-// receiver assembles a deterministic sender-ordered block and knows exactly
-// when the peer transfer is complete.
-//
-// CountsDeferred is the stage-overlapped variant: the coordinator opens the
-// job (and streams the right relation) WHILE stage 1 still runs, before any
-// count exists. SenderCounts is empty; the exact counts follow in a
-// frameV3PeerBind once every stage-1 metrics frame has landed, and the
-// worker parks on the transfer token exactly as it does for slow peer
-// transfers. Pre-bind buffering stays capped by the per-transfer
-// declared-count ceiling; either way the tenant is charged for the assembled
+// rather than from the coordinator. The coordinator opens it (and streams the
+// right relation) WHILE stage 1 still runs, before any count exists: the exact
+// per-sender counts follow in a frameV3PeerBind once every stage-1 metrics
+// frame has landed, and the worker parks on the transfer token exactly as it
+// does for slow peer transfers. Pre-bind buffering stays capped by the
+// per-transfer declared-count ceiling; the tenant is charged for the assembled
 // block at assembly time, where its size is first known.
 type peerJobOpen struct {
-	WorkerID       int
-	Cond           join.Spec
-	Token          uint64
-	SenderCounts   []int64
-	CountsDeferred bool
+	WorkerID int
+	Cond     join.Spec
+	Token    uint64
 
 	// Engine is the coordinator's exec.JoinEngine selection for the stage-2
-	// local join, same contract as jobOpen.Engine. Gob-compatible addition:
-	// decoded as 0 (EngineAuto) from coordinators predating the field, which
-	// resolves to the worker's configured default — the old behavior.
+	// local join, same contract as jobOpen.Engine.
 	Engine int
 }
 
-// peerBind delivers a counts-deferred peer job's exact per-sender counts.
-// It is keyed by transfer token rather than job id: the job's EOS retired
-// the id from the connection's demux table long before stage 1 finished.
+// peerBind delivers a peer job's exact per-sender counts: SenderCounts[s] is
+// what sender s routed to this worker (reported by the stage-1 metrics), so
+// the receiver assembles a deterministic sender-ordered block and knows exactly
+// when the peer transfer is complete. It is keyed by transfer token rather
+// than job id: the job's EOS retired the id from the connection's demux table
+// long before stage 1 finished.
 type peerBind struct {
 	Token        uint64
 	SenderCounts []int64
@@ -213,10 +208,6 @@ type Worker struct {
 	admit   *admitter
 	tenants *tenantTable
 
-	// joinEngine is the worker-side default local-join engine, applied when
-	// a job opens with EngineAuto; a job's explicit merge/hash selection
-	// wins. Set before Serve (see SetJoinEngine).
-	joinEngine exec.JoinEngine
 	// buildCache shares sealed hash builds between jobs indexing the same
 	// relation content — across sessions and tenants, since a sealed build
 	// is immutable and content-addressed (see localjoin.BuildCache). Nil
@@ -280,23 +271,13 @@ func (w *Worker) BuildCacheStats() localjoin.BuildCacheStats {
 	return w.buildCache.Stats()
 }
 
-// SetJoinEngine sets the worker-side default local-join engine, applied to
-// jobs that open with exec.EngineAuto; a job's explicit merge/hash
-// selection always wins. Engines are count- and pair-identical, so this is
-// a fleet performance knob, not a correctness one. Call before Serve.
-func (w *Worker) SetJoinEngine(e exec.JoinEngine) { w.joinEngine = e }
-
-// effectiveEngine resolves a job's wire engine selection against the
-// worker default.
-func (w *Worker) effectiveEngine(wire int) exec.JoinEngine {
-	e := exec.JoinEngine(wire)
-	if e != exec.EngineMerge && e != exec.EngineHash {
-		e = exec.EngineAuto // unknown future values degrade to auto
+// effectiveEngine decodes a job's wire engine selection; values this worker
+// does not know (a newer coordinator's engine family) degrade to auto.
+func effectiveEngine(wire int) exec.JoinEngine {
+	if e := exec.JoinEngine(wire); e == exec.EngineMerge || e == exec.EngineHash {
+		return e
 	}
-	if e == exec.EngineAuto {
-		e = w.joinEngine
-	}
-	return e
+	return exec.EngineAuto
 }
 
 // FailAfterJobs schedules the worker to kill itself (abrupt Close, as a

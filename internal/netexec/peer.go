@@ -124,12 +124,10 @@ func (w *Worker) peerFor(addr string) *peerConn {
 // sendToPeer streams one contribution to addr, and on failure retires the
 // dead connection from the mesh so the NEXT plan job redials a fresh one —
 // the current job still fails (its contribution may be half-sent), but a
-// transiently unreachable peer doesn't poison the link forever. pays, when
-// non-nil, attaches one variable-length payload per key (see
-// writeContribution).
-func (w *Worker) sendToPeer(addr string, token uint64, sender int, keys []join.Key, pays [][]byte) error {
+// transiently unreachable peer doesn't poison the link forever.
+func (w *Worker) sendToPeer(addr string, token uint64, sender int, keys []join.Key) error {
 	pc := w.peerFor(addr)
-	err := pc.sendContribution(w.timeouts, token, sender, keys, pays)
+	err := pc.sendContribution(w.timeouts, token, sender, keys)
 	if err != nil {
 		w.peersMu.Lock()
 		if w.peers[addr] == pc {
@@ -140,10 +138,9 @@ func (w *Worker) sendToPeer(addr string, token uint64, sender int, keys []join.K
 	return err
 }
 
-// sendContribution streams one transfer contribution (head + optional
-// payload frames + key blocks) to the peer, dialing on first use. Errors
-// name the peer address.
-func (pc *peerConn) sendContribution(t Timeouts, token uint64, sender int, keys []join.Key, pays [][]byte) error {
+// sendContribution streams one transfer contribution (head + key blocks) to
+// the peer, dialing on first use. Errors name the peer address.
+func (pc *peerConn) sendContribution(t Timeouts, token uint64, sender int, keys []join.Key) error {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if pc.err != nil {
@@ -166,7 +163,7 @@ func (pc *peerConn) sendContribution(t Timeouts, token uint64, sender int, keys 
 			return fmt.Errorf("peer %s: %w", pc.addr, err)
 		}
 	}
-	if err := pc.writeContribution(token, sender, keys, pays); err != nil {
+	if err := pc.writeContribution(token, sender, keys); err != nil {
 		pc.fail(err)
 		return fmt.Errorf("peer %s: %w", pc.addr, err)
 	}
@@ -190,17 +187,8 @@ func (pc *peerConn) close() {
 }
 
 // writeContribution frames one sender's share of a transfer: the head
-// declares the key count, then — when pays is non-nil — the payload frames,
-// then the key blocks. The payload frames MUST precede the key blocks: the
-// receiver treats a contribution as complete the moment its last key lands,
-// so payloads trailing the keys could race the transfer's assembly. pays
-// attaches one variable-length byte string per key (it must match keys in
-// length); a single payload may not exceed maxPayFrameBytes, since a tuple's
-// length and bytes travel in the same frame.
-func (pc *peerConn) writeContribution(token uint64, sender int, keys []join.Key, pays [][]byte) error {
-	if pays != nil && len(pays) != len(keys) {
-		return fmt.Errorf("contribution carries %d payloads for %d keys", len(pays), len(keys))
-	}
+// declares the key count, then the key blocks follow.
+func (pc *peerConn) writeContribution(token uint64, sender int, keys []join.Key) error {
 	if err := writeFrameHeader(pc.bw, framePeerHead, peerHeadLen); err != nil {
 		return err
 	}
@@ -214,9 +202,6 @@ func (pc *peerConn) writeContribution(token uint64, sender int, keys []join.Key,
 	scratch := getScratch()
 	defer putScratch(scratch)
 	buf := *scratch
-	if err := pc.writePayFrames(h, pays, buf); err != nil {
-		return err
-	}
 	for len(keys) > 0 {
 		n := len(keys)
 		if n > maxPeerBlockKeys {
@@ -237,56 +222,6 @@ func (pc *peerConn) writeContribution(token uint64, sender int, keys []join.Key,
 	return pc.bw.Flush()
 }
 
-// writePayFrames streams a contribution's payloads as framePeerPay frames,
-// batching tuples so no frame's byte segment exceeds maxPayFrameBytes. h
-// already carries the token and sender; its count field is rewritten per
-// frame. buf is the caller's scratch for staging the length vectors.
-func (pc *peerConn) writePayFrames(h [peerHeadLen]byte, pays [][]byte, buf []byte) error {
-	for lo := 0; lo < len(pays); {
-		hi, frameBytes := lo, 0
-		for hi < len(pays) && hi-lo < maxPeerBlockKeys {
-			sz := len(pays[hi])
-			if sz > maxPayFrameBytes {
-				return fmt.Errorf("payload %d holds %d bytes, per-tuple limit %d", hi, sz, maxPayFrameBytes)
-			}
-			if frameBytes > 0 && frameBytes+sz > maxPayFrameBytes {
-				break
-			}
-			frameBytes += sz
-			hi++
-		}
-		count := hi - lo
-		if err := writeFrameHeader(pc.bw, framePeerPay, peerHeadLen+4*count+frameBytes); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(h[12:], uint32(count))
-		if _, err := pc.bw.Write(h[:]); err != nil {
-			return err
-		}
-		for i := lo; i < hi; {
-			c := len(buf) / 4
-			if c > hi-i {
-				c = hi - i
-			}
-			chunk := buf[:4*c]
-			for k := 0; k < c; k++ {
-				binary.LittleEndian.PutUint32(chunk[4*k:], uint32(len(pays[i+k])))
-			}
-			if _, err := pc.bw.Write(chunk); err != nil {
-				return err
-			}
-			i += c
-		}
-		for _, p := range pays[lo:hi] {
-			if _, err := pc.bw.Write(p); err != nil {
-				return err
-			}
-		}
-		lo = hi
-	}
-	return nil
-}
-
 // ---------- receiver side ----------
 
 // peerContrib is one sender's (possibly still streaming) share of a
@@ -300,16 +235,6 @@ type peerContrib struct {
 	keys     []join.Key
 	pos      int
 	reading  bool
-
-	// Optional payload segment: senders ship payload frames BEFORE the key
-	// blocks (see writeContribution), so by the time the last key lands the
-	// payloads are already here. hasPay latches on the first payload frame;
-	// pay/off accumulate the bytes and running offsets (off[0] == 0, one more
-	// entry per tuple); payTup counts the tuples whose lengths have landed.
-	hasPay bool
-	pay    []byte // pooled (byteBufPool)
-	off    []uint32
-	payTup int
 }
 
 // peerJobState accumulates one transfer's contributions until the matching
@@ -325,12 +250,6 @@ type peerJobState struct {
 	done     bool
 	ready    chan struct{} // closed once assembled or failed
 	flat     []join.Key    // pooled; valid when done && err == nil
-
-	// Assembled payload segment, sender-major like flat: present exactly when
-	// the transfer's contributions carried payloads (all-or-none across
-	// senders). flatOff has len(flat)+1 running offsets; flatPay is pooled.
-	flatPay []byte
-	flatOff []uint32
 }
 
 func newPeerJobState() *peerJobState {
@@ -362,21 +281,11 @@ func (st *peerJobState) releaseLocked() {
 			exec.PutKeyBuffer(c.keys)
 			c.keys = nil
 		}
-		// Payload buffers are only ever touched under st.mu, so unlike keys
-		// they are always safe to recycle here.
-		if c.pay != nil {
-			putByteBuf(c.pay)
-			c.pay, c.off = nil, nil
-		}
 		delete(st.contrib, s)
 	}
 	if st.flat != nil {
 		exec.PutKeyBuffer(st.flat)
 		st.flat = nil
-	}
-	if st.flatPay != nil {
-		putByteBuf(st.flatPay)
-		st.flatPay, st.flatOff = nil, nil
 	}
 }
 
@@ -388,7 +297,6 @@ func (st *peerJobState) checkReadyLocked() {
 		return
 	}
 	total := 0
-	active, withPay, payBytes := 0, 0, 0
 	for s, exp := range st.expected {
 		c := st.contrib[s]
 		if exp == 0 {
@@ -406,18 +314,7 @@ func (st *peerJobState) checkReadyLocked() {
 		if c.pos != c.declared {
 			return // still streaming
 		}
-		if c.hasPay && c.payTup != c.declared {
-			// Defensive: senders ship payloads before keys, so a complete key
-			// stream implies complete payloads — unless the sender is broken.
-			st.failLocked(fmt.Errorf("sender %d shipped payloads for %d of %d tuples", s, c.payTup, c.declared))
-			return
-		}
 		total += c.declared
-		active++
-		if c.hasPay {
-			withPay++
-			payBytes += len(c.pay)
-		}
 	}
 	for s := range st.contrib {
 		if s < 0 || s >= len(st.expected) {
@@ -425,26 +322,10 @@ func (st *peerJobState) checkReadyLocked() {
 			return
 		}
 	}
-	// The payload segment is all-or-none across senders: the assembled block
-	// either carries one payload per tuple or none at all.
-	if withPay != 0 && withPay != active {
-		st.failLocked(fmt.Errorf("payloads from %d of %d contributing senders", withPay, active))
-		return
-	}
-	if payBytes > MaxRelationPayloadBytes {
-		st.failLocked(fmt.Errorf("transfer payloads hold %d bytes, relation limit %d", payBytes, MaxRelationPayloadBytes))
-		return
-	}
 	// Complete: assemble in sender order, so the stage-2 block is fully
 	// deterministic no matter how the contributions' arrivals interleaved.
 	flat := exec.GetKeyBuffer(total)
-	var flatPay []byte
-	var flatOff []uint32
-	if withPay > 0 {
-		flatPay = getByteBuf(payBytes)
-		flatOff = make([]uint32, 1, total+1)
-	}
-	pos, payPos := 0, 0
+	pos := 0
 	for s, exp := range st.expected {
 		if exp == 0 {
 			continue
@@ -454,21 +335,9 @@ func (st *peerJobState) checkReadyLocked() {
 		pos += c.declared
 		exec.PutKeyBuffer(c.keys)
 		c.keys = nil
-		if withPay > 0 {
-			copy(flatPay[payPos:], c.pay)
-			for i := 1; i < len(c.off); i++ {
-				flatOff = append(flatOff, uint32(payPos)+c.off[i])
-			}
-			payPos += len(c.pay)
-		}
-		if c.pay != nil {
-			putByteBuf(c.pay)
-			c.pay, c.off = nil, nil
-		}
 		delete(st.contrib, s)
 	}
 	st.flat = flat
-	st.flatPay, st.flatOff = flatPay, flatOff
 	st.done = true
 	close(st.ready)
 }
@@ -520,8 +389,7 @@ func (w *Worker) evictFinishedLocked() bool {
 }
 
 // bindPeerCounts binds a transfer to the coordinator-announced per-sender
-// counts — carried by the stage-2 job's open or, for a stage-overlapped
-// (counts-deferred) job, by a late frameV3PeerBind once stage 1 finished. The
+// counts, carried by the frameV3PeerBind that follows stage 1. The
 // bind is keyed by token, not job: a bad or duplicate bind POISONS the state
 // and the job parked on its ready channel replies the error. A token with no
 // tracked state is ignored (the job failed at open and already replied; the
@@ -591,10 +459,6 @@ func (w *Worker) dropPeerState(token uint64) {
 	if assembled {
 		exec.PutKeyBuffer(st.flat)
 		st.flat = nil
-		if st.flatPay != nil {
-			putByteBuf(st.flatPay)
-			st.flatPay, st.flatOff = nil, nil
-		}
 	} else {
 		st.failLocked(fmt.Errorf("transfer cancelled"))
 	}
@@ -779,82 +643,6 @@ func (w *Worker) handlePeer(br *bufio.Reader, conn net.Conn) {
 			if readErr != nil {
 				return
 			}
-
-		case framePeerPay:
-			if n < peerHeadLen {
-				fatal(fmt.Errorf("payload frame length %d below sub-header size", n))
-				return
-			}
-			var h [peerHeadLen]byte
-			if _, err := io.ReadFull(br, h[:]); err != nil {
-				return
-			}
-			token := binary.LittleEndian.Uint64(h[:])
-			sender := int(binary.LittleEndian.Uint32(h[8:]))
-			count := int(binary.LittleEndian.Uint32(h[12:]))
-			if count < 1 || count > maxPeerBlockKeys || n < peerHeadLen+4*count {
-				fatal(fmt.Errorf("payload frame length %d inconsistent with count %d", n, count))
-				return
-			}
-			// The whole frame body stages through a pooled buffer OUTSIDE the
-			// state lock — unlike key blocks there is no pre-sized destination
-			// to decode into (payload lengths arrive with their bytes), so the
-			// reading-flag dance is unnecessary.
-			body := getByteBuf(n - peerHeadLen)
-			if _, err := io.ReadFull(br, body); err != nil {
-				putByteBuf(body)
-				return
-			}
-			lens, bytes := body[:4*count], body[4*count:]
-			tot, badLen := 0, false
-			for i := 0; i < count; i++ {
-				l := int(binary.LittleEndian.Uint32(lens[4*i:]))
-				if l > maxPayFrameBytes {
-					badLen = true
-					break
-				}
-				tot += l
-			}
-			if badLen || tot != len(bytes) {
-				putByteBuf(body)
-				fatal(fmt.Errorf("payload frame length %d inconsistent with its length vector", n))
-				return
-			}
-			st := w.peerState(token)
-			if st == nil {
-				putByteBuf(body)
-				fatal(fmt.Errorf("payload for untracked transfer (table full)"))
-				return
-			}
-			st.mu.Lock()
-			c := st.contrib[sender]
-			switch {
-			case st.done || c == nil:
-				// Swallow a poisoned or unheaded transfer's payloads.
-			case c.pos > 0:
-				st.failLocked(fmt.Errorf("sender %d via %s shipped payloads after key blocks began", sender, conn.RemoteAddr()))
-				delete(inflight, inflightKey{token, sender})
-			case c.payTup+count > c.declared:
-				st.failLocked(fmt.Errorf("sender %d via %s overflows declared %d payloads", sender, conn.RemoteAddr(), c.declared))
-				delete(inflight, inflightKey{token, sender})
-			case len(c.pay)+tot > MaxRelationPayloadBytes:
-				st.failLocked(fmt.Errorf("sender %d via %s exceeds %d payload bytes", sender, conn.RemoteAddr(), MaxRelationPayloadBytes))
-				delete(inflight, inflightKey{token, sender})
-			default:
-				if !c.hasPay {
-					c.hasPay = true
-					c.pay = getByteBuf(0)
-					c.off = make([]uint32, 1, c.declared+1)
-				}
-				c.pay = append(c.pay, bytes...)
-				for i := 0; i < count; i++ {
-					l := binary.LittleEndian.Uint32(lens[4*i:])
-					c.off = append(c.off, c.off[len(c.off)-1]+l)
-				}
-				c.payTup += count
-			}
-			st.mu.Unlock()
-			putByteBuf(body)
 
 		default:
 			fatal(fmt.Errorf("unknown peer frame type %d", typ))

@@ -262,14 +262,26 @@ func TestPeerJobExitTombstonesTransfer(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			token := newPeerToken()
 			bw, conn := dialV3(t, addrs[0])
-			po := peerJobOpen{Cond: spec, Token: token, SenderCounts: []int64{1}}
+			po := peerJobOpen{Cond: spec, Token: token}
 			if err := writeV3GobFrame(bw, frameV3OpenPeerJob, 1, po); err != nil {
+				t.Fatal(err)
+			}
+			bind := peerBind{Token: token, SenderCounts: []int64{1}}
+			if err := writeV3GobFrame(bw, frameV3PeerBind, 0, bind); err != nil {
 				t.Fatal(err)
 			}
 			if err := bw.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, "the job to bind its transfer", func() bool { return state(token) != nil })
+			waitFor(t, "the job to bind its transfer", func() bool {
+				st := state(token)
+				if st == nil {
+					return false
+				}
+				st.mu.Lock()
+				defer st.mu.Unlock()
+				return st.expected != nil
+			})
 			if err := tc.leave(bw, conn); err != nil {
 				t.Fatal(err)
 			}
@@ -280,12 +292,12 @@ func TestPeerJobExitTombstonesTransfer(t *testing.T) {
 				return st.done && st.err != nil
 			})
 			// The late contribution the coordinator announced arrives anyway.
-			pc := meshSend(t, w, token, 0, []join.Key{7}, nil)
+			pc := meshSend(t, w, token, 0, []join.Key{7})
 			defer pc.close()
 			// A second send on the same link is ordered after the first, so
 			// once ITS transfer assembles the late frames have been handled.
 			probe := newPeerToken()
-			if err := pc.sendContribution(Timeouts{}, probe, 0, []join.Key{1}, nil); err != nil {
+			if err := pc.sendContribution(Timeouts{}, probe, 0, []join.Key{1}); err != nil {
 				t.Fatal(err)
 			}
 			awaitTransfer(t, w, probe, []int64{1})
@@ -299,4 +311,76 @@ func TestPeerJobExitTombstonesTransfer(t *testing.T) {
 			}
 		})
 	}
+}
+
+// meshSend streams one contribution to the worker over a real TCP mesh
+// connection, as a remote stage-1 sender would.
+func meshSend(t *testing.T, w *Worker, token uint64, sender int, keys []join.Key) *peerConn {
+	t.Helper()
+	pc := &peerConn{addr: w.Addr()}
+	if err := pc.sendContribution(Timeouts{}, token, sender, keys); err != nil {
+		t.Fatalf("sender %d: %v", sender, err)
+	}
+	return pc
+}
+
+// awaitTransfer binds the transfer and waits for it to assemble or fail.
+func awaitTransfer(t *testing.T, w *Worker, token uint64, counts []int64) *peerJobState {
+	t.Helper()
+	st := w.peerState(token)
+	w.bindPeerCounts(token, counts)
+	select {
+	case <-st.ready:
+	case <-time.After(10 * time.Second):
+		t.Fatal("transfer never assembled")
+	}
+	return st
+}
+
+// TestUnknownPeerFrameFailsTransfer pins what a frame the mesh does not know
+// — here type 32, the retired payload segment — costs: the connection dies and
+// the contributions still streaming over it fail with the sender named, so
+// the stage-2 job bound to the transfer replies an error instead of parking.
+func TestUnknownPeerFrameFailsTransfer(t *testing.T) {
+	ws, _ := startWorkerSet(t, 1)
+	w := ws[0]
+	token := newPeerToken()
+	// A complete keys-only contribution from sender 0 assembles as ever...
+	pc := meshSend(t, w, token, 0, []join.Key{7, 8, 9})
+	defer pc.close()
+	// ...while sender 1 declares two keys and then sends the unknown frame.
+	conn, err := net.Dial("tcp", w.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	bw := bufio.NewWriter(conn)
+	var prelude [6]byte
+	copy(prelude[:], protoMagic[:])
+	binary.LittleEndian.PutUint16(prelude[4:], protoVersionPeer)
+	var h [peerHeadLen]byte
+	binary.LittleEndian.PutUint64(h[:], token)
+	binary.LittleEndian.PutUint32(h[8:], 1)
+	binary.LittleEndian.PutUint32(h[12:], 2)
+	_, _ = bw.Write(prelude[:])
+	_ = writeFrameHeader(bw, framePeerHead, peerHeadLen)
+	_, _ = bw.Write(h[:])
+	_ = writeFrameHeader(bw, 32, peerHeadLen)
+	_, _ = bw.Write(h[:])
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := awaitTransfer(t, w, token, []int64{3, 2})
+	st.mu.Lock()
+	stErr := st.err
+	st.mu.Unlock()
+	if stErr == nil || !strings.Contains(stErr.Error(), "unknown peer frame type 32") ||
+		!strings.Contains(stErr.Error(), "sender 1") {
+		t.Fatalf("transfer err = %v, want the unknown frame failing sender 1's contribution", stErr)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("worker kept the mesh connection open after an unknown frame")
+	}
+	w.dropPeerState(token)
 }

@@ -208,14 +208,23 @@ func (s *Session) RunJob(job *exec.Job, wm []exec.WorkerMetrics) error {
 		return err
 	}
 	id := s.ids.Add(1)
-	errs := make([]error, job.Workers)
+	return fanOut(job.Workers, func(w int) error {
+		_, err := s.conns[w].runJob("job", id, w, spec, nil, job, &wm[w])
+		return err
+	})
+}
+
+// fanOut runs fn(0) … fn(n-1) concurrently and joins their errors in index
+// order; every goroutine has returned by the time it does.
+func fanOut(n int, fn func(i int) error) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for w := 0; w < job.Workers; w++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(i int) {
 			defer wg.Done()
-			errs[w] = s.conns[w].runJob(id, w, spec, job, &wm[w])
-		}(w)
+			errs[i] = fn(i)
+		}(i)
 	}
 	wg.Wait()
 	return errors.Join(errs...)
@@ -230,16 +239,14 @@ type sessReply struct {
 
 // jobHandler routes one sub-job's reply frames. onPairs runs inline in the
 // connection's read loop (one sub-job per worker per job, so pair delivery
-// is sequential per worker); done and stats are buffered so the reader
+// is sequential per worker); done, stats and wins are buffered so the reader
 // never blocks on a departed waiter (stats carries at most one summary per
-// stage job).
+// stage job; wins is a stream job's per-window replies, see streamRepCap).
 type jobHandler struct {
 	onPairs func([]exec.PairIdx)
 	stats   chan []byte
+	wins    chan streamWinReply
 	done    chan sessReply
-	// onStream delivers a stream job's per-window replies (frameV3StreamRep);
-	// like onPairs it runs inline in the read loop.
-	onStream func(streamWinReply)
 }
 
 // sessConn is one persistent worker connection: a writer serialized by wmu
@@ -255,7 +262,7 @@ type sessConn struct {
 	// reports this worker's address as a failed transfer target.
 	down atomic.Bool
 
-	wmu sync.Mutex // serializes whole-job sends
+	wmu sync.Mutex // held for one locked call: a whole job's send, or one frame group
 	bw  *bufio.Writer
 
 	mu      sync.Mutex
@@ -288,10 +295,9 @@ func dialSessConn(ctx context.Context, addr string, t Timeouts, sess *Session) (
 		// Declare tenancy before any job. The hello rides the shared buffered
 		// writer and flushes immediately — the worker must know the tenant
 		// before it sees the first job open.
-		err := writeV3GobFrame(c.bw, frameV3Hello, 0, sessionHello{Tenant: sess.tenant})
-		if err == nil {
-			err = c.bw.Flush()
-		}
+		err := c.locked(func(bw *bufio.Writer) error {
+			return writeV3GobFrame(bw, frameV3Hello, 0, sessionHello{Tenant: sess.tenant})
+		})
 		if err != nil {
 			_ = conn.Close()
 			return nil, &WorkerFault{Kind: FaultHandshake, Worker: -1, Addr: addr, Err: err, retry: true}
@@ -299,6 +305,19 @@ func dialSessConn(ctx context.Context, addr string, t Timeouts, sess *Session) (
 	}
 	go c.readLoop()
 	return c, nil
+}
+
+// locked runs write under the connection's write lock and flushes what it
+// buffered: every frame a session sends after the prelude leaves through
+// here, and one call is one lock hold.
+func (c *sessConn) locked(write func(*bufio.Writer) error) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	err := write(c.bw)
+	if ferr := c.bw.Flush(); err == nil {
+		err = ferr
+	}
+	return err
 }
 
 // failedErr reports the connection's sticky failure, or nil while usable.
@@ -326,24 +345,6 @@ func (c *sessConn) fail(err error) {
 	for _, h := range pending {
 		h.done <- sessReply{err: err}
 	}
-}
-
-// register installs a sub-job's handler; it fails fast on a dead
-// connection.
-func (c *sessConn) register(id uint32, h *jobHandler) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
-	}
-	c.pending[id] = h
-	return nil
-}
-
-func (c *sessConn) deregister(id uint32) {
-	c.mu.Lock()
-	delete(c.pending, id)
-	c.mu.Unlock()
 }
 
 // handler returns the registered handler for a job id, or nil.
@@ -406,8 +407,14 @@ func (c *sessConn) readLoop() {
 				c.fail(fmt.Errorf("stream reply frame: %w", err))
 				return
 			}
-			if h := c.handler(id); h != nil && h.onStream != nil {
-				h.onStream(r)
+			if h := c.handler(id); h != nil && h.wins != nil {
+				select {
+				case h.wins <- r:
+				default:
+					// The sender stopped collecting: a protocol breach, failed
+					// rather than blocking this loop under it.
+					c.fail(fmt.Errorf("stream job %d reply overrun (%d buffered)", id, streamRepCap))
+				}
 			}
 		case frameV3Metrics:
 			var m metrics
@@ -429,141 +436,242 @@ func (c *sessConn) readLoop() {
 	}
 }
 
-// awaitReply blocks until the sub-job's terminal reply, bounded by the
-// session's per-job liveness deadline when one is configured. A worker that
-// produces neither a reply nor a connection error within Timeouts.Job is
-// declared dead: the deadline catches failure modes the IO deadline cannot —
-// a worker that accepted the job and went silent without the TCP peer dying
-// (the coordinator is idle at a frame boundary, so no read deadline is
-// armed).
-func (c *sessConn) awaitReply(op string, id uint32, workerID int, h *jobHandler) (sessReply, error) {
-	if c.timeouts.Job <= 0 {
-		return <-h.done, nil
+// subJob is the coordinator's half of one numbered sub-job on one worker
+// connection — the counterpart of the worker's openJob → headFrame/dataFrame
+// → finishJob → retire. Every kind (plain, stage-1 plan, stats stage,
+// peer-fed, stream) walks the same four steps: open registers the reply
+// handler, send puts frames on the wire, await takes the next reply, close
+// retires it. One goroutine drives a sub-job at a time; a multi-phase kind
+// hands it from phase to phase.
+type subJob struct {
+	c      *sessConn
+	op     string // names the kind in fault text: "job", "stage job", ...
+	id     uint32
+	worker int
+	h      *jobHandler
+
+	// over is set once the worker holds nothing more for this sub-job that a
+	// frame could release: it replied its terminal metrics, a failed send
+	// aborted it, or the connection is gone. close aborts anything else.
+	over bool
+}
+
+// open registers h for job id's replies on this connection. A connection
+// already dead fails fast.
+func (c *sessConn) open(op string, id uint32, worker int, h *jobHandler) (*subJob, error) {
+	h.done = make(chan sessReply, 1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err != nil {
+		return nil, c.connFault(op, id, worker, c.err)
 	}
-	t := time.NewTimer(c.timeouts.Job)
-	defer t.Stop()
+	c.pending[id] = h
+	return &subJob{c: c, op: op, id: id, worker: worker, h: h}, nil
+}
+
+// send runs write under ONE hold of the connection's write lock and flushes,
+// so whatever write frames is contiguous on the wire. A failure — the socket,
+// or a validation error write surfaced at a frame boundary, framing intact —
+// aborts the sub-job within the same hold: the worker discards its partial
+// state before any later job's open can queue behind it, which its
+// read-loop-blocking admission relies on. (If the socket failed, the abort
+// fails too and the read loop retires everything into the buffered done.)
+func (j *subJob) send(write func(*bufio.Writer) error) error {
+	err := j.c.locked(func(bw *bufio.Writer) error {
+		err := write(bw)
+		if err != nil {
+			j.over = true
+			_ = writeV3FrameHeader(bw, frameV3Abort, j.id, 0)
+		}
+		return err
+	})
+	if err != nil {
+		return j.c.connFault(j.op, j.id, j.worker, err)
+	}
+	return nil
+}
+
+// subReply is what await hands back: the terminal metrics of a sub-job that
+// succeeded, or — when the caller asked for them — a stats stage's summary or
+// a stream's window reply.
+type subReply struct {
+	m     *metrics
+	stats []byte
+	win   streamWinReply
+}
+
+// await blocks until the sub-job's next reply and triages it: a connection
+// failure and an error reply become the classified fault. interim also
+// listens for the replies that precede the terminal one (the statistics
+// summary, window replies). The wait is bounded by the session's per-job
+// liveness deadline when one is configured: a worker that produces neither
+// what is awaited nor a connection error within Timeouts.Job is declared dead
+// — the failure the IO deadline cannot catch, a worker that accepted the job
+// and went silent without the TCP peer dying (the coordinator is idle at a
+// frame boundary, so no read deadline is armed).
+func (j *subJob) await(what string, interim bool) (subReply, error) {
+	var stats chan []byte
+	var wins chan streamWinReply
+	if interim {
+		stats, wins = j.h.stats, j.h.wins
+	}
+	var deadline <-chan time.Time
+	if d := j.c.timeouts.Job; d > 0 {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		deadline = t.C
+	}
 	select {
-	case r := <-h.done:
-		return r, nil
-	case <-t.C:
-		return sessReply{}, c.livenessFault(op, id, workerID,
-			fmt.Errorf("no reply within liveness deadline %v", c.timeouts.Job))
+	case sum := <-stats:
+		return subReply{stats: sum}, nil
+	case r := <-wins:
+		if r.Err != "" {
+			// A poisoned stream answers every window with its error; the job
+			// itself stays open on the worker until close.
+			return subReply{}, j.c.workerFault(j.op, j.id, j.worker, &metrics{Err: r.Err, Code: r.Code})
+		}
+		return subReply{win: r}, nil
+	case r := <-j.h.done:
+		j.over = true
+		switch {
+		case r.err != nil:
+			return subReply{}, j.c.connFault(j.op, j.id, j.worker, r.err)
+		case r.m.Err != "":
+			return subReply{}, j.c.workerFault(j.op, j.id, j.worker, r.m)
+		}
+		return subReply{m: r.m}, nil
+	case <-deadline:
+		j.over = true
+		return subReply{}, j.c.livenessFault(j.op, j.id, j.worker,
+			fmt.Errorf("no %s within liveness deadline %v", what, j.c.timeouts.Job))
 	}
 }
 
-// runJob executes one sub-job on this connection: send the job's frames,
-// then consume replies until the worker's metrics (pairs arrive via the
-// read loop). Every failure is classified into a *WorkerFault naming the
-// worker address and job number.
-func (c *sessConn) runJob(id uint32, workerID int, spec join.Spec, job *exec.Job,
-	m *exec.WorkerMetrics) error {
+// close retires the sub-job: its replies stop routing, and one that never
+// reached a terminal reply on a connection still healthy is aborted, so the
+// worker retires its half too — partial relations, a parked peer-fed job's
+// table entry, a poisoned stream's goroutine. Safe to call again.
+func (j *subJob) close() {
+	j.c.mu.Lock()
+	delete(j.c.pending, j.id)
+	dead := j.c.err != nil
+	j.c.mu.Unlock()
+	if !j.over && !dead {
+		j.over = true
+		_ = j.c.locked(func(bw *bufio.Writer) error {
+			return writeV3FrameHeader(bw, frameV3Abort, j.id, 0)
+		})
+	}
+}
 
-	const op = "job"
-	h := &jobHandler{done: make(chan sessReply, 1)}
+// proto wraps a coordinator-side validation failure of this sub-job.
+func (j *subJob) proto(err error) error {
+	return j.c.protoFault(j.op, j.id, j.worker, err)
+}
+
+// runJob executes one plain or stage-1 sub-job start to finish: send the
+// job's frames, then consume replies until the worker's metrics (pairs
+// arrive via the read loop). A non-nil ps makes it a stage-1 plan job, whose
+// reply carries the sender's per-receiver count vector. Every failure is
+// classified into a *WorkerFault naming the worker address and job number.
+func (c *sessConn) runJob(op string, id uint32, workerID int, spec join.Spec, ps *planSpec,
+	job *exec.Job, m *exec.WorkerMetrics) ([]int64, error) {
+
+	h := &jobHandler{}
 	if job.Pairs != nil {
 		h.onPairs = func(pairs []exec.PairIdx) { job.Pairs(workerID, pairs) }
 	}
-	if err := c.register(id, h); err != nil {
-		return c.connFault(op, id, workerID, err)
-	}
-	defer c.deregister(id)
-	sentPay, err := c.sendJob(id, workerID, spec, nil, job)
+	j, err := c.open(op, id, workerID, h)
 	if err != nil {
-		// The reader may deliver the underlying failure too; the buffered
-		// done channel absorbs it.
-		return c.connFault(op, id, workerID, err)
+		return nil, err
 	}
-	r, ferr := c.awaitReply(op, id, workerID, h)
-	if ferr != nil {
-		return ferr
+	defer j.close()
+	sentPay, err := j.sendJob(spec, ps, job)
+	if err != nil {
+		return nil, err
 	}
-	if r.err != nil {
-		return c.connFault(op, id, workerID, r.err)
-	}
-	if r.m.Err != "" {
-		return c.workerFault(op, id, workerID, r.m)
+	return j.finish(sentPay, m)
+}
+
+// finish awaits the terminal metrics of a sub-job whose relations this side
+// streamed, validates them and fills m. A reply whose metrics name a peer
+// fault address is attributed to that PEER (see workerFault).
+func (j *subJob) finish(sentPay [2]int64, m *exec.WorkerMetrics) ([]int64, error) {
+	r, err := j.await("reply", false)
+	if err != nil {
+		return nil, err
 	}
 	// End-to-end payload assertion: the worker reports the payload bytes it
 	// decoded; any disagreement with what this side streamed means wire
 	// corruption that slipped past the worker's declaration checks.
 	if r.m.PayBytes1 != sentPay[0] || r.m.PayBytes2 != sentPay[1] {
-		return c.protoFault(op, id, workerID,
-			fmt.Errorf("worker decoded %d/%d payload bytes, coordinator sent %d/%d",
-				r.m.PayBytes1, r.m.PayBytes2, sentPay[0], sentPay[1]))
+		return nil, j.proto(fmt.Errorf("worker decoded %d/%d payload bytes, coordinator sent %d/%d",
+			r.m.PayBytes1, r.m.PayBytes2, sentPay[0], sentPay[1]))
 	}
-	c.sess.buildOverlapped.Add(r.m.BuildOverlapped)
-	c.sess.noteEngine(r.m.Engine)
-	m.InputR1 = r.m.InputR1
-	m.InputR2 = r.m.InputR2
-	m.Output = r.m.Output
-	return nil
+	j.account(r.m, m)
+	return r.m.PeerCounts, nil
 }
 
-// sendJob streams one sub-job's frames. The write lock spans the whole job
-// so its frames are contiguous on the wire; each relation is fetched from
-// its future right before sending, which is where the shuffle/socket
-// overlap happens — relation 1's blocks go out (and flush) while relation
-// 2 may still be scattering. A non-nil ps makes this a stage-1 plan job:
-// the PLAN frame rides between the open and the relations. A job that
-// cannot be completed (a coordinator-side validation failure) is abandoned
-// with an abort frame so the worker discards its partial state instead of
-// waiting forever for an EOS — validation errors surface at frame
-// boundaries, so the connection's framing stays intact for subsequent
-// jobs. (If the failure was the socket itself, the abort write fails too
-// and the read loop retires everything.)
-func (c *sessConn) sendJob(id uint32, workerID int, spec join.Spec, ps *planSpec,
-	job *exec.Job) (sentPay [2]int64, err error) {
+// account folds one successful reply into the session's tallies and m.
+func (j *subJob) account(rm *metrics, m *exec.WorkerMetrics) {
+	j.c.sess.buildOverlapped.Add(rm.BuildOverlapped)
+	j.c.sess.noteEngine(rm.Engine)
+	m.InputR1 = rm.InputR1
+	m.InputR2 = rm.InputR2
+	m.Output = rm.Output
+}
 
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	abort := func(err error) ([2]int64, error) {
-		_ = writeV3FrameHeader(c.bw, frameV3Abort, id, 0)
-		_ = c.bw.Flush()
-		return [2]int64{}, err
-	}
-	jo := jobOpen{WorkerID: workerID, Cond: spec, WantPairs: job.Pairs != nil,
-		Engine: int(job.Engine)}
-	if err := writeV3GobFrame(c.bw, frameV3OpenJob, id, jo); err != nil {
-		return abort(err)
-	}
-	if ps != nil {
-		if err := writeV3GobFrame(c.bw, frameV3Plan, id, *ps); err != nil {
-			return abort(err)
+// sendJob streams one sub-job's frames in a single send, so they are
+// contiguous on the wire; each relation is fetched from its future right
+// before sending, which is where the shuffle/socket overlap happens —
+// relation 1's blocks go out (and flush) while relation 2 may still be
+// scattering. A non-nil ps rides between the open and the relations. It
+// returns the payload bytes shipped per relation for finish to assert the
+// worker's decode counts against.
+func (j *subJob) sendJob(spec join.Spec, ps *planSpec, job *exec.Job) (sentPay [2]int64, err error) {
+	err = j.send(func(bw *bufio.Writer) error {
+		jo := jobOpen{WorkerID: j.worker, Cond: spec, WantPairs: job.Pairs != nil,
+			Engine: int(job.Engine)}
+		if err := writeV3GobFrame(bw, frameV3OpenJob, j.id, jo); err != nil {
+			return err
 		}
-	}
-	pay1, err := c.sendRelation(id, 1, job.R1.Wait(), workerID)
-	if err != nil {
-		return abort(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return abort(err)
-	}
-	pay2, err := c.sendRelation(id, 2, job.R2.Wait(), workerID)
-	if err != nil {
-		return abort(err)
-	}
-	if err := writeV3FrameHeader(c.bw, frameV3EOS, id, 0); err != nil {
-		return [2]int64{}, err
-	}
-	return [2]int64{pay1, pay2}, c.bw.Flush()
+		if ps != nil {
+			if err := writeV3GobFrame(bw, frameV3Plan, j.id, *ps); err != nil {
+				return err
+			}
+		}
+		var err error
+		if sentPay[0], err = j.writeRelation(bw, 1, job.R1.Wait()); err != nil {
+			return err
+		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		if sentPay[1], err = j.writeRelation(bw, 2, job.R2.Wait()); err != nil {
+			return err
+		}
+		return writeV3FrameHeader(bw, frameV3EOS, j.id, 0)
+	})
+	return sentPay, err
 }
 
-// sendRelation streams one relation's head, key blocks and (optional)
-// payload blocks, returning the payload bytes shipped so runJob can assert
-// the worker's decode count against them. Chunk-streamed relations take the
-// pipelined path instead: sub-blocks frame out as mappers emit them.
-func (c *sessConn) sendRelation(id uint32, rel int8, rd exec.RelData, workerID int) (int64, error) {
+// writeRelation streams one relation's head, key blocks and (optional)
+// payload blocks inside the caller's send, returning the payload bytes
+// shipped. Chunk-streamed relations take the pipelined path instead:
+// sub-blocks frame out as mappers emit them.
+func (j *subJob) writeRelation(bw *bufio.Writer, rel int8, rd exec.RelData) (int64, error) {
 	if rd.Chunks != nil {
-		return 0, c.sendRelationChunked(id, rel, rd.Chunks, workerID)
+		inline := func(write func(*bufio.Writer) error) error { return write(bw) }
+		return 0, j.sendChunks(inline, rel, rd.Chunks)
 	}
-	keys := rd.Keys.Worker(workerID)
+	keys := rd.Keys.Worker(j.worker)
 	if len(keys) > MaxRelationTuples {
 		return 0, fmt.Errorf("relation %d holds %d tuples, wire limit %d", rel, len(keys), MaxRelationTuples)
 	}
 	var pb exec.PayloadBlock
 	hasPay := rd.Payloads != nil
 	if hasPay {
-		pb = rd.Payloads(workerID)
+		pb = rd.Payloads(j.worker)
 		if len(pb.Flat) > MaxRelationPayloadBytes {
 			return 0, fmt.Errorf("relation %d payloads hold %d bytes, wire limit %d",
 				rel, len(pb.Flat), MaxRelationPayloadBytes)
@@ -580,55 +688,63 @@ func (c *sessConn) sendRelation(id uint32, rel int8, rd exec.RelData, workerID i
 			}
 		}
 	}
-	if err := writeRelHead(c.bw, id, rel, len(keys), hasPay, len(pb.Flat)); err != nil {
+	if err := writeRelHead(bw, j.id, rel, len(keys), hasPay, len(pb.Flat)); err != nil {
 		return 0, err
 	}
-	if err := writeKeyBlocksV3(c.bw, id, rel, keys); err != nil {
+	if err := writeKeyBlocksV3(bw, j.id, rel, keys); err != nil {
 		return 0, err
 	}
 	if hasPay {
-		if err := writePayloadBlocks(c.bw, id, rel, pb); err != nil {
+		if err := writePayloadBlocks(bw, j.id, rel, pb); err != nil {
 			return 0, err
 		}
 	}
 	return int64(len(pb.Flat)), nil
 }
 
-// sendRelationChunked pipelines one chunk-streamed relation: a head naming
-// the mapper count, then every routed sub-block the moment the shuffle emits
-// it (flushed per chunk so the worker decodes while later mappers still
-// route), then a tail with the exact total. Every return path — success or
-// failure — leaves this worker's channel drained, so a failed sub-job never
-// wedges the producer's buffers (the stream's other consumers are
-// independent; the driver's releaseRelData backstops relations never
-// reached).
-func (c *sessConn) sendRelationChunked(id uint32, rel int8, cs *exec.ChunkStream, workerID int) error {
-	drain := func(err error) error {
-		for ch := range cs.Worker(workerID) {
+// sendChunks pipelines one chunk-streamed relation: a head naming the mapper
+// count, then every routed sub-block the moment the shuffle emits it (flushed
+// per chunk so the worker decodes while later mappers still route), then a
+// tail with the exact total. frame is how each of those reaches the wire:
+// inline inside a whole-job send's single lock hold, or — for a peer-fed
+// job's right relation, which shares its connection with a running stage 1 —
+// one send per frame group, so the stream never monopolizes the connection. Every return path leaves this worker's channel drained, so a
+// failed sub-job never wedges the producer's buffers (the stream's other
+// consumers are independent; the driver's releaseRelData backstops relations
+// never reached).
+func (j *subJob) sendChunks(frame func(func(*bufio.Writer) error) error, rel int8,
+	cs *exec.ChunkStream) error {
+
+	defer func() {
+		for ch := range cs.Worker(j.worker) {
 			exec.PutKeyBuffer(ch.Keys)
 		}
+	}()
+	err := frame(func(bw *bufio.Writer) error {
+		return writeChunkHead(bw, j.id, rel, cs.Mappers())
+	})
+	if err != nil {
 		return err
 	}
-	if err := writeChunkHead(c.bw, id, rel, cs.Mappers()); err != nil {
-		return drain(err)
-	}
 	total := 0
-	for ch := range cs.Worker(workerID) {
-		n := len(ch.Keys)
-		if total+n > MaxRelationTuples {
-			exec.PutKeyBuffer(ch.Keys)
-			return drain(fmt.Errorf("relation %d holds over %d tuples, wire limit %d",
-				rel, total, MaxRelationTuples))
-		}
-		err := writeChunkKeys(c.bw, id, rel, ch.Mapper, ch.Keys)
+	for ch := range cs.Worker(j.worker) {
+		err := frame(func(bw *bufio.Writer) error {
+			if total+len(ch.Keys) > MaxRelationTuples {
+				return fmt.Errorf("relation %d holds over %d tuples, wire limit %d",
+					rel, total, MaxRelationTuples)
+			}
+			if err := writeChunkKeys(bw, j.id, rel, ch.Mapper, ch.Keys); err != nil {
+				return err
+			}
+			return bw.Flush()
+		})
+		total += len(ch.Keys)
 		exec.PutKeyBuffer(ch.Keys)
-		if err == nil {
-			err = c.bw.Flush()
-		}
 		if err != nil {
-			return drain(err)
+			return err
 		}
-		total += n
 	}
-	return writeChunkTail(c.bw, id, rel, total, 0)
+	return frame(func(bw *bufio.Writer) error {
+		return writeChunkTail(bw, j.id, rel, total, 0)
+	})
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -21,26 +20,12 @@ import (
 
 // leakCheck snapshots the goroutine count and asserts at cleanup — after
 // every later-registered cleanup (worker closes, session hangups) has run —
-// that the test's goroutines have exited. The +2 allowance absorbs runtime
-// helpers; the poll absorbs teardown races (a read loop observing its
-// closed connection). Every session/peer/fault test gets this via the
-// startWorkerSet/dialSession helpers, so no recovery path can leak parked
-// readers unnoticed.
+// that the test's goroutines have exited. Every session/peer/fault test gets
+// this via the startWorkerSet/dialSession helpers, so no recovery path can
+// leak parked readers unnoticed.
 func leakCheck(t *testing.T) {
 	t.Helper()
-	baseline := runtime.NumGoroutine()
-	t.Cleanup(func() {
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if runtime.NumGoroutine() <= baseline+2 {
-				return
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		buf := make([]byte, 1<<20)
-		t.Errorf("goroutines leaked: baseline %d, now %d\n%s",
-			baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-	})
+	t.Cleanup(snapshotBaseline(t).goroutinesSettled)
 }
 
 // startWorkerSet starts n workers and returns them with their addresses.
@@ -597,7 +582,7 @@ func TestSessionErrorAggregationNamesAllFailures(t *testing.T) {
 	r1 := randKeys(2000, 1000, 120)
 	r2 := randKeys(2000, 1000, 121)
 	scheme := partition.NewCI(4)
-	baseline := runtime.NumGoroutine()
+	b := snapshotBaseline(t)
 	ws, addrs := startWorkerSet(t, 4)
 	sess := dialSession(t, addrs)
 	if _, err := exec.RunOver(sess, r1, r2, join.Equi{}, scheme, model, exec.Config{Seed: 122}); err != nil {
@@ -626,16 +611,5 @@ func TestSessionErrorAggregationNamesAllFailures(t *testing.T) {
 	for _, w := range ws {
 		_ = w.Close()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= baseline+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("goroutines leaked after session failure: baseline %d, now %d\n%s",
-				baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	b.goroutinesSettled()
 }

@@ -103,9 +103,8 @@ type sessJob struct {
 	err       error
 	rels      [2]sessRel
 
-	// engine is the job's effective join-engine selection (the coordinator's
-	// wire request resolved against the worker default; never a future
-	// unknown value — see Worker.effectiveEngine).
+	// engine is the job's join-engine selection as the coordinator sent it
+	// (never a future unknown value — see effectiveEngine).
 	engine exec.JoinEngine
 	// feed, when set, is the job's insert-while-probe feeder: a count-only
 	// equality job whose relations arrive as CHUNK streams builds relation 1
@@ -351,7 +350,7 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int, msg any,
 		return j
 	}
 	j.cond = cond
-	j.engine = ws.w.effectiveEngine(engine)
+	j.engine = effectiveEngine(engine)
 	return j
 }
 
@@ -439,6 +438,10 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 		done: make(chan struct{}), jobs: make(map[uint32]*sessJob)}
 	defer func() {
 		close(ws.done)
+		// Nothing can be replied anymore, so hang up before retiring: a stream
+		// goroutine wedged in a reply write fails out of it instead of wedging
+		// the retire that waits for it.
+		_ = conn.Close()
 		for _, j := range ws.jobs {
 			ws.retire(j)
 		}
@@ -509,14 +512,12 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 				continue
 			}
 			// Attach to (or create) the token's transfer state. The exact
-			// per-sender counts bind it now or — the stage-overlapped open,
-			// sent while stage 1 still runs — in a late PEERBIND; either way
-			// the job parks on the state at its EOS. Pre-bind buffering stays
-			// capped by the per-transfer declared-count ceiling.
+			// per-sender counts bind it in a late PEERBIND (the open is sent
+			// while stage 1 still runs); the job parks on the state at its
+			// EOS. Pre-bind buffering stays capped by the per-transfer
+			// declared-count ceiling.
 			if j.peerSt = w.peerState(po.Token); j.peerSt == nil {
 				j.fail(fmt.Errorf("transfer table full (%d tokens)", maxPeerStates))
-			} else if !po.CountsDeferred {
-				w.bindPeerCounts(po.Token, po.SenderCounts)
 			}
 
 		case frameV3StreamOpen:
@@ -720,17 +721,15 @@ func (j *sessJob) chunkHead(r *sessRel, h []byte) error {
 	r.declared = true
 	r.streaming = true
 	r.chunks = int(chunks)
-	// Insert-while-probe: a job whose effective engine resolves to hash
+	// Insert-while-probe: a count-only job whose engine resolves to hash
 	// streams its chunks through a feeder goroutine (hashfeed.go) instead of
-	// accumulating parts. A count-only job builds relation 1 as chunks land
-	// and probes relation 2 against the sealed (or cache-shared) build chunk
-	// by chunk; a pairs job absorbs both relations off the read loop and
-	// pre-builds the PairTable at relation 2's tail, emitting the stream at
-	// finish. Plan jobs need materialized arrival-ordered payload blocks, so
-	// they keep the assemble path.
+	// accumulating parts — relation 1 builds as chunks land and relation 2
+	// probes the sealed (or cache-shared) build chunk by chunk. Pair and plan
+	// jobs need materialized arrival-ordered blocks, so they keep the assemble
+	// path.
 	switch {
-	case h[0] == 1 && j.plan == nil && j.engine.ForCond(j.cond) == exec.EngineHash:
-		j.feed = newBuildFeeder(j.ws.w.buildCache, int(chunks), j.wantPairs)
+	case h[0] == 1 && j.plan == nil && !j.wantPairs && j.engine.ForCond(j.cond) == exec.EngineHash:
+		j.feed = newBuildFeeder(j.ws.w.buildCache, int(chunks))
 		r.fed = true
 	case h[0] == 2 && j.feed != nil:
 		r.fed = true
@@ -1057,16 +1056,7 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 			_ = writePairsFrame(ws.bw, j.id, chunk)
 			ws.wmu.Unlock()
 		}
-		if j.feed != nil {
-			// Chunk-streamed hash pairs: the feeder absorbed relation 1's
-			// parts and pre-built the table over relation 2 (or hands back a
-			// flat relation 2 to index now); the emission itself shares
-			// hashJoinPairs' streamer, so the pair stream — flush boundaries
-			// included — is bit-identical to the flat path's.
-			m.Output, m.BuildOverlapped = j.feed.finishPairs(r2.keys, emit)
-		} else {
-			m.Output = exec.JoinPairsEngine(j.engine, r1.keys, r2.keys, j.cond, emit)
-		}
+		m.Output = exec.JoinPairsEngine(j.engine, r1.keys, r2.keys, j.cond, emit)
 	case j.feed != nil:
 		// Insert-while-probe: the feeder built (and for a chunked relation 2,
 		// probed) while the stream was still arriving; collect its results.
@@ -1115,12 +1105,6 @@ func (ws *workerSession) awaitPeerBlock(j *sessJob) error {
 	st.mu.Lock()
 	flat, stErr := st.flat, st.err
 	st.flat = nil // the job owns it now
-	if st.flatPay != nil {
-		// The session's peer-fed join is keys-only; an assembled payload
-		// segment has no consumer here yet, so recycle it.
-		putByteBuf(st.flatPay)
-		st.flatPay, st.flatOff = nil, nil
-	}
 	st.mu.Unlock()
 	w.finishPeerState(j.token)
 	j.peerTaken = true
@@ -1297,7 +1281,7 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64
 			}
 			continue
 		}
-		if err := w.sendToPeer(ps.Peers[p], ps.Token, sender, blk, nil); err != nil {
+		if err := w.sendToPeer(ps.Peers[p], ps.Token, sender, blk); err != nil {
 			return 0, nil, fmt.Errorf("transfer %d: %w", ps.Token,
 				&peerFaultError{addr: ps.Peers[p], err: err})
 		}

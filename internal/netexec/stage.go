@@ -1,11 +1,11 @@
 package netexec
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ewh/internal/exec"
 	"ewh/internal/join"
@@ -48,65 +48,32 @@ func (s *Session) RunStages(first *exec.Job, next *exec.PlanJob,
 		return 0, err
 	}
 
-	token := newPeerToken()
-	id1 := s.ids.Add(1)
-	id2 := s.ids.Add(1)
-	counts := make([][]int64, j1)
-	var j2 int
-	var handlers2 []*jobHandler
-	var stage1Done atomic.Bool
-	var wg sync.WaitGroup
+	st := &stagePipe{s: s, token: newPeerToken(), id1: s.ids.Add(1), id2: s.ids.Add(1),
+		spec2: spec2, next: next, counts: make([][]int64, j1)}
+	var peerJobs []*subJob
 	if next.Replan != nil {
-		j2, handlers2, err = s.runDeferredStage1(id1, id2, token, spec1, spec2, first, next,
-			wm1, counts, &stage1Done)
-		if err != nil {
-			return 0, err
-		}
+		peerJobs, err = st.runDeferredStage1(spec1, first, wm1)
+	} else if next.Workers > len(s.conns) {
+		err = fmt.Errorf("netexec: stage pipeline needs %d workers, session has %d",
+			next.Workers, len(s.conns))
 	} else {
-		j2 = next.Workers
-		if j2 > len(s.conns) {
-			return 0, fmt.Errorf("netexec: stage pipeline needs %d workers, session has %d",
-				j2, len(s.conns))
-		}
-		peers := s.Addrs()[:j2]
-		// Stage-overlapped dispatch: the stage-2 peer jobs open (counts
-		// deferred) and stream their coordinator-owned right relation WHILE
-		// stage 1 runs — the workers park on the transfer token they already
-		// support, and only the late PEERBIND below waits for stage 1.
-		handlers2 = make([]*jobHandler, j2)
-		openErrs := make([]error, j2)
-		var wg2 sync.WaitGroup
-		for p := 0; p < j2; p++ {
-			wg2.Add(1)
-			go func(p int) {
-				defer wg2.Done()
-				handlers2[p], openErrs[p] = s.conns[p].openPeerJob(id2, p, spec2, token, next, &stage1Done)
-			}(p)
-		}
-		errs := make([]error, j1)
-		for w := 0; w < j1; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				self := -1
-				if w < j2 {
-					self = w
-				}
-				ps := planSpec{Token: token, Plan: next.Plan, Peers: peers, Self: self}
-				counts[w], errs[w] = s.conns[w].runStageJob(id1, w, spec1, &ps, first, &wm1[w])
-			}(w)
-		}
-		wg.Wait()
-		stage1Done.Store(true)
-		wg2.Wait()
-		if err := errors.Join(append(errs, openErrs...)...); err != nil {
-			// Some workers may already have streamed contributions to their
-			// peers; tell every worker to discard the orphaned transfer. The
-			// parked stage-2 jobs wake through the poisoned token, reply an
-			// error nobody awaits, and are dropped by the read loops.
-			s.abandonPeerJobs(token, id2, handlers2)
-			return 0, err
-		}
+		peers := s.Addrs()[:next.Workers]
+		peerJobs, err = st.overlap(j1, len(peers), func(w int) (err error) {
+			ps := planSpec{Token: st.token, Plan: next.Plan, Peers: peers, Self: selfIndex(w, peers)}
+			st.counts[w], err = s.conns[w].runJob("stage job", st.id1, w, spec1, &ps, first, &wm1[w])
+			return err
+		})
+	}
+	if err != nil {
+		return 0, err
+	}
+	j2 := len(peerJobs)
+	// From here every failure abandons the opened peer jobs: a worker whose
+	// peer job never bound still holds its fully-delivered contributions, and
+	// the cancel releases them (a consumed transfer just tombstones its token).
+	fail := func(err error) (int64, error) {
+		st.abandon(peerJobs)
+		return 0, err
 	}
 
 	// Transpose the per-sender vectors into per-receiver expectations — the
@@ -121,68 +88,106 @@ func (s *Session) RunStages(first *exec.Job, next *exec.PlanJob,
 	if next.MaxIntermediate > 0 && intermediate > next.MaxIntermediate {
 		// Earliest point the total is known: the matches are materialized on
 		// the workers, but stage 2's re-shuffle and join never run.
-		s.cancelPlan(token)
-		return 0, fmt.Errorf("netexec: stage 1 matched %d tuples, pipeline cap %d; restructure the chain",
-			intermediate, next.MaxIntermediate)
+		return fail(fmt.Errorf("netexec: stage 1 matched %d tuples, pipeline cap %d; restructure the chain",
+			intermediate, next.MaxIntermediate))
 	}
 	expected := make([][]int64, j2)
-	for p := 0; p < j2; p++ {
+	for p := range expected {
 		expected[p] = make([]int64, j1)
 	}
-	for w, v := range counts {
+	for w, v := range st.counts {
 		if len(v) != j2 {
-			s.cancelPlan(token)
-			return 0, fmt.Errorf("netexec: worker %d (%s) reported %d peer counts, plan has %d workers",
-				w, s.conns[w].addr, len(v), j2)
+			return fail(fmt.Errorf("netexec: worker %d (%s) reported %d peer counts, plan has %d workers",
+				w, s.conns[w].addr, len(v), j2))
 		}
 		for p, c := range v {
 			expected[p][w] = c
 		}
 	}
-	for p := 0; p < j2; p++ {
+	for p := range expected {
 		var total int64
 		for _, c := range expected[p] {
 			total += c
 		}
 		if total > MaxRelationTuples {
-			s.cancelPlan(token)
-			return 0, fmt.Errorf("netexec: stage-2 worker %d would receive %d tuples, wire limit %d",
-				p, total, MaxRelationTuples)
+			return fail(fmt.Errorf("netexec: stage-2 worker %d would receive %d tuples, wire limit %d",
+				p, total, MaxRelationTuples))
 		}
 	}
 
 	// The peer jobs opened and received their right relation while stage 1
 	// ran; the late PEERBIND delivers the per-sender expectations and the
 	// reply carries the joined metrics.
-	errs2 := make([]error, j2)
-	for p := 0; p < j2; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			errs2[p] = s.conns[p].finishPeerJob(id2, p, token, expected[p], handlers2[p], &wm2[p])
-		}(p)
-	}
-	wg.Wait()
-	if err := errors.Join(errs2...); err != nil {
-		// A worker whose peer job never bound still holds its fully-delivered
-		// contributions; cancel so they are released rather than buffered
-		// until the worker restarts. Workers whose job consumed the transfer
-		// just tombstone the token.
-		s.cancelPlan(token)
-		return 0, err
+	err = fanOut(j2, func(p int) error {
+		return peerJobs[p].finishPeerJob(st.token, expected[p], &wm2[p])
+	})
+	if err != nil {
+		return fail(err)
 	}
 	return intermediate, nil
 }
 
-// abandonPeerJobs tears down stage-2 peer jobs whose stage 1 failed: the
-// cancel poisons the transfer token (waking the parked jobs into an error
-// reply nobody awaits) and the deregistrations make the read loops drop
-// those replies.
-func (s *Session) abandonPeerJobs(token uint64, id2 uint32, handlers []*jobHandler) {
-	s.cancelPlan(token)
-	for p, h := range handlers {
-		if h != nil {
-			s.conns[p].deregister(id2)
+// stagePipe is one RunStages call's shared state: the transfer token, the two
+// stages' job numbers, and what a stage-2 peer open needs.
+type stagePipe struct {
+	s        *Session
+	token    uint64
+	id1, id2 uint32
+	spec2    join.Spec
+	next     *exec.PlanJob
+	counts   [][]int64 // per stage-1 sender, its per-receiver routed counts
+	// stage1Done: a peer relation ready before it flips counts as overlapped.
+	stage1Done atomic.Bool
+}
+
+// selfIndex is worker w's own index in the stage-2 address map, -1 when it
+// hosts no stage-2 worker.
+func selfIndex(w int, peers []string) int {
+	if w < len(peers) {
+		return w
+	}
+	return -1
+}
+
+// overlap is the stage-overlapped dispatch: the j2 stage-2 peer jobs open
+// (their counts arrive later, in a PEERBIND) and stream their
+// coordinator-owned right relation WHILE stage1 runs on the j1 stage-1
+// workers — the workers park on the transfer token, and only the bind waits
+// for stage 1. It returns the opened peer jobs once both sides settled; if
+// either failed it abandons them.
+func (st *stagePipe) overlap(j1, j2 int, stage1 func(w int) error) ([]*subJob, error) {
+	peerJobs := make([]*subJob, j2)
+	var stage1Err error
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // stage 1 takes the extra hop, so the opens get the head start
+		defer wg.Done()
+		stage1Err = fanOut(j1, stage1)
+		st.stage1Done.Store(true)
+	}()
+	openErr := fanOut(j2, func(p int) (err error) {
+		peerJobs[p], err = st.s.conns[p].openPeerJob(st, p)
+		return err
+	})
+	wg.Wait()
+	if err := errors.Join(stage1Err, openErr); err != nil {
+		// Some workers may already have streamed contributions to their
+		// peers; tell every worker to discard the orphaned transfer.
+		st.abandon(peerJobs)
+		return nil, err
+	}
+	return peerJobs, nil
+}
+
+// abandon tears down sub-jobs parked on the pipeline's transfer token —
+// stats-stage jobs awaiting a plan that will never come, peer jobs awaiting
+// contributions: the cancel poisons the token, waking them into an error reply
+// nobody awaits, and the closes make the read loops drop those replies.
+func (st *stagePipe) abandon(jobs []*subJob) {
+	st.s.cancelPlan(st.token)
+	for _, j := range jobs {
+		if j != nil {
+			j.close()
 		}
 	}
 }
@@ -193,44 +198,29 @@ func (s *Session) abandonPeerJobs(token uint64, id2 uint32, handlers []*jobHandl
 // vectors. The stage-2 worker count is only known after Replan, so the
 // overlapped peer-job opens launch right then — concurrent with phase B,
 // which is where the workers route and stream the intermediate. Returns the
-// replanned worker count and the still-registered peer-job handlers.
-func (s *Session) runDeferredStage1(id1, id2 uint32, token uint64, spec1, spec2 join.Spec,
-	first *exec.Job, next *exec.PlanJob, wm1 []exec.WorkerMetrics, counts [][]int64,
-	stage1Done *atomic.Bool) (int, []*jobHandler, error) {
+// opened peer jobs, one per replanned stage-2 worker.
+func (st *stagePipe) runDeferredStage1(spec1 join.Spec, first *exec.Job,
+	wm1 []exec.WorkerMetrics) ([]*subJob, error) {
 
-	j1 := first.Workers
+	s, next, j1 := st.s, st.next, first.Workers
 	if next.Stats == nil {
-		return 0, nil, fmt.Errorf("netexec: stats-deferred plan without a statistics spec")
+		return nil, fmt.Errorf("netexec: stats-deferred plan without a statistics spec")
 	}
-	handlers := make([]*jobHandler, j1)
+	jobs := make([]*subJob, j1)
 	sentPays := make([][2]int64, j1)
 	sums := make([][]byte, j1)
-	errs := make([]error, j1)
-	var wg sync.WaitGroup
-	for w := 0; w < j1; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ps := planSpec{Token: token, WantStats: true, StatsCap: next.Stats.Cap,
-				StatsBuckets: next.Stats.Buckets, StatsSeed: next.Stats.Seed,
-				StatsAdaptive: next.Stats.Adaptive}
-			sums[w], handlers[w], sentPays[w], errs[w] = s.conns[w].openStatsStageJob(id1, w, spec1, &ps, first)
-		}(w)
+	err := fanOut(j1, func(w int) (err error) {
+		ps := planSpec{Token: st.token, WantStats: true, StatsCap: next.Stats.Cap,
+			StatsBuckets: next.Stats.Buckets, StatsSeed: next.Stats.Seed,
+			StatsAdaptive: next.Stats.Adaptive}
+		jobs[w], sums[w], sentPays[w], err = s.conns[w].openStatsStageJob(st.id1, w, spec1, &ps, first)
+		return err
+	})
+	abandon := func(err error) ([]*subJob, error) {
+		st.abandon(jobs)
+		return nil, err
 	}
-	wg.Wait()
-	abandon := func(err error) (int, []*jobHandler, error) {
-		// Wake the workers still holding their matches for a plan that will
-		// never come; their (error) replies land after deregistration and
-		// are dropped by the read loops.
-		s.cancelPlan(token)
-		for w, h := range handlers {
-			if h != nil {
-				s.conns[w].deregister(id1)
-			}
-		}
-		return 0, nil, err
-	}
-	if err := errors.Join(errs...); err != nil {
+	if err != nil {
 		return abandon(err)
 	}
 
@@ -250,35 +240,11 @@ func (s *Session) runDeferredStage1(id1, id2 uint32, token uint64, spec1, spec2 
 	}
 
 	peers := s.Addrs()[:j2]
-	// Stage-overlapped dispatch, deferred flavor: the replanned worker count
-	// just became known, so the stage-2 peer jobs open and receive their
-	// right relation WHILE phase B routes and streams the intermediate.
-	handlers2 := make([]*jobHandler, j2)
-	openErrs := make([]error, j2)
-	var wg2 sync.WaitGroup
-	for p := 0; p < j2; p++ {
-		wg2.Add(1)
-		go func(p int) {
-			defer wg2.Done()
-			handlers2[p], openErrs[p] = s.conns[p].openPeerJob(id2, p, spec2, token, next, stage1Done)
-		}(p)
-	}
-	for w := 0; w < j1; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			counts[w], errs[w] = s.conns[w].finishStatsStageJob(id1, w, token, plan, peers,
-				handlers[w], sentPays[w], &wm1[w])
-		}(w)
-	}
-	wg.Wait()
-	stage1Done.Store(true)
-	wg2.Wait()
-	if err := errors.Join(append(errs, openErrs...)...); err != nil {
-		s.abandonPeerJobs(token, id2, handlers2)
-		return 0, nil, err
-	}
-	return j2, handlers2, nil
+	return st.overlap(j1, j2, func(w int) (err error) {
+		ps := planSpec{Token: st.token, Plan: plan, Peers: peers, Self: selfIndex(w, peers)}
+		st.counts[w], err = jobs[w].finishStatsStageJob(&ps, sentPays[w], &wm1[w])
+		return err
+	})
 }
 
 // cancelPlan tells every session worker to discard buffered peer state — and
@@ -289,279 +255,126 @@ func (s *Session) runDeferredStage1(id1, id2 uint32, token uint64, spec1, spec2 
 // half-sent contributions) and stage-2 receivers alike.
 func (s *Session) cancelPlan(token uint64) {
 	for _, c := range s.conns {
-		c.wmu.Lock()
-		_ = writeV3GobFrame(c.bw, frameV3PlanCancel, 0, planCancel{Token: token})
-		_ = c.bw.Flush()
-		c.wmu.Unlock()
+		_ = c.locked(func(bw *bufio.Writer) error {
+			return writeV3GobFrame(bw, frameV3PlanCancel, 0, planCancel{Token: token})
+		})
 	}
-}
-
-// runStageJob runs one stage-1 sub-job: a plain session job plus the PLAN
-// frame, whose reply carries the sender's per-receiver count vector.
-func (c *sessConn) runStageJob(id uint32, workerID int, spec join.Spec, ps *planSpec,
-	job *exec.Job, m *exec.WorkerMetrics) ([]int64, error) {
-
-	const op = "stage job"
-	h := &jobHandler{done: make(chan sessReply, 1)}
-	if err := c.register(id, h); err != nil {
-		return nil, c.connFault(op, id, workerID, err)
-	}
-	defer c.deregister(id)
-	sentPay, err := c.sendJob(id, workerID, spec, ps, job)
-	if err != nil {
-		return nil, c.connFault(op, id, workerID, err)
-	}
-	r, ferr := c.awaitReply(op, id, workerID, h)
-	if ferr != nil {
-		return nil, ferr
-	}
-	return c.stageReply(op, id, workerID, r, sentPay, m)
-}
-
-// stageReply validates one stage-1 sub-job's terminal metrics and fills m.
-// A reply whose metrics name a peer fault address is attributed to that PEER
-// (the reporting worker is healthy; its transfer target died).
-func (c *sessConn) stageReply(op string, id uint32, workerID int, r sessReply,
-	sentPay [2]int64, m *exec.WorkerMetrics) ([]int64, error) {
-
-	if r.err != nil {
-		return nil, c.connFault(op, id, workerID, r.err)
-	}
-	if r.m.Err != "" {
-		return nil, c.workerFault(op, id, workerID, r.m)
-	}
-	if r.m.PayBytes1 != sentPay[0] || r.m.PayBytes2 != sentPay[1] {
-		return nil, c.protoFault(op, id, workerID,
-			fmt.Errorf("worker decoded %d/%d payload bytes, coordinator sent %d/%d",
-				r.m.PayBytes1, r.m.PayBytes2, sentPay[0], sentPay[1]))
-	}
-	c.sess.noteEngine(r.m.Engine)
-	m.InputR1 = r.m.InputR1
-	m.InputR2 = r.m.InputR2
-	m.Output = r.m.Output
-	return r.m.PeerCounts, nil
 }
 
 // openStatsStageJob runs phase A of a stats-deferred stage job: send the job
-// with a statistics request and wait for the worker's summary. The handler
-// stays registered for phase B; it is returned alongside the summary. A
-// worker that replies metrics instead of a summary failed its join.
+// with a statistics request and wait for the worker's summary. The sub-job
+// stays open for phase B. A worker that replies metrics instead of a summary
+// failed its join.
 func (c *sessConn) openStatsStageJob(id uint32, workerID int, spec join.Spec, ps *planSpec,
-	job *exec.Job) ([]byte, *jobHandler, [2]int64, error) {
+	job *exec.Job) (*subJob, []byte, [2]int64, error) {
 
-	const op = "stats stage job"
-	h := &jobHandler{done: make(chan sessReply, 1), stats: make(chan []byte, 1)}
-	if err := c.register(id, h); err != nil {
-		return nil, nil, [2]int64{}, c.connFault(op, id, workerID, err)
-	}
-	sentPay, err := c.sendJob(id, workerID, spec, ps, job)
+	j, err := c.open("stats stage job", id, workerID, &jobHandler{stats: make(chan []byte, 1)})
 	if err != nil {
-		c.deregister(id)
-		return nil, nil, [2]int64{}, c.connFault(op, id, workerID, err)
+		return nil, nil, [2]int64{}, err
 	}
-	var deadline <-chan time.Time
-	if c.timeouts.Job > 0 {
-		t := time.NewTimer(c.timeouts.Job)
-		defer t.Stop()
-		deadline = t.C
+	sentPay, err := j.sendJob(spec, ps, job)
+	var r subReply
+	if err == nil {
+		r, err = j.await("statistics summary", true)
 	}
-	select {
-	case sum := <-h.stats:
-		return sum, h, sentPay, nil
-	case r := <-h.done:
-		c.deregister(id)
-		if r.err != nil {
-			return nil, nil, [2]int64{}, c.connFault(op, id, workerID, r.err)
-		}
-		if r.m.Err != "" {
-			return nil, nil, [2]int64{}, c.workerFault(op, id, workerID, r.m)
-		}
-		return nil, nil, [2]int64{}, c.protoFault(op, id, workerID,
-			fmt.Errorf("worker replied metrics before shipping its statistics summary"))
-	case <-deadline:
-		return nil, nil, [2]int64{}, c.livenessFault(op, id, workerID,
-			fmt.Errorf("no statistics summary within liveness deadline %v", c.timeouts.Job))
+	if err == nil && r.m != nil {
+		err = j.proto(fmt.Errorf("worker replied metrics before shipping its statistics summary"))
 	}
+	if err != nil {
+		j.close()
+		return nil, nil, [2]int64{}, err
+	}
+	return j, r.stats, sentPay, nil
 }
 
 // finishStatsStageJob runs phase B: deliver the replanned artifact and peer
 // map in a PLAN2 frame and wait for the job's terminal metrics (the count
 // vector), exactly as a pre-built plan job's reply.
-func (c *sessConn) finishStatsStageJob(id uint32, workerID int, token uint64, plan []byte,
-	peers []string, h *jobHandler, sentPay [2]int64, m *exec.WorkerMetrics) ([]int64, error) {
+func (j *subJob) finishStatsStageJob(ps *planSpec, sentPay [2]int64,
+	m *exec.WorkerMetrics) ([]int64, error) {
 
-	const op = "stats stage job"
-	defer c.deregister(id)
-	self := -1
-	if workerID < len(peers) {
-		self = workerID
-	}
-	ps := planSpec{Token: token, Plan: plan, Peers: peers, Self: self}
-	c.wmu.Lock()
-	err := writeV3GobFrame(c.bw, frameV3Plan2, id, ps)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.wmu.Unlock()
+	defer j.close()
+	err := j.send(func(bw *bufio.Writer) error {
+		return writeV3GobFrame(bw, frameV3Plan2, j.id, *ps)
+	})
 	if err != nil {
-		return nil, c.connFault(op, id, workerID, err)
+		return nil, err
 	}
-	r, ferr := c.awaitReply(op, id, workerID, h)
-	if ferr != nil {
-		return nil, ferr
-	}
-	return c.stageReply(op, id, workerID, r, sentPay, m)
+	return j.finish(sentPay, m)
 }
 
-// openPeerJob opens one stage-2 sub-job in counts-deferred mode and streams
-// the coordinator-owned right relation — all while stage 1 may still be
-// running on the same connections. The returned handler stays registered;
-// finishPeerJob (or abandonPeerJobs) takes it over once stage 1 settles.
-func (c *sessConn) openPeerJob(id uint32, workerID int, spec join.Spec, token uint64,
-	next *exec.PlanJob, stage1Done *atomic.Bool) (*jobHandler, error) {
-
-	const op = "peer job"
-	h := &jobHandler{done: make(chan sessReply, 1)}
-	if err := c.register(id, h); err != nil {
-		return nil, c.connFault(op, id, workerID, err)
-	}
-	po := peerJobOpen{WorkerID: workerID, Cond: spec, Token: token, CountsDeferred: true,
-		Engine: int(next.Engine)}
-	c.wmu.Lock()
-	err := writeV3GobFrame(c.bw, frameV3OpenPeerJob, id, po)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.wmu.Unlock()
+// openPeerJob opens one stage-2 sub-job — its per-sender counts follow in a
+// PEERBIND — and streams the coordinator-owned right relation, all while
+// stage 1 may still be running on the same connection. The returned sub-job
+// stays open; finishPeerJob (or abandon) takes it over once stage 1 settles.
+func (c *sessConn) openPeerJob(st *stagePipe, workerID int) (*subJob, error) {
+	j, err := c.open("peer job", st.id2, workerID, &jobHandler{})
 	if err != nil {
-		c.deregister(id)
-		return nil, c.connFault(op, id, workerID, err)
+		return nil, err
 	}
-	if err := c.streamPeerRelation(id, workerID, next, stage1Done); err != nil {
-		c.deregister(id)
-		return nil, c.connFault(op, id, workerID, err)
+	err = j.send(func(bw *bufio.Writer) error {
+		po := peerJobOpen{WorkerID: workerID, Cond: st.spec2, Token: st.token,
+			Engine: int(st.next.Engine)}
+		return writeV3GobFrame(bw, frameV3OpenPeerJob, j.id, po)
+	})
+	if err == nil {
+		err = j.sendPeerRelation(st)
 	}
-	return h, nil
+	if err != nil {
+		j.close()
+		return nil, err
+	}
+	return j, nil
 }
 
-// streamPeerRelation ships a counts-deferred peer job's right relation and
-// EOS. R2.Wait() runs outside the write lock so stage-1 jobs sharing the
-// connection keep sending while the relation still shuffles, and the chunked
-// path re-acquires the lock per sub-block so this stream never monopolizes
-// the connection.
-func (c *sessConn) streamPeerRelation(id uint32, workerID int, next *exec.PlanJob,
-	stage1Done *atomic.Bool) error {
-
-	rd := next.R2.Wait()
-	if !stage1Done.Load() {
-		c.sess.overlapped.Add(1)
+// sendPeerRelation ships a peer job's right relation and EOS. R2.Wait() runs
+// outside the write lock so stage-1 jobs sharing the connection keep sending
+// while the relation still shuffles, and the chunked path takes the lock per
+// sub-block (see sendChunks).
+func (j *subJob) sendPeerRelation(st *stagePipe) error {
+	rd := st.next.R2.Wait()
+	if !st.stage1Done.Load() {
+		j.c.sess.overlapped.Add(1)
 	}
+	eos := func(bw *bufio.Writer) error { return writeV3FrameHeader(bw, frameV3EOS, j.id, 0) }
 	if rd.Chunks != nil {
-		return c.streamChunkedPeerRelation(id, workerID, rd.Chunks)
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if _, err := c.sendRelation(id, 2, rd, workerID); err != nil {
-		_ = writeV3FrameHeader(c.bw, frameV3Abort, id, 0)
-		_ = c.bw.Flush()
-		return err
-	}
-	if err := writeV3FrameHeader(c.bw, frameV3EOS, id, 0); err != nil {
-		return err
-	}
-	return c.bw.Flush()
-}
-
-func (c *sessConn) streamChunkedPeerRelation(id uint32, workerID int, cs *exec.ChunkStream) error {
-	drain := func(err error) error {
-		for ch := range cs.Worker(workerID) {
-			exec.PutKeyBuffer(ch.Keys)
+		if err := j.sendChunks(j.send, 2, rd.Chunks); err != nil {
+			return err
 		}
-		return err
+		return j.send(eos)
 	}
-	c.wmu.Lock()
-	err := writeChunkHead(c.bw, id, 2, cs.Mappers())
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.wmu.Unlock()
-	if err != nil {
-		return drain(err)
-	}
-	total := 0
-	for ch := range cs.Worker(workerID) {
-		n := len(ch.Keys)
-		if total+n > MaxRelationTuples {
-			exec.PutKeyBuffer(ch.Keys)
-			c.wmu.Lock()
-			_ = writeV3FrameHeader(c.bw, frameV3Abort, id, 0)
-			_ = c.bw.Flush()
-			c.wmu.Unlock()
-			return drain(fmt.Errorf("relation 2 holds over %d tuples, wire limit %d",
-				total, MaxRelationTuples))
+	return j.send(func(bw *bufio.Writer) error {
+		if _, err := j.writeRelation(bw, 2, rd); err != nil {
+			return err
 		}
-		c.wmu.Lock()
-		err := writeChunkKeys(c.bw, id, 2, ch.Mapper, ch.Keys)
-		if err == nil {
-			err = c.bw.Flush()
-		}
-		c.wmu.Unlock()
-		exec.PutKeyBuffer(ch.Keys)
-		if err != nil {
-			return drain(err)
-		}
-		total += n
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	err = writeChunkTail(c.bw, id, 2, total, 0)
-	if err == nil {
-		err = writeV3FrameHeader(c.bw, frameV3EOS, id, 0)
-	}
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	return err
+		return eos(bw)
+	})
 }
 
 // finishPeerJob binds the per-sender counts to an opened peer job and waits
 // for its terminal metrics. Only called once stage 1 settled, so the worker's
 // parked job wakes as soon as its transfer completes against these counts.
-func (c *sessConn) finishPeerJob(id uint32, workerID int, token uint64,
-	senderCounts []int64, h *jobHandler, m *exec.WorkerMetrics) error {
-
-	const op = "peer job"
-	defer c.deregister(id)
-	c.wmu.Lock()
-	err := writeV3GobFrame(c.bw, frameV3PeerBind, 0, peerBind{Token: token, SenderCounts: senderCounts})
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	c.wmu.Unlock()
+// The bind is keyed by token (job number 0): the job's EOS already retired
+// its number from the worker's demux table.
+func (j *subJob) finishPeerJob(token uint64, senderCounts []int64, m *exec.WorkerMetrics) error {
+	defer j.close()
+	err := j.send(func(bw *bufio.Writer) error {
+		return writeV3GobFrame(bw, frameV3PeerBind, 0, peerBind{Token: token, SenderCounts: senderCounts})
+	})
 	if err != nil {
-		return c.connFault(op, id, workerID, err)
+		return err
 	}
-	r, ferr := c.awaitReply(op, id, workerID, h)
-	if ferr != nil {
-		return ferr
-	}
-	if r.err != nil {
-		return c.connFault(op, id, workerID, r.err)
-	}
-	if r.m.Err != "" {
-		return c.workerFault(op, id, workerID, r.m)
+	r, err := j.await("reply", false)
+	if err != nil {
+		return err
 	}
 	var expect int64
 	for _, sc := range senderCounts {
 		expect += sc
 	}
 	if r.m.InputR1 != expect {
-		return c.protoFault(op, id, workerID,
-			fmt.Errorf("worker joined %d peer tuples, senders reported %d", r.m.InputR1, expect))
+		return j.proto(fmt.Errorf("worker joined %d peer tuples, senders reported %d", r.m.InputR1, expect))
 	}
-	c.sess.noteEngine(r.m.Engine)
-	m.InputR1 = r.m.InputR1
-	m.InputR2 = r.m.InputR2
-	m.Output = r.m.Output
+	j.account(r.m, m)
 	return nil
 }

@@ -3,7 +3,6 @@ package netexec
 import (
 	"context"
 	"errors"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -101,7 +100,7 @@ func TestWorkerShutdownMidStatsCollection(t *testing.T) {
 	// job (it is in flight), the pipeline must complete normally once the
 	// coordinator answers, and the shutdown must then finish. No goroutines
 	// may leak across the whole exchange.
-	baseline := runtime.NumGoroutine()
+	b := snapshotBaseline(t)
 	ws, addrs := startWorkerSet(t, 2)
 	// Stage-2 workers are the session's FIRST conns; dialing the to-be-
 	// drained worker last keeps it stage-1-only, so the pipeline never needs
@@ -164,16 +163,7 @@ func TestWorkerShutdownMidStatsCollection(t *testing.T) {
 	for _, w := range ws {
 		_ = w.Close()
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= baseline+2 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<20)
-	t.Fatalf("goroutines leaked after mid-stats shutdown: baseline %d, now %d\n%s",
-		baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+	b.goroutinesSettled()
 }
 
 func TestStatsPipelineCapAbortsBeforeReplan(t *testing.T) {

@@ -1,10 +1,9 @@
 package netexec
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"ewh/internal/exec"
 	"ewh/internal/join"
@@ -25,19 +24,17 @@ import (
 // connection is failed rather than blocking the read loop under it.
 const streamRepCap = 256
 
-// streamConn is one worker connection's view of an open stream.
+// streamConn is one worker connection's sub-job of an open stream. err is
+// sticky: once set the stream is unusable on this connection.
 type streamConn struct {
-	c   *sessConn
-	h   *jobHandler
-	rep chan streamWinReply
-	err error // sticky: the stream is unusable on this connection
+	*subJob
+	err error
 }
 
 // Stream is an open continuous-join stream across the session's fleet; it
 // implements exec.StreamHandle. Not safe for concurrent use — the driver is
 // the single sender, matching the exec contract.
 type Stream struct {
-	sess   *Session
 	id     uint32
 	conns  []*streamConn
 	closed bool
@@ -51,8 +48,7 @@ func (s *Session) OpenStream(spec exec.StreamSpec) (exec.StreamHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	id := s.ids.Add(1)
-	st := &Stream{sess: s, id: id, conns: make([]*streamConn, 0, len(s.conns))}
+	st := &Stream{id: s.ids.Add(1), conns: make([]*streamConn, 0, len(s.conns))}
 	so := streamOpen{
 		Cond:          js,
 		Engine:        int(spec.Engine),
@@ -62,120 +58,65 @@ func (s *Session) OpenStream(spec exec.StreamSpec) (exec.StreamHandle, error) {
 		StatsAdaptive: spec.Stats.Adaptive,
 	}
 	for w, c := range s.conns {
-		sc := &streamConn{c: c, rep: make(chan streamWinReply, streamRepCap)}
-		sc.h = &jobHandler{done: make(chan sessReply, 1)}
-		rep, cc := sc.rep, c
-		sc.h.onStream = func(r streamWinReply) {
-			select {
-			case rep <- r:
-			default:
-				cc.fail(fmt.Errorf("stream job %d reply overrun (%d buffered)", id, streamRepCap))
+		j, err := c.open("stream", st.id, w, &jobHandler{wins: make(chan streamWinReply, streamRepCap)})
+		if err == nil {
+			st.conns = append(st.conns, &streamConn{subJob: j})
+			so.WorkerID = w
+			err = j.send(func(bw *bufio.Writer) error {
+				return writeV3GobFrame(bw, frameV3StreamOpen, st.id, so)
+			})
+		}
+		if err != nil {
+			// A half-open stream is useless: abort the sub-jobs opened so far.
+			st.closed = true
+			for _, sc := range st.conns {
+				sc.close()
 			}
+			return nil, err
 		}
-		if err := c.register(id, sc.h); err != nil {
-			st.abandon()
-			return nil, c.connFault("stream open", id, w, err)
-		}
-		so.WorkerID = w
-		c.wmu.Lock()
-		werr := writeV3GobFrame(c.bw, frameV3StreamOpen, id, so)
-		if werr == nil {
-			werr = c.bw.Flush()
-		}
-		c.wmu.Unlock()
-		if werr != nil {
-			c.deregister(id)
-			st.abandon()
-			return nil, c.connFault("stream open", id, w, werr)
-		}
-		st.conns = append(st.conns, sc)
 	}
 	return st, nil
-}
-
-// abandon aborts the sub-jobs opened so far (a half-open stream is useless).
-func (st *Stream) abandon() {
-	st.closed = true
-	for _, sc := range st.conns {
-		sc.c.deregister(st.id)
-		sc.c.wmu.Lock()
-		_ = writeV3FrameHeader(sc.c.bw, frameV3Abort, st.id, 0)
-		_ = sc.c.bw.Flush()
-		sc.c.wmu.Unlock()
-	}
 }
 
 // Workers implements exec.StreamHandle.
 func (st *Stream) Workers() int { return len(st.conns) }
 
-func (st *Stream) checkShares(shares [][]join.Key) error {
+// sendShares sends every connection its share concurrently — base re-ships
+// are the bulk of a replan's cost, and the per-connection writers are
+// independent. A connection already broken reports its sticky fault.
+func (st *Stream) sendShares(shares [][]join.Key, write func(*bufio.Writer, []join.Key) error) error {
 	if st.closed {
 		return errors.New("netexec: stream is closed")
 	}
 	if len(shares) != len(st.conns) {
 		return fmt.Errorf("netexec: %d shares for %d workers", len(shares), len(st.conns))
 	}
-	return nil
-}
-
-// fanOut runs one send per connection concurrently — base re-ships are the
-// bulk of a replan's cost, and the per-connection writers are independent.
-func (st *Stream) fanOut(op string, send func(w int, sc *streamConn) error) error {
-	errs := make([]error, len(st.conns))
-	var wg sync.WaitGroup
-	for w, sc := range st.conns {
-		if sc.err != nil {
-			errs[w] = sc.err
-			continue
+	return fanOut(len(st.conns), func(w int) error {
+		sc := st.conns[w]
+		if sc.err == nil {
+			sc.err = sc.send(func(bw *bufio.Writer) error { return write(bw, shares[w]) })
 		}
-		wg.Add(1)
-		go func(w int, sc *streamConn) {
-			defer wg.Done()
-			if err := send(w, sc); err != nil {
-				sc.err = sc.c.connFault(op, st.id, w, err)
-				errs[w] = sc.err
-			}
-		}(w, sc)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
+		return sc.err
+	})
 }
 
 // SendBase implements exec.StreamHandle.
 func (st *Stream) SendBase(epoch uint32, shares [][]join.Key) error {
-	if err := st.checkShares(shares); err != nil {
-		return err
-	}
-	return st.fanOut("stream base", func(w int, sc *streamConn) error {
-		share := shares[w]
-		sc.c.wmu.Lock()
-		defer sc.c.wmu.Unlock()
-		if err := writeStreamBaseKeys(sc.c.bw, st.id, epoch, share); err != nil {
+	return st.sendShares(shares, func(bw *bufio.Writer, share []join.Key) error {
+		if err := writeStreamBaseKeys(bw, st.id, epoch, share); err != nil {
 			return err
 		}
-		if err := writeStreamBaseEnd(sc.c.bw, st.id, epoch, len(share)); err != nil {
-			return err
-		}
-		return sc.c.bw.Flush()
+		return writeStreamBaseEnd(bw, st.id, epoch, len(share))
 	})
 }
 
 // SendWindow implements exec.StreamHandle.
 func (st *Stream) SendWindow(window, epoch uint32, shares [][]join.Key) error {
-	if err := st.checkShares(shares); err != nil {
-		return err
-	}
-	return st.fanOut("stream window", func(w int, sc *streamConn) error {
-		share := shares[w]
-		sc.c.wmu.Lock()
-		defer sc.c.wmu.Unlock()
-		if err := writeStreamWinKeys(sc.c.bw, st.id, window, epoch, share); err != nil {
+	return st.sendShares(shares, func(bw *bufio.Writer, share []join.Key) error {
+		if err := writeStreamWinKeys(bw, st.id, window, epoch, share); err != nil {
 			return err
 		}
-		if err := writeStreamWinEnd(sc.c.bw, st.id, window, epoch, len(share)); err != nil {
-			return err
-		}
-		return sc.c.bw.Flush()
+		return writeStreamWinEnd(bw, st.id, window, epoch, len(share))
 	})
 }
 
@@ -185,103 +126,64 @@ func (st *Stream) SendWindow(window, epoch uint32, shares [][]join.Key) error {
 func (st *Stream) Collect(window, epoch uint32) ([]exec.WindowReply, error) {
 	out := make([]exec.WindowReply, len(st.conns))
 	for w, sc := range st.conns {
-		r, err := st.collectOne(w, sc, window, epoch)
-		if err != nil {
-			return nil, err
+		if sc.err == nil {
+			out[w], sc.err = sc.collect(window, epoch)
 		}
-		out[w] = r
+		if sc.err != nil {
+			return nil, sc.err
+		}
 	}
 	return out, nil
 }
 
-func (st *Stream) collectOne(worker int, sc *streamConn, window, epoch uint32) (exec.WindowReply, error) {
-	const op = "stream collect"
-	if sc.err != nil {
-		return exec.WindowReply{}, sc.err
-	}
-	var deadline <-chan time.Time
-	if t := sc.c.timeouts.Job; t > 0 {
-		timer := time.NewTimer(t)
-		defer timer.Stop()
-		deadline = timer.C
-	}
+func (sc *streamConn) collect(window, epoch uint32) (exec.WindowReply, error) {
 	for {
-		select {
-		case r := <-sc.rep:
-			if r.Err != "" {
-				sc.err = sc.c.workerFault(op, st.id, worker, &metrics{Err: r.Err, Code: r.Code})
-				return exec.WindowReply{}, sc.err
-			}
-			if r.Window != window || r.Epoch != epoch {
-				continue // stale reply from a superseded send
-			}
-			wr := exec.WindowReply{Worker: worker, Window: r.Window, Epoch: r.Epoch,
-				Input: r.Input, Count: r.Count}
-			if len(r.Summary) > 0 {
-				sum, err := planio.DecodeSummary(r.Summary)
-				if err != nil {
-					sc.err = sc.c.protoFault(op, st.id, worker, fmt.Errorf("window summary: %w", err))
-					return exec.WindowReply{}, sc.err
-				}
-				wr.Summary = sum
-			}
-			return wr, nil
-		case d := <-sc.h.done:
-			// The stream retired before this window's reply: a connection
-			// failure, or error metrics from a poisoned stream.
-			switch {
-			case d.err != nil:
-				sc.err = sc.c.connFault(op, st.id, worker, d.err)
-			case d.m.Err != "":
-				sc.err = sc.c.workerFault(op, st.id, worker, d.m)
-			default:
-				sc.err = sc.c.protoFault(op, st.id, worker,
-					errors.New("stream closed before the window's reply"))
-			}
-			return exec.WindowReply{}, sc.err
-		case <-deadline:
-			sc.err = sc.c.livenessFault(op, st.id, worker,
-				fmt.Errorf("no window reply within liveness deadline %v", sc.c.timeouts.Job))
-			return exec.WindowReply{}, sc.err
+		r, err := sc.await("window reply", true)
+		switch {
+		case err != nil:
+			return exec.WindowReply{}, err
+		case r.m != nil:
+			return exec.WindowReply{}, sc.proto(errors.New("stream closed before the window's reply"))
+		case r.win.Window != window || r.win.Epoch != epoch:
+			continue // stale reply from a superseded send
 		}
+		wr := exec.WindowReply{Worker: sc.worker, Window: window, Epoch: epoch,
+			Input: r.win.Input, Count: r.win.Count}
+		if len(r.win.Summary) > 0 {
+			sum, err := planio.DecodeSummary(r.win.Summary)
+			if err != nil {
+				return exec.WindowReply{}, sc.proto(fmt.Errorf("window summary: %w", err))
+			}
+			wr.Summary = sum
+		}
+		return wr, nil
 	}
 }
 
 // Close implements exec.StreamHandle: EOS every live sub-job and await its
-// aggregate metrics. Connections already broken are skipped — their pending
-// entries were retired when they failed.
+// aggregate metrics, then close them all — which aborts the ones a job-level
+// fault (a quota rejection, a bad summary) broke on a healthy connection, so
+// the worker's poisoned stream job retires too.
 func (st *Stream) Close() error {
 	if st.closed {
 		return nil
 	}
 	st.closed = true
-	var errs []error
+	errs := make([]error, len(st.conns))
 	for w, sc := range st.conns {
-		if sc.err != nil {
-			errs = append(errs, sc.err)
-			continue
+		if sc.err == nil {
+			sc.err = sc.send(func(bw *bufio.Writer) error {
+				return writeV3FrameHeader(bw, frameV3EOS, st.id, 0)
+			})
 		}
-		sc.c.wmu.Lock()
-		werr := writeV3FrameHeader(sc.c.bw, frameV3EOS, st.id, 0)
-		if werr == nil {
-			werr = sc.c.bw.Flush()
+		if sc.err == nil {
+			var r subReply
+			if r, sc.err = sc.await("reply", false); sc.err == nil {
+				sc.c.sess.noteEngine(r.m.Engine)
+			}
 		}
-		sc.c.wmu.Unlock()
-		if werr != nil {
-			errs = append(errs, sc.c.connFault("stream close", st.id, w, werr))
-			continue
-		}
-		r, ferr := sc.c.awaitReply("stream close", st.id, w, sc.h)
-		switch {
-		case ferr != nil:
-			errs = append(errs, ferr)
-		case r.err != nil:
-			errs = append(errs, sc.c.connFault("stream close", st.id, w, r.err))
-		case r.m.Err != "":
-			errs = append(errs, sc.c.workerFault("stream close", st.id, w, r.m))
-		default:
-			st.sess.noteEngine(r.m.Engine)
-		}
+		sc.close()
+		errs[w] = sc.err
 	}
 	return errors.Join(errs...)
 }

@@ -92,9 +92,9 @@ const (
 	frameV3Chunk     = 26 // coord→worker [rel u8][mapper u16][count u32][count×8 LE keys]
 	frameV3ChunkTail = 27 // coord→worker [rel u8][count u32][payBytes u32] — exact totals
 
-	// PEERBIND frame (stage-overlapped dispatch): a peer-fed job opened with
-	// CountsDeferred learns its exact per-sender counts only after stage 1
-	// finishes; the coordinator then sends this frame carrying gob peerBind.
+	// PEERBIND frame (stage-overlapped dispatch): a peer-fed job opens while
+	// stage 1 still runs, so its exact per-sender counts exist only after stage
+	// 1 finishes; the coordinator then sends this frame carrying gob peerBind.
 	// It is keyed by transfer token, not job id, because the job's EOS has
 	// already retired the id from the demux table by the time the bind lands.
 	frameV3PeerBind = 28 // coord→worker gob peerBind: late exact sender counts
@@ -122,7 +122,6 @@ const (
 	// across coordinators.
 	framePeerHead  = 30 // [token u64][sender u32][count u32] — declares one sender's contribution
 	framePeerBlock = 31 // [token u64][sender u32][count u32][count×8 LE keys]
-	framePeerPay   = 32 // [token u64][sender u32][count u32][count×4 LE lens][bytes]
 
 	// relFlagPayload marks a relation head that declares a payload segment.
 	relFlagPayload = 1
