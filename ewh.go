@@ -118,7 +118,9 @@ type ExecConfig = exec.Config
 // JoinEngine selects the local-join engine workers run over their shuffled
 // blocks (ExecConfig.Engine): the partitioned radix-hash engine or the
 // sort + merge-sweep engine. The engines produce identical counts and
-// identical pair streams; the selection is purely a performance knob.
+// identical pair streams; the selection is purely a performance knob, and
+// what runs depends only on the engine it resolves to for the condition:
+// EngineAuto and EngineHash execute an equality join through the same code.
 type JoinEngine = exec.JoinEngine
 
 const (

@@ -107,10 +107,11 @@ func ExecBench(cfg Config) (*ExecBenchReport, error) {
 	runRow("shuffle-hash", hash, r1, empty, join.Equi{}, exec.EngineAuto)
 	runRow("shuffle-ci-replicated", ci, r1, empty, band, exec.EngineAuto)
 	runRow("run-csio-band", csio.Scheme, r1, r2, band, exec.EngineAuto)
-	// The equi hot path under the explicit hash engine: Local consumes the
-	// chunked scatter and insert-while-probes — the row the PR-9 local-join
-	// work is tracked by (its merge twin is the localjoin row below; the
-	// distributed twin is netexec-session-hashjoin-overlap).
+	// The equi hot path under the hash engine (auto resolves to the same
+	// path): Local consumes the chunked scatter and insert-while-probes — the
+	// row the PR-9 local-join work is tracked by (its merge twin is the
+	// localjoin row below; the distributed twin is
+	// netexec-session-hashjoin-overlap).
 	runRow("exec-hashjoin-equi", hash, r1, r2, join.Equi{}, exec.EngineHash)
 
 	var bestCount time.Duration

@@ -139,8 +139,9 @@ func TestRunEngineSelection(t *testing.T) {
 }
 
 // TestLocalStreamsChunksGate pins when Local consumes the chunked scatter:
-// only an explicit hash selection on a count-only job that hash can serve —
-// auto keeps the flat path, pairs and band always do.
+// a count-only job that resolves to the hash engine, however it was selected
+// — auto and an explicit hash request take the same path; pairs, band and an
+// explicit merge keep the flat one.
 func TestLocalStreamsChunksGate(t *testing.T) {
 	mk := func(e JoinEngine, cond join.Condition, pairs bool) *Job {
 		j := &Job{Cond: cond, Workers: 2, Engine: e}
@@ -157,7 +158,10 @@ func TestLocalStreamsChunksGate(t *testing.T) {
 		{mk(EngineHash, join.NewBand(0), false), true},
 		{mk(EngineHash, join.NewBand(2), false), false},
 		{mk(EngineHash, join.Equi{}, true), false},
-		{mk(EngineAuto, join.Equi{}, false), false},
+		{mk(EngineAuto, join.Equi{}, false), true},
+		{mk(EngineAuto, join.NewBand(0), false), true},
+		{mk(EngineAuto, join.NewBand(2), false), false},
+		{mk(EngineAuto, join.Equi{}, true), false},
 		{mk(EngineMerge, join.Equi{}, false), false},
 	}
 	for _, c := range cases {

@@ -117,8 +117,8 @@ func streamsChunks(rt Runtime) bool {
 }
 
 // JobChunkStreamer is the job-aware refinement of ChunkStreamer: a runtime
-// whose chunk appetite depends on the job (Local consumes chunks only when
-// the job resolves to the incremental hash engine) implements this; blanket
+// whose chunk appetite depends on the job (Local consumes chunks only when a
+// count-only job resolves to the incremental hash engine) implements this; blanket
 // streamers keep the plain interface.
 type JobChunkStreamer interface {
 	StreamsChunksFor(job *Job) bool
@@ -245,14 +245,14 @@ type Local struct{}
 func (Local) Label() string { return "" }
 
 // StreamsChunksFor implements JobChunkStreamer: Local consumes chunked
-// relations exactly when the job explicitly selects the hash engine for a
-// count-only equality join — the workers then feed each routed sub-block
-// into the incremental build as the mappers emit it, overlapping build work
-// with the still-running scatter. Every other job keeps the flat scatter;
-// a local merge join gains nothing from chunking.
+// relations exactly when a count-only job resolves to the hash engine —
+// the same gate a session worker applies to its CHUNK frames, so EngineAuto
+// and EngineHash run one code path on an equality join. The workers then
+// feed each routed sub-block into the incremental build as the mappers emit
+// it, overlapping build work with the still-running scatter. Every other job
+// keeps the flat scatter; a local merge join gains nothing from chunking.
 func (Local) StreamsChunksFor(job *Job) bool {
-	return job.Engine == EngineHash && job.Pairs == nil &&
-		job.Engine.ForCond(job.Cond) == EngineHash
+	return job.Pairs == nil && job.Engine.ForCond(job.Cond) == EngineHash
 }
 
 // RunJob implements Runtime. Count-only jobs run the selected engine over

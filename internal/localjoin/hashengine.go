@@ -134,7 +134,7 @@ func (p *buildPart) lookup(k join.Key) uint32 {
 }
 
 // Build is an incrementally built multiplicity index over one relation's
-// keys: Insert accepts each arriving chunk, ProbeCount/Probe run against
+// keys: Insert accepts each arriving chunk, ProbeCount runs against
 // whatever has been inserted so far (concurrently with further inserts),
 // and Seal publishes the finished immutable build for lock-free probes and
 // cache sharing.
@@ -206,7 +206,7 @@ func partitionRuns(keys, scratch []join.Key) (off [enginePartitions]int32) {
 // whole relation or repeatedly with arriving sub-blocks; chunk boundaries do
 // not affect the finished build. The chunk is radix-partitioned first, so
 // each touched partition's lock is taken once per chunk, not once per key.
-// Insert is safe to run concurrently with Probe/ProbeCount (but not with
+// Insert is safe to run concurrently with ProbeCount (but not with
 // another Insert — one build goroutine owns the insert side, matching one
 // socket read loop per relation). Must not be called after Seal.
 func (b *Build) Insert(keys []join.Key) {
@@ -290,28 +290,6 @@ func (b *Build) ProbeCount(keys []join.Key) int64 {
 	}
 	putPartScratch(scratch)
 	return out
-}
-
-// Probe calls emit(i, mult) for every probe key keys[i] present on the
-// build side, in input order (no partition reordering), with its build
-// multiplicity. Same concurrency contract as ProbeCount. A partition seals
-// individually, so probes of sealed partitions are lock-free even while
-// other partitions still build.
-func (b *Build) Probe(keys []join.Key, emit func(i int, mult int64)) {
-	for i, k := range keys {
-		p := &b.parts[keysort.Digit(k, partShift)]
-		var m uint32
-		if p.sealed.Load() {
-			m = p.lookup(k)
-		} else {
-			p.mu.Lock()
-			m = p.lookup(k)
-			p.mu.Unlock()
-		}
-		if m != 0 {
-			emit(i, int64(m))
-		}
-	}
 }
 
 // EngineCount is the one-shot form of the hash engine for callers holding

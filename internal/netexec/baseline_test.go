@@ -1,9 +1,11 @@
 package netexec
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"runtime"
 	"testing"
@@ -44,11 +46,10 @@ func (b *baseline) goroutinesSettled() {
 	}
 }
 
-// returned asserts the four things every sub-job must give back however it
-// ended. With the session still open: no reply handler left registered on any
-// connection, no job left in flight on any worker connection, no byte left
-// reserved against the tenant. Then, with session and workers torn down: the
-// goroutine count back at the snapshot.
+// returned asserts what every sub-job must give back however it ended. With
+// the session still open: no reply handler left registered on any connection,
+// and the workers idle (workersIdle). Then, with session and workers torn
+// down: the goroutine count back at the snapshot.
 func (b *baseline) returned(sess *Session, ws []*Worker, tenant string) {
 	b.t.Helper()
 	waitFor(b.t, "every connection's pending table to empty", func() bool {
@@ -62,15 +63,22 @@ func (b *baseline) returned(sess *Session, ws []*Worker, tenant string) {
 		}
 		return true
 	})
+	b.workersIdle(ws, tenant)
+	_ = sess.Close()
+	for _, w := range ws {
+		_ = w.Close()
+	}
+	b.goroutinesSettled()
+}
+
+// workersIdle asserts the worker side of a finished scenario, connections
+// still open: no job left in flight on any worker connection, no byte left
+// reserved against the tenant, every admission slot free and nobody queued.
+func (b *baseline) workersIdle(ws []*Worker, tenant string) {
+	b.t.Helper()
 	waitFor(b.t, "every worker connection's in-flight count to reach zero", func() bool {
 		for _, w := range ws {
-			w.mu.Lock()
-			active := 0
-			for cs := range w.conns {
-				active += cs.active
-			}
-			w.mu.Unlock()
-			if active != 0 {
+			if inFlight(w) != 0 {
 				return false
 			}
 		}
@@ -84,11 +92,31 @@ func (b *baseline) returned(sess *Session, ws []*Worker, tenant string) {
 		}
 		return true
 	})
-	_ = sess.Close()
-	for _, w := range ws {
-		_ = w.Close()
+	waitFor(b.t, "every admission slot to be given back", func() bool {
+		for _, w := range ws {
+			if w.admit == nil {
+				continue
+			}
+			w.admit.mu.Lock()
+			busy := w.admit.running + w.admit.waiting
+			w.admit.mu.Unlock()
+			if busy != 0 {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// inFlight sums the jobs in flight across w's connections.
+func inFlight(w *Worker) int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	active := 0
+	for cs := range w.conns {
+		active += cs.active
 	}
-	b.goroutinesSettled()
+	return active
 }
 
 // TestStreamCloseAfterJobFaultRetiresWorkerJob pins Close's abort: a stream a
@@ -365,6 +393,218 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 					t.Error("the scripted fault never fired")
 				}
 				b.returned(sess, ws, tableTenant)
+			})
+		}
+	}
+}
+
+// The worker-side return-to-baseline table: the two job kinds the join
+// goroutine (stream_worker.go) serves, crossed with every way such a job can
+// leave the worker, each driven frame by frame over a raw connection and
+// asserting workersIdle, a build cache untouched by a failed job, and the
+// goroutine count back at the snapshot. The worker has ONE admission slot, so
+// the fed job's success cell also pins that the goroutine does not queue for
+// a second slot beside the one its OPENJOB holds.
+
+const (
+	feedTenant = "fed"
+	feedBudget = 64 // tenant byte budget in the quota cell: 8 keys
+	feedJob    = 7
+
+	buildSide = 0 // a fed job's relation 1, a stream's epoch-1 base
+	probeSide = 1 // a fed job's relation 2, a stream's window 0
+)
+
+// feedKind writes one kind's frames: the open, then per side the run's
+// declaration (a stream declares nothing), key frames and end frame; bad is a
+// build-side data frame the decoder must refuse at job level.
+type feedKind struct {
+	name string
+	open func(bw *bufio.Writer) error
+	head func(bw *bufio.Writer, side int) error
+	keys func(bw *bufio.Writer, side int, keys []join.Key) error
+	end  func(bw *bufio.Writer, side, total int) error
+	bad  func(bw *bufio.Writer) error
+}
+
+// run ships one side's complete run.
+func (k feedKind) run(bw *bufio.Writer, side int, keys []join.Key) error {
+	return errors.Join(k.head(bw, side), k.keys(bw, side, keys), k.end(bw, side, len(keys)))
+}
+
+func feedTableKinds(t *testing.T) []feedKind {
+	spec, err := join.SpecOf(join.Equi{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []feedKind{{
+		name: "fed count job",
+		open: func(bw *bufio.Writer) error {
+			return writeV3GobFrame(bw, frameV3OpenJob, feedJob, jobOpen{Cond: spec})
+		},
+		head: func(bw *bufio.Writer, side int) error {
+			return writeChunkHead(bw, feedJob, int8(side+1), 2)
+		},
+		keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
+			return writeChunkKeys(bw, feedJob, int8(side+1), 1, keys)
+		},
+		end: func(bw *bufio.Writer, side, total int) error {
+			return writeChunkTail(bw, feedJob, int8(side+1), total, 0)
+		},
+		bad: func(bw *bufio.Writer) error { // mapper 5 of the 2 the head declared
+			return writeChunkKeys(bw, feedJob, 1, 5, []join.Key{4})
+		},
+	}, {
+		name: "stream",
+		open: func(bw *bufio.Writer) error {
+			return writeV3GobFrame(bw, frameV3StreamOpen, feedJob,
+				streamOpen{Cond: spec, StatsCap: 64, StatsBuckets: 8, StatsSeed: 1})
+		},
+		head: func(*bufio.Writer, int) error { return nil },
+		keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
+			if side == buildSide {
+				return writeStreamBaseKeys(bw, feedJob, 1, keys)
+			}
+			return writeStreamWinKeys(bw, feedJob, 0, 1, keys)
+		},
+		end: func(bw *bufio.Writer, side, total int) error {
+			if side == buildSide {
+				return writeStreamBaseEnd(bw, feedJob, 1, total)
+			}
+			return writeStreamWinEnd(bw, feedJob, 0, 1, total)
+		},
+		bad: func(bw *bufio.Writer) error { // a one-key frame declaring three
+			if err := writeV3FrameHeader(bw, frameV3StreamBase, feedJob, streamBaseHdrLen+8); err != nil {
+				return err
+			}
+			_, err := bw.Write([]byte{1, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0})
+			return err
+		},
+	}}
+}
+
+// awaitFeedMetrics reads the job's reply frames up to its METRICS, skipping
+// a stream's window replies.
+func awaitFeedMetrics(t *testing.T, conn net.Conn) metrics {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+	for {
+		typ, job, n, err := readV3FrameHeader(br)
+		if err != nil {
+			t.Fatalf("reading the job's reply: %v", err)
+		}
+		if job != feedJob {
+			t.Fatalf("reply for job %d, want %d", job, feedJob)
+		}
+		if typ != frameV3Metrics {
+			if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		var m metrics
+		if err := readGobPayload(br, n, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+}
+
+func TestWorkerFeedReturnsToBaseline(t *testing.T) {
+	build := []join.Key{1, 2, 2, 3}
+	probe := []join.Key{2, 2, 3, 9} // 2×2 matches on key 2, one on key 3
+	const wantOutput = 5
+	eos := func(bw *bufio.Writer) error { return writeV3FrameHeader(bw, frameV3EOS, feedJob, 0) }
+	// midBuild leaves the build side declared and part-shipped.
+	midBuild := func(k feedKind, bw *bufio.Writer) error {
+		return errors.Join(k.head(bw, buildSide), k.keys(bw, buildSide, build))
+	}
+
+	// Each exit sends its frames after the open. One with a check then reads
+	// the job's METRICS; one without abandoned the job and expects no reply.
+	// Only the success cell may grow the build cache.
+	failedWith := func(code int) func(metrics) bool {
+		return func(m metrics) bool { return m.Err != "" && m.Code == code }
+	}
+	exits := []struct {
+		name   string
+		budget int64
+		send   func(k feedKind, bw *bufio.Writer, conn net.Conn, w *Worker) error
+		check  func(m metrics) bool
+	}{
+		{name: "EOS",
+			send: func(k feedKind, bw *bufio.Writer, _ net.Conn, _ *Worker) error {
+				return errors.Join(k.run(bw, buildSide, build), k.run(bw, probeSide, probe), eos(bw))
+			},
+			check: func(m metrics) bool { return m.Err == "" && m.Output == wantOutput }},
+		{name: "ABORT mid-relation",
+			send: func(k feedKind, bw *bufio.Writer, _ net.Conn, _ *Worker) error {
+				return errors.Join(midBuild(k, bw), writeV3FrameHeader(bw, frameV3Abort, feedJob, 0))
+			}},
+		{name: "connection teardown mid-relation",
+			send: func(k feedKind, bw *bufio.Writer, conn net.Conn, w *Worker) error {
+				if err := errors.Join(midBuild(k, bw), bw.Flush()); err != nil {
+					return err
+				}
+				// Hang up under a job the worker demonstrably holds.
+				waitFor(t, "the worker to register the job", func() bool { return inFlight(w) == 1 })
+				return conn.Close()
+			}},
+		{name: "refused data frame",
+			send: func(k feedKind, bw *bufio.Writer, _ net.Conn, _ *Worker) error {
+				return errors.Join(midBuild(k, bw), k.bad(bw), eos(bw))
+			},
+			check: failedWith(0)},
+		{name: "probe keys ahead of the sealed build side",
+			send: func(k feedKind, bw *bufio.Writer, _ net.Conn, _ *Worker) error {
+				return errors.Join(midBuild(k, bw),
+					k.head(bw, probeSide), k.keys(bw, probeSide, probe), eos(bw))
+			},
+			check: failedWith(0)},
+		{name: "tenant quota rejection mid-feed", budget: feedBudget,
+			send: func(k feedKind, bw *bufio.Writer, _ net.Conn, _ *Worker) error {
+				// The first frame fits the budget, the second overruns it.
+				return errors.Join(midBuild(k, bw),
+					k.keys(bw, buildSide, make([]join.Key, feedBudget/8)), eos(bw))
+			},
+			check: failedWith(codeQuota)},
+	}
+
+	for _, k := range feedTableKinds(t) {
+		for _, x := range exits {
+			t.Run(k.name+"/"+x.name, func(t *testing.T) {
+				b := snapshotBaseline(t)
+				w, err := ListenWorker("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.SetAdmission(AdmissionConfig{MaxInFlight: 1})
+				w.SetTenantPolicy(feedTenant, TenantPolicy{MaxBytes: x.budget})
+				go func() { _ = w.Serve() }()
+				defer w.Close()
+				cacheBefore := w.BuildCacheStats().Bytes
+
+				bw, conn := dialV3(t, w.Addr())
+				err = errors.Join(
+					writeV3GobFrame(bw, frameV3Hello, 0, sessionHello{Tenant: feedTenant}),
+					k.open(bw), x.send(k, bw, conn, w))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_ = bw.Flush() // the teardown cell already hung up
+				if x.check != nil {
+					if m := awaitFeedMetrics(t, conn); !x.check(m) {
+						t.Errorf("replied %+v, not as a %s", m, x.name)
+					}
+				}
+				b.workersIdle([]*Worker{w}, feedTenant)
+				if grew := w.BuildCacheStats().Bytes - cacheBefore; x.name != "EOS" && grew != 0 {
+					t.Errorf("failed job left %d bytes in the build cache", grew)
+				}
+				_ = conn.Close()
+				_ = w.Close()
+				b.goroutinesSettled()
 			})
 		}
 	}

@@ -25,10 +25,10 @@ func TestSessionHashJoinOverlap(t *testing.T) {
 	r1 := zipfKeys(30000, 4000, 0.8, 130)
 	r2 := zipfKeys(30000, 4000, 0.8, 131)
 	scheme := partition.NewCI(3)
-	// Mappers fixed well above the feeder channel capacity: with ~2×Mappers
-	// chunk frames per worker the read loop must block on a full feed channel
-	// before it can decode EOS, so overlap is structural, not a scheduling
-	// accident.
+	// Mappers fixed well above the join goroutine's event-channel depth: with
+	// ~2×Mappers chunk frames per worker the read loop must block on a full
+	// channel before it can decode EOS, so overlap is structural, not a
+	// scheduling accident.
 	cfg := exec.Config{Seed: 132, Mappers: 12}
 
 	want := exec.Run(r1, r2, join.Equi{}, scheme, model, cfg)
@@ -53,7 +53,7 @@ func TestSessionHashJoinOverlap(t *testing.T) {
 	}
 
 	// The other two selections crosscheck against the same answer; forcing
-	// merge must bypass the feeder entirely.
+	// merge must bypass the chunk feed entirely.
 	for _, e := range []exec.JoinEngine{exec.EngineHash, exec.EngineMerge} {
 		cfg := cfg
 		cfg.Engine = e
@@ -78,7 +78,7 @@ func TestSessionHashJoinOverlap(t *testing.T) {
 
 // TestSessionHashJoinBandFallsBack pins engine resolution across the wire: a
 // band job under an explicit hash request runs the merge sweep (exact
-// answer, no feeder) instead of failing or mis-counting.
+// answer, no chunk feed) instead of failing or mis-counting.
 func TestSessionHashJoinBandFallsBack(t *testing.T) {
 	_, addrs := startWorkerSet(t, 2)
 	r1 := zipfKeys(5000, 1000, 0.8, 140)
@@ -101,7 +101,7 @@ func TestSessionHashJoinBandFallsBack(t *testing.T) {
 		t.Fatalf("band under hash request: output %d, want %d", got.Output, want.Output)
 	}
 	if n := sess.BuildOverlappedChunks(); n != 0 {
-		t.Fatalf("band job overlapped %d chunks through the hash feeder", n)
+		t.Fatalf("band job overlapped %d chunks through the hash chunk feed", n)
 	}
 }
 
@@ -110,7 +110,7 @@ func TestSessionHashJoinBandFallsBack(t *testing.T) {
 // relation; the second tenant's jobs must hit the first tenant's cached
 // builds (identical content, identical chunk structure under the shared
 // seed) and both answers stay bit-exact. leakCheck (in startWorkerSet) pins
-// that no feeder goroutine outlives its job.
+// that no join goroutine outlives its job.
 func TestPoolBuildCacheHit(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 2)
 	dim := zipfKeys(20000, 3000, 0.7, 150) // shared build side

@@ -1,0 +1,232 @@
+package netexec
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"testing"
+
+	"ewh/internal/exec"
+	"ewh/internal/join"
+)
+
+// frameHeaders is a writer that parses the frame stream written into it,
+// keeps each frame's header and discards the payloads.
+type frameHeaders struct {
+	hdrLen int // v3FrameHeaderLen on a session, 5 on the peer mesh
+	hdrs   [][]byte
+	cur    []byte
+	skip   int
+}
+
+func (f *frameHeaders) Write(p []byte) (int, error) {
+	n := len(p)
+	for len(p) > 0 {
+		if f.skip > 0 {
+			k := min(f.skip, len(p))
+			f.skip -= k
+			p = p[k:]
+			continue
+		}
+		k := min(f.hdrLen-len(f.cur), len(p))
+		f.cur = append(f.cur, p[:k]...)
+		p = p[k:]
+		if len(f.cur) == f.hdrLen {
+			f.skip = int(binary.LittleEndian.Uint32(f.cur[f.hdrLen-4:]))
+			f.hdrs = append(f.hdrs, f.cur)
+			f.cur = nil
+		}
+	}
+	return n, nil
+}
+
+// TestMaximalKeyFramesPassTheHeaderReaders drives every key-frame writer with
+// a run one key past the per-frame cap and feeds each frame header it wrote
+// to the reader on the other side: the frame cap has to admit a FULL frame
+// under every sub-header, not just BLOCK's (CHUNK, STREAMBASE and STREAMWIN
+// share maxBlockKeys but lead with 7, 8 and 12 bytes, and used to declare
+// more than the reader accepted — connection-fatal for any share of 2^24
+// keys).
+func TestMaximalKeyFramesPassTheHeaderReaders(t *testing.T) {
+	keys := make([]join.Key, maxBlockKeys+1) // never written: stays untouched zero pages
+	session := []struct {
+		name   string
+		subHdr int
+		write  func(bw *bufio.Writer) error
+	}{
+		{"BLOCK", blockHeaderLen, func(bw *bufio.Writer) error { return writeKeyBlocksV3(bw, 1, 1, keys) }},
+		{"CHUNK", chunkHeaderLen, func(bw *bufio.Writer) error { return writeChunkKeys(bw, 1, 1, 0, keys) }},
+		{"STREAMBASE", streamBaseHdrLen, func(bw *bufio.Writer) error { return writeStreamBaseKeys(bw, 1, 1, keys) }},
+		{"STREAMWIN", streamWinHdrLen, func(bw *bufio.Writer) error { return writeStreamWinKeys(bw, 1, 0, 1, keys) }},
+	}
+	for _, c := range session {
+		fh := &frameHeaders{hdrLen: v3FrameHeaderLen}
+		bw := bufio.NewWriter(fh)
+		if err := c.write(bw); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if len(fh.hdrs) != 2 {
+			t.Fatalf("%s: %d frames for maxBlockKeys+1 keys, want a full one and a one-key one", c.name, len(fh.hdrs))
+		}
+		for i, h := range fh.hdrs {
+			_, _, n, err := readV3FrameHeader(bytes.NewReader(h))
+			if err != nil {
+				t.Errorf("%s frame %d: the worker's header reader refuses what the writer framed: %v", c.name, i, err)
+			}
+			if want := c.subHdr + 8*[]int{maxBlockKeys, 1}[i]; err == nil && n != want {
+				t.Errorf("%s frame %d declares %d bytes, want %d", c.name, i, n, want)
+			}
+		}
+	}
+
+	// The mesh splits at its own, smaller cap; every frame of a contribution
+	// one key past it passes the v4 reader, as does the largest payload any
+	// key frame may declare.
+	fh := &frameHeaders{hdrLen: 5}
+	pc := &peerConn{bw: bufio.NewWriter(fh)}
+	if err := pc.writeContribution(1, 0, keys[:maxPeerBlockKeys+1]); err != nil {
+		t.Fatal(err)
+	}
+	if len(fh.hdrs) != 3 {
+		t.Fatalf("peer contribution framed as %d frames, want head + 2 blocks", len(fh.hdrs))
+	}
+	var full [5]byte
+	binary.LittleEndian.PutUint32(full[1:], maxKeySubHdrLen+8*maxBlockKeys)
+	for i, h := range append(fh.hdrs, full[:]) {
+		if _, _, err := readFrameHeader(bytes.NewReader(h)); err != nil {
+			t.Errorf("peer frame %d: %v", i, err)
+		}
+	}
+}
+
+// TestRunningCountCap pins the one running-count predicate at its boundary
+// and the decoder applying it to every frame type that accumulates: a
+// relation, an epoch's base share or a window's share may reach
+// MaxRelationTuples and not pass it.
+func TestRunningCountCap(t *testing.T) {
+	for _, c := range []struct {
+		have, add int
+		over      bool
+	}{
+		{0, MaxRelationTuples, false},
+		{MaxRelationTuples - 1, 1, false},
+		{MaxRelationTuples, 0, false},
+		{MaxRelationTuples, 1, true},
+		{MaxRelationTuples - 5, 6, true},
+		{0, MaxRelationTuples + 1, true},
+	} {
+		if got := overRelationCap(c.have, c.add); got != c.over {
+			t.Errorf("overRelationCap(%d, %d) = %v, want %v", c.have, c.add, got, c.over)
+		}
+	}
+
+	frames := recordedKeyFrames(t)
+	for _, typ := range []byte{frameV3Chunk, frameV3StreamBase, frameV3StreamWin} {
+		j := &sessJob{}
+		for i := range j.rels {
+			// One tuple short of the cap on whichever relation the type counts.
+			j.rels[i] = sessRel{declared: true, streaming: true, chunks: 4, pos: MaxRelationTuples - 1}
+		}
+		payload := frames[typ] // carries two keys
+		br := bufio.NewReader(bytes.NewReader(payload))
+		err := j.readKeyFrame(br, typ, len(payload))
+		if _, ok := err.(*protoErr); !ok {
+			t.Errorf("frame type %d past the cap: got %v, want a job-level refusal", typ, err)
+		}
+		if br.Buffered() != 0 {
+			t.Errorf("frame type %d: refusal left %d bytes of the frame unread", typ, br.Buffered())
+		}
+	}
+}
+
+// recordedKeyFrames returns one frame payload (sub-header + two keys) per
+// key-carrying session frame type, as the writers frame it; every one names
+// relation 1 / mapper 1 / epoch 1 / window 0.
+func recordedKeyFrames(t testing.TB) map[byte][]byte {
+	t.Helper()
+	keys := []join.Key{7, -7}
+	out := make(map[byte][]byte)
+	for typ, write := range map[byte]func(*bytes.Buffer) error{
+		frameV3Block:      func(b *bytes.Buffer) error { return writeKeyBlocksV3(b, 1, 1, keys) },
+		frameV3Chunk:      func(b *bytes.Buffer) error { return writeChunkKeys(b, 1, 1, 1, keys) },
+		frameV3StreamBase: func(b *bytes.Buffer) error { return writeStreamBaseKeys(b, 1, 1, keys) },
+		frameV3StreamWin:  func(b *bytes.Buffer) error { return writeStreamWinKeys(b, 1, 0, 1, keys) },
+	} {
+		var b bytes.Buffer
+		if err := write(&b); err != nil {
+			t.Fatal(err)
+		}
+		out[typ] = b.Bytes()[v3FrameHeaderLen:]
+	}
+	return out
+}
+
+// FuzzKeyFrame feeds the one key-frame decoder arbitrary payloads under each
+// frame type, framed exactly as long as they are. It must never panic; it may
+// buffer only what the frame declared; an accepted frame and a job-level
+// refusal both consume exactly the frame (the next header parses); only a
+// frame shorter than its sub-header is connection-fatal; and whatever it
+// charged the tenant the job's release gives back.
+func FuzzKeyFrame(f *testing.F) {
+	types := []byte{frameV3Block, frameV3Chunk, frameV3StreamBase, frameV3StreamWin}
+	for i, typ := range types {
+		f.Add(byte(i), recordedKeyFrames(f)[typ])
+	}
+	closed := make(chan struct{})
+	close(closed)
+	f.Fuzz(func(t *testing.T, sel byte, payload []byte) {
+		typ := types[int(sel)%len(types)]
+		w := ListenWorkerOn(nil)
+		j := &sessJob{ws: &workerSession{w: w}}
+		if typ == frameV3StreamBase || typ == frameV3StreamWin {
+			// What dataFrame guarantees before it hands over a stream frame.
+			j.stream = &sessStream{ch: make(chan streamEvent, 1), done: closed}
+		} else {
+			j.rels[0] = sessRel{declared: true, streaming: true, chunks: 4, parts: make([][][]join.Key, 4)}
+			j.rels[1] = sessRel{declared: true, n: 64, keys: exec.GetKeyBuffer(64)}
+		}
+		const sentinel = 0xEE
+		var next [v3FrameHeaderLen]byte
+		next[0] = sentinel
+		br := bufio.NewReader(bytes.NewReader(append(append([]byte(nil), payload...), next[:]...)))
+
+		n, hdr := len(payload), keySubHdrLen[typ]
+		err := j.readKeyFrame(br, typ, n)
+		_, refused := err.(*protoErr)
+		switch {
+		case err == nil || refused:
+			if got, _, _, herr := readV3FrameHeader(br); herr != nil || got != sentinel {
+				t.Fatalf("type %d, %d-byte frame (err %v): the next header reads as (%d, %v)", typ, n, err, got, herr)
+			}
+		case n >= hdr:
+			t.Fatalf("type %d: a frame holding its whole sub-header was connection-fatal: %v", typ, err)
+		}
+		buffered := 0
+		if j.stream != nil {
+			select {
+			case ev := <-j.stream.ch:
+				buffered = len(ev.keys)
+				exec.PutKeyBuffer(ev.keys)
+			default:
+			}
+		}
+		for _, parts := range j.rels[0].parts {
+			for _, p := range parts {
+				buffered += len(p)
+			}
+		}
+		if err == nil && typ != frameV3Block && hdr+8*buffered != n {
+			t.Fatalf("type %d: accepted a %d-byte frame and buffered %d keys", typ, n, buffered)
+		}
+		if err != nil && buffered != 0 {
+			t.Fatalf("type %d: refused a frame (%v) yet buffered %d keys", typ, err, buffered)
+		}
+		j.release()
+		if used := w.tenants.usedBytes(""); used != 0 {
+			t.Fatalf("type %d: %d bytes still charged after release", typ, used)
+		}
+	})
+}

@@ -16,8 +16,12 @@
 // peer-mesh link (peer.go) — and close anything else. Both ends run one job
 // lifecycle each: the coordinator's subJob (open/send/await/close,
 // session.go) against the worker's openJob → headFrame/dataFrame → finishJob
-// → retire (session_worker.go). See wire.go for the framing and DESIGN.md's
-// "Transport" section for the frame table and both lifecycles.
+// → retire (session_worker.go), where a stream job and a chunk-fed hash count
+// job swap finishJob for the one join goroutine that consumes key frames as
+// they arrive (stream_worker.go). Every key-carrying data frame has one
+// writer (writeKeyFrames) and the session's have one decoder (readKeyFrame).
+// See wire.go for the framing and DESIGN.md's "Transport" section for the
+// frame table and both lifecycles.
 package netexec
 
 import (
@@ -161,6 +165,15 @@ type planCancel struct {
 // declared counts before any data arrives, so without this cap one
 // malformed or hostile connection could OOM the whole worker process.
 const MaxRelationTuples = 1 << 30
+
+// overRelationCap is the running-count predicate behind that cap wherever
+// tuples accumulate frame by frame — a chunked relation, one stream epoch's
+// base share, one window's share — on the side that writes them and the side
+// that buffers them: add more tuples on top of have would pass
+// MaxRelationTuples.
+func overRelationCap(have, add int) bool {
+	return int64(have)+int64(add) > MaxRelationTuples
+}
 
 // connBufSize sizes the per-connection buffered reader/writer.
 const connBufSize = 64 << 10

@@ -199,22 +199,14 @@ func (pc *peerConn) writeContribution(token uint64, sender int, keys []join.Key)
 	if _, err := pc.bw.Write(h[:]); err != nil {
 		return err
 	}
-	scratch := getScratch()
-	defer putScratch(scratch)
-	buf := *scratch
+	// The block sub-header repeats the head's layout with the frame's own
+	// count in the last slot, which writeKeyFrames fills.
 	for len(keys) > 0 {
 		n := len(keys)
 		if n > maxPeerBlockKeys {
 			n = maxPeerBlockKeys
 		}
-		if err := writeFrameHeader(pc.bw, framePeerBlock, peerBlockHeaderLen+8*n); err != nil {
-			return err
-		}
-		binary.LittleEndian.PutUint32(h[12:], uint32(n))
-		if _, err := pc.bw.Write(h[:]); err != nil {
-			return err
-		}
-		if err := writeKeysLE(pc.bw, keys[:n], buf); err != nil {
+		if err := writeKeyFrames(pc.bw, framePeerBlock, 0, h[:], keys[:n]); err != nil {
 			return err
 		}
 		keys = keys[n:]

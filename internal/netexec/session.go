@@ -729,7 +729,7 @@ func (j *subJob) sendChunks(frame func(func(*bufio.Writer) error) error, rel int
 	total := 0
 	for ch := range cs.Worker(j.worker) {
 		err := frame(func(bw *bufio.Writer) error {
-			if total+len(ch.Keys) > MaxRelationTuples {
+			if overRelationCap(total, len(ch.Keys)) {
 				return fmt.Errorf("relation %d holds over %d tuples, wire limit %d",
 					rel, total, MaxRelationTuples)
 			}

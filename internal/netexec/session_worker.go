@@ -10,6 +10,7 @@ import (
 	"os"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ewh/internal/exec"
@@ -29,8 +30,9 @@ import (
 // exit, shared with ABORT and connection teardown. The job kinds differ only
 // in where relation 1 comes from (coordinator blocks, chunks, or the peer
 // mesh) and where the matches go (a count, pairs, or a plan's peers); a
-// stream job swaps the finish goroutine for a long-lived one
-// (stream_worker.go) but opens and retires like the rest. Job-level protocol
+// stream job, and a count job whose chunks feed the hash engine as they land,
+// swap the finish goroutine for one that joins while the frames arrive
+// (stream_worker.go) but open and retire like the rest. Job-level protocol
 // violations fail only that job (its remaining frames are read and
 // discarded, then an error metrics frame replies); frame-level corruption is
 // connection-fatal — framing is the only thing that lets the two sides stay
@@ -56,11 +58,7 @@ type sessRel struct {
 	// the running tuple count while streaming.
 	streaming bool
 	chunks    int            // mapper count the head declared
-	parts     [][][]join.Key // parts[mapper] = ordered pooled sub-blocks
-	// fed marks a relation whose chunks route to the job's insert-while-probe
-	// feeder (see hashfeed.go) instead of accumulating parts: it never
-	// materializes a flat block, so its tail skips assemble.
-	fed bool
+	parts     [][][]join.Key // parts[mapper] = ordered pooled sub-blocks; nil when j.stream takes them
 }
 
 // assemble concatenates a chunk-streamed relation's parts mapper-major into
@@ -106,20 +104,16 @@ type sessJob struct {
 	// engine is the job's join-engine selection as the coordinator sent it
 	// (never a future unknown value — see effectiveEngine).
 	engine exec.JoinEngine
-	// feed, when set, is the job's insert-while-probe feeder: a count-only
-	// equality job whose relations arrive as CHUNK streams builds relation 1
-	// incrementally (and probes relation 2) while later chunks are still on
-	// the wire, instead of assembling flat blocks at the tails.
-	feed *buildFeeder
 
 	// ws is the connection the job arrived on; its tenant keys the job's
-	// quota accounting. charged is the byte reservation release() credits
-	// back (see tenant.go).
+	// quota accounting. charged is the byte reservation against that tenant
+	// (see tenant.go): the read loop charges it, a join goroutine credits
+	// buffers back as they leave worker memory, release() sweeps the rest.
 	ws      *workerSession
-	charged int64
+	charged atomic.Int64
 	// releaseSlot returns the job's admission slot (idempotent); nil while the
 	// job holds none (rejected at open, peer-fed and still awaiting its
-	// transfer, or a stream, which admits per window).
+	// transfer, or a STREAMOPEN job, which admits per window).
 	releaseSlot func()
 
 	// plan, when set, marks a stage-1 plan job: the join's matches are
@@ -135,9 +129,9 @@ type sessJob struct {
 	peerSt    *peerJobState
 	token     uint64
 
-	// stream, when set, marks a long-lived continuous-join stream job (see
-	// stream_worker.go): its frames feed a dedicated goroutine and the job
-	// never reaches finishJob.
+	// stream, when set, is the goroutine the job's key frames feed (see
+	// stream_worker.go) — a STREAMOPEN job's from its open, a chunk-fed count
+	// job's from relation 1's CHUNKHEAD. Such a job never reaches finishJob.
 	stream *sessStream
 }
 
@@ -167,32 +161,38 @@ func (j *sessJob) release() {
 		}
 		r.releaseParts()
 	}
-	if j.feed != nil {
-		// Every job exit path lands here, so the feeder goroutine (and any
-		// buffers it parked) never outlives the job. stop is idempotent —
-		// a finished job's feeder already stopped collecting its results.
-		j.feed.stop()
-	}
 	if j.stream != nil {
-		// Same contract for a stream job's goroutine (a no-op wait when the
-		// goroutine itself retires the job after its EOS).
+		// Every job exit path lands here, so the join goroutine never outlives
+		// the job (a no-op wait when the goroutine itself retires the job
+		// after its EOS). It must be gone before the sweep below.
 		j.stream.stop()
 	}
-	if j.charged > 0 {
-		j.ws.w.creditTenant(j.ws.tenant, j.charged)
-		j.charged = 0
+	if n := j.charged.Swap(0); n > 0 {
+		j.ws.w.creditTenant(j.ws.tenant, n)
 	}
 }
 
-// charge reserves n buffered bytes against the job's tenant budget; release
-// credits the whole reservation back.
+// charge reserves n buffered bytes against the job's tenant budget.
 func (j *sessJob) charge(n int64) error {
 	if err := j.ws.w.chargeTenant(j.ws.tenant, n); err != nil {
 		return err
 	}
-	j.charged += n
+	j.charged.Add(n)
 	return nil
 }
+
+// credit releases n bytes of the reservation ahead of release: the buffers
+// they covered left worker memory.
+func (j *sessJob) credit(n int64) {
+	if n > 0 {
+		j.charged.Add(-n)
+		j.ws.w.creditTenant(j.ws.tenant, n)
+	}
+}
+
+// streamOpened reports whether the job was opened by STREAMOPEN: the only
+// kind the STREAM frames belong to.
+func (j *sessJob) streamOpened() bool { return j.stream != nil && !j.stream.fed }
 
 // rel resolves a relation tag from a frame; 1 and 2 are valid.
 func (j *sessJob) rel(tag byte) (*sessRel, error) {
@@ -354,25 +354,25 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int, msg any,
 	return j
 }
 
-// headFrame serves the three fixed-layout relation frames (RELHEAD,
-// CHUNKHEAD, CHUNKTAIL). It reports false when the connection must die:
-// unknown job, wrong frame length, I/O error. A declaration the job cannot
-// accept fails only the job.
+// headFrame serves the fixed-layout frames that open or close a run of key
+// frames (RELHEAD, CHUNKHEAD, CHUNKTAIL, a stream's BASEEND and WINEND). It
+// reports false when the connection must die: unknown job, a stream end for
+// a job STREAMOPEN did not open, wrong frame length, I/O error. A declaration
+// the job cannot accept fails only the job.
 func (ws *workerSession) headFrame(br *bufio.Reader, typ byte, id uint32, n int) bool {
-	var buf [relHeadLen]byte // the longest of the three
-	h := buf[:relHeadLen]
-	switch typ {
-	case frameV3ChunkHead:
-		h = buf[:chunkHeadLen]
-	case frameV3ChunkTail:
-		h = buf[:chunkTailLen]
-	}
+	var buf [streamWinHdrLen]byte // the longest of the five
+	h := buf[:headFrameLen[typ]]
+	streamEnd := typ == frameV3StreamBaseEnd || typ == frameV3StreamWinEnd
 	j := ws.jobs[id]
-	if j == nil || n != len(h) {
+	if j == nil || n != len(h) || (streamEnd && !j.streamOpened()) {
 		return false
 	}
 	if _, err := io.ReadFull(br, h); err != nil {
 		return false
+	}
+	if streamEnd {
+		j.streamEnd(typ, h)
+		return true
 	}
 	if j.err != nil {
 		return true
@@ -394,15 +394,37 @@ func (ws *workerSession) headFrame(br *bufio.Reader, typ byte, id uint32, n int)
 	return true
 }
 
-// dataFrame serves the variable-length data frames (BLOCK, PAY, CHUNK and a
-// stream's BASE/WIN keys). A frame for a failed job is consumed and dropped;
-// a *protoErr from the decoder — which has consumed the frame — fails only
-// the job; anything else (unknown job, frame shorter than its sub-header,
-// I/O error) reports false: the connection's framing is lost.
+// streamEnd closes one epoch's base (h is [epoch u32][total u32]) or one
+// window ([window u32] ahead of the same): like a CHUNKTAIL's, its exact total
+// must match the running count, which then restarts. The end reaches the
+// goroutine failed stream or not: a window end is what makes it reply, and
+// the coordinator collects windows in lockstep.
+func (j *sessJob) streamEnd(typ byte, h []byte) {
+	ev := streamEvent{kind: evStreamBaseEnd,
+		epoch: binary.LittleEndian.Uint32(h[len(h)-8:]),
+		total: int(binary.LittleEndian.Uint32(h[len(h)-4:]))}
+	r := &j.rels[1]
+	if typ == frameV3StreamWinEnd {
+		ev.kind, ev.win = evStreamWinEnd, binary.LittleEndian.Uint32(h)
+		r = &j.rels[0]
+	}
+	if r.pos != ev.total {
+		j.fail(fmt.Errorf("stream frame type %d ends a run of %d tuples, declares %d", typ, r.pos, ev.total))
+	}
+	r.pos = 0
+	j.stream.feed(ev)
+}
+
+// dataFrame serves the variable-length data frames (PAY and the key frames:
+// BLOCK, CHUNK, a stream's BASE/WIN). A frame for a failed job is consumed
+// and dropped; a *protoErr from the decoder — which has consumed the frame —
+// fails only the job; anything else (unknown job, stream keys for a job
+// STREAMOPEN did not open, frame shorter than its sub-header, I/O error)
+// reports false: the connection's framing is lost.
 func (ws *workerSession) dataFrame(br *bufio.Reader, typ byte, id uint32, n int) bool {
 	j := ws.jobs[id]
 	stream := typ == frameV3StreamBase || typ == frameV3StreamWin
-	if j == nil || (stream && j.stream == nil) {
+	if j == nil || (stream && !j.streamOpened()) {
 		return false
 	}
 	if j.err != nil {
@@ -410,15 +432,10 @@ func (ws *workerSession) dataFrame(br *bufio.Reader, typ byte, id uint32, n int)
 		return err == nil
 	}
 	var err error
-	switch typ {
-	case frameV3Block:
-		err = j.readBlock(br, n)
-	case frameV3Pay:
+	if typ == frameV3Pay {
 		err = j.readPayBlock(br, n)
-	case frameV3Chunk:
-		err = j.readChunk(br, n)
-	default:
-		err = j.readStreamKeys(br, n, typ)
+	} else {
+		err = j.readKeyFrame(br, typ, n)
 	}
 	if pe, ok := err.(*protoErr); ok {
 		j.fail(pe)
@@ -534,7 +551,8 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			// the error. A stream holds no admission slot: the goroutine
 			// acquires one around each window's probe instead, so an idle
 			// stream never starves the fair scheduler.
-			j.stream = newSessStream(j, &so)
+			j.stream = newSessStream(j, exec.StatsSpec{Cap: so.StatsCap, Buckets: so.StatsBuckets,
+				Seed: so.StatsSeed, Adaptive: so.StatsAdaptive}, 0)
 
 		case frameV3Plan:
 			j := ws.jobs[id]
@@ -583,7 +601,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			w.dropPeerState(pc.Token)
 			ws.pt.cancel(pc.Token)
 
-		case frameV3RelHead, frameV3ChunkHead, frameV3ChunkTail:
+		case frameV3RelHead, frameV3ChunkHead, frameV3ChunkTail, frameV3StreamBaseEnd, frameV3StreamWinEnd:
 			if !ws.headFrame(br, typ, id, n) {
 				return
 			}
@@ -593,49 +611,20 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 				return
 			}
 
-		case frameV3StreamBaseEnd, frameV3StreamWinEnd:
-			// End frames always reach the goroutine, failed stream or not: a
-			// window end is what makes it reply, and the coordinator collects
-			// windows in lockstep.
-			var buf [streamWinHdrLen]byte
-			h := buf[:]
-			if typ == frameV3StreamBaseEnd {
-				h = buf[:streamBaseHdrLen]
-			}
-			j := ws.jobs[id]
-			if j == nil || j.stream == nil || n != len(h) {
-				return
-			}
-			if _, err := io.ReadFull(br, h); err != nil {
-				return
-			}
-			// Both layouts end [epoch u32][total u32]; a window end leads
-			// with its window number.
-			ev := streamEvent{kind: evStreamBaseEnd,
-				epoch: binary.LittleEndian.Uint32(h[len(h)-8:]),
-				total: int(binary.LittleEndian.Uint32(h[len(h)-4:]))}
-			if typ == frameV3StreamWinEnd {
-				ev.kind, ev.win = evStreamWinEnd, binary.LittleEndian.Uint32(h)
-			}
-			j.stream.feed(ev)
-
 		case frameV3EOS:
 			j := ws.jobs[id]
 			if j == nil || n != 0 {
 				return
 			}
 			delete(ws.jobs, id)
-			switch {
-			case j.stream != nil:
-				// The goroutine replies the aggregate metrics and retires the
-				// job itself as it exits.
+			if j.stream != nil {
+				// The goroutine replies the job's metrics and retires the job
+				// itself as it exits. Chunks a fed job consumed before this
+				// frame decoded overlapped the stream — the counter the
+				// coordinator's BuildOverlappedChunks aggregates.
+				j.stream.eosSeen.Store(true)
 				j.stream.feed(streamEvent{kind: evStreamEOS})
 				continue
-			case j.feed != nil:
-				// Chunks the feeder consumed before this frame decoded were
-				// overlapped with the stream — the counter the coordinator's
-				// BuildOverlappedChunks aggregates.
-				j.feed.markEOS()
 			}
 			// The join runs in its own goroutine so this loop keeps consuming
 			// the next job's frames.
@@ -662,7 +651,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 // relHead declares a flat relation: exact tuple count and payload bytes, from
 // which both receive buffers allocate before any data frame arrives.
 func (j *sessJob) relHead(r *sessRel, h []byte) error {
-	if err := j.declarable(r, h[0]); err != nil {
+	if err := j.declarable(r, h[0], false); err != nil {
 		return err
 	}
 	count := int64(binary.LittleEndian.Uint32(h[2:]))
@@ -692,14 +681,20 @@ func (j *sessJob) relHead(r *sessRel, h []byte) error {
 	return nil
 }
 
-// declarable refuses a second declaration of relation tag, and any
-// declaration of a peer-fed job's relation 1.
-func (j *sessJob) declarable(r *sessRel, tag byte) error {
-	if j.peerFed && tag == 1 {
+// declarable refuses a second declaration of relation tag, any declaration
+// of a peer-fed job's relation 1, and one a running join goroutine could not
+// take: a STREAMOPEN job's relations are its STREAM frames, and a fed job
+// probes relation 2 as chunks or not at all.
+func (j *sessJob) declarable(r *sessRel, tag byte, chunked bool) error {
+	switch {
+	case j.peerFed && tag == 1:
 		return fmt.Errorf("relation 1 of a peer-fed job arrives from peers, not the coordinator")
-	}
-	if r.declared {
+	case r.declared:
 		return fmt.Errorf("relation %d declared twice", tag)
+	case j.streamOpened():
+		return fmt.Errorf("relation %d declared on a stream job", tag)
+	case j.stream != nil && !chunked:
+		return fmt.Errorf("relation %d declared flat on a job whose relation 1 feeds the join as chunks", tag)
 	}
 	return nil
 }
@@ -707,7 +702,7 @@ func (j *sessJob) declarable(r *sessRel, tag byte) error {
 // chunkHead declares a chunk-streamed relation: only the mapper count is
 // known up front; the tail carries the exact totals.
 func (j *sessJob) chunkHead(r *sessRel, h []byte) error {
-	if err := j.declarable(r, h[0]); err != nil {
+	if err := j.declarable(r, h[0], true); err != nil {
 		return err
 	}
 	if h[1] != 0 {
@@ -721,18 +716,16 @@ func (j *sessJob) chunkHead(r *sessRel, h []byte) error {
 	r.declared = true
 	r.streaming = true
 	r.chunks = int(chunks)
-	// Insert-while-probe: a count-only job whose engine resolves to hash
-	// streams its chunks through a feeder goroutine (hashfeed.go) instead of
-	// accumulating parts — relation 1 builds as chunks land and relation 2
-	// probes the sealed (or cache-shared) build chunk by chunk. Pair and plan
-	// jobs need materialized arrival-ordered blocks, so they keep the assemble
-	// path.
+	// Insert-while-probe, under the same gate as exec.Local's chunk path: a
+	// count-only job whose engine resolves to hash feeds its chunks to a join
+	// goroutine (stream_worker.go) instead of accumulating parts. Pair and
+	// plan jobs need materialized arrival-ordered blocks, so they keep the
+	// assemble path, as does a job whose relation 2 was declared first.
 	switch {
-	case h[0] == 1 && j.plan == nil && !j.wantPairs && j.engine.ForCond(j.cond) == exec.EngineHash:
-		j.feed = newBuildFeeder(j.ws.w.buildCache, int(chunks))
-		r.fed = true
-	case h[0] == 2 && j.feed != nil:
-		r.fed = true
+	case j.stream != nil: // relation 2 of a fed job
+	case h[0] == 1 && !j.rels[1].declared && j.plan == nil && !j.wantPairs &&
+		j.engine.ForCond(j.cond) == exec.EngineHash:
+		j.stream = newSessStream(j, exec.StatsSpec{}, r.chunks)
 	default:
 		r.parts = make([][][]join.Key, chunks)
 	}
@@ -753,11 +746,12 @@ func (j *sessJob) chunkTail(r *sessRel, h []byte) error {
 	case r.pos != count:
 		return fmt.Errorf("chunked relation %d streamed %d tuples, tail declares %d",
 			h[0], r.pos, count)
-	case r.fed:
+	case j.stream != nil:
 		// A fed relation never materializes: record completion (so
-		// validateComplete passes) and tell the feeder — relation 1's tail
+		// validateComplete passes) and tell the goroutine — relation 1's tail
 		// seals the build and unblocks probing.
-		j.feed.feedTail(int(h[0]))
+		_, end := fedKinds(h[0])
+		j.stream.feed(streamEvent{kind: end, total: count})
 		r.streaming = false
 		r.n = r.pos
 	default:
@@ -794,94 +788,94 @@ func drainFrame(br *bufio.Reader, rest int, e *protoErr) error {
 	return e
 }
 
-// readBlock decodes one v3 key block frame into the job's receive buffer.
-// The frame's payload bytes are fully consumed even on a job-level error; a
-// frame too short to even hold the sub-header is connection-fatal (the
-// plain error propagates as one) — consuming past a frame's declared length
-// would desynchronize every other job on the stream.
-func (j *sessJob) readBlock(br *bufio.Reader, n int) error {
-	if n < blockHeaderLen {
-		return fmt.Errorf("block frame length %d below sub-header size", n)
+// readKeyFrame is the one decoder of key-carrying session frames (BLOCK,
+// CHUNK, STREAMBASE, STREAMWIN): a fixed sub-header whose last four bytes are
+// the key count, then the keys. A frame too short to even hold its sub-header
+// is connection-fatal (the plain error propagates as one) — consuming past a
+// frame's declared length would desynchronize every other job on the stream.
+// Every other refusal is job-level: the rest of the frame is drained and a
+// *protoErr returned. The types differ only in how the sub-header validates
+// against the job's declarations. A BLOCK then decodes in place into the
+// buffer its RELHEAD sized and charged; the others are capped by the running
+// count (exact totals validate at the tail or end frame), charged to the
+// tenant frame by frame, and decoded into a pooled buffer that joins its
+// mapper's part list or becomes the join goroutine's next event.
+func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
+	var hb [maxKeySubHdrLen]byte
+	h := hb[:keySubHdrLen[typ]]
+	if n < len(h) {
+		return fmt.Errorf("frame type %d length %d below sub-header size %d", typ, n, len(h))
 	}
-	var bh [blockHeaderLen]byte
-	if _, err := io.ReadFull(br, bh[:]); err != nil {
+	if _, err := io.ReadFull(br, h); err != nil {
 		return err
 	}
-	count := int(binary.LittleEndian.Uint32(bh[1:]))
-	drain := func(e *protoErr) error { return drainFrame(br, n-blockHeaderLen, e) }
-	if n != blockHeaderLen+8*count {
-		return drain(protoErrf("block frame length %d inconsistent with count %d", n, count))
+	count := int(binary.LittleEndian.Uint32(h[len(h)-4:]))
+	refuse := func(format string, args ...any) error {
+		return drainFrame(br, n-len(h), protoErrf(format, args...))
 	}
-	r, err := j.rel(bh[0])
-	if err != nil {
-		return drain(protoErrf("%s", err))
+	if n != len(h)+8*count {
+		return refuse("frame type %d length %d inconsistent with count %d", typ, n, count)
 	}
-	if !r.declared {
-		return drain(protoErrf("block for undeclared relation %d", bh[0]))
-	}
-	if r.streaming {
-		return drain(protoErrf("flat block for chunk-streaming relation %d", bh[0]))
-	}
-	if r.pos+count > r.n {
-		return drain(protoErrf("relation %d overflows declared count %d", bh[0], r.n))
-	}
-	if err := readKeysLE(br, r.keys[r.pos:r.pos+count]); err != nil {
-		return err
-	}
-	r.pos += count
-	return nil
-}
 
-// readChunk decodes one pipelined sub-block frame into a pooled part buffer,
-// appended to its mapper's arrival-ordered part list. Totals validate at the
-// tail; the only mid-stream caps are the wire-wide relation ceiling and the
-// tenant budget (charged chunk by chunk — a quota rejection drains the rest
-// of the stream exactly like any other job-level failure).
-func (j *sessJob) readChunk(br *bufio.Reader, n int) error {
-	if n < chunkHeaderLen {
-		return fmt.Errorf("chunk frame length %d below sub-header size", n)
+	// r is the relation whose running count the frame advances — for a stream,
+	// relation 1 is the open window and relation 2 the epoch's base — and ev
+	// the event (less its keys) the frame becomes for a join goroutine.
+	var r *sessRel
+	var ev streamEvent
+	switch typ {
+	case frameV3StreamBase:
+		r, ev = &j.rels[1], streamEvent{kind: evStreamBase, epoch: binary.LittleEndian.Uint32(h)}
+	case frameV3StreamWin:
+		r, ev = &j.rels[0], streamEvent{kind: evStreamWin, win: binary.LittleEndian.Uint32(h),
+			epoch: binary.LittleEndian.Uint32(h[4:])}
+	default:
+		var err error
+		if r, err = j.rel(h[0]); err != nil {
+			return refuse("%s", err)
+		}
+		if typ == frameV3Chunk {
+			ev.kind, _ = fedKinds(h[0])
+			ev.mapper = int(binary.LittleEndian.Uint16(h[1:]))
+		}
+		switch {
+		case typ == frameV3Block && !r.declared:
+			return refuse("block for undeclared relation %d", h[0])
+		case typ == frameV3Block && r.streaming:
+			return refuse("flat block for chunk-streaming relation %d", h[0])
+		case typ == frameV3Block && r.pos+count > r.n:
+			return refuse("relation %d overflows declared count %d", h[0], r.n)
+		case typ == frameV3Chunk && !r.streaming:
+			return refuse("chunk for non-streaming relation %d", h[0])
+		case typ == frameV3Chunk && ev.mapper >= r.chunks:
+			return refuse("chunk names mapper %d, head declared %d", ev.mapper, r.chunks)
+		}
 	}
-	var h [chunkHeaderLen]byte
-	if _, err := io.ReadFull(br, h[:]); err != nil {
-		return err
+
+	if typ == frameV3Block {
+		if err := readKeysLE(br, r.keys[r.pos:r.pos+count]); err != nil {
+			return err
+		}
+		r.pos += count
+		return nil
 	}
-	count := int(binary.LittleEndian.Uint32(h[3:]))
-	drain := func(e *protoErr) error { return drainFrame(br, n-chunkHeaderLen, e) }
-	if n != chunkHeaderLen+8*count {
-		return drain(protoErrf("chunk frame length %d inconsistent with count %d", n, count))
-	}
-	r, err := j.rel(h[0])
-	if err != nil {
-		return drain(protoErrf("%s", err))
-	}
-	if !r.streaming {
-		return drain(protoErrf("chunk for non-streaming relation %d", h[0]))
-	}
-	mapper := int(binary.LittleEndian.Uint16(h[1:]))
-	if mapper >= r.chunks {
-		return drain(protoErrf("chunk names mapper %d, head declared %d", mapper, r.chunks))
-	}
-	if int64(r.pos)+int64(count) > MaxRelationTuples {
-		return drain(protoErrf("chunked relation %d exceeds %d tuples", h[0], MaxRelationTuples))
+	if overRelationCap(r.pos, count) {
+		return refuse("frame type %d runs past %d tuples", typ, MaxRelationTuples)
 	}
 	if err := j.charge(8 * int64(count)); err != nil {
-		return drain(&protoErr{msg: err.Error(), cause: err})
+		return drainFrame(br, n-len(h), &protoErr{msg: err.Error(), cause: err})
 	}
-	buf := exec.GetKeyBuffer(count)
-	if err := readKeysLE(br, buf); err != nil {
-		exec.PutKeyBuffer(buf)
+	keys := exec.GetKeyBuffer(count)
+	if err := readKeysLE(br, keys); err != nil {
+		exec.PutKeyBuffer(keys)
 		return err
 	}
-	if r.fed {
-		// Ownership transfers to the feeder, which recycles the buffer after
-		// inserting (relation 1) or probing (relation 2). The tenant charge
-		// above stays until release — a conservative reservation, since the
-		// feeder frees the bytes long before the job retires.
-		j.feed.feedChunk(int(h[0]), mapper, buf)
-	} else {
-		r.parts[mapper] = append(r.parts[mapper], buf)
-	}
 	r.pos += count
+	if j.stream != nil {
+		ev.keys = keys
+		j.stream.feed(ev)
+	} else {
+		r.parts[ev.mapper] = append(r.parts[ev.mapper], keys)
+	}
 	return nil
 }
 
@@ -1057,15 +1051,6 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 			ws.wmu.Unlock()
 		}
 		m.Output = exec.JoinPairsEngine(j.engine, r1.keys, r2.keys, j.cond, emit)
-	case j.feed != nil:
-		// Insert-while-probe: the feeder built (and for a chunked relation 2,
-		// probed) while the stream was still arriving; collect its results.
-		// A relation 2 that arrived flat probes the finished build here.
-		build, count, ov, _ := j.feed.finish()
-		m.Output, m.BuildOverlapped = count, ov
-		if r2.keys != nil {
-			m.Output += build.ProbeCount(r2.keys)
-		}
 	case j.peerFed:
 		// Uncached — a transfer's assembled block is job-unique, so caching
 		// it would only churn the LRU.

@@ -91,6 +91,14 @@ func (st *Stream) sendShares(shares [][]join.Key, write func(*bufio.Writer, []jo
 	if len(shares) != len(st.conns) {
 		return fmt.Errorf("netexec: %d shares for %d workers", len(shares), len(st.conns))
 	}
+	for w, share := range shares {
+		// The end frame carries the share's total as a u32 and the worker
+		// buffers all of it: refuse what it would refuse, before any frame.
+		if overRelationCap(0, len(share)) {
+			return fmt.Errorf("netexec: worker %d's share holds %d tuples, wire limit %d",
+				w, len(share), MaxRelationTuples)
+		}
+	}
 	return fanOut(len(st.conns), func(w int) error {
 		sc := st.conns[w]
 		if sc.err == nil {

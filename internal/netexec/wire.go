@@ -147,8 +147,8 @@ const (
 	maxRelationChunks = 1 << 16
 	// relHeadLen is [rel u8][flags u8][count u32][payBytes u32].
 	relHeadLen = 10
-	// maxBlockKeys caps one block frame (128 MiB of keys); a larger
-	// per-worker relation is split into consecutive blocks.
+	// maxBlockKeys caps the keys one key-carrying frame holds (128 MiB); a
+	// longer run splits into consecutive frames (see writeKeyFrames).
 	maxBlockKeys = 1 << 24
 	// maxPayFrameBytes caps one payload frame's byte segment (64 MiB); a
 	// larger per-worker payload block is split into consecutive frames.
@@ -156,9 +156,13 @@ const (
 	// travel together), so this is also the per-tuple payload ceiling —
 	// enforced on the coordinator before any frame is written.
 	maxPayFrameBytes = 1 << 26
-	// maxFramePayload bounds what a worker will buffer for one control
-	// frame; data frames are bounded by maxBlockKeys instead.
-	maxFramePayload = blockHeaderLen + 8*maxBlockKeys
+	// maxKeySubHdrLen is the longest sub-header a key-carrying frame leads
+	// with (framePeerBlock's; BLOCK 5, CHUNK 7, STREAMBASE 8, STREAMWIN 12).
+	maxKeySubHdrLen = peerBlockHeaderLen
+	// maxFramePayload is the longest payload either frame-header reader
+	// accepts: a full key frame under the longest sub-header, so a maximal
+	// frame of every key-carrying type passes. Control frames sit far below.
+	maxFramePayload = maxKeySubHdrLen + 8*maxBlockKeys
 
 	// peerHeadLen is framePeerHead's payload: [token u64][sender u32][count u32].
 	peerHeadLen = 16
@@ -274,9 +278,6 @@ func readGobPayload(r io.Reader, n int, v any) error {
 // byte size — the worker allocates both receive buffers from these before
 // any data frame arrives.
 func writeRelHead(w io.Writer, job uint32, rel int8, count int, hasPay bool, payBytes int) error {
-	if err := writeV3FrameHeader(w, frameV3RelHead, job, relHeadLen); err != nil {
-		return err
-	}
 	var h [relHeadLen]byte
 	h[0] = byte(rel)
 	if hasPay {
@@ -284,39 +285,100 @@ func writeRelHead(w io.Writer, job uint32, rel int8, count int, hasPay bool, pay
 	}
 	binary.LittleEndian.PutUint32(h[2:], uint32(count))
 	binary.LittleEndian.PutUint32(h[6:], uint32(payBytes))
-	_, err := w.Write(h[:])
+	return writeHeadFrame(w, frameV3RelHead, job, h[:])
+}
+
+// writeHeadFrame writes one of the fixed-layout frames that open or close a
+// run of key frames (the worker's headFrame reads them).
+func writeHeadFrame(w io.Writer, typ byte, job uint32, h []byte) error {
+	if err := writeV3FrameHeader(w, typ, job, len(h)); err != nil {
+		return err
+	}
+	_, err := w.Write(h)
 	return err
 }
 
-// writeKeyBlocksV3 streams one relation's contiguous per-worker key slice as
-// block frames (one block unless the slice exceeds maxBlockKeys). Keys are
-// staged through a pooled scratch buffer in fixed-width little-endian, so
-// the cost per key is one PutUint64 — no per-batch slice headers, no
-// reflection.
-func writeKeyBlocksV3(w *bufio.Writer, job uint32, rel int8, keys []join.Key) error {
+// writeKeyFrames is the one writer of key-carrying data frames (BLOCK, CHUNK,
+// STREAMBASE, STREAMWIN on a session; framePeerBlock, which rides the
+// job-less v4 header and ignores job, on the mesh). They share one shape: a
+// fixed sub-header whose last four bytes are the frame's key count, then the
+// keys fixed-width little-endian. sub arrives with everything but the count
+// filled in; keys split at maxBlockKeys into consecutive frames (which append
+// in arrival order on the worker) and an empty run writes nothing — the
+// relation's head, tail or end frame already says zero. Keys stage through a
+// pooled scratch buffer, so the cost per key is one PutUint64.
+func writeKeyFrames(w io.Writer, typ byte, job uint32, sub []byte, keys []join.Key) error {
 	scratch := getScratch()
 	defer putScratch(scratch)
-	buf := *scratch
 	for len(keys) > 0 {
 		n := len(keys)
 		if n > maxBlockKeys {
 			n = maxBlockKeys
 		}
-		if err := writeV3FrameHeader(w, frameV3Block, job, blockHeaderLen+8*n); err != nil {
+		var err error
+		if typ == framePeerBlock {
+			err = writeFrameHeader(w, typ, len(sub)+8*n)
+		} else {
+			err = writeV3FrameHeader(w, typ, job, len(sub)+8*n)
+		}
+		if err != nil {
 			return err
 		}
-		var bh [blockHeaderLen]byte
-		bh[0] = byte(rel)
-		binary.LittleEndian.PutUint32(bh[1:], uint32(n))
-		if _, err := w.Write(bh[:]); err != nil {
+		binary.LittleEndian.PutUint32(sub[len(sub)-4:], uint32(n))
+		if _, err := w.Write(sub); err != nil {
 			return err
 		}
-		if err := writeKeysLE(w, keys[:n], buf); err != nil {
+		if err := writeKeysLE(w, keys[:n], *scratch); err != nil {
 			return err
 		}
 		keys = keys[n:]
 	}
 	return nil
+}
+
+// headFrameLen is the payload length of each fixed-layout session frame that
+// opens or closes a run of key frames.
+var headFrameLen = [...]int{frameV3RelHead: relHeadLen, frameV3ChunkHead: chunkHeadLen,
+	frameV3ChunkTail: chunkTailLen, frameV3StreamBaseEnd: streamBaseHdrLen,
+	frameV3StreamWinEnd: streamWinHdrLen}
+
+// keySubHdrLen is the sub-header length of each key-carrying session frame.
+var keySubHdrLen = [...]int{frameV3Block: blockHeaderLen, frameV3Chunk: chunkHeaderLen,
+	frameV3StreamBase: streamBaseHdrLen, frameV3StreamWin: streamWinHdrLen}
+
+// writeKeyBlocksV3 streams one flat relation's contiguous per-worker key slice
+// as BLOCK frames.
+func writeKeyBlocksV3(w io.Writer, job uint32, rel int8, keys []join.Key) error {
+	var h [blockHeaderLen]byte
+	h[0] = byte(rel)
+	return writeKeyFrames(w, frameV3Block, job, h[:], keys)
+}
+
+// writeChunkKeys frames one mapper's routed sub-block for one worker;
+// consecutive frames with the same mapper id reassemble in arrival order
+// (TCP preserves intra-connection order).
+func writeChunkKeys(w io.Writer, job uint32, rel int8, mapper int, keys []join.Key) error {
+	var h [chunkHeaderLen]byte
+	h[0] = byte(rel)
+	binary.LittleEndian.PutUint16(h[1:], uint16(mapper))
+	return writeKeyFrames(w, frameV3Chunk, job, h[:], keys)
+}
+
+// writeStreamBaseKeys ships one epoch's base shard for one worker.
+func writeStreamBaseKeys(w io.Writer, job, epoch uint32, keys []join.Key) error {
+	var h [streamBaseHdrLen]byte
+	binary.LittleEndian.PutUint32(h[0:], epoch)
+	return writeKeyFrames(w, frameV3StreamBase, job, h[:], keys)
+}
+
+// writeStreamWinKeys ships one window's shard for one worker. The epoch names
+// the plan the shard was routed under; the worker rejects a window whose
+// epoch does not match its sealed base.
+func writeStreamWinKeys(w io.Writer, job, window, epoch uint32, keys []join.Key) error {
+	var h [streamWinHdrLen]byte
+	binary.LittleEndian.PutUint32(h[0:], window)
+	binary.LittleEndian.PutUint32(h[4:], epoch)
+	return writeKeyFrames(w, frameV3StreamWin, job, h[:], keys)
 }
 
 // readKeysLE decodes len(dst) little-endian keys from r into dst, staged
@@ -455,153 +517,40 @@ func writePairsFrame(w *bufio.Writer, job uint32, pairs []exec.PairIdx) error {
 // are bare-key only, so flags is always 0 for now and the worker rejects
 // anything else.
 func writeChunkHead(w io.Writer, job uint32, rel int8, chunks int) error {
-	if err := writeV3FrameHeader(w, frameV3ChunkHead, job, chunkHeadLen); err != nil {
-		return err
-	}
 	var h [chunkHeadLen]byte
 	h[0] = byte(rel)
 	binary.LittleEndian.PutUint32(h[2:], uint32(chunks))
-	_, err := w.Write(h[:])
-	return err
-}
-
-// writeChunkFrame streams one mapper's routed sub-block (or a split of one)
-// for one worker; callers split oversized sub-blocks via writeChunkKeys.
-func writeChunkFrame(w *bufio.Writer, job uint32, rel int8, mapper int, keys []join.Key) error {
-	if len(keys) > maxBlockKeys {
-		return fmt.Errorf("chunk of %d keys exceeds frame limit %d", len(keys), maxBlockKeys)
-	}
-	if err := writeV3FrameHeader(w, frameV3Chunk, job, chunkHeaderLen+8*len(keys)); err != nil {
-		return err
-	}
-	var h [chunkHeaderLen]byte
-	h[0] = byte(rel)
-	binary.LittleEndian.PutUint16(h[1:], uint16(mapper))
-	binary.LittleEndian.PutUint32(h[3:], uint32(len(keys)))
-	if _, err := w.Write(h[:]); err != nil {
-		return err
-	}
-	scratch := getScratch()
-	defer putScratch(scratch)
-	return writeKeysLE(w, keys, *scratch)
-}
-
-// writeChunkKeys frames one mapper's sub-block, splitting at the per-frame
-// key cap: consecutive frames with the same mapper id reassemble in arrival
-// order on the worker (TCP preserves intra-connection order).
-func writeChunkKeys(w *bufio.Writer, job uint32, rel int8, mapper int, keys []join.Key) error {
-	for {
-		n := len(keys)
-		if n > maxBlockKeys {
-			n = maxBlockKeys
-		}
-		if err := writeChunkFrame(w, job, rel, mapper, keys[:n]); err != nil {
-			return err
-		}
-		keys = keys[n:]
-		if len(keys) == 0 {
-			return nil
-		}
-	}
+	return writeHeadFrame(w, frameV3ChunkHead, job, h[:])
 }
 
 // writeChunkTail closes a chunked relation with its exact totals; the worker
 // cross-checks them against the running counts the chunks accumulated.
 func writeChunkTail(w io.Writer, job uint32, rel int8, count, payBytes int) error {
-	if err := writeV3FrameHeader(w, frameV3ChunkTail, job, chunkTailLen); err != nil {
-		return err
-	}
 	var h [chunkTailLen]byte
 	h[0] = byte(rel)
 	binary.LittleEndian.PutUint32(h[1:], uint32(count))
 	binary.LittleEndian.PutUint32(h[5:], uint32(payBytes))
-	_, err := w.Write(h[:])
-	return err
-}
-
-// writeStreamBaseKeys ships one epoch's base shard for one worker, split at
-// the per-frame key cap; consecutive frames append in arrival order. An
-// empty shard writes no frames — the end frame's total says it all.
-func writeStreamBaseKeys(w *bufio.Writer, job, epoch uint32, keys []join.Key) error {
-	scratch := getScratch()
-	defer putScratch(scratch)
-	for len(keys) > 0 {
-		n := len(keys)
-		if n > maxBlockKeys {
-			n = maxBlockKeys
-		}
-		if err := writeV3FrameHeader(w, frameV3StreamBase, job, streamBaseHdrLen+8*n); err != nil {
-			return err
-		}
-		var h [streamBaseHdrLen]byte
-		binary.LittleEndian.PutUint32(h[0:], epoch)
-		binary.LittleEndian.PutUint32(h[4:], uint32(n))
-		if _, err := w.Write(h[:]); err != nil {
-			return err
-		}
-		if err := writeKeysLE(w, keys[:n], *scratch); err != nil {
-			return err
-		}
-		keys = keys[n:]
-	}
-	return nil
+	return writeHeadFrame(w, frameV3ChunkTail, job, h[:])
 }
 
 // writeStreamBaseEnd seals one epoch's base with its exact total; the worker
 // cross-checks it and (re)builds its join-side structure.
-func writeStreamBaseEnd(w *bufio.Writer, job, epoch uint32, total int) error {
-	if err := writeV3FrameHeader(w, frameV3StreamBaseEnd, job, streamBaseHdrLen); err != nil {
-		return err
-	}
+func writeStreamBaseEnd(w io.Writer, job, epoch uint32, total int) error {
 	var h [streamBaseHdrLen]byte
 	binary.LittleEndian.PutUint32(h[0:], epoch)
 	binary.LittleEndian.PutUint32(h[4:], uint32(total))
-	_, err := w.Write(h[:])
-	return err
-}
-
-// writeStreamWinKeys ships one window's shard for one worker, split at the
-// per-frame key cap. The epoch names the plan the shard was routed under;
-// the worker rejects a window whose epoch does not match its sealed base.
-func writeStreamWinKeys(w *bufio.Writer, job, window, epoch uint32, keys []join.Key) error {
-	scratch := getScratch()
-	defer putScratch(scratch)
-	for len(keys) > 0 {
-		n := len(keys)
-		if n > maxBlockKeys {
-			n = maxBlockKeys
-		}
-		if err := writeV3FrameHeader(w, frameV3StreamWin, job, streamWinHdrLen+8*n); err != nil {
-			return err
-		}
-		var h [streamWinHdrLen]byte
-		binary.LittleEndian.PutUint32(h[0:], window)
-		binary.LittleEndian.PutUint32(h[4:], epoch)
-		binary.LittleEndian.PutUint32(h[8:], uint32(n))
-		if _, err := w.Write(h[:]); err != nil {
-			return err
-		}
-		if err := writeKeysLE(w, keys[:n], *scratch); err != nil {
-			return err
-		}
-		keys = keys[n:]
-	}
-	return nil
+	return writeHeadFrame(w, frameV3StreamBaseEnd, job, h[:])
 }
 
 // writeStreamWinEnd closes one window's shard with its exact total; the
 // worker cross-checks, probes the window against the sealed base, and
 // replies with a frameV3StreamRep.
-func writeStreamWinEnd(w *bufio.Writer, job, window, epoch uint32, total int) error {
-	if err := writeV3FrameHeader(w, frameV3StreamWinEnd, job, streamWinHdrLen); err != nil {
-		return err
-	}
+func writeStreamWinEnd(w io.Writer, job, window, epoch uint32, total int) error {
 	var h [streamWinHdrLen]byte
 	binary.LittleEndian.PutUint32(h[0:], window)
 	binary.LittleEndian.PutUint32(h[4:], epoch)
 	binary.LittleEndian.PutUint32(h[8:], uint32(total))
-	_, err := w.Write(h[:])
-	return err
+	return writeHeadFrame(w, frameV3StreamWinEnd, job, h[:])
 }
 
 // pairsBufPool recycles the coordinator's pairs receive chunks: the
