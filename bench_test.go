@@ -29,14 +29,7 @@ func runExperiment(b *testing.B, f func(io.Writer, bench.Config) error) {
 
 // BenchmarkFig1Example reproduces the paper's running example (Fig. 1):
 // three schemes partitioning a 16×16 band-join matrix over 3 machines.
-func BenchmarkFig1Example(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := bench.Fig1(io.Discard, 42); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkFig1Example(b *testing.B) { runExperiment(b, bench.Fig1) }
 
 // BenchmarkTable3Regionalization measures the BSP-versus-MonotonicBSP
 // complexity gap (Table III).
@@ -85,6 +78,6 @@ func BenchmarkFig4hMaxRegionWeight(b *testing.B) { runExperiment(b, bench.Fig4h)
 // slowdown on input-dominated joins; high-selectivity fallback).
 func BenchmarkWorstCases(b *testing.B) { runExperiment(b, bench.Worst) }
 
-// BenchmarkAblations runs the design-choice studies of DESIGN.md: nc = 2J vs
-// J, AdaptNS, output-sample size, and the Stream-Sample variants.
+// BenchmarkAblations runs the design-choice studies (bench.Ablations): nc = 2J
+// vs J, AdaptNS, output-sample size, and the Stream-Sample variants.
 func BenchmarkAblations(b *testing.B) { runExperiment(b, bench.Ablations) }

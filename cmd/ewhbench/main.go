@@ -1,7 +1,6 @@
 // Command ewhbench regenerates the paper's evaluation tables and figures at
 // a configurable scale. Run with -exp all (default) or a comma-separated
-// subset of: fig1, tab3, tab4, tab5, fig4a, fig4b, fig4c, fig4d, fig4e,
-// fig4f, fig4g, fig4h, worst.
+// subset of the ids in bench.Drivers (ewhbench -h lists them).
 //
 //	ewhbench -exp fig4a,fig4h -j 16 -scale 2 -seed 7
 package main
@@ -9,98 +8,48 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"ewh/internal/bench"
 )
 
 func main() {
+	var ids []string
+	for _, d := range bench.Drivers {
+		ids = append(ids, d.ID)
+	}
 	var (
-		exps  = flag.String("exp", "all", "experiments to run (comma-separated ids or 'all')")
+		exps  = flag.String("exp", "all", "experiments to run: 'all' or comma-separated ids of "+strings.Join(ids, ", "))
 		scale = flag.Int("scale", 1, "dataset scale multiplier (1 ≈ paper ÷ 1000)")
 		j     = flag.Int("j", 8, "number of joiner machines J")
 		seed  = flag.Uint64("seed", 42, "random seed")
-		bout  = flag.String("benchout", "", "write the engine hot-path benchmark to this JSON file (e.g. BENCH_exec.json) and exit")
-		base  = flag.String("baseline", "", "with -benchout: compare against these committed baseline JSONs (comma-separated) and exit nonzero on regression")
-		maxRg = flag.Float64("maxregress", 0.25, "with -baseline: tolerated fractional cost-metric growth before failing")
 	)
 	flag.Parse()
-
 	cfg := bench.Config{Scale: *scale, J: *j, Seed: *seed}
-	if *bout != "" {
-		rep, err := bench.WriteExecBenchJSON(os.Stdout, cfg, *bout)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ewhbench: benchout: %v\n", err)
-			os.Exit(1)
-		}
-		if *base != "" {
-			failed := false
-			for _, path := range strings.Split(*base, ",") {
-				if err := bench.CheckExecBenchAgainst(os.Stdout, rep, strings.TrimSpace(path), *maxRg); err != nil {
-					fmt.Fprintf(os.Stderr, "ewhbench: %v\n", err)
-					failed = true
-				}
-			}
-			if failed {
-				os.Exit(1)
-			}
-		}
-		return
-	}
-	drivers := map[string]func(io.Writer, bench.Config) error{
-		"tab3":   bench.TableIII,
-		"tab4":   bench.TableIV,
-		"tab5":   bench.TableV,
-		"fig4a":  bench.Fig4a,
-		"fig4b":  bench.Fig4b,
-		"fig4c":  bench.Fig4c,
-		"fig4d":  bench.Fig4d,
-		"fig4e":  bench.Fig4e,
-		"fig4f":  bench.Fig4f,
-		"fig4g":  bench.Fig4g,
-		"fig3":   bench.Fig3,
-		"fig4h":  bench.Fig4h,
-		"worst":  bench.Worst,
-		"ablate": bench.Ablations,
-		"equi":   bench.EquiComparison,
-		"steal":  bench.WorkStealing,
-	}
-	order := []string{"fig1", "fig3", "tab4", "tab3", "fig4a", "fig4b", "fig4c",
-		"fig4d", "fig4e", "fig4f", "fig4g", "fig4h", "tab5", "worst", "ablate",
-		"equi", "steal"}
 
+	// Resolve every requested id before running anything, so a typo fails
+	// at once instead of after minutes of experiments.
 	want := map[string]bool{}
-	if *exps == "all" {
-		for _, id := range order {
+	if *exps != "all" {
+		for _, id := range strings.Split(*exps, ",") {
+			id = strings.TrimSpace(id)
+			if !slices.Contains(ids, id) {
+				fmt.Fprintf(os.Stderr, "ewhbench: unknown experiment %q (known: %s)\n", id, strings.Join(ids, ", "))
+				os.Exit(2)
+			}
 			want[id] = true
 		}
-	} else {
-		for _, id := range strings.Split(*exps, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
 	}
-
-	for _, id := range order {
-		if !want[id] {
+	for _, d := range bench.Drivers {
+		if *exps != "all" && !want[d.ID] {
 			continue
 		}
-		delete(want, id)
-		var err error
-		if id == "fig1" {
-			err = bench.Fig1(os.Stdout, *seed)
-		} else {
-			err = drivers[id](os.Stdout, cfg)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ewhbench: %s: %v\n", id, err)
+		if err := d.Run(os.Stdout, cfg); err != nil {
+			fmt.Fprintf(os.Stderr, "ewhbench: %s: %v\n", d.ID, err)
 			os.Exit(1)
 		}
 		fmt.Println()
-	}
-	for id := range want {
-		fmt.Fprintf(os.Stderr, "ewhbench: unknown experiment %q\n", id)
-		os.Exit(2)
 	}
 }

@@ -6,7 +6,7 @@
 // On SIGINT/SIGTERM the worker shuts down gracefully: it stops accepting,
 // drains every in-flight job (bounded by -drain), then exits 0. -fail-after
 // N crashes the worker abruptly after N completed jobs — the deterministic
-// fault-injection hook recovery demos and load tests kill workers with.
+// fault-injection hook recovery demos and tests kill workers with.
 //
 //	ewhworker -addr 127.0.0.1:7071
 package main

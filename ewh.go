@@ -20,8 +20,8 @@
 //	res := ewh.Execute(r1, r2, ewh.Band(10), plan, ewh.ExecConfig{})
 //	fmt.Println(res.Output, res.MaxWork)
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record.
+// See DESIGN.md "Package inventory" for the system's parts and
+// EXPERIMENTS.md for the paper-versus-measured record.
 package ewh
 
 import (

@@ -9,7 +9,7 @@ import (
 	"ewh/internal/sample"
 )
 
-// Ablations prints the design-choice studies DESIGN.md calls out:
+// Ablations prints the design-choice studies (id `ablate`):
 //
 //  1. nc = 2J versus nc = J — the coarsened-matrix size (§III-D argues 2J
 //     lessens the grid-partitioning accuracy loss);

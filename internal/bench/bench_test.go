@@ -71,97 +71,73 @@ func TestRunSchemeAll(t *testing.T) {
 	}
 }
 
-func TestFig1Output(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig1(&buf, 42); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"CI", "CSI", "CSIO", "exact output size: 29"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Fig1 output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestTableIVOutput(t *testing.T) {
-	var buf bytes.Buffer
-	if err := TableIV(&buf, testCfg()); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range TableIVJoins {
-		if !strings.Contains(buf.String(), id) {
-			t.Errorf("Table IV missing row %s", id)
-		}
-	}
-}
-
-func TestTableIIIOutput(t *testing.T) {
-	var buf bytes.Buffer
-	if err := TableIII(&buf, testCfg()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "MonotonicBSP") {
-		t.Error("Table III missing header")
-	}
-}
-
-func TestWorstOutput(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Worst(&buf, testCfg()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "fallback=true") {
-		t.Errorf("worst-case 2 did not trip the fallback:\n%s", buf.String())
-	}
-}
-
-// TestDriversSmoke runs every experiment driver end to end at a small
-// configuration, checking they produce output without error.
+// TestDriversSmoke runs every driver in the Drivers table end to end at a
+// small configuration: each must succeed, print something, and — where the
+// experiment has a shape worth pinning — print the lines named here.
 func TestDriversSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment drivers are slow in -short mode")
+	wantIn := map[string][]string{
+		"fig1":  {"CI", "CSI", "CSIO", "exact output size: 29"},
+		"tab4":  TableIVJoins,
+		"tab3":  {"MonotonicBSP"},
+		"worst": {"fallback=true"}, // worst-case 2 must trip the fallback
+		"equi":  {"HashPRPD"},
+		"steal": {"K=8"},
 	}
-	cfg := Config{Scale: 1, J: 4, Seed: 42}
-	drivers := map[string]func(*bytes.Buffer) error{
-		"fig3":   func(b *bytes.Buffer) error { return Fig3(b, cfg) },
-		"fig4a":  func(b *bytes.Buffer) error { return Fig4a(b, cfg) },
-		"fig4b":  func(b *bytes.Buffer) error { return Fig4b(b, cfg) },
-		"fig4c":  func(b *bytes.Buffer) error { return Fig4c(b, cfg) },
-		"fig4d":  func(b *bytes.Buffer) error { return Fig4d(b, cfg) },
-		"fig4f":  func(b *bytes.Buffer) error { return Fig4f(b, cfg) },
-		"fig4h":  func(b *bytes.Buffer) error { return Fig4h(b, cfg) },
-		"tab5":   func(b *bytes.Buffer) error { return TableV(b, cfg) },
-		"ablate": func(b *bytes.Buffer) error { return Ablations(b, cfg) },
+	for _, d := range Drivers {
+		t.Run(d.ID, func(t *testing.T) {
+			if testing.Short() && wantIn[d.ID] == nil {
+				t.Skip("pure smoke run; slow in -short mode")
+			}
+			var buf bytes.Buffer
+			if err := d.Run(&buf, testCfg()); err != nil {
+				t.Fatal(err)
+			}
+			if buf.Len() == 0 {
+				t.Error("no output")
+			}
+			for _, want := range wantIn[d.ID] {
+				if !strings.Contains(buf.String(), want) {
+					t.Errorf("output missing %q:\n%s", want, buf.String())
+				}
+			}
+			delete(wantIn, d.ID)
+		})
 	}
-	for name, f := range drivers {
-		var buf bytes.Buffer
-		if err := f(&buf); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-		if buf.Len() == 0 {
-			t.Errorf("%s produced no output", name)
-		}
+	for id := range wantIn {
+		t.Errorf("expectation for %q names no driver", id)
 	}
 }
 
-func TestEquiAndStealDrivers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment drivers are slow in -short mode")
-	}
-	cfg := Config{Scale: 1, J: 4, Seed: 42}
-	var buf bytes.Buffer
-	if err := EquiComparison(&buf, cfg); err != nil {
-		t.Fatalf("equi: %v", err)
-	}
-	if !strings.Contains(buf.String(), "HashPRPD") {
-		t.Error("equi output missing PRPD row")
-	}
-	buf.Reset()
-	if err := WorkStealing(&buf, cfg); err != nil {
-		t.Fatalf("steal: %v", err)
-	}
-	if !strings.Contains(buf.String(), "K=8") {
-		t.Error("steal output missing K=8 row")
+// TestCSIOBeatsCIAndCSIOnMakespan gates the paper's §VI claim on the modeled
+// makespan (max region weight — no wall clock, deterministic for the seed):
+// over the eight Table IV joins, CSIO is within 5% of the better of CI and
+// CSI everywhere, and strictly better than both on every BCB-β row. The 5%
+// is where the claim is thin, not slack: on BEOCD CSIO trails CI by 1.6%
+// at J=8 and 3.2% at J=4.
+func TestCSIOBeatsCIAndCSIOnMakespan(t *testing.T) {
+	for _, j := range []int{4, 8} {
+		cfg := Config{Scale: 1, J: j, Seed: 42}
+		for _, id := range TableIVJoins {
+			spec, err := MakeJoin(id, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			work := map[string]float64{}
+			for _, s := range Schemes {
+				r, err := RunScheme(spec, s, cfg, 1) // throughput only scales the seconds fields, unread here
+				if err != nil {
+					t.Fatalf("J=%d %s %s: %v", j, id, s, err)
+				}
+				work[s] = r.MaxWork
+			}
+			ci, csi, csio := work["CI"], work["CSI"], work["CSIO"]
+			if csio > 1.05*min(ci, csi) {
+				t.Errorf("J=%d %s: CSIO %.0f is more than 5%% over min(CI %.0f, CSI %.0f)", j, id, csio, ci, csi)
+			}
+			if strings.HasPrefix(id, "BCB-") && (csio >= ci || csio >= csi) {
+				t.Errorf("J=%d %s: CSIO %.0f does not beat CI %.0f and CSI %.0f", j, id, csio, ci, csi)
+			}
+			t.Logf("J=%d %-7s CI %8.0f  CSI %8.0f  CSIO %8.0f", j, id, ci, csi, csio)
+		}
 	}
 }

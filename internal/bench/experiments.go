@@ -12,6 +12,21 @@ import (
 	"ewh/internal/workload"
 )
 
+// Drivers is the one ordered id → driver table: `ewhbench -exp all` runs it
+// top to bottom, -exp ids are validated against it, the usage text lists
+// it, and TestDriversSmoke iterates it — a driver added here is reachable
+// and tested, one left out is neither.
+var Drivers = []struct {
+	ID  string
+	Run func(io.Writer, Config) error
+}{
+	{"fig1", Fig1}, {"fig3", Fig3}, {"tab4", TableIV}, {"tab3", TableIII},
+	{"fig4a", Fig4a}, {"fig4b", Fig4b}, {"fig4c", Fig4c}, {"fig4d", Fig4d},
+	{"fig4e", Fig4e}, {"fig4f", Fig4f}, {"fig4g", Fig4g}, {"fig4h", Fig4h},
+	{"tab5", TableV}, {"worst", Worst}, {"ablate", Ablations},
+	{"equi", EquiComparison}, {"steal", WorkStealing},
+}
+
 // TableIV prints the joins' characteristics table (input/output sizes, ρoi).
 func TableIV(w io.Writer, cfg Config) error {
 	cfg.Defaults()

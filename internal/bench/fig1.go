@@ -24,8 +24,10 @@ var (
 // Fig1 reproduces the running example: the three schemes partition the
 // 16×16 band-join matrix over 3 machines; the table shows each machine's
 // input, output and weight under w(r) = input + output, demonstrating the
-// CI > CSI > CSIO maximum-weight ordering of Figs. 1b-1d.
-func Fig1(w io.Writer, seed uint64) error {
+// CI > CSI > CSIO maximum-weight ordering of Figs. 1b-1d. Only cfg.Seed is
+// read: the example fixes its own data and J.
+func Fig1(w io.Writer, cfg Config) error {
+	cfg.Defaults()
 	cond := join.NewBand(1)
 	model := cost.Model{Wi: 1, Wo: 1} // the example's unit weight function
 	const j = 3
@@ -33,7 +35,7 @@ func Fig1(w io.Writer, seed uint64) error {
 	fmt.Fprintln(w, "Fig 1: band-join |R1.A - R2.A| <= 1, 16 tuples per relation, J=3")
 	fmt.Fprintf(w, "exact output size: %d tuples\n", localjoin.NestedLoopCount(fig1R1, fig1R2, cond))
 
-	opts := core.Options{J: j, Model: model, Seed: seed, DisableFallback: true}
+	opts := core.Options{J: j, Model: model, Seed: cfg.Seed, DisableFallback: true}
 	plans := make(map[string]*core.Plan)
 	var err error
 	if plans["CI"], err = core.PlanCI(opts); err != nil {
@@ -47,7 +49,7 @@ func Fig1(w io.Writer, seed uint64) error {
 	}
 
 	for _, name := range Schemes {
-		res := exec.Run(fig1R1, fig1R2, cond, plans[name].Scheme, model, exec.Config{Seed: seed})
+		res := exec.Run(fig1R1, fig1R2, cond, plans[name].Scheme, model, exec.Config{Seed: cfg.Seed})
 		var works []float64
 		for _, m := range res.Workers {
 			works = append(works, m.Work)

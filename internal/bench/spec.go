@@ -1,7 +1,8 @@
 // Package bench is the experiment harness: one driver per table and figure
 // of the paper's evaluation (§VI), each printing the same rows/series the
-// paper reports, at a configurable scale. See DESIGN.md for the experiment
-// index and EXPERIMENTS.md for recorded paper-versus-measured shapes.
+// paper reports, at a configurable scale. Drivers (experiments.go) is the id →
+// driver table; DESIGN.md "Experiment index" says what each id reproduces and
+// EXPERIMENTS.md records paper-versus-measured shapes.
 //
 // Times are made commensurable the same way the paper does it: the join
 // phase's cost is the modeled makespan max_r w(r) = wi·input + wo·output,
@@ -129,8 +130,8 @@ func (t Throughput) Seconds(weight float64) float64 {
 	return weight / float64(t)
 }
 
-// SchemeRun is one (join, scheme) measurement. Time accounting follows the
-// substitution note in DESIGN.md: the statistics scans and the join phase
+// SchemeRun is one (join, scheme) measurement. Time accounting follows
+// DESIGN.md "Substitutions": the statistics scans and the join phase
 // are both expressed in modeled seconds under the same calibrated cost model
 // (in the paper both are network-dominated cluster passes; locally only the
 // histogram algorithm's CPU time is measured directly).

@@ -36,7 +36,7 @@ type Options struct {
 	// NS overrides the sample-matrix size (default √(2nJ), Lemma 3.1).
 	NS int
 	// NC overrides the coarsened-matrix size (default 2J, §III-B; the
-	// nc = J ablation of DESIGN.md sets this explicitly).
+	// nc = J ablation, bench.Ablations, sets this explicitly).
 	NC int
 	// OutputSampleFactor sets so = factor · nsc (default 2, §A5).
 	OutputSampleFactor float64
@@ -238,8 +238,9 @@ func buildSampleMatrixTimed(r1, r2 []join.Key, cond join.Condition, opts Options
 	return sm, time.Since(buildStart), err
 }
 
-// PlanCSIO builds the paper's equi-weight histogram plan: Bernoulli input
-// samples → equi-depth histograms → parallel Stream-Sample output sample
+// PlanCSIO builds the paper's equi-weight histogram plan: fixed-size uniform
+// input samples (sample.FixedSize, a reservoir — the paper draws Bernoulli
+// samples of the same expected size) → equi-depth histograms → parallel Stream-Sample output sample
 // (with exact m) → sample matrix MS (ns = √(2nJ)) → coarsened matrix MC
 // (nc = 2J) → MonotonicBSP regionalization into at most J regions.
 func PlanCSIO(r1, r2 []join.Key, cond join.Condition, opts Options) (*Plan, error) {

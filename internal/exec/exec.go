@@ -1,5 +1,5 @@
 // Package exec is the in-memory shared-nothing execution substrate standing
-// in for the paper's Squall-on-Storm cluster (see DESIGN.md, substitutions).
+// in for the paper's Squall-on-Storm cluster (see DESIGN.md "Substitutions").
 // Mappers shuffle the input relations to J reducer workers according to a
 // partitioning scheme; each worker joins the tuples it received with a local
 // join algorithm. The engine records exactly the quantities the paper's

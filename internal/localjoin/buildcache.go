@@ -117,7 +117,7 @@ func NewBuildCache(maxBytes int64) *BuildCache {
 }
 
 // Get returns the cached build for key, or nil. Hit/miss counters make the
-// lookup observable for the load harness's cache-hit-rate column. Nil
+// lookup observable (the benchmark's localjoin.cache_hit_rate). Nil
 // receiver: always miss, uncounted.
 func (c *BuildCache) Get(key BuildKey) *Build {
 	if c == nil {

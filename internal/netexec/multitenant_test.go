@@ -276,6 +276,140 @@ func TestPoolConcurrentSessionsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestPoolHogFloorOverSockets is the admitter's fair-share floor measured
+// where a deployment would feel it: over real sockets, through ONE worker
+// with ONE execution slot. A hog tenant spreads itself over many sessions
+// (depth 1 each — the read loop blocks in admission, so every connection is
+// one standing waiter); T regular tenants hold one session each, pipelined
+// deep enough that the next job already sits in the socket when a grant
+// frees the connection's read loop. All are weight 1, so the fair share is
+// total/(T+1), and every regular tenant must keep at least half of it
+// however many connections the hog opens. The run is bounded by the
+// worker's own grant count, not a wall window, and the shares are read from
+// its AdmissionStats the moment that count is reached. Every job is checked
+// against exec.Run; afterwards the fleet is shut down and must be back at
+// its baseline.
+//
+// The sizes make the test discriminate: 10k-row jobs keep the slot, not the
+// coordinators' CPU, the bottleneck, and 4·T hog connections put a
+// per-connection FIFO's share for a regular tenant at 1/(5T) = 6.7%, well
+// under the 12.5% floor (at 2·T it would be 11.1%, a coin flip). Observed:
+// ~24% per regular tenant as written, ~8% with dispatch mutated to FIFO.
+func TestPoolHogFloorOverSockets(t *testing.T) {
+	const (
+		regulars = 3 // T
+		hogConns = 4 * regulars
+		depth    = 12 // a regular tenant's pipelined jobs
+		grants   = 400
+		distinct = 8 // workloads the jobs cycle through
+		rows     = 10000
+	)
+	b := snapshotBaseline(t)
+	ws, addrs := startTenantWorkerSet(t, 1, AdmissionConfig{MaxInFlight: 1}, nil)
+	pool, err := NewPool(addrs, Timeouts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	scheme := partition.NewCI(1)
+	type wl struct {
+		r1, r2 []join.Key
+		cfg    exec.Config
+		want   *exec.Result
+	}
+	wls := make([]wl, distinct)
+	for k := range wls {
+		s := 7000 + uint64(k)*10
+		r1, r2 := randKeys(rows, rows/2, s), randKeys(rows, rows/2, s+1)
+		cfg := exec.Config{Seed: s + 2}
+		wls[k] = wl{r1, r2, cfg, exec.Run(r1, r2, join.Equi{}, scheme, model, cfg)}
+	}
+
+	// The first driver to see the grant count reached freezes the shares.
+	var (
+		once  sync.Once
+		final AdmissionStats
+		wg    sync.WaitGroup
+		errs  = make(chan error, hogConns+regulars*depth) // one per driver goroutine
+	)
+	granted := func(st AdmissionStats) (total int64) {
+		for _, n := range st.Granted {
+			total += n
+		}
+		return total
+	}
+	reached := func() bool {
+		st := ws[0].AdmissionStats()
+		if granted(st) < grants {
+			return false
+		}
+		once.Do(func() { final = st })
+		return true
+	}
+	drive := func(tenant string, sessions, pipelined int) {
+		for si := 0; si < sessions; si++ {
+			sess, err := pool.Session(context.Background(), tenant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for c := 0; c < pipelined; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; !reached(); i++ {
+						w := wls[(si+c+i)%distinct]
+						got, err := exec.RunOver(sess, w.r1, w.r2, join.Equi{}, scheme, model, w.cfg)
+						if err != nil {
+							errs <- fmt.Errorf("%s: %w", tenant, err)
+							return
+						}
+						if got.Output != w.want.Output || got.Workers[0] != w.want.Workers[0] {
+							errs <- fmt.Errorf("%s: got %+v, want %+v", tenant, got.Workers[0], w.want.Workers[0])
+							return
+						}
+					}
+				}(c)
+			}
+		}
+	}
+	drive("hog", hogConns, 1)
+	tenants := []string{"hog"}
+	for i := 0; i < regulars; i++ {
+		tenants = append(tenants, fmt.Sprintf("tenant-%d", i))
+		drive(tenants[i+1], 1, depth)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err) // typed or not: with no queue bound or deadline nothing may be refused
+	}
+
+	total := granted(final)
+	t.Logf("grants at the count: %v", final.Granted)
+	floor := float64(total) / float64(regulars+1) / 2
+	for _, tn := range tenants[1:] {
+		if got := final.Granted[tn]; float64(got) < floor {
+			t.Errorf("%s was granted %d of %d jobs, under the floor %.0f (half an equal share); all grants: %v",
+				tn, got, total, floor, final.Granted)
+		}
+	}
+	if final.Rejected != 0 {
+		t.Errorf("%d admission rejections with an unbounded queue", final.Rejected)
+	}
+
+	for _, tn := range tenants {
+		b.workersIdle(ws, tn)
+	}
+	_ = pool.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := ws[0].Shutdown(ctx); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+	b.goroutinesSettled()
+}
+
 // TestPoolConcurrentMultiwayPeerIsolated runs two tenants' multiway
 // pipelines concurrently over the same admission-controlled fleet: stage-1
 // intermediates re-shuffle worker→worker under per-coordinator peer tokens,

@@ -279,7 +279,7 @@ func (w *Worker) SetBuildCacheBytes(n int64) {
 }
 
 // BuildCacheStats snapshots the worker's build-cache counters — the
-// cache-hit observability the multi-tenant load harness reports.
+// cache-hit observability the benchmark's pool workload reports.
 func (w *Worker) BuildCacheStats() localjoin.BuildCacheStats {
 	return w.buildCache.Stats()
 }
@@ -295,8 +295,8 @@ func effectiveEngine(wire int) exec.JoinEngine {
 
 // FailAfterJobs schedules the worker to kill itself (abrupt Close, as a
 // crash would) after completing n jobs — a build-tag-free testing hook the
-// load-test harness and ewhworker's -fail-after flag use to take workers
-// down on a deterministic schedule. Zero or negative disables the hook.
+// tests and ewhworker's -fail-after flag use to take workers down on a
+// deterministic schedule. Zero or negative disables the hook.
 // Call before Serve.
 func (w *Worker) FailAfterJobs(n int) {
 	w.failAfter.Store(int64(n))

@@ -252,7 +252,7 @@ func (t *tenantTable) usedBytes(tenant string) int64 {
 var errAbandoned = errors.New("job wait abandoned")
 
 // AdmissionStats is a worker admitter's cumulative picture, for tests and
-// load-test introspection.
+// the benchmark's pool workload.
 type AdmissionStats struct {
 	// FastPath counts jobs admitted immediately (free slot, empty queues).
 	FastPath int64

@@ -38,11 +38,6 @@ func NewCI(j int) *CI {
 // Grid returns the region grid dimensions.
 func (s *CI) Grid() (rows, cols int) { return s.rows, s.cols }
 
-// ReplicationFactor returns rows+cols: the copies created per tuple pair
-// (cols per R1 tuple plus rows per R2 tuple, averaged over both relations
-// of equal size this is (rows+cols)/2 each).
-func (s *CI) ReplicationFactor() int { return s.rows + s.cols }
-
 // Name implements Scheme.
 func (s *CI) Name() string { return "CI" }
 

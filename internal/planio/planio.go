@@ -280,15 +280,6 @@ func Decode(data []byte) (*Artifact, error) {
 	return a, nil
 }
 
-// DecodeScheme is Decode returning only the scheme.
-func DecodeScheme(data []byte) (partition.Scheme, error) {
-	a, err := Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return a.Scheme, nil
-}
-
 func decodeScheme(d *decoder) (partition.Scheme, error) {
 	tag, err := d.u8()
 	if err != nil {

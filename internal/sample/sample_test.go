@@ -17,21 +17,6 @@ func seqKeys(n int) []join.Key {
 	return out
 }
 
-func TestBernoulliRate(t *testing.T) {
-	r := stats.NewRNG(1)
-	keys := seqKeys(100000)
-	s := Bernoulli(keys, 0.1, r)
-	if len(s) < 9000 || len(s) > 11000 {
-		t.Fatalf("rate 0.1 sample size %d, want ~10000", len(s))
-	}
-	if Bernoulli(keys, 0, r) != nil {
-		t.Error("rate 0 should return nil")
-	}
-	if got := Bernoulli(keys, 1.5, r); len(got) != len(keys) {
-		t.Error("rate >= 1 should return everything")
-	}
-}
-
 func TestFixedSize(t *testing.T) {
 	r := stats.NewRNG(2)
 	keys := seqKeys(1000)

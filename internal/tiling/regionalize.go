@@ -22,12 +22,6 @@ type Region struct {
 	Input, Output, Weight float64
 }
 
-// ContainsRow reports whether an R1 tuple with key k routes to the region.
-func (r Region) ContainsRow(k join.Key) bool { return r.RowLo <= k && k < r.RowHi }
-
-// ContainsCol reports whether an R2 tuple with key k routes to the region.
-func (r Region) ContainsCol(k join.Key) bool { return r.ColLo <= k && k < r.ColHi }
-
 // String implements fmt.Stringer.
 func (r Region) String() string {
 	return fmt.Sprintf("region[%d..%d]x[%d..%d] keys R1:[%d,%d) R2:[%d,%d) w=%.1f",

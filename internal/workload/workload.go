@@ -2,7 +2,7 @@
 // configurable scale: the synthetic X dataset behind the BCB band-join
 // family and a TPC-H-like ORDERS analogue with Zipf(z) skew behind BICD and
 // BEOCD. The generators are calibrated so the output/input ratios ρoi match
-// Table IV's values at any scale (see DESIGN.md, substitutions).
+// Table IV's values at any scale (see DESIGN.md "Substitutions").
 package workload
 
 import (
@@ -179,8 +179,8 @@ func GenOrdersTable(n int, z float64, custDomain int64, rng *stats.RNG) *table.T
 //
 // The selection predicates run first and the surviving relations are
 // materialized (§IV-A "Synergy"); the equality+band join predicate is
-// encoded onto one monotonic key (join.CompositeSpec; see DESIGN.md for why
-// the encoding is exact). It returns the encoded filtered relations and the
+// encoded onto one monotonic key (join.CompositeSpec, whose doc says why the
+// encoding is exact). It returns the encoded filtered relations and the
 // equivalent band condition.
 func BEOCD(cfg BEOCDConfig, seed uint64) (r1, r2 []join.Key, cond join.Condition, err error) {
 	cfg.defaults()
