@@ -62,22 +62,26 @@ func (e JoinEngine) ForCond(cond join.Condition) JoinEngine {
 	return EngineMerge
 }
 
-// CountOwned runs a count-only join under the selected engine over blocks
-// the caller owns outright: the merge engine sorts both IN PLACE, the hash
-// engine builds over r1 and probes r2 without mutating either. Shared by
-// the in-process workers, the session workers' flat path and the peer-fed
-// stage-2 path, so every transport counts through identical code.
-func CountOwned(e JoinEngine, r1, r2 []join.Key, cond join.Condition) int64 {
-	if len(r1) == 0 || len(r2) == 0 {
-		return 0
-	}
-	if e.ForCond(cond) == EngineHash {
-		return localjoin.EngineCount(r1, r2)
-	}
-	return localjoin.MergeCountOwned(r1, r2, cond)
+// Resident returns the empty resident side (R1's if r1) of a count join under
+// this selection: hash form or merge form, which no count path asks again.
+func (e JoinEngine) Resident(cond join.Condition, r1 bool) *localjoin.Resident {
+	return localjoin.NewResident(cond, e.ForCond(cond) == EngineHash, r1)
 }
 
-// JoinPairsEngine is JoinPairs under an engine selection: identical pair
+// CountOwned runs a count-only join under the selected engine over blocks
+// the caller owns outright: the merge engine sorts r2 IN PLACE, the hash
+// engine builds over r1 and probes r2 without mutating either. Shared by the
+// in-process workers and the session workers' flat count jobs; chunked and
+// peer-fed jobs hold the same resident side on their feed goroutine.
+func CountOwned(e JoinEngine, r1, r2 []join.Key, cond join.Condition) int64 {
+	res := e.Resident(cond, true)
+	res.Insert(r1)
+	res.Seal()
+	n, _ := res.ProbeCount(r2, false)
+	return n
+}
+
+// JoinPairsEngine is mergeJoinPairs under an engine selection: identical pair
 // stream (R1 arrival order, partners ascending by key then arrival index),
 // identical return count, different index structure. The hash path serves
 // resolved-hash jobs via the deterministic PairTable ordering layer; all
@@ -88,14 +92,14 @@ func JoinPairsEngine(e JoinEngine, r1, r2 []join.Key, cond join.Condition,
 	if e.ForCond(cond) == EngineHash {
 		return hashJoinPairs(r1, r2, flush)
 	}
-	return JoinPairs(r1, r2, cond, flush)
+	return mergeJoinPairs(r1, r2, cond, flush)
 }
 
 // hashJoinPairs emits the equi-join pair stream through a PairTable over
 // R2. For a pure-equality condition every partner of an R1 tuple shares its
-// key, so JoinPairs' "(key, arrival index) ascending" partner order is the
+// key, so mergeJoinPairs' "(key, arrival index) ascending" partner order is the
 // table group's arrival-ascending index list — bit-identical streams, no
-// sort. Flush chunking matches JoinPairs (pairChunk cap, pooled buffer).
+// sort. Flush chunking matches mergeJoinPairs (pairChunk cap, pooled buffer).
 func hashJoinPairs(r1, r2 []join.Key, flush func([]PairIdx)) int64 {
 	if len(r1) == 0 || len(r2) == 0 {
 		return 0

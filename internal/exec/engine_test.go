@@ -96,7 +96,7 @@ func TestJoinPairsEngineBitIdentical(t *testing.T) {
 	for _, sh := range shapes {
 		for _, cond := range []join.Condition{join.Equi{}, join.NewBand(0)} {
 			wantPairs, wantCuts, wantN := collectPairs(func(f func([]PairIdx)) int64 {
-				return JoinPairs(sh.r1, sh.r2, cond, f)
+				return mergeJoinPairs(sh.r1, sh.r2, cond, f)
 			})
 			gotPairs, gotCuts, gotN := collectPairs(func(f func([]PairIdx)) int64 {
 				return JoinPairsEngine(EngineHash, sh.r1, sh.r2, cond, f)

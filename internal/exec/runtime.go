@@ -62,9 +62,9 @@ type RelData struct {
 	Payloads func(w int) PayloadBlock
 	// Chunks, when non-nil (and Keys nil), streams the relation's routed
 	// sub-blocks as mappers finish, so a transport frames bytes onto sockets
-	// before the whole relation has scattered. Only handed to runtimes that
-	// declare chunk support (ChunkStreamer); drivers fall back to the flat
-	// shuffle otherwise. Chunked relations are always bare-key.
+	// before the whole relation has scattered. A job's relations stream only
+	// to runtimes that declare chunk support (ChunkStreamer); a stage
+	// pipeline's right relation always does. Chunked relations are bare-key.
 	Chunks *ChunkStream
 }
 
@@ -110,12 +110,6 @@ type ChunkStreamer interface {
 	StreamsChunks() bool
 }
 
-// streamsChunks reports whether rt opted into chunked relations.
-func streamsChunks(rt Runtime) bool {
-	cs, ok := rt.(ChunkStreamer)
-	return ok && cs.StreamsChunks()
-}
-
 // JobChunkStreamer is the job-aware refinement of ChunkStreamer: a runtime
 // whose chunk appetite depends on the job (Local consumes chunks only when a
 // count-only job resolves to the incremental hash engine) implements this; blanket
@@ -130,7 +124,8 @@ func streamsChunksFor(rt Runtime, job *Job) bool {
 	if jcs, ok := rt.(JobChunkStreamer); ok {
 		return jcs.StreamsChunksFor(job)
 	}
-	return streamsChunks(rt)
+	cs, ok := rt.(ChunkStreamer)
+	return ok && cs.StreamsChunks()
 }
 
 // Job is one planned join handed to a Runtime: the predicate, the (still
@@ -157,7 +152,7 @@ type Job struct {
 	Engine JoinEngine
 }
 
-// pairChunk is the flush granularity of JoinPairs: bounded buffering on
+// pairChunk is the flush granularity of mergeJoinPairs: bounded buffering on
 // every transport (32k pairs, 256 KiB) instead of materializing a
 // potentially output-skewed worker's whole pair set.
 const pairChunk = 1 << 15
@@ -176,7 +171,7 @@ func putPairBuf(b []PairIdx) {
 	pairBufPool.Put(&b)
 }
 
-// JoinPairs streams the matched index pairs of a monotonic join with both
+// mergeJoinPairs streams the matched index pairs of a monotonic join with both
 // relations in arrival order, calling flush with successive chunks (each at
 // most pairChunk long, reused between calls). Pairs come in R1 arrival
 // order; a tuple's R2 partners ascend by key with ties broken by arrival
@@ -184,7 +179,7 @@ func putPairBuf(b []PairIdx) {
 // netexec worker joining the identical shuffled blocks — produces the
 // byte-identical pair stream. Neither input slice is mutated. Returns the
 // total match count.
-func JoinPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx)) int64 {
+func mergeJoinPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx)) int64 {
 	if len(r1) == 0 || len(r2) == 0 {
 		return 0
 	}
@@ -219,7 +214,7 @@ func JoinPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx)) in
 }
 
 // sortKeyIdx orders an argsort buffer by (key, arrival index) — the stable
-// order JoinPairs' determinism rests on (slices.SortFunc alone is unstable).
+// order mergeJoinPairs' determinism rests on (slices.SortFunc alone is unstable).
 func sortKeyIdx(ts []Tuple[uint32]) {
 	slices.SortFunc(ts, func(a, b Tuple[uint32]) int {
 		if c := cmp.Compare(a.Key, b.Key); c != 0 {
@@ -257,8 +252,8 @@ func (Local) StreamsChunksFor(job *Job) bool {
 
 // RunJob implements Runtime. Count-only jobs run the selected engine over
 // the (owned) key blocks — merge sorts in place, hash builds and probes;
-// chunk-streamed jobs feed arriving sub-blocks straight into the
-// incremental hash build. Pair jobs run the deterministic index-pair join.
+// chunk-streamed jobs feed arriving sub-blocks straight into the resident
+// side. Pair jobs run the deterministic index-pair join.
 // Local never returns an error.
 func (Local) RunJob(job *Job, wm []WorkerMetrics) error {
 	r1 := job.R1.Wait()
@@ -273,7 +268,7 @@ func (Local) RunJob(job *Job, wm []WorkerMetrics) error {
 			defer func() { <-sem }()
 			m := &wm[w]
 			if r1.Chunks != nil {
-				m.InputR1, m.InputR2, m.Output = localStreamCount(
+				m.InputR1, m.InputR2, m.Output = localStreamCount(job.Engine.Resident(job.Cond, true),
 					r1.Chunks.Worker(w), r2.Chunks.Worker(w))
 				return
 			}
@@ -295,24 +290,27 @@ func (Local) RunJob(job *Job, wm []WorkerMetrics) error {
 	return nil
 }
 
-// localStreamCount is one in-process worker's incremental hash join over
-// chunk streams: every R1 sub-block inserts into the build the moment a
+// localStreamCount is one in-process worker's incremental join over chunk
+// streams: every R1 sub-block inserts into the resident side the moment a
 // mapper routes it (overlapping the scatter still running for later
 // mappers), then R2 sub-blocks probe as they arrive. The per-worker stream
 // buffers are sized so producers never block, which is what makes draining
 // R1 before R2 deadlock-free.
-func localStreamCount(c1, c2 <-chan KeyChunk) (n1, n2, out int64) {
-	b := localjoin.NewBuild()
+func localStreamCount(res *localjoin.Resident, c1, c2 <-chan KeyChunk) (n1, n2, out int64) {
 	for ch := range c1 {
-		b.Insert(ch.Keys)
 		n1 += int64(len(ch.Keys))
-		PutKeyBuffer(ch.Keys)
+		if !res.Insert(ch.Keys) { // a kept sub-block is left to the GC
+			PutKeyBuffer(ch.Keys)
+		}
 	}
-	b.Seal()
+	res.Seal()
 	for ch := range c2 {
-		out += b.ProbeCount(ch.Keys)
-		n2 += int64(len(ch.Keys))
-		PutKeyBuffer(ch.Keys)
+		n, kept := res.ProbeCount(ch.Keys, true)
+		out, n2 = out+n, n2+int64(len(ch.Keys))
+		if !kept {
+			PutKeyBuffer(ch.Keys)
+		}
 	}
-	return n1, n2, out
+	n, _ := res.ProbeCount(nil, false)
+	return n1, n2, out + n
 }

@@ -64,10 +64,10 @@ type PlanJob struct {
 	Workers int
 	// Cond is the stage's join predicate.
 	Cond join.Condition
-	// R2 resolves to the stage's driver-shuffled right relation. For a
-	// stats-deferred plan it resolves only after Replan returns (the driver
-	// cannot shuffle before it knows the scheme), so transports must not
-	// Wait on it before replanning completes.
+	// R2 resolves to the stage's driver-shuffled right relation, a chunk
+	// stream (RelData.Chunks). For a stats-deferred plan it resolves only
+	// after Replan returns (the driver cannot shuffle before it knows the
+	// scheme), so transports must not Wait on it before replanning completes.
 	R2 *RelFuture
 	// MaxIntermediate, when positive, fails the pipeline before the stage
 	// dispatches if the upstream stage matched more tuples — the earliest
@@ -203,17 +203,10 @@ func RunStagesOver[P1, P2 any](rt StageRuntime, r1 []Tuple[P1], r2 []Tuple[P2],
 	var r3Started atomic.Bool
 	startR3 := func(s partition.Scheme) {
 		r3Started.Store(true)
-		if streamsChunks(rt) {
-			// Chunk-consuming transports get r3 as a stream: the first routed
-			// sub-blocks hit stage-2 sockets while later mappers still route —
-			// and, for pre-built plans, while stage 1 is still running.
-			f3.resolve(RelData{Chunks: ShuffleKeysChunked(r3, s, 2, cfg3)})
-			return
-		}
-		go func() {
-			ks := ShuffleKeys(r3, s, 2, cfg3)
-			f3.resolve(RelData{Keys: ks})
-		}()
+		// r3 is a chunk stream, the one form a stage transport takes it in: the
+		// first routed sub-blocks hit stage-2 sockets while later mappers still
+		// route and, for pre-built plans, while stage 1 is still running.
+		f3.resolve(RelData{Chunks: ShuffleKeysChunked(r3, s, 2, cfg3)})
 	}
 
 	scheme2 := sp.Scheme

@@ -2,9 +2,9 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"ewh/internal/join"
-	"ewh/internal/keysort"
 	"ewh/internal/localjoin"
 	"ewh/internal/sample"
 	"ewh/internal/stats"
@@ -113,24 +113,16 @@ func (l LocalStreamRuntime) OpenStream(spec StreamSpec) (StreamHandle, error) {
 	}
 	return &localStream{
 		spec:    spec,
-		engine:  spec.Engine.ForCond(spec.Cond),
-		shards:  make([]localShard, l.Workers),
+		shards:  make([]*localjoin.Resident, l.Workers),
 		replies: make(map[uint64][]WindowReply),
 	}, nil
 }
 
-// localShard is one simulated worker's stream state.
-type localShard struct {
-	build *localjoin.Build // hash engine: sealed build over the base shard
-	base  []join.Key       // merge engine: base shard, sorted at SendBase
-}
-
+// localStream holds each simulated worker's sealed base shard (nil before SendBase).
 type localStream struct {
 	spec    StreamSpec
-	engine  JoinEngine
 	epoch   uint32
-	sealed  bool
-	shards  []localShard
+	shards  []*localjoin.Resident
 	replies map[uint64][]WindowReply
 	closed  bool
 }
@@ -154,18 +146,11 @@ func (s *localStream) SendBase(epoch uint32, shares [][]join.Key) error {
 		return err
 	}
 	s.epoch = epoch
-	s.sealed = true
 	for w := range s.shards {
-		sh := &s.shards[w]
-		*sh = localShard{}
-		if s.engine == EngineHash {
-			sh.build = localjoin.NewBuild()
-			sh.build.Insert(shares[w])
-			sh.build.Seal()
-		} else {
-			sh.base = append([]join.Key(nil), shares[w]...)
-			keysort.Sort(sh.base)
-		}
+		res := s.spec.Engine.Resident(s.spec.Cond, false)
+		res.Insert(shares[w])
+		res.Seal()
+		s.shards[w] = res
 	}
 	return nil
 }
@@ -174,7 +159,7 @@ func (s *localStream) SendWindow(window, epoch uint32, shares [][]join.Key) erro
 	if err := s.check(shares); err != nil {
 		return err
 	}
-	if !s.sealed || epoch != s.epoch {
+	if s.shards[0] == nil || epoch != s.epoch {
 		return fmt.Errorf("exec: window %d sent for epoch %d, base is at %d", window, epoch, s.epoch)
 	}
 	rs := make([]WindowReply, len(s.shards))
@@ -182,13 +167,7 @@ func (s *localStream) SendWindow(window, epoch uint32, shares [][]join.Key) erro
 		keys := shares[w]
 		r := WindowReply{Worker: w, Window: window, Epoch: epoch, Input: int64(len(keys))}
 		r.Summary = SummarizeWindow(keys, s.spec.Stats, w, window)
-		if s.engine == EngineHash {
-			r.Count = s.shards[w].build.ProbeCount(keys)
-		} else {
-			sorted := append([]join.Key(nil), keys...)
-			keysort.Sort(sorted)
-			r.Count = localjoin.CountSorted(sorted, s.shards[w].base, s.spec.Cond)
-		}
+		r.Count, _ = s.shards[w].ProbeCount(slices.Clone(keys), false) // a probe may reorder its chunk
 		rs[w] = r
 	}
 	s.replies[winKey(window, epoch)] = rs

@@ -64,18 +64,28 @@ func NewBand(beta int64) Band {
 	return Band{Beta: beta}
 }
 
-// Matches implements Condition.
+// Matches implements Condition. The distance is taken in uint64, where any two
+// keys' difference fits, so the int64 extremes cannot wrap into a match.
 func (b Band) Matches(a, k Key) bool {
-	d := a - k
-	if d < 0 {
-		d = -d
+	if a < k {
+		a, k = k, a
 	}
-	return d <= b.Beta
+	return b.Beta >= 0 && uint64(a)-uint64(k) <= uint64(b.Beta)
 }
 
-// JoinableRange implements Condition.
+// JoinableRange implements Condition. An end that would pass the key domain
+// saturates at it instead of wrapping to the far side.
 func (b Band) JoinableRange(a Key) (Key, Key) {
-	return a - b.Beta, a + b.Beta
+	lo, hi := a-b.Beta, a+b.Beta
+	if b.Beta > 0 {
+		if lo > a {
+			lo = math.MinInt64
+		}
+		if hi < a {
+			hi = math.MaxInt64
+		}
+	}
+	return lo, hi
 }
 
 // String implements fmt.Stringer.

@@ -68,11 +68,6 @@ func CombineDigests(ds []ChunkDigest) BuildKey {
 	return k
 }
 
-// HashBuildKey is the one-shot BuildKey of a flat key block.
-func HashBuildKey(keys []join.Key) BuildKey {
-	return CombineDigests([]ChunkDigest{DigestKeys(keys)})
-}
-
 // BuildCacheStats is a point-in-time snapshot of a cache's counters.
 type BuildCacheStats struct {
 	Hits, Misses int64

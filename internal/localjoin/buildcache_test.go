@@ -6,11 +6,16 @@ import (
 	"ewh/internal/join"
 )
 
+// buildKeyOf is the BuildKey of a relation that arrived as one chunk.
+func buildKeyOf(keys []join.Key) BuildKey {
+	return CombineDigests([]ChunkDigest{DigestKeys(keys)})
+}
+
 func TestDigestCombineMatchesChunkStructure(t *testing.T) {
 	keys := randKeys(1000, 50, 80)
-	whole := HashBuildKey(keys)
-	if again := HashBuildKey(keys); again != whole {
-		t.Fatal("HashBuildKey is not deterministic")
+	whole := buildKeyOf(keys)
+	if again := buildKeyOf(keys); again != whole {
+		t.Fatal("the one-chunk build key is not deterministic")
 	}
 	// Same content, same chunk structure: identical key.
 	split := []ChunkDigest{DigestKeys(keys[:400]), DigestKeys(keys[400:])}
@@ -20,7 +25,7 @@ func TestDigestCombineMatchesChunkStructure(t *testing.T) {
 	// Different content must (overwhelmingly) key differently.
 	other := append([]join.Key(nil), keys...)
 	other[500]++
-	if HashBuildKey(other) == whole {
+	if buildKeyOf(other) == whole {
 		t.Fatal("distinct content produced the same BuildKey")
 	}
 	// The fold is order-sensitive: canonical order is part of the identity.
@@ -45,7 +50,7 @@ func TestBuildCacheHitMissEvict(t *testing.T) {
 	b1 := sealedBuild(r1)
 	c := NewBuildCache(4 * b1.MemBytes())
 
-	k1 := HashBuildKey(r1)
+	k1 := buildKeyOf(r1)
 	if c.Get(k1) != nil {
 		t.Fatal("empty cache returned a build")
 	}
@@ -71,7 +76,7 @@ func TestBuildCacheHitMissEvict(t *testing.T) {
 	var keys []BuildKey
 	for i := 0; i < 6; i++ {
 		r := randKeys(2000, 100, 90+uint64(i))
-		k := HashBuildKey(r)
+		k := buildKeyOf(r)
 		keys = append(keys, k)
 		c.Add(k, sealedBuild(r))
 	}
@@ -91,7 +96,7 @@ func TestBuildCacheOversizedAndNil(t *testing.T) {
 	r := randKeys(5000, 1000, 85)
 	b := sealedBuild(r)
 	c := NewBuildCache(b.MemBytes() / 2)
-	k := HashBuildKey(r)
+	k := buildKeyOf(r)
 	if got := c.Add(k, b); got != b {
 		t.Fatal("oversized Add did not pass the build through")
 	}
@@ -127,7 +132,7 @@ func TestBuildCacheSharedProbes(t *testing.T) {
 
 	c := NewBuildCache(1 << 20)
 	// Job A: miss, build, publish.
-	k := HashBuildKey(r1)
+	k := buildKeyOf(r1)
 	bA := c.Get(k)
 	if bA != nil {
 		t.Fatal("unexpected hit")
@@ -138,7 +143,7 @@ func TestBuildCacheSharedProbes(t *testing.T) {
 	}
 	// Job B: same content (chunked differently upstream doesn't matter here —
 	// same flat digest), hit, probe the shared build.
-	bB := c.Get(HashBuildKey(append([]join.Key(nil), r1...)))
+	bB := c.Get(buildKeyOf(append([]join.Key(nil), r1...)))
 	if bB != bA {
 		t.Fatal("job B did not hit job A's build")
 	}

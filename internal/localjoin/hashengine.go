@@ -140,19 +140,12 @@ func (p *buildPart) lookup(k join.Key) uint32 {
 // cache sharing.
 type Build struct {
 	parts [enginePartitions]buildPart
-	// n and bytes are maintained by the build goroutine only (probes never
-	// read them); after Seal they are safe for any reader.
-	n     int64
-	bytes int64
+	bytes int64 // set by Seal
 }
 
 // NewBuild returns an empty build. Partitions allocate lazily, so an empty
 // or tiny relation costs almost nothing.
 func NewBuild() *Build { return &Build{} }
-
-// Len returns the number of keys inserted so far. Call it from the build
-// goroutine, or after Seal.
-func (b *Build) Len() int64 { return b.n }
 
 // MemBytes estimates the build's retained table bytes — the unit BuildCache
 // budgets in. Call after Seal.
@@ -230,7 +223,6 @@ func (b *Build) Insert(keys []join.Key) {
 		lo = hi
 	}
 	putPartScratch(scratch)
-	b.n += int64(len(keys))
 }
 
 // Seal publishes the build: every partition's table is flushed under its
@@ -292,44 +284,16 @@ func (b *Build) ProbeCount(keys []join.Key) int64 {
 	return out
 }
 
-// EngineCount is the one-shot form of the hash engine for callers holding
-// both relations flat: build over r1, seal, probe r2. It mutates neither
-// input and serves exactly the EquiLike conditions.
-func EngineCount(r1, r2 []join.Key) int64 {
-	if len(r1) == 0 || len(r2) == 0 {
-		return 0
-	}
-	b := NewBuild()
-	b.Insert(r1)
-	b.Seal()
-	return b.ProbeCount(r2)
-}
-
-// MergeCountOwned is the merge-sweep engine for callers that own their
-// buffers: both relations sort IN PLACE (radix keysort) and the joinable
-// window sweeps once — the path every non-equality condition takes, and
-// what engine selection falls back to when the hash engine is forced onto a
-// condition it cannot serve.
-func MergeCountOwned(r1, r2 []join.Key, cond join.Condition) int64 {
-	if len(r1) == 0 || len(r2) == 0 {
-		return 0
-	}
-	keysort.Sort(r1)
-	keysort.Sort(r2)
-	return CountSorted(r1, r2, cond)
-}
-
 // PairTable is the deterministic pair-ordering layer of the hash engine: an
 // immutable index over one relation's keys mapping each key to its arrival
 // indices in ascending order. For a pure-equality condition every partner of
 // an R1 key shares that key, so "partners ascend by (key, arrival index)" —
-// exec.JoinPairs' contract — degenerates to "arrival indices ascending",
+// exec.JoinPairsEngine's contract — degenerates to "arrival indices ascending",
 // which is exactly the order each group stores. Built in two stable
 // counting passes per partition; construction is single-threaded and the
 // result is immutable, so lookups need no synchronization.
 type PairTable struct {
 	parts [enginePartitions]pairPart
-	n     int
 }
 
 // pairPart indexes one partition: an open-addressing table from key to
@@ -343,7 +307,7 @@ type pairPart struct {
 
 // NewPairTable indexes keys (arrival order) for Partners lookups.
 func NewPairTable(keys []join.Key) *PairTable {
-	t := &PairTable{n: len(keys)}
+	t := &PairTable{}
 	if len(keys) == 0 {
 		return t
 	}
@@ -448,6 +412,3 @@ func (t *PairTable) Partners(k join.Key) []uint32 {
 		h = (h + 1) & mask
 	}
 }
-
-// Len returns the number of indexed keys.
-func (t *PairTable) Len() int { return t.n }

@@ -45,8 +45,8 @@ func zipfKeys(n int, domain int64, z float64, seed uint64) []join.Key {
 // over one worker's hot path: every local count engine against the equi and
 // band conditions it serves, on uniform, duplicate-heavy and Zipf-skewed
 // keys. Count copies and sorts per call (the non-owning entry
-// point); CountSorted amortizes the sort outside the loop; EngineCount and
-// Count are the two real engines behind exec's selection knob. (The retired
+// point); CountSorted amortizes the sort outside the loop; the hash-form
+// Resident and Count are the two real engines behind exec's selection knob. (The retired
 // map-based baseline's numbers are in EXPERIMENTS.md.)
 func BenchmarkLocalJoinEngines(b *testing.B) {
 	const n = 1 << 17
@@ -68,7 +68,7 @@ func BenchmarkLocalJoinEngines(b *testing.B) {
 			name string
 			run  func() int64
 		}{
-			{"equi/hash-engine", func() int64 { return EngineCount(d.r1, d.r2) }},
+			{"equi/hash-engine", func() int64 { return residentCount(d.r1, d.r2, join.Equi{}, true, true, 0) }},
 			{"equi/merge-sorted", func() int64 { return CountSorted(s1, s2, join.Equi{}) }},
 			{"equi/merge-count", func() int64 { return Count(d.r1, d.r2, join.Equi{}) }},
 			{"band/merge-sorted", func() int64 { return CountSorted(s1, s2, band) }},

@@ -54,6 +54,115 @@ func CountSorted(s1, s2 []join.Key, cond join.Condition) int64 {
 	return out
 }
 
+// Resident is the side of a count join held while the other side streams
+// past it: Insert its chunks as they arrive, Seal it, then ProbeCount each
+// chunk of the other relation — the counts sum to |R1 ⋈ R2| however either
+// side was chunked. The hash form (EquiLike conditions) is a Build; the merge
+// form keeps the chunks it is given until Seal copies them into one sorted
+// block of exactly their size, and sweeps a probe relation over it once, when
+// its last chunk is in.
+type Resident struct {
+	cond    join.Condition
+	r1      bool         // the resident side is relation 1
+	build   *Build       // hash form; nil in the merge form
+	runs    [][]join.Key // merge form: the chunks kept until Seal
+	base    []join.Key   // merge form: the sealed side, sorted
+	pending [][]join.Key // merge form: the probe chunks kept for their last
+}
+
+// NewResident returns an empty side: the hash form if hash (cond must then be
+// EquiLike), with R1 resident if r1 and R2 otherwise.
+func NewResident(cond join.Condition, hash, r1 bool) *Resident {
+	r := &Resident{cond: cond, r1: r1}
+	if hash {
+		r.build = NewBuild()
+	}
+	return r
+}
+
+// Insert adds one chunk and reports whether the side kept the slice itself
+// instead of copying the keys out: a kept chunk must stay untouched until
+// Seal returns, when it is the caller's again. Must not be called after Seal.
+func (r *Resident) Insert(keys []join.Key) (kept bool) {
+	if r.build != nil {
+		r.build.Insert(keys)
+		return false
+	}
+	r.runs = append(r.runs, keys)
+	return true
+}
+
+// Seal completes the side; ProbeCount is valid from here on.
+func (r *Resident) Seal() { r.SealShared(nil, BuildKey{}) }
+
+// SealShared is Seal for a side whose content key the caller digested from
+// the chunks it inserted. A side that kept none of them is immutable once
+// sealed: on a cache hit it becomes the shared build of identical content (the
+// wasted inserts overlapped the wire anyway), on a miss it publishes its own.
+func (r *Resident) SealShared(cache *BuildCache, key BuildKey) {
+	if r.build == nil {
+		// Exactly sized, and the side's own: a pooled chunk of whatever
+		// capacity goes back to its pool instead of staying pinned under it.
+		r.base = slices.Concat(r.runs...)
+		sortKeys(r.base, len(r.runs) > 1)
+		r.runs = nil
+	} else if cached := cache.Get(key); cached != nil {
+		r.build = cached
+	} else {
+		r.build.Seal()
+		r.build = cache.Add(key, r.build)
+	}
+}
+
+// sortKeys sorts one whole relation. One that arrived in chunks is a one-shot
+// job's, and such jobs recur: its scratch (and the probe side's gathered
+// block) is pooled. A stream's frame or an owned block sorts through a fresh
+// scratch the GC takes back, as pooled ones would pin a window's worth each.
+func sortKeys(keys []join.Key, chunked bool) {
+	if !chunked {
+		keysort.Sort(keys)
+		return
+	}
+	scratch := getPartScratch(len(keys))
+	keysort.SortWithScratch(keys, scratch)
+	putPartScratch(scratch)
+}
+
+// ProbeCount takes one chunk of the other relation; more says that further
+// chunks of it follow before its count is needed. The counts returned up to
+// the call with more false sum to the relation's matches with the sealed side:
+// the hash form counts each chunk as it comes; the merge form keeps a chunk
+// that has successors — as Insert keeps one, until that last call returns —
+// and sweeps them all then, since a sweep per chunk would walk the whole side
+// every time. It may reorder keys.
+func (r *Resident) ProbeCount(keys []join.Key, more bool) (count int64, kept bool) {
+	if r.build != nil {
+		return r.build.ProbeCount(keys), false
+	}
+	if more {
+		r.pending = append(r.pending, keys)
+		return 0, true
+	}
+	chunked := len(r.pending) > 0
+	if chunked {
+		n := len(keys)
+		for _, c := range r.pending {
+			n += len(c)
+		}
+		all := getPartScratch(n)[:0]
+		defer putPartScratch(all)
+		for _, c := range r.pending {
+			all = append(all, c...)
+		}
+		keys, r.pending = append(all, keys...), nil
+	}
+	sortKeys(keys, chunked)
+	if r.r1 {
+		return CountSorted(r.base, keys, r.cond), false
+	}
+	return CountSorted(keys, r.base, r.cond), false
+}
+
 // NestedLoopCount is the O(n1·n2) reference implementation used by tests as
 // ground truth.
 func NestedLoopCount(r1, r2 []join.Key, cond join.Condition) int64 {

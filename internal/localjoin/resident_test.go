@@ -1,0 +1,255 @@
+package localjoin
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"testing"
+	"testing/quick"
+
+	"ewh/internal/join"
+	"ewh/internal/keysort"
+	"ewh/internal/stats"
+)
+
+// key is the one alias the adversarial-order generators below produce, so the
+// whole table would follow a change of key type.
+type key = join.Key
+
+// chunked splits keys into runs of at most size keys (0: one chunk).
+func chunked(keys []key, size int) [][]key {
+	if size <= 0 || len(keys) == 0 {
+		return [][]key{keys}
+	}
+	var out [][]key
+	for ; len(keys) > size; keys = keys[size:] {
+		out = append(out, keys[:size])
+	}
+	return append(out, keys)
+}
+
+// residentCount joins r1 and r2 through a Resident — hash or merge form, with
+// R1 or R2 resident — inserting the resident relation and probing the other in
+// chunks of chunk keys. Both relations are copied: a side may keep and sort
+// what it is given.
+func residentCount(r1, r2 []key, cond join.Condition, hash, residentR1 bool, chunk int) int64 {
+	resident, probe := r1, r2
+	if !residentR1 {
+		resident, probe = r2, r1
+	}
+	side := NewResident(cond, hash, residentR1)
+	for _, c := range chunked(slices.Clone(resident), chunk) {
+		side.Insert(c)
+	}
+	side.Seal()
+	var out int64
+	chunks := chunked(slices.Clone(probe), chunk)
+	for i, c := range chunks {
+		// Odd chunk sizes announce every chunk but the last as having a
+		// successor; even ones make each chunk a probe relation of its own.
+		n, _ := side.ProbeCount(c, chunk%2 == 1 && i < len(chunks)-1)
+		out += n
+	}
+	return out
+}
+
+// keyOrders are the generators of the adversarial key-order table. wide marks
+// keys outside [join.MinKey, join.MaxKey], the domain the inequality
+// conditions' joinable ranges are bounded to: those rows run under the
+// equality and band conditions only.
+var keyOrders = []struct {
+	name string
+	wide bool
+	gen  func(n int, seed uint64) []key
+}{
+	{"ascending", false, func(n int, _ uint64) []key {
+		out := make([]key, n)
+		for i := range out {
+			out[i] = key(i/2) - 20
+		}
+		return out
+	}},
+	{"descending", false, func(n int, _ uint64) []key {
+		out := make([]key, n)
+		for i := range out {
+			out[i] = key((n-i)/2) - 20
+		}
+		return out
+	}},
+	{"shuffled", false, func(n int, seed uint64) []key {
+		out := make([]key, n)
+		for i := range out {
+			out[i] = key(i/2) - 20
+		}
+		rng := stats.NewRNG(seed)
+		for i := n - 1; i > 0; i-- {
+			j := rng.Int64n(int64(i + 1))
+			out[i], out[j] = out[j], out[i]
+		}
+		return out
+	}},
+	{"random", false, func(n int, seed uint64) []key { return randKeys(n, 100, seed) }},
+	{"dup-heavy", false, func(n int, seed uint64) []key { return dupHeavyKeys(n, seed) }},
+	{"signed", false, func(n int, seed uint64) []key { return signedKeys(n, seed) }},
+	{"all-equal", false, func(n int, _ uint64) []key {
+		out := make([]key, n)
+		for i := range out {
+			out[i] = 7
+		}
+		return out
+	}},
+	{"two-valued", false, func(n int, _ uint64) []key {
+		out := make([]key, n)
+		for i := range out {
+			out[i] = []key{-3, 5}[i%2]
+		}
+		return out
+	}},
+	// Every key lands in one partition of the hash form (and one radix bucket
+	// of the sort's first pass): the low byte is the partitioning digit.
+	{"equal-partition-digit", false, func(n int, seed uint64) []key {
+		out := randKeys(n, 40, seed)
+		for i := range out {
+			out[i] = (out[i]-20)<<8 | 0x5A
+		}
+		return out
+	}},
+	{"quarter-domain-edges", false, func(n int, seed uint64) []key {
+		edges := []key{join.MinKey, join.MinKey + 1, join.MinKey + 2, -1, 0, 1,
+			join.MaxKey - 2, join.MaxKey - 1, join.MaxKey}
+		out := make([]key, n)
+		rng := stats.NewRNG(seed)
+		for i := range out {
+			out[i] = edges[rng.Int64n(int64(len(edges)))]
+		}
+		return out
+	}},
+	{"int64-extremes", true, func(n int, seed uint64) []key {
+		edges := []key{math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 2, -1, 0, 1,
+			math.MaxInt64 - 2, math.MaxInt64 - 1, math.MaxInt64}
+		out := make([]key, n)
+		rng := stats.NewRNG(seed)
+		for i := range out {
+			out[i] = edges[rng.Int64n(int64(len(edges)))]
+		}
+		return out
+	}},
+	{"empty", false, func(int, uint64) []key { return nil }},
+}
+
+// TestResidentKeyOrderTable drives every count entry point — the resident
+// side in both forms, with either relation resident, under three chunkings,
+// plus Count and CountSorted — over every pair of adversarial key orders and
+// every condition, against the nested-loop oracle.
+func TestResidentKeyOrderTable(t *testing.T) {
+	conds := []join.Condition{
+		join.Equi{}, join.NewBand(0), join.NewBand(1), join.NewBand(3),
+		join.Inequality{Op: join.Less}, join.Inequality{Op: join.LessEq},
+		join.Inequality{Op: join.Greater}, join.Inequality{Op: join.GreaterEq},
+	}
+	chunkings := []int{0, 17, 16, 1} // one chunk, many (one probe round, or a round each), single-key chunks
+	for i, g1 := range keyOrders {
+		for j, g2 := range keyOrders {
+			r1, r2 := g1.gen(90, uint64(2*i+1)), g2.gen(70, uint64(2*j+100))
+			s1, s2 := slices.Clone(r1), slices.Clone(r2)
+			keysort.Sort(s1)
+			keysort.Sort(s2)
+			for _, cond := range conds {
+				if _, bounded := cond.(join.Inequality); bounded && (g1.wide || g2.wide) {
+					continue
+				}
+				row := fmt.Sprintf("%s x %s, %v", g1.name, g2.name, cond)
+				want := NestedLoopCount(r1, r2, cond)
+				if got := Count(r1, r2, cond); got != want {
+					t.Errorf("%s: Count = %d, want %d", row, got, want)
+				}
+				if got := CountSorted(s1, s2, cond); got != want {
+					t.Errorf("%s: CountSorted = %d, want %d", row, got, want)
+				}
+				for _, hash := range []bool{false, true} {
+					if hash && !EquiLike(cond) {
+						continue // the hash form serves the equality conditions only
+					}
+					for _, residentR1 := range []bool{true, false} {
+						for _, chunk := range chunkings {
+							if got := residentCount(r1, r2, cond, hash, residentR1, chunk); got != want {
+								t.Errorf("%s: resident side (hash %v, R1 resident %v, chunks of %d) = %d, want %d",
+									row, hash, residentR1, chunk, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBandAtTheInt64Extremes names the two cases the table's int64-extremes
+// rows generalize: a band's joinable range saturates at the key domain's ends
+// instead of wrapping, and Matches cannot overflow into a match.
+func TestBandAtTheInt64Extremes(t *testing.T) {
+	band := join.NewBand(1)
+	if band.Matches(math.MaxInt64, math.MinInt64) {
+		t.Error("Band{1} matches MaxInt64 with MinInt64")
+	}
+	if got := Count([]key{math.MaxInt64}, []key{math.MaxInt64}, band); got != 1 {
+		t.Errorf("Count({MaxInt64}, {MaxInt64}, Band{1}) = %d, want 1", got)
+	}
+	r1, r2 := []key{math.MinInt64}, []key{math.MinInt64, math.MaxInt64}
+	if got, oracle := Count(r1, r2, band), NestedLoopCount(r1, r2, band); got != 1 || oracle != 1 {
+		t.Errorf("{MinInt64} x {MinInt64, MaxInt64} under Band{1}: Count = %d, oracle = %d, want 1 and 1", got, oracle)
+	}
+}
+
+func TestResidentProperty(t *testing.T) {
+	f := func(a, b []int64, hash, residentR1 bool, chunk uint8) bool {
+		r1, r2 := make([]key, len(a)), make([]key, len(b))
+		for i, v := range a {
+			r1[i] = v % 64
+		}
+		for i, v := range b {
+			r2[i] = v % 64
+		}
+		return residentCount(r1, r2, join.Equi{}, hash, residentR1, int(chunk)%9) ==
+			NestedLoopCount(r1, r2, join.Equi{})
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzEngineCount cross-checks the resident side — both forms, either
+// relation resident, fuzz-chosen chunking and condition — against the
+// nested-loop oracle on fuzz-chosen key bytes.
+func FuzzEngineCount(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 3}, uint8(3), uint8(0))
+	f.Add([]byte{}, []byte{0, 0, 0, 0}, uint8(1), uint8(1))
+	f.Add([]byte{255, 255, 128, 0}, []byte{255, 128}, uint8(0), uint8(6))
+	conds := []join.Condition{join.Equi{}, join.NewBand(0), join.NewBand(2),
+		join.Inequality{Op: join.Less}, join.Inequality{Op: join.GreaterEq}}
+	f.Fuzz(func(t *testing.T, b1, b2 []byte, split, sel uint8) {
+		if len(b1) > 1024 || len(b2) > 1024 {
+			t.Skip()
+		}
+		// Single bytes widen to a key domain that mixes signs and collides
+		// often; the exact values are irrelevant, coverage of dup/sign
+		// patterns is the point.
+		mk := func(bs []byte) []key {
+			out := make([]key, len(bs))
+			for i, v := range bs {
+				out[i] = key(int64(v) - 128)
+			}
+			return out
+		}
+		r1, r2 := mk(b1), mk(b2)
+		cond := conds[int(sel)%len(conds)]
+		residentR1 := sel&0x80 == 0
+		want := NestedLoopCount(r1, r2, cond)
+		for _, hash := range []bool{false, EquiLike(cond)} {
+			if got := residentCount(r1, r2, cond, hash, residentR1, int(split)%8); got != want {
+				t.Fatalf("%v, hash %v, R1 resident %v, chunks of %d: count = %d, want %d",
+					cond, hash, residentR1, int(split)%8, got, want)
+			}
+		}
+	})
+}

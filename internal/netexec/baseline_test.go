@@ -232,7 +232,8 @@ func tablePlain(sess *Session, in tableInputs) error {
 // tableStages drives one two-stage pipeline: n keys drawn from [0, domain) in
 // each stage-1 relation, tableSmall in the stage-2 right relation;
 // badFirst/badNext plant the invalid declaration in the stage-1 job or the
-// peer job's relation.
+// peer job's relation — for the latter a flat block, the one form a peer job's
+// relation cannot take.
 func tableStages(sess *Session, deferred bool, n int, domain int64, badFirst, badNext bool) error {
 	scheme, err := partition.NewHash(tableWorkers, nil)
 	if err != nil {
@@ -244,14 +245,20 @@ func tableStages(sess *Session, deferred bool, n int, domain int64, badFirst, ba
 	}
 	cfg := exec.Config{Seed: 511}
 	s1, s2 := exec.ShufflePair(randKeys(n, domain, 512), randKeys(n, domain, 513), scheme, cfg)
-	s3 := exec.ShuffleKeys(randKeys(tableSmall, domain, 514), scheme, 2, cfg)
 	defer s1.Release()
 	defer s2.Release()
-	defer s3.Release()
+	var r3 exec.RelData
+	if keys := randKeys(tableSmall, domain, 514); badNext {
+		r3.Keys = exec.ShuffleKeys(keys, scheme, 2, cfg)
+		defer r3.Keys.Release()
+	} else {
+		r3.Chunks = exec.ShuffleKeysChunked(keys, scheme, 2, cfg)
+		defer r3.Chunks.Drain() // what a failed pipeline left unsent
+	}
 	first := &exec.Job{Cond: join.Equi{}, Workers: tableWorkers,
 		R1: tableRel(s1, false, badFirst), R2: tableRel(s2, true, false)}
 	next := &exec.PlanJob{Plan: plan, Workers: tableWorkers, Cond: join.Equi{},
-		R2: tableRel(s3, false, badNext)}
+		R2: exec.ResolvedRelFuture(r3)}
 	if deferred {
 		next.Plan, next.Workers = nil, 0
 		next.Stats = &exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 515}
@@ -398,28 +405,31 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 	}
 }
 
-// The worker-side return-to-baseline table: the two job kinds the join
-// goroutine (stream_worker.go) serves, crossed with every way such a job can
-// leave the worker, each driven frame by frame over a raw connection and
-// asserting workersIdle, a build cache untouched by a failed job, and the
-// goroutine count back at the snapshot. The worker has ONE admission slot, so
-// the fed job's success cell also pins that the goroutine does not queue for
-// a second slot beside the one its OPENJOB holds.
+// The worker-side return-to-baseline table: the job kinds the join goroutine
+// (stream_worker.go) serves, crossed with every way such a job can leave the
+// worker, each driven frame by frame over a raw connection and asserting
+// workersIdle, a build cache untouched by a failed job, and the goroutine
+// count back at the snapshot. The worker has ONE admission slot, so a fed job
+// whose goroutine queued for a second slot beside the one its OPENJOB holds,
+// or a peer-fed job that sat on one while parked on its transfer, times out.
 
 const (
 	feedTenant = "fed"
 	feedBudget = 64 // tenant byte budget in the quota cell: 8 keys
 	feedJob    = 7
+	otherJob   = 8 // the job that takes the slot while feedJob is parked
 
-	buildSide = 0 // a fed job's relation 1, a stream's epoch-1 base
-	probeSide = 1 // a fed job's relation 2, a stream's window 0
+	buildSide = 0 // the resident side: a fed job's relation 1, a peer-fed job's relation 2, a stream's epoch-1 base
+	probeSide = 1 // a fed job's relation 2, a peer-fed job's mesh transfer, a stream's window 0
 )
 
 // feedKind writes one kind's frames: the open, then per side the run's
 // declaration (a stream declares nothing), key frames and end frame; bad is a
-// build-side data frame the decoder must refuse at job level.
+// build-side data frame the decoder must refuse at job level. want is the
+// kind's match count over the table's two relations.
 type feedKind struct {
 	name string
+	want int64
 	open func(bw *bufio.Writer) error
 	head func(bw *bufio.Writer, side int) error
 	keys func(bw *bufio.Writer, side int, keys []join.Key) error
@@ -432,13 +442,15 @@ func (k feedKind) run(bw *bufio.Writer, side int, keys []join.Key) error {
 	return errors.Join(k.head(bw, side), k.keys(bw, side, keys), k.end(bw, side, len(keys)))
 }
 
-func feedTableKinds(t *testing.T) []feedKind {
-	spec, err := join.SpecOf(join.Equi{})
+// chunkFedKind is a count job whose relations arrive as CHUNK streams under
+// cond.
+func chunkFedKind(t *testing.T, name string, cond join.Condition, want int64) feedKind {
+	spec, err := join.SpecOf(cond)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []feedKind{{
-		name: "fed count job",
+	return feedKind{
+		name: name, want: want,
 		open: func(bw *bufio.Writer) error {
 			return writeV3GobFrame(bw, frameV3OpenJob, feedJob, jobOpen{Cond: spec})
 		},
@@ -454,48 +466,91 @@ func feedTableKinds(t *testing.T) []feedKind {
 		bad: func(bw *bufio.Writer) error { // mapper 5 of the 2 the head declared
 			return writeChunkKeys(bw, feedJob, 1, 5, []join.Key{4})
 		},
-	}, {
-		name: "stream",
-		open: func(bw *bufio.Writer) error {
-			return writeV3GobFrame(bw, frameV3StreamOpen, feedJob,
-				streamOpen{Cond: spec, StatsCap: 64, StatsBuckets: 8, StatsSeed: 1})
-		},
-		head: func(*bufio.Writer, int) error { return nil },
-		keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
-			if side == buildSide {
-				return writeStreamBaseKeys(bw, feedJob, 1, keys)
-			}
-			return writeStreamWinKeys(bw, feedJob, 0, 1, keys)
-		},
-		end: func(bw *bufio.Writer, side, total int) error {
-			if side == buildSide {
-				return writeStreamBaseEnd(bw, feedJob, 1, total)
-			}
-			return writeStreamWinEnd(bw, feedJob, 0, 1, total)
-		},
-		bad: func(bw *bufio.Writer) error { // a one-key frame declaring three
-			if err := writeV3FrameHeader(bw, frameV3StreamBase, feedJob, streamBaseHdrLen+8); err != nil {
-				return err
-			}
-			_, err := bw.Write([]byte{1, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0})
-			return err
-		},
-	}}
+	}
 }
 
-// awaitFeedMetrics reads the job's reply frames up to its METRICS, skipping
-// a stream's window replies.
-func awaitFeedMetrics(t *testing.T, conn net.Conn) metrics {
+// feedTableKinds builds the kinds against worker w, whose transfer table the
+// peer-fed kind's probe side writes straight into — a self-contribution, as a
+// stage-1 job on the same worker delivers it.
+func feedTableKinds(t *testing.T, w *Worker) []feedKind {
+	spec, err := join.SpecOf(join.Equi{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	token := newPeerToken()
+	return []feedKind{
+		// 2×2 matches on key 2, one on key 3.
+		chunkFedKind(t, "fed count job", join.Equi{}, 5),
+		// Build key 1 reaches the two 2s, each 2 the 2s and the 3, 3 the same.
+		chunkFedKind(t, "band fed count job", join.NewBand(1), 11),
+		{
+			name: "peer-fed job", want: 5,
+			open: func(bw *bufio.Writer) error {
+				return writeV3GobFrame(bw, frameV3OpenPeerJob, feedJob, peerJobOpen{Cond: spec, Token: token})
+			},
+			head: func(bw *bufio.Writer, side int) error {
+				if side == probeSide {
+					return nil
+				}
+				return writeChunkHead(bw, feedJob, 2, 2)
+			},
+			keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
+				if side == probeSide {
+					return w.deliverLocal(token, 0, keys)
+				}
+				return writeChunkKeys(bw, feedJob, 2, 1, keys)
+			},
+			end: func(bw *bufio.Writer, side, total int) error {
+				if side == probeSide {
+					return writeV3GobFrame(bw, frameV3PeerBind, 0,
+						peerBind{Token: token, SenderCounts: []int64{int64(total)}})
+				}
+				return writeChunkTail(bw, feedJob, 2, total, 0)
+			},
+			bad: func(bw *bufio.Writer) error {
+				return writeChunkKeys(bw, feedJob, 2, 5, []join.Key{4})
+			},
+		}, {
+			name: "stream", want: 5,
+			open: func(bw *bufio.Writer) error {
+				return writeV3GobFrame(bw, frameV3StreamOpen, feedJob,
+					streamOpen{Cond: spec, StatsCap: 64, StatsBuckets: 8, StatsSeed: 1})
+			},
+			head: func(*bufio.Writer, int) error { return nil },
+			keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
+				if side == buildSide {
+					return writeStreamBaseKeys(bw, feedJob, 1, keys)
+				}
+				return writeStreamWinKeys(bw, feedJob, 0, 1, keys)
+			},
+			end: func(bw *bufio.Writer, side, total int) error {
+				if side == buildSide {
+					return writeStreamBaseEnd(bw, feedJob, 1, total)
+				}
+				return writeStreamWinEnd(bw, feedJob, 0, 1, total)
+			},
+			bad: func(bw *bufio.Writer) error { // a one-key frame declaring three
+				if err := writeV3FrameHeader(bw, frameV3StreamBase, feedJob, streamBaseHdrLen+8); err != nil {
+					return err
+				}
+				_, err := bw.Write([]byte{1, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0})
+				return err
+			},
+		}}
+}
+
+// awaitFeedMetrics reads job's reply frames up to its METRICS, skipping a
+// stream's window replies.
+func awaitFeedMetrics(t *testing.T, conn net.Conn, br *bufio.Reader, job uint32) metrics {
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	br := bufio.NewReader(conn)
 	for {
-		typ, job, n, err := readV3FrameHeader(br)
+		typ, got, n, err := readV3FrameHeader(br)
 		if err != nil {
-			t.Fatalf("reading the job's reply: %v", err)
+			t.Fatalf("reading job %d's reply: %v", job, err)
 		}
-		if job != feedJob {
-			t.Fatalf("reply for job %d, want %d", job, feedJob)
+		if got != job {
+			t.Fatalf("reply for job %d, want %d", got, job)
 		}
 		if typ != frameV3Metrics {
 			if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
@@ -513,67 +568,126 @@ func awaitFeedMetrics(t *testing.T, conn net.Conn) metrics {
 
 func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 	build := []join.Key{1, 2, 2, 3}
-	probe := []join.Key{2, 2, 3, 9} // 2×2 matches on key 2, one on key 3
-	const wantOutput = 5
+	probe := []join.Key{2, 2, 3, 9}
 	eos := func(bw *bufio.Writer) error { return writeV3FrameHeader(bw, frameV3EOS, feedJob, 0) }
 	// midBuild leaves the build side declared and part-shipped.
 	midBuild := func(k feedKind, bw *bufio.Writer) error {
 		return errors.Join(k.head(bw, buildSide), k.keys(bw, buildSide, build))
 	}
 
+	// cell is what an exit drives: the kind, the raw connection both ways, and
+	// the worker behind it.
+	type cell struct {
+		k    feedKind
+		bw   *bufio.Writer
+		br   *bufio.Reader
+		conn net.Conn
+		w    *Worker
+	}
 	// Each exit sends its frames after the open. One with a check then reads
 	// the job's METRICS; one without abandoned the job and expects no reply.
-	// Only the success cell may grow the build cache.
-	failedWith := func(code int) func(metrics) bool {
-		return func(m metrics) bool { return m.Err != "" && m.Code == code }
+	// Only a success cell may grow the build cache. The peerOnly exits are the
+	// outcomes of a transfer the other kinds have no counterpart of.
+	succeeded := func(c cell, m metrics) bool { return m.Err == "" && m.Output == c.k.want }
+	failedWith := func(code int) func(cell, metrics) bool {
+		return func(_ cell, m metrics) bool { return m.Err != "" && m.Code == code }
 	}
 	exits := []struct {
-		name   string
-		budget int64
-		send   func(k feedKind, bw *bufio.Writer, conn net.Conn, w *Worker) error
-		check  func(m metrics) bool
+		name     string
+		budget   int64
+		peerOnly bool
+		send     func(c cell) error
+		check    func(c cell, m metrics) bool
 	}{
 		{name: "EOS",
-			send: func(k feedKind, bw *bufio.Writer, _ net.Conn, _ *Worker) error {
-				return errors.Join(k.run(bw, buildSide, build), k.run(bw, probeSide, probe), eos(bw))
+			send: func(c cell) error {
+				return errors.Join(c.k.run(c.bw, buildSide, build), c.k.run(c.bw, probeSide, probe), eos(c.bw))
 			},
-			check: func(m metrics) bool { return m.Err == "" && m.Output == wantOutput }},
+			check: succeeded},
 		{name: "ABORT mid-relation",
-			send: func(k feedKind, bw *bufio.Writer, _ net.Conn, _ *Worker) error {
-				return errors.Join(midBuild(k, bw), writeV3FrameHeader(bw, frameV3Abort, feedJob, 0))
+			send: func(c cell) error {
+				return errors.Join(midBuild(c.k, c.bw), writeV3FrameHeader(c.bw, frameV3Abort, feedJob, 0))
 			}},
 		{name: "connection teardown mid-relation",
-			send: func(k feedKind, bw *bufio.Writer, conn net.Conn, w *Worker) error {
-				if err := errors.Join(midBuild(k, bw), bw.Flush()); err != nil {
+			send: func(c cell) error {
+				if err := errors.Join(midBuild(c.k, c.bw), c.bw.Flush()); err != nil {
 					return err
 				}
 				// Hang up under a job the worker demonstrably holds.
-				waitFor(t, "the worker to register the job", func() bool { return inFlight(w) == 1 })
-				return conn.Close()
+				waitFor(t, "the worker to register the job", func() bool { return inFlight(c.w) == 1 })
+				return c.conn.Close()
 			}},
 		{name: "refused data frame",
-			send: func(k feedKind, bw *bufio.Writer, _ net.Conn, _ *Worker) error {
-				return errors.Join(midBuild(k, bw), k.bad(bw), eos(bw))
+			send: func(c cell) error {
+				return errors.Join(midBuild(c.k, c.bw), c.k.bad(c.bw), eos(c.bw))
 			},
 			check: failedWith(0)},
 		{name: "probe keys ahead of the sealed build side",
-			send: func(k feedKind, bw *bufio.Writer, _ net.Conn, _ *Worker) error {
-				return errors.Join(midBuild(k, bw),
-					k.head(bw, probeSide), k.keys(bw, probeSide, probe), eos(bw))
+			send: func(c cell) error {
+				return errors.Join(midBuild(c.k, c.bw),
+					c.k.head(c.bw, probeSide), c.k.keys(c.bw, probeSide, probe), eos(c.bw))
 			},
 			check: failedWith(0)},
 		{name: "tenant quota rejection mid-feed", budget: feedBudget,
-			send: func(k feedKind, bw *bufio.Writer, _ net.Conn, _ *Worker) error {
+			send: func(c cell) error {
 				// The first frame fits the budget, the second overruns it.
-				return errors.Join(midBuild(k, bw),
-					k.keys(bw, buildSide, make([]join.Key, feedBudget/8)), eos(bw))
+				return errors.Join(midBuild(c.k, c.bw),
+					c.k.keys(c.bw, buildSide, make([]join.Key, feedBudget/8)), eos(c.bw))
 			},
 			check: failedWith(codeQuota)},
+		{name: "parked on its transfer while another job takes the one slot", peerOnly: true,
+			send: func(c cell) error {
+				// Sealed and parked: the transfer is neither delivered nor bound.
+				if err := errors.Join(c.k.run(c.bw, buildSide, build), eos(c.bw), c.bw.Flush()); err != nil {
+					return err
+				}
+				waitFor(t, "the seal to have taken the slot and given it back", func() bool {
+					c.w.admit.mu.Lock()
+					defer c.w.admit.mu.Unlock()
+					return c.w.admit.running == 0 && c.w.admit.fastPath == 1
+				})
+				// A flat count job now needs the worker's only slot — at its
+				// open, in the read loop — and must get it.
+				sendOpenJob(t, c.bw, otherJob, false)
+				err := errors.Join(
+					writeRelHead(c.bw, otherJob, 1, 1, false, 0), writeKeyBlocksV3(c.bw, otherJob, 1, []join.Key{2}),
+					writeRelHead(c.bw, otherJob, 2, 1, false, 0), writeKeyBlocksV3(c.bw, otherJob, 2, []join.Key{2}),
+					writeV3FrameHeader(c.bw, frameV3EOS, otherJob, 0), c.bw.Flush())
+				if err != nil {
+					return err
+				}
+				if m := awaitFeedMetrics(t, c.conn, c.br, otherJob); m.Err != "" || m.Output != 1 {
+					t.Errorf("the job beside the parked one replied %+v", m)
+				}
+				return c.k.run(c.bw, probeSide, probe)
+			},
+			check: succeeded},
+		{name: "transfer failed", peerOnly: true,
+			send: func(c cell) error {
+				// The bind announces one tuple more than the sender delivered.
+				return errors.Join(c.k.run(c.bw, buildSide, build), eos(c.bw),
+					c.k.keys(c.bw, probeSide, probe), c.k.end(c.bw, probeSide, len(probe)+1))
+			},
+			check: failedWith(0)},
+		{name: "transfer never bound, coordinator hangs up", peerOnly: true,
+			send: func(c cell) error {
+				err := errors.Join(c.k.run(c.bw, buildSide, build), eos(c.bw),
+					c.k.keys(c.bw, probeSide, probe), c.bw.Flush())
+				if err != nil {
+					return err
+				}
+				waitFor(t, "the worker to register the job", func() bool { return inFlight(c.w) == 1 })
+				return c.conn.Close()
+			}},
 	}
 
-	for _, k := range feedTableKinds(t) {
+	kinds := feedTableKinds(t, nil)
+	for ki := range kinds {
 		for _, x := range exits {
-			t.Run(k.name+"/"+x.name, func(t *testing.T) {
+			if x.peerOnly && kinds[ki].name != "peer-fed job" {
+				continue
+			}
+			t.Run(kinds[ki].name+"/"+x.name, func(t *testing.T) {
 				b := snapshotBaseline(t)
 				w, err := ListenWorker("127.0.0.1:0")
 				if err != nil {
@@ -586,20 +700,21 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 				cacheBefore := w.BuildCacheStats().Bytes
 
 				bw, conn := dialV3(t, w.Addr())
+				c := cell{k: feedTableKinds(t, w)[ki], bw: bw, br: bufio.NewReader(conn), conn: conn, w: w}
 				err = errors.Join(
 					writeV3GobFrame(bw, frameV3Hello, 0, sessionHello{Tenant: feedTenant}),
-					k.open(bw), x.send(k, bw, conn, w))
+					c.k.open(bw), x.send(c))
 				if err != nil {
 					t.Fatal(err)
 				}
-				_ = bw.Flush() // the teardown cell already hung up
+				_ = bw.Flush() // a teardown cell already hung up
 				if x.check != nil {
-					if m := awaitFeedMetrics(t, conn); !x.check(m) {
+					if m := awaitFeedMetrics(t, conn, c.br, feedJob); !x.check(c, m) {
 						t.Errorf("replied %+v, not as a %s", m, x.name)
 					}
 				}
 				b.workersIdle([]*Worker{w}, feedTenant)
-				if grew := w.BuildCacheStats().Bytes - cacheBefore; x.name != "EOS" && grew != 0 {
+				if grew := w.BuildCacheStats().Bytes - cacheBefore; grew != 0 && x.name != "EOS" {
 					t.Errorf("failed job left %d bytes in the build cache", grew)
 				}
 				_ = conn.Close()

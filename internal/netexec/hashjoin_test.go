@@ -1,7 +1,14 @@
 package netexec
 
 import (
+	"bufio"
 	"context"
+	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strings"
 	"testing"
 
 	"ewh/internal/exec"
@@ -19,7 +26,7 @@ func zipfKeys(n int, domain int64, z float64, seed uint64) []join.Key {
 // TestSessionHashJoinOverlap is the insert-while-probe crosscheck: an equi
 // count job over the chunked session scatter must produce the exact Local
 // answer AND prove the worker started building before the job's tail frames
-// decoded — BuildOverlappedChunks, the hash-side mirror of OverlappedStage2.
+// decoded — BuildOverlappedChunks, the join-side mirror of OverlappedStage2.
 func TestSessionHashJoinOverlap(t *testing.T) {
 	_, addrs := startWorkerSet(t, 3)
 	r1 := zipfKeys(30000, 4000, 0.8, 130)
@@ -52,11 +59,13 @@ func TestSessionHashJoinOverlap(t *testing.T) {
 		t.Fatalf("count job relayed %d pairs", sess.RelayedPairs())
 	}
 
-	// The other two selections crosscheck against the same answer; forcing
-	// merge must bypass the chunk feed entirely.
+	// The other two selections crosscheck against the same answer, and every
+	// worker echoes the engine that ran: forcing merge takes the same feed
+	// through the merge side.
 	for _, e := range []exec.JoinEngine{exec.EngineHash, exec.EngineMerge} {
 		cfg := cfg
 		cfg.Engine = e
+		before := sess.EngineUses(e)
 		res, err := exec.RunOver(sess, r1, r2, join.Equi{}, scheme, model, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -64,27 +73,23 @@ func TestSessionHashJoinOverlap(t *testing.T) {
 		if res.Output != want.Output {
 			t.Fatalf("engine %v: output %d, want %d", e, res.Output, want.Output)
 		}
-	}
-	before := sess.BuildOverlappedChunks()
-	cfgMerge := cfg
-	cfgMerge.Engine = exec.EngineMerge
-	if _, err := exec.RunOver(sess, r1, r2, join.Equi{}, scheme, model, cfgMerge); err != nil {
-		t.Fatal(err)
-	}
-	if after := sess.BuildOverlappedChunks(); after != before {
-		t.Fatalf("merge-engine job advanced the overlap counter (%d -> %d)", before, after)
+		if got := sess.EngineUses(e) - before; got != int64(scheme.Workers()) {
+			t.Fatalf("engine %v: %d workers echoed it, want %d", e, got, scheme.Workers())
+		}
 	}
 }
 
 // TestSessionHashJoinBandFallsBack pins engine resolution across the wire: a
-// band job under an explicit hash request runs the merge sweep (exact
-// answer, no chunk feed) instead of failing or mis-counting.
+// band job under an explicit hash request runs the merge sweep — exact answer,
+// every worker echoing merge — on the same chunk feed: relation 1 sorts at its
+// tail while relation 2's chunks are still arriving.
 func TestSessionHashJoinBandFallsBack(t *testing.T) {
 	_, addrs := startWorkerSet(t, 2)
 	r1 := zipfKeys(5000, 1000, 0.8, 140)
 	r2 := zipfKeys(5000, 1000, 0.8, 141)
 	scheme := partition.NewCI(2)
-	cfg := exec.Config{Seed: 142, Engine: exec.EngineHash, Mappers: 4}
+	// Mappers well above the event-channel depth, as in the overlap test.
+	cfg := exec.Config{Seed: 142, Engine: exec.EngineHash, Mappers: 12}
 	cond := join.NewBand(2)
 
 	want := exec.Run(r1, r2, cond, scheme, model, cfg)
@@ -100,8 +105,12 @@ func TestSessionHashJoinBandFallsBack(t *testing.T) {
 	if got.Output != want.Output {
 		t.Fatalf("band under hash request: output %d, want %d", got.Output, want.Output)
 	}
-	if n := sess.BuildOverlappedChunks(); n != 0 {
-		t.Fatalf("band job overlapped %d chunks through the hash chunk feed", n)
+	if n := sess.EngineUses(exec.EngineMerge); n != int64(scheme.Workers()) || sess.EngineUses(exec.EngineHash) != 0 {
+		t.Fatalf("%d workers echoed merge and %d hash, want %d and 0",
+			n, sess.EngineUses(exec.EngineHash), scheme.Workers())
+	}
+	if n := sess.BuildOverlappedChunks(); n <= 0 {
+		t.Fatalf("BuildOverlappedChunks = %d, want > 0: the merge side never overlapped the stream", n)
 	}
 }
 
@@ -172,72 +181,67 @@ func TestPoolBuildCacheHit(t *testing.T) {
 	}
 }
 
-// TestChunkStreamedPairsBitIdentical pins a hand-built chunk-streamed pairs
-// job (no driver builds one): its relations assemble from the CHUNK streams
-// and it must emit the pair stream bit-identically to the flat path — same
-// pairs, same order, same flush (frame) boundaries.
-func TestChunkStreamedPairsBitIdentical(t *testing.T) {
-	_, addrs := startWorkerSet(t, 2)
-	sess, err := DialTenant(context.Background(), "", addrs, Timeouts{})
+// TestArrivalOrderJobsRefuseChunks pins the declarations no job kind can take,
+// each as a job-level refusal: a chunked relation on a job that joins flat
+// blocks in arrival order — pairs to index, a plan's matches to materialize,
+// in either frame order — and a flat relation 2 on a peer-fed job, whose join
+// goroutine takes chunks only. The job replies its error at EOS, and the
+// connection serves the next job intact.
+func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
+	_, addrs := startWorkerSet(t, 1)
+	spec, err := join.SpecOf(join.Equi{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sess.Close()
-
-	r1 := zipfKeys(30000, 4000, 0.8, 170)
-	r2 := zipfKeys(30000, 4000, 0.8, 171)
-	scheme := partition.NewCI(2)
-	// The zipf output volume forces several pairChunk flushes per worker.
-	cfg := exec.Config{Seed: 172, Mappers: 12, Engine: exec.EngineHash}
-
-	run := func(chunked bool) [][][]exec.PairIdx {
-		chunks := make([][][]exec.PairIdx, scheme.Workers())
-		job := &exec.Job{Cond: join.Equi{}, Workers: scheme.Workers(), Engine: cfg.Engine,
-			// Distinct workers write distinct slice elements; per-worker
-			// delivery is sequential, so no locking is needed.
-			Pairs: func(w int, chunk []exec.PairIdx) {
-				chunks[w] = append(chunks[w], append([]exec.PairIdx(nil), chunk...))
-			}}
-		if chunked {
-			cs1, cs2 := exec.ShufflePairChunked(r1, r2, scheme, cfg)
-			job.R1 = exec.ResolvedRelFuture(exec.RelData{Chunks: cs1})
-			job.R2 = exec.ResolvedRelFuture(exec.RelData{Chunks: cs2})
-		} else {
-			s1, s2 := exec.ShufflePair(r1, r2, scheme, cfg)
-			defer s1.Release()
-			defer s2.Release()
-			job.R1 = exec.ResolvedRelFuture(exec.RelData{Keys: s1})
-			job.R2 = exec.ResolvedRelFuture(exec.RelData{Keys: s2})
-		}
-		wm := make([]exec.WorkerMetrics, scheme.Workers())
-		if err := sess.RunJob(job, wm); err != nil {
-			t.Fatal(err)
-		}
-		return chunks
+	open := func(bw *bufio.Writer, pairs bool) error {
+		return writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec, WantPairs: pairs})
 	}
-
-	flat := run(false)
-	streamed := run(true)
-	for w := range flat {
-		if len(flat[w]) < 2 {
-			t.Fatalf("worker %d emitted %d flush chunks; need several to pin boundaries", w, len(flat[w]))
-		}
-		if len(streamed[w]) != len(flat[w]) {
-			t.Fatalf("worker %d: %d flush chunks streamed, flat path emitted %d",
-				w, len(streamed[w]), len(flat[w]))
-		}
-		for c := range flat[w] {
-			if len(streamed[w][c]) != len(flat[w][c]) {
-				t.Fatalf("worker %d chunk %d: %d pairs streamed, flat %d — flush boundary moved",
-					w, c, len(streamed[w][c]), len(flat[w][c]))
+	plan := func(bw *bufio.Writer) error {
+		return writeV3GobFrame(bw, frameV3Plan, 1, planSpec{WantStats: true})
+	}
+	chunkHead := func(bw *bufio.Writer) error { return writeChunkHead(bw, 1, 1, 2) }
+	for _, tc := range []struct {
+		name, want string
+		frames     func(bw *bufio.Writer) error
+	}{
+		{"chunk head on a pairs job", "pairs or plan job", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw, true), chunkHead(bw))
+		}},
+		{"chunk head on a plan job", "pairs or plan job", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw, false), plan(bw), chunkHead(bw))
+		}},
+		{"plan on a chunk-fed job", "cannot carry a plan", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw, false), chunkHead(bw), plan(bw))
+		}},
+		{"flat relation 2 on a peer-fed job", "declared flat", func(bw *bufio.Writer) error {
+			return errors.Join(
+				writeV3GobFrame(bw, frameV3OpenPeerJob, 1, peerJobOpen{Cond: spec, Token: newPeerToken()}),
+				writeRelHead(bw, 1, 2, 1, false, 0), writeKeyBlocksV3(bw, 1, 2, []join.Key{3}))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bw, conn := dialV3(t, addrs[0])
+			br := bufio.NewReader(conn)
+			err := errors.Join(tc.frames(bw), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range flat[w][c] {
-				if streamed[w][c][i] != flat[w][c][i] {
-					t.Fatalf("worker %d chunk %d pair %d: streamed %+v, flat %+v",
-						w, c, i, streamed[w][c][i], flat[w][c][i])
-				}
+			if m := awaitFeedMetrics(t, conn, br, 1); !strings.Contains(m.Err, tc.want) {
+				t.Fatalf("replied %+v, want a refusal naming %q", m, tc.want)
 			}
-		}
+			// The next job on the connection: one key each side, flat.
+			sendOpenJob(t, bw, 2, false)
+			err = errors.Join(
+				writeRelHead(bw, 2, 1, 1, false, 0), writeKeyBlocksV3(bw, 2, 1, []join.Key{3}),
+				writeRelHead(bw, 2, 2, 1, false, 0), writeKeyBlocksV3(bw, 2, 2, []join.Key{3}),
+				writeV3FrameHeader(bw, frameV3EOS, 2, 0), bw.Flush())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := awaitFeedMetrics(t, conn, br, 2); m.Err != "" || m.Output != 1 {
+				t.Fatalf("the job after the refusal replied %+v", m)
+			}
+		})
 	}
 }
 
@@ -283,5 +287,39 @@ func TestPeerStageJobsHonorCoordinatorEngine(t *testing.T) {
 	// Engine selection must not perturb the answer.
 	if outs[0] != outs[1] {
 		t.Fatalf("engine selection changed outputs: hash %v vs merge %v", outs[0], outs[1])
+	}
+}
+
+// TestWorkerJoinsTakeTheJobsEngine is the other half of the engine echo: a
+// worker reports metrics.Engine from the job's selection, which is true only
+// if every join it runs takes that selection too. A stage-1 plan job used to
+// call the merge argsort pair join (then exported as exec.JoinPairs) whatever
+// was selected, while echoing hash for an equi condition — and the two pair
+// streams are bit-identical by design, so no reply can tell them apart. exec
+// now exports only selection-taking entry points (JoinPairsEngine, CountOwned,
+// JoinEngine.Resident); this pins the other way around them, on the source:
+// non-test code of this package calls no engine directly.
+func TestWorkerJoinsTakeTheJobsEngine(t *testing.T) {
+	engineBlind := map[string]bool{"exec.JoinPairs": true, // as exported when the bug stood
+		"localjoin.Count": true, "localjoin.CountSorted": true, "localjoin.NestedLoopCount": true,
+		"localjoin.NewBuild": true, "localjoin.NewResident": true, "localjoin.NewPairTable": true}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for name, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && engineBlind[x.Name+"."+sel.Sel.Name] {
+						t.Errorf("%s joins through %s.%s, which ignores the job's engine selection",
+							name, x.Name, sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"net"
 	"testing"
 
 	"ewh/internal/exec"
@@ -125,7 +126,7 @@ func TestRunningCountCap(t *testing.T) {
 
 	frames := recordedKeyFrames(t)
 	for _, typ := range []byte{frameV3Chunk, frameV3StreamBase, frameV3StreamWin} {
-		j := &sessJob{}
+		j := &sessJob{stream: &sessStream{resTag: 1}}
 		for i := range j.rels {
 			// One tuple short of the cap on whichever relation the type counts.
 			j.rels[i] = sessRel{declared: true, streaming: true, chunks: 4, pos: MaxRelationTuples - 1}
@@ -143,8 +144,8 @@ func TestRunningCountCap(t *testing.T) {
 }
 
 // recordedKeyFrames returns one frame payload (sub-header + two keys) per
-// key-carrying session frame type, as the writers frame it; every one names
-// relation 1 / mapper 1 / epoch 1 / window 0.
+// key-carrying frame type, as the writers frame it; every one names relation
+// 1 / mapper 1 / epoch 1 / window 0 — or, on the mesh, token 1 / sender 1.
 func recordedKeyFrames(t testing.TB) map[byte][]byte {
 	t.Helper()
 	keys := []join.Key{7, -7}
@@ -161,17 +162,26 @@ func recordedKeyFrames(t testing.TB) map[byte][]byte {
 		}
 		out[typ] = b.Bytes()[v3FrameHeaderLen:]
 	}
+	// A contribution is its head frame, then the block frames.
+	var b bytes.Buffer
+	if err := (&peerConn{bw: bufio.NewWriter(&b)}).writeContribution(1, 1, keys); err != nil {
+		t.Fatal(err)
+	}
+	out[framePeerBlock] = b.Bytes()[2*peerFrameHeaderLen+peerHeadLen:]
 	return out
 }
 
-// FuzzKeyFrame feeds the one key-frame decoder arbitrary payloads under each
-// frame type, framed exactly as long as they are. It must never panic; it may
-// buffer only what the frame declared; an accepted frame and a job-level
+// peerFrameHeaderLen is the mesh's job-less [type u8][payloadLen u32].
+const peerFrameHeaderLen = 5
+
+// FuzzKeyFrame feeds the key-frame decoders arbitrary payloads under each
+// frame type, framed exactly as long as they are. They must never panic; they
+// may buffer only what the frame declared; an accepted frame and a job-level
 // refusal both consume exactly the frame (the next header parses); only a
-// frame shorter than its sub-header is connection-fatal; and whatever it
-// charged the tenant the job's release gives back.
+// frame shorter than its sub-header is connection-fatal; and whatever a
+// session frame charged the tenant the job's release gives back.
 func FuzzKeyFrame(f *testing.F) {
-	types := []byte{frameV3Block, frameV3Chunk, frameV3StreamBase, frameV3StreamWin}
+	types := []byte{frameV3Block, frameV3Chunk, frameV3StreamBase, frameV3StreamWin, framePeerBlock}
 	for i, typ := range types {
 		f.Add(byte(i), recordedKeyFrames(f)[typ])
 	}
@@ -180,12 +190,19 @@ func FuzzKeyFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sel byte, payload []byte) {
 		typ := types[int(sel)%len(types)]
 		w := ListenWorkerOn(nil)
-		j := &sessJob{ws: &workerSession{w: w}}
+		if typ == framePeerBlock {
+			fuzzPeerBlock(t, w, payload)
+			return
+		}
+		// The job's goroutine is a channel the test drains: what dataFrame
+		// guarantees before it hands over a stream frame, and what a chunked
+		// relation's head started.
+		j := &sessJob{ws: &workerSession{w: w},
+			stream: &sessStream{resTag: 1, ch: make(chan streamEvent, 1), done: closed}}
 		if typ == frameV3StreamBase || typ == frameV3StreamWin {
-			// What dataFrame guarantees before it hands over a stream frame.
-			j.stream = &sessStream{ch: make(chan streamEvent, 1), done: closed}
+			j.stream.resTag = 0
 		} else {
-			j.rels[0] = sessRel{declared: true, streaming: true, chunks: 4, parts: make([][][]join.Key, 4)}
+			j.rels[0] = sessRel{declared: true, streaming: true, chunks: 4}
 			j.rels[1] = sessRel{declared: true, n: 64, keys: exec.GetKeyBuffer(64)}
 		}
 		const sentinel = 0xEE
@@ -205,18 +222,11 @@ func FuzzKeyFrame(f *testing.F) {
 			t.Fatalf("type %d: a frame holding its whole sub-header was connection-fatal: %v", typ, err)
 		}
 		buffered := 0
-		if j.stream != nil {
-			select {
-			case ev := <-j.stream.ch:
-				buffered = len(ev.keys)
-				exec.PutKeyBuffer(ev.keys)
-			default:
-			}
-		}
-		for _, parts := range j.rels[0].parts {
-			for _, p := range parts {
-				buffered += len(p)
-			}
+		select {
+		case ev := <-j.stream.ch:
+			buffered = len(ev.keys)
+			exec.PutKeyBuffer(ev.keys)
+		default:
 		}
 		if err == nil && typ != frameV3Block && hdr+8*buffered != n {
 			t.Fatalf("type %d: accepted a %d-byte frame and buffered %d keys", typ, n, buffered)
@@ -229,4 +239,49 @@ func FuzzKeyFrame(f *testing.F) {
 			t.Fatalf("type %d: %d bytes still charged after release", typ, used)
 		}
 	})
+}
+
+// fuzzPeerBlock is FuzzKeyFrame's mesh arm: handlePeer serves a connection
+// carrying the head of the contribution the recorded PEERBLOCK belongs to
+// (token 1, sender 1, two keys), the fuzzed block, and a sentinel head for a
+// second token. The sentinel registers exactly when the block was consumed to
+// its last byte and did not kill the connection.
+func fuzzPeerBlock(t *testing.T, w *Worker, payload []byte) {
+	const token, sender, sentinel = 1, 1, 0xfeedfacecafebeef
+	var stream bytes.Buffer
+	head := func(tok uint64, count uint32) {
+		var h [peerHeadLen]byte
+		binary.LittleEndian.PutUint64(h[:], tok)
+		binary.LittleEndian.PutUint32(h[8:], sender)
+		binary.LittleEndian.PutUint32(h[12:], count)
+		_ = writeFrameHeader(&stream, framePeerHead, peerHeadLen)
+		stream.Write(h[:])
+	}
+	head(token, 2)
+	_ = writeFrameHeader(&stream, framePeerBlock, len(payload))
+	stream.Write(payload)
+	head(sentinel, 0)
+	near, far := net.Pipe() // handlePeer only asks the connection its address
+	defer near.Close()
+	defer far.Close()
+	w.handlePeer(bufio.NewReader(&stream), near)
+
+	w.peersMu.Lock()
+	st, reached := w.peerStates[token], w.peerStates[sentinel] != nil
+	w.peersMu.Unlock()
+	if whole := len(payload) >= peerBlockHeaderLen; reached != whole {
+		t.Fatalf("%d-byte block: the head after it registered = %v, want %v", len(payload), reached, whole)
+	}
+	st.mu.Lock()
+	buffered := 0
+	for _, c := range st.contrib {
+		buffered += c.pos
+	}
+	st.mu.Unlock()
+	if buffered > 2 || 8*buffered > len(payload) {
+		t.Fatalf("%d-byte block buffered %d keys of a 2-key contribution", len(payload), buffered)
+	}
+	for _, tok := range []uint64{token, sentinel} {
+		w.dropPeerState(tok) // recycles what the contribution still holds
+	}
 }

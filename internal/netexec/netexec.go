@@ -16,12 +16,13 @@
 // peer-mesh link (peer.go) — and close anything else. Both ends run one job
 // lifecycle each: the coordinator's subJob (open/send/await/close,
 // session.go) against the worker's openJob → headFrame/dataFrame → finishJob
-// → retire (session_worker.go), where a stream job and a chunk-fed hash count
-// job swap finishJob for the one join goroutine that consumes key frames as
-// they arrive (stream_worker.go). Every key-carrying data frame has one
-// writer (writeKeyFrames) and the session's have one decoder (readKeyFrame).
-// See wire.go for the framing and DESIGN.md's "Transport" section for the
-// frame table and both lifecycles.
+// → retire (session_worker.go), where every count job whose relations are not
+// flat blocks — chunk-streamed, peer-fed, a stream — swaps finishJob for the
+// one join goroutine that consumes key frames as they arrive
+// (stream_worker.go). Every key-carrying data frame has one writer
+// (writeKeyFrames) and one sub-header step (readKeySubHdr). See wire.go for
+// the framing and DESIGN.md's "Transport" section for the frame table and
+// both lifecycles.
 package netexec
 
 import (
@@ -67,12 +68,11 @@ type metrics struct {
 	// Gob-compatible addition: absent on old wires, decoded as 0.
 	Code int
 
-	// BuildOverlapped counts the CHUNK sub-blocks this job's hash engine
-	// consumed (inserted or probed) BEFORE the read loop decoded the job's
-	// EOS — the observable proving the build/probe work overlapped the
-	// still-streaming scatter instead of waiting out assembly (the local
-	// analog of OverlappedStage2). Gob-compatible addition: decoded as 0 on
-	// old wires and on merge-engine jobs.
+	// BuildOverlapped counts the CHUNK sub-blocks this job's resident side —
+	// hash or merge — consumed (inserted or probed) BEFORE the read loop
+	// decoded the job's EOS: the observable proving the join overlapped the
+	// still-streaming scatter (the local analog of OverlappedStage2).
+	// Gob-compatible addition: decoded as 0 on old wires and on flat jobs.
 	BuildOverlapped int64
 
 	// Engine echoes the RESOLVED local-join engine that served the job (1
@@ -130,8 +130,8 @@ type planSpec struct {
 // per-sender counts follow in a frameV3PeerBind once every stage-1 metrics
 // frame has landed, and the worker parks on the transfer token exactly as it
 // does for slow peer transfers. Pre-bind buffering stays capped by the
-// per-transfer declared-count ceiling; the tenant is charged for the assembled
-// block at assembly time, where its size is first known.
+// per-transfer declared-count ceiling; the tenant is charged for the
+// contributions when the job takes them, where their size is first known.
 type peerJobOpen struct {
 	WorkerID int
 	Cond     join.Spec
@@ -144,8 +144,7 @@ type peerJobOpen struct {
 
 // peerBind delivers a peer job's exact per-sender counts: SenderCounts[s] is
 // what sender s routed to this worker (reported by the stage-1 metrics), so
-// the receiver assembles a deterministic sender-ordered block and knows exactly
-// when the peer transfer is complete. It is keyed by transfer token rather
+// the receiver knows exactly when the peer transfer is complete. It is keyed by transfer token rather
 // than job id: the job's EOS retired the id from the connection's demux table
 // long before stage 1 finished.
 type peerBind struct {

@@ -2,6 +2,7 @@ package netexec
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -20,7 +22,9 @@ import (
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
 	"ewh/internal/partition"
+	"ewh/internal/planio"
 	"ewh/internal/stats"
+	"ewh/internal/tiling"
 )
 
 var model = cost.Model{Wi: 1, Wo: 0.2}
@@ -207,6 +211,90 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 	if _, err := exec.RunOver(sess, r1, r1, join.Equi{}, partition.NewCI(1), model, exec.Config{Seed: 65}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestControlFrameBound pins maxControlPayload from both ends of both read
+// loops. A control frame's payload is buffered whole before it decodes, so a
+// header declaring more is refused before anything is allocated for it —
+// connection-fatal on the worker (which used to allocate the declared 128 MiB
+// and sit waiting for it) and on the coordinator — while the largest plan and
+// bind the widest mesh produces pass, and the writer refuses to frame what the
+// reader would not take.
+func TestControlFrameBound(t *testing.T) {
+	const declared = 1 << 27 // under maxFramePayload: the header reader admits it
+	t.Run("worker", func(t *testing.T) {
+		ws, addrs := startWorkerSet(t, 1)
+		ws[0].FailAfterJobs(1 << 30) // arms the completed-job counter
+		bw, conn := dialV3(t, addrs[0])
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := errors.Join(writeV3FrameHeader(bw, frameV3Hello, 0, declared), bw.Flush()); err != nil {
+			t.Fatal(err)
+		}
+		expectClosedSilently(t, conn)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= declared/2 {
+			t.Errorf("a 9-byte header made the process allocate %d bytes", grew)
+		}
+		assertNoJobsBegun(t, ws[0])
+	})
+	t.Run("coordinator", func(t *testing.T) {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		go func() { // a worker that answers the prelude with one oversized METRICS
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			_ = writeV3FrameHeader(conn, frameV3Metrics, 1, declared)
+			_, _ = io.Copy(io.Discard, conn) // until the session hangs up
+		}()
+		sess := dialSession(t, []string{ln.Addr().String()})
+		waitFor(t, "the session to fail the connection", func() bool {
+			return sess.conns[0].failedErr() != nil
+		})
+		if err := sess.conns[0].failedErr(); !strings.Contains(err.Error(), "exceeds limit") {
+			t.Fatalf("connection failed with %v, want the control-frame bound", err)
+		}
+	})
+	t.Run("maximal legitimate frames pass", func(t *testing.T) {
+		regions := make([]tiling.Region, maxPeerSenders)
+		for i := range regions {
+			regions[i] = tiling.Region{RowLo: join.Key(i), RowHi: join.Key(i + 1), ColLo: join.Key(i), ColHi: join.Key(i + 1)}
+		}
+		plan, err := planio.Encode(&planio.Artifact{Scheme: partition.NewRegionScheme("widest", regions)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := planSpec{Plan: plan, Peers: make([]string, maxPeerSenders)}
+		pb := peerBind{SenderCounts: make([]int64, maxPeerSenders)}
+		for i := range ps.Peers {
+			ps.Peers[i] = "[ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff%interface0]:65535"
+			pb.SenderCounts[i] = MaxRelationTuples
+		}
+		for typ, v := range map[byte]any{frameV3Plan: ps, frameV3PeerBind: pb} {
+			var b bytes.Buffer
+			if err := writeV3GobFrame(&b, typ, 1, v); err != nil {
+				t.Fatalf("frame type %d: %v", typ, err)
+			}
+			_, _, n, err := readV3FrameHeader(&b)
+			if err != nil || n > maxControlPayload/16 {
+				t.Fatalf("frame type %d: %d-byte payload (err %v), want far inside the %d bound", typ, n, err, maxControlPayload)
+			}
+			if _, err := readControlPayload(&b, n); err != nil {
+				t.Fatalf("frame type %d: %v", typ, err)
+			}
+		}
+		var b bytes.Buffer
+		err = writeV3GobFrame(&b, frameV3Plan, 1, planSpec{Plan: make([]byte, maxControlPayload)})
+		if err == nil || b.Len() != 0 {
+			t.Fatalf("an oversized plan framed %d bytes (err %v), want a refusal at the frame boundary", b.Len(), err)
+		}
+	})
 }
 
 // assertNoJobsBegun checks that nothing the test threw at w reached beginJob

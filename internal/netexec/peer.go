@@ -20,10 +20,10 @@ import (
 // broadcast plan and streams each stage-2 worker's share DIRECTLY to that
 // peer, over a lazily-dialed persistent connection to the peer's regular
 // listener (protoVersionPeer selects this handler). The receiving side
-// buffers contributions keyed by a coordinator-issued 64-bit token; when the
-// coordinator opens the matching stage-2 job it names the exact per-sender
-// counts, so the receiver assembles one deterministic sender-ordered flat
-// block and knows precisely when the transfer is complete. The intermediate
+// buffers contributions keyed by a coordinator-issued 64-bit token; the
+// coordinator binds the transfer to the exact per-sender counts, so the
+// receiver knows precisely when it is complete and the stage-2 job parked on
+// it probes the contributions where they landed. The intermediate
 // relation therefore never transits the coordinator — it only ever sees the
 // count vectors riding the stage-1 metrics.
 
@@ -51,7 +51,7 @@ func newPeerToken() uint64 {
 
 // peerSenderSeed derives sender s's deterministic routing stream from the
 // artifact seed: every holder of the plan can reproduce any sender's routing
-// decisions, which is what makes the assembled stage-2 blocks deterministic.
+// decisions, which is what makes each stage-2 worker's input deterministic.
 func peerSenderSeed(artifactSeed uint64, sender int) uint64 {
 	return artifactSeed + 0x9e3779b97f4a7c15*uint64(sender+1)
 }
@@ -231,17 +231,16 @@ type peerContrib struct {
 
 // peerJobState accumulates one transfer's contributions until the matching
 // stage-2 job binds it with the coordinator's expected per-sender counts;
-// once every expected contribution is complete, the state assembles the
-// deterministic sender-ordered flat block and signals ready.
+// once every expected contribution is complete it signals ready, and the job
+// takes the contributions (a count probes them in any order).
 type peerJobState struct {
 	mu       sync.Mutex
-	contrib  map[int]*peerContrib
-	declared int64   // sum of contribution declarations (pre-bind buffering cap)
-	expected []int64 // nil until the stage-2 job binds
+	contrib  map[int]*peerContrib // complete and the job's to take when done && err == nil
+	declared int64                // sum of contribution declarations (pre-bind buffering cap)
+	expected []int64              // nil until the stage-2 job binds
 	err      error
 	done     bool
-	ready    chan struct{} // closed once assembled or failed
-	flat     []join.Key    // pooled; valid when done && err == nil
+	ready    chan struct{} // closed once complete or failed
 }
 
 func newPeerJobState() *peerJobState {
@@ -275,20 +274,15 @@ func (st *peerJobState) releaseLocked() {
 		}
 		delete(st.contrib, s)
 	}
-	if st.flat != nil {
-		exec.PutKeyBuffer(st.flat)
-		st.flat = nil
-	}
 }
 
-// checkReadyLocked assembles the flat block once the state is bound and
-// every expected contribution is complete. Contributions the coordinator
-// did not announce are protocol errors.
+// checkReadyLocked signals ready once the state is bound and every expected
+// contribution is complete. Contributions the coordinator did not announce
+// are protocol errors.
 func (st *peerJobState) checkReadyLocked() {
 	if st.done || st.expected == nil {
 		return
 	}
-	total := 0
 	for s, exp := range st.expected {
 		c := st.contrib[s]
 		if exp == 0 {
@@ -306,7 +300,6 @@ func (st *peerJobState) checkReadyLocked() {
 		if c.pos != c.declared {
 			return // still streaming
 		}
-		total += c.declared
 	}
 	for s := range st.contrib {
 		if s < 0 || s >= len(st.expected) {
@@ -314,22 +307,6 @@ func (st *peerJobState) checkReadyLocked() {
 			return
 		}
 	}
-	// Complete: assemble in sender order, so the stage-2 block is fully
-	// deterministic no matter how the contributions' arrivals interleaved.
-	flat := exec.GetKeyBuffer(total)
-	pos := 0
-	for s, exp := range st.expected {
-		if exp == 0 {
-			continue
-		}
-		c := st.contrib[s]
-		copy(flat[pos:], c.keys)
-		pos += c.declared
-		exec.PutKeyBuffer(c.keys)
-		c.keys = nil
-		delete(st.contrib, s)
-	}
-	st.flat = flat
 	st.done = true
 	close(st.ready)
 }
@@ -362,7 +339,7 @@ func (w *Worker) peerState(token uint64) *peerJobState {
 
 // evictFinishedLocked makes room in the token table (peersMu held): when
 // full, it sweeps out FAILED states — the only evictable kind: they hold no
-// buffers by invariant (failLocked released them), while an assembled state
+// buffers by invariant (failLocked released them), while a complete state
 // still in the table has a stage-2 job about to consume it. Reports whether
 // the table has room afterwards.
 func (w *Worker) evictFinishedLocked() bool {
@@ -424,11 +401,11 @@ func (w *Worker) bindPeerCounts(token uint64, senderCounts []int64) {
 // arrives, and a tombstone makes their frames swallow without buffering
 // instead of re-creating fresh state that nothing would ever reap — a
 // poisoned state holds no buffers, so a tombstone costs ~100 bytes, bounded
-// by maxPeerStates. A state that already ASSEMBLED (its job was aborted or
-// its session died before consuming the block) releases its flat buffer and
-// is removed outright — every announced contribution arrived, so no
-// stragglers can revive the token. finishPeerState removes states whose job
-// consumed them.
+// by maxPeerStates. A state that already COMPLETED (its job was aborted or
+// its session died before consuming it) releases its contributions and is
+// removed outright — every announced contribution arrived, so no stragglers
+// can revive the token. finishPeerState removes states whose job consumed
+// them.
 func (w *Worker) dropPeerState(token uint64) {
 	w.peersMu.Lock()
 	// Record the cancellation in the bounded ring FIRST: a stats-parked plan
@@ -447,20 +424,21 @@ func (w *Worker) dropPeerState(token uint64) {
 		return
 	}
 	st.mu.Lock()
-	assembled := st.done && st.flat != nil
-	if assembled {
-		exec.PutKeyBuffer(st.flat)
-		st.flat = nil
+	cancelled := fmt.Errorf("transfer cancelled")
+	complete := st.done && st.err == nil
+	if complete {
+		st.releaseLocked()
+		st.err = cancelled // a job taking it this late must not join nothing
 	} else {
-		st.failLocked(fmt.Errorf("transfer cancelled"))
+		st.failLocked(cancelled)
 	}
 	st.mu.Unlock()
-	if assembled {
+	if complete {
 		w.finishPeerState(token)
 	}
 }
 
-// finishPeerState removes the completed state after its job consumed flat.
+// finishPeerState removes the completed state after its job took it.
 func (w *Worker) finishPeerState(token uint64) {
 	w.peersMu.Lock()
 	delete(w.peerStates, token)
@@ -572,21 +550,15 @@ func (w *Worker) handlePeer(br *bufio.Reader, conn net.Conn) {
 			st.mu.Unlock()
 
 		case framePeerBlock:
-			if n < peerBlockHeaderLen {
-				fatal(fmt.Errorf("block frame length %d below sub-header size", n))
-				return
-			}
 			var h [peerBlockHeaderLen]byte
-			if _, err := io.ReadFull(br, h[:]); err != nil {
+			count, err := readKeySubHdr(br, framePeerBlock, n, h[:])
+			pe, refused := err.(*protoErr)
+			if err != nil && !refused {
+				fatal(err)
 				return
 			}
 			token := binary.LittleEndian.Uint64(h[:])
 			sender := int(binary.LittleEndian.Uint32(h[8:]))
-			count := int(binary.LittleEndian.Uint32(h[12:]))
-			if n != peerBlockHeaderLen+8*count {
-				fatal(fmt.Errorf("block frame length %d inconsistent with count %d", n, count))
-				return
-			}
 			st := w.peerState(token)
 			if st == nil {
 				fatal(fmt.Errorf("block for untracked transfer (table full)"))
@@ -596,6 +568,11 @@ func (w *Worker) handlePeer(br *bufio.Reader, conn net.Conn) {
 			c := st.contrib[sender]
 			var dst []join.Key
 			switch {
+			case refused:
+				// The decoder consumed the frame: only this transfer fails.
+				st.failLocked(fmt.Errorf("sender %d via %s: %v", sender, conn.RemoteAddr(), pe))
+				delete(inflight, inflightKey{token, sender})
+				count = 0
 			case st.done || c == nil:
 				// Swallowing a poisoned transfer's frames keeps the stream in
 				// sync (c == nil after done released the contribution).

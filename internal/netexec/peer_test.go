@@ -305,9 +305,9 @@ func TestPeerJobExitTombstonesTransfer(t *testing.T) {
 			st := state(token)
 			st.mu.Lock()
 			defer st.mu.Unlock()
-			if !st.done || st.err == nil || st.flat != nil || len(st.contrib) != 0 {
-				t.Fatalf("token state after %s: done=%v err=%v flat=%v contributions=%d, want a buffer-less failed tombstone",
-					tc.name, st.done, st.err, st.flat != nil, len(st.contrib))
+			if !st.done || st.err == nil || len(st.contrib) != 0 {
+				t.Fatalf("token state after %s: done=%v err=%v contributions=%d, want a buffer-less failed tombstone",
+					tc.name, st.done, st.err, len(st.contrib))
 			}
 		})
 	}

@@ -47,9 +47,9 @@ type Session struct {
 	overlapped *atomic.Int64
 
 	// buildOverlapped accumulates the workers' metrics.BuildOverlapped: the
-	// CHUNK sub-blocks hash-engine jobs consumed before their EOS frames —
-	// build/probe work that overlapped the streaming scatter. Shared by
-	// survivor views like ids/relayed.
+	// CHUNK sub-blocks jobs' resident sides consumed before their EOS frames —
+	// join work that overlapped the streaming scatter. Shared by survivor
+	// views like ids/relayed.
 	buildOverlapped *atomic.Int64
 
 	// engineUses tallies successful worker replies by the resolved local-join
@@ -134,10 +134,10 @@ func (s *Session) RelayedPairs() int64 { return s.relayed.Load() }
 func (s *Session) OverlappedStage2() int64 { return s.overlapped.Load() }
 
 // BuildOverlappedChunks reports how many CHUNK sub-blocks this session's
-// workers fed into their incremental hash builds (or probed) before the
-// owning job's EOS had even been decoded — the join-side pipelining the
-// insert-while-probe engine buys over join-after-assembly, mirroring
-// OverlappedStage2 for the scatter/join boundary.
+// workers inserted into a resident side (or probed against one) before the
+// owning job's EOS had even been decoded — the join-side pipelining of the
+// worker's join feed, mirroring OverlappedStage2 for the scatter/join
+// boundary.
 func (s *Session) BuildOverlappedChunks() int64 { return s.buildOverlapped.Load() }
 
 // EngineUses reports how many successful sub-job replies resolved to engine
@@ -392,8 +392,8 @@ func (c *sessConn) readLoop() {
 				}
 				continue
 			}
-			payload := make([]byte, n)
-			if _, err := io.ReadFull(br, payload); err != nil {
+			payload, err := readControlPayload(br, n)
+			if err != nil {
 				c.fail(fmt.Errorf("stats frame: %w", err))
 				return
 			}

@@ -15,7 +15,6 @@ import (
 
 	"ewh/internal/exec"
 	"ewh/internal/join"
-	"ewh/internal/localjoin"
 	"ewh/internal/planio"
 	"ewh/internal/sample"
 	"ewh/internal/stats"
@@ -23,17 +22,17 @@ import (
 
 // This file is the worker side of the session protocol: one read loop per
 // connection demultiplexes numbered jobs. Every job walks the same path —
-// openJob registers it, headFrame/dataFrame decode its relations into
-// exactly-sized pooled buffers, finishJob joins and replies in its own
-// goroutine at the job's EOS (so the read loop keeps draining the next
-// job's frames while a previous join executes), and retire is the single
-// exit, shared with ABORT and connection teardown. The job kinds differ only
-// in where relation 1 comes from (coordinator blocks, chunks, or the peer
-// mesh) and where the matches go (a count, pairs, or a plan's peers); a
-// stream job, and a count job whose chunks feed the hash engine as they land,
-// swap the finish goroutine for one that joins while the frames arrive
-// (stream_worker.go) but open and retire like the rest. Job-level protocol
-// violations fail only that job (its remaining frames are read and
+// openJob registers it, headFrame/dataFrame decode its relations, and retire
+// is the single exit, shared with ABORT and connection teardown. What consumes
+// a job is chosen by what its OUTPUT needs, never by its engine or by where
+// relation 1 comes from. A job that joins flat blocks — in arrival order for
+// pairs or a stage-1 plan's matches, or because its coordinator shipped a
+// count job flat — decodes into exactly-sized pooled buffers, and finishJob
+// joins and replies in its own goroutine at the job's EOS (so the read loop
+// keeps draining the next job's frames meanwhile). Every other count job —
+// chunk-streamed relations, a peer-fed stage 2, a stream — feeds the one
+// goroutine that joins while the frames arrive (stream_worker.go). Job-level
+// protocol violations fail only that job (its remaining frames are read and
 // discarded, then an error metrics frame replies); frame-level corruption is
 // connection-fatal — framing is the only thing that lets the two sides stay
 // in sync.
@@ -52,43 +51,10 @@ type sessRel struct {
 	payTup   int      // tuples whose payload lengths arrived
 
 	// Chunk-streamed decode (frameV3ChunkHead/Chunk/ChunkTail): the exact
-	// count is only known at the tail, so sub-blocks accumulate as pooled
-	// parts per mapper (arrival order — TCP preserves it) and assemble
-	// mapper-major into keys when the tail's totals check out. pos doubles as
-	// the running tuple count while streaming.
+	// count is only known at the tail, so pos doubles as the running tuple
+	// count while the sub-blocks go to the job's join goroutine.
 	streaming bool
-	chunks    int            // mapper count the head declared
-	parts     [][][]join.Key // parts[mapper] = ordered pooled sub-blocks; nil when j.stream takes them
-}
-
-// assemble concatenates a chunk-streamed relation's parts mapper-major into
-// one exactly-sized pooled block — byte-identical to the flat scatter's
-// mapper-major per-worker layout, which is what keeps chunked runs
-// crosscheckable against every other transport.
-func (r *sessRel) assemble() {
-	flat := exec.GetKeyBuffer(r.pos)
-	pos := 0
-	for _, parts := range r.parts {
-		for _, p := range parts {
-			copy(flat[pos:], p)
-			pos += len(p)
-			exec.PutKeyBuffer(p)
-		}
-	}
-	r.parts = nil
-	r.keys = flat
-	r.n = r.pos
-	r.streaming = false
-}
-
-// releaseParts recycles a still-streaming relation's accumulated sub-blocks.
-func (r *sessRel) releaseParts() {
-	for _, parts := range r.parts {
-		for _, p := range parts {
-			exec.PutKeyBuffer(p)
-		}
-	}
-	r.parts = nil
+	chunks    int // mapper count the head declared
 }
 
 // sessJob is one numbered job in flight on a session connection.
@@ -112,8 +78,8 @@ type sessJob struct {
 	ws      *workerSession
 	charged atomic.Int64
 	// releaseSlot returns the job's admission slot (idempotent); nil while the
-	// job holds none (rejected at open, peer-fed and still awaiting its
-	// transfer, or a STREAMOPEN job, which admits per window).
+	// job holds none (rejected at open, or a peer-fed or STREAMOPEN job, which
+	// admit per seal and per probe on the join goroutine).
 	releaseSlot func()
 
 	// plan, when set, marks a stage-1 plan job: the join's matches are
@@ -122,16 +88,17 @@ type sessJob struct {
 	plan *planSpec
 	// peerFed marks a stage-2 job whose relation 1 arrives over the peer
 	// mesh; peerSt is its transfer state and token its transfer id.
-	// peerTaken flips once the join took the assembled block out of the
-	// transfer table, so retire leaves the token alone.
+	// peerTaken flips once the join goroutine took the contributions out of
+	// the transfer table, so retire leaves the token alone.
 	peerFed   bool
 	peerTaken bool
 	peerSt    *peerJobState
 	token     uint64
 
 	// stream, when set, is the goroutine the job's key frames feed (see
-	// stream_worker.go) — a STREAMOPEN job's from its open, a chunk-fed count
-	// job's from relation 1's CHUNKHEAD. Such a job never reaches finishJob.
+	// stream_worker.go) — a STREAMOPEN or peer-fed job's from its open, a
+	// chunk-fed count job's from relation 1's CHUNKHEAD. Such a job never
+	// reaches finishJob.
 	stream *sessStream
 }
 
@@ -159,7 +126,6 @@ func (j *sessJob) release() {
 			putByteBuf(r.pay)
 			r.pay = nil
 		}
-		r.releaseParts()
 	}
 	if j.stream != nil {
 		// Every job exit path lands here, so the join goroutine never outlives
@@ -192,7 +158,7 @@ func (j *sessJob) credit(n int64) {
 
 // streamOpened reports whether the job was opened by STREAMOPEN: the only
 // kind the STREAM frames belong to.
-func (j *sessJob) streamOpened() bool { return j.stream != nil && !j.stream.fed }
+func (j *sessJob) streamOpened() bool { return j.stream != nil && !j.stream.fed() }
 
 // rel resolves a relation tag from a frame; 1 and 2 are valid.
 func (j *sessJob) rel(tag byte) (*sessRel, error) {
@@ -303,8 +269,8 @@ func (ws *workerSession) reply(typ byte, id uint32, v any) error {
 // retire is the one way a job leaves the worker — after its reply, on ABORT,
 // and when the connection dies under it: recycle its buffers and stop its
 // helper goroutines, give back its admission slot, tombstone a peer transfer
-// it never consumed (so late contributions swallow instead of assembling
-// into a block nobody will read), and only then retire its drain accounting.
+// it never consumed (so late contributions swallow instead of buffering for
+// nobody), and only then retire its drain accounting.
 func (ws *workerSession) retire(j *sessJob) {
 	j.release()
 	if j.releaseSlot != nil {
@@ -502,10 +468,10 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			// Blocking this read loop is deadlock-free: sends are contiguous
 			// per job on a connection, so every earlier job here is fully
 			// received, and slot holders only ever do finite compute (plan jobs
-			// release before their stats park; peer-fed jobs admit only after
-			// their transfer assembled; a stream admits per window). A
-			// rejection fails just this job — its frames drain and the reply
-			// carries the typed code.
+			// release before their stats park; peer-fed and stream jobs hold
+			// none while parked, admitting per seal and per probe). A rejection
+			// fails just this job — its frames drain and the reply carries the
+			// typed code.
 			releaseSlot, aerr := w.admitJob(ws.tenant, w.kill, ws.done)
 			if errors.Is(aerr, errAbandoned) {
 				return // worker killed: the connection is going down anyway
@@ -525,17 +491,18 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 				return
 			}
 			j.peerFed, j.token = true, po.Token
-			if j.err != nil {
-				continue
-			}
 			// Attach to (or create) the token's transfer state. The exact
 			// per-sender counts bind it in a late PEERBIND (the open is sent
-			// while stage 1 still runs); the job parks on the state at its
-			// EOS. Pre-bind buffering stays capped by the per-transfer
-			// declared-count ceiling.
-			if j.peerSt = w.peerState(po.Token); j.peerSt == nil {
-				j.fail(fmt.Errorf("transfer table full (%d tokens)", maxPeerStates))
+			// while stage 1 still runs); the join goroutine parks on the state
+			// at the job's EOS. Pre-bind buffering stays capped by the
+			// per-transfer declared-count ceiling.
+			if j.err == nil {
+				if j.peerSt = w.peerState(po.Token); j.peerSt == nil {
+					j.fail(fmt.Errorf("transfer table full (%d tokens)", maxPeerStates))
+				}
 			}
+			// As for STREAMOPEN below: the job's only reply path, slot-less.
+			j.stream = newSessStream(j, exec.StatsSpec{}, 2, 0)
 
 		case frameV3StreamOpen:
 			var so streamOpen
@@ -552,7 +519,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			// acquires one around each window's probe instead, so an idle
 			// stream never starves the fair scheduler.
 			j.stream = newSessStream(j, exec.StatsSpec{Cap: so.StatsCap, Buckets: so.StatsBuckets,
-				Seed: so.StatsSeed, Adaptive: so.StatsAdaptive}, 0)
+				Seed: so.StatsSeed, Adaptive: so.StatsAdaptive}, 0, 0)
 
 		case frameV3Plan:
 			j := ws.jobs[id]
@@ -569,8 +536,8 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 				j.fail(fmt.Errorf("job carries two plans"))
 			case j.wantPairs:
 				j.fail(fmt.Errorf("plan job cannot also stream pairs"))
-			case j.peerFed:
-				j.fail(fmt.Errorf("peer-fed job cannot carry a plan"))
+			case j.stream != nil:
+				j.fail(fmt.Errorf("a job whose relations feed the join goroutine cannot carry a plan"))
 			default:
 				j.plan = &ps
 			}
@@ -683,8 +650,8 @@ func (j *sessJob) relHead(r *sessRel, h []byte) error {
 
 // declarable refuses a second declaration of relation tag, any declaration
 // of a peer-fed job's relation 1, and one a running join goroutine could not
-// take: a STREAMOPEN job's relations are its STREAM frames, and a fed job
-// probes relation 2 as chunks or not at all.
+// take: a STREAMOPEN job's relations are its STREAM frames, and a fed job's
+// other relation arrives as chunks or not at all.
 func (j *sessJob) declarable(r *sessRel, tag byte, chunked bool) error {
 	switch {
 	case j.peerFed && tag == 1:
@@ -694,13 +661,15 @@ func (j *sessJob) declarable(r *sessRel, tag byte, chunked bool) error {
 	case j.streamOpened():
 		return fmt.Errorf("relation %d declared on a stream job", tag)
 	case j.stream != nil && !chunked:
-		return fmt.Errorf("relation %d declared flat on a job whose relation 1 feeds the join as chunks", tag)
+		return fmt.Errorf("relation %d declared flat on a job whose relations feed the join as chunks", tag)
 	}
 	return nil
 }
 
 // chunkHead declares a chunk-streamed relation: only the mapper count is
-// known up front; the tail carries the exact totals.
+// known up front; the tail carries the exact totals. Every chunked relation
+// feeds the job's join goroutine — relation 1's head starts a count job's, a
+// peer-fed job's has run since its open — so an arrival-order job takes none.
 func (j *sessJob) chunkHead(r *sessRel, h []byte) error {
 	if err := j.declarable(r, h[0], true); err != nil {
 		return err
@@ -713,27 +682,24 @@ func (j *sessJob) chunkHead(r *sessRel, h []byte) error {
 		return fmt.Errorf("chunked relation %d declares %d mappers, limit %d",
 			h[0], chunks, maxRelationChunks)
 	}
+	switch {
+	case j.wantPairs || j.plan != nil:
+		return fmt.Errorf("chunked relation %d on a pairs or plan job, which joins flat blocks in arrival order", h[0])
+	case j.stream != nil:
+	case h[0] != 1 || j.rels[1].declared:
+		return fmt.Errorf("chunked relation %d without relation 1's chunks ahead of it", h[0])
+	default:
+		j.stream = newSessStream(j, exec.StatsSpec{}, 1, int(chunks))
+	}
 	r.declared = true
 	r.streaming = true
 	r.chunks = int(chunks)
-	// Insert-while-probe, under the same gate as exec.Local's chunk path: a
-	// count-only job whose engine resolves to hash feeds its chunks to a join
-	// goroutine (stream_worker.go) instead of accumulating parts. Pair and
-	// plan jobs need materialized arrival-ordered blocks, so they keep the
-	// assemble path, as does a job whose relation 2 was declared first.
-	switch {
-	case j.stream != nil: // relation 2 of a fed job
-	case h[0] == 1 && !j.rels[1].declared && j.plan == nil && !j.wantPairs &&
-		j.engine.ForCond(j.cond) == exec.EngineHash:
-		j.stream = newSessStream(j, exec.StatsSpec{}, r.chunks)
-	default:
-		r.parts = make([][][]join.Key, chunks)
-	}
 	return nil
 }
 
 // chunkTail closes a chunk-streamed relation, cross-checking the running
-// count against the tail's exact total.
+// count against the tail's exact total, and tells the goroutine: the resident
+// relation's tail seals the side and unblocks probing.
 func (j *sessJob) chunkTail(r *sessRel, h []byte) error {
 	count := int(binary.LittleEndian.Uint32(h[1:]))
 	payBytes := int(binary.LittleEndian.Uint32(h[5:]))
@@ -746,17 +712,11 @@ func (j *sessJob) chunkTail(r *sessRel, h []byte) error {
 	case r.pos != count:
 		return fmt.Errorf("chunked relation %d streamed %d tuples, tail declares %d",
 			h[0], r.pos, count)
-	case j.stream != nil:
-		// A fed relation never materializes: record completion (so
-		// validateComplete passes) and tell the goroutine — relation 1's tail
-		// seals the build and unblocks probing.
-		_, end := fedKinds(h[0])
-		j.stream.feed(streamEvent{kind: end, total: count})
-		r.streaming = false
-		r.n = r.pos
-	default:
-		r.assemble()
 	}
+	_, end := j.stream.kinds(h[0])
+	j.stream.feed(streamEvent{kind: end, total: count})
+	r.streaming = false
+	r.n = r.pos
 	return nil
 }
 
@@ -788,33 +748,45 @@ func drainFrame(br *bufio.Reader, rest int, e *protoErr) error {
 	return e
 }
 
+// readKeySubHdr is the first step of every key-frame decode, session and mesh
+// alike: read the type's fixed sub-header into h (sized by keySubHdrLen) and
+// take the key count from its last four bytes. A frame too short to hold its
+// sub-header is connection-fatal (the plain error propagates as one):
+// consuming past its declared length would desynchronize the stream. A count
+// the frame length contradicts is refused, the frame drained: a *protoErr.
+func readKeySubHdr(br *bufio.Reader, typ byte, n int, h []byte) (count int, err error) {
+	if n < len(h) {
+		return 0, fmt.Errorf("frame type %d length %d below sub-header size %d", typ, n, len(h))
+	}
+	if _, err := io.ReadFull(br, h); err != nil {
+		return 0, err
+	}
+	count = int(binary.LittleEndian.Uint32(h[len(h)-4:]))
+	if n != len(h)+8*count {
+		return 0, drainFrame(br, n-len(h),
+			protoErrf("frame type %d length %d inconsistent with count %d", typ, n, count))
+	}
+	return count, nil
+}
+
 // readKeyFrame is the one decoder of key-carrying session frames (BLOCK,
-// CHUNK, STREAMBASE, STREAMWIN): a fixed sub-header whose last four bytes are
-// the key count, then the keys. A frame too short to even hold its sub-header
-// is connection-fatal (the plain error propagates as one) — consuming past a
-// frame's declared length would desynchronize every other job on the stream.
-// Every other refusal is job-level: the rest of the frame is drained and a
-// *protoErr returned. The types differ only in how the sub-header validates
-// against the job's declarations. A BLOCK then decodes in place into the
-// buffer its RELHEAD sized and charged; the others are capped by the running
-// count (exact totals validate at the tail or end frame), charged to the
-// tenant frame by frame, and decoded into a pooled buffer that joins its
-// mapper's part list or becomes the join goroutine's next event.
+// CHUNK, STREAMBASE, STREAMWIN): readKeySubHdr's step, then the keys. Every
+// refusal past that step is job-level too: the rest of the frame is drained
+// and a *protoErr returned. The types differ only in how the sub-header
+// validates against the job's declarations. A BLOCK then decodes in place
+// into the buffer its RELHEAD sized and charged; the others are capped by the
+// running count (exact totals validate at the tail or end frame), charged to
+// the tenant frame by frame, and decoded into a pooled buffer that becomes
+// the join goroutine's next event.
 func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 	var hb [maxKeySubHdrLen]byte
 	h := hb[:keySubHdrLen[typ]]
-	if n < len(h) {
-		return fmt.Errorf("frame type %d length %d below sub-header size %d", typ, n, len(h))
-	}
-	if _, err := io.ReadFull(br, h); err != nil {
+	count, err := readKeySubHdr(br, typ, n, h)
+	if err != nil {
 		return err
 	}
-	count := int(binary.LittleEndian.Uint32(h[len(h)-4:]))
 	refuse := func(format string, args ...any) error {
 		return drainFrame(br, n-len(h), protoErrf(format, args...))
-	}
-	if n != len(h)+8*count {
-		return refuse("frame type %d length %d inconsistent with count %d", typ, n, count)
 	}
 
 	// r is the relation whose running count the frame advances — for a stream,
@@ -834,7 +806,6 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 			return refuse("%s", err)
 		}
 		if typ == frameV3Chunk {
-			ev.kind, _ = fedKinds(h[0])
 			ev.mapper = int(binary.LittleEndian.Uint16(h[1:]))
 		}
 		switch {
@@ -848,6 +819,8 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 			return refuse("chunk for non-streaming relation %d", h[0])
 		case typ == frameV3Chunk && ev.mapper >= r.chunks:
 			return refuse("chunk names mapper %d, head declared %d", ev.mapper, r.chunks)
+		case typ == frameV3Chunk:
+			ev.kind, _ = j.stream.kinds(h[0]) // a streaming relation has its goroutine
 		}
 	}
 
@@ -870,12 +843,8 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 		return err
 	}
 	r.pos += count
-	if j.stream != nil {
-		ev.keys = keys
-		j.stream.feed(ev)
-	} else {
-		r.parts[ev.mapper] = append(r.parts[ev.mapper], keys)
-	}
+	ev.keys = keys
+	j.stream.feed(ev)
 	return nil
 }
 
@@ -951,8 +920,8 @@ func (j *sessJob) readPayBlock(br *bufio.Reader, n int) error {
 
 // validateComplete checks a job's stream against its declarations at EOS.
 // A peer-fed job's relation 1 is exempt: it arrives over the mesh (the
-// declaration frames refuse it from the coordinator) and awaitPeerBlock
-// installs it.
+// declaration frames refuse it from the coordinator) and the join goroutine
+// probes it straight out of the transfer table.
 func (j *sessJob) validateComplete() error {
 	for i := range j.rels {
 		r := &j.rels[i]
@@ -976,7 +945,7 @@ func (j *sessJob) validateComplete() error {
 	return nil
 }
 
-// finishJob runs one drained job's join and replies. It runs in its own
+// finishJob runs one drained flat job's join and replies. It runs in its own
 // goroutine so the connection's read loop keeps consuming subsequent jobs;
 // replies serialize on the session's write lock. An abandoned job (worker
 // killed or coordinator gone while it waited) exits silently — the
@@ -1006,14 +975,11 @@ func (w *Worker) finishJob(ws *workerSession, j *sessJob) {
 	_ = ws.reply(frameV3Metrics, j.id, m)
 }
 
-// runJob validates the drained job, obtains relation 1 from the mesh when it
-// is peer-fed, and joins under the job's effective engine.
+// runJob validates the drained job and joins its flat blocks under the job's
+// effective engine.
 func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 	if j.err == nil {
 		j.err = j.validateComplete()
-	}
-	if j.err == nil && j.peerFed {
-		j.err = ws.awaitPeerBlock(j)
 	}
 	if j.err != nil {
 		return metrics{}, j.err
@@ -1051,82 +1017,12 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 			ws.wmu.Unlock()
 		}
 		m.Output = exec.JoinPairsEngine(j.engine, r1.keys, r2.keys, j.cond, emit)
-	case j.peerFed:
-		// Uncached — a transfer's assembled block is job-unique, so caching
-		// it would only churn the LRU.
-		m.Output = exec.CountOwned(j.engine, r1.keys, r2.keys, j.cond)
 	default:
-		// Flat count-only job: the job owns its buffers outright, so the
-		// merge engine sorts in place; the hash engine consults the worker's
-		// shared build cache.
-		m.Output = ws.w.countFlat(j.engine, r1.keys, r2.keys, j.cond)
+		// The job owns its buffers outright: the merge engine sorts them in place.
+		m.Output = exec.CountOwned(j.engine, r1.keys, r2.keys, j.cond)
 	}
 	m.Nanos = time.Since(start).Nanoseconds()
 	return m, nil
-}
-
-// awaitPeerBlock installs a peer-fed job's relation 1: the block the transfer
-// table assembled from the stage-1 senders' contributions. The wait ends when
-// the transfer completes, fails, the worker is killed, or the coordinator
-// hangs up.
-func (ws *workerSession) awaitPeerBlock(j *sessJob) error {
-	w, st := ws.w, j.peerSt
-	select {
-	case <-st.ready:
-	case <-w.kill:
-		return errAbandoned
-	case <-ws.done:
-		return errAbandoned
-	}
-	// Admission: acquire only once the transfer is fully assembled — a
-	// peer-fed job waiting in the admission queue must not hold a slot while
-	// its relation 1 still depends on stage-1 jobs that may be queued behind
-	// it on OTHER workers (the classic cross-worker pipeline deadlock).
-	releaseSlot, err := w.admitJob(ws.tenant, w.kill, ws.done)
-	if err != nil {
-		return err
-	}
-	j.releaseSlot = releaseSlot
-	st.mu.Lock()
-	flat, stErr := st.flat, st.err
-	st.flat = nil // the job owns it now
-	st.mu.Unlock()
-	w.finishPeerState(j.token)
-	j.peerTaken = true
-	if stErr == nil && flat == nil {
-		// Defensive: a ready state must either fail or carry the block;
-		// losing it (e.g. a concurrent discard) must not join empty input.
-		stErr = fmt.Errorf("transfer state discarded before the join")
-	}
-	if stErr != nil {
-		return fmt.Errorf("peer transfer %d: %v", j.token, stErr)
-	}
-	r1 := &j.rels[0]
-	r1.keys, r1.n = flat, len(flat) // release() recycles it with the job's other buffers
-	// The block is buffered on the tenant's behalf from here on; its size was
-	// first known at assembly, so this is where it is charged (release
-	// credits it back with the rest of the job's reservation).
-	return j.charge(8 * int64(len(flat)))
-}
-
-// countFlat joins two fully materialized key blocks the job owns under its
-// effective engine. The hash path shares builds through the worker's
-// content-keyed cache — a second tenant joining against the same dimension
-// relation probes the first tenant's sealed build instead of rebuilding —
-// and mutates neither block; the merge path sorts both in place.
-func (w *Worker) countFlat(e exec.JoinEngine, r1, r2 []join.Key, cond join.Condition) int64 {
-	if e.ForCond(cond) != exec.EngineHash || len(r1) == 0 || len(r2) == 0 {
-		return exec.CountOwned(e, r1, r2, cond)
-	}
-	key := localjoin.HashBuildKey(r1)
-	b := w.buildCache.Get(key)
-	if b == nil {
-		b = localjoin.NewBuild()
-		b.Insert(r1)
-		b.Seal()
-		b = w.buildCache.Add(key, b)
-	}
-	return b.ProbeCount(r2)
 }
 
 // runPlanJob executes a stage-1 plan job's join and peer re-shuffle: the
@@ -1176,7 +1072,7 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64
 	// coordinator-side emission observes, so the two paths' intermediates are
 	// tuple-for-tuple identical.
 	inter := make([]join.Key, 0, r1.n)
-	out := exec.JoinPairs(r1.keys, r2.keys, j.cond, func(chunk []exec.PairIdx) {
+	out := exec.JoinPairsEngine(j.engine, r1.keys, r2.keys, j.cond, func(chunk []exec.PairIdx) {
 		for _, p := range chunk {
 			inter = append(inter, join.Key(binary.LittleEndian.Uint64(r2.pay[r2.off[p.I2]:])))
 		}

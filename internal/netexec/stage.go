@@ -329,26 +329,20 @@ func (c *sessConn) openPeerJob(st *stagePipe, workerID int) (*subJob, error) {
 
 // sendPeerRelation ships a peer job's right relation and EOS. R2.Wait() runs
 // outside the write lock so stage-1 jobs sharing the connection keep sending
-// while the relation still shuffles, and the chunked path takes the lock per
-// sub-block (see sendChunks).
+// while the relation still shuffles, and every sub-block takes the lock on its
+// own (see sendChunks). Only a chunk stream feeds the worker's join goroutine.
 func (j *subJob) sendPeerRelation(st *stagePipe) error {
 	rd := st.next.R2.Wait()
+	if rd.Chunks == nil {
+		return j.proto(fmt.Errorf("a peer job's right relation must be a chunk stream"))
+	}
 	if !st.stage1Done.Load() {
 		j.c.sess.overlapped.Add(1)
 	}
-	eos := func(bw *bufio.Writer) error { return writeV3FrameHeader(bw, frameV3EOS, j.id, 0) }
-	if rd.Chunks != nil {
-		if err := j.sendChunks(j.send, 2, rd.Chunks); err != nil {
-			return err
-		}
-		return j.send(eos)
+	if err := j.sendChunks(j.send, 2, rd.Chunks); err != nil {
+		return err
 	}
-	return j.send(func(bw *bufio.Writer) error {
-		if _, err := j.writeRelation(bw, 2, rd); err != nil {
-			return err
-		}
-		return eos(bw)
-	})
+	return j.send(func(bw *bufio.Writer) error { return writeV3FrameHeader(bw, frameV3EOS, j.id, 0) })
 }
 
 // finishPeerJob binds the per-sender counts to an opened peer job and waits

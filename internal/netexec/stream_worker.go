@@ -1,6 +1,7 @@
 package netexec
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"runtime/debug"
@@ -10,34 +11,36 @@ import (
 
 	"ewh/internal/exec"
 	"ewh/internal/join"
-	"ewh/internal/keysort"
 	"ewh/internal/localjoin"
 	"ewh/internal/planio"
 )
 
 // This file is the worker-resident join feed: the one goroutine behind a
-// bounded channel that builds a join structure from one relation's key
-// frames, seals it at that relation's end frame, and joins the other
-// relation's key frames against it. The read loop decodes frames into pooled
-// buffers (session_worker.go's readKeyFrame) and hands them over the channel
-// — a full channel is the backpressure onto TCP — and the goroutine is the
-// job's only reply path, closing with the ordinary EOS / METRICS pair. Two
-// job kinds run on it:
+// bounded channel that holds one relation's key frames as the join's resident
+// side (localjoin.Resident — hash or merge, the goroutine never asks which),
+// seals it at that relation's end frame, and probes the other relation
+// against it. The read loop decodes frames into pooled buffers
+// (session_worker.go's readKeyFrame) and hands them over the channel — a full
+// channel is the backpressure onto TCP — and the goroutine is the job's only
+// reply path, closing with the ordinary EOS / METRICS pair. Every count job
+// whose relations arrive as anything but flat blocks runs on it:
 //
 //   - A stream job (STREAMOPEN, frames 33-38): an unbounded sequence of
 //     tuple windows (relation 1) against a static base (relation 2). Each
-//     window counts when its end frame lands and replies a frameV3StreamRep
-//     with the count and a summary of its keys; a new epoch's base frames
-//     drop the old structure and build the next — mid-stream replanning
-//     without restarting the job. It admits per seal and per window.
-//   - A chunk-fed count job (see chunkHead): a one-epoch, one-window stream.
-//     Relation 1's chunks are the base, its tail the seal; relation 2's
-//     chunks are the window, probed as they decode and never materialized.
-//     It adds a per-chunk base digest, so the seal can share the worker's
-//     build cache, and the count of chunks consumed before EOS
-//     (Metrics.BuildOverlapped); it keeps no window keys (nothing to
-//     summarize), runs under the slot its OPENJOB took, and returns its
-//     totals in the METRICS.
+//     window counts at its end frame and replies a frameV3StreamRep with the
+//     count and a summary of its keys; a new epoch's base frames replace the
+//     side — mid-stream replanning without restarting the job. It admits per
+//     seal and per window.
+//   - A chunk-fed count job (OPENJOB, relations as CHUNK streams): a
+//     one-epoch, one-window stream. Relation 1 is the resident side, sealed at
+//     its tail while relation 2 is still on the wire; relation 2's chunks
+//     probe as they decode (a merge side keeps them for one sweep at the
+//     tail). It shares the worker's build cache, counts the chunks consumed
+//     before EOS (Metrics.BuildOverlapped) and runs under its OPENJOB's slot.
+//   - A peer-fed stage-2 job (OPENPEERJOB): relation 2, the coordinator's
+//     chunks, arrives while stage 1 still runs and is the resident side; the
+//     probe is the mesh transfer, taken at EOS. It parks on the transfer
+//     holding no slot and admits per seal and per probe, like a stream.
 
 // streamOpen opens a stream job (rides frameV3StreamOpen as gob).
 type streamOpen struct {
@@ -94,16 +97,6 @@ type streamEvent struct {
 // interleaves with the frames still arriving instead of running after them.
 const streamEventDepth = 8
 
-// fedKinds maps a fed job's relation tag onto the stream vocabulary: relation
-// 1 is the one epoch's base, relation 2 the one window. It returns the event
-// kinds the relation's chunks and its tail become.
-func fedKinds(tag byte) (keys, end int) {
-	if tag == 1 {
-		return evStreamBase, evStreamBaseEnd
-	}
-	return evStreamWin, evStreamWinEnd
-}
-
 // sessStream is one fed or stream job's join state. The read loop owns frame
 // decode, running counts and tenant charging (sessJob.charge); the goroutine
 // credits the reservation back as buffers leave worker memory.
@@ -111,10 +104,9 @@ type sessStream struct {
 	ws *workerSession
 	j  *sessJob
 
-	// fed marks a chunk-fed count job (see the file comment).
-	fed    bool
-	cond   join.Condition
-	engine exec.JoinEngine // resolved for cond: EngineHash or EngineMerge
+	// resTag is the relation whose CHUNK frames are a fed job's resident side
+	// — 1, or 2 when relation 1 is the mesh — and 0 for a STREAMOPEN job.
+	resTag byte
 	st     exec.StatsSpec
 
 	ch    chan streamEvent
@@ -131,43 +123,52 @@ type sessStream struct {
 	epoch  uint32
 	sealed bool
 	baseN  int
-	build  *localjoin.Build // hash engine
-	base   []join.Key       // merge engine; sorted at seal
-	// digests holds a fed job's per-chunk base digests by mapper, in arrival
-	// order: combined mapper-major at the seal they are the base's content key.
+	res    *localjoin.Resident
+	held   [][]join.Key // pooled chunks res keeps: until its seal, then until the window's end
+	// digests, non-nil for a chunk-fed OPENJOB job, holds the digests of the
+	// chunks res copied out, by mapper in arrival order: combined mapper-major
+	// at the seal they are the side's content key in the worker's build cache.
 	digests [][]localjoin.ChunkDigest
 
-	winOpen bool
-	win     uint32
-	winKeys []join.Key // a stream's window, kept to summarize (and merge-join)
-	winHash int64      // hash engine: matches counted chunk-by-chunk
+	winOpen  bool
+	win      uint32
+	winKeys  []join.Key // a stream's window in arrival order, summarized and probed at its end
+	winCount int64      // a fed job's matches, counted chunk by chunk
 
 	totIn, totOut int64
 	overlapped    int64
 	start         time.Time
 }
 
-// newSessStream starts the goroutine for a freshly opened stream job, or —
-// mappers > 0 — for a count job whose relation 1 just declared that many
-// chunk sub-streams. A stream job that failed at open (j.err set, possibly
-// without a condition) starts poisoned.
-func newSessStream(j *sessJob, st exec.StatsSpec, mappers int) *sessStream {
-	cond := j.cond
-	if cond == nil {
-		cond = join.Equi{} // placeholder; the stream is poisoned
+// fed reports a job opened by OPENJOB or OPENPEERJOB rather than STREAMOPEN:
+// one resident relation, one probe relation, no window replies or summaries.
+func (s *sessStream) fed() bool { return s.resTag != 0 }
+
+// kinds maps a fed job's relation tag onto the stream vocabulary — the resident
+// relation is the one epoch's base, the other the one window — as the event
+// kinds the relation's chunks and its tail become.
+func (s *sessStream) kinds(tag byte) (keys, end int) {
+	if tag == s.resTag {
+		return evStreamBase, evStreamBaseEnd
 	}
+	return evStreamWin, evStreamWinEnd
+}
+
+// newSessStream starts the goroutine for a freshly opened stream (resTag 0)
+// or peer-fed (2) job, or for a count job whose relation 1 just declared
+// mappers chunk sub-streams (1). A job that failed at open starts poisoned.
+func newSessStream(j *sessJob, st exec.StatsSpec, resTag byte, mappers int) *sessStream {
 	s := &sessStream{
 		ws: j.ws, j: j,
-		fed:    mappers > 0,
-		cond:   cond,
-		engine: j.engine.ForCond(cond),
+		resTag: resTag,
 		st:     st,
 		ch:     make(chan streamEvent, streamEventDepth),
 		done:   make(chan struct{}),
 		failed: j.err,
 		start:  time.Now(),
 	}
-	if s.fed {
+	s.resetBase()
+	if mappers > 0 {
 		s.digests = make([][]localjoin.ChunkDigest, mappers)
 	}
 	go s.run()
@@ -185,12 +186,11 @@ func (s *sessStream) stop() {
 	<-s.done
 }
 
-// admit takes the admission slot a seal or a window's join runs under. Only a
-// stream job admits here: a fed job still holds the slot its OPENJOB took in
-// the read loop, and queueing for a second would deadlock a one-slot worker
-// against itself.
+// admit takes the admission slot a seal or a probe runs under. A chunk-fed
+// OPENJOB job still holds the one the read loop took at its open — queueing
+// for a second would deadlock a one-slot worker against itself.
 func (s *sessStream) admit() (release func(), err error) {
-	if s.fed {
+	if s.j.releaseSlot != nil {
 		return func() {}, nil
 	}
 	return s.ws.w.admitJob(s.ws.tenant, s.ws.w.kill, s.ws.done)
@@ -199,7 +199,7 @@ func (s *sessStream) admit() (release func(), err error) {
 // consumed counts one chunk a fed job inserted or probed; before the read
 // loop decoded EOS, that work overlapped the still-arriving frames.
 func (s *sessStream) consumed() {
-	if !s.eosSeen.Load() {
+	if s.fed() && !s.eosSeen.Load() {
 		s.overlapped++
 	}
 }
@@ -218,6 +218,7 @@ func (s *sessStream) fail(err error) {
 // caller.
 func (s *sessStream) run() {
 	defer func() {
+		s.recycleHeld() // release sweeps the reservation
 		close(s.done)
 		if s.eosSeen.Load() {
 			s.ws.retire(s.j)
@@ -248,18 +249,30 @@ func (s *sessStream) run() {
 	}
 }
 
-// resetBase drops the previous epoch's structure and reservation.
+// recycleHeld pools the n keys of the chunks the side kept and is done with.
+func (s *sessStream) recycleHeld() (n int) {
+	for _, keys := range s.held {
+		n += len(keys)
+		exec.PutKeyBuffer(keys)
+	}
+	s.held = nil
+	return n
+}
+
+// resetBase replaces the side with an empty one, crediting the old one's
+// reservation.
 func (s *sessStream) resetBase() {
+	s.recycleHeld()
 	s.j.credit(8 * int64(s.baseN))
-	s.build, s.base, s.baseN, s.sealed = nil, nil, 0, false
+	s.res, s.baseN, s.sealed = s.j.engine.Resident(s.j.cond, s.resTag == 1), 0, false
 }
 
 func (s *sessStream) onBase(ev streamEvent) {
-	defer exec.PutKeyBuffer(ev.keys)
 	if s.failed == nil && s.sealed && ev.epoch == s.epoch {
 		s.fail(fmt.Errorf("stream base re-opened for sealed epoch %d", ev.epoch))
 	}
 	if s.failed != nil {
+		exec.PutKeyBuffer(ev.keys)
 		s.j.credit(8 * int64(len(ev.keys)))
 		return
 	}
@@ -268,22 +281,18 @@ func (s *sessStream) onBase(ev streamEvent) {
 		s.resetBase()
 		s.epoch = ev.epoch
 	}
-	switch s.engine {
-	case exec.EngineHash:
-		if s.build == nil {
-			s.build = localjoin.NewBuild()
-		}
-		s.build.Insert(ev.keys)
-	default:
-		s.base = append(s.base, ev.keys...)
-	}
-	if s.fed {
-		s.digests[ev.mapper] = append(s.digests[ev.mapper], localjoin.DigestKeys(ev.keys))
-		s.consumed()
-	}
-	s.baseN += len(ev.keys)
-	// The keys now live in the build (or the flat base): the reservation
+	// Kept or copied out, the keys now live in the side: the reservation
 	// stays until the epoch resets, covering that resident memory.
+	if s.res.Insert(ev.keys) {
+		s.held = append(s.held, ev.keys)
+	} else {
+		if s.digests != nil {
+			s.digests[ev.mapper] = append(s.digests[ev.mapper], localjoin.DigestKeys(ev.keys))
+		}
+		exec.PutKeyBuffer(ev.keys)
+	}
+	s.consumed()
+	s.baseN += len(ev.keys)
 }
 
 func (s *sessStream) onBaseEnd(ev streamEvent) {
@@ -309,41 +318,20 @@ func (s *sessStream) onBaseEnd(ev streamEvent) {
 		s.fail(err)
 		return
 	}
-	if s.engine == exec.EngineHash {
-		if s.build == nil {
-			s.build = localjoin.NewBuild()
+	if s.digests != nil {
+		// Combined in canonical mapper-major order. A stream's or peer-fed
+		// job's side stays uncached: job-unique, it would only churn the LRU.
+		var flat []localjoin.ChunkDigest
+		for _, ds := range s.digests {
+			flat = append(flat, ds...)
 		}
-		s.sealBuild()
+		s.res.SealShared(s.ws.w.buildCache, localjoin.CombineDigests(flat))
 	} else {
-		keysort.Sort(s.base)
+		s.res.Seal()
 	}
+	s.recycleHeld()
 	release()
 	s.sealed = true
-}
-
-// sealBuild seals the hash build. A fed job first combines its per-chunk
-// digests in canonical mapper-major order into the base's content key and
-// consults the worker's build cache: a hit swaps in the shared sealed build
-// of identical content (the wasted inserts overlapped the wire anyway), a
-// miss publishes this one. A stream's base stays uncached — an epoch's share
-// is job-unique, so caching it would only churn the LRU.
-func (s *sessStream) sealBuild() {
-	if !s.fed {
-		s.build.Seal()
-		return
-	}
-	var flat []localjoin.ChunkDigest
-	for _, ds := range s.digests {
-		flat = append(flat, ds...)
-	}
-	key := localjoin.CombineDigests(flat)
-	cache := s.ws.w.buildCache
-	if cached := cache.Get(key); cached != nil {
-		s.build = cached
-		return
-	}
-	s.build.Seal()
-	s.build = cache.Add(key, s.build)
 }
 
 // enterWin admits keys or an end frame for window win, routed under epoch,
@@ -359,66 +347,67 @@ func (s *sessStream) enterWin(win, epoch uint32) error {
 	case s.winOpen && win != s.win:
 		return fmt.Errorf("stream window %d interleaves with open window %d", win, s.win)
 	case !s.winOpen:
-		s.winOpen, s.win, s.winHash = true, win, 0
+		s.winOpen, s.win, s.winCount = true, win, 0
 	}
 	return nil
 }
 
 func (s *sessStream) onWin(ev streamEvent) {
-	defer exec.PutKeyBuffer(ev.keys)
 	if s.failed == nil {
 		s.fail(s.enterWin(ev.win, ev.epoch))
 	}
-	if s.failed != nil {
-		s.j.credit(8 * int64(len(ev.keys)))
+	switch {
+	case s.failed != nil:
+	case !s.fed():
+		// Kept in arrival order, to summarize and probe under the window's slot.
+		s.winKeys = append(s.winKeys, ev.keys...)
+		exec.PutKeyBuffer(ev.keys)
 		return
-	}
-	if s.engine == exec.EngineHash {
-		// Probe each chunk as it lands: the count overlaps the window's
-		// remaining frames still on the wire.
-		s.winHash += s.build.ProbeCount(ev.keys)
-	}
-	if s.fed {
-		// Nothing to summarize: the chunk leaves worker memory here.
+	default:
+		// A fed job's probe chunk counts as it lands, overlapping the frames
+		// still on the wire; one the side keeps stays reserved to the tail.
 		s.consumed()
-		s.j.credit(8 * int64(len(ev.keys)))
-		return
+		n, kept := s.res.ProbeCount(ev.keys, true)
+		s.winCount += n
+		if kept {
+			s.held = append(s.held, ev.keys)
+			return
+		}
 	}
-	s.winKeys = append(s.winKeys, ev.keys...)
+	exec.PutKeyBuffer(ev.keys)
+	s.j.credit(8 * int64(len(ev.keys)))
 }
 
-// onWinEnd joins and retires the window (the read loop checked its total). A
-// stream replies per window — the error, once failed, so the coordinator's
-// lockstep collect never hangs; a fed job's totals ride the METRICS at EOS.
+// onWinEnd closes the window (the read loop checked its total). A stream
+// replies per window — the error, once failed, so the coordinator's lockstep
+// collect never hangs; a fed job's totals ride the METRICS at EOS.
 func (s *sessStream) onWinEnd(ev streamEvent) {
 	r := streamWinReply{Window: ev.win, Epoch: ev.epoch, Input: int64(ev.total)}
 	if s.failed == nil {
-		// An empty window ships no key frames; its end frame both opens and
-		// closes it.
-		s.fail(s.enterWin(ev.win, ev.epoch))
+		s.fail(s.enterWin(ev.win, ev.epoch)) // an empty window's end frame both opens and closes it
 	}
 	if s.failed == nil {
-		s.fail(s.joinWindow(&r))
+		s.fail(s.closeWindow(&r))
 	}
 	// The shard's receive bytes leave worker memory here.
-	s.j.credit(8 * int64(len(s.winKeys)))
+	s.j.credit(8 * int64(len(s.winKeys)+s.recycleHeld()))
 	s.winKeys = s.winKeys[:0]
 	s.winOpen = false
-	if s.fed {
+	if s.fed() {
 		return
 	}
 	if s.failed != nil {
 		r.Err = s.failed.Error()
 		r.Code = rejectCode(s.failed)
 	}
-	// A failed write poisons the stream; the read loop will observe the dead
-	// connection on its own.
+	// A failed write poisons the stream; the read loop sees the dead connection.
 	s.fail(s.ws.reply(frameV3StreamRep, s.j.id, r))
 }
 
-// joinWindow fills r with the open window's match count and, for a stream
-// (a fed job kept no window keys), the summary of its keys.
-func (s *sessStream) joinWindow(r *streamWinReply) error {
+// closeWindow fills r with the open window's match count and, for a stream
+// (a fed job kept no window keys), the summary of its keys — taken before the
+// probe, which may reorder them.
+func (s *sessStream) closeWindow(r *streamWinReply) error {
 	release, err := s.admit()
 	if err != nil {
 		return err
@@ -431,33 +420,84 @@ func (s *sessStream) joinWindow(r *streamWinReply) error {
 		}
 		r.Summary = enc
 	}
-	if s.engine == exec.EngineHash {
-		r.Count = s.winHash
-	} else {
-		keysort.Sort(s.winKeys)
-		r.Count = localjoin.CountSorted(s.winKeys, s.base, s.cond)
-	}
+	n, _ := s.res.ProbeCount(s.winKeys, false)
+	r.Count = s.winCount + n
 	s.totIn += r.Input
 	s.totOut += r.Count
 	return nil
 }
 
+// probeTransfer is a peer-fed job's probe: the stage-1 senders' contributions,
+// taken out of the transfer table and probed where they landed. The wait ends
+// when the transfer completes or fails, the worker is killed, or the
+// coordinator hangs up.
+func (s *sessStream) probeTransfer() error {
+	w, j, st := s.ws.w, s.j, s.j.peerSt
+	select {
+	case <-st.ready:
+	case <-w.kill:
+		return errAbandoned
+	case <-s.ws.done:
+		return errAbandoned
+	}
+	// Admission only once the transfer is complete: a slot holder must not
+	// depend on stage-1 jobs that may be queued behind it on OTHER workers.
+	release, err := s.admit()
+	if err != nil {
+		return err
+	}
+	defer release()
+	st.mu.Lock()
+	contrib, stErr := st.contrib, st.err
+	st.contrib = nil // the job owns them now
+	st.mu.Unlock()
+	w.finishPeerState(j.token)
+	j.peerTaken = true
+	if stErr != nil {
+		return fmt.Errorf("peer transfer %d: %v", j.token, stErr)
+	}
+	for _, c := range contrib {
+		s.totIn += int64(len(c.keys))
+	}
+	// Buffered on the tenant's behalf from here on and charged here, where the
+	// size is first known (release credits it); refused, they still recycle.
+	if err = j.charge(8 * s.totIn); err == nil {
+		for _, c := range contrib {
+			n, _ := s.res.ProbeCount(c.keys, true)
+			s.totOut += n
+		}
+		n, _ := s.res.ProbeCount(nil, false)
+		s.totOut += n
+	}
+	for _, c := range contrib {
+		exec.PutKeyBuffer(c.keys)
+	}
+	return err
+}
+
 // onEOS replies the job's aggregate metrics; run retires the job next. The
-// read loop is done with a job it saw the EOS of, so a fed job's relation
-// declarations validate here, as finishJob validates an assembled job's.
+// read loop is done with a job it saw the EOS of, so a fed job's declarations
+// validate here, as finishJob validates a flat job's; a peer-fed job then
+// takes its probe from the mesh. An abandoned job exits silently, as there.
 func (s *sessStream) onEOS() {
-	if s.fed && s.failed == nil {
+	if s.fed() && s.failed == nil {
 		s.failed = s.j.validateComplete()
+	}
+	if s.j.peerFed && s.failed == nil {
+		s.failed = s.probeTransfer()
+	}
+	if errors.Is(s.failed, errAbandoned) {
+		return
 	}
 	m := metrics{
 		InputR1:         s.totIn,
 		InputR2:         int64(s.baseN),
 		Output:          s.totOut,
 		Nanos:           time.Since(s.start).Nanoseconds(),
-		Engine:          int(s.engine),
+		Engine:          int(s.j.engine.ForCond(s.j.cond)),
 		BuildOverlapped: s.overlapped,
 	}
-	if s.fed {
+	if s.resTag == 1 {
 		m.InputR1, m.InputR2 = m.InputR2, m.InputR1
 	}
 	if s.failed != nil {

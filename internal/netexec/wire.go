@@ -161,8 +161,16 @@ const (
 	maxKeySubHdrLen = peerBlockHeaderLen
 	// maxFramePayload is the longest payload either frame-header reader
 	// accepts: a full key frame under the longest sub-header, so a maximal
-	// frame of every key-carrying type passes. Control frames sit far below.
+	// frame of every key-carrying type passes.
 	maxFramePayload = maxKeySubHdrLen + 8*maxBlockKeys
+	// maxControlPayload bounds the control frames (gob, and the raw STATS
+	// summary), whose payload is buffered whole before it decodes: a reader
+	// refuses a longer one connection-fatally BEFORE allocating for it — a bare
+	// header on the unauthenticated listener must not cost 128 MiB — and
+	// writeV3GobFrame refuses to frame one. Twice the largest a driver can
+	// produce, a summary at the planio codec's collection cap (2^21 keys, 16
+	// MiB); a plan for the widest mesh stays under 1 MiB.
+	maxControlPayload = 32 << 20
 
 	// peerHeadLen is framePeerHead's payload: [token u64][sender u32][count u32].
 	peerHeadLen = 16
@@ -257,6 +265,9 @@ func writeV3GobFrame(w io.Writer, typ byte, job uint32, v any) error {
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return err
 	}
+	if buf.Len() > maxControlPayload {
+		return fmt.Errorf("frame type %d payload %d exceeds control-frame limit %d", typ, buf.Len(), maxControlPayload)
+	}
 	if err := writeV3FrameHeader(w, typ, job, buf.Len()); err != nil {
 		return err
 	}
@@ -264,10 +275,21 @@ func writeV3GobFrame(w io.Writer, typ byte, job uint32, v any) error {
 	return err
 }
 
-// readGobPayload decodes n payload bytes (already past a frame header) into v.
-func readGobPayload(r io.Reader, n int, v any) error {
+// readControlPayload buffers a control frame's n payload bytes (already past
+// the frame header), refusing over maxControlPayload before it allocates.
+func readControlPayload(r io.Reader, n int) ([]byte, error) {
+	if n > maxControlPayload {
+		return nil, fmt.Errorf("control frame payload %d exceeds limit %d", n, maxControlPayload)
+	}
 	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	_, err := io.ReadFull(r, payload)
+	return payload, err
+}
+
+// readGobPayload decodes a control frame's n payload bytes into v.
+func readGobPayload(r io.Reader, n int, v any) error {
+	payload, err := readControlPayload(r, n)
+	if err != nil {
 		return err
 	}
 	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
@@ -342,9 +364,10 @@ var headFrameLen = [...]int{frameV3RelHead: relHeadLen, frameV3ChunkHead: chunkH
 	frameV3ChunkTail: chunkTailLen, frameV3StreamBaseEnd: streamBaseHdrLen,
 	frameV3StreamWinEnd: streamWinHdrLen}
 
-// keySubHdrLen is the sub-header length of each key-carrying session frame.
+// keySubHdrLen is the sub-header length of each key-carrying frame.
 var keySubHdrLen = [...]int{frameV3Block: blockHeaderLen, frameV3Chunk: chunkHeaderLen,
-	frameV3StreamBase: streamBaseHdrLen, frameV3StreamWin: streamWinHdrLen}
+	frameV3StreamBase: streamBaseHdrLen, frameV3StreamWin: streamWinHdrLen,
+	framePeerBlock: peerBlockHeaderLen}
 
 // writeKeyBlocksV3 streams one flat relation's contiguous per-worker key slice
 // as BLOCK frames.
@@ -354,9 +377,8 @@ func writeKeyBlocksV3(w io.Writer, job uint32, rel int8, keys []join.Key) error 
 	return writeKeyFrames(w, frameV3Block, job, h[:], keys)
 }
 
-// writeChunkKeys frames one mapper's routed sub-block for one worker;
-// consecutive frames with the same mapper id reassemble in arrival order
-// (TCP preserves intra-connection order).
+// writeChunkKeys frames one mapper's routed sub-block for one worker; the
+// mapper id orders the chunks' content digest on the worker.
 func writeChunkKeys(w io.Writer, job uint32, rel int8, mapper int, keys []join.Key) error {
 	var h [chunkHeaderLen]byte
 	h[0] = byte(rel)
