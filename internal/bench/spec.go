@@ -212,7 +212,7 @@ func RunScheme(spec *JoinSpec, scheme string, cfg Config, tp Throughput) (*Schem
 
 // RhoOI measures output/input for a join spec (Table IV's ρoi).
 func RhoOI(spec *JoinSpec) float64 {
-	m := sample.OutputSize(spec.R1, spec.R2, spec.Cond, 8)
+	m := sample.StreamSample(spec.R1, spec.R2, spec.Cond, 0, 8, nil).M
 	return float64(m) / float64(spec.InputSize())
 }
 

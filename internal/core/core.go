@@ -28,8 +28,6 @@ type Options struct {
 	J int
 	// Model is the cost model; the zero value selects cost.DefaultBand.
 	Model cost.Model
-	// StatWorkers is the parallelism of statistics collection; 0 = J.
-	StatWorkers int
 	// Seed makes planning deterministic.
 	Seed uint64
 
@@ -40,9 +38,6 @@ type Options struct {
 	NC int
 	// OutputSampleFactor sets so = factor · nsc (default 2, §A5).
 	OutputSampleFactor float64
-	// BaselineBSP selects the O(nc⁵) baseline solver for the
-	// regionalization (ablation knob); results are identical, only slower.
-	BaselineBSP bool
 
 	// HighSelectivityRatio is the m/n ratio beyond which CSIO falls back to
 	// CI (§VI-E; CI is near-optimal when output costs dominate utterly).
@@ -71,9 +66,6 @@ func (o *Options) defaults() error {
 	}
 	if !o.Model.Valid() {
 		o.Model = cost.DefaultBand
-	}
-	if o.StatWorkers <= 0 {
-		o.StatWorkers = o.J
 	}
 	if o.OutputSampleFactor <= 0 {
 		o.OutputSampleFactor = 2
@@ -134,27 +126,14 @@ func Refine(plan *Plan, measuredOutput []int64, opts Options) (*Plan, error) {
 	factors := make([]float64, len(plan.Regions))
 	for i, reg := range plan.Regions {
 		rects[i] = reg.Rect
-		est := reg.Output
-		if est < 1 {
-			est = 1
-		}
-		factors[i] = float64(measuredOutput[i]) / est
+		factors[i] = float64(measuredOutput[i]) / max(reg.Output, 1)
 	}
-	d := plan.dense.ScaleRegions(rects, factors)
-	regions, err := tiling.Regionalize(d, opts.Model, opts.J,
-		tiling.RegionalizeOptions{UseBaselineBSP: opts.BaselineBSP})
+	refined, err := tilePlan(plan.dense.ScaleRegions(rects, factors), plan.Scheme.Name(), opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{
-		Scheme:             partition.NewRegionScheme(plan.Scheme.Name(), regions),
-		Regions:            regions,
-		EstimatedMaxWeight: tiling.MaxWeight(regions),
-		M:                  plan.M,
-		NS:                 plan.NS,
-		NC:                 plan.NC,
-		dense:              d,
-	}, nil
+	refined.M, refined.NS, refined.NC = plan.M, plan.NS, plan.NC
+	return refined, nil
 }
 
 // PlanCI builds the statistics-free content-insensitive plan.
@@ -165,97 +144,132 @@ func PlanCI(opts Options) (*Plan, error) {
 	return &Plan{Scheme: partition.NewCI(opts.J)}, nil
 }
 
-// BuildSampleMatrix runs only the sampling stage (§III-A): input samples →
-// equi-depth histograms → parallel Stream-Sample output sample → sample
-// matrix MS with exact m. Exposed for ablations and diagnostics; PlanCSIO
-// continues with coarsening and regionalization.
-func BuildSampleMatrix(r1, r2 []join.Key, cond join.Condition, opts Options) (*matrix.Sample, error) {
-	if err := opts.defaults(); err != nil {
-		return nil, err
-	}
-	sm, _, err := buildSampleMatrixTimed(r1, r2, cond, opts)
-	return sm, err
+// left describes the left relation of a CSIO plan — the one thing the three
+// entries of the pipeline below differ in (DESIGN.md "Planner").
+type left struct {
+	// keys are what Stream-Sample walks: all of R1, or a uniform sample of it.
+	keys []join.Key
+	// count is the number of tuples keys stand for; len(keys) when they are
+	// the relation itself.
+	count int
+	// bounds are R1's equi-depth boundaries when they were computed where
+	// the relation lives (a summary's, over ALL its keys); nil means the
+	// histogram is sampled from keys here.
+	bounds []join.Key
 }
 
-// buildSampleMatrixTimed additionally reports the time spent in the MS build
-// itself (the histogram-algorithm share, as opposed to the data scans).
-func buildSampleMatrixTimed(r1, r2 []join.Key, cond join.Condition, opts Options) (*matrix.Sample, time.Duration, error) {
-	rng := stats.NewRNG(opts.Seed)
-	n1, n2 := len(r1), len(r2)
-	if n1 == 0 || n2 == 0 {
-		return nil, 0, fmt.Errorf("core: empty input relation (n1=%d n2=%d)", n1, n2)
+// histograms builds the ns-bucket approximate equi-depth histograms of both
+// relations (§III-A item a) from fixed-size uniform input samples, the left
+// one first — the planner's first two RNG draws.
+func (l left) histograms(r2 []join.Key, ns, n int, rng *stats.RNG) (rh, ch *histogram.EquiDepth, err error) {
+	si := inputSampleSize(ns, n)
+	if l.bounds != nil {
+		rh, err = histogram.FromBounds(l.bounds)
+	} else {
+		rh, err = histogram.FromSample(sample.FixedSize(l.keys, si, rng), ns)
 	}
-	n := maxInt(n1, n2)
+	if err != nil {
+		return nil, nil, err
+	}
+	ch, err = histogram.FromSample(sample.FixedSize(r2, si, rng), ns)
+	return rh, ch, err
+}
+
+// maxOutputSample caps so. PlanCSIO's own histograms keep nsc ≤ ns² ≤ 2nJ,
+// but a summary's boundaries arrive from another machine and set MS's row
+// count, so without the cap the sender would choose how much memory
+// Stream-Sample allocates here.
+const maxOutputSample = 1 << 22
+
+// sampled is the sampling stage's product (§III-A): everything
+// matrix.BuildSample needs.
+type sampled struct {
+	rh, ch *histogram.EquiDepth
+	pairs  [][2]join.Key
+	m      int64 // output size: exact, or scaled up from a sample of R1
+	n1, n2 int
+}
+
+// sampleStage is the front half of the CSIO pipeline: input samples →
+// equi-depth histograms → R2 multiset and parallel Stream-Sample output
+// sample with its size m. The RNG draws come in one order for every entry —
+// left input sample (when sampled), right input sample, output positions,
+// per-shard partner streams, then AdaptNS's two re-samples — which is what
+// keeps plans reproducible and lets benchmark/layers.go replay the stages.
+func sampleStage(l left, r2 []join.Key, cond join.Condition, opts Options) (*sampled, error) {
+	n1, n2 := l.count, len(r2)
+	if n1 == 0 || n2 == 0 {
+		return nil, fmt.Errorf("core: empty input relation (n1=%d n2=%d)", n1, n2)
+	}
+	n := max(n1, n2)
+	rng := stats.NewRNG(opts.Seed)
 
 	// Sampling stage sizes (Lemma 3.1, §A1).
 	ns := opts.NS
 	if ns <= 0 {
 		ns = int(math.Ceil(math.Sqrt(2 * float64(n) * float64(opts.J))))
 	}
-	if ns > n {
-		ns = n
-	}
-	si := inputSampleSize(ns, n)
-
-	rh, ch, err := buildHistograms(r1, r2, ns, si, rng)
+	ns = min(ns, n)
+	rh, ch, err := l.histograms(r2, ns, n, rng)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 
-	// Candidate MS cells determine the output sample size so = Θ(nsc) (§A5).
-	nsc := countCandidates(rh, ch, cond)
-	so := int(opts.OutputSampleFactor * float64(nsc))
-	if so < 1063 {
-		so = 1063 // Kolmogorov-statistics floor (§A1)
+	// Candidate MS cells determine the output sample size so = Θ(nsc) (§A5),
+	// floored by the Kolmogorov statistics (§A1).
+	so := int(opts.OutputSampleFactor * float64(countCandidates(rh, ch, cond)))
+	so = min(max(so, 1063), maxOutputSample)
+	out := sample.StreamSample(l.keys, r2, cond, so, opts.J, rng)
+
+	// Keys that are a sample of R1 give the size of sample ⋈ R2; m scales by
+	// the sampling fraction (exact when the keys are the relation).
+	m := out.M
+	if len(l.keys) < n1 {
+		est := math.Round(float64(out.M) * float64(n1) / float64(len(l.keys)))
+		if est >= math.MaxInt64 {
+			return nil, fmt.Errorf("core: output size estimate %.4g does not fit int64 (%d sampled keys stand for a count of %d)",
+				est, len(l.keys), n1)
+		}
+		m = int64(est)
 	}
 
-	out := sample.StreamSample(r1, r2, cond, so, opts.StatWorkers, rng)
-
-	if opts.AdaptNS && out.M > 0 {
-		rho := float64(out.M) / float64(n)
+	// §A5 resizing applies only where the histograms are sampled here.
+	if opts.AdaptNS && l.bounds == nil && m > 0 {
+		rho := float64(m) / float64(n)
 		nsAdj := int(math.Ceil(math.Sqrt(2 * float64(n) * float64(opts.J) / rho)))
-		if nsAdj > 4*ns {
-			nsAdj = 4 * ns // §A5 case (ii) territory; cap instead of splitting cells
-		}
-		if lo := 2 * opts.J; nsAdj < lo {
-			nsAdj = lo
-		}
-		if nsAdj > n {
-			nsAdj = n
-		}
+		nsAdj = min(nsAdj, 4*ns) // §A5 case (ii) territory; cap instead of splitting cells
+		nsAdj = min(max(nsAdj, 2*opts.J), n)
 		// Only rebuild when the change is worth the extra sampling pass.
 		if nsAdj*4 < ns*3 || nsAdj*3 > ns*4 {
-			ns = nsAdj
-			rh, ch, err = buildHistograms(r1, r2, ns, inputSampleSize(ns, n), rng)
-			if err != nil {
-				return nil, 0, err
+			if rh, ch, err = l.histograms(r2, nsAdj, n, rng); err != nil {
+				return nil, err
 			}
 		}
 	}
-
-	buildStart := time.Now()
-	sm, err := matrix.BuildSample(rh, ch, cond, out.Pairs, out.M, n1, n2, 0)
-	return sm, time.Since(buildStart), err
+	return &sampled{rh: rh, ch: ch, pairs: out.Pairs, m: m, n1: n1, n2: n2}, nil
 }
 
-// PlanCSIO builds the paper's equi-weight histogram plan: fixed-size uniform
-// input samples (sample.FixedSize, a reservoir — the paper draws Bernoulli
-// samples of the same expected size) → equi-depth histograms → parallel Stream-Sample output sample
-// (with exact m) → sample matrix MS (ns = √(2nJ)) → coarsened matrix MC
-// (nc = 2J) → MonotonicBSP regionalization into at most J regions.
-func PlanCSIO(r1, r2 []join.Key, cond join.Condition, opts Options) (*Plan, error) {
+// matrix builds the sample matrix MS from the stage's statistics.
+func (s *sampled) matrix(cond join.Condition) (*matrix.Sample, error) {
+	return matrix.BuildSample(s.rh, s.ch, cond, s.pairs, s.m, s.n1, s.n2, 0)
+}
+
+// planCSIO is the paper's histogram algorithm, once: the sampling stage, the
+// §VI-E fallback decision, then sample matrix MS → coarsened matrix MC
+// (nc = 2J) → MonotonicBSP regionalization into at most J regions. The
+// fallback is decided before MS is built: it needs only m and the clock.
+func planCSIO(l left, r2 []join.Key, cond join.Condition, opts Options) (*Plan, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	sm, buildDur, err := buildSampleMatrixTimed(r1, r2, cond, opts)
+	st, err := sampleStage(l, r2, cond, opts)
 	if err != nil {
 		return nil, err
 	}
-	n := maxInt(len(r1), len(r2))
-	overSelective := sm.M > int64(opts.HighSelectivityRatio)*int64(n)
+	overSelective := float64(st.m) > opts.HighSelectivityRatio*float64(max(st.n1, st.n2))
 	overBudget := opts.StatsBudget > 0 &&
-		time.Since(start).Seconds() > opts.StatsBudget*float64(len(r1)+len(r2))/1e6
+		time.Since(start).Seconds() > opts.StatsBudget*float64(st.n1+st.n2)/1e6
 	if !opts.DisableFallback && (overSelective || overBudget) {
 		// High-selectivity join (or a stats phase that blew its time budget,
 		// §VI-E's second trigger): CI's equal-area regions already balance
@@ -266,21 +280,75 @@ func PlanCSIO(r1, r2 []join.Key, cond join.Condition, opts Options) (*Plan, erro
 			return nil, err
 		}
 		p.Fallback = true
-		p.M = sm.M
+		p.M = st.m
 		p.StatsDuration = time.Since(start)
 		return p, nil
 	}
 
 	algStart := time.Now()
+	sm, err := st.matrix(cond)
+	if err != nil {
+		return nil, err
+	}
 	plan, err := regionalizePlan(sm, "CSIO", opts)
 	if err != nil {
 		return nil, err
 	}
-	plan.M = sm.M
+	plan.M = st.m
 	plan.NS = sm.Rows
-	plan.HistAlgDuration = buildDur + time.Since(algStart)
+	plan.HistAlgDuration = time.Since(algStart)
 	plan.StatsDuration = time.Since(start)
 	return plan, nil
+}
+
+// PlanCSIO builds the paper's equi-weight histogram plan from both relations:
+// fixed-size uniform input samples (sample.FixedSize, a reservoir — the paper
+// draws Bernoulli samples of the same expected size) feed both histograms,
+// and Stream-Sample walks all of r1, so m is exact.
+func PlanCSIO(r1, r2 []join.Key, cond join.Condition, opts Options) (*Plan, error) {
+	return planCSIO(left{keys: r1, count: len(r1)}, r2, cond, opts)
+}
+
+// PlanCSIOFromSummary builds the equi-weight histogram plan for r1' ⋈ r2
+// when r1' is known only through a distributed statistics summary — the
+// coordinator side of distributed statistics collection. The summary stands
+// in for the left relation everywhere the planner would scan it:
+//
+//   - the R1 equi-depth histogram comes straight from the summary's merged
+//     per-worker boundaries (computed worker-side over ALL local keys, so
+//     quantile accuracy does not degrade with the sample cap);
+//   - the output sample runs Stream-Sample over the summary's uniform key
+//     sample against the full r2 multiset, and its exact per-sample output
+//     size scales by Count/len(Keys) to estimate m (exact whenever the
+//     sample holds the whole population);
+//   - r2 is planner-local (the driver owns that base relation), so its
+//     histogram and multiset are exact, as in PlanCSIO.
+//
+// The §VI-E fallback applies to the estimated m as it does to the exact one.
+// Results are deterministic for a given summary and seed.
+func PlanCSIOFromSummary(sum *stats.Summary, r2 []join.Key, cond join.Condition, opts Options) (*Plan, error) {
+	if err := sum.Validate(); err != nil {
+		return nil, err
+	}
+	if sum.Count > int64(math.MaxInt) {
+		return nil, fmt.Errorf("core: summary count %d overflows", sum.Count)
+	}
+	return planCSIO(left{keys: sum.Keys, count: int(sum.Count), bounds: sum.Bounds}, r2, cond, opts)
+}
+
+// BuildSampleMatrix runs only the sampling stage (§III-A) and builds the
+// sample matrix MS with exact m from it, whatever the selectivity. Exposed
+// for ablations and diagnostics; PlanCSIO continues with coarsening and
+// regionalization.
+func BuildSampleMatrix(r1, r2 []join.Key, cond join.Condition, opts Options) (*matrix.Sample, error) {
+	if err := opts.defaults(); err != nil {
+		return nil, err
+	}
+	st, err := sampleStage(left{keys: r1, count: len(r1)}, r2, cond, opts)
+	if err != nil {
+		return nil, err
+	}
+	return st.matrix(cond)
 }
 
 // PlanCSI builds the M-Bucket baseline: p-bucket equi-depth histograms over
@@ -292,7 +360,6 @@ func PlanCSI(r1, r2 []join.Key, cond join.Condition, p int, opts Options) (*Plan
 		return nil, err
 	}
 	start := time.Now()
-	rng := stats.NewRNG(opts.Seed)
 	n1, n2 := len(r1), len(r2)
 	if n1 == 0 || n2 == 0 {
 		return nil, fmt.Errorf("core: empty input relation (n1=%d n2=%d)", n1, n2)
@@ -300,14 +367,8 @@ func PlanCSI(r1, r2 []join.Key, cond join.Condition, p int, opts Options) (*Plan
 	if p < 1 {
 		return nil, fmt.Errorf("core: p = %d < 1", p)
 	}
-	if p > n1 {
-		p = n1
-	}
-	if p > n2 {
-		p = n2
-	}
-	si := inputSampleSize(p, maxInt(n1, n2))
-	rh, ch, err := buildHistograms(r1, r2, p, si, rng)
+	p = min(p, n1, n2)
+	rh, ch, err := left{keys: r1}.histograms(r2, p, max(n1, n2), stats.NewRNG(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -331,17 +392,25 @@ func PlanCSI(r1, r2 []join.Key, cond join.Condition, p int, opts Options) (*Plan
 	return plan, nil
 }
 
-// regionalizePlan runs coarsening + regionalization over a built MS and
-// wraps the regions in a routing scheme.
+// regionalizePlan runs coarsening + regionalization over a built MS.
 func regionalizePlan(sm *matrix.Sample, name string, opts Options) (*Plan, error) {
 	nc := opts.NC
 	if nc <= 0 {
 		nc = 2 * opts.J
 	}
 	rowCuts, colCuts := tiling.CoarsenGrid(sm, nc, opts.Model, tiling.CoarsenOptions{})
-	d := matrix.Coarsen(sm, rowCuts, colCuts)
-	regions, err := tiling.Regionalize(d, opts.Model, opts.J,
-		tiling.RegionalizeOptions{UseBaselineBSP: opts.BaselineBSP})
+	plan, err := tilePlan(matrix.Coarsen(sm, rowCuts, colCuts), name, opts)
+	if err != nil {
+		return nil, err
+	}
+	plan.NC = nc
+	return plan, nil
+}
+
+// tilePlan regionalizes a coarsened matrix and wraps the regions in a
+// routing scheme; d is retained for Refine.
+func tilePlan(d *matrix.Dense, name string, opts Options) (*Plan, error) {
+	regions, err := tiling.Regionalize(d, opts.Model, opts.J, tiling.RegionalizeOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -349,34 +418,13 @@ func regionalizePlan(sm *matrix.Sample, name string, opts Options) (*Plan, error
 		Scheme:             partition.NewRegionScheme(name, regions),
 		Regions:            regions,
 		EstimatedMaxWeight: tiling.MaxWeight(regions),
-		NC:                 nc,
 		dense:              d,
 	}, nil
 }
 
-// buildHistograms samples both relations and builds ns-bucket approximate
-// equi-depth histograms (§III-A item a).
-func buildHistograms(r1, r2 []join.Key, ns, si int, rng *stats.RNG) (*histogram.EquiDepth, *histogram.EquiDepth, error) {
-	s1 := sample.FixedSize(r1, si, rng)
-	s2 := sample.FixedSize(r2, si, rng)
-	rh, err := histogram.FromSample(s1, ns)
-	if err != nil {
-		return nil, nil, err
-	}
-	ch, err := histogram.FromSample(s2, ns)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rh, ch, nil
-}
-
 // inputSampleSize returns si = Θ(ns·log n) ([13], §A1).
 func inputSampleSize(ns, n int) int {
-	si := int(4 * float64(ns) * math.Log2(float64(n)+2))
-	if si < ns {
-		si = ns
-	}
-	return si
+	return max(int(4*float64(ns)*math.Log2(float64(n)+2)), ns)
 }
 
 // countCandidates computes nsc, the number of candidate MS cells, from the
@@ -384,29 +432,14 @@ func inputSampleSize(ns, n int) int {
 // ("we compute nsc by counting the candidate MS cells right after collecting
 // a sample of input tuples").
 func countCandidates(rh, ch *histogram.EquiDepth, cond join.Condition) int64 {
-	cols := ch.Buckets()
 	var nsc int64
 	for i := 0; i < rh.Buckets(); i++ {
 		rLo, rHi := rh.Bounds(i)
 		jLo, _ := cond.JoinableRange(rLo)
 		_, jHi := cond.JoinableRange(rHi - 1)
-		first, last, ok := ch.BucketRange(jLo, jHi)
-		if !ok {
-			continue
-		}
-		_ = first
-		_ = last
-		if last >= first {
+		if first, last, ok := ch.BucketRange(jLo, jHi); ok && last >= first {
 			nsc += int64(last - first + 1)
 		}
 	}
-	_ = cols
 	return nsc
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

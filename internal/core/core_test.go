@@ -6,7 +6,6 @@ import (
 	"ewh/internal/cost"
 	"ewh/internal/join"
 	"ewh/internal/stats"
-	"ewh/internal/tiling"
 )
 
 var model = cost.Model{Wi: 1, Wo: 0.2}
@@ -23,9 +22,6 @@ func randKeys(n int, domain int64, seed uint64) []join.Key {
 func TestOptionsValidation(t *testing.T) {
 	if _, err := PlanCI(Options{J: 0}); err == nil {
 		t.Error("J=0 accepted")
-	}
-	if _, err := PlanCSIO(nil, []join.Key{1}, join.Equi{}, Options{J: 2}); err == nil {
-		t.Error("empty r1 accepted")
 	}
 	r := randKeys(100, 50, 1)
 	if _, err := PlanCSI(r, r, join.Equi{}, 0, Options{J: 2}); err == nil {
@@ -123,31 +119,6 @@ func TestPlanCSIOBalancesUnderJPS(t *testing.T) {
 	}
 }
 
-func TestPlanCSIOFallback(t *testing.T) {
-	// A tiny key domain makes the band join nearly Cartesian: m/n huge, so
-	// the planner must fall back to CI.
-	r1 := randKeys(2000, 8, 10)
-	r2 := randKeys(2000, 8, 11)
-	plan, err := PlanCSIO(r1, r2, join.NewBand(2), Options{J: 4, Model: model, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.Fallback {
-		t.Fatalf("no fallback despite m=%d for n=2000", plan.M)
-	}
-	if plan.Scheme.Name() != "CI" {
-		t.Fatalf("fallback scheme %s", plan.Scheme.Name())
-	}
-	// DisableFallback forces CSIO through.
-	plan2, err := PlanCSIO(r1, r2, join.NewBand(2), Options{J: 4, Model: model, Seed: 12, DisableFallback: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan2.Fallback || plan2.Scheme.Name() != "CSIO" {
-		t.Fatal("DisableFallback ignored")
-	}
-}
-
 func TestPlanCSI(t *testing.T) {
 	r1 := randKeys(3000, 1500, 13)
 	r2 := randKeys(3000, 1500, 14)
@@ -175,23 +146,6 @@ func TestPlanNCOverride(t *testing.T) {
 	}
 	if plan.NC != 4 {
 		t.Fatalf("NC = %d, want 4", plan.NC)
-	}
-}
-
-func TestPlanBaselineBSPAgrees(t *testing.T) {
-	r1 := randKeys(2000, 1000, 19)
-	r2 := randKeys(2000, 1000, 20)
-	a, err := PlanCSIO(r1, r2, join.NewBand(1), Options{J: 4, Model: model, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := PlanCSIO(r1, r2, join.NewBand(1), Options{J: 4, Model: model, Seed: 21, BaselineBSP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wa, wb := tiling.MaxWeight(a.Regions), tiling.MaxWeight(b.Regions)
-	if wa > wb*1.01 || wb > wa*1.01 {
-		t.Fatalf("baseline %v vs monotonic %v max weights", wb, wa)
 	}
 }
 
@@ -363,31 +317,5 @@ func TestRefineIdempotentOnAccurateFeedback(t *testing.T) {
 	if refined.EstimatedMaxWeight > plan.EstimatedMaxWeight*1.05 {
 		t.Fatalf("accurate feedback degraded the plan: %.0f -> %.0f",
 			plan.EstimatedMaxWeight, refined.EstimatedMaxWeight)
-	}
-}
-
-func TestStatsBudgetFallback(t *testing.T) {
-	r1 := randKeys(3000, 1500, 60)
-	r2 := randKeys(3000, 1500, 61)
-	// An absurdly tight budget (1 nanosecond per million tuples) must trip
-	// the §VI-E time trigger even on a low-selectivity join.
-	plan, err := PlanCSIO(r1, r2, join.NewBand(1), Options{
-		J: 4, Model: model, Seed: 62, StatsBudget: 1e-9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.Fallback || plan.Scheme.Name() != "CI" {
-		t.Fatalf("budget fallback not taken: fallback=%v scheme=%s", plan.Fallback, plan.Scheme.Name())
-	}
-	// A generous budget must not trip it.
-	plan2, err := PlanCSIO(r1, r2, join.NewBand(1), Options{
-		J: 4, Model: model, Seed: 62, StatsBudget: 3600,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan2.Fallback {
-		t.Fatal("generous budget tripped the fallback")
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"ewh/internal/cost"
@@ -64,7 +63,7 @@ func TestPlanCSIOFromSummaryBalancesSkew(t *testing.T) {
 	}
 
 	// The estimated output size must be in the right ballpark of the truth.
-	exactM := sample.OutputSize(r1, r2, cond, 4)
+	exactM := sample.StreamSample(r1, r2, cond, 0, 4, nil).M
 	if plan.M < exactM/3 || plan.M > exactM*3 {
 		t.Fatalf("estimated m = %d, exact m = %d: summary statistics badly off", plan.M, exactM)
 	}
@@ -95,49 +94,5 @@ func TestPlanCSIOFromSummaryBalancesSkew(t *testing.T) {
 		if buf = plan.Scheme.RouteR1(k, rng, buf[:0]); len(buf) == 0 {
 			t.Fatalf("key %d routes nowhere", k)
 		}
-	}
-}
-
-func TestPlanCSIOFromSummaryExactWhenSampleCoversAll(t *testing.T) {
-	// A cap large enough to enumerate the whole population makes m exact.
-	r1 := workload.Zipfian(3000, 500, 0.6, 5)
-	r2 := workload.Zipfian(2500, 500, 0.6, 6)
-	cond := join.Equi{}
-	merged := mergeAll(t, shardSummaries(r1, 3, len(r1), 64))
-	plan, err := PlanCSIOFromSummary(merged, r2, cond, Options{J: 4, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := sample.OutputSize(r1, r2, cond, 2); plan.M != want {
-		t.Fatalf("full-coverage summary estimated m = %d, exact m = %d", plan.M, want)
-	}
-}
-
-func TestPlanCSIOFromSummaryFallsBackOnHighSelectivity(t *testing.T) {
-	// Everything joins with everything: the §VI-E fallback must fire off the
-	// ESTIMATED m exactly as it does off the exact one.
-	n := 2000
-	r1 := make([]join.Key, n)
-	r2 := make([]join.Key, n)
-	merged := mergeAll(t, shardSummaries(r1, 2, 256, 32))
-	plan, err := PlanCSIOFromSummary(merged, r2, join.Equi{}, Options{J: 4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.Fallback || plan.Scheme.Name() != "CI" {
-		t.Fatalf("high-selectivity summary plan did not fall back: %q fallback=%v",
-			plan.Scheme.Name(), plan.Fallback)
-	}
-}
-
-func TestPlanCSIOFromSummaryRejectsEmpty(t *testing.T) {
-	empty := sample.Summarize(nil, 16, 8, stats.NewRNG(1))
-	_, err := PlanCSIOFromSummary(empty, []join.Key{1, 2}, join.Equi{}, Options{J: 2})
-	if err == nil || !strings.Contains(err.Error(), "empty") {
-		t.Fatalf("empty summary accepted: %v", err)
-	}
-	full := sample.Summarize([]join.Key{1, 2, 3}, 16, 8, stats.NewRNG(1))
-	if _, err := PlanCSIOFromSummary(full, nil, join.Equi{}, Options{J: 2}); err == nil {
-		t.Fatal("empty r2 accepted")
 	}
 }

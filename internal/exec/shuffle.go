@@ -12,6 +12,30 @@ import (
 // (partition.RouteBatchR1/R2 curried over a scheme).
 type routeFn func(keys []join.Key, rng *stats.RNG, b *partition.RouteBatch)
 
+// routeFor curries scheme's batch router for one side of the join: rel 2
+// routes with RouteBatchR2, anything else with RouteBatchR1.
+func routeFor(scheme partition.Scheme, rel int) routeFn {
+	if rel == 2 {
+		return func(keys []join.Key, rng *stats.RNG, b *partition.RouteBatch) {
+			partition.RouteBatchR2(scheme, keys, rng, b)
+		}
+	}
+	return func(keys []join.Key, rng *stats.RNG, b *partition.RouteBatch) {
+		partition.RouteBatchR1(scheme, keys, rng, b)
+	}
+}
+
+// mapperRNGs splits one relation's per-mapper routing streams off master, in
+// mapper order. A pair shuffle takes relation 1's streams before relation
+// 2's; that split order is what every runtime's routes are reproducible by.
+func mapperRNGs(master *stats.RNG, mappers int) []*stats.RNG {
+	rngs := make([]*stats.RNG, mappers)
+	for i := range rngs {
+		rngs[i] = master.Split()
+	}
+	return rngs
+}
+
 // shuffled is one relation after the shuffle: worker w's tuples are the
 // contiguous slice flat[off[w]:off[w+1]]. The whole relation lives in a
 // single exactly-sized allocation, so the reduce phase reads (and may sort in
@@ -122,30 +146,18 @@ func shufflePairAsync[T1, T2 any](items1 []T1, keys1 []join.Key, items2 []T2, ke
 	j := scheme.Workers()
 	mappers := cfg.Mappers
 	master := stats.NewRNG(cfg.Seed)
-	rngs1 := make([]*stats.RNG, mappers)
-	for i := range rngs1 {
-		rngs1[i] = master.Split()
-	}
-	rngs2 := make([]*stats.RNG, mappers)
-	for i := range rngs2 {
-		rngs2[i] = master.Split()
-	}
-	route1 := func(keys []join.Key, rng *stats.RNG, b *partition.RouteBatch) {
-		partition.RouteBatchR1(scheme, keys, rng, b)
-	}
-	route2 := func(keys []join.Key, rng *stats.RNG, b *partition.RouteBatch) {
-		partition.RouteBatchR2(scheme, keys, rng, b)
-	}
+	rngs1 := mapperRNGs(master, mappers)
+	rngs2 := mapperRNGs(master, mappers)
 	b1, b2 := getBatches(mappers), getBatches(mappers)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		done1(shuffleRelation(items1, keys1, j, mappers, rngs1, b1, route1, alloc1))
+		done1(shuffleRelation(items1, keys1, j, mappers, rngs1, b1, routeFor(scheme, 1), alloc1))
 	}()
 	go func() {
 		defer wg.Done()
-		done2(shuffleRelation(items2, keys2, j, mappers, rngs2, b2, route2, alloc2))
+		done2(shuffleRelation(items2, keys2, j, mappers, rngs2, b2, routeFor(scheme, 2), alloc2))
 	}()
 	go func() {
 		wg.Wait()
@@ -184,9 +196,8 @@ func (k *KeyShuffle) Release() {
 
 // ShufflePair routes both relations of a join to scheme's workers with the
 // engine's two-pass zero-copy shuffle and returns the per-worker blocks.
-// This is Run's shuffle phase made reusable: netexec's coordinator uses it
-// to batch-route each relation once and then stream worker blocks over the
-// wire. Deterministic for a fixed cfg.Seed and cfg.Mappers.
+// This is Run's shuffle phase made reusable (the benchmark's join probe times
+// it on its own). Deterministic for a fixed cfg.Seed and cfg.Mappers.
 func ShufflePair(r1, r2 []join.Key, scheme partition.Scheme, cfg Config) (*KeyShuffle, *KeyShuffle) {
 	cfg.defaults()
 	s1, s2 := shufflePair(r1, r1, r2, r2, scheme, cfg, GetKeyBuffer, GetKeyBuffer)
@@ -201,22 +212,9 @@ func ShufflePair(r1, r2 []join.Key, scheme partition.Scheme, cfg Config) (*KeySh
 // scatter a later stage's right relation. Deterministic for a fixed cfg.
 func ShuffleKeys(keys []join.Key, scheme partition.Scheme, rel int, cfg Config) *KeyShuffle {
 	cfg.defaults()
-	j := scheme.Workers()
-	master := stats.NewRNG(cfg.Seed)
-	rngs := make([]*stats.RNG, cfg.Mappers)
-	for i := range rngs {
-		rngs[i] = master.Split()
-	}
-	route := func(keys []join.Key, rng *stats.RNG, b *partition.RouteBatch) {
-		partition.RouteBatchR1(scheme, keys, rng, b)
-	}
-	if rel == 2 {
-		route = func(keys []join.Key, rng *stats.RNG, b *partition.RouteBatch) {
-			partition.RouteBatchR2(scheme, keys, rng, b)
-		}
-	}
+	rngs := mapperRNGs(stats.NewRNG(cfg.Seed), cfg.Mappers)
 	batches := getBatches(cfg.Mappers)
-	s := shuffleRelation(keys, keys, j, cfg.Mappers, rngs, batches, route, GetKeyBuffer)
+	s := shuffleRelation(keys, keys, scheme.Workers(), cfg.Mappers, rngs, batches, routeFor(scheme, rel), GetKeyBuffer)
 	putBatches(batches)
 	return &KeyShuffle{s}
 }
@@ -287,12 +285,7 @@ func (cs *ChunkStream) Drain() {
 // total scatter cost.
 func ShuffleKeysChunked(keys []join.Key, scheme partition.Scheme, rel int, cfg Config) *ChunkStream {
 	cfg.defaults()
-	master := stats.NewRNG(cfg.Seed)
-	rngs := make([]*stats.RNG, cfg.Mappers)
-	for i := range rngs {
-		rngs[i] = master.Split()
-	}
-	return chunkedRelation(keys, scheme, rel, cfg, rngs)
+	return chunkedRelation(keys, scheme, rel, cfg, mapperRNGs(stats.NewRNG(cfg.Seed), cfg.Mappers))
 }
 
 // chunkScatter is scatter against per-worker local buffers instead of
@@ -337,17 +330,9 @@ func chunkScatter(bufs [][]join.Key, p []int, items []join.Key, b *partition.Rou
 func ShufflePairChunked(r1, r2 []join.Key, scheme partition.Scheme, cfg Config) (*ChunkStream, *ChunkStream) {
 	cfg.defaults()
 	master := stats.NewRNG(cfg.Seed)
-	rngs1 := make([]*stats.RNG, cfg.Mappers)
-	for i := range rngs1 {
-		rngs1[i] = master.Split()
-	}
-	rngs2 := make([]*stats.RNG, cfg.Mappers)
-	for i := range rngs2 {
-		rngs2[i] = master.Split()
-	}
-	cs1 := chunkedRelation(r1, scheme, 1, cfg, rngs1)
-	cs2 := chunkedRelation(r2, scheme, 2, cfg, rngs2)
-	return cs1, cs2
+	rngs1 := mapperRNGs(master, cfg.Mappers)
+	rngs2 := mapperRNGs(master, cfg.Mappers)
+	return chunkedRelation(r1, scheme, 1, cfg, rngs1), chunkedRelation(r2, scheme, 2, cfg, rngs2)
 }
 
 // chunkedRelation is ShuffleKeysChunked's core with caller-supplied RNG
@@ -355,14 +340,7 @@ func ShufflePairChunked(r1, r2 []join.Key, scheme partition.Scheme, cfg Config) 
 // pair shuffle).
 func chunkedRelation(keys []join.Key, scheme partition.Scheme, rel int, cfg Config, rngs []*stats.RNG) *ChunkStream {
 	j := scheme.Workers()
-	route := func(keys []join.Key, rng *stats.RNG, b *partition.RouteBatch) {
-		partition.RouteBatchR1(scheme, keys, rng, b)
-	}
-	if rel == 2 {
-		route = func(keys []join.Key, rng *stats.RNG, b *partition.RouteBatch) {
-			partition.RouteBatchR2(scheme, keys, rng, b)
-		}
-	}
+	route := routeFor(scheme, rel)
 	cs := newChunkStream(j, cfg.Mappers)
 	go func() {
 		batches := getBatches(cfg.Mappers)

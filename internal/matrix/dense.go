@@ -164,8 +164,8 @@ func Coarsen(sm *Sample, rowCuts, colCuts []int) *Dense {
 				// Spread the row's candidate count over the touched MC cols.
 				rl, rh := sm.CandLo[r], sm.CandHi[r]
 				for j := colOf(rl); j <= colOf(rh); j++ {
-					il := maxInt(rl, colCuts[j])
-					ih := minInt(rh, colCuts[j+1]-1)
+					il := max(rl, colCuts[j])
+					ih := min(rh, colCuts[j+1]-1)
 					if il <= ih {
 						out[i*cols+j] += sm.UnitCand * float64(ih-il+1)
 					}
@@ -175,20 +175,6 @@ func Coarsen(sm *Sample, rowCuts, colCuts []int) *Dense {
 	}
 	enforceMonotoneSpans(candLo, candHi)
 	return NewDense(rows, cols, out, rowIn, colIn, rowBounds, colBounds, candLo, candHi)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Output returns the estimated output tuples of the rectangle in O(1).
@@ -230,7 +216,7 @@ func (d *Dense) Candidate(i, j int) bool {
 func (d *Dense) CandCount(r Rect) int64 {
 	var n int64
 	for i := r.R0; i <= r.R1 && i < d.Rows; i++ {
-		lo, hi := maxInt(d.CandLo[i], r.C0), minInt(d.CandHi[i], r.C1)
+		lo, hi := max(d.CandLo[i], r.C0), min(d.CandHi[i], r.C1)
 		if lo <= hi {
 			n += int64(hi - lo + 1)
 		}
@@ -265,9 +251,9 @@ func (d *Dense) MinimalCandidateRect(r Rect) (Rect, bool) {
 	}
 	out := Rect{
 		R0: d.candRows[i],
-		C0: maxInt(r.C0, d.cLoC[i]),
+		C0: max(r.C0, d.cLoC[i]),
 		R1: d.candRows[j],
-		C1: minInt(r.C1, d.cHiC[j]),
+		C1: min(r.C1, d.cHiC[j]),
 	}
 	return out, true
 }
@@ -322,14 +308,11 @@ func (d *Dense) TotalWeight(m cost.Model) float64 {
 // cells: a lower bound on any partitioning's maximum region weight, since a
 // region contains at least one cell.
 func (d *Dense) MaxCandCellWeight(m cost.Model) float64 {
-	max := 0.0
+	heaviest := 0.0
 	for i := 0; i < d.Rows; i++ {
-		for j := maxInt(0, d.CandLo[i]); j <= d.CandHi[i] && j < d.Cols; j++ {
-			w := d.Weight(m, Rect{i, j, i, j})
-			if w > max {
-				max = w
-			}
+		for j := max(0, d.CandLo[i]); j <= d.CandHi[i] && j < d.Cols; j++ {
+			heaviest = max(heaviest, d.Weight(m, Rect{i, j, i, j}))
 		}
 	}
-	return max
+	return heaviest
 }

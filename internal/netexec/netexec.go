@@ -1,9 +1,11 @@
 // Package netexec runs the shared-nothing join over real TCP workers: a
-// coordinator batch-routes both relations once with the engine's two-pass
-// zero-copy shuffle and streams each worker one contiguous, length-prefixed
-// binary key block per relation (plus an optional payload segment); each
-// worker decodes into exactly-sized pooled flat buffers, joins in place (or
-// streams matched index pairs back) and reports its metrics. It is the
+// coordinator batch-routes both relations once with the engine's shuffle. A
+// count job streams each relation as per-mapper CHUNK sub-blocks the moment a
+// mapper has routed its shard, and the worker's join goroutine inserts or
+// probes them as they arrive; a pairs or plan job sends each worker one
+// contiguous, length-prefixed key block per relation (plus an optional
+// payload segment), decoded into exactly-sized pooled flat buffers and joined
+// in place. Either way the worker reports its metrics. It is the
 // process-distributed counterpart of internal/exec's goroutine engine — same
 // partitioning schemes, same shuffle, same metrics — demonstrating that
 // nothing in the EWH design depends on shared memory.
@@ -59,35 +61,31 @@ type metrics struct {
 	// FaultAddr names the PEER whose failure caused Err, when the job died
 	// streaming its matches to another worker rather than locally — the
 	// coordinator marks that address down instead of this (healthy) worker's.
-	// Gob-compatible addition: absent on old wires, decoded as "".
 	FaultAddr string
 
 	// Code types the failure in Err for machine handling: codeAdmission or
 	// codeQuota mark multi-tenant policy rejections the coordinator must
 	// surface as ErrAdmission/ErrQuota rather than worker faults.
-	// Gob-compatible addition: absent on old wires, decoded as 0.
 	Code int
 
 	// BuildOverlapped counts the CHUNK sub-blocks this job's resident side —
 	// hash or merge — consumed (inserted or probed) BEFORE the read loop
 	// decoded the job's EOS: the observable proving the join overlapped the
-	// still-streaming scatter (the local analog of OverlappedStage2).
-	// Gob-compatible addition: decoded as 0 on old wires and on flat jobs.
+	// still-streaming scatter (the local analog of OverlappedStage2); 0 on
+	// flat jobs.
 	BuildOverlapped int64
 
 	// Engine echoes the RESOLVED local-join engine that served the job (1
 	// merge, 2 hash) so the coordinator can audit its selection end to end —
 	// the observable that pins per-job engine hints on peer opens actually
-	// reaching the worker. Gob-compatible addition: decoded as 0 (unreported)
-	// from workers predating the field.
+	// reaching the worker.
 	Engine int
 }
 
 // jobOpen opens one numbered job on a v3 session connection. Counts travel
 // separately in per-relation head frames, so a job can start streaming its
 // first relation before the second one's shuffle has finished. Engine is
-// the coordinator's exec.JoinEngine selection; gob decodes it as 0
-// (EngineAuto) from coordinators predating the field.
+// the coordinator's exec.JoinEngine selection (0 = EngineAuto).
 type jobOpen struct {
 	WorkerID  int
 	Cond      join.Spec

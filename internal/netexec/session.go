@@ -53,8 +53,8 @@ type Session struct {
 	buildOverlapped *atomic.Int64
 
 	// engineUses tallies successful worker replies by the resolved local-join
-	// engine they echoed (index = the wire engine value; 0 collects legacy
-	// workers that report nothing). The audit that per-job engine selection —
+	// engine they echoed (index = the wire engine value; every reply echoes 1
+	// or 2, so slot 0 stays empty). The audit that per-job engine selection —
 	// including the peer-open hint — actually reached the workers. Shared by
 	// survivor views like ids/relayed.
 	engineUses *[3]atomic.Int64
@@ -142,8 +142,8 @@ func (s *Session) BuildOverlappedChunks() int64 { return s.buildOverlapped.Load(
 
 // EngineUses reports how many successful sub-job replies resolved to engine
 // e on the worker side since Dial — including peer-fed stage-2 jobs, whose
-// selection travels in the peer open's engine hint. EngineUses(EngineAuto)
-// counts legacy workers that echo no engine.
+// selection travels in the peer open's engine hint. A reply always echoes a
+// resolved engine, so EngineUses(EngineAuto) is 0.
 func (s *Session) EngineUses(e exec.JoinEngine) int64 {
 	if e < 0 || int(e) >= len(s.engineUses) {
 		return 0

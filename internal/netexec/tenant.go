@@ -38,7 +38,7 @@ var ErrAdmission = errors.New("admission rejected")
 var ErrQuota = errors.New("tenant quota exceeded")
 
 // Reply codes carried in the metrics frame so rejections stay typed across
-// the wire (gob-compatible addition: absent on old wires, decoded as 0).
+// the wire.
 const (
 	codeNone      = 0
 	codeAdmission = 1

@@ -91,28 +91,10 @@ func gallopUpper[T interface{ ~int64 }](a []T, i int, target T) int {
 	return hi
 }
 
-// RangeCount returns the total multiplicity of keys in the inclusive range
-// [lo, hi]. For a condition c, RangeCount(c.JoinableRange(k)) is exactly
-// d2(k), the joinable-set size of k.
-func (m *KeyMultiset) RangeCount(lo, hi join.Key) int64 {
-	if lo > hi {
-		return 0
-	}
-	i := m.lowerBound(lo)
-	j := gallopUpper(m.keys, i, hi)
-	return m.prefix[j] - m.prefix[i]
-}
-
-// Select returns the u-th key (0-based, ordered, counting multiplicity) among
-// keys >= lo. The caller guarantees 0 <= u < RangeCount(lo, hi) for the hi it
-// has in mind; Select only needs the lower bound.
-func (m *KeyMultiset) Select(lo join.Key, u int64) join.Key {
-	return m.SelectAt(int32(m.lowerBound(lo)), u)
-}
-
-// SelectAt is Select with the joinable range's lower-bound index already
-// known — the handle D2At hands out so repeated draws for the same key skip
-// the key search entirely.
+// SelectAt returns the u-th key (0-based, ordered, counting multiplicity) of
+// the joinable range whose lower-bound index D2At handed out as at, so
+// repeated draws for the same key skip the key search entirely. The caller
+// guarantees 0 <= u < d2.
 func (m *KeyMultiset) SelectAt(at int32, u int64) join.Key {
 	i := int(at)
 	target := m.prefix[i] + u
@@ -122,16 +104,11 @@ func (m *KeyMultiset) SelectAt(at int32, u int64) join.Key {
 	return m.keys[j]
 }
 
-// D2 returns the joinable-set size of the R1 key k under condition c.
-func (m *KeyMultiset) D2(c join.Condition, k join.Key) int64 {
-	lo, hi := c.JoinableRange(k)
-	return m.RangeCount(lo, hi)
-}
-
-// D2At returns d2(k) together with the lower-bound index of k's joinable
-// range, for callers that will draw partners for k later (SelectAt) or that
-// scan the same keys twice (Stream-Sample's weight and materialize passes
-// cache these instead of re-searching).
+// D2At returns d2(k), the joinable-set size of the R1 key k under condition
+// c, together with the lower-bound index of k's joinable range, for callers
+// that will draw partners for k later (SelectAt) or that scan the same keys
+// twice (Stream-Sample's weight and materialize passes cache these instead of
+// re-searching).
 func (m *KeyMultiset) D2At(c join.Condition, k join.Key) (int64, int32) {
 	lo, hi := c.JoinableRange(k)
 	if lo > hi {

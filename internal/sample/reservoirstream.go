@@ -21,17 +21,12 @@ import (
 // so ≪ m. Exposed for the sampling ablation and for streaming callers that
 // cannot do two passes.
 func StreamSampleReservoir(r1, r2 []join.Key, cond join.Condition, so, workers int, rng *stats.RNG) *OutputSample {
-	if workers < 1 {
-		workers = 1
-	}
-	m2 := BuildMultiset(r2)
 	n := len(r1)
 	if n == 0 {
 		return &OutputSample{}
 	}
-	if workers > n {
-		workers = n
-	}
+	workers = min(max(workers, 1), n)
+	m2 := BuildMultiset(r2)
 
 	// One parallel pass: per-shard reservoirs plus per-shard weight totals
 	// (the weight sum is free in the same pass and yields the exact m).
@@ -42,7 +37,7 @@ func StreamSampleReservoir(r1, r2 []join.Key, cond join.Condition, so, workers i
 	shards := make([]shardRes, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		shards[w].res = NewReservoir(maxIntSample(so, 1), rng.Split())
+		shards[w].res = NewReservoir(max(so, 1), rng.Split())
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -50,7 +45,7 @@ func StreamSampleReservoir(r1, r2 []join.Key, cond join.Condition, so, workers i
 			defer wg.Done()
 			lo, hi := shardBounds(n, workers, w)
 			for _, k := range r1[lo:hi] {
-				d2 := m2.D2(cond, k)
+				d2, _ := m2.D2At(cond, k)
 				shards[w].sum += d2
 				shards[w].res.Add(k, float64(d2))
 			}
@@ -90,20 +85,10 @@ func StreamSampleReservoir(r1, r2 []join.Key, cond join.Condition, so, workers i
 				hi = mid
 			}
 		}
+		// Reservoir items have weight d2 >= 1 (Add drops weightless keys).
 		k := items[lo].Key
-		jLo, _ := cond.JoinableRange(k)
-		d2 := int64(items[lo].Weight)
-		if d2 < 1 {
-			d2 = 1
-		}
-		out.Pairs = append(out.Pairs, [2]join.Key{k, m2.Select(jLo, rng.Int64n(d2))})
+		d2, at := m2.D2At(cond, k)
+		out.Pairs = append(out.Pairs, [2]join.Key{k, m2.SelectAt(at, rng.Int64n(d2))})
 	}
 	return out
-}
-
-func maxIntSample(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -143,6 +143,14 @@ func TestReservoirMergeEquivalence(t *testing.T) {
 	}
 }
 
+// keyRange is a condition whose joinable range is the same [lo, hi] for every
+// key: it addresses the multiset's range searches directly.
+type keyRange struct{ lo, hi join.Key }
+
+func (r keyRange) Matches(_, b join.Key) bool               { return r.lo <= b && b <= r.hi }
+func (r keyRange) JoinableRange(join.Key) (lo, hi join.Key) { return r.lo, r.hi }
+func (r keyRange) String() string                           { return "test range" }
+
 func TestMultisetCounts(t *testing.T) {
 	m := BuildMultiset([]join.Key{5, 3, 5, 1, 5, 3})
 	if m.Total() != 6 {
@@ -158,8 +166,8 @@ func TestMultisetCounts(t *testing.T) {
 		{1, 5, 6}, {3, 5, 5}, {4, 10, 3}, {6, 10, 0}, {5, 1, 0}, {1, 1, 1},
 	}
 	for _, c := range cases {
-		if got := m.RangeCount(c.lo, c.hi); got != c.want {
-			t.Errorf("RangeCount(%d,%d) = %d, want %d", c.lo, c.hi, got, c.want)
+		if got, _ := m.D2At(keyRange{c.lo, c.hi}, 0); got != c.want {
+			t.Errorf("D2At over [%d,%d] = %d, want %d", c.lo, c.hi, got, c.want)
 		}
 	}
 }
@@ -167,13 +175,15 @@ func TestMultisetCounts(t *testing.T) {
 func TestMultisetSelect(t *testing.T) {
 	m := BuildMultiset([]join.Key{1, 3, 3, 7})
 	wants := []join.Key{1, 3, 3, 7}
+	_, from1 := m.D2At(keyRange{1, 7}, 0)
 	for u, want := range wants {
-		if got := m.Select(1, int64(u)); got != want {
-			t.Errorf("Select(1,%d) = %d, want %d", u, got, want)
+		if got := m.SelectAt(from1, int64(u)); got != want {
+			t.Errorf("SelectAt(from 1, %d) = %d, want %d", u, got, want)
 		}
 	}
-	if got := m.Select(3, 2); got != 7 {
-		t.Errorf("Select(3,2) = %d, want 7", got)
+	_, from3 := m.D2At(keyRange{3, 7}, 0)
+	if got := m.SelectAt(from3, 2); got != 7 {
+		t.Errorf("SelectAt(from 3, 2) = %d, want 7", got)
 	}
 }
 
@@ -193,7 +203,8 @@ func TestMultisetD2MatchesBruteForce(t *testing.T) {
 				brute++
 			}
 		}
-		return m.D2(cond, k) == brute
+		d2, _ := m.D2At(cond, k)
+		return d2 == brute
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -304,7 +315,9 @@ func TestStreamSampleParallelConsistency(t *testing.T) {
 	}
 }
 
-func TestOutputSize(t *testing.T) {
+// With so = 0 Stream-Sample draws nothing (no RNG needed) and returns the
+// exact output size alone.
+func TestStreamSampleSizeOnly(t *testing.T) {
 	r := stats.NewRNG(14)
 	r1 := make([]join.Key, 200)
 	r2 := make([]join.Key, 300)
@@ -315,10 +328,11 @@ func TestOutputSize(t *testing.T) {
 		r2[i] = r.Int64n(100)
 	}
 	cond := join.NewBand(1)
-	if got, want := OutputSize(r1, r2, cond, 4), exactOutputSize(r1, r2, cond); got != want {
-		t.Fatalf("OutputSize = %d, want %d", got, want)
+	s := StreamSample(r1, r2, cond, 0, 4, nil)
+	if want := exactOutputSize(r1, r2, cond); s.M != want || len(s.Pairs) != 0 {
+		t.Fatalf("so = 0: M = %d with %d pairs, want %d and none", s.M, len(s.Pairs), want)
 	}
-	if OutputSize(nil, r2, cond, 4) != 0 {
+	if StreamSample(nil, r2, cond, 0, 4, nil).M != 0 {
 		t.Error("empty r1 should give 0")
 	}
 }

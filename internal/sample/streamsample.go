@@ -44,22 +44,14 @@ func StreamSample(r1, r2 []join.Key, cond join.Condition, so, workers int, rng *
 // hold only a SAMPLE of R1 (the distributed statistics planner) get a sample
 // of r1sample ⋈ R2 with its exact size M — an approximately uniform output
 // sample of the full join when r1sample is itself uniform, with M scaling by
-// the sampling fraction.
+// the sampling fraction. With so = 0 it draws nothing (rng may be nil) and
+// returns only M.
 func StreamSampleWith(r1 []join.Key, m2 *KeyMultiset, cond join.Condition, so, workers int, rng *stats.RNG) *OutputSample {
-	if workers < 1 {
-		workers = 1
-	}
-	return streamSampleWithMultiset(r1, m2, cond, so, workers, rng)
-}
-
-func streamSampleWithMultiset(r1 []join.Key, m2 *KeyMultiset, cond join.Condition, so, workers int, rng *stats.RNG) *OutputSample {
 	n := len(r1)
-	if workers > n && n > 0 {
-		workers = n
-	}
 	if n == 0 {
 		return &OutputSample{}
 	}
+	workers = min(max(workers, 1), n)
 
 	// Step 2: per-shard total weights. Each element's d2 and its joinable
 	// range's lower-bound index are cached so the materialize pass (step 3)
@@ -150,42 +142,6 @@ func streamSampleWithMultiset(r1 []join.Key, m2 *KeyMultiset, cond join.Conditio
 		out.Pairs = append(out.Pairs, p...)
 	}
 	return out
-}
-
-// OutputSize computes only m = Σ d2(t1.A), the exact join output size, in
-// parallel. It is what the planner uses when it needs m without a sample.
-func OutputSize(r1, r2 []join.Key, cond join.Condition, workers int) int64 {
-	if workers < 1 {
-		workers = 1
-	}
-	m2 := BuildMultiset(r2)
-	n := len(r1)
-	if n == 0 {
-		return 0
-	}
-	if workers > n {
-		workers = n
-	}
-	sums := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lo, hi := shardBounds(n, workers, w)
-			var sum int64
-			for _, k := range r1[lo:hi] {
-				sum += m2.D2(cond, k)
-			}
-			sums[w] = sum
-		}(w)
-	}
-	wg.Wait()
-	var m int64
-	for _, s := range sums {
-		m += s
-	}
-	return m
 }
 
 // shardBounds splits [0, n) into `workers` near-equal contiguous shards and

@@ -86,7 +86,7 @@ func TestSummarizeFeedsStreamSampleExactly(t *testing.T) {
 	m2 := BuildMultiset(r2)
 	cond := join.NewBand(2)
 	got := StreamSampleWith(sum.Keys, m2, cond, 0, 2, stats.NewRNG(3)).M
-	want := OutputSize(r1, r2, cond, 2)
+	want := StreamSample(r1, r2, cond, 0, 2, nil).M
 	if got != want {
 		t.Fatalf("summary-fed m = %d, exact m = %d", got, want)
 	}

@@ -284,8 +284,8 @@ func (s *sweeper) gather(i int) (spanLo, spanHi int, hasSpan bool) {
 	if s.sm.UnitCand > 0 {
 		b0, b1 := s.bandOf(spanLo), s.bandOf(spanHi)
 		for b := b0; b <= b1; b++ {
-			il := maxI(spanLo, s.other[b])
-			ih := minI(spanHi, s.other[b+1]-1)
+			il := max(spanLo, s.other[b])
+			ih := min(spanHi, s.other[b+1]-1)
 			if il <= ih {
 				addBand(b, s.sm.UnitCand*float64(ih-il+1))
 			}
@@ -368,7 +368,7 @@ func (s *sweeper) sweep(model cost.Model, t float64, ncMax int) []int {
 			if tLo > tHi {
 				tLo, tHi = spanLo, spanHi
 			} else {
-				tLo, tHi = minI(tLo, spanLo), maxI(tHi, spanHi)
+				tLo, tHi = min(tLo, spanLo), max(tHi, spanHi)
 			}
 		}
 		if tLo <= tHi {
@@ -425,18 +425,4 @@ func (s *sweeper) sweep(model cost.Model, t float64, ncMax int) []int {
 		cuts = append(cuts, s.n)
 	}
 	return cuts
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -33,9 +33,6 @@ type RegionalizeOptions struct {
 	// Probes bounds the δ binary-search iterations (default 40, giving a
 	// relative resolution far below the scheme's sampling error).
 	Probes int
-	// UseBaselineBSP selects the O(nc⁵) baseline solver instead of
-	// MonotonicBSP; both return identical partitionings (ablation knob).
-	UseBaselineBSP bool
 }
 
 func (o *RegionalizeOptions) defaults() {
@@ -54,12 +51,7 @@ func Regionalize(d *matrix.Dense, model cost.Model, j int, opts RegionalizeOptio
 	if j < 1 {
 		return nil, fmt.Errorf("tiling: j = %d < 1", j)
 	}
-	var solver Solver
-	if opts.UseBaselineBSP {
-		solver = NewBSP(d, model)
-	} else {
-		solver = NewMonotonicBSP(d, model)
-	}
+	solver := NewMonotonicBSP(d, model)
 
 	// δ is bounded below by the heaviest single candidate cell and by the
 	// total weight divided among j machines (no-replication bound), and

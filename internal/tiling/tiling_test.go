@@ -211,21 +211,28 @@ func TestRegionalizeInvariants(t *testing.T) {
 }
 
 func TestRegionalizeBaselineMatchesMonotonic(t *testing.T) {
+	// Regionalize searches δ with MonotonicBSP; the O(nc⁵) reference solver
+	// must tile the same matrix within the δ it settled on, into as few
+	// regions, each within δ and together covering every candidate cell.
 	sm := buildMS(t, 2000, 32, 3, 300, 0.3, 20)
 	d := coarsenForTest(t, sm, 12)
 	a, err := Regionalize(d, testModel, 6, RegionalizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Regionalize(d, testModel, 6, RegionalizeOptions{UseBaselineBSP: true})
-	if err != nil {
-		t.Fatal(err)
+	delta := MaxWeight(a)
+	ref := NewBSP(d, testModel)
+	if n := ref.MinRegions(delta, 6); n > len(a) {
+		t.Fatalf("baseline needs %d regions at δ = %v, monotonic %d", n, delta, len(a))
 	}
-	// Max weights agree within binary-search resolution.
-	wa, wb := MaxWeight(a), MaxWeight(b)
-	if wa > wb*1.01 || wb > wa*1.01 {
-		t.Fatalf("monotonic max weight %v vs baseline %v", wa, wb)
+	var b []Region
+	for _, r := range ref.Regions() {
+		b = append(b, makeRegion(d, testModel, r))
 	}
+	if wb := MaxWeight(b); wb > delta*1.0001 {
+		t.Fatalf("baseline max weight %v above monotonic δ %v", wb, delta)
+	}
+	coverageCheck(t, d, b)
 }
 
 func TestRegionalizeBalances(t *testing.T) {

@@ -37,7 +37,7 @@ func TestXTinyInput(t *testing.T) {
 
 // rhoOI computes output/(total input), Table IV's ρoi.
 func rhoOI(r1, r2 []join.Key, cond join.Condition) float64 {
-	m := sample.OutputSize(r1, r2, cond, 4)
+	m := sample.StreamSample(r1, r2, cond, 0, 4, nil).M
 	return float64(m) / float64(len(r1)+len(r2))
 }
 
