@@ -153,15 +153,23 @@ func (q Inequality) Matches(a, b Key) bool {
 	return false
 }
 
-// JoinableRange implements Condition.
+// JoinableRange implements Condition. A strict comparison's open end saturates
+// at the int64 extreme instead of wrapping to the far side, which leaves the
+// range empty there: nothing is above MaxInt64 or below MinInt64.
 func (q Inequality) JoinableRange(a Key) (Key, Key) {
 	switch q.Op {
 	case Less:
-		return a + 1, MaxKey
+		if a < math.MaxInt64 {
+			a++
+		}
+		return a, MaxKey
 	case LessEq:
 		return a, MaxKey
 	case Greater:
-		return MinKey, a - 1
+		if a > math.MinInt64 {
+			a--
+		}
+		return MinKey, a
 	case GreaterEq:
 		return MinKey, a
 	}

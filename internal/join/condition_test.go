@@ -1,6 +1,7 @@
 package join
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -143,6 +144,23 @@ func TestInequalityMatches(t *testing.T) {
 		q := Inequality{c.op}
 		if got := q.Matches(c.a, c.b); got != c.want {
 			t.Errorf("%v.Matches(%d,%d) = %v, want %v", q, c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// A strict inequality at the int64 extreme matches nothing, and its joinable
+// range must say so instead of wrapping a ±1 to the far side of the domain.
+func TestInequalityRangeAtTheInt64Extremes(t *testing.T) {
+	for _, c := range []struct {
+		op Op
+		a  Key
+	}{{Less, math.MaxInt64}, {Greater, math.MinInt64}} {
+		q := Inequality{c.op}
+		lo, hi := q.JoinableRange(c.a)
+		for _, b := range []Key{MinKey, 0, 5, 7, MaxKey} {
+			if inRange := lo <= b && b <= hi; inRange != q.Matches(c.a, b) {
+				t.Errorf("%v: JoinableRange(%d) = [%d, %d] holds %d, Matches says %v", q, c.a, lo, hi, b, q.Matches(c.a, b))
+			}
 		}
 	}
 }

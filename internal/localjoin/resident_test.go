@@ -55,8 +55,9 @@ func residentCount(r1, r2 []key, cond join.Condition, hash, residentR1 bool, chu
 
 // keyOrders are the generators of the adversarial key-order table. wide marks
 // keys outside [join.MinKey, join.MaxKey], the domain the inequality
-// conditions' joinable ranges are bounded to: those rows run under the
-// equality and band conditions only.
+// conditions' joinable ranges are bounded to: as R2 those rows run under the
+// equality and band conditions only (as R1 under every condition — a wide R1
+// key's range is still exact over an in-domain R2).
 var keyOrders = []struct {
 	name string
 	wide bool
@@ -155,7 +156,7 @@ func TestResidentKeyOrderTable(t *testing.T) {
 			keysort.Sort(s1)
 			keysort.Sort(s2)
 			for _, cond := range conds {
-				if _, bounded := cond.(join.Inequality); bounded && (g1.wide || g2.wide) {
+				if _, bounded := cond.(join.Inequality); bounded && g2.wide {
 					continue
 				}
 				row := fmt.Sprintf("%s x %s, %v", g1.name, g2.name, cond)
@@ -198,6 +199,20 @@ func TestBandAtTheInt64Extremes(t *testing.T) {
 	r1, r2 := []key{math.MinInt64}, []key{math.MinInt64, math.MaxInt64}
 	if got, oracle := Count(r1, r2, band), NestedLoopCount(r1, r2, band); got != 1 || oracle != 1 {
 		t.Errorf("{MinInt64} x {MinInt64, MaxInt64} under Band{1}: Count = %d, oracle = %d, want 1 and 1", got, oracle)
+	}
+}
+
+// TestStrictInequalityAtTheInt64Extremes names the case the table's
+// int64-extremes R1 rows generalize: nothing is above MaxInt64 or below
+// MinInt64, so the ±1 of a strict comparison's range must not wrap into one
+// that holds every R2 key.
+func TestStrictInequalityAtTheInt64Extremes(t *testing.T) {
+	r2 := []key{0, 5, 7}
+	if got := Count([]key{math.MaxInt64}, r2, join.Inequality{Op: join.Less}); got != 0 {
+		t.Errorf("Count({MaxInt64} < {0, 5, 7}) = %d, want 0", got)
+	}
+	if got := Count([]key{math.MinInt64}, r2, join.Inequality{Op: join.Greater}); got != 0 {
+		t.Errorf("Count({MinInt64} > {0, 5, 7}) = %d, want 0", got)
 	}
 }
 

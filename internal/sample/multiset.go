@@ -10,32 +10,60 @@ import (
 // KeyMultiset is d2equi from §IV-A: the sorted distinct join keys of a
 // relation with their multiplicities and prefix sums. It answers
 // "how many R2 tuples are joinable with key k" (d2) and "select the u-th
-// joinable R2 key" in O(log n), which Stream-Sample uses to weight the R1
-// sample and to draw uniform output partners.
+// joinable R2 key", which Stream-Sample uses to weight the R1 sample and to
+// draw uniform output partners. Stream-Sample asks once per R1 key in R1's
+// arrival order, so a lookup's cost is the cache lines it touches: dir
+// narrows the search to the few keys sharing the probe's top bits before any
+// key is read.
 type KeyMultiset struct {
 	keys   []join.Key
 	prefix []int64 // prefix[i] = total multiplicity of keys[0..i-1]; len = len(keys)+1
+	// dir[b] is the index of the first key k with (k - keys[0]) >> shift >= b,
+	// and its last entry is len(keys): the lower bound of a key in bucket b
+	// lies in [dir[b], dir[b+1]]. shift is the smallest that keeps dir no longer
+	// than keys (at most 4 bytes per distinct key), so a key span that one
+	// outlier stretches leaves every other key in bucket 0 and the search
+	// degrades to the full bisection. Nil below two keys.
+	dir   []uint32
+	shift uint
 }
 
 // BuildMultiset constructs the multiset from a relation's keys. The input is
-// copied and radix-sorted (keysort), then the run-length groups are folded
-// into keys and prefix sums in a single pass over preallocated storage — a
-// handful of allocations regardless of the number of distinct keys.
+// copied and radix-sorted (keysort); the distinct keys are then compacted in
+// place into that copy and the prefix sums written over the sort's scratch
+// buffer, so the fold allocates nothing beyond the directory.
 func BuildMultiset(keys []join.Key) *KeyMultiset {
 	sorted := slices.Clone(keys)
-	keysort.Sort(sorted)
-	ks := make([]join.Key, 0, len(sorted))
-	prefix := make([]int64, 1, len(sorted)+1)
-	for i := 0; i < len(sorted); {
-		j := i + 1
-		for j < len(sorted) && sorted[j] == sorted[i] {
-			j++
+	prefix := make([]int64, len(sorted)+1)
+	keysort.SortWithScratch(sorted, prefix)
+	prefix[0] = 0
+	n := 0
+	for i, k := range sorted {
+		if i == 0 || k != sorted[n-1] {
+			sorted[n] = k
+			n++
 		}
-		ks = append(ks, sorted[i])
-		prefix = append(prefix, prefix[len(prefix)-1]+int64(j-i))
-		i = j
+		prefix[n] = int64(i + 1)
 	}
-	return &KeyMultiset{keys: ks, prefix: prefix}
+	m := &KeyMultiset{keys: sorted[:n], prefix: prefix[:n+1]}
+	if n < 2 {
+		return m
+	}
+	base := uint64(m.keys[0])
+	span := uint64(m.keys[n-1]) - base
+	for span>>m.shift >= uint64(n-1) {
+		m.shift++
+	}
+	m.dir = make([]uint32, span>>m.shift+2)
+	for _, k := range m.keys {
+		m.dir[(uint64(k)-base)>>m.shift+1]++
+	}
+	var below uint32
+	for b, c := range m.dir {
+		below += c
+		m.dir[b] = below
+	}
+	return m
 }
 
 // Total returns the total multiplicity (the relation size).
@@ -44,10 +72,22 @@ func (m *KeyMultiset) Total() int64 { return m.prefix[len(m.keys)] }
 // Distinct returns the number of distinct keys.
 func (m *KeyMultiset) Distinct() int { return len(m.keys) }
 
-// lowerBound returns the first index i with m.keys[i] >= k.
+// lowerBound returns the first index i with m.keys[i] >= k: the directory's
+// bucket for k, then a bisection of the keys in it.
 func (m *KeyMultiset) lowerBound(k join.Key) int {
 	keys := m.keys
 	lo, hi := 0, len(keys)
+	if len(m.dir) > 0 {
+		if k <= keys[0] {
+			return 0
+		}
+		// Unsigned, so a span up to 2^64 - 1 does not wrap.
+		b := (uint64(k) - uint64(keys[0])) >> m.shift
+		if b >= uint64(len(m.dir)-1) {
+			return hi
+		}
+		lo, hi = int(m.dir[b]), int(m.dir[b+1])
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if keys[mid] < k {

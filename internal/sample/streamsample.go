@@ -55,10 +55,9 @@ func StreamSampleWith(r1 []join.Key, m2 *KeyMultiset, cond join.Condition, so, w
 
 	// Step 2: per-shard total weights. Each element's d2 and its joinable
 	// range's lower-bound index are cached so the materialize pass (step 3)
-	// and the partner draws (step 4) never repeat the multiset searches —
-	// the searches dominate the planner's profile, and the cached values are
-	// exactly what the second scan would recompute, so the sample is
-	// bit-identical to the two-scan formulation.
+	// and the partner draws (step 4) never repeat the multiset searches: the
+	// cached values are exactly what the second scan would recompute, so the
+	// sample is bit-identical to the two-scan formulation.
 	shardW := make([]int64, workers)
 	d2s := make([]int64, n)
 	ats := make([]int32, n)

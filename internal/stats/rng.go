@@ -41,8 +41,8 @@ func (r *RNG) Int64n(n int64) int64 {
 	if n <= 0 {
 		panic("stats: Int64n called with n <= 0")
 	}
-	// Lemire-style rejection-free-enough reduction; bias is negligible for
-	// n << 2^64 and irrelevant for workload generation.
+	// A plain modulo of one draw: the bias is negligible for n << 2^64, and
+	// every caller's draw order counts on exactly one Uint64 per call.
 	return int64(r.Uint64() % uint64(n))
 }
 
