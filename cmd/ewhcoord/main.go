@@ -72,6 +72,16 @@ func main() {
 		freeze     = flag.Bool("freeze-plan", false, "with -stream: disable drift replanning; every window runs under the first window's plan (the control arm)")
 	)
 	flag.Parse()
+	switch {
+	case *n < 1:
+		usage("-n %d: need at least one row per relation", *n)
+	case *j < 1:
+		usage("-j %d: need at least one region", *j)
+	case *z < 0:
+		usage("-z %v: the zipf skew cannot be negative", *z)
+	case *windowRows < 0:
+		usage("-window-rows %d: cannot be negative (0 = n/10)", *windowRows)
+	}
 
 	engine, err := exec.ParseJoinEngine(*engineStr)
 	if err != nil {
@@ -206,7 +216,7 @@ func main() {
 }
 
 // runMultiway executes the 3-way chain join R1 ⋈ Mid ⋈ R3 distributed over
-// the session: the Mid relation's B keys ship as a payload segment and both
+// the session: the Mid relation's B keys ship as the re-key column and both
 // stages run on the remote workers. The stage-1 intermediate re-shuffles
 // directly worker→worker under a broadcast plan artifact, with the stage-2
 // scheme selected by -stage2-scheme (auto = a genuine CSIO plan built from
@@ -351,4 +361,11 @@ func printResult(res *exec.Result, addrs []string) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ewhcoord:", err)
 	os.Exit(1)
+}
+
+// usage rejects a flag value before anything runs: one line naming the flag,
+// exit status 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ewhcoord: "+format+"\n", args...)
+	os.Exit(2)
 }

@@ -39,6 +39,16 @@ func main() {
 		planin  = flag.String("planin", "", "load and describe a plan artifact instead of planning")
 	)
 	flag.Parse()
+	switch {
+	case *n < 1:
+		usage("-n %d: need at least one row per relation", *n)
+	case *x < 1:
+		usage("-x %d: need a dense segment of at least one row", *x)
+	case *j < 1:
+		usage("-j %d: need at least one machine", *j)
+	case *z < 0:
+		usage("-z %v: the zipf skew cannot be negative", *z)
+	}
 
 	if *planin != "" {
 		describeArtifact(*planin)
@@ -148,4 +158,11 @@ func describeArtifact(path string) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "ewhplan:", err)
 	os.Exit(1)
+}
+
+// usage rejects a flag value before anything runs: one line naming the flag,
+// exit status 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ewhplan: "+format+"\n", args...)
+	os.Exit(2)
 }

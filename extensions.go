@@ -106,24 +106,22 @@ func ExecuteOver(rt Runtime, r1, r2 []Key, cond Condition, plan *PlanResult,
 	return exec.RunOver(rt, r1, r2, cond, plan.Scheme, model, cfg)
 }
 
-// ExecuteTuplesOver runs a payload-carrying join through rt. enc1/enc2
-// encode each relation's payloads for the wire (nil ships that relation as
-// bare keys); in-process runtimes never invoke them. Matched pairs are
-// emitted on the coordinator in a deterministic per-worker order, identical
-// across transports.
+// ExecuteTuplesOver runs a payload-carrying join through rt. Only keys cross
+// a wire: the workers stream matched index pairs back and the pairs are
+// emitted on the coordinator, which kept the payloads, in a deterministic
+// per-worker order identical across transports.
 func ExecuteTuplesOver[P1, P2 any](rt Runtime, r1 []Tuple[P1], r2 []Tuple[P2],
 	cond Condition, plan *PlanResult, model CostModel, cfg ExecConfig,
-	enc1 func(dst []byte, p P1) []byte, enc2 func(dst []byte, p P2) []byte,
 	emit func(workerID int, a Tuple[P1], b Tuple[P2])) (*Result, error) {
 	if !model.Valid() {
 		model = DefaultBandModel
 	}
-	return exec.RunTuplesOver(rt, r1, r2, cond, plan.Scheme, model, cfg, enc1, enc2, emit)
+	return exec.RunTuplesOver(rt, r1, r2, cond, plan.Scheme, model, cfg, emit)
 }
 
 // ExecuteMultiwayOver runs the 3-way chain join through rt: with a Cluster
 // runtime both stages execute on the remote workers, the Mid relation
-// shipping its B keys as a wire payload segment. Stage-aware runtimes (a
+// shipping its B keys as stage 1's re-key column. Stage-aware runtimes (a
 // Cluster) take the peer-shuffle path — the stage-1 intermediate re-shuffles
 // directly worker→worker and never transits the coordinator, under a genuine
 // CSIO stage-2 plan built from distributed statistics (each worker ships a

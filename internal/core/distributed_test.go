@@ -6,6 +6,7 @@ import (
 	"ewh/internal/cost"
 	"ewh/internal/exec"
 	"ewh/internal/join"
+	"ewh/internal/partition"
 	"ewh/internal/sample"
 	"ewh/internal/stats"
 	"ewh/internal/workload"
@@ -88,11 +89,15 @@ func TestPlanCSIOFromSummaryBalancesSkew(t *testing.T) {
 	}
 
 	// Routing must be total even for keys the sample never saw.
-	rng := stats.NewRNG(1)
-	var buf []int
-	for _, k := range []join.Key{r1[0], r1[len(r1)/2], -999999, 999999} {
-		if buf = plan.Scheme.RouteR1(k, rng, buf[:0]); len(buf) == 0 {
-			t.Fatalf("key %d routes nowhere", k)
+	probes := []join.Key{r1[0], r1[len(r1)/2], -999999, 999999}
+	var b partition.RouteBatch
+	b.Reset(plan.Scheme.Workers(), len(probes))
+	plan.Scheme.RouteBatchR1(probes, stats.NewRNG(1), &b)
+	if b.Fanout == 0 {
+		for i, n := range b.Lens {
+			if n == 0 {
+				t.Fatalf("key %d routes nowhere", probes[i])
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ewh/internal/join"
+	"ewh/internal/partition"
 	"ewh/internal/planio"
 	"ewh/internal/sample"
 	"ewh/internal/stats"
@@ -62,7 +63,12 @@ func FuzzPlanFromSummary(f *testing.F) {
 				t.Fatalf("%v: m = %d", cond, plan.M)
 			}
 			rng := stats.NewRNG(2)
-			if len(plan.Scheme.RouteR1(sum.Keys[0], rng, nil)) == 0 || len(plan.Scheme.RouteR2(r2[0], rng, nil)) == 0 {
+			var b partition.RouteBatch
+			b.Reset(plan.Scheme.Workers(), 2)
+			plan.Scheme.RouteBatchR1(sum.Keys[:1], rng, &b)
+			n1 := len(b.Routes)
+			plan.Scheme.RouteBatchR2(r2[:1], rng, &b)
+			if n1 == 0 || len(b.Routes) == n1 {
 				t.Fatalf("%v: a probe key routes to no worker", cond)
 			}
 		}

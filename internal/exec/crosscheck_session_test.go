@@ -8,7 +8,6 @@ package exec_test
 // blocks and runs the same deterministic pair join.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"testing"
@@ -32,10 +31,6 @@ func dialLoopbackSession(t *testing.T, n int) *netexec.Session {
 	}
 	t.Cleanup(func() { _ = sess.Close() })
 	return sess
-}
-
-func encodeKeyLE(dst []byte, k join.Key) []byte {
-	return binary.LittleEndian.AppendUint64(dst, uint64(k))
 }
 
 type emittedPair struct {
@@ -80,9 +75,9 @@ func TestCrossCheckSessionTuples(t *testing.T) {
 			for _, mappers := range mapperCounts {
 				id := fmt.Sprintf("seed %d %s mappers=%d", seed, s.Name(), mappers)
 				cfg := exec.Config{Seed: seed + 4, Mappers: mappers}
-				run := func(rt exec.Runtime, e1, e2 exec.PayloadEncoder[join.Key]) ([][]emittedPair, *exec.Result) {
+				run := func(rt exec.Runtime) ([][]emittedPair, *exec.Result) {
 					perWorker := make([][]emittedPair, s.Workers())
-					res, err := exec.RunTuplesOver(rt, r1, r2, cond, s, netModel, cfg, e1, e2,
+					res, err := exec.RunTuplesOver(rt, r1, r2, cond, s, netModel, cfg,
 						func(w int, a, b exec.Tuple[join.Key]) {
 							perWorker[w] = append(perWorker[w], emittedPair{a, b})
 						})
@@ -91,8 +86,8 @@ func TestCrossCheckSessionTuples(t *testing.T) {
 					}
 					return perWorker, res
 				}
-				localPairs, localRes := run(exec.Local{}, nil, nil)
-				sessPairs, sessRes := run(sess, encodeKeyLE, encodeKeyLE)
+				localPairs, localRes := run(exec.Local{})
+				sessPairs, sessRes := run(sess)
 
 				if localRes.Output != want {
 					t.Fatalf("%s: local output %d, ground truth %d", id, localRes.Output, want)
@@ -285,7 +280,7 @@ func localIntermediate(t *testing.T, q multiway.Query, opts core.Options, cfg ex
 	}
 	perWorker := make([][]join.Key, plan1.Scheme.Workers())
 	if _, err := exec.RunTuplesOver(exec.Local{}, exec.WrapKeys(q.R1), mid, q.CondA,
-		plan1.Scheme, netModel, cfg, nil, nil,
+		plan1.Scheme, netModel, cfg,
 		func(w int, _ exec.Tuple[struct{}], b exec.Tuple[join.Key]) {
 			perWorker[w] = append(perWorker[w], b.Payload)
 		}); err != nil {

@@ -171,6 +171,9 @@ func releaseRelData(d RelData) {
 	if d.Keys != nil {
 		d.Keys.Release()
 	}
+	if d.Rekey != nil {
+		d.Rekey.Release()
+	}
 	if d.Chunks != nil {
 		d.Chunks.Drain()
 	}

@@ -114,15 +114,16 @@ func (e *goldenEnv) localCount() (goldenTriple, error) {
 	return goldenTriple{output: localjoin.Count(e.r1, e.r2, e.band)}, nil
 }
 
-// payloadShuffle ships R1 with an 8-byte payload segment against nothing.
-func (e *goldenEnv) payloadShuffle(rt exec.Runtime) goldenScenario {
+// tuplePairsShuffle ships tuple relation R1 as a pairs job's flat key blocks
+// (its payloads stay with the driver) against nothing.
+func (e *goldenEnv) tuplePairsShuffle(rt exec.Runtime) goldenScenario {
 	return func() (goldenTriple, error) {
 		ts := make([]exec.Tuple[join.Key], len(e.r1))
 		for i, k := range e.r1 {
 			ts[i] = exec.Tuple[join.Key]{Key: k, Payload: k * 3}
 		}
 		res, err := exec.RunTuplesOver(rt, ts, nil, join.Equi{}, e.hash, cost.DefaultBand,
-			goldenCfg, encodeKeyLE, encodeKeyLE,
+			goldenCfg,
 			func(int, exec.Tuple[join.Key], exec.Tuple[join.Key]) {})
 		if err != nil {
 			return goldenTriple{}, err
@@ -222,7 +223,7 @@ func TestGoldenDeterministicTriples(t *testing.T) {
 		{"netexec-session-shuffle", goldenTriple{0, 200000, 25267}, e.keyJoin(sess, none, equi, e.hash, auto)},
 		{"netexec-session-csio-band", goldenTriple{999359, 494624, 93285.6}, e.keyJoin(sess, e.r2, e.band, e.csio, auto)},
 		{"netexec-session-hashjoin-overlap", goldenTriple{199566, 400000, 55436}, e.keyJoin(sess, e.r2, equi, e.hash, auto)},
-		{"netexec-session-payload", goldenTriple{0, 200000, 25267}, e.payloadShuffle(sess)},
+		{"netexec-session-tuple-pairs", goldenTriple{0, 200000, 25267}, e.tuplePairsShuffle(sess)},
 		{"netexec-peer-multiway", goldenTriple{601514, 1287128, 116062.8}, e.chain3(sess, multiway.Stage2Hash)},
 		{"netexec-peer-multiway-csio", goldenTriple{601514, 1372697, 130154}, e.chain3(sess, multiway.Stage2CSIO)},
 		{"netexec-peer-multiway-pipelined", goldenTriple{601514, 1372697, 130154}, e.chain3(sess, multiway.Stage2Auto)},

@@ -39,32 +39,20 @@ type Runtime interface {
 // identical blocks, so an index pair reconstructs the exact tuple pair.
 type PairIdx struct{ I1, I2 uint32 }
 
-// PayloadBlock is one worker's encoded payload segment: tuple i's bytes are
-// Flat[Off[i]:Off[i+1]]. Off has length tuples+1 with Off[0] == 0.
-type PayloadBlock struct {
-	Flat []byte
-	Off  []uint32
-}
-
-// PayloadEncoder appends the wire encoding of one payload to dst. A nil
-// encoder means the relation ships as bare keys (no payload segment).
-type PayloadEncoder[P any] func(dst []byte, p P) []byte
-
 // RelData is one shuffled relation as a Runtime consumes it.
 type RelData struct {
 	// Keys holds the per-worker contiguous key blocks. Nil when the relation
 	// streams as chunks instead (Chunks non-nil).
 	Keys *KeyShuffle
-	// Payloads, when non-nil, returns worker w's encoded payload block.
-	// Only wire transports call it — in-process emission reads the original
-	// tuple buffers — so the encoding cost is paid exactly when bytes
-	// actually cross a socket.
-	Payloads func(w int) PayloadBlock
+	// Rekey, non-nil only on relation 2 of a stage pipeline's first job, is the
+	// re-key column: Rekey.Worker(w)[i] is the next stage's join key of tuple
+	// Keys.Worker(w)[i]. A stage-1 match materializes as that key (§IV-B).
+	Rekey *KeyShuffle
 	// Chunks, when non-nil (and Keys nil), streams the relation's routed
 	// sub-blocks as mappers finish, so a transport frames bytes onto sockets
 	// before the whole relation has scattered. A job's relations stream only
 	// to runtimes that declare chunk support (ChunkStreamer); a stage
-	// pipeline's right relation always does. Chunked relations are bare-key.
+	// pipeline's right relation always does. A chunked relation has no Rekey.
 	Chunks *ChunkStream
 }
 

@@ -8,21 +8,16 @@ import (
 	"ewh/internal/stats"
 )
 
-// routeFn batch-routes a shard of keys into b
-// (partition.RouteBatchR1/R2 curried over a scheme).
+// routeFn batch-routes a shard of keys into b (one side of a scheme).
 type routeFn func(keys []join.Key, rng *stats.RNG, b *partition.RouteBatch)
 
-// routeFor curries scheme's batch router for one side of the join: rel 2
+// routeFor picks scheme's batch router for one side of the join: rel 2
 // routes with RouteBatchR2, anything else with RouteBatchR1.
 func routeFor(scheme partition.Scheme, rel int) routeFn {
 	if rel == 2 {
-		return func(keys []join.Key, rng *stats.RNG, b *partition.RouteBatch) {
-			partition.RouteBatchR2(scheme, keys, rng, b)
-		}
+		return scheme.RouteBatchR2
 	}
-	return func(keys []join.Key, rng *stats.RNG, b *partition.RouteBatch) {
-		partition.RouteBatchR1(scheme, keys, rng, b)
-	}
+	return scheme.RouteBatchR1
 }
 
 // mapperRNGs splits one relation's per-mapper routing streams off master, in

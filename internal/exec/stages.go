@@ -93,11 +93,10 @@ type PlanJob struct {
 
 // StageRuntime is an optional Runtime extension implemented by transports
 // that can re-shuffle one job's materialized matches directly between their
-// workers. The first job's second relation must carry, as its payload
-// encoding, the 8-byte little-endian stage-2 routing key of each tuple: a
-// stage-1 match (t1, t2) materializes as the bare key decoded from t2's
-// payload, which is exactly how the multiway pipeline re-keys its
-// intermediate on the next join attribute.
+// workers. The first job's second relation carries the re-key column
+// (RelData.Rekey): a stage-1 match (t1, t2) materializes as t2's entry in it,
+// which is exactly how the multiway pipeline re-keys its intermediate on the
+// next join attribute.
 type StageRuntime interface {
 	Runtime
 	// RunStages executes first (count-only; first.Pairs must be nil), routes
@@ -141,24 +140,27 @@ type StagePlan struct {
 // first stage's shuffle streams without a second Config knob.
 const stage2SeedDelta = 0x51ed270
 
+// payloadsInto is keysInto for the payload column of a relation whose
+// payloads are keys: the projection that makes the re-key column.
+func payloadsInto(dst []join.Key, ts []Tuple[join.Key]) {
+	for i, t := range ts {
+		dst[i] = t.Payload
+	}
+}
+
 // RunStagesOver executes a two-stage pipeline through a stage-aware
 // transport: stage 1 joins r1 ⋈ r2 under scheme (shuffled once by the
-// driver, payload segments carrying each r2 tuple's stage-2 routing key),
-// the transport re-shuffles the matches by sp's plan without them ever
-// returning to the driver, and stage 2 joins them against r3 (driver-
-// shuffled on the R2 side, seed cfg.Seed+stage2SeedDelta). For a
+// driver; each r2 tuple's payload is its stage-2 join key and ships as the
+// re-key column), the transport re-shuffles the matches by sp's plan without
+// them ever returning to the driver, and stage 2 joins them against r3
+// (driver-shuffled on the R2 side, seed cfg.Seed+stage2SeedDelta). For a
 // stats-deferred sp the r3 shuffle starts the moment Replan resolves the
-// scheme. enc2 must encode exactly the 8-byte little-endian stage-2 key
-// (see StageRuntime); enc1 may be nil. Both stages' Results carry the usual
-// per-worker metrics; stage 1's Output is the intermediate size.
-func RunStagesOver[P1, P2 any](rt StageRuntime, r1 []Tuple[P1], r2 []Tuple[P2],
+// scheme. Both stages' Results carry the usual per-worker metrics; stage 1's
+// Output is the intermediate size.
+func RunStagesOver(rt StageRuntime, r1 []join.Key, r2 []Tuple[join.Key],
 	cond join.Condition, scheme partition.Scheme, sp StagePlan, r3 []join.Key,
-	model cost.Model, cfg Config, enc1 PayloadEncoder[P1], enc2 PayloadEncoder[P2],
-) (stage1, stage2 *Result, err error) {
+	model cost.Model, cfg Config) (stage1, stage2 *Result, err error) {
 
-	if enc2 == nil {
-		return nil, nil, fmt.Errorf("exec: stage pipeline needs a stage-2 key encoder for relation 2")
-	}
 	deferred := sp.Replan != nil
 	j2cap := 0
 	switch {
@@ -182,16 +184,7 @@ func RunStagesOver[P1, P2 any](rt StageRuntime, r1 []Tuple[P1], r2 []Tuple[P2],
 	start := time.Now()
 	j1 := scheme.Workers()
 
-	k1 := GetKeyBuffer(len(r1))
-	keysInto(k1, r1)
-	k2 := GetKeyBuffer(len(r2))
-	keysInto(k2, r2)
-	var s1 shuffled[Tuple[P1]]
-	var s2 shuffled[Tuple[P2]]
-	f1, f2 := newRelFuture(), newRelFuture()
-	shufflePairAsync(r1, k1, r2, k2, scheme, cfg, getTupleSlice[P1], getTupleSlice[P2],
-		func(s shuffled[Tuple[P1]]) { s1 = s; f1.resolve(tupleRelData(s, enc1)) },
-		func(s shuffled[Tuple[P2]]) { s2 = s; f2.resolve(tupleRelData(s, enc2)) })
+	ts := shuffleTuples(WrapKeys(r1), r2, scheme, cfg, payloadsInto)
 
 	// The right relation of stage 2 shuffles concurrently with stage 1's
 	// relations once its scheme is known — immediately for a pre-built plan,
@@ -257,23 +250,18 @@ func RunStagesOver[P1, P2 any](rt StageRuntime, r1 []Tuple[P1], r2 []Tuple[P2],
 		startR3(sp.Scheme)
 	}
 
-	first := &Job{Cond: cond, Workers: j1, R1: f1, R2: f2, Engine: cfg.Engine}
+	first := &Job{Cond: cond, Workers: j1, R1: ts.f1, R2: ts.f2, Engine: cfg.Engine}
 	res1 := &Result{Scheme: scheme.Name() + rt.Label(), Workers: make([]WorkerMetrics, j1)}
 	res2 := &Result{Workers: make([]WorkerMetrics, j2cap)}
 	inter, err := rt.RunStages(first, next, res1.Workers, res2.Workers)
 
-	f1.Wait().Keys.Release()
-	f2.Wait().Keys.Release()
+	ts.release()
 	// A failure before replanning leaves the r3 shuffle unstarted; resolve
 	// the future empty so nothing downstream can block on it.
 	if !r3Started.Load() {
 		f3.resolve(RelData{})
 	}
 	releaseRelData(f3.Wait())
-	PutKeyBuffer(k1)
-	PutKeyBuffer(k2)
-	putTupleSlice(s1.flat)
-	putTupleSlice(s2.flat)
 	if err != nil {
 		return nil, nil, err
 	}

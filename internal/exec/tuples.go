@@ -46,12 +46,12 @@ func WrapKeys(keys []join.Key) []Tuple[struct{}] {
 // concurrently from different workers but never concurrently for the same
 // workerID, so per-worker accumulation needs no locking. The returned Result
 // carries the same metrics as Run. It is RunTuplesOver with the Local
-// runtime (payload encoders are only consulted by wire transports).
+// runtime.
 func RunTuples[P1, P2 any](r1 []Tuple[P1], r2 []Tuple[P2], cond join.Condition,
 	scheme partition.Scheme, model cost.Model, cfg Config,
 	emit func(workerID int, a Tuple[P1], b Tuple[P2])) *Result {
 
-	res, _ := RunTuplesOver(Local{}, r1, r2, cond, scheme, model, cfg, nil, nil, emit)
+	res, _ := RunTuplesOver(Local{}, r1, r2, cond, scheme, model, cfg, emit)
 	return res
 }
 
@@ -59,41 +59,21 @@ func RunTuples[P1, P2 any](r1 []Tuple[P1], r2 []Tuple[P2], cond join.Condition,
 // shuffled exactly once (flat pooled buffers, as Run's key path); the
 // runtime joins the projected key blocks and streams back matched index
 // pairs, which this driver maps onto the shuffled tuple blocks to invoke
-// emit — so emission is identical no matter where the join ran. For wire
-// transports, enc1/enc2 encode each relation's payloads into the job's
-// per-worker payload blocks (a nil encoder ships that relation as bare
-// keys); the Local runtime never calls them.
+// emit — so emission is identical no matter where the join ran, and only
+// keys ever cross a wire.
 //
 // emit is called concurrently from different workers but never concurrently
 // for the same workerID. Pair order per worker is deterministic: R1 arrival
 // order, partners ascending by (key, arrival index).
 func RunTuplesOver[P1, P2 any](rt Runtime, r1 []Tuple[P1], r2 []Tuple[P2],
 	cond join.Condition, scheme partition.Scheme, model cost.Model, cfg Config,
-	enc1 PayloadEncoder[P1], enc2 PayloadEncoder[P2],
 	emit func(workerID int, a Tuple[P1], b Tuple[P2])) (*Result, error) {
 
 	cfg.defaults()
 	start := time.Now()
 	j := scheme.Workers()
-	// Project routing keys into pooled buffers; the shuffle's flat tuple
-	// buffers come from the per-type tuple pool, so steady-state runs
-	// allocate nothing proportional to the input.
-	k1 := GetKeyBuffer(len(r1))
-	keysInto(k1, r1)
-	k2 := GetKeyBuffer(len(r2))
-	keysInto(k2, r2)
-
-	var s1 shuffled[Tuple[P1]]
-	var s2 shuffled[Tuple[P2]]
-	f1, f2 := newRelFuture(), newRelFuture()
-	// The resolve callbacks publish s1/s2 before closing the future, so any
-	// goroutine that Waited the future (every runtime does before
-	// dispatching, and Pairs callers run after dispatch) sees the blocks.
-	shufflePairAsync(r1, k1, r2, k2, scheme, cfg, getTupleSlice[P1], getTupleSlice[P2],
-		func(s shuffled[Tuple[P1]]) { s1 = s; f1.resolve(tupleRelData(s, enc1)) },
-		func(s shuffled[Tuple[P2]]) { s2 = s; f2.resolve(tupleRelData(s, enc2)) })
-
-	job := &Job{Cond: cond, Workers: j, R1: f1, R2: f2, Engine: cfg.Engine}
+	ts := shuffleTuples(r1, r2, scheme, cfg, nil)
+	job := &Job{Cond: cond, Workers: j, R1: ts.f1, R2: ts.f2, Engine: cfg.Engine}
 	if emit != nil {
 		// A nil emit leaves Pairs nil too: the job runs count-only on every
 		// transport (in-place merge-sweep locally, no pairs traffic on a
@@ -103,9 +83,9 @@ func RunTuplesOver[P1, P2 any](rt Runtime, r1 []Tuple[P1], r2 []Tuple[P2],
 			// goroutine an explicit acquire edge on the s1/s2 writes —
 			// pair delivery paths (e.g. a session's socket read loop) must
 			// not rely on transitive ordering through the transport.
-			f1.Wait()
-			f2.Wait()
-			b1, b2 := s1.worker(w), s2.worker(w)
+			ts.f1.Wait()
+			ts.f2.Wait()
+			b1, b2 := ts.s1.worker(w), ts.s2.worker(w)
 			for _, p := range chunk {
 				emit(w, b1[p.I1], b2[p.I2])
 			}
@@ -113,18 +93,7 @@ func RunTuplesOver[P1, P2 any](rt Runtime, r1 []Tuple[P1], r2 []Tuple[P2],
 	}
 	res := &Result{Scheme: scheme.Name() + rt.Label(), Workers: make([]WorkerMetrics, j)}
 	err := rt.RunJob(job, res.Workers)
-
-	// Wait for both shuffles before recycling anything: a transport that
-	// errored early may return while a scatter is still reading k1/k2.
-	f1.Wait().Keys.Release()
-	f2.Wait().Keys.Release()
-	PutKeyBuffer(k1)
-	PutKeyBuffer(k2)
-	// emit receives tuples by value, so the flat buffers are dead here and
-	// can recycle; the put clears nothing — getTupleSlice clears the tail a
-	// shorter future job would otherwise leak.
-	putTupleSlice(s1.flat)
-	putTupleSlice(s2.flat)
+	ts.release()
 	if err != nil {
 		return nil, err
 	}
@@ -132,25 +101,65 @@ func RunTuplesOver[P1, P2 any](rt Runtime, r1 []Tuple[P1], r2 []Tuple[P2],
 	return res, nil
 }
 
-// tupleRelData adapts one shuffled tuple relation for the runtime layer: the
-// key blocks are a pooled flat projection sharing the shuffle's offsets, and
-// the payload closure — only invoked by wire transports — encodes one
-// worker's payloads into a length-indexed flat block.
-func tupleRelData[P any](s shuffled[Tuple[P]], enc PayloadEncoder[P]) RelData {
-	kflat := GetKeyBuffer(len(s.flat))
-	keysInto(kflat, s.flat)
-	rd := RelData{Keys: &KeyShuffle{shuffled[join.Key]{flat: kflat, off: s.off}}}
-	if enc != nil {
-		rd.Payloads = func(w int) PayloadBlock {
-			ts := s.worker(w)
-			off := make([]uint32, len(ts)+1)
-			var flat []byte
-			for i := range ts {
-				flat = enc(flat, ts[i].Payload)
-				off[i+1] = uint32(len(flat))
+// tupleShuffle is the shuffled state the tuple drivers (RunTuplesOver,
+// RunStagesOver) share: the pooled key projections the routing read, the
+// shuffled tuple blocks pair emission indexes, and the futures a runtime
+// consumes.
+type tupleShuffle[P1, P2 any] struct {
+	k1, k2 []join.Key
+	s1     shuffled[Tuple[P1]]
+	s2     shuffled[Tuple[P2]]
+	f1, f2 *RelFuture
+}
+
+// shuffleTuples projects both relations' routing keys into pooled buffers and
+// starts their shuffle (flat tuple buffers from the per-type tuple pool, so
+// steady-state runs allocate nothing proportional to the input). Each future
+// resolves to the relation's key blocks; a non-nil rekey (keysInto's shape,
+// reading the payloads) additionally projects relation 2's re-key column.
+// The resolve callbacks publish s1/s2 before closing the future, so any
+// goroutine that Waited it sees the blocks.
+func shuffleTuples[P1, P2 any](r1 []Tuple[P1], r2 []Tuple[P2], scheme partition.Scheme,
+	cfg Config, rekey func(dst []join.Key, ts []Tuple[P2])) *tupleShuffle[P1, P2] {
+
+	ts := &tupleShuffle[P1, P2]{k1: GetKeyBuffer(len(r1)), k2: GetKeyBuffer(len(r2)),
+		f1: newRelFuture(), f2: newRelFuture()}
+	keysInto(ts.k1, r1)
+	keysInto(ts.k2, r2)
+	shufflePairAsync(r1, ts.k1, r2, ts.k2, scheme, cfg, getTupleSlice[P1], getTupleSlice[P2],
+		func(s shuffled[Tuple[P1]]) {
+			ts.s1 = s
+			ts.f1.resolve(RelData{Keys: columnOf(s, keysInto[P1])})
+		},
+		func(s shuffled[Tuple[P2]]) {
+			ts.s2 = s
+			rd := RelData{Keys: columnOf(s, keysInto[P2])}
+			if rekey != nil {
+				rd.Rekey = columnOf(s, rekey)
 			}
-			return PayloadBlock{Flat: flat, Off: off}
-		}
-	}
-	return rd
+			ts.f2.resolve(rd)
+		})
+	return ts
+}
+
+// columnOf projects one key column of a shuffled tuple relation into a pooled
+// flat buffer sharing the shuffle's per-worker offsets.
+func columnOf[P any](s shuffled[Tuple[P]], into func(dst []join.Key, ts []Tuple[P])) *KeyShuffle {
+	flat := GetKeyBuffer(len(s.flat))
+	into(flat, s.flat)
+	return &KeyShuffle{shuffled[join.Key]{flat: flat, off: s.off}}
+}
+
+// release recycles everything shuffleTuples took from the pools. It waits
+// for both shuffles first: a transport that errored early may return while a
+// scatter is still reading k1/k2. emit receives tuples by value, so the flat
+// tuple buffers are dead here too; the put clears nothing — getTupleSlice
+// clears the tail a shorter future job would otherwise leak.
+func (ts *tupleShuffle[P1, P2]) release() {
+	releaseRelData(ts.f1.Wait())
+	releaseRelData(ts.f2.Wait())
+	PutKeyBuffer(ts.k1)
+	PutKeyBuffer(ts.k2)
+	putTupleSlice(ts.s1.flat)
+	putTupleSlice(ts.s2.flat)
 }

@@ -38,7 +38,6 @@ const (
 	FrameOpenJob     byte = 10
 	FrameRelHead     byte = 11
 	FrameBlock       byte = 12
-	FramePay         byte = 13
 	FrameEOS         byte = 14
 	FramePairs       byte = 15
 	FrameMetrics     byte = 16

@@ -53,7 +53,7 @@ func TestScriptCountingAndFired(t *testing.T) {
 	if s.match(In, FrameBlock) != nil {
 		t.Fatal("rule fired on the 1st match with N=2")
 	}
-	if s.match(In, FramePay) != nil {
+	if s.match(In, FrameEOS) != nil {
 		t.Fatal("rule matched the wrong frame type")
 	}
 	if s.match(Out, FrameBlock) == nil {
@@ -86,7 +86,7 @@ func TestTrackerFiresAtExactV3Frame(t *testing.T) {
 	stream = append(stream, prelude(VersionSession)...)
 	stream = append(stream, v3Frame(FrameOpenJob, 1, []byte("open-payload"))...)
 	stream = append(stream, v3Frame(FrameBlock, 1, make([]byte, 64))...)
-	stream = append(stream, v3Frame(FramePay, 1, []byte{1, 2, 3})...)
+	stream = append(stream, v3Frame(FrameRelHead, 1, []byte{1, 2, 3})...)
 	cut := len(stream)
 	stream = append(stream, v3Frame(FrameBlock, 1, make([]byte, 32))...)
 	stream = append(stream, v3Frame(FrameEOS, 1, nil)...)

@@ -7,7 +7,6 @@
 package multiway
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -181,19 +180,6 @@ const (
 	StatsBuckets   = 256
 )
 
-// encodeKeyPayload is the wire encoding of the intermediate tuples' payload
-// (the Mid rows' B keys): 8 fixed-width little-endian bytes. Shipping the
-// payload segment is deliberate even though pair emission reconstructs
-// payloads coordinator-side from index pairs: in the paper's shared-nothing
-// pipeline the workers own the materialized join output (a later stage
-// re-shuffles worker→worker without the coordinator touching the data), so
-// the distributed path keeps the data where the architecture needs it —
-// and keeps the payload wire path exercised end to end. Pass nil instead
-// of an encoder to trade that fidelity for ~60% fewer Mid-relation bytes.
-func encodeKeyPayload(dst []byte, k join.Key) []byte {
-	return binary.LittleEndian.AppendUint64(dst, uint64(k))
-}
-
 // ExecuteOver runs the chain join through rt. Stage-aware transports
 // (exec.StageRuntime, e.g. a netexec session) take the peer-shuffle path
 // with the auto stage-2 mode — a genuine CSIO stage-2 plan built from
@@ -236,8 +222,9 @@ func validate(q Query, opts *core.Options) error {
 	return nil
 }
 
-// midTuples re-keys the Mid relation on column A with column B as payload —
-// the shape both stage-1 shuffles ship.
+// midTuples keys the Mid relation on column A with column B as payload: the
+// shape both stage-1 shuffles take (the peer path ships B as the re-key
+// column, the relay path reads it back coordinator-side).
 func midTuples(q Query) []exec.Tuple[join.Key] {
 	ts := make([]exec.Tuple[join.Key], q.Mid.Rows())
 	for i := range ts {
@@ -337,8 +324,8 @@ func peerAttempt(rt exec.StageRuntime, q Query, opts core.Options, cfg exec.Conf
 		plan2Dur = time.Since(plan2Start)
 	}
 
-	res1, res2, err := exec.RunStagesOver(rt, exec.WrapKeys(q.R1), midTuples(q), q.CondA,
-		plan1.Scheme, sp, q.R3, opts.Model, cfg, nil, encodeKeyPayload)
+	res1, res2, err := exec.RunStagesOver(rt, q.R1, midTuples(q), q.CondA,
+		plan1.Scheme, sp, q.R3, opts.Model, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("multiway: peer pipeline: %w", err)
 	}
@@ -385,9 +372,9 @@ func replanStage2(summaries []*stats.Summary, q Query, opts core.Options) (parti
 }
 
 // ExecuteOverRelay runs the chain join with the coordinator-relay strategy
-// on any runtime: stage 1 ships the Mid relation as key blocks plus a
-// payload segment carrying each row's B key, the workers join and stream
-// matched pairs back, and the re-keyed intermediate is re-planned with a
+// on any runtime: stage 1 ships the Mid relation's A keys, the workers join
+// and stream matched index pairs back, the coordinator reads each matched
+// row's B key, and the re-keyed intermediate is re-planned with a
 // fresh equi-weight histogram and joined on the same runtime. Planning
 // (statistics, histograms) stays on the coordinator, exactly as the paper's
 // coordinator builds the equi-weight histogram before each shuffle. Results
@@ -423,7 +410,7 @@ func ExecuteOverRelay(rt exec.Runtime, q Query, opts core.Options, cfg exec.Conf
 		overflow := false
 		var aerr error
 		res1, aerr = exec.RunTuplesOver(srt, exec.WrapKeys(q.R1), midTuples(q), q.CondA,
-			plan1.Scheme, opts.Model, cfg, nil, encodeKeyPayload,
+			plan1.Scheme, opts.Model, cfg,
 			func(w int, _ exec.Tuple[struct{}], b exec.Tuple[join.Key]) {
 				perWorker[w] = append(perWorker[w], b.Payload)
 				if len(perWorker[w]) == MaxIntermediate {

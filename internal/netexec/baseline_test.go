@@ -3,7 +3,6 @@ package netexec
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -192,28 +191,16 @@ func (in tableInputs) size() int {
 	return tableSmall
 }
 
-// invalidPayloads declares a tuple beyond the per-tuple wire limit.
-func invalidPayloads(int) exec.PayloadBlock {
-	return exec.PayloadBlock{Off: []uint32{0, maxPayFrameBytes + 1}}
-}
-
-// tableRel wraps one shuffled relation as a resolved job input; withKeys
-// attaches each tuple's own key as its 8-byte payload (the stage-2 routing
-// key a plan job needs on relation 2).
-func tableRel(s *exec.KeyShuffle, withKeys, invalid bool) *exec.RelFuture {
+// tableRel wraps one shuffled relation as a resolved job input; rekey makes
+// each tuple's own key its re-key column entry (what a plan job needs on
+// relation 2), invalid plants a column of no keys, aligned with nothing.
+func tableRel(s *exec.KeyShuffle, rekey, invalid bool) *exec.RelFuture {
 	rd := exec.RelData{Keys: s}
 	switch {
 	case invalid:
-		rd.Payloads = invalidPayloads
-	case withKeys:
-		rd.Payloads = func(w int) exec.PayloadBlock {
-			pb := exec.PayloadBlock{Off: []uint32{0}}
-			for _, k := range s.Worker(w) {
-				pb.Flat = binary.LittleEndian.AppendUint64(pb.Flat, uint64(k))
-				pb.Off = append(pb.Off, uint32(len(pb.Flat)))
-			}
-			return pb
-		}
+		rd.Rekey = exec.ShuffleKeys(nil, partition.NewCI(tableWorkers), 1, exec.Config{})
+	case rekey:
+		rd.Rekey = s
 	}
 	return exec.ResolvedRelFuture(rd)
 }
@@ -461,7 +448,7 @@ func chunkFedKind(t *testing.T, name string, cond join.Condition, want int64) fe
 			return writeChunkKeys(bw, feedJob, int8(side+1), 1, keys)
 		},
 		end: func(bw *bufio.Writer, side, total int) error {
-			return writeChunkTail(bw, feedJob, int8(side+1), total, 0)
+			return writeChunkTail(bw, feedJob, int8(side+1), total)
 		},
 		bad: func(bw *bufio.Writer) error { // mapper 5 of the 2 the head declared
 			return writeChunkKeys(bw, feedJob, 1, 5, []join.Key{4})
@@ -505,7 +492,7 @@ func feedTableKinds(t *testing.T, w *Worker) []feedKind {
 					return writeV3GobFrame(bw, frameV3PeerBind, 0,
 						peerBind{Token: token, SenderCounts: []int64{int64(total)}})
 				}
-				return writeChunkTail(bw, feedJob, 2, total, 0)
+				return writeChunkTail(bw, feedJob, 2, total)
 			},
 			bad: func(bw *bufio.Writer) error {
 				return writeChunkKeys(bw, feedJob, 2, 5, []join.Key{4})
@@ -650,8 +637,8 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 				// open, in the read loop — and must get it.
 				sendOpenJob(t, c.bw, otherJob, false)
 				err := errors.Join(
-					writeRelHead(c.bw, otherJob, 1, 1, false, 0), writeKeyBlocksV3(c.bw, otherJob, 1, []join.Key{2}),
-					writeRelHead(c.bw, otherJob, 2, 1, false, 0), writeKeyBlocksV3(c.bw, otherJob, 2, []join.Key{2}),
+					writeRelHead(c.bw, otherJob, 1, 1, false), writeKeyBlocksV3(c.bw, otherJob, 1, []join.Key{2}),
+					writeRelHead(c.bw, otherJob, 2, 1, false), writeKeyBlocksV3(c.bw, otherJob, 2, []join.Key{2}),
 					writeV3FrameHeader(c.bw, frameV3EOS, otherJob, 0), c.bw.Flush())
 				if err != nil {
 					return err

@@ -1,7 +1,6 @@
 package netexec
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"ewh/internal/exec"
@@ -63,11 +62,11 @@ func BenchmarkLoopbackShuffleSession(b *testing.B) {
 	}
 }
 
-// BenchmarkLoopbackPayloadSession times the payload wire path in isolation:
-// R1 ships 200k tuples each carrying an 8-byte payload segment against an
-// empty R2, so the wall time is route, encode (keys + payloads), ship,
-// decode into pooled flat buffers.
-func BenchmarkLoopbackPayloadSession(b *testing.B) {
+// BenchmarkLoopbackTuplePairsSession times the tuple driver's flat-block path
+// in isolation: a pairs job ships R1's 200k keys (the payloads stay with the
+// driver) against an empty R2, so the wall time is route, project, encode,
+// ship, decode into pooled flat buffers.
+func BenchmarkLoopbackTuplePairsSession(b *testing.B) {
 	const n = 200000
 	keys := randKeys(n, n, 7)
 	r1 := make([]exec.Tuple[join.Key], n)
@@ -80,15 +79,12 @@ func BenchmarkLoopbackPayloadSession(b *testing.B) {
 		b.Fatal(err)
 	}
 	sess := benchSession(b, 4)
-	enc := func(dst []byte, p join.Key) []byte {
-		return binary.LittleEndian.AppendUint64(dst, uint64(p))
-	}
 	cfg := exec.Config{Seed: 8, Mappers: 4}
-	b.SetBytes(16 * n)
+	b.SetBytes(8 * n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := exec.RunTuplesOver(sess, r1, r2, join.Equi{}, hash, model, cfg,
-			enc, enc, func(int, exec.Tuple[join.Key], exec.Tuple[join.Key]) {})
+			func(int, exec.Tuple[join.Key], exec.Tuple[join.Key]) {})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
+	"regexp"
 	"runtime"
 	"strings"
 	"syscall"
@@ -312,7 +314,6 @@ func TestFaultnetFrameParity(t *testing.T) {
 		{"open job", frameV3OpenJob, faultnet.FrameOpenJob},
 		{"rel head", frameV3RelHead, faultnet.FrameRelHead},
 		{"block", frameV3Block, faultnet.FrameBlock},
-		{"pay", frameV3Pay, faultnet.FramePay},
 		{"eos", frameV3EOS, faultnet.FrameEOS},
 		{"pairs", frameV3Pairs, faultnet.FramePairs},
 		{"metrics", frameV3Metrics, faultnet.FrameMetrics},
@@ -342,5 +343,46 @@ func TestFaultnetFrameParity(t *testing.T) {
 	}
 	if protoVersionSession != faultnet.VersionSession || protoVersionPeer != faultnet.VersionPeer {
 		t.Error("protocol version constants diverged")
+	}
+}
+
+// TestDesignFrameTableMatchesWire is TestFaultnetFrameParity's doc-side twin:
+// DESIGN.md's frame table is the normative one, so every frame constant in
+// wire.go must appear there under its number, and every row must name a live
+// constant — a frame added, renumbered or retired on one side only fails.
+func TestDesignFrameTableMatchesWire(t *testing.T) {
+	src, err := os.ReadFile("wire.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "### Frame table")
+	if !ok {
+		t.Fatal("DESIGN.md has no \"Frame table\" section")
+	}
+	table, _, _ = strings.Cut(table, "\n#")
+	// "NAME #number", e.g. frameV3RelHead = 11 and the row "| 11 | RELHEAD |".
+	wire, rows := map[string]bool{}, map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^\tframe(?:V3)?([A-Z]\w*) += (\d+)\b`).FindAllStringSubmatch(string(src), -1) {
+		wire[strings.ToUpper(m[1])+" #"+m[2]] = true
+	}
+	for _, m := range regexp.MustCompile(`(?m)^\| (\d+) \| ([A-Z0-9]+)\b`).FindAllStringSubmatch(table, -1) {
+		rows[m[2]+" #"+m[1]] = true
+	}
+	if len(wire) < 25 {
+		t.Fatalf("found only %d frame constants in wire.go: %v", len(wire), wire)
+	}
+	for f := range wire {
+		if !rows[f] {
+			t.Errorf("wire.go frame %s has no row in DESIGN.md's frame table", f)
+		}
+	}
+	for f := range rows {
+		if !wire[f] {
+			t.Errorf("DESIGN.md's frame table row %s names no frame constant in wire.go", f)
+		}
 	}
 }

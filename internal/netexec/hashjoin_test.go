@@ -216,7 +216,7 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 		{"flat relation 2 on a peer-fed job", "declared flat", func(bw *bufio.Writer) error {
 			return errors.Join(
 				writeV3GobFrame(bw, frameV3OpenPeerJob, 1, peerJobOpen{Cond: spec, Token: newPeerToken()}),
-				writeRelHead(bw, 1, 2, 1, false, 0), writeKeyBlocksV3(bw, 1, 2, []join.Key{3}))
+				writeRelHead(bw, 1, 2, 1, false), writeKeyBlocksV3(bw, 1, 2, []join.Key{3}))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -232,8 +232,8 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 			// The next job on the connection: one key each side, flat.
 			sendOpenJob(t, bw, 2, false)
 			err = errors.Join(
-				writeRelHead(bw, 2, 1, 1, false, 0), writeKeyBlocksV3(bw, 2, 1, []join.Key{3}),
-				writeRelHead(bw, 2, 2, 1, false, 0), writeKeyBlocksV3(bw, 2, 2, []join.Key{3}),
+				writeRelHead(bw, 2, 1, 1, false), writeKeyBlocksV3(bw, 2, 1, []join.Key{3}),
+				writeRelHead(bw, 2, 2, 1, false), writeKeyBlocksV3(bw, 2, 2, []join.Key{3}),
 				writeV3FrameHeader(bw, frameV3EOS, 2, 0), bw.Flush())
 			if err != nil {
 				t.Fatal(err)
@@ -270,8 +270,8 @@ func TestPeerStageJobsHonorCoordinatorEngine(t *testing.T) {
 	for i, e := range []exec.JoinEngine{exec.EngineHash, exec.EngineMerge} {
 		sess := dialSession(t, addrs)
 		cfg := exec.Config{Seed: 17, Mappers: 2, Engine: e}
-		res1, res2, err := exec.RunStagesOver(sess, exec.WrapKeys(r1), tuplesWithPayloadKeys(r2),
-			join.Equi{}, scheme1, sp, r3, model, cfg, nil, encodeKeyLE8)
+		res1, res2, err := exec.RunStagesOver(sess, r1, tuplesWithRekey(r2),
+			join.Equi{}, scheme1, sp, r3, model, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -179,11 +179,23 @@ const peerFrameHeaderLen = 5
 // may buffer only what the frame declared; an accepted frame and a job-level
 // refusal both consume exactly the frame (the next header parses); only a
 // frame shorter than its sub-header is connection-fatal; and whatever a
-// session frame charged the tenant the job's release gives back.
+// session frame charged the tenant the job's release gives back. A selector
+// past the type list additionally declares relation 2's re-key column (two
+// keys), which BLOCK frames tagged relRekey then fill.
 func FuzzKeyFrame(f *testing.F) {
 	types := []byte{frameV3Block, frameV3Chunk, frameV3StreamBase, frameV3StreamWin, framePeerBlock}
 	for i, typ := range types {
 		f.Add(byte(i), recordedKeyFrames(f)[typ])
+	}
+	for _, c := range []struct {
+		sel  byte
+		keys int
+	}{{0, 2}, {byte(len(types)), 2}, {byte(len(types)), 3}} { // undeclared, declared, overflowing
+		var b bytes.Buffer
+		if err := writeKeyBlocksV3(&b, 1, relRekey, make([]join.Key, c.keys)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(c.sel, b.Bytes()[v3FrameHeaderLen:])
 	}
 	closed := make(chan struct{})
 	close(closed)
@@ -204,6 +216,9 @@ func FuzzKeyFrame(f *testing.F) {
 		} else {
 			j.rels[0] = sessRel{declared: true, streaming: true, chunks: 4}
 			j.rels[1] = sessRel{declared: true, n: 64, keys: exec.GetKeyBuffer(64)}
+			if int(sel) >= len(types) {
+				j.rels[relRekey-1] = sessRel{declared: true, n: 2, keys: exec.GetKeyBuffer(2)}
+			}
 		}
 		const sentinel = 0xEE
 		var next [v3FrameHeaderLen]byte

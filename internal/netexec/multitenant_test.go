@@ -108,7 +108,7 @@ func TestSessionTypedAdmissionRejection(t *testing.T) {
 	go func() {
 		var streamed int64
 		res, err := exec.RunTuplesOver(hog, t1, t2, cond, scheme, model,
-			exec.Config{Seed: 92}, nil, nil,
+			exec.Config{Seed: 92},
 			func(w int, a, b exec.Tuple[struct{}]) {
 				if streamed == 0 {
 					close(started)
@@ -240,7 +240,7 @@ func TestPoolConcurrentSessionsBitIdentical(t *testing.T) {
 					// loop, hence the atomic.
 					var streamed atomic.Int64
 					got, err = exec.RunTuplesOver(sess, exec.WrapKeys(w.r1), exec.WrapKeys(w.r2),
-						join.Equi{}, scheme, model, w.cfg, nil, nil,
+						join.Equi{}, scheme, model, w.cfg,
 						func(int, exec.Tuple[struct{}], exec.Tuple[struct{}]) { streamed.Add(1) })
 					if err == nil && streamed.Load() != w.want.Output {
 						errs <- fmt.Errorf("%s job %d: streamed %d pairs, want %d", tn, i, streamed.Load(), w.want.Output)

@@ -3,11 +3,11 @@
 // count job streams each relation as per-mapper CHUNK sub-blocks the moment a
 // mapper has routed its shard, and the worker's join goroutine inserts or
 // probes them as they arrive; a pairs or plan job sends each worker one
-// contiguous, length-prefixed key block per relation (plus an optional
-// payload segment), decoded into exactly-sized pooled flat buffers and joined
-// in place. Either way the worker reports its metrics. It is the
-// process-distributed counterpart of internal/exec's goroutine engine — same
-// partitioning schemes, same shuffle, same metrics — demonstrating that
+// contiguous, length-prefixed key block per relation (plus, on a plan job's
+// relation 2, the re-key column), decoded into exactly-sized pooled flat
+// buffers and joined in place. Either way the worker reports its metrics. It
+// is the process-distributed counterpart of internal/exec's goroutine engine —
+// same partitioning schemes, same shuffle, same metrics — demonstrating that
 // nothing in the EWH design depends on shared memory.
 //
 // There is one transport: the session protocol (Dial/Session, implementing
@@ -44,19 +44,15 @@ import (
 	"ewh/internal/localjoin"
 )
 
-// metrics is the worker's report. PayBytes1/PayBytes2 report the payload
-// segment bytes received per relation, so the coordinator can assert the
-// payload path end to end. PeerCounts, present
-// only on stage-1 plan jobs, is the sender's per-receiver routed tuple
-// counts — the ONLY thing about the re-shuffled intermediate the
-// coordinator ever receives.
+// metrics is the worker's report. PeerCounts, present only on stage-1 plan
+// jobs, is the sender's per-receiver routed tuple counts — the ONLY thing
+// about the re-shuffled intermediate the coordinator ever receives.
 type metrics struct {
-	InputR1, InputR2     int64
-	Output               int64
-	Nanos                int64
-	PayBytes1, PayBytes2 int64
-	PeerCounts           []int64
-	Err                  string
+	InputR1, InputR2 int64
+	Output           int64
+	Nanos            int64
+	PeerCounts       []int64
+	Err              string
 
 	// FaultAddr names the PEER whose failure caused Err, when the job died
 	// streaming its matches to another worker rather than locally — the

@@ -221,7 +221,7 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 // bind the widest mesh produces pass, and the writer refuses to frame what the
 // reader would not take.
 func TestControlFrameBound(t *testing.T) {
-	const declared = 1 << 27 // under maxFramePayload: the header reader admits it
+	const declared = 1 << 27 // under maxDataPayload: the header reader admits it
 	t.Run("worker", func(t *testing.T) {
 		ws, addrs := startWorkerSet(t, 1)
 		ws[0].FailAfterJobs(1 << 30) // arms the completed-job counter
@@ -391,10 +391,10 @@ func TestSessionDeclaredCountEnforced(t *testing.T) {
 	// EOS before the declared tuples arrived.
 	bw, conn := dialV3(t, addrs[0])
 	sendOpenJob(t, bw, 1, false)
-	if err := writeRelHead(bw, 1, 1, 5, false, 0); err != nil {
+	if err := writeRelHead(bw, 1, 1, 5, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeRelHead(bw, 1, 2, 0, false, 0); err != nil {
+	if err := writeRelHead(bw, 1, 2, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeV3FrameHeader(bw, frameV3EOS, 1, 0); err != nil {
@@ -409,13 +409,13 @@ func TestSessionDeclaredCountEnforced(t *testing.T) {
 
 	// More tuples than declared; same connection, next job.
 	sendOpenJob(t, bw, 2, false)
-	if err := writeRelHead(bw, 2, 1, 1, false, 0); err != nil {
+	if err := writeRelHead(bw, 2, 1, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeKeyBlocksV3(bw, 2, 1, []join.Key{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeRelHead(bw, 2, 2, 0, false, 0); err != nil {
+	if err := writeRelHead(bw, 2, 2, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeV3FrameHeader(bw, frameV3EOS, 2, 0); err != nil {
@@ -433,10 +433,10 @@ func TestSessionUnknownRelationRejected(t *testing.T) {
 	_, addrs := startWorkerSet(t, 1)
 	bw, conn := dialV3(t, addrs[0])
 	sendOpenJob(t, bw, 1, false)
-	if err := writeRelHead(bw, 1, 1, 1, false, 0); err != nil {
+	if err := writeRelHead(bw, 1, 1, 1, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeKeyBlocksV3(bw, 1, 3, []join.Key{9}); err != nil {
+	if err := writeKeyBlocksV3(bw, 1, relRekey+1, []join.Key{9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeV3FrameHeader(bw, frameV3EOS, 1, 0); err != nil {
@@ -445,8 +445,8 @@ func TestSessionUnknownRelationRejected(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if msg := readV3ErrMetrics(t, conn, 1); !strings.Contains(msg, "unknown relation 3") {
-		t.Fatalf("block for relation 3 accepted: %q", msg)
+	if msg := readV3ErrMetrics(t, conn, 1); !strings.Contains(msg, "unknown relation 4") {
+		t.Fatalf("block for relation 4 accepted: %q", msg)
 	}
 }
 
@@ -465,7 +465,7 @@ func TestSessionMultiBlockRelation(t *testing.T) {
 	if err := writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeRelHead(bw, 1, 1, len(r1), false, 0); err != nil {
+	if err := writeRelHead(bw, 1, 1, len(r1), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeKeyBlocksV3(bw, 1, 1, r1[:300]); err != nil {
@@ -474,7 +474,7 @@ func TestSessionMultiBlockRelation(t *testing.T) {
 	if err := writeKeyBlocksV3(bw, 1, 1, r1[300:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeRelHead(bw, 1, 2, len(r2), false, 0); err != nil {
+	if err := writeRelHead(bw, 1, 2, len(r2), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeKeyBlocksV3(bw, 1, 2, r2); err != nil {

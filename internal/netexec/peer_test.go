@@ -17,10 +17,6 @@ import (
 	"ewh/internal/planio"
 )
 
-func encodeKeyLE8(dst []byte, k join.Key) []byte {
-	return binary.LittleEndian.AppendUint64(dst, uint64(k))
-}
-
 // stagePlanFor encodes a Hash stage-2 plan for j2 workers.
 func stagePlanFor(t *testing.T, cond join.Condition, j2 int, seed uint64) exec.StagePlan {
 	t.Helper()
@@ -35,9 +31,9 @@ func stagePlanFor(t *testing.T, cond join.Condition, j2 int, seed uint64) exec.S
 	return exec.StagePlan{Bytes: bytes, Scheme: scheme, Cond: cond}
 }
 
-// tuplesWithPayloadKeys lifts keys into tuples whose payload is the stage-2
-// key (here: the key itself, rotated), the shape a plan job re-shuffles.
-func tuplesWithPayloadKeys(keys []join.Key) []exec.Tuple[join.Key] {
+// tuplesWithRekey lifts keys into tuples whose payload is the stage-2 key
+// (here: the key itself, rotated): the re-key column a plan job re-shuffles.
+func tuplesWithRekey(keys []join.Key) []exec.Tuple[join.Key] {
 	ts := make([]exec.Tuple[join.Key], len(keys))
 	for i, k := range keys {
 		ts[i] = exec.Tuple[join.Key]{Key: k, Payload: k*3 + 1}
@@ -64,8 +60,8 @@ func TestPeerPipelineMatchesLocalReference(t *testing.T) {
 	cfg := exec.Config{Seed: 11, Mappers: 2}
 	model := cost.Model{Wi: 1, Wo: 0.2}
 
-	res1, res2, err := exec.RunStagesOver(sess, exec.WrapKeys(r1), tuplesWithPayloadKeys(r2),
-		join.Equi{}, scheme1, sp, r3, model, cfg, nil, encodeKeyLE8)
+	res1, res2, err := exec.RunStagesOver(sess, r1, tuplesWithRekey(r2),
+		join.Equi{}, scheme1, sp, r3, model, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +70,8 @@ func TestPeerPipelineMatchesLocalReference(t *testing.T) {
 	// deterministic order, then run the same Hash plan over them.
 	var inter []join.Key
 	perWorker := make([][]join.Key, scheme1.Workers())
-	if _, err := exec.RunTuplesOver(exec.Local{}, exec.WrapKeys(r1), tuplesWithPayloadKeys(r2),
-		join.Equi{}, scheme1, model, cfg, nil, nil,
+	if _, err := exec.RunTuplesOver(exec.Local{}, exec.WrapKeys(r1), tuplesWithRekey(r2),
+		join.Equi{}, scheme1, model, cfg,
 		func(w int, _ exec.Tuple[struct{}], b exec.Tuple[join.Key]) {
 			perWorker[w] = append(perWorker[w], b.Payload)
 		}); err != nil {
@@ -103,9 +99,9 @@ func TestPeerPipelineMatchesLocalReference(t *testing.T) {
 }
 
 func TestPeerPipelineFailureNamesWorkerAndJob(t *testing.T) {
-	// A malformed stage-1 payload (4 bytes instead of the 8-byte stage-2
-	// key) fails the plan job on every worker; the aggregated error must
-	// name each failing worker's address and the job.
+	// A plan artifact routing to three workers under a two-address peer map
+	// fails the plan job on every worker; the aggregated error must name
+	// each failing worker's address and the job.
 	_, addrs := startWorkerSet(t, 2)
 	sess := dialSession(t, addrs)
 
@@ -116,21 +112,19 @@ func TestPeerPipelineFailureNamesWorkerAndJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := stagePlanFor(t, join.Equi{}, 2, 5)
-	enc4 := func(dst []byte, k join.Key) []byte {
-		return binary.LittleEndian.AppendUint32(dst, uint32(k))
-	}
-	_, _, err = exec.RunStagesOver(sess, exec.WrapKeys(r1), tuplesWithPayloadKeys(r2),
+	sp.Bytes = stagePlanFor(t, join.Equi{}, 3, 5).Bytes
+	_, _, err = exec.RunStagesOver(sess, r1, tuplesWithRekey(r2),
 		join.Equi{}, scheme1, sp, r1, cost.Model{Wi: 1, Wo: 0.2},
-		exec.Config{Seed: 3, Mappers: 1}, nil, enc4)
+		exec.Config{Seed: 3, Mappers: 1})
 	if err == nil {
-		t.Fatal("malformed stage-2 keys did not fail the pipeline")
+		t.Fatal("a plan wider than its peer map did not fail the pipeline")
 	}
 	for _, addr := range addrs {
 		if !strings.Contains(err.Error(), addr) {
 			t.Errorf("error does not name worker %s: %v", addr, err)
 		}
 	}
-	if !strings.Contains(err.Error(), "stage job") || !strings.Contains(err.Error(), "8-byte") {
+	if !strings.Contains(err.Error(), "stage job") || !strings.Contains(err.Error(), "address map") {
 		t.Errorf("error does not name the stage job and cause: %v", err)
 	}
 }
@@ -150,9 +144,9 @@ func TestPeerDialFailureNamesPeerAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := stagePlanFor(t, join.Equi{}, 2, 9)
-	_, _, err = exec.RunStagesOver(sess, exec.WrapKeys(r1), tuplesWithPayloadKeys(r2),
+	_, _, err = exec.RunStagesOver(sess, r1, tuplesWithRekey(r2),
 		join.Equi{}, scheme1, sp, r1, cost.Model{Wi: 1, Wo: 0.2},
-		exec.Config{Seed: 3, Mappers: 1}, nil, encodeKeyLE8)
+		exec.Config{Seed: 3, Mappers: 1})
 	if err == nil {
 		t.Fatal("unreachable peer did not fail the pipeline")
 	}
@@ -174,9 +168,9 @@ func TestPeerPipelineSurvivesShutdownAfterDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := stagePlanFor(t, join.Equi{}, 3, 13)
-	if _, _, err := exec.RunStagesOver(sess, exec.WrapKeys(r1), tuplesWithPayloadKeys(r2),
+	if _, _, err := exec.RunStagesOver(sess, r1, tuplesWithRekey(r2),
 		join.Equi{}, scheme1, sp, r1, cost.Model{Wi: 1, Wo: 0.2},
-		exec.Config{Seed: 3, Mappers: 1}, nil, encodeKeyLE8); err != nil {
+		exec.Config{Seed: 3, Mappers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range ws {

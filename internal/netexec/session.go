@@ -586,27 +586,19 @@ func (c *sessConn) runJob(op string, id uint32, workerID int, spec join.Spec, ps
 		return nil, err
 	}
 	defer j.close()
-	sentPay, err := j.sendJob(spec, ps, job)
-	if err != nil {
+	if err := j.sendJob(spec, ps, job); err != nil {
 		return nil, err
 	}
-	return j.finish(sentPay, m)
+	return j.finish(m)
 }
 
 // finish awaits the terminal metrics of a sub-job whose relations this side
 // streamed, validates them and fills m. A reply whose metrics name a peer
 // fault address is attributed to that PEER (see workerFault).
-func (j *subJob) finish(sentPay [2]int64, m *exec.WorkerMetrics) ([]int64, error) {
+func (j *subJob) finish(m *exec.WorkerMetrics) ([]int64, error) {
 	r, err := j.await("reply", false)
 	if err != nil {
 		return nil, err
-	}
-	// End-to-end payload assertion: the worker reports the payload bytes it
-	// decoded; any disagreement with what this side streamed means wire
-	// corruption that slipped past the worker's declaration checks.
-	if r.m.PayBytes1 != sentPay[0] || r.m.PayBytes2 != sentPay[1] {
-		return nil, j.proto(fmt.Errorf("worker decoded %d/%d payload bytes, coordinator sent %d/%d",
-			r.m.PayBytes1, r.m.PayBytes2, sentPay[0], sentPay[1]))
 	}
 	j.account(r.m, m)
 	return r.m.PeerCounts, nil
@@ -625,11 +617,9 @@ func (j *subJob) account(rm *metrics, m *exec.WorkerMetrics) {
 // contiguous on the wire; each relation is fetched from its future right
 // before sending, which is where the shuffle/socket overlap happens —
 // relation 1's blocks go out (and flush) while relation 2 may still be
-// scattering. A non-nil ps rides between the open and the relations. It
-// returns the payload bytes shipped per relation for finish to assert the
-// worker's decode counts against.
-func (j *subJob) sendJob(spec join.Spec, ps *planSpec, job *exec.Job) (sentPay [2]int64, err error) {
-	err = j.send(func(bw *bufio.Writer) error {
+// scattering. A non-nil ps rides between the open and the relations.
+func (j *subJob) sendJob(spec join.Spec, ps *planSpec, job *exec.Job) error {
+	return j.send(func(bw *bufio.Writer) error {
 		jo := jobOpen{WorkerID: j.worker, Cond: spec, WantPairs: job.Pairs != nil,
 			Engine: int(job.Engine)}
 		if err := writeV3GobFrame(bw, frameV3OpenJob, j.id, jo); err != nil {
@@ -640,66 +630,45 @@ func (j *subJob) sendJob(spec join.Spec, ps *planSpec, job *exec.Job) (sentPay [
 				return err
 			}
 		}
-		var err error
-		if sentPay[0], err = j.writeRelation(bw, 1, job.R1.Wait()); err != nil {
+		if err := j.writeRelation(bw, 1, job.R1.Wait()); err != nil {
 			return err
 		}
 		if err := bw.Flush(); err != nil {
 			return err
 		}
-		if sentPay[1], err = j.writeRelation(bw, 2, job.R2.Wait()); err != nil {
+		if err := j.writeRelation(bw, 2, job.R2.Wait()); err != nil {
 			return err
 		}
 		return writeV3FrameHeader(bw, frameV3EOS, j.id, 0)
 	})
-	return sentPay, err
 }
 
-// writeRelation streams one relation's head, key blocks and (optional)
-// payload blocks inside the caller's send, returning the payload bytes
-// shipped. Chunk-streamed relations take the pipelined path instead:
-// sub-blocks frame out as mappers emit them.
-func (j *subJob) writeRelation(bw *bufio.Writer, rel int8, rd exec.RelData) (int64, error) {
+// writeRelation streams one relation's head, key blocks and (when the
+// relation carries one) re-key column inside the caller's send.
+// Chunk-streamed relations take the pipelined path instead: sub-blocks frame
+// out as mappers emit them.
+func (j *subJob) writeRelation(bw *bufio.Writer, rel int8, rd exec.RelData) error {
 	if rd.Chunks != nil {
 		inline := func(write func(*bufio.Writer) error) error { return write(bw) }
-		return 0, j.sendChunks(inline, rel, rd.Chunks)
+		return j.sendChunks(inline, rel, rd.Chunks)
 	}
 	keys := rd.Keys.Worker(j.worker)
 	if len(keys) > MaxRelationTuples {
-		return 0, fmt.Errorf("relation %d holds %d tuples, wire limit %d", rel, len(keys), MaxRelationTuples)
+		return fmt.Errorf("relation %d holds %d tuples, wire limit %d", rel, len(keys), MaxRelationTuples)
 	}
-	var pb exec.PayloadBlock
-	hasPay := rd.Payloads != nil
-	if hasPay {
-		pb = rd.Payloads(j.worker)
-		if len(pb.Flat) > MaxRelationPayloadBytes {
-			return 0, fmt.Errorf("relation %d payloads hold %d bytes, wire limit %d",
-				rel, len(pb.Flat), MaxRelationPayloadBytes)
-		}
-		// A single tuple's payload must fit one payload frame: lengths and
-		// bytes travel together, so an oversized tuple has no valid wire
-		// encoding — catch it here (at a frame boundary, so the job aborts
-		// cleanly) rather than emitting a frame the worker must treat as
-		// connection-fatal.
-		for i := 0; i+1 < len(pb.Off); i++ {
-			if sz := pb.Off[i+1] - pb.Off[i]; int(sz) > maxPayFrameBytes {
-				return 0, fmt.Errorf("relation %d tuple %d payload is %d bytes, per-tuple wire limit %d",
-					rel, i, sz, maxPayFrameBytes)
-			}
+	var rekey []join.Key
+	if rd.Rekey != nil {
+		if rekey = rd.Rekey.Worker(j.worker); len(rekey) != len(keys) {
+			return fmt.Errorf("relation %d's re-key column holds %d keys for %d tuples", rel, len(rekey), len(keys))
 		}
 	}
-	if err := writeRelHead(bw, j.id, rel, len(keys), hasPay, len(pb.Flat)); err != nil {
-		return 0, err
+	if err := writeRelHead(bw, j.id, rel, len(keys), rd.Rekey != nil); err != nil {
+		return err
 	}
 	if err := writeKeyBlocksV3(bw, j.id, rel, keys); err != nil {
-		return 0, err
+		return err
 	}
-	if hasPay {
-		if err := writePayloadBlocks(bw, j.id, rel, pb); err != nil {
-			return 0, err
-		}
-	}
-	return int64(len(pb.Flat)), nil
+	return writeKeyBlocksV3(bw, j.id, relRekey, rekey)
 }
 
 // sendChunks pipelines one chunk-streamed relation: a head naming the mapper
@@ -745,6 +714,6 @@ func (j *subJob) sendChunks(frame func(func(*bufio.Writer) error) error, rel int
 		}
 	}
 	return frame(func(bw *bufio.Writer) error {
-		return writeChunkTail(bw, j.id, rel, total, 0)
+		return writeChunkTail(bw, j.id, rel, total)
 	})
 }

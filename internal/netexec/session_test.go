@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -16,6 +17,7 @@ import (
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
 	"ewh/internal/partition"
+	"ewh/internal/planio"
 )
 
 // leakCheck snapshots the goroutine count and asserts at cleanup — after
@@ -92,75 +94,6 @@ func TestSessionMatchesLocalAcrossJobs(t *testing.T) {
 		}
 		if !strings.HasSuffix(net.Scheme, "@sess") {
 			t.Fatalf("scheme label %q", net.Scheme)
-		}
-	}
-}
-
-func TestSessionTuplesPayloadRoundTrip(t *testing.T) {
-	// Payload-carrying relations over the wire: matched pairs (and therefore
-	// emitted payloads) must be identical to the in-process engine, pair for
-	// pair, since both transports join the same shuffled blocks.
-	const n = 2000
-	r1 := make([]exec.Tuple[join.Key], n)
-	r2 := make([]exec.Tuple[join.Key], n)
-	keys1 := randKeys(n, 800, 80)
-	keys2 := randKeys(n, 800, 81)
-	for i := range r1 {
-		r1[i] = exec.Tuple[join.Key]{Key: keys1[i], Payload: keys1[i] * 3}
-		r2[i] = exec.Tuple[join.Key]{Key: keys2[i], Payload: keys2[i] * 7}
-	}
-	cond := join.NewBand(1)
-	plan, err := core.PlanCSIO(keys1, keys2, cond, core.Options{J: 4, Model: model, Seed: 82})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, addrs := startWorkerSet(t, plan.Scheme.Workers())
-	sess := dialSession(t, addrs)
-	enc := func(dst []byte, p join.Key) []byte {
-		return binary.LittleEndian.AppendUint64(dst, uint64(p))
-	}
-
-	type pair struct {
-		w    int
-		a, b exec.Tuple[join.Key]
-	}
-	collect := func(rt exec.Runtime, e1, e2 exec.PayloadEncoder[join.Key]) ([]pair, *exec.Result) {
-		perWorker := make([][]pair, plan.Scheme.Workers())
-		res, err := exec.RunTuplesOver(rt, r1, r2, cond, plan.Scheme, model,
-			exec.Config{Seed: 83}, e1, e2,
-			func(w int, a, b exec.Tuple[join.Key]) {
-				perWorker[w] = append(perWorker[w], pair{w, a, b})
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var all []pair
-		for _, pw := range perWorker {
-			all = append(all, pw...)
-		}
-		return all, res
-	}
-	localPairs, localRes := collect(exec.Local{}, nil, nil)
-	sessPairs, sessRes := collect(sess, enc, enc)
-
-	if want := localjoin.NestedLoopCount(keys1, keys2, cond); localRes.Output != want {
-		t.Fatalf("local output %d, ground truth %d", localRes.Output, want)
-	}
-	if sessRes.Output != localRes.Output || sessRes.NetworkTuples != localRes.NetworkTuples {
-		t.Fatalf("aggregates differ: sess %v local %v", sessRes, localRes)
-	}
-	if len(sessPairs) != len(localPairs) {
-		t.Fatalf("pair counts differ: sess %d local %d", len(sessPairs), len(localPairs))
-	}
-	for i := range localPairs {
-		if sessPairs[i] != localPairs[i] {
-			t.Fatalf("pair %d differs: sess %+v local %+v", i, sessPairs[i], localPairs[i])
-		}
-	}
-	for w := range localRes.Workers {
-		if sessRes.Workers[w] != localRes.Workers[w] {
-			t.Fatalf("worker %d metrics differ: sess %+v local %+v",
-				w, sessRes.Workers[w], localRes.Workers[w])
 		}
 	}
 }
@@ -290,99 +223,144 @@ func sendOpenJob(t *testing.T, bw *bufio.Writer, id uint32, wantPairs bool) {
 	}
 }
 
-func TestSessionTruncatedPayloadFrame(t *testing.T) {
-	_, addrs := startWorkerSet(t, 1)
-	bw, conn := dialV3(t, addrs[0])
-	sendOpenJob(t, bw, 1, true)
-	// R1: one tuple, declares 8 payload bytes; the payload frame's lengths
-	// sum to 8 but only 4 bytes follow.
-	if err := writeRelHead(bw, 1, 1, 1, true, 8); err != nil {
+// TestSessionRekeyColumnEnforced drives every way relation 2's re-key column
+// can be mis-declared or mis-shipped, frame by frame over a raw connection.
+// Each refusal fails only its job: the next job on the same connection still
+// joins (framing intact) and the tenant's reservation — 8 bytes per key AND
+// per column entry — is back at zero.
+func TestSessionRekeyColumnEnforced(t *testing.T) {
+	const tenant = "rekeyed"
+	r1, r2 := []join.Key{1, 2}, []join.Key{7, 8, 9} // disjoint: nothing to re-shuffle
+	fits := int64(8 * (len(r1) + 2*len(r2)))        // both relations and the column
+	hash, err := partition.NewHash(1, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeKeyBlocksV3(bw, 1, 1, []join.Key{42}); err != nil {
+	plan, err := planio.Encode(&planio.Artifact{Scheme: hash, Seed: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeV3FrameHeader(bw, frameV3Pay, 1, blockHeaderLen+4+4); err != nil {
-		t.Fatal(err)
+	flat := func(bw *bufio.Writer, rel int8, keys []join.Key, rekey bool) error {
+		return errors.Join(writeRelHead(bw, 1, rel, len(keys), rekey), writeKeyBlocksV3(bw, 1, rel, keys))
 	}
-	var bh [blockHeaderLen]byte
-	bh[0] = 1
-	binary.LittleEndian.PutUint32(bh[1:], 1)
-	if _, err := bw.Write(bh[:]); err != nil {
-		t.Fatal(err)
+	chunked := func(bw *bufio.Writer, rel int8, keys []join.Key, mid func() error) error {
+		return errors.Join(writeChunkHead(bw, 1, rel, 1), writeChunkKeys(bw, 1, rel, 0, keys), mid(),
+			writeChunkTail(bw, 1, rel, len(keys)))
 	}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], 8) // claims 8 bytes…
-	if _, err := bw.Write(lenBuf[:]); err != nil {
-		t.Fatal(err)
+	column := func(n int) func(*bufio.Writer) error {
+		return func(bw *bufio.Writer) error {
+			return errors.Join(flat(bw, 1, r1, false), flat(bw, 2, r2, true),
+				writeKeyBlocksV3(bw, 1, relRekey, make([]join.Key, n)))
+		}
 	}
-	if _, err := bw.Write([]byte{1, 2, 3, 4}); err != nil { // …ships 4
-		t.Fatal(err)
-	}
-	if err := writeRelHead(bw, 1, 2, 0, false, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeV3FrameHeader(bw, frameV3EOS, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	msg := readV3ErrMetrics(t, conn, 1)
-	if !strings.Contains(msg, "truncated") {
-		t.Fatalf("truncated payload frame accepted: %q", msg)
-	}
-}
+	for _, c := range []struct {
+		name    string
+		budget  int64
+		plan    bool
+		send    func(bw *bufio.Writer) error
+		wantErr string // "" = the job succeeds
+		code    int
+	}{
+		{name: "declared and complete", budget: fits, plan: true, send: column(len(r2))},
+		{name: "charged to the tenant", budget: fits - 1, plan: true, send: column(len(r2)),
+			wantErr: "budget", code: codeQuota},
+		{name: "missing on a plan job", plan: true,
+			send: func(bw *bufio.Writer) error {
+				return errors.Join(flat(bw, 1, r1, false), flat(bw, 2, r2, false))
+			},
+			wantErr: "without relation 2's re-key column"},
+		{name: "declared on a non-plan job", send: column(len(r2)), wantErr: "only a plan job's relation 2"},
+		{name: "declared on relation 1", plan: true,
+			send: func(bw *bufio.Writer) error {
+				return errors.Join(flat(bw, 1, r1, true), flat(bw, 2, r2, false))
+			},
+			wantErr: "only a plan job's relation 2"},
+		{name: "shipped for a chunked relation",
+			send: func(bw *bufio.Writer) error {
+				return errors.Join(chunked(bw, 1, r1, func() error { return nil }),
+					chunked(bw, 2, r2, func() error { return writeKeyBlocksV3(bw, 1, relRekey, r2) }))
+			},
+			wantErr: "block for undeclared relation 3"},
+		{name: "declared by a head of its own", plan: true,
+			send:    func(bw *bufio.Writer) error { return flat(bw, relRekey, r2, false) },
+			wantErr: "declared by relation 2's head"},
+		{name: "short", plan: true, send: column(len(r2) - 1), wantErr: "relation 3 ended at 2 tuples, head declared 3"},
+		{name: "long", plan: true, send: column(len(r2) + 1), wantErr: "relation 3 overflows declared count 3"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ws, addrs := startTenantWorkerSet(t, 1, AdmissionConfig{},
+				map[string]TenantPolicy{tenant: {MaxBytes: c.budget}})
+			bw, conn := dialV3(t, addrs[0])
+			br := bufio.NewReader(conn)
+			err := writeV3GobFrame(bw, frameV3Hello, 0, sessionHello{Tenant: tenant})
+			sendOpenJob(t, bw, 1, false)
+			if c.plan {
+				err = errors.Join(err, writeV3GobFrame(bw, frameV3Plan, 1,
+					planSpec{Token: newPeerToken(), Plan: plan, Peers: addrs, Self: 0}))
+			}
+			err = errors.Join(err, c.send(bw), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := awaitFeedMetrics(t, conn, br, 1)
+			if c.wantErr == "" {
+				if m.Err != "" || m.InputR2 != int64(len(r2)) || len(m.PeerCounts) != 1 {
+					t.Fatalf("plan job with its column replied %+v", m)
+				}
+			} else if !strings.Contains(m.Err, c.wantErr) || m.Code != c.code {
+				t.Fatalf("replied %+v, want an error naming %q with code %d", m, c.wantErr, c.code)
+			}
 
-func TestSessionPayloadDeclarationEnforced(t *testing.T) {
-	_, addrs := startWorkerSet(t, 1)
-
-	// Payload stream shorter than the head declared.
-	bw, conn := dialV3(t, addrs[0])
-	sendOpenJob(t, bw, 1, true)
-	if err := writeRelHead(bw, 1, 1, 1, true, 16); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeKeyBlocksV3(bw, 1, 1, []join.Key{7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRelHead(bw, 1, 2, 0, false, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeV3FrameHeader(bw, frameV3EOS, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if msg := readV3ErrMetrics(t, conn, 1); !strings.Contains(msg, "declared") {
-		t.Fatalf("missing payload stream accepted: %q", msg)
+			// Same connection, next job: the refusal cost this job only, and
+			// what it had reserved is credited back.
+			idle := &baseline{t: t}
+			idle.workersIdle(ws, tenant)
+			sendOpenJob(t, bw, 2, false)
+			err = errors.Join(
+				writeRelHead(bw, 2, 1, 1, false), writeKeyBlocksV3(bw, 2, 1, []join.Key{5}),
+				writeRelHead(bw, 2, 2, 1, false), writeKeyBlocksV3(bw, 2, 2, []join.Key{5}),
+				writeV3FrameHeader(bw, frameV3EOS, 2, 0), bw.Flush())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := awaitFeedMetrics(t, conn, br, 2); m.Err != "" || m.Output != 1 {
+				t.Fatalf("follow-up job replied %+v", m)
+			}
+			idle.workersIdle(ws, tenant)
+		})
 	}
 
-	// Payload block for a relation that declared none.
-	bw, conn = dialV3(t, addrs[0])
-	sendOpenJob(t, bw, 1, true)
-	if err := writeRelHead(bw, 1, 1, 1, false, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeKeyBlocksV3(bw, 1, 1, []join.Key{7}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writePayloadBlocks(bw, 1, 1, exec.PayloadBlock{Flat: []byte{9}, Off: []uint32{0, 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRelHead(bw, 1, 2, 0, false, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeV3FrameHeader(bw, frameV3EOS, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if msg := readV3ErrMetrics(t, conn, 1); !strings.Contains(msg, "payload") {
-		t.Fatalf("undeclared payload block accepted: %q", msg)
-	}
+	// A column misaligned with its relation never reaches the wire: the
+	// coordinator refuses it at a frame boundary and ABORTs, so the session
+	// stays usable and the worker's drain accounting is not stuck on the
+	// orphan (Shutdown completes).
+	t.Run("misaligned at the coordinator", func(t *testing.T) {
+		ws, addrs := startWorkerSet(t, 1)
+		sess := dialSession(t, addrs)
+		keyShuffleOf := func(keys []join.Key) *exec.KeyShuffle {
+			return exec.ShuffleKeys(keys, partition.NewCI(1), 1, exec.Config{Seed: 1})
+		}
+		job := &exec.Job{Cond: join.Equi{}, Workers: 1,
+			R1: exec.ResolvedRelFuture(exec.RelData{Keys: keyShuffleOf(r1)}),
+			R2: exec.ResolvedRelFuture(exec.RelData{Keys: keyShuffleOf(r2), Rekey: keyShuffleOf(r1)})}
+		err := sess.RunJob(job, make([]exec.WorkerMetrics, 1))
+		if err == nil || !strings.Contains(err.Error(), "re-key column holds 2 keys for 3 tuples") {
+			t.Fatalf("misaligned column: RunJob returned %v", err)
+		}
+		keys := randKeys(200, 100, 130)
+		res, err := exec.RunOver(sess, keys, keys, join.Equi{}, partition.NewCI(1), model, exec.Config{Seed: 131})
+		if err != nil {
+			t.Fatalf("session unusable after aborted job: %v", err)
+		}
+		if want := localjoin.NestedLoopCount(keys, keys, join.Equi{}); res.Output != want {
+			t.Fatalf("output %d, want %d", res.Output, want)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := ws[0].Shutdown(ctx); err != nil {
+			t.Fatalf("Shutdown stuck on aborted job's accounting: %v", err)
+		}
+	})
 }
 
 func TestSessionBlockLengthMismatchKeepsStreamInSync(t *testing.T) {
@@ -392,7 +370,7 @@ func TestSessionBlockLengthMismatchKeepsStreamInSync(t *testing.T) {
 	_, addrs := startWorkerSet(t, 1)
 	bw, conn := dialV3(t, addrs[0])
 	sendOpenJob(t, bw, 1, false)
-	if err := writeRelHead(bw, 1, 1, 2, false, 0); err != nil {
+	if err := writeRelHead(bw, 1, 1, 2, false); err != nil {
 		t.Fatal(err)
 	}
 	// Frame declares 5 + 16 payload bytes but the embedded count says 1 key
@@ -410,7 +388,7 @@ func TestSessionBlockLengthMismatchKeepsStreamInSync(t *testing.T) {
 	if _, err := bw.Write(keys[:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeRelHead(bw, 1, 2, 0, false, 0); err != nil {
+	if err := writeRelHead(bw, 1, 2, 0, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeV3FrameHeader(bw, frameV3EOS, 1, 0); err != nil {
@@ -425,13 +403,13 @@ func TestSessionBlockLengthMismatchKeepsStreamInSync(t *testing.T) {
 
 	// Same connection, next job: framing survived the bad frame.
 	sendOpenJob(t, bw, 2, false)
-	if err := writeRelHead(bw, 2, 1, 1, false, 0); err != nil {
+	if err := writeRelHead(bw, 2, 1, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeKeyBlocksV3(bw, 2, 1, []join.Key{5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeRelHead(bw, 2, 2, 1, false, 0); err != nil {
+	if err := writeRelHead(bw, 2, 2, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeKeyBlocksV3(bw, 2, 2, []join.Key{5}); err != nil {
@@ -457,7 +435,7 @@ func TestWorkerShutdownDrainsInFlightJob(t *testing.T) {
 	// must refuse new connections.
 	bw, conn := dialV3(t, addrs[0])
 	sendOpenJob(t, bw, 1, false)
-	if err := writeRelHead(bw, 1, 1, 2, false, 0); err != nil {
+	if err := writeRelHead(bw, 1, 1, 2, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeKeyBlocksV3(bw, 1, 1, []join.Key{1, 2}); err != nil {
@@ -483,7 +461,7 @@ func TestWorkerShutdownDrainsInFlightJob(t *testing.T) {
 		t.Fatal("Shutdown returned while a job was still in flight")
 	}
 	// Finish the job; the drain completes and the reply still arrives.
-	if err := writeRelHead(bw, 1, 2, 1, false, 0); err != nil {
+	if err := writeRelHead(bw, 1, 2, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	if err := writeKeyBlocksV3(bw, 1, 2, []join.Key{2}); err != nil {
@@ -523,58 +501,6 @@ func TestWorkerShutdownRefusesNewJobs(t *testing.T) {
 	// cleanly rather than hanging.
 	if _, err := exec.RunOver(sess, r1, r1, join.Equi{}, scheme, model, exec.Config{Seed: 112}); err == nil {
 		t.Fatal("job accepted after worker shutdown")
-	}
-}
-
-func TestSessionAbortsOversizedPayloadJobCleanly(t *testing.T) {
-	// A per-tuple payload beyond the frame limit is a coordinator-side
-	// validation failure: the job must fail with a descriptive error AND be
-	// aborted on the worker — the session stays usable and the worker's
-	// drain accounting is not stuck on the orphan (Shutdown completes).
-	ws, addrs := startWorkerSet(t, 1)
-	sess := dialSession(t, addrs)
-
-	keyShuffleOf := func(keys []join.Key) *exec.KeyShuffle {
-		s1, _ := exec.ShufflePair(keys, nil, partition.NewCI(1), exec.Config{Seed: 1})
-		return s1
-	}
-	oversized := exec.RelData{
-		Keys: keyShuffleOf([]join.Key{7}),
-		Payloads: func(int) exec.PayloadBlock {
-			return exec.PayloadBlock{
-				Flat: make([]byte, maxPayFrameBytes+1),
-				Off:  []uint32{0, maxPayFrameBytes + 1},
-			}
-		},
-	}
-	job := &exec.Job{
-		Cond:    join.Equi{},
-		Workers: 1,
-		R1:      exec.ResolvedRelFuture(oversized),
-		R2:      exec.ResolvedRelFuture(exec.RelData{Keys: keyShuffleOf(nil)}),
-	}
-	err := sess.RunJob(job, make([]exec.WorkerMetrics, 1))
-	if err == nil {
-		t.Fatal("oversized per-tuple payload accepted")
-	}
-	if !strings.Contains(err.Error(), "per-tuple wire limit") {
-		t.Fatalf("error %q does not name the per-tuple limit", err)
-	}
-
-	// The session (and the worker's job accounting) survived the abort.
-	r1 := randKeys(200, 100, 130)
-	res, err := exec.RunOver(sess, r1, r1, join.Equi{}, partition.NewCI(1), model,
-		exec.Config{Seed: 131})
-	if err != nil {
-		t.Fatalf("session unusable after aborted job: %v", err)
-	}
-	if want := localjoin.NestedLoopCount(r1, r1, join.Equi{}); res.Output != want {
-		t.Fatalf("output %d, want %d", res.Output, want)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := ws[0].Shutdown(ctx); err != nil {
-		t.Fatalf("Shutdown stuck on aborted job's accounting: %v", err)
 	}
 }
 

@@ -37,18 +37,14 @@ import (
 // connection-fatal — framing is the only thing that lets the two sides stay
 // in sync.
 
-// sessRel is one relation of an in-flight session job.
+// sessRel is one relation of an in-flight session job — or, in the job's
+// third slot, relation 2's re-key column, which a plan job's RELHEAD declares
+// alongside relation 2 and which fills from BLOCK frames like a flat relation.
 type sessRel struct {
 	declared bool
 	n        int // declared tuple count
 	keys     []join.Key
 	pos      int
-	hasPay   bool
-	payBytes int // declared payload segment size
-	pay      []byte
-	off      []uint32 // payload offsets; off[i]..off[i+1] is tuple i
-	payPos   int      // payload bytes received
-	payTup   int      // tuples whose payload lengths arrived
 
 	// Chunk-streamed decode (frameV3ChunkHead/Chunk/ChunkTail): the exact
 	// count is only known at the tail, so pos doubles as the running tuple
@@ -65,7 +61,7 @@ type sessJob struct {
 	wantPairs bool
 	counted   bool // beginJob admitted it (draining workers refuse)
 	err       error
-	rels      [2]sessRel
+	rels      [relRekey]sessRel
 
 	// engine is the job's join-engine selection as the coordinator sent it
 	// (never a future unknown value — see effectiveEngine).
@@ -122,10 +118,6 @@ func (j *sessJob) release() {
 			exec.PutKeyBuffer(r.keys)
 			r.keys = nil
 		}
-		if r.pay != nil {
-			putByteBuf(r.pay)
-			r.pay = nil
-		}
 	}
 	if j.stream != nil {
 		// Every job exit path lands here, so the join goroutine never outlives
@@ -160,9 +152,10 @@ func (j *sessJob) credit(n int64) {
 // kind the STREAM frames belong to.
 func (j *sessJob) streamOpened() bool { return j.stream != nil && !j.stream.fed() }
 
-// rel resolves a relation tag from a frame; 1 and 2 are valid.
+// rel resolves a relation tag from a frame: 1, 2, or relRekey for relation
+// 2's re-key column (which only BLOCK frames may name — see declarable).
 func (j *sessJob) rel(tag byte) (*sessRel, error) {
-	if tag != 1 && tag != 2 {
+	if tag < 1 || tag > relRekey {
 		return nil, fmt.Errorf("unknown relation %d", tag)
 	}
 	return &j.rels[tag-1], nil
@@ -381,12 +374,11 @@ func (j *sessJob) streamEnd(typ byte, h []byte) {
 	j.stream.feed(ev)
 }
 
-// dataFrame serves the variable-length data frames (PAY and the key frames:
-// BLOCK, CHUNK, a stream's BASE/WIN). A frame for a failed job is consumed
-// and dropped; a *protoErr from the decoder — which has consumed the frame —
-// fails only the job; anything else (unknown job, stream keys for a job
-// STREAMOPEN did not open, frame shorter than its sub-header, I/O error)
-// reports false: the connection's framing is lost.
+// dataFrame serves the key frames (BLOCK, CHUNK, a stream's BASE/WIN). A
+// frame for a failed job is consumed and dropped; a *protoErr from the decoder
+// — which has consumed the frame — fails only the job; anything else (unknown
+// job, stream keys for a job STREAMOPEN did not open, frame shorter than its
+// sub-header, I/O error) reports false: the connection's framing is lost.
 func (ws *workerSession) dataFrame(br *bufio.Reader, typ byte, id uint32, n int) bool {
 	j := ws.jobs[id]
 	stream := typ == frameV3StreamBase || typ == frameV3StreamWin
@@ -397,12 +389,7 @@ func (ws *workerSession) dataFrame(br *bufio.Reader, typ byte, id uint32, n int)
 		_, err := io.CopyN(io.Discard, br, int64(n))
 		return err == nil
 	}
-	var err error
-	if typ == frameV3Pay {
-		err = j.readPayBlock(br, n)
-	} else {
-		err = j.readKeyFrame(br, typ, n)
-	}
+	err := j.readKeyFrame(br, typ, n)
 	if pe, ok := err.(*protoErr); ok {
 		j.fail(pe)
 		return true
@@ -573,7 +560,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 				return
 			}
 
-		case frameV3Block, frameV3Pay, frameV3Chunk, frameV3StreamBase, frameV3StreamWin:
+		case frameV3Block, frameV3Chunk, frameV3StreamBase, frameV3StreamWin:
 			if !ws.dataFrame(br, typ, id, n) {
 				return
 			}
@@ -615,45 +602,48 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 	}
 }
 
-// relHead declares a flat relation: exact tuple count and payload bytes, from
-// which both receive buffers allocate before any data frame arrives.
+// relHead declares a flat relation: its exact tuple count and, on relation 2
+// of a plan job, the re-key column of as many keys — the receive buffers
+// allocate from the declaration before any data frame arrives.
 func (j *sessJob) relHead(r *sessRel, h []byte) error {
 	if err := j.declarable(r, h[0], false); err != nil {
 		return err
 	}
 	count := int64(binary.LittleEndian.Uint32(h[2:]))
-	payBytes := int64(binary.LittleEndian.Uint32(h[6:]))
 	if count > MaxRelationTuples {
 		return fmt.Errorf("relation count %d outside [0, %d]", count, MaxRelationTuples)
 	}
-	if payBytes > MaxRelationPayloadBytes {
-		return fmt.Errorf("payload bytes %d outside [0, %d]", payBytes, MaxRelationPayloadBytes)
+	rekey := h[1]&relFlagRekey != 0
+	if rekey && (h[0] != 2 || j.plan == nil) {
+		return fmt.Errorf("relation %d declares a re-key column; only a plan job's relation 2 carries one", h[0])
+	}
+	need := 8 * count
+	if rekey {
+		need *= 2
 	}
 	// Charge the tenant for the receive buffers BEFORE allocating them: a
 	// rejected job buffers nothing (its data frames drain via the j.err
 	// path), so an over-budget tenant degrades to typed rejections instead of
 	// memory growth.
-	if err := j.charge(8*count + payBytes); err != nil {
+	if err := j.charge(need); err != nil {
 		return err
 	}
-	r.declared = true
-	r.n = int(count)
-	r.keys = exec.GetKeyBuffer(r.n)
-	if h[1]&relFlagPayload != 0 {
-		r.hasPay = true
-		r.payBytes = int(payBytes)
-		r.pay = getByteBuf(r.payBytes)
-		r.off = make([]uint32, r.n+1)
+	*r = sessRel{declared: true, n: int(count), keys: exec.GetKeyBuffer(int(count))}
+	if rekey {
+		j.rels[relRekey-1] = sessRel{declared: true, n: int(count), keys: exec.GetKeyBuffer(int(count))}
 	}
 	return nil
 }
 
-// declarable refuses a second declaration of relation tag, any declaration
-// of a peer-fed job's relation 1, and one a running join goroutine could not
+// declarable refuses a head naming the re-key column (relation 2's RELHEAD
+// declares it), a second declaration of relation tag, any declaration of a
+// peer-fed job's relation 1, and one a running join goroutine could not
 // take: a STREAMOPEN job's relations are its STREAM frames, and a fed job's
 // other relation arrives as chunks or not at all.
 func (j *sessJob) declarable(r *sessRel, tag byte, chunked bool) error {
 	switch {
+	case tag == relRekey:
+		return fmt.Errorf("the re-key column is declared by relation 2's head, not its own")
 	case j.peerFed && tag == 1:
 		return fmt.Errorf("relation 1 of a peer-fed job arrives from peers, not the coordinator")
 	case r.declared:
@@ -674,10 +664,7 @@ func (j *sessJob) chunkHead(r *sessRel, h []byte) error {
 	if err := j.declarable(r, h[0], true); err != nil {
 		return err
 	}
-	if h[1] != 0 {
-		return fmt.Errorf("chunked relation %d declares flags %d (bare-key only)", h[0], h[1])
-	}
-	chunks := int64(binary.LittleEndian.Uint32(h[2:]))
+	chunks := int64(binary.LittleEndian.Uint32(h[1:]))
 	if chunks < 1 || chunks > maxRelationChunks {
 		return fmt.Errorf("chunked relation %d declares %d mappers, limit %d",
 			h[0], chunks, maxRelationChunks)
@@ -702,13 +689,9 @@ func (j *sessJob) chunkHead(r *sessRel, h []byte) error {
 // relation's tail seals the side and unblocks probing.
 func (j *sessJob) chunkTail(r *sessRel, h []byte) error {
 	count := int(binary.LittleEndian.Uint32(h[1:]))
-	payBytes := int(binary.LittleEndian.Uint32(h[5:]))
 	switch {
 	case !r.streaming:
 		return fmt.Errorf("tail for non-streaming relation %d", h[0])
-	case payBytes != 0:
-		return fmt.Errorf("chunked relation %d tail declares %d payload bytes (bare-key only)",
-			h[0], payBytes)
 	case r.pos != count:
 		return fmt.Errorf("chunked relation %d streamed %d tuples, tail declares %d",
 			h[0], r.pos, count)
@@ -848,84 +831,15 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 	return nil
 }
 
-// readPayBlock decodes one v3 payload frame: per-tuple lengths accumulate
-// into the relation's offset table and the raw bytes land in the pooled
-// flat buffer. Truncation, overflow and length/frame mismatches are
-// job-level errors.
-func (j *sessJob) readPayBlock(br *bufio.Reader, n int) error {
-	if n < blockHeaderLen {
-		return fmt.Errorf("payload frame length %d below sub-header size", n)
-	}
-	var bh [blockHeaderLen]byte
-	if _, err := io.ReadFull(br, bh[:]); err != nil {
-		return err
-	}
-	count := int(binary.LittleEndian.Uint32(bh[1:]))
-	rest := n - blockHeaderLen
-	drain := func(e *protoErr) error { return drainFrame(br, rest, e) }
-	if rest < 4*count {
-		return drain(protoErrf("payload frame length %d too short for %d lengths", n, count))
-	}
-	r, err := j.rel(bh[0])
-	if err != nil {
-		return drain(protoErrf("%s", err))
-	}
-	if !r.declared || !r.hasPay {
-		return drain(protoErrf("payload block for relation %d without a declared payload segment", bh[0]))
-	}
-	if r.payTup+count > r.n {
-		return drain(protoErrf("relation %d payload tuples overflow declared count %d", bh[0], r.n))
-	}
-	// Pull the length vector through pooled scratch: one buffered read per
-	// ~16k tuples instead of a 4-byte ReadFull per tuple.
-	scratch := getScratch()
-	total := 0
-	for i := 0; i < count; {
-		buf := *scratch
-		c := len(buf) / 4
-		if c > count-i {
-			c = count - i
-		}
-		if _, err := io.ReadFull(br, buf[:4*c]); err != nil {
-			putScratch(scratch)
-			return err
-		}
-		rest -= 4 * c
-		for k := 0; k < c; k++ {
-			sz := int(binary.LittleEndian.Uint32(buf[4*k:]))
-			if r.payPos+total+sz > r.payBytes {
-				putScratch(scratch)
-				return drain(protoErrf("relation %d payload overflows declared %d bytes", bh[0], r.payBytes))
-			}
-			total += sz
-			r.off[r.payTup+1+i+k] = uint32(r.payPos + total)
-		}
-		i += c
-	}
-	putScratch(scratch)
-	if rest != total {
-		// The byte segment disagrees with the lengths: a truncated (or
-		// padded) payload frame.
-		e := protoErrf("relation %d payload frame carries %d bytes, lengths sum to %d (truncated frame)",
-			bh[0], rest, total)
-		return drain(e)
-	}
-	if _, err := io.ReadFull(br, r.pay[r.payPos:r.payPos+total]); err != nil {
-		return err
-	}
-	r.payPos += total
-	r.payTup += count
-	return nil
-}
-
 // validateComplete checks a job's stream against its declarations at EOS.
 // A peer-fed job's relation 1 is exempt: it arrives over the mesh (the
 // declaration frames refuse it from the coordinator) and the join goroutine
-// probes it straight out of the transfer table.
+// probes it straight out of the transfer table. The re-key column is checked
+// when declared; runPlanJob insists a plan job declared it.
 func (j *sessJob) validateComplete() error {
 	for i := range j.rels {
 		r := &j.rels[i]
-		if j.peerFed && i == 0 {
+		if (j.peerFed && i == 0) || (i == relRekey-1 && !r.declared) {
 			continue
 		}
 		if !r.declared {
@@ -936,10 +850,6 @@ func (j *sessJob) validateComplete() error {
 		}
 		if r.pos != r.n {
 			return fmt.Errorf("relation %d ended at %d tuples, head declared %d", i+1, r.pos, r.n)
-		}
-		if r.hasPay && (r.payPos != r.payBytes || r.payTup != r.n) {
-			return fmt.Errorf("relation %d payload ended at %d bytes/%d tuples, head declared %d/%d",
-				i+1, r.payPos, r.payTup, r.payBytes, r.n)
 		}
 	}
 	return nil
@@ -986,11 +896,9 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 	}
 	r1, r2 := &j.rels[0], &j.rels[1]
 	m := metrics{
-		InputR1:   int64(r1.n),
-		InputR2:   int64(r2.n),
-		PayBytes1: int64(r1.payBytes),
-		PayBytes2: int64(r2.payBytes),
-		Engine:    int(j.engine.ForCond(j.cond)),
+		InputR1: int64(r1.n),
+		InputR2: int64(r2.n),
+		Engine:  int(j.engine.ForCond(j.cond)),
 	}
 	start := time.Now()
 	switch {
@@ -1025,11 +933,11 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 	return m, nil
 }
 
-// runPlanJob executes a stage-1 plan job's join and peer re-shuffle: the
-// matches materialize as the stage-2 keys decoded from relation 2's payload
-// segment, the plan routes them (batch-routed through the shared exec
-// shuffle, deterministic per sender), and each stage-2 worker's share
-// streams directly to that peer over the mesh. A stats-deferred job
+// runPlanJob executes a stage-1 plan job's join and peer re-shuffle: each
+// match materializes as its relation-2 tuple's entry in the re-key column,
+// the plan routes them (batch-routed through the shared exec shuffle,
+// deterministic per sender), and each stage-2 worker's share streams
+// directly to that peer over the mesh. A stats-deferred job
 // interposes the statistics exchange between materializing and routing:
 // summarize, ship the summary, park until the replanned artifact (or a
 // cancel, a kill, or the coordinator hanging up) arrives. It returns the
@@ -1057,14 +965,9 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64
 			return 0, nil, err
 		}
 	}
-	if !r2.hasPay || r2.payBytes != 8*r2.n {
-		return 0, nil, fmt.Errorf("plan job needs 8-byte stage-2 keys as relation 2 payloads (%d bytes for %d tuples)",
-			r2.payBytes, r2.n)
-	}
-	for i := 0; i < r2.n; i++ {
-		if r2.off[i+1]-r2.off[i] != 8 {
-			return 0, nil, fmt.Errorf("relation 2 tuple %d payload is %d bytes, want 8", i, r2.off[i+1]-r2.off[i])
-		}
+	rekey := &j.rels[relRekey-1]
+	if !rekey.declared {
+		return 0, nil, fmt.Errorf("plan job without relation 2's re-key column")
 	}
 
 	// Materialize in the deterministic pair order (R1 arrival order, partners
@@ -1074,7 +977,7 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64
 	inter := make([]join.Key, 0, r1.n)
 	out := exec.JoinPairsEngine(j.engine, r1.keys, r2.keys, j.cond, func(chunk []exec.PairIdx) {
 		for _, p := range chunk {
-			inter = append(inter, join.Key(binary.LittleEndian.Uint64(r2.pay[r2.off[p.I2]:])))
+			inter = append(inter, rekey.keys[p.I2])
 		}
 	})
 	// Per-tenant intermediate quota: the stage-1 match materialization is the

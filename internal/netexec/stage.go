@@ -207,13 +207,12 @@ func (st *stagePipe) runDeferredStage1(spec1 join.Spec, first *exec.Job,
 		return nil, fmt.Errorf("netexec: stats-deferred plan without a statistics spec")
 	}
 	jobs := make([]*subJob, j1)
-	sentPays := make([][2]int64, j1)
 	sums := make([][]byte, j1)
 	err := fanOut(j1, func(w int) (err error) {
 		ps := planSpec{Token: st.token, WantStats: true, StatsCap: next.Stats.Cap,
 			StatsBuckets: next.Stats.Buckets, StatsSeed: next.Stats.Seed,
 			StatsAdaptive: next.Stats.Adaptive}
-		jobs[w], sums[w], sentPays[w], err = s.conns[w].openStatsStageJob(st.id1, w, spec1, &ps, first)
+		jobs[w], sums[w], err = s.conns[w].openStatsStageJob(st.id1, w, spec1, &ps, first)
 		return err
 	})
 	abandon := func(err error) ([]*subJob, error) {
@@ -242,7 +241,7 @@ func (st *stagePipe) runDeferredStage1(spec1 join.Spec, first *exec.Job,
 	peers := s.Addrs()[:j2]
 	return st.overlap(j1, j2, func(w int) (err error) {
 		ps := planSpec{Token: st.token, Plan: plan, Peers: peers, Self: selfIndex(w, peers)}
-		st.counts[w], err = jobs[w].finishStatsStageJob(&ps, sentPays[w], &wm1[w])
+		st.counts[w], err = jobs[w].finishStatsStageJob(&ps, &wm1[w])
 		return err
 	})
 }
@@ -266,13 +265,13 @@ func (s *Session) cancelPlan(token uint64) {
 // stays open for phase B. A worker that replies metrics instead of a summary
 // failed its join.
 func (c *sessConn) openStatsStageJob(id uint32, workerID int, spec join.Spec, ps *planSpec,
-	job *exec.Job) (*subJob, []byte, [2]int64, error) {
+	job *exec.Job) (*subJob, []byte, error) {
 
 	j, err := c.open("stats stage job", id, workerID, &jobHandler{stats: make(chan []byte, 1)})
 	if err != nil {
-		return nil, nil, [2]int64{}, err
+		return nil, nil, err
 	}
-	sentPay, err := j.sendJob(spec, ps, job)
+	err = j.sendJob(spec, ps, job)
 	var r subReply
 	if err == nil {
 		r, err = j.await("statistics summary", true)
@@ -282,16 +281,15 @@ func (c *sessConn) openStatsStageJob(id uint32, workerID int, spec join.Spec, ps
 	}
 	if err != nil {
 		j.close()
-		return nil, nil, [2]int64{}, err
+		return nil, nil, err
 	}
-	return j, r.stats, sentPay, nil
+	return j, r.stats, nil
 }
 
 // finishStatsStageJob runs phase B: deliver the replanned artifact and peer
 // map in a PLAN2 frame and wait for the job's terminal metrics (the count
 // vector), exactly as a pre-built plan job's reply.
-func (j *subJob) finishStatsStageJob(ps *planSpec, sentPay [2]int64,
-	m *exec.WorkerMetrics) ([]int64, error) {
+func (j *subJob) finishStatsStageJob(ps *planSpec, m *exec.WorkerMetrics) ([]int64, error) {
 
 	defer j.close()
 	err := j.send(func(bw *bufio.Writer) error {
@@ -300,7 +298,7 @@ func (j *subJob) finishStatsStageJob(ps *planSpec, sentPay [2]int64,
 	if err != nil {
 		return nil, err
 	}
-	return j.finish(sentPay, m)
+	return j.finish(m)
 }
 
 // openPeerJob opens one stage-2 sub-job — its per-sender counts follow in a

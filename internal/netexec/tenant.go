@@ -12,9 +12,9 @@ import (
 // a bounded in-flight-join semaphore with a per-tenant bounded wait queue and
 // a queue deadline, dispatched by weighted fair scheduling so no tenant
 // starves under a heavy neighbor — and (b) PER-TENANT RESOURCE BUDGETS — the
-// process-wide wire caps (MaxRelationTuples, MaxRelationPayloadBytes) become
-// per-tenant byte and intermediate quotas, charged when a job's receive
-// buffers are allocated and credited back when the job releases them.
+// process-wide wire cap (MaxRelationTuples) becomes per-tenant byte and
+// intermediate quotas, charged when a job's receive buffers are allocated
+// and credited back when the job releases them.
 //
 // Tenancy is declared by the coordinator in a session HELLO frame
 // (frameV3Hello) right after the protocol prelude; a session that sends no
@@ -108,9 +108,8 @@ type TenantPolicy struct {
 	// tenant when both are backlogged. <= 0 means 1.
 	Weight int
 	// MaxBytes bounds the relation bytes the tenant may have buffered on
-	// this worker across all its in-flight and queued jobs (8 bytes per key
-	// plus declared payload segments, and 8 bytes per peer-transferred
-	// intermediate tuple). <= 0 means unlimited.
+	// this worker across all its in-flight and queued jobs (8 bytes per key,
+	// per re-key column entry and per peer-transferred intermediate tuple). <= 0 means unlimited.
 	MaxBytes int64
 	// MaxIntermediate bounds the stage-1 match count a single plan job of
 	// this tenant may materialize worker-side. <= 0 means unlimited.

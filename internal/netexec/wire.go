@@ -24,8 +24,8 @@ import (
 //	version 4, worker→worker peer:  [type u8][payloadLen u32][payload]
 //
 // Control frames (opens, plans, metrics — a few per job) carry gob inside
-// their frame for flexibility; data frames (key blocks, chunks, payloads,
-// pairs) are raw fixed-width binary, so the coordinator encodes straight out
+// their frame for flexibility; data frames (key blocks, chunks, pairs) are
+// raw fixed-width binary, so the coordinator encodes straight out
 // of the shuffle's contiguous per-worker slices and the worker decodes
 // straight into exactly-sized pooled buffers. DESIGN.md's "Transport"
 // section is the normative frame table.
@@ -46,9 +46,8 @@ const (
 	// Session frames. Every header carries a job number, so one connection
 	// interleaves many jobs' frames.
 	frameV3OpenJob = 10 // coord→worker gob jobOpen
-	frameV3RelHead = 11 // coord→worker [rel u8][flags u8][count u32][payBytes u32]
-	frameV3Block   = 12 // coord→worker [rel u8][count u32][count×8 LE keys]
-	frameV3Pay     = 13 // coord→worker [rel u8][count u32][count×4 LE lens][bytes]
+	frameV3RelHead = 11 // coord→worker [rel u8][flags u8][count u32]
+	frameV3Block   = 12 // coord→worker [rel u8][count u32][count×8 LE keys]; rel 3: the re-key column
 	frameV3EOS     = 14 // coord→worker job data complete; worker joins
 	frameV3Pairs   = 15 // worker→coord [count u32][count×(i1 u32, i2 u32)]
 	frameV3Metrics = 16 // worker→coord gob metrics (terminates the job)
@@ -88,9 +87,9 @@ const (
 	// sub-block splits at the frame cap); the TAIL is the terminator, carrying
 	// exact totals the coordinator only knows at the end, and the worker
 	// validates its running counts against them.
-	frameV3ChunkHead = 25 // coord→worker [rel u8][flags u8][chunks u32]
+	frameV3ChunkHead = 25 // coord→worker [rel u8][chunks u32]
 	frameV3Chunk     = 26 // coord→worker [rel u8][mapper u16][count u32][count×8 LE keys]
-	frameV3ChunkTail = 27 // coord→worker [rel u8][count u32][payBytes u32] — exact totals
+	frameV3ChunkTail = 27 // coord→worker [rel u8][count u32] — the exact total
 
 	// PEERBIND frame (stage-overlapped dispatch): a peer-fed job opens while
 	// stage 1 still runs, so its exact per-sender counts exist only after stage
@@ -123,17 +122,21 @@ const (
 	framePeerHead  = 30 // [token u64][sender u32][count u32] — declares one sender's contribution
 	framePeerBlock = 31 // [token u64][sender u32][count u32][count×8 LE keys]
 
-	// relFlagPayload marks a relation head that declares a payload segment.
-	relFlagPayload = 1
+	// relFlagRekey on relation 2's head of a plan job declares the re-key
+	// column: count more keys, aligned with the relation's, that follow as
+	// BLOCK frames tagged relRekey — the stage-2 join key a match
+	// materializes as.
+	relFlagRekey = 1
+	relRekey     = 3
 
 	// blockHeaderLen is [rel u8][count u32].
 	blockHeaderLen = 5
-	// chunkHeadLen is [rel u8][flags u8][chunks u32].
-	chunkHeadLen = 6
+	// chunkHeadLen is [rel u8][chunks u32].
+	chunkHeadLen = 5
 	// chunkHeaderLen is frameV3Chunk's sub-header: [rel u8][mapper u16][count u32].
 	chunkHeaderLen = 7
-	// chunkTailLen is [rel u8][count u32][payBytes u32].
-	chunkTailLen = 9
+	// chunkTailLen is [rel u8][count u32].
+	chunkTailLen = 5
 	// streamBaseHdrLen is frameV3StreamBase's sub-header [epoch u32][count u32];
 	// frameV3StreamBaseEnd reuses the layout with the exact total in the
 	// count slot.
@@ -145,24 +148,18 @@ const (
 	// maxRelationChunks bounds the chunk count a chunk head may declare; it
 	// is the mapper count, which no sane coordinator sets anywhere near this.
 	maxRelationChunks = 1 << 16
-	// relHeadLen is [rel u8][flags u8][count u32][payBytes u32].
-	relHeadLen = 10
+	// relHeadLen is [rel u8][flags u8][count u32].
+	relHeadLen = 6
 	// maxBlockKeys caps the keys one key-carrying frame holds (128 MiB); a
 	// longer run splits into consecutive frames (see writeKeyFrames).
 	maxBlockKeys = 1 << 24
-	// maxPayFrameBytes caps one payload frame's byte segment (64 MiB); a
-	// larger per-worker payload block is split into consecutive frames.
-	// A SINGLE tuple's payload must fit one frame (lengths and bytes
-	// travel together), so this is also the per-tuple payload ceiling —
-	// enforced on the coordinator before any frame is written.
-	maxPayFrameBytes = 1 << 26
 	// maxKeySubHdrLen is the longest sub-header a key-carrying frame leads
 	// with (framePeerBlock's; BLOCK 5, CHUNK 7, STREAMBASE 8, STREAMWIN 12).
 	maxKeySubHdrLen = peerBlockHeaderLen
-	// maxFramePayload is the longest payload either frame-header reader
+	// maxDataPayload is the longest payload either frame-header reader
 	// accepts: a full key frame under the longest sub-header, so a maximal
 	// frame of every key-carrying type passes.
-	maxFramePayload = maxKeySubHdrLen + 8*maxBlockKeys
+	maxDataPayload = maxKeySubHdrLen + 8*maxBlockKeys
 	// maxControlPayload bounds the control frames (gob, and the raw STATS
 	// summary), whose payload is buffered whole before it decodes: a reader
 	// refuses a longer one connection-fatally BEFORE allocating for it — a bare
@@ -183,12 +180,6 @@ const (
 	// the receiver knows the real sender count from its stage-2 job open.
 	maxPeerSenders = 1 << 12
 )
-
-// MaxRelationPayloadBytes bounds the payload bytes one relation head may
-// declare (1 GiB). Like MaxRelationTuples, the worker allocates the receive
-// buffer from the declared size before any data arrives, so the cap is what
-// keeps a malformed coordinator from OOMing the worker process.
-const MaxRelationPayloadBytes = 1 << 30
 
 // protoMagic opens every connection.
 var protoMagic = [4]byte{'E', 'W', 'H', 'B'}
@@ -215,8 +206,8 @@ func readFrameHeader(r io.Reader) (typ byte, payloadLen int, err error) {
 		return 0, 0, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > maxFramePayload {
-		return 0, 0, fmt.Errorf("frame payload %d exceeds limit %d", n, maxFramePayload)
+	if n > maxDataPayload {
+		return 0, 0, fmt.Errorf("frame payload %d exceeds limit %d", n, maxDataPayload)
 	}
 	return hdr[0], int(n), nil
 }
@@ -252,8 +243,8 @@ func readV3FrameHeader(r io.Reader) (typ byte, job uint32, payloadLen int, err e
 		return 0, 0, 0, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[5:])
-	if n > maxFramePayload {
-		return 0, 0, 0, fmt.Errorf("frame payload %d exceeds limit %d", n, maxFramePayload)
+	if n > maxDataPayload {
+		return 0, 0, 0, fmt.Errorf("frame payload %d exceeds limit %d", n, maxDataPayload)
 	}
 	return hdr[0], binary.LittleEndian.Uint32(hdr[1:]), int(n), nil
 }
@@ -295,18 +286,16 @@ func readGobPayload(r io.Reader, n int, v any) error {
 	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }
 
-// writeRelHead announces one relation of a session job: its exact tuple
-// count and, when the relation carries payloads, the exact total payload
-// byte size — the worker allocates both receive buffers from these before
-// any data frame arrives.
-func writeRelHead(w io.Writer, job uint32, rel int8, count int, hasPay bool, payBytes int) error {
+// writeRelHead announces one flat relation of a session job: its exact tuple
+// count and whether a re-key column of as many keys follows — the worker
+// allocates its receive buffers from these before any data frame arrives.
+func writeRelHead(w io.Writer, job uint32, rel int8, count int, rekey bool) error {
 	var h [relHeadLen]byte
 	h[0] = byte(rel)
-	if hasPay {
-		h[1] = relFlagPayload
+	if rekey {
+		h[1] = relFlagRekey
 	}
 	binary.LittleEndian.PutUint32(h[2:], uint32(count))
-	binary.LittleEndian.PutUint32(h[6:], uint32(payBytes))
 	return writeHeadFrame(w, frameV3RelHead, job, h[:])
 }
 
@@ -370,7 +359,7 @@ var keySubHdrLen = [...]int{frameV3Block: blockHeaderLen, frameV3Chunk: chunkHea
 	framePeerBlock: peerBlockHeaderLen}
 
 // writeKeyBlocksV3 streams one flat relation's contiguous per-worker key slice
-// as BLOCK frames.
+// (or, under relRekey, relation 2's re-key column) as BLOCK frames.
 func writeKeyBlocksV3(w io.Writer, job uint32, rel int8, keys []join.Key) error {
 	var h [blockHeaderLen]byte
 	h[0] = byte(rel)
@@ -446,61 +435,6 @@ func writeKeysLE(w io.Writer, block []join.Key, buf []byte) error {
 	return nil
 }
 
-// writePayloadBlocks streams one worker's encoded payload block as v3
-// payload frames: per-tuple u32 lengths followed by the raw bytes, split so
-// no frame exceeds maxPayFrameBytes of payload data. An empty block (zero
-// tuples) writes nothing — the relation head already declared zero.
-func writePayloadBlocks(w *bufio.Writer, job uint32, rel int8, pb exec.PayloadBlock) error {
-	tuples := len(pb.Off) - 1
-	for lo := 0; lo < tuples; {
-		hi := lo
-		frameBytes := 0
-		for hi < tuples && hi-lo < maxBlockKeys {
-			sz := int(pb.Off[hi+1] - pb.Off[hi])
-			if frameBytes > 0 && frameBytes+sz > maxPayFrameBytes {
-				break
-			}
-			frameBytes += sz
-			hi++
-		}
-		count := hi - lo
-		if err := writeV3FrameHeader(w, frameV3Pay, job, blockHeaderLen+4*count+frameBytes); err != nil {
-			return err
-		}
-		var bh [blockHeaderLen]byte
-		bh[0] = byte(rel)
-		binary.LittleEndian.PutUint32(bh[1:], uint32(count))
-		if _, err := w.Write(bh[:]); err != nil {
-			return err
-		}
-		// Stage the length vector through pooled scratch: one buffered Write
-		// per ~16k tuples instead of one per tuple, identical wire bytes.
-		scratch := getScratch()
-		buf := *scratch
-		for i := lo; i < hi; {
-			c := len(buf) / 4
-			if c > hi-i {
-				c = hi - i
-			}
-			chunk := buf[:4*c]
-			for k := 0; k < c; k++ {
-				binary.LittleEndian.PutUint32(chunk[4*k:], pb.Off[i+k+1]-pb.Off[i+k])
-			}
-			if _, err := w.Write(chunk); err != nil {
-				putScratch(scratch)
-				return err
-			}
-			i += c
-		}
-		putScratch(scratch)
-		if _, err := w.Write(pb.Flat[pb.Off[lo]:pb.Off[hi]]); err != nil {
-			return err
-		}
-		lo = hi
-	}
-	return nil
-}
-
 // writePairsFrame ships one chunk of matched index pairs back to the
 // coordinator, staged through a pooled scratch buffer.
 func writePairsFrame(w *bufio.Writer, job uint32, pairs []exec.PairIdx) error {
@@ -535,23 +469,20 @@ func writePairsFrame(w *bufio.Writer, job uint32, pairs []exec.PairIdx) error {
 
 // writeChunkHead declares a chunked relation routed by `chunks` mappers;
 // chunk frames follow in any interleaving (empty sub-blocks are skipped),
-// then a tail with exact totals terminates the relation. Chunked relations
-// are bare-key only, so flags is always 0 for now and the worker rejects
-// anything else.
+// then a tail with the exact total terminates the relation.
 func writeChunkHead(w io.Writer, job uint32, rel int8, chunks int) error {
 	var h [chunkHeadLen]byte
 	h[0] = byte(rel)
-	binary.LittleEndian.PutUint32(h[2:], uint32(chunks))
+	binary.LittleEndian.PutUint32(h[1:], uint32(chunks))
 	return writeHeadFrame(w, frameV3ChunkHead, job, h[:])
 }
 
-// writeChunkTail closes a chunked relation with its exact totals; the worker
-// cross-checks them against the running counts the chunks accumulated.
-func writeChunkTail(w io.Writer, job uint32, rel int8, count, payBytes int) error {
+// writeChunkTail closes a chunked relation with its exact total; the worker
+// cross-checks it against the running count the chunks accumulated.
+func writeChunkTail(w io.Writer, job uint32, rel int8, count int) error {
 	var h [chunkTailLen]byte
 	h[0] = byte(rel)
 	binary.LittleEndian.PutUint32(h[1:], uint32(count))
-	binary.LittleEndian.PutUint32(h[5:], uint32(payBytes))
 	return writeHeadFrame(w, frameV3ChunkTail, job, h[:])
 }
 
@@ -633,25 +564,4 @@ func readPairsPayload(r io.Reader, n int) ([]exec.PairIdx, error) {
 		pos += c
 	}
 	return out, nil
-}
-
-// byteBufPool recycles the workers' flat payload receive buffers.
-var byteBufPool = sync.Pool{} // stores *[]byte
-
-func getByteBuf(n int) []byte {
-	if v := byteBufPool.Get(); v != nil {
-		b := *v.(*[]byte)
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]byte, n)
-}
-
-func putByteBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	byteBufPool.Put(&b)
 }

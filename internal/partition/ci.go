@@ -44,26 +44,8 @@ func (s *CI) Name() string { return "CI" }
 // Workers implements Scheme.
 func (s *CI) Workers() int { return s.rows * s.cols }
 
-// RouteR1 implements Scheme: a random row, replicated across all columns.
-func (s *CI) RouteR1(_ join.Key, rng *stats.RNG, buf []int) []int {
-	r := rng.Intn(s.rows)
-	for c := 0; c < s.cols; c++ {
-		buf = append(buf, r*s.cols+c)
-	}
-	return buf
-}
-
-// RouteR2 implements Scheme: a random column, replicated across all rows.
-func (s *CI) RouteR2(_ join.Key, rng *stats.RNG, buf []int) []int {
-	c := rng.Intn(s.cols)
-	for r := 0; r < s.rows; r++ {
-		buf = append(buf, r*s.cols+c)
-	}
-	return buf
-}
-
-// RouteBatchR1 implements BatchRouter: one random row per key, replicated
-// across all columns, consuming exactly one RNG draw per key like RouteR1.
+// RouteBatchR1 implements Scheme: one random row per key (one RNG draw),
+// replicated across all columns.
 // The fan-out is the constant cols, so Lens is skipped entirely; per-row
 // tallies are kept in a small local array and folded into Counts once.
 func (s *CI) RouteBatchR1(keys []join.Key, rng *stats.RNG, b *RouteBatch) {
@@ -87,7 +69,7 @@ func (s *CI) RouteBatchR1(keys []join.Key, rng *stats.RNG, b *RouteBatch) {
 	b.Fanout = s.cols
 }
 
-// RouteBatchR2 implements BatchRouter: one random column per key, replicated
+// RouteBatchR2 implements Scheme: one random column per key, replicated
 // across all rows; constant fan-out rows.
 func (s *CI) RouteBatchR2(keys []join.Key, rng *stats.RNG, b *RouteBatch) {
 	cols := int32(s.cols)

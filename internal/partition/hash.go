@@ -91,28 +91,9 @@ func hashKey(k join.Key) uint64 {
 	return z ^ (z >> 31)
 }
 
-// RouteR1 implements Scheme: heavy keys scatter uniformly at random (the
-// mapper-local RNG keeps routing race-free), others hash.
-func (h *Hash) RouteR1(k join.Key, rng *stats.RNG, buf []int) []int {
-	if h.isHeavy(k) {
-		return append(buf, rng.Intn(h.workers))
-	}
-	return append(buf, int(hashKey(k)%uint64(h.workers)))
-}
-
-// RouteR2 implements Scheme: heavy keys broadcast, others hash.
-func (h *Hash) RouteR2(k join.Key, _ *stats.RNG, buf []int) []int {
-	if h.isHeavy(k) {
-		for w := 0; w < h.workers; w++ {
-			buf = append(buf, w)
-		}
-		return buf
-	}
-	return append(buf, int(hashKey(k)%uint64(h.workers)))
-}
-
-// RouteBatchR1 implements BatchRouter: fan-out is always exactly one worker
-// (heavy keys scatter, others hash), so Lens is skipped and the common
+// RouteBatchR1 implements Scheme: fan-out is always exactly one worker (heavy
+// keys scatter uniformly at random — the mapper-local RNG keeps routing
+// race-free — others hash), so Lens is skipped and the common
 // no-heavy-hitter case is a tight hash loop.
 func (h *Hash) RouteBatchR1(keys []join.Key, rng *stats.RNG, b *RouteBatch) {
 	j := uint64(h.workers)
@@ -139,7 +120,7 @@ func (h *Hash) RouteBatchR1(keys []join.Key, rng *stats.RNG, b *RouteBatch) {
 	b.Fanout = 1
 }
 
-// RouteBatchR2 implements BatchRouter: heavy keys broadcast, others hash, so
+// RouteBatchR2 implements Scheme: heavy keys broadcast, others hash, so
 // the fan-out is uniform (and Lens skippable) only without heavy hitters.
 func (h *Hash) RouteBatchR2(keys []join.Key, _ *stats.RNG, b *RouteBatch) {
 	j := uint64(h.workers)
@@ -194,20 +175,7 @@ func (b *Broadcast) Name() string { return "Broadcast" }
 // Workers implements Scheme.
 func (b *Broadcast) Workers() int { return b.workers }
 
-// RouteR1 implements Scheme: uniform scatter.
-func (b *Broadcast) RouteR1(_ join.Key, rng *stats.RNG, buf []int) []int {
-	return append(buf, rng.Intn(b.workers))
-}
-
-// RouteR2 implements Scheme: replicate everywhere.
-func (b *Broadcast) RouteR2(_ join.Key, _ *stats.RNG, buf []int) []int {
-	for w := 0; w < b.workers; w++ {
-		buf = append(buf, w)
-	}
-	return buf
-}
-
-// RouteBatchR1 implements BatchRouter: one RNG draw per key, like RouteR1.
+// RouteBatchR1 implements Scheme: uniform scatter, one RNG draw per key.
 func (b *Broadcast) RouteBatchR1(keys []join.Key, rng *stats.RNG, rb *RouteBatch) {
 	routes, counts := rb.Routes, rb.Counts
 	for range keys {
@@ -219,7 +187,7 @@ func (b *Broadcast) RouteBatchR1(keys []join.Key, rng *stats.RNG, rb *RouteBatch
 	rb.Fanout = 1
 }
 
-// RouteBatchR2 implements BatchRouter: every key replicates to all workers —
+// RouteBatchR2 implements Scheme: every key replicates to all workers —
 // constant fan-out, Lens skipped.
 func (b *Broadcast) RouteBatchR2(keys []join.Key, _ *stats.RNG, rb *RouteBatch) {
 	routes := rb.Routes

@@ -23,8 +23,8 @@ func TestHashPairMeetsExactlyOnce(t *testing.T) {
 	}
 	rng := stats.NewRNG(1)
 	for k := join.Key(-100); k <= 100; k++ {
-		w1 := h.RouteR1(k, rng, nil)
-		w2 := h.RouteR2(k, rng, nil)
+		w1 := route(h, 1, k, rng)
+		w2 := route(h, 2, k, rng)
 		if len(w1) != 1 || len(w2) != 1 || w1[0] != w2[0] {
 			t.Fatalf("key %d: R1 targets %v, R2 targets %v", k, w1, w2)
 		}
@@ -42,14 +42,14 @@ func TestHashHeavyKeyHandling(t *testing.T) {
 	}
 	rng := stats.NewRNG(2)
 	// Heavy R2 tuples broadcast everywhere.
-	w2 := h.RouteR2(7, rng, nil)
+	w2 := route(h, 2, 7, rng)
 	if len(w2) != 4 {
 		t.Fatalf("heavy R2 targets %v, want all 4", w2)
 	}
 	// Heavy R1 tuples scatter: over many routings every worker appears.
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		w1 := h.RouteR1(7, rng, nil)
+		w1 := route(h, 1, 7, rng)
 		if len(w1) != 1 {
 			t.Fatal("heavy R1 tuple replicated")
 		}
@@ -60,8 +60,8 @@ func TestHashHeavyKeyHandling(t *testing.T) {
 	}
 	// A heavy pair still meets exactly once: R1 copy at one worker, R2 copy
 	// at every worker.
-	w1 := h.RouteR1(42, rng, nil)
-	w2 = h.RouteR2(42, rng, nil)
+	w1 := route(h, 1, 42, rng)
+	w2 = route(h, 2, 42, rng)
 	common := 0
 	for _, a := range w1 {
 		for _, b := range w2 {
@@ -101,12 +101,12 @@ func TestBroadcastRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(3)
-	if got := b.RouteR2(9, rng, nil); len(got) != 4 {
+	if got := route(b, 2, 9, rng); len(got) != 4 {
 		t.Fatalf("R2 broadcast to %d workers", len(got))
 	}
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		w := b.RouteR1(join.Key(i), rng, nil)
+		w := route(b, 1, join.Key(i), rng)
 		if len(w) != 1 {
 			t.Fatal("R1 tuple replicated")
 		}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"testing"
 
 	"ewh/internal/join"
@@ -8,6 +9,37 @@ import (
 	"ewh/internal/stats"
 	"ewh/internal/tiling"
 )
+
+// route routes one key through s's batch router for relation rel — the only
+// routing path a scheme has — and returns its receivers, having checked the
+// batch's bookkeeping (Counts, and Fanout or Lens) against them.
+func route(s Scheme, rel int, k join.Key, rng *stats.RNG) []int {
+	var b RouteBatch
+	b.Reset(s.Workers(), 1)
+	if rel == 2 {
+		s.RouteBatchR2([]join.Key{k}, rng, &b)
+	} else {
+		s.RouteBatchR1([]join.Key{k}, rng, &b)
+	}
+	n := b.Fanout
+	if n == 0 {
+		n = int(b.Lens[0])
+	}
+	out := make([]int, len(b.Routes))
+	for i, w := range b.Routes {
+		out[i] = int(w)
+		b.Counts[w]--
+	}
+	for w, c := range b.Counts {
+		if c != 0 {
+			panic(fmt.Sprintf("route: worker %d tallied %+d beside the receiver list %v", w, c, out))
+		}
+	}
+	if n != len(out) {
+		panic(fmt.Sprintf("route: fan-out %d for the receiver list %v", n, out))
+	}
+	return out
+}
 
 func TestNewCIGrid(t *testing.T) {
 	cases := []struct {
@@ -33,7 +65,7 @@ func TestCIRouting(t *testing.T) {
 	rng := stats.NewRNG(1)
 	rows, cols := ci.Grid()
 	for i := 0; i < 200; i++ {
-		w1 := ci.RouteR1(join.Key(i), rng, nil)
+		w1 := route(ci, 1, join.Key(i), rng)
 		if len(w1) != cols {
 			t.Fatalf("R1 tuple replicated to %d workers, want %d", len(w1), cols)
 		}
@@ -44,7 +76,7 @@ func TestCIRouting(t *testing.T) {
 				t.Fatal("R1 targets span multiple grid rows")
 			}
 		}
-		w2 := ci.RouteR2(join.Key(i), rng, nil)
+		w2 := route(ci, 2, join.Key(i), rng)
 		if len(w2) != rows {
 			t.Fatalf("R2 tuple replicated to %d workers, want %d", len(w2), rows)
 		}
@@ -62,8 +94,8 @@ func TestCIEveryPairMeetsOnce(t *testing.T) {
 	ci := NewCI(12)
 	rng := stats.NewRNG(2)
 	for i := 0; i < 100; i++ {
-		w1 := ci.RouteR1(0, rng, nil)
-		w2 := ci.RouteR2(0, rng, nil)
+		w1 := route(ci, 1, 0, rng)
+		w2 := route(ci, 2, 0, rng)
 		common := 0
 		for _, a := range w1 {
 			for _, b := range w2 {
@@ -84,7 +116,7 @@ func TestCIRandomRowsCoverGrid(t *testing.T) {
 	rows, cols := ci.Grid()
 	seen := make([]bool, rows)
 	for i := 0; i < 500; i++ {
-		w := ci.RouteR1(join.Key(i), rng, nil)
+		w := route(ci, 1, join.Key(i), rng)
 		seen[w[0]/cols] = true
 	}
 	for r, ok := range seen {
@@ -144,23 +176,23 @@ func TestRegionSchemeRouting(t *testing.T) {
 			}
 		}
 	}
-	check(s.RouteR1(25, nil, nil), 0, 1)
-	check(s.RouteR1(150, nil, nil), 2)
-	check(s.RouteR2(25, nil, nil), 0, 2)
-	check(s.RouteR2(75, nil, nil), 1, 2)
+	check(route(s, 1, 25, nil), 0, 1)
+	check(route(s, 1, 150, nil), 2)
+	check(route(s, 2, 25, nil), 0, 2)
+	check(route(s, 2, 75, nil), 1, 2)
 	// Out-of-range keys clamp to edge slabs.
-	check(s.RouteR1(-10, nil, nil), 0, 1)
-	check(s.RouteR1(999, nil, nil), 2)
-	check(s.RouteR2(-10, nil, nil), 0, 2)
-	check(s.RouteR2(999, nil, nil), 1, 2)
+	check(route(s, 1, -10, nil), 0, 1)
+	check(route(s, 1, 999, nil), 2)
+	check(route(s, 2, -10, nil), 0, 2)
+	check(route(s, 2, 999, nil), 1, 2)
 }
 
 func TestRegionSchemePairMeetsExactlyOnce(t *testing.T) {
 	s := NewRegionScheme("CSIO", makeRegions())
 	for k1 := join.Key(0); k1 < 200; k1 += 7 {
 		for k2 := join.Key(0); k2 < 100; k2 += 7 {
-			w1 := s.RouteR1(k1, nil, nil)
-			w2 := s.RouteR2(k2, nil, nil)
+			w1 := route(s, 1, k1, nil)
+			w2 := route(s, 2, k2, nil)
 			common := 0
 			for _, a := range w1 {
 				for _, b := range w2 {
@@ -181,13 +213,71 @@ func TestRegionSchemeEmpty(t *testing.T) {
 	if s.Workers() != 0 {
 		t.Fatal("empty scheme has workers")
 	}
-	if got := s.RouteR1(5, nil, nil); len(got) != 0 {
+	if got := route(s, 1, 5, nil); len(got) != 0 {
 		t.Fatalf("empty scheme routed to %v", got)
 	}
 }
 
+// TestRoutingDrawsPerKey pins the RNG consumption every runtime's
+// reproducible routes rest on: CI on both sides, and Broadcast's and a heavy
+// Hash key's R1 scatter, take exactly one draw per key; every other routing
+// decision takes none.
+func TestRoutingDrawsPerKey(t *testing.T) {
+	heavy, err := NewHash(4, []join.Key{7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcast, err := NewBroadcast(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []join.Key{7, 7, 3, 9, 7} // three of the five are Hash-heavy
+	for _, c := range []struct {
+		name       string
+		s          Scheme
+		rel, draws int
+	}{
+		{"CI R1", NewCI(8), 1, 5}, {"CI R2", NewCI(8), 2, 5},
+		{"Broadcast R1", bcast, 1, 5}, {"Broadcast R2", bcast, 2, 0},
+		{"heavy Hash R1", heavy, 1, 3}, {"heavy Hash R2", heavy, 2, 0},
+		{"regions R1", NewRegionScheme("CSIO", makeRegions()), 1, 0},
+		{"regions R2", NewRegionScheme("CSIO", makeRegions()), 2, 0},
+	} {
+		rng, ref := stats.NewRNG(5), stats.NewRNG(5)
+		var b RouteBatch
+		b.Reset(c.s.Workers(), len(keys))
+		if c.rel == 2 {
+			RouteBatchR2(c.s, keys, rng, &b)
+		} else {
+			RouteBatchR1(c.s, keys, rng, &b)
+		}
+		for i := 0; i < c.draws; i++ {
+			ref.Uint64()
+		}
+		if rng.Uint64() != ref.Uint64() {
+			t.Errorf("%s: routing %d keys did not take exactly %d draws", c.name, len(keys), c.draws)
+		}
+	}
+}
+
+// benchRoute times one RouteBatchR1 call per 1024-key shard and reports it
+// per key.
+func benchRoute(b *testing.B, s Scheme, domain int) {
+	keys := make([]join.Key, 1024)
+	for i := range keys {
+		keys[i] = join.Key(i * 7 % domain)
+	}
+	rng := stats.NewRNG(1)
+	var rb RouteBatch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(keys) {
+		rb.Reset(s.Workers(), len(keys))
+		s.RouteBatchR1(keys, rng, &rb)
+	}
+}
+
 func BenchmarkRegionSchemeRouting(b *testing.B) {
-	// Routing throughput matters: the shuffle calls this once per tuple.
 	regions := make([]tiling.Region, 64)
 	for i := range regions {
 		regions[i] = tiling.Region{
@@ -195,22 +285,7 @@ func BenchmarkRegionSchemeRouting(b *testing.B) {
 			ColLo: join.Key(i * 100), ColHi: join.Key((i + 1) * 100),
 		}
 	}
-	s := NewRegionScheme("CSIO", regions)
-	var buf []int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = s.RouteR1(join.Key(i%6400), nil, buf[:0])
-	}
+	benchRoute(b, NewRegionScheme("CSIO", regions), 6400)
 }
 
-func BenchmarkCIRouting(b *testing.B) {
-	s := NewCI(32)
-	rng := stats.NewRNG(1)
-	var buf []int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = s.RouteR1(join.Key(i), rng, buf[:0])
-	}
-}
+func BenchmarkCIRouting(b *testing.B) { benchRoute(b, NewCI(32), 1<<20) }

@@ -90,29 +90,13 @@ func (s *RegionScheme) Workers() int { return len(s.regions) }
 // Regions returns the underlying regions (read-only).
 func (s *RegionScheme) Regions() []tiling.Region { return s.regions }
 
-// RouteR1 implements Scheme.
-func (s *RegionScheme) RouteR1(k join.Key, _ *stats.RNG, buf []int) []int {
-	for _, id := range s.rowMap[slabOf(s.rowEdges, k)] {
-		buf = append(buf, int(id))
-	}
-	return buf
-}
-
-// RouteR2 implements Scheme.
-func (s *RegionScheme) RouteR2(k join.Key, _ *stats.RNG, buf []int) []int {
-	for _, id := range s.colMap[slabOf(s.colEdges, k)] {
-		buf = append(buf, int(id))
-	}
-	return buf
-}
-
-// RouteBatchR1 implements BatchRouter: the slab lists are already []int32, so
+// RouteBatchR1 implements Scheme: the slab lists are already []int32, so
 // each key's receivers are appended with a single bulk copy.
 func (s *RegionScheme) RouteBatchR1(keys []join.Key, _ *stats.RNG, b *RouteBatch) {
 	routeBatchSlabs(s.rowEdges, s.rowMap, keys, b)
 }
 
-// RouteBatchR2 implements BatchRouter.
+// RouteBatchR2 implements Scheme.
 func (s *RegionScheme) RouteBatchR2(keys []join.Key, _ *stats.RNG, b *RouteBatch) {
 	routeBatchSlabs(s.colEdges, s.colMap, keys, b)
 }

@@ -10,18 +10,20 @@ import (
 	"ewh/internal/stats"
 )
 
-// Scheme routes tuples to workers. RouteR1/RouteR2 append worker ids to buf
-// and return it; buf lets hot shuffle loops avoid per-tuple allocations.
-// rng is consulted only by randomized schemes (CI).
+// Scheme routes tuples to workers, a whole shard of keys per call: that
+// amortizes interface dispatch over the shard and folds the per-worker
+// tallies into the routing loop. rng is consulted only by randomized schemes
+// (CI, Broadcast, Hash's heavy keys), one draw per key.
 type Scheme interface {
 	// Name identifies the scheme ("CI", "CSI", "CSIO").
 	Name() string
 	// Workers returns the number of workers the scheme routes to.
 	Workers() int
-	// RouteR1 appends the workers receiving an R1 tuple with key k.
-	RouteR1(k join.Key, rng *stats.RNG, buf []int) []int
-	// RouteR2 appends the workers receiving an R2 tuple with key k.
-	RouteR2(k join.Key, rng *stats.RNG, buf []int) []int
+	// RouteBatchR1 batch-routes R1 keys into b (appending to b.Routes/Lens,
+	// tallying b.Counts, and setting b.Fanout when the fan-out is uniform).
+	RouteBatchR1(keys []join.Key, rng *stats.RNG, b *RouteBatch)
+	// RouteBatchR2 batch-routes R2 keys into b.
+	RouteBatchR2(keys []join.Key, rng *stats.RNG, b *RouteBatch)
 }
 
 // RouteBatch accumulates the routing decisions for a whole shard of keys —
@@ -58,56 +60,14 @@ func (b *RouteBatch) Reset(j, sizeHint int) {
 	b.Fanout = 0
 }
 
-// BatchRouter is an optional Scheme extension for the shuffle hot path: it
-// routes a whole shard of keys in one call, amortizing per-tuple interface
-// dispatch and folding the per-worker tallies into the routing loop. A batch
-// call must make exactly the same routing decisions (including RNG
-// consumption) as the equivalent sequence of per-tuple RouteR1/RouteR2
-// calls, so the two paths are interchangeable.
-//
-// All schemes in this package implement BatchRouter; the per-tuple methods
-// remain the compatibility path for external Scheme implementations.
-type BatchRouter interface {
-	// RouteBatchR1 batch-routes R1 keys into b (appending to b.Routes/Lens,
-	// tallying b.Counts, and setting b.Fanout when the fan-out is uniform).
-	RouteBatchR1(keys []join.Key, rng *stats.RNG, b *RouteBatch)
-	// RouteBatchR2 batch-routes R2 keys into b.
-	RouteBatchR2(keys []join.Key, rng *stats.RNG, b *RouteBatch)
-}
-
-// RouteBatchR1 batch-routes R1 keys through s, using its BatchRouter fast
-// path when implemented and falling back to per-tuple RouteR1 otherwise.
-// b must have been Reset for s.Workers().
+// RouteBatchR1 batch-routes R1 keys through s; b must have been Reset for
+// s.Workers(). It and RouteBatchR2 are the function form of the methods, kept
+// for the benchmark module's route probe.
 func RouteBatchR1(s Scheme, keys []join.Key, rng *stats.RNG, b *RouteBatch) {
-	if br, ok := s.(BatchRouter); ok {
-		br.RouteBatchR1(keys, rng, b)
-		return
-	}
-	routeBatchFallback(s.RouteR1, keys, rng, b)
+	s.RouteBatchR1(keys, rng, b)
 }
 
-// RouteBatchR2 batch-routes R2 keys through s, using its BatchRouter fast
-// path when implemented and falling back to per-tuple RouteR2 otherwise.
+// RouteBatchR2 batch-routes R2 keys through s.
 func RouteBatchR2(s Scheme, keys []join.Key, rng *stats.RNG, b *RouteBatch) {
-	if br, ok := s.(BatchRouter); ok {
-		br.RouteBatchR2(keys, rng, b)
-		return
-	}
-	routeBatchFallback(s.RouteR2, keys, rng, b)
-}
-
-func routeBatchFallback(route func(join.Key, *stats.RNG, []int) []int,
-	keys []join.Key, rng *stats.RNG, b *RouteBatch) {
-
-	routes, lens, counts := b.Routes, b.Lens, b.Counts
-	var buf []int
-	for _, k := range keys {
-		buf = route(k, rng, buf[:0])
-		for _, w := range buf {
-			routes = append(routes, int32(w))
-			counts[w]++
-		}
-		lens = append(lens, int32(len(buf)))
-	}
-	b.Routes, b.Lens = routes, lens
+	s.RouteBatchR2(keys, rng, b)
 }

@@ -113,21 +113,22 @@ func checkRoundTrip(t testing.TB, a *Artifact, rngSeed uint64) {
 	if got, want := dec.Scheme.Name(), a.Scheme.Name(); got != want {
 		t.Fatalf("name %q round-tripped to %q", want, got)
 	}
-	// Routing equivalence: identical receiver sets for a spread of keys,
-	// with both schemes consuming identical RNG streams.
+	// Routing equivalence: identical batches (receivers, tallies, fan-out)
+	// for a spread of keys, with both schemes consuming identical RNG streams.
+	keys := make([]join.Key, 64)
+	for i := range keys {
+		keys[i] = join.Key(int64(i*37) - 700)
+	}
 	rngA, rngB := stats.NewRNG(rngSeed), stats.NewRNG(rngSeed)
-	var bufA, bufB []int
-	for i := 0; i < 64; i++ {
-		k := join.Key(int64(i*37) - 700)
-		bufA = a.Scheme.RouteR1(k, rngA, bufA[:0])
-		bufB = dec.Scheme.RouteR1(k, rngB, bufB[:0])
-		if fmt.Sprint(bufA) != fmt.Sprint(bufB) {
-			t.Fatalf("RouteR1(%d): %v vs decoded %v", k, bufA, bufB)
-		}
-		bufA = a.Scheme.RouteR2(k, rngA, bufA[:0])
-		bufB = dec.Scheme.RouteR2(k, rngB, bufB[:0])
-		if fmt.Sprint(bufA) != fmt.Sprint(bufB) {
-			t.Fatalf("RouteR2(%d): %v vs decoded %v", k, bufA, bufB)
+	for rel, route := range []func(partition.Scheme, []join.Key, *stats.RNG, *partition.RouteBatch){
+		partition.RouteBatchR1, partition.RouteBatchR2} {
+		var ba, bb partition.RouteBatch
+		ba.Reset(a.Scheme.Workers(), len(keys))
+		bb.Reset(a.Scheme.Workers(), len(keys))
+		route(a.Scheme, keys, rngA, &ba)
+		route(dec.Scheme, keys, rngB, &bb)
+		if fmt.Sprint(ba) != fmt.Sprint(bb) {
+			t.Fatalf("relation %d routes %v, decoded scheme %v", rel+1, ba, bb)
 		}
 	}
 	if a.Assignment != nil {
@@ -178,14 +179,10 @@ func TestEncodeRejectsForeignScheme(t *testing.T) {
 
 type foreignScheme struct{}
 
-func (foreignScheme) Name() string { return "foreign" }
-func (foreignScheme) Workers() int { return 1 }
-func (foreignScheme) RouteR1(join.Key, *stats.RNG, []int) []int {
-	return nil
-}
-func (foreignScheme) RouteR2(join.Key, *stats.RNG, []int) []int {
-	return nil
-}
+func (foreignScheme) Name() string                                               { return "foreign" }
+func (foreignScheme) Workers() int                                               { return 1 }
+func (foreignScheme) RouteBatchR1([]join.Key, *stats.RNG, *partition.RouteBatch) {}
+func (foreignScheme) RouteBatchR2([]join.Key, *stats.RNG, *partition.RouteBatch) {}
 
 // FuzzArtifactRoundTrip drives the round-trip invariants from fuzzer-chosen
 // seeds: every scheme kind, random sizes, heavy keys, regions, assignments

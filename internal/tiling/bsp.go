@@ -5,21 +5,6 @@ import (
 	"ewh/internal/matrix"
 )
 
-// Solver is a rectangle-tiling algorithm that, given a maximum region weight
-// delta, covers all candidate cells of a Dense matrix with the minimum
-// number of hierarchical rectangular regions (the DRTILE dual problem BSP
-// solves, §III-C).
-type Solver interface {
-	// MinRegions returns the minimum number of regions needed so that every
-	// region weighs at most delta, or a value > countCap as soon as the
-	// minimum provably exceeds countCap (early exit for the binary search).
-	MinRegions(delta float64, countCap int) int
-	// Regions extracts the regions of the last MinRegions call.
-	Regions() []matrix.Rect
-	// Stats reports instrumentation from the last call.
-	Stats() SolverStats
-}
-
 // SolverStats instruments a solve for the Table III ablation.
 type SolverStats struct {
 	// States is the number of distinct DP states (rectangles) evaluated.
@@ -113,7 +98,11 @@ func scanMinimalCandidateRect(d *matrix.Dense, r matrix.Rect) (matrix.Rect, bool
 	return out, true
 }
 
-// MinRegions implements Solver.
+// MinRegions covers all candidate cells of the matrix with hierarchical
+// rectangular regions weighing at most delta each (the DRTILE dual problem
+// BSP solves, §III-C) and returns the minimum number needed, or a value >
+// countCap as soon as the minimum provably exceeds countCap (early exit for
+// the caller's binary search over delta).
 func (s *BSP) MinRegions(delta float64, countCap int) int {
 	s.delta = delta
 	s.countCap = countCap
@@ -172,7 +161,7 @@ func (s *BSP) solve(r matrix.Rect) int {
 	return best
 }
 
-// Regions implements Solver.
+// Regions extracts the regions of the last MinRegions call.
 func (s *BSP) Regions() []matrix.Rect {
 	var out []matrix.Rect
 	s.extract(s.d.Full(), &out)
@@ -205,5 +194,5 @@ func (s *BSP) extract(r matrix.Rect, out *[]matrix.Rect) {
 	}
 }
 
-// Stats implements Solver.
+// Stats reports instrumentation from the last MinRegions call.
 func (s *BSP) Stats() SolverStats { return s.stats }

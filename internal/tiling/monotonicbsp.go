@@ -92,7 +92,9 @@ func NewMonotonicBSP(d *matrix.Dense, model cost.Model) *MonotonicBSP {
 	return &MonotonicBSP{d: d, model: model, splitCache: make(map[uint64][]childPair)}
 }
 
-// MinRegions implements Solver.
+// MinRegions has BSP.MinRegions' contract: the minimum number of regions of
+// weight at most delta covering every candidate cell, or a value > countCap
+// as soon as the minimum provably exceeds it.
 func (s *MonotonicBSP) MinRegions(delta float64, countCap int) int {
 	s.delta = delta
 	s.countCap = countCap
@@ -141,7 +143,7 @@ func (s *MonotonicBSP) solve(rm matrix.Rect) int {
 	return best
 }
 
-// Regions implements Solver.
+// Regions extracts the regions of the last MinRegions call.
 func (s *MonotonicBSP) Regions() []matrix.Rect {
 	if !s.rootOK {
 		return nil
@@ -174,5 +176,5 @@ func (s *MonotonicBSP) extract(rm matrix.Rect, out *[]matrix.Rect) {
 	}
 }
 
-// Stats implements Solver.
+// Stats reports instrumentation from the last MinRegions call.
 func (s *MonotonicBSP) Stats() SolverStats { return s.stats }
