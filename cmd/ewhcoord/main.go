@@ -81,6 +81,12 @@ func main() {
 		usage("-z %v: the zipf skew cannot be negative", *z)
 	case *windowRows < 0:
 		usage("-window-rows %d: cannot be negative (0 = n/10)", *windowRows)
+	case *beta < 0:
+		usage("-beta %d: the band half-width cannot be negative", *beta)
+	case *jobs < 1:
+		usage("-jobs %d: need at least one job", *jobs)
+	case *driftThr < 0 || *driftThr > 1:
+		usage("-drift %v: the threshold lies in (0,1] (0 = the streamjoin default)", *driftThr)
 	}
 
 	engine, err := exec.ParseJoinEngine(*engineStr)

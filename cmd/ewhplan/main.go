@@ -48,6 +48,8 @@ func main() {
 		usage("-j %d: need at least one machine", *j)
 	case *z < 0:
 		usage("-z %v: the zipf skew cannot be negative", *z)
+	case *beta < 0:
+		usage("-beta %d: the band half-width cannot be negative", *beta)
 	}
 
 	if *planin != "" {

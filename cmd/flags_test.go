@@ -11,26 +11,27 @@ import (
 	"testing"
 )
 
-// TestBadSizesAreUsageErrors pins that a size flag the generators cannot
-// serve is refused where the flags are parsed — exit status 2 and one line
-// naming the flag — instead of reaching stats.NewZipf's panic.
+// TestBadSizesAreUsageErrors pins that a flag value the run cannot serve is
+// refused where the flags are parsed — exit status 2 and one line naming the
+// flag — instead of reaching a panic (stats.NewZipf, join.NewBand, a nil
+// result) or being silently ignored (-drift outside (0,1]).
 func TestBadSizesAreUsageErrors(t *testing.T) {
 	bin := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", bin, "./ewhcoord", "./ewhplan").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	for _, c := range []struct{ tool, flag, value string }{
-		{"ewhcoord", "-n", "0"}, {"ewhcoord", "-n", "-5"}, {"ewhcoord", "-j", "0"},
-		{"ewhcoord", "-z", "-1"}, {"ewhcoord", "-window-rows", "-1"},
-		{"ewhplan", "-n", "0"}, {"ewhplan", "-x", "0"}, {"ewhplan", "-j", "-2"}, {"ewhplan", "-z", "-0.5"},
+	// mode puts the tool on the path that reads the flag; zipf is the ewhplan
+	// workload that reads -n, -z and -beta.
+	for _, c := range []struct{ tool, mode, flag, value string }{
+		{"ewhcoord", "-jobs=1", "-n", "0"}, {"ewhcoord", "-jobs=1", "-n", "-5"}, {"ewhcoord", "-jobs=1", "-j", "0"},
+		{"ewhcoord", "-jobs=1", "-z", "-1"}, {"ewhcoord", "-stream=3", "-window-rows", "-1"},
+		{"ewhcoord", "-jobs=1", "-beta", "-1"}, {"ewhcoord", "-n=500", "-jobs", "0"}, {"ewhcoord", "-stream=3", "-drift", "7"},
+		{"ewhplan", "-workload=zipf", "-n", "0"}, {"ewhplan", "-workload=zipf", "-x", "0"},
+		{"ewhplan", "-workload=zipf", "-j", "-2"}, {"ewhplan", "-workload=zipf", "-z", "-0.5"},
+		{"ewhplan", "-workload=zipf", "-beta", "-1"}, {"ewhplan", "-workload=bcb", "-beta", "-2"},
 	} {
-		// zipf is the ewhplan workload that reads both -n and -z.
-		args := []string{c.flag, c.value}
-		if c.tool == "ewhplan" {
-			args = append([]string{"-workload", "zipf"}, args...)
-		}
 		var stderr bytes.Buffer
-		cmd := exec.Command(filepath.Join(bin, c.tool), args...)
+		cmd := exec.Command(filepath.Join(bin, c.tool), c.mode, c.flag, c.value)
 		cmd.Stderr = &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError

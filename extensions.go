@@ -13,7 +13,7 @@ import (
 // This file exposes the paper's extension features (§IV-B, §A5): multi-way
 // chain joins executed as a sequence of EWH-planned 2-way joins,
 // heterogeneous-cluster region assignment, and the payload-carrying tuple
-// engine that materializes join results for downstream operators.
+// adapter that materializes join results for downstream operators.
 
 // MidRelation is the middle relation of a 3-way chain join: column A joins
 // left, column B joins right.
@@ -106,10 +106,10 @@ func ExecuteOver(rt Runtime, r1, r2 []Key, cond Condition, plan *PlanResult,
 	return exec.RunOver(rt, r1, r2, cond, plan.Scheme, model, cfg)
 }
 
-// ExecuteTuplesOver runs a payload-carrying join through rt. Only keys cross
-// a wire: the workers stream matched index pairs back and the pairs are
-// emitted on the coordinator, which kept the payloads, in a deterministic
-// per-worker order identical across transports.
+// ExecuteTuplesOver runs a payload-carrying join through rt. Only keys are
+// shuffled or cross a wire: the workers stream matched index pairs back, the
+// engine maps them to row numbers, and emit sees the caller's own tuples in a
+// deterministic per-worker order identical across transports.
 func ExecuteTuplesOver[P1, P2 any](rt Runtime, r1 []Tuple[P1], r2 []Tuple[P2],
 	cond Condition, plan *PlanResult, model CostModel, cfg ExecConfig,
 	emit func(workerID int, a Tuple[P1], b Tuple[P2])) (*Result, error) {
@@ -120,8 +120,8 @@ func ExecuteTuplesOver[P1, P2 any](rt Runtime, r1 []Tuple[P1], r2 []Tuple[P2],
 }
 
 // ExecuteMultiwayOver runs the 3-way chain join through rt: with a Cluster
-// runtime both stages execute on the remote workers, the Mid relation
-// shipping its B keys as stage 1's re-key column. Stage-aware runtimes (a
+// runtime both stages execute on the remote workers, the Mid relation's
+// column B shuffled beside A as stage 1's re-key column. Stage-aware runtimes (a
 // Cluster) take the peer-shuffle path — the stage-1 intermediate re-shuffles
 // directly worker→worker and never transits the coordinator, under a genuine
 // CSIO stage-2 plan built from distributed statistics (each worker ships a
@@ -167,7 +167,8 @@ func AssignRegions(regions []Region, capacities []float64) (*Assignment, error) 
 	return partition.AssignRegions(regions, capacities)
 }
 
-// Tuple carries a routing key plus an opaque payload through the engine.
+// Tuple pairs a routing key with an opaque payload; the engine moves the key
+// and hands the tuple back to emit by row number.
 type Tuple[P any] = exec.Tuple[P]
 
 // WrapKeys lifts bare keys into payload-less tuples.

@@ -10,6 +10,7 @@ package exec_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ewh/internal/core"
@@ -112,6 +113,67 @@ func TestCrossCheckSessionTuples(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestRunPairsOverEmitsRowNumbers pins the pair driver's contract: emit
+// receives the ORIGINAL row numbers of each matched pair — the multiset over
+// all workers is exactly the nested-loop join's — and per worker the sequence
+// is identical in-process and over a session.
+func TestRunPairsOverEmitsRowNumbers(t *testing.T) {
+	sess := dialLoopbackSession(t, 6)
+	r1 := netRandKeys(500, 120, 451)
+	r2 := netRandKeys(400, 120, 452)
+	hash, err := partition.NewHash(5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	band := join.NewBand(2)
+	csio, err := core.PlanCSIO(r1, r2, band, core.Options{J: 6, Model: netModel, Seed: 453})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cond   join.Condition
+		scheme partition.Scheme
+	}{{join.Equi{}, hash}, {band, partition.NewCI(4)}, {band, csio.Scheme}} {
+		for _, mappers := range []int{1, 3} {
+			id := fmt.Sprintf("%s mappers=%d", c.scheme.Name(), mappers)
+			run := func(rt exec.Runtime) [][][2]int {
+				perWorker := make([][][2]int, c.scheme.Workers())
+				_, err := exec.RunPairsOver(rt, r1, r2, c.cond, c.scheme, netModel,
+					exec.Config{Seed: 454, Mappers: mappers},
+					func(w, row1, row2 int) { perWorker[w] = append(perWorker[w], [2]int{row1, row2}) })
+				if err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+				return perWorker
+			}
+			local, remote := run(exec.Local{}), run(sess)
+			got := map[[2]int]int{}
+			for w := range local {
+				if !slices.Equal(local[w], remote[w]) {
+					t.Fatalf("%s: worker %d pair sequence differs between Local and the session", id, w)
+				}
+				for _, p := range local[w] {
+					got[p]++
+				}
+			}
+			want := 0
+			for i, a := range r1 {
+				for j, b := range r2 {
+					if c.cond.Matches(a, b) {
+						want++
+						if got[[2]int{i, j}] != 1 {
+							t.Fatalf("%s: matching rows (%d, %d) emitted %d times", id, i, j, got[[2]int{i, j}])
+						}
+					}
+				}
+			}
+			if len(got) != want {
+				t.Fatalf("%s: %d distinct pairs emitted, the join has %d", id, len(got), want)
 			}
 		}
 	}

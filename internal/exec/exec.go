@@ -135,27 +135,34 @@ func RunOver(rt Runtime, r1, r2 []join.Key, cond join.Condition,
 
 	cfg.defaults()
 	start := time.Now()
-	j := scheme.Workers()
 	f1, f2 := newRelFuture(), newRelFuture()
-	job := &Job{Cond: cond, Workers: j, R1: f1, R2: f2, Engine: cfg.Engine}
+	job := &Job{Cond: cond, Workers: scheme.Workers(), R1: f1, R2: f2, Engine: cfg.Engine}
 	if streamsChunksFor(rt, job) {
 		// Chunk-consuming transports skip the flat scatter entirely: both
 		// relations resolve immediately as chunk streams and the transport
 		// frames sub-blocks onto sockets (or, for Local's hash engine, into
 		// the incremental build) as the mappers emit them.
-		cs1, cs2 := ShufflePairChunked(r1, r2, scheme, cfg)
+		cs1, cs2 := shufflePairChunked(r1, r2, scheme, cfg)
 		f1.resolve(RelData{Chunks: cs1})
 		f2.resolve(RelData{Chunks: cs2})
 	} else {
-		shufflePairAsync(r1, r1, r2, r2, scheme, cfg, GetKeyBuffer, GetKeyBuffer,
-			func(s shuffled[join.Key]) { f1.resolve(RelData{Keys: &KeyShuffle{s}}) },
-			func(s shuffled[join.Key]) { f2.resolve(RelData{Keys: &KeyShuffle{s}}) })
+		shufflePairAsync(r1, nil, r2, nil, scheme, cfg,
+			func(k, _ *KeyShuffle) { f1.resolve(RelData{Keys: k}) },
+			func(k, _ *KeyShuffle) { f2.resolve(RelData{Keys: k}) })
 	}
+	return runJob(rt, job, scheme, model, cfg, start)
+}
 
-	res := &Result{Scheme: scheme.Name() + rt.Label(), Workers: make([]WorkerMetrics, j)}
+// runJob is the drivers' shared dispatch: run job through rt, recycle both
+// relations — waiting out their shuffles first, since a transport that errored
+// early may return while a scatter is still writing — and derive the Result.
+func runJob(rt Runtime, job *Job, scheme partition.Scheme, model cost.Model,
+	cfg Config, start time.Time) (*Result, error) {
+
+	res := &Result{Scheme: scheme.Name() + rt.Label(), Workers: make([]WorkerMetrics, job.Workers)}
 	err := rt.RunJob(job, res.Workers)
-	releaseRelData(f1.Wait())
-	releaseRelData(f2.Wait())
+	releaseRelData(job.R1.Wait())
+	releaseRelData(job.R2.Wait())
 	if err != nil {
 		return nil, err
 	}

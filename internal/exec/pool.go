@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"reflect"
 	"sync"
 
 	"ewh/internal/join"
@@ -13,11 +12,8 @@ import (
 // its reduce phase, so they are recycled across calls. A pooled buffer is
 // returned unzeroed: the shuffle overwrites every slot (the offsets cover the
 // buffer exactly), which is what lets the hot path skip the 10s-of-MB memclr
-// a fresh make would pay. That is safe for key buffers because join.Key is a
-// pointer-free int64; pooled tuple buffers, whose payloads may carry
-// pointers, additionally clear the capacity tail beyond the requested length
-// (see getTupleSlice) so a shorter job cannot keep a longer job's payloads
-// reachable past GC.
+// a fresh make would pay. That is safe because every pooled element type is
+// pointer-free (join.Key is an int64): a stale slot keeps nothing reachable.
 
 var keySlicePool sync.Pool // stores *[]join.Key
 
@@ -58,52 +54,4 @@ func getBatches(mappers int) []partition.RouteBatch {
 
 func putBatches(b []partition.RouteBatch) {
 	batchPool.Put(&b)
-}
-
-// tuplePools holds one sync.Pool per concrete Tuple[P] type (keyed by
-// reflect.Type), so RunTuples' flat shuffle buffers are recycled like the
-// bare-key path's. A package-level generic pool is not expressible directly;
-// the one reflect lookup per relation per run is noise next to the shuffle.
-var tuplePools sync.Map // reflect.Type -> *sync.Pool (stores *[]Tuple[P])
-
-func tuplePoolFor[P any]() *sync.Pool {
-	t := reflect.TypeFor[Tuple[P]]()
-	if p, ok := tuplePools.Load(t); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := tuplePools.LoadOrStore(t, &sync.Pool{})
-	return p.(*sync.Pool)
-}
-
-// getTupleSlice returns a pooled []Tuple[P] of length n. Slots [0:n] are
-// unzeroed (the scatter overwrites them); the capacity tail [n:cap] is
-// cleared so stale payload pointers from a longer previous job don't stay
-// reachable through the pooled backing array.
-func getTupleSlice[P any](n int) []Tuple[P] {
-	pool := tuplePoolFor[P]()
-	if v := pool.Get(); v != nil {
-		s := *v.(*[]Tuple[P])
-		if cap(s) >= n {
-			return clearTail(s[:n])
-		}
-	}
-	return make([]Tuple[P], n)
-}
-
-// clearTail zeroes s[len(s):cap(s)]. The live prefix is left untouched: it is
-// either about to be overwritten (scatter) or owned by the caller.
-func clearTail[T any](s []T) []T {
-	full := s[:cap(s)]
-	clear(full[len(s):])
-	return s
-}
-
-// putTupleSlice recycles a buffer obtained from getTupleSlice. The caller
-// must not retain any slice of it.
-func putTupleSlice[P any](s []Tuple[P]) {
-	if cap(s) == 0 {
-		return
-	}
-	s = s[:0]
-	tuplePoolFor[P]().Put(&s)
 }

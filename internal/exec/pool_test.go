@@ -1,61 +1,6 @@
 package exec
 
-import (
-	"testing"
-
-	"ewh/internal/join"
-)
-
-func TestClearTailDropsStalePayloads(t *testing.T) {
-	// A pooled tuple buffer longer than the next job needs must not keep the
-	// previous job's payload pointers reachable through its capacity tail.
-	big := make([]Tuple[*int], 8)
-	for i := range big {
-		v := i
-		big[i] = Tuple[*int]{Key: join.Key(i), Payload: &v}
-	}
-	small := clearTail(big[:3])
-	if len(small) != 3 {
-		t.Fatalf("length %d, want 3", len(small))
-	}
-	for i := 0; i < 3; i++ {
-		if small[i].Payload == nil {
-			t.Fatalf("live prefix slot %d was cleared", i)
-		}
-	}
-	tail := big[3:8]
-	for i, tu := range tail {
-		if tu.Payload != nil || tu.Key != 0 {
-			t.Fatalf("tail slot %d retains stale tuple %+v", 3+i, tu)
-		}
-	}
-}
-
-func TestTupleSlicePoolRoundTrip(t *testing.T) {
-	// Whatever the pool hands back must have the requested length and a
-	// cleared capacity tail, whether it was recycled or freshly made.
-	for i := 0; i < 4; i++ {
-		s := getTupleSlice[string](100)
-		if len(s) != 100 {
-			t.Fatalf("length %d, want 100", len(s))
-		}
-		for j := range s {
-			s[j] = Tuple[string]{Key: join.Key(j), Payload: "x"}
-		}
-		putTupleSlice(s)
-		smaller := getTupleSlice[string](10)
-		if len(smaller) != 10 {
-			t.Fatalf("length %d, want 10", len(smaller))
-		}
-		full := smaller[:cap(smaller)]
-		for j := len(smaller); j < len(full); j++ {
-			if full[j].Payload != "" {
-				t.Fatalf("capacity slot %d retains stale payload %q", j, full[j].Payload)
-			}
-		}
-		putTupleSlice(smaller)
-	}
-}
+import "testing"
 
 func TestKeyBufferPoolRoundTrip(t *testing.T) {
 	s := GetKeyBuffer(64)

@@ -12,7 +12,7 @@ import (
 
 // This file is the transport-agnostic runtime layer: the in-process engine
 // and the networked engine are two transports behind one execution API. A
-// driver (RunOver, RunTuplesOver) plans and shuffles exactly once, wraps the
+// driver (RunOver, RunPairsOver) plans and shuffles exactly once, wraps the
 // shuffled relations in a Job and hands it to a Runtime; the Runtime only
 // decides WHERE each worker's join happens — goroutines in this process
 // (Local) or remote worker processes behind persistent connections
@@ -174,9 +174,9 @@ func mergeJoinPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx
 	// Argsort R2 by (key, index) instead of sorting it in place: the blocks
 	// may be shared with the driver's emission path, and the stable order is
 	// what makes the pair stream deterministic.
-	ord := getTupleSlice[uint32](len(r2))
+	ord := getOrdBuf(len(r2))
 	for i, k := range r2 {
-		ord[i] = Tuple[uint32]{Key: k, Payload: uint32(i)}
+		ord[i] = keyIdx{key: k, idx: uint32(i)}
 	}
 	sortKeyIdx(ord)
 	buf := getPairBuf()
@@ -184,8 +184,8 @@ func mergeJoinPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx
 	for i1, k := range r1 {
 		lo, hi := cond.JoinableRange(k)
 		i := searchKey(ord, lo)
-		for ; i < len(ord) && ord[i].Key <= hi; i++ {
-			buf = append(buf, PairIdx{I1: uint32(i1), I2: ord[i].Payload})
+		for ; i < len(ord) && ord[i].key <= hi; i++ {
+			buf = append(buf, PairIdx{I1: uint32(i1), I2: ord[i].idx})
 			out++
 			if len(buf) == pairChunk {
 				flush(buf)
@@ -197,26 +197,44 @@ func mergeJoinPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx
 		flush(buf)
 	}
 	putPairBuf(buf)
-	putTupleSlice(ord)
+	ordBufPool.Put(&ord)
 	return out
+}
+
+// keyIdx is one argsort entry of mergeJoinPairs: an R2 key and its arrival index.
+type keyIdx struct {
+	key join.Key
+	idx uint32
+}
+
+var ordBufPool sync.Pool // stores *[]keyIdx
+
+// getOrdBuf returns a pooled, unzeroed argsort buffer of length n.
+func getOrdBuf(n int) []keyIdx {
+	if v := ordBufPool.Get(); v != nil {
+		if s := *v.(*[]keyIdx); cap(s) >= n {
+			return s[:n]
+		}
+	}
+	return make([]keyIdx, n)
 }
 
 // sortKeyIdx orders an argsort buffer by (key, arrival index) — the stable
 // order mergeJoinPairs' determinism rests on (slices.SortFunc alone is unstable).
-func sortKeyIdx(ts []Tuple[uint32]) {
-	slices.SortFunc(ts, func(a, b Tuple[uint32]) int {
-		if c := cmp.Compare(a.Key, b.Key); c != 0 {
+func sortKeyIdx(ts []keyIdx) {
+	slices.SortFunc(ts, func(a, b keyIdx) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.Payload, b.Payload)
+		return cmp.Compare(a.idx, b.idx)
 	})
 }
 
 // searchKey returns the first position in the (key, index)-sorted buffer
 // whose key is >= k.
-func searchKey(ts []Tuple[uint32], k join.Key) int {
+func searchKey(ts []keyIdx, k join.Key) int {
 	i, _ := slices.BinarySearchFunc(ts, k,
-		func(t Tuple[uint32], k join.Key) int { return cmp.Compare(t.Key, k) })
+		func(t keyIdx, k join.Key) int { return cmp.Compare(t.key, k) })
 	return i
 }
 

@@ -31,187 +31,163 @@ func mapperRNGs(master *stats.RNG, mappers int) []*stats.RNG {
 	return rngs
 }
 
-// shuffled is one relation after the shuffle: worker w's tuples are the
-// contiguous slice flat[off[w]:off[w+1]]. The whole relation lives in a
-// single exactly-sized allocation, so the reduce phase reads (and may sort in
-// place) per-worker slices with zero concatenation copies.
-type shuffled[T any] struct {
-	flat []T
+// routeShard is the shuffle's one route pass: it batch-routes mapper mi's
+// shard of keys exactly once into b, recording the receiver lists compactly
+// (per-worker counts tallied inside the routing loop), and returns the
+// shard's bounds. Recording routes instead of re-routing keeps randomized
+// schemes deterministic and pays the routing cost once.
+func routeShard(keys []join.Key, j, mappers, mi int, rng *stats.RNG,
+	b *partition.RouteBatch, route routeFn) (lo, hi int) {
+
+	lo, hi = shard(len(keys), mappers, mi)
+	b.Reset(j, hi-lo) // exact Routes capacity for fan-out-1 schemes
+	route(keys[lo:hi], rng, b)
+	return lo, hi
+}
+
+// KeyShuffle is one shuffled key column: worker w's tuples are the contiguous
+// slice Worker(w) of a single exactly-sized flat allocation, so a consumer
+// (the reduce phase, or netexec's coordinator streaming blocks onto sockets)
+// reads per-worker data with zero concatenation copies. A relation's companion
+// column (see shuffleRelation) is a second KeyShuffle sharing the offsets.
+// Call Release when the data has been consumed to recycle the flat buffer.
+type KeyShuffle struct {
+	flat []join.Key
 	off  []int // len j+1
 }
 
-func (s *shuffled[T]) worker(w int) []T { return s.flat[s.off[w]:s.off[w+1]] }
+// Workers returns the number of per-worker slices.
+func (k *KeyShuffle) Workers() int { return len(k.off) - 1 }
 
-// shuffleRelation routes items to j workers with a two-pass shuffle across
-// mappers parallel shards. keys[i] is the routing key of items[i]; for bare
-// key relations the two slices alias. Pass 1 batch-routes each shard exactly
-// once, recording the receiver lists compactly (with per-worker counts
-// tallied inside the routing loop); a barrier then computes exact
-// per-(mapper, worker) write offsets; pass 2 replays the recorded routes and
-// scatters items into disjoint ranges of one flat buffer. Recording routes
-// instead of re-routing keeps randomized schemes deterministic and pays the
-// routing cost once.
-//
-// batches provides per-mapper routing storage (reused across relations and,
-// via the pool, across runs); alloc provides the flat buffer and may return
-// unzeroed pooled memory — the scatter overwrites every slot.
-func shuffleRelation[T any](items []T, keys []join.Key, j, mappers int,
-	rngs []*stats.RNG, batches []partition.RouteBatch, route routeFn,
-	alloc func(n int) []T) shuffled[T] {
+// Worker returns worker w's contiguous tuple block. The slice aliases the
+// shuffle's flat buffer: it is valid until Release and may be sorted in
+// place by an owning consumer.
+func (k *KeyShuffle) Worker(w int) []join.Key { return k.flat[k.off[w]:k.off[w+1]] }
 
+// Total returns the total routed tuple count across workers (the relation's
+// network-tuple contribution; replication makes it exceed the input size).
+func (k *KeyShuffle) Total() int { return k.off[len(k.off)-1] }
+
+// Release recycles the flat buffer. No Worker slice may be used afterwards.
+func (k *KeyShuffle) Release() {
+	PutKeyBuffer(k.flat)
+	*k = KeyShuffle{}
+}
+
+// cursor is one mapper's write position inside one worker's destination.
+type cursor struct {
+	buf []join.Key
+	n   int
+}
+
+// shuffleRelation routes keys to scheme's workers on side rel with a two-pass
+// shuffle across mappers parallel shards: routeShard per mapper, a barrier
+// that computes exact per-(mapper, worker) write offsets, then a replay of
+// the recorded routes scattering every column into disjoint ranges of its
+// flat buffer. comp, when non-nil, is the relation's one companion column —
+// aligned with keys and scattered by the same routes, so the returned columns
+// stay aligned slot for slot (a stage pipeline's re-key column, or the pair
+// drivers' row index).
+func shuffleRelation(keys, comp []join.Key, scheme partition.Scheme, rel, mappers int,
+	rngs []*stats.RNG) (ks, cs *KeyShuffle) {
+
+	j, route := scheme.Workers(), routeFor(scheme, rel)
+	batches := getBatches(mappers)
+	defer putBatches(batches)
 	var wg sync.WaitGroup
+	for mi := 0; mi < mappers; mi++ {
+		wg.Add(1)
+		go func(mi int) {
+			defer wg.Done()
+			routeShard(keys, j, mappers, mi, rngs[mi], &batches[mi], route)
+		}(mi)
+	}
+	wg.Wait()
+
+	// first[mi*j+w] is mapper mi's first write index inside worker w's block;
+	// mappers write disjoint ranges, so the scatter needs no synchronization.
+	off := make([]int, j+1)
+	first := make([]int, mappers*j)
+	for w := 0; w < j; w++ {
+		c := 0
+		for mi := 0; mi < mappers; mi++ {
+			first[mi*j+w] = c
+			c += batches[mi].Counts[w]
+		}
+		off[w+1] = off[w] + c
+	}
+	// The pooled flat buffers come unzeroed: the scatter overwrites every slot.
+	ks = &KeyShuffle{flat: GetKeyBuffer(off[j]), off: off}
+	if comp != nil {
+		cs = &KeyShuffle{flat: GetKeyBuffer(off[j]), off: off}
+	}
 	for mi := 0; mi < mappers; mi++ {
 		wg.Add(1)
 		go func(mi int) {
 			defer wg.Done()
 			lo, hi := shard(len(keys), mappers, mi)
-			b := &batches[mi]
-			b.Reset(j, hi-lo) // exact Routes capacity for fan-out-1 schemes
-			route(keys[lo:hi], rngs[mi], b)
+			cur := make([]cursor, j)
+			place := func(dst *KeyShuffle, column []join.Key) {
+				for w := range cur {
+					cur[w] = cursor{dst.Worker(w), first[mi*j+w]}
+				}
+				scatter(cur, column[lo:hi], &batches[mi])
+			}
+			place(ks, keys)
+			if comp != nil {
+				place(cs, comp)
+			}
 		}(mi)
 	}
 	wg.Wait()
-
-	out := shuffled[T]{off: make([]int, j+1)}
-	for w := 0; w < j; w++ {
-		total := 0
-		for mi := 0; mi < mappers; mi++ {
-			total += batches[mi].Counts[w]
-		}
-		out.off[w+1] = out.off[w] + total
-	}
-	out.flat = alloc(out.off[j])
-
-	// pos[mi*j+w] is mapper mi's next write index inside worker w's range;
-	// mappers write disjoint ranges, so pass 2 needs no synchronization.
-	pos := make([]int, mappers*j)
-	for w := 0; w < j; w++ {
-		c := out.off[w]
-		for mi := 0; mi < mappers; mi++ {
-			pos[mi*j+w] = c
-			c += batches[mi].Counts[w]
-		}
-	}
-	for mi := 0; mi < mappers; mi++ {
-		wg.Add(1)
-		go func(mi int) {
-			defer wg.Done()
-			lo, _ := shard(len(keys), mappers, mi)
-			scatter(out.flat, pos[mi*j:(mi+1)*j], items[lo:], &batches[mi])
-		}(mi)
-	}
-	wg.Wait()
-	return out
+	return ks, cs
 }
 
-// shufflePair runs the shuffle phase for both relations of a join — the
-// exact phase Run performs before its reduce — with the two relations
-// shuffled CONCURRENTLY: their routing and scatter passes are independent
-// (separate batch storage, separate RNG streams split deterministically from
-// cfg.Seed), so on multi-core runners relation 2's routing overlaps relation
-// 1's scatter instead of waiting for it. keys1[i] is the routing key of
-// items1[i] (aliasing for bare-key relations); alloc provides the flat
-// buffers, typically from the pools.
-func shufflePair[T1, T2 any](items1 []T1, keys1 []join.Key, items2 []T2, keys2 []join.Key,
-	scheme partition.Scheme, cfg Config,
-	alloc1 func(int) []T1, alloc2 func(int) []T2) (shuffled[T1], shuffled[T2]) {
+// shufflePairAsync runs the shuffle phase for both relations of a join with
+// the two relations shuffled CONCURRENTLY: their routing and scatter passes
+// are independent (separate batch storage, separate RNG streams split
+// deterministically from cfg.Seed, relation 1's before relation 2's), so
+// relation 2's routing overlaps relation 1's scatter. It returns immediately
+// and calls done1/done2 (from the shuffling goroutines) with the relation's
+// key column and companion column (nil for a nil comp) the moment its scatter
+// completes, so a consumer can start draining relation 1 — e.g. writing its
+// worker blocks onto sockets — while relation 2 is still routing. The
+// callbacks must be cheap or hand off to another goroutine.
+func shufflePairAsync(r1, comp1, r2, comp2 []join.Key, scheme partition.Scheme, cfg Config,
+	done1, done2 func(keys, comp *KeyShuffle)) {
 
-	var s1 shuffled[T1]
-	var s2 shuffled[T2]
-	var wg sync.WaitGroup
-	wg.Add(2)
-	shufflePairAsync(items1, keys1, items2, keys2, scheme, cfg, alloc1, alloc2,
-		func(s shuffled[T1]) { s1 = s; wg.Done() },
-		func(s shuffled[T2]) { s2 = s; wg.Done() })
-	wg.Wait()
-	return s1, s2
-}
-
-// shufflePairAsync is shufflePair's streaming form: it returns immediately
-// and calls done1/done2 (from the shuffling goroutines) the moment each
-// relation's scatter completes, so a consumer can start draining relation
-// 1 — e.g. writing its worker blocks onto sockets — while relation 2 is
-// still routing. The callbacks must be cheap or hand off to another
-// goroutine; per-mapper batch storage is recycled after both complete.
-func shufflePairAsync[T1, T2 any](items1 []T1, keys1 []join.Key, items2 []T2, keys2 []join.Key,
-	scheme partition.Scheme, cfg Config,
-	alloc1 func(int) []T1, alloc2 func(int) []T2,
-	done1 func(shuffled[T1]), done2 func(shuffled[T2])) {
-
-	j := scheme.Workers()
-	mappers := cfg.Mappers
 	master := stats.NewRNG(cfg.Seed)
-	rngs1 := mapperRNGs(master, mappers)
-	rngs2 := mapperRNGs(master, mappers)
-	b1, b2 := getBatches(mappers), getBatches(mappers)
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		done1(shuffleRelation(items1, keys1, j, mappers, rngs1, b1, routeFor(scheme, 1), alloc1))
-	}()
-	go func() {
-		defer wg.Done()
-		done2(shuffleRelation(items2, keys2, j, mappers, rngs2, b2, routeFor(scheme, 2), alloc2))
-	}()
-	go func() {
-		wg.Wait()
-		putBatches(b1)
-		putBatches(b2)
-	}()
-}
-
-// KeyShuffle is the exported view of one shuffled bare-key relation: worker
-// w's tuples are the contiguous slice Worker(w) of a single exactly-sized
-// flat allocation, so a consumer (the reduce phase, or netexec's coordinator
-// streaming blocks onto sockets) reads per-worker data with zero
-// concatenation copies. Obtain pairs with ShufflePair; call Release when the
-// data has been consumed to recycle the flat buffer.
-type KeyShuffle struct {
-	s shuffled[join.Key]
-}
-
-// Workers returns the number of per-worker slices.
-func (k *KeyShuffle) Workers() int { return len(k.s.off) - 1 }
-
-// Worker returns worker w's contiguous tuple block. The slice aliases the
-// shuffle's flat buffer: it is valid until Release and may be sorted in
-// place by an owning consumer.
-func (k *KeyShuffle) Worker(w int) []join.Key { return k.s.worker(w) }
-
-// Total returns the total routed tuple count across workers (the relation's
-// network-tuple contribution; replication makes it exceed the input size).
-func (k *KeyShuffle) Total() int { return k.s.off[len(k.s.off)-1] }
-
-// Release recycles the flat buffer. No Worker slice may be used afterwards.
-func (k *KeyShuffle) Release() {
-	PutKeyBuffer(k.s.flat)
-	k.s = shuffled[join.Key]{}
+	rngs1 := mapperRNGs(master, cfg.Mappers)
+	rngs2 := mapperRNGs(master, cfg.Mappers)
+	go func() { done1(shuffleRelation(r1, comp1, scheme, 1, cfg.Mappers, rngs1)) }()
+	go func() { done2(shuffleRelation(r2, comp2, scheme, 2, cfg.Mappers, rngs2)) }()
 }
 
 // ShufflePair routes both relations of a join to scheme's workers with the
 // engine's two-pass zero-copy shuffle and returns the per-worker blocks.
 // This is Run's shuffle phase made reusable (the benchmark's join probe times
 // it on its own). Deterministic for a fixed cfg.Seed and cfg.Mappers.
-func ShufflePair(r1, r2 []join.Key, scheme partition.Scheme, cfg Config) (*KeyShuffle, *KeyShuffle) {
+func ShufflePair(r1, r2 []join.Key, scheme partition.Scheme, cfg Config) (s1, s2 *KeyShuffle) {
 	cfg.defaults()
-	s1, s2 := shufflePair(r1, r1, r2, r2, scheme, cfg, GetKeyBuffer, GetKeyBuffer)
-	return &KeyShuffle{s1}, &KeyShuffle{s2}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	shufflePairAsync(r1, nil, r2, nil, scheme, cfg,
+		func(k, _ *KeyShuffle) { s1 = k; wg.Done() },
+		func(k, _ *KeyShuffle) { s2 = k; wg.Done() })
+	wg.Wait()
+	return s1, s2
 }
 
 // ShuffleKeys routes one bare-key relation to scheme's workers on the given
 // side (rel 1 routes with RouteBatchR1, rel 2 with RouteBatchR2) — the
 // single-relation form of ShufflePair. It is what a peer worker uses to
 // re-shuffle its stage-1 matches by a broadcast plan (rel 1, Mappers 1 so
-// the routing is identical on any worker), and what the stage driver uses to
-// scatter a later stage's right relation. Deterministic for a fixed cfg.
+// the routing is identical on any worker). Deterministic for a fixed cfg.
 func ShuffleKeys(keys []join.Key, scheme partition.Scheme, rel int, cfg Config) *KeyShuffle {
 	cfg.defaults()
-	rngs := mapperRNGs(stats.NewRNG(cfg.Seed), cfg.Mappers)
-	batches := getBatches(cfg.Mappers)
-	s := shuffleRelation(keys, keys, scheme.Workers(), cfg.Mappers, rngs, batches, routeFor(scheme, rel), GetKeyBuffer)
-	putBatches(batches)
-	return &KeyShuffle{s}
+	ks, _ := shuffleRelation(keys, nil, scheme, rel, cfg.Mappers,
+		mapperRNGs(stats.NewRNG(cfg.Seed), cfg.Mappers))
+	return ks
 }
 
 // KeyChunk is one mapper's routed sub-block for one worker: the tuples
@@ -247,9 +223,6 @@ func newChunkStream(workers, mappers int) *ChunkStream {
 	return cs
 }
 
-// Workers returns the receiver-side parallelism (the scheme's worker count).
-func (cs *ChunkStream) Workers() int { return cs.workers }
-
 // Mappers returns the producer-side parallelism — the maximum number of
 // chunks any worker's channel will deliver.
 func (cs *ChunkStream) Mappers() int { return cs.mappers }
@@ -280,84 +253,45 @@ func (cs *ChunkStream) Drain() {
 // total scatter cost.
 func ShuffleKeysChunked(keys []join.Key, scheme partition.Scheme, rel int, cfg Config) *ChunkStream {
 	cfg.defaults()
-	return chunkedRelation(keys, scheme, rel, cfg, mapperRNGs(stats.NewRNG(cfg.Seed), cfg.Mappers))
+	return chunkedRelation(keys, scheme, rel, cfg.Mappers, mapperRNGs(stats.NewRNG(cfg.Seed), cfg.Mappers))
 }
 
-// chunkScatter is scatter against per-worker local buffers instead of
-// disjoint ranges of one flat buffer: the same route replay, the same
-// emission order per worker, so a worker's chunks concatenate to exactly
-// what the flat scatter would have put in its range.
-func chunkScatter(bufs [][]join.Key, p []int, items []join.Key, b *partition.RouteBatch) {
-	routes := b.Routes
-	switch {
-	case b.Fanout == 1:
-		items = items[:len(routes)]
-		for ti, w := range routes {
-			bufs[w][p[w]] = items[ti]
-			p[w]++
-		}
-	case b.Fanout > 1:
-		f := b.Fanout
-		for ri, ti := 0, 0; ri < len(routes); ri, ti = ri+f, ti+1 {
-			item := items[ti]
-			for _, w := range routes[ri : ri+f] {
-				bufs[w][p[w]] = item
-				p[w]++
-			}
-		}
-	default:
-		ri := 0
-		for ti, n := range b.Lens {
-			item := items[ti]
-			for _, w := range routes[ri : ri+int(n)] {
-				bufs[w][p[w]] = item
-				p[w]++
-			}
-			ri += int(n)
-		}
-	}
-}
-
-// ShufflePairChunked is ShufflePair's streaming form for chunk-consuming
+// shufflePairChunked is shufflePairAsync's form for chunk-consuming
 // transports: both relations route with the SAME deterministic RNG streams
-// as shufflePairAsync (all relation-1 mapper streams split before relation
-// 2's), but each resolves to a ChunkStream instead of a flat KeyShuffle.
-func ShufflePairChunked(r1, r2 []join.Key, scheme partition.Scheme, cfg Config) (*ChunkStream, *ChunkStream) {
-	cfg.defaults()
+// (all relation-1 mapper streams split before relation 2's), but each
+// resolves to a ChunkStream instead of a flat KeyShuffle.
+func shufflePairChunked(r1, r2 []join.Key, scheme partition.Scheme, cfg Config) (*ChunkStream, *ChunkStream) {
 	master := stats.NewRNG(cfg.Seed)
 	rngs1 := mapperRNGs(master, cfg.Mappers)
 	rngs2 := mapperRNGs(master, cfg.Mappers)
-	return chunkedRelation(r1, scheme, 1, cfg, rngs1), chunkedRelation(r2, scheme, 2, cfg, rngs2)
+	return chunkedRelation(r1, scheme, 1, cfg.Mappers, rngs1), chunkedRelation(r2, scheme, 2, cfg.Mappers, rngs2)
 }
 
-// chunkedRelation is ShuffleKeysChunked's core with caller-supplied RNG
-// streams (so paired relations split from one master, matching the flat
-// pair shuffle).
-func chunkedRelation(keys []join.Key, scheme partition.Scheme, rel int, cfg Config, rngs []*stats.RNG) *ChunkStream {
-	j := scheme.Workers()
-	route := routeFor(scheme, rel)
-	cs := newChunkStream(j, cfg.Mappers)
+// chunkedRelation is shuffleRelation without the barrier: the same route
+// pass and the same scatter kernel per mapper, into per-worker pooled
+// buffers instead of ranges of one flat buffer.
+func chunkedRelation(keys []join.Key, scheme partition.Scheme, rel, mappers int, rngs []*stats.RNG) *ChunkStream {
+	j, route := scheme.Workers(), routeFor(scheme, rel)
+	cs := newChunkStream(j, mappers)
 	go func() {
-		batches := getBatches(cfg.Mappers)
+		batches := getBatches(mappers)
 		var wg sync.WaitGroup
-		for mi := 0; mi < cfg.Mappers; mi++ {
+		for mi := 0; mi < mappers; mi++ {
 			wg.Add(1)
 			go func(mi int) {
 				defer wg.Done()
-				lo, hi := shard(len(keys), cfg.Mappers, mi)
 				b := &batches[mi]
-				b.Reset(j, hi-lo)
-				route(keys[lo:hi], rngs[mi], b)
-				bufs := make([][]join.Key, j)
+				lo, hi := routeShard(keys, j, mappers, mi, rngs[mi], b, route)
+				cur := make([]cursor, j)
 				for w := 0; w < j; w++ {
 					if b.Counts[w] > 0 {
-						bufs[w] = GetKeyBuffer(b.Counts[w])
+						cur[w].buf = GetKeyBuffer(b.Counts[w])
 					}
 				}
-				chunkScatter(bufs, make([]int, j), keys[lo:hi], b)
+				scatter(cur, keys[lo:hi], b)
 				for w := 0; w < j; w++ {
-					if bufs[w] != nil {
-						cs.ch[w] <- KeyChunk{Mapper: mi, Keys: bufs[w]}
+					if cur[w].buf != nil {
+						cs.ch[w] <- KeyChunk{Mapper: mi, Keys: cur[w].buf}
 					}
 				}
 			}(mi)
@@ -371,10 +305,13 @@ func chunkedRelation(keys []join.Key, scheme partition.Scheme, rel int, cfg Conf
 	return cs
 }
 
-// scatter places one mapper's shard into the flat buffer following the
-// routes recorded in pass 1. p is the mapper's per-worker write cursor set;
-// items is the shard (indexed from 0).
-func scatter[T any](flat []T, p []int, items []T, b *partition.RouteBatch) {
+// scatter is the shuffle's one kernel: it replays the routes b recorded for
+// one mapper's shard, writing items[i] at the cursor of each receiver w of key
+// i and advancing it. The flat shuffle points the cursors at the mapper's
+// range inside each worker's block of the flat buffer; the chunked shuffle at
+// the start of the mapper's own per-worker buffers. Either way worker w
+// receives the mapper's tuples in route-emission order.
+func scatter(cur []cursor, items []join.Key, b *partition.RouteBatch) {
 	routes := b.Routes
 	switch {
 	case b.Fanout == 1:
@@ -383,17 +320,18 @@ func scatter[T any](flat []T, p []int, items []T, b *partition.RouteBatch) {
 		// bounds check inside the loop.
 		items = items[:len(routes)]
 		for ti, w := range routes {
-			idx := p[w]
-			flat[idx] = items[ti]
-			p[w] = idx + 1
+			c := &cur[w]
+			c.buf[c.n] = items[ti]
+			c.n++
 		}
 	case b.Fanout > 1:
 		f := b.Fanout
 		for ri, ti := 0, 0; ri < len(routes); ri, ti = ri+f, ti+1 {
 			item := items[ti]
 			for _, w := range routes[ri : ri+f] {
-				flat[p[w]] = item
-				p[w]++
+				c := &cur[w]
+				c.buf[c.n] = item
+				c.n++
 			}
 		}
 	default:
@@ -401,8 +339,9 @@ func scatter[T any](flat []T, p []int, items []T, b *partition.RouteBatch) {
 		for ti, n := range b.Lens {
 			item := items[ti]
 			for _, w := range routes[ri : ri+int(n)] {
-				flat[p[w]] = item
-				p[w]++
+				c := &cur[w]
+				c.buf[c.n] = item
+				c.n++
 			}
 			ri += int(n)
 		}

@@ -1,0 +1,163 @@
+package exec
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"ewh/internal/core"
+	"ewh/internal/join"
+	"ewh/internal/partition"
+	"ewh/internal/stats"
+)
+
+// shuffleSchemes covers every RouteBatch shape the scatter kernel replays:
+// fan-out 1 (Hash; Broadcast's R1 side), a fixed fan-out > 1 (CI; Broadcast's
+// R2 side) and variable Lens (a region scheme; PRPD Hash's R2 side, whose
+// heavy key broadcasts while the rest hash).
+func shuffleSchemes(t *testing.T, r1, r2 []join.Key) []partition.Scheme {
+	t.Helper()
+	hash, err := partition.NewHash(8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	heavy := partition.DetectHeavyKeys(r1, 0.1)
+	if len(heavy) == 0 {
+		t.Fatal("the generator planted no heavy key")
+	}
+	prpd, err := partition.NewHash(6, heavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcast, err := partition.NewBroadcast(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csio, err := core.PlanCSIO(r1, r2, join.NewBand(2), core.Options{J: 6, Model: model, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []partition.Scheme{hash, partition.NewCI(16), csio.Scheme, prpd, bcast}
+}
+
+// concatChunks drains cs and returns each worker's chunks concatenated in
+// ascending mapper order.
+func concatChunks(t *testing.T, cs *ChunkStream, workers int) [][]join.Key {
+	t.Helper()
+	out := make([][]join.Key, workers)
+	for w := range out {
+		var chunks []KeyChunk
+		for c := range cs.Worker(w) {
+			chunks = append(chunks, c)
+		}
+		slices.SortFunc(chunks, func(a, b KeyChunk) int { return a.Mapper - b.Mapper })
+		for i, c := range chunks {
+			if i > 0 && c.Mapper == chunks[i-1].Mapper {
+				t.Fatalf("worker %d received two chunks from mapper %d", w, c.Mapper)
+			}
+			out[w] = append(out[w], c.Keys...)
+			PutKeyBuffer(c.Keys)
+		}
+	}
+	return out
+}
+
+// TestShuffleFlatChunkedCompanionAgree pins the contract every transport's
+// bit-identity rests on, directly at the shuffle: per worker, the flat
+// shuffle's block equals the mapper-major concatenation of the chunked
+// shuffle's sub-blocks; a companion column stays aligned with its keys slot
+// for slot; and Total() is the number of routes recorded.
+func TestShuffleFlatChunkedCompanionAgree(t *testing.T) {
+	const full = 5000
+	base1 := randKeys(full, 400, 700)
+	for i := 0; i < full/4; i++ {
+		base1[i*4] = 7 // one heavy hitter, spread over every mapper's shard
+	}
+	base2 := randKeys(full, 400, 701)
+	for _, s := range shuffleSchemes(t, base1, base2) {
+		for _, mappers := range []int{1, 3, 8} {
+			for _, n := range []int{0, 1, full} {
+				id := fmt.Sprintf("%s mappers=%d n=%d", s.Name(), mappers, n)
+				r1, r2 := base1[:n], base2[:n]
+				cfg := Config{Seed: 702, Mappers: mappers}
+				j := s.Workers()
+
+				f1, f2 := ShufflePair(r1, r2, s, cfg)
+				c1, c2 := shufflePairChunked(r1, r2, s, cfg)
+				for rel, side := range []struct {
+					keys    []join.Key
+					flat    *KeyShuffle
+					chunked [][]join.Key
+					rngs    []*stats.RNG
+				}{
+					{r1, f1, concatChunks(t, c1, j), splitRNGs(cfg.Seed, 0, mappers)},
+					{r2, f2, concatChunks(t, c2, j), splitRNGs(cfg.Seed, 1, mappers)},
+				} {
+					// The oracle: an independent replay of the route pass, each
+					// key appended to its receivers mapper by mapper.
+					want, routed := make([][]join.Key, j), 0
+					var b partition.RouteBatch
+					for mi, rng := range side.rngs {
+						lo, hi := shard(len(side.keys), mappers, mi)
+						b.Reset(j, hi-lo)
+						routeFor(s, rel+1)(side.keys[lo:hi], rng, &b)
+						ri := 0
+						for i, k := range side.keys[lo:hi] {
+							n := b.Fanout
+							if n == 0 {
+								n = int(b.Lens[i])
+							}
+							for _, w := range b.Routes[ri : ri+n] {
+								want[w] = append(want[w], k)
+							}
+							ri += n
+						}
+						routed += len(b.Routes)
+					}
+					if side.flat.Total() != routed {
+						t.Fatalf("%s rel %d: Total() = %d, routes recorded %d", id, rel+1, side.flat.Total(), routed)
+					}
+
+					rows := rowIndex(len(side.keys))
+					ks, cs := shuffleRelation(side.keys, rows, s, rel+1, mappers, splitRNGs(cfg.Seed, rel, mappers))
+					if ks.Total() != routed || cs.Total() != routed {
+						t.Fatalf("%s rel %d: with a companion the columns hold %d and %d slots, want %d",
+							id, rel+1, ks.Total(), cs.Total(), routed)
+					}
+					for w := 0; w < j; w++ {
+						blk := side.flat.Worker(w)
+						if !slices.Equal(blk, want[w]) {
+							t.Fatalf("%s rel %d worker %d: flat block != replayed routes", id, rel+1, w)
+						}
+						if !slices.Equal(blk, side.chunked[w]) {
+							t.Fatalf("%s rel %d worker %d: flat block != concatenated chunks", id, rel+1, w)
+						}
+						if !slices.Equal(blk, ks.Worker(w)) {
+							t.Fatalf("%s rel %d worker %d: a companion changed the key column", id, rel+1, w)
+						}
+						for i, row := range cs.Worker(w) {
+							if side.keys[row] != blk[i] {
+								t.Fatalf("%s rel %d worker %d slot %d: companion names row %d (key %d), slot holds key %d",
+									id, rel+1, w, i, row, side.keys[row], blk[i])
+							}
+						}
+					}
+					ks.Release()
+					cs.Release()
+					PutKeyBuffer(rows)
+					side.flat.Release()
+				}
+			}
+		}
+	}
+}
+
+// splitRNGs returns relation rel's (0 or 1) mapper streams as a pair shuffle
+// splits them from seed: all of relation 1's before relation 2's.
+func splitRNGs(seed uint64, rel, mappers int) []*stats.RNG {
+	master := stats.NewRNG(seed)
+	if rel == 1 {
+		mapperRNGs(master, mappers)
+	}
+	return mapperRNGs(master, mappers)
+}

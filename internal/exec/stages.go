@@ -93,10 +93,10 @@ type PlanJob struct {
 
 // StageRuntime is an optional Runtime extension implemented by transports
 // that can re-shuffle one job's materialized matches directly between their
-// workers. The first job's second relation carries the re-key column
-// (RelData.Rekey): a stage-1 match (t1, t2) materializes as t2's entry in it,
-// which is exactly how the multiway pipeline re-keys its intermediate on the
-// next join attribute.
+// workers. The first job's second relation carries its companion as the
+// re-key column (RelData.Rekey): a stage-1 match (t1, t2) materializes as t2's
+// entry in it, which is exactly how the multiway pipeline re-keys its
+// intermediate on the next join attribute.
 type StageRuntime interface {
 	Runtime
 	// RunStages executes first (count-only; first.Pairs must be nil), routes
@@ -140,27 +140,25 @@ type StagePlan struct {
 // first stage's shuffle streams without a second Config knob.
 const stage2SeedDelta = 0x51ed270
 
-// payloadsInto is keysInto for the payload column of a relation whose
-// payloads are keys: the projection that makes the re-key column.
-func payloadsInto(dst []join.Key, ts []Tuple[join.Key]) {
-	for i, t := range ts {
-		dst[i] = t.Payload
-	}
-}
-
 // RunStagesOver executes a two-stage pipeline through a stage-aware
 // transport: stage 1 joins r1 ⋈ r2 under scheme (shuffled once by the
-// driver; each r2 tuple's payload is its stage-2 join key and ships as the
-// re-key column), the transport re-shuffles the matches by sp's plan without
-// them ever returning to the driver, and stage 2 joins them against r3
-// (driver-shuffled on the R2 side, seed cfg.Seed+stage2SeedDelta). For a
-// stats-deferred sp the r3 shuffle starts the moment Replan resolves the
-// scheme. Both stages' Results carry the usual per-worker metrics; stage 1's
-// Output is the intermediate size.
-func RunStagesOver(rt StageRuntime, r1 []join.Key, r2 []Tuple[join.Key],
+// driver; rekey, aligned with r2, is r2's companion column — each row's
+// stage-2 join key — and ships as the re-key column), the transport
+// re-shuffles the matches by sp's plan without them ever returning to the
+// driver, and stage 2 joins them against r3 (driver-shuffled on the R2 side,
+// seed cfg.Seed+stage2SeedDelta). For a stats-deferred sp the r3 shuffle
+// starts the moment Replan resolves the scheme. Both stages' Results carry
+// the usual per-worker metrics; stage 1's Output is the intermediate size.
+func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 	cond join.Condition, scheme partition.Scheme, sp StagePlan, r3 []join.Key,
 	model cost.Model, cfg Config) (stage1, stage2 *Result, err error) {
 
+	if len(rekey) != len(r2) {
+		return nil, nil, fmt.Errorf("exec: re-key column has %d rows, relation 2 has %d", len(rekey), len(r2))
+	}
+	if rekey == nil {
+		rekey = []join.Key{} // an empty relation 2 still declares its (empty) column
+	}
 	deferred := sp.Replan != nil
 	j2cap := 0
 	switch {
@@ -184,7 +182,10 @@ func RunStagesOver(rt StageRuntime, r1 []join.Key, r2 []Tuple[join.Key],
 	start := time.Now()
 	j1 := scheme.Workers()
 
-	ts := shuffleTuples(WrapKeys(r1), r2, scheme, cfg, payloadsInto)
+	f1, f2 := newRelFuture(), newRelFuture()
+	shufflePairAsync(r1, nil, r2, rekey, scheme, cfg,
+		func(k, _ *KeyShuffle) { f1.resolve(RelData{Keys: k}) },
+		func(k, rk *KeyShuffle) { f2.resolve(RelData{Keys: k, Rekey: rk}) })
 
 	// The right relation of stage 2 shuffles concurrently with stage 1's
 	// relations once its scheme is known — immediately for a pre-built plan,
@@ -250,12 +251,15 @@ func RunStagesOver(rt StageRuntime, r1 []join.Key, r2 []Tuple[join.Key],
 		startR3(sp.Scheme)
 	}
 
-	first := &Job{Cond: cond, Workers: j1, R1: ts.f1, R2: ts.f2, Engine: cfg.Engine}
+	first := &Job{Cond: cond, Workers: j1, R1: f1, R2: f2, Engine: cfg.Engine}
 	res1 := &Result{Scheme: scheme.Name() + rt.Label(), Workers: make([]WorkerMetrics, j1)}
 	res2 := &Result{Workers: make([]WorkerMetrics, j2cap)}
 	inter, err := rt.RunStages(first, next, res1.Workers, res2.Workers)
 
-	ts.release()
+	// A transport that errored early may return while a scatter is still
+	// writing: wait out both shuffles before recycling their buffers.
+	releaseRelData(f1.Wait())
+	releaseRelData(f2.Wait())
 	// A failure before replanning leaves the r3 shuffle unstarted; resolve
 	// the future empty so nothing downstream can block on it.
 	if !r3Started.Load() {

@@ -20,16 +20,10 @@ type Tuple[P any] struct {
 // Keys projects the routing keys of a tuple slice.
 func Keys[P any](ts []Tuple[P]) []join.Key {
 	out := make([]join.Key, len(ts))
-	keysInto(out, ts)
-	return out
-}
-
-// keysInto projects routing keys into a caller-owned (typically pooled)
-// buffer; dst must have length len(ts).
-func keysInto[P any](dst []join.Key, ts []Tuple[P]) {
 	for i, t := range ts {
-		dst[i] = t.Key
+		out[i] = t.Key
 	}
+	return out
 }
 
 // WrapKeys lifts bare keys into payload-less tuples.
@@ -55,111 +49,79 @@ func RunTuples[P1, P2 any](r1 []Tuple[P1], r2 []Tuple[P2], cond join.Condition,
 	return res
 }
 
-// RunTuplesOver executes a payload-carrying join through rt. The tuples are
-// shuffled exactly once (flat pooled buffers, as Run's key path); the
-// runtime joins the projected key blocks and streams back matched index
-// pairs, which this driver maps onto the shuffled tuple blocks to invoke
-// emit — so emission is identical no matter where the join ran, and only
-// keys ever cross a wire.
-//
-// emit is called concurrently from different workers but never concurrently
-// for the same workerID. Pair order per worker is deterministic: R1 arrival
-// order, partners ascending by (key, arrival index).
+// RunTuplesOver executes a payload-carrying join through rt: RunPairsOver
+// over the projected keys, each matched row pair mapped back onto the
+// caller's tuples — payloads never enter the shuffle, let alone a wire.
+// emit's concurrency and order are RunPairsOver's.
 func RunTuplesOver[P1, P2 any](rt Runtime, r1 []Tuple[P1], r2 []Tuple[P2],
 	cond join.Condition, scheme partition.Scheme, model cost.Model, cfg Config,
 	emit func(workerID int, a Tuple[P1], b Tuple[P2])) (*Result, error) {
 
+	var rows func(w, row1, row2 int)
+	if emit != nil {
+		rows = func(w, row1, row2 int) { emit(w, r1[row1], r2[row2]) }
+	}
+	return RunPairsOver(rt, Keys(r1), Keys(r2), cond, scheme, model, cfg, rows)
+}
+
+// RunPairsOver executes a pair-emitting join through rt. Each relation is
+// shuffled exactly once with its row index as companion column (flat pooled
+// buffers, as RunOver's); the runtime joins the key blocks and streams back
+// matched index pairs, which this driver maps through the shuffled row
+// indices to call emit with the ORIGINAL row numbers (into r1 and r2) of each
+// pair — so emission is identical no matter where the join ran, and only keys
+// ever cross a wire.
+//
+// emit is called concurrently from different workers but never concurrently
+// for the same worker. Pair order per worker is deterministic: R1 arrival
+// order, partners ascending by (key, arrival index). A nil emit runs the job
+// count-only on every transport (in-place merge-sweep locally, no pairs
+// traffic on a wire) instead of enumerating matches nobody will see.
+func RunPairsOver(rt Runtime, r1, r2 []join.Key, cond join.Condition,
+	scheme partition.Scheme, model cost.Model, cfg Config,
+	emit func(worker, row1, row2 int)) (*Result, error) {
+
 	cfg.defaults()
 	start := time.Now()
-	j := scheme.Workers()
-	ts := shuffleTuples(r1, r2, scheme, cfg, nil)
-	job := &Job{Cond: cond, Workers: j, R1: ts.f1, R2: ts.f2, Engine: cfg.Engine}
+	f1, f2 := newRelFuture(), newRelFuture()
+	job := &Job{Cond: cond, Workers: scheme.Workers(), R1: f1, R2: f2, Engine: cfg.Engine}
+	var idx1, idx2 []join.Key // input row indices; nil for a count-only job
+	var rows1, rows2 *KeyShuffle
 	if emit != nil {
-		// A nil emit leaves Pairs nil too: the job runs count-only on every
-		// transport (in-place merge-sweep locally, no pairs traffic on a
-		// wire) instead of enumerating matches nobody will see.
+		idx1, idx2 = rowIndex(len(r1)), rowIndex(len(r2))
 		job.Pairs = func(w int, chunk []PairIdx) {
 			// The future waits are free after resolution and give this
-			// goroutine an explicit acquire edge on the s1/s2 writes —
+			// goroutine an explicit acquire edge on the rows1/rows2 writes —
 			// pair delivery paths (e.g. a session's socket read loop) must
 			// not rely on transitive ordering through the transport.
-			ts.f1.Wait()
-			ts.f2.Wait()
-			b1, b2 := ts.s1.worker(w), ts.s2.worker(w)
+			f1.Wait()
+			f2.Wait()
+			b1, b2 := rows1.Worker(w), rows2.Worker(w)
 			for _, p := range chunk {
-				emit(w, b1[p.I1], b2[p.I2])
+				emit(w, int(b1[p.I1]), int(b2[p.I2]))
 			}
 		}
 	}
-	res := &Result{Scheme: scheme.Name() + rt.Label(), Workers: make([]WorkerMetrics, j)}
-	err := rt.RunJob(job, res.Workers)
-	ts.release()
-	if err != nil {
-		return nil, err
+	// The callbacks publish rows1/rows2 before closing the future, so any
+	// goroutine that Waited it sees the blocks.
+	shufflePairAsync(r1, idx1, r2, idx2, scheme, cfg,
+		func(k, rows *KeyShuffle) { rows1 = rows; f1.resolve(RelData{Keys: k}) },
+		func(k, rows *KeyShuffle) { rows2 = rows; f2.resolve(RelData{Keys: k}) })
+	res, err := runJob(rt, job, scheme, model, cfg, start)
+	if emit != nil {
+		rows1.Release()
+		rows2.Release()
+		PutKeyBuffer(idx1)
+		PutKeyBuffer(idx2)
 	}
-	finishResult(res, model, start, cfg.BytesPerTuple)
-	return res, nil
+	return res, err
 }
 
-// tupleShuffle is the shuffled state the tuple drivers (RunTuplesOver,
-// RunStagesOver) share: the pooled key projections the routing read, the
-// shuffled tuple blocks pair emission indexes, and the futures a runtime
-// consumes.
-type tupleShuffle[P1, P2 any] struct {
-	k1, k2 []join.Key
-	s1     shuffled[Tuple[P1]]
-	s2     shuffled[Tuple[P2]]
-	f1, f2 *RelFuture
-}
-
-// shuffleTuples projects both relations' routing keys into pooled buffers and
-// starts their shuffle (flat tuple buffers from the per-type tuple pool, so
-// steady-state runs allocate nothing proportional to the input). Each future
-// resolves to the relation's key blocks; a non-nil rekey (keysInto's shape,
-// reading the payloads) additionally projects relation 2's re-key column.
-// The resolve callbacks publish s1/s2 before closing the future, so any
-// goroutine that Waited it sees the blocks.
-func shuffleTuples[P1, P2 any](r1 []Tuple[P1], r2 []Tuple[P2], scheme partition.Scheme,
-	cfg Config, rekey func(dst []join.Key, ts []Tuple[P2])) *tupleShuffle[P1, P2] {
-
-	ts := &tupleShuffle[P1, P2]{k1: GetKeyBuffer(len(r1)), k2: GetKeyBuffer(len(r2)),
-		f1: newRelFuture(), f2: newRelFuture()}
-	keysInto(ts.k1, r1)
-	keysInto(ts.k2, r2)
-	shufflePairAsync(r1, ts.k1, r2, ts.k2, scheme, cfg, getTupleSlice[P1], getTupleSlice[P2],
-		func(s shuffled[Tuple[P1]]) {
-			ts.s1 = s
-			ts.f1.resolve(RelData{Keys: columnOf(s, keysInto[P1])})
-		},
-		func(s shuffled[Tuple[P2]]) {
-			ts.s2 = s
-			rd := RelData{Keys: columnOf(s, keysInto[P2])}
-			if rekey != nil {
-				rd.Rekey = columnOf(s, rekey)
-			}
-			ts.f2.resolve(rd)
-		})
-	return ts
-}
-
-// columnOf projects one key column of a shuffled tuple relation into a pooled
-// flat buffer sharing the shuffle's per-worker offsets.
-func columnOf[P any](s shuffled[Tuple[P]], into func(dst []join.Key, ts []Tuple[P])) *KeyShuffle {
-	flat := GetKeyBuffer(len(s.flat))
-	into(flat, s.flat)
-	return &KeyShuffle{shuffled[join.Key]{flat: flat, off: s.off}}
-}
-
-// release recycles everything shuffleTuples took from the pools. It waits
-// for both shuffles first: a transport that errored early may return while a
-// scatter is still reading k1/k2. emit receives tuples by value, so the flat
-// tuple buffers are dead here too; the put clears nothing — getTupleSlice
-// clears the tail a shorter future job would otherwise leak.
-func (ts *tupleShuffle[P1, P2]) release() {
-	releaseRelData(ts.f1.Wait())
-	releaseRelData(ts.f2.Wait())
-	PutKeyBuffer(ts.k1)
-	PutKeyBuffer(ts.k2)
-	putTupleSlice(ts.s1.flat)
-	putTupleSlice(ts.s2.flat)
+// rowIndex returns the pooled column 0, 1, …, n-1.
+func rowIndex(n int) []join.Key {
+	idx := GetKeyBuffer(n)
+	for i := range idx {
+		idx[i] = join.Key(i)
+	}
+	return idx
 }

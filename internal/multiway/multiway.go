@@ -1,14 +1,15 @@
 // Package multiway executes multi-way monotonic joins as a sequence of
 // EWH-planned 2-way joins, the strategy §IV-B prescribes ("a multi-way join
-// can be efficiently executed using a sequence of our 2-way joins"). The
-// output of each stage is materialized as tuples keyed by the next stage's
-// join attribute and re-partitioned with a fresh equi-weight histogram, so
-// every stage is individually balanced on both its input and its output.
+// can be efficiently executed using a sequence of our 2-way joins"). A
+// relation is key columns end to end: the Mid relation's column B rides the
+// stage-1 shuffle as column A's companion, each match materializes as its B
+// key, and that intermediate is re-partitioned with a fresh equi-weight
+// histogram, so every stage is balanced on both its input and its output.
 package multiway
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"ewh/internal/core"
@@ -222,17 +223,6 @@ func validate(q Query, opts *core.Options) error {
 	return nil
 }
 
-// midTuples keys the Mid relation on column A with column B as payload: the
-// shape both stage-1 shuffles take (the peer path ships B as the re-key
-// column, the relay path reads it back coordinator-side).
-func midTuples(q Query) []exec.Tuple[join.Key] {
-	ts := make([]exec.Tuple[join.Key], q.Mid.Rows())
-	for i := range ts {
-		ts[i] = exec.Tuple[join.Key]{Key: q.Mid.A[i], Payload: q.Mid.B[i]}
-	}
-	return ts
-}
-
 // executePeer is the direct worker→worker path: stage 1 runs exactly as the
 // relay path (same plan, same shuffle, same per-worker blocks), but its
 // matches stay on the workers, re-shuffled among them by a stage-2 plan the
@@ -324,7 +314,7 @@ func peerAttempt(rt exec.StageRuntime, q Query, opts core.Options, cfg exec.Conf
 		plan2Dur = time.Since(plan2Start)
 	}
 
-	res1, res2, err := exec.RunStagesOver(rt, q.R1, midTuples(q), q.CondA,
+	res1, res2, err := exec.RunStagesOver(rt, q.R1, q.Mid.A, q.Mid.B, q.CondA,
 		plan1.Scheme, sp, q.R3, opts.Model, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("multiway: peer pipeline: %w", err)
@@ -406,23 +396,20 @@ func ExecuteOverRelay(rt exec.Runtime, q Query, opts core.Options, cfg exec.Conf
 		plan1Scheme = plan1.Scheme
 		plan1Dur = time.Since(plan1Start)
 		perWorker = make([][]join.Key, plan1.Scheme.Workers())
-		var mu sync.Mutex
-		overflow := false
+		var overflow atomic.Bool
 		var aerr error
-		res1, aerr = exec.RunTuplesOver(srt, exec.WrapKeys(q.R1), midTuples(q), q.CondA,
+		res1, aerr = exec.RunPairsOver(srt, q.R1, q.Mid.A, q.CondA,
 			plan1.Scheme, opts.Model, cfg,
-			func(w int, _ exec.Tuple[struct{}], b exec.Tuple[join.Key]) {
-				perWorker[w] = append(perWorker[w], b.Payload)
+			func(w, _, row2 int) {
+				perWorker[w] = append(perWorker[w], q.Mid.B[row2])
 				if len(perWorker[w]) == MaxIntermediate {
-					mu.Lock()
-					overflow = true
-					mu.Unlock()
+					overflow.Store(true)
 				}
 			})
 		if aerr != nil {
 			return fmt.Errorf("multiway: stage 1: %w", aerr)
 		}
-		if overflow || res1.Output > MaxIntermediate {
+		if overflow.Load() || res1.Output > MaxIntermediate {
 			return fmt.Errorf("multiway: stage 1 produced %d tuples (cap %d); restructure the chain",
 				res1.Output, MaxIntermediate)
 		}

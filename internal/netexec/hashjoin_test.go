@@ -270,7 +270,7 @@ func TestPeerStageJobsHonorCoordinatorEngine(t *testing.T) {
 	for i, e := range []exec.JoinEngine{exec.EngineHash, exec.EngineMerge} {
 		sess := dialSession(t, addrs)
 		cfg := exec.Config{Seed: 17, Mappers: 2, Engine: e}
-		res1, res2, err := exec.RunStagesOver(sess, r1, tuplesWithRekey(r2),
+		res1, res2, err := exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
 			join.Equi{}, scheme1, sp, r3, model, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -31,20 +31,20 @@ func stagePlanFor(t *testing.T, cond join.Condition, j2 int, seed uint64) exec.S
 	return exec.StagePlan{Bytes: bytes, Scheme: scheme, Cond: cond}
 }
 
-// tuplesWithRekey lifts keys into tuples whose payload is the stage-2 key
-// (here: the key itself, rotated): the re-key column a plan job re-shuffles.
-func tuplesWithRekey(keys []join.Key) []exec.Tuple[join.Key] {
-	ts := make([]exec.Tuple[join.Key], len(keys))
+// rekeyOf derives each row's stage-2 key (here: the key itself, rotated): the
+// re-key column a plan job re-shuffles.
+func rekeyOf(keys []join.Key) []join.Key {
+	rk := make([]join.Key, len(keys))
 	for i, k := range keys {
-		ts[i] = exec.Tuple[join.Key]{Key: k, Payload: k*3 + 1}
+		rk[i] = k*3 + 1
 	}
-	return ts
+	return rk
 }
 
 func TestPeerPipelineMatchesLocalReference(t *testing.T) {
 	// End-to-end stage pipeline over loopback workers, checked against a
-	// hand-composed in-process reference: stage 1's matches (the payload
-	// keys of matched R2 tuples), re-shuffled by the content-deterministic
+	// hand-composed in-process reference: stage 1's matches (the re-key
+	// column's entries of matched R2 rows), re-shuffled by the content-deterministic
 	// Hash plan, joined against R3.
 	_, addrs := startWorkerSet(t, 4)
 	sess := dialSession(t, addrs)
@@ -60,7 +60,7 @@ func TestPeerPipelineMatchesLocalReference(t *testing.T) {
 	cfg := exec.Config{Seed: 11, Mappers: 2}
 	model := cost.Model{Wi: 1, Wo: 0.2}
 
-	res1, res2, err := exec.RunStagesOver(sess, r1, tuplesWithRekey(r2),
+	res1, res2, err := exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
 		join.Equi{}, scheme1, sp, r3, model, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -70,11 +70,9 @@ func TestPeerPipelineMatchesLocalReference(t *testing.T) {
 	// deterministic order, then run the same Hash plan over them.
 	var inter []join.Key
 	perWorker := make([][]join.Key, scheme1.Workers())
-	if _, err := exec.RunTuplesOver(exec.Local{}, exec.WrapKeys(r1), tuplesWithRekey(r2),
-		join.Equi{}, scheme1, model, cfg,
-		func(w int, _ exec.Tuple[struct{}], b exec.Tuple[join.Key]) {
-			perWorker[w] = append(perWorker[w], b.Payload)
-		}); err != nil {
+	rk := rekeyOf(r2)
+	if _, err := exec.RunPairsOver(exec.Local{}, r1, r2, join.Equi{}, scheme1, model, cfg,
+		func(w, _, row2 int) { perWorker[w] = append(perWorker[w], rk[row2]) }); err != nil {
 		t.Fatal(err)
 	}
 	for _, pw := range perWorker {
@@ -113,7 +111,7 @@ func TestPeerPipelineFailureNamesWorkerAndJob(t *testing.T) {
 	}
 	sp := stagePlanFor(t, join.Equi{}, 2, 5)
 	sp.Bytes = stagePlanFor(t, join.Equi{}, 3, 5).Bytes
-	_, _, err = exec.RunStagesOver(sess, r1, tuplesWithRekey(r2),
+	_, _, err = exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
 		join.Equi{}, scheme1, sp, r1, cost.Model{Wi: 1, Wo: 0.2},
 		exec.Config{Seed: 3, Mappers: 1})
 	if err == nil {
@@ -144,7 +142,7 @@ func TestPeerDialFailureNamesPeerAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := stagePlanFor(t, join.Equi{}, 2, 9)
-	_, _, err = exec.RunStagesOver(sess, r1, tuplesWithRekey(r2),
+	_, _, err = exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
 		join.Equi{}, scheme1, sp, r1, cost.Model{Wi: 1, Wo: 0.2},
 		exec.Config{Seed: 3, Mappers: 1})
 	if err == nil {
@@ -168,7 +166,7 @@ func TestPeerPipelineSurvivesShutdownAfterDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := stagePlanFor(t, join.Equi{}, 3, 13)
-	if _, _, err := exec.RunStagesOver(sess, r1, tuplesWithRekey(r2),
+	if _, _, err := exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
 		join.Equi{}, scheme1, sp, r1, cost.Model{Wi: 1, Wo: 0.2},
 		exec.Config{Seed: 3, Mappers: 1}); err != nil {
 		t.Fatal(err)

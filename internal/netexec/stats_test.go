@@ -68,7 +68,7 @@ func TestStatsStagePipelineMatchesReference(t *testing.T) {
 		b, err := planio.Encode(&planio.Artifact{Scheme: scheme, Seed: 77})
 		return b, scheme, err
 	})
-	res1, res2, err := exec.RunStagesOver(sess, r1, tuplesWithRekey(r2),
+	res1, res2, err := exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
 		join.Equi{}, scheme1, sp, r3, model, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestStatsStagePipelineMatchesReference(t *testing.T) {
 		t.Fatalf("summaries account for %d intermediate tuples, stage 1 matched %d", sumTotal, res1.Output)
 	}
 
-	ref1, ref2, err := exec.RunStagesOver(sess, r1, tuplesWithRekey(r2),
+	ref1, ref2, err := exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
 		join.Equi{}, scheme1, stagePlanFor(t, join.Equi{}, 3, 77), r3, model, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestWorkerShutdownMidStatsCollection(t *testing.T) {
 
 	pipelineDone := make(chan error, 1)
 	go func() {
-		_, _, err := exec.RunStagesOver(sess, r1, tuplesWithRekey(r2),
+		_, _, err := exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
 			join.Equi{}, scheme1, sp, r3, model, cfg)
 		pipelineDone <- err
 	}()
@@ -185,7 +185,7 @@ func TestStatsPipelineCapAbortsBeforeReplan(t *testing.T) {
 		return nil, nil, errors.New("must not be reached")
 	})
 	sp.MaxIntermediate = 1
-	_, _, err = exec.RunStagesOver(sess, r1, tuplesWithRekey(r2),
+	_, _, err = exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
 		join.Equi{}, scheme1, sp, r1, cost.Model{Wi: 1, Wo: 0.2},
 		exec.Config{Seed: 3, Mappers: 1})
 	if err == nil || !strings.Contains(err.Error(), "pipeline cap") {
@@ -214,7 +214,7 @@ func TestStatsReplanErrorCancelsAndTombstones(t *testing.T) {
 	sp := statsStagePlan(t, join.Equi{}, 2, 13, func([]*stats.Summary) ([]byte, partition.Scheme, error) {
 		return nil, nil, boom
 	})
-	_, _, err = exec.RunStagesOver(sess, r1, tuplesWithRekey(r2),
+	_, _, err = exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
 		join.Equi{}, scheme1, sp, r1, cost.Model{Wi: 1, Wo: 0.2},
 		exec.Config{Seed: 3, Mappers: 1})
 	if err == nil || !strings.Contains(err.Error(), "replanning exploded") {
