@@ -64,11 +64,11 @@ func FuzzPlanFromSummary(f *testing.F) {
 			}
 			rng := stats.NewRNG(2)
 			var b partition.RouteBatch
-			b.Reset(plan.Scheme.Workers(), 2)
+			b.Reset(plan.Scheme.Workers(), 1)
 			plan.Scheme.RouteBatchR1(sum.Keys[:1], rng, &b)
-			n1 := len(b.Routes)
+			n1 := len(b.Receivers(0))
 			plan.Scheme.RouteBatchR2(r2[:1], rng, &b)
-			if n1 == 0 || len(b.Routes) == n1 {
+			if n1 == 0 || len(b.Receivers(0)) == 0 {
 				t.Fatalf("%v: a probe key routes to no worker", cond)
 			}
 		}

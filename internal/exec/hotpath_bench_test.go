@@ -3,8 +3,10 @@ package exec
 import (
 	"testing"
 
+	"ewh/internal/core"
 	"ewh/internal/join"
 	"ewh/internal/partition"
+	"ewh/internal/workload"
 )
 
 // BenchmarkShuffle isolates the shuffle phase of the engine: R2 is empty, so
@@ -30,7 +32,7 @@ func BenchmarkShuffle(b *testing.B) {
 }
 
 // BenchmarkShuffleCI measures the replicating shuffle: CI routes every R1
-// tuple to a full grid row, stressing the variable fan-out path.
+// tuple to a full grid row, stressing the group-table path.
 func BenchmarkShuffleCI(b *testing.B) {
 	const n1 = 1 << 19
 	r1 := randKeys(n1, 1<<40, 52)
@@ -43,6 +45,28 @@ func BenchmarkShuffleCI(b *testing.B) {
 		if res.Output != 0 {
 			b.Fatalf("expected empty join, got %d", res.Output)
 		}
+	}
+}
+
+// BenchmarkShuffleRegions measures the shuffle most joins run: both relations
+// of a zipf equi-join routed by a CSIO plan's regions (a slab lookup per key,
+// ~1.2 receivers each) and scattered, without the local joins.
+func BenchmarkShuffleRegions(b *testing.B) {
+	const n = 1 << 20
+	r1, r2 := workload.Zipfian(n, n, 0.6, 57), workload.Zipfian(n, n, 0.6, 58)
+	plan, err := core.PlanCSIO(r1, r2, join.Equi{}, core.Options{J: 4, Model: model, Seed: 59})
+	if err != nil || plan.Fallback {
+		b.Fatalf("no region plan: fallback %v, err %v", plan.Fallback, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s1, s2 := ShufflePair(r1, r2, plan.Scheme, Config{Seed: 60, Mappers: 4})
+		if s1.Total() < n || s2.Total() < n {
+			b.Fatalf("shuffled %d and %d tuples of %d each", s1.Total(), s2.Total(), n)
+		}
+		s1.Release()
+		s2.Release()
 	}
 }
 

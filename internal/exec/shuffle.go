@@ -32,15 +32,15 @@ func mapperRNGs(master *stats.RNG, mappers int) []*stats.RNG {
 }
 
 // routeShard is the shuffle's one route pass: it batch-routes mapper mi's
-// shard of keys exactly once into b, recording the receiver lists compactly
-// (per-worker counts tallied inside the routing loop), and returns the
-// shard's bounds. Recording routes instead of re-routing keeps randomized
-// schemes deterministic and pays the routing cost once.
+// shard of keys exactly once into b, recording one group id per key beside the
+// per-worker counts, and returns the shard's bounds. Recording routes instead
+// of re-routing keeps randomized schemes deterministic and pays the routing
+// cost once.
 func routeShard(keys []join.Key, j, mappers, mi int, rng *stats.RNG,
 	b *partition.RouteBatch, route routeFn) (lo, hi int) {
 
 	lo, hi = shard(len(keys), mappers, mi)
-	b.Reset(j, hi-lo) // exact Routes capacity for fan-out-1 schemes
+	b.Reset(j, hi-lo)
 	route(keys[lo:hi], rng, b)
 	return lo, hi
 }
@@ -307,43 +307,32 @@ func chunkedRelation(keys []join.Key, scheme partition.Scheme, rel, mappers int,
 
 // scatter is the shuffle's one kernel: it replays the routes b recorded for
 // one mapper's shard, writing items[i] at the cursor of each receiver w of key
-// i and advancing it. The flat shuffle points the cursors at the mapper's
-// range inside each worker's block of the flat buffer; the chunked shuffle at
-// the start of the mapper's own per-worker buffers. Either way worker w
-// receives the mapper's tuples in route-emission order.
+// i — the workers b.Table lists for the key's group — and advancing it. The
+// flat shuffle points the cursors at the mapper's range inside each worker's
+// block of the flat buffer; the chunked shuffle at the start of the mapper's
+// own per-worker buffers. Either way worker w receives the mapper's tuples in
+// route-emission order.
 func scatter(cur []cursor, items []join.Key, b *partition.RouteBatch) {
-	routes := b.Routes
-	switch {
-	case b.Fanout == 1:
-		// One receiver per key: routes[i] pairs with items[i] directly. The
-		// reslice pins len(items) == len(routes) so the items access needs no
-		// bounds check inside the loop.
-		items = items[:len(routes)]
-		for ti, w := range routes {
+	groups := b.Groups
+	// The reslice pins len(items) == len(groups) so the items access needs no
+	// bounds check inside the loops.
+	items = items[:len(groups)]
+	off, recv := b.Table.Off, b.Table.Recv
+	if off == nil {
+		// The identity table: a key's group is its one receiver.
+		for ti, w := range groups {
 			c := &cur[w]
 			c.buf[c.n] = items[ti]
 			c.n++
 		}
-	case b.Fanout > 1:
-		f := b.Fanout
-		for ri, ti := 0, 0; ri < len(routes); ri, ti = ri+f, ti+1 {
-			item := items[ti]
-			for _, w := range routes[ri : ri+f] {
-				c := &cur[w]
-				c.buf[c.n] = item
-				c.n++
-			}
-		}
-	default:
-		ri := 0
-		for ti, n := range b.Lens {
-			item := items[ti]
-			for _, w := range routes[ri : ri+int(n)] {
-				c := &cur[w]
-				c.buf[c.n] = item
-				c.n++
-			}
-			ri += int(n)
+		return
+	}
+	for ti, g := range groups {
+		item := items[ti]
+		for _, w := range recv[off[g]:off[g+1]] {
+			c := &cur[w]
+			c.buf[c.n] = item
+			c.n++
 		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 )
 
 // shuffleSchemes covers every RouteBatch shape the scatter kernel replays:
-// fan-out 1 (Hash; Broadcast's R1 side), a fixed fan-out > 1 (CI; Broadcast's
-// R2 side) and variable Lens (a region scheme; PRPD Hash's R2 side, whose
-// heavy key broadcasts while the rest hash).
+// the identity table (Hash; Broadcast's R1 side), groups of one size (CI;
+// Broadcast's R2 side) and of several (a region scheme; PRPD Hash's R2 side,
+// whose heavy key broadcasts while the rest hash).
 func shuffleSchemes(t *testing.T, r1, r2 []join.Key) []partition.Scheme {
 	t.Helper()
 	hash, err := partition.NewHash(8, nil)
@@ -101,18 +101,12 @@ func TestShuffleFlatChunkedCompanionAgree(t *testing.T) {
 						lo, hi := shard(len(side.keys), mappers, mi)
 						b.Reset(j, hi-lo)
 						routeFor(s, rel+1)(side.keys[lo:hi], rng, &b)
-						ri := 0
 						for i, k := range side.keys[lo:hi] {
-							n := b.Fanout
-							if n == 0 {
-								n = int(b.Lens[i])
-							}
-							for _, w := range b.Routes[ri : ri+n] {
+							for _, w := range b.Receivers(i) {
 								want[w] = append(want[w], k)
+								routed++
 							}
-							ri += n
 						}
-						routed += len(b.Routes)
 					}
 					if side.flat.Total() != routed {
 						t.Fatalf("%s rel %d: Total() = %d, routes recorded %d", id, rel+1, side.flat.Total(), routed)

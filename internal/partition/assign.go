@@ -72,19 +72,3 @@ func (a *Assignment) Makespan() float64 {
 	}
 	return max
 }
-
-// MachineWork aggregates measured per-region work onto machines: regions
-// remain the execution (and exactly-once join) unit; a machine hosting
-// several regions processes them back to back. regionWork must be indexed
-// like the regions passed to AssignRegions.
-func (a *Assignment) MachineWork(regionWork []float64) ([]float64, error) {
-	if len(regionWork) != len(a.MachineOf) {
-		return nil, fmt.Errorf("partition: %d work entries for %d assigned regions",
-			len(regionWork), len(a.MachineOf))
-	}
-	load := make([]float64, len(a.Capacity))
-	for r, w := range regionWork {
-		load[a.MachineOf[r]] += w
-	}
-	return load, nil
-}

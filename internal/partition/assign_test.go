@@ -71,25 +71,3 @@ func TestAssignLPTBeatsNaive(t *testing.T) {
 		t.Fatalf("makespan %v, want ≈100", a.Makespan())
 	}
 }
-
-func TestMachineWork(t *testing.T) {
-	regions := weights(4, 6, 2)
-	a, err := AssignRegions(regions, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loads, err := a.MachineWork([]float64{4, 6, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum float64
-	for _, l := range loads {
-		sum += l
-	}
-	if sum != 12 {
-		t.Fatalf("total work %v, want 12", sum)
-	}
-	if _, err := a.MachineWork([]float64{1}); err == nil {
-		t.Error("mismatched work vector accepted")
-	}
-}

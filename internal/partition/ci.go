@@ -1,8 +1,6 @@
 package partition
 
 import (
-	"math"
-
 	"ewh/internal/join"
 	"ewh/internal/stats"
 )
@@ -16,7 +14,8 @@ import (
 // replication factor of rows+cols, the scheme's defining weakness for
 // low-selectivity joins.
 type CI struct {
-	rows, cols int
+	rows, cols   int
+	byRow, byCol GroupTable // a grid row's workers; a grid column's
 }
 
 // NewCI builds the scheme for j workers, choosing the divisor factorization
@@ -32,7 +31,9 @@ func NewCI(j int) *CI {
 			bestR = r
 		}
 	}
-	return &CI{rows: bestR, cols: j / bestR}
+	rows, cols := bestR, j/bestR
+	return &CI{rows: rows, cols: cols,
+		byRow: gridTable(rows, cols, cols, 1), byCol: gridTable(cols, rows, 1, cols)}
 }
 
 // Grid returns the region grid dimensions.
@@ -44,62 +45,26 @@ func (s *CI) Name() string { return "CI" }
 // Workers implements Scheme.
 func (s *CI) Workers() int { return s.rows * s.cols }
 
-// RouteBatchR1 implements Scheme: one random row per key (one RNG draw),
-// replicated across all columns.
-// The fan-out is the constant cols, so Lens is skipped entirely; per-row
-// tallies are kept in a small local array and folded into Counts once.
+// RouteBatchR1 implements Scheme: one random grid row per key (one RNG
+// draw), whose group is every column of it.
 func (s *CI) RouteBatchR1(keys []join.Key, rng *stats.RNG, b *RouteBatch) {
-	cols := int32(s.cols)
-	rowHits := make([]int, s.rows)
-	routes := b.Routes
-	for range keys {
-		r := rng.Intn(s.rows)
-		rowHits[r]++
-		base := int32(r) * cols
-		for c := int32(0); c < cols; c++ {
-			routes = append(routes, base+c)
-		}
-	}
-	b.Routes = routes
-	for r, n := range rowHits {
-		for c := 0; c < s.cols; c++ {
-			b.Counts[r*s.cols+c] += n
-		}
-	}
-	b.Fanout = s.cols
+	routeUniform(len(keys), s.rows, s.byRow, rng, b)
 }
 
-// RouteBatchR2 implements Scheme: one random column per key, replicated
-// across all rows; constant fan-out rows.
+// RouteBatchR2 implements Scheme: one random grid column per key, whose group
+// is every row of it.
 func (s *CI) RouteBatchR2(keys []join.Key, rng *stats.RNG, b *RouteBatch) {
-	cols := int32(s.cols)
-	rows := int32(s.rows)
-	colHits := make([]int, s.cols)
-	routes := b.Routes
-	for range keys {
-		c := int32(rng.Intn(s.cols))
-		colHits[c]++
-		for r := int32(0); r < rows; r++ {
-			routes = append(routes, r*cols+c)
-		}
-	}
-	b.Routes = routes
-	for c, n := range colHits {
-		for r := 0; r < s.rows; r++ {
-			b.Counts[r*s.cols+c] += n
-		}
-	}
-	b.Fanout = s.rows
+	routeUniform(len(keys), s.cols, s.byCol, rng, b)
 }
 
-// IdealGrid reports the most balanced achievable grid for j workers —
-// exposed for tests and capacity planning.
-func IdealGrid(j int) (rows, cols int) {
-	r := int(math.Sqrt(float64(j)))
-	for ; r > 1; r-- {
-		if j%r == 0 {
-			break
-		}
+// routeUniform draws the group of each of n keys uniformly from t's groups
+// [0, groups), one draw per key.
+func routeUniform(n, groups int, t GroupTable, rng *stats.RNG, b *RouteBatch) {
+	ids, hits := b.begin(n, t)
+	for i := range ids {
+		g := rng.Intn(groups)
+		ids[i] = int32(g)
+		hits[g]++
 	}
-	return r, j / r
+	b.fold(hits)
 }

@@ -22,6 +22,7 @@ import (
 type Hash struct {
 	workers int
 	heavy   []join.Key // sorted
+	orAll   GroupTable // each worker's own group, then "all"; only with heavy keys
 }
 
 // NewHash builds a hash scheme for j workers with the given heavy-hitter
@@ -35,6 +36,11 @@ func NewHash(j int, heavyKeys []join.Key) (*Hash, error) {
 	// Duplicates are routing no-ops; dropping them keeps the sorted set the
 	// canonical form the plan codec round-trips byte-exactly.
 	h.heavy = slices.Compact(h.heavy)
+	if len(h.heavy) > 0 {
+		h.orAll = gridTable(j, 1, 1, 0)
+		h.orAll.Recv = append(h.orAll.Recv, h.orAll.Recv...)
+		h.orAll.Off = append(h.orAll.Off, int32(2*j))
+	}
 	return h, nil
 }
 
@@ -91,66 +97,52 @@ func hashKey(k join.Key) uint64 {
 	return z ^ (z >> 31)
 }
 
-// RouteBatchR1 implements Scheme: fan-out is always exactly one worker (heavy
-// keys scatter uniformly at random — the mapper-local RNG keeps routing
-// race-free — others hash), so Lens is skipped and the common
-// no-heavy-hitter case is a tight hash loop.
+// RouteBatchR1 implements Scheme: a key's group is one worker (heavy keys
+// scatter uniformly at random — the mapper-local RNG keeps routing race-free
+// — others hash), and the common no-heavy-hitter case is a tight hash loop.
 func (h *Hash) RouteBatchR1(keys []join.Key, rng *stats.RNG, b *RouteBatch) {
 	j := uint64(h.workers)
-	routes, counts := b.Routes, b.Counts // keep slice headers in registers
+	ids, counts := b.begin(len(keys), GroupTable{})
+	keys = keys[:len(ids)]
 	if len(h.heavy) == 0 {
-		for _, k := range keys {
+		for i, k := range keys {
 			w := int32(hashKey(k) % j)
-			routes = append(routes, w)
+			ids[i] = w
 			counts[w]++
 		}
-	} else {
-		for _, k := range keys {
-			var w int32
-			if h.isHeavy(k) {
-				w = int32(rng.Intn(h.workers))
-			} else {
-				w = int32(hashKey(k) % j)
-			}
-			routes = append(routes, w)
-			counts[w]++
-		}
-	}
-	b.Routes = routes
-	b.Fanout = 1
-}
-
-// RouteBatchR2 implements Scheme: heavy keys broadcast, others hash, so
-// the fan-out is uniform (and Lens skippable) only without heavy hitters.
-func (h *Hash) RouteBatchR2(keys []join.Key, _ *stats.RNG, b *RouteBatch) {
-	j := uint64(h.workers)
-	routes, counts := b.Routes, b.Counts
-	if len(h.heavy) == 0 {
-		for _, k := range keys {
-			w := int32(hashKey(k) % j)
-			routes = append(routes, w)
-			counts[w]++
-		}
-		b.Routes = routes
-		b.Fanout = 1
 		return
 	}
-	lens := b.Lens
-	for _, k := range keys {
+	for i, k := range keys {
+		var w int32
 		if h.isHeavy(k) {
-			for w := 0; w < h.workers; w++ {
-				routes = append(routes, int32(w))
-				counts[w]++
-			}
-			lens = append(lens, int32(h.workers))
+			w = int32(rng.Intn(h.workers))
 		} else {
-			w := int32(hashKey(k) % j)
-			routes = append(routes, w)
-			counts[w]++
-			lens = append(lens, 1)
+			w = int32(hashKey(k) % j)
 		}
+		ids[i] = w
+		counts[w]++
 	}
-	b.Routes, b.Lens = routes, lens
+}
+
+// RouteBatchR2 implements Scheme: without heavy hitters R1's hash loop; with
+// them a heavy key's group is "all", the one past the workers' own.
+func (h *Hash) RouteBatchR2(keys []join.Key, _ *stats.RNG, b *RouteBatch) {
+	if len(h.heavy) == 0 {
+		h.RouteBatchR1(keys, nil, b)
+		return
+	}
+	j := uint64(h.workers)
+	ids, hits := b.begin(len(keys), h.orAll)
+	keys = keys[:len(ids)]
+	for i, k := range keys {
+		g := int32(h.workers)
+		if !h.isHeavy(k) {
+			g = int32(hashKey(k) % j)
+		}
+		ids[i] = g
+		hits[g]++
+	}
+	b.fold(hits)
 }
 
 // Broadcast replicates R2 (conventionally the smaller relation) to every
@@ -159,6 +151,7 @@ func (h *Hash) RouteBatchR2(keys []join.Key, _ *stats.RNG, b *RouteBatch) {
 // join condition.
 type Broadcast struct {
 	workers int
+	all     GroupTable // the one group of R2: every worker
 }
 
 // NewBroadcast builds a broadcast scheme for j workers.
@@ -166,7 +159,7 @@ func NewBroadcast(j int) (*Broadcast, error) {
 	if j < 1 {
 		return nil, fmt.Errorf("partition: broadcast scheme needs j >= 1, got %d", j)
 	}
-	return &Broadcast{workers: j}, nil
+	return &Broadcast{workers: j, all: gridTable(1, j, 0, 1)}, nil
 }
 
 // Name implements Scheme.
@@ -177,28 +170,13 @@ func (b *Broadcast) Workers() int { return b.workers }
 
 // RouteBatchR1 implements Scheme: uniform scatter, one RNG draw per key.
 func (b *Broadcast) RouteBatchR1(keys []join.Key, rng *stats.RNG, rb *RouteBatch) {
-	routes, counts := rb.Routes, rb.Counts
-	for range keys {
-		w := int32(rng.Intn(b.workers))
-		routes = append(routes, w)
-		counts[w]++
-	}
-	rb.Routes = routes
-	rb.Fanout = 1
+	routeUniform(len(keys), b.workers, GroupTable{}, rng, rb)
 }
 
-// RouteBatchR2 implements Scheme: every key replicates to all workers —
-// constant fan-out, Lens skipped.
+// RouteBatchR2 implements Scheme: every key's group is the one group, "all".
 func (b *Broadcast) RouteBatchR2(keys []join.Key, _ *stats.RNG, rb *RouteBatch) {
-	routes := rb.Routes
-	for range keys {
-		for w := 0; w < b.workers; w++ {
-			routes = append(routes, int32(w))
-		}
-	}
-	rb.Routes = routes
-	for w := 0; w < b.workers; w++ {
-		rb.Counts[w] += len(keys)
-	}
-	rb.Fanout = b.workers
+	ids, hits := rb.begin(len(keys), b.all)
+	clear(ids)
+	hits[0] = len(keys)
+	rb.fold(hits)
 }

@@ -12,7 +12,7 @@ import (
 
 // route routes one key through s's batch router for relation rel — the only
 // routing path a scheme has — and returns its receivers, having checked the
-// batch's bookkeeping (Counts, and Fanout or Lens) against them.
+// batch's Counts against them.
 func route(s Scheme, rel int, k join.Key, rng *stats.RNG) []int {
 	var b RouteBatch
 	b.Reset(s.Workers(), 1)
@@ -21,13 +21,9 @@ func route(s Scheme, rel int, k join.Key, rng *stats.RNG) []int {
 	} else {
 		s.RouteBatchR1([]join.Key{k}, rng, &b)
 	}
-	n := b.Fanout
-	if n == 0 {
-		n = int(b.Lens[0])
-	}
-	out := make([]int, len(b.Routes))
-	for i, w := range b.Routes {
-		out[i] = int(w)
+	var out []int
+	for _, w := range b.Receivers(0) {
+		out = append(out, int(w))
 		b.Counts[w]--
 	}
 	for w, c := range b.Counts {
@@ -35,8 +31,8 @@ func route(s Scheme, rel int, k join.Key, rng *stats.RNG) []int {
 			panic(fmt.Sprintf("route: worker %d tallied %+d beside the receiver list %v", w, c, out))
 		}
 	}
-	if n != len(out) {
-		panic(fmt.Sprintf("route: fan-out %d for the receiver list %v", n, out))
+	if len(b.Groups) != 1 {
+		panic(fmt.Sprintf("route: %d group ids recorded for one key", len(b.Groups)))
 	}
 	return out
 }
@@ -123,13 +119,6 @@ func TestCIRandomRowsCoverGrid(t *testing.T) {
 		if !ok {
 			t.Fatalf("grid row %d never chosen in 500 draws", r)
 		}
-	}
-}
-
-func TestIdealGrid(t *testing.T) {
-	r, c := IdealGrid(32)
-	if r*c != 32 || r > c {
-		t.Fatalf("IdealGrid(32) = %dx%d", r, c)
 	}
 }
 

@@ -11,74 +11,131 @@ import (
 // RegionScheme routes tuples by join key to the rectangular regions of a
 // partitioning (shared by CSI and CSIO; the two differ only in how the
 // regions were computed). An R1 tuple with key k goes to every region whose
-// row key range contains k; since regions are disjoint rectangles aligned to
-// the coarsened grid, the routing is a binary search to the grid band plus a
-// precomputed band → regions list. Keys outside the sampled key range clamp
-// into the edge bands, whose candidacy was widened to ±∞ at matrix build
-// time, so no output is ever lost.
+// row key range contains k: the region boundaries cut the key axis into
+// slabs, a key's group is its slab — found through a directory, not a search
+// — and the slab's workers are the regions covering it. Keys outside the
+// sampled key range clamp into the edge slabs, whose candidacy was widened
+// to ±∞ at matrix build time, so no output is ever lost.
 type RegionScheme struct {
-	name    string
-	regions []tiling.Region
-
-	rowEdges []join.Key // distinct region row boundaries, sorted
-	colEdges []join.Key
-	rowMap   [][]int32 // per row slab: region indices
-	colMap   [][]int32
+	name     string
+	regions  []tiling.Region
+	row, col slabAxis
 }
+
+// slabAxis indexes one key axis. Slab s covers [edges[s-1], edges[s]): the
+// slab of k is the number of edges <= k, k first clamped onto the edges.
+type slabAxis struct {
+	edges []join.Key // distinct region boundaries, sorted
+	table GroupTable // slab → the regions covering it, ascending
+	// dir[b] is the number of edges e with (e - edges[0]) >> shift < b, so
+	// the slab of a key in bucket b lies in [dir[b], dir[b+1]] and is dir[b]
+	// outright when no edge shares the bucket. shift is the smallest that
+	// keeps dir at dirBuckets entries or fewer whatever the key span; nil
+	// below two edges, where no slab is covered.
+	dir   []int32
+	shift uint
+}
+
+// dirBuckets bounds a slab directory: enough that at the plans' J (≤ 2J
+// edges per axis) most buckets hold no edge, small enough to stay in L1.
+const dirBuckets = 1 << 10
+
+// MaxSlabIndex bounds the entries of a region scheme's slab → regions tables,
+// both axes together. Regions a planner emits tile a grid, so each covers a
+// few slabs; n nested key ranges would cover ~n² and an untrusted table of
+// them buy a quadratic index, so decoders refuse a table whose SlabIndexSize
+// exceeds the bound before building it.
+const MaxSlabIndex = 1 << 22
 
 // NewRegionScheme indexes the regions for routing. name is reported by
 // Name() ("CSI" or "CSIO").
 func NewRegionScheme(name string, regions []tiling.Region) *RegionScheme {
-	s := &RegionScheme{name: name, regions: regions}
-	s.rowEdges, s.rowMap = buildSlabs(regions, func(r tiling.Region) (join.Key, join.Key) { return r.RowLo, r.RowHi })
-	s.colEdges, s.colMap = buildSlabs(regions, func(r tiling.Region) (join.Key, join.Key) { return r.ColLo, r.ColHi })
-	return s
+	return &RegionScheme{name: name, regions: regions,
+		row: newSlabAxis(regions, rowRange), col: newSlabAxis(regions, colRange)}
 }
 
-// buildSlabs decomposes the key axis into slabs between consecutive distinct
-// region boundaries and records which regions cover each slab.
-func buildSlabs(regions []tiling.Region, bounds func(tiling.Region) (join.Key, join.Key)) ([]join.Key, [][]int32) {
-	edgeSet := make(map[join.Key]struct{})
+// SlabIndexSize returns the number of entries NewRegionScheme's slab →
+// regions tables would hold for regions, without building them.
+func SlabIndexSize(regions []tiling.Region) int {
+	n := 0
+	for _, bounds := range []func(tiling.Region) (lo, hi join.Key){rowRange, colRange} {
+		_, spans := slabSpans(regions, bounds)
+		for _, sp := range spans {
+			n += max(0, sp[1]+1-sp[0])
+		}
+	}
+	return n
+}
+
+func rowRange(r tiling.Region) (lo, hi join.Key) { return r.RowLo, r.RowHi }
+func colRange(r tiling.Region) (lo, hi join.Key) { return r.ColLo, r.ColHi }
+
+// slabSpans returns the sorted distinct boundaries of regions along an axis
+// and, per region, the slabs first..last its key range covers (last < first
+// when it is empty). Keys below the first edge behave as the lowest covered
+// slab and keys at or above the last edge as the highest, mirroring the
+// edge-bucket clamping of the histograms: route clamps the former onto the
+// first edge, and the slab above the last edge repeats the one below it.
+func slabSpans(regions []tiling.Region, bounds func(tiling.Region) (lo, hi join.Key)) (edges []join.Key, spans [][2]int) {
+	edges = make([]join.Key, 0, 2*len(regions))
 	for _, r := range regions {
 		lo, hi := bounds(r)
-		edgeSet[lo] = struct{}{}
-		edgeSet[hi] = struct{}{}
-	}
-	edges := make([]join.Key, 0, len(edgeSet))
-	for e := range edgeSet {
-		edges = append(edges, e)
+		edges = append(edges, lo, hi)
 	}
 	slices.Sort(edges)
-	nSlabs := len(edges) + 1 // below first edge, between edges, at/above last
-	slabs := make([][]int32, nSlabs)
-	for idx, r := range regions {
+	edges = slices.Compact(edges)
+	spans = make([][2]int, len(regions))
+	for i, r := range regions {
 		lo, hi := bounds(r)
 		a, _ := slices.BinarySearch(edges, lo)
 		b, _ := slices.BinarySearch(edges, hi)
-		// Region covers slabs (a, b]: slab s covers keys [edges[s-1], edges[s]).
-		for sl := a + 1; sl <= b; sl++ {
-			slabs[sl] = append(slabs[sl], int32(idx))
+		if a < b && b == len(edges)-1 {
+			b++
 		}
+		spans[i] = [2]int{a + 1, b}
 	}
-	// Clamp: keys below the first edge behave as the lowest covered slab and
-	// keys at/above the last edge as the highest covered slab, mirroring the
-	// edge-bucket clamping of the histograms.
-	if nSlabs >= 3 {
-		slabs[0] = slabs[1]
-		slabs[nSlabs-1] = slabs[nSlabs-2]
-	}
-	return edges, slabs
+	return edges, spans
 }
 
-// slabOf locates the slab of key k: slab s covers [edges[s-1], edges[s]).
-// Edges are distinct, so the first index with edges[i] > k is the insertion
-// point of k advanced past an exact hit.
-func slabOf(edges []join.Key, k join.Key) int {
-	i, found := slices.BinarySearch(edges, k)
-	if found {
-		i++
+// newSlabAxis decomposes the key axis into slabs between consecutive distinct
+// region boundaries, records flat which regions cover each slab, and builds
+// the directory over the edges.
+func newSlabAxis(regions []tiling.Region, bounds func(tiling.Region) (lo, hi join.Key)) slabAxis {
+	edges, spans := slabSpans(regions, bounds)
+	off := make([]int32, len(edges)+2) // slabs: below the first edge, between edges, at/above the last
+	for _, sp := range spans {
+		for sl := sp[0]; sl <= sp[1]; sl++ {
+			off[sl+1]++
+		}
 	}
-	return i
+	for sl := 1; sl < len(off); sl++ {
+		off[sl] += off[sl-1]
+	}
+	recv := make([]int32, off[len(off)-1])
+	next := slices.Clone(off)
+	for idx, sp := range spans {
+		for sl := sp[0]; sl <= sp[1]; sl++ {
+			recv[next[sl]] = int32(idx)
+			next[sl]++
+		}
+	}
+	x := slabAxis{edges: edges, table: GroupTable{Off: off, Recv: recv}}
+	if len(edges) < 2 {
+		return x
+	}
+	base := uint64(edges[0])
+	span := uint64(edges[len(edges)-1]) - base
+	for span>>x.shift >= dirBuckets {
+		x.shift++
+	}
+	x.dir = make([]int32, span>>x.shift+2)
+	for _, e := range edges {
+		x.dir[(uint64(e)-base)>>x.shift+1]++
+	}
+	for b := 1; b < len(x.dir); b++ {
+		x.dir[b] += x.dir[b-1]
+	}
+	return x
 }
 
 // Name implements Scheme.
@@ -90,26 +147,42 @@ func (s *RegionScheme) Workers() int { return len(s.regions) }
 // Regions returns the underlying regions (read-only).
 func (s *RegionScheme) Regions() []tiling.Region { return s.regions }
 
-// RouteBatchR1 implements Scheme: the slab lists are already []int32, so
-// each key's receivers are appended with a single bulk copy.
+// RouteBatchR1 implements Scheme.
 func (s *RegionScheme) RouteBatchR1(keys []join.Key, _ *stats.RNG, b *RouteBatch) {
-	routeBatchSlabs(s.rowEdges, s.rowMap, keys, b)
+	s.row.route(keys, b)
 }
 
 // RouteBatchR2 implements Scheme.
 func (s *RegionScheme) RouteBatchR2(keys []join.Key, _ *stats.RNG, b *RouteBatch) {
-	routeBatchSlabs(s.colEdges, s.colMap, keys, b)
+	s.col.route(keys, b)
 }
 
-func routeBatchSlabs(edges []join.Key, slabMap [][]int32, keys []join.Key, b *RouteBatch) {
-	routes, lens, counts := b.Routes, b.Lens, b.Counts
-	for _, k := range keys {
-		ids := slabMap[slabOf(edges, k)]
-		routes = append(routes, ids...)
-		lens = append(lens, int32(len(ids)))
-		for _, id := range ids {
-			counts[id]++
-		}
+// route records each key's slab: the directory bucket of its top bits names
+// the slab, or the range of slabs the edges inside the bucket separate, which
+// a bisection of those edges alone resolves.
+func (x *slabAxis) route(keys []join.Key, b *RouteBatch) {
+	ids, hits := b.begin(len(keys), x.table)
+	if x.dir == nil {
+		clear(ids) // no slab is covered
+		return
 	}
-	b.Routes, b.Lens = routes, lens
+	edges, dir, shift := x.edges, x.dir, x.shift
+	lo, hi := edges[0], edges[len(edges)-1]
+	keys = keys[:len(ids)]
+	for i, k := range keys {
+		k = min(max(k, lo), hi)
+		bkt := (uint64(k) - uint64(lo)) >> shift // unsigned: a span up to 2^64-1 does not wrap
+		s, end := dir[bkt], dir[bkt+1]
+		for s < end {
+			m := int32(uint32(s+end) >> 1)
+			if edges[m] <= k {
+				s = m + 1
+			} else {
+				end = m
+			}
+		}
+		ids[i] = s
+		hits[s]++
+	}
+	b.fold(hits)
 }

@@ -19,45 +19,96 @@ type Scheme interface {
 	Name() string
 	// Workers returns the number of workers the scheme routes to.
 	Workers() int
-	// RouteBatchR1 batch-routes R1 keys into b (appending to b.Routes/Lens,
-	// tallying b.Counts, and setting b.Fanout when the fan-out is uniform).
+	// RouteBatchR1 batch-routes R1 keys into b, which must have been Reset
+	// for Workers(): one group id per key, the table that resolves them, and
+	// the per-worker tallies added to b.Counts.
 	RouteBatchR1(keys []join.Key, rng *stats.RNG, b *RouteBatch)
 	// RouteBatchR2 batch-routes R2 keys into b.
 	RouteBatchR2(keys []join.Key, rng *stats.RNG, b *RouteBatch)
 }
 
-// RouteBatch accumulates the routing decisions for a whole shard of keys —
-// the shuffle hot path's unit of work. Receiver ids are appended to Routes,
-// concatenated in key order; per-worker totals are tallied into Counts in
-// the same loop (so callers never rescan Routes). Per-key receiver counts go
-// to Lens ONLY when Fanout == 0; a scheme whose every key routes to the same
-// number of workers sets Fanout to that constant instead and leaves Lens
-// untouched, which lets the shuffle skip an entire per-tuple array.
-type RouteBatch struct {
-	Routes []int32 // receiver worker ids, concatenated per key
-	Lens   []int32 // per-key receiver counts; meaningful only when Fanout == 0
-	Counts []int   // per-worker received-tuple totals; len = Workers()
-	Fanout int     // > 0: every key routed to exactly Fanout workers
+// GroupTable lists the workers of each receiver group of one side of a
+// scheme: group g's are Recv[Off[g]:Off[g+1]]. Every scheme sends a key to
+// one of a few groups (a region scheme's slab, a CI grid row or column, "all"
+// for a broadcast key), so the table is small, built once with the scheme and
+// read-only afterwards. The zero table is the identity: group g is worker g.
+type GroupTable struct {
+	Off, Recv []int32
 }
 
-// Reset prepares the batch for routing into j workers, retaining backing
-// storage across shards.
-func (b *RouteBatch) Reset(j, sizeHint int) {
-	if cap(b.Routes) < sizeHint {
-		b.Routes = make([]int32, 0, sizeHint)
-	} else {
-		b.Routes = b.Routes[:0]
+// gridTable is the table of n groups of per workers each, group g's i-th
+// being g*gs + i*is.
+func gridTable(n, per, gs, is int) GroupTable {
+	t := GroupTable{Off: make([]int32, 1, n+1), Recv: make([]int32, 0, n*per)}
+	for g := 0; g < n; g++ {
+		for i := 0; i < per; i++ {
+			t.Recv = append(t.Recv, int32(g*gs+i*is))
+		}
+		t.Off = append(t.Off, int32(len(t.Recv)))
 	}
-	b.Lens = b.Lens[:0]
+	return t
+}
+
+// RouteBatch records the routing decisions for a whole shard of keys — the
+// shuffle hot path's unit of work: key i goes to the workers of group
+// Groups[i] in Table, and Counts holds the per-worker totals (so callers
+// never rescan the record).
+type RouteBatch struct {
+	Groups []int32    // one receiver group per key
+	Table  GroupTable // of the scheme side that routed; shared, read-only
+	Counts []int      // per-worker received-tuple totals; len = Workers()
+}
+
+// Reset prepares the batch for routing a shard of hint keys into j workers,
+// retaining backing storage across shards.
+func (b *RouteBatch) Reset(j, hint int) {
+	if cap(b.Groups) < hint {
+		b.Groups = make([]int32, 0, hint)
+	}
+	b.Groups, b.Table = b.Groups[:0], GroupTable{}
 	if cap(b.Counts) < j {
 		b.Counts = make([]int, j)
 	} else {
 		b.Counts = b.Counts[:j]
-		for i := range b.Counts {
-			b.Counts[i] = 0
+		clear(b.Counts)
+	}
+}
+
+// Receivers returns the workers key i was routed to, in emission order
+// (read-only).
+func (b *RouteBatch) Receivers(i int) []int32 {
+	if b.Table.Off == nil {
+		return b.Groups[i : i+1]
+	}
+	g := b.Groups[i]
+	return b.Table.Recv[b.Table.Off[g]:b.Table.Off[g+1]]
+}
+
+// begin sizes the record for n keys routed through t and returns the ids to
+// fill beside the tallies to bump per id: Counts itself under the identity
+// table, else one zeroed tally per group for fold.
+func (b *RouteBatch) begin(n int, t GroupTable) (ids []int32, hits []int) {
+	if cap(b.Groups) < n {
+		b.Groups = make([]int32, n)
+	}
+	b.Groups, b.Table = b.Groups[:n], t
+	if t.Off == nil {
+		return b.Groups, b.Counts
+	}
+	return b.Groups, make([]int, len(t.Off)-1)
+}
+
+// fold adds the per-group tallies begin handed out to every receiver's count;
+// under the identity table they already are the counts.
+func (b *RouteBatch) fold(hits []int) {
+	if b.Table.Off == nil {
+		return
+	}
+	for g, n := range hits {
+		for _, w := range b.Table.Recv[b.Table.Off[g]:b.Table.Off[g+1]] {
+			b.Counts[w] += n
 		}
 	}
-	b.Fanout = 0
 }
 
 // RouteBatchR1 batch-routes R1 keys through s; b must have been Reset for

@@ -62,8 +62,9 @@ const (
 	tagRegion    = 4
 
 	// maxCount bounds every decoded collection (heavy keys, regions,
-	// machines): the decoder allocates from declared counts, so the cap is
-	// what keeps a malformed artifact from OOMing its holder.
+	// machines) and every scheme's workers: the decoder and the schemes'
+	// group tables allocate from declared counts, so the cap is what keeps a
+	// malformed artifact from OOMing its holder.
 	maxCount = 1 << 20
 )
 
@@ -96,6 +97,9 @@ func EncodeScheme(s partition.Scheme) ([]byte, error) {
 }
 
 func appendScheme(buf []byte, s partition.Scheme) ([]byte, error) {
+	if s.Workers() > maxCount {
+		return nil, fmt.Errorf("planio: %d workers exceed codec limit %d", s.Workers(), maxCount)
+	}
 	switch v := s.(type) {
 	case *partition.Hash:
 		heavy := v.HeavyKeys()
@@ -122,9 +126,6 @@ func appendScheme(buf []byte, s partition.Scheme) ([]byte, error) {
 		regions := v.Regions()
 		if len(name) > 255 {
 			return nil, fmt.Errorf("planio: scheme name %q too long", name)
-		}
-		if len(regions) > maxCount {
-			return nil, fmt.Errorf("planio: %d regions exceed codec limit %d", len(regions), maxCount)
 		}
 		buf = append(buf, tagRegion, byte(len(name)))
 		buf = append(buf, name...)
@@ -287,7 +288,7 @@ func decodeScheme(d *decoder) (partition.Scheme, error) {
 	}
 	switch tag {
 	case tagHash:
-		workers, err := d.u32()
+		workers, err := d.count("worker")
 		if err != nil {
 			return nil, err
 		}
@@ -308,13 +309,13 @@ func decodeScheme(d *decoder) (partition.Scheme, error) {
 				return nil, fmt.Errorf("planio: heavy keys not strictly increasing at %d", i)
 			}
 		}
-		return partition.NewHash(int(workers), heavy)
+		return partition.NewHash(workers, heavy)
 	case tagBroadcast:
-		workers, err := d.u32()
+		workers, err := d.count("worker")
 		if err != nil {
 			return nil, err
 		}
-		return partition.NewBroadcast(int(workers))
+		return partition.NewBroadcast(workers)
 	case tagCI:
 		rows, err := d.u32()
 		if err != nil {
@@ -324,7 +325,7 @@ func decodeScheme(d *decoder) (partition.Scheme, error) {
 		if err != nil {
 			return nil, err
 		}
-		if rows < 1 || cols < 1 || rows > maxCount || cols > maxCount {
+		if rows < 1 || cols < 1 || uint64(rows)*uint64(cols) > maxCount {
 			return nil, fmt.Errorf("planio: CI grid %dx%d invalid", rows, cols)
 		}
 		ci := partition.NewCI(int(rows) * int(cols))
@@ -383,6 +384,10 @@ func decodeScheme(d *decoder) (partition.Scheme, error) {
 			if r.Weight, err = d.f64(); err != nil {
 				return nil, err
 			}
+		}
+		// Nested key ranges cover ~n² slabs: refused before the index is built.
+		if n := partition.SlabIndexSize(regions); n > partition.MaxSlabIndex {
+			return nil, fmt.Errorf("planio: regions need a routing index of %d entries, limit %d", n, partition.MaxSlabIndex)
 		}
 		return partition.NewRegionScheme(name, regions), nil
 	}

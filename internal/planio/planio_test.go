@@ -2,7 +2,10 @@ package planio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"ewh/internal/join"
@@ -113,8 +116,8 @@ func checkRoundTrip(t testing.TB, a *Artifact, rngSeed uint64) {
 	if got, want := dec.Scheme.Name(), a.Scheme.Name(); got != want {
 		t.Fatalf("name %q round-tripped to %q", want, got)
 	}
-	// Routing equivalence: identical batches (receivers, tallies, fan-out)
-	// for a spread of keys, with both schemes consuming identical RNG streams.
+	// Routing equivalence: identical receivers and tallies for a spread of
+	// keys, with both schemes consuming identical RNG streams.
 	keys := make([]join.Key, 64)
 	for i := range keys {
 		keys[i] = join.Key(int64(i*37) - 700)
@@ -127,8 +130,13 @@ func checkRoundTrip(t testing.TB, a *Artifact, rngSeed uint64) {
 		bb.Reset(a.Scheme.Workers(), len(keys))
 		route(a.Scheme, keys, rngA, &ba)
 		route(dec.Scheme, keys, rngB, &bb)
-		if fmt.Sprint(ba) != fmt.Sprint(bb) {
-			t.Fatalf("relation %d routes %v, decoded scheme %v", rel+1, ba, bb)
+		if !slices.Equal(ba.Counts, bb.Counts) {
+			t.Fatalf("relation %d tallies %v, decoded scheme %v", rel+1, ba.Counts, bb.Counts)
+		}
+		for i, k := range keys {
+			if wa, wb := ba.Receivers(i), bb.Receivers(i); !slices.Equal(wa, wb) {
+				t.Fatalf("relation %d key %d routes to %v, decoded scheme to %v", rel+1, k, wa, wb)
+			}
 		}
 	}
 	if a.Assignment != nil {
@@ -171,6 +179,56 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// nestedRegions returns n regions [i, 2n-i) on both axes: every region covers
+// every slab the next one does, so the scheme's slab tables hold ~n² entries.
+func nestedRegions(n int) []tiling.Region {
+	regions := make([]tiling.Region, n)
+	for i := range regions {
+		lo, hi := join.Key(i), join.Key(2*n-i)
+		regions[i] = tiling.Region{RowLo: lo, RowHi: hi, ColLo: lo, ColHi: hi}
+	}
+	return regions
+}
+
+// TestDecodeRefusesQuadraticRegionTable: a 562 KB artifact of 8,000 nested
+// regions passes every per-region check and asks for a 128 M-entry routing
+// index; Decode must refuse it having allocated next to nothing.
+func TestDecodeRefusesQuadraticRegionTable(t *testing.T) {
+	regions := nestedRegions(8000)
+	// Encoded by hand: NewRegionScheme would build the index being refused.
+	enc := append(codecMagic[:], 0, 0)
+	binary.LittleEndian.PutUint16(enc[4:], codecVersion)
+	enc = binary.LittleEndian.AppendUint64(enc, 1) // seed
+	enc = append(enc, tagRegion, 4, 'C', 'S', 'I', 'O')
+	enc = binary.LittleEndian.AppendUint32(enc, uint32(len(regions)))
+	for _, r := range regions {
+		enc = append(enc, make([]byte, 16)...) // rect
+		for _, k := range []join.Key{r.RowLo, r.RowHi, r.ColLo, r.ColHi} {
+			enc = binary.LittleEndian.AppendUint64(enc, uint64(k))
+		}
+		enc = append(enc, make([]byte, 24)...) // input, output, weight
+	}
+	enc = append(enc, 0) // no assignment
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decode(enc)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatalf("Decode accepted %d nested regions (%d bytes)", len(regions), len(enc))
+	}
+	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb >= 64 {
+		t.Fatalf("Decode allocated %d MB before refusing: %v", mb, err)
+	}
+	// A table a planner could emit still decodes: 64 nested regions.
+	small, err := Encode(&Artifact{Scheme: partition.NewRegionScheme("CSIO", nestedRegions(64))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(small); err != nil {
+		t.Fatalf("Decode refused 64 nested regions: %v", err)
+	}
+}
+
 func TestEncodeRejectsForeignScheme(t *testing.T) {
 	if _, err := EncodeScheme(foreignScheme{}); err == nil {
 		t.Fatal("encode accepted a scheme type without a codec")
@@ -210,6 +268,9 @@ func FuzzDecode(f *testing.F) {
 		if enc, err := Encode(&Artifact{Scheme: h, Seed: 9}); err == nil {
 			f.Add(enc)
 		}
+	}
+	if enc, err := Encode(&Artifact{Scheme: partition.NewRegionScheme("CSIO", nestedRegions(6))}); err == nil {
+		f.Add(enc)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := Decode(data)
