@@ -58,7 +58,6 @@ func main() {
 		seed       = flag.Uint64("seed", 42, "random seed")
 		jobs       = flag.Int("jobs", 1, "jobs to run over the one dialed session")
 		mway       = flag.Bool("multiway", false, "run the 3-way chain join pipeline instead of a 2-way join")
-		stage2     = flag.String("stage2-scheme", "auto", "with -multiway: peer-path stage-2 scheme (auto, hash, ci, csio; auto = CSIO via distributed statistics)")
 		planin     = flag.String("planin", "", "execute a plan artifact (ewhplan -planout) instead of planning: plan once, execute many")
 		timeout    = flag.Duration("timeout", 0, "dial and per-operation IO deadline on worker connections (0: none)")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-job liveness deadline: a worker silent this long fails the job instead of wedging it (0: none)")
@@ -88,6 +87,22 @@ func main() {
 	case *driftThr < 0 || *driftThr > 1:
 		usage("-drift %v: the threshold lies in (0,1] (0 = the streamjoin default)", *driftThr)
 	}
+	// A flag the chosen mode never reads is refused, not silently ignored.
+	mode, unread := "the 2-way join", []string{"window-rows", "drift", "freeze-plan"}
+	switch {
+	case *stream > 0:
+		mode, unread = "-stream", []string{"multiway", "jobs", "planin", "retries", "retry-backoff"}
+	case *mway:
+		// The chain is hard-wired to band(1) ⋈ equi and plans each stage itself.
+		mode, unread = "-multiway", append(unread, "beta", "jobs", "planin")
+	}
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range unread {
+		if set[name] {
+			usage("-%s %v: %s never reads it", name, flag.Lookup(name).Value, mode)
+		}
+	}
 
 	engine, err := exec.ParseJoinEngine(*engineStr)
 	if err != nil {
@@ -95,9 +110,6 @@ func main() {
 	}
 
 	if *stream > 0 {
-		if *mway {
-			fatal(fmt.Errorf("-stream and -multiway are separate modes"))
-		}
 		runStream(streamArgs{workers: *workers, tenant: *tenant, n: *n, windows: *stream,
 			windowRows: *windowRows, beta: *beta, z: *z, j: *j, seed: *seed,
 			timeouts: netexec.Timeouts{Dial: *timeout, IO: *timeout, Job: *jobTimeout},
@@ -107,19 +119,23 @@ func main() {
 
 	r1 := workload.Zipfian(*n, int64(*n), *z, *seed)
 	r2 := workload.Zipfian(*n, int64(*n), *z, *seed+1)
-	cond := join.NewBand(*beta)
 	model := cost.DefaultBand
 	timeouts := netexec.Timeouts{Dial: *timeout, IO: *timeout, Job: *jobTimeout}
 	retry := exec.RetryPolicy{MaxAttempts: *retries + 1, BaseDelay: *backoff}
+	if *mway {
+		// Both stages plan internally for J workers; no stage scheme is wider.
+		addrs, stop := workerAddrs(*workers, *j)
+		defer stop()
+		runMultiway(addrs, *tenant, r1, r2, *n, *j, *seed, model, timeouts, retry, engine)
+		return
+	}
+	cond := join.NewBand(*beta)
 
 	var scheme partition.Scheme
 	// planFor rebuilds the plan when recovery shrinks the fleet below the
 	// original worker count; at full strength it returns the original scheme.
 	var planFor func(jw int) (partition.Scheme, error)
 	execSeed := *seed + 2
-	if *planin != "" && *mway {
-		fatal(fmt.Errorf("-planin applies to the 2-way join only: the multiway pipeline plans each stage internally"))
-	}
 	if *planin != "" {
 		data, err := os.ReadFile(*planin)
 		if err != nil {
@@ -169,39 +185,8 @@ func main() {
 			plan.Scheme.Name(), plan.Scheme.Workers(), plan.M, plan.StatsDuration.Round(1e6))
 	}
 
-	// The 2-way plan may regionalize to fewer than J workers, but the
-	// multiway pipeline re-plans each stage internally with J — size the
-	// spawned pool for the largest scheme any mode can produce (stage
-	// schemes never exceed their Options' J).
-	spawn := scheme.Workers()
-	if *mway && *j > spawn {
-		spawn = *j
-	}
-	var addrs []string
-	if *workers == "" {
-		for i := 0; i < spawn; i++ {
-			w, err := netexec.ListenWorker("127.0.0.1:0")
-			if err != nil {
-				fatal(err)
-			}
-			go func() { _ = w.Serve() }()
-			defer w.Close()
-			addrs = append(addrs, w.Addr())
-		}
-		fmt.Printf("spawned %d in-process workers\n", len(addrs))
-	} else {
-		addrs = strings.Split(*workers, ",")
-	}
-
-	if *mway {
-		mode, err := multiway.ParseStage2Mode(*stage2)
-		if err != nil {
-			fatal(err)
-		}
-		runMultiway(addrs, *tenant, r1, r2, *n, *j, *seed, model, timeouts, retry, mode, engine)
-		return
-	}
-
+	addrs, stop := workerAddrs(*workers, scheme.Workers())
+	defer stop()
 	sess, err := netexec.DialTenant(context.Background(), *tenant, addrs, timeouts)
 	if err != nil {
 		fatal(err)
@@ -224,12 +209,10 @@ func main() {
 // runMultiway executes the 3-way chain join R1 ⋈ Mid ⋈ R3 distributed over
 // the session: the Mid relation's B keys ship as the re-key column and both
 // stages run on the remote workers. The stage-1 intermediate re-shuffles
-// directly worker→worker under a broadcast plan artifact, with the stage-2
-// scheme selected by -stage2-scheme (auto = a genuine CSIO plan built from
-// distributed statistics).
+// directly worker→worker under a CSIO stage-2 plan built from the workers'
+// statistics summaries.
 func runMultiway(addrs []string, tenant string, r1, r2 []join.Key, n, j int, seed uint64, model cost.Model,
-	timeouts netexec.Timeouts, retry exec.RetryPolicy, stage2 multiway.Stage2Mode,
-	engine exec.JoinEngine) {
+	timeouts netexec.Timeouts, retry exec.RetryPolicy, engine exec.JoinEngine) {
 
 	mid := multiway.MidRelation{
 		A: r2,
@@ -244,13 +227,13 @@ func runMultiway(addrs []string, tenant string, r1, r2 []join.Key, n, j int, see
 		fatal(err)
 	}
 	defer sess.Close()
-	res, err := multiway.ExecuteOverStage2(sess, q, core.Options{J: j, Model: model, Seed: seed},
-		exec.Config{Seed: seed + 2, Retry: retry, Engine: engine}, stage2)
+	res, err := multiway.ExecuteOver(sess, q, core.Options{J: j, Model: model, Seed: seed},
+		exec.Config{Seed: seed + 2, Retry: retry, Engine: engine})
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("multiway (peer shuffle, stage-2 %v): |R1 ⋈ Mid ⋈ R3| = %d (intermediate %d, %d pairs relayed through coordinator)\n",
-		stage2, res.Output, res.Intermediate, sess.RelayedPairs())
+	fmt.Printf("multiway (peer shuffle): |R1 ⋈ Mid ⋈ R3| = %d (intermediate %d, %d pairs relayed through coordinator)\n",
+		res.Output, res.Intermediate, sess.RelayedPairs())
 	for i, st := range res.Stages {
 		if st.Exec == nil {
 			fmt.Printf("  stage %d: %s\n", i+1, st.Scheme)
@@ -304,22 +287,8 @@ func runStream(a streamArgs) {
 		windows[i] = workload.Uniform(rows, span, a.seed+10+uint64(i))
 	}
 
-	var addrs []string
-	if a.workers == "" {
-		for i := 0; i < a.j; i++ {
-			w, err := netexec.ListenWorker("127.0.0.1:0")
-			if err != nil {
-				fatal(err)
-			}
-			go func() { _ = w.Serve() }()
-			defer w.Close()
-			addrs = append(addrs, w.Addr())
-		}
-		fmt.Printf("spawned %d in-process workers\n", len(addrs))
-	} else {
-		addrs = strings.Split(a.workers, ",")
-	}
-
+	addrs, stop := workerAddrs(a.workers, a.j)
+	defer stop()
 	sess, err := netexec.DialTenant(context.Background(), a.tenant, addrs, a.timeouts)
 	if err != nil {
 		fatal(err)
@@ -353,6 +322,30 @@ func runStream(a streamArgs) {
 		}
 		fmt.Printf("  window %2d: epoch %d in=%d matches=%d drift=%.3f work=%.0f%s\n",
 			w.Window, w.Epoch, w.Input, w.Count, w.Drift, w.Makespan, marker)
+	}
+}
+
+// workerAddrs splits the -workers list or, when it is empty, spawns n
+// in-process workers; stop closes the spawned ones.
+func workerAddrs(list string, n int) (addrs []string, stop func()) {
+	if list != "" {
+		return strings.Split(list, ","), func() {}
+	}
+	var ws []*netexec.Worker
+	for i := 0; i < n; i++ {
+		w, err := netexec.ListenWorker("127.0.0.1:0")
+		if err != nil {
+			fatal(err)
+		}
+		go func() { _ = w.Serve() }()
+		ws = append(ws, w)
+		addrs = append(addrs, w.Addr())
+	}
+	fmt.Printf("spawned %d in-process workers\n", len(addrs))
+	return addrs, func() {
+		for _, w := range ws {
+			_ = w.Close()
+		}
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // TestBadSizesAreUsageErrors pins that a flag value the run cannot serve is
 // refused where the flags are parsed — exit status 2 and one line naming the
 // flag — instead of reaching a panic (stats.NewZipf, join.NewBand, a nil
-// result) or being silently ignored (-drift outside (0,1]).
+// result) or being silently ignored (-drift outside (0,1], or any ewhcoord
+// flag its mode never reads).
 func TestBadSizesAreUsageErrors(t *testing.T) {
 	bin := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", bin, "./ewhcoord", "./ewhplan").CombinedOutput(); err != nil {
@@ -26,6 +27,11 @@ func TestBadSizesAreUsageErrors(t *testing.T) {
 		{"ewhcoord", "-jobs=1", "-n", "0"}, {"ewhcoord", "-jobs=1", "-n", "-5"}, {"ewhcoord", "-jobs=1", "-j", "0"},
 		{"ewhcoord", "-jobs=1", "-z", "-1"}, {"ewhcoord", "-stream=3", "-window-rows", "-1"},
 		{"ewhcoord", "-jobs=1", "-beta", "-1"}, {"ewhcoord", "-n=500", "-jobs", "0"}, {"ewhcoord", "-stream=3", "-drift", "7"},
+		{"ewhcoord", "-multiway", "-beta", "2"}, {"ewhcoord", "-multiway", "-jobs", "2"},
+		{"ewhcoord", "-stream=3", "-jobs", "2"}, {"ewhcoord", "-stream=3", "-planin", "p.plan"},
+		{"ewhcoord", "-stream=3", "-retries", "2"}, {"ewhcoord", "-stream=3", "-retry-backoff", "1s"},
+		{"ewhcoord", "-jobs=1", "-window-rows", "5"}, {"ewhcoord", "-jobs=1", "-drift", "0.5"},
+		{"ewhcoord", "-jobs=1", "-freeze-plan", "true"},
 		{"ewhplan", "-workload=zipf", "-n", "0"}, {"ewhplan", "-workload=zipf", "-x", "0"},
 		{"ewhplan", "-workload=zipf", "-j", "-2"}, {"ewhplan", "-workload=zipf", "-z", "-0.5"},
 		{"ewhplan", "-workload=zipf", "-beta", "-1"}, {"ewhplan", "-workload=bcb", "-beta", "-2"},

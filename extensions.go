@@ -131,31 +131,6 @@ func ExecuteMultiwayOver(rt Runtime, q MultiwayQuery, opts Options, cfg ExecConf
 	return multiway.ExecuteOver(rt, q, opts, cfg)
 }
 
-// Stage2Mode selects how the peer-shuffle path partitions a multiway
-// pipeline's second stage: Stage2Auto (CSIO via distributed statistics —
-// the default), Stage2Hash / Stage2CI (content-insensitive plans broadcast
-// before stage 1 runs), or Stage2CSIO (force the distributed-statistics
-// plan). ParseStage2Mode parses the CLI spelling (auto, hash, ci, csio).
-type Stage2Mode = multiway.Stage2Mode
-
-// Stage-2 partitioning modes for ExecuteMultiwayOverStage2.
-const (
-	Stage2Auto = multiway.Stage2Auto
-	Stage2Hash = multiway.Stage2Hash
-	Stage2CI   = multiway.Stage2CI
-	Stage2CSIO = multiway.Stage2CSIO
-)
-
-// ParseStage2Mode parses a stage-2 mode name (auto, hash, ci, csio).
-func ParseStage2Mode(s string) (Stage2Mode, error) { return multiway.ParseStage2Mode(s) }
-
-// ExecuteMultiwayOverStage2 is ExecuteMultiwayOver with an explicit stage-2
-// partitioning mode for the peer-shuffle path.
-func ExecuteMultiwayOverStage2(rt Runtime, q MultiwayQuery, opts Options, cfg ExecConfig,
-	mode Stage2Mode) (*MultiwayResult, error) {
-	return multiway.ExecuteOverStage2(rt, q, opts, cfg, mode)
-}
-
 // Assignment maps histogram regions onto machines of heterogeneous capacity
 // (§A5). Plan with J = a few × machine count, then assign.
 type Assignment = partition.Assignment

@@ -277,7 +277,7 @@ func TestCrossCheckSessionMultiwayPeerCSIO(t *testing.T) {
 					t.Fatalf("%s: local: %v", id, err)
 				}
 				before := sess.RelayedPairs()
-				peer, err := multiway.ExecuteOverStage2(sess, q, opts, cfg, multiway.Stage2CSIO)
+				peer, err := multiway.ExecuteOver(sess, q, opts, cfg)
 				if err != nil {
 					t.Fatalf("%s: csio peer: %v", id, err)
 				}
@@ -327,47 +327,16 @@ func TestCrossCheckSessionMultiwayPeerCSIO(t *testing.T) {
 	}
 }
 
-// localIntermediate reproduces the multiway stage-1 materialization
-// in-process: the matched Mid rows' B keys, concatenated over workers in
-// worker order — the deterministic sequence the peer path's senders hold.
-func localIntermediate(t *testing.T, q multiway.Query, opts core.Options, cfg exec.Config) []join.Key {
-	t.Helper()
-	plan1, err := core.PlanCSIO(q.R1, q.Mid.A, q.CondA, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid := make([]exec.Tuple[join.Key], len(q.Mid.A))
-	for i := range mid {
-		mid[i] = exec.Tuple[join.Key]{Key: q.Mid.A[i], Payload: q.Mid.B[i]}
-	}
-	perWorker := make([][]join.Key, plan1.Scheme.Workers())
-	if _, err := exec.RunTuplesOver(exec.Local{}, exec.WrapKeys(q.R1), mid, q.CondA,
-		plan1.Scheme, netModel, cfg,
-		func(w int, _ exec.Tuple[struct{}], b exec.Tuple[join.Key]) {
-			perWorker[w] = append(perWorker[w], b.Payload)
-		}); err != nil {
-		t.Fatal(err)
-	}
-	var inter []join.Key
-	for _, pw := range perWorker {
-		inter = append(inter, pw...)
-	}
-	return inter
-}
-
 func TestCrossCheckSessionMultiwayPeer(t *testing.T) {
-	// The peer-shuffle path in its content-insensitive modes (the stage-2
-	// plan broadcast BEFORE stage 1 runs): stage-1 intermediates re-shuffle
-	// directly worker→worker. Asserted here: (1) not a single matched pair
-	// transits the coordinator (the session's relayed-pairs counter stays
-	// flat), while the relay path moves the whole intermediate through it;
-	// (2) Output and Intermediate are bit-identical to the in-process
-	// engine; (3) stage-1 per-worker metrics are bit-identical to
-	// in-process; (4) for an equality stage-2 predicate the peer-assembled
-	// stage-2 blocks yield per-worker metrics bit-identical to an
-	// in-process run of the same content-deterministic Hash plan over the
-	// relay's intermediate. (The CSIO distributed-statistics mode has its
-	// own crosscheck below.)
+	// The peer-shuffle path on uniform keys, across mapper counts: stage-1
+	// intermediates re-shuffle directly worker→worker. Asserted here: (1) not
+	// a single matched pair transits the coordinator (the session's
+	// relayed-pairs counter stays flat), while the relay path moves the
+	// whole intermediate through it; (2) Output and Intermediate are
+	// bit-identical to the in-process engine; (3) stage-1 per-worker metrics
+	// are bit-identical to in-process. (Skewed inputs have their own
+	// crosscheck above; stage-2 blocks against an in-process run of a fixed
+	// plan are netexec's TestPeerPipelineMatchesLocalReference.)
 	const maxWorkers = 8
 	sess := dialLoopbackSession(t, maxWorkers)
 
@@ -395,12 +364,8 @@ func TestCrossCheckSessionMultiwayPeer(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: local: %v", id, err)
 				}
-				mode := multiway.Stage2CI
-				if _, isEqui := condB.(join.Equi); isEqui {
-					mode = multiway.Stage2Hash
-				}
 				before := sess.RelayedPairs()
-				peer, err := multiway.ExecuteOverStage2(sess, q, opts, cfg, mode)
+				peer, err := multiway.ExecuteOver(sess, q, opts, cfg)
 				if err != nil {
 					t.Fatalf("%s: peer: %v", id, err)
 				}
@@ -431,30 +396,6 @@ func TestCrossCheckSessionMultiwayPeer(t *testing.T) {
 					t.Errorf("%s: relay path relayed %d pairs, expected at least the %d intermediates",
 						id, relayed, local.Intermediate)
 				}
-
-				// Pair-for-pair stage-2 check for the content-deterministic
-				// Hash plan: same intermediate multiset per worker ⇒ same
-				// per-worker inputs, outputs and modeled work.
-				if _, isEqui := condB.(join.Equi); !isEqui {
-					continue
-				}
-				scheme2, err := multiway.PeerStage2Scheme(condB, opts.J)
-				if err != nil {
-					t.Fatal(err)
-				}
-				inter := localIntermediate(t, q, opts, cfg)
-				ref := exec.Run(inter, q.R3, condB, scheme2, netModel, cfg)
-				p2 := peer.Stages[1].Exec
-				if len(ref.Workers) != len(p2.Workers) {
-					t.Fatalf("%s: stage 2 worker counts differ: ref %d peer %d",
-						id, len(ref.Workers), len(p2.Workers))
-				}
-				for w := range ref.Workers {
-					if p2.Workers[w] != ref.Workers[w] {
-						t.Errorf("%s: stage 2 worker %d metrics differ: peer %+v reference %+v",
-							id, w, p2.Workers[w], ref.Workers[w])
-					}
-				}
 			}
 		}
 	}
@@ -464,8 +405,7 @@ func TestCrossCheckOverlappedStage2(t *testing.T) {
 	// Stage-overlapped dispatch: the coordinator opens the stage-2 peer jobs
 	// and streams their right relation WHILE stage 1 is still running — the
 	// exact peer counts bind late over PEERBIND once stage 1 settles. Across
-	// worker counts, seeds and both the pre-built Hash plan and the
-	// stats-deferred Auto replan: the session's overlap counter must move
+	// worker counts and seeds: the session's overlap counter must move
 	// (the pipelining actually engaged, it is not a silent fallback to the
 	// sequential open), the output must stay pair-identical to the
 	// in-process engine, and not one pair may transit the coordinator.
@@ -492,24 +432,22 @@ func TestCrossCheckOverlappedStage2(t *testing.T) {
 			if err != nil {
 				t.Fatalf("J=%d seed %d: local: %v", workers, seed, err)
 			}
-			for _, mode := range []multiway.Stage2Mode{multiway.Stage2Hash, multiway.Stage2Auto} {
-				id := fmt.Sprintf("J=%d seed %d mode=%v", workers, seed, mode)
-				relayedBefore := sess.RelayedPairs()
-				overlapBefore := sess.OverlappedStage2()
-				res, err := multiway.ExecuteOverStage2(sess, q, opts, cfg, mode)
-				if err != nil {
-					t.Fatalf("%s: %v", id, err)
-				}
-				if res.Output != local.Output || res.Intermediate != local.Intermediate {
-					t.Fatalf("%s: results differ: peer (out=%d mid=%d) local (out=%d mid=%d)",
-						id, res.Output, res.Intermediate, local.Output, local.Intermediate)
-				}
-				if relayed := sess.RelayedPairs() - relayedBefore; relayed != 0 {
-					t.Fatalf("%s: %d pairs transited the coordinator", id, relayed)
-				}
-				if d := sess.OverlappedStage2() - overlapBefore; d <= 0 {
-					t.Errorf("%s: no stage-2 stream overlapped stage 1 (counter moved %d)", id, d)
-				}
+			id := fmt.Sprintf("J=%d seed %d", workers, seed)
+			relayedBefore := sess.RelayedPairs()
+			overlapBefore := sess.OverlappedStage2()
+			res, err := multiway.ExecuteOver(sess, q, opts, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			if res.Output != local.Output || res.Intermediate != local.Intermediate {
+				t.Fatalf("%s: results differ: peer (out=%d mid=%d) local (out=%d mid=%d)",
+					id, res.Output, res.Intermediate, local.Output, local.Intermediate)
+			}
+			if relayed := sess.RelayedPairs() - relayedBefore; relayed != 0 {
+				t.Fatalf("%s: %d pairs transited the coordinator", id, relayed)
+			}
+			if d := sess.OverlappedStage2() - overlapBefore; d <= 0 {
+				t.Errorf("%s: no stage-2 stream overlapped stage 1 (counter moved %d)", id, d)
 			}
 		}
 	}

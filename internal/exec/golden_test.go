@@ -134,12 +134,12 @@ func (e *goldenEnv) tuplePairsShuffle(rt exec.Runtime) goldenScenario {
 
 // chain3 is the 3-way chain R1 ⋈(band 1) Mid ⋈(equi) R3 through the peer
 // shuffle: network is summed over the stages, maxWork is the worse stage.
-func (e *goldenEnv) chain3(rt exec.Runtime, mode multiway.Stage2Mode) goldenScenario {
+func (e *goldenEnv) chain3(rt exec.Runtime) goldenScenario {
 	return func() (goldenTriple, error) {
 		q := multiway.Query{R1: e.r1, Mid: multiway.MidRelation{A: e.r2, B: e.midB}, R3: e.r3,
 			CondA: join.NewBand(1), CondB: join.Equi{}}
-		res, err := multiway.ExecuteOverStage2(rt, q,
-			core.Options{J: goldenJ, Model: cost.DefaultBand, Seed: goldenSeed}, goldenCfg, mode)
+		res, err := multiway.ExecuteOver(rt, q,
+			core.Options{J: goldenJ, Model: cost.DefaultBand, Seed: goldenSeed}, goldenCfg)
 		if err != nil {
 			return goldenTriple{}, err
 		}
@@ -224,9 +224,10 @@ func TestGoldenDeterministicTriples(t *testing.T) {
 		{"netexec-session-csio-band", goldenTriple{999359, 494624, 93285.6}, e.keyJoin(sess, e.r2, e.band, e.csio, auto)},
 		{"netexec-session-hashjoin-overlap", goldenTriple{199566, 400000, 55436}, e.keyJoin(sess, e.r2, equi, e.hash, auto)},
 		{"netexec-session-tuple-pairs", goldenTriple{0, 200000, 25267}, e.tuplePairsShuffle(sess)},
-		{"netexec-peer-multiway", goldenTriple{601514, 1287128, 116062.8}, e.chain3(sess, multiway.Stage2Hash)},
-		{"netexec-peer-multiway-csio", goldenTriple{601514, 1372697, 130154}, e.chain3(sess, multiway.Stage2CSIO)},
-		{"netexec-peer-multiway-pipelined", goldenTriple{601514, 1372697, 130154}, e.chain3(sess, multiway.Stage2Auto)},
+		{"netexec-peer-multiway-csio", goldenTriple{601514, 1372697, 130154}, e.chain3(sess)},
+		// The pipelined peer path is the only stage-2 path now; this second run
+		// on the same session also pins that a repeat leaves the triple alone.
+		{"netexec-peer-multiway-pipelined", goldenTriple{601514, 1372697, 130154}, e.chain3(sess)},
 		{"netexec-stream-drift", goldenTriple{51576, 24199, 18633}, skewFlipStream(sess)},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -28,9 +28,6 @@ type RetryPolicy struct {
 	MaxDelay    time.Duration
 }
 
-// Enabled reports whether the policy allows any retry at all.
-func (p RetryPolicy) Enabled() bool { return p.MaxAttempts > 1 }
-
 // Delay returns the backoff before attempt n+2 (n counts completed failed
 // attempts, from 0). Defaults: 50ms base doubling up to 2s.
 func (p RetryPolicy) Delay(n int) time.Duration {

@@ -26,9 +26,6 @@ func TestRetryPolicyDelay(t *testing.T) {
 	if d := p.Delay(3); d != 25*time.Millisecond {
 		t.Errorf("custom Delay(3) = %v, want cap", d)
 	}
-	if (RetryPolicy{}).Enabled() || !(RetryPolicy{MaxAttempts: 2}).Enabled() {
-		t.Error("Enabled threshold wrong")
-	}
 }
 
 // fakeFault implements the structural retryability probe exec relies on.

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"ewh/internal/cost"
@@ -18,19 +17,18 @@ import (
 // serializable partitioning artifact — plus relation futures, and the
 // transport decides where the intermediate lives and how it moves. Over
 // netexec this is the direct worker→worker re-shuffle: each worker routes
-// its own stage-1 matches by the broadcast plan and streams them straight to
-// peer workers, so the intermediate never transits the driver.
+// its own stage-1 matches by the plan and streams them straight to peer
+// workers, so the intermediate never transits the driver.
 //
-// The plan comes in two flavors. A PRE-BUILT plan (content-insensitive
-// schemes) is broadcast with stage 1. A STATS-DEFERRED plan serves the
-// content-sensitive schemes the paper is about: the transport has every
-// stage-1 worker summarize its local matches (Stats sizes the summaries),
-// collects the summaries, calls Replan to build the real plan from the
-// merged statistics, and only then broadcasts it — the intermediate still
-// never transits the driver, only its statistics summaries do.
+// The plan is STATS-DEFERRED, the content-sensitive planning the paper is
+// about: the transport has every stage-1 worker summarize its local matches
+// (Stats sizes the summaries), collects the summaries, calls Replan to build
+// the plan from the merged statistics, and only then broadcasts it — the
+// intermediate still never transits the driver, only its statistics
+// summaries do.
 
-// StatsSpec sizes the per-worker statistics summaries of a stats-deferred
-// stage plan (see sample.Summarize).
+// StatsSpec sizes the per-worker statistics summaries of a stage plan (see
+// sample.Summarize).
 type StatsSpec struct {
 	// Cap bounds each worker's uniform key sample.
 	Cap int
@@ -52,22 +50,16 @@ type StatsSpec struct {
 // materialized matches, already living wherever the transport put them; the
 // right relation is still shuffled by the driver (it owns that base data).
 type PlanJob struct {
-	// Plan is the planio-encoded artifact (scheme + routing seed) every
-	// executor of the stage shares. The transport ships it opaquely; workers
-	// decode it and route with bit-identical decisions. Nil when the plan is
-	// stats-deferred (Replan != nil).
+	// Plan is always nil: the stage's plan exists only once Replan returns
+	// it, and reaches the transport as Replan's result. Kept for callers
+	// that read it.
 	Plan []byte
-	// Workers is the decoded scheme's worker count (the driver holds the
-	// decoded scheme too; transports must not need to decode Plan to size
-	// their dispatch). Zero when the plan is stats-deferred — the count is
-	// Replan's to decide.
-	Workers int
 	// Cond is the stage's join predicate.
 	Cond join.Condition
 	// R2 resolves to the stage's driver-shuffled right relation, a chunk
-	// stream (RelData.Chunks). For a stats-deferred plan it resolves only
-	// after Replan returns (the driver cannot shuffle before it knows the
-	// scheme), so transports must not Wait on it before replanning completes.
+	// stream (RelData.Chunks). It resolves only after Replan returns (the
+	// driver cannot shuffle before it knows the scheme), so transports must
+	// not Wait on it before replanning completes.
 	R2 *RelFuture
 	// MaxIntermediate, when positive, fails the pipeline before the stage
 	// dispatches if the upstream stage matched more tuples — the earliest
@@ -79,15 +71,13 @@ type PlanJob struct {
 	// same engine a coordinator-fed job would (Config.Engine end to end).
 	Engine JoinEngine
 
-	// Stats, non-nil exactly when the plan is stats-deferred, sizes the
-	// per-worker summaries of the stage-1 matches.
+	// Stats sizes the per-worker summaries of the stage-1 matches.
 	Stats *StatsSpec
-	// Replan, non-nil exactly when the plan is stats-deferred, receives the
-	// per-sender encoded summaries (index = stage-1 worker id, each a
-	// planio summary) once every stage-1 join has completed, and returns the
-	// encoded stage-2 plan plus its worker count. The transport must call it
-	// at most once, synchronously, between collecting the summaries and
-	// broadcasting the plan.
+	// Replan receives the per-sender encoded summaries (index = stage-1
+	// worker id, each a planio summary) once every stage-1 join has
+	// completed, and returns the encoded stage-2 plan plus its worker count.
+	// The transport must call it at most once, synchronously, between
+	// collecting the summaries and broadcasting the plan.
 	Replan func(summaries [][]byte) (plan []byte, workers int, err error)
 }
 
@@ -100,27 +90,21 @@ type PlanJob struct {
 type StageRuntime interface {
 	Runtime
 	// RunStages executes first (count-only; first.Pairs must be nil), routes
-	// each worker's matches by next.Plan to the stage-2 workers, joins them
-	// against next.R2 and fills wm1/wm2. wm1 has length first.Workers; wm2
-	// has length next.Workers for a pre-built plan, and for a stats-deferred
-	// plan it is an upper bound the transport fills up to the worker count
-	// Replan returns. It returns the total intermediate size — the only
-	// thing about the intermediate the driver ever sees.
+	// each worker's matches by the plan next.Replan returns to the stage-2
+	// workers, joins them against next.R2 and fills wm1/wm2. wm1 has length
+	// first.Workers; wm2 is an upper bound the transport fills up to the
+	// worker count Replan returns. It returns the total intermediate size —
+	// the only thing about the intermediate the driver ever sees.
 	RunStages(first *Job, next *PlanJob, wm1, wm2 []WorkerMetrics) (intermediate int64, err error)
 }
 
-// StagePlan describes the downstream stage to RunStagesOver. A pre-built
-// plan sets Bytes (the encoded artifact) and Scheme (its decode); a
-// stats-deferred plan leaves both nil and sets Stats, MaxWorkers and Replan
-// instead. MaxIntermediate (when positive) caps the stage-1 match total
-// before stage 2 dispatches.
+// StagePlan describes the downstream stage to RunStagesOver: its predicate,
+// and how to plan it from the stage-1 workers' statistics. Stats, MaxWorkers
+// and Replan are required. MaxIntermediate (when positive) caps the stage-1
+// match total before stage 2 dispatches.
 type StagePlan struct {
-	Bytes           []byte
-	Scheme          partition.Scheme
 	Cond            join.Condition
 	MaxIntermediate int64
-
-	// Stats-deferred planning:
 
 	// Stats sizes the per-worker summaries.
 	Stats *StatsSpec
@@ -144,11 +128,11 @@ const stage2SeedDelta = 0x51ed270
 // transport: stage 1 joins r1 ⋈ r2 under scheme (shuffled once by the
 // driver; rekey, aligned with r2, is r2's companion column — each row's
 // stage-2 join key — and ships as the re-key column), the transport
-// re-shuffles the matches by sp's plan without them ever returning to the
-// driver, and stage 2 joins them against r3 (driver-shuffled on the R2 side,
-// seed cfg.Seed+stage2SeedDelta). For a stats-deferred sp the r3 shuffle
-// starts the moment Replan resolves the scheme. Both stages' Results carry
-// the usual per-worker metrics; stage 1's Output is the intermediate size.
+// re-shuffles the matches by the plan sp.Replan builds without them ever
+// returning to the driver, and stage 2 joins them against r3
+// (driver-shuffled on the R2 side, seed cfg.Seed+stage2SeedDelta, starting
+// the moment Replan resolves the scheme). Both stages' Results carry the
+// usual per-worker metrics; stage 1's Output is the intermediate size.
 func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 	cond join.Condition, scheme partition.Scheme, sp StagePlan, r3 []join.Key,
 	model cost.Model, cfg Config) (stage1, stage2 *Result, err error) {
@@ -159,24 +143,13 @@ func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 	if rekey == nil {
 		rekey = []join.Key{} // an empty relation 2 still declares its (empty) column
 	}
-	deferred := sp.Replan != nil
-	j2cap := 0
 	switch {
-	case deferred:
-		if sp.Scheme != nil || len(sp.Bytes) != 0 {
-			return nil, nil, fmt.Errorf("exec: stats-deferred stage plan cannot also carry a pre-built plan")
-		}
-		if sp.Stats == nil || sp.Stats.Cap < 1 || sp.Stats.Buckets < 1 {
-			return nil, nil, fmt.Errorf("exec: stats-deferred stage plan needs a statistics spec")
-		}
-		if sp.MaxWorkers < 1 {
-			return nil, nil, fmt.Errorf("exec: stats-deferred stage plan needs a worker bound")
-		}
-		j2cap = sp.MaxWorkers
-	case sp.Scheme == nil || len(sp.Bytes) == 0:
-		return nil, nil, fmt.Errorf("exec: stage pipeline without an encoded stage-2 plan")
-	default:
-		j2cap = sp.Scheme.Workers()
+	case sp.Replan == nil:
+		return nil, nil, fmt.Errorf("exec: stage plan without a replan function")
+	case sp.Stats == nil || sp.Stats.Cap < 1 || sp.Stats.Buckets < 1:
+		return nil, nil, fmt.Errorf("exec: stage plan needs a statistics spec")
+	case sp.MaxWorkers < 1:
+		return nil, nil, fmt.Errorf("exec: stage plan needs a worker bound")
 	}
 	cfg.defaults()
 	start := time.Now()
@@ -187,73 +160,57 @@ func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 		func(k, _ *KeyShuffle) { f1.resolve(RelData{Keys: k}) },
 		func(k, rk *KeyShuffle) { f2.resolve(RelData{Keys: k, Rekey: rk}) })
 
-	// The right relation of stage 2 shuffles concurrently with stage 1's
-	// relations once its scheme is known — immediately for a pre-built plan,
-	// at replan time for a stats-deferred one; the transport waits on its
-	// future only when stage 2 opens.
+	// The right relation of stage 2 starts shuffling the moment Replan
+	// resolves its scheme, concurrently with the intermediate's re-shuffle;
+	// the transport waits on its future only when stage 2 opens. r3 is a
+	// chunk stream, the one form a stage transport takes it in: the first
+	// routed sub-blocks hit stage-2 sockets while later mappers still route.
+	// Replan runs synchronously inside RunStages, so scheme2 is settled once
+	// RunStages returns.
 	cfg3 := cfg
 	cfg3.Seed = cfg.Seed + stage2SeedDelta
 	f3 := newRelFuture()
-	var r3Started atomic.Bool
-	startR3 := func(s partition.Scheme) {
-		r3Started.Store(true)
-		// r3 is a chunk stream, the one form a stage transport takes it in: the
-		// first routed sub-blocks hit stage-2 sockets while later mappers still
-		// route and, for pre-built plans, while stage 1 is still running.
-		f3.resolve(RelData{Chunks: ShuffleKeysChunked(r3, s, 2, cfg3)})
-	}
-
-	scheme2 := sp.Scheme
-	// A stats-deferred PlanJob carries Workers == 0: the count is Replan's
-	// to decide.
-	j2known := j2cap
-	if deferred {
-		j2known = 0
-	}
-	next := &PlanJob{Plan: sp.Bytes, Workers: j2known, Cond: sp.Cond, R2: f3,
-		MaxIntermediate: sp.MaxIntermediate, Stats: sp.Stats, Engine: cfg.Engine}
-	if deferred {
-		next.Replan = func(encoded [][]byte) ([]byte, int, error) {
-			// The driver layer owns the summary codec: decode once, enforce
-			// the pipeline cap off the exact counts — BEFORE the plan exists,
-			// so a blown cap never moves a single intermediate tuple — and
-			// hand the typed summaries to the planner.
-			summaries := make([]*stats.Summary, len(encoded))
-			var total int64
-			for w, enc := range encoded {
-				s, err := planio.DecodeSummary(enc)
-				if err != nil {
-					return nil, 0, fmt.Errorf("exec: stage-1 worker %d statistics summary: %w", w, err)
-				}
-				summaries[w] = s
-				total += s.Count
-			}
-			if sp.MaxIntermediate > 0 && total > sp.MaxIntermediate {
-				return nil, 0, fmt.Errorf("exec: stage 1 matched %d tuples, pipeline cap %d; restructure the chain",
-					total, sp.MaxIntermediate)
-			}
-			plan, s, err := sp.Replan(summaries)
+	var scheme2 partition.Scheme
+	next := &PlanJob{Cond: sp.Cond, R2: f3, MaxIntermediate: sp.MaxIntermediate,
+		Stats: sp.Stats, Engine: cfg.Engine}
+	next.Replan = func(encoded [][]byte) ([]byte, int, error) {
+		// The driver layer owns the summary codec: decode once, enforce the
+		// pipeline cap off the exact counts — BEFORE the plan exists, so a
+		// blown cap never moves a single intermediate tuple — and hand the
+		// typed summaries to the planner.
+		summaries := make([]*stats.Summary, len(encoded))
+		var total int64
+		for w, enc := range encoded {
+			s, err := planio.DecodeSummary(enc)
 			if err != nil {
-				return nil, 0, err
+				return nil, 0, fmt.Errorf("exec: stage-1 worker %d statistics summary: %w", w, err)
 			}
-			if s == nil || len(plan) == 0 {
-				return nil, 0, fmt.Errorf("exec: replan returned an empty stage-2 plan")
-			}
-			if s.Workers() > sp.MaxWorkers {
-				return nil, 0, fmt.Errorf("exec: replanned scheme routes to %d workers, pipeline bound %d",
-					s.Workers(), sp.MaxWorkers)
-			}
-			scheme2 = s
-			startR3(s)
-			return plan, s.Workers(), nil
+			summaries[w] = s
+			total += s.Count
 		}
-	} else {
-		startR3(sp.Scheme)
+		if sp.MaxIntermediate > 0 && total > sp.MaxIntermediate {
+			return nil, 0, fmt.Errorf("exec: stage 1 matched %d tuples, pipeline cap %d; restructure the chain",
+				total, sp.MaxIntermediate)
+		}
+		plan, s, err := sp.Replan(summaries)
+		if err != nil {
+			return nil, 0, err
+		}
+		if s == nil || len(plan) == 0 {
+			return nil, 0, fmt.Errorf("exec: replan returned an empty stage-2 plan")
+		}
+		if s.Workers() > sp.MaxWorkers {
+			return nil, 0, fmt.Errorf("exec: replanned scheme routes to %d workers, pipeline bound %d",
+				s.Workers(), sp.MaxWorkers)
+		}
+		scheme2 = s
+		f3.resolve(RelData{Chunks: ShuffleKeysChunked(r3, s, 2, cfg3)})
+		return plan, s.Workers(), nil
 	}
 
 	first := &Job{Cond: cond, Workers: j1, R1: f1, R2: f2, Engine: cfg.Engine}
 	res1 := &Result{Scheme: scheme.Name() + rt.Label(), Workers: make([]WorkerMetrics, j1)}
-	res2 := &Result{Workers: make([]WorkerMetrics, j2cap)}
+	res2 := &Result{Workers: make([]WorkerMetrics, sp.MaxWorkers)}
 	inter, err := rt.RunStages(first, next, res1.Workers, res2.Workers)
 
 	// A transport that errored early may return while a scatter is still
@@ -262,7 +219,7 @@ func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 	releaseRelData(f2.Wait())
 	// A failure before replanning leaves the r3 shuffle unstarted; resolve
 	// the future empty so nothing downstream can block on it.
-	if !r3Started.Load() {
+	if scheme2 == nil {
 		f3.resolve(RelData{})
 	}
 	releaseRelData(f3.Wait())
@@ -270,7 +227,7 @@ func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 		return nil, nil, err
 	}
 	if scheme2 == nil {
-		return nil, nil, fmt.Errorf("exec: transport completed a stats-deferred pipeline without replanning")
+		return nil, nil, fmt.Errorf("exec: transport completed a stage pipeline without replanning")
 	}
 	res2.Workers = res2.Workers[:scheme2.Workers()]
 	res2.Scheme = scheme2.Name() + "@peer"

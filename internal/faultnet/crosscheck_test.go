@@ -1,8 +1,9 @@
 package faultnet_test
 
 // The fault-recovery crosscheck: kill one worker at each pipeline boundary
-// — stage-1 open, mid-scatter, after its statistics summary, stage-2 open,
-// mid-peer-transfer — and assert the session recovers onto the survivors
+// — stage-1 open, mid-scatter, after its statistics summary, as the stage-2
+// plan arrives, stage-2 open, as the peer counts bind, mid-peer-transfer —
+// and assert the session recovers onto the survivors
 // with output BIT-IDENTICAL to a fault-free in-process run. Determinism is
 // what makes this assertable: every retry attempt replans from scratch for
 // its fleet size with the same seeds, so a recovered J=3 run and a
@@ -79,39 +80,51 @@ func TestRecoveryBitIdenticalAcrossBoundaries(t *testing.T) {
 
 	scenarios := []struct {
 		name string
-		mode multiway.Stage2Mode
 		rule func(kill func()) faultnet.Rule
 	}{
-		{"stage1-open", multiway.Stage2CSIO, func(kill func()) faultnet.Rule {
+		{"stage1-open", func(kill func()) faultnet.Rule {
 			// The worker dies the instant its first stage-1 job arrives.
 			return faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameOpenJob,
 				Action: faultnet.ActHook, Fn: kill}
 		}},
-		{"mid-scatter", multiway.Stage2Hash, func(func()) faultnet.Rule {
+		{"mid-scatter", func(func()) faultnet.Rule {
 			// The coordinator link dies while the second relation's block is
 			// in flight; the worker itself stays up (an excluded, not dead,
 			// worker — recovery must route around it all the same).
 			return faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameBlock,
 				N: 2, Action: faultnet.ActClose}
 		}},
-		{"post-stats", multiway.Stage2CSIO, func(kill func()) faultnet.Rule {
+		{"post-stats", func(kill func()) faultnet.Rule {
 			// The worker ships its statistics summary, then dies before the
 			// replanned PLAN2 can reach it.
 			return faultnet.Rule{Dir: faultnet.Out, Frame: faultnet.FrameStats,
 				Action: faultnet.ActHook, Fn: kill}
 		}},
-		{"stage2-open", multiway.Stage2Hash, func(func()) faultnet.Rule {
+		{"plan2-arrival", func(kill func()) faultnet.Rule {
+			// The worker dies the instant the replanned stage-2 plan reaches
+			// it, parked with its matches summarized but never routed.
+			return faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FramePlan2,
+				Action: faultnet.ActHook, Fn: kill}
+		}},
+		{"stage2-open", func(func()) faultnet.Rule {
 			// The session link resets exactly as the peer-fed stage-2 job
 			// opens.
 			return faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameOpenPeerJob,
 				Action: faultnet.ActReset}
 		}},
-		{"mid-peer-transfer", multiway.Stage2Hash, func(kill func()) faultnet.Rule {
+		{"peer-bind", func(kill func()) faultnet.Rule {
+			// The worker dies as its stage-2 job's per-sender counts bind:
+			// the transfer it parked on is complete or nearly so, and never
+			// joins.
+			return faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FramePeerBind,
+				Action: faultnet.ActHook, Fn: kill}
+		}},
+		{"mid-peer-transfer", func(kill func()) faultnet.Rule {
 			// The worker dies while a peer contribution is streaming into it.
 			return faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FramePeerBlock,
 				Action: faultnet.ActHook, Fn: kill}
 		}},
-		{"chunk-boundary", multiway.Stage2Hash, func(kill func()) faultnet.Rule {
+		{"chunk-boundary", func(kill func()) faultnet.Rule {
 			// The worker dies at a sub-block chunk boundary: it has decoded
 			// the first mapper's chunk of a streamed relation but the second
 			// chunk and the exact-count tail never arrive, so recovery must
@@ -162,7 +175,7 @@ func TestRecoveryBitIdenticalAcrossBoundaries(t *testing.T) {
 			t.Cleanup(func() { _ = sess.Close() })
 
 			before := sess.RelayedPairs()
-			res, err := multiway.ExecuteOverStage2(sess, q, opts, cfg, sc.mode)
+			res, err := multiway.ExecuteOver(sess, q, opts, cfg)
 			if err != nil {
 				t.Fatalf("recovery failed: %v", err)
 			}
@@ -236,7 +249,7 @@ func TestRecoveryFromStalledWorker(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = sess.Close() })
 
-	res, err := multiway.ExecuteOverStage2(sess, q, opts, cfg, multiway.Stage2Hash)
+	res, err := multiway.ExecuteOver(sess, q, opts, cfg)
 	if err != nil {
 		t.Fatalf("recovery from stall failed: %v", err)
 	}

@@ -214,50 +214,3 @@ func abs64(x int64) int64 {
 	}
 	return x
 }
-
-func TestValidateMonotonicAccepts(t *testing.T) {
-	conds := []Condition{
-		NewBand(0), NewBand(5), Equi{},
-		Inequality{Op: Less}, Inequality{Op: LessEq},
-		Inequality{Op: Greater}, Inequality{Op: GreaterEq},
-		Shifted{Inner: NewBand(2), Scale: 3, Offset: 1},
-	}
-	for _, c := range conds {
-		if err := ValidateMonotonic(c, -1000, 1000, 64); err != nil {
-			t.Errorf("%v rejected: %v", c, err)
-		}
-	}
-}
-
-// reversedBand is a deliberately broken condition whose joinable range moves
-// backwards — ValidateMonotonic must reject it.
-type reversedBand struct{}
-
-func (reversedBand) Matches(a, b Key) bool {
-	d := -a - b
-	if d < 0 {
-		d = -d
-	}
-	return d <= 1
-}
-func (reversedBand) JoinableRange(a Key) (Key, Key) { return -a - 1, -a + 1 }
-func (reversedBand) String() string                 { return "reversed band" }
-
-// lyingRange reports a joinable range inconsistent with Matches.
-type lyingRange struct{}
-
-func (lyingRange) Matches(a, b Key) bool          { return a == b }
-func (lyingRange) JoinableRange(a Key) (Key, Key) { return a, a + 5 }
-func (lyingRange) String() string                 { return "lying range" }
-
-func TestValidateMonotonicRejects(t *testing.T) {
-	if err := ValidateMonotonic(reversedBand{}, -100, 100, 32); err == nil {
-		t.Error("reversed band accepted")
-	}
-	if err := ValidateMonotonic(lyingRange{}, -100, 100, 32); err == nil {
-		t.Error("lying range accepted")
-	}
-	if err := ValidateMonotonic(Equi{}, 10, 5, 8); err == nil {
-		t.Error("inverted validation range accepted")
-	}
-}

@@ -16,10 +16,6 @@ type Rect struct {
 // Empty reports whether the rectangle contains no cells.
 func (r Rect) Empty() bool { return r.R0 > r.R1 || r.C0 > r.C1 }
 
-// SemiPerimeter returns (rows + cols), the tiling processing order key of
-// MonotonicBSP (Algorithm 2, line 3).
-func (r Rect) SemiPerimeter() int { return (r.R1 - r.R0 + 1) + (r.C1 - r.C0 + 1) }
-
 // Key packs the rectangle into a map key; coordinates must fit in 16 bits,
 // which holds for nc = 2J matrices by a wide margin.
 func (r Rect) Key() uint64 {

@@ -249,9 +249,6 @@ func TestRectHelpers(t *testing.T) {
 	if r.Empty() {
 		t.Error("non-empty rect reported empty")
 	}
-	if r.SemiPerimeter() != 3+4 {
-		t.Errorf("semi-perimeter %d, want 7", r.SemiPerimeter())
-	}
 	if (Rect{R0: 2, R1: 1, C0: 0, C1: 0}).Empty() == false {
 		t.Error("inverted rect not empty")
 	}

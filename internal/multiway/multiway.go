@@ -79,90 +79,6 @@ func Execute(q Query, opts core.Options, cfg exec.Config) (*Result, error) {
 	return ExecuteOver(exec.Local{}, q, opts, cfg)
 }
 
-// PeerStage2Scheme is the statistics-free stage-2 scheme of the peer-shuffle
-// path's no-stats modes: Hash for equality predicates, CI otherwise. Both
-// are complete and duplicate-free without seeing a single intermediate tuple
-// — the property that lets the stage-2 plan be built and broadcast BEFORE
-// stage 1 runs. It remains the CSIO modes' fallback whenever statistics
-// cannot produce a plan (an empty intermediate). Exported so tests and
-// experiments can construct the bit-identical in-process reference.
-func PeerStage2Scheme(cond join.Condition, j int) (partition.Scheme, error) {
-	if _, ok := cond.(join.Equi); ok {
-		return partition.NewHash(j, nil)
-	}
-	return partition.NewCI(j), nil
-}
-
-// Stage2Mode selects how the peer-shuffle path partitions stage 2 (the
-// re-keyed intermediate against R3).
-type Stage2Mode int
-
-const (
-	// Stage2Auto picks the content-sensitive CSIO plan via distributed
-	// statistics on stage-aware runtimes — the scheme the paper's skew
-	// results are about — and the coordinator-relay CSIO re-plan elsewhere.
-	Stage2Auto Stage2Mode = iota
-	// Stage2Hash is the content-insensitive hash plan, broadcast before
-	// stage 1 runs; equality stage-2 predicates only.
-	Stage2Hash
-	// Stage2CI is the content-insensitive 1-Bucket plan, broadcast before
-	// stage 1 runs; any predicate.
-	Stage2CI
-	// Stage2CSIO forces the distributed-statistics CSIO plan.
-	Stage2CSIO
-)
-
-// String names the mode as the CLI flag spells it.
-func (m Stage2Mode) String() string {
-	switch m {
-	case Stage2Auto:
-		return "auto"
-	case Stage2Hash:
-		return "hash"
-	case Stage2CI:
-		return "ci"
-	case Stage2CSIO:
-		return "csio"
-	}
-	return fmt.Sprintf("Stage2Mode(%d)", int(m))
-}
-
-// ParseStage2Mode parses a -stage2-scheme flag value.
-func ParseStage2Mode(s string) (Stage2Mode, error) {
-	switch s {
-	case "auto":
-		return Stage2Auto, nil
-	case "hash":
-		return Stage2Hash, nil
-	case "ci":
-		return Stage2CI, nil
-	case "csio":
-		return Stage2CSIO, nil
-	}
-	return 0, fmt.Errorf("multiway: unknown stage-2 scheme %q (want auto, hash, ci or csio)", s)
-}
-
-// ResolveStage2 is the peer path's stage-2 selection logic: it returns the
-// pre-broadcast scheme for the content-insensitive modes, or needStats for
-// the content-sensitive ones (auto and csio), whose scheme only exists after
-// the distributed statistics land. Hash is rejected for non-equality
-// predicates — it would lose matches.
-func ResolveStage2(mode Stage2Mode, cond join.Condition, j int) (scheme partition.Scheme, needStats bool, err error) {
-	switch mode {
-	case Stage2Auto, Stage2CSIO:
-		return nil, true, nil
-	case Stage2Hash:
-		if _, ok := cond.(join.Equi); !ok {
-			return nil, false, fmt.Errorf("multiway: hash stage-2 scheme requires an equality predicate, got %T", cond)
-		}
-		s, err := partition.NewHash(j, nil)
-		return s, false, err
-	case Stage2CI:
-		return partition.NewCI(j), false, nil
-	}
-	return nil, false, fmt.Errorf("multiway: unknown stage-2 mode %v", mode)
-}
-
 // peerSeedDelta decorrelates the peer re-shuffle's routing streams from the
 // engine seed without another knob; statsSeedDelta does the same for the
 // workers' summary-sampling streams.
@@ -182,28 +98,14 @@ const (
 )
 
 // ExecuteOver runs the chain join through rt. Stage-aware transports
-// (exec.StageRuntime, e.g. a netexec session) take the peer-shuffle path
-// with the auto stage-2 mode — a genuine CSIO stage-2 plan built from
-// distributed statistics, so the intermediate never transits the
-// coordinator even for the content-sensitive schemes the paper evaluates
-// under skew. Runtimes without a stage interface (exec.Local) take the
-// coordinator-relay path (ExecuteOverRelay).
+// (exec.StageRuntime, e.g. a netexec session) take the peer-shuffle path: a
+// genuine CSIO stage-2 plan built from distributed statistics, so the
+// intermediate never transits the coordinator even for the content-sensitive
+// schemes the paper evaluates under skew. Runtimes without a stage interface
+// (exec.Local) take the coordinator-relay path (ExecuteOverRelay).
 func ExecuteOver(rt exec.Runtime, q Query, opts core.Options, cfg exec.Config) (*Result, error) {
-	return ExecuteOverStage2(rt, q, opts, cfg, Stage2Auto)
-}
-
-// ExecuteOverStage2 is ExecuteOver with an explicit stage-2 partitioning
-// mode for the peer-shuffle path. Non-auto modes require a stage-aware
-// runtime — the relay path always re-plans CSIO itself.
-func ExecuteOverStage2(rt exec.Runtime, q Query, opts core.Options, cfg exec.Config,
-	mode Stage2Mode) (*Result, error) {
-
 	if sr, ok := rt.(exec.StageRuntime); ok {
-		return executePeer(sr, q, opts, cfg, mode)
-	}
-	if mode != Stage2Auto {
-		return nil, fmt.Errorf("multiway: stage-2 mode %v requires a stage-aware runtime (%T relays through the coordinator)",
-			mode, rt)
+		return executePeer(sr, q, opts, cfg)
 	}
 	return ExecuteOverRelay(rt, q, opts, cfg)
 }
@@ -225,18 +127,14 @@ func validate(q Query, opts *core.Options) error {
 
 // executePeer is the direct worker→worker path: stage 1 runs exactly as the
 // relay path (same plan, same shuffle, same per-worker blocks), but its
-// matches stay on the workers, re-shuffled among them by a stage-2 plan the
-// coordinator serialized and broadcast — up front for the content-
-// insensitive modes, after the distributed statistics exchange for the CSIO
-// modes (each worker summarizes its local matches, the coordinator merges
-// the summaries and plans a genuine equi-weight histogram over the
-// intermediate it never saw). The coordinator only ever sees pair counts
-// and summaries; Output and the intermediate size are bit-identical to the
-// relay and in-process paths (stage-2 per-worker placement differs — the
-// plan is built from sampled rather than exhaustive statistics).
-func executePeer(rt exec.StageRuntime, q Query, opts core.Options, cfg exec.Config,
-	mode Stage2Mode) (*Result, error) {
-
+// matches stay on the workers. Each worker summarizes its local matches, the
+// coordinator merges the summaries and plans a genuine equi-weight histogram
+// over the intermediate it never saw, and the workers re-shuffle their
+// matches among themselves by that plan. The coordinator only ever sees pair
+// counts and summaries; Output and the intermediate size are bit-identical
+// to the relay and in-process paths (stage-2 per-worker placement differs —
+// the plan is built from sampled rather than exhaustive statistics).
+func executePeer(rt exec.StageRuntime, q Query, opts core.Options, cfg exec.Config) (*Result, error) {
 	if err := validate(q, &opts); err != nil {
 		return nil, err
 	}
@@ -257,7 +155,7 @@ func executePeer(rt exec.StageRuntime, q Query, opts core.Options, cfg exec.Conf
 		o := opts
 		o.J = j
 		var aerr error
-		res, aerr = peerAttempt(sr, q, o, cfg, mode)
+		res, aerr = peerAttempt(sr, q, o, cfg)
 		return aerr
 	})
 	if err != nil {
@@ -267,9 +165,7 @@ func executePeer(rt exec.StageRuntime, q Query, opts core.Options, cfg exec.Conf
 }
 
 // peerAttempt runs one complete peer-shuffle pipeline over opts.J workers.
-func peerAttempt(rt exec.StageRuntime, q Query, opts core.Options, cfg exec.Config,
-	mode Stage2Mode) (*Result, error) {
-
+func peerAttempt(rt exec.StageRuntime, q Query, opts core.Options, cfg exec.Config) (*Result, error) {
 	plan1Start := time.Now()
 	plan1, err := core.PlanCSIO(q.R1, q.Mid.A, q.CondA, opts)
 	if err != nil {
@@ -277,41 +173,24 @@ func peerAttempt(rt exec.StageRuntime, q Query, opts core.Options, cfg exec.Conf
 	}
 	plan1Dur := time.Since(plan1Start)
 
-	plan2Start := time.Now()
-	scheme2, needStats, err := ResolveStage2(mode, q.CondB, opts.J)
-	if err != nil {
-		return nil, err
-	}
-	var sp exec.StagePlan
 	var plan2Dur time.Duration
-	if needStats {
-		sp = exec.StagePlan{
-			Cond:            q.CondB,
-			MaxIntermediate: MaxIntermediate,
-			MaxWorkers:      opts.J,
-			Stats: &exec.StatsSpec{Cap: StatsSampleCap, Buckets: StatsBuckets,
-				Seed: cfg.Seed + statsSeedDelta, Adaptive: true},
-			Replan: func(summaries []*stats.Summary) ([]byte, partition.Scheme, error) {
-				t0 := time.Now()
-				defer func() { plan2Dur = time.Since(t0) }()
-				s2, err := replanStage2(summaries, q, opts)
-				if err != nil {
-					return nil, nil, err
-				}
-				artifact := planio.Artifact{Scheme: s2, Seed: cfg.Seed + peerSeedDelta}
-				b, err := planio.Encode(&artifact)
-				return b, s2, err
-			},
-		}
-	} else {
-		artifact := planio.Artifact{Scheme: scheme2, Seed: cfg.Seed + peerSeedDelta}
-		planBytes, err := planio.Encode(&artifact)
-		if err != nil {
-			return nil, fmt.Errorf("multiway: stage 2 plan: %w", err)
-		}
-		sp = exec.StagePlan{Bytes: planBytes, Scheme: scheme2, Cond: q.CondB,
-			MaxIntermediate: MaxIntermediate}
-		plan2Dur = time.Since(plan2Start)
+	sp := exec.StagePlan{
+		Cond:            q.CondB,
+		MaxIntermediate: MaxIntermediate,
+		MaxWorkers:      opts.J,
+		Stats: &exec.StatsSpec{Cap: StatsSampleCap, Buckets: StatsBuckets,
+			Seed: cfg.Seed + statsSeedDelta, Adaptive: true},
+		Replan: func(summaries []*stats.Summary) ([]byte, partition.Scheme, error) {
+			t0 := time.Now()
+			defer func() { plan2Dur = time.Since(t0) }()
+			s2, err := replanStage2(summaries, q, opts)
+			if err != nil {
+				return nil, nil, err
+			}
+			artifact := planio.Artifact{Scheme: s2, Seed: cfg.Seed + peerSeedDelta}
+			b, err := planio.Encode(&artifact)
+			return b, s2, err
+		},
 	}
 
 	res1, res2, err := exec.RunStagesOver(rt, q.R1, q.Mid.A, q.Mid.B, q.CondA,
@@ -333,10 +212,11 @@ func peerAttempt(rt exec.StageRuntime, q Query, opts core.Options, cfg exec.Conf
 // exchange: fold the per-worker summaries (in worker order — the merge is
 // commutative but not exactly associative, so the fixed order keeps runs
 // reproducible) and build the CSIO stage-2 plan against R3. The fallback
-// rules, in order: an empty intermediate falls back to the statistics-free
-// PeerStage2Scheme (there is nothing to balance), and a high-selectivity
-// estimate falls back to CI inside PlanCSIOFromSummary exactly as the
-// in-process planner does (§VI-E).
+// rules, in order: an empty intermediate falls back to a statistics-free
+// scheme — Hash for equality, CI otherwise, both complete and duplicate-free
+// without seeing a tuple (there is nothing to balance) — and a
+// high-selectivity estimate falls back to CI inside PlanCSIOFromSummary
+// exactly as the in-process planner does (§VI-E).
 func replanStage2(summaries []*stats.Summary, q Query, opts core.Options) (partition.Scheme, error) {
 	var merged *stats.Summary
 	for i, s := range summaries {
@@ -350,7 +230,10 @@ func replanStage2(summaries []*stats.Summary, q Query, opts core.Options) (parti
 		}
 	}
 	if merged == nil || merged.Count == 0 {
-		return PeerStage2Scheme(q.CondB, opts.J)
+		if _, ok := q.CondB.(join.Equi); ok {
+			return partition.NewHash(opts.J, nil)
+		}
+		return partition.NewCI(opts.J), nil
 	}
 	opts2 := opts
 	opts2.Seed = opts.Seed + 0x9e37

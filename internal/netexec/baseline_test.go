@@ -221,7 +221,7 @@ func tablePlain(sess *Session, in tableInputs) error {
 // badFirst/badNext plant the invalid declaration in the stage-1 job or the
 // peer job's relation — for the latter a flat block, the one form a peer job's
 // relation cannot take.
-func tableStages(sess *Session, deferred bool, n int, domain int64, badFirst, badNext bool) error {
+func tableStages(sess *Session, n int, domain int64, badFirst, badNext bool) error {
 	scheme, err := partition.NewHash(tableWorkers, nil)
 	if err != nil {
 		return err
@@ -244,13 +244,9 @@ func tableStages(sess *Session, deferred bool, n int, domain int64, badFirst, ba
 	}
 	first := &exec.Job{Cond: join.Equi{}, Workers: tableWorkers,
 		R1: tableRel(s1, false, badFirst), R2: tableRel(s2, true, false)}
-	next := &exec.PlanJob{Plan: plan, Workers: tableWorkers, Cond: join.Equi{},
-		R2: exec.ResolvedRelFuture(r3)}
-	if deferred {
-		next.Plan, next.Workers = nil, 0
-		next.Stats = &exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 515}
-		next.Replan = func([][]byte) ([]byte, int, error) { return plan, tableWorkers, nil }
-	}
+	next := &exec.PlanJob{Cond: join.Equi{}, R2: exec.ResolvedRelFuture(r3),
+		Stats:  &exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 515},
+		Replan: func([][]byte) ([]byte, int, error) { return plan, tableWorkers, nil }}
 	_, err = sess.RunStages(first, next,
 		make([]exec.WorkerMetrics, tableWorkers), make([]exec.WorkerMetrics, tableWorkers))
 	return err
@@ -281,6 +277,9 @@ func tableStream(sess *Session, in tableInputs) error {
 }
 
 func TestSubJobsReturnToBaseline(t *testing.T) {
+	stage1 := func(s *Session, in tableInputs) error {
+		return tableStages(s, in.size(), int64(in.size()), in.invalid, false)
+	}
 	kinds := []struct {
 		name string
 		run  func(*Session, tableInputs) error
@@ -292,12 +291,11 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 		replyN                int
 	}{
 		{"plain", tablePlain, faultnet.FrameBlock, faultnet.FrameMetrics, 1},
-		{"stage-1 plan", func(s *Session, in tableInputs) error {
-			return tableStages(s, false, in.size(), int64(in.size()), in.invalid, false)
-		}, faultnet.FramePlan, faultnet.FrameMetrics, 1},
-		{"stats stage", func(s *Session, in tableInputs) error {
-			return tableStages(s, true, in.size(), int64(in.size()), in.invalid, false)
-		}, faultnet.FramePlan2, faultnet.FrameStats, 1},
+		// The two halves of one stage-1 plan job: its open (PLAN in, the
+		// terminal METRICS out) and its statistics exchange (PLAN2 in, STATS
+		// out).
+		{"stage-1 plan", stage1, faultnet.FramePlan, faultnet.FrameMetrics, 1},
+		{"stats stage", stage1, faultnet.FramePlan2, faultnet.FrameStats, 1},
 		{"peer", func(s *Session, in tableInputs) error {
 			// What a peer job buffers is the intermediate: duplicate-heavy
 			// stage-1 keys make the block it assembles blow the budget.
@@ -305,7 +303,7 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 			if in.big {
 				domain = 4
 			}
-			return tableStages(s, false, tableSmall, domain, false, in.invalid)
+			return tableStages(s, tableSmall, domain, false, in.invalid)
 		}, faultnet.FrameOpenPeerJob, faultnet.FrameMetrics, 2},
 		{"stream", tableStream, faultnet.FrameStreamWin, faultnet.FrameStreamRep, 1},
 	}

@@ -272,7 +272,7 @@ func TestDialContextCancelPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = DialContext(ctx, []string{addr})
+	_, err = DialContextWith(ctx, []string{addr}, Timeouts{})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("dial into a saturated backlog succeeded")

@@ -184,9 +184,11 @@ func TestPoolBuildCacheHit(t *testing.T) {
 // TestArrivalOrderJobsRefuseChunks pins the declarations no job kind can take,
 // each as a job-level refusal: a chunked relation on a job that joins flat
 // blocks in arrival order — pairs to index, a plan's matches to materialize,
-// in either frame order — and a flat relation 2 on a peer-fed job, whose join
-// goroutine takes chunks only. The job replies its error at EOS, and the
-// connection serves the next job intact.
+// in either frame order — a flat relation 2 on a peer-fed job, whose join
+// goroutine takes chunks only, and a PLAN frame carrying the plan or peer map
+// only a PLAN2 may (the job would otherwise await a PLAN2 that never comes).
+// The job replies its error at EOS, and the connection serves the next job
+// intact.
 func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 	_, addrs := startWorkerSet(t, 1)
 	spec, err := join.SpecOf(join.Equi{})
@@ -197,7 +199,7 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 		return writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec, WantPairs: pairs})
 	}
 	plan := func(bw *bufio.Writer) error {
-		return writeV3GobFrame(bw, frameV3Plan, 1, planSpec{WantStats: true})
+		return writeV3GobFrame(bw, frameV3Plan, 1, planSpec{})
 	}
 	chunkHead := func(bw *bufio.Writer) error { return writeChunkHead(bw, 1, 1, 2) }
 	for _, tc := range []struct {
@@ -212,6 +214,12 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 		}},
 		{"plan on a chunk-fed job", "cannot carry a plan", func(bw *bufio.Writer) error {
 			return errors.Join(open(bw, false), chunkHead(bw), plan(bw))
+		}},
+		{"plan frame carrying a plan", "statistics request", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw, false), writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Plan: []byte{1}}))
+		}},
+		{"plan frame carrying a peer map", "statistics request", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw, false), writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Peers: []string{"x"}}))
 		}},
 		{"flat relation 2 on a peer-fed job", "declared flat", func(bw *bufio.Writer) error {
 			return errors.Join(
@@ -260,11 +268,11 @@ func TestPeerStageJobsHonorCoordinatorEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := stagePlanFor(t, join.Equi{}, 3, 91)
-	// Stage 1 fans out scheme1.Workers() plan jobs, the plan fans out
-	// sp.Scheme.Workers() peer-fed stage-2 jobs, and every one of them must
-	// report the selected engine back.
-	want := int64(scheme1.Workers() + sp.Scheme.Workers())
+	sp := statsStagePlan(t, join.Equi{}, 3, 91, nil)
+	// Stage 1 fans out scheme1.Workers() plan jobs, the plan fans out three
+	// peer-fed stage-2 jobs, and every one of them must report the selected
+	// engine back.
+	want := int64(scheme1.Workers() + 3)
 
 	var outs [2][2]int64
 	for i, e := range []exec.JoinEngine{exec.EngineHash, exec.EngineMerge} {

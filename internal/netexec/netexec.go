@@ -89,26 +89,22 @@ type jobOpen struct {
 	Engine    int
 }
 
-// planSpec rides a frameV3Plan alongside a stage-1 job: the job's matches
-// feed the broadcast plan instead of streaming back as pairs. Plan is a
-// planio-encoded artifact (scheme + routing seed); Peers is the stage-2
-// worker address map; Self is this worker's own index in Peers (-1 when it
-// hosts no stage-2 worker), so self-contributions move in memory instead of
-// over a socket.
-//
-// A STATS-DEFERRED plan job sets WantStats and leaves Plan/Peers empty: the
+// planSpec rides two frames of a stage-1 plan job, whose matches feed the
+// stage-2 plan instead of streaming back as pairs. The frameV3Plan beside
+// the job is a statistics request: it leaves Plan and Peers empty, and the
 // worker joins, summarizes its matches (StatsCap/StatsBuckets/StatsSeed size
 // the summary; the per-sender sampling stream derives from StatsSeed and the
-// worker id), ships the summary in a frameV3Stats and waits for a
-// frameV3Plan2 carrying a second planSpec with the real Plan, Peers and
-// Self before routing. The same struct rides both frames.
+// worker id), ships the summary in a frameV3Stats and waits. The frameV3Plan2
+// that answers it carries the plan: Plan is a planio-encoded artifact
+// (scheme + routing seed); Peers is the stage-2 worker address map; Self is
+// this worker's own index in Peers (-1 when it hosts no stage-2 worker), so
+// self-contributions move in memory instead of over a socket.
 type planSpec struct {
 	Token uint64
 	Plan  []byte
 	Peers []string
 	Self  int
 
-	WantStats    bool
 	StatsCap     int
 	StatsBuckets int
 	StatsSeed    uint64

@@ -276,7 +276,7 @@ func TestControlFrameBound(t *testing.T) {
 			ps.Peers[i] = "[ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff%interface0]:65535"
 			pb.SenderCounts[i] = MaxRelationTuples
 		}
-		for typ, v := range map[byte]any{frameV3Plan: ps, frameV3PeerBind: pb} {
+		for typ, v := range map[byte]any{frameV3Plan2: ps, frameV3PeerBind: pb} {
 			var b bytes.Buffer
 			if err := writeV3GobFrame(&b, typ, 1, v); err != nil {
 				t.Fatalf("frame type %d: %v", typ, err)
@@ -290,7 +290,7 @@ func TestControlFrameBound(t *testing.T) {
 			}
 		}
 		var b bytes.Buffer
-		err = writeV3GobFrame(&b, frameV3Plan, 1, planSpec{Plan: make([]byte, maxControlPayload)})
+		err = writeV3GobFrame(&b, frameV3Plan2, 1, planSpec{Plan: make([]byte, maxControlPayload)})
 		if err == nil || b.Len() != 0 {
 			t.Fatalf("an oversized plan framed %d bytes (err %v), want a refusal at the frame boundary", b.Len(), err)
 		}

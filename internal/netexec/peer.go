@@ -17,7 +17,7 @@ import (
 
 // This file is the worker→worker peer mesh of the stage-aware pipeline: a
 // stage-1 worker that executed a plan job re-shuffles its matches by the
-// broadcast plan and streams each stage-2 worker's share DIRECTLY to that
+// stage-2 plan and streams each stage-2 worker's share DIRECTLY to that
 // peer, over a lazily-dialed persistent connection to the peer's regular
 // listener (protoVersionPeer selects this handler). The receiving side
 // buffers contributions keyed by a coordinator-issued 64-bit token; the
@@ -63,7 +63,7 @@ func statsSenderSeed(statsSeed uint64, sender int) uint64 {
 }
 
 // peerTokenDead reports whether a transfer token is already cancelled or
-// failed — what lets a stats-deferred plan job honor a cancel that raced
+// failed — what lets a plan job honor a cancel that raced
 // ahead of its parking. Both cancellation records are consulted: the token
 // table's tombstone and the bounded cancellation ring, which survives even
 // when the table is wedged full of live transfers. (The ring can wrap under

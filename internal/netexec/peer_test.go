@@ -15,20 +15,27 @@ import (
 	"ewh/internal/localjoin"
 	"ewh/internal/partition"
 	"ewh/internal/planio"
+	"ewh/internal/stats"
 )
 
-// stagePlanFor encodes a Hash stage-2 plan for j2 workers.
-func stagePlanFor(t *testing.T, cond join.Condition, j2 int, seed uint64) exec.StagePlan {
+// stageReference is the hand-composed in-process twin of a stage pipeline
+// whose stage-2 plan is scheme2: stage 1's matches (the re-key column's
+// entries of matched r2 rows) materialized in the same deterministic order,
+// then run under scheme2 against r3. It returns the intermediate too.
+func stageReference(t *testing.T, r1, r2, r3 []join.Key, scheme1, scheme2 partition.Scheme,
+	model cost.Model, cfg exec.Config) ([]join.Key, *exec.Result) {
 	t.Helper()
-	scheme, err := partition.NewHash(j2, nil)
-	if err != nil {
+	var inter []join.Key
+	perWorker := make([][]join.Key, scheme1.Workers())
+	rk := rekeyOf(r2)
+	if _, err := exec.RunPairsOver(exec.Local{}, r1, r2, join.Equi{}, scheme1, model, cfg,
+		func(w, _, row2 int) { perWorker[w] = append(perWorker[w], rk[row2]) }); err != nil {
 		t.Fatal(err)
 	}
-	bytes, err := planio.Encode(&planio.Artifact{Scheme: scheme, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
+	for _, pw := range perWorker {
+		inter = append(inter, pw...)
 	}
-	return exec.StagePlan{Bytes: bytes, Scheme: scheme, Cond: cond}
+	return inter, exec.Run(inter, r3, join.Equi{}, scheme2, model, cfg)
 }
 
 // rekeyOf derives each row's stage-2 key (here: the key itself, rotated): the
@@ -44,8 +51,9 @@ func rekeyOf(keys []join.Key) []join.Key {
 func TestPeerPipelineMatchesLocalReference(t *testing.T) {
 	// End-to-end stage pipeline over loopback workers, checked against a
 	// hand-composed in-process reference: stage 1's matches (the re-key
-	// column's entries of matched R2 rows), re-shuffled by the content-deterministic
-	// Hash plan, joined against R3.
+	// column's entries of matched R2 rows), re-shuffled by the content-
+	// deterministic Hash plan the Replan returns whatever the summaries say,
+	// joined against R3.
 	_, addrs := startWorkerSet(t, 4)
 	sess := dialSession(t, addrs)
 
@@ -56,7 +64,7 @@ func TestPeerPipelineMatchesLocalReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := stagePlanFor(t, join.Equi{}, 4, 77)
+	sp := statsStagePlan(t, join.Equi{}, 4, 77, nil)
 	cfg := exec.Config{Seed: 11, Mappers: 2}
 	model := cost.Model{Wi: 1, Wo: 0.2}
 
@@ -66,22 +74,14 @@ func TestPeerPipelineMatchesLocalReference(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reference: materialize the stage-1 matches in-process in the same
-	// deterministic order, then run the same Hash plan over them.
-	var inter []join.Key
-	perWorker := make([][]join.Key, scheme1.Workers())
-	rk := rekeyOf(r2)
-	if _, err := exec.RunPairsOver(exec.Local{}, r1, r2, join.Equi{}, scheme1, model, cfg,
-		func(w, _, row2 int) { perWorker[w] = append(perWorker[w], rk[row2]) }); err != nil {
+	scheme2, err := partition.NewHash(4, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pw := range perWorker {
-		inter = append(inter, pw...)
-	}
+	inter, ref := stageReference(t, r1, r2, r3, scheme1, scheme2, model, cfg)
 	if int64(len(inter)) != res1.Output {
 		t.Fatalf("stage 1 matched %d, reference %d", res1.Output, len(inter))
 	}
-	ref := exec.Run(inter, r3, join.Equi{}, sp.Scheme, model, cfg)
 	if res2.Output != ref.Output {
 		t.Fatalf("stage 2 output %d, reference %d", res2.Output, ref.Output)
 	}
@@ -97,9 +97,10 @@ func TestPeerPipelineMatchesLocalReference(t *testing.T) {
 }
 
 func TestPeerPipelineFailureNamesWorkerAndJob(t *testing.T) {
-	// A plan artifact routing to three workers under a two-address peer map
-	// fails the plan job on every worker; the aggregated error must name
-	// each failing worker's address and the job.
+	// A replanned artifact routing to three workers under a two-address peer
+	// map (the Replan claims a two-worker scheme) fails the plan job on every
+	// worker; the aggregated error must name each failing worker's address
+	// and the job.
 	_, addrs := startWorkerSet(t, 2)
 	sess := dialSession(t, addrs)
 
@@ -109,8 +110,18 @@ func TestPeerPipelineFailureNamesWorkerAndJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := stagePlanFor(t, join.Equi{}, 2, 5)
-	sp.Bytes = stagePlanFor(t, join.Equi{}, 3, 5).Bytes
+	sp := statsStagePlan(t, join.Equi{}, 2, 5, func([]*stats.Summary) ([]byte, partition.Scheme, error) {
+		wide, err := partition.NewHash(3, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		narrow, err := partition.NewHash(2, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		b, err := planio.Encode(&planio.Artifact{Scheme: wide, Seed: 5})
+		return b, narrow, err
+	})
 	_, _, err = exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
 		join.Equi{}, scheme1, sp, r1, cost.Model{Wi: 1, Wo: 0.2},
 		exec.Config{Seed: 3, Mappers: 1})
@@ -141,7 +152,7 @@ func TestPeerDialFailureNamesPeerAddress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := stagePlanFor(t, join.Equi{}, 2, 9)
+	sp := statsStagePlan(t, join.Equi{}, 2, 9, nil)
 	_, _, err = exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
 		join.Equi{}, scheme1, sp, r1, cost.Model{Wi: 1, Wo: 0.2},
 		exec.Config{Seed: 3, Mappers: 1})
@@ -165,7 +176,7 @@ func TestPeerPipelineSurvivesShutdownAfterDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := stagePlanFor(t, join.Equi{}, 3, 13)
+	sp := statsStagePlan(t, join.Equi{}, 3, 13, nil)
 	if _, _, err := exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
 		join.Equi{}, scheme1, sp, r1, cost.Model{Wi: 1, Wo: 0.2},
 		exec.Config{Seed: 3, Mappers: 1}); err != nil {

@@ -83,16 +83,11 @@ func DialWith(addrs []string, t Timeouts) (*Session, error) {
 	return DialContextWith(context.Background(), addrs, t)
 }
 
-// DialContext is Dial bounded by ctx: cancelling the context aborts a dial
-// blocked in connection establishment (e.g. a full accept backlog, where no
-// wall-clock timeout is configured) instead of leaving the caller stuck in
-// the kernel handshake.
-func DialContext(ctx context.Context, addrs []string) (*Session, error) {
-	return DialContextWith(ctx, addrs, Timeouts{})
-}
-
-// DialContextWith combines DialContext and DialWith. The context bounds only
-// session establishment, not the jobs that follow.
+// DialContextWith is DialWith bounded by ctx: cancelling the context aborts a
+// dial blocked in connection establishment (e.g. a full accept backlog, where
+// no wall-clock timeout is configured) instead of leaving the caller stuck in
+// the kernel handshake. The context bounds only session establishment, not
+// the jobs that follow.
 func DialContextWith(ctx context.Context, addrs []string, t Timeouts) (*Session, error) {
 	return DialTenant(ctx, "", addrs, t)
 }
@@ -209,8 +204,7 @@ func (s *Session) RunJob(job *exec.Job, wm []exec.WorkerMetrics) error {
 	}
 	id := s.ids.Add(1)
 	return fanOut(job.Workers, func(w int) error {
-		_, err := s.conns[w].runJob("job", id, w, spec, nil, job, &wm[w])
-		return err
+		return s.conns[w].runJob(id, w, spec, job, &wm[w])
 	})
 }
 
@@ -569,27 +563,26 @@ func (j *subJob) proto(err error) error {
 	return j.c.protoFault(j.op, j.id, j.worker, err)
 }
 
-// runJob executes one plain or stage-1 sub-job start to finish: send the
-// job's frames, then consume replies until the worker's metrics (pairs
-// arrive via the read loop). A non-nil ps makes it a stage-1 plan job, whose
-// reply carries the sender's per-receiver count vector. Every failure is
-// classified into a *WorkerFault naming the worker address and job number.
-func (c *sessConn) runJob(op string, id uint32, workerID int, spec join.Spec, ps *planSpec,
-	job *exec.Job, m *exec.WorkerMetrics) ([]int64, error) {
+// runJob executes one plain sub-job start to finish: send the job's frames,
+// then consume replies until the worker's metrics (pairs arrive via the read
+// loop). Every failure is classified into a *WorkerFault naming the worker
+// address and job number.
+func (c *sessConn) runJob(id uint32, workerID int, spec join.Spec, job *exec.Job, m *exec.WorkerMetrics) error {
 
 	h := &jobHandler{}
 	if job.Pairs != nil {
 		h.onPairs = func(pairs []exec.PairIdx) { job.Pairs(workerID, pairs) }
 	}
-	j, err := c.open(op, id, workerID, h)
+	j, err := c.open("job", id, workerID, h)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer j.close()
-	if err := j.sendJob(spec, ps, job); err != nil {
-		return nil, err
+	if err := j.sendJob(spec, nil, job); err != nil {
+		return err
 	}
-	return j.finish(m)
+	_, err = j.finish(m)
+	return err
 }
 
 // finish awaits the terminal metrics of a sub-job whose relations this side

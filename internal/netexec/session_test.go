@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -223,6 +224,24 @@ func sendOpenJob(t *testing.T, bw *bufio.Writer, id uint32, wantPairs bool) {
 	}
 }
 
+// answerStats plays the coordinator's half of a plan job's statistics
+// exchange: it waits for the job's STATS frame and answers with ps in a
+// PLAN2.
+func answerStats(t *testing.T, conn net.Conn, br *bufio.Reader, bw *bufio.Writer, job uint32, ps planSpec) {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	typ, got, n, err := readV3FrameHeader(br)
+	if err != nil || typ != frameV3Stats || got != job {
+		t.Fatalf("awaiting job %d's statistics: frame %d for job %d (%v)", job, typ, got, err)
+	}
+	if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(writeV3GobFrame(bw, frameV3Plan2, job, ps), bw.Flush()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSessionRekeyColumnEnforced drives every way relation 2's re-key column
 // can be mis-declared or mis-shipped, frame by frame over a raw connection.
 // Each refusal fails only its job: the next job on the same connection still
@@ -294,13 +313,17 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 			br := bufio.NewReader(conn)
 			err := writeV3GobFrame(bw, frameV3Hello, 0, sessionHello{Tenant: tenant})
 			sendOpenJob(t, bw, 1, false)
+			token := newPeerToken()
 			if c.plan {
 				err = errors.Join(err, writeV3GobFrame(bw, frameV3Plan, 1,
-					planSpec{Token: newPeerToken(), Plan: plan, Peers: addrs, Self: 0}))
+					planSpec{Token: token, StatsCap: 8, StatsBuckets: 4}))
 			}
 			err = errors.Join(err, c.send(bw), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
 			if err != nil {
 				t.Fatal(err)
+			}
+			if c.wantErr == "" {
+				answerStats(t, conn, br, bw, 1, planSpec{Token: token, Plan: plan, Peers: addrs, Self: 0})
 			}
 			m := awaitFeedMetrics(t, conn, br, 1)
 			if c.wantErr == "" {

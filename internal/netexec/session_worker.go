@@ -79,8 +79,9 @@ type sessJob struct {
 	releaseSlot func()
 
 	// plan, when set, marks a stage-1 plan job: the join's matches are
-	// materialized worker-side, re-shuffled by the broadcast plan and
-	// streamed to peers instead of returning as pairs.
+	// materialized worker-side, summarized, re-shuffled by the plan the
+	// coordinator builds from the summaries and streamed to peers instead of
+	// returning as pairs.
 	plan *planSpec
 	// peerFed marks a stage-2 job whose relation 1 arrives over the peer
 	// mesh; peerSt is its transfer state and token its transfer id.
@@ -161,7 +162,7 @@ func (j *sessJob) rel(tag byte) (*sessRel, error) {
 	return &j.rels[tag-1], nil
 }
 
-// plan2Waiter is one stats-deferred plan job parked between shipping its
+// plan2Waiter is one plan job parked between shipping its
 // summary and receiving the replanned artifact. ch is buffered; a nil
 // delivery means the transfer was cancelled.
 type plan2Waiter struct {
@@ -521,6 +522,10 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			case j.err != nil:
 			case j.plan != nil:
 				j.fail(fmt.Errorf("job carries two plans"))
+			case len(ps.Plan) != 0 || len(ps.Peers) != 0:
+				// A PLAN frame requests statistics; the plan and peer map
+				// arrive in the PLAN2 that answers them.
+				j.fail(fmt.Errorf("a plan frame carries a statistics request, not a plan or peer map"))
 			case j.wantPairs:
 				j.fail(fmt.Errorf("plan job cannot also stream pairs"))
 			case j.stream != nil:
@@ -903,10 +908,10 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 	start := time.Now()
 	switch {
 	case j.plan != nil:
-		// Stage-1 plan job: join, materialize the matched stage-2 keys, (for
-		// a stats-deferred plan: summarize them and await the replanned
-		// artifact,) re-shuffle them by the plan and stream each share
-		// straight to its peer. Only the count vector returns.
+		// Stage-1 plan job: join, materialize the matched stage-2 keys,
+		// summarize them, await the replanned artifact, re-shuffle them by it
+		// and stream each share straight to its peer. Only the count vector
+		// returns.
 		out, counts, err := ws.runPlanJob(j, r1, r2)
 		if err != nil {
 			return metrics{}, err
@@ -933,38 +938,17 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 	return m, nil
 }
 
-// runPlanJob executes a stage-1 plan job's join and peer re-shuffle: each
-// match materializes as its relation-2 tuple's entry in the re-key column,
-// the plan routes them (batch-routed through the shared exec shuffle,
-// deterministic per sender), and each stage-2 worker's share streams
-// directly to that peer over the mesh. A stats-deferred job
-// interposes the statistics exchange between materializing and routing:
-// summarize, ship the summary, park until the replanned artifact (or a
-// cancel, a kill, or the coordinator hanging up) arrives. It returns the
+// runPlanJob executes a stage-1 plan job's join, statistics exchange and
+// peer re-shuffle: each match materializes as its relation-2 tuple's entry in
+// the re-key column; the worker summarizes the matches, ships the summary and
+// parks until the replanned artifact (or a cancel, a kill, or the coordinator
+// hanging up) arrives; the artifact routes the matches (batch-routed through
+// the shared exec shuffle, deterministic per sender), and each stage-2
+// worker's share streams directly to that peer over the mesh. It returns the
 // match count and the per-receiver count vector. Errors name the peer
 // address.
 func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64, error) {
 	w, pt, ps := ws.w, ws.pt, j.plan
-	decodePlan := func() (*planio.Artifact, error) {
-		art, err := planio.Decode(ps.Plan)
-		if err != nil {
-			return nil, fmt.Errorf("stage-2 plan: %w", err)
-		}
-		if j2 := art.Scheme.Workers(); j2 != len(ps.Peers) {
-			return nil, fmt.Errorf("stage-2 plan routes to %d workers, address map has %d", j2, len(ps.Peers))
-		}
-		return art, nil
-	}
-	// A pre-built plan validates BEFORE the join, so a malformed broadcast
-	// fails fast instead of after the whole stage-1 materialization; a
-	// stats-deferred plan only exists after the exchange below.
-	var art *planio.Artifact
-	var err error
-	if !ps.WantStats {
-		if art, err = decodePlan(); err != nil {
-			return 0, nil, err
-		}
-	}
 	rekey := &j.rels[relRekey-1]
 	if !rekey.declared {
 		return 0, nil, fmt.Errorf("plan job without relation 2's re-key column")
@@ -989,66 +973,66 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64
 	}
 	sender := j.workerID
 
-	if ps.WantStats {
-		statsCap := ps.StatsCap
-		if ps.StatsAdaptive {
-			statsCap = sample.AdaptiveCap(len(inter), ps.StatsCap)
-		}
-		sum := sample.Summarize(inter, statsCap, ps.StatsBuckets,
-			stats.NewRNG(statsSenderSeed(ps.StatsSeed, sender)))
-		enc, err := planio.EncodeSummary(sum)
-		if err != nil {
-			return 0, nil, fmt.Errorf("statistics summary: %w", err)
-		}
-		// Park BEFORE the summary leaves, then honor any tombstone a racing
-		// cancel may already have left: between those two steps every cancel
-		// ordering either wakes the waiter or is visible in the token state.
-		wt := pt.add(j.id, ps.Token)
-		if w.peerTokenDead(ps.Token) {
-			pt.remove(j.id)
+	statsCap := ps.StatsCap
+	if ps.StatsAdaptive {
+		statsCap = sample.AdaptiveCap(len(inter), ps.StatsCap)
+	}
+	sum := sample.Summarize(inter, statsCap, ps.StatsBuckets,
+		stats.NewRNG(statsSenderSeed(ps.StatsSeed, sender)))
+	enc, err := planio.EncodeSummary(sum)
+	if err != nil {
+		return 0, nil, fmt.Errorf("statistics summary: %w", err)
+	}
+	// Park BEFORE the summary leaves, then honor any tombstone a racing
+	// cancel may already have left: between those two steps every cancel
+	// ordering either wakes the waiter or is visible in the token state.
+	wt := pt.add(j.id, ps.Token)
+	if w.peerTokenDead(ps.Token) {
+		pt.remove(j.id)
+		return 0, nil, fmt.Errorf("stage-2 statistics plan cancelled by coordinator")
+	}
+	ws.wmu.Lock()
+	werr := writeV3FrameHeader(ws.bw, frameV3Stats, j.id, len(enc))
+	if werr == nil {
+		_, werr = ws.bw.Write(enc)
+	}
+	if werr == nil {
+		werr = ws.bw.Flush()
+	}
+	ws.wmu.Unlock()
+	if werr != nil {
+		pt.remove(j.id)
+		return 0, nil, errAbandoned // connection dead; nothing to reply to
+	}
+	// Release the execution slot across the park: the compute is done and
+	// the wait is on the COORDINATOR (merging every worker's summary), so
+	// holding a slot here could let one query's parked fleet starve the jobs
+	// whose stats the coordinator is still waiting for. The release is
+	// once-guarded, so retire's stays a no-op; the post-park re-shuffle runs
+	// unslotted (routing + socket writes, not join compute).
+	j.releaseSlot()
+	select {
+	case ps2 := <-wt.ch:
+		if ps2 == nil {
 			return 0, nil, fmt.Errorf("stage-2 statistics plan cancelled by coordinator")
 		}
-		ws.wmu.Lock()
-		werr := writeV3FrameHeader(ws.bw, frameV3Stats, j.id, len(enc))
-		if werr == nil {
-			_, werr = ws.bw.Write(enc)
-		}
-		if werr == nil {
-			werr = ws.bw.Flush()
-		}
-		ws.wmu.Unlock()
-		if werr != nil {
-			pt.remove(j.id)
-			return 0, nil, errAbandoned // connection dead; nothing to reply to
-		}
-		// Release the execution slot across the park: the compute is done and
-		// the wait is on the COORDINATOR (merging every worker's summary), so
-		// holding a slot here could let one query's parked fleet starve the
-		// jobs whose stats the coordinator is still waiting for. The release
-		// is once-guarded, so retire's stays a no-op; the post-park re-shuffle
-		// runs unslotted (routing + socket writes, not join compute).
-		j.releaseSlot()
-		select {
-		case ps2 := <-wt.ch:
-			if ps2 == nil {
-				return 0, nil, fmt.Errorf("stage-2 statistics plan cancelled by coordinator")
-			}
-			ps.Plan, ps.Peers, ps.Self = ps2.Plan, ps2.Peers, ps2.Self
-		case <-w.kill:
-			pt.remove(j.id)
-			return 0, nil, errAbandoned
-		case <-ws.done:
-			pt.remove(j.id)
-			return 0, nil, errAbandoned
-		}
+		ps.Plan, ps.Peers, ps.Self = ps2.Plan, ps2.Peers, ps2.Self
+	case <-w.kill:
+		pt.remove(j.id)
+		return 0, nil, errAbandoned
+	case <-ws.done:
+		pt.remove(j.id)
+		return 0, nil, errAbandoned
 	}
 
-	if art == nil {
-		if art, err = decodePlan(); err != nil {
-			return 0, nil, err
-		}
+	art, err := planio.Decode(ps.Plan)
+	if err != nil {
+		return 0, nil, fmt.Errorf("stage-2 plan: %w", err)
 	}
 	j2 := art.Scheme.Workers()
+	if j2 != len(ps.Peers) {
+		return 0, nil, fmt.Errorf("stage-2 plan routes to %d workers, address map has %d", j2, len(ps.Peers))
+	}
 	ks := exec.ShuffleKeys(inter, art.Scheme, 1,
 		exec.Config{Seed: peerSenderSeed(art.Seed, sender), Mappers: 1})
 	defer ks.Release()

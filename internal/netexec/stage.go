@@ -12,21 +12,20 @@ import (
 )
 
 // This file is the coordinator side of the stage-aware pipeline
-// (exec.StageRuntime): stage 1 ships as ordinary session jobs carrying a
-// PLAN frame (the planio-encoded stage-2 artifact plus the peer address
-// map), the workers re-shuffle their matches directly to each other, and
-// stage 2 opens as peer-fed jobs that only receive the driver-owned right
-// relation from the coordinator. The intermediate's sole coordinator-side
-// footprint is the per-sender count vectors riding the stage-1 metrics.
+// (exec.StageRuntime): stage 1 ships as ordinary session jobs, the workers
+// re-shuffle their matches directly to each other, and stage 2 opens as
+// peer-fed jobs that only receive the driver-owned right relation from the
+// coordinator. The intermediate's sole coordinator-side footprint is the
+// per-sender count vectors riding the stage-1 metrics.
 //
-// A STATS-DEFERRED plan (content-sensitive stage-2 schemes) splits the
-// stage-1 exchange in two: phase A opens the jobs with a statistics request
-// instead of a plan, each worker joins, summarizes its local matches and
-// ships the summary back in a STATS frame; the coordinator hands the
-// summaries to the driver's Replan, which builds the real plan from the
-// merged statistics, and phase B broadcasts it in a PLAN2 frame — only then
-// do the workers route and stream to their peers. The summaries (a few KB
-// each) are the only statistics that ever transit the coordinator.
+// The stage-1 exchange has two phases: phase A opens the jobs with a PLAN
+// frame (a statistics request), each worker joins, summarizes its local
+// matches and ships the summary back in a STATS frame; the coordinator hands
+// the summaries to the driver's Replan, which builds the stage-2 plan from
+// the merged statistics, and phase B broadcasts it in a PLAN2 frame (the
+// planio-encoded artifact plus the peer address map) — only then do the
+// workers route and stream to their peers. The summaries (a few KB each) are
+// the only statistics that ever transit the coordinator.
 
 // RunStages implements exec.StageRuntime over the persistent session.
 func (s *Session) RunStages(first *exec.Job, next *exec.PlanJob,
@@ -50,20 +49,7 @@ func (s *Session) RunStages(first *exec.Job, next *exec.PlanJob,
 
 	st := &stagePipe{s: s, token: newPeerToken(), id1: s.ids.Add(1), id2: s.ids.Add(1),
 		spec2: spec2, next: next, counts: make([][]int64, j1)}
-	var peerJobs []*subJob
-	if next.Replan != nil {
-		peerJobs, err = st.runDeferredStage1(spec1, first, wm1)
-	} else if next.Workers > len(s.conns) {
-		err = fmt.Errorf("netexec: stage pipeline needs %d workers, session has %d",
-			next.Workers, len(s.conns))
-	} else {
-		peers := s.Addrs()[:next.Workers]
-		peerJobs, err = st.overlap(j1, len(peers), func(w int) (err error) {
-			ps := planSpec{Token: st.token, Plan: next.Plan, Peers: peers, Self: selfIndex(w, peers)}
-			st.counts[w], err = s.conns[w].runJob("stage job", st.id1, w, spec1, &ps, first, &wm1[w])
-			return err
-		})
-	}
+	peerJobs, err := st.runStage1(spec1, first, wm1)
 	if err != nil {
 		return 0, err
 	}
@@ -86,8 +72,9 @@ func (s *Session) RunStages(first *exec.Job, next *exec.PlanJob,
 		intermediate += wm1[w].Output
 	}
 	if next.MaxIntermediate > 0 && intermediate > next.MaxIntermediate {
-		// Earliest point the total is known: the matches are materialized on
-		// the workers, but stage 2's re-shuffle and join never run.
+		// exec.RunStagesOver's Replan already refused this off the summaries'
+		// counts; this backstops a driver whose Replan does not: the matches
+		// have moved, but stage 2's join never runs.
 		return fail(fmt.Errorf("netexec: stage 1 matched %d tuples, pipeline cap %d; restructure the chain",
 			intermediate, next.MaxIntermediate))
 	}
@@ -192,24 +179,23 @@ func (st *stagePipe) abandon(jobs []*subJob) {
 	}
 }
 
-// runDeferredStage1 runs a stats-deferred plan's stage 1: phase A collects
-// every worker's statistics summary, the driver's Replan turns them into the
-// real stage-2 plan, and phase B broadcasts it and collects the count
-// vectors. The stage-2 worker count is only known after Replan, so the
+// runStage1 runs the pipeline's stage 1: phase A collects every worker's
+// statistics summary, the driver's Replan turns them into the stage-2 plan,
+// and phase B broadcasts it and collects the count vectors. The stage-2 worker count is only known after Replan, so the
 // overlapped peer-job opens launch right then — concurrent with phase B,
 // which is where the workers route and stream the intermediate. Returns the
 // opened peer jobs, one per replanned stage-2 worker.
-func (st *stagePipe) runDeferredStage1(spec1 join.Spec, first *exec.Job,
+func (st *stagePipe) runStage1(spec1 join.Spec, first *exec.Job,
 	wm1 []exec.WorkerMetrics) ([]*subJob, error) {
 
 	s, next, j1 := st.s, st.next, first.Workers
-	if next.Stats == nil {
-		return nil, fmt.Errorf("netexec: stats-deferred plan without a statistics spec")
+	if next.Stats == nil || next.Replan == nil {
+		return nil, fmt.Errorf("netexec: stage plan without a statistics spec and a replan function")
 	}
 	jobs := make([]*subJob, j1)
 	sums := make([][]byte, j1)
 	err := fanOut(j1, func(w int) (err error) {
-		ps := planSpec{Token: st.token, WantStats: true, StatsCap: next.Stats.Cap,
+		ps := planSpec{Token: st.token, StatsCap: next.Stats.Cap,
 			StatsBuckets: next.Stats.Buckets, StatsSeed: next.Stats.Seed,
 			StatsAdaptive: next.Stats.Adaptive}
 		jobs[w], sums[w], err = s.conns[w].openStatsStageJob(st.id1, w, spec1, &ps, first)
@@ -225,8 +211,7 @@ func (st *stagePipe) runDeferredStage1(spec1 join.Spec, first *exec.Job,
 
 	// Replan also enforces the pipeline cap off the summaries' exact counts
 	// (see exec.RunStagesOver), so a blown cap aborts HERE — before a single
-	// intermediate tuple moves — rather than after the re-shuffle as on the
-	// pre-built-plan path.
+	// intermediate tuple moves.
 	plan, j2, err := next.Replan(sums)
 	if err != nil {
 		return abandon(fmt.Errorf("netexec: stage-2 replanning: %w", err))
@@ -260,7 +245,7 @@ func (s *Session) cancelPlan(token uint64) {
 	}
 }
 
-// openStatsStageJob runs phase A of a stats-deferred stage job: send the job
+// openStatsStageJob runs phase A of a stage-1 job: send the job
 // with a statistics request and wait for the worker's summary. The sub-job
 // stays open for phase B. A worker that replies metrics instead of a summary
 // failed its join.
@@ -288,7 +273,7 @@ func (c *sessConn) openStatsStageJob(id uint32, workerID int, spec join.Spec, ps
 
 // finishStatsStageJob runs phase B: deliver the replanned artifact and peer
 // map in a PLAN2 frame and wait for the job's terminal metrics (the count
-// vector), exactly as a pre-built plan job's reply.
+// vector).
 func (j *subJob) finishStatsStageJob(ps *planSpec, m *exec.WorkerMetrics) ([]int64, error) {
 
 	defer j.close()

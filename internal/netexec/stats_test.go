@@ -15,8 +15,10 @@ import (
 	"ewh/internal/stats"
 )
 
-// statsStagePlan builds a stats-deferred stage plan whose Replan runs
-// onReplan (nil: build a Hash plan) over the decoded summaries.
+// statsStagePlan builds a stage plan whose Replan runs onReplan over the
+// decoded summaries. A nil onReplan ignores them and returns the Hash plan
+// for j2 workers: a fixed plan driven through the statistics exchange, so a
+// test knows every stage-2 placement in advance.
 func statsStagePlan(t *testing.T, cond join.Condition, j2 int, seed uint64,
 	onReplan func(sums []*stats.Summary) ([]byte, partition.Scheme, error)) exec.StagePlan {
 	t.Helper()
@@ -39,10 +41,10 @@ func statsStagePlan(t *testing.T, cond join.Condition, j2 int, seed uint64,
 }
 
 func TestStatsStagePipelineMatchesReference(t *testing.T) {
-	// A stats-deferred pipeline end to end: the workers' summaries must
-	// account for exactly the stage-1 intermediate, and the join result must
-	// match the pre-built-plan pipeline bit for bit (same Hash scheme, same
-	// seeds — the statistics exchange must not perturb execution).
+	// The statistics exchange end to end: each worker's summary must account
+	// for exactly its own stage-1 matches, and the join result must match the
+	// in-process reference of the plan Replan built bit for bit (the
+	// exchange must not perturb execution).
 	_, addrs := startWorkerSet(t, 3)
 	sess := dialSession(t, addrs)
 
@@ -56,40 +58,38 @@ func TestStatsStagePipelineMatchesReference(t *testing.T) {
 	cfg := exec.Config{Seed: 21, Mappers: 2}
 	model := cost.Model{Wi: 1, Wo: 0.2}
 
-	var sumTotal int64
-	sp := statsStagePlan(t, join.Equi{}, 3, 77, func(sums []*stats.Summary) ([]byte, partition.Scheme, error) {
-		for _, s := range sums {
-			sumTotal += s.Count
-		}
-		scheme, err := partition.NewHash(3, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		b, err := planio.Encode(&planio.Artifact{Scheme: scheme, Seed: 77})
-		return b, scheme, err
+	scheme2, err := partition.NewHash(3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sums []*stats.Summary
+	sp := statsStagePlan(t, join.Equi{}, 3, 77, func(s []*stats.Summary) ([]byte, partition.Scheme, error) {
+		sums = s
+		b, err := planio.Encode(&planio.Artifact{Scheme: scheme2, Seed: 77})
+		return b, scheme2, err
 	})
 	res1, res2, err := exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
 		join.Equi{}, scheme1, sp, r3, model, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sumTotal != res1.Output {
-		t.Fatalf("summaries account for %d intermediate tuples, stage 1 matched %d", sumTotal, res1.Output)
+	if len(sums) != len(res1.Workers) {
+		t.Fatalf("%d summaries for %d stage-1 workers", len(sums), len(res1.Workers))
+	}
+	for w, s := range sums {
+		if s.Count != res1.Workers[w].Output {
+			t.Fatalf("worker %d summarized %d intermediate tuples, matched %d", w, s.Count, res1.Workers[w].Output)
+		}
 	}
 
-	ref1, ref2, err := exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
-		join.Equi{}, scheme1, stagePlanFor(t, join.Equi{}, 3, 77), r3, model, cfg)
-	if err != nil {
-		t.Fatal(err)
+	_, ref := stageReference(t, r1, r2, r3, scheme1, scheme2, model, cfg)
+	if res2.Output != ref.Output {
+		t.Fatalf("stage 2 output %d, reference %d", res2.Output, ref.Output)
 	}
-	if res1.Output != ref1.Output || res2.Output != ref2.Output {
-		t.Fatalf("stats-deferred pipeline differs: (%d,%d) vs pre-built (%d,%d)",
-			res1.Output, res2.Output, ref1.Output, ref2.Output)
-	}
-	for w := range ref2.Workers {
-		if res2.Workers[w] != ref2.Workers[w] {
-			t.Fatalf("stage 2 worker %d metrics differ: stats %+v pre-built %+v",
-				w, res2.Workers[w], ref2.Workers[w])
+	for w := range ref.Workers {
+		if res2.Workers[w] != ref.Workers[w] {
+			t.Fatalf("stage 2 worker %d metrics differ: pipeline %+v reference %+v",
+				w, res2.Workers[w], ref.Workers[w])
 		}
 	}
 }

@@ -53,20 +53,19 @@ const (
 	frameV3Metrics = 16 // worker→coord gob metrics (terminates the job)
 	frameV3Abort   = 17 // coord→worker job abandoned; discard its state, no reply
 
-	// PLAN/PEER frames (stage-aware pipelines): the coordinator broadcasts a
-	// serialized stage-2 plan alongside a stage-1 job, each worker
-	// re-shuffles its own matches straight to peer workers, and the
-	// coordinator only ever sees pair counts.
-	frameV3Plan        = 18 // coord→worker gob planSpec: this job's matches feed the plan
+	// PLAN/PEER frames (stage-aware pipelines): a stage-1 job carries a
+	// statistics request, each worker re-shuffles its own matches by the
+	// stage-2 plan straight to peer workers, and the coordinator only ever
+	// sees pair counts.
+	frameV3Plan        = 18 // coord→worker gob planSpec: statistics request; this job's matches feed the stage-2 plan
 	frameV3OpenPeerJob = 19 // coord→worker gob peerJobOpen: job whose relation 1 arrives from peers
 	frameV3PlanCancel  = 20 // coord→worker gob planCancel: discard buffered peer state for a token
 
-	// STATS/PLAN2 frames (stats-deferred plans): a plan job whose planSpec
-	// requests statistics joins as usual, summarizes its matches, ships the
-	// summary to the coordinator and holds its re-shuffle until the
-	// coordinator replans from the merged summaries and answers with the
-	// real artifact. Only the summaries — never the intermediate — transit
-	// the coordinator.
+	// STATS/PLAN2 frames: a plan job joins as usual, summarizes its matches,
+	// ships the summary to the coordinator and holds its re-shuffle until the
+	// coordinator plans stage 2 from the merged summaries and answers with
+	// the artifact. Only the summaries — never the intermediate — transit the
+	// coordinator.
 	frameV3Stats = 21 // worker→coord raw planio-encoded statistics summary
 	frameV3Plan2 = 22 // coord→worker gob planSpec: the replanned stage-2 artifact + peer map
 

@@ -91,11 +91,6 @@ func Encode(a *Artifact) ([]byte, error) {
 	return appendAssignment(buf, a.Assignment)
 }
 
-// EncodeScheme is Encode for a bare scheme (seed 0, no assignment).
-func EncodeScheme(s partition.Scheme) ([]byte, error) {
-	return Encode(&Artifact{Scheme: s})
-}
-
 func appendScheme(buf []byte, s partition.Scheme) ([]byte, error) {
 	if s.Workers() > maxCount {
 		return nil, fmt.Errorf("planio: %d workers exceed codec limit %d", s.Workers(), maxCount)

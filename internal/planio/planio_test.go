@@ -230,7 +230,7 @@ func TestDecodeRefusesQuadraticRegionTable(t *testing.T) {
 }
 
 func TestEncodeRejectsForeignScheme(t *testing.T) {
-	if _, err := EncodeScheme(foreignScheme{}); err == nil {
+	if _, err := Encode(&Artifact{Scheme: foreignScheme{}}); err == nil {
 		t.Fatal("encode accepted a scheme type without a codec")
 	}
 }

@@ -6,8 +6,6 @@
 // differences in the measured work come from the partitioning alone.
 package stats
 
-import "math"
-
 // RNG is a small, fast, seedable pseudo-random number generator based on
 // splitmix64. It is not safe for concurrent use; create one per goroutine
 // (Split derives independent streams).
@@ -65,20 +63,4 @@ func (r *RNG) Float64Open() float64 {
 			return f
 		}
 	}
-}
-
-// Exp returns an exponentially distributed value with rate 1.
-func (r *RNG) Exp() float64 {
-	return -math.Log(r.Float64Open())
-}
-
-// Perm fills a permutation of [0, n) using Fisher-Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := 1; i < n; i++ {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }

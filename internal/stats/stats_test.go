@@ -81,18 +81,6 @@ func TestFloat64UniformMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(5)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation value %d", v)
-		}
-		seen[v] = true
-	}
-}
-
 func TestZipfUniformWhenSZero(t *testing.T) {
 	z := NewZipf(10, 0)
 	r := NewRNG(13)
