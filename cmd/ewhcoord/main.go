@@ -64,7 +64,6 @@ func main() {
 		retries    = flag.Int("retries", 0, "retry a job this many times on worker failure, replanning over the survivors (0: fail fast)")
 		backoff    = flag.Duration("retry-backoff", 50*time.Millisecond, "base delay before the first retry (doubles per attempt)")
 		tenant     = flag.String("tenant", "", "tenant id declared in the session handshake: workers key admission control and resource budgets by it (empty: anonymous)")
-		engineStr  = flag.String("join-engine", "auto", "local-join engine on the workers (auto, merge, hash); auto picks hash for pure-equality conditions, merge otherwise")
 		stream     = flag.Int("stream", 0, "run a continuous join: this many tuple windows arrive against the static base relation, with drift-triggered mid-stream replanning; the window distribution flips to a narrow range at the midpoint (0: off)")
 		windowRows = flag.Int("window-rows", 0, "with -stream: rows per window (default n/10)")
 		driftThr   = flag.Float64("drift", 0, "with -stream: replanning drift threshold in (0,1] (0: the streamjoin default)")
@@ -104,16 +103,11 @@ func main() {
 		}
 	}
 
-	engine, err := exec.ParseJoinEngine(*engineStr)
-	if err != nil {
-		fatal(err)
-	}
-
 	if *stream > 0 {
 		runStream(streamArgs{workers: *workers, tenant: *tenant, n: *n, windows: *stream,
 			windowRows: *windowRows, beta: *beta, z: *z, j: *j, seed: *seed,
 			timeouts: netexec.Timeouts{Dial: *timeout, IO: *timeout, Job: *jobTimeout},
-			driftThr: *driftThr, freeze: *freeze, engine: engine})
+			driftThr: *driftThr, freeze: *freeze})
 		return
 	}
 
@@ -126,7 +120,7 @@ func main() {
 		// Both stages plan internally for J workers; no stage scheme is wider.
 		addrs, stop := workerAddrs(*workers, *j)
 		defer stop()
-		runMultiway(addrs, *tenant, r1, r2, *n, *j, *seed, model, timeouts, retry, engine)
+		runMultiway(addrs, *tenant, r1, r2, *n, *j, *seed, model, timeouts, retry)
 		return
 	}
 	cond := join.NewBand(*beta)
@@ -196,7 +190,7 @@ func main() {
 	var res *exec.Result
 	for i := 0; i < *jobs; i++ {
 		res, err = exec.RunOverReplan(sess, r1, r2, cond, scheme.Workers(), planFor,
-			model, exec.Config{Seed: execSeed, Retry: retry, Engine: engine})
+			model, exec.Config{Seed: execSeed, Retry: retry})
 		if err != nil {
 			fatal(err)
 		}
@@ -212,7 +206,7 @@ func main() {
 // directly worker→worker under a CSIO stage-2 plan built from the workers'
 // statistics summaries.
 func runMultiway(addrs []string, tenant string, r1, r2 []join.Key, n, j int, seed uint64, model cost.Model,
-	timeouts netexec.Timeouts, retry exec.RetryPolicy, engine exec.JoinEngine) {
+	timeouts netexec.Timeouts, retry exec.RetryPolicy) {
 
 	mid := multiway.MidRelation{
 		A: r2,
@@ -228,7 +222,7 @@ func runMultiway(addrs []string, tenant string, r1, r2 []join.Key, n, j int, see
 	}
 	defer sess.Close()
 	res, err := multiway.ExecuteOver(sess, q, core.Options{J: j, Model: model, Seed: seed},
-		exec.Config{Seed: seed + 2, Retry: retry, Engine: engine})
+		exec.Config{Seed: seed + 2, Retry: retry})
 	if err != nil {
 		fatal(err)
 	}
@@ -258,7 +252,6 @@ type streamArgs struct {
 	timeouts   netexec.Timeouts
 	driftThr   float64
 	freeze     bool
-	engine     exec.JoinEngine
 }
 
 // runStream executes the continuous-join demo: a stream of tuple windows
@@ -297,7 +290,7 @@ func runStream(a streamArgs) {
 
 	cfg := streamjoin.Config{
 		Opts:           core.Options{J: a.j, Model: cost.DefaultBand, Seed: a.seed},
-		Exec:           exec.Config{Seed: a.seed + 2, Engine: a.engine},
+		Exec:           exec.Config{Seed: a.seed + 2},
 		Stats:          exec.StatsSpec{Seed: a.seed + 3},
 		DriftThreshold: a.driftThr,
 		FreezePlan:     a.freeze,

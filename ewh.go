@@ -115,28 +115,6 @@ func PlanOneBucket(opts Options) (*PlanResult, error) {
 // ExecConfig tunes the execution engine.
 type ExecConfig = exec.Config
 
-// JoinEngine selects the local-join engine workers run over their shuffled
-// blocks (ExecConfig.Engine): the partitioned radix-hash engine or the
-// sort + merge-sweep engine. The engines produce identical counts and
-// identical pair streams; the selection is purely a performance knob, and
-// what runs depends only on the engine it resolves to for the condition:
-// EngineAuto and EngineHash execute an equality join through the same code.
-type JoinEngine = exec.JoinEngine
-
-const (
-	// EngineAuto picks per condition: hash for pure equality, merge for
-	// band/inequality windows.
-	EngineAuto = exec.EngineAuto
-	// EngineMerge forces the sort + merge-sweep engine everywhere.
-	EngineMerge = exec.EngineMerge
-	// EngineHash requests the hash engine; conditions it cannot serve fall
-	// back to merge.
-	EngineHash = exec.EngineHash
-)
-
-// ParseJoinEngine parses the -join-engine flag vocabulary (auto|merge|hash).
-func ParseJoinEngine(s string) (JoinEngine, error) { return exec.ParseJoinEngine(s) }
-
 // Result reports a join execution: exact output count, per-worker metrics,
 // network and memory consumption, modeled makespan and wall time.
 type Result = exec.Result

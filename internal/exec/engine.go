@@ -1,95 +1,53 @@
 package exec
 
 import (
-	"fmt"
-
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
 )
 
-// JoinEngine selects the local-join engine workers run over their shuffled
-// blocks. The engines are count- and pair-identical by construction (the
-// crosscheck suites pin it), so the choice is purely a performance knob —
-// and EngineAuto picks per condition: the partitioned hash engine for
-// pure-equality predicates, the merge sweep for everything with a joinable
-// window.
+// JoinEngine names the two forms of the local join. Nothing in this module
+// selects one: localjoin picks the form from the condition (hash exactly when
+// localjoin.EquiLike). The type, its two values, ForCond, Config.Engine and
+// CountOwned's first parameter are kept only because the benchmark module
+// compiles against them.
 type JoinEngine int
 
 const (
-	// EngineAuto picks per condition: hash for EquiLike, merge otherwise.
-	EngineAuto JoinEngine = iota
-	// EngineMerge forces the sort + merge-sweep engine for every condition.
-	EngineMerge
-	// EngineHash requests the partitioned radix-hash engine; conditions it
-	// cannot serve (band/inequality windows span hash partitions) fall back
-	// to merge rather than failing — the selection is a hint, not a schema.
+	// EngineMerge is the sort + merge-sweep form.
+	EngineMerge JoinEngine = iota + 1
+	// EngineHash is the partitioned radix-hash form.
 	EngineHash
 )
 
-// String implements fmt.Stringer with the -join-engine flag vocabulary.
-func (e JoinEngine) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineMerge:
-		return "merge"
-	case EngineHash:
-		return "hash"
-	}
-	return fmt.Sprintf("JoinEngine(%d)", int(e))
-}
-
-// ParseJoinEngine parses the -join-engine flag vocabulary (auto|merge|hash).
-func ParseJoinEngine(s string) (JoinEngine, error) {
-	switch s {
-	case "auto", "":
-		return EngineAuto, nil
-	case "merge":
-		return EngineMerge, nil
-	case "hash":
-		return EngineHash, nil
-	}
-	return EngineAuto, fmt.Errorf("exec: unknown join engine %q (auto|merge|hash)", s)
-}
-
-// ForCond resolves the engine that actually runs for cond: EngineHash or
-// EngineMerge, never EngineAuto. The hash engine serves only pure-equality
-// conditions; every other request resolves to merge.
-func (e JoinEngine) ForCond(cond join.Condition) JoinEngine {
-	if e != EngineMerge && localjoin.EquiLike(cond) {
+// ForCond reports the form localjoin runs for cond, whatever the receiver.
+func (JoinEngine) ForCond(cond join.Condition) JoinEngine {
+	if localjoin.EquiLike(cond) {
 		return EngineHash
 	}
 	return EngineMerge
 }
 
-// Resident returns the empty resident side (R1's if r1) of a count join under
-// this selection: hash form or merge form, which no count path asks again.
-func (e JoinEngine) Resident(cond join.Condition, r1 bool) *localjoin.Resident {
-	return localjoin.NewResident(cond, e.ForCond(cond) == EngineHash, r1)
-}
-
-// CountOwned runs a count-only join under the selected engine over blocks
-// the caller owns outright: the merge engine sorts r2 IN PLACE, the hash
-// engine builds over r1 and probes r2 without mutating either. Shared by the
-// in-process workers and the session workers' flat count jobs; chunked and
-// peer-fed jobs hold the same resident side on their feed goroutine.
-func CountOwned(e JoinEngine, r1, r2 []join.Key, cond join.Condition) int64 {
-	res := e.Resident(cond, true)
+// CountOwned runs a count-only join over blocks the caller owns outright: the
+// merge form sorts r2 IN PLACE, the hash form builds over r1 and probes r2
+// without mutating either. Shared by the in-process workers and the session
+// workers' flat count jobs; chunked and peer-fed jobs hold the same resident
+// side on their feed goroutine. The JoinEngine parameter is ignored.
+func CountOwned(_ JoinEngine, r1, r2 []join.Key, cond join.Condition) int64 {
+	res := localjoin.NewResident(cond, true)
 	res.Insert(r1)
 	res.Seal()
 	n, _ := res.ProbeCount(r2, false)
 	return n
 }
 
-// JoinPairsEngine is mergeJoinPairs under an engine selection: identical pair
-// stream (R1 arrival order, partners ascending by key then arrival index),
-// identical return count, different index structure. The hash path serves
-// resolved-hash jobs via the deterministic PairTable ordering layer; all
-// other selections run the merge argsort path.
-func JoinPairsEngine(e JoinEngine, r1, r2 []join.Key, cond join.Condition,
-	flush func([]PairIdx)) int64 {
-
-	if e.ForCond(cond) == EngineHash {
+// JoinPairs streams the matched index pairs of r1 ⋈ r2 (R1 arrival order,
+// partners ascending by key then arrival index), calling flush with
+// successive chunks, and returns the match count. A pure-equality condition
+// runs through the deterministic PairTable ordering layer, every other one
+// through the merge argsort; the two emit identical streams. Neither input is
+// mutated.
+func JoinPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx)) int64 {
+	if localjoin.EquiLike(cond) {
 		return hashJoinPairs(r1, r2, flush)
 	}
 	return mergeJoinPairs(r1, r2, cond, flush)

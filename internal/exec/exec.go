@@ -24,30 +24,22 @@ type Config struct {
 	Mappers int
 	// Seed drives the randomized schemes' routing.
 	Seed uint64
-	// BytesPerTuple models tuple width for the memory metric (default 16:
-	// an 8-byte key plus minimal payload/bookkeeping, as the statistics
-	// tuples in the paper carry only join keys).
-	BytesPerTuple int
 	// Retry bounds fault recovery on fault-tolerant runtimes (see RunRetry);
 	// the zero value disables retries entirely.
 	Retry RetryPolicy
-	// Engine selects the local-join engine (EngineAuto picks per condition).
-	// Counts and pair streams are identical across engines; the session
-	// transport forwards the selection to its workers on the wire.
+	// Engine is read by nothing: localjoin picks the local-join engine from
+	// the condition. Kept only because the benchmark module sets it.
 	Engine JoinEngine
 }
 
-// DefaultBytesPerTuple is the modeled tuple width when Config leaves
-// BytesPerTuple zero — shared with netexec so both engines report the same
-// memory metric for the same configuration.
+// DefaultBytesPerTuple is the modeled tuple width of the memory metric: an
+// 8-byte key plus minimal payload/bookkeeping, as the statistics tuples in
+// the paper carry only join keys.
 const DefaultBytesPerTuple = 16
 
 func (c *Config) defaults() {
 	if c.Mappers <= 0 {
 		c.Mappers = runtime.GOMAXPROCS(0)
-	}
-	if c.BytesPerTuple <= 0 {
-		c.BytesPerTuple = DefaultBytesPerTuple
 	}
 }
 
@@ -136,7 +128,7 @@ func RunOver(rt Runtime, r1, r2 []join.Key, cond join.Condition,
 	cfg.defaults()
 	start := time.Now()
 	f1, f2 := newRelFuture(), newRelFuture()
-	job := &Job{Cond: cond, Workers: scheme.Workers(), R1: f1, R2: f2, Engine: cfg.Engine}
+	job := &Job{Cond: cond, Workers: scheme.Workers(), R1: f1, R2: f2}
 	if streamsChunksFor(rt, job) {
 		// Chunk-consuming transports skip the flat scatter entirely: both
 		// relations resolve immediately as chunk streams and the transport
@@ -166,7 +158,7 @@ func runJob(rt Runtime, job *Job, scheme partition.Scheme, model cost.Model,
 	if err != nil {
 		return nil, err
 	}
-	finishResult(res, model, start, cfg.BytesPerTuple)
+	finishResult(res, model, start)
 	return res, nil
 }
 
@@ -189,13 +181,13 @@ func releaseRelData(d RelData) {
 // finishResult derives the modeled per-worker Work and the run-level
 // aggregates from the filled input/output counts — shared by every driver
 // so all transports report identical metrics for identical blocks.
-func finishResult(res *Result, model cost.Model, start time.Time, bytesPerTuple int) {
+func finishResult(res *Result, model cost.Model, start time.Time) {
 	for i := range res.Workers {
 		m := &res.Workers[i]
 		m.Work = model.Weight(float64(m.Input()), float64(m.Output))
 		res.Output += m.Output
 		res.NetworkTuples += m.Input()
-		res.MemoryBytes += m.Input() * int64(bytesPerTuple)
+		res.MemoryBytes += m.Input() * DefaultBytesPerTuple
 		res.TotalWork += m.Work
 		if m.Work > res.MaxWork {
 			res.MaxWork = m.Work

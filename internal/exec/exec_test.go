@@ -96,7 +96,7 @@ func TestMetricsConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(r1, r2, cond, plan.Scheme, model, Config{Seed: 13, BytesPerTuple: 16})
+	res := Run(r1, r2, cond, plan.Scheme, model, Config{Seed: 13})
 	var sumIn, sumOut int64
 	var maxWork float64
 	for _, w := range res.Workers {

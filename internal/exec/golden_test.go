@@ -96,12 +96,10 @@ type goldenScenario func() (goldenTriple, error)
 
 // keyJoin is a bare-key join of R1 against r2 (empty: a pure shuffle).
 func (e *goldenEnv) keyJoin(rt exec.Runtime, r2 []join.Key, cond join.Condition,
-	scheme partition.Scheme, engine exec.JoinEngine) goldenScenario {
+	scheme partition.Scheme) goldenScenario {
 
 	return func() (goldenTriple, error) {
-		cfg := goldenCfg
-		cfg.Engine = engine
-		res, err := exec.RunOver(rt, e.r1, r2, cond, scheme, cost.DefaultBand, cfg)
+		res, err := exec.RunOver(rt, e.r1, r2, cond, scheme, cost.DefaultBand, goldenCfg)
 		if err != nil {
 			return goldenTriple{}, err
 		}
@@ -208,21 +206,21 @@ func TestGoldenDeterministicTriples(t *testing.T) {
 	e := newGoldenEnv(t)
 	var local exec.Runtime = exec.Local{}
 	var sess exec.Runtime = dialLoopbackSession(t, max(goldenJ, e.csio.Workers()))
-	none, equi, auto := []join.Key{}, join.Equi{}, exec.EngineAuto
+	none, equi := []join.Key{}, join.Equi{}
 
 	for _, c := range []struct {
 		name string
 		want goldenTriple
 		run  goldenScenario
 	}{
-		{"shuffle-hash", goldenTriple{0, 200000, 25267}, e.keyJoin(local, none, equi, e.hash, auto)},
-		{"shuffle-ci-replicated", goldenTriple{0, 800000, 100338}, e.keyJoin(local, none, e.band, e.ci, auto)},
-		{"run-csio-band", goldenTriple{999359, 494624, 93285.6}, e.keyJoin(local, e.r2, e.band, e.csio, auto)},
-		{"exec-hashjoin-equi", goldenTriple{199566, 400000, 55436}, e.keyJoin(local, e.r2, equi, e.hash, exec.EngineHash)},
+		{"shuffle-hash", goldenTriple{0, 200000, 25267}, e.keyJoin(local, none, equi, e.hash)},
+		{"shuffle-ci-replicated", goldenTriple{0, 800000, 100338}, e.keyJoin(local, none, e.band, e.ci)},
+		{"run-csio-band", goldenTriple{999359, 494624, 93285.6}, e.keyJoin(local, e.r2, e.band, e.csio)},
+		{"exec-hashjoin-equi", goldenTriple{199566, 400000, 55436}, e.keyJoin(local, e.r2, equi, e.hash)},
 		{"localjoin-band-count", goldenTriple{999359, 0, 0}, e.localCount},
-		{"netexec-session-shuffle", goldenTriple{0, 200000, 25267}, e.keyJoin(sess, none, equi, e.hash, auto)},
-		{"netexec-session-csio-band", goldenTriple{999359, 494624, 93285.6}, e.keyJoin(sess, e.r2, e.band, e.csio, auto)},
-		{"netexec-session-hashjoin-overlap", goldenTriple{199566, 400000, 55436}, e.keyJoin(sess, e.r2, equi, e.hash, auto)},
+		{"netexec-session-shuffle", goldenTriple{0, 200000, 25267}, e.keyJoin(sess, none, equi, e.hash)},
+		{"netexec-session-csio-band", goldenTriple{999359, 494624, 93285.6}, e.keyJoin(sess, e.r2, e.band, e.csio)},
+		{"netexec-session-hashjoin-overlap", goldenTriple{199566, 400000, 55436}, e.keyJoin(sess, e.r2, equi, e.hash)},
 		{"netexec-session-tuple-pairs", goldenTriple{0, 200000, 25267}, e.tuplePairsShuffle(sess)},
 		{"netexec-peer-multiway-csio", goldenTriple{601514, 1372697, 130154}, e.chain3(sess)},
 		// The pipelined peer path is the only stage-2 path now; this second run

@@ -134,10 +134,6 @@ type Job struct {
 	// valid for the duration of the call. When nil the job is count-only
 	// and workers may sort their blocks in place.
 	Pairs func(worker int, chunk []PairIdx)
-	// Engine selects the local-join engine (from Config.Engine); transports
-	// forward it to wherever the join runs. Counts and pair streams are
-	// engine-independent.
-	Engine JoinEngine
 }
 
 // pairChunk is the flush granularity of mergeJoinPairs: bounded buffering on
@@ -246,17 +242,16 @@ type Local struct{}
 func (Local) Label() string { return "" }
 
 // StreamsChunksFor implements JobChunkStreamer: Local consumes chunked
-// relations exactly when a count-only job resolves to the hash engine —
-// the same gate a session worker applies to its CHUNK frames, so EngineAuto
-// and EngineHash run one code path on an equality join. The workers then
-// feed each routed sub-block into the incremental build as the mappers emit
-// it, overlapping build work with the still-running scatter. Every other job
-// keeps the flat scatter; a local merge join gains nothing from chunking.
+// relations exactly when a count-only job's condition takes the hash engine
+// (localjoin.EquiLike). The workers then feed each routed sub-block into the
+// incremental build as the mappers emit it, overlapping build work with the
+// still-running scatter. Every other job keeps the flat scatter; a local
+// merge join gains nothing from chunking.
 func (Local) StreamsChunksFor(job *Job) bool {
-	return job.Pairs == nil && job.Engine.ForCond(job.Cond) == EngineHash
+	return job.Pairs == nil && localjoin.EquiLike(job.Cond)
 }
 
-// RunJob implements Runtime. Count-only jobs run the selected engine over
+// RunJob implements Runtime. Count-only jobs run the condition's engine over
 // the (owned) key blocks — merge sorts in place, hash builds and probes;
 // chunk-streamed jobs feed arriving sub-blocks straight into the resident
 // side. Pair jobs run the deterministic index-pair join.
@@ -274,16 +269,16 @@ func (Local) RunJob(job *Job, wm []WorkerMetrics) error {
 			defer func() { <-sem }()
 			m := &wm[w]
 			if r1.Chunks != nil {
-				m.InputR1, m.InputR2, m.Output = localStreamCount(job.Engine.Resident(job.Cond, true),
+				m.InputR1, m.InputR2, m.Output = localStreamCount(localjoin.NewResident(job.Cond, true),
 					r1.Chunks.Worker(w), r2.Chunks.Worker(w))
 				return
 			}
 			in1, in2 := r1.Keys.Worker(w), r2.Keys.Worker(w)
 			var out int64
 			if job.Pairs == nil {
-				out = CountOwned(job.Engine, in1, in2, job.Cond)
+				out = CountOwned(0, in1, in2, job.Cond)
 			} else {
-				out = JoinPairsEngine(job.Engine, in1, in2, job.Cond, func(chunk []PairIdx) {
+				out = JoinPairs(in1, in2, job.Cond, func(chunk []PairIdx) {
 					job.Pairs(w, chunk)
 				})
 			}

@@ -66,10 +66,6 @@ type PlanJob struct {
 	// point the total is known on a transport whose driver never sees the
 	// intermediate.
 	MaxIntermediate int64
-	// Engine is the coordinator's local-join engine selection for the stage,
-	// forwarded by wire transports so a peer-fed stage-2 job resolves the
-	// same engine a coordinator-fed job would (Config.Engine end to end).
-	Engine JoinEngine
 
 	// Stats sizes the per-worker summaries of the stage-1 matches.
 	Stats *StatsSpec
@@ -171,8 +167,7 @@ func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 	cfg3.Seed = cfg.Seed + stage2SeedDelta
 	f3 := newRelFuture()
 	var scheme2 partition.Scheme
-	next := &PlanJob{Cond: sp.Cond, R2: f3, MaxIntermediate: sp.MaxIntermediate,
-		Stats: sp.Stats, Engine: cfg.Engine}
+	next := &PlanJob{Cond: sp.Cond, R2: f3, MaxIntermediate: sp.MaxIntermediate, Stats: sp.Stats}
 	next.Replan = func(encoded [][]byte) ([]byte, int, error) {
 		// The driver layer owns the summary codec: decode once, enforce the
 		// pipeline cap off the exact counts — BEFORE the plan exists, so a
@@ -208,7 +203,7 @@ func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 		return plan, s.Workers(), nil
 	}
 
-	first := &Job{Cond: cond, Workers: j1, R1: f1, R2: f2, Engine: cfg.Engine}
+	first := &Job{Cond: cond, Workers: j1, R1: f1, R2: f2}
 	res1 := &Result{Scheme: scheme.Name() + rt.Label(), Workers: make([]WorkerMetrics, j1)}
 	res2 := &Result{Workers: make([]WorkerMetrics, sp.MaxWorkers)}
 	inter, err := rt.RunStages(first, next, res1.Workers, res2.Workers)
@@ -231,8 +226,8 @@ func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 	}
 	res2.Workers = res2.Workers[:scheme2.Workers()]
 	res2.Scheme = scheme2.Name() + "@peer"
-	finishResult(res1, model, start, cfg.BytesPerTuple)
-	finishResult(res2, model, start, cfg.BytesPerTuple)
+	finishResult(res1, model, start)
+	finishResult(res2, model, start)
 	if inter != res1.Output {
 		return nil, nil, fmt.Errorf("exec: transport re-shuffled %d intermediate tuples, stage 1 matched %d",
 			inter, res1.Output)

@@ -27,8 +27,6 @@ type StreamSpec struct {
 	// Cond is the join condition; windows are relation 1, the base is
 	// relation 2 (the orientation band conditions care about).
 	Cond join.Condition
-	// Engine selects the local-join engine, same contract as Job.Engine.
-	Engine JoinEngine
 	// Stats sizes the per-worker window summaries drift detection consumes.
 	Stats StatsSpec
 }
@@ -147,7 +145,7 @@ func (s *localStream) SendBase(epoch uint32, shares [][]join.Key) error {
 	}
 	s.epoch = epoch
 	for w := range s.shards {
-		res := s.spec.Engine.Resident(s.spec.Cond, false)
+		res := localjoin.NewResident(s.spec.Cond, false)
 		res.Insert(shares[w])
 		res.Seal()
 		s.shards[w] = res

@@ -84,7 +84,7 @@ func RunPairsOver(rt Runtime, r1, r2 []join.Key, cond join.Condition,
 	cfg.defaults()
 	start := time.Now()
 	f1, f2 := newRelFuture(), newRelFuture()
-	job := &Job{Cond: cond, Workers: scheme.Workers(), R1: f1, R2: f2, Engine: cfg.Engine}
+	job := &Job{Cond: cond, Workers: scheme.Workers(), R1: f1, R2: f2}
 	var idx1, idx2 []join.Key // input row indices; nil for a count-only job
 	var rows1, rows2 *KeyShuffle
 	if emit != nil {

@@ -75,14 +75,6 @@ type BuildCacheStats struct {
 	Bytes        int64
 }
 
-// HitRate returns Hits/(Hits+Misses), 0 when no lookups happened.
-func (s BuildCacheStats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // BuildCache is a size-capped LRU of sealed Builds keyed by relation
 // content. Safe for concurrent use.
 type BuildCache struct {

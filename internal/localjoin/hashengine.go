@@ -288,7 +288,7 @@ func (b *Build) ProbeCount(keys []join.Key) int64 {
 // immutable index over one relation's keys mapping each key to its arrival
 // indices in ascending order. For a pure-equality condition every partner of
 // an R1 key shares that key, so "partners ascend by (key, arrival index)" —
-// exec.JoinPairsEngine's contract — degenerates to "arrival indices ascending",
+// exec.JoinPairs' contract — degenerates to "arrival indices ascending",
 // which is exactly the order each group stores. Built in two stable
 // counting passes per partition; construction is single-threaded and the
 // result is immutable, so lookups need no synchronization.

@@ -26,6 +26,8 @@ func signedKeys(n int, seed uint64) []join.Key {
 	return out
 }
 
+// TestEquiLike is the engine choice where it is made: the pure-equality
+// conditions, and they alone, get the hash form of a resident side.
 func TestEquiLike(t *testing.T) {
 	cases := []struct {
 		cond join.Condition
@@ -34,11 +36,19 @@ func TestEquiLike(t *testing.T) {
 		{join.Equi{}, true},
 		{join.NewBand(0), true},
 		{join.NewBand(1), false},
+		{join.NewBand(2), false},
 		{join.Inequality{Op: join.Less}, false},
+		{join.Inequality{Op: join.GreaterEq}, false},
+		{join.Shifted{Inner: join.Equi{}, Scale: 2}, false},
 	}
 	for _, c := range cases {
 		if got := EquiLike(c.cond); got != c.want {
 			t.Errorf("EquiLike(%v) = %v, want %v", c.cond, got, c.want)
+		}
+		for _, r1 := range []bool{true, false} {
+			if hash := NewResident(c.cond, r1).build != nil; hash != c.want {
+				t.Errorf("NewResident(%v, %v) takes the hash form: %v, want %v", c.cond, r1, hash, c.want)
+			}
 		}
 	}
 }

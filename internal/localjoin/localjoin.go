@@ -70,9 +70,15 @@ type Resident struct {
 	pending [][]join.Key // merge form: the probe chunks kept for their last
 }
 
-// NewResident returns an empty side: the hash form if hash (cond must then be
-// EquiLike), with R1 resident if r1 and R2 otherwise.
-func NewResident(cond join.Condition, hash, r1 bool) *Resident {
+// NewResident returns an empty side, with R1 resident if r1 and R2 otherwise,
+// in the one form the condition takes: hash exactly when EquiLike(cond).
+func NewResident(cond join.Condition, r1 bool) *Resident {
+	return newResident(cond, EquiLike(cond), r1)
+}
+
+// newResident is NewResident with the form forced: the hash form if hash (cond
+// must then be EquiLike), the merge form otherwise.
+func newResident(cond join.Condition, hash, r1 bool) *Resident {
 	r := &Resident{cond: cond, r1: r1}
 	if hash {
 		r.build = NewBuild()

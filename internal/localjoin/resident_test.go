@@ -37,7 +37,7 @@ func residentCount(r1, r2 []key, cond join.Condition, hash, residentR1 bool, chu
 	if !residentR1 {
 		resident, probe = r2, r1
 	}
-	side := NewResident(cond, hash, residentR1)
+	side := newResident(cond, hash, residentR1)
 	for _, c := range chunked(slices.Clone(resident), chunk) {
 		side.Insert(c)
 	}

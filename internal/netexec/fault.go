@@ -289,7 +289,6 @@ func (s *Session) Survivors() (exec.Runtime, int, error) {
 		return nil, 0, errors.New("netexec: no surviving workers")
 	}
 	d := &Session{conns: live, ids: s.ids, relayed: s.relayed,
-		overlapped: s.overlapped, buildOverlapped: s.buildOverlapped,
-		engineUses: s.engineUses, tenant: s.tenant}
+		overlapped: s.overlapped, buildOverlapped: s.buildOverlapped, tenant: s.tenant}
 	return d, len(live), nil
 }

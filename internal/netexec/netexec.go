@@ -39,7 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
 )
@@ -70,23 +69,15 @@ type metrics struct {
 	// still-streaming scatter (the local analog of OverlappedStage2); 0 on
 	// flat jobs.
 	BuildOverlapped int64
-
-	// Engine echoes the RESOLVED local-join engine that served the job (1
-	// merge, 2 hash) so the coordinator can audit its selection end to end —
-	// the observable that pins per-job engine hints on peer opens actually
-	// reaching the worker.
-	Engine int
 }
 
 // jobOpen opens one numbered job on a v3 session connection. Counts travel
 // separately in per-relation head frames, so a job can start streaming its
-// first relation before the second one's shuffle has finished. Engine is
-// the coordinator's exec.JoinEngine selection (0 = EngineAuto).
+// first relation before the second one's shuffle has finished.
 type jobOpen struct {
 	WorkerID  int
 	Cond      join.Spec
 	WantPairs bool
-	Engine    int
 }
 
 // planSpec rides two frames of a stage-1 plan job, whose matches feed the
@@ -126,10 +117,6 @@ type peerJobOpen struct {
 	WorkerID int
 	Cond     join.Spec
 	Token    uint64
-
-	// Engine is the coordinator's exec.JoinEngine selection for the stage-2
-	// local join, same contract as jobOpen.Engine.
-	Engine int
 }
 
 // peerBind delivers a peer job's exact per-sender counts: SenderCounts[s] is
@@ -271,15 +258,6 @@ func (w *Worker) SetBuildCacheBytes(n int64) {
 // cache-hit observability the benchmark's pool workload reports.
 func (w *Worker) BuildCacheStats() localjoin.BuildCacheStats {
 	return w.buildCache.Stats()
-}
-
-// effectiveEngine decodes a job's wire engine selection; values this worker
-// does not know (a newer coordinator's engine family) degrade to auto.
-func effectiveEngine(wire int) exec.JoinEngine {
-	if e := exec.JoinEngine(wire); e == exec.EngineMerge || e == exec.EngineHash {
-		return e
-	}
-	return exec.EngineAuto
 }
 
 // FailAfterJobs schedules the worker to kill itself (abrupt Close, as a

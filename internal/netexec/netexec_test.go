@@ -238,6 +238,28 @@ func TestControlFrameBound(t *testing.T) {
 		}
 		assertNoJobsBegun(t, ws[0])
 	})
+	t.Run("open over its bound", func(t *testing.T) {
+		// A deeply nested condition in an open used to overflow the worker's
+		// stack inside gob. Refused unread, it ends only its own connection.
+		_, addrs := startWorkerSet(t, 1)
+		other := dialSession(t, addrs)
+		bw, conn := dialV3(t, addrs[0])
+		var b bytes.Buffer
+		open := jobOpen{Cond: deepSpec(1000)}
+		if err := writeV3GobFrame(&b, frameV3OpenJob, 1, open); err != nil || b.Len() <= maxOpenPayload {
+			t.Fatalf("the open frames %d bytes (err %v), want more than %d", b.Len(), err, maxOpenPayload)
+		}
+		if err := errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, open), bw.Flush()); err != nil {
+			t.Fatal(err)
+		}
+		expectClosedSilently(t, conn)
+		r1 := randKeys(200, 100, 66)
+		for _, sess := range []*Session{other, dialSession(t, addrs)} {
+			if _, err := exec.RunOver(sess, r1, r1, join.Equi{}, partition.NewCI(1), model, exec.Config{Seed: 67}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 	t.Run("coordinator", func(t *testing.T) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {

@@ -52,13 +52,6 @@ type Session struct {
 	// views like ids/relayed.
 	buildOverlapped *atomic.Int64
 
-	// engineUses tallies successful worker replies by the resolved local-join
-	// engine they echoed (index = the wire engine value; every reply echoes 1
-	// or 2, so slot 0 stays empty). The audit that per-job engine selection —
-	// including the peer-open hint — actually reached the workers. Shared by
-	// survivor views like ids/relayed.
-	engineUses *[3]atomic.Int64
-
 	// tenant is the id this session declared in its HELLO frames — the key
 	// workers use for admission queuing and quota accounting. "" (no hello
 	// sent) is the anonymous tenant.
@@ -102,8 +95,7 @@ func DialTenant(ctx context.Context, tenant string, addrs []string, t Timeouts) 
 		return nil, fmt.Errorf("netexec: tenant id %d bytes long, limit %d", len(tenant), maxTenantLen)
 	}
 	s := &Session{ids: new(atomic.Uint32), relayed: new(atomic.Int64),
-		overlapped: new(atomic.Int64), buildOverlapped: new(atomic.Int64),
-		engineUses: new([3]atomic.Int64), tenant: tenant}
+		overlapped: new(atomic.Int64), buildOverlapped: new(atomic.Int64), tenant: tenant}
 	for _, addr := range addrs {
 		c, err := dialSessConn(ctx, addr, t, s)
 		if err != nil {
@@ -134,25 +126,6 @@ func (s *Session) OverlappedStage2() int64 { return s.overlapped.Load() }
 // worker's join feed, mirroring OverlappedStage2 for the scatter/join
 // boundary.
 func (s *Session) BuildOverlappedChunks() int64 { return s.buildOverlapped.Load() }
-
-// EngineUses reports how many successful sub-job replies resolved to engine
-// e on the worker side since Dial — including peer-fed stage-2 jobs, whose
-// selection travels in the peer open's engine hint. A reply always echoes a
-// resolved engine, so EngineUses(EngineAuto) is 0.
-func (s *Session) EngineUses(e exec.JoinEngine) int64 {
-	if e < 0 || int(e) >= len(s.engineUses) {
-		return 0
-	}
-	return s.engineUses[e].Load()
-}
-
-// noteEngine tallies one successful reply's echoed engine, ignoring values
-// outside the known range (a newer worker's engine family).
-func (s *Session) noteEngine(e int) {
-	if e >= 0 && e < len(s.engineUses) {
-		s.engineUses[e].Add(1)
-	}
-}
 
 // StreamsChunks implements exec.ChunkStreamer: the session consumes chunked
 // relations, framing each routed sub-block onto the socket the moment a
@@ -600,7 +573,6 @@ func (j *subJob) finish(m *exec.WorkerMetrics) ([]int64, error) {
 // account folds one successful reply into the session's tallies and m.
 func (j *subJob) account(rm *metrics, m *exec.WorkerMetrics) {
 	j.c.sess.buildOverlapped.Add(rm.BuildOverlapped)
-	j.c.sess.noteEngine(rm.Engine)
 	m.InputR1 = rm.InputR1
 	m.InputR2 = rm.InputR2
 	m.Output = rm.Output
@@ -613,8 +585,7 @@ func (j *subJob) account(rm *metrics, m *exec.WorkerMetrics) {
 // scattering. A non-nil ps rides between the open and the relations.
 func (j *subJob) sendJob(spec join.Spec, ps *planSpec, job *exec.Job) error {
 	return j.send(func(bw *bufio.Writer) error {
-		jo := jobOpen{WorkerID: j.worker, Cond: spec, WantPairs: job.Pairs != nil,
-			Engine: int(job.Engine)}
+		jo := jobOpen{WorkerID: j.worker, Cond: spec, WantPairs: job.Pairs != nil}
 		if err := writeV3GobFrame(bw, frameV3OpenJob, j.id, jo); err != nil {
 			return err
 		}

@@ -63,10 +63,6 @@ type sessJob struct {
 	err       error
 	rels      [relRekey]sessRel
 
-	// engine is the job's join-engine selection as the coordinator sent it
-	// (never a future unknown value — see effectiveEngine).
-	engine exec.JoinEngine
-
 	// ws is the connection the job arrived on; its tenant keys the job's
 	// quota accounting. charged is the byte reservation against that tenant
 	// (see tenant.go): the read loop charges it, a join goroutine credits
@@ -279,16 +275,17 @@ func (ws *workerSession) retire(j *sessJob) {
 }
 
 // openJob is the prologue OPENJOB, OPENPEERJOB and STREAMOPEN share: refuse a
-// reused job number, register the job (table and drain accounting), decode
-// the frame's gob message into msg and resolve the three fields every open
-// carries, which head reads back out of msg. It returns nil when the frame is
-// connection-fatal (job number reuse, undecodable open). A job a draining
-// worker refuses, or one naming an unknown condition, comes back FAILED: its
-// frames drain and its reply carries the error.
+// reused job number or a payload over maxOpenPayload, register the job (table
+// and drain accounting), decode the frame's gob message into msg and resolve
+// the two fields every open carries, which head reads back out of msg. It
+// returns nil when the frame is connection-fatal (job number reuse, oversized
+// or undecodable open). A job a draining worker refuses, or one naming an
+// unknown or too deeply nested condition, comes back FAILED: its frames drain
+// and its reply carries the error.
 func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int, msg any,
-	head func() (workerID int, cond join.Spec, engine int)) *sessJob {
+	head func() (workerID int, cond join.Spec)) *sessJob {
 
-	if ws.jobs[id] != nil {
+	if ws.jobs[id] != nil || n > maxOpenPayload {
 		return nil
 	}
 	ws.tenantFixed = true
@@ -298,7 +295,7 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int, msg any,
 	if err := readGobPayload(br, n, msg); err != nil {
 		return nil
 	}
-	workerID, spec, engine := head()
+	workerID, spec := head()
 	j.workerID = workerID
 	if !j.counted {
 		j.fail(errors.New("worker shutting down"))
@@ -310,7 +307,6 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int, msg any,
 		return j
 	}
 	j.cond = cond
-	j.engine = effectiveEngine(engine)
 	return j
 }
 
@@ -438,9 +434,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 
 		case frameV3OpenJob:
 			var jo jobOpen
-			j := ws.openJob(br, id, n, &jo, func() (int, join.Spec, int) {
-				return jo.WorkerID, jo.Cond, jo.Engine
-			})
+			j := ws.openJob(br, id, n, &jo, func() (int, join.Spec) { return jo.WorkerID, jo.Cond })
 			if j == nil {
 				return
 			}
@@ -472,9 +466,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 
 		case frameV3OpenPeerJob:
 			var po peerJobOpen
-			j := ws.openJob(br, id, n, &po, func() (int, join.Spec, int) {
-				return po.WorkerID, po.Cond, po.Engine
-			})
+			j := ws.openJob(br, id, n, &po, func() (int, join.Spec) { return po.WorkerID, po.Cond })
 			if j == nil {
 				return
 			}
@@ -494,9 +486,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 
 		case frameV3StreamOpen:
 			var so streamOpen
-			j := ws.openJob(br, id, n, &so, func() (int, join.Spec, int) {
-				return so.WorkerID, so.Cond, so.Engine
-			})
+			j := ws.openJob(br, id, n, &so, func() (int, join.Spec) { return so.WorkerID, so.Cond })
 			if j == nil {
 				return
 			}
@@ -890,8 +880,7 @@ func (w *Worker) finishJob(ws *workerSession, j *sessJob) {
 	_ = ws.reply(frameV3Metrics, j.id, m)
 }
 
-// runJob validates the drained job and joins its flat blocks under the job's
-// effective engine.
+// runJob validates the drained job and joins its flat blocks.
 func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 	if j.err == nil {
 		j.err = j.validateComplete()
@@ -900,11 +889,7 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 		return metrics{}, j.err
 	}
 	r1, r2 := &j.rels[0], &j.rels[1]
-	m := metrics{
-		InputR1: int64(r1.n),
-		InputR2: int64(r2.n),
-		Engine:  int(j.engine.ForCond(j.cond)),
-	}
+	m := metrics{InputR1: int64(r1.n), InputR2: int64(r2.n)}
 	start := time.Now()
 	switch {
 	case j.plan != nil:
@@ -921,18 +906,16 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 		// The pair join must not sort the blocks in place: indices refer to
 		// arrival order on both sides of the wire. Chunks stream back as
 		// they fill, interleaving with other jobs' replies at frame
-		// granularity. The engines emit bit-identical streams (the hash
-		// path's PairTable reproduces the merge argsort's partner order), so
-		// the selection stays a pure performance knob here too.
+		// granularity.
 		emit := func(chunk []exec.PairIdx) {
 			ws.wmu.Lock()
 			_ = writePairsFrame(ws.bw, j.id, chunk)
 			ws.wmu.Unlock()
 		}
-		m.Output = exec.JoinPairsEngine(j.engine, r1.keys, r2.keys, j.cond, emit)
+		m.Output = exec.JoinPairs(r1.keys, r2.keys, j.cond, emit)
 	default:
 		// The job owns its buffers outright: the merge engine sorts them in place.
-		m.Output = exec.CountOwned(j.engine, r1.keys, r2.keys, j.cond)
+		m.Output = exec.CountOwned(0, r1.keys, r2.keys, j.cond)
 	}
 	m.Nanos = time.Since(start).Nanoseconds()
 	return m, nil
@@ -959,7 +942,7 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64
 	// coordinator-side emission observes, so the two paths' intermediates are
 	// tuple-for-tuple identical.
 	inter := make([]join.Key, 0, r1.n)
-	out := exec.JoinPairsEngine(j.engine, r1.keys, r2.keys, j.cond, func(chunk []exec.PairIdx) {
+	out := exec.JoinPairs(r1.keys, r2.keys, j.cond, func(chunk []exec.PairIdx) {
 		for _, p := range chunk {
 			inter = append(inter, rekey.keys[p.I2])
 		}

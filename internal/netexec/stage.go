@@ -296,8 +296,7 @@ func (c *sessConn) openPeerJob(st *stagePipe, workerID int) (*subJob, error) {
 		return nil, err
 	}
 	err = j.send(func(bw *bufio.Writer) error {
-		po := peerJobOpen{WorkerID: workerID, Cond: st.spec2, Token: st.token,
-			Engine: int(st.next.Engine)}
+		po := peerJobOpen{WorkerID: workerID, Cond: st.spec2, Token: st.token}
 		return writeV3GobFrame(bw, frameV3OpenPeerJob, j.id, po)
 	})
 	if err == nil {

@@ -51,7 +51,6 @@ func (s *Session) OpenStream(spec exec.StreamSpec) (exec.StreamHandle, error) {
 	st := &Stream{id: s.ids.Add(1), conns: make([]*streamConn, 0, len(s.conns))}
 	so := streamOpen{
 		Cond:          js,
-		Engine:        int(spec.Engine),
 		StatsCap:      spec.Stats.Cap,
 		StatsBuckets:  spec.Stats.Buckets,
 		StatsSeed:     spec.Stats.Seed,
@@ -185,10 +184,7 @@ func (st *Stream) Close() error {
 			})
 		}
 		if sc.err == nil {
-			var r subReply
-			if r, sc.err = sc.await("reply", false); sc.err == nil {
-				sc.c.sess.noteEngine(r.m.Engine)
-			}
+			_, sc.err = sc.await("reply", false)
 		}
 		sc.close()
 		errs[w] = sc.err

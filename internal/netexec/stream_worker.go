@@ -46,9 +46,6 @@ import (
 type streamOpen struct {
 	WorkerID int
 	Cond     join.Spec
-	// Engine is the coordinator's exec.JoinEngine selection, same contract
-	// as jobOpen.Engine.
-	Engine int
 	// StatsCap/StatsBuckets/StatsSeed/StatsAdaptive size the per-window
 	// summaries, same vocabulary as planSpec's stats fields.
 	StatsCap      int
@@ -264,7 +261,7 @@ func (s *sessStream) recycleHeld() (n int) {
 func (s *sessStream) resetBase() {
 	s.recycleHeld()
 	s.j.credit(8 * int64(s.baseN))
-	s.res, s.baseN, s.sealed = s.j.engine.Resident(s.j.cond, s.resTag == 1), 0, false
+	s.res, s.baseN, s.sealed = localjoin.NewResident(s.j.cond, s.resTag == 1), 0, false
 }
 
 func (s *sessStream) onBase(ev streamEvent) {
@@ -494,7 +491,6 @@ func (s *sessStream) onEOS() {
 		InputR2:         int64(s.baseN),
 		Output:          s.totOut,
 		Nanos:           time.Since(s.start).Nanoseconds(),
-		Engine:          int(s.j.engine.ForCond(s.j.cond)),
 		BuildOverlapped: s.overlapped,
 	}
 	if s.resTag == 1 {

@@ -99,7 +99,7 @@ const (
 
 	// STREAM frames (continuous joins): a long-lived stream job joins an
 	// unbounded sequence of tuple windows against a static base relation.
-	// The open frame pins the condition and engine; base frames ship the
+	// The open frame pins the condition; base frames ship the
 	// static side routed under the active plan (re-shipped whole on every
 	// replan, tagged with a new epoch); window frames append one window's
 	// routed shard and its end frame triggers the worker's probe + summary
@@ -167,6 +167,12 @@ const (
 	// produce, a summary at the planio codec's collection cap (2^21 keys, 16
 	// MiB); a plan for the widest mesh stays under 1 MiB.
 	maxControlPayload = 32 << 20
+	// maxOpenPayload bounds the three open frames (OPENJOB, OPENPEERJOB,
+	// STREAMOPEN), refused connection-fatally before gob reads them: a
+	// condition spec is recursive and gob decodes it recursively, so a
+	// control-sized open nesting millions of levels overflows the worker's
+	// stack, which no recover catches. The largest real open is under 300 B.
+	maxOpenPayload = 4 << 10
 
 	// peerHeadLen is framePeerHead's payload: [token u64][sender u32][count u32].
 	peerHeadLen = 16

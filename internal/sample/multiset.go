@@ -69,9 +69,6 @@ func BuildMultiset(keys []join.Key) *KeyMultiset {
 // Total returns the total multiplicity (the relation size).
 func (m *KeyMultiset) Total() int64 { return m.prefix[len(m.keys)] }
 
-// Distinct returns the number of distinct keys.
-func (m *KeyMultiset) Distinct() int { return len(m.keys) }
-
 // lowerBound returns the first index i with m.keys[i] >= k: the directory's
 // bucket for k, then a bisection of the keys in it.
 func (m *KeyMultiset) lowerBound(k join.Key) int {

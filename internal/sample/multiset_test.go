@@ -37,9 +37,9 @@ func checkSearch(t testing.TB, keys, extra []join.Key) {
 	before[len(distinct)] = int64(len(sorted))
 
 	m := BuildMultiset(keys)
-	if m.Distinct() != len(distinct) || m.Total() != int64(len(keys)) {
+	if len(m.keys) != len(distinct) || m.Total() != int64(len(keys)) {
 		t.Fatalf("multiset of %d keys: %d distinct, total %d; want %d and %d",
-			len(keys), m.Distinct(), m.Total(), len(distinct), len(keys))
+			len(keys), len(m.keys), m.Total(), len(distinct), len(keys))
 	}
 
 	probes := append([]join.Key{math.MinInt64, math.MaxInt64, join.MinKey, join.MaxKey}, extra...)

@@ -134,21 +134,6 @@ func TestZipfLargeDomainEnvelope(t *testing.T) {
 	}
 }
 
-func TestZipfMultiplicitiesSumAndShape(t *testing.T) {
-	z := NewZipf(100, 0.25)
-	m := z.Multiplicities(10000)
-	var sum int64
-	for _, c := range m {
-		sum += c
-	}
-	if sum != 10000 {
-		t.Fatalf("multiplicities sum %d, want 10000", sum)
-	}
-	if m[0] < m[99] {
-		t.Fatal("multiplicities not decreasing head-to-tail")
-	}
-}
-
 func TestZipfPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewZipf(0, 1) },

@@ -87,28 +87,3 @@ func (z *Zipf) Draw(r *RNG) int64 {
 	}
 	return k
 }
-
-// Multiplicities returns, for the distribution's domain, the expected key
-// frequency of count draws — a deterministic skewed histogram without
-// sampling noise, used by tests and synthetic generators.
-func (z *Zipf) Multiplicities(count int64) []int64 {
-	if z.cdf == nil {
-		panic("stats: Multiplicities requires n <= cdfCap")
-	}
-	out := make([]int64, z.n)
-	prev := 0.0
-	var assigned int64
-	for k := int64(0); k < z.n; k++ {
-		p := z.cdf[k] - prev
-		prev = z.cdf[k]
-		c := int64(math.Round(p * float64(count)))
-		out[k] = c
-		assigned += c
-	}
-	// Fold rounding drift into the heaviest key.
-	out[0] += count - assigned
-	if out[0] < 0 {
-		out[0] = 0
-	}
-	return out
-}

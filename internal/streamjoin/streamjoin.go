@@ -38,8 +38,12 @@ import (
 // empirically well under 0.1 at the default summary sizes — never fires.
 const DefaultDriftThreshold = 0.15
 
-// DefaultPlanHorizon is the window count a plan amortizes over when Config
-// leaves Horizon zero (see Config.Horizon).
+// DefaultPlanHorizon is the number of upcoming windows one plan is expected
+// to serve. The planner balances total weight per worker, and a stream pays
+// the base's input cost once per epoch but the window side's on every window
+// — so the driver scales the window distribution's count by the horizon
+// before planning. Without it a large base dominates the balance and the
+// planner happily parks the whole window stream on one worker.
 const DefaultPlanHorizon = 8
 
 // Default per-worker window summary sizing when Config.Stats leaves the
@@ -56,8 +60,7 @@ type Config struct {
 	// Opts are the planner options. J defaults to the stream's fleet width;
 	// after a fault it is re-derived from the survivor fleet.
 	Opts core.Options
-	// Exec configures routing (mapper parallelism, scheme seed) and the
-	// local-join engine forwarded to workers.
+	// Exec configures routing (mapper parallelism, scheme seed).
 	Exec exec.Config
 	// Stats sizes the per-worker window summaries drift detection consumes;
 	// zero Cap/Buckets select DefaultStatsCap/DefaultStatsBuckets.
@@ -65,14 +68,6 @@ type Config struct {
 	// DriftThreshold is the replanning trigger; <= 0 selects
 	// DefaultDriftThreshold.
 	DriftThreshold float64
-	// Horizon is the number of upcoming windows one plan is expected to
-	// serve; <= 0 selects DefaultPlanHorizon. The planner balances total
-	// weight per worker, and a stream pays the base's input cost once per
-	// epoch but the window side's on every window — so the driver scales
-	// the window distribution's count by Horizon before planning. Without
-	// it a large base dominates the balance and the planner happily parks
-	// the whole window stream on one worker.
-	Horizon int
 	// FreezePlan disables drift-triggered replanning: the stream runs every
 	// window under the plan built for the first one. The control arm of the
 	// replanning experiments; faults still replan (a dead worker's shards
@@ -170,7 +165,7 @@ func Run(rt exec.Runtime, base []join.Key, windows [][]join.Key, cond join.Condi
 	}
 	st := &runState{
 		rt:      rt,
-		spec:    exec.StreamSpec{Cond: cond, Engine: cfg.Exec.Engine, Stats: cfg.Stats},
+		spec:    exec.StreamSpec{Cond: cond, Stats: cfg.Stats},
 		cfg:     cfg,
 		base:    base,
 		windows: windows,
@@ -225,16 +220,12 @@ func (st *runState) openEpoch(planKeys []join.Key, sum *stats.Summary) error {
 		sum = sample.Summarize(planKeys, st.cfg.Stats.Cap, st.cfg.Stats.Buckets,
 			stats.NewRNG(st.cfg.Stats.Seed))
 	}
-	horizon := st.cfg.Horizon
-	if horizon <= 0 {
-		horizon = DefaultPlanHorizon
-	}
 	// Scaling Count (sample and bounds untouched) scales the planner's R1
 	// input weight AND its output estimate — Stream-Sample extrapolates m by
-	// Count/len(Keys) — exactly as horizon windows of this distribution
-	// would.
+	// Count/len(Keys) — exactly as DefaultPlanHorizon windows of this
+	// distribution would.
 	amortized := *sum
-	amortized.Count *= int64(horizon)
+	amortized.Count *= DefaultPlanHorizon
 	plan, err := core.PlanCSIOFromSummary(&amortized, st.base, st.spec.Cond, st.cfg.Opts)
 	if err != nil {
 		return fmt.Errorf("streamjoin: plan epoch %d: %w", st.epoch+1, err)

@@ -162,8 +162,8 @@ func TestRunUniformStreamNeverReplans(t *testing.T) {
 	}
 }
 
-// TestRunEquiHashEngine runs the hash engine over an equi join, including an
-// empty window mid-stream.
+// TestRunEquiHashEngine runs an equi join, which takes the hash engine,
+// including an empty window mid-stream.
 func TestRunEquiHashEngine(t *testing.T) {
 	rng := stats.NewRNG(47)
 	base := uniformKeys(rng, 10000, 0, 5000)
@@ -174,7 +174,6 @@ func TestRunEquiHashEngine(t *testing.T) {
 	}
 	cfg := flipConfig(false)
 	cfg.Opts.J = 3
-	cfg.Exec.Engine = exec.EngineHash
 	res, err := Run(exec.LocalStreamRuntime{Workers: 3}, base, windows, join.Equi{}, cfg)
 	if err != nil {
 		t.Fatal(err)
