@@ -26,10 +26,12 @@ type MultiwayQuery = multiway.Query
 // metrics, the intermediate size, and the final cardinality.
 type MultiwayResult = multiway.Result
 
-// ExecuteMultiway runs the chain join as a sequence of EWH-planned 2-way
-// joins, re-partitioning the materialized intermediate result with a fresh
-// equi-weight histogram so each stage is balanced on its own input and
-// output distribution.
+// ExecuteMultiway runs the chain join in process as a sequence of EWH-planned
+// 2-way joins: each stage-1 worker summarizes its matches, stage 2 is planned
+// from the summaries with a fresh equi-weight histogram, and the workers
+// re-partition their matches by it, so each stage is balanced on its own input
+// and output distribution. It is the pipeline a Cluster's workers run, with
+// the same per-worker results.
 func ExecuteMultiway(q MultiwayQuery, opts Options, cfg ExecConfig) (*MultiwayResult, error) {
 	return multiway.Execute(q, opts, cfg)
 }
@@ -119,14 +121,13 @@ func ExecuteTuplesOver[P1, P2 any](rt Runtime, r1 []Tuple[P1], r2 []Tuple[P2],
 	return exec.RunTuplesOver(rt, r1, r2, cond, plan.Scheme, model, cfg, emit)
 }
 
-// ExecuteMultiwayOver runs the 3-way chain join through rt: with a Cluster
-// runtime both stages execute on the remote workers, the Mid relation's
-// column B shuffled beside A as stage 1's re-key column. Stage-aware runtimes (a
-// Cluster) take the peer-shuffle path — the stage-1 intermediate re-shuffles
-// directly worker→worker and never transits the coordinator, under a genuine
-// CSIO stage-2 plan built from distributed statistics (each worker ships a
-// small summary of its local intermediate; the coordinator merges them and
-// broadcasts the plan); others fall back to the coordinator-relay strategy.
+// ExecuteMultiwayOver runs the 3-way chain join through rt, which must run
+// stage pipelines (LocalRuntime or a Cluster; any other runtime is refused).
+// The Mid relation's column B ships beside A as stage 1's re-key column; the
+// stage-1 intermediate never transits the coordinator — on a Cluster it
+// re-shuffles directly worker→worker — under a genuine CSIO stage-2 plan built
+// from distributed statistics (each worker ships a small summary of its local
+// intermediate; the coordinator merges them and broadcasts the plan).
 func ExecuteMultiwayOver(rt Runtime, q MultiwayQuery, opts Options, cfg ExecConfig) (*MultiwayResult, error) {
 	return multiway.ExecuteOver(rt, q, opts, cfg)
 }

@@ -179,58 +179,83 @@ func TestRunPairsOverEmitsRowNumbers(t *testing.T) {
 	}
 }
 
+// chainOracle counts R1 ⋈ Mid ⋈ R3 and its intermediate without the engine:
+// each Mid row contributes its R1 partners, times its R3 partners.
+func chainOracle(q multiway.Query) (out, inter int64) {
+	for i, a := range q.Mid.A {
+		var c1, c3 int64
+		for _, k := range q.R1 {
+			if q.CondA.Matches(k, a) {
+				c1++
+			}
+		}
+		for _, k := range q.R3 {
+			if q.CondB.Matches(q.Mid.B[i], k) {
+				c3++
+			}
+		}
+		inter += c1
+		out += c1 * c3
+	}
+	return out, inter
+}
+
+// TestCrossCheckSessionMultiway pins the one stage pipeline worker by worker:
+// exec.Local and a loopback session run the same stage steps, so every
+// per-worker metric of BOTH stages is identical — stage 2 is planned from the
+// same summaries and routed by the same per-sender streams — and the totals
+// equal an oracle that does not use the engine.
 func TestCrossCheckSessionMultiway(t *testing.T) {
-	// The coordinator-relay path (the tracked baseline): bit-identical to
-	// the in-process engine including every per-worker metric, because both
-	// re-plan stage 2 with CSIO over the identical materialized intermediate.
 	const maxWorkers = 8
 	sess := dialLoopbackSession(t, maxWorkers)
 
-	for seed := uint64(600); seed < 603; seed++ {
+	for seed := uint64(600); seed < 606; seed++ {
 		rng := stats.NewRNG(seed)
 		n := 400 + int(rng.Int64n(600))
 		domain := 80 + rng.Int64n(300)
-		q := multiway.Query{
-			R1: netRandKeys(n, domain, seed+1),
-			Mid: multiway.MidRelation{
-				A: netRandKeys(n, domain, seed+2),
-				B: netRandKeys(n, domain, seed+3),
-			},
-			R3:    netRandKeys(n, domain, seed+4),
-			CondA: join.NewBand(1),
-			CondB: join.Equi{},
-		}
-		opts := core.Options{J: 5, Model: netModel, Seed: seed + 5}
-		for _, mappers := range []int{1, 4} {
-			cfg := exec.Config{Seed: seed + 6, Mappers: mappers}
-			id := fmt.Sprintf("seed %d mappers=%d", seed, mappers)
-			local, err := multiway.ExecuteOver(exec.Local{}, q, opts, cfg)
-			if err != nil {
-				t.Fatalf("%s: local: %v", id, err)
+		for _, condB := range []join.Condition{join.Equi{}, join.NewBand(2)} {
+			q := multiway.Query{
+				R1: netRandKeys(n, domain, seed+1),
+				Mid: multiway.MidRelation{
+					A: netRandKeys(n, domain, seed+2),
+					B: netRandKeys(n, domain, seed+3),
+				},
+				R3:    netRandKeys(n, domain, seed+4),
+				CondA: join.NewBand(1),
+				CondB: condB,
 			}
-			dist, err := multiway.ExecuteOverRelay(sess, q, opts, cfg)
-			if err != nil {
-				t.Fatalf("%s: session: %v", id, err)
-			}
-			if dist.Output != local.Output || dist.Intermediate != local.Intermediate {
-				t.Fatalf("%s: results differ: sess (out=%d mid=%d) local (out=%d mid=%d)",
-					id, dist.Output, dist.Intermediate, local.Output, local.Intermediate)
-			}
-			if len(dist.Stages) != len(local.Stages) {
-				t.Fatalf("%s: stage counts differ", id)
-			}
-			for si := range local.Stages {
-				le, de := local.Stages[si].Exec, dist.Stages[si].Exec
-				if (le == nil) != (de == nil) {
-					t.Fatalf("%s: stage %d presence differs", id, si)
-				}
-				if le == nil {
-					continue
-				}
-				for w := range le.Workers {
-					if de.Workers[w] != le.Workers[w] {
-						t.Errorf("%s: stage %d worker %d metrics differ: sess %+v local %+v",
-							id, si, w, de.Workers[w], le.Workers[w])
+			wantOut, wantInter := chainOracle(q)
+			for _, workers := range []int{2, 4, 5} {
+				opts := core.Options{J: workers, Model: netModel, Seed: seed + 5}
+				for _, mappers := range []int{1, 3} {
+					cfg := exec.Config{Seed: seed + 6, Mappers: mappers}
+					id := fmt.Sprintf("seed %d condB %v J=%d mappers=%d", seed, condB, workers, mappers)
+					local, err := multiway.Execute(q, opts, cfg)
+					if err != nil {
+						t.Fatalf("%s: local: %v", id, err)
+					}
+					dist, err := multiway.ExecuteOver(sess, q, opts, cfg)
+					if err != nil {
+						t.Fatalf("%s: session: %v", id, err)
+					}
+					for what, r := range map[string]*multiway.Result{"local": local, "session": dist} {
+						if r.Output != wantOut || r.Intermediate != wantInter {
+							t.Fatalf("%s: %s out=%d mid=%d, oracle out=%d mid=%d",
+								id, what, r.Output, r.Intermediate, wantOut, wantInter)
+						}
+					}
+					for si := range local.Stages {
+						le, de := local.Stages[si].Exec, dist.Stages[si].Exec
+						if len(de.Workers) != len(le.Workers) {
+							t.Fatalf("%s: stage %d ran %d workers over the session, %d in process",
+								id, si+1, len(de.Workers), len(le.Workers))
+						}
+						for w := range le.Workers {
+							if de.Workers[w] != le.Workers[w] {
+								t.Errorf("%s: stage %d worker %d metrics differ: sess %+v local %+v",
+									id, si+1, w, de.Workers[w], le.Workers[w])
+							}
+						}
 					}
 				}
 			}
@@ -244,11 +269,10 @@ func TestCrossCheckSessionMultiwayPeerCSIO(t *testing.T) {
 	// summarizes its local intermediate, only the summaries reach the
 	// coordinator. On a skewed (Zipf) workload, across seeds and worker
 	// counts: (1) zero pairs transit the coordinator; (2) Output and
-	// Intermediate are bit-identical to the coordinator-relay baseline AND
-	// the in-process engine; (3) stage-1 per-worker metrics are
-	// bit-identical to in-process (same plan, same shuffle); (4) the
-	// replanned stage-2 scheme really is the content-sensitive one (no
-	// silent fallback on this workload).
+	// Intermediate are bit-identical to the in-process engine; (3) stage-1
+	// per-worker metrics are bit-identical to in-process (same plan, same
+	// shuffle); (4) the replanned stage-2 scheme really is the
+	// content-sensitive one (no silent fallback on this workload).
 	const maxWorkers = 8
 	sess := dialLoopbackSession(t, maxWorkers)
 
@@ -285,16 +309,9 @@ func TestCrossCheckSessionMultiwayPeerCSIO(t *testing.T) {
 					t.Fatalf("%s: %d intermediate pairs transited the coordinator on the CSIO-peer path",
 						id, relayed)
 				}
-				relay, err := multiway.ExecuteOverRelay(sess, q, opts, cfg)
-				if err != nil {
-					t.Fatalf("%s: relay: %v", id, err)
-				}
-
-				for what, got := range map[string]*multiway.Result{"relay": relay, "local": local} {
-					if peer.Output != got.Output || peer.Intermediate != got.Intermediate {
-						t.Fatalf("%s: results differ: csio-peer (out=%d mid=%d) %s (out=%d mid=%d)",
-							id, peer.Output, peer.Intermediate, what, got.Output, got.Intermediate)
-					}
+				if peer.Output != local.Output || peer.Intermediate != local.Intermediate {
+					t.Fatalf("%s: results differ: csio-peer (out=%d mid=%d) local (out=%d mid=%d)",
+						id, peer.Output, peer.Intermediate, local.Output, local.Intermediate)
 				}
 				l1, p1 := local.Stages[0].Exec, peer.Stages[0].Exec
 				for w := range l1.Workers {
@@ -303,7 +320,7 @@ func TestCrossCheckSessionMultiwayPeerCSIO(t *testing.T) {
 							id, w, p1.Workers[w], l1.Workers[w])
 					}
 				}
-				if s2 := peer.Stages[1].Exec.Scheme; s2 != "CSIO@peer" {
+				if s2 := peer.Stages[1].Exec.Scheme; s2 != "CSIO@sess" {
 					t.Errorf("%s: stage 2 ran %q, want the distributed-statistics CSIO plan", id, s2)
 				}
 				// The CSIO plan may regionalize to fewer than J workers; the
@@ -331,8 +348,7 @@ func TestCrossCheckSessionMultiwayPeer(t *testing.T) {
 	// The peer-shuffle path on uniform keys, across mapper counts: stage-1
 	// intermediates re-shuffle directly worker→worker. Asserted here: (1) not
 	// a single matched pair transits the coordinator (the session's
-	// relayed-pairs counter stays flat), while the relay path moves the
-	// whole intermediate through it; (2) Output and Intermediate are
+	// relayed-pairs counter stays flat); (2) Output and Intermediate are
 	// bit-identical to the in-process engine; (3) stage-1 per-worker metrics
 	// are bit-identical to in-process. (Skewed inputs have their own
 	// crosscheck above; stage-2 blocks against an in-process run of a fixed
@@ -384,17 +400,6 @@ func TestCrossCheckSessionMultiwayPeer(t *testing.T) {
 						t.Errorf("%s: stage 1 worker %d metrics differ: peer %+v local %+v",
 							id, w, p1.Workers[w], l1.Workers[w])
 					}
-				}
-				// The relay path moves every intermediate tuple through the
-				// coordinator as a matched pair; the delta is the tracked
-				// baseline the peer path eliminates.
-				relayBefore := sess.RelayedPairs()
-				if _, err := multiway.ExecuteOverRelay(sess, q, opts, cfg); err != nil {
-					t.Fatalf("%s: relay: %v", id, err)
-				}
-				if relayed := sess.RelayedPairs() - relayBefore; relayed < local.Intermediate {
-					t.Errorf("%s: relay path relayed %d pairs, expected at least the %d intermediates",
-						id, relayed, local.Intermediate)
 				}
 			}
 		}

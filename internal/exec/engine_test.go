@@ -1,7 +1,8 @@
 package exec
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"testing"
 
 	"ewh/internal/join"
@@ -40,49 +41,59 @@ func TestCountOwnedEnginesAgree(t *testing.T) {
 	}
 }
 
-// collectPairs gathers a pair stream with its flush-chunk boundaries, which
-// the bit-identity contract covers too (same pairChunk granularity).
-func collectPairs(run func(flush func([]PairIdx)) int64) (pairs []PairIdx, cuts []int, n int64) {
-	n = run(func(chunk []PairIdx) {
-		pairs = append(pairs, chunk...)
+// nestedLoopPairs is JoinPairs' ordering contract written without the
+// engine: every matching (R1 index, R2 index), R1 indices ascending, each
+// tuple's partners ascending by (R2 key, R2 index), cut every pairChunk pairs.
+func nestedLoopPairs(r1, r2 []join.Key, cond join.Condition) (pairs []PairIdx, cuts []int) {
+	for i1, a := range r1 {
+		var partners []uint32
+		for i2, b := range r2 {
+			if cond.Matches(a, b) {
+				partners = append(partners, uint32(i2))
+			}
+		}
+		slices.SortStableFunc(partners, func(x, y uint32) int { return cmp.Compare(r2[x], r2[y]) })
+		for _, i2 := range partners {
+			pairs = append(pairs, PairIdx{I1: uint32(i1), I2: i2})
+		}
+	}
+	for c := pairChunk; c < len(pairs); c += pairChunk {
+		cuts = append(cuts, c)
+	}
+	if len(pairs) > 0 {
 		cuts = append(cuts, len(pairs))
-	})
-	return
+	}
+	return pairs, cuts
 }
 
-// TestJoinPairsBitIdentical pins the ordering contract: the pair stream
-// JoinPairs emits through the hash engine for an equality condition — order,
-// content, count, and even flush chunk boundaries — is byte-for-byte the
-// merge argsort path's.
-func TestJoinPairsBitIdentical(t *testing.T) {
+// TestJoinPairsMatchesNestedLoop pins the pair stream's ordering contract
+// against a nested-loop oracle: content, order, count and flush boundaries,
+// for equality, zero- and two-wide bands and an inequality.
+func TestJoinPairsMatchesNestedLoop(t *testing.T) {
 	shapes := []struct {
 		name   string
 		r1, r2 []join.Key
 	}{
-		{"uniform", randKeys(3000, 500, 110), randKeys(2500, 500, 111)},
-		{"dup-heavy", randKeys(4000, 40, 112), randKeys(3000, 40, 113)},
-		{"zipf", zipfKeys(3000, 1000, 1.0, 114), zipfKeys(3000, 1000, 1.0, 115)},
+		{"uniform", randKeys(1500, 500, 110), randKeys(1200, 500, 111)},
+		{"dup-heavy", randKeys(2000, 40, 112), randKeys(1500, 40, 113)},
 		{"all-equal", make([]join.Key, 300), make([]join.Key, 250)},
 		{"empty", nil, randKeys(10, 5, 116)},
 	}
 	for _, sh := range shapes {
-		for _, cond := range []join.Condition{join.Equi{}, join.NewBand(0)} {
-			wantPairs, wantCuts, wantN := collectPairs(func(f func([]PairIdx)) int64 {
-				return mergeJoinPairs(sh.r1, sh.r2, cond, f)
+		for _, cond := range []join.Condition{join.Equi{}, join.NewBand(0), join.NewBand(2),
+			join.Inequality{Op: join.Less}} {
+			wantPairs, wantCuts := nestedLoopPairs(sh.r1, sh.r2, cond)
+			var gotPairs []PairIdx
+			var gotCuts []int
+			n := JoinPairs(sh.r1, sh.r2, cond, func(chunk []PairIdx) {
+				gotPairs = append(gotPairs, chunk...)
+				gotCuts = append(gotCuts, len(gotPairs))
 			})
-			gotPairs, gotCuts, gotN := collectPairs(func(f func([]PairIdx)) int64 {
-				return JoinPairs(sh.r1, sh.r2, cond, f)
-			})
-			if gotN != wantN || len(gotPairs) != len(wantPairs) {
-				t.Fatalf("%s/%v: hash stream %d pairs (n=%d), merge %d (n=%d)",
-					sh.name, cond, len(gotPairs), gotN, len(wantPairs), wantN)
+			if n != int64(len(wantPairs)) || !slices.Equal(gotPairs, wantPairs) {
+				t.Fatalf("%s/%v: JoinPairs streamed %d pairs (n=%d), the nested loop %d in another order",
+					sh.name, cond, len(gotPairs), n, len(wantPairs))
 			}
-			for i := range wantPairs {
-				if gotPairs[i] != wantPairs[i] {
-					t.Fatalf("%s/%v: pair %d = %v, want %v", sh.name, cond, i, gotPairs[i], wantPairs[i])
-				}
-			}
-			if fmt.Sprint(gotCuts) != fmt.Sprint(wantCuts) {
+			if !slices.Equal(gotCuts, wantCuts) {
 				t.Fatalf("%s/%v: flush boundaries %v, want %v", sh.name, cond, gotCuts, wantCuts)
 			}
 		}

@@ -136,7 +136,7 @@ type Job struct {
 	Pairs func(worker int, chunk []PairIdx)
 }
 
-// pairChunk is the flush granularity of mergeJoinPairs: bounded buffering on
+// pairChunk is the flush granularity of JoinPairs: bounded buffering on
 // every transport (32k pairs, 256 KiB) instead of materializing a
 // potentially output-skewed worker's whole pair set.
 const pairChunk = 1 << 15
@@ -155,7 +155,7 @@ func putPairBuf(b []PairIdx) {
 	pairBufPool.Put(&b)
 }
 
-// mergeJoinPairs streams the matched index pairs of a monotonic join with both
+// JoinPairs streams the matched index pairs of a monotonic join with both
 // relations in arrival order, calling flush with successive chunks (each at
 // most pairChunk long, reused between calls). Pairs come in R1 arrival
 // order; a tuple's R2 partners ascend by key with ties broken by arrival
@@ -163,7 +163,7 @@ func putPairBuf(b []PairIdx) {
 // netexec worker joining the identical shuffled blocks — produces the
 // byte-identical pair stream. Neither input slice is mutated. Returns the
 // total match count.
-func mergeJoinPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx)) int64 {
+func JoinPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx)) int64 {
 	if len(r1) == 0 || len(r2) == 0 {
 		return 0
 	}
@@ -197,7 +197,7 @@ func mergeJoinPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx
 	return out
 }
 
-// keyIdx is one argsort entry of mergeJoinPairs: an R2 key and its arrival index.
+// keyIdx is one argsort entry of JoinPairs: an R2 key and its arrival index.
 type keyIdx struct {
 	key join.Key
 	idx uint32
@@ -216,7 +216,7 @@ func getOrdBuf(n int) []keyIdx {
 }
 
 // sortKeyIdx orders an argsort buffer by (key, arrival index) — the stable
-// order mergeJoinPairs' determinism rests on (slices.SortFunc alone is unstable).
+// order JoinPairs' determinism rests on (slices.SortFunc alone is unstable).
 func sortKeyIdx(ts []keyIdx) {
 	slices.SortFunc(ts, func(a, b keyIdx) int {
 		if c := cmp.Compare(a.key, b.key); c != 0 {
@@ -259,52 +259,73 @@ func (Local) StreamsChunksFor(job *Job) bool {
 func (Local) RunJob(job *Job, wm []WorkerMetrics) error {
 	r1 := job.R1.Wait()
 	r2 := job.R2.Wait()
+	forWorkers(job.Workers, func(w int) {
+		m := &wm[w]
+		if r1.Chunks != nil {
+			m.InputR1, m.InputR2, m.Output = localStreamCount(localjoin.NewResident(job.Cond, true),
+				r1.Chunks.Worker(w), r2.Chunks.Worker(w))
+			return
+		}
+		in1, in2 := r1.Keys.Worker(w), r2.Keys.Worker(w)
+		var out int64
+		if job.Pairs == nil {
+			out = CountOwned(0, in1, in2, job.Cond)
+		} else {
+			out = JoinPairs(in1, in2, job.Cond, func(chunk []PairIdx) {
+				job.Pairs(w, chunk)
+			})
+		}
+		m.InputR1 = int64(len(in1))
+		m.InputR2 = int64(len(in2))
+		m.Output = out
+	})
+	return nil
+}
+
+// forWorkers runs f once per worker, each on its own goroutine, at most
+// GOMAXPROCS at a time, and returns when all have.
+func forWorkers(n int, f func(w int)) {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for w := 0; w < job.Workers; w++ {
+	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			m := &wm[w]
-			if r1.Chunks != nil {
-				m.InputR1, m.InputR2, m.Output = localStreamCount(localjoin.NewResident(job.Cond, true),
-					r1.Chunks.Worker(w), r2.Chunks.Worker(w))
-				return
-			}
-			in1, in2 := r1.Keys.Worker(w), r2.Keys.Worker(w)
-			var out int64
-			if job.Pairs == nil {
-				out = CountOwned(0, in1, in2, job.Cond)
-			} else {
-				out = JoinPairs(in1, in2, job.Cond, func(chunk []PairIdx) {
-					job.Pairs(w, chunk)
-				})
-			}
-			m.InputR1 = int64(len(in1))
-			m.InputR2 = int64(len(in2))
-			m.Output = out
+			f(w)
 		}(w)
 	}
 	wg.Wait()
-	return nil
 }
 
-// localStreamCount is one in-process worker's incremental join over chunk
-// streams: every R1 sub-block inserts into the resident side the moment a
-// mapper routes it (overlapping the scatter still running for later
-// mappers), then R2 sub-blocks probe as they arrive. The per-worker stream
-// buffers are sized so producers never block, which is what makes draining
-// R1 before R2 deadlock-free.
-func localStreamCount(res *localjoin.Resident, c1, c2 <-chan KeyChunk) (n1, n2, out int64) {
-	for ch := range c1 {
-		n1 += int64(len(ch.Keys))
-		if !res.Insert(ch.Keys) { // a kept sub-block is left to the GC
+// sealChunks inserts one worker's chunk stream into the resident side as the
+// mappers route it (overlapping the scatter still running for later mappers),
+// seals the side and pools every sub-block it is done with. It returns the
+// tuple count.
+func sealChunks(res *localjoin.Resident, c <-chan KeyChunk) (n int64) {
+	var held [][]join.Key
+	for ch := range c {
+		n += int64(len(ch.Keys))
+		if res.Insert(ch.Keys) {
+			held = append(held, ch.Keys)
+		} else {
 			PutKeyBuffer(ch.Keys)
 		}
 	}
 	res.Seal()
+	for _, keys := range held {
+		PutKeyBuffer(keys)
+	}
+	return n
+}
+
+// localStreamCount is one in-process worker's incremental join over chunk
+// streams: R1's sub-blocks form the resident side (sealChunks), then R2's
+// probe as they arrive. The per-worker stream buffers are sized so producers
+// never block, which is what makes draining R1 before R2 deadlock-free.
+func localStreamCount(res *localjoin.Resident, c1, c2 <-chan KeyChunk) (n1, n2, out int64) {
+	n1 = sealChunks(res, c1)
 	for ch := range c2 {
 		n, kept := res.ProbeCount(ch.Keys, true)
 		out, n2 = out+n, n2+int64(len(ch.Keys))

@@ -1,31 +1,33 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"ewh/internal/cost"
 	"ewh/internal/join"
+	"ewh/internal/localjoin"
 	"ewh/internal/partition"
 	"ewh/internal/planio"
+	"ewh/internal/sample"
 	"ewh/internal/stats"
 )
 
-// This file is the stage-aware half of the runtime layer: instead of the
-// driver materializing one stage's output and re-shuffling it itself (the
-// coordinator-relay pattern), the driver hands the transport a PLAN — a
-// serializable partitioning artifact — plus relation futures, and the
-// transport decides where the intermediate lives and how it moves. Over
-// netexec this is the direct worker→worker re-shuffle: each worker routes
-// its own stage-1 matches by the plan and streams them straight to peer
-// workers, so the intermediate never transits the driver.
+// This file is the stage-aware half of the runtime layer: the driver never
+// materializes one stage's output and re-shuffles it itself; it hands the
+// transport a PLAN — a serializable partitioning artifact — plus relation
+// futures, and the transport decides where the intermediate lives and how it
+// moves. Every stage-1 worker runs the same three steps, defined here once:
+// StageMatches, StageSummary, RouteStage. Local runs them on goroutines;
+// over netexec each worker runs them and streams every share straight to its
+// peer, so the intermediate never transits the driver.
 //
 // The plan is STATS-DEFERRED, the content-sensitive planning the paper is
 // about: the transport has every stage-1 worker summarize its local matches
 // (Stats sizes the summaries), collects the summaries, calls Replan to build
-// the plan from the merged statistics, and only then broadcasts it — the
-// intermediate still never transits the driver, only its statistics
-// summaries do.
+// the plan from the merged statistics, and only then routes by it — only the
+// statistics summaries reach the driver.
 
 // StatsSpec sizes the per-worker statistics summaries of a stage plan (see
 // sample.Summarize).
@@ -43,6 +45,111 @@ type StatsSpec struct {
 	// Cap, trimming summary bytes and merge work without losing resolution
 	// where it matters. Cap remains the hard ceiling either way.
 	Adaptive bool
+}
+
+// summarize samples keys under the spec with the given sampling stream: the
+// one summary step behind window and stage summaries alike.
+func (sp StatsSpec) summarize(keys []join.Key, seed uint64) *stats.Summary {
+	cap := sp.Cap
+	if sp.Adaptive {
+		cap = sample.AdaptiveCap(len(keys), sp.Cap)
+	}
+	return sample.Summarize(keys, cap, sp.Buckets, stats.NewRNG(seed))
+}
+
+// StageMatches is a stage-1 worker's first step: join its blocks and
+// materialize each match (t1, t2) as t2's entry in the re-key column, in the
+// deterministic JoinPairs order.
+func StageMatches(r1, r2, rekey []join.Key, cond join.Condition) []join.Key {
+	matches := make([]join.Key, 0, len(r1))
+	JoinPairs(r1, r2, cond, func(chunk []PairIdx) {
+		for _, p := range chunk {
+			matches = append(matches, rekey[p.I2])
+		}
+	})
+	return matches
+}
+
+// StageSummary is the second step: sender's encoded summary of its matches,
+// sampled from a stream derived from sp.Seed and the sender.
+func StageSummary(matches []join.Key, sp StatsSpec, sender int) ([]byte, error) {
+	seed := sp.Seed + 0x517cc1b727220a95*uint64(sender+1)
+	enc, err := planio.EncodeSummary(sp.summarize(matches, seed))
+	if err != nil {
+		return nil, fmt.Errorf("statistics summary: %w", err)
+	}
+	return enc, nil
+}
+
+// RouteStage is the third step: route sender's matches by the decoded
+// stage-2 artifact on one mapper, from a stream derived from the artifact
+// seed and the sender — so every holder of the plan reproduces any sender's
+// shares, which keeps each stage-2 worker's input deterministic.
+func RouteStage(matches []join.Key, art *planio.Artifact, sender int) *KeyShuffle {
+	seed := art.Seed + 0x9e3779b97f4a7c15*uint64(sender+1)
+	return ShuffleKeys(matches, art.Scheme, 1, Config{Seed: seed, Mappers: 1})
+}
+
+// RunStages implements StageRuntime in process with the pipeline a session's
+// workers run: every stage-1 worker takes the three steps above, Replan sees
+// the summaries once, and every stage-2 worker holds its share of next.R2
+// resident and probes each sender's share against it, as a peer-fed worker
+// job does.
+func (Local) RunStages(first *Job, next *PlanJob, wm1, wm2 []WorkerMetrics) (int64, error) {
+	if first.Pairs != nil {
+		return 0, fmt.Errorf("exec: a stage pipeline's first job cannot stream pairs")
+	}
+	if next.Stats == nil || next.Replan == nil {
+		return 0, fmt.Errorf("exec: stage plan without a statistics spec and a replan function")
+	}
+	r1, r2 := first.R1.Wait(), first.R2.Wait()
+	if r2.Rekey == nil {
+		return 0, fmt.Errorf("exec: stage pipeline without relation 2's re-key column")
+	}
+	j1 := first.Workers
+	matches, sums, errs := make([][]join.Key, j1), make([][]byte, j1), make([]error, j1)
+	forWorkers(j1, func(w int) {
+		in1, in2 := r1.Keys.Worker(w), r2.Keys.Worker(w)
+		matches[w] = StageMatches(in1, in2, r2.Rekey.Worker(w), first.Cond)
+		wm1[w] = WorkerMetrics{InputR1: int64(len(in1)), InputR2: int64(len(in2)), Output: int64(len(matches[w]))}
+		sums[w], errs[w] = StageSummary(matches[w], *next.Stats, w)
+	})
+	if err := errors.Join(errs...); err != nil {
+		return 0, err
+	}
+	plan, j2, err := next.Replan(sums)
+	if err != nil {
+		return 0, err
+	}
+	art, err := planio.Decode(plan)
+	if err != nil {
+		return 0, fmt.Errorf("exec: stage-2 plan: %w", err)
+	}
+	if j2 < 1 || j2 > len(wm2) || art.Scheme.Workers() != j2 {
+		return 0, fmt.Errorf("exec: stage-2 plan routes to %d workers, replan reported %d, bound %d",
+			art.Scheme.Workers(), j2, len(wm2))
+	}
+	routed := make([]*KeyShuffle, j1)
+	forWorkers(j1, func(w int) { routed[w] = RouteStage(matches[w], art, w) })
+	r3 := next.R2.Wait()
+	forWorkers(j2, func(p int) {
+		m, res := &wm2[p], localjoin.NewResident(next.Cond, false)
+		m.InputR2 = sealChunks(res, r3.Chunks.Worker(p))
+		for _, ks := range routed {
+			share := ks.Worker(p)
+			n, _ := res.ProbeCount(share, true)
+			m.InputR1 += int64(len(share))
+			m.Output += n
+		}
+		n, _ := res.ProbeCount(nil, false)
+		m.Output += n
+	})
+	var inter int64
+	for w, ks := range routed {
+		ks.Release()
+		inter += wm1[w].Output
+	}
+	return inter, nil
 }
 
 // PlanJob hands a transport a downstream join stage as a plan rather than
@@ -79,10 +186,11 @@ type PlanJob struct {
 
 // StageRuntime is an optional Runtime extension implemented by transports
 // that can re-shuffle one job's materialized matches directly between their
-// workers. The first job's second relation carries its companion as the
-// re-key column (RelData.Rekey): a stage-1 match (t1, t2) materializes as t2's
-// entry in it, which is exactly how the multiway pipeline re-keys its
-// intermediate on the next join attribute.
+// workers: Local, and a netexec session over its peer mesh. The first job's
+// second relation carries its companion as the re-key column (RelData.Rekey):
+// a stage-1 match (t1, t2) materializes as t2's entry in it, which is exactly
+// how the multiway pipeline re-keys its intermediate on the next join
+// attribute.
 type StageRuntime interface {
 	Runtime
 	// RunStages executes first (count-only; first.Pairs must be nil), routes
@@ -225,7 +333,7 @@ func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 		return nil, nil, fmt.Errorf("exec: transport completed a stage pipeline without replanning")
 	}
 	res2.Workers = res2.Workers[:scheme2.Workers()]
-	res2.Scheme = scheme2.Name() + "@peer"
+	res2.Scheme = scheme2.Name() + rt.Label()
 	finishResult(res1, model, start)
 	finishResult(res2, model, start)
 	if inter != res1.Output {

@@ -6,7 +6,6 @@ import (
 
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
-	"ewh/internal/sample"
 	"ewh/internal/stats"
 )
 
@@ -87,12 +86,7 @@ func SummarizeWindow(keys []join.Key, sp StatsSpec, worker int, window uint32) *
 	if len(keys) == 0 {
 		return nil
 	}
-	cap := sp.Cap
-	if sp.Adaptive {
-		cap = sample.AdaptiveCap(len(keys), sp.Cap)
-	}
-	return sample.Summarize(keys, cap, sp.Buckets,
-		stats.NewRNG(StreamSummarySeed(sp.Seed, worker, window)))
+	return sp.summarize(keys, StreamSummarySeed(sp.Seed, worker, window))
 }
 
 // LocalStreamRuntime hosts stream jobs in-process: one state slot per

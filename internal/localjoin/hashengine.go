@@ -169,9 +169,8 @@ func putPartScratch(s []join.Key) {
 }
 
 // partitionRuns radix-partitions keys by their partitioning digit into
-// scratch (a stable counting scatter — arrival order is preserved within
-// each partition, the property the pair layer's ordering rests on) and
-// returns the per-partition end offsets. Run d occupies
+// scratch (a stable counting scatter: arrival order is preserved within
+// each partition) and returns the per-partition end offsets. Run d occupies
 // scratch[off[d]-count[d] : off[d]].
 func partitionRuns(keys, scratch []join.Key) (off [enginePartitions]int32) {
 	var count [enginePartitions]int32
@@ -282,133 +281,4 @@ func (b *Build) ProbeCount(keys []join.Key) int64 {
 	}
 	putPartScratch(scratch)
 	return out
-}
-
-// PairTable is the deterministic pair-ordering layer of the hash engine: an
-// immutable index over one relation's keys mapping each key to its arrival
-// indices in ascending order. For a pure-equality condition every partner of
-// an R1 key shares that key, so "partners ascend by (key, arrival index)" —
-// exec.JoinPairs' contract — degenerates to "arrival indices ascending",
-// which is exactly the order each group stores. Built in two stable
-// counting passes per partition; construction is single-threaded and the
-// result is immutable, so lookups need no synchronization.
-type PairTable struct {
-	parts [enginePartitions]pairPart
-}
-
-// pairPart indexes one partition: an open-addressing table from key to
-// group id, and the flattened ascending index groups.
-type pairPart struct {
-	keys []join.Key // slot -> key
-	gid  []int32    // slot -> group id; -1 empty
-	off  []int32    // group -> start in idx; len = groups+1
-	idx  []uint32   // arrival indices, grouped by key, ascending per group
-}
-
-// NewPairTable indexes keys (arrival order) for Partners lookups.
-func NewPairTable(keys []join.Key) *PairTable {
-	t := &PairTable{}
-	if len(keys) == 0 {
-		return t
-	}
-	// Stable radix scatter of (key, arrival index) pairs, as in Build.
-	skeys := getPartScratch(len(keys))
-	sidx := make([]uint32, len(keys))
-	var count [enginePartitions]int32
-	for _, k := range keys {
-		count[keysort.Digit(k, partShift)]++
-	}
-	var off [enginePartitions]int32
-	var sum int32
-	for d := range off {
-		off[d] = sum
-		sum += count[d]
-	}
-	pos := off
-	for i, k := range keys {
-		d := keysort.Digit(k, partShift)
-		skeys[pos[d]] = k
-		sidx[pos[d]] = uint32(i)
-		pos[d]++
-	}
-	for d := range t.parts {
-		if count[d] == 0 {
-			continue
-		}
-		lo, hi := off[d], off[d]+count[d]
-		t.parts[d].build(skeys[lo:hi], sidx[lo:hi])
-	}
-	putPartScratch(skeys)
-	return t
-}
-
-// build fills one partition from its arrival-ordered (key, index) run.
-func (p *pairPart) build(keys []join.Key, idx []uint32) {
-	cap := 16
-	for 3*len(keys) >= 2*cap { // load factor 2/3
-		cap *= 2
-	}
-	p.keys = make([]join.Key, cap)
-	p.gid = make([]int32, cap)
-	for i := range p.gid {
-		p.gid[i] = -1
-	}
-	mask := uint64(cap - 1)
-	groups := int32(0)
-	gcount := make([]int32, 0, len(keys))
-	slotOf := make([]int32, len(keys)) // run position -> slot, reused in pass 2
-	for i, k := range keys {
-		h := hashKey(k) & mask
-		for {
-			g := p.gid[h]
-			if g == -1 {
-				p.keys[h] = k
-				p.gid[h] = groups
-				gcount = append(gcount, 1)
-				groups++
-				break
-			}
-			if p.keys[h] == k {
-				gcount[g]++
-				break
-			}
-			h = (h + 1) & mask
-		}
-		slotOf[i] = int32(h)
-	}
-	p.off = make([]int32, groups+1)
-	var sum int32
-	for g, c := range gcount {
-		p.off[g] = sum
-		sum += c
-		gcount[g] = 0 // reused as per-group fill cursor
-	}
-	p.off[groups] = sum
-	p.idx = make([]uint32, len(idx))
-	for i, s := range slotOf {
-		g := p.gid[s]
-		p.idx[p.off[g]+gcount[g]] = idx[i]
-		gcount[g]++
-	}
-}
-
-// Partners returns k's arrival indices in ascending order (nil when k is
-// absent). The slice aliases the table; callers must not mutate it.
-func (t *PairTable) Partners(k join.Key) []uint32 {
-	p := &t.parts[keysort.Digit(k, partShift)]
-	if len(p.keys) == 0 {
-		return nil
-	}
-	mask := uint64(len(p.keys) - 1)
-	h := hashKey(k) & mask
-	for {
-		g := p.gid[h]
-		if g == -1 {
-			return nil
-		}
-		if p.keys[h] == k {
-			return p.idx[p.off[g]:p.off[g+1]]
-		}
-		h = (h + 1) & mask
-	}
 }

@@ -142,33 +142,3 @@ func TestConcurrentBuildProbe(t *testing.T) {
 		t.Fatalf("sealed ProbeCount = %d, want %d", got, full)
 	}
 }
-
-// TestPairTablePartners checks the ordering layer against a reference index:
-// every key's partner list is exactly its arrival indices, ascending.
-func TestPairTablePartners(t *testing.T) {
-	keys := append(dupHeavyKeys(500, 70), signedKeys(200, 71)...)
-	tab := NewPairTable(keys)
-	want := make(map[join.Key][]uint32)
-	for i, k := range keys {
-		want[k] = append(want[k], uint32(i))
-	}
-	for k, w := range want {
-		got := tab.Partners(k)
-		if len(got) != len(w) {
-			t.Fatalf("Partners(%d) = %v, want %v", k, got, w)
-		}
-		for i := range w {
-			if got[i] != w[i] {
-				t.Fatalf("Partners(%d) = %v, want %v", k, got, w)
-			}
-		}
-	}
-	for _, absent := range []join.Key{1 << 40, -(1 << 40), 12345} {
-		if _, ok := want[absent]; !ok && tab.Partners(absent) != nil {
-			t.Fatalf("Partners(%d) = %v for an absent key", absent, tab.Partners(absent))
-		}
-	}
-	if NewPairTable(nil).Partners(0) != nil {
-		t.Fatal("empty table returned partners")
-	}
-}

@@ -1,6 +1,7 @@
 package multiway
 
 import (
+	"strings"
 	"testing"
 
 	"ewh/internal/core"
@@ -151,5 +152,18 @@ func TestMixedConditions(t *testing.T) {
 	}
 	if want := bruteForce3Way(q); res.Output != want {
 		t.Fatalf("mixed 3-way output %d, want %d", res.Output, want)
+	}
+}
+
+// plainRuntime offers exec.Runtime alone, hiding Local's stage pipeline.
+type plainRuntime struct{ exec.Runtime }
+
+// TestExecuteOverNeedsStageRuntime: there is no second strategy to fall back
+// to, so a runtime without RunStages is refused by name.
+func TestExecuteOverNeedsStageRuntime(t *testing.T) {
+	_, err := ExecuteOver(plainRuntime{exec.Local{}}, randQuery(50, 11),
+		core.Options{J: 2, Model: cost.DefaultBand}, exec.Config{})
+	if err == nil || !strings.Contains(err.Error(), "multiway.plainRuntime") {
+		t.Fatalf("err = %v, want one naming the runtime type multiway.plainRuntime", err)
 	}
 }

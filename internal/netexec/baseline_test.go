@@ -499,7 +499,7 @@ func feedTableKinds(t *testing.T, w *Worker) []feedKind {
 			name: "stream", want: 5,
 			open: func(bw *bufio.Writer) error {
 				return writeV3GobFrame(bw, frameV3StreamOpen, feedJob,
-					streamOpen{Cond: spec, StatsCap: 64, StatsBuckets: 8, StatsSeed: 1})
+					streamOpen{Cond: spec, Stats: exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 1}})
 			},
 			head: func(*bufio.Writer, int) error { return nil },
 			keys: func(bw *bufio.Writer, side int, keys []join.Key) error {

@@ -39,6 +39,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
 )
@@ -83,9 +84,8 @@ type jobOpen struct {
 // planSpec rides two frames of a stage-1 plan job, whose matches feed the
 // stage-2 plan instead of streaming back as pairs. The frameV3Plan beside
 // the job is a statistics request: it leaves Plan and Peers empty, and the
-// worker joins, summarizes its matches (StatsCap/StatsBuckets/StatsSeed size
-// the summary; the per-sender sampling stream derives from StatsSeed and the
-// worker id), ships the summary in a frameV3Stats and waits. The frameV3Plan2
+// worker joins, summarizes its matches under Stats (exec.StageSummary),
+// ships the summary in a frameV3Stats and waits. The frameV3Plan2
 // that answers it carries the plan: Plan is a planio-encoded artifact
 // (scheme + routing seed); Peers is the stage-2 worker address map; Self is
 // this worker's own index in Peers (-1 when it hosts no stage-2 worker), so
@@ -95,14 +95,7 @@ type planSpec struct {
 	Plan  []byte
 	Peers []string
 	Self  int
-
-	StatsCap     int
-	StatsBuckets int
-	StatsSeed    uint64
-	// StatsAdaptive lets the worker shrink its sample cap below StatsCap
-	// when its local match count is small (sample.AdaptiveCap); StatsCap
-	// stays the hard ceiling.
-	StatsAdaptive bool
+	Stats exec.StatsSpec
 }
 
 // peerJobOpen opens a stage-2 job whose relation 1 arrives from peer workers

@@ -238,6 +238,39 @@ func TestControlFrameBound(t *testing.T) {
 		}
 		assertNoJobsBegun(t, ws[0])
 	})
+	t.Run("stalled headers", func(t *testing.T) {
+		// Every control frame a worker reads past the opens, each declaring
+		// the largest payload the bound admits and then sending nothing: the
+		// worker buffers what arrived, not what was declared (it used to
+		// allocate the whole 32 MiB per header up front).
+		_, addrs := startWorkerSet(t, 1)
+		spec, err := join.SpecOf(join.Equi{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		types := []byte{frameV3Hello, frameV3Plan, frameV3Plan2, frameV3PeerBind, frameV3PlanCancel}
+		for _, typ := range types {
+			bw, _ := dialV3(t, addrs[0])
+			if typ == frameV3Plan { // a PLAN is read only for an open job
+				if err := writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := errors.Join(writeV3FrameHeader(bw, typ, 1, maxControlPayload), bw.Flush()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const bound = 16 << 20 // the five headers declare 160 MiB
+		for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); {
+			time.Sleep(10 * time.Millisecond)
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= bound {
+				t.Fatalf("%d stalled control headers made the process allocate %d bytes", len(types), grew)
+			}
+		}
+	})
 	t.Run("open over its bound", func(t *testing.T) {
 		// A deeply nested condition in an open used to overflow the worker's
 		// stack inside gob. Refused unread, it ends only its own connection.

@@ -49,19 +49,6 @@ func newPeerToken() uint64 {
 	return peerTokenBase + peerTokenCtr.Add(1)
 }
 
-// peerSenderSeed derives sender s's deterministic routing stream from the
-// artifact seed: every holder of the plan can reproduce any sender's routing
-// decisions, which is what makes each stage-2 worker's input deterministic.
-func peerSenderSeed(artifactSeed uint64, sender int) uint64 {
-	return artifactSeed + 0x9e3779b97f4a7c15*uint64(sender+1)
-}
-
-// statsSenderSeed derives sender s's deterministic summary-sampling stream
-// from the broadcast statistics seed, decorrelated from the routing streams.
-func statsSenderSeed(statsSeed uint64, sender int) uint64 {
-	return statsSeed + 0x517cc1b727220a95*uint64(sender+1)
-}
-
 // peerTokenDead reports whether a transfer token is already cancelled or
 // failed — what lets a plan job honor a cancel that raced
 // ahead of its parking. Both cancellation records are consulted: the token

@@ -316,7 +316,7 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 			token := newPeerToken()
 			if c.plan {
 				err = errors.Join(err, writeV3GobFrame(bw, frameV3Plan, 1,
-					planSpec{Token: token, StatsCap: 8, StatsBuckets: 4}))
+					planSpec{Token: token, Stats: exec.StatsSpec{Cap: 8, Buckets: 4}}))
 			}
 			err = errors.Join(err, c.send(bw), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
 			if err != nil {

@@ -16,8 +16,6 @@ import (
 	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/planio"
-	"ewh/internal/sample"
-	"ewh/internal/stats"
 )
 
 // This file is the worker side of the session protocol: one read loop per
@@ -496,8 +494,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			// the error. A stream holds no admission slot: the goroutine
 			// acquires one around each window's probe instead, so an idle
 			// stream never starves the fair scheduler.
-			j.stream = newSessStream(j, exec.StatsSpec{Cap: so.StatsCap, Buckets: so.StatsBuckets,
-				Seed: so.StatsSeed, Adaptive: so.StatsAdaptive}, 0, 0)
+			j.stream = newSessStream(j, so.Stats, 0, 0)
 
 		case frameV3Plan:
 			j := ws.jobs[id]
@@ -937,16 +934,9 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64
 		return 0, nil, fmt.Errorf("plan job without relation 2's re-key column")
 	}
 
-	// Materialize in the deterministic pair order (R1 arrival order, partners
-	// ascending by key then arrival) — the same order the relay path's
-	// coordinator-side emission observes, so the two paths' intermediates are
-	// tuple-for-tuple identical.
-	inter := make([]join.Key, 0, r1.n)
-	out := exec.JoinPairs(r1.keys, r2.keys, j.cond, func(chunk []exec.PairIdx) {
-		for _, p := range chunk {
-			inter = append(inter, rekey.keys[p.I2])
-		}
-	})
+	// The three stage-1 steps exec.Local runs too: materialize, summarize,
+	// and (after the park below) route.
+	inter := exec.StageMatches(r1.keys, r2.keys, rekey.keys, j.cond)
 	// Per-tenant intermediate quota: the stage-1 match materialization is the
 	// one allocation the relation heads could not announce, so it is checked
 	// against the tenant's budget the moment its size is known.
@@ -955,16 +945,9 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64
 			ws.tenant, len(inter), lim)
 	}
 	sender := j.workerID
-
-	statsCap := ps.StatsCap
-	if ps.StatsAdaptive {
-		statsCap = sample.AdaptiveCap(len(inter), ps.StatsCap)
-	}
-	sum := sample.Summarize(inter, statsCap, ps.StatsBuckets,
-		stats.NewRNG(statsSenderSeed(ps.StatsSeed, sender)))
-	enc, err := planio.EncodeSummary(sum)
+	enc, err := exec.StageSummary(inter, ps.Stats, sender)
 	if err != nil {
-		return 0, nil, fmt.Errorf("statistics summary: %w", err)
+		return 0, nil, err
 	}
 	// Park BEFORE the summary leaves, then honor any tombstone a racing
 	// cancel may already have left: between those two steps every cancel
@@ -1016,8 +999,7 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64
 	if j2 != len(ps.Peers) {
 		return 0, nil, fmt.Errorf("stage-2 plan routes to %d workers, address map has %d", j2, len(ps.Peers))
 	}
-	ks := exec.ShuffleKeys(inter, art.Scheme, 1,
-		exec.Config{Seed: peerSenderSeed(art.Seed, sender), Mappers: 1})
+	ks := exec.RouteStage(inter, art, sender)
 	defer ks.Release()
 	counts := make([]int64, j2)
 	for p := 0; p < j2; p++ {
@@ -1037,5 +1019,5 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64
 				&peerFaultError{addr: ps.Peers[p], err: err})
 		}
 	}
-	return out, counts, nil
+	return int64(len(inter)), counts, nil
 }

@@ -195,9 +195,7 @@ func (st *stagePipe) runStage1(spec1 join.Spec, first *exec.Job,
 	jobs := make([]*subJob, j1)
 	sums := make([][]byte, j1)
 	err := fanOut(j1, func(w int) (err error) {
-		ps := planSpec{Token: st.token, StatsCap: next.Stats.Cap,
-			StatsBuckets: next.Stats.Buckets, StatsSeed: next.Stats.Seed,
-			StatsAdaptive: next.Stats.Adaptive}
+		ps := planSpec{Token: st.token, Stats: *next.Stats}
 		jobs[w], sums[w], err = s.conns[w].openStatsStageJob(st.id1, w, spec1, &ps, first)
 		return err
 	})

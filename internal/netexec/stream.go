@@ -49,13 +49,7 @@ func (s *Session) OpenStream(spec exec.StreamSpec) (exec.StreamHandle, error) {
 		return nil, err
 	}
 	st := &Stream{id: s.ids.Add(1), conns: make([]*streamConn, 0, len(s.conns))}
-	so := streamOpen{
-		Cond:          js,
-		StatsCap:      spec.Stats.Cap,
-		StatsBuckets:  spec.Stats.Buckets,
-		StatsSeed:     spec.Stats.Seed,
-		StatsAdaptive: spec.Stats.Adaptive,
-	}
+	so := streamOpen{Cond: js, Stats: spec.Stats}
 	for w, c := range s.conns {
 		j, err := c.open("stream", st.id, w, &jobHandler{wins: make(chan streamWinReply, streamRepCap)})
 		if err == nil {

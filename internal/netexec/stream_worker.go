@@ -46,12 +46,8 @@ import (
 type streamOpen struct {
 	WorkerID int
 	Cond     join.Spec
-	// StatsCap/StatsBuckets/StatsSeed/StatsAdaptive size the per-window
-	// summaries, same vocabulary as planSpec's stats fields.
-	StatsCap      int
-	StatsBuckets  int
-	StatsSeed     uint64
-	StatsAdaptive bool
+	// Stats sizes the per-window summaries (exec.SummarizeWindow).
+	Stats exec.StatsSpec
 }
 
 // streamWinReply answers one window's end frame (rides frameV3StreamRep as

@@ -271,15 +271,31 @@ func writeV3GobFrame(w io.Writer, typ byte, job uint32, v any) error {
 	return err
 }
 
+// controlReadAhead is the most readControlPayload allocates ahead of the
+// payload bytes that have arrived.
+const controlReadAhead = 64 << 10
+
 // readControlPayload buffers a control frame's n payload bytes (already past
-// the frame header), refusing over maxControlPayload before it allocates.
+// the frame header), refusing over maxControlPayload before it allocates. The
+// buffer starts at min(n, controlReadAhead) and doubles only as bytes arrive,
+// so a stalled header costs what was sent, not what it declared; a small
+// frame still gets one exactly sized buffer.
 func readControlPayload(r io.Reader, n int) ([]byte, error) {
 	if n > maxControlPayload {
 		return nil, fmt.Errorf("control frame payload %d exceeds limit %d", n, maxControlPayload)
 	}
-	payload := make([]byte, n)
-	_, err := io.ReadFull(r, payload)
-	return payload, err
+	payload := make([]byte, 0, min(n, controlReadAhead))
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			payload = append(make([]byte, 0, len(payload)+min(len(payload), n-len(payload))), payload...)
+		}
+		m, err := io.ReadFull(r, payload[len(payload):cap(payload)])
+		if err != nil {
+			return nil, err
+		}
+		payload = payload[:len(payload)+m]
+	}
+	return payload, nil
 }
 
 // readGobPayload decodes a control frame's n payload bytes into v.

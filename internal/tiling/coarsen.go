@@ -14,23 +14,16 @@ import (
 	"ewh/internal/matrix"
 )
 
-// CoarsenOptions control the grid search.
-type CoarsenOptions struct {
-	// MaxIters bounds the row/column alternation rounds (default 3).
-	MaxIters int
-	// Probes bounds the binary-search iterations per 1D optimization
-	// (default 40).
-	Probes int
-}
+// CoarsenOptions has no settings: it is kept only because the benchmark
+// module constructs it.
+type CoarsenOptions struct{}
 
-func (o *CoarsenOptions) defaults() {
-	if o.MaxIters <= 0 {
-		o.MaxIters = 3
-	}
-	if o.Probes <= 0 {
-		o.Probes = 40
-	}
-}
+const (
+	// coarsenRounds bounds the row/column alternation rounds.
+	coarsenRounds = 3
+	// coarsenProbes bounds the binary-search iterations per 1D optimization.
+	coarsenProbes = 40
+)
 
 // CoarsenGrid chooses row and column cuts imposing an at-most nc×nc grid over
 // the sample matrix, minimizing the maximum grid-cell weight (§III-B). The
@@ -42,8 +35,7 @@ func (o *CoarsenOptions) defaults() {
 //
 // The returned cut vectors have at most nc+1 entries each and always start
 // at 0 and end at sm.Rows / sm.Cols.
-func CoarsenGrid(sm *matrix.Sample, nc int, model cost.Model, opts CoarsenOptions) (rowCuts, colCuts []int) {
-	opts.defaults()
+func CoarsenGrid(sm *matrix.Sample, nc int, model cost.Model, _ CoarsenOptions) (rowCuts, colCuts []int) {
 	if nc < 1 {
 		nc = 1
 	}
@@ -55,9 +47,9 @@ func CoarsenGrid(sm *matrix.Sample, nc int, model cost.Model, opts CoarsenOption
 
 	best := gridMaxCellWeight(sm, rowCuts, colCuts, model)
 	bestRows, bestCols := rowCuts, colCuts
-	for it := 0; it < opts.MaxIters; it++ {
-		rowCuts = optimizeDim(sm, colCuts, nc, model, opts.Probes, false)
-		colCuts = optimizeDim(sm, rowCuts, nc, model, opts.Probes, true)
+	for it := 0; it < coarsenRounds; it++ {
+		rowCuts = optimizeDim(sm, colCuts, nc, model, false)
+		colCuts = optimizeDim(sm, rowCuts, nc, model, true)
 		cur := gridMaxCellWeight(sm, rowCuts, colCuts, model)
 		if cur < best {
 			best, bestRows, bestCols = cur, rowCuts, colCuts
@@ -104,10 +96,10 @@ func gridMaxCellWeight(sm *matrix.Sample, rowCuts, colCuts []int, model cost.Mod
 // optimizeDim chooses cuts along one dimension given fixed bands on the
 // other: binary search the smallest threshold T for which the greedy sweep
 // needs at most nc bands, then return that sweep's cuts.
-func optimizeDim(sm *matrix.Sample, otherCuts []int, nc int, model cost.Model, probes int, transpose bool) []int {
+func optimizeDim(sm *matrix.Sample, otherCuts []int, nc int, model cost.Model, transpose bool) []int {
 	sw := newSweeper(sm, otherCuts, transpose)
 	lo, hi := 0.0, sm.TotalWeight(model)+1
-	for p := 0; p < probes && hi-lo > 1e-9*(hi+1); p++ {
+	for p := 0; p < coarsenProbes && hi-lo > 1e-9*(hi+1); p++ {
 		mid := (lo + hi) / 2
 		if cuts := sw.sweep(model, mid, nc); cuts != nil {
 			hi = mid

@@ -28,26 +28,20 @@ func (r Region) String() string {
 		r.Rect.R0, r.Rect.R1, r.Rect.C0, r.Rect.C1, r.RowLo, r.RowHi, r.ColLo, r.ColHi, r.Weight)
 }
 
-// RegionalizeOptions tune the binary search over the maximum region weight.
-type RegionalizeOptions struct {
-	// Probes bounds the δ binary-search iterations (default 40, giving a
-	// relative resolution far below the scheme's sampling error).
-	Probes int
-}
+// RegionalizeOptions has no settings: it is kept only because the benchmark
+// module constructs it.
+type RegionalizeOptions struct{}
 
-func (o *RegionalizeOptions) defaults() {
-	if o.Probes <= 0 {
-		o.Probes = 40
-	}
-}
+// regionalizeProbes bounds the δ binary-search iterations, giving a relative
+// resolution far below the scheme's sampling error.
+const regionalizeProbes = 40
 
 // Regionalize builds the equi-weight histogram MH: at most j rectangular
 // regions over the coarsened matrix minimizing the maximum region weight δ,
 // via binary search over δ around the BSP dual (§III-C). It returns the
 // regions with key ranges and weights filled in; an empty slice means the
 // join produces no output (no candidate cells).
-func Regionalize(d *matrix.Dense, model cost.Model, j int, opts RegionalizeOptions) ([]Region, error) {
-	opts.defaults()
+func Regionalize(d *matrix.Dense, model cost.Model, j int, _ RegionalizeOptions) ([]Region, error) {
 	if j < 1 {
 		return nil, fmt.Errorf("tiling: j = %d < 1", j)
 	}
@@ -72,7 +66,7 @@ func Regionalize(d *matrix.Dense, model cost.Model, j int, opts RegionalizeOptio
 		hi = lo
 	} else {
 		bracket := lo
-		for p := 0; p < opts.Probes; p++ {
+		for p := 0; p < regionalizeProbes; p++ {
 			bracket *= 2
 			if bracket >= total {
 				bracket = total
@@ -84,7 +78,7 @@ func Regionalize(d *matrix.Dense, model cost.Model, j int, opts RegionalizeOptio
 			lo = bracket
 		}
 		hi = bracket
-		for p := 0; p < opts.Probes && hi-lo > 1e-3*hi; p++ {
+		for p := 0; p < regionalizeProbes && hi-lo > 1e-3*hi; p++ {
 			mid := lo + (hi-lo)/2
 			if solver.MinRegions(mid, j) <= j {
 				hi = mid
