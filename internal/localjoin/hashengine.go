@@ -8,13 +8,20 @@ import (
 	"ewh/internal/keysort"
 )
 
-// This file is the hash local-join engine: a partitioned radix-hash build
-// with an incremental insert API, safe for a probe goroutine running
-// concurrently with the build goroutine. The motivating shape is the
+// This file is the hash local-join engine: a multiplicity index over one
+// relation's keys with an incremental insert API, safe for a probe goroutine
+// running concurrently with the build goroutine. The motivating shape is the
 // pipelined wire (CHUNK streaming scatter): a worker can feed each decoded
 // sub-block into Insert the moment it lands instead of joining only after
 // the whole relation assembled, and a sealed Build is immutable, so many
 // jobs can probe one shared build (see BuildCache).
+//
+// A Build takes one of two forms. Every build starts dense: a direct-address
+// count array over the span of the keys inserted so far, where an insert is
+// one increment and a probe one bounds-checked load. The regions a plan
+// routes are key ranges, so a worker's block is usually dense. Once the span
+// would exceed denseSpan slots per key inserted, the build converts, once,
+// to the sparse form: a partitioned radix-hash table.
 //
 // Partitioning reuses keysort's radix digit — the low byte of the
 // sign-biased key (keysort.Digit at shift 0), the byte that varies most on
@@ -23,6 +30,8 @@ import (
 // open-addressing multiplicity table (linear probing, power-of-two capacity)
 // guarded by its own mutex while building; Seal publishes every partition
 // through a per-partition atomic flag, after which probes are lock-free.
+// The dense form is guarded by one build-level mutex until Seal publishes
+// it through the build's state; a sparse build's probes never take it.
 // Band and inequality conditions stay on the merge-sweep engine: their
 // joinable windows span partitions, which is exactly what a hash layout
 // destroys (see DESIGN.md "Local join engines").
@@ -34,6 +43,11 @@ const enginePartitions = 256
 // partShift selects the partitioning digit: the least-significant byte of
 // the sign-biased key.
 const partShift = 0
+
+// denseSpan bounds the dense form at this many count slots per key inserted.
+// At 4 B a slot that is 32 B a key, the sparse form's own worst case (12 B a
+// slot just after a doubling, at 3/8 load).
+const denseSpan = 8
 
 // EquiLike reports whether cond is a pure-equality predicate — join.Equi or
 // a zero-width band — i.e. the conditions the hash engine can serve. All
@@ -57,7 +71,7 @@ func hashKey(k join.Key) uint64 {
 	return h ^ (h >> 29)
 }
 
-// buildPart is one radix partition of a Build: an open-addressing
+// buildPart is one radix partition of a sparse Build: an open-addressing
 // multiplicity table. mult[i] == 0 marks an empty slot, so no sentinel key
 // is reserved; len(keys) is a power of two.
 type buildPart struct {
@@ -68,8 +82,8 @@ type buildPart struct {
 	used   int
 }
 
-// insertOne adds one key under the caller-held lock, growing at 3/4 load.
-func (p *buildPart) insertOne(k join.Key) {
+// insert adds m copies of k under the caller-held lock, growing at 3/4 load.
+func (p *buildPart) insert(k join.Key, m uint32) {
 	if 4*(p.used+1) > 3*len(p.keys) {
 		p.grow()
 	}
@@ -78,12 +92,12 @@ func (p *buildPart) insertOne(k join.Key) {
 	for {
 		if p.mult[h] == 0 {
 			p.keys[h] = k
-			p.mult[h] = 1
+			p.mult[h] = m
 			p.used++
 			return
 		}
 		if p.keys[h] == k {
-			p.mult[h]++
+			p.mult[h] += m
 			return
 		}
 		h = (h + 1) & mask
@@ -133,23 +147,102 @@ func (p *buildPart) lookup(k join.Key) uint32 {
 	}
 }
 
+// denseCounts is the dense form: counts[i] is the multiplicity of key base+i.
+// Offsets are taken in uint64 on the wrapping key ring, so a window near
+// either end of the int64 domain cannot overflow.
+type denseCounts struct {
+	base   join.Key
+	counts []uint32
+	lo, hi join.Key // least and greatest key inserted
+	n      uint64   // keys inserted
+}
+
+// off is k's slot offset from base: in the window exactly when below
+// len(counts).
+func (d *denseCounts) off(k join.Key) uint64 { return uint64(k) - uint64(d.base) }
+
+// add counts keys in and reports true or, when they would stretch the span
+// past denseSpan slots per key inserted, reports false and changes nothing.
+func (d *denseCounts) add(keys []join.Key) bool {
+	lo, hi := keys[0], keys[0]
+	if d.n > 0 {
+		lo, hi = d.lo, d.hi
+	}
+	for _, k := range keys {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	n := d.n + uint64(len(keys))
+	if uint64(hi)-uint64(lo) >= denseSpan*n {
+		return false
+	}
+	if size := uint64(len(d.counts)); d.off(lo) >= size || d.off(hi) >= size {
+		d.extend(lo, hi, n)
+	}
+	counts, base := d.counts, uint64(d.base)
+	for _, k := range keys {
+		counts[uint64(k)-base]++
+	}
+	d.lo, d.hi, d.n = lo, hi, n
+	return true
+}
+
+// extend reallocates the window to cover [lo, hi]. It grows by at least a
+// quarter, up to denseSpan slots per key, so keys ascending over many chunks
+// are copied at most five times each; the slack goes on the side the keys grow
+// towards. Not by half or more: the common extension is a later chunk reaching
+// just past the edges of the first, and the slack stays empty.
+func (d *denseCounts) extend(lo, hi join.Key, n uint64) {
+	size := max(uint64(hi)-uint64(lo)+1, min(uint64(len(d.counts))*5/4, denseSpan*n))
+	base := lo
+	if d.n > 0 && lo < d.lo {
+		base = join.Key(uint64(hi) - (size - 1))
+	}
+	counts := make([]uint32, size)
+	if d.n > 0 {
+		from := d.off(d.lo)
+		copy(counts[uint64(d.lo)-uint64(base):], d.counts[from:from+uint64(d.hi)-uint64(d.lo)+1])
+	}
+	d.base, d.counts = base, counts
+}
+
+// probe sums the multiplicities of keys; a key outside the window counts 0.
+func (d *denseCounts) probe(keys []join.Key) (out int64) {
+	counts, base := d.counts, uint64(d.base)
+	for _, k := range keys {
+		if i := uint64(k) - base; i < uint64(len(counts)) {
+			out += int64(counts[i])
+		}
+	}
+	return out
+}
+
+// The forms of a Build, as its state.
+const (
+	stateDense       uint32 = iota // dense, still inserting: under mu
+	stateDenseSealed               // dense and immutable: probes take no lock
+	stateSparse                    // the partitioned hash table in parts
+)
+
 // Build is an incrementally built multiplicity index over one relation's
 // keys: Insert accepts each arriving chunk, ProbeCount runs against
 // whatever has been inserted so far (concurrently with further inserts),
 // and Seal publishes the finished immutable build for lock-free probes and
 // cache sharing.
 type Build struct {
-	parts [enginePartitions]buildPart
-	bytes int64 // set by Seal
+	state atomic.Uint32
+	mu    sync.Mutex                   // guards dense while the state is stateDense
+	dense denseCounts                  // the dense form
+	parts *[enginePartitions]buildPart // the sparse form, from toSparse on
+	bytes int64                        // set by Seal
 }
 
-// NewBuild returns an empty build. Partitions allocate lazily, so an empty
-// or tiny relation costs almost nothing.
+// NewBuild returns an empty build, in the dense form. Its tables allocate as
+// keys arrive, so an empty or tiny relation costs almost nothing.
 func NewBuild() *Build { return &Build{} }
 
 // MemBytes estimates the build's retained table bytes — the unit BuildCache
 // budgets in. Call after Seal.
-func (b *Build) MemBytes() int64 { return b.bytes + int64(len(b.parts))*8 }
+func (b *Build) MemBytes() int64 { return b.bytes }
 
 // partScratchPool recycles the chunk-partitioning scratch buffers.
 var partScratchPool sync.Pool // stores *[]join.Key
@@ -196,7 +289,9 @@ func partitionRuns(keys, scratch []join.Key) (off [enginePartitions]int32) {
 
 // Insert adds one chunk of build-side keys. It may be called once with the
 // whole relation or repeatedly with arriving sub-blocks; chunk boundaries do
-// not affect the finished build. The chunk is radix-partitioned first, so
+// not affect what the finished build counts. A dense build counts the chunk
+// in under its lock, or converts to the sparse form first when the chunk
+// would leave it too sparse. A sparse build radix-partitions the chunk, so
 // each touched partition's lock is taken once per chunk, not once per key.
 // Insert is safe to run concurrently with ProbeCount (but not with
 // another Insert — one build goroutine owns the insert side, matching one
@@ -204,6 +299,15 @@ func partitionRuns(keys, scratch []join.Key) (off [enginePartitions]int32) {
 func (b *Build) Insert(keys []join.Key) {
 	if len(keys) == 0 {
 		return
+	}
+	if b.state.Load() == stateDense {
+		b.mu.Lock()
+		fits := b.dense.add(keys)
+		b.mu.Unlock()
+		if fits {
+			return
+		}
+		b.toSparse()
 	}
 	scratch := getPartScratch(len(keys))
 	off := partitionRuns(keys, scratch)
@@ -216,7 +320,7 @@ func (b *Build) Insert(keys []join.Key) {
 		p := &b.parts[d]
 		p.mu.Lock()
 		for _, k := range scratch[lo:hi] {
-			p.insertOne(k)
+			p.insert(k, 1)
 		}
 		p.mu.Unlock()
 		lo = hi
@@ -224,24 +328,53 @@ func (b *Build) Insert(keys []join.Key) {
 	putPartScratch(scratch)
 }
 
-// Seal publishes the build: every partition's table is flushed under its
-// lock and its sealed flag set, after which probes skip the locks entirely
-// and the build is immutable — the publication contract that lets a sealed
-// build be shared by any number of concurrent probers (and cached across
-// jobs). Sealing an already-sealed build is a no-op.
-func (b *Build) Seal() {
-	var bytes int64
-	for i := range b.parts {
-		p := &b.parts[i]
-		p.mu.Lock()
-		bytes += int64(cap(p.keys))*8 + int64(cap(p.mult))*4
-		p.sealed.Store(true)
-		p.mu.Unlock()
+// toSparse converts a dense build to the sparse form, inserting each distinct
+// key once with its multiplicity. No prober sees the partitions before the
+// state says sparse. A no-op on a build already sparse.
+func (b *Build) toSparse() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state.Load() != stateDense {
+		return
 	}
-	b.bytes = bytes
+	parts := new([enginePartitions]buildPart)
+	for i, m := range b.dense.counts {
+		if m != 0 {
+			k := b.dense.base + join.Key(i)
+			parts[keysort.Digit(k, partShift)].insert(k, m)
+		}
+	}
+	b.parts, b.dense = parts, denseCounts{}
+	b.state.Store(stateSparse)
 }
 
-// probePart sums the multiplicities of one partition's probe run, lock-free
+// Seal publishes the build, after which probes skip the locks entirely and
+// the build is immutable — the publication contract that lets a sealed
+// build be shared by any number of concurrent probers (and cached across
+// jobs). A dense build is published by its state; a sparse one flushes every
+// partition under its lock and sets its sealed flag. Sealing an
+// already-sealed build is a no-op.
+func (b *Build) Seal() {
+	switch b.state.Load() {
+	case stateDense:
+		b.mu.Lock()
+		b.bytes = int64(cap(b.dense.counts)) * 4
+		b.state.Store(stateDenseSealed)
+		b.mu.Unlock()
+	case stateSparse:
+		bytes := int64(len(b.parts)) * 8
+		for i := range b.parts {
+			p := &b.parts[i]
+			p.mu.Lock()
+			bytes += int64(cap(p.keys))*8 + int64(cap(p.mult))*4
+			p.sealed.Store(true)
+			p.mu.Unlock()
+		}
+		b.bytes = bytes
+	}
+}
+
+// probeRun sums the multiplicities of one partition's probe run, lock-free
 // once the partition sealed.
 func (p *buildPart) probeRun(run []join.Key) int64 {
 	var out int64
@@ -261,11 +394,23 @@ func (p *buildPart) probeRun(run []join.Key) int64 {
 
 // ProbeCount returns the number of equi-join matches between the probe
 // chunk and the build side inserted so far: sum over probe keys of the
-// key's build multiplicity. Safe concurrently with Insert; against a
-// partition that has sealed (all of them, after Seal) it takes no locks.
+// key's build multiplicity. Safe concurrently with Insert; after Seal it
+// takes no locks, and a sparse build's probe never takes the dense form's.
 func (b *Build) ProbeCount(keys []join.Key) int64 {
 	if len(keys) == 0 {
 		return 0
+	}
+	state := b.state.Load()
+	if state == stateDense {
+		b.mu.Lock()
+		if state = b.state.Load(); state != stateSparse {
+			defer b.mu.Unlock()
+			return b.dense.probe(keys)
+		}
+		b.mu.Unlock()
+	}
+	if state == stateDenseSealed {
+		return b.dense.probe(keys)
 	}
 	scratch := getPartScratch(len(keys))
 	off := partitionRuns(keys, scratch)

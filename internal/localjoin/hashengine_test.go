@@ -1,6 +1,7 @@
 package localjoin
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,19 @@ import (
 // the multiplicity-table stress shape.
 func dupHeavyKeys(n int, seed uint64) []join.Key {
 	return randKeys(n, 8, seed)
+}
+
+// sparseKeys draws n keys from n/2 values uniform over 2⁴⁰: a span no
+// dense Build takes. The values come from one fixed stream, so relations of
+// any seed share them and join.
+func sparseKeys(n int, seed uint64) []join.Key {
+	values := randKeys(max(n/2, 1), 1<<40, 7)
+	r := stats.NewRNG(seed)
+	out := make([]join.Key, n)
+	for i := range out {
+		out[i] = values[r.Int64n(int64(len(values)))]
+	}
+	return out
 }
 
 // signedKeys mixes negative and positive keys around zero, exercising the
@@ -82,63 +96,157 @@ func TestInsertChunkInvariance(t *testing.T) {
 	}
 }
 
-// TestProbeBeforeSeal pins incremental probing: against a part-built build,
-// ProbeCount must count exactly the inserted prefix's matches.
-func TestProbeBeforeSeal(t *testing.T) {
-	r1 := dupHeavyKeys(400, 53)
-	probe := dupHeavyKeys(300, 54)
-	b := NewBuild()
-	half := len(r1) / 2
-	b.Insert(r1[:half])
-	if got, want := b.ProbeCount(probe), NestedLoopCount(r1[:half], probe, join.Equi{}); got != want {
-		t.Fatalf("mid-build ProbeCount = %d, want %d", got, want)
+// TestDenseWindowAtTheInt64Extremes grows a dense build towards each end of
+// the int64 domain, so its slack wraps past the end: a key on the far side of
+// the wrap must count zero, not alias a slot, until inserting one converts the
+// build.
+func TestDenseWindowAtTheInt64Extremes(t *testing.T) {
+	for _, end := range []join.Key{math.MinInt64, math.MaxInt64} {
+		step, far := join.Key(1), join.Key(math.MinInt64)
+		if end == math.MinInt64 {
+			step, far = -1, math.MaxInt64
+		}
+		b := NewBuild()
+		want := map[join.Key]int64{}
+		var first []join.Key
+		for k := end - 40*step; k != end; k += step {
+			first = append(first, k, k, k)
+			want[k] = 3
+		}
+		b.Insert(first)
+		b.Insert([]join.Key{end, end, end}) // extends the window by a quarter
+		want[end] = 3
+		if b.dense.off(far) >= uint64(len(b.dense.counts)) {
+			t.Fatalf("towards %d: the window does not wrap past the end", end)
+		}
+		for _, k := range []join.Key{far, far + step, end, end - 40*step, end - 41*step} {
+			if got := b.ProbeCount([]join.Key{k}); got != want[k] {
+				t.Errorf("towards %d: dense ProbeCount(%d) = %d, want %d", end, k, got, want[k])
+			}
+		}
+		if b.state.Load() != stateDense {
+			t.Fatalf("towards %d: the build left the dense form early", end)
+		}
+		b.Insert([]join.Key{far})
+		want[far]++
+		b.Seal()
+		if b.state.Load() != stateSparse {
+			t.Fatalf("towards %d: a key at the far end did not convert the build", end)
+		}
+		for k, w := range want {
+			if got := b.ProbeCount([]join.Key{k}); got != w {
+				t.Errorf("towards %d: sparse ProbeCount(%d) = %d, want %d", end, k, got, w)
+			}
+		}
 	}
-	b.Insert(r1[half:])
-	b.Seal()
-	if got, want := b.ProbeCount(probe), NestedLoopCount(r1, probe, join.Equi{}); got != want {
-		t.Fatalf("sealed ProbeCount = %d, want %d", got, want)
+}
+
+// buildRelations are the resident relations the concurrency tests build: one
+// that stays dense, one sparse from its first chunk, and one that converts
+// halfway through.
+func buildRelations(n int, seed uint64) []struct {
+	name string
+	keys []join.Key
+} {
+	return []struct {
+		name string
+		keys []join.Key
+	}{
+		{"dense", dupHeavyKeys(n, seed)},
+		{"sparse", sparseKeys(n, seed+1)},
+		{"converting", append(dupHeavyKeys(n/2, seed+2), sparseKeys(n-n/2, seed+3)...)},
+	}
+}
+
+// probeKeys draws a probe relation that matches every buildRelations shape.
+func probeKeys(n int, seed uint64) []join.Key {
+	return append(dupHeavyKeys(n/2, seed), sparseKeys(n-n/2, seed+1)...)
+}
+
+// prefixCounts returns, for each c from 0 to the chunk count, the matches of
+// probe with the first c chunks of r1.
+func prefixCounts(r1, probe []join.Key, chunk int) []int64 {
+	mult := make(map[join.Key]int64)
+	for _, k := range probe {
+		mult[k]++
+	}
+	out := []int64{0}
+	for _, c := range chunked(r1, chunk) {
+		sum := out[len(out)-1]
+		for _, k := range c {
+			sum += mult[k]
+		}
+		out = append(out, sum)
+	}
+	return out
+}
+
+// TestProbeBeforeSeal pins incremental probing: against a part-built build,
+// ProbeCount must count exactly the inserted prefix's matches, chunk after
+// chunk, whether the build is dense, sparse or converting between them.
+func TestProbeBeforeSeal(t *testing.T) {
+	probe := probeKeys(300, 54)
+	for _, rel := range buildRelations(400, 53) {
+		const chunk = 37
+		prefix := prefixCounts(rel.keys, probe, chunk)
+		b := NewBuild()
+		for i, c := range chunked(rel.keys, chunk) {
+			b.Insert(c)
+			if got := b.ProbeCount(probe); got != prefix[i+1] {
+				t.Fatalf("%s: ProbeCount after %d chunks = %d, want %d", rel.name, i+1, got, prefix[i+1])
+			}
+		}
+		b.Seal()
+		if got, want := b.ProbeCount(probe), NestedLoopCount(rel.keys, probe, join.Equi{}); got != want {
+			t.Fatalf("%s: sealed ProbeCount = %d, want %d", rel.name, got, want)
+		}
 	}
 }
 
 // TestConcurrentBuildProbe runs a probe goroutine against a build that is
-// still inserting — the insert-while-probe contract. Under -race this is the
-// publication-safety proof; the count assertions pin monotonicity (a probe
-// never sees more matches than the full build has) and the exact final
-// count.
+// still inserting — the insert-while-probe contract — over a dense, a sparse
+// and a converting relation. Under -race this is the publication-safety
+// proof; the count assertions pin that a probe counts no less than the chunks
+// inserted before it began and no more than those begun before it ended, and
+// the exact final count.
 func TestConcurrentBuildProbe(t *testing.T) {
-	r1 := dupHeavyKeys(20000, 60)
-	probe := dupHeavyKeys(2000, 61)
-	full := NestedLoopCount(r1, probe, join.Equi{})
-
-	b := NewBuild()
-	var sealed atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
+	probe := probeKeys(2000, 61)
+	for _, rel := range buildRelations(20000, 60) {
 		const chunk = 256
-		for lo := 0; lo < len(r1); lo += chunk {
-			hi := lo + chunk
-			if hi > len(r1) {
-				hi = len(r1)
+		chunks := chunked(rel.keys, chunk)
+		prefix := prefixCounts(rel.keys, probe, chunk)
+
+		b := NewBuild()
+		var inserted atomic.Int64 // chunks whose Insert returned
+		var sealed atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, c := range chunks {
+				b.Insert(c)
+				inserted.Add(1)
 			}
-			b.Insert(r1[lo:hi])
+			b.Seal()
+			sealed.Store(true)
+		}()
+		for {
+			done := sealed.Load()
+			before := inserted.Load()
+			got := b.ProbeCount(probe)
+			after := min(inserted.Load()+1, int64(len(chunks)))
+			if got < prefix[before] || got > prefix[after] {
+				t.Errorf("%s: mid-build ProbeCount = %d, outside [%d, %d] for chunks %d to %d",
+					rel.name, got, prefix[before], prefix[after], before, after)
+				break
+			}
+			if done {
+				break
+			}
 		}
-		b.Seal()
-		sealed.Store(true)
-	}()
-	for {
-		done := sealed.Load()
-		if got := b.ProbeCount(probe); got > full {
-			t.Errorf("mid-build ProbeCount = %d exceeds full count %d", got, full)
-			break
+		wg.Wait()
+		if got, want := b.ProbeCount(probe), prefix[len(chunks)]; got != want {
+			t.Fatalf("%s: sealed ProbeCount = %d, want %d", rel.name, got, want)
 		}
-		if done {
-			break
-		}
-	}
-	wg.Wait()
-	if got := b.ProbeCount(probe); got != full {
-		t.Fatalf("sealed ProbeCount = %d, want %d", got, full)
 	}
 }

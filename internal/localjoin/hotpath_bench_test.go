@@ -1,10 +1,12 @@
 package localjoin
 
 import (
+	"slices"
 	"testing"
 
 	"ewh/internal/join"
 	"ewh/internal/keysort"
+	"ewh/internal/stats"
 	"ewh/internal/workload"
 )
 
@@ -46,8 +48,8 @@ func zipfKeys(n int, domain int64, z float64, seed uint64) []join.Key {
 // band conditions it serves, on uniform, duplicate-heavy and Zipf-skewed
 // keys. Count copies and sorts per call (the non-owning entry
 // point); CountSorted amortizes the sort outside the loop; the hash-form
-// Resident and Count are the two real engines behind exec's selection knob. (The retired
-// map-based baseline's numbers are in EXPERIMENTS.md.)
+// Resident and Count are the two engines localjoin.EquiLike chooses between.
+// (The retired map-based baseline's numbers are in EXPERIMENTS.md.)
 func BenchmarkLocalJoinEngines(b *testing.B) {
 	const n = 1 << 17
 	dists := []struct {
@@ -68,7 +70,7 @@ func BenchmarkLocalJoinEngines(b *testing.B) {
 			name string
 			run  func() int64
 		}{
-			{"equi/hash-engine", func() int64 { return residentCount(d.r1, d.r2, join.Equi{}, true, true, 0) }},
+			{"equi/hash-engine", func() int64 { return residentCount(d.r1, d.r2, join.Equi{}, formDense, true, 0) }},
 			{"equi/merge-sorted", func() int64 { return CountSorted(s1, s2, join.Equi{}) }},
 			{"equi/merge-count", func() int64 { return Count(d.r1, d.r2, join.Equi{}) }},
 			{"band/merge-sorted", func() int64 { return CountSorted(s1, s2, band) }},
@@ -85,35 +87,78 @@ func BenchmarkLocalJoinEngines(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildInsertProbe isolates the incremental API: chunked Insert
-// (the wire-arrival shape) and sealed ProbeCount, separately.
+// BenchmarkBuildInsertProbe isolates the incremental API over a key-shape
+// axis: Insert (in two chunks, a worker's sub-blocks from two mappers, unless
+// the row says otherwise) and sealed ProbeCount, separately. The zipf rows
+// differ only in arrival order; one-key is the multiplicity extreme;
+// dense-distinct stays in the dense form, as does ascending-4096, whose 256
+// chunks each extend it (the growth rule: O(n) copying, not O(n²)); sparse is
+// the hash form's row, and zipf-4096 the zipf keys in chunks too small for
+// their span, so the build converts on its first; zipf0.6-2M is
+// replay-equi-zipf's whole relation.
 func BenchmarkBuildInsertProbe(b *testing.B) {
 	const n = 1 << 17
-	r1 := zipfKeys(n, 1<<16, 0.9, 40)
-	probe := zipfKeys(n, 1<<16, 0.9, 41)
-	b.Run("insert-chunked", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+	zipf, zipfProbe := zipfKeys(n, 1<<16, 0.9, 40), zipfKeys(n, 1<<16, 0.9, 41)
+	ascending := func(keys []join.Key) []join.Key {
+		keys = slices.Clone(keys)
+		keysort.Sort(keys)
+		return keys
+	}
+	same := make([]join.Key, n)
+	for i := range same {
+		same[i] = 7
+	}
+	distinct := make([]join.Key, 1<<20)
+	for i := range distinct {
+		distinct[i] = join.Key(i)
+	}
+	shuffled := slices.Clone(distinct[:n])
+	rng := stats.NewRNG(42)
+	for i := len(shuffled) - 1; i > 0; i-- {
+		j := rng.Int64n(int64(i + 1))
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	}
+	shapes := []struct {
+		name      string
+		chunk     int // keys per Insert; 0: half the relation
+		r1, probe []join.Key
+	}{
+		{"zipf-shuffled", 0, zipf, zipfProbe},
+		{"zipf-ascending", 0, ascending(zipf), ascending(zipfProbe)},
+		{"one-key", 0, same, same},
+		{"dense-distinct", 0, shuffled, randKeys(n, n, 43)},
+		{"ascending-4096", 4096, distinct, randKeys(n, 1<<20, 44)},
+		{"sparse", 0, sparseKeys(n, 45), sparseKeys(n, 46)},
+		{"zipf-4096", 4096, zipf, zipfProbe},
+		{"zipf0.6-2M", 0, zipfKeys(2_000_000, 2_000_000, 0.6, 47), zipfKeys(2_000_000, 2_000_000, 0.6, 48)},
+	}
+	for _, s := range shapes {
+		chunk := s.chunk
+		if chunk == 0 {
+			chunk = (len(s.r1) + 1) / 2
+		}
+		build := func() *Build {
 			bld := NewBuild()
-			for lo := 0; lo < len(r1); lo += 4096 {
-				hi := lo + 4096
-				if hi > len(r1) {
-					hi = len(r1)
-				}
-				bld.Insert(r1[lo:hi])
+			for c := range slices.Chunk(s.r1, chunk) {
+				bld.Insert(c)
 			}
 			bld.Seal()
+			return bld
 		}
-	})
-	bld := NewBuild()
-	bld.Insert(r1)
-	bld.Seal()
-	b.Run("probe-sealed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sink = bld.ProbeCount(probe)
-		}
-	})
+		b.Run(s.name+"/insert", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				build()
+			}
+		})
+		bld := build()
+		b.Run(s.name+"/probe", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink = bld.ProbeCount(s.probe)
+			}
+		})
+	}
 }
 
 // sink defeats dead-code elimination of benchmark loop bodies.

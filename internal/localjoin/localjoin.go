@@ -73,15 +73,31 @@ type Resident struct {
 // NewResident returns an empty side, with R1 resident if r1 and R2 otherwise,
 // in the one form the condition takes: hash exactly when EquiLike(cond).
 func NewResident(cond join.Condition, r1 bool) *Resident {
-	return newResident(cond, EquiLike(cond), r1)
+	form := formMerge
+	if EquiLike(cond) {
+		form = formDense
+	}
+	return newResident(cond, form, r1)
 }
 
-// newResident is NewResident with the form forced: the hash form if hash (cond
-// must then be EquiLike), the merge form otherwise.
-func newResident(cond join.Condition, hash, r1 bool) *Resident {
+// residentForm is the layout a resident side starts in.
+type residentForm int
+
+const (
+	formMerge  residentForm = iota // sorted block, swept by the merge engine
+	formDense                      // a Build, dense until its keys are not
+	formSparse                     // a Build, sparse from the first key
+)
+
+// newResident is NewResident with the starting form forced; cond must be
+// EquiLike for either Build form.
+func newResident(cond join.Condition, form residentForm, r1 bool) *Resident {
 	r := &Resident{cond: cond, r1: r1}
-	if hash {
+	if form != formMerge {
 		r.build = NewBuild()
+	}
+	if form == formSparse {
+		r.build.toSparse()
 	}
 	return r
 }

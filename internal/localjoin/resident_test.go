@@ -28,18 +28,38 @@ func chunked(keys []key, size int) [][]key {
 	return append(out, keys)
 }
 
-// residentCount joins r1 and r2 through a Resident — hash or merge form, with
+// formConverting is the fourth form the tests force: a Build that starts
+// dense and converts to the sparse form once half its chunks are in.
+const formConverting = formSparse + 1
+
+// residentForms are every form a side is tested in; the Build forms serve the
+// EquiLike conditions only.
+var residentForms = []residentForm{formMerge, formDense, formSparse, formConverting}
+
+func (f residentForm) String() string {
+	return [...]string{"merge", "dense", "sparse", "converting"}[f]
+}
+
+// residentCount joins r1 and r2 through a Resident — in the given form, with
 // R1 or R2 resident — inserting the resident relation and probing the other in
 // chunks of chunk keys. Both relations are copied: a side may keep and sort
 // what it is given.
-func residentCount(r1, r2 []key, cond join.Condition, hash, residentR1 bool, chunk int) int64 {
+func residentCount(r1, r2 []key, cond join.Condition, form residentForm, residentR1 bool, chunk int) int64 {
 	resident, probe := r1, r2
 	if !residentR1 {
 		resident, probe = r2, r1
 	}
-	side := newResident(cond, hash, residentR1)
-	for _, c := range chunked(slices.Clone(resident), chunk) {
+	start := form
+	if form == formConverting {
+		start = formDense
+	}
+	side := newResident(cond, start, residentR1)
+	inserts := chunked(slices.Clone(resident), chunk)
+	for i, c := range inserts {
 		side.Insert(c)
+		if form == formConverting && i == (len(inserts)-1)/2 {
+			side.build.toSparse()
+		}
 	}
 	side.Seal()
 	var out int64
@@ -53,35 +73,38 @@ func residentCount(r1, r2 []key, cond join.Condition, hash, residentR1 bool, chu
 	return out
 }
 
+// ascendingKeys is the ascending row's relation: every key twice, from -20 up.
+func ascendingKeys(n int) []key {
+	out := make([]key, n)
+	for i := range out {
+		out[i] = key(i/2) - 20
+	}
+	return out
+}
+
 // keyOrders are the generators of the adversarial key-order table. wide marks
 // keys outside [join.MinKey, join.MaxKey], the domain the inequality
 // conditions' joinable ranges are bounded to: as R2 those rows run under the
 // equality and band conditions only (as R1 under every condition — a wide R1
-// key's range is still exact over an in-domain R2).
+// key's range is still exact over an in-domain R2). form is the form a Build
+// is in after the first half of the row's keys, then after all of them
+// (TestBuildFormPerKeyOrder).
 var keyOrders = []struct {
 	name string
 	wide bool
+	form string
 	gen  func(n int, seed uint64) []key
 }{
-	{"ascending", false, func(n int, _ uint64) []key {
-		out := make([]key, n)
-		for i := range out {
-			out[i] = key(i/2) - 20
-		}
-		return out
-	}},
-	{"descending", false, func(n int, _ uint64) []key {
+	{"ascending", false, "dense", func(n int, _ uint64) []key { return ascendingKeys(n) }},
+	{"descending", false, "dense", func(n int, _ uint64) []key {
 		out := make([]key, n)
 		for i := range out {
 			out[i] = key((n-i)/2) - 20
 		}
 		return out
 	}},
-	{"shuffled", false, func(n int, seed uint64) []key {
-		out := make([]key, n)
-		for i := range out {
-			out[i] = key(i/2) - 20
-		}
+	{"shuffled", false, "dense", func(n int, seed uint64) []key {
+		out := ascendingKeys(n)
 		rng := stats.NewRNG(seed)
 		for i := n - 1; i > 0; i-- {
 			j := rng.Int64n(int64(i + 1))
@@ -89,17 +112,17 @@ var keyOrders = []struct {
 		}
 		return out
 	}},
-	{"random", false, func(n int, seed uint64) []key { return randKeys(n, 100, seed) }},
-	{"dup-heavy", false, func(n int, seed uint64) []key { return dupHeavyKeys(n, seed) }},
-	{"signed", false, func(n int, seed uint64) []key { return signedKeys(n, seed) }},
-	{"all-equal", false, func(n int, _ uint64) []key {
+	{"random", false, "dense", func(n int, seed uint64) []key { return randKeys(n, 100, seed) }},
+	{"dup-heavy", false, "dense", func(n int, seed uint64) []key { return dupHeavyKeys(n, seed) }},
+	{"signed", false, "dense", func(n int, seed uint64) []key { return signedKeys(n, seed) }},
+	{"all-equal", false, "dense", func(n int, _ uint64) []key {
 		out := make([]key, n)
 		for i := range out {
 			out[i] = 7
 		}
 		return out
 	}},
-	{"two-valued", false, func(n int, _ uint64) []key {
+	{"two-valued", false, "dense", func(n int, _ uint64) []key {
 		out := make([]key, n)
 		for i := range out {
 			out[i] = []key{-3, 5}[i%2]
@@ -108,14 +131,18 @@ var keyOrders = []struct {
 	}},
 	// Every key lands in one partition of the hash form (and one radix bucket
 	// of the sort's first pass): the low byte is the partitioning digit.
-	{"equal-partition-digit", false, func(n int, seed uint64) []key {
+	{"equal-partition-digit", false, "sparse", func(n int, seed uint64) []key {
 		out := randKeys(n, 40, seed)
 		for i := range out {
 			out[i] = (out[i]-20)<<8 | 0x5A
 		}
 		return out
 	}},
-	{"quarter-domain-edges", false, func(n int, seed uint64) []key {
+	{"sparse", false, "sparse", func(n int, seed uint64) []key { return sparseKeys(n, seed) }},
+	{"dense-then-sparse", false, "dense, then sparse", func(n int, seed uint64) []key {
+		return append(ascendingKeys(n/2), sparseKeys(n-n/2, seed)...)
+	}},
+	{"quarter-domain-edges", false, "sparse", func(n int, seed uint64) []key {
 		edges := []key{join.MinKey, join.MinKey + 1, join.MinKey + 2, -1, 0, 1,
 			join.MaxKey - 2, join.MaxKey - 1, join.MaxKey}
 		out := make([]key, n)
@@ -125,7 +152,7 @@ var keyOrders = []struct {
 		}
 		return out
 	}},
-	{"int64-extremes", true, func(n int, seed uint64) []key {
+	{"int64-extremes", true, "sparse", func(n int, seed uint64) []key {
 		edges := []key{math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 2, -1, 0, 1,
 			math.MaxInt64 - 2, math.MaxInt64 - 1, math.MaxInt64}
 		out := make([]key, n)
@@ -135,11 +162,38 @@ var keyOrders = []struct {
 		}
 		return out
 	}},
-	{"empty", false, func(int, uint64) []key { return nil }},
+	{"empty", false, "dense", func(int, uint64) []key { return nil }},
+}
+
+// TestBuildFormPerKeyOrder pins which form a Build of each key-order row is
+// in, after half its keys and after all of them: the rows the table calls
+// dense never touch the hash, the sparse ones leave the dense form on their
+// first chunk, and dense-then-sparse converts at the half.
+func TestBuildFormPerKeyOrder(t *testing.T) {
+	formOf := func(b *Build) string {
+		if b.state.Load() == stateSparse {
+			return "sparse"
+		}
+		return "dense"
+	}
+	for i, g := range keyOrders {
+		keys := g.gen(90, uint64(2*i+1))
+		b := NewBuild()
+		b.Insert(keys[:len(keys)/2])
+		got := formOf(b)
+		b.Insert(keys[len(keys)/2:])
+		b.Seal()
+		if last := formOf(b); last != got {
+			got += ", then " + last
+		}
+		if got != g.form {
+			t.Errorf("%s: a Build of its keys is %s, want %s", g.name, got, g.form)
+		}
+	}
 }
 
 // TestResidentKeyOrderTable drives every count entry point — the resident
-// side in both forms, with either relation resident, under three chunkings,
+// side in every form, with either relation resident, under three chunkings,
 // plus Count and CountSorted — over every pair of adversarial key orders and
 // every condition, against the nested-loop oracle.
 func TestResidentKeyOrderTable(t *testing.T) {
@@ -167,15 +221,15 @@ func TestResidentKeyOrderTable(t *testing.T) {
 				if got := CountSorted(s1, s2, cond); got != want {
 					t.Errorf("%s: CountSorted = %d, want %d", row, got, want)
 				}
-				for _, hash := range []bool{false, true} {
-					if hash && !EquiLike(cond) {
-						continue // the hash form serves the equality conditions only
+				for _, form := range residentForms {
+					if form != formMerge && !EquiLike(cond) {
+						continue // the Build forms serve the equality conditions only
 					}
 					for _, residentR1 := range []bool{true, false} {
 						for _, chunk := range chunkings {
-							if got := residentCount(r1, r2, cond, hash, residentR1, chunk); got != want {
-								t.Errorf("%s: resident side (hash %v, R1 resident %v, chunks of %d) = %d, want %d",
-									row, hash, residentR1, chunk, got, want)
+							if got := residentCount(r1, r2, cond, form, residentR1, chunk); got != want {
+								t.Errorf("%s: resident side (%v, R1 resident %v, chunks of %d) = %d, want %d",
+									row, form, residentR1, chunk, got, want)
 							}
 						}
 					}
@@ -217,7 +271,7 @@ func TestStrictInequalityAtTheInt64Extremes(t *testing.T) {
 }
 
 func TestResidentProperty(t *testing.T) {
-	f := func(a, b []int64, hash, residentR1 bool, chunk uint8) bool {
+	f := func(a, b []int64, form uint8, residentR1 bool, chunk uint8) bool {
 		r1, r2 := make([]key, len(a)), make([]key, len(b))
 		for i, v := range a {
 			r1[i] = v % 64
@@ -225,7 +279,7 @@ func TestResidentProperty(t *testing.T) {
 		for i, v := range b {
 			r2[i] = v % 64
 		}
-		return residentCount(r1, r2, join.Equi{}, hash, residentR1, int(chunk)%9) ==
+		return residentCount(r1, r2, join.Equi{}, residentForms[int(form)%len(residentForms)], residentR1, int(chunk)%9) ==
 			NestedLoopCount(r1, r2, join.Equi{})
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -233,9 +287,10 @@ func TestResidentProperty(t *testing.T) {
 	}
 }
 
-// FuzzEngineCount cross-checks the resident side — both forms, either
+// FuzzEngineCount cross-checks the resident side — every form, either
 // relation resident, fuzz-chosen chunking and condition — against the
-// nested-loop oracle on fuzz-chosen key bytes.
+// nested-loop oracle on fuzz-chosen key bytes. Byte keys span at most 256, so
+// the sparse and converting forms are what keep the hash partitions fuzzed.
 func FuzzEngineCount(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 3}, uint8(3), uint8(0))
 	f.Add([]byte{}, []byte{0, 0, 0, 0}, uint8(1), uint8(1))
@@ -260,10 +315,13 @@ func FuzzEngineCount(f *testing.F) {
 		cond := conds[int(sel)%len(conds)]
 		residentR1 := sel&0x80 == 0
 		want := NestedLoopCount(r1, r2, cond)
-		for _, hash := range []bool{false, EquiLike(cond)} {
-			if got := residentCount(r1, r2, cond, hash, residentR1, int(split)%8); got != want {
-				t.Fatalf("%v, hash %v, R1 resident %v, chunks of %d: count = %d, want %d",
-					cond, hash, residentR1, int(split)%8, got, want)
+		for _, form := range residentForms {
+			if form != formMerge && !EquiLike(cond) {
+				continue
+			}
+			if got := residentCount(r1, r2, cond, form, residentR1, int(split)%8); got != want {
+				t.Fatalf("%v, %v, R1 resident %v, chunks of %d: count = %d, want %d",
+					cond, form, residentR1, int(split)%8, got, want)
 			}
 		}
 	})
