@@ -102,7 +102,8 @@ func TestJoinPairsMatchesNestedLoop(t *testing.T) {
 
 // TestRunEngineSelection crosschecks the full Local pipeline under the engine
 // each condition selects: equi and band 0 on the hash engine through the
-// chunk-streamed insert-while-probe path, band 2 on the merge engine.
+// chunk-streamed path (each chunk inserted as it lands, the probe side after
+// the seal), band 2 on the merge engine.
 func TestRunEngineSelection(t *testing.T) {
 	r1 := zipfKeys(20000, 5000, 0.9, 120)
 	r2 := zipfKeys(20000, 5000, 0.9, 121)

@@ -108,8 +108,11 @@ const (
 	// closed — a wedged-but-alive peer, the failure mode deadlines exist
 	// for.
 	ActStall
-	// ActHook runs Fn in its own goroutine and lets the traffic continue —
-	// the drop-worker-at-stage-boundary primitive (Fn closes a Worker).
+	// ActHook runs Fn on the goroutine doing the I/O and lets the traffic
+	// continue — the drop-worker-at-stage-boundary primitive (Fn closes a
+	// Worker). An inbound frame's hook returns before its bytes are
+	// delivered, an outbound one's runs once they are written, so the fault
+	// lands at that boundary and not after the endpoint has moved on.
 	ActHook
 )
 
@@ -282,8 +285,8 @@ func (c *Conn) stall() error {
 
 // apply executes a fired rule against the connection. It returns a non-nil
 // error when the current I/O operation must abort instead of delivering
-// its bytes.
-func (c *Conn) apply(r *scriptRule) error {
+// its bytes; a hook is queued on t instead, for the caller to run.
+func (c *Conn) apply(t *tracker, r *scriptRule) error {
 	switch r.Action {
 	case ActClose:
 		_ = c.Close()
@@ -295,23 +298,33 @@ func (c *Conn) apply(r *scriptRule) error {
 		return c.stall()
 	case ActHook:
 		if r.Fn != nil {
-			go r.Fn()
+			t.hooks = append(t.hooks, r.Fn)
 		}
-		return nil
 	}
 	return nil
+}
+
+// runHooks runs the hooks a feed queued, in frame order.
+func runHooks(hooks []func()) {
+	for _, fn := range hooks {
+		fn()
+	}
 }
 
 // Read taps the inbound stream: bytes are parsed for frame boundaries
 // BEFORE delivery, so a rule firing on a frame kills the connection with
 // that frame (and the rest of the chunk) undelivered — a mid-stream death,
-// exactly as a crashed sender would leave the wire.
+// exactly as a crashed sender would leave the wire — and a hook returns
+// before the endpoint sees the frame.
 func (c *Conn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	if n > 0 {
 		c.rmu.Lock()
 		ferr := c.rt.feed(p[:n])
+		hooks := c.rt.hooks
+		c.rt.hooks = nil
 		c.rmu.Unlock()
+		runHooks(hooks)
 		if ferr != nil {
 			return 0, ferr
 		}
@@ -320,11 +333,15 @@ func (c *Conn) Read(p []byte) (int, error) {
 }
 
 // Write taps the outbound stream symmetrically: a rule firing on an
-// outbound frame suppresses the whole chunk.
+// outbound frame suppresses the whole chunk, and a hook runs once the chunk
+// is written.
 func (c *Conn) Write(p []byte) (int, error) {
 	c.wmu.Lock()
 	ferr := c.wt.feed(p)
+	hooks := c.wt.hooks
+	c.wt.hooks = nil
 	c.wmu.Unlock()
+	defer runHooks(hooks)
 	if ferr != nil {
 		return 0, ferr
 	}
@@ -355,7 +372,8 @@ type tracker struct {
 	state int
 	buf   [preludeLen + 3]byte // prelude (6) or header (≤9) accumulator
 	have  int
-	skip  int // payload bytes left to skip
+	skip  int      // payload bytes left to skip
+	hooks []func() // fired hooks the current I/O operation still owes
 }
 
 // headerLen returns the frame header length for the connection's protocol
@@ -421,7 +439,7 @@ func (t *tracker) feed(p []byte) error {
 			t.skip = int(binary.LittleEndian.Uint32(t.buf[hl-4 : hl]))
 			t.state = statePayload
 			if r := t.conn.script.match(t.dir, typ); r != nil {
-				if err := t.conn.apply(r); err != nil {
+				if err := t.conn.apply(t, r); err != nil {
 					return err
 				}
 			}

@@ -215,22 +215,66 @@ func TestStallReleasedByClose(t *testing.T) {
 	}
 }
 
+// TestHookLetsTrafficContinue pins where a hook runs: an inbound frame's hook
+// has returned before Read delivers the frame, an outbound one's runs after
+// the peer has the written bytes, and the traffic flows on either way.
 func TestHookLetsTrafficContinue(t *testing.T) {
-	fired := make(chan struct{})
-	s := NewScript(Rule{Dir: In, Frame: FrameBlock, Action: ActHook,
-		Fn: func() { close(fired) }})
-	fc, _ := pipeConn(t, s)
+	entered, release := make(chan struct{}), make(chan struct{})
+	outHook := make(chan bool, 1) // whether the peer had the frame when the hook ran
+	received := make(chan struct{})
+	s := NewScript(
+		Rule{Dir: In, Frame: FrameBlock, Action: ActHook,
+			Fn: func() { close(entered); <-release }},
+		Rule{Dir: Out, Frame: FrameStats, Action: ActHook, Fn: func() {
+			select {
+			case <-received:
+				outHook <- true
+			case <-time.After(time.Second):
+				outHook <- false
+			}
+		}},
+	)
+	fc, peer := pipeConn(t, s)
 	var stream []byte
 	stream = append(stream, prelude(VersionSession)...)
 	stream = append(stream, v3Frame(FrameBlock, 1, make([]byte, 16))...)
 	stream = append(stream, v3Frame(FrameEOS, 1, nil)...)
-	if err := fc.rt.feed(stream); err != nil {
-		t.Fatalf("hook aborted delivery: %v", err)
+	go func() { _, _ = peer.Write(stream) }()
+
+	type result struct {
+		n   int
+		err error
 	}
+	got := make(chan result, 1)
+	go func() {
+		n, err := fc.Read(make([]byte, 512))
+		got <- result{n, err}
+	}()
+	<-entered
 	select {
-	case <-fired:
-	case <-time.After(2 * time.Second):
-		t.Fatal("hook never ran")
+	case <-got:
+		t.Fatal("Read delivered the frame before its hook returned")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if r := <-got; r.err != nil || r.n != len(stream) {
+		t.Fatalf("Read after the hook = %d, %v; want %d, nil", r.n, r.err, len(stream))
+	}
+
+	reply := v3Frame(FrameStats, 1, make([]byte, 24))
+	go func() {
+		if _, err := io.ReadFull(peer, make([]byte, len(reply))); err == nil {
+			close(received)
+		}
+	}()
+	if n, err := fc.Write(reply); err != nil || n != len(reply) {
+		t.Fatalf("Write with an outbound hook = %d, %v; want %d, nil", n, err, len(reply))
+	}
+	if !<-outHook {
+		t.Fatal("the outbound hook ran before its frame was written")
+	}
+	if !s.Fired() {
+		t.Fatal("script not marked fired")
 	}
 }
 

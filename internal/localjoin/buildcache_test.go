@@ -1,6 +1,8 @@
 package localjoin
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 
 	"ewh/internal/join"
@@ -149,5 +151,44 @@ func TestBuildCacheSharedProbes(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits != 1 {
 		t.Fatalf("stats = %+v, want exactly 1 hit", st)
+	}
+}
+
+// TestBuildCacheConcurrentProbes is the race proof for the one place a Build
+// crosses goroutines: one job inserts, seals and publishes it through the
+// cache while other jobs spin on Get and probe it the moment it appears, over
+// a dense, a sparse and a converting relation. The cache's lock is the only
+// synchronization between them, and every count must match the oracle.
+func TestBuildCacheConcurrentProbes(t *testing.T) {
+	probe := probeKeys(1000, 61)
+	for _, rel := range buildRelations(4000, 60) {
+		want := NestedLoopCount(rel.keys, probe, join.Equi{})
+		c := NewBuildCache(1 << 24)
+		k := buildKeyOf(rel.keys)
+		counts := make([]int64, 4)
+		var wg sync.WaitGroup
+		for g := range counts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				b := c.Get(k)
+				for ; b == nil; b = c.Get(k) {
+					runtime.Gosched()
+				}
+				counts[g] = b.ProbeCount(probe)
+			}()
+		}
+		b := NewBuild()
+		for _, ch := range chunked(rel.keys, 256) {
+			b.Insert(ch)
+		}
+		b.Seal()
+		c.Add(k, b)
+		wg.Wait()
+		for g, got := range counts {
+			if got != want {
+				t.Errorf("%s: prober %d counted %d, want %d", rel.name, g, got, want)
+			}
+		}
 	}
 }

@@ -2,19 +2,18 @@ package localjoin
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"ewh/internal/join"
 	"ewh/internal/keysort"
 )
 
 // This file is the hash local-join engine: a multiplicity index over one
-// relation's keys with an incremental insert API, safe for a probe goroutine
-// running concurrently with the build goroutine. The motivating shape is the
-// pipelined wire (CHUNK streaming scatter): a worker can feed each decoded
-// sub-block into Insert the moment it lands instead of joining only after
-// the whole relation assembled, and a sealed Build is immutable, so many
-// jobs can probe one shared build (see BuildCache).
+// relation's keys with an incremental insert API. The motivating shape is the
+// pipelined wire (CHUNK streaming scatter): a worker feeds each decoded
+// sub-block into Insert the moment it lands instead of joining only after the
+// whole relation assembled. One goroutine inserts into, seals and probes a
+// build; a sealed Build is immutable, so once published many jobs can probe
+// one shared build at once (see BuildCache, whose lock publishes it).
 //
 // A Build takes one of two forms. Every build starts dense: a direct-address
 // count array over the span of the keys inserted so far, where an insert is
@@ -27,11 +26,7 @@ import (
 // sign-biased key (keysort.Digit at shift 0), the byte that varies most on
 // the clustered key domains the sort is tuned for — so sort and hash engines
 // agree digit-for-digit on what a partition is. Each partition is an
-// open-addressing multiplicity table (linear probing, power-of-two capacity)
-// guarded by its own mutex while building; Seal publishes every partition
-// through a per-partition atomic flag, after which probes are lock-free.
-// The dense form is guarded by one build-level mutex until Seal publishes
-// it through the build's state; a sparse build's probes never take it.
+// open-addressing multiplicity table (linear probing, power-of-two capacity).
 // Band and inequality conditions stay on the merge-sweep engine: their
 // joinable windows span partitions, which is exactly what a hash layout
 // destroys (see DESIGN.md "Local join engines").
@@ -75,14 +70,12 @@ func hashKey(k join.Key) uint64 {
 // multiplicity table. mult[i] == 0 marks an empty slot, so no sentinel key
 // is reserved; len(keys) is a power of two.
 type buildPart struct {
-	mu     sync.Mutex
-	sealed atomic.Bool
-	keys   []join.Key
-	mult   []uint32
-	used   int
+	keys []join.Key
+	mult []uint32
+	used int
 }
 
-// insert adds m copies of k under the caller-held lock, growing at 3/4 load.
+// insert adds m copies of k, growing at 3/4 load.
 func (p *buildPart) insert(k join.Key, m uint32) {
 	if 4*(p.used+1) > 3*len(p.keys) {
 		p.grow()
@@ -127,8 +120,7 @@ func (p *buildPart) grow() {
 	}
 }
 
-// lookup returns k's multiplicity; zero when absent. Caller must hold the
-// lock or have observed sealed.
+// lookup returns k's multiplicity; zero when absent.
 func (p *buildPart) lookup(k join.Key) uint32 {
 	if len(p.keys) == 0 {
 		return 0
@@ -216,22 +208,13 @@ func (d *denseCounts) probe(keys []join.Key) (out int64) {
 	return out
 }
 
-// The forms of a Build, as its state.
-const (
-	stateDense       uint32 = iota // dense, still inserting: under mu
-	stateDenseSealed               // dense and immutable: probes take no lock
-	stateSparse                    // the partitioned hash table in parts
-)
-
 // Build is an incrementally built multiplicity index over one relation's
-// keys: Insert accepts each arriving chunk, ProbeCount runs against
-// whatever has been inserted so far (concurrently with further inserts),
-// and Seal publishes the finished immutable build for lock-free probes and
-// cache sharing.
+// keys, owned by one goroutine: Insert accepts each arriving chunk,
+// ProbeCount counts against whatever has been inserted so far, and Seal
+// finishes the build, after which it is immutable and any number of
+// goroutines may probe it.
 type Build struct {
-	state atomic.Uint32
-	mu    sync.Mutex                   // guards dense while the state is stateDense
-	dense denseCounts                  // the dense form
+	dense denseCounts                  // the dense form, while parts is nil
 	parts *[enginePartitions]buildPart // the sparse form, from toSparse on
 	bytes int64                        // set by Seal
 }
@@ -290,21 +273,16 @@ func partitionRuns(keys, scratch []join.Key) (off [enginePartitions]int32) {
 // Insert adds one chunk of build-side keys. It may be called once with the
 // whole relation or repeatedly with arriving sub-blocks; chunk boundaries do
 // not affect what the finished build counts. A dense build counts the chunk
-// in under its lock, or converts to the sparse form first when the chunk
-// would leave it too sparse. A sparse build radix-partitions the chunk, so
-// each touched partition's lock is taken once per chunk, not once per key.
-// Insert is safe to run concurrently with ProbeCount (but not with
-// another Insert — one build goroutine owns the insert side, matching one
-// socket read loop per relation). Must not be called after Seal.
+// in, or converts to the sparse form first when the chunk would leave it too
+// sparse. A sparse build radix-partitions the chunk, so each partition's
+// table is walked once per chunk, not once per key. Must not be called after
+// Seal.
 func (b *Build) Insert(keys []join.Key) {
 	if len(keys) == 0 {
 		return
 	}
-	if b.state.Load() == stateDense {
-		b.mu.Lock()
-		fits := b.dense.add(keys)
-		b.mu.Unlock()
-		if fits {
+	if b.parts == nil {
+		if b.dense.add(keys) {
 			return
 		}
 		b.toSparse()
@@ -312,29 +290,20 @@ func (b *Build) Insert(keys []join.Key) {
 	scratch := getPartScratch(len(keys))
 	off := partitionRuns(keys, scratch)
 	var lo int32
-	for d := range off {
-		hi := off[d]
-		if hi == lo {
-			continue
-		}
+	for d, hi := range off {
 		p := &b.parts[d]
-		p.mu.Lock()
 		for _, k := range scratch[lo:hi] {
 			p.insert(k, 1)
 		}
-		p.mu.Unlock()
 		lo = hi
 	}
 	putPartScratch(scratch)
 }
 
 // toSparse converts a dense build to the sparse form, inserting each distinct
-// key once with its multiplicity. No prober sees the partitions before the
-// state says sparse. A no-op on a build already sparse.
+// key once with its multiplicity. A no-op on a build already sparse.
 func (b *Build) toSparse() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.state.Load() != stateDense {
+	if b.parts != nil {
 		return
 	}
 	parts := new([enginePartitions]buildPart)
@@ -345,83 +314,44 @@ func (b *Build) toSparse() {
 		}
 	}
 	b.parts, b.dense = parts, denseCounts{}
-	b.state.Store(stateSparse)
 }
 
-// Seal publishes the build, after which probes skip the locks entirely and
-// the build is immutable — the publication contract that lets a sealed
-// build be shared by any number of concurrent probers (and cached across
-// jobs). A dense build is published by its state; a sparse one flushes every
-// partition under its lock and sets its sealed flag. Sealing an
-// already-sealed build is a no-op.
+// Seal finishes the build: it records MemBytes, and from here on the build
+// is immutable, so it may be shared by concurrent probers and cached across
+// jobs once something that synchronizes (BuildCache.Add) publishes it.
 func (b *Build) Seal() {
-	switch b.state.Load() {
-	case stateDense:
-		b.mu.Lock()
+	if b.parts == nil {
 		b.bytes = int64(cap(b.dense.counts)) * 4
-		b.state.Store(stateDenseSealed)
-		b.mu.Unlock()
-	case stateSparse:
-		bytes := int64(len(b.parts)) * 8
-		for i := range b.parts {
-			p := &b.parts[i]
-			p.mu.Lock()
-			bytes += int64(cap(p.keys))*8 + int64(cap(p.mult))*4
-			p.sealed.Store(true)
-			p.mu.Unlock()
-		}
-		b.bytes = bytes
+		return
 	}
-}
-
-// probeRun sums the multiplicities of one partition's probe run, lock-free
-// once the partition sealed.
-func (p *buildPart) probeRun(run []join.Key) int64 {
-	var out int64
-	if p.sealed.Load() {
-		for _, k := range run {
-			out += int64(p.lookup(k))
-		}
-		return out
+	bytes := int64(len(b.parts)) * 8
+	for i := range b.parts {
+		p := &b.parts[i]
+		bytes += int64(cap(p.keys))*8 + int64(cap(p.mult))*4
 	}
-	p.mu.Lock()
-	for _, k := range run {
-		out += int64(p.lookup(k))
-	}
-	p.mu.Unlock()
-	return out
+	b.bytes = bytes
 }
 
 // ProbeCount returns the number of equi-join matches between the probe
 // chunk and the build side inserted so far: sum over probe keys of the
-// key's build multiplicity. Safe concurrently with Insert; after Seal it
-// takes no locks, and a sparse build's probe never takes the dense form's.
+// key's build multiplicity. It only reads the build, so concurrent probes of
+// a sealed build are safe.
 func (b *Build) ProbeCount(keys []join.Key) int64 {
+	if b.parts == nil {
+		return b.dense.probe(keys)
+	}
 	if len(keys) == 0 {
 		return 0
-	}
-	state := b.state.Load()
-	if state == stateDense {
-		b.mu.Lock()
-		if state = b.state.Load(); state != stateSparse {
-			defer b.mu.Unlock()
-			return b.dense.probe(keys)
-		}
-		b.mu.Unlock()
-	}
-	if state == stateDenseSealed {
-		return b.dense.probe(keys)
 	}
 	scratch := getPartScratch(len(keys))
 	off := partitionRuns(keys, scratch)
 	var out int64
 	var lo int32
-	for d := range off {
-		hi := off[d]
-		if hi == lo {
-			continue
+	for d, hi := range off {
+		p := &b.parts[d]
+		for _, k := range scratch[lo:hi] {
+			out += int64(p.lookup(k))
 		}
-		out += b.parts[d].probeRun(scratch[lo:hi])
 		lo = hi
 	}
 	putPartScratch(scratch)

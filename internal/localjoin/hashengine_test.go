@@ -2,8 +2,6 @@ package localjoin
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"ewh/internal/join"
@@ -124,13 +122,13 @@ func TestDenseWindowAtTheInt64Extremes(t *testing.T) {
 				t.Errorf("towards %d: dense ProbeCount(%d) = %d, want %d", end, k, got, want[k])
 			}
 		}
-		if b.state.Load() != stateDense {
+		if b.parts != nil {
 			t.Fatalf("towards %d: the build left the dense form early", end)
 		}
 		b.Insert([]join.Key{far})
 		want[far]++
 		b.Seal()
-		if b.state.Load() != stateSparse {
+		if b.parts == nil {
 			t.Fatalf("towards %d: a key at the far end did not convert the build", end)
 		}
 		for k, w := range want {
@@ -141,9 +139,9 @@ func TestDenseWindowAtTheInt64Extremes(t *testing.T) {
 	}
 }
 
-// buildRelations are the resident relations the concurrency tests build: one
-// that stays dense, one sparse from its first chunk, and one that converts
-// halfway through.
+// buildRelations are the resident relations the prefix and shared-probe tests
+// build: one that stays dense, one sparse from its first chunk, and one that
+// converts halfway through.
 func buildRelations(n int, seed uint64) []struct {
 	name string
 	keys []join.Key
@@ -198,54 +196,6 @@ func TestProbeBeforeSeal(t *testing.T) {
 		}
 		b.Seal()
 		if got, want := b.ProbeCount(probe), NestedLoopCount(rel.keys, probe, join.Equi{}); got != want {
-			t.Fatalf("%s: sealed ProbeCount = %d, want %d", rel.name, got, want)
-		}
-	}
-}
-
-// TestConcurrentBuildProbe runs a probe goroutine against a build that is
-// still inserting — the insert-while-probe contract — over a dense, a sparse
-// and a converting relation. Under -race this is the publication-safety
-// proof; the count assertions pin that a probe counts no less than the chunks
-// inserted before it began and no more than those begun before it ended, and
-// the exact final count.
-func TestConcurrentBuildProbe(t *testing.T) {
-	probe := probeKeys(2000, 61)
-	for _, rel := range buildRelations(20000, 60) {
-		const chunk = 256
-		chunks := chunked(rel.keys, chunk)
-		prefix := prefixCounts(rel.keys, probe, chunk)
-
-		b := NewBuild()
-		var inserted atomic.Int64 // chunks whose Insert returned
-		var sealed atomic.Bool
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, c := range chunks {
-				b.Insert(c)
-				inserted.Add(1)
-			}
-			b.Seal()
-			sealed.Store(true)
-		}()
-		for {
-			done := sealed.Load()
-			before := inserted.Load()
-			got := b.ProbeCount(probe)
-			after := min(inserted.Load()+1, int64(len(chunks)))
-			if got < prefix[before] || got > prefix[after] {
-				t.Errorf("%s: mid-build ProbeCount = %d, outside [%d, %d] for chunks %d to %d",
-					rel.name, got, prefix[before], prefix[after], before, after)
-				break
-			}
-			if done {
-				break
-			}
-		}
-		wg.Wait()
-		if got, want := b.ProbeCount(probe), prefix[len(chunks)]; got != want {
 			t.Fatalf("%s: sealed ProbeCount = %d, want %d", rel.name, got, want)
 		}
 	}

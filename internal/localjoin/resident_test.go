@@ -171,7 +171,7 @@ var keyOrders = []struct {
 // first chunk, and dense-then-sparse converts at the half.
 func TestBuildFormPerKeyOrder(t *testing.T) {
 	formOf := func(b *Build) string {
-		if b.state.Load() == stateSparse {
+		if b.parts != nil {
 			return "sparse"
 		}
 		return "dense"

@@ -20,7 +20,7 @@ func zipfKeys(n int, domain int64, z float64, seed uint64) []join.Key {
 	return workload.Zipfian(n, domain, z, seed)
 }
 
-// TestSessionHashJoinOverlap is the insert-while-probe crosscheck for both
+// TestSessionHashJoinOverlap is the chunk-overlap crosscheck for both
 // resident forms, each selected by its condition — equi for the hash form,
 // band 2 for the merge form: a count job over the chunked session scatter
 // must produce the nested-loop answer AND prove the worker started consuming

@@ -416,9 +416,10 @@ func (w *Worker) Serve() error {
 }
 
 // handle reads the connection's prelude and dispatches to the session or
-// the peer handler. Bytes that are not the prelude — wrong magic, or a hangup
-// before six bytes arrived — close the connection with no reply and no job
-// accounting: nothing past the fixed-size read ever parses untrusted input.
+// the peer handler. Bytes that are not the prelude — wrong magic, a version
+// the worker does not speak, or a hangup before six bytes arrived — close the
+// connection with no reply and no job accounting: nothing past the fixed-size
+// read ever parses untrusted input.
 // A panic while serving one connection must not take down the worker process
 // (and every other in-flight job with it), so it is contained here; the
 // coordinator sees the closed connection as a job failure.
@@ -457,7 +458,7 @@ func (w *Worker) handle(conn net.Conn) {
 		return
 	}
 	br := bufio.NewReaderSize(tc, connBufSize)
-	switch v := binary.LittleEndian.Uint16(prelude[len(protoMagic):]); v {
+	switch binary.LittleEndian.Uint16(prelude[len(protoMagic):]) {
 	case protoVersionSession:
 		w.mu.Lock()
 		cs.session = true
@@ -465,11 +466,5 @@ func (w *Worker) handle(conn net.Conn) {
 		w.handleSession(br, tc, cs)
 	case protoVersionPeer:
 		w.handlePeer(br, tc)
-	default:
-		bw := bufio.NewWriterSize(conn, 512)
-		_ = writeGobFrame(bw, frameMetrics, metrics{
-			Err: fmt.Sprintf("protocol version %d, worker speaks %d and %d",
-				v, protoVersionSession, protoVersionPeer)})
-		_ = bw.Flush()
 	}
 }

@@ -1,12 +1,10 @@
 package netexec
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"os"
@@ -156,33 +154,10 @@ func expectClosedSilently(t *testing.T, conn net.Conn) {
 	}
 }
 
-func TestVersionMismatchRejected(t *testing.T) {
-	ws, addrs := startWorkerSet(t, 1)
-	ws[0].FailAfterJobs(1 << 30) // arms the completed-job counter
-	prelude := append(append([]byte{}, protoMagic[:]...), 0, 0)
-	binary.LittleEndian.PutUint16(prelude[4:], protoVersionPeer+7)
-	conn := dialRaw(t, addrs[0], prelude)
-	br := bufio.NewReader(conn)
-	typ, n, err := readFrameHeader(br)
-	if err != nil || typ != frameMetrics {
-		t.Fatalf("refusal frame: type %d, err %v", typ, err)
-	}
-	var m metrics
-	if err := readGobPayload(br, n, &m); err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("protocol version %d, worker speaks %d and %d",
-		protoVersionPeer+7, protoVersionSession, protoVersionPeer)
-	if m.Err != want {
-		t.Fatalf("refusal %q, want %q", m.Err, want)
-	}
-	expectClosedSilently(t, conn) // nothing after the refusal but the hangup
-	assertNoJobsBegun(t, ws[0])
-}
-
 func TestGarbagePreludeClosedSilently(t *testing.T) {
 	// Bytes that are not the prelude used to fall through to a gob decoder;
-	// now the connection closes with no reply and no job accounting.
+	// now the connection closes with no reply and no job accounting, as does
+	// a prelude of a version the worker does not speak.
 	ws, addrs := startWorkerSet(t, 1)
 	ws[0].FailAfterJobs(1 << 30) // arms the completed-job counter
 	for _, tc := range []struct {
@@ -193,6 +168,7 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 		{"gob-like", []byte{0x1f, 0xff, 0x81, 0x03, 0x01, 0x01, 0x09, 'h', 'a', 'n', 'd'}},
 		{"short magic then EOF", []byte("EWH")},
 		{"magic and half a version then EOF", []byte("EWHB\x03")},
+		{"unknown version", binary.LittleEndian.AppendUint16([]byte("EWHB"), protoVersionPeer+7)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn := dialRaw(t, addrs[0], tc.opening)

@@ -38,11 +38,6 @@ const (
 	// receiver, identified by 64-bit transfer tokens (peer.go).
 	protoVersionPeer = 4
 
-	// frameMetrics is the one frame a worker writes outside both versions'
-	// framing: the version-mismatch refusal, a gob metrics in the job-less
-	// [type u8][payloadLen u32] envelope, sent before the connection closes.
-	frameMetrics = 4
-
 	// Session frames. Every header carries a job number, so one connection
 	// interleaves many jobs' frames.
 	frameV3OpenJob = 10 // coord→worker gob jobOpen
@@ -215,19 +210,6 @@ func readFrameHeader(r io.Reader) (typ byte, payloadLen int, err error) {
 		return 0, 0, fmt.Errorf("frame payload %d exceeds limit %d", n, maxDataPayload)
 	}
 	return hdr[0], int(n), nil
-}
-
-// writeGobFrame sends a control frame whose payload is the gob encoding of v.
-func writeGobFrame(w io.Writer, typ byte, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return err
-	}
-	if err := writeFrameHeader(w, typ, buf.Len()); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
 }
 
 // v3FrameHeaderLen is [type u8][job u32][payloadLen u32].
