@@ -329,8 +329,10 @@ func TestCrossCheckSessionMultiwayPeerCSIO(t *testing.T) {
 				// REPLICATE a tuple to every region whose row range holds
 				// its key (and the CI fallback to a full grid row), so the
 				// delivered total may exceed the match count. Duplicate
-				// delivery of one contribution is excluded separately by
-				// the peer protocol's exact per-sender count binding.
+				// delivery of one contribution is excluded separately: a
+				// receiver refuses a second contribution from one sender, and
+				// the coordinator checks each stage-2 reply against the
+				// senders' reported counts.
 				var in1 int64
 				for _, w := range peer.Stages[1].Exec.Workers {
 					in1 += w.InputR1
@@ -408,8 +410,8 @@ func TestCrossCheckSessionMultiwayPeer(t *testing.T) {
 
 func TestCrossCheckOverlappedStage2(t *testing.T) {
 	// Stage-overlapped dispatch: the coordinator opens the stage-2 peer jobs
-	// and streams their right relation WHILE stage 1 is still running — the
-	// exact peer counts bind late over PEERBIND once stage 1 settles. Across
+	// and streams their right relation WHILE stage 1 is still running — each
+	// transfer completes once every stage-1 sender has contributed. Across
 	// worker counts and seeds: the session's overlap counter must move
 	// (the pipelining actually engaged, it is not a silent fallback to the
 	// sequential open), the output must stay pair-identical to the

@@ -29,9 +29,10 @@ func (JoinEngine) ForCond(cond join.Condition) JoinEngine {
 
 // CountOwned runs a count-only join over blocks the caller owns outright: the
 // merge form sorts r2 IN PLACE, the hash form builds over r1 and probes r2
-// without mutating either. Shared by the in-process workers and the session
-// workers' flat count jobs; chunked and peer-fed jobs hold the same resident
-// side on their feed goroutine. The JoinEngine parameter is ignored.
+// without mutating either. Its one caller in this module is exec.Local's flat
+// count job (a merge condition); a wire worker has no flat count job — every
+// count it runs is chunk-fed and holds the same resident side on its feed
+// goroutine, as Local's hash jobs do. The JoinEngine parameter is ignored.
 func CountOwned(_ JoinEngine, r1, r2 []join.Key, cond join.Condition) int64 {
 	res := localjoin.NewResident(cond, true)
 	res.Insert(r1)

@@ -82,19 +82,19 @@ func TestJoinPairsMatchesNestedLoop(t *testing.T) {
 	for _, sh := range shapes {
 		for _, cond := range []join.Condition{join.Equi{}, join.NewBand(0), join.NewBand(2),
 			join.Inequality{Op: join.Less}} {
-			wantPairs, wantCuts := nestedLoopPairs(sh.r1, sh.r2, cond)
+			refPairs, refCuts := nestedLoopPairs(sh.r1, sh.r2, cond)
 			var gotPairs []PairIdx
 			var gotCuts []int
 			n := JoinPairs(sh.r1, sh.r2, cond, func(chunk []PairIdx) {
 				gotPairs = append(gotPairs, chunk...)
 				gotCuts = append(gotCuts, len(gotPairs))
 			})
-			if n != int64(len(wantPairs)) || !slices.Equal(gotPairs, wantPairs) {
+			if n != int64(len(refPairs)) || !slices.Equal(gotPairs, refPairs) {
 				t.Fatalf("%s/%v: JoinPairs streamed %d pairs (n=%d), the nested loop %d in another order",
-					sh.name, cond, len(gotPairs), n, len(wantPairs))
+					sh.name, cond, len(gotPairs), n, len(refPairs))
 			}
-			if !slices.Equal(gotCuts, wantCuts) {
-				t.Fatalf("%s/%v: flush boundaries %v, want %v", sh.name, cond, gotCuts, wantCuts)
+			if !slices.Equal(gotCuts, refCuts) {
+				t.Fatalf("%s/%v: flush boundaries %v, want %v", sh.name, cond, gotCuts, refCuts)
 			}
 		}
 	}

@@ -52,7 +52,7 @@ func RunTuples[P1, P2 any](r1 []Tuple[P1], r2 []Tuple[P2], cond join.Condition,
 // RunTuplesOver executes a payload-carrying join through rt: RunPairsOver
 // over the projected keys, each matched row pair mapped back onto the
 // caller's tuples — payloads never enter the shuffle, let alone a wire.
-// emit's concurrency and order are RunPairsOver's.
+// emit's concurrency and order are RunPairsOver's; a nil emit is a count job.
 func RunTuplesOver[P1, P2 any](rt Runtime, r1 []Tuple[P1], r2 []Tuple[P2],
 	cond join.Condition, scheme partition.Scheme, model cost.Model, cfg Config,
 	emit func(workerID int, a Tuple[P1], b Tuple[P2])) (*Result, error) {
@@ -66,30 +66,31 @@ func RunTuplesOver[P1, P2 any](rt Runtime, r1 []Tuple[P1], r2 []Tuple[P2],
 
 // RunPairsOver executes a pair-emitting join through rt. Each relation is
 // shuffled exactly once with its row index as companion column (flat pooled
-// buffers, as RunOver's); the runtime joins the key blocks and streams back
-// matched index pairs, which this driver maps through the shuffled row
-// indices to call emit with the ORIGINAL row numbers (into r1 and r2) of each
-// pair — so emission is identical no matter where the join ran, and only keys
-// ever cross a wire.
+// buffers: a pairs job joins in arrival order); the runtime joins the key
+// blocks and streams back matched index pairs, which this driver maps through
+// the shuffled row indices to call emit with the ORIGINAL row numbers (into r1
+// and r2) of each pair — so emission is identical no matter where the join
+// ran, and only keys ever cross a wire.
 //
 // emit is called concurrently from different workers but never concurrently
 // for the same worker. Pair order per worker is deterministic: R1 arrival
-// order, partners ascending by (key, arrival index). A nil emit runs the job
-// count-only on every transport (in-place merge-sweep locally, no pairs
-// traffic on a wire) instead of enumerating matches nobody will see.
+// order, partners ascending by (key, arrival index). A nil emit is RunOver:
+// the job is a count, run as every other count job on rt (a wire transport
+// chunk-streams it) instead of enumerating matches nobody will see.
 func RunPairsOver(rt Runtime, r1, r2 []join.Key, cond join.Condition,
 	scheme partition.Scheme, model cost.Model, cfg Config,
 	emit func(worker, row1, row2 int)) (*Result, error) {
 
+	if emit == nil {
+		return RunOver(rt, r1, r2, cond, scheme, model, cfg)
+	}
 	cfg.defaults()
 	start := time.Now()
 	f1, f2 := newRelFuture(), newRelFuture()
-	job := &Job{Cond: cond, Workers: scheme.Workers(), R1: f1, R2: f2}
-	var idx1, idx2 []join.Key // input row indices; nil for a count-only job
+	idx1, idx2 := rowIndex(len(r1)), rowIndex(len(r2)) // the input row indices
 	var rows1, rows2 *KeyShuffle
-	if emit != nil {
-		idx1, idx2 = rowIndex(len(r1)), rowIndex(len(r2))
-		job.Pairs = func(w int, chunk []PairIdx) {
+	job := &Job{Cond: cond, Workers: scheme.Workers(), R1: f1, R2: f2,
+		Pairs: func(w int, chunk []PairIdx) {
 			// The future waits are free after resolution and give this
 			// goroutine an explicit acquire edge on the rows1/rows2 writes —
 			// pair delivery paths (e.g. a session's socket read loop) must
@@ -100,20 +101,17 @@ func RunPairsOver(rt Runtime, r1, r2 []join.Key, cond join.Condition,
 			for _, p := range chunk {
 				emit(w, int(b1[p.I1]), int(b2[p.I2]))
 			}
-		}
-	}
+		}}
 	// The callbacks publish rows1/rows2 before closing the future, so any
 	// goroutine that Waited it sees the blocks.
 	shufflePairAsync(r1, idx1, r2, idx2, scheme, cfg,
 		func(k, rows *KeyShuffle) { rows1 = rows; f1.resolve(RelData{Keys: k}) },
 		func(k, rows *KeyShuffle) { rows2 = rows; f2.resolve(RelData{Keys: k}) })
 	res, err := runJob(rt, job, scheme, model, cfg, start)
-	if emit != nil {
-		rows1.Release()
-		rows2.Release()
-		PutKeyBuffer(idx1)
-		PutKeyBuffer(idx2)
-	}
+	rows1.Release()
+	rows2.Release()
+	PutKeyBuffer(idx1)
+	PutKeyBuffer(idx2)
 	return res, err
 }
 

@@ -2,7 +2,8 @@ package faultnet_test
 
 // The fault-recovery crosscheck: kill one worker at each pipeline boundary
 // — stage-1 open, mid-scatter, after its statistics summary, as the stage-2
-// plan arrives, stage-2 open, as the peer counts bind, mid-peer-transfer —
+// plan arrives, stage-2 open, as a peer contribution's head lands,
+// mid-peer-transfer —
 // and assert the session recovers onto the survivors
 // with output BIT-IDENTICAL to a fault-free in-process run. Determinism is
 // what makes this assertable: every retry attempt replans from scratch for
@@ -112,11 +113,11 @@ func TestRecoveryBitIdenticalAcrossBoundaries(t *testing.T) {
 			return faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameOpenPeerJob,
 				Action: faultnet.ActReset}
 		}},
-		{"peer-bind", func(kill func()) faultnet.Rule {
-			// The worker dies as its stage-2 job's per-sender counts bind:
-			// the transfer it parked on is complete or nearly so, and never
-			// joins.
-			return faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FramePeerBind,
+		{"peer-head", func(kill func()) faultnet.Rule {
+			// The worker dies as a sender's contribution head lands — the
+			// only frame an empty share sends — with its stage-2 job parked
+			// on a transfer that never completes.
+			return faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FramePeerHead,
 				Action: faultnet.ActHook, Fn: kill}
 		}},
 		{"mid-peer-transfer", func(kill func()) faultnet.Rule {

@@ -52,8 +52,6 @@ const (
 	FrameChunkHead byte = 25
 	FrameChunk     byte = 26
 	FrameChunkTail byte = 27
-	// v3 late peer-count bind (stage-overlapped dispatch).
-	FramePeerBind byte = 28
 
 	// v3 continuous-join stream frames.
 	FrameStreamOpen    byte = 33

@@ -205,6 +205,8 @@ func tableRel(s *exec.KeyShuffle, rekey, invalid bool) *exec.RelFuture {
 	return exec.ResolvedRelFuture(rd)
 }
 
+// tablePlain runs one plain sub-job per worker: a pairs job, the one kind
+// whose relations ship as flat blocks outside a stage pipeline.
 func tablePlain(sess *Session, in tableInputs) error {
 	n := in.size()
 	s1, s2 := exec.ShufflePair(randKeys(n, int64(n), 500), randKeys(n, int64(n), 501),
@@ -212,7 +214,8 @@ func tablePlain(sess *Session, in tableInputs) error {
 	defer s1.Release()
 	defer s2.Release()
 	job := &exec.Job{Cond: join.Equi{}, Workers: tableWorkers,
-		R1: tableRel(s1, false, in.invalid), R2: tableRel(s2, false, false)}
+		R1: tableRel(s1, false, in.invalid), R2: tableRel(s2, false, false),
+		Pairs: func(int, []exec.PairIdx) {}}
 	return sess.RunJob(job, make([]exec.WorkerMetrics, tableWorkers))
 }
 
@@ -413,13 +416,14 @@ const (
 // build-side data frame the decoder must refuse at job level. want is the
 // kind's match count over the table's two relations.
 type feedKind struct {
-	name string
-	want int64
-	open func(bw *bufio.Writer) error
-	head func(bw *bufio.Writer, side int) error
-	keys func(bw *bufio.Writer, side int, keys []join.Key) error
-	end  func(bw *bufio.Writer, side, total int) error
-	bad  func(bw *bufio.Writer) error
+	name  string
+	want  int64
+	token uint64 // the peer-fed kind's transfer, which its probe side fills
+	open  func(bw *bufio.Writer) error
+	head  func(bw *bufio.Writer, side int) error
+	keys  func(bw *bufio.Writer, side int, keys []join.Key) error
+	end   func(bw *bufio.Writer, side, total int) error
+	bad   func(bw *bufio.Writer) error
 }
 
 // run ships one side's complete run.
@@ -469,9 +473,9 @@ func feedTableKinds(t *testing.T, w *Worker) []feedKind {
 		// Build key 1 reaches the two 2s, each 2 the 2s and the 3, 3 the same.
 		chunkFedKind(t, "band fed count job", join.NewBand(1), 11),
 		{
-			name: "peer-fed job", want: 5,
+			name: "peer-fed job", want: 5, token: token,
 			open: func(bw *bufio.Writer) error {
-				return writeV3GobFrame(bw, frameV3OpenPeerJob, feedJob, peerJobOpen{Cond: spec, Token: token})
+				return writeV3GobFrame(bw, frameV3OpenPeerJob, feedJob, peerJobOpen{Cond: spec, Token: token, Senders: 1})
 			},
 			head: func(bw *bufio.Writer, side int) error {
 				if side == probeSide {
@@ -487,8 +491,7 @@ func feedTableKinds(t *testing.T, w *Worker) []feedKind {
 			},
 			end: func(bw *bufio.Writer, side, total int) error {
 				if side == probeSide {
-					return writeV3GobFrame(bw, frameV3PeerBind, 0,
-						peerBind{Token: token, SenderCounts: []int64{int64(total)}})
+					return nil // the one sender's contribution completed the transfer
 				}
 				return writeChunkTail(bw, feedJob, 2, total)
 			},
@@ -622,7 +625,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 			check: failedWith(codeQuota)},
 		{name: "parked on its transfer while another job takes the one slot", peerOnly: true,
 			send: func(c cell) error {
-				// Sealed and parked: the transfer is neither delivered nor bound.
+				// Sealed and parked: the one sender has not contributed yet.
 				if err := errors.Join(c.k.run(c.bw, buildSide, build), eos(c.bw), c.bw.Flush()); err != nil {
 					return err
 				}
@@ -631,9 +634,9 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 					defer c.w.admit.mu.Unlock()
 					return c.w.admit.running == 0 && c.w.admit.fastPath == 1
 				})
-				// A flat count job now needs the worker's only slot — at its
-				// open, in the read loop — and must get it.
-				sendOpenJob(t, c.bw, otherJob, false)
+				// A pairs job now needs the worker's only slot — at its open,
+				// in the read loop — and must get it.
+				sendOpenJob(t, c.bw, otherJob)
 				err := errors.Join(
 					writeRelHead(c.bw, otherJob, 1, 1, false), writeKeyBlocksV3(c.bw, otherJob, 1, []join.Key{2}),
 					writeRelHead(c.bw, otherJob, 2, 1, false), writeKeyBlocksV3(c.bw, otherJob, 2, []join.Key{2}),
@@ -647,17 +650,16 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 				return c.k.run(c.bw, probeSide, probe)
 			},
 			check: succeeded},
-		{name: "transfer failed", peerOnly: true,
+		{name: "a sender past the open's count", peerOnly: true,
 			send: func(c cell) error {
-				// The bind announces one tuple more than the sender delivered.
+				// Sender 1 of a one-sender transfer fails it.
 				return errors.Join(c.k.run(c.bw, buildSide, build), eos(c.bw),
-					c.k.keys(c.bw, probeSide, probe), c.k.end(c.bw, probeSide, len(probe)+1))
+					c.w.deliverLocal(c.k.token, 1, probe))
 			},
 			check: failedWith(0)},
-		{name: "transfer never bound, coordinator hangs up", peerOnly: true,
+		{name: "a sender never contributes, coordinator hangs up", peerOnly: true,
 			send: func(c cell) error {
-				err := errors.Join(c.k.run(c.bw, buildSide, build), eos(c.bw),
-					c.k.keys(c.bw, probeSide, probe), c.bw.Flush())
+				err := errors.Join(c.k.run(c.bw, buildSide, build), eos(c.bw), c.bw.Flush())
 				if err != nil {
 					return err
 				}

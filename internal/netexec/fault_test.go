@@ -326,7 +326,6 @@ func TestFaultnetFrameParity(t *testing.T) {
 		{"chunk head", frameV3ChunkHead, faultnet.FrameChunkHead},
 		{"chunk", frameV3Chunk, faultnet.FrameChunk},
 		{"chunk tail", frameV3ChunkTail, faultnet.FrameChunkTail},
-		{"peer bind", frameV3PeerBind, faultnet.FramePeerBind},
 		{"stream open", frameV3StreamOpen, faultnet.FrameStreamOpen},
 		{"stream base", frameV3StreamBase, faultnet.FrameStreamBase},
 		{"stream base end", frameV3StreamBaseEnd, faultnet.FrameStreamBaseEnd},
@@ -372,7 +371,7 @@ func TestDesignFrameTableMatchesWire(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^\| (\d+) \| ([A-Z0-9]+)\b`).FindAllStringSubmatch(table, -1) {
 		rows[m[2]+" #"+m[1]] = true
 	}
-	if len(wire) < 25 {
+	if len(wire) < 24 {
 		t.Fatalf("found only %d frame constants in wire.go: %v", len(wire), wire)
 	}
 	for f := range wire {

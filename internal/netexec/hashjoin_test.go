@@ -138,49 +138,58 @@ func deepSpec(levels int) join.Spec {
 }
 
 // TestArrivalOrderJobsRefuseChunks pins the declarations no job kind can take,
-// each as a job-level refusal: a chunked relation on a job that joins flat
-// blocks in arrival order — pairs to index, a plan's matches to materialize,
-// in either frame order — a flat relation 2 on a peer-fed job, whose join
-// goroutine takes chunks only, a PLAN frame carrying the plan or peer map
-// only a PLAN2 may (the job would otherwise await a PLAN2 that never comes),
-// and a condition nested one level past join.MaxSpecDepth. The job replies
-// its error at EOS, and the connection serves the next job intact.
+// each as a job-level refusal. The open names no kind; the frames do: a PLAN
+// makes a plan job, else relation 1's form decides — so relation 2 must take
+// relation 1's. Refused: a chunked relation on a job that joins flat blocks in
+// arrival order — pairs to index (relation 1 came flat), a plan's matches to
+// materialize, in either frame order — a flat relation 2 behind chunked
+// relation 1 or on a peer-fed job, whose join goroutine takes chunks only, a
+// PLAN frame carrying the plan or peer map only a PLAN2 may (the job would
+// otherwise await a PLAN2 that never comes), and a condition nested one level
+// past join.MaxSpecDepth. The job replies its error at EOS, and the
+// connection serves the next job intact.
 func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 	_, addrs := startWorkerSet(t, 1)
 	spec, err := join.SpecOf(join.Equi{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := func(bw *bufio.Writer, pairs bool) error {
-		return writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec, WantPairs: pairs})
+	open := func(bw *bufio.Writer) error {
+		return writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec})
 	}
 	plan := func(bw *bufio.Writer) error {
 		return writeV3GobFrame(bw, frameV3Plan, 1, planSpec{})
 	}
 	chunkHead := func(bw *bufio.Writer) error { return writeChunkHead(bw, 1, 1, 2) }
+	flat := func(bw *bufio.Writer, rel int8) error {
+		return errors.Join(writeRelHead(bw, 1, rel, 1, false), writeKeyBlocksV3(bw, 1, rel, []join.Key{3}))
+	}
 	for _, tc := range []struct {
 		name, want string
 		frames     func(bw *bufio.Writer) error
 	}{
 		{"chunk head on a pairs job", "pairs or plan job", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw, true), chunkHead(bw))
+			return errors.Join(open(bw), flat(bw, 1), writeChunkHead(bw, 1, 2, 2))
+		}},
+		{"flat relation 2 on a chunk-fed job", "declared flat", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw), chunkHead(bw), writeChunkTail(bw, 1, 1, 0), flat(bw, 2))
 		}},
 		{"chunk head on a plan job", "pairs or plan job", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw, false), plan(bw), chunkHead(bw))
+			return errors.Join(open(bw), plan(bw), chunkHead(bw))
 		}},
 		{"plan on a chunk-fed job", "cannot carry a plan", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw, false), chunkHead(bw), plan(bw))
+			return errors.Join(open(bw), chunkHead(bw), plan(bw))
 		}},
 		{"plan frame carrying a plan", "statistics request", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw, false), writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Plan: []byte{1}}))
+			return errors.Join(open(bw), writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Plan: []byte{1}}))
 		}},
 		{"plan frame carrying a peer map", "statistics request", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw, false), writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Peers: []string{"x"}}))
+			return errors.Join(open(bw), writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Peers: []string{"x"}}))
 		}},
 		{"flat relation 2 on a peer-fed job", "declared flat", func(bw *bufio.Writer) error {
 			return errors.Join(
-				writeV3GobFrame(bw, frameV3OpenPeerJob, 1, peerJobOpen{Cond: spec, Token: newPeerToken()}),
-				writeRelHead(bw, 1, 2, 1, false), writeKeyBlocksV3(bw, 1, 2, []join.Key{3}))
+				writeV3GobFrame(bw, frameV3OpenPeerJob, 1, peerJobOpen{Cond: spec, Token: newPeerToken(), Senders: 1}),
+				flat(bw, 2))
 		}},
 		{"condition nested past the depth bound", fmt.Sprintf("%d levels", join.MaxSpecDepth), func(bw *bufio.Writer) error {
 			return writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: deepSpec(join.MaxSpecDepth + 1)})
@@ -196,8 +205,8 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 			if m := awaitFeedMetrics(t, conn, br, 1); !strings.Contains(m.Err, tc.want) {
 				t.Fatalf("replied %+v, want a refusal naming %q", m, tc.want)
 			}
-			// The next job on the connection: one key each side, flat.
-			sendOpenJob(t, bw, 2, false)
+			// The next job on the connection: a pairs job, one key each side.
+			sendOpenJob(t, bw, 2)
 			err = errors.Join(
 				writeRelHead(bw, 2, 1, 1, false), writeKeyBlocksV3(bw, 2, 1, []join.Key{3}),
 				writeRelHead(bw, 2, 2, 1, false), writeKeyBlocksV3(bw, 2, 2, []join.Key{3}),

@@ -18,13 +18,13 @@
 // peer-mesh link (peer.go) — and close anything else. Both ends run one job
 // lifecycle each: the coordinator's subJob (open/send/await/close,
 // session.go) against the worker's openJob → headFrame/dataFrame → finishJob
-// → retire (session_worker.go), where every count job whose relations are not
-// flat blocks — chunk-streamed, peer-fed, a stream — swaps finishJob for the
-// one join goroutine that consumes key frames as they arrive
-// (stream_worker.go). Every key-carrying data frame has one writer
-// (writeKeyFrames) and one sub-header step (readKeySubHdr). See wire.go for
-// the framing and DESIGN.md's "Transport" section for the frame table and
-// both lifecycles.
+// → retire (session_worker.go), where every count job — chunk-streamed,
+// peer-fed, a stream — swaps finishJob for the one join goroutine that
+// consumes key frames as they arrive (stream_worker.go). A worker reads a
+// job's kind from its own frames, never from a flag in the open. Every
+// key-carrying data frame has one writer (writeKeyFrames) and one sub-header
+// step (readKeySubHdr). See wire.go for the framing and DESIGN.md's
+// "Transport" section for the frame table and both lifecycles.
 package netexec
 
 import (
@@ -74,11 +74,12 @@ type metrics struct {
 
 // jobOpen opens one numbered job on a v3 session connection. Counts travel
 // separately in per-relation head frames, so a job can start streaming its
-// first relation before the second one's shuffle has finished.
+// first relation before the second one's shuffle has finished. The open does
+// not name the job's kind: a PLAN frame beside it makes a plan job, and
+// otherwise relation 1's form does — chunks a count, flat blocks pairs.
 type jobOpen struct {
-	WorkerID  int
-	Cond      join.Spec
-	WantPairs bool
+	WorkerID int
+	Cond     join.Spec
 }
 
 // planSpec rides two frames of a stage-1 plan job, whose matches feed the
@@ -100,26 +101,16 @@ type planSpec struct {
 
 // peerJobOpen opens a stage-2 job whose relation 1 arrives from peer workers
 // rather than from the coordinator. The coordinator opens it (and streams the
-// right relation) WHILE stage 1 still runs, before any count exists: the exact
-// per-sender counts follow in a frameV3PeerBind once every stage-1 metrics
-// frame has landed, and the worker parks on the transfer token exactly as it
-// does for slow peer transfers. Pre-bind buffering stays capped by the
-// per-transfer declared-count ceiling; the tenant is charged for the
-// contributions when the job takes them, where their size is first known.
+// right relation) WHILE stage 1 still runs. Senders is the stage-1 worker
+// count; each contributes exactly once, an empty share included, and the job
+// parks on the token until all have. Buffering stays capped per transfer; the
+// tenant is charged for the contributions when the job takes them, where
+// their size is first known.
 type peerJobOpen struct {
 	WorkerID int
 	Cond     join.Spec
 	Token    uint64
-}
-
-// peerBind delivers a peer job's exact per-sender counts: SenderCounts[s] is
-// what sender s routed to this worker (reported by the stage-1 metrics), so
-// the receiver knows exactly when the peer transfer is complete. It is keyed by transfer token rather
-// than job id: the job's EOS retired the id from the connection's demux table
-// long before stage 1 finished.
-type peerBind struct {
-	Token        uint64
-	SenderCounts []int64
+	Senders  int
 }
 
 // planCancel discards a worker's buffered peer state for an abandoned plan

@@ -193,9 +193,9 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 // loops. A control frame's payload is buffered whole before it decodes, so a
 // header declaring more is refused before anything is allocated for it —
 // connection-fatal on the worker (which used to allocate the declared 128 MiB
-// and sit waiting for it) and on the coordinator — while the largest plan and
-// bind the widest mesh produces pass, and the writer refuses to frame what the
-// reader would not take.
+// and sit waiting for it) and on the coordinator — while the largest plan the
+// widest mesh produces passes, and the writer refuses to frame what the reader
+// would not take.
 func TestControlFrameBound(t *testing.T) {
 	const declared = 1 << 27 // under maxDataPayload: the header reader admits it
 	t.Run("worker", func(t *testing.T) {
@@ -226,7 +226,7 @@ func TestControlFrameBound(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		types := []byte{frameV3Hello, frameV3Plan, frameV3Plan2, frameV3PeerBind, frameV3PlanCancel}
+		types := []byte{frameV3Hello, frameV3Plan, frameV3Plan2, frameV3PlanCancel}
 		for _, typ := range types {
 			bw, _ := dialV3(t, addrs[0])
 			if typ == frameV3Plan { // a PLAN is read only for an open job
@@ -238,7 +238,7 @@ func TestControlFrameBound(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		const bound = 16 << 20 // the five headers declare 160 MiB
+		const bound = 16 << 20 // the four headers declare 128 MiB
 		for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); {
 			time.Sleep(10 * time.Millisecond)
 			runtime.ReadMemStats(&after)
@@ -302,25 +302,21 @@ func TestControlFrameBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		ps := planSpec{Plan: plan, Peers: make([]string, maxPeerSenders)}
-		pb := peerBind{SenderCounts: make([]int64, maxPeerSenders)}
 		for i := range ps.Peers {
 			ps.Peers[i] = "[ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff%interface0]:65535"
-			pb.SenderCounts[i] = MaxRelationTuples
-		}
-		for typ, v := range map[byte]any{frameV3Plan2: ps, frameV3PeerBind: pb} {
-			var b bytes.Buffer
-			if err := writeV3GobFrame(&b, typ, 1, v); err != nil {
-				t.Fatalf("frame type %d: %v", typ, err)
-			}
-			_, _, n, err := readV3FrameHeader(&b)
-			if err != nil || n > maxControlPayload/16 {
-				t.Fatalf("frame type %d: %d-byte payload (err %v), want far inside the %d bound", typ, n, err, maxControlPayload)
-			}
-			if _, err := readControlPayload(&b, n); err != nil {
-				t.Fatalf("frame type %d: %v", typ, err)
-			}
 		}
 		var b bytes.Buffer
+		if err := writeV3GobFrame(&b, frameV3Plan2, 1, ps); err != nil {
+			t.Fatal(err)
+		}
+		_, _, n, err := readV3FrameHeader(&b)
+		if err != nil || n > maxControlPayload/16 {
+			t.Fatalf("PLAN2: %d-byte payload (err %v), want far inside the %d bound", n, err, maxControlPayload)
+		}
+		if _, err := readControlPayload(&b, n); err != nil {
+			t.Fatal(err)
+		}
+		b.Reset()
 		err = writeV3GobFrame(&b, frameV3Plan2, 1, planSpec{Plan: make([]byte, maxControlPayload)})
 		if err == nil || b.Len() != 0 {
 			t.Fatalf("an oversized plan framed %d bytes (err %v), want a refusal at the frame boundary", b.Len(), err)
@@ -354,7 +350,7 @@ func TestShutdownSparesConnectionMidPrelude(t *testing.T) {
 	half := dialRaw(t, addrs[0], []byte("EWH"))
 	// Hold a job open so Shutdown parks in its drain between the two sweeps.
 	bw, _ := dialV3(t, addrs[0])
-	sendOpenJob(t, bw, 1, false)
+	sendOpenJob(t, bw, 1)
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +417,7 @@ func TestSessionDeclaredCountEnforced(t *testing.T) {
 
 	// EOS before the declared tuples arrived.
 	bw, conn := dialV3(t, addrs[0])
-	sendOpenJob(t, bw, 1, false)
+	sendOpenJob(t, bw, 1)
 	if err := writeRelHead(bw, 1, 1, 5, false); err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +435,7 @@ func TestSessionDeclaredCountEnforced(t *testing.T) {
 	}
 
 	// More tuples than declared; same connection, next job.
-	sendOpenJob(t, bw, 2, false)
+	sendOpenJob(t, bw, 2)
 	if err := writeRelHead(bw, 2, 1, 1, false); err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +459,7 @@ func TestSessionDeclaredCountEnforced(t *testing.T) {
 func TestSessionUnknownRelationRejected(t *testing.T) {
 	_, addrs := startWorkerSet(t, 1)
 	bw, conn := dialV3(t, addrs[0])
-	sendOpenJob(t, bw, 1, false)
+	sendOpenJob(t, bw, 1)
 	if err := writeRelHead(bw, 1, 1, 1, false); err != nil {
 		t.Fatal(err)
 	}

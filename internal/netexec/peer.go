@@ -20,12 +20,12 @@ import (
 // stage-2 plan and streams each stage-2 worker's share DIRECTLY to that
 // peer, over a lazily-dialed persistent connection to the peer's regular
 // listener (protoVersionPeer selects this handler). The receiving side
-// buffers contributions keyed by a coordinator-issued 64-bit token; the
-// coordinator binds the transfer to the exact per-sender counts, so the
-// receiver knows precisely when it is complete and the stage-2 job parked on
-// it probes the contributions where they landed. The intermediate
-// relation therefore never transits the coordinator — it only ever sees the
-// count vectors riding the stage-1 metrics.
+// buffers contributions keyed by a coordinator-issued 64-bit token. Every
+// sender contributes to every receiver exactly once, empty shares included, so
+// a transfer is complete at the sender count its stage-2 job's open declared;
+// the parked job then probes the contributions where they landed. The
+// intermediate never transits the coordinator — it only sees the count
+// vectors riding the stage-1 metrics, and checks stage-2 replies against them.
 
 // peerTokens makes transfer tokens unique across coordinators sharing a
 // worker pool: a process-random base plus a counter.
@@ -174,7 +174,8 @@ func (pc *peerConn) close() {
 }
 
 // writeContribution frames one sender's share of a transfer: the head
-// declares the key count, then the key blocks follow.
+// declares the key count, then the key blocks follow — an empty share is its
+// head alone.
 func (pc *peerConn) writeContribution(token uint64, sender int, keys []join.Key) error {
 	if err := writeFrameHeader(pc.bw, framePeerHead, peerHeadLen); err != nil {
 		return err
@@ -216,15 +217,15 @@ type peerContrib struct {
 	reading  bool
 }
 
-// peerJobState accumulates one transfer's contributions until the matching
-// stage-2 job binds it with the coordinator's expected per-sender counts;
-// once every expected contribution is complete it signals ready, and the job
-// takes the contributions (a count probes them in any order).
+// peerJobState accumulates one transfer's contributions. Once the stage-2
+// job's open has declared the sender count and that many contributions are
+// complete it signals ready, and the job takes the contributions (a count
+// probes them in any order).
 type peerJobState struct {
 	mu       sync.Mutex
 	contrib  map[int]*peerContrib // complete and the job's to take when done && err == nil
-	declared int64                // sum of contribution declarations (pre-bind buffering cap)
-	expected []int64              // nil until the stage-2 job binds
+	declared int64                // sum of contribution declarations (buffering cap)
+	senders  int                  // 0 until the stage-2 job's open declares it
 	err      error
 	done     bool
 	ready    chan struct{} // closed once complete or failed
@@ -263,39 +264,64 @@ func (st *peerJobState) releaseLocked() {
 	}
 }
 
-// checkReadyLocked signals ready once the state is bound and every expected
-// contribution is complete. Contributions the coordinator did not announce
-// are protocol errors.
+// checkReadyLocked signals ready once the sender count is declared and that
+// many contributions (addLocked admits none past the count) fully arrived.
 func (st *peerJobState) checkReadyLocked() {
-	if st.done || st.expected == nil {
+	if st.done || st.senders == 0 || len(st.contrib) < st.senders {
 		return
 	}
-	for s, exp := range st.expected {
-		c := st.contrib[s]
-		if exp == 0 {
-			if c != nil {
-				st.failLocked(fmt.Errorf("sender %d contributed %d tuples, coordinator announced none", s, c.declared))
-			}
-			continue
-		}
-		if c == nil || int64(c.declared) != exp {
-			if c != nil && int64(c.declared) != exp {
-				st.failLocked(fmt.Errorf("sender %d declared %d tuples, coordinator announced %d", s, c.declared, exp))
-			}
-			return // still waiting (or just failed)
-		}
+	for _, c := range st.contrib {
 		if c.pos != c.declared {
 			return // still streaming
 		}
 	}
-	for s := range st.contrib {
-		if s < 0 || s >= len(st.expected) {
-			st.failLocked(fmt.Errorf("contribution from unannounced sender %d", s))
-			return
-		}
-	}
 	st.done = true
 	close(st.ready)
+}
+
+// addLocked is the one admission rule for a contribution, in memory
+// (deliverLocal) or over the mesh (handlePeer's head): a new sender, below the
+// sender count once declared, within a relation's tuple cap across the
+// transfer. It returns the new, still empty contribution, or nil when it
+// refused and thereby failed the transfer.
+func (st *peerJobState) addLocked(sender int, count int64) *peerContrib {
+	switch {
+	case st.contrib[sender] != nil:
+		st.failLocked(fmt.Errorf("duplicate contribution from sender %d", sender))
+	case st.senders > 0 && sender >= st.senders:
+		st.failLocked(fmt.Errorf("contribution from sender %d of a %d-sender transfer", sender, st.senders))
+	case st.declared+count > MaxRelationTuples:
+		st.failLocked(fmt.Errorf("transfer declarations exceed %d tuples at sender %d", MaxRelationTuples, sender))
+	default:
+		st.declared += count
+		c := &peerContrib{declared: int(count), keys: exec.GetKeyBuffer(int(count))}
+		st.contrib[sender] = c
+		return c
+	}
+	return nil
+}
+
+// expect declares the transfer's sender count, carried by the stage-2 job's
+// open. It refuses a count outside [1, maxPeerSenders] and a second open of
+// the same transfer — failing only the opening job — and fails the transfer if
+// a sender past the count contributed before the open arrived.
+func (st *peerJobState) expect(senders int) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	switch {
+	case senders < 1 || senders > maxPeerSenders:
+		return fmt.Errorf("peer job declares %d senders, want 1 to %d", senders, maxPeerSenders)
+	case st.senders != 0:
+		return fmt.Errorf("transfer already opened by another job")
+	}
+	st.senders = senders
+	for s := range st.contrib {
+		if s >= senders {
+			st.failLocked(fmt.Errorf("contribution from sender %d of a %d-sender transfer", s, senders))
+		}
+	}
+	st.checkReadyLocked()
+	return nil
 }
 
 // maxPeerStates bounds the distinct transfer tokens a worker will track at
@@ -344,44 +370,6 @@ func (w *Worker) evictFinishedLocked() bool {
 	return len(w.peerStates) < maxPeerStates
 }
 
-// bindPeerCounts binds a transfer to the coordinator-announced per-sender
-// counts, carried by the frameV3PeerBind that follows stage 1. The
-// bind is keyed by token, not job: a bad or duplicate bind POISONS the state
-// and the job parked on its ready channel replies the error. A token with no
-// tracked state is ignored (the job failed at open and already replied; the
-// coordinator's await surfaces that reply first).
-func (w *Worker) bindPeerCounts(token uint64, senderCounts []int64) {
-	w.peersMu.Lock()
-	st := w.peerStates[token]
-	w.peersMu.Unlock()
-	if st == nil {
-		return
-	}
-	var total int64
-	var bad error
-	for s, c := range senderCounts {
-		if c < 0 || c > MaxRelationTuples {
-			bad = fmt.Errorf("bind names sender %d count %d outside [0, %d]", s, c, MaxRelationTuples)
-			break
-		}
-		total += c
-	}
-	if bad == nil && total > MaxRelationTuples {
-		bad = fmt.Errorf("bind of %d tuples exceeds relation limit %d", total, MaxRelationTuples)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	switch {
-	case bad != nil:
-		st.failLocked(bad)
-	case st.expected != nil:
-		st.failLocked(fmt.Errorf("transfer token %d already bound", token))
-	default:
-		st.expected = senderCounts
-		st.checkReadyLocked()
-	}
-}
-
 // dropPeerState discards the transfer state for token. An in-flight state
 // is poisoned and RETAINED as a tombstone (creating one if the token was
 // never seen): contributions may still be streaming in when a cancel
@@ -390,7 +378,7 @@ func (w *Worker) bindPeerCounts(token uint64, senderCounts []int64) {
 // poisoned state holds no buffers, so a tombstone costs ~100 bytes, bounded
 // by maxPeerStates. A state that already COMPLETED (its job was aborted or
 // its session died before consuming it) releases its contributions and is
-// removed outright — every announced contribution arrived, so no stragglers
+// removed outright — every sender's contribution arrived, so no stragglers
 // can revive the token. finishPeerState removes states whose job consumed
 // them.
 func (w *Worker) dropPeerState(token uint64) {
@@ -445,15 +433,11 @@ func (w *Worker) deliverLocal(token uint64, sender int, keys []join.Key) error {
 	if st.done {
 		return st.err
 	}
-	if st.contrib[sender] != nil {
-		err := fmt.Errorf("duplicate local contribution from sender %d", sender)
-		st.failLocked(err)
-		return err
+	c := st.addLocked(sender, int64(len(keys)))
+	if c == nil {
+		return st.err
 	}
-	st.declared += int64(len(keys))
-	c := &peerContrib{declared: len(keys), keys: exec.GetKeyBuffer(len(keys)), pos: len(keys)}
-	copy(c.keys, keys)
-	st.contrib[sender] = c
+	c.pos = copy(c.keys, keys)
 	st.checkReadyLocked()
 	return nil
 }
@@ -461,7 +445,7 @@ func (w *Worker) deliverLocal(token uint64, sender int, keys []join.Key) error {
 // handlePeer serves one inbound peer-mesh connection until the sender hangs
 // up. Frame-level corruption is connection-fatal; a connection dying with
 // contributions still streaming fails their transfers (and thereby the
-// stage-2 jobs bound to them) with an error naming the sender address.
+// stage-2 jobs parked on them) with an error naming the sender address.
 func (w *Worker) handlePeer(br *bufio.Reader, conn net.Conn) {
 	type inflightKey struct {
 		token  uint64
@@ -510,28 +494,13 @@ func (w *Worker) handlePeer(br *bufio.Reader, conn net.Conn) {
 				return
 			}
 			st.mu.Lock()
-			switch {
-			case st.done:
-				// Poisoned or cancelled transfer: swallow the contribution's
-				// frames (they carry their own counts) without buffering.
-			case st.contrib[sender] != nil:
-				st.failLocked(fmt.Errorf("duplicate contribution from sender %d via %s", sender, conn.RemoteAddr()))
-			case st.expected != nil && (sender >= len(st.expected) || st.expected[sender] != count):
-				st.failLocked(fmt.Errorf("sender %d via %s declared %d tuples, coordinator announced %s",
-					sender, conn.RemoteAddr(), count, expectedStr(st.expected, sender)))
-			case st.declared+count > MaxRelationTuples:
-				// Pre-bind buffering cap: one transfer may never declare more
-				// than a relation is allowed to hold, bound or not.
-				st.failLocked(fmt.Errorf("transfer declarations exceed %d tuples at sender %d via %s",
-					MaxRelationTuples, sender, conn.RemoteAddr()))
-			default:
-				st.declared += count
-				c := &peerContrib{declared: int(count), keys: exec.GetKeyBuffer(int(count))}
-				st.contrib[sender] = c
+			// A poisoned or cancelled transfer swallows the contribution's
+			// frames (they carry their own counts) without buffering.
+			if !st.done && st.addLocked(sender, count) != nil {
 				if count > 0 {
 					inflight[inflightKey{token, sender}] = st
 				} else {
-					st.checkReadyLocked()
+					st.checkReadyLocked() // an empty share is complete at its head
 				}
 			}
 			st.mu.Unlock()
@@ -606,11 +575,4 @@ func (w *Worker) handlePeer(br *bufio.Reader, conn net.Conn) {
 		}
 		disarmConn(conn)
 	}
-}
-
-func expectedStr(expected []int64, sender int) string {
-	if sender >= len(expected) {
-		return fmt.Sprintf("only %d senders", len(expected))
-	}
-	return fmt.Sprintf("%d", expected[sender])
 }

@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -204,7 +207,7 @@ func TestWorkerIOTimeoutFailsStalledTransfer(t *testing.T) {
 	t.Cleanup(func() { _ = w.Close() })
 
 	bw, conn := dialV3(t, w.Addr())
-	sendOpenJob(t, bw, 1, false)
+	sendOpenJob(t, bw, 1)
 	// Declare a 64-byte gob payload for a second open and send nothing.
 	if err := writeV3FrameHeader(bw, frameV3OpenJob, 2, 64); err != nil {
 		t.Fatal(err)
@@ -234,7 +237,7 @@ func TestDialWithRejectsUnreachableWorker(t *testing.T) {
 
 // TestPeerJobExitTombstonesTransfer pins the single retire path: however a
 // peer-fed job leaves before consuming its transfer — ABORT or the
-// coordinator hanging up — the bound token ends as the same buffer-less
+// coordinator hanging up — the opened token ends as the same buffer-less
 // failed tombstone, so a late contribution is swallowed instead of
 // assembling into a block nobody will read (and the table slot stays
 // evictable).
@@ -265,25 +268,21 @@ func TestPeerJobExitTombstonesTransfer(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			token := newPeerToken()
 			bw, conn := dialV3(t, addrs[0])
-			po := peerJobOpen{Cond: spec, Token: token}
+			po := peerJobOpen{Cond: spec, Token: token, Senders: 1}
 			if err := writeV3GobFrame(bw, frameV3OpenPeerJob, 1, po); err != nil {
-				t.Fatal(err)
-			}
-			bind := peerBind{Token: token, SenderCounts: []int64{1}}
-			if err := writeV3GobFrame(bw, frameV3PeerBind, 0, bind); err != nil {
 				t.Fatal(err)
 			}
 			if err := bw.Flush(); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, "the job to bind its transfer", func() bool {
+			waitFor(t, "the job to open its transfer", func() bool {
 				st := state(token)
 				if st == nil {
 					return false
 				}
 				st.mu.Lock()
 				defer st.mu.Unlock()
-				return st.expected != nil
+				return st.senders != 0
 			})
 			if err := tc.leave(bw, conn); err != nil {
 				t.Fatal(err)
@@ -294,7 +293,7 @@ func TestPeerJobExitTombstonesTransfer(t *testing.T) {
 				defer st.mu.Unlock()
 				return st.done && st.err != nil
 			})
-			// The late contribution the coordinator announced arrives anyway.
+			// The one sender's contribution arrives anyway, late.
 			pc := meshSend(t, w, token, 0, []join.Key{7})
 			defer pc.close()
 			// A second send on the same link is ordered after the first, so
@@ -303,7 +302,7 @@ func TestPeerJobExitTombstonesTransfer(t *testing.T) {
 			if err := pc.sendContribution(Timeouts{}, probe, 0, []join.Key{1}); err != nil {
 				t.Fatal(err)
 			}
-			awaitTransfer(t, w, probe, []int64{1})
+			awaitTransfer(t, w, probe, 1)
 			w.dropPeerState(probe)
 			st := state(token)
 			st.mu.Lock()
@@ -327,11 +326,14 @@ func meshSend(t *testing.T, w *Worker, token uint64, sender int, keys []join.Key
 	return pc
 }
 
-// awaitTransfer binds the transfer and waits for it to assemble or fail.
-func awaitTransfer(t *testing.T, w *Worker, token uint64, counts []int64) *peerJobState {
+// awaitTransfer declares the transfer's sender count, as a stage-2 job's open
+// does, and waits for it to assemble or fail.
+func awaitTransfer(t *testing.T, w *Worker, token uint64, senders int) *peerJobState {
 	t.Helper()
 	st := w.peerState(token)
-	w.bindPeerCounts(token, counts)
+	if err := st.expect(senders); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case <-st.ready:
 	case <-time.After(10 * time.Second):
@@ -343,7 +345,7 @@ func awaitTransfer(t *testing.T, w *Worker, token uint64, counts []int64) *peerJ
 // TestUnknownPeerFrameFailsTransfer pins what a frame the mesh does not know
 // — here type 32, the retired payload segment — costs: the connection dies and
 // the contributions still streaming over it fail with the sender named, so
-// the stage-2 job bound to the transfer replies an error instead of parking.
+// the stage-2 job parked on the transfer replies an error instead of waiting.
 func TestUnknownPeerFrameFailsTransfer(t *testing.T) {
 	ws, _ := startWorkerSet(t, 1)
 	w := ws[0]
@@ -373,7 +375,7 @@ func TestUnknownPeerFrameFailsTransfer(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st := awaitTransfer(t, w, token, []int64{3, 2})
+	st := awaitTransfer(t, w, token, 2)
 	st.mu.Lock()
 	stErr := st.err
 	st.mu.Unlock()
@@ -386,4 +388,229 @@ func TestUnknownPeerFrameFailsTransfer(t *testing.T) {
 		t.Fatal("worker kept the mesh connection open after an unknown frame")
 	}
 	w.dropPeerState(token)
+}
+
+// TestPeerTransferCompletesAtSenderCount is the completion rule's table: a
+// transfer is complete once as many senders as its stage-2 open declared have
+// fully contributed — empty shares included, in memory or over the mesh, in
+// any order around the open — and one admission rule fails it on a sender
+// past the count (whether it arrived before or after the open), a duplicate
+// sender, or declarations past a relation's cap. An open declaring no senders or more than maxPeerSenders is refused
+// without touching the transfer, as is a second open of a complete one.
+func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
+	ws, _ := startWorkerSet(t, 1)
+	w := ws[0]
+	type contribution struct {
+		sender int
+		keys   []join.Key
+		mesh   bool // over a mesh connection, else in memory
+	}
+	for _, tc := range []struct {
+		name          string
+		senders       int
+		before, after []contribution // around the open
+		overCap       bool           // then sender 1's bare mesh head declares MaxRelationTuples
+		openErr       string         // the open's refusal; "" accepts it
+		transferErr   string         // the transfer's failure; "" completes it
+	}{
+		{name: "all shares empty", senders: 3,
+			before: []contribution{{0, nil, true}},
+			after:  []contribution{{1, nil, false}, {2, nil, true}}},
+		{name: "some shares empty", senders: 3,
+			before: []contribution{{2, []join.Key{5}, false}},
+			after:  []contribution{{1, nil, true}, {0, []join.Key{1, 2}, true}}},
+		{name: "sender past the count before the open", senders: 2,
+			before:      []contribution{{0, []join.Key{1}, false}, {2, []join.Key{4}, true}},
+			transferErr: "sender 2 of a 2-sender transfer"},
+		{name: "sender past the count after the open", senders: 2,
+			after:       []contribution{{0, []join.Key{1}, false}, {2, []join.Key{4}, true}},
+			transferErr: "sender 2 of a 2-sender transfer"},
+		{name: "duplicate sender", senders: 2,
+			before:      []contribution{{1, []join.Key{1}, true}},
+			after:       []contribution{{1, []join.Key{1}, false}},
+			transferErr: "duplicate contribution from sender 1"},
+		{name: "declarations past a relation's cap", senders: 2,
+			before: []contribution{{0, []join.Key{1}, true}}, overCap: true,
+			transferErr: "transfer declarations exceed"},
+		{name: "no senders", senders: 0, openErr: "declares 0 senders"},
+		{name: "more senders than the mesh allows", senders: maxPeerSenders + 1,
+			openErr: fmt.Sprintf("declares %d senders", maxPeerSenders+1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			token := newPeerToken()
+			st := w.peerState(token)
+			defer w.dropPeerState(token)
+			pc := &peerConn{addr: w.Addr()}
+			defer pc.close()
+			contribute := func(cs []contribution) {
+				for _, c := range cs {
+					if !c.mesh {
+						_ = w.deliverLocal(token, c.sender, c.keys) // a refusal fails st, checked below
+						continue
+					}
+					if err := pc.sendContribution(Timeouts{}, token, c.sender, c.keys); err != nil {
+						t.Fatal(err)
+					}
+					waitFor(t, "the mesh contribution to land", func() bool {
+						st.mu.Lock()
+						defer st.mu.Unlock()
+						c := st.contrib[c.sender]
+						return st.done || (c != nil && c.pos == c.declared)
+					})
+				}
+			}
+			contribute(tc.before)
+			err := st.expect(tc.senders)
+			if tc.openErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.openErr) {
+					t.Fatalf("open of %d senders returned %v, want a refusal naming %q", tc.senders, err, tc.openErr)
+				}
+				// The refusal failed only the open: the transfer still
+				// completes under a valid one.
+				tc.senders, tc.after = 1, []contribution{{0, []join.Key{3}, false}}
+				if err := st.expect(tc.senders); err != nil {
+					t.Fatal(err)
+				}
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			contribute(tc.after)
+			if tc.overCap {
+				// Refused before anything is allocated for the declared keys.
+				var h [peerHeadLen]byte
+				binary.LittleEndian.PutUint64(h[:], token)
+				binary.LittleEndian.PutUint32(h[8:], 1)
+				binary.LittleEndian.PutUint32(h[12:], MaxRelationTuples)
+				pc.mu.Lock()
+				err := writeFrameHeader(pc.bw, framePeerHead, peerHeadLen)
+				_, werr := pc.bw.Write(h[:])
+				err = errors.Join(err, werr, pc.bw.Flush())
+				pc.mu.Unlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			select {
+			case <-st.ready:
+			case <-time.After(5 * time.Second):
+				t.Fatal("transfer neither completed nor failed")
+			}
+			st.mu.Lock()
+			stErr, n := st.err, len(st.contrib)
+			st.mu.Unlock()
+			switch {
+			case tc.transferErr != "":
+				if stErr == nil || !strings.Contains(stErr.Error(), tc.transferErr) {
+					t.Fatalf("transfer err = %v, want one naming %q", stErr, tc.transferErr)
+				}
+			case stErr != nil || n != tc.senders:
+				t.Fatalf("transfer err = %v with %d contributions, want complete with %d", stErr, n, tc.senders)
+			default:
+				if err := st.expect(tc.senders); err == nil || !strings.Contains(err.Error(), "already opened") {
+					t.Fatalf("a second open returned %v, want a refusal", err)
+				}
+			}
+		})
+	}
+}
+
+// TestRetiredSessionFrameIsConnectionFatal pins frame type 28, the retired
+// late sender-count bind, as what retired type 32 is on the mesh: a frame the
+// session reader does not know ends the connection, and the job in flight on
+// it retires.
+func TestRetiredSessionFrameIsConnectionFatal(t *testing.T) {
+	ws, addrs := startWorkerSet(t, 1)
+	bw, conn := dialV3(t, addrs[0])
+	sendOpenJob(t, bw, 1)
+	err := errors.Join(writeRelHead(bw, 1, 1, 1, false), writeKeyBlocksV3(bw, 1, 1, []join.Key{3}), bw.Flush())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the worker to register the job", func() bool { return inFlight(ws[0]) == 1 })
+	var payload [16]byte
+	if err := errors.Join(writeHeadFrame(bw, 28, 0, payload[:]), bw.Flush()); err != nil {
+		t.Fatal(err)
+	}
+	expectClosedSilently(t, conn)
+	waitFor(t, "the job to retire with its connection", func() bool { return inFlight(ws[0]) == 0 })
+}
+
+// TestPeerJobReplyCheckedAgainstSenderCounts pins the one place a stage-1
+// sender's counts are verified now that the receiver knows only how many
+// senders it has: the coordinator checks each stage-2 reply's joined tuples
+// against the sum the senders reported routing to it. A scripted worker
+// reports routing three tuples and then joins two; the pipeline fails as a
+// validation fault that blames no worker.
+func TestPeerJobReplyCheckedAgainstSenderCounts(t *testing.T) {
+	leakCheck(t)
+	const routed = 3
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { // one worker, scripted frame by frame
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+		if _, err := io.ReadFull(br, make([]byte, len(protoMagic)+2)); err != nil {
+			return
+		}
+		peerJob := map[uint32]bool{}
+		for {
+			typ, id, n, err := readV3FrameHeader(br)
+			if err != nil {
+				return
+			}
+			if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
+				return
+			}
+			switch {
+			case typ == frameV3OpenPeerJob:
+				peerJob[id] = true
+			case typ == frameV3EOS && peerJob[id]:
+				err = writeV3GobFrame(bw, frameV3Metrics, id, metrics{InputR1: routed - 1})
+			case typ == frameV3EOS: // the stage-1 job: an empty summary, which Replan ignores
+				err = writeV3FrameHeader(bw, frameV3Stats, id, 0)
+			case typ == frameV3Plan2:
+				err = writeV3GobFrame(bw, frameV3Metrics, id, metrics{Output: routed, PeerCounts: []int64{routed}})
+			}
+			if err != nil || bw.Flush() != nil {
+				return
+			}
+		}
+	}()
+	sess := dialSession(t, []string{ln.Addr().String()})
+	scheme, err := partition.NewHash(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planio.Encode(&planio.Artifact{Scheme: scheme, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := exec.Config{Seed: 2}
+	s1, s2 := exec.ShufflePair(randKeys(10, 5, 3), randKeys(10, 5, 4), scheme, cfg)
+	defer s1.Release()
+	defer s2.Release()
+	r3 := exec.ShuffleKeysChunked(randKeys(10, 5, 5), scheme, 2, cfg)
+	defer r3.Drain()
+	first := &exec.Job{Cond: join.Equi{}, Workers: 1,
+		R1: exec.ResolvedRelFuture(exec.RelData{Keys: s1}),
+		R2: exec.ResolvedRelFuture(exec.RelData{Keys: s2, Rekey: s2})}
+	next := &exec.PlanJob{Cond: join.Equi{}, R2: exec.ResolvedRelFuture(exec.RelData{Chunks: r3}),
+		Stats:  &exec.StatsSpec{Cap: 8, Buckets: 4, Seed: 6},
+		Replan: func([][]byte) ([]byte, int, error) { return plan, 1, nil }}
+	_, err = sess.RunStages(first, next, make([]exec.WorkerMetrics, 1), make([]exec.WorkerMetrics, 1))
+	if err == nil || !strings.Contains(err.Error(), "worker joined 2 peer tuples, senders reported 3") {
+		t.Fatalf("RunStages returned %v, want the reply refused against the senders' counts", err)
+	}
+	for _, f := range Faults(err) {
+		if f.Kind != FaultUnknown || f.RetryableFault() {
+			t.Fatalf("the refusal blames the worker: %v", f)
+		}
+	}
 }

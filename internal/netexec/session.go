@@ -127,9 +127,10 @@ func (s *Session) OverlappedStage2() int64 { return s.overlapped.Load() }
 // boundary.
 func (s *Session) BuildOverlappedChunks() int64 { return s.buildOverlapped.Load() }
 
-// StreamsChunks implements exec.ChunkStreamer: the session consumes chunked
-// relations, framing each routed sub-block onto the socket the moment a
-// mapper emits it instead of waiting out the whole flat scatter.
+// StreamsChunks implements exec.ChunkStreamer: a session's count jobs take
+// chunked relations, framing each routed sub-block onto the socket the moment
+// a mapper emits it instead of waiting out the whole flat scatter. It refuses
+// a flat count job: the workers read a job's kind from relation 1's form.
 func (s *Session) StreamsChunks() bool { return true }
 
 // Workers returns the session's worker count.
@@ -582,10 +583,12 @@ func (j *subJob) account(rm *metrics, m *exec.WorkerMetrics) {
 // contiguous on the wire; each relation is fetched from its future right
 // before sending, which is where the shuffle/socket overlap happens —
 // relation 1's blocks go out (and flush) while relation 2 may still be
-// scattering. A non-nil ps rides between the open and the relations.
+// scattering. A non-nil ps, making a plan job, rides between the open and
+// the relations.
 func (j *subJob) sendJob(spec join.Spec, ps *planSpec, job *exec.Job) error {
+	count := ps == nil && job.Pairs == nil
 	return j.send(func(bw *bufio.Writer) error {
-		jo := jobOpen{WorkerID: j.worker, Cond: spec, WantPairs: job.Pairs != nil}
+		jo := jobOpen{WorkerID: j.worker, Cond: spec}
 		if err := writeV3GobFrame(bw, frameV3OpenJob, j.id, jo); err != nil {
 			return err
 		}
@@ -594,25 +597,28 @@ func (j *subJob) sendJob(spec join.Spec, ps *planSpec, job *exec.Job) error {
 				return err
 			}
 		}
-		if err := j.writeRelation(bw, 1, job.R1.Wait()); err != nil {
+		if err := j.writeRelation(bw, 1, job.R1.Wait(), count); err != nil {
 			return err
 		}
 		if err := bw.Flush(); err != nil {
 			return err
 		}
-		if err := j.writeRelation(bw, 2, job.R2.Wait()); err != nil {
+		if err := j.writeRelation(bw, 2, job.R2.Wait(), count); err != nil {
 			return err
 		}
 		return writeV3FrameHeader(bw, frameV3EOS, j.id, 0)
 	})
 }
 
-// writeRelation streams one relation's head, key blocks and (when the
-// relation carries one) re-key column inside the caller's send.
-// Chunk-streamed relations take the pipelined path instead: sub-blocks frame
-// out as mappers emit them.
-func (j *subJob) writeRelation(bw *bufio.Writer, rel int8, rd exec.RelData) error {
-	if rd.Chunks != nil {
+// writeRelation streams one relation inside the caller's send in the form the
+// worker reads the job's kind from, refusing the other unsent: a count job's
+// sub-blocks frame out as mappers emit them; a pairs or plan job's relation
+// goes as one head, key blocks and (when it has one) re-key column.
+func (j *subJob) writeRelation(bw *bufio.Writer, rel int8, rd exec.RelData, count bool) error {
+	if count != (rd.Chunks != nil) {
+		return fmt.Errorf("relation %d: a count job's relations stream as chunks, a pairs or plan job's as flat blocks", rel)
+	}
+	if count {
 		inline := func(write func(*bufio.Writer) error) error { return write(bw) }
 		return j.sendChunks(inline, rel, rd.Chunks)
 	}

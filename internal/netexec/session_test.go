@@ -15,6 +15,7 @@ import (
 
 	"ewh/internal/core"
 	"ewh/internal/exec"
+	"ewh/internal/faultnet"
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
 	"ewh/internal/partition"
@@ -186,25 +187,35 @@ func dialV3(t *testing.T, addr string) (*bufio.Writer, net.Conn) {
 	return bw, conn
 }
 
-// readV3Metrics reads the job's metrics reply frame.
+// readV3Metrics reads the job's reply frames up to its METRICS. A job whose
+// relations the test ships flat is a pairs job, so the PAIRS frames ahead of
+// the metrics are read past.
 func readV3Metrics(t *testing.T, conn net.Conn, wantJob uint32) metrics {
 	t.Helper()
 	br := bufio.NewReader(conn)
-	typ, job, n, err := readV3FrameHeader(br)
-	if err != nil {
-		t.Fatalf("reading reply: %v", err)
+	for {
+		typ, job, n, err := readV3FrameHeader(br)
+		if err != nil {
+			t.Fatalf("reading reply: %v", err)
+		}
+		if job != wantJob {
+			t.Fatalf("reply for job %d, want %d", job, wantJob)
+		}
+		switch typ {
+		case frameV3Pairs:
+			if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
+				t.Fatal(err)
+			}
+		case frameV3Metrics:
+			var m metrics
+			if err := readGobPayload(br, n, &m); err != nil {
+				t.Fatal(err)
+			}
+			return m
+		default:
+			t.Fatalf("unexpected reply frame %d", typ)
+		}
 	}
-	if typ != frameV3Metrics {
-		t.Fatalf("unexpected reply frame %d", typ)
-	}
-	if job != wantJob {
-		t.Fatalf("reply for job %d, want %d", job, wantJob)
-	}
-	var m metrics
-	if err := readGobPayload(br, n, &m); err != nil {
-		t.Fatal(err)
-	}
-	return m
 }
 
 // readV3ErrMetrics returns the error string of the job's metrics reply.
@@ -213,13 +224,14 @@ func readV3ErrMetrics(t *testing.T, conn net.Conn, wantJob uint32) string {
 	return readV3Metrics(t, conn, wantJob).Err
 }
 
-func sendOpenJob(t *testing.T, bw *bufio.Writer, id uint32, wantPairs bool) {
+// sendOpenJob opens an equi job; its kind is what the test's frames make it.
+func sendOpenJob(t *testing.T, bw *bufio.Writer, id uint32) {
 	t.Helper()
 	spec, err := join.SpecOf(join.Equi{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeV3GobFrame(bw, frameV3OpenJob, id, jobOpen{Cond: spec, WantPairs: wantPairs}); err != nil {
+	if err := writeV3GobFrame(bw, frameV3OpenJob, id, jobOpen{Cond: spec}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -312,7 +324,7 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 			bw, conn := dialV3(t, addrs[0])
 			br := bufio.NewReader(conn)
 			err := writeV3GobFrame(bw, frameV3Hello, 0, sessionHello{Tenant: tenant})
-			sendOpenJob(t, bw, 1, false)
+			sendOpenJob(t, bw, 1)
 			token := newPeerToken()
 			if c.plan {
 				err = errors.Join(err, writeV3GobFrame(bw, frameV3Plan, 1,
@@ -338,7 +350,7 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 			// what it had reserved is credited back.
 			idle := &baseline{t: t}
 			idle.workersIdle(ws, tenant)
-			sendOpenJob(t, bw, 2, false)
+			sendOpenJob(t, bw, 2)
 			err = errors.Join(
 				writeRelHead(bw, 2, 1, 1, false), writeKeyBlocksV3(bw, 2, 1, []join.Key{5}),
 				writeRelHead(bw, 2, 2, 1, false), writeKeyBlocksV3(bw, 2, 2, []join.Key{5}),
@@ -364,8 +376,9 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 			return exec.ShuffleKeys(keys, partition.NewCI(1), 1, exec.Config{Seed: 1})
 		}
 		job := &exec.Job{Cond: join.Equi{}, Workers: 1,
-			R1: exec.ResolvedRelFuture(exec.RelData{Keys: keyShuffleOf(r1)}),
-			R2: exec.ResolvedRelFuture(exec.RelData{Keys: keyShuffleOf(r2), Rekey: keyShuffleOf(r1)})}
+			R1:    exec.ResolvedRelFuture(exec.RelData{Keys: keyShuffleOf(r1)}),
+			R2:    exec.ResolvedRelFuture(exec.RelData{Keys: keyShuffleOf(r2), Rekey: keyShuffleOf(r1)}),
+			Pairs: func(int, []exec.PairIdx) {}}
 		err := sess.RunJob(job, make([]exec.WorkerMetrics, 1))
 		if err == nil || !strings.Contains(err.Error(), "re-key column holds 2 keys for 3 tuples") {
 			t.Fatalf("misaligned column: RunJob returned %v", err)
@@ -386,13 +399,74 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 	})
 }
 
+// TestSessionRefusesFlatCountJob pins the coordinator's half of a job kind
+// read from the frames: a count job (no pair sink, no plan) handed flat
+// relations would reach the worker as a pairs job, so Session.sendJob refuses
+// it after the open and before any relation frame. The refusal is a
+// validation abort that blames no worker, the worker retires the job, and the
+// session still joins.
+func TestSessionRefusesFlatCountJob(t *testing.T) {
+	leakCheck(t)
+	seen := map[byte]*atomic.Bool{}
+	var rules []faultnet.Rule
+	for _, f := range []byte{faultnet.FrameOpenJob, faultnet.FrameAbort,
+		faultnet.FrameRelHead, faultnet.FrameBlock, faultnet.FrameChunkHead} {
+		arrived := new(atomic.Bool)
+		seen[f] = arrived
+		rules = append(rules, faultnet.Rule{Dir: faultnet.In, Frame: f, Action: faultnet.ActHook,
+			Fn: func() { arrived.Store(true) }})
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := ListenWorkerOn(faultnet.Wrap(ln, faultnet.NewScript(rules...)))
+	go func() { _ = w.Serve() }()
+	t.Cleanup(func() { _ = w.Close() })
+	sess := dialSession(t, []string{w.Addr()})
+
+	keys := randKeys(200, 100, 140)
+	flat := exec.ShuffleKeys(keys, partition.NewCI(1), 1, exec.Config{Seed: 141})
+	defer flat.Release()
+	job := &exec.Job{Cond: join.Equi{}, Workers: 1,
+		R1: exec.ResolvedRelFuture(exec.RelData{Keys: flat}),
+		R2: exec.ResolvedRelFuture(exec.RelData{Keys: flat})}
+	err = sess.RunJob(job, make([]exec.WorkerMetrics, 1))
+	if err == nil || !strings.Contains(err.Error(), "a count job's relations stream as chunks") {
+		t.Fatalf("flat count job: RunJob returned %v", err)
+	}
+	for _, f := range Faults(err) {
+		if f.Kind != FaultUnknown || f.RetryableFault() {
+			t.Fatalf("the refusal blames the worker: %v", f)
+		}
+	}
+	waitFor(t, "the ABORT to retire the job on the worker", func() bool {
+		return seen[faultnet.FrameAbort].Load() && inFlight(w) == 0
+	})
+	if !seen[faultnet.FrameOpenJob].Load() {
+		t.Fatal("the job was never opened")
+	}
+	for _, f := range []byte{faultnet.FrameRelHead, faultnet.FrameBlock, faultnet.FrameChunkHead} {
+		if seen[f].Load() {
+			t.Fatalf("frame type %d of the refused job reached the worker", f)
+		}
+	}
+	res, err := exec.RunOver(sess, keys, keys, join.Equi{}, partition.NewCI(1), model, exec.Config{Seed: 141})
+	if err != nil {
+		t.Fatalf("session unusable after the refusal: %v", err)
+	}
+	if want := localjoin.NestedLoopCount(keys, keys, join.Equi{}); res.Output != want {
+		t.Fatalf("output %d, want %d", res.Output, want)
+	}
+}
+
 func TestSessionBlockLengthMismatchKeepsStreamInSync(t *testing.T) {
 	// A block frame whose header length disagrees with its embedded count
 	// fails the job, but the worker must consume exactly the frame-declared
 	// bytes — the next job on the same connection still works.
 	_, addrs := startWorkerSet(t, 1)
 	bw, conn := dialV3(t, addrs[0])
-	sendOpenJob(t, bw, 1, false)
+	sendOpenJob(t, bw, 1)
 	if err := writeRelHead(bw, 1, 1, 2, false); err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +499,7 @@ func TestSessionBlockLengthMismatchKeepsStreamInSync(t *testing.T) {
 	}
 
 	// Same connection, next job: framing survived the bad frame.
-	sendOpenJob(t, bw, 2, false)
+	sendOpenJob(t, bw, 2)
 	if err := writeRelHead(bw, 2, 1, 1, false); err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +531,7 @@ func TestWorkerShutdownDrainsInFlightJob(t *testing.T) {
 	// must wait for the job, the worker must still reply, and the listener
 	// must refuse new connections.
 	bw, conn := dialV3(t, addrs[0])
-	sendOpenJob(t, bw, 1, false)
+	sendOpenJob(t, bw, 1)
 	if err := writeRelHead(bw, 1, 1, 2, false); err != nil {
 		t.Fatal(err)
 	}

@@ -21,13 +21,13 @@ import (
 // This file is the worker side of the session protocol: one read loop per
 // connection demultiplexes numbered jobs. Every job walks the same path —
 // openJob registers it, headFrame/dataFrame decode its relations, and retire
-// is the single exit, shared with ABORT and connection teardown. What consumes
-// a job is chosen by what its OUTPUT needs, never by its engine or by where
-// relation 1 comes from. A job that joins flat blocks — in arrival order for
-// pairs or a stage-1 plan's matches, or because its coordinator shipped a
-// count job flat — decodes into exactly-sized pooled buffers, and finishJob
-// joins and replies in its own goroutine at the job's EOS (so the read loop
-// keeps draining the next job's frames meanwhile). Every other count job —
+// is the single exit, shared with ABORT and connection teardown. A job's kind
+// is read from its own frames, never from a flag in its open, and what
+// consumes the job is what its OUTPUT needs. Relation 1 as flat blocks means
+// arrival order: a stage-1 plan's matches when a PLAN frame rode with the
+// open, pairs otherwise. Those decode into exactly-sized pooled buffers, and
+// finishJob joins and replies in its own goroutine at the job's EOS (so the
+// read loop keeps draining the next job's frames meanwhile). Every count job —
 // chunk-streamed relations, a peer-fed stage 2, a stream — feeds the one
 // goroutine that joins while the frames arrive (stream_worker.go). Job-level
 // protocol violations fail only that job (its remaining frames are read and
@@ -53,13 +53,12 @@ type sessRel struct {
 
 // sessJob is one numbered job in flight on a session connection.
 type sessJob struct {
-	id        uint32
-	workerID  int
-	cond      join.Condition
-	wantPairs bool
-	counted   bool // beginJob admitted it (draining workers refuse)
-	err       error
-	rels      [relRekey]sessRel
+	id       uint32
+	workerID int
+	cond     join.Condition
+	counted  bool // beginJob admitted it (draining workers refuse)
+	err      error
+	rels     [relRekey]sessRel
 
 	// ws is the connection the job arrived on; its tenant keys the job's
 	// quota accounting. charged is the byte reservation against that tenant
@@ -78,9 +77,10 @@ type sessJob struct {
 	// returning as pairs.
 	plan *planSpec
 	// peerFed marks a stage-2 job whose relation 1 arrives over the peer
-	// mesh; peerSt is its transfer state and token its transfer id.
-	// peerTaken flips once the join goroutine took the contributions out of
-	// the transfer table, so retire leaves the token alone.
+	// mesh; token is its transfer id and peerSt the transfer state, set once
+	// the open's sender count was accepted. peerTaken flips once the join
+	// goroutine took the contributions out of the transfer table, so retire
+	// leaves the token alone.
 	peerFed   bool
 	peerTaken bool
 	peerSt    *peerJobState
@@ -257,14 +257,14 @@ func (ws *workerSession) reply(typ byte, id uint32, v any) error {
 // retire is the one way a job leaves the worker — after its reply, on ABORT,
 // and when the connection dies under it: recycle its buffers and stop its
 // helper goroutines, give back its admission slot, tombstone a peer transfer
-// it never consumed (so late contributions swallow instead of buffering for
-// nobody), and only then retire its drain accounting.
+// it opened but never consumed (so late contributions swallow instead of
+// buffering for nobody), and only then retire its drain accounting.
 func (ws *workerSession) retire(j *sessJob) {
 	j.release()
 	if j.releaseSlot != nil {
 		j.releaseSlot()
 	}
-	if j.peerFed && !j.peerTaken {
+	if j.peerSt != nil && !j.peerTaken {
 		ws.w.dropPeerState(j.token)
 	}
 	if j.counted {
@@ -436,7 +436,6 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			if j == nil {
 				return
 			}
-			j.wantPairs = jo.WantPairs
 			if j.err != nil {
 				continue
 			}
@@ -469,14 +468,17 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 				return
 			}
 			j.peerFed, j.token = true, po.Token
-			// Attach to (or create) the token's transfer state. The exact
-			// per-sender counts bind it in a late PEERBIND (the open is sent
-			// while stage 1 still runs); the join goroutine parks on the state
-			// at the job's EOS. Pre-bind buffering stays capped by the
-			// per-transfer declared-count ceiling.
+			// Attach to (or create) the token's transfer and declare its sender
+			// count, which says when it is complete; the join goroutine parks on
+			// it at EOS. A refusal fails this job, never another's transfer.
 			if j.err == nil {
-				if j.peerSt = w.peerState(po.Token); j.peerSt == nil {
+				st := w.peerState(po.Token)
+				if st == nil {
 					j.fail(fmt.Errorf("transfer table full (%d tokens)", maxPeerStates))
+				} else if err := st.expect(po.Senders); err != nil {
+					j.fail(err)
+				} else {
+					j.peerSt = st
 				}
 			}
 			// As for STREAMOPEN below: the job's only reply path, slot-less.
@@ -513,8 +515,6 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 				// A PLAN frame requests statistics; the plan and peer map
 				// arrive in the PLAN2 that answers them.
 				j.fail(fmt.Errorf("a plan frame carries a statistics request, not a plan or peer map"))
-			case j.wantPairs:
-				j.fail(fmt.Errorf("plan job cannot also stream pairs"))
 			case j.stream != nil:
 				j.fail(fmt.Errorf("a job whose relations feed the join goroutine cannot carry a plan"))
 			default:
@@ -527,13 +527,6 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 				return
 			}
 			ws.pt.deliver(id, &ps)
-
-		case frameV3PeerBind:
-			var pb peerBind
-			if err := readGobPayload(br, n, &pb); err != nil {
-				return
-			}
-			w.bindPeerCounts(pb.Token, pb.SenderCounts)
 
 		case frameV3PlanCancel:
 			var pc planCancel
@@ -650,8 +643,9 @@ func (j *sessJob) declarable(r *sessRel, tag byte, chunked bool) error {
 
 // chunkHead declares a chunk-streamed relation: only the mapper count is
 // known up front; the tail carries the exact totals. Every chunked relation
-// feeds the job's join goroutine — relation 1's head starts a count job's, a
-// peer-fed job's has run since its open — so an arrival-order job takes none.
+// feeds the job's join goroutine — relation 1's head makes a job a count and
+// starts it, a peer-fed job's runs from its open — so an arrival-order job (a
+// PLAN rode with it, or relation 1 came flat) takes none.
 func (j *sessJob) chunkHead(r *sessRel, h []byte) error {
 	if err := j.declarable(r, h[0], true); err != nil {
 		return err
@@ -662,9 +656,9 @@ func (j *sessJob) chunkHead(r *sessRel, h []byte) error {
 			h[0], chunks, maxRelationChunks)
 	}
 	switch {
-	case j.wantPairs || j.plan != nil:
-		return fmt.Errorf("chunked relation %d on a pairs or plan job, which joins flat blocks in arrival order", h[0])
 	case j.stream != nil:
+	case j.plan != nil || j.rels[0].declared:
+		return fmt.Errorf("chunked relation %d on a pairs or plan job, which joins flat blocks in arrival order", h[0])
 	case h[0] != 1 || j.rels[1].declared:
 		return fmt.Errorf("chunked relation %d without relation 1's chunks ahead of it", h[0])
 	default:
@@ -877,7 +871,8 @@ func (w *Worker) finishJob(ws *workerSession, j *sessJob) {
 	_ = ws.reply(frameV3Metrics, j.id, m)
 }
 
-// runJob validates the drained job and joins its flat blocks.
+// runJob validates the drained job and joins its flat blocks in arrival
+// order: a plan job's matches, or a pairs job's.
 func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 	if j.err == nil {
 		j.err = j.validateComplete()
@@ -888,8 +883,7 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 	r1, r2 := &j.rels[0], &j.rels[1]
 	m := metrics{InputR1: int64(r1.n), InputR2: int64(r2.n)}
 	start := time.Now()
-	switch {
-	case j.plan != nil:
+	if j.plan != nil {
 		// Stage-1 plan job: join, materialize the matched stage-2 keys,
 		// summarize them, await the replanned artifact, re-shuffle them by it
 		// and stream each share straight to its peer. Only the count vector
@@ -899,20 +893,16 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 			return metrics{}, err
 		}
 		m.Output, m.PeerCounts = out, counts
-	case j.wantPairs:
+	} else {
 		// The pair join must not sort the blocks in place: indices refer to
 		// arrival order on both sides of the wire. Chunks stream back as
 		// they fill, interleaving with other jobs' replies at frame
 		// granularity.
-		emit := func(chunk []exec.PairIdx) {
+		m.Output = exec.JoinPairs(r1.keys, r2.keys, j.cond, func(chunk []exec.PairIdx) {
 			ws.wmu.Lock()
 			_ = writePairsFrame(ws.bw, j.id, chunk)
 			ws.wmu.Unlock()
-		}
-		m.Output = exec.JoinPairs(r1.keys, r2.keys, j.cond, emit)
-	default:
-		// The job owns its buffers outright: the merge engine sorts them in place.
-		m.Output = exec.CountOwned(0, r1.keys, r2.keys, j.cond)
+		})
 	}
 	m.Nanos = time.Since(start).Nanoseconds()
 	return m, nil
@@ -924,9 +914,9 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 // parks until the replanned artifact (or a cancel, a kill, or the coordinator
 // hanging up) arrives; the artifact routes the matches (batch-routed through
 // the shared exec shuffle, deterministic per sender), and each stage-2
-// worker's share streams directly to that peer over the mesh. It returns the
-// match count and the per-receiver count vector. Errors name the peer
-// address.
+// worker's share, empty or not, streams directly to that peer over the mesh.
+// It returns the match count and the per-receiver count vector. Errors name
+// the peer address.
 func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64, error) {
 	w, pt, ps := ws.w, ws.pt, j.plan
 	rekey := &j.rels[relRekey-1]
@@ -1003,11 +993,10 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64
 	defer ks.Release()
 	counts := make([]int64, j2)
 	for p := 0; p < j2; p++ {
+		// Every receiver hears from every sender, an empty share included:
+		// its transfer is complete at the sender count its open declared.
 		blk := ks.Worker(p)
 		counts[p] = int64(len(blk))
-		if len(blk) == 0 {
-			continue
-		}
 		if p == ps.Self {
 			if err := w.deliverLocal(ps.Token, sender, blk); err != nil {
 				return 0, nil, fmt.Errorf("transfer %d to self: %w", ps.Token, err)

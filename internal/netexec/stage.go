@@ -16,7 +16,8 @@ import (
 // re-shuffle their matches directly to each other, and stage 2 opens as
 // peer-fed jobs that only receive the driver-owned right relation from the
 // coordinator. The intermediate's sole coordinator-side footprint is the
-// per-sender count vectors riding the stage-1 metrics.
+// per-sender count vectors riding the stage-1 metrics; each stage-2 reply is
+// checked against them, as a worker knows only its transfer's sender count.
 //
 // The stage-1 exchange has two phases: phase A opens the jobs with a PLAN
 // frame (a statistics request), each worker joins, summarizes its local
@@ -54,16 +55,16 @@ func (s *Session) RunStages(first *exec.Job, next *exec.PlanJob,
 		return 0, err
 	}
 	j2 := len(peerJobs)
-	// From here every failure abandons the opened peer jobs: a worker whose
-	// peer job never bound still holds its fully-delivered contributions, and
-	// the cancel releases them (a consumed transfer just tombstones its token).
+	// From here every failure abandons the opened peer jobs: the cancel
+	// releases contributions a peer job has not consumed (a consumed transfer
+	// just tombstones its token).
 	fail := func(err error) (int64, error) {
 		st.abandon(peerJobs)
 		return 0, err
 	}
 
-	// Transpose the per-sender vectors into per-receiver expectations — the
-	// only intermediate metadata the coordinator ever holds. The
+	// Sum the per-sender vectors into what each receiver must have joined —
+	// the only intermediate metadata the coordinator ever holds. The
 	// intermediate SIZE is the stage-1 match total; the vectors carry the
 	// routed transfer volume, which exceeds it under replicating schemes
 	// (CI fans each tuple out to a full grid row).
@@ -78,24 +79,17 @@ func (s *Session) RunStages(first *exec.Job, next *exec.PlanJob,
 		return fail(fmt.Errorf("netexec: stage 1 matched %d tuples, pipeline cap %d; restructure the chain",
 			intermediate, next.MaxIntermediate))
 	}
-	expected := make([][]int64, j2)
-	for p := range expected {
-		expected[p] = make([]int64, j1)
-	}
+	received := make([]int64, j2)
 	for w, v := range st.counts {
 		if len(v) != j2 {
 			return fail(fmt.Errorf("netexec: worker %d (%s) reported %d peer counts, plan has %d workers",
 				w, s.conns[w].addr, len(v), j2))
 		}
 		for p, c := range v {
-			expected[p][w] = c
+			received[p] += c
 		}
 	}
-	for p := range expected {
-		var total int64
-		for _, c := range expected[p] {
-			total += c
-		}
+	for p, total := range received {
 		if total > MaxRelationTuples {
 			return fail(fmt.Errorf("netexec: stage-2 worker %d would receive %d tuples, wire limit %d",
 				p, total, MaxRelationTuples))
@@ -103,10 +97,9 @@ func (s *Session) RunStages(first *exec.Job, next *exec.PlanJob,
 	}
 
 	// The peer jobs opened and received their right relation while stage 1
-	// ran; the late PEERBIND delivers the per-sender expectations and the
-	// reply carries the joined metrics.
+	// ran; each replies once its transfer completes at its sender count.
 	err = fanOut(j2, func(p int) error {
-		return peerJobs[p].finishPeerJob(st.token, expected[p], &wm2[p])
+		return peerJobs[p].finishPeerJob(received[p], &wm2[p])
 	})
 	if err != nil {
 		return fail(err)
@@ -137,10 +130,10 @@ func selfIndex(w int, peers []string) int {
 }
 
 // overlap is the stage-overlapped dispatch: the j2 stage-2 peer jobs open
-// (their counts arrive later, in a PEERBIND) and stream their
+// (each declaring the j1 senders its transfer completes at) and stream their
 // coordinator-owned right relation WHILE stage1 runs on the j1 stage-1
-// workers — the workers park on the transfer token, and only the bind waits
-// for stage 1. It returns the opened peer jobs once both sides settled; if
+// workers — the workers park on the transfer token until every sender has
+// contributed. It returns the opened peer jobs once both sides settled; if
 // either failed it abandons them.
 func (st *stagePipe) overlap(j1, j2 int, stage1 func(w int) error) ([]*subJob, error) {
 	peerJobs := make([]*subJob, j2)
@@ -284,17 +277,18 @@ func (j *subJob) finishStatsStageJob(ps *planSpec, m *exec.WorkerMetrics) ([]int
 	return j.finish(m)
 }
 
-// openPeerJob opens one stage-2 sub-job — its per-sender counts follow in a
-// PEERBIND — and streams the coordinator-owned right relation, all while
-// stage 1 may still be running on the same connection. The returned sub-job
-// stays open; finishPeerJob (or abandon) takes it over once stage 1 settles.
+// openPeerJob opens one stage-2 sub-job — every stage-1 worker is one of its
+// transfer's senders — and streams the coordinator-owned right relation, all
+// while stage 1 may still be running on the same connection. The returned
+// sub-job stays open; finishPeerJob (or abandon) takes it over once stage 1
+// settles.
 func (c *sessConn) openPeerJob(st *stagePipe, workerID int) (*subJob, error) {
 	j, err := c.open("peer job", st.id2, workerID, &jobHandler{})
 	if err != nil {
 		return nil, err
 	}
 	err = j.send(func(bw *bufio.Writer) error {
-		po := peerJobOpen{WorkerID: workerID, Cond: st.spec2, Token: st.token}
+		po := peerJobOpen{WorkerID: workerID, Cond: st.spec2, Token: st.token, Senders: len(st.counts)}
 		return writeV3GobFrame(bw, frameV3OpenPeerJob, j.id, po)
 	})
 	if err == nil {
@@ -325,26 +319,15 @@ func (j *subJob) sendPeerRelation(st *stagePipe) error {
 	return j.send(func(bw *bufio.Writer) error { return writeV3FrameHeader(bw, frameV3EOS, j.id, 0) })
 }
 
-// finishPeerJob binds the per-sender counts to an opened peer job and waits
-// for its terminal metrics. Only called once stage 1 settled, so the worker's
-// parked job wakes as soon as its transfer completes against these counts.
-// The bind is keyed by token (job number 0): the job's EOS already retired
-// its number from the worker's demux table.
-func (j *subJob) finishPeerJob(token uint64, senderCounts []int64, m *exec.WorkerMetrics) error {
+// finishPeerJob awaits an opened peer job's terminal metrics once stage 1
+// settled, and checks them against what the stage-1 senders reported routing
+// to it — the one place a sender's counts are verified: the worker knows only
+// how many senders its transfer has, not what each sent.
+func (j *subJob) finishPeerJob(expect int64, m *exec.WorkerMetrics) error {
 	defer j.close()
-	err := j.send(func(bw *bufio.Writer) error {
-		return writeV3GobFrame(bw, frameV3PeerBind, 0, peerBind{Token: token, SenderCounts: senderCounts})
-	})
-	if err != nil {
-		return err
-	}
 	r, err := j.await("reply", false)
 	if err != nil {
 		return err
-	}
-	var expect int64
-	for _, sc := range senderCounts {
-		expect += sc
 	}
 	if r.m.InputR1 != expect {
 		return j.proto(fmt.Errorf("worker joined %d peer tuples, senders reported %d", r.m.InputR1, expect))

@@ -53,7 +53,7 @@ const (
 	// stage-2 plan straight to peer workers, and the coordinator only ever
 	// sees pair counts.
 	frameV3Plan        = 18 // coord→worker gob planSpec: statistics request; this job's matches feed the stage-2 plan
-	frameV3OpenPeerJob = 19 // coord→worker gob peerJobOpen: job whose relation 1 arrives from peers
+	frameV3OpenPeerJob = 19 // coord→worker gob peerJobOpen: job whose relation 1 arrives from its Senders peers
 	frameV3PlanCancel  = 20 // coord→worker gob planCancel: discard buffered peer state for a token
 
 	// STATS/PLAN2 frames: a plan job joins as usual, summarizes its matches,
@@ -84,13 +84,6 @@ const (
 	frameV3ChunkHead = 25 // coord→worker [rel u8][chunks u32]
 	frameV3Chunk     = 26 // coord→worker [rel u8][mapper u16][count u32][count×8 LE keys]
 	frameV3ChunkTail = 27 // coord→worker [rel u8][count u32] — the exact total
-
-	// PEERBIND frame (stage-overlapped dispatch): a peer-fed job opens while
-	// stage 1 still runs, so its exact per-sender counts exist only after stage
-	// 1 finishes; the coordinator then sends this frame carrying gob peerBind.
-	// It is keyed by transfer token, not job id, because the job's EOS has
-	// already retired the id from the demux table by the time the bind lands.
-	frameV3PeerBind = 28 // coord→worker gob peerBind: late exact sender counts
 
 	// STREAM frames (continuous joins): a long-lived stream job joins an
 	// unbounded sequence of tuple windows against a static base relation.
@@ -176,8 +169,8 @@ const (
 	// maxPeerBlockKeys caps one peer block frame (8 MiB of keys); larger
 	// contributions split into consecutive frames.
 	maxPeerBlockKeys = 1 << 20
-	// maxPeerSenders bounds the sender ids a peer transfer may name before
-	// the receiver knows the real sender count from its stage-2 job open.
+	// maxPeerSenders bounds the sender count a stage-2 job open may declare,
+	// and the sender ids a peer transfer may name before that open arrives.
 	maxPeerSenders = 1 << 12
 )
 
