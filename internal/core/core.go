@@ -15,6 +15,7 @@ import (
 	"ewh/internal/cost"
 	"ewh/internal/histogram"
 	"ewh/internal/join"
+	"ewh/internal/keysort"
 	"ewh/internal/matrix"
 	"ewh/internal/partition"
 	"ewh/internal/sample"
@@ -159,20 +160,43 @@ type left struct {
 }
 
 // histograms builds the ns-bucket approximate equi-depth histograms of both
-// relations (§III-A item a) from fixed-size uniform input samples, the left
-// one first — the planner's first two RNG draws.
+// relations (§III-A item a) from fixed-size uniform input samples. The left
+// sample's draws come first in rng's stream and the right one's follow, but
+// the two reservoirs run at once: the right one draws from a copy of rng
+// skipped past the left one's draws (stats.RNG.Skip), and rng ends where the
+// serial order would leave it.
 func (l left) histograms(r2 []join.Key, ns, n int, rng *stats.RNG) (rh, ch *histogram.EquiDepth, err error) {
 	si := inputSampleSize(ns, n)
+	rng2 := *rng
+	if l.bounds == nil {
+		rng2.Skip(sample.FixedSizeDraws(len(l.keys), si))
+	}
+	var chErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ch, chErr = sampledHistogram(r2, si, ns, &rng2)
+	}()
 	if l.bounds != nil {
 		rh, err = histogram.FromBounds(l.bounds)
 	} else {
-		rh, err = histogram.FromSample(sample.FixedSize(l.keys, si, rng), ns)
+		rh, err = sampledHistogram(l.keys, si, ns, rng)
 	}
+	<-done
+	*rng = rng2
 	if err != nil {
 		return nil, nil, err
 	}
-	ch, err = histogram.FromSample(sample.FixedSize(r2, si, rng), ns)
-	return rh, ch, err
+	return rh, ch, chErr
+}
+
+// sampledHistogram builds an ns-bucket histogram from a fixed-size uniform
+// sample of keys, sorted in place: the sample is a fresh slice, so the copy
+// histogram.FromSample would make is not needed.
+func sampledHistogram(keys []join.Key, si, ns int, rng *stats.RNG) (*histogram.EquiDepth, error) {
+	s := sample.FixedSize(keys, si, rng)
+	keysort.Sort(s)
+	return histogram.FromSorted(s, ns)
 }
 
 // maxOutputSample caps so. PlanCSIO's own histograms keep nsc ≤ ns² ≤ 2nJ,
@@ -196,13 +220,13 @@ type sampled struct {
 // left input sample (when sampled), right input sample, output positions,
 // per-shard partner streams, then AdaptNS's two re-samples — which is what
 // keeps plans reproducible and lets benchmark/layers.go replay the stages.
-func sampleStage(l left, r2 []join.Key, cond join.Condition, opts Options) (*sampled, error) {
+// The R2 multiset draws nothing, so it is built beside the input samples.
+func sampleStage(l left, r2 []join.Key, cond join.Condition, opts Options, rng *stats.RNG) (*sampled, error) {
 	n1, n2 := l.count, len(r2)
 	if n1 == 0 || n2 == 0 {
 		return nil, fmt.Errorf("core: empty input relation (n1=%d n2=%d)", n1, n2)
 	}
 	n := max(n1, n2)
-	rng := stats.NewRNG(opts.Seed)
 
 	// Sampling stage sizes (Lemma 3.1, §A1).
 	ns := opts.NS
@@ -210,7 +234,10 @@ func sampleStage(l left, r2 []join.Key, cond join.Condition, opts Options) (*sam
 		ns = int(math.Ceil(math.Sqrt(2 * float64(n) * float64(opts.J))))
 	}
 	ns = min(ns, n)
+	built := make(chan *sample.KeyMultiset, 1)
+	go func() { built <- sample.BuildMultiset(r2) }()
 	rh, ch, err := l.histograms(r2, ns, n, rng)
+	m2 := <-built
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +246,7 @@ func sampleStage(l left, r2 []join.Key, cond join.Condition, opts Options) (*sam
 	// floored by the Kolmogorov statistics (§A1).
 	so := int(opts.OutputSampleFactor * float64(countCandidates(rh, ch, cond)))
 	so = min(max(so, 1063), maxOutputSample)
-	out := sample.StreamSample(l.keys, r2, cond, so, opts.J, rng)
+	out := sample.StreamSampleWith(l.keys, m2, cond, so, opts.J, rng)
 
 	// Keys that are a sample of R1 give the size of sample ⋈ R2; m scales by
 	// the sampling fraction (exact when the keys are the relation).
@@ -263,7 +290,7 @@ func planCSIO(l left, r2 []join.Key, cond join.Condition, opts Options) (*Plan, 
 		return nil, err
 	}
 	start := time.Now()
-	st, err := sampleStage(l, r2, cond, opts)
+	st, err := sampleStage(l, r2, cond, opts, stats.NewRNG(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +371,7 @@ func BuildSampleMatrix(r1, r2 []join.Key, cond join.Condition, opts Options) (*m
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
-	st, err := sampleStage(left{keys: r1, count: len(r1)}, r2, cond, opts)
+	st, err := sampleStage(left{keys: r1, count: len(r1)}, r2, cond, opts, stats.NewRNG(opts.Seed))
 	if err != nil {
 		return nil, err
 	}

@@ -156,7 +156,7 @@ func TestOutputSampleFloor(t *testing.T) {
 		"relation": {keys: r1, count: len(r1)},
 		"summary":  {keys: sum.Keys, count: int(sum.Count), bounds: sum.Bounds},
 	} {
-		st, err := sampleStage(l, r2, join.Equi{}, opts)
+		st, err := sampleStage(l, r2, join.Equi{}, opts, stats.NewRNG(opts.Seed))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/bits"
 	"sync"
 
 	"ewh/internal/join"
@@ -15,29 +16,52 @@ import (
 // a fresh make would pay. That is safe because every pooled element type is
 // pointer-free (join.Key is an int64): a stale slot keeps nothing reachable.
 
-var keySlicePool sync.Pool // stores *[]join.Key
+// keyPools holds recycled key buffers by size class (keyClass): a request
+// is served only from its own class, so a small relation never pins a big
+// buffer and a big one never pops and drops a small buffer to allocate
+// afresh. One pool for every size would do both, and the heap a run holds
+// would then depend on the order its goroutines happened to recycle and
+// reuse buffers in.
+var keyPools [4 * 64]sync.Pool // stores *[]join.Key
+
+// minKeyBuffer is the smallest pooled capacity; smaller requests round up.
+const minKeyBuffer = 64
+
+// keyClass returns the size class of a request for n keys and the capacity
+// its buffers have: four classes per power of two, so a buffer is at most
+// 25 % larger than the request it serves.
+func keyClass(n int) (class, size int) {
+	n = max(n, minKeyBuffer)
+	b := bits.Len(uint(n - 1)) // 2^(b-1) < n <= 2^b
+	step := 1 << (b - 3)
+	q := (n + step - 1) / step // 5..8
+	return 4*b + q - 5, q * step
+}
 
 // GetKeyBuffer returns a pooled []join.Key of length n. The contents are
 // unzeroed — callers must overwrite every slot (the engine's scatter does;
 // netexec's decode fills it from the wire). Release with PutKeyBuffer.
 func GetKeyBuffer(n int) []join.Key {
-	if v := keySlicePool.Get(); v != nil {
-		s := *v.(*[]join.Key)
-		if cap(s) >= n {
-			return s[:n]
-		}
+	class, size := keyClass(n)
+	if v := keyPools[class].Get(); v != nil {
+		return (*v.(*[]join.Key))[:n]
 	}
-	return make([]join.Key, n)
+	return make([]join.Key, n, size)
 }
 
 // PutKeyBuffer recycles a buffer obtained from GetKeyBuffer. The caller must
-// not retain any slice of it.
+// not retain any slice of it. A buffer whose capacity is not a class size
+// (one GetKeyBuffer did not allocate) is left to the collector.
 func PutKeyBuffer(s []join.Key) {
-	if cap(s) == 0 {
+	if cap(s) < minKeyBuffer {
+		return
+	}
+	class, size := keyClass(cap(s))
+	if size != cap(s) {
 		return
 	}
 	s = s[:0]
-	keySlicePool.Put(&s)
+	keyPools[class].Put(&s)
 }
 
 var batchPool sync.Pool // stores *[]partition.RouteBatch

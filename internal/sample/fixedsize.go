@@ -35,3 +35,14 @@ func FixedSize(keys []join.Key, size int, rng *stats.RNG) []join.Key {
 	}
 	return out
 }
+
+// FixedSizeDraws is the number of rng draws FixedSize makes for a sample of
+// size from n keys: one per key past the reservoir's fill. A caller can skip
+// a generator copy past them (stats.RNG.Skip) to draw what follows the sample
+// while the sample is still being taken.
+func FixedSizeDraws(n, size int) uint64 {
+	if size <= 0 {
+		return 0
+	}
+	return uint64(max(n-size, 0))
+}

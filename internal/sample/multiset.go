@@ -1,21 +1,33 @@
 package sample
 
 import (
+	"math"
 	"slices"
 
 	"ewh/internal/join"
 	"ewh/internal/keysort"
 )
 
-// KeyMultiset is d2equi from §IV-A: the sorted distinct join keys of a
-// relation with their multiplicities and prefix sums. It answers
-// "how many R2 tuples are joinable with key k" (d2) and "select the u-th
-// joinable R2 key", which Stream-Sample uses to weight the R1 sample and to
-// draw uniform output partners. Stream-Sample asks once per R1 key in R1's
-// arrival order, so a lookup's cost is the cache lines it touches: dir
-// narrows the search to the few keys sharing the probe's top bits before any
-// key is read.
+// KeyMultiset is d2equi from §IV-A: a relation's join keys with their
+// multiplicities and prefix sums. It answers "how many R2 tuples are joinable
+// with key k" (d2) and "select the u-th joinable R2 key", which Stream-Sample
+// uses to weight the R1 sample and to draw uniform output partners.
+// Stream-Sample asks once per R1 key in R1's arrival order, so a lookup's cost
+// is the cache lines it touches. It has two forms (DESIGN.md "Planner"):
+//
+//   - dense, when the key span is small against the count (denseFits): one
+//     cumulative count per key of the span, so d2 is two loads and the build
+//     needs no sort;
+//   - sparse otherwise: the sorted distinct keys and their prefix sums, with a
+//     directory that narrows a search to the few keys sharing the probe's top
+//     bits before any key is read.
 type KeyMultiset struct {
+	// Dense form (cum != nil): cum[v] is the number of tuples with a key below
+	// base+v; len(cum) = span+2, so cum[span+1] is the total.
+	base join.Key
+	cum  []uint32
+
+	// Sparse form.
 	keys   []join.Key
 	prefix []int64 // prefix[i] = total multiplicity of keys[0..i-1]; len = len(keys)+1
 	// dir[b] is the index of the first key k with (k - keys[0]) >> shift >= b,
@@ -28,11 +40,51 @@ type KeyMultiset struct {
 	shift uint
 }
 
-// BuildMultiset constructs the multiset from a relation's keys. The input is
-// copied and radix-sorted (keysort); the distinct keys are then compacted in
-// place into that copy and the prefix sums written over the sort's scratch
-// buffer, so the fold allocates nothing beyond the directory.
+// denseFits is the rule that picks the dense form for n keys spanning
+// [min, min+span]: its table of 4-byte counts is no bigger than the sparse
+// form's bound of 20 bytes per key (an 8-byte key, an 8-byte prefix sum and a
+// 4-byte directory entry), and a slot index fits the int32 that
+// Stream-Sample caches per R1 key.
+func denseFits(n int, span uint64) bool {
+	return span < 1<<31 && span+2 <= 5*uint64(n) && uint64(n) <= math.MaxUint32
+}
+
+// BuildMultiset constructs the multiset from a relation's keys: one min/max
+// pass, then the dense form's counting and prefix passes when denseFits, or
+// else the sparse form's sort.
 func BuildMultiset(keys []join.Key) *KeyMultiset {
+	if len(keys) > 0 {
+		lo, hi := keys[0], keys[0]
+		for _, k := range keys[1:] {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+		if span := uint64(hi) - uint64(lo); denseFits(len(keys), span) {
+			return buildDense(keys, lo, span)
+		}
+	}
+	return buildSparse(keys)
+}
+
+// buildDense counts keys, all within [base, base+span], into the cumulative
+// table.
+func buildDense(keys []join.Key, base join.Key, span uint64) *KeyMultiset {
+	cum := make([]uint32, span+2)
+	for _, k := range keys {
+		cum[uint64(k)-uint64(base)+1]++
+	}
+	var below uint32
+	for v, c := range cum {
+		below += c
+		cum[v] = below
+	}
+	return &KeyMultiset{base: base, cum: cum}
+}
+
+// buildSparse copies and radix-sorts the keys (keysort); the distinct keys
+// are then compacted in place into that copy and the prefix sums written over
+// the sort's scratch buffer, so the fold allocates nothing beyond the
+// directory.
+func buildSparse(keys []join.Key) *KeyMultiset {
 	sorted := slices.Clone(keys)
 	prefix := make([]int64, len(sorted)+1)
 	keysort.SortWithScratch(sorted, prefix)
@@ -67,7 +119,12 @@ func BuildMultiset(keys []join.Key) *KeyMultiset {
 }
 
 // Total returns the total multiplicity (the relation size).
-func (m *KeyMultiset) Total() int64 { return m.prefix[len(m.keys)] }
+func (m *KeyMultiset) Total() int64 {
+	if m.cum != nil {
+		return int64(m.cum[len(m.cum)-1])
+	}
+	return m.prefix[len(m.keys)]
+}
 
 // lowerBound returns the first index i with m.keys[i] >= k: the directory's
 // bucket for k, then a bisection of the keys in it.
@@ -101,7 +158,7 @@ func (m *KeyMultiset) lowerBound(k join.Key) int {
 // relative to the key domain, so when i is the range's lower bound the
 // answer is almost always within a few slots — the gallop touches O(log d)
 // cache lines instead of a full-width binary search's O(log n).
-func gallopUpper[T interface{ ~int64 }](a []T, i int, target T) int {
+func gallopUpper[T interface{ ~int64 | ~uint32 }](a []T, i int, target T) int {
 	n := len(a)
 	if i >= n || a[i] > target {
 		return i
@@ -129,11 +186,15 @@ func gallopUpper[T interface{ ~int64 }](a []T, i int, target T) int {
 }
 
 // SelectAt returns the u-th key (0-based, ordered, counting multiplicity) of
-// the joinable range whose lower-bound index D2At handed out as at, so
-// repeated draws for the same key skip the key search entirely. The caller
-// guarantees 0 <= u < d2.
+// the joinable range whose index D2At handed out as at, so repeated draws for
+// the same key skip the key search entirely. The caller guarantees
+// 0 <= u < d2.
 func (m *KeyMultiset) SelectAt(at int32, u int64) join.Key {
 	i := int(at)
+	if m.cum != nil {
+		// First slot j with cum[j+1] > cum[at] + u; cum is nondecreasing.
+		return m.base + join.Key(gallopUpper(m.cum, i+1, m.cum[i]+uint32(u))-1)
+	}
 	target := m.prefix[i] + u
 	// First j with prefix[j+1] > target (prefix is strictly increasing);
 	// u < d2 keeps the answer inside the joinable range, so gallop from i.
@@ -142,16 +203,38 @@ func (m *KeyMultiset) SelectAt(at int32, u int64) join.Key {
 }
 
 // D2At returns d2(k), the joinable-set size of the R1 key k under condition
-// c, together with the lower-bound index of k's joinable range, for callers
-// that will draw partners for k later (SelectAt) or that scan the same keys
-// twice (Stream-Sample's weight and materialize passes cache these instead of
+// c, together with an index for k's joinable range — its first slot in the
+// dense form, its lower-bound key index in the sparse one — for callers that
+// will draw partners for k later (SelectAt) or that scan the same keys twice
+// (Stream-Sample's weight and materialize passes cache these instead of
 // re-searching).
 func (m *KeyMultiset) D2At(c join.Condition, k join.Key) (int64, int32) {
 	lo, hi := c.JoinableRange(k)
 	if lo > hi {
 		return 0, 0
 	}
+	if m.cum != nil {
+		return m.denseD2(lo, hi)
+	}
 	i := m.lowerBound(lo)
 	j := gallopUpper(m.keys, i, hi)
 	return m.prefix[j] - m.prefix[i], int32(i)
+}
+
+// denseD2 is D2At's dense form for the non-empty range [lo, hi], clamped to
+// the table at both ends.
+func (m *KeyMultiset) denseD2(lo, hi join.Key) (int64, int32) {
+	last := uint64(len(m.cum) - 2) // the span: the last slot holding keys
+	if hi < m.base {
+		return 0, 0
+	}
+	var a uint64
+	if lo > m.base {
+		if a = uint64(lo) - uint64(m.base); a > last {
+			return 0, 0
+		}
+	}
+	// Clamped before the +1, so hi = MaxInt64 cannot wrap.
+	b := min(uint64(hi)-uint64(m.base), last) + 1
+	return int64(m.cum[b] - m.cum[a]), int32(a)
 }

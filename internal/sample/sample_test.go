@@ -151,38 +151,50 @@ func (r keyRange) JoinableRange(join.Key) (lo, hi join.Key) { return r.lo, r.hi 
 func (r keyRange) String() string                           { return "test range" }
 
 func TestMultisetCounts(t *testing.T) {
-	m := BuildMultiset([]join.Key{5, 3, 5, 1, 5, 3})
-	if m.Total() != 6 {
-		t.Fatalf("total %d, want 6", m.Total())
-	}
-	if len(m.keys) != 3 {
-		t.Fatalf("distinct %d, want 3", len(m.keys))
-	}
-	cases := []struct {
-		lo, hi join.Key
-		want   int64
-	}{
-		{1, 5, 6}, {3, 5, 5}, {4, 10, 3}, {6, 10, 0}, {5, 1, 0}, {1, 1, 1},
-	}
-	for _, c := range cases {
-		if got, _ := m.D2At(keyRange{c.lo, c.hi}, 0); got != c.want {
-			t.Errorf("D2At over [%d,%d] = %d, want %d", c.lo, c.hi, got, c.want)
+	keys := []join.Key{5, 3, 5, 1, 5, 3}
+	dense, sparse := bothForms(keys)
+	for form, m := range map[string]*KeyMultiset{"dense": dense, "sparse": sparse} {
+		if m.Total() != 6 {
+			t.Fatalf("%s: total %d, want 6", form, m.Total())
+		}
+		cases := []struct {
+			lo, hi      join.Key
+			want        int64
+			first, last join.Key
+		}{
+			{1, 5, 6, 1, 5}, {3, 5, 5, 3, 5}, {4, 10, 3, 5, 5}, {6, 10, 0, 0, 0}, {5, 1, 0, 0, 0}, {1, 1, 1, 1, 1},
+			{math.MinInt64, math.MaxInt64, 6, 1, 5}, {2, math.MaxInt64, 5, 3, 5},
+		}
+		for _, c := range cases {
+			got, at := m.D2At(keyRange{c.lo, c.hi}, 0)
+			if got != c.want {
+				t.Errorf("%s: D2At over [%d,%d] = %d, want %d", form, c.lo, c.hi, got, c.want)
+				continue
+			}
+			if got == 0 {
+				continue
+			}
+			if f, l := m.SelectAt(at, 0), m.SelectAt(at, got-1); f != c.first || l != c.last {
+				t.Errorf("%s: [%d,%d] draws first %d last %d, want %d and %d", form, c.lo, c.hi, f, l, c.first, c.last)
+			}
 		}
 	}
 }
 
 func TestMultisetSelect(t *testing.T) {
-	m := BuildMultiset([]join.Key{1, 3, 3, 7})
-	wants := []join.Key{1, 3, 3, 7}
-	_, from1 := m.D2At(keyRange{1, 7}, 0)
-	for u, want := range wants {
-		if got := m.SelectAt(from1, int64(u)); got != want {
-			t.Errorf("SelectAt(from 1, %d) = %d, want %d", u, got, want)
+	dense, sparse := bothForms([]join.Key{1, 3, 3, 7})
+	for form, m := range map[string]*KeyMultiset{"dense": dense, "sparse": sparse} {
+		wants := []join.Key{1, 3, 3, 7}
+		_, from1 := m.D2At(keyRange{1, 7}, 0)
+		for u, want := range wants {
+			if got := m.SelectAt(from1, int64(u)); got != want {
+				t.Errorf("%s: SelectAt(from 1, %d) = %d, want %d", form, u, got, want)
+			}
 		}
-	}
-	_, from3 := m.D2At(keyRange{3, 7}, 0)
-	if got := m.SelectAt(from3, 2); got != 7 {
-		t.Errorf("SelectAt(from 3, 2) = %d, want 7", got)
+		_, from3 := m.D2At(keyRange{3, 7}, 0)
+		if got := m.SelectAt(from3, 2); got != 7 {
+			t.Errorf("%s: SelectAt(from 3, 2) = %d, want 7", form, got)
+		}
 	}
 }
 

@@ -24,7 +24,7 @@ type OutputSample struct {
 // Chaudhuri et al.'s Stream-Sample [8] from equi-joins to monotonic joins
 // and parallelizing it over the given number of workers:
 //
-//  1. Build d2equi (sorted R2 key multiplicities) — one scan of R2.
+//  1. Build d2equi (R2's key multiplicities with their prefix sums).
 //  2. Shard R1; per shard, sum d2(t1.A) = |joinable set of t1| to obtain the
 //     exact output size M and per-shard weight offsets.
 //  3. Draw so positions uniformly in [0, M); each shard materializes the

@@ -16,7 +16,7 @@ type RNG struct {
 // NewRNG returns a generator seeded with seed. Distinct seeds give
 // independent-looking streams; the zero seed is valid.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{state: seed + 0x9e3779b97f4a7c15}
+	return &RNG{state: seed + golden}
 }
 
 // Split derives a new generator whose stream is independent of the parent's
@@ -25,9 +25,21 @@ func (r *RNG) Split() *RNG {
 	return NewRNG(r.Uint64())
 }
 
+// golden is splitmix64's state increment.
+const golden = 0x9e3779b97f4a7c15
+
+// Skip advances the generator past n draws in O(1), leaving it where n calls
+// of Uint64 would: the state is a counter stepped by a constant, and only the
+// output is mixed. A copy advanced by Skip therefore continues a stream from a
+// known position, so two consumers of consecutive stretches of one stream can
+// run at once and still draw what running them in order would.
+func (r *RNG) Skip(n uint64) {
+	r.state += n * golden
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += golden
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

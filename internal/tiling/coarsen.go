@@ -141,28 +141,30 @@ func refineCuts(cuts []int, nc int) []int {
 // sweeper runs greedy 1D feasibility checks over swept lines (MS rows, or MS
 // columns when transposed), accumulating output per fixed band and closing a
 // band whenever the next line would push some grid cell over the threshold.
+// What a line adds does not depend on the threshold, so newSweeper gathers
+// each line once and every sweep of the binary search replays it.
 type sweeper struct {
-	sm        *matrix.Sample
-	transpose bool
-	n         int       // number of swept lines
-	other     []int     // fixed-dimension cuts
-	otherIn   []float64 // input tuples per fixed band
-	lineUnit  float64   // input tuples per swept line
-	rangeMax  [][]float64
+	n        int       // number of swept lines
+	otherIn  []float64 // input tuples per fixed band
+	lineUnit float64   // input tuples per swept line
+	rangeMax [][]float64
 
-	// per-sweep state and scratch
-	acc          []float64
-	touched      []int
-	contrib      []float64
-	contribBands []int
+	// Line i's output per fixed band is vals[k] for band bands[k], k in
+	// [lineAt[i], lineAt[i+1]), in the order gather first touched the bands;
+	// its candidate span covers fixed bands spanLo[i]..spanHi[i] (spanLo >
+	// spanHi when it has none).
+	lineAt         []int32
+	bands          []int32
+	vals           []float64
+	spanLo, spanHi []int32
 
-	// transposed views (built lazily when transpose is set)
-	colHitRows [][]int32
-	colHitCnt  [][]int32
+	// per-sweep state
+	acc     []float64
+	touched []int32
 }
 
 func newSweeper(sm *matrix.Sample, otherCuts []int, transpose bool) *sweeper {
-	s := &sweeper{sm: sm, transpose: transpose, other: otherCuts}
+	s := &sweeper{}
 	nb := len(otherCuts) - 1
 	s.otherIn = make([]float64, nb)
 	var otherUnit float64
@@ -179,17 +181,34 @@ func newSweeper(sm *matrix.Sample, otherCuts []int, transpose bool) *sweeper {
 		s.otherIn[b] = float64(otherCuts[b+1]-otherCuts[b]) * otherUnit
 	}
 	s.acc = make([]float64, nb)
-	s.contrib = make([]float64, nb)
 	s.rangeMax = buildRangeMax(s.otherIn)
+
+	g := gatherer{sm: sm, transpose: transpose, other: otherCuts, contrib: make([]float64, nb)}
 	if transpose {
-		s.colHitRows = make([][]int32, sm.Cols)
-		s.colHitCnt = make([][]int32, sm.Cols)
+		g.colHitRows = make([][]int32, sm.Cols)
+		g.colHitCnt = make([][]int32, sm.Cols)
 		for r := 0; r < sm.Rows; r++ {
 			cols, cnt := sm.RowHits(r)
 			for k, c := range cols {
-				s.colHitRows[c] = append(s.colHitRows[c], int32(r))
-				s.colHitCnt[c] = append(s.colHitCnt[c], cnt[k])
+				g.colHitRows[c] = append(g.colHitRows[c], int32(r))
+				g.colHitCnt[c] = append(g.colHitCnt[c], cnt[k])
 			}
+		}
+	}
+	s.lineAt = make([]int32, 1, s.n+1)
+	s.spanLo = make([]int32, s.n)
+	s.spanHi = make([]int32, s.n)
+	for i := 0; i < s.n; i++ {
+		spanLo, spanHi, hasSpan := g.gather(i)
+		for _, b := range g.contribBands {
+			s.bands = append(s.bands, int32(b))
+			s.vals = append(s.vals, g.contrib[b])
+			g.contrib[b] = 0
+		}
+		s.lineAt = append(s.lineAt, int32(len(s.bands)))
+		s.spanLo[i], s.spanHi[i] = 1, 0
+		if hasSpan {
+			s.spanLo[i], s.spanHi[i] = int32(g.bandOf(spanLo)), int32(g.bandOf(spanHi))
 		}
 	}
 	return s
@@ -231,55 +250,70 @@ func (s *sweeper) queryRangeMax(lo, hi int) float64 {
 	return a
 }
 
+// gatherer computes one swept line's output per fixed band and its candidate
+// span, in scratch reused from line to line.
+type gatherer struct {
+	sm           *matrix.Sample
+	transpose    bool
+	other        []int // fixed-dimension cuts
+	contrib      []float64
+	contribBands []int
+
+	// transposed views (built when transpose is set)
+	colHitRows [][]int32
+	colHitCnt  [][]int32
+}
+
 // bandOf maps a fixed-dimension MS index to its band.
-func (s *sweeper) bandOf(c int) int {
-	i, _ := slices.BinarySearch(s.other[1:], c+1)
+func (g *gatherer) bandOf(c int) int {
+	i, _ := slices.BinarySearch(g.other[1:], c+1)
 	return i
 }
 
 // gather fills contrib/contribBands with line i's output per fixed band and
-// returns the line's candidate span in fixed-dimension MS coordinates.
-func (s *sweeper) gather(i int) (spanLo, spanHi int, hasSpan bool) {
-	s.contribBands = s.contribBands[:0]
+// returns the line's candidate span in fixed-dimension MS coordinates. The
+// caller zeroes contrib for the next line.
+func (g *gatherer) gather(i int) (spanLo, spanHi int, hasSpan bool) {
+	g.contribBands = g.contribBands[:0]
 	addBand := func(b int, v float64) {
 		if v == 0 {
 			return
 		}
-		if s.contrib[b] == 0 {
-			s.contribBands = append(s.contribBands, b)
+		if g.contrib[b] == 0 {
+			g.contribBands = append(g.contribBands, b)
 		}
-		s.contrib[b] += v
+		g.contrib[b] += v
 	}
-	if !s.transpose {
-		cols, cnt := s.sm.RowHits(i)
-		if s.sm.Scale > 0 {
+	if !g.transpose {
+		cols, cnt := g.sm.RowHits(i)
+		if g.sm.Scale > 0 {
 			for k, c := range cols {
-				addBand(s.bandOf(int(c)), s.sm.Scale*float64(cnt[k]))
+				addBand(g.bandOf(int(c)), g.sm.Scale*float64(cnt[k]))
 			}
 		}
-		if s.sm.RowEmpty(i) {
+		if g.sm.RowEmpty(i) {
 			return 0, -1, false
 		}
-		spanLo, spanHi = s.sm.CandLo[i], s.sm.CandHi[i]
+		spanLo, spanHi = g.sm.CandLo[i], g.sm.CandHi[i]
 	} else {
-		if s.sm.Scale > 0 {
-			for k, r := range s.colHitRows[i] {
-				addBand(s.bandOf(int(r)), s.sm.Scale*float64(s.colHitCnt[i][k]))
+		if g.sm.Scale > 0 {
+			for k, r := range g.colHitRows[i] {
+				addBand(g.bandOf(int(r)), g.sm.Scale*float64(g.colHitCnt[i][k]))
 			}
 		}
 		var ok bool
-		spanLo, spanHi, ok = s.colCandRows(i)
+		spanLo, spanHi, ok = g.colCandRows(i)
 		if !ok {
 			return 0, -1, false
 		}
 	}
-	if s.sm.UnitCand > 0 {
-		b0, b1 := s.bandOf(spanLo), s.bandOf(spanHi)
+	if g.sm.UnitCand > 0 {
+		b0, b1 := g.bandOf(spanLo), g.bandOf(spanHi)
 		for b := b0; b <= b1; b++ {
-			il := max(spanLo, s.other[b])
-			ih := min(spanHi, s.other[b+1]-1)
+			il := max(spanLo, g.other[b])
+			ih := min(spanHi, g.other[b+1]-1)
 			if il <= ih {
-				addBand(b, s.sm.UnitCand*float64(ih-il+1))
+				addBand(b, g.sm.UnitCand*float64(ih-il+1))
 			}
 		}
 	}
@@ -288,8 +322,8 @@ func (s *sweeper) gather(i int) (spanLo, spanHi int, hasSpan bool) {
 
 // colCandRows returns the inclusive MS row range whose candidate spans
 // contain column c; by monotonicity it is contiguous.
-func (s *sweeper) colCandRows(c int) (int, int, bool) {
-	sm := s.sm
+func (g *gatherer) colCandRows(c int) (int, int, bool) {
+	sm := g.sm
 	// First row with CandHi >= c (CandHi nondecreasing).
 	r0, _ := slices.BinarySearch(sm.CandHi, c)
 	// Last row with CandLo <= c (CandLo nondecreasing).
@@ -301,15 +335,10 @@ func (s *sweeper) colCandRows(c int) (int, int, bool) {
 	return r0, r1, true
 }
 
-func (s *sweeper) clearContrib() {
-	for _, b := range s.contribBands {
-		s.contrib[b] = 0
-	}
-}
-
 // sweep greedily forms bands with max candidate-cell weight <= t; it returns
 // the cut vector or nil when more than ncMax bands are needed or a single
-// line already exceeds t.
+// line already exceeds t. Spans are tracked in fixed bands: bandOf is
+// monotone, so the band of a span's end is the end of the lines' bands.
 func (s *sweeper) sweep(model cost.Model, t float64, ncMax int) []int {
 	for _, b := range s.touched {
 		s.acc[b] = 0
@@ -317,23 +346,9 @@ func (s *sweeper) sweep(model cost.Model, t float64, ncMax int) []int {
 	s.touched = s.touched[:0]
 	cuts := []int{0}
 	lines := 0
-	maxFixed := 0.0      // max over touched bands of wi·otherIn + wo·acc
-	curLo, curHi := 1, 0 // band candidate span (fixed coords), empty initially
+	maxFixed := 0.0                    // max over touched bands of wi·otherIn + wo·acc
+	curLo, curHi := int32(1), int32(0) // band candidate span (fixed bands), empty initially
 
-	commit := func() float64 {
-		m := maxFixed
-		for _, b := range s.contribBands {
-			if s.acc[b] == 0 {
-				s.touched = append(s.touched, b)
-			}
-			s.acc[b] += s.contrib[b]
-			v := model.Wi*s.otherIn[b] + model.Wo*s.acc[b]
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	}
 	closeBand := func(at int) {
 		cuts = append(cuts, at)
 		for _, b := range s.touched {
@@ -346,17 +361,18 @@ func (s *sweeper) sweep(model cost.Model, t float64, ncMax int) []int {
 	}
 
 	for i := 0; i < s.n; i++ {
-		spanLo, spanHi, hasSpan := s.gather(i)
+		bands, vals := s.bands[s.lineAt[i]:s.lineAt[i+1]], s.vals[s.lineAt[i]:s.lineAt[i+1]]
+		spanLo, spanHi := s.spanLo[i], s.spanHi[i]
 		// Trial weight if line i joins the current band.
 		tryMax := maxFixed
-		for _, b := range s.contribBands {
-			v := model.Wi*s.otherIn[b] + model.Wo*(s.acc[b]+s.contrib[b])
+		for k, b := range bands {
+			v := model.Wi*s.otherIn[b] + model.Wo*(s.acc[b]+vals[k])
 			if v > tryMax {
 				tryMax = v
 			}
 		}
 		tLo, tHi := curLo, curHi
-		if hasSpan {
+		if spanLo <= spanHi {
 			if tLo > tHi {
 				tLo, tHi = spanLo, spanHi
 			} else {
@@ -366,7 +382,7 @@ func (s *sweeper) sweep(model cost.Model, t float64, ncMax int) []int {
 		if tLo <= tHi {
 			// Candidate cells with no accumulated output still weigh their
 			// input; include the heaviest fixed band in the candidate range.
-			floor := model.Wi * s.queryRangeMax(s.bandOf(tLo), s.bandOf(tHi))
+			floor := model.Wi * s.queryRangeMax(int(tLo), int(tHi))
 			if floor > tryMax {
 				tryMax = floor
 			}
@@ -375,23 +391,19 @@ func (s *sweeper) sweep(model cost.Model, t float64, ncMax int) []int {
 		if cellW > t && lines > 0 {
 			closeBand(i)
 			if len(cuts)-1 >= ncMax {
-				s.clearContrib()
 				return nil
 			}
 			// Recompute for a fresh band holding only line i.
 			tryMax = 0
-			for _, b := range s.contribBands {
-				v := model.Wi*s.otherIn[b] + model.Wo*s.contrib[b]
+			for k, b := range bands {
+				v := model.Wi*s.otherIn[b] + model.Wo*vals[k]
 				if v > tryMax {
 					tryMax = v
 				}
 			}
 			tLo, tHi = spanLo, spanHi
-			if !hasSpan {
-				tLo, tHi = 1, 0
-			}
 			if tLo <= tHi {
-				floor := model.Wi * s.queryRangeMax(s.bandOf(tLo), s.bandOf(tHi))
+				floor := model.Wi * s.queryRangeMax(int(tLo), int(tHi))
 				if floor > tryMax {
 					tryMax = floor
 				}
@@ -399,13 +411,20 @@ func (s *sweeper) sweep(model cost.Model, t float64, ncMax int) []int {
 			cellW = model.Wi*s.lineUnit + tryMax
 		}
 		if cellW > t {
-			s.clearContrib()
 			return nil
 		}
-		maxFixed = commit()
+		// Commit line i to the band.
+		for k, b := range bands {
+			if s.acc[b] == 0 {
+				s.touched = append(s.touched, b)
+			}
+			s.acc[b] += vals[k]
+			if v := model.Wi*s.otherIn[b] + model.Wo*s.acc[b]; v > maxFixed {
+				maxFixed = v
+			}
+		}
 		lines++
 		curLo, curHi = tLo, tHi
-		s.clearContrib()
 	}
 	if lines > 0 {
 		closeBand(s.n)

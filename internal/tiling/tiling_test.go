@@ -1,6 +1,7 @@
 package tiling
 
 import (
+	"math"
 	"testing"
 
 	"ewh/internal/cost"
@@ -9,6 +10,7 @@ import (
 	"ewh/internal/matrix"
 	"ewh/internal/sample"
 	"ewh/internal/stats"
+	"ewh/internal/workload"
 )
 
 var testModel = cost.Model{Wi: 1, Wo: 0.2}
@@ -356,12 +358,48 @@ func BenchmarkBaselineBSP(b *testing.B) {
 	}
 }
 
+// BenchmarkCoarsenGrid times the coarsening stage alone. bcb-200k is the
+// adhoc-band planner's MS: BCB x = 200,000 (1M tuples per relation), J = 4,
+// so ns = ⌈√(2nJ)⌉ = 2,829 and nc = 2J = 8, input samples of the planner's
+// size si = 4·ns·log2(n+2), and the 11,402-pair output sample the planner draws
+// for it (2 · its 5,701 candidate cells).
 func BenchmarkCoarsenGrid(b *testing.B) {
-	sm := buildMS(b, 20000, 256, 3, 2000, 0.4, 70)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CoarsenGrid(sm, 16, testModel, CoarsenOptions{})
+	for _, s := range []struct {
+		name string
+		nc   int
+		ms   func() *matrix.Sample
+	}{
+		{"zipf-20k", 16, func() *matrix.Sample { return buildMS(b, 20000, 256, 3, 2000, 0.4, 70) }},
+		{"bcb-200k", 8, func() *matrix.Sample {
+			r1, r2, cond := workload.BCB(200000, 3, 42)
+			n := len(r1)
+			ns := int(math.Ceil(math.Sqrt(2 * float64(n) * 4)))
+			si := int(4 * float64(ns) * math.Log2(float64(n)+2))
+			rng := stats.NewRNG(42)
+			rh, err := histogram.FromSample(sample.FixedSize(r1, si, rng), ns)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ch, err := histogram.FromSample(sample.FixedSize(r2, si, rng), ns)
+			if err != nil {
+				b.Fatal(err)
+			}
+			out := sample.StreamSample(r1, r2, cond, 11402, 4, rng)
+			sm, err := matrix.BuildSample(rh, ch, cond, out.Pairs, out.M, n, len(r2), 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return sm
+		}},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			sm := s.ms()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				CoarsenGrid(sm, s.nc, cost.DefaultBand, CoarsenOptions{})
+			}
+		})
 	}
 }
 
