@@ -31,8 +31,7 @@ func main() {
 	maxInFlight := flag.Int("max-inflight", 0, "admission control: concurrent join executions (0: unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "admission control: per-tenant queued jobs before typed rejection (0: unbounded)")
 	queueDeadline := flag.Duration("queue-deadline", 0, "admission control: max queue wait before typed rejection (0: wait forever)")
-	tenantBytes := flag.Int64("tenant-max-bytes", 0, "default per-tenant buffered relation byte budget (0: unlimited)")
-	tenantInter := flag.Int64("tenant-max-intermediate", 0, "default per-tenant stage-1 intermediate tuple budget per plan job (0: unlimited)")
+	tenantBytes := flag.Int64("tenant-max-bytes", 0, "default per-tenant byte budget: received keys, stage-1 matches, peer transfers (0: unlimited)")
 	cacheBytes := flag.Int64("build-cache-bytes", netexec.DefaultBuildCacheBytes, "build-side hash-join cache budget in bytes (<= 0: disable sharing)")
 	weights := netexec.TenantWeights{}
 	flag.Var(weights, "tenant-weight", "tenant scheduling weight as name=w (repeatable); weighted tenants keep the default tenant budgets")
@@ -51,8 +50,8 @@ func main() {
 		w.SetAdmission(netexec.AdmissionConfig{
 			MaxInFlight: *maxInFlight, MaxQueue: *maxQueue, QueueDeadline: *queueDeadline})
 	}
-	base := netexec.TenantPolicy{MaxBytes: *tenantBytes, MaxIntermediate: *tenantInter}
-	if *tenantBytes > 0 || *tenantInter > 0 {
+	base := netexec.TenantPolicy{MaxBytes: *tenantBytes}
+	if *tenantBytes > 0 {
 		w.SetDefaultTenantPolicy(base)
 	}
 	weights.Apply(w, base)

@@ -49,7 +49,7 @@ func (b *baseline) goroutinesSettled() {
 // the session still open: no reply handler left registered on any connection,
 // and the workers idle (workersIdle). Then, with session and workers torn
 // down: the goroutine count back at the snapshot.
-func (b *baseline) returned(sess *Session, ws []*Worker, tenant string) {
+func (b *baseline) returned(sess *Session, ws []*Worker) {
 	b.t.Helper()
 	waitFor(b.t, "every connection's pending table to empty", func() bool {
 		for _, c := range sess.conns {
@@ -62,7 +62,7 @@ func (b *baseline) returned(sess *Session, ws []*Worker, tenant string) {
 		}
 		return true
 	})
-	b.workersIdle(ws, tenant)
+	b.workersIdle(ws)
 	_ = sess.Close()
 	for _, w := range ws {
 		_ = w.Close()
@@ -71,9 +71,10 @@ func (b *baseline) returned(sess *Session, ws []*Worker, tenant string) {
 }
 
 // workersIdle asserts the worker side of a finished scenario, connections
-// still open: no job left in flight on any worker connection, no byte left
-// reserved against the tenant, every admission slot free and nobody queued.
-func (b *baseline) workersIdle(ws []*Worker, tenant string) {
+// still open: no job left in flight on any worker connection, no byte left in
+// any worker's ledger (the tenant's account, the mesh's, anyone's), every
+// admission slot free and nobody queued.
+func (b *baseline) workersIdle(ws []*Worker) {
 	b.t.Helper()
 	waitFor(b.t, "every worker connection's in-flight count to reach zero", func() bool {
 		for _, w := range ws {
@@ -83,9 +84,9 @@ func (b *baseline) workersIdle(ws []*Worker, tenant string) {
 		}
 		return true
 	})
-	waitFor(b.t, "the tenant's reservation to be credited back", func() bool {
+	waitFor(b.t, "the ledger to be credited back", func() bool {
 		for _, w := range ws {
-			if w.tenants.usedBytes(tenant) != 0 {
+			if w.ledger.heldBytes() != 0 {
 				return false
 			}
 		}
@@ -163,7 +164,7 @@ func TestStreamCloseAfterJobFaultRetiresWorkerJob(t *testing.T) {
 	if err := ws[0].Shutdown(ctx); err != nil {
 		t.Fatalf("worker still holds the closed stream's job: Shutdown: %v", err)
 	}
-	if used := ws[0].tenants.usedBytes("small"); used != 0 {
+	if used := ws[0].ledger.heldBytes(); used != 0 {
 		t.Fatalf("closed stream left %d bytes reserved", used)
 	}
 }
@@ -387,7 +388,7 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 				if !script.Fired() {
 					t.Error("the scripted fault never fired")
 				}
-				b.returned(sess, ws, tableTenant)
+				b.returned(sess, ws)
 			})
 		}
 	}
@@ -700,7 +701,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 						t.Errorf("replied %+v, not as a %s", m, x.name)
 					}
 				}
-				b.workersIdle([]*Worker{w}, feedTenant)
+				b.workersIdle([]*Worker{w})
 				if grew := w.BuildCacheStats().Bytes - cacheBefore; grew != 0 && x.name != "EOS" {
 					t.Errorf("failed job left %d bytes in the build cache", grew)
 				}

@@ -178,10 +178,10 @@ const peerFrameHeaderLen = 5
 // frame type, framed exactly as long as they are. They must never panic; they
 // may buffer only what the frame declared; an accepted frame and a job-level
 // refusal both consume exactly the frame (the next header parses); only a
-// frame shorter than its sub-header is connection-fatal; and whatever a
-// session frame charged the tenant the job's release gives back. A selector
-// past the type list additionally declares relation 2's re-key column (two
-// keys), which BLOCK frames tagged relRekey then fill.
+// frame shorter than its sub-header is connection-fatal; an accepted frame
+// charged the ledger exactly its keys, and the job's release gives them back.
+// A selector past the type list additionally declares relation 2's re-key
+// column (two keys), which BLOCK frames tagged relRekey then fill.
 func FuzzKeyFrame(f *testing.F) {
 	types := []byte{frameV3Block, frameV3Chunk, frameV3StreamBase, frameV3StreamWin, framePeerBlock}
 	for i, typ := range types {
@@ -215,9 +215,11 @@ func FuzzKeyFrame(f *testing.F) {
 			j.stream.resTag = 0
 		} else {
 			j.rels[0] = sessRel{declared: true, streaming: true, chunks: 4}
-			j.rels[1] = sessRel{declared: true, n: 64, keys: exec.GetKeyBuffer(64)}
+			// A head declares a count and nothing else: a BLOCK's keys get
+			// their buffer as the frame arrives.
+			j.rels[1] = sessRel{declared: true, n: 64}
 			if int(sel) >= len(types) {
-				j.rels[relRekey-1] = sessRel{declared: true, n: 2, keys: exec.GetKeyBuffer(2)}
+				j.rels[relRekey-1] = sessRel{declared: true, n: 2}
 			}
 		}
 		const sentinel = 0xEE
@@ -243,15 +245,23 @@ func FuzzKeyFrame(f *testing.F) {
 			exec.PutKeyBuffer(ev.keys)
 		default:
 		}
-		if err == nil && typ != frameV3Block && hdr+8*buffered != n {
+		if typ == frameV3Block {
+			for _, r := range j.rels[1:] {
+				buffered += r.pos
+			}
+		}
+		if err == nil && hdr+8*buffered != n {
 			t.Fatalf("type %d: accepted a %d-byte frame and buffered %d keys", typ, n, buffered)
 		}
 		if err != nil && buffered != 0 {
 			t.Fatalf("type %d: refused a frame (%v) yet buffered %d keys", typ, err, buffered)
 		}
+		if held := w.ledger.heldBytes(); err == nil && held != 8*int64(buffered) {
+			t.Fatalf("type %d: %d keys buffered, %d bytes charged", typ, buffered, held)
+		}
 		j.release()
-		if used := w.tenants.usedBytes(""); used != 0 {
-			t.Fatalf("type %d: %d bytes still charged after release", typ, used)
+		if held := w.ledger.heldBytes(); held != 0 {
+			t.Fatalf("type %d: %d bytes still charged after release", typ, held)
 		}
 	})
 }

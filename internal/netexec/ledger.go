@@ -1,0 +1,150 @@
+package netexec
+
+import (
+	"math"
+	"runtime/debug"
+	"sync"
+
+	"ewh/internal/exec"
+	"ewh/internal/join"
+)
+
+// ledger is a worker's one account of the bytes its connections make it hold.
+// Every buffer whose size a remote side chose — key frames as they arrive, a
+// stage-1 plan job's materialized matches, peer contributions — is charged
+// here before it is allocated and credited when it is released; a head frame
+// (RELHEAD, CHUNKHEAD, PEERHEAD) only declares a count the arrivals are
+// checked against. Tenant budgets (TenantPolicy.MaxBytes) are per-tenant
+// views of the one account; peer contributions no job has taken yet belong to
+// no tenant. A refusal is a typed quota rejection (ErrQuota) that reserves
+// nothing.
+type ledger struct {
+	mu       sync.Mutex
+	budget   int64 // bytes across every account; <= 0: unlimited
+	held     int64 // bytes charged across every account
+	def      TenantPolicy
+	policies map[string]TenantPolicy
+	used     map[string]int64 // by tenant
+}
+
+// newLedger's budget is the process's soft memory limit (GOMEMLIMIT or
+// debug.SetMemoryLimit) when one is set, else unlimited.
+func newLedger() *ledger {
+	l := &ledger{policies: make(map[string]TenantPolicy), used: make(map[string]int64)}
+	if lim := debug.SetMemoryLimit(-1); lim < math.MaxInt64 {
+		l.budget = lim
+	}
+	return l
+}
+
+func (l *ledger) set(tenant string, p TenantPolicy) {
+	l.mu.Lock()
+	l.policies[tenant] = p
+	l.mu.Unlock()
+}
+
+func (l *ledger) setDefault(p TenantPolicy) {
+	l.mu.Lock()
+	l.def = p
+	l.mu.Unlock()
+}
+
+func (l *ledger) policy(tenant string) TenantPolicy {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if p, ok := l.policies[tenant]; ok {
+		return p
+	}
+	return l.def
+}
+
+// charge reserves n bytes on tenant's account, within its MaxBytes and the
+// worker's budget; credit returns them.
+func (l *ledger) charge(tenant string, n int64) error {
+	if n <= 0 {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	p, ok := l.policies[tenant]
+	if !ok {
+		p = l.def
+	}
+	if used := l.used[tenant]; p.MaxBytes > 0 && used+n > p.MaxBytes {
+		return quotaErrf("tenant %q would buffer %d bytes (%d in use), budget %d",
+			tenant, used+n, used, p.MaxBytes)
+	}
+	if err := l.reserveLocked(n); err != nil {
+		return err
+	}
+	l.used[tenant] += n
+	return nil
+}
+
+func (l *ledger) credit(tenant string, n int64) {
+	if n <= 0 {
+		return
+	}
+	l.mu.Lock()
+	l.held -= n
+	if l.used[tenant] -= n; l.used[tenant] <= 0 {
+		delete(l.used, tenant)
+	}
+	l.mu.Unlock()
+}
+
+// chargeMesh reserves n bytes of peer contributions within the worker's
+// budget alone; creditMesh returns them. A job that takes a transfer moves
+// its bytes onto its tenant (sessStream.probeTransfer).
+func (l *ledger) chargeMesh(n int64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.reserveLocked(n)
+}
+
+func (l *ledger) creditMesh(n int64) {
+	l.mu.Lock()
+	l.held -= n
+	l.mu.Unlock()
+}
+
+func (l *ledger) reserveLocked(n int64) error {
+	if l.budget > 0 && l.held+n > l.budget {
+		return quotaErrf("worker would hold %d bytes (%d in use), budget %d", l.held+n, l.held, l.budget)
+	}
+	l.held += n
+	return nil
+}
+
+// heldBytes reports the bytes charged across every account (tests and
+// introspection).
+func (l *ledger) heldBytes() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.held
+}
+
+// growKeys is the one allocation of a declared key run that arrives frame by
+// frame — a flat relation's BLOCKs, a peer contribution's blocks: it returns
+// buf (have keys filled) with room for need keys, doubling but never past
+// limit, the run's declared total. charge sees the bytes the run grows by
+// before a buffer is taken; on a refusal buf comes back unchanged. A run is
+// therefore charged 8 bytes per key of len(buf).
+func growKeys(buf []join.Key, have, need, limit int, charge func(int64) error) ([]join.Key, error) {
+	if need <= len(buf) {
+		return buf, nil
+	}
+	n := min(limit, max(need, 2*len(buf)))
+	if err := charge(8 * int64(n-len(buf))); err != nil {
+		return buf, err
+	}
+	if n <= cap(buf) {
+		return buf[:n], nil
+	}
+	grown := exec.GetKeyBuffer(n)
+	copy(grown, buf[:have])
+	if buf != nil {
+		exec.PutKeyBuffer(buf)
+	}
+	return grown, nil
+}

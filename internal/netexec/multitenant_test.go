@@ -59,7 +59,7 @@ func TestSessionTypedQuotaRejection(t *testing.T) {
 	if !errors.Is(err, ErrQuota) {
 		t.Fatalf("over-budget join: got %v, want ErrQuota", err)
 	}
-	if used := ws[0].tenants.usedBytes("small"); used != 0 {
+	if used := ws[0].ledger.heldBytes(); used != 0 {
 		t.Fatalf("rejected job left %d bytes reserved", used)
 	}
 	// The same join under an unbudgeted tenant runs to the correct answer.
@@ -398,9 +398,7 @@ func TestPoolHogFloorOverSockets(t *testing.T) {
 		t.Errorf("%d admission rejections with an unbounded queue", final.Rejected)
 	}
 
-	for _, tn := range tenants {
-		b.workersIdle(ws, tn)
-	}
+	b.workersIdle(ws)
 	_ = pool.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -3,12 +3,12 @@
 // count job streams each relation as per-mapper CHUNK sub-blocks the moment a
 // mapper has routed its shard, and the worker's join goroutine inserts or
 // probes them as they arrive; a pairs or plan job sends each worker one
-// contiguous, length-prefixed key block per relation (plus, on a plan job's
-// relation 2, the re-key column), decoded into exactly-sized pooled flat
-// buffers and joined in place. Either way the worker reports its metrics. It
-// is the process-distributed counterpart of internal/exec's goroutine engine —
-// same partitioning schemes, same shuffle, same metrics — demonstrating that
-// nothing in the EWH design depends on shared memory.
+// contiguous, count-headed key block per relation (plus, on a plan job's
+// relation 2, the re-key column), decoded into pooled flat buffers as its
+// frames arrive and joined in place. Either way the worker reports its
+// metrics. It is the process-distributed counterpart of internal/exec's
+// goroutine engine — same partitioning schemes, same shuffle, same metrics —
+// demonstrating that nothing in the EWH design depends on shared memory.
 //
 // There is one transport: the session protocol (Dial/Session, implementing
 // exec.Runtime) keeps one persistent connection per worker and multiplexes
@@ -103,9 +103,9 @@ type planSpec struct {
 // rather than from the coordinator. The coordinator opens it (and streams the
 // right relation) WHILE stage 1 still runs. Senders is the stage-1 worker
 // count; each contributes exactly once, an empty share included, and the job
-// parks on the token until all have. Buffering stays capped per transfer; the
-// tenant is charged for the contributions when the job takes them, where
-// their size is first known.
+// parks on the token until all have. Contributions are charged to the
+// worker's ledger as their blocks arrive and move onto the job's tenant when
+// the job takes them.
 type peerJobOpen struct {
 	WorkerID int
 	Cond     join.Spec
@@ -120,10 +120,11 @@ type planCancel struct {
 	Token uint64
 }
 
-// MaxRelationTuples bounds the per-relation count a relation head may
-// declare (1G keys = 8 GiB). The worker allocates receive buffers from the
-// declared counts before any data arrives, so without this cap one
-// malformed or hostile connection could OOM the whole worker process.
+// MaxRelationTuples bounds the tuples one relation, epoch base, window or
+// peer transfer may hold on a worker (1G keys = 8 GiB), well inside the
+// join's 32-bit pair indices. It is a sanity bound on declarations, not a
+// memory bound: a worker allocates only for key frames that arrived, charged
+// to its ledger.
 const MaxRelationTuples = 1 << 30
 
 // overRelationCap is the running-count predicate behind that cap wherever
@@ -176,10 +177,10 @@ type Worker struct {
 	failFired atomic.Bool
 
 	// Multi-tenant policy (see tenant.go): admit gates concurrent join
-	// execution with weighted-fair queuing (nil: disabled), tenants tracks
-	// per-tenant budgets and live byte usage.
-	admit   *admitter
-	tenants *tenantTable
+	// execution with weighted-fair queuing (nil: disabled); ledger charges
+	// every byte a job or transfer holds, per tenant and in total (ledger.go).
+	admit  *admitter
+	ledger *ledger
 
 	// buildCache shares sealed hash builds between jobs indexing the same
 	// relation content — across sessions and tenants, since a sealed build
@@ -221,7 +222,7 @@ func ListenWorkerOn(ln net.Listener) *Worker {
 		conns:      make(map[*connState]struct{}),
 		peers:      make(map[string]*peerConn),
 		peerStates: make(map[uint64]*peerJobState),
-		tenants:    newTenantTable(),
+		ledger:     newLedger(),
 		buildCache: localjoin.NewBuildCache(DefaultBuildCacheBytes),
 	}
 }

@@ -205,11 +205,12 @@ func (pc *peerConn) writeContribution(token uint64, sender int, keys []join.Key)
 // ---------- receiver side ----------
 
 // peerContrib is one sender's (possibly still streaming) share of a
-// transfer. keys is pooled and exactly declared-sized. reading marks a
-// block decode in progress OUTSIDE the state lock: while set, the reader
-// goroutine owns keys — a concurrent failure must not recycle the buffer
-// (releaseLocked skips it; the reader releases it when it observes the
-// poisoned state).
+// transfer. keys is pooled and grows as blocks arrive (growKeys, within the
+// head's declared count), each growth charged to the worker's ledger. reading
+// marks a block decode in progress OUTSIDE the state lock: while set, the
+// reader goroutine owns keys — a concurrent failure must not recycle the
+// buffer (releaseLocked skips it; the reader releases it when it observes
+// the poisoned state).
 type peerContrib struct {
 	declared int
 	keys     []join.Key
@@ -222,17 +223,18 @@ type peerContrib struct {
 // complete it signals ready, and the job takes the contributions (a count
 // probes them in any order).
 type peerJobState struct {
+	ledger   *ledger // the worker's: contribution buffers are charged to its mesh account
 	mu       sync.Mutex
 	contrib  map[int]*peerContrib // complete and the job's to take when done && err == nil
-	declared int64                // sum of contribution declarations (buffering cap)
+	declared int64                // sum of contribution declarations (relation cap)
 	senders  int                  // 0 until the stage-2 job's open declares it
 	err      error
 	done     bool
 	ready    chan struct{} // closed once complete or failed
 }
 
-func newPeerJobState() *peerJobState {
-	return &peerJobState{contrib: make(map[int]*peerContrib), ready: make(chan struct{})}
+func newPeerJobState(l *ledger) *peerJobState {
+	return &peerJobState{ledger: l, contrib: make(map[int]*peerContrib), ready: make(chan struct{})}
 }
 
 // failLocked poisons the state; waiters observe err after ready closes.
@@ -256,12 +258,32 @@ func (st *peerJobState) releaseLocked() {
 	for s, c := range st.contrib {
 		// A buffer mid-decode belongs to its reader goroutine; it observes
 		// st.done after the read and recycles the buffer itself.
-		if c.keys != nil && !c.reading {
-			exec.PutKeyBuffer(c.keys)
-			c.keys = nil
+		if !c.reading {
+			st.recycle(c)
 		}
 		delete(st.contrib, s)
 	}
+}
+
+// recycle pools a contribution's buffer and credits its charge.
+func (st *peerJobState) recycle(c *peerContrib) {
+	if c.keys != nil {
+		st.ledger.creditMesh(8 * int64(len(c.keys)))
+		exec.PutKeyBuffer(c.keys)
+		c.keys = nil
+	}
+}
+
+// growLocked gives c room for count more keys, failing the transfer when
+// the ledger refuses the bytes.
+func (st *peerJobState) growLocked(c *peerContrib, count int) bool {
+	keys, err := growKeys(c.keys, c.pos, c.pos+count, c.declared, st.ledger.chargeMesh)
+	c.keys = keys
+	if err != nil {
+		st.failLocked(err)
+		return false
+	}
+	return true
 }
 
 // checkReadyLocked signals ready once the sender count is declared and that
@@ -282,8 +304,8 @@ func (st *peerJobState) checkReadyLocked() {
 // addLocked is the one admission rule for a contribution, in memory
 // (deliverLocal) or over the mesh (handlePeer's head): a new sender, below the
 // sender count once declared, within a relation's tuple cap across the
-// transfer. It returns the new, still empty contribution, or nil when it
-// refused and thereby failed the transfer.
+// transfer. It returns the new contribution, which holds no buffer yet, or
+// nil when it refused and thereby failed the transfer.
 func (st *peerJobState) addLocked(sender int, count int64) *peerContrib {
 	switch {
 	case st.contrib[sender] != nil:
@@ -294,7 +316,7 @@ func (st *peerJobState) addLocked(sender int, count int64) *peerContrib {
 		st.failLocked(fmt.Errorf("transfer declarations exceed %d tuples at sender %d", MaxRelationTuples, sender))
 	default:
 		st.declared += count
-		c := &peerContrib{declared: int(count), keys: exec.GetKeyBuffer(int(count))}
+		c := &peerContrib{declared: int(count)}
 		st.contrib[sender] = c
 		return c
 	}
@@ -325,9 +347,10 @@ func (st *peerJobState) expect(senders int) error {
 }
 
 // maxPeerStates bounds the distinct transfer tokens a worker will track at
-// once; together with the per-state declared-count cap it bounds what an
-// unauthenticated peer connection can make the worker buffer. (The mesh, like
-// the session protocol, trusts its cluster network — TLS + auth is ROADMAP.)
+// once, so tombstones and declared-but-empty states cannot grow the table
+// without end; the keys contributions buffer are the ledger's to bound. (The
+// mesh, like the session protocol, trusts its cluster network — TLS + auth is
+// ROADMAP.)
 const maxPeerStates = 1 << 12
 
 // peerState returns (creating if needed) the transfer state for token; it
@@ -344,7 +367,7 @@ func (w *Worker) peerState(token uint64) *peerJobState {
 		if !w.evictFinishedLocked() {
 			return nil
 		}
-		st = newPeerJobState()
+		st = newPeerJobState(w.ledger)
 		w.peerStates[token] = st
 	}
 	return st
@@ -391,7 +414,7 @@ func (w *Worker) dropPeerState(token uint64) {
 	w.cancelNext++
 	st := w.peerStates[token]
 	if st == nil && w.evictFinishedLocked() {
-		st = newPeerJobState()
+		st = newPeerJobState(w.ledger)
 		w.peerStates[token] = st
 	}
 	w.peersMu.Unlock()
@@ -434,7 +457,7 @@ func (w *Worker) deliverLocal(token uint64, sender int, keys []join.Key) error {
 		return st.err
 	}
 	c := st.addLocked(sender, int64(len(keys)))
-	if c == nil {
+	if c == nil || !st.growLocked(c, len(keys)) {
 		return st.err
 	}
 	c.pos = copy(c.keys, keys)
@@ -535,6 +558,11 @@ func (w *Worker) handlePeer(br *bufio.Reader, conn net.Conn) {
 			case c.pos+count > c.declared:
 				st.failLocked(fmt.Errorf("sender %d via %s overflows declared %d tuples", sender, conn.RemoteAddr(), c.declared))
 				delete(inflight, inflightKey{token, sender})
+			case c.reading:
+				// Its buffer may move as it grows: one decode at a time.
+				st.failLocked(fmt.Errorf("sender %d via %s sends a block beside one in flight", sender, conn.RemoteAddr()))
+			case !st.growLocked(c, count):
+				delete(inflight, inflightKey{token, sender})
 			default:
 				dst = c.keys[c.pos : c.pos+count]
 				c.reading = true // the decode below runs outside st.mu
@@ -552,10 +580,7 @@ func (w *Worker) handlePeer(br *bufio.Reader, conn net.Conn) {
 			if st.done {
 				// The transfer failed while we were decoding; the buffer's
 				// release was deferred to us (see releaseLocked).
-				if c.keys != nil {
-					exec.PutKeyBuffer(c.keys)
-					c.keys = nil
-				}
+				st.recycle(c)
 				delete(inflight, inflightKey{token, sender})
 			} else if readErr == nil {
 				c.pos += count

@@ -257,8 +257,8 @@ func answerStats(t *testing.T, conn net.Conn, br *bufio.Reader, bw *bufio.Writer
 // TestSessionRekeyColumnEnforced drives every way relation 2's re-key column
 // can be mis-declared or mis-shipped, frame by frame over a raw connection.
 // Each refusal fails only its job: the next job on the same connection still
-// joins (framing intact) and the tenant's reservation — 8 bytes per key AND
-// per column entry — is back at zero.
+// joins (framing intact) and the tenant's reservation — 8 bytes per key, per
+// column entry and per match — is back at zero.
 func TestSessionRekeyColumnEnforced(t *testing.T) {
 	const tenant = "rekeyed"
 	r1, r2 := []join.Key{1, 2}, []join.Key{7, 8, 9} // disjoint: nothing to re-shuffle
@@ -295,6 +295,14 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 		{name: "declared and complete", budget: fits, plan: true, send: column(len(r2))},
 		{name: "charged to the tenant", budget: fits - 1, plan: true, send: column(len(r2)),
 			wantErr: "budget", code: codeQuota},
+		// Three equal keys a side: the 72 received bytes fit, the 9 matches
+		// the join materializes (72 more) do not.
+		{name: "matches charged to the tenant", budget: 100, plan: true,
+			send: func(bw *bufio.Writer) error {
+				dup := []join.Key{5, 5, 5}
+				return errors.Join(flat(bw, 1, dup, false), flat(bw, 2, dup, true), writeKeyBlocksV3(bw, 1, relRekey, dup))
+			},
+			wantErr: "would buffer 144 bytes (72 in use), budget 100", code: codeQuota},
 		{name: "missing on a plan job", plan: true,
 			send: func(bw *bufio.Writer) error {
 				return errors.Join(flat(bw, 1, r1, false), flat(bw, 2, r2, false))
@@ -349,7 +357,7 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 			// Same connection, next job: the refusal cost this job only, and
 			// what it had reserved is credited back.
 			idle := &baseline{t: t}
-			idle.workersIdle(ws, tenant)
+			idle.workersIdle(ws)
 			sendOpenJob(t, bw, 2)
 			err = errors.Join(
 				writeRelHead(bw, 2, 1, 1, false), writeKeyBlocksV3(bw, 2, 1, []join.Key{5}),
@@ -361,7 +369,7 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 			if m := awaitFeedMetrics(t, conn, br, 2); m.Err != "" || m.Output != 1 {
 				t.Fatalf("follow-up job replied %+v", m)
 			}
-			idle.workersIdle(ws, tenant)
+			idle.workersIdle(ws)
 		})
 	}
 

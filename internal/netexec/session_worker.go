@@ -25,9 +25,10 @@ import (
 // is read from its own frames, never from a flag in its open, and what
 // consumes the job is what its OUTPUT needs. Relation 1 as flat blocks means
 // arrival order: a stage-1 plan's matches when a PLAN frame rode with the
-// open, pairs otherwise. Those decode into exactly-sized pooled buffers, and
-// finishJob joins and replies in its own goroutine at the job's EOS (so the
-// read loop keeps draining the next job's frames meanwhile). Every count job —
+// open, pairs otherwise. Those decode into pooled buffers that grow as their
+// frames arrive (a head only declares the count), and finishJob joins and
+// replies in its own goroutine at the job's EOS (so the read loop keeps
+// draining the next job's frames meanwhile). Every count job —
 // chunk-streamed relations, a peer-fed stage 2, a stream — feeds the one
 // goroutine that joins while the frames arrive (stream_worker.go). Job-level
 // protocol violations fail only that job (its remaining frames are read and
@@ -40,8 +41,8 @@ import (
 // alongside relation 2 and which fills from BLOCK frames like a flat relation.
 type sessRel struct {
 	declared bool
-	n        int // declared tuple count
-	keys     []join.Key
+	n        int        // declared tuple count
+	keys     []join.Key // grown frame by frame (growKeys), pos of them filled
 	pos      int
 
 	// Chunk-streamed decode (frameV3ChunkHead/Chunk/ChunkTail): the exact
@@ -61,8 +62,9 @@ type sessJob struct {
 	rels     [relRekey]sessRel
 
 	// ws is the connection the job arrived on; its tenant keys the job's
-	// quota accounting. charged is the byte reservation against that tenant
-	// (see tenant.go): the read loop charges it, a join goroutine credits
+	// account in the worker's ledger. charged is the job's reservation there:
+	// the read loop charges each key frame before decoding it, a plan job its
+	// matches, a peer-fed job the transfer it takes; a join goroutine credits
 	// buffers back as they leave worker memory, release() sweeps the rest.
 	ws      *workerSession
 	charged atomic.Int64
@@ -120,14 +122,12 @@ func (j *sessJob) release() {
 		// after its EOS). It must be gone before the sweep below.
 		j.stream.stop()
 	}
-	if n := j.charged.Swap(0); n > 0 {
-		j.ws.w.creditTenant(j.ws.tenant, n)
-	}
+	j.ws.w.ledger.credit(j.ws.tenant, j.charged.Swap(0))
 }
 
-// charge reserves n buffered bytes against the job's tenant budget.
+// charge reserves n bytes on the job's tenant account.
 func (j *sessJob) charge(n int64) error {
-	if err := j.ws.w.chargeTenant(j.ws.tenant, n); err != nil {
+	if err := j.ws.w.ledger.charge(j.ws.tenant, n); err != nil {
 		return err
 	}
 	j.charged.Add(n)
@@ -139,7 +139,7 @@ func (j *sessJob) charge(n int64) error {
 func (j *sessJob) credit(n int64) {
 	if n > 0 {
 		j.charged.Add(-n)
-		j.ws.w.creditTenant(j.ws.tenant, n)
+		j.ws.w.ledger.credit(j.ws.tenant, n)
 	}
 }
 
@@ -242,6 +242,14 @@ type workerSession struct {
 	tenant      string
 	tenantFixed bool
 	jobs        map[uint32]*sessJob
+
+	// planTokens rings the transfer tokens of this connection's latest plan
+	// jobs (planNext is the next slot). A hang-up tombstones them, as the
+	// PLANCANCEL that can no longer reach this worker would: senders on other
+	// workers may still contribute to a transfer here whose stage-2 open never
+	// arrived, and nothing else would release what they buffer.
+	planTokens [64]uint64
+	planNext   int
 }
 
 // reply writes one gob reply frame for job id and flushes it.
@@ -410,6 +418,11 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 		for _, j := range ws.jobs {
 			ws.retire(j)
 		}
+		for _, token := range ws.planTokens {
+			if token != 0 {
+				w.dropPeerState(token)
+			}
+		}
 	}()
 
 	for {
@@ -482,7 +495,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 				}
 			}
 			// As for STREAMOPEN below: the job's only reply path, slot-less.
-			j.stream = newSessStream(j, exec.StatsSpec{}, 2, 0)
+			j.stream = newSessStream(j, exec.StatsSpec{}, 2)
 
 		case frameV3StreamOpen:
 			var so streamOpen
@@ -496,7 +509,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			// the error. A stream holds no admission slot: the goroutine
 			// acquires one around each window's probe instead, so an idle
 			// stream never starves the fair scheduler.
-			j.stream = newSessStream(j, so.Stats, 0, 0)
+			j.stream = newSessStream(j, so.Stats, 0)
 
 		case frameV3Plan:
 			j := ws.jobs[id]
@@ -519,6 +532,8 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 				j.fail(fmt.Errorf("a job whose relations feed the join goroutine cannot carry a plan"))
 			default:
 				j.plan = &ps
+				ws.planTokens[ws.planNext%len(ws.planTokens)] = ps.Token
+				ws.planNext++
 			}
 
 		case frameV3Plan2:
@@ -588,8 +603,9 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 }
 
 // relHead declares a flat relation: its exact tuple count and, on relation 2
-// of a plan job, the re-key column of as many keys — the receive buffers
-// allocate from the declaration before any data frame arrives.
+// of a plan job, the re-key column of as many keys. It allocates nothing: the
+// count bounds the BLOCK frames, which grow the buffer as they arrive, and
+// validates at EOS.
 func (j *sessJob) relHead(r *sessRel, h []byte) error {
 	if err := j.declarable(r, h[0], false); err != nil {
 		return err
@@ -602,20 +618,9 @@ func (j *sessJob) relHead(r *sessRel, h []byte) error {
 	if rekey && (h[0] != 2 || j.plan == nil) {
 		return fmt.Errorf("relation %d declares a re-key column; only a plan job's relation 2 carries one", h[0])
 	}
-	need := 8 * count
+	*r = sessRel{declared: true, n: int(count)}
 	if rekey {
-		need *= 2
-	}
-	// Charge the tenant for the receive buffers BEFORE allocating them: a
-	// rejected job buffers nothing (its data frames drain via the j.err
-	// path), so an over-budget tenant degrades to typed rejections instead of
-	// memory growth.
-	if err := j.charge(need); err != nil {
-		return err
-	}
-	*r = sessRel{declared: true, n: int(count), keys: exec.GetKeyBuffer(int(count))}
-	if rekey {
-		j.rels[relRekey-1] = sessRel{declared: true, n: int(count), keys: exec.GetKeyBuffer(int(count))}
+		j.rels[relRekey-1] = *r
 	}
 	return nil
 }
@@ -662,7 +667,7 @@ func (j *sessJob) chunkHead(r *sessRel, h []byte) error {
 	case h[0] != 1 || j.rels[1].declared:
 		return fmt.Errorf("chunked relation %d without relation 1's chunks ahead of it", h[0])
 	default:
-		j.stream = newSessStream(j, exec.StatsSpec{}, 1, int(chunks))
+		j.stream = newSessStream(j, exec.StatsSpec{}, 1)
 	}
 	r.declared = true
 	r.streaming = true
@@ -742,11 +747,12 @@ func readKeySubHdr(br *bufio.Reader, typ byte, n int, h []byte) (count int, err 
 // CHUNK, STREAMBASE, STREAMWIN): readKeySubHdr's step, then the keys. Every
 // refusal past that step is job-level too: the rest of the frame is drained
 // and a *protoErr returned. The types differ only in how the sub-header
-// validates against the job's declarations. A BLOCK then decodes in place
-// into the buffer its RELHEAD sized and charged; the others are capped by the
-// running count (exact totals validate at the tail or end frame), charged to
-// the tenant frame by frame, and decoded into a pooled buffer that becomes
-// the join goroutine's next event.
+// validates against the job's declarations. Every accepted frame is charged
+// to the job's tenant before its keys get a buffer: a BLOCK decodes in place
+// into its relation's buffer, grown within the RELHEAD's count; the others are
+// capped by the running count (exact totals validate at the tail or end
+// frame) and decode into a pooled buffer that becomes the join goroutine's
+// next event. A refused charge fails the job like any other refusal.
 func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 	var hb [maxKeySubHdrLen]byte
 	h := hb[:keySubHdrLen[typ]]
@@ -793,7 +799,13 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 		}
 	}
 
+	overCharge := func(err error) error {
+		return drainFrame(br, n-len(h), &protoErr{msg: err.Error(), cause: err})
+	}
 	if typ == frameV3Block {
+		if r.keys, err = growKeys(r.keys, r.pos, r.pos+count, r.n, j.charge); err != nil {
+			return overCharge(err)
+		}
 		if err := readKeysLE(br, r.keys[r.pos:r.pos+count]); err != nil {
 			return err
 		}
@@ -804,7 +816,7 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 		return refuse("frame type %d runs past %d tuples", typ, MaxRelationTuples)
 	}
 	if err := j.charge(8 * int64(count)); err != nil {
-		return drainFrame(br, n-len(h), &protoErr{msg: err.Error(), cause: err})
+		return overCharge(err)
 	}
 	keys := exec.GetKeyBuffer(count)
 	if err := readKeysLE(br, keys); err != nil {
@@ -927,12 +939,11 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64
 	// The three stage-1 steps exec.Local runs too: materialize, summarize,
 	// and (after the park below) route.
 	inter := exec.StageMatches(r1.keys, r2.keys, rekey.keys, j.cond)
-	// Per-tenant intermediate quota: the stage-1 match materialization is the
-	// one allocation the relation heads could not announce, so it is checked
-	// against the tenant's budget the moment its size is known.
-	if lim := w.tenantMaxIntermediate(ws.tenant); lim > 0 && int64(len(inter)) > lim {
-		return 0, nil, quotaErrf("tenant %q stage-1 intermediate holds %d tuples, budget %d",
-			ws.tenant, len(inter), lim)
+	// The matches are the one buffer no frame declared: the join sizes it. It
+	// is charged like received keys the moment its size is known, before the
+	// job parks holding it; release credits it.
+	if err := j.charge(8 * int64(len(inter))); err != nil {
+		return 0, nil, err
 	}
 	sender := j.workerID
 	enc, err := exec.StageSummary(inter, ps.Stats, sender)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,10 +119,10 @@ type sessStream struct {
 	baseN  int
 	res    *localjoin.Resident
 	held   [][]join.Key // pooled chunks res keeps: until its seal, then until the window's end
-	// digests, non-nil for a chunk-fed OPENJOB job, holds the digests of the
-	// chunks res copied out, by mapper in arrival order: combined mapper-major
-	// at the seal they are the side's content key in the worker's build cache.
-	digests [][]localjoin.ChunkDigest
+	// digests, on a chunk-fed OPENJOB job (resTag 1), holds the digests of
+	// the chunks res copied out in arrival order: sorted mapper-major at the
+	// seal they are the side's content key in the worker's build cache.
+	digests []mapperDigest
 
 	winOpen  bool
 	win      uint32
@@ -147,10 +148,16 @@ func (s *sessStream) kinds(tag byte) (keys, end int) {
 	return evStreamWin, evStreamWinEnd
 }
 
+// mapperDigest is one chunk's digest and the mapper that routed it.
+type mapperDigest struct {
+	mapper int
+	d      localjoin.ChunkDigest
+}
+
 // newSessStream starts the goroutine for a freshly opened stream (resTag 0)
-// or peer-fed (2) job, or for a count job whose relation 1 just declared
-// mappers chunk sub-streams (1). A job that failed at open starts poisoned.
-func newSessStream(j *sessJob, st exec.StatsSpec, resTag byte, mappers int) *sessStream {
+// or peer-fed (2) job, or for a count job whose relation 1 just declared its
+// chunk sub-streams (1). A job that failed at open starts poisoned.
+func newSessStream(j *sessJob, st exec.StatsSpec, resTag byte) *sessStream {
 	s := &sessStream{
 		ws: j.ws, j: j,
 		resTag: resTag,
@@ -161,9 +168,6 @@ func newSessStream(j *sessJob, st exec.StatsSpec, resTag byte, mappers int) *ses
 		start:  time.Now(),
 	}
 	s.resetBase()
-	if mappers > 0 {
-		s.digests = make([][]localjoin.ChunkDigest, mappers)
-	}
 	go s.run()
 	return s
 }
@@ -279,8 +283,8 @@ func (s *sessStream) onBase(ev streamEvent) {
 	if s.res.Insert(ev.keys) {
 		s.held = append(s.held, ev.keys)
 	} else {
-		if s.digests != nil {
-			s.digests[ev.mapper] = append(s.digests[ev.mapper], localjoin.DigestKeys(ev.keys))
+		if s.resTag == 1 {
+			s.digests = append(s.digests, mapperDigest{ev.mapper, localjoin.DigestKeys(ev.keys)})
 		}
 		exec.PutKeyBuffer(ev.keys)
 	}
@@ -311,12 +315,13 @@ func (s *sessStream) onBaseEnd(ev streamEvent) {
 		s.fail(err)
 		return
 	}
-	if s.digests != nil {
+	if s.resTag == 1 {
 		// Combined in canonical mapper-major order. A stream's or peer-fed
 		// job's side stays uncached: job-unique, it would only churn the LRU.
-		var flat []localjoin.ChunkDigest
-		for _, ds := range s.digests {
-			flat = append(flat, ds...)
+		slices.SortStableFunc(s.digests, func(a, b mapperDigest) int { return a.mapper - b.mapper })
+		flat := make([]localjoin.ChunkDigest, len(s.digests))
+		for i, md := range s.digests {
+			flat[i] = md.d
 		}
 		s.res.SealShared(s.ws.w.buildCache, localjoin.CombineDigests(flat))
 	} else {
@@ -447,14 +452,17 @@ func (s *sessStream) probeTransfer() error {
 	w.finishPeerState(j.token)
 	j.peerTaken = true
 	if stErr != nil {
-		return fmt.Errorf("peer transfer %d: %v", j.token, stErr)
+		return fmt.Errorf("peer transfer %d: %w", j.token, stErr)
 	}
+	var held int64
 	for _, c := range contrib {
-		s.totIn += int64(len(c.keys))
+		s.totIn += int64(c.pos)
+		held += 8 * int64(len(c.keys))
 	}
-	// Buffered on the tenant's behalf from here on and charged here, where the
-	// size is first known (release credits it); refused, they still recycle.
-	if err = j.charge(8 * s.totIn); err == nil {
+	// The contributions move from the mesh's account onto the job's tenant
+	// (release credits them there); refused, they still recycle.
+	w.ledger.creditMesh(held)
+	if err = j.charge(held); err == nil {
 		for _, c := range contrib {
 			n, _ := s.res.ProbeCount(c.keys, true)
 			s.totOut += n

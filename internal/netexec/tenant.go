@@ -11,10 +11,10 @@ import (
 // many coordinators at once, so each worker enforces (a) ADMISSION CONTROL —
 // a bounded in-flight-join semaphore with a per-tenant bounded wait queue and
 // a queue deadline, dispatched by weighted fair scheduling so no tenant
-// starves under a heavy neighbor — and (b) PER-TENANT RESOURCE BUDGETS — the
-// process-wide wire cap (MaxRelationTuples) becomes per-tenant byte and
-// intermediate quotas, charged when a job's receive buffers are allocated
-// and credited back when the job releases them.
+// starves under a heavy neighbor — and (b) PER-TENANT BYTE BUDGETS, the
+// tenant's view of the worker's ledger (ledger.go): every buffer a job holds
+// is charged before it is allocated and credited back when the job releases
+// it.
 //
 // Tenancy is declared by the coordinator in a session HELLO frame
 // (frameV3Hello) right after the protocol prelude; a session that sends no
@@ -32,9 +32,10 @@ import (
 // healthy; callers should shed load or back off rather than retry hot.
 var ErrAdmission = errors.New("admission rejected")
 
-// ErrQuota marks a job that exceeded its tenant's resource budget (buffered
-// relation bytes or stage-1 intermediate tuples). Deterministic for a given
-// job size and concurrent tenant load; never retried by the recovery layer.
+// ErrQuota marks a job that would have made its worker hold more bytes than
+// a budget allows: its tenant's MaxBytes, or the worker's own ledger budget
+// (the process's soft memory limit, when one is set). Deterministic for a
+// given job size and concurrent load; never retried by the recovery layer.
 var ErrQuota = errors.New("tenant quota exceeded")
 
 // Reply codes carried in the metrics frame so rejections stay typed across
@@ -107,13 +108,11 @@ type TenantPolicy struct {
 	// contention: a weight-3 tenant is dispatched 3× as often as a weight-1
 	// tenant when both are backlogged. <= 0 means 1.
 	Weight int
-	// MaxBytes bounds the relation bytes the tenant may have buffered on
-	// this worker across all its in-flight and queued jobs (8 bytes per key,
-	// per re-key column entry and per peer-transferred intermediate tuple). <= 0 means unlimited.
+	// MaxBytes bounds the bytes the tenant's in-flight and queued jobs may
+	// hold on this worker: 8 per key received, per re-key column entry, per
+	// stage-1 match a plan job materializes and per peer-transferred tuple a
+	// stage-2 job takes. <= 0 means unlimited.
 	MaxBytes int64
-	// MaxIntermediate bounds the stage-1 match count a single plan job of
-	// this tenant may materialize worker-side. <= 0 means unlimited.
-	MaxIntermediate int64
 }
 
 // SetAdmission configures the worker's admission control. Call before Serve.
@@ -123,44 +122,23 @@ func (w *Worker) SetAdmission(cfg AdmissionConfig) {
 
 // SetTenantPolicy sets one tenant's budget and weight. Call before Serve.
 func (w *Worker) SetTenantPolicy(tenant string, p TenantPolicy) {
-	w.tenants.set(tenant, p)
+	w.ledger.set(tenant, p)
 }
 
 // SetDefaultTenantPolicy sets the budget and weight applied to tenants
 // without an explicit policy (including the anonymous tenant ""). Call
 // before Serve.
 func (w *Worker) SetDefaultTenantPolicy(p TenantPolicy) {
-	w.tenants.setDefault(p)
+	w.ledger.setDefault(p)
 }
 
 // tenantWeight resolves a tenant's scheduling weight for the admitter.
 func (w *Worker) tenantWeight(tenant string) float64 {
-	p := w.tenants.policy(tenant)
+	p := w.ledger.policy(tenant)
 	if p.Weight <= 0 {
 		return 1
 	}
 	return float64(p.Weight)
-}
-
-// chargeTenant reserves n buffered bytes against the tenant's budget,
-// failing with a typed quota rejection when the reservation would exceed it.
-func (w *Worker) chargeTenant(tenant string, n int64) error {
-	return w.tenants.charge(tenant, n)
-}
-
-// creditTenant returns n reserved bytes to the tenant's budget.
-func (w *Worker) creditTenant(tenant string, n int64) {
-	w.tenants.credit(tenant, n)
-}
-
-// tenantMaxIntermediate resolves the tenant's per-plan-job intermediate cap
-// (0: unlimited).
-func (w *Worker) tenantMaxIntermediate(tenant string) int64 {
-	p := w.tenants.policy(tenant)
-	if p.MaxIntermediate < 0 {
-		return 0
-	}
-	return p.MaxIntermediate
 }
 
 // admitJob acquires one execution slot for the tenant, waiting in its fair
@@ -172,77 +150,6 @@ func (w *Worker) admitJob(tenant string, kill, connDone <-chan struct{}) (func()
 		return func() {}, nil
 	}
 	return w.admit.acquire(tenant, kill, connDone)
-}
-
-// tenantTable tracks per-tenant policies and live byte usage on a worker.
-type tenantTable struct {
-	mu       sync.Mutex
-	def      TenantPolicy
-	policies map[string]TenantPolicy
-	used     map[string]int64
-}
-
-func newTenantTable() *tenantTable {
-	return &tenantTable{policies: make(map[string]TenantPolicy), used: make(map[string]int64)}
-}
-
-func (t *tenantTable) set(tenant string, p TenantPolicy) {
-	t.mu.Lock()
-	t.policies[tenant] = p
-	t.mu.Unlock()
-}
-
-func (t *tenantTable) setDefault(p TenantPolicy) {
-	t.mu.Lock()
-	t.def = p
-	t.mu.Unlock()
-}
-
-func (t *tenantTable) policy(tenant string) TenantPolicy {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if p, ok := t.policies[tenant]; ok {
-		return p
-	}
-	return t.def
-}
-
-func (t *tenantTable) charge(tenant string, n int64) error {
-	if n <= 0 {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p, ok := t.policies[tenant]
-	if !ok {
-		p = t.def
-	}
-	if p.MaxBytes > 0 && t.used[tenant]+n > p.MaxBytes {
-		used := t.used[tenant]
-		return quotaErrf("tenant %q would buffer %d bytes (%d in use), budget %d",
-			tenant, used+n, used, p.MaxBytes)
-	}
-	t.used[tenant] += n
-	return nil
-}
-
-func (t *tenantTable) credit(tenant string, n int64) {
-	if n <= 0 {
-		return
-	}
-	t.mu.Lock()
-	t.used[tenant] -= n
-	if t.used[tenant] <= 0 {
-		delete(t.used, tenant)
-	}
-	t.mu.Unlock()
-}
-
-// usedBytes reports the tenant's live reservation (tests and introspection).
-func (t *tenantTable) usedBytes(tenant string) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.used[tenant]
 }
 
 // errAbandoned marks a job wait (admission queue, peer transfer, PLAN2) that

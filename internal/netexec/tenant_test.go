@@ -222,11 +222,14 @@ func TestAdmitterAbandon(t *testing.T) {
 	rel()
 }
 
-// TestTenantTableBudget checks byte charging: reservations accumulate, a
-// charge past MaxBytes is a typed quota rejection without mutating usage, and
-// credits restore headroom.
+// TestTenantTableBudget checks the ledger's byte charging: reservations
+// accumulate, a charge past the tenant's MaxBytes or the worker's budget is a
+// typed quota rejection that reserves nothing on any account, the mesh's
+// account counts against the worker's budget alone, and credits restore
+// headroom.
 func TestTenantTableBudget(t *testing.T) {
-	tb := newTenantTable()
+	tb := newLedger()
+	tb.budget = 0
 	tb.set("t", TenantPolicy{MaxBytes: 100})
 	if err := tb.charge("t", 60); err != nil {
 		t.Fatal(err)
@@ -234,7 +237,7 @@ func TestTenantTableBudget(t *testing.T) {
 	if err := tb.charge("t", 50); rejectCode(err) != codeQuota {
 		t.Fatalf("over-budget charge: got %v, want typed quota rejection", err)
 	}
-	if got := tb.usedBytes("t"); got != 60 {
+	if got := tb.heldBytes(); got != 60 {
 		t.Fatalf("failed charge mutated usage: %d, want 60", got)
 	}
 	tb.credit("t", 20)
@@ -242,12 +245,43 @@ func TestTenantTableBudget(t *testing.T) {
 		t.Fatalf("charge after credit: %v", err)
 	}
 	tb.credit("t", 90)
-	if got := tb.usedBytes("t"); got != 0 {
+	if got := tb.heldBytes(); got != 0 {
 		t.Fatalf("usage after full credit: %d, want 0", got)
 	}
 	// Unbudgeted tenants (default policy zero) are never rejected.
 	if err := tb.charge("other", 1<<40); err != nil {
 		t.Fatal(err)
+	}
+	tb.credit("other", 1<<40)
+
+	// A worker budget bounds every account together.
+	wb := newLedger()
+	wb.budget = 100
+	wb.set("t", TenantPolicy{MaxBytes: 80})
+	for _, step := range []struct {
+		name string
+		err  error
+		ok   bool
+	}{
+		{"tenant within both budgets", wb.charge("t", 50), true},
+		{"mesh within the worker's", wb.chargeMesh(40), true},
+		{"tenant within its own, past the worker's", wb.charge("t", 20), false},
+		{"mesh past the worker's", wb.chargeMesh(11), false},
+		{"unbudgeted tenant past the worker's", wb.charge("other", 11), false},
+		{"unbudgeted tenant filling the worker's", wb.charge("other", 10), true},
+	} {
+		if ok := step.err == nil; ok != step.ok || (!ok && rejectCode(step.err) != codeQuota) {
+			t.Fatalf("%s: got %v", step.name, step.err)
+		}
+	}
+	if got := wb.heldBytes(); got != 100 {
+		t.Fatalf("held %d bytes, want 100", got)
+	}
+	wb.credit("t", 50)
+	wb.creditMesh(40)
+	wb.credit("other", 10)
+	if got := wb.heldBytes(); got != 0 || len(wb.used) != 0 {
+		t.Fatalf("after every credit: held %d, by tenant %v", got, wb.used)
 	}
 }
 
@@ -282,7 +316,7 @@ func TestTenantWeightsFlag(t *testing.T) {
 	if got := w.tenantWeight("unnamed"); got != 1 {
 		t.Fatalf("unconfigured tenant weight = %v, want default 1", got)
 	}
-	if p := w.tenants.policy("etl"); p.MaxBytes != 512 {
+	if p := w.ledger.policy("etl"); p.MaxBytes != 512 {
 		t.Fatalf("weighted tenant lost base budget: MaxBytes = %d, want 512", p.MaxBytes)
 	}
 }
