@@ -46,7 +46,11 @@ func main() {
 		if *exps != "all" && !want[d.ID] {
 			continue
 		}
-		if err := d.Run(os.Stdout, cfg); err != nil {
+		tables, err := d.Run(cfg)
+		if err == nil {
+			err = bench.Print(os.Stdout, tables)
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "ewhbench: %s: %v\n", d.ID, err)
 			os.Exit(1)
 		}

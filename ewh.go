@@ -21,7 +21,9 @@
 //	fmt.Println(res.Output, res.MaxWork)
 //
 // See DESIGN.md "Package inventory" for the system's parts and
-// EXPERIMENTS.md for the paper-versus-measured record.
+// EXPERIMENTS.md for the paper-versus-measured record: per experiment the
+// paper's shape, the measured one and the test row gating it, the
+// deviations, and the repository benchmark's current numbers.
 package ewh
 
 import (

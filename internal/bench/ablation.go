@@ -2,41 +2,38 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"ewh/internal/core"
 	"ewh/internal/exec"
 	"ewh/internal/sample"
 )
 
-// Ablations prints the design-choice studies (id `ablate`):
+// Ablations returns the design-choice studies (id `ablate`):
 //
 //  1. nc = 2J versus nc = J — the coarsened-matrix size (§III-D argues 2J
 //     lessens the grid-partitioning accuracy loss);
 //  2. AdaptNS — the §A5 sample-matrix resizing once m is known;
 //  3. output-sample size so — balance accuracy versus sampling effort;
-//  4. exact (two-pass) versus reservoir (one-pass) Stream-Sample.
-func Ablations(w io.Writer, cfg Config) error {
+//  4. Stream-Sample's share of the dense segment against the exact
+//     d2-weighted share it estimates.
+func Ablations(cfg Config) ([]Table, error) {
 	cfg.Defaults()
-	if err := ablateNC(w, cfg); err != nil {
-		return err
+	var out []Table
+	for _, ablate := range []func(Config) (Table, error){ablateNC, ablateAdaptNS, ablateOutputSample, ablateSampler} {
+		t, err := ablate(cfg)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
 	}
-	if err := ablateAdaptNS(w, cfg); err != nil {
-		return err
-	}
-	if err := ablateOutputSample(w, cfg); err != nil {
-		return err
-	}
-	return ablateSamplerVariant(w, cfg)
+	return out, nil
 }
 
 // runCSIOWith plans CSIO with the given option mutator and returns the
 // measured max work and the plan.
 func runCSIOWith(spec *JoinSpec, cfg Config, mutate func(*core.Options)) (float64, *core.Plan, error) {
 	opts := core.Options{J: cfg.J, Model: spec.Model, Seed: cfg.Seed + 1}
-	if mutate != nil {
-		mutate(&opts)
-	}
+	mutate(&opts)
 	plan, err := core.PlanCSIO(spec.R1, spec.R2, spec.Cond, opts)
 	if err != nil {
 		return 0, nil, err
@@ -45,86 +42,96 @@ func runCSIOWith(spec *JoinSpec, cfg Config, mutate func(*core.Options)) (float6
 	return res.MaxWork, plan, nil
 }
 
-func ablateNC(w io.Writer, cfg Config) error {
-	fmt.Fprintf(w, "Ablation 1: coarsened matrix size nc (J=%d)\n", cfg.J)
-	fmt.Fprintf(w, "%-8s | %14s %14s %10s\n", "join", "nc=J maxwork", "nc=2J maxwork", "2J gain")
+func ablateNC(cfg Config) (Table, error) {
+	t := Table{
+		Title: fmt.Sprintf("Ablation 1: coarsened matrix size nc (J=%d)", cfg.J),
+		Cols:  append(cols(0, "nc=J maxwork", "nc=2J maxwork"), Col{"2J gain %", 1}),
+	}
 	for _, id := range []string{"BCB-3", "BEOCD"} {
 		spec, err := MakeJoin(id, cfg)
 		if err != nil {
-			return err
+			return t, err
 		}
 		atJ, _, err := runCSIOWith(spec, cfg, func(o *core.Options) { o.NC = cfg.J })
 		if err != nil {
-			return err
+			return t, err
 		}
 		at2J, _, err := runCSIOWith(spec, cfg, func(o *core.Options) { o.NC = 2 * cfg.J })
 		if err != nil {
-			return err
+			return t, err
 		}
-		fmt.Fprintf(w, "%-8s | %14.0f %14.0f %9.1f%%\n", id, atJ, at2J, 100*(atJ-at2J)/atJ)
+		t.Rows = append(t.Rows, Row{id, []float64{atJ, at2J, 100 * (atJ - at2J) / atJ}})
 	}
-	return nil
+	return t, nil
 }
 
-func ablateAdaptNS(w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "Ablation 2: AdaptNS (§A5 sample-matrix resizing, BCB-8)")
+func ablateAdaptNS(cfg Config) (Table, error) {
 	spec, err := MakeJoin("BCB-8", cfg)
 	if err != nil {
-		return err
+		return Table{}, err
 	}
-	off, planOff, err := runCSIOWith(spec, cfg, nil)
-	if err != nil {
-		return err
+	t := Table{Cols: cols(0, "ns", "maxwork", "stats (ms)")}
+	for i, label := range []string{"off", "on"} {
+		maxWork, plan, err := runCSIOWith(spec, cfg, func(o *core.Options) { o.AdaptNS = i == 1 })
+		if err != nil {
+			return t, err
+		}
+		t.Title = fmt.Sprintf("Ablation 2: AdaptNS (§A5 sample-matrix resizing, BCB-8; ρB=%.1f shrinks MS)",
+			float64(plan.M)/float64(len(spec.R1)))
+		t.Rows = append(t.Rows, Row{label, []float64{float64(plan.NS), maxWork, plan.StatsDuration.Seconds() * 1e3}})
 	}
-	on, planOn, err := runCSIOWith(spec, cfg, func(o *core.Options) { o.AdaptNS = true })
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "  off: ns=%d maxwork=%.0f stats=%v\n", planOff.NS, off, planOff.StatsDuration.Round(1e6))
-	fmt.Fprintf(w, "  on:  ns=%d maxwork=%.0f stats=%v (ρB=%.1f shrinks MS)\n",
-		planOn.NS, on, planOn.StatsDuration.Round(1e6),
-		float64(planOn.M)/float64(len(spec.R1)))
-	return nil
+	return t, nil
 }
 
-func ablateOutputSample(w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "Ablation 3: output sample size so = factor·nsc (BCB-3)")
-	fmt.Fprintf(w, "%-8s | %12s %12s\n", "factor", "maxwork", "est-err")
+func ablateOutputSample(cfg Config) (Table, error) {
+	t := Table{
+		Title: "Ablation 3: output sample size so = factor·nsc (BCB-3)",
+		Cols:  []Col{{"maxwork", 0}, {"est-err %", 1}},
+	}
 	spec, err := MakeJoin("BCB-3", cfg)
 	if err != nil {
-		return err
+		return t, err
 	}
 	for _, factor := range []float64{0.5, 1, 2, 4, 8} {
 		maxWork, plan, err := runCSIOWith(spec, cfg, func(o *core.Options) { o.OutputSampleFactor = factor })
 		if err != nil {
-			return err
+			return t, err
 		}
-		errPct := 100 * (plan.EstimatedMaxWeight - maxWork) / maxWork
-		fmt.Fprintf(w, "%-8.1f | %12.0f %11.1f%%\n", factor, maxWork, errPct)
+		t.Rows = append(t.Rows, Row{fmt.Sprintf("%.1f", factor),
+			[]float64{maxWork, 100 * (plan.EstimatedMaxWeight - maxWork) / maxWork}})
 	}
-	return nil
+	return t, nil
 }
 
-func ablateSamplerVariant(w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "Ablation 4: Stream-Sample variants (BCB-3, so=2000)")
+// ablateSampler measures the share of Stream-Sample's pairs whose R1 key
+// lies in BCB-3's dense segment (below x/6) against the exact share of the
+// output there, Σ d2(t1) over those keys ÷ m.
+func ablateSampler(cfg Config) (Table, error) {
+	t := Table{
+		Title: "Ablation 4: Stream-Sample's dense-segment share vs the exact d2-weighted share (BCB-3, so=2000)",
+		Cols:  append(cols(0, "m"), cols(3, "sampled share", "exact share")...),
+	}
 	spec, err := MakeJoin("BCB-3", cfg)
 	if err != nil {
-		return err
+		return t, err
 	}
-	rng := rngFor(cfg, 4)
-	exact := sample.StreamSample(spec.R1, spec.R2, spec.Cond, 2000, cfg.J, rng.Split())
-	reservoir := sample.StreamSampleReservoir(spec.R1, spec.R2, spec.Cond, 2000, cfg.J, rng.Split())
-	headShare := func(pairs [][2]int64) float64 {
-		// The X dataset's dense segment lives below x/6; measure its share.
-		head := 0
-		for _, p := range pairs {
-			if p[0] < int64(baseBCBX*cfg.Scale/6)+1 {
-				head++
-			}
+	head := int64(baseBCBX*cfg.Scale/6) + 1
+	s := sample.StreamSample(spec.R1, spec.R2, spec.Cond, 2000, cfg.J, rngFor(cfg, 4).Split())
+	inHead := 0
+	for _, p := range s.Pairs {
+		if p[0] < head {
+			inHead++
 		}
-		return float64(head) / float64(len(pairs))
 	}
-	fmt.Fprintf(w, "  exact two-pass: m=%d dense-segment share=%.3f\n", exact.M, headShare(exact.Pairs))
-	fmt.Fprintf(w, "  reservoir one-pass: m=%d dense-segment share=%.3f\n", reservoir.M, headShare(reservoir.Pairs))
-	return nil
+	m2 := sample.BuildMultiset(spec.R2)
+	var headOut int64
+	for _, k := range spec.R1 {
+		if k < head {
+			d2, _ := m2.D2At(spec.Cond, k)
+			headOut += d2
+		}
+	}
+	t.Rows = []Row{{"dense segment", []float64{float64(s.M),
+		float64(inHead) / float64(len(s.Pairs)), float64(headOut) / float64(s.M)}}}
+	return t, nil
 }

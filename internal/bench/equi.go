@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"ewh/internal/core"
 	"ewh/internal/cost"
@@ -20,7 +19,7 @@ import (
 // hash collapses under a heavy hitter, PRPD fixes it with no statistics
 // beyond the heavy-key list, EWH also balances (at the price of its sampling
 // phase), and broadcast only competes because the build side is small.
-func EquiComparison(w io.Writer, cfg Config) error {
+func EquiComparison(cfg Config) ([]Table, error) {
 	cfg.Defaults()
 	n := 40000 * cfg.Scale
 	model := cost.Model{Wi: 1, Wo: 0.2}
@@ -43,17 +42,18 @@ func EquiComparison(w io.Writer, cfg Config) error {
 	}
 	plan, err := core.PlanCSIO(r1, r2, cond, core.Options{J: cfg.J, Model: model, Seed: cfg.Seed, DisableFallback: true})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	schemes = append(schemes, plan.Scheme)
 
-	fmt.Fprintf(w, "Equi-join comparison (§V.1), Zipf z=1 probe side, J=%d, %d heavy keys detected\n",
-		cfg.J, len(heavy))
-	fmt.Fprintf(w, "%-10s %12s %12s %12s %12s\n", "scheme", "output", "shipped", "max-input", "max-work")
+	t := Table{
+		Title: fmt.Sprintf("Equi-join comparison (§V.1), Zipf z=1 probe side, J=%d, %d heavy keys detected", cfg.J, len(heavy)),
+		Cols:  cols(0, "output", "shipped", "max-input", "max-work"),
+	}
 	for _, s := range schemes {
 		res := exec.Run(r1, r2, cond, s, model, exec.Config{Seed: cfg.Seed + 2})
-		fmt.Fprintf(w, "%-10s %12d %12d %12d %12.0f\n",
-			s.Name(), res.Output, res.NetworkTuples, res.MaxInput(), res.MaxWork)
+		t.Rows = append(t.Rows, Row{s.Name(), []float64{
+			float64(res.Output), float64(res.NetworkTuples), float64(res.MaxInput()), res.MaxWork}})
 	}
-	return nil
+	return []Table{t}, nil
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"cmp"
 	"fmt"
-	"io"
 	"slices"
 
 	"ewh/internal/core"
@@ -22,41 +21,43 @@ var (
 )
 
 // Fig1 reproduces the running example: the three schemes partition the
-// 16×16 band-join matrix over 3 machines; the table shows each machine's
-// input, output and weight under w(r) = input + output, demonstrating the
-// CI > CSI > CSIO maximum-weight ordering of Figs. 1b-1d. Only cfg.Seed is
-// read: the example fixes its own data and J.
-func Fig1(w io.Writer, cfg Config) error {
+// 16×16 band-join matrix over 3 machines; each row is one scheme's maximum
+// weight, its machines' weights under w(r) = input + output (largest
+// first) and its output, showing the CI > CSI > CSIO maximum-weight
+// ordering of Figs. 1b-1d. Only cfg.Seed is read: the example fixes its own
+// data and J.
+func Fig1(cfg Config) ([]Table, error) {
 	cfg.Defaults()
 	cond := join.NewBand(1)
 	model := cost.Model{Wi: 1, Wo: 1} // the example's unit weight function
 	const j = 3
 
-	fmt.Fprintln(w, "Fig 1: band-join |R1.A - R2.A| <= 1, 16 tuples per relation, J=3")
-	fmt.Fprintf(w, "exact output size: %d tuples\n", localjoin.NestedLoopCount(fig1R1, fig1R2, cond))
-
 	opts := core.Options{J: j, Model: model, Seed: cfg.Seed, DisableFallback: true}
 	plans := make(map[string]*core.Plan)
 	var err error
 	if plans["CI"], err = core.PlanCI(opts); err != nil {
-		return err
+		return nil, err
 	}
 	if plans["CSI"], err = core.PlanCSI(fig1R1, fig1R2, cond, 8, opts); err != nil {
-		return err
+		return nil, err
 	}
 	if plans["CSIO"], err = core.PlanCSIO(fig1R1, fig1R2, cond, opts); err != nil {
-		return err
+		return nil, err
 	}
 
+	t := Table{
+		Title: fmt.Sprintf("Fig 1: band-join |R1.A - R2.A| <= 1, 16 tuples per relation, J=3, exact output size %d",
+			localjoin.NestedLoopCount(fig1R1, fig1R2, cond)),
+		Cols: cols(0, "max w(r)", "w 1", "w 2", "w 3", "output"),
+	}
 	for _, name := range Schemes {
 		res := exec.Run(fig1R1, fig1R2, cond, plans[name].Scheme, model, exec.Config{Seed: cfg.Seed})
-		var works []float64
+		cells := []float64{res.MaxWork}
 		for _, m := range res.Workers {
-			works = append(works, m.Work)
+			cells = append(cells, m.Work)
 		}
-		slices.SortFunc(works, func(a, b float64) int { return cmp.Compare(b, a) })
-		fmt.Fprintf(w, "%-5s max w(r) = %-5.0f per-machine weights = %v (output %d)\n",
-			name, res.MaxWork, works, res.Output)
+		slices.SortFunc(cells[1:], func(a, b float64) int { return cmp.Compare(b, a) })
+		t.Rows = append(t.Rows, Row{name, append(cells, float64(res.Output))})
 	}
-	return nil
+	return []Table{t}, nil
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"ewh/internal/core"
 	"ewh/internal/cost"
@@ -13,12 +12,16 @@ import (
 )
 
 // Fig3 walks the histogram algorithm's three stages on a small skewed
-// workload, printing the artifacts Fig. 3 illustrates: the sample matrix MS
-// (size, max cell weight σ), the coarsened matrix MC (cuts, max cell
-// weight), and the equi-weight histogram MH (regions and weights). It makes
-// the §III-D accuracy chain visible: σ ≤ wOPT/2, coarsening within its grid
-// bound, regionalization within the BSP bound.
-func Fig3(w io.Writer, cfg Config) error {
+// workload and returns the artifacts Fig. 3 illustrates: the sample matrix
+// MS (size, max cell weight σ), the coarsened matrix MC (size, max cell
+// weight) and the equi-weight histogram MH (its regions), each beside the
+// bound §III-D holds it to — σ ≤ wOPT/2 (Lemma 3.1) and the regions against
+// wOPT, the no-replication lower bound w(M)/J.
+//
+// σ ≤ wOPT/2 fails at the default J = 8: no cell splits a key, and the
+// heaviest Zipf key's self-matches alone (the "heavy key" row: 184 × 170 on
+// key 0 at seed 42, weight 6610) outweigh wOPT/2 = 4961, whatever ns is.
+func Fig3(cfg Config) ([]Table, error) {
 	cfg.Defaults()
 	model := cost.DefaultBand
 	n := 4000 * cfg.Scale
@@ -27,41 +30,58 @@ func Fig3(w io.Writer, cfg Config) error {
 	cond := join.NewBand(3)
 	j := cfg.J
 
-	opts := core.Options{J: j, Model: model, Seed: cfg.Seed}
-	sm, err := core.BuildSampleMatrix(r1, r2, cond, opts)
+	sm, err := core.BuildSampleMatrix(r1, r2, cond, core.Options{J: j, Model: model, Seed: cfg.Seed})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	sigma := sm.MaxCellWeight(model)
 	wOPT := (model.Wi*2*float64(n) + model.Wo*float64(sm.M)) / float64(j)
-	fmt.Fprintf(w, "Fig 3: histogram algorithm stages (n=%d, J=%d, Zipf 0.8 band-3 join)\n", n, j)
-	fmt.Fprintf(w, "stage 1, sampling:      MS %dx%d, m=%d, σ=%.0f (bound wOPT/2=%.0f)\n",
-		sm.Rows, sm.Cols, sm.M, sigma, wOPT/2)
 
-	nc := 2 * j
-	rowCuts, colCuts := tiling.CoarsenGrid(sm, nc, model, tiling.CoarsenOptions{})
+	rowCuts, colCuts := tiling.CoarsenGrid(sm, 2*j, model, tiling.CoarsenOptions{})
 	d := matrix.Coarsen(sm, rowCuts, colCuts)
-	maxCell := 0.0
-	for i := 0; i < d.Rows; i++ {
-		for c := 0; c < d.Cols; c++ {
-			if d.Candidate(i, c) {
-				if cw := d.Weight(model, matrix.Rect{R0: i, C0: c, R1: i, C1: c}); cw > maxCell {
-					maxCell = cw
-				}
-			}
-		}
-	}
-	fmt.Fprintf(w, "stage 2, coarsening:    MC %dx%d, max cell weight %.0f\n", d.Rows, d.Cols, maxCell)
 
 	regions, err := tiling.Regionalize(d, model, j, tiling.RegionalizeOptions{})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Fprintf(w, "stage 3, regionalization: MH with %d regions, max region weight %.0f (lower bound %.0f)\n",
-		len(regions), tiling.MaxWeight(regions), wOPT)
+	stages := Table{
+		Title: fmt.Sprintf("Fig 3: histogram algorithm stages (n=%d, J=%d, Zipf 0.8 band-3 join, m=%d)", n, j, sm.M),
+		Cols:  cols(0, "rows", "cols", "regions", "max weight", "bound"),
+		Rows: []Row{
+			{"1 sampling: MS, σ vs wOPT/2", []float64{float64(sm.Rows), float64(sm.Cols), nan, sm.MaxCellWeight(model), wOPT / 2}},
+			{"heavy key: self-matches vs wOPT/2", []float64{1, 1, nan, heavyKeyWeight(r1, r2, model), wOPT / 2}},
+			{"2 coarsening: MC", []float64{float64(d.Rows), float64(d.Cols), nan, d.MaxCandCellWeight(model), nan}},
+			{"3 regionalization: MH vs wOPT", []float64{nan, nan, float64(len(regions)), tiling.MaxWeight(regions), wOPT}},
+		},
+	}
+	mh := Table{
+		Title: "Fig 3: MH regions (coarsened cells)",
+		Cols:  cols(0, "row from", "row to", "col from", "col to", "input", "output", "weight"),
+	}
 	for i, reg := range regions {
-		fmt.Fprintf(w, "  region %d: cells [%d..%d]x[%d..%d]  input=%.0f output=%.0f weight=%.0f\n",
-			i, reg.Rect.R0, reg.Rect.R1, reg.Rect.C0, reg.Rect.C1, reg.Input, reg.Output, reg.Weight)
+		mh.Rows = append(mh.Rows, Row{fmt.Sprintf("region %d", i), []float64{
+			float64(reg.Rect.R0), float64(reg.Rect.R1), float64(reg.Rect.C0), float64(reg.Rect.C1),
+			reg.Input, reg.Output, reg.Weight}})
 	}
-	return nil
+	return []Table{stages, mh}, nil
+}
+
+// heavyKeyWeight is the weight of the heaviest single key's self-matches,
+// model.Weight(c1+c2, c1·c2) over the key maximizing c1·c2: the least
+// weight of a sample-matrix cell holding that key, since no histogram
+// boundary splits a key.
+func heavyKeyWeight(r1, r2 []join.Key, model cost.Model) float64 {
+	c1, c2 := map[join.Key]float64{}, map[join.Key]float64{}
+	for _, k := range r1 {
+		c1[k]++
+	}
+	for _, k := range r2 {
+		c2[k]++
+	}
+	var best, in float64
+	for k, a := range c1 {
+		if a*c2[k] > best {
+			best, in = a*c2[k], a+c2[k]
+		}
+	}
+	return model.Weight(in, best)
 }

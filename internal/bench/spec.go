@@ -1,8 +1,10 @@
 // Package bench is the experiment harness: one driver per table and figure
-// of the paper's evaluation (§VI), each printing the same rows/series the
-// paper reports, at a configurable scale. Drivers (experiments.go) is the id →
-// driver table; DESIGN.md "Experiment index" says what each id reproduces and
-// EXPERIMENTS.md records paper-versus-measured shapes.
+// of the paper's evaluation (§VI), each returning the rows/series the paper
+// reports as Tables, at a configurable scale; Print is the one formatter.
+// Drivers (experiments.go) is the id → driver table; DESIGN.md "Experiment
+// index" says what each id reproduces, TestPaperClaims gates each §VI claim
+// on the returned rows, and EXPERIMENTS.md records, per id, the paper's
+// shape against the measured one and the claim row that gates it.
 //
 // Times are made commensurable the same way the paper does it: the join
 // phase's cost is the modeled makespan max_r w(r) = wi·input + wo·output,
@@ -136,25 +138,17 @@ func (t Throughput) Seconds(weight float64) float64 {
 // (in the paper both are network-dominated cluster passes; locally only the
 // histogram algorithm's CPU time is measured directly).
 type SchemeRun struct {
-	Scheme string
-	// StatsSeconds = modeled scan cost (2 parallel passes over the input)
-	// plus the measured histogram-algorithm time.
+	// StatsSeconds is the modeled cost of two parallel statistics passes
+	// over the input; the histogram algorithm's time is not in it.
 	StatsSeconds float64
 	// HistAlgSeconds is the measured histogram-algorithm CPU time (Table V).
 	HistAlgSeconds float64
-	// StatsWallSeconds is the raw measured wall time of plan construction.
-	StatsWallSeconds float64
-	JoinSeconds      float64 // calibrated from the modeled makespan
-	TotalSeconds     float64
-	Output           int64
-	NetworkTuples    int64
-	MemoryBytes      int64
-	MaxWork          float64 // measured max region weight (Fig. 4h bars)
-	EstMaxWork       float64 // planner's estimate (CSIO-EST. in Fig. 4h)
-	MaxInput         int64
-	MaxOutput        int64
-	Workers          int
-	Fallback         bool
+	JoinSeconds    float64 // calibrated from the modeled makespan
+	TotalSeconds   float64
+	Output         int64
+	MemoryBytes    int64
+	MaxWork        float64 // measured max region weight (Fig. 4h bars)
+	EstMaxWork     float64 // planner's estimate (CSIO-EST. in Fig. 4h)
 }
 
 // RunScheme plans and executes one scheme over the join. scheme is "CI",
@@ -191,20 +185,13 @@ func RunScheme(spec *JoinSpec, scheme string, cfg Config, tp Throughput) (*Schem
 		statsSeconds = tp.Seconds(scanWork)
 	}
 	run := &SchemeRun{
-		Scheme:           scheme,
-		StatsSeconds:     statsSeconds,
-		HistAlgSeconds:   plan.HistAlgDuration.Seconds(),
-		StatsWallSeconds: plan.StatsDuration.Seconds(),
-		JoinSeconds:      tp.Seconds(res.MaxWork),
-		Output:           res.Output,
-		NetworkTuples:    res.NetworkTuples,
-		MemoryBytes:      res.MemoryBytes,
-		MaxWork:          res.MaxWork,
-		EstMaxWork:       plan.EstimatedMaxWeight,
-		MaxInput:         res.MaxInput(),
-		MaxOutput:        res.MaxOutput(),
-		Workers:          plan.Scheme.Workers(),
-		Fallback:         plan.Fallback,
+		StatsSeconds:   statsSeconds,
+		HistAlgSeconds: plan.HistAlgDuration.Seconds(),
+		JoinSeconds:    tp.Seconds(res.MaxWork),
+		Output:         res.Output,
+		MemoryBytes:    res.MemoryBytes,
+		MaxWork:        res.MaxWork,
+		EstMaxWork:     plan.EstimatedMaxWeight,
 	}
 	run.TotalSeconds = run.StatsSeconds + run.JoinSeconds
 	return run, nil

@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"io"
+	"slices"
 
 	"ewh/internal/core"
 	"ewh/internal/exec"
@@ -24,50 +24,41 @@ import (
 // almost no extra replication while the makespan barely improves — the
 // equi-weight histogram already equalized the pieces, so stealing has
 // nothing left to win).
-func WorkStealing(w io.Writer, cfg Config) error {
+func WorkStealing(cfg Config) ([]Table, error) {
 	cfg.Defaults()
 	spec, err := MakeJoin("BCB-3", cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	fmt.Fprintf(w, "Work-stealing granularity (§V), BCB-3, J=%d machines\n", cfg.J)
-	fmt.Fprintf(w, "%-10s %10s %14s | %14s %14s %12s\n",
-		"partitions", "regions", "CI shipped", "CSIO shipped", "max machine", "vs K=1")
+	t := Table{
+		Title: fmt.Sprintf("Work-stealing granularity (§V), BCB-3, J=%d machines", cfg.J),
+		Cols:  append(cols(0, "regions", "CI shipped", "CSIO shipped", "max machine"), Col{"vs K=1", 2}),
+	}
 	var base float64
 	for _, k := range []int{1, 2, 4, 8} {
 		ciScheme := partition.NewCI(k * cfg.J)
-		rows, cols := ciScheme.Grid()
-		ciShipped := int64(len(spec.R1))*int64(cols) + int64(len(spec.R2))*int64(rows)
-		opts := core.Options{J: k * cfg.J, Model: spec.Model, Seed: cfg.Seed + 1}
-		plan, err := core.PlanCSIO(spec.R1, spec.R2, spec.Cond, opts)
+		gridRows, gridCols := ciScheme.Grid()
+		ciShipped := int64(len(spec.R1))*int64(gridCols) + int64(len(spec.R2))*int64(gridRows)
+		plan, err := core.PlanCSIO(spec.R1, spec.R2, spec.Cond, core.Options{J: k * cfg.J, Model: spec.Model, Seed: cfg.Seed + 1})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res := exec.Run(spec.R1, spec.R2, spec.Cond, plan.Scheme, spec.Model, exec.Config{Seed: cfg.Seed + 2})
 		// Pull-scheduling of the measured region works onto J machines.
-		works := make([]float64, len(res.Workers))
 		regions := plan.Regions
 		for i := range res.Workers {
-			works[i] = res.Workers[i].Work
+			regions[i].Weight = res.Workers[i].Work
 		}
-		for i := range regions {
-			regions[i].Weight = works[i]
-		}
-		caps := make([]float64, cfg.J)
-		for i := range caps {
-			caps[i] = 1
-		}
-		a, err := partition.AssignRegions(regions, caps)
+		a, err := partition.AssignRegions(regions, slices.Repeat([]float64{1}, cfg.J))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		makespan := a.Makespan()
 		if k == 1 {
 			base = makespan
 		}
-		fmt.Fprintf(w, "%-10s %10d %14d | %14d %14.0f %11.2fx\n",
-			fmt.Sprintf("K=%d", k), len(regions), ciShipped,
-			res.NetworkTuples, makespan, makespan/base)
+		t.Rows = append(t.Rows, Row{fmt.Sprintf("K=%d", k), []float64{
+			float64(len(regions)), float64(ciShipped), float64(res.NetworkTuples), makespan, makespan / base}})
 	}
-	return nil
+	return []Table{t}, nil
 }

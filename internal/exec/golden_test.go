@@ -197,8 +197,8 @@ func skewFlipStream(rt exec.Runtime) goldenScenario {
 // (exec.Local, one loopback session dialed once), one run per cell. To
 // re-record a cell after a deliberate planner or routing change, run the
 // test and paste the line it prints over the cell's first two columns. The
-// names are the rows of the retired engine-benchmark baseline (EXPERIMENTS.md
-// "Retired baselines" keeps their last wall times).
+// names are the rows of the retired engine-benchmark baseline
+// (EXPERIMENTS.md "Retired baselines" keeps their last wall times).
 func TestGoldenDeterministicTriples(t *testing.T) {
 	if testing.Short() {
 		t.Skip("200k-tuple scenarios are slow in -short mode")

@@ -1,8 +1,7 @@
 // Package sample implements the statistics-collection machinery of §IV:
 // fixed-size uniform input sampling (a reservoir, Algorithm R — standing in
 // for the paper's Bernoulli input sample, see DESIGN.md "Substitutions"),
-// Efraimidis-Spirakis weighted reservoir sampling, and the parallel
-// Stream-Sample algorithm that produces a uniform random sample of the
+// the R2 key multiset, and the parallel Stream-Sample algorithm that produces a uniform random sample of the
 // *join output* without executing the join. Stream-Sample also yields the
 // exact output size m = Σ d2(t1.A), which the sample matrix needs to scale
 // cell frequencies (§III-A).

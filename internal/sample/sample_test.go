@@ -57,91 +57,6 @@ func TestFixedSizeUniformity(t *testing.T) {
 	}
 }
 
-func TestReservoirBasics(t *testing.T) {
-	r := stats.NewRNG(4)
-	res := NewReservoir(5, r)
-	for i := 0; i < 100; i++ {
-		res.Add(join.Key(i), 1)
-	}
-	if res.Len() != 5 {
-		t.Fatalf("reservoir holds %d, want 5", res.Len())
-	}
-	res.Add(999, 0) // zero weight must be ignored
-	for _, it := range res.Items() {
-		if it.Key == 999 {
-			t.Fatal("zero-weight item sampled")
-		}
-	}
-}
-
-func TestReservoirPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewReservoir(0, stats.NewRNG(1))
-}
-
-func TestReservoirWeightBias(t *testing.T) {
-	// Key 0 has weight 10, keys 1..10 weight 1; P(0 in sample of 1) ≈ 10/20.
-	r := stats.NewRNG(5)
-	hits := 0
-	const trials = 5000
-	for i := 0; i < trials; i++ {
-		res := NewReservoir(1, r)
-		res.Add(0, 10)
-		for k := 1; k <= 10; k++ {
-			res.Add(join.Key(k), 1)
-		}
-		if res.Items()[0].Key == 0 {
-			hits++
-		}
-	}
-	p := float64(hits) / trials
-	if p < 0.42 || p > 0.58 {
-		t.Fatalf("heavy key sampled with p=%v, want ~0.5", p)
-	}
-}
-
-func TestReservoirMergeEquivalence(t *testing.T) {
-	// Merging shard reservoirs must keep exactly the global top-k priorities.
-	r := stats.NewRNG(6)
-	whole := NewReservoir(8, r)
-	a := NewReservoir(8, stats.NewRNG(100))
-	b := NewReservoir(8, stats.NewRNG(200))
-	_ = whole
-	for i := 0; i < 50; i++ {
-		a.Add(join.Key(i), float64(i+1))
-	}
-	for i := 50; i < 100; i++ {
-		b.Add(join.Key(i), float64(i+1))
-	}
-	// Collect all items, find the true top-8 by priority.
-	all := append(a.Items(), b.Items()...)
-	a.Merge(b)
-	if a.Len() != 8 {
-		t.Fatalf("merged reservoir holds %d, want 8", a.Len())
-	}
-	merged := a.Items()
-	// Every merged item's priority must be >= every dropped item's priority.
-	minMerged := math.Inf(1)
-	for _, it := range merged {
-		if it.priority < minMerged {
-			minMerged = it.priority
-		}
-	}
-	inMerged := map[join.Key]bool{}
-	for _, it := range merged {
-		inMerged[it.Key] = true
-	}
-	for _, it := range all {
-		if !inMerged[it.Key] && it.priority > minMerged {
-			t.Fatalf("dropped item with priority %v > min merged %v", it.priority, minMerged)
-		}
-	}
-}
-
 // keyRange is a condition whose joinable range is the same [lo, hi] for every
 // key: it addresses the multiset's range searches directly.
 type keyRange struct{ lo, hi join.Key }
@@ -371,77 +286,5 @@ func BenchmarkStreamSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		StreamSample(r1, r2, cond, 1000, 8, stats.NewRNG(uint64(i)))
-	}
-}
-
-func TestStreamSampleReservoirExactM(t *testing.T) {
-	r := stats.NewRNG(20)
-	r1 := make([]join.Key, 400)
-	r2 := make([]join.Key, 400)
-	for i := range r1 {
-		r1[i] = r.Int64n(200)
-		r2[i] = r.Int64n(200)
-	}
-	cond := join.NewBand(2)
-	s := StreamSampleReservoir(r1, r2, cond, 80, 4, stats.NewRNG(21))
-	if want := exactOutputSize(r1, r2, cond); s.M != want {
-		t.Fatalf("reservoir variant M = %d, want %d", s.M, want)
-	}
-	if len(s.Pairs) != 80 {
-		t.Fatalf("%d pairs, want 80", len(s.Pairs))
-	}
-	for _, p := range s.Pairs {
-		if !cond.Matches(p[0], p[1]) {
-			t.Fatalf("non-matching pair %v", p)
-		}
-	}
-}
-
-func TestStreamSampleReservoirEmpty(t *testing.T) {
-	r := stats.NewRNG(22)
-	if s := StreamSampleReservoir(nil, []join.Key{1}, join.Equi{}, 5, 2, r); s.M != 0 {
-		t.Error("empty r1 gave M != 0")
-	}
-	s := StreamSampleReservoir([]join.Key{1}, []join.Key{100}, join.NewBand(1), 5, 2, r)
-	if s.M != 0 || len(s.Pairs) != 0 {
-		t.Error("disjoint join gave pairs")
-	}
-}
-
-func TestStreamSampleVariantsAgreeInDistribution(t *testing.T) {
-	// Both estimators must put roughly the same mass on a heavy region of
-	// the output space.
-	r := stats.NewRNG(23)
-	var r1, r2 []join.Key
-	// 30% of tuples in a dense head [0,20), rest spread over [1000, 5000).
-	for i := 0; i < 600; i++ {
-		if i%10 < 3 {
-			r1 = append(r1, r.Int64n(20))
-			r2 = append(r2, r.Int64n(20))
-		} else {
-			r1 = append(r1, 1000+r.Int64n(4000))
-			r2 = append(r2, 1000+r.Int64n(4000))
-		}
-	}
-	cond := join.NewBand(3)
-	headShare := func(pairs [][2]join.Key) float64 {
-		head := 0
-		for _, p := range pairs {
-			if p[0] < 20 {
-				head++
-			}
-		}
-		return float64(head) / float64(len(pairs))
-	}
-	var exactShare, resShare float64
-	const trials = 30
-	for i := uint64(0); i < trials; i++ {
-		exactShare += headShare(StreamSample(r1, r2, cond, 300, 4, stats.NewRNG(100+i)).Pairs)
-		resShare += headShare(StreamSampleReservoir(r1, r2, cond, 300, 4, stats.NewRNG(200+i)).Pairs)
-	}
-	exactShare /= trials
-	resShare /= trials
-	if diff := exactShare - resShare; diff > 0.05 || diff < -0.05 {
-		t.Fatalf("estimators disagree: exact head share %.3f vs reservoir %.3f", exactShare, resShare)
 	}
 }
