@@ -109,7 +109,9 @@ func main() {
 	fmt.Printf("scheme=%s workers=%d stats=%v fallback=%v\n",
 		plan.Scheme.Name(), plan.Scheme.Workers(), plan.StatsDuration.Round(1e6), plan.Fallback)
 	if plan.M > 0 {
-		fmt.Printf("exact output size m=%d (rho_oi=%.2f)\n",
+		// m is scaled up from R1's input sample: exact only when that sample
+		// holds all of R1.
+		fmt.Printf("estimated output size m=%d (rho_oi=%.2f)\n",
 			plan.M, float64(plan.M)/float64(len(r1)+len(r2)))
 	}
 	if len(plan.Regions) > 0 {

@@ -8,7 +8,10 @@ import (
 )
 
 // ExamplePlan builds an equi-weight histogram plan for a band join and
-// executes it, printing the exact output size and the worker count.
+// executes it, printing the worker count and whether the executed output
+// equals the planned m. The planner's m is estimated from a sample of R1, but
+// here si = 4·ns·log₂(n+2) ≈ 15k exceeds the 10k keys of R1: the sample is
+// the whole relation, so m is exact.
 func ExamplePlan() {
 	r1 := workload.Uniform(10000, 5000, 1)
 	r2 := workload.Uniform(10000, 5000, 2)

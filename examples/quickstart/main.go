@@ -31,12 +31,14 @@ func main() {
 	opts := ewh.Options{J: 8, Model: ewh.DefaultBandModel, Seed: 42}
 
 	// The paper's scheme: samples the output distribution, builds the
-	// equi-weight histogram, and routes tuples to 8 workers.
+	// equi-weight histogram, and routes tuples to 8 workers. Its output size
+	// m is estimated from a sample of R1 (126k of the 200k keys here), so it
+	// is near the executed output below, not equal to it.
 	plan, err := ewh.Plan(r1, r2, cond, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("EWH plan: %d regions, exact output size m=%d, stats took %v\n",
+	fmt.Printf("EWH plan: %d regions, estimated output size m=%d, stats took %v\n",
 		len(plan.Regions), plan.M, plan.StatsDuration.Round(1e6))
 	for i, reg := range plan.Regions {
 		fmt.Printf("  region %d: R1 keys [%d,%d) x R2 keys [%d,%d), weight %.0f\n",

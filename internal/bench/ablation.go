@@ -14,8 +14,8 @@ import (
 //     lessens the grid-partitioning accuracy loss);
 //  2. AdaptNS — the §A5 sample-matrix resizing once m is known;
 //  3. output-sample size so — balance accuracy versus sampling effort;
-//  4. Stream-Sample's share of the dense segment against the exact
-//     d2-weighted share it estimates.
+//  4. Stream-Sample over R1's input sample at several sizes: its estimate of
+//     m and its share of the dense segment against the exact ones.
 func Ablations(cfg Config) ([]Table, error) {
 	cfg.Defaults()
 	var out []Table
@@ -103,35 +103,50 @@ func ablateOutputSample(cfg Config) (Table, error) {
 	return t, nil
 }
 
-// ablateSampler measures the share of Stream-Sample's pairs whose R1 key
-// lies in BCB-3's dense segment (below x/6) against the exact share of the
-// output there, Σ d2(t1) over those keys ÷ m.
+// ablateSampler runs Stream-Sample as PlanCSIO does — over a uniform input
+// sample of BCB-3's R1, in draw order, against R2's exact multiset — at si/4,
+// si/2 and si keys (si = core.InputSampleSize) and over all of R1. Each row
+// reports m̂/m, the size estimate scaled by n1 over the sample's size against
+// the exact m, and the share of the sampled pairs whose R1 key lies in the
+// dense segment (below x/6) against the exact share of the output there,
+// Σ d2(t1) over those keys ÷ m.
 func ablateSampler(cfg Config) (Table, error) {
-	t := Table{
-		Title: "Ablation 4: Stream-Sample's dense-segment share vs the exact d2-weighted share (BCB-3, so=2000)",
-		Cols:  append(cols(0, "m"), cols(3, "sampled share", "exact share")...),
-	}
 	spec, err := MakeJoin("BCB-3", cfg)
 	if err != nil {
-		return t, err
+		return Table{}, err
+	}
+	n1 := len(spec.R1)
+	si := core.InputSampleSize(max(n1, len(spec.R2)), cfg.J)
+	t := Table{
+		Title: fmt.Sprintf("Ablation 4: Stream-Sample over R1's input sample (BCB-3, si=%d of n1=%d, so=2000)", si, n1),
+		Cols:  append(cols(0, "keys"), cols(4, "m-hat/m", "sampled share", "exact share")...),
 	}
 	head := int64(baseBCBX*cfg.Scale/6) + 1
-	s := sample.StreamSample(spec.R1, spec.R2, spec.Cond, 2000, cfg.J, rngFor(cfg, 4).Split())
-	inHead := 0
-	for _, p := range s.Pairs {
-		if p[0] < head {
-			inHead++
-		}
-	}
 	m2 := sample.BuildMultiset(spec.R2)
-	var headOut int64
+	var m, headOut int64
 	for _, k := range spec.R1 {
+		d2, _ := m2.D2At(spec.Cond, k)
+		m += d2
 		if k < head {
-			d2, _ := m2.D2At(spec.Cond, k)
 			headOut += d2
 		}
 	}
-	t.Rows = []Row{{"dense segment", []float64{float64(s.M),
-		float64(inHead) / float64(len(s.Pairs)), float64(headOut) / float64(s.M)}}}
+	rng := rngFor(cfg, 4)
+	for _, r := range []struct {
+		label string
+		size  int
+	}{{"si/4", si / 4}, {"si/2", si / 2}, {"si", si}, {"all of R1", n1}} {
+		keys := sample.FixedSize(spec.R1, r.size, rng)
+		s := sample.StreamSampleWith(keys, m2, spec.Cond, 2000, cfg.J, rng)
+		inHead := 0
+		for _, p := range s.Pairs {
+			if p[0] < head {
+				inHead++
+			}
+		}
+		mHat := float64(s.M) * float64(n1) / float64(len(keys))
+		t.Rows = append(t.Rows, Row{r.label, []float64{float64(len(keys)), mHat / float64(m),
+			float64(inHead) / float64(len(s.Pairs)), float64(headOut) / float64(m)}})
+	}
 	return t, nil
 }

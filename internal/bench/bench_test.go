@@ -270,9 +270,12 @@ func TestPaperClaims(t *testing.T) {
 			errs := absAll(column(tb, 2, "est-err %"))
 			return errs[len(errs)-1] / errs[0]
 		}, true, 0.5},
-		{"ablate", "Stream-Sample's dense-segment share matches the exact d2-weighted share (|difference|)", func(tb []Table) float64 {
-			return math.Abs(cell(tb, 3, "dense segment", "sampled share") - cell(tb, 3, "dense segment", "exact share"))
+		{"ablate", "Stream-Sample's dense-segment share over R1's input sample matches the exact d2-weighted share (|difference| at si)", func(tb []Table) float64 {
+			return math.Abs(cell(tb, 3, "si", "sampled share") - cell(tb, 3, "si", "exact share"))
 		}, true, 0.03},
+		{"ablate", "m scaled up from R1's input sample is within 1 % of the exact m (|m-hat/m - 1| at si)", func(tb []Table) float64 {
+			return math.Abs(cell(tb, 3, "si", "m-hat/m") - 1)
+		}, true, 0.01},
 		{"equi", "PRPD's heavy-key handling cuts plain hash's max work (PRPD/Hash)", func(tb []Table) float64 {
 			return cell(tb, 0, "HashPRPD", "max-work") / cell(tb, 0, "Hash", "max-work")
 		}, true, 0.8},

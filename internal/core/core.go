@@ -51,8 +51,8 @@ type Options struct {
 	// DisableFallback forces CSIO even for high-selectivity joins.
 	DisableFallback bool
 
-	// AdaptNS enables the §A5 sample-matrix resizing once the exact output
-	// size m is known: ns' = √(2nJ/ρB) with ρB = m/n. For m > n this shrinks
+	// AdaptNS enables the §A5 sample-matrix resizing once the output size m
+	// is known: ns' = √(2nJ/ρB) with ρB = m/n. For m > n this shrinks
 	// MS (the paper uses it for BCB); for m < n it grows MS to restore the
 	// Lemma 3.1 bound. The adjustment rebuilds the equi-depth histograms and
 	// re-places the already-collected output sample; growth is capped at
@@ -95,7 +95,9 @@ type Plan struct {
 	// Table V tracks as the CSI bucket count p grows. It excludes the data
 	// scans that collect the samples.
 	HistAlgDuration time.Duration
-	// M is the exact join output size (CSIO only; 0 otherwise).
+	// M is the join output size as CSIO estimates it: Stream-Sample's exact
+	// count over R1's input sample, scaled by n1 over the sample's size, so
+	// exact only when the sample holds all of R1 (si ≥ n1). 0 for CI and CSI.
 	M int64
 	// NS and NC are the realized matrix sizes (CSIO/CSI).
 	NS, NC int
@@ -148,42 +150,50 @@ func PlanCI(opts Options) (*Plan, error) {
 // left describes the left relation of a CSIO plan — the one thing the three
 // entries of the pipeline below differ in (DESIGN.md "Planner").
 type left struct {
-	// keys are what Stream-Sample walks: all of R1, or a uniform sample of it.
+	// keys are all of R1, from which the stage draws its input sample, or,
+	// with bounds, a summary's uniform sample of R1, which Stream-Sample
+	// walks as it is.
 	keys []join.Key
-	// count is the number of tuples keys stand for; len(keys) when they are
-	// the relation itself.
+	// count is the number of tuples R1 holds; len(keys) when keys are the
+	// relation itself.
 	count int
 	// bounds are R1's equi-depth boundaries when they were computed where
-	// the relation lives (a summary's, over ALL its keys); nil means the
-	// histogram is sampled from keys here.
+	// the relation lives (a summary's, over ALL its keys); nil means keys are
+	// the relation and its histogram is sampled here.
 	bounds []join.Key
 }
 
-// histograms builds the ns-bucket approximate equi-depth histograms of both
-// relations (§III-A item a) from fixed-size uniform input samples. The left
-// sample's draws come first in rng's stream and the right one's follow, but
-// the two reservoirs run at once: the right one draws from a copy of rng
-// skipped past the left one's draws (stats.RNG.Skip), and rng ends where the
-// serial order would leave it.
-func (l left) histograms(r2 []join.Key, ns, n int, rng *stats.RNG) (rh, ch *histogram.EquiDepth, err error) {
-	si := inputSampleSize(ns, n)
-	rng2 := *rng
-	if l.bounds == nil {
-		rng2.Skip(sample.FixedSizeDraws(len(l.keys), si))
+// sample returns the keys Stream-Sample walks and R1's ns-bucket equi-depth
+// histogram (§III-A item a). A relation held here is sampled once: a
+// fixed-size uniform input sample of si keys serves both, walked in its draw
+// order and sorted in a copy for the histogram. A summary brings both.
+func (l left) sample(ns, n int, rng *stats.RNG) ([]join.Key, *histogram.EquiDepth, error) {
+	if l.bounds != nil {
+		rh, err := histogram.FromBounds(l.bounds)
+		return l.keys, rh, err
 	}
+	s := sample.FixedSize(l.keys, inputSampleSize(ns, n), rng)
+	rh, err := histogram.FromSample(s, ns)
+	return s, rh, err
+}
+
+// csiHistograms builds CSI's p-bucket histograms of both relations from
+// fixed-size uniform input samples, R1's draws first in rng's stream and R2's
+// after. CSI has no multiset to read R2's off, so the two reservoirs run at
+// once instead: R2's draws from a copy of rng skipped past R1's draws
+// (stats.RNG.Skip).
+func csiHistograms(r1, r2 []join.Key, p int, rng *stats.RNG) (rh, ch *histogram.EquiDepth, err error) {
+	si := inputSampleSize(p, max(len(r1), len(r2)))
+	rng2 := *rng
+	rng2.Skip(sample.FixedSizeDraws(len(r1), si))
 	var chErr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		ch, chErr = sampledHistogram(r2, si, ns, &rng2)
+		ch, chErr = sampledHistogram(r2, si, p, &rng2)
 	}()
-	if l.bounds != nil {
-		rh, err = histogram.FromBounds(l.bounds)
-	} else {
-		rh, err = sampledHistogram(l.keys, si, ns, rng)
-	}
+	rh, err = sampledHistogram(r1, si, p, rng)
 	<-done
-	*rng = rng2
 	if err != nil {
 		return nil, nil, err
 	}
@@ -214,13 +224,13 @@ type sampled struct {
 	n1, n2 int
 }
 
-// sampleStage is the front half of the CSIO pipeline: input samples →
-// equi-depth histograms → R2 multiset and parallel Stream-Sample output
-// sample with its size m. The RNG draws come in one order for every entry —
-// left input sample (when sampled), right input sample, output positions,
-// per-shard partner streams, then AdaptNS's two re-samples — which is what
-// keeps plans reproducible and lets benchmark/layers.go replay the stages.
-// The R2 multiset draws nothing, so it is built beside the input samples.
+// sampleStage is the front half of the CSIO pipeline: R1's input sample and
+// histogram, R2's multiset and the histogram read off it, then the parallel
+// Stream-Sample output sample over R1's sample with its size m. The RNG
+// draws come in one order for every entry — R1's input sample (when sampled
+// here), output positions, per-shard partner streams, then AdaptNS's R1
+// re-sample — which is what keeps plans reproducible. The R2 multiset draws
+// nothing, so it is built beside R1's reservoir.
 func sampleStage(l left, r2 []join.Key, cond join.Condition, opts Options, rng *stats.RNG) (*sampled, error) {
 	n1, n2 := l.count, len(r2)
 	if n1 == 0 || n2 == 0 {
@@ -231,13 +241,17 @@ func sampleStage(l left, r2 []join.Key, cond join.Condition, opts Options, rng *
 	// Sampling stage sizes (Lemma 3.1, §A1).
 	ns := opts.NS
 	if ns <= 0 {
-		ns = int(math.Ceil(math.Sqrt(2 * float64(n) * float64(opts.J))))
+		ns = defaultNS(n, opts.J)
 	}
 	ns = min(ns, n)
 	built := make(chan *sample.KeyMultiset, 1)
 	go func() { built <- sample.BuildMultiset(r2) }()
-	rh, ch, err := l.histograms(r2, ns, n, rng)
+	walk, rh, err := l.sample(ns, n, rng)
 	m2 := <-built
+	if err != nil {
+		return nil, err
+	}
+	ch, err := m2.Histogram(ns)
 	if err != nil {
 		return nil, err
 	}
@@ -246,21 +260,22 @@ func sampleStage(l left, r2 []join.Key, cond join.Condition, opts Options, rng *
 	// floored by the Kolmogorov statistics (§A1).
 	so := int(opts.OutputSampleFactor * float64(countCandidates(rh, ch, cond)))
 	so = min(max(so, 1063), maxOutputSample)
-	out := sample.StreamSampleWith(l.keys, m2, cond, so, opts.J, rng)
+	out := sample.StreamSampleWith(walk, m2, cond, so, opts.J, rng)
 
-	// Keys that are a sample of R1 give the size of sample ⋈ R2; m scales by
-	// the sampling fraction (exact when the keys are the relation).
+	// A sample of R1 gives the size of sample ⋈ R2; m scales by the sampling
+	// fraction, and is exact only when the sample is the whole relation.
 	m := out.M
-	if len(l.keys) < n1 {
-		est := math.Round(float64(out.M) * float64(n1) / float64(len(l.keys)))
+	if len(walk) < n1 {
+		est := math.Round(float64(out.M) * float64(n1) / float64(len(walk)))
 		if est >= math.MaxInt64 {
 			return nil, fmt.Errorf("core: output size estimate %.4g does not fit int64 (%d sampled keys stand for a count of %d)",
-				est, len(l.keys), n1)
+				est, len(walk), n1)
 		}
 		m = int64(est)
 	}
 
-	// §A5 resizing applies only where the histograms are sampled here.
+	// §A5 resizing applies only where R1's histogram is sampled here; R2's
+	// is read off the multiset again, and the output sample stays.
 	if opts.AdaptNS && l.bounds == nil && m > 0 {
 		rho := float64(m) / float64(n)
 		nsAdj := int(math.Ceil(math.Sqrt(2 * float64(n) * float64(opts.J) / rho)))
@@ -268,7 +283,10 @@ func sampleStage(l left, r2 []join.Key, cond join.Condition, opts Options, rng *
 		nsAdj = min(max(nsAdj, 2*opts.J), n)
 		// Only rebuild when the change is worth the extra sampling pass.
 		if nsAdj*4 < ns*3 || nsAdj*3 > ns*4 {
-			if rh, ch, err = l.histograms(r2, nsAdj, n, rng); err != nil {
+			if _, rh, err = l.sample(nsAdj, n, rng); err != nil {
+				return nil, err
+			}
+			if ch, err = m2.Histogram(nsAdj); err != nil {
 				return nil, err
 			}
 		}
@@ -328,10 +346,13 @@ func planCSIO(l left, r2 []join.Key, cond join.Condition, opts Options) (*Plan, 
 	return plan, nil
 }
 
-// PlanCSIO builds the paper's equi-weight histogram plan from both relations:
-// fixed-size uniform input samples (sample.FixedSize, a reservoir — the paper
-// draws Bernoulli samples of the same expected size) feed both histograms,
-// and Stream-Sample walks all of r1, so m is exact.
+// PlanCSIO builds the paper's equi-weight histogram plan from both relations.
+// It draws one fixed-size uniform input sample of r1 (sample.FixedSize, a
+// reservoir of si keys — the paper draws a Bernoulli sample of the same
+// expected size). That sample gives R1's histogram and is what Stream-Sample
+// walks, in draw order, so m is estimated from it by the sampling fraction:
+// exact only when si ≥ len(r1), where the sample is all of r1. R2's histogram
+// and Stream-Sample's d2 come from R2's exact multiset.
 func PlanCSIO(r1, r2 []join.Key, cond join.Condition, opts Options) (*Plan, error) {
 	return planCSIO(left{keys: r1, count: len(r1)}, r2, cond, opts)
 }
@@ -349,7 +370,7 @@ func PlanCSIO(r1, r2 []join.Key, cond join.Condition, opts Options) (*Plan, erro
 //     size scales by Count/len(Keys) to estimate m (exact whenever the
 //     sample holds the whole population);
 //   - r2 is planner-local (the driver owns that base relation), so its
-//     histogram and multiset are exact, as in PlanCSIO.
+//     multiset and the histogram read off it are exact, as in PlanCSIO.
 //
 // The §VI-E fallback applies to the estimated m as it does to the exact one.
 // Results are deterministic for a given summary and seed.
@@ -363,10 +384,10 @@ func PlanCSIOFromSummary(sum *stats.Summary, r2 []join.Key, cond join.Condition,
 	return planCSIO(left{keys: sum.Keys, count: int(sum.Count), bounds: sum.Bounds}, r2, cond, opts)
 }
 
-// BuildSampleMatrix runs only the sampling stage (§III-A) and builds the
-// sample matrix MS with exact m from it, whatever the selectivity. Exposed
-// for ablations and diagnostics; PlanCSIO continues with coarsening and
-// regionalization.
+// BuildSampleMatrix runs only PlanCSIO's sampling stage (§III-A) and builds
+// the sample matrix MS from it, with m estimated as PlanCSIO estimates it,
+// whatever the selectivity. Exposed for ablations and diagnostics; PlanCSIO
+// continues with coarsening and regionalization.
 func BuildSampleMatrix(r1, r2 []join.Key, cond join.Condition, opts Options) (*matrix.Sample, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
@@ -395,7 +416,7 @@ func PlanCSI(r1, r2 []join.Key, cond join.Condition, p int, opts Options) (*Plan
 		return nil, fmt.Errorf("core: p = %d < 1", p)
 	}
 	p = min(p, n1, n2)
-	rh, ch, err := left{keys: r1}.histograms(r2, p, max(n1, n2), stats.NewRNG(opts.Seed))
+	rh, ch, err := csiHistograms(r1, r2, p, stats.NewRNG(opts.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -449,9 +470,21 @@ func tilePlan(d *matrix.Dense, name string, opts Options) (*Plan, error) {
 	}, nil
 }
 
+// defaultNS is the sample-matrix size ns = ⌈√(2nJ)⌉ (Lemma 3.1).
+func defaultNS(n, j int) int {
+	return int(math.Ceil(math.Sqrt(2 * float64(n) * float64(j))))
+}
+
 // inputSampleSize returns si = Θ(ns·log n) ([13], §A1).
 func inputSampleSize(ns, n int) int {
 	return max(int(4*float64(ns)*math.Log2(float64(n)+2)), ns)
+}
+
+// InputSampleSize is si for the default ns: how many of R1's keys PlanCSIO
+// samples when the larger relation holds n tuples and Options.NS is unset
+// (all of them when si ≥ n1).
+func InputSampleSize(n, j int) int {
+	return inputSampleSize(min(defaultNS(n, j), n), n)
 }
 
 // countCandidates computes nsc, the number of candidate MS cells, from the

@@ -49,11 +49,13 @@ func foldRecord(t *testing.T, plan *Plan, err error) string {
 }
 
 // TestPlansByteIdenticalAcrossTheFold pins every planner entry's plan at the
-// byte level: foldGolden was recorded at the commit BEFORE PlanCSIO,
-// PlanCSIOFromSummary and BuildSampleMatrix were folded onto one pipeline, so
-// a passing run shows the fold moved no plan — same RNG draw order, same
-// sizes, same fallback decisions — across conditions × distributions × J ×
-// size ratios, where the 13 golden triples sample three inputs. `<` runs with
+// byte level — RNG draw order, sizes, fallback decisions — across conditions
+// × distributions × J × size ratios, where the 12 golden triples sample three
+// inputs. foldGolden was first recorded before PlanCSIO, PlanCSIOFromSummary
+// and BuildSampleMatrix were folded onto one pipeline (the fold moved no
+// plan), and re-recorded when PlanCSIO began walking R1's input sample and
+// reading R2's histogram off its multiset (cells where si ≥ n kept their
+// bytes; no csi digest moved). `<` runs with
 // the §VI-E fallback armed (it fires), `>=` with it disabled. After a
 // DELIBERATE planner change, paste the rows a failing run prints.
 func TestPlansByteIdenticalAcrossTheFold(t *testing.T) {

@@ -12,10 +12,11 @@ import (
 )
 
 // serialSampleStage is sampleStage with its stages run one after another in
-// the order its draws are defined — left input sample, right input sample,
-// multiset, Stream-Sample, AdaptNS's re-samples — each through the plain
-// public calls benchmark/layers.go replays. It is the oracle the overlapped
-// stage must match, in its product and in where it leaves the generator.
+// the order its draws are defined — R1's input sample, Stream-Sample's
+// positions and shard splits, AdaptNS's R1 re-sample — each through the plain
+// public calls, and with R2's histogram taken from a sort of all of R2 rather
+// than read off its multiset. It is the oracle the stage must match, in its
+// product and in where it leaves the generator.
 func serialSampleStage(l left, r2 []join.Key, cond join.Condition, opts Options, rng *stats.RNG) (*sampled, error) {
 	n1, n2 := l.count, len(r2)
 	n := max(n1, n2)
@@ -24,35 +25,37 @@ func serialSampleStage(l left, r2 []join.Key, cond join.Condition, opts Options,
 		ns = int(math.Ceil(math.Sqrt(2 * float64(n) * float64(opts.J))))
 	}
 	ns = min(ns, n)
-	histograms := func(ns int) (rh, ch *histogram.EquiDepth, err error) {
-		si := inputSampleSize(ns, n)
+	sorted := slices.Sorted(slices.Values(r2))
+	histograms := func(ns int) (walk []join.Key, rh, ch *histogram.EquiDepth, err error) {
+		walk = l.keys
 		if l.bounds != nil {
 			rh, err = histogram.FromBounds(l.bounds)
 		} else {
-			rh, err = histogram.FromSample(sample.FixedSize(l.keys, si, rng), ns)
+			walk = sample.FixedSize(l.keys, inputSampleSize(ns, n), rng)
+			rh, err = histogram.FromSample(walk, ns)
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		ch, err = histogram.FromSample(sample.FixedSize(r2, si, rng), ns)
-		return rh, ch, err
+		ch, err = histogram.FromSorted(sorted, ns)
+		return walk, rh, ch, err
 	}
-	rh, ch, err := histograms(ns)
+	walk, rh, ch, err := histograms(ns)
 	if err != nil {
 		return nil, err
 	}
 	so := int(opts.OutputSampleFactor * float64(countCandidates(rh, ch, cond)))
 	so = min(max(so, 1063), maxOutputSample)
-	out := sample.StreamSampleWith(l.keys, sample.BuildMultiset(r2), cond, so, opts.J, rng)
+	out := sample.StreamSampleWith(walk, sample.BuildMultiset(r2), cond, so, opts.J, rng)
 	m := out.M
-	if len(l.keys) < n1 {
-		m = int64(math.Round(float64(out.M) * float64(n1) / float64(len(l.keys))))
+	if len(walk) < n1 {
+		m = int64(math.Round(float64(out.M) * float64(n1) / float64(len(walk))))
 	}
 	if opts.AdaptNS && l.bounds == nil && m > 0 {
 		nsAdj := int(math.Ceil(math.Sqrt(2 * float64(n) * float64(opts.J) / (float64(m) / float64(n)))))
 		nsAdj = min(max(min(nsAdj, 4*ns), 2*opts.J), n)
 		if nsAdj*4 < ns*3 || nsAdj*3 > ns*4 {
-			if rh, ch, err = histograms(nsAdj); err != nil {
+			if _, rh, ch, err = histograms(nsAdj); err != nil {
 				return nil, err
 			}
 		}
@@ -60,11 +63,11 @@ func serialSampleStage(l left, r2 []join.Key, cond join.Condition, opts Options,
 	return &sampled{rh: rh, ch: ch, pairs: out.Pairs, m: m, n1: n1, n2: n2}, nil
 }
 
-// TestSampleStageMatchesSerialDrawOrder holds the overlapped sampling stage —
-// the right reservoir beside the left one on a skipped generator copy, the
-// multiset beside both — to the serial oracle: the same histograms, output
-// sample and m, and the generator left where the serial order leaves it,
-// checked through its next draw.
+// TestSampleStageMatchesSerialDrawOrder holds the sampling stage — R1's one
+// reservoir beside R2's multiset, R2's histogram read off the multiset — to
+// the serial oracle: the same histograms, output sample and m, and the
+// generator left where the serial order leaves it, checked through its next
+// draw. Every row but the summary's samples R1 (si < n1), so m is scaled.
 func TestSampleStageMatchesSerialDrawOrder(t *testing.T) {
 	r1, r2 := randKeys(6000, 3000, 90), randKeys(5000, 3000, 91)
 	wide := join.NewBand(40) // m/n ≈ 130: AdaptNS shrinks MS

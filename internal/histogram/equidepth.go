@@ -44,30 +44,39 @@ func FromSample(sample []join.Key, ns int) (*EquiDepth, error) {
 }
 
 // FromSorted builds the histogram from an already-sorted sample without
-// copying it. The caller must not mutate sorted afterwards.
+// copying it: FromRanks over the slice.
 func FromSorted(sorted []join.Key, ns int) (*EquiDepth, error) {
+	return FromRanks(len(sorted), ns, func(i int) join.Key { return sorted[i] })
+}
+
+// FromRanks builds the ns-bucket histogram of n ordered keys that keyAt
+// returns by rank (0-based, counting multiplicity): the first key, the keys
+// at ranks ⌊i·n/ns⌋ for 0 < i < ns, and one past the last. A relation whose
+// multiset is at hand gets its exact histogram this way without a sort
+// (sample.KeyMultiset.Histogram); a sorted sample is the slice case,
+// FromSorted.
+func FromRanks(n, ns int, keyAt func(int) join.Key) (*EquiDepth, error) {
 	if ns < 1 {
 		return nil, fmt.Errorf("histogram: ns = %d < 1", ns)
 	}
-	n := len(sorted)
-	if n == 0 {
+	if n <= 0 {
 		return nil, fmt.Errorf("histogram: empty sample")
 	}
 	if ns > n {
 		ns = n
 	}
 	bounds := make([]join.Key, 0, ns+1)
-	bounds = append(bounds, sorted[0])
+	bounds = append(bounds, keyAt(0))
 	for i := 1; i < ns; i++ {
-		q := sorted[i*n/ns]
+		q := keyAt(i * n / ns)
 		// Skip duplicate boundaries: fewer effective buckets, never empty ones.
 		if q > bounds[len(bounds)-1] {
 			bounds = append(bounds, q)
 		}
 	}
 	top := join.Key(math.MaxInt64)
-	if sorted[n-1] < math.MaxInt64 {
-		top = sorted[n-1] + 1
+	if last := keyAt(n - 1); last < math.MaxInt64 {
+		top = last + 1
 	}
 	return &EquiDepth{bounds: appendTop(bounds, top)}, nil
 }

@@ -51,7 +51,8 @@ type Sample struct {
 	// output statistics. Zero for CSIO.
 	UnitCand float64
 
-	// M is the exact join output size when known (from Stream-Sample), else 0.
+	// M is the join output size from Stream-Sample — exact, or scaled up from
+	// a sample of R1 — and 0 without an output sample.
 	M int64
 
 	// SampleSize is the number of output-sample pairs MS was built from.

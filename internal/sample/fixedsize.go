@@ -3,8 +3,9 @@
 // for the paper's Bernoulli input sample, see DESIGN.md "Substitutions"),
 // the R2 key multiset, and the parallel Stream-Sample algorithm that produces a uniform random sample of the
 // *join output* without executing the join. Stream-Sample also yields the
-// exact output size m = Σ d2(t1.A), which the sample matrix needs to scale
-// cell frequencies (§III-A).
+// output size m = Σ d2(t1.A) over the R1 keys it walks — exact for all of R1,
+// scaled by the caller for a sample of it — which the sample matrix needs to
+// scale cell frequencies (§III-A).
 package sample
 
 import (

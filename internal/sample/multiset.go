@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 
+	"ewh/internal/histogram"
 	"ewh/internal/join"
 	"ewh/internal/keysort"
 )
@@ -11,9 +12,11 @@ import (
 // KeyMultiset is d2equi from §IV-A: a relation's join keys with their
 // multiplicities and prefix sums. It answers "how many R2 tuples are joinable
 // with key k" (d2) and "select the u-th joinable R2 key", which Stream-Sample
-// uses to weight the R1 sample and to draw uniform output partners.
-// Stream-Sample asks once per R1 key in R1's arrival order, so a lookup's cost
-// is the cache lines it touches. It has two forms (DESIGN.md "Planner"):
+// uses to weight the R1 sample and to draw uniform output partners; the
+// planner reads R2's histogram off it the same way (Histogram).
+// Stream-Sample asks once per key of R1's input sample, in its draw order, so
+// a lookup's cost is the cache lines it touches. It has two forms
+// (DESIGN.md "Planner"):
 //
 //   - dense, when the key span is small against the count (denseFits): one
 //     cumulative count per key of the span, so d2 is two loads and the build
@@ -200,6 +203,13 @@ func (m *KeyMultiset) SelectAt(at int32, u int64) join.Key {
 	// u < d2 keeps the answer inside the joinable range, so gallop from i.
 	j := gallopUpper(m.prefix, i+1, target) - 1
 	return m.keys[j]
+}
+
+// Histogram returns the relation's exact ns-bucket equi-depth histogram: the
+// keys at ranks ⌊i·n/ns⌋, each found by SelectAt's prefix-sum search from the
+// first slot, so it needs neither a sample nor a sort (histogram.FromRanks).
+func (m *KeyMultiset) Histogram(ns int) (*histogram.EquiDepth, error) {
+	return histogram.FromRanks(int(m.Total()), ns, func(r int) join.Key { return m.SelectAt(0, int64(r)) })
 }
 
 // D2At returns d2(k), the joinable-set size of the R1 key k under condition

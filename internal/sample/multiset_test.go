@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"ewh/internal/histogram"
 	"ewh/internal/join"
 	"ewh/internal/stats"
 	"ewh/internal/workload"
@@ -253,6 +254,69 @@ func FuzzMultisetSearch(f *testing.F) {
 		}
 		n := int(uint64(vals[0]) % uint64(len(vals)))
 		checkSearch(t, vals[1:1+n], vals[1+n:])
+	})
+}
+
+// checkHistogram holds the multiset's histogram, in each form the keys allow,
+// to histogram.FromSorted over all the keys sorted, for every ns in nss.
+func checkHistogram(t testing.TB, keys []join.Key, nss ...int) {
+	t.Helper()
+	dense, sparse := bothForms(keys)
+	sorted := slices.Sorted(slices.Values(keys))
+	for _, ns := range nss {
+		want, wantErr := histogram.FromSorted(sorted, ns)
+		for form, m := range map[string]*KeyMultiset{"dense": dense, "sparse": sparse} {
+			if m == nil {
+				continue
+			}
+			got, err := m.Histogram(ns)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("%s form, ns %d: error %v, want %v", form, ns, err, wantErr)
+			}
+			if err == nil && !slices.Equal(got.Boundaries(), want.Boundaries()) {
+				t.Fatalf("%s form, ns %d: boundaries %v, want %v", form, ns, got.Boundaries(), want.Boundaries())
+			}
+		}
+	}
+}
+
+// TestMultisetHistogramMatchesSortedRelation: the histogram the planner reads
+// off R2's multiset is the one a sort of all of R2 gives, in both forms, for
+// the search table's rows (int64 extremes, Zipf duplicates, the forms' edges)
+// and for ns from 1 to past the distinct-key count.
+func TestMultisetHistogramMatchesSortedRelation(t *testing.T) {
+	for name, keys := range searchRows() {
+		t.Run(name, func(t *testing.T) {
+			distinct := len(slices.Compact(slices.Sorted(slices.Values(keys))))
+			checkHistogram(t, keys, 0, 1, 2, 7, 64, distinct, distinct+1, 2*len(keys)+3)
+		})
+	}
+}
+
+// FuzzMultisetHistogram is TestMultisetHistogramMatchesSortedRelation over
+// fuzz-chosen keys: the bytes are little-endian int64s, the first of which
+// picks ns and the rest are the keys. The seeds are the tails of the search
+// table's rows.
+func FuzzMultisetHistogram(f *testing.F) {
+	for _, keys := range searchRows() {
+		seed := binary.LittleEndian.AppendUint64(nil, 5)
+		for _, k := range keys[max(0, len(keys)-16):] {
+			seed = binary.LittleEndian.AppendUint64(seed, uint64(k))
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 8*256 {
+			t.Skip()
+		}
+		vals := make([]join.Key, len(data)/8)
+		for i := range vals {
+			vals[i] = join.Key(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		if len(vals) == 0 {
+			return
+		}
+		checkHistogram(t, vals[1:], int(uint64(vals[0])%uint64(2*len(vals)+1)))
 	})
 }
 

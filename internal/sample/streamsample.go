@@ -9,13 +9,15 @@ import (
 )
 
 // OutputSample is a uniform random sample of the join output, with
-// replacement, plus the exact output size m computed as a by-product
+// replacement, plus the output size m computed as a by-product
 // (m = Σ_{t1∈R1} d2(t1.A), §IV-A "Parameters").
 type OutputSample struct {
 	// Pairs holds the join-key pairs (R1 key, R2 key) of the sampled output
 	// tuples. Output samples carry only join keys (§IV-A item 2).
 	Pairs [][2]join.Key
-	// M is the exact join output size.
+	// M is the exact size of the join of the R1 keys walked with R2: the
+	// join output size when they are all of R1, and the size of a sample's
+	// join, which the caller scales, when they are a sample of it.
 	M int64
 }
 
@@ -41,7 +43,8 @@ func StreamSample(r1, r2 []join.Key, cond join.Condition, so, workers int, rng *
 }
 
 // StreamSampleWith is StreamSample over a prebuilt R2 multiset. Callers that
-// hold only a SAMPLE of R1 (the distributed statistics planner) get a sample
+// walk only a SAMPLE of R1 (the CSIO planner's input sample, a distributed
+// statistics summary's keys) get a sample
 // of r1sample ⋈ R2 with its exact size M — an approximately uniform output
 // sample of the full join when r1sample is itself uniform, with M scaling by
 // the sampling fraction. With so = 0 it draws nothing (rng may be nil) and
