@@ -69,7 +69,7 @@ func main() {
 		r1, r2, cond = workload.BICD(*n, *z, *seed)
 	case "beocd":
 		var err error
-		r1, r2, cond, err = workload.BEOCD(workload.BEOCDConfig{N: *n}, *seed)
+		r1, r2, cond, err = workload.BEOCD(*n, *seed)
 		if err != nil {
 			fatal(err)
 		}

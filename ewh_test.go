@@ -89,7 +89,7 @@ func TestPublicCompositeJoin(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r1, r2, cond, err := workload.BEOCD(workload.BEOCDConfig{N: 2000}, 9)
+	r1, r2, cond, err := workload.BEOCD(2000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func main() {
 	runAll(r1, r2, cond, ewh.DefaultBandModel, j)
 
 	fmt.Println("\n== BEOCD: O1.custkey = O2.custkey AND |prio diff| <= 2, output-cost dominated ==")
-	b1, b2, bcond, err := workload.BEOCD(workload.BEOCDConfig{N: 20000}, 12)
+	b1, b2, bcond, err := workload.BEOCD(20000, 12)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func MakeJoin(id string, cfg Config) (*JoinSpec, error) {
 		r1, r2, cond := workload.BICD(baseBICDRows*cfg.Scale, 0.25, cfg.Seed)
 		return &JoinSpec{ID: id, R1: r1, R2: r2, Cond: cond, Model: cost.DefaultBand, P: 1000}, nil
 	case id == "BEOCD":
-		r1, r2, cond, err := workload.BEOCD(workload.BEOCDConfig{N: baseBEOCDRows * cfg.Scale}, cfg.Seed)
+		r1, r2, cond, err := workload.BEOCD(baseBEOCDRows*cfg.Scale, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -40,15 +40,8 @@ type Options struct {
 	// OutputSampleFactor sets so = factor · nsc (default 2, §A5).
 	OutputSampleFactor float64
 
-	// HighSelectivityRatio is the m/n ratio beyond which CSIO falls back to
-	// CI (§VI-E; CI is near-optimal when output costs dominate utterly).
-	// Default 200 (the paper: "up to 2 orders of magnitude").
-	HighSelectivityRatio float64
-	// StatsBudget is §VI-E's second fallback trigger: the statistics-time
-	// allowance in seconds per million input tuples (the paper found half a
-	// second per million in their setup). Zero disables the time trigger.
-	StatsBudget float64
-	// DisableFallback forces CSIO even for high-selectivity joins.
+	// DisableFallback forces CSIO even for high-selectivity joins (m above
+	// highSelectivityRatio·n).
 	DisableFallback bool
 
 	// AdaptNS enables the §A5 sample-matrix resizing once the output size m
@@ -71,11 +64,13 @@ func (o *Options) defaults() error {
 	if o.OutputSampleFactor <= 0 {
 		o.OutputSampleFactor = 2
 	}
-	if o.HighSelectivityRatio <= 0 {
-		o.HighSelectivityRatio = 200
-	}
 	return nil
 }
+
+// highSelectivityRatio is the m/n ratio beyond which CSIO falls back to CI
+// (§VI-E: CI is near-optimal when output costs dominate "up to 2 orders of
+// magnitude").
+const highSelectivityRatio = 200
 
 // Plan is a ready-to-execute partitioning plan plus the diagnostics the
 // evaluation reports.
@@ -179,25 +174,16 @@ func (l left) sample(ns, n int, rng *stats.RNG) ([]join.Key, *histogram.EquiDept
 
 // csiHistograms builds CSI's p-bucket histograms of both relations from
 // fixed-size uniform input samples, R1's draws first in rng's stream and R2's
-// after. CSI has no multiset to read R2's off, so the two reservoirs run at
-// once instead: R2's draws from a copy of rng skipped past R1's draws
-// (stats.RNG.Skip).
+// after.
 func csiHistograms(r1, r2 []join.Key, p int, rng *stats.RNG) (rh, ch *histogram.EquiDepth, err error) {
 	si := inputSampleSize(p, max(len(r1), len(r2)))
-	rng2 := *rng
-	rng2.Skip(sample.FixedSizeDraws(len(r1), si))
-	var chErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ch, chErr = sampledHistogram(r2, si, p, &rng2)
-	}()
-	rh, err = sampledHistogram(r1, si, p, rng)
-	<-done
-	if err != nil {
+	if rh, err = sampledHistogram(r1, si, p, rng); err != nil {
 		return nil, nil, err
 	}
-	return rh, ch, chErr
+	if ch, err = sampledHistogram(r2, si, p, rng); err != nil {
+		return nil, nil, err
+	}
+	return rh, ch, nil
 }
 
 // sampledHistogram builds an ns-bucket histogram from a fixed-size uniform
@@ -302,7 +288,7 @@ func (s *sampled) matrix(cond join.Condition) (*matrix.Sample, error) {
 // planCSIO is the paper's histogram algorithm, once: the sampling stage, the
 // §VI-E fallback decision, then sample matrix MS → coarsened matrix MC
 // (nc = 2J) → MonotonicBSP regionalization into at most J regions. The
-// fallback is decided before MS is built: it needs only m and the clock.
+// fallback is decided before MS is built: it needs only m.
 func planCSIO(l left, r2 []join.Key, cond join.Condition, opts Options) (*Plan, error) {
 	if err := opts.defaults(); err != nil {
 		return nil, err
@@ -312,14 +298,10 @@ func planCSIO(l left, r2 []join.Key, cond join.Condition, opts Options) (*Plan, 
 	if err != nil {
 		return nil, err
 	}
-	overSelective := float64(st.m) > opts.HighSelectivityRatio*float64(max(st.n1, st.n2))
-	overBudget := opts.StatsBudget > 0 &&
-		time.Since(start).Seconds() > opts.StatsBudget*float64(st.n1+st.n2)/1e6
-	if !opts.DisableFallback && (overSelective || overBudget) {
-		// High-selectivity join (or a stats phase that blew its time budget,
-		// §VI-E's second trigger): CI's equal-area regions already balance
-		// the dominating output cost; the stats time spent so far is the
-		// small price §VI-E accounts for.
+	if !opts.DisableFallback && float64(st.m) > highSelectivityRatio*float64(max(st.n1, st.n2)) {
+		// High-selectivity join: CI's equal-area regions already balance the
+		// dominating output cost; the stats time spent so far is the small
+		// price §VI-E accounts for.
 		p, err := PlanCI(opts)
 		if err != nil {
 			return nil, err

@@ -25,17 +25,14 @@ var csioEntries = []struct {
 	}},
 }
 
-// selective builds an equi-join whose output size is exactly
-// tenths/10 · n with n1 = n2 = n: every r2 key occurs twice, and tenths/20 of
-// r1 finds a partner.
-func selective(n, tenths int) (r1, r2 []join.Key) {
-	for i := 0; i < n; i++ {
-		r2 = append(r2, join.Key(i%(n/2)))
-		if i < n*tenths/20 {
-			r1 = append(r1, join.Key(i%(n/2)))
-		} else {
-			r1 = append(r1, join.Key(10*n+i))
+// allEqual builds a join whose keys are all one value, n1 = ratio and
+// n2 = 1000: its output size is exactly ratio · n with n = max(n1, n2).
+func allEqual(ratio int) (r1, r2 []join.Key) {
+	for i := 0; i < 1000; i++ {
+		if i < ratio {
+			r1 = append(r1, 7)
 		}
+		r2 = append(r2, 7)
 	}
 	return r1, r2
 }
@@ -46,8 +43,8 @@ func selective(n, tenths int) (r1, r2 []join.Key) {
 func TestCSIOEntriesBehaveAlike(t *testing.T) {
 	dense1, dense2 := randKeys(2000, 8, 10), randKeys(2000, 8, 11) // nearly Cartesian under a band
 	sparse1, sparse2 := randKeys(3000, 1500, 60), randKeys(3000, 1500, 61)
-	loose1, loose2 := selective(1000, 12)
-	tight1, tight2 := selective(1000, 16)
+	below1, below2 := allEqual(199)
+	above1, above2 := allEqual(201)
 	rows := []struct {
 		name    string
 		r1, r2  []join.Key
@@ -69,32 +66,21 @@ func TestCSIOEntriesBehaveAlike(t *testing.T) {
 		{name: "DisableFallback", r1: dense1, r2: dense2, cond: join.NewBand(2),
 			opts:  Options{J: 4, Model: model, Seed: 12, DisableFallback: true},
 			check: wantCSIO},
-		{name: "ratio 1.5, m = 1.2 n", r1: loose1, r2: loose2, cond: join.Equi{},
-			opts: Options{J: 4, Model: model, Seed: 3, HighSelectivityRatio: 1.5},
+		{name: "all equal, m = 199 n", r1: below1, r2: below2, cond: join.Equi{},
+			opts: Options{J: 4, Model: model, Seed: 3},
 			check: func(t *testing.T, p *Plan) {
 				wantCSIO(t, p)
-				if p.M != 1200 {
-					t.Errorf("m = %d, want 1200", p.M)
+				if p.M != 199*1000 {
+					t.Errorf("m = %d, want 199000", p.M)
 				}
 			}},
-		{name: "ratio 1.5, m = 1.6 n", r1: tight1, r2: tight2, cond: join.Equi{},
-			opts: Options{J: 4, Model: model, Seed: 3, HighSelectivityRatio: 1.5},
+		{name: "all equal, m = 201 n", r1: above1, r2: above2, cond: join.Equi{},
+			opts: Options{J: 4, Model: model, Seed: 3},
 			check: func(t *testing.T, p *Plan) {
-				if !p.Fallback || p.M != 1600 {
-					t.Errorf("fallback=%v m=%d, want a fallback at m = 1600", p.Fallback, p.M)
+				if !p.Fallback || p.Scheme.Name() != "CI" || p.M != 201*1000 {
+					t.Errorf("fallback=%v scheme=%s m=%d, want a fallback at m = 201000", p.Fallback, p.Scheme.Name(), p.M)
 				}
 			}},
-		{name: "tight StatsBudget", r1: sparse1, r2: sparse2, cond: join.NewBand(1),
-			// One nanosecond per million tuples trips §VI-E's time trigger
-			// even on a low-selectivity join.
-			opts: Options{J: 4, Model: model, Seed: 62, StatsBudget: 1e-9},
-			check: func(t *testing.T, p *Plan) {
-				if !p.Fallback || p.Scheme.Name() != "CI" {
-					t.Errorf("fallback=%v scheme=%s", p.Fallback, p.Scheme.Name())
-				}
-			}},
-		{name: "generous StatsBudget", r1: sparse1, r2: sparse2, cond: join.NewBand(1),
-			opts: Options{J: 4, Model: model, Seed: 62, StatsBudget: 3600}, check: wantCSIO},
 		{name: "exact m when the keys are the population", r1: sparse1, r2: sparse2, cond: join.Equi{},
 			opts: Options{J: 4, Seed: 9},
 			check: func(t *testing.T, p *Plan) {

@@ -20,32 +20,27 @@ import (
 // dependency on netexec.
 
 // RetryPolicy bounds fault recovery: at most MaxAttempts total attempts
-// (the first run included), sleeping BaseDelay·2^n capped at MaxDelay
+// (the first run included), sleeping BaseDelay·2^n capped at maxRetryDelay
 // between them. The zero value disables retries (a single attempt).
 type RetryPolicy struct {
 	MaxAttempts int
 	BaseDelay   time.Duration
-	MaxDelay    time.Duration
 }
 
+// maxRetryDelay caps the backoff between attempts.
+const maxRetryDelay = 2 * time.Second
+
 // Delay returns the backoff before attempt n+2 (n counts completed failed
-// attempts, from 0). Defaults: 50ms base doubling up to 2s.
+// attempts, from 0). Default base: 50ms, doubling up to maxRetryDelay.
 func (p RetryPolicy) Delay(n int) time.Duration {
-	base, max := p.BaseDelay, p.MaxDelay
-	if base <= 0 {
-		base = 50 * time.Millisecond
+	d := p.BaseDelay
+	if d <= 0 {
+		d = 50 * time.Millisecond
 	}
-	if max <= 0 {
-		max = 2 * time.Second
-	}
-	d := base
-	for i := 0; i < n && d < max; i++ {
+	for i := 0; i < n && d < maxRetryDelay; i++ {
 		d *= 2
 	}
-	if d > max {
-		d = max
-	}
-	return d
+	return min(d, maxRetryDelay)
 }
 
 // FaultTolerantRuntime is a Runtime that can report which of its workers

@@ -19,12 +19,12 @@ func TestRetryPolicyDelay(t *testing.T) {
 			t.Errorf("Delay(%d) = %v, want %v", n, d, w*time.Millisecond)
 		}
 	}
-	p = RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 25 * time.Millisecond}
+	p = RetryPolicy{BaseDelay: 10 * time.Millisecond}
 	if d := p.Delay(0); d != 10*time.Millisecond {
 		t.Errorf("custom Delay(0) = %v", d)
 	}
-	if d := p.Delay(3); d != 25*time.Millisecond {
-		t.Errorf("custom Delay(3) = %v, want cap", d)
+	if d := p.Delay(8); d != 2*time.Second {
+		t.Errorf("custom Delay(8) = %v, want the 2s cap", d)
 	}
 }
 

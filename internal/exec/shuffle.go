@@ -56,9 +56,6 @@ type KeyShuffle struct {
 	off  []int // len j+1
 }
 
-// Workers returns the number of per-worker slices.
-func (k *KeyShuffle) Workers() int { return len(k.off) - 1 }
-
 // Worker returns worker w's contiguous tuple block. The slice aliases the
 // shuffle's flat buffer: it is valid until Release and may be sorted in
 // place by an owning consumer.

@@ -70,8 +70,7 @@ func TestRecoveryBitIdenticalAcrossBoundaries(t *testing.T) {
 	}
 	opts := core.Options{J: j, Model: ckModel, Seed: 7}
 	cfg := exec.Config{Seed: 42, Mappers: 2,
-		Retry: exec.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond,
-			MaxDelay: 50 * time.Millisecond}}
+		Retry: exec.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond}}
 
 	// The fault-free in-process reference every recovered run must match.
 	local, err := multiway.Execute(q, opts, cfg)
@@ -215,8 +214,7 @@ func TestRecoveryFromStalledWorker(t *testing.T) {
 	}
 	opts := core.Options{J: 2, Model: ckModel, Seed: 5}
 	cfg := exec.Config{Seed: 6, Mappers: 2,
-		Retry: exec.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond,
-			MaxDelay: 50 * time.Millisecond}}
+		Retry: exec.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond}}
 	local, err := multiway.Execute(q, opts, cfg)
 	if err != nil {
 		t.Fatal(err)

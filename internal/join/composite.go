@@ -1,57 +1,57 @@
 package join
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/bits"
+)
 
 // CompositeSpec describes an equality+band condition over two attributes,
 // e.g. BEOCD in the paper: O1.custkey = O2.custkey AND
 // |O1.ship_priority - O2.ship_priority| <= 2.
 //
-// The pair is encoded onto one monotonic key as primary*Stride + secondary,
-// which preserves the join semantics exactly when Stride > SecondaryMax+Beta:
-// two encoded keys are within Beta iff the primaries are equal and the
-// secondaries differ by at most Beta. The encoded condition is an ordinary
-// Band, so the whole EWH machinery applies unchanged.
+// The pair is encoded onto one monotonic key as primary*stride + secondary,
+// with stride the smallest power of two above SecondaryMax+Beta. That keeps
+// the join semantics exact: two encoded keys are within Beta iff the
+// primaries are equal and the secondaries differ by at most Beta. The encoded
+// condition is an ordinary Band, so the whole EWH machinery applies unchanged.
 type CompositeSpec struct {
 	// SecondaryMax is the largest value the secondary (band) attribute takes;
 	// secondaries must lie in [0, SecondaryMax].
 	SecondaryMax int64
 	// Beta is the band half-width on the secondary attribute.
 	Beta int64
-	// Stride is the encoding multiplier. Zero means "pick the smallest safe
-	// power of two" at Validate time.
-	Stride int64
 }
 
-// Validate fills a safe default Stride and checks the encoding is faithful.
-func (s *CompositeSpec) Validate() error {
+// Validate checks the spec describes a faithful encoding.
+func (s CompositeSpec) Validate() error {
 	if s.SecondaryMax < 0 {
 		return fmt.Errorf("join: composite secondary max %d < 0", s.SecondaryMax)
 	}
 	if s.Beta < 0 {
 		return fmt.Errorf("join: composite beta %d < 0", s.Beta)
 	}
-	min := s.SecondaryMax + s.Beta + 1
-	if s.Stride == 0 {
-		s.Stride = 1
-		for s.Stride < min {
-			s.Stride <<= 1
-		}
-	}
-	if s.Stride < min {
-		return fmt.Errorf("join: composite stride %d < secondary max %d + beta %d + 1; encoding would cross primaries",
-			s.Stride, s.SecondaryMax, s.Beta)
+	if s.SecondaryMax > math.MaxInt64/4 || s.Beta > math.MaxInt64/4 {
+		return fmt.Errorf("join: composite secondary max %d + beta %d leaves no room for a primary", s.SecondaryMax, s.Beta)
 	}
 	return nil
 }
 
-// Encode maps (primary, secondary) to the composite key.
-func (s CompositeSpec) Encode(primary, secondary int64) Key {
-	return primary*s.Stride + secondary
+// shift is log₂ of the stride.
+func (s CompositeSpec) shift() int {
+	return bits.Len64(uint64(s.SecondaryMax + s.Beta))
 }
 
-// Decode splits a composite key back into (primary, secondary).
+// Encode maps (primary, secondary) to the composite key.
+func (s CompositeSpec) Encode(primary, secondary int64) Key {
+	return primary<<s.shift() + secondary
+}
+
+// Decode splits a composite key back into (primary, secondary). The shift
+// floors, so a negative primary decodes to itself.
 func (s CompositeSpec) Decode(k Key) (primary, secondary int64) {
-	return k / s.Stride, k % s.Stride
+	sh := s.shift()
+	return k >> sh, k & (1<<sh - 1)
 }
 
 // Condition returns the band condition over encoded keys that is equivalent

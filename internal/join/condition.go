@@ -15,7 +15,7 @@ import (
 )
 
 // Key is a join key. Relations join on a single int64 attribute; composite
-// conditions are encoded into one key (see EncodeComposite).
+// conditions are encoded into one key (see CompositeSpec).
 type Key = int64
 
 const (
@@ -179,30 +179,4 @@ func (q Inequality) JoinableRange(a Key) (Key, Key) {
 // String implements fmt.Stringer.
 func (q Inequality) String() string {
 	return fmt.Sprintf("R1.A %s R2.A", q.Op)
-}
-
-// Shifted wraps a condition with an affine transform of the R1 key:
-// Matches(a, b) = Inner.Matches(a*Scale + Offset, b). It models predicates
-// like ABS(O1.orderkey - 10*O2.custkey) <= 2 (applied from R2's side) by
-// scaling one relation's key at load time; Shifted keeps the library side
-// expressive for tests.
-type Shifted struct {
-	Inner  Condition
-	Scale  int64
-	Offset int64
-}
-
-// Matches implements Condition.
-func (s Shifted) Matches(a, b Key) bool {
-	return s.Inner.Matches(a*s.Scale+s.Offset, b)
-}
-
-// JoinableRange implements Condition.
-func (s Shifted) JoinableRange(a Key) (Key, Key) {
-	return s.Inner.JoinableRange(a*s.Scale + s.Offset)
-}
-
-// String implements fmt.Stringer.
-func (s Shifted) String() string {
-	return fmt.Sprintf("%v with R1.A := R1.A*%d%+d", s.Inner, s.Scale, s.Offset)
 }

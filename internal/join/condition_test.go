@@ -50,7 +50,6 @@ func TestJoinableRangeConsistency(t *testing.T) {
 		NewBand(0), NewBand(1), NewBand(7),
 		Equi{},
 		Inequality{Less}, Inequality{LessEq}, Inequality{Greater}, Inequality{GreaterEq},
-		Shifted{Inner: NewBand(2), Scale: 3, Offset: -1},
 	}
 	for _, c := range conds {
 		f := func(a8, b8 int8) bool {
@@ -70,7 +69,6 @@ func TestJoinableRangeConsistency(t *testing.T) {
 func TestJoinableRangeMonotone(t *testing.T) {
 	conds := []Condition{
 		NewBand(3), Equi{}, Inequality{Less}, Inequality{GreaterEq},
-		Shifted{Inner: NewBand(1), Scale: 10, Offset: 0},
 	}
 	for _, c := range conds {
 		prevLo, prevHi := c.JoinableRange(-100)
@@ -186,25 +184,34 @@ func TestCompositeEncodingFaithful(t *testing.T) {
 	}
 }
 
-func TestCompositeValidateRejectsBadStride(t *testing.T) {
-	spec := CompositeSpec{SecondaryMax: 7, Beta: 2, Stride: 8}
-	if err := spec.Validate(); err == nil {
-		t.Fatal("stride 8 with max 7 + beta 2 should be rejected")
-	}
-	spec = CompositeSpec{SecondaryMax: -1}
-	if err := spec.Validate(); err == nil {
-		t.Fatal("negative secondary max should be rejected")
+// TestCompositeValidateRejectsUnencodable: a negative field, or one that
+// leaves no room for a primary in an int64, is refused.
+func TestCompositeValidateRejectsUnencodable(t *testing.T) {
+	for _, spec := range []CompositeSpec{
+		{SecondaryMax: -1}, {Beta: -1}, {SecondaryMax: math.MaxInt64 / 2}, {SecondaryMax: 7, Beta: math.MaxInt64},
+	} {
+		if err := spec.Validate(); err == nil {
+			t.Errorf("%+v accepted", spec)
+		}
 	}
 }
 
+// TestCompositeDecode round-trips (primary, secondary) pairs, negative
+// primaries included: Decode floors, so the secondary stays in [0, stride).
 func TestCompositeDecode(t *testing.T) {
-	spec := CompositeSpec{SecondaryMax: 7, Beta: 2}
+	spec := CompositeSpec{SecondaryMax: 5, Beta: 2} // stride 8
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p, s := spec.Decode(spec.Encode(123, 5))
-	if p != 123 || s != 5 {
-		t.Fatalf("decode(encode(123,5)) = (%d,%d)", p, s)
+	if k := spec.Encode(-1, 3); k != -5 {
+		t.Fatalf("Encode(-1, 3) = %d, want -5", k)
+	}
+	for _, c := range []struct{ p, s int64 }{
+		{0, 0}, {0, 5}, {123, 5}, {-1, 0}, {-1, 3}, {-1, 5}, {-2, 1}, {-1000, 4}, {MinKey / 8, 2},
+	} {
+		if p, s := spec.Decode(spec.Encode(c.p, c.s)); p != c.p || s != c.s {
+			t.Errorf("Decode(Encode(%d, %d)) = (%d, %d)", c.p, c.s, p, s)
+		}
 	}
 }
 

@@ -51,7 +51,6 @@ func TestEquiLike(t *testing.T) {
 		{join.NewBand(2), false},
 		{join.Inequality{Op: join.Less}, false},
 		{join.Inequality{Op: join.GreaterEq}, false},
-		{join.Shifted{Inner: join.Equi{}, Scale: 2}, false},
 	}
 	for _, c := range cases {
 		if got := EquiLike(c.cond); got != c.want {

@@ -208,18 +208,6 @@ func (d *Dense) Candidate(i, j int) bool {
 	return d.CandLo[i] <= j && j <= d.CandHi[i]
 }
 
-// CandCount returns the number of candidate cells in the rectangle.
-func (d *Dense) CandCount(r Rect) int64 {
-	var n int64
-	for i := r.R0; i <= r.R1 && i < d.Rows; i++ {
-		lo, hi := max(d.CandLo[i], r.C0), min(d.CandHi[i], r.C1)
-		if lo <= hi {
-			n += int64(hi - lo + 1)
-		}
-	}
-	return n
-}
-
 // MinimalCandidateRect shrinks r to the bounding rectangle of the candidate
 // cells it contains (BSP line 3 / Algorithm 2 lines 21-22). ok is false when
 // r contains no candidate cells. The monotone staircase makes this an

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -127,16 +126,6 @@ func TestPoolBuildCacheHit(t *testing.T) {
 	}
 }
 
-// deepSpec is a condition spec of levels levels: equi under levels-1 shifts.
-func deepSpec(levels int) join.Spec {
-	s := join.Spec{Kind: "equi"}
-	for i := 1; i < levels; i++ {
-		inner := s
-		s = join.Spec{Kind: "shifted", Scale: 1, Inner: &inner}
-	}
-	return s
-}
-
 // TestArrivalOrderJobsRefuseChunks pins the declarations no job kind can take,
 // each as a job-level refusal. The open names no kind; the frames do: a PLAN
 // makes a plan job, else relation 1's form decides — so relation 2 must take
@@ -145,9 +134,8 @@ func deepSpec(levels int) join.Spec {
 // materialize, in either frame order — a flat relation 2 behind chunked
 // relation 1 or on a peer-fed job, whose join goroutine takes chunks only, a
 // PLAN frame carrying the plan or peer map only a PLAN2 may (the job would
-// otherwise await a PLAN2 that never comes), and a condition nested one level
-// past join.MaxSpecDepth. The job replies its error at EOS, and the
-// connection serves the next job intact.
+// otherwise await a PLAN2 that never comes). The job replies its error at
+// EOS, and the connection serves the next job intact.
 func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 	_, addrs := startWorkerSet(t, 1)
 	spec, err := join.SpecOf(join.Equi{})
@@ -190,9 +178,6 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 			return errors.Join(
 				writeV3GobFrame(bw, frameV3OpenPeerJob, 1, peerJobOpen{Cond: spec, Token: newPeerToken(), Senders: 1}),
 				flat(bw, 2))
-		}},
-		{"condition nested past the depth bound", fmt.Sprintf("%d levels", join.MaxSpecDepth), func(bw *bufio.Writer) error {
-			return writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: deepSpec(join.MaxSpecDepth + 1)})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

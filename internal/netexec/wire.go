@@ -156,10 +156,9 @@ const (
 	// MiB); a plan for the widest mesh stays under 1 MiB.
 	maxControlPayload = 32 << 20
 	// maxOpenPayload bounds the three open frames (OPENJOB, OPENPEERJOB,
-	// STREAMOPEN), refused connection-fatally before gob reads them: a
-	// condition spec is recursive and gob decodes it recursively, so a
-	// control-sized open nesting millions of levels overflows the worker's
-	// stack, which no recover catches. The largest real open is under 300 B.
+	// STREAMOPEN), refused connection-fatally before gob reads them. The
+	// largest real open is under 300 B, so a longer one is malformed and
+	// gob never sees a control-sized open.
 	maxOpenPayload = 4 << 10
 
 	// peerHeadLen is framePeerHead's payload: [token u64][sender u32][count u32].

@@ -28,15 +28,6 @@ func (r *RNG) Split() *RNG {
 // golden is splitmix64's state increment.
 const golden = 0x9e3779b97f4a7c15
 
-// Skip advances the generator past n draws in O(1), leaving it where n calls
-// of Uint64 would: the state is a counter stepped by a constant, and only the
-// output is mixed. A copy advanced by Skip therefore continues a stream from a
-// known position, so two consumers of consecutive stretches of one stream can
-// run at once and still draw what running them in order would.
-func (r *RNG) Skip(n uint64) {
-	r.state += n * golden
-}
-
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += golden
@@ -66,8 +57,8 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float64Open returns a uniform value in (0, 1), never exactly zero, which is
-// required by the Efraimidis-Spirakis priority formula r^(1/w).
+// Float64Open returns a uniform value in (0, 1), never exactly zero, so its
+// logarithm is finite (the examples' Box–Muller draws take log of it).
 func (r *RNG) Float64Open() float64 {
 	for {
 		f := r.Float64()

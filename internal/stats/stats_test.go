@@ -37,45 +37,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-// TestRNGSkipMatchesDraws pins Skip(n) to n Uint64 calls: both generators
-// must agree on the next draw. 2^40 draws cannot be made one by one, so that
-// row checks Skip(2^40) against 2^20 skips of 2^20, each of which the 2^20
-// row checks against real draws.
-func TestRNGSkipMatchesDraws(t *testing.T) {
-	drawn := func(seed, n uint64) *RNG {
-		r := NewRNG(seed)
-		for range n {
-			r.Uint64()
-		}
-		return r
-	}
-	skipped := func(seed, n uint64) *RNG {
-		r := NewRNG(seed)
-		r.Skip(n)
-		return r
-	}
-	pick := NewRNG(11)
-	ns := []uint64{0, 1, 1 << 20}
-	for range 20 {
-		ns = append(ns, pick.Uint64()%5000)
-	}
-	for _, n := range ns {
-		for _, seed := range []uint64{0, 42, math.MaxUint64} {
-			if a, b := drawn(seed, n), skipped(seed, n); a.Uint64() != b.Uint64() {
-				t.Fatalf("seed %d: Skip(%d) and %d draws disagree on the next draw", seed, n, n)
-			}
-		}
-	}
-	const n = 1 << 40
-	stepped := NewRNG(5)
-	for range 1 << 20 {
-		stepped.Skip(1 << 20)
-	}
-	if a, b := skipped(5, n), stepped; a.Uint64() != b.Uint64() {
-		t.Fatalf("Skip(2^40) disagrees with 2^20 skips of 2^20")
-	}
-}
-
 func TestInt64nRange(t *testing.T) {
 	r := NewRNG(3)
 	f := func(n16 uint16) bool {

@@ -10,7 +10,6 @@ import (
 
 	"ewh/internal/join"
 	"ewh/internal/stats"
-	"ewh/internal/table"
 )
 
 // X generates one relation of the X dataset: two independently generated
@@ -74,7 +73,8 @@ func GenOrders(n int, z float64, rng *stats.RNG) *Orders {
 
 // BICD builds the Table IV input for the band-join
 // ABS(O1.orderkey - 10*O2.custkey) <= 2: R1 carries orderkeys and R2 carries
-// custkeys pre-scaled by 10 (the Shifted transform applied at load time).
+// custkeys pre-scaled by 10 (the predicate's affine term applied at load
+// time, so the join itself is a plain band).
 // With orderkey density 1/4 each R2 tuple matches ≈ 5/4 keys, giving
 // ρoi ≈ 0.62 as in the paper.
 func BICD(n int, z float64, seed uint64) (r1, r2 []join.Key, cond join.Condition) {
@@ -95,79 +95,23 @@ func BCB(x int, beta int64, seed uint64) (r1, r2 []join.Key, cond join.Condition
 	return r1, r2, join.NewBand(beta)
 }
 
-// BEOCDConfig scales the output-cost-dominated equi+band join. The paper's
-// run has ρoi ≈ 54: with custkey domain n/CustDivisor and priorities banded
-// by ±2 (≈53% of priority pairs match), each surviving tuple finds
-// ≈ 0.53·n/(n/CustDivisor) ≈ 0.53·CustDivisor partners.
-type BEOCDConfig struct {
-	// N is the target per-relation row count *after* the selection
-	// predicates; the generator sizes the base ORDERS tables so the filters
-	// keep approximately N rows.
-	N int
-	// CustDivisor sets the custkey domain to N/CustDivisor (default 200,
-	// calibrated to ρoi ≈ 54 as in Table IV).
-	CustDivisor int
-	// Z is the custkey Zipf skew (default 0.25).
-	Z float64
-	// Gamma is the totalprice lower bound of Appendix B's BETWEEN predicate
-	// (default 120000; the paper raises γ with the scale factor to keep ρoi
-	// stable).
-	Gamma int64
-}
-
-func (c *BEOCDConfig) defaults() {
-	if c.CustDivisor <= 0 {
-		c.CustDivisor = 200
-	}
-	if c.Z == 0 {
-		c.Z = 0.25
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 120000
-	}
-}
-
-// Appendix-B literals for the ORDERS analogue.
+// Appendix-B literals for the ORDERS analogue, and BEOCD's calibration. The
+// paper's run has ρoi ≈ 54: with a custkey domain of n/beocdCustDivisor and
+// priorities banded by ±2 (≈53% of priority pairs match), each surviving
+// tuple finds ≈ 0.53·beocdCustDivisor partners.
 const (
 	prioNotSpecified = 4 // "4-NOT SPECIFIED"
 	prioUrgent       = 1 // "1-URGENT"
 	orderPrioCount   = 5
 	totalPriceMax    = 400000
+	beocdGamma       = 120000 // the BETWEEN lower bound γ
 	totalPriceCap    = 360000 // the BETWEEN upper bound
+	beocdCustDivisor = 200
+	beocdZ           = 0.25 // custkey Zipf skew
 )
 
-// GenOrdersTable generates a full ORDERS analogue with the columns BEOCD
-// filters and joins on: custkey (Zipf z over custDomain), shippriority
-// (uniform [0, PrioMax)), orderpriority (uniform 1..5) and totalprice
-// (uniform [0, 400000)).
-func GenOrdersTable(n int, z float64, custDomain int64, rng *stats.RNG) *table.Table {
-	zipf := stats.NewZipf(custDomain, z)
-	cust := make([]int64, n)
-	ship := make([]int64, n)
-	oprio := make([]int64, n)
-	price := make([]int64, n)
-	for i := 0; i < n; i++ {
-		cust[i] = zipf.Draw(rng)
-		ship[i] = rng.Int64n(PrioMax)
-		oprio[i] = 1 + rng.Int64n(orderPrioCount)
-		price[i] = rng.Int64n(totalPriceMax)
-	}
-	t := table.New("orders")
-	for _, c := range []struct {
-		name string
-		vals []int64
-	}{
-		{"custkey", cust}, {"shippriority", ship},
-		{"orderpriority", oprio}, {"totalprice", price},
-	} {
-		if err := t.AddColumn(c.name, c.vals); err != nil {
-			panic(err) // fresh table, equal lengths: cannot happen
-		}
-	}
-	return t
-}
-
-// BEOCD builds Appendix B's output-cost-dominated query:
+// BEOCD builds Appendix B's output-cost-dominated query over n rows per
+// relation after the selections (approximately):
 //
 //	SELECT * FROM ORDERS O1, ORDERS O2
 //	WHERE O1.custkey = O2.custkey
@@ -177,44 +121,39 @@ func GenOrdersTable(n int, z float64, custDomain int64, rng *stats.RNG) *table.T
 //	  AND O1.totalprice BETWEEN γ AND 360000
 //	  AND O2.totalprice BETWEEN γ AND 360000
 //
-// The selection predicates run first and the surviving relations are
-// materialized (§IV-A "Synergy"); the equality+band join predicate is
-// encoded onto one monotonic key (join.CompositeSpec, whose doc says why the
-// encoding is exact). It returns the encoded filtered relations and the
-// equivalent band condition.
-func BEOCD(cfg BEOCDConfig, seed uint64) (r1, r2 []join.Key, cond join.Condition, err error) {
-	cfg.defaults()
-	if cfg.N < 1 {
-		return nil, nil, nil, fmt.Errorf("workload: BEOCD N = %d < 1", cfg.N)
+// Each relation draws the rows of an ORDERS analogue — custkey (Zipf over
+// the custkey domain), shippriority (uniform [0, PrioMax)), orderpriority
+// (uniform 1..5), totalprice (uniform [0, 400000)) — and keeps only the rows
+// the selections pass, so only surviving tuples are materialized (§IV-A
+// "Synergy"). The equality+band join predicate is encoded onto one monotonic
+// key (join.CompositeSpec, whose doc says why the encoding is exact). It
+// returns the encoded filtered relations and the equivalent band condition.
+func BEOCD(n int, seed uint64) (r1, r2 []join.Key, cond join.Condition, err error) {
+	if n < 1 {
+		return nil, nil, nil, fmt.Errorf("workload: BEOCD n = %d < 1", n)
 	}
 	spec := join.CompositeSpec{SecondaryMax: PrioMax - 1, Beta: 2}
-	if err := spec.Validate(); err != nil {
-		return nil, nil, nil, err
+	// Size the base tables so the selections keep ≈ n rows: the
+	// orderpriority equality keeps 1/5, the price BETWEEN keeps (cap-γ)/max.
+	keep := (1.0 / orderPrioCount) * float64(totalPriceCap-beocdGamma) / totalPriceMax
+	base := int(float64(n)/keep) + 1
+	zipf := stats.NewZipf(int64(n/beocdCustDivisor)+1, beocdZ)
+	gen := func(rng *stats.RNG, wantPrio int64) []join.Key {
+		keys := make([]join.Key, 0, n)
+		for range base {
+			cust := zipf.Draw(rng)
+			ship := rng.Int64n(PrioMax)
+			oprio := 1 + rng.Int64n(orderPrioCount)
+			price := rng.Int64n(totalPriceMax)
+			if oprio == wantPrio && beocdGamma <= price && price <= totalPriceCap {
+				keys = append(keys, spec.Encode(cust, ship))
+			}
+		}
+		return keys
 	}
-	// Size the base tables so the filters keep ≈ N rows: the orderpriority
-	// equality keeps 1/5, the price BETWEEN keeps (cap-γ)/max.
-	keep := (1.0 / orderPrioCount) * float64(totalPriceCap-cfg.Gamma) / totalPriceMax
-	if keep <= 0 {
-		return nil, nil, nil, fmt.Errorf("workload: gamma %d leaves an empty BETWEEN range", cfg.Gamma)
-	}
-	base := int(float64(cfg.N)/keep) + 1
-	custDomain := int64(cfg.N/cfg.CustDivisor) + 1
-
 	rng := stats.NewRNG(seed)
-	gen := func(r *stats.RNG, wantPrio int64) ([]join.Key, error) {
-		t := GenOrdersTable(base, cfg.Z, custDomain, r)
-		f := t.Filter(table.And(
-			table.Eq("orderpriority", wantPrio),
-			table.Between("totalprice", cfg.Gamma, totalPriceCap),
-		))
-		return f.EncodeKeys(spec, "custkey", "shippriority")
-	}
-	if r1, err = gen(rng.Split(), prioNotSpecified); err != nil {
-		return nil, nil, nil, err
-	}
-	if r2, err = gen(rng.Split(), prioUrgent); err != nil {
-		return nil, nil, nil, err
-	}
+	r1 = gen(rng.Split(), prioNotSpecified)
+	r2 = gen(rng.Split(), prioUrgent)
 	return r1, r2, spec.Condition(), nil
 }
 

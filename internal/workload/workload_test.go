@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"ewh/internal/join"
@@ -66,7 +69,7 @@ func TestBICDRhoMatchesPaperShape(t *testing.T) {
 }
 
 func TestBEOCDRhoMatchesPaperShape(t *testing.T) {
-	r1, r2, cond, err := BEOCD(BEOCDConfig{N: 20000}, 5)
+	r1, r2, cond, err := BEOCD(20000, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +87,7 @@ func TestBEOCDSemantics(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r1, r2, cond, err := BEOCD(BEOCDConfig{N: 400}, 6)
+	r1, r2, cond, err := BEOCD(400, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,8 +111,30 @@ func TestBEOCDSemantics(t *testing.T) {
 }
 
 func TestBEOCDErrors(t *testing.T) {
-	if _, _, _, err := BEOCD(BEOCDConfig{N: 0}, 1); err == nil {
-		t.Error("N=0 accepted")
+	if _, _, _, err := BEOCD(0, 1); err == nil {
+		t.Error("n=0 accepted")
+	}
+}
+
+// TestBEOCDDigest pins the relations BEOCD generates: the SHA-256 of r1 then
+// r2, each key 8 bytes little-endian. Generating each ORDERS row and keeping
+// it only if it passes the selections draws exactly what generating the
+// whole table and filtering it did, so the digest is that path's.
+func TestBEOCDDigest(t *testing.T) {
+	r1, r2, _, err := BEOCD(2000, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var b [8]byte
+	for _, k := range append(r1, r2...) {
+		binary.LittleEndian.PutUint64(b[:], uint64(k))
+		h.Write(b[:])
+	}
+	const want = "40407f1db27c60bd55e9e2ff3a1ff391dc78e753bcf1c0f9aa21077ca561ea78"
+	if len(r1) != 1948 || len(r2) != 2037 || hex.EncodeToString(h.Sum(nil)) != want {
+		t.Fatalf("BEOCD(2000, 9): %d + %d keys, digest %x, want 1948 + 2037 keys, digest %s",
+			len(r1), len(r2), h.Sum(nil), want)
 	}
 }
 
