@@ -334,3 +334,33 @@ func TestCSIOBeatsCIAndCSIOnMakespan(t *testing.T) {
 		}
 	}
 }
+
+// TestPrintKeepsSmallCellsNonzero pins Print's one rounding rule: a nonzero
+// cell its column's decimals would print as zero gets two significant digits
+// instead; every other cell prints with the column's decimals.
+func TestPrintKeepsSmallCellsNonzero(t *testing.T) {
+	for _, c := range []struct {
+		v    float64
+		prec int
+		want string
+	}{
+		{0.00004, 4, "0.000040"},
+		{-0.00004, 4, "-0.000040"},
+		{0.000123, 2, "0.00012"},
+		{0.4, 0, "0.40"},
+		{0.0004, 4, "0.0004"},
+		{0, 4, "0.0000"},
+		{12.345, 1, "12.3"},
+		{math.NaN(), 2, "-"},
+	} {
+		var b bytes.Buffer
+		err := Print(&b, []Table{{Title: "t", Cols: []Col{{"v", c.prec}}, Rows: []Row{{"r", []float64{c.v}}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
+		if got := strings.Fields(lines[len(lines)-1]); len(got) != 2 || got[1] != c.want {
+			t.Errorf("%g in a %d-decimal column printed %q, want %q", c.v, c.prec, got, c.want)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"text/tabwriter"
 	"unicode/utf8"
 )
@@ -41,7 +42,9 @@ func cols(prec int, names ...string) []Col {
 }
 
 // Print writes each table as its title, a header line and its rows: labels
-// left-aligned, cells right-aligned, a NaN cell as "-". It is the only place
+// left-aligned, cells right-aligned, a NaN cell as "-", and a nonzero cell
+// its column's decimals would round to zero with two significant digits
+// instead (0.00004 in a 4-decimal column prints 0.000040). It is the only place
 // the package formats output: ewhbench and the root benchmarks print
 // through it. A title line holds no tab, so it ends the previous table's
 // columns.
@@ -59,14 +62,23 @@ func Print(w io.Writer, tables []Table) error {
 		for _, r := range t.Rows {
 			fmt.Fprintf(tw, "\n%-*s\t", width, r.Label)
 			for i, v := range r.Cells {
-				cell := fmt.Sprintf("%.*f", t.Cols[i].Prec, v)
-				if math.IsNaN(v) {
-					cell = "-"
-				}
-				fmt.Fprintf(tw, "%s\t", cell)
+				fmt.Fprintf(tw, "%s\t", formatCell(v, t.Cols[i].Prec))
 			}
 		}
 		fmt.Fprintln(tw)
 	}
 	return tw.Flush()
+}
+
+// formatCell prints v with prec decimals, or with enough for two significant
+// digits when those would print a nonzero v as zero.
+func formatCell(v float64, prec int) string {
+	if math.IsNaN(v) {
+		return "-"
+	}
+	cell := fmt.Sprintf("%.*f", prec, v)
+	if zero, _ := strconv.ParseFloat(cell, 64); v != 0 && zero == 0 {
+		cell = fmt.Sprintf("%.*f", 1-int(math.Floor(math.Log10(math.Abs(v)))), v)
+	}
+	return cell
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"ewh/internal/cost"
@@ -18,5 +19,24 @@ func BenchmarkPlanCSIO(b *testing.B) {
 		if _, err := PlanCSIO(r1, r2, cond, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRegionalize times the planner where the histogram algorithm
+// dominates it: PlanCSIO on BCB β = 3 with x = 16,000 (80,000 keys per
+// relation) at the J of a cluster. Nearly all of it is tiling.Regionalize,
+// which grows about J³; J = 128 takes seconds, so the CI smoke step runs
+// J = 32 and 64 only.
+func BenchmarkRegionalize(b *testing.B) {
+	r1, r2, cond := workload.BCB(16_000, 3, 42)
+	for _, j := range []int{32, 64, 128} {
+		b.Run(fmt.Sprintf("J=%d", j), func(b *testing.B) {
+			opts := Options{J: j, Model: cost.DefaultBand, Seed: 42}
+			for b.Loop() {
+				if _, err := PlanCSIO(r1, r2, cond, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -208,21 +208,16 @@ type KeyChunk struct {
 // which is what makes every error path drainable without deadlock.
 type ChunkStream struct {
 	workers int
-	mappers int
 	ch      []chan KeyChunk
 }
 
 func newChunkStream(workers, mappers int) *ChunkStream {
-	cs := &ChunkStream{workers: workers, mappers: mappers, ch: make([]chan KeyChunk, workers)}
+	cs := &ChunkStream{workers: workers, ch: make([]chan KeyChunk, workers)}
 	for w := range cs.ch {
 		cs.ch[w] = make(chan KeyChunk, mappers)
 	}
 	return cs
 }
-
-// Mappers returns the producer-side parallelism — the maximum number of
-// chunks any worker's channel will deliver.
-func (cs *ChunkStream) Mappers() int { return cs.mappers }
 
 // Worker returns worker w's chunk channel. The consumer owns each received
 // chunk's buffer.

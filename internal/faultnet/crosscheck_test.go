@@ -14,6 +14,7 @@ package faultnet_test
 
 import (
 	"net"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -25,6 +26,7 @@ import (
 	"ewh/internal/join"
 	"ewh/internal/multiway"
 	"ewh/internal/netexec"
+	"ewh/internal/partition"
 	"ewh/internal/workload"
 )
 
@@ -126,10 +128,11 @@ func TestRecoveryBitIdenticalAcrossBoundaries(t *testing.T) {
 		}},
 		{"chunk-boundary", func(kill func()) faultnet.Rule {
 			// The worker dies at a sub-block chunk boundary: it has decoded
-			// the first mapper's chunk of a streamed relation but the second
-			// chunk and the exact-count tail never arrive, so recovery must
-			// discard the half-streamed relation and replan onto survivors.
-			return faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameChunk,
+			// the first mapper's base frame of a peer-fed job's relation 2
+			// but the second and the exact-count end frame never arrive, so
+			// recovery must discard the half-streamed relation and replan
+			// onto survivors.
+			return faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameStreamBase,
 				N: 2, Action: faultnet.ActHook, Fn: kill}
 		}},
 	}
@@ -188,6 +191,75 @@ func TestRecoveryBitIdenticalAcrossBoundaries(t *testing.T) {
 			}
 			if relayed := sess.RelayedPairs() - before; relayed != 0 {
 				t.Fatalf("%d pairs transited the coordinator during recovery", relayed)
+			}
+			if _, n, serr := sess.Survivors(); serr != nil || n != fleet-1 {
+				t.Fatalf("survivors after recovery: %d (%v), want %d", n, serr, fleet-1)
+			}
+		})
+	}
+}
+
+// TestCountJobRecoveryAtStreamFrameBoundaries is the two-way count job's
+// counterpart: its relations ride the stream frames at epoch 0, relation 1
+// as the base and relation 2 as the window, and a worker dies at a sub-block
+// boundary of either run. The retry replans onto the survivors and every
+// per-worker metric equals a fault-free in-process run at the survivor width.
+func TestCountJobRecoveryAtStreamFrameBoundaries(t *testing.T) {
+	const fleet, victim, j = 4, 1, 3
+	r1 := workload.Zipfian(2000, 300, 0.9, 31)
+	r2 := workload.Zipfian(2000, 300, 0.9, 32)
+	cond := join.NewBand(1)
+	cfg := exec.Config{Seed: 43, Mappers: 2,
+		Retry: exec.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond}}
+	plan := func(j int) (partition.Scheme, error) { return partition.NewCI(j), nil }
+	local := exec.Run(r1, r2, cond, partition.NewCI(j), ckModel, cfg)
+
+	for _, sc := range []struct {
+		name  string
+		frame byte
+	}{
+		{"base-boundary", faultnet.FrameStreamBase},
+		{"window-boundary", faultnet.FrameStreamWin},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			ckLeakCheck(t)
+			var victimW *netexec.Worker
+			script := faultnet.NewScript(faultnet.Rule{Dir: faultnet.In, Frame: sc.frame,
+				N: 2, Action: faultnet.ActHook, Fn: func() { _ = victimW.Close() }})
+			addrs := make([]string, fleet)
+			for i := range addrs {
+				ln, err := netListenTCP()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == victim {
+					ln = faultnet.Wrap(ln, script)
+				}
+				w := netexec.ListenWorkerOn(ln)
+				if i == victim {
+					victimW = w
+				}
+				addrs[i] = w.Addr()
+				go func() { _ = w.Serve() }()
+				t.Cleanup(func() { _ = w.Close() })
+			}
+			sess, err := netexec.DialWith(addrs, netexec.Timeouts{
+				Dial: 2 * time.Second, Job: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = sess.Close() })
+
+			res, err := exec.RunOverReplan(sess, r1, r2, cond, j, plan, ckModel, cfg)
+			if err != nil {
+				t.Fatalf("recovery failed: %v", err)
+			}
+			if !script.Fired() {
+				t.Fatal("fault never injected; the run proves nothing")
+			}
+			if res.Output != local.Output || !reflect.DeepEqual(res.Workers, local.Workers) {
+				t.Fatalf("recovered run diverged: got %d %+v, fault-free %d %+v",
+					res.Output, res.Workers, local.Output, local.Workers)
 			}
 			if _, n, serr := sess.Survivors(); serr != nil || n != fleet-1 {
 				t.Fatalf("survivors after recovery: %d (%v), want %d", n, serr, fleet-1)

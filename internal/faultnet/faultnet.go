@@ -48,12 +48,8 @@ const (
 	FrameStats       byte = 21
 	FramePlan2       byte = 22
 
-	// v3 chunked-relation scatter frames (sub-block streaming).
-	FrameChunkHead byte = 25
-	FrameChunk     byte = 26
-	FrameChunkTail byte = 27
-
-	// v3 continuous-join stream frames.
+	// v3 stream frames: a continuous join's, and a count or peer-fed job's
+	// relations at epoch 0, window 0.
 	FrameStreamOpen    byte = 33
 	FrameStreamBase    byte = 34
 	FrameStreamBaseEnd byte = 35

@@ -29,9 +29,9 @@ const (
 )
 
 // ChunkDigest is the content digest of one key chunk. Digests of a streamed
-// relation's chunks combine (in the relation's canonical mapper-major order)
-// into the relation's BuildKey, so hashing overlaps the stream instead of
-// requiring the assembled block.
+// relation's chunks combine, in whatever order they arrived, into the
+// relation's BuildKey, so hashing overlaps the stream instead of requiring
+// the assembled block.
 type ChunkDigest struct {
 	H1, H2 uint64
 	N      int64
@@ -54,15 +54,16 @@ type BuildKey struct {
 	N      int64
 }
 
-// CombineDigests folds per-chunk digests — in canonical order — into a
-// BuildKey. The fold is order-sensitive on purpose: the canonical order is
-// the relation's assembled mapper-major layout, so equal assembled content
-// arriving with the same chunk structure keys identically.
+// CombineDigests folds per-chunk digests into a BuildKey by summing them, so
+// the fold does not depend on their order: a Build is a key→multiplicity
+// table, and arrival order is no part of its content. The same chunks key
+// identically however they interleave; another chunking of the same content
+// keys differently, a false miss, never a false hit.
 func CombineDigests(ds []ChunkDigest) BuildKey {
-	k := BuildKey{H1: fnvOffset1, H2: fnvOffset2}
+	var k BuildKey
 	for _, d := range ds {
-		k.H1 = (k.H1^d.H1)*fnvPrime1 ^ uint64(d.N)
-		k.H2 = (k.H2^d.H2)*fnvPrime2 ^ uint64(d.N)
+		k.H1 += d.H1
+		k.H2 += d.H2
 		k.N += d.N
 	}
 	return k

@@ -30,10 +30,17 @@ func TestDigestCombineMatchesChunkStructure(t *testing.T) {
 	if buildKeyOf(other) == whole {
 		t.Fatal("distinct content produced the same BuildKey")
 	}
-	// The fold is order-sensitive: canonical order is part of the identity.
+	// The fold is order-free: the same chunks arriving in another order are
+	// the same key→multiplicity table.
 	swapped := []ChunkDigest{split[1], split[0]}
-	if CombineDigests(swapped) == CombineDigests(split) {
-		t.Fatal("chunk order did not affect the combined key")
+	if CombineDigests(swapped) != CombineDigests(split) {
+		t.Fatal("chunk arrival order changed the combined key")
+	}
+	// Another chunking of the same content keys differently: a false miss,
+	// never a false hit.
+	resplit := []ChunkDigest{DigestKeys(keys[:600]), DigestKeys(keys[600:])}
+	if CombineDigests(resplit) == CombineDigests(split) || CombineDigests(split) == whole {
+		t.Fatal("a different chunking of the same content keyed identically")
 	}
 	if got := CombineDigests(split).N; got != int64(len(keys)) {
 		t.Fatalf("combined N = %d, want %d", got, len(keys))

@@ -9,7 +9,7 @@ import (
 
 // This file is the hash local-join engine: a multiplicity index over one
 // relation's keys with an incremental insert API. The motivating shape is the
-// pipelined wire (CHUNK streaming scatter): a worker feeds each decoded
+// pipelined wire (the streaming scatter): a worker feeds each decoded
 // sub-block into Insert the moment it lands instead of joining only after the
 // whole relation assembled. One goroutine inserts into, seals and probes a
 // build; a sealed Build is immutable, so once published many jobs can probe

@@ -412,16 +412,15 @@ const (
 	probeSide = 1 // a fed job's relation 2, a peer-fed job's mesh transfer, a stream's window 0
 )
 
-// feedKind writes one kind's frames: the open, then per side the run's
-// declaration (a stream declares nothing), key frames and end frame; bad is a
-// build-side data frame the decoder must refuse at job level. want is the
-// kind's match count over the table's two relations.
+// feedKind writes one kind's frames: the open, then per side the run's key
+// frames and end frame; bad is a build-side data frame the decoder must
+// refuse at job level. want is the kind's match count over the table's two
+// relations.
 type feedKind struct {
 	name  string
 	want  int64
 	token uint64 // the peer-fed kind's transfer, which its probe side fills
 	open  func(bw *bufio.Writer) error
-	head  func(bw *bufio.Writer, side int) error
 	keys  func(bw *bufio.Writer, side int, keys []join.Key) error
 	end   func(bw *bufio.Writer, side, total int) error
 	bad   func(bw *bufio.Writer) error
@@ -429,11 +428,11 @@ type feedKind struct {
 
 // run ships one side's complete run.
 func (k feedKind) run(bw *bufio.Writer, side int, keys []join.Key) error {
-	return errors.Join(k.head(bw, side), k.keys(bw, side, keys), k.end(bw, side, len(keys)))
+	return errors.Join(k.keys(bw, side, keys), k.end(bw, side, len(keys)))
 }
 
-// chunkFedKind is a count job whose relations arrive as CHUNK streams under
-// cond.
+// chunkFedKind is a count job under cond whose relation 1 arrives as base
+// frames and relation 2 as window frames, at epoch 0 and window 0.
 func chunkFedKind(t *testing.T, name string, cond join.Condition, want int64) feedKind {
 	spec, err := join.SpecOf(cond)
 	if err != nil {
@@ -444,17 +443,20 @@ func chunkFedKind(t *testing.T, name string, cond join.Condition, want int64) fe
 		open: func(bw *bufio.Writer) error {
 			return writeV3GobFrame(bw, frameV3OpenJob, feedJob, jobOpen{Cond: spec})
 		},
-		head: func(bw *bufio.Writer, side int) error {
-			return writeChunkHead(bw, feedJob, int8(side+1), 2)
-		},
 		keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
-			return writeChunkKeys(bw, feedJob, int8(side+1), 1, keys)
+			if side == buildSide {
+				return writeStreamBaseKeys(bw, feedJob, 0, keys)
+			}
+			return writeStreamWinKeys(bw, feedJob, 0, 0, keys)
 		},
 		end: func(bw *bufio.Writer, side, total int) error {
-			return writeChunkTail(bw, feedJob, int8(side+1), total)
+			if side == buildSide {
+				return writeStreamBaseEnd(bw, feedJob, 0, total)
+			}
+			return writeStreamWinEnd(bw, feedJob, 0, 0, total)
 		},
-		bad: func(bw *bufio.Writer) error { // mapper 5 of the 2 the head declared
-			return writeChunkKeys(bw, feedJob, 1, 5, []join.Key{4})
+		bad: func(bw *bufio.Writer) error { // a fed job runs at epoch 0 only
+			return writeStreamBaseKeys(bw, feedJob, 1, []join.Key{4})
 		},
 	}
 }
@@ -478,26 +480,20 @@ func feedTableKinds(t *testing.T, w *Worker) []feedKind {
 			open: func(bw *bufio.Writer) error {
 				return writeV3GobFrame(bw, frameV3OpenPeerJob, feedJob, peerJobOpen{Cond: spec, Token: token, Senders: 1})
 			},
-			head: func(bw *bufio.Writer, side int) error {
-				if side == probeSide {
-					return nil
-				}
-				return writeChunkHead(bw, feedJob, 2, 2)
-			},
 			keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
 				if side == probeSide {
 					return w.deliverLocal(token, 0, keys)
 				}
-				return writeChunkKeys(bw, feedJob, 2, 1, keys)
+				return writeStreamBaseKeys(bw, feedJob, 0, keys)
 			},
 			end: func(bw *bufio.Writer, side, total int) error {
 				if side == probeSide {
 					return nil // the one sender's contribution completed the transfer
 				}
-				return writeChunkTail(bw, feedJob, 2, total)
+				return writeStreamBaseEnd(bw, feedJob, 0, total)
 			},
-			bad: func(bw *bufio.Writer) error {
-				return writeChunkKeys(bw, feedJob, 2, 5, []join.Key{4})
+			bad: func(bw *bufio.Writer) error { // its probe is the mesh, not windows
+				return writeStreamWinKeys(bw, feedJob, 0, 0, []join.Key{4})
 			},
 		}, {
 			name: "stream", want: 5,
@@ -505,7 +501,6 @@ func feedTableKinds(t *testing.T, w *Worker) []feedKind {
 				return writeV3GobFrame(bw, frameV3StreamOpen, feedJob,
 					streamOpen{Cond: spec, Stats: exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 1}})
 			},
-			head: func(*bufio.Writer, int) error { return nil },
 			keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
 				if side == buildSide {
 					return writeStreamBaseKeys(bw, feedJob, 1, keys)
@@ -559,9 +554,9 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 	build := []join.Key{1, 2, 2, 3}
 	probe := []join.Key{2, 2, 3, 9}
 	eos := func(bw *bufio.Writer) error { return writeV3FrameHeader(bw, frameV3EOS, feedJob, 0) }
-	// midBuild leaves the build side declared and part-shipped.
+	// midBuild leaves the build side part-shipped.
 	midBuild := func(k feedKind, bw *bufio.Writer) error {
-		return errors.Join(k.head(bw, buildSide), k.keys(bw, buildSide, build))
+		return k.keys(bw, buildSide, build)
 	}
 
 	// cell is what an exit drives: the kind, the raw connection both ways, and
@@ -614,7 +609,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 		{name: "probe keys ahead of the sealed build side",
 			send: func(c cell) error {
 				return errors.Join(midBuild(c.k, c.bw),
-					c.k.head(c.bw, probeSide), c.k.keys(c.bw, probeSide, probe), eos(c.bw))
+					c.k.keys(c.bw, probeSide, probe), eos(c.bw))
 			},
 			check: failedWith(0)},
 		{name: "tenant quota rejection mid-feed", budget: feedBudget,

@@ -323,9 +323,6 @@ func TestFaultnetFrameParity(t *testing.T) {
 		{"plan cancel", frameV3PlanCancel, faultnet.FramePlanCancel},
 		{"stats", frameV3Stats, faultnet.FrameStats},
 		{"plan2", frameV3Plan2, faultnet.FramePlan2},
-		{"chunk head", frameV3ChunkHead, faultnet.FrameChunkHead},
-		{"chunk", frameV3Chunk, faultnet.FrameChunk},
-		{"chunk tail", frameV3ChunkTail, faultnet.FrameChunkTail},
 		{"stream open", frameV3StreamOpen, faultnet.FrameStreamOpen},
 		{"stream base", frameV3StreamBase, faultnet.FrameStreamBase},
 		{"stream base end", frameV3StreamBaseEnd, faultnet.FrameStreamBaseEnd},
@@ -371,7 +368,7 @@ func TestDesignFrameTableMatchesWire(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^\| (\d+) \| ([A-Z0-9]+)\b`).FindAllStringSubmatch(table, -1) {
 		rows[m[2]+" #"+m[1]] = true
 	}
-	if len(wire) < 24 {
+	if len(wire) < 21 {
 		t.Fatalf("found only %d frame constants in wire.go: %v", len(wire), wire)
 	}
 	for f := range wire {

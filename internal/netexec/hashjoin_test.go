@@ -126,16 +126,19 @@ func TestPoolBuildCacheHit(t *testing.T) {
 	}
 }
 
-// TestArrivalOrderJobsRefuseChunks pins the declarations no job kind can take,
+// TestArrivalOrderJobsRefuseChunks pins the frames no job kind can take,
 // each as a job-level refusal. The open names no kind; the frames do: a PLAN
-// makes a plan job, else relation 1's form decides — so relation 2 must take
-// relation 1's. Refused: a chunked relation on a job that joins flat blocks in
-// arrival order — pairs to index (relation 1 came flat), a plan's matches to
-// materialize, in either frame order — a flat relation 2 behind chunked
-// relation 1 or on a peer-fed job, whose join goroutine takes chunks only, a
-// PLAN frame carrying the plan or peer map only a PLAN2 may (the job would
-// otherwise await a PLAN2 that never comes). The job replies its error at
-// EOS, and the connection serves the next job intact.
+// makes a plan job, a flat relation a pairs job, and otherwise the first base
+// frame or base end a count job, whose relation 1 is the base and relation 2
+// the window. Refused: base or window frames on a job that joins flat blocks
+// in arrival order — pairs to index, a plan's matches to materialize, in
+// either frame order — a flat relation or block beside a fed job's runs,
+// whose join goroutine takes those only, a window ahead of the base, a fed
+// job's frame past epoch 0 or window 0 or after its run's end, a window on a
+// peer-fed job (its probe is the mesh), and a PLAN frame carrying the plan or
+// peer map only a PLAN2 may (the job would otherwise await a PLAN2 that never
+// comes). The job replies its error at EOS: each refused frame was consumed
+// exactly, so the connection serves the next job intact.
 func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 	_, addrs := startWorkerSet(t, 1)
 	spec, err := join.SpecOf(join.Equi{})
@@ -145,10 +148,15 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 	open := func(bw *bufio.Writer) error {
 		return writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec})
 	}
+	openPeer := func(bw *bufio.Writer) error {
+		return writeV3GobFrame(bw, frameV3OpenPeerJob, 1, peerJobOpen{Cond: spec, Token: newPeerToken(), Senders: 1})
+	}
 	plan := func(bw *bufio.Writer) error {
 		return writeV3GobFrame(bw, frameV3Plan, 1, planSpec{})
 	}
-	chunkHead := func(bw *bufio.Writer) error { return writeChunkHead(bw, 1, 1, 2) }
+	base := func(bw *bufio.Writer) error { return writeStreamBaseKeys(bw, 1, 0, []join.Key{3}) }
+	baseRun := func(bw *bufio.Writer) error { return errors.Join(base(bw), writeStreamBaseEnd(bw, 1, 0, 1)) }
+	win := func(bw *bufio.Writer) error { return writeStreamWinKeys(bw, 1, 0, 0, []join.Key{3}) }
 	flat := func(bw *bufio.Writer, rel int8) error {
 		return errors.Join(writeRelHead(bw, 1, rel, 1, false), writeKeyBlocksV3(bw, 1, rel, []join.Key{3}))
 	}
@@ -156,17 +164,44 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 		name, want string
 		frames     func(bw *bufio.Writer) error
 	}{
-		{"chunk head on a pairs job", "pairs or plan job", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), flat(bw, 1), writeChunkHead(bw, 1, 2, 2))
+		{"base frame on a pairs job", "pairs or plan job", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw), flat(bw, 1), base(bw))
+		}},
+		{"base end on a pairs job", "pairs or plan job", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw), flat(bw, 1), writeStreamBaseEnd(bw, 1, 0, 0))
 		}},
 		{"flat relation 2 on a chunk-fed job", "declared flat", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), chunkHead(bw), writeChunkTail(bw, 1, 1, 0), flat(bw, 2))
+			return errors.Join(open(bw), writeStreamBaseEnd(bw, 1, 0, 0), flat(bw, 2))
 		}},
-		{"chunk head on a plan job", "pairs or plan job", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), plan(bw), chunkHead(bw))
+		{"flat block on a count job", "feed the join goroutine", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw), baseRun(bw), writeKeyBlocksV3(bw, 1, 1, []join.Key{3}))
+		}},
+		{"base frame on a plan job", "pairs or plan job", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw), plan(bw), base(bw))
 		}},
 		{"plan on a chunk-fed job", "cannot carry a plan", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), chunkHead(bw), plan(bw))
+			return errors.Join(open(bw), base(bw), plan(bw))
+		}},
+		{"window ahead of the base", "ahead of relation 1's base", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw), win(bw))
+		}},
+		{"base past epoch 0", "past epoch 0, window 0", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw), writeStreamBaseKeys(bw, 1, 1, []join.Key{3}))
+		}},
+		{"base end past epoch 0", "past epoch 0, window 0", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw), base(bw), writeStreamBaseEnd(bw, 1, 1, 1))
+		}},
+		{"window past window 0", "past epoch 0, window 0", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw), baseRun(bw), writeStreamWinKeys(bw, 1, 1, 0, []join.Key{3}))
+		}},
+		{"window end past epoch 0", "past epoch 0, window 0", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw), baseRun(bw), writeStreamWinEnd(bw, 1, 0, 1, 0))
+		}},
+		{"base frame after its end", "after its run's end frame", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw), baseRun(bw), base(bw))
+		}},
+		{"window end after its end", "after its run's end frame", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw), baseRun(bw), writeStreamWinEnd(bw, 1, 0, 0, 0), writeStreamWinEnd(bw, 1, 0, 0, 0))
 		}},
 		{"plan frame carrying a plan", "statistics request", func(bw *bufio.Writer) error {
 			return errors.Join(open(bw), writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Plan: []byte{1}}))
@@ -175,9 +210,16 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 			return errors.Join(open(bw), writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Peers: []string{"x"}}))
 		}},
 		{"flat relation 2 on a peer-fed job", "declared flat", func(bw *bufio.Writer) error {
-			return errors.Join(
-				writeV3GobFrame(bw, frameV3OpenPeerJob, 1, peerJobOpen{Cond: spec, Token: newPeerToken(), Senders: 1}),
-				flat(bw, 2))
+			return errors.Join(openPeer(bw), flat(bw, 2))
+		}},
+		{"window on a peer-fed job", "on a peer-fed job", func(bw *bufio.Writer) error {
+			return errors.Join(openPeer(bw), baseRun(bw), win(bw))
+		}},
+		{"window end on a peer-fed job", "on a peer-fed job", func(bw *bufio.Writer) error {
+			return errors.Join(openPeer(bw), baseRun(bw), writeStreamWinEnd(bw, 1, 0, 0, 0))
+		}},
+		{"base past epoch 0 on a peer-fed job", "past epoch 0, window 0", func(bw *bufio.Writer) error {
+			return errors.Join(openPeer(bw), writeStreamBaseKeys(bw, 1, 2, []join.Key{3}))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

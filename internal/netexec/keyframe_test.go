@@ -44,10 +44,9 @@ func (f *frameHeaders) Write(p []byte) (int, error) {
 // TestMaximalKeyFramesPassTheHeaderReaders drives every key-frame writer with
 // a run one key past the per-frame cap and feeds each frame header it wrote
 // to the reader on the other side: the frame cap has to admit a FULL frame
-// under every sub-header, not just BLOCK's (CHUNK, STREAMBASE and STREAMWIN
-// share maxBlockKeys but lead with 7, 8 and 12 bytes, and used to declare
-// more than the reader accepted — connection-fatal for any share of 2^24
-// keys).
+// under every sub-header, not just BLOCK's (STREAMBASE and STREAMWIN share
+// maxBlockKeys but lead with 8 and 12 bytes, and used to declare more than the
+// reader accepted — connection-fatal for any share of 2^24 keys).
 func TestMaximalKeyFramesPassTheHeaderReaders(t *testing.T) {
 	keys := make([]join.Key, maxBlockKeys+1) // never written: stays untouched zero pages
 	session := []struct {
@@ -56,7 +55,6 @@ func TestMaximalKeyFramesPassTheHeaderReaders(t *testing.T) {
 		write  func(bw *bufio.Writer) error
 	}{
 		{"BLOCK", blockHeaderLen, func(bw *bufio.Writer) error { return writeKeyBlocksV3(bw, 1, 1, keys) }},
-		{"CHUNK", chunkHeaderLen, func(bw *bufio.Writer) error { return writeChunkKeys(bw, 1, 1, 0, keys) }},
 		{"STREAMBASE", streamBaseHdrLen, func(bw *bufio.Writer) error { return writeStreamBaseKeys(bw, 1, 1, keys) }},
 		{"STREAMWIN", streamWinHdrLen, func(bw *bufio.Writer) error { return writeStreamWinKeys(bw, 1, 0, 1, keys) }},
 	}
@@ -125,11 +123,11 @@ func TestRunningCountCap(t *testing.T) {
 	}
 
 	frames := recordedKeyFrames(t)
-	for _, typ := range []byte{frameV3Chunk, frameV3StreamBase, frameV3StreamWin} {
+	for _, typ := range []byte{frameV3StreamBase, frameV3StreamWin} {
 		j := &sessJob{stream: &sessStream{resTag: 1}}
 		for i := range j.rels {
 			// One tuple short of the cap on whichever relation the type counts.
-			j.rels[i] = sessRel{declared: true, streaming: true, chunks: 4, pos: MaxRelationTuples - 1}
+			j.rels[i] = sessRel{pos: MaxRelationTuples - 1}
 		}
 		payload := frames[typ] // carries two keys
 		br := bufio.NewReader(bytes.NewReader(payload))
@@ -145,16 +143,15 @@ func TestRunningCountCap(t *testing.T) {
 
 // recordedKeyFrames returns one frame payload (sub-header + two keys) per
 // key-carrying frame type, as the writers frame it; every one names relation
-// 1 / mapper 1 / epoch 1 / window 0 — or, on the mesh, token 1 / sender 1.
+// 1 / epoch 0 / window 0 — or, on the mesh, token 1 / sender 1.
 func recordedKeyFrames(t testing.TB) map[byte][]byte {
 	t.Helper()
 	keys := []join.Key{7, -7}
 	out := make(map[byte][]byte)
 	for typ, write := range map[byte]func(*bytes.Buffer) error{
 		frameV3Block:      func(b *bytes.Buffer) error { return writeKeyBlocksV3(b, 1, 1, keys) },
-		frameV3Chunk:      func(b *bytes.Buffer) error { return writeChunkKeys(b, 1, 1, 1, keys) },
-		frameV3StreamBase: func(b *bytes.Buffer) error { return writeStreamBaseKeys(b, 1, 1, keys) },
-		frameV3StreamWin:  func(b *bytes.Buffer) error { return writeStreamWinKeys(b, 1, 0, 1, keys) },
+		frameV3StreamBase: func(b *bytes.Buffer) error { return writeStreamBaseKeys(b, 1, 0, keys) },
+		frameV3StreamWin:  func(b *bytes.Buffer) error { return writeStreamWinKeys(b, 1, 0, 0, keys) },
 	} {
 		var b bytes.Buffer
 		if err := write(&b); err != nil {
@@ -175,22 +172,37 @@ func recordedKeyFrames(t testing.TB) map[byte][]byte {
 const peerFrameHeaderLen = 5
 
 // FuzzKeyFrame feeds the key-frame decoders arbitrary payloads under each
-// frame type, framed exactly as long as they are. They must never panic; they
-// may buffer only what the frame declared; an accepted frame and a job-level
-// refusal both consume exactly the frame (the next header parses); only a
-// frame shorter than its sub-header is connection-fatal; an accepted frame
-// charged the ledger exactly its keys, and the job's release gives them back.
-// A selector past the type list additionally declares relation 2's re-key
-// column (two keys), which BLOCK frames tagged relRekey then fill.
+// frame type and each job kind that may receive it, framed exactly as long as
+// they are. They must never panic; they may buffer only what the frame
+// declared; an accepted frame and a job-level refusal both consume exactly
+// the frame (the next header parses); only a frame shorter than its
+// sub-header is connection-fatal; an accepted frame charged the ledger
+// exactly its keys, and the job's release gives them back. A selector past
+// the case list additionally declares relation 2's re-key column (two keys)
+// on the pairs job, which BLOCK frames tagged relRekey then fill.
 func FuzzKeyFrame(f *testing.F) {
-	types := []byte{frameV3Block, frameV3Chunk, frameV3StreamBase, frameV3StreamWin, framePeerBlock}
-	for i, typ := range types {
-		f.Add(byte(i), recordedKeyFrames(f)[typ])
+	// A case is a frame type and the job decoding it: res is the resident
+	// relation of a job feeding a join goroutine (0 a STREAMOPEN job, 1 a
+	// count job past its first base frame, 2 a peer-fed job), -1 a pairs job
+	// with both relations declared flat (64 keys each).
+	cases := []struct {
+		typ byte
+		res int
+	}{
+		{frameV3Block, -1},
+		{frameV3StreamBase, 0}, {frameV3StreamWin, 0},
+		{frameV3StreamBase, 1}, {frameV3StreamWin, 1},
+		{frameV3StreamBase, 2}, {frameV3StreamWin, 2},
+		{framePeerBlock, -1},
+		{frameV3StreamBase, -1},
+	}
+	for i, c := range cases {
+		f.Add(byte(i), recordedKeyFrames(f)[c.typ])
 	}
 	for _, c := range []struct {
 		sel  byte
 		keys int
-	}{{0, 2}, {byte(len(types)), 2}, {byte(len(types)), 3}} { // undeclared, declared, overflowing
+	}{{0, 2}, {byte(len(cases)), 2}, {byte(len(cases)), 3}} { // undeclared, declared, overflowing
 		var b bytes.Buffer
 		if err := writeKeyBlocksV3(&b, 1, relRekey, make([]join.Key, c.keys)); err != nil {
 			f.Fatal(err)
@@ -200,27 +212,26 @@ func FuzzKeyFrame(f *testing.F) {
 	closed := make(chan struct{})
 	close(closed)
 	f.Fuzz(func(t *testing.T, sel byte, payload []byte) {
-		typ := types[int(sel)%len(types)]
+		c := cases[int(sel)%len(cases)]
+		typ := c.typ
 		w := ListenWorkerOn(nil)
 		if typ == framePeerBlock {
 			fuzzPeerBlock(t, w, payload)
 			return
 		}
-		// The job's goroutine is a channel the test drains: what dataFrame
-		// guarantees before it hands over a stream frame, and what a chunked
-		// relation's head started.
-		j := &sessJob{ws: &workerSession{w: w},
-			stream: &sessStream{resTag: 1, ch: make(chan streamEvent, 1), done: closed}}
-		if typ == frameV3StreamBase || typ == frameV3StreamWin {
-			j.stream.resTag = 0
-		} else {
-			j.rels[0] = sessRel{declared: true, streaming: true, chunks: 4}
+		j := &sessJob{ws: &workerSession{w: w}}
+		if c.res < 0 {
 			// A head declares a count and nothing else: a BLOCK's keys get
 			// their buffer as the frame arrives.
+			j.rels[0] = sessRel{declared: true, n: 64}
 			j.rels[1] = sessRel{declared: true, n: 64}
-			if int(sel) >= len(types) {
+			if int(sel) >= len(cases) {
 				j.rels[relRekey-1] = sessRel{declared: true, n: 2}
 			}
+		} else {
+			// The job's goroutine is a channel the test drains.
+			j.stream = &sessStream{resTag: byte(c.res), ch: make(chan streamEvent, 1), done: closed}
+			j.peerFed = c.res == 2
 		}
 		const sentinel = 0xEE
 		var next [v3FrameHeaderLen]byte
@@ -239,14 +250,15 @@ func FuzzKeyFrame(f *testing.F) {
 			t.Fatalf("type %d: a frame holding its whole sub-header was connection-fatal: %v", typ, err)
 		}
 		buffered := 0
-		select {
-		case ev := <-j.stream.ch:
-			buffered = len(ev.keys)
-			exec.PutKeyBuffer(ev.keys)
-		default:
-		}
-		if typ == frameV3Block {
-			for _, r := range j.rels[1:] {
+		if j.stream != nil {
+			select {
+			case ev := <-j.stream.ch:
+				buffered = len(ev.keys)
+				exec.PutKeyBuffer(ev.keys)
+			default:
+			}
+		} else {
+			for _, r := range j.rels {
 				buffered += r.pos
 			}
 		}

@@ -13,7 +13,7 @@ import (
 // Every buffer whose size a remote side chose — key frames as they arrive, a
 // stage-1 plan job's materialized matches, peer contributions — is charged
 // here before it is allocated and credited when it is released; a head frame
-// (RELHEAD, CHUNKHEAD, PEERHEAD) only declares a count the arrivals are
+// (RELHEAD, PEERHEAD) only declares a count the arrivals are
 // checked against. Tenant budgets (TenantPolicy.MaxBytes) are per-tenant
 // views of the one account; peer contributions no job has taken yet belong to
 // no tenant. A refusal is a typed quota rejection (ErrQuota) that reserves

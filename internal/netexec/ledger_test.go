@@ -18,10 +18,11 @@ import (
 
 // TestDeclaredRunsAllocateOnArrival is the declare-then-stall adversary
 // against the worker's ledger. Over several rounds, one connection per kind of
-// declared run — a flat relation, a chunked one, a stream's base and window, a
+// run — a flat relation, a count job's base, a stream's base and window, a
 // peer contribution — declares the largest run its head admits (a relation of
-// MaxRelationTuples: 8 GiB, were a head to size a buffer), then opens a
-// 1 MiB key frame and stalls after its sub-header. A head allocates nothing;
+// MaxRelationTuples: 8 GiB, were a head to size a buffer; a base or window
+// run has no head), then opens a 1 MiB key frame and stalls after its
+// sub-header. A head allocates nothing;
 // each frame is charged before its buffer exists, so the worker holds at most
 // its budget however much was declared, and the frames past the budget are
 // refused. A job needing the budget fails with ErrQuota meanwhile; once the
@@ -71,10 +72,9 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 				writeRelHead(bw, 1, 1, MaxRelationTuples, false),
 				stall(bw, frameV3Block, 1, []byte{1, 0, 0, 0, 0}))
 		}},
-		{"chunked relation", func(bw *bufio.Writer, _ int) error {
+		{"count job base", func(bw *bufio.Writer, _ int) error {
 			return errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec}),
-				writeChunkHead(bw, 1, 1, maxRelationChunks),
-				stall(bw, frameV3Chunk, 1, []byte{1, 0, 0, 0, 0, 0, 0}))
+				stall(bw, frameV3StreamBase, 1, make([]byte, streamBaseHdrLen)))
 		}},
 		{"stream base", func(bw *bufio.Writer, _ int) error {
 			return errors.Join(writeV3GobFrame(bw, frameV3StreamOpen, 1, streamOpen{Cond: spec}),

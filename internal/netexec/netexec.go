@@ -1,11 +1,11 @@
 // Package netexec runs the shared-nothing join over real TCP workers: a
 // coordinator batch-routes both relations once with the engine's shuffle. A
-// count job streams each relation as per-mapper CHUNK sub-blocks the moment a
-// mapper has routed its shard, and the worker's join goroutine inserts or
-// probes them as they arrive; a pairs or plan job sends each worker one
-// contiguous, count-headed key block per relation (plus, on a plan job's
-// relation 2, the re-key column), decoded into pooled flat buffers as its
-// frames arrive and joined in place. Either way the worker reports its
+// count job streams each relation as per-mapper sub-blocks in base and window
+// frames the moment a mapper has routed its shard, and the worker's join
+// goroutine inserts or probes them as they arrive; a pairs or plan job sends
+// each worker one contiguous, count-headed key block per relation (plus, on a
+// plan job's relation 2, the re-key column), decoded into pooled flat buffers
+// as its frames arrive and joined in place. Either way the worker reports its
 // metrics. It is the process-distributed counterpart of internal/exec's
 // goroutine engine — same partitioning schemes, same shuffle, same metrics —
 // demonstrating that nothing in the EWH design depends on shared memory.
@@ -18,7 +18,7 @@
 // peer-mesh link (peer.go) — and close anything else. Both ends run one job
 // lifecycle each: the coordinator's subJob (open/send/await/close,
 // session.go) against the worker's openJob → headFrame/dataFrame → finishJob
-// → retire (session_worker.go), where every count job — chunk-streamed,
+// → retire (session_worker.go), where every count job — coordinator-fed,
 // peer-fed, a stream — swaps finishJob for the one join goroutine that
 // consumes key frames as they arrive (stream_worker.go). A worker reads a
 // job's kind from its own frames, never from a flag in the open. Every
@@ -64,7 +64,7 @@ type metrics struct {
 	// surface as ErrAdmission/ErrQuota rather than worker faults.
 	Code int
 
-	// BuildOverlapped counts the CHUNK sub-blocks this job's resident side —
+	// BuildOverlapped counts the routed sub-blocks this job's resident side —
 	// hash or merge — consumed (inserted or probed) BEFORE the read loop
 	// decoded the job's EOS: the observable proving the join overlapped the
 	// still-streaming scatter (the local analog of OverlappedStage2); 0 on
@@ -76,7 +76,7 @@ type metrics struct {
 // separately in per-relation head frames, so a job can start streaming its
 // first relation before the second one's shuffle has finished. The open does
 // not name the job's kind: a PLAN frame beside it makes a plan job, and
-// otherwise relation 1's form does — chunks a count, flat blocks pairs.
+// otherwise relation 1's form does — base frames a count, flat blocks pairs.
 type jobOpen struct {
 	WorkerID int
 	Cond     join.Spec
@@ -128,10 +128,9 @@ type planCancel struct {
 const MaxRelationTuples = 1 << 30
 
 // overRelationCap is the running-count predicate behind that cap wherever
-// tuples accumulate frame by frame — a chunked relation, one stream epoch's
-// base share, one window's share — on the side that writes them and the side
-// that buffers them: add more tuples on top of have would pass
-// MaxRelationTuples.
+// tuples accumulate frame by frame — one base or window run, a stream's or
+// a count job's — on the side that writes them and the side that buffers
+// them: add more tuples on top of have would pass MaxRelationTuples.
 func overRelationCap(have, add int) bool {
 	return int64(have)+int64(add) > MaxRelationTuples
 }

@@ -514,25 +514,28 @@ func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 	}
 }
 
-// TestRetiredSessionFrameIsConnectionFatal pins frame type 28, the retired
-// late sender-count bind, as what retired type 32 is on the mesh: a frame the
-// session reader does not know ends the connection, and the job in flight on
-// it retires.
+// TestRetiredSessionFrameIsConnectionFatal pins the retired session frame
+// types as what retired type 32 is on the mesh: 25–27, the chunked-relation
+// head, chunk and tail a count job's base and window frames replaced, and 28,
+// the late sender-count bind. A frame the session reader does not know ends
+// the connection, and the job in flight on it retires.
 func TestRetiredSessionFrameIsConnectionFatal(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 1)
-	bw, conn := dialV3(t, addrs[0])
-	sendOpenJob(t, bw, 1)
-	err := errors.Join(writeRelHead(bw, 1, 1, 1, false), writeKeyBlocksV3(bw, 1, 1, []join.Key{3}), bw.Flush())
-	if err != nil {
-		t.Fatal(err)
+	for _, typ := range []byte{25, 26, 27, 28} {
+		bw, conn := dialV3(t, addrs[0])
+		sendOpenJob(t, bw, 1)
+		err := errors.Join(writeRelHead(bw, 1, 1, 1, false), writeKeyBlocksV3(bw, 1, 1, []join.Key{3}), bw.Flush())
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "the worker to register the job", func() bool { return inFlight(ws[0]) == 1 })
+		var payload [16]byte
+		if err := errors.Join(writeHeadFrame(bw, typ, 1, payload[:]), bw.Flush()); err != nil {
+			t.Fatal(err)
+		}
+		expectClosedSilently(t, conn)
+		waitFor(t, "the job to retire with its connection", func() bool { return inFlight(ws[0]) == 0 })
 	}
-	waitFor(t, "the worker to register the job", func() bool { return inFlight(ws[0]) == 1 })
-	var payload [16]byte
-	if err := errors.Join(writeHeadFrame(bw, 28, 0, payload[:]), bw.Flush()); err != nil {
-		t.Fatal(err)
-	}
-	expectClosedSilently(t, conn)
-	waitFor(t, "the job to retire with its connection", func() bool { return inFlight(ws[0]) == 0 })
 }
 
 // TestPeerJobReplyCheckedAgainstSenderCounts pins the one place a stage-1

@@ -47,7 +47,7 @@ type Session struct {
 	overlapped *atomic.Int64
 
 	// buildOverlapped accumulates the workers' metrics.BuildOverlapped: the
-	// CHUNK sub-blocks jobs' resident sides consumed before their EOS frames —
+	// routed sub-blocks jobs' resident sides consumed before their EOS frames —
 	// join work that overlapped the streaming scatter. Shared by survivor
 	// views like ids/relayed.
 	buildOverlapped *atomic.Int64
@@ -120,7 +120,7 @@ func (s *Session) RelayedPairs() int64 { return s.relayed.Load() }
 // stage-overlapped dispatch buys over the old open-after-stage-1 sequence.
 func (s *Session) OverlappedStage2() int64 { return s.overlapped.Load() }
 
-// BuildOverlappedChunks reports how many CHUNK sub-blocks this session's
+// BuildOverlappedChunks reports how many routed sub-blocks this session's
 // workers inserted into a resident side (or probed against one) before the
 // owning job's EOS had even been decoded — the join-side pipelining of the
 // worker's join feed, mirroring OverlappedStage2 for the scatter/join
@@ -612,15 +612,16 @@ func (j *subJob) sendJob(spec join.Spec, ps *planSpec, job *exec.Job) error {
 
 // writeRelation streams one relation inside the caller's send in the form the
 // worker reads the job's kind from, refusing the other unsent: a count job's
-// sub-blocks frame out as mappers emit them; a pairs or plan job's relation
-// goes as one head, key blocks and (when it has one) re-key column.
+// sub-blocks frame out as mappers emit them, relation 1 as the base and
+// relation 2 as the window; a pairs or plan job's relation goes as one head,
+// key blocks and (when it has one) re-key column.
 func (j *subJob) writeRelation(bw *bufio.Writer, rel int8, rd exec.RelData, count bool) error {
 	if count != (rd.Chunks != nil) {
 		return fmt.Errorf("relation %d: a count job's relations stream as chunks, a pairs or plan job's as flat blocks", rel)
 	}
 	if count {
 		inline := func(write func(*bufio.Writer) error) error { return write(bw) }
-		return j.sendChunks(inline, rel, rd.Chunks)
+		return j.sendChunks(inline, rel, rd.Chunks, rel == 1)
 	}
 	keys := rd.Keys.Worker(j.worker)
 	if len(keys) > MaxRelationTuples {
@@ -641,30 +642,25 @@ func (j *subJob) writeRelation(bw *bufio.Writer, rel int8, rd exec.RelData, coun
 	return writeKeyBlocksV3(bw, j.id, relRekey, rekey)
 }
 
-// sendChunks pipelines one chunk-streamed relation: a head naming the mapper
-// count, then every routed sub-block the moment the shuffle emits it (flushed
-// per chunk so the worker decodes while later mappers still route), then a
-// tail with the exact total. frame is how each of those reaches the wire:
-// inline inside a whole-job send's single lock hold, or — for a peer-fed
-// job's right relation, which shares its connection with a running stage 1 —
-// one send per frame group, so the stream never monopolizes the connection. Every return path leaves this worker's channel drained, so a
-// failed sub-job never wedges the producer's buffers (the stream's other
-// consumers are independent; the driver's releaseRelData backstops relations
-// never reached).
+// sendChunks pipelines one chunk-streamed relation as the base (the
+// resident side) or the window of epoch 0: every routed sub-block the moment
+// the shuffle emits it (flushed per chunk so the worker decodes while later
+// mappers still route), then the end frame with the exact total. frame is how
+// each of those reaches the wire: inline inside a whole-job send's single lock
+// hold, or — for a peer-fed job's right relation, which shares its connection
+// with a running stage 1 — one send per frame group, so the stream never
+// monopolizes the connection. Every return path leaves this worker's channel
+// drained, so a failed sub-job never wedges the producer's buffers (the
+// stream's other consumers are independent; the driver's releaseRelData
+// backstops relations never reached).
 func (j *subJob) sendChunks(frame func(func(*bufio.Writer) error) error, rel int8,
-	cs *exec.ChunkStream) error {
+	cs *exec.ChunkStream, base bool) error {
 
 	defer func() {
 		for ch := range cs.Worker(j.worker) {
 			exec.PutKeyBuffer(ch.Keys)
 		}
 	}()
-	err := frame(func(bw *bufio.Writer) error {
-		return writeChunkHead(bw, j.id, rel, cs.Mappers())
-	})
-	if err != nil {
-		return err
-	}
 	total := 0
 	for ch := range cs.Worker(j.worker) {
 		err := frame(func(bw *bufio.Writer) error {
@@ -672,7 +668,13 @@ func (j *subJob) sendChunks(frame func(func(*bufio.Writer) error) error, rel int
 				return fmt.Errorf("relation %d holds over %d tuples, wire limit %d",
 					rel, total, MaxRelationTuples)
 			}
-			if err := writeChunkKeys(bw, j.id, rel, ch.Mapper, ch.Keys); err != nil {
+			var err error
+			if base {
+				err = writeStreamBaseKeys(bw, j.id, 0, ch.Keys)
+			} else {
+				err = writeStreamWinKeys(bw, j.id, 0, 0, ch.Keys)
+			}
+			if err != nil {
 				return err
 			}
 			return bw.Flush()
@@ -684,6 +686,9 @@ func (j *subJob) sendChunks(frame func(func(*bufio.Writer) error) error, rel int
 		}
 	}
 	return frame(func(bw *bufio.Writer) error {
-		return writeChunkTail(bw, j.id, rel, total)
+		if base {
+			return writeStreamBaseEnd(bw, j.id, 0, total)
+		}
+		return writeStreamWinEnd(bw, j.id, 0, 0, total)
 	})
 }

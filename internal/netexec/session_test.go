@@ -274,9 +274,13 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 	flat := func(bw *bufio.Writer, rel int8, keys []join.Key, rekey bool) error {
 		return errors.Join(writeRelHead(bw, 1, rel, len(keys), rekey), writeKeyBlocksV3(bw, 1, rel, keys))
 	}
+	// chunked ships a count job's relation 1 as its base run, relation 2 as
+	// its window run.
 	chunked := func(bw *bufio.Writer, rel int8, keys []join.Key, mid func() error) error {
-		return errors.Join(writeChunkHead(bw, 1, rel, 1), writeChunkKeys(bw, 1, rel, 0, keys), mid(),
-			writeChunkTail(bw, 1, rel, len(keys)))
+		if rel == 1 {
+			return errors.Join(writeStreamBaseKeys(bw, 1, 0, keys), mid(), writeStreamBaseEnd(bw, 1, 0, len(keys)))
+		}
+		return errors.Join(writeStreamWinKeys(bw, 1, 0, 0, keys), mid(), writeStreamWinEnd(bw, 1, 0, 0, len(keys)))
 	}
 	column := func(n int) func(*bufio.Writer) error {
 		return func(bw *bufio.Writer) error {
@@ -418,7 +422,7 @@ func TestSessionRefusesFlatCountJob(t *testing.T) {
 	seen := map[byte]*atomic.Bool{}
 	var rules []faultnet.Rule
 	for _, f := range []byte{faultnet.FrameOpenJob, faultnet.FrameAbort,
-		faultnet.FrameRelHead, faultnet.FrameBlock, faultnet.FrameChunkHead} {
+		faultnet.FrameRelHead, faultnet.FrameBlock, faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd} {
 		arrived := new(atomic.Bool)
 		seen[f] = arrived
 		rules = append(rules, faultnet.Rule{Dir: faultnet.In, Frame: f, Action: faultnet.ActHook,
@@ -454,7 +458,7 @@ func TestSessionRefusesFlatCountJob(t *testing.T) {
 	if !seen[faultnet.FrameOpenJob].Load() {
 		t.Fatal("the job was never opened")
 	}
-	for _, f := range []byte{faultnet.FrameRelHead, faultnet.FrameBlock, faultnet.FrameChunkHead} {
+	for _, f := range []byte{faultnet.FrameRelHead, faultnet.FrameBlock, faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd} {
 		if seen[f].Load() {
 			t.Fatalf("frame type %d of the refused job reached the worker", f)
 		}

@@ -28,8 +28,8 @@ import (
 // open, pairs otherwise. Those decode into pooled buffers that grow as their
 // frames arrive (a head only declares the count), and finishJob joins and
 // replies in its own goroutine at the job's EOS (so the read loop keeps
-// draining the next job's frames meanwhile). Every count job —
-// chunk-streamed relations, a peer-fed stage 2, a stream — feeds the one
+// draining the next job's frames meanwhile). Every count job — relations as
+// base and window frames, a peer-fed stage 2, a stream — feeds the one
 // goroutine that joins while the frames arrive (stream_worker.go). Job-level
 // protocol violations fail only that job (its remaining frames are read and
 // discarded, then an error metrics frame replies); frame-level corruption is
@@ -39,17 +39,14 @@ import (
 // sessRel is one relation of an in-flight session job — or, in the job's
 // third slot, relation 2's re-key column, which a plan job's RELHEAD declares
 // alongside relation 2 and which fills from BLOCK frames like a flat relation.
+// A relation fed to a join goroutine as a run of base or window frames knows
+// its count only at the run's end frame: pos is the running count until then,
+// and the end declares it.
 type sessRel struct {
 	declared bool
 	n        int        // declared tuple count
 	keys     []join.Key // grown frame by frame (growKeys), pos of them filled
 	pos      int
-
-	// Chunk-streamed decode (frameV3ChunkHead/Chunk/ChunkTail): the exact
-	// count is only known at the tail, so pos doubles as the running tuple
-	// count while the sub-blocks go to the job's join goroutine.
-	streaming bool
-	chunks    int // mapper count the head declared
 }
 
 // sessJob is one numbered job in flight on a session connection.
@@ -90,7 +87,7 @@ type sessJob struct {
 
 	// stream, when set, is the goroutine the job's key frames feed (see
 	// stream_worker.go) — a STREAMOPEN or peer-fed job's from its open, a
-	// chunk-fed count job's from relation 1's CHUNKHEAD. Such a job never
+	// count job's from its first base frame or base end. Such a job never
 	// reaches finishJob.
 	stream *sessStream
 }
@@ -143,9 +140,66 @@ func (j *sessJob) credit(n int64) {
 	}
 }
 
-// streamOpened reports whether the job was opened by STREAMOPEN: the only
-// kind the STREAM frames belong to.
-func (j *sessJob) streamOpened() bool { return j.stream != nil && !j.stream.fed() }
+// runRel is the relation a run of base (or window) frames advances: a fed
+// job's resident relation (or the other one); a stream's relation 2 (or 1).
+// The job has its goroutine.
+func (j *sessJob) runRel(base bool) *sessRel {
+	tag := j.stream.resTag
+	if tag == 0 {
+		tag = 2
+	}
+	if !base {
+		tag = 3 - tag
+	}
+	return &j.rels[tag-1]
+}
+
+// runEvent decodes a frame of a base or window run (typ; h its sub-header or
+// end payload) into the join goroutine's event, less its keys: a window run's
+// frames lead with the window, then every one names the epoch, and the last
+// four bytes are an end frame's exact total.
+func runEvent(typ byte, h []byte) streamEvent {
+	u32 := func(i int) uint32 { return binary.LittleEndian.Uint32(h[i:]) }
+	ev := streamEvent{kind: evStreamBase, epoch: u32(0), total: int(u32(len(h) - 4))}
+	if typ == frameV3StreamWin || typ == frameV3StreamWinEnd {
+		ev.kind, ev.win, ev.epoch = evStreamWin, u32(0), u32(4)
+	}
+	if typ == frameV3StreamBaseEnd || typ == frameV3StreamWinEnd {
+		ev.kind++ // a run's end event follows its key event
+	}
+	return ev
+}
+
+// feedable admits a base or window run's event to the job's join goroutine,
+// starting a count job's on its first base frame or base end: an OPENJOB
+// with neither a PLAN nor a flat relation is a count job, relation 1 its one
+// epoch's base and relation 2 its one window. A fed job runs at epoch 0 and
+// window 0 and ends each run once; a peer-fed job's probe is the mesh
+// transfer, so it takes no window. A STREAMOPEN job's runs span epochs and
+// windows, which its goroutine checks.
+func (j *sessJob) feedable(ev streamEvent) error {
+	base := ev.kind <= evStreamBaseEnd
+	switch {
+	case j.stream != nil && !j.stream.fed():
+		return nil
+	case j.stream != nil:
+	case j.plan != nil || j.rels[0].declared || j.rels[1].declared:
+		return fmt.Errorf("base or window frames on a pairs or plan job, which joins flat blocks in arrival order")
+	case !base:
+		return fmt.Errorf("window frames ahead of relation 1's base")
+	default:
+		j.stream = newSessStream(j, exec.StatsSpec{}, 1)
+	}
+	switch {
+	case j.peerFed && !base:
+		return fmt.Errorf("window frames on a peer-fed job, whose probe is the mesh transfer")
+	case ev.epoch != 0 || ev.win != 0:
+		return fmt.Errorf("a fed job's run at epoch %d, window %d, past epoch 0, window 0", ev.epoch, ev.win)
+	case j.runRel(base).declared:
+		return fmt.Errorf("a fed job's frame after its run's end frame")
+	}
+	return nil
+}
 
 // rel resolves a relation tag from a frame: 1, 2, or relRekey for relation
 // 2's re-key column (which only BLOCK frames may name — see declarable).
@@ -317,75 +371,62 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int, msg any,
 }
 
 // headFrame serves the fixed-layout frames that open or close a run of key
-// frames (RELHEAD, CHUNKHEAD, CHUNKTAIL, a stream's BASEEND and WINEND). It
-// reports false when the connection must die: unknown job, a stream end for
-// a job STREAMOPEN did not open, wrong frame length, I/O error. A declaration
-// the job cannot accept fails only the job.
+// frames (RELHEAD, BASEEND, WINEND). It reports false when the connection
+// must die: unknown job, wrong frame length, I/O error. A declaration the job
+// cannot accept fails only the job.
 func (ws *workerSession) headFrame(br *bufio.Reader, typ byte, id uint32, n int) bool {
-	var buf [streamWinHdrLen]byte // the longest of the five
+	var buf [streamWinHdrLen]byte // the longest of the three
 	h := buf[:headFrameLen[typ]]
-	streamEnd := typ == frameV3StreamBaseEnd || typ == frameV3StreamWinEnd
 	j := ws.jobs[id]
-	if j == nil || n != len(h) || (streamEnd && !j.streamOpened()) {
+	if j == nil || n != len(h) {
 		return false
 	}
 	if _, err := io.ReadFull(br, h); err != nil {
 		return false
 	}
-	if streamEnd {
+	switch {
+	case typ != frameV3RelHead && (j.err == nil || j.stream != nil):
 		j.streamEnd(typ, h)
-		return true
-	}
-	if j.err != nil {
-		return true
-	}
-	r, err := j.rel(h[0])
-	if err == nil {
-		switch typ {
-		case frameV3RelHead:
-			err = j.relHead(r, h)
-		case frameV3ChunkHead:
-			err = j.chunkHead(r, h)
-		default:
-			err = j.chunkTail(r, h)
+	case j.err == nil:
+		if err := j.relHead(h); err != nil {
+			j.fail(err)
 		}
-	}
-	if err != nil {
-		j.fail(err)
 	}
 	return true
 }
 
-// streamEnd closes one epoch's base (h is [epoch u32][total u32]) or one
-// window ([window u32] ahead of the same): like a CHUNKTAIL's, its exact total
-// must match the running count, which then restarts. The end reaches the
-// goroutine failed stream or not: a window end is what makes it reply, and
-// the coordinator collects windows in lockstep.
+// streamEnd closes one run of base frames (h is [epoch u32][total u32]) or of
+// window frames ([window u32] ahead of the same): its exact total must match
+// the running count. A fed job's end declares the relation; a stream's count
+// restarts for its next epoch or window. The end reaches the goroutine failed
+// or not: a stream's window end is what makes it reply, and the coordinator
+// collects windows in lockstep.
 func (j *sessJob) streamEnd(typ byte, h []byte) {
-	ev := streamEvent{kind: evStreamBaseEnd,
-		epoch: binary.LittleEndian.Uint32(h[len(h)-8:]),
-		total: int(binary.LittleEndian.Uint32(h[len(h)-4:]))}
-	r := &j.rels[1]
-	if typ == frameV3StreamWinEnd {
-		ev.kind, ev.win = evStreamWinEnd, binary.LittleEndian.Uint32(h)
-		r = &j.rels[0]
+	ev := runEvent(typ, h)
+	if err := j.feedable(ev); err != nil {
+		j.fail(err)
+		return
 	}
+	r := j.runRel(typ == frameV3StreamBaseEnd)
 	if r.pos != ev.total {
 		j.fail(fmt.Errorf("stream frame type %d ends a run of %d tuples, declares %d", typ, r.pos, ev.total))
 	}
-	r.pos = 0
+	if j.stream.fed() {
+		r.declared, r.n = true, r.pos
+	} else {
+		r.pos = 0
+	}
 	j.stream.feed(ev)
 }
 
-// dataFrame serves the key frames (BLOCK, CHUNK, a stream's BASE/WIN). A
-// frame for a failed job is consumed and dropped; a *protoErr from the decoder
-// — which has consumed the frame — fails only the job; anything else (unknown
-// job, stream keys for a job STREAMOPEN did not open, frame shorter than its
-// sub-header, I/O error) reports false: the connection's framing is lost.
+// dataFrame serves the key frames (BLOCK, BASE, WIN). A frame for a failed
+// job is consumed and dropped; a *protoErr from the decoder — which has
+// consumed the frame — fails only the job; anything else (unknown job, frame
+// shorter than its sub-header, I/O error) reports false: the connection's
+// framing is lost.
 func (ws *workerSession) dataFrame(br *bufio.Reader, typ byte, id uint32, n int) bool {
 	j := ws.jobs[id]
-	stream := typ == frameV3StreamBase || typ == frameV3StreamWin
-	if j == nil || (stream && !j.streamOpened()) {
+	if j == nil {
 		return false
 	}
 	if j.err != nil {
@@ -555,12 +596,12 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			w.dropPeerState(pc.Token)
 			ws.pt.cancel(pc.Token)
 
-		case frameV3RelHead, frameV3ChunkHead, frameV3ChunkTail, frameV3StreamBaseEnd, frameV3StreamWinEnd:
+		case frameV3RelHead, frameV3StreamBaseEnd, frameV3StreamWinEnd:
 			if !ws.headFrame(br, typ, id, n) {
 				return
 			}
 
-		case frameV3Block, frameV3Chunk, frameV3StreamBase, frameV3StreamWin:
+		case frameV3Block, frameV3StreamBase, frameV3StreamWin:
 			if !ws.dataFrame(br, typ, id, n) {
 				return
 			}
@@ -606,8 +647,12 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 // of a plan job, the re-key column of as many keys. It allocates nothing: the
 // count bounds the BLOCK frames, which grow the buffer as they arrive, and
 // validates at EOS.
-func (j *sessJob) relHead(r *sessRel, h []byte) error {
-	if err := j.declarable(r, h[0], false); err != nil {
+func (j *sessJob) relHead(h []byte) error {
+	r, err := j.rel(h[0])
+	if err == nil {
+		err = j.declarable(r, h[0])
+	}
+	if err != nil {
 		return err
 	}
 	count := int64(binary.LittleEndian.Uint32(h[2:]))
@@ -628,9 +673,8 @@ func (j *sessJob) relHead(r *sessRel, h []byte) error {
 // declarable refuses a head naming the re-key column (relation 2's RELHEAD
 // declares it), a second declaration of relation tag, any declaration of a
 // peer-fed job's relation 1, and one a running join goroutine could not
-// take: a STREAMOPEN job's relations are its STREAM frames, and a fed job's
-// other relation arrives as chunks or not at all.
-func (j *sessJob) declarable(r *sessRel, tag byte, chunked bool) error {
+// take: a fed or stream job's relations are its base and window runs.
+func (j *sessJob) declarable(r *sessRel, tag byte) error {
 	switch {
 	case tag == relRekey:
 		return fmt.Errorf("the re-key column is declared by relation 2's head, not its own")
@@ -638,59 +682,9 @@ func (j *sessJob) declarable(r *sessRel, tag byte, chunked bool) error {
 		return fmt.Errorf("relation 1 of a peer-fed job arrives from peers, not the coordinator")
 	case r.declared:
 		return fmt.Errorf("relation %d declared twice", tag)
-	case j.streamOpened():
-		return fmt.Errorf("relation %d declared on a stream job", tag)
-	case j.stream != nil && !chunked:
-		return fmt.Errorf("relation %d declared flat on a job whose relations feed the join as chunks", tag)
-	}
-	return nil
-}
-
-// chunkHead declares a chunk-streamed relation: only the mapper count is
-// known up front; the tail carries the exact totals. Every chunked relation
-// feeds the job's join goroutine — relation 1's head makes a job a count and
-// starts it, a peer-fed job's runs from its open — so an arrival-order job (a
-// PLAN rode with it, or relation 1 came flat) takes none.
-func (j *sessJob) chunkHead(r *sessRel, h []byte) error {
-	if err := j.declarable(r, h[0], true); err != nil {
-		return err
-	}
-	chunks := int64(binary.LittleEndian.Uint32(h[1:]))
-	if chunks < 1 || chunks > maxRelationChunks {
-		return fmt.Errorf("chunked relation %d declares %d mappers, limit %d",
-			h[0], chunks, maxRelationChunks)
-	}
-	switch {
 	case j.stream != nil:
-	case j.plan != nil || j.rels[0].declared:
-		return fmt.Errorf("chunked relation %d on a pairs or plan job, which joins flat blocks in arrival order", h[0])
-	case h[0] != 1 || j.rels[1].declared:
-		return fmt.Errorf("chunked relation %d without relation 1's chunks ahead of it", h[0])
-	default:
-		j.stream = newSessStream(j, exec.StatsSpec{}, 1)
+		return fmt.Errorf("relation %d declared flat on a job whose relations feed the join goroutine", tag)
 	}
-	r.declared = true
-	r.streaming = true
-	r.chunks = int(chunks)
-	return nil
-}
-
-// chunkTail closes a chunk-streamed relation, cross-checking the running
-// count against the tail's exact total, and tells the goroutine: the resident
-// relation's tail seals the side and unblocks probing.
-func (j *sessJob) chunkTail(r *sessRel, h []byte) error {
-	count := int(binary.LittleEndian.Uint32(h[1:]))
-	switch {
-	case !r.streaming:
-		return fmt.Errorf("tail for non-streaming relation %d", h[0])
-	case r.pos != count:
-		return fmt.Errorf("chunked relation %d streamed %d tuples, tail declares %d",
-			h[0], r.pos, count)
-	}
-	_, end := j.stream.kinds(h[0])
-	j.stream.feed(streamEvent{kind: end, total: count})
-	r.streaming = false
-	r.n = r.pos
 	return nil
 }
 
@@ -744,15 +738,14 @@ func readKeySubHdr(br *bufio.Reader, typ byte, n int, h []byte) (count int, err 
 }
 
 // readKeyFrame is the one decoder of key-carrying session frames (BLOCK,
-// CHUNK, STREAMBASE, STREAMWIN): readKeySubHdr's step, then the keys. Every
-// refusal past that step is job-level too: the rest of the frame is drained
-// and a *protoErr returned. The types differ only in how the sub-header
-// validates against the job's declarations. Every accepted frame is charged
-// to the job's tenant before its keys get a buffer: a BLOCK decodes in place
-// into its relation's buffer, grown within the RELHEAD's count; the others are
-// capped by the running count (exact totals validate at the tail or end
-// frame) and decode into a pooled buffer that becomes the join goroutine's
-// next event. A refused charge fails the job like any other refusal.
+// STREAMBASE, STREAMWIN): readKeySubHdr's step, then the keys. Every refusal
+// past that step is job-level too: the rest of the frame is drained and a
+// *protoErr returned. Every accepted frame is charged to the job's tenant
+// before its keys get a buffer: a BLOCK decodes in place into its relation's
+// buffer, grown within the RELHEAD's count; a base or window frame is capped
+// by the running count (the exact total validates at the run's end frame) and
+// decodes into a pooled buffer that becomes the join goroutine's next event.
+// A refused charge fails the job like any other refusal.
 func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 	var hb [maxKeySubHdrLen]byte
 	h := hb[:keySubHdrLen[typ]]
@@ -763,46 +756,22 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 	refuse := func(format string, args ...any) error {
 		return drainFrame(br, n-len(h), protoErrf(format, args...))
 	}
-
-	// r is the relation whose running count the frame advances — for a stream,
-	// relation 1 is the open window and relation 2 the epoch's base — and ev
-	// the event (less its keys) the frame becomes for a join goroutine.
-	var r *sessRel
-	var ev streamEvent
-	switch typ {
-	case frameV3StreamBase:
-		r, ev = &j.rels[1], streamEvent{kind: evStreamBase, epoch: binary.LittleEndian.Uint32(h)}
-	case frameV3StreamWin:
-		r, ev = &j.rels[0], streamEvent{kind: evStreamWin, win: binary.LittleEndian.Uint32(h),
-			epoch: binary.LittleEndian.Uint32(h[4:])}
-	default:
-		var err error
-		if r, err = j.rel(h[0]); err != nil {
-			return refuse("%s", err)
-		}
-		if typ == frameV3Chunk {
-			ev.mapper = int(binary.LittleEndian.Uint16(h[1:]))
-		}
-		switch {
-		case typ == frameV3Block && !r.declared:
-			return refuse("block for undeclared relation %d", h[0])
-		case typ == frameV3Block && r.streaming:
-			return refuse("flat block for chunk-streaming relation %d", h[0])
-		case typ == frameV3Block && r.pos+count > r.n:
-			return refuse("relation %d overflows declared count %d", h[0], r.n)
-		case typ == frameV3Chunk && !r.streaming:
-			return refuse("chunk for non-streaming relation %d", h[0])
-		case typ == frameV3Chunk && ev.mapper >= r.chunks:
-			return refuse("chunk names mapper %d, head declared %d", ev.mapper, r.chunks)
-		case typ == frameV3Chunk:
-			ev.kind, _ = j.stream.kinds(h[0]) // a streaming relation has its goroutine
-		}
-	}
-
 	overCharge := func(err error) error {
 		return drainFrame(br, n-len(h), &protoErr{msg: err.Error(), cause: err})
 	}
+
 	if typ == frameV3Block {
+		r, err := j.rel(h[0])
+		switch {
+		case err != nil:
+			return refuse("%s", err)
+		case !r.declared:
+			return refuse("block for undeclared relation %d", h[0])
+		case j.stream != nil:
+			return refuse("flat block for relation %d of a job whose relations feed the join goroutine", h[0])
+		case r.pos+count > r.n:
+			return refuse("relation %d overflows declared count %d", h[0], r.n)
+		}
 		if r.keys, err = growKeys(r.keys, r.pos, r.pos+count, r.n, j.charge); err != nil {
 			return overCharge(err)
 		}
@@ -812,6 +781,14 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 		r.pos += count
 		return nil
 	}
+
+	// A base or window frame advances its run's running count and becomes the
+	// goroutine's next event.
+	ev := runEvent(typ, h)
+	if err := j.feedable(ev); err != nil {
+		return refuse("%s", err)
+	}
+	r := j.runRel(typ == frameV3StreamBase)
 	if overRelationCap(r.pos, count) {
 		return refuse("frame type %d runs past %d tuples", typ, MaxRelationTuples)
 	}
@@ -829,11 +806,12 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 	return nil
 }
 
-// validateComplete checks a job's stream against its declarations at EOS.
-// A peer-fed job's relation 1 is exempt: it arrives over the mesh (the
-// declaration frames refuse it from the coordinator) and the join goroutine
-// probes it straight out of the transfer table. The re-key column is checked
-// when declared; runPlanJob insists a plan job declared it.
+// validateComplete checks a flat or fed job's relations against their
+// declarations at EOS: a fed job's runs must have ended. A peer-fed job's
+// relation 1 is exempt: it arrives over the mesh (the declaration frames
+// refuse it from the coordinator) and the join goroutine probes it straight
+// out of the transfer table. The re-key column is checked when declared;
+// runPlanJob insists a plan job declared it.
 func (j *sessJob) validateComplete() error {
 	for i := range j.rels {
 		r := &j.rels[i]
@@ -841,10 +819,7 @@ func (j *sessJob) validateComplete() error {
 			continue
 		}
 		if !r.declared {
-			return fmt.Errorf("relation %d never declared", i+1)
-		}
-		if r.streaming {
-			return fmt.Errorf("chunked relation %d never received its tail", i+1)
+			return fmt.Errorf("relation %d never declared its count", i+1)
 		}
 		if r.pos != r.n {
 			return fmt.Errorf("relation %d ended at %d tuples, head declared %d", i+1, r.pos, r.n)

@@ -313,7 +313,7 @@ func (j *subJob) sendPeerRelation(st *stagePipe) error {
 	if !st.stage1Done.Load() {
 		j.c.sess.overlapped.Add(1)
 	}
-	if err := j.sendChunks(j.send, 2, rd.Chunks); err != nil {
+	if err := j.sendChunks(j.send, 2, rd.Chunks, true); err != nil {
 		return err
 	}
 	return j.send(func(bw *bufio.Writer) error { return writeV3FrameHeader(bw, frameV3EOS, j.id, 0) })

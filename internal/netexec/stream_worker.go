@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,7 +23,7 @@ import (
 // (session_worker.go's readKeyFrame) and hands them over the channel — a full
 // channel is the backpressure onto TCP — and the goroutine is the job's only
 // reply path, closing with the ordinary EOS / METRICS pair. Every count job
-// whose relations arrive as anything but flat blocks runs on it:
+// runs on it, and every one takes its relations as base and window frames:
 //
 //   - A stream job (STREAMOPEN, frames 33-38): an unbounded sequence of
 //     tuple windows (relation 1) against a static base (relation 2). Each
@@ -32,15 +31,16 @@ import (
 //     count and a summary of its keys; a new epoch's base frames replace the
 //     side — mid-stream replanning without restarting the job. It admits per
 //     seal and per window.
-//   - A chunk-fed count job (OPENJOB, relations as CHUNK streams): a
-//     one-epoch, one-window stream. Relation 1 is the resident side, sealed at
-//     its tail while relation 2 is still on the wire; relation 2's chunks
-//     probe as they decode (a merge side keeps them for one sweep at the
-//     tail). It shares the worker's build cache, counts the chunks consumed
-//     before EOS (Metrics.BuildOverlapped) and runs under its OPENJOB's slot.
+//   - A count job (OPENJOB, then base frames): a one-epoch, one-window
+//     stream at epoch 0, window 0. Relation 1 is the base, the resident side,
+//     sealed at its end frame while relation 2, the window, is still on the
+//     wire; the window's frames probe as they decode (a merge side keeps them
+//     for one sweep at the window's end). It shares the worker's build cache,
+//     counts the frames consumed before EOS (Metrics.BuildOverlapped) and runs
+//     under its OPENJOB's slot.
 //   - A peer-fed stage-2 job (OPENPEERJOB): relation 2, the coordinator's
-//     chunks, arrives while stage 1 still runs and is the resident side; the
-//     probe is the mesh transfer, taken at EOS. It parks on the transfer
+//     base frames, arrives while stage 1 still runs and is the resident side;
+//     the probe is the mesh transfer, taken at EOS. It parks on the transfer
 //     holding no slot and admits per seal and per probe, like a stream.
 
 // streamOpen opens a stream job (rides frameV3StreamOpen as gob).
@@ -65,7 +65,8 @@ type streamWinReply struct {
 	Code    int
 }
 
-// Stream event kinds, read-loop → stream goroutine.
+// Stream event kinds, read-loop → stream goroutine; each run's end follows
+// its key event (runEvent relies on the order).
 const (
 	evStreamBase = iota
 	evStreamBaseEnd
@@ -76,13 +77,12 @@ const (
 )
 
 type streamEvent struct {
-	kind   int
-	win    uint32
-	epoch  uint32
-	mapper int        // fed job: orders the base's content digest
-	keys   []join.Key // pooled; ownership transfers to the goroutine
-	total  int
-	err    error
+	kind  int
+	win   uint32
+	epoch uint32
+	keys  []join.Key // pooled; ownership transfers to the goroutine
+	total int
+	err   error
 }
 
 // streamEventDepth bounds the event channel. Small on purpose: a full channel
@@ -98,7 +98,7 @@ type sessStream struct {
 	ws *workerSession
 	j  *sessJob
 
-	// resTag is the relation whose CHUNK frames are a fed job's resident side
+	// resTag is the relation whose base frames are a fed job's resident side
 	// — 1, or 2 when relation 1 is the mesh — and 0 for a STREAMOPEN job.
 	resTag byte
 	st     exec.StatsSpec
@@ -119,10 +119,10 @@ type sessStream struct {
 	baseN  int
 	res    *localjoin.Resident
 	held   [][]join.Key // pooled chunks res keeps: until its seal, then until the window's end
-	// digests, on a chunk-fed OPENJOB job (resTag 1), holds the digests of
-	// the chunks res copied out in arrival order: sorted mapper-major at the
-	// seal they are the side's content key in the worker's build cache.
-	digests []mapperDigest
+	// digests, on an OPENJOB count job (resTag 1), holds the digests of the
+	// chunks res copied out: folded at the seal, in any order, they are the
+	// side's content key in the worker's build cache.
+	digests []localjoin.ChunkDigest
 
 	winOpen  bool
 	win      uint32
@@ -138,25 +138,9 @@ type sessStream struct {
 // one resident relation, one probe relation, no window replies or summaries.
 func (s *sessStream) fed() bool { return s.resTag != 0 }
 
-// kinds maps a fed job's relation tag onto the stream vocabulary — the resident
-// relation is the one epoch's base, the other the one window — as the event
-// kinds the relation's chunks and its tail become.
-func (s *sessStream) kinds(tag byte) (keys, end int) {
-	if tag == s.resTag {
-		return evStreamBase, evStreamBaseEnd
-	}
-	return evStreamWin, evStreamWinEnd
-}
-
-// mapperDigest is one chunk's digest and the mapper that routed it.
-type mapperDigest struct {
-	mapper int
-	d      localjoin.ChunkDigest
-}
-
 // newSessStream starts the goroutine for a freshly opened stream (resTag 0)
-// or peer-fed (2) job, or for a count job whose relation 1 just declared its
-// chunk sub-streams (1). A job that failed at open starts poisoned.
+// or peer-fed (2) job, or for a count job at its first base frame or base end
+// (1). A job that failed at open starts poisoned.
 func newSessStream(j *sessJob, st exec.StatsSpec, resTag byte) *sessStream {
 	s := &sessStream{
 		ws: j.ws, j: j,
@@ -183,8 +167,8 @@ func (s *sessStream) stop() {
 	<-s.done
 }
 
-// admit takes the admission slot a seal or a probe runs under. A chunk-fed
-// OPENJOB job still holds the one the read loop took at its open — queueing
+// admit takes the admission slot a seal or a probe runs under. An OPENJOB
+// count job still holds the one the read loop took at its open — queueing
 // for a second would deadlock a one-slot worker against itself.
 func (s *sessStream) admit() (release func(), err error) {
 	if s.j.releaseSlot != nil {
@@ -284,7 +268,7 @@ func (s *sessStream) onBase(ev streamEvent) {
 		s.held = append(s.held, ev.keys)
 	} else {
 		if s.resTag == 1 {
-			s.digests = append(s.digests, mapperDigest{ev.mapper, localjoin.DigestKeys(ev.keys)})
+			s.digests = append(s.digests, localjoin.DigestKeys(ev.keys))
 		}
 		exec.PutKeyBuffer(ev.keys)
 	}
@@ -316,14 +300,9 @@ func (s *sessStream) onBaseEnd(ev streamEvent) {
 		return
 	}
 	if s.resTag == 1 {
-		// Combined in canonical mapper-major order. A stream's or peer-fed
-		// job's side stays uncached: job-unique, it would only churn the LRU.
-		slices.SortStableFunc(s.digests, func(a, b mapperDigest) int { return a.mapper - b.mapper })
-		flat := make([]localjoin.ChunkDigest, len(s.digests))
-		for i, md := range s.digests {
-			flat[i] = md.d
-		}
-		s.res.SealShared(s.ws.w.buildCache, localjoin.CombineDigests(flat))
+		// A stream's or peer-fed job's side stays uncached: job-unique, it
+		// would only churn the LRU.
+		s.res.SealShared(s.ws.w.buildCache, localjoin.CombineDigests(s.digests))
 	} else {
 		s.res.Seal()
 	}
@@ -334,8 +313,9 @@ func (s *sessStream) onBaseEnd(ev streamEvent) {
 
 // enterWin admits keys or an end frame for window win, routed under epoch,
 // opening the window if it is not yet — or says why they cannot be taken. A
-// fed job's relation 2 ahead of relation 1's tail lands on the first case: no
-// sender produces it (sendJob writes relation 1 through its tail first).
+// count job's relation 2 ahead of relation 1's end frame lands on the first
+// case: no sender produces it (sendJob writes relation 1 through its end
+// first).
 func (s *sessStream) enterWin(win, epoch uint32) error {
 	switch {
 	case !s.sealed:

@@ -24,7 +24,7 @@ import (
 //	version 4, worker→worker peer:  [type u8][payloadLen u32][payload]
 //
 // Control frames (opens, plans, metrics — a few per job) carry gob inside
-// their frame for flexibility; data frames (key blocks, chunks, pairs) are
+// their frame for flexibility; data frames (key blocks, pairs) are
 // raw fixed-width binary, so the coordinator encodes straight out
 // of the shuffle's contiguous per-worker slices and the worker decodes
 // straight into exactly-sized pooled buffers. DESIGN.md's "Transport"
@@ -73,18 +73,6 @@ const (
 	// hello's job field is 0 and old workers never receive one).
 	frameV3Hello = 23 // coord→worker gob sessionHello
 
-	// CHUNK frames (pipelined relation streaming): instead of waiting for the
-	// whole relation's scatter and announcing exact counts up front
-	// (frameV3RelHead), the coordinator declares only the mapper count and
-	// streams each mapper's routed sub-block the moment routing fills it. Any
-	// number of chunk frames may carry one mapper's sub-block (an oversized
-	// sub-block splits at the frame cap); the TAIL is the terminator, carrying
-	// exact totals the coordinator only knows at the end, and the worker
-	// validates its running counts against them.
-	frameV3ChunkHead = 25 // coord→worker [rel u8][chunks u32]
-	frameV3Chunk     = 26 // coord→worker [rel u8][mapper u16][count u32][count×8 LE keys]
-	frameV3ChunkTail = 27 // coord→worker [rel u8][count u32] — the exact total
-
 	// STREAM frames (continuous joins): a long-lived stream job joins an
 	// unbounded sequence of tuple windows against a static base relation.
 	// The open frame pins the condition; base frames ship the
@@ -95,6 +83,13 @@ const (
 	// drain/cutover contract: windows sent before a new epoch's base are
 	// processed under the old plan, windows after it under the new one.
 	// The stream closes via the ordinary frameV3EOS / frameV3Metrics pair.
+	//
+	// A count job (OPENJOB) and a peer-fed job (OPENPEERJOB) ride the same
+	// frames at epoch 0 and window 0: the resident relation as base frames
+	// (a count job's relation 1, a peer-fed job's relation 2), a count job's
+	// relation 2 as window frames. Each mapper's routed sub-block goes out the
+	// moment routing fills it; the end frame carries the exact total, which
+	// the coordinator only knows once every mapper has emitted.
 	frameV3StreamOpen    = 33 // coord→worker gob streamOpen
 	frameV3StreamBase    = 34 // coord→worker [epoch u32][count u32][count×8 LE keys]
 	frameV3StreamBaseEnd = 35 // coord→worker [epoch u32][total u32]
@@ -118,12 +113,6 @@ const (
 
 	// blockHeaderLen is [rel u8][count u32].
 	blockHeaderLen = 5
-	// chunkHeadLen is [rel u8][chunks u32].
-	chunkHeadLen = 5
-	// chunkHeaderLen is frameV3Chunk's sub-header: [rel u8][mapper u16][count u32].
-	chunkHeaderLen = 7
-	// chunkTailLen is [rel u8][count u32].
-	chunkTailLen = 5
 	// streamBaseHdrLen is frameV3StreamBase's sub-header [epoch u32][count u32];
 	// frameV3StreamBaseEnd reuses the layout with the exact total in the
 	// count slot.
@@ -132,16 +121,13 @@ const (
 	// [window u32][epoch u32][count u32]; frameV3StreamWinEnd reuses the
 	// layout with the exact total in the count slot.
 	streamWinHdrLen = 12
-	// maxRelationChunks bounds the chunk count a chunk head may declare; it
-	// is the mapper count, which no sane coordinator sets anywhere near this.
-	maxRelationChunks = 1 << 16
 	// relHeadLen is [rel u8][flags u8][count u32].
 	relHeadLen = 6
 	// maxBlockKeys caps the keys one key-carrying frame holds (128 MiB); a
 	// longer run splits into consecutive frames (see writeKeyFrames).
 	maxBlockKeys = 1 << 24
 	// maxKeySubHdrLen is the longest sub-header a key-carrying frame leads
-	// with (framePeerBlock's; BLOCK 5, CHUNK 7, STREAMBASE 8, STREAMWIN 12).
+	// with (framePeerBlock's; BLOCK 5, STREAMBASE 8, STREAMWIN 12).
 	maxKeySubHdrLen = peerBlockHeaderLen
 	// maxDataPayload is the longest payload either frame-header reader
 	// accepts: a full key frame under the longest sub-header, so a maximal
@@ -304,14 +290,14 @@ func writeHeadFrame(w io.Writer, typ byte, job uint32, h []byte) error {
 	return err
 }
 
-// writeKeyFrames is the one writer of key-carrying data frames (BLOCK, CHUNK,
+// writeKeyFrames is the one writer of key-carrying data frames (BLOCK,
 // STREAMBASE, STREAMWIN on a session; framePeerBlock, which rides the
 // job-less v4 header and ignores job, on the mesh). They share one shape: a
 // fixed sub-header whose last four bytes are the frame's key count, then the
 // keys fixed-width little-endian. sub arrives with everything but the count
 // filled in; keys split at maxBlockKeys into consecutive frames (which append
 // in arrival order on the worker) and an empty run writes nothing — the
-// relation's head, tail or end frame already says zero. Keys stage through a
+// relation's head or end frame already says zero. Keys stage through a
 // pooled scratch buffer, so the cost per key is one PutUint64.
 func writeKeyFrames(w io.Writer, typ byte, job uint32, sub []byte, keys []join.Key) error {
 	scratch := getScratch()
@@ -344,12 +330,11 @@ func writeKeyFrames(w io.Writer, typ byte, job uint32, sub []byte, keys []join.K
 
 // headFrameLen is the payload length of each fixed-layout session frame that
 // opens or closes a run of key frames.
-var headFrameLen = [...]int{frameV3RelHead: relHeadLen, frameV3ChunkHead: chunkHeadLen,
-	frameV3ChunkTail: chunkTailLen, frameV3StreamBaseEnd: streamBaseHdrLen,
-	frameV3StreamWinEnd: streamWinHdrLen}
+var headFrameLen = [...]int{frameV3RelHead: relHeadLen,
+	frameV3StreamBaseEnd: streamBaseHdrLen, frameV3StreamWinEnd: streamWinHdrLen}
 
 // keySubHdrLen is the sub-header length of each key-carrying frame.
-var keySubHdrLen = [...]int{frameV3Block: blockHeaderLen, frameV3Chunk: chunkHeaderLen,
+var keySubHdrLen = [...]int{frameV3Block: blockHeaderLen,
 	frameV3StreamBase: streamBaseHdrLen, frameV3StreamWin: streamWinHdrLen,
 	framePeerBlock: peerBlockHeaderLen}
 
@@ -359,15 +344,6 @@ func writeKeyBlocksV3(w io.Writer, job uint32, rel int8, keys []join.Key) error 
 	var h [blockHeaderLen]byte
 	h[0] = byte(rel)
 	return writeKeyFrames(w, frameV3Block, job, h[:], keys)
-}
-
-// writeChunkKeys frames one mapper's routed sub-block for one worker; the
-// mapper id orders the chunks' content digest on the worker.
-func writeChunkKeys(w io.Writer, job uint32, rel int8, mapper int, keys []join.Key) error {
-	var h [chunkHeaderLen]byte
-	h[0] = byte(rel)
-	binary.LittleEndian.PutUint16(h[1:], uint16(mapper))
-	return writeKeyFrames(w, frameV3Chunk, job, h[:], keys)
 }
 
 // writeStreamBaseKeys ships one epoch's base shard for one worker.
@@ -460,25 +436,6 @@ func writePairsFrame(w *bufio.Writer, job uint32, pairs []exec.PairIdx) error {
 		pairs = pairs[c:]
 	}
 	return nil
-}
-
-// writeChunkHead declares a chunked relation routed by `chunks` mappers;
-// chunk frames follow in any interleaving (empty sub-blocks are skipped),
-// then a tail with the exact total terminates the relation.
-func writeChunkHead(w io.Writer, job uint32, rel int8, chunks int) error {
-	var h [chunkHeadLen]byte
-	h[0] = byte(rel)
-	binary.LittleEndian.PutUint32(h[1:], uint32(chunks))
-	return writeHeadFrame(w, frameV3ChunkHead, job, h[:])
-}
-
-// writeChunkTail closes a chunked relation with its exact total; the worker
-// cross-checks it against the running count the chunks accumulated.
-func writeChunkTail(w io.Writer, job uint32, rel int8, count int) error {
-	var h [chunkTailLen]byte
-	h[0] = byte(rel)
-	binary.LittleEndian.PutUint32(h[1:], uint32(count))
-	return writeHeadFrame(w, frameV3ChunkTail, job, h[:])
 }
 
 // writeStreamBaseEnd seals one epoch's base with its exact total; the worker
