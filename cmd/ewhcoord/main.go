@@ -85,6 +85,14 @@ func main() {
 		usage("-jobs %d: need at least one job", *jobs)
 	case *driftThr < 0 || *driftThr > 1:
 		usage("-drift %v: the threshold lies in (0,1] (0 = the streamjoin default)", *driftThr)
+	case *timeout < 0:
+		usage("-timeout %v: cannot be negative (0 = none)", *timeout)
+	case *jobTimeout < 0:
+		usage("-job-timeout %v: cannot be negative (0 = none)", *jobTimeout)
+	case *retries < 0:
+		usage("-retries %d: cannot be negative (0 = fail fast)", *retries)
+	case *backoff < 0:
+		usage("-retry-backoff %v: cannot be negative", *backoff)
 	}
 	// A flag the chosen mode never reads is refused, not silently ignored.
 	mode, unread := "the 2-way join", []string{"window-rows", "drift", "freeze-plan"}
@@ -229,10 +237,6 @@ func runMultiway(addrs []string, tenant string, r1, r2 []join.Key, n, j int, see
 	fmt.Printf("multiway (peer shuffle): |R1 ⋈ Mid ⋈ R3| = %d (intermediate %d, %d pairs relayed through coordinator)\n",
 		res.Output, res.Intermediate, sess.RelayedPairs())
 	for i, st := range res.Stages {
-		if st.Exec == nil {
-			fmt.Printf("  stage %d: %s\n", i+1, st.Scheme)
-			continue
-		}
 		fmt.Printf("  stage %d: %s plan=%v %v\n", i+1, st.Scheme,
 			st.PlanDuration.Round(time.Millisecond), st.Exec)
 	}

@@ -36,6 +36,16 @@ func main() {
 	weights := netexec.TenantWeights{}
 	flag.Var(weights, "tenant-weight", "tenant scheduling weight as name=w (repeatable); weighted tenants keep the default tenant budgets")
 	flag.Parse()
+	// A negative duration would arm a deadline already past.
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{{"timeout", *timeout}, {"drain", *drain}, {"queue-deadline", *queueDeadline}} {
+		if d.v < 0 {
+			fmt.Fprintf(os.Stderr, "ewhworker: -%s %v: cannot be negative\n", d.name, d.v)
+			os.Exit(2)
+		}
+	}
 
 	w, err := netexec.ListenWorker(*addr)
 	if err != nil {

@@ -4,21 +4,25 @@ package cmd_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestBadSizesAreUsageErrors pins that a flag value the run cannot serve is
 // refused where the flags are parsed — exit status 2 and one line naming the
 // flag — instead of reaching a panic (stats.NewZipf, join.NewBand, a nil
-// result) or being silently ignored (-drift outside (0,1], or any ewhcoord
-// flag its mode never reads).
+// result), arming a deadline already past (a negative -timeout or -drain) or
+// being silently ignored (-drift outside (0,1], a negative -retries or
+// -queue-deadline, or any ewhcoord flag its mode never reads). A worker that
+// accepts its flags serves until killed, so each run is bounded.
 func TestBadSizesAreUsageErrors(t *testing.T) {
 	bin := t.TempDir()
-	if out, err := exec.Command("go", "build", "-o", bin, "./ewhcoord", "./ewhplan").CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", "build", "-o", bin, "./ewhcoord", "./ewhplan", "./ewhworker").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	// mode puts the tool on the path that reads the flag; zipf is the ewhplan
@@ -32,14 +36,20 @@ func TestBadSizesAreUsageErrors(t *testing.T) {
 		{"ewhcoord", "-stream=3", "-retries", "2"}, {"ewhcoord", "-stream=3", "-retry-backoff", "1s"},
 		{"ewhcoord", "-jobs=1", "-window-rows", "5"}, {"ewhcoord", "-jobs=1", "-drift", "0.5"},
 		{"ewhcoord", "-jobs=1", "-freeze-plan", "true"},
+		{"ewhcoord", "-jobs=1", "-timeout", "-1s"}, {"ewhcoord", "-jobs=1", "-job-timeout", "-1s"},
+		{"ewhcoord", "-jobs=1", "-retries", "-1"}, {"ewhcoord", "-jobs=1", "-retry-backoff", "-1s"},
+		{"ewhworker", "-addr=127.0.0.1:0", "-timeout", "-1s"}, {"ewhworker", "-addr=127.0.0.1:0", "-drain", "-1s"},
+		{"ewhworker", "-addr=127.0.0.1:0", "-queue-deadline", "-1s"},
 		{"ewhplan", "-workload=zipf", "-n", "0"}, {"ewhplan", "-workload=zipf", "-x", "0"},
 		{"ewhplan", "-workload=zipf", "-j", "-2"}, {"ewhplan", "-workload=zipf", "-z", "-0.5"},
 		{"ewhplan", "-workload=zipf", "-beta", "-1"}, {"ewhplan", "-workload=bcb", "-beta", "-2"},
 	} {
 		var stderr bytes.Buffer
-		cmd := exec.Command(filepath.Join(bin, c.tool), c.mode, c.flag, c.value)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		cmd := exec.CommandContext(ctx, filepath.Join(bin, c.tool), c.mode, c.flag, c.value)
 		cmd.Stderr = &stderr
 		err := cmd.Run()
+		cancel()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Errorf("%s %s %s: ended with %v, want exit status 2\n%s", c.tool, c.flag, c.value, err, &stderr)

@@ -1,6 +1,8 @@
 package ewh
 
 import (
+	"context"
+
 	"ewh/internal/core"
 	"ewh/internal/exec"
 	"ewh/internal/multiway"
@@ -59,7 +61,9 @@ func Dial(addrs []string) (*Cluster, error) { return netexec.Dial(addrs) }
 type Timeouts = netexec.Timeouts
 
 // DialWith is Dial with explicit dial/IO deadlines.
-func DialWith(addrs []string, t Timeouts) (*Cluster, error) { return netexec.DialWith(addrs, t) }
+func DialWith(addrs []string, t Timeouts) (*Cluster, error) {
+	return netexec.DialTenant(context.Background(), "", addrs, t)
+}
 
 // WorkerPool is the coordinator-side handle on a SHARED worker fleet: any
 // number of concurrent coordinators draw tenant sessions from one fixed set

@@ -45,6 +45,7 @@ func runCSIOWith(spec *JoinSpec, cfg Config, mutate func(*core.Options)) (float6
 func ablateNC(cfg Config) (Table, error) {
 	t := Table{
 		Title: fmt.Sprintf("Ablation 1: coarsened matrix size nc (J=%d)", cfg.J),
+		Label: "join",
 		Cols:  append(cols(0, "nc=J maxwork", "nc=2J maxwork"), Col{"2J gain %", 1}),
 	}
 	for _, id := range []string{"BCB-3", "BEOCD"} {
@@ -70,7 +71,7 @@ func ablateAdaptNS(cfg Config) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	t := Table{Cols: cols(0, "ns", "maxwork", "stats (ms)")}
+	t := Table{Label: "AdaptNS", Cols: cols(0, "ns", "maxwork", "stats (ms)")}
 	for i, label := range []string{"off", "on"} {
 		maxWork, plan, err := runCSIOWith(spec, cfg, func(o *core.Options) { o.AdaptNS = i == 1 })
 		if err != nil {
@@ -86,6 +87,7 @@ func ablateAdaptNS(cfg Config) (Table, error) {
 func ablateOutputSample(cfg Config) (Table, error) {
 	t := Table{
 		Title: "Ablation 3: output sample size so = factor·nsc (BCB-3)",
+		Label: "factor",
 		Cols:  []Col{{"maxwork", 0}, {"est-err %", 1}},
 	}
 	spec, err := MakeJoin("BCB-3", cfg)
@@ -119,6 +121,7 @@ func ablateSampler(cfg Config) (Table, error) {
 	si := core.InputSampleSize(max(n1, len(spec.R2)), cfg.J)
 	t := Table{
 		Title: fmt.Sprintf("Ablation 4: Stream-Sample over R1's input sample (BCB-3, si=%d of n1=%d, so=2000)", si, n1),
+		Label: "R1 sample",
 		Cols:  append(cols(0, "keys"), cols(4, "m-hat/m", "sampled share", "exact share")...),
 	}
 	head := int64(baseBCBX*cfg.Scale/6) + 1

@@ -48,6 +48,7 @@ func EquiComparison(cfg Config) ([]Table, error) {
 
 	t := Table{
 		Title: fmt.Sprintf("Equi-join comparison (§V.1), Zipf z=1 probe side, J=%d, %d heavy keys detected", cfg.J, len(heavy)),
+		Label: "scheme",
 		Cols:  cols(0, "output", "shipped", "max-input", "max-work"),
 	}
 	for _, s := range schemes {

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ewh/internal/core"
@@ -48,11 +49,23 @@ func runSchemes(id string, cfg Config) (*JoinSpec, map[string]*SchemeRun, error)
 	return spec, runs, nil
 }
 
+// ratioCols are CI's and CSI's value of a metric over CSIO's, beside the
+// values: at a large J the seconds shrink to one significant digit, the
+// ratios do not.
+var ratioCols = cols(2, "CI/CSIO", "CSI/CSIO")
+
+// csioRatios returns the ratioCols cells of one join's runs.
+func csioRatios(runs map[string]*SchemeRun, metric func(*SchemeRun) float64) []float64 {
+	csio := metric(runs["CSIO"])
+	return []float64{metric(runs["CI"]) / csio, metric(runs["CSI"]) / csio}
+}
+
 // TableIV reports the joins' characteristics (input/output sizes, ρoi).
 func TableIV(cfg Config) ([]Table, error) {
 	cfg.Defaults()
 	t := Table{
 		Title: fmt.Sprintf("Table IV: joins' characteristics (scale=%d, sizes in tuples)", cfg.Scale),
+		Label: "join",
 		Cols:  append(cols(0, "input", "output"), Col{"rho_oi", 2}),
 	}
 	for _, id := range TableIVJoins {
@@ -73,16 +86,18 @@ func Fig4a(cfg Config) ([]Table, error) {
 	cfg.Defaults()
 	t := Table{
 		Title: fmt.Sprintf("Fig 4a: total execution time (s), J=%d scale=%d", cfg.J, cfg.Scale),
-		Cols:  append([]Col{{"rho_oi", 2}}, cols(4, "CI total", "CSI total", "CSIO total", "CSI stats", "CSIO stats")...),
+		Label: "join",
+		Cols: slices.Concat([]Col{{"rho_oi", 2}}, cols(4, "CI total", "CSI total", "CSIO total"), ratioCols,
+			cols(4, "CSI stats", "CSIO stats")),
 	}
 	for _, id := range TableIVJoins {
 		spec, runs, err := runSchemes(id, cfg)
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, Row{id, []float64{RhoOI(spec),
-			runs["CI"].TotalSeconds, runs["CSI"].TotalSeconds, runs["CSIO"].TotalSeconds,
-			runs["CSI"].StatsSeconds, runs["CSIO"].StatsSeconds}})
+		t.Rows = append(t.Rows, Row{id, slices.Concat(
+			[]float64{RhoOI(spec), runs["CI"].TotalSeconds, runs["CSI"].TotalSeconds, runs["CSIO"].TotalSeconds},
+			csioRatios(runs, totalSeconds), []float64{runs["CSI"].StatsSeconds, runs["CSIO"].StatsSeconds})})
 	}
 	return []Table{t}, nil
 }
@@ -93,6 +108,7 @@ func Fig4b(cfg Config) ([]Table, error) {
 	cfg.Defaults()
 	t := Table{
 		Title: fmt.Sprintf("Fig 4b: normalized total time vs rho_oi (BCB sweep), J=%d scale=%d", cfg.J, cfg.Scale),
+		Label: "join",
 		Cols:  cols(2, "rho_oi", "CI", "CSI", "CSIO"),
 	}
 	for _, id := range []string{"BCB-1", "BCB-2", "BCB-3", "BCB-4", "BCB-8", "BCB-16"} {
@@ -100,9 +116,7 @@ func Fig4b(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := runs["CSIO"].TotalSeconds
-		t.Rows = append(t.Rows, Row{id, []float64{RhoOI(spec),
-			runs["CI"].TotalSeconds / base, runs["CSI"].TotalSeconds / base, 1}})
+		t.Rows = append(t.Rows, Row{id, slices.Concat([]float64{RhoOI(spec)}, csioRatios(runs, totalSeconds), []float64{1})})
 	}
 	return []Table{t}, nil
 }
@@ -115,6 +129,7 @@ func Fig4c(cfg Config) ([]Table, error) {
 	cfg.Defaults()
 	t := Table{
 		Title: fmt.Sprintf("Fig 4c: cluster memory consumption (MB), J=%d scale=%d", cfg.J, cfg.Scale),
+		Label: "join",
 		Cols:  cols(1, Schemes...),
 	}
 	for _, id := range fig4cJoins {
@@ -141,12 +156,12 @@ func perScheme(runs map[string]*SchemeRun, metric func(*SchemeRun) float64) []fl
 
 // scaling returns a weak-scaling driver (Figs. 4d–4g): joinID at (size ∝ J)
 // for J in {J/2, J, 2J} — the paper's 16/32/64 pattern around the
-// configured J — reporting metric per scheme, one row per size labelled
-// "<input>k/<J>".
+// configured J — reporting metric per scheme and its ratioCols, one row per
+// size labelled "<input>k/<J>".
 func scaling(title, joinID string, metric func(*SchemeRun) float64, prec int) func(Config) ([]Table, error) {
 	return func(cfg Config) ([]Table, error) {
 		cfg.Defaults()
-		t := Table{Title: title, Cols: cols(prec, Schemes...)}
+		t := Table{Title: title, Label: "input/J", Cols: append(cols(prec, Schemes...), ratioCols...)}
 		for _, mult := range []int{1, 2, 4} {
 			c := cfg
 			c.J = max(cfg.J*mult/2, 1)
@@ -155,7 +170,8 @@ func scaling(title, joinID string, metric func(*SchemeRun) float64, prec int) fu
 			if err != nil {
 				return nil, err
 			}
-			t.Rows = append(t.Rows, Row{fmt.Sprintf("%dk/%d", spec.InputSize()/1000, c.J), perScheme(runs, metric)})
+			t.Rows = append(t.Rows, Row{fmt.Sprintf("%dk/%d", spec.InputSize()/1000, c.J),
+				append(perScheme(runs, metric), csioRatios(runs, metric)...)})
 		}
 		return []Table{t}, nil
 	}
@@ -167,6 +183,7 @@ func Fig4h(cfg Config) ([]Table, error) {
 	cfg.Defaults()
 	t := Table{
 		Title: fmt.Sprintf("Fig 4h: max region weight (model units, millions), J=%d scale=%d", cfg.J, cfg.Scale),
+		Label: "join",
 		Cols:  append(cols(3, "CI", "CSI", "CSIO", "CSIO-est"), Col{"est-err %", 1}),
 	}
 	for _, id := range fig4cJoins {
@@ -200,7 +217,8 @@ func TableV(cfg Config) ([]Table, error) {
 		t := Table{
 			Title: fmt.Sprintf("Table V (%s): CSI vs p; CSIO max region weight %.0f, total %.4fs (hist alg %.3fs)",
 				id, csio.MaxWork, csio.TotalSeconds, csio.HistAlgSeconds),
-			Cols: []Col{{"hist alg (s)", 3}, {"join CSI/CSIO", 2}, {"total (s)", 4}},
+			Label: "p",
+			Cols:  []Col{{"hist alg (s)", 3}, {"join CSI/CSIO", 2}, {"total (s)", 4}},
 		}
 		for _, p := range []int{500, 1000, 2000, 4000, 8000, 16000} {
 			s := *spec
@@ -223,6 +241,7 @@ func TableIII(cfg Config) ([]Table, error) {
 	cfg.Defaults()
 	t := Table{
 		Title: "Table III: regionalization cost, BSP vs MonotonicBSP",
+		Label: "nc",
 		Cols:  []Col{{"BSP states", 0}, {"BSP time (ms)", 3}, {"Mono states", 0}, {"Mono time (ms)", 3}},
 	}
 	spec, err := MakeJoin("BCB-3", cfg)
@@ -261,6 +280,7 @@ func Worst(cfg Config) ([]Table, error) {
 	}
 	case1 := Table{
 		Title: "Worst case 1 (input-cost dominated; paper: CSIO/CSI <= 1.04x)",
+		Label: "join",
 		Cols:  cols(3, "CSIO/CSI total"),
 		Rows:  []Row{{"BICD", []float64{runs["CSIO"].TotalSeconds / runs["CSI"].TotalSeconds}}},
 	}
@@ -279,6 +299,7 @@ func Worst(cfg Config) ([]Table, error) {
 	}
 	case2 := Table{
 		Title: fmt.Sprintf("Worst case 2 (high selectivity): plans scheme %s", plan.Scheme.Name()),
+		Label: "input",
 		Cols:  []Col{{"fallback", 0}, {"m/n", 0}, {"stats wasted (s)", 3}},
 		Rows: []Row{{"uniform, 64 keys", []float64{fallback,
 			float64(plan.M) / float64(len(r1)), plan.StatsDuration.Seconds()}}},

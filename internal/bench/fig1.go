@@ -48,7 +48,8 @@ func Fig1(cfg Config) ([]Table, error) {
 	t := Table{
 		Title: fmt.Sprintf("Fig 1: band-join |R1.A - R2.A| <= 1, 16 tuples per relation, J=3, exact output size %d",
 			localjoin.NestedLoopCount(fig1R1, fig1R2, cond)),
-		Cols: cols(0, "max w(r)", "w 1", "w 2", "w 3", "output"),
+		Label: "scheme",
+		Cols:  cols(0, "max w(r)", "w 1", "w 2", "w 3", "output"),
 	}
 	for _, name := range Schemes {
 		res := exec.Run(fig1R1, fig1R2, cond, plans[name].Scheme, model, exec.Config{Seed: cfg.Seed})

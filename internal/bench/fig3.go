@@ -45,6 +45,7 @@ func Fig3(cfg Config) ([]Table, error) {
 	}
 	stages := Table{
 		Title: fmt.Sprintf("Fig 3: histogram algorithm stages (n=%d, J=%d, Zipf 0.8 band-3 join, m=%d)", n, j, sm.M),
+		Label: "stage",
 		Cols:  cols(0, "rows", "cols", "regions", "max weight", "bound"),
 		Rows: []Row{
 			{"1 sampling: MS, σ vs wOPT/2", []float64{float64(sm.Rows), float64(sm.Cols), nan, sm.MaxCellWeight(model), wOPT / 2}},
@@ -55,6 +56,7 @@ func Fig3(cfg Config) ([]Table, error) {
 	}
 	mh := Table{
 		Title: "Fig 3: MH regions (coarsened cells)",
+		Label: "region",
 		Cols:  cols(0, "row from", "row to", "col from", "col to", "input", "output", "weight"),
 	}
 	for i, reg := range regions {

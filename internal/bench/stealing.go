@@ -32,6 +32,7 @@ func WorkStealing(cfg Config) ([]Table, error) {
 	}
 	t := Table{
 		Title: fmt.Sprintf("Work-stealing granularity (§V), BCB-3, J=%d machines", cfg.J),
+		Label: "partitions",
 		Cols:  append(cols(0, "regions", "CI shipped", "CSIO shipped", "max machine"), Col{"vs K=1", 2}),
 	}
 	var base float64

@@ -9,10 +9,11 @@ import (
 	"unicode/utf8"
 )
 
-// Table is what a driver returns for one printed table: a title, its
-// columns, and one row per line.
+// Table is what a driver returns for one printed table: a title, the name
+// of its label column, its columns, and one row per line.
 type Table struct {
 	Title string
+	Label string
 	Cols  []Col
 	Rows  []Row
 }
@@ -41,8 +42,8 @@ func cols(prec int, names ...string) []Col {
 	return out
 }
 
-// Print writes each table as its title, a header line and its rows: labels
-// left-aligned, cells right-aligned, a NaN cell as "-", and a nonzero cell
+// Print writes each table as its title, a header line and its rows: the
+// label column's name and labels left-aligned, cells right-aligned, a NaN cell as "-", and a nonzero cell
 // its column's decimals would round to zero with two significant digits
 // instead (0.00004 in a 4-decimal column prints 0.000040). It is the only place
 // the package formats output: ewhbench and the root benchmarks print
@@ -51,11 +52,11 @@ func cols(prec int, names ...string) []Col {
 func Print(w io.Writer, tables []Table) error {
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', tabwriter.AlignRight)
 	for _, t := range tables {
-		width := 0
+		width := utf8.RuneCountInString(t.Label)
 		for _, r := range t.Rows {
 			width = max(width, utf8.RuneCountInString(r.Label))
 		}
-		fmt.Fprintf(tw, "%s\n%*s\t", t.Title, width, "")
+		fmt.Fprintf(tw, "%s\n%-*s\t", t.Title, width, t.Label)
 		for _, c := range t.Cols {
 			fmt.Fprintf(tw, "%s\t", c.Name)
 		}

@@ -13,6 +13,7 @@ package faultnet_test
 // planned width and the reference stays valid across the kill.
 
 import (
+	"context"
 	"net"
 	"reflect"
 	"runtime"
@@ -170,7 +171,7 @@ func TestRecoveryBitIdenticalAcrossBoundaries(t *testing.T) {
 				t.Cleanup(func() { _ = w.Close() })
 			}
 
-			sess, err := netexec.DialWith(addrs, netexec.Timeouts{
+			sess, err := netexec.DialTenant(context.Background(), "", addrs, netexec.Timeouts{
 				Dial: 2 * time.Second, Job: 10 * time.Second})
 			if err != nil {
 				t.Fatal(err)
@@ -243,7 +244,7 @@ func TestCountJobRecoveryAtStreamFrameBoundaries(t *testing.T) {
 				go func() { _ = w.Serve() }()
 				t.Cleanup(func() { _ = w.Close() })
 			}
-			sess, err := netexec.DialWith(addrs, netexec.Timeouts{
+			sess, err := netexec.DialTenant(context.Background(), "", addrs, netexec.Timeouts{
 				Dial: 2 * time.Second, Job: 10 * time.Second})
 			if err != nil {
 				t.Fatal(err)
@@ -314,7 +315,7 @@ func TestRecoveryFromStalledWorker(t *testing.T) {
 		go func() { _ = w.Serve() }()
 		t.Cleanup(func() { _ = w.Close() })
 	}
-	sess, err := netexec.DialWith(addrs, netexec.Timeouts{Job: 500 * time.Millisecond})
+	sess, err := netexec.DialTenant(context.Background(), "", addrs, netexec.Timeouts{Job: 500 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

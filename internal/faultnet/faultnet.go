@@ -2,8 +2,8 @@
 // wire protocols for testing recovery paths. It wraps a worker's
 // net.Listener so every accepted connection passes through a scriptable
 // frame-aware tap: the tap reads the 6-byte protocol prelude, follows the
-// framing of whichever protocol version the connection speaks (v3 sessions,
-// v4 peer mesh; anything else is opaque), counts matching
+// one frame header both protocol versions share (v3 sessions, v5 peer mesh;
+// anything else is opaque), counts matching
 // frames per rule and fires each rule's action exactly once at a precise
 // frame boundary — kill after the N-th block, reset on the first stats
 // frame, stall mid-transfer, or run an arbitrary hook (e.g. Close a victim
@@ -57,7 +57,7 @@ const (
 	FrameStreamWinEnd  byte = 37
 	FrameStreamRep     byte = 38
 
-	// v4 peer-mesh frames.
+	// Peer-mesh frames.
 	FramePeerHead  byte = 30
 	FramePeerBlock byte = 31
 )
@@ -65,7 +65,7 @@ const (
 // Protocol versions as they appear in the wire prelude.
 const (
 	VersionSession = 3
-	VersionPeer    = 4
+	VersionPeer    = 5
 )
 
 // Dir selects which byte stream a rule watches, relative to the wrapped
@@ -351,8 +351,12 @@ const (
 	stateOpaque              // unframed traffic (unknown magic or version)
 )
 
-// preludeLen is magic "EWHB" + u16 version.
-const preludeLen = 6
+// preludeLen is magic "EWHB" + u16 version; frameHeaderLen is the frame
+// header [type u8][job u32][len u32] of both versions.
+const (
+	preludeLen     = 6
+	frameHeaderLen = 9
+)
 
 var wireMagic = [4]byte{'E', 'W', 'H', 'B'}
 
@@ -364,20 +368,10 @@ type tracker struct {
 	conn  *Conn
 	dir   Dir
 	state int
-	buf   [preludeLen + 3]byte // prelude (6) or header (≤9) accumulator
+	buf   [frameHeaderLen]byte // prelude or header accumulator
 	have  int
 	skip  int      // payload bytes left to skip
 	hooks []func() // fired hooks the current I/O operation still owes
-}
-
-// headerLen returns the frame header length for the connection's protocol
-// version: v3 sessions carry [type u8][job u32][len u32], v4 peer links
-// carry [type u8][len u32].
-func (t *tracker) headerLen() int {
-	if t.conn.version.Load() == VersionSession {
-		return 9
-	}
-	return 5
 }
 
 // feed advances the parser over one chunk. A non-nil return aborts the
@@ -421,16 +415,15 @@ func (t *tracker) feed(p []byte) error {
 				return nil
 			}
 		case stateHeader:
-			hl := t.headerLen()
-			n := copy(t.buf[t.have:hl], p)
+			n := copy(t.buf[t.have:], p)
 			t.have += n
 			p = p[n:]
-			if t.have < hl {
+			if t.have < frameHeaderLen {
 				return nil
 			}
 			t.have = 0
 			typ := t.buf[0]
-			t.skip = int(binary.LittleEndian.Uint32(t.buf[hl-4 : hl]))
+			t.skip = int(binary.LittleEndian.Uint32(t.buf[5:]))
 			t.state = statePayload
 			if r := t.conn.script.match(t.dir, typ); r != nil {
 				if err := t.conn.apply(t, r); err != nil {

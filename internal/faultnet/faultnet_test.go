@@ -9,22 +9,14 @@ import (
 	"time"
 )
 
-// v3Frame encodes a session frame: [type u8][job u32][len u32] + payload.
-func v3Frame(typ byte, job uint32, payload []byte) []byte {
+// wireFrame encodes a frame of either version: [type u8][job u32][len u32] +
+// payload.
+func wireFrame(typ byte, job uint32, payload []byte) []byte {
 	b := make([]byte, 9+len(payload))
 	b[0] = typ
 	binary.LittleEndian.PutUint32(b[1:5], job)
 	binary.LittleEndian.PutUint32(b[5:9], uint32(len(payload)))
 	copy(b[9:], payload)
-	return b
-}
-
-// v4Frame encodes a peer frame: [type u8][len u32] + payload.
-func v4Frame(typ byte, payload []byte) []byte {
-	b := make([]byte, 5+len(payload))
-	b[0] = typ
-	binary.LittleEndian.PutUint32(b[1:5], uint32(len(payload)))
-	copy(b[5:], payload)
 	return b
 }
 
@@ -84,12 +76,12 @@ func TestTrackerFiresAtExactV3Frame(t *testing.T) {
 
 	var stream []byte
 	stream = append(stream, prelude(VersionSession)...)
-	stream = append(stream, v3Frame(FrameOpenJob, 1, []byte("open-payload"))...)
-	stream = append(stream, v3Frame(FrameBlock, 1, make([]byte, 64))...)
-	stream = append(stream, v3Frame(FrameRelHead, 1, []byte{1, 2, 3})...)
+	stream = append(stream, wireFrame(FrameOpenJob, 1, []byte("open-payload"))...)
+	stream = append(stream, wireFrame(FrameBlock, 1, make([]byte, 64))...)
+	stream = append(stream, wireFrame(FrameRelHead, 1, []byte{1, 2, 3})...)
 	cut := len(stream)
-	stream = append(stream, v3Frame(FrameBlock, 1, make([]byte, 32))...)
-	stream = append(stream, v3Frame(FrameEOS, 1, nil)...)
+	stream = append(stream, wireFrame(FrameBlock, 1, make([]byte, 32))...)
+	stream = append(stream, wireFrame(FrameEOS, 1, nil)...)
 
 	var ferr error
 	fed := 0
@@ -119,25 +111,31 @@ func TestTrackerFiresAtExactV3Frame(t *testing.T) {
 	}
 }
 
-func TestTrackerV4PeerHeaders(t *testing.T) {
-	// v4 peer links use 5-byte headers; the tracker must follow them (a
-	// 9-byte parse would misframe and fire on garbage).
+func TestTrackerPeerHeaders(t *testing.T) {
+	// Peer links frame with the session header at job 0; the tracker must
+	// follow them across the head and every block.
 	s := NewScript(Rule{Dir: In, Frame: FramePeerBlock, N: 3, Action: ActClose})
 	fc, _ := pipeConn(t, s)
 	var stream []byte
 	stream = append(stream, prelude(VersionPeer)...)
-	stream = append(stream, v4Frame(FramePeerHead, make([]byte, 20))...)
+	stream = append(stream, wireFrame(FramePeerHead, 0, make([]byte, 20))...)
 	for i := 0; i < 3; i++ {
-		stream = append(stream, v4Frame(FramePeerBlock, make([]byte, 8*7))...)
+		stream = append(stream, wireFrame(FramePeerBlock, 0, make([]byte, 8*7))...)
 	}
 	var ferr error
+	fed := 0
 	for i := range stream {
+		fed++
 		if ferr = fc.rt.feed(stream[i : i+1]); ferr != nil {
 			break
 		}
 	}
 	if ferr == nil || !s.Fired() {
 		t.Fatalf("peer rule did not fire (err %v)", ferr)
+	}
+	// The fatal byte is the last byte of the 3rd block's header.
+	if want := len(stream) - 8*7; fed != want {
+		t.Fatalf("fault fired after %d bytes, want %d (3rd block header)", fed, want)
 	}
 }
 
@@ -165,8 +163,8 @@ func TestOutboundTrackerAdoptsInboundVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out []byte
-	out = append(out, v3Frame(FrameStats, 1, make([]byte, 40))...)
-	out = append(out, v3Frame(FrameMetrics, 1, make([]byte, 10))...)
+	out = append(out, wireFrame(FrameStats, 1, make([]byte, 40))...)
+	out = append(out, wireFrame(FrameMetrics, 1, make([]byte, 10))...)
 	var ferr error
 	for i := range out {
 		if ferr = fc.wt.feed(out[i : i+1]); ferr != nil {
@@ -196,7 +194,7 @@ func TestStallReleasedByClose(t *testing.T) {
 	}()
 	go func() {
 		_, _ = peer.Write(prelude(VersionSession))
-		_, _ = peer.Write(v3Frame(FrameOpenJob, 1, []byte("job")))
+		_, _ = peer.Write(wireFrame(FrameOpenJob, 1, []byte("job")))
 	}()
 
 	select {
@@ -237,8 +235,8 @@ func TestHookLetsTrafficContinue(t *testing.T) {
 	fc, peer := pipeConn(t, s)
 	var stream []byte
 	stream = append(stream, prelude(VersionSession)...)
-	stream = append(stream, v3Frame(FrameBlock, 1, make([]byte, 16))...)
-	stream = append(stream, v3Frame(FrameEOS, 1, nil)...)
+	stream = append(stream, wireFrame(FrameBlock, 1, make([]byte, 16))...)
+	stream = append(stream, wireFrame(FrameEOS, 1, nil)...)
 	go func() { _, _ = peer.Write(stream) }()
 
 	type result struct {
@@ -261,7 +259,7 @@ func TestHookLetsTrafficContinue(t *testing.T) {
 		t.Fatalf("Read after the hook = %d, %v; want %d, nil", r.n, r.err, len(stream))
 	}
 
-	reply := v3Frame(FrameStats, 1, make([]byte, 24))
+	reply := wireFrame(FrameStats, 1, make([]byte, 24))
 	go func() {
 		if _, err := io.ReadFull(peer, make([]byte, len(reply))); err == nil {
 			close(received)
@@ -312,14 +310,14 @@ func TestWrappedListenerEndToEnd(t *testing.T) {
 	defer c.Close()
 	var head []byte
 	head = append(head, prelude(VersionSession)...)
-	head = append(head, v3Frame(FrameOpenJob, 7, make([]byte, 100))...)
+	head = append(head, wireFrame(FrameOpenJob, 7, make([]byte, 100))...)
 	if _, err := c.Write(head); err != nil {
 		t.Fatalf("pre-fault write: %v", err)
 	}
 	// The EOS ships separately so the fatal frame cannot be coalesced into
 	// the healthy chunk (a fired rule suppresses its whole chunk).
 	time.Sleep(50 * time.Millisecond)
-	if _, err := c.Write(v3Frame(FrameEOS, 7, nil)); err != nil {
+	if _, err := c.Write(wireFrame(FrameEOS, 7, nil)); err != nil {
 		// The injected close races the write; either outcome is fine.
 		t.Logf("write after injection: %v", err)
 	}

@@ -38,18 +38,6 @@ type Condition interface {
 	fmt.Stringer
 }
 
-// CellCandidate reports whether a grid cell with R1 keys in [aLo, aHi] and R2
-// keys in [bLo, bHi] may contain an output tuple. For monotonic conditions
-// this needs only the cell boundary keys (§II-B): the cell is a candidate iff
-// the union of joinable ranges of [aLo, aHi] intersects [bLo, bHi]. Because
-// JoinableRange endpoints are monotone in a, that union is
-// [lo(aLo), hi(aHi)].
-func CellCandidate(c Condition, aLo, aHi, bLo, bHi Key) bool {
-	lo, _ := c.JoinableRange(aLo)
-	_, hi := c.JoinableRange(aHi)
-	return lo <= bHi && bLo <= hi
-}
-
 // Band is the band-join condition |a - b| <= Beta. Beta = 0 degenerates to
 // equality.
 type Band struct {

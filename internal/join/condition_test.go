@@ -64,8 +64,9 @@ func TestJoinableRangeConsistency(t *testing.T) {
 	}
 }
 
-// Range endpoints must be monotone nondecreasing in a, which CellCandidate
-// relies on.
+// Range endpoints must be monotone nondecreasing in a: the union of a key
+// range's joinable ranges is then [lo(aLo), hi(aHi)], which is how the matrix
+// and the planner bound a cell's or a key run's candidate span.
 func TestJoinableRangeMonotone(t *testing.T) {
 	conds := []Condition{
 		NewBand(3), Equi{}, Inequality{Less}, Inequality{GreaterEq},
@@ -79,51 +80,6 @@ func TestJoinableRangeMonotone(t *testing.T) {
 			}
 			prevLo, prevHi = lo, hi
 		}
-	}
-}
-
-// CellCandidate must never report false for a cell that contains a matching
-// pair (no false negatives; false positives are allowed and expected).
-func TestCellCandidateNoFalseNegatives(t *testing.T) {
-	conds := []Condition{NewBand(2), Equi{}, Inequality{LessEq}}
-	for _, c := range conds {
-		f := func(aLo8, aW, bLo8, bW uint8) bool {
-			aLo := Key(int8(aLo8))
-			aHi := aLo + Key(aW%16)
-			bLo := Key(int8(bLo8))
-			bHi := bLo + Key(bW%16)
-			hasMatch := false
-			for a := aLo; a <= aHi && !hasMatch; a++ {
-				for b := bLo; b <= bHi; b++ {
-					if c.Matches(a, b) {
-						hasMatch = true
-						break
-					}
-				}
-			}
-			if hasMatch && !CellCandidate(c, aLo, aHi, bLo, bHi) {
-				return false
-			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-			t.Errorf("%v: %v", c, err)
-		}
-	}
-}
-
-// For the band condition the candidacy check is exact (no false positives
-// either) because every key in a boundary range is attainable.
-func TestCellCandidateExactForBand(t *testing.T) {
-	c := NewBand(1)
-	// Paper example §II-B: grid cell (0,1) in Fig. 1c is a non-candidate
-	// because the distance between R2 lower bound 5 and R1 upper bound 3
-	// exceeds the band width 1.
-	if CellCandidate(c, 3, 3, 5, 5) {
-		t.Error("cell with R1 in [3,3], R2 in [5,5] should not be candidate for band 1")
-	}
-	if !CellCandidate(c, 3, 3, 4, 5) {
-		t.Error("cell with R1 in [3,3], R2 in [4,5] should be candidate for band 1")
 	}
 }
 

@@ -147,7 +147,7 @@ func TestJobLivenessDeadline(t *testing.T) {
 		}
 	}()
 
-	sess, err := DialWith([]string{ln.Addr().String()}, Timeouts{Job: 300 * time.Millisecond})
+	sess, err := DialTenant(context.Background(), "", []string{ln.Addr().String()}, Timeouts{Job: 300 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestDialContextCancelPromptly(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = DialContextWith(ctx, []string{addr}, Timeouts{})
+	_, err = DialTenant(ctx, "", []string{addr}, Timeouts{})
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("dial into a saturated backlog succeeded")

@@ -14,10 +14,9 @@ import (
 // frameHeaders is a writer that parses the frame stream written into it,
 // keeps each frame's header and discards the payloads.
 type frameHeaders struct {
-	hdrLen int // v3FrameHeaderLen on a session, 5 on the peer mesh
-	hdrs   [][]byte
-	cur    []byte
-	skip   int
+	hdrs [][]byte
+	cur  []byte
+	skip int
 }
 
 func (f *frameHeaders) Write(p []byte) (int, error) {
@@ -29,11 +28,11 @@ func (f *frameHeaders) Write(p []byte) (int, error) {
 			p = p[k:]
 			continue
 		}
-		k := min(f.hdrLen-len(f.cur), len(p))
+		k := min(v3FrameHeaderLen-len(f.cur), len(p))
 		f.cur = append(f.cur, p[:k]...)
 		p = p[k:]
-		if len(f.cur) == f.hdrLen {
-			f.skip = int(binary.LittleEndian.Uint32(f.cur[f.hdrLen-4:]))
+		if len(f.cur) == v3FrameHeaderLen {
+			f.skip = int(binary.LittleEndian.Uint32(f.cur[v3FrameHeaderLen-4:]))
 			f.hdrs = append(f.hdrs, f.cur)
 			f.cur = nil
 		}
@@ -59,7 +58,7 @@ func TestMaximalKeyFramesPassTheHeaderReaders(t *testing.T) {
 		{"STREAMWIN", streamWinHdrLen, func(bw *bufio.Writer) error { return writeStreamWinKeys(bw, 1, 0, 1, keys) }},
 	}
 	for _, c := range session {
-		fh := &frameHeaders{hdrLen: v3FrameHeaderLen}
+		fh := &frameHeaders{}
 		bw := bufio.NewWriter(fh)
 		if err := c.write(bw); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -82,9 +81,9 @@ func TestMaximalKeyFramesPassTheHeaderReaders(t *testing.T) {
 	}
 
 	// The mesh splits at its own, smaller cap; every frame of a contribution
-	// one key past it passes the v4 reader, as does the largest payload any
-	// key frame may declare.
-	fh := &frameHeaders{hdrLen: 5}
+	// one key past it passes the header reader, as does the largest payload
+	// any key frame may declare.
+	fh := &frameHeaders{}
 	pc := &peerConn{bw: bufio.NewWriter(fh)}
 	if err := pc.writeContribution(1, 0, keys[:maxPeerBlockKeys+1]); err != nil {
 		t.Fatal(err)
@@ -92,10 +91,10 @@ func TestMaximalKeyFramesPassTheHeaderReaders(t *testing.T) {
 	if len(fh.hdrs) != 3 {
 		t.Fatalf("peer contribution framed as %d frames, want head + 2 blocks", len(fh.hdrs))
 	}
-	var full [5]byte
-	binary.LittleEndian.PutUint32(full[1:], maxKeySubHdrLen+8*maxBlockKeys)
+	var full [v3FrameHeaderLen]byte
+	binary.LittleEndian.PutUint32(full[5:], maxKeySubHdrLen+8*maxBlockKeys)
 	for i, h := range append(fh.hdrs, full[:]) {
-		if _, _, err := readFrameHeader(bytes.NewReader(h)); err != nil {
+		if _, _, _, err := readV3FrameHeader(bytes.NewReader(h)); err != nil {
 			t.Errorf("peer frame %d: %v", i, err)
 		}
 	}
@@ -164,12 +163,9 @@ func recordedKeyFrames(t testing.TB) map[byte][]byte {
 	if err := (&peerConn{bw: bufio.NewWriter(&b)}).writeContribution(1, 1, keys); err != nil {
 		t.Fatal(err)
 	}
-	out[framePeerBlock] = b.Bytes()[2*peerFrameHeaderLen+peerHeadLen:]
+	out[framePeerBlock] = b.Bytes()[2*v3FrameHeaderLen+peerHeadLen:]
 	return out
 }
-
-// peerFrameHeaderLen is the mesh's job-less [type u8][payloadLen u32].
-const peerFrameHeaderLen = 5
 
 // FuzzKeyFrame feeds the key-frame decoders arbitrary payloads under each
 // frame type and each job kind that may receive it, framed exactly as long as
@@ -291,11 +287,11 @@ func fuzzPeerBlock(t *testing.T, w *Worker, payload []byte) {
 		binary.LittleEndian.PutUint64(h[:], tok)
 		binary.LittleEndian.PutUint32(h[8:], sender)
 		binary.LittleEndian.PutUint32(h[12:], count)
-		_ = writeFrameHeader(&stream, framePeerHead, peerHeadLen)
+		_ = writeV3FrameHeader(&stream, framePeerHead, 0, peerHeadLen)
 		stream.Write(h[:])
 	}
 	head(token, 2)
-	_ = writeFrameHeader(&stream, framePeerBlock, len(payload))
+	_ = writeV3FrameHeader(&stream, framePeerBlock, 0, len(payload))
 	stream.Write(payload)
 	head(sentinel, 0)
 	near, far := net.Pipe() // handlePeer only asks the connection its address

@@ -52,12 +52,7 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 	// bytes take the count) and sends nothing past the sub-header.
 	stall := func(bw *bufio.Writer, typ byte, job uint32, sub []byte) error {
 		binary.LittleEndian.PutUint32(sub[len(sub)-4:], stallKeys)
-		var err error
-		if typ == framePeerBlock {
-			err = writeFrameHeader(bw, typ, len(sub)+8*stallKeys)
-		} else {
-			err = writeV3FrameHeader(bw, typ, job, len(sub)+8*stallKeys)
-		}
+		err := writeV3FrameHeader(bw, typ, job, len(sub)+8*stallKeys)
 		if err == nil {
 			_, err = bw.Write(sub)
 		}
@@ -88,7 +83,7 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 			var h [peerHeadLen]byte
 			binary.LittleEndian.PutUint64(h[:], uint64(round+1))
 			binary.LittleEndian.PutUint32(h[12:], MaxRelationTuples)
-			return errors.Join(writeFrameHeader(bw, framePeerHead, peerHeadLen), writeBytes(bw, h[:]),
+			return errors.Join(writeV3FrameHeader(bw, framePeerHead, 0, peerHeadLen), writeBytes(bw, h[:]),
 				stall(bw, framePeerBlock, 0, h[:]))
 		}},
 	}
@@ -226,10 +221,10 @@ func TestPeerBlockBesideOneInFlightFailsTransfer(t *testing.T) {
 		binary.LittleEndian.PutUint32(h[12:], 4)
 		err = writeBytes(bw, prelude[:])
 		if head {
-			err = errors.Join(err, writeFrameHeader(bw, framePeerHead, peerHeadLen), writeBytes(bw, h[:]))
+			err = errors.Join(err, writeV3FrameHeader(bw, framePeerHead, 0, peerHeadLen), writeBytes(bw, h[:]))
 		}
 		binary.LittleEndian.PutUint32(h[12:], 2)
-		err = errors.Join(err, writeFrameHeader(bw, framePeerBlock, peerBlockHeaderLen+16),
+		err = errors.Join(err, writeV3FrameHeader(bw, framePeerBlock, 0, peerBlockHeaderLen+16),
 			writeBytes(bw, h[:]), writeBytes(bw, make([]byte, sent)), bw.Flush())
 		if err != nil {
 			t.Fatal(err)

@@ -14,8 +14,9 @@
 // exec.Runtime) keeps one persistent connection per worker and multiplexes
 // numbered jobs over it, so N jobs cost one dial per worker. Every
 // connection opens with the 6-byte prelude "EWHB" + version; workers speak
-// exactly two versions — 3, a coordinator session, and 4, a worker→worker
-// peer-mesh link (peer.go) — and close anything else. Both ends run one job
+// exactly two versions — 3, a coordinator session, and 5, a worker→worker
+// peer-mesh link (peer.go) — and close anything else. The two share one
+// frame header, the mesh at job 0 (wire.go). Both ends run one job
 // lifecycle each: the coordinator's subJob (open/send/await/close,
 // session.go) against the worker's openJob → headFrame/dataFrame → finishJob
 // → retire (session_worker.go), where every count job — coordinator-fed,
@@ -158,15 +159,10 @@ type Worker struct {
 
 	// Peer mesh: outbound connections this worker dialed to stream its
 	// stage-1 matches to peers (lazily dialed, persistent), and inbound
-	// transfer state keyed by token (see peer.go). cancelRing records the
-	// most recently cancelled tokens so a cancellation survives even when
-	// the token table is full of live transfers and cannot hold a
-	// tombstone (guarded by peersMu; cancelNext is the next write slot).
+	// transfer state keyed by token (see peer.go).
 	peersMu    sync.Mutex
 	peers      map[string]*peerConn
 	peerStates map[uint64]*peerJobState
-	cancelRing [256]uint64
-	cancelNext uint64
 
 	// failAfter > 0 schedules an abrupt self-Close after that many completed
 	// jobs (see FailAfterJobs); jobsDone counts completions toward it and

@@ -165,6 +165,10 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 		{"short magic then EOF", []byte("EWH")},
 		{"magic and half a version then EOF", []byte("EWHB\x03")},
 		{"unknown version", binary.LittleEndian.AppendUint16([]byte("EWHB"), protoVersionPeer+7)},
+		// The mesh's job-less header ran under version 4: such a link is
+		// closed at its prelude, never read past it and misframed.
+		{"retired mesh version 4", append(binary.LittleEndian.AppendUint16([]byte("EWHB"), 4),
+			framePeerHead, peerHeadLen, 0, 0, 0)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn := dialRaw(t, addrs[0], tc.opening)

@@ -40,44 +40,13 @@ var (
 	peerTokenCtr atomic.Uint64
 )
 
-// newPeerToken never returns 0: zero marks an unused cancelRing slot, so a
-// zero token's cancellation could be missed under token-table pressure.
+// newPeerToken never returns 0: zero marks an unused planTokens slot, whose
+// hang-up sweep would then miss the token.
 func newPeerToken() uint64 {
 	if t := peerTokenBase + peerTokenCtr.Add(1); t != 0 {
 		return t
 	}
 	return peerTokenBase + peerTokenCtr.Add(1)
-}
-
-// peerTokenDead reports whether a transfer token is already cancelled or
-// failed — what lets a plan job honor a cancel that raced
-// ahead of its parking. Both cancellation records are consulted: the token
-// table's tombstone and the bounded cancellation ring, which survives even
-// when the table is wedged full of live transfers. (The ring can wrap under
-// extreme cancel pressure; the park's kill/hang-up wake-ups bound the
-// residual wait.)
-func (w *Worker) peerTokenDead(token uint64) bool {
-	w.peersMu.Lock()
-	st := w.peerStates[token]
-	ringHit := false
-	for _, tok := range w.cancelRing {
-		// Zero marks an unused ring slot; a genuine zero token still has its
-		// tombstone in the table.
-		if tok == token && token != 0 {
-			ringHit = true
-			break
-		}
-	}
-	w.peersMu.Unlock()
-	if ringHit {
-		return true
-	}
-	if st == nil {
-		return false
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.done && st.err != nil
 }
 
 // ---------- sender side ----------
@@ -177,7 +146,7 @@ func (pc *peerConn) close() {
 // declares the key count, then the key blocks follow — an empty share is its
 // head alone.
 func (pc *peerConn) writeContribution(token uint64, sender int, keys []join.Key) error {
-	if err := writeFrameHeader(pc.bw, framePeerHead, peerHeadLen); err != nil {
+	if err := writeV3FrameHeader(pc.bw, framePeerHead, 0, peerHeadLen); err != nil {
 		return err
 	}
 	var h [peerHeadLen]byte
@@ -406,12 +375,6 @@ func (w *Worker) evictFinishedLocked() bool {
 // them.
 func (w *Worker) dropPeerState(token uint64) {
 	w.peersMu.Lock()
-	// Record the cancellation in the bounded ring FIRST: a stats-parked plan
-	// job consults it (peerTokenDead) to honor a cancel that raced ahead of
-	// its parking, and unlike the tombstone below the ring cannot be
-	// squeezed out by a full table of live transfers.
-	w.cancelRing[w.cancelNext%uint64(len(w.cancelRing))] = token
-	w.cancelNext++
 	st := w.peerStates[token]
 	if st == nil && w.evictFinishedLocked() {
 		st = newPeerJobState(w.ledger)
@@ -489,7 +452,7 @@ func (w *Worker) handlePeer(br *bufio.Reader, conn net.Conn) {
 	}
 
 	for {
-		typ, n, err := readFrameHeader(br)
+		typ, _, n, err := readV3FrameHeader(br)
 		if err != nil {
 			return
 		}

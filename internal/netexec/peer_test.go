@@ -229,7 +229,7 @@ func TestWorkerIOTimeoutFailsStalledTransfer(t *testing.T) {
 func TestDialWithRejectsUnreachableWorker(t *testing.T) {
 	// The dial timeout bounds connection establishment; an address nobody
 	// listens on fails the session dial outright.
-	_, err := DialWith([]string{"127.0.0.1:1"}, Timeouts{Dial: 500 * time.Millisecond})
+	_, err := DialTenant(context.Background(), "", []string{"127.0.0.1:1"}, Timeouts{Dial: 500 * time.Millisecond})
 	if err == nil {
 		t.Fatal("dial to dead address succeeded")
 	}
@@ -368,9 +368,9 @@ func TestUnknownPeerFrameFailsTransfer(t *testing.T) {
 	binary.LittleEndian.PutUint32(h[8:], 1)
 	binary.LittleEndian.PutUint32(h[12:], 2)
 	_, _ = bw.Write(prelude[:])
-	_ = writeFrameHeader(bw, framePeerHead, peerHeadLen)
+	_ = writeV3FrameHeader(bw, framePeerHead, 0, peerHeadLen)
 	_, _ = bw.Write(h[:])
-	_ = writeFrameHeader(bw, 32, peerHeadLen)
+	_ = writeV3FrameHeader(bw, 32, 0, peerHeadLen)
 	_, _ = bw.Write(h[:])
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
@@ -482,7 +482,7 @@ func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 				binary.LittleEndian.PutUint32(h[8:], 1)
 				binary.LittleEndian.PutUint32(h[12:], MaxRelationTuples)
 				pc.mu.Lock()
-				err := writeFrameHeader(pc.bw, framePeerHead, peerHeadLen)
+				err := writeV3FrameHeader(pc.bw, framePeerHead, 0, peerHeadLen)
 				_, werr := pc.bw.Write(h[:])
 				err = errors.Join(err, werr, pc.bw.Flush())
 				pc.mu.Unlock()

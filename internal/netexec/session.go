@@ -66,30 +66,19 @@ type Session struct {
 // Dial connects to the workers and opens a session on each. The returned
 // Session serves jobs needing up to len(addrs) workers; Close hangs up.
 func Dial(addrs []string) (*Session, error) {
-	return DialContextWith(context.Background(), addrs, Timeouts{})
+	return DialTenant(context.Background(), "", addrs, Timeouts{})
 }
 
-// DialWith is Dial with explicit dial/IO deadlines: connection establishment
-// is bounded by t.Dial and every in-flight frame transfer by t.IO, so a hung
-// worker fails its jobs instead of wedging the whole session (see Timeouts).
-func DialWith(addrs []string, t Timeouts) (*Session, error) {
-	return DialContextWith(context.Background(), addrs, t)
-}
-
-// DialContextWith is DialWith bounded by ctx: cancelling the context aborts a
-// dial blocked in connection establishment (e.g. a full accept backlog, where
-// no wall-clock timeout is configured) instead of leaving the caller stuck in
-// the kernel handshake. The context bounds only session establishment, not
-// the jobs that follow.
-func DialContextWith(ctx context.Context, addrs []string, t Timeouts) (*Session, error) {
-	return DialTenant(ctx, "", addrs, t)
-}
-
-// DialTenant is DialContextWith declaring a tenant identity: each session
-// connection sends a HELLO frame naming the tenant right after the protocol
-// prelude, and the workers key admission queuing and resource budgets by it.
-// An empty tenant sends no hello (the anonymous tenant — byte-identical to
-// the pre-multi-tenant wire).
+// DialTenant is Dial with explicit deadlines, bounded by ctx and declaring a
+// tenant identity. Connection establishment is bounded by t.Dial and every
+// in-flight frame transfer by t.IO, so a hung worker fails its jobs instead of
+// wedging the whole session (see Timeouts). Cancelling ctx aborts a dial
+// blocked in connection establishment (e.g. a full accept backlog, where no
+// wall-clock timeout is configured); ctx bounds only session establishment,
+// not the jobs that follow. Each session connection sends a HELLO frame naming
+// the tenant right after the protocol prelude, and the workers key admission
+// queuing and resource budgets by it. An empty tenant sends no hello (the
+// anonymous tenant — byte-identical to the pre-multi-tenant wire).
 func DialTenant(ctx context.Context, tenant string, addrs []string, t Timeouts) (*Session, error) {
 	if len(tenant) > maxTenantLen {
 		return nil, fmt.Errorf("netexec: tenant id %d bytes long, limit %d", len(tenant), maxTenantLen)

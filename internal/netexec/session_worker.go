@@ -73,8 +73,10 @@ type sessJob struct {
 	// plan, when set, marks a stage-1 plan job: the join's matches are
 	// materialized worker-side, summarized, re-shuffled by the plan the
 	// coordinator builds from the summaries and streamed to peers instead of
-	// returning as pairs.
-	plan *planSpec
+	// returning as pairs. plan2 is its entry in the connection's plan2Table,
+	// registered when its PLAN frame is read and removed by retire.
+	plan  *planSpec
+	plan2 *plan2Waiter
 	// peerFed marks a stage-2 job whose relation 1 arrives over the peer
 	// mesh; token is its transfer id and peerSt the transfer state, set once
 	// the open's sender count was accepted. peerTaken flips once the join
@@ -210,16 +212,17 @@ func (j *sessJob) rel(tag byte) (*sessRel, error) {
 	return &j.rels[tag-1], nil
 }
 
-// plan2Waiter is one plan job parked between shipping its
-// summary and receiving the replanned artifact. ch is buffered; a nil
-// delivery means the transfer was cancelled.
+// plan2Waiter is one plan job's wait for the replanned artifact, from its PLAN
+// frame on. ch is buffered, so a PLAN2 or cancel read before the job parks
+// waits there for it; a nil delivery means the transfer was cancelled.
 type plan2Waiter struct {
 	token uint64
 	ch    chan *planSpec
 }
 
-// plan2Table routes PLAN2 and cancel frames to the connection's parked plan
-// jobs. One table per session connection; entries are keyed by job id.
+// plan2Table routes PLAN2 and cancel frames to the connection's plan jobs,
+// from their PLAN frame to their retire. One table per session connection;
+// entries are keyed by job id.
 type plan2Table struct {
 	mu sync.Mutex
 	m  map[uint32]*plan2Waiter
@@ -237,14 +240,17 @@ func (t *plan2Table) add(id uint32, token uint64) *plan2Waiter {
 	return wt
 }
 
-func (t *plan2Table) remove(id uint32) {
+// remove drops wt if it is still job id's entry.
+func (t *plan2Table) remove(id uint32, wt *plan2Waiter) {
 	t.mu.Lock()
-	delete(t.m, id)
+	if t.m[id] == wt {
+		delete(t.m, id)
+	}
 	t.mu.Unlock()
 }
 
-// deliver hands a PLAN2 to the job parked under id; unknown ids are dropped
-// (the job may have failed and replied already).
+// deliver hands a PLAN2 to job id's waiter; unknown ids are dropped (the job
+// may have failed and replied already).
 func (t *plan2Table) deliver(id uint32, ps *planSpec) {
 	t.mu.Lock()
 	wt := t.m[id]
@@ -318,13 +324,17 @@ func (ws *workerSession) reply(typ byte, id uint32, v any) error {
 
 // retire is the one way a job leaves the worker — after its reply, on ABORT,
 // and when the connection dies under it: recycle its buffers and stop its
-// helper goroutines, give back its admission slot, tombstone a peer transfer
-// it opened but never consumed (so late contributions swallow instead of
-// buffering for nobody), and only then retire its drain accounting.
+// helper goroutines, give back its admission slot, drop its PLAN2 wait,
+// tombstone a peer transfer it opened but never consumed (so late
+// contributions swallow instead of buffering for nobody), and only then
+// retire its drain accounting.
 func (ws *workerSession) retire(j *sessJob) {
 	j.release()
 	if j.releaseSlot != nil {
 		j.releaseSlot()
+	}
+	if j.plan2 != nil {
+		ws.pt.remove(j.id, j.plan2)
 	}
 	if j.peerSt != nil && !j.peerTaken {
 		ws.w.dropPeerState(j.token)
@@ -572,7 +582,10 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			case j.stream != nil:
 				j.fail(fmt.Errorf("a job whose relations feed the join goroutine cannot carry a plan"))
 			default:
-				j.plan = &ps
+				// The wait is registered here, not when the job parks: the
+				// coordinator's PLANCANCEL follows this frame on the connection,
+				// so it finds the waiter however far the job has got.
+				j.plan, j.plan2 = &ps, ws.pt.add(id, ps.Token)
 				ws.planTokens[ws.planNext%len(ws.planTokens)] = ps.Token
 				ws.planNext++
 			}
@@ -589,10 +602,6 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			if err := readGobPayload(br, n, &pc); err != nil {
 				return
 			}
-			// The tombstone dropPeerState leaves also covers a plan job that
-			// has not parked yet: its wait checks the token's state right
-			// after registering (see runPlanJob), so the cancel cannot be
-			// lost to that race.
 			w.dropPeerState(pc.Token)
 			ws.pt.cancel(pc.Token)
 
@@ -905,7 +914,7 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 // It returns the match count and the per-receiver count vector. Errors name
 // the peer address.
 func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64, error) {
-	w, pt, ps := ws.w, ws.pt, j.plan
+	w, ps := ws.w, j.plan
 	rekey := &j.rels[relRekey-1]
 	if !rekey.declared {
 		return 0, nil, fmt.Errorf("plan job without relation 2's re-key column")
@@ -925,14 +934,6 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64
 	if err != nil {
 		return 0, nil, err
 	}
-	// Park BEFORE the summary leaves, then honor any tombstone a racing
-	// cancel may already have left: between those two steps every cancel
-	// ordering either wakes the waiter or is visible in the token state.
-	wt := pt.add(j.id, ps.Token)
-	if w.peerTokenDead(ps.Token) {
-		pt.remove(j.id)
-		return 0, nil, fmt.Errorf("stage-2 statistics plan cancelled by coordinator")
-	}
 	ws.wmu.Lock()
 	werr := writeV3FrameHeader(ws.bw, frameV3Stats, j.id, len(enc))
 	if werr == nil {
@@ -943,7 +944,6 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64
 	}
 	ws.wmu.Unlock()
 	if werr != nil {
-		pt.remove(j.id)
 		return 0, nil, errAbandoned // connection dead; nothing to reply to
 	}
 	// Release the execution slot across the park: the compute is done and
@@ -954,16 +954,14 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64
 	// unslotted (routing + socket writes, not join compute).
 	j.releaseSlot()
 	select {
-	case ps2 := <-wt.ch:
+	case ps2 := <-j.plan2.ch:
 		if ps2 == nil {
 			return 0, nil, fmt.Errorf("stage-2 statistics plan cancelled by coordinator")
 		}
 		ps.Plan, ps.Peers, ps.Self = ps2.Plan, ps2.Peers, ps2.Self
 	case <-w.kill:
-		pt.remove(j.id)
 		return 0, nil, errAbandoned
 	case <-ws.done:
-		pt.remove(j.id)
 		return 0, nil, errAbandoned
 	}
 

@@ -1,8 +1,10 @@
 package netexec
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -252,5 +254,89 @@ func TestStatsReplanErrorCancelsAndTombstones(t *testing.T) {
 			t.Fatalf("shutdown after cancelled stats exchange: %v", err)
 		}
 		cancel()
+	}
+}
+
+// TestPlanCancelAroundThePark pins where a stage-1 plan job's wait for its
+// PLAN2 begins: at its PLAN frame. The coordinator's PLANCANCEL for the job's
+// token follows that frame on the connection, so wherever it lands — (a)
+// right after the PLAN, before the relations, (b) once the job replied its
+// STATS and parked, (c) after its PLAN2 — the job does not miss it: (a) and
+// (b) reply the cancellation, (c) re-shuffles to its stage-2 peer and replies
+// its counts. Either way nothing stays parked: the worker holds no job and no
+// byte, and Shutdown returns at once.
+func TestPlanCancelAroundThePark(t *testing.T) {
+	r1, r2 := []join.Key{1, 2, 3}, []join.Key{2, 3, 4} // two matches
+	hash, err := partition.NewHash(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planio.Encode(&planio.Artifact{Scheme: hash, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const afterPlan, afterStats, afterPlan2 = 0, 1, 2
+	for _, c := range []struct {
+		name    string
+		at      int
+		wantErr string // "" = the job completes
+	}{
+		{"after its PLAN", afterPlan, "cancelled"},
+		{"after its STATS", afterStats, "cancelled"},
+		{"after its PLAN2", afterPlan2, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ws, addrs := startWorkerSet(t, 2) // the second hosts stage 2
+			w, token := ws[0], newPeerToken()
+			bw, conn := dialV3(t, addrs[0])
+			br := bufio.NewReader(conn)
+			cancelPlan := func() error {
+				return errors.Join(writeV3GobFrame(bw, frameV3PlanCancel, 0, planCancel{Token: token}), bw.Flush())
+			}
+			sendOpenJob(t, bw, 1)
+			err := writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Token: token, Stats: exec.StatsSpec{Cap: 8, Buckets: 4}})
+			if c.at == afterPlan {
+				err = errors.Join(err, cancelPlan())
+			}
+			err = errors.Join(err,
+				writeRelHead(bw, 1, 1, len(r1), false), writeKeyBlocksV3(bw, 1, 1, r1),
+				writeRelHead(bw, 1, 2, len(r2), true), writeKeyBlocksV3(bw, 1, 2, r2),
+				writeKeyBlocksV3(bw, 1, relRekey, r2), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch c.at {
+			case afterStats:
+				_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+				typ, job, n, err := readV3FrameHeader(br)
+				if err != nil || typ != frameV3Stats || job != 1 {
+					t.Fatalf("awaiting the statistics: frame %d for job %d (%v)", typ, job, err)
+				}
+				if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
+					t.Fatal(err)
+				}
+				err = cancelPlan()
+			case afterPlan2:
+				answerStats(t, conn, br, bw, 1, planSpec{Token: token, Plan: plan, Peers: addrs[1:], Self: -1})
+				err = cancelPlan()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := awaitFeedMetrics(t, conn, br, 1)
+			if c.wantErr == "" {
+				if m.Err != "" || m.Output != 2 || len(m.PeerCounts) != 1 || m.PeerCounts[0] != 2 {
+					t.Fatalf("replied %+v, want 2 matches routed to the one stage-2 worker", m)
+				}
+			} else if !strings.Contains(m.Err, c.wantErr) {
+				t.Fatalf("replied %+v, want an error naming %q", m, c.wantErr)
+			}
+			waitFor(t, "the job to retire", func() bool { return inFlight(w) == 0 && w.ledger.heldBytes() == 0 })
+			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+			defer cancel()
+			if err := w.Shutdown(ctx); err != nil {
+				t.Fatalf("Shutdown: %v", err)
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package netexec
 
 import (
+	"context"
 	"net"
 	"reflect"
 	"testing"
@@ -159,7 +160,7 @@ func TestStreamWorkerDeathAfterReplanRecovers(t *testing.T) {
 		t.Cleanup(func() { _ = w.Close() })
 	}
 
-	sess, err := DialWith(addrs, Timeouts{Dial: 2 * time.Second, Job: 10 * time.Second})
+	sess, err := DialTenant(context.Background(), "", addrs, Timeouts{Dial: 2 * time.Second, Job: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

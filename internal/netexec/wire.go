@@ -18,10 +18,12 @@ import (
 //
 //	magic "EWHB" | uint16 version
 //
-// and the version fixes the framing of everything after it:
+// where version 3 is a coordinator session and 5 a worker→worker peer-mesh
+// link. Both frame everything after it as
 //
-//	version 3, coordinator session: [type u8][job u32][payloadLen u32][payload]
-//	version 4, worker→worker peer:  [type u8][payloadLen u32][payload]
+//	[type u8][job u32][payloadLen u32][payload]
+//
+// with job 0 on the mesh, whose reader ignores it.
 //
 // Control frames (opens, plans, metrics — a few per job) carry gob inside
 // their frame for flexibility; data frames (key blocks, pairs) are
@@ -35,8 +37,9 @@ const (
 	protoVersionSession = 3
 	// protoVersionPeer opens a worker→worker peer-transfer connection on the
 	// same listener: one sender streams stage-1 match contributions to one
-	// receiver, identified by 64-bit transfer tokens (peer.go).
-	protoVersionPeer = 4
+	// receiver, identified by 64-bit transfer tokens (peer.go). Version 4 was
+	// the mesh with a job-less header; a worker closes it at the prelude.
+	protoVersionPeer = 5
 
 	// Session frames. Every header carries a job number, so one connection
 	// interleaves many jobs' frames.
@@ -98,9 +101,9 @@ const (
 	frameV3StreamRep     = 38 // worker→coord gob streamWinReply
 
 	// Peer-mesh frames (worker→worker connections, protoVersionPeer). Their
-	// headers carry no job number; the 64-bit transfer token rides in each
-	// payload, so peer transfers are immune to session job-id collisions
-	// across coordinators.
+	// job number is 0; the 64-bit transfer token rides in each payload, so
+	// peer transfers are immune to session job-id collisions across
+	// coordinators.
 	framePeerHead  = 30 // [token u64][sender u32][count u32] — declares one sender's contribution
 	framePeerBlock = 31 // [token u64][sender u32][count u32][count×8 LE keys]
 
@@ -129,7 +132,7 @@ const (
 	// maxKeySubHdrLen is the longest sub-header a key-carrying frame leads
 	// with (framePeerBlock's; BLOCK 5, STREAMBASE 8, STREAMWIN 12).
 	maxKeySubHdrLen = peerBlockHeaderLen
-	// maxDataPayload is the longest payload either frame-header reader
+	// maxDataPayload is the longest payload the frame-header reader
 	// accepts: a full key frame under the longest sub-header, so a maximal
 	// frame of every key-carrying type passes.
 	maxDataPayload = maxKeySubHdrLen + 8*maxBlockKeys
@@ -170,27 +173,8 @@ var scratchPool = sync.Pool{
 func getScratch() *[]byte  { return scratchPool.Get().(*[]byte) }
 func putScratch(b *[]byte) { scratchPool.Put(b) }
 
-func writeFrameHeader(w io.Writer, typ byte, payloadLen int) error {
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(payloadLen))
-	_, err := w.Write(hdr[:])
-	return err
-}
-
-func readFrameHeader(r io.Reader) (typ byte, payloadLen int, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > maxDataPayload {
-		return 0, 0, fmt.Errorf("frame payload %d exceeds limit %d", n, maxDataPayload)
-	}
-	return hdr[0], int(n), nil
-}
-
-// v3FrameHeaderLen is [type u8][job u32][payloadLen u32].
+// v3FrameHeaderLen is [type u8][job u32][payloadLen u32], the frame header of
+// both protocol versions.
 const v3FrameHeaderLen = 9
 
 func writeV3FrameHeader(w io.Writer, typ byte, job uint32, payloadLen int) error {
@@ -291,8 +275,8 @@ func writeHeadFrame(w io.Writer, typ byte, job uint32, h []byte) error {
 }
 
 // writeKeyFrames is the one writer of key-carrying data frames (BLOCK,
-// STREAMBASE, STREAMWIN on a session; framePeerBlock, which rides the
-// job-less v4 header and ignores job, on the mesh). They share one shape: a
+// STREAMBASE, STREAMWIN on a session; framePeerBlock, at job 0, on the mesh).
+// They share one shape: a
 // fixed sub-header whose last four bytes are the frame's key count, then the
 // keys fixed-width little-endian. sub arrives with everything but the count
 // filled in; keys split at maxBlockKeys into consecutive frames (which append
@@ -307,13 +291,7 @@ func writeKeyFrames(w io.Writer, typ byte, job uint32, sub []byte, keys []join.K
 		if n > maxBlockKeys {
 			n = maxBlockKeys
 		}
-		var err error
-		if typ == framePeerBlock {
-			err = writeFrameHeader(w, typ, len(sub)+8*n)
-		} else {
-			err = writeV3FrameHeader(w, typ, job, len(sub)+8*n)
-		}
-		if err != nil {
+		if err := writeV3FrameHeader(w, typ, job, len(sub)+8*n); err != nil {
 			return err
 		}
 		binary.LittleEndian.PutUint32(sub[len(sub)-4:], uint32(n))
