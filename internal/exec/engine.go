@@ -13,7 +13,7 @@ import (
 type JoinEngine int
 
 const (
-	// EngineMerge is the sort + merge-sweep form.
+	// EngineMerge is the ordered form: rank table or sort + merge sweep.
 	EngineMerge JoinEngine = iota + 1
 	// EngineHash is the partitioned radix-hash form.
 	EngineHash
@@ -27,9 +27,11 @@ func (JoinEngine) ForCond(cond join.Condition) JoinEngine {
 	return EngineMerge
 }
 
-// CountOwned runs a count-only join over blocks the caller owns outright: the
-// merge form sorts r2 IN PLACE, the hash form builds over r1 and probes r2
-// without mutating either. Its one caller in this module is exec.Local's flat
+// CountOwned runs a count-only join over blocks the caller owns outright,
+// with r1 resident. The hash and table forms count r1 into their index and
+// probe r2 without mutating either; the merge form (a band or inequality
+// block too wide for the table, or a condition from outside localjoin) sorts
+// r2 IN PLACE. Its one caller in this module is exec.Local's flat
 // count job (a merge condition); a wire worker has no flat count job — every
 // count it runs is chunk-fed and holds the same resident side on its feed
 // goroutine, as Local's hash jobs do. The JoinEngine parameter is ignored.

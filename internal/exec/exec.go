@@ -106,8 +106,8 @@ func (r *Result) String() string {
 // Run shuffles r1 and r2 to the scheme's workers and executes the join
 // in-process. It is RunOver with the Local runtime: the shuffle is the
 // two-pass batch-routed scatter into exactly-sized flat buffers (see
-// shuffleRelation) and each worker is a goroutine sorting its contiguous
-// slices in place for the merge-sweep local join.
+// shuffleRelation) and each worker is a goroutine running the local join over
+// its contiguous slices.
 func Run(r1, r2 []join.Key, cond join.Condition, scheme partition.Scheme,
 	model cost.Model, cfg Config) *Result {
 

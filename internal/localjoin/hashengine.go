@@ -27,9 +27,9 @@ import (
 // the clustered key domains the sort is tuned for — so sort and hash engines
 // agree digit-for-digit on what a partition is. Each partition is an
 // open-addressing multiplicity table (linear probing, power-of-two capacity).
-// Band and inequality conditions stay on the merge-sweep engine: their
-// joinable windows span partitions, which is exactly what a hash layout
-// destroys (see DESIGN.md "Local join engines").
+// Band and inequality conditions take the rank table (ranktable.go) or the
+// merge sweep instead: their joinable windows span partitions, which is
+// exactly what a hash layout destroys (see DESIGN.md "Local join engines").
 
 // enginePartitions is the radix fan-out: one partition per value of the
 // partitioning digit.
@@ -41,12 +41,14 @@ const partShift = 0
 
 // denseSpan bounds the dense form at this many count slots per key inserted.
 // At 4 B a slot that is 32 B a key, the sparse form's own worst case (12 B a
-// slot just after a doubling, at 3/8 load).
+// slot just after a doubling, at 3/8 load). The same bound admits a band or
+// inequality side to the rank table, at 2 B a slot.
 const denseSpan = 8
 
 // EquiLike reports whether cond is a pure-equality predicate — join.Equi or
 // a zero-width band — i.e. the conditions the hash engine can serve. All
-// other conditions need the merge-sweep's ordered window.
+// other conditions need an ordered window: the rank table's or the merge
+// sweep's.
 func EquiLike(cond join.Condition) bool {
 	switch c := cond.(type) {
 	case join.Equi:

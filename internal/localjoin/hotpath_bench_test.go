@@ -161,5 +161,40 @@ func BenchmarkBuildInsertProbe(b *testing.B) {
 	}
 }
 
+// BenchmarkResidentCount is one band-count job through a resident side:
+// insert R1, seal, probe R2, as exec.Local counts a worker's block. The first
+// four shapes are adhoc-band's worker blocks — two dense ones, about 100k keys
+// over 16k values, and two of about 550k keys at span/n 6.9 and 4.0 — which
+// seal into the rank table; wide-64, at span/n 64, stays on the sort + sweep.
+func BenchmarkResidentCount(b *testing.B) {
+	shapes := []struct {
+		name         string
+		n1, n2       int
+		span1, span2 int64
+		seed1, seed2 uint64
+	}{
+		{"dense-105k", 105_000, 120_000, 17_600, 20_100, 50, 51},
+		{"dense-88k", 88_000, 205_000, 14_500, 14_500, 52, 53},
+		{"span6.9-530k", 530_000, 500_000, 3_660_000, 3_260_000, 54, 55},
+		{"span4.0-557k", 557_000, 380_000, 2_225_000, 1_520_000, 56, 57},
+		{"wide-64", 100_000, 100_000, 6_400_000, 6_400_000, 58, 59},
+	}
+	cond := join.NewBand(3)
+	for _, s := range shapes {
+		r1, r2 := randKeys(s.n1, s.span1, s.seed1), randKeys(s.n2, s.span2, s.seed2)
+		probe := make([]join.Key, len(r2))
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(probe, r2) // the merge form sorts its probe in place
+				side := NewResident(cond, true)
+				side.Insert(r1)
+				side.Seal()
+				sink, _ = side.ProbeCount(probe, false)
+			}
+		})
+	}
+}
+
 // sink defeats dead-code elimination of benchmark loop bodies.
 var sink int64

@@ -1,10 +1,12 @@
 // Package localjoin provides the algorithms each machine runs over its
 // region's tuples. The partitioning schemes are orthogonal to the local join
-// (§IV "Local Join Algorithm"); the engine defaults to the sort-merge
-// monotonic join and uses the hash join for pure equality conditions.
+// (§IV "Local Join Algorithm"): a count uses the hash join for pure equality
+// conditions, a rank table for a band or inequality side of bounded span, and
+// the sort-merge monotonic join otherwise.
 package localjoin
 
 import (
+	"math"
 	"slices"
 
 	"ewh/internal/join"
@@ -57,25 +59,34 @@ func CountSorted(s1, s2 []join.Key, cond join.Condition) int64 {
 // Resident is the side of a count join held while the other side streams
 // past it: Insert its chunks as they arrive, Seal it, then ProbeCount each
 // chunk of the other relation — the counts sum to |R1 ⋈ R2| however either
-// side was chunked. The hash form (EquiLike conditions) is a Build; the merge
-// form keeps the chunks it is given until Seal copies them into one sorted
-// block of exactly their size, and sweeps a probe relation over it once, when
-// its last chunk is in.
+// side was chunked. The hash form (EquiLike conditions) is a Build. A band or
+// inequality side keeps the chunks it is given until Seal counts them into a
+// rank table (ranktable.go) when their span is at most denseSpan slots per
+// key, and a probe chunk then counts on arrival. Any other side is the merge
+// form: Seal copies the chunks into one sorted block of exactly their size,
+// and a probe relation is swept over it once, when its last chunk is in.
 type Resident struct {
 	cond    join.Condition
 	r1      bool         // the resident side is relation 1
-	build   *Build       // hash form; nil in the merge form
-	runs    [][]join.Key // merge form: the chunks kept until Seal
+	form    residentForm // the form it started in
+	build   *Build       // hash form; nil otherwise
+	runs    [][]join.Key // the chunks kept until Seal
+	table   *rankTable   // table form: the sealed side
 	base    []join.Key   // merge form: the sealed side, sorted
 	pending [][]join.Key // merge form: the probe chunks kept for their last
 }
 
 // NewResident returns an empty side, with R1 resident if r1 and R2 otherwise,
-// in the one form the condition takes: hash exactly when EquiLike(cond).
+// in the form the condition takes: hash exactly when EquiLike(cond), a rank
+// table or a sorted block for a band or inequality as Seal finds the keys'
+// span, and a sorted block for any other condition.
 func NewResident(cond join.Condition, r1 bool) *Resident {
 	form := formMerge
-	if EquiLike(cond) {
+	switch {
+	case EquiLike(cond):
 		form = formDense
+	case ranked(cond):
+		form = formRanked
 	}
 	return newResident(cond, form, r1)
 }
@@ -85,15 +96,17 @@ type residentForm int
 
 const (
 	formMerge  residentForm = iota // sorted block, swept by the merge engine
+	formRanked                     // rank table under the span rule, else formMerge
+	formTable                      // rank table whatever the span (tests only)
 	formDense                      // a Build, dense until its keys are not
 	formSparse                     // a Build, sparse from the first key
 )
 
 // newResident is NewResident with the starting form forced; cond must be
-// EquiLike for either Build form.
+// EquiLike for either Build form, and ranked for either table form.
 func newResident(cond join.Condition, form residentForm, r1 bool) *Resident {
-	r := &Resident{cond: cond, r1: r1}
-	if form != formMerge {
+	r := &Resident{cond: cond, r1: r1, form: form}
+	if form == formDense || form == formSparse {
 		r.build = NewBuild()
 	}
 	if form == formSparse {
@@ -123,17 +136,38 @@ func (r *Resident) Seal() { r.SealShared(nil, BuildKey{}) }
 // wasted inserts overlapped the wire anyway), on a miss it publishes its own.
 func (r *Resident) SealShared(cache *BuildCache, key BuildKey) {
 	if r.build == nil {
-		// Exactly sized, and the side's own: a pooled chunk of whatever
-		// capacity goes back to its pool instead of staying pinned under it.
-		r.base = slices.Concat(r.runs...)
-		sortKeys(r.base, len(r.runs) > 1)
-		r.runs = nil
+		r.sealKept()
 	} else if cached := cache.Get(key); cached != nil {
 		r.build = cached
 	} else {
 		r.build.Seal()
 		r.build = cache.Add(key, r.build)
 	}
+}
+
+// sealKept seals a side that kept its chunks, into the table form when its
+// form allows and its keys fit, else into the merge form. Either is the
+// side's own and exactly sized: a pooled chunk of whatever capacity goes back
+// to its pool instead of staying pinned under it.
+func (r *Resident) sealKept() {
+	runs := r.runs
+	r.runs = nil
+	if r.form != formMerge {
+		n, lo, hi := 0, join.Key(math.MaxInt64), join.Key(math.MinInt64)
+		for _, run := range runs {
+			n += len(run)
+			for _, k := range run {
+				lo, hi = min(lo, k), max(hi, k)
+			}
+		}
+		if r.form == formTable || tableFits(lo, hi, n) {
+			if r.table = newRankTable(runs, lo, hi, n); r.table != nil {
+				return
+			}
+		}
+	}
+	r.base = slices.Concat(runs...)
+	sortKeys(r.base, len(runs) > 1)
 }
 
 // sortKeys sorts one whole relation. One that arrived in chunks is a one-shot
@@ -153,13 +187,16 @@ func sortKeys(keys []join.Key, chunked bool) {
 // ProbeCount takes one chunk of the other relation; more says that further
 // chunks of it follow before its count is needed. The counts returned up to
 // the call with more false sum to the relation's matches with the sealed side:
-// the hash form counts each chunk as it comes; the merge form keeps a chunk
-// that has successors — as Insert keeps one, until that last call returns —
-// and sweeps them all then, since a sweep per chunk would walk the whole side
-// every time. It may reorder keys.
+// the hash and table forms count each chunk as it comes; the merge form keeps
+// a chunk that has successors — as Insert keeps one, until that last call
+// returns — and sweeps them all then, since a sweep per chunk would walk the
+// whole side every time. It may reorder keys.
 func (r *Resident) ProbeCount(keys []join.Key, more bool) (count int64, kept bool) {
 	if r.build != nil {
 		return r.build.ProbeCount(keys), false
+	}
+	if r.table != nil {
+		return r.table.probeCount(keys, r.cond, r.r1), false
 	}
 	if more {
 		r.pending = append(r.pending, keys)

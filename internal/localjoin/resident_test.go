@@ -32,12 +32,38 @@ func chunked(keys []key, size int) [][]key {
 // dense and converts to the sparse form once half its chunks are in.
 const formConverting = formSparse + 1
 
-// residentForms are every form a side is tested in; the Build forms serve the
-// EquiLike conditions only.
-var residentForms = []residentForm{formMerge, formDense, formSparse, formConverting}
+// residentForms are every form a side is tested in; formServes says which
+// conditions each serves. The table form is forced whatever the keys' span.
+var residentForms = []residentForm{formMerge, formTable, formDense, formSparse, formConverting}
 
 func (f residentForm) String() string {
-	return [...]string{"merge", "dense", "sparse", "converting"}[f]
+	return [...]string{"merge", "ranked", "table", "dense", "sparse", "converting"}[f]
+}
+
+// formServes reports whether a side in form counts under cond: the Build
+// forms serve the EquiLike conditions, the table form the ranked ones, and
+// the merge form every condition.
+func formServes(form residentForm, cond join.Condition) bool {
+	switch form {
+	case formMerge:
+		return true
+	case formTable:
+		return ranked(cond)
+	}
+	return EquiLike(cond)
+}
+
+// tableSpanCap bounds the span of a side the tests force into the table form,
+// which takes a slot per value of its span: the sparse and domain-edge rows
+// stay off it, as the span rule keeps them off in use.
+const tableSpanCap = 1 << 16
+
+// spanOf is the distance from the least to the greatest of keys; 0 if none.
+func spanOf(keys []key) uint64 {
+	if len(keys) == 0 {
+		return 0
+	}
+	return uint64(slices.Max(keys)) - uint64(slices.Min(keys))
 }
 
 // residentCount joins r1 and r2 through a Resident — in the given form, with
@@ -162,6 +188,22 @@ var keyOrders = []struct {
 		}
 		return out
 	}},
+	// Wide keys of a narrow span: a table side of them counts R2 keys over the
+	// converse range, which must reach past [MinKey, MaxKey] to the extremes.
+	{"near-int64-min", true, "dense", func(n int, seed uint64) []key {
+		out := randKeys(n, 100, seed)
+		for i := range out {
+			out[i] += math.MinInt64
+		}
+		return out
+	}},
+	{"near-int64-max", true, "dense", func(n int, seed uint64) []key {
+		out := randKeys(n, 100, seed)
+		for i := range out {
+			out[i] = math.MaxInt64 - out[i]
+		}
+		return out
+	}},
 	{"empty", false, "dense", func(int, uint64) []key { return nil }},
 }
 
@@ -188,6 +230,73 @@ func TestBuildFormPerKeyOrder(t *testing.T) {
 		}
 		if got != g.form {
 			t.Errorf("%s: a Build of its keys is %s, want %s", g.name, got, g.form)
+		}
+	}
+}
+
+// TestResidentFormBySpan pins which form a band or inequality side seals
+// into: the rank table while its span is at most denseSpan slots per key and
+// no key range holds more keys than a 2-byte slot counts, the sorted block
+// otherwise. Each row's count is checked against Count with either relation
+// resident.
+func TestResidentFormBySpan(t *testing.T) {
+	// spread is n keys from 0 to span, both ends included.
+	spread := func(n int, span int64) []key {
+		out := make([]key, n)
+		for i := range out {
+			out[i] = span * int64(i) / int64(n-1)
+		}
+		return out
+	}
+	repeated := func(k key, n int) []key { return slices.Repeat([]key{k}, n) }
+	// firstRange fills the first of the 256 key ranges of a span of 2^19 - 1
+	// (2048 keys each) with n keys, and puts one more at the span's end.
+	firstRange := func(n int) []key {
+		out := make([]key, n+1)
+		for i := range n {
+			out[i] = key(i % 2048)
+		}
+		out[n] = 1<<19 - 1
+		return out
+	}
+	band := join.NewBand(2)
+	rows := []struct {
+		name  string
+		keys  []key
+		cond  join.Condition
+		table bool
+	}{
+		{"span 8n", spread(1000, 8000), band, true},
+		{"span 8n + 1", spread(1000, 8001), band, false},
+		{"inequality, span 8n", spread(1000, 8000), join.Inequality{Op: join.Less}, true},
+		{"inequality, span 8n + 1", spread(1000, 8001), join.Inequality{Op: join.GreaterEq}, false},
+		{"a range holding 2^16 - 1 keys", firstRange(1<<16 - 1), band, true},
+		{"a range holding 2^16 keys", firstRange(1 << 16), band, false},
+		{"one key repeated 2^16 - 1 times", repeated(7, 1<<16-1), band, true},
+		{"one key repeated 2^16 times", repeated(7, 1<<16), band, false},
+		{"beta wider than a range", spread(1000, 8000), join.NewBand(100), true},
+		{"an empty resident", nil, band, true},
+	}
+	for _, row := range rows {
+		probe := randKeys(500, 8200, 9)
+		for i := range probe {
+			probe[i] -= 100
+		}
+		for _, residentR1 := range []bool{true, false} {
+			side := NewResident(row.cond, residentR1)
+			side.Insert(slices.Clone(row.keys))
+			side.Seal()
+			if got := side.table != nil; got != row.table {
+				t.Errorf("%s: sealed into the table form %v, want %v", row.name, got, row.table)
+			}
+			got, _ := side.ProbeCount(slices.Clone(probe), false)
+			want := Count(row.keys, probe, row.cond)
+			if !residentR1 {
+				want = Count(probe, row.keys, row.cond)
+			}
+			if got != want {
+				t.Errorf("%s, R1 resident %v: count %d, want %d", row.name, residentR1, got, want)
+			}
 		}
 	}
 }
@@ -222,10 +331,17 @@ func TestResidentKeyOrderTable(t *testing.T) {
 					t.Errorf("%s: CountSorted = %d, want %d", row, got, want)
 				}
 				for _, form := range residentForms {
-					if form != formMerge && !EquiLike(cond) {
-						continue // the Build forms serve the equality conditions only
+					if !formServes(form, cond) {
+						continue
 					}
 					for _, residentR1 := range []bool{true, false} {
+						resident := r2
+						if residentR1 {
+							resident = r1
+						}
+						if form == formTable && spanOf(resident) > tableSpanCap {
+							continue
+						}
 						for _, chunk := range chunkings {
 							if got := residentCount(r1, r2, cond, form, residentR1, chunk); got != want {
 								t.Errorf("%s: resident side (%v, R1 resident %v, chunks of %d) = %d, want %d",
@@ -268,10 +384,30 @@ func TestStrictInequalityAtTheInt64Extremes(t *testing.T) {
 	if got := Count([]key{math.MinInt64}, r2, join.Inequality{Op: join.Greater}); got != 0 {
 		t.Errorf("Count({MinInt64} > {0, 5, 7}) = %d, want 0", got)
 	}
+	// The table form's converse ranges, R1 resident: the ±1 must not wrap
+	// either.
+	r1 := []key{0, 5, 7}
+	if got := residentCount(r1, []key{math.MinInt64}, join.Inequality{Op: join.Less}, formTable, true, 0); got != 0 {
+		t.Errorf("{0, 5, 7} < {MinInt64} through an R1 table = %d, want 0", got)
+	}
+	if got := residentCount(r1, []key{math.MaxInt64}, join.Inequality{Op: join.Greater}, formTable, true, 0); got != 0 {
+		t.Errorf("{0, 5, 7} > {MaxInt64} through an R1 table = %d, want 0", got)
+	}
+	// R2 resident, the saturated range [MaxInt64, MaxKey] is empty, as the
+	// sweep has it, whatever R2 holds past MaxKey.
+	if got := residentCount([]key{math.MaxInt64}, []key{join.MaxKey + 5}, join.Inequality{Op: join.Less}, formTable, false, 0); got != 0 {
+		t.Errorf("{MaxInt64} < {MaxKey + 5} through an R2 table = %d, want 0", got)
+	}
 }
 
+// propertyConds are the conditions the property and fuzz tests draw from:
+// both equalities, a band, and every inequality.
+var propertyConds = []join.Condition{join.Equi{}, join.NewBand(0), join.NewBand(2),
+	join.Inequality{Op: join.Less}, join.Inequality{Op: join.LessEq},
+	join.Inequality{Op: join.Greater}, join.Inequality{Op: join.GreaterEq}}
+
 func TestResidentProperty(t *testing.T) {
-	f := func(a, b []int64, form uint8, residentR1 bool, chunk uint8) bool {
+	f := func(a, b []int64, form, sel uint8, residentR1 bool, chunk uint8) bool {
 		r1, r2 := make([]key, len(a)), make([]key, len(b))
 		for i, v := range a {
 			r1[i] = v % 64
@@ -279,8 +415,12 @@ func TestResidentProperty(t *testing.T) {
 		for i, v := range b {
 			r2[i] = v % 64
 		}
-		return residentCount(r1, r2, join.Equi{}, residentForms[int(form)%len(residentForms)], residentR1, int(chunk)%9) ==
-			NestedLoopCount(r1, r2, join.Equi{})
+		cond := propertyConds[int(sel)%len(propertyConds)]
+		fm := residentForms[int(form)%len(residentForms)]
+		if !formServes(fm, cond) {
+			fm = formMerge
+		}
+		return residentCount(r1, r2, cond, fm, residentR1, int(chunk)%9) == NestedLoopCount(r1, r2, cond)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -290,13 +430,14 @@ func TestResidentProperty(t *testing.T) {
 // FuzzEngineCount cross-checks the resident side — every form, either
 // relation resident, fuzz-chosen chunking and condition — against the
 // nested-loop oracle on fuzz-chosen key bytes. Byte keys span at most 256, so
-// the sparse and converting forms are what keep the hash partitions fuzzed.
+// the sparse and converting forms are what keep the hash partitions fuzzed,
+// and every side fits the table form.
 func FuzzEngineCount(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 3}, uint8(3), uint8(0))
 	f.Add([]byte{}, []byte{0, 0, 0, 0}, uint8(1), uint8(1))
 	f.Add([]byte{255, 255, 128, 0}, []byte{255, 128}, uint8(0), uint8(6))
-	conds := []join.Condition{join.Equi{}, join.NewBand(0), join.NewBand(2),
-		join.Inequality{Op: join.Less}, join.Inequality{Op: join.GreaterEq}}
+	f.Add([]byte{0, 255, 7, 7}, []byte{255, 0, 8}, uint8(5), uint8(0x84))
+	conds := propertyConds
 	f.Fuzz(func(t *testing.T, b1, b2 []byte, split, sel uint8) {
 		if len(b1) > 1024 || len(b2) > 1024 {
 			t.Skip()
@@ -316,7 +457,7 @@ func FuzzEngineCount(f *testing.F) {
 		residentR1 := sel&0x80 == 0
 		want := NestedLoopCount(r1, r2, cond)
 		for _, form := range residentForms {
-			if form != formMerge && !EquiLike(cond) {
+			if !formServes(form, cond) {
 				continue
 			}
 			if got := residentCount(r1, r2, cond, form, residentR1, int(split)%8); got != want {

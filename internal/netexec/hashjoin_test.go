@@ -19,12 +19,12 @@ func zipfKeys(n int, domain int64, z float64, seed uint64) []join.Key {
 	return workload.Zipfian(n, domain, z, seed)
 }
 
-// TestSessionHashJoinOverlap is the chunk-overlap crosscheck for both
+// TestSessionHashJoinOverlap is the chunk-overlap crosscheck for two
 // resident forms, each selected by its condition — equi for the hash form,
-// band 2 for the merge form: a count job over the chunked session scatter
+// band 2 for the rank table: a count job over the chunked session scatter
 // must produce the nested-loop answer AND prove the worker started consuming
 // chunks before the job's tail frames decoded — BuildOverlappedChunks, the
-// join-side mirror of OverlappedStage2. The merge side sorts relation 1 at
+// join-side mirror of OverlappedStage2. The table side counts relation 1 at
 // its tail while relation 2's chunks are still arriving.
 func TestSessionHashJoinOverlap(t *testing.T) {
 	_, addrs := startWorkerSet(t, 3)
