@@ -160,7 +160,9 @@ func (r *Resident) sealKept() {
 				lo, hi = min(lo, k), max(hi, k)
 			}
 		}
-		if r.form == formTable || tableFits(lo, hi, n) {
+		// Past rankParts full ranges some range must overflow its 2-byte
+		// slots, so such a side is refused before the table is counted.
+		if n <= rankParts*math.MaxUint16 && (r.form == formTable || tableFits(lo, hi, n)) {
 			if r.table = newRankTable(runs, lo, hi, n); r.table != nil {
 				return
 			}

@@ -42,8 +42,9 @@ func tableFits(lo, hi join.Key, n int) bool {
 
 // newRankTable counts the keys of runs, n in all over [lo, hi], into a rank
 // table. It returns nil when a range would hold more keys than a 2-byte slot
-// counts — so always past rankParts × 65,535 keys, which also keeps the 4-byte
-// range bases from wrapping; the side then stays a sorted block.
+// counts; the side then stays a sorted block. The caller refuses a side past
+// rankParts × 65,535 keys up front, which also keeps the 4-byte range bases
+// from wrapping.
 func newRankTable(runs [][]join.Key, lo, hi join.Key, n int) *rankTable {
 	t := &rankTable{lo: lo, n: int64(n)}
 	if n == 0 {

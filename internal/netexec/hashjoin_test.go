@@ -19,17 +19,19 @@ func zipfKeys(n int, domain int64, z float64, seed uint64) []join.Key {
 	return workload.Zipfian(n, domain, z, seed)
 }
 
-// TestSessionHashJoinOverlap is the chunk-overlap crosscheck for two
-// resident forms, each selected by its condition — equi for the hash form,
-// band 2 for the rank table: a count job over the chunked session scatter
-// must produce the nested-loop answer AND prove the worker started consuming
-// chunks before the job's tail frames decoded — BuildOverlappedChunks, the
-// join-side mirror of OverlappedStage2. The table side counts relation 1 at
-// its tail while relation 2's chunks are still arriving.
+// TestSessionHashJoinOverlap is the chunk-overlap crosscheck for all three
+// resident forms, each selected by its condition and keys — equi for the hash
+// form, band 2 over dense keys for the rank table, band 64 over keys spread 64
+// slots apart for the merge form: a count job over the chunked session
+// scatter must produce the nested-loop answer AND prove the worker started
+// consuming chunks before the job's tail frames decoded —
+// BuildOverlappedChunks, the join-side mirror of OverlappedStage2. The table
+// and merge sides seal relation 1 at its tail while relation 2's chunks are
+// still arriving; the merge side holds those chunks to relation 2's tail.
 func TestSessionHashJoinOverlap(t *testing.T) {
 	_, addrs := startWorkerSet(t, 3)
-	r1 := zipfKeys(6000, 1500, 0.8, 130)
-	r2 := zipfKeys(6000, 1500, 0.8, 131)
+	dense1, dense2 := zipfKeys(6000, 1500, 0.8, 130), zipfKeys(6000, 1500, 0.8, 131)
+	wide1, wide2 := randKeys(6000, 64*6000, 133), randKeys(6000, 64*6000, 134)
 	scheme := partition.NewCI(3)
 	// Mappers fixed well above the join goroutine's event-channel depth: with
 	// ~2×Mappers chunk frames per worker the read loop must block on a full
@@ -42,17 +44,24 @@ func TestSessionHashJoinOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	for _, cond := range []join.Condition{join.Equi{}, join.NewBand(2)} {
+	for _, c := range []struct {
+		cond   join.Condition
+		r1, r2 []join.Key
+	}{
+		{join.Equi{}, dense1, dense2},
+		{join.NewBand(2), dense1, dense2},
+		{join.NewBand(64), wide1, wide2},
+	} {
 		before := sess.BuildOverlappedChunks()
-		got, err := exec.RunOver(sess, r1, r2, cond, scheme, model, cfg)
+		got, err := exec.RunOver(sess, c.r1, c.r2, c.cond, scheme, model, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := localjoin.NestedLoopCount(r1, r2, cond); got.Output != want {
-			t.Fatalf("%v: session output %d, want %d", cond, got.Output, want)
+		if want := localjoin.NestedLoopCount(c.r1, c.r2, c.cond); got.Output != want {
+			t.Fatalf("%v: session output %d, want %d", c.cond, got.Output, want)
 		}
 		if n := sess.BuildOverlappedChunks() - before; n <= 0 {
-			t.Fatalf("%v: BuildOverlappedChunks grew by %d, want > 0: the join never overlapped the stream", cond, n)
+			t.Fatalf("%v: BuildOverlappedChunks grew by %d, want > 0: the join never overlapped the stream", c.cond, n)
 		}
 	}
 	if sess.RelayedPairs() != 0 {
