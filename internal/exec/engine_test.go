@@ -2,6 +2,7 @@ package exec
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"testing"
 
@@ -66,38 +67,147 @@ func nestedLoopPairs(r1, r2 []join.Key, cond join.Condition) (pairs []PairIdx, c
 	return pairs, cuts
 }
 
+// pairStream runs joinPairs in one form and returns the pairs it streamed,
+// its flush boundaries and its count.
+func pairStream(r1, r2 []join.Key, cond join.Condition, form pairForm) (pairs []PairIdx, cuts []int, n int64) {
+	n = joinPairs(r1, r2, cond, form, func(chunk []PairIdx) {
+		pairs = append(pairs, chunk...)
+		cuts = append(cuts, len(pairs))
+	})
+	return pairs, cuts, n
+}
+
 // TestJoinPairsMatchesNestedLoop pins the pair stream's ordering contract
-// against a nested-loop oracle: content, order, count and flush boundaries,
-// for equality, zero- and two-wide bands and an inequality.
+// against a nested-loop oracle — content, order, count and flush boundaries —
+// in both forms of relation 2, for equality, zero- and two-wide bands and
+// every inequality, over blocks on both sides of the table form's span rule
+// and its 2-byte slots, and keys at the int64 extremes.
 func TestJoinPairsMatchesNestedLoop(t *testing.T) {
+	// spread is n keys from 0 to span, both ends included.
+	spread := func(n int, span int64) []join.Key {
+		out := make([]join.Key, n)
+		for i := range out {
+			out[i] = span * int64(i) / int64(n-1)
+		}
+		return out
+	}
+	// extremes are R1 keys whose joinable ranges saturate at the int64 ends,
+	// or would wrap there, beside some in the middle of the domain.
+	extremes := []join.Key{math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 2, join.MinKey - 1, join.MinKey,
+		-1, 0, 1, 7, join.MaxKey, join.MaxKey + 1, math.MaxInt64 - 2, math.MaxInt64 - 1, math.MaxInt64}
+	// near is R2 keys within 40 of k, counted from k towards zero.
+	near := func(k join.Key, seed uint64) []join.Key {
+		out := randKeys(300, 40, seed)
+		for i, d := range out {
+			if k < 0 {
+				out[i] = k + d
+			} else {
+				out[i] = k - d
+			}
+		}
+		return out
+	}
+	all := []join.Condition{join.Equi{}, join.NewBand(0), join.NewBand(2),
+		join.Inequality{Op: join.Less}, join.Inequality{Op: join.LessEq},
+		join.Inequality{Op: join.Greater}, join.Inequality{Op: join.GreaterEq}}
+	// R2 keys past [MinKey, MaxKey] are outside every inequality's joinable
+	// range though Matches holds, so those shapes take the bands alone.
+	bands := []join.Condition{join.Equi{}, join.NewBand(2)}
 	shapes := []struct {
 		name   string
 		r1, r2 []join.Key
+		conds  []join.Condition
+		// ranked: JoinPairs takes the table form for relation 2; forced: the
+		// table counts it when forced past the span rule.
+		ranked, forced bool
 	}{
-		{"uniform", randKeys(1500, 500, 110), randKeys(1200, 500, 111)},
-		{"dup-heavy", randKeys(2000, 40, 112), randKeys(1500, 40, 113)},
-		{"all-equal", make([]join.Key, 300), make([]join.Key, 250)},
-		{"empty", nil, randKeys(10, 5, 116)},
+		{"uniform", randKeys(1500, 500, 110), randKeys(1200, 500, 111), all, true, true},
+		{"dup-heavy", randKeys(2000, 40, 112), randKeys(1500, 40, 113), all, true, true},
+		{"all-equal", make([]join.Key, 300), make([]join.Key, 250), all, true, true},
+		{"empty", nil, randKeys(10, 5, 116), all, true, true},
+		{"sparse: 64 slots per key", randKeys(1000, 64_000, 117), randKeys(1000, 64_000, 118), all, false, true},
+		{"at the span bound: 8 slots per key", randKeys(1200, 8_000, 119), spread(1000, 8_000), all, true, true},
+		{"2^16 equal keys", []join.Key{6, 7, 8, 9}, slices.Repeat([]join.Key{7}, 1<<16), all, false, false},
+		{"int64 extremes", extremes, randKeys(300, 40, 120), all, true, true},
+		{"int64 top", extremes, near(math.MaxInt64, 121), bands, true, true},
+		{"int64 bottom", extremes, near(math.MinInt64, 122), bands, true, true},
 	}
 	for _, sh := range shapes {
-		for _, cond := range []join.Condition{join.Equi{}, join.NewBand(0), join.NewBand(2),
-			join.Inequality{Op: join.Less}} {
-			refPairs, refCuts := nestedLoopPairs(sh.r1, sh.r2, cond)
-			var gotPairs []PairIdx
-			var gotCuts []int
-			n := JoinPairs(sh.r1, sh.r2, cond, func(chunk []PairIdx) {
-				gotPairs = append(gotPairs, chunk...)
-				gotCuts = append(gotCuts, len(gotPairs))
-			})
-			if n != int64(len(refPairs)) || !slices.Equal(gotPairs, refPairs) {
-				t.Fatalf("%s/%v: JoinPairs streamed %d pairs (n=%d), the nested loop %d in another order",
-					sh.name, cond, len(gotPairs), n, len(refPairs))
+		for anySpan, want := range map[bool]bool{false: sh.ranked, true: sh.forced} {
+			ro := localjoin.NewRankOrder(sh.r2, anySpan)
+			if (ro != nil) != want {
+				t.Errorf("%s: a table for relation 2 (forced %v) %v, want %v", sh.name, anySpan, ro != nil, want)
 			}
-			if !slices.Equal(gotCuts, refCuts) {
-				t.Fatalf("%s/%v: flush boundaries %v, want %v", sh.name, cond, gotCuts, refCuts)
+			if ro != nil {
+				ro.Release()
+			}
+		}
+		for _, cond := range sh.conds {
+			refPairs, refCuts := nestedLoopPairs(sh.r1, sh.r2, cond)
+			for _, form := range []pairForm{pairTable, pairArgsort} {
+				gotPairs, gotCuts, n := pairStream(sh.r1, sh.r2, cond, form)
+				if n != int64(len(refPairs)) || !slices.Equal(gotPairs, refPairs) {
+					t.Fatalf("%s/%v, form %d: streamed %d pairs (n=%d), the nested loop %d in another order",
+						sh.name, cond, form, len(gotPairs), n, len(refPairs))
+				}
+				if !slices.Equal(gotCuts, refCuts) {
+					t.Fatalf("%s/%v, form %d: flush boundaries %v, want %v", sh.name, cond, form, gotCuts, refCuts)
+				}
 			}
 		}
 	}
+}
+
+// FuzzJoinPairs cross-checks the table forms of relation 2 against the
+// argsort form on fuzz-chosen keys, condition and block sizes: the pair
+// stream, its flush boundaries and the count must be identical. Each byte is
+// a key step, scaled by a fuzz-chosen spacing from a fuzz-chosen origin, so
+// blocks fall on both sides of the span rule and reach the int64 ends;
+// repeating a block makes it long enough to cross flush boundaries.
+func FuzzJoinPairs(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 3}, int64(0), uint8(1), uint8(2), uint8(0))
+	f.Add([]byte{0, 0, 0}, []byte{0, 0, 0, 0}, int64(0), uint8(0), uint8(200), uint8(3))
+	f.Add([]byte{255, 128, 0}, []byte{255, 254, 0}, int64(math.MaxInt64-255), uint8(1), uint8(90), uint8(2))
+	f.Add([]byte{0, 1, 255}, []byte{0, 2, 9}, int64(math.MinInt64), uint8(1), uint8(7), uint8(5))
+	f.Add([]byte{3, 200, 17}, []byte{9, 60, 250, 31}, int64(-500), uint8(40), uint8(5), uint8(6))
+	f.Add([]byte("0123456789abcdefghijklmnopqrstuvwxyz"), []byte("05az"), int64(0), uint8(1), uint8(255), uint8(3))
+	conds := []join.Condition{join.Equi{}, join.NewBand(0), join.NewBand(2),
+		join.Inequality{Op: join.Less}, join.Inequality{Op: join.LessEq},
+		join.Inequality{Op: join.Greater}, join.Inequality{Op: join.GreaterEq}}
+	f.Fuzz(func(t *testing.T, b1, b2 []byte, origin int64, spacing, repeat, sel uint8) {
+		if len(b1) > 512 || len(b2) > 512 {
+			t.Skip()
+		}
+		// Keys wrap past the int64 ends as the scaled steps do.
+		mk := func(bs []byte, rep int) []join.Key {
+			out := make([]join.Key, 0, len(bs)*rep)
+			for range rep {
+				for _, v := range bs {
+					out = append(out, origin+int64(v)*int64(spacing))
+				}
+			}
+			return out
+		}
+		r1, r2 := mk(b1, 1), mk(b2, 1+int(repeat))
+		if len(r1)*len(r2) > 1<<20 {
+			t.Skip() // at most 8 MiB of pairs a form
+		}
+		cond := conds[int(sel)%len(conds)]
+		want, wantCuts, wantN := pairStream(r1, r2, cond, pairArgsort)
+		forms := []pairForm{pairRanked}
+		// The forced table is allocated for the span, so only a narrow one is
+		// forced; the rule refuses a wide one in the ranked form.
+		if len(r2) > 0 && uint64(slices.Max(r2))-uint64(slices.Min(r2)) <= 1<<16 {
+			forms = append(forms, pairTable)
+		}
+		for _, form := range forms {
+			got, cuts, n := pairStream(r1, r2, cond, form)
+			if n != wantN || !slices.Equal(got, want) || !slices.Equal(cuts, wantCuts) {
+				t.Fatalf("%v, form %d: streamed %d pairs cut at %v, the argsort form %d cut at %v",
+					cond, form, n, cuts, wantN, wantCuts)
+			}
+		}
+	})
 }
 
 // TestRunEngineSelection crosschecks the full Local pipeline under the engine

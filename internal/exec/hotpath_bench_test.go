@@ -93,3 +93,33 @@ func BenchmarkRunTuples(b *testing.B) {
 		RunTuples(r1, r2, join.Equi{}, scheme, model, Config{Seed: 56, Mappers: 4}, nil)
 	}
 }
+
+// BenchmarkJoinPairs times the pair join in both forms of relation 2 over a
+// multiway-peer stage-1 block (100k uniform keys a side at 3 slots per key,
+// band 1, ≈ 3 partners a key) and over a sparse block of 64 slots per key,
+// outside the span rule, where the ranked form takes the argsort.
+func BenchmarkJoinPairs(b *testing.B) {
+	shapes := []struct {
+		name string
+		span int64
+	}{
+		{"stage1-3slots", 300_000},
+		{"sparse-64slots", 6_400_000},
+	}
+	forms := []struct {
+		name string
+		form pairForm
+	}{{"table", pairTable}, {"argsort", pairArgsort}}
+	const n = 100_000
+	for _, s := range shapes {
+		r1, r2 := randKeys(n, s.span, 60), randKeys(n, s.span, 61)
+		for _, f := range forms {
+			b.Run(s.name+"/"+f.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					joinPairs(r1, r2, join.NewBand(1), f.form, func([]PairIdx) {})
+				}
+			})
+		}
+	}
+}

@@ -164,12 +164,55 @@ func putPairBuf(b []PairIdx) {
 // byte-identical pair stream. Neither input slice is mutated. Returns the
 // total match count.
 func JoinPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx)) int64 {
+	return joinPairs(r1, r2, cond, pairRanked, flush)
+}
+
+// pairForm is the form a pair join orders relation 2 in. Both give the same
+// pair stream.
+type pairForm int
+
+const (
+	pairRanked  pairForm = iota // rank table under localjoin's span rule, else pairArgsort
+	pairTable                   // rank table whatever the span (tests only)
+	pairArgsort                 // (key, index) argsort, one binary search per R1 key
+)
+
+// joinPairs is JoinPairs with relation 2's form chosen. The table form counts
+// R2 into a rank table and scatters its indices in (key, index) order; an R1
+// key's partners are then one slice, found in O(1). A block the table
+// refuses takes the argsort form.
+func joinPairs(r1, r2 []join.Key, cond join.Condition, form pairForm, flush func([]PairIdx)) int64 {
 	if len(r1) == 0 || len(r2) == 0 {
 		return 0
 	}
-	// Argsort R2 by (key, index) instead of sorting it in place: the blocks
-	// may be shared with the driver's emission path, and the stable order is
-	// what makes the pair stream deterministic.
+	var ro *localjoin.RankOrder
+	if form != pairArgsort {
+		ro = localjoin.NewRankOrder(r2, form == pairTable)
+	}
+	if ro == nil {
+		return argsortPairs(r1, r2, cond, flush)
+	}
+	buf := getPairBuf()
+	var out int64
+	for i1, k := range r1 {
+		for _, i2 := range ro.Partners(cond.JoinableRange(k)) {
+			buf = append(buf, PairIdx{I1: uint32(i1), I2: i2})
+			if len(buf) == pairChunk {
+				out += pairChunk
+				flush(buf)
+				buf = buf[:0]
+			}
+		}
+	}
+	ro.Release()
+	return out + flushTail(buf, flush)
+}
+
+// argsortPairs is the argsort form of joinPairs. It argsorts R2 by (key,
+// index) instead of sorting it in place: the blocks may be shared with the
+// driver's emission path, and the stable order is what makes the pair stream
+// deterministic.
+func argsortPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx)) int64 {
 	ord := getOrdBuf(len(r2))
 	for i, k := range r2 {
 		ord[i] = keyIdx{key: k, idx: uint32(i)}
@@ -182,19 +225,26 @@ func JoinPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx)) in
 		i := searchKey(ord, lo)
 		for ; i < len(ord) && ord[i].key <= hi; i++ {
 			buf = append(buf, PairIdx{I1: uint32(i1), I2: ord[i].idx})
-			out++
 			if len(buf) == pairChunk {
+				out += pairChunk
 				flush(buf)
 				buf = buf[:0]
 			}
 		}
 	}
-	if len(buf) > 0 {
+	ordBufPool.Put(&ord)
+	return out + flushTail(buf, flush)
+}
+
+// flushTail flushes a pair join's last, partial chunk, if any, returns its
+// buffer to the pool and reports its length.
+func flushTail(buf []PairIdx, flush func([]PairIdx)) int64 {
+	n := int64(len(buf))
+	if n > 0 {
 		flush(buf)
 	}
 	putPairBuf(buf)
-	ordBufPool.Put(&ord)
-	return out
+	return n
 }
 
 // keyIdx is one argsort entry of JoinPairs: an R2 key and its arrival index.
@@ -203,7 +253,7 @@ type keyIdx struct {
 	idx uint32
 }
 
-var ordBufPool sync.Pool // stores *[]keyIdx
+var ordBufPool sync.Pool // stores *[]keyIdx; serves the argsort form only
 
 // getOrdBuf returns a pooled, unzeroed argsort buffer of length n.
 func getOrdBuf(n int) []keyIdx {

@@ -3,6 +3,7 @@ package localjoin
 import (
 	"math"
 	"math/bits"
+	"sync"
 
 	"ewh/internal/join"
 )
@@ -20,18 +21,22 @@ import (
 // scattering either side by range first, to keep each range's window of the
 // table in cache, was slower on sparse blocks too (EXPERIMENTS.md "Rejected
 // forms").
+//
+// A pair join's relation 2 takes the same layout (RankOrder) under the same
+// span rule: counted with exclusive sums, the slots are the cursors of a
+// counting scatter of arrival indices, which leaves them holding the ranks.
 
 // rankParts bounds the number of key ranges a rank table is cut into, which
 // keeps the 4-byte range bases within 1 KiB.
 const rankParts = 256
 
-// rankTable is a sealed side in the table form. It is immutable.
+// rankTable is a sealed side in the table form. A resident's is immutable.
 type rankTable struct {
 	lo    join.Key // least resident key: slot 0
+	hi    join.Key // greatest resident key: the last slot
 	shift uint     // a range is 1<<shift slots
 	cum   []uint16 // cum[i]: resident keys at most lo+i in i's range
 	base  []uint32 // base[p]: resident keys in the ranges before range p
-	n     int64    // resident keys
 }
 
 // tableFits is the span rule: a side of n keys over [lo, hi] takes the table
@@ -42,82 +47,173 @@ func tableFits(lo, hi join.Key, n int) bool {
 
 // newRankTable counts the keys of runs, n in all over [lo, hi], into a rank
 // table. It returns nil when a range would hold more keys than a 2-byte slot
-// counts; the side then stays a sorted block. The caller refuses a side past
-// rankParts × 65,535 keys up front, which also keeps the 4-byte range bases
-// from wrapping.
+// counts; the side then stays a sorted block.
 func newRankTable(runs [][]join.Key, lo, hi join.Key, n int) *rankTable {
-	t := &rankTable{lo: lo, n: int64(n)}
-	if n == 0 {
-		return t
-	}
-	span := uint64(hi) - uint64(lo)
-	t.shift = uint(max(bits.Len64(span)-bits.Len64(rankParts-1), 0))
-	t.cum = make([]uint16, span+1)
-	var counts [rankParts]int32
-	count := counts[:span>>t.shift+1]
-	for _, run := range runs {
-		for _, k := range run {
-			i := uint64(k) - uint64(lo)
-			t.cum[i]++ // wraps only in a range accumulate refuses
-			count[i>>t.shift]++
-		}
-	}
-	if !t.accumulate(count) {
+	t := new(rankTable)
+	if !t.count(runs, lo, hi, n) || !t.accumulate(false) {
 		return nil
 	}
 	return t
 }
 
-// accumulate turns each range's slot counts into running sums and sets the
-// range bases from count, the keys in each range. It reports false, leaving
-// the table unusable, when a range holds more keys than a 2-byte slot counts.
-func (t *rankTable) accumulate(count []int32) bool {
-	t.base = make([]uint32, len(count))
+// RankOrder is relation 2 of a pair join in the table form: its arrival
+// indices ordered by key, ties in arrival order, with the rank table of its
+// keys, so the partners of a joinable range are one slice found in O(1).
+type RankOrder struct {
+	t     rankTable
+	order []uint32 // arrival indices ascending by (key, arrival index)
+}
+
+var rankOrderPool sync.Pool // stores *RankOrder
+
+// NewRankOrder counts keys into a RankOrder when they pass the span rule, or
+// whatever their span when anySpan (tests force the form with it, over spans
+// a table can be allocated for). It returns nil for keys the rule or the
+// table refuses. Release returns the buffers for the next call to reuse.
+func NewRankOrder(keys []join.Key, anySpan bool) *RankOrder {
+	lo, hi := join.Key(math.MaxInt64), join.Key(math.MinInt64)
+	for _, k := range keys {
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	if !anySpan && !tableFits(lo, hi, len(keys)) {
+		return nil
+	}
+	o, _ := rankOrderPool.Get().(*RankOrder)
+	if o == nil {
+		o = new(RankOrder)
+	}
+	t := &o.t
+	if !t.count([][]join.Key{keys}, lo, hi, len(keys)) || !t.accumulate(true) {
+		o.Release()
+		return nil
+	}
+	if cap(o.order) < len(keys) {
+		o.order = make([]uint32, len(keys))
+	}
+	order, cum, base, shift := o.order[:len(keys)], t.cum, t.base, t.shift
+	// A slot's exclusive sum is its first key's place within its range; each
+	// key placed advances it, so the scatter is stable and leaves the
+	// inclusive sums, the ranks.
+	for i, k := range keys {
+		s := uint64(k) - uint64(lo)
+		order[base[s>>shift]+uint32(cum[s])] = uint32(i)
+		cum[s]++
+	}
+	o.order = order
+	return o
+}
+
+// Partners returns the arrival indices of the keys in [lo, hi], ascending by
+// key and, among equal keys, by arrival. The slice is valid until Release.
+func (o *RankOrder) Partners(lo, hi join.Key) []uint32 {
+	from, to := o.t.bounds(lo, hi)
+	return o.order[from:to]
+}
+
+// Release hands o's buffers back; o must not be used after.
+func (o *RankOrder) Release() { rankOrderPool.Put(o) }
+
+// count lays t out for n keys over [lo, hi], reusing its slot and range
+// storage where that is large enough, and counts the keys of runs into their
+// slots, leaving each range's key count in its base. It reports false when
+// the table cannot count them: past rankParts × 65,535 keys some range must
+// overflow its 2-byte slots, and this refusal up front also keeps the 4-byte
+// range bases from wrapping.
+func (t *rankTable) count(runs [][]join.Key, lo, hi join.Key, n int) bool {
+	if n > rankParts*math.MaxUint16 {
+		return false
+	}
+	t.lo, t.hi = lo, hi
+	if n == 0 {
+		t.cum, t.base = t.cum[:0], t.base[:0]
+		return true
+	}
+	span := uint64(hi) - uint64(lo)
+	t.shift = uint(max(bits.Len64(span)-bits.Len64(rankParts-1), 0))
+	t.cum = zeroed(t.cum, int(span+1))
+	t.base = zeroed(t.base, int(span>>t.shift+1))
+	cum, base, shift := t.cum, t.base, t.shift
+	for _, run := range runs {
+		for _, k := range run {
+			i := uint64(k) - uint64(lo)
+			cum[i]++ // wraps only in a range accumulate refuses
+			base[i>>shift]++
+		}
+	}
+	return true
+}
+
+// zeroed returns n zero values on s's storage when it holds them, else on a
+// new slice of exactly n.
+func zeroed[E uint16 | uint32](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// accumulate turns each range's slot counts into running sums, inclusive of
+// the slot's own keys or exclusive of them, and each range's key count into
+// its base. It reports false, leaving the table unusable, when a range holds
+// more keys than a 2-byte slot counts.
+func (t *rankTable) accumulate(exclusive bool) bool {
 	var below uint32
-	for p, c := range count {
+	for p, c := range t.base {
 		if c > math.MaxUint16 {
 			return false
 		}
 		win := t.cum[p<<t.shift : min((p+1)<<t.shift, len(t.cum))]
 		var run uint16
-		for i := range win {
-			run += win[i]
-			win[i] = run
+		if exclusive {
+			for i, k := range win {
+				win[i] = run
+				run += k
+			}
+		} else {
+			for i := range win {
+				run += win[i]
+				win[i] = run
+			}
 		}
 		t.base[p] = below
-		below += uint32(c)
+		below += c
 	}
 	return true
+}
+
+// rank is the number of keys at most the key in slot i.
+func (t *rankTable) rank(i uint64) int64 {
+	return int64(t.base[i>>t.shift]) + int64(t.cum[i])
+}
+
+// bounds returns the ranks either side of the keys in [lo, hi]: from is the
+// number of keys below lo, to the number at most hi, and to − from the keys
+// within. lo − 1 is taken only above the least key, so it cannot wrap; a hi
+// below the least key wraps its slot past the last.
+func (t *rankTable) bounds(lo, hi join.Key) (from, to int64) {
+	hi = min(hi, t.hi)
+	i := uint64(hi - t.lo)
+	if hi < lo || i >= uint64(len(t.cum)) {
+		return 0, 0
+	}
+	if lo > t.lo {
+		from = t.rank(uint64(lo - 1 - t.lo))
+	}
+	return from, t.rank(i)
 }
 
 // probeCount counts the matches of one chunk of the other relation. With R2
 // resident a probe key counts over cond's JoinableRange; with R1 resident
 // over the converse range, the R1 keys whose JoinableRange holds it.
 func (t *rankTable) probeCount(keys []join.Key, cond join.Condition, r1 bool) (out int64) {
-	if t.n == 0 {
+	if len(t.cum) == 0 {
 		return 0
 	}
-	lo0, n, shift, cum, base := t.lo, t.n, t.shift, t.cum, t.base
-	// rank is the number of resident keys at most k.
-	rank := func(k join.Key) int64 {
-		if i := uint64(k) - uint64(lo0); i < uint64(len(cum)) {
-			return int64(base[i>>shift]) + int64(cum[i])
-		}
-		if k < lo0 {
-			return 0
-		}
-		return n
-	}
-	// within is the number of resident keys in [lo, hi]. lo − 1 is taken only
-	// above the least resident key, so it cannot wrap.
 	within := func(lo, hi join.Key) int64 {
-		if hi < lo {
-			return 0
-		}
-		if lo <= lo0 {
-			return rank(hi)
-		}
-		return rank(hi) - rank(lo-1)
+		from, to := t.bounds(lo, hi)
+		return to - from
 	}
 	switch c := cond.(type) {
 	case join.Band: // its own converse
