@@ -51,6 +51,38 @@ func main() {
 	case *beta < 0:
 		usage("-beta %d: the band half-width cannot be negative", *beta)
 	}
+	// reads names the flags each workload reads; a flag the chosen run never
+	// reads is refused, not silently ignored.
+	reads := map[string][]string{
+		"bcb": {"x", "beta"}, "bicd": {"n", "z"}, "beocd": {"n"},
+		"uniform": {"n", "beta"}, "zipf": {"n", "z", "beta"},
+	}
+	switch {
+	case reads[*wl] == nil:
+		usage("-workload %s: unknown workload (bcb | bicd | beocd | uniform | zipf)", *wl)
+	case *scheme != "csio" && *scheme != "csi" && *scheme != "ci":
+		usage("-scheme %s: unknown scheme (csio | csi | ci)", *scheme)
+	}
+	why := map[string]string{}
+	for _, name := range []string{"n", "x", "beta", "z"} {
+		why[name] = "-workload " + *wl + " never reads it"
+	}
+	for _, name := range reads[*wl] {
+		delete(why, name)
+	}
+	if *scheme != "csi" {
+		why["p"] = "-scheme " + *scheme + " never reads it"
+	}
+	if *planin != "" {
+		for _, name := range []string{"workload", "scheme", "n", "x", "beta", "z", "j", "p", "seed", "planout"} {
+			why[name] = "-planin never reads it"
+		}
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if w, ok := why[f.Name]; ok {
+			usage("-%s %v: %s", f.Name, f.Value, w)
+		}
+	})
 
 	if *planin != "" {
 		describeArtifact(*planin)
@@ -82,8 +114,6 @@ func main() {
 		r1 = workload.Zipfian(*n, int64(*n), *z, *seed)
 		r2 = workload.Zipfian(*n, int64(*n), *z, *seed+1)
 		cond = join.NewBand(*beta)
-	default:
-		fatal(fmt.Errorf("unknown workload %q", *wl))
 	}
 
 	opts := core.Options{J: *j, Model: model, Seed: *seed}
@@ -98,8 +128,6 @@ func main() {
 		plan, err = core.PlanCSI(r1, r2, cond, *p, opts)
 	case "ci":
 		plan, err = core.PlanCI(opts)
-	default:
-		err = fmt.Errorf("unknown scheme %q", *scheme)
 	}
 	if err != nil {
 		fatal(err)

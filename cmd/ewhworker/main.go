@@ -29,23 +29,33 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "dial and per-operation IO deadline on session and peer connections (0: none)")
 	failAfter := flag.Int("fail-after", 0, "crash abruptly after completing N jobs (fault-injection hook for recovery testing; 0: never)")
 	maxInFlight := flag.Int("max-inflight", 0, "admission control: concurrent join executions (0: unlimited)")
-	maxQueue := flag.Int("max-queue", 0, "admission control: per-tenant queued jobs before typed rejection (0: unbounded)")
-	queueDeadline := flag.Duration("queue-deadline", 0, "admission control: max queue wait before typed rejection (0: wait forever)")
+	maxQueue := flag.Int("max-queue", 0, "with -max-inflight: per-tenant queued jobs before typed rejection (0: unbounded)")
+	queueDeadline := flag.Duration("queue-deadline", 0, "with -max-inflight: max queue wait before typed rejection (0: wait forever)")
 	tenantBytes := flag.Int64("tenant-max-bytes", 0, "default per-tenant byte budget: received keys, stage-1 matches, peer transfers (0: unlimited)")
 	cacheBytes := flag.Int64("build-cache-bytes", netexec.DefaultBuildCacheBytes, "build-side hash-join cache budget in bytes (<= 0: disable sharing)")
 	weights := netexec.TenantWeights{}
 	flag.Var(weights, "tenant-weight", "tenant scheduling weight as name=w (repeatable); weighted tenants keep the default tenant budgets")
 	flag.Parse()
-	// A negative duration would arm a deadline already past.
-	for _, d := range []struct {
-		name string
-		v    time.Duration
-	}{{"timeout", *timeout}, {"drain", *drain}, {"queue-deadline", *queueDeadline}} {
-		if d.v < 0 {
-			fmt.Fprintf(os.Stderr, "ewhworker: -%s %v: cannot be negative\n", d.name, d.v)
-			os.Exit(2)
+	// A negative duration would arm a deadline already past, and a negative
+	// count would read as "off".
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{
+		{"timeout", *timeout < 0}, {"drain", *drain < 0}, {"queue-deadline", *queueDeadline < 0},
+		{"fail-after", *failAfter < 0}, {"max-inflight", *maxInFlight < 0},
+		{"max-queue", *maxQueue < 0}, {"tenant-max-bytes", *tenantBytes < 0},
+	} {
+		if f.negative {
+			usage("-%s %v: cannot be negative", f.name, flag.Lookup(f.name).Value)
 		}
 	}
+	// The queue bounds belong to admission control, which -max-inflight arms.
+	flag.Visit(func(f *flag.Flag) {
+		if *maxInFlight == 0 && (f.Name == "max-queue" || f.Name == "queue-deadline") {
+			usage("-%s %v: admission control is off without -max-inflight", f.Name, f.Value)
+		}
+	})
 
 	w, err := netexec.ListenWorker(*addr)
 	if err != nil {
@@ -99,4 +109,11 @@ func main() {
 		fmt.Println("ewhworker: drained, exiting")
 	default:
 	}
+}
+
+// usage rejects a flag value before anything runs: one line naming the flag,
+// exit status 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ewhworker: "+format+"\n", args...)
+	os.Exit(2)
 }

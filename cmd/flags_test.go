@@ -13,36 +13,50 @@ import (
 	"time"
 )
 
-// TestBadSizesAreUsageErrors pins that a flag value the run cannot serve is
-// refused where the flags are parsed — exit status 2 and one line naming the
-// flag — instead of reaching a panic (stats.NewZipf, join.NewBand, a nil
-// result), arming a deadline already past (a negative -timeout or -drain) or
-// being silently ignored (-drift outside (0,1], a negative -retries or
-// -queue-deadline, or any ewhcoord flag its mode never reads). A worker that
-// accepts its flags serves until killed, so each run is bounded.
-func TestBadSizesAreUsageErrors(t *testing.T) {
+// buildTools builds the three commands into a fresh directory and returns it.
+func buildTools(t *testing.T) string {
+	t.Helper()
 	bin := t.TempDir()
 	if out, err := exec.Command("go", "build", "-o", bin, "./ewhcoord", "./ewhplan", "./ewhworker").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	// mode puts the tool on the path that reads the flag; zipf is the ewhplan
-	// workload that reads -n, -z and -beta.
+	return bin
+}
+
+// TestBadSizesAreUsageErrors pins that a flag value the run cannot serve is
+// refused where the flags are parsed — exit status 2 and one line naming the
+// flag — instead of reaching a panic (stats.NewZipf, join.NewBand, a nil
+// result), arming a deadline already past (a negative -timeout or -drain) or
+// being silently ignored (an unknown -workload or -scheme, a negative
+// -retries or worker count, a queue bound without -max-inflight, -j beside a
+// fleet that sets J, or any flag the chosen run never reads). A worker that
+// accepts its flags serves until killed, so each run is bounded.
+func TestBadSizesAreUsageErrors(t *testing.T) {
+	bin := buildTools(t)
+	// mode puts the tool on the path that reads the flag (-seed is read by
+	// every ewhcoord run); zipf is the ewhplan workload that reads -n, -z and
+	// -beta, bcb the one that reads -x.
 	for _, c := range []struct{ tool, mode, flag, value string }{
-		{"ewhcoord", "-jobs=1", "-n", "0"}, {"ewhcoord", "-jobs=1", "-n", "-5"}, {"ewhcoord", "-jobs=1", "-j", "0"},
-		{"ewhcoord", "-jobs=1", "-z", "-1"}, {"ewhcoord", "-stream=3", "-window-rows", "-1"},
-		{"ewhcoord", "-jobs=1", "-beta", "-1"}, {"ewhcoord", "-n=500", "-jobs", "0"}, {"ewhcoord", "-stream=3", "-drift", "7"},
-		{"ewhcoord", "-multiway", "-beta", "2"}, {"ewhcoord", "-multiway", "-jobs", "2"},
-		{"ewhcoord", "-stream=3", "-jobs", "2"}, {"ewhcoord", "-stream=3", "-planin", "p.plan"},
-		{"ewhcoord", "-stream=3", "-retries", "2"}, {"ewhcoord", "-stream=3", "-retry-backoff", "1s"},
-		{"ewhcoord", "-jobs=1", "-window-rows", "5"}, {"ewhcoord", "-jobs=1", "-drift", "0.5"},
-		{"ewhcoord", "-jobs=1", "-freeze-plan", "true"},
-		{"ewhcoord", "-jobs=1", "-timeout", "-1s"}, {"ewhcoord", "-jobs=1", "-job-timeout", "-1s"},
-		{"ewhcoord", "-jobs=1", "-retries", "-1"}, {"ewhcoord", "-jobs=1", "-retry-backoff", "-1s"},
+		{"ewhcoord", "-seed=42", "-n", "0"}, {"ewhcoord", "-seed=42", "-n", "-5"}, {"ewhcoord", "-seed=42", "-j", "0"},
+		{"ewhcoord", "-seed=42", "-z", "-1"}, {"ewhcoord", "-seed=42", "-beta", "-1"},
+		{"ewhcoord", "-multiway", "-beta", "2"},
+		{"ewhcoord", "-stream=3", "-planin", "p.plan"}, {"ewhcoord", "-stream=3", "-retries", "2"},
+		{"ewhcoord", "-workers=x,y", "-j", "4"}, {"ewhcoord", "-planin=p.plan", "-j", "4"},
+		{"ewhcoord", "-seed=42", "-timeout", "-1s"}, {"ewhcoord", "-seed=42", "-job-timeout", "-1s"},
+		{"ewhcoord", "-seed=42", "-retries", "-1"},
 		{"ewhworker", "-addr=127.0.0.1:0", "-timeout", "-1s"}, {"ewhworker", "-addr=127.0.0.1:0", "-drain", "-1s"},
-		{"ewhworker", "-addr=127.0.0.1:0", "-queue-deadline", "-1s"},
-		{"ewhplan", "-workload=zipf", "-n", "0"}, {"ewhplan", "-workload=zipf", "-x", "0"},
+		{"ewhworker", "-max-inflight=1", "-queue-deadline", "-1s"}, {"ewhworker", "-max-inflight=1", "-max-queue", "-1"},
+		{"ewhworker", "-addr=127.0.0.1:0", "-max-inflight", "-1"}, {"ewhworker", "-addr=127.0.0.1:0", "-fail-after", "-1"},
+		{"ewhworker", "-addr=127.0.0.1:0", "-tenant-max-bytes", "-1"},
+		{"ewhworker", "-addr=127.0.0.1:0", "-max-queue", "3"}, {"ewhworker", "-addr=127.0.0.1:0", "-queue-deadline", "1s"},
+		{"ewhplan", "-workload=zipf", "-n", "0"}, {"ewhplan", "-workload=bcb", "-x", "0"},
 		{"ewhplan", "-workload=zipf", "-j", "-2"}, {"ewhplan", "-workload=zipf", "-z", "-0.5"},
 		{"ewhplan", "-workload=zipf", "-beta", "-1"}, {"ewhplan", "-workload=bcb", "-beta", "-2"},
+		{"ewhplan", "-scheme=csio", "-workload", "nosuch"}, {"ewhplan", "-workload=zipf", "-scheme", "nosuch"},
+		{"ewhplan", "-workload=zipf", "-x", "5"}, {"ewhplan", "-workload=bcb", "-n", "500"},
+		{"ewhplan", "-workload=uniform", "-z", "0.5"}, {"ewhplan", "-workload=bicd", "-beta", "2"},
+		{"ewhplan", "-workload=beocd", "-beta", "2"}, {"ewhplan", "-workload=zipf", "-p", "7"},
+		{"ewhplan", "-planin=p.plan", "-j", "4"}, {"ewhplan", "-planin=p.plan", "-workload", "zipf"},
 	} {
 		var stderr bytes.Buffer
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)

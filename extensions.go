@@ -188,10 +188,11 @@ type WindowStat = streamjoin.WindowStat
 // ExecuteStream runs a continuous windowed join of windows (relation 1)
 // against the static base relation (relation 2) with drift-triggered
 // mid-stream replanning: each window's merged worker summaries are compared
-// against the distribution the active plan was built for, and when they
-// drift past cfg.DriftThreshold the base is live-repartitioned under a new
-// plan without restarting the stream. The match total is bit-identical
-// regardless of how often the run replans or recovers from worker faults.
+// against the distribution the active plan was built for, and when their
+// Kolmogorov distance passes 0.15 the base is live-repartitioned under a new
+// plan without restarting the stream (cfg.FreezePlan keeps the first plan).
+// The match total is bit-identical regardless of how often the run replans
+// or recovers from worker faults.
 // rt must host stream jobs: NewLocalStreamRuntime or a Cluster.
 func ExecuteStream(rt Runtime, base []Key, windows [][]Key, cond Condition,
 	cfg StreamConfig) (*StreamResult, error) {

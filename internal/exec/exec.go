@@ -24,9 +24,9 @@ type Config struct {
 	Mappers int
 	// Seed drives the randomized schemes' routing.
 	Seed uint64
-	// Retry bounds fault recovery on fault-tolerant runtimes (see RunRetry);
-	// the zero value disables retries entirely.
-	Retry RetryPolicy
+	// Retries is how many times a fault-tolerant runtime retries a job after
+	// its first attempt fails (see RunRetry); 0 disables retries.
+	Retries int
 	// Engine is read by nothing: localjoin picks the local-join engine from
 	// the condition. Kept only because the benchmark module sets it.
 	Engine JoinEngine

@@ -13,34 +13,27 @@ import (
 // (netexec) classifies per-worker failures into typed faults and can derive
 // a runtime over its surviving workers; this layer decides WHEN to retry —
 // only on faults the transport marked retryable, only within the configured
-// attempt budget, with bounded exponential backoff — and hands each attempt
+// retry count, with bounded exponential backoff — and hands each attempt
 // a freshly built plan sized to the shrunken fleet. The driver never learns
 // transport specifics: retryability travels through a tiny interface probe
 // and survivor derivation through FaultTolerantRuntime, so exec keeps zero
 // dependency on netexec.
 
-// RetryPolicy bounds fault recovery: at most MaxAttempts total attempts
-// (the first run included), sleeping BaseDelay·2^n capped at maxRetryDelay
-// between them. The zero value disables retries (a single attempt).
-type RetryPolicy struct {
-	MaxAttempts int
-	BaseDelay   time.Duration
-}
+// The backoff between attempts: retryBaseDelay before the first retry,
+// doubling per attempt up to retryMaxDelay.
+const (
+	retryBaseDelay = 50 * time.Millisecond
+	retryMaxDelay  = 2 * time.Second
+)
 
-// maxRetryDelay caps the backoff between attempts.
-const maxRetryDelay = 2 * time.Second
-
-// Delay returns the backoff before attempt n+2 (n counts completed failed
-// attempts, from 0). Default base: 50ms, doubling up to maxRetryDelay.
-func (p RetryPolicy) Delay(n int) time.Duration {
-	d := p.BaseDelay
-	if d <= 0 {
-		d = 50 * time.Millisecond
-	}
-	for i := 0; i < n && d < maxRetryDelay; i++ {
+// retryDelay returns the backoff before retry n+1 (n counts completed failed
+// attempts, from 0).
+func retryDelay(n int) time.Duration {
+	d := retryBaseDelay
+	for i := 0; i < n && d < retryMaxDelay; i++ {
 		d *= 2
 	}
-	return min(d, maxRetryDelay)
+	return min(d, retryMaxDelay)
 }
 
 // FaultTolerantRuntime is a Runtime that can report which of its workers
@@ -97,26 +90,23 @@ func RetryableFault(err error) bool {
 	return ok && some
 }
 
-// RunRetry drives attempt to success under the policy: each call receives
-// the runtime to use and the worker count it may plan for. On a retryable
-// fault it derives the survivor runtime, shrinks the worker budget to the
-// survivors, backs off and re-attempts; anything else (success, a
-// deterministic failure, attempts exhausted, no survivors) returns
-// immediately. The attempt callback owns replanning and re-shuffling for
-// its fleet size — RunRetry only sequences the loop.
-func RunRetry(rt Runtime, workers int, p RetryPolicy,
+// RunRetry drives attempt to success, retrying at most retries times after
+// the first attempt: each call receives the runtime to use and the worker
+// count it may plan for. On a retryable fault it derives the survivor
+// runtime, shrinks the worker budget to the survivors, backs off and
+// re-attempts; anything else (success, a deterministic failure, retries
+// exhausted, no survivors) returns immediately. The attempt callback owns
+// replanning and re-shuffling for its fleet size — RunRetry only sequences
+// the loop.
+func RunRetry(rt Runtime, workers, retries int,
 	attempt func(rt Runtime, workers int) error) error {
 
-	max := p.MaxAttempts
-	if max < 1 {
-		max = 1
-	}
-	var err error
-	for n := 0; n < max; n++ {
-		if err = attempt(rt, workers); err == nil {
+	for n := 0; ; n++ {
+		err := attempt(rt, workers)
+		if err == nil {
 			return nil
 		}
-		if n == max-1 || !RetryableFault(err) {
+		if n >= retries || !RetryableFault(err) {
 			return err
 		}
 		ft, ok := rt.(FaultTolerantRuntime)
@@ -131,9 +121,8 @@ func RunRetry(rt Runtime, workers int, p RetryPolicy,
 		if n2 < workers {
 			workers = n2
 		}
-		time.Sleep(p.Delay(n))
+		time.Sleep(retryDelay(n))
 	}
-	return err
 }
 
 // RunOverReplan is RunOver with recovery: on a retryable worker fault it
@@ -146,7 +135,7 @@ func RunOverReplan(rt Runtime, r1, r2 []join.Key, cond join.Condition,
 	model cost.Model, cfg Config) (*Result, error) {
 
 	var res *Result
-	err := RunRetry(rt, workers, cfg.Retry, func(rt Runtime, j int) error {
+	err := RunRetry(rt, workers, cfg.Retries, func(rt Runtime, j int) error {
 		scheme, perr := plan(j)
 		if perr != nil {
 			return fmt.Errorf("exec: replanning for %d workers: %w", j, perr)

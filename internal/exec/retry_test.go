@@ -12,19 +12,12 @@ import (
 )
 
 func TestRetryPolicyDelay(t *testing.T) {
-	var p RetryPolicy // zero value: 50ms base, 2s cap
+	// The one schedule: 50ms before the first retry, doubling to a 2s cap.
 	want := []time.Duration{50, 100, 200, 400, 800, 1600, 2000, 2000}
 	for n, w := range want {
-		if d := p.Delay(n); d != w*time.Millisecond {
-			t.Errorf("Delay(%d) = %v, want %v", n, d, w*time.Millisecond)
+		if d := retryDelay(n); d != w*time.Millisecond {
+			t.Errorf("retryDelay(%d) = %v, want %v", n, d, w*time.Millisecond)
 		}
-	}
-	p = RetryPolicy{BaseDelay: 10 * time.Millisecond}
-	if d := p.Delay(0); d != 10*time.Millisecond {
-		t.Errorf("custom Delay(0) = %v", d)
-	}
-	if d := p.Delay(8); d != 2*time.Second {
-		t.Errorf("custom Delay(8) = %v, want the 2s cap", d)
 	}
 }
 
@@ -99,11 +92,10 @@ func (f *fakeFTR) next() error {
 func TestRunRetrySucceedsAfterFault(t *testing.T) {
 	ftr := &fakeFTR{workers: 3, errs: []error{&fakeFault{msg: "w2 died", retry: true}}}
 	var sizes []int
-	err := RunRetry(ftr, 3, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-		func(rt Runtime, j int) error {
-			sizes = append(sizes, j)
-			return ftr.next()
-		})
+	err := RunRetry(ftr, 3, 2, func(rt Runtime, j int) error {
+		sizes = append(sizes, j)
+		return ftr.next()
+	})
 	if err != nil {
 		t.Fatalf("RunRetry: %v", err)
 	}
@@ -118,8 +110,7 @@ func TestRunRetrySucceedsAfterFault(t *testing.T) {
 func TestRunRetryStopsOnFatal(t *testing.T) {
 	fatal := &fakeFault{msg: "deterministic", retry: false}
 	ftr := &fakeFTR{workers: 3, errs: []error{fatal, nil}}
-	err := RunRetry(ftr, 3, RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond},
-		func(rt Runtime, j int) error { return ftr.next() })
+	err := RunRetry(ftr, 3, 4, func(rt Runtime, j int) error { return ftr.next() })
 	if !errors.Is(err, fatal) {
 		t.Fatalf("fatal fault not returned verbatim: %v", err)
 	}
@@ -131,13 +122,12 @@ func TestRunRetryStopsOnFatal(t *testing.T) {
 func TestRunRetryExhaustsBudget(t *testing.T) {
 	f := &fakeFault{msg: "flaky", retry: true}
 	ftr := &fakeFTR{workers: 10, errs: []error{f, f, f, f, f}}
-	err := RunRetry(ftr, 10, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-		func(rt Runtime, j int) error { return ftr.next() })
+	err := RunRetry(ftr, 10, 2, func(rt Runtime, j int) error { return ftr.next() })
 	if !errors.Is(err, f) {
 		t.Fatalf("want last fault after exhaustion, got %v", err)
 	}
 	if ftr.attempts != 3 {
-		t.Fatalf("%d attempts, want exactly MaxAttempts", ftr.attempts)
+		t.Fatalf("%d attempts, want the first attempt and 2 retries", ftr.attempts)
 	}
 }
 
@@ -145,8 +135,7 @@ func TestRunRetryNoSurvivors(t *testing.T) {
 	f := &fakeFault{msg: "everyone died", retry: true}
 	ftr := &fakeFTR{workers: 1, errs: []error{f},
 		survErr: errors.New("no surviving workers")}
-	err := RunRetry(ftr, 1, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-		func(rt Runtime, j int) error { return ftr.next() })
+	err := RunRetry(ftr, 1, 2, func(rt Runtime, j int) error { return ftr.next() })
 	if !errors.Is(err, f) {
 		t.Fatalf("original fault lost: %v", err)
 	}
@@ -159,11 +148,10 @@ func TestRunRetryPlainRuntimeNoRetry(t *testing.T) {
 	// A runtime without Survivors (e.g. Local) gets exactly one attempt even
 	// for retryable faults.
 	calls := 0
-	err := RunRetry(Local{}, 2, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-		func(rt Runtime, j int) error {
-			calls++
-			return &fakeFault{msg: "x", retry: true}
-		})
+	err := RunRetry(Local{}, 2, 2, func(rt Runtime, j int) error {
+		calls++
+		return &fakeFault{msg: "x", retry: true}
+	})
 	if err == nil || calls != 1 {
 		t.Fatalf("plain runtime: %d calls, err %v", calls, err)
 	}
@@ -179,7 +167,7 @@ func TestRunOverReplanMatchesRun(t *testing.T) {
 		r2 = append(r2, join.Key(uint64(i%131)))
 	}
 	model := cost.Model{Wi: 1, Wo: 0.2}
-	cfg := Config{Seed: 7, Retry: RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond}}
+	cfg := Config{Seed: 7, Retries: 2}
 	scheme, err := partition.NewHash(2, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -72,8 +72,7 @@ func TestRecoveryBitIdenticalAcrossBoundaries(t *testing.T) {
 		CondB: join.Equi{},
 	}
 	opts := core.Options{J: j, Model: ckModel, Seed: 7}
-	cfg := exec.Config{Seed: 42, Mappers: 2,
-		Retry: exec.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond}}
+	cfg := exec.Config{Seed: 42, Mappers: 2, Retries: 2}
 
 	// The fault-free in-process reference every recovered run must match.
 	local, err := multiway.Execute(q, opts, cfg)
@@ -210,8 +209,7 @@ func TestCountJobRecoveryAtStreamFrameBoundaries(t *testing.T) {
 	r1 := workload.Zipfian(2000, 300, 0.9, 31)
 	r2 := workload.Zipfian(2000, 300, 0.9, 32)
 	cond := join.NewBand(1)
-	cfg := exec.Config{Seed: 43, Mappers: 2,
-		Retry: exec.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond}}
+	cfg := exec.Config{Seed: 43, Mappers: 2, Retries: 2}
 	plan := func(j int) (partition.Scheme, error) { return partition.NewCI(j), nil }
 	local := exec.Run(r1, r2, cond, partition.NewCI(j), ckModel, cfg)
 
@@ -286,8 +284,7 @@ func TestRecoveryFromStalledWorker(t *testing.T) {
 		CondB: join.Equi{},
 	}
 	opts := core.Options{J: 2, Model: ckModel, Seed: 5}
-	cfg := exec.Config{Seed: 6, Mappers: 2,
-		Retry: exec.RetryPolicy{MaxAttempts: 3, BaseDelay: 5 * time.Millisecond}}
+	cfg := exec.Config{Seed: 6, Mappers: 2, Retries: 2}
 	local, err := multiway.Execute(q, opts, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -129,7 +129,7 @@ func ExecuteOver(rt exec.Runtime, q Query, opts core.Options, cfg exec.Config) (
 			len(q.R1), q.Mid.Rows(), len(q.R3))
 	}
 	var res *Result
-	err := exec.RunRetry(rt, opts.J, cfg.Retry, func(srt exec.Runtime, j int) error {
+	err := exec.RunRetry(rt, opts.J, cfg.Retries, func(srt exec.Runtime, j int) error {
 		sr, ok := srt.(exec.StageRuntime)
 		if !ok {
 			return fmt.Errorf("multiway: runtime %T lost stage awareness after recovery", srt)

@@ -30,13 +30,13 @@ import (
 	"ewh/internal/stats"
 )
 
-// DefaultDriftThreshold is the replanning trigger when Config leaves
-// DriftThreshold zero: a Kolmogorov distance of 0.15 between the active
-// plan's reference CDF and a window's merged-summary CDF. Small enough to
-// catch a genuine distribution flip (which drives the distance toward 1),
-// large enough that sampling noise between same-distribution windows —
-// empirically well under 0.1 at the default summary sizes — never fires.
-const DefaultDriftThreshold = 0.15
+// driftThreshold is the replanning trigger: a Kolmogorov distance of 0.15
+// between the active plan's reference CDF and a window's merged-summary CDF.
+// Small enough to catch a genuine distribution flip (which drives the
+// distance toward 1), large enough that sampling noise between
+// same-distribution windows — empirically well under 0.1 at the default
+// summary sizes — never fires.
+const driftThreshold = 0.15
 
 // DefaultPlanHorizon is the number of upcoming windows one plan is expected
 // to serve. The planner balances total weight per worker, and a stream pays
@@ -65,9 +65,6 @@ type Config struct {
 	// Stats sizes the per-worker window summaries drift detection consumes;
 	// zero Cap/Buckets select DefaultStatsCap/DefaultStatsBuckets.
 	Stats exec.StatsSpec
-	// DriftThreshold is the replanning trigger; <= 0 selects
-	// DefaultDriftThreshold.
-	DriftThreshold float64
 	// FreezePlan disables drift-triggered replanning: the stream runs every
 	// window under the plan built for the first one. The control arm of the
 	// replanning experiments; faults still replan (a dead worker's shards
@@ -328,11 +325,7 @@ func (st *runState) window(i int) error {
 			stat.Drift = histogram.Drift(st.ref, h)
 		}
 	}
-	thr := st.cfg.DriftThreshold
-	if thr <= 0 {
-		thr = DefaultDriftThreshold
-	}
-	replan := !st.cfg.FreezePlan && stat.Drift > thr && i+1 < len(st.windows)
+	replan := !st.cfg.FreezePlan && stat.Drift > driftThreshold && i+1 < len(st.windows)
 	if replan {
 		if err := st.openEpoch(nil, merged); err != nil {
 			return err
