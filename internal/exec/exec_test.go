@@ -179,41 +179,6 @@ func BenchmarkRunCSIOBand(b *testing.B) {
 	}
 }
 
-// TestExactOutputRandomConfigs fuzzes the full pipeline: random sizes, band
-// widths, machine counts and skew; CSIO must always produce the exact join.
-func TestExactOutputRandomConfigs(t *testing.T) {
-	for seed := uint64(100); seed < 112; seed++ {
-		r := stats.NewRNG(seed)
-		n1 := 200 + int(r.Int64n(1500))
-		n2 := 200 + int(r.Int64n(1500))
-		domain := 50 + r.Int64n(2000)
-		beta := r.Int64n(5)
-		j := 1 + int(r.Int64n(12))
-		z := float64(r.Int64n(3)) * 0.4
-		var r1, r2 []join.Key
-		if z > 0 {
-			r1 = zipfKeys(n1, domain, z, seed+1)
-			r2 = zipfKeys(n2, domain, z, seed+2)
-		} else {
-			r1 = randKeys(n1, domain, seed+1)
-			r2 = randKeys(n2, domain, seed+2)
-		}
-		cond := join.NewBand(beta)
-		want := localjoin.NestedLoopCount(r1, r2, cond)
-		plan, err := core.PlanCSIO(r1, r2, cond, core.Options{
-			J: j, Model: model, Seed: seed + 3, DisableFallback: true,
-		})
-		if err != nil {
-			t.Fatalf("seed %d (n1=%d n2=%d beta=%d j=%d): %v", seed, n1, n2, beta, j, err)
-		}
-		res := Run(r1, r2, cond, plan.Scheme, model, Config{Seed: seed + 4})
-		if res.Output != want {
-			t.Errorf("seed %d (n1=%d n2=%d domain=%d beta=%d j=%d z=%.1f): output %d, want %d",
-				seed, n1, n2, domain, beta, j, z, res.Output, want)
-		}
-	}
-}
-
 func TestRunMoreWorkersThanTuples(t *testing.T) {
 	r1 := randKeys(5, 10, 60)
 	r2 := randKeys(5, 10, 61)

@@ -19,6 +19,7 @@ import (
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
 	"ewh/internal/multiway"
+	"ewh/internal/netexec"
 	"ewh/internal/partition"
 	"ewh/internal/stats"
 	"ewh/internal/streamjoin"
@@ -205,7 +206,22 @@ func TestGoldenDeterministicTriples(t *testing.T) {
 	}
 	e := newGoldenEnv(t)
 	var local exec.Runtime = exec.Local{}
-	var sess exec.Runtime = dialLoopbackSession(t, max(goldenJ, e.csio.Workers()))
+	addrs := make([]string, max(goldenJ, e.csio.Workers()))
+	for i := range addrs {
+		w, err := netexec.ListenWorker("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = w.Addr()
+		go func() { _ = w.Serve() }()
+		t.Cleanup(func() { _ = w.Close() })
+	}
+	dialed, err := netexec.Dial(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = dialed.Close() })
+	var sess exec.Runtime = dialed
 	none, equi := []join.Key{}, join.Equi{}
 
 	for _, c := range []struct {

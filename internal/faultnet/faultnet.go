@@ -154,6 +154,7 @@ type scriptRule struct {
 type Script struct {
 	mu    sync.Mutex
 	rules []*scriptRule
+	seen  [2][256]int // frames carried, by direction and type
 }
 
 // NewScript builds a script from rules. A nil or empty script is a
@@ -186,6 +187,15 @@ func (s *Script) Fired() bool {
 	return true
 }
 
+// Seen reports how many frames of type frame the script's connections have
+// carried in direction dir. A rule-less script only counts, so a fault-free
+// run tells a test which frame indices a rule's N can name.
+func (s *Script) Seen(dir Dir, frame byte) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.seen[dir][frame]
+}
+
 // match records one observed frame and returns the rule to fire now, if
 // any. At most one rule fires per frame (scripts wanting compound faults
 // use ActHook).
@@ -195,6 +205,7 @@ func (s *Script) match(dir Dir, frame byte) *scriptRule {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.seen[dir][frame]++
 	for _, r := range s.rules {
 		if r.fired || r.Dir != dir || (r.Frame != FrameAny && r.Frame != frame) {
 			continue

@@ -61,6 +61,10 @@ func TestScriptCountingAndFired(t *testing.T) {
 	if s.match(In, FrameBlock) != nil {
 		t.Fatal("single-shot rule fired twice")
 	}
+	if s.Seen(In, FrameBlock) != 3 || s.Seen(In, FrameEOS) != 1 || s.Seen(Out, FrameBlock) != 1 {
+		t.Fatalf("frames seen: in block %d, in eos %d, out block %d; want 3, 1, 1",
+			s.Seen(In, FrameBlock), s.Seen(In, FrameEOS), s.Seen(Out, FrameBlock))
+	}
 	var nilScript *Script
 	if !nilScript.Fired() || nilScript.match(In, FrameAny) != nil {
 		t.Fatal("nil script must be a transparent tap")

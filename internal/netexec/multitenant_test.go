@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,99 +179,6 @@ func TestAnonymousSessionUnderAdmission(t *testing.T) {
 	}
 	if s := ws[0].AdmissionStats(); s.Granted[""] == 0 {
 		t.Fatalf("anonymous jobs not accounted under tenant \"\": %v", s.Granted)
-	}
-}
-
-// TestPoolConcurrentSessionsBitIdentical is the multi-coordinator isolation
-// check: two tenants' Sessions over the SAME admission-controlled fleet run
-// interleaved jobs concurrently, and every job's full per-worker metric
-// vector must be bit-identical to the serial in-process run — no crossed
-// streams, no contamination from the neighbor's load.
-func TestPoolConcurrentSessionsBitIdentical(t *testing.T) {
-	_, addrs := startTenantWorkerSet(t, 4,
-		AdmissionConfig{MaxInFlight: 2, MaxQueue: 64}, nil)
-	pool, err := NewPool(addrs, Timeouts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	scheme := partition.NewCI(4)
-
-	// Distinct workloads per tenant, precomputed expectations.
-	type wl struct {
-		r1, r2 []join.Key
-		cfg    exec.Config
-		want   *exec.Result
-	}
-	const jobs = 12
-	build := func(seed uint64) []wl {
-		out := make([]wl, jobs)
-		for i := range out {
-			s := seed + uint64(i)*10
-			r1 := randKeys(1500, 700, s)
-			r2 := randKeys(1500, 700, s+1)
-			cfg := exec.Config{Seed: s + 2}
-			out[i] = wl{r1, r2, cfg, exec.Run(r1, r2, join.Equi{}, scheme, model, cfg)}
-		}
-		return out
-	}
-	tenants := map[string][]wl{"alpha": build(1000), "beta": build(2000)}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 2*jobs)
-	for tn, wls := range tenants {
-		sess, err := pool.Session(context.Background(), tn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sess.Close()
-		wg.Add(1)
-		go func(tn string, sess *Session, wls []wl) {
-			defer wg.Done()
-			for i, w := range wls {
-				var got *exec.Result
-				var err error
-				if i%3 == 2 {
-					// Every third job goes through the pair-STREAMING path, so
-					// both tenants' pairs frames interleave on the shared
-					// workers; a crossed stream would corrupt the counts.
-					// Emit fires concurrently from each worker conn's read
-					// loop, hence the atomic.
-					var streamed atomic.Int64
-					got, err = exec.RunTuplesOver(sess, exec.WrapKeys(w.r1), exec.WrapKeys(w.r2),
-						join.Equi{}, scheme, model, w.cfg,
-						func(int, exec.Tuple[struct{}], exec.Tuple[struct{}]) { streamed.Add(1) })
-					if err == nil && streamed.Load() != w.want.Output {
-						errs <- fmt.Errorf("%s job %d: streamed %d pairs, want %d", tn, i, streamed.Load(), w.want.Output)
-						return
-					}
-				} else {
-					got, err = exec.RunOver(sess, w.r1, w.r2, join.Equi{}, scheme, model, w.cfg)
-				}
-				if err != nil {
-					errs <- fmt.Errorf("%s job %d: %v", tn, i, err)
-					return
-				}
-				for wi := range w.want.Workers {
-					if got.Workers[wi] != w.want.Workers[wi] {
-						errs <- fmt.Errorf("%s job %d worker %d: %+v, want %+v",
-							tn, i, wi, got.Workers[wi], w.want.Workers[wi])
-						return
-					}
-				}
-				if got.Output != w.want.Output {
-					errs <- fmt.Errorf("%s job %d: output %d, want %d", tn, i, got.Output, w.want.Output)
-				}
-			}
-		}(tn, sess, wls)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	if n := pool.OpenSessions(); len(n) != 2 {
-		t.Fatalf("open sessions %v, want alpha and beta", n)
 	}
 }
 
