@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"ewh/internal/bufpool"
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
 )
@@ -141,19 +142,9 @@ type Job struct {
 // potentially output-skewed worker's whole pair set.
 const pairChunk = 1 << 15
 
-var pairBufPool sync.Pool // stores *[]PairIdx
-
-func getPairBuf() []PairIdx {
-	if v := pairBufPool.Get(); v != nil {
-		return (*v.(*[]PairIdx))[:0]
-	}
-	return make([]PairIdx, 0, pairChunk)
-}
-
-func putPairBuf(b []PairIdx) {
-	b = b[:0]
-	pairBufPool.Put(&b)
-}
+// PairBufs recycles pair chunks: JoinPairs' flush buffers and the chunks a
+// wire transport decodes a worker's pair frames into.
+var PairBufs bufpool.Pool[PairIdx]
 
 // JoinPairs streams the matched index pairs of a monotonic join with both
 // relations in arrival order, calling flush with successive chunks (each at
@@ -192,7 +183,7 @@ func joinPairs(r1, r2 []join.Key, cond join.Condition, form pairForm, flush func
 	if ro == nil {
 		return argsortPairs(r1, r2, cond, flush)
 	}
-	buf := getPairBuf()
+	buf := PairBufs.Get(pairChunk)[:0]
 	var out int64
 	for i1, k := range r1 {
 		for _, i2 := range ro.Partners(cond.JoinableRange(k)) {
@@ -213,12 +204,12 @@ func joinPairs(r1, r2 []join.Key, cond join.Condition, form pairForm, flush func
 // driver's emission path, and the stable order is what makes the pair stream
 // deterministic.
 func argsortPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx)) int64 {
-	ord := getOrdBuf(len(r2))
+	ord := ordBufs.Get(len(r2))
 	for i, k := range r2 {
 		ord[i] = keyIdx{key: k, idx: uint32(i)}
 	}
 	sortKeyIdx(ord)
-	buf := getPairBuf()
+	buf := PairBufs.Get(pairChunk)[:0]
 	var out int64
 	for i1, k := range r1 {
 		lo, hi := cond.JoinableRange(k)
@@ -232,7 +223,7 @@ func argsortPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx))
 			}
 		}
 	}
-	ordBufPool.Put(&ord)
+	ordBufs.Put(ord)
 	return out + flushTail(buf, flush)
 }
 
@@ -243,7 +234,7 @@ func flushTail(buf []PairIdx, flush func([]PairIdx)) int64 {
 	if n > 0 {
 		flush(buf)
 	}
-	putPairBuf(buf)
+	PairBufs.Put(buf)
 	return n
 }
 
@@ -253,17 +244,7 @@ type keyIdx struct {
 	idx uint32
 }
 
-var ordBufPool sync.Pool // stores *[]keyIdx; serves the argsort form only
-
-// getOrdBuf returns a pooled, unzeroed argsort buffer of length n.
-func getOrdBuf(n int) []keyIdx {
-	if v := ordBufPool.Get(); v != nil {
-		if s := *v.(*[]keyIdx); cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]keyIdx, n)
-}
+var ordBufs bufpool.Pool[keyIdx] // serves the argsort form only
 
 // sortKeyIdx orders an argsort buffer by (key, arrival index) — the stable
 // order JoinPairs' determinism rests on (slices.SortFunc alone is unstable).
@@ -360,12 +341,12 @@ func sealChunks(res *localjoin.Resident, c <-chan KeyChunk) (n int64) {
 		if res.Insert(ch.Keys) {
 			held = append(held, ch.Keys)
 		} else {
-			PutKeyBuffer(ch.Keys)
+			bufpool.Keys.Put(ch.Keys)
 		}
 	}
 	res.Seal()
 	for _, keys := range held {
-		PutKeyBuffer(keys)
+		bufpool.Keys.Put(keys)
 	}
 	return n
 }
@@ -380,7 +361,7 @@ func localStreamCount(res *localjoin.Resident, c1, c2 <-chan KeyChunk) (n1, n2, 
 		n, kept := res.ProbeCount(ch.Keys, true)
 		out, n2 = out+n, n2+int64(len(ch.Keys))
 		if !kept {
-			PutKeyBuffer(ch.Keys)
+			bufpool.Keys.Put(ch.Keys)
 		}
 	}
 	n, _ := res.ProbeCount(nil, false)

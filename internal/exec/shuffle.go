@@ -3,6 +3,7 @@ package exec
 import (
 	"sync"
 
+	"ewh/internal/bufpool"
 	"ewh/internal/join"
 	"ewh/internal/partition"
 	"ewh/internal/stats"
@@ -67,7 +68,7 @@ func (k *KeyShuffle) Total() int { return k.off[len(k.off)-1] }
 
 // Release recycles the flat buffer. No Worker slice may be used afterwards.
 func (k *KeyShuffle) Release() {
-	PutKeyBuffer(k.flat)
+	bufpool.Keys.Put(k.flat)
 	*k = KeyShuffle{}
 }
 
@@ -114,9 +115,9 @@ func shuffleRelation(keys, comp []join.Key, scheme partition.Scheme, rel, mapper
 		off[w+1] = off[w] + c
 	}
 	// The pooled flat buffers come unzeroed: the scatter overwrites every slot.
-	ks = &KeyShuffle{flat: GetKeyBuffer(off[j]), off: off}
+	ks = &KeyShuffle{flat: bufpool.Keys.Get(off[j]), off: off}
 	if comp != nil {
-		cs = &KeyShuffle{flat: GetKeyBuffer(off[j]), off: off}
+		cs = &KeyShuffle{flat: bufpool.Keys.Get(off[j]), off: off}
 	}
 	for mi := 0; mi < mappers; mi++ {
 		wg.Add(1)
@@ -189,7 +190,7 @@ func ShuffleKeys(keys []join.Key, scheme partition.Scheme, rel int, cfg Config) 
 
 // KeyChunk is one mapper's routed sub-block for one worker: the tuples
 // mapper Mapper routed to that worker, in route-emission order. Keys is a
-// pooled buffer owned by the receiver (return with PutKeyBuffer once
+// pooled buffer owned by the receiver (return with bufpool.Keys.Put once
 // consumed). Concatenating one worker's chunks in ascending Mapper order
 // reproduces, byte for byte, the worker's contiguous slice of the flat
 // two-pass shuffle — which is what keeps chunk-streaming transports
@@ -230,7 +231,7 @@ func (cs *ChunkStream) Worker(w int) <-chan KeyChunk { return cs.ch[w] }
 func (cs *ChunkStream) Drain() {
 	for w := 0; w < cs.workers; w++ {
 		for c := range cs.ch[w] {
-			PutKeyBuffer(c.Keys)
+			bufpool.Keys.Put(c.Keys)
 		}
 	}
 }
@@ -277,7 +278,7 @@ func chunkedRelation(keys []join.Key, scheme partition.Scheme, rel, mappers int,
 				cur := make([]cursor, j)
 				for w := 0; w < j; w++ {
 					if b.Counts[w] > 0 {
-						cur[w].buf = GetKeyBuffer(b.Counts[w])
+						cur[w].buf = bufpool.Keys.Get(b.Counts[w])
 					}
 				}
 				scatter(cur, keys[lo:hi], b)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"ewh/internal/bufpool"
 	"ewh/internal/core"
 	"ewh/internal/join"
 	"ewh/internal/partition"
@@ -56,7 +57,7 @@ func concatChunks(t *testing.T, cs *ChunkStream, workers int) [][]join.Key {
 				t.Fatalf("worker %d received two chunks from mapper %d", w, c.Mapper)
 			}
 			out[w] = append(out[w], c.Keys...)
-			PutKeyBuffer(c.Keys)
+			bufpool.Keys.Put(c.Keys)
 		}
 	}
 	return out
@@ -138,7 +139,7 @@ func TestShuffleFlatChunkedCompanionAgree(t *testing.T) {
 					}
 					ks.Release()
 					cs.Release()
-					PutKeyBuffer(rows)
+					bufpool.Keys.Put(rows)
 					side.flat.Release()
 				}
 			}

@@ -168,12 +168,6 @@ type PlanJob struct {
 	// driver cannot shuffle before it knows the scheme), so transports must
 	// not Wait on it before replanning completes.
 	R2 *RelFuture
-	// MaxIntermediate, when positive, fails the pipeline before the stage
-	// dispatches if the upstream stage matched more tuples — the earliest
-	// point the total is known on a transport whose driver never sees the
-	// intermediate.
-	MaxIntermediate int64
-
 	// Stats sizes the per-worker summaries of the stage-1 matches.
 	Stats *StatsSpec
 	// Replan receives the per-sender encoded summaries (index = stage-1
@@ -275,7 +269,7 @@ func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 	cfg3.Seed = cfg.Seed + stage2SeedDelta
 	f3 := newRelFuture()
 	var scheme2 partition.Scheme
-	next := &PlanJob{Cond: sp.Cond, R2: f3, MaxIntermediate: sp.MaxIntermediate, Stats: sp.Stats}
+	next := &PlanJob{Cond: sp.Cond, R2: f3, Stats: sp.Stats}
 	next.Replan = func(encoded [][]byte) ([]byte, int, error) {
 		// The driver layer owns the summary codec: decode once, enforce the
 		// pipeline cap off the exact counts — BEFORE the plan exists, so a

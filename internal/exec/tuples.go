@@ -3,6 +3,7 @@ package exec
 import (
 	"time"
 
+	"ewh/internal/bufpool"
 	"ewh/internal/cost"
 	"ewh/internal/join"
 	"ewh/internal/partition"
@@ -110,14 +111,14 @@ func RunPairsOver(rt Runtime, r1, r2 []join.Key, cond join.Condition,
 	res, err := runJob(rt, job, scheme, model, cfg, start)
 	rows1.Release()
 	rows2.Release()
-	PutKeyBuffer(idx1)
-	PutKeyBuffer(idx2)
+	bufpool.Keys.Put(idx1)
+	bufpool.Keys.Put(idx2)
 	return res, err
 }
 
 // rowIndex returns the pooled column 0, 1, …, n-1.
 func rowIndex(n int) []join.Key {
-	idx := GetKeyBuffer(n)
+	idx := bufpool.Keys.Get(n)
 	for i := range idx {
 		idx[i] = join.Key(i)
 	}

@@ -1,8 +1,7 @@
 package localjoin
 
 import (
-	"sync"
-
+	"ewh/internal/bufpool"
 	"ewh/internal/join"
 	"ewh/internal/keysort"
 )
@@ -229,23 +228,6 @@ func NewBuild() *Build { return &Build{} }
 // budgets in. Call after Seal.
 func (b *Build) MemBytes() int64 { return b.bytes }
 
-// partScratchPool recycles the chunk-partitioning scratch buffers.
-var partScratchPool sync.Pool // stores *[]join.Key
-
-func getPartScratch(n int) []join.Key {
-	if v := partScratchPool.Get(); v != nil {
-		s := *v.(*[]join.Key)
-		if cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]join.Key, n)
-}
-
-func putPartScratch(s []join.Key) {
-	partScratchPool.Put(&s)
-}
-
 // partitionRuns radix-partitions keys by their partitioning digit into
 // scratch (a stable counting scatter: arrival order is preserved within
 // each partition) and returns the per-partition end offsets. Run d occupies
@@ -289,7 +271,7 @@ func (b *Build) Insert(keys []join.Key) {
 		}
 		b.toSparse()
 	}
-	scratch := getPartScratch(len(keys))
+	scratch := bufpool.Keys.Get(len(keys))
 	off := partitionRuns(keys, scratch)
 	var lo int32
 	for d, hi := range off {
@@ -299,7 +281,7 @@ func (b *Build) Insert(keys []join.Key) {
 		}
 		lo = hi
 	}
-	putPartScratch(scratch)
+	bufpool.Keys.Put(scratch)
 }
 
 // toSparse converts a dense build to the sparse form, inserting each distinct
@@ -345,7 +327,7 @@ func (b *Build) ProbeCount(keys []join.Key) int64 {
 	if len(keys) == 0 {
 		return 0
 	}
-	scratch := getPartScratch(len(keys))
+	scratch := bufpool.Keys.Get(len(keys))
 	off := partitionRuns(keys, scratch)
 	var out int64
 	var lo int32
@@ -356,6 +338,6 @@ func (b *Build) ProbeCount(keys []join.Key) int64 {
 		}
 		lo = hi
 	}
-	putPartScratch(scratch)
+	bufpool.Keys.Put(scratch)
 	return out
 }

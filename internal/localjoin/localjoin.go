@@ -9,6 +9,7 @@ import (
 	"math"
 	"slices"
 
+	"ewh/internal/bufpool"
 	"ewh/internal/join"
 	"ewh/internal/keysort"
 )
@@ -179,9 +180,9 @@ func sortKeys(keys []join.Key, chunked bool) {
 		keysort.Sort(keys)
 		return
 	}
-	scratch := getPartScratch(len(keys))
+	scratch := bufpool.Keys.Get(len(keys))
 	keysort.SortWithScratch(keys, scratch)
-	putPartScratch(scratch)
+	bufpool.Keys.Put(scratch)
 }
 
 // ProbeCount takes one chunk of the other relation; more says that further
@@ -208,8 +209,8 @@ func (r *Resident) ProbeCount(keys []join.Key, more bool) (count int64, kept boo
 		for _, c := range r.pending {
 			n += len(c)
 		}
-		all := getPartScratch(n)[:0]
-		defer putPartScratch(all)
+		all := bufpool.Keys.Get(n)[:0]
+		defer bufpool.Keys.Put(all)
 		for _, c := range r.pending {
 			all = append(all, c...)
 		}

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	"slices"
 	"testing"
 
+	"ewh/internal/bufpool"
 	"ewh/internal/exec"
 	"ewh/internal/join"
 )
@@ -250,7 +252,7 @@ func FuzzKeyFrame(f *testing.F) {
 			select {
 			case ev := <-j.stream.ch:
 				buffered = len(ev.keys)
-				exec.PutKeyBuffer(ev.keys)
+				bufpool.Keys.Put(ev.keys)
 			default:
 			}
 		} else {
@@ -317,4 +319,45 @@ func fuzzPeerBlock(t *testing.T, w *Worker, payload []byte) {
 	for _, tok := range []uint64{token, sentinel} {
 		w.dropPeerState(tok) // recycles what the contribution still holds
 	}
+}
+
+// TestDecodedPairsChunkServedFromItsClass decodes a 40,000-pair PAIRS frame,
+// recycles its chunk as the coordinator's read loop does, then decodes a
+// 10-pair frame: its chunk must come from its own size class. One pool for
+// every size handed the big buffer back, pinning it for as long as the small
+// chunk lived.
+func TestDecodedPairsChunkServedFromItsClass(t *testing.T) {
+	decode := func(count int) []exec.PairIdx {
+		pairs := make([]exec.PairIdx, count)
+		for i := range pairs {
+			pairs[i] = exec.PairIdx{I1: uint32(i), I2: uint32(count - i)}
+		}
+		var b bytes.Buffer
+		bw := bufio.NewWriter(&b)
+		if err := writePairsFrame(bw, 1, pairs); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		typ, _, n, err := readV3FrameHeader(&b)
+		if err != nil || typ != frameV3Pairs {
+			t.Fatalf("frame type %d, err %v; want a PAIRS frame", typ, err)
+		}
+		got, err := readPairsPayload(&b, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, pairs) {
+			t.Fatalf("%d pairs decoded differ from the %d written", len(got), count)
+		}
+		return got
+	}
+	exec.PairBufs.Put(decode(40_000))
+	small := decode(10)
+	// 10 pairs round up to the pool's 64-element floor, the class size for 10.
+	if cap(small) != 64 {
+		t.Fatalf("a 10-pair chunk has capacity %d, want its class size 64", cap(small))
+	}
+	exec.PairBufs.Put(small)
 }

@@ -5,7 +5,7 @@ import (
 	"runtime/debug"
 	"sync"
 
-	"ewh/internal/exec"
+	"ewh/internal/bufpool"
 	"ewh/internal/join"
 )
 
@@ -141,10 +141,10 @@ func growKeys(buf []join.Key, have, need, limit int, charge func(int64) error) (
 	if n <= cap(buf) {
 		return buf[:n], nil
 	}
-	grown := exec.GetKeyBuffer(n)
+	grown := bufpool.Keys.Get(n)
 	copy(grown, buf[:have])
 	if buf != nil {
-		exec.PutKeyBuffer(buf)
+		bufpool.Keys.Put(buf)
 	}
 	return grown, nil
 }

@@ -11,7 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ewh/internal/exec"
+	"ewh/internal/bufpool"
 	"ewh/internal/join"
 )
 
@@ -238,7 +238,7 @@ func (st *peerJobState) releaseLocked() {
 func (st *peerJobState) recycle(c *peerContrib) {
 	if c.keys != nil {
 		st.ledger.creditMesh(8 * int64(len(c.keys)))
-		exec.PutKeyBuffer(c.keys)
+		bufpool.Keys.Put(c.keys)
 		c.keys = nil
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ewh/internal/bufpool"
 	"ewh/internal/exec"
 	"ewh/internal/join"
 )
@@ -337,7 +338,7 @@ func (c *sessConn) readLoop() {
 			if h := c.handler(id); h != nil && h.onPairs != nil {
 				h.onPairs(pairs)
 			}
-			putPairsBuf(pairs)
+			exec.PairBufs.Put(pairs)
 		case frameV3Stats:
 			h := c.handler(id)
 			if h == nil || h.stats == nil {
@@ -647,7 +648,7 @@ func (j *subJob) sendChunks(frame func(func(*bufio.Writer) error) error, rel int
 
 	defer func() {
 		for ch := range cs.Worker(j.worker) {
-			exec.PutKeyBuffer(ch.Keys)
+			bufpool.Keys.Put(ch.Keys)
 		}
 	}()
 	total := 0
@@ -669,7 +670,7 @@ func (j *subJob) sendChunks(frame func(func(*bufio.Writer) error) error, rel int
 			return bw.Flush()
 		})
 		total += len(ch.Keys)
-		exec.PutKeyBuffer(ch.Keys)
+		bufpool.Keys.Put(ch.Keys)
 		if err != nil {
 			return err
 		}

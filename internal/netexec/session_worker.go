@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ewh/internal/bufpool"
 	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/planio"
@@ -111,7 +112,7 @@ func (j *sessJob) release() {
 	for i := range j.rels {
 		r := &j.rels[i]
 		if r.keys != nil {
-			exec.PutKeyBuffer(r.keys)
+			bufpool.Keys.Put(r.keys)
 			r.keys = nil
 		}
 	}
@@ -804,9 +805,9 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 	if err := j.charge(8 * int64(count)); err != nil {
 		return overCharge(err)
 	}
-	keys := exec.GetKeyBuffer(count)
+	keys := bufpool.Keys.Get(count)
 	if err := readKeysLE(br, keys); err != nil {
-		exec.PutKeyBuffer(keys)
+		bufpool.Keys.Put(keys)
 		return err
 	}
 	r.pos += count

@@ -72,13 +72,6 @@ func (s *Session) RunStages(first *exec.Job, next *exec.PlanJob,
 	for w := 0; w < j1; w++ {
 		intermediate += wm1[w].Output
 	}
-	if next.MaxIntermediate > 0 && intermediate > next.MaxIntermediate {
-		// exec.RunStagesOver's Replan already refused this off the summaries'
-		// counts; this backstops a driver whose Replan does not: the matches
-		// have moved, but stage 2's join never runs.
-		return fail(fmt.Errorf("netexec: stage 1 matched %d tuples, pipeline cap %d; restructure the chain",
-			intermediate, next.MaxIntermediate))
-	}
 	received := make([]int64, j2)
 	for w, v := range st.counts {
 		if len(v) != j2 {

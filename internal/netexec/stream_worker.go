@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ewh/internal/bufpool"
 	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
@@ -234,7 +235,7 @@ func (s *sessStream) run() {
 func (s *sessStream) recycleHeld() (n int) {
 	for _, keys := range s.held {
 		n += len(keys)
-		exec.PutKeyBuffer(keys)
+		bufpool.Keys.Put(keys)
 	}
 	s.held = nil
 	return n
@@ -253,7 +254,7 @@ func (s *sessStream) onBase(ev streamEvent) {
 		s.fail(fmt.Errorf("stream base re-opened for sealed epoch %d", ev.epoch))
 	}
 	if s.failed != nil {
-		exec.PutKeyBuffer(ev.keys)
+		bufpool.Keys.Put(ev.keys)
 		s.j.credit(8 * int64(len(ev.keys)))
 		return
 	}
@@ -270,7 +271,7 @@ func (s *sessStream) onBase(ev streamEvent) {
 		if s.resTag == 1 {
 			s.digests = append(s.digests, localjoin.DigestKeys(ev.keys))
 		}
-		exec.PutKeyBuffer(ev.keys)
+		bufpool.Keys.Put(ev.keys)
 	}
 	s.consumed()
 	s.baseN += len(ev.keys)
@@ -339,7 +340,7 @@ func (s *sessStream) onWin(ev streamEvent) {
 	case !s.fed():
 		// Kept in arrival order, to summarize and probe under the window's slot.
 		s.winKeys = append(s.winKeys, ev.keys...)
-		exec.PutKeyBuffer(ev.keys)
+		bufpool.Keys.Put(ev.keys)
 		return
 	default:
 		// A fed job's probe chunk counts as it lands, overlapping the frames
@@ -352,7 +353,7 @@ func (s *sessStream) onWin(ev streamEvent) {
 			return
 		}
 	}
-	exec.PutKeyBuffer(ev.keys)
+	bufpool.Keys.Put(ev.keys)
 	s.j.credit(8 * int64(len(ev.keys)))
 }
 
@@ -451,7 +452,7 @@ func (s *sessStream) probeTransfer() error {
 		s.totOut += n
 	}
 	for _, c := range contrib {
-		exec.PutKeyBuffer(c.keys)
+		bufpool.Keys.Put(c.keys)
 	}
 	return err
 }

@@ -7,8 +7,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sync"
 
+	"ewh/internal/bufpool"
 	"ewh/internal/exec"
 	"ewh/internal/join"
 )
@@ -165,13 +165,11 @@ const (
 // protoMagic opens every connection.
 var protoMagic = [4]byte{'E', 'W', 'H', 'B'}
 
-// scratchPool recycles the chunk buffers the key codec stages through.
-var scratchPool = sync.Pool{
-	New: func() any { b := make([]byte, 64<<10); return &b },
-}
+// codecScratch recycles the chunk buffers the key and pair codecs stage
+// through, each scratchLen bytes.
+var codecScratch bufpool.Pool[byte]
 
-func getScratch() *[]byte  { return scratchPool.Get().(*[]byte) }
-func putScratch(b *[]byte) { scratchPool.Put(b) }
+const scratchLen = 64 << 10
 
 // v3FrameHeaderLen is [type u8][job u32][payloadLen u32], the frame header of
 // both protocol versions.
@@ -284,8 +282,8 @@ func writeHeadFrame(w io.Writer, typ byte, job uint32, h []byte) error {
 // relation's head or end frame already says zero. Keys stage through a
 // pooled scratch buffer, so the cost per key is one PutUint64.
 func writeKeyFrames(w io.Writer, typ byte, job uint32, sub []byte, keys []join.Key) error {
-	scratch := getScratch()
-	defer putScratch(scratch)
+	scratch := codecScratch.Get(scratchLen)
+	defer codecScratch.Put(scratch)
 	for len(keys) > 0 {
 		n := len(keys)
 		if n > maxBlockKeys {
@@ -298,7 +296,7 @@ func writeKeyFrames(w io.Writer, typ byte, job uint32, sub []byte, keys []join.K
 		if _, err := w.Write(sub); err != nil {
 			return err
 		}
-		if err := writeKeysLE(w, keys[:n], *scratch); err != nil {
+		if err := writeKeysLE(w, keys[:n], scratch); err != nil {
 			return err
 		}
 		keys = keys[n:]
@@ -345,9 +343,8 @@ func writeStreamWinKeys(w io.Writer, job, window, epoch uint32, keys []join.Key)
 // through a pooled scratch buffer — the inverse of writeKeysLE, shared by
 // every key-block decode path (session, peer mesh).
 func readKeysLE(r io.Reader, dst []join.Key) error {
-	scratch := getScratch()
-	defer putScratch(scratch)
-	buf := *scratch
+	buf := codecScratch.Get(scratchLen)
+	defer codecScratch.Put(buf)
 	for len(dst) > 0 {
 		c := len(buf) / 8
 		if c > len(dst) {
@@ -395,9 +392,8 @@ func writePairsFrame(w *bufio.Writer, job uint32, pairs []exec.PairIdx) error {
 	if _, err := w.Write(ch[:]); err != nil {
 		return err
 	}
-	scratch := getScratch()
-	defer putScratch(scratch)
-	buf := *scratch
+	buf := codecScratch.Get(scratchLen)
+	defer codecScratch.Put(buf)
 	for len(pairs) > 0 {
 		c := len(buf) / 8
 		if c > len(pairs) {
@@ -436,32 +432,10 @@ func writeStreamWinEnd(w io.Writer, job, window, epoch uint32, total int) error 
 	return writeHeadFrame(w, frameV3StreamWinEnd, job, h[:])
 }
 
-// pairsBufPool recycles the coordinator's pairs receive chunks: the
-// Job.Pairs contract says a chunk is only valid for the duration of the
-// call, so the read loop returns each buffer right after delivery.
-var pairsBufPool = sync.Pool{} // stores *[]exec.PairIdx
-
-func getPairsBuf(n int) []exec.PairIdx {
-	if v := pairsBufPool.Get(); v != nil {
-		b := *v.(*[]exec.PairIdx)
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	return make([]exec.PairIdx, n)
-}
-
-func putPairsBuf(b []exec.PairIdx) {
-	if cap(b) == 0 {
-		return
-	}
-	b = b[:0]
-	pairsBufPool.Put(&b)
-}
-
 // readPairsPayload decodes one pairs frame's payload (already past the
-// frame header; n bytes follow) into a pooled chunk; the caller returns it
-// with putPairsBuf once delivered.
+// frame header; n bytes follow) into a chunk from exec.PairBufs; the caller
+// returns it there once delivered (the Job.Pairs contract says a chunk is only
+// valid for the duration of the call).
 func readPairsPayload(r io.Reader, n int) ([]exec.PairIdx, error) {
 	var ch [4]byte
 	if _, err := io.ReadFull(r, ch[:]); err != nil {
@@ -471,10 +445,9 @@ func readPairsPayload(r io.Reader, n int) ([]exec.PairIdx, error) {
 	if n != 4+8*count {
 		return nil, fmt.Errorf("pairs frame length %d inconsistent with count %d", n, count)
 	}
-	out := getPairsBuf(count)
-	scratch := getScratch()
-	defer putScratch(scratch)
-	buf := *scratch
+	out := exec.PairBufs.Get(count)
+	buf := codecScratch.Get(scratchLen)
+	defer codecScratch.Put(buf)
 	for pos := 0; pos < count; {
 		c := len(buf) / 8
 		if c > count-pos {
@@ -482,7 +455,7 @@ func readPairsPayload(r io.Reader, n int) ([]exec.PairIdx, error) {
 		}
 		chunk := buf[:8*c]
 		if _, err := io.ReadFull(r, chunk); err != nil {
-			putPairsBuf(out)
+			exec.PairBufs.Put(out)
 			return nil, err
 		}
 		for i := 0; i < c; i++ {

@@ -176,7 +176,11 @@ func Run(rt exec.Runtime, base []join.Key, windows [][]join.Key, cond join.Condi
 		return nil, err
 	}
 	st.h = h
-	defer func() { _ = st.h.Close() }()
+	defer func() {
+		if st.h != nil {
+			_ = st.h.Close()
+		}
+	}()
 	if st.cfg.Opts.J <= 0 {
 		st.cfg.Opts.J = h.Workers()
 	}
@@ -197,10 +201,11 @@ func Run(rt exec.Runtime, base []join.Key, windows [][]join.Key, cond join.Condi
 			return nil, rerr
 		}
 	}
-	if err := st.h.Close(); err != nil {
+	err = st.h.Close()
+	st.h = nil
+	if err != nil {
 		return nil, err
 	}
-	st.h = noopHandle{}
 	out := st.res
 	return &out, nil
 }
@@ -374,17 +379,3 @@ func (st *runState) recover(i int, cause error) error {
 	}
 	return nil
 }
-
-// noopHandle replaces a cleanly closed stream so the deferred close in Run
-// does not double-close it.
-type noopHandle struct{}
-
-func (noopHandle) Workers() int                        { return 0 }
-func (noopHandle) SendBase(uint32, [][]join.Key) error { return errors.New("stream is closed") }
-func (noopHandle) SendWindow(_, _ uint32, _ [][]join.Key) error {
-	return errors.New("stream is closed")
-}
-func (noopHandle) Collect(_, _ uint32) ([]exec.WindowReply, error) {
-	return nil, errors.New("stream is closed")
-}
-func (noopHandle) Close() error { return nil }
