@@ -36,8 +36,6 @@ const (
 
 	// v3 session frames.
 	FrameOpenJob     byte = 10
-	FrameRelHead     byte = 11
-	FrameBlock       byte = 12
 	FrameEOS         byte = 14
 	FramePairs       byte = 15
 	FrameMetrics     byte = 16
@@ -48,8 +46,8 @@ const (
 	FrameStats       byte = 21
 	FramePlan2       byte = 22
 
-	// v3 stream frames: a continuous join's, and a count or peer-fed job's
-	// relations at epoch 0, window 0.
+	// v3 stream frames: a continuous join's, and every other job's relations
+	// as base and window runs at epoch 0.
 	FrameStreamOpen    byte = 33
 	FrameStreamBase    byte = 34
 	FrameStreamBaseEnd byte = 35
@@ -64,7 +62,7 @@ const (
 
 // Protocol versions as they appear in the wire prelude.
 const (
-	VersionSession = 3
+	VersionSession = 6
 	VersionPeer    = 5
 )
 

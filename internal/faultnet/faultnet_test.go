@@ -36,34 +36,34 @@ func pipeConn(t *testing.T, script *Script) (*Conn, net.Conn) {
 
 func TestScriptCountingAndFired(t *testing.T) {
 	s := NewScript(
-		Rule{Dir: In, Frame: FrameBlock, N: 2, Action: ActClose},
+		Rule{Dir: In, Frame: FrameStreamBase, N: 2, Action: ActClose},
 		Rule{Dir: Out, Frame: FrameAny, Action: ActClose},
 	)
 	if s.Fired() {
 		t.Fatal("fresh script reports fired")
 	}
-	if s.match(In, FrameBlock) != nil {
+	if s.match(In, FrameStreamBase) != nil {
 		t.Fatal("rule fired on the 1st match with N=2")
 	}
 	if s.match(In, FrameEOS) != nil {
 		t.Fatal("rule matched the wrong frame type")
 	}
-	if s.match(Out, FrameBlock) == nil {
+	if s.match(Out, FrameStreamBase) == nil {
 		t.Fatal("FrameAny rule did not match")
 	}
-	r := s.match(In, FrameBlock)
+	r := s.match(In, FrameStreamBase)
 	if r == nil {
 		t.Fatal("rule did not fire on its 2nd match")
 	}
 	if !s.Fired() {
 		t.Fatal("all rules fired but Fired() is false")
 	}
-	if s.match(In, FrameBlock) != nil {
+	if s.match(In, FrameStreamBase) != nil {
 		t.Fatal("single-shot rule fired twice")
 	}
-	if s.Seen(In, FrameBlock) != 3 || s.Seen(In, FrameEOS) != 1 || s.Seen(Out, FrameBlock) != 1 {
+	if s.Seen(In, FrameStreamBase) != 3 || s.Seen(In, FrameEOS) != 1 || s.Seen(Out, FrameStreamBase) != 1 {
 		t.Fatalf("frames seen: in block %d, in eos %d, out block %d; want 3, 1, 1",
-			s.Seen(In, FrameBlock), s.Seen(In, FrameEOS), s.Seen(Out, FrameBlock))
+			s.Seen(In, FrameStreamBase), s.Seen(In, FrameEOS), s.Seen(Out, FrameStreamBase))
 	}
 	var nilScript *Script
 	if !nilScript.Fired() || nilScript.match(In, FrameAny) != nil {
@@ -75,16 +75,16 @@ func TestTrackerFiresAtExactV3Frame(t *testing.T) {
 	// The inbound tracker must fire on the 2nd Block frame even when the
 	// stream arrives one byte at a time, and must leave the 1st frame (and
 	// everything before the fatal header) delivered.
-	s := NewScript(Rule{Dir: In, Frame: FrameBlock, N: 2, Action: ActClose})
+	s := NewScript(Rule{Dir: In, Frame: FrameStreamBase, N: 2, Action: ActClose})
 	fc, _ := pipeConn(t, s)
 
 	var stream []byte
 	stream = append(stream, prelude(VersionSession)...)
 	stream = append(stream, wireFrame(FrameOpenJob, 1, []byte("open-payload"))...)
-	stream = append(stream, wireFrame(FrameBlock, 1, make([]byte, 64))...)
-	stream = append(stream, wireFrame(FrameRelHead, 1, []byte{1, 2, 3})...)
+	stream = append(stream, wireFrame(FrameStreamBase, 1, make([]byte, 64))...)
+	stream = append(stream, wireFrame(FrameStreamBaseEnd, 1, []byte{1, 2, 3})...)
 	cut := len(stream)
-	stream = append(stream, wireFrame(FrameBlock, 1, make([]byte, 32))...)
+	stream = append(stream, wireFrame(FrameStreamBase, 1, make([]byte, 32))...)
 	stream = append(stream, wireFrame(FrameEOS, 1, nil)...)
 
 	var ferr error
@@ -225,7 +225,7 @@ func TestHookLetsTrafficContinue(t *testing.T) {
 	outHook := make(chan bool, 1) // whether the peer had the frame when the hook ran
 	received := make(chan struct{})
 	s := NewScript(
-		Rule{Dir: In, Frame: FrameBlock, Action: ActHook,
+		Rule{Dir: In, Frame: FrameStreamBase, Action: ActHook,
 			Fn: func() { close(entered); <-release }},
 		Rule{Dir: Out, Frame: FrameStats, Action: ActHook, Fn: func() {
 			select {
@@ -239,7 +239,7 @@ func TestHookLetsTrafficContinue(t *testing.T) {
 	fc, peer := pipeConn(t, s)
 	var stream []byte
 	stream = append(stream, prelude(VersionSession)...)
-	stream = append(stream, wireFrame(FrameBlock, 1, make([]byte, 16))...)
+	stream = append(stream, wireFrame(FrameStreamBase, 1, make([]byte, 16))...)
 	stream = append(stream, wireFrame(FrameEOS, 1, nil)...)
 	go func() { _, _ = peer.Write(stream) }()
 

@@ -835,8 +835,8 @@ func faultFrames(job Job) (session []byte, mesh []byte, out []byte) {
 		return []byte{faultnet.FrameOpenJob, faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd,
 			faultnet.FrameStreamWin, faultnet.FrameStreamWinEnd, faultnet.FrameEOS}, nil, nil
 	case Multiway:
-		return []byte{faultnet.FrameOpenJob, faultnet.FramePlan, faultnet.FrameRelHead,
-				faultnet.FrameBlock, faultnet.FrameEOS, faultnet.FramePlan2, faultnet.FrameOpenPeerJob,
+		return []byte{faultnet.FrameOpenJob, faultnet.FramePlan, faultnet.FrameStreamWin,
+				faultnet.FrameStreamWinEnd, faultnet.FrameEOS, faultnet.FramePlan2, faultnet.FrameOpenPeerJob,
 				faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd},
 			[]byte{faultnet.FramePeerHead, faultnet.FramePeerBlock},
 			[]byte{faultnet.FrameStats}

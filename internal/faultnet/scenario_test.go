@@ -37,9 +37,10 @@ func TestRecoveryBitIdenticalAcrossBoundaries(t *testing.T) {
 	}{
 		// The worker dies the instant its first stage-1 job arrives.
 		{"stage1-open", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FrameOpenJob, N: 1}},
-		// The coordinator link dies while the second block is in flight;
-		// the worker stays up, excluded rather than dead.
-		{"mid-scatter", scenario.Fault{Action: faultnet.ActClose, Dir: faultnet.In, Frame: faultnet.FrameBlock, N: 2}},
+		// The coordinator link dies while relation 2's block, the second
+		// key frame, is in flight; the worker stays up, excluded rather
+		// than dead.
+		{"mid-scatter", scenario.Fault{Action: faultnet.ActClose, Dir: faultnet.In, Frame: faultnet.FrameStreamWin, N: 1}},
 		// The worker ships its statistics summary, then dies before the
 		// replanned stage-2 plan reaches it.
 		{"post-stats", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.Out, Frame: faultnet.FrameStats}},

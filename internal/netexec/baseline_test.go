@@ -207,7 +207,7 @@ func tableRel(s *exec.KeyShuffle, rekey, invalid bool) *exec.RelFuture {
 }
 
 // tablePlain runs one plain sub-job per worker: a pairs job, the one kind
-// whose relations ship as flat blocks outside a stage pipeline.
+// whose relations ship whole outside a stage pipeline.
 func tablePlain(sess *Session, in tableInputs) error {
 	n := in.size()
 	s1, s2 := exec.ShufflePair(randKeys(n, int64(n), 500), randKeys(n, int64(n), 501),
@@ -223,8 +223,8 @@ func tablePlain(sess *Session, in tableInputs) error {
 // tableStages drives one two-stage pipeline: n keys drawn from [0, domain) in
 // each stage-1 relation, tableSmall in the stage-2 right relation;
 // badFirst/badNext plant the invalid declaration in the stage-1 job or the
-// peer job's relation — for the latter a flat block, the one form a peer job's
-// relation cannot take.
+// peer job's relation — for the latter a flat relation, the one form a peer
+// job's relation cannot take.
 func tableStages(sess *Session, n int, domain int64, badFirst, badNext bool) error {
 	scheme, err := partition.NewHash(tableWorkers, nil)
 	if err != nil {
@@ -294,7 +294,7 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 		sendFrame, replyFrame byte
 		replyN                int
 	}{
-		{"plain", tablePlain, faultnet.FrameBlock, faultnet.FrameMetrics, 1},
+		{"plain", tablePlain, faultnet.FrameStreamBase, faultnet.FrameMetrics, 1},
 		// The two halves of one stage-1 plan job: its open (PLAN in, the
 		// terminal METRICS out) and its statistics exchange (PLAN2 in, STATS
 		// out).
@@ -632,10 +632,10 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 				})
 				// A pairs job now needs the worker's only slot — at its open,
 				// in the read loop — and must get it.
-				sendOpenJob(t, c.bw, otherJob)
+				sendOpenJob(t, c.bw, otherJob, true)
 				err := errors.Join(
-					writeRelHead(c.bw, otherJob, 1, 1, false), writeKeyBlocksV3(c.bw, otherJob, 1, []join.Key{2}),
-					writeRelHead(c.bw, otherJob, 2, 1, false), writeKeyBlocksV3(c.bw, otherJob, 2, []join.Key{2}),
+					writeRel(c.bw, otherJob, 1, []join.Key{2}),
+					writeRel(c.bw, otherJob, 2, []join.Key{2}),
 					writeV3FrameHeader(c.bw, frameV3EOS, otherJob, 0), c.bw.Flush())
 				if err != nil {
 					return err

@@ -136,17 +136,15 @@ func TestPoolBuildCacheHit(t *testing.T) {
 }
 
 // TestArrivalOrderJobsRefuseChunks pins the frames no job kind can take,
-// each as a job-level refusal. The open names no kind; the frames do: a PLAN
-// makes a plan job, a flat relation a pairs job, and otherwise the first base
-// frame or base end a count job, whose relation 1 is the base and relation 2
-// the window. Refused: base or window frames on a job that joins flat blocks
-// in arrival order — pairs to index, a plan's matches to materialize, in
-// either frame order — a flat relation or block beside a fed job's runs,
-// whose join goroutine takes those only, a window ahead of the base, a fed
-// job's frame past epoch 0 or window 0 or after its run's end, a window on a
-// peer-fed job (its probe is the mesh), and a PLAN frame carrying the plan or
-// peer map only a PLAN2 may (the job would otherwise await a PLAN2 that never
-// comes). The job replies its error at EOS: each refused frame was consumed
+// each as a job-level refusal. Every kind rides base and window runs at epoch
+// 0: relation 1 the base, relation 2 window 0 and a plan job's re-key column
+// window 1. The open's Pairs makes a pairs job, a PLAN a plan job, and
+// otherwise the first base frame or base end a count job. Refused: window 1
+// on any job but a plan job, a run past epoch 0, a frame after its run's end,
+// a PLAN on a pairs job or beside a count job's runs, a window ahead of a
+// count job's base, a window on a peer-fed job (its probe is the mesh), and a
+// PLAN frame carrying the plan or peer map only a PLAN2 may (the job would
+// otherwise await a PLAN2 that never comes). The job replies its error at EOS: each refused frame was consumed
 // exactly, so the connection serves the next job intact.
 func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 	_, addrs := startWorkerSet(t, 1)
@@ -157,6 +155,9 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 	open := func(bw *bufio.Writer) error {
 		return writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec})
 	}
+	openPairs := func(bw *bufio.Writer) error {
+		return writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec, Pairs: true})
+	}
 	openPeer := func(bw *bufio.Writer) error {
 		return writeV3GobFrame(bw, frameV3OpenPeerJob, 1, peerJobOpen{Cond: spec, Token: newPeerToken(), Senders: 1})
 	}
@@ -166,27 +167,21 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 	base := func(bw *bufio.Writer) error { return writeStreamBaseKeys(bw, 1, 0, []join.Key{3}) }
 	baseRun := func(bw *bufio.Writer) error { return errors.Join(base(bw), writeStreamBaseEnd(bw, 1, 0, 1)) }
 	win := func(bw *bufio.Writer) error { return writeStreamWinKeys(bw, 1, 0, 0, []join.Key{3}) }
-	flat := func(bw *bufio.Writer, rel int8) error {
-		return errors.Join(writeRelHead(bw, 1, rel, 1, false), writeKeyBlocksV3(bw, 1, rel, []join.Key{3}))
-	}
 	for _, tc := range []struct {
 		name, want string
 		frames     func(bw *bufio.Writer) error
 	}{
-		{"base frame on a pairs job", "pairs or plan job", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), flat(bw, 1), base(bw))
+		{"window 1 on a pairs job", "past epoch 0, window 0", func(bw *bufio.Writer) error {
+			return errors.Join(openPairs(bw), baseRun(bw), writeStreamWinKeys(bw, 1, 1, 0, []join.Key{3}))
 		}},
-		{"base end on a pairs job", "pairs or plan job", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), flat(bw, 1), writeStreamBaseEnd(bw, 1, 0, 0))
+		{"frame after its run's end on a pairs job", "after its run's end frame", func(bw *bufio.Writer) error {
+			return errors.Join(openPairs(bw), baseRun(bw), base(bw))
 		}},
-		{"flat relation 2 on a chunk-fed job", "declared flat", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), writeStreamBaseEnd(bw, 1, 0, 0), flat(bw, 2))
+		{"plan job's run past epoch 0", "past epoch 0, window 1", func(bw *bufio.Writer) error {
+			return errors.Join(open(bw), plan(bw), writeStreamBaseKeys(bw, 1, 1, []join.Key{3}))
 		}},
-		{"flat block on a count job", "feed the join goroutine", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), baseRun(bw), writeKeyBlocksV3(bw, 1, 1, []join.Key{3}))
-		}},
-		{"base frame on a plan job", "pairs or plan job", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), plan(bw), base(bw))
+		{"plan on a pairs job", "a pairs job cannot carry a plan", func(bw *bufio.Writer) error {
+			return errors.Join(openPairs(bw), plan(bw))
 		}},
 		{"plan on a chunk-fed job", "cannot carry a plan", func(bw *bufio.Writer) error {
 			return errors.Join(open(bw), base(bw), plan(bw))
@@ -218,9 +213,6 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 		{"plan frame carrying a peer map", "statistics request", func(bw *bufio.Writer) error {
 			return errors.Join(open(bw), writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Peers: []string{"x"}}))
 		}},
-		{"flat relation 2 on a peer-fed job", "declared flat", func(bw *bufio.Writer) error {
-			return errors.Join(openPeer(bw), flat(bw, 2))
-		}},
 		{"window on a peer-fed job", "on a peer-fed job", func(bw *bufio.Writer) error {
 			return errors.Join(openPeer(bw), baseRun(bw), win(bw))
 		}},
@@ -242,10 +234,10 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 				t.Fatalf("replied %+v, want a refusal naming %q", m, tc.want)
 			}
 			// The next job on the connection: a pairs job, one key each side.
-			sendOpenJob(t, bw, 2)
+			sendOpenJob(t, bw, 2, true)
 			err = errors.Join(
-				writeRelHead(bw, 2, 1, 1, false), writeKeyBlocksV3(bw, 2, 1, []join.Key{3}),
-				writeRelHead(bw, 2, 2, 1, false), writeKeyBlocksV3(bw, 2, 2, []join.Key{3}),
+				writeRel(bw, 2, 1, []join.Key{3}),
+				writeRel(bw, 2, 2, []join.Key{3}),
 				writeV3FrameHeader(bw, frameV3EOS, 2, 0), bw.Flush())
 			if err != nil {
 				t.Fatal(err)

@@ -45,9 +45,9 @@ func (f *frameHeaders) Write(p []byte) (int, error) {
 // TestMaximalKeyFramesPassTheHeaderReaders drives every key-frame writer with
 // a run one key past the per-frame cap and feeds each frame header it wrote
 // to the reader on the other side: the frame cap has to admit a FULL frame
-// under every sub-header, not just BLOCK's (STREAMBASE and STREAMWIN share
-// maxBlockKeys but lead with 8 and 12 bytes, and used to declare more than the
-// reader accepted — connection-fatal for any share of 2^24 keys).
+// under every sub-header (STREAMBASE and STREAMWIN share maxBlockKeys but lead
+// with 8 and 12 bytes, and used to declare more than the reader accepted —
+// connection-fatal for any share of 2^24 keys).
 func TestMaximalKeyFramesPassTheHeaderReaders(t *testing.T) {
 	keys := make([]join.Key, maxBlockKeys+1) // never written: stays untouched zero pages
 	session := []struct {
@@ -55,7 +55,6 @@ func TestMaximalKeyFramesPassTheHeaderReaders(t *testing.T) {
 		subHdr int
 		write  func(bw *bufio.Writer) error
 	}{
-		{"BLOCK", blockHeaderLen, func(bw *bufio.Writer) error { return writeKeyBlocksV3(bw, 1, 1, keys) }},
 		{"STREAMBASE", streamBaseHdrLen, func(bw *bufio.Writer) error { return writeStreamBaseKeys(bw, 1, 1, keys) }},
 		{"STREAMWIN", streamWinHdrLen, func(bw *bufio.Writer) error { return writeStreamWinKeys(bw, 1, 0, 1, keys) }},
 	}
@@ -125,32 +124,33 @@ func TestRunningCountCap(t *testing.T) {
 
 	frames := recordedKeyFrames(t)
 	for _, typ := range []byte{frameV3StreamBase, frameV3StreamWin} {
-		j := &sessJob{stream: &sessStream{resTag: 1}}
-		for i := range j.rels {
-			// One tuple short of the cap on whichever relation the type counts.
-			j.rels[i] = sessRel{pos: MaxRelationTuples - 1}
-		}
-		payload := frames[typ] // carries two keys
-		br := bufio.NewReader(bytes.NewReader(payload))
-		err := j.readKeyFrame(br, typ, len(payload))
-		if _, ok := err.(*protoErr); !ok {
-			t.Errorf("frame type %d past the cap: got %v, want a job-level refusal", typ, err)
-		}
-		if br.Buffered() != 0 {
-			t.Errorf("frame type %d: refusal left %d bytes of the frame unread", typ, br.Buffered())
+		// A count job feeding its goroutine, and a pairs job decoding in place.
+		for _, j := range []*sessJob{{stream: &sessStream{resTag: 1}}, {pairs: true}} {
+			for i := range j.rels {
+				// One tuple short of the cap on whichever relation the type counts.
+				j.rels[i] = sessRel{pos: MaxRelationTuples - 1}
+			}
+			payload := frames[typ] // carries two keys
+			br := bufio.NewReader(bytes.NewReader(payload))
+			err := j.readKeyFrame(br, typ, len(payload))
+			if _, ok := err.(*protoErr); !ok {
+				t.Errorf("frame type %d past the cap (pairs %v): got %v, want a job-level refusal", typ, j.pairs, err)
+			}
+			if br.Buffered() != 0 {
+				t.Errorf("frame type %d (pairs %v): refusal left %d bytes of the frame unread", typ, j.pairs, br.Buffered())
+			}
 		}
 	}
 }
 
 // recordedKeyFrames returns one frame payload (sub-header + two keys) per
-// key-carrying frame type, as the writers frame it; every one names relation
-// 1 / epoch 0 / window 0 — or, on the mesh, token 1 / sender 1.
+// key-carrying frame type, as the writers frame it; every one names epoch 0 /
+// window 0 — or, on the mesh, token 1 / sender 1.
 func recordedKeyFrames(t testing.TB) map[byte][]byte {
 	t.Helper()
 	keys := []join.Key{7, -7}
 	out := make(map[byte][]byte)
 	for typ, write := range map[byte]func(*bytes.Buffer) error{
-		frameV3Block:      func(b *bytes.Buffer) error { return writeKeyBlocksV3(b, 1, 1, keys) },
 		frameV3StreamBase: func(b *bytes.Buffer) error { return writeStreamBaseKeys(b, 1, 0, keys) },
 		frameV3StreamWin:  func(b *bytes.Buffer) error { return writeStreamWinKeys(b, 1, 0, 0, keys) },
 	} {
@@ -175,24 +175,24 @@ func recordedKeyFrames(t testing.TB) map[byte][]byte {
 // declared; an accepted frame and a job-level refusal both consume exactly
 // the frame (the next header parses); only a frame shorter than its
 // sub-header is connection-fatal; an accepted frame charged the ledger
-// exactly its keys, and the job's release gives them back. A selector past
-// the case list additionally declares relation 2's re-key column (two keys)
-// on the pairs job, which BLOCK frames tagged relRekey then fill.
+// exactly its keys, and the job's release gives them back. The re-key seeds
+// are window-1 frames: a plan job's re-key column, refused on any other job.
 func FuzzKeyFrame(f *testing.F) {
 	// A case is a frame type and the job decoding it: res is the resident
 	// relation of a job feeding a join goroutine (0 a STREAMOPEN job, 1 a
-	// count job past its first base frame, 2 a peer-fed job), -1 a pairs job
-	// with both relations declared flat (64 keys each).
+	// count job past its first base frame, 2 a peer-fed job), or pairsJob or
+	// planJob, which decode their runs in place.
+	const pairsJob, planJob = -1, -2
 	cases := []struct {
 		typ byte
 		res int
 	}{
-		{frameV3Block, -1},
 		{frameV3StreamBase, 0}, {frameV3StreamWin, 0},
 		{frameV3StreamBase, 1}, {frameV3StreamWin, 1},
 		{frameV3StreamBase, 2}, {frameV3StreamWin, 2},
-		{framePeerBlock, -1},
-		{frameV3StreamBase, -1},
+		{frameV3StreamBase, pairsJob}, {frameV3StreamWin, pairsJob},
+		{frameV3StreamBase, planJob}, {frameV3StreamWin, planJob},
+		{framePeerBlock, 0},
 	}
 	for i, c := range cases {
 		f.Add(byte(i), recordedKeyFrames(f)[c.typ])
@@ -200,9 +200,9 @@ func FuzzKeyFrame(f *testing.F) {
 	for _, c := range []struct {
 		sel  byte
 		keys int
-	}{{0, 2}, {byte(len(cases)), 2}, {byte(len(cases)), 3}} { // undeclared, declared, overflowing
+	}{{3, 2}, {7, 2}, {9, 2}, {9, 3}} { // a count job's, a pairs job's, a plan job's (twice)
 		var b bytes.Buffer
-		if err := writeKeyBlocksV3(&b, 1, relRekey, make([]join.Key, c.keys)); err != nil {
+		if err := writeStreamWinKeys(&b, 1, 1, 0, make([]join.Key, c.keys)); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(c.sel, b.Bytes()[v3FrameHeaderLen:])
@@ -217,16 +217,12 @@ func FuzzKeyFrame(f *testing.F) {
 			fuzzPeerBlock(t, w, payload)
 			return
 		}
-		j := &sessJob{ws: &workerSession{w: w}}
-		if c.res < 0 {
-			// A head declares a count and nothing else: a BLOCK's keys get
-			// their buffer as the frame arrives.
-			j.rels[0] = sessRel{declared: true, n: 64}
-			j.rels[1] = sessRel{declared: true, n: 64}
-			if int(sel) >= len(cases) {
-				j.rels[relRekey-1] = sessRel{declared: true, n: 2}
-			}
-		} else {
+		j := &sessJob{ws: &workerSession{w: w}, pairs: c.res == pairsJob}
+		switch c.res {
+		case pairsJob:
+		case planJob:
+			j.plan = &planSpec{}
+		default:
 			// The job's goroutine is a channel the test drains.
 			j.stream = &sessStream{resTag: byte(c.res), ch: make(chan streamEvent, 1), done: closed}
 			j.peerFed = c.res == 2

@@ -13,8 +13,7 @@ import (
 // Every buffer whose size a remote side chose — key frames as they arrive, a
 // stage-1 plan job's materialized matches, peer contributions — is charged
 // here before it is allocated and credited when it is released; a head frame
-// (RELHEAD, PEERHEAD) only declares a count the arrivals are
-// checked against. Tenant budgets (TenantPolicy.MaxBytes) are per-tenant
+// (PEERHEAD) only declares a count the arrivals are checked against. Tenant budgets (TenantPolicy.MaxBytes) are per-tenant
 // views of the one account; peer contributions no job has taken yet belong to
 // no tenant. A refusal is a typed quota rejection (ErrQuota) that reserves
 // nothing.
@@ -124,12 +123,14 @@ func (l *ledger) heldBytes() int64 {
 	return l.held
 }
 
-// growKeys is the one allocation of a declared key run that arrives frame by
-// frame — a flat relation's BLOCKs, a peer contribution's blocks: it returns
-// buf (have keys filled) with room for need keys, doubling but never past
-// limit, the run's declared total. charge sees the bytes the run grows by
-// before a buffer is taken; on a refusal buf comes back unchanged. A run is
-// therefore charged 8 bytes per key of len(buf).
+// growKeys is the one allocation of a key run decoded in place as it arrives
+// frame by frame — a pairs or plan job's relation, a peer contribution's
+// blocks: it returns buf (have keys filled) with room for need keys, doubling
+// but never past limit (a contribution's declared total, MaxRelationTuples
+// for a relation). charge sees the bytes the run grows by before a buffer is
+// taken; on a refusal buf comes back unchanged. A run is therefore charged 8
+// bytes per key of len(buf): exactly its keys when its first frame is its
+// only one.
 func growKeys(buf []join.Key, have, need, limit int, charge func(int64) error) ([]join.Key, error) {
 	if need <= len(buf) {
 		return buf, nil

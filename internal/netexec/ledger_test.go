@@ -18,14 +18,13 @@ import (
 
 // TestDeclaredRunsAllocateOnArrival is the declare-then-stall adversary
 // against the worker's ledger. Over several rounds, one connection per kind of
-// run — a flat relation, a count job's base, a stream's base and window, a
-// peer contribution — declares the largest run its head admits (a relation of
-// MaxRelationTuples: 8 GiB, were a head to size a buffer; a base or window
-// run has no head), then opens a 1 MiB key frame and stalls after its
-// sub-header. A head allocates nothing;
-// each frame is charged before its buffer exists, so the worker holds at most
-// its budget however much was declared, and the frames past the budget are
-// refused. A job needing the budget fails with ErrQuota meanwhile; once the
+// run — a pairs job's flat relation, a count job's base, a stream's base and
+// window, a peer contribution — declares the largest run its head admits (a
+// contribution of MaxRelationTuples: 8 GiB, were a head to size a buffer; a
+// base or window run has no head), then opens a 1 MiB key frame and stalls
+// after its sub-header. A head allocates nothing; each frame is charged before
+// its buffer exists, so the worker holds at most its budget however much was
+// declared, and the frames past the budget are refused. A job needing the budget fails with ErrQuota meanwhile; once the
 // stalled connections hang up the ledger is back at zero and the same job
 // runs.
 func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
@@ -63,9 +62,8 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 		send func(bw *bufio.Writer, round int) error
 	}{
 		{"flat relation", func(bw *bufio.Writer, _ int) error {
-			return errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec}),
-				writeRelHead(bw, 1, 1, MaxRelationTuples, false),
-				stall(bw, frameV3Block, 1, []byte{1, 0, 0, 0, 0}))
+			return errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec, Pairs: true}),
+				stall(bw, frameV3StreamBase, 1, make([]byte, streamBaseHdrLen)))
 		}},
 		{"count job base", func(bw *bufio.Writer, _ int) error {
 			return errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec}),
@@ -261,7 +259,7 @@ func TestHangUpTombstonesItsPlanTransfers(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 1)
 	w, token := ws[0], newPeerToken()
 	bw, conn := dialV3(t, addrs[0])
-	sendOpenJob(t, bw, 1)
+	sendOpenJob(t, bw, 1, false)
 	err := errors.Join(writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Token: token, Stats: exec.StatsSpec{Cap: 8, Buckets: 4}}),
 		bw.Flush())
 	if err != nil {

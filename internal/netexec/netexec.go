@@ -1,10 +1,11 @@
 // Package netexec runs the shared-nothing join over real TCP workers: a
-// coordinator batch-routes both relations once with the engine's shuffle. A
-// count job streams each relation as per-mapper sub-blocks in base and window
-// frames the moment a mapper has routed its shard, and the worker's join
-// goroutine inserts or probes them as they arrive; a pairs or plan job sends
-// each worker one contiguous, count-headed key block per relation (plus, on a
-// plan job's relation 2, the re-key column), decoded into pooled flat buffers
+// coordinator batch-routes both relations once with the engine's shuffle.
+// Every relation crosses the wire as one framing: a run of base or window
+// frames ended by its exact total. A count job streams each relation as
+// per-mapper sub-blocks the moment a mapper has routed its shard, and the
+// worker's join goroutine inserts or probes them as they arrive; a pairs or
+// plan job ships each worker's contiguous block per relation whole (a plan
+// job's re-key column as one more window), decoded into pooled flat buffers
 // as its frames arrive and joined in place. Either way the worker reports its
 // metrics. It is the process-distributed counterpart of internal/exec's
 // goroutine engine — same partitioning schemes, same shuffle, same metrics —
@@ -14,17 +15,17 @@
 // exec.Runtime) keeps one persistent connection per worker and multiplexes
 // numbered jobs over it, so N jobs cost one dial per worker. Every
 // connection opens with the 6-byte prelude "EWHB" + version; workers speak
-// exactly two versions — 3, a coordinator session, and 5, a worker→worker
+// exactly two versions — 6, a coordinator session, and 5, a worker→worker
 // peer-mesh link (peer.go) — and close anything else. The two share one
 // frame header, the mesh at job 0 (wire.go). Both ends run one job
 // lifecycle each: the coordinator's subJob (open/send/await/close,
-// session.go) against the worker's openJob → headFrame/dataFrame → finishJob
+// session.go) against the worker's openJob → endFrame/dataFrame → finishJob
 // → retire (session_worker.go), where every count job — coordinator-fed,
 // peer-fed, a stream — swaps finishJob for the one join goroutine that
-// consumes key frames as they arrive (stream_worker.go). A worker reads a
-// job's kind from its own frames, never from a flag in the open. Every
-// key-carrying data frame has one writer (writeKeyFrames) and one sub-header
-// step (readKeySubHdr). See wire.go for the framing and DESIGN.md's
+// consumes key frames as they arrive (stream_worker.go). Every key-carrying
+// data frame has one writer (writeKeyFrames) and one sub-header step
+// (readKeySubHdr); one function (sessJob.runRel) decides which relation a
+// run's frame advances. See wire.go for the framing and DESIGN.md's
 // "Transport" section for the frame table and both lifecycles.
 package netexec
 
@@ -69,18 +70,20 @@ type metrics struct {
 	// hash or merge — consumed (inserted or probed) BEFORE the read loop
 	// decoded the job's EOS: the observable proving the join overlapped the
 	// still-streaming scatter (the local analog of OverlappedStage2); 0 on
-	// flat jobs.
+	// pairs and plan jobs.
 	BuildOverlapped int64
 }
 
-// jobOpen opens one numbered job on a v3 session connection. Counts travel
-// separately in per-relation head frames, so a job can start streaming its
-// first relation before the second one's shuffle has finished. The open does
-// not name the job's kind: a PLAN frame beside it makes a plan job, and
-// otherwise relation 1's form does — base frames a count, flat blocks pairs.
+// jobOpen opens one numbered job on a session connection. Counts travel in
+// each relation's end frame, so a job can start streaming its first relation
+// before the second one's shuffle has finished. Every kind rides the same
+// frames, so the open says what the coordinator wants back: Pairs makes a
+// pairs job, a PLAN frame beside the open a plan job, and anything else is a
+// count job.
 type jobOpen struct {
 	WorkerID int
 	Cond     join.Spec
+	Pairs    bool
 }
 
 // planSpec rides two frames of a stage-1 plan job, whose matches feed the

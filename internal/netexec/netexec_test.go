@@ -169,6 +169,10 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 		// closed at its prelude, never read past it and misframed.
 		{"retired mesh version 4", append(binary.LittleEndian.AppendUint16([]byte("EWHB"), 4),
 			framePeerHead, peerHeadLen, 0, 0, 0)},
+		// Version 3 sessions opened jobs without Pairs and shipped a pairs
+		// job's relations as heads and blocks: served, such a coordinator
+		// would have its pairs jobs counted, their pairs never sent.
+		{"retired session version 3", binary.LittleEndian.AppendUint16([]byte("EWHB"), 3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn := dialRaw(t, addrs[0], tc.opening)
@@ -350,7 +354,7 @@ func TestShutdownSparesConnectionMidPrelude(t *testing.T) {
 	half := dialRaw(t, addrs[0], []byte("EWH"))
 	// Hold a job open so Shutdown parks in its drain between the two sweeps.
 	bw, _ := dialV3(t, addrs[0])
-	sendOpenJob(t, bw, 1)
+	sendOpenJob(t, bw, 1, false)
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -414,72 +418,53 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestSessionDeclaredCountEnforced(t *testing.T) {
 	_, addrs := startWorkerSet(t, 1)
-
-	// EOS before the declared tuples arrived.
 	bw, conn := dialV3(t, addrs[0])
-	sendOpenJob(t, bw, 1)
-	if err := writeRelHead(bw, 1, 1, 5, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRelHead(bw, 1, 2, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeV3FrameHeader(bw, frameV3EOS, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if msg := readV3ErrMetrics(t, conn, 1); !strings.Contains(msg, "declared") {
-		t.Fatalf("truncated stream accepted: %q", msg)
-	}
-
-	// More tuples than declared; same connection, next job.
-	sendOpenJob(t, bw, 2)
-	if err := writeRelHead(bw, 2, 1, 1, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeKeyBlocksV3(bw, 2, 1, []join.Key{1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRelHead(bw, 2, 2, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeV3FrameHeader(bw, frameV3EOS, 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if msg := readV3ErrMetrics(t, conn, 2); !strings.Contains(msg, "overflow") {
-		t.Fatalf("overflowing block accepted: %q", msg)
+	for id, c := range []struct {
+		name, want string
+		frames     func(id uint32) error
+	}{
+		{"fewer tuples than the end declares", "ends a run of 2 tuples, declares 5", func(id uint32) error {
+			return errors.Join(writeStreamBaseKeys(bw, id, 0, []join.Key{1, 2}), writeStreamBaseEnd(bw, id, 0, 5))
+		}},
+		{"more tuples than the end declares", "ends a run of 3 tuples, declares 1", func(id uint32) error {
+			return errors.Join(writeStreamBaseKeys(bw, id, 0, []join.Key{1, 2, 3}), writeStreamBaseEnd(bw, id, 0, 1))
+		}},
+		{"EOS before the run ended", "relation 1's run never ended", func(id uint32) error {
+			return writeStreamBaseKeys(bw, id, 0, []join.Key{1, 2})
+		}},
+	} {
+		// Each case is the next job on the same connection.
+		id := uint32(id + 1)
+		sendOpenJob(t, bw, id, true)
+		err := errors.Join(c.frames(id), writeRel(bw, id, 2, nil), writeV3FrameHeader(bw, frameV3EOS, id, 0), bw.Flush())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg := readV3ErrMetrics(t, conn, id); !strings.Contains(msg, c.want) {
+			t.Fatalf("%s: replied %q, want %q", c.name, msg, c.want)
+		}
 	}
 }
 
 func TestSessionUnknownRelationRejected(t *testing.T) {
+	// A pairs job has two relations: the base run and window 0. Window 1 is
+	// a plan job's re-key column, and window 2 names no relation at all.
 	_, addrs := startWorkerSet(t, 1)
 	bw, conn := dialV3(t, addrs[0])
-	sendOpenJob(t, bw, 1)
-	if err := writeRelHead(bw, 1, 1, 1, false); err != nil {
+	sendOpenJob(t, bw, 1, true)
+	err := errors.Join(writeRel(bw, 1, 1, []join.Key{9}), writeStreamWinKeys(bw, 1, 2, 0, []join.Key{9}),
+		writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeKeyBlocksV3(bw, 1, relRekey+1, []join.Key{9}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeV3FrameHeader(bw, frameV3EOS, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if msg := readV3ErrMetrics(t, conn, 1); !strings.Contains(msg, "unknown relation 4") {
-		t.Fatalf("block for relation 4 accepted: %q", msg)
+	if msg := readV3ErrMetrics(t, conn, 1); !strings.Contains(msg, "window 2, past epoch 0, window 0") {
+		t.Fatalf("window 2 accepted: %q", msg)
 	}
 }
 
 func TestSessionMultiBlockRelation(t *testing.T) {
-	// A relation larger than one block frame still reassembles exactly:
-	// exercise the split path by writing two explicit blocks for R1.
+	// A relation larger than one key frame still reassembles exactly:
+	// exercise the split path by writing R1's base run as two frames.
 	_, addrs := startWorkerSet(t, 1)
 	bw, conn := dialV3(t, addrs[0])
 	r1 := randKeys(1000, 400, 60)
@@ -489,28 +474,11 @@ func TestSessionMultiBlockRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRelHead(bw, 1, 1, len(r1), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeKeyBlocksV3(bw, 1, 1, r1[:300]); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeKeyBlocksV3(bw, 1, 1, r1[300:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRelHead(bw, 1, 2, len(r2), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeKeyBlocksV3(bw, 1, 2, r2); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeV3FrameHeader(bw, frameV3EOS, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
+	err = errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec, Pairs: true}),
+		writeStreamBaseKeys(bw, 1, 0, r1[:300]), writeStreamBaseKeys(bw, 1, 0, r1[300:]),
+		writeStreamBaseEnd(bw, 1, 0, len(r1)), writeRel(bw, 1, 2, r2),
+		writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+	if err != nil {
 		t.Fatal(err)
 	}
 	m := readV3Metrics(t, conn, 1)

@@ -207,7 +207,7 @@ func TestWorkerIOTimeoutFailsStalledTransfer(t *testing.T) {
 	t.Cleanup(func() { _ = w.Close() })
 
 	bw, conn := dialV3(t, w.Addr())
-	sendOpenJob(t, bw, 1)
+	sendOpenJob(t, bw, 1, false)
 	// Declare a 64-byte gob payload for a second open and send nothing.
 	if err := writeV3FrameHeader(bw, frameV3OpenJob, 2, 64); err != nil {
 		t.Fatal(err)
@@ -515,22 +515,23 @@ func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 }
 
 // TestRetiredSessionFrameIsConnectionFatal pins the retired session frame
-// types as what retired type 32 is on the mesh: 25–27, the chunked-relation
-// head, chunk and tail a count job's base and window frames replaced, and 28,
+// types as what retired type 32 is on the mesh: 11 and 12, the relation head
+// and block a pairs or plan job's base and window runs replaced; 25–27, the
+// chunked-relation head, chunk and tail a count job's runs replaced; and 28,
 // the late sender-count bind. A frame the session reader does not know ends
 // the connection, and the job in flight on it retires.
 func TestRetiredSessionFrameIsConnectionFatal(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 1)
-	for _, typ := range []byte{25, 26, 27, 28} {
+	for _, typ := range []byte{11, 12, 25, 26, 27, 28} {
 		bw, conn := dialV3(t, addrs[0])
-		sendOpenJob(t, bw, 1)
-		err := errors.Join(writeRelHead(bw, 1, 1, 1, false), writeKeyBlocksV3(bw, 1, 1, []join.Key{3}), bw.Flush())
+		sendOpenJob(t, bw, 1, true)
+		err := errors.Join(writeRel(bw, 1, 1, []join.Key{3}), bw.Flush())
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, "the worker to register the job", func() bool { return inFlight(ws[0]) == 1 })
 		var payload [16]byte
-		if err := errors.Join(writeHeadFrame(bw, typ, 1, payload[:]), bw.Flush()); err != nil {
+		if err := errors.Join(writeEndFrame(bw, typ, 1, payload[:]), bw.Flush()); err != nil {
 			t.Fatal(err)
 		}
 		expectClosedSilently(t, conn)

@@ -119,8 +119,8 @@ func (s *Session) BuildOverlappedChunks() int64 { return s.buildOverlapped.Load(
 
 // StreamsChunks implements exec.ChunkStreamer: a session's count jobs take
 // chunked relations, framing each routed sub-block onto the socket the moment
-// a mapper emits it instead of waiting out the whole flat scatter. It refuses
-// a flat count job: the workers read a job's kind from relation 1's form.
+// a mapper emits it instead of waiting out the whole flat scatter. A pairs or
+// plan job's relations stay flat: their indices name arrival order.
 func (s *Session) StreamsChunks() bool { return true }
 
 // Workers returns the session's worker count.
@@ -395,7 +395,7 @@ func (c *sessConn) readLoop() {
 }
 
 // subJob is the coordinator's half of one numbered sub-job on one worker
-// connection — the counterpart of the worker's openJob → headFrame/dataFrame
+// connection — the counterpart of the worker's openJob → endFrame/dataFrame
 // → finishJob → retire. Every kind (plain, stage-1 plan, stats stage,
 // peer-fed, stream) walks the same four steps: open registers the reply
 // handler, send puts frames on the wire, await takes the next reply, close
@@ -572,13 +572,13 @@ func (j *subJob) account(rm *metrics, m *exec.WorkerMetrics) {
 // sendJob streams one sub-job's frames in a single send, so they are
 // contiguous on the wire; each relation is fetched from its future right
 // before sending, which is where the shuffle/socket overlap happens —
-// relation 1's blocks go out (and flush) while relation 2 may still be
+// relation 1's frames go out (and flush) while relation 2 may still be
 // scattering. A non-nil ps, making a plan job, rides between the open and
 // the relations.
 func (j *subJob) sendJob(spec join.Spec, ps *planSpec, job *exec.Job) error {
-	count := ps == nil && job.Pairs == nil
+	arrival := ps != nil || job.Pairs != nil
 	return j.send(func(bw *bufio.Writer) error {
-		jo := jobOpen{WorkerID: j.worker, Cond: spec}
+		jo := jobOpen{WorkerID: j.worker, Cond: spec, Pairs: job.Pairs != nil}
 		if err := writeV3GobFrame(bw, frameV3OpenJob, j.id, jo); err != nil {
 			return err
 		}
@@ -587,29 +587,29 @@ func (j *subJob) sendJob(spec join.Spec, ps *planSpec, job *exec.Job) error {
 				return err
 			}
 		}
-		if err := j.writeRelation(bw, 1, job.R1.Wait(), count); err != nil {
+		if err := j.writeRelation(bw, 1, job.R1.Wait(), arrival); err != nil {
 			return err
 		}
 		if err := bw.Flush(); err != nil {
 			return err
 		}
-		if err := j.writeRelation(bw, 2, job.R2.Wait(), count); err != nil {
+		if err := j.writeRelation(bw, 2, job.R2.Wait(), arrival); err != nil {
 			return err
 		}
 		return writeV3FrameHeader(bw, frameV3EOS, j.id, 0)
 	})
 }
 
-// writeRelation streams one relation inside the caller's send in the form the
-// worker reads the job's kind from, refusing the other unsent: a count job's
-// sub-blocks frame out as mappers emit them, relation 1 as the base and
-// relation 2 as the window; a pairs or plan job's relation goes as one head,
-// key blocks and (when it has one) re-key column.
-func (j *subJob) writeRelation(bw *bufio.Writer, rel int8, rd exec.RelData, count bool) error {
-	if count != (rd.Chunks != nil) {
-		return fmt.Errorf("relation %d: a count job's relations stream as chunks, a pairs or plan job's as flat blocks", rel)
-	}
-	if count {
+// writeRelation streams one relation inside the caller's send: relation 1 as
+// the epoch-0 base, relation 2 as window 0 and its re-key column, when it has
+// one, as window 1. A chunk stream's sub-blocks frame out as mappers emit
+// them; a flat relation ships whole. A pairs or plan job (arrival) refuses a
+// chunk stream unsent: its indices name the order its keys arrive in.
+func (j *subJob) writeRelation(bw *bufio.Writer, rel int8, rd exec.RelData, arrival bool) error {
+	if rd.Chunks != nil {
+		if arrival {
+			return fmt.Errorf("relation %d: a pairs or plan job's relations ship flat, in arrival order", rel)
+		}
 		inline := func(write func(*bufio.Writer) error) error { return write(bw) }
 		return j.sendChunks(inline, rel, rd.Chunks, rel == 1)
 	}
@@ -623,13 +623,10 @@ func (j *subJob) writeRelation(bw *bufio.Writer, rel int8, rd exec.RelData, coun
 			return fmt.Errorf("relation %d's re-key column holds %d keys for %d tuples", rel, len(rekey), len(keys))
 		}
 	}
-	if err := writeRelHead(bw, j.id, rel, len(keys), rd.Rekey != nil); err != nil {
+	if err := writeRun(bw, j.id, rel == 1, 0, 0, keys); err != nil || rd.Rekey == nil {
 		return err
 	}
-	if err := writeKeyBlocksV3(bw, j.id, rel, keys); err != nil {
-		return err
-	}
-	return writeKeyBlocksV3(bw, j.id, relRekey, rekey)
+	return writeRun(bw, j.id, false, 1, 0, rekey)
 }
 
 // sendChunks pipelines one chunk-streamed relation as the base (the

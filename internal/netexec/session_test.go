@@ -187,9 +187,8 @@ func dialV3(t *testing.T, addr string) (*bufio.Writer, net.Conn) {
 	return bw, conn
 }
 
-// readV3Metrics reads the job's reply frames up to its METRICS. A job whose
-// relations the test ships flat is a pairs job, so the PAIRS frames ahead of
-// the metrics are read past.
+// readV3Metrics reads the job's reply frames up to its METRICS, past the
+// PAIRS frames of a pairs job.
 func readV3Metrics(t *testing.T, conn net.Conn, wantJob uint32) metrics {
 	t.Helper()
 	br := bufio.NewReader(conn)
@@ -224,16 +223,24 @@ func readV3ErrMetrics(t *testing.T, conn net.Conn, wantJob uint32) string {
 	return readV3Metrics(t, conn, wantJob).Err
 }
 
-// sendOpenJob opens an equi job; its kind is what the test's frames make it.
-func sendOpenJob(t *testing.T, bw *bufio.Writer, id uint32) {
+// sendOpenJob opens an equi job: a pairs job when pairs is set, else a count
+// job, or a plan job once a PLAN frame follows.
+func sendOpenJob(t *testing.T, bw *bufio.Writer, id uint32, pairs bool) {
 	t.Helper()
 	spec, err := join.SpecOf(join.Equi{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeV3GobFrame(bw, frameV3OpenJob, id, jobOpen{Cond: spec}); err != nil {
+	if err := writeV3GobFrame(bw, frameV3OpenJob, id, jobOpen{Cond: spec, Pairs: pairs}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// writeRel ships a pairs or plan job's relation rel whole, as writeRelation
+// does: relation 1 as the base run, relation 2 as window 0 and 3, the re-key
+// column, as window 1.
+func writeRel(w io.Writer, job uint32, rel int, keys []join.Key) error {
+	return writeRun(w, job, rel == 1, uint32(max(rel-2, 0)), 0, keys)
 }
 
 // answerStats plays the coordinator's half of a plan job's statistics
@@ -271,27 +278,16 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat := func(bw *bufio.Writer, rel int8, keys []join.Key, rekey bool) error {
-		return errors.Join(writeRelHead(bw, 1, rel, len(keys), rekey), writeKeyBlocksV3(bw, 1, rel, keys))
-	}
-	// chunked ships a count job's relation 1 as its base run, relation 2 as
-	// its window run.
-	chunked := func(bw *bufio.Writer, rel int8, keys []join.Key, mid func() error) error {
-		if rel == 1 {
-			return errors.Join(writeStreamBaseKeys(bw, 1, 0, keys), mid(), writeStreamBaseEnd(bw, 1, 0, len(keys)))
-		}
-		return errors.Join(writeStreamWinKeys(bw, 1, 0, 0, keys), mid(), writeStreamWinEnd(bw, 1, 0, 0, len(keys)))
-	}
 	column := func(n int) func(*bufio.Writer) error {
 		return func(bw *bufio.Writer) error {
-			return errors.Join(flat(bw, 1, r1, false), flat(bw, 2, r2, true),
-				writeKeyBlocksV3(bw, 1, relRekey, make([]join.Key, n)))
+			return errors.Join(writeRel(bw, 1, 1, r1), writeRel(bw, 1, 2, r2), writeRel(bw, 1, 3, make([]join.Key, n)))
 		}
 	}
 	for _, c := range []struct {
 		name    string
 		budget  int64
 		plan    bool
+		pairs   bool
 		send    func(bw *bufio.Writer) error
 		wantErr string // "" = the job succeeds
 		code    int
@@ -304,31 +300,18 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 		{name: "matches charged to the tenant", budget: 100, plan: true,
 			send: func(bw *bufio.Writer) error {
 				dup := []join.Key{5, 5, 5}
-				return errors.Join(flat(bw, 1, dup, false), flat(bw, 2, dup, true), writeKeyBlocksV3(bw, 1, relRekey, dup))
+				return errors.Join(writeRel(bw, 1, 1, dup), writeRel(bw, 1, 2, dup), writeRel(bw, 1, 3, dup))
 			},
 			wantErr: "would buffer 144 bytes (72 in use), budget 100", code: codeQuota},
 		{name: "missing on a plan job", plan: true,
 			send: func(bw *bufio.Writer) error {
-				return errors.Join(flat(bw, 1, r1, false), flat(bw, 2, r2, false))
+				return errors.Join(writeRel(bw, 1, 1, r1), writeRel(bw, 1, 2, r2))
 			},
 			wantErr: "without relation 2's re-key column"},
-		{name: "declared on a non-plan job", send: column(len(r2)), wantErr: "only a plan job's relation 2"},
-		{name: "declared on relation 1", plan: true,
-			send: func(bw *bufio.Writer) error {
-				return errors.Join(flat(bw, 1, r1, true), flat(bw, 2, r2, false))
-			},
-			wantErr: "only a plan job's relation 2"},
-		{name: "shipped for a chunked relation",
-			send: func(bw *bufio.Writer) error {
-				return errors.Join(chunked(bw, 1, r1, func() error { return nil }),
-					chunked(bw, 2, r2, func() error { return writeKeyBlocksV3(bw, 1, relRekey, r2) }))
-			},
-			wantErr: "block for undeclared relation 3"},
-		{name: "declared by a head of its own", plan: true,
-			send:    func(bw *bufio.Writer) error { return flat(bw, relRekey, r2, false) },
-			wantErr: "declared by relation 2's head"},
-		{name: "short", plan: true, send: column(len(r2) - 1), wantErr: "relation 3 ended at 2 tuples, head declared 3"},
-		{name: "long", plan: true, send: column(len(r2) + 1), wantErr: "relation 3 overflows declared count 3"},
+		{name: "declared on a non-plan job", pairs: true, send: column(len(r2)), wantErr: "past epoch 0, window 0"},
+		{name: "shipped for a chunked relation", send: column(len(r2)), wantErr: "past epoch 0, window 0"},
+		{name: "short", plan: true, send: column(len(r2) - 1), wantErr: "re-key column holds 2 keys for relation 2's 3 tuples"},
+		{name: "long", plan: true, send: column(len(r2) + 1), wantErr: "re-key column holds 4 keys for relation 2's 3 tuples"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ws, addrs := startTenantWorkerSet(t, 1, AdmissionConfig{},
@@ -336,7 +319,7 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 			bw, conn := dialV3(t, addrs[0])
 			br := bufio.NewReader(conn)
 			err := writeV3GobFrame(bw, frameV3Hello, 0, sessionHello{Tenant: tenant})
-			sendOpenJob(t, bw, 1)
+			sendOpenJob(t, bw, 1, c.pairs)
 			token := newPeerToken()
 			if c.plan {
 				err = errors.Join(err, writeV3GobFrame(bw, frameV3Plan, 1,
@@ -362,10 +345,10 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 			// what it had reserved is credited back.
 			idle := &baseline{t: t}
 			idle.workersIdle(ws)
-			sendOpenJob(t, bw, 2)
+			sendOpenJob(t, bw, 2, true)
 			err = errors.Join(
-				writeRelHead(bw, 2, 1, 1, false), writeKeyBlocksV3(bw, 2, 1, []join.Key{5}),
-				writeRelHead(bw, 2, 2, 1, false), writeKeyBlocksV3(bw, 2, 2, []join.Key{5}),
+				writeRel(bw, 2, 1, []join.Key{5}),
+				writeRel(bw, 2, 2, []join.Key{5}),
 				writeV3FrameHeader(bw, frameV3EOS, 2, 0), bw.Flush())
 			if err != nil {
 				t.Fatal(err)
@@ -411,18 +394,19 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 	})
 }
 
-// TestSessionRefusesFlatCountJob pins the coordinator's half of a job kind
-// read from the frames: a count job (no pair sink, no plan) handed flat
-// relations would reach the worker as a pairs job, so Session.sendJob refuses
-// it after the open and before any relation frame. The refusal is a
-// validation abort that blames no worker, the worker retires the job, and the
-// session still joins.
-func TestSessionRefusesFlatCountJob(t *testing.T) {
+// TestSessionRelationFormsByJobKind pins which relation forms a job kind
+// takes, every one shipping as base and window runs. A pairs job's indices
+// name arrival order, so Session.sendJob refuses a chunk stream handed to one
+// after the open and before any relation frame: a validation abort that blames
+// no worker; the worker retires the job, and the session still joins. A count
+// job takes either form: flat, it counts what exec.Run counts.
+func TestSessionRelationFormsByJobKind(t *testing.T) {
 	leakCheck(t)
 	seen := map[byte]*atomic.Bool{}
 	var rules []faultnet.Rule
-	for _, f := range []byte{faultnet.FrameOpenJob, faultnet.FrameAbort,
-		faultnet.FrameRelHead, faultnet.FrameBlock, faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd} {
+	runFrames := []byte{faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd,
+		faultnet.FrameStreamWin, faultnet.FrameStreamWinEnd}
+	for _, f := range append([]byte{faultnet.FrameOpenJob, faultnet.FrameAbort}, runFrames...) {
 		arrived := new(atomic.Bool)
 		seen[f] = arrived
 		rules = append(rules, faultnet.Rule{Dir: faultnet.In, Frame: f, Action: faultnet.ActHook,
@@ -437,97 +421,94 @@ func TestSessionRefusesFlatCountJob(t *testing.T) {
 	t.Cleanup(func() { _ = w.Close() })
 	sess := dialSession(t, []string{w.Addr()})
 
-	keys := randKeys(200, 100, 140)
-	flat := exec.ShuffleKeys(keys, partition.NewCI(1), 1, exec.Config{Seed: 141})
-	defer flat.Release()
-	job := &exec.Job{Cond: join.Equi{}, Workers: 1,
-		R1: exec.ResolvedRelFuture(exec.RelData{Keys: flat}),
-		R2: exec.ResolvedRelFuture(exec.RelData{Keys: flat})}
-	err = sess.RunJob(job, make([]exec.WorkerMetrics, 1))
-	if err == nil || !strings.Contains(err.Error(), "a count job's relations stream as chunks") {
-		t.Fatalf("flat count job: RunJob returned %v", err)
-	}
-	for _, f := range Faults(err) {
-		if f.Kind != FaultUnknown || f.RetryableFault() {
-			t.Fatalf("the refusal blames the worker: %v", f)
+	scheme, cfg := partition.NewCI(1), exec.Config{Seed: 141}
+
+	t.Run("chunk stream on a pairs job", func(t *testing.T) {
+		keys := randKeys(200, 100, 140)
+		chunked := exec.ShuffleKeysChunked(keys, scheme, 1, cfg)
+		defer chunked.Drain()
+		flat := exec.ShuffleKeys(keys, scheme, 1, cfg)
+		defer flat.Release()
+		job := &exec.Job{Cond: join.Equi{}, Workers: 1,
+			R1:    exec.ResolvedRelFuture(exec.RelData{Chunks: chunked}),
+			R2:    exec.ResolvedRelFuture(exec.RelData{Keys: flat}),
+			Pairs: func(int, []exec.PairIdx) {}}
+		err := sess.RunJob(job, make([]exec.WorkerMetrics, 1))
+		if err == nil || !strings.Contains(err.Error(), "a pairs or plan job's relations ship flat") {
+			t.Fatalf("chunked pairs job: RunJob returned %v", err)
 		}
-	}
-	waitFor(t, "the ABORT to retire the job on the worker", func() bool {
-		return seen[faultnet.FrameAbort].Load() && inFlight(w) == 0
+		for _, f := range Faults(err) {
+			if f.Kind != FaultUnknown || f.RetryableFault() {
+				t.Fatalf("the refusal blames the worker: %v", f)
+			}
+		}
+		waitFor(t, "the ABORT to retire the job on the worker", func() bool {
+			return seen[faultnet.FrameAbort].Load() && inFlight(w) == 0
+		})
+		if !seen[faultnet.FrameOpenJob].Load() {
+			t.Fatal("the job was never opened")
+		}
+		for _, f := range runFrames {
+			if seen[f].Load() {
+				t.Fatalf("frame type %d of the refused job reached the worker", f)
+			}
+		}
+		res, err := exec.RunOver(sess, keys, keys, join.Equi{}, scheme, model, cfg)
+		if err != nil {
+			t.Fatalf("session unusable after the refusal: %v", err)
+		}
+		if want := localjoin.NestedLoopCount(keys, keys, join.Equi{}); res.Output != want {
+			t.Fatalf("output %d, want %d", res.Output, want)
+		}
 	})
-	if !seen[faultnet.FrameOpenJob].Load() {
-		t.Fatal("the job was never opened")
-	}
-	for _, f := range []byte{faultnet.FrameRelHead, faultnet.FrameBlock, faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd} {
-		if seen[f].Load() {
-			t.Fatalf("frame type %d of the refused job reached the worker", f)
+
+	t.Run("flat count job", func(t *testing.T) {
+		r1, r2 := randKeys(300, 120, 142), randKeys(300, 120, 143)
+		cond := join.NewBand(2)
+		s1, s2 := exec.ShufflePair(r1, r2, scheme, cfg)
+		defer s1.Release()
+		defer s2.Release()
+		wm := make([]exec.WorkerMetrics, 1)
+		err := sess.RunJob(&exec.Job{Cond: cond, Workers: 1,
+			R1: exec.ResolvedRelFuture(exec.RelData{Keys: s1}), R2: exec.ResolvedRelFuture(exec.RelData{Keys: s2})}, wm)
+		if err != nil {
+			t.Fatalf("flat count job: RunJob returned %v", err)
 		}
-	}
-	res, err := exec.RunOver(sess, keys, keys, join.Equi{}, partition.NewCI(1), model, exec.Config{Seed: 141})
-	if err != nil {
-		t.Fatalf("session unusable after the refusal: %v", err)
-	}
-	if want := localjoin.NestedLoopCount(keys, keys, join.Equi{}); res.Output != want {
-		t.Fatalf("output %d, want %d", res.Output, want)
-	}
+		want := exec.Run(r1, r2, cond, scheme, model, cfg).Workers[0]
+		want.Work = 0 // the driver derives it from the model; RunJob leaves it
+		if wm[0] != want {
+			t.Fatalf("flat count job counted %+v, exec.Run %+v", wm[0], want)
+		}
+	})
 }
 
 func TestSessionBlockLengthMismatchKeepsStreamInSync(t *testing.T) {
-	// A block frame whose header length disagrees with its embedded count
+	// A key frame whose header length disagrees with its embedded count
 	// fails the job, but the worker must consume exactly the frame-declared
 	// bytes — the next job on the same connection still works.
 	_, addrs := startWorkerSet(t, 1)
 	bw, conn := dialV3(t, addrs[0])
-	sendOpenJob(t, bw, 1)
-	if err := writeRelHead(bw, 1, 1, 2, false); err != nil {
-		t.Fatal(err)
-	}
-	// Frame declares 5 + 16 payload bytes but the embedded count says 1 key
-	// (5 + 8): the extra 8 bytes must be drained as frame payload.
-	if err := writeV3FrameHeader(bw, frameV3Block, 1, blockHeaderLen+16); err != nil {
-		t.Fatal(err)
-	}
-	var bh [blockHeaderLen]byte
-	bh[0] = 1
-	binary.LittleEndian.PutUint32(bh[1:], 1)
-	if _, err := bw.Write(bh[:]); err != nil {
-		t.Fatal(err)
-	}
-	var keys [16]byte
-	if _, err := bw.Write(keys[:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRelHead(bw, 1, 2, 0, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeV3FrameHeader(bw, frameV3EOS, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
+	sendOpenJob(t, bw, 1, true)
+	// Frame declares 8 + 16 payload bytes but the embedded count says 1 key
+	// (8 + 8): the extra 8 bytes must be drained as frame payload.
+	var frame [streamBaseHdrLen + 16]byte
+	binary.LittleEndian.PutUint32(frame[4:], 1)
+	err := errors.Join(writeV3FrameHeader(bw, frameV3StreamBase, 1, len(frame)), func() error {
+		_, err := bw.Write(frame[:])
+		return err
+	}(), writeRel(bw, 1, 2, nil), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if msg := readV3ErrMetrics(t, conn, 1); !strings.Contains(msg, "inconsistent") {
-		t.Fatalf("mismatched block frame accepted: %q", msg)
+		t.Fatalf("mismatched key frame accepted: %q", msg)
 	}
 
 	// Same connection, next job: framing survived the bad frame.
-	sendOpenJob(t, bw, 2)
-	if err := writeRelHead(bw, 2, 1, 1, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeKeyBlocksV3(bw, 2, 1, []join.Key{5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeRelHead(bw, 2, 2, 1, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeKeyBlocksV3(bw, 2, 2, []join.Key{5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeV3FrameHeader(bw, frameV3EOS, 2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
+	sendOpenJob(t, bw, 2, true)
+	err = errors.Join(writeRel(bw, 2, 1, []join.Key{5}), writeRel(bw, 2, 2, []join.Key{5}),
+		writeV3FrameHeader(bw, frameV3EOS, 2, 0), bw.Flush())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if msg := readV3ErrMetrics(t, conn, 2); msg != "" {
@@ -543,14 +524,8 @@ func TestWorkerShutdownDrainsInFlightJob(t *testing.T) {
 	// must wait for the job, the worker must still reply, and the listener
 	// must refuse new connections.
 	bw, conn := dialV3(t, addrs[0])
-	sendOpenJob(t, bw, 1)
-	if err := writeRelHead(bw, 1, 1, 2, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeKeyBlocksV3(bw, 1, 1, []join.Key{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
+	sendOpenJob(t, bw, 1, true)
+	if err := errors.Join(writeRel(bw, 1, 1, []join.Key{1, 2}), bw.Flush()); err != nil {
 		t.Fatal(err)
 	}
 	// Give the worker a moment to register the in-flight job.
@@ -570,16 +545,8 @@ func TestWorkerShutdownDrainsInFlightJob(t *testing.T) {
 		t.Fatal("Shutdown returned while a job was still in flight")
 	}
 	// Finish the job; the drain completes and the reply still arrives.
-	if err := writeRelHead(bw, 1, 2, 1, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeKeyBlocksV3(bw, 1, 2, []join.Key{2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeV3FrameHeader(bw, frameV3EOS, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
+	err := errors.Join(writeRel(bw, 1, 2, []join.Key{2}), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if msg := readV3ErrMetrics(t, conn, 1); msg != "" {

@@ -21,32 +21,28 @@ import (
 
 // This file is the worker side of the session protocol: one read loop per
 // connection demultiplexes numbered jobs. Every job walks the same path —
-// openJob registers it, headFrame/dataFrame decode its relations, and retire
-// is the single exit, shared with ABORT and connection teardown. A job's kind
-// is read from its own frames, never from a flag in its open, and what
-// consumes the job is what its OUTPUT needs. Relation 1 as flat blocks means
-// arrival order: a stage-1 plan's matches when a PLAN frame rode with the
-// open, pairs otherwise. Those decode into pooled buffers that grow as their
-// frames arrive (a head only declares the count), and finishJob joins and
-// replies in its own goroutine at the job's EOS (so the read loop keeps
-// draining the next job's frames meanwhile). Every count job — relations as
-// base and window frames, a peer-fed stage 2, a stream — feeds the one
-// goroutine that joins while the frames arrive (stream_worker.go). Job-level
+// openJob registers it, endFrame/dataFrame decode its relations' base and
+// window runs, and retire is the single exit, shared with ABORT and connection
+// teardown. What consumes the job is what its OUTPUT needs. A pairs job (its
+// open says Pairs) and a stage-1 plan job (a PLAN frame rode with the open)
+// need arrival order: their runs decode into pooled buffers that grow as
+// their frames arrive, and finishJob joins and replies in its own goroutine at
+// the job's EOS (so the read loop keeps draining the next job's frames
+// meanwhile). Every count job — coordinator-fed, a peer-fed stage 2, a
+// stream — feeds the one goroutine that joins while the frames arrive
+// (stream_worker.go). Job-level
 // protocol violations fail only that job (its remaining frames are read and
 // discarded, then an error metrics frame replies); frame-level corruption is
 // connection-fatal — framing is the only thing that lets the two sides stay
 // in sync.
 
 // sessRel is one relation of an in-flight session job — or, in the job's
-// third slot, relation 2's re-key column, which a plan job's RELHEAD declares
-// alongside relation 2 and which fills from BLOCK frames like a flat relation.
-// A relation fed to a join goroutine as a run of base or window frames knows
-// its count only at the run's end frame: pos is the running count until then,
-// and the end declares it.
+// third slot, a plan job's re-key column, its window 1. Every relation
+// arrives as a run of base or window frames and knows its count only at the
+// run's end frame: pos is the running count, and the end declares it final.
 type sessRel struct {
 	declared bool
-	n        int        // declared tuple count
-	keys     []join.Key // grown frame by frame (growKeys), pos of them filled
+	keys     []join.Key // a pairs or plan job's run, grown frame by frame (growKeys)
 	pos      int
 }
 
@@ -57,7 +53,8 @@ type sessJob struct {
 	cond     join.Condition
 	counted  bool // beginJob admitted it (draining workers refuse)
 	err      error
-	rels     [relRekey]sessRel
+	pairs    bool // its open asked for the matches as index pairs
+	rels     [3]sessRel
 
 	// ws is the connection the job arrived on; its tenant keys the job's
 	// account in the worker's ledger. charged is the job's reservation there:
@@ -91,7 +88,7 @@ type sessJob struct {
 	// stream, when set, is the goroutine the job's key frames feed (see
 	// stream_worker.go) — a STREAMOPEN or peer-fed job's from its open, a
 	// count job's from its first base frame or base end. Such a job never
-	// reaches finishJob.
+	// reaches finishJob; a pairs or plan job never has one.
 	stream *sessStream
 }
 
@@ -143,20 +140,6 @@ func (j *sessJob) credit(n int64) {
 	}
 }
 
-// runRel is the relation a run of base (or window) frames advances: a fed
-// job's resident relation (or the other one); a stream's relation 2 (or 1).
-// The job has its goroutine.
-func (j *sessJob) runRel(base bool) *sessRel {
-	tag := j.stream.resTag
-	if tag == 0 {
-		tag = 2
-	}
-	if !base {
-		tag = 3 - tag
-	}
-	return &j.rels[tag-1]
-}
-
 // runEvent decodes a frame of a base or window run (typ; h its sub-header or
 // end payload) into the join goroutine's event, less its keys: a window run's
 // frames lead with the window, then every one names the epoch, and the last
@@ -173,44 +156,48 @@ func runEvent(typ byte, h []byte) streamEvent {
 	return ev
 }
 
-// feedable admits a base or window run's event to the job's join goroutine,
-// starting a count job's on its first base frame or base end: an OPENJOB
-// with neither a PLAN nor a flat relation is a count job, relation 1 its one
-// epoch's base and relation 2 its one window. A fed job runs at epoch 0 and
-// window 0 and ends each run once; a peer-fed job's probe is the mesh
-// transfer, so it takes no window. A STREAMOPEN job's runs span epochs and
-// windows, which its goroutine checks.
-func (j *sessJob) feedable(ev streamEvent) error {
+// runRel admits a frame of a base or window run (ev, less its keys) and
+// returns the relation it advances. A STREAMOPEN job's runs span epochs and
+// windows, which its goroutine checks: its base is relation 2, its windows
+// relation 1. Every other job runs at epoch 0 and ends each run once:
+// relation 1 is the base (a peer-fed job's base is its relation 2, and its
+// probe is the mesh transfer, so it takes no window), relation 2 window 0,
+// and a plan job's re-key column window 1. An OPENJOB that asked for neither
+// pairs nor a plan is a count job: its join goroutine starts on its first
+// base frame or base end.
+func (j *sessJob) runRel(ev streamEvent) (*sessRel, error) {
 	base := ev.kind <= evStreamBaseEnd
 	switch {
 	case j.stream != nil && !j.stream.fed():
-		return nil
-	case j.stream != nil:
-	case j.plan != nil || j.rels[0].declared || j.rels[1].declared:
-		return fmt.Errorf("base or window frames on a pairs or plan job, which joins flat blocks in arrival order")
-	case !base:
-		return fmt.Errorf("window frames ahead of relation 1's base")
-	default:
+		if base {
+			return &j.rels[1], nil
+		}
+		return &j.rels[0], nil
+	case j.stream == nil && !j.pairs && j.plan == nil:
+		if !base {
+			return nil, fmt.Errorf("window frames ahead of relation 1's base")
+		}
 		j.stream = newSessStream(j, exec.StatsSpec{}, 1)
 	}
+	lastWin := uint32(0)
+	if j.plan != nil {
+		lastWin = 1 // the re-key column
+	}
+	i := 0
 	switch {
 	case j.peerFed && !base:
-		return fmt.Errorf("window frames on a peer-fed job, whose probe is the mesh transfer")
-	case ev.epoch != 0 || ev.win != 0:
-		return fmt.Errorf("a fed job's run at epoch %d, window %d, past epoch 0, window 0", ev.epoch, ev.win)
-	case j.runRel(base).declared:
-		return fmt.Errorf("a fed job's frame after its run's end frame")
+		return nil, fmt.Errorf("window frames on a peer-fed job, whose probe is the mesh transfer")
+	case ev.epoch != 0 || ev.win > lastWin:
+		return nil, fmt.Errorf("a job's run at epoch %d, window %d, past epoch 0, window %d", ev.epoch, ev.win, lastWin)
+	case j.peerFed:
+		i = 1
+	case !base:
+		i = 1 + int(ev.win)
 	}
-	return nil
-}
-
-// rel resolves a relation tag from a frame: 1, 2, or relRekey for relation
-// 2's re-key column (which only BLOCK frames may name — see declarable).
-func (j *sessJob) rel(tag byte) (*sessRel, error) {
-	if tag < 1 || tag > relRekey {
-		return nil, fmt.Errorf("unknown relation %d", tag)
+	if j.rels[i].declared {
+		return nil, fmt.Errorf("a job's frame after its run's end frame")
 	}
-	return &j.rels[tag-1], nil
+	return &j.rels[i], nil
 }
 
 // plan2Waiter is one plan job's wait for the replanned artifact, from its PLAN
@@ -381,13 +368,13 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int, msg any,
 	return j
 }
 
-// headFrame serves the fixed-layout frames that open or close a run of key
-// frames (RELHEAD, BASEEND, WINEND). It reports false when the connection
-// must die: unknown job, wrong frame length, I/O error. A declaration the job
-// cannot accept fails only the job.
-func (ws *workerSession) headFrame(br *bufio.Reader, typ byte, id uint32, n int) bool {
-	var buf [streamWinHdrLen]byte // the longest of the three
-	h := buf[:headFrameLen[typ]]
+// endFrame serves the fixed-layout frames that close a run of key frames
+// (BASEEND, WINEND). It reports false when the connection must die: unknown
+// job, wrong frame length, I/O error. An end the job cannot accept fails only
+// the job.
+func (ws *workerSession) endFrame(br *bufio.Reader, typ byte, id uint32, n int) bool {
+	var buf [streamWinHdrLen]byte // the longer of the two
+	h := buf[:endFrameLen[typ]]
 	j := ws.jobs[id]
 	if j == nil || n != len(h) {
 		return false
@@ -395,42 +382,42 @@ func (ws *workerSession) headFrame(br *bufio.Reader, typ byte, id uint32, n int)
 	if _, err := io.ReadFull(br, h); err != nil {
 		return false
 	}
-	switch {
-	case typ != frameV3RelHead && (j.err == nil || j.stream != nil):
+	if j.err == nil || j.stream != nil {
 		j.streamEnd(typ, h)
-	case j.err == nil:
-		if err := j.relHead(h); err != nil {
-			j.fail(err)
-		}
 	}
 	return true
 }
 
 // streamEnd closes one run of base frames (h is [epoch u32][total u32]) or of
 // window frames ([window u32] ahead of the same): its exact total must match
-// the running count. A fed job's end declares the relation; a stream's count
-// restarts for its next epoch or window. The end reaches the goroutine failed
-// or not: a stream's window end is what makes it reply, and the coordinator
-// collects windows in lockstep.
+// the running count. Any job's but a stream's end declares the relation; a
+// stream's count restarts for its next epoch or window. The end reaches a
+// goroutine failed or not: a stream's window end is what makes it reply, and
+// the coordinator collects windows in lockstep.
 func (j *sessJob) streamEnd(typ byte, h []byte) {
 	ev := runEvent(typ, h)
-	if err := j.feedable(ev); err != nil {
+	r, err := j.runRel(ev)
+	if err != nil {
 		j.fail(err)
 		return
 	}
-	r := j.runRel(typ == frameV3StreamBaseEnd)
 	if r.pos != ev.total {
 		j.fail(fmt.Errorf("stream frame type %d ends a run of %d tuples, declares %d", typ, r.pos, ev.total))
 	}
-	if j.stream.fed() {
-		r.declared, r.n = true, r.pos
-	} else {
+	switch {
+	case j.stream == nil:
+		r.declared, r.keys = true, r.keys[:r.pos]
+	case j.stream.fed():
+		r.declared = true
+	default:
 		r.pos = 0
 	}
-	j.stream.feed(ev)
+	if j.stream != nil {
+		j.stream.feed(ev)
+	}
 }
 
-// dataFrame serves the key frames (BLOCK, BASE, WIN). A frame for a failed
+// dataFrame serves the key frames (BASE, WIN). A frame for a failed
 // job is consumed and dropped; a *protoErr from the decoder — which has
 // consumed the frame — fails only the job; anything else (unknown job, frame
 // shorter than its sub-header, I/O error) reports false: the connection's
@@ -501,6 +488,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			if j == nil {
 				return
 			}
+			j.pairs = jo.Pairs
 			if j.err != nil {
 				continue
 			}
@@ -576,6 +564,8 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			case j.err != nil:
 			case j.plan != nil:
 				j.fail(fmt.Errorf("job carries two plans"))
+			case j.pairs:
+				j.fail(fmt.Errorf("a pairs job cannot carry a plan: its matches return as pairs"))
 			case len(ps.Plan) != 0 || len(ps.Peers) != 0:
 				// A PLAN frame requests statistics; the plan and peer map
 				// arrive in the PLAN2 that answers them.
@@ -606,12 +596,12 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			w.dropPeerState(pc.Token)
 			ws.pt.cancel(pc.Token)
 
-		case frameV3RelHead, frameV3StreamBaseEnd, frameV3StreamWinEnd:
-			if !ws.headFrame(br, typ, id, n) {
+		case frameV3StreamBaseEnd, frameV3StreamWinEnd:
+			if !ws.endFrame(br, typ, id, n) {
 				return
 			}
 
-		case frameV3Block, frameV3StreamBase, frameV3StreamWin:
+		case frameV3StreamBase, frameV3StreamWin:
 			if !ws.dataFrame(br, typ, id, n) {
 				return
 			}
@@ -653,51 +643,6 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 	}
 }
 
-// relHead declares a flat relation: its exact tuple count and, on relation 2
-// of a plan job, the re-key column of as many keys. It allocates nothing: the
-// count bounds the BLOCK frames, which grow the buffer as they arrive, and
-// validates at EOS.
-func (j *sessJob) relHead(h []byte) error {
-	r, err := j.rel(h[0])
-	if err == nil {
-		err = j.declarable(r, h[0])
-	}
-	if err != nil {
-		return err
-	}
-	count := int64(binary.LittleEndian.Uint32(h[2:]))
-	if count > MaxRelationTuples {
-		return fmt.Errorf("relation count %d outside [0, %d]", count, MaxRelationTuples)
-	}
-	rekey := h[1]&relFlagRekey != 0
-	if rekey && (h[0] != 2 || j.plan == nil) {
-		return fmt.Errorf("relation %d declares a re-key column; only a plan job's relation 2 carries one", h[0])
-	}
-	*r = sessRel{declared: true, n: int(count)}
-	if rekey {
-		j.rels[relRekey-1] = *r
-	}
-	return nil
-}
-
-// declarable refuses a head naming the re-key column (relation 2's RELHEAD
-// declares it), a second declaration of relation tag, any declaration of a
-// peer-fed job's relation 1, and one a running join goroutine could not
-// take: a fed or stream job's relations are its base and window runs.
-func (j *sessJob) declarable(r *sessRel, tag byte) error {
-	switch {
-	case tag == relRekey:
-		return fmt.Errorf("the re-key column is declared by relation 2's head, not its own")
-	case j.peerFed && tag == 1:
-		return fmt.Errorf("relation 1 of a peer-fed job arrives from peers, not the coordinator")
-	case r.declared:
-		return fmt.Errorf("relation %d declared twice", tag)
-	case j.stream != nil:
-		return fmt.Errorf("relation %d declared flat on a job whose relations feed the join goroutine", tag)
-	}
-	return nil
-}
-
 // protoErr marks a job-level protocol violation: the job fails with an
 // error reply but the connection (and its framing) stays intact. cause, when
 // set, preserves a typed underlying error (a quota rejection surfaced
@@ -710,10 +655,6 @@ type protoErr struct {
 func (e *protoErr) Error() string { return e.msg }
 
 func (e *protoErr) Unwrap() error { return e.cause }
-
-func protoErrf(format string, args ...any) *protoErr {
-	return &protoErr{msg: fmt.Sprintf(format, args...)}
-}
 
 // drainFrame consumes the rest bytes left of a data frame its decoder
 // rejected, so the stream stays in sync for the connection's other jobs, and
@@ -742,20 +683,20 @@ func readKeySubHdr(br *bufio.Reader, typ byte, n int, h []byte) (count int, err 
 	count = int(binary.LittleEndian.Uint32(h[len(h)-4:]))
 	if n != len(h)+8*count {
 		return 0, drainFrame(br, n-len(h),
-			protoErrf("frame type %d length %d inconsistent with count %d", typ, n, count))
+			&protoErr{msg: fmt.Sprintf("frame type %d length %d inconsistent with count %d", typ, n, count)})
 	}
 	return count, nil
 }
 
-// readKeyFrame is the one decoder of key-carrying session frames (BLOCK,
-// STREAMBASE, STREAMWIN): readKeySubHdr's step, then the keys. Every refusal
-// past that step is job-level too: the rest of the frame is drained and a
-// *protoErr returned. Every accepted frame is charged to the job's tenant
-// before its keys get a buffer: a BLOCK decodes in place into its relation's
-// buffer, grown within the RELHEAD's count; a base or window frame is capped
-// by the running count (the exact total validates at the run's end frame) and
-// decodes into a pooled buffer that becomes the join goroutine's next event.
-// A refused charge fails the job like any other refusal.
+// readKeyFrame is the one decoder of key-carrying session frames (STREAMBASE,
+// STREAMWIN): readKeySubHdr's step, then the keys. Every refusal past that
+// step is job-level too: the rest of the frame is drained and a *protoErr
+// returned. Every accepted frame is capped by its run's running count (the
+// exact total validates at the run's end frame) and charged to the job's
+// tenant before its keys get a buffer: a pairs or plan job's decodes in place
+// into its relation's buffer (growKeys), any other job's into a pooled buffer
+// that becomes the join goroutine's next event. A refused charge fails the
+// job like any other refusal.
 func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 	var hb [maxKeySubHdrLen]byte
 	h := hb[:keySubHdrLen[typ]]
@@ -763,27 +704,20 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 	if err != nil {
 		return err
 	}
-	refuse := func(format string, args ...any) error {
-		return drainFrame(br, n-len(h), protoErrf(format, args...))
-	}
-	overCharge := func(err error) error {
+	refuse := func(err error) error {
 		return drainFrame(br, n-len(h), &protoErr{msg: err.Error(), cause: err})
 	}
-
-	if typ == frameV3Block {
-		r, err := j.rel(h[0])
-		switch {
-		case err != nil:
-			return refuse("%s", err)
-		case !r.declared:
-			return refuse("block for undeclared relation %d", h[0])
-		case j.stream != nil:
-			return refuse("flat block for relation %d of a job whose relations feed the join goroutine", h[0])
-		case r.pos+count > r.n:
-			return refuse("relation %d overflows declared count %d", h[0], r.n)
-		}
-		if r.keys, err = growKeys(r.keys, r.pos, r.pos+count, r.n, j.charge); err != nil {
-			return overCharge(err)
+	ev := runEvent(typ, h)
+	r, err := j.runRel(ev)
+	if err != nil {
+		return refuse(err)
+	}
+	if overRelationCap(r.pos, count) {
+		return refuse(fmt.Errorf("frame type %d runs past %d tuples", typ, MaxRelationTuples))
+	}
+	if j.stream == nil {
+		if r.keys, err = growKeys(r.keys, r.pos, r.pos+count, MaxRelationTuples, j.charge); err != nil {
+			return refuse(err)
 		}
 		if err := readKeysLE(br, r.keys[r.pos:r.pos+count]); err != nil {
 			return err
@@ -791,19 +725,8 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 		r.pos += count
 		return nil
 	}
-
-	// A base or window frame advances its run's running count and becomes the
-	// goroutine's next event.
-	ev := runEvent(typ, h)
-	if err := j.feedable(ev); err != nil {
-		return refuse("%s", err)
-	}
-	r := j.runRel(typ == frameV3StreamBase)
-	if overRelationCap(r.pos, count) {
-		return refuse("frame type %d runs past %d tuples", typ, MaxRelationTuples)
-	}
 	if err := j.charge(8 * int64(count)); err != nil {
-		return overCharge(err)
+		return refuse(err)
 	}
 	keys := bufpool.Keys.Get(count)
 	if err := readKeysLE(br, keys); err != nil {
@@ -816,29 +739,20 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 	return nil
 }
 
-// validateComplete checks a flat or fed job's relations against their
-// declarations at EOS: a fed job's runs must have ended. A peer-fed job's
-// relation 1 is exempt: it arrives over the mesh (the declaration frames
-// refuse it from the coordinator) and the join goroutine probes it straight
-// out of the transfer table. The re-key column is checked when declared;
-// runPlanJob insists a plan job declared it.
+// validateComplete checks at EOS that every run of a pairs, plan or fed job
+// ended. A peer-fed job's relation 1 is exempt: it arrives over the mesh and
+// the join goroutine probes it straight out of the transfer table. runPlanJob
+// checks a plan job's re-key column.
 func (j *sessJob) validateComplete() error {
-	for i := range j.rels {
-		r := &j.rels[i]
-		if (j.peerFed && i == 0) || (i == relRekey-1 && !r.declared) {
-			continue
-		}
-		if !r.declared {
-			return fmt.Errorf("relation %d never declared its count", i+1)
-		}
-		if r.pos != r.n {
-			return fmt.Errorf("relation %d ended at %d tuples, head declared %d", i+1, r.pos, r.n)
+	for i, r := range j.rels[:2] {
+		if !r.declared && !(j.peerFed && i == 0) {
+			return fmt.Errorf("relation %d's run never ended", i+1)
 		}
 	}
 	return nil
 }
 
-// finishJob runs one drained flat job's join and replies. It runs in its own
+// finishJob runs one drained pairs or plan job's join and replies. It runs in its own
 // goroutine so the connection's read loop keeps consuming subsequent jobs;
 // replies serialize on the session's write lock. An abandoned job (worker
 // killed or coordinator gone while it waited) exits silently — the
@@ -868,8 +782,8 @@ func (w *Worker) finishJob(ws *workerSession, j *sessJob) {
 	_ = ws.reply(frameV3Metrics, j.id, m)
 }
 
-// runJob validates the drained job and joins its flat blocks in arrival
-// order: a plan job's matches, or a pairs job's.
+// runJob validates the drained job and joins its relations in arrival order:
+// a plan job's matches, or a pairs job's.
 func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 	if j.err == nil {
 		j.err = j.validateComplete()
@@ -878,7 +792,7 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 		return metrics{}, j.err
 	}
 	r1, r2 := &j.rels[0], &j.rels[1]
-	m := metrics{InputR1: int64(r1.n), InputR2: int64(r2.n)}
+	m := metrics{InputR1: int64(r1.pos), InputR2: int64(r2.pos)}
 	start := time.Now()
 	if j.plan != nil {
 		// Stage-1 plan job: join, materialize the matched stage-2 keys,
@@ -916,14 +830,16 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 // the peer address.
 func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64, error) {
 	w, ps := ws.w, j.plan
-	rekey := &j.rels[relRekey-1]
-	if !rekey.declared {
+	switch rekey := &j.rels[2]; {
+	case !rekey.declared:
 		return 0, nil, fmt.Errorf("plan job without relation 2's re-key column")
+	case rekey.pos != r2.pos:
+		return 0, nil, fmt.Errorf("re-key column holds %d keys for relation 2's %d tuples", rekey.pos, r2.pos)
 	}
 
 	// The three stage-1 steps exec.Local runs too: materialize, summarize,
 	// and (after the park below) route.
-	inter := exec.StageMatches(r1.keys, r2.keys, rekey.keys, j.cond)
+	inter := exec.StageMatches(r1.keys, r2.keys, j.rels[2].keys, j.cond)
 	// The matches are the one buffer no frame declared: the join sizes it. It
 	// is charged like received keys the moment its size is known, before the
 	// job parks holding it; release credits it.

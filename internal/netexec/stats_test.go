@@ -293,15 +293,15 @@ func TestPlanCancelAroundThePark(t *testing.T) {
 			cancelPlan := func() error {
 				return errors.Join(writeV3GobFrame(bw, frameV3PlanCancel, 0, planCancel{Token: token}), bw.Flush())
 			}
-			sendOpenJob(t, bw, 1)
+			sendOpenJob(t, bw, 1, false)
 			err := writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Token: token, Stats: exec.StatsSpec{Cap: 8, Buckets: 4}})
 			if c.at == afterPlan {
 				err = errors.Join(err, cancelPlan())
 			}
 			err = errors.Join(err,
-				writeRelHead(bw, 1, 1, len(r1), false), writeKeyBlocksV3(bw, 1, 1, r1),
-				writeRelHead(bw, 1, 2, len(r2), true), writeKeyBlocksV3(bw, 1, 2, r2),
-				writeKeyBlocksV3(bw, 1, relRekey, r2), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+				writeRel(bw, 1, 1, r1),
+				writeRel(bw, 1, 2, r2), writeRel(bw, 1, 3, r2),
+				writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
 			if err != nil {
 				t.Fatal(err)
 			}

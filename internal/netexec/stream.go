@@ -104,20 +104,14 @@ func (st *Stream) sendShares(shares [][]join.Key, write func(*bufio.Writer, []jo
 // SendBase implements exec.StreamHandle.
 func (st *Stream) SendBase(epoch uint32, shares [][]join.Key) error {
 	return st.sendShares(shares, func(bw *bufio.Writer, share []join.Key) error {
-		if err := writeStreamBaseKeys(bw, st.id, epoch, share); err != nil {
-			return err
-		}
-		return writeStreamBaseEnd(bw, st.id, epoch, len(share))
+		return writeRun(bw, st.id, true, 0, epoch, share)
 	})
 }
 
 // SendWindow implements exec.StreamHandle.
 func (st *Stream) SendWindow(window, epoch uint32, shares [][]join.Key) error {
 	return st.sendShares(shares, func(bw *bufio.Writer, share []join.Key) error {
-		if err := writeStreamWinKeys(bw, st.id, window, epoch, share); err != nil {
-			return err
-		}
-		return writeStreamWinEnd(bw, st.id, window, epoch, len(share))
+		return writeRun(bw, st.id, false, window, epoch, share)
 	})
 }
 

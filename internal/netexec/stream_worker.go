@@ -459,7 +459,7 @@ func (s *sessStream) probeTransfer() error {
 
 // onEOS replies the job's aggregate metrics; run retires the job next. The
 // read loop is done with a job it saw the EOS of, so a fed job's declarations
-// validate here, as finishJob validates a flat job's; a peer-fed job then
+// validate here, as finishJob validates a pairs or plan job's; a peer-fed job then
 // takes its probe from the mesh. An abandoned job exits silently, as there.
 func (s *sessStream) onEOS() {
 	if s.fed() && s.failed == nil {

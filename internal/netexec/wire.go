@@ -18,7 +18,7 @@ import (
 //
 //	magic "EWHB" | uint16 version
 //
-// where version 3 is a coordinator session and 5 a worker→worker peer-mesh
+// where version 6 is a coordinator session and 5 a worker→worker peer-mesh
 // link. Both frame everything after it as
 //
 //	[type u8][job u32][payloadLen u32][payload]
@@ -34,7 +34,9 @@ import (
 const (
 	// protoVersionSession is the persistent-session protocol: numbered jobs
 	// multiplex over the connection until either side closes (session.go).
-	protoVersionSession = 3
+	// Version 3 framed pairs and plan jobs as heads and blocks, and its
+	// jobOpen had no Pairs; a worker closes it at the prelude.
+	protoVersionSession = 6
 	// protoVersionPeer opens a worker→worker peer-transfer connection on the
 	// same listener: one sender streams stage-1 match contributions to one
 	// receiver, identified by 64-bit transfer tokens (peer.go). Version 4 was
@@ -44,8 +46,6 @@ const (
 	// Session frames. Every header carries a job number, so one connection
 	// interleaves many jobs' frames.
 	frameV3OpenJob = 10 // coord→worker gob jobOpen
-	frameV3RelHead = 11 // coord→worker [rel u8][flags u8][count u32]
-	frameV3Block   = 12 // coord→worker [rel u8][count u32][count×8 LE keys]; rel 3: the re-key column
 	frameV3EOS     = 14 // coord→worker job data complete; worker joins
 	frameV3Pairs   = 15 // worker→coord [count u32][count×(i1 u32, i2 u32)]
 	frameV3Metrics = 16 // worker→coord gob metrics (terminates the job)
@@ -87,12 +87,12 @@ const (
 	// processed under the old plan, windows after it under the new one.
 	// The stream closes via the ordinary frameV3EOS / frameV3Metrics pair.
 	//
-	// A count job (OPENJOB) and a peer-fed job (OPENPEERJOB) ride the same
-	// frames at epoch 0 and window 0: the resident relation as base frames
-	// (a count job's relation 1, a peer-fed job's relation 2), a count job's
-	// relation 2 as window frames. Each mapper's routed sub-block goes out the
-	// moment routing fills it; the end frame carries the exact total, which
-	// the coordinator only knows once every mapper has emitted.
+	// Every other job rides the same frames at epoch 0: relation 1 as the
+	// base run (a peer-fed job's base is its relation 2) and relation 2 as
+	// window 0; a plan job's re-key column follows as window 1. A count job's
+	// routed sub-blocks go out the moment routing fills them, so its end
+	// frames carry totals the coordinator only knows once every mapper has
+	// emitted; a pairs or plan job's relations ship whole.
 	frameV3StreamOpen    = 33 // coord→worker gob streamOpen
 	frameV3StreamBase    = 34 // coord→worker [epoch u32][count u32][count×8 LE keys]
 	frameV3StreamBaseEnd = 35 // coord→worker [epoch u32][total u32]
@@ -107,15 +107,6 @@ const (
 	framePeerHead  = 30 // [token u64][sender u32][count u32] — declares one sender's contribution
 	framePeerBlock = 31 // [token u64][sender u32][count u32][count×8 LE keys]
 
-	// relFlagRekey on relation 2's head of a plan job declares the re-key
-	// column: count more keys, aligned with the relation's, that follow as
-	// BLOCK frames tagged relRekey — the stage-2 join key a match
-	// materializes as.
-	relFlagRekey = 1
-	relRekey     = 3
-
-	// blockHeaderLen is [rel u8][count u32].
-	blockHeaderLen = 5
 	// streamBaseHdrLen is frameV3StreamBase's sub-header [epoch u32][count u32];
 	// frameV3StreamBaseEnd reuses the layout with the exact total in the
 	// count slot.
@@ -124,13 +115,11 @@ const (
 	// [window u32][epoch u32][count u32]; frameV3StreamWinEnd reuses the
 	// layout with the exact total in the count slot.
 	streamWinHdrLen = 12
-	// relHeadLen is [rel u8][flags u8][count u32].
-	relHeadLen = 6
 	// maxBlockKeys caps the keys one key-carrying frame holds (128 MiB); a
 	// longer run splits into consecutive frames (see writeKeyFrames).
 	maxBlockKeys = 1 << 24
 	// maxKeySubHdrLen is the longest sub-header a key-carrying frame leads
-	// with (framePeerBlock's; BLOCK 5, STREAMBASE 8, STREAMWIN 12).
+	// with (framePeerBlock's; STREAMBASE 8, STREAMWIN 12).
 	maxKeySubHdrLen = peerBlockHeaderLen
 	// maxDataPayload is the longest payload the frame-header reader
 	// accepts: a full key frame under the longest sub-header, so a maximal
@@ -249,22 +238,9 @@ func readGobPayload(r io.Reader, n int, v any) error {
 	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }
 
-// writeRelHead announces one flat relation of a session job: its exact tuple
-// count and whether a re-key column of as many keys follows — the worker
-// allocates its receive buffers from these before any data frame arrives.
-func writeRelHead(w io.Writer, job uint32, rel int8, count int, rekey bool) error {
-	var h [relHeadLen]byte
-	h[0] = byte(rel)
-	if rekey {
-		h[1] = relFlagRekey
-	}
-	binary.LittleEndian.PutUint32(h[2:], uint32(count))
-	return writeHeadFrame(w, frameV3RelHead, job, h[:])
-}
-
-// writeHeadFrame writes one of the fixed-layout frames that open or close a
-// run of key frames (the worker's headFrame reads them).
-func writeHeadFrame(w io.Writer, typ byte, job uint32, h []byte) error {
+// writeEndFrame writes one of the fixed-layout frames that close a run of key
+// frames (the worker's endFrame reads them).
+func writeEndFrame(w io.Writer, typ byte, job uint32, h []byte) error {
 	if err := writeV3FrameHeader(w, typ, job, len(h)); err != nil {
 		return err
 	}
@@ -272,14 +248,13 @@ func writeHeadFrame(w io.Writer, typ byte, job uint32, h []byte) error {
 	return err
 }
 
-// writeKeyFrames is the one writer of key-carrying data frames (BLOCK,
-// STREAMBASE, STREAMWIN on a session; framePeerBlock, at job 0, on the mesh).
-// They share one shape: a
-// fixed sub-header whose last four bytes are the frame's key count, then the
-// keys fixed-width little-endian. sub arrives with everything but the count
-// filled in; keys split at maxBlockKeys into consecutive frames (which append
-// in arrival order on the worker) and an empty run writes nothing — the
-// relation's head or end frame already says zero. Keys stage through a
+// writeKeyFrames is the one writer of key-carrying data frames (STREAMBASE,
+// STREAMWIN on a session; framePeerBlock, at job 0, on the mesh). They share
+// one shape: a fixed sub-header whose last four bytes are the frame's key
+// count, then the keys fixed-width little-endian. sub arrives with everything
+// but the count filled in; keys split at maxBlockKeys into consecutive frames
+// (which append in arrival order on the worker) and an empty run writes
+// nothing — the run's end frame already says zero. Keys stage through a
 // pooled scratch buffer, so the cost per key is one PutUint64.
 func writeKeyFrames(w io.Writer, typ byte, job uint32, sub []byte, keys []join.Key) error {
 	scratch := codecScratch.Get(scratchLen)
@@ -304,22 +279,27 @@ func writeKeyFrames(w io.Writer, typ byte, job uint32, sub []byte, keys []join.K
 	return nil
 }
 
-// headFrameLen is the payload length of each fixed-layout session frame that
-// opens or closes a run of key frames.
-var headFrameLen = [...]int{frameV3RelHead: relHeadLen,
-	frameV3StreamBaseEnd: streamBaseHdrLen, frameV3StreamWinEnd: streamWinHdrLen}
+// endFrameLen is the payload length of each fixed-layout session frame that
+// closes a run of key frames.
+var endFrameLen = [...]int{frameV3StreamBaseEnd: streamBaseHdrLen, frameV3StreamWinEnd: streamWinHdrLen}
 
 // keySubHdrLen is the sub-header length of each key-carrying frame.
-var keySubHdrLen = [...]int{frameV3Block: blockHeaderLen,
-	frameV3StreamBase: streamBaseHdrLen, frameV3StreamWin: streamWinHdrLen,
-	framePeerBlock: peerBlockHeaderLen}
+var keySubHdrLen = [...]int{frameV3StreamBase: streamBaseHdrLen,
+	frameV3StreamWin: streamWinHdrLen, framePeerBlock: peerBlockHeaderLen}
 
-// writeKeyBlocksV3 streams one flat relation's contiguous per-worker key slice
-// (or, under relRekey, relation 2's re-key column) as BLOCK frames.
-func writeKeyBlocksV3(w io.Writer, job uint32, rel int8, keys []join.Key) error {
-	var h [blockHeaderLen]byte
-	h[0] = byte(rel)
-	return writeKeyFrames(w, frameV3Block, job, h[:], keys)
+// writeRun ships keys whole as one run — the base of epoch, or window win of
+// it — and ends it with the exact total.
+func writeRun(w io.Writer, job uint32, base bool, win, epoch uint32, keys []join.Key) error {
+	if base {
+		if err := writeStreamBaseKeys(w, job, epoch, keys); err != nil {
+			return err
+		}
+		return writeStreamBaseEnd(w, job, epoch, len(keys))
+	}
+	if err := writeStreamWinKeys(w, job, win, epoch, keys); err != nil {
+		return err
+	}
+	return writeStreamWinEnd(w, job, win, epoch, len(keys))
 }
 
 // writeStreamBaseKeys ships one epoch's base shard for one worker.
@@ -418,7 +398,7 @@ func writeStreamBaseEnd(w io.Writer, job, epoch uint32, total int) error {
 	var h [streamBaseHdrLen]byte
 	binary.LittleEndian.PutUint32(h[0:], epoch)
 	binary.LittleEndian.PutUint32(h[4:], uint32(total))
-	return writeHeadFrame(w, frameV3StreamBaseEnd, job, h[:])
+	return writeEndFrame(w, frameV3StreamBaseEnd, job, h[:])
 }
 
 // writeStreamWinEnd closes one window's shard with its exact total; the
@@ -429,7 +409,7 @@ func writeStreamWinEnd(w io.Writer, job, window, epoch uint32, total int) error 
 	binary.LittleEndian.PutUint32(h[0:], window)
 	binary.LittleEndian.PutUint32(h[4:], epoch)
 	binary.LittleEndian.PutUint32(h[8:], uint32(total))
-	return writeHeadFrame(w, frameV3StreamWinEnd, job, h[:])
+	return writeEndFrame(w, frameV3StreamWinEnd, job, h[:])
 }
 
 // readPairsPayload decodes one pairs frame's payload (already past the
