@@ -142,13 +142,13 @@ func RunOver(rt Runtime, r1, r2 []join.Key, cond join.Condition,
 			func(k, _ *KeyShuffle) { f1.resolve(RelData{Keys: k}) },
 			func(k, _ *KeyShuffle) { f2.resolve(RelData{Keys: k}) })
 	}
-	return runJob(rt, job, scheme, model, cfg, start)
+	return dispatch(rt, job, scheme, model, cfg, start)
 }
 
-// runJob is the drivers' shared dispatch: run job through rt, recycle both
+// dispatch is the drivers' shared path: run job through rt, recycle both
 // relations — waiting out their shuffles first, since a transport that errored
 // early may return while a scatter is still writing — and derive the Result.
-func runJob(rt Runtime, job *Job, scheme partition.Scheme, model cost.Model,
+func dispatch(rt Runtime, job *Job, scheme partition.Scheme, model cost.Model,
 	cfg Config, start time.Time) (*Result, error) {
 
 	res := &Result{Scheme: scheme.Name() + rt.Label(), Workers: make([]WorkerMetrics, job.Workers)}

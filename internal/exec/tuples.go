@@ -108,7 +108,7 @@ func RunPairsOver(rt Runtime, r1, r2 []join.Key, cond join.Condition,
 	shufflePairAsync(r1, idx1, r2, idx2, scheme, cfg,
 		func(k, rows *KeyShuffle) { rows1 = rows; f1.resolve(RelData{Keys: k}) },
 		func(k, rows *KeyShuffle) { rows2 = rows; f2.resolve(RelData{Keys: k}) })
-	res, err := runJob(rt, job, scheme, model, cfg, start)
+	res, err := dispatch(rt, job, scheme, model, cfg, start)
 	rows1.Release()
 	rows2.Release()
 	bufpool.Keys.Put(idx1)

@@ -445,8 +445,8 @@ type outcome struct {
 // row numbers.
 type emitted struct{ row1, row2 int }
 
-// runJob runs the scenario's job once over rt. retry turns on recovery.
-func (sc *Scenario) runJob(rt exec.Runtime, retry bool) (*outcome, error) {
+// runOnce runs the scenario's job once over rt. retry turns on recovery.
+func (sc *Scenario) runOnce(rt exec.Runtime, retry bool) (*outcome, error) {
 	cfg := sc.cfg
 	if retry {
 		cfg.Retries = 2
@@ -577,7 +577,7 @@ func (sc *Scenario) reference(t testing.TB, fleet int) *reference {
 	if sc.job == Pairs && err == nil {
 		// The in-process pair sequences are what every other runtime repeats.
 		var o *outcome
-		if o, err = sc.runJob(exec.Local{}, false); err == nil {
+		if o, err = sc.runOnce(exec.Local{}, false); err == nil {
 			err = sc.checkSame(o, ref)
 			ref.out.pairs = o.pairs
 		}
@@ -802,7 +802,7 @@ func (sc *Scenario) runSession(t testing.TB) {
 	}
 	f := startFleet(t, width, counts)
 	sess := dial(t, sc, f.addrs, netexec.Timeouts{Dial: 2 * time.Second})
-	o, err := sc.runJob(sess, false)
+	o, err := sc.runOnce(sess, false)
 	if err == nil {
 		err = sc.checkSame(o, ref)
 	}
@@ -905,7 +905,7 @@ func (sc *Scenario) runFaulted(t testing.TB, ref *reference, width int, counts [
 		to.Job, to.IO = 500*time.Millisecond, 2*time.Second
 	}
 	sess := dial(t, sc, f.addrs, to)
-	o, err := sc.runJob(sess, true)
+	o, err := sc.runOnce(sess, true)
 	switch {
 	case err != nil:
 		err = fmt.Errorf("recovery failed: %w", err)
@@ -1007,7 +1007,7 @@ func (sc *Scenario) runPool(t testing.TB) {
 			defer sess.Close()
 			for k, job := range jobs[i] {
 				relayed := sess.RelayedPairs()
-				o, err := job.runJob(sess, false)
+				o, err := job.runOnce(sess, false)
 				if err == nil {
 					err = job.checkSame(o, refs[i][k])
 				}

@@ -395,7 +395,8 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 }
 
 // The worker-side return-to-baseline table: the job kinds the join goroutine
-// (stream_worker.go) serves, crossed with every way such a job can leave the
+// (stream_worker.go) serves — a pairs job, equi and band count jobs, a
+// peer-fed job and a stream — crossed with every way such a job can leave the
 // worker, each driven frame by frame over a raw connection and asserting
 // workersIdle, a build cache untouched by a failed job, and the goroutine
 // count back at the snapshot. The worker has ONE admission slot, so a fed job
@@ -418,6 +419,7 @@ const (
 // relations.
 type feedKind struct {
 	name  string
+	pairs bool // a pairs job: it holds its runs to EOS, with no side to seal
 	want  int64
 	token uint64 // the peer-fed kind's transfer, which its probe side fills
 	open  func(bw *bufio.Writer) error
@@ -431,17 +433,18 @@ func (k feedKind) run(bw *bufio.Writer, side int, keys []join.Key) error {
 	return errors.Join(k.keys(bw, side, keys), k.end(bw, side, len(keys)))
 }
 
-// chunkFedKind is a count job under cond whose relation 1 arrives as base
-// frames and relation 2 as window frames, at epoch 0 and window 0.
-func chunkFedKind(t *testing.T, name string, cond join.Condition, want int64) feedKind {
+// chunkFedKind is an OPENJOB job under cond — a count job, or a pairs job
+// when pairs — whose relation 1 arrives as base frames and relation 2 as
+// window frames, at epoch 0 and window 0.
+func chunkFedKind(t *testing.T, name string, cond join.Condition, want int64, pairs bool) feedKind {
 	spec, err := join.SpecOf(cond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return feedKind{
-		name: name, want: want,
+		name: name, want: want, pairs: pairs,
 		open: func(bw *bufio.Writer) error {
-			return writeV3GobFrame(bw, frameV3OpenJob, feedJob, jobOpen{Cond: spec})
+			return writeV3GobFrame(bw, frameV3OpenJob, feedJob, jobOpen{Cond: spec, Pairs: pairs})
 		},
 		keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
 			if side == buildSide {
@@ -472,9 +475,9 @@ func feedTableKinds(t *testing.T, w *Worker) []feedKind {
 	token := newPeerToken()
 	return []feedKind{
 		// 2×2 matches on key 2, one on key 3.
-		chunkFedKind(t, "fed count job", join.Equi{}, 5),
+		chunkFedKind(t, "fed count job", join.Equi{}, 5, false),
 		// Build key 1 reaches the two 2s, each 2 the 2s and the 3, 3 the same.
-		chunkFedKind(t, "band fed count job", join.NewBand(1), 11),
+		chunkFedKind(t, "band fed count job", join.NewBand(1), 11, false),
 		{
 			name: "peer-fed job", want: 5, token: token,
 			open: func(bw *bufio.Writer) error {
@@ -520,7 +523,10 @@ func feedTableKinds(t *testing.T, w *Worker) []feedKind {
 				_, err := bw.Write([]byte{1, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0})
 				return err
 			},
-		}}
+		},
+		// The equi count's 5 matches, as index pairs.
+		chunkFedKind(t, "pairs job", join.Equi{}, 5, true),
+	}
 }
 
 // awaitFeedMetrics reads job's reply frames up to its METRICS, skipping a
@@ -571,7 +577,8 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 	// Each exit sends its frames after the open. One with a check then reads
 	// the job's METRICS; one without abandoned the job and expects no reply.
 	// Only a success cell may grow the build cache. The peerOnly exits are the
-	// outcomes of a transfer the other kinds have no counterpart of.
+	// outcomes of a transfer the other kinds have no counterpart of; a pairs
+	// job has no side to seal, so it skips the sealed exit.
 	succeeded := func(c cell, m metrics) bool { return m.Err == "" && m.Output == c.k.want }
 	failedWith := func(code int) func(cell, metrics) bool {
 		return func(_ cell, m metrics) bool { return m.Err != "" && m.Code == code }
@@ -580,6 +587,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 		name     string
 		budget   int64
 		peerOnly bool
+		sealed   bool
 		send     func(c cell) error
 		check    func(c cell, m metrics) bool
 	}{
@@ -606,7 +614,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 				return errors.Join(midBuild(c.k, c.bw), c.k.bad(c.bw), eos(c.bw))
 			},
 			check: failedWith(0)},
-		{name: "probe keys ahead of the sealed build side",
+		{name: "probe keys ahead of the sealed build side", sealed: true,
 			send: func(c cell) error {
 				return errors.Join(midBuild(c.k, c.bw),
 					c.k.keys(c.bw, probeSide, probe), eos(c.bw))
@@ -667,7 +675,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 	kinds := feedTableKinds(t, nil)
 	for ki := range kinds {
 		for _, x := range exits {
-			if x.peerOnly && kinds[ki].name != "peer-fed job" {
+			if x.peerOnly && kinds[ki].name != "peer-fed job" || x.sealed && kinds[ki].pairs {
 				continue
 			}
 			t.Run(kinds[ki].name+"/"+x.name, func(t *testing.T) {

@@ -240,8 +240,8 @@ func (c *sessConn) workerFault(op string, id uint32, workerID int, m *metrics) *
 
 // peerFaultError marks a worker-side failure as caused by the named peer —
 // a mesh transfer that could not reach its target. Its Error() is
-// transparent (the text stays the wrapped error's), but finishSessionJob
-// lifts the address into metrics.FaultAddr so the coordinator can mark the
+// transparent (the text stays the wrapped error's), but the job's join
+// goroutine (sessStream.onEOS) lifts the address into metrics.FaultAddr so the coordinator can mark the
 // machine that actually died, not the healthy worker reporting it.
 type peerFaultError struct {
 	addr string

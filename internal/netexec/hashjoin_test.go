@@ -167,6 +167,7 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 	base := func(bw *bufio.Writer) error { return writeStreamBaseKeys(bw, 1, 0, []join.Key{3}) }
 	baseRun := func(bw *bufio.Writer) error { return errors.Join(base(bw), writeStreamBaseEnd(bw, 1, 0, 1)) }
 	win := func(bw *bufio.Writer) error { return writeStreamWinKeys(bw, 1, 0, 0, []join.Key{3}) }
+	nosuch := join.Spec{Kind: "nosuch"}
 	for _, tc := range []struct {
 		name, want string
 		frames     func(bw *bufio.Writer) error
@@ -221,6 +222,20 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 		}},
 		{"base past epoch 0 on a peer-fed job", "past epoch 0, window 0", func(bw *bufio.Writer) error {
 			return errors.Join(openPeer(bw), writeStreamBaseKeys(bw, 1, 2, []join.Key{3}))
+		}},
+		// A job dead on arrival: its goroutine starts poisoned at the open.
+		{"unknown condition on a count job", "unknown", func(bw *bufio.Writer) error {
+			return errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: nosuch}), baseRun(bw))
+		}},
+		{"unknown condition on a pairs job", "unknown", func(bw *bufio.Writer) error {
+			return errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: nosuch, Pairs: true}), baseRun(bw))
+		}},
+		{"unknown condition on a peer-fed job", "unknown", func(bw *bufio.Writer) error {
+			return errors.Join(writeV3GobFrame(bw, frameV3OpenPeerJob, 1,
+				peerJobOpen{Cond: nosuch, Token: newPeerToken(), Senders: 1}), baseRun(bw))
+		}},
+		{"unknown condition on a stream", "unknown", func(bw *bufio.Writer) error {
+			return errors.Join(writeV3GobFrame(bw, frameV3StreamOpen, 1, streamOpen{Cond: nosuch}), baseRun(bw))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -124,8 +124,8 @@ func TestRunningCountCap(t *testing.T) {
 
 	frames := recordedKeyFrames(t)
 	for _, typ := range []byte{frameV3StreamBase, frameV3StreamWin} {
-		// A count job feeding its goroutine, and a pairs job decoding in place.
-		for _, j := range []*sessJob{{stream: &sessStream{resTag: 1}}, {pairs: true}} {
+		// A count job and a pairs job, each feeding its goroutine.
+		for _, j := range []*sessJob{{stream: &sessStream{resTag: 1}}, {stream: &sessStream{resTag: 1}, pairs: true}} {
 			for i := range j.rels {
 				// One tuple short of the cap on whichever relation the type counts.
 				j.rels[i] = sessRel{pos: MaxRelationTuples - 1}
@@ -181,7 +181,7 @@ func FuzzKeyFrame(f *testing.F) {
 	// A case is a frame type and the job decoding it: res is the resident
 	// relation of a job feeding a join goroutine (0 a STREAMOPEN job, 1 a
 	// count job past its first base frame, 2 a peer-fed job), or pairsJob or
-	// planJob, which decode their runs in place.
+	// planJob, OPENJOB jobs whose goroutine keeps their runs in arrival order.
 	const pairsJob, planJob = -1, -2
 	cases := []struct {
 		typ byte
@@ -217,15 +217,15 @@ func FuzzKeyFrame(f *testing.F) {
 			fuzzPeerBlock(t, w, payload)
 			return
 		}
-		j := &sessJob{ws: &workerSession{w: w}, pairs: c.res == pairsJob}
-		switch c.res {
-		case pairsJob:
-		case planJob:
+		// The job's goroutine is a channel the test drains.
+		j := &sessJob{ws: &workerSession{w: w}, pairs: c.res == pairsJob, peerFed: c.res == 2}
+		resTag := byte(1) // a pairs or plan job's, as every OPENJOB job's
+		if c.res >= 0 {
+			resTag = byte(c.res)
+		}
+		j.stream = &sessStream{resTag: resTag, ch: make(chan streamEvent, 1), done: closed}
+		if c.res == planJob {
 			j.plan = &planSpec{}
-		default:
-			// The job's goroutine is a channel the test drains.
-			j.stream = &sessStream{resTag: byte(c.res), ch: make(chan streamEvent, 1), done: closed}
-			j.peerFed = c.res == 2
 		}
 		const sentinel = 0xEE
 		var next [v3FrameHeaderLen]byte
@@ -244,17 +244,11 @@ func FuzzKeyFrame(f *testing.F) {
 			t.Fatalf("type %d: a frame holding its whole sub-header was connection-fatal: %v", typ, err)
 		}
 		buffered := 0
-		if j.stream != nil {
-			select {
-			case ev := <-j.stream.ch:
-				buffered = len(ev.keys)
-				bufpool.Keys.Put(ev.keys)
-			default:
-			}
-		} else {
-			for _, r := range j.rels {
-				buffered += r.pos
-			}
+		select {
+		case ev := <-j.stream.ch:
+			buffered = len(ev.keys)
+			bufpool.Keys.Put(ev.keys)
+		default:
 		}
 		if err == nil && hdr+8*buffered != n {
 			t.Fatalf("type %d: accepted a %d-byte frame and buffered %d keys", typ, n, buffered)
@@ -306,7 +300,7 @@ func fuzzPeerBlock(t *testing.T, w *Worker, payload []byte) {
 	st.mu.Lock()
 	buffered := 0
 	for _, c := range st.contrib {
-		buffered += c.pos
+		buffered += c.n
 	}
 	st.mu.Unlock()
 	if buffered > 2 || 8*buffered > len(payload) {

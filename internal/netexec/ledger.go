@@ -4,16 +4,15 @@ import (
 	"math"
 	"runtime/debug"
 	"sync"
-
-	"ewh/internal/bufpool"
-	"ewh/internal/join"
 )
 
 // ledger is a worker's one account of the bytes its connections make it hold.
-// Every buffer whose size a remote side chose — key frames as they arrive, a
-// stage-1 plan job's materialized matches, peer contributions — is charged
-// here before it is allocated and credited when it is released; a head frame
-// (PEERHEAD) only declares a count the arrivals are checked against. Tenant budgets (TenantPolicy.MaxBytes) are per-tenant
+// Every buffer whose size a remote side chose — each key frame's chunk as it
+// arrives (session and mesh alike), a multi-frame pairs or plan run's one copy,
+// a stage-1 plan job's materialized matches — is charged here before it is
+// allocated and credited when it is released; a head frame (PEERHEAD) only
+// declares a count the arrivals are checked against. Tenant budgets
+// (TenantPolicy.MaxBytes) are per-tenant
 // views of the one account; peer contributions no job has taken yet belong to
 // no tenant. A refusal is a typed quota rejection (ErrQuota) that reserves
 // nothing.
@@ -121,31 +120,4 @@ func (l *ledger) heldBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.held
-}
-
-// growKeys is the one allocation of a key run decoded in place as it arrives
-// frame by frame — a pairs or plan job's relation, a peer contribution's
-// blocks: it returns buf (have keys filled) with room for need keys, doubling
-// but never past limit (a contribution's declared total, MaxRelationTuples
-// for a relation). charge sees the bytes the run grows by before a buffer is
-// taken; on a refusal buf comes back unchanged. A run is therefore charged 8
-// bytes per key of len(buf): exactly its keys when its first frame is its
-// only one.
-func growKeys(buf []join.Key, have, need, limit int, charge func(int64) error) ([]join.Key, error) {
-	if need <= len(buf) {
-		return buf, nil
-	}
-	n := min(limit, max(need, 2*len(buf)))
-	if err := charge(8 * int64(n-len(buf))); err != nil {
-		return buf, err
-	}
-	if n <= cap(buf) {
-		return buf[:n], nil
-	}
-	grown := bufpool.Keys.Get(n)
-	copy(grown, buf[:have])
-	if buf != nil {
-		bufpool.Keys.Put(buf)
-	}
-	return grown, nil
 }

@@ -187,12 +187,13 @@ func TestPeerContributionPastBudgetIsTyped(t *testing.T) {
 	waitFor(t, "the job's charges to be credited", func() bool { return w.ledger.heldBytes() == 0 })
 }
 
-// TestPeerBlockBesideOneInFlightFailsTransfer pins the one-decode rule a
-// growing contribution needs: its buffer may move when it grows, so a block
-// for a contribution whose last block is still decoding on another mesh
-// connection fails the transfer instead of growing the buffer under that
-// decode. Both hang-ups leave nothing charged.
-func TestPeerBlockBesideOneInFlightFailsTransfer(t *testing.T) {
+// TestPeerBlocksDecodeSideBySide pins the mesh's one-chunk-per-block rule:
+// each block of a contribution decodes into its own chunk outside the
+// transfer's lock, so a block that lands on a second mesh connection while
+// the first is still decoding commits beside it, and so does the first once
+// its bytes arrive. A block stalled mid-decode when its connection hangs up
+// fails the transfer, and its chunk's charge is credited with the rest.
+func TestPeerBlocksDecodeSideBySide(t *testing.T) {
 	leakCheck(t)
 	w, err := ListenWorker("127.0.0.1:0")
 	if err != nil {
@@ -201,10 +202,9 @@ func TestPeerBlockBesideOneInFlightFailsTransfer(t *testing.T) {
 	go func() { _ = w.Serve() }()
 	t.Cleanup(func() { _ = w.Close() })
 	token := newPeerToken()
-	// send dials a mesh connection and writes frames on it: the head of
-	// sender 0's 4-key contribution when head, then a 2-key block of which
-	// only the first sent bytes of keys go out.
-	send := func(head bool, sent int) net.Conn {
+	// dial opens a mesh connection, sending the head of sender 0's 6-key
+	// contribution when head.
+	dial := func(head bool) (net.Conn, *bufio.Writer) {
 		conn, err := net.Dial("tcp", w.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -214,39 +214,63 @@ func TestPeerBlockBesideOneInFlightFailsTransfer(t *testing.T) {
 		var prelude [6]byte
 		copy(prelude[:], protoMagic[:])
 		binary.LittleEndian.PutUint16(prelude[4:], protoVersionPeer)
-		var h [peerHeadLen]byte
-		binary.LittleEndian.PutUint64(h[:], token)
-		binary.LittleEndian.PutUint32(h[12:], 4)
 		err = writeBytes(bw, prelude[:])
 		if head {
+			var h [peerHeadLen]byte
+			binary.LittleEndian.PutUint64(h[:], token)
+			binary.LittleEndian.PutUint32(h[12:], 6)
 			err = errors.Join(err, writeV3FrameHeader(bw, framePeerHead, 0, peerHeadLen), writeBytes(bw, h[:]))
 		}
+		if err = errors.Join(err, bw.Flush()); err != nil {
+			t.Fatal(err)
+		}
+		return conn, bw
+	}
+	// block sends a 2-key block of which only the first sent bytes of keys
+	// go out.
+	block := func(bw *bufio.Writer, sent int) {
+		var h [peerBlockHeaderLen]byte
+		binary.LittleEndian.PutUint64(h[:], token)
 		binary.LittleEndian.PutUint32(h[12:], 2)
-		err = errors.Join(err, writeV3FrameHeader(bw, framePeerBlock, 0, peerBlockHeaderLen+16),
+		err := errors.Join(writeV3FrameHeader(bw, framePeerBlock, 0, peerBlockHeaderLen+16),
 			writeBytes(bw, h[:]), writeBytes(bw, make([]byte, sent)), bw.Flush())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return conn
 	}
-	stalled := send(true, 8)
 	st := w.peerState(token)
-	waitFor(t, "the first block to be decoding", func() bool {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return st.contrib[0] != nil && st.contrib[0].reading
-	})
-	send(false, 16)
-	waitFor(t, "the second block to fail the transfer", func() bool {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return st.done && st.err != nil && strings.Contains(st.err.Error(), "beside one in flight")
-	})
-	if held := w.ledger.heldBytes(); held != 16 {
-		t.Fatalf("the decoding block holds %d bytes, want its 16", held)
+	// joined waits until the contribution's admitted and joined keys and the
+	// ledger read as given.
+	joined := func(what string, pos, n int, held int64) {
+		waitFor(t, what, func() bool {
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			c := st.contrib[0]
+			return c != nil && c.pos == pos && c.n == n && w.ledger.heldBytes() == held
+		})
 	}
+
+	_, first := dial(true)
+	block(first, 8)
+	joined("the first block to be decoding", 2, 0, 16)
+	_, second := dial(false)
+	block(second, 16)
+	joined("the second block to commit beside it", 4, 2, 32)
+	if err := errors.Join(writeBytes(first, make([]byte, 8)), first.Flush()); err != nil {
+		t.Fatal(err)
+	}
+	joined("the first block to commit", 4, 4, 32)
+
+	stalled, third := dial(false)
+	block(third, 8)
+	joined("the third block to be decoding", 6, 4, 48)
 	_ = stalled.Close()
-	waitFor(t, "the decoding block's buffer to be credited", func() bool { return w.ledger.heldBytes() == 0 })
+	waitFor(t, "the hang-up to fail the transfer", func() bool {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.done && st.err != nil && strings.Contains(st.err.Error(), "died mid-block")
+	})
+	waitFor(t, "every chunk's charge to be credited", func() bool { return w.ledger.heldBytes() == 0 })
 }
 
 // TestHangUpTombstonesItsPlanTransfers pins what a coordinator's hang-up
@@ -278,46 +302,6 @@ func TestHangUpTombstonesItsPlanTransfers(t *testing.T) {
 	})
 	if err := w.deliverLocal(token, 2, []join.Key{3}); err == nil || w.ledger.heldBytes() != 0 {
 		t.Fatalf("a contribution after the hang-up: %v, %d bytes held", err, w.ledger.heldBytes())
-	}
-}
-
-// TestGrowKeys pins the one allocation path of a declared run: a frame's
-// growth doubles the buffer within the declared total, keeps the keys already
-// filled, and charges exactly what the buffer grows by — so a run is always
-// charged 8 bytes per key of its buffer — while a refused charge leaves the
-// buffer as it was.
-func TestGrowKeys(t *testing.T) {
-	var charged int64
-	charge := func(n int64) error { charged += n; return nil }
-	var buf []join.Key
-	for _, step := range []struct{ have, need, wantLen int }{
-		{0, 3, 3},      // the first frame: exactly its keys
-		{3, 5, 6},      // doubles
-		{5, 7, 12},     // doubles
-		{7, 40, 40},    // a frame past double: its keys
-		{40, 41, 80},   // doubles
-		{41, 100, 100}, // capped at the declared total
-	} {
-		var err error
-		if buf, err = growKeys(buf, step.have, step.need, 100, charge); err != nil {
-			t.Fatal(err)
-		}
-		if len(buf) != step.wantLen || charged != 8*int64(len(buf)) {
-			t.Fatalf("grown to %d keys, charged %d bytes; want %d keys, 8 bytes each", len(buf), charged, step.wantLen)
-		}
-		for i := range buf[:step.have] {
-			if buf[i] != join.Key(i) {
-				t.Fatalf("key %d lost in the growth to %d", i, len(buf))
-			}
-		}
-		for i := step.have; i < step.need; i++ {
-			buf[i] = join.Key(i)
-		}
-	}
-	refused := errors.New("refused")
-	same, err := growKeys(buf, 100, 101, 200, func(int64) error { return refused })
-	if err != refused || len(same) != 100 || &same[0] != &buf[0] || charged != 800 {
-		t.Fatalf("a refused growth returned %d keys, err %v, %d charged", len(same), err, charged)
 	}
 }
 

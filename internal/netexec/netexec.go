@@ -1,15 +1,16 @@
 // Package netexec runs the shared-nothing join over real TCP workers: a
 // coordinator batch-routes both relations once with the engine's shuffle.
 // Every relation crosses the wire as one framing: a run of base or window
-// frames ended by its exact total. A count job streams each relation as
-// per-mapper sub-blocks the moment a mapper has routed its shard, and the
-// worker's join goroutine inserts or probes them as they arrive; a pairs or
-// plan job ships each worker's contiguous block per relation whole (a plan
-// job's re-key column as one more window), decoded into pooled flat buffers
-// as its frames arrive and joined in place. Either way the worker reports its
-// metrics. It is the process-distributed counterpart of internal/exec's
-// goroutine engine — same partitioning schemes, same shuffle, same metrics —
-// demonstrating that nothing in the EWH design depends on shared memory.
+// frames ended by its exact total, and the worker decodes each key frame into
+// its own pooled chunk for the job's join goroutine. A count job streams each
+// relation as per-mapper sub-blocks the moment a mapper has routed its shard,
+// and the goroutine inserts or probes them as they arrive; a pairs or plan
+// job ships each worker's contiguous block per relation whole (a plan job's
+// re-key column as one more window), and the goroutine joins its chunks in
+// arrival order at EOS. Either way the worker reports its metrics. It is the
+// process-distributed counterpart of internal/exec's goroutine engine — same
+// partitioning schemes, same shuffle, same metrics — demonstrating that
+// nothing in the EWH design depends on shared memory.
 //
 // There is one transport: the session protocol (Dial/Session, implementing
 // exec.Runtime) keeps one persistent connection per worker and multiplexes
@@ -19,14 +20,13 @@
 // peer-mesh link (peer.go) — and close anything else. The two share one
 // frame header, the mesh at job 0 (wire.go). Both ends run one job
 // lifecycle each: the coordinator's subJob (open/send/await/close,
-// session.go) against the worker's openJob → endFrame/dataFrame → finishJob
-// → retire (session_worker.go), where every count job — coordinator-fed,
-// peer-fed, a stream — swaps finishJob for the one join goroutine that
-// consumes key frames as they arrive (stream_worker.go). Every key-carrying
-// data frame has one writer (writeKeyFrames) and one sub-header step
-// (readKeySubHdr); one function (sessJob.runRel) decides which relation a
-// run's frame advances. See wire.go for the framing and DESIGN.md's
-// "Transport" section for the frame table and both lifecycles.
+// session.go) against the worker's openJob → endFrame/dataFrame → join
+// goroutine → retire (session_worker.go, stream_worker.go), every job's
+// goroutine started at its open. Every key-carrying data frame has one writer
+// (writeKeyFrames) and one sub-header step (readKeySubHdr); one function
+// (sessJob.runRel) decides which relation a run's frame advances. See wire.go
+// for the framing and DESIGN.md's "Transport" section for the frame table and
+// both lifecycles.
 package netexec
 
 import (

@@ -1,6 +1,7 @@
 package netexec
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -9,6 +10,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -221,7 +223,8 @@ func TestControlFrameBound(t *testing.T) {
 	t.Run("stalled headers", func(t *testing.T) {
 		// Every control frame a worker reads past the opens, each declaring
 		// the largest payload the bound admits and then sending nothing: the
-		// worker buffers what arrived, not what was declared (it used to
+		// worker refuses a HELLO, PLAN or PLANCANCEL that long unread and
+		// buffers what arrived of a PLAN2, not what was declared (it used to
 		// allocate the whole 32 MiB per header up front).
 		_, addrs := startWorkerSet(t, 1)
 		spec, err := join.SpecOf(join.Equi{})
@@ -252,20 +255,52 @@ func TestControlFrameBound(t *testing.T) {
 		}
 	})
 	t.Run("open over its bound", func(t *testing.T) {
-		// An open longer than any real one is refused unread, and it ends
-		// only its own connection.
+		// An open, HELLO, PLAN or PLANCANCEL longer than any real one is
+		// refused unread, and it ends only its own connection. gob skips the
+		// fields a struct lacks, so each padded frame would decode.
 		_, addrs := startWorkerSet(t, 1)
 		other := dialSession(t, addrs)
-		bw, conn := dialV3(t, addrs[0])
+		spec, err := join.SpecOf(join.Equi{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		var b bytes.Buffer
 		open := jobOpen{Cond: join.Spec{Kind: strings.Repeat("x", maxOpenPayload)}}
 		if err := writeV3GobFrame(&b, frameV3OpenJob, 1, open); err != nil || b.Len() <= maxOpenPayload {
 			t.Fatalf("the open frames %d bytes (err %v), want more than %d", b.Len(), err, maxOpenPayload)
 		}
-		if err := errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, open), bw.Flush()); err != nil {
-			t.Fatal(err)
+		pad := make([]byte, 2*maxOpenPayload)
+		type paddedToken struct {
+			Token uint64
+			Pad   []byte
 		}
-		expectClosedSilently(t, conn)
+		for _, tc := range []struct {
+			name   string
+			frames func(bw *bufio.Writer) error
+		}{
+			{"OPENJOB", func(bw *bufio.Writer) error { return writeV3GobFrame(bw, frameV3OpenJob, 1, open) }},
+			{"HELLO", func(bw *bufio.Writer) error {
+				return writeV3GobFrame(bw, frameV3Hello, 0, struct {
+					Tenant string
+					Pad    []byte
+				}{"t", pad})
+			}},
+			{"PLAN", func(bw *bufio.Writer) error {
+				return errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec}),
+					writeV3GobFrame(bw, frameV3Plan, 1, paddedToken{1, pad}))
+			}},
+			{"PLANCANCEL", func(bw *bufio.Writer) error {
+				return writeV3GobFrame(bw, frameV3PlanCancel, 0, paddedToken{1, pad})
+			}},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				bw, conn := dialV3(t, addrs[0])
+				if err := errors.Join(tc.frames(bw), bw.Flush()); err != nil {
+					t.Fatal(err)
+				}
+				expectClosedSilently(t, conn)
+			})
+		}
 		r1 := randKeys(200, 100, 66)
 		for _, sess := range []*Session{other, dialSession(t, addrs)} {
 			if _, err := exec.RunOver(sess, r1, r1, join.Equi{}, partition.NewCI(1), model, exec.Config{Seed: 67}); err != nil {
@@ -462,11 +497,14 @@ func TestSessionUnknownRelationRejected(t *testing.T) {
 	}
 }
 
+// TestSessionMultiBlockRelation pins a pairs job whose relations each span
+// several key frames: the join goroutine keeps each run's chunks in arrival
+// order, so the PAIRS stream is exec.JoinPairs over the concatenated blocks.
+// A multi-frame run is copied into one buffer, charged while both copies
+// exist: a budget that admits the frames but not that copy fails the job
+// with ErrQuota, and nothing stays charged.
 func TestSessionMultiBlockRelation(t *testing.T) {
-	// A relation larger than one key frame still reassembles exactly:
-	// exercise the split path by writing R1's base run as two frames.
-	_, addrs := startWorkerSet(t, 1)
-	bw, conn := dialV3(t, addrs[0])
+	leakCheck(t)
 	r1 := randKeys(1000, 400, 60)
 	r2 := randKeys(1000, 400, 61)
 	cond := join.NewBand(1)
@@ -474,19 +512,64 @@ func TestSessionMultiBlockRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec, Pairs: true}),
-		writeStreamBaseKeys(bw, 1, 0, r1[:300]), writeStreamBaseKeys(bw, 1, 0, r1[300:]),
-		writeStreamBaseEnd(bw, 1, 0, len(r1)), writeRel(bw, 1, 2, r2),
-		writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := readV3Metrics(t, conn, 1)
-	if m.Err != "" {
-		t.Fatal(m.Err)
-	}
-	if want := localjoin.NestedLoopCount(r1, r2, cond); m.Output != want {
-		t.Fatalf("output %d, want %d", m.Output, want)
+	var want []exec.PairIdx
+	wantOut := exec.JoinPairs(r1, r2, cond, func(c []exec.PairIdx) { want = append(want, c...) })
+	const frames = 8 * (1000 + 1000)
+	for _, tc := range []struct {
+		name   string
+		budget int64
+	}{
+		{"unbounded", 0},
+		{"budget for the frames, not the copy", frames + 8*500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := ListenWorker("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.ledger.budget = tc.budget
+			go func() { _ = w.Serve() }()
+			t.Cleanup(func() { _ = w.Close() })
+			bw, conn := dialV3(t, w.Addr())
+			err = errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec, Pairs: true}),
+				writeStreamBaseKeys(bw, 1, 0, r1[:300]), writeStreamBaseKeys(bw, 1, 0, r1[300:]),
+				writeStreamBaseEnd(bw, 1, 0, len(r1)),
+				writeStreamWinKeys(bw, 1, 0, 0, r2[:450]), writeStreamWinKeys(bw, 1, 0, 0, r2[450:]),
+				writeStreamWinEnd(bw, 1, 0, 0, len(r2)),
+				writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			br := bufio.NewReader(conn)
+			var got []exec.PairIdx
+			var m metrics
+			for {
+				typ, job, n, err := readV3FrameHeader(br)
+				if err != nil || job != 1 {
+					t.Fatalf("reply frame %d for job %d: %v", typ, job, err)
+				}
+				if typ == frameV3Metrics {
+					if err := readGobPayload(br, n, &m); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+				pairs, err := readPairsPayload(br, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, pairs...)
+			}
+			if tc.budget == 0 {
+				if m.Err != "" || m.Output != wantOut || !slices.Equal(got, want) {
+					t.Fatalf("replied %d pairs and %+v; want exec.JoinPairs' %d pairs", len(got), m, wantOut)
+				}
+			} else if m.Code != codeQuota || len(got) != 0 {
+				t.Fatalf("replied %d pairs and %+v, want a quota rejection", len(got), m)
+			}
+			waitFor(t, "the job's charges to be credited", func() bool { return w.ledger.heldBytes() == 0 })
+		})
 	}
 }
 

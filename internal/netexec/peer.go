@@ -27,8 +27,8 @@ import (
 // intermediate never transits the coordinator — it only sees the count
 // vectors riding the stage-1 metrics, and checks stage-2 replies against them.
 
-// peerTokens makes transfer tokens unique across coordinators sharing a
-// worker pool: a process-random base plus a counter.
+// peerTokenBase and peerTokenCtr make transfer tokens unique across
+// coordinators sharing a worker pool: a process-random base plus a counter.
 var (
 	peerTokenBase = func() uint64 {
 		var b [8]byte
@@ -174,17 +174,15 @@ func (pc *peerConn) writeContribution(token uint64, sender int, keys []join.Key)
 // ---------- receiver side ----------
 
 // peerContrib is one sender's (possibly still streaming) share of a
-// transfer. keys is pooled and grows as blocks arrive (growKeys, within the
-// head's declared count), each growth charged to the worker's ledger. reading
-// marks a block decode in progress OUTSIDE the state lock: while set, the
-// reader goroutine owns keys — a concurrent failure must not recycle the
-// buffer (releaseLocked skips it; the reader releases it when it observes
-// the poisoned state).
+// transfer. Each block is admitted under the state lock within the head's
+// declared count (pos counts the admitted keys) and charged to the worker's
+// ledger, then decodes into its own pooled chunk outside the lock, which it
+// joins under the lock: chunks holds the n keys that joined.
 type peerContrib struct {
 	declared int
-	keys     []join.Key
 	pos      int
-	reading  bool
+	chunks   [][]join.Key
+	n        int
 }
 
 // peerJobState accumulates one transfer's contributions. Once the stage-2
@@ -223,36 +221,44 @@ func (st *peerJobState) fail(err error) {
 	st.failLocked(err)
 }
 
+// releaseLocked recycles every chunk that joined a contribution; a block
+// still decoding recycles its own when it finds the state done (joinLocked).
 func (st *peerJobState) releaseLocked() {
 	for s, c := range st.contrib {
-		// A buffer mid-decode belongs to its reader goroutine; it observes
-		// st.done after the read and recycles the buffer itself.
-		if !c.reading {
-			st.recycle(c)
+		for _, keys := range c.chunks {
+			st.recycle(keys)
 		}
 		delete(st.contrib, s)
 	}
 }
 
-// recycle pools a contribution's buffer and credits its charge.
-func (st *peerJobState) recycle(c *peerContrib) {
-	if c.keys != nil {
-		st.ledger.creditMesh(8 * int64(len(c.keys)))
-		bufpool.Keys.Put(c.keys)
-		c.keys = nil
-	}
+// recycle pools one chunk and credits its charge.
+func (st *peerJobState) recycle(keys []join.Key) {
+	st.ledger.creditMesh(8 * int64(len(keys)))
+	bufpool.Keys.Put(keys)
 }
 
-// growLocked gives c room for count more keys, failing the transfer when
-// the ledger refuses the bytes.
-func (st *peerJobState) growLocked(c *peerContrib, count int) bool {
-	keys, err := growKeys(c.keys, c.pos, c.pos+count, c.declared, st.ledger.chargeMesh)
-	c.keys = keys
-	if err != nil {
+// admitLocked admits count more keys to c, charged to the worker's ledger,
+// or fails the transfer.
+func (st *peerJobState) admitLocked(c *peerContrib, count int) error {
+	if err := st.ledger.chargeMesh(8 * int64(count)); err != nil {
 		st.failLocked(err)
-		return false
+		return err
 	}
-	return true
+	c.pos += count
+	return nil
+}
+
+// joinLocked adds an admitted block's decoded chunk to c, or recycles it
+// when the transfer failed while it decoded.
+func (st *peerJobState) joinLocked(c *peerContrib, keys []join.Key) {
+	if st.done {
+		st.recycle(keys)
+		return
+	}
+	c.chunks = append(c.chunks, keys)
+	c.n += len(keys)
+	st.checkReadyLocked()
 }
 
 // checkReadyLocked signals ready once the sender count is declared and that
@@ -262,7 +268,7 @@ func (st *peerJobState) checkReadyLocked() {
 		return
 	}
 	for _, c := range st.contrib {
-		if c.pos != c.declared {
+		if c.n != c.declared {
 			return // still streaming
 		}
 	}
@@ -420,11 +426,10 @@ func (w *Worker) deliverLocal(token uint64, sender int, keys []join.Key) error {
 		return st.err
 	}
 	c := st.addLocked(sender, int64(len(keys)))
-	if c == nil || !st.growLocked(c, len(keys)) {
+	if c == nil || st.admitLocked(c, len(keys)) != nil {
 		return st.err
 	}
-	c.pos = copy(c.keys, keys)
-	st.checkReadyLocked()
+	st.joinLocked(c, append(bufpool.Keys.Get(len(keys))[:0], keys...))
 	return nil
 }
 
@@ -508,49 +513,40 @@ func (w *Worker) handlePeer(br *bufio.Reader, conn net.Conn) {
 			}
 			st.mu.Lock()
 			c := st.contrib[sender]
-			var dst []join.Key
+			admitted := false
 			switch {
 			case refused:
 				// The decoder consumed the frame: only this transfer fails.
 				st.failLocked(fmt.Errorf("sender %d via %s: %v", sender, conn.RemoteAddr(), pe))
-				delete(inflight, inflightKey{token, sender})
 				count = 0
 			case st.done || c == nil:
 				// Swallowing a poisoned transfer's frames keeps the stream in
 				// sync (c == nil after done released the contribution).
 			case c.pos+count > c.declared:
 				st.failLocked(fmt.Errorf("sender %d via %s overflows declared %d tuples", sender, conn.RemoteAddr(), c.declared))
-				delete(inflight, inflightKey{token, sender})
-			case c.reading:
-				// Its buffer may move as it grows: one decode at a time.
-				st.failLocked(fmt.Errorf("sender %d via %s sends a block beside one in flight", sender, conn.RemoteAddr()))
-			case !st.growLocked(c, count):
-				delete(inflight, inflightKey{token, sender})
 			default:
-				dst = c.keys[c.pos : c.pos+count]
-				c.reading = true // the decode below runs outside st.mu
+				admitted = st.admitLocked(c, count) == nil
 			}
 			st.mu.Unlock()
-			if dst == nil {
+			if !admitted {
+				delete(inflight, inflightKey{token, sender})
 				if _, err := io.CopyN(io.Discard, br, int64(8*count)); err != nil {
 					return
 				}
 				break
 			}
-			readErr := readKeysLE(br, dst)
+			// The block decodes outside st.mu, into its own chunk: blocks of
+			// one contribution may decode side by side on several connections.
+			keys := bufpool.Keys.Get(count)
+			readErr := readKeysLE(br, keys)
 			st.mu.Lock()
-			c.reading = false
-			if st.done {
-				// The transfer failed while we were decoding; the buffer's
-				// release was deferred to us (see releaseLocked).
-				st.recycle(c)
+			if readErr != nil {
+				// The admitted keys never arrive: the transfer cannot complete.
+				st.failLocked(fmt.Errorf("peer connection from %s died mid-block (sender %d)", conn.RemoteAddr(), sender))
+			}
+			st.joinLocked(c, keys)
+			if st.done || c.n == c.declared {
 				delete(inflight, inflightKey{token, sender})
-			} else if readErr == nil {
-				c.pos += count
-				if c.pos == c.declared {
-					delete(inflight, inflightKey{token, sender})
-					st.checkReadyLocked()
-				}
 			}
 			st.mu.Unlock()
 			if readErr != nil {

@@ -168,7 +168,7 @@ func (s *Session) RunJob(job *exec.Job, wm []exec.WorkerMetrics) error {
 	}
 	id := s.ids.Add(1)
 	return fanOut(job.Workers, func(w int) error {
-		return s.conns[w].runJob(id, w, spec, job, &wm[w])
+		return s.conns[w].runPlain(id, w, spec, job, &wm[w])
 	})
 }
 
@@ -396,7 +396,7 @@ func (c *sessConn) readLoop() {
 
 // subJob is the coordinator's half of one numbered sub-job on one worker
 // connection — the counterpart of the worker's openJob → endFrame/dataFrame
-// → finishJob → retire. Every kind (plain, stage-1 plan, stats stage,
+// → join goroutine → retire. Every kind (plain, stage-1 plan, stats stage,
 // peer-fed, stream) walks the same four steps: open registers the reply
 // handler, send puts frames on the wire, await takes the next reply, close
 // retires it. One goroutine drives a sub-job at a time; a multi-phase kind
@@ -527,11 +527,11 @@ func (j *subJob) proto(err error) error {
 	return j.c.protoFault(j.op, j.id, j.worker, err)
 }
 
-// runJob executes one plain sub-job start to finish: send the job's frames,
+// runPlain executes one plain sub-job start to finish: send the job's frames,
 // then consume replies until the worker's metrics (pairs arrive via the read
 // loop). Every failure is classified into a *WorkerFault naming the worker
 // address and job number.
-func (c *sessConn) runJob(id uint32, workerID int, spec join.Spec, job *exec.Job, m *exec.WorkerMetrics) error {
+func (c *sessConn) runPlain(id uint32, workerID int, spec join.Spec, job *exec.Job, m *exec.WorkerMetrics) error {
 
 	h := &jobHandler{}
 	if job.Pairs != nil {

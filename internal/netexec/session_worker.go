@@ -7,11 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ewh/internal/bufpool"
 	"ewh/internal/exec"
@@ -21,20 +18,18 @@ import (
 
 // This file is the worker side of the session protocol: one read loop per
 // connection demultiplexes numbered jobs. Every job walks the same path —
-// openJob registers it, endFrame/dataFrame decode its relations' base and
-// window runs, and retire is the single exit, shared with ABORT and connection
-// teardown. What consumes the job is what its OUTPUT needs. A pairs job (its
-// open says Pairs) and a stage-1 plan job (a PLAN frame rode with the open)
-// need arrival order: their runs decode into pooled buffers that grow as
-// their frames arrive, and finishJob joins and replies in its own goroutine at
-// the job's EOS (so the read loop keeps draining the next job's frames
-// meanwhile). Every count job — coordinator-fed, a peer-fed stage 2, a
-// stream — feeds the one goroutine that joins while the frames arrive
-// (stream_worker.go). Job-level
-// protocol violations fail only that job (its remaining frames are read and
-// discarded, then an error metrics frame replies); frame-level corruption is
-// connection-fatal — framing is the only thing that lets the two sides stay
-// in sync.
+// openJob registers it and starts its join goroutine (stream_worker.go),
+// endFrame/dataFrame decode its relations' base and window runs, each key
+// frame into its own pooled chunk handed to that goroutine, and retire is the
+// single exit, shared with ABORT and connection teardown. The goroutine
+// joins as the job's output needs: a pairs job (its open says Pairs) or a
+// stage-1 plan job (a PLAN frame rode with the open) keeps its runs' chunks in
+// arrival order and joins them at EOS; every count job joins while the frames
+// arrive. Either way the read loop keeps draining the next job's frames.
+// Job-level protocol violations fail only that job (its remaining frames are
+// read and discarded, then an error metrics frame replies); frame-level
+// corruption is connection-fatal — framing is the only thing that lets the
+// two sides stay in sync.
 
 // sessRel is one relation of an in-flight session job — or, in the job's
 // third slot, a plan job's re-key column, its window 1. Every relation
@@ -42,7 +37,6 @@ import (
 // run's end frame: pos is the running count, and the end declares it final.
 type sessRel struct {
 	declared bool
-	keys     []join.Key // a pairs or plan job's run, grown frame by frame (growKeys)
 	pos      int
 }
 
@@ -54,6 +48,7 @@ type sessJob struct {
 	counted  bool // beginJob admitted it (draining workers refuse)
 	err      error
 	pairs    bool // its open asked for the matches as index pairs
+	begun    bool // a run frame arrived: an OPENJOB job's kind is fixed
 	rels     [3]sessRel
 
 	// ws is the connection the job arrived on; its tenant keys the job's
@@ -85,10 +80,8 @@ type sessJob struct {
 	peerSt    *peerJobState
 	token     uint64
 
-	// stream, when set, is the goroutine the job's key frames feed (see
-	// stream_worker.go) — a STREAMOPEN or peer-fed job's from its open, a
-	// count job's from its first base frame or base end. Such a job never
-	// reaches finishJob; a pairs or plan job never has one.
+	// stream is the goroutine the job's key frames feed (see
+	// stream_worker.go), started at the job's open.
 	stream *sessStream
 }
 
@@ -100,25 +93,14 @@ func (j *sessJob) fail(err error) {
 		return
 	}
 	j.err = err
-	if j.stream != nil {
-		j.stream.feed(streamEvent{kind: evStreamFail, err: err})
-	}
+	j.stream.feed(streamEvent{kind: evStreamFail, err: err})
 }
 
 func (j *sessJob) release() {
-	for i := range j.rels {
-		r := &j.rels[i]
-		if r.keys != nil {
-			bufpool.Keys.Put(r.keys)
-			r.keys = nil
-		}
-	}
-	if j.stream != nil {
-		// Every job exit path lands here, so the join goroutine never outlives
-		// the job (a no-op wait when the goroutine itself retires the job
-		// after its EOS). It must be gone before the sweep below.
-		j.stream.stop()
-	}
+	// Every job exit path lands here, so the join goroutine never outlives
+	// the job (a no-op wait when the goroutine itself retires the job after
+	// its EOS). It must be gone before the sweep below.
+	j.stream.stop()
 	j.ws.w.ledger.credit(j.ws.tenant, j.charged.Swap(0))
 }
 
@@ -162,22 +144,16 @@ func runEvent(typ byte, h []byte) streamEvent {
 // relation 1. Every other job runs at epoch 0 and ends each run once:
 // relation 1 is the base (a peer-fed job's base is its relation 2, and its
 // probe is the mesh transfer, so it takes no window), relation 2 window 0,
-// and a plan job's re-key column window 1. An OPENJOB that asked for neither
-// pairs nor a plan is a count job: its join goroutine starts on its first
-// base frame or base end.
+// and a plan job's re-key column window 1. An OPENJOB job's first run frame
+// fixes its kind: one that asked for neither pairs nor a plan is a count job,
+// whose first run is its base.
 func (j *sessJob) runRel(ev streamEvent) (*sessRel, error) {
 	base := ev.kind <= evStreamBaseEnd
-	switch {
-	case j.stream != nil && !j.stream.fed():
+	if !j.stream.fed() {
 		if base {
 			return &j.rels[1], nil
 		}
 		return &j.rels[0], nil
-	case j.stream == nil && !j.pairs && j.plan == nil:
-		if !base {
-			return nil, fmt.Errorf("window frames ahead of relation 1's base")
-		}
-		j.stream = newSessStream(j, exec.StatsSpec{}, 1)
 	}
 	lastWin := uint32(0)
 	if j.plan != nil {
@@ -187,6 +163,8 @@ func (j *sessJob) runRel(ev streamEvent) (*sessRel, error) {
 	switch {
 	case j.peerFed && !base:
 		return nil, fmt.Errorf("window frames on a peer-fed job, whose probe is the mesh transfer")
+	case !base && !j.begun && !j.pairs && j.plan == nil:
+		return nil, fmt.Errorf("window frames ahead of relation 1's base")
 	case ev.epoch != 0 || ev.win > lastWin:
 		return nil, fmt.Errorf("a job's run at epoch %d, window %d, past epoch 0, window %d", ev.epoch, ev.win, lastWin)
 	case j.peerFed:
@@ -197,6 +175,7 @@ func (j *sessJob) runRel(ev streamEvent) (*sessRel, error) {
 	if j.rels[i].declared {
 		return nil, fmt.Errorf("a job's frame after its run's end frame")
 	}
+	j.begun = true
 	return &j.rels[i], nil
 }
 
@@ -333,38 +312,36 @@ func (ws *workerSession) retire(j *sessJob) {
 }
 
 // openJob is the prologue OPENJOB, OPENPEERJOB and STREAMOPEN share: refuse a
-// reused job number or a payload over maxOpenPayload, register the job (table
-// and drain accounting), decode the frame's gob message into msg and resolve
-// the two fields every open carries, which head reads back out of msg. It
+// reused job number or a payload over maxOpenPayload, decode the frame's gob
+// message into msg, register the job (table and drain accounting), resolve
+// the fields every open carries, which head reads back out of msg, and start
+// the job's join goroutine (resTag and st as newSessStream takes them). It
 // returns nil when the frame is connection-fatal (job number reuse, oversized
 // or undecodable open). A job a draining worker refuses, or one naming an
-// unknown or too deeply nested condition, comes back FAILED: its frames drain
-// and its reply carries the error.
-func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int, msg any,
-	head func() (workerID int, cond join.Spec)) *sessJob {
+// unknown or too deeply nested condition, comes back FAILED, its goroutine
+// poisoned: its frames drain and its reply carries the error.
+func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int, msg any, resTag byte,
+	head func() (workerID int, cond join.Spec, st exec.StatsSpec)) *sessJob {
 
-	if ws.jobs[id] != nil || n > maxOpenPayload {
+	if ws.jobs[id] != nil || n > maxOpenPayload || readGobPayload(br, n, msg) != nil {
 		return nil
 	}
 	ws.tenantFixed = true
 	j := &sessJob{id: id, ws: ws}
 	ws.jobs[id] = j
 	j.counted = ws.w.beginJob(ws.cs)
-	if err := readGobPayload(br, n, msg); err != nil {
-		return nil
-	}
-	workerID, spec := head()
+	workerID, spec, st := head()
 	j.workerID = workerID
-	if !j.counted {
-		j.fail(errors.New("worker shutting down"))
-		return j
-	}
 	cond, err := spec.Condition()
-	if err != nil {
-		j.fail(err)
-		return j
+	switch {
+	case !j.counted:
+		j.err = errors.New("worker shutting down")
+	case err != nil:
+		j.err = err
+	default:
+		j.cond = cond
 	}
-	j.cond = cond
+	j.stream = newSessStream(j, st, resTag)
 	return j
 }
 
@@ -382,9 +359,7 @@ func (ws *workerSession) endFrame(br *bufio.Reader, typ byte, id uint32, n int) 
 	if _, err := io.ReadFull(br, h); err != nil {
 		return false
 	}
-	if j.err == nil || j.stream != nil {
-		j.streamEnd(typ, h)
-	}
+	j.streamEnd(typ, h)
 	return true
 }
 
@@ -404,17 +379,12 @@ func (j *sessJob) streamEnd(typ byte, h []byte) {
 	if r.pos != ev.total {
 		j.fail(fmt.Errorf("stream frame type %d ends a run of %d tuples, declares %d", typ, r.pos, ev.total))
 	}
-	switch {
-	case j.stream == nil:
-		r.declared, r.keys = true, r.keys[:r.pos]
-	case j.stream.fed():
+	if j.stream.fed() {
 		r.declared = true
-	default:
+	} else {
 		r.pos = 0
 	}
-	if j.stream != nil {
-		j.stream.feed(ev)
-	}
+	j.stream.feed(ev)
 }
 
 // dataFrame serves the key frames (BASE, WIN). A frame for a failed
@@ -477,17 +447,20 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 			// hello (or an oversized tenant id) is connection-fatal — the
 			// accounting key cannot change under in-flight jobs.
 			var sh sessionHello
-			if ws.tenantFixed || readGobPayload(br, n, &sh) != nil || len(sh.Tenant) > maxTenantLen {
+			if ws.tenantFixed || n > maxOpenPayload || readGobPayload(br, n, &sh) != nil || len(sh.Tenant) > maxTenantLen {
 				return
 			}
 			ws.tenant, ws.tenantFixed = sh.Tenant, true
 
 		case frameV3OpenJob:
 			var jo jobOpen
-			j := ws.openJob(br, id, n, &jo, func() (int, join.Spec) { return jo.WorkerID, jo.Cond })
+			j := ws.openJob(br, id, n, &jo, 1, func() (int, join.Spec, exec.StatsSpec) {
+				return jo.WorkerID, jo.Cond, exec.StatsSpec{}
+			})
 			if j == nil {
 				return
 			}
+			// The goroutine reads the kind from the job's first run frame on.
 			j.pairs = jo.Pairs
 			if j.err != nil {
 				continue
@@ -516,7 +489,9 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 
 		case frameV3OpenPeerJob:
 			var po peerJobOpen
-			j := ws.openJob(br, id, n, &po, func() (int, join.Spec) { return po.WorkerID, po.Cond })
+			j := ws.openJob(br, id, n, &po, 2, func() (int, join.Spec, exec.StatsSpec) {
+				return po.WorkerID, po.Cond, exec.StatsSpec{}
+			})
 			if j == nil {
 				return
 			}
@@ -534,22 +509,19 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 					j.peerSt = st
 				}
 			}
-			// As for STREAMOPEN below: the job's only reply path, slot-less.
-			j.stream = newSessStream(j, exec.StatsSpec{}, 2)
 
 		case frameV3StreamOpen:
 			var so streamOpen
-			j := ws.openJob(br, id, n, &so, func() (int, join.Spec) { return so.WorkerID, so.Cond })
-			if j == nil {
+			// A stream's goroutine, poisoned or not, carries the error on
+			// every window reply and the final metrics. A stream holds no
+			// admission slot: the goroutine acquires one around each window's
+			// probe instead, so an idle stream never starves the fair
+			// scheduler.
+			if ws.openJob(br, id, n, &so, 0, func() (int, join.Spec, exec.StatsSpec) {
+				return so.WorkerID, so.Cond, so.Stats
+			}) == nil {
 				return
 			}
-			// The stream goroutine is the job's only reply path, so it spawns
-			// even for a job that is dead on arrival — it starts poisoned with
-			// j.err, and every window reply (and the final metrics) carries
-			// the error. A stream holds no admission slot: the goroutine
-			// acquires one around each window's probe instead, so an idle
-			// stream never starves the fair scheduler.
-			j.stream = newSessStream(j, so.Stats, 0)
 
 		case frameV3Plan:
 			j := ws.jobs[id]
@@ -557,7 +529,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 				return // plan for an unopened job is connection-fatal
 			}
 			var ps planSpec
-			if err := readGobPayload(br, n, &ps); err != nil {
+			if n > maxOpenPayload || readGobPayload(br, n, &ps) != nil {
 				return
 			}
 			switch {
@@ -570,8 +542,9 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 				// A PLAN frame requests statistics; the plan and peer map
 				// arrive in the PLAN2 that answers them.
 				j.fail(fmt.Errorf("a plan frame carries a statistics request, not a plan or peer map"))
-			case j.stream != nil:
-				j.fail(fmt.Errorf("a job whose relations feed the join goroutine cannot carry a plan"))
+			case !j.stream.fed() || j.peerFed || j.begun:
+				// The goroutine reads j.plan from the job's first run frame on.
+				j.fail(fmt.Errorf("a stream, a peer-fed job or a job past its first run frame cannot carry a plan"))
 			default:
 				// The wait is registered here, not when the job parks: the
 				// coordinator's PLANCANCEL follows this frame on the connection,
@@ -590,7 +563,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 
 		case frameV3PlanCancel:
 			var pc planCancel
-			if err := readGobPayload(br, n, &pc); err != nil {
+			if n > maxOpenPayload || readGobPayload(br, n, &pc) != nil {
 				return
 			}
 			w.dropPeerState(pc.Token)
@@ -612,18 +585,12 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 				return
 			}
 			delete(ws.jobs, id)
-			if j.stream != nil {
-				// The goroutine replies the job's metrics and retires the job
-				// itself as it exits. Chunks a fed job consumed before this
-				// frame decoded overlapped the stream — the counter the
-				// coordinator's BuildOverlappedChunks aggregates.
-				j.stream.eosSeen.Store(true)
-				j.stream.feed(streamEvent{kind: evStreamEOS})
-				continue
-			}
-			// The join runs in its own goroutine so this loop keeps consuming
-			// the next job's frames.
-			go w.finishJob(ws, j)
+			// The goroutine replies the job's metrics and retires the job
+			// itself as it exits. Chunks a count job consumed before this
+			// frame decoded overlapped the stream — the counter the
+			// coordinator's BuildOverlappedChunks aggregates.
+			j.stream.eosSeen.Store(true)
+			j.stream.feed(streamEvent{kind: evStreamEOS})
 
 		case frameV3Abort:
 			// The coordinator abandoned the job mid-send (a validation
@@ -692,11 +659,10 @@ func readKeySubHdr(br *bufio.Reader, typ byte, n int, h []byte) (count int, err 
 // STREAMWIN): readKeySubHdr's step, then the keys. Every refusal past that
 // step is job-level too: the rest of the frame is drained and a *protoErr
 // returned. Every accepted frame is capped by its run's running count (the
-// exact total validates at the run's end frame) and charged to the job's
-// tenant before its keys get a buffer: a pairs or plan job's decodes in place
-// into its relation's buffer (growKeys), any other job's into a pooled buffer
-// that becomes the join goroutine's next event. A refused charge fails the
-// job like any other refusal.
+// exact total validates at the run's end frame), charged 8 B per key to the
+// job's tenant, then decoded into its own pooled chunk, which becomes the join
+// goroutine's next event. A refused charge fails the job like any other
+// refusal.
 func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 	var hb [maxKeySubHdrLen]byte
 	h := hb[:keySubHdrLen[typ]]
@@ -715,16 +681,6 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 	if overRelationCap(r.pos, count) {
 		return refuse(fmt.Errorf("frame type %d runs past %d tuples", typ, MaxRelationTuples))
 	}
-	if j.stream == nil {
-		if r.keys, err = growKeys(r.keys, r.pos, r.pos+count, MaxRelationTuples, j.charge); err != nil {
-			return refuse(err)
-		}
-		if err := readKeysLE(br, r.keys[r.pos:r.pos+count]); err != nil {
-			return err
-		}
-		r.pos += count
-		return nil
-	}
 	if err := j.charge(8 * int64(count)); err != nil {
 		return refuse(err)
 	}
@@ -739,84 +695,24 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 	return nil
 }
 
-// validateComplete checks at EOS that every run of a pairs, plan or fed job
-// ended. A peer-fed job's relation 1 is exempt: it arrives over the mesh and
-// the join goroutine probes it straight out of the transfer table. runPlanJob
-// checks a plan job's re-key column.
+// validateComplete checks at EOS that every run of an OPENJOB or peer-fed
+// job ended, and that a plan job's re-key column covers relation 2. A
+// peer-fed job's relation 1 is exempt: it arrives over the mesh and the join
+// goroutine probes it straight out of the transfer table.
 func (j *sessJob) validateComplete() error {
 	for i, r := range j.rels[:2] {
 		if !r.declared && !(j.peerFed && i == 0) {
 			return fmt.Errorf("relation %d's run never ended", i+1)
 		}
 	}
+	switch rekey := &j.rels[2]; {
+	case j.plan == nil:
+	case !rekey.declared:
+		return fmt.Errorf("plan job without relation 2's re-key column")
+	case rekey.pos != j.rels[1].pos:
+		return fmt.Errorf("re-key column holds %d keys for relation 2's %d tuples", rekey.pos, j.rels[1].pos)
+	}
 	return nil
-}
-
-// finishJob runs one drained pairs or plan job's join and replies. It runs in its own
-// goroutine so the connection's read loop keeps consuming subsequent jobs;
-// replies serialize on the session's write lock. An abandoned job (worker
-// killed or coordinator gone while it waited) exits silently — the
-// coordinator sees the broken connection.
-func (w *Worker) finishJob(ws *workerSession, j *sessJob) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "netexec: worker: recovered in session job %d from %s: %v\n%s",
-				j.id, ws.conn.RemoteAddr(), r, debug.Stack())
-		}
-	}()
-	defer ws.retire(j)
-	m, err := ws.runJob(j)
-	if errors.Is(err, errAbandoned) {
-		return
-	}
-	if err != nil {
-		m = metrics{Err: err.Error(), Code: rejectCode(err)}
-		// A failed mesh transfer indicts the PEER, not this worker: lift the
-		// address out of the error so the coordinator excludes the right
-		// machine.
-		var pf *peerFaultError
-		if errors.As(err, &pf) {
-			m.FaultAddr = pf.addr
-		}
-	}
-	_ = ws.reply(frameV3Metrics, j.id, m)
-}
-
-// runJob validates the drained job and joins its relations in arrival order:
-// a plan job's matches, or a pairs job's.
-func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
-	if j.err == nil {
-		j.err = j.validateComplete()
-	}
-	if j.err != nil {
-		return metrics{}, j.err
-	}
-	r1, r2 := &j.rels[0], &j.rels[1]
-	m := metrics{InputR1: int64(r1.pos), InputR2: int64(r2.pos)}
-	start := time.Now()
-	if j.plan != nil {
-		// Stage-1 plan job: join, materialize the matched stage-2 keys,
-		// summarize them, await the replanned artifact, re-shuffle them by it
-		// and stream each share straight to its peer. Only the count vector
-		// returns.
-		out, counts, err := ws.runPlanJob(j, r1, r2)
-		if err != nil {
-			return metrics{}, err
-		}
-		m.Output, m.PeerCounts = out, counts
-	} else {
-		// The pair join must not sort the blocks in place: indices refer to
-		// arrival order on both sides of the wire. Chunks stream back as
-		// they fill, interleaving with other jobs' replies at frame
-		// granularity.
-		m.Output = exec.JoinPairs(r1.keys, r2.keys, j.cond, func(chunk []exec.PairIdx) {
-			ws.wmu.Lock()
-			_ = writePairsFrame(ws.bw, j.id, chunk)
-			ws.wmu.Unlock()
-		})
-	}
-	m.Nanos = time.Since(start).Nanoseconds()
-	return m, nil
 }
 
 // runPlanJob executes a stage-1 plan job's join, statistics exchange and
@@ -828,18 +724,11 @@ func (ws *workerSession) runJob(j *sessJob) (metrics, error) {
 // worker's share, empty or not, streams directly to that peer over the mesh.
 // It returns the match count and the per-receiver count vector. Errors name
 // the peer address.
-func (ws *workerSession) runPlanJob(j *sessJob, r1, r2 *sessRel) (int64, []int64, error) {
+func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64, []int64, error) {
 	w, ps := ws.w, j.plan
-	switch rekey := &j.rels[2]; {
-	case !rekey.declared:
-		return 0, nil, fmt.Errorf("plan job without relation 2's re-key column")
-	case rekey.pos != r2.pos:
-		return 0, nil, fmt.Errorf("re-key column holds %d keys for relation 2's %d tuples", rekey.pos, r2.pos)
-	}
-
 	// The three stage-1 steps exec.Local runs too: materialize, summarize,
 	// and (after the park below) route.
-	inter := exec.StageMatches(r1.keys, r2.keys, j.rels[2].keys, j.cond)
+	inter := exec.StageMatches(r1, r2, rekey, j.cond)
 	// The matches are the one buffer no frame declared: the join sizes it. It
 	// is charged like received keys the moment its size is known, before the
 	// job parks holding it; release credits it.

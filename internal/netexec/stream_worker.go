@@ -16,15 +16,17 @@ import (
 	"ewh/internal/planio"
 )
 
-// This file is the worker-resident join feed: the one goroutine behind a
-// bounded channel that holds one relation's key frames as the join's resident
-// side (localjoin.Resident — hash or merge, the goroutine never asks which),
-// seals it at that relation's end frame, and probes the other relation
-// against it. The read loop decodes frames into pooled buffers
-// (session_worker.go's readKeyFrame) and hands them over the channel — a full
-// channel is the backpressure onto TCP — and the goroutine is the job's only
-// reply path, closing with the ordinary EOS / METRICS pair. Every count job
-// runs on it, and every one takes its relations as base and window frames:
+// This file is the worker's join goroutine, one per job from its open: the
+// read loop decodes each key frame into its own pooled chunk
+// (session_worker.go's readKeyFrame) and hands it over a bounded channel — a
+// full channel is the backpressure onto TCP — and the goroutine is the job's
+// only reply path, closing with the ordinary EOS / METRICS pair. A pairs or
+// stage-1 plan job keeps each run's chunks in arrival order (its pair
+// indices) and joins them at EOS (joinInOrder) under its OPENJOB's slot.
+// Every other job counts: it holds one relation as the join's resident side
+// (localjoin.Resident — hash or merge, the goroutine never asks which), seals
+// it at that relation's end frame, and probes the other relation against it,
+// each kind taking its relations as base and window frames:
 //
 //   - A stream job (STREAMOPEN, frames 33-38): an unbounded sequence of
 //     tuple windows (relation 1) against a static base (relation 2). Each
@@ -92,15 +94,16 @@ type streamEvent struct {
 // interleaves with the frames still arriving instead of running after them.
 const streamEventDepth = 8
 
-// sessStream is one fed or stream job's join state. The read loop owns frame
-// decode, running counts and tenant charging (sessJob.charge); the goroutine
-// credits the reservation back as buffers leave worker memory.
+// sessStream is one job's join state. The read loop owns frame decode,
+// running counts and tenant charging (sessJob.charge); the goroutine credits
+// the reservation back as buffers leave worker memory.
 type sessStream struct {
 	ws *workerSession
 	j  *sessJob
 
 	// resTag is the relation whose base frames are a fed job's resident side
-	// — 1, or 2 when relation 1 is the mesh — and 0 for a STREAMOPEN job.
+	// — 1 for every OPENJOB job, 2 when relation 1 is the mesh — and 0 for a
+	// STREAMOPEN job.
 	resTag byte
 	st     exec.StatsSpec
 
@@ -113,7 +116,9 @@ type sessStream struct {
 	// goroutine, not the read loop, retires the job.
 	eosSeen atomic.Bool
 
-	// Goroutine state.
+	// Goroutine state. runs holds a pairs or plan job's chunks per relation
+	// (relation 1, 2, the re-key column) in arrival order.
+	runs   [3][][]join.Key
 	failed error
 	epoch  uint32
 	sealed bool
@@ -139,9 +144,13 @@ type sessStream struct {
 // one resident relation, one probe relation, no window replies or summaries.
 func (s *sessStream) fed() bool { return s.resTag != 0 }
 
-// newSessStream starts the goroutine for a freshly opened stream (resTag 0)
-// or peer-fed (2) job, or for a count job at its first base frame or base end
-// (1). A job that failed at open starts poisoned.
+// ordered reports a pairs or plan job: one that joins its runs in arrival
+// order at EOS. The read loop fixes j.plan before the job's first run frame,
+// so the goroutine reads it from that event on.
+func (s *sessStream) ordered() bool { return s.j.pairs || s.j.plan != nil }
+
+// newSessStream starts the goroutine for a freshly opened stream (resTag 0),
+// OPENJOB (1) or peer-fed (2) job. A job that failed at open starts poisoned.
 func newSessStream(j *sessJob, st exec.StatsSpec, resTag byte) *sessStream {
 	s := &sessStream{
 		ws: j.ws, j: j,
@@ -201,6 +210,11 @@ func (s *sessStream) fail(err error) {
 func (s *sessStream) run() {
 	defer func() {
 		s.recycleHeld() // release sweeps the reservation
+		for _, run := range s.runs {
+			for _, keys := range run {
+				bufpool.Keys.Put(keys)
+			}
+		}
 		close(s.done)
 		if s.eosSeen.Load() {
 			s.ws.retire(s.j)
@@ -208,11 +222,15 @@ func (s *sessStream) run() {
 	}()
 	defer func() {
 		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "netexec: worker: recovered in stream job %d from %s: %v\n%s",
+			fmt.Fprintf(os.Stderr, "netexec: worker: recovered in job %d from %s: %v\n%s",
 				s.j.id, s.ws.conn.RemoteAddr(), r, debug.Stack())
 		}
 	}()
 	for ev := range s.ch {
+		if ev.kind < evStreamEOS && s.ordered() {
+			s.keep(ev)
+			continue
+		}
 		switch ev.kind {
 		case evStreamFail:
 			s.fail(ev.err)
@@ -229,6 +247,76 @@ func (s *sessStream) run() {
 			return
 		}
 	}
+}
+
+// keep holds a pairs or plan job's key chunk at the end of its run: the
+// base, window 0 or window 1. An end frame carries nothing the read loop has
+// not checked.
+func (s *sessStream) keep(ev streamEvent) {
+	i := 0
+	if ev.kind == evStreamWin {
+		i = 1 + int(ev.win)
+	}
+	if ev.keys != nil {
+		s.runs[i] = append(s.runs[i], ev.keys)
+	}
+}
+
+// flat returns run i as one slice: its only chunk as it arrived, or its
+// chunks copied into one buffer, charged before it is taken — while both
+// copies exist — and the chunks credited once copied.
+func (s *sessStream) flat(i int) ([]join.Key, error) {
+	run := s.runs[i]
+	switch len(run) {
+	case 0:
+		return nil, nil
+	case 1:
+		return run[0], nil
+	}
+	n := 0
+	for _, keys := range run {
+		n += len(keys)
+	}
+	if err := s.j.charge(8 * int64(n)); err != nil {
+		return nil, err
+	}
+	buf := bufpool.Keys.Get(n)[:0]
+	for _, keys := range run {
+		buf = append(buf, keys...)
+		bufpool.Keys.Put(keys)
+	}
+	s.j.credit(8 * int64(n))
+	s.runs[i] = [][]join.Key{buf}
+	return buf, nil
+}
+
+// joinInOrder joins a pairs or plan job's runs as they arrived: a pairs job's
+// matches stream back as index pairs, a plan job's re-shuffle to its peers
+// (runPlanJob).
+func (s *sessStream) joinInOrder() (metrics, error) {
+	var rels [3][]join.Key
+	for i := range rels {
+		var err error
+		if rels[i], err = s.flat(i); err != nil {
+			return metrics{}, err
+		}
+	}
+	j, ws := s.j, s.ws
+	m := metrics{InputR1: int64(len(rels[0])), InputR2: int64(len(rels[1]))}
+	if j.plan != nil {
+		out, counts, err := ws.runPlanJob(j, rels[0], rels[1], rels[2])
+		m.Output, m.PeerCounts = out, counts
+		return m, err
+	}
+	// The pair join must not sort the runs in place: indices refer to arrival
+	// order on both sides of the wire. Chunks stream back as they fill,
+	// interleaving with other jobs' replies at frame granularity.
+	m.Output = exec.JoinPairs(rels[0], rels[1], j.cond, func(chunk []exec.PairIdx) {
+		ws.wmu.Lock()
+		_ = writePairsFrame(ws.bw, j.id, chunk)
+		ws.wmu.Unlock()
+	})
+	return m, nil
 }
 
 // recycleHeld pools the n keys of the chunks the side kept and is done with.
@@ -435,54 +523,69 @@ func (s *sessStream) probeTransfer() error {
 	if stErr != nil {
 		return fmt.Errorf("peer transfer %d: %w", j.token, stErr)
 	}
-	var held int64
+	var in int64
 	for _, c := range contrib {
-		s.totIn += int64(c.pos)
-		held += 8 * int64(len(c.keys))
+		in += int64(c.n)
 	}
+	s.totIn += in
 	// The contributions move from the mesh's account onto the job's tenant
 	// (release credits them there); refused, they still recycle.
-	w.ledger.creditMesh(held)
-	if err = j.charge(held); err == nil {
+	w.ledger.creditMesh(8 * in)
+	if err = j.charge(8 * in); err == nil {
 		for _, c := range contrib {
-			n, _ := s.res.ProbeCount(c.keys, true)
-			s.totOut += n
+			for _, keys := range c.chunks {
+				n, _ := s.res.ProbeCount(keys, true)
+				s.totOut += n
+			}
 		}
 		n, _ := s.res.ProbeCount(nil, false)
 		s.totOut += n
 	}
 	for _, c := range contrib {
-		bufpool.Keys.Put(c.keys)
+		for _, keys := range c.chunks {
+			bufpool.Keys.Put(keys)
+		}
 	}
 	return err
 }
 
-// onEOS replies the job's aggregate metrics; run retires the job next. The
-// read loop is done with a job it saw the EOS of, so a fed job's declarations
-// validate here, as finishJob validates a pairs or plan job's; a peer-fed job then
-// takes its probe from the mesh. An abandoned job exits silently, as there.
+// onEOS replies the job's metrics; run retires the job next. The read loop
+// is done with a job it saw the EOS of, so an OPENJOB or peer-fed job's runs
+// validate here; a pairs or plan job then joins, a peer-fed job takes its
+// probe from the mesh. An abandoned job (worker killed or coordinator gone
+// while it waited) exits silently: the coordinator sees the broken
+// connection.
 func (s *sessStream) onEOS() {
 	if s.fed() && s.failed == nil {
 		s.failed = s.j.validateComplete()
 	}
-	if s.j.peerFed && s.failed == nil {
-		s.failed = s.probeTransfer()
+	var m metrics
+	switch {
+	case s.failed != nil:
+	case s.ordered():
+		m, s.failed = s.joinInOrder()
+	default:
+		if s.j.peerFed {
+			s.failed = s.probeTransfer()
+		}
+		m = metrics{InputR1: s.totIn, InputR2: int64(s.baseN), Output: s.totOut, BuildOverlapped: s.overlapped}
+		if s.resTag == 1 {
+			m.InputR1, m.InputR2 = m.InputR2, m.InputR1
+		}
 	}
 	if errors.Is(s.failed, errAbandoned) {
 		return
 	}
-	m := metrics{
-		InputR1:         s.totIn,
-		InputR2:         int64(s.baseN),
-		Output:          s.totOut,
-		Nanos:           time.Since(s.start).Nanoseconds(),
-		BuildOverlapped: s.overlapped,
-	}
-	if s.resTag == 1 {
-		m.InputR1, m.InputR2 = m.InputR2, m.InputR1
-	}
+	m.Nanos = time.Since(s.start).Nanoseconds()
 	if s.failed != nil {
 		m = metrics{Err: s.failed.Error(), Code: rejectCode(s.failed)}
+		// A failed mesh transfer indicts the PEER, not this worker: lift the
+		// address out of the error so the coordinator excludes the right
+		// machine.
+		var pf *peerFaultError
+		if errors.As(s.failed, &pf) {
+			m.FaultAddr = pf.addr
+		}
 	}
 	_ = s.ws.reply(frameV3Metrics, s.j.id, m) // nothing left to tell a dead connection
 }

@@ -134,9 +134,11 @@ const (
 	// MiB); a plan for the widest mesh stays under 1 MiB.
 	maxControlPayload = 32 << 20
 	// maxOpenPayload bounds the three open frames (OPENJOB, OPENPEERJOB,
-	// STREAMOPEN), refused connection-fatally before gob reads them. The
-	// largest real open is under 300 B, so a longer one is malformed and
-	// gob never sees a control-sized open.
+	// STREAMOPEN) and HELLO, PLAN and PLANCANCEL, refused connection-fatally
+	// before gob reads them. The largest real one is under 300 B (a HELLO's
+	// tenant id stops at maxTenantLen), so a longer one is malformed — gob
+	// would skip the fields the struct lacks — and gob never sees a
+	// control-sized one of them.
 	maxOpenPayload = 4 << 10
 
 	// peerHeadLen is framePeerHead's payload: [token u64][sender u32][count u32].
