@@ -161,7 +161,7 @@ func wantCSIO(t *testing.T, p *Plan) {
 
 // TestPlanFromSummaryRefusesAnOverflowingEstimate: a count near MaxInt64
 // passes Summary.Validate and reaches the coordinator's planner in a worker's
-// STATS frame; the scaled m must be refused by name, not wrapped negative.
+// window reply; the scaled m must be refused by name, not wrapped negative.
 func TestPlanFromSummaryRefusesAnOverflowingEstimate(t *testing.T) {
 	hostile := &stats.Summary{Count: 1 << 62, Cap: 4, Keys: []join.Key{5}, Bounds: []join.Key{0, 10}}
 	_, err := PlanCSIOFromSummary(hostile, []join.Key{5, 5, 5, 6}, join.Equi{}, Options{J: 2})

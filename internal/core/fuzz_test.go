@@ -14,8 +14,8 @@ import (
 )
 
 // FuzzPlanFromSummary fuzzes the one planner entry whose input arrives from
-// another machine: a worker's STATS frame is decoded and handed to
-// PlanCSIOFromSummary as is. Whatever planio.DecodeSummary accepts must plan
+// another machine: the summary in a worker's window reply is decoded and
+// handed to PlanCSIOFromSummary as is. Whatever planio.DecodeSummary accepts must plan
 // against a fixed base relation without panicking, within a per-input budget
 // (the sender must not be able to choose the coordinator's planning cost),
 // and yield either an error or a plan that routes every key somewhere.

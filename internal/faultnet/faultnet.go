@@ -1,12 +1,12 @@
 // Package faultnet injects deterministic network faults into the netexec
 // wire protocols for testing recovery paths. It wraps a worker's
 // net.Listener so every accepted connection passes through a scriptable
-// frame-aware tap: the tap reads the 6-byte protocol prelude, follows the
-// one frame header both protocol versions share (v3 sessions, v5 peer mesh;
-// anything else is opaque), counts matching
+// frame-aware tap: the tap reads the protocol prelude (magic, version,
+// tenant), follows the one frame header both protocol versions share (v7
+// sessions, v6 peer mesh; anything else is opaque), counts matching
 // frames per rule and fires each rule's action exactly once at a precise
-// frame boundary — kill after the N-th block, reset on the first stats
-// frame, stall mid-transfer, or run an arbitrary hook (e.g. Close a victim
+// frame boundary — kill after the N-th block, reset on the first window
+// reply, stall mid-transfer, or run an arbitrary hook (e.g. Close a victim
 // worker at a stage boundary). Faults are therefore reproducible: the same
 // script against the same workload fails at the same frame every run,
 // which is what lets the crosscheck assert recovered output bit-identical
@@ -43,11 +43,11 @@ const (
 	FramePlan        byte = 18
 	FrameOpenPeerJob byte = 19
 	FramePlanCancel  byte = 20
-	FrameStats       byte = 21
 	FramePlan2       byte = 22
 
 	// v3 stream frames: a continuous join's, and every other job's relations
-	// as base and window runs at epoch 0.
+	// as base and window runs at epoch 0. STREAMREP also carries a plan job's
+	// summary.
 	FrameStreamOpen    byte = 33
 	FrameStreamBase    byte = 34
 	FrameStreamBaseEnd byte = 35
@@ -62,8 +62,8 @@ const (
 
 // Protocol versions as they appear in the wire prelude.
 const (
-	VersionSession = 6
-	VersionPeer    = 5
+	VersionSession = 7
+	VersionPeer    = 6
 )
 
 // Dir selects which byte stream a rule watches, relative to the wrapped
@@ -74,8 +74,8 @@ const (
 	// In matches frames the endpoint receives (coordinator→worker opens,
 	// blocks, plans; peer→worker contributions).
 	In Dir = iota
-	// Out matches frames the endpoint sends (worker→coordinator stats,
-	// pairs, metrics).
+	// Out matches frames the endpoint sends (worker→coordinator window
+	// replies and summaries, pairs, metrics).
 	Out
 )
 
@@ -353,15 +353,17 @@ func (c *Conn) Write(p []byte) (int, error) {
 
 // tracker states.
 const (
-	statePrelude      = iota // collecting the 6-byte magic+version prelude
+	statePrelude      = iota // collecting the prelude's 6-byte magic+version
+	stateTenant              // reading the prelude's tenant length, to skip the tenant
 	stateAwaitVersion        // outbound: waiting for the inbound prelude's verdict
 	stateHeader              // collecting a frame header
 	statePayload             // skipping payload bytes
 	stateOpaque              // unframed traffic (unknown magic or version)
 )
 
-// preludeLen is magic "EWHB" + u16 version; frameHeaderLen is the frame
-// header [type u8][job u32][len u32] of both versions.
+// preludeLen is magic "EWHB" + u16 version, which a u8 tenant length and the
+// tenant follow; frameHeaderLen is the frame header [type u8][job u32][len
+// u32] of both versions.
 const (
 	preludeLen     = 6
 	frameHeaderLen = 9
@@ -418,11 +420,16 @@ func (t *tracker) feed(p []byte) error {
 			switch v {
 			case VersionSession, VersionPeer:
 				t.conn.version.Store(uint32(v))
-				t.state = stateHeader
+				t.state = stateTenant
 			default:
 				t.state = stateOpaque
 				return nil
 			}
+		case stateTenant:
+			// The tenant is skipped like a payload, then the frames begin.
+			t.skip = int(p[0])
+			p = p[1:]
+			t.state = statePayload
 		case stateHeader:
 			n := copy(t.buf[t.have:], p)
 			t.have += n

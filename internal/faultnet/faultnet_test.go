@@ -20,10 +20,11 @@ func wireFrame(typ byte, job uint32, payload []byte) []byte {
 	return b
 }
 
-func prelude(version uint16) []byte {
-	b := []byte{'E', 'W', 'H', 'B', 0, 0}
-	binary.LittleEndian.PutUint16(b[4:6], version)
-	return b
+// prelude encodes a connection's opening: magic, version, and the tenant
+// behind its u8 length.
+func prelude(version uint16, tenant string) []byte {
+	b := binary.LittleEndian.AppendUint16([]byte("EWHB"), version)
+	return append(append(b, byte(len(tenant))), tenant...)
 }
 
 func pipeConn(t *testing.T, script *Script) (*Conn, net.Conn) {
@@ -73,13 +74,14 @@ func TestScriptCountingAndFired(t *testing.T) {
 
 func TestTrackerFiresAtExactV3Frame(t *testing.T) {
 	// The inbound tracker must fire on the 2nd Block frame even when the
-	// stream arrives one byte at a time, and must leave the 1st frame (and
-	// everything before the fatal header) delivered.
+	// stream arrives one byte at a time — the prelude's tenant skipped like
+	// a payload — and must leave the 1st frame (and everything before the
+	// fatal header) delivered.
 	s := NewScript(Rule{Dir: In, Frame: FrameStreamBase, N: 2, Action: ActClose})
 	fc, _ := pipeConn(t, s)
 
 	var stream []byte
-	stream = append(stream, prelude(VersionSession)...)
+	stream = append(stream, prelude(VersionSession, "tenant-a")...)
 	stream = append(stream, wireFrame(FrameOpenJob, 1, []byte("open-payload"))...)
 	stream = append(stream, wireFrame(FrameStreamBase, 1, make([]byte, 64))...)
 	stream = append(stream, wireFrame(FrameStreamBaseEnd, 1, []byte{1, 2, 3})...)
@@ -121,7 +123,7 @@ func TestTrackerPeerHeaders(t *testing.T) {
 	s := NewScript(Rule{Dir: In, Frame: FramePeerBlock, N: 3, Action: ActClose})
 	fc, _ := pipeConn(t, s)
 	var stream []byte
-	stream = append(stream, prelude(VersionPeer)...)
+	stream = append(stream, prelude(VersionPeer, "")...)
 	stream = append(stream, wireFrame(FramePeerHead, 0, make([]byte, 20))...)
 	for i := 0; i < 3; i++ {
 		stream = append(stream, wireFrame(FramePeerBlock, 0, make([]byte, 8*7))...)
@@ -163,11 +165,11 @@ func TestOutboundTrackerAdoptsInboundVersion(t *testing.T) {
 	// the sniffed version and then parse replies with the right header size.
 	s := NewScript(Rule{Dir: Out, Frame: FrameMetrics, Action: ActClose})
 	fc, _ := pipeConn(t, s)
-	if err := fc.rt.feed(prelude(VersionSession)); err != nil {
+	if err := fc.rt.feed(prelude(VersionSession, "")); err != nil {
 		t.Fatal(err)
 	}
 	var out []byte
-	out = append(out, wireFrame(FrameStats, 1, make([]byte, 40))...)
+	out = append(out, wireFrame(FrameStreamRep, 1, make([]byte, 40))...)
 	out = append(out, wireFrame(FrameMetrics, 1, make([]byte, 10))...)
 	var ferr error
 	for i := range out {
@@ -197,7 +199,7 @@ func TestStallReleasedByClose(t *testing.T) {
 		}
 	}()
 	go func() {
-		_, _ = peer.Write(prelude(VersionSession))
+		_, _ = peer.Write(prelude(VersionSession, ""))
 		_, _ = peer.Write(wireFrame(FrameOpenJob, 1, []byte("job")))
 	}()
 
@@ -227,7 +229,7 @@ func TestHookLetsTrafficContinue(t *testing.T) {
 	s := NewScript(
 		Rule{Dir: In, Frame: FrameStreamBase, Action: ActHook,
 			Fn: func() { close(entered); <-release }},
-		Rule{Dir: Out, Frame: FrameStats, Action: ActHook, Fn: func() {
+		Rule{Dir: Out, Frame: FrameStreamRep, Action: ActHook, Fn: func() {
 			select {
 			case <-received:
 				outHook <- true
@@ -238,7 +240,7 @@ func TestHookLetsTrafficContinue(t *testing.T) {
 	)
 	fc, peer := pipeConn(t, s)
 	var stream []byte
-	stream = append(stream, prelude(VersionSession)...)
+	stream = append(stream, prelude(VersionSession, "")...)
 	stream = append(stream, wireFrame(FrameStreamBase, 1, make([]byte, 16))...)
 	stream = append(stream, wireFrame(FrameEOS, 1, nil)...)
 	go func() { _, _ = peer.Write(stream) }()
@@ -263,7 +265,7 @@ func TestHookLetsTrafficContinue(t *testing.T) {
 		t.Fatalf("Read after the hook = %d, %v; want %d, nil", r.n, r.err, len(stream))
 	}
 
-	reply := wireFrame(FrameStats, 1, make([]byte, 24))
+	reply := wireFrame(FrameStreamRep, 1, make([]byte, 24))
 	go func() {
 		if _, err := io.ReadFull(peer, make([]byte, len(reply))); err == nil {
 			close(received)
@@ -313,7 +315,7 @@ func TestWrappedListenerEndToEnd(t *testing.T) {
 	}
 	defer c.Close()
 	var head []byte
-	head = append(head, prelude(VersionSession)...)
+	head = append(head, prelude(VersionSession, "")...)
 	head = append(head, wireFrame(FrameOpenJob, 7, make([]byte, 100))...)
 	if _, err := c.Write(head); err != nil {
 		t.Fatalf("pre-fault write: %v", err)

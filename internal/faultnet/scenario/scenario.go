@@ -839,7 +839,7 @@ func faultFrames(job Job) (session []byte, mesh []byte, out []byte) {
 				faultnet.FrameStreamWinEnd, faultnet.FrameEOS, faultnet.FramePlan2, faultnet.FrameOpenPeerJob,
 				faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd},
 			[]byte{faultnet.FramePeerHead, faultnet.FramePeerBlock},
-			[]byte{faultnet.FrameStats}
+			[]byte{faultnet.FrameStreamRep}
 	}
 	// A stream recovers inside its window loop; the first epoch's base ship
 	// precedes it.

@@ -43,7 +43,7 @@ func TestRecoveryBitIdenticalAcrossBoundaries(t *testing.T) {
 		{"mid-scatter", scenario.Fault{Action: faultnet.ActClose, Dir: faultnet.In, Frame: faultnet.FrameStreamWin, N: 1}},
 		// The worker ships its statistics summary, then dies before the
 		// replanned stage-2 plan reaches it.
-		{"post-stats", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.Out, Frame: faultnet.FrameStats}},
+		{"post-stats", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.Out, Frame: faultnet.FrameStreamRep}},
 		// The worker dies as the stage-2 plan lands, its matches summarized
 		// but never routed.
 		{"plan2-arrival", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FramePlan2}},

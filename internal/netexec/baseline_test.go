@@ -296,10 +296,10 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 	}{
 		{"plain", tablePlain, faultnet.FrameStreamBase, faultnet.FrameMetrics, 1},
 		// The two halves of one stage-1 plan job: its open (PLAN in, the
-		// terminal METRICS out) and its statistics exchange (PLAN2 in, STATS
-		// out).
+		// terminal METRICS out) and its statistics exchange (PLAN2 in, the
+		// summary's STREAMREP out).
 		{"stage-1 plan", stage1, faultnet.FramePlan, faultnet.FrameMetrics, 1},
-		{"stats stage", stage1, faultnet.FramePlan2, faultnet.FrameStats, 1},
+		{"stats stage", stage1, faultnet.FramePlan2, faultnet.FrameStreamRep, 1},
 		{"peer", func(s *Session, in tableInputs) error {
 			// What a peer job buffers is the intermediate: duplicate-heavy
 			// stage-1 keys make the block it assembles blow the budget.
@@ -690,11 +690,9 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 				defer w.Close()
 				cacheBefore := w.BuildCacheStats().Bytes
 
-				bw, conn := dialV3(t, w.Addr())
+				bw, conn := dialV3(t, w.Addr(), feedTenant)
 				c := cell{k: feedTableKinds(t, w)[ki], bw: bw, br: bufio.NewReader(conn), conn: conn, w: w}
-				err = errors.Join(
-					writeV3GobFrame(bw, frameV3Hello, 0, sessionHello{Tenant: feedTenant}),
-					c.k.open(bw), x.send(c))
+				err = errors.Join(c.k.open(bw), x.send(c))
 				if err != nil {
 					t.Fatal(err)
 				}

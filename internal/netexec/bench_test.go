@@ -1,6 +1,7 @@
 package netexec
 
 import (
+	"bytes"
 	"testing"
 
 	"ewh/internal/exec"
@@ -108,6 +109,44 @@ func BenchmarkLoopbackBandJoinSession(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := exec.RunOver(sess, r1, r2, cond, ci, model, cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkControlFrameCodec times the gob control-frame codec on the wire's
+// own path, one sub-job's worth per op: its jobOpen and its metrics, each
+// through writeV3GobFrame and back through readV3FrameHeader and
+// readGobPayload, with the fresh encoder and decoder every frame gets.
+func BenchmarkControlFrameCodec(b *testing.B) {
+	spec, err := join.SpecOf(join.NewBand(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	open := jobOpen{WorkerID: 3, Cond: spec}
+	m := metrics{InputR1: 50000, InputR2: 50000, Output: 1 << 20, Nanos: 1 << 24, BuildOverlapped: 4}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := writeV3GobFrame(&buf, frameV3OpenJob, 1, open); err != nil {
+			b.Fatal(err)
+		}
+		if err := writeV3GobFrame(&buf, frameV3Metrics, 1, m); err != nil {
+			b.Fatal(err)
+		}
+		var gotOpen jobOpen
+		var gotM metrics
+		for _, v := range []any{&gotOpen, &gotM} {
+			_, _, n, err := readV3FrameHeader(&buf)
+			if err == nil {
+				err = readGobPayload(&buf, n, v)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		if gotOpen.WorkerID != open.WorkerID || gotM.Output != m.Output {
+			b.Fatalf("round trip decoded %+v and %+v", gotOpen, gotM)
 		}
 	}
 }

@@ -303,36 +303,47 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
+// wireFrames reads the frame constants off a source file's declarations as
+// "NAME #number": frameV3OpenJob = 10 in wire.go and FrameOpenJob byte = 10
+// in faultnet.go both read "OPENJOB #10".
+func wireFrames(t *testing.T, file string, decl *regexp.Regexp) map[string]bool {
+	t.Helper()
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := map[string]bool{}
+	for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+		frames[strings.ToUpper(m[1])+" #"+m[2]] = true
+	}
+	return frames
+}
+
+// wireGoFrames is wire.go's frame constants.
+func wireGoFrames(t *testing.T) map[string]bool {
+	t.Helper()
+	wire := wireFrames(t, "wire.go", regexp.MustCompile(`(?m)^\tframe(?:V3)?([A-Z]\w*) += (\d+)\b`))
+	if len(wire) < 17 {
+		t.Fatalf("found only %d frame constants in wire.go: %v", len(wire), wire)
+	}
+	return wire
+}
+
 func TestFaultnetFrameParity(t *testing.T) {
 	// faultnet mirrors the wire constants because it must not import
-	// netexec (netexec tests import faultnet); this is the lockstep check.
-	pairs := []struct {
-		name     string
-		mine     byte
-		mirrored byte
-	}{
-		{"open job", frameV3OpenJob, faultnet.FrameOpenJob},
-		{"eos", frameV3EOS, faultnet.FrameEOS},
-		{"pairs", frameV3Pairs, faultnet.FramePairs},
-		{"metrics", frameV3Metrics, faultnet.FrameMetrics},
-		{"abort", frameV3Abort, faultnet.FrameAbort},
-		{"plan", frameV3Plan, faultnet.FramePlan},
-		{"open peer job", frameV3OpenPeerJob, faultnet.FrameOpenPeerJob},
-		{"plan cancel", frameV3PlanCancel, faultnet.FramePlanCancel},
-		{"stats", frameV3Stats, faultnet.FrameStats},
-		{"plan2", frameV3Plan2, faultnet.FramePlan2},
-		{"stream open", frameV3StreamOpen, faultnet.FrameStreamOpen},
-		{"stream base", frameV3StreamBase, faultnet.FrameStreamBase},
-		{"stream base end", frameV3StreamBaseEnd, faultnet.FrameStreamBaseEnd},
-		{"stream win", frameV3StreamWin, faultnet.FrameStreamWin},
-		{"stream win end", frameV3StreamWinEnd, faultnet.FrameStreamWinEnd},
-		{"stream rep", frameV3StreamRep, faultnet.FrameStreamRep},
-		{"peer head", framePeerHead, faultnet.FramePeerHead},
-		{"peer block", framePeerBlock, faultnet.FramePeerBlock},
+	// netexec (netexec tests import faultnet); this is the lockstep check,
+	// read off both sources, so a frame added on one side only fails.
+	wire := wireGoFrames(t)
+	mirror := wireFrames(t, "../faultnet/faultnet.go", regexp.MustCompile(`(?m)^\tFrame([A-Z]\w*) +byte = (\d+)\b`))
+	delete(mirror, "ANY #0") // matches every frame
+	for f := range wire {
+		if !mirror[f] {
+			t.Errorf("wire.go frame %s has no faultnet constant", f)
+		}
 	}
-	for _, p := range pairs {
-		if p.mine != p.mirrored {
-			t.Errorf("%s: netexec %d, faultnet %d", p.name, p.mine, p.mirrored)
+	for f := range mirror {
+		if !wire[f] {
+			t.Errorf("faultnet constant %s names no frame in wire.go", f)
 		}
 	}
 	if protoVersionSession != faultnet.VersionSession || protoVersionPeer != faultnet.VersionPeer {
@@ -345,10 +356,6 @@ func TestFaultnetFrameParity(t *testing.T) {
 // wire.go must appear there under its number, and every row must name a live
 // constant — a frame added, renumbered or retired on one side only fails.
 func TestDesignFrameTableMatchesWire(t *testing.T) {
-	src, err := os.ReadFile("wire.go")
-	if err != nil {
-		t.Fatal(err)
-	}
 	doc, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
@@ -359,15 +366,9 @@ func TestDesignFrameTableMatchesWire(t *testing.T) {
 	}
 	table, _, _ = strings.Cut(table, "\n#")
 	// "NAME #number", e.g. frameV3OpenJob = 10 and the row "| 10 | OPENJOB |".
-	wire, rows := map[string]bool{}, map[string]bool{}
-	for _, m := range regexp.MustCompile(`(?m)^\tframe(?:V3)?([A-Z]\w*) += (\d+)\b`).FindAllStringSubmatch(string(src), -1) {
-		wire[strings.ToUpper(m[1])+" #"+m[2]] = true
-	}
+	wire, rows := wireGoFrames(t), map[string]bool{}
 	for _, m := range regexp.MustCompile(`(?m)^\| (\d+) \| ([A-Z0-9]+)\b`).FindAllStringSubmatch(table, -1) {
 		rows[m[2]+" #"+m[1]] = true
-	}
-	if len(wire) < 19 {
-		t.Fatalf("found only %d frame constants in wire.go: %v", len(wire), wire)
 	}
 	for f := range wire {
 		if !rows[f] {

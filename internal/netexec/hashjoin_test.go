@@ -239,7 +239,7 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bw, conn := dialV3(t, addrs[0])
+			bw, conn := dialV3(t, addrs[0], "")
 			br := bufio.NewReader(conn)
 			err := errors.Join(tc.frames(bw), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
 			if err != nil {

@@ -81,12 +81,12 @@ func TestMaximalKeyFramesPassTheHeaderReaders(t *testing.T) {
 		}
 	}
 
-	// The mesh splits at its own, smaller cap; every frame of a contribution
-	// one key past it passes the header reader, as does the largest payload
-	// any key frame may declare.
+	// The mesh splits at the same cap: every frame of a contribution one key
+	// past it passes the header reader, its blocks a full one and a one-key
+	// one, as does the largest payload any key frame may declare.
 	fh := &frameHeaders{}
 	pc := &peerConn{bw: bufio.NewWriter(fh)}
-	if err := pc.writeContribution(1, 0, keys[:maxPeerBlockKeys+1]); err != nil {
+	if err := pc.writeContribution(1, 0, keys); err != nil {
 		t.Fatal(err)
 	}
 	if len(fh.hdrs) != 3 {
@@ -95,8 +95,14 @@ func TestMaximalKeyFramesPassTheHeaderReaders(t *testing.T) {
 	var full [v3FrameHeaderLen]byte
 	binary.LittleEndian.PutUint32(full[5:], maxKeySubHdrLen+8*maxBlockKeys)
 	for i, h := range append(fh.hdrs, full[:]) {
-		if _, _, _, err := readV3FrameHeader(bytes.NewReader(h)); err != nil {
+		_, _, n, err := readV3FrameHeader(bytes.NewReader(h))
+		if err != nil {
 			t.Errorf("peer frame %d: %v", i, err)
+		}
+		if i == 1 || i == 2 {
+			if want := peerBlockHeaderLen + 8*[]int{maxBlockKeys, 1}[i-1]; err == nil && n != want {
+				t.Errorf("peer block %d declares %d bytes, want %d", i-1, n, want)
+			}
 		}
 	}
 }

@@ -102,10 +102,7 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 				version = protoVersionPeer
 			}
 			bw := bufio.NewWriter(conn)
-			var prelude [6]byte
-			copy(prelude[:], protoMagic[:])
-			binary.LittleEndian.PutUint16(prelude[4:], version)
-			if err := errors.Join(writeBytes(bw, prelude[:]), k.send(bw, round), bw.Flush()); err != nil {
+			if err := errors.Join(writeBytes(bw, prelude(version, "")), k.send(bw, round), bw.Flush()); err != nil {
 				t.Fatalf("%s: %v", k.name, err)
 			}
 		}
@@ -171,7 +168,7 @@ func TestPeerContributionPastBudgetIsTyped(t *testing.T) {
 	go func() { _ = w.Serve() }()
 	t.Cleanup(func() { _ = w.Close() })
 	k := feedTableKinds(t, w)[2]
-	bw, conn := dialV3(t, w.Addr())
+	bw, conn := dialV3(t, w.Addr(), "")
 	err = errors.Join(k.open(bw), k.run(bw, buildSide, []join.Key{1, 2, 2, 3}),
 		writeV3FrameHeader(bw, frameV3EOS, feedJob, 0), bw.Flush())
 	if err != nil {
@@ -211,10 +208,7 @@ func TestPeerBlocksDecodeSideBySide(t *testing.T) {
 		}
 		t.Cleanup(func() { _ = conn.Close() })
 		bw := bufio.NewWriter(conn)
-		var prelude [6]byte
-		copy(prelude[:], protoMagic[:])
-		binary.LittleEndian.PutUint16(prelude[4:], protoVersionPeer)
-		err = writeBytes(bw, prelude[:])
+		err = writeBytes(bw, prelude(protoVersionPeer, ""))
 		if head {
 			var h [peerHeadLen]byte
 			binary.LittleEndian.PutUint64(h[:], token)
@@ -282,7 +276,7 @@ func TestPeerBlocksDecodeSideBySide(t *testing.T) {
 func TestHangUpTombstonesItsPlanTransfers(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 1)
 	w, token := ws[0], newPeerToken()
-	bw, conn := dialV3(t, addrs[0])
+	bw, conn := dialV3(t, addrs[0], "")
 	sendOpenJob(t, bw, 1, false)
 	err := errors.Join(writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Token: token, Stats: exec.StatsSpec{Cap: 8, Buckets: 4}}),
 		bw.Flush())

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,43 @@ import (
 	"ewh/internal/multiway"
 	"ewh/internal/partition"
 )
+
+// TestTenantIDFitsThePrelude pins the tenant id's bound at the prelude's u8
+// length, in literal bytes: a 255-byte id dials and is admitted under its
+// name on the worker, and both places that take an id refuse a 256-byte one.
+func TestTenantIDFitsThePrelude(t *testing.T) {
+	longest := strings.Repeat("t", 255)
+	ws, addrs := startTenantWorkerSet(t, 1, AdmissionConfig{MaxInFlight: 1}, nil)
+	sess, err := DialTenant(context.Background(), longest, addrs, Timeouts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	r1 := randKeys(200, 100, 68)
+	if _, err := exec.RunOver(sess, r1, r1, join.Equi{}, partition.NewCI(1), model, exec.Config{Seed: 69}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ws[0].AdmissionStats().Granted[longest]; got != 1 {
+		t.Fatalf("the %d-byte tenant was granted %d jobs, want 1", len(longest), got)
+	}
+	tooLong := longest + "t"
+	for _, c := range []struct {
+		name   string
+		refuse func() error
+	}{
+		{"DialTenant", func() error {
+			_, err := DialTenant(context.Background(), tooLong, addrs, Timeouts{})
+			return err
+		}},
+		{"TenantWeights.Set", func() error { return TenantWeights{}.Set(tooLong + "=1") }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.refuse(); err == nil || !strings.Contains(err.Error(), "255") {
+				t.Fatalf("a %d-byte tenant id: %v, want refused past 255 bytes", len(tooLong), err)
+			}
+		})
+	}
+}
 
 // startTenantWorkerSet starts n workers with admission control and tenant
 // policies configured before Serve.
@@ -160,9 +198,9 @@ func TestSessionTypedAdmissionRejection(t *testing.T) {
 	}
 }
 
-// TestAnonymousSessionUnderAdmission checks the compatibility guarantee: a
-// coordinator that sends no hello is the anonymous tenant and runs normally
-// through an admission-controlled worker.
+// TestAnonymousSessionUnderAdmission checks that a coordinator whose prelude
+// names no tenant is the anonymous tenant and runs normally through an
+// admission-controlled worker.
 func TestAnonymousSessionUnderAdmission(t *testing.T) {
 	ws, addrs := startTenantWorkerSet(t, 1, AdmissionConfig{MaxInFlight: 1}, nil)
 	r1 := randKeys(1000, 500, 95)

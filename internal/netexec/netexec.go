@@ -14,19 +14,19 @@
 //
 // There is one transport: the session protocol (Dial/Session, implementing
 // exec.Runtime) keeps one persistent connection per worker and multiplexes
-// numbered jobs over it, so N jobs cost one dial per worker. Every
-// connection opens with the 6-byte prelude "EWHB" + version; workers speak
-// exactly two versions — 6, a coordinator session, and 5, a worker→worker
-// peer-mesh link (peer.go) — and close anything else. The two share one
-// frame header, the mesh at job 0 (wire.go). Both ends run one job
-// lifecycle each: the coordinator's subJob (open/send/await/close,
-// session.go) against the worker's openJob → endFrame/dataFrame → join
-// goroutine → retire (session_worker.go, stream_worker.go), every job's
-// goroutine started at its open. Every key-carrying data frame has one writer
-// (writeKeyFrames) and one sub-header step (readKeySubHdr); one function
-// (sessJob.runRel) decides which relation a run's frame advances. See wire.go
-// for the framing and DESIGN.md's "Transport" section for the frame table and
-// both lifecycles.
+// numbered jobs over it, so N jobs cost one dial per worker. Every connection
+// opens with the prelude "EWHB" + version + the tenant its jobs are charged
+// to; workers speak exactly two versions — 7, a coordinator session, and 6, a
+// worker→worker peer-mesh link (peer.go), whose tenant is always "" — and
+// close anything else. The two share one frame header, the mesh at job 0
+// (wire.go). Both ends run one job lifecycle each: the coordinator's subJob
+// (open/send/await/close, session.go) against the worker's openJob →
+// endFrame/dataFrame → join goroutine → retire (session_worker.go,
+// stream_worker.go), every job's goroutine started at its open. Every
+// key-carrying data frame has one writer (writeKeyFrames) and one sub-header
+// step (readKeySubHdr); one function (sessJob.runRel) decides which relation a
+// run's frame advances. See wire.go for the framing and
+// DESIGN.md's "Transport" section for the frame table and both lifecycles.
 package netexec
 
 import (
@@ -90,7 +90,7 @@ type jobOpen struct {
 // stage-2 plan instead of streaming back as pairs. The frameV3Plan beside
 // the job is a statistics request: it leaves Plan and Peers empty, and the
 // worker joins, summarizes its matches under Stats (exec.StageSummary),
-// ships the summary in a frameV3Stats and waits. The frameV3Plan2
+// replies the summary in a frameV3StreamRep and waits. The frameV3Plan2
 // that answers it carries the plan: Plan is a planio-encoded artifact
 // (scheme + routing seed); Peers is the stage-2 worker address map; Self is
 // this worker's own index in Peers (-1 when it hosts no stage-2 worker), so
@@ -407,9 +407,10 @@ func (w *Worker) Serve() error {
 
 // handle reads the connection's prelude and dispatches to the session or
 // the peer handler. Bytes that are not the prelude — wrong magic, a version
-// the worker does not speak, or a hangup before six bytes arrived — close the
-// connection with no reply and no job accounting: nothing past the fixed-size
-// read ever parses untrusted input.
+// the worker does not speak, a hangup before the tenant arrived, or a mesh
+// link naming one — close the connection with no reply and no job
+// accounting: the magic and version are checked before the tenant is read,
+// and nothing past the prelude's bounded reads ever parses untrusted input.
 // A panic while serving one connection must not take down the worker process
 // (and every other in-flight job with it), so it is contained here; the
 // coordinator sees the closed connection as a job failure.
@@ -443,18 +444,30 @@ func (w *Worker) handle(conn net.Conn) {
 		}
 	}()
 	tc := newTimedConn(conn, w.timeouts.IO)
-	var prelude [len(protoMagic) + 2]byte
-	if _, err := io.ReadFull(tc, prelude[:]); err != nil || [4]byte(prelude[:4]) != protoMagic {
+	var head [len(protoMagic) + 2]byte
+	if _, err := io.ReadFull(tc, head[:]); err != nil || [4]byte(head[:4]) != protoMagic {
+		return
+	}
+	version := binary.LittleEndian.Uint16(head[len(protoMagic):])
+	if version != protoVersionSession && version != protoVersionPeer {
+		return
+	}
+	var tenantLen [1]byte
+	if _, err := io.ReadFull(tc, tenantLen[:]); err != nil {
+		return
+	}
+	tenant := make([]byte, tenantLen[0])
+	if _, err := io.ReadFull(tc, tenant); err != nil {
 		return
 	}
 	br := bufio.NewReaderSize(tc, connBufSize)
-	switch binary.LittleEndian.Uint16(prelude[len(protoMagic):]) {
-	case protoVersionSession:
+	switch {
+	case version == protoVersionSession:
 		w.mu.Lock()
 		cs.session = true
 		w.mu.Unlock()
-		w.handleSession(br, tc, cs)
-	case protoVersionPeer:
+		w.handleSession(br, tc, cs, string(tenant))
+	case len(tenant) == 0: // the mesh charges its own account, never a tenant's
 		w.handlePeer(br, tc)
 	}
 }

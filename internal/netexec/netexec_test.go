@@ -155,30 +155,46 @@ func expectClosedSilently(t *testing.T, conn net.Conn) {
 func TestGarbagePreludeClosedSilently(t *testing.T) {
 	// Bytes that are not the prelude used to fall through to a gob decoder;
 	// now the connection closes with no reply and no job accounting, as does
-	// a prelude of a version the worker does not speak.
+	// a prelude of a version the worker does not speak. A hangUp row's sender
+	// stops mid-prelude and hangs up.
 	ws, addrs := startWorkerSet(t, 1)
 	ws[0].FailAfterJobs(1 << 30) // arms the completed-job counter
+	var hello bytes.Buffer       // a version-6 session's tenant declaration, frame type 23
+	if err := writeV3GobFrame(&hello, 23, 0, struct{ Tenant string }{"acme"}); err != nil {
+		t.Fatal(err)
+	}
+	tenantCut := prelude(protoVersionSession, "acme")
 	for _, tc := range []struct {
 		name    string
 		opening []byte
+		hangUp  bool
 	}{
-		{"wrong magic", []byte("GET / HTTP/1.1\r\n\r\n")},
-		{"gob-like", []byte{0x1f, 0xff, 0x81, 0x03, 0x01, 0x01, 0x09, 'h', 'a', 'n', 'd'}},
-		{"short magic then EOF", []byte("EWH")},
-		{"magic and half a version then EOF", []byte("EWHB\x03")},
-		{"unknown version", binary.LittleEndian.AppendUint16([]byte("EWHB"), protoVersionPeer+7)},
+		{"wrong magic", []byte("GET / HTTP/1.1\r\n\r\n"), false},
+		{"gob-like", []byte{0x1f, 0xff, 0x81, 0x03, 0x01, 0x01, 0x09, 'h', 'a', 'n', 'd'}, false},
+		{"short magic then EOF", []byte("EWH"), true},
+		{"magic and half a version then EOF", []byte("EWHB\x03"), true},
+		{"unknown version", binary.LittleEndian.AppendUint16([]byte("EWHB"), protoVersionSession+7), false},
 		// The mesh's job-less header ran under version 4: such a link is
 		// closed at its prelude, never read past it and misframed.
 		{"retired mesh version 4", append(binary.LittleEndian.AppendUint16([]byte("EWHB"), 4),
-			framePeerHead, peerHeadLen, 0, 0, 0)},
+			framePeerHead, peerHeadLen, 0, 0, 0), false},
+		// Version 5 meshes sent no tenant: such a link is closed at its
+		// prelude, its first header never read as one.
+		{"retired mesh version 5", append(binary.LittleEndian.AppendUint16([]byte("EWHB"), 5),
+			framePeerHead, 0, 0, 0, 0, peerHeadLen, 0, 0, 0), false},
 		// Version 3 sessions opened jobs without Pairs and shipped a pairs
 		// job's relations as heads and blocks: served, such a coordinator
 		// would have its pairs jobs counted, their pairs never sent.
-		{"retired session version 3", binary.LittleEndian.AppendUint16([]byte("EWHB"), 3)},
+		{"retired session version 3", binary.LittleEndian.AppendUint16([]byte("EWHB"), 3), false},
+		// Version 6 is now the mesh's: a version-6 session's HELLO reads as
+		// a tenant the mesh never names.
+		{"retired session version 6 and a HELLO",
+			append(binary.LittleEndian.AppendUint16([]byte("EWHB"), 6), hello.Bytes()...), false},
+		{"tenant shorter than its length then EOF", tenantCut[:len(tenantCut)-2], true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			conn := dialRaw(t, addrs[0], tc.opening)
-			if len(tc.opening) < len(protoMagic)+2 {
+			if tc.hangUp {
 				if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
 					t.Fatal(err)
 				}
@@ -207,10 +223,10 @@ func TestControlFrameBound(t *testing.T) {
 	t.Run("worker", func(t *testing.T) {
 		ws, addrs := startWorkerSet(t, 1)
 		ws[0].FailAfterJobs(1 << 30) // arms the completed-job counter
-		bw, conn := dialV3(t, addrs[0])
+		bw, conn := dialV3(t, addrs[0], "")
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if err := errors.Join(writeV3FrameHeader(bw, frameV3Hello, 0, declared), bw.Flush()); err != nil {
+		if err := errors.Join(writeV3FrameHeader(bw, frameV3Plan2, 0, declared), bw.Flush()); err != nil {
 			t.Fatal(err)
 		}
 		expectClosedSilently(t, conn)
@@ -223,7 +239,7 @@ func TestControlFrameBound(t *testing.T) {
 	t.Run("stalled headers", func(t *testing.T) {
 		// Every control frame a worker reads past the opens, each declaring
 		// the largest payload the bound admits and then sending nothing: the
-		// worker refuses a HELLO, PLAN or PLANCANCEL that long unread and
+		// worker refuses a PLAN or PLANCANCEL that long unread and
 		// buffers what arrived of a PLAN2, not what was declared (it used to
 		// allocate the whole 32 MiB per header up front).
 		_, addrs := startWorkerSet(t, 1)
@@ -233,9 +249,9 @@ func TestControlFrameBound(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		types := []byte{frameV3Hello, frameV3Plan, frameV3Plan2, frameV3PlanCancel}
+		types := []byte{frameV3Plan, frameV3Plan2, frameV3PlanCancel}
 		for _, typ := range types {
-			bw, _ := dialV3(t, addrs[0])
+			bw, _ := dialV3(t, addrs[0], "")
 			if typ == frameV3Plan { // a PLAN is read only for an open job
 				if err := writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec}); err != nil {
 					t.Fatal(err)
@@ -245,7 +261,7 @@ func TestControlFrameBound(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		const bound = 16 << 20 // the four headers declare 128 MiB
+		const bound = 16 << 20 // the three headers declare 96 MiB
 		for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); {
 			time.Sleep(10 * time.Millisecond)
 			runtime.ReadMemStats(&after)
@@ -255,8 +271,8 @@ func TestControlFrameBound(t *testing.T) {
 		}
 	})
 	t.Run("open over its bound", func(t *testing.T) {
-		// An open, HELLO, PLAN or PLANCANCEL longer than any real one is
-		// refused unread, and it ends only its own connection. gob skips the
+		// An open, PLAN or PLANCANCEL longer than any real one is refused
+		// unread, and it ends only its own connection. gob skips the
 		// fields a struct lacks, so each padded frame would decode.
 		_, addrs := startWorkerSet(t, 1)
 		other := dialSession(t, addrs)
@@ -279,12 +295,6 @@ func TestControlFrameBound(t *testing.T) {
 			frames func(bw *bufio.Writer) error
 		}{
 			{"OPENJOB", func(bw *bufio.Writer) error { return writeV3GobFrame(bw, frameV3OpenJob, 1, open) }},
-			{"HELLO", func(bw *bufio.Writer) error {
-				return writeV3GobFrame(bw, frameV3Hello, 0, struct {
-					Tenant string
-					Pad    []byte
-				}{"t", pad})
-			}},
 			{"PLAN", func(bw *bufio.Writer) error {
 				return errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec}),
 					writeV3GobFrame(bw, frameV3Plan, 1, paddedToken{1, pad}))
@@ -294,7 +304,7 @@ func TestControlFrameBound(t *testing.T) {
 			}},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
-				bw, conn := dialV3(t, addrs[0])
+				bw, conn := dialV3(t, addrs[0], "")
 				if err := errors.Join(tc.frames(bw), bw.Flush()); err != nil {
 					t.Fatal(err)
 				}
@@ -388,7 +398,7 @@ func TestShutdownSparesConnectionMidPrelude(t *testing.T) {
 	dialSession(t, addrs) // an idle, identified session: the sweep's prey
 	half := dialRaw(t, addrs[0], []byte("EWH"))
 	// Hold a job open so Shutdown parks in its drain between the two sweeps.
-	bw, _ := dialV3(t, addrs[0])
+	bw, _ := dialV3(t, addrs[0], "")
 	sendOpenJob(t, bw, 1, false)
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
@@ -418,7 +428,7 @@ func TestShutdownSparesConnectionMidPrelude(t *testing.T) {
 	})
 	// Mid-drain: the half-prelude connection is still open — finishing the
 	// prelude as a peer link now gets it served, not refused.
-	if _, err := half.Write([]byte{'B', protoVersionPeer, 0}); err != nil {
+	if _, err := half.Write([]byte{'B', protoVersionPeer, 0, 0}); err != nil {
 		t.Fatalf("mid-prelude connection was closed by the drain sweep: %v", err)
 	}
 	_ = half.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
@@ -453,7 +463,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestSessionDeclaredCountEnforced(t *testing.T) {
 	_, addrs := startWorkerSet(t, 1)
-	bw, conn := dialV3(t, addrs[0])
+	bw, conn := dialV3(t, addrs[0], "")
 	for id, c := range []struct {
 		name, want string
 		frames     func(id uint32) error
@@ -485,7 +495,7 @@ func TestSessionUnknownRelationRejected(t *testing.T) {
 	// A pairs job has two relations: the base run and window 0. Window 1 is
 	// a plan job's re-key column, and window 2 names no relation at all.
 	_, addrs := startWorkerSet(t, 1)
-	bw, conn := dialV3(t, addrs[0])
+	bw, conn := dialV3(t, addrs[0], "")
 	sendOpenJob(t, bw, 1, true)
 	err := errors.Join(writeRel(bw, 1, 1, []join.Key{9}), writeStreamWinKeys(bw, 1, 2, 0, []join.Key{9}),
 		writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
@@ -530,7 +540,7 @@ func TestSessionMultiBlockRelation(t *testing.T) {
 			w.ledger.budget = tc.budget
 			go func() { _ = w.Serve() }()
 			t.Cleanup(func() { _ = w.Close() })
-			bw, conn := dialV3(t, w.Addr())
+			bw, conn := dialV3(t, w.Addr(), "")
 			err = errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec, Pairs: true}),
 				writeStreamBaseKeys(bw, 1, 0, r1[:300]), writeStreamBaseKeys(bw, 1, 0, r1[300:]),
 				writeStreamBaseEnd(bw, 1, 0, len(r1)),

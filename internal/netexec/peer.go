@@ -111,10 +111,7 @@ func (pc *peerConn) sendContribution(t Timeouts, token uint64, sender int, keys 
 		pc.dialed = true
 		pc.conn = newTimedConn(conn, t.IO)
 		pc.bw = bufio.NewWriterSize(pc.conn, connBufSize)
-		var prelude [len(protoMagic) + 2]byte
-		copy(prelude[:], protoMagic[:])
-		binary.LittleEndian.PutUint16(prelude[len(protoMagic):], protoVersionPeer)
-		if _, err := pc.bw.Write(prelude[:]); err != nil {
+		if _, err := pc.bw.Write(prelude(protoVersionPeer, "")); err != nil {
 			pc.fail(err)
 			return fmt.Errorf("peer %s: %w", pc.addr, err)
 		}
@@ -143,8 +140,8 @@ func (pc *peerConn) close() {
 }
 
 // writeContribution frames one sender's share of a transfer: the head
-// declares the key count, then the key blocks follow — an empty share is its
-// head alone.
+// declares the key count, then the key blocks follow, split at maxBlockKeys —
+// an empty share is its head alone.
 func (pc *peerConn) writeContribution(token uint64, sender int, keys []join.Key) error {
 	if err := writeV3FrameHeader(pc.bw, framePeerHead, 0, peerHeadLen); err != nil {
 		return err
@@ -158,15 +155,8 @@ func (pc *peerConn) writeContribution(token uint64, sender int, keys []join.Key)
 	}
 	// The block sub-header repeats the head's layout with the frame's own
 	// count in the last slot, which writeKeyFrames fills.
-	for len(keys) > 0 {
-		n := len(keys)
-		if n > maxPeerBlockKeys {
-			n = maxPeerBlockKeys
-		}
-		if err := writeKeyFrames(pc.bw, framePeerBlock, 0, h[:], keys[:n]); err != nil {
-			return err
-		}
-		keys = keys[n:]
+	if err := writeKeyFrames(pc.bw, framePeerBlock, 0, h[:], keys); err != nil {
+		return err
 	}
 	return pc.bw.Flush()
 }

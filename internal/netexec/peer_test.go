@@ -206,7 +206,7 @@ func TestWorkerIOTimeoutFailsStalledTransfer(t *testing.T) {
 	go func() { _ = w.Serve() }()
 	t.Cleanup(func() { _ = w.Close() })
 
-	bw, conn := dialV3(t, w.Addr())
+	bw, conn := dialV3(t, w.Addr(), "")
 	sendOpenJob(t, bw, 1, false)
 	// Declare a 64-byte gob payload for a second open and send nothing.
 	if err := writeV3FrameHeader(bw, frameV3OpenJob, 2, 64); err != nil {
@@ -267,7 +267,7 @@ func TestPeerJobExitTombstonesTransfer(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			token := newPeerToken()
-			bw, conn := dialV3(t, addrs[0])
+			bw, conn := dialV3(t, addrs[0], "")
 			po := peerJobOpen{Cond: spec, Token: token, Senders: 1}
 			if err := writeV3GobFrame(bw, frameV3OpenPeerJob, 1, po); err != nil {
 				t.Fatal(err)
@@ -360,14 +360,11 @@ func TestUnknownPeerFrameFailsTransfer(t *testing.T) {
 	}
 	defer conn.Close()
 	bw := bufio.NewWriter(conn)
-	var prelude [6]byte
-	copy(prelude[:], protoMagic[:])
-	binary.LittleEndian.PutUint16(prelude[4:], protoVersionPeer)
 	var h [peerHeadLen]byte
 	binary.LittleEndian.PutUint64(h[:], token)
 	binary.LittleEndian.PutUint32(h[8:], 1)
 	binary.LittleEndian.PutUint32(h[12:], 2)
-	_, _ = bw.Write(prelude[:])
+	_, _ = bw.Write(prelude(protoVersionPeer, ""))
 	_ = writeV3FrameHeader(bw, framePeerHead, 0, peerHeadLen)
 	_, _ = bw.Write(h[:])
 	_ = writeV3FrameHeader(bw, 32, 0, peerHeadLen)
@@ -523,7 +520,7 @@ func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 func TestRetiredSessionFrameIsConnectionFatal(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 1)
 	for _, typ := range []byte{11, 12, 25, 26, 27, 28} {
-		bw, conn := dialV3(t, addrs[0])
+		bw, conn := dialV3(t, addrs[0], "")
 		sendOpenJob(t, bw, 1, true)
 		err := errors.Join(writeRel(bw, 1, 1, []join.Key{3}), bw.Flush())
 		if err != nil {
@@ -560,7 +557,7 @@ func TestPeerJobReplyCheckedAgainstSenderCounts(t *testing.T) {
 		}
 		defer conn.Close()
 		br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
-		if _, err := io.ReadFull(br, make([]byte, len(protoMagic)+2)); err != nil {
+		if _, err := io.ReadFull(br, prelude(protoVersionSession, "")); err != nil {
 			return
 		}
 		peerJob := map[uint32]bool{}
@@ -578,7 +575,7 @@ func TestPeerJobReplyCheckedAgainstSenderCounts(t *testing.T) {
 			case typ == frameV3EOS && peerJob[id]:
 				err = writeV3GobFrame(bw, frameV3Metrics, id, metrics{InputR1: routed - 1})
 			case typ == frameV3EOS: // the stage-1 job: an empty summary, which Replan ignores
-				err = writeV3FrameHeader(bw, frameV3Stats, id, 0)
+				err = writeV3GobFrame(bw, frameV3StreamRep, id, streamWinReply{})
 			case typ == frameV3Plan2:
 				err = writeV3GobFrame(bw, frameV3Metrics, id, metrics{Output: routed, PeerCounts: []int64{routed}})
 			}

@@ -3,10 +3,8 @@ package netexec
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -53,9 +51,9 @@ type Session struct {
 	// views like ids/relayed.
 	buildOverlapped *atomic.Int64
 
-	// tenant is the id this session declared in its HELLO frames — the key
-	// workers use for admission queuing and quota accounting. "" (no hello
-	// sent) is the anonymous tenant.
+	// tenant is the id this session names in every connection's prelude —
+	// the key workers use for admission queuing and quota accounting. "" is
+	// the anonymous tenant.
 	tenant string
 
 	// onClose, when set (by Pool), runs once when the session closes so the
@@ -76,10 +74,10 @@ func Dial(addrs []string) (*Session, error) {
 // wedging the whole session (see Timeouts). Cancelling ctx aborts a dial
 // blocked in connection establishment (e.g. a full accept backlog, where no
 // wall-clock timeout is configured); ctx bounds only session establishment,
-// not the jobs that follow. Each session connection sends a HELLO frame naming
-// the tenant right after the protocol prelude, and the workers key admission
-// queuing and resource budgets by it. An empty tenant sends no hello (the
-// anonymous tenant — byte-identical to the pre-multi-tenant wire).
+// not the jobs that follow. Each session connection names the tenant in its
+// prelude, and the workers key admission queuing and resource budgets by it;
+// "" is the anonymous tenant. A tenant id longer than maxTenantLen bytes is
+// refused before any dial.
 func DialTenant(ctx context.Context, tenant string, addrs []string, t Timeouts) (*Session, error) {
 	if len(tenant) > maxTenantLen {
 		return nil, fmt.Errorf("netexec: tenant id %d bytes long, limit %d", len(tenant), maxTenantLen)
@@ -188,23 +186,22 @@ func fanOut(n int, fn func(i int) error) error {
 	return errors.Join(errs...)
 }
 
-// sessReply is the terminal state of one sub-job: the worker's metrics or
-// the connection failure that ended it.
+// sessReply is one reply of a sub-job: a window reply (a stream window's, or
+// a plan job's summary), or its terminal state — the worker's metrics or the
+// connection failure that ended it.
 type sessReply struct {
+	win *streamWinReply
 	m   *metrics
 	err error
 }
 
 // jobHandler routes one sub-job's reply frames. onPairs runs inline in the
 // connection's read loop (one sub-job per worker per job, so pair delivery
-// is sequential per worker); done, stats and wins are buffered so the reader
-// never blocks on a departed waiter (stats carries at most one summary per
-// stage job; wins is a stream job's per-window replies, see streamRepCap).
+// is sequential per worker); every other reply queues on replies, which open
+// sizes so the reader never blocks on a departed waiter.
 type jobHandler struct {
 	onPairs func([]exec.PairIdx)
-	stats   chan []byte
-	wins    chan streamWinReply
-	done    chan sessReply
+	replies chan sessReply
 }
 
 // sessConn is one persistent worker connection: a writer serialized by wmu
@@ -242,24 +239,9 @@ func dialSessConn(ctx context.Context, addr string, t Timeouts, sess *Session) (
 		bw:       bufio.NewWriterSize(conn, connBufSize),
 		pending:  make(map[uint32]*jobHandler),
 	}
-	var prelude [len(protoMagic) + 2]byte
-	copy(prelude[:], protoMagic[:])
-	binary.LittleEndian.PutUint16(prelude[len(protoMagic):], protoVersionSession)
-	if _, err := conn.Write(prelude[:]); err != nil {
+	if _, err := conn.Write(prelude(protoVersionSession, sess.tenant)); err != nil {
 		_ = conn.Close()
 		return nil, &WorkerFault{Kind: FaultHandshake, Worker: -1, Addr: addr, Err: err, retry: true}
-	}
-	if sess != nil && sess.tenant != "" {
-		// Declare tenancy before any job. The hello rides the shared buffered
-		// writer and flushes immediately — the worker must know the tenant
-		// before it sees the first job open.
-		err := c.locked(func(bw *bufio.Writer) error {
-			return writeV3GobFrame(bw, frameV3Hello, 0, sessionHello{Tenant: sess.tenant})
-		})
-		if err != nil {
-			_ = conn.Close()
-			return nil, &WorkerFault{Kind: FaultHandshake, Worker: -1, Addr: addr, Err: err, retry: true}
-		}
 	}
 	go c.readLoop()
 	return c, nil
@@ -301,7 +283,7 @@ func (c *sessConn) fail(err error) {
 	c.pending = make(map[uint32]*jobHandler)
 	c.mu.Unlock()
 	for _, h := range pending {
-		h.done <- sessReply{err: err}
+		h.replies <- sessReply{err: err}
 	}
 }
 
@@ -314,9 +296,12 @@ func (c *sessConn) handler(id uint32) *jobHandler {
 
 // readLoop demultiplexes reply frames by job number until the connection
 // dies. Pairs are delivered inline — the loop is the per-worker delivery
-// order the runtime contract requires — and a metrics frame terminates its
-// sub-job. The loop exits exactly when the connection fails or closes, so
-// a Session never leaks its readers.
+// order the runtime contract requires — window replies queue, and a metrics
+// frame terminates its sub-job. A window reply never takes a queue's last
+// slot, which is the terminal reply's: one that would is a protocol breach
+// (a job that awaits none, or a stream sender that stopped collecting),
+// failed rather than blocking this loop under it. The loop exits exactly
+// when the connection fails or closes, so a Session never leaks its readers.
 func (c *sessConn) readLoop() {
 	br := bufio.NewReaderSize(c.conn, connBufSize)
 	for {
@@ -339,40 +324,20 @@ func (c *sessConn) readLoop() {
 				h.onPairs(pairs)
 			}
 			exec.PairBufs.Put(pairs)
-		case frameV3Stats:
-			h := c.handler(id)
-			if h == nil || h.stats == nil {
-				// No consumer (abandoned job, late duplicate): drain without
-				// buffering.
-				if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
-					c.fail(fmt.Errorf("stats frame: %w", err))
-					return
-				}
-				continue
-			}
-			payload, err := readControlPayload(br, n)
-			if err != nil {
-				c.fail(fmt.Errorf("stats frame: %w", err))
-				return
-			}
-			select {
-			case h.stats <- payload:
-			default: // a second summary for one job is dropped, not fatal
-			}
 		case frameV3StreamRep:
 			var r streamWinReply
 			if err := readGobPayload(br, n, &r); err != nil {
-				c.fail(fmt.Errorf("stream reply frame: %w", err))
+				c.fail(fmt.Errorf("window reply frame: %w", err))
 				return
 			}
-			if h := c.handler(id); h != nil && h.wins != nil {
-				select {
-				case h.wins <- r:
-				default:
-					// The sender stopped collecting: a protocol breach, failed
-					// rather than blocking this loop under it.
-					c.fail(fmt.Errorf("stream job %d reply overrun (%d buffered)", id, streamRepCap))
-				}
+			h := c.handler(id)
+			switch {
+			case h == nil: // abandoned job, late reply: dropped
+			case len(h.replies) >= cap(h.replies)-1:
+				c.fail(fmt.Errorf("job %d window reply overrun (%d awaited)", id, cap(h.replies)-1))
+				return
+			default:
+				h.replies <- sessReply{win: &r}
 			}
 		case frameV3Metrics:
 			var m metrics
@@ -385,7 +350,7 @@ func (c *sessConn) readLoop() {
 			delete(c.pending, id)
 			c.mu.Unlock()
 			if h != nil {
-				h.done <- sessReply{m: &m}
+				h.replies <- sessReply{m: &m}
 			}
 		default:
 			c.fail(fmt.Errorf("unexpected frame type %d from worker", typ))
@@ -414,10 +379,11 @@ type subJob struct {
 	over bool
 }
 
-// open registers h for job id's replies on this connection. A connection
-// already dead fails fast.
-func (c *sessConn) open(op string, id uint32, worker int, h *jobHandler) (*subJob, error) {
-	h.done = make(chan sessReply, 1)
+// open registers job id's reply handler on this connection: onPairs, and a
+// reply queue with room for interim window replies ahead of the terminal one.
+// A connection already dead fails fast.
+func (c *sessConn) open(op string, id uint32, worker, interim int, onPairs func([]exec.PairIdx)) (*subJob, error) {
+	h := &jobHandler{onPairs: onPairs, replies: make(chan sessReply, interim+1)}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
@@ -449,59 +415,48 @@ func (j *subJob) send(write func(*bufio.Writer) error) error {
 	return nil
 }
 
-// subReply is what await hands back: the terminal metrics of a sub-job that
-// succeeded, or — when the caller asked for them — a stats stage's summary or
-// a stream's window reply.
-type subReply struct {
-	m     *metrics
-	stats []byte
-	win   streamWinReply
-}
-
 // await blocks until the sub-job's next reply and triages it: a connection
-// failure and an error reply become the classified fault. interim also
-// listens for the replies that precede the terminal one (the statistics
-// summary, window replies). The wait is bounded by the session's per-job
-// liveness deadline when one is configured: a worker that produces neither
-// what is awaited nor a connection error within Timeouts.Job is declared dead
-// — the failure the IO deadline cannot catch, a worker that accepted the job
-// and went silent without the TCP peer dying (the coordinator is idle at a
-// frame boundary, so no read deadline is armed).
-func (j *subJob) await(what string, interim bool) (subReply, error) {
-	var stats chan []byte
-	var wins chan streamWinReply
-	if interim {
-		stats, wins = j.h.stats, j.h.wins
-	}
+// failure and an error reply become the classified fault. interim asks for
+// the window replies that precede the terminal one (a plan job's summary, a
+// stream's windows); without it they are skipped. The wait is bounded by the
+// session's per-job liveness deadline when one is configured: a worker that
+// produces neither what is awaited nor a connection error within Timeouts.Job
+// is declared dead — the failure the IO deadline cannot catch, a worker that
+// accepted the job and went silent without the TCP peer dying (the
+// coordinator is idle at a frame boundary, so no read deadline is armed).
+func (j *subJob) await(what string, interim bool) (sessReply, error) {
 	var deadline <-chan time.Time
 	if d := j.c.timeouts.Job; d > 0 {
 		t := time.NewTimer(d)
 		defer t.Stop()
 		deadline = t.C
 	}
-	select {
-	case sum := <-stats:
-		return subReply{stats: sum}, nil
-	case r := <-wins:
-		if r.Err != "" {
-			// A poisoned stream answers every window with its error; the job
-			// itself stays open on the worker until close.
-			return subReply{}, j.c.workerFault(j.op, j.id, j.worker, &metrics{Err: r.Err, Code: r.Code})
+	for {
+		select {
+		case r := <-j.h.replies:
+			switch {
+			case r.win != nil && !interim:
+				continue
+			case r.win != nil && r.win.Err != "":
+				// A poisoned stream answers every window with its error; the job
+				// itself stays open on the worker until close.
+				return sessReply{}, j.c.workerFault(j.op, j.id, j.worker, &metrics{Err: r.win.Err, Code: r.win.Code})
+			case r.win != nil:
+				return r, nil
+			}
+			j.over = true
+			switch {
+			case r.err != nil:
+				return sessReply{}, j.c.connFault(j.op, j.id, j.worker, r.err)
+			case r.m.Err != "":
+				return sessReply{}, j.c.workerFault(j.op, j.id, j.worker, r.m)
+			}
+			return r, nil
+		case <-deadline:
+			j.over = true
+			return sessReply{}, j.c.livenessFault(j.op, j.id, j.worker,
+				fmt.Errorf("no %s within liveness deadline %v", what, j.c.timeouts.Job))
 		}
-		return subReply{win: r}, nil
-	case r := <-j.h.done:
-		j.over = true
-		switch {
-		case r.err != nil:
-			return subReply{}, j.c.connFault(j.op, j.id, j.worker, r.err)
-		case r.m.Err != "":
-			return subReply{}, j.c.workerFault(j.op, j.id, j.worker, r.m)
-		}
-		return subReply{m: r.m}, nil
-	case <-deadline:
-		j.over = true
-		return subReply{}, j.c.livenessFault(j.op, j.id, j.worker,
-			fmt.Errorf("no %s within liveness deadline %v", what, j.c.timeouts.Job))
 	}
 }
 
@@ -532,12 +487,11 @@ func (j *subJob) proto(err error) error {
 // loop). Every failure is classified into a *WorkerFault naming the worker
 // address and job number.
 func (c *sessConn) runPlain(id uint32, workerID int, spec join.Spec, job *exec.Job, m *exec.WorkerMetrics) error {
-
-	h := &jobHandler{}
+	var onPairs func([]exec.PairIdx)
 	if job.Pairs != nil {
-		h.onPairs = func(pairs []exec.PairIdx) { job.Pairs(workerID, pairs) }
+		onPairs = func(pairs []exec.PairIdx) { job.Pairs(workerID, pairs) }
 	}
-	j, err := c.open("job", id, workerID, h)
+	j, err := c.open("job", id, workerID, 0, onPairs)
 	if err != nil {
 		return err
 	}

@@ -169,8 +169,9 @@ func TestSessionConcurrentJobs(t *testing.T) {
 	}
 }
 
-// dialV3 opens a raw session connection for protocol-level fault injection.
-func dialV3(t *testing.T, addr string) (*bufio.Writer, net.Conn) {
+// dialV3 opens a raw session connection for protocol-level fault injection,
+// its prelude naming tenant.
+func dialV3(t *testing.T, addr, tenant string) (*bufio.Writer, net.Conn) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -178,10 +179,7 @@ func dialV3(t *testing.T, addr string) (*bufio.Writer, net.Conn) {
 	}
 	t.Cleanup(func() { _ = conn.Close() })
 	bw := bufio.NewWriter(conn)
-	var prelude [6]byte
-	copy(prelude[:], protoMagic[:])
-	binary.LittleEndian.PutUint16(prelude[4:], protoVersionSession)
-	if _, err := bw.Write(prelude[:]); err != nil {
+	if _, err := bw.Write(prelude(protoVersionSession, tenant)); err != nil {
 		t.Fatal(err)
 	}
 	return bw, conn
@@ -244,13 +242,13 @@ func writeRel(w io.Writer, job uint32, rel int, keys []join.Key) error {
 }
 
 // answerStats plays the coordinator's half of a plan job's statistics
-// exchange: it waits for the job's STATS frame and answers with ps in a
+// exchange: it waits for the job's summary reply and answers with ps in a
 // PLAN2.
 func answerStats(t *testing.T, conn net.Conn, br *bufio.Reader, bw *bufio.Writer, job uint32, ps planSpec) {
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	typ, got, n, err := readV3FrameHeader(br)
-	if err != nil || typ != frameV3Stats || got != job {
+	if err != nil || typ != frameV3StreamRep || got != job {
 		t.Fatalf("awaiting job %d's statistics: frame %d for job %d (%v)", job, typ, got, err)
 	}
 	if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
@@ -316,14 +314,14 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ws, addrs := startTenantWorkerSet(t, 1, AdmissionConfig{},
 				map[string]TenantPolicy{tenant: {MaxBytes: c.budget}})
-			bw, conn := dialV3(t, addrs[0])
+			bw, conn := dialV3(t, addrs[0], tenant)
 			br := bufio.NewReader(conn)
-			err := writeV3GobFrame(bw, frameV3Hello, 0, sessionHello{Tenant: tenant})
 			sendOpenJob(t, bw, 1, c.pairs)
 			token := newPeerToken()
+			var err error
 			if c.plan {
-				err = errors.Join(err, writeV3GobFrame(bw, frameV3Plan, 1,
-					planSpec{Token: token, Stats: exec.StatsSpec{Cap: 8, Buckets: 4}}))
+				err = writeV3GobFrame(bw, frameV3Plan, 1,
+					planSpec{Token: token, Stats: exec.StatsSpec{Cap: 8, Buckets: 4}})
 			}
 			err = errors.Join(err, c.send(bw), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
 			if err != nil {
@@ -487,7 +485,7 @@ func TestSessionBlockLengthMismatchKeepsStreamInSync(t *testing.T) {
 	// fails the job, but the worker must consume exactly the frame-declared
 	// bytes — the next job on the same connection still works.
 	_, addrs := startWorkerSet(t, 1)
-	bw, conn := dialV3(t, addrs[0])
+	bw, conn := dialV3(t, addrs[0], "")
 	sendOpenJob(t, bw, 1, true)
 	// Frame declares 8 + 16 payload bytes but the embedded count says 1 key
 	// (8 + 8): the extra 8 bytes must be drained as frame payload.
@@ -523,7 +521,7 @@ func TestWorkerShutdownDrainsInFlightJob(t *testing.T) {
 	// Open a session job and stall before EOS, then shut down: Shutdown
 	// must wait for the job, the worker must still reply, and the listener
 	// must refuse new connections.
-	bw, conn := dialV3(t, addrs[0])
+	bw, conn := dialV3(t, addrs[0], "")
 	sendOpenJob(t, bw, 1, true)
 	if err := errors.Join(writeRel(bw, 1, 1, []join.Key{1, 2}), bw.Flush()); err != nil {
 		t.Fatal(err)

@@ -261,14 +261,11 @@ type workerSession struct {
 	// their reply has nowhere to go anyway.
 	done chan struct{}
 
-	// Read-loop state. tenant is the session's identity for admission and
-	// quota accounting, declared by an optional HELLO before the first job
-	// ("" is anonymous); tenantFixed latches at the hello or the first job
-	// open, whichever comes first. jobs is the demux table: a job leaves it
-	// at its EOS or ABORT.
-	tenant      string
-	tenantFixed bool
-	jobs        map[uint32]*sessJob
+	// tenant is the session's identity for admission and quota accounting,
+	// named in its prelude ("" is anonymous). jobs is the read loop's demux
+	// table: a job leaves it at its EOS or ABORT.
+	tenant string
+	jobs   map[uint32]*sessJob
 
 	// planTokens rings the transfer tokens of this connection's latest plan
 	// jobs (planNext is the next slot). A hang-up tombstones them, as the
@@ -326,7 +323,6 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int, msg any, re
 	if ws.jobs[id] != nil || n > maxOpenPayload || readGobPayload(br, n, msg) != nil {
 		return nil
 	}
-	ws.tenantFixed = true
 	j := &sessJob{id: id, ws: ws}
 	ws.jobs[id] = j
 	j.counted = ws.w.beginJob(ws.cs)
@@ -409,15 +405,16 @@ func (ws *workerSession) dataFrame(br *bufio.Reader, typ byte, id uint32, n int)
 	return err == nil
 }
 
-// handleSession serves one session connection until the coordinator hangs up
-// or the worker shuts down. Returning is connection-fatal: framing is the
-// only thing that keeps the two sides in sync, so any frame the loop cannot
-// account for ends the connection, and teardown retires the jobs still
-// streaming in — there is nothing to reply to.
-func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
+// handleSession serves one session connection, whose prelude named tenant,
+// until the coordinator hangs up or the worker shuts down. Returning is
+// connection-fatal: framing is the only thing that keeps the two sides in
+// sync, so any frame the loop cannot account for ends the connection, and
+// teardown retires the jobs still streaming in — there is nothing to reply
+// to.
+func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState, tenant string) {
 	ws := &workerSession{w: w, cs: cs, conn: conn,
 		bw: bufio.NewWriterSize(conn, connBufSize), pt: newPlan2Table(),
-		done: make(chan struct{}), jobs: make(map[uint32]*sessJob)}
+		done: make(chan struct{}), tenant: tenant, jobs: make(map[uint32]*sessJob)}
 	defer func() {
 		close(ws.done)
 		// Nothing can be replied anymore, so hang up before retiring: a stream
@@ -442,16 +439,6 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState) {
 		}
 		armConn(conn)
 		switch typ {
-		case frameV3Hello:
-			// Tenancy is declared once, before any job; a late or duplicate
-			// hello (or an oversized tenant id) is connection-fatal — the
-			// accounting key cannot change under in-flight jobs.
-			var sh sessionHello
-			if ws.tenantFixed || n > maxOpenPayload || readGobPayload(br, n, &sh) != nil || len(sh.Tenant) > maxTenantLen {
-				return
-			}
-			ws.tenant, ws.tenantFixed = sh.Tenant, true
-
 		case frameV3OpenJob:
 			var jo jobOpen
 			j := ws.openJob(br, id, n, &jo, 1, func() (int, join.Spec, exec.StatsSpec) {
@@ -715,15 +702,15 @@ func (j *sessJob) validateComplete() error {
 	return nil
 }
 
-// runPlanJob executes a stage-1 plan job's join, statistics exchange and
-// peer re-shuffle: each match materializes as its relation-2 tuple's entry in
-// the re-key column; the worker summarizes the matches, ships the summary and
-// parks until the replanned artifact (or a cancel, a kill, or the coordinator
-// hanging up) arrives; the artifact routes the matches (batch-routed through
-// the shared exec shuffle, deterministic per sender), and each stage-2
-// worker's share, empty or not, streams directly to that peer over the mesh.
-// It returns the match count and the per-receiver count vector. Errors name
-// the peer address.
+// runPlanJob executes a stage-1 plan job's join, statistics exchange and peer
+// re-shuffle: each match materializes as its relation-2 tuple's entry in the
+// re-key column; the worker summarizes the matches, replies the summary as a
+// window reply and parks until the replanned artifact (or a cancel, a kill, or
+// the coordinator hanging up) arrives; the artifact routes the matches
+// (batch-routed through the shared exec shuffle, deterministic per sender),
+// and each stage-2 worker's share, empty or not, streams directly to that peer
+// over the mesh. It returns the match count and the per-receiver count vector.
+// Errors name the peer address.
 func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64, []int64, error) {
 	w, ps := ws.w, j.plan
 	// The three stage-1 steps exec.Local runs too: materialize, summarize,
@@ -740,16 +727,7 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64
 	if err != nil {
 		return 0, nil, err
 	}
-	ws.wmu.Lock()
-	werr := writeV3FrameHeader(ws.bw, frameV3Stats, j.id, len(enc))
-	if werr == nil {
-		_, werr = ws.bw.Write(enc)
-	}
-	if werr == nil {
-		werr = ws.bw.Flush()
-	}
-	ws.wmu.Unlock()
-	if werr != nil {
+	if ws.reply(frameV3StreamRep, j.id, streamWinReply{Summary: enc}) != nil {
 		return 0, nil, errAbandoned // connection dead; nothing to reply to
 	}
 	// Release the execution slot across the park: the compute is done and

@@ -21,12 +21,12 @@ import (
 //
 // The stage-1 exchange has two phases: phase A opens the jobs with a PLAN
 // frame (a statistics request), each worker joins, summarizes its local
-// matches and ships the summary back in a STATS frame; the coordinator hands
-// the summaries to the driver's Replan, which builds the stage-2 plan from
-// the merged statistics, and phase B broadcasts it in a PLAN2 frame (the
-// planio-encoded artifact plus the peer address map) — only then do the
-// workers route and stream to their peers. The summaries (a few KB each) are
-// the only statistics that ever transit the coordinator.
+// matches and replies the summary as a window reply (STREAMREP); the
+// coordinator hands the summaries to the driver's Replan, which builds the
+// stage-2 plan from the merged statistics, and phase B broadcasts it in a
+// PLAN2 frame (the planio-encoded artifact plus the peer address map) — only
+// then do the workers route and stream to their peers. The summaries (a few KB
+// each) are the only statistics that ever transit the coordinator.
 
 // RunStages implements exec.StageRuntime over the persistent session.
 func (s *Session) RunStages(first *exec.Job, next *exec.PlanJob,
@@ -236,12 +236,12 @@ func (s *Session) cancelPlan(token uint64) {
 func (c *sessConn) openStatsStageJob(id uint32, workerID int, spec join.Spec, ps *planSpec,
 	job *exec.Job) (*subJob, []byte, error) {
 
-	j, err := c.open("stats stage job", id, workerID, &jobHandler{stats: make(chan []byte, 1)})
+	j, err := c.open("stats stage job", id, workerID, 1, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	err = j.sendJob(spec, ps, job)
-	var r subReply
+	var r sessReply
 	if err == nil {
 		r, err = j.await("statistics summary", true)
 	}
@@ -252,7 +252,7 @@ func (c *sessConn) openStatsStageJob(id uint32, workerID int, spec join.Spec, ps
 		j.close()
 		return nil, nil, err
 	}
-	return j, r.stats, nil
+	return j, r.win.Summary, nil
 }
 
 // finishStatsStageJob runs phase B: deliver the replanned artifact and peer
@@ -276,7 +276,7 @@ func (j *subJob) finishStatsStageJob(ps *planSpec, m *exec.WorkerMetrics) ([]int
 // sub-job stays open; finishPeerJob (or abandon) takes it over once stage 1
 // settles.
 func (c *sessConn) openPeerJob(st *stagePipe, workerID int) (*subJob, error) {
-	j, err := c.open("peer job", st.id2, workerID, &jobHandler{})
+	j, err := c.open("peer job", st.id2, workerID, 0, nil)
 	if err != nil {
 		return nil, err
 	}

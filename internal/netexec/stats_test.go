@@ -261,7 +261,7 @@ func TestStatsReplanErrorCancelsAndTombstones(t *testing.T) {
 // PLAN2 begins: at its PLAN frame. The coordinator's PLANCANCEL for the job's
 // token follows that frame on the connection, so wherever it lands — (a)
 // right after the PLAN, before the relations, (b) once the job replied its
-// STATS and parked, (c) after its PLAN2 — the job does not miss it: (a) and
+// summary and parked, (c) after its PLAN2 — the job does not miss it: (a) and
 // (b) reply the cancellation, (c) re-shuffles to its stage-2 peer and replies
 // its counts. Either way nothing stays parked: the worker holds no job and no
 // byte, and Shutdown returns at once.
@@ -275,20 +275,20 @@ func TestPlanCancelAroundThePark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const afterPlan, afterStats, afterPlan2 = 0, 1, 2
+	const afterPlan, afterSummary, afterPlan2 = 0, 1, 2
 	for _, c := range []struct {
 		name    string
 		at      int
 		wantErr string // "" = the job completes
 	}{
 		{"after its PLAN", afterPlan, "cancelled"},
-		{"after its STATS", afterStats, "cancelled"},
+		{"after its summary", afterSummary, "cancelled"},
 		{"after its PLAN2", afterPlan2, ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ws, addrs := startWorkerSet(t, 2) // the second hosts stage 2
 			w, token := ws[0], newPeerToken()
-			bw, conn := dialV3(t, addrs[0])
+			bw, conn := dialV3(t, addrs[0], "")
 			br := bufio.NewReader(conn)
 			cancelPlan := func() error {
 				return errors.Join(writeV3GobFrame(bw, frameV3PlanCancel, 0, planCancel{Token: token}), bw.Flush())
@@ -306,10 +306,10 @@ func TestPlanCancelAroundThePark(t *testing.T) {
 				t.Fatal(err)
 			}
 			switch c.at {
-			case afterStats:
+			case afterSummary:
 				_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 				typ, job, n, err := readV3FrameHeader(br)
-				if err != nil || typ != frameV3Stats || job != 1 {
+				if err != nil || typ != frameV3StreamRep || job != 1 {
 					t.Fatalf("awaiting the statistics: frame %d for job %d (%v)", typ, job, err)
 				}
 				if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {

@@ -17,8 +17,8 @@ import (
 // merges the per-worker summaries and decides when to replan; this layer
 // only moves frames and classifies faults.
 
-// streamRepCap bounds buffered per-connection window replies. The driver is
-// lockstep (it collects every window it sends), so the steady state is one
+// streamRepCap bounds a stream sub-job's buffered window replies. The driver
+// is lockstep (it collects every window it sends), so the steady state is one
 // outstanding reply; the headroom absorbs pipelined sends. Overrunning it
 // means the sender stopped collecting — that is a protocol breach, and the
 // connection is failed rather than blocking the read loop under it.
@@ -51,7 +51,7 @@ func (s *Session) OpenStream(spec exec.StreamSpec) (exec.StreamHandle, error) {
 	st := &Stream{id: s.ids.Add(1), conns: make([]*streamConn, 0, len(s.conns))}
 	so := streamOpen{Cond: js, Stats: spec.Stats}
 	for w, c := range s.conns {
-		j, err := c.open("stream", st.id, w, &jobHandler{wins: make(chan streamWinReply, streamRepCap)})
+		j, err := c.open("stream", st.id, w, streamRepCap, nil)
 		if err == nil {
 			st.conns = append(st.conns, &streamConn{subJob: j})
 			so.WorkerID = w

@@ -57,7 +57,8 @@ type streamOpen struct {
 // streamWinReply answers one window's end frame (rides frameV3StreamRep as
 // gob). Summary is a planio-encoded stats.Summary, nil for an empty shard.
 // A failed stream replies its error on every subsequent window so the
-// coordinator's lockstep collect never hangs.
+// coordinator's lockstep collect never hangs. A stage-1 plan job replies one
+// too, carrying only the summary of its matches.
 type streamWinReply struct {
 	Window  uint32
 	Epoch   uint32

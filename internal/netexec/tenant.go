@@ -16,15 +16,13 @@ import (
 // is charged before it is allocated and credited back when the job releases
 // it.
 //
-// Tenancy is declared by the coordinator in a session HELLO frame
-// (frameV3Hello) right after the protocol prelude; a session that sends no
-// hello is the anonymous tenant "" — exactly the pre-multi-tenant behavior,
-// so old coordinators keep working against new workers. Rejections are TYPED
-// end to end: the worker replies a metrics frame carrying a machine-readable
-// code, and the coordinator surfaces it as a WorkerFault matching
-// errors.Is(err, ErrAdmission) / errors.Is(err, ErrQuota) — never retried by
-// the fault-recovery layer (the worker is healthy; the tenant is over its
-// budget or the fleet is saturated), never an OOM or a wedged worker.
+// A session names its tenant in its connections' prelude (wire.go's prelude);
+// "" is the anonymous tenant. Rejections are TYPED end to end: the worker
+// replies a metrics frame carrying a machine-readable code, and the
+// coordinator surfaces it as a WorkerFault matching errors.Is(err,
+// ErrAdmission) / errors.Is(err, ErrQuota) — never retried by the
+// fault-recovery layer (the worker is healthy; the tenant is over its budget
+// or the fleet is saturated), never an OOM or a wedged worker.
 
 // ErrAdmission marks a job the worker refused to run because admission
 // control rejected it: the tenant's wait queue was full, or the job waited
@@ -73,16 +71,9 @@ func rejectCode(err error) int {
 	return codeNone
 }
 
-// sessionHello is the optional first frame of a v3 session, identifying the
-// coordinator's tenant. Sent once, before any job; a second hello or a hello
-// after a job opened is connection-fatal (tenancy cannot change mid-session).
-type sessionHello struct {
-	Tenant string
-}
-
-// maxTenantLen bounds the tenant id a hello may carry; an id is an
-// accounting key, not a payload.
-const maxTenantLen = 256
+// maxTenantLen bounds a tenant id, which the prelude leads with a u8 length;
+// an id is an accounting key, not a payload.
+const maxTenantLen = 255
 
 // AdmissionConfig bounds a worker's concurrent join execution. The zero
 // value disables admission control entirely (every job runs immediately, the

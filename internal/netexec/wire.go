@@ -16,10 +16,10 @@ import (
 // Wire framing ("EWHB"). All integers are little-endian. Every connection
 // opens with the prelude
 //
-//	magic "EWHB" | uint16 version
+//	magic "EWHB" | uint16 version | uint8 tenant length | tenant
 //
-// where version 6 is a coordinator session and 5 a worker→worker peer-mesh
-// link. Both frame everything after it as
+// where version 7 is a coordinator session and 6 a worker→worker peer-mesh
+// link, whose tenant is always "". Both frame everything after it as
 //
 //	[type u8][job u32][payloadLen u32][payload]
 //
@@ -34,14 +34,16 @@ import (
 const (
 	// protoVersionSession is the persistent-session protocol: numbered jobs
 	// multiplex over the connection until either side closes (session.go).
-	// Version 3 framed pairs and plan jobs as heads and blocks, and its
-	// jobOpen had no Pairs; a worker closes it at the prelude.
-	protoVersionSession = 6
+	// Version 6 declared its tenant in a HELLO frame and shipped a plan job's
+	// summary in a STATS frame; a worker reads its prelude as the mesh's and
+	// closes it at the tenant, which its first frame's type byte makes
+	// non-empty.
+	protoVersionSession = 7
 	// protoVersionPeer opens a worker→worker peer-transfer connection on the
 	// same listener: one sender streams stage-1 match contributions to one
-	// receiver, identified by 64-bit transfer tokens (peer.go). Version 4 was
-	// the mesh with a job-less header; a worker closes it at the prelude.
-	protoVersionPeer = 5
+	// receiver, identified by 64-bit transfer tokens (peer.go). Version 5 was
+	// the mesh with a tenant-less prelude; a worker closes it at the prelude.
+	protoVersionPeer = 6
 
 	// Session frames. Every header carries a job number, so one connection
 	// interleaves many jobs' frames.
@@ -59,22 +61,12 @@ const (
 	frameV3OpenPeerJob = 19 // coord→worker gob peerJobOpen: job whose relation 1 arrives from its Senders peers
 	frameV3PlanCancel  = 20 // coord→worker gob planCancel: discard buffered peer state for a token
 
-	// STATS/PLAN2 frames: a plan job joins as usual, summarizes its matches,
-	// ships the summary to the coordinator and holds its re-shuffle until the
+	// PLAN2 frame: a plan job joins as usual, summarizes its matches, replies
+	// the summary as a STREAMREP and holds its re-shuffle until the
 	// coordinator plans stage 2 from the merged summaries and answers with
 	// the artifact. Only the summaries — never the intermediate — transit the
 	// coordinator.
-	frameV3Stats = 21 // worker→coord raw planio-encoded statistics summary
 	frameV3Plan2 = 22 // coord→worker gob planSpec: the replanned stage-2 artifact + peer map
-
-	// HELLO frame (multi-tenant sessions): an optional gob sessionHello sent
-	// once, immediately after the v3 prelude and before any job, declaring
-	// the coordinator's tenant id for worker-side admission control and
-	// quota accounting. A session that opens jobs without a hello is the
-	// anonymous tenant "" — byte-identical to the pre-multi-tenant protocol,
-	// so old coordinators interoperate with new workers and vice versa (a
-	// hello's job field is 0 and old workers never receive one).
-	frameV3Hello = 23 // coord→worker gob sessionHello
 
 	// STREAM frames (continuous joins): a long-lived stream job joins an
 	// unbounded sequence of tuple windows against a static base relation.
@@ -82,9 +74,10 @@ const (
 	// static side routed under the active plan (re-shipped whole on every
 	// replan, tagged with a new epoch); window frames append one window's
 	// routed shard and its end frame triggers the worker's probe + summary
-	// reply. All frames ride the session connection's FIFO, which is the
-	// drain/cutover contract: windows sent before a new epoch's base are
-	// processed under the old plan, windows after it under the new one.
+	// reply; a plan job's summary rides the same reply. All frames ride the
+	// session connection's FIFO, which is the drain/cutover contract: windows
+	// sent before a new epoch's base are processed under the old plan,
+	// windows after it under the new one.
 	// The stream closes via the ordinary frameV3EOS / frameV3Metrics pair.
 	//
 	// Every other job rides the same frames at epoch 0: relation 1 as the
@@ -125,29 +118,25 @@ const (
 	// accepts: a full key frame under the longest sub-header, so a maximal
 	// frame of every key-carrying type passes.
 	maxDataPayload = maxKeySubHdrLen + 8*maxBlockKeys
-	// maxControlPayload bounds the control frames (gob, and the raw STATS
-	// summary), whose payload is buffered whole before it decodes: a reader
-	// refuses a longer one connection-fatally BEFORE allocating for it — a bare
-	// header on the unauthenticated listener must not cost 128 MiB — and
-	// writeV3GobFrame refuses to frame one. Twice the largest a driver can
-	// produce, a summary at the planio codec's collection cap (2^21 keys, 16
-	// MiB); a plan for the widest mesh stays under 1 MiB.
+	// maxControlPayload bounds the control frames (gob), whose payload is
+	// buffered whole before it decodes: a reader refuses a longer one
+	// connection-fatally BEFORE allocating for it — a bare header on the
+	// unauthenticated listener must not cost 128 MiB — and writeV3GobFrame
+	// refuses to frame one. Twice the largest a driver can produce, a summary
+	// at the planio codec's collection cap (2^21 keys, 16 MiB); a plan for the
+	// widest mesh stays under 1 MiB.
 	maxControlPayload = 32 << 20
 	// maxOpenPayload bounds the three open frames (OPENJOB, OPENPEERJOB,
-	// STREAMOPEN) and HELLO, PLAN and PLANCANCEL, refused connection-fatally
-	// before gob reads them. The largest real one is under 300 B (a HELLO's
-	// tenant id stops at maxTenantLen), so a longer one is malformed — gob
-	// would skip the fields the struct lacks — and gob never sees a
-	// control-sized one of them.
+	// STREAMOPEN), PLAN and PLANCANCEL, refused connection-fatally before gob
+	// reads them. The largest real one is under 300 B, so a longer one is
+	// malformed — gob would skip the fields the struct lacks — and gob never
+	// sees a control-sized one of them.
 	maxOpenPayload = 4 << 10
 
 	// peerHeadLen is framePeerHead's payload: [token u64][sender u32][count u32].
 	peerHeadLen = 16
 	// peerBlockHeaderLen is framePeerBlock's sub-header before the keys.
 	peerBlockHeaderLen = 16
-	// maxPeerBlockKeys caps one peer block frame (8 MiB of keys); larger
-	// contributions split into consecutive frames.
-	maxPeerBlockKeys = 1 << 20
 	// maxPeerSenders bounds the sender count a stage-2 job open may declare,
 	// and the sender ids a peer transfer may name before that open arrives.
 	maxPeerSenders = 1 << 12
@@ -155,6 +144,14 @@ const (
 
 // protoMagic opens every connection.
 var protoMagic = [4]byte{'E', 'W', 'H', 'B'}
+
+// prelude is what every connection opens with: the magic, the version, and
+// the tenant its jobs are charged to behind a u8 length (at most
+// maxTenantLen bytes; "" is the anonymous tenant and the mesh's).
+func prelude(version uint16, tenant string) []byte {
+	b := binary.LittleEndian.AppendUint16(append([]byte(nil), protoMagic[:]...), version)
+	return append(append(b, byte(len(tenant))), tenant...)
+}
 
 // codecScratch recycles the chunk buffers the key and pair codecs stage
 // through, each scratchLen bytes.

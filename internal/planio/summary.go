@@ -11,7 +11,7 @@ import (
 // Summary codec: the canonical binary encoding of a distributed statistics
 // summary (stats.Summary). Workers encode their local intermediate-key
 // summaries with it and ship them to the coordinator in the session
-// protocol's STATS frame; the coordinator decodes, merges (in worker order)
+// protocol's window replies; the coordinator decodes, merges (in worker order)
 // and plans. Like the plan artifact codec, the encoding is CANONICAL —
 // Encode(Decode(Encode(s))) == Encode(s) byte for byte, and the merge is
 // commutative at the encoding level (MergeSummaries(a,b) and
