@@ -34,26 +34,23 @@ const (
 	// FrameAny matches every frame regardless of type.
 	FrameAny byte = 0
 
-	// v3 session frames.
-	FrameOpenJob     byte = 10
-	FrameEOS         byte = 14
-	FramePairs       byte = 15
-	FrameMetrics     byte = 16
-	FrameAbort       byte = 17
-	FramePlan        byte = 18
-	FrameOpenPeerJob byte = 19
-	FramePlanCancel  byte = 20
-	FramePlan2       byte = 22
+	// v3 session frames. One OPEN opens every job kind; one REPLY carries
+	// every answer but pairs: a stream window's, a plan job's summary, and
+	// each job's final one.
+	FrameOpen       byte = 10
+	FrameEOS        byte = 14
+	FramePairs      byte = 15
+	FrameReply      byte = 16
+	FrameAbort      byte = 17
+	FramePlanCancel byte = 20
+	FramePlan2      byte = 22
 
-	// v3 stream frames: a continuous join's, and every other job's relations
-	// as base and window runs at epoch 0. STREAMREP also carries a plan job's
-	// summary.
-	FrameStreamOpen    byte = 33
+	// v3 run frames: a continuous join's, and every other job's relations as
+	// base and window runs at epoch 0.
 	FrameStreamBase    byte = 34
 	FrameStreamBaseEnd byte = 35
 	FrameStreamWin     byte = 36
 	FrameStreamWinEnd  byte = 37
-	FrameStreamRep     byte = 38
 
 	// Peer-mesh frames.
 	FramePeerHead  byte = 30
@@ -62,7 +59,7 @@ const (
 
 // Protocol versions as they appear in the wire prelude.
 const (
-	VersionSession = 7
+	VersionSession = 8
 	VersionPeer    = 6
 )
 

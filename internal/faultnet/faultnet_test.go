@@ -82,7 +82,7 @@ func TestTrackerFiresAtExactV3Frame(t *testing.T) {
 
 	var stream []byte
 	stream = append(stream, prelude(VersionSession, "tenant-a")...)
-	stream = append(stream, wireFrame(FrameOpenJob, 1, []byte("open-payload"))...)
+	stream = append(stream, wireFrame(FrameOpen, 1, []byte("open-payload"))...)
 	stream = append(stream, wireFrame(FrameStreamBase, 1, make([]byte, 64))...)
 	stream = append(stream, wireFrame(FrameStreamBaseEnd, 1, []byte{1, 2, 3})...)
 	cut := len(stream)
@@ -163,14 +163,14 @@ func TestTrackerOpaqueOnUnknownMagic(t *testing.T) {
 func TestOutboundTrackerAdoptsInboundVersion(t *testing.T) {
 	// The prelude travels inbound only; the outbound tracker must pick up
 	// the sniffed version and then parse replies with the right header size.
-	s := NewScript(Rule{Dir: Out, Frame: FrameMetrics, Action: ActClose})
+	s := NewScript(Rule{Dir: Out, Frame: FrameReply, N: 2, Action: ActClose})
 	fc, _ := pipeConn(t, s)
 	if err := fc.rt.feed(prelude(VersionSession, "")); err != nil {
 		t.Fatal(err)
 	}
 	var out []byte
-	out = append(out, wireFrame(FrameStreamRep, 1, make([]byte, 40))...)
-	out = append(out, wireFrame(FrameMetrics, 1, make([]byte, 10))...)
+	out = append(out, wireFrame(FrameReply, 1, make([]byte, 40))...)
+	out = append(out, wireFrame(FrameReply, 1, make([]byte, 10))...)
 	var ferr error
 	for i := range out {
 		if ferr = fc.wt.feed(out[i : i+1]); ferr != nil {
@@ -185,7 +185,7 @@ func TestOutboundTrackerAdoptsInboundVersion(t *testing.T) {
 func TestStallReleasedByClose(t *testing.T) {
 	// ActStall wedges the matching read until the connection is closed —
 	// and Close must win even while the stall holds the read path.
-	s := NewScript(Rule{Dir: In, Frame: FrameOpenJob, Action: ActStall})
+	s := NewScript(Rule{Dir: In, Frame: FrameOpen, Action: ActStall})
 	fc, peer := pipeConn(t, s)
 
 	got := make(chan error, 1)
@@ -200,7 +200,7 @@ func TestStallReleasedByClose(t *testing.T) {
 	}()
 	go func() {
 		_, _ = peer.Write(prelude(VersionSession, ""))
-		_, _ = peer.Write(wireFrame(FrameOpenJob, 1, []byte("job")))
+		_, _ = peer.Write(wireFrame(FrameOpen, 1, []byte("job")))
 	}()
 
 	select {
@@ -229,7 +229,7 @@ func TestHookLetsTrafficContinue(t *testing.T) {
 	s := NewScript(
 		Rule{Dir: In, Frame: FrameStreamBase, Action: ActHook,
 			Fn: func() { close(entered); <-release }},
-		Rule{Dir: Out, Frame: FrameStreamRep, Action: ActHook, Fn: func() {
+		Rule{Dir: Out, Frame: FrameReply, Action: ActHook, Fn: func() {
 			select {
 			case <-received:
 				outHook <- true
@@ -265,7 +265,7 @@ func TestHookLetsTrafficContinue(t *testing.T) {
 		t.Fatalf("Read after the hook = %d, %v; want %d, nil", r.n, r.err, len(stream))
 	}
 
-	reply := wireFrame(FrameStreamRep, 1, make([]byte, 24))
+	reply := wireFrame(FrameReply, 1, make([]byte, 24))
 	go func() {
 		if _, err := io.ReadFull(peer, make([]byte, len(reply))); err == nil {
 			close(received)
@@ -316,7 +316,7 @@ func TestWrappedListenerEndToEnd(t *testing.T) {
 	defer c.Close()
 	var head []byte
 	head = append(head, prelude(VersionSession, "")...)
-	head = append(head, wireFrame(FrameOpenJob, 7, make([]byte, 100))...)
+	head = append(head, wireFrame(FrameOpen, 7, make([]byte, 100))...)
 	if _, err := c.Write(head); err != nil {
 		t.Fatalf("pre-fault write: %v", err)
 	}

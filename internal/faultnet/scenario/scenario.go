@@ -828,18 +828,18 @@ func (sc *Scenario) runSession(t testing.TB) {
 // faultFrames lists the frames a fault may strike for a job kind: each one
 // its receiver needs to finish its part, so striking it fails the job.
 // Mesh frames (a peer's contribution) are struck only by killing the
-// victim: closing or stalling one mesh link would blame its sender too.
+// victim: closing or stalling one mesh link would blame its sender too. The
+// one outbound frame is a stage-1 job's summary REPLY (see drawFrame).
 func faultFrames(job Job) (session []byte, mesh []byte, out []byte) {
 	switch job {
 	case Count:
-		return []byte{faultnet.FrameOpenJob, faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd,
+		return []byte{faultnet.FrameOpen, faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd,
 			faultnet.FrameStreamWin, faultnet.FrameStreamWinEnd, faultnet.FrameEOS}, nil, nil
 	case Multiway:
-		return []byte{faultnet.FrameOpenJob, faultnet.FramePlan, faultnet.FrameStreamWin,
-				faultnet.FrameStreamWinEnd, faultnet.FrameEOS, faultnet.FramePlan2, faultnet.FrameOpenPeerJob,
-				faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd},
+		return []byte{faultnet.FrameOpen, faultnet.FrameStreamWin, faultnet.FrameStreamWinEnd,
+				faultnet.FrameEOS, faultnet.FramePlan2, faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd},
 			[]byte{faultnet.FramePeerHead, faultnet.FramePeerBlock},
-			[]byte{faultnet.FrameStreamRep}
+			[]byte{faultnet.FrameReply}
 	}
 	// A stream recovers inside its window loop; the first epoch's base ship
 	// precedes it.
@@ -859,7 +859,14 @@ func (sc *Scenario) drawFrame(counts []*faultnet.Script) bool {
 				if pin != nil && pin.Frame != faultnet.FrameAny && (pin.Dir != dir || pin.Frame != fr) {
 					continue
 				}
-				if n := count.Seen(dir, fr); n > 0 && (pin == nil || n >= pin.N) {
+				n := count.Seen(dir, fr)
+				if dir == faultnet.Out {
+					// A worker's first REPLY is its stage-1 summary, and only a
+					// stage-1 job is sent a PLAN2: a later reply may be the
+					// pipeline's last, which nothing would need to retry.
+					n = min(n, count.Seen(faultnet.In, faultnet.FramePlan2))
+				}
+				if n > 0 && (pin == nil || n >= pin.N) {
 					cands = append(cands, faultSpec{victim: w, dir: dir, frame: fr, n: n})
 				}
 			}

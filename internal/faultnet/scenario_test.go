@@ -36,19 +36,20 @@ func TestRecoveryBitIdenticalAcrossBoundaries(t *testing.T) {
 		fault scenario.Fault
 	}{
 		// The worker dies the instant its first stage-1 job arrives.
-		{"stage1-open", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FrameOpenJob, N: 1}},
+		{"stage1-open", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FrameOpen, N: 1}},
 		// The coordinator link dies while relation 2's block, the second
 		// key frame, is in flight; the worker stays up, excluded rather
 		// than dead.
 		{"mid-scatter", scenario.Fault{Action: faultnet.ActClose, Dir: faultnet.In, Frame: faultnet.FrameStreamWin, N: 1}},
 		// The worker ships its statistics summary, then dies before the
 		// replanned stage-2 plan reaches it.
-		{"post-stats", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.Out, Frame: faultnet.FrameStreamRep}},
+		{"post-stats", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.Out, Frame: faultnet.FrameReply}},
 		// The worker dies as the stage-2 plan lands, its matches summarized
 		// but never routed.
 		{"plan2-arrival", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FramePlan2}},
-		// The session link resets as the peer-fed stage-2 job opens.
-		{"stage2-open", scenario.Fault{Action: faultnet.ActReset, Dir: faultnet.In, Frame: faultnet.FrameOpenPeerJob}},
+		// The session link resets as the peer-fed stage-2 job opens, the
+		// victim's second OPEN.
+		{"stage2-open", scenario.Fault{Action: faultnet.ActReset, Dir: faultnet.In, Frame: faultnet.FrameOpen, N: 2}},
 		// The worker dies as a sender's contribution head lands — the only
 		// frame an empty share sends.
 		{"peer-head", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FramePeerHead}},
@@ -88,7 +89,7 @@ func TestCountJobRecoveryAtStreamFrameBoundaries(t *testing.T) {
 // on a job's first frame: only Timeouts.Job cuts the stall, and recovery
 // must then finish on the survivors with the reference result.
 func TestRecoveryFromStalledWorker(t *testing.T) {
-	stall := &scenario.Fault{Action: faultnet.ActStall, Dir: faultnet.In, Frame: faultnet.FrameOpenJob, N: 1}
+	stall := &scenario.Fault{Action: faultnet.ActStall, Dir: faultnet.In, Frame: faultnet.FrameOpen, N: 1}
 	scenario.RunSeeds(t, scenario.Pin{Job: scenario.Multiway, J: 2, Fault: stall}, 1200, 1)
 	scenario.RunSeeds(t, scenario.Pin{Job: scenario.Count, Fault: stall}, 1201, 1)
 }

@@ -287,19 +287,21 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 	kinds := []struct {
 		name string
 		run  func(*Session, tableInputs) error
-		// sendFrame is an inbound frame only this kind's send carries: where
-		// a connection death lands mid-send. The replyN-th outbound replyFrame
-		// on the tapped worker is the reply this kind's await is parked on:
-		// stalling it starves the liveness deadline.
-		sendFrame, replyFrame byte
-		replyN                int
+		// The sendN-th inbound sendFrame is a frame only this kind's send
+		// carries: where a connection death lands mid-send. The replyN-th
+		// outbound REPLY on the tapped worker is the reply this kind's await
+		// is parked on: stalling it starves the liveness deadline. The tapped
+		// worker opens a pipeline's stage-1 job, then its stage-2 peer job,
+		// and replies the stage-1 summary, its totals, then the peer job's.
+		sendFrame     byte
+		sendN, replyN int
 	}{
-		{"plain", tablePlain, faultnet.FrameStreamBase, faultnet.FrameMetrics, 1},
-		// The two halves of one stage-1 plan job: its open (PLAN in, the
-		// terminal METRICS out) and its statistics exchange (PLAN2 in, the
-		// summary's STREAMREP out).
-		{"stage-1 plan", stage1, faultnet.FramePlan, faultnet.FrameMetrics, 1},
-		{"stats stage", stage1, faultnet.FramePlan2, faultnet.FrameStreamRep, 1},
+		{"plain", tablePlain, faultnet.FrameStreamBase, 1, 1},
+		// The two halves of one stage-1 plan job: its open (its plan-kind
+		// OPEN in, its final REPLY out) and its statistics exchange (PLAN2
+		// in, the summary's REPLY out).
+		{"stage-1 plan", stage1, faultnet.FrameOpen, 1, 2},
+		{"stats stage", stage1, faultnet.FramePlan2, 1, 1},
 		{"peer", func(s *Session, in tableInputs) error {
 			// What a peer job buffers is the intermediate: duplicate-heavy
 			// stage-1 keys make the block it assembles blow the budget.
@@ -308,8 +310,8 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 				domain = 4
 			}
 			return tableStages(s, tableSmall, domain, false, in.invalid)
-		}, faultnet.FrameOpenPeerJob, faultnet.FrameMetrics, 2},
-		{"stream", tableStream, faultnet.FrameStreamWin, faultnet.FrameStreamRep, 1},
+		}, faultnet.FrameOpen, 2, 3},
+		{"stream", tableStream, faultnet.FrameStreamWin, 1, 1},
 	}
 	type cell struct {
 		in       tableInputs
@@ -347,10 +349,10 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 					return err != nil
 				}}},
 			{"connection death mid-send", cell{
-				rule:  &faultnet.Rule{Dir: faultnet.In, Frame: k.sendFrame, Action: faultnet.ActClose},
+				rule:  &faultnet.Rule{Dir: faultnet.In, Frame: k.sendFrame, N: k.sendN, Action: faultnet.ActClose},
 				check: faultKind(FaultConnLost)}},
 			{"liveness deadline", cell{
-				rule:     &faultnet.Rule{Dir: faultnet.Out, Frame: k.replyFrame, N: k.replyN, Action: faultnet.ActStall},
+				rule:     &faultnet.Rule{Dir: faultnet.Out, Frame: faultnet.FrameReply, N: k.replyN, Action: faultnet.ActStall},
 				timeouts: Timeouts{Job: 300 * time.Millisecond},
 				check:    faultKind(FaultTimeout)}},
 		}
@@ -400,7 +402,7 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 // worker, each driven frame by frame over a raw connection and asserting
 // workersIdle, a build cache untouched by a failed job, and the goroutine
 // count back at the snapshot. The worker has ONE admission slot, so a fed job
-// whose goroutine queued for a second slot beside the one its OPENJOB holds,
+// whose goroutine queued for a second slot beside the one its open holds,
 // or a peer-fed job that sat on one while parked on its transfer, times out.
 
 const (
@@ -433,7 +435,7 @@ func (k feedKind) run(bw *bufio.Writer, side int, keys []join.Key) error {
 	return errors.Join(k.keys(bw, side, keys), k.end(bw, side, len(keys)))
 }
 
-// chunkFedKind is an OPENJOB job under cond — a count job, or a pairs job
+// chunkFedKind is a job under cond — a count job, or a pairs job
 // when pairs — whose relation 1 arrives as base frames and relation 2 as
 // window frames, at epoch 0 and window 0.
 func chunkFedKind(t *testing.T, name string, cond join.Condition, want int64, pairs bool) feedKind {
@@ -444,7 +446,11 @@ func chunkFedKind(t *testing.T, name string, cond join.Condition, want int64, pa
 	return feedKind{
 		name: name, want: want, pairs: pairs,
 		open: func(bw *bufio.Writer) error {
-			return writeV3GobFrame(bw, frameV3OpenJob, feedJob, jobOpen{Cond: spec, Pairs: pairs})
+			o := open{Kind: kindCount, Cond: spec}
+			if pairs {
+				o.Kind = kindPairs
+			}
+			return writeCtl(bw, frameV3Open, feedJob, &o)
 		},
 		keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
 			if side == buildSide {
@@ -481,7 +487,7 @@ func feedTableKinds(t *testing.T, w *Worker) []feedKind {
 		{
 			name: "peer-fed job", want: 5, token: token,
 			open: func(bw *bufio.Writer) error {
-				return writeV3GobFrame(bw, frameV3OpenPeerJob, feedJob, peerJobOpen{Cond: spec, Token: token, Senders: 1})
+				return writeCtl(bw, frameV3Open, feedJob, &open{Kind: kindPeer, Cond: spec, Token: token, Senders: 1})
 			},
 			keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
 				if side == probeSide {
@@ -501,8 +507,8 @@ func feedTableKinds(t *testing.T, w *Worker) []feedKind {
 		}, {
 			name: "stream", want: 5,
 			open: func(bw *bufio.Writer) error {
-				return writeV3GobFrame(bw, frameV3StreamOpen, feedJob,
-					streamOpen{Cond: spec, Stats: exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 1}})
+				return writeCtl(bw, frameV3Open, feedJob,
+					&open{Kind: kindStream, Cond: spec, Stats: exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 1}})
 			},
 			keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
 				if side == buildSide {
@@ -529,9 +535,9 @@ func feedTableKinds(t *testing.T, w *Worker) []feedKind {
 	}
 }
 
-// awaitFeedMetrics reads job's reply frames up to its METRICS, skipping a
-// stream's window replies.
-func awaitFeedMetrics(t *testing.T, conn net.Conn, br *bufio.Reader, job uint32) metrics {
+// awaitFeedMetrics reads job's reply frames up to its final REPLY, skipping
+// pairs and a stream's window replies.
+func awaitFeedMetrics(t *testing.T, conn net.Conn, br *bufio.Reader, job uint32) reply {
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for {
@@ -542,17 +548,19 @@ func awaitFeedMetrics(t *testing.T, conn net.Conn, br *bufio.Reader, job uint32)
 		if got != job {
 			t.Fatalf("reply for job %d, want %d", got, job)
 		}
-		if typ != frameV3Metrics {
+		if typ != frameV3Reply {
 			if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
 				t.Fatal(err)
 			}
 			continue
 		}
-		var m metrics
-		if err := readGobPayload(br, n, &m); err != nil {
+		var m reply
+		if err := readCtl(br, n, maxControlPayload, &m); err != nil {
 			t.Fatal(err)
 		}
-		return m
+		if m.Final {
+			return m
+		}
 	}
 }
 
@@ -575,13 +583,13 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 		w    *Worker
 	}
 	// Each exit sends its frames after the open. One with a check then reads
-	// the job's METRICS; one without abandoned the job and expects no reply.
+	// the job's final REPLY; one without abandoned the job and expects no reply.
 	// Only a success cell may grow the build cache. The peerOnly exits are the
 	// outcomes of a transfer the other kinds have no counterpart of; a pairs
 	// job has no side to seal, so it skips the sealed exit.
-	succeeded := func(c cell, m metrics) bool { return m.Err == "" && m.Output == c.k.want }
-	failedWith := func(code int) func(cell, metrics) bool {
-		return func(_ cell, m metrics) bool { return m.Err != "" && m.Code == code }
+	succeeded := func(c cell, m reply) bool { return m.Err == "" && m.Output == c.k.want }
+	failedWith := func(code int) func(cell, reply) bool {
+		return func(_ cell, m reply) bool { return m.Err != "" && m.Code == code }
 	}
 	exits := []struct {
 		name     string
@@ -589,7 +597,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 		peerOnly bool
 		sealed   bool
 		send     func(c cell) error
-		check    func(c cell, m metrics) bool
+		check    func(c cell, m reply) bool
 	}{
 		{name: "EOS",
 			send: func(c cell) error {
@@ -640,7 +648,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 				})
 				// A pairs job now needs the worker's only slot — at its open,
 				// in the read loop — and must get it.
-				sendOpenJob(t, c.bw, otherJob, true)
+				sendOpenJob(t, c.bw, otherJob, kindPairs, 0)
 				err := errors.Join(
 					writeRel(c.bw, otherJob, 1, []join.Key{2}),
 					writeRel(c.bw, otherJob, 2, []join.Key{2}),

@@ -113,39 +113,38 @@ func BenchmarkLoopbackBandJoinSession(b *testing.B) {
 	}
 }
 
-// BenchmarkControlFrameCodec times the gob control-frame codec on the wire's
-// own path, one sub-job's worth per op: its jobOpen and its metrics, each
-// through writeV3GobFrame and back through readV3FrameHeader and
-// readGobPayload, with the fresh encoder and decoder every frame gets.
+// BenchmarkControlFrameCodec times the control-record codec on the wire's
+// own path, one sub-job's worth per op: its OPEN and its final REPLY, each
+// through writeCtl and back through readV3FrameHeader and readCtl.
 func BenchmarkControlFrameCodec(b *testing.B) {
 	spec, err := join.SpecOf(join.NewBand(2))
 	if err != nil {
 		b.Fatal(err)
 	}
-	open := jobOpen{WorkerID: 3, Cond: spec}
-	m := metrics{InputR1: 50000, InputR2: 50000, Output: 1 << 20, Nanos: 1 << 24, BuildOverlapped: 4}
+	o := open{Kind: kindCount, WorkerID: 3, Cond: spec}
+	m := reply{Final: true, InputR1: 50000, InputR2: 50000, Output: 1 << 20, Nanos: 1 << 24, BuildOverlapped: 4}
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := writeV3GobFrame(&buf, frameV3OpenJob, 1, open); err != nil {
+		if err := writeCtl(&buf, frameV3Open, 1, &o); err != nil {
 			b.Fatal(err)
 		}
-		if err := writeV3GobFrame(&buf, frameV3Metrics, 1, m); err != nil {
+		if err := writeCtl(&buf, frameV3Reply, 1, &m); err != nil {
 			b.Fatal(err)
 		}
-		var gotOpen jobOpen
-		var gotM metrics
-		for _, v := range []any{&gotOpen, &gotM} {
+		var gotOpen open
+		var gotM reply
+		for _, rec := range []ctlRecord{&gotOpen, &gotM} {
 			_, _, n, err := readV3FrameHeader(&buf)
 			if err == nil {
-				err = readGobPayload(&buf, n, v)
+				err = readCtl(&buf, n, maxControlPayload, rec)
 			}
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
-		if gotOpen.WorkerID != open.WorkerID || gotM.Output != m.Output {
+		if gotOpen.WorkerID != o.WorkerID || gotM.Output != m.Output {
 			b.Fatalf("round trip decoded %+v and %+v", gotOpen, gotM)
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"syscall"
 
 	"ewh/internal/exec"
@@ -181,13 +180,6 @@ func classifyIOErr(err error) FaultKind {
 	return FaultUnknown
 }
 
-// retryableWorkerErr reports whether a worker-side job error reply is a
-// transient refusal (the worker draining for shutdown) rather than a
-// deterministic job failure.
-func retryableWorkerErr(msg string) bool {
-	return strings.Contains(msg, "worker shutting down")
-}
-
 // connFault classifies a connection-level failure of one sub-job on this
 // connection and marks the worker down for Survivors.
 func (c *sessConn) connFault(op string, id uint32, workerID int, err error) *WorkerFault {
@@ -217,8 +209,9 @@ func (c *sessConn) livenessFault(op string, id uint32, workerID int, err error) 
 // worker down so recovery excludes the machine that actually died. A reply
 // carrying a rejection code becomes a typed admission/quota fault that
 // matches ErrAdmission/ErrQuota via errors.Is and is never retried: the
-// worker is healthy, the rejection is policy.
-func (c *sessConn) workerFault(op string, id uint32, workerID int, m *metrics) *WorkerFault {
+// worker is healthy, the rejection is policy. A draining worker's refusal
+// (codeDraining) is the one job error retried; any other is deterministic.
+func (c *sessConn) workerFault(op string, id uint32, workerID int, m *reply) *WorkerFault {
 	switch m.Code {
 	case codeAdmission:
 		return &WorkerFault{Kind: FaultAdmission, Worker: workerID, Addr: c.addr, Job: id,
@@ -235,13 +228,13 @@ func (c *sessConn) workerFault(op string, id uint32, workerID int, m *metrics) *
 			Err: errors.New(m.Err), op: op, retry: true}
 	}
 	return &WorkerFault{Kind: FaultWorkerJob, Worker: workerID, Addr: c.addr, Job: id,
-		Err: errors.New(m.Err), op: op, retry: retryableWorkerErr(m.Err)}
+		Err: errors.New(m.Err), op: op, retry: m.Code == codeDraining}
 }
 
 // peerFaultError marks a worker-side failure as caused by the named peer —
 // a mesh transfer that could not reach its target. Its Error() is
 // transparent (the text stays the wrapped error's), but the job's join
-// goroutine (sessStream.onEOS) lifts the address into metrics.FaultAddr so the coordinator can mark the
+// goroutine (sessStream.onEOS) lifts the address into reply.FaultAddr so the coordinator can mark the
 // machine that actually died, not the healthy worker reporting it.
 type peerFaultError struct {
 	addr string

@@ -103,24 +103,35 @@ func TestFaultClassificationDialRefused(t *testing.T) {
 }
 
 func TestWorkerFaultClassification(t *testing.T) {
-	// Worker-side job error replies: a drain refusal is the one retryable
-	// worker error; a reply naming a peer fault address indicts the peer.
+	// Worker-side job error replies, classified by their code: a drain
+	// refusal (codeDraining) is the one retryable worker error, whatever its
+	// text says; a reply naming a peer fault address indicts the peer.
 	c := &sessConn{addr: "127.0.0.1:7000"}
-	f := c.workerFault("job", 3, 0, &metrics{Err: "worker shutting down"})
-	if f.Kind != FaultWorkerJob || !f.RetryableFault() {
-		t.Fatalf("drain refusal: %+v", f)
-	}
-	f = c.workerFault("job", 3, 0, &metrics{Err: "stage-2 plan: bad artifact"})
-	if f.Kind != FaultWorkerJob || f.RetryableFault() {
-		t.Fatalf("deterministic worker error marked retryable: %+v", f)
-	}
-	f = c.workerFault("stage job", 4, 1, &metrics{
-		Err: "transfer 9: peer 127.0.0.1:7001: connection refused", FaultAddr: "127.0.0.1:7001"})
-	if f.Kind != FaultPeer || f.Addr != "127.0.0.1:7001" || !f.RetryableFault() {
-		t.Fatalf("peer fault: %+v", f)
-	}
-	if !strings.Contains(f.Error(), "stage job 4 on worker 1") {
-		t.Fatalf("error text changed shape: %v", f)
+	for _, r := range []struct {
+		name  string
+		rep   reply
+		kind  FaultKind
+		addr  string
+		retry bool
+	}{
+		{"drain refusal", reply{Err: "worker shutting down", Code: codeDraining}, FaultWorkerJob, c.addr, true},
+		{"deterministic error", reply{Err: "stage-2 plan: bad artifact"}, FaultWorkerJob, c.addr, false},
+		// A peer's drain refusal wrapped into this job's error is not this
+		// worker draining: only the code says so.
+		{"uncoded error naming a drain", reply{Err: "transfer 9: peer said: worker shutting down"},
+			FaultWorkerJob, c.addr, false},
+		{"peer fault", reply{Err: "transfer 9: peer 127.0.0.1:7001: connection refused", FaultAddr: "127.0.0.1:7001"},
+			FaultPeer, "127.0.0.1:7001", true},
+		{"admission", reply{Err: "queue full", Code: codeAdmission}, FaultAdmission, c.addr, false},
+		{"quota", reply{Err: "over budget", Code: codeQuota}, FaultQuota, c.addr, false},
+	} {
+		f := c.workerFault("stage job", 4, 1, &r.rep)
+		if f.Kind != r.kind || f.Addr != r.addr || f.RetryableFault() != r.retry {
+			t.Errorf("%s: %+v, want kind %v at %s, retryable %v", r.name, f, r.kind, r.addr, r.retry)
+		}
+		if !strings.Contains(f.Error(), "stage job 4 on worker 1") {
+			t.Errorf("%s: error text changed shape: %v", r.name, f)
+		}
 	}
 }
 
@@ -304,8 +315,8 @@ func itoa(n int) string {
 }
 
 // wireFrames reads the frame constants off a source file's declarations as
-// "NAME #number": frameV3OpenJob = 10 in wire.go and FrameOpenJob byte = 10
-// in faultnet.go both read "OPENJOB #10".
+// "NAME #number": frameV3Open = 10 in wire.go and FrameOpen byte = 10 in
+// faultnet.go both read "OPEN #10".
 func wireFrames(t *testing.T, file string, decl *regexp.Regexp) map[string]bool {
 	t.Helper()
 	src, err := os.ReadFile(file)
@@ -323,7 +334,7 @@ func wireFrames(t *testing.T, file string, decl *regexp.Regexp) map[string]bool 
 func wireGoFrames(t *testing.T) map[string]bool {
 	t.Helper()
 	wire := wireFrames(t, "wire.go", regexp.MustCompile(`(?m)^\tframe(?:V3)?([A-Z]\w*) += (\d+)\b`))
-	if len(wire) < 17 {
+	if len(wire) < 13 {
 		t.Fatalf("found only %d frame constants in wire.go: %v", len(wire), wire)
 	}
 	return wire
@@ -365,7 +376,7 @@ func TestDesignFrameTableMatchesWire(t *testing.T) {
 		t.Fatal("DESIGN.md has no \"Frame table\" section")
 	}
 	table, _, _ = strings.Cut(table, "\n#")
-	// "NAME #number", e.g. frameV3OpenJob = 10 and the row "| 10 | OPENJOB |".
+	// "NAME #number", e.g. frameV3Open = 10 and the row "| 10 | OPEN |".
 	wire, rows := wireGoFrames(t), map[string]bool{}
 	for _, m := range regexp.MustCompile(`(?m)^\| (\d+) \| ([A-Z0-9]+)\b`).FindAllStringSubmatch(table, -1) {
 		rows[m[2]+" #"+m[1]] = true

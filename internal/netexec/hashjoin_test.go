@@ -138,32 +138,23 @@ func TestPoolBuildCacheHit(t *testing.T) {
 // TestArrivalOrderJobsRefuseChunks pins the frames no job kind can take,
 // each as a job-level refusal. Every kind rides base and window runs at epoch
 // 0: relation 1 the base, relation 2 window 0 and a plan job's re-key column
-// window 1. The open's Pairs makes a pairs job, a PLAN a plan job, and
-// otherwise the first base frame or base end a count job. Refused: window 1
-// on any job but a plan job, a run past epoch 0, a frame after its run's end,
-// a PLAN on a pairs job or beside a count job's runs, a window ahead of a
-// count job's base, a window on a peer-fed job (its probe is the mesh), and a
-// PLAN frame carrying the plan or peer map only a PLAN2 may (the job would
-// otherwise await a PLAN2 that never comes). The job replies its error at EOS: each refused frame was consumed
-// exactly, so the connection serves the next job intact.
+// window 1; the open's kind fixes which job it is. Refused: window 1 on any
+// job but a plan job, a run past epoch 0, a frame after its run's end, a
+// window ahead of a count job's sealed base, and a window on a peer-fed job
+// (its probe is the mesh). The job replies its error at EOS: each refused
+// frame was consumed exactly, so the connection serves the next job intact.
 func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 	_, addrs := startWorkerSet(t, 1)
 	spec, err := join.SpecOf(join.Equi{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := func(bw *bufio.Writer) error {
-		return writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec})
+	openKind := func(kind byte, cond join.Spec) func(bw *bufio.Writer) error {
+		return func(bw *bufio.Writer) error {
+			return writeCtl(bw, frameV3Open, 1, &open{Kind: kind, Cond: cond, Token: newPeerToken(), Senders: 1})
+		}
 	}
-	openPairs := func(bw *bufio.Writer) error {
-		return writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec, Pairs: true})
-	}
-	openPeer := func(bw *bufio.Writer) error {
-		return writeV3GobFrame(bw, frameV3OpenPeerJob, 1, peerJobOpen{Cond: spec, Token: newPeerToken(), Senders: 1})
-	}
-	plan := func(bw *bufio.Writer) error {
-		return writeV3GobFrame(bw, frameV3Plan, 1, planSpec{})
-	}
+	open, openPairs, openPeer := openKind(kindCount, spec), openKind(kindPairs, spec), openKind(kindPeer, spec)
 	base := func(bw *bufio.Writer) error { return writeStreamBaseKeys(bw, 1, 0, []join.Key{3}) }
 	baseRun := func(bw *bufio.Writer) error { return errors.Join(base(bw), writeStreamBaseEnd(bw, 1, 0, 1)) }
 	win := func(bw *bufio.Writer) error { return writeStreamWinKeys(bw, 1, 0, 0, []join.Key{3}) }
@@ -179,15 +170,9 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 			return errors.Join(openPairs(bw), baseRun(bw), base(bw))
 		}},
 		{"plan job's run past epoch 0", "past epoch 0, window 1", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), plan(bw), writeStreamBaseKeys(bw, 1, 1, []join.Key{3}))
+			return errors.Join(openKind(kindPlan, spec)(bw), writeStreamBaseKeys(bw, 1, 1, []join.Key{3}))
 		}},
-		{"plan on a pairs job", "a pairs job cannot carry a plan", func(bw *bufio.Writer) error {
-			return errors.Join(openPairs(bw), plan(bw))
-		}},
-		{"plan on a chunk-fed job", "cannot carry a plan", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), base(bw), plan(bw))
-		}},
-		{"window ahead of the base", "ahead of relation 1's base", func(bw *bufio.Writer) error {
+		{"window ahead of the base", "ahead of any sealed base", func(bw *bufio.Writer) error {
 			return errors.Join(open(bw), win(bw))
 		}},
 		{"base past epoch 0", "past epoch 0, window 0", func(bw *bufio.Writer) error {
@@ -208,12 +193,6 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 		{"window end after its end", "after its run's end frame", func(bw *bufio.Writer) error {
 			return errors.Join(open(bw), baseRun(bw), writeStreamWinEnd(bw, 1, 0, 0, 0), writeStreamWinEnd(bw, 1, 0, 0, 0))
 		}},
-		{"plan frame carrying a plan", "statistics request", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Plan: []byte{1}}))
-		}},
-		{"plan frame carrying a peer map", "statistics request", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Peers: []string{"x"}}))
-		}},
 		{"window on a peer-fed job", "on a peer-fed job", func(bw *bufio.Writer) error {
 			return errors.Join(openPeer(bw), baseRun(bw), win(bw))
 		}},
@@ -225,17 +204,16 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 		}},
 		// A job dead on arrival: its goroutine starts poisoned at the open.
 		{"unknown condition on a count job", "unknown", func(bw *bufio.Writer) error {
-			return errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: nosuch}), baseRun(bw))
+			return errors.Join(openKind(kindCount, nosuch)(bw), baseRun(bw))
 		}},
 		{"unknown condition on a pairs job", "unknown", func(bw *bufio.Writer) error {
-			return errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: nosuch, Pairs: true}), baseRun(bw))
+			return errors.Join(openKind(kindPairs, nosuch)(bw), baseRun(bw))
 		}},
 		{"unknown condition on a peer-fed job", "unknown", func(bw *bufio.Writer) error {
-			return errors.Join(writeV3GobFrame(bw, frameV3OpenPeerJob, 1,
-				peerJobOpen{Cond: nosuch, Token: newPeerToken(), Senders: 1}), baseRun(bw))
+			return errors.Join(openKind(kindPeer, nosuch)(bw), baseRun(bw))
 		}},
 		{"unknown condition on a stream", "unknown", func(bw *bufio.Writer) error {
-			return errors.Join(writeV3GobFrame(bw, frameV3StreamOpen, 1, streamOpen{Cond: nosuch}), baseRun(bw))
+			return errors.Join(openKind(kindStream, nosuch)(bw), baseRun(bw))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -249,7 +227,7 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 				t.Fatalf("replied %+v, want a refusal naming %q", m, tc.want)
 			}
 			// The next job on the connection: a pairs job, one key each side.
-			sendOpenJob(t, bw, 2, true)
+			sendOpenJob(t, bw, 2, kindPairs, 0)
 			err = errors.Join(
 				writeRel(bw, 2, 1, []join.Key{3}),
 				writeRel(bw, 2, 2, []join.Key{3}),

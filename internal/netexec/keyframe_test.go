@@ -131,7 +131,8 @@ func TestRunningCountCap(t *testing.T) {
 	frames := recordedKeyFrames(t)
 	for _, typ := range []byte{frameV3StreamBase, frameV3StreamWin} {
 		// A count job and a pairs job, each feeding its goroutine.
-		for _, j := range []*sessJob{{stream: &sessStream{resTag: 1}}, {stream: &sessStream{resTag: 1}, pairs: true}} {
+		for _, j := range []*sessJob{{kind: kindCount, stream: &sessStream{resTag: 1}},
+			{kind: kindPairs, stream: &sessStream{resTag: 1}}} {
 			for i := range j.rels {
 				// One tuple short of the cap on whichever relation the type counts.
 				j.rels[i] = sessRel{pos: MaxRelationTuples - 1}
@@ -140,10 +141,10 @@ func TestRunningCountCap(t *testing.T) {
 			br := bufio.NewReader(bytes.NewReader(payload))
 			err := j.readKeyFrame(br, typ, len(payload))
 			if _, ok := err.(*protoErr); !ok {
-				t.Errorf("frame type %d past the cap (pairs %v): got %v, want a job-level refusal", typ, j.pairs, err)
+				t.Errorf("frame type %d past the cap (kind %d): got %v, want a job-level refusal", typ, j.kind, err)
 			}
 			if br.Buffered() != 0 {
-				t.Errorf("frame type %d (pairs %v): refusal left %d bytes of the frame unread", typ, j.pairs, br.Buffered())
+				t.Errorf("frame type %d (kind %d): refusal left %d bytes of the frame unread", typ, j.kind, br.Buffered())
 			}
 		}
 	}
@@ -184,21 +185,19 @@ func recordedKeyFrames(t testing.TB) map[byte][]byte {
 // exactly its keys, and the job's release gives them back. The re-key seeds
 // are window-1 frames: a plan job's re-key column, refused on any other job.
 func FuzzKeyFrame(f *testing.F) {
-	// A case is a frame type and the job decoding it: res is the resident
-	// relation of a job feeding a join goroutine (0 a STREAMOPEN job, 1 a
-	// count job past its first base frame, 2 a peer-fed job), or pairsJob or
-	// planJob, OPENJOB jobs whose goroutine keeps their runs in arrival order.
-	const pairsJob, planJob = -1, -2
+	// A case is a frame type and the kind of the job decoding it: a stream,
+	// count or peer job feeds its join goroutine chunk by chunk, a pairs or
+	// plan job's goroutine keeps its runs in arrival order.
 	cases := []struct {
-		typ byte
-		res int
+		typ  byte
+		kind byte
 	}{
-		{frameV3StreamBase, 0}, {frameV3StreamWin, 0},
-		{frameV3StreamBase, 1}, {frameV3StreamWin, 1},
-		{frameV3StreamBase, 2}, {frameV3StreamWin, 2},
-		{frameV3StreamBase, pairsJob}, {frameV3StreamWin, pairsJob},
-		{frameV3StreamBase, planJob}, {frameV3StreamWin, planJob},
-		{framePeerBlock, 0},
+		{frameV3StreamBase, kindStream}, {frameV3StreamWin, kindStream},
+		{frameV3StreamBase, kindCount}, {frameV3StreamWin, kindCount},
+		{frameV3StreamBase, kindPeer}, {frameV3StreamWin, kindPeer},
+		{frameV3StreamBase, kindPairs}, {frameV3StreamWin, kindPairs},
+		{frameV3StreamBase, kindPlan}, {frameV3StreamWin, kindPlan},
+		{framePeerBlock, kindCount},
 	}
 	for i, c := range cases {
 		f.Add(byte(i), recordedKeyFrames(f)[c.typ])
@@ -224,15 +223,8 @@ func FuzzKeyFrame(f *testing.F) {
 			return
 		}
 		// The job's goroutine is a channel the test drains.
-		j := &sessJob{ws: &workerSession{w: w}, pairs: c.res == pairsJob, peerFed: c.res == 2}
-		resTag := byte(1) // a pairs or plan job's, as every OPENJOB job's
-		if c.res >= 0 {
-			resTag = byte(c.res)
-		}
-		j.stream = &sessStream{resTag: resTag, ch: make(chan streamEvent, 1), done: closed}
-		if c.res == planJob {
-			j.plan = &planSpec{}
-		}
+		j := &sessJob{ws: &workerSession{w: w}, kind: c.kind}
+		j.stream = &sessStream{resTag: resTags[c.kind], ch: make(chan streamEvent, 1), done: closed}
 		const sentinel = 0xEE
 		var next [v3FrameHeaderLen]byte
 		next[0] = sentinel

@@ -62,19 +62,19 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 		send func(bw *bufio.Writer, round int) error
 	}{
 		{"flat relation", func(bw *bufio.Writer, _ int) error {
-			return errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec, Pairs: true}),
+			return errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindPairs, Cond: spec}),
 				stall(bw, frameV3StreamBase, 1, make([]byte, streamBaseHdrLen)))
 		}},
 		{"count job base", func(bw *bufio.Writer, _ int) error {
-			return errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec}),
+			return errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindCount, Cond: spec}),
 				stall(bw, frameV3StreamBase, 1, make([]byte, streamBaseHdrLen)))
 		}},
 		{"stream base", func(bw *bufio.Writer, _ int) error {
-			return errors.Join(writeV3GobFrame(bw, frameV3StreamOpen, 1, streamOpen{Cond: spec}),
+			return errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindStream, Cond: spec}),
 				stall(bw, frameV3StreamBase, 1, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
 		}},
 		{"stream window", func(bw *bufio.Writer, _ int) error {
-			return errors.Join(writeV3GobFrame(bw, frameV3StreamOpen, 1, streamOpen{Cond: spec}),
+			return errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindStream, Cond: spec}),
 				stall(bw, frameV3StreamWin, 1, make([]byte, streamWinHdrLen)))
 		}},
 		{"peer contribution", func(bw *bufio.Writer, round int) error {
@@ -277,10 +277,8 @@ func TestHangUpTombstonesItsPlanTransfers(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 1)
 	w, token := ws[0], newPeerToken()
 	bw, conn := dialV3(t, addrs[0], "")
-	sendOpenJob(t, bw, 1, false)
-	err := errors.Join(writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Token: token, Stats: exec.StatsSpec{Cap: 8, Buckets: 4}}),
-		bw.Flush())
-	if err != nil {
+	sendOpenJob(t, bw, 1, kindPlan, token)
+	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "the plan job to register", func() bool { return inFlight(w) == 1 })

@@ -7,7 +7,7 @@
 // and the goroutine inserts or probes them as they arrive; a pairs or plan
 // job ships each worker's contiguous block per relation whole (a plan job's
 // re-key column as one more window), and the goroutine joins its chunks in
-// arrival order at EOS. Either way the worker reports its metrics. It is the
+// arrival order at EOS. Either way the worker replies its counts. It is the
 // process-distributed counterpart of internal/exec's goroutine engine — same
 // partitioning schemes, same shuffle, same metrics — demonstrating that
 // nothing in the EWH design depends on shared memory.
@@ -16,10 +16,13 @@
 // exec.Runtime) keeps one persistent connection per worker and multiplexes
 // numbered jobs over it, so N jobs cost one dial per worker. Every connection
 // opens with the prelude "EWHB" + version + the tenant its jobs are charged
-// to; workers speak exactly two versions — 7, a coordinator session, and 6, a
+// to; workers speak exactly two versions — 8, a coordinator session, and 6, a
 // worker→worker peer-mesh link (peer.go), whose tenant is always "" — and
 // close anything else. The two share one frame header, the mesh at job 0
-// (wire.go). Both ends run one job lifecycle each: the coordinator's subJob
+// (wire.go), and one serialization: fixed-layout little-endian, key runs as
+// arrays and the four control records (one OPEN naming the job's kind, PLAN2,
+// PLANCANCEL, one REPLY) through planio's Cursor (control.go). Both ends run
+// one job lifecycle each: the coordinator's subJob
 // (open/send/await/close, session.go) against the worker's openJob →
 // endFrame/dataFrame → join goroutine → retire (session_worker.go,
 // stream_worker.go), every job's goroutine started at its open. Every
@@ -41,88 +44,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ewh/internal/exec"
-	"ewh/internal/join"
 	"ewh/internal/localjoin"
 )
-
-// metrics is the worker's report. PeerCounts, present only on stage-1 plan
-// jobs, is the sender's per-receiver routed tuple counts — the ONLY thing
-// about the re-shuffled intermediate the coordinator ever receives.
-type metrics struct {
-	InputR1, InputR2 int64
-	Output           int64
-	Nanos            int64
-	PeerCounts       []int64
-	Err              string
-
-	// FaultAddr names the PEER whose failure caused Err, when the job died
-	// streaming its matches to another worker rather than locally — the
-	// coordinator marks that address down instead of this (healthy) worker's.
-	FaultAddr string
-
-	// Code types the failure in Err for machine handling: codeAdmission or
-	// codeQuota mark multi-tenant policy rejections the coordinator must
-	// surface as ErrAdmission/ErrQuota rather than worker faults.
-	Code int
-
-	// BuildOverlapped counts the routed sub-blocks this job's resident side —
-	// hash or merge — consumed (inserted or probed) BEFORE the read loop
-	// decoded the job's EOS: the observable proving the join overlapped the
-	// still-streaming scatter (the local analog of OverlappedStage2); 0 on
-	// pairs and plan jobs.
-	BuildOverlapped int64
-}
-
-// jobOpen opens one numbered job on a session connection. Counts travel in
-// each relation's end frame, so a job can start streaming its first relation
-// before the second one's shuffle has finished. Every kind rides the same
-// frames, so the open says what the coordinator wants back: Pairs makes a
-// pairs job, a PLAN frame beside the open a plan job, and anything else is a
-// count job.
-type jobOpen struct {
-	WorkerID int
-	Cond     join.Spec
-	Pairs    bool
-}
-
-// planSpec rides two frames of a stage-1 plan job, whose matches feed the
-// stage-2 plan instead of streaming back as pairs. The frameV3Plan beside
-// the job is a statistics request: it leaves Plan and Peers empty, and the
-// worker joins, summarizes its matches under Stats (exec.StageSummary),
-// replies the summary in a frameV3StreamRep and waits. The frameV3Plan2
-// that answers it carries the plan: Plan is a planio-encoded artifact
-// (scheme + routing seed); Peers is the stage-2 worker address map; Self is
-// this worker's own index in Peers (-1 when it hosts no stage-2 worker), so
-// self-contributions move in memory instead of over a socket.
-type planSpec struct {
-	Token uint64
-	Plan  []byte
-	Peers []string
-	Self  int
-	Stats exec.StatsSpec
-}
-
-// peerJobOpen opens a stage-2 job whose relation 1 arrives from peer workers
-// rather than from the coordinator. The coordinator opens it (and streams the
-// right relation) WHILE stage 1 still runs. Senders is the stage-1 worker
-// count; each contributes exactly once, an empty share included, and the job
-// parks on the token until all have. Contributions are charged to the
-// worker's ledger as their blocks arrive and move onto the job's tenant when
-// the job takes them.
-type peerJobOpen struct {
-	WorkerID int
-	Cond     join.Spec
-	Token    uint64
-	Senders  int
-}
-
-// planCancel discards a worker's buffered peer state for an abandoned plan
-// (the coordinator failed the pipeline between broadcasting the plan and
-// opening the stage-2 jobs).
-type planCancel struct {
-	Token uint64
-}
 
 // MaxRelationTuples bounds the tuples one relation, epoch base, window or
 // peer transfer may hold on a worker (1G keys = 8 GiB), well inside the

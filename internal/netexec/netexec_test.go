@@ -160,7 +160,7 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 1)
 	ws[0].FailAfterJobs(1 << 30) // arms the completed-job counter
 	var hello bytes.Buffer       // a version-6 session's tenant declaration, frame type 23
-	if err := writeV3GobFrame(&hello, 23, 0, struct{ Tenant string }{"acme"}); err != nil {
+	if err := writeEndFrame(&hello, 23, 0, []byte(strings.Repeat("acme", 8))); err != nil {
 		t.Fatal(err)
 	}
 	tenantCut := prelude(protoVersionSession, "acme")
@@ -190,6 +190,9 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 		// a tenant the mesh never names.
 		{"retired session version 6 and a HELLO",
 			append(binary.LittleEndian.AppendUint16([]byte("EWHB"), 6), hello.Bytes()...), false},
+		// Version 7 sessions carried their control frames as gob: such a
+		// link is closed at its prelude, even its first frame a valid ABORT.
+		{"retired session version 7", append(prelude(7, ""), frameV3Abort, 1, 0, 0, 0, 0, 0, 0, 0), false},
 		{"tenant shorter than its length then EOF", tenantCut[:len(tenantCut)-2], true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -237,26 +240,17 @@ func TestControlFrameBound(t *testing.T) {
 		assertNoJobsBegun(t, ws[0])
 	})
 	t.Run("stalled headers", func(t *testing.T) {
-		// Every control frame a worker reads past the opens, each declaring
-		// the largest payload the bound admits and then sending nothing: the
-		// worker refuses a PLAN or PLANCANCEL that long unread and
-		// buffers what arrived of a PLAN2, not what was declared (it used to
-		// allocate the whole 32 MiB per header up front).
+		// Every control frame a worker reads, each declaring the largest
+		// payload the bound admits and then sending nothing: the worker
+		// refuses an OPEN or PLANCANCEL that long unread and buffers what
+		// arrived of a PLAN2, not what was declared (it used to allocate the
+		// whole 32 MiB per header up front).
 		_, addrs := startWorkerSet(t, 1)
-		spec, err := join.SpecOf(join.Equi{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		types := []byte{frameV3Plan, frameV3Plan2, frameV3PlanCancel}
+		types := []byte{frameV3Open, frameV3Plan2, frameV3PlanCancel}
 		for _, typ := range types {
 			bw, _ := dialV3(t, addrs[0], "")
-			if typ == frameV3Plan { // a PLAN is read only for an open job
-				if err := writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec}); err != nil {
-					t.Fatal(err)
-				}
-			}
 			if err := errors.Join(writeV3FrameHeader(bw, typ, 1, maxControlPayload), bw.Flush()); err != nil {
 				t.Fatal(err)
 			}
@@ -270,42 +264,26 @@ func TestControlFrameBound(t *testing.T) {
 			}
 		}
 	})
-	t.Run("open over its bound", func(t *testing.T) {
-		// An open, PLAN or PLANCANCEL longer than any real one is refused
-		// unread, and it ends only its own connection. gob skips the
-		// fields a struct lacks, so each padded frame would decode.
+	// A control record's every refusal is connection-fatal and ends only its
+	// own connection: each row is a complete record and trailing bytes, or a
+	// record the decoder refuses.
+	spec, err := join.SpecOf(join.Equi{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailing := func(typ byte, job uint32, rec ctlRecord, pad int) func(bw *bufio.Writer) error {
+		return func(bw *bufio.Writer) error {
+			b := append(rec.append(nil), make([]byte, pad)...)
+			return errors.Join(writeV3FrameHeader(bw, typ, job, len(b)), writeBytes(bw, b))
+		}
+	}
+	refused := func(t *testing.T, rows map[string]func(bw *bufio.Writer) error) {
 		_, addrs := startWorkerSet(t, 1)
 		other := dialSession(t, addrs)
-		spec, err := join.SpecOf(join.Equi{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b bytes.Buffer
-		open := jobOpen{Cond: join.Spec{Kind: strings.Repeat("x", maxOpenPayload)}}
-		if err := writeV3GobFrame(&b, frameV3OpenJob, 1, open); err != nil || b.Len() <= maxOpenPayload {
-			t.Fatalf("the open frames %d bytes (err %v), want more than %d", b.Len(), err, maxOpenPayload)
-		}
-		pad := make([]byte, 2*maxOpenPayload)
-		type paddedToken struct {
-			Token uint64
-			Pad   []byte
-		}
-		for _, tc := range []struct {
-			name   string
-			frames func(bw *bufio.Writer) error
-		}{
-			{"OPENJOB", func(bw *bufio.Writer) error { return writeV3GobFrame(bw, frameV3OpenJob, 1, open) }},
-			{"PLAN", func(bw *bufio.Writer) error {
-				return errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec}),
-					writeV3GobFrame(bw, frameV3Plan, 1, paddedToken{1, pad}))
-			}},
-			{"PLANCANCEL", func(bw *bufio.Writer) error {
-				return writeV3GobFrame(bw, frameV3PlanCancel, 0, paddedToken{1, pad})
-			}},
-		} {
-			t.Run(tc.name, func(t *testing.T) {
+		for name, frames := range rows {
+			t.Run(name, func(t *testing.T) {
 				bw, conn := dialV3(t, addrs[0], "")
-				if err := errors.Join(tc.frames(bw), bw.Flush()); err != nil {
+				if err := errors.Join(frames(bw), bw.Flush()); err != nil {
 					t.Fatal(err)
 				}
 				expectClosedSilently(t, conn)
@@ -317,6 +295,37 @@ func TestControlFrameBound(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+	count := &open{Kind: kindCount, Cond: spec}
+	plan := &open{Kind: kindPlan, Cond: spec, Stats: exec.StatsSpec{Cap: 8, Buckets: 4}, Token: 1}
+	t.Run("open over its bound", func(t *testing.T) {
+		// An OPEN (a count job's, or a plan job's carrying the statistics
+		// request the retired PLAN frame did) or PLANCANCEL longer than any
+		// real one is refused unread.
+		refused(t, map[string]func(bw *bufio.Writer) error{
+			"OPENJOB":    trailing(frameV3Open, 1, count, maxOpenPayload),
+			"PLAN":       trailing(frameV3Open, 1, plan, maxOpenPayload),
+			"PLANCANCEL": trailing(frameV3PlanCancel, 0, &cancelRec{Token: 1}, maxOpenPayload),
+		})
+	})
+	t.Run("strict records", func(t *testing.T) {
+		// Within its bound, a record must be exactly itself: no trailing
+		// byte, no unknown kind, no field cut short.
+		kind5 := count.append(nil)
+		kind5[0] = numKinds
+		rows := map[string]func(bw *bufio.Writer) error{
+			"OPEN and a trailing byte":       trailing(frameV3Open, 1, count, 1),
+			"PLAN2 and a trailing byte":      trailing(frameV3Plan2, 1, &plan2{Self: -1}, 1),
+			"PLANCANCEL and a trailing byte": trailing(frameV3PlanCancel, 0, &cancelRec{Token: 1}, 1),
+			"OPEN naming kind 5": func(bw *bufio.Writer) error {
+				return errors.Join(writeV3FrameHeader(bw, frameV3Open, 1, len(kind5)), writeBytes(bw, kind5))
+			},
+			"truncated OPEN": func(bw *bufio.Writer) error {
+				b := count.append(nil)
+				return errors.Join(writeV3FrameHeader(bw, frameV3Open, 1, len(b)-1), writeBytes(bw, b[:len(b)-1]))
+			},
+		}
+		refused(t, rows)
 	})
 	t.Run("coordinator", func(t *testing.T) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -324,13 +333,13 @@ func TestControlFrameBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ln.Close()
-		go func() { // a worker that answers the prelude with one oversized METRICS
+		go func() { // a worker that answers the prelude with one oversized REPLY
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
 			defer conn.Close()
-			_ = writeV3FrameHeader(conn, frameV3Metrics, 1, declared)
+			_ = writeV3FrameHeader(conn, frameV3Reply, 1, declared)
 			_, _ = io.Copy(io.Discard, conn) // until the session hangs up
 		}()
 		sess := dialSession(t, []string{ln.Addr().String()})
@@ -350,23 +359,24 @@ func TestControlFrameBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps := planSpec{Plan: plan, Peers: make([]string, maxPeerSenders)}
+		ps := plan2{Plan: plan, Peers: make([]string, maxPeerSenders)}
 		for i := range ps.Peers {
 			ps.Peers[i] = "[ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff%interface0]:65535"
 		}
 		var b bytes.Buffer
-		if err := writeV3GobFrame(&b, frameV3Plan2, 1, ps); err != nil {
+		if err := writeCtl(&b, frameV3Plan2, 1, &ps); err != nil {
 			t.Fatal(err)
 		}
 		_, _, n, err := readV3FrameHeader(&b)
 		if err != nil || n > maxControlPayload/16 {
 			t.Fatalf("PLAN2: %d-byte payload (err %v), want far inside the %d bound", n, err, maxControlPayload)
 		}
-		if _, err := readControlPayload(&b, n); err != nil {
-			t.Fatal(err)
+		var got plan2
+		if err := readCtl(&b, n, maxControlPayload, &got); err != nil || len(got.Peers) != maxPeerSenders {
+			t.Fatalf("PLAN2 decoded %d peers (err %v), want %d", len(got.Peers), err, maxPeerSenders)
 		}
 		b.Reset()
-		err = writeV3GobFrame(&b, frameV3Plan2, 1, planSpec{Plan: make([]byte, maxControlPayload)})
+		err = writeCtl(&b, frameV3Plan2, 1, &plan2{Plan: make([]byte, maxControlPayload)})
 		if err == nil || b.Len() != 0 {
 			t.Fatalf("an oversized plan framed %d bytes (err %v), want a refusal at the frame boundary", b.Len(), err)
 		}
@@ -399,7 +409,7 @@ func TestShutdownSparesConnectionMidPrelude(t *testing.T) {
 	half := dialRaw(t, addrs[0], []byte("EWH"))
 	// Hold a job open so Shutdown parks in its drain between the two sweeps.
 	bw, _ := dialV3(t, addrs[0], "")
-	sendOpenJob(t, bw, 1, false)
+	sendOpenJob(t, bw, 1, kindCount, 0)
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +490,7 @@ func TestSessionDeclaredCountEnforced(t *testing.T) {
 	} {
 		// Each case is the next job on the same connection.
 		id := uint32(id + 1)
-		sendOpenJob(t, bw, id, true)
+		sendOpenJob(t, bw, id, kindPairs, 0)
 		err := errors.Join(c.frames(id), writeRel(bw, id, 2, nil), writeV3FrameHeader(bw, frameV3EOS, id, 0), bw.Flush())
 		if err != nil {
 			t.Fatal(err)
@@ -496,7 +506,7 @@ func TestSessionUnknownRelationRejected(t *testing.T) {
 	// a plan job's re-key column, and window 2 names no relation at all.
 	_, addrs := startWorkerSet(t, 1)
 	bw, conn := dialV3(t, addrs[0], "")
-	sendOpenJob(t, bw, 1, true)
+	sendOpenJob(t, bw, 1, kindPairs, 0)
 	err := errors.Join(writeRel(bw, 1, 1, []join.Key{9}), writeStreamWinKeys(bw, 1, 2, 0, []join.Key{9}),
 		writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
 	if err != nil {
@@ -541,7 +551,7 @@ func TestSessionMultiBlockRelation(t *testing.T) {
 			go func() { _ = w.Serve() }()
 			t.Cleanup(func() { _ = w.Close() })
 			bw, conn := dialV3(t, w.Addr(), "")
-			err = errors.Join(writeV3GobFrame(bw, frameV3OpenJob, 1, jobOpen{Cond: spec, Pairs: true}),
+			err = errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindPairs, Cond: spec}),
 				writeStreamBaseKeys(bw, 1, 0, r1[:300]), writeStreamBaseKeys(bw, 1, 0, r1[300:]),
 				writeStreamBaseEnd(bw, 1, 0, len(r1)),
 				writeStreamWinKeys(bw, 1, 0, 0, r2[:450]), writeStreamWinKeys(bw, 1, 0, 0, r2[450:]),
@@ -553,14 +563,14 @@ func TestSessionMultiBlockRelation(t *testing.T) {
 			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 			br := bufio.NewReader(conn)
 			var got []exec.PairIdx
-			var m metrics
+			var m reply
 			for {
 				typ, job, n, err := readV3FrameHeader(br)
 				if err != nil || job != 1 {
 					t.Fatalf("reply frame %d for job %d: %v", typ, job, err)
 				}
-				if typ == frameV3Metrics {
-					if err := readGobPayload(br, n, &m); err != nil {
+				if typ == frameV3Reply {
+					if err := readCtl(br, n, maxControlPayload, &m); err != nil {
 						t.Fatal(err)
 					}
 					break

@@ -25,7 +25,8 @@ import (
 // a transfer is complete at the sender count its stage-2 job's open declared;
 // the parked job then probes the contributions where they landed. The
 // intermediate never transits the coordinator — it only sees the count
-// vectors riding the stage-1 metrics, and checks stage-2 replies against them.
+// vectors riding the stage-1 final replies, and checks stage-2 replies
+// against them.
 
 // peerTokenBase and peerTokenCtr make transfer tokens unique across
 // coordinators sharing a worker pool: a process-random base plus a counter.

@@ -207,9 +207,9 @@ func TestWorkerIOTimeoutFailsStalledTransfer(t *testing.T) {
 	t.Cleanup(func() { _ = w.Close() })
 
 	bw, conn := dialV3(t, w.Addr(), "")
-	sendOpenJob(t, bw, 1, false)
-	// Declare a 64-byte gob payload for a second open and send nothing.
-	if err := writeV3FrameHeader(bw, frameV3OpenJob, 2, 64); err != nil {
+	sendOpenJob(t, bw, 1, kindCount, 0)
+	// Declare a 64-byte payload for a second open and send nothing.
+	if err := writeV3FrameHeader(bw, frameV3Open, 2, 64); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -268,8 +268,8 @@ func TestPeerJobExitTombstonesTransfer(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			token := newPeerToken()
 			bw, conn := dialV3(t, addrs[0], "")
-			po := peerJobOpen{Cond: spec, Token: token, Senders: 1}
-			if err := writeV3GobFrame(bw, frameV3OpenPeerJob, 1, po); err != nil {
+			o := open{Kind: kindPeer, Cond: spec, Token: token, Senders: 1}
+			if err := writeCtl(bw, frameV3Open, 1, &o); err != nil {
 				t.Fatal(err)
 			}
 			if err := bw.Flush(); err != nil {
@@ -513,15 +513,17 @@ func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 
 // TestRetiredSessionFrameIsConnectionFatal pins the retired session frame
 // types as what retired type 32 is on the mesh: 11 and 12, the relation head
-// and block a pairs or plan job's base and window runs replaced; 25–27, the
-// chunked-relation head, chunk and tail a count job's runs replaced; and 28,
-// the late sender-count bind. A frame the session reader does not know ends
-// the connection, and the job in flight on it retires.
+// and block a pairs or plan job's base and window runs replaced; 18, 19 and
+// 33, the PLAN, OPENPEERJOB and STREAMOPEN the one OPEN's kind replaced; 25–27,
+// the chunked-relation head, chunk and tail a count job's runs replaced; 28,
+// the late sender-count bind; and 38, the window reply the one REPLY
+// replaced. A frame the session reader does not know ends the connection,
+// and the job in flight on it retires.
 func TestRetiredSessionFrameIsConnectionFatal(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 1)
-	for _, typ := range []byte{11, 12, 25, 26, 27, 28} {
+	for _, typ := range []byte{11, 12, 18, 19, 25, 26, 27, 28, 33, 38} {
 		bw, conn := dialV3(t, addrs[0], "")
-		sendOpenJob(t, bw, 1, true)
+		sendOpenJob(t, bw, 1, kindPairs, 0)
 		err := errors.Join(writeRel(bw, 1, 1, []join.Key{3}), bw.Flush())
 		if err != nil {
 			t.Fatal(err)
@@ -566,18 +568,24 @@ func TestPeerJobReplyCheckedAgainstSenderCounts(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
+			var o open
+			if typ == frameV3Open {
+				err = readCtl(br, n, maxOpenPayload, &o)
+			} else {
+				_, err = io.CopyN(io.Discard, br, int64(n))
+			}
+			if err != nil {
 				return
 			}
 			switch {
-			case typ == frameV3OpenPeerJob:
-				peerJob[id] = true
+			case typ == frameV3Open:
+				peerJob[id] = o.Kind == kindPeer
 			case typ == frameV3EOS && peerJob[id]:
-				err = writeV3GobFrame(bw, frameV3Metrics, id, metrics{InputR1: routed - 1})
+				err = writeCtl(bw, frameV3Reply, id, &reply{Final: true, InputR1: routed - 1})
 			case typ == frameV3EOS: // the stage-1 job: an empty summary, which Replan ignores
-				err = writeV3GobFrame(bw, frameV3StreamRep, id, streamWinReply{})
+				err = writeCtl(bw, frameV3Reply, id, &reply{})
 			case typ == frameV3Plan2:
-				err = writeV3GobFrame(bw, frameV3Metrics, id, metrics{Output: routed, PeerCounts: []int64{routed}})
+				err = writeCtl(bw, frameV3Reply, id, &reply{Final: true, Output: routed, PeerCounts: []int64{routed}})
 			}
 			if err != nil || bw.Flush() != nil {
 				return

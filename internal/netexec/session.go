@@ -40,12 +40,12 @@ type Session struct {
 	relayed *atomic.Int64
 
 	// overlapped counts stage-2 peer sub-jobs whose right relation started
-	// streaming BEFORE stage 1's metrics had landed — the observable the
+	// streaming BEFORE stage 1's final replies had landed — the observable the
 	// stage-overlapped dispatch crosschecks assert on. Shared by survivor
 	// views like ids/relayed.
 	overlapped *atomic.Int64
 
-	// buildOverlapped accumulates the workers' metrics.BuildOverlapped: the
+	// buildOverlapped accumulates the workers' reply.BuildOverlapped: the
 	// routed sub-blocks jobs' resident sides consumed before their EOS frames —
 	// join work that overlapped the streaming scatter. Shared by survivor
 	// views like ids/relayed.
@@ -186,12 +186,10 @@ func fanOut(n int, fn func(i int) error) error {
 	return errors.Join(errs...)
 }
 
-// sessReply is one reply of a sub-job: a window reply (a stream window's, or
-// a plan job's summary), or its terminal state — the worker's metrics or the
-// connection failure that ended it.
+// sessReply is one reply of a sub-job: the worker's REPLY, interim or final,
+// or the connection failure that ended the sub-job.
 type sessReply struct {
-	win *streamWinReply
-	m   *metrics
+	*reply
 	err error
 }
 
@@ -296,12 +294,12 @@ func (c *sessConn) handler(id uint32) *jobHandler {
 
 // readLoop demultiplexes reply frames by job number until the connection
 // dies. Pairs are delivered inline — the loop is the per-worker delivery
-// order the runtime contract requires — window replies queue, and a metrics
-// frame terminates its sub-job. A window reply never takes a queue's last
-// slot, which is the terminal reply's: one that would is a protocol breach
-// (a job that awaits none, or a stream sender that stopped collecting),
-// failed rather than blocking this loop under it. The loop exits exactly
-// when the connection fails or closes, so a Session never leaks its readers.
+// order the runtime contract requires — interim replies queue, and a final
+// one terminates its sub-job. An interim reply never takes a queue's last
+// slot, which is the final reply's: one that would is a protocol breach (a
+// job that awaits none, or a stream sender that stopped collecting), failed
+// rather than blocking this loop under it. The loop exits exactly when the
+// connection fails or closes, so a Session never leaks its readers.
 func (c *sessConn) readLoop() {
 	br := bufio.NewReaderSize(c.conn, connBufSize)
 	for {
@@ -324,33 +322,25 @@ func (c *sessConn) readLoop() {
 				h.onPairs(pairs)
 			}
 			exec.PairBufs.Put(pairs)
-		case frameV3StreamRep:
-			var r streamWinReply
-			if err := readGobPayload(br, n, &r); err != nil {
-				c.fail(fmt.Errorf("window reply frame: %w", err))
-				return
-			}
-			h := c.handler(id)
-			switch {
-			case h == nil: // abandoned job, late reply: dropped
-			case len(h.replies) >= cap(h.replies)-1:
-				c.fail(fmt.Errorf("job %d window reply overrun (%d awaited)", id, cap(h.replies)-1))
-				return
-			default:
-				h.replies <- sessReply{win: &r}
-			}
-		case frameV3Metrics:
-			var m metrics
-			if err := readGobPayload(br, n, &m); err != nil {
-				c.fail(fmt.Errorf("metrics frame: %w", err))
+		case frameV3Reply:
+			r := new(reply)
+			if err := readCtl(br, n, maxControlPayload, r); err != nil {
+				c.fail(fmt.Errorf("reply frame: %w", err))
 				return
 			}
 			c.mu.Lock()
 			h := c.pending[id]
-			delete(c.pending, id)
+			if r.Final {
+				delete(c.pending, id)
+			}
 			c.mu.Unlock()
-			if h != nil {
-				h.replies <- sessReply{m: &m}
+			switch {
+			case h == nil: // abandoned job, late reply: dropped
+			case !r.Final && len(h.replies) >= cap(h.replies)-1:
+				c.fail(fmt.Errorf("job %d interim reply overrun (%d awaited)", id, cap(h.replies)-1))
+				return
+			default:
+				h.replies <- sessReply{reply: r}
 			}
 		default:
 			c.fail(fmt.Errorf("unexpected frame type %d from worker", typ))
@@ -374,13 +364,13 @@ type subJob struct {
 	h      *jobHandler
 
 	// over is set once the worker holds nothing more for this sub-job that a
-	// frame could release: it replied its terminal metrics, a failed send
-	// aborted it, or the connection is gone. close aborts anything else.
+	// frame could release: it replied its final reply, a failed send aborted
+	// it, or the connection is gone. close aborts anything else.
 	over bool
 }
 
 // open registers job id's reply handler on this connection: onPairs, and a
-// reply queue with room for interim window replies ahead of the terminal one.
+// reply queue with room for interim replies ahead of the final one.
 // A connection already dead fails fast.
 func (c *sessConn) open(op string, id uint32, worker, interim int, onPairs func([]exec.PairIdx)) (*subJob, error) {
 	h := &jobHandler{onPairs: onPairs, replies: make(chan sessReply, interim+1)}
@@ -417,8 +407,8 @@ func (j *subJob) send(write func(*bufio.Writer) error) error {
 
 // await blocks until the sub-job's next reply and triages it: a connection
 // failure and an error reply become the classified fault. interim asks for
-// the window replies that precede the terminal one (a plan job's summary, a
-// stream's windows); without it they are skipped. The wait is bounded by the
+// the replies that precede the final one (a plan job's summary, a stream's
+// windows); without it they are skipped. The wait is bounded by the
 // session's per-job liveness deadline when one is configured: a worker that
 // produces neither what is awaited nor a connection error within Timeouts.Job
 // is declared dead — the failure the IO deadline cannot catch, a worker that
@@ -435,21 +425,18 @@ func (j *subJob) await(what string, interim bool) (sessReply, error) {
 		select {
 		case r := <-j.h.replies:
 			switch {
-			case r.win != nil && !interim:
-				continue
-			case r.win != nil && r.win.Err != "":
-				// A poisoned stream answers every window with its error; the job
-				// itself stays open on the worker until close.
-				return sessReply{}, j.c.workerFault(j.op, j.id, j.worker, &metrics{Err: r.win.Err, Code: r.win.Code})
-			case r.win != nil:
-				return r, nil
-			}
-			j.over = true
-			switch {
 			case r.err != nil:
+				j.over = true
 				return sessReply{}, j.c.connFault(j.op, j.id, j.worker, r.err)
-			case r.m.Err != "":
-				return sessReply{}, j.c.workerFault(j.op, j.id, j.worker, r.m)
+			case !r.Final && !interim:
+				continue
+			}
+			// Only a final reply ends the sub-job: a poisoned stream answers
+			// every window with its error and stays open on the worker until
+			// close.
+			j.over = j.over || r.Final
+			if r.Err != "" {
+				return sessReply{}, j.c.workerFault(j.op, j.id, j.worker, r.reply)
 			}
 			return r, nil
 		case <-deadline:
@@ -482,13 +469,15 @@ func (j *subJob) proto(err error) error {
 	return j.c.protoFault(j.op, j.id, j.worker, err)
 }
 
-// runPlain executes one plain sub-job start to finish: send the job's frames,
-// then consume replies until the worker's metrics (pairs arrive via the read
-// loop). Every failure is classified into a *WorkerFault naming the worker
-// address and job number.
+// runPlain executes one count or pairs sub-job start to finish: send the
+// job's frames, then consume replies until the worker's final reply (pairs
+// arrive via the read loop). Every failure is classified into a
+// *WorkerFault naming the worker address and job number.
 func (c *sessConn) runPlain(id uint32, workerID int, spec join.Spec, job *exec.Job, m *exec.WorkerMetrics) error {
 	var onPairs func([]exec.PairIdx)
+	o := open{Kind: kindCount, WorkerID: workerID, Cond: spec}
 	if job.Pairs != nil {
+		o.Kind = kindPairs
 		onPairs = func(pairs []exec.PairIdx) { job.Pairs(workerID, pairs) }
 	}
 	j, err := c.open("job", id, workerID, 0, onPairs)
@@ -496,50 +485,43 @@ func (c *sessConn) runPlain(id uint32, workerID int, spec join.Spec, job *exec.J
 		return err
 	}
 	defer j.close()
-	if err := j.sendJob(spec, nil, job); err != nil {
+	if err := j.sendJob(&o, job); err != nil {
 		return err
 	}
 	_, err = j.finish(m)
 	return err
 }
 
-// finish awaits the terminal metrics of a sub-job whose relations this side
-// streamed, validates them and fills m. A reply whose metrics name a peer
-// fault address is attributed to that PEER (see workerFault).
+// finish awaits the final reply of a sub-job whose relations this side
+// streamed, validates it and fills m. A reply naming a peer fault address is
+// attributed to that PEER (see workerFault).
 func (j *subJob) finish(m *exec.WorkerMetrics) ([]int64, error) {
 	r, err := j.await("reply", false)
 	if err != nil {
 		return nil, err
 	}
-	j.account(r.m, m)
-	return r.m.PeerCounts, nil
+	j.account(r.reply, m)
+	return r.PeerCounts, nil
 }
 
-// account folds one successful reply into the session's tallies and m.
-func (j *subJob) account(rm *metrics, m *exec.WorkerMetrics) {
+// account folds one successful final reply into the session's tallies and m.
+func (j *subJob) account(rm *reply, m *exec.WorkerMetrics) {
 	j.c.sess.buildOverlapped.Add(rm.BuildOverlapped)
 	m.InputR1 = rm.InputR1
 	m.InputR2 = rm.InputR2
 	m.Output = rm.Output
 }
 
-// sendJob streams one sub-job's frames in a single send, so they are
-// contiguous on the wire; each relation is fetched from its future right
-// before sending, which is where the shuffle/socket overlap happens —
-// relation 1's frames go out (and flush) while relation 2 may still be
-// scattering. A non-nil ps, making a plan job, rides between the open and
-// the relations.
-func (j *subJob) sendJob(spec join.Spec, ps *planSpec, job *exec.Job) error {
-	arrival := ps != nil || job.Pairs != nil
+// sendJob streams one count, pairs or plan sub-job's frames — its open o,
+// relations and EOS — in a single send, so they are contiguous on the wire;
+// each relation is fetched from its future right before sending, which is
+// where the shuffle/socket overlap happens — relation 1's frames go out (and
+// flush) while relation 2 may still be scattering.
+func (j *subJob) sendJob(o *open, job *exec.Job) error {
+	arrival := o.Kind != kindCount
 	return j.send(func(bw *bufio.Writer) error {
-		jo := jobOpen{WorkerID: j.worker, Cond: spec, Pairs: job.Pairs != nil}
-		if err := writeV3GobFrame(bw, frameV3OpenJob, j.id, jo); err != nil {
+		if err := writeCtl(bw, frameV3Open, j.id, o); err != nil {
 			return err
-		}
-		if ps != nil {
-			if err := writeV3GobFrame(bw, frameV3Plan, j.id, *ps); err != nil {
-				return err
-			}
 		}
 		if err := j.writeRelation(bw, 1, job.R1.Wait(), arrival); err != nil {
 			return err

@@ -185,9 +185,9 @@ func dialV3(t *testing.T, addr, tenant string) (*bufio.Writer, net.Conn) {
 	return bw, conn
 }
 
-// readV3Metrics reads the job's reply frames up to its METRICS, past the
+// readV3Metrics reads the job's reply frames up to its final REPLY, past the
 // PAIRS frames of a pairs job.
-func readV3Metrics(t *testing.T, conn net.Conn, wantJob uint32) metrics {
+func readV3Metrics(t *testing.T, conn net.Conn, wantJob uint32) reply {
 	t.Helper()
 	br := bufio.NewReader(conn)
 	for {
@@ -203,10 +203,13 @@ func readV3Metrics(t *testing.T, conn net.Conn, wantJob uint32) metrics {
 			if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
 				t.Fatal(err)
 			}
-		case frameV3Metrics:
-			var m metrics
-			if err := readGobPayload(br, n, &m); err != nil {
+		case frameV3Reply:
+			var m reply
+			if err := readCtl(br, n, maxControlPayload, &m); err != nil {
 				t.Fatal(err)
+			}
+			if !m.Final {
+				t.Fatalf("interim reply %+v", m)
 			}
 			return m
 		default:
@@ -215,21 +218,25 @@ func readV3Metrics(t *testing.T, conn net.Conn, wantJob uint32) metrics {
 	}
 }
 
-// readV3ErrMetrics returns the error string of the job's metrics reply.
+// readV3ErrMetrics returns the error string of the job's final reply.
 func readV3ErrMetrics(t *testing.T, conn net.Conn, wantJob uint32) string {
 	t.Helper()
 	return readV3Metrics(t, conn, wantJob).Err
 }
 
-// sendOpenJob opens an equi job: a pairs job when pairs is set, else a count
-// job, or a plan job once a PLAN frame follows.
-func sendOpenJob(t *testing.T, bw *bufio.Writer, id uint32, pairs bool) {
+// sendOpenJob opens an equi job of kind; a plan or peer job names token, and
+// a plan job requests a small summary.
+func sendOpenJob(t *testing.T, bw *bufio.Writer, id uint32, kind byte, token uint64) {
 	t.Helper()
 	spec, err := join.SpecOf(join.Equi{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeV3GobFrame(bw, frameV3OpenJob, id, jobOpen{Cond: spec, Pairs: pairs}); err != nil {
+	o := open{Kind: kind, Cond: spec, Token: token, Senders: 1}
+	if kind == kindPlan {
+		o.Stats = exec.StatsSpec{Cap: 8, Buckets: 4}
+	}
+	if err := writeCtl(bw, frameV3Open, id, &o); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -244,17 +251,17 @@ func writeRel(w io.Writer, job uint32, rel int, keys []join.Key) error {
 // answerStats plays the coordinator's half of a plan job's statistics
 // exchange: it waits for the job's summary reply and answers with ps in a
 // PLAN2.
-func answerStats(t *testing.T, conn net.Conn, br *bufio.Reader, bw *bufio.Writer, job uint32, ps planSpec) {
+func answerStats(t *testing.T, conn net.Conn, br *bufio.Reader, bw *bufio.Writer, job uint32, ps plan2) {
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	typ, got, n, err := readV3FrameHeader(br)
-	if err != nil || typ != frameV3StreamRep || got != job {
+	if err != nil || typ != frameV3Reply || got != job {
 		t.Fatalf("awaiting job %d's statistics: frame %d for job %d (%v)", job, typ, got, err)
 	}
 	if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
 		t.Fatal(err)
 	}
-	if err := errors.Join(writeV3GobFrame(bw, frameV3Plan2, job, ps), bw.Flush()); err != nil {
+	if err := errors.Join(writeCtl(bw, frameV3Plan2, job, &ps), bw.Flush()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -316,19 +323,20 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 				map[string]TenantPolicy{tenant: {MaxBytes: c.budget}})
 			bw, conn := dialV3(t, addrs[0], tenant)
 			br := bufio.NewReader(conn)
-			sendOpenJob(t, bw, 1, c.pairs)
-			token := newPeerToken()
-			var err error
-			if c.plan {
-				err = writeV3GobFrame(bw, frameV3Plan, 1,
-					planSpec{Token: token, Stats: exec.StatsSpec{Cap: 8, Buckets: 4}})
+			token, kind := newPeerToken(), kindCount
+			switch {
+			case c.pairs:
+				kind = kindPairs
+			case c.plan:
+				kind = kindPlan
 			}
-			err = errors.Join(err, c.send(bw), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+			sendOpenJob(t, bw, 1, kind, token)
+			err := errors.Join(c.send(bw), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if c.wantErr == "" {
-				answerStats(t, conn, br, bw, 1, planSpec{Token: token, Plan: plan, Peers: addrs, Self: 0})
+				answerStats(t, conn, br, bw, 1, plan2{Plan: plan, Peers: addrs, Self: 0})
 			}
 			m := awaitFeedMetrics(t, conn, br, 1)
 			if c.wantErr == "" {
@@ -343,7 +351,7 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 			// what it had reserved is credited back.
 			idle := &baseline{t: t}
 			idle.workersIdle(ws)
-			sendOpenJob(t, bw, 2, true)
+			sendOpenJob(t, bw, 2, kindPairs, 0)
 			err = errors.Join(
 				writeRel(bw, 2, 1, []join.Key{5}),
 				writeRel(bw, 2, 2, []join.Key{5}),
@@ -404,7 +412,7 @@ func TestSessionRelationFormsByJobKind(t *testing.T) {
 	var rules []faultnet.Rule
 	runFrames := []byte{faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd,
 		faultnet.FrameStreamWin, faultnet.FrameStreamWinEnd}
-	for _, f := range append([]byte{faultnet.FrameOpenJob, faultnet.FrameAbort}, runFrames...) {
+	for _, f := range append([]byte{faultnet.FrameOpen, faultnet.FrameAbort}, runFrames...) {
 		arrived := new(atomic.Bool)
 		seen[f] = arrived
 		rules = append(rules, faultnet.Rule{Dir: faultnet.In, Frame: f, Action: faultnet.ActHook,
@@ -443,7 +451,7 @@ func TestSessionRelationFormsByJobKind(t *testing.T) {
 		waitFor(t, "the ABORT to retire the job on the worker", func() bool {
 			return seen[faultnet.FrameAbort].Load() && inFlight(w) == 0
 		})
-		if !seen[faultnet.FrameOpenJob].Load() {
+		if !seen[faultnet.FrameOpen].Load() {
 			t.Fatal("the job was never opened")
 		}
 		for _, f := range runFrames {
@@ -486,7 +494,7 @@ func TestSessionBlockLengthMismatchKeepsStreamInSync(t *testing.T) {
 	// bytes — the next job on the same connection still works.
 	_, addrs := startWorkerSet(t, 1)
 	bw, conn := dialV3(t, addrs[0], "")
-	sendOpenJob(t, bw, 1, true)
+	sendOpenJob(t, bw, 1, kindPairs, 0)
 	// Frame declares 8 + 16 payload bytes but the embedded count says 1 key
 	// (8 + 8): the extra 8 bytes must be drained as frame payload.
 	var frame [streamBaseHdrLen + 16]byte
@@ -503,7 +511,7 @@ func TestSessionBlockLengthMismatchKeepsStreamInSync(t *testing.T) {
 	}
 
 	// Same connection, next job: framing survived the bad frame.
-	sendOpenJob(t, bw, 2, true)
+	sendOpenJob(t, bw, 2, kindPairs, 0)
 	err = errors.Join(writeRel(bw, 2, 1, []join.Key{5}), writeRel(bw, 2, 2, []join.Key{5}),
 		writeV3FrameHeader(bw, frameV3EOS, 2, 0), bw.Flush())
 	if err != nil {
@@ -522,7 +530,7 @@ func TestWorkerShutdownDrainsInFlightJob(t *testing.T) {
 	// must wait for the job, the worker must still reply, and the listener
 	// must refuse new connections.
 	bw, conn := dialV3(t, addrs[0], "")
-	sendOpenJob(t, bw, 1, true)
+	sendOpenJob(t, bw, 1, kindPairs, 0)
 	if err := errors.Join(writeRel(bw, 1, 1, []join.Key{1, 2}), bw.Flush()); err != nil {
 		t.Fatal(err)
 	}

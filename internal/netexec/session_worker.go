@@ -21,13 +21,12 @@ import (
 // openJob registers it and starts its join goroutine (stream_worker.go),
 // endFrame/dataFrame decode its relations' base and window runs, each key
 // frame into its own pooled chunk handed to that goroutine, and retire is the
-// single exit, shared with ABORT and connection teardown. The goroutine
-// joins as the job's output needs: a pairs job (its open says Pairs) or a
-// stage-1 plan job (a PLAN frame rode with the open) keeps its runs' chunks in
-// arrival order and joins them at EOS; every count job joins while the frames
-// arrive. Either way the read loop keeps draining the next job's frames.
-// Job-level protocol violations fail only that job (its remaining frames are
-// read and discarded, then an error metrics frame replies); frame-level
+// single exit, shared with ABORT and connection teardown. The open's kind
+// fixes how the goroutine joins: a pairs or stage-1 plan job keeps its runs'
+// chunks in arrival order and joins them at EOS; every other job joins while
+// the frames arrive. Either way the read loop keeps draining the next job's
+// frames. Job-level protocol violations fail only that job (its remaining
+// frames are read and discarded, then an error reply ends it); frame-level
 // corruption is connection-fatal — framing is the only thing that lets the
 // two sides stay in sync.
 
@@ -43,12 +42,11 @@ type sessRel struct {
 // sessJob is one numbered job in flight on a session connection.
 type sessJob struct {
 	id       uint32
+	kind     byte // the open's job kind
 	workerID int
 	cond     join.Condition
 	counted  bool // beginJob admitted it (draining workers refuse)
 	err      error
-	pairs    bool // its open asked for the matches as index pairs
-	begun    bool // a run frame arrived: an OPENJOB job's kind is fixed
 	rels     [3]sessRel
 
 	// ws is the connection the job arrived on; its tenant keys the job's
@@ -59,26 +57,23 @@ type sessJob struct {
 	ws      *workerSession
 	charged atomic.Int64
 	// releaseSlot returns the job's admission slot (idempotent); nil while the
-	// job holds none (rejected at open, or a peer-fed or STREAMOPEN job, which
-	// admit per seal and per probe on the join goroutine).
+	// job holds none (rejected at open, or a peer or stream job, which admit
+	// per seal and per probe on the join goroutine).
 	releaseSlot func()
 
-	// plan, when set, marks a stage-1 plan job: the join's matches are
+	// token is a plan or peer job's transfer id. A plan job's matches are
 	// materialized worker-side, summarized, re-shuffled by the plan the
 	// coordinator builds from the summaries and streamed to peers instead of
-	// returning as pairs. plan2 is its entry in the connection's plan2Table,
-	// registered when its PLAN frame is read and removed by retire.
-	plan  *planSpec
-	plan2 *plan2Waiter
-	// peerFed marks a stage-2 job whose relation 1 arrives over the peer
-	// mesh; token is its transfer id and peerSt the transfer state, set once
-	// the open's sender count was accepted. peerTaken flips once the join
+	// returning as pairs; plan2 is its entry in the connection's plan2Table,
+	// registered at its open and removed by retire. A peer job's relation 1
+	// arrives over the peer mesh: peerSt is the transfer state, set once the
+	// open's sender count was accepted, and peerTaken flips once the join
 	// goroutine took the contributions out of the transfer table, so retire
 	// leaves the token alone.
-	peerFed   bool
+	token     uint64
+	plan2     *plan2Waiter
 	peerTaken bool
 	peerSt    *peerJobState
-	token     uint64
 
 	// stream is the goroutine the job's key frames feed (see
 	// stream_worker.go), started at the job's open.
@@ -139,35 +134,31 @@ func runEvent(typ byte, h []byte) streamEvent {
 }
 
 // runRel admits a frame of a base or window run (ev, less its keys) and
-// returns the relation it advances. A STREAMOPEN job's runs span epochs and
-// windows, which its goroutine checks: its base is relation 2, its windows
-// relation 1. Every other job runs at epoch 0 and ends each run once:
-// relation 1 is the base (a peer-fed job's base is its relation 2, and its
-// probe is the mesh transfer, so it takes no window), relation 2 window 0,
-// and a plan job's re-key column window 1. An OPENJOB job's first run frame
-// fixes its kind: one that asked for neither pairs nor a plan is a count job,
-// whose first run is its base.
+// returns the relation it advances. A stream's runs span epochs and windows,
+// which its goroutine checks: its base is relation 2, its windows relation 1.
+// Every other job runs at epoch 0 and ends each run once: relation 1 is the
+// base (a peer job's base is its relation 2, and its probe is the mesh
+// transfer, so it takes no window), relation 2 window 0, and a plan job's
+// re-key column window 1.
 func (j *sessJob) runRel(ev streamEvent) (*sessRel, error) {
 	base := ev.kind <= evStreamBaseEnd
-	if !j.stream.fed() {
+	if j.kind == kindStream {
 		if base {
 			return &j.rels[1], nil
 		}
 		return &j.rels[0], nil
 	}
 	lastWin := uint32(0)
-	if j.plan != nil {
+	if j.kind == kindPlan {
 		lastWin = 1 // the re-key column
 	}
 	i := 0
 	switch {
-	case j.peerFed && !base:
+	case j.kind == kindPeer && !base:
 		return nil, fmt.Errorf("window frames on a peer-fed job, whose probe is the mesh transfer")
-	case !base && !j.begun && !j.pairs && j.plan == nil:
-		return nil, fmt.Errorf("window frames ahead of relation 1's base")
 	case ev.epoch != 0 || ev.win > lastWin:
 		return nil, fmt.Errorf("a job's run at epoch %d, window %d, past epoch 0, window %d", ev.epoch, ev.win, lastWin)
-	case j.peerFed:
+	case j.kind == kindPeer:
 		i = 1
 	case !base:
 		i = 1 + int(ev.win)
@@ -175,20 +166,19 @@ func (j *sessJob) runRel(ev streamEvent) (*sessRel, error) {
 	if j.rels[i].declared {
 		return nil, fmt.Errorf("a job's frame after its run's end frame")
 	}
-	j.begun = true
 	return &j.rels[i], nil
 }
 
-// plan2Waiter is one plan job's wait for the replanned artifact, from its PLAN
-// frame on. ch is buffered, so a PLAN2 or cancel read before the job parks
+// plan2Waiter is one plan job's wait for the replanned artifact, from its
+// open on. ch is buffered, so a PLAN2 or cancel read before the job parks
 // waits there for it; a nil delivery means the transfer was cancelled.
 type plan2Waiter struct {
 	token uint64
-	ch    chan *planSpec
+	ch    chan *plan2
 }
 
 // plan2Table routes PLAN2 and cancel frames to the connection's plan jobs,
-// from their PLAN frame to their retire. One table per session connection;
+// from their open to their retire. One table per session connection;
 // entries are keyed by job id.
 type plan2Table struct {
 	mu sync.Mutex
@@ -200,7 +190,7 @@ func newPlan2Table() *plan2Table {
 }
 
 func (t *plan2Table) add(id uint32, token uint64) *plan2Waiter {
-	wt := &plan2Waiter{token: token, ch: make(chan *planSpec, 1)}
+	wt := &plan2Waiter{token: token, ch: make(chan *plan2, 1)}
 	t.mu.Lock()
 	t.m[id] = wt
 	t.mu.Unlock()
@@ -218,7 +208,7 @@ func (t *plan2Table) remove(id uint32, wt *plan2Waiter) {
 
 // deliver hands a PLAN2 to job id's waiter; unknown ids are dropped (the job
 // may have failed and replied already).
-func (t *plan2Table) deliver(id uint32, ps *planSpec) {
+func (t *plan2Table) deliver(id uint32, ps *plan2) {
 	t.mu.Lock()
 	wt := t.m[id]
 	delete(t.m, id)
@@ -276,11 +266,11 @@ type workerSession struct {
 	planNext   int
 }
 
-// reply writes one gob reply frame for job id and flushes it.
-func (ws *workerSession) reply(typ byte, id uint32, v any) error {
+// reply writes one REPLY frame for job id and flushes it.
+func (ws *workerSession) reply(id uint32, r *reply) error {
 	ws.wmu.Lock()
 	defer ws.wmu.Unlock()
-	if err := writeV3GobFrame(ws.bw, typ, id, v); err != nil {
+	if err := writeCtl(ws.bw, frameV3Reply, id, r); err != nil {
 		return err
 	}
 	return ws.bw.Flush()
@@ -308,37 +298,84 @@ func (ws *workerSession) retire(j *sessJob) {
 	}
 }
 
-// openJob is the prologue OPENJOB, OPENPEERJOB and STREAMOPEN share: refuse a
-// reused job number or a payload over maxOpenPayload, decode the frame's gob
-// message into msg, register the job (table and drain accounting), resolve
-// the fields every open carries, which head reads back out of msg, and start
-// the job's join goroutine (resTag and st as newSessStream takes them). It
-// returns nil when the frame is connection-fatal (job number reuse, oversized
-// or undecodable open). A job a draining worker refuses, or one naming an
-// unknown or too deeply nested condition, comes back FAILED, its goroutine
-// poisoned: its frames drain and its reply carries the error.
-func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int, msg any, resTag byte,
-	head func() (workerID int, cond join.Spec, st exec.StatsSpec)) *sessJob {
-
-	if ws.jobs[id] != nil || n > maxOpenPayload || readGobPayload(br, n, msg) != nil {
-		return nil
+// openJob serves an OPEN: refuse a reused job number or a payload over
+// maxOpenPayload, decode the record, register the job (table and drain
+// accounting) and start its join goroutine, then take the kind's own step: a
+// count, pairs or plan job takes its admission slot, a plan job registers its
+// PLAN2 wait, a peer job attaches to its transfer. An error is
+// connection-fatal: job number reuse, an oversized or undecodable open, or
+// the worker killed while the open queued for admission. A job a draining
+// worker refuses, or one naming an unknown condition, is FAILED instead, its
+// goroutine poisoned: its frames drain and its reply carries the error.
+func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
+	var o open
+	if ws.jobs[id] != nil {
+		return fmt.Errorf("job %d reopened", id)
 	}
-	j := &sessJob{id: id, ws: ws}
+	if err := readCtl(br, n, maxOpenPayload, &o); err != nil {
+		return err
+	}
+	w := ws.w
+	j := &sessJob{id: id, kind: o.Kind, workerID: o.WorkerID, token: o.Token, ws: ws}
 	ws.jobs[id] = j
-	j.counted = ws.w.beginJob(ws.cs)
-	workerID, spec, st := head()
-	j.workerID = workerID
-	cond, err := spec.Condition()
+	j.counted = w.beginJob(ws.cs)
+	cond, err := o.Cond.Condition()
 	switch {
 	case !j.counted:
-		j.err = errors.New("worker shutting down")
+		j.err = &rejectError{code: codeDraining, msg: "worker shutting down"}
 	case err != nil:
 		j.err = err
 	default:
 		j.cond = cond
 	}
-	j.stream = newSessStream(j, st, resTag)
-	return j
+	j.stream = newSessStream(j, o.Stats)
+	if j.err != nil {
+		return nil
+	}
+	switch o.Kind {
+	case kindCount, kindPairs, kindPlan:
+		// Admission happens HERE, before the job's data frames are read: an
+		// un-admitted job buffers nothing worker-side — its frames stay in the
+		// kernel socket buffer, TCP backpressure stalls the coordinator's
+		// (whole-job, contiguous) send, and a saturating tenant is throttled to
+		// the rate the fair scheduler dispatches it. Blocking this read loop is
+		// deadlock-free: sends are contiguous per job on a connection, so every
+		// earlier job here is fully received, and slot holders only ever do
+		// finite compute (plan jobs release before their stats park; peer and
+		// stream jobs hold none while parked, admitting per seal and per
+		// probe). A rejection fails just this job — its frames drain and the
+		// reply carries the typed code.
+		releaseSlot, aerr := w.admitJob(ws.tenant, w.kill, ws.done)
+		if errors.Is(aerr, errAbandoned) {
+			return aerr // worker killed: the connection is going down anyway
+		}
+		if aerr != nil {
+			j.fail(aerr)
+			return nil
+		}
+		j.releaseSlot = releaseSlot
+		if o.Kind == kindPlan {
+			// The PLAN2 wait is registered here, not when the job parks: a
+			// PLANCANCEL follows the open on the connection, so it finds the
+			// waiter however far the job has got.
+			j.plan2 = ws.pt.add(id, o.Token)
+			ws.planTokens[ws.planNext%len(ws.planTokens)] = o.Token
+			ws.planNext++
+		}
+	case kindPeer:
+		// Attach to (or create) the token's transfer and declare its sender
+		// count, which says when it is complete; the join goroutine parks on
+		// it at EOS. A refusal fails this job, never another's transfer.
+		st := w.peerState(o.Token)
+		if st == nil {
+			j.fail(fmt.Errorf("transfer table full (%d tokens)", maxPeerStates))
+		} else if err := st.expect(o.Senders); err != nil {
+			j.fail(err)
+		} else {
+			j.peerSt = st
+		}
+	}
+	return nil
 }
 
 // endFrame serves the fixed-layout frames that close a run of key frames
@@ -439,122 +476,25 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState, t
 		}
 		armConn(conn)
 		switch typ {
-		case frameV3OpenJob:
-			var jo jobOpen
-			j := ws.openJob(br, id, n, &jo, 1, func() (int, join.Spec, exec.StatsSpec) {
-				return jo.WorkerID, jo.Cond, exec.StatsSpec{}
-			})
-			if j == nil {
+		case frameV3Open:
+			if ws.openJob(br, id, n) != nil {
 				return
-			}
-			// The goroutine reads the kind from the job's first run frame on.
-			j.pairs = jo.Pairs
-			if j.err != nil {
-				continue
-			}
-			// Admission happens HERE, before the job's data frames are read:
-			// an un-admitted job buffers nothing worker-side — its frames stay
-			// in the kernel socket buffer, TCP backpressure stalls the
-			// coordinator's (whole-job, contiguous) send, and a saturating
-			// tenant is throttled to the rate the fair scheduler dispatches it.
-			// Blocking this read loop is deadlock-free: sends are contiguous
-			// per job on a connection, so every earlier job here is fully
-			// received, and slot holders only ever do finite compute (plan jobs
-			// release before their stats park; peer-fed and stream jobs hold
-			// none while parked, admitting per seal and per probe). A rejection
-			// fails just this job — its frames drain and the reply carries the
-			// typed code.
-			releaseSlot, aerr := w.admitJob(ws.tenant, w.kill, ws.done)
-			if errors.Is(aerr, errAbandoned) {
-				return // worker killed: the connection is going down anyway
-			}
-			if aerr != nil {
-				j.fail(aerr)
-				continue
-			}
-			j.releaseSlot = releaseSlot
-
-		case frameV3OpenPeerJob:
-			var po peerJobOpen
-			j := ws.openJob(br, id, n, &po, 2, func() (int, join.Spec, exec.StatsSpec) {
-				return po.WorkerID, po.Cond, exec.StatsSpec{}
-			})
-			if j == nil {
-				return
-			}
-			j.peerFed, j.token = true, po.Token
-			// Attach to (or create) the token's transfer and declare its sender
-			// count, which says when it is complete; the join goroutine parks on
-			// it at EOS. A refusal fails this job, never another's transfer.
-			if j.err == nil {
-				st := w.peerState(po.Token)
-				if st == nil {
-					j.fail(fmt.Errorf("transfer table full (%d tokens)", maxPeerStates))
-				} else if err := st.expect(po.Senders); err != nil {
-					j.fail(err)
-				} else {
-					j.peerSt = st
-				}
-			}
-
-		case frameV3StreamOpen:
-			var so streamOpen
-			// A stream's goroutine, poisoned or not, carries the error on
-			// every window reply and the final metrics. A stream holds no
-			// admission slot: the goroutine acquires one around each window's
-			// probe instead, so an idle stream never starves the fair
-			// scheduler.
-			if ws.openJob(br, id, n, &so, 0, func() (int, join.Spec, exec.StatsSpec) {
-				return so.WorkerID, so.Cond, so.Stats
-			}) == nil {
-				return
-			}
-
-		case frameV3Plan:
-			j := ws.jobs[id]
-			if j == nil {
-				return // plan for an unopened job is connection-fatal
-			}
-			var ps planSpec
-			if n > maxOpenPayload || readGobPayload(br, n, &ps) != nil {
-				return
-			}
-			switch {
-			case j.err != nil:
-			case j.plan != nil:
-				j.fail(fmt.Errorf("job carries two plans"))
-			case j.pairs:
-				j.fail(fmt.Errorf("a pairs job cannot carry a plan: its matches return as pairs"))
-			case len(ps.Plan) != 0 || len(ps.Peers) != 0:
-				// A PLAN frame requests statistics; the plan and peer map
-				// arrive in the PLAN2 that answers them.
-				j.fail(fmt.Errorf("a plan frame carries a statistics request, not a plan or peer map"))
-			case !j.stream.fed() || j.peerFed || j.begun:
-				// The goroutine reads j.plan from the job's first run frame on.
-				j.fail(fmt.Errorf("a stream, a peer-fed job or a job past its first run frame cannot carry a plan"))
-			default:
-				// The wait is registered here, not when the job parks: the
-				// coordinator's PLANCANCEL follows this frame on the connection,
-				// so it finds the waiter however far the job has got.
-				j.plan, j.plan2 = &ps, ws.pt.add(id, ps.Token)
-				ws.planTokens[ws.planNext%len(ws.planTokens)] = ps.Token
-				ws.planNext++
 			}
 
 		case frameV3Plan2:
-			var ps planSpec
-			if err := readGobPayload(br, n, &ps); err != nil {
+			var p plan2
+			if readCtl(br, n, maxControlPayload, &p) != nil {
 				return
 			}
-			ws.pt.deliver(id, &ps)
+			ws.pt.deliver(id, &p)
 
 		case frameV3PlanCancel:
-			var pc planCancel
-			if n > maxOpenPayload || readGobPayload(br, n, &pc) != nil {
+			var x cancelRec
+			if readCtl(br, n, maxOpenPayload, &x) != nil {
 				return
 			}
-			w.dropPeerState(pc.Token)
-			ws.pt.cancel(pc.Token)
+			w.dropPeerState(x.Token)
+			ws.pt.cancel(x.Token)
 
 		case frameV3StreamBaseEnd, frameV3StreamWinEnd:
 			if !ws.endFrame(br, typ, id, n) {
@@ -572,7 +512,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState, t
 				return
 			}
 			delete(ws.jobs, id)
-			// The goroutine replies the job's metrics and retires the job
+			// The goroutine replies the job's totals and retires the job
 			// itself as it exits. Chunks a count job consumed before this
 			// frame decoded overlapped the stream — the counter the
 			// coordinator's BuildOverlappedChunks aggregates.
@@ -682,18 +622,18 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 	return nil
 }
 
-// validateComplete checks at EOS that every run of an OPENJOB or peer-fed
-// job ended, and that a plan job's re-key column covers relation 2. A
-// peer-fed job's relation 1 is exempt: it arrives over the mesh and the join
-// goroutine probes it straight out of the transfer table.
+// validateComplete checks at EOS that every run of a job but a stream
+// ended, and that a plan job's re-key column covers relation 2. A peer job's
+// relation 1 is exempt: it arrives over the mesh and the join goroutine
+// probes it straight out of the transfer table.
 func (j *sessJob) validateComplete() error {
 	for i, r := range j.rels[:2] {
-		if !r.declared && !(j.peerFed && i == 0) {
+		if !r.declared && !(j.kind == kindPeer && i == 0) {
 			return fmt.Errorf("relation %d's run never ended", i+1)
 		}
 	}
 	switch rekey := &j.rels[2]; {
-	case j.plan == nil:
+	case j.kind != kindPlan:
 	case !rekey.declared:
 		return fmt.Errorf("plan job without relation 2's re-key column")
 	case rekey.pos != j.rels[1].pos:
@@ -712,7 +652,7 @@ func (j *sessJob) validateComplete() error {
 // over the mesh. It returns the match count and the per-receiver count vector.
 // Errors name the peer address.
 func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64, []int64, error) {
-	w, ps := ws.w, j.plan
+	w := ws.w
 	// The three stage-1 steps exec.Local runs too: materialize, summarize,
 	// and (after the park below) route.
 	inter := exec.StageMatches(r1, r2, rekey, j.cond)
@@ -723,11 +663,11 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64
 		return 0, nil, err
 	}
 	sender := j.workerID
-	enc, err := exec.StageSummary(inter, ps.Stats, sender)
+	enc, err := exec.StageSummary(inter, j.stream.st, sender)
 	if err != nil {
 		return 0, nil, err
 	}
-	if ws.reply(frameV3StreamRep, j.id, streamWinReply{Summary: enc}) != nil {
+	if ws.reply(j.id, &reply{Summary: enc}) != nil {
 		return 0, nil, errAbandoned // connection dead; nothing to reply to
 	}
 	// Release the execution slot across the park: the compute is done and
@@ -737,12 +677,12 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64
 	// once-guarded, so retire's stays a no-op; the post-park re-shuffle runs
 	// unslotted (routing + socket writes, not join compute).
 	j.releaseSlot()
+	var ps *plan2
 	select {
-	case ps2 := <-j.plan2.ch:
-		if ps2 == nil {
+	case ps = <-j.plan2.ch:
+		if ps == nil {
 			return 0, nil, fmt.Errorf("stage-2 statistics plan cancelled by coordinator")
 		}
-		ps.Plan, ps.Peers, ps.Self = ps2.Plan, ps2.Peers, ps2.Self
 	case <-w.kill:
 		return 0, nil, errAbandoned
 	case <-ws.done:
@@ -766,13 +706,13 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64
 		blk := ks.Worker(p)
 		counts[p] = int64(len(blk))
 		if p == ps.Self {
-			if err := w.deliverLocal(ps.Token, sender, blk); err != nil {
-				return 0, nil, fmt.Errorf("transfer %d to self: %w", ps.Token, err)
+			if err := w.deliverLocal(j.token, sender, blk); err != nil {
+				return 0, nil, fmt.Errorf("transfer %d to self: %w", j.token, err)
 			}
 			continue
 		}
-		if err := w.sendToPeer(ps.Peers[p], ps.Token, sender, blk); err != nil {
-			return 0, nil, fmt.Errorf("transfer %d: %w", ps.Token,
+		if err := w.sendToPeer(ps.Peers[p], j.token, sender, blk); err != nil {
+			return 0, nil, fmt.Errorf("transfer %d: %w", j.token,
 				&peerFaultError{addr: ps.Peers[p], err: err})
 		}
 	}

@@ -16,13 +16,14 @@ import (
 // re-shuffle their matches directly to each other, and stage 2 opens as
 // peer-fed jobs that only receive the driver-owned right relation from the
 // coordinator. The intermediate's sole coordinator-side footprint is the
-// per-sender count vectors riding the stage-1 metrics; each stage-2 reply is
-// checked against them, as a worker knows only its transfer's sender count.
+// per-sender count vectors riding the stage-1 final replies; each stage-2
+// reply is checked against them, as a worker knows only its transfer's
+// sender count.
 //
-// The stage-1 exchange has two phases: phase A opens the jobs with a PLAN
-// frame (a statistics request), each worker joins, summarizes its local
-// matches and replies the summary as a window reply (STREAMREP); the
-// coordinator hands the summaries to the driver's Replan, which builds the
+// The stage-1 exchange has two phases: phase A opens the jobs as plan-kind
+// OPENs (each carrying the statistics request), each worker joins,
+// summarizes its local matches and replies the summary as an interim REPLY;
+// the coordinator hands the summaries to the driver's Replan, which builds the
 // stage-2 plan from the merged statistics, and phase B broadcasts it in a
 // PLAN2 frame (the planio-encoded artifact plus the peer address map) — only
 // then do the workers route and stream to their peers. The summaries (a few KB
@@ -181,8 +182,8 @@ func (st *stagePipe) runStage1(spec1 join.Spec, first *exec.Job,
 	jobs := make([]*subJob, j1)
 	sums := make([][]byte, j1)
 	err := fanOut(j1, func(w int) (err error) {
-		ps := planSpec{Token: st.token, Stats: *next.Stats}
-		jobs[w], sums[w], err = s.conns[w].openStatsStageJob(st.id1, w, spec1, &ps, first)
+		o := open{Kind: kindPlan, WorkerID: w, Cond: spec1, Stats: *next.Stats, Token: st.token}
+		jobs[w], sums[w], err = s.conns[w].openStatsStageJob(st.id1, &o, first)
 		return err
 	})
 	abandon := func(err error) ([]*subJob, error) {
@@ -209,8 +210,8 @@ func (st *stagePipe) runStage1(spec1 join.Spec, first *exec.Job,
 
 	peers := s.Addrs()[:j2]
 	return st.overlap(j1, j2, func(w int) (err error) {
-		ps := planSpec{Token: st.token, Plan: plan, Peers: peers, Self: selfIndex(w, peers)}
-		st.counts[w], err = jobs[w].finishStatsStageJob(&ps, &wm1[w])
+		p := plan2{Plan: plan, Peers: peers, Self: selfIndex(w, peers)}
+		st.counts[w], err = jobs[w].finishStatsStageJob(&p, &wm1[w])
 		return err
 	})
 }
@@ -224,45 +225,42 @@ func (st *stagePipe) runStage1(spec1 join.Spec, first *exec.Job,
 func (s *Session) cancelPlan(token uint64) {
 	for _, c := range s.conns {
 		_ = c.locked(func(bw *bufio.Writer) error {
-			return writeV3GobFrame(bw, frameV3PlanCancel, 0, planCancel{Token: token})
+			return writeCtl(bw, frameV3PlanCancel, 0, &cancelRec{Token: token})
 		})
 	}
 }
 
-// openStatsStageJob runs phase A of a stage-1 job: send the job
-// with a statistics request and wait for the worker's summary. The sub-job
-// stays open for phase B. A worker that replies metrics instead of a summary
+// openStatsStageJob runs phase A of a stage-1 job: send the job under its
+// plan-kind open o and wait for the worker's summary. The sub-job stays open
+// for phase B. A worker whose first reply is final instead of a summary
 // failed its join.
-func (c *sessConn) openStatsStageJob(id uint32, workerID int, spec join.Spec, ps *planSpec,
-	job *exec.Job) (*subJob, []byte, error) {
-
-	j, err := c.open("stats stage job", id, workerID, 1, nil)
+func (c *sessConn) openStatsStageJob(id uint32, o *open, job *exec.Job) (*subJob, []byte, error) {
+	j, err := c.open("stats stage job", id, o.WorkerID, 1, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	err = j.sendJob(spec, ps, job)
+	err = j.sendJob(o, job)
 	var r sessReply
 	if err == nil {
 		r, err = j.await("statistics summary", true)
 	}
-	if err == nil && r.m != nil {
-		err = j.proto(fmt.Errorf("worker replied metrics before shipping its statistics summary"))
+	if err == nil && r.Final {
+		err = j.proto(fmt.Errorf("worker replied its totals before shipping its statistics summary"))
 	}
 	if err != nil {
 		j.close()
 		return nil, nil, err
 	}
-	return j, r.win.Summary, nil
+	return j, r.Summary, nil
 }
 
 // finishStatsStageJob runs phase B: deliver the replanned artifact and peer
-// map in a PLAN2 frame and wait for the job's terminal metrics (the count
+// map in a PLAN2 frame and wait for the job's final reply (the count
 // vector).
-func (j *subJob) finishStatsStageJob(ps *planSpec, m *exec.WorkerMetrics) ([]int64, error) {
-
+func (j *subJob) finishStatsStageJob(p *plan2, m *exec.WorkerMetrics) ([]int64, error) {
 	defer j.close()
 	err := j.send(func(bw *bufio.Writer) error {
-		return writeV3GobFrame(bw, frameV3Plan2, j.id, *ps)
+		return writeCtl(bw, frameV3Plan2, j.id, p)
 	})
 	if err != nil {
 		return nil, err
@@ -281,8 +279,8 @@ func (c *sessConn) openPeerJob(st *stagePipe, workerID int) (*subJob, error) {
 		return nil, err
 	}
 	err = j.send(func(bw *bufio.Writer) error {
-		po := peerJobOpen{WorkerID: workerID, Cond: st.spec2, Token: st.token, Senders: len(st.counts)}
-		return writeV3GobFrame(bw, frameV3OpenPeerJob, j.id, po)
+		o := open{Kind: kindPeer, WorkerID: workerID, Cond: st.spec2, Token: st.token, Senders: len(st.counts)}
+		return writeCtl(bw, frameV3Open, j.id, &o)
 	})
 	if err == nil {
 		err = j.sendPeerRelation(st)
@@ -312,8 +310,8 @@ func (j *subJob) sendPeerRelation(st *stagePipe) error {
 	return j.send(func(bw *bufio.Writer) error { return writeV3FrameHeader(bw, frameV3EOS, j.id, 0) })
 }
 
-// finishPeerJob awaits an opened peer job's terminal metrics once stage 1
-// settled, and checks them against what the stage-1 senders reported routing
+// finishPeerJob awaits an opened peer job's final reply once stage 1
+// settled, and checks it against what the stage-1 senders reported routing
 // to it — the one place a sender's counts are verified: the worker knows only
 // how many senders its transfer has, not what each sent.
 func (j *subJob) finishPeerJob(expect int64, m *exec.WorkerMetrics) error {
@@ -322,9 +320,9 @@ func (j *subJob) finishPeerJob(expect int64, m *exec.WorkerMetrics) error {
 	if err != nil {
 		return err
 	}
-	if r.m.InputR1 != expect {
-		return j.proto(fmt.Errorf("worker joined %d peer tuples, senders reported %d", r.m.InputR1, expect))
+	if r.InputR1 != expect {
+		return j.proto(fmt.Errorf("worker joined %d peer tuples, senders reported %d", r.InputR1, expect))
 	}
-	j.account(r.m, m)
+	j.account(r.reply, m)
 	return nil
 }

@@ -258,9 +258,10 @@ func TestStatsReplanErrorCancelsAndTombstones(t *testing.T) {
 }
 
 // TestPlanCancelAroundThePark pins where a stage-1 plan job's wait for its
-// PLAN2 begins: at its PLAN frame. The coordinator's PLANCANCEL for the job's
+// PLAN2 begins: at its plan-kind OPEN, which carries the statistics request
+// the retired PLAN frame did. The coordinator's PLANCANCEL for the job's
 // token follows that frame on the connection, so wherever it lands — (a)
-// right after the PLAN, before the relations, (b) once the job replied its
+// right after the open, before the relations, (b) once the job replied its
 // summary and parked, (c) after its PLAN2 — the job does not miss it: (a) and
 // (b) reply the cancellation, (c) re-shuffles to its stage-2 peer and replies
 // its counts. Either way nothing stays parked: the worker holds no job and no
@@ -291,10 +292,10 @@ func TestPlanCancelAroundThePark(t *testing.T) {
 			bw, conn := dialV3(t, addrs[0], "")
 			br := bufio.NewReader(conn)
 			cancelPlan := func() error {
-				return errors.Join(writeV3GobFrame(bw, frameV3PlanCancel, 0, planCancel{Token: token}), bw.Flush())
+				return errors.Join(writeCtl(bw, frameV3PlanCancel, 0, &cancelRec{Token: token}), bw.Flush())
 			}
-			sendOpenJob(t, bw, 1, false)
-			err := writeV3GobFrame(bw, frameV3Plan, 1, planSpec{Token: token, Stats: exec.StatsSpec{Cap: 8, Buckets: 4}})
+			sendOpenJob(t, bw, 1, kindPlan, token)
+			var err error
 			if c.at == afterPlan {
 				err = errors.Join(err, cancelPlan())
 			}
@@ -309,7 +310,7 @@ func TestPlanCancelAroundThePark(t *testing.T) {
 			case afterSummary:
 				_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 				typ, job, n, err := readV3FrameHeader(br)
-				if err != nil || typ != frameV3StreamRep || job != 1 {
+				if err != nil || typ != frameV3Reply || job != 1 {
 					t.Fatalf("awaiting the statistics: frame %d for job %d (%v)", typ, job, err)
 				}
 				if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
@@ -317,7 +318,7 @@ func TestPlanCancelAroundThePark(t *testing.T) {
 				}
 				err = cancelPlan()
 			case afterPlan2:
-				answerStats(t, conn, br, bw, 1, planSpec{Token: token, Plan: plan, Peers: addrs[1:], Self: -1})
+				answerStats(t, conn, br, bw, 1, plan2{Plan: plan, Peers: addrs[1:], Self: -1})
 				err = cancelPlan()
 			}
 			if err != nil {

@@ -49,14 +49,14 @@ func (s *Session) OpenStream(spec exec.StreamSpec) (exec.StreamHandle, error) {
 		return nil, err
 	}
 	st := &Stream{id: s.ids.Add(1), conns: make([]*streamConn, 0, len(s.conns))}
-	so := streamOpen{Cond: js, Stats: spec.Stats}
+	o := open{Kind: kindStream, Cond: js, Stats: spec.Stats}
 	for w, c := range s.conns {
 		j, err := c.open("stream", st.id, w, streamRepCap, nil)
 		if err == nil {
 			st.conns = append(st.conns, &streamConn{subJob: j})
-			so.WorkerID = w
+			o.WorkerID = w
 			err = j.send(func(bw *bufio.Writer) error {
-				return writeV3GobFrame(bw, frameV3StreamOpen, st.id, so)
+				return writeCtl(bw, frameV3Open, st.id, &o)
 			})
 		}
 		if err != nil {
@@ -137,15 +137,15 @@ func (sc *streamConn) collect(window, epoch uint32) (exec.WindowReply, error) {
 		switch {
 		case err != nil:
 			return exec.WindowReply{}, err
-		case r.m != nil:
+		case r.Final:
 			return exec.WindowReply{}, sc.proto(errors.New("stream closed before the window's reply"))
-		case r.win.Window != window || r.win.Epoch != epoch:
+		case r.Window != window || r.Epoch != epoch:
 			continue // stale reply from a superseded send
 		}
 		wr := exec.WindowReply{Worker: sc.worker, Window: window, Epoch: epoch,
-			Input: r.win.Input, Count: r.win.Count}
-		if len(r.win.Summary) > 0 {
-			sum, err := planio.DecodeSummary(r.win.Summary)
+			Input: r.InputR1, Count: r.Output}
+		if len(r.Summary) > 0 {
+			sum, err := planio.DecodeSummary(r.Summary)
 			if err != nil {
 				return exec.WindowReply{}, sc.proto(fmt.Errorf("window summary: %w", err))
 			}
@@ -156,7 +156,7 @@ func (sc *streamConn) collect(window, epoch uint32) (exec.WindowReply, error) {
 }
 
 // Close implements exec.StreamHandle: EOS every live sub-job and await its
-// aggregate metrics, then close them all — which aborts the ones a job-level
+// final reply, then close them all — which aborts the ones a job-level
 // fault (a quota rejection, a bad summary) broke on a healthy connection, so
 // the worker's poisoned stream job retires too.
 func (st *Stream) Close() error {

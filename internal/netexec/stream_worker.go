@@ -20,54 +20,32 @@ import (
 // read loop decodes each key frame into its own pooled chunk
 // (session_worker.go's readKeyFrame) and hands it over a bounded channel — a
 // full channel is the backpressure onto TCP — and the goroutine is the job's
-// only reply path, closing with the ordinary EOS / METRICS pair. A pairs or
-// stage-1 plan job keeps each run's chunks in arrival order (its pair
-// indices) and joins them at EOS (joinInOrder) under its OPENJOB's slot.
-// Every other job counts: it holds one relation as the join's resident side
+// only reply path, ending with the final REPLY after EOS. A pairs or stage-1
+// plan job keeps each run's chunks in arrival order (its pair indices) and
+// joins them at EOS (joinInOrder) under the slot its open took. Every other
+// job counts: it holds one relation as the join's resident side
 // (localjoin.Resident — hash or merge, the goroutine never asks which), seals
 // it at that relation's end frame, and probes the other relation against it,
 // each kind taking its relations as base and window frames:
 //
-//   - A stream job (STREAMOPEN, frames 33-38): an unbounded sequence of
-//     tuple windows (relation 1) against a static base (relation 2). Each
-//     window counts at its end frame and replies a frameV3StreamRep with the
-//     count and a summary of its keys; a new epoch's base frames replace the
-//     side — mid-stream replanning without restarting the job. It admits per
-//     seal and per window.
-//   - A count job (OPENJOB, then base frames): a one-epoch, one-window
-//     stream at epoch 0, window 0. Relation 1 is the base, the resident side,
-//     sealed at its end frame while relation 2, the window, is still on the
-//     wire; the window's frames probe as they decode (a merge side keeps them
-//     for one sweep at the window's end). It shares the worker's build cache,
-//     counts the frames consumed before EOS (Metrics.BuildOverlapped) and runs
-//     under its OPENJOB's slot.
-//   - A peer-fed stage-2 job (OPENPEERJOB): relation 2, the coordinator's
-//     base frames, arrives while stage 1 still runs and is the resident side;
-//     the probe is the mesh transfer, taken at EOS. It parks on the transfer
-//     holding no slot and admits per seal and per probe, like a stream.
-
-// streamOpen opens a stream job (rides frameV3StreamOpen as gob).
-type streamOpen struct {
-	WorkerID int
-	Cond     join.Spec
-	// Stats sizes the per-window summaries (exec.SummarizeWindow).
-	Stats exec.StatsSpec
-}
-
-// streamWinReply answers one window's end frame (rides frameV3StreamRep as
-// gob). Summary is a planio-encoded stats.Summary, nil for an empty shard.
-// A failed stream replies its error on every subsequent window so the
-// coordinator's lockstep collect never hangs. A stage-1 plan job replies one
-// too, carrying only the summary of its matches.
-type streamWinReply struct {
-	Window  uint32
-	Epoch   uint32
-	Input   int64
-	Count   int64
-	Summary []byte
-	Err     string
-	Code    int
-}
+//   - A stream job: an unbounded sequence of tuple windows (relation 1)
+//     against a static base (relation 2). Each window counts at its end
+//     frame and replies an interim REPLY with the count and a summary of its
+//     keys (a failed stream replies its error on every later window, so the
+//     coordinator's lockstep collect never hangs); a new epoch's base frames
+//     replace the side — mid-stream replanning without restarting the job.
+//     It admits per seal and per window.
+//   - A count job: a one-epoch, one-window stream at epoch 0, window 0.
+//     Relation 1 is the base, the resident side, sealed at its end frame
+//     while relation 2, the window, is still on the wire; the window's frames
+//     probe as they decode (a merge side keeps them for one sweep at the
+//     window's end). It shares the worker's build cache, counts the frames
+//     consumed before EOS (reply.BuildOverlapped) and runs under the slot its
+//     open took.
+//   - A peer job, stage 2: relation 2, the coordinator's base frames, arrives
+//     while stage 1 still runs and is the resident side; the probe is the
+//     mesh transfer, taken at EOS. It parks on the transfer holding no slot
+//     and admits per seal and per probe, like a stream.
 
 // Stream event kinds, read-loop → stream goroutine; each run's end follows
 // its key event (runEvent relies on the order).
@@ -103,8 +81,8 @@ type sessStream struct {
 	j  *sessJob
 
 	// resTag is the relation whose base frames are a fed job's resident side
-	// — 1 for every OPENJOB job, 2 when relation 1 is the mesh — and 0 for a
-	// STREAMOPEN job.
+	// (resTags); st sizes a stream's window summaries and a plan job's
+	// summary of its matches.
 	resTag byte
 	st     exec.StatsSpec
 
@@ -126,7 +104,7 @@ type sessStream struct {
 	baseN  int
 	res    *localjoin.Resident
 	held   [][]join.Key // pooled chunks res keeps: until its seal, then until the window's end
-	// digests, on an OPENJOB count job (resTag 1), holds the digests of the
+	// digests, on a count job (resTag 1), holds the digests of the
 	// chunks res copied out: folded at the seal, in any order, they are the
 	// side's content key in the worker's build cache.
 	digests []localjoin.ChunkDigest
@@ -141,21 +119,24 @@ type sessStream struct {
 	start         time.Time
 }
 
-// fed reports a job opened by OPENJOB or OPENPEERJOB rather than STREAMOPEN:
-// one resident relation, one probe relation, no window replies or summaries.
+// resTags is each job kind's resident relation: 1 for a count, pairs or plan
+// job, 2 for a peer job, whose relation 1 is the mesh, and 0 for a stream.
+var resTags = [numKinds]byte{kindCount: 1, kindPairs: 1, kindPlan: 1, kindPeer: 2}
+
+// fed reports any job but a stream: one resident relation, one probe
+// relation, no window replies or summaries.
 func (s *sessStream) fed() bool { return s.resTag != 0 }
 
 // ordered reports a pairs or plan job: one that joins its runs in arrival
-// order at EOS. The read loop fixes j.plan before the job's first run frame,
-// so the goroutine reads it from that event on.
-func (s *sessStream) ordered() bool { return s.j.pairs || s.j.plan != nil }
+// order at EOS.
+func (s *sessStream) ordered() bool { return s.j.kind == kindPairs || s.j.kind == kindPlan }
 
-// newSessStream starts the goroutine for a freshly opened stream (resTag 0),
-// OPENJOB (1) or peer-fed (2) job. A job that failed at open starts poisoned.
-func newSessStream(j *sessJob, st exec.StatsSpec, resTag byte) *sessStream {
+// newSessStream starts the goroutine for a freshly opened job. A job that
+// failed at open starts poisoned.
+func newSessStream(j *sessJob, st exec.StatsSpec) *sessStream {
 	s := &sessStream{
 		ws: j.ws, j: j,
-		resTag: resTag,
+		resTag: resTags[j.kind],
 		st:     st,
 		ch:     make(chan streamEvent, streamEventDepth),
 		done:   make(chan struct{}),
@@ -178,9 +159,9 @@ func (s *sessStream) stop() {
 	<-s.done
 }
 
-// admit takes the admission slot a seal or a probe runs under. An OPENJOB
-// count job still holds the one the read loop took at its open — queueing
-// for a second would deadlock a one-slot worker against itself.
+// admit takes the admission slot a seal or a probe runs under. A count job
+// still holds the one the read loop took at its open — queueing for a second
+// would deadlock a one-slot worker against itself.
 func (s *sessStream) admit() (release func(), err error) {
 	if s.j.releaseSlot != nil {
 		return func() {}, nil
@@ -294,17 +275,17 @@ func (s *sessStream) flat(i int) ([]join.Key, error) {
 // joinInOrder joins a pairs or plan job's runs as they arrived: a pairs job's
 // matches stream back as index pairs, a plan job's re-shuffle to its peers
 // (runPlanJob).
-func (s *sessStream) joinInOrder() (metrics, error) {
+func (s *sessStream) joinInOrder() (reply, error) {
 	var rels [3][]join.Key
 	for i := range rels {
 		var err error
 		if rels[i], err = s.flat(i); err != nil {
-			return metrics{}, err
+			return reply{}, err
 		}
 	}
 	j, ws := s.j, s.ws
-	m := metrics{InputR1: int64(len(rels[0])), InputR2: int64(len(rels[1]))}
-	if j.plan != nil {
+	m := reply{InputR1: int64(len(rels[0])), InputR2: int64(len(rels[1]))}
+	if j.kind == kindPlan {
 		out, counts, err := ws.runPlanJob(j, rels[0], rels[1], rels[2])
 		m.Output, m.PeerCounts = out, counts
 		return m, err
@@ -448,9 +429,9 @@ func (s *sessStream) onWin(ev streamEvent) {
 
 // onWinEnd closes the window (the read loop checked its total). A stream
 // replies per window — the error, once failed, so the coordinator's lockstep
-// collect never hangs; a fed job's totals ride the METRICS at EOS.
+// collect never hangs; a fed job's totals ride its final reply at EOS.
 func (s *sessStream) onWinEnd(ev streamEvent) {
-	r := streamWinReply{Window: ev.win, Epoch: ev.epoch, Input: int64(ev.total)}
+	r := reply{Window: ev.win, Epoch: ev.epoch, InputR1: int64(ev.total)}
 	if s.failed == nil {
 		s.fail(s.enterWin(ev.win, ev.epoch)) // an empty window's end frame both opens and closes it
 	}
@@ -469,13 +450,13 @@ func (s *sessStream) onWinEnd(ev streamEvent) {
 		r.Code = rejectCode(s.failed)
 	}
 	// A failed write poisons the stream; the read loop sees the dead connection.
-	s.fail(s.ws.reply(frameV3StreamRep, s.j.id, r))
+	s.fail(s.ws.reply(s.j.id, &r))
 }
 
 // closeWindow fills r with the open window's match count and, for a stream
 // (a fed job kept no window keys), the summary of its keys — taken before the
 // probe, which may reorder them.
-func (s *sessStream) closeWindow(r *streamWinReply) error {
+func (s *sessStream) closeWindow(r *reply) error {
 	release, err := s.admit()
 	if err != nil {
 		return err
@@ -489,9 +470,9 @@ func (s *sessStream) closeWindow(r *streamWinReply) error {
 		r.Summary = enc
 	}
 	n, _ := s.res.ProbeCount(s.winKeys, false)
-	r.Count = s.winCount + n
-	s.totIn += r.Input
-	s.totOut += r.Count
+	r.Output = s.winCount + n
+	s.totIn += r.InputR1
+	s.totOut += r.Output
 	return nil
 }
 
@@ -550,26 +531,26 @@ func (s *sessStream) probeTransfer() error {
 	return err
 }
 
-// onEOS replies the job's metrics; run retires the job next. The read loop
-// is done with a job it saw the EOS of, so an OPENJOB or peer-fed job's runs
-// validate here; a pairs or plan job then joins, a peer-fed job takes its
-// probe from the mesh. An abandoned job (worker killed or coordinator gone
-// while it waited) exits silently: the coordinator sees the broken
+// onEOS replies the job's final REPLY; run retires the job next. The read
+// loop is done with a job it saw the EOS of, so any job's runs but a
+// stream's validate here; a pairs or plan job then joins, a peer job takes
+// its probe from the mesh. An abandoned job (worker killed or coordinator
+// gone while it waited) exits silently: the coordinator sees the broken
 // connection.
 func (s *sessStream) onEOS() {
 	if s.fed() && s.failed == nil {
 		s.failed = s.j.validateComplete()
 	}
-	var m metrics
+	var m reply
 	switch {
 	case s.failed != nil:
 	case s.ordered():
 		m, s.failed = s.joinInOrder()
 	default:
-		if s.j.peerFed {
+		if s.j.kind == kindPeer {
 			s.failed = s.probeTransfer()
 		}
-		m = metrics{InputR1: s.totIn, InputR2: int64(s.baseN), Output: s.totOut, BuildOverlapped: s.overlapped}
+		m = reply{InputR1: s.totIn, InputR2: int64(s.baseN), Output: s.totOut, BuildOverlapped: s.overlapped}
 		if s.resTag == 1 {
 			m.InputR1, m.InputR2 = m.InputR2, m.InputR1
 		}
@@ -579,7 +560,7 @@ func (s *sessStream) onEOS() {
 	}
 	m.Nanos = time.Since(s.start).Nanoseconds()
 	if s.failed != nil {
-		m = metrics{Err: s.failed.Error(), Code: rejectCode(s.failed)}
+		m = reply{Err: s.failed.Error(), Code: rejectCode(s.failed)}
 		// A failed mesh transfer indicts the PEER, not this worker: lift the
 		// address out of the error so the coordinator excludes the right
 		// machine.
@@ -588,5 +569,6 @@ func (s *sessStream) onEOS() {
 			m.FaultAddr = pf.addr
 		}
 	}
-	_ = s.ws.reply(frameV3Metrics, s.j.id, m) // nothing left to tell a dead connection
+	m.Final = true
+	_ = s.ws.reply(s.j.id, &m) // nothing left to tell a dead connection
 }

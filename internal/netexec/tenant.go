@@ -18,7 +18,7 @@ import (
 //
 // A session names its tenant in its connections' prelude (wire.go's prelude);
 // "" is the anonymous tenant. Rejections are TYPED end to end: the worker
-// replies a metrics frame carrying a machine-readable code, and the
+// replies a REPLY carrying a machine-readable code, and the
 // coordinator surfaces it as a WorkerFault matching errors.Is(err,
 // ErrAdmission) / errors.Is(err, ErrQuota) — never retried by the
 // fault-recovery layer (the worker is healthy; the tenant is over its budget
@@ -36,12 +36,14 @@ var ErrAdmission = errors.New("admission rejected")
 // given job size and concurrent load; never retried by the recovery layer.
 var ErrQuota = errors.New("tenant quota exceeded")
 
-// Reply codes carried in the metrics frame so rejections stay typed across
-// the wire.
+// Reply codes carried in a REPLY so refusals stay typed across the wire:
+// admission and quota rejections, and a draining worker's refusal of a new
+// job, the one worker job error the coordinator retries.
 const (
 	codeNone      = 0
 	codeAdmission = 1
 	codeQuota     = 2
+	codeDraining  = 3
 )
 
 // rejectError is a worker-side job failure that must reply with a typed

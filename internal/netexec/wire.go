@@ -2,9 +2,7 @@ package netexec
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -18,27 +16,28 @@ import (
 //
 //	magic "EWHB" | uint16 version | uint8 tenant length | tenant
 //
-// where version 7 is a coordinator session and 6 a worker→worker peer-mesh
+// where version 8 is a coordinator session and 6 a worker→worker peer-mesh
 // link, whose tenant is always "". Both frame everything after it as
 //
 //	[type u8][job u32][payloadLen u32][payload]
 //
 // with job 0 on the mesh, whose reader ignores it.
 //
-// Control frames (opens, plans, metrics — a few per job) carry gob inside
-// their frame for flexibility; data frames (key blocks, pairs) are
-// raw fixed-width binary, so the coordinator encodes straight out
-// of the shuffle's contiguous per-worker slices and the worker decodes
-// straight into exactly-sized pooled buffers. DESIGN.md's "Transport"
-// section is the normative frame table.
+// Every payload is fixed-layout little-endian binary. Control frames (open,
+// plan, cancel, reply — a few per job) are records (control.go); data
+// frames (key runs, pairs) are fixed-width arrays, so the coordinator
+// encodes straight out of the shuffle's contiguous per-worker slices and the
+// worker decodes straight into exactly-sized pooled buffers. DESIGN.md's
+// "Transport" section is the normative frame table.
 const (
 	// protoVersionSession is the persistent-session protocol: numbered jobs
 	// multiplex over the connection until either side closes (session.go).
-	// Version 6 declared its tenant in a HELLO frame and shipped a plan job's
-	// summary in a STATS frame; a worker reads its prelude as the mesh's and
+	// Version 7 carried its control frames as gob, in three opens, a PLAN and
+	// two replies; a worker closes it at the prelude. Version 6 declared its
+	// tenant in a HELLO frame; a worker reads its prelude as the mesh's and
 	// closes it at the tenant, which its first frame's type byte makes
 	// non-empty.
-	protoVersionSession = 7
+	protoVersionSession = 8
 	// protoVersionPeer opens a worker→worker peer-transfer connection on the
 	// same listener: one sender streams stage-1 match contributions to one
 	// receiver, identified by 64-bit transfer tokens (peer.go). Version 5 was
@@ -47,38 +46,29 @@ const (
 
 	// Session frames. Every header carries a job number, so one connection
 	// interleaves many jobs' frames.
-	frameV3OpenJob = 10 // coord→worker gob jobOpen
-	frameV3EOS     = 14 // coord→worker job data complete; worker joins
-	frameV3Pairs   = 15 // worker→coord [count u32][count×(i1 u32, i2 u32)]
-	frameV3Metrics = 16 // worker→coord gob metrics (terminates the job)
-	frameV3Abort   = 17 // coord→worker job abandoned; discard its state, no reply
+	frameV3Open  = 10 // coord→worker open record: the job's kind, condition and what the kind needs
+	frameV3EOS   = 14 // coord→worker job data complete; worker joins
+	frameV3Pairs = 15 // worker→coord [count u32][count×(i1 u32, i2 u32)]
+	frameV3Reply = 16 // worker→coord reply record: final (ends the sub-job) or interim
+	frameV3Abort = 17 // coord→worker job abandoned; discard its state, no reply
 
-	// PLAN/PEER frames (stage-aware pipelines): a stage-1 job carries a
-	// statistics request, each worker re-shuffles its own matches by the
-	// stage-2 plan straight to peer workers, and the coordinator only ever
-	// sees pair counts.
-	frameV3Plan        = 18 // coord→worker gob planSpec: statistics request; this job's matches feed the stage-2 plan
-	frameV3OpenPeerJob = 19 // coord→worker gob peerJobOpen: job whose relation 1 arrives from its Senders peers
-	frameV3PlanCancel  = 20 // coord→worker gob planCancel: discard buffered peer state for a token
+	// Stage-aware pipelines: a plan job's open carries a statistics request;
+	// the job joins, summarizes its matches, replies the summary and holds its
+	// re-shuffle until the coordinator plans stage 2 from the merged summaries
+	// and answers with PLAN2. Each worker then re-shuffles its own matches by
+	// the stage-2 plan straight to peer workers: only the summaries and pair
+	// counts — never the intermediate — transit the coordinator.
+	frameV3PlanCancel = 20 // coord→worker [token u64]: discard buffered peer state for a token
+	frameV3Plan2      = 22 // coord→worker plan2 record: the replanned stage-2 artifact + peer map
 
-	// PLAN2 frame: a plan job joins as usual, summarizes its matches, replies
-	// the summary as a STREAMREP and holds its re-shuffle until the
-	// coordinator plans stage 2 from the merged summaries and answers with
-	// the artifact. Only the summaries — never the intermediate — transit the
-	// coordinator.
-	frameV3Plan2 = 22 // coord→worker gob planSpec: the replanned stage-2 artifact + peer map
-
-	// STREAM frames (continuous joins): a long-lived stream job joins an
-	// unbounded sequence of tuple windows against a static base relation.
-	// The open frame pins the condition; base frames ship the
-	// static side routed under the active plan (re-shipped whole on every
-	// replan, tagged with a new epoch); window frames append one window's
-	// routed shard and its end frame triggers the worker's probe + summary
-	// reply; a plan job's summary rides the same reply. All frames ride the
-	// session connection's FIFO, which is the drain/cutover contract: windows
-	// sent before a new epoch's base are processed under the old plan,
-	// windows after it under the new one.
-	// The stream closes via the ordinary frameV3EOS / frameV3Metrics pair.
+	// Run frames. A stream job joins an unbounded sequence of tuple windows
+	// against a static base relation: base frames ship the static side
+	// routed under the active plan (re-shipped whole on every replan, tagged
+	// with a new epoch); window frames append one window's routed shard and
+	// its end frame triggers the worker's probe + summary reply. All frames
+	// ride the session connection's FIFO, which is the drain/cutover
+	// contract: windows sent before a new epoch's base are processed under
+	// the old plan, windows after it under the new one.
 	//
 	// Every other job rides the same frames at epoch 0: relation 1 as the
 	// base run (a peer-fed job's base is its relation 2) and relation 2 as
@@ -86,12 +76,10 @@ const (
 	// routed sub-blocks go out the moment routing fills them, so its end
 	// frames carry totals the coordinator only knows once every mapper has
 	// emitted; a pairs or plan job's relations ship whole.
-	frameV3StreamOpen    = 33 // coord→worker gob streamOpen
 	frameV3StreamBase    = 34 // coord→worker [epoch u32][count u32][count×8 LE keys]
 	frameV3StreamBaseEnd = 35 // coord→worker [epoch u32][total u32]
 	frameV3StreamWin     = 36 // coord→worker [window u32][epoch u32][count u32][count×8 LE keys]
 	frameV3StreamWinEnd  = 37 // coord→worker [window u32][epoch u32][total u32]
-	frameV3StreamRep     = 38 // worker→coord gob streamWinReply
 
 	// Peer-mesh frames (worker→worker connections, protoVersionPeer). Their
 	// job number is 0; the 64-bit transfer token rides in each payload, so
@@ -118,19 +106,16 @@ const (
 	// accepts: a full key frame under the longest sub-header, so a maximal
 	// frame of every key-carrying type passes.
 	maxDataPayload = maxKeySubHdrLen + 8*maxBlockKeys
-	// maxControlPayload bounds the control frames (gob), whose payload is
+	// maxControlPayload bounds the control frames, whose payload is
 	// buffered whole before it decodes: a reader refuses a longer one
 	// connection-fatally BEFORE allocating for it — a bare header on the
-	// unauthenticated listener must not cost 128 MiB — and writeV3GobFrame
-	// refuses to frame one. Twice the largest a driver can produce, a summary
+	// unauthenticated listener must not cost 128 MiB — and writeCtl refuses
+	// to frame one. Twice the largest a driver can produce, a summary
 	// at the planio codec's collection cap (2^21 keys, 16 MiB); a plan for the
 	// widest mesh stays under 1 MiB.
 	maxControlPayload = 32 << 20
-	// maxOpenPayload bounds the three open frames (OPENJOB, OPENPEERJOB,
-	// STREAMOPEN), PLAN and PLANCANCEL, refused connection-fatally before gob
-	// reads them. The largest real one is under 300 B, so a longer one is
-	// malformed — gob would skip the fields the struct lacks — and gob never
-	// sees a control-sized one of them.
+	// maxOpenPayload bounds OPEN and PLANCANCEL, refused connection-fatally
+	// unread. A real one is under 64 B, so a longer one is malformed.
 	maxOpenPayload = 4 << 10
 
 	// peerHeadLen is framePeerHead's payload: [token u64][sender u32][count u32].
@@ -165,11 +150,15 @@ const v3FrameHeaderLen = 9
 
 func writeV3FrameHeader(w io.Writer, typ byte, job uint32, payloadLen int) error {
 	var hdr [v3FrameHeaderLen]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:], job)
-	binary.LittleEndian.PutUint32(hdr[5:], uint32(payloadLen))
+	putFrameHeader(hdr[:], typ, job, payloadLen)
 	_, err := w.Write(hdr[:])
 	return err
+}
+
+func putFrameHeader(h []byte, typ byte, job uint32, payloadLen int) {
+	h[0] = typ
+	binary.LittleEndian.PutUint32(h[1:], job)
+	binary.LittleEndian.PutUint32(h[5:], uint32(payloadLen))
 }
 
 func readV3FrameHeader(r io.Reader) (typ byte, job uint32, payloadLen int, err error) {
@@ -182,59 +171,6 @@ func readV3FrameHeader(r io.Reader) (typ byte, job uint32, payloadLen int, err e
 		return 0, 0, 0, fmt.Errorf("frame payload %d exceeds limit %d", n, maxDataPayload)
 	}
 	return hdr[0], binary.LittleEndian.Uint32(hdr[1:]), int(n), nil
-}
-
-// writeV3GobFrame sends a session frame whose payload is the gob encoding
-// of v.
-func writeV3GobFrame(w io.Writer, typ byte, job uint32, v any) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return err
-	}
-	if buf.Len() > maxControlPayload {
-		return fmt.Errorf("frame type %d payload %d exceeds control-frame limit %d", typ, buf.Len(), maxControlPayload)
-	}
-	if err := writeV3FrameHeader(w, typ, job, buf.Len()); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-// controlReadAhead is the most readControlPayload allocates ahead of the
-// payload bytes that have arrived.
-const controlReadAhead = 64 << 10
-
-// readControlPayload buffers a control frame's n payload bytes (already past
-// the frame header), refusing over maxControlPayload before it allocates. The
-// buffer starts at min(n, controlReadAhead) and doubles only as bytes arrive,
-// so a stalled header costs what was sent, not what it declared; a small
-// frame still gets one exactly sized buffer.
-func readControlPayload(r io.Reader, n int) ([]byte, error) {
-	if n > maxControlPayload {
-		return nil, fmt.Errorf("control frame payload %d exceeds limit %d", n, maxControlPayload)
-	}
-	payload := make([]byte, 0, min(n, controlReadAhead))
-	for len(payload) < n {
-		if len(payload) == cap(payload) {
-			payload = append(make([]byte, 0, len(payload)+min(len(payload), n-len(payload))), payload...)
-		}
-		m, err := io.ReadFull(r, payload[len(payload):cap(payload)])
-		if err != nil {
-			return nil, err
-		}
-		payload = payload[:len(payload)+m]
-	}
-	return payload, nil
-}
-
-// readGobPayload decodes a control frame's n payload bytes into v.
-func readGobPayload(r io.Reader, n int, v any) error {
-	payload, err := readControlPayload(r, n)
-	if err != nil {
-		return err
-	}
-	return gob.NewDecoder(bytes.NewReader(payload)).Decode(v)
 }
 
 // writeEndFrame writes one of the fixed-layout frames that close a run of key
@@ -402,7 +338,7 @@ func writeStreamBaseEnd(w io.Writer, job, epoch uint32, total int) error {
 
 // writeStreamWinEnd closes one window's shard with its exact total; the
 // worker cross-checks, probes the window against the sealed base, and
-// replies with a frameV3StreamRep.
+// replies with an interim REPLY.
 func writeStreamWinEnd(w io.Writer, job, window, epoch uint32, total int) error {
 	var h [streamWinHdrLen]byte
 	binary.LittleEndian.PutUint32(h[0:], window)

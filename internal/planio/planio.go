@@ -6,12 +6,13 @@
 // versioned, fixed-width little-endian encoding. A plan built anywhere
 // (coordinator, CLI, a file on disk) executes identically everywhere: the
 // netexec coordinator broadcasts an encoded artifact in the session
-// protocol's PLAN frame so each worker re-shuffles its stage-1 matches with
+// protocol's PLAN2 frame so each worker re-shuffles its stage-1 matches with
 // the exact scheme and seed the coordinator chose, and cmd/ewhplan persists
 // artifacts for plan-once/execute-many runs.
 //
 // Encoding is canonical: Encode(Decode(Encode(a))) == Encode(a) byte for
-// byte, which the fuzz harness asserts across all schemes and seeds.
+// byte, which the fuzz harness asserts across all schemes and seeds. Cursor,
+// the decoders' bounds-checked reader, reads netexec's control records too.
 package planio
 
 import (
@@ -165,160 +166,168 @@ func appendAssignment(buf []byte, a *partition.Assignment) ([]byte, error) {
 	return buf, nil
 }
 
-// decoder is a bounds-checked cursor over an encoded artifact.
-type decoder struct {
+// Cursor is the one bounds-checked reader over a fixed-layout little-endian
+// record: a plan artifact, a statistics summary, a session control frame.
+// Its first error is sticky: every read after it returns zero values, so a
+// decoder reads field after field and checks Err (or Done) once.
+type Cursor struct {
 	buf []byte
-	pos int
+	err error
 }
 
-func (d *decoder) remaining() int { return len(d.buf) - d.pos }
+// NewCursor reads b from its first byte.
+func NewCursor(b []byte) *Cursor { return &Cursor{buf: b} }
 
-func (d *decoder) bytes(n int) ([]byte, error) {
-	if d.remaining() < n {
-		return nil, fmt.Errorf("planio: truncated artifact (%d bytes needed, %d left)", n, d.remaining())
+// Err reports the cursor's first error.
+func (c *Cursor) Err() error { return c.err }
+
+// Fail records err unless an earlier error is already recorded.
+func (c *Cursor) Fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-	b := d.buf[d.pos : d.pos+n]
-	d.pos += n
-	return b, nil
 }
 
-func (d *decoder) u8() (byte, error) {
-	b, err := d.bytes(1)
-	if err != nil {
-		return 0, err
+// Bytes takes the next n bytes, aliasing the input; nil once failed.
+func (c *Cursor) Bytes(n int) []byte {
+	if c.err == nil && (n < 0 || n > len(c.buf)) {
+		c.err = fmt.Errorf("planio: truncated record (%d bytes needed, %d left)", n, len(c.buf))
 	}
-	return b[0], nil
+	if c.err != nil {
+		return nil
+	}
+	b := c.buf[:n:n]
+	c.buf = c.buf[n:]
+	return b
 }
 
-func (d *decoder) u16() (uint16, error) {
-	b, err := d.bytes(2)
-	if err != nil {
-		return 0, err
+func (c *Cursor) U8() byte {
+	if b := c.Bytes(1); b != nil {
+		return b[0]
 	}
-	return binary.LittleEndian.Uint16(b), nil
+	return 0
 }
 
-func (d *decoder) u32() (uint32, error) {
-	b, err := d.bytes(4)
-	if err != nil {
-		return 0, err
+func (c *Cursor) U16() uint16 {
+	if b := c.Bytes(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	return 0
 }
 
-func (d *decoder) u64() (uint64, error) {
-	b, err := d.bytes(8)
-	if err != nil {
-		return 0, err
+func (c *Cursor) U32() uint32 {
+	if b := c.Bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return 0
 }
 
-func (d *decoder) f64() (float64, error) {
-	u, err := d.u64()
-	return math.Float64frombits(u), err
+func (c *Cursor) U64() uint64 {
+	if b := c.Bytes(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
 }
 
-// count reads a u32 collection size and validates it against the codec cap.
-func (d *decoder) count(what string) (int, error) {
-	n, err := d.u32()
-	if err != nil {
-		return 0, err
+func (c *Cursor) F64() float64 { return math.Float64frombits(c.U64()) }
+
+// Blob reads a u32 length and that many bytes.
+func (c *Cursor) Blob() []byte { return c.Bytes(int(c.U32())) }
+
+// Count reads a u32 collection size of elements at least size bytes long.
+// Over max, or longer than the bytes left could hold, it fails the cursor
+// and returns 0: a decoder allocates from a count only once the record's
+// length backs it.
+func (c *Cursor) Count(what string, max, size int) int {
+	n := int(c.U32())
+	switch {
+	case n > max:
+		c.Fail(fmt.Errorf("planio: %s count %d exceeds codec limit %d", what, n, max))
+	case n*size > len(c.buf):
+		c.Fail(fmt.Errorf("planio: truncated record (%d %ss need %d bytes, %d left)", n, what, n*size, len(c.buf)))
 	}
-	if n > maxCount {
-		return 0, fmt.Errorf("planio: %s count %d exceeds codec limit %d", what, n, maxCount)
+	if c.err != nil {
+		return 0
 	}
-	return int(n), nil
+	return n
 }
+
+// Done ends a record: the first error, or one naming trailing bytes.
+func (c *Cursor) Done(what string) error {
+	if c.err == nil && len(c.buf) != 0 {
+		c.err = fmt.Errorf("planio: %d trailing bytes after %s", len(c.buf), what)
+	}
+	return c.err
+}
+
+// regionLen is one encoded region: a rect, four key bounds, three floats.
+const regionLen = 4*4 + 4*8 + 3*8
 
 // Decode reconstructs an artifact from Encode's output. The decoded scheme
 // routes identically to the encoded one; re-encoding it reproduces the input
 // bytes exactly.
 func Decode(data []byte) (*Artifact, error) {
-	d := &decoder{buf: data}
-	magic, err := d.bytes(len(codecMagic))
-	if err != nil {
-		return nil, err
-	}
-	if string(magic) != string(codecMagic[:]) {
+	d := NewCursor(data)
+	if magic := d.Bytes(len(codecMagic)); d.err == nil && string(magic) != string(codecMagic[:]) {
 		return nil, fmt.Errorf("planio: bad magic %q", magic)
 	}
-	version, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	if version != codecVersion {
+	if version := d.U16(); d.err == nil && version != codecVersion {
 		return nil, fmt.Errorf("planio: artifact version %d unsupported (want %d)", version, codecVersion)
 	}
-	a := &Artifact{}
-	if a.Seed, err = d.u64(); err != nil {
-		return nil, err
+	a := &Artifact{Seed: d.U64()}
+	if d.err != nil {
+		return nil, d.err
 	}
+	var err error
 	if a.Scheme, err = decodeScheme(d); err != nil {
 		return nil, err
 	}
-	hasAssign, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	switch hasAssign {
-	case 0:
-	case 1:
+	switch hasAssign := d.U8(); {
+	case d.err != nil, hasAssign == 0:
+	case hasAssign == 1:
 		if a.Assignment, err = decodeAssignment(d); err != nil {
 			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("planio: assignment flag %d", hasAssign)
 	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("planio: %d trailing bytes after artifact", d.remaining())
+	if err := d.Done("artifact"); err != nil {
+		return nil, err
 	}
 	return a, nil
 }
 
-func decodeScheme(d *decoder) (partition.Scheme, error) {
-	tag, err := d.u8()
-	if err != nil {
-		return nil, err
+func decodeScheme(d *Cursor) (partition.Scheme, error) {
+	tag := d.U8()
+	if d.err != nil {
+		return nil, d.err
 	}
 	switch tag {
 	case tagHash:
-		workers, err := d.count("worker")
-		if err != nil {
-			return nil, err
-		}
-		nheavy, err := d.count("heavy key")
-		if err != nil {
-			return nil, err
-		}
-		heavy := make([]join.Key, nheavy)
+		workers := d.Count("worker", maxCount, 0)
+		heavy := make([]join.Key, d.Count("heavy key", maxCount, 8))
 		for i := range heavy {
-			k, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			heavy[i] = join.Key(k)
+			heavy[i] = join.Key(d.U64())
 			// Strictly increasing keys are the canonical wire form (NewHash
 			// sorts and dedups); anything else would re-encode differently.
 			if i > 0 && heavy[i] <= heavy[i-1] {
 				return nil, fmt.Errorf("planio: heavy keys not strictly increasing at %d", i)
 			}
 		}
+		if d.err != nil {
+			return nil, d.err
+		}
 		return partition.NewHash(workers, heavy)
 	case tagBroadcast:
-		workers, err := d.count("worker")
-		if err != nil {
-			return nil, err
+		workers := d.Count("worker", maxCount, 0)
+		if d.err != nil {
+			return nil, d.err
 		}
 		return partition.NewBroadcast(workers)
 	case tagCI:
-		rows, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		cols, err := d.u32()
-		if err != nil {
-			return nil, err
+		rows, cols := d.U32(), d.U32()
+		if d.err != nil {
+			return nil, d.err
 		}
 		if rows < 1 || cols < 1 || uint64(rows)*uint64(cols) > maxCount {
 			return nil, fmt.Errorf("planio: CI grid %dx%d invalid", rows, cols)
@@ -333,52 +342,23 @@ func decodeScheme(d *decoder) (partition.Scheme, error) {
 		}
 		return ci, nil
 	case tagRegion:
-		nameLen, err := d.u8()
-		if err != nil {
-			return nil, err
+		name := string(d.Bytes(int(d.U8())))
+		regions := make([]tiling.Region, d.Count("region", maxCount, regionLen))
+		if d.err != nil {
+			return nil, d.err
 		}
-		nameBytes, err := d.bytes(int(nameLen))
-		if err != nil {
-			return nil, err
-		}
-		name := string(nameBytes)
-		nregions, err := d.count("region")
-		if err != nil {
-			return nil, err
-		}
-		if nregions < 1 {
+		if len(regions) < 1 {
 			return nil, fmt.Errorf("planio: region scheme %q without regions", name)
 		}
-		regions := make([]tiling.Region, nregions)
 		for i := range regions {
 			r := &regions[i]
-			rect := [4]uint32{}
-			for j := range rect {
-				if rect[j], err = d.u32(); err != nil {
-					return nil, err
-				}
-			}
-			r.Rect = matrix.Rect{R0: int(rect[0]), C0: int(rect[1]), R1: int(rect[2]), C1: int(rect[3])}
-			bounds := [4]uint64{}
-			for j := range bounds {
-				if bounds[j], err = d.u64(); err != nil {
-					return nil, err
-				}
-			}
-			r.RowLo, r.RowHi = join.Key(bounds[0]), join.Key(bounds[1])
-			r.ColLo, r.ColHi = join.Key(bounds[2]), join.Key(bounds[3])
+			r.Rect = matrix.Rect{R0: int(d.U32()), C0: int(d.U32()), R1: int(d.U32()), C1: int(d.U32())}
+			r.RowLo, r.RowHi = join.Key(d.U64()), join.Key(d.U64())
+			r.ColLo, r.ColHi = join.Key(d.U64()), join.Key(d.U64())
 			if r.RowLo >= r.RowHi || r.ColLo >= r.ColHi {
 				return nil, fmt.Errorf("planio: region %d has empty key range", i)
 			}
-			if r.Input, err = d.f64(); err != nil {
-				return nil, err
-			}
-			if r.Output, err = d.f64(); err != nil {
-				return nil, err
-			}
-			if r.Weight, err = d.f64(); err != nil {
-				return nil, err
-			}
+			r.Input, r.Output, r.Weight = d.F64(), d.F64(), d.F64()
 		}
 		// Nested key ranges cover ~n² slabs: refused before the index is built.
 		if n := partition.SlabIndexSize(regions); n > partition.MaxSlabIndex {
@@ -389,32 +369,19 @@ func decodeScheme(d *decoder) (partition.Scheme, error) {
 	return nil, fmt.Errorf("planio: unknown scheme tag %d", tag)
 }
 
-func decodeAssignment(d *decoder) (*partition.Assignment, error) {
-	nregions, err := d.count("assigned region")
-	if err != nil {
-		return nil, err
-	}
-	a := &partition.Assignment{MachineOf: make([]int, nregions)}
+func decodeAssignment(d *Cursor) (*partition.Assignment, error) {
+	a := &partition.Assignment{MachineOf: make([]int, d.Count("assigned region", maxCount, 4))}
 	for i := range a.MachineOf {
-		m, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		a.MachineOf[i] = int(m)
+		a.MachineOf[i] = int(d.U32())
 	}
-	nmachines, err := d.count("machine")
-	if err != nil {
-		return nil, err
-	}
+	nmachines := d.Count("machine", maxCount, 16)
 	a.Load = make([]float64, nmachines)
 	a.Capacity = make([]float64, nmachines)
 	for i := 0; i < nmachines; i++ {
-		if a.Load[i], err = d.f64(); err != nil {
-			return nil, err
-		}
-		if a.Capacity[i], err = d.f64(); err != nil {
-			return nil, err
-		}
+		a.Load[i], a.Capacity[i] = d.F64(), d.F64()
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	for i, m := range a.MachineOf {
 		if m >= nmachines {

@@ -190,6 +190,34 @@ func nestedRegions(n int) []tiling.Region {
 	return regions
 }
 
+// TestDecodeAllocatesWhatItsBytesBack: a collection count the record is too
+// short to hold is refused before anything is allocated for it — a 23-byte
+// artifact declaring 2^20 heavy keys, or a summary declaring as many keys,
+// must not cost 8 MB.
+func TestDecodeAllocatesWhatItsBytesBack(t *testing.T) {
+	head := append(codecMagic[:], 0, 0)
+	binary.LittleEndian.PutUint16(head[4:], codecVersion)
+	head = binary.LittleEndian.AppendUint64(head, 1) // seed
+	artifact := binary.LittleEndian.AppendUint32(append(head, tagHash, 1, 0, 0, 0), maxCount)
+	summary := append(summaryMagic[:], 0, 0)
+	binary.LittleEndian.PutUint16(summary[4:], summaryVersion)
+	summary = binary.LittleEndian.AppendUint64(summary, maxCount) // count
+	summary = binary.LittleEndian.AppendUint32(summary, 1)        // cap
+	summary = binary.LittleEndian.AppendUint32(summary, maxCount) // keys
+	for name, decode := range map[string]func() error{
+		"artifact": func() error { _, err := Decode(artifact); return err },
+		"summary":  func() error { _, err := DecodeSummary(summary); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; err == nil || grew >= 64<<10 {
+			t.Errorf("%s: a short record allocated %d bytes (err %v), want a refusal first", name, grew, err)
+		}
+	}
+}
+
 // TestDecodeRefusesQuadraticRegionTable: a 562 KB artifact of 8,000 nested
 // regions passes every per-region check and asks for a 128 M-entry routing
 // index; Decode must refuse it having allocated next to nothing.

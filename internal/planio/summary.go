@@ -60,65 +60,34 @@ func EncodeSummary(s *stats.Summary) ([]byte, error) {
 // validating every canonical invariant so anything it accepts re-encodes
 // byte-exactly.
 func DecodeSummary(data []byte) (*stats.Summary, error) {
-	d := &decoder{buf: data}
-	magic, err := d.bytes(len(summaryMagic))
-	if err != nil {
-		return nil, err
-	}
-	if string(magic) != string(summaryMagic[:]) {
+	d := NewCursor(data)
+	if magic := d.Bytes(len(summaryMagic)); d.err == nil && string(magic) != string(summaryMagic[:]) {
 		return nil, fmt.Errorf("planio: bad summary magic %q", magic)
 	}
-	version, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	if version != summaryVersion {
+	if version := d.U16(); d.err == nil && version != summaryVersion {
 		return nil, fmt.Errorf("planio: summary version %d unsupported (want %d)", version, summaryVersion)
 	}
-	s := &stats.Summary{}
-	count, err := d.u64()
-	if err != nil {
+	s := &stats.Summary{Count: int64(d.U64()), Cap: d.Count("summary capacity", maxCount, 0)}
+	s.Keys = readKeys(d, "summary key")
+	s.Bounds = readKeys(d, "summary boundary")
+	if err := d.Done("summary"); err != nil {
 		return nil, err
-	}
-	s.Count = int64(count)
-	capacity, err := d.count("summary capacity")
-	if err != nil {
-		return nil, err
-	}
-	s.Cap = capacity
-	nkeys, err := d.count("summary key")
-	if err != nil {
-		return nil, err
-	}
-	if nkeys > 0 {
-		s.Keys = make([]join.Key, nkeys)
-		for i := range s.Keys {
-			k, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			s.Keys[i] = join.Key(k)
-		}
-	}
-	nbounds, err := d.count("summary boundary")
-	if err != nil {
-		return nil, err
-	}
-	if nbounds > 0 {
-		s.Bounds = make([]join.Key, nbounds)
-		for i := range s.Bounds {
-			k, err := d.u64()
-			if err != nil {
-				return nil, err
-			}
-			s.Bounds[i] = join.Key(k)
-		}
-	}
-	if d.remaining() != 0 {
-		return nil, fmt.Errorf("planio: %d trailing bytes after summary", d.remaining())
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return s, nil
+}
+
+// readKeys reads a u32 count and that many u64 keys; nil for none.
+func readKeys(d *Cursor, what string) []join.Key {
+	n := d.Count(what, maxCount, 8)
+	if n == 0 {
+		return nil
+	}
+	keys := make([]join.Key, n)
+	for i := range keys {
+		keys[i] = join.Key(d.U64())
+	}
+	return keys
 }
