@@ -126,7 +126,8 @@ func TestJoinPairsMatchesNestedLoop(t *testing.T) {
 		{"all-equal", make([]join.Key, 300), make([]join.Key, 250), all, true, true},
 		{"empty", nil, randKeys(10, 5, 116), all, true, true},
 		{"sparse: 64 slots per key", randKeys(1000, 64_000, 117), randKeys(1000, 64_000, 118), all, false, true},
-		{"at the span bound: 8 slots per key", randKeys(1200, 8_000, 119), spread(1000, 8_000), all, true, true},
+		{"at the span bound: 16 slots per key", randKeys(1200, 16_000, 119), spread(1000, 16_000), all, true, true},
+		{"past the span bound: 16 slots per key and one", randKeys(1200, 16_001, 123), spread(1000, 16_001), all, false, true},
 		{"2^16 equal keys", []join.Key{6, 7, 8, 9}, slices.Repeat([]join.Key{7}, 1<<16), all, false, false},
 		{"int64 extremes", extremes, randKeys(300, 40, 120), all, true, true},
 		{"int64 top", extremes, near(math.MaxInt64, 121), bands, true, true},

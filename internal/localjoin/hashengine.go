@@ -19,7 +19,9 @@ import (
 // one increment and a probe one bounds-checked load. The regions a plan
 // routes are key ranges, so a worker's block is usually dense. Once the span
 // would exceed denseSpan slots per key inserted, the build converts, once,
-// to the sparse form: a partitioned radix-hash table.
+// to the sparse form: a partitioned radix-hash table. A Resident judges that
+// on its whole block instead (insertHeld): chunk by chunk, the keys received
+// so far can be too few for a span the block fills.
 //
 // Partitioning reuses keysort's radix digit — the low byte of the
 // sign-biased key (keysort.Digit at shift 0), the byte that varies most on
@@ -38,11 +40,9 @@ const enginePartitions = 256
 // the sign-biased key.
 const partShift = 0
 
-// denseSpan bounds the dense form at this many count slots per key inserted.
-// At 4 B a slot that is 32 B a key, the sparse form's own worst case (12 B a
-// slot just after a doubling, at 3/8 load). The same bound admits a band or
-// inequality side to the rank table, at 2 B a slot.
-const denseSpan = 8
+// denseSpan bounds the dense form at this many count slots per key: the
+// directBytesPerKey budget at 4 B a slot.
+const denseSpan = directBytesPerKey / 4
 
 // EquiLike reports whether cond is a pure-equality predicate — join.Equi or
 // a zero-width band — i.e. the conditions the hash engine can serve. All
@@ -154,17 +154,19 @@ type denseCounts struct {
 // len(counts).
 func (d *denseCounts) off(k join.Key) uint64 { return uint64(k) - uint64(d.base) }
 
-// add counts keys in and reports true or, when they would stretch the span
-// past denseSpan slots per key inserted, reports false and changes nothing.
-func (d *denseCounts) add(keys []join.Key) bool {
-	lo, hi := keys[0], keys[0]
+// add counts the keys of runs in and reports true or, when they would stretch
+// the span past denseSpan slots per key counted, reports false and changes
+// nothing. The runs are judged together: the window extends at most once for
+// all of them.
+func (d *denseCounts) add(runs ...[]join.Key) bool {
+	lo, hi, m := keyRange(runs)
+	if m == 0 {
+		return true
+	}
 	if d.n > 0 {
-		lo, hi = d.lo, d.hi
+		lo, hi = min(lo, d.lo), max(hi, d.hi)
 	}
-	for _, k := range keys {
-		lo, hi = min(lo, k), max(hi, k)
-	}
-	n := d.n + uint64(len(keys))
+	n := d.n + uint64(m)
 	if uint64(hi)-uint64(lo) >= denseSpan*n {
 		return false
 	}
@@ -172,8 +174,10 @@ func (d *denseCounts) add(keys []join.Key) bool {
 		d.extend(lo, hi, n)
 	}
 	counts, base := d.counts, uint64(d.base)
-	for _, k := range keys {
-		counts[uint64(k)-base]++
+	for _, run := range runs {
+		for _, k := range run {
+			counts[uint64(k)-base]++
+		}
 	}
 	d.lo, d.hi, d.n = lo, hi, n
 	return true
@@ -258,18 +262,24 @@ func partitionRuns(keys, scratch []join.Key) (off [enginePartitions]int32) {
 // whole relation or repeatedly with arriving sub-blocks; chunk boundaries do
 // not affect what the finished build counts. A dense build counts the chunk
 // in, or converts to the sparse form first when the chunk would leave it too
-// sparse. A sparse build radix-partitions the chunk, so each partition's
-// table is walked once per chunk, not once per key. Must not be called after
-// Seal.
+// sparse. Must not be called after Seal.
 func (b *Build) Insert(keys []join.Key) {
-	if len(keys) == 0 {
-		return
-	}
-	if b.parts == nil {
-		if b.dense.add(keys) {
-			return
-		}
+	if !b.insert(keys) {
 		b.toSparse()
+		b.insert(keys)
+	}
+}
+
+// insert counts keys into the build's current form and reports true, or, when
+// a dense build would leave its bound, reports false and changes nothing. A
+// sparse build radix-partitions the chunk, so each partition's table is walked
+// once per chunk, not once per key.
+func (b *Build) insert(keys []join.Key) bool {
+	if b.parts == nil {
+		return b.dense.add(keys)
+	}
+	if len(keys) == 0 {
+		return true
 	}
 	scratch := bufpool.Keys.Get(len(keys))
 	off := partitionRuns(keys, scratch)
@@ -282,6 +292,20 @@ func (b *Build) Insert(keys []join.Key) {
 		lo = hi
 	}
 	bufpool.Keys.Put(scratch)
+	return true
+}
+
+// insertHeld counts the chunks a Resident held back, in arrival order, judging
+// the dense bound once over all of them: a dense build that fits extends its
+// window once, one that does not converts once.
+func (b *Build) insertHeld(runs [][]join.Key) {
+	if b.parts == nil && b.dense.add(runs...) {
+		return
+	}
+	b.toSparse()
+	for _, run := range runs {
+		b.insert(run)
+	}
 }
 
 // toSparse converts a dense build to the sparse form, inserting each distinct

@@ -161,34 +161,45 @@ func BenchmarkBuildInsertProbe(b *testing.B) {
 	}
 }
 
-// BenchmarkResidentCount is one band-count job through a resident side:
-// insert R1, seal, probe R2, as exec.Local counts a worker's block. The first
-// four shapes are adhoc-band's worker blocks — two dense ones, about 100k keys
-// over 16k values, and two of about 550k keys at span/n 6.9 and 4.0 — which
-// seal into the rank table; wide-64, at span/n 64, stays on the sort + sweep.
+// BenchmarkResidentCount is one count job through a resident side: insert
+// R1 in chunks, seal, probe R2, as exec.Local counts a worker's block. The
+// first four shapes are adhoc-band's worker blocks — two dense ones, about
+// 100k keys over 16k values, and two of about 550k keys at span/n 6.9 and 4.0
+// — which seal into the rank table; wide-64, at span/n 64, stays on the sort +
+// sweep. The last two are pool-small-jobs' blocks: a band one at span/n 8.2,
+// within the table's budget, and an equi one at span/n 4.1 that arrives from
+// two mappers, its first chunk alone spanning 8.2 slots a key; judged whole,
+// it stays dense.
 func BenchmarkResidentCount(b *testing.B) {
+	band3 := join.NewBand(3)
 	shapes := []struct {
 		name         string
 		n1, n2       int
 		span1, span2 int64
 		seed1, seed2 uint64
+		cond         join.Condition
+		chunks       int
 	}{
-		{"dense-105k", 105_000, 120_000, 17_600, 20_100, 50, 51},
-		{"dense-88k", 88_000, 205_000, 14_500, 14_500, 52, 53},
-		{"span6.9-530k", 530_000, 500_000, 3_660_000, 3_260_000, 54, 55},
-		{"span4.0-557k", 557_000, 380_000, 2_225_000, 1_520_000, 56, 57},
-		{"wide-64", 100_000, 100_000, 6_400_000, 6_400_000, 58, 59},
+		{"dense-105k", 105_000, 120_000, 17_600, 20_100, 50, 51, band3, 1},
+		{"dense-88k", 88_000, 205_000, 14_500, 14_500, 52, 53, band3, 1},
+		{"span6.9-530k", 530_000, 500_000, 3_660_000, 3_260_000, 54, 55, band3, 1},
+		{"span4.0-557k", 557_000, 380_000, 2_225_000, 1_520_000, 56, 57, band3, 1},
+		{"wide-64", 100_000, 100_000, 6_400_000, 6_400_000, 58, 59, band3, 1},
+		{"band-span8.2-10k", 10_000, 10_000, 82_000, 82_000, 60, 61, join.NewBand(2), 1},
+		{"equi-span4.1-5k-2chunks", 5_000, 5_000, 20_500, 20_500, 62, 63, join.Equi{}, 2},
 	}
-	cond := join.NewBand(3)
 	for _, s := range shapes {
 		r1, r2 := randKeys(s.n1, s.span1, s.seed1), randKeys(s.n2, s.span2, s.seed2)
+		chunks := chunked(r1, (s.n1+s.chunks-1)/s.chunks)
 		probe := make([]join.Key, len(r2))
 		b.Run(s.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				copy(probe, r2) // the merge form sorts its probe in place
-				side := NewResident(cond, true)
-				side.Insert(r1)
+				side := NewResident(s.cond, true)
+				for _, c := range chunks {
+					side.Insert(c)
+				}
 				side.Seal()
 				sink, _ = side.ProbeCount(probe, false)
 			}

@@ -6,7 +6,6 @@
 package localjoin
 
 import (
-	"math"
 	"slices"
 
 	"ewh/internal/bufpool"
@@ -57,12 +56,23 @@ func CountSorted(s1, s2 []join.Key, cond join.Condition) int64 {
 	return out
 }
 
+// directBytesPerKey is the byte budget of a resident side's direct-address
+// forms: a side takes one when a slot per value of its span costs at most this
+// many bytes a key, judged on the whole side. It is the sparse hash form's own
+// worst case, 12 B a slot just after a doubling at 3/8 load. At 4 B a slot the
+// dense Build gets denseSpan slots a key, at 2 B the rank table tableSpan.
+const directBytesPerKey = 32
+
 // Resident is the side of a count join held while the other side streams
 // past it: Insert its chunks as they arrive, Seal it, then ProbeCount each
 // chunk of the other relation — the counts sum to |R1 ⋈ R2| however either
-// side was chunked. The hash form (EquiLike conditions) is a Build. A band or
+// side was chunked, and the form it seals into does not depend on the
+// chunking either. The hash form (EquiLike conditions) is a Build: a chunk
+// counts in on arrival while the dense form holds the keys so far, and once
+// one would not, it and every later chunk are kept until Seal judges the whole
+// block, then extends the dense window once or converts once. A band or
 // inequality side keeps the chunks it is given until Seal counts them into a
-// rank table (ranktable.go) when their span is at most denseSpan slots per
+// rank table (ranktable.go) when their span is at most tableSpan slots per
 // key, and a probe chunk then counts on arrival. Any other side is the merge
 // form: Seal copies the chunks into one sorted block of exactly their size,
 // and a probe relation is swept over it once, when its last chunk is in.
@@ -71,7 +81,7 @@ type Resident struct {
 	r1      bool         // the resident side is relation 1
 	form    residentForm // the form it started in
 	build   *Build       // hash form; nil otherwise
-	runs    [][]join.Key // the chunks kept until Seal
+	runs    [][]join.Key // the chunks kept until Seal, in arrival order
 	table   *rankTable   // table form: the sealed side
 	base    []join.Key   // merge form: the sealed side, sorted
 	pending [][]join.Key // merge form: the probe chunks kept for their last
@@ -97,7 +107,7 @@ type residentForm int
 
 const (
 	formMerge  residentForm = iota // sorted block, swept by the merge engine
-	formRanked                     // rank table under the span rule, else formMerge
+	formRanked                     // rank table under the budget rule, else formMerge
 	formTable                      // rank table whatever the span (tests only)
 	formDense                      // a Build, dense until its keys are not
 	formSparse                     // a Build, sparse from the first key
@@ -120,8 +130,7 @@ func newResident(cond join.Condition, form residentForm, r1 bool) *Resident {
 // instead of copying the keys out: a kept chunk must stay untouched until
 // Seal returns, when it is the caller's again. Must not be called after Seal.
 func (r *Resident) Insert(keys []join.Key) (kept bool) {
-	if r.build != nil {
-		r.build.Insert(keys)
+	if r.build != nil && len(r.runs) == 0 && r.build.insert(keys) {
 		return false
 	}
 	r.runs = append(r.runs, keys)
@@ -132,21 +141,27 @@ func (r *Resident) Insert(keys []join.Key) (kept bool) {
 func (r *Resident) Seal() { r.SealShared(nil, BuildKey{}) }
 
 // SealShared is Seal for a side whose content key the caller digested from
-// the chunks it inserted. A side that kept none of them is immutable once
-// sealed: on a cache hit it becomes the shared build of identical content (the
-// wasted inserts overlapped the wire anyway), on a miss it publishes its own.
+// every chunk it inserted, kept or not. A hash side is immutable once sealed:
+// on a cache hit it becomes the shared build of identical content (the wasted
+// inserts overlapped the wire anyway, and the chunks it held are never
+// counted), on a miss it counts them and publishes its own.
 func (r *Resident) SealShared(cache *BuildCache, key BuildKey) {
 	if r.build == nil {
 		r.sealKept()
-	} else if cached := cache.Get(key); cached != nil {
-		r.build = cached
-	} else {
-		r.build.Seal()
-		r.build = cache.Add(key, r.build)
+		return
 	}
+	held := r.runs
+	r.runs = nil
+	if cached := cache.Get(key); cached != nil {
+		r.build = cached
+		return
+	}
+	r.build.insertHeld(held)
+	r.build.Seal()
+	r.build = cache.Add(key, r.build)
 }
 
-// sealKept seals a side that kept its chunks, into the table form when its
+// sealKept seals a side that is not a Build, into the table form when its
 // form allows and its keys fit, else into the merge form. Either is the
 // side's own and exactly sized: a pooled chunk of whatever capacity goes back
 // to its pool instead of staying pinned under it.
@@ -154,13 +169,7 @@ func (r *Resident) sealKept() {
 	runs := r.runs
 	r.runs = nil
 	if r.form != formMerge {
-		n, lo, hi := 0, join.Key(math.MaxInt64), join.Key(math.MinInt64)
-		for _, run := range runs {
-			n += len(run)
-			for _, k := range run {
-				lo, hi = min(lo, k), max(hi, k)
-			}
-		}
+		lo, hi, n := keyRange(runs)
 		if r.form == formTable || tableFits(lo, hi, n) {
 			if r.table = newRankTable(runs, lo, hi, n); r.table != nil {
 				return

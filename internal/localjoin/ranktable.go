@@ -16,14 +16,14 @@ import (
 //
 // The span is cut into at most rankParts ranges of 1<<shift slots each. A
 // slot holds the rank within its range in 2 bytes, a range the keys below it
-// in 4, so at the denseSpan bound the table is at most 16 B a key. Keys are
-// counted into their slots where they lie and probed in arrival order:
-// scattering either side by range first, to keep each range's window of the
-// table in cache, was slower on sparse blocks too (EXPERIMENTS.md "Rejected
-// forms").
+// in 4, so at the tableSpan bound the slots take the directBytesPerKey budget
+// and the range bases at most 1 KiB more. Keys are counted into their slots
+// where they lie and probed in arrival order: scattering either side by range
+// first, to keep each range's window of the table in cache, was slower on
+// sparse blocks too (EXPERIMENTS.md "Rejected forms").
 //
 // A pair join's relation 2 takes the same layout (RankOrder) under the same
-// span rule: counted with exclusive sums, the slots are the cursors of a
+// bound: counted with exclusive sums, the slots are the cursors of a
 // counting scatter of arrival indices, which leaves them holding the ranks.
 
 // rankParts bounds the number of key ranges a rank table is cut into, which
@@ -39,10 +39,28 @@ type rankTable struct {
 	base  []uint32 // base[p]: resident keys in the ranges before range p
 }
 
-// tableFits is the span rule: a side of n keys over [lo, hi] takes the table
-// form when its span is at most denseSpan slots per key. An empty side does.
+// tableSpan bounds the table form at this many slots per key: the
+// directBytesPerKey budget at 2 B a slot.
+const tableSpan = directBytesPerKey / 2
+
+// tableFits is the budget rule: a side of n keys over [lo, hi] takes the table
+// form when its span is at most tableSpan slots per key, judged on the whole
+// side. An empty side does.
 func tableFits(lo, hi join.Key, n int) bool {
-	return n == 0 || uint64(hi)-uint64(lo) <= denseSpan*uint64(n)
+	return n == 0 || uint64(hi)-uint64(lo) <= tableSpan*uint64(n)
+}
+
+// keyRange returns the least and greatest key of runs and their number; lo >
+// hi when there are none.
+func keyRange(runs [][]join.Key) (lo, hi join.Key, n int) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for _, run := range runs {
+		n += len(run)
+		for _, k := range run {
+			lo, hi = min(lo, k), max(hi, k)
+		}
+	}
+	return lo, hi, n
 }
 
 // newRankTable counts the keys of runs, n in all over [lo, hi], into a rank
@@ -66,15 +84,12 @@ type RankOrder struct {
 
 var rankOrderPool sync.Pool // stores *RankOrder
 
-// NewRankOrder counts keys into a RankOrder when they pass the span rule, or
+// NewRankOrder counts keys into a RankOrder when they pass the budget rule, or
 // whatever their span when anySpan (tests force the form with it, over spans
 // a table can be allocated for). It returns nil for keys the rule or the
 // table refuses. Release returns the buffers for the next call to reuse.
 func NewRankOrder(keys []join.Key, anySpan bool) *RankOrder {
-	lo, hi := join.Key(math.MaxInt64), join.Key(math.MinInt64)
-	for _, k := range keys {
-		lo, hi = min(lo, k), max(hi, k)
-	}
+	lo, hi, _ := keyRange([][]join.Key{keys})
 	if !anySpan && !tableFits(lo, hi, len(keys)) {
 		return nil
 	}

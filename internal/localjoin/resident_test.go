@@ -235,7 +235,7 @@ func TestBuildFormPerKeyOrder(t *testing.T) {
 }
 
 // TestResidentFormBySpan pins which form a band or inequality side seals
-// into: the rank table while its span is at most denseSpan slots per key and
+// into: the rank table while its span is at most tableSpan slots per key and
 // no key range holds more keys than a 2-byte slot counts, the sorted block
 // otherwise. Each row's count is checked against Count with either relation
 // resident.
@@ -266,10 +266,10 @@ func TestResidentFormBySpan(t *testing.T) {
 		cond  join.Condition
 		table bool
 	}{
-		{"span 8n", spread(1000, 8000), band, true},
-		{"span 8n + 1", spread(1000, 8001), band, false},
-		{"inequality, span 8n", spread(1000, 8000), join.Inequality{Op: join.Less}, true},
-		{"inequality, span 8n + 1", spread(1000, 8001), join.Inequality{Op: join.GreaterEq}, false},
+		{"span 16n", spread(1000, 16000), band, true},
+		{"span 16n + 1", spread(1000, 16001), band, false},
+		{"inequality, span 16n", spread(1000, 16000), join.Inequality{Op: join.Less}, true},
+		{"inequality, span 16n + 1", spread(1000, 16001), join.Inequality{Op: join.GreaterEq}, false},
 		{"a range holding 2^16 - 1 keys", firstRange(1<<16 - 1), band, true},
 		{"a range holding 2^16 keys", firstRange(1 << 16), band, false},
 		{"one key repeated 2^16 - 1 times", repeated(7, 1<<16-1), band, true},
@@ -278,7 +278,7 @@ func TestResidentFormBySpan(t *testing.T) {
 		{"an empty resident", nil, band, true},
 	}
 	for _, row := range rows {
-		probe := randKeys(500, 8200, 9)
+		probe := randKeys(500, 16200, 9)
 		for i := range probe {
 			probe[i] -= 100
 		}
@@ -296,6 +296,81 @@ func TestResidentFormBySpan(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("%s, R1 resident %v: count %d, want %d", row.name, residentR1, got, want)
+			}
+		}
+	}
+}
+
+// sealedForm names the form a sealed side counts in.
+func sealedForm(r *Resident) string {
+	switch {
+	case r.build != nil && r.build.parts != nil:
+		return "sparse"
+	case r.build != nil:
+		return "dense"
+	case r.table != nil:
+		return "table"
+	}
+	return "merge"
+}
+
+// sealChunked seals a side of keys, given as chunks of chunk keys (0: one
+// chunk), under cond, and returns it.
+func sealChunked(keys []key, cond join.Condition, residentR1 bool, chunk int) *Resident {
+	side := NewResident(cond, residentR1)
+	for _, c := range chunked(slices.Clone(keys), chunk) {
+		side.Insert(c)
+	}
+	side.Seal()
+	return side
+}
+
+// TestResidentFormIndependentOfChunking feeds each block as 1, 2, 4 and 8
+// chunks: the direct-address budget is judged on the whole block, so the side
+// seals into one form and counts one total whatever the chunking. An equi
+// block under 8 slots per key stays dense though its first chunk alone spans
+// more, and a band or inequality block up to 16 takes the rank table.
+func TestResidentFormIndependentOfChunking(t *testing.T) {
+	const n = 4000
+	// block is n keys in random order over [0, n × slots], both ends included.
+	block := func(slots float64, seed uint64) []key {
+		span := int64(slots * n)
+		out := randKeys(n, span+1, seed)
+		out[0], out[n/2] = span, 0
+		return out
+	}
+	band, less := join.NewBand(2), join.Inequality{Op: join.Less}
+	rows := []struct {
+		name string
+		keys []key
+		cond join.Condition
+		form string
+	}{
+		{"equi, 4 slots per key", block(4, 21), join.Equi{}, "dense"},
+		{"equi, 7.9 slots per key", block(7.9, 22), join.Equi{}, "dense"},
+		{"zero-width band, 7.9 slots per key", block(7.9, 23), join.NewBand(0), "dense"},
+		{"equi, 8.1 slots per key", block(8.1, 24), join.Equi{}, "sparse"},
+		{"band, 8.5 slots per key", block(8.5, 25), band, "table"},
+		{"band, 16 slots per key", block(16, 26), band, "table"},
+		{"inequality, 8.5 slots per key", block(8.5, 27), less, "table"},
+		{"inequality, 16 slots per key", block(16, 28), less, "table"},
+		{"band, 16.5 slots per key", block(16.5, 29), band, "merge"},
+	}
+	for _, row := range rows {
+		probe := randKeys(3000, int64(17*n), 30)
+		for _, residentR1 := range []bool{true, false} {
+			want := Count(row.keys, probe, row.cond)
+			if !residentR1 {
+				want = Count(probe, row.keys, row.cond)
+			}
+			for _, parts := range []int{1, 2, 4, 8} {
+				side := sealChunked(row.keys, row.cond, residentR1, (n+parts-1)/parts)
+				if got := sealedForm(side); got != row.form {
+					t.Errorf("%s in %d chunks, R1 resident %v: sealed %s, want %s", row.name, parts, residentR1, got, row.form)
+				}
+				if got, _ := side.ProbeCount(slices.Clone(probe), false); got != want {
+					t.Errorf("%s in %d chunks, R1 resident %v: count %d, want %d", row.name, parts, residentR1, got, want)
+				}
 			}
 		}
 	}
@@ -429,14 +504,18 @@ func TestResidentProperty(t *testing.T) {
 
 // FuzzEngineCount cross-checks the resident side — every form, either
 // relation resident, fuzz-chosen chunking and condition — against the
-// nested-loop oracle on fuzz-chosen key bytes. Byte keys span at most 256, so
-// the sparse and converting forms are what keep the hash partitions fuzzed,
-// and every side fits the table form.
+// nested-loop oracle on fuzz-chosen key bytes, and checks that the form
+// NewResident seals into does not depend on the chunking. Byte keys span at
+// most 256, so the sparse and converting forms are what keep the hash
+// partitions fuzzed, and every side fits the table form.
 func FuzzEngineCount(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 3}, uint8(3), uint8(0))
 	f.Add([]byte{}, []byte{0, 0, 0, 0}, uint8(1), uint8(1))
 	f.Add([]byte{255, 255, 128, 0}, []byte{255, 128}, uint8(0), uint8(6))
 	f.Add([]byte{0, 255, 7, 7}, []byte{255, 0, 8}, uint8(5), uint8(0x84))
+	// Dense as a whole (span 30 over 5 keys), too sparse as its first two
+	// single-key chunks (span 30 over 2).
+	f.Add([]byte{128, 158, 129, 130, 131}, []byte{128, 158}, uint8(1), uint8(0))
 	conds := propertyConds
 	f.Fuzz(func(t *testing.T, b1, b2 []byte, split, sel uint8) {
 		if len(b1) > 1024 || len(b2) > 1024 {
@@ -456,6 +535,14 @@ func FuzzEngineCount(f *testing.F) {
 		cond := conds[int(sel)%len(conds)]
 		residentR1 := sel&0x80 == 0
 		want := NestedLoopCount(r1, r2, cond)
+		resident := r2
+		if residentR1 {
+			resident = r1
+		}
+		whole := sealedForm(sealChunked(resident, cond, residentR1, 0))
+		if got := sealedForm(sealChunked(resident, cond, residentR1, int(split)%8)); got != whole {
+			t.Fatalf("%v, R1 resident %v: sealed %s in chunks of %d, %s in one", cond, residentR1, got, int(split)%8, whole)
+		}
 		for _, form := range residentForms {
 			if !formServes(form, cond) {
 				continue

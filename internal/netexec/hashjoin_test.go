@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -132,6 +133,34 @@ func TestPoolBuildCacheHit(t *testing.T) {
 	}
 	if hits < misses {
 		t.Fatalf("hit rate below the 2-of-3 sharing expectation (hits=%d misses=%d)", hits, misses)
+	}
+}
+
+// TestBuildCacheKeysHeldChunks runs two equi count jobs on one worker whose
+// relation 1 shares its first mapper's chunk and differs in the second's. The
+// second chunk stretches the dense build past its bound, so the side holds it
+// until the seal: the content key must digest it all the same, or the second
+// job would probe the first one's cached build.
+func TestBuildCacheKeysHeldChunks(t *testing.T) {
+	ws, addrs := startWorkerSet(t, 1)
+	shared := randKeys(1000, 1000, 160)
+	held1, held2 := randKeys(1000, 20_000, 161), randKeys(1000, 20_000, 162)
+	probe := append(randKeys(2000, 20_000, 163), held1...)
+	scheme := partition.NewCI(1)
+	cfg := exec.Config{Seed: 164, Mappers: 2}
+	sess := dialSession(t, addrs)
+	for _, held := range [][]join.Key{held1, held2} {
+		dim := append(slices.Clone(shared), held...)
+		got, err := exec.RunOver(sess, dim, probe, join.Equi{}, scheme, model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := localjoin.Count(dim, probe, join.Equi{}); got.Output != want {
+			t.Fatalf("session output %d, want %d", got.Output, want)
+		}
+	}
+	if st := ws[0].BuildCacheStats(); st.Hits != 0 || st.Entries != 2 {
+		t.Fatalf("two distinct build sides: %d cache hits, %d entries, want 0 and 2", st.Hits, st.Entries)
 	}
 }
 

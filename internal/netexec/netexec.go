@@ -43,6 +43,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ewh/internal/localjoin"
 )
@@ -64,6 +65,12 @@ func overRelationCap(have, add int) bool {
 
 // connBufSize sizes the per-connection buffered reader/writer.
 const connBufSize = 64 << 10
+
+// preludeTimeout bounds the whole prelude of an accepted connection, whatever
+// Timeouts.IO says: both dialers write it as they connect, so a connection
+// still short of it this long after acceptance is not one of theirs, and it
+// must not hold a goroutine and a socket until Shutdown.
+const preludeTimeout = 3 * time.Second
 
 // Worker is a join worker server. Session connections stay open and serve
 // numbered jobs until the coordinator hangs up; peer connections carry other
@@ -367,6 +374,7 @@ func (w *Worker) handle(conn net.Conn) {
 		}
 	}()
 	tc := newTimedConn(conn, w.timeouts.IO)
+	_ = conn.SetReadDeadline(time.Now().Add(preludeTimeout))
 	var head [len(protoMagic) + 2]byte
 	if _, err := io.ReadFull(tc, head[:]); err != nil || [4]byte(head[:4]) != protoMagic {
 		return
@@ -383,6 +391,7 @@ func (w *Worker) handle(conn net.Conn) {
 	if _, err := io.ReadFull(tc, tenant); err != nil {
 		return
 	}
+	_ = conn.SetReadDeadline(time.Time{})
 	br := bufio.NewReaderSize(tc, connBufSize)
 	switch {
 	case version == protoVersionSession:

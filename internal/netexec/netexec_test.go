@@ -141,14 +141,18 @@ func dialRaw(t *testing.T, addr string, opening []byte) net.Conn {
 }
 
 // expectClosedSilently asserts the worker hangs up on conn without having
-// written a single byte (a close with our bytes still unread is a reset).
+// written a single byte (a close with our bytes still unread is a reset),
+// within the prelude's bound and a margin.
 func expectClosedSilently(t *testing.T, conn net.Conn) {
 	t.Helper()
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_ = conn.SetReadDeadline(time.Now().Add(preludeTimeout + 2*time.Second))
 	var b [1]byte
 	n, err := conn.Read(b[:])
-	if n != 0 || (err != io.EOF && !errors.Is(err, syscall.ECONNRESET)) {
-		t.Fatalf("worker answered a non-prelude connection: read %d bytes, err %v", n, err)
+	switch {
+	case n != 0:
+		t.Fatalf("worker answered a non-prelude connection: read %d bytes", n)
+	case err != io.EOF && !errors.Is(err, syscall.ECONNRESET):
+		t.Fatalf("worker kept a non-prelude connection open: %v", err)
 	}
 }
 
@@ -156,7 +160,9 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 	// Bytes that are not the prelude used to fall through to a gob decoder;
 	// now the connection closes with no reply and no job accounting, as does
 	// a prelude of a version the worker does not speak. A hangUp row's sender
-	// stops mid-prelude and hangs up.
+	// stops mid-prelude and hangs up; a "stall" row's stops and stays
+	// connected, and the worker's prelude deadline, not Timeouts.IO (unset
+	// here), closes it.
 	ws, addrs := startWorkerSet(t, 1)
 	ws[0].FailAfterJobs(1 << 30) // arms the completed-job counter
 	var hello bytes.Buffer       // a version-6 session's tenant declaration, frame type 23
@@ -164,7 +170,7 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 		t.Fatal(err)
 	}
 	tenantCut := prelude(protoVersionSession, "acme")
-	for _, tc := range []struct {
+	rows := []struct {
 		name    string
 		opening []byte
 		hangUp  bool
@@ -172,6 +178,7 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 		{"wrong magic", []byte("GET / HTTP/1.1\r\n\r\n"), false},
 		{"gob-like", []byte{0x1f, 0xff, 0x81, 0x03, 0x01, 0x01, 0x09, 'h', 'a', 'n', 'd'}, false},
 		{"short magic then EOF", []byte("EWH"), true},
+		{"short magic then stall", []byte("EWH"), false},
 		{"magic and half a version then EOF", []byte("EWHB\x03"), true},
 		{"unknown version", binary.LittleEndian.AppendUint16([]byte("EWHB"), protoVersionSession+7), false},
 		// The mesh's job-less header ran under version 4: such a link is
@@ -194,16 +201,21 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 		// link is closed at its prelude, even its first frame a valid ABORT.
 		{"retired session version 7", append(prelude(7, ""), frameV3Abort, 1, 0, 0, 0, 0, 0, 0, 0), false},
 		{"tenant shorter than its length then EOF", tenantCut[:len(tenantCut)-2], true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			conn := dialRaw(t, addrs[0], tc.opening)
-			if tc.hangUp {
-				if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
-					t.Fatal(err)
-				}
+		{"tenant shorter than its length then stall", tenantCut[:len(tenantCut)-2], false},
+	}
+	// Every row connects before any is checked, so the stalls run out the
+	// prelude's deadline together.
+	conns := make([]net.Conn, len(rows))
+	for i, tc := range rows {
+		conns[i] = dialRaw(t, addrs[0], tc.opening)
+		if tc.hangUp {
+			if err := conns[i].(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatal(err)
 			}
-			expectClosedSilently(t, conn)
-		})
+		}
+	}
+	for i, tc := range rows {
+		t.Run(tc.name, func(t *testing.T) { expectClosedSilently(t, conns[i]) })
 	}
 	assertNoJobsBegun(t, ws[0])
 	// The worker still serves a well-formed session afterwards.

@@ -104,9 +104,10 @@ type sessStream struct {
 	baseN  int
 	res    *localjoin.Resident
 	held   [][]join.Key // pooled chunks res keeps: until its seal, then until the window's end
-	// digests, on a count job (resTag 1), holds the digests of the
-	// chunks res copied out: folded at the seal, in any order, they are the
-	// side's content key in the worker's build cache.
+	// digests, on a count job's hash side (resTag 1, EquiLike), holds the
+	// digests of every chunk res was given, kept or copied out: folded at the
+	// seal, in any order, they are the side's content key in the worker's
+	// build cache.
 	digests []localjoin.ChunkDigest
 
 	winOpen  bool
@@ -335,12 +336,12 @@ func (s *sessStream) onBase(ev streamEvent) {
 	}
 	// Kept or copied out, the keys now live in the side: the reservation
 	// stays until the epoch resets, covering that resident memory.
+	if s.resTag == 1 && localjoin.EquiLike(s.j.cond) {
+		s.digests = append(s.digests, localjoin.DigestKeys(ev.keys))
+	}
 	if s.res.Insert(ev.keys) {
 		s.held = append(s.held, ev.keys)
 	} else {
-		if s.resTag == 1 {
-			s.digests = append(s.digests, localjoin.DigestKeys(ev.keys))
-		}
 		bufpool.Keys.Put(ev.keys)
 	}
 	s.consumed()
