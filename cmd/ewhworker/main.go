@@ -1,7 +1,7 @@
 // Command ewhworker runs a join worker server for the networked execution
-// mode: it accepts persistent sessions from ewhcoord coordinators (and
-// peer-mesh links from fellow workers), joins the tuples each numbered job
-// ships and reports its metrics.
+// mode: it accepts persistent sessions from ewhcoord coordinators (and from
+// fellow workers shipping their stage-1 contributions), joins the tuples each
+// numbered job ships and reports its metrics.
 //
 // On SIGINT/SIGTERM the worker shuts down gracefully: it stops accepting,
 // drains every in-flight job (bounded by -drain), then exits 0. -fail-after

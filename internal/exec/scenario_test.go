@@ -53,15 +53,15 @@ func TestRunPairsOverEmitsRowNumbers(t *testing.T) {
 	scenario.RunSeeds(t, scenario.Pin{Job: scenario.Pairs, Runtime: scenario.Pool}, 450, 3)
 }
 
-// TestCrossCheckSessionMultiway: the two-stage pipeline over a session's
-// peer mesh, faulted or not, equals the in-process one per worker in both
-// stages and the chain oracle in total.
+// TestCrossCheckSessionMultiway: the two-stage pipeline over a session, its
+// workers contributing to each other, faulted or not, equals the in-process
+// one per worker in both stages and the chain oracle in total.
 func TestCrossCheckSessionMultiway(t *testing.T) {
 	scenario.RunSeeds(t, scenario.Pin{Job: scenario.Multiway, Runtime: scenario.Session}, 600, 4)
 }
 
 // TestCrossCheckSessionMultiwayPeer: two tenants' pipelines share one
-// fleet's peer mesh at once; neither relays a pair through its coordinator
+// fleet's workers at once; neither relays a pair through its coordinator
 // and each equals the in-process run per worker.
 func TestCrossCheckSessionMultiwayPeer(t *testing.T) {
 	scenario.RunSeeds(t, scenario.Pin{Job: scenario.Multiway, Runtime: scenario.Pool}, 700, 3)

@@ -180,7 +180,8 @@ type PlanJob struct {
 
 // StageRuntime is an optional Runtime extension implemented by transports
 // that can re-shuffle one job's materialized matches directly between their
-// workers: Local, and a netexec session over its peer mesh. The first job's
+// workers: Local, and a netexec session, whose workers send each other their
+// shares as contribution sub-jobs. The first job's
 // second relation carries its companion as the re-key column (RelData.Rekey):
 // a stage-1 match (t1, t2) materializes as t2's entry in it, which is exactly
 // how the multiway pipeline re-keys its intermediate on the next join

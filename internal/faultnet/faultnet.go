@@ -1,20 +1,19 @@
 // Package faultnet injects deterministic network faults into the netexec
-// wire protocols for testing recovery paths. It wraps a worker's
-// net.Listener so every accepted connection passes through a scriptable
-// frame-aware tap: the tap reads the protocol prelude (magic, version,
-// tenant), follows the one frame header both protocol versions share (v7
-// sessions, v6 peer mesh; anything else is opaque), counts matching
-// frames per rule and fires each rule's action exactly once at a precise
-// frame boundary — kill after the N-th block, reset on the first window
-// reply, stall mid-transfer, or run an arbitrary hook (e.g. Close a victim
-// worker at a stage boundary). Faults are therefore reproducible: the same
-// script against the same workload fails at the same frame every run,
-// which is what lets the crosscheck assert recovered output bit-identical
-// to a fault-free reference instead of sampling failure windows
-// probabilistically.
+// wire protocol for testing recovery paths. It wraps a worker's net.Listener
+// so every accepted connection passes through a scriptable frame-aware tap:
+// the tap reads the prelude (magic, version, tenant), follows the session
+// protocol's frame header (version 8, a coordinator's session or a peer's
+// contribution; anything else is opaque), counts matching frames per rule
+// and fires each rule's action exactly once at a precise frame boundary —
+// kill after the N-th block, reset on the first window reply, stall
+// mid-transfer, or run an arbitrary hook (e.g. Close a victim worker at a
+// stage boundary). Faults are therefore reproducible: the same script
+// against the same workload fails at the same frame every run, which is what
+// lets the crosscheck assert recovered output bit-identical to a fault-free
+// reference instead of sampling failure windows probabilistically.
 //
 // A Script is shared by every connection its listener accepts: rule
-// counters are global across connections, so "the first inbound peer block,
+// counters are global across connections, so "the third inbound OPEN,
 // whichever connection carries it" is expressible.
 package faultnet
 
@@ -46,22 +45,15 @@ const (
 	FramePlan2      byte = 22
 
 	// v3 run frames: a continuous join's, and every other job's relations as
-	// base and window runs at epoch 0.
+	// base and window runs at epoch 0 — a contribution's share included.
 	FrameStreamBase    byte = 34
 	FrameStreamBaseEnd byte = 35
 	FrameStreamWin     byte = 36
 	FrameStreamWinEnd  byte = 37
-
-	// Peer-mesh frames.
-	FramePeerHead  byte = 30
-	FramePeerBlock byte = 31
 )
 
-// Protocol versions as they appear in the wire prelude.
-const (
-	VersionSession = 8
-	VersionPeer    = 6
-)
+// VersionSession is the protocol version as it appears in the wire prelude.
+const VersionSession = 8
 
 // Dir selects which byte stream a rule watches, relative to the wrapped
 // endpoint (the worker, for a wrapped listener).
@@ -69,7 +61,7 @@ type Dir int
 
 const (
 	// In matches frames the endpoint receives (coordinator→worker opens,
-	// blocks, plans; peer→worker contributions).
+	// blocks, plans; a peer's contributions).
 	In Dir = iota
 	// Out matches frames the endpoint sends (worker→coordinator window
 	// replies and summaries, pairs, metrics).
@@ -128,6 +120,9 @@ type Rule struct {
 	Frame byte
 	// N fires the rule on the N-th match (1-based); 0 means the first.
 	N int
+	// Conn limits the rule to the listener's Conn-th accepted connection
+	// (1-based; 0: any), as a peer's contribution shares a coordinator's types.
+	Conn int
 	// Action is the fault to inject.
 	Action Action
 	// Fn is the hook for ActHook; ignored otherwise.
@@ -191,10 +186,10 @@ func (s *Script) Seen(dir Dir, frame byte) int {
 	return s.seen[dir][frame]
 }
 
-// match records one observed frame and returns the rule to fire now, if
-// any. At most one rule fires per frame (scripts wanting compound faults
-// use ActHook).
-func (s *Script) match(dir Dir, frame byte) *scriptRule {
+// match records one observed frame on the conn-th accepted connection and
+// returns the rule to fire now, if any. At most one rule fires per frame
+// (scripts wanting compound faults use ActHook).
+func (s *Script) match(dir Dir, frame byte, conn int) *scriptRule {
 	if s == nil {
 		return nil
 	}
@@ -202,7 +197,7 @@ func (s *Script) match(dir Dir, frame byte) *scriptRule {
 	defer s.mu.Unlock()
 	s.seen[dir][frame]++
 	for _, r := range s.rules {
-		if r.fired || r.Dir != dir || (r.Frame != FrameAny && r.Frame != frame) {
+		if r.fired || r.Dir != dir || (r.Frame != FrameAny && r.Frame != frame) || (r.Conn > 0 && r.Conn != conn) {
 			continue
 		}
 		r.seen++
@@ -218,7 +213,8 @@ func (s *Script) match(dir Dir, frame byte) *scriptRule {
 // the script.
 type Listener struct {
 	net.Listener
-	script *Script
+	script   *Script
+	accepted atomic.Int64
 }
 
 // Wrap taps ln with script. Hand the result to netexec.ListenWorkerOn.
@@ -232,22 +228,23 @@ func (l *Listener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newConn(c, l.script), nil
+	return newConn(c, l.script, int(l.accepted.Add(1))), nil
 }
 
 // Conn is one tapped connection: a streaming frame parser per direction
 // feeds the script, and fired rules act on the underlying connection.
 type Conn struct {
 	net.Conn
-	script *Script
+	script  *Script
+	ordinal int // the listener accepted it ordinal-th, from 1
 
 	closed    chan struct{}
 	closeOnce sync.Once
 
-	// version is the sniffed protocol version, shared by both directions:
-	// the prelude travels inbound only, but the endpoint's replies use the
-	// same protocol. 0 = not yet known.
-	version atomic.Uint32
+	// framed records that the inbound prelude named the session protocol,
+	// shared by both directions: the prelude travels inbound only, but the
+	// endpoint's replies use the same protocol.
+	framed atomic.Bool
 
 	rmu sync.Mutex
 	rt  tracker
@@ -255,8 +252,8 @@ type Conn struct {
 	wt  tracker
 }
 
-func newConn(c net.Conn, script *Script) *Conn {
-	fc := &Conn{Conn: c, script: script, closed: make(chan struct{})}
+func newConn(c net.Conn, script *Script, ordinal int) *Conn {
+	fc := &Conn{Conn: c, script: script, ordinal: ordinal, closed: make(chan struct{})}
 	fc.rt = tracker{conn: fc, dir: In, state: statePrelude}
 	fc.wt = tracker{conn: fc, dir: Out, state: stateAwaitVersion}
 	return fc
@@ -360,7 +357,7 @@ const (
 
 // preludeLen is magic "EWHB" + u16 version, which a u8 tenant length and the
 // tenant follow; frameHeaderLen is the frame header [type u8][job u32][len
-// u32] of both versions.
+// u32].
 const (
 	preludeLen     = 6
 	frameHeaderLen = 9
@@ -394,13 +391,11 @@ func (t *tracker) feed(p []byte) error {
 			// The endpoint is writing. Replies only ever follow inbound
 			// traffic, so the inbound prelude has been parsed by now; an
 			// unknown version means unframed traffic either way.
-			switch t.conn.version.Load() {
-			case VersionSession, VersionPeer:
-				t.state = stateHeader
-			default:
+			if !t.conn.framed.Load() {
 				t.state = stateOpaque
 				return nil
 			}
+			t.state = stateHeader
 		case statePrelude:
 			n := copy(t.buf[t.have:preludeLen], p)
 			t.have += n
@@ -409,19 +404,12 @@ func (t *tracker) feed(p []byte) error {
 				return nil
 			}
 			t.have = 0
-			if [4]byte(t.buf[:4]) != wireMagic {
+			if [4]byte(t.buf[:4]) != wireMagic || binary.LittleEndian.Uint16(t.buf[4:6]) != VersionSession {
 				t.state = stateOpaque
 				return nil
 			}
-			v := binary.LittleEndian.Uint16(t.buf[4:6])
-			switch v {
-			case VersionSession, VersionPeer:
-				t.conn.version.Store(uint32(v))
-				t.state = stateTenant
-			default:
-				t.state = stateOpaque
-				return nil
-			}
+			t.conn.framed.Store(true)
+			t.state = stateTenant
 		case stateTenant:
 			// The tenant is skipped like a payload, then the frames begin.
 			t.skip = int(p[0])
@@ -438,7 +426,7 @@ func (t *tracker) feed(p []byte) error {
 			typ := t.buf[0]
 			t.skip = int(binary.LittleEndian.Uint32(t.buf[5:]))
 			t.state = statePayload
-			if r := t.conn.script.match(t.dir, typ); r != nil {
+			if r := t.conn.script.match(t.dir, typ, t.conn.ordinal); r != nil {
 				if err := t.conn.apply(t, r); err != nil {
 					return err
 				}

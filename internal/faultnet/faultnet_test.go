@@ -9,8 +9,7 @@ import (
 	"time"
 )
 
-// wireFrame encodes a frame of either version: [type u8][job u32][len u32] +
-// payload.
+// wireFrame encodes a frame: [type u8][job u32][len u32] + payload.
 func wireFrame(typ byte, job uint32, payload []byte) []byte {
 	b := make([]byte, 9+len(payload))
 	b[0] = typ
@@ -30,7 +29,7 @@ func prelude(version uint16, tenant string) []byte {
 func pipeConn(t *testing.T, script *Script) (*Conn, net.Conn) {
 	t.Helper()
 	a, b := net.Pipe()
-	fc := newConn(a, script)
+	fc := newConn(a, script, 1)
 	t.Cleanup(func() { _ = fc.Close(); _ = b.Close() })
 	return fc, b
 }
@@ -39,27 +38,34 @@ func TestScriptCountingAndFired(t *testing.T) {
 	s := NewScript(
 		Rule{Dir: In, Frame: FrameStreamBase, N: 2, Action: ActClose},
 		Rule{Dir: Out, Frame: FrameAny, Action: ActClose},
+		Rule{Dir: In, Frame: FrameOpen, Conn: 2, Action: ActClose},
 	)
 	if s.Fired() {
 		t.Fatal("fresh script reports fired")
 	}
-	if s.match(In, FrameStreamBase) != nil {
+	if s.match(In, FrameStreamBase, 1) != nil {
 		t.Fatal("rule fired on the 1st match with N=2")
 	}
-	if s.match(In, FrameEOS) != nil {
+	if s.match(In, FrameEOS, 1) != nil {
 		t.Fatal("rule matched the wrong frame type")
 	}
-	if s.match(Out, FrameStreamBase) == nil {
+	if s.match(Out, FrameStreamBase, 1) == nil {
 		t.Fatal("FrameAny rule did not match")
 	}
-	r := s.match(In, FrameStreamBase)
+	if s.match(In, FrameOpen, 1) != nil {
+		t.Fatal("a rule limited to the 2nd connection matched the 1st")
+	}
+	if s.match(In, FrameOpen, 2) == nil {
+		t.Fatal("a rule limited to the 2nd connection did not match it")
+	}
+	r := s.match(In, FrameStreamBase, 3)
 	if r == nil {
 		t.Fatal("rule did not fire on its 2nd match")
 	}
 	if !s.Fired() {
 		t.Fatal("all rules fired but Fired() is false")
 	}
-	if s.match(In, FrameStreamBase) != nil {
+	if s.match(In, FrameStreamBase, 1) != nil {
 		t.Fatal("single-shot rule fired twice")
 	}
 	if s.Seen(In, FrameStreamBase) != 3 || s.Seen(In, FrameEOS) != 1 || s.Seen(Out, FrameStreamBase) != 1 {
@@ -67,7 +73,7 @@ func TestScriptCountingAndFired(t *testing.T) {
 			s.Seen(In, FrameStreamBase), s.Seen(In, FrameEOS), s.Seen(Out, FrameStreamBase))
 	}
 	var nilScript *Script
-	if !nilScript.Fired() || nilScript.match(In, FrameAny) != nil {
+	if !nilScript.Fired() || nilScript.match(In, FrameAny, 1) != nil {
 		t.Fatal("nil script must be a transparent tap")
 	}
 }
@@ -118,30 +124,39 @@ func TestTrackerFiresAtExactV3Frame(t *testing.T) {
 }
 
 func TestTrackerPeerHeaders(t *testing.T) {
-	// Peer links frame with the session header at job 0; the tracker must
-	// follow them across the head and every block.
-	s := NewScript(Rule{Dir: In, Frame: FramePeerBlock, N: 3, Action: ActClose})
-	fc, _ := pipeConn(t, s)
-	var stream []byte
-	stream = append(stream, prelude(VersionPeer, "")...)
-	stream = append(stream, wireFrame(FramePeerHead, 0, make([]byte, 20))...)
-	for i := 0; i < 3; i++ {
-		stream = append(stream, wireFrame(FramePeerBlock, 0, make([]byte, 8*7))...)
-	}
-	var ferr error
-	fed := 0
-	for i := range stream {
-		fed++
-		if ferr = fc.rt.feed(stream[i : i+1]); ferr != nil {
-			break
+	// A peer's contribution frames like any session job — its OPEN, then its
+	// base run — and the tracker follows it across every frame; the retired
+	// mesh's version-6 prelude and its head and block frames are opaque.
+	for _, version := range []uint16{VersionSession, 6} {
+		s := NewScript(Rule{Dir: In, Frame: FrameStreamBase, N: 3, Action: ActClose},
+			Rule{Dir: In, Frame: 31, Action: ActClose})
+		fc, _ := pipeConn(t, s)
+		stream := prelude(version, "tenant-a")
+		stream = append(stream, wireFrame(FrameOpen, 1, make([]byte, 20))...)
+		for i := 0; i < 3; i++ {
+			stream = append(stream, wireFrame(FrameStreamBase, 1, make([]byte, 8+8*7))...)
 		}
-	}
-	if ferr == nil || !s.Fired() {
-		t.Fatalf("peer rule did not fire (err %v)", ferr)
-	}
-	// The fatal byte is the last byte of the 3rd block's header.
-	if want := len(stream) - 8*7; fed != want {
-		t.Fatalf("fault fired after %d bytes, want %d (3rd block header)", fed, want)
+		var ferr error
+		fed := 0
+		for i := range stream {
+			fed++
+			if ferr = fc.rt.feed(stream[i : i+1]); ferr != nil {
+				break
+			}
+		}
+		if version != VersionSession {
+			if ferr != nil || s.Seen(In, FrameOpen) != 0 {
+				t.Fatalf("version %d: the tracker framed retired traffic (err %v)", version, ferr)
+			}
+			continue
+		}
+		if ferr == nil || s.Seen(In, FrameStreamBase) != 3 {
+			t.Fatalf("contribution rule did not fire (err %v)", ferr)
+		}
+		// The fatal byte is the last byte of the 3rd base frame's header.
+		if want := len(stream) - (8 + 8*7); fed != want {
+			t.Fatalf("fault fired after %d bytes, want %d (3rd base frame's header)", fed, want)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package scenario is the repository's bit-identity check: EWH's
 // partitioning is independent of the local join (§IV), so every runtime — in
-// process, a session, two pool tenants at once, the peer mesh — must produce
+// process, a session, two pool tenants at once, the peer shuffle — must produce
 // exactly what exec.Run produces, faulted or not. One seed draws a whole run:
 // workload and size, condition, scheme, J and mappers, job kind, runtime,
 // and either no fault or one faultnet action at a frame of a job kind that
@@ -826,19 +826,21 @@ func (sc *Scenario) runSession(t testing.TB) {
 }
 
 // faultFrames lists the frames a fault may strike for a job kind: each one
-// its receiver needs to finish its part, so striking it fails the job.
-// Mesh frames (a peer's contribution) are struck only by killing the
-// victim: closing or stalling one mesh link would blame its sender too. The
-// one outbound frame is a stage-1 job's summary REPLY (see drawFrame).
-func faultFrames(job Job) (session []byte, mesh []byte, out []byte) {
+// its receiver needs to finish its part, so striking it fails the job. A
+// multiway job's contributions reach the victim on sessions of their own, in
+// frames the coordinator sends too (shared). A stall strikes only the
+// coordinator's session, the victim's first connection (a stalled receiver
+// starves its sender, whom the coordinator would blame), so of the shared
+// frames only the first OPEN, which it always carries. The one outbound
+// frame is a stage-1 job's summary REPLY (see drawFrame).
+func faultFrames(job Job) (session []byte, shared []byte, out []byte) {
 	switch job {
 	case Count:
 		return []byte{faultnet.FrameOpen, faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd,
 			faultnet.FrameStreamWin, faultnet.FrameStreamWinEnd, faultnet.FrameEOS}, nil, nil
 	case Multiway:
-		return []byte{faultnet.FrameOpen, faultnet.FrameStreamWin, faultnet.FrameStreamWinEnd,
-				faultnet.FrameEOS, faultnet.FramePlan2, faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd},
-			[]byte{faultnet.FramePeerHead, faultnet.FramePeerBlock},
+		return []byte{faultnet.FrameStreamWin, faultnet.FrameStreamWinEnd, faultnet.FramePlan2},
+			[]byte{faultnet.FrameOpen, faultnet.FrameEOS, faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd},
 			[]byte{faultnet.FrameReply}
 	}
 	// A stream recovers inside its window loop; the first epoch's base ship
@@ -852,30 +854,34 @@ func faultFrames(job Job) (session []byte, mesh []byte, out []byte) {
 func (sc *Scenario) drawFrame(counts []*faultnet.Script) bool {
 	var cands []faultSpec
 	pin := sc.pin.Fault
-	session, mesh, out := faultFrames(sc.job)
+	session, shared, out := faultFrames(sc.job)
+	stall := sc.fault.action == faultnet.ActStall
 	for w, count := range counts {
-		add := func(dir faultnet.Dir, frames []byte) {
+		add := func(dir faultnet.Dir, frames []byte, shared bool) {
 			for _, fr := range frames {
 				if pin != nil && pin.Frame != faultnet.FrameAny && (pin.Dir != dir || pin.Frame != fr) {
 					continue
 				}
 				n := count.Seen(dir, fr)
-				if dir == faultnet.Out {
+				switch {
+				case dir == faultnet.Out:
 					// A worker's first REPLY is its stage-1 summary, and only a
 					// stage-1 job is sent a PLAN2: a later reply may be the
 					// pipeline's last, which nothing would need to retry.
 					n = min(n, count.Seen(faultnet.In, faultnet.FramePlan2))
+				case shared && stall && fr == faultnet.FrameOpen:
+					n = min(n, 1)
+				case shared && stall:
+					n = 0
 				}
 				if n > 0 && (pin == nil || n >= pin.N) {
 					cands = append(cands, faultSpec{victim: w, dir: dir, frame: fr, n: n})
 				}
 			}
 		}
-		add(faultnet.In, session)
-		add(faultnet.Out, out)
-		if sc.fault.action == faultnet.ActHook {
-			add(faultnet.In, mesh)
-		}
+		add(faultnet.In, session, false)
+		add(faultnet.Out, out, false)
+		add(faultnet.In, shared, true)
 	}
 	if len(cands) == 0 {
 		return false
@@ -898,8 +904,12 @@ func (sc *Scenario) runFaulted(t testing.TB, ref *reference, width int, counts [
 		t.Fatalf("%v: no worker carried a frame the fault may strike", sc)
 	}
 	var victim atomic.Pointer[netexec.Worker]
-	script := faultnet.NewScript(faultnet.Rule{Dir: sc.fault.dir, Frame: sc.fault.frame,
-		N: sc.fault.n, Action: sc.fault.action, Fn: func() { _ = victim.Load().Close() }})
+	rule := faultnet.Rule{Dir: sc.fault.dir, Frame: sc.fault.frame,
+		N: sc.fault.n, Action: sc.fault.action, Fn: func() { _ = victim.Load().Close() }}
+	if rule.Action == faultnet.ActStall {
+		rule.Conn = 1 // the coordinator's session, the victim's first (see faultFrames)
+	}
+	script := faultnet.NewScript(rule)
 	taps := make([]*faultnet.Script, width)
 	taps[sc.fault.victim] = script
 	f := startFleet(t, width, taps)
@@ -1058,7 +1068,7 @@ func Rows() []Row {
 	}
 }
 
-// skewedMultiway is a Zipf chain over the peer mesh.
+// skewedMultiway is a Zipf chain through the peer shuffle.
 func skewedMultiway(seed uint64, j int, condB join.Condition) *Scenario {
 	const n, domain = 800, 400
 	sc := &Scenario{seed: seed, workload: "zipf", n1: n, n2: n, domain: domain,

@@ -26,8 +26,8 @@ func TestScenarioRows(t *testing.T) {
 	}
 }
 
-// TestRecoveryBitIdenticalAcrossBoundaries strikes a multiway pipeline over
-// the peer mesh at each boundary of its life, one drawn scenario apiece: the
+// TestRecoveryBitIdenticalAcrossBoundaries strikes a multiway pipeline
+// through the peer shuffle at each boundary of its life, one drawn scenario apiece: the
 // retry must recover onto the spare and match the fault-free run per worker
 // in both stages, with no pair through the coordinator.
 func TestRecoveryBitIdenticalAcrossBoundaries(t *testing.T) {
@@ -50,11 +50,14 @@ func TestRecoveryBitIdenticalAcrossBoundaries(t *testing.T) {
 		// The session link resets as the peer-fed stage-2 job opens, the
 		// victim's second OPEN.
 		{"stage2-open", scenario.Fault{Action: faultnet.ActReset, Dir: faultnet.In, Frame: faultnet.FrameOpen, N: 2}},
-		// The worker dies as a sender's contribution head lands — the only
-		// frame an empty share sends.
-		{"peer-head", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FramePeerHead}},
-		// The worker dies while a peer contribution streams into it.
-		{"mid-peer-transfer", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FramePeerBlock}},
+		// The worker dies as a peer's contribution opens on it: its third
+		// OPEN, past its stage-1 job's and its stage-2 job's, which goes out
+		// before any PLAN2 — an empty share still sends it.
+		{"peer-head", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FrameOpen, N: 3}},
+		// The worker dies while a contribution's base run lands on it: its
+		// fourth base frame, past its stage-1 relation 1's one and its
+		// stage-2 relation's one per mapper.
+		{"mid-peer-transfer", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FrameStreamBase, N: 4}},
 		// The worker dies after one mapper's base frame of a relation: the
 		// half-streamed relation is discarded and replanned onto survivors.
 		{"chunk-boundary", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FrameStreamBase, N: 2}},

@@ -7,7 +7,7 @@
 // histogram, so every stage is balanced on both its input and its output.
 // There is one pipeline: the stage-1 workers summarize their matches, the
 // driver plans stage 2 from the summaries, and the workers route their
-// matches by that plan — in process (exec.Local) or over the peer mesh (a
+// matches by that plan — in process (exec.Local) or worker to worker (a
 // netexec session), with identical per-worker results.
 package multiway
 
@@ -101,8 +101,8 @@ const (
 )
 
 // ExecuteOver runs the chain join through rt's stage pipeline
-// (exec.StageRuntime: exec.Local in process, a netexec session over the
-// mesh). Stage 2 is a genuine CSIO plan built from the stage-1 workers'
+// (exec.StageRuntime: exec.Local in process, a netexec session worker to
+// worker). Stage 2 is a genuine CSIO plan built from the stage-1 workers'
 // summaries of their matches, so the intermediate never reaches the driver;
 // Output and Intermediate are the same on every runtime, and so is every
 // per-worker metric of both stages.

@@ -72,7 +72,7 @@ func (b *baseline) returned(sess *Session, ws []*Worker) {
 
 // workersIdle asserts the worker side of a finished scenario, connections
 // still open: no job left in flight on any worker connection, no byte left in
-// any worker's ledger (the tenant's account, the mesh's, anyone's), every
+// any worker's ledger (any tenant's), every
 // admission slot free and nobody queued.
 func (b *baseline) workersIdle(ws []*Worker) {
 	b.t.Helper()
@@ -287,12 +287,14 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 	kinds := []struct {
 		name string
 		run  func(*Session, tableInputs) error
-		// The sendN-th inbound sendFrame is a frame only this kind's send
-		// carries: where a connection death lands mid-send. The replyN-th
-		// outbound REPLY on the tapped worker is the reply this kind's await
-		// is parked on: stalling it starves the liveness deadline. The tapped
-		// worker opens a pipeline's stage-1 job, then its stage-2 peer job,
-		// and replies the stage-1 summary, its totals, then the peer job's.
+		// The sendN-th inbound sendFrame on the coordinator's connection to
+		// the tapped worker (its first: Conn 1, apart from a peer's
+		// contribution session) is a frame only this kind's send carries:
+		// where a connection death lands mid-send. The replyN-th REPLY on it
+		// is the reply this kind's await is parked on: stalling it starves
+		// the liveness deadline. The tapped worker opens a pipeline's stage-1
+		// job, then its stage-2 peer job, and replies the stage-1 summary, its
+		// totals, then the peer job's.
 		sendFrame     byte
 		sendN, replyN int
 	}{
@@ -349,10 +351,10 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 					return err != nil
 				}}},
 			{"connection death mid-send", cell{
-				rule:  &faultnet.Rule{Dir: faultnet.In, Frame: k.sendFrame, N: k.sendN, Action: faultnet.ActClose},
+				rule:  &faultnet.Rule{Dir: faultnet.In, Frame: k.sendFrame, N: k.sendN, Conn: 1, Action: faultnet.ActClose},
 				check: faultKind(FaultConnLost)}},
 			{"liveness deadline", cell{
-				rule:     &faultnet.Rule{Dir: faultnet.Out, Frame: faultnet.FrameReply, N: k.replyN, Action: faultnet.ActStall},
+				rule:     &faultnet.Rule{Dir: faultnet.Out, Frame: faultnet.FrameReply, N: k.replyN, Conn: 1, Action: faultnet.ActStall},
 				timeouts: Timeouts{Job: 300 * time.Millisecond},
 				check:    faultKind(FaultTimeout)}},
 		}
@@ -394,6 +396,93 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 			})
 		}
 	}
+
+	// The contribution row. Stage 1 runs on worker 1 alone, so the tapped
+	// worker 0 accepts two connections: the coordinator's, then worker 1's
+	// contribution session, whose frames each rule strikes (Conn 2: the
+	// peer job's OPEN may land on either side of the contribution's). Worker
+	// 1's deadline is the workers' own Timeouts.Job; the plan job fails
+	// naming worker 0, and the tenant's ledger and every token table return
+	// to baseline — nothing charged, no transfer holding a share — though a
+	// stalled receiver holds the job it cannot read on until it closes.
+	for _, o := range []struct {
+		name string
+		rule faultnet.Rule
+	}{
+		{"kill its OPEN", faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameOpen, Conn: 2, Action: faultnet.ActClose}},
+		{"hang up mid-run", faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameStreamBase, Conn: 2, Action: faultnet.ActClose}},
+		{"stall its base", faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameStreamBase, Conn: 2, Action: faultnet.ActStall}},
+	} {
+		t.Run("contribution/"+o.name, func(t *testing.T) {
+			b := snapshotBaseline(t)
+			script := faultnet.NewScript(o.rule)
+			ws := make([]*Worker, tableWorkers)
+			addrs := make([]string, tableWorkers)
+			for i := range ws {
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i == 0 {
+					ln = faultnet.Wrap(ln, script)
+				}
+				w := ListenWorkerOn(ln)
+				w.SetTimeouts(Timeouts{Job: 300 * time.Millisecond})
+				ws[i], addrs[i] = w, w.Addr()
+				go func() { _ = w.Serve() }()
+			}
+			// The coordinator's own deadline is the backstop: were the
+			// sender's to fail, worker 1 would take the blame.
+			sess, err := DialTenant(context.Background(), tableTenant,
+				[]string{addrs[1], addrs[0]}, Timeouts{Job: 5 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			scheme1, err := partition.NewHash(1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := randKeys(tableSmall, tableSmall, 530)
+			_, _, err = exec.RunStagesOver(sess, r, r, r, join.Equi{}, scheme1,
+				statsStagePlan(t, join.Equi{}, tableWorkers, 531, nil), nil, model, exec.Config{Seed: 532})
+			blamed := false
+			for _, f := range Faults(err) {
+				blamed = blamed || f.Kind == FaultPeer && f.Addr == addrs[0]
+			}
+			if !blamed {
+				t.Errorf("ended with %v, not as a peer fault naming %s", err, addrs[0])
+			}
+			if !script.Fired() {
+				t.Error("the scripted fault never fired")
+			}
+			waitFor(t, "every ledger to be credited and no transfer to hold a share", func() bool {
+				for _, w := range ws {
+					if w.ledger.heldBytes() != 0 || transferShares(w) != 0 {
+						return false
+					}
+				}
+				return true
+			})
+			_ = sess.Close()
+			for _, w := range ws {
+				_ = w.Close()
+			}
+			b.goroutinesSettled()
+		})
+	}
+}
+
+// transferShares counts the contributions w's token table holds.
+func transferShares(w *Worker) int {
+	w.peersMu.Lock()
+	defer w.peersMu.Unlock()
+	n := 0
+	for _, st := range w.peerStates {
+		st.mu.Lock()
+		n += len(st.contrib)
+		st.mu.Unlock()
+	}
+	return n
 }
 
 // The worker-side return-to-baseline table: the job kinds the join goroutine
@@ -412,7 +501,7 @@ const (
 	otherJob   = 8 // the job that takes the slot while feedJob is parked
 
 	buildSide = 0 // the resident side: a fed job's relation 1, a peer-fed job's relation 2, a stream's epoch-1 base
-	probeSide = 1 // a fed job's relation 2, a peer-fed job's mesh transfer, a stream's window 0
+	probeSide = 1 // a fed job's relation 2, a peer-fed job's transfer, a stream's window 0
 )
 
 // feedKind writes one kind's frames: the open, then per side the run's key
@@ -491,7 +580,7 @@ func feedTableKinds(t *testing.T, w *Worker) []feedKind {
 			},
 			keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
 				if side == probeSide {
-					return w.deliverLocal(token, 0, keys)
+					return w.deliverLocal(token, 0, feedTenant, keys)
 				}
 				return writeStreamBaseKeys(bw, feedJob, 0, keys)
 			},
@@ -501,7 +590,7 @@ func feedTableKinds(t *testing.T, w *Worker) []feedKind {
 				}
 				return writeStreamBaseEnd(bw, feedJob, 0, total)
 			},
-			bad: func(bw *bufio.Writer) error { // its probe is the mesh, not windows
+			bad: func(bw *bufio.Writer) error { // its probe is the transfer, not windows
 				return writeStreamWinKeys(bw, feedJob, 0, 0, []join.Key{4})
 			},
 		}, {
@@ -666,7 +755,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 			send: func(c cell) error {
 				// Sender 1 of a one-sender transfer fails it.
 				return errors.Join(c.k.run(c.bw, buildSide, build), eos(c.bw),
-					c.w.deliverLocal(c.k.token, 1, probe))
+					c.w.deliverLocal(c.k.token, 1, feedTenant, probe))
 			},
 			check: failedWith(0)},
 		{name: "a sender never contributes, coordinator hangs up", peerOnly: true,

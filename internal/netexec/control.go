@@ -26,17 +26,21 @@ import (
 //   - plan: a stage-1 job whose matches feed the stage-2 plan. Its open
 //     carries the statistics request (stats, token); the worker replies its
 //     summary, waits for PLAN2 and re-shuffles its matches to its peers.
-//   - peer: a stage-2 job whose relation 1 arrives from its senders peers
-//     on the mesh under token; the coordinator ships its relation 2 WHILE
+//   - peer: a stage-2 job whose relation 1 is the contributions of its
+//     senders peers under token; the coordinator ships its relation 2 WHILE
 //     stage 1 still runs.
 //   - stream: a continuous join whose windows each reply a count and a
 //     summary sized by stats.
+//   - contribution: a stage-1 plan job's share for one stage-2 peer, sent by
+//     that job's worker: sender WorkerID's base run for transfer token, which
+//     the reply says the receiver committed.
 const (
 	kindCount byte = iota
 	kindPairs
 	kindPlan
 	kindPeer
 	kindStream
+	kindContrib
 	numKinds
 )
 
@@ -48,7 +52,7 @@ type open struct {
 	WorkerID int
 	Cond     join.Spec
 	Stats    exec.StatsSpec // plan, stream
-	Token    uint64         // plan, peer
+	Token    uint64         // plan, peer, contribution
 	Senders  int            // peer
 }
 

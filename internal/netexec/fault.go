@@ -43,8 +43,8 @@ const (
 	// only when the worker refused the job because it is shutting down.
 	FaultWorkerJob
 	// FaultPeer is a worker-side failure caused by ANOTHER worker: a
-	// peer-mesh transfer targeting it failed. Addr names the peer, which the
-	// session marks down so recovery excludes the right machine.
+	// contribution to it could not be delivered. Addr names the peer, which
+	// the session marks down so recovery excludes the right machine.
 	FaultPeer
 	// FaultAdmission is a typed worker refusal under admission control: the
 	// tenant's queue was full or the job waited past the queue deadline.
@@ -101,6 +101,8 @@ type WorkerFault struct {
 	// op is the coordinator operation ("job", "stage job", ...) the fault
 	// interrupted; it keeps Error() byte-compatible with the pre-typed text.
 	op string
+	// code is an error reply's typed code (codeNone for any other fault).
+	code int
 	// retry caches the retryability decision made at classification time.
 	retry bool
 }
@@ -210,15 +212,16 @@ func (c *sessConn) livenessFault(op string, id uint32, workerID int, err error) 
 // carrying a rejection code becomes a typed admission/quota fault that
 // matches ErrAdmission/ErrQuota via errors.Is and is never retried: the
 // worker is healthy, the rejection is policy. A draining worker's refusal
-// (codeDraining) is the one job error retried; any other is deterministic.
+// (codeDraining) and a job whose transfer was cancelled under it
+// (codeCancelled) are the job errors retried; any other is deterministic.
 func (c *sessConn) workerFault(op string, id uint32, workerID int, m *reply) *WorkerFault {
 	switch m.Code {
 	case codeAdmission:
 		return &WorkerFault{Kind: FaultAdmission, Worker: workerID, Addr: c.addr, Job: id,
-			Err: fmt.Errorf("%w: %s", ErrAdmission, m.Err), op: op}
+			Err: fmt.Errorf("%w: %s", ErrAdmission, m.Err), op: op, code: m.Code}
 	case codeQuota:
 		return &WorkerFault{Kind: FaultQuota, Worker: workerID, Addr: c.addr, Job: id,
-			Err: fmt.Errorf("%w: %s", ErrQuota, m.Err), op: op}
+			Err: fmt.Errorf("%w: %s", ErrQuota, m.Err), op: op, code: m.Code}
 	}
 	if m.FaultAddr != "" {
 		if c.sess != nil {
@@ -228,11 +231,11 @@ func (c *sessConn) workerFault(op string, id uint32, workerID int, m *reply) *Wo
 			Err: errors.New(m.Err), op: op, retry: true}
 	}
 	return &WorkerFault{Kind: FaultWorkerJob, Worker: workerID, Addr: c.addr, Job: id,
-		Err: errors.New(m.Err), op: op, retry: m.Code == codeDraining}
+		Err: errors.New(m.Err), op: op, code: m.Code, retry: m.Code == codeDraining || m.Code == codeCancelled}
 }
 
 // peerFaultError marks a worker-side failure as caused by the named peer —
-// a mesh transfer that could not reach its target. Its Error() is
+// a contribution that could not reach its target. Its Error() is
 // transparent (the text stays the wrapped error's), but the job's join
 // goroutine (sessStream.onEOS) lifts the address into reply.FaultAddr so the coordinator can mark the
 // machine that actually died, not the healthy worker reporting it.

@@ -330,12 +330,12 @@ func wireFrames(t *testing.T, file string, decl *regexp.Regexp) map[string]bool 
 	return frames
 }
 
-// wireGoFrames is wire.go's frame constants.
+// wireGoFrames is wire.go's frame constants: the session protocol's eleven.
 func wireGoFrames(t *testing.T) map[string]bool {
 	t.Helper()
 	wire := wireFrames(t, "wire.go", regexp.MustCompile(`(?m)^\tframe(?:V3)?([A-Z]\w*) += (\d+)\b`))
-	if len(wire) < 13 {
-		t.Fatalf("found only %d frame constants in wire.go: %v", len(wire), wire)
+	if len(wire) != 11 {
+		t.Fatalf("found %d frame constants in wire.go, want 11: %v", len(wire), wire)
 	}
 	return wire
 }
@@ -357,7 +357,7 @@ func TestFaultnetFrameParity(t *testing.T) {
 			t.Errorf("faultnet constant %s names no frame in wire.go", f)
 		}
 	}
-	if protoVersionSession != faultnet.VersionSession || protoVersionPeer != faultnet.VersionPeer {
+	if protoVersionSession != faultnet.VersionSession {
 		t.Error("protocol version constants diverged")
 	}
 }

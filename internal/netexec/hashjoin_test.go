@@ -169,9 +169,11 @@ func TestBuildCacheKeysHeldChunks(t *testing.T) {
 // 0: relation 1 the base, relation 2 window 0 and a plan job's re-key column
 // window 1; the open's kind fixes which job it is. Refused: window 1 on any
 // job but a plan job, a run past epoch 0, a frame after its run's end, a
-// window ahead of a count job's sealed base, and a window on a peer-fed job
-// (its probe is the mesh). The job replies its error at EOS: each refused
-// frame was consumed exactly, so the connection serves the next job intact.
+// window ahead of a count job's sealed base, a window on a peer-fed job (its
+// probe is the transfer) or on a contribution (its share is its base), and a
+// plan or contribution open naming a sender no transfer may have. The job
+// replies its error at EOS: each refused frame was consumed exactly, so the
+// connection serves the next job intact.
 func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 	_, addrs := startWorkerSet(t, 1)
 	spec, err := join.SpecOf(join.Equi{})
@@ -181,6 +183,11 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 	openKind := func(kind byte, cond join.Spec) func(bw *bufio.Writer) error {
 		return func(bw *bufio.Writer) error {
 			return writeCtl(bw, frameV3Open, 1, &open{Kind: kind, Cond: cond, Token: newPeerToken(), Senders: 1})
+		}
+	}
+	openSender := func(kind byte, sender int) func(bw *bufio.Writer) error {
+		return func(bw *bufio.Writer) error {
+			return writeCtl(bw, frameV3Open, 1, &open{Kind: kind, WorkerID: sender, Cond: spec, Token: newPeerToken()})
 		}
 	}
 	open, openPairs, openPeer := openKind(kindCount, spec), openKind(kindPairs, spec), openKind(kindPeer, spec)
@@ -231,7 +238,18 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 		{"base past epoch 0 on a peer-fed job", "past epoch 0, window 0", func(bw *bufio.Writer) error {
 			return errors.Join(openPeer(bw), writeStreamBaseKeys(bw, 1, 2, []join.Key{3}))
 		}},
+		{"window on a contribution", "on a contribution", func(bw *bufio.Writer) error {
+			return errors.Join(openSender(kindContrib, 0)(bw), baseRun(bw), win(bw))
+		}},
 		// A job dead on arrival: its goroutine starts poisoned at the open.
+		// A plan job's sender id becomes its contributions' sender, which
+		// no transfer may have past maxPeerSenders.
+		{"plan job naming a sender past the bound", "names sender 4096", func(bw *bufio.Writer) error {
+			return errors.Join(openSender(kindPlan, maxPeerSenders)(bw), baseRun(bw))
+		}},
+		{"contribution naming a sender past the bound", "names sender 4096", func(bw *bufio.Writer) error {
+			return errors.Join(openSender(kindContrib, maxPeerSenders)(bw), baseRun(bw))
+		}},
 		{"unknown condition on a count job", "unknown", func(bw *bufio.Writer) error {
 			return errors.Join(openKind(kindCount, nosuch)(bw), baseRun(bw))
 		}},

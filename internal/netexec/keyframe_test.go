@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"net"
 	"slices"
 	"testing"
 
@@ -81,29 +80,11 @@ func TestMaximalKeyFramesPassTheHeaderReaders(t *testing.T) {
 		}
 	}
 
-	// The mesh splits at the same cap: every frame of a contribution one key
-	// past it passes the header reader, its blocks a full one and a one-key
-	// one, as does the largest payload any key frame may declare.
-	fh := &frameHeaders{}
-	pc := &peerConn{bw: bufio.NewWriter(fh)}
-	if err := pc.writeContribution(1, 0, keys); err != nil {
-		t.Fatal(err)
-	}
-	if len(fh.hdrs) != 3 {
-		t.Fatalf("peer contribution framed as %d frames, want head + 2 blocks", len(fh.hdrs))
-	}
+	// The largest payload any key frame may declare passes too.
 	var full [v3FrameHeaderLen]byte
 	binary.LittleEndian.PutUint32(full[5:], maxKeySubHdrLen+8*maxBlockKeys)
-	for i, h := range append(fh.hdrs, full[:]) {
-		_, _, n, err := readV3FrameHeader(bytes.NewReader(h))
-		if err != nil {
-			t.Errorf("peer frame %d: %v", i, err)
-		}
-		if i == 1 || i == 2 {
-			if want := peerBlockHeaderLen + 8*[]int{maxBlockKeys, 1}[i-1]; err == nil && n != want {
-				t.Errorf("peer block %d declares %d bytes, want %d", i-1, n, want)
-			}
-		}
+	if _, _, _, err := readV3FrameHeader(bytes.NewReader(full[:])); err != nil {
+		t.Errorf("a full frame under the longest sub-header: %v", err)
 	}
 }
 
@@ -152,7 +133,7 @@ func TestRunningCountCap(t *testing.T) {
 
 // recordedKeyFrames returns one frame payload (sub-header + two keys) per
 // key-carrying frame type, as the writers frame it; every one names epoch 0 /
-// window 0 — or, on the mesh, token 1 / sender 1.
+// window 0.
 func recordedKeyFrames(t testing.TB) map[byte][]byte {
 	t.Helper()
 	keys := []join.Key{7, -7}
@@ -167,12 +148,6 @@ func recordedKeyFrames(t testing.TB) map[byte][]byte {
 		}
 		out[typ] = b.Bytes()[v3FrameHeaderLen:]
 	}
-	// A contribution is its head frame, then the block frames.
-	var b bytes.Buffer
-	if err := (&peerConn{bw: bufio.NewWriter(&b)}).writeContribution(1, 1, keys); err != nil {
-		t.Fatal(err)
-	}
-	out[framePeerBlock] = b.Bytes()[2*v3FrameHeaderLen+peerHeadLen:]
 	return out
 }
 
@@ -184,10 +159,12 @@ func recordedKeyFrames(t testing.TB) map[byte][]byte {
 // sub-header is connection-fatal; an accepted frame charged the ledger
 // exactly its keys, and the job's release gives them back. The re-key seeds
 // are window-1 frames: a plan job's re-key column, refused on any other job.
+// The contribution arm is a base run under a contribution's open, the one run
+// it takes; its window frames are refused.
 func FuzzKeyFrame(f *testing.F) {
 	// A case is a frame type and the kind of the job decoding it: a stream,
-	// count or peer job feeds its join goroutine chunk by chunk, a pairs or
-	// plan job's goroutine keeps its runs in arrival order.
+	// count or peer job feeds its join goroutine chunk by chunk, a pairs,
+	// plan or contribution job's goroutine keeps its runs in arrival order.
 	cases := []struct {
 		typ  byte
 		kind byte
@@ -197,7 +174,7 @@ func FuzzKeyFrame(f *testing.F) {
 		{frameV3StreamBase, kindPeer}, {frameV3StreamWin, kindPeer},
 		{frameV3StreamBase, kindPairs}, {frameV3StreamWin, kindPairs},
 		{frameV3StreamBase, kindPlan}, {frameV3StreamWin, kindPlan},
-		{framePeerBlock, kindCount},
+		{frameV3StreamBase, kindContrib}, {frameV3StreamWin, kindContrib},
 	}
 	for i, c := range cases {
 		f.Add(byte(i), recordedKeyFrames(f)[c.typ])
@@ -218,10 +195,6 @@ func FuzzKeyFrame(f *testing.F) {
 		c := cases[int(sel)%len(cases)]
 		typ := c.typ
 		w := ListenWorkerOn(nil)
-		if typ == framePeerBlock {
-			fuzzPeerBlock(t, w, payload)
-			return
-		}
 		// The job's goroutine is a channel the test drains.
 		j := &sessJob{ws: &workerSession{w: w}, kind: c.kind}
 		j.stream = &sessStream{resTag: resTags[c.kind], ch: make(chan streamEvent, 1), done: closed}
@@ -262,51 +235,6 @@ func FuzzKeyFrame(f *testing.F) {
 			t.Fatalf("type %d: %d bytes still charged after release", typ, held)
 		}
 	})
-}
-
-// fuzzPeerBlock is FuzzKeyFrame's mesh arm: handlePeer serves a connection
-// carrying the head of the contribution the recorded PEERBLOCK belongs to
-// (token 1, sender 1, two keys), the fuzzed block, and a sentinel head for a
-// second token. The sentinel registers exactly when the block was consumed to
-// its last byte and did not kill the connection.
-func fuzzPeerBlock(t *testing.T, w *Worker, payload []byte) {
-	const token, sender, sentinel = 1, 1, 0xfeedfacecafebeef
-	var stream bytes.Buffer
-	head := func(tok uint64, count uint32) {
-		var h [peerHeadLen]byte
-		binary.LittleEndian.PutUint64(h[:], tok)
-		binary.LittleEndian.PutUint32(h[8:], sender)
-		binary.LittleEndian.PutUint32(h[12:], count)
-		_ = writeV3FrameHeader(&stream, framePeerHead, 0, peerHeadLen)
-		stream.Write(h[:])
-	}
-	head(token, 2)
-	_ = writeV3FrameHeader(&stream, framePeerBlock, 0, len(payload))
-	stream.Write(payload)
-	head(sentinel, 0)
-	near, far := net.Pipe() // handlePeer only asks the connection its address
-	defer near.Close()
-	defer far.Close()
-	w.handlePeer(bufio.NewReader(&stream), near)
-
-	w.peersMu.Lock()
-	st, reached := w.peerStates[token], w.peerStates[sentinel] != nil
-	w.peersMu.Unlock()
-	if whole := len(payload) >= peerBlockHeaderLen; reached != whole {
-		t.Fatalf("%d-byte block: the head after it registered = %v, want %v", len(payload), reached, whole)
-	}
-	st.mu.Lock()
-	buffered := 0
-	for _, c := range st.contrib {
-		buffered += c.n
-	}
-	st.mu.Unlock()
-	if buffered > 2 || 8*buffered > len(payload) {
-		t.Fatalf("%d-byte block buffered %d keys of a 2-key contribution", len(payload), buffered)
-	}
-	for _, tok := range []uint64{token, sentinel} {
-		w.dropPeerState(tok) // recycles what the contribution still holds
-	}
 }
 
 // TestDecodedPairsChunkServedFromItsClass decodes a 40,000-pair PAIRS frame,

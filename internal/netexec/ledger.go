@@ -8,18 +8,17 @@ import (
 
 // ledger is a worker's one account of the bytes its connections make it hold.
 // Every buffer whose size a remote side chose — each key frame's chunk as it
-// arrives (session and mesh alike), a multi-frame pairs or plan run's one copy,
+// arrives (a contribution's too), a multi-frame pairs or plan run's one copy,
 // a stage-1 plan job's materialized matches — is charged here before it is
-// allocated and credited when it is released; a head frame (PEERHEAD) only
-// declares a count the arrivals are checked against. Tenant budgets
-// (TenantPolicy.MaxBytes) are per-tenant
-// views of the one account; peer contributions no job has taken yet belong to
-// no tenant. A refusal is a typed quota rejection (ErrQuota) that reserves
-// nothing.
+// allocated and credited when it is released; no frame only declares a
+// count. Tenant budgets (TenantPolicy.MaxBytes) are per-tenant views of the
+// one account; a committed contribution stays charged to the plan job's
+// tenant until the stage-2 job that probes it recycles it. A refusal is a
+// typed quota rejection (ErrQuota) that reserves nothing.
 type ledger struct {
 	mu       sync.Mutex
-	budget   int64 // bytes across every account; <= 0: unlimited
-	held     int64 // bytes charged across every account
+	budget   int64 // bytes across every tenant; <= 0: unlimited
+	held     int64 // bytes charged across every tenant
 	def      TenantPolicy
 	policies map[string]TenantPolicy
 	used     map[string]int64 // by tenant
@@ -72,9 +71,10 @@ func (l *ledger) charge(tenant string, n int64) error {
 		return quotaErrf("tenant %q would buffer %d bytes (%d in use), budget %d",
 			tenant, used+n, used, p.MaxBytes)
 	}
-	if err := l.reserveLocked(n); err != nil {
-		return err
+	if l.budget > 0 && l.held+n > l.budget {
+		return quotaErrf("worker would hold %d bytes (%d in use), budget %d", l.held+n, l.held, l.budget)
 	}
+	l.held += n
 	l.used[tenant] += n
 	return nil
 }
@@ -91,30 +91,7 @@ func (l *ledger) credit(tenant string, n int64) {
 	l.mu.Unlock()
 }
 
-// chargeMesh reserves n bytes of peer contributions within the worker's
-// budget alone; creditMesh returns them. A job that takes a transfer moves
-// its bytes onto its tenant (sessStream.probeTransfer).
-func (l *ledger) chargeMesh(n int64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.reserveLocked(n)
-}
-
-func (l *ledger) creditMesh(n int64) {
-	l.mu.Lock()
-	l.held -= n
-	l.mu.Unlock()
-}
-
-func (l *ledger) reserveLocked(n int64) error {
-	if l.budget > 0 && l.held+n > l.budget {
-		return quotaErrf("worker would hold %d bytes (%d in use), budget %d", l.held+n, l.held, l.budget)
-	}
-	l.held += n
-	return nil
-}
-
-// heldBytes reports the bytes charged across every account (tests and
+// heldBytes reports the bytes charged across every tenant (tests and
 // introspection).
 func (l *ledger) heldBytes() int64 {
 	l.mu.Lock()

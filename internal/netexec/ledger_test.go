@@ -2,6 +2,7 @@ package netexec
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -19,14 +20,12 @@ import (
 // TestDeclaredRunsAllocateOnArrival is the declare-then-stall adversary
 // against the worker's ledger. Over several rounds, one connection per kind of
 // run — a pairs job's flat relation, a count job's base, a stream's base and
-// window, a peer contribution — declares the largest run its head admits (a
-// contribution of MaxRelationTuples: 8 GiB, were a head to size a buffer; a
-// base or window run has no head), then opens a 1 MiB key frame and stalls
-// after its sub-header. A head allocates nothing; each frame is charged before
-// its buffer exists, so the worker holds at most its budget however much was
-// declared, and the frames past the budget are refused. A job needing the budget fails with ErrQuota meanwhile; once the
-// stalled connections hang up the ledger is back at zero and the same job
-// runs.
+// window, a peer's contribution — opens a 1 MiB key frame and stalls after its
+// sub-header. No run has a head that could size a buffer; each frame is
+// charged before its buffer exists, so the worker holds at most its budget
+// however much was declared, and the frames past the budget are refused. A
+// job needing the budget fails with ErrQuota meanwhile; once the stalled
+// connections hang up the ledger is back at zero and the same job runs.
 func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 	leakCheck(t)
 	const (
@@ -78,11 +77,8 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 				stall(bw, frameV3StreamWin, 1, make([]byte, streamWinHdrLen)))
 		}},
 		{"peer contribution", func(bw *bufio.Writer, round int) error {
-			var h [peerHeadLen]byte
-			binary.LittleEndian.PutUint64(h[:], uint64(round+1))
-			binary.LittleEndian.PutUint32(h[12:], MaxRelationTuples)
-			return errors.Join(writeV3FrameHeader(bw, framePeerHead, 0, peerHeadLen), writeBytes(bw, h[:]),
-				stall(bw, framePeerBlock, 0, h[:]))
+			return errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindContrib, Token: uint64(round + 1)}),
+				stall(bw, frameV3StreamBase, 1, make([]byte, streamBaseHdrLen)))
 		}},
 	}
 
@@ -97,12 +93,8 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 				t.Fatal(err)
 			}
 			stalled = append(stalled, conn)
-			version := uint16(protoVersionSession)
-			if k.name == "peer contribution" {
-				version = protoVersionPeer
-			}
 			bw := bufio.NewWriter(conn)
-			if err := errors.Join(writeBytes(bw, prelude(version, "")), k.send(bw, round), bw.Flush()); err != nil {
+			if err := errors.Join(writeBytes(bw, prelude(protoVersionSession, "")), k.send(bw, round), bw.Flush()); err != nil {
 				t.Fatalf("%s: %v", k.name, err)
 			}
 		}
@@ -115,7 +107,7 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 	waitFor(t, "the stalled frames to fill the budget", func() bool { return w.ledger.heldBytes() == budget })
 	time.Sleep(100 * time.Millisecond) // the frames past the budget meet a full ledger
 	runtime.ReadMemStats(&after)
-	declared := int64(rounds*len(kinds)) * (8*MaxRelationTuples + 8*stallKeys)
+	declared := int64(rounds*len(kinds)) * 8 * stallKeys
 	bound := uint64(budget + len(stalled)*perConnMax + 4<<20)
 	grew := after.TotalAlloc - before.TotalAlloc
 	if grew > bound {
@@ -153,43 +145,51 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 	waitFor(t, "the job's charges to be credited", func() bool { return w.ledger.heldBytes() == 0 })
 }
 
-// TestPeerContributionPastBudgetIsTyped pins the mesh's account end to end:
-// a peer-fed job's resident side takes most of the worker's budget, so the
-// contribution its transfer waits for cannot be charged. The transfer fails
-// with a typed quota rejection, the job's reply carries codeQuota, and
-// nothing stays charged.
+// TestPeerContributionPastBudgetIsTyped pins a contribution's account end to
+// end: a stage-1 plan job's share for a peer is charged on that peer to the
+// plan job's tenant from its first key frame, so a share past the tenant's
+// MaxBytes there is refused, typed. The refusal fails the sender's plan job
+// and, through it, the pipeline with ErrQuota naming the peer — a policy
+// verdict, never retried — and nothing stays charged on either worker.
 func TestPeerContributionPastBudgetIsTyped(t *testing.T) {
-	leakCheck(t)
-	w, err := ListenWorker("127.0.0.1:0")
+	const tenant = "capped"
+	ws, addrs := startWorkerSet(t, 2)
+	// Stage 1 runs on worker 0 alone; worker 1 takes the contribution.
+	ws[1].SetTenantPolicy(tenant, TenantPolicy{MaxBytes: 1 << 10})
+	sess, err := DialTenant(context.Background(), tenant, addrs, Timeouts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.ledger.budget = 40 // the 32-byte resident side, not the 32-byte contribution
-	go func() { _ = w.Serve() }()
-	t.Cleanup(func() { _ = w.Close() })
-	k := feedTableKinds(t, w)[2]
-	bw, conn := dialV3(t, w.Addr(), "")
-	err = errors.Join(k.open(bw), k.run(bw, buildSide, []join.Key{1, 2, 2, 3}),
-		writeV3FrameHeader(bw, frameV3EOS, feedJob, 0), bw.Flush())
+	defer sess.Close()
+	scheme1, err := partition.NewHash(1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the resident side to be charged", func() bool { return w.ledger.heldBytes() == 32 })
-	if err := w.deliverLocal(k.token, 0, []join.Key{2, 2, 3, 9}); rejectCode(err) != codeQuota {
-		t.Fatalf("contribution past the budget: %v, want a quota rejection", err)
+	// ~1600 matches, half of them routed to worker 1: 6 KiB past its 1 KiB.
+	r1, r2 := randKeys(400, 100, 240), randKeys(400, 100, 241)
+	sp := statsStagePlan(t, join.Equi{}, 2, 17, nil)
+	_, _, err = exec.RunStagesOver(sess, r1, r2, rekeyOf(r2), join.Equi{}, scheme1, sp,
+		randKeys(10, 100, 242), model, exec.Config{Seed: 4, Mappers: 1})
+	if !errors.Is(err, ErrQuota) || !strings.Contains(err.Error(), "peer "+addrs[1]) {
+		t.Fatalf("a contribution past the peer's budget: %v, want ErrQuota naming peer %s", err, addrs[1])
 	}
-	if m := awaitFeedMetrics(t, conn, bufio.NewReader(conn), feedJob); m.Code != codeQuota {
-		t.Fatalf("the job replied %+v, want code %d", m, codeQuota)
+	for _, f := range Faults(err) {
+		if f.RetryableFault() {
+			t.Fatalf("a quota refusal is retryable: %v", f)
+		}
 	}
-	waitFor(t, "the job's charges to be credited", func() bool { return w.ledger.heldBytes() == 0 })
+	waitFor(t, "both workers' charges to be credited", func() bool {
+		return ws[0].ledger.heldBytes() == 0 && ws[1].ledger.heldBytes() == 0
+	})
 }
 
-// TestPeerBlocksDecodeSideBySide pins the mesh's one-chunk-per-block rule:
-// each block of a contribution decodes into its own chunk outside the
-// transfer's lock, so a block that lands on a second mesh connection while
-// the first is still decoding commits beside it, and so does the first once
-// its bytes arrive. A block stalled mid-decode when its connection hangs up
-// fails the transfer, and its chunk's charge is credited with the rest.
+// TestPeerBlocksDecodeSideBySide pins the one-chunk-per-frame rule on a
+// transfer's receiving side: each contribution is a sub-job on a connection
+// of its own whose key frames are charged, then decode into their own chunks
+// outside the transfer's lock — so while one contribution's frame is still
+// decoding, another commits beside it, and the first commits once its bytes
+// arrive. A contribution whose connection hangs up mid-frame commits
+// nothing, and its frame's charge is credited.
 func TestPeerBlocksDecodeSideBySide(t *testing.T) {
 	leakCheck(t)
 	w, err := ListenWorker("127.0.0.1:0")
@@ -199,76 +199,67 @@ func TestPeerBlocksDecodeSideBySide(t *testing.T) {
 	go func() { _ = w.Serve() }()
 	t.Cleanup(func() { _ = w.Close() })
 	token := newPeerToken()
-	// dial opens a mesh connection, sending the head of sender 0's 6-key
-	// contribution when head.
-	dial := func(head bool) (net.Conn, *bufio.Writer) {
-		conn, err := net.Dial("tcp", w.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = conn.Close() })
-		bw := bufio.NewWriter(conn)
-		err = writeBytes(bw, prelude(protoVersionPeer, ""))
-		if head {
-			var h [peerHeadLen]byte
-			binary.LittleEndian.PutUint64(h[:], token)
-			binary.LittleEndian.PutUint32(h[12:], 6)
-			err = errors.Join(err, writeV3FrameHeader(bw, framePeerHead, 0, peerHeadLen), writeBytes(bw, h[:]))
-		}
-		if err = errors.Join(err, bw.Flush()); err != nil {
-			t.Fatal(err)
-		}
-		return conn, bw
-	}
-	// block sends a 2-key block of which only the first sent bytes of keys
-	// go out.
-	block := func(bw *bufio.Writer, sent int) {
-		var h [peerBlockHeaderLen]byte
-		binary.LittleEndian.PutUint64(h[:], token)
-		binary.LittleEndian.PutUint32(h[12:], 2)
-		err := errors.Join(writeV3FrameHeader(bw, framePeerBlock, 0, peerBlockHeaderLen+16),
+	// contrib opens sender's contribution on a connection of its own and
+	// sends a 2-key base frame of which only the first sent bytes of keys go
+	// out.
+	contrib := func(sender, sent int) (net.Conn, *bufio.Writer) {
+		bw, conn := dialV3(t, w.Addr(), "")
+		var h [streamBaseHdrLen]byte
+		binary.LittleEndian.PutUint32(h[4:], 2)
+		err := errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindContrib, WorkerID: sender, Token: token}),
+			writeV3FrameHeader(bw, frameV3StreamBase, 1, streamBaseHdrLen+16),
 			writeBytes(bw, h[:]), writeBytes(bw, make([]byte, sent)), bw.Flush())
 		if err != nil {
 			t.Fatal(err)
 		}
+		return conn, bw
 	}
-	st := w.peerState(token)
-	// joined waits until the contribution's admitted and joined keys and the
-	// ledger read as given.
-	joined := func(what string, pos, n int, held int64) {
+	// finish sends the rest of the frame, the run's end and EOS, and reads
+	// the commit.
+	finish := func(conn net.Conn, bw *bufio.Writer, rest int) {
+		err := errors.Join(writeBytes(bw, make([]byte, rest)), writeStreamBaseEnd(bw, 1, 0, 2),
+			writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := awaitFeedMetrics(t, conn, bufio.NewReader(conn), 1); m.Err != "" || m.InputR1 != 2 {
+			t.Fatalf("the contribution replied %+v, want 2 tuples committed", m)
+		}
+	}
+	// committed waits until the transfer holds the given senders' shares and
+	// the ledger reads held.
+	committed := func(what string, held int64, senders ...int) {
 		waitFor(t, what, func() bool {
+			st := w.peerState(token)
 			st.mu.Lock()
 			defer st.mu.Unlock()
-			c := st.contrib[0]
-			return c != nil && c.pos == pos && c.n == n && w.ledger.heldBytes() == held
+			for _, s := range senders {
+				if st.contrib[s] == nil {
+					return false
+				}
+			}
+			return len(st.contrib) == len(senders) && w.ledger.heldBytes() == held
 		})
 	}
 
-	_, first := dial(true)
-	block(first, 8)
-	joined("the first block to be decoding", 2, 0, 16)
-	_, second := dial(false)
-	block(second, 16)
-	joined("the second block to commit beside it", 4, 2, 32)
-	if err := errors.Join(writeBytes(first, make([]byte, 8)), first.Flush()); err != nil {
-		t.Fatal(err)
-	}
-	joined("the first block to commit", 4, 4, 32)
+	firstConn, first := contrib(0, 8)
+	committed("the first frame to be decoding", 16)
+	secondConn, second := contrib(1, 16)
+	finish(secondConn, second, 0)
+	committed("the second contribution to commit beside it", 32, 1)
+	finish(firstConn, first, 8)
+	committed("the first contribution to commit", 32, 0, 1)
 
-	stalled, third := dial(false)
-	block(third, 8)
-	joined("the third block to be decoding", 6, 4, 48)
+	stalled, _ := contrib(2, 8)
+	committed("the third frame to be decoding", 48, 0, 1)
 	_ = stalled.Close()
-	waitFor(t, "the hang-up to fail the transfer", func() bool {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return st.done && st.err != nil && strings.Contains(st.err.Error(), "died mid-block")
-	})
+	committed("the hung-up contribution to be credited", 32, 0, 1)
+	w.dropPeerState(token)
 	waitFor(t, "every chunk's charge to be credited", func() bool { return w.ledger.heldBytes() == 0 })
 }
 
 // TestHangUpTombstonesItsPlanTransfers pins what a coordinator's hang-up
-// releases on the mesh side: a stage-1 plan job named its pipeline's
+// releases on the receiving side: a stage-1 plan job named its pipeline's
 // transfer token, another worker's contribution reached this worker's
 // transfer before any stage-2 open did, and then the session died — so no
 // PLANCANCEL can come. The teardown tombstones the token: the contribution's
@@ -282,7 +273,7 @@ func TestHangUpTombstonesItsPlanTransfers(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "the plan job to register", func() bool { return inFlight(w) == 1 })
-	if err := w.deliverLocal(token, 1, []join.Key{1, 2}); err != nil {
+	if err := w.deliverLocal(token, 1, "", []join.Key{1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if held := w.ledger.heldBytes(); held != 16 {
@@ -292,7 +283,7 @@ func TestHangUpTombstonesItsPlanTransfers(t *testing.T) {
 	waitFor(t, "the hang-up to release the transfer", func() bool {
 		return w.ledger.heldBytes() == 0 && inFlight(w) == 0
 	})
-	if err := w.deliverLocal(token, 2, []join.Key{3}); err == nil || w.ledger.heldBytes() != 0 {
+	if err := w.deliverLocal(token, 2, "", []join.Key{3}); err == nil || w.ledger.heldBytes() != 0 {
 		t.Fatalf("a contribution after the hang-up: %v, %d bytes held", err, w.ledger.heldBytes())
 	}
 }

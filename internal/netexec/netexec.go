@@ -16,10 +16,10 @@
 // exec.Runtime) keeps one persistent connection per worker and multiplexes
 // numbered jobs over it, so N jobs cost one dial per worker. Every connection
 // opens with the prelude "EWHB" + version + the tenant its jobs are charged
-// to; workers speak exactly two versions — 8, a coordinator session, and 6, a
-// worker→worker peer-mesh link (peer.go), whose tenant is always "" — and
-// close anything else. The two share one frame header, the mesh at job 0
-// (wire.go), and one serialization: fixed-layout little-endian, key runs as
+// to; workers speak exactly one version, 8, and close anything else. A
+// stage-1 worker re-shuffling its matches speaks it too: each peer's share is
+// a contribution sub-job on a session dialed under the plan job's tenant
+// (peer.go). One serialization: fixed-layout little-endian, key runs as
 // arrays and the four control records (one OPEN naming the job's kind, PLAN2,
 // PLANCANCEL, one REPLY) through planio's Cursor (control.go). Both ends run
 // one job lifecycle each: the coordinator's subJob
@@ -73,10 +73,10 @@ const connBufSize = 64 << 10
 const preludeTimeout = 3 * time.Second
 
 // Worker is a join worker server. Session connections stay open and serve
-// numbered jobs until the coordinator hangs up; peer connections carry other
-// workers' stage-1 contributions. The connection's prelude selects which.
-// Close kills the worker abruptly (listener and every live connection);
-// Shutdown drains in-flight jobs first.
+// numbered jobs until their dialer hangs up: a coordinator's, or a stage-1
+// peer's carrying its contribution. Close kills the worker abruptly
+// (listener and every live connection); Shutdown drains in-flight jobs
+// first.
 type Worker struct {
 	ln     net.Listener
 	closed chan struct{}
@@ -90,11 +90,8 @@ type Worker struct {
 	killed   bool           // connections must not be served at all; set by Close
 	jobs     sync.WaitGroup // in-flight jobs across all connections
 
-	// Peer mesh: outbound connections this worker dialed to stream its
-	// stage-1 matches to peers (lazily dialed, persistent), and inbound
-	// transfer state keyed by token (see peer.go).
+	// Inbound transfer state keyed by token (see peer.go).
 	peersMu    sync.Mutex
-	peers      map[string]*peerConn
 	peerStates map[uint64]*peerJobState
 
 	// failAfter > 0 schedules an abrupt self-Close after that many completed
@@ -118,11 +115,10 @@ type Worker struct {
 }
 
 // connState tracks one accepted connection for shutdown: active counts the
-// connection's open jobs. session flips once the prelude has identified a
-// coordinator session — the only kind Shutdown may close while idle: an
-// inbound peer-mesh connection must stay open until the job drain completes
-// (an in-flight stage-2 job may still be receiving tuples over it), and a
-// connection whose prelude has not arrived yet might be one.
+// connection's open jobs. session flips once the prelude has arrived — the
+// only kind Shutdown may close while idle: a connection whose prelude has not
+// arrived yet might be a stage-1 peer's, about to open the contribution an
+// in-flight stage-2 job waits for.
 type connState struct {
 	conn    net.Conn
 	active  int  // guarded by Worker.mu
@@ -148,7 +144,6 @@ func ListenWorkerOn(ln net.Listener) *Worker {
 		closed:     make(chan struct{}),
 		kill:       make(chan struct{}),
 		conns:      make(map[*connState]struct{}),
-		peers:      make(map[string]*peerConn),
 		peerStates: make(map[uint64]*peerJobState),
 		ledger:     newLedger(),
 		buildCache: localjoin.NewBuildCache(DefaultBuildCacheBytes),
@@ -185,9 +180,9 @@ func (w *Worker) FailAfterJobs(n int) {
 // Addr returns the worker's bound address.
 func (w *Worker) Addr() string { return w.ln.Addr().String() }
 
-// SetTimeouts configures the worker's dial and IO deadlines (peer dials,
-// per-operation reads/writes on session and peer connections). Call before
-// Serve; the zero value disables deadlines.
+// SetTimeouts configures the worker's deadlines: IO on every connection it
+// serves, and all three on the contribution sessions it dials to its stage-2
+// peers. Call before Serve; the zero value disables deadlines.
 func (w *Worker) SetTimeouts(t Timeouts) { w.timeouts = t }
 
 // Close stops the worker abruptly: the listener and every live connection
@@ -201,25 +196,13 @@ func (w *Worker) Close() error {
 	w.draining = true
 	if !w.killed {
 		w.killed = true
-		close(w.kill) // abandon any job waiting on peer transfers
+		close(w.kill) // abandon every job wait: transfers, PLAN2, contributions
 	}
 	for cs := range w.conns {
 		_ = cs.conn.Close()
 	}
 	w.mu.Unlock()
-	w.closePeers()
 	return err
-}
-
-// closePeers hangs up the worker's outbound peer-mesh connections.
-func (w *Worker) closePeers() {
-	w.peersMu.Lock()
-	peers := w.peers
-	w.peers = make(map[string]*peerConn)
-	w.peersMu.Unlock()
-	for _, pc := range peers {
-		pc.close()
-	}
 }
 
 // stopAccepting closes the listener exactly once.
@@ -246,11 +229,10 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 	w.mu.Lock()
 	w.draining = true
 	for cs := range w.conns {
-		// Only idle coordinator sessions close now (see connState). The drain
-		// itself also covers this worker's OUTBOUND peer transfers — a
-		// stage-1 plan job streams its contributions to peers before it
-		// replies, so jobs.Wait returning means every outbound transfer has
-		// flushed.
+		// Only idle sessions close now (see connState). The drain itself
+		// also covers this worker's OUTBOUND contributions — a stage-1 plan
+		// job replies only once its peers committed them, so jobs.Wait
+		// returning means every one landed.
 		if cs.active == 0 && cs.session {
 			_ = cs.conn.Close()
 		}
@@ -270,32 +252,40 @@ func (w *Worker) Shutdown(ctx context.Context) error {
 			_ = cs.conn.Close()
 		}
 		w.mu.Unlock()
-		w.closePeers()
 		return ctx.Err()
 	}
 	// Every job replied; busy connections closed themselves as their last
-	// job ended (see endJob), so only post-drain stragglers (and the kept-
-	// open peer connections) remain.
+	// job ended (see endJob), so only post-drain stragglers remain.
 	w.mu.Lock()
 	for cs := range w.conns {
 		_ = cs.conn.Close()
 	}
 	w.mu.Unlock()
-	w.closePeers()
 	return nil
 }
 
 // beginJob registers an in-flight job on cs. It refuses (returns false)
-// when the worker is draining.
-func (w *Worker) beginJob(cs *connState) bool {
+// when the worker is draining — but for a contribution while a job is still
+// in flight here: the stage-2 job the drain waits for may need it.
+func (w *Worker) beginJob(cs *connState, contrib bool) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.draining {
+	if w.draining && !(contrib && w.busyLocked()) {
 		return false
 	}
 	cs.active++
 	w.jobs.Add(1)
 	return true
+}
+
+// busyLocked reports a job in flight on any connection (mu held).
+func (w *Worker) busyLocked() bool {
+	for cs := range w.conns {
+		if cs.active > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // endJob retires an in-flight job; the connection closes itself when the
@@ -335,12 +325,12 @@ func (w *Worker) Serve() error {
 	}
 }
 
-// handle reads the connection's prelude and dispatches to the session or
-// the peer handler. Bytes that are not the prelude — wrong magic, a version
-// the worker does not speak, a hangup before the tenant arrived, or a mesh
-// link naming one — close the connection with no reply and no job
-// accounting: the magic and version are checked before the tenant is read,
-// and nothing past the prelude's bounded reads ever parses untrusted input.
+// handle reads the connection's prelude and serves the session. Bytes that
+// are not the prelude — wrong magic, a version the worker does not speak, a
+// hangup before the tenant arrived — close the connection with no reply and
+// no job accounting: the magic and version are checked before the tenant is
+// read, and nothing past the prelude's bounded reads ever parses untrusted
+// input.
 // A panic while serving one connection must not take down the worker process
 // (and every other in-flight job with it), so it is contained here; the
 // coordinator sees the closed connection as a job failure.
@@ -350,9 +340,9 @@ func (w *Worker) handle(conn net.Conn) {
 	// killed (the Close path) rejects outright — a connection that registers
 	// after the flag flipped was accepted concurrently, so Close's iteration
 	// missed it. A DRAINING worker still serves new connections: job opens
-	// are refused politely by beginJob, but peer-mesh dials must get through
-	// — a sender's in-flight stage-1 job may need to deliver its
-	// contribution to this worker for the drain to complete at all.
+	// are refused politely by beginJob, but a contribution must get through —
+	// a sender's in-flight stage-1 job may need to deliver it to this worker
+	// for the drain to complete at all.
 	if w.killed {
 		w.mu.Unlock()
 		_ = conn.Close()
@@ -376,11 +366,8 @@ func (w *Worker) handle(conn net.Conn) {
 	tc := newTimedConn(conn, w.timeouts.IO)
 	_ = conn.SetReadDeadline(time.Now().Add(preludeTimeout))
 	var head [len(protoMagic) + 2]byte
-	if _, err := io.ReadFull(tc, head[:]); err != nil || [4]byte(head[:4]) != protoMagic {
-		return
-	}
-	version := binary.LittleEndian.Uint16(head[len(protoMagic):])
-	if version != protoVersionSession && version != protoVersionPeer {
+	if _, err := io.ReadFull(tc, head[:]); err != nil || [4]byte(head[:4]) != protoMagic ||
+		binary.LittleEndian.Uint16(head[len(protoMagic):]) != protoVersionSession {
 		return
 	}
 	var tenantLen [1]byte
@@ -392,14 +379,8 @@ func (w *Worker) handle(conn net.Conn) {
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	br := bufio.NewReaderSize(tc, connBufSize)
-	switch {
-	case version == protoVersionSession:
-		w.mu.Lock()
-		cs.session = true
-		w.mu.Unlock()
-		w.handleSession(br, tc, cs, string(tenant))
-	case len(tenant) == 0: // the mesh charges its own account, never a tenant's
-		w.handlePeer(br, tc)
-	}
+	w.mu.Lock()
+	cs.session = true
+	w.mu.Unlock()
+	w.handleSession(bufio.NewReaderSize(tc, connBufSize), tc, cs, string(tenant))
 }

@@ -182,19 +182,25 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 		{"magic and half a version then EOF", []byte("EWHB\x03"), true},
 		{"unknown version", binary.LittleEndian.AppendUint16([]byte("EWHB"), protoVersionSession+7), false},
 		// The mesh's job-less header ran under version 4: such a link is
-		// closed at its prelude, never read past it and misframed.
+		// closed at its prelude, never read past it and misframed. Its head
+		// frame was type 30, 16 bytes long.
 		{"retired mesh version 4", append(binary.LittleEndian.AppendUint16([]byte("EWHB"), 4),
-			framePeerHead, peerHeadLen, 0, 0, 0), false},
+			30, 16, 0, 0, 0), false},
 		// Version 5 meshes sent no tenant: such a link is closed at its
 		// prelude, its first header never read as one.
 		{"retired mesh version 5", append(binary.LittleEndian.AppendUint16([]byte("EWHB"), 5),
-			framePeerHead, 0, 0, 0, 0, peerHeadLen, 0, 0, 0), false},
+			30, 0, 0, 0, 0, 16, 0, 0, 0), false},
+		// Version 6 was the mesh a contribution sub-job replaced: a link
+		// opening with its prelude and a well-formed head frame is closed at
+		// the prelude, the head never read.
+		{"retired mesh version 6", append(prelude(6, ""), append([]byte{30, 0, 0, 0, 0, 16, 0, 0, 0},
+			make([]byte, 16)...)...), false},
 		// Version 3 sessions opened jobs without Pairs and shipped a pairs
 		// job's relations as heads and blocks: served, such a coordinator
 		// would have its pairs jobs counted, their pairs never sent.
 		{"retired session version 3", binary.LittleEndian.AppendUint16([]byte("EWHB"), 3), false},
-		// Version 6 is now the mesh's: a version-6 session's HELLO reads as
-		// a tenant the mesh never names.
+		// Version 6 sessions declared their tenant in a HELLO frame: such a
+		// link is closed at its prelude.
 		{"retired session version 6 and a HELLO",
 			append(binary.LittleEndian.AppendUint16([]byte("EWHB"), 6), hello.Bytes()...), false},
 		// Version 7 sessions carried their control frames as gob: such a
@@ -231,7 +237,7 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 // header declaring more is refused before anything is allocated for it —
 // connection-fatal on the worker (which used to allocate the declared 128 MiB
 // and sit waiting for it) and on the coordinator — while the largest plan the
-// widest mesh produces passes, and the writer refuses to frame what the reader
+// widest fleet produces passes, and the writer refuses to frame what the reader
 // would not take.
 func TestControlFrameBound(t *testing.T) {
 	const declared = 1 << 27 // under maxDataPayload: the header reader admits it
@@ -329,7 +335,7 @@ func TestControlFrameBound(t *testing.T) {
 			"OPEN and a trailing byte":       trailing(frameV3Open, 1, count, 1),
 			"PLAN2 and a trailing byte":      trailing(frameV3Plan2, 1, &plan2{Self: -1}, 1),
 			"PLANCANCEL and a trailing byte": trailing(frameV3PlanCancel, 0, &cancelRec{Token: 1}, 1),
-			"OPEN naming kind 5": func(bw *bufio.Writer) error {
+			"OPEN naming an unknown kind": func(bw *bufio.Writer) error {
 				return errors.Join(writeV3FrameHeader(bw, frameV3Open, 1, len(kind5)), writeBytes(bw, kind5))
 			},
 			"truncated OPEN": func(bw *bufio.Writer) error {
@@ -412,9 +418,9 @@ func assertNoJobsBegun(t *testing.T, w *Worker) {
 
 func TestShutdownSparesConnectionMidPrelude(t *testing.T) {
 	// A connection that has been accepted but has not finished its prelude
-	// might be an inbound peer link an in-flight job depends on, so the
-	// graceful drain's idle sweep must not close it — only the final
-	// post-drain sweep may.
+	// might be a peer's, about to open a contribution an in-flight job
+	// depends on, so the graceful drain's idle sweep must not close it —
+	// only the final post-drain sweep may.
 	ws, addrs := startWorkerSet(t, 1)
 	w := ws[0]
 	dialSession(t, addrs) // an idle, identified session: the sweep's prey
@@ -449,8 +455,8 @@ func TestShutdownSparesConnectionMidPrelude(t *testing.T) {
 		return len(w.conns) == 2
 	})
 	// Mid-drain: the half-prelude connection is still open — finishing the
-	// prelude as a peer link now gets it served, not refused.
-	if _, err := half.Write([]byte{'B', protoVersionPeer, 0, 0}); err != nil {
+	// prelude as a session now gets it served, not refused.
+	if _, err := half.Write([]byte{'B', protoVersionSession, 0, 0}); err != nil {
 		t.Fatalf("mid-prelude connection was closed by the drain sweep: %v", err)
 	}
 	_ = half.SetReadDeadline(time.Now().Add(100 * time.Millisecond))

@@ -3,7 +3,6 @@ package netexec
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -169,7 +168,8 @@ func TestPeerDialFailureNamesPeerAddress(t *testing.T) {
 
 func TestPeerPipelineSurvivesShutdownAfterDrain(t *testing.T) {
 	// After a completed pipeline, a graceful Shutdown must return promptly:
-	// the kept-open peer-mesh connections may not wedge the drain.
+	// nothing of the contributions — their sessions, their transfers — may
+	// wedge the drain.
 	ws, addrs := startWorkerSet(t, 3)
 	sess := dialSession(t, addrs)
 
@@ -238,9 +238,9 @@ func TestDialWithRejectsUnreachableWorker(t *testing.T) {
 // TestPeerJobExitTombstonesTransfer pins the single retire path: however a
 // peer-fed job leaves before consuming its transfer — ABORT or the
 // coordinator hanging up — the opened token ends as the same buffer-less
-// failed tombstone, so a late contribution is swallowed instead of
-// assembling into a block nobody will read (and the table slot stays
-// evictable).
+// failed tombstone, so a late contribution is refused, its sender told why,
+// instead of committing to a transfer nobody will read (and the table slot
+// stays evictable).
 func TestPeerJobExitTombstonesTransfer(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 1)
 	w := ws[0]
@@ -294,16 +294,14 @@ func TestPeerJobExitTombstonesTransfer(t *testing.T) {
 				return st.done && st.err != nil
 			})
 			// The one sender's contribution arrives anyway, late.
-			pc := meshSend(t, w, token, 0, []join.Key{7})
-			defer pc.close()
-			// A second send on the same link is ordered after the first, so
-			// once ITS transfer assembles the late frames have been handled.
-			probe := newPeerToken()
-			if err := pc.sendContribution(Timeouts{}, probe, 0, []join.Key{1}); err != nil {
-				t.Fatal(err)
+			err := contribute(context.Background(), addrs[0], "", Timeouts{}, token, 0, []join.Key{7})
+			if err == nil || !strings.Contains(err.Error(), "transfer cancelled") ||
+				!strings.Contains(err.Error(), "peer "+addrs[0]) {
+				t.Fatalf("a late contribution returned %v, want the peer's refusal", err)
 			}
-			awaitTransfer(t, w, probe, 1)
-			w.dropPeerState(probe)
+			waitFor(t, "the refused contribution to be credited", func() bool {
+				return w.ledger.heldBytes() == 0 && inFlight(w) == 0
+			})
 			st := state(token)
 			st.mu.Lock()
 			defer st.mu.Unlock()
@@ -313,17 +311,6 @@ func TestPeerJobExitTombstonesTransfer(t *testing.T) {
 			}
 		})
 	}
-}
-
-// meshSend streams one contribution to the worker over a real TCP mesh
-// connection, as a remote stage-1 sender would.
-func meshSend(t *testing.T, w *Worker, token uint64, sender int, keys []join.Key) *peerConn {
-	t.Helper()
-	pc := &peerConn{addr: w.Addr()}
-	if err := pc.sendContribution(Timeouts{}, token, sender, keys); err != nil {
-		t.Fatalf("sender %d: %v", sender, err)
-	}
-	return pc
 }
 
 // awaitTransfer declares the transfer's sender count, as a stage-2 job's open
@@ -342,71 +329,28 @@ func awaitTransfer(t *testing.T, w *Worker, token uint64, senders int) *peerJobS
 	return st
 }
 
-// TestUnknownPeerFrameFailsTransfer pins what a frame the mesh does not know
-// — here type 32, the retired payload segment — costs: the connection dies and
-// the contributions still streaming over it fail with the sender named, so
-// the stage-2 job parked on the transfer replies an error instead of waiting.
-func TestUnknownPeerFrameFailsTransfer(t *testing.T) {
-	ws, _ := startWorkerSet(t, 1)
-	w := ws[0]
-	token := newPeerToken()
-	// A complete keys-only contribution from sender 0 assembles as ever...
-	pc := meshSend(t, w, token, 0, []join.Key{7, 8, 9})
-	defer pc.close()
-	// ...while sender 1 declares two keys and then sends the unknown frame.
-	conn, err := net.Dial("tcp", w.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	bw := bufio.NewWriter(conn)
-	var h [peerHeadLen]byte
-	binary.LittleEndian.PutUint64(h[:], token)
-	binary.LittleEndian.PutUint32(h[8:], 1)
-	binary.LittleEndian.PutUint32(h[12:], 2)
-	_, _ = bw.Write(prelude(protoVersionPeer, ""))
-	_ = writeV3FrameHeader(bw, framePeerHead, 0, peerHeadLen)
-	_, _ = bw.Write(h[:])
-	_ = writeV3FrameHeader(bw, 32, 0, peerHeadLen)
-	_, _ = bw.Write(h[:])
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := awaitTransfer(t, w, token, 2)
-	st.mu.Lock()
-	stErr := st.err
-	st.mu.Unlock()
-	if stErr == nil || !strings.Contains(stErr.Error(), "unknown peer frame type 32") ||
-		!strings.Contains(stErr.Error(), "sender 1") {
-		t.Fatalf("transfer err = %v, want the unknown frame failing sender 1's contribution", stErr)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Fatal("worker kept the mesh connection open after an unknown frame")
-	}
-	w.dropPeerState(token)
-}
-
 // TestPeerTransferCompletesAtSenderCount is the completion rule's table: a
 // transfer is complete once as many senders as its stage-2 open declared have
-// fully contributed — empty shares included, in memory or over the mesh, in
-// any order around the open — and one admission rule fails it on a sender
+// committed — empty shares included, in memory or as contribution sub-jobs,
+// in any order around the open — and one admission rule fails it on a sender
 // past the count (whether it arrived before or after the open), a duplicate
-// sender, or declarations past a relation's cap. An open declaring no senders or more than maxPeerSenders is refused
-// without touching the transfer, as is a second open of a complete one.
+// sender, or contributions past a relation's cap: the commit a run's end
+// frame declares is refused before anything joins the transfer. An open
+// declaring no senders or more than maxPeerSenders is refused without
+// touching the transfer, as is a second open of a complete one.
 func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 	ws, _ := startWorkerSet(t, 1)
 	w := ws[0]
 	type contribution struct {
 		sender int
 		keys   []join.Key
-		mesh   bool // over a mesh connection, else in memory
+		remote bool // a contribution sub-job, else in memory
 	}
 	for _, tc := range []struct {
 		name          string
 		senders       int
 		before, after []contribution // around the open
-		overCap       bool           // then sender 1's bare mesh head declares MaxRelationTuples
+		overCap       bool           // then sender 1 commits MaxRelationTuples
 		openErr       string         // the open's refusal; "" accepts it
 		transferErr   string         // the transfer's failure; "" completes it
 	}{
@@ -428,7 +372,7 @@ func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 			transferErr: "duplicate contribution from sender 1"},
 		{name: "declarations past a relation's cap", senders: 2,
 			before: []contribution{{0, []join.Key{1}, true}}, overCap: true,
-			transferErr: "transfer declarations exceed"},
+			transferErr: "transfer contributions exceed"},
 		{name: "no senders", senders: 0, openErr: "declares 0 senders"},
 		{name: "more senders than the mesh allows", senders: maxPeerSenders + 1,
 			openErr: fmt.Sprintf("declares %d senders", maxPeerSenders+1)},
@@ -437,26 +381,18 @@ func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 			token := newPeerToken()
 			st := w.peerState(token)
 			defer w.dropPeerState(token)
-			pc := &peerConn{addr: w.Addr()}
-			defer pc.close()
-			contribute := func(cs []contribution) {
+			// A refusal fails st, checked below; a sub-job returns once its
+			// receiver answered.
+			send := func(cs []contribution) {
 				for _, c := range cs {
-					if !c.mesh {
-						_ = w.deliverLocal(token, c.sender, c.keys) // a refusal fails st, checked below
-						continue
+					if c.remote {
+						_ = contribute(context.Background(), w.Addr(), "", Timeouts{}, token, c.sender, c.keys)
+					} else {
+						_ = w.deliverLocal(token, c.sender, "", c.keys)
 					}
-					if err := pc.sendContribution(Timeouts{}, token, c.sender, c.keys); err != nil {
-						t.Fatal(err)
-					}
-					waitFor(t, "the mesh contribution to land", func() bool {
-						st.mu.Lock()
-						defer st.mu.Unlock()
-						c := st.contrib[c.sender]
-						return st.done || (c != nil && c.pos == c.declared)
-					})
 				}
 			}
-			contribute(tc.before)
+			send(tc.before)
 			err := st.expect(tc.senders)
 			if tc.openErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.openErr) {
@@ -471,20 +407,12 @@ func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 			} else if err != nil {
 				t.Fatal(err)
 			}
-			contribute(tc.after)
+			send(tc.after)
 			if tc.overCap {
-				// Refused before anything is allocated for the declared keys.
-				var h [peerHeadLen]byte
-				binary.LittleEndian.PutUint64(h[:], token)
-				binary.LittleEndian.PutUint32(h[8:], 1)
-				binary.LittleEndian.PutUint32(h[12:], MaxRelationTuples)
-				pc.mu.Lock()
-				err := writeV3FrameHeader(pc.bw, framePeerHead, 0, peerHeadLen)
-				_, werr := pc.bw.Write(h[:])
-				err = errors.Join(err, werr, pc.bw.Flush())
-				pc.mu.Unlock()
-				if err != nil {
-					t.Fatal(err)
+				// A share its run's end frame declares that large holds no
+				// chunk here: the commit refuses it on the count alone.
+				if err := w.commit(token, 1, &peerContrib{n: MaxRelationTuples}); err == nil {
+					t.Fatal("a commit past the relation cap was taken")
 				}
 			}
 			select {
@@ -511,30 +439,49 @@ func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 	}
 }
 
-// TestRetiredSessionFrameIsConnectionFatal pins the retired session frame
-// types as what retired type 32 is on the mesh: 11 and 12, the relation head
-// and block a pairs or plan job's base and window runs replaced; 18, 19 and
-// 33, the PLAN, OPENPEERJOB and STREAMOPEN the one OPEN's kind replaced; 25–27,
-// the chunked-relation head, chunk and tail a count job's runs replaced; 28,
-// the late sender-count bind; and 38, the window reply the one REPLY
+// TestRetiredSessionFrameIsConnectionFatal pins the retired frame types:
+// 11 and 12, the relation head and block a pairs or plan job's base and
+// window runs replaced; 18, 19 and 33, the PLAN, OPENPEERJOB and STREAMOPEN
+// the one OPEN's kind replaced; 25–27, the chunked-relation head, chunk and
+// tail a count job's runs replaced; 28, the late sender-count bind; 30 and
+// 31, the mesh's PEERHEAD and PEERBLOCK a contribution sub-job replaced; 32,
+// the mesh's payload segment; and 38, the window reply the one REPLY
 // replaced. A frame the session reader does not know ends the connection,
-// and the job in flight on it retires.
+// and the job in flight on it retires — a contribution's having committed
+// nothing and holding no byte.
 func TestRetiredSessionFrameIsConnectionFatal(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 1)
-	for _, typ := range []byte{11, 12, 18, 19, 25, 26, 27, 28, 33, 38} {
+	w := ws[0]
+	for _, typ := range []byte{11, 12, 18, 19, 25, 26, 27, 28, 30, 31, 32, 33, 38} {
 		bw, conn := dialV3(t, addrs[0], "")
-		sendOpenJob(t, bw, 1, kindPairs, 0)
+		token := newPeerToken()
+		if typ >= 30 && typ <= 32 {
+			err := writeCtl(bw, frameV3Open, 1, &open{Kind: kindContrib, Token: token})
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			sendOpenJob(t, bw, 1, kindPairs, 0)
+		}
 		err := errors.Join(writeRel(bw, 1, 1, []join.Key{3}), bw.Flush())
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "the worker to register the job", func() bool { return inFlight(ws[0]) == 1 })
+		waitFor(t, "the worker to register the job", func() bool { return inFlight(w) == 1 })
 		var payload [16]byte
 		if err := errors.Join(writeEndFrame(bw, typ, 1, payload[:]), bw.Flush()); err != nil {
 			t.Fatal(err)
 		}
 		expectClosedSilently(t, conn)
-		waitFor(t, "the job to retire with its connection", func() bool { return inFlight(ws[0]) == 0 })
+		waitFor(t, "the job to retire with its connection", func() bool {
+			return inFlight(w) == 0 && w.ledger.heldBytes() == 0
+		})
+		w.peersMu.Lock()
+		st := w.peerStates[token]
+		w.peersMu.Unlock()
+		if st != nil {
+			t.Fatalf("frame type %d: a contribution cut short reached its transfer", typ)
+		}
 	}
 }
 

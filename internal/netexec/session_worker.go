@@ -2,6 +2,7 @@ package netexec
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -28,7 +29,9 @@ import (
 // frames. Job-level protocol violations fail only that job (its remaining
 // frames are read and discarded, then an error reply ends it); frame-level
 // corruption is connection-fatal — framing is the only thing that lets the
-// two sides stay in sync.
+// two sides stay in sync. A contribution sub-job, sent by a stage-1 peer,
+// walks the same path: its goroutine keeps its base run's chunks and commits
+// them to the transfer at EOS.
 
 // sessRel is one relation of an in-flight session job — or, in the job's
 // third slot, a plan job's re-key column, its window 1. Every relation
@@ -52,24 +55,26 @@ type sessJob struct {
 	// ws is the connection the job arrived on; its tenant keys the job's
 	// account in the worker's ledger. charged is the job's reservation there:
 	// the read loop charges each key frame before decoding it, a plan job its
-	// matches, a peer-fed job the transfer it takes; a join goroutine credits
-	// buffers back as they leave worker memory, release() sweeps the rest.
+	// matches; a join goroutine credits buffers back as they leave worker
+	// memory, a contribution hands its run's charge to the transfer it
+	// commits, and release() sweeps the rest.
 	ws      *workerSession
 	charged atomic.Int64
 	// releaseSlot returns the job's admission slot (idempotent); nil while the
-	// job holds none (rejected at open, or a peer or stream job, which admit
-	// per seal and per probe on the join goroutine).
+	// job holds none (rejected at open; a peer or stream job, which admit per
+	// seal and per probe on the join goroutine; a contribution, which joins
+	// nothing).
 	releaseSlot func()
 
-	// token is a plan or peer job's transfer id. A plan job's matches are
-	// materialized worker-side, summarized, re-shuffled by the plan the
-	// coordinator builds from the summaries and streamed to peers instead of
-	// returning as pairs; plan2 is its entry in the connection's plan2Table,
-	// registered at its open and removed by retire. A peer job's relation 1
-	// arrives over the peer mesh: peerSt is the transfer state, set once the
-	// open's sender count was accepted, and peerTaken flips once the join
-	// goroutine took the contributions out of the transfer table, so retire
-	// leaves the token alone.
+	// token is a plan, peer or contribution job's transfer id. A plan job's
+	// matches are materialized worker-side, summarized, re-shuffled by the
+	// plan the coordinator builds from the summaries and contributed to peers
+	// instead of returning as pairs; plan2 is its entry in the connection's
+	// plan2Table, registered at its open and removed by retire. A peer job's
+	// relation 1 is its senders' contributions: peerSt is the transfer state,
+	// set once the open's sender count was accepted, and peerTaken flips once
+	// the join goroutine took the contributions out of the transfer table, so
+	// retire leaves the token alone.
 	token     uint64
 	plan2     *plan2Waiter
 	peerTaken bool
@@ -137,9 +142,9 @@ func runEvent(typ byte, h []byte) streamEvent {
 // returns the relation it advances. A stream's runs span epochs and windows,
 // which its goroutine checks: its base is relation 2, its windows relation 1.
 // Every other job runs at epoch 0 and ends each run once: relation 1 is the
-// base (a peer job's base is its relation 2, and its probe is the mesh
-// transfer, so it takes no window), relation 2 window 0, and a plan job's
-// re-key column window 1.
+// base (a peer job's base is its relation 2, and its probe is the transfer,
+// so it takes no window; a contribution's base is its share, and all it
+// takes), relation 2 window 0, and a plan job's re-key column window 1.
 func (j *sessJob) runRel(ev streamEvent) (*sessRel, error) {
 	base := ev.kind <= evStreamBaseEnd
 	if j.kind == kindStream {
@@ -155,7 +160,9 @@ func (j *sessJob) runRel(ev streamEvent) (*sessRel, error) {
 	i := 0
 	switch {
 	case j.kind == kindPeer && !base:
-		return nil, fmt.Errorf("window frames on a peer-fed job, whose probe is the mesh transfer")
+		return nil, fmt.Errorf("window frames on a peer-fed job, whose probe is the transfer")
+	case j.kind == kindContrib && !base:
+		return nil, fmt.Errorf("window frames on a contribution, whose share is its base")
 	case ev.epoch != 0 || ev.win > lastWin:
 		return nil, fmt.Errorf("a job's run at epoch %d, window %d, past epoch 0, window %d", ev.epoch, ev.win, lastWin)
 	case j.kind == kindPeer:
@@ -246,14 +253,15 @@ type workerSession struct {
 	bw  *bufio.Writer
 
 	pt *plan2Table
-	// done closes when the coordinator hangs up, abandoning every wait a job
-	// of this connection is parked in (admission, peer transfer, PLAN2) —
-	// their reply has nowhere to go anyway.
+	// done closes when the dialer hangs up, abandoning every wait a job of
+	// this connection is parked in (admission, peer transfer, PLAN2, its
+	// contributions' commits) — their reply has nowhere to go anyway.
 	done chan struct{}
 
 	// tenant is the session's identity for admission and quota accounting,
-	// named in its prelude ("" is anonymous). jobs is the read loop's demux
-	// table: a job leaves it at its EOS or ABORT.
+	// named in its prelude ("" is anonymous) — a plan job's contributions
+	// carry it to their receivers. jobs is the read loop's demux table: a job
+	// leaves it at its EOS or ABORT.
 	tenant string
 	jobs   map[uint32]*sessJob
 
@@ -280,7 +288,7 @@ func (ws *workerSession) reply(id uint32, r *reply) error {
 // and when the connection dies under it: recycle its buffers and stop its
 // helper goroutines, give back its admission slot, drop its PLAN2 wait,
 // tombstone a peer transfer it opened but never consumed (so late
-// contributions swallow instead of buffering for nobody), and only then
+// contributions are refused instead of buffering for nobody), and only then
 // retire its drain accounting.
 func (ws *workerSession) retire(j *sessJob) {
 	j.release()
@@ -305,8 +313,9 @@ func (ws *workerSession) retire(j *sessJob) {
 // PLAN2 wait, a peer job attaches to its transfer. An error is
 // connection-fatal: job number reuse, an oversized or undecodable open, or
 // the worker killed while the open queued for admission. A job a draining
-// worker refuses, or one naming an unknown condition, is FAILED instead, its
-// goroutine poisoned: its frames drain and its reply carries the error.
+// worker refuses, one naming an unknown condition, or a plan or contribution
+// naming a sender past maxPeerSenders, is FAILED instead, its goroutine
+// poisoned: its frames drain and its reply carries the error.
 func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
 	var o open
 	if ws.jobs[id] != nil {
@@ -318,11 +327,14 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
 	w := ws.w
 	j := &sessJob{id: id, kind: o.Kind, workerID: o.WorkerID, token: o.Token, ws: ws}
 	ws.jobs[id] = j
-	j.counted = w.beginJob(ws.cs)
+	j.counted = w.beginJob(ws.cs, o.Kind == kindContrib)
 	cond, err := o.Cond.Condition()
 	switch {
 	case !j.counted:
 		j.err = &rejectError{code: codeDraining, msg: "worker shutting down"}
+	case (o.Kind == kindPlan || o.Kind == kindContrib) && o.WorkerID >= maxPeerSenders:
+		j.err = fmt.Errorf("open names sender %d, want below %d", o.WorkerID, maxPeerSenders)
+	case o.Kind == kindContrib: // joins nothing: its condition is unused
 	case err != nil:
 		j.err = err
 	default:
@@ -561,9 +573,9 @@ func drainFrame(br *bufio.Reader, rest int, e *protoErr) error {
 	return e
 }
 
-// readKeySubHdr is the first step of every key-frame decode, session and mesh
-// alike: read the type's fixed sub-header into h (sized by keySubHdrLen) and
-// take the key count from its last four bytes. A frame too short to hold its
+// readKeySubHdr is the first step of every key-frame decode: read the type's
+// fixed sub-header into h (sized by keySubHdrLen) and take the key count from
+// its last four bytes. A frame too short to hold its
 // sub-header is connection-fatal (the plain error propagates as one):
 // consuming past its declared length would desynchronize the stream. A count
 // the frame length contradicts is refused, the frame drained: a *protoErr.
@@ -624,11 +636,11 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 
 // validateComplete checks at EOS that every run of a job but a stream
 // ended, and that a plan job's re-key column covers relation 2. A peer job's
-// relation 1 is exempt: it arrives over the mesh and the join goroutine
-// probes it straight out of the transfer table.
+// relation 1 is exempt: it is the transfer, which the join goroutine probes
+// straight out of the transfer table; a contribution has relation 1 alone.
 func (j *sessJob) validateComplete() error {
 	for i, r := range j.rels[:2] {
-		if !r.declared && !(j.kind == kindPeer && i == 0) {
+		if !r.declared && !(j.kind == kindPeer && i == 0) && !(j.kind == kindContrib && i == 1) {
 			return fmt.Errorf("relation %d's run never ended", i+1)
 		}
 	}
@@ -648,9 +660,10 @@ func (j *sessJob) validateComplete() error {
 // window reply and parks until the replanned artifact (or a cancel, a kill, or
 // the coordinator hanging up) arrives; the artifact routes the matches
 // (batch-routed through the shared exec shuffle, deterministic per sender),
-// and each stage-2 worker's share, empty or not, streams directly to that peer
-// over the mesh. It returns the match count and the per-receiver count vector.
-// Errors name the peer address.
+// and each stage-2 worker's share, empty or not, goes directly to that peer as
+// a contribution sub-job under this session's tenant, all at once. It returns
+// the match count and the per-receiver count vector once every peer committed
+// its share. Errors name the peer address.
 func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64, []int64, error) {
 	w := ws.w
 	// The three stage-1 steps exec.Local runs too: materialize, summarize,
@@ -699,22 +712,35 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64
 	}
 	ks := exec.RouteStage(inter, art, sender)
 	defer ks.Release()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() { // the coordinator hanging up or a kill abandons the contributions
+		select {
+		case <-w.kill:
+		case <-ws.done:
+		case <-ctx.Done():
+		}
+		cancel()
+	}()
 	counts := make([]int64, j2)
-	for p := 0; p < j2; p++ {
+	err = fanOut(j2, func(p int) error {
 		// Every receiver hears from every sender, an empty share included:
 		// its transfer is complete at the sender count its open declared.
 		blk := ks.Worker(p)
 		counts[p] = int64(len(blk))
 		if p == ps.Self {
-			if err := w.deliverLocal(j.token, sender, blk); err != nil {
-				return 0, nil, fmt.Errorf("transfer %d to self: %w", j.token, err)
+			if err := w.deliverLocal(j.token, sender, ws.tenant, blk); err != nil {
+				return fmt.Errorf("to self: %w", err)
 			}
-			continue
+			return nil
 		}
-		if err := w.sendToPeer(ps.Peers[p], j.token, sender, blk); err != nil {
-			return 0, nil, fmt.Errorf("transfer %d: %w", j.token,
-				&peerFaultError{addr: ps.Peers[p], err: err})
-		}
+		return contribute(ctx, ps.Peers[p], ws.tenant, w.timeouts, j.token, sender, blk)
+	})
+	if err != nil && ctx.Err() != nil {
+		return 0, nil, errAbandoned
+	}
+	if err != nil {
+		return 0, nil, fmt.Errorf("transfer %d: %w", j.token, err)
 	}
 	return int64(len(inter)), counts, nil
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"ewh/internal/exec"
@@ -13,12 +12,12 @@ import (
 
 // This file is the coordinator side of the stage-aware pipeline
 // (exec.StageRuntime): stage 1 ships as ordinary session jobs, the workers
-// re-shuffle their matches directly to each other, and stage 2 opens as
-// peer-fed jobs that only receive the driver-owned right relation from the
-// coordinator. The intermediate's sole coordinator-side footprint is the
-// per-sender count vectors riding the stage-1 final replies; each stage-2
-// reply is checked against them, as a worker knows only its transfer's
-// sender count.
+// re-shuffle their matches directly to each other as contribution sub-jobs
+// (peer.go), and stage 2 opens as peer-fed jobs that only receive the
+// driver-owned right relation from the coordinator. The intermediate's sole
+// coordinator-side footprint is the per-sender count vectors riding the
+// stage-1 final replies; each stage-2 reply is checked against them, as a
+// worker knows only its transfer's sender count.
 //
 // The stage-1 exchange has two phases: phase A opens the jobs as plan-kind
 // OPENs (each carrying the statistics request), each worker joins,
@@ -26,7 +25,7 @@ import (
 // the coordinator hands the summaries to the driver's Replan, which builds the
 // stage-2 plan from the merged statistics, and phase B broadcasts it in a
 // PLAN2 frame (the planio-encoded artifact plus the peer address map) — only
-// then do the workers route and stream to their peers. The summaries (a few KB
+// then do the workers route and contribute to their peers. The summaries (a few KB
 // each) are the only statistics that ever transit the coordinator.
 
 // RunStages implements exec.StageRuntime over the persistent session.
@@ -124,33 +123,35 @@ func selfIndex(w int, peers []string) int {
 }
 
 // overlap is the stage-overlapped dispatch: the j2 stage-2 peer jobs open
-// (each declaring the j1 senders its transfer completes at) and stream their
-// coordinator-owned right relation WHILE stage1 runs on the j1 stage-1
-// workers — the workers park on the transfer token until every sender has
-// contributed. It returns the opened peer jobs once both sides settled; if
-// either failed it abandons them.
+// (each declaring the j1 senders its transfer completes at), every OPEN on
+// the wire before any PLAN2, so before a contribution to its worker can
+// exist; then stage1 runs on the j1 stage-1 workers WHILE the opened peer
+// jobs stream their coordinator-owned right relation — the workers park on
+// the transfer token until every sender has contributed. Stage 1 runs even
+// past a failed open, so its contributions name a dead peer. It returns the
+// peer jobs it opened once both sides settled; the caller abandons them if
+// either failed.
 func (st *stagePipe) overlap(j1, j2 int, stage1 func(w int) error) ([]*subJob, error) {
 	peerJobs := make([]*subJob, j2)
-	var stage1Err error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // stage 1 takes the extra hop, so the opens get the head start
-		defer wg.Done()
-		stage1Err = fanOut(j1, stage1)
-		st.stage1Done.Store(true)
-	}()
 	openErr := fanOut(j2, func(p int) (err error) {
 		peerJobs[p], err = st.s.conns[p].openPeerJob(st, p)
 		return err
 	})
-	wg.Wait()
-	if err := errors.Join(stage1Err, openErr); err != nil {
-		// Some workers may already have streamed contributions to their
-		// peers; tell every worker to discard the orphaned transfer.
-		st.abandon(peerJobs)
-		return nil, err
-	}
-	return peerJobs, nil
+	var stage1Err error
+	stage1Done := make(chan struct{})
+	go func() {
+		defer close(stage1Done)
+		stage1Err = fanOut(j1, stage1)
+		st.stage1Done.Store(true)
+	}()
+	relErr := fanOut(j2, func(p int) error {
+		if peerJobs[p] == nil {
+			return nil
+		}
+		return peerJobs[p].sendPeerRelation(st)
+	})
+	<-stage1Done
+	return peerJobs, errors.Join(openErr, stage1Err, relErr)
 }
 
 // abandon tears down sub-jobs parked on the pipeline's transfer token —
@@ -168,10 +169,11 @@ func (st *stagePipe) abandon(jobs []*subJob) {
 
 // runStage1 runs the pipeline's stage 1: phase A collects every worker's
 // statistics summary, the driver's Replan turns them into the stage-2 plan,
-// and phase B broadcasts it and collects the count vectors. The stage-2 worker count is only known after Replan, so the
-// overlapped peer-job opens launch right then — concurrent with phase B,
-// which is where the workers route and stream the intermediate. Returns the
-// opened peer jobs, one per replanned stage-2 worker.
+// and phase B broadcasts it and collects the count vectors. The stage-2
+// worker count is only known after Replan, so the peer jobs open right then,
+// ahead of phase B, and take their right relation concurrently with it —
+// phase B is where the workers route and contribute the intermediate. Returns
+// the opened peer jobs, one per replanned stage-2 worker.
 func (st *stagePipe) runStage1(spec1 join.Spec, first *exec.Job,
 	wm1 []exec.WorkerMetrics) ([]*subJob, error) {
 
@@ -209,11 +211,18 @@ func (st *stagePipe) runStage1(spec1 join.Spec, first *exec.Job,
 	}
 
 	peers := s.Addrs()[:j2]
-	return st.overlap(j1, j2, func(w int) (err error) {
+	peerJobs, err := st.overlap(j1, j2, func(w int) (err error) {
 		p := plan2{Plan: plan, Peers: peers, Self: selfIndex(w, peers)}
 		st.counts[w], err = jobs[w].finishStatsStageJob(&p, &wm1[w])
 		return err
 	})
+	if err != nil {
+		// Some workers may already have contributed to their peers; tell
+		// every worker to discard the orphaned transfer.
+		st.abandon(append(jobs, peerJobs...))
+		return nil, err
+	}
+	return peerJobs, nil
 }
 
 // cancelPlan tells every session worker to discard buffered peer state — and
@@ -269,9 +278,9 @@ func (j *subJob) finishStatsStageJob(p *plan2, m *exec.WorkerMetrics) ([]int64, 
 }
 
 // openPeerJob opens one stage-2 sub-job — every stage-1 worker is one of its
-// transfer's senders — and streams the coordinator-owned right relation, all
-// while stage 1 may still be running on the same connection. The returned
-// sub-job stays open; finishPeerJob (or abandon) takes it over once stage 1
+// transfer's senders — while stage 1 may still be running on the same
+// connection. The returned sub-job stays open: sendPeerRelation ships its
+// relation, then finishPeerJob (or abandon) takes it over once stage 1
 // settles.
 func (c *sessConn) openPeerJob(st *stagePipe, workerID int) (*subJob, error) {
 	j, err := c.open("peer job", st.id2, workerID, 0, nil)
@@ -282,9 +291,6 @@ func (c *sessConn) openPeerJob(st *stagePipe, workerID int) (*subJob, error) {
 		o := open{Kind: kindPeer, WorkerID: workerID, Cond: st.spec2, Token: st.token, Senders: len(st.counts)}
 		return writeCtl(bw, frameV3Open, j.id, &o)
 	})
-	if err == nil {
-		err = j.sendPeerRelation(st)
-	}
 	if err != nil {
 		j.close()
 		return nil, err

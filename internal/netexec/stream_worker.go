@@ -22,11 +22,13 @@ import (
 // full channel is the backpressure onto TCP — and the goroutine is the job's
 // only reply path, ending with the final REPLY after EOS. A pairs or stage-1
 // plan job keeps each run's chunks in arrival order (its pair indices) and
-// joins them at EOS (joinInOrder) under the slot its open took. Every other
-// job counts: it holds one relation as the join's resident side
-// (localjoin.Resident — hash or merge, the goroutine never asks which), seals
-// it at that relation's end frame, and probes the other relation against it,
-// each kind taking its relations as base and window frames:
+// joins them at EOS (joinInOrder) under the slot its open took; a
+// contribution keeps its one run's and commits them to its transfer at EOS
+// (commit). Every other job counts: it holds one relation as the join's
+// resident side (localjoin.Resident — hash or merge, the goroutine never asks
+// which), seals it at that relation's end frame, and probes the other
+// relation against it, each kind taking its relations as base and window
+// frames:
 //
 //   - A stream job: an unbounded sequence of tuple windows (relation 1)
 //     against a static base (relation 2). Each window counts at its end
@@ -44,8 +46,9 @@ import (
 //     open took.
 //   - A peer job, stage 2: relation 2, the coordinator's base frames, arrives
 //     while stage 1 still runs and is the resident side; the probe is the
-//     mesh transfer, taken at EOS. It parks on the transfer holding no slot
-//     and admits per seal and per probe, like a stream.
+//     transfer its senders contribute to, taken at EOS. It parks on the
+//     transfer holding no slot and admits per seal and per probe, like a
+//     stream.
 
 // Stream event kinds, read-loop → stream goroutine; each run's end follows
 // its key event (runEvent relies on the order).
@@ -121,16 +124,19 @@ type sessStream struct {
 }
 
 // resTags is each job kind's resident relation: 1 for a count, pairs or plan
-// job, 2 for a peer job, whose relation 1 is the mesh, and 0 for a stream.
-var resTags = [numKinds]byte{kindCount: 1, kindPairs: 1, kindPlan: 1, kindPeer: 2}
+// job (and a contribution, whose one run is relation 1), 2 for a peer job,
+// whose relation 1 is the transfer, and 0 for a stream.
+var resTags = [numKinds]byte{kindCount: 1, kindPairs: 1, kindPlan: 1, kindPeer: 2, kindContrib: 1}
 
 // fed reports any job but a stream: one resident relation, one probe
 // relation, no window replies or summaries.
 func (s *sessStream) fed() bool { return s.resTag != 0 }
 
-// ordered reports a pairs or plan job: one that joins its runs in arrival
-// order at EOS.
-func (s *sessStream) ordered() bool { return s.j.kind == kindPairs || s.j.kind == kindPlan }
+// ordered reports a pairs, plan or contribution job: one that keeps its runs
+// in arrival order to EOS.
+func (s *sessStream) ordered() bool {
+	return s.j.kind == kindPairs || s.j.kind == kindPlan || s.j.kind == kindContrib
+}
 
 // newSessStream starts the goroutine for a freshly opened job. A job that
 // failed at open starts poisoned.
@@ -232,8 +238,8 @@ func (s *sessStream) run() {
 	}
 }
 
-// keep holds a pairs or plan job's key chunk at the end of its run: the
-// base, window 0 or window 1. An end frame carries nothing the read loop has
+// keep holds an ordered job's key chunk at the end of its run: the base,
+// window 0 or window 1. An end frame carries nothing the read loop has
 // not checked.
 func (s *sessStream) keep(ev streamEvent) {
 	i := 0
@@ -477,10 +483,24 @@ func (s *sessStream) closeWindow(r *reply) error {
 	return nil
 }
 
+// commit hands a contribution's run to its transfer whole, chunks and charge
+// alike, and answers with its count; a refusal leaves both to the job.
+func (s *sessStream) commit() (reply, error) {
+	j := s.j
+	c := &peerContrib{tenant: s.ws.tenant, chunks: s.runs[0], n: j.rels[0].pos}
+	if err := s.ws.w.commit(j.token, j.workerID, c); err != nil {
+		return reply{}, err
+	}
+	s.runs[0] = nil
+	j.charged.Add(-8 * int64(c.n))
+	return reply{InputR1: int64(c.n)}, nil
+}
+
 // probeTransfer is a peer-fed job's probe: the stage-1 senders' contributions,
-// taken out of the transfer table and probed where they landed. The wait ends
-// when the transfer completes or fails, the worker is killed, or the
-// coordinator hangs up.
+// taken out of the transfer table and probed where they landed, then
+// recycled, each credited to the tenant it was charged to. The wait ends when
+// the transfer completes or fails, the worker is killed, or the coordinator
+// hangs up.
 func (s *sessStream) probeTransfer() error {
 	w, j, st := s.ws.w, s.j, s.j.peerSt
 	select {
@@ -506,36 +526,25 @@ func (s *sessStream) probeTransfer() error {
 	if stErr != nil {
 		return fmt.Errorf("peer transfer %d: %w", j.token, stErr)
 	}
-	var in int64
 	for _, c := range contrib {
-		in += int64(c.n)
-	}
-	s.totIn += in
-	// The contributions move from the mesh's account onto the job's tenant
-	// (release credits them there); refused, they still recycle.
-	w.ledger.creditMesh(8 * in)
-	if err = j.charge(8 * in); err == nil {
-		for _, c := range contrib {
-			for _, keys := range c.chunks {
-				n, _ := s.res.ProbeCount(keys, true)
-				s.totOut += n
-			}
-		}
-		n, _ := s.res.ProbeCount(nil, false)
-		s.totOut += n
-	}
-	for _, c := range contrib {
+		s.totIn += int64(c.n)
 		for _, keys := range c.chunks {
-			bufpool.Keys.Put(keys)
+			n, _ := s.res.ProbeCount(keys, true)
+			s.totOut += n
 		}
 	}
-	return err
+	n, _ := s.res.ProbeCount(nil, false)
+	s.totOut += n
+	for _, c := range contrib {
+		c.recycle(w.ledger)
+	}
+	return nil
 }
 
 // onEOS replies the job's final REPLY; run retires the job next. The read
 // loop is done with a job it saw the EOS of, so any job's runs but a
-// stream's validate here; a pairs or plan job then joins, a peer job takes
-// its probe from the mesh. An abandoned job (worker killed or coordinator
+// stream's validate here; a contribution then commits, a pairs or plan job
+// joins, a peer job takes its probe from the transfer. An abandoned job (worker killed or coordinator
 // gone while it waited) exits silently: the coordinator sees the broken
 // connection.
 func (s *sessStream) onEOS() {
@@ -545,6 +554,8 @@ func (s *sessStream) onEOS() {
 	var m reply
 	switch {
 	case s.failed != nil:
+	case s.j.kind == kindContrib:
+		m, s.failed = s.commit()
 	case s.ordered():
 		m, s.failed = s.joinInOrder()
 	default:
@@ -562,9 +573,9 @@ func (s *sessStream) onEOS() {
 	m.Nanos = time.Since(s.start).Nanoseconds()
 	if s.failed != nil {
 		m = reply{Err: s.failed.Error(), Code: rejectCode(s.failed)}
-		// A failed mesh transfer indicts the PEER, not this worker: lift the
-		// address out of the error so the coordinator excludes the right
-		// machine.
+		// A contribution that could not reach its peer indicts the PEER, not
+		// this worker: lift the address out of the error so the coordinator
+		// excludes the right machine.
 		var pf *peerFaultError
 		if errors.As(s.failed, &pf) {
 			m.FaultAddr = pf.addr

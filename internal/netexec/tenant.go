@@ -37,13 +37,17 @@ var ErrAdmission = errors.New("admission rejected")
 var ErrQuota = errors.New("tenant quota exceeded")
 
 // Reply codes carried in a REPLY so refusals stay typed across the wire:
-// admission and quota rejections, and a draining worker's refusal of a new
-// job, the one worker job error the coordinator retries.
+// admission and quota rejections; and the two worker job errors the
+// coordinator retries, blaming no worker: a draining worker's refusal of a new
+// job, and a job whose transfer was cancelled under it — a contribution
+// refused by a tombstone, a stage-2 job whose transfer was dropped — which
+// only happens once its pipeline attempt failed for another reason.
 const (
 	codeNone      = 0
 	codeAdmission = 1
 	codeQuota     = 2
 	codeDraining  = 3
+	codeCancelled = 4
 )
 
 // rejectError is a worker-side job failure that must reply with a typed
@@ -102,9 +106,9 @@ type TenantPolicy struct {
 	// tenant when both are backlogged. <= 0 means 1.
 	Weight int
 	// MaxBytes bounds the bytes the tenant's in-flight and queued jobs may
-	// hold on this worker: 8 per key received, per re-key column entry, per
-	// stage-1 match a plan job materializes and per peer-transferred tuple a
-	// stage-2 job takes. <= 0 means unlimited.
+	// hold on this worker: 8 per key received — a contribution's until the
+	// stage-2 job that probes it is done with it — per re-key column entry
+	// and per stage-1 match a plan job materializes. <= 0 means unlimited.
 	MaxBytes int64
 }
 

@@ -224,9 +224,8 @@ func TestAdmitterAbandon(t *testing.T) {
 
 // TestTenantTableBudget checks the ledger's byte charging: reservations
 // accumulate, a charge past the tenant's MaxBytes or the worker's budget is a
-// typed quota rejection that reserves nothing on any account, the mesh's
-// account counts against the worker's budget alone, and credits restore
-// headroom.
+// typed quota rejection that reserves nothing, every tenant counts against
+// the worker's budget, and credits restore headroom.
 func TestTenantTableBudget(t *testing.T) {
 	tb := newLedger()
 	tb.budget = 0
@@ -254,21 +253,20 @@ func TestTenantTableBudget(t *testing.T) {
 	}
 	tb.credit("other", 1<<40)
 
-	// A worker budget bounds every account together.
+	// A worker budget bounds every tenant together.
 	wb := newLedger()
 	wb.budget = 100
-	wb.set("t", TenantPolicy{MaxBytes: 80})
+	wb.set("t", TenantPolicy{MaxBytes: 60})
 	for _, step := range []struct {
 		name string
 		err  error
 		ok   bool
 	}{
 		{"tenant within both budgets", wb.charge("t", 50), true},
-		{"mesh within the worker's", wb.chargeMesh(40), true},
-		{"tenant within its own, past the worker's", wb.charge("t", 20), false},
-		{"mesh past the worker's", wb.chargeMesh(11), false},
-		{"unbudgeted tenant past the worker's", wb.charge("other", 11), false},
-		{"unbudgeted tenant filling the worker's", wb.charge("other", 10), true},
+		{"unbudgeted tenant within the worker's", wb.charge("other", 45), true},
+		{"tenant within its own, past the worker's", wb.charge("t", 10), false},
+		{"unbudgeted tenant past the worker's", wb.charge("other", 6), false},
+		{"unbudgeted tenant filling the worker's", wb.charge("other", 5), true},
 	} {
 		if ok := step.err == nil; ok != step.ok || (!ok && rejectCode(step.err) != codeQuota) {
 			t.Fatalf("%s: got %v", step.name, step.err)
@@ -278,8 +276,7 @@ func TestTenantTableBudget(t *testing.T) {
 		t.Fatalf("held %d bytes, want 100", got)
 	}
 	wb.credit("t", 50)
-	wb.creditMesh(40)
-	wb.credit("other", 10)
+	wb.credit("other", 50)
 	if got := wb.heldBytes(); got != 0 || len(wb.used) != 0 {
 		t.Fatalf("after every credit: held %d, by tenant %v", got, wb.used)
 	}

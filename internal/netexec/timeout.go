@@ -9,9 +9,10 @@ import (
 
 // Timeouts bounds a connection's blocking operations so one hung peer fails
 // a job (or a connection) instead of wedging the whole session. Dial bounds
-// connection establishment (sessions and the worker peer mesh); IO is a
-// per-operation progress deadline: every write, and every read that is part
-// of an in-flight frame payload, must make progress within IO. Reads at
+// connection establishment (a coordinator's sessions and a worker's
+// contribution sessions); IO is a per-operation progress deadline: every
+// write, and every read that is part of an in-flight frame payload, must
+// make progress within IO. Reads at
 // frame boundaries are exempt — an idle persistent connection is legitimate
 // — so the deadline measures stalled transfers, not quiet sessions (and not
 // long-running worker joins, which produce no traffic while computing).

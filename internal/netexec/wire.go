@@ -16,12 +16,11 @@ import (
 //
 //	magic "EWHB" | uint16 version | uint8 tenant length | tenant
 //
-// where version 8 is a coordinator session and 6 a worker→worker peer-mesh
-// link, whose tenant is always "". Both frame everything after it as
+// where version 8 is the one session protocol a worker speaks — to a
+// coordinator, or to a stage-1 peer shipping its contribution — and frames
+// everything after it as
 //
 //	[type u8][job u32][payloadLen u32][payload]
-//
-// with job 0 on the mesh, whose reader ignores it.
 //
 // Every payload is fixed-layout little-endian binary. Control frames (open,
 // plan, cancel, reply — a few per job) are records (control.go); data
@@ -33,16 +32,11 @@ const (
 	// protoVersionSession is the persistent-session protocol: numbered jobs
 	// multiplex over the connection until either side closes (session.go).
 	// Version 7 carried its control frames as gob, in three opens, a PLAN and
-	// two replies; a worker closes it at the prelude. Version 6 declared its
-	// tenant in a HELLO frame; a worker reads its prelude as the mesh's and
-	// closes it at the tenant, which its first frame's type byte makes
-	// non-empty.
+	// two replies; version 6 was the worker→worker mesh, PEERHEAD and
+	// PEERBLOCK frames at job 0 (30 and 31), which a contribution sub-job
+	// replaced; version 5 a tenant-less mesh. A worker closes each at the
+	// prelude.
 	protoVersionSession = 8
-	// protoVersionPeer opens a worker→worker peer-transfer connection on the
-	// same listener: one sender streams stage-1 match contributions to one
-	// receiver, identified by 64-bit transfer tokens (peer.go). Version 5 was
-	// the mesh with a tenant-less prelude; a worker closes it at the prelude.
-	protoVersionPeer = 6
 
 	// Session frames. Every header carries a job number, so one connection
 	// interleaves many jobs' frames.
@@ -58,7 +52,7 @@ const (
 	// and answers with PLAN2. Each worker then re-shuffles its own matches by
 	// the stage-2 plan straight to peer workers: only the summaries and pair
 	// counts — never the intermediate — transit the coordinator.
-	frameV3PlanCancel = 20 // coord→worker [token u64]: discard buffered peer state for a token
+	frameV3PlanCancel = 20 // coord→worker [token u64]: discard a token's transfer state
 	frameV3Plan2      = 22 // coord→worker plan2 record: the replanned stage-2 artifact + peer map
 
 	// Run frames. A stream job joins an unbounded sequence of tuple windows
@@ -72,7 +66,8 @@ const (
 	//
 	// Every other job rides the same frames at epoch 0: relation 1 as the
 	// base run (a peer-fed job's base is its relation 2) and relation 2 as
-	// window 0; a plan job's re-key column follows as window 1. A count job's
+	// window 0; a plan job's re-key column follows as window 1, and a
+	// contribution ships its share as its one base run. A count job's
 	// routed sub-blocks go out the moment routing fills them, so its end
 	// frames carry totals the coordinator only knows once every mapper has
 	// emitted; a pairs or plan job's relations ship whole.
@@ -80,13 +75,6 @@ const (
 	frameV3StreamBaseEnd = 35 // coord→worker [epoch u32][total u32]
 	frameV3StreamWin     = 36 // coord→worker [window u32][epoch u32][count u32][count×8 LE keys]
 	frameV3StreamWinEnd  = 37 // coord→worker [window u32][epoch u32][total u32]
-
-	// Peer-mesh frames (worker→worker connections, protoVersionPeer). Their
-	// job number is 0; the 64-bit transfer token rides in each payload, so
-	// peer transfers are immune to session job-id collisions across
-	// coordinators.
-	framePeerHead  = 30 // [token u64][sender u32][count u32] — declares one sender's contribution
-	framePeerBlock = 31 // [token u64][sender u32][count u32][count×8 LE keys]
 
 	// streamBaseHdrLen is frameV3StreamBase's sub-header [epoch u32][count u32];
 	// frameV3StreamBaseEnd reuses the layout with the exact total in the
@@ -100,8 +88,8 @@ const (
 	// longer run splits into consecutive frames (see writeKeyFrames).
 	maxBlockKeys = 1 << 24
 	// maxKeySubHdrLen is the longest sub-header a key-carrying frame leads
-	// with (framePeerBlock's; STREAMBASE 8, STREAMWIN 12).
-	maxKeySubHdrLen = peerBlockHeaderLen
+	// with (STREAMWIN's; STREAMBASE 8).
+	maxKeySubHdrLen = streamWinHdrLen
 	// maxDataPayload is the longest payload the frame-header reader
 	// accepts: a full key frame under the longest sub-header, so a maximal
 	// frame of every key-carrying type passes.
@@ -112,18 +100,14 @@ const (
 	// unauthenticated listener must not cost 128 MiB — and writeCtl refuses
 	// to frame one. Twice the largest a driver can produce, a summary
 	// at the planio codec's collection cap (2^21 keys, 16 MiB); a plan for the
-	// widest mesh stays under 1 MiB.
+	// widest fleet stays under 1 MiB.
 	maxControlPayload = 32 << 20
 	// maxOpenPayload bounds OPEN and PLANCANCEL, refused connection-fatally
 	// unread. A real one is under 64 B, so a longer one is malformed.
 	maxOpenPayload = 4 << 10
 
-	// peerHeadLen is framePeerHead's payload: [token u64][sender u32][count u32].
-	peerHeadLen = 16
-	// peerBlockHeaderLen is framePeerBlock's sub-header before the keys.
-	peerBlockHeaderLen = 16
 	// maxPeerSenders bounds the sender count a stage-2 job open may declare,
-	// and the sender ids a peer transfer may name before that open arrives.
+	// and the sender id a plan or contribution open may name.
 	maxPeerSenders = 1 << 12
 )
 
@@ -132,7 +116,7 @@ var protoMagic = [4]byte{'E', 'W', 'H', 'B'}
 
 // prelude is what every connection opens with: the magic, the version, and
 // the tenant its jobs are charged to behind a u8 length (at most
-// maxTenantLen bytes; "" is the anonymous tenant and the mesh's).
+// maxTenantLen bytes; "" is the anonymous tenant).
 func prelude(version uint16, tenant string) []byte {
 	b := binary.LittleEndian.AppendUint16(append([]byte(nil), protoMagic[:]...), version)
 	return append(append(b, byte(len(tenant))), tenant...)
@@ -144,8 +128,7 @@ var codecScratch bufpool.Pool[byte]
 
 const scratchLen = 64 << 10
 
-// v3FrameHeaderLen is [type u8][job u32][payloadLen u32], the frame header of
-// both protocol versions.
+// v3FrameHeaderLen is [type u8][job u32][payloadLen u32], the frame header.
 const v3FrameHeaderLen = 9
 
 func writeV3FrameHeader(w io.Writer, typ byte, job uint32, payloadLen int) error {
@@ -184,7 +167,7 @@ func writeEndFrame(w io.Writer, typ byte, job uint32, h []byte) error {
 }
 
 // writeKeyFrames is the one writer of key-carrying data frames (STREAMBASE,
-// STREAMWIN on a session; framePeerBlock, at job 0, on the mesh). They share
+// STREAMWIN). They share
 // one shape: a fixed sub-header whose last four bytes are the frame's key
 // count, then the keys fixed-width little-endian. sub arrives with everything
 // but the count filled in; keys split at maxBlockKeys into consecutive frames
@@ -219,8 +202,7 @@ func writeKeyFrames(w io.Writer, typ byte, job uint32, sub []byte, keys []join.K
 var endFrameLen = [...]int{frameV3StreamBaseEnd: streamBaseHdrLen, frameV3StreamWinEnd: streamWinHdrLen}
 
 // keySubHdrLen is the sub-header length of each key-carrying frame.
-var keySubHdrLen = [...]int{frameV3StreamBase: streamBaseHdrLen,
-	frameV3StreamWin: streamWinHdrLen, framePeerBlock: peerBlockHeaderLen}
+var keySubHdrLen = [...]int{frameV3StreamBase: streamBaseHdrLen, frameV3StreamWin: streamWinHdrLen}
 
 // writeRun ships keys whole as one run — the base of epoch, or window win of
 // it — and ends it with the exact total.
@@ -255,8 +237,7 @@ func writeStreamWinKeys(w io.Writer, job, window, epoch uint32, keys []join.Key)
 }
 
 // readKeysLE decodes len(dst) little-endian keys from r into dst, staged
-// through a pooled scratch buffer — the inverse of writeKeysLE, shared by
-// every key-block decode path (session, peer mesh).
+// through a pooled scratch buffer — the inverse of writeKeysLE.
 func readKeysLE(r io.Reader, dst []join.Key) error {
 	buf := codecScratch.Get(scratchLen)
 	defer codecScratch.Put(buf)
