@@ -329,6 +329,63 @@ func awaitTransfer(t *testing.T, w *Worker, token uint64, senders int) *peerJobS
 	return st
 }
 
+// TestUnknownPeerFrameFailsTransfer pins what a frame a contribution does not
+// know — here type 32, the mesh's retired payload segment — costs: the
+// connection dies, the contribution cut short commits nothing while the
+// senders before it stand, and the transfer waits for the coordinator, which
+// sees that sender's contribute fail and cancels it — so the stage-2 job
+// parked on the transfer replies an error instead of waiting.
+func TestUnknownPeerFrameFailsTransfer(t *testing.T) {
+	ws, addrs := startWorkerSet(t, 1)
+	w := ws[0]
+	token := newPeerToken()
+	spec, err := join.SpecOf(join.Equi{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stage-2 job: a two-sender transfer, parked on its probe.
+	bw, conn := dialV3(t, addrs[0], "")
+	br := bufio.NewReader(conn)
+	err = errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindPeer, Cond: spec, Token: token, Senders: 2}),
+		writeRel(bw, 1, 1, []join.Key{7}), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A complete contribution from sender 0 commits as ever...
+	if err := contribute(context.Background(), addrs[0], "", Timeouts{}, token, 0, []join.Key{7, 8, 9}); err != nil {
+		t.Fatal(err)
+	}
+	// ...while sender 1's ships its run of two keys and then the unknown frame.
+	cbw, cconn := dialV3(t, addrs[0], "")
+	var payload [16]byte
+	err = errors.Join(writeCtl(cbw, frameV3Open, 1, &open{Kind: kindContrib, WorkerID: 1, Token: token}),
+		writeRel(cbw, 1, 1, []join.Key{8, 9}), writeEndFrame(cbw, 32, 1, payload[:]), cbw.Flush())
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectClosedSilently(t, cconn)
+	waitFor(t, "the cut contribution to retire", func() bool { return inFlight(w) == 1 })
+	w.peersMu.Lock()
+	st := w.peerStates[token]
+	w.peersMu.Unlock()
+	st.mu.Lock()
+	done, n, c0 := st.done, len(st.contrib), st.contrib[0]
+	st.mu.Unlock()
+	if done || n != 1 || c0 == nil {
+		t.Fatalf("transfer done=%v with %d contributions, want sender 0's alone and still waiting", done, n)
+	}
+	err = errors.Join(writeCtl(bw, frameV3PlanCancel, 0, &cancelRec{Token: token}), bw.Flush())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := awaitFeedMetrics(t, conn, br, 1); !strings.Contains(m.Err, "transfer cancelled") {
+		t.Fatalf("the parked stage-2 job replied %+v, want the cancelled transfer's error", m)
+	}
+	waitFor(t, "the transfer's shares to be credited", func() bool {
+		return inFlight(w) == 0 && w.ledger.heldBytes() == 0
+	})
+}
+
 // TestPeerTransferCompletesAtSenderCount is the completion rule's table: a
 // transfer is complete once as many senders as its stage-2 open declared have
 // committed — empty shares included, in memory or as contribution sub-jobs,
