@@ -865,7 +865,8 @@ func (sc *Scenario) drawFrame(counts []*faultnet.Script) bool {
 				n := count.Seen(dir, fr)
 				switch {
 				case dir == faultnet.Out:
-					// A worker's first REPLY is its stage-1 summary, and only a
+					// A worker's first REPLY is its stage-1 summary (a peer
+					// open's acknowledgment follows every summary), and only a
 					// stage-1 job is sent a PLAN2: a later reply may be the
 					// pipeline's last, which nothing would need to retry.
 					n = min(n, count.Seen(faultnet.In, faultnet.FramePlan2))

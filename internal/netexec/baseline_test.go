@@ -72,10 +72,11 @@ func (b *baseline) returned(sess *Session, ws []*Worker) {
 
 // workersIdle asserts the worker side of a finished scenario, connections
 // still open: no job left in flight on any worker connection, no byte left in
-// any worker's ledger (any tenant's), every
+// any worker's ledger (any tenant's), no transfer in any worker's table, every
 // admission slot free and nobody queued.
 func (b *baseline) workersIdle(ws []*Worker) {
 	b.t.Helper()
+	waitFor(b.t, "every transfer table to empty", func() bool { return transfersHeld(ws) == 0 })
 	waitFor(b.t, "every worker connection's in-flight count to reach zero", func() bool {
 		for _, w := range ws {
 			if inFlight(w) != 0 {
@@ -293,8 +294,8 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 		// where a connection death lands mid-send. The replyN-th REPLY on it
 		// is the reply this kind's await is parked on: stalling it starves
 		// the liveness deadline. The tapped worker opens a pipeline's stage-1
-		// job, then its stage-2 peer job, and replies the stage-1 summary, its
-		// totals, then the peer job's.
+		// job, then its stage-2 peer job, and replies the stage-1 summary, the
+		// peer open's acknowledgment, the stage-1 totals, then the peer job's.
 		sendFrame     byte
 		sendN, replyN int
 	}{
@@ -302,7 +303,7 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 		// The two halves of one stage-1 plan job: its open (its plan-kind
 		// OPEN in, its final REPLY out) and its statistics exchange (PLAN2
 		// in, the summary's REPLY out).
-		{"stage-1 plan", stage1, faultnet.FrameOpen, 1, 2},
+		{"stage-1 plan", stage1, faultnet.FrameOpen, 1, 3},
 		{"stats stage", stage1, faultnet.FramePlan2, 1, 1},
 		{"peer", func(s *Session, in tableInputs) error {
 			// What a peer job buffers is the intermediate: duplicate-heavy
@@ -312,7 +313,7 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 				domain = 4
 			}
 			return tableStages(s, tableSmall, domain, false, in.invalid)
-		}, faultnet.FrameOpen, 2, 3},
+		}, faultnet.FrameOpen, 2, 4},
 		{"stream", tableStream, faultnet.FrameStreamWin, 1, 1},
 	}
 	type cell struct {
@@ -398,20 +399,24 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 	}
 
 	// The contribution row. Stage 1 runs on worker 1 alone, so the tapped
-	// worker 0 accepts two connections: the coordinator's, then worker 1's
-	// contribution session, whose frames each rule strikes (Conn 2: the
-	// peer job's OPEN may land on either side of the contribution's). Worker
-	// 1's deadline is the workers' own Timeouts.Job; the plan job fails
-	// naming worker 0, and the tenant's ledger and every token table return
-	// to baseline — nothing charged, no transfer holding a share — though a
-	// stalled receiver holds the job it cannot read on until it closes.
+	// worker 0 hosts stage 2 only and accepts two connections: the
+	// coordinator's, then worker 1's contribution session, whose frames the
+	// first rules strike (Conn 2). Worker 1's deadline is the workers' own
+	// Timeouts.Job; the plan job fails naming worker 0. When the coordinator's
+	// link dies at the peer OPEN instead, worker 0 never opens the transfer:
+	// worker 1's contribution is refused there, cancelled, and the pipeline
+	// fails. Either way the tenant's ledger and every transfer table return to
+	// baseline — nothing charged, no transfer left — though a stalled receiver
+	// holds the job it cannot read on until it closes.
 	for _, o := range []struct {
-		name string
-		rule faultnet.Rule
+		name      string
+		rule      faultnet.Rule
+		peerFault bool // the plan job fails naming worker 0
 	}{
-		{"kill its OPEN", faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameOpen, Conn: 2, Action: faultnet.ActClose}},
-		{"hang up mid-run", faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameStreamBase, Conn: 2, Action: faultnet.ActClose}},
-		{"stall its base", faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameStreamBase, Conn: 2, Action: faultnet.ActStall}},
+		{"kill its OPEN", faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameOpen, Conn: 2, Action: faultnet.ActClose}, true},
+		{"hang up mid-run", faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameStreamBase, Conn: 2, Action: faultnet.ActClose}, true},
+		{"stall its base", faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameStreamBase, Conn: 2, Action: faultnet.ActStall}, true},
+		{"coordinator link dies at the peer OPEN", faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameOpen, N: 1, Conn: 1, Action: faultnet.ActClose}, false},
 	} {
 		t.Run("contribution/"+o.name, func(t *testing.T) {
 			b := snapshotBaseline(t)
@@ -449,19 +454,19 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 			for _, f := range Faults(err) {
 				blamed = blamed || f.Kind == FaultPeer && f.Addr == addrs[0]
 			}
-			if !blamed {
-				t.Errorf("ended with %v, not as a peer fault naming %s", err, addrs[0])
+			if err == nil || o.peerFault && !blamed {
+				t.Errorf("ended with %v, not as a failure (peer fault naming %s: %v)", err, addrs[0], o.peerFault)
 			}
 			if !script.Fired() {
 				t.Error("the scripted fault never fired")
 			}
-			waitFor(t, "every ledger to be credited and no transfer to hold a share", func() bool {
+			waitFor(t, "every ledger to be credited and every transfer table to empty", func() bool {
 				for _, w := range ws {
-					if w.ledger.heldBytes() != 0 || transferShares(w) != 0 {
+					if w.ledger.heldBytes() != 0 {
 						return false
 					}
 				}
-				return true
+				return transfersHeld(ws) == 0
 			})
 			_ = sess.Close()
 			for _, w := range ws {
@@ -472,15 +477,13 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 	}
 }
 
-// transferShares counts the contributions w's token table holds.
-func transferShares(w *Worker) int {
-	w.peersMu.Lock()
-	defer w.peersMu.Unlock()
+// transfersHeld counts the transfers ws's tables hold.
+func transfersHeld(ws []*Worker) int {
 	n := 0
-	for _, st := range w.peerStates {
-		st.mu.Lock()
-		n += len(st.contrib)
-		st.mu.Unlock()
+	for _, w := range ws {
+		w.peersMu.Lock()
+		n += len(w.peerStates)
+		w.peersMu.Unlock()
 	}
 	return n
 }
@@ -513,7 +516,7 @@ type feedKind struct {
 	pairs bool // a pairs job: it holds its runs to EOS, with no side to seal
 	want  int64
 	token uint64 // the peer-fed kind's transfer, which its probe side fills
-	open  func(bw *bufio.Writer) error
+	open  func(bw *bufio.Writer, conn net.Conn, br *bufio.Reader) error
 	keys  func(bw *bufio.Writer, side int, keys []join.Key) error
 	end   func(bw *bufio.Writer, side, total int) error
 	bad   func(bw *bufio.Writer) error
@@ -534,7 +537,7 @@ func chunkFedKind(t *testing.T, name string, cond join.Condition, want int64, pa
 	}
 	return feedKind{
 		name: name, want: want, pairs: pairs,
-		open: func(bw *bufio.Writer) error {
+		open: func(bw *bufio.Writer, _ net.Conn, _ *bufio.Reader) error {
 			o := open{Kind: kindCount, Cond: spec}
 			if pairs {
 				o.Kind = kindPairs
@@ -575,8 +578,13 @@ func feedTableKinds(t *testing.T, w *Worker) []feedKind {
 		chunkFedKind(t, "band fed count job", join.NewBand(1), 11, false),
 		{
 			name: "peer-fed job", want: 5, token: token,
-			open: func(bw *bufio.Writer) error {
-				return writeCtl(bw, frameV3Open, feedJob, &open{Kind: kindPeer, Cond: spec, Token: token, Senders: 1})
+			// The open is acknowledged before the probe side's
+			// self-contribution can find its transfer.
+			open: func(bw *bufio.Writer, conn net.Conn, br *bufio.Reader) error {
+				if ack := sendPeerOpen(t, conn, br, bw, feedJob, token, 1); ack.Err != "" {
+					return errors.New(ack.Err)
+				}
+				return nil
 			},
 			keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
 				if side == probeSide {
@@ -595,7 +603,7 @@ func feedTableKinds(t *testing.T, w *Worker) []feedKind {
 			},
 		}, {
 			name: "stream", want: 5,
-			open: func(bw *bufio.Writer) error {
+			open: func(bw *bufio.Writer, _ net.Conn, _ *bufio.Reader) error {
 				return writeCtl(bw, frameV3Open, feedJob,
 					&open{Kind: kindStream, Cond: spec, Stats: exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 1}})
 			},
@@ -753,9 +761,12 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 			check: succeeded},
 		{name: "a sender past the open's count", peerOnly: true,
 			send: func(c cell) error {
-				// Sender 1 of a one-sender transfer fails it.
-				return errors.Join(c.k.run(c.bw, buildSide, build), eos(c.bw),
-					c.w.deliverLocal(c.k.token, 1, feedTenant, probe))
+				// Sender 1 of a one-sender transfer is refused and fails it.
+				err := errors.Join(c.k.run(c.bw, buildSide, build), eos(c.bw))
+				if c.w.deliverLocal(c.k.token, 1, feedTenant, probe) == nil {
+					err = errors.Join(err, errors.New("sender 1 of a one-sender transfer was taken"))
+				}
+				return err
 			},
 			check: failedWith(0)},
 		{name: "a sender never contributes, coordinator hangs up", peerOnly: true,
@@ -789,7 +800,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 
 				bw, conn := dialV3(t, w.Addr(), feedTenant)
 				c := cell{k: feedTableKinds(t, w)[ki], bw: bw, br: bufio.NewReader(conn), conn: conn, w: w}
-				err = errors.Join(c.k.open(bw), x.send(c))
+				err = errors.Join(c.k.open(bw, conn, c.br), x.send(c))
 				if err != nil {
 					t.Fatal(err)
 				}

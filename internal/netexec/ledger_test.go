@@ -199,6 +199,7 @@ func TestPeerBlocksDecodeSideBySide(t *testing.T) {
 	go func() { _ = w.Serve() }()
 	t.Cleanup(func() { _ = w.Close() })
 	token := newPeerToken()
+	st := mustOpenTransfer(t, w, token, 3)
 	// contrib opens sender's contribution on a connection of its own and
 	// sends a 2-key base frame of which only the first sent bytes of keys go
 	// out.
@@ -230,7 +231,6 @@ func TestPeerBlocksDecodeSideBySide(t *testing.T) {
 	// the ledger reads held.
 	committed := func(what string, held int64, senders ...int) {
 		waitFor(t, what, func() bool {
-			st := w.peerState(token)
 			st.mu.Lock()
 			defer st.mu.Unlock()
 			for _, s := range senders {
@@ -254,17 +254,16 @@ func TestPeerBlocksDecodeSideBySide(t *testing.T) {
 	committed("the third frame to be decoding", 48, 0, 1)
 	_ = stalled.Close()
 	committed("the hung-up contribution to be credited", 32, 0, 1)
-	w.dropPeerState(token)
+	w.closeTransfer(token, st)
 	waitFor(t, "every chunk's charge to be credited", func() bool { return w.ledger.heldBytes() == 0 })
 }
 
-// TestHangUpTombstonesItsPlanTransfers pins what a coordinator's hang-up
-// releases on the receiving side: a stage-1 plan job named its pipeline's
-// transfer token, another worker's contribution reached this worker's
-// transfer before any stage-2 open did, and then the session died — so no
-// PLANCANCEL can come. The teardown tombstones the token: the contribution's
-// bytes are credited and a later one buffers nothing.
-func TestHangUpTombstonesItsPlanTransfers(t *testing.T) {
+// TestUndeclaredTransferRefusesContributions pins that only a stage-2 job's
+// open creates a transfer: a stage-1 plan job names its pipeline's token, yet
+// a contribution to that token on this worker — in memory or as a
+// contribution sub-job — finds no transfer, is refused with codeCancelled and
+// holds no byte; the coordinator's hang-up then leaves nothing behind.
+func TestUndeclaredTransferRefusesContributions(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 1)
 	w, token := ws[0], newPeerToken()
 	bw, conn := dialV3(t, addrs[0], "")
@@ -273,19 +272,26 @@ func TestHangUpTombstonesItsPlanTransfers(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "the plan job to register", func() bool { return inFlight(w) == 1 })
-	if err := w.deliverLocal(token, 1, "", []join.Key{1, 2}); err != nil {
-		t.Fatal(err)
+	err := w.deliverLocal(token, 1, "", []join.Key{1, 2})
+	if held := w.ledger.heldBytes(); rejectCode(err) != codeCancelled || held != 0 {
+		t.Fatalf("an in-memory contribution to an undeclared transfer: %v, %d bytes held; want a cancelled refusal holding none",
+			err, held)
 	}
-	if held := w.ledger.heldBytes(); held != 16 {
-		t.Fatalf("the contribution holds %d bytes, want 16", held)
+	err = contribute(context.Background(), addrs[0], "", Timeouts{}, token, 2, []join.Key{3})
+	if rejectCode(err) != codeCancelled {
+		t.Fatalf("a contribution sub-job to an undeclared transfer: %v, want a cancelled refusal", err)
+	}
+	// The refused sub-job's run is credited as it retires, after its reply.
+	waitFor(t, "the refused contribution to be credited", func() bool {
+		return w.ledger.heldBytes() == 0 && inFlight(w) == 1
+	})
+	if transferOpen(w, token) {
+		t.Fatal("a refused contribution opened a transfer")
 	}
 	_ = conn.Close()
-	waitFor(t, "the hang-up to release the transfer", func() bool {
+	waitFor(t, "the hang-up to retire the plan job", func() bool {
 		return w.ledger.heldBytes() == 0 && inFlight(w) == 0
 	})
-	if err := w.deliverLocal(token, 2, "", []join.Key{3}); err == nil || w.ledger.heldBytes() != 0 {
-		t.Fatalf("a contribution after the hang-up: %v, %d bytes held", err, w.ledger.heldBytes())
-	}
 }
 
 func writeBytes(bw *bufio.Writer, b []byte) error {

@@ -20,13 +20,16 @@ import (
 // as one contribution sub-job — a session of its own, dialed under the plan
 // job's tenant: an OPEN naming the transfer token and the sender, one base
 // run, EOS, and the receiver's final REPLY once it committed the share (or
-// why it refused). The receiving side keeps committed contributions keyed by
-// the coordinator-issued 64-bit token. Every sender contributes to every
-// receiver exactly once, empty shares included, so a transfer is complete at
-// the sender count its stage-2 job's open declared; the parked job then
-// probes the contributions where they landed. The intermediate never transits
-// the coordinator — it only sees the count vectors riding the stage-1 final
-// replies, and checks stage-2 replies against them.
+// why it refused). The receiving side commits them to the transfer its
+// stage-2 job's open created under the coordinator-issued 64-bit token; the
+// coordinator sends no PLAN2 before every such open is acknowledged, so a
+// contribution to a token no transfer holds is refused. Every sender
+// contributes to every receiver exactly once, empty shares included, so a
+// transfer is complete at the sender count its open declared; the parked job
+// then probes the contributions where they landed, and its retire removes the
+// transfer. The intermediate never transits the coordinator — it only sees
+// the count vectors riding the stage-1 final replies, and checks stage-2
+// replies against them.
 
 // peerTokenBase and peerTokenCtr make transfer tokens unique across
 // coordinators sharing a worker pool: a process-random base plus a counter.
@@ -41,14 +44,8 @@ var (
 	peerTokenCtr atomic.Uint64
 )
 
-// newPeerToken never returns 0: zero marks an unused planTokens slot, whose
-// hang-up sweep would then miss the token.
-func newPeerToken() uint64 {
-	if t := peerTokenBase + peerTokenCtr.Add(1); t != 0 {
-		return t
-	}
-	return peerTokenBase + peerTokenCtr.Add(1)
-}
+// newPeerToken issues a pipeline's transfer token.
+func newPeerToken() uint64 { return peerTokenBase + peerTokenCtr.Add(1) }
 
 // ---------- sender side ----------
 
@@ -129,26 +126,23 @@ func (c *peerContrib) recycle(l *ledger) {
 	l.credit(c.tenant, 8*int64(c.n))
 }
 
-// peerJobState accumulates one transfer's contributions. Once the stage-2
-// job's open has declared the sender count and that many contributions are
-// committed it signals ready, and the job takes the contributions (a count
-// probes them in any order).
+// peerJobState is one transfer: created by its stage-2 job's open with the
+// sender count that says when it is complete, removed by that job's retire.
+// It accumulates the senders' contributions and signals ready once all are
+// committed, and the job takes them (a count probes them in any order).
 type peerJobState struct {
 	ledger  *ledger // the worker's: each contribution stays charged to its tenant
 	mu      sync.Mutex
 	contrib map[int]*peerContrib // the job's to take when done && err == nil
 	tuples  int64                // across contributions (relation cap)
-	senders int                  // 0 until the stage-2 job's open declares it
+	senders int
 	err     error
 	done    bool
 	ready   chan struct{} // closed once complete or failed
 }
 
-func newPeerJobState(l *ledger) *peerJobState {
-	return &peerJobState{ledger: l, contrib: make(map[int]*peerContrib), ready: make(chan struct{})}
-}
-
-// failLocked poisons the state; waiters observe err after ready closes.
+// failLocked poisons an unfinished transfer; waiters observe err after ready
+// closes.
 func (st *peerJobState) failLocked(err error) {
 	if st.done {
 		return
@@ -167,26 +161,32 @@ func (st *peerJobState) releaseLocked() {
 	}
 }
 
-// checkReadyLocked signals ready once the sender count is declared and that
-// many contributions committed (commit admits none past the count).
-func (st *peerJobState) checkReadyLocked() {
-	if st.done || st.senders == 0 || len(st.contrib) < st.senders {
-		return
+// cancel fails the transfer however far it got: an unfinished one wakes its
+// job into the error, a complete one gives back what its job has not taken.
+func (st *peerJobState) cancel() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	cancelled := &rejectError{code: codeCancelled, msg: "transfer cancelled"}
+	st.failLocked(cancelled)
+	st.releaseLocked()
+	if st.err == nil {
+		st.err = cancelled // a job taking it this late must not join nothing
 	}
-	st.done = true
-	close(st.ready)
 }
 
 // commit is the one admission rule for a contribution, in memory
-// (deliverLocal) or at a contribution sub-job's EOS: a transfer still open, a
-// new sender, below the sender count once declared, within a relation's tuple
-// cap across the transfer. Committed, c's chunks and their charge are the
-// transfer's. Refused, they stay the caller's, and an open transfer fails —
-// and with it the stage-2 job parked on it.
+// (deliverLocal) or at a contribution sub-job's EOS: a transfer its stage-2
+// job opened and still holds, a new sender below the sender count, within a
+// relation's tuple cap across the transfer. Committed, c's chunks and their
+// charge are the transfer's. Refused, they stay the caller's, and a transfer
+// still assembling fails — and with it the stage-2 job parked on it. A token
+// no open declared, or whose job has retired, is refused with codeCancelled.
 func (w *Worker) commit(token uint64, sender int, c *peerContrib) error {
-	st := w.peerState(token)
+	w.peersMu.Lock()
+	st := w.peerStates[token]
+	w.peersMu.Unlock()
 	if st == nil {
-		return fmt.Errorf("transfer table full (%d tokens)", maxPeerStates)
+		return &rejectError{code: codeCancelled, msg: fmt.Sprintf("transfer %d is not open", token)}
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -198,132 +198,69 @@ func (w *Worker) commit(token uint64, sender int, c *peerContrib) error {
 		err = fmt.Errorf("contribution from sender %d to a complete transfer", sender)
 	case st.contrib[sender] != nil:
 		err = fmt.Errorf("duplicate contribution from sender %d", sender)
-	case st.senders > 0 && sender >= st.senders:
+	case sender >= st.senders:
 		err = fmt.Errorf("contribution from sender %d of a %d-sender transfer", sender, st.senders)
 	case st.tuples+int64(c.n) > MaxRelationTuples:
 		err = fmt.Errorf("transfer contributions exceed %d tuples at sender %d", MaxRelationTuples, sender)
 	default:
 		st.tuples += int64(c.n)
 		st.contrib[sender] = c
-		st.checkReadyLocked()
+		if len(st.contrib) == st.senders {
+			st.done = true
+			close(st.ready)
+		}
 		return nil
 	}
 	st.failLocked(err)
 	return err
 }
 
-// expect declares the transfer's sender count, carried by the stage-2 job's
-// open. It refuses a count outside [1, maxPeerSenders] and a second open of
-// the same transfer — failing only the opening job — and fails the transfer if
-// a sender past the count contributed before the open arrived.
-func (st *peerJobState) expect(senders int) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	switch {
-	case senders < 1 || senders > maxPeerSenders:
-		return fmt.Errorf("peer job declares %d senders, want 1 to %d", senders, maxPeerSenders)
-	case st.senders != 0:
-		return fmt.Errorf("transfer already opened by another job")
-	}
-	st.senders = senders
-	for s := range st.contrib {
-		if s >= senders {
-			st.failLocked(fmt.Errorf("contribution from sender %d of a %d-sender transfer", s, senders))
-		}
-	}
-	st.checkReadyLocked()
-	return nil
-}
-
-// maxPeerStates bounds the distinct transfer tokens a worker will track at
-// once, so tombstones and declared-but-empty states cannot grow the table
-// without end; the keys contributions hold are the ledger's to bound. (The
-// worker, like the session protocol, trusts its cluster network — TLS + auth
-// is ROADMAP.)
+// maxPeerStates bounds the transfers a worker holds at once: one per stage-2
+// job open on it, so it bounds those opens; the keys contributions hold are
+// the ledger's to bound. (The worker, like the session protocol, trusts its
+// cluster network — TLS + auth is ROADMAP.)
 const maxPeerStates = 1 << 12
 
-// peerState returns (creating if needed) the transfer state for token; it
-// returns nil when the token table is full of live transfers. A full table
-// first evicts finished states (tombstones of cancelled or failed
-// transfers, which hold no buffers) so long-lived workers can't wedge on
-// accumulated cancellations — the worst an evicted tombstone costs is one
-// late straggler contribution re-buffering up to the per-transfer cap.
-func (w *Worker) peerState(token uint64) *peerJobState {
+// openTransfer creates token's transfer for a stage-2 job's open, complete at
+// senders contributions. It refuses a count outside [1, maxPeerSenders], a
+// token another open holds, and a full table — failing only the opening job.
+func (w *Worker) openTransfer(token uint64, senders int) (*peerJobState, error) {
+	if senders < 1 || senders > maxPeerSenders {
+		return nil, fmt.Errorf("peer job declares %d senders, want 1 to %d", senders, maxPeerSenders)
+	}
 	w.peersMu.Lock()
 	defer w.peersMu.Unlock()
-	st := w.peerStates[token]
-	if st == nil {
-		if !w.evictFinishedLocked() {
-			return nil
-		}
-		st = newPeerJobState(w.ledger)
-		w.peerStates[token] = st
+	switch {
+	case w.peerStates[token] != nil:
+		return nil, fmt.Errorf("transfer already opened by another job")
+	case len(w.peerStates) >= maxPeerStates:
+		return nil, fmt.Errorf("transfer table full (%d tokens)", maxPeerStates)
 	}
-	return st
+	st := &peerJobState{ledger: w.ledger, contrib: make(map[int]*peerContrib),
+		senders: senders, ready: make(chan struct{})}
+	w.peerStates[token] = st
+	return st, nil
 }
 
-// evictFinishedLocked makes room in the token table (peersMu held): when
-// full, it sweeps out FAILED states — the only evictable kind: they hold no
-// buffers by invariant (failLocked released them), while a complete state
-// still in the table has a stage-2 job about to consume it. Reports whether
-// the table has room afterwards.
-func (w *Worker) evictFinishedLocked() bool {
-	if len(w.peerStates) < maxPeerStates {
-		return true
-	}
-	for tok, old := range w.peerStates {
-		old.mu.Lock()
-		evict := old.done && old.err != nil
-		old.mu.Unlock()
-		if evict {
-			delete(w.peerStates, tok)
-		}
-	}
-	return len(w.peerStates) < maxPeerStates
-}
-
-// dropPeerState discards the transfer state for token. An open state is
-// poisoned and RETAINED as a tombstone (creating one if the token was never
-// seen): contributions may still be on their way when a cancel arrives, and
-// a tombstone makes the receiver refuse them at their EOS instead of
-// re-creating fresh state that nothing would ever reap — a poisoned state
-// holds no buffers, so a tombstone costs ~100 bytes, bounded by
-// maxPeerStates. A state that already COMPLETED (its job was aborted or its
-// session died before consuming it) releases its contributions and is
-// removed outright — every sender's contribution arrived, so no stragglers
-// can revive the token. finishPeerState removes states whose job consumed
-// them.
-func (w *Worker) dropPeerState(token uint64) {
+// cancelTransfer serves a PLANCANCEL: it fails token's transfer if one is
+// open here. The state stays until its job retires.
+func (w *Worker) cancelTransfer(token uint64) {
 	w.peersMu.Lock()
 	st := w.peerStates[token]
-	if st == nil && w.evictFinishedLocked() {
-		st = newPeerJobState(w.ledger)
-		w.peerStates[token] = st
-	}
 	w.peersMu.Unlock()
-	if st == nil {
-		return
-	}
-	st.mu.Lock()
-	cancelled := &rejectError{code: codeCancelled, msg: "transfer cancelled"}
-	complete := st.done && st.err == nil
-	if complete {
-		st.releaseLocked()
-		st.err = cancelled // a job taking it this late must not join nothing
-	} else {
-		st.failLocked(cancelled)
-	}
-	st.mu.Unlock()
-	if complete {
-		w.finishPeerState(token)
+	if st != nil {
+		st.cancel()
 	}
 }
 
-// finishPeerState removes the completed state after its job took it.
-func (w *Worker) finishPeerState(token uint64) {
+// closeTransfer is a stage-2 job's retire: its transfer leaves the table and
+// gives back whatever it still holds, so a later contribution finds no
+// transfer and one racing the removal is refused by the cancel.
+func (w *Worker) closeTransfer(token uint64, st *peerJobState) {
 	w.peersMu.Lock()
 	delete(w.peerStates, token)
 	w.peersMu.Unlock()
+	st.cancel()
 }
 
 // deliverLocal is the self-contribution path: a worker that hosts both the

@@ -13,6 +13,7 @@ import (
 
 	"ewh/internal/cost"
 	"ewh/internal/exec"
+	"ewh/internal/faultnet"
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
 	"ewh/internal/partition"
@@ -235,24 +236,50 @@ func TestDialWithRejectsUnreachableWorker(t *testing.T) {
 	}
 }
 
-// TestPeerJobExitTombstonesTransfer pins the single retire path: however a
-// peer-fed job leaves before consuming its transfer — ABORT or the
-// coordinator hanging up — the opened token ends as the same buffer-less
-// failed tombstone, so a late contribution is refused, its sender told why,
-// instead of committing to a transfer nobody will read (and the table slot
-// stays evictable).
-func TestPeerJobExitTombstonesTransfer(t *testing.T) {
-	ws, addrs := startWorkerSet(t, 1)
-	w := ws[0]
+// sendPeerOpen opens stage-2 peer job id over a raw connection, its transfer
+// complete at senders contributions, and returns the worker's acknowledgment:
+// once it is read, the transfer is open (or the reply says why not).
+func sendPeerOpen(t *testing.T, conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
+	id uint32, token uint64, senders int) reply {
+	t.Helper()
 	spec, err := join.SpecOf(join.Equi{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	state := func(token uint64) *peerJobState {
-		w.peersMu.Lock()
-		defer w.peersMu.Unlock()
-		return w.peerStates[token]
+	o := open{Kind: kindPeer, Cond: spec, Token: token, Senders: senders}
+	if err := errors.Join(writeCtl(bw, frameV3Open, id, &o), bw.Flush()); err != nil {
+		t.Fatal(err)
 	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	typ, got, n, err := readV3FrameHeader(br)
+	if err != nil || typ != frameV3Reply || got != id {
+		t.Fatalf("awaiting job %d's acknowledgment: frame %d for job %d (%v)", id, typ, got, err)
+	}
+	var ack reply
+	if err := readCtl(br, n, maxControlPayload, &ack); err != nil {
+		t.Fatal(err)
+	}
+	if ack.Final {
+		t.Fatalf("job %d's open answered with a final reply %+v", id, ack)
+	}
+	return ack
+}
+
+// transferOpen reports whether w's transfer table holds token.
+func transferOpen(w *Worker, token uint64) bool {
+	w.peersMu.Lock()
+	defer w.peersMu.Unlock()
+	return w.peerStates[token] != nil
+}
+
+// TestPeerJobExitRemovesTransfer pins the single retire path: however a
+// peer-fed job leaves before consuming its transfer — ABORT or the
+// coordinator hanging up — the transfer its open created leaves the table, so
+// a late contribution is refused with codeCancelled, its sender told why, and
+// credited instead of committing to a transfer nobody will read.
+func TestPeerJobExitRemovesTransfer(t *testing.T) {
+	ws, addrs := startWorkerSet(t, 1)
+	w := ws[0]
 	for _, tc := range []struct {
 		name  string
 		leave func(bw *bufio.Writer, conn net.Conn) error
@@ -268,65 +295,151 @@ func TestPeerJobExitTombstonesTransfer(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			token := newPeerToken()
 			bw, conn := dialV3(t, addrs[0], "")
-			o := open{Kind: kindPeer, Cond: spec, Token: token, Senders: 1}
-			if err := writeCtl(bw, frameV3Open, 1, &o); err != nil {
-				t.Fatal(err)
+			if ack := sendPeerOpen(t, conn, bufio.NewReader(conn), bw, 1, token, 1); ack.Err != "" {
+				t.Fatalf("the open was refused: %+v", ack)
 			}
-			if err := bw.Flush(); err != nil {
-				t.Fatal(err)
+			if !transferOpen(w, token) {
+				t.Fatal("an acknowledged open left no transfer")
 			}
-			waitFor(t, "the job to open its transfer", func() bool {
-				st := state(token)
-				if st == nil {
-					return false
-				}
-				st.mu.Lock()
-				defer st.mu.Unlock()
-				return st.senders != 0
-			})
 			if err := tc.leave(bw, conn); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, "the transfer to be tombstoned", func() bool {
-				st := state(token)
-				st.mu.Lock()
-				defer st.mu.Unlock()
-				return st.done && st.err != nil
-			})
+			waitFor(t, "the transfer to leave the table", func() bool { return !transferOpen(w, token) })
 			// The one sender's contribution arrives anyway, late.
 			err := contribute(context.Background(), addrs[0], "", Timeouts{}, token, 0, []join.Key{7})
-			if err == nil || !strings.Contains(err.Error(), "transfer cancelled") ||
-				!strings.Contains(err.Error(), "peer "+addrs[0]) {
-				t.Fatalf("a late contribution returned %v, want the peer's refusal", err)
+			if rejectCode(err) != codeCancelled || !strings.Contains(err.Error(), "peer "+addrs[0]) {
+				t.Fatalf("a late contribution returned %v, want the peer's cancelled refusal", err)
 			}
 			waitFor(t, "the refused contribution to be credited", func() bool {
-				return w.ledger.heldBytes() == 0 && inFlight(w) == 0
+				return w.ledger.heldBytes() == 0 && inFlight(w) == 0 && !transferOpen(w, token)
 			})
-			st := state(token)
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			if !st.done || st.err == nil || len(st.contrib) != 0 {
-				t.Fatalf("token state after %s: done=%v err=%v contributions=%d, want a buffer-less failed tombstone",
-					tc.name, st.done, st.err, len(st.contrib))
-			}
 		})
 	}
 }
 
-// awaitTransfer declares the transfer's sender count, as a stage-2 job's open
-// does, and waits for it to assemble or fail.
-func awaitTransfer(t *testing.T, w *Worker, token uint64, senders int) *peerJobState {
+// mustOpenTransfer opens token's transfer for senders, as a stage-2 job's
+// open does; the caller closes it, as the job's retire does.
+func mustOpenTransfer(t *testing.T, w *Worker, token uint64, senders int) *peerJobState {
 	t.Helper()
-	st := w.peerState(token)
-	if err := st.expect(senders); err != nil {
+	st, err := w.openTransfer(token, senders)
+	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-st.ready:
-	case <-time.After(10 * time.Second):
-		t.Fatal("transfer never assembled")
-	}
 	return st
+}
+
+// TestPlan2AwaitsEveryAcknowledgment pins the order that lets only a
+// stage-2 job's open create a transfer: no PLAN2 leaves the coordinator —
+// so no stage-1 worker contributes — until every stage-2 worker acknowledged
+// its peer job's open. An open that stalls on its way to the stage-2-only
+// worker ends the pipeline at the coordinator's Timeouts.Job; an open a
+// draining worker refuses ends it at the acknowledgment, typed codeDraining.
+// Either way no PLAN2 reached a stage-1 worker and nothing is left held.
+func TestPlan2AwaitsEveryAcknowledgment(t *testing.T) {
+	// tapped starts one worker per script, its listener wrapped by it.
+	tapped := func(scripts ...*faultnet.Script) ([]*Worker, []string) {
+		ws := make([]*Worker, len(scripts))
+		addrs := make([]string, len(scripts))
+		for i, s := range scripts {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := ListenWorkerOn(faultnet.Wrap(ln, s))
+			ws[i], addrs[i] = w, w.Addr()
+			go func() { _ = w.Serve() }()
+		}
+		return ws, addrs
+	}
+	r := randKeys(tableSmall, tableSmall, 540)
+	plan2Seen := func(scripts ...*faultnet.Script) int {
+		n := 0
+		for _, s := range scripts {
+			n += s.Seen(faultnet.In, faultnet.FramePlan2)
+		}
+		return n
+	}
+
+	t.Run("stalled open", func(t *testing.T) {
+		b := snapshotBaseline(t)
+		stage1 := faultnet.NewScript()
+		stall := faultnet.NewScript(faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameOpen, N: 1, Conn: 1, Action: faultnet.ActStall})
+		ws, addrs := tapped(stall, stage1)
+		// Stage 1 runs on worker 1 alone; worker 0 hosts stage 2 only.
+		sess, err := DialTenant(context.Background(), "", []string{addrs[1], addrs[0]},
+			Timeouts{Job: 300 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scheme1, err := partition.NewHash(1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = exec.RunStagesOver(sess, r, r, r, join.Equi{}, scheme1,
+			statsStagePlan(t, join.Equi{}, 2, 541, nil), nil, model, exec.Config{Seed: 542})
+		timedOut := false
+		for _, f := range Faults(err) {
+			timedOut = timedOut || f.Kind == FaultTimeout && f.Addr == addrs[0]
+		}
+		if !timedOut || !stall.Fired() {
+			t.Fatalf("ended with %v (stall fired: %v), want worker 0's liveness timeout", err, stall.Fired())
+		}
+		if n := plan2Seen(stage1); n != 0 {
+			t.Fatalf("the stage-1 worker received %d PLAN2 frames ahead of the acknowledgment", n)
+		}
+		b.returned(sess, ws)
+	})
+
+	t.Run("draining worker refuses the open", func(t *testing.T) {
+		b := snapshotBaseline(t)
+		scripts := []*faultnet.Script{faultnet.NewScript(), faultnet.NewScript()}
+		ws, addrs := tapped(scripts...)
+		sess, err := DialTenant(context.Background(), "", addrs, Timeouts{Job: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Worker 0 starts draining once both summaries are in: its stage-1
+		// job is parked, so its connection stays open and its peer open is
+		// refused.
+		drained := make(chan error, 1)
+		sp := statsStagePlan(t, join.Equi{}, 2, 543, func([]*stats.Summary) ([]byte, partition.Scheme, error) {
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				drained <- ws[0].Shutdown(ctx)
+			}()
+			waitFor(t, "worker 0 to drain", func() bool {
+				ws[0].mu.Lock()
+				defer ws[0].mu.Unlock()
+				return ws[0].draining
+			})
+			scheme, err := partition.NewHash(2, nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			b, err := planio.Encode(&planio.Artifact{Scheme: scheme, Seed: 543})
+			return b, scheme, err
+		})
+		scheme1, err := partition.NewHash(2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = exec.RunStagesOver(sess, r, r, r, join.Equi{}, scheme1, sp, nil, model, exec.Config{Seed: 544})
+		refused := false
+		for _, f := range Faults(err) {
+			refused = refused || f.code == codeDraining && f.Addr == addrs[0] && f.op == "peer job"
+		}
+		if !refused {
+			t.Fatalf("ended with %v, want worker 0's peer open refused as draining", err)
+		}
+		if n := plan2Seen(scripts...); n != 0 {
+			t.Fatalf("the stage-1 workers received %d PLAN2 frames past a refused open", n)
+		}
+		if err := <-drained; err != nil {
+			t.Fatalf("worker 0's drain: %v", err)
+		}
+		b.returned(sess, ws)
+	})
 }
 
 // TestUnknownPeerFrameFailsTransfer pins what a frame a contribution does not
@@ -339,15 +452,13 @@ func TestUnknownPeerFrameFailsTransfer(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 1)
 	w := ws[0]
 	token := newPeerToken()
-	spec, err := join.SpecOf(join.Equi{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The stage-2 job: a two-sender transfer, parked on its probe.
 	bw, conn := dialV3(t, addrs[0], "")
 	br := bufio.NewReader(conn)
-	err = errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindPeer, Cond: spec, Token: token, Senders: 2}),
-		writeRel(bw, 1, 1, []join.Key{7}), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+	if ack := sendPeerOpen(t, conn, br, bw, 1, token, 2); ack.Err != "" {
+		t.Fatalf("the open was refused: %+v", ack)
+	}
+	err := errors.Join(writeRel(bw, 1, 1, []join.Key{7}), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,14 +498,15 @@ func TestUnknownPeerFrameFailsTransfer(t *testing.T) {
 }
 
 // TestPeerTransferCompletesAtSenderCount is the completion rule's table: a
-// transfer is complete once as many senders as its stage-2 open declared have
-// committed — empty shares included, in memory or as contribution sub-jobs,
-// in any order around the open — and one admission rule fails it on a sender
-// past the count (whether it arrived before or after the open), a duplicate
-// sender, or contributions past a relation's cap: the commit a run's end
-// frame declares is refused before anything joins the transfer. An open
-// declaring no senders or more than maxPeerSenders is refused without
-// touching the transfer, as is a second open of a complete one.
+// transfer exists from its stage-2 job's open on and is complete once as many
+// senders as that open declared have committed — empty shares included, in
+// memory or as contribution sub-jobs, in any order. A contribution ahead of
+// the open is refused with codeCancelled, holds nothing and leaves the
+// transfer the open then creates untouched. One admission rule fails an open
+// transfer on a sender past the count, a duplicate sender, or contributions
+// past a relation's cap: the commit a run's end frame declares is refused
+// before anything joins the transfer. An open declaring no senders or more
+// than maxPeerSenders creates no transfer, nor does a second open of a token.
 func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 	ws, _ := startWorkerSet(t, 1)
 	w := ws[0]
@@ -412,23 +524,23 @@ func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 		transferErr   string         // the transfer's failure; "" completes it
 	}{
 		{name: "all shares empty", senders: 3,
-			before: []contribution{{0, nil, true}},
-			after:  []contribution{{1, nil, false}, {2, nil, true}}},
+			after: []contribution{{0, nil, true}, {1, nil, false}, {2, nil, true}}},
 		{name: "some shares empty", senders: 3,
-			before: []contribution{{2, []join.Key{5}, false}},
-			after:  []contribution{{1, nil, true}, {0, []join.Key{1, 2}, true}}},
+			after: []contribution{{2, []join.Key{5}, false}, {1, nil, true}, {0, []join.Key{1, 2}, true}}},
+		{name: "shares before the open", senders: 2,
+			before: []contribution{{0, []join.Key{1}, false}, {1, nil, true}},
+			after:  []contribution{{1, []join.Key{4}, true}, {0, []join.Key{1}, false}}},
 		{name: "sender past the count before the open", senders: 2,
-			before:      []contribution{{0, []join.Key{1}, false}, {2, []join.Key{4}, true}},
-			transferErr: "sender 2 of a 2-sender transfer"},
+			before: []contribution{{2, []join.Key{4}, true}},
+			after:  []contribution{{0, []join.Key{1}, false}, {1, []join.Key{4}, true}}},
 		{name: "sender past the count after the open", senders: 2,
 			after:       []contribution{{0, []join.Key{1}, false}, {2, []join.Key{4}, true}},
 			transferErr: "sender 2 of a 2-sender transfer"},
 		{name: "duplicate sender", senders: 2,
-			before:      []contribution{{1, []join.Key{1}, true}},
-			after:       []contribution{{1, []join.Key{1}, false}},
+			after:       []contribution{{1, []join.Key{1}, true}, {1, []join.Key{1}, false}},
 			transferErr: "duplicate contribution from sender 1"},
 		{name: "declarations past a relation's cap", senders: 2,
-			before: []contribution{{0, []join.Key{1}, true}}, overCap: true,
+			after: []contribution{{0, []join.Key{1}, true}}, overCap: true,
 			transferErr: "transfer contributions exceed"},
 		{name: "no senders", senders: 0, openErr: "declares 0 senders"},
 		{name: "more senders than the mesh allows", senders: maxPeerSenders + 1,
@@ -436,35 +548,40 @@ func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			token := newPeerToken()
-			st := w.peerState(token)
-			defer w.dropPeerState(token)
-			// A refusal fails st, checked below; a sub-job returns once its
-			// receiver answered.
-			send := func(cs []contribution) {
-				for _, c := range cs {
-					if c.remote {
-						_ = contribute(context.Background(), w.Addr(), "", Timeouts{}, token, c.sender, c.keys)
-					} else {
-						_ = w.deliverLocal(token, c.sender, "", c.keys)
-					}
+			// A sub-job returns once its receiver answered.
+			send := func(c contribution) error {
+				if c.remote {
+					return contribute(context.Background(), w.Addr(), "", Timeouts{}, token, c.sender, c.keys)
+				}
+				return w.deliverLocal(token, c.sender, "", c.keys)
+			}
+			for _, c := range tc.before {
+				if err := send(c); rejectCode(err) != codeCancelled {
+					t.Fatalf("sender %d ahead of the open: %v, want a cancelled refusal", c.sender, err)
 				}
 			}
-			send(tc.before)
-			err := st.expect(tc.senders)
+			waitFor(t, "the refused contributions to be credited", func() bool { return w.ledger.heldBytes() == 0 })
 			if tc.openErr != "" {
+				_, err := w.openTransfer(token, tc.senders)
 				if err == nil || !strings.Contains(err.Error(), tc.openErr) {
 					t.Fatalf("open of %d senders returned %v, want a refusal naming %q", tc.senders, err, tc.openErr)
 				}
-				// The refusal failed only the open: the transfer still
-				// completes under a valid one.
-				tc.senders, tc.after = 1, []contribution{{0, []join.Key{3}, false}}
-				if err := st.expect(tc.senders); err != nil {
-					t.Fatal(err)
+				if transferOpen(w, token) {
+					t.Fatal("a refused open created a transfer")
 				}
-			} else if err != nil {
-				t.Fatal(err)
+				return
 			}
-			send(tc.after)
+			st := mustOpenTransfer(t, w, token, tc.senders)
+			defer w.closeTransfer(token, st)
+			st.mu.Lock()
+			untouched := !st.done && len(st.contrib) == 0
+			st.mu.Unlock()
+			if !untouched {
+				t.Fatal("the refused contributions reached the transfer the open created")
+			}
+			for _, c := range tc.after {
+				_ = send(c) // a refusal fails st, checked below
+			}
 			if tc.overCap {
 				// A share its run's end frame declares that large holds no
 				// chunk here: the commit refuses it on the count alone.
@@ -488,12 +605,13 @@ func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 			case stErr != nil || n != tc.senders:
 				t.Fatalf("transfer err = %v with %d contributions, want complete with %d", stErr, n, tc.senders)
 			default:
-				if err := st.expect(tc.senders); err == nil || !strings.Contains(err.Error(), "already opened") {
+				if _, err := w.openTransfer(token, tc.senders); err == nil || !strings.Contains(err.Error(), "already opened") {
 					t.Fatalf("a second open returned %v, want a refusal", err)
 				}
 			}
 		})
 	}
+	waitFor(t, "every transfer's shares to be credited", func() bool { return w.ledger.heldBytes() == 0 })
 }
 
 // TestRetiredSessionFrameIsConnectionFatal pins the retired frame types:
@@ -582,8 +700,9 @@ func TestPeerJobReplyCheckedAgainstSenderCounts(t *testing.T) {
 				return
 			}
 			switch {
-			case typ == frameV3Open:
-				peerJob[id] = o.Kind == kindPeer
+			case typ == frameV3Open && o.Kind == kindPeer: // acknowledged: its transfer is open
+				peerJob[id] = true
+				err = writeCtl(bw, frameV3Reply, id, &reply{})
 			case typ == frameV3EOS && peerJob[id]:
 				err = writeCtl(bw, frameV3Reply, id, &reply{Final: true, InputR1: routed - 1})
 			case typ == frameV3EOS: // the stage-1 job: an empty summary, which Replan ignores

@@ -335,7 +335,10 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var st *peerJobState
 			if c.wantErr == "" {
+				// The stage-2 transfer the job's empty self-share completes.
+				st = mustOpenTransfer(t, ws[0], token, 1)
 				answerStats(t, conn, br, bw, 1, plan2{Plan: plan, Peers: addrs, Self: 0})
 			}
 			m := awaitFeedMetrics(t, conn, br, 1)
@@ -343,6 +346,7 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 				if m.Err != "" || m.InputR2 != int64(len(r2)) || len(m.PeerCounts) != 1 {
 					t.Fatalf("plan job with its column replied %+v", m)
 				}
+				ws[0].closeTransfer(token, st)
 			} else if !strings.Contains(m.Err, c.wantErr) || m.Code != c.code {
 				t.Fatalf("replied %+v, want an error naming %q with code %d", m, c.wantErr, c.code)
 			}

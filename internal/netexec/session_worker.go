@@ -71,14 +71,11 @@ type sessJob struct {
 	// plan the coordinator builds from the summaries and contributed to peers
 	// instead of returning as pairs; plan2 is its entry in the connection's
 	// plan2Table, registered at its open and removed by retire. A peer job's
-	// relation 1 is its senders' contributions: peerSt is the transfer state,
-	// set once the open's sender count was accepted, and peerTaken flips once
-	// the join goroutine took the contributions out of the transfer table, so
-	// retire leaves the token alone.
-	token     uint64
-	plan2     *plan2Waiter
-	peerTaken bool
-	peerSt    *peerJobState
+	// relation 1 is its senders' contributions: peerSt is the transfer its
+	// open created, which its retire removes.
+	token  uint64
+	plan2  *plan2Waiter
+	peerSt *peerJobState
 
 	// stream is the goroutine the job's key frames feed (see
 	// stream_worker.go), started at the job's open.
@@ -264,14 +261,6 @@ type workerSession struct {
 	// leaves it at its EOS or ABORT.
 	tenant string
 	jobs   map[uint32]*sessJob
-
-	// planTokens rings the transfer tokens of this connection's latest plan
-	// jobs (planNext is the next slot). A hang-up tombstones them, as the
-	// PLANCANCEL that can no longer reach this worker would: senders on other
-	// workers may still contribute to a transfer here whose stage-2 open never
-	// arrived, and nothing else would release what they buffer.
-	planTokens [64]uint64
-	planNext   int
 }
 
 // reply writes one REPLY frame for job id and flushes it.
@@ -287,9 +276,9 @@ func (ws *workerSession) reply(id uint32, r *reply) error {
 // retire is the one way a job leaves the worker — after its reply, on ABORT,
 // and when the connection dies under it: recycle its buffers and stop its
 // helper goroutines, give back its admission slot, drop its PLAN2 wait,
-// tombstone a peer transfer it opened but never consumed (so late
-// contributions are refused instead of buffering for nobody), and only then
-// retire its drain accounting.
+// remove the transfer a peer job opened with whatever it still holds (a later
+// contribution finds none and is refused), and only then retire its drain
+// accounting.
 func (ws *workerSession) retire(j *sessJob) {
 	j.release()
 	if j.releaseSlot != nil {
@@ -298,8 +287,8 @@ func (ws *workerSession) retire(j *sessJob) {
 	if j.plan2 != nil {
 		ws.pt.remove(j.id, j.plan2)
 	}
-	if j.peerSt != nil && !j.peerTaken {
-		ws.w.dropPeerState(j.token)
+	if j.peerSt != nil {
+		ws.w.closeTransfer(j.token, j.peerSt)
 	}
 	if j.counted {
 		ws.w.endJob(ws.cs)
@@ -310,12 +299,14 @@ func (ws *workerSession) retire(j *sessJob) {
 // maxOpenPayload, decode the record, register the job (table and drain
 // accounting) and start its join goroutine, then take the kind's own step: a
 // count, pairs or plan job takes its admission slot, a plan job registers its
-// PLAN2 wait, a peer job attaches to its transfer. An error is
-// connection-fatal: job number reuse, an oversized or undecodable open, or
-// the worker killed while the open queued for admission. A job a draining
-// worker refuses, one naming an unknown condition, or a plan or contribution
-// naming a sender past maxPeerSenders, is FAILED instead, its goroutine
-// poisoned: its frames drain and its reply carries the error.
+// PLAN2 wait, a peer job creates its transfer and answers with an interim
+// REPLY — the acknowledgment the coordinator awaits before any PLAN2, or the
+// open's refusal. An error is connection-fatal: job number reuse, an
+// oversized or undecodable open, a dead connection, or the worker killed
+// while the open queued for admission. A job a draining worker refuses, one
+// naming an unknown condition, or a plan or contribution naming a sender past
+// maxPeerSenders, is FAILED instead, its goroutine poisoned: its frames drain
+// and its reply carries the error.
 func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
 	var o open
 	if ws.jobs[id] != nil {
@@ -341,51 +332,49 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
 		j.cond = cond
 	}
 	j.stream = newSessStream(j, o.Stats)
-	if j.err != nil {
+	if o.Kind == kindPeer {
+		// The token's transfer, complete at the open's sender count; the join
+		// goroutine parks on it at EOS. A refusal fails this job, never
+		// another's transfer, and is the acknowledgment's error.
+		if j.err == nil {
+			if j.peerSt, err = w.openTransfer(o.Token, o.Senders); err != nil {
+				j.fail(err)
+			}
+		}
+		var ack reply
+		if j.err != nil {
+			ack.Err, ack.Code = j.err.Error(), rejectCode(j.err)
+		}
+		return ws.reply(id, &ack)
+	}
+	if j.err != nil || o.Kind == kindStream || o.Kind == kindContrib {
 		return nil
 	}
-	switch o.Kind {
-	case kindCount, kindPairs, kindPlan:
-		// Admission happens HERE, before the job's data frames are read: an
-		// un-admitted job buffers nothing worker-side — its frames stay in the
-		// kernel socket buffer, TCP backpressure stalls the coordinator's
-		// (whole-job, contiguous) send, and a saturating tenant is throttled to
-		// the rate the fair scheduler dispatches it. Blocking this read loop is
-		// deadlock-free: sends are contiguous per job on a connection, so every
-		// earlier job here is fully received, and slot holders only ever do
-		// finite compute (plan jobs release before their stats park; peer and
-		// stream jobs hold none while parked, admitting per seal and per
-		// probe). A rejection fails just this job — its frames drain and the
-		// reply carries the typed code.
-		releaseSlot, aerr := w.admitJob(ws.tenant, w.kill, ws.done)
-		if errors.Is(aerr, errAbandoned) {
-			return aerr // worker killed: the connection is going down anyway
-		}
-		if aerr != nil {
-			j.fail(aerr)
-			return nil
-		}
-		j.releaseSlot = releaseSlot
-		if o.Kind == kindPlan {
-			// The PLAN2 wait is registered here, not when the job parks: a
-			// PLANCANCEL follows the open on the connection, so it finds the
-			// waiter however far the job has got.
-			j.plan2 = ws.pt.add(id, o.Token)
-			ws.planTokens[ws.planNext%len(ws.planTokens)] = o.Token
-			ws.planNext++
-		}
-	case kindPeer:
-		// Attach to (or create) the token's transfer and declare its sender
-		// count, which says when it is complete; the join goroutine parks on
-		// it at EOS. A refusal fails this job, never another's transfer.
-		st := w.peerState(o.Token)
-		if st == nil {
-			j.fail(fmt.Errorf("transfer table full (%d tokens)", maxPeerStates))
-		} else if err := st.expect(o.Senders); err != nil {
-			j.fail(err)
-		} else {
-			j.peerSt = st
-		}
+	// A count, pairs or plan job is admitted HERE, before its data frames are
+	// read: an un-admitted job buffers nothing worker-side — its frames stay in
+	// the kernel socket buffer, TCP backpressure stalls the coordinator's
+	// (whole-job, contiguous) send, and a saturating tenant is throttled to the
+	// rate the fair scheduler dispatches it. Blocking this read loop is
+	// deadlock-free: sends are contiguous per job on a connection, so every
+	// earlier job here is fully received, and slot holders only ever do finite
+	// compute (plan jobs release before their stats park; peer and stream jobs
+	// hold none while parked, admitting per seal and per probe). A rejection
+	// fails just this job — its frames drain and the reply carries the typed
+	// code.
+	releaseSlot, aerr := w.admitJob(ws.tenant, w.kill, ws.done)
+	if errors.Is(aerr, errAbandoned) {
+		return aerr // worker killed: the connection is going down anyway
+	}
+	if aerr != nil {
+		j.fail(aerr)
+		return nil
+	}
+	j.releaseSlot = releaseSlot
+	if o.Kind == kindPlan {
+		// The PLAN2 wait is registered here, not when the job parks: a
+		// PLANCANCEL follows the open on the connection, so it finds the
+		// waiter however far the job has got.
+		j.plan2 = ws.pt.add(id, o.Token)
 	}
 	return nil
 }
@@ -473,11 +462,6 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState, t
 		for _, j := range ws.jobs {
 			ws.retire(j)
 		}
-		for _, token := range ws.planTokens {
-			if token != 0 {
-				w.dropPeerState(token)
-			}
-		}
 	}()
 
 	for {
@@ -505,7 +489,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState, t
 			if readCtl(br, n, maxOpenPayload, &x) != nil {
 				return
 			}
-			w.dropPeerState(x.Token)
+			w.cancelTransfer(x.Token)
 			ws.pt.cancel(x.Token)
 
 		case frameV3StreamBaseEnd, frameV3StreamWinEnd:

@@ -56,8 +56,8 @@ func (s *Session) RunStages(first *exec.Job, next *exec.PlanJob,
 	}
 	j2 := len(peerJobs)
 	// From here every failure abandons the opened peer jobs: the cancel
-	// releases contributions a peer job has not consumed (a consumed transfer
-	// just tombstones its token).
+	// releases contributions a peer job has not consumed, and each job's
+	// retire removes its transfer.
 	fail := func(err error) (int64, error) {
 		st.abandon(peerJobs)
 		return 0, err
@@ -122,21 +122,28 @@ func selfIndex(w int, peers []string) int {
 	return -1
 }
 
-// overlap is the stage-overlapped dispatch: the j2 stage-2 peer jobs open
-// (each declaring the j1 senders its transfer completes at), every OPEN on
-// the wire before any PLAN2, so before a contribution to its worker can
-// exist; then stage1 runs on the j1 stage-1 workers WHILE the opened peer
-// jobs stream their coordinator-owned right relation — the workers park on
-// the transfer token until every sender has contributed. Stage 1 runs even
-// past a failed open, so its contributions name a dead peer. It returns the
-// peer jobs it opened once both sides settled; the caller abandons them if
-// either failed.
+// overlap is the stage-overlapped dispatch: the j2 stage-2 peer jobs open,
+// each declaring the j1 senders its transfer completes at, and no PLAN2 goes
+// out until every open that reached its worker is acknowledged — so a
+// contribution always finds its transfer open, or none at all. Then stage1
+// runs on the j1 stage-1 workers WHILE the opened peer jobs stream their
+// coordinator-owned right relation; the workers park on the transfer token
+// until every sender has contributed. An open refused or left unanswered
+// past Timeouts.Job fails the pipeline before any PLAN2; one whose
+// connection is gone does not, so stage 1's contributions name the dead peer.
+// It returns the peer jobs it opened once both sides settled; the caller
+// abandons them if either failed.
 func (st *stagePipe) overlap(j1, j2 int, stage1 func(w int) error) ([]*subJob, error) {
 	peerJobs := make([]*subJob, j2)
 	openErr := fanOut(j2, func(p int) (err error) {
 		peerJobs[p], err = st.s.conns[p].openPeerJob(st, p)
 		return err
 	})
+	for _, f := range Faults(openErr) {
+		if f.Kind != FaultConnLost {
+			return peerJobs, openErr
+		}
+	}
 	var stage1Err error
 	stage1Done := make(chan struct{})
 	go func() {
@@ -278,12 +285,12 @@ func (j *subJob) finishStatsStageJob(p *plan2, m *exec.WorkerMetrics) ([]int64, 
 }
 
 // openPeerJob opens one stage-2 sub-job — every stage-1 worker is one of its
-// transfer's senders — while stage 1 may still be running on the same
-// connection. The returned sub-job stays open: sendPeerRelation ships its
+// transfer's senders — and awaits the worker's acknowledgment: its transfer
+// is open. The returned sub-job stays open: sendPeerRelation ships its
 // relation, then finishPeerJob (or abandon) takes it over once stage 1
 // settles.
 func (c *sessConn) openPeerJob(st *stagePipe, workerID int) (*subJob, error) {
-	j, err := c.open("peer job", st.id2, workerID, 0, nil)
+	j, err := c.open("peer job", st.id2, workerID, 1, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -291,6 +298,9 @@ func (c *sessConn) openPeerJob(st *stagePipe, workerID int) (*subJob, error) {
 		o := open{Kind: kindPeer, WorkerID: workerID, Cond: st.spec2, Token: st.token, Senders: len(st.counts)}
 		return writeCtl(bw, frameV3Open, j.id, &o)
 	})
+	if err == nil {
+		_, err = j.await("acknowledgment", true)
+	}
 	if err != nil {
 		j.close()
 		return nil, err

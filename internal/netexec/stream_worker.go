@@ -497,10 +497,10 @@ func (s *sessStream) commit() (reply, error) {
 }
 
 // probeTransfer is a peer-fed job's probe: the stage-1 senders' contributions,
-// taken out of the transfer table and probed where they landed, then
-// recycled, each credited to the tenant it was charged to. The wait ends when
-// the transfer completes or fails, the worker is killed, or the coordinator
-// hangs up.
+// taken out of the transfer and probed where they landed, then recycled, each
+// credited to the tenant it was charged to. The wait ends when the transfer
+// completes or fails, the worker is killed, or the coordinator hangs up; the
+// job's retire removes the transfer.
 func (s *sessStream) probeTransfer() error {
 	w, j, st := s.ws.w, s.j, s.j.peerSt
 	select {
@@ -521,8 +521,6 @@ func (s *sessStream) probeTransfer() error {
 	contrib, stErr := st.contrib, st.err
 	st.contrib = nil // the job owns them now
 	st.mu.Unlock()
-	w.finishPeerState(j.token)
-	j.peerTaken = true
 	if stErr != nil {
 		return fmt.Errorf("peer transfer %d: %w", j.token, stErr)
 	}

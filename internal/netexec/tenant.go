@@ -39,9 +39,10 @@ var ErrQuota = errors.New("tenant quota exceeded")
 // Reply codes carried in a REPLY so refusals stay typed across the wire:
 // admission and quota rejections; and the two worker job errors the
 // coordinator retries, blaming no worker: a draining worker's refusal of a new
-// job, and a job whose transfer was cancelled under it — a contribution
-// refused by a tombstone, a stage-2 job whose transfer was dropped — which
-// only happens once its pipeline attempt failed for another reason.
+// job, and a job whose transfer was cancelled under it — a contribution to a
+// token no open transfer holds, a stage-2 job whose transfer a PLANCANCEL
+// failed — which only happens once its pipeline attempt failed for another
+// reason.
 const (
 	codeNone      = 0
 	codeAdmission = 1
@@ -107,8 +108,9 @@ type TenantPolicy struct {
 	Weight int
 	// MaxBytes bounds the bytes the tenant's in-flight and queued jobs may
 	// hold on this worker: 8 per key received — a contribution's until the
-	// stage-2 job that probes it is done with it — per re-key column entry
-	// and per stage-1 match a plan job materializes. <= 0 means unlimited.
+	// stage-2 job whose transfer it joined has probed it or retired — per
+	// re-key column entry and per stage-1 match a plan job materializes.
+	// <= 0 means unlimited.
 	MaxBytes int64
 }
 
