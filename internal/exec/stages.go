@@ -48,13 +48,15 @@ type StatsSpec struct {
 }
 
 // summarize samples keys under the spec with the given sampling stream: the
-// one summary step behind window and stage summaries alike.
+// one summary step behind window and stage summaries alike. Both own their
+// keys, so it sorts them in place (sample.SummarizeInPlace) and the caller
+// goes on in key order.
 func (sp StatsSpec) summarize(keys []join.Key, seed uint64) *stats.Summary {
 	cap := sp.Cap
 	if sp.Adaptive {
 		cap = sample.AdaptiveCap(len(keys), sp.Cap)
 	}
-	return sample.Summarize(keys, cap, sp.Buckets, stats.NewRNG(seed))
+	return sample.SummarizeInPlace(keys, cap, sp.Buckets, stats.NewRNG(seed))
 }
 
 // StageMatches is a stage-1 worker's first step: join its blocks and
@@ -71,7 +73,8 @@ func StageMatches(r1, r2, rekey []join.Key, cond join.Condition) []join.Key {
 }
 
 // StageSummary is the second step: sender's encoded summary of its matches,
-// sampled from a stream derived from sp.Seed and the sender.
+// sampled from a stream derived from sp.Seed and the sender. It sorts the
+// matches in place, so RouteStage sends them on in key order.
 func StageSummary(matches []join.Key, sp StatsSpec, sender int) ([]byte, error) {
 	seed := sp.Seed + 0x517cc1b727220a95*uint64(sender+1)
 	enc, err := planio.EncodeSummary(sp.summarize(matches, seed))

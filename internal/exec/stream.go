@@ -78,15 +78,18 @@ func StreamSummarySeed(seed uint64, worker int, window uint32) uint64 {
 	return seed + 0x9e3779b97f4a7c15*uint64(worker+1) + 0x517cc1b727220a95*uint64(window+1)
 }
 
-// SummarizeWindow builds one worker's summary of its window shard under the
-// stream's stats spec — the shared implementation behind every
-// StreamRuntime, so in-process and wire transports produce bit-identical
-// summaries. Returns nil for an empty shard.
-func SummarizeWindow(keys []join.Key, sp StatsSpec, worker int, window uint32) *stats.Summary {
-	if len(keys) == 0 {
-		return nil
+// CloseWindow is one worker's end of a window, the step every StreamRuntime
+// takes so in-process and wire transports reply bit-identically: it sorts the
+// shard in place, summarizes it under the stream's stats spec (nil for an
+// empty shard) and counts it against res in key order, which also counts any
+// probe chunks res kept back.
+func CloseWindow(res *localjoin.Resident, keys []join.Key, sp StatsSpec, worker int, window uint32) (int64, *stats.Summary) {
+	var sum *stats.Summary
+	if len(keys) > 0 {
+		sum = sp.summarize(keys, StreamSummarySeed(sp.Seed, worker, window))
 	}
-	return sp.summarize(keys, StreamSummarySeed(sp.Seed, worker, window))
+	n, _ := res.ProbeCount(keys, false)
+	return n, sum
 }
 
 // LocalStreamRuntime hosts stream jobs in-process: one state slot per
@@ -156,10 +159,8 @@ func (s *localStream) SendWindow(window, epoch uint32, shares [][]join.Key) erro
 	}
 	rs := make([]WindowReply, len(s.shards))
 	for w := range s.shards {
-		keys := shares[w]
-		r := WindowReply{Worker: w, Window: window, Epoch: epoch, Input: int64(len(keys))}
-		r.Summary = SummarizeWindow(keys, s.spec.Stats, w, window)
-		r.Count, _ = s.shards[w].ProbeCount(slices.Clone(keys), false) // a probe may reorder its chunk
+		r := WindowReply{Worker: w, Window: window, Epoch: epoch, Input: int64(len(shares[w]))}
+		r.Count, r.Summary = CloseWindow(s.shards[w], slices.Clone(shares[w]), s.spec.Stats, w, window)
 		rs[w] = r
 	}
 	s.replies[winKey(window, epoch)] = rs

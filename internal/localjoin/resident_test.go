@@ -66,11 +66,29 @@ func spanOf(keys []key) uint64 {
 	return uint64(slices.Max(keys)) - uint64(slices.Min(keys))
 }
 
+// probeOrder is the order each probe chunk's keys reach a side in.
+type probeOrder int
+
+const (
+	arrivalOrder probeOrder = iota
+	keyOrder
+	reverseKeyOrder
+)
+
+func (o probeOrder) String() string {
+	return [...]string{"arrival", "key", "reverse key"}[o]
+}
+
 // residentCount joins r1 and r2 through a Resident — in the given form, with
 // R1 or R2 resident — inserting the resident relation and probing the other in
 // chunks of chunk keys. Both relations are copied: a side may keep and sort
 // what it is given.
 func residentCount(r1, r2 []key, cond join.Condition, form residentForm, residentR1 bool, chunk int) int64 {
+	return residentCountIn(r1, r2, cond, form, residentR1, chunk, arrivalOrder)
+}
+
+// residentCountIn is residentCount with each probe chunk in the given order.
+func residentCountIn(r1, r2 []key, cond join.Condition, form residentForm, residentR1 bool, chunk int, order probeOrder) int64 {
 	resident, probe := r1, r2
 	if !residentR1 {
 		resident, probe = r2, r1
@@ -91,6 +109,13 @@ func residentCount(r1, r2 []key, cond join.Condition, form residentForm, residen
 	var out int64
 	chunks := chunked(slices.Clone(probe), chunk)
 	for i, c := range chunks {
+		switch order {
+		case keyOrder:
+			slices.Sort(c)
+		case reverseKeyOrder:
+			slices.Sort(c)
+			slices.Reverse(c)
+		}
 		// Odd chunk sizes announce every chunk but the last as having a
 		// successor; even ones make each chunk a probe relation of its own.
 		n, _ := side.ProbeCount(c, chunk%2 == 1 && i < len(chunks)-1)
@@ -505,9 +530,11 @@ func TestResidentProperty(t *testing.T) {
 // FuzzEngineCount cross-checks the resident side — every form, either
 // relation resident, fuzz-chosen chunking and condition — against the
 // nested-loop oracle on fuzz-chosen key bytes, and checks that the form
-// NewResident seals into does not depend on the chunking. Byte keys span at
-// most 256, so the sparse and converting forms are what keep the hash
-// partitions fuzzed, and every side fits the table form.
+// NewResident seals into does not depend on the chunking. Each form, with
+// either relation resident, also counts each probe chunk in key order and in
+// reverse: a count must not depend on the order a chunk's keys come in. Byte
+// keys span at most 256, so the sparse and converting forms are what keep the
+// hash partitions fuzzed, and every side fits the table form.
 func FuzzEngineCount(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 3}, uint8(3), uint8(0))
 	f.Add([]byte{}, []byte{0, 0, 0, 0}, uint8(1), uint8(1))
@@ -550,6 +577,14 @@ func FuzzEngineCount(f *testing.F) {
 			if got := residentCount(r1, r2, cond, form, residentR1, int(split)%8); got != want {
 				t.Fatalf("%v, %v, R1 resident %v, chunks of %d: count = %d, want %d",
 					cond, form, residentR1, int(split)%8, got, want)
+			}
+			for _, r1Resident := range []bool{true, false} {
+				for _, order := range []probeOrder{keyOrder, reverseKeyOrder} {
+					if got := residentCountIn(r1, r2, cond, form, r1Resident, int(split)%8, order); got != want {
+						t.Fatalf("%v, %v, R1 resident %v, chunks of %d in %v order: count = %d, want %d",
+							cond, form, r1Resident, int(split)%8, order, got, want)
+					}
+				}
 			}
 		}
 	})

@@ -650,8 +650,8 @@ func (j *sessJob) validateComplete() error {
 // its share. Errors name the peer address.
 func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64, []int64, error) {
 	w := ws.w
-	// The three stage-1 steps exec.Local runs too: materialize, summarize,
-	// and (after the park below) route.
+	// The three stage-1 steps exec.Local runs too: materialize, summarize
+	// (which sorts the matches), and (after the park below) route in key order.
 	inter := exec.StageMatches(r1, r2, rekey, j.cond)
 	// The matches are the one buffer no frame declared: the join sizes it. It
 	// is charged like received keys the moment its size is known, before the

@@ -115,7 +115,7 @@ type sessStream struct {
 
 	winOpen  bool
 	win      uint32
-	winKeys  []join.Key // a stream's window in arrival order, summarized and probed at its end
+	winKeys  []join.Key // a stream's window, sorted, summarized and probed at its end
 	winCount int64      // a fed job's matches, counted chunk by chunk
 
 	totIn, totOut int64
@@ -415,7 +415,7 @@ func (s *sessStream) onWin(ev streamEvent) {
 	switch {
 	case s.failed != nil:
 	case !s.fed():
-		// Kept in arrival order, to summarize and probe under the window's slot.
+		// Kept to sort, summarize and probe under the window's slot.
 		s.winKeys = append(s.winKeys, ev.keys...)
 		bufpool.Keys.Put(ev.keys)
 		return
@@ -461,22 +461,22 @@ func (s *sessStream) onWinEnd(ev streamEvent) {
 }
 
 // closeWindow fills r with the open window's match count and, for a stream
-// (a fed job kept no window keys), the summary of its keys — taken before the
-// probe, which may reorder them.
+// (a fed job kept no window keys), the summary of its keys, which it sorts in
+// place and probes in key order.
 func (s *sessStream) closeWindow(r *reply) error {
 	release, err := s.admit()
 	if err != nil {
 		return err
 	}
 	defer release()
-	if sum := exec.SummarizeWindow(s.winKeys, s.st, s.j.workerID, r.Window); sum != nil {
+	n, sum := exec.CloseWindow(s.res, s.winKeys, s.st, s.j.workerID, r.Window)
+	if sum != nil {
 		enc, err := planio.EncodeSummary(sum)
 		if err != nil {
 			return fmt.Errorf("window summary: %w", err)
 		}
 		r.Summary = enc
 	}
-	n, _ := s.res.ProbeCount(s.winKeys, false)
 	r.Output = s.winCount + n
 	s.totIn += r.InputR1
 	s.totOut += r.Output

@@ -33,8 +33,16 @@ func AdaptiveCap(n, cap int) int {
 // canonical form), and a buckets-bucket equi-depth histogram over the FULL
 // shard, which keeps quantile accuracy the capped sample cannot. The result
 // is deterministic for a given rng seed, so a re-run reproduces the same
-// summary bit for bit.
+// summary bit for bit. keys is left as it was: Summarize is SummarizeInPlace
+// over a clone.
 func Summarize(keys []join.Key, cap, buckets int, rng *stats.RNG) *stats.Summary {
+	return SummarizeInPlace(slices.Clone(keys), cap, buckets, rng)
+}
+
+// SummarizeInPlace is Summarize for a caller that owns keys: it sorts them in
+// place and summarizes the sorted shard, which the caller may then read in
+// key order. The summary is the one Summarize gives, byte for byte.
+func SummarizeInPlace(keys []join.Key, cap, buckets int, rng *stats.RNG) *stats.Summary {
 	if cap < 1 {
 		cap = 1
 	}
@@ -44,16 +52,15 @@ func Summarize(keys []join.Key, cap, buckets int, rng *stats.RNG) *stats.Summary
 	if len(keys) == 0 {
 		return &stats.Summary{Cap: cap}
 	}
-	sorted := slices.Clone(keys)
-	keysort.Sort(sorted)
-	h, err := histogram.FromSorted(sorted, buckets)
+	keysort.Sort(keys)
+	h, err := histogram.FromSorted(keys, buckets)
 	if err != nil {
 		// Unreachable for non-empty input; keep the summary well-formed.
 		return &stats.Summary{Cap: cap}
 	}
-	// Reservoir sampling is order-oblivious, so drawing from the sorted clone
-	// is still uniform — and saves a second copy of the shard.
-	smp := FixedSize(sorted, cap, rng)
+	// Reservoir sampling is order-oblivious, so drawing from the sorted shard
+	// is still uniform.
+	smp := FixedSize(keys, cap, rng)
 	keysort.Sort(smp)
 	return &stats.Summary{
 		Count:  int64(len(keys)),
