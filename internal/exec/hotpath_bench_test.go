@@ -3,6 +3,7 @@ package exec
 import (
 	"testing"
 
+	"ewh/internal/bufpool"
 	"ewh/internal/core"
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
@@ -51,7 +52,11 @@ func BenchmarkShuffleCI(b *testing.B) {
 
 // BenchmarkShuffleRegions measures the shuffle most joins run: both relations
 // of a zipf equi-join routed by a CSIO plan's regions (a slab lookup per key,
-// ~1.2 receivers each) and scattered, without the local joins.
+// ~1.2 receivers each) and scattered, without the local joins. The flat row
+// is ShufflePair's two-pass form; the chunked row is the form every session
+// count job and exec.Local's equi count take, each mapper's per-worker
+// sub-blocks drained as they arrive. ns/tuple is per input tuple of either
+// relation.
 func BenchmarkShuffleRegions(b *testing.B) {
 	const n = 1 << 20
 	r1, r2 := workload.Zipfian(n, n, 0.6, 57), workload.Zipfian(n, n, 0.6, 58)
@@ -59,16 +64,38 @@ func BenchmarkShuffleRegions(b *testing.B) {
 	if err != nil || plan.Fallback {
 		b.Fatalf("no region plan: fallback %v, err %v", plan.Fallback, err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s1, s2 := ShufflePair(r1, r2, plan.Scheme, Config{Seed: 60, Mappers: 4})
-		if s1.Total() < n || s2.Total() < n {
-			b.Fatalf("shuffled %d and %d tuples of %d each", s1.Total(), s2.Total(), n)
+	cfg := Config{Seed: 60, Mappers: 4}
+	b.Run("flat", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s1, s2 := ShufflePair(r1, r2, plan.Scheme, cfg)
+			if s1.Total() < n || s2.Total() < n {
+				b.Fatalf("shuffled %d and %d tuples of %d each", s1.Total(), s2.Total(), n)
+			}
+			s1.Release()
+			s2.Release()
 		}
-		s1.Release()
-		s2.Release()
-	}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(2*n), "ns/tuple")
+	})
+	b.Run("chunked", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c1, c2 := shufflePairChunked(r1, r2, plan.Scheme, cfg)
+			routed := 0
+			for _, cs := range []*ChunkStream{c1, c2} {
+				for w := 0; w < cs.workers; w++ {
+					for c := range cs.Worker(w) {
+						routed += len(c.Keys)
+						bufpool.Keys.Put(c.Keys)
+					}
+				}
+			}
+			if routed < 2*n {
+				b.Fatalf("shuffled %d tuples of %d", routed, 2*n)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(2*n), "ns/tuple")
+	})
 }
 
 // BenchmarkRunTuples measures the tuple adapter end to end: the two Keys

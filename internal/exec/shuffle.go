@@ -72,12 +72,6 @@ func (k *KeyShuffle) Release() {
 	*k = KeyShuffle{}
 }
 
-// cursor is one mapper's write position inside one worker's destination.
-type cursor struct {
-	buf []join.Key
-	n   int
-}
-
 // shuffleRelation routes keys to scheme's workers on side rel with a two-pass
 // shuffle across mappers parallel shards: routeShard per mapper, a barrier
 // that computes exact per-(mapper, worker) write offsets, then a replay of
@@ -124,12 +118,12 @@ func shuffleRelation(keys, comp []join.Key, scheme partition.Scheme, rel, mapper
 		go func(mi int) {
 			defer wg.Done()
 			lo, hi := shard(len(keys), mappers, mi)
-			cur := make([]cursor, j)
-			place := func(dst *KeyShuffle, column []join.Key) {
-				for w := range cur {
-					cur[w] = cursor{dst.Worker(w), first[mi*j+w]}
+			dst := make([][]join.Key, j)
+			place := func(to *KeyShuffle, column []join.Key) {
+				for w := range dst {
+					dst[w] = to.Worker(w)
 				}
-				scatter(cur, column[lo:hi], &batches[mi])
+				scatter(dst, first[mi*j:(mi+1)*j], column[lo:hi], &batches[mi])
 			}
 			place(ks, keys)
 			if comp != nil {
@@ -275,16 +269,16 @@ func chunkedRelation(keys []join.Key, scheme partition.Scheme, rel, mappers int,
 				defer wg.Done()
 				b := &batches[mi]
 				lo, hi := routeShard(keys, j, mappers, mi, rngs[mi], b, route)
-				cur := make([]cursor, j)
+				dst := make([][]join.Key, j)
 				for w := 0; w < j; w++ {
 					if b.Counts[w] > 0 {
-						cur[w].buf = bufpool.Keys.Get(b.Counts[w])
+						dst[w] = bufpool.Keys.Get(b.Counts[w])
 					}
 				}
-				scatter(cur, keys[lo:hi], b)
+				scatter(dst, nil, keys[lo:hi], b)
 				for w := 0; w < j; w++ {
-					if cur[w].buf != nil {
-						cs.ch[w] <- KeyChunk{Mapper: mi, Keys: cur[w].buf}
+					if dst[w] != nil {
+						cs.ch[w] <- KeyChunk{Mapper: mi, Keys: dst[w]}
 					}
 				}
 			}(mi)
@@ -298,34 +292,66 @@ func chunkedRelation(keys []join.Key, scheme partition.Scheme, rel, mappers int,
 	return cs
 }
 
+// maxLocalWorkers bounds the receivers whose write positions scatter keeps
+// in a stack array; past it (a scheme of more workers) they live in a heap
+// slice, through the same loops.
+const maxLocalWorkers = 256
+
 // scatter is the shuffle's one kernel: it replays the routes b recorded for
-// one mapper's shard, writing items[i] at the cursor of each receiver w of key
-// i — the workers b.Table lists for the key's group — and advancing it. The
-// flat shuffle points the cursors at the mapper's range inside each worker's
-// block of the flat buffer; the chunked shuffle at the start of the mapper's
-// own per-worker buffers. Either way worker w receives the mapper's tuples in
-// route-emission order.
-func scatter(cur []cursor, items []join.Key, b *partition.RouteBatch) {
+// one mapper's shard, writing items[i] into dst[w] of each receiver w of key
+// i — the workers b.Table lists for the key's group — at w's next position,
+// which starts at first[w] (0 for a nil first). The flat shuffle points dst
+// at the worker blocks of the flat buffer and first at the mapper's range
+// inside each; the chunked shuffle at the mapper's own per-worker buffers.
+// Either way worker w receives the mapper's tuples in route-emission order.
+//
+// A group of one or two workers (b.Table.Lead) takes two writes and no
+// branch on its size: a one-worker group's key is written into the same
+// slot twice, the first write leaving the position where it was. Groups of
+// more workers, or none, are walked.
+func scatter(dst [][]join.Key, first []int, items []join.Key, b *partition.RouteBatch) {
+	var local [maxLocalWorkers]int
+	pos := local[:]
+	if len(dst) > len(local) {
+		pos = make([]int, len(dst))
+	}
+	pos = pos[:len(dst)]
+	copy(pos, first)
 	groups := b.Groups
-	// The reslice pins len(items) == len(groups) so the items access needs no
-	// bounds check inside the loops.
+	// The reslices pin len(items) == len(groups) and len(dst) == len(pos), so
+	// those accesses need no bounds check inside the loops.
 	items = items[:len(groups)]
-	off, recv := b.Table.Off, b.Table.Recv
-	if off == nil {
+	dst = dst[:len(pos)]
+	if b.Table.Off == nil {
 		// The identity table: a key's group is its one receiver.
 		for ti, w := range groups {
-			c := &cur[w]
-			c.buf[c.n] = items[ti]
-			c.n++
+			p := pos[w]
+			dst[w][p] = items[ti]
+			pos[w] = p + 1
 		}
 		return
 	}
+	lead := b.Table.Lead
 	for ti, g := range groups {
-		item := items[ti]
-		for _, w := range recv[off[g]:off[g+1]] {
-			c := &cur[w]
-			c.buf[c.n] = item
-			c.n++
+		item, l := items[ti], lead[g]
+		if l.First < 0 {
+			t := &b.Table
+			for _, w := range t.Recv[t.Off[g]:t.Off[g+1]] {
+				p := pos[w]
+				dst[w][p] = item
+				pos[w] = p + 1
+			}
+			continue
 		}
+		adv := 0
+		if l.First != l.Second {
+			adv = 1
+		}
+		p := pos[l.Second]
+		dst[l.Second][p] = item
+		pos[l.Second] = p + adv
+		p = pos[l.First]
+		dst[l.First][p] = item
+		pos[l.First] = p + 1
 	}
 }

@@ -10,12 +10,17 @@ import (
 	"ewh/internal/join"
 	"ewh/internal/partition"
 	"ewh/internal/stats"
+	"ewh/internal/tiling"
 )
 
 // shuffleSchemes covers every RouteBatch shape the scatter kernel replays:
 // the identity table (Hash; Broadcast's R1 side), groups of one size (CI;
 // Broadcast's R2 side) and of several (a region scheme; PRPD Hash's R2 side,
-// whose heavy key broadcasts while the rest hash).
+// whose heavy key broadcasts while the rest hash). Two schemes lie past the
+// kernels' stack bounds: a Hash of more than maxLocalWorkers workers, and a
+// staircase of regions with more than 256 slabs per axis (partition's
+// maxLocalGroups), whose groups have one worker, two, or none where a
+// region is missing.
 func shuffleSchemes(t *testing.T, r1, r2 []join.Key) []partition.Scheme {
 	t.Helper()
 	hash, err := partition.NewHash(8, nil)
@@ -38,7 +43,26 @@ func shuffleSchemes(t *testing.T, r1, r2 []join.Key) []partition.Scheme {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []partition.Scheme{hash, partition.NewCI(16), csio.Scheme, prpd, bcast}
+	wide, err := partition.NewHash(maxLocalWorkers+44, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stairs []tiling.Region
+	for i := 0; i < 200; i++ {
+		if i%7 != 3 {
+			lo, hi := join.Key(3*i), join.Key(3*i+4)
+			stairs = append(stairs, tiling.Region{RowLo: lo, RowHi: hi, ColLo: lo, ColHi: hi})
+		}
+	}
+	edges := make(map[join.Key]bool)
+	for _, r := range stairs {
+		edges[r.RowLo], edges[r.RowHi] = true, true
+	}
+	if len(edges)+1 <= 256 {
+		t.Fatalf("the staircase cuts each axis into %d slabs, want more than 256", len(edges)+1)
+	}
+	return []partition.Scheme{hash, partition.NewCI(16), csio.Scheme, prpd, bcast,
+		wide, partition.NewRegionScheme("stairs", stairs)}
 }
 
 // concatChunks drains cs and returns each worker's chunks concatenated in
@@ -78,7 +102,7 @@ func TestShuffleFlatChunkedCompanionAgree(t *testing.T) {
 	for _, s := range shuffleSchemes(t, base1, base2) {
 		for _, mappers := range []int{1, 3, 8} {
 			for _, n := range []int{0, 1, full} {
-				id := fmt.Sprintf("%s mappers=%d n=%d", s.Name(), mappers, n)
+				id := fmt.Sprintf("%s J=%d mappers=%d n=%d", s.Name(), s.Workers(), mappers, n)
 				r1, r2 := base1[:n], base2[:n]
 				cfg := Config{Seed: 702, Mappers: mappers}
 				j := s.Workers()

@@ -169,7 +169,9 @@ func BenchmarkBuildInsertProbe(b *testing.B) {
 // sweep. The last two are pool-small-jobs' blocks: a band one at span/n 8.2,
 // within the table's budget, and an equi one at span/n 4.1 that arrives from
 // two mappers, its first chunk alone spanning 8.2 slots a key; judged whole,
-// it stays dense.
+// it stays dense. sorted-probe-250k arrives in key order, as a stream window
+// or a stage-1 share does, against a merge-form side at span/n 80; at ten
+// times that side, its sort was most of the op.
 func BenchmarkResidentCount(b *testing.B) {
 	band3 := join.NewBand(3)
 	shapes := []struct {
@@ -179,17 +181,22 @@ func BenchmarkResidentCount(b *testing.B) {
 		seed1, seed2 uint64
 		cond         join.Condition
 		chunks       int
+		sorted       bool // the probe arrives in key order
 	}{
-		{"dense-105k", 105_000, 120_000, 17_600, 20_100, 50, 51, band3, 1},
-		{"dense-88k", 88_000, 205_000, 14_500, 14_500, 52, 53, band3, 1},
-		{"span6.9-530k", 530_000, 500_000, 3_660_000, 3_260_000, 54, 55, band3, 1},
-		{"span4.0-557k", 557_000, 380_000, 2_225_000, 1_520_000, 56, 57, band3, 1},
-		{"wide-64", 100_000, 100_000, 6_400_000, 6_400_000, 58, 59, band3, 1},
-		{"band-span8.2-10k", 10_000, 10_000, 82_000, 82_000, 60, 61, join.NewBand(2), 1},
-		{"equi-span4.1-5k-2chunks", 5_000, 5_000, 20_500, 20_500, 62, 63, join.Equi{}, 2},
+		{"dense-105k", 105_000, 120_000, 17_600, 20_100, 50, 51, band3, 1, false},
+		{"dense-88k", 88_000, 205_000, 14_500, 14_500, 52, 53, band3, 1, false},
+		{"span6.9-530k", 530_000, 500_000, 3_660_000, 3_260_000, 54, 55, band3, 1, false},
+		{"span4.0-557k", 557_000, 380_000, 2_225_000, 1_520_000, 56, 57, band3, 1, false},
+		{"wide-64", 100_000, 100_000, 6_400_000, 6_400_000, 58, 59, band3, 1, false},
+		{"band-span8.2-10k", 10_000, 10_000, 82_000, 82_000, 60, 61, join.NewBand(2), 1, false},
+		{"equi-span4.1-5k-2chunks", 5_000, 5_000, 20_500, 20_500, 62, 63, join.Equi{}, 2, false},
+		{"sorted-probe-250k", 25_000, 250_000, 2_000_000, 2_000_000, 64, 65, band3, 1, true},
 	}
 	for _, s := range shapes {
 		r1, r2 := randKeys(s.n1, s.span1, s.seed1), randKeys(s.n2, s.span2, s.seed2)
+		if s.sorted {
+			slices.Sort(r2)
+		}
 		chunks := chunked(r1, (s.n1+s.chunks-1)/s.chunks)
 		probe := make([]join.Key, len(r2))
 		b.Run(s.name, func(b *testing.B) {

@@ -180,11 +180,17 @@ func (r *Resident) sealKept() {
 	sortKeys(r.base, len(runs) > 1)
 }
 
-// sortKeys sorts one whole relation. One that arrived in chunks is a one-shot
-// job's, and such jobs recur: its scratch (and the probe side's gathered
-// block) is pooled. A stream's frame or an owned block sorts through a fresh
-// scratch the GC takes back, as pooled ones would pin a window's worth each.
+// sortKeys sorts one whole relation. One already sorted as a whole (a
+// stream window the worker sorted to summarize it, a stage-1 share from one
+// sender) is left as it is: the check is one read of the keys. One that
+// arrived in chunks is a one-shot job's, and such jobs recur: its scratch
+// (and the probe side's gathered block) is pooled. A stream's frame or an
+// owned block sorts through a fresh scratch the GC takes back, as pooled ones
+// would pin a window's worth each.
 func sortKeys(keys []join.Key, chunked bool) {
+	if slices.IsSorted(keys) {
+		return
+	}
 	if !chunked {
 		keysort.Sort(keys)
 		return

@@ -2,6 +2,7 @@ package netexec
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"ewh/internal/exec"
@@ -148,4 +149,47 @@ func BenchmarkControlFrameCodec(b *testing.B) {
 			b.Fatalf("round trip decoded %+v and %+v", gotOpen, gotM)
 		}
 	}
+}
+
+// BenchmarkKeyFrameCodec times the key-frame codec on its own, in memory: a
+// 64 Ki-key base run framed by writeStreamBaseKeys into a reused buffer, and
+// its keys decoded back by readKeysLE into a reused block, the step
+// readKeyFrame takes for every key frame a worker receives. ns/key is per key
+// of the run.
+func BenchmarkKeyFrameCodec(b *testing.B) {
+	const n = 64 << 10
+	keys := randKeys(n, 1<<40, 9)
+	var buf bytes.Buffer
+	if err := writeStreamBaseKeys(&buf, 1, 0, keys); err != nil {
+		b.Fatal(err)
+	}
+	payload := slices.Clone(buf.Bytes()[v3FrameHeaderLen+streamBaseHdrLen:])
+	b.Run("write", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf.Reset()
+			if err := writeStreamBaseKeys(&buf, 1, 0, keys); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if !bytes.Equal(buf.Bytes()[v3FrameHeaderLen+streamBaseHdrLen:], payload) {
+			b.Fatal("the last frame differs from the first")
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/key")
+	})
+	b.Run("read", func(b *testing.B) {
+		dst := make([]join.Key, n)
+		r := bytes.NewReader(payload)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Reset(payload)
+			if err := readKeysLE(r, dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if !slices.Equal(dst, keys) {
+			b.Fatal("decoded keys differ from the written ones")
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/key")
+	})
 }

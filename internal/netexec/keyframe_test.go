@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 
@@ -276,4 +277,63 @@ func TestDecodedPairsChunkServedFromItsClass(t *testing.T) {
 		t.Fatalf("a 10-pair chunk has capacity %d, want its class size 64", cap(small))
 	}
 	exec.PairBufs.Put(small)
+}
+
+// TestDataFrameWireBytes pins the data frames' wire form by literal bytes,
+// written out by hand little-endian, in both directions: the writers must
+// produce exactly these bytes and the decoders must read them back. A round
+// trip alone (FuzzKeyFrame) passes any codec that agrees with itself.
+func TestDataFrameWireBytes(t *testing.T) {
+	keys := []join.Key{0, 1, -1, math.MinInt64, math.MaxInt64, 0x0102030405060708}
+	wantKeys := []byte{
+		frameV3StreamBase, 0x0d, 0x0c, 0x0b, 0x0a, 56, 0, 0, 0, // type, job 0x0a0b0c0d, payload 8+6·8
+		0x44, 0x33, 0x22, 0x11, 6, 0, 0, 0, // epoch 0x11223344, count 6
+		0, 0, 0, 0, 0, 0, 0, 0,
+		1, 0, 0, 0, 0, 0, 0, 0,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+		0, 0, 0, 0, 0, 0, 0, 0x80,
+		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
+		8, 7, 6, 5, 4, 3, 2, 1,
+	}
+	var b bytes.Buffer
+	if err := writeStreamBaseKeys(&b, 0x0a0b0c0d, 0x11223344, keys); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Bytes(), wantKeys) {
+		t.Fatalf("STREAMBASE frame\n got % x\nwant % x", b.Bytes(), wantKeys)
+	}
+	got := make([]join.Key, len(keys))
+	if err := readKeysLE(bytes.NewReader(wantKeys[v3FrameHeaderLen+streamBaseHdrLen:]), got); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, keys) {
+		t.Fatalf("decoded keys %v, want %v", got, keys)
+	}
+
+	pairs := []exec.PairIdx{{I1: 0x01020304, I2: 0xa0b0c0d0}, {I1: 0, I2: math.MaxUint32}}
+	wantPairs := []byte{
+		frameV3Pairs, 7, 0, 0, 0, 20, 0, 0, 0, // type, job 7, payload 4+2·8
+		2, 0, 0, 0, // count 2
+		0x04, 0x03, 0x02, 0x01, 0xd0, 0xc0, 0xb0, 0xa0,
+		0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff,
+	}
+	b.Reset()
+	bw := bufio.NewWriter(&b)
+	if err := writePairsFrame(bw, 7, pairs); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.Bytes(), wantPairs) {
+		t.Fatalf("PAIRS frame\n got % x\nwant % x", b.Bytes(), wantPairs)
+	}
+	gotPairs, err := readPairsPayload(bytes.NewReader(wantPairs[v3FrameHeaderLen:]), len(wantPairs)-v3FrameHeaderLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(gotPairs, pairs) {
+		t.Fatalf("decoded pairs %v, want %v", gotPairs, pairs)
+	}
+	exec.PairBufs.Put(gotPairs)
 }

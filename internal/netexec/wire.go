@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"ewh/internal/bufpool"
 	"ewh/internal/exec"
 	"ewh/internal/join"
 )
@@ -122,12 +121,6 @@ func prelude(version uint16, tenant string) []byte {
 	return append(append(b, byte(len(tenant))), tenant...)
 }
 
-// codecScratch recycles the chunk buffers the key and pair codecs stage
-// through, each scratchLen bytes.
-var codecScratch bufpool.Pool[byte]
-
-const scratchLen = 64 << 10
-
 // v3FrameHeaderLen is [type u8][job u32][payloadLen u32], the frame header.
 const v3FrameHeaderLen = 9
 
@@ -172,11 +165,9 @@ func writeEndFrame(w io.Writer, typ byte, job uint32, h []byte) error {
 // count, then the keys fixed-width little-endian. sub arrives with everything
 // but the count filled in; keys split at maxBlockKeys into consecutive frames
 // (which append in arrival order on the worker) and an empty run writes
-// nothing — the run's end frame already says zero. Keys stage through a
-// pooled scratch buffer, so the cost per key is one PutUint64.
+// nothing — the run's end frame already says zero. writeKeysLE writes the
+// keys (keycodec_le.go: on a little-endian host, the block's own bytes).
 func writeKeyFrames(w io.Writer, typ byte, job uint32, sub []byte, keys []join.Key) error {
-	scratch := codecScratch.Get(scratchLen)
-	defer codecScratch.Put(scratch)
 	for len(keys) > 0 {
 		n := len(keys)
 		if n > maxBlockKeys {
@@ -189,7 +180,7 @@ func writeKeyFrames(w io.Writer, typ byte, job uint32, sub []byte, keys []join.K
 		if _, err := w.Write(sub); err != nil {
 			return err
 		}
-		if err := writeKeysLE(w, keys[:n], scratch); err != nil {
+		if err := writeKeysLE(w, keys[:n]); err != nil {
 			return err
 		}
 		keys = keys[n:]
@@ -236,49 +227,8 @@ func writeStreamWinKeys(w io.Writer, job, window, epoch uint32, keys []join.Key)
 	return writeKeyFrames(w, frameV3StreamWin, job, h[:], keys)
 }
 
-// readKeysLE decodes len(dst) little-endian keys from r into dst, staged
-// through a pooled scratch buffer — the inverse of writeKeysLE.
-func readKeysLE(r io.Reader, dst []join.Key) error {
-	buf := codecScratch.Get(scratchLen)
-	defer codecScratch.Put(buf)
-	for len(dst) > 0 {
-		c := len(buf) / 8
-		if c > len(dst) {
-			c = len(dst)
-		}
-		chunk := buf[:8*c]
-		if _, err := io.ReadFull(r, chunk); err != nil {
-			return err
-		}
-		for i := range dst[:c] {
-			dst[i] = join.Key(binary.LittleEndian.Uint64(chunk[8*i:]))
-		}
-		dst = dst[c:]
-	}
-	return nil
-}
-
-// writeKeysLE streams keys fixed-width little-endian, staged through buf.
-func writeKeysLE(w io.Writer, block []join.Key, buf []byte) error {
-	for len(block) > 0 {
-		c := len(buf) / 8
-		if c > len(block) {
-			c = len(block)
-		}
-		chunk := buf[:8*c]
-		for i, k := range block[:c] {
-			binary.LittleEndian.PutUint64(chunk[8*i:], uint64(k))
-		}
-		if _, err := w.Write(chunk); err != nil {
-			return err
-		}
-		block = block[c:]
-	}
-	return nil
-}
-
 // writePairsFrame ships one chunk of matched index pairs back to the
-// coordinator, staged through a pooled scratch buffer.
+// coordinator.
 func writePairsFrame(w *bufio.Writer, job uint32, pairs []exec.PairIdx) error {
 	if err := writeV3FrameHeader(w, frameV3Pairs, job, 4+8*len(pairs)); err != nil {
 		return err
@@ -288,24 +238,7 @@ func writePairsFrame(w *bufio.Writer, job uint32, pairs []exec.PairIdx) error {
 	if _, err := w.Write(ch[:]); err != nil {
 		return err
 	}
-	buf := codecScratch.Get(scratchLen)
-	defer codecScratch.Put(buf)
-	for len(pairs) > 0 {
-		c := len(buf) / 8
-		if c > len(pairs) {
-			c = len(pairs)
-		}
-		chunk := buf[:8*c]
-		for i, p := range pairs[:c] {
-			binary.LittleEndian.PutUint32(chunk[8*i:], p.I1)
-			binary.LittleEndian.PutUint32(chunk[8*i+4:], p.I2)
-		}
-		if _, err := w.Write(chunk); err != nil {
-			return err
-		}
-		pairs = pairs[c:]
-	}
-	return nil
+	return writePairsLE(w, pairs)
 }
 
 // writeStreamBaseEnd seals one epoch's base with its exact total; the worker
@@ -342,25 +275,9 @@ func readPairsPayload(r io.Reader, n int) ([]exec.PairIdx, error) {
 		return nil, fmt.Errorf("pairs frame length %d inconsistent with count %d", n, count)
 	}
 	out := exec.PairBufs.Get(count)
-	buf := codecScratch.Get(scratchLen)
-	defer codecScratch.Put(buf)
-	for pos := 0; pos < count; {
-		c := len(buf) / 8
-		if c > count-pos {
-			c = count - pos
-		}
-		chunk := buf[:8*c]
-		if _, err := io.ReadFull(r, chunk); err != nil {
-			exec.PairBufs.Put(out)
-			return nil, err
-		}
-		for i := 0; i < c; i++ {
-			out[pos+i] = exec.PairIdx{
-				I1: binary.LittleEndian.Uint32(chunk[8*i:]),
-				I2: binary.LittleEndian.Uint32(chunk[8*i+4:]),
-			}
-		}
-		pos += c
+	if err := readPairsLE(r, out); err != nil {
+		exec.PairBufs.Put(out)
+		return nil, err
 	}
 	return out, nil
 }

@@ -60,7 +60,8 @@ func (s *CI) RouteBatchR2(keys []join.Key, rng *stats.RNG, b *RouteBatch) {
 // routeUniform draws the group of each of n keys uniformly from t's groups
 // [0, groups), one draw per key.
 func routeUniform(n, groups int, t GroupTable, rng *stats.RNG, b *RouteBatch) {
-	ids, hits := b.begin(n, t)
+	var local groupTally
+	ids, hits := b.begin(n, t, &local)
 	for i := range ids {
 		g := rng.Intn(groups)
 		ids[i] = int32(g)

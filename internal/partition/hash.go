@@ -37,9 +37,8 @@ func NewHash(j int, heavyKeys []join.Key) (*Hash, error) {
 	// canonical form the plan codec round-trips byte-exactly.
 	h.heavy = slices.Compact(h.heavy)
 	if len(h.heavy) > 0 {
-		h.orAll = gridTable(j, 1, 1, 0)
-		h.orAll.Recv = append(h.orAll.Recv, h.orAll.Recv...)
-		h.orAll.Off = append(h.orAll.Off, int32(2*j))
+		own := gridTable(j, 1, 1, 0)
+		h.orAll = newGroupTable(append(own.Off, int32(2*j)), append(own.Recv, own.Recv...))
 	}
 	return h, nil
 }
@@ -102,7 +101,7 @@ func hashKey(k join.Key) uint64 {
 // — others hash), and the common no-heavy-hitter case is a tight hash loop.
 func (h *Hash) RouteBatchR1(keys []join.Key, rng *stats.RNG, b *RouteBatch) {
 	j := uint64(h.workers)
-	ids, counts := b.begin(len(keys), GroupTable{})
+	ids, counts := b.begin(len(keys), GroupTable{}, nil)
 	keys = keys[:len(ids)]
 	if len(h.heavy) == 0 {
 		for i, k := range keys {
@@ -132,7 +131,8 @@ func (h *Hash) RouteBatchR2(keys []join.Key, _ *stats.RNG, b *RouteBatch) {
 		return
 	}
 	j := uint64(h.workers)
-	ids, hits := b.begin(len(keys), h.orAll)
+	var local groupTally
+	ids, hits := b.begin(len(keys), h.orAll, &local)
 	keys = keys[:len(ids)]
 	for i, k := range keys {
 		g := int32(h.workers)
@@ -175,7 +175,8 @@ func (b *Broadcast) RouteBatchR1(keys []join.Key, rng *stats.RNG, rb *RouteBatch
 
 // RouteBatchR2 implements Scheme: every key's group is the one group, "all".
 func (b *Broadcast) RouteBatchR2(keys []join.Key, _ *stats.RNG, rb *RouteBatch) {
-	ids, hits := rb.begin(len(keys), b.all)
+	var local groupTally
+	ids, hits := rb.begin(len(keys), b.all, &local)
 	clear(ids)
 	hits[0] = len(keys)
 	rb.fold(hits)

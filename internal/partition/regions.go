@@ -30,9 +30,10 @@ type slabAxis struct {
 	// dir[b] is the number of edges e with (e - edges[0]) >> shift < b, so
 	// the slab of a key in bucket b lies in [dir[b], dir[b+1]] and is dir[b]
 	// outright when no edge shares the bucket. shift is the smallest that
-	// keeps dir at dirBuckets entries or fewer whatever the key span; nil
-	// below two edges, where no slab is covered.
-	dir   []int32
+	// keeps the buckets the edges span to dirBuckets or fewer whatever the
+	// key span; the buckets past them hold no edge. nil below two edges,
+	// where no slab is covered.
+	dir   *[dirBuckets + 1]int32
 	shift uint
 }
 
@@ -119,7 +120,7 @@ func newSlabAxis(regions []tiling.Region, bounds func(tiling.Region) (lo, hi joi
 			next[sl]++
 		}
 	}
-	x := slabAxis{edges: edges, table: GroupTable{Off: off, Recv: recv}}
+	x := slabAxis{edges: edges, table: newGroupTable(off, recv)}
 	if len(edges) < 2 {
 		return x
 	}
@@ -128,7 +129,7 @@ func newSlabAxis(regions []tiling.Region, bounds func(tiling.Region) (lo, hi joi
 	for span>>x.shift >= dirBuckets {
 		x.shift++
 	}
-	x.dir = make([]int32, span>>x.shift+2)
+	x.dir = new([dirBuckets + 1]int32)
 	for _, e := range edges {
 		x.dir[(uint64(e)-base)>>x.shift+1]++
 	}
@@ -158,31 +159,70 @@ func (s *RegionScheme) RouteBatchR2(keys []join.Key, _ *stats.RNG, b *RouteBatch
 }
 
 // route records each key's slab: the directory bucket of its top bits names
-// the slab, or the range of slabs the edges inside the bucket separate, which
-// a bisection of those edges alone resolves.
+// the slab outright unless an edge shares the bucket or the key lies outside
+// the edges, when the key is clamped onto them and a bisection of the edges
+// inside its bucket resolves it. The inner loop takes keys until the first
+// such one; resolving it outside that loop leaves the loop's state in
+// registers. Every key outside the edges is > span above edges[0] unsigned,
+// those below it included: its distance down wraps past the span.
 func (x *slabAxis) route(keys []join.Key, b *RouteBatch) {
-	ids, hits := b.begin(len(keys), x.table)
+	var local groupTally
+	ids, hits := b.begin(len(keys), x.table, &local)
 	if x.dir == nil {
 		clear(ids) // no slab is covered
 		return
 	}
-	edges, dir, shift := x.edges, x.dir, x.shift
+	edges, dir, shift := x.edges, x.dir, x.shift&63 // the mask drops the shift's ≥ 64 guard
 	lo, hi := edges[0], edges[len(edges)-1]
+	span := uint64(hi) - uint64(lo) // unsigned: a span up to 2^64-1 does not wrap
 	keys = keys[:len(ids)]
-	for i, k := range keys {
-		k = min(max(k, lo), hi)
-		bkt := (uint64(k) - uint64(lo)) >> shift // unsigned: a span up to 2^64-1 does not wrap
-		s, end := dir[bkt], dir[bkt+1]
-		for s < end {
-			m := int32(uint32(s+end) >> 1)
-			if edges[m] <= k {
-				s = m + 1
-			} else {
-				end = m
+	for i := 0; i < len(keys); i++ {
+		for ; i < len(keys); i++ {
+			d := uint64(keys[i]) - uint64(lo)
+			if d > span {
+				break
 			}
+			bkt := d >> shift & (dirBuckets - 1) // a no-op on d <= span; it spares the bounds checks
+			s := dir[bkt]
+			if s != dir[bkt+1] {
+				break
+			}
+			ids[i] = s
+			hits[s]++
 		}
-		ids[i] = s
-		hits[s]++
+		if i == len(keys) {
+			break
+		}
+		k := min(max(keys[i], lo), hi)
+		bkt := (uint64(k) - uint64(lo)) >> shift & (dirBuckets - 1)
+		ids[i] = edgeSlab(edges[dir[bkt]:dir[bkt+1]], k) + dir[bkt]
+		hits[ids[i]]++
 	}
 	b.fold(hits)
+}
+
+// edgeSlab returns the number of edges <= k, halving the candidates with a
+// conditional move per step: the bisection of a bucket that edges share,
+// kept out of route's loop.
+//
+//go:noinline
+func edgeSlab(edges []join.Key, k join.Key) int32 {
+	if len(edges) == 0 {
+		return 0
+	}
+	base, n := 0, len(edges)
+	for n > 1 {
+		half := n >> 1
+		base += half & -le(edges[base+half], k)
+		n -= half
+	}
+	return int32(base + le(edges[base], k))
+}
+
+// le is 1 when a <= b and 0 otherwise, a flag read rather than a branch.
+func le(a, b join.Key) int {
+	if a <= b {
+		return 1
+	}
+	return 0
 }

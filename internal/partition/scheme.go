@@ -34,19 +34,43 @@ type Scheme interface {
 // read-only afterwards. The zero table is the identity: group g is worker g.
 type GroupTable struct {
 	Off, Recv []int32
+	// Lead[g] is group g's workers when it has one or two, the one repeated
+	// when it has one, so the scatter writes a key to both without a branch
+	// on the group's size; {-1, -1} when it has none or more than two, which
+	// the scatter walks in Recv.
+	Lead []GroupLead
+}
+
+// GroupLead is a group's first two workers (see GroupTable.Lead).
+type GroupLead struct{ First, Second int32 }
+
+// newGroupTable indexes the groups off and recv list.
+func newGroupTable(off, recv []int32) GroupTable {
+	lead := make([]GroupLead, len(off)-1)
+	for g := range lead {
+		switch ws := recv[off[g]:off[g+1]]; len(ws) {
+		case 1:
+			lead[g] = GroupLead{ws[0], ws[0]}
+		case 2:
+			lead[g] = GroupLead{ws[0], ws[1]}
+		default:
+			lead[g] = GroupLead{-1, -1}
+		}
+	}
+	return GroupTable{Off: off, Recv: recv, Lead: lead}
 }
 
 // gridTable is the table of n groups of per workers each, group g's i-th
 // being g*gs + i*is.
 func gridTable(n, per, gs, is int) GroupTable {
-	t := GroupTable{Off: make([]int32, 1, n+1), Recv: make([]int32, 0, n*per)}
+	off, recv := make([]int32, 1, n+1), make([]int32, 0, n*per)
 	for g := 0; g < n; g++ {
 		for i := 0; i < per; i++ {
-			t.Recv = append(t.Recv, int32(g*gs+i*is))
+			recv = append(recv, int32(g*gs+i*is))
 		}
-		t.Off = append(t.Off, int32(len(t.Recv)))
+		off = append(off, int32(len(recv)))
 	}
-	return t
+	return newGroupTable(off, recv)
 }
 
 // RouteBatch records the routing decisions for a whole shard of keys — the
@@ -84,16 +108,28 @@ func (b *RouteBatch) Receivers(i int) []int32 {
 	return b.Table.Recv[b.Table.Off[g]:b.Table.Off[g+1]]
 }
 
+// maxLocalGroups bounds the groups whose per-shard tallies a route pass
+// keeps in a stack array (a groupTally); a side with more — a region axis
+// with more than 255 distinct edges — tallies into a heap slice, through the
+// same loop.
+const maxLocalGroups = 256
+
+// groupTally is a route pass's stack tally, one count per group.
+type groupTally [maxLocalGroups]int
+
 // begin sizes the record for n keys routed through t and returns the ids to
 // fill beside the tallies to bump per id: Counts itself under the identity
-// table, else one zeroed tally per group for fold.
-func (b *RouteBatch) begin(n int, t GroupTable) (ids []int32, hits []int) {
+// table, else one zeroed tally per group for fold, in local when it fits.
+func (b *RouteBatch) begin(n int, t GroupTable, local *groupTally) (ids []int32, hits []int) {
 	if cap(b.Groups) < n {
 		b.Groups = make([]int32, n)
 	}
 	b.Groups, b.Table = b.Groups[:n], t
 	if t.Off == nil {
 		return b.Groups, b.Counts
+	}
+	if g := len(t.Off) - 1; g <= len(local) {
+		return b.Groups, local[:g]
 	}
 	return b.Groups, make([]int, len(t.Off)-1)
 }
