@@ -191,7 +191,7 @@ func runPair(sess *netexec.Session, r1, r2 []join.Key, cond join.Condition,
 			return p.Scheme, nil
 		}
 		fmt.Printf("plan: %s with %d regions, m=%d, stats %v\n",
-			plan.Scheme.Name(), plan.Scheme.Workers(), plan.M, plan.StatsDuration.Round(1e6))
+			plan.Scheme.Name(), plan.Scheme.Workers(), plan.M, plan.Stages.Total().Round(1e6))
 	}
 	res, err := exec.RunOverReplan(sess, r1, r2, cond, sess.Workers(), planFor, model, cfg)
 	if err != nil {

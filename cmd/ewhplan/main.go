@@ -135,7 +135,7 @@ func main() {
 
 	fmt.Printf("workload=%s condition=%v n1=%d n2=%d J=%d\n", *wl, cond, len(r1), len(r2), *j)
 	fmt.Printf("scheme=%s workers=%d stats=%v fallback=%v\n",
-		plan.Scheme.Name(), plan.Scheme.Workers(), plan.StatsDuration.Round(1e6), plan.Fallback)
+		plan.Scheme.Name(), plan.Scheme.Workers(), plan.Stages.Total().Round(1e6), plan.Fallback)
 	if plan.M > 0 {
 		// m is scaled up from R1's input sample: exact only when that sample
 		// holds all of R1.

@@ -39,7 +39,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("EWH plan: %d regions, estimated output size m=%d, stats took %v\n",
-		len(plan.Regions), plan.M, plan.StatsDuration.Round(1e6))
+		len(plan.Regions), plan.M, plan.Stages.Total().Round(1e6))
 	for i, reg := range plan.Regions {
 		fmt.Printf("  region %d: R1 keys [%d,%d) x R2 keys [%d,%d), weight %.0f\n",
 			i, reg.RowLo, reg.RowHi, reg.ColLo, reg.ColHi, reg.Weight)

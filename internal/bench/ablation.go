@@ -79,7 +79,7 @@ func ablateAdaptNS(cfg Config) (Table, error) {
 		}
 		t.Title = fmt.Sprintf("Ablation 2: AdaptNS (§A5 sample-matrix resizing, BCB-8; ρB=%.1f shrinks MS)",
 			float64(plan.M)/float64(len(spec.R1)))
-		t.Rows = append(t.Rows, Row{label, []float64{float64(plan.NS), maxWork, plan.StatsDuration.Seconds() * 1e3}})
+		t.Rows = append(t.Rows, Row{label, []float64{float64(plan.NS), maxWork, plan.Stages.Total().Seconds() * 1e3}})
 	}
 	return t, nil
 }

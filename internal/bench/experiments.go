@@ -302,7 +302,7 @@ func Worst(cfg Config) ([]Table, error) {
 		Label: "input",
 		Cols:  []Col{{"fallback", 0}, {"m/n", 0}, {"stats wasted (s)", 3}},
 		Rows: []Row{{"uniform, 64 keys", []float64{fallback,
-			float64(plan.M) / float64(len(r1)), plan.StatsDuration.Seconds()}}},
+			float64(plan.M) / float64(len(r1)), plan.Stages.Total().Seconds()}}},
 	}
 	return []Table{case1, case2}, nil
 }

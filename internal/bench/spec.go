@@ -24,6 +24,7 @@ import (
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
 	"ewh/internal/sample"
+	"ewh/internal/stage"
 	"ewh/internal/stats"
 	"ewh/internal/workload"
 )
@@ -186,7 +187,7 @@ func RunScheme(spec *JoinSpec, scheme string, cfg Config, tp Throughput) (*Schem
 	}
 	run := &SchemeRun{
 		StatsSeconds:   statsSeconds,
-		HistAlgSeconds: plan.HistAlgDuration.Seconds(),
+		HistAlgSeconds: plan.Stages.Span(stage.Matrix, stage.Regionalize).Seconds(),
 		JoinSeconds:    tp.Seconds(res.MaxWork),
 		Output:         res.Output,
 		MemoryBytes:    res.MemoryBytes,

@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"ewh/internal/cost"
 	"ewh/internal/histogram"
@@ -19,6 +18,7 @@ import (
 	"ewh/internal/matrix"
 	"ewh/internal/partition"
 	"ewh/internal/sample"
+	"ewh/internal/stage"
 	"ewh/internal/stats"
 	"ewh/internal/tiling"
 )
@@ -82,14 +82,10 @@ type Plan struct {
 	// EstimatedMaxWeight is the planner's max region weight (CSIO-EST. in
 	// Fig. 4h); compare against exec.Result.MaxWork.
 	EstimatedMaxWeight float64
-	// StatsDuration is the statistics + histogram-algorithm time ("stats
-	// time" in Fig. 4a).
-	StatsDuration time.Duration
-	// HistAlgDuration is the CPU time of the histogram algorithm proper
-	// (sample-matrix build + coarsening + regionalization), the quantity
-	// Table V tracks as the CSI bucket count p grows. It excludes the data
-	// scans that collect the samples.
-	HistAlgDuration time.Duration
+	// Stages is the planner's time by stage, zero for CI. Its total is the
+	// "stats time" of Fig. 4a; Matrix through Regionalize is the histogram
+	// algorithm proper, which Table V tracks as the CSI bucket count p grows.
+	Stages stage.Record
 	// M is the join output size as CSIO estimates it: Stream-Sample's exact
 	// count over R1's input sample, scaled by n1 over the sample's size, so
 	// exact only when the sample holds all of R1 (si ≥ n1). 0 for CI and CSI.
@@ -126,11 +122,12 @@ func Refine(plan *Plan, measuredOutput []int64, opts Options) (*Plan, error) {
 		rects[i] = reg.Rect
 		factors[i] = float64(measuredOutput[i]) / max(reg.Output, 1)
 	}
-	refined, err := tilePlan(plan.dense.ScaleRegions(rects, factors), plan.Scheme.Name(), opts)
+	clk := stage.Start()
+	refined, err := tilePlan(plan.dense.ScaleRegions(rects, factors), plan.Scheme.Name(), opts, &clk)
 	if err != nil {
 		return nil, err
 	}
-	refined.M, refined.NS, refined.NC = plan.M, plan.NS, plan.NC
+	refined.M, refined.NS, refined.NC, refined.Stages = plan.M, plan.NS, plan.NC, clk.Record
 	return refined, nil
 }
 
@@ -216,8 +213,9 @@ type sampled struct {
 // draws come in one order for every entry — R1's input sample (when sampled
 // here), output positions, per-shard partner streams, then AdaptNS's R1
 // re-sample — which is what keeps plans reproducible. The R2 multiset draws
-// nothing, so it is built beside R1's reservoir.
-func sampleStage(l left, r2 []join.Key, cond join.Condition, opts Options, rng *stats.RNG) (*sampled, error) {
+// nothing, so it is built beside R1's reservoir, and clk sees its build only
+// as the wait for it.
+func sampleStage(l left, r2 []join.Key, cond join.Condition, opts Options, rng *stats.RNG, clk *stage.Clock) (*sampled, error) {
 	n1, n2 := l.count, len(r2)
 	if n1 == 0 || n2 == 0 {
 		return nil, fmt.Errorf("core: empty input relation (n1=%d n2=%d)", n1, n2)
@@ -233,6 +231,7 @@ func sampleStage(l left, r2 []join.Key, cond join.Condition, opts Options, rng *
 	built := make(chan *sample.KeyMultiset, 1)
 	go func() { built <- sample.BuildMultiset(r2) }()
 	walk, rh, err := l.sample(ns, n, rng)
+	clk.Mark(stage.Sample)
 	m2 := <-built
 	if err != nil {
 		return nil, err
@@ -241,6 +240,7 @@ func sampleStage(l left, r2 []join.Key, cond join.Condition, opts Options, rng *
 	if err != nil {
 		return nil, err
 	}
+	clk.Mark(stage.MultisetWait)
 
 	// Candidate MS cells determine the output sample size so = Θ(nsc) (§A5),
 	// floored by the Kolmogorov statistics (§A1).
@@ -259,6 +259,7 @@ func sampleStage(l left, r2 []join.Key, cond join.Condition, opts Options, rng *
 		}
 		m = int64(est)
 	}
+	clk.Mark(stage.StreamSample)
 
 	// §A5 resizing applies only where R1's histogram is sampled here; R2's
 	// is read off the multiset again, and the output sample stays.
@@ -272,9 +273,11 @@ func sampleStage(l left, r2 []join.Key, cond join.Condition, opts Options, rng *
 			if _, rh, err = l.sample(nsAdj, n, rng); err != nil {
 				return nil, err
 			}
+			clk.Mark(stage.Sample)
 			if ch, err = m2.Histogram(nsAdj); err != nil {
 				return nil, err
 			}
+			clk.Mark(stage.MultisetWait)
 		}
 	}
 	return &sampled{rh: rh, ch: ch, pairs: out.Pairs, m: m, n1: n1, n2: n2}, nil
@@ -293,8 +296,8 @@ func planCSIO(l left, r2 []join.Key, cond join.Condition, opts Options) (*Plan, 
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	st, err := sampleStage(l, r2, cond, opts, stats.NewRNG(opts.Seed))
+	clk := stage.Start()
+	st, err := sampleStage(l, r2, cond, opts, stats.NewRNG(opts.Seed), &clk)
 	if err != nil {
 		return nil, err
 	}
@@ -308,23 +311,22 @@ func planCSIO(l left, r2 []join.Key, cond join.Condition, opts Options) (*Plan, 
 		}
 		p.Fallback = true
 		p.M = st.m
-		p.StatsDuration = time.Since(start)
+		p.Stages = clk.Record
 		return p, nil
 	}
 
-	algStart := time.Now()
 	sm, err := st.matrix(cond)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := regionalizePlan(sm, "CSIO", opts)
+	clk.Mark(stage.Matrix)
+	plan, err := regionalizePlan(sm, "CSIO", opts, &clk)
 	if err != nil {
 		return nil, err
 	}
 	plan.M = st.m
 	plan.NS = sm.Rows
-	plan.HistAlgDuration = time.Since(algStart)
-	plan.StatsDuration = time.Since(start)
+	plan.Stages = clk.Record
 	return plan, nil
 }
 
@@ -374,7 +376,7 @@ func BuildSampleMatrix(r1, r2 []join.Key, cond join.Condition, opts Options) (*m
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
-	st, err := sampleStage(left{keys: r1, count: len(r1)}, r2, cond, opts, stats.NewRNG(opts.Seed))
+	st, err := sampleStage(left{keys: r1, count: len(r1)}, r2, cond, opts, stats.NewRNG(opts.Seed), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -389,7 +391,7 @@ func PlanCSI(r1, r2 []join.Key, cond join.Condition, p int, opts Options) (*Plan
 	if err := opts.defaults(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
+	clk := stage.Start()
 	n1, n2 := len(r1), len(r2)
 	if n1 == 0 || n2 == 0 {
 		return nil, fmt.Errorf("core: empty input relation (n1=%d n2=%d)", n1, n2)
@@ -407,29 +409,31 @@ func PlanCSI(r1, r2 []join.Key, cond join.Condition, p int, opts Options) (*Plan
 	// distinguish dense from sparse candidate cells, which is exactly the
 	// JPS blindness the paper attacks.
 	h := float64(n1) / float64(p) * float64(n2) / float64(p)
-	algStart := time.Now()
+	clk.Mark(stage.Sample)
 	sm, err := matrix.BuildSample(rh, ch, cond, nil, 0, n1, n2, h)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := regionalizePlan(sm, "CSI", opts)
+	clk.Mark(stage.Matrix)
+	plan, err := regionalizePlan(sm, "CSI", opts, &clk)
 	if err != nil {
 		return nil, err
 	}
 	plan.NS = p
-	plan.HistAlgDuration = time.Since(algStart)
-	plan.StatsDuration = time.Since(start)
+	plan.Stages = clk.Record
 	return plan, nil
 }
 
 // regionalizePlan runs coarsening + regionalization over a built MS.
-func regionalizePlan(sm *matrix.Sample, name string, opts Options) (*Plan, error) {
+func regionalizePlan(sm *matrix.Sample, name string, opts Options, clk *stage.Clock) (*Plan, error) {
 	nc := opts.NC
 	if nc <= 0 {
 		nc = 2 * opts.J
 	}
 	rowCuts, colCuts := tiling.CoarsenGrid(sm, nc, opts.Model, tiling.CoarsenOptions{})
-	plan, err := tilePlan(matrix.Coarsen(sm, rowCuts, colCuts), name, opts)
+	d := matrix.Coarsen(sm, rowCuts, colCuts)
+	clk.Mark(stage.Coarsen)
+	plan, err := tilePlan(d, name, opts, clk)
 	if err != nil {
 		return nil, err
 	}
@@ -439,11 +443,12 @@ func regionalizePlan(sm *matrix.Sample, name string, opts Options) (*Plan, error
 
 // tilePlan regionalizes a coarsened matrix and wraps the regions in a
 // routing scheme; d is retained for Refine.
-func tilePlan(d *matrix.Dense, name string, opts Options) (*Plan, error) {
+func tilePlan(d *matrix.Dense, name string, opts Options, clk *stage.Clock) (*Plan, error) {
 	regions, err := tiling.Regionalize(d, opts.Model, opts.J, tiling.RegionalizeOptions{})
 	if err != nil {
 		return nil, err
 	}
+	defer clk.Mark(stage.Regionalize)
 	return &Plan{
 		Scheme:             partition.NewRegionScheme(name, regions),
 		Regions:            regions,

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"ewh/internal/cost"
 	"ewh/internal/join"
+	"ewh/internal/stage"
 	"ewh/internal/stats"
 )
 
@@ -37,15 +40,39 @@ func TestPlanCI(t *testing.T) {
 	if p.Scheme.Name() != "CI" || p.Scheme.Workers() != 16 {
 		t.Fatalf("scheme %s with %d workers", p.Scheme.Name(), p.Scheme.Workers())
 	}
-	if p.StatsDuration != 0 {
-		t.Error("CI should have zero stats time")
+	if p.Stages != (stage.Record{}) {
+		t.Errorf("CI should have no stage time, has %v", p.Stages)
+	}
+}
+
+// The planner's stages, and the ones PlanCSI runs.
+var (
+	csioStages = []stage.Stage{stage.Sample, stage.MultisetWait, stage.StreamSample,
+		stage.Matrix, stage.Coarsen, stage.Regionalize}
+	csiStages = []stage.Stage{stage.Sample, stage.Matrix, stage.Coarsen, stage.Regionalize}
+)
+
+// checkStages holds a plan's stage record to the stages its entry ran: each
+// of them > 0 and every other 0, and, when wall > 0, their sum within 10 % of
+// the wall time measured around the call.
+func checkStages(t *testing.T, rec stage.Record, ran []stage.Stage, wall time.Duration) {
+	t.Helper()
+	for s := stage.Stage(0); s < stage.NumStages; s++ {
+		if want := slices.Contains(ran, s); (rec[s] > 0) != want {
+			t.Errorf("stage %d took %d ns; want it run: %v", s, rec[s], want)
+		}
+	}
+	if total := rec.Total(); wall > 0 && (total > wall || total < wall*9/10) {
+		t.Errorf("stages sum to %v of a %v call", total, wall)
 	}
 }
 
 func TestPlanCSIOBasics(t *testing.T) {
 	r1 := randKeys(4000, 2000, 2)
 	r2 := randKeys(4000, 2000, 3)
+	start := time.Now()
 	plan, err := PlanCSIO(r1, r2, join.NewBand(2), Options{J: 8, Model: model, Seed: 4})
+	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +88,7 @@ func TestPlanCSIOBasics(t *testing.T) {
 	if plan.EstimatedMaxWeight <= 0 {
 		t.Error("estimated max weight missing")
 	}
-	if plan.StatsDuration <= 0 {
-		t.Error("stats time not measured")
-	}
+	checkStages(t, plan.Stages, csioStages, wall)
 	if plan.NS <= 0 || plan.NC != 16 {
 		t.Errorf("NS=%d NC=%d", plan.NS, plan.NC)
 	}
@@ -122,10 +147,13 @@ func TestPlanCSIOBalancesUnderJPS(t *testing.T) {
 func TestPlanCSI(t *testing.T) {
 	r1 := randKeys(3000, 1500, 13)
 	r2 := randKeys(3000, 1500, 14)
+	start := time.Now()
 	plan, err := PlanCSI(r1, r2, join.NewBand(2), 128, Options{J: 8, Model: model, Seed: 15})
+	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkStages(t, plan.Stages, csiStages, wall)
 	if plan.Scheme.Name() != "CSI" {
 		t.Fatalf("scheme %s", plan.Scheme.Name())
 	}

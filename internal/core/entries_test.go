@@ -62,6 +62,7 @@ func TestCSIOEntriesBehaveAlike(t *testing.T) {
 				if !p.Fallback || p.Scheme.Name() != "CI" || p.M <= 200*2000 {
 					t.Errorf("fallback=%v scheme=%s m=%d", p.Fallback, p.Scheme.Name(), p.M)
 				}
+				checkStages(t, p.Stages, csioStages[:3], 0) // the sampling stages only
 			}},
 		{name: "DisableFallback", r1: dense1, r2: dense2, cond: join.NewBand(2),
 			opts:  Options{J: 4, Model: model, Seed: 12, DisableFallback: true},
@@ -87,6 +88,7 @@ func TestCSIOEntriesBehaveAlike(t *testing.T) {
 				if want := sample.StreamSample(sparse1, sparse2, join.Equi{}, 0, 2, nil).M; p.M != want {
 					t.Errorf("m = %d, exact m = %d", p.M, want)
 				}
+				checkStages(t, p.Stages, csioStages, 0)
 			}},
 		{name: "m scales with the sampling fraction", r1: sparse1, r2: sparse2, cap: 500, cond: join.NewBand(2),
 			opts: Options{J: 4, Seed: 9},
@@ -142,7 +144,7 @@ func TestOutputSampleFloor(t *testing.T) {
 		"relation": {keys: r1, count: len(r1)},
 		"summary":  {keys: sum.Keys, count: int(sum.Count), bounds: sum.Bounds},
 	} {
-		st, err := sampleStage(l, r2, join.Equi{}, opts, stats.NewRNG(opts.Seed))
+		st, err := sampleStage(l, r2, join.Equi{}, opts, stats.NewRNG(opts.Seed), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

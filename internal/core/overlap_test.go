@@ -89,7 +89,7 @@ func TestSampleStageMatchesSerialDrawOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			gotRNG, wantRNG := stats.NewRNG(c.opts.Seed), stats.NewRNG(c.opts.Seed)
-			got, err := sampleStage(c.l, r2, c.cond, c.opts, gotRNG)
+			got, err := sampleStage(c.l, r2, c.cond, c.opts, gotRNG, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

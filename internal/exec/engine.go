@@ -3,6 +3,7 @@ package exec
 import (
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
+	"ewh/internal/stage"
 )
 
 // JoinEngine names the two forms of the local join. Nothing in this module
@@ -36,9 +37,16 @@ func (JoinEngine) ForCond(cond join.Condition) JoinEngine {
 // count it runs is chunk-fed and holds the same resident side on its feed
 // goroutine, as Local's hash jobs do. The JoinEngine parameter is ignored.
 func CountOwned(_ JoinEngine, r1, r2 []join.Key, cond join.Condition) int64 {
+	return countOwned(r1, r2, cond, nil)
+}
+
+// countOwned is CountOwned stamping its build and its probe on clk.
+func countOwned(r1, r2 []join.Key, cond join.Condition, clk *stage.Clock) int64 {
 	res := localjoin.NewResident(cond, true)
 	res.Insert(r1)
 	res.Seal()
+	clk.Mark(stage.Build)
 	n, _ := res.ProbeCount(r2, false)
+	clk.Mark(stage.Probe)
 	return n
 }

@@ -16,6 +16,7 @@ import (
 	"ewh/internal/cost"
 	"ewh/internal/join"
 	"ewh/internal/partition"
+	"ewh/internal/stage"
 )
 
 // Config tunes an engine run.
@@ -57,6 +58,9 @@ func (w WorkerMetrics) Input() int64 { return w.InputR1 + w.InputR2 }
 type Result struct {
 	Scheme  string
 	Workers []WorkerMetrics
+	// Stages is each worker's stage record: where its time went, which no
+	// two runs share, so it stays out of Workers.
+	Stages []stage.Record
 
 	// Output is the total number of output tuples (exactly once per match).
 	Output int64
@@ -151,7 +155,9 @@ func RunOver(rt Runtime, r1, r2 []join.Key, cond join.Condition,
 func dispatch(rt Runtime, job *Job, scheme partition.Scheme, model cost.Model,
 	cfg Config, start time.Time) (*Result, error) {
 
-	res := &Result{Scheme: scheme.Name() + rt.Label(), Workers: make([]WorkerMetrics, job.Workers)}
+	res := &Result{Scheme: scheme.Name() + rt.Label(), Workers: make([]WorkerMetrics, job.Workers),
+		Stages: make([]stage.Record, job.Workers)}
+	job.Stages = res.Stages
 	err := rt.RunJob(job, res.Workers)
 	releaseRelData(job.R1.Wait())
 	releaseRelData(job.R2.Wait())

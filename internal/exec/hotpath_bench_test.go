@@ -8,6 +8,7 @@ import (
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
 	"ewh/internal/partition"
+	"ewh/internal/stage"
 	"ewh/internal/workload"
 )
 
@@ -155,8 +156,8 @@ func BenchmarkJoinPairs(b *testing.B) {
 // BenchmarkWindowClose times one stream worker closing a window in
 // stream-flip's shape: summarize a 25,000-key shard (the default summary
 // sizing), then count it against a sealed band-25 base of 250,000 keys over
-// a 1,000,000-key span (a rank table). Each window starts from the shard in
-// arrival order; ns/key is per window key.
+// a 1,000,000-key span (a rank table), stamping both steps as a worker does.
+// Each window starts from the shard in arrival order; ns/key is per window key.
 func BenchmarkWindowClose(b *testing.B) {
 	const span, nBase, nWin = 1_000_000, 250_000, 25_000
 	res := localjoin.NewResident(join.NewBand(25), false)
@@ -165,11 +166,12 @@ func BenchmarkWindowClose(b *testing.B) {
 	arrival := randKeys(nWin, span, 62)
 	win := make([]join.Key, nWin)
 	sp := StatsSpec{Cap: 1024, Buckets: 64, Seed: 63}
+	clk := stage.Start()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(win, arrival)
-		n, sum := CloseWindow(res, win, sp, 0, uint32(i))
+		n, sum := CloseWindow(res, win, sp, 0, uint32(i), &clk)
 		if sum == nil || sum.Count != nWin || n == 0 {
 			b.Fatalf("window %d: summary %v, count %d", i, sum, n)
 		}

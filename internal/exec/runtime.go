@@ -9,6 +9,7 @@ import (
 	"ewh/internal/bufpool"
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
+	"ewh/internal/stage"
 )
 
 // This file is the transport-agnostic runtime layer: the in-process engine
@@ -135,6 +136,9 @@ type Job struct {
 	// valid for the duration of the call. When nil the job is count-only
 	// and workers may sort their blocks in place.
 	Pairs func(worker int, chunk []PairIdx)
+	// Stages, when non-nil (length Workers), receives each worker's stage
+	// record.
+	Stages []stage.Record
 }
 
 // pairChunk is the flush granularity of JoinPairs: bounded buffering on
@@ -290,21 +294,22 @@ func (Local) StreamsChunksFor(job *Job) bool {
 func (Local) RunJob(job *Job, wm []WorkerMetrics) error {
 	r1 := job.R1.Wait()
 	r2 := job.R2.Wait()
-	forWorkers(job.Workers, func(w int) {
+	forWorkers(job.Workers, job.Stages, func(w int, clk *stage.Clock) {
 		m := &wm[w]
 		if r1.Chunks != nil {
 			m.InputR1, m.InputR2, m.Output = localStreamCount(localjoin.NewResident(job.Cond, true),
-				r1.Chunks.Worker(w), r2.Chunks.Worker(w))
+				r1.Chunks.Worker(w), r2.Chunks.Worker(w), clk)
 			return
 		}
 		in1, in2 := r1.Keys.Worker(w), r2.Keys.Worker(w)
 		var out int64
 		if job.Pairs == nil {
-			out = CountOwned(0, in1, in2, job.Cond)
+			out = countOwned(in1, in2, job.Cond, clk)
 		} else {
 			out = JoinPairs(in1, in2, job.Cond, func(chunk []PairIdx) {
 				job.Pairs(w, chunk)
 			})
+			clk.Mark(stage.Probe)
 		}
 		m.InputR1 = int64(len(in1))
 		m.InputR2 = int64(len(in2))
@@ -314,17 +319,23 @@ func (Local) RunJob(job *Job, wm []WorkerMetrics) error {
 }
 
 // forWorkers runs f once per worker, each on its own goroutine, at most
-// GOMAXPROCS at a time, and returns when all have.
-func forWorkers(n int, f func(w int)) {
+// GOMAXPROCS at a time, and returns when all have. A worker's wait for its
+// turn is its Admit stage; recs, when non-nil, gains each worker's record.
+func forWorkers(n int, recs []stage.Record, f func(w int, clk *stage.Clock)) {
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			clk := stage.Start()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			f(w)
+			clk.Mark(stage.Admit)
+			f(w, &clk)
+			if recs != nil {
+				recs[w].Add(&clk.Record)
+			}
 		}(w)
 	}
 	wg.Wait()
@@ -334,17 +345,21 @@ func forWorkers(n int, f func(w int)) {
 // mappers route it (overlapping the scatter still running for later mappers),
 // seals the side and pools every sub-block it is done with. It returns the
 // tuple count.
-func sealChunks(res *localjoin.Resident, c <-chan KeyChunk) (n int64) {
+func sealChunks(res *localjoin.Resident, c <-chan KeyChunk, clk *stage.Clock) (n int64) {
 	var held [][]join.Key
 	for ch := range c {
+		clk.Mark(stage.FrameWait)
 		n += int64(len(ch.Keys))
 		if res.Insert(ch.Keys) {
 			held = append(held, ch.Keys)
 		} else {
 			bufpool.Keys.Put(ch.Keys)
 		}
+		clk.Mark(stage.Build)
 	}
+	clk.Mark(stage.FrameWait)
 	res.Seal()
+	clk.Mark(stage.Build)
 	for _, keys := range held {
 		bufpool.Keys.Put(keys)
 	}
@@ -355,15 +370,19 @@ func sealChunks(res *localjoin.Resident, c <-chan KeyChunk) (n int64) {
 // streams: R1's sub-blocks form the resident side (sealChunks), then R2's
 // probe as they arrive. The per-worker stream buffers are sized so producers
 // never block, which is what makes draining R1 before R2 deadlock-free.
-func localStreamCount(res *localjoin.Resident, c1, c2 <-chan KeyChunk) (n1, n2, out int64) {
-	n1 = sealChunks(res, c1)
+func localStreamCount(res *localjoin.Resident, c1, c2 <-chan KeyChunk, clk *stage.Clock) (n1, n2, out int64) {
+	n1 = sealChunks(res, c1, clk)
 	for ch := range c2 {
+		clk.Mark(stage.FrameWait)
 		n, kept := res.ProbeCount(ch.Keys, true)
 		out, n2 = out+n, n2+int64(len(ch.Keys))
 		if !kept {
 			bufpool.Keys.Put(ch.Keys)
 		}
+		clk.Mark(stage.Probe)
 	}
+	clk.Mark(stage.FrameWait)
 	n, _ := res.ProbeCount(nil, false)
+	clk.Mark(stage.Probe)
 	return n1, n2, out + n
 }

@@ -11,6 +11,7 @@ import (
 	"ewh/internal/partition"
 	"ewh/internal/planio"
 	"ewh/internal/sample"
+	"ewh/internal/stage"
 	"ewh/internal/stats"
 )
 
@@ -111,11 +112,13 @@ func (Local) RunStages(first *Job, next *PlanJob, wm1, wm2 []WorkerMetrics) (int
 	}
 	j1 := first.Workers
 	matches, sums, errs := make([][]join.Key, j1), make([][]byte, j1), make([]error, j1)
-	forWorkers(j1, func(w int) {
+	forWorkers(j1, first.Stages, func(w int, clk *stage.Clock) {
 		in1, in2 := r1.Keys.Worker(w), r2.Keys.Worker(w)
 		matches[w] = StageMatches(in1, in2, r2.Rekey.Worker(w), first.Cond)
+		clk.Mark(stage.Probe)
 		wm1[w] = WorkerMetrics{InputR1: int64(len(in1)), InputR2: int64(len(in2)), Output: int64(len(matches[w]))}
 		sums[w], errs[w] = StageSummary(matches[w], *next.Stats, w)
+		clk.Mark(stage.Summarize)
 	})
 	if err := errors.Join(errs...); err != nil {
 		return 0, err
@@ -133,11 +136,14 @@ func (Local) RunStages(first *Job, next *PlanJob, wm1, wm2 []WorkerMetrics) (int
 			art.Scheme.Workers(), j2, len(wm2))
 	}
 	routed := make([]*KeyShuffle, j1)
-	forWorkers(j1, func(w int) { routed[w] = RouteStage(matches[w], art, w) })
+	forWorkers(j1, first.Stages, func(w int, clk *stage.Clock) {
+		routed[w] = RouteStage(matches[w], art, w)
+		clk.Mark(stage.Route)
+	})
 	r3 := next.R2.Wait()
-	forWorkers(j2, func(p int) {
+	forWorkers(j2, next.Stages, func(p int, clk *stage.Clock) {
 		m, res := &wm2[p], localjoin.NewResident(next.Cond, false)
-		m.InputR2 = sealChunks(res, r3.Chunks.Worker(p))
+		m.InputR2 = sealChunks(res, r3.Chunks.Worker(p), clk)
 		for _, ks := range routed {
 			share := ks.Worker(p)
 			n, _ := res.ProbeCount(share, true)
@@ -146,6 +152,7 @@ func (Local) RunStages(first *Job, next *PlanJob, wm1, wm2 []WorkerMetrics) (int
 		}
 		n, _ := res.ProbeCount(nil, false)
 		m.Output += n
+		clk.Mark(stage.Probe)
 	})
 	var inter int64
 	for w, ks := range routed {
@@ -173,6 +180,9 @@ type PlanJob struct {
 	R2 *RelFuture
 	// Stats sizes the per-worker summaries of the stage-1 matches.
 	Stats *StatsSpec
+	// Stages, when non-nil, receives each stage-2 worker's stage record, up
+	// to the worker count Replan returns.
+	Stages []stage.Record
 	// Replan receives the per-sender encoded summaries (index = stage-1
 	// worker id, each a planio summary) once every stage-1 join has
 	// completed, and returns the encoded stage-2 plan plus its worker count.
@@ -309,9 +319,10 @@ func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 		return plan, s.Workers(), nil
 	}
 
-	first := &Job{Cond: cond, Workers: j1, R1: f1, R2: f2}
-	res1 := &Result{Scheme: scheme.Name() + rt.Label(), Workers: make([]WorkerMetrics, j1)}
-	res2 := &Result{Workers: make([]WorkerMetrics, sp.MaxWorkers)}
+	res1 := &Result{Scheme: scheme.Name() + rt.Label(), Workers: make([]WorkerMetrics, j1), Stages: make([]stage.Record, j1)}
+	res2 := &Result{Workers: make([]WorkerMetrics, sp.MaxWorkers), Stages: make([]stage.Record, sp.MaxWorkers)}
+	first := &Job{Cond: cond, Workers: j1, R1: f1, R2: f2, Stages: res1.Stages}
+	next.Stages = res2.Stages
 	inter, err := rt.RunStages(first, next, res1.Workers, res2.Workers)
 
 	// A transport that errored early may return while a scatter is still
@@ -330,7 +341,7 @@ func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 	if scheme2 == nil {
 		return nil, nil, fmt.Errorf("exec: transport completed a stage pipeline without replanning")
 	}
-	res2.Workers = res2.Workers[:scheme2.Workers()]
+	res2.Workers, res2.Stages = res2.Workers[:scheme2.Workers()], res2.Stages[:scheme2.Workers()]
 	res2.Scheme = scheme2.Name() + rt.Label()
 	finishResult(res1, model, start)
 	finishResult(res2, model, start)

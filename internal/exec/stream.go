@@ -6,6 +6,7 @@ import (
 
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
+	"ewh/internal/stage"
 	"ewh/internal/stats"
 )
 
@@ -41,6 +42,8 @@ type WindowReply struct {
 	Count int64
 	// Summary summarizes the window shard's keys; nil for an empty shard.
 	Summary *stats.Summary
+	// Stages is the worker's stage record since its previous window reply.
+	Stages stage.Record
 }
 
 // StreamHandle is one open continuous-join stream across a worker fleet.
@@ -82,13 +85,16 @@ func StreamSummarySeed(seed uint64, worker int, window uint32) uint64 {
 // takes so in-process and wire transports reply bit-identically: it sorts the
 // shard in place, summarizes it under the stream's stats spec (nil for an
 // empty shard) and counts it against res in key order, which also counts any
-// probe chunks res kept back.
-func CloseWindow(res *localjoin.Resident, keys []join.Key, sp StatsSpec, worker int, window uint32) (int64, *stats.Summary) {
+// probe chunks res kept back, stamping both steps on clk.
+func CloseWindow(res *localjoin.Resident, keys []join.Key, sp StatsSpec, worker int, window uint32,
+	clk *stage.Clock) (int64, *stats.Summary) {
 	var sum *stats.Summary
 	if len(keys) > 0 {
 		sum = sp.summarize(keys, StreamSummarySeed(sp.Seed, worker, window))
 	}
+	clk.Mark(stage.Summarize)
 	n, _ := res.ProbeCount(keys, false)
+	clk.Mark(stage.Probe)
 	return n, sum
 }
 
@@ -160,7 +166,9 @@ func (s *localStream) SendWindow(window, epoch uint32, shares [][]join.Key) erro
 	rs := make([]WindowReply, len(s.shards))
 	for w := range s.shards {
 		r := WindowReply{Worker: w, Window: window, Epoch: epoch, Input: int64(len(shares[w]))}
-		r.Count, r.Summary = CloseWindow(s.shards[w], slices.Clone(shares[w]), s.spec.Stats, w, window)
+		keys, clk := slices.Clone(shares[w]), stage.Start()
+		r.Count, r.Summary = CloseWindow(s.shards[w], keys, s.spec.Stats, w, window, &clk)
+		r.Stages = clk.Record
 		rs[w] = r
 	}
 	s.replies[winKey(window, epoch)] = rs

@@ -2,7 +2,7 @@
 // wire protocol for testing recovery paths. It wraps a worker's net.Listener
 // so every accepted connection passes through a scriptable frame-aware tap:
 // the tap reads the prelude (magic, version, tenant), follows the session
-// protocol's frame header (version 8, a coordinator's session or a peer's
+// protocol's frame header (version 9, a coordinator's session or a peer's
 // contribution; anything else is opaque), counts matching frames per rule
 // and fires each rule's action exactly once at a precise frame boundary —
 // kill after the N-th block, reset on the first window reply, stall
@@ -53,7 +53,7 @@ const (
 )
 
 // VersionSession is the protocol version as it appears in the wire prelude.
-const VersionSession = 8
+const VersionSession = 9
 
 // Dir selects which byte stream a rule watches, relative to the wrapped
 // endpoint (the worker, for a wrapped listener).

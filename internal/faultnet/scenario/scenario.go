@@ -41,6 +41,7 @@ import (
 	"ewh/internal/netexec"
 	"ewh/internal/partition"
 	"ewh/internal/planio"
+	"ewh/internal/stage"
 	"ewh/internal/stats"
 	"ewh/internal/streamjoin"
 	"ewh/internal/workload"
@@ -435,10 +436,32 @@ func (sc *Scenario) streamConfig() streamjoin.Config {
 
 // outcome is what one job run reports, whatever its kind.
 type outcome struct {
-	res    *exec.Result       // count and pairs jobs
-	pairs  [][]emitted        // pairs jobs: per worker, in emission order
-	mw     *multiway.Result   // multiway jobs
-	stream *streamjoin.Result // stream jobs
+	res     *exec.Result       // count and pairs jobs
+	pairs   [][]emitted        // pairs jobs: per worker, in emission order
+	mw      *multiway.Result   // multiway jobs
+	stream  *streamjoin.Result // stream jobs
+	windows []stage.Record     // a fault-free stream's window replies' records
+}
+
+// windowRecords is a stream runtime, and once it opens a stream that
+// stream's handle, keeping the stage record of every window reply collected.
+type windowRecords struct {
+	exec.StreamRuntime
+	exec.StreamHandle
+	recs *[]stage.Record
+}
+
+func (r windowRecords) OpenStream(spec exec.StreamSpec) (_ exec.StreamHandle, err error) {
+	r.StreamHandle, err = r.StreamRuntime.OpenStream(spec)
+	return r, err
+}
+
+func (r windowRecords) Collect(window, epoch uint32) ([]exec.WindowReply, error) {
+	rs, err := r.StreamHandle.Collect(window, epoch)
+	for _, w := range rs {
+		*r.recs = append(*r.recs, w.Stages)
+	}
+	return rs, err
 }
 
 // emitted is one pair a pairs job emitted: the rows' payloads are their
@@ -470,6 +493,9 @@ func (sc *Scenario) runOnce(rt exec.Runtime, retry bool) (*outcome, error) {
 	case Multiway:
 		out.mw, err = multiway.ExecuteOver(rt, sc.q, sc.opts, cfg)
 	case Stream:
+		if !retry { // recovery asks the runtime for more than streams
+			rt = windowRecords{StreamRuntime: rt.(exec.StreamRuntime), recs: &out.windows}
+		}
 		out.stream, err = streamjoin.Run(rt, sc.r2, sc.windows, sc.cond, sc.streamConfig())
 	}
 	return out, err
@@ -566,7 +592,8 @@ func (sc *Scenario) reference(t testing.TB, fleet int) *reference {
 		ref.out.mw = mw
 		ref.want, ref.wantInter = chainTotals(sc.q)
 	case Stream:
-		st, err := streamjoin.Run(exec.LocalStreamRuntime{Workers: fleet}, sc.r2, sc.windows, sc.cond, sc.streamConfig())
+		rt := windowRecords{StreamRuntime: exec.LocalStreamRuntime{Workers: fleet}, recs: &ref.out.windows}
+		st, err := streamjoin.Run(rt, sc.r2, sc.windows, sc.cond, sc.streamConfig())
 		if err != nil {
 			t.Fatalf("%v: in-process stream: %v", sc, err)
 		}
@@ -588,8 +615,48 @@ func (sc *Scenario) reference(t testing.TB, fleet int) *reference {
 	return ref
 }
 
-// checkOracle holds one run to the oracles that do not run the engine.
+// checkStages holds a run to its stage records: the workers of each job it
+// ran, summed, spent time in every stage the job's kind runs on any runtime.
+// A recovered stream's window replies stay inside its driver.
+func checkStages(o *outcome) error {
+	type job struct {
+		kind string
+		recs []stage.Record
+		ran  []stage.Stage
+	}
+	build := []stage.Stage{stage.Build, stage.Probe} // a count or stage-2 peer job
+	var jobs []job
+	switch {
+	case o.pairs != nil:
+		jobs = []job{{"pairs", o.res.Stages, []stage.Stage{stage.Probe}}}
+	case o.res != nil:
+		jobs = []job{{"count", o.res.Stages, build}}
+	case o.mw != nil:
+		jobs = []job{{"stage-1 plan", o.mw.Stages[0].Exec.Stages, []stage.Stage{stage.Probe, stage.Summarize, stage.Route}},
+			{"stage-2 peer", o.mw.Stages[1].Exec.Stages, build}}
+	case o.windows != nil:
+		jobs = []job{{"stream window", o.windows, []stage.Stage{stage.Summarize, stage.Probe}}}
+	}
+	for _, j := range jobs {
+		var sum stage.Record
+		for i := range j.recs {
+			sum.Add(&j.recs[i])
+		}
+		for _, s := range j.ran {
+			if sum[s] <= 0 {
+				return fmt.Errorf("%s job's workers spent no time in stage %d: %v", j.kind, s, sum)
+			}
+		}
+	}
+	return nil
+}
+
+// checkOracle holds one run to its stage records and to the oracles that do
+// not run the engine.
 func (sc *Scenario) checkOracle(o *outcome, ref *reference) error {
+	if err := checkStages(o); err != nil {
+		return err
+	}
 	switch sc.job {
 	case Count:
 		if o.res.Output != ref.want {

@@ -148,12 +148,10 @@ func ExecuteOver(rt exec.Runtime, q Query, opts core.Options, cfg exec.Config) (
 
 // attempt runs one complete two-stage pipeline over opts.J workers.
 func attempt(rt exec.StageRuntime, q Query, opts core.Options, cfg exec.Config) (*Result, error) {
-	plan1Start := time.Now()
 	plan1, err := core.PlanCSIO(q.R1, q.Mid.A, q.CondA, opts)
 	if err != nil {
 		return nil, fmt.Errorf("multiway: stage 1 plan: %w", err)
 	}
-	plan1Dur := time.Since(plan1Start)
 
 	var plan2Dur time.Duration
 	sp := exec.StagePlan{
@@ -182,7 +180,7 @@ func attempt(rt exec.StageRuntime, q Query, opts core.Options, cfg exec.Config) 
 	}
 	return &Result{
 		Stages: []StageResult{
-			{Scheme: plan1.Scheme.Name(), PlanDuration: plan1Dur, Exec: res1},
+			{Scheme: plan1.Scheme.Name(), PlanDuration: plan1.Stages.Total(), Exec: res1},
 			{Scheme: res2.Scheme, PlanDuration: plan2Dur, Exec: res2},
 		},
 		Intermediate: res1.Output,

@@ -123,7 +123,7 @@ func BenchmarkControlFrameCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	o := open{Kind: kindCount, WorkerID: 3, Cond: spec}
-	m := reply{Final: true, InputR1: 50000, InputR2: 50000, Output: 1 << 20, Nanos: 1 << 24, BuildOverlapped: 4}
+	m := reply{Final: true, InputR1: 50000, InputR2: 50000, Output: 1 << 20, Stages: jobStages(), BuildOverlapped: 4}
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -8,6 +8,7 @@ import (
 	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/planio"
+	"ewh/internal/stage"
 )
 
 // Control records: OPEN, PLAN2, PLANCANCEL and REPLY, a few per job. Each is
@@ -79,13 +80,16 @@ type cancelRec struct{ Token uint64 }
 // the read loop decoded its EOS: the join overlapped the still-streaming
 // scatter). An interim reply answers a stream window (Window, Epoch, its
 // input in InputR1 and count in Output) or carries a plan job's Summary.
+// Stages is the job goroutine's record, since its previous window reply for
+// a stream; only its job stages travel.
 // Either kind may carry Err: Code types it (codeAdmission, codeQuota,
 // codeDraining) and FaultAddr names the PEER whose failure caused it.
 type reply struct {
 	Final                    bool
 	Window, Epoch            uint32
 	InputR1, InputR2, Output int64
-	Nanos, BuildOverlapped   int64
+	BuildOverlapped          int64
+	Stages                   stage.Record
 	PeerCounts               []int64
 	Summary                  []byte
 	Err                      string
@@ -163,7 +167,10 @@ func (x *cancelRec) decode(c *planio.Cursor) { x.Token = c.U64() }
 
 func (r *reply) append(b []byte) []byte {
 	b = le.AppendUint32(le.AppendUint32(appendBool(b, r.Final), r.Window), r.Epoch)
-	for _, v := range [...]int64{r.InputR1, r.InputR2, r.Output, r.Nanos, r.BuildOverlapped} {
+	for _, v := range [...]int64{r.InputR1, r.InputR2, r.Output, r.BuildOverlapped} {
+		b = le.AppendUint64(b, uint64(v))
+	}
+	for _, v := range r.Stages[stage.FirstJob:] {
 		b = le.AppendUint64(b, uint64(v))
 	}
 	b = le.AppendUint32(b, uint32(len(r.PeerCounts)))
@@ -178,7 +185,10 @@ func (r *reply) decode(c *planio.Cursor) {
 	r.Final = readBool(c, "final")
 	r.Window, r.Epoch = c.U32(), c.U32()
 	r.InputR1, r.InputR2, r.Output = int64(c.U64()), int64(c.U64()), int64(c.U64())
-	r.Nanos, r.BuildOverlapped = int64(c.U64()), int64(c.U64())
+	r.BuildOverlapped = int64(c.U64())
+	for s := stage.FirstJob; s < stage.NumStages; s++ {
+		r.Stages[s] = int64(c.U64())
+	}
 	if n := c.Count("peer count", maxPeerSenders, 8); n > 0 {
 		r.PeerCounts = make([]int64, n)
 		for i := range r.PeerCounts {

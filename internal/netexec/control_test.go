@@ -7,6 +7,7 @@ import (
 
 	"ewh/internal/exec"
 	"ewh/internal/join"
+	"ewh/internal/stage"
 )
 
 // FuzzControlRecord throws arbitrary payloads at the control-record decoders,
@@ -26,9 +27,16 @@ func FuzzControlRecord(f *testing.F) {
 		f.Add(byte(0), (&open{Kind: kind, WorkerID: 3, Cond: spec, Stats: stats, Token: 9, Senders: 4}).append(nil))
 	}
 	f.Add(byte(1), (&plan2{Plan: []byte("EWHP\x01\x00"), Self: -1, Peers: []string{"127.0.0.1:1", "[::1]:2"}}).append(nil))
+	// A REPLY cut off inside its stage record is refused.
+	full := (&reply{Final: true, Stages: jobStages()}).append(nil)
+	cut := full[:1+4+4+8*4+8*2+3]
+	if decodeCtl(cut, new(reply)) == nil {
+		f.Fatal("a REPLY cut off inside its stage record decoded")
+	}
+	f.Add(byte(2), cut)
 	for _, r := range []reply{
-		{Window: 7, Epoch: 2, InputR1: 40, Output: 12, Summary: []byte("EWHS")},
-		{Final: true, InputR1: 5, InputR2: 6, Output: 30, Nanos: 1 << 20, BuildOverlapped: 3, PeerCounts: []int64{1, 2}},
+		{Window: 7, Epoch: 2, InputR1: 40, Output: 12, Summary: []byte("EWHS"), Stages: jobStages()},
+		{Final: true, InputR1: 5, InputR2: 6, Output: 30, Stages: jobStages(), BuildOverlapped: 3, PeerCounts: []int64{1, 2}},
 		{Final: true, Err: "worker shutting down", Code: codeDraining},
 		{Final: true, Err: "transfer 9: refused", FaultAddr: "127.0.0.1:7001"},
 	} {
@@ -58,6 +66,15 @@ func FuzzControlRecord(f *testing.F) {
 			t.Fatalf("%T decoded %+v from %x, re-encodes as %x", rec, rec, payload, got)
 		}
 	})
+}
+
+// jobStages is a stage record with every stage a REPLY carries set, each to
+// its own value.
+func jobStages() (r stage.Record) {
+	for s := stage.FirstJob; s < stage.NumStages; s++ {
+		r[s] = int64(s)<<20 + 1
+	}
+	return r
 }
 
 // TestControlRecordPeerBound pins the one list bound the records carry: a

@@ -206,6 +206,9 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 		// Version 7 sessions carried their control frames as gob: such a
 		// link is closed at its prelude, even its first frame a valid ABORT.
 		{"retired session version 7", append(prelude(7, ""), frameV3Abort, 1, 0, 0, 0, 0, 0, 0, 0), false},
+		// Version 8 sessions' REPLY carried one duration where a stage record
+		// now is: such a link is closed at its prelude, a valid ABORT unread.
+		{"retired session version 8", append(prelude(8, ""), frameV3Abort, 1, 0, 0, 0, 0, 0, 0, 0), false},
 		{"tenant shorter than its length then EOF", tenantCut[:len(tenantCut)-2], true},
 		{"tenant shorter than its length then stall", tenantCut[:len(tenantCut)-2], false},
 	}

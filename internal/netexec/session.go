@@ -13,6 +13,7 @@ import (
 	"ewh/internal/bufpool"
 	"ewh/internal/exec"
 	"ewh/internal/join"
+	"ewh/internal/stage"
 )
 
 // Session is the persistent-connection transport implementing exec.Runtime:
@@ -488,28 +489,32 @@ func (c *sessConn) runPlain(id uint32, workerID int, spec join.Spec, job *exec.J
 	if err := j.sendJob(&o, job); err != nil {
 		return err
 	}
-	_, err = j.finish(m)
+	_, err = j.finish(m, job.Stages)
 	return err
 }
 
 // finish awaits the final reply of a sub-job whose relations this side
-// streamed, validates it and fills m. A reply naming a peer fault address is
-// attributed to that PEER (see workerFault).
-func (j *subJob) finish(m *exec.WorkerMetrics) ([]int64, error) {
+// streamed, validates it and fills m and the worker's entry of recs. A reply
+// naming a peer fault address is attributed to that PEER (see workerFault).
+func (j *subJob) finish(m *exec.WorkerMetrics, recs []stage.Record) ([]int64, error) {
 	r, err := j.await("reply", false)
 	if err != nil {
 		return nil, err
 	}
-	j.account(r.reply, m)
+	j.account(r.reply, m, recs)
 	return r.PeerCounts, nil
 }
 
-// account folds one successful final reply into the session's tallies and m.
-func (j *subJob) account(rm *reply, m *exec.WorkerMetrics) {
+// account folds one successful final reply into the session's tallies, m
+// and the worker's entry of recs (nil when the job asked for no records).
+func (j *subJob) account(rm *reply, m *exec.WorkerMetrics, recs []stage.Record) {
 	j.c.sess.buildOverlapped.Add(rm.BuildOverlapped)
 	m.InputR1 = rm.InputR1
 	m.InputR2 = rm.InputR2
 	m.Output = rm.Output
+	if recs != nil {
+		recs[j.worker] = rm.Stages
+	}
 }
 
 // sendJob streams one count, pairs or plan sub-job's frames — its open o,

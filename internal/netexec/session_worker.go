@@ -15,6 +15,7 @@ import (
 	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/planio"
+	"ewh/internal/stage"
 )
 
 // This file is the worker side of the session protocol: one read loop per
@@ -649,10 +650,11 @@ func (j *sessJob) validateComplete() error {
 // the match count and the per-receiver count vector once every peer committed
 // its share. Errors name the peer address.
 func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64, []int64, error) {
-	w := ws.w
+	w, clk := ws.w, &j.stream.clk
 	// The three stage-1 steps exec.Local runs too: materialize, summarize
 	// (which sorts the matches), and (after the park below) route in key order.
 	inter := exec.StageMatches(r1, r2, rekey, j.cond)
+	clk.Mark(stage.Probe)
 	// The matches are the one buffer no frame declared: the join sizes it. It
 	// is charged like received keys the moment its size is known, before the
 	// job parks holding it; release credits it.
@@ -664,9 +666,11 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64
 	if err != nil {
 		return 0, nil, err
 	}
+	clk.Mark(stage.Summarize)
 	if ws.reply(j.id, &reply{Summary: enc}) != nil {
 		return 0, nil, errAbandoned // connection dead; nothing to reply to
 	}
+	clk.Mark(stage.Reply)
 	// Release the execution slot across the park: the compute is done and
 	// the wait is on the COORDINATOR (merging every worker's summary), so
 	// holding a slot here could let one query's parked fleet starve the jobs
@@ -685,6 +689,7 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64
 	case <-ws.done:
 		return 0, nil, errAbandoned
 	}
+	clk.Mark(stage.FrameWait)
 
 	art, err := planio.Decode(ps.Plan)
 	if err != nil {
@@ -726,5 +731,6 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64
 	if err != nil {
 		return 0, nil, fmt.Errorf("transfer %d: %w", j.token, err)
 	}
+	clk.Mark(stage.Route)
 	return int64(len(inter)), counts, nil
 }

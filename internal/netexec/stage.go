@@ -8,6 +8,7 @@ import (
 
 	"ewh/internal/exec"
 	"ewh/internal/join"
+	"ewh/internal/stage"
 )
 
 // This file is the coordinator side of the stage-aware pipeline
@@ -92,7 +93,7 @@ func (s *Session) RunStages(first *exec.Job, next *exec.PlanJob,
 	// The peer jobs opened and received their right relation while stage 1
 	// ran; each replies once its transfer completes at its sender count.
 	err = fanOut(j2, func(p int) error {
-		return peerJobs[p].finishPeerJob(received[p], &wm2[p])
+		return peerJobs[p].finishPeerJob(received[p], &wm2[p], next.Stages)
 	})
 	if err != nil {
 		return fail(err)
@@ -220,7 +221,7 @@ func (st *stagePipe) runStage1(spec1 join.Spec, first *exec.Job,
 	peers := s.Addrs()[:j2]
 	peerJobs, err := st.overlap(j1, j2, func(w int) (err error) {
 		p := plan2{Plan: plan, Peers: peers, Self: selfIndex(w, peers)}
-		st.counts[w], err = jobs[w].finishStatsStageJob(&p, &wm1[w])
+		st.counts[w], err = jobs[w].finishStatsStageJob(&p, &wm1[w], first.Stages)
 		return err
 	})
 	if err != nil {
@@ -273,7 +274,7 @@ func (c *sessConn) openStatsStageJob(id uint32, o *open, job *exec.Job) (*subJob
 // finishStatsStageJob runs phase B: deliver the replanned artifact and peer
 // map in a PLAN2 frame and wait for the job's final reply (the count
 // vector).
-func (j *subJob) finishStatsStageJob(p *plan2, m *exec.WorkerMetrics) ([]int64, error) {
+func (j *subJob) finishStatsStageJob(p *plan2, m *exec.WorkerMetrics, recs []stage.Record) ([]int64, error) {
 	defer j.close()
 	err := j.send(func(bw *bufio.Writer) error {
 		return writeCtl(bw, frameV3Plan2, j.id, p)
@@ -281,7 +282,7 @@ func (j *subJob) finishStatsStageJob(p *plan2, m *exec.WorkerMetrics) ([]int64, 
 	if err != nil {
 		return nil, err
 	}
-	return j.finish(m)
+	return j.finish(m, recs)
 }
 
 // openPeerJob opens one stage-2 sub-job — every stage-1 worker is one of its
@@ -330,7 +331,7 @@ func (j *subJob) sendPeerRelation(st *stagePipe) error {
 // settled, and checks it against what the stage-1 senders reported routing
 // to it — the one place a sender's counts are verified: the worker knows only
 // how many senders its transfer has, not what each sent.
-func (j *subJob) finishPeerJob(expect int64, m *exec.WorkerMetrics) error {
+func (j *subJob) finishPeerJob(expect int64, m *exec.WorkerMetrics, recs []stage.Record) error {
 	defer j.close()
 	r, err := j.await("reply", false)
 	if err != nil {
@@ -339,6 +340,6 @@ func (j *subJob) finishPeerJob(expect int64, m *exec.WorkerMetrics) error {
 	if r.InputR1 != expect {
 		return j.proto(fmt.Errorf("worker joined %d peer tuples, senders reported %d", r.InputR1, expect))
 	}
-	j.account(r.reply, m)
+	j.account(r.reply, m, recs)
 	return nil
 }

@@ -143,7 +143,7 @@ func (sc *streamConn) collect(window, epoch uint32) (exec.WindowReply, error) {
 			continue // stale reply from a superseded send
 		}
 		wr := exec.WindowReply{Worker: sc.worker, Window: window, Epoch: epoch,
-			Input: r.InputR1, Count: r.Output}
+			Input: r.InputR1, Count: r.Output, Stages: r.Stages}
 		if len(r.Summary) > 0 {
 			sum, err := planio.DecodeSummary(r.Summary)
 			if err != nil {

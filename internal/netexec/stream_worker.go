@@ -7,13 +7,13 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ewh/internal/bufpool"
 	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
 	"ewh/internal/planio"
+	"ewh/internal/stage"
 )
 
 // This file is the worker's join goroutine, one per job from its open: the
@@ -120,7 +120,9 @@ type sessStream struct {
 
 	totIn, totOut int64
 	overlapped    int64
-	start         time.Time
+	// clk is the goroutine's stage record: each receive ends a FrameWait,
+	// each handler stamps its own steps, and a window reply takes the record.
+	clk stage.Clock
 }
 
 // resTags is each job kind's resident relation: 1 for a count, pairs or plan
@@ -148,7 +150,7 @@ func newSessStream(j *sessJob, st exec.StatsSpec) *sessStream {
 		ch:     make(chan streamEvent, streamEventDepth),
 		done:   make(chan struct{}),
 		failed: j.err,
-		start:  time.Now(),
+		clk:    stage.Start(),
 	}
 	s.resetBase()
 	go s.run()
@@ -173,6 +175,7 @@ func (s *sessStream) admit() (release func(), err error) {
 	if s.j.releaseSlot != nil {
 		return func() {}, nil
 	}
+	defer s.clk.Mark(stage.Admit)
 	return s.ws.w.admitJob(s.ws.tenant, s.ws.w.kill, s.ws.done)
 }
 
@@ -216,6 +219,7 @@ func (s *sessStream) run() {
 		}
 	}()
 	for ev := range s.ch {
+		s.clk.Mark(stage.FrameWait)
 		if ev.kind < evStreamEOS && s.ordered() {
 			s.keep(ev)
 			continue
@@ -290,6 +294,7 @@ func (s *sessStream) joinInOrder() (reply, error) {
 			return reply{}, err
 		}
 	}
+	s.clk.Mark(stage.Build)
 	j, ws := s.j, s.ws
 	m := reply{InputR1: int64(len(rels[0])), InputR2: int64(len(rels[1]))}
 	if j.kind == kindPlan {
@@ -305,6 +310,7 @@ func (s *sessStream) joinInOrder() (reply, error) {
 		_ = writePairsFrame(ws.bw, j.id, chunk)
 		ws.wmu.Unlock()
 	})
+	s.clk.Mark(stage.Probe)
 	return m, nil
 }
 
@@ -352,6 +358,7 @@ func (s *sessStream) onBase(ev streamEvent) {
 	}
 	s.consumed()
 	s.baseN += len(ev.keys)
+	s.clk.Mark(stage.Build)
 }
 
 func (s *sessStream) onBaseEnd(ev streamEvent) {
@@ -387,6 +394,7 @@ func (s *sessStream) onBaseEnd(ev streamEvent) {
 	s.recycleHeld()
 	release()
 	s.sealed = true
+	s.clk.Mark(stage.Build)
 }
 
 // enterWin admits keys or an end frame for window win, routed under epoch,
@@ -425,6 +433,7 @@ func (s *sessStream) onWin(ev streamEvent) {
 		s.consumed()
 		n, kept := s.res.ProbeCount(ev.keys, true)
 		s.winCount += n
+		s.clk.Mark(stage.Probe)
 		if kept {
 			s.held = append(s.held, ev.keys)
 			return
@@ -456,8 +465,11 @@ func (s *sessStream) onWinEnd(ev streamEvent) {
 		r.Err = s.failed.Error()
 		r.Code = rejectCode(s.failed)
 	}
-	// A failed write poisons the stream; the read loop sees the dead connection.
+	// A failed write poisons the stream; the read loop sees the dead
+	// connection. The write itself is the next window's first stage.
+	r.Stages, s.clk.Record = s.clk.Record, stage.Record{}
 	s.fail(s.ws.reply(s.j.id, &r))
+	s.clk.Mark(stage.Reply)
 }
 
 // closeWindow fills r with the open window's match count and, for a stream
@@ -469,13 +481,14 @@ func (s *sessStream) closeWindow(r *reply) error {
 		return err
 	}
 	defer release()
-	n, sum := exec.CloseWindow(s.res, s.winKeys, s.st, s.j.workerID, r.Window)
+	n, sum := exec.CloseWindow(s.res, s.winKeys, s.st, s.j.workerID, r.Window, &s.clk)
 	if sum != nil {
 		enc, err := planio.EncodeSummary(sum)
 		if err != nil {
 			return fmt.Errorf("window summary: %w", err)
 		}
 		r.Summary = enc
+		s.clk.Mark(stage.Summarize)
 	}
 	r.Output = s.winCount + n
 	s.totIn += r.InputR1
@@ -510,6 +523,7 @@ func (s *sessStream) probeTransfer() error {
 	case <-s.ws.done:
 		return errAbandoned
 	}
+	s.clk.Mark(stage.FrameWait)
 	// Admission only once the transfer is complete: a slot holder must not
 	// depend on stage-1 jobs that may be queued behind it on OTHER workers.
 	release, err := s.admit()
@@ -536,6 +550,7 @@ func (s *sessStream) probeTransfer() error {
 	for _, c := range contrib {
 		c.recycle(w.ledger)
 	}
+	s.clk.Mark(stage.Probe)
 	return nil
 }
 
@@ -568,7 +583,7 @@ func (s *sessStream) onEOS() {
 	if errors.Is(s.failed, errAbandoned) {
 		return
 	}
-	m.Nanos = time.Since(s.start).Nanoseconds()
+	m.Stages = s.clk.Record
 	if s.failed != nil {
 		m = reply{Err: s.failed.Error(), Code: rejectCode(s.failed)}
 		// A contribution that could not reach its peer indicts the PEER, not

@@ -15,7 +15,7 @@ import (
 //
 //	magic "EWHB" | uint16 version | uint8 tenant length | tenant
 //
-// where version 8 is the one session protocol a worker speaks — to a
+// where version 9 is the one session protocol a worker speaks — to a
 // coordinator, or to a stage-1 peer shipping its contribution — and frames
 // everything after it as
 //
@@ -30,12 +30,13 @@ import (
 const (
 	// protoVersionSession is the persistent-session protocol: numbered jobs
 	// multiplex over the connection until either side closes (session.go).
-	// Version 7 carried its control frames as gob, in three opens, a PLAN and
+	// Version 8 carried a REPLY's one duration where 9 carries a stage record;
+	// version 7 its control frames as gob, in three opens, a PLAN and
 	// two replies; version 6 was the worker→worker mesh, PEERHEAD and
 	// PEERBLOCK frames at job 0 (30 and 31), which a contribution sub-job
 	// replaced; version 5 a tenant-less mesh. A worker closes each at the
 	// prelude.
-	protoVersionSession = 8
+	protoVersionSession = 9
 
 	// Session frames. Every header carries a job number, so one connection
 	// interleaves many jobs' frames.
