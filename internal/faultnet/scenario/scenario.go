@@ -791,13 +791,19 @@ func startFleet(t testing.TB, n int, taps []*faultnet.Script) *fleet {
 	return f
 }
 
-// settle waits until no worker has a job queued for admission.
-func (f *fleet) settle() error {
+// idle waits until every worker but stalled holds nothing (nil: every
+// worker). A run that gave back all it took leaves each worker's Holdings at
+// the zero value: no job in flight, no byte charged, no transfer open, no
+// admission slot taken or waited for.
+func (f *fleet) idle(stalled *netexec.Worker) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for i, w := range f.workers {
-		for w.AdmissionStats().Waiting != 0 {
+		if w == stalled {
+			continue
+		}
+		for h := w.Holdings(); h != (netexec.Holdings{}); h = w.Holdings() {
 			if time.Now().After(deadline) {
-				return fmt.Errorf("worker %d: %d jobs still queued for admission", i, w.AdmissionStats().Waiting)
+				return fmt.Errorf("worker %d still holds %+v", i, h)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -812,7 +818,8 @@ func (f *fleet) close() {
 }
 
 // Run executes the scenario and checks every oracle; after it, faulted or
-// not, the goroutine count is back at its baseline.
+// not, every fleet worker holds nothing and the goroutine count is back at
+// its baseline.
 func (sc *Scenario) Run(t testing.TB) {
 	t.Helper()
 	baseline := runtime.NumGoroutine()
@@ -880,10 +887,13 @@ func (sc *Scenario) runSession(t testing.TB) {
 		err = sc.also(sess, o)
 	}
 	if err == nil {
-		err = f.settle()
+		err = f.idle(nil)
 	}
 	_ = sess.Close()
 	f.close()
+	if err == nil {
+		err = f.idle(nil)
+	}
 	if err != nil {
 		t.Fatalf("%v: %v", sc, err)
 	}
@@ -1015,10 +1025,22 @@ func (sc *Scenario) runFaulted(t testing.TB, ref *reference, width int, counts [
 		}
 	}
 	if err == nil {
-		err = f.settle()
+		// A stalled victim keeps what its stalled job holds for as long as
+		// the connection is open: faultnet's stall blocks the worker's read
+		// until the worker closes it, and the fleet sets no Timeouts.IO to
+		// cut it. Closing the fleet releases it, and then it too holds
+		// nothing.
+		var stalled *netexec.Worker
+		if sc.fault.action == faultnet.ActStall {
+			stalled = victim.Load()
+		}
+		err = f.idle(stalled)
 	}
 	_ = sess.Close()
 	f.close()
+	if err == nil {
+		err = f.idle(nil)
+	}
 	if err != nil {
 		t.Fatalf("%v: %v", sc, err)
 	}
@@ -1110,7 +1132,13 @@ func (sc *Scenario) runPool(t testing.TB) {
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.settle(); err != nil {
+	err = f.idle(nil)
+	pool.Close()
+	f.close()
+	if err == nil {
+		err = f.idle(nil)
+	}
+	if err != nil {
 		t.Fatalf("%v: %v", sc, err)
 	}
 }

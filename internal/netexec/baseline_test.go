@@ -47,8 +47,8 @@ func (b *baseline) goroutinesSettled() {
 
 // returned asserts what every sub-job must give back however it ended. With
 // the session still open: no reply handler left registered on any connection,
-// and the workers idle (workersIdle). Then, with session and workers torn
-// down: the goroutine count back at the snapshot.
+// and every worker holding nothing (workersIdle). Then, with session and
+// workers torn down: the goroutine count back at the snapshot.
 func (b *baseline) returned(sess *Session, ws []*Worker) {
 	b.t.Helper()
 	waitFor(b.t, "every connection's pending table to empty", func() bool {
@@ -62,7 +62,7 @@ func (b *baseline) returned(sess *Session, ws []*Worker) {
 		}
 		return true
 	})
-	b.workersIdle(ws)
+	workersIdle(b.t, ws...)
 	_ = sess.Close()
 	for _, w := range ws {
 		_ = w.Close()
@@ -70,54 +70,20 @@ func (b *baseline) returned(sess *Session, ws []*Worker) {
 	b.goroutinesSettled()
 }
 
-// workersIdle asserts the worker side of a finished scenario, connections
-// still open: no job left in flight on any worker connection, no byte left in
-// any worker's ledger (any tenant's), no transfer in any worker's table, every
-// admission slot free and nobody queued.
-func (b *baseline) workersIdle(ws []*Worker) {
-	b.t.Helper()
-	waitFor(b.t, "every transfer table to empty", func() bool { return transfersHeld(ws) == 0 })
-	waitFor(b.t, "every worker connection's in-flight count to reach zero", func() bool {
-		for _, w := range ws {
-			if inFlight(w) != 0 {
-				return false
+// workersIdle waits until every worker of ws holds nothing (Holdings): no job
+// in flight, no byte charged to any tenant, no transfer open, no admission
+// slot taken or waited for.
+func workersIdle(t *testing.T, ws ...*Worker) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, w := range ws {
+		for h := w.Holdings(); h != (Holdings{}); h = w.Holdings() {
+			if time.Now().After(deadline) {
+				t.Fatalf("worker %s still holds %+v", w.Addr(), h)
 			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		return true
-	})
-	waitFor(b.t, "the ledger to be credited back", func() bool {
-		for _, w := range ws {
-			if w.ledger.heldBytes() != 0 {
-				return false
-			}
-		}
-		return true
-	})
-	waitFor(b.t, "every admission slot to be given back", func() bool {
-		for _, w := range ws {
-			if w.admit == nil {
-				continue
-			}
-			w.admit.mu.Lock()
-			busy := w.admit.running + w.admit.waiting
-			w.admit.mu.Unlock()
-			if busy != 0 {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// inFlight sums the jobs in flight across w's connections.
-func inFlight(w *Worker) int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	active := 0
-	for cs := range w.conns {
-		active += cs.active
 	}
-	return active
 }
 
 // TestStreamCloseAfterJobFaultRetiresWorkerJob pins Close's abort: a stream a
@@ -165,7 +131,7 @@ func TestStreamCloseAfterJobFaultRetiresWorkerJob(t *testing.T) {
 	if err := ws[0].Shutdown(ctx); err != nil {
 		t.Fatalf("worker still holds the closed stream's job: Shutdown: %v", err)
 	}
-	if used := ws[0].ledger.heldBytes(); used != 0 {
+	if used := ws[0].Holdings().Bytes; used != 0 {
 		t.Fatalf("closed stream left %d bytes reserved", used)
 	}
 }
@@ -405,9 +371,9 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 	// Timeouts.Job; the plan job fails naming worker 0. When the coordinator's
 	// link dies at the peer OPEN instead, worker 0 never opens the transfer:
 	// worker 1's contribution is refused there, cancelled, and the pipeline
-	// fails. Either way the tenant's ledger and every transfer table return to
-	// baseline — nothing charged, no transfer left — though a stalled receiver
-	// holds the job it cannot read on until it closes.
+	// fails. Either way every worker holds nothing — no byte charged, no
+	// transfer left, no job in flight — but for a stalled receiver's
+	// contribution, which it holds until it closes.
 	for _, o := range []struct {
 		name      string
 		rule      faultnet.Rule
@@ -460,32 +426,23 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 			if !script.Fired() {
 				t.Error("the scripted fault never fired")
 			}
-			waitFor(t, "every ledger to be credited and every transfer table to empty", func() bool {
-				for _, w := range ws {
-					if w.ledger.heldBytes() != 0 {
-						return false
-					}
-				}
-				return transfersHeld(ws) == 0
+			// Nothing is held anywhere, but by a stalled receiver: it holds
+			// the contribution it cannot read on until it closes, when the
+			// contribution's OPEN reached it ahead of the stalled frame
+			// (faultnet withholds the whole read a struck frame arrived in).
+			waitFor(t, "the workers to give back what the pipeline took", func() bool {
+				h := ws[0].Holdings()
+				stalled := o.rule.Action == faultnet.ActStall && h == Holdings{Jobs: 1}
+				return (h == Holdings{} || stalled) && ws[1].Holdings() == Holdings{}
 			})
 			_ = sess.Close()
 			for _, w := range ws {
 				_ = w.Close()
 			}
+			workersIdle(t, ws...)
 			b.goroutinesSettled()
 		})
 	}
-}
-
-// transfersHeld counts the transfers ws's tables hold.
-func transfersHeld(ws []*Worker) int {
-	n := 0
-	for _, w := range ws {
-		w.peersMu.Lock()
-		n += len(w.peerStates)
-		w.peersMu.Unlock()
-	}
-	return n
 }
 
 // The worker-side return-to-baseline table: the job kinds the join goroutine
@@ -711,7 +668,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 					return err
 				}
 				// Hang up under a job the worker demonstrably holds.
-				waitFor(t, "the worker to register the job", func() bool { return inFlight(c.w) == 1 })
+				waitFor(t, "the worker to register the job", func() bool { return c.w.Holdings().Jobs == 1 })
 				return c.conn.Close()
 			}},
 		{name: "refused data frame",
@@ -739,9 +696,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 					return err
 				}
 				waitFor(t, "the seal to have taken the slot and given it back", func() bool {
-					c.w.admit.mu.Lock()
-					defer c.w.admit.mu.Unlock()
-					return c.w.admit.running == 0 && c.w.admit.fastPath == 1
+					return c.w.AdmissionStats().FastPath == 1 && c.w.Holdings().Running == 0
 				})
 				// A pairs job now needs the worker's only slot — at its open,
 				// in the read loop — and must get it.
@@ -775,7 +730,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				waitFor(t, "the worker to register the job", func() bool { return inFlight(c.w) == 1 })
+				waitFor(t, "the worker to register the job", func() bool { return c.w.Holdings().Jobs == 1 })
 				return c.conn.Close()
 			}},
 	}
@@ -810,7 +765,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 						t.Errorf("replied %+v, not as a %s", m, x.name)
 					}
 				}
-				b.workersIdle([]*Worker{w})
+				workersIdle(t, w)
 				if grew := w.BuildCacheStats().Bytes - cacheBefore; grew != 0 && x.name != "EOS" {
 					t.Errorf("failed job left %d bytes in the build cache", grew)
 				}

@@ -90,11 +90,3 @@ func (l *ledger) credit(tenant string, n int64) {
 	}
 	l.mu.Unlock()
 }
-
-// heldBytes reports the bytes charged across every tenant (tests and
-// introspection).
-func (l *ledger) heldBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.held
-}

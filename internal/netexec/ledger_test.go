@@ -104,7 +104,10 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 			_ = c.Close()
 		}
 	}()
-	waitFor(t, "the stalled frames to fill the budget", func() bool { return w.ledger.heldBytes() == budget })
+	// Every stalled connection holds its open job; the frames charged fill
+	// the budget.
+	full := Holdings{Jobs: len(stalled), Bytes: budget}
+	waitFor(t, "the stalled frames to fill the budget", func() bool { return w.Holdings() == full })
 	time.Sleep(100 * time.Millisecond) // the frames past the budget meet a full ledger
 	runtime.ReadMemStats(&after)
 	declared := int64(rounds*len(kinds)) * 8 * stallKeys
@@ -115,8 +118,8 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 			len(stalled), declared, grew, bound)
 	}
 	t.Logf("%d connections declared %d bytes; the process allocated %d", len(stalled), declared, grew)
-	if held := w.ledger.heldBytes(); held != budget {
-		t.Fatalf("ledger holds %d bytes, budget %d", held, budget)
+	if h := w.Holdings(); h != full {
+		t.Fatalf("worker holds %+v, want %+v", h, full)
 	}
 
 	// A job that needs the budget the stalls hold is refused, typed.
@@ -132,9 +135,7 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 	for _, c := range stalled {
 		_ = c.Close()
 	}
-	waitFor(t, "the hung-up connections' charges to be credited", func() bool {
-		return w.ledger.heldBytes() == 0 && inFlight(w) == 0
-	})
+	workersIdle(t, w)
 	res, err := run()
 	if err != nil {
 		t.Fatalf("job after the stalls hung up: %v", err)
@@ -142,7 +143,7 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 	if want := localjoin.NestedLoopCount(keys, keys, join.Equi{}); res.Output != want {
 		t.Fatalf("output %d, want %d", res.Output, want)
 	}
-	waitFor(t, "the job's charges to be credited", func() bool { return w.ledger.heldBytes() == 0 })
+	workersIdle(t, w)
 }
 
 // TestPeerContributionPastBudgetIsTyped pins a contribution's account end to
@@ -178,9 +179,7 @@ func TestPeerContributionPastBudgetIsTyped(t *testing.T) {
 			t.Fatalf("a quota refusal is retryable: %v", f)
 		}
 	}
-	waitFor(t, "both workers' charges to be credited", func() bool {
-		return ws[0].ledger.heldBytes() == 0 && ws[1].ledger.heldBytes() == 0
-	})
+	workersIdle(t, ws...)
 }
 
 // TestPeerBlocksDecodeSideBySide pins the one-chunk-per-frame rule on a
@@ -231,6 +230,9 @@ func TestPeerBlocksDecodeSideBySide(t *testing.T) {
 	// the ledger reads held.
 	committed := func(what string, held int64, senders ...int) {
 		waitFor(t, what, func() bool {
+			if w.Holdings().Bytes != held {
+				return false
+			}
 			st.mu.Lock()
 			defer st.mu.Unlock()
 			for _, s := range senders {
@@ -238,7 +240,7 @@ func TestPeerBlocksDecodeSideBySide(t *testing.T) {
 					return false
 				}
 			}
-			return len(st.contrib) == len(senders) && w.ledger.heldBytes() == held
+			return len(st.contrib) == len(senders)
 		})
 	}
 
@@ -255,7 +257,7 @@ func TestPeerBlocksDecodeSideBySide(t *testing.T) {
 	_ = stalled.Close()
 	committed("the hung-up contribution to be credited", 32, 0, 1)
 	w.closeTransfer(token, st)
-	waitFor(t, "every chunk's charge to be credited", func() bool { return w.ledger.heldBytes() == 0 })
+	workersIdle(t, w)
 }
 
 // TestUndeclaredTransferRefusesContributions pins that only a stage-2 job's
@@ -271,9 +273,9 @@ func TestUndeclaredTransferRefusesContributions(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the plan job to register", func() bool { return inFlight(w) == 1 })
+	waitFor(t, "the plan job to register", func() bool { return w.Holdings().Jobs == 1 })
 	err := w.deliverLocal(token, 1, "", []join.Key{1, 2})
-	if held := w.ledger.heldBytes(); rejectCode(err) != codeCancelled || held != 0 {
+	if held := w.Holdings().Bytes; rejectCode(err) != codeCancelled || held != 0 {
 		t.Fatalf("an in-memory contribution to an undeclared transfer: %v, %d bytes held; want a cancelled refusal holding none",
 			err, held)
 	}
@@ -281,17 +283,13 @@ func TestUndeclaredTransferRefusesContributions(t *testing.T) {
 	if rejectCode(err) != codeCancelled {
 		t.Fatalf("a contribution sub-job to an undeclared transfer: %v, want a cancelled refusal", err)
 	}
-	// The refused sub-job's run is credited as it retires, after its reply.
+	// The refused sub-job's run is credited as it retires, after its reply;
+	// it opened no transfer, and the plan job is all the worker holds.
 	waitFor(t, "the refused contribution to be credited", func() bool {
-		return w.ledger.heldBytes() == 0 && inFlight(w) == 1
+		return w.Holdings() == Holdings{Jobs: 1}
 	})
-	if transferOpen(w, token) {
-		t.Fatal("a refused contribution opened a transfer")
-	}
 	_ = conn.Close()
-	waitFor(t, "the hang-up to retire the plan job", func() bool {
-		return w.ledger.heldBytes() == 0 && inFlight(w) == 0
-	})
+	workersIdle(t, w)
 }
 
 func writeBytes(bw *bufio.Writer, b []byte) error {

@@ -14,6 +14,7 @@ import (
 	"ewh/internal/join"
 	"ewh/internal/multiway"
 	"ewh/internal/partition"
+	"ewh/internal/stage"
 )
 
 // TestTenantIDFitsThePrelude pins the tenant id's bound at the prelude's u8
@@ -96,7 +97,7 @@ func TestSessionTypedQuotaRejection(t *testing.T) {
 	if !errors.Is(err, ErrQuota) {
 		t.Fatalf("over-budget join: got %v, want ErrQuota", err)
 	}
-	if used := ws[0].ledger.heldBytes(); used != 0 {
+	if used := ws[0].Holdings().Bytes; used != 0 {
 		t.Fatalf("rejected job left %d bytes reserved", used)
 	}
 	// The same join under an unbudgeted tenant runs to the correct answer.
@@ -171,8 +172,9 @@ func TestSessionTypedAdmissionRejection(t *testing.T) {
 		_, err := exec.RunOver(q1, r1, r2, join.Equi{}, scheme, model, exec.Config{Seed: 93})
 		queuedDone <- err
 	}()
-	for ws[0].AdmissionStats().Waiting < 1 {
-		time.Sleep(time.Millisecond)
+	waitFor(t, "the job to queue", func() bool { return ws[0].Holdings().Waiting == 1 })
+	if h := ws[0].Holdings(); h.Running != 1 || h.Waiting != 1 {
+		t.Fatalf("the hog and the queued job leave the worker holding %+v, want one slot taken and one job waiting", h)
 	}
 
 	// ...so a second job of the same tenant finds the queue full and is
@@ -195,6 +197,43 @@ func TestSessionTypedAdmissionRejection(t *testing.T) {
 	}
 	if err := <-queuedDone; err != nil {
 		t.Fatalf("queued job after slot freed: %v", err)
+	}
+}
+
+// TestReadLoopAdmissionStampsAdmit pins where a count job's wait for its slot
+// lands in its stage record. The read loop admits the job at its open, after
+// the job's goroutine and clock have started, and hands the wait over: the
+// REPLY's record shows it as Admit, not as the job's first FrameWait.
+func TestReadLoopAdmissionStampsAdmit(t *testing.T) {
+	const hold = 200 * time.Millisecond
+	ws, addrs := startTenantWorkerSet(t, 1, AdmissionConfig{MaxInFlight: 1}, nil)
+	// A count job opened on a raw connection takes the one slot and keeps it
+	// until the connection hangs up.
+	bw, conn := dialV3(t, addrs[0], "")
+	sendOpenJob(t, bw, 1, kindCount, 0)
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the held open to take the slot", func() bool { return ws[0].Holdings().Running == 1 })
+	sess := dialSession(t, addrs)
+	r := randKeys(1000, 500, 70)
+	var res *exec.Result
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		res, err = exec.RunOver(sess, r, r, join.Equi{}, partition.NewCI(1), model, exec.Config{Seed: 71})
+		done <- err
+	}()
+	waitFor(t, "the count job to queue for the slot", func() bool { return ws[0].Holdings().Waiting == 1 })
+	time.Sleep(hold)
+	_ = conn.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	rec := res.Stages[0]
+	if admit, wait := time.Duration(rec[stage.Admit]), time.Duration(rec[stage.FrameWait]); admit < hold || wait >= hold {
+		t.Fatalf("queued %v behind a held slot, the job's record shows Admit %v and FrameWait %v; want the wait as Admit",
+			hold, admit, wait)
 	}
 }
 
@@ -342,7 +381,7 @@ func TestPoolHogFloorOverSockets(t *testing.T) {
 		t.Errorf("%d admission rejections with an unbounded queue", final.Rejected)
 	}
 
-	b.workersIdle(ws)
+	workersIdle(t, ws...)
 	_ = pool.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

@@ -168,6 +168,41 @@ func (w *Worker) BuildCacheStats() localjoin.BuildCacheStats {
 	return w.buildCache.Stats()
 }
 
+// Holdings is what a worker holds for its connections at one instant. A
+// worker with nothing in flight holds the zero value; the build cache, which
+// outlives its jobs, is not a holding (see BuildCacheStats).
+type Holdings struct {
+	Jobs      int   // jobs in flight across connections
+	Bytes     int64 // bytes charged to the ledger, every tenant's
+	Transfers int   // open inbound transfers
+	Running   int   // admission slots taken
+	Waiting   int   // jobs queued for an admission slot
+}
+
+// Holdings snapshots what the worker holds. Each field is read under its own
+// lock, so a snapshot taken while jobs run need not be consistent across
+// fields; one taken at rest is exact.
+func (w *Worker) Holdings() Holdings {
+	var h Holdings
+	w.mu.Lock()
+	for cs := range w.conns {
+		h.Jobs += cs.active
+	}
+	w.mu.Unlock()
+	w.ledger.mu.Lock()
+	h.Bytes = w.ledger.held
+	w.ledger.mu.Unlock()
+	w.peersMu.Lock()
+	h.Transfers = len(w.peerStates)
+	w.peersMu.Unlock()
+	if w.admit != nil {
+		w.admit.mu.Lock()
+		h.Running, h.Waiting = w.admit.running, w.admit.waiting
+		w.admit.mu.Unlock()
+	}
+	return h
+}
+
 // FailAfterJobs schedules the worker to kill itself (abrupt Close, as a
 // crash would) after completing n jobs — a build-tag-free testing hook the
 // tests and ewhworker's -fail-after flag use to take workers down on a

@@ -435,16 +435,18 @@ func TestShutdownSparesConnectionMidPrelude(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "two identified sessions, one with a job, and one unknown", func() bool {
+		if w.Holdings().Jobs != 1 {
+			return false
+		}
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		sessions, active := 0, 0
+		sessions := 0
 		for cs := range w.conns {
-			active += cs.active
 			if cs.session {
 				sessions++
 			}
 		}
-		return len(w.conns) == 3 && sessions == 2 && active == 1
+		return len(w.conns) == 3 && sessions == 2
 	})
 	shut := make(chan error, 1)
 	go func() {
@@ -609,7 +611,7 @@ func TestSessionMultiBlockRelation(t *testing.T) {
 			} else if m.Code != codeQuota || len(got) != 0 {
 				t.Fatalf("replied %d pairs and %+v, want a quota rejection", len(got), m)
 			}
-			waitFor(t, "the job's charges to be credited", func() bool { return w.ledger.heldBytes() == 0 })
+			workersIdle(t, w)
 		})
 	}
 }

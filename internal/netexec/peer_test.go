@@ -265,13 +265,6 @@ func sendPeerOpen(t *testing.T, conn net.Conn, br *bufio.Reader, bw *bufio.Write
 	return ack
 }
 
-// transferOpen reports whether w's transfer table holds token.
-func transferOpen(w *Worker, token uint64) bool {
-	w.peersMu.Lock()
-	defer w.peersMu.Unlock()
-	return w.peerStates[token] != nil
-}
-
 // TestPeerJobExitRemovesTransfer pins the single retire path: however a
 // peer-fed job leaves before consuming its transfer — ABORT or the
 // coordinator hanging up — the transfer its open created leaves the table, so
@@ -298,21 +291,19 @@ func TestPeerJobExitRemovesTransfer(t *testing.T) {
 			if ack := sendPeerOpen(t, conn, bufio.NewReader(conn), bw, 1, token, 1); ack.Err != "" {
 				t.Fatalf("the open was refused: %+v", ack)
 			}
-			if !transferOpen(w, token) {
-				t.Fatal("an acknowledged open left no transfer")
+			if h := w.Holdings(); h.Transfers != 1 {
+				t.Fatalf("an acknowledged open left the worker holding %+v, want its transfer", h)
 			}
 			if err := tc.leave(bw, conn); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, "the transfer to leave the table", func() bool { return !transferOpen(w, token) })
+			waitFor(t, "the transfer to leave the table", func() bool { return w.Holdings().Transfers == 0 })
 			// The one sender's contribution arrives anyway, late.
 			err := contribute(context.Background(), addrs[0], "", Timeouts{}, token, 0, []join.Key{7})
 			if rejectCode(err) != codeCancelled || !strings.Contains(err.Error(), "peer "+addrs[0]) {
 				t.Fatalf("a late contribution returned %v, want the peer's cancelled refusal", err)
 			}
-			waitFor(t, "the refused contribution to be credited", func() bool {
-				return w.ledger.heldBytes() == 0 && inFlight(w) == 0 && !transferOpen(w, token)
-			})
+			workersIdle(t, w)
 		})
 	}
 }
@@ -475,7 +466,7 @@ func TestUnknownPeerFrameFailsTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectClosedSilently(t, cconn)
-	waitFor(t, "the cut contribution to retire", func() bool { return inFlight(w) == 1 })
+	waitFor(t, "the cut contribution to retire", func() bool { return w.Holdings().Jobs == 1 })
 	w.peersMu.Lock()
 	st := w.peerStates[token]
 	w.peersMu.Unlock()
@@ -492,9 +483,7 @@ func TestUnknownPeerFrameFailsTransfer(t *testing.T) {
 	if m := awaitFeedMetrics(t, conn, br, 1); !strings.Contains(m.Err, "transfer cancelled") {
 		t.Fatalf("the parked stage-2 job replied %+v, want the cancelled transfer's error", m)
 	}
-	waitFor(t, "the transfer's shares to be credited", func() bool {
-		return inFlight(w) == 0 && w.ledger.heldBytes() == 0
-	})
+	workersIdle(t, w)
 }
 
 // TestPeerTransferCompletesAtSenderCount is the completion rule's table: a
@@ -560,19 +549,22 @@ func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 					t.Fatalf("sender %d ahead of the open: %v, want a cancelled refusal", c.sender, err)
 				}
 			}
-			waitFor(t, "the refused contributions to be credited", func() bool { return w.ledger.heldBytes() == 0 })
+			waitFor(t, "the refused contributions to be credited", func() bool { return w.Holdings().Bytes == 0 })
 			if tc.openErr != "" {
 				_, err := w.openTransfer(token, tc.senders)
 				if err == nil || !strings.Contains(err.Error(), tc.openErr) {
 					t.Fatalf("open of %d senders returned %v, want a refusal naming %q", tc.senders, err, tc.openErr)
 				}
-				if transferOpen(w, token) {
-					t.Fatal("a refused open created a transfer")
+				if h := w.Holdings(); h.Transfers != 0 {
+					t.Fatalf("a refused open left the worker holding %+v", h)
 				}
 				return
 			}
 			st := mustOpenTransfer(t, w, token, tc.senders)
 			defer w.closeTransfer(token, st)
+			if h := w.Holdings(); h.Transfers != 1 {
+				t.Fatalf("an open transfer left the worker holding %+v", h)
+			}
 			st.mu.Lock()
 			untouched := !st.done && len(st.contrib) == 0
 			st.mu.Unlock()
@@ -611,7 +603,7 @@ func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 			}
 		})
 	}
-	waitFor(t, "every transfer's shares to be credited", func() bool { return w.ledger.heldBytes() == 0 })
+	workersIdle(t, w)
 }
 
 // TestRetiredSessionFrameIsConnectionFatal pins the retired frame types:
@@ -642,21 +634,13 @@ func TestRetiredSessionFrameIsConnectionFatal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "the worker to register the job", func() bool { return inFlight(w) == 1 })
+		waitFor(t, "the worker to register the job", func() bool { return w.Holdings().Jobs == 1 })
 		var payload [16]byte
 		if err := errors.Join(writeEndFrame(bw, typ, 1, payload[:]), bw.Flush()); err != nil {
 			t.Fatal(err)
 		}
 		expectClosedSilently(t, conn)
-		waitFor(t, "the job to retire with its connection", func() bool {
-			return inFlight(w) == 0 && w.ledger.heldBytes() == 0
-		})
-		w.peersMu.Lock()
-		st := w.peerStates[token]
-		w.peersMu.Unlock()
-		if st != nil {
-			t.Fatalf("frame type %d: a contribution cut short reached its transfer", typ)
-		}
+		workersIdle(t, w) // a contribution cut short opened no transfer
 	}
 }
 

@@ -353,8 +353,7 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 
 			// Same connection, next job: the refusal cost this job only, and
 			// what it had reserved is credited back.
-			idle := &baseline{t: t}
-			idle.workersIdle(ws)
+			workersIdle(t, ws...)
 			sendOpenJob(t, bw, 2, kindPairs, 0)
 			err = errors.Join(
 				writeRel(bw, 2, 1, []join.Key{5}),
@@ -366,7 +365,7 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 			if m := awaitFeedMetrics(t, conn, br, 2); m.Err != "" || m.Output != 1 {
 				t.Fatalf("follow-up job replied %+v", m)
 			}
-			idle.workersIdle(ws)
+			workersIdle(t, ws...)
 		})
 	}
 
@@ -453,7 +452,7 @@ func TestSessionRelationFormsByJobKind(t *testing.T) {
 			}
 		}
 		waitFor(t, "the ABORT to retire the job on the worker", func() bool {
-			return seen[faultnet.FrameAbort].Load() && inFlight(w) == 0
+			return seen[faultnet.FrameAbort].Load() && w.Holdings().Jobs == 0
 		})
 		if !seen[faultnet.FrameOpen].Load() {
 			t.Fatal("the job was never opened")

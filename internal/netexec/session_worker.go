@@ -10,6 +10,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ewh/internal/bufpool"
 	"ewh/internal/exec"
@@ -361,8 +362,11 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
 	// compute (plan jobs release before their stats park; peer and stream jobs
 	// hold none while parked, admitting per seal and per probe). A rejection
 	// fails just this job — its frames drain and the reply carries the typed
-	// code.
+	// code. The job's clock has run since its open, so the goroutine is told
+	// the wait and charges it to Admit.
+	start := time.Now()
 	releaseSlot, aerr := w.admitJob(ws.tenant, w.kill, ws.done)
+	j.stream.admitted = int64(time.Since(start))
 	if errors.Is(aerr, errAbandoned) {
 		return aerr // worker killed: the connection is going down anyway
 	}

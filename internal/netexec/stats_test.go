@@ -222,11 +222,8 @@ func TestStatsReplanErrorCancelsAndDrains(t *testing.T) {
 		t.Fatalf("replan failure not surfaced: %v", err)
 	}
 	for i, w := range ws {
-		w.peersMu.Lock()
-		n := len(w.peerStates)
-		w.peersMu.Unlock()
-		if n != 0 {
-			t.Fatalf("worker %d holds %d transfers after a cancelled stats exchange", i, n)
+		if h := w.Holdings(); h.Transfers != 0 {
+			t.Fatalf("worker %d holds %+v after a cancelled stats exchange", i, h)
 		}
 	}
 
@@ -332,7 +329,7 @@ func TestPlanCancelAroundThePark(t *testing.T) {
 			} else if !strings.Contains(m.Err, c.wantErr) {
 				t.Fatalf("replied %+v, want an error naming %q", m, c.wantErr)
 			}
-			waitFor(t, "the job to retire", func() bool { return inFlight(w) == 0 && w.ledger.heldBytes() == 0 })
+			workersIdle(t, w)
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			defer cancel()
 			if err := w.Shutdown(ctx); err != nil {

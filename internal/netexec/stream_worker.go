@@ -123,6 +123,10 @@ type sessStream struct {
 	// clk is the goroutine's stage record: each receive ends a FrameWait,
 	// each handler stamps its own steps, and a window reply takes the record.
 	clk stage.Clock
+	// admitted is the nanoseconds the read loop waited at the job's open for
+	// the slot it took, set before it feeds any event. The clock ran through
+	// that wait, so the first receive moves it from FrameWait to Admit.
+	admitted int64
 }
 
 // resTags is each job kind's resident relation: 1 for a count, pairs or plan
@@ -220,6 +224,11 @@ func (s *sessStream) run() {
 	}()
 	for ev := range s.ch {
 		s.clk.Mark(stage.FrameWait)
+		if s.admitted != 0 {
+			s.clk.Record[stage.FrameWait] -= s.admitted
+			s.clk.Record[stage.Admit] += s.admitted
+			s.admitted = 0
+		}
 		if ev.kind < evStreamEOS && s.ordered() {
 			s.keep(ev)
 			continue

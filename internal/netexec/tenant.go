@@ -156,8 +156,8 @@ func (w *Worker) admitJob(tenant string, kill, connDone <-chan struct{}) (func()
 // exits silently, nothing to reply to.
 var errAbandoned = errors.New("job wait abandoned")
 
-// AdmissionStats is a worker admitter's cumulative picture, for tests and
-// the benchmark's pool workload.
+// AdmissionStats is a worker admitter's counters since start, for tests and
+// the benchmark's pool workload; what it holds now is in Holdings.
 type AdmissionStats struct {
 	// FastPath counts jobs admitted immediately (free slot, empty queues).
 	FastPath int64
@@ -168,8 +168,6 @@ type AdmissionStats struct {
 	Rejected int64
 	// Granted is per-tenant admitted jobs (fast path + dispatched).
 	Granted map[string]int64
-	// Waiting is the instantaneous queued-waiter count.
-	Waiting int
 }
 
 // AdmissionStats snapshots the worker's admission counters (zero value when
@@ -208,7 +206,6 @@ func (a *admitter) stats() AdmissionStats {
 		FastPath:   a.fastPath,
 		Dispatched: a.dispatched,
 		Rejected:   a.rejected,
-		Waiting:    a.waiting,
 		Granted:    make(map[string]int64, len(a.granted)),
 	}
 	for t, n := range a.granted {

@@ -109,7 +109,7 @@ func TestAdmitterWeightedDispatch(t *testing.T) {
 			}(tn)
 		}
 	}
-	for a.stats().Waiting < 3*perTenant {
+	for queued(a) < 3*perTenant {
 		time.Sleep(time.Millisecond)
 	}
 	hold()
@@ -152,7 +152,7 @@ func TestAdmitterQueueFull(t *testing.T) {
 			rel()
 		}()
 	}
-	for a.stats().Waiting < 2 {
+	for queued(a) < 2 {
 		time.Sleep(time.Millisecond)
 	}
 	if _, err := a.acquire("t", never, never); rejectCode(err) != codeAdmission {
@@ -207,7 +207,7 @@ func TestAdmitterAbandon(t *testing.T) {
 		_, err := a.acquire("t", never, connDone)
 		errc <- err
 	}()
-	for a.stats().Waiting < 1 {
+	for queued(a) < 1 {
 		time.Sleep(time.Millisecond)
 	}
 	close(connDone)
@@ -220,6 +220,13 @@ func TestAdmitterAbandon(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel()
+}
+
+// queued is a's count of jobs waiting for a slot.
+func queued(a *admitter) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.waiting
 }
 
 // TestTenantTableBudget checks the ledger's byte charging: reservations
@@ -236,7 +243,7 @@ func TestTenantTableBudget(t *testing.T) {
 	if err := tb.charge("t", 50); rejectCode(err) != codeQuota {
 		t.Fatalf("over-budget charge: got %v, want typed quota rejection", err)
 	}
-	if got := tb.heldBytes(); got != 60 {
+	if got := tb.held; got != 60 {
 		t.Fatalf("failed charge mutated usage: %d, want 60", got)
 	}
 	tb.credit("t", 20)
@@ -244,7 +251,7 @@ func TestTenantTableBudget(t *testing.T) {
 		t.Fatalf("charge after credit: %v", err)
 	}
 	tb.credit("t", 90)
-	if got := tb.heldBytes(); got != 0 {
+	if got := tb.held; got != 0 {
 		t.Fatalf("usage after full credit: %d, want 0", got)
 	}
 	// Unbudgeted tenants (default policy zero) are never rejected.
@@ -272,12 +279,12 @@ func TestTenantTableBudget(t *testing.T) {
 			t.Fatalf("%s: got %v", step.name, step.err)
 		}
 	}
-	if got := wb.heldBytes(); got != 100 {
+	if got := wb.held; got != 100 {
 		t.Fatalf("held %d bytes, want 100", got)
 	}
 	wb.credit("t", 50)
 	wb.credit("other", 50)
-	if got := wb.heldBytes(); got != 0 || len(wb.used) != 0 {
+	if got := wb.held; got != 0 || len(wb.used) != 0 {
 		t.Fatalf("after every credit: held %d, by tenant %v", got, wb.used)
 	}
 }
