@@ -2,7 +2,7 @@
 // wire protocol for testing recovery paths. It wraps a worker's net.Listener
 // so every accepted connection passes through a scriptable frame-aware tap:
 // the tap reads the prelude (magic, version, tenant), follows the session
-// protocol's frame header (version 9, a coordinator's session or a peer's
+// protocol's frame header (version 10, a coordinator's session or a peer's
 // contribution; anything else is opaque), counts matching frames per rule
 // and fires each rule's action exactly once at a precise frame boundary —
 // kill after the N-th block, reset on the first window reply, stall
@@ -36,13 +36,12 @@ const (
 	// v3 session frames. One OPEN opens every job kind; one REPLY carries
 	// every answer but pairs: a stream window's, a plan job's summary, and
 	// each job's final one.
-	FrameOpen       byte = 10
-	FrameEOS        byte = 14
-	FramePairs      byte = 15
-	FrameReply      byte = 16
-	FrameAbort      byte = 17
-	FramePlanCancel byte = 20
-	FramePlan2      byte = 22
+	FrameOpen  byte = 10
+	FrameEOS   byte = 14
+	FramePairs byte = 15
+	FrameReply byte = 16
+	FrameAbort byte = 17
+	FramePlan2 byte = 22
 
 	// v3 run frames: a continuous join's, and every other job's relations as
 	// base and window runs at epoch 0 — a contribution's share included.
@@ -53,7 +52,7 @@ const (
 )
 
 // VersionSession is the protocol version as it appears in the wire prelude.
-const VersionSession = 9
+const VersionSession = 10
 
 // Dir selects which byte stream a rule watches, relative to the wrapped
 // endpoint (the worker, for a wrapped listener).
@@ -248,8 +247,12 @@ type Conn struct {
 
 	rmu sync.Mutex
 	rt  tracker
-	wmu sync.Mutex
-	wt  tracker
+	// held is what a read took off the wire from its first struck frame on,
+	// delivered by the next reads, and heldErr the error that read returned.
+	held    []segment
+	heldErr error
+	wmu     sync.Mutex
+	wt      tracker
 }
 
 func newConn(c net.Conn, script *Script, ordinal int) *Conn {
@@ -280,10 +283,10 @@ func (c *Conn) stall() error {
 	return errInjected
 }
 
-// apply executes a fired rule against the connection. It returns a non-nil
-// error when the current I/O operation must abort instead of delivering
-// its bytes; a hook is queued on t instead, for the caller to run.
-func (c *Conn) apply(t *tracker, r *scriptRule) error {
+// act executes a struck rule against the connection. It returns a non-nil
+// error when the I/O operation must abort instead of delivering the struck
+// frame; a hook runs and lets the traffic continue.
+func (c *Conn) act(r *scriptRule) error {
 	switch r.Action {
 	case ActClose:
 		_ = c.Close()
@@ -293,56 +296,86 @@ func (c *Conn) apply(t *tracker, r *scriptRule) error {
 		return errInjected
 	case ActStall:
 		return c.stall()
-	case ActHook:
-		if r.Fn != nil {
-			t.hooks = append(t.hooks, r.Fn)
-		}
+	}
+	if r.Fn != nil {
+		r.Fn()
 	}
 	return nil
 }
 
-// runHooks runs the hooks a feed queued, in frame order.
-func runHooks(hooks []func()) {
-	for _, fn := range hooks {
-		fn()
-	}
+// segment is inbound bytes a read took off the wire but has not delivered:
+// they open with a struck frame, whose rule acts before they are.
+type segment struct {
+	r *scriptRule
+	b []byte
 }
 
-// Read taps the inbound stream: bytes are parsed for frame boundaries
-// BEFORE delivery, so a rule firing on a frame kills the connection with
-// that frame (and the rest of the chunk) undelivered — a mid-stream death,
-// exactly as a crashed sender would leave the wire — and a hook returns
-// before the endpoint sees the frame.
+// Read taps the inbound stream: bytes are parsed for frame boundaries BEFORE
+// delivery, and the frames ahead of a struck frame are delivered first. The
+// fault then lands at that frame on the endpoint's next Read: a close, reset
+// or stall with the frame (and the rest of the chunk) undelivered — a
+// mid-stream death, exactly as a crashed sender would leave the wire — and a
+// hook returns before the endpoint sees the frame.
 func (c *Conn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if n > 0 {
-		c.rmu.Lock()
-		ferr := c.rt.feed(p[:n])
-		hooks := c.rt.hooks
-		c.rt.hooks = nil
-		c.rmu.Unlock()
-		runHooks(hooks)
-		if ferr != nil {
-			return 0, ferr
+	c.rmu.Lock()
+	defer c.rmu.Unlock()
+	if len(c.held) == 0 {
+		n, err := c.Conn.Read(p)
+		strikes := c.rt.feed(p[:n])
+		if len(strikes) == 0 {
+			return n, err
+		}
+		for i, s := range strikes {
+			end := n
+			if i+1 < len(strikes) {
+				end = strikes[i+1].at
+			}
+			c.held = append(c.held, segment{r: s.r, b: append([]byte(nil), p[s.at:end]...)})
+		}
+		c.heldErr = err
+		if k := strikes[0].at; k > 0 {
+			return k, nil
+		}
+	}
+	seg := &c.held[0]
+	if seg.r != nil {
+		r := seg.r
+		seg.r = nil
+		if err := c.act(r); err != nil {
+			c.held = nil
+			return 0, err
+		}
+	}
+	n := copy(p, seg.b)
+	if seg.b = seg.b[n:]; len(seg.b) > 0 {
+		return n, nil
+	}
+	if c.held = c.held[1:]; len(c.held) > 0 {
+		return n, nil
+	}
+	c.held = nil
+	return n, c.heldErr
+}
+
+// Write taps the outbound stream symmetrically: the frames ahead of a struck
+// frame are written, then a close, reset or stall acts with the struck frame
+// and the rest of the chunk unwritten, and a hook runs once its frame is
+// written (with the rest of the chunk).
+func (c *Conn) Write(p []byte) (int, error) {
+	c.wmu.Lock()
+	strikes := c.wt.feed(p)
+	c.wmu.Unlock()
+	end := len(p)
+	if k := len(strikes) - 1; k >= 0 && strikes[k].r.Action != ActHook {
+		end = strikes[k].at
+	}
+	n, err := c.Conn.Write(p[:end])
+	for _, s := range strikes {
+		if err == nil {
+			err = c.act(s.r)
 		}
 	}
 	return n, err
-}
-
-// Write taps the outbound stream symmetrically: a rule firing on an
-// outbound frame suppresses the whole chunk, and a hook runs once the chunk
-// is written.
-func (c *Conn) Write(p []byte) (int, error) {
-	c.wmu.Lock()
-	ferr := c.wt.feed(p)
-	hooks := c.wt.hooks
-	c.wt.hooks = nil
-	c.wmu.Unlock()
-	defer runHooks(hooks)
-	if ferr != nil {
-		return 0, ferr
-	}
-	return c.Conn.Write(p)
 }
 
 // tracker states.
@@ -375,71 +408,80 @@ type tracker struct {
 	state int
 	buf   [frameHeaderLen]byte // prelude or header accumulator
 	have  int
-	skip  int      // payload bytes left to skip
-	hooks []func() // fired hooks the current I/O operation still owes
+	skip  int // payload bytes left to skip
 }
 
-// feed advances the parser over one chunk. A non-nil return aborts the
-// endpoint's I/O operation (the fired rule killed or stalled the
-// connection).
-func (t *tracker) feed(p []byte) error {
-	for len(p) > 0 {
+// strike is a rule fired by a frame of the chunk being fed: at is the offset
+// of the frame's first byte in the chunk (0 when its header began in an
+// earlier one).
+type strike struct {
+	at int
+	r  *scriptRule
+}
+
+// feed advances the parser over one chunk and returns the rules its frames
+// fired, in frame order. It stops at the first close, reset or stall: the
+// frames past it never reach the endpoint, so they are neither parsed nor
+// counted.
+func (t *tracker) feed(p []byte) []strike {
+	var strikes []strike
+	for off := 0; off < len(p); {
 		switch t.state {
 		case stateOpaque:
-			return nil
+			return strikes
 		case stateAwaitVersion:
 			// The endpoint is writing. Replies only ever follow inbound
 			// traffic, so the inbound prelude has been parsed by now; an
 			// unknown version means unframed traffic either way.
 			if !t.conn.framed.Load() {
 				t.state = stateOpaque
-				return nil
+				return strikes
 			}
 			t.state = stateHeader
 		case statePrelude:
-			n := copy(t.buf[t.have:preludeLen], p)
+			n := copy(t.buf[t.have:preludeLen], p[off:])
 			t.have += n
-			p = p[n:]
+			off += n
 			if t.have < preludeLen {
-				return nil
+				return strikes
 			}
 			t.have = 0
 			if [4]byte(t.buf[:4]) != wireMagic || binary.LittleEndian.Uint16(t.buf[4:6]) != VersionSession {
 				t.state = stateOpaque
-				return nil
+				return strikes
 			}
 			t.conn.framed.Store(true)
 			t.state = stateTenant
 		case stateTenant:
 			// The tenant is skipped like a payload, then the frames begin.
-			t.skip = int(p[0])
-			p = p[1:]
+			t.skip = int(p[off])
+			off++
 			t.state = statePayload
 		case stateHeader:
-			n := copy(t.buf[t.have:], p)
+			n := copy(t.buf[t.have:], p[off:])
 			t.have += n
-			p = p[n:]
+			off += n
 			if t.have < frameHeaderLen {
-				return nil
+				return strikes
 			}
 			t.have = 0
 			typ := t.buf[0]
 			t.skip = int(binary.LittleEndian.Uint32(t.buf[5:]))
 			t.state = statePayload
 			if r := t.conn.script.match(t.dir, typ, t.conn.ordinal); r != nil {
-				if err := t.conn.apply(t, r); err != nil {
-					return err
+				strikes = append(strikes, strike{at: max(off-frameHeaderLen, 0), r: r})
+				if r.Action != ActHook {
+					return strikes
 				}
 			}
 		case statePayload:
-			if t.skip > len(p) {
-				t.skip -= len(p)
-				return nil
+			n := min(t.skip, len(p)-off)
+			t.skip -= n
+			off += n
+			if t.skip == 0 {
+				t.state = stateHeader
 			}
-			p = p[t.skip:]
-			t.skip = 0
-			t.state = stateHeader
 		}
 	}
-	return nil
+	return strikes
 }

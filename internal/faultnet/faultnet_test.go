@@ -95,19 +95,16 @@ func TestTrackerFiresAtExactV3Frame(t *testing.T) {
 	stream = append(stream, wireFrame(FrameStreamBase, 1, make([]byte, 32))...)
 	stream = append(stream, wireFrame(FrameEOS, 1, nil)...)
 
-	var ferr error
+	var strikes []strike
 	fed := 0
 	for i := range stream {
-		if ferr = fc.rt.feed(stream[i : i+1]); ferr != nil {
+		if strikes = fc.rt.feed(stream[i : i+1]); len(strikes) > 0 {
 			break
 		}
 		fed++
 	}
-	if ferr == nil {
-		t.Fatal("rule never fired")
-	}
-	if !errors.Is(ferr, errInjected) {
-		t.Fatalf("feed returned %v, want the injected fault", ferr)
+	if len(strikes) != 1 || strikes[0].r.Action != ActClose || strikes[0].at != 0 {
+		t.Fatalf("feed struck %+v, want the close rule at the chunk's first byte", strikes)
 	}
 	// The fatal byte is the last byte of the 2nd Block frame's header.
 	if want := cut + 9 - 1; fed != want {
@@ -116,11 +113,61 @@ func TestTrackerFiresAtExactV3Frame(t *testing.T) {
 	if !s.Fired() {
 		t.Fatal("script not marked fired")
 	}
+	if err := fc.act(strikes[0].r); !errors.Is(err, errInjected) {
+		t.Fatalf("the close acted with %v, want the injected fault", err)
+	}
 	select {
 	case <-fc.closed:
 	default:
 		t.Fatal("ActClose did not close the connection")
 	}
+}
+
+// TestFaultLandsAtItsFrame pins where a struck frame's fault lands when
+// frames ahead of it share its read or write: those frames reach the other
+// side first, and only then does the close, reset or stall take effect, the
+// struck frame undelivered.
+func TestFaultLandsAtItsFrame(t *testing.T) {
+	head := append(prelude(VersionSession, "t"), wireFrame(FrameOpen, 1, make([]byte, 20))...)
+	struck := wireFrame(FrameStreamBase, 1, make([]byte, 16))
+	for _, action := range []Action{ActClose, ActReset, ActStall} {
+		t.Run("in/"+action.String(), func(t *testing.T) {
+			fc, peer := pipeConn(t, NewScript(Rule{Dir: In, Frame: FrameStreamBase, Action: action}))
+			if action == ActStall { // released here, past both reads
+				time.AfterFunc(100*time.Millisecond, func() { _ = fc.Close() })
+			}
+			// One write, read whole: the struck frame shares the read.
+			go func() { _, _ = peer.Write(append(append([]byte(nil), head...), struck...)) }()
+			got := make([]byte, 512)
+			n, err := fc.Read(got)
+			if err != nil || string(got[:n]) != string(head) {
+				t.Fatalf("the endpoint read %q (%v), want the frames ahead of the struck one", got[:n], err)
+			}
+			if n, err := fc.Read(make([]byte, 64)); n != 0 || !errors.Is(err, errInjected) {
+				t.Fatalf("the read at the struck frame = %d, %v; want 0, the injected fault", n, err)
+			}
+		})
+	}
+	t.Run("out/close", func(t *testing.T) {
+		fc, peer := pipeConn(t, NewScript(Rule{Dir: Out, Frame: FrameReply, N: 2, Action: ActClose}))
+		go func() { _, _ = peer.Write(prelude(VersionSession, "")) }()
+		if _, err := io.ReadFull(fc, make([]byte, len(prelude(VersionSession, "")))); err != nil {
+			t.Fatal(err)
+		}
+		first := wireFrame(FrameReply, 1, make([]byte, 12))
+		received := make(chan []byte, 1)
+		go func() {
+			b, _ := io.ReadAll(peer)
+			received <- b
+		}()
+		n, err := fc.Write(append(append([]byte(nil), first...), wireFrame(FrameReply, 1, make([]byte, 8))...))
+		if n != len(first) || !errors.Is(err, errInjected) {
+			t.Fatalf("the write = %d, %v; want %d, the injected fault", n, err, len(first))
+		}
+		if b := <-received; string(b) != string(first) {
+			t.Fatalf("the peer received %d bytes, want the %d of the frame ahead", len(b), len(first))
+		}
+	})
 }
 
 func TestTrackerPeerHeaders(t *testing.T) {
@@ -136,22 +183,22 @@ func TestTrackerPeerHeaders(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			stream = append(stream, wireFrame(FrameStreamBase, 1, make([]byte, 8+8*7))...)
 		}
-		var ferr error
+		struck := false
 		fed := 0
 		for i := range stream {
 			fed++
-			if ferr = fc.rt.feed(stream[i : i+1]); ferr != nil {
+			if struck = len(fc.rt.feed(stream[i:i+1])) > 0; struck {
 				break
 			}
 		}
 		if version != VersionSession {
-			if ferr != nil || s.Seen(In, FrameOpen) != 0 {
-				t.Fatalf("version %d: the tracker framed retired traffic (err %v)", version, ferr)
+			if struck || s.Seen(In, FrameOpen) != 0 {
+				t.Fatalf("version %d: the tracker framed retired traffic (struck %v)", version, struck)
 			}
 			continue
 		}
-		if ferr == nil || s.Seen(In, FrameStreamBase) != 3 {
-			t.Fatalf("contribution rule did not fire (err %v)", ferr)
+		if !struck || s.Seen(In, FrameStreamBase) != 3 {
+			t.Fatalf("contribution rule did not fire (struck %v)", struck)
 		}
 		// The fatal byte is the last byte of the 3rd base frame's header.
 		if want := len(stream) - (8 + 8*7); fed != want {
@@ -164,8 +211,8 @@ func TestTrackerOpaqueOnUnknownMagic(t *testing.T) {
 	s := NewScript(Rule{Dir: In, Frame: FrameAny, Action: ActClose})
 	fc, _ := pipeConn(t, s)
 	junk := append([]byte("NOPE\x00\x00"), make([]byte, 256)...)
-	if err := fc.rt.feed(junk); err != nil {
-		t.Fatalf("opaque traffic faulted: %v", err)
+	if s := fc.rt.feed(junk); len(s) > 0 {
+		t.Fatalf("opaque traffic struck %+v", s)
 	}
 	if fc.rt.state != stateOpaque {
 		t.Fatalf("state %d, want opaque", fc.rt.state)
@@ -180,20 +227,20 @@ func TestOutboundTrackerAdoptsInboundVersion(t *testing.T) {
 	// the sniffed version and then parse replies with the right header size.
 	s := NewScript(Rule{Dir: Out, Frame: FrameReply, N: 2, Action: ActClose})
 	fc, _ := pipeConn(t, s)
-	if err := fc.rt.feed(prelude(VersionSession, "")); err != nil {
-		t.Fatal(err)
+	if s := fc.rt.feed(prelude(VersionSession, "")); len(s) > 0 {
+		t.Fatalf("the prelude struck %+v", s)
 	}
 	var out []byte
 	out = append(out, wireFrame(FrameReply, 1, make([]byte, 40))...)
 	out = append(out, wireFrame(FrameReply, 1, make([]byte, 10))...)
-	var ferr error
+	struck := false
 	for i := range out {
-		if ferr = fc.wt.feed(out[i : i+1]); ferr != nil {
+		if struck = len(fc.wt.feed(out[i:i+1])) > 0; struck {
 			break
 		}
 	}
-	if ferr == nil || !s.Fired() {
-		t.Fatalf("outbound rule did not fire (err %v)", ferr)
+	if !struck || !s.Fired() {
+		t.Fatal("outbound rule did not fire")
 	}
 }
 
@@ -235,8 +282,9 @@ func TestStallReleasedByClose(t *testing.T) {
 }
 
 // TestHookLetsTrafficContinue pins where a hook runs: an inbound frame's hook
-// has returned before Read delivers the frame, an outbound one's runs after
-// the peer has the written bytes, and the traffic flows on either way.
+// runs once the bytes ahead of the frame are delivered and has returned
+// before Read delivers the frame, an outbound one's runs after the peer has
+// the written bytes, and the traffic flows on either way.
 func TestHookLetsTrafficContinue(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	outHook := make(chan bool, 1) // whether the peer had the frame when the hook ran
@@ -266,7 +314,7 @@ func TestHookLetsTrafficContinue(t *testing.T) {
 	}
 	got := make(chan result, 1)
 	go func() {
-		n, err := fc.Read(make([]byte, 512))
+		n, err := io.ReadFull(fc, make([]byte, len(stream)))
 		got <- result{n, err}
 	}()
 	<-entered
@@ -335,8 +383,7 @@ func TestWrappedListenerEndToEnd(t *testing.T) {
 	if _, err := c.Write(head); err != nil {
 		t.Fatalf("pre-fault write: %v", err)
 	}
-	// The EOS ships separately so the fatal frame cannot be coalesced into
-	// the healthy chunk (a fired rule suppresses its whole chunk).
+	// The EOS ships separately, after the healthy chunk has landed.
 	time.Sleep(50 * time.Millisecond)
 	if _, err := c.Write(wireFrame(FrameEOS, 7, nil)); err != nil {
 		// The injected close races the write; either outcome is fine.

@@ -426,14 +426,15 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 			if !script.Fired() {
 				t.Error("the scripted fault never fired")
 			}
-			// Nothing is held anywhere, but by a stalled receiver: it holds
-			// the contribution it cannot read on until it closes, when the
-			// contribution's OPEN reached it ahead of the stalled frame
-			// (faultnet withholds the whole read a struck frame arrived in).
+			// Nothing is held anywhere, but by a stalled receiver: the
+			// contribution's OPEN reached it ahead of the stalled frame, so it
+			// holds that job, and only that, until it closes.
+			var want Holdings
+			if o.rule.Action == faultnet.ActStall {
+				want.Jobs = 1
+			}
 			waitFor(t, "the workers to give back what the pipeline took", func() bool {
-				h := ws[0].Holdings()
-				stalled := o.rule.Action == faultnet.ActStall && h == Holdings{Jobs: 1}
-				return (h == Holdings{} || stalled) && ws[1].Holdings() == Holdings{}
+				return ws[0].Holdings() == want && ws[1].Holdings() == Holdings{}
 			})
 			_ = sess.Close()
 			for _, w := range ws {

@@ -11,7 +11,7 @@ import (
 	"ewh/internal/stage"
 )
 
-// Control records: OPEN, PLAN2, PLANCANCEL and REPLY, a few per job. Each is
+// Control records: OPEN, PLAN2 and REPLY, a few per job. Each is
 // fixed-layout little-endian in field order, read through planio's Cursor:
 // integers at their width, a bool as one byte 0 or 1, a byte string or
 // string as [len u32][bytes], a list as [n u32][n elements]. Decoding is
@@ -67,10 +67,6 @@ type plan2 struct {
 	Self  int
 	Peers []string
 }
-
-// cancelRec is the PLANCANCEL record (frame 20): discard a worker's buffered
-// peer state for an abandoned plan's token.
-type cancelRec struct{ Token uint64 }
 
 // reply is the REPLY record (frame 16), every answer a worker sends but
 // PAIRS. A final reply ends the sub-job: its totals, PeerCounts (a stage-1
@@ -160,10 +156,6 @@ func (p *plan2) decode(c *planio.Cursor) {
 		p.Peers[i] = string(c.Blob())
 	}
 }
-
-func (x *cancelRec) append(b []byte) []byte { return le.AppendUint64(b, x.Token) }
-
-func (x *cancelRec) decode(c *planio.Cursor) { x.Token = c.U64() }
 
 func (r *reply) append(b []byte) []byte {
 	b = le.AppendUint32(le.AppendUint32(appendBool(b, r.Final), r.Window), r.Epoch)

@@ -11,7 +11,7 @@ import (
 )
 
 // FuzzControlRecord throws arbitrary payloads at the control-record decoders,
-// one arm each for OPEN, PLAN2 and REPLY (PLANCANCEL is a bare u64). Decoding
+// one arm each for OPEN, PLAN2 and REPLY. Decoding
 // must never panic, never allocate more than a small constant times the
 // payload, and whatever decodes must re-encode byte for byte: a decoder that
 // skipped a byte or a field would answer a frame its writer never framed.

@@ -212,7 +212,7 @@ func (c *sessConn) livenessFault(op string, id uint32, workerID int, err error) 
 // carrying a rejection code becomes a typed admission/quota fault that
 // matches ErrAdmission/ErrQuota via errors.Is and is never retried: the
 // worker is healthy, the rejection is policy. A draining worker's refusal
-// (codeDraining) and a job whose transfer was cancelled under it
+// (codeDraining) and a contribution to a transfer no longer open
 // (codeCancelled) are the job errors retried; any other is deterministic.
 func (c *sessConn) workerFault(op string, id uint32, workerID int, m *reply) *WorkerFault {
 	switch m.Code {

@@ -16,16 +16,19 @@
 // exec.Runtime) keeps one persistent connection per worker and multiplexes
 // numbered jobs over it, so N jobs cost one dial per worker. Every connection
 // opens with the prelude "EWHB" + version + the tenant its jobs are charged
-// to; workers speak exactly one version, 8, and close anything else. A
+// to; workers speak exactly one version, 10, and close anything else. A
 // stage-1 worker re-shuffling its matches speaks it too: each peer's share is
 // a contribution sub-job on a session dialed under the plan job's tenant
 // (peer.go). One serialization: fixed-layout little-endian, key runs as
-// arrays and the four control records (one OPEN naming the job's kind, PLAN2,
-// PLANCANCEL, one REPLY) through planio's Cursor (control.go). Both ends run
+// arrays and the three control records (one OPEN naming the job's kind,
+// PLAN2, one REPLY) through planio's Cursor (control.go). Both ends run
 // one job lifecycle each: the coordinator's subJob
 // (open/send/await/close, session.go) against the worker's openJob →
 // endFrame/dataFrame → join goroutine → retire (session_worker.go,
-// stream_worker.go), every job's goroutine started at its open. Every
+// stream_worker.go), every job's goroutine started at its open. A job ends
+// one way short of its final reply: its ABORT, which cancels the job's
+// context at any point of its life, or its connection's or worker's context
+// ending under it. Every
 // key-carrying data frame has one writer (writeKeyFrames) and one sub-header
 // step (readKeySubHdr); one function (sessJob.runRel) decides which relation a
 // run's frame advances. See wire.go for the framing and
@@ -80,14 +83,16 @@ const preludeTimeout = 3 * time.Second
 type Worker struct {
 	ln     net.Listener
 	closed chan struct{}
-	kill   chan struct{} // closed by Close: abandon peer waits immediately
+	// ctx is every connection's parent, and through them every job's: Close
+	// cancels it with stop, ending every job wait at once.
+	ctx  context.Context
+	stop context.CancelFunc
 
 	timeouts Timeouts // set before Serve; see SetTimeouts
 
 	mu       sync.Mutex
 	conns    map[*connState]struct{}
 	draining bool           // no new jobs; set by Shutdown AND Close
-	killed   bool           // connections must not be served at all; set by Close
 	jobs     sync.WaitGroup // in-flight jobs across all connections
 
 	// Inbound transfer state keyed by token (see peer.go).
@@ -139,10 +144,12 @@ func ListenWorker(addr string) (*Worker, error) {
 // fault-injection harness uses to interpose a faultnet wrapper between the
 // wire and the worker without the worker knowing.
 func ListenWorkerOn(ln net.Listener) *Worker {
+	ctx, stop := context.WithCancel(context.Background())
 	return &Worker{
 		ln:         ln,
 		closed:     make(chan struct{}),
-		kill:       make(chan struct{}),
+		ctx:        ctx,
+		stop:       stop,
 		conns:      make(map[*connState]struct{}),
 		peerStates: make(map[uint64]*peerJobState),
 		ledger:     newLedger(),
@@ -223,16 +230,13 @@ func (w *Worker) SetTimeouts(t Timeouts) { w.timeouts = t }
 // Close stops the worker abruptly: the listener and every live connection
 // are closed, killing in-flight jobs (their coordinators see the broken
 // connection). A connection accepted concurrently with Close is closed by
-// its own handler via the killed flag, so none survives. Use Shutdown for
-// a graceful drain.
+// its own handler, which finds the worker's context cancelled, so none
+// survives. Use Shutdown for a graceful drain.
 func (w *Worker) Close() error {
 	err := w.stopAccepting()
 	w.mu.Lock()
 	w.draining = true
-	if !w.killed {
-		w.killed = true
-		close(w.kill) // abandon every job wait: transfers, PLAN2, contributions
-	}
+	w.stop() // ends every job wait: admission, transfers, PLAN2, contributions
 	for cs := range w.conns {
 		_ = cs.conn.Close()
 	}
@@ -372,13 +376,13 @@ func (w *Worker) Serve() error {
 func (w *Worker) handle(conn net.Conn) {
 	cs := &connState{conn: conn}
 	w.mu.Lock()
-	// killed (the Close path) rejects outright — a connection that registers
-	// after the flag flipped was accepted concurrently, so Close's iteration
-	// missed it. A DRAINING worker still serves new connections: job opens
+	// A cancelled context (the Close path) rejects outright — a connection
+	// that registers after Close was accepted concurrently, so Close's
+	// iteration missed it. A DRAINING worker still serves new connections: job opens
 	// are refused politely by beginJob, but a contribution must get through —
 	// a sender's in-flight stage-1 job may need to deliver it to this worker
 	// for the drain to complete at all.
-	if w.killed {
+	if w.ctx.Err() != nil {
 		w.mu.Unlock()
 		_ = conn.Close()
 		return

@@ -209,6 +209,9 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 		// Version 8 sessions' REPLY carried one duration where a stage record
 		// now is: such a link is closed at its prelude, a valid ABORT unread.
 		{"retired session version 8", append(prelude(8, ""), frameV3Abort, 1, 0, 0, 0, 0, 0, 0, 0), false},
+		// Version 9 sessions cancelled a pipeline by transfer token in frame
+		// 20: such a link is closed at its prelude, a valid ABORT unread.
+		{"retired session version 9", append(prelude(9, ""), frameV3Abort, 1, 0, 0, 0, 0, 0, 0, 0), false},
 		{"tenant shorter than its length then EOF", tenantCut[:len(tenantCut)-2], true},
 		{"tenant shorter than its length then stall", tenantCut[:len(tenantCut)-2], false},
 	}
@@ -263,20 +266,20 @@ func TestControlFrameBound(t *testing.T) {
 	t.Run("stalled headers", func(t *testing.T) {
 		// Every control frame a worker reads, each declaring the largest
 		// payload the bound admits and then sending nothing: the worker
-		// refuses an OPEN or PLANCANCEL that long unread and buffers what
-		// arrived of a PLAN2, not what was declared (it used to allocate the
-		// whole 32 MiB per header up front).
+		// refuses an OPEN that long unread and buffers what arrived of a
+		// PLAN2, not what was declared (it used to allocate the whole 32 MiB
+		// per header up front).
 		_, addrs := startWorkerSet(t, 1)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		types := []byte{frameV3Open, frameV3Plan2, frameV3PlanCancel}
+		types := []byte{frameV3Open, frameV3Plan2}
 		for _, typ := range types {
 			bw, _ := dialV3(t, addrs[0], "")
 			if err := errors.Join(writeV3FrameHeader(bw, typ, 1, maxControlPayload), bw.Flush()); err != nil {
 				t.Fatal(err)
 			}
 		}
-		const bound = 16 << 20 // the three headers declare 96 MiB
+		const bound = 16 << 20 // the two headers declare 64 MiB
 		for deadline := time.Now().Add(300 * time.Millisecond); time.Now().Before(deadline); {
 			time.Sleep(10 * time.Millisecond)
 			runtime.ReadMemStats(&after)
@@ -321,12 +324,11 @@ func TestControlFrameBound(t *testing.T) {
 	plan := &open{Kind: kindPlan, Cond: spec, Stats: exec.StatsSpec{Cap: 8, Buckets: 4}, Token: 1}
 	t.Run("open over its bound", func(t *testing.T) {
 		// An OPEN (a count job's, or a plan job's carrying the statistics
-		// request the retired PLAN frame did) or PLANCANCEL longer than any
-		// real one is refused unread.
+		// request the retired PLAN frame did) longer than any real one is
+		// refused unread.
 		refused(t, map[string]func(bw *bufio.Writer) error{
-			"OPENJOB":    trailing(frameV3Open, 1, count, maxOpenPayload),
-			"PLAN":       trailing(frameV3Open, 1, plan, maxOpenPayload),
-			"PLANCANCEL": trailing(frameV3PlanCancel, 0, &cancelRec{Token: 1}, maxOpenPayload),
+			"OPENJOB": trailing(frameV3Open, 1, count, maxOpenPayload),
+			"PLAN":    trailing(frameV3Open, 1, plan, maxOpenPayload),
 		})
 	})
 	t.Run("strict records", func(t *testing.T) {
@@ -335,9 +337,8 @@ func TestControlFrameBound(t *testing.T) {
 		kind5 := count.append(nil)
 		kind5[0] = numKinds
 		rows := map[string]func(bw *bufio.Writer) error{
-			"OPEN and a trailing byte":       trailing(frameV3Open, 1, count, 1),
-			"PLAN2 and a trailing byte":      trailing(frameV3Plan2, 1, &plan2{Self: -1}, 1),
-			"PLANCANCEL and a trailing byte": trailing(frameV3PlanCancel, 0, &cancelRec{Token: 1}, 1),
+			"OPEN and a trailing byte":  trailing(frameV3Open, 1, count, 1),
+			"PLAN2 and a trailing byte": trailing(frameV3Plan2, 1, &plan2{Self: -1}, 1),
 			"OPEN naming an unknown kind": func(bw *bufio.Writer) error {
 				return errors.Join(writeV3FrameHeader(bw, frameV3Open, 1, len(kind5)), writeBytes(bw, kind5))
 			},

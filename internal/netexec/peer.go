@@ -55,7 +55,7 @@ func newPeerToken() uint64 { return peerTokenBase + peerTokenCtr.Add(1) }
 // ctx ending abandons the dial and the wait. Every error names the peer; a
 // transport failure — or a draining receiver's refusal — indicts it
 // (peerFaultError), while any other refusal is the receiver's reason, under
-// the receiver's code (a quota, a cancelled transfer) where it had one.
+// the receiver's code (a quota, a transfer not open) where it had one.
 func contribute(ctx context.Context, addr, tenant string, t Timeouts, token uint64, sender int, keys []join.Key) error {
 	s, err := DialTenant(ctx, tenant, []string{addr}, t)
 	if err == nil {
@@ -240,17 +240,6 @@ func (w *Worker) openTransfer(token uint64, senders int) (*peerJobState, error) 
 		senders: senders, ready: make(chan struct{})}
 	w.peerStates[token] = st
 	return st, nil
-}
-
-// cancelTransfer serves a PLANCANCEL: it fails token's transfer if one is
-// open here. The state stays until its job retires.
-func (w *Worker) cancelTransfer(token uint64) {
-	w.peersMu.Lock()
-	st := w.peerStates[token]
-	w.peersMu.Unlock()
-	if st != nil {
-		st.cancel()
-	}
 }
 
 // closeTransfer is a stage-2 job's retire: its transfer leaves the table and

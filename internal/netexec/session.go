@@ -450,8 +450,9 @@ func (j *subJob) await(what string, interim bool) (sessReply, error) {
 
 // close retires the sub-job: its replies stop routing, and one that never
 // reached a terminal reply on a connection still healthy is aborted, so the
-// worker retires its half too — partial relations, a parked peer-fed job's
-// table entry, a poisoned stream's goroutine. Safe to call again.
+// worker retires its half too, before its EOS or past it — partial
+// relations, a plan job parked on its PLAN2 or contributing, a peer-fed job
+// parked on its transfer, a poisoned stream's goroutine. Safe to call again.
 func (j *subJob) close() {
 	j.c.mu.Lock()
 	delete(j.c.pending, j.id)

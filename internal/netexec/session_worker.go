@@ -28,7 +28,12 @@ import (
 // fixes how the goroutine joins: a pairs or stage-1 plan job keeps its runs'
 // chunks in arrival order and joins them at EOS; every other job joins while
 // the frames arrive. Either way the read loop keeps draining the next job's
-// frames. Job-level protocol violations fail only that job (its remaining
+// frames. A job stays in the connection's table from its open until its
+// retire (or its goroutine's final reply), so its ABORT reaches it at any
+// point of its life: before its EOS the read loop retires it; after, the
+// ABORT cancels the job's context, which every wait the job parks in takes,
+// and the goroutine exits silently and retires it. Job-level protocol
+// violations fail only that job (its remaining
 // frames are read and discarded, then an error reply ends it); frame-level
 // corruption is connection-fatal — framing is the only thing that lets the
 // two sides stay in sync. A contribution sub-job, sent by a stage-1 peer,
@@ -54,6 +59,12 @@ type sessJob struct {
 	err      error
 	rels     [3]sessRel
 
+	// ctx is the job's one cancellation, derived from its connection's:
+	// its ABORT, the hang-up and Close each end it, and every wait the job
+	// parks in (admission, PLAN2, its transfer, its contributions) takes it.
+	ctx    context.Context
+	cancel context.CancelFunc
+
 	// ws is the connection the job arrived on; its tenant keys the job's
 	// account in the worker's ledger. charged is the job's reservation there:
 	// the read loop charges each key frame before decoding it, a plan job its
@@ -71,12 +82,12 @@ type sessJob struct {
 	// token is a plan, peer or contribution job's transfer id. A plan job's
 	// matches are materialized worker-side, summarized, re-shuffled by the
 	// plan the coordinator builds from the summaries and contributed to peers
-	// instead of returning as pairs; plan2 is its entry in the connection's
-	// plan2Table, registered at its open and removed by retire. A peer job's
-	// relation 1 is its senders' contributions: peerSt is the transfer its
-	// open created, which its retire removes.
+	// instead of returning as pairs; plan2 holds its PLAN2 from the frame's
+	// arrival until the job takes it. A peer job's relation 1 is its
+	// senders' contributions: peerSt is the transfer its open created, which
+	// its retire removes.
 	token  uint64
-	plan2  *plan2Waiter
+	plan2  chan *plan2
 	peerSt *peerJobState
 
 	// stream is the goroutine the job's key frames feed (see
@@ -175,72 +186,6 @@ func (j *sessJob) runRel(ev streamEvent) (*sessRel, error) {
 	return &j.rels[i], nil
 }
 
-// plan2Waiter is one plan job's wait for the replanned artifact, from its
-// open on. ch is buffered, so a PLAN2 or cancel read before the job parks
-// waits there for it; a nil delivery means the transfer was cancelled.
-type plan2Waiter struct {
-	token uint64
-	ch    chan *plan2
-}
-
-// plan2Table routes PLAN2 and cancel frames to the connection's plan jobs,
-// from their open to their retire. One table per session connection;
-// entries are keyed by job id.
-type plan2Table struct {
-	mu sync.Mutex
-	m  map[uint32]*plan2Waiter
-}
-
-func newPlan2Table() *plan2Table {
-	return &plan2Table{m: make(map[uint32]*plan2Waiter)}
-}
-
-func (t *plan2Table) add(id uint32, token uint64) *plan2Waiter {
-	wt := &plan2Waiter{token: token, ch: make(chan *plan2, 1)}
-	t.mu.Lock()
-	t.m[id] = wt
-	t.mu.Unlock()
-	return wt
-}
-
-// remove drops wt if it is still job id's entry.
-func (t *plan2Table) remove(id uint32, wt *plan2Waiter) {
-	t.mu.Lock()
-	if t.m[id] == wt {
-		delete(t.m, id)
-	}
-	t.mu.Unlock()
-}
-
-// deliver hands a PLAN2 to job id's waiter; unknown ids are dropped (the job
-// may have failed and replied already).
-func (t *plan2Table) deliver(id uint32, ps *plan2) {
-	t.mu.Lock()
-	wt := t.m[id]
-	delete(t.m, id)
-	t.mu.Unlock()
-	if wt != nil {
-		wt.ch <- ps
-	}
-}
-
-// cancel wakes every waiter parked on the cancelled transfer token with a
-// nil plan.
-func (t *plan2Table) cancel(token uint64) {
-	t.mu.Lock()
-	var woken []*plan2Waiter
-	for id, wt := range t.m {
-		if wt.token == token {
-			woken = append(woken, wt)
-			delete(t.m, id)
-		}
-	}
-	t.mu.Unlock()
-	for _, wt := range woken {
-		wt.ch <- nil
-	}
-}
-
 // workerSession is the worker side of one session connection: the state its
 // read loop and the goroutines of its in-flight jobs share.
 type workerSession struct {
@@ -251,18 +196,45 @@ type workerSession struct {
 	wmu sync.Mutex // serializes reply frames across concurrent job goroutines
 	bw  *bufio.Writer
 
-	pt *plan2Table
-	// done closes when the dialer hangs up, abandoning every wait a job of
-	// this connection is parked in (admission, peer transfer, PLAN2, its
-	// contributions' commits) — their reply has nowhere to go anyway.
-	done chan struct{}
+	// ctx is every job's parent: cancelled when the dialer hangs up (or the
+	// worker's is, at Close), it ends every wait a job of this connection is
+	// parked in — their reply has nowhere to go anyway.
+	ctx context.Context
 
 	// tenant is the session's identity for admission and quota accounting,
 	// named in its prelude ("" is anonymous) — a plan job's contributions
-	// carry it to their receivers. jobs is the read loop's demux table: a job
-	// leaves it at its EOS or ABORT.
+	// carry it to their receivers. jobs is the connection's one job table,
+	// by id: a job enters at its open and leaves at its retire, or as its
+	// goroutine replies its final reply. The read loop demuxes frames
+	// through it and the goroutines leave it, so mu guards it.
 	tenant string
+	mu     sync.Mutex
 	jobs   map[uint32]*sessJob
+}
+
+// job returns job id from the connection's table, nil when none is there.
+func (ws *workerSession) job(id uint32) *sessJob {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	return ws.jobs[id]
+}
+
+// feeding returns job id while it takes frames: in the table, its EOS not
+// yet read. A run or end frame for any other id is connection-fatal.
+func (ws *workerSession) feeding(id uint32) *sessJob {
+	if j := ws.job(id); j != nil && !j.stream.eosSeen.Load() {
+		return j
+	}
+	return nil
+}
+
+// drop takes j out of the table, if it is still there.
+func (ws *workerSession) drop(j *sessJob) {
+	ws.mu.Lock()
+	if ws.jobs[j.id] == j {
+		delete(ws.jobs, j.id)
+	}
+	ws.mu.Unlock()
 }
 
 // reply writes one REPLY frame for job id and flushes it.
@@ -276,19 +248,18 @@ func (ws *workerSession) reply(id uint32, r *reply) error {
 }
 
 // retire is the one way a job leaves the worker — after its reply, on ABORT,
-// and when the connection dies under it: recycle its buffers and stop its
-// helper goroutines, give back its admission slot, drop its PLAN2 wait,
-// remove the transfer a peer job opened with whatever it still holds (a later
-// contribution finds none and is refused), and only then retire its drain
-// accounting.
+// and when the connection dies under it: cancel its context, recycle its
+// buffers and stop its helper goroutines, give back its admission slot,
+// leave the table, remove the transfer a peer job opened with whatever it
+// still holds (a later contribution finds none and is refused), and only
+// then retire its drain accounting.
 func (ws *workerSession) retire(j *sessJob) {
+	j.cancel()
 	j.release()
 	if j.releaseSlot != nil {
 		j.releaseSlot()
 	}
-	if j.plan2 != nil {
-		ws.pt.remove(j.id, j.plan2)
-	}
+	ws.drop(j)
 	if j.peerSt != nil {
 		ws.w.closeTransfer(j.token, j.peerSt)
 	}
@@ -297,21 +268,21 @@ func (ws *workerSession) retire(j *sessJob) {
 	}
 }
 
-// openJob serves an OPEN: refuse a reused job number or a payload over
-// maxOpenPayload, decode the record, register the job (table and drain
-// accounting) and start its join goroutine, then take the kind's own step: a
-// count, pairs or plan job takes its admission slot, a plan job registers its
-// PLAN2 wait, a peer job creates its transfer and answers with an interim
-// REPLY — the acknowledgment the coordinator awaits before any PLAN2, or the
-// open's refusal. An error is connection-fatal: job number reuse, an
-// oversized or undecodable open, a dead connection, or the worker killed
-// while the open queued for admission. A job a draining worker refuses, one
+// openJob serves an OPEN: refuse a job number still in the table or a
+// payload over maxOpenPayload, decode the record, register the job (its
+// context, table and drain accounting) and start its join goroutine, then
+// take the kind's own step: a count, pairs or plan job takes its admission
+// slot, a peer job creates its transfer and answers with an interim REPLY —
+// the acknowledgment the coordinator awaits before any PLAN2, or the open's
+// refusal. An error is connection-fatal: job number reuse, an oversized or
+// undecodable open, a dead connection, or the worker killed while the open
+// queued for admission. A job a draining worker refuses, one
 // naming an unknown condition, or a plan or contribution naming a sender past
 // maxPeerSenders, is FAILED instead, its goroutine poisoned: its frames drain
 // and its reply carries the error.
 func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
 	var o open
-	if ws.jobs[id] != nil {
+	if ws.job(id) != nil {
 		return fmt.Errorf("job %d reopened", id)
 	}
 	if err := readCtl(br, n, maxOpenPayload, &o); err != nil {
@@ -319,7 +290,13 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
 	}
 	w := ws.w
 	j := &sessJob{id: id, kind: o.Kind, workerID: o.WorkerID, token: o.Token, ws: ws}
+	j.ctx, j.cancel = context.WithCancel(ws.ctx)
+	if o.Kind == kindPlan {
+		j.plan2 = make(chan *plan2, 1)
+	}
+	ws.mu.Lock()
 	ws.jobs[id] = j
+	ws.mu.Unlock()
 	j.counted = w.beginJob(ws.cs, o.Kind == kindContrib)
 	cond, err := o.Cond.Condition()
 	switch {
@@ -365,7 +342,7 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
 	// code. The job's clock has run since its open, so the goroutine is told
 	// the wait and charges it to Admit.
 	start := time.Now()
-	releaseSlot, aerr := w.admitJob(ws.tenant, w.kill, ws.done)
+	releaseSlot, aerr := w.admitJob(j.ctx, ws.tenant)
 	j.stream.admitted = int64(time.Since(start))
 	if errors.Is(aerr, errAbandoned) {
 		return aerr // worker killed: the connection is going down anyway
@@ -375,12 +352,6 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
 		return nil
 	}
 	j.releaseSlot = releaseSlot
-	if o.Kind == kindPlan {
-		// The PLAN2 wait is registered here, not when the job parks: a
-		// PLANCANCEL follows the open on the connection, so it finds the
-		// waiter however far the job has got.
-		j.plan2 = ws.pt.add(id, o.Token)
-	}
 	return nil
 }
 
@@ -391,7 +362,7 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
 func (ws *workerSession) endFrame(br *bufio.Reader, typ byte, id uint32, n int) bool {
 	var buf [streamWinHdrLen]byte // the longer of the two
 	h := buf[:endFrameLen[typ]]
-	j := ws.jobs[id]
+	j := ws.feeding(id)
 	if j == nil || n != len(h) {
 		return false
 	}
@@ -432,7 +403,7 @@ func (j *sessJob) streamEnd(typ byte, h []byte) {
 // shorter than its sub-header, I/O error) reports false: the connection's
 // framing is lost.
 func (ws *workerSession) dataFrame(br *bufio.Reader, typ byte, id uint32, n int) bool {
-	j := ws.jobs[id]
+	j := ws.feeding(id)
 	if j == nil {
 		return false
 	}
@@ -453,18 +424,27 @@ func (ws *workerSession) dataFrame(br *bufio.Reader, typ byte, id uint32, n int)
 // connection-fatal: framing is the only thing that keeps the two sides in
 // sync, so any frame the loop cannot account for ends the connection, and
 // teardown retires the jobs still streaming in — there is nothing to reply
-// to.
+// to. Cancelling the connection's context ends every job past its EOS too:
+// each goroutine exits silently and retires its own.
 func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState, tenant string) {
-	ws := &workerSession{w: w, cs: cs, conn: conn,
-		bw: bufio.NewWriterSize(conn, connBufSize), pt: newPlan2Table(),
-		done: make(chan struct{}), tenant: tenant, jobs: make(map[uint32]*sessJob)}
+	ctx, hangUp := context.WithCancel(w.ctx)
+	ws := &workerSession{w: w, cs: cs, conn: conn, ctx: ctx,
+		bw: bufio.NewWriterSize(conn, connBufSize), tenant: tenant, jobs: make(map[uint32]*sessJob)}
 	defer func() {
-		close(ws.done)
+		hangUp()
 		// Nothing can be replied anymore, so hang up before retiring: a stream
 		// goroutine wedged in a reply write fails out of it instead of wedging
 		// the retire that waits for it.
 		_ = conn.Close()
+		var feeding []*sessJob
+		ws.mu.Lock()
 		for _, j := range ws.jobs {
+			if !j.stream.eosSeen.Load() {
+				feeding = append(feeding, j)
+			}
+		}
+		ws.mu.Unlock()
+		for _, j := range feeding {
 			ws.retire(j)
 		}
 	}()
@@ -487,15 +467,15 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState, t
 			if readCtl(br, n, maxControlPayload, &p) != nil {
 				return
 			}
-			ws.pt.deliver(id, &p)
-
-		case frameV3PlanCancel:
-			var x cancelRec
-			if readCtl(br, n, maxOpenPayload, &x) != nil {
-				return
+			// The plan job takes it when it parks. One for another kind of
+			// job, for an id not in the table, or behind one still waiting
+			// there is dropped.
+			if j := ws.job(id); j != nil && j.plan2 != nil {
+				select {
+				case j.plan2 <- &p:
+				default:
+				}
 			}
-			w.cancelTransfer(x.Token)
-			ws.pt.cancel(x.Token)
 
 		case frameV3StreamBaseEnd, frameV3StreamWinEnd:
 			if !ws.endFrame(br, typ, id, n) {
@@ -508,11 +488,10 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState, t
 			}
 
 		case frameV3EOS:
-			j := ws.jobs[id]
+			j := ws.feeding(id)
 			if j == nil || n != 0 {
 				return
 			}
-			delete(ws.jobs, id)
 			// The goroutine replies the job's totals and retires the job
 			// itself as it exits. Chunks a count job consumed before this
 			// frame decoded overlapped the stream — the counter the
@@ -521,14 +500,20 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState, t
 			j.stream.feed(streamEvent{kind: evStreamEOS})
 
 		case frameV3Abort:
-			// The coordinator abandoned the job mid-send (a validation
-			// failure on its side): discard the partial state, reply with
-			// nothing. An abort for an unknown job is ignored.
+			// The coordinator abandoned the job: mid-send (a validation
+			// failure on its side), or parked past its EOS (a failed
+			// pipeline). Discard its state, reply with nothing. Before its
+			// EOS the job retires here; after, its context ends whatever it
+			// waits in and its goroutine retires it. An abort for a job not
+			// in the table (unknown, or already replied) is ignored.
 			if n != 0 {
 				return
 			}
-			if j := ws.jobs[id]; j != nil {
-				delete(ws.jobs, id)
+			switch j := ws.job(id); {
+			case j == nil:
+			case j.stream.eosSeen.Load():
+				j.cancel()
+			default:
 				ws.retire(j)
 			}
 
@@ -646,8 +631,8 @@ func (j *sessJob) validateComplete() error {
 // runPlanJob executes a stage-1 plan job's join, statistics exchange and peer
 // re-shuffle: each match materializes as its relation-2 tuple's entry in the
 // re-key column; the worker summarizes the matches, replies the summary as a
-// window reply and parks until the replanned artifact (or a cancel, a kill, or
-// the coordinator hanging up) arrives; the artifact routes the matches
+// window reply and parks until the replanned artifact arrives or the job's
+// context ends (its ABORT, the hang-up, Close); the artifact routes the matches
 // (batch-routed through the shared exec shuffle, deterministic per sender),
 // and each stage-2 worker's share, empty or not, goes directly to that peer as
 // a contribution sub-job under this session's tenant, all at once. It returns
@@ -684,13 +669,8 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64
 	j.releaseSlot()
 	var ps *plan2
 	select {
-	case ps = <-j.plan2.ch:
-		if ps == nil {
-			return 0, nil, fmt.Errorf("stage-2 statistics plan cancelled by coordinator")
-		}
-	case <-w.kill:
-		return 0, nil, errAbandoned
-	case <-ws.done:
+	case ps = <-j.plan2:
+	case <-j.ctx.Done():
 		return 0, nil, errAbandoned
 	}
 	clk.Mark(stage.FrameWait)
@@ -705,16 +685,6 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64
 	}
 	ks := exec.RouteStage(inter, art, sender)
 	defer ks.Release()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() { // the coordinator hanging up or a kill abandons the contributions
-		select {
-		case <-w.kill:
-		case <-ws.done:
-		case <-ctx.Done():
-		}
-		cancel()
-	}()
 	counts := make([]int64, j2)
 	err = fanOut(j2, func(p int) error {
 		// Every receiver hears from every sender, an empty share included:
@@ -727,9 +697,9 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64
 			}
 			return nil
 		}
-		return contribute(ctx, ps.Peers[p], ws.tenant, w.timeouts, j.token, sender, blk)
+		return contribute(j.ctx, ps.Peers[p], ws.tenant, w.timeouts, j.token, sender, blk)
 	})
-	if err != nil && ctx.Err() != nil {
+	if err != nil && j.ctx.Err() != nil {
 		return 0, nil, errAbandoned
 	}
 	if err != nil {

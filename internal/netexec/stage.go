@@ -56,11 +56,11 @@ func (s *Session) RunStages(first *exec.Job, next *exec.PlanJob,
 		return 0, err
 	}
 	j2 := len(peerJobs)
-	// From here every failure abandons the opened peer jobs: the cancel
-	// releases contributions a peer job has not consumed, and each job's
-	// retire removes its transfer.
+	// From here every failure abandons the opened peer jobs: each one's ABORT
+	// retires it, and its retire removes its transfer with the contributions
+	// it has not consumed.
 	fail := func(err error) (int64, error) {
-		st.abandon(peerJobs)
+		abandon(peerJobs)
 		return 0, err
 	}
 
@@ -162,12 +162,11 @@ func (st *stagePipe) overlap(j1, j2 int, stage1 func(w int) error) ([]*subJob, e
 	return peerJobs, errors.Join(openErr, stage1Err, relErr)
 }
 
-// abandon tears down sub-jobs parked on the pipeline's transfer token —
-// stats-stage jobs awaiting a plan that will never come, peer jobs awaiting
-// contributions: the cancel poisons the token, waking them into an error reply
-// nobody awaits, and the closes make the read loops drop those replies.
-func (st *stagePipe) abandon(jobs []*subJob) {
-	st.s.cancelPlan(st.token)
+// abandon closes sub-jobs parked on the pipeline — stats-stage jobs awaiting
+// a plan that will never come or contributing to their peers, peer jobs
+// awaiting contributions: each close's ABORT ends the worker's job wherever
+// it waits, and it exits silently and retires.
+func abandon(jobs []*subJob) {
 	for _, j := range jobs {
 		if j != nil {
 			j.close()
@@ -196,12 +195,12 @@ func (st *stagePipe) runStage1(spec1 join.Spec, first *exec.Job,
 		jobs[w], sums[w], err = s.conns[w].openStatsStageJob(st.id1, &o, first)
 		return err
 	})
-	abandon := func(err error) ([]*subJob, error) {
-		st.abandon(jobs)
+	fail := func(err error) ([]*subJob, error) {
+		abandon(jobs)
 		return nil, err
 	}
 	if err != nil {
-		return abandon(err)
+		return fail(err)
 	}
 
 	// Replan also enforces the pipeline cap off the summaries' exact counts
@@ -209,13 +208,13 @@ func (st *stagePipe) runStage1(spec1 join.Spec, first *exec.Job,
 	// intermediate tuple moves.
 	plan, j2, err := next.Replan(sums)
 	if err != nil {
-		return abandon(fmt.Errorf("netexec: stage-2 replanning: %w", err))
+		return fail(fmt.Errorf("netexec: stage-2 replanning: %w", err))
 	}
 	if j2 < 1 || j2 > len(s.conns) {
-		return abandon(fmt.Errorf("netexec: replanned stage needs %d workers, session has %d", j2, len(s.conns)))
+		return fail(fmt.Errorf("netexec: replanned stage needs %d workers, session has %d", j2, len(s.conns)))
 	}
 	if len(plan) == 0 {
-		return abandon(fmt.Errorf("netexec: replanning produced an empty plan"))
+		return fail(fmt.Errorf("netexec: replanning produced an empty plan"))
 	}
 
 	peers := s.Addrs()[:j2]
@@ -225,26 +224,12 @@ func (st *stagePipe) runStage1(spec1 join.Spec, first *exec.Job,
 		return err
 	})
 	if err != nil {
-		// Some workers may already have contributed to their peers; tell
-		// every worker to discard the orphaned transfer.
-		st.abandon(append(jobs, peerJobs...))
+		// Some workers may already have contributed to their peers; the
+		// peer jobs' retires discard what their transfers hold.
+		abandon(append(jobs, peerJobs...))
 		return nil, err
 	}
 	return peerJobs, nil
-}
-
-// cancelPlan tells every session worker to discard buffered peer state — and
-// wake any plan job still awaiting a PLAN2 — for an abandoned transfer.
-// Best-effort: a worker we cannot reach will drop the state when its
-// connection dies anyway. The broadcast goes to the whole session because an
-// abandoned transfer's state may live on stage-1 senders (stats waiters,
-// half-sent contributions) and stage-2 receivers alike.
-func (s *Session) cancelPlan(token uint64) {
-	for _, c := range s.conns {
-		_ = c.locked(func(bw *bufio.Writer) error {
-			return writeCtl(bw, frameV3PlanCancel, 0, &cancelRec{Token: token})
-		})
-	}
 }
 
 // openStatsStageJob runs phase A of a stage-1 job: send the job under its

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -237,17 +238,15 @@ func TestStatsReplanErrorCancelsAndDrains(t *testing.T) {
 	}
 }
 
-// TestPlanCancelAroundThePark pins where a stage-1 plan job's wait for its
-// PLAN2 begins: at its plan-kind OPEN, which carries the statistics request
-// the retired PLAN frame did. The coordinator's PLANCANCEL for the job's
-// token follows that frame on the connection, so wherever it lands — (a)
-// right after the open, before the relations, (b) once the job replied its
-// summary and parked, (c) after its PLAN2 — the job does not miss it: (a) and
-// (b) reply the cancellation, (c) re-shuffles to its stage-2 peer, whose
-// peer job opened its transfer before the PLAN2 went out, and replies its
-// counts. Either way nothing stays parked: the worker holds no job and no
-// byte, and Shutdown returns at once.
-func TestPlanCancelAroundThePark(t *testing.T) {
+// TestAbortAroundThePark pins that a stage-1 plan job's ABORT reaches it
+// wherever it waits past its EOS: (a) parked on its PLAN2, once it replied
+// its summary, and (b) amid its contributions, its stage-2 peer taking the
+// contribution's frames and never committing them. Either way the job ends
+// silently — no reply — and nothing stays behind with the connection still
+// open: the worker holds no job and no byte, and Shutdown returns at once.
+// An ABORT is a job's last frame, so one ahead of the job's relations ends
+// it there, and the frames after it name no job.
+func TestAbortAroundThePark(t *testing.T) {
 	r1, r2 := []join.Key{1, 2, 3}, []join.Key{2, 3, 4} // two matches
 	hash, err := partition.NewHash(1, nil)
 	if err != nil {
@@ -257,38 +256,47 @@ func TestPlanCancelAroundThePark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const afterPlan, afterSummary, afterPlan2 = 0, 1, 2
-	for _, c := range []struct {
-		name    string
-		at      int
-		wantErr string // "" = the job completes
-	}{
-		{"after its PLAN", afterPlan, "cancelled"},
-		{"after its summary", afterSummary, "cancelled"},
-		{"after its PLAN2", afterPlan2, ""},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			ws, addrs := startWorkerSet(t, 2) // the second hosts stage 2
-			w, token := ws[0], newPeerToken()
+	for _, contributing := range []bool{false, true} {
+		name := "after its summary"
+		if contributing {
+			name = "amid its contributions"
+		}
+		t.Run(name, func(t *testing.T) {
+			ws, addrs := startWorkerSet(t, 1)
+			w := ws[0]
 			bw, conn := dialV3(t, addrs[0], "")
 			br := bufio.NewReader(conn)
-			cancelPlan := func() error {
-				return errors.Join(writeCtl(bw, frameV3PlanCancel, 0, &cancelRec{Token: token}), bw.Flush())
-			}
-			sendOpenJob(t, bw, 1, kindPlan, token)
-			var err error
-			if c.at == afterPlan {
-				err = errors.Join(err, cancelPlan())
-			}
-			err = errors.Join(err,
+			sendOpenJob(t, bw, 1, kindPlan, newPeerToken())
+			err := errors.Join(
 				writeRel(bw, 1, 1, r1),
 				writeRel(bw, 1, 2, r2), writeRel(bw, 1, 3, r2),
 				writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch c.at {
-			case afterSummary:
+			if contributing {
+				// The stage-2 peer reads the contribution's prelude and then
+				// nothing more: its sender waits for a commit that never comes.
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ln.Close()
+				dialed := make(chan net.Conn, 1)
+				go func() {
+					if c, err := ln.Accept(); err == nil {
+						_, _ = io.ReadFull(c, make([]byte, len(prelude(protoVersionSession, ""))))
+						dialed <- c
+					}
+				}()
+				answerStats(t, conn, br, bw, 1, plan2{Plan: plan, Peers: []string{ln.Addr().String()}, Self: -1})
+				select {
+				case c := <-dialed:
+					defer c.Close()
+				case <-time.After(5 * time.Second):
+					t.Fatal("the plan job never dialed its stage-2 peer")
+				}
+			} else {
 				_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 				typ, job, n, err := readV3FrameHeader(br)
 				if err != nil || typ != frameV3Reply || job != 1 {
@@ -297,39 +305,12 @@ func TestPlanCancelAroundThePark(t *testing.T) {
 				if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
 					t.Fatal(err)
 				}
-				err = cancelPlan()
-			case afterPlan2:
-				// The stage-2 job on the second worker: both matches join its
-				// relation.
-				pbw, pconn := dialV3(t, addrs[1], "")
-				pbr := bufio.NewReader(pconn)
-				if ack := sendPeerOpen(t, pconn, pbr, pbw, 1, token, 1); ack.Err != "" {
-					t.Fatalf("the stage-2 open was refused: %+v", ack)
-				}
-				err = errors.Join(writeRel(pbw, 1, 1, r2), writeV3FrameHeader(pbw, frameV3EOS, 1, 0), pbw.Flush())
-				if err != nil {
-					t.Fatal(err)
-				}
-				answerStats(t, conn, br, bw, 1, plan2{Plan: plan, Peers: addrs[1:], Self: -1})
-				err = cancelPlan()
-				defer func() {
-					if m := awaitFeedMetrics(t, pconn, pbr, 1); m.Err != "" || m.InputR1 != 2 || m.Output != 2 {
-						t.Errorf("the stage-2 job replied %+v, want 2 contributed tuples joined twice", m)
-					}
-				}()
 			}
-			if err != nil {
+			if err := errors.Join(writeV3FrameHeader(bw, frameV3Abort, 1, 0), bw.Flush()); err != nil {
 				t.Fatal(err)
 			}
-			m := awaitFeedMetrics(t, conn, br, 1)
-			if c.wantErr == "" {
-				if m.Err != "" || m.Output != 2 || len(m.PeerCounts) != 1 || m.PeerCounts[0] != 2 {
-					t.Fatalf("replied %+v, want 2 matches routed to the one stage-2 worker", m)
-				}
-			} else if !strings.Contains(m.Err, c.wantErr) {
-				t.Fatalf("replied %+v, want an error naming %q", m, c.wantErr)
-			}
 			workersIdle(t, w)
+			expectNoFrame(t, conn, br)
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 			defer cancel()
 			if err := w.Shutdown(ctx); err != nil {
@@ -337,4 +318,70 @@ func TestPlanCancelAroundThePark(t *testing.T) {
 			}
 		})
 	}
+}
+
+// expectNoFrame asserts that nothing arrives on a raw connection that is
+// still open: reading the next frame header runs into a short deadline.
+func expectNoFrame(t *testing.T, conn net.Conn, br *bufio.Reader) {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	typ, job, _, err := readV3FrameHeader(br)
+	var ne net.Error
+	if !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("read frame %d for job %d (%v), want nothing on an open connection", typ, job, err)
+	}
+}
+
+// TestAbortAfterEOSRetiresParkedJobs pins that ABORT is the one way a
+// coordinator ends a worker job, past its EOS included: on one connection a
+// stage-2 peer job parked on its transfer and a stage-1 plan job parked on
+// its PLAN2 each end at their ABORT — no reply, no hang-up — and the worker
+// gives back everything: no job, no byte, no transfer. The connection then
+// serves the next job.
+func TestAbortAfterEOSRetiresParkedJobs(t *testing.T) {
+	ws, addrs := startWorkerSet(t, 1)
+	w := ws[0]
+	bw, conn := dialV3(t, addrs[0], "")
+	br := bufio.NewReader(conn)
+	const peerJob, planJob = 1, 2
+	if ack := sendPeerOpen(t, conn, br, bw, peerJob, newPeerToken(), 1); ack.Err != "" {
+		t.Fatalf("the peer open was refused: %+v", ack)
+	}
+	sendOpenJob(t, bw, planJob, kindPlan, newPeerToken())
+	r := []join.Key{1, 2, 3}
+	err := errors.Join(
+		writeRel(bw, peerJob, 1, r), writeV3FrameHeader(bw, frameV3EOS, peerJob, 0),
+		writeRel(bw, planJob, 1, r), writeRel(bw, planJob, 2, r), writeRel(bw, planJob, 3, r),
+		writeV3FrameHeader(bw, frameV3EOS, planJob, 0), bw.Flush())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	typ, job, n, err := readV3FrameHeader(br)
+	if err != nil || typ != frameV3Reply || job != planJob {
+		t.Fatalf("awaiting the plan job's summary: frame %d for job %d (%v)", typ, job, err)
+	}
+	if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
+		t.Fatal(err)
+	}
+	if h := w.Holdings(); h.Jobs != 2 || h.Transfers != 1 || h.Bytes == 0 {
+		t.Fatalf("the parked jobs hold %+v, want two jobs, a transfer and their keys", h)
+	}
+	err = errors.Join(writeV3FrameHeader(bw, frameV3Abort, peerJob, 0),
+		writeV3FrameHeader(bw, frameV3Abort, planJob, 0), bw.Flush())
+	if err != nil {
+		t.Fatal(err)
+	}
+	workersIdle(t, w)
+	expectNoFrame(t, conn, br)
+	sendOpenJob(t, bw, 3, kindPairs, 0)
+	err = errors.Join(writeRel(bw, 3, 1, r), writeRel(bw, 3, 2, r),
+		writeV3FrameHeader(bw, frameV3EOS, 3, 0), bw.Flush())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := awaitFeedMetrics(t, conn, br, 3); m.Err != "" || m.Output != 3 {
+		t.Fatalf("the next job replied %+v, want its 3 matches", m)
+	}
+	workersIdle(t, w)
 }

@@ -180,7 +180,7 @@ func (s *sessStream) admit() (release func(), err error) {
 		return func() {}, nil
 	}
 	defer s.clk.Mark(stage.Admit)
-	return s.ws.w.admitJob(s.ws.tenant, s.ws.w.kill, s.ws.done)
+	return s.ws.w.admitJob(s.j.ctx, s.ws.tenant)
 }
 
 // consumed counts one chunk a fed job inserted or probed; before the read
@@ -199,10 +199,9 @@ func (s *sessStream) fail(err error) {
 	}
 }
 
-// run is the join goroutine. After an EOS the read loop has already taken
-// the job out of its table, so the goroutine retires the job itself on the
-// way out — once done is closed, so retire's stop does not wait on its own
-// caller.
+// run is the join goroutine. After an EOS the read loop no longer retires
+// the job, so the goroutine retires it itself on the way out — once done is
+// closed, so retire's stop does not wait on its own caller.
 func (s *sessStream) run() {
 	defer func() {
 		s.recycleHeld() // release sweeps the reservation
@@ -521,15 +520,13 @@ func (s *sessStream) commit() (reply, error) {
 // probeTransfer is a peer-fed job's probe: the stage-1 senders' contributions,
 // taken out of the transfer and probed where they landed, then recycled, each
 // credited to the tenant it was charged to. The wait ends when the transfer
-// completes or fails, the worker is killed, or the coordinator hangs up; the
-// job's retire removes the transfer.
+// completes or fails, or the job's context ends; the job's retire removes the
+// transfer.
 func (s *sessStream) probeTransfer() error {
 	w, j, st := s.ws.w, s.j, s.j.peerSt
 	select {
 	case <-st.ready:
-	case <-w.kill:
-		return errAbandoned
-	case <-s.ws.done:
+	case <-j.ctx.Done():
 		return errAbandoned
 	}
 	s.clk.Mark(stage.FrameWait)
@@ -566,9 +563,10 @@ func (s *sessStream) probeTransfer() error {
 // onEOS replies the job's final REPLY; run retires the job next. The read
 // loop is done with a job it saw the EOS of, so any job's runs but a
 // stream's validate here; a contribution then commits, a pairs or plan job
-// joins, a peer job takes its probe from the transfer. An abandoned job (worker killed or coordinator
-// gone while it waited) exits silently: the coordinator sees the broken
-// connection.
+// joins, a peer job takes its probe from the transfer. The job then leaves
+// the connection's table, so its id is free once it replied. An abandoned job
+// (its ABORT, the hang-up or Close while it waited) exits silently: nobody
+// awaits its reply.
 func (s *sessStream) onEOS() {
 	if s.fed() && s.failed == nil {
 		s.failed = s.j.validateComplete()
@@ -589,6 +587,7 @@ func (s *sessStream) onEOS() {
 			m.InputR1, m.InputR2 = m.InputR2, m.InputR1
 		}
 	}
+	s.ws.drop(s.j)
 	if errors.Is(s.failed, errAbandoned) {
 		return
 	}

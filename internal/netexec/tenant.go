@@ -1,6 +1,7 @@
 package netexec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -39,10 +40,9 @@ var ErrQuota = errors.New("tenant quota exceeded")
 // Reply codes carried in a REPLY so refusals stay typed across the wire:
 // admission and quota rejections; and the two worker job errors the
 // coordinator retries, blaming no worker: a draining worker's refusal of a new
-// job, and a job whose transfer was cancelled under it — a contribution to a
-// token no open transfer holds, a stage-2 job whose transfer a PLANCANCEL
-// failed — which only happens once its pipeline attempt failed for another
-// reason.
+// job, and a contribution whose transfer is not open — none opened yet, or
+// its stage-2 job retired, as its ABORT retires it once the pipeline attempt
+// failed for another reason.
 const (
 	codeNone      = 0
 	codeAdmission = 1
@@ -142,18 +142,19 @@ func (w *Worker) tenantWeight(tenant string) float64 {
 
 // admitJob acquires one execution slot for the tenant, waiting in its fair
 // queue under the configured bounds. The returned release is idempotent.
-// kill/connDone abort the wait silently (errAbandoned): the worker died
-// or the coordinator hung up, so there is nothing to reply to.
-func (w *Worker) admitJob(tenant string, kill, connDone <-chan struct{}) (func(), error) {
+// The job's context ending aborts the wait silently (errAbandoned): its ABORT,
+// the coordinator hanging up or the worker dying leaves nothing to reply to.
+func (w *Worker) admitJob(ctx context.Context, tenant string) (func(), error) {
 	if w.admit == nil {
 		return func() {}, nil
 	}
-	return w.admit.acquire(tenant, kill, connDone)
+	return w.admit.acquire(ctx, tenant)
 }
 
-// errAbandoned marks a job wait (admission queue, peer transfer, PLAN2) that
-// ended because the worker was killed or the coordinator hung up: the job
-// exits silently, nothing to reply to.
+// errAbandoned marks a job wait (admission queue, peer transfer, PLAN2, its
+// contributions) that ended with the job's context: its ABORT, the
+// coordinator hanging up, or Close. The job exits silently, nothing to reply
+// to.
 var errAbandoned = errors.New("job wait abandoned")
 
 // AdmissionStats is a worker admitter's counters since start, for tests and
@@ -262,10 +263,10 @@ func (a *admitter) chargeLocked(q *admitQueue) {
 }
 
 // acquire blocks until the tenant is granted an execution slot, its queue
-// overflows or its wait exceeds the deadline (typed ErrAdmission), or
-// kill/connDone end the wait (errAbandoned). The returned release is
-// idempotent and must be called exactly once per successful acquire.
-func (a *admitter) acquire(tenant string, kill, connDone <-chan struct{}) (func(), error) {
+// overflows or its wait exceeds the deadline (typed ErrAdmission), or ctx
+// ends the wait (errAbandoned). The returned release is idempotent and must
+// be called exactly once per successful acquire.
+func (a *admitter) acquire(ctx context.Context, tenant string) (func(), error) {
 	a.mu.Lock()
 	// Fast path: a free slot and nobody queued ahead — fairness only
 	// reorders CONTENDED dispatches, an uncontended worker runs everything
@@ -303,10 +304,7 @@ func (a *admitter) acquire(tenant string, kill, connDone <-chan struct{}) (func(
 			return nil, err
 		}
 		return a.releaseFunc(), nil
-	case <-kill:
-		a.abandon(wt)
-		return nil, errAbandoned
-	case <-connDone:
+	case <-ctx.Done():
 		a.abandon(wt)
 		return nil, errAbandoned
 	}

@@ -1,6 +1,7 @@
 package netexec
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -26,9 +27,8 @@ func TestAdmitterHogCapped(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				never := make(chan struct{})
 				for !stop.Load() {
-					rel, err := a.acquire(tenant, never, never)
+					rel, err := a.acquire(context.Background(), tenant)
 					if err != nil {
 						t.Error(err)
 						return
@@ -82,11 +82,10 @@ func TestAdmitterHogCapped(t *testing.T) {
 func TestAdmitterWeightedDispatch(t *testing.T) {
 	weights := map[string]float64{"a": 1, "b": 2, "c": 4}
 	a := newAdmitter(AdmissionConfig{MaxInFlight: 1}, func(tn string) float64 { return weights[tn] })
-	never := make(chan struct{})
 
 	// Hold the only slot while the backlog builds, so the first release
 	// dispatches against fully-populated queues.
-	hold, err := a.acquire("hold", never, never)
+	hold, err := a.acquire(context.Background(), "hold")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +98,7 @@ func TestAdmitterWeightedDispatch(t *testing.T) {
 			wg.Add(1)
 			go func(tn string) {
 				defer wg.Done()
-				rel, err := a.acquire(tn, never, never)
+				rel, err := a.acquire(context.Background(), tn)
 				if err != nil {
 					t.Error(err)
 					return
@@ -134,8 +133,7 @@ func TestAdmitterWeightedDispatch(t *testing.T) {
 // immediately with a typed admission code.
 func TestAdmitterQueueFull(t *testing.T) {
 	a := newAdmitter(AdmissionConfig{MaxInFlight: 1, MaxQueue: 2}, func(string) float64 { return 1 })
-	never := make(chan struct{})
-	hold, err := a.acquire("t", never, never)
+	hold, err := a.acquire(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +142,7 @@ func TestAdmitterQueueFull(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rel, err := a.acquire("t", never, never)
+			rel, err := a.acquire(context.Background(), "t")
 			if err != nil {
 				t.Error(err)
 				return
@@ -155,7 +153,7 @@ func TestAdmitterQueueFull(t *testing.T) {
 	for queued(a) < 2 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := a.acquire("t", never, never); rejectCode(err) != codeAdmission {
+	if _, err := a.acquire(context.Background(), "t"); rejectCode(err) != codeAdmission {
 		t.Fatalf("acquire over full queue: got %v, want typed admission rejection", err)
 	}
 	if s := a.stats(); s.Rejected != 1 {
@@ -171,13 +169,12 @@ func TestAdmitterQueueFull(t *testing.T) {
 func TestAdmitterQueueDeadline(t *testing.T) {
 	a := newAdmitter(AdmissionConfig{MaxInFlight: 1, QueueDeadline: 30 * time.Millisecond},
 		func(string) float64 { return 1 })
-	never := make(chan struct{})
-	hold, err := a.acquire("t", never, never)
+	hold, err := a.acquire(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := a.acquire("t", never, never); rejectCode(err) != codeAdmission {
+	if _, err := a.acquire(context.Background(), "t"); rejectCode(err) != codeAdmission {
 		t.Fatalf("expired wait: got %v, want typed admission rejection", err)
 	}
 	if d := time.Since(start); d < 25*time.Millisecond {
@@ -185,7 +182,7 @@ func TestAdmitterQueueDeadline(t *testing.T) {
 	}
 	hold()
 	// The freed slot must still be grantable.
-	rel, err := a.acquire("t", never, never)
+	rel, err := a.acquire(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,26 +193,25 @@ func TestAdmitterQueueDeadline(t *testing.T) {
 // detached without consuming a slot or wedging dispatch.
 func TestAdmitterAbandon(t *testing.T) {
 	a := newAdmitter(AdmissionConfig{MaxInFlight: 1}, func(string) float64 { return 1 })
-	never := make(chan struct{})
-	hold, err := a.acquire("t", never, never)
+	hold, err := a.acquire(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	connDone := make(chan struct{})
+	ctx, hangUp := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := a.acquire("t", never, connDone)
+		_, err := a.acquire(ctx, "t")
 		errc <- err
 	}()
 	for queued(a) < 1 {
 		time.Sleep(time.Millisecond)
 	}
-	close(connDone)
+	hangUp()
 	if err := <-errc; err != errAbandoned {
 		t.Fatalf("abandoned wait: got %v, want errAbandoned", err)
 	}
 	hold()
-	rel, err := a.acquire("t", never, never)
+	rel, err := a.acquire(context.Background(), "t")
 	if err != nil {
 		t.Fatal(err)
 	}

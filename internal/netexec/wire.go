@@ -15,14 +15,14 @@ import (
 //
 //	magic "EWHB" | uint16 version | uint8 tenant length | tenant
 //
-// where version 9 is the one session protocol a worker speaks — to a
+// where version 10 is the one session protocol a worker speaks — to a
 // coordinator, or to a stage-1 peer shipping its contribution — and frames
 // everything after it as
 //
 //	[type u8][job u32][payloadLen u32][payload]
 //
 // Every payload is fixed-layout little-endian binary. Control frames (open,
-// plan, cancel, reply — a few per job) are records (control.go); data
+// plan, reply — a few per job) are records (control.go); data
 // frames (key runs, pairs) are fixed-width arrays, so the coordinator
 // encodes straight out of the shuffle's contiguous per-worker slices and the
 // worker decodes straight into exactly-sized pooled buffers. DESIGN.md's
@@ -30,13 +30,15 @@ import (
 const (
 	// protoVersionSession is the persistent-session protocol: numbered jobs
 	// multiplex over the connection until either side closes (session.go).
-	// Version 8 carried a REPLY's one duration where 9 carries a stage record;
+	// Version 9 had frame 20, a cancel broadcast by transfer token that
+	// ABORT, reaching a job past its EOS, replaced; version 8 carried a
+	// REPLY's one duration where 9 carries a stage record;
 	// version 7 its control frames as gob, in three opens, a PLAN and
 	// two replies; version 6 was the worker→worker mesh, PEERHEAD and
 	// PEERBLOCK frames at job 0 (30 and 31), which a contribution sub-job
 	// replaced; version 5 a tenant-less mesh. A worker closes each at the
 	// prelude.
-	protoVersionSession = 9
+	protoVersionSession = 10
 
 	// Session frames. Every header carries a job number, so one connection
 	// interleaves many jobs' frames.
@@ -44,7 +46,7 @@ const (
 	frameV3EOS   = 14 // coord→worker job data complete; worker joins
 	frameV3Pairs = 15 // worker→coord [count u32][count×(i1 u32, i2 u32)]
 	frameV3Reply = 16 // worker→coord reply record: final (ends the sub-job) or interim
-	frameV3Abort = 17 // coord→worker job abandoned; discard its state, no reply
+	frameV3Abort = 17 // coord→worker job abandoned, before or past its EOS; discard its state, no reply
 
 	// Stage-aware pipelines: a plan job's open carries a statistics request;
 	// the job joins, summarizes its matches, replies the summary and holds its
@@ -52,8 +54,7 @@ const (
 	// and answers with PLAN2. Each worker then re-shuffles its own matches by
 	// the stage-2 plan straight to peer workers: only the summaries and pair
 	// counts — never the intermediate — transit the coordinator.
-	frameV3PlanCancel = 20 // coord→worker [token u64]: discard a token's transfer state
-	frameV3Plan2      = 22 // coord→worker plan2 record: the replanned stage-2 artifact + peer map
+	frameV3Plan2 = 22 // coord→worker plan2 record: the replanned stage-2 artifact + peer map
 
 	// Run frames. A stream job joins an unbounded sequence of tuple windows
 	// against a static base relation: base frames ship the static side
@@ -102,8 +103,8 @@ const (
 	// at the planio codec's collection cap (2^21 keys, 16 MiB); a plan for the
 	// widest fleet stays under 1 MiB.
 	maxControlPayload = 32 << 20
-	// maxOpenPayload bounds OPEN and PLANCANCEL, refused connection-fatally
-	// unread. A real one is under 64 B, so a longer one is malformed.
+	// maxOpenPayload bounds OPEN, refused connection-fatally unread. A real
+	// one is under 64 B, so a longer one is malformed.
 	maxOpenPayload = 4 << 10
 
 	// maxPeerSenders bounds the sender count a stage-2 job open may declare,
