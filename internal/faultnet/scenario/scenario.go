@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"reflect"
 	"runtime"
@@ -615,36 +616,51 @@ func (sc *Scenario) reference(t testing.TB, fleet int) *reference {
 	return ref
 }
 
-// checkStages holds a run to its stage records: the workers of each job it
-// ran, summed, spent time in every stage the job's kind runs on any runtime.
-// A recovered stream's window replies stay inside its driver.
-func checkStages(o *outcome) error {
-	type job struct {
-		kind string
-		recs []stage.Record
-		ran  []stage.Stage
-	}
-	build := []stage.Stage{stage.Build, stage.Probe} // a count or stage-2 peer job
-	var jobs []job
+// jobStages lists the stages each worker job kind runs, by the kind's name
+// in a worker's Snapshot: a run's workers of that kind, summed, spend time
+// in every one. A contribution only commits its share.
+var jobStages = map[string][]stage.Stage{
+	"count":   {stage.Build, stage.Probe},
+	"pairs":   {stage.Probe},
+	"plan":    {stage.Probe, stage.Summarize, stage.Route},
+	"peer":    {stage.Build, stage.Probe},
+	"stream":  {stage.Summarize, stage.Probe},
+	"contrib": nil,
+}
+
+// records returns the stage records a run's replies carried, by the kind of
+// worker job that sent them; a kind the run ran without a record of its own
+// (a contribution) is there with none. A recovered stream's window replies
+// stay inside its driver.
+func (o *outcome) records() map[string][]stage.Record {
 	switch {
 	case o.pairs != nil:
-		jobs = []job{{"pairs", o.res.Stages, []stage.Stage{stage.Probe}}}
+		return map[string][]stage.Record{"pairs": o.res.Stages}
 	case o.res != nil:
-		jobs = []job{{"count", o.res.Stages, build}}
+		return map[string][]stage.Record{"count": o.res.Stages}
 	case o.mw != nil:
-		jobs = []job{{"stage-1 plan", o.mw.Stages[0].Exec.Stages, []stage.Stage{stage.Probe, stage.Summarize, stage.Route}},
-			{"stage-2 peer", o.mw.Stages[1].Exec.Stages, build}}
-	case o.windows != nil:
-		jobs = []job{{"stream window", o.windows, []stage.Stage{stage.Summarize, stage.Probe}}}
-	}
-	for _, j := range jobs {
-		var sum stage.Record
-		for i := range j.recs {
-			sum.Add(&j.recs[i])
+		recs := map[string][]stage.Record{"plan": o.mw.Stages[0].Exec.Stages, "peer": o.mw.Stages[1].Exec.Stages}
+		if len(recs["plan"])*len(recs["peer"]) > 1 { // some sender is not its receiver
+			recs["contrib"] = nil
 		}
-		for _, s := range j.ran {
+		return recs
+	case o.windows != nil:
+		return map[string][]stage.Record{"stream": o.windows}
+	}
+	return nil
+}
+
+// checkStages holds stage records, by job kind, to the stages each kind
+// runs: the kind's workers, summed, spent time in every one.
+func checkStages(recs map[string][]stage.Record) error {
+	for kind, rs := range recs {
+		var sum stage.Record
+		for i := range rs {
+			sum.Add(&rs[i])
+		}
+		for _, s := range jobStages[kind] {
 			if sum[s] <= 0 {
-				return fmt.Errorf("%s job's workers spent no time in stage %d: %v", j.kind, s, sum)
+				return fmt.Errorf("%s jobs' workers spent no time in stage %d: %v", kind, s, sum)
 			}
 		}
 	}
@@ -654,7 +670,7 @@ func checkStages(o *outcome) error {
 // checkOracle holds one run to its stage records and to the oracles that do
 // not run the engine.
 func (sc *Scenario) checkOracle(o *outcome, ref *reference) error {
-	if err := checkStages(o); err != nil {
+	if err := checkStages(o.records()); err != nil {
 		return err
 	}
 	switch sc.job {
@@ -801,12 +817,35 @@ func (f *fleet) idle(stalled *netexec.Worker) error {
 		if w == stalled {
 			continue
 		}
-		for h := w.Holdings(); h != (netexec.Holdings{}); h = w.Holdings() {
+		for h := w.Snapshot().Holdings; h != (netexec.Holdings{}); h = w.Snapshot().Holdings {
 			if time.Now().After(deadline) {
 				return fmt.Errorf("worker %d still holds %+v", i, h)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+	return nil
+}
+
+// tallied holds a fault-free fleet's job tallies to the kinds of job its
+// runs ran (records): each kind finished a job on some worker, and those
+// workers' tallies pass checkStages.
+func (f *fleet) tallied(ran map[string][]stage.Record) error {
+	tallies := map[string][]stage.Record{}
+	for _, w := range f.workers {
+		for kind, t := range w.Snapshot().Jobs {
+			if _, ok := ran[kind]; ok && t.Finals > 0 {
+				tallies[kind] = append(tallies[kind], t.Stages)
+			}
+		}
+	}
+	for kind := range ran {
+		if tallies[kind] == nil {
+			return fmt.Errorf("the workers tallied no finished %s job", kind)
+		}
+	}
+	if err := checkStages(tallies); err != nil {
+		return fmt.Errorf("tally: %w", err)
 	}
 	return nil
 }
@@ -885,6 +924,9 @@ func (sc *Scenario) runSession(t testing.TB) {
 	}
 	if err == nil && sc.also != nil {
 		err = sc.also(sess, o)
+	}
+	if err == nil {
+		err = f.tallied(o.records())
 	}
 	if err == nil {
 		err = f.idle(nil)
@@ -1106,9 +1148,11 @@ func (sc *Scenario) runPool(t testing.TB) {
 		t.Fatalf("%v: open sessions %v, want one each for alpha and beta", sc, n)
 	}
 	errs := make([]error, len(tenants))
+	ran := make([]map[string][]stage.Record, len(tenants))
 	var wg sync.WaitGroup
 	for i, sess := range sessions {
 		wg.Add(1)
+		ran[i] = map[string][]stage.Record{}
 		go func() {
 			defer wg.Done()
 			defer sess.Close()
@@ -1125,6 +1169,7 @@ func (sc *Scenario) runPool(t testing.TB) {
 					errs[i] = fmt.Errorf("%v: %w", job, err)
 					return
 				}
+				maps.Copy(ran[i], o.records())
 			}
 		}()
 	}
@@ -1132,7 +1177,11 @@ func (sc *Scenario) runPool(t testing.TB) {
 	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
-	err = f.idle(nil)
+	maps.Copy(ran[0], ran[1])
+	err = f.tallied(ran[0])
+	if err == nil {
+		err = f.idle(nil)
+	}
 	pool.Close()
 	f.close()
 	if err == nil {

@@ -10,9 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"ewh/internal/core"
 	"ewh/internal/exec"
 	"ewh/internal/faultnet"
 	"ewh/internal/join"
+	"ewh/internal/multiway"
 	"ewh/internal/partition"
 	"ewh/internal/planio"
 )
@@ -77,7 +79,7 @@ func workersIdle(t *testing.T, ws ...*Worker) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for _, w := range ws {
-		for h := w.Holdings(); h != (Holdings{}); h = w.Holdings() {
+		for h := w.Snapshot().Holdings; h != (Holdings{}); h = w.Snapshot().Holdings {
 			if time.Now().After(deadline) {
 				t.Fatalf("worker %s still holds %+v", w.Addr(), h)
 			}
@@ -131,7 +133,7 @@ func TestStreamCloseAfterJobFaultRetiresWorkerJob(t *testing.T) {
 	if err := ws[0].Shutdown(ctx); err != nil {
 		t.Fatalf("worker still holds the closed stream's job: Shutdown: %v", err)
 	}
-	if used := ws[0].Holdings().Bytes; used != 0 {
+	if used := ws[0].Snapshot().Holdings.Bytes; used != 0 {
 		t.Fatalf("closed stream left %d bytes reserved", used)
 	}
 }
@@ -434,7 +436,7 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 				want.Jobs = 1
 			}
 			waitFor(t, "the workers to give back what the pipeline took", func() bool {
-				return ws[0].Holdings() == want && ws[1].Holdings() == Holdings{}
+				return ws[0].Snapshot().Holdings == want && ws[1].Snapshot().Holdings == Holdings{}
 			})
 			_ = sess.Close()
 			for _, w := range ws {
@@ -669,7 +671,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 					return err
 				}
 				// Hang up under a job the worker demonstrably holds.
-				waitFor(t, "the worker to register the job", func() bool { return c.w.Holdings().Jobs == 1 })
+				waitFor(t, "the worker to register the job", func() bool { return c.w.Snapshot().Holdings.Jobs == 1 })
 				return c.conn.Close()
 			}},
 		{name: "refused data frame",
@@ -697,7 +699,8 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 					return err
 				}
 				waitFor(t, "the seal to have taken the slot and given it back", func() bool {
-					return c.w.AdmissionStats().FastPath == 1 && c.w.Holdings().Running == 0
+					s := c.w.Snapshot()
+					return s.Admission.FastPath == 1 && s.Running == 0
 				})
 				// A pairs job now needs the worker's only slot — at its open,
 				// in the read loop — and must get it.
@@ -731,7 +734,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				waitFor(t, "the worker to register the job", func() bool { return c.w.Holdings().Jobs == 1 })
+				waitFor(t, "the worker to register the job", func() bool { return c.w.Snapshot().Holdings.Jobs == 1 })
 				return c.conn.Close()
 			}},
 	}
@@ -752,7 +755,7 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 				w.SetTenantPolicy(feedTenant, TenantPolicy{MaxBytes: x.budget})
 				go func() { _ = w.Serve() }()
 				defer w.Close()
-				cacheBefore := w.BuildCacheStats().Bytes
+				cacheBefore := w.Snapshot().Cache.Bytes
 
 				bw, conn := dialV3(t, w.Addr(), feedTenant)
 				c := cell{k: feedTableKinds(t, w)[ki], bw: bw, br: bufio.NewReader(conn), conn: conn, w: w}
@@ -767,13 +770,121 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 					}
 				}
 				workersIdle(t, w)
-				if grew := w.BuildCacheStats().Bytes - cacheBefore; grew != 0 && x.name != "EOS" {
+				if grew := w.Snapshot().Cache.Bytes - cacheBefore; grew != 0 && x.name != "EOS" {
 					t.Errorf("failed job left %d bytes in the build cache", grew)
 				}
 				_ = conn.Close()
 				_ = w.Close()
 				b.goroutinesSettled()
 			})
+		}
+	}
+}
+
+// TestSnapshotTalliesEveryReply runs one job of each kind over a two-worker
+// fleet under admission — a count, a pairs, a multiway (a plan, a peer and a
+// contribution on each worker) and a stream of k windows — and then parks a
+// peer job on worker 0 and ABORTs it. The workers are fresh, so their
+// Snapshots are the run's delta: one final reply per job, the stream's k
+// window replies beside its final, nothing for the abandoned job, a slot
+// for every seal, probe and count or pairs or plan open, and nothing held.
+func TestSnapshotTalliesEveryReply(t *testing.T) {
+	const k = 3
+	ws, addrs := startTenantWorkerSet(t, 2, AdmissionConfig{MaxInFlight: 2, MaxQueue: 64}, nil)
+	sess := dialSession(t, addrs)
+	hash, err := partition.NewHash(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, r2 := randKeys(2000, 1000, 1), randKeys(2000, 1000, 2)
+	cfg := exec.Config{Seed: 3}
+	count, err := exec.RunOver(sess, r1, r2, join.Equi{}, hash, model, cfg)
+	if err != nil {
+		t.Fatalf("count job: %v", err)
+	}
+	t1, t2 := make([]exec.Tuple[int], len(r1)), make([]exec.Tuple[int], len(r2))
+	for i := range r1 {
+		t1[i], t2[i] = exec.Tuple[int]{Key: r1[i]}, exec.Tuple[int]{Key: r2[i]}
+	}
+	_, err = exec.RunTuplesOver(sess, t1, t2, join.Equi{}, hash, model, cfg, func(int, exec.Tuple[int], exec.Tuple[int]) {})
+	if err != nil {
+		t.Fatalf("pairs job: %v", err)
+	}
+	q := multiway.Query{R1: r1, Mid: multiway.MidRelation{A: r2, B: randKeys(2000, 1000, 4)},
+		R3: randKeys(2000, 1000, 5), CondA: join.Equi{}, CondB: join.NewBand(1)}
+	mw, err := multiway.ExecuteOver(sess, q, core.Options{J: 2, Model: model, Seed: 6}, cfg)
+	if err != nil {
+		t.Fatalf("multiway job: %v", err)
+	}
+	if len(mw.Stages[0].Exec.Workers) != 2 || len(mw.Stages[1].Exec.Workers) != 2 {
+		t.Fatalf("the pipeline ran on %d and %d workers, want both stages on both",
+			len(mw.Stages[0].Exec.Workers), len(mw.Stages[1].Exec.Workers))
+	}
+	st, err := sess.OpenStream(exec.StreamSpec{Cond: join.Equi{}, Stats: exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 7}})
+	if err == nil {
+		err = st.SendBase(1, [][]join.Key{r2[:1000], r2[1000:]})
+	}
+	for win := range uint32(k) {
+		if err == nil {
+			err = st.SendWindow(win, 1, [][]join.Key{r1[:100], r1[100:200]})
+		}
+		if err == nil {
+			_, err = st.Collect(win, 1)
+		}
+	}
+	if cerr := st.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	// The abandoned job: sealed, parked past its EOS on a transfer no sender
+	// feeds, then ABORTed.
+	bw, conn := dialV3(t, addrs[0], "")
+	br := bufio.NewReader(conn)
+	if ack := sendPeerOpen(t, conn, br, bw, 1, newPeerToken(), 1); ack.Err != "" {
+		t.Fatalf("the peer open was refused: %+v", ack)
+	}
+	err = errors.Join(writeRel(bw, 1, 1, r1[:10]), writeV3FrameHeader(bw, frameV3EOS, 1, 0),
+		writeV3FrameHeader(bw, frameV3Abort, 1, 0), bw.Flush())
+	if err != nil {
+		t.Fatal(err)
+	}
+	workersIdle(t, ws...)
+
+	for i, w := range ws {
+		s := w.Snapshot()
+		if s.Holdings != (Holdings{}) {
+			t.Errorf("worker %d holds %+v at rest", i, s.Holdings)
+		}
+		for kind, tl := range s.Jobs {
+			replies := int64(1)
+			if kind == "stream" {
+				replies = k + 1
+			}
+			if tl.Finals != 1 || tl.Replies != replies {
+				t.Errorf("worker %d tallied %d replies, %d final, of its %s job; want %d, 1",
+					i, tl.Replies, tl.Finals, kind, replies)
+			}
+			if tl.Stages.Total() <= 0 {
+				t.Errorf("worker %d's %s replies carried no time", i, kind)
+			}
+		}
+		if len(s.Jobs) != int(numKinds) {
+			t.Errorf("worker %d tallies %d job kinds, want %d", i, len(s.Jobs), numKinds)
+		}
+		if got := s.Jobs["count"].Stages; got != count.Stages[i] {
+			t.Errorf("worker %d tallied %v for its count job, whose reply carried %v", i, got, count.Stages[i])
+		}
+		// A slot per count, pairs and plan open, per seal (a peer job's, the
+		// stream's, and worker 0's abandoned job's) and per probe (a peer
+		// job's, each stream window's).
+		slots := int64(1 + 1 + 1 + 2 + 1 + k)
+		if i == 0 {
+			slots++
+		}
+		if a := s.Admission; a.FastPath+a.Dispatched != slots || a.Rejected != 0 {
+			t.Errorf("worker %d admitted %+v, want %d slots taken", i, a, slots)
 		}
 	}
 }

@@ -45,6 +45,10 @@ const (
 	numKinds
 )
 
+// kindNames names each job kind in a worker's Snapshot.
+var kindNames = [numKinds]string{kindCount: "count", kindPairs: "pairs", kindPlan: "plan",
+	kindPeer: "peer", kindStream: "stream", kindContrib: "contrib"}
+
 // open is the OPEN record (frame 10). Counts travel in each relation's end
 // frame, so a job can stream its first relation before the second one's
 // shuffle has finished.

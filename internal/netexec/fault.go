@@ -284,7 +284,6 @@ func (s *Session) Survivors() (exec.Runtime, int, error) {
 	if len(live) == 0 {
 		return nil, 0, errors.New("netexec: no surviving workers")
 	}
-	d := &Session{conns: live, ids: s.ids, relayed: s.relayed,
-		overlapped: s.overlapped, buildOverlapped: s.buildOverlapped, tenant: s.tenant}
+	d := &Session{conns: live, sessShared: s.sessShared, tenant: s.tenant}
 	return d, len(live), nil
 }

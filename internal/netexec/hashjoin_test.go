@@ -118,7 +118,7 @@ func TestPoolBuildCacheHit(t *testing.T) {
 
 	var hits, misses int64
 	for _, w := range ws {
-		st := w.BuildCacheStats()
+		st := w.Snapshot().Cache
 		hits += st.Hits
 		misses += st.Misses
 		if st.Bytes <= 0 || st.Entries <= 0 {
@@ -159,7 +159,7 @@ func TestBuildCacheKeysHeldChunks(t *testing.T) {
 			t.Fatalf("session output %d, want %d", got.Output, want)
 		}
 	}
-	if st := ws[0].BuildCacheStats(); st.Hits != 0 || st.Entries != 2 {
+	if st := ws[0].Snapshot().Cache; st.Hits != 0 || st.Entries != 2 {
 		t.Fatalf("two distinct build sides: %d cache hits, %d entries, want 0 and 2", st.Hits, st.Entries)
 	}
 }

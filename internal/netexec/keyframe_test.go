@@ -228,11 +228,11 @@ func FuzzKeyFrame(f *testing.F) {
 		if err != nil && buffered != 0 {
 			t.Fatalf("type %d: refused a frame (%v) yet buffered %d keys", typ, err, buffered)
 		}
-		if held := w.Holdings().Bytes; err == nil && held != 8*int64(buffered) {
+		if held := w.Snapshot().Holdings.Bytes; err == nil && held != 8*int64(buffered) {
 			t.Fatalf("type %d: %d keys buffered, %d bytes charged", typ, buffered, held)
 		}
 		j.release()
-		if held := w.Holdings().Bytes; held != 0 {
+		if held := w.Snapshot().Holdings.Bytes; held != 0 {
 			t.Fatalf("type %d: %d bytes still charged after release", typ, held)
 		}
 	})

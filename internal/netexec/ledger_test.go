@@ -107,7 +107,7 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 	// Every stalled connection holds its open job; the frames charged fill
 	// the budget.
 	full := Holdings{Jobs: len(stalled), Bytes: budget}
-	waitFor(t, "the stalled frames to fill the budget", func() bool { return w.Holdings() == full })
+	waitFor(t, "the stalled frames to fill the budget", func() bool { return w.Snapshot().Holdings == full })
 	time.Sleep(100 * time.Millisecond) // the frames past the budget meet a full ledger
 	runtime.ReadMemStats(&after)
 	declared := int64(rounds*len(kinds)) * 8 * stallKeys
@@ -118,7 +118,7 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 			len(stalled), declared, grew, bound)
 	}
 	t.Logf("%d connections declared %d bytes; the process allocated %d", len(stalled), declared, grew)
-	if h := w.Holdings(); h != full {
+	if h := w.Snapshot().Holdings; h != full {
 		t.Fatalf("worker holds %+v, want %+v", h, full)
 	}
 
@@ -230,7 +230,7 @@ func TestPeerBlocksDecodeSideBySide(t *testing.T) {
 	// the ledger reads held.
 	committed := func(what string, held int64, senders ...int) {
 		waitFor(t, what, func() bool {
-			if w.Holdings().Bytes != held {
+			if w.Snapshot().Holdings.Bytes != held {
 				return false
 			}
 			st.mu.Lock()
@@ -273,9 +273,9 @@ func TestUndeclaredTransferRefusesContributions(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the plan job to register", func() bool { return w.Holdings().Jobs == 1 })
+	waitFor(t, "the plan job to register", func() bool { return w.Snapshot().Holdings.Jobs == 1 })
 	err := w.deliverLocal(token, 1, "", []join.Key{1, 2})
-	if held := w.Holdings().Bytes; rejectCode(err) != codeCancelled || held != 0 {
+	if held := w.Snapshot().Holdings.Bytes; rejectCode(err) != codeCancelled || held != 0 {
 		t.Fatalf("an in-memory contribution to an undeclared transfer: %v, %d bytes held; want a cancelled refusal holding none",
 			err, held)
 	}
@@ -286,7 +286,7 @@ func TestUndeclaredTransferRefusesContributions(t *testing.T) {
 	// The refused sub-job's run is credited as it retires, after its reply;
 	// it opened no transfer, and the plan job is all the worker holds.
 	waitFor(t, "the refused contribution to be credited", func() bool {
-		return w.Holdings() == Holdings{Jobs: 1}
+		return w.Snapshot().Holdings == Holdings{Jobs: 1}
 	})
 	_ = conn.Close()
 	workersIdle(t, w)

@@ -32,7 +32,7 @@ func TestTenantIDFitsThePrelude(t *testing.T) {
 	if _, err := exec.RunOver(sess, r1, r1, join.Equi{}, partition.NewCI(1), model, exec.Config{Seed: 69}); err != nil {
 		t.Fatal(err)
 	}
-	if got := ws[0].AdmissionStats().Granted[longest]; got != 1 {
+	if got := ws[0].Snapshot().Admission.Granted[longest]; got != 1 {
 		t.Fatalf("the %d-byte tenant was granted %d jobs, want 1", len(longest), got)
 	}
 	tooLong := longest + "t"
@@ -97,7 +97,7 @@ func TestSessionTypedQuotaRejection(t *testing.T) {
 	if !errors.Is(err, ErrQuota) {
 		t.Fatalf("over-budget join: got %v, want ErrQuota", err)
 	}
-	if used := ws[0].Holdings().Bytes; used != 0 {
+	if used := ws[0].Snapshot().Holdings.Bytes; used != 0 {
 		t.Fatalf("rejected job left %d bytes reserved", used)
 	}
 	// The same join under an unbudgeted tenant runs to the correct answer.
@@ -172,8 +172,8 @@ func TestSessionTypedAdmissionRejection(t *testing.T) {
 		_, err := exec.RunOver(q1, r1, r2, join.Equi{}, scheme, model, exec.Config{Seed: 93})
 		queuedDone <- err
 	}()
-	waitFor(t, "the job to queue", func() bool { return ws[0].Holdings().Waiting == 1 })
-	if h := ws[0].Holdings(); h.Running != 1 || h.Waiting != 1 {
+	waitFor(t, "the job to queue", func() bool { return ws[0].Snapshot().Holdings.Waiting == 1 })
+	if h := ws[0].Snapshot().Holdings; h.Running != 1 || h.Waiting != 1 {
 		t.Fatalf("the hog and the queued job leave the worker holding %+v, want one slot taken and one job waiting", h)
 	}
 
@@ -187,7 +187,7 @@ func TestSessionTypedAdmissionRejection(t *testing.T) {
 	if _, err := exec.RunOver(q2, r1, r2, join.Equi{}, scheme, model, exec.Config{Seed: 94}); !errors.Is(err, ErrAdmission) {
 		t.Fatalf("job over full queue: got %v, want ErrAdmission", err)
 	}
-	if s := ws[0].AdmissionStats(); s.Rejected != 1 {
+	if s := ws[0].Snapshot().Admission; s.Rejected != 1 {
 		t.Fatalf("stats.Rejected = %d, want 1", s.Rejected)
 	}
 
@@ -214,7 +214,7 @@ func TestReadLoopAdmissionStampsAdmit(t *testing.T) {
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the held open to take the slot", func() bool { return ws[0].Holdings().Running == 1 })
+	waitFor(t, "the held open to take the slot", func() bool { return ws[0].Snapshot().Holdings.Running == 1 })
 	sess := dialSession(t, addrs)
 	r := randKeys(1000, 500, 70)
 	var res *exec.Result
@@ -224,7 +224,7 @@ func TestReadLoopAdmissionStampsAdmit(t *testing.T) {
 		res, err = exec.RunOver(sess, r, r, join.Equi{}, partition.NewCI(1), model, exec.Config{Seed: 71})
 		done <- err
 	}()
-	waitFor(t, "the count job to queue for the slot", func() bool { return ws[0].Holdings().Waiting == 1 })
+	waitFor(t, "the count job to queue for the slot", func() bool { return ws[0].Snapshot().Holdings.Waiting == 1 })
 	time.Sleep(hold)
 	_ = conn.Close()
 	if err := <-done; err != nil {
@@ -254,7 +254,7 @@ func TestAnonymousSessionUnderAdmission(t *testing.T) {
 	if got.Output != want.Output {
 		t.Fatalf("output %d, want %d", got.Output, want.Output)
 	}
-	if s := ws[0].AdmissionStats(); s.Granted[""] == 0 {
+	if s := ws[0].Snapshot().Admission; s.Granted[""] == 0 {
 		t.Fatalf("anonymous jobs not accounted under tenant \"\": %v", s.Granted)
 	}
 }
@@ -323,7 +323,7 @@ func TestPoolHogFloorOverSockets(t *testing.T) {
 		return total
 	}
 	reached := func() bool {
-		st := ws[0].AdmissionStats()
+		st := ws[0].Snapshot().Admission
 		if granted(st) < grants {
 			return false
 		}

@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"ewh/internal/localjoin"
+	"ewh/internal/stage"
 )
 
 // MaxRelationTuples bounds the tuples one relation, epoch base, window or
@@ -117,6 +118,10 @@ type Worker struct {
 	// is immutable and content-addressed (see localjoin.BuildCache). Nil
 	// disables caching.
 	buildCache *localjoin.BuildCache
+
+	// tally is every job kind's replies since start (Snapshot).
+	tallyMu sync.Mutex
+	tally   [numKinds]JobTally
 }
 
 // connState tracks one accepted connection for shutdown: active counts the
@@ -169,15 +174,13 @@ func (w *Worker) SetBuildCacheBytes(n int64) {
 	w.buildCache = localjoin.NewBuildCache(n)
 }
 
-// BuildCacheStats snapshots the worker's build-cache counters — the
-// cache-hit observability the benchmark's pool workload reports.
-func (w *Worker) BuildCacheStats() localjoin.BuildCacheStats {
-	return w.buildCache.Stats()
-}
+// BuildCacheStats is Snapshot().Cache, kept only for the benchmark module
+// (ROADMAP item 1's ledger).
+func (w *Worker) BuildCacheStats() localjoin.BuildCacheStats { return w.Snapshot().Cache }
 
 // Holdings is what a worker holds for its connections at one instant. A
 // worker with nothing in flight holds the zero value; the build cache, which
-// outlives its jobs, is not a holding (see BuildCacheStats).
+// outlives its jobs, is not a holding (see Snapshot.Cache).
 type Holdings struct {
 	Jobs      int   // jobs in flight across connections
 	Bytes     int64 // bytes charged to the ledger, every tenant's
@@ -186,28 +189,64 @@ type Holdings struct {
 	Waiting   int   // jobs queued for an admission slot
 }
 
-// Holdings snapshots what the worker holds. Each field is read under its own
-// lock, so a snapshot taken while jobs run need not be consistent across
-// fields; one taken at rest is exact.
-func (w *Worker) Holdings() Holdings {
-	var h Holdings
+// Snapshot is a worker's state at one instant: what it holds, and its
+// counters since start.
+type Snapshot struct {
+	Holdings
+	Admission AdmissionStats            // zero when admission control is off
+	Cache     localjoin.BuildCacheStats // zero when the cache is disabled
+	// Jobs is every job kind's tally, keyed by kindNames; it shadows
+	// Holdings.Jobs, the jobs in flight.
+	Jobs map[string]JobTally
+}
+
+// JobTally is one job kind's replies since start: how many, how many of them
+// final, and the sum of the stage records they carried. A stream's window
+// replies count with its final; a job abandoned short of its final reply
+// adds nothing.
+type JobTally struct {
+	Replies, Finals int64
+	Stages          stage.Record
+}
+
+// Snapshot reads the worker's state, taking each of its locks once. Each
+// part is read under its own lock, so a snapshot taken while jobs run need
+// not be consistent across parts; one taken at rest is exact.
+func (w *Worker) Snapshot() Snapshot {
+	var s Snapshot
 	w.mu.Lock()
 	for cs := range w.conns {
-		h.Jobs += cs.active
+		s.Holdings.Jobs += cs.active
 	}
 	w.mu.Unlock()
 	w.ledger.mu.Lock()
-	h.Bytes = w.ledger.held
+	s.Bytes = w.ledger.held
 	w.ledger.mu.Unlock()
 	w.peersMu.Lock()
-	h.Transfers = len(w.peerStates)
+	s.Transfers = len(w.peerStates)
 	w.peersMu.Unlock()
-	if w.admit != nil {
-		w.admit.mu.Lock()
-		h.Running, h.Waiting = w.admit.running, w.admit.waiting
-		w.admit.mu.Unlock()
+	w.admit.snapshot(&s)
+	s.Cache = w.buildCache.Stats()
+	s.Jobs = make(map[string]JobTally, numKinds)
+	w.tallyMu.Lock()
+	for k, t := range w.tally {
+		s.Jobs[kindNames[k]] = t
 	}
-	return h
+	w.tallyMu.Unlock()
+	return s
+}
+
+// tallyReply adds one reply a job of kind sends to that kind's tally, before
+// it is written: a coordinator holding the reply finds it in a Snapshot.
+func (w *Worker) tallyReply(kind byte, r *reply) {
+	w.tallyMu.Lock()
+	t := &w.tally[kind]
+	t.Replies++
+	if r.Final {
+		t.Finals++
+	}
+	t.Stages.Add(&r.Stages)
+	w.tallyMu.Unlock()
 }
 
 // FailAfterJobs schedules the worker to kill itself (abrupt Close, as a

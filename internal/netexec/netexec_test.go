@@ -436,7 +436,7 @@ func TestShutdownSparesConnectionMidPrelude(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "two identified sessions, one with a job, and one unknown", func() bool {
-		if w.Holdings().Jobs != 1 {
+		if w.Snapshot().Holdings.Jobs != 1 {
 			return false
 		}
 		w.mu.Lock()

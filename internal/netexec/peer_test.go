@@ -291,13 +291,13 @@ func TestPeerJobExitRemovesTransfer(t *testing.T) {
 			if ack := sendPeerOpen(t, conn, bufio.NewReader(conn), bw, 1, token, 1); ack.Err != "" {
 				t.Fatalf("the open was refused: %+v", ack)
 			}
-			if h := w.Holdings(); h.Transfers != 1 {
+			if h := w.Snapshot().Holdings; h.Transfers != 1 {
 				t.Fatalf("an acknowledged open left the worker holding %+v, want its transfer", h)
 			}
 			if err := tc.leave(bw, conn); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, "the transfer to leave the table", func() bool { return w.Holdings().Transfers == 0 })
+			waitFor(t, "the transfer to leave the table", func() bool { return w.Snapshot().Holdings.Transfers == 0 })
 			// The one sender's contribution arrives anyway, late.
 			err := contribute(context.Background(), addrs[0], "", Timeouts{}, token, 0, []join.Key{7})
 			if rejectCode(err) != codeCancelled || !strings.Contains(err.Error(), "peer "+addrs[0]) {
@@ -466,7 +466,7 @@ func TestUnknownPeerFrameFailsTransfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectClosedSilently(t, cconn)
-	waitFor(t, "the cut contribution to retire", func() bool { return w.Holdings().Jobs == 1 })
+	waitFor(t, "the cut contribution to retire", func() bool { return w.Snapshot().Holdings.Jobs == 1 })
 	w.peersMu.Lock()
 	st := w.peerStates[token]
 	w.peersMu.Unlock()
@@ -546,20 +546,20 @@ func TestPeerTransferCompletesAtSenderCount(t *testing.T) {
 					t.Fatalf("sender %d ahead of the open: %v, want a cancelled refusal", c.sender, err)
 				}
 			}
-			waitFor(t, "the refused contributions to be credited", func() bool { return w.Holdings().Bytes == 0 })
+			waitFor(t, "the refused contributions to be credited", func() bool { return w.Snapshot().Holdings.Bytes == 0 })
 			if tc.openErr != "" {
 				_, err := w.openTransfer(token, tc.senders)
 				if err == nil || !strings.Contains(err.Error(), tc.openErr) {
 					t.Fatalf("open of %d senders returned %v, want a refusal naming %q", tc.senders, err, tc.openErr)
 				}
-				if h := w.Holdings(); h.Transfers != 0 {
+				if h := w.Snapshot().Holdings; h.Transfers != 0 {
 					t.Fatalf("a refused open left the worker holding %+v", h)
 				}
 				return
 			}
 			st := mustOpenTransfer(t, w, token, tc.senders)
 			defer w.closeTransfer(token, st)
-			if h := w.Holdings(); h.Transfers != 1 {
+			if h := w.Snapshot().Holdings; h.Transfers != 1 {
 				t.Fatalf("an open transfer left the worker holding %+v", h)
 			}
 			st.mu.Lock()
@@ -632,7 +632,7 @@ func TestRetiredSessionFrameIsConnectionFatal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, "the worker to register the job", func() bool { return w.Holdings().Jobs == 1 })
+		waitFor(t, "the worker to register the job", func() bool { return w.Snapshot().Holdings.Jobs == 1 })
 		var payload [16]byte
 		if err := errors.Join(writeEndFrame(bw, typ, 1, payload[:]), bw.Flush()); err != nil {
 			t.Fatal(err)

@@ -29,28 +29,10 @@ import (
 type Session struct {
 	conns []*sessConn
 
-	// ids and relayed are pointers so a derived survivor view (Survivors)
-	// shares the parent's job-number space and pairs accounting: jobs issued
-	// on either multiplex over the same connections without id collisions.
-	ids *atomic.Uint32
-
-	// relayed counts the matched index pairs workers streamed back through
-	// this coordinator — the quantity the peer-shuffle path drives to zero
-	// for multiway intermediates. Exposed for the crosscheck's
-	// nothing-transits-the-coordinator assertion and the experiment tables.
-	relayed *atomic.Int64
-
-	// overlapped counts stage-2 peer sub-jobs whose right relation started
-	// streaming BEFORE stage 1's final replies had landed — the observable the
-	// stage-overlapped dispatch crosschecks assert on. Shared by survivor
-	// views like ids/relayed.
-	overlapped *atomic.Int64
-
-	// buildOverlapped accumulates the workers' reply.BuildOverlapped: the
-	// routed sub-blocks jobs' resident sides consumed before their EOS frames —
-	// join work that overlapped the streaming scatter. Shared by survivor
-	// views like ids/relayed.
-	buildOverlapped *atomic.Int64
+	// The job-number space and counters, shared with every survivor view
+	// (Survivors): jobs issued on either multiplex over the same connections
+	// without id collisions.
+	*sessShared
 
 	// tenant is the id this session names in every connection's prelude —
 	// the key workers use for admission queuing and quota accounting. "" is
@@ -61,6 +43,22 @@ type Session struct {
 	// issuing pool can drop it from its tracking table. Set before the
 	// session escapes the dialing goroutine, never mutated after.
 	onClose func()
+}
+
+// sessShared is what a session shares with its survivor views.
+type sessShared struct {
+	ids atomic.Uint32
+	// relayed counts the matched index pairs workers streamed back through
+	// the coordinator, which the peer shuffle drives to zero for multiway
+	// intermediates (RelayedPairs).
+	relayed atomic.Int64
+	// overlapped counts stage-2 peer sub-jobs whose right relation started
+	// streaming before stage 1's final replies had landed (OverlappedStage2).
+	overlapped atomic.Int64
+	// buildOverlapped sums the workers' reply.BuildOverlapped: routed
+	// sub-blocks a resident side consumed before its job's EOS
+	// (BuildOverlappedChunks).
+	buildOverlapped atomic.Int64
 }
 
 // Dial connects to the workers and opens a session on each. The returned
@@ -83,8 +81,7 @@ func DialTenant(ctx context.Context, tenant string, addrs []string, t Timeouts) 
 	if len(tenant) > maxTenantLen {
 		return nil, fmt.Errorf("netexec: tenant id %d bytes long, limit %d", len(tenant), maxTenantLen)
 	}
-	s := &Session{ids: new(atomic.Uint32), relayed: new(atomic.Int64),
-		overlapped: new(atomic.Int64), buildOverlapped: new(atomic.Int64), tenant: tenant}
+	s := &Session{sessShared: new(sessShared), tenant: tenant}
 	for _, addr := range addrs {
 		c, err := dialSessConn(ctx, addr, t, s)
 		if err != nil {

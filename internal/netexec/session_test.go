@@ -452,7 +452,7 @@ func TestSessionRelationFormsByJobKind(t *testing.T) {
 			}
 		}
 		waitFor(t, "the ABORT to retire the job on the worker", func() bool {
-			return seen[faultnet.FrameAbort].Load() && w.Holdings().Jobs == 0
+			return seen[faultnet.FrameAbort].Load() && w.Snapshot().Holdings.Jobs == 0
 		})
 		if !seen[faultnet.FrameOpen].Load() {
 			t.Fatal("the job was never opened")

@@ -223,7 +223,7 @@ func TestStatsReplanErrorCancelsAndDrains(t *testing.T) {
 		t.Fatalf("replan failure not surfaced: %v", err)
 	}
 	for i, w := range ws {
-		if h := w.Holdings(); h.Transfers != 0 {
+		if h := w.Snapshot().Holdings; h.Transfers != 0 {
 			t.Fatalf("worker %d holds %+v after a cancelled stats exchange", i, h)
 		}
 	}
@@ -364,7 +364,7 @@ func TestAbortAfterEOSRetiresParkedJobs(t *testing.T) {
 	if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
 		t.Fatal(err)
 	}
-	if h := w.Holdings(); h.Jobs != 2 || h.Transfers != 1 || h.Bytes == 0 {
+	if h := w.Snapshot().Holdings; h.Jobs != 2 || h.Transfers != 1 || h.Bytes == 0 {
 		t.Fatalf("the parked jobs hold %+v, want two jobs, a transfer and their keys", h)
 	}
 	err = errors.Join(writeV3FrameHeader(bw, frameV3Abort, peerJob, 0),

@@ -476,6 +476,7 @@ func (s *sessStream) onWinEnd(ev streamEvent) {
 	// A failed write poisons the stream; the read loop sees the dead
 	// connection. The write itself is the next window's first stage.
 	r.Stages, s.clk.Record = s.clk.Record, stage.Record{}
+	s.ws.w.tallyReply(kindStream, &r)
 	s.fail(s.ws.reply(s.j.id, &r))
 	s.clk.Mark(stage.Reply)
 }
@@ -603,5 +604,6 @@ func (s *sessStream) onEOS() {
 		}
 	}
 	m.Final = true
+	s.ws.w.tallyReply(s.j.kind, &m)
 	_ = s.ws.reply(s.j.id, &m) // nothing left to tell a dead connection
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 )
@@ -157,8 +158,7 @@ func (w *Worker) admitJob(ctx context.Context, tenant string) (func(), error) {
 // to.
 var errAbandoned = errors.New("job wait abandoned")
 
-// AdmissionStats is a worker admitter's counters since start, for tests and
-// the benchmark's pool workload; what it holds now is in Holdings.
+// AdmissionStats is a worker admitter's counters since start (Snapshot).
 type AdmissionStats struct {
 	// FastPath counts jobs admitted immediately (free slot, empty queues).
 	FastPath int64
@@ -171,14 +171,9 @@ type AdmissionStats struct {
 	Granted map[string]int64
 }
 
-// AdmissionStats snapshots the worker's admission counters (zero value when
-// admission control is off).
-func (w *Worker) AdmissionStats() AdmissionStats {
-	if w.admit == nil {
-		return AdmissionStats{}
-	}
-	return w.admit.stats()
-}
+// AdmissionStats is Snapshot().Admission, kept only for the benchmark module
+// (ROADMAP item 1's ledger).
+func (w *Worker) AdmissionStats() AdmissionStats { return w.Snapshot().Admission }
 
 // admitter is the worker's weighted-fair execution gate: MaxInFlight slots,
 // one FIFO wait queue per tenant, dispatch by stride scheduling (each
@@ -200,19 +195,17 @@ type admitter struct {
 	granted    map[string]int64
 }
 
-func (a *admitter) stats() AdmissionStats {
+// snapshot reads the admitter's holdings and counters into s under one
+// lock; a nil admitter (admission off) leaves them zero.
+func (a *admitter) snapshot(s *Snapshot) {
+	if a == nil {
+		return
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	s := AdmissionStats{
-		FastPath:   a.fastPath,
-		Dispatched: a.dispatched,
-		Rejected:   a.rejected,
-		Granted:    make(map[string]int64, len(a.granted)),
-	}
-	for t, n := range a.granted {
-		s.Granted[t] = n
-	}
-	return s
+	s.Running, s.Waiting = a.running, a.waiting
+	s.Admission = AdmissionStats{FastPath: a.fastPath, Dispatched: a.dispatched,
+		Rejected: a.rejected, Granted: maps.Clone(a.granted)}
 }
 
 // admitQueue is one tenant's wait queue plus its stride-scheduling state.

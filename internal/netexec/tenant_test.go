@@ -59,8 +59,9 @@ func TestAdmitterHogCapped(t *testing.T) {
 		total += c.Load()
 	}
 	hogShare := float64(counts["hog"].Load()) / float64(total)
-	s := a.stats()
-	t.Logf("hog share %.1f%% of %d grants (fastpath %d dispatched %d)", 100*hogShare, total, s.FastPath, s.Dispatched)
+	var s Snapshot
+	a.snapshot(&s)
+	t.Logf("hog share %.1f%% of %d grants (fastpath %d dispatched %d)", 100*hogShare, total, s.Admission.FastPath, s.Admission.Dispatched)
 	if hogShare > 0.25 {
 		t.Fatalf("hog took %.0f%% of grants; fair queues should cap it near 11%%", 100*hogShare)
 	}
@@ -156,8 +157,9 @@ func TestAdmitterQueueFull(t *testing.T) {
 	if _, err := a.acquire(context.Background(), "t"); rejectCode(err) != codeAdmission {
 		t.Fatalf("acquire over full queue: got %v, want typed admission rejection", err)
 	}
-	if s := a.stats(); s.Rejected != 1 {
-		t.Fatalf("stats.Rejected = %d, want 1", s.Rejected)
+	var s Snapshot
+	if a.snapshot(&s); s.Admission.Rejected != 1 {
+		t.Fatalf("Admission.Rejected = %d, want 1", s.Admission.Rejected)
 	}
 	hold()
 	wg.Wait()
@@ -220,9 +222,9 @@ func TestAdmitterAbandon(t *testing.T) {
 
 // queued is a's count of jobs waiting for a slot.
 func queued(a *admitter) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.waiting
+	var s Snapshot
+	a.snapshot(&s)
+	return s.Waiting
 }
 
 // TestTenantTableBudget checks the ledger's byte charging: reservations
