@@ -32,7 +32,7 @@ func main() {
 	maxQueue := flag.Int("max-queue", 0, "with -max-inflight: per-tenant queued jobs before typed rejection (0: unbounded)")
 	queueDeadline := flag.Duration("queue-deadline", 0, "with -max-inflight: max queue wait before typed rejection (0: wait forever)")
 	tenantBytes := flag.Int64("tenant-max-bytes", 0, "default per-tenant byte budget: received keys, stage-1 matches, peer transfers (0: unlimited)")
-	cacheBytes := flag.Int64("build-cache-bytes", netexec.DefaultBuildCacheBytes, "build-side hash-join cache budget in bytes (<= 0: disable sharing)")
+	cacheBytes := flag.Int64("build-cache-bytes", netexec.DefaultBuildCacheBytes, "cache budget in bytes for count jobs' sealed build sides (<= 0: disable sharing)")
 	weights := netexec.TenantWeights{}
 	flag.Var(weights, "tenant-weight", "tenant scheduling weight as name=w (repeatable); weighted tenants keep the default tenant budgets")
 	flag.Parse()

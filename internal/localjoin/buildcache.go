@@ -8,14 +8,17 @@ import (
 	"ewh/internal/join"
 )
 
-// BuildCache shares immutable sealed Builds between jobs that index the same
-// relation content — the multi-tenant fleet's "many queries probe the same
-// dimension table" case. Entries are keyed by a 128-bit content digest of
-// the build-side key block (plus its exact length), so two tenants running
-// the same scheme over the same relation hit the same entry without any
-// coordination, and evicted by size-capped LRU. An evicted build stays valid
-// for jobs still probing it (it is immutable; the cache only drops its own
-// reference), so eviction needs no reference counting.
+// BuildCache shares immutable sealed resident sides between jobs that index
+// the same relation content — the multi-tenant fleet's "many queries probe the
+// same dimension table" case. A side is cached in the form it sealed into, a
+// hash Build or a rank table, and keyed by that form beside a 128-bit content
+// digest of its key block (plus its exact length): two tenants running the
+// same scheme over the same relation hit the same entry without any
+// coordination, while an equi Build and a band table over the same keys are
+// two entries that never shadow each other. Entries are evicted by size-capped
+// LRU. An evicted side stays valid for jobs still probing it (it is
+// immutable; the cache only drops its own reference), so eviction needs no
+// reference counting.
 
 // digest constants: two independent word-wise FNV-1a-style streams. 64 bits
 // each; H2 folds a rotated view of every key so the pair behaves as one
@@ -55,8 +58,8 @@ type BuildKey struct {
 }
 
 // CombineDigests folds per-chunk digests into a BuildKey by summing them, so
-// the fold does not depend on their order: a Build is a key→multiplicity
-// table, and arrival order is no part of its content. The same chunks key
+// the fold does not depend on their order: a sealed side is a multiset of
+// keys, and arrival order is no part of its content. The same chunks key
 // identically however they interleave; another chunking of the same content
 // keys differently, a false miss, never a false hit.
 func CombineDigests(ds []ChunkDigest) BuildKey {
@@ -76,73 +79,93 @@ type BuildCacheStats struct {
 	Bytes        int64
 }
 
-// BuildCache is a size-capped LRU of sealed Builds keyed by relation
-// content. Safe for concurrent use.
+// BuildCache is a size-capped LRU of sealed sides keyed by relation content
+// and form. Safe for concurrent use.
 type BuildCache struct {
 	mu     sync.Mutex
 	max    int64
 	size   int64
 	ll     *list.List // front = most recently used; values are *cacheEntry
-	m      map[BuildKey]*list.Element
+	m      map[cacheKey]*list.Element
 	hits   int64
 	misses int64
 }
 
+// sealedSide is a form the cache holds: a sealed Build or a sealed rank
+// table, immutable either way.
+type sealedSide interface {
+	*Build | *rankTable
+	MemBytes() int64
+}
+
+// cacheKey is an entry's content key and form.
+type cacheKey struct {
+	BuildKey
+	table bool // a rank table; a Build otherwise
+}
+
 type cacheEntry struct {
-	key   BuildKey
-	b     *Build
+	key   cacheKey
+	side  any // the sealedSide
 	bytes int64
 }
 
-// NewBuildCache returns a cache holding at most maxBytes of build tables
+// keyOf is key in S's form.
+func keyOf[S sealedSide](key BuildKey) cacheKey {
+	var none S
+	_, table := any(none).(*rankTable)
+	return cacheKey{key, table}
+}
+
+// NewBuildCache returns a cache holding at most maxBytes of sealed sides
 // (MemBytes accounting). maxBytes <= 0 returns nil — a nil *BuildCache is a
 // valid always-miss cache, so callers gate on one pointer.
 func NewBuildCache(maxBytes int64) *BuildCache {
 	if maxBytes <= 0 {
 		return nil
 	}
-	return &BuildCache{max: maxBytes, ll: list.New(), m: make(map[BuildKey]*list.Element)}
+	return &BuildCache{max: maxBytes, ll: list.New(), m: make(map[cacheKey]*list.Element)}
 }
 
-// Get returns the cached build for key, or nil. Hit/miss counters make the
-// lookup observable (the benchmark's localjoin.cache_hit_rate). Nil
-// receiver: always miss, uncounted.
-func (c *BuildCache) Get(key BuildKey) *Build {
+// cacheGet returns the side of S's form cached under key, or nil. Hit/miss
+// counters make the lookup observable (the benchmark's
+// localjoin.cache_hit_rate). Nil cache: always miss, uncounted.
+func cacheGet[S sealedSide](c *BuildCache, key BuildKey) S {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el := c.m[key]
+	el := c.m[keyOf[S](key)]
 	if el == nil {
 		c.misses++
 		return nil
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).b
+	return el.Value.(*cacheEntry).side.(S)
 }
 
-// Add caches a SEALED build under key and returns the canonical build for
-// that key: when a concurrent job raced the same content in first, the
-// existing entry wins and the caller's build is discarded — every sharer
-// probes one immutable build. Builds larger than the whole cache are not
-// admitted (returned as-is). Nil receiver: passthrough.
-func (c *BuildCache) Add(key BuildKey, b *Build) *Build {
+// cacheAdd caches a SEALED side under key and returns the canonical side for
+// that key and form: when a concurrent job raced the same content in first,
+// the existing entry wins and the caller's side is discarded — every sharer
+// probes one immutable side. Sides larger than the whole cache are not
+// admitted (returned as-is). Nil cache: passthrough.
+func cacheAdd[S sealedSide](c *BuildCache, key BuildKey, s S) S {
 	if c == nil {
-		return b
+		return s
 	}
-	bytes := b.MemBytes()
+	k, bytes := keyOf[S](key), s.MemBytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el := c.m[key]; el != nil {
+	if el := c.m[k]; el != nil {
 		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).b
+		return el.Value.(*cacheEntry).side.(S)
 	}
 	if bytes > c.max {
-		return b
+		return s
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, b: b, bytes: bytes})
+	c.m[k] = c.ll.PushFront(&cacheEntry{key: k, side: s, bytes: bytes})
 	c.size += bytes
 	for c.size > c.max {
 		el := c.ll.Back()
@@ -151,7 +174,7 @@ func (c *BuildCache) Add(key BuildKey, b *Build) *Build {
 		delete(c.m, e.key)
 		c.size -= e.bytes
 	}
-	return b
+	return s
 }
 
 // Stats snapshots the cache counters. Nil receiver: zero stats.

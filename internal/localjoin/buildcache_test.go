@@ -60,17 +60,17 @@ func TestBuildCacheHitMissEvict(t *testing.T) {
 	c := NewBuildCache(4 * b1.MemBytes())
 
 	k1 := buildKeyOf(r1)
-	if c.Get(k1) != nil {
+	if cacheGet[*Build](c, k1) != nil {
 		t.Fatal("empty cache returned a build")
 	}
-	if got := c.Add(k1, b1); got != b1 {
+	if got := cacheAdd(c, k1, b1); got != b1 {
 		t.Fatal("first Add did not return the added build")
 	}
-	if c.Get(k1) != b1 {
+	if cacheGet[*Build](c, k1) != b1 {
 		t.Fatal("Get missed a just-added entry")
 	}
 	// A racing Add of the same content yields the canonical first entry.
-	if got := c.Add(k1, sealedBuild(r1)); got != b1 {
+	if got := cacheAdd(c, k1, sealedBuild(r1)); got != b1 {
 		t.Fatal("duplicate Add did not return the canonical build")
 	}
 	st := c.Stats()
@@ -84,16 +84,16 @@ func TestBuildCacheHitMissEvict(t *testing.T) {
 		r := randKeys(2000, 100, 90+uint64(i))
 		k := buildKeyOf(r)
 		keys = append(keys, k)
-		c.Add(k, sealedBuild(r))
+		cacheAdd(c, k, sealedBuild(r))
 	}
 	st = c.Stats()
 	if st.Bytes > 4*b1.MemBytes() {
 		t.Fatalf("cache holds %d bytes, cap %d", st.Bytes, 4*b1.MemBytes())
 	}
-	if c.Get(k1) != nil {
+	if cacheGet[*Build](c, k1) != nil {
 		t.Fatal("LRU tail survived eviction")
 	}
-	if c.Get(keys[len(keys)-1]) == nil {
+	if cacheGet[*Build](c, keys[len(keys)-1]) == nil {
 		t.Fatal("most recent entry was evicted")
 	}
 }
@@ -103,10 +103,10 @@ func TestBuildCacheOversizedAndNil(t *testing.T) {
 	b := sealedBuild(r)
 	c := NewBuildCache(b.MemBytes() / 2)
 	k := buildKeyOf(r)
-	if got := c.Add(k, b); got != b {
+	if got := cacheAdd(c, k, b); got != b {
 		t.Fatal("oversized Add did not pass the build through")
 	}
-	if c.Get(k) != nil || c.Stats().Entries != 0 {
+	if cacheGet[*Build](c, k) != nil || c.Stats().Entries != 0 {
 		t.Fatal("oversized build was admitted")
 	}
 
@@ -115,10 +115,10 @@ func TestBuildCacheOversizedAndNil(t *testing.T) {
 	if nc != NewBuildCache(0) {
 		t.Fatal("NewBuildCache(0) should return nil")
 	}
-	if nc.Get(k) != nil {
+	if cacheGet[*Build](nc, k) != nil {
 		t.Fatal("nil cache returned a build")
 	}
-	if nc.Add(k, b) != b {
+	if cacheAdd(nc, k, b) != b {
 		t.Fatal("nil cache Add did not pass through")
 	}
 	if nc.Stats() != (BuildCacheStats{}) {
@@ -139,17 +139,17 @@ func TestBuildCacheSharedProbes(t *testing.T) {
 	c := NewBuildCache(1 << 20)
 	// Job A: miss, build, publish.
 	k := buildKeyOf(r1)
-	bA := c.Get(k)
+	bA := cacheGet[*Build](c, k)
 	if bA != nil {
 		t.Fatal("unexpected hit")
 	}
-	bA = c.Add(k, sealedBuild(r1))
+	bA = cacheAdd(c, k, sealedBuild(r1))
 	if got := bA.ProbeCount(probeA); got != wantA {
 		t.Fatalf("job A count = %d, want %d", got, wantA)
 	}
 	// Job B: same content (chunked differently upstream doesn't matter here —
 	// same flat digest), hit, probe the shared build.
-	bB := c.Get(buildKeyOf(append([]join.Key(nil), r1...)))
+	bB := cacheGet[*Build](c, buildKeyOf(append([]join.Key(nil), r1...)))
 	if bB != bA {
 		t.Fatal("job B did not hit job A's build")
 	}
@@ -178,8 +178,8 @@ func TestBuildCacheConcurrentProbes(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				b := c.Get(k)
-				for ; b == nil; b = c.Get(k) {
+				b := cacheGet[*Build](c, k)
+				for ; b == nil; b = cacheGet[*Build](c, k) {
 					runtime.Gosched()
 				}
 				counts[g] = b.ProbeCount(probe)
@@ -190,12 +190,115 @@ func TestBuildCacheConcurrentProbes(t *testing.T) {
 			b.Insert(ch)
 		}
 		b.Seal()
-		c.Add(k, b)
+		cacheAdd(c, k, b)
 		wg.Wait()
 		for g, got := range counts {
 			if got != want {
 				t.Errorf("%s: prober %d counted %d, want %d", rel.name, g, got, want)
 			}
 		}
+	}
+}
+
+// sealChunks seals keys, arrived in chunks of size, as a resident relation 1
+// under cond through c, keyed by the digests of those chunks.
+func sealChunks(c *BuildCache, cond join.Condition, keys []join.Key, size int) *Resident {
+	r := NewResident(cond, true)
+	var ds []ChunkDigest
+	for _, ch := range chunked(keys, size) {
+		ds = append(ds, DigestKeys(ch))
+		r.Insert(ch)
+	}
+	r.SealShared(c, CombineDigests(ds))
+	return r
+}
+
+// TestBuildCacheTableProbedWhileEvicted is the rank table's sharing contract:
+// jobs over the same content seal into the one cached table, and keep
+// probing it while later tables evict it; each count matches the oracle.
+// Under -race it proves that a hit neither writes the shared table nor needs
+// it to outlive its entry.
+func TestBuildCacheTableProbedWhileEvicted(t *testing.T) {
+	cond := join.NewBand(3)
+	r1 := randKeys(4000, 8000, 70) // 2 slots a key: the table form
+	probe := randKeys(1000, 8000, 71)
+	want := NestedLoopCount(r1, probe, cond)
+
+	own := sealChunks(nil, cond, r1, 512).table
+	if own == nil {
+		t.Fatal("the dense band side did not seal into a table")
+	}
+	c := NewBuildCache(3 * own.MemBytes() / 2) // room for one such table, not two
+	first := sealChunks(c, cond, r1, 512).table
+	const probers = 4
+	counts := make([]int64, probers)
+	var hit, done sync.WaitGroup
+	evicted := make(chan struct{})
+	hit.Add(probers)
+	for g := range counts {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			r := sealChunks(c, cond, r1, 512)
+			if r.table != first {
+				t.Errorf("prober %d sealed its own table, not the cached one", g)
+			}
+			hit.Done()
+			for {
+				var n int64
+				for _, ch := range chunked(probe, 128) {
+					got, _ := r.ProbeCount(ch, true)
+					n += got
+				}
+				counts[g] = n
+				select {
+				case <-evicted:
+					return
+				default:
+				}
+				if n != want {
+					return
+				}
+			}
+		}()
+	}
+	hit.Wait()
+	for i := range 3 {
+		sealChunks(c, cond, randKeys(4000, 8000, 72+uint64(i)), 512)
+	}
+	close(evicted)
+	done.Wait()
+	for g, got := range counts {
+		if got != want {
+			t.Errorf("prober %d counted %d, want %d", g, got, want)
+		}
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Hits != probers {
+		t.Fatalf("cache %+v, want 1 entry left and %d hits", st, probers)
+	}
+	if sealChunks(c, cond, r1, 512).table == first {
+		t.Fatal("the evicted table was still served")
+	}
+}
+
+// TestBuildCacheKeysByForm caches a Build and a rank table over the same
+// content: each is found under its own form, and neither replaces the other.
+func TestBuildCacheKeysByForm(t *testing.T) {
+	keys := randKeys(2000, 2000, 76)
+	k := buildKeyOf(keys)
+	c := NewBuildCache(1 << 20)
+	b := cacheAdd(c, k, sealedBuild(keys))
+	if got := cacheGet[*rankTable](c, k); got != nil {
+		t.Fatal("a Build's content key served a rank table")
+	}
+	tbl := sealChunks(nil, join.NewBand(1), keys, 0).table
+	if got := cacheAdd(c, k, tbl); got != tbl {
+		t.Fatal("the table was not admitted beside the Build of the same content")
+	}
+	if cacheGet[*Build](c, k) != b || cacheGet[*rankTable](c, k) != tbl {
+		t.Fatal("one form shadowed the other")
+	}
+	if st := c.Stats(); st.Entries != 2 || st.Bytes != b.MemBytes()+tbl.MemBytes() {
+		t.Fatalf("cache %+v, want both entries and their bytes", st)
 	}
 }

@@ -326,7 +326,8 @@ func (b *Build) toSparse() {
 
 // Seal finishes the build: it records MemBytes, and from here on the build
 // is immutable, so it may be shared by concurrent probers and cached across
-// jobs once something that synchronizes (BuildCache.Add) publishes it.
+// jobs once something that synchronizes (the build cache's cacheAdd)
+// publishes it.
 func (b *Build) Seal() {
 	if b.parts == nil {
 		b.bytes = int64(cap(b.dense.counts)) * 4

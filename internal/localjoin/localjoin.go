@@ -141,37 +141,41 @@ func (r *Resident) Insert(keys []join.Key) (kept bool) {
 func (r *Resident) Seal() { r.SealShared(nil, BuildKey{}) }
 
 // SealShared is Seal for a side whose content key the caller digested from
-// every chunk it inserted, kept or not. A hash side is immutable once sealed:
-// on a cache hit it becomes the shared build of identical content (the wasted
-// inserts overlapped the wire anyway, and the chunks it held are never
-// counted), on a miss it counts them and publishes its own.
+// every chunk it inserted, kept or not. A hash or table side is immutable once
+// sealed: on a cache hit it becomes the shared side of identical content and
+// form (a hash side's wasted inserts overlapped the wire anyway, and the
+// chunks either held are never counted), on a miss it counts them and
+// publishes its own. A merge side is the job's own.
 func (r *Resident) SealShared(cache *BuildCache, key BuildKey) {
-	if r.build == nil {
-		r.sealKept()
-		return
-	}
 	held := r.runs
 	r.runs = nil
-	if cached := cache.Get(key); cached != nil {
+	if r.build == nil {
+		r.sealKept(held, cache, key)
+		return
+	}
+	if cached := cacheGet[*Build](cache, key); cached != nil {
 		r.build = cached
 		return
 	}
 	r.build.insertHeld(held)
 	r.build.Seal()
-	r.build = cache.Add(key, r.build)
+	r.build = cacheAdd(cache, key, r.build)
 }
 
-// sealKept seals a side that is not a Build, into the table form when its
-// form allows and its keys fit, else into the merge form. Either is the
-// side's own and exactly sized: a pooled chunk of whatever capacity goes back
-// to its pool instead of staying pinned under it.
-func (r *Resident) sealKept() {
-	runs := r.runs
-	r.runs = nil
+// sealKept seals the runs of a side that is not a Build, into the table form
+// when its form allows and its keys fit, else into the merge form. Either is
+// exactly sized and holds no chunk: a pooled chunk of whatever capacity goes
+// back to its pool instead of staying pinned under it. Only a side bound for
+// the table form looks in the cache.
+func (r *Resident) sealKept(runs [][]join.Key, cache *BuildCache, key BuildKey) {
 	if r.form != formMerge {
 		lo, hi, n := keyRange(runs)
 		if r.form == formTable || tableFits(lo, hi, n) {
-			if r.table = newRankTable(runs, lo, hi, n); r.table != nil {
+			if r.table = cacheGet[*rankTable](cache, key); r.table != nil {
+				return
+			}
+			if t := newRankTable(runs, lo, hi, n); t != nil {
+				r.table = cacheAdd(cache, key, t)
 				return
 			}
 		}

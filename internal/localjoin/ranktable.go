@@ -30,7 +30,8 @@ import (
 // keeps the 4-byte range bases within 1 KiB.
 const rankParts = 256
 
-// rankTable is a sealed side in the table form. A resident's is immutable.
+// rankTable is a sealed side in the table form. A resident's is immutable and
+// may be shared through the build cache, so its storage is never pooled.
 type rankTable struct {
 	lo    join.Key // least resident key: slot 0
 	hi    join.Key // greatest resident key: the last slot
@@ -38,6 +39,10 @@ type rankTable struct {
 	cum   []uint16 // cum[i]: resident keys at most lo+i in i's range
 	base  []uint32 // base[p]: resident keys in the ranges before range p
 }
+
+// MemBytes is the table's storage: 2 B a slot and 4 B a range, the unit
+// BuildCache charges it.
+func (t *rankTable) MemBytes() int64 { return 2*int64(len(t.cum)) + 4*int64(len(t.base)) }
 
 // tableSpan bounds the table form at this many slots per key: the
 // directBytesPerKey budget at 2 B a slot.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -452,8 +453,8 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 // (stream_worker.go) serves — a pairs job, equi and band count jobs, a
 // peer-fed job and a stream — crossed with every way such a job can leave the
 // worker, each driven frame by frame over a raw connection and asserting
-// workersIdle, a build cache untouched by a failed job, and the goroutine
-// count back at the snapshot. The worker has ONE admission slot, so a fed job
+// workersIdle, a build cache untouched by a failed job and grown by a
+// completed count job, and the goroutine count back at the snapshot. The worker has ONE admission slot, so a fed job
 // whose goroutine queued for a second slot beside the one its open holds,
 // or a peer-fed job that sat on one while parked on its transfer, times out.
 
@@ -692,6 +693,15 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 					c.k.keys(c.bw, buildSide, make([]join.Key, feedBudget/8)), eos(c.bw))
 			},
 			check: failedWith(codeQuota)},
+		{name: "tenant quota rejection, then the run's end frame", budget: feedBudget,
+			send: func(c cell) error {
+				// The end frame still reaches the goroutine, which must not seal
+				// (and publish) the side it failed on.
+				over := make([]join.Key, feedBudget/8)
+				return errors.Join(midBuild(c.k, c.bw), c.k.keys(c.bw, buildSide, over),
+					c.k.end(c.bw, buildSide, len(build)+len(over)), eos(c.bw))
+			},
+			check: failedWith(codeQuota)},
 		{name: "parked on its transfer while another job takes the one slot", peerOnly: true,
 			send: func(c cell) error {
 				// Sealed and parked: the one sender has not contributed yet.
@@ -770,8 +780,14 @@ func TestWorkerFeedReturnsToBaseline(t *testing.T) {
 					}
 				}
 				workersIdle(t, w)
-				if grew := w.Snapshot().Cache.Bytes - cacheBefore; grew != 0 && x.name != "EOS" {
+				// Only a count job's side is cached, hash or table alike, and
+				// only a completed one.
+				grew := w.Snapshot().Cache.Bytes - cacheBefore
+				switch counted := strings.HasSuffix(c.k.name, "count job"); {
+				case x.name != "EOS" && grew != 0:
 					t.Errorf("failed job left %d bytes in the build cache", grew)
+				case x.name == "EOS" && counted && grew <= 0:
+					t.Errorf("the count job's sealed side left no entry in the build cache")
 				}
 				_ = conn.Close()
 				_ = w.Close()

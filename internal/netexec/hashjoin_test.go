@@ -70,17 +70,16 @@ func TestSessionHashJoinOverlap(t *testing.T) {
 	}
 }
 
-// TestPoolBuildCacheHit is the shared-build acceptance test: two tenants of
-// one pool join different probe relations against the SAME build-side
-// relation; the second tenant's jobs must hit the first tenant's cached
-// builds (identical content, identical chunk structure under the shared
-// seed) and both answers stay bit-exact. leakCheck (in startWorkerSet) pins
-// that no join goroutine outlives its job.
+// TestPoolBuildCacheHit is the shared-side acceptance test: two tenants of
+// one pool join different probe relations against the SAME relation 1, under
+// an equi condition (a hash build), a band and an inequality (rank tables);
+// the second tenant's count jobs must each hit the first tenant's cached side
+// on every worker (identical content, identical chunk structure under the
+// shared seed), a repeat of the first tenant's job too, and every answer stays
+// bit-exact. leakCheck (in startWorkerSet) pins that no join goroutine
+// outlives its job.
 func TestPoolBuildCacheHit(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 2)
-	dim := zipfKeys(20000, 3000, 0.7, 150) // shared build side
-	probeA := zipfKeys(8000, 3000, 0.7, 151)
-	probeB := zipfKeys(8000, 3000, 0.7, 152)
 	scheme := partition.NewCI(2)
 	cfg := exec.Config{Seed: 153, Mappers: 8}
 
@@ -89,50 +88,78 @@ func TestPoolBuildCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pool.Close()
-
-	run := func(tenant string, probe []join.Key) int64 {
-		t.Helper()
-		s, err := pool.Session(context.Background(), tenant)
-		if err != nil {
-			t.Fatal(err)
+	hits := func() []int64 {
+		out := make([]int64, len(ws))
+		for i, w := range ws {
+			out[i] = w.Snapshot().Cache.Hits
 		}
-		res, err := exec.RunOver(s, dim, probe, join.Equi{}, scheme, model, cfg)
-		if err != nil {
-			t.Fatal(err)
+		return out
+	}
+
+	for i, cond := range []join.Condition{join.Equi{}, join.NewBand(2), join.Inequality{Op: join.Less}} {
+		seed := 150 + 10*uint64(i)
+		dim := zipfKeys(20000, 3000, 0.7, seed) // shared relation 1, dense enough for a table
+		probeA := zipfKeys(8000, 3000, 0.7, seed+1)
+		probeB := zipfKeys(8000, 3000, 0.7, seed+2)
+		run := func(tenant string, probe []join.Key) int64 {
+			t.Helper()
+			s, err := pool.Session(context.Background(), tenant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := exec.RunOver(s, dim, probe, cond, scheme, model, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Output
 		}
-		return res.Output
+		gotA := run("alpha", probeA)
+		first := hits()
+		gotB := run("beta", probeB)
+		// A repeat of tenant alpha's exact job must also hit and agree.
+		again := run("alpha", probeA)
+		wantA := exec.Run(dim, probeA, cond, scheme, model, cfg).Output
+		wantB := exec.Run(dim, probeB, cond, scheme, model, cfg).Output
+		if gotA != wantA || gotB != wantB || again != wantA {
+			t.Fatalf("%v: outputs (%d, %d, %d), want (%d, %d, %d)", cond, gotA, gotB, again, wantA, wantB, wantA)
+		}
+		for w, h := range hits() {
+			if h-first[w] != 2 {
+				t.Errorf("%v: worker %d hit its cache %d times in the two jobs after the first, want 2", cond, w, h-first[w])
+			}
+		}
 	}
-
-	gotA := run("alpha", probeA)
-	gotB := run("beta", probeB)
-	// A repeat of tenant alpha's exact job must also hit and agree.
-	if again := run("alpha", probeA); again != gotA {
-		t.Fatalf("cache-hit rerun output %d, want %d", again, gotA)
-	}
-
-	wantA := exec.Run(dim, probeA, join.Equi{}, scheme, model, cfg).Output
-	wantB := exec.Run(dim, probeB, join.Equi{}, scheme, model, cfg).Output
-	if gotA != wantA || gotB != wantB {
-		t.Fatalf("outputs (%d, %d), want (%d, %d)", gotA, gotB, wantA, wantB)
-	}
-
-	var hits, misses int64
 	for _, w := range ws {
-		st := w.Snapshot().Cache
-		hits += st.Hits
-		misses += st.Misses
-		if st.Bytes <= 0 || st.Entries <= 0 {
-			t.Errorf("worker %s cache holds %d entries / %d bytes after hash jobs",
-				w.Addr(), st.Entries, st.Bytes)
+		// One entry per condition's relation 1 on each worker, each missed once.
+		if st := w.Snapshot().Cache; st.Entries != 3 || st.Misses != 3 || st.Bytes <= 0 {
+			t.Errorf("worker %s cache %+v, want 3 entries from 3 misses", w.Addr(), st)
 		}
 	}
-	// Three jobs per worker over identical build content: the first misses,
-	// the other two share its build.
-	if hits <= 0 {
-		t.Fatalf("no build-cache hits across the fleet (hits=%d misses=%d)", hits, misses)
+}
+
+// TestBuildCacheKeepsFormsApart runs an equi and a band count job over the
+// same relation 1, each twice in turn, on one worker: the hash build and the
+// rank table over the same content are two entries, and each repeat hits its
+// own. A content-only key would hand one form the other's side.
+func TestBuildCacheKeepsFormsApart(t *testing.T) {
+	ws, addrs := startWorkerSet(t, 1)
+	dim, probe := zipfKeys(6000, 1500, 0.8, 170), zipfKeys(6000, 1500, 0.8, 171)
+	scheme := partition.NewCI(1)
+	cfg := exec.Config{Seed: 172, Mappers: 4}
+	sess := dialSession(t, addrs)
+	for range 2 {
+		for _, cond := range []join.Condition{join.Equi{}, join.NewBand(2)} {
+			got, err := exec.RunOver(sess, dim, probe, cond, scheme, model, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := localjoin.Count(dim, probe, cond); got.Output != want {
+				t.Fatalf("%v: session output %d, want %d", cond, got.Output, want)
+			}
+		}
 	}
-	if hits < misses {
-		t.Fatalf("hit rate below the 2-of-3 sharing expectation (hits=%d misses=%d)", hits, misses)
+	if st := ws[0].Snapshot().Cache; st.Hits != 2 || st.Misses != 2 || st.Entries != 2 {
+		t.Fatalf("an equi and a band job over one relation, twice each: cache %+v, want 2 hits, 2 misses, 2 entries", st)
 	}
 }
 

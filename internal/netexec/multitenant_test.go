@@ -100,6 +100,11 @@ func TestSessionTypedQuotaRejection(t *testing.T) {
 	if used := ws[0].Snapshot().Holdings.Bytes; used != 0 {
 		t.Fatalf("rejected job left %d bytes reserved", used)
 	}
+	// Its refusal is a final reply like any other: tallied with the time the
+	// job spent up to it.
+	if tl := ws[0].Snapshot().Jobs["count"]; tl.Finals != 1 || tl.Stages.Total() <= 0 {
+		t.Fatalf("the refused count job tallied %+v, want one final carrying its stage time", tl)
+	}
 	// The same join under an unbudgeted tenant runs to the correct answer.
 	free, err := DialTenant(context.Background(), "free", addrs, Timeouts{})
 	if err != nil {

@@ -113,10 +113,10 @@ type Worker struct {
 	admit  *admitter
 	ledger *ledger
 
-	// buildCache shares sealed hash builds between jobs indexing the same
-	// relation content — across sessions and tenants, since a sealed build
-	// is immutable and content-addressed (see localjoin.BuildCache). Nil
-	// disables caching.
+	// buildCache shares count jobs' sealed sides, hash builds and rank
+	// tables, between jobs indexing the same relation content — across
+	// sessions and tenants, since a sealed side is immutable and
+	// content-addressed (see localjoin.BuildCache). Nil disables caching.
 	buildCache *localjoin.BuildCache
 
 	// tally is every job kind's replies since start (Snapshot).
@@ -163,8 +163,8 @@ func ListenWorkerOn(ln net.Listener) *Worker {
 }
 
 // DefaultBuildCacheBytes is the worker's default build-side cache budget.
-// The cache holds sealed hash-engine builds (content-addressed, shared
-// across sessions and tenants); its tables live outside the per-tenant byte
+// The cache holds count jobs' sealed sides (content-addressed, shared across
+// sessions and tenants); its tables live outside the per-tenant byte
 // budgets, bounded globally by this cap instead.
 const DefaultBuildCacheBytes = 64 << 20
 

@@ -519,7 +519,7 @@ func (j *subJob) account(rm *reply, m *exec.WorkerMetrics, recs []stage.Record) 
 // relations and EOS — in a single send, so they are contiguous on the wire;
 // each relation is fetched from its future right before sending, which is
 // where the shuffle/socket overlap happens — relation 1's frames go out (and
-// flush) while relation 2 may still be scattering.
+// flush, so the worker seals it) while relation 2 may still be scattering.
 func (j *subJob) sendJob(o *open, job *exec.Job) error {
 	arrival := o.Kind != kindCount
 	return j.send(func(bw *bufio.Writer) error {
@@ -569,16 +569,18 @@ func (j *subJob) writeRelation(bw *bufio.Writer, rel int8, rd exec.RelData, arri
 }
 
 // sendChunks pipelines one chunk-streamed relation as the base (the
-// resident side) or the window of epoch 0: every routed sub-block the moment
-// the shuffle emits it (flushed per chunk so the worker decodes while later
-// mappers still route), then the end frame with the exact total. frame is how
-// each of those reaches the wire: inline inside a whole-job send's single lock
-// hold, or — for a peer-fed job's right relation, which shares its connection
-// with a running stage 1 — one send per frame group, so the stream never
-// monopolizes the connection. Every return path leaves this worker's channel
-// drained, so a failed sub-job never wedges the producer's buffers (the
-// stream's other consumers are independent; the driver's releaseRelData
-// backstops relations never reached).
+// resident side) or the window of epoch 0: every routed sub-block framed the
+// moment the shuffle emits it, then the end frame with the exact total. frame
+// is how each of those reaches the wire: inline inside a whole-job send's
+// single lock hold, where the connection's buffer leaves whenever it fills —
+// a relation larger than it streams out while later mappers still route, a
+// small one leaves whole at sendJob's flush — or, for a peer-fed job's right
+// relation, which shares its connection with a running stage 1, one flushed
+// send per frame group, so the stream never monopolizes the connection.
+// Every return path leaves this worker's channel drained, so a failed sub-job
+// never wedges the producer's buffers (the stream's other consumers are
+// independent; the driver's releaseRelData backstops relations never
+// reached).
 func (j *subJob) sendChunks(frame func(func(*bufio.Writer) error) error, rel int8,
 	cs *exec.ChunkStream, base bool) error {
 
@@ -594,16 +596,10 @@ func (j *subJob) sendChunks(frame func(func(*bufio.Writer) error) error, rel int
 				return fmt.Errorf("relation %d holds over %d tuples, wire limit %d",
 					rel, total, MaxRelationTuples)
 			}
-			var err error
 			if base {
-				err = writeStreamBaseKeys(bw, j.id, 0, ch.Keys)
-			} else {
-				err = writeStreamWinKeys(bw, j.id, 0, 0, ch.Keys)
+				return writeStreamBaseKeys(bw, j.id, 0, ch.Keys)
 			}
-			if err != nil {
-				return err
-			}
-			return bw.Flush()
+			return writeStreamWinKeys(bw, j.id, 0, 0, ch.Keys)
 		})
 		total += len(ch.Keys)
 		bufpool.Keys.Put(ch.Keys)

@@ -2,6 +2,7 @@ package netexec
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -96,6 +98,104 @@ func TestSessionMatchesLocalAcrossJobs(t *testing.T) {
 		}
 		if !strings.HasSuffix(net.Scheme, "@sess") {
 			t.Fatalf("scheme label %q", net.Scheme)
+		}
+	}
+}
+
+// writeLog records the writes a coordinator's connection makes: the bytes,
+// and the stream offset each write ends at.
+type writeLog struct {
+	w    io.Writer
+	mu   sync.Mutex
+	sent bytes.Buffer
+	ends []int
+}
+
+func (l *writeLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	l.sent.Write(p)
+	l.ends = append(l.ends, l.sent.Len())
+	l.mu.Unlock()
+	return l.w.Write(p)
+}
+
+// logWrites routes every connection of sess, idle past its prelude, through
+// a writeLog of its own.
+func logWrites(sess *Session) []*writeLog {
+	logs := make([]*writeLog, len(sess.conns))
+	for i, c := range sess.conns {
+		logs[i] = &writeLog{w: c.conn}
+		c.bw = bufio.NewWriterSize(logs[i], connBufSize)
+	}
+	return logs
+}
+
+// writesBefore returns the number of writes l made and how many of them
+// ended ahead of the first frame of type typ (all of them when none is there).
+func (l *writeLog) writesBefore(t *testing.T, typ byte) (all, before int) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	sent := l.sent.Bytes()
+	at := len(sent)
+	for off := 0; off < len(sent); {
+		ft, _, n, err := readV3FrameHeader(bytes.NewReader(sent[off:]))
+		if err != nil {
+			t.Fatalf("the log holds no frame at offset %d: %v", off, err)
+		}
+		if ft == typ {
+			at = off
+			break
+		}
+		off += v3FrameHeaderLen + n
+	}
+	for _, end := range l.ends {
+		if end <= at {
+			before++
+		}
+	}
+	return len(l.ends), before
+}
+
+// TestWholeJobSendWritesPerRelation pins how a count job's send reaches the
+// socket: within one lock hold, its frames leave when the connection's
+// buffer fills, after relation 1 and at the end. A small job's sub-job then
+// takes at most two writes however many chunks the mappers routed; a
+// relation several buffers long still reaches the worker in writes ahead of
+// its end frame, so the worker decodes it while later chunks are routed.
+func TestWholeJobSendWritesPerRelation(t *testing.T) {
+	_, addrs := startWorkerSet(t, 2)
+	hash, err := partition.NewHash(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := exec.Config{Seed: 180, Mappers: 4}
+	for _, c := range []struct {
+		name   string
+		r1, r2 []join.Key
+		small  bool
+	}{
+		{"20k-row job", randKeys(10_000, 10_000, 181), randKeys(10_000, 10_000, 182), true},
+		{"relation 1 of 4 buffers a worker", randKeys(80_000, 80_000, 183), randKeys(1000, 80_000, 184), false},
+	} {
+		sess := dialSession(t, addrs)
+		logs := logWrites(sess)
+		got, err := exec.RunOver(sess, c.r1, c.r2, join.Equi{}, hash, model, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := localjoin.Count(c.r1, c.r2, join.Equi{}); got.Output != want {
+			t.Fatalf("%s: output %d, want %d", c.name, got.Output, want)
+		}
+		for w, l := range logs {
+			all, before := l.writesBefore(t, frameV3StreamBaseEnd)
+			t.Logf("%s: worker %d: %d writes, %d ahead of relation 1's end frame", c.name, w, all, before)
+			switch {
+			case c.small && all > 2:
+				t.Errorf("%s: worker %d's sub-job took %d writes, want at most 2", c.name, w, all)
+			case !c.small && before < 2:
+				t.Errorf("%s: relation 1 reached worker %d in %d writes ahead of its end frame, want several", c.name, w, before)
+			}
 		}
 	}
 }

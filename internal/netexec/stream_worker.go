@@ -25,10 +25,10 @@ import (
 // joins them at EOS (joinInOrder) under the slot its open took; a
 // contribution keeps its one run's and commits them to its transfer at EOS
 // (commit). Every other job counts: it holds one relation as the join's
-// resident side (localjoin.Resident — hash or merge, the goroutine never asks
-// which), seals it at that relation's end frame, and probes the other
-// relation against it, each kind taking its relations as base and window
-// frames:
+// resident side (localjoin.Resident — hash, table or merge, the goroutine
+// never asks which), seals it at that relation's end frame, and probes the
+// other relation against it, each kind taking its relations as base and
+// window frames:
 //
 //   - A stream job: an unbounded sequence of tuple windows (relation 1)
 //     against a static base (relation 2). Each window counts at its end
@@ -107,10 +107,11 @@ type sessStream struct {
 	baseN  int
 	res    *localjoin.Resident
 	held   [][]join.Key // pooled chunks res keeps: until its seal, then until the window's end
-	// digests, on a count job's hash side (resTag 1, EquiLike), holds the
-	// digests of every chunk res was given, kept or copied out: folded at the
-	// seal, in any order, they are the side's content key in the worker's
-	// build cache.
+	// digests, on a count job's side (resTag 1: the ordered kinds that share
+	// it never reach onBase), holds the digests of every chunk res was given,
+	// kept or copied out: folded at the seal, in any order, they are the
+	// side's content key in the worker's build cache, whatever form it seals
+	// into.
 	digests []localjoin.ChunkDigest
 
 	winOpen  bool
@@ -356,7 +357,7 @@ func (s *sessStream) onBase(ev streamEvent) {
 	}
 	// Kept or copied out, the keys now live in the side: the reservation
 	// stays until the epoch resets, covering that resident memory.
-	if s.resTag == 1 && localjoin.EquiLike(s.j.cond) {
+	if s.resTag == 1 {
 		s.digests = append(s.digests, localjoin.DigestKeys(ev.keys))
 	}
 	if s.res.Insert(ev.keys) {
@@ -393,7 +394,9 @@ func (s *sessStream) onBaseEnd(ev streamEvent) {
 		return
 	}
 	if s.resTag == 1 {
-		// A stream's or peer-fed job's side stays uncached: job-unique, it
+		// A count job's side, hash or table, is shared through the build
+		// cache; a failed job returned above, so it publishes nothing. A
+		// stream's or peer-fed job's side stays uncached: job-unique, it
 		// would only churn the LRU.
 		s.res.SealShared(s.ws.w.buildCache, localjoin.CombineDigests(s.digests))
 	} else {
@@ -592,7 +595,6 @@ func (s *sessStream) onEOS() {
 	if errors.Is(s.failed, errAbandoned) {
 		return
 	}
-	m.Stages = s.clk.Record
 	if s.failed != nil {
 		m = reply{Err: s.failed.Error(), Code: rejectCode(s.failed)}
 		// A contribution that could not reach its peer indicts the PEER, not
@@ -603,7 +605,7 @@ func (s *sessStream) onEOS() {
 			m.FaultAddr = pf.addr
 		}
 	}
-	m.Final = true
+	m.Stages, m.Final = s.clk.Record, true
 	s.ws.w.tallyReply(s.j.kind, &m)
 	_ = s.ws.reply(s.j.id, &m) // nothing left to tell a dead connection
 }
