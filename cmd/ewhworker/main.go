@@ -4,9 +4,7 @@
 // numbered job ships and reports its metrics.
 //
 // On SIGINT/SIGTERM the worker shuts down gracefully: it stops accepting,
-// drains every in-flight job (bounded by -drain), then exits 0. -fail-after
-// N crashes the worker abruptly after N completed jobs — the deterministic
-// fault-injection hook recovery demos and tests kill workers with.
+// drains every in-flight job (bounded by -drain), then exits 0.
 //
 //	ewhworker -addr 127.0.0.1:7071
 package main
@@ -27,7 +25,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:0", "address to listen on")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout for in-flight jobs")
 	timeout := flag.Duration("timeout", 0, "dial and per-operation IO deadline on session and peer connections (0: none)")
-	failAfter := flag.Int("fail-after", 0, "crash abruptly after completing N jobs (fault-injection hook for recovery testing; 0: never)")
 	maxInFlight := flag.Int("max-inflight", 0, "admission control: concurrent join executions (0: unlimited)")
 	maxQueue := flag.Int("max-queue", 0, "with -max-inflight: per-tenant queued jobs before typed rejection (0: unbounded)")
 	queueDeadline := flag.Duration("queue-deadline", 0, "with -max-inflight: max queue wait before typed rejection (0: wait forever)")
@@ -43,8 +40,8 @@ func main() {
 		negative bool
 	}{
 		{"timeout", *timeout < 0}, {"drain", *drain < 0}, {"queue-deadline", *queueDeadline < 0},
-		{"fail-after", *failAfter < 0}, {"max-inflight", *maxInFlight < 0},
-		{"max-queue", *maxQueue < 0}, {"tenant-max-bytes", *tenantBytes < 0},
+		{"max-inflight", *maxInFlight < 0}, {"max-queue", *maxQueue < 0},
+		{"tenant-max-bytes", *tenantBytes < 0},
 	} {
 		if f.negative {
 			usage("-%s %v: cannot be negative", f.name, flag.Lookup(f.name).Value)
@@ -75,10 +72,6 @@ func main() {
 		w.SetDefaultTenantPolicy(base)
 	}
 	weights.Apply(w, base)
-	if *failAfter > 0 {
-		w.FailAfterJobs(*failAfter)
-		fmt.Fprintf(os.Stderr, "ewhworker: will crash after %d jobs\n", *failAfter)
-	}
 	fmt.Println("ewhworker listening on", w.Addr())
 
 	sigc := make(chan os.Signal, 1)

@@ -46,7 +46,7 @@ func TestBadSizesAreUsageErrors(t *testing.T) {
 		{"ewhcoord", "-seed=42", "-retries", "-1"},
 		{"ewhworker", "-addr=127.0.0.1:0", "-timeout", "-1s"}, {"ewhworker", "-addr=127.0.0.1:0", "-drain", "-1s"},
 		{"ewhworker", "-max-inflight=1", "-queue-deadline", "-1s"}, {"ewhworker", "-max-inflight=1", "-max-queue", "-1"},
-		{"ewhworker", "-addr=127.0.0.1:0", "-max-inflight", "-1"}, {"ewhworker", "-addr=127.0.0.1:0", "-fail-after", "-1"},
+		{"ewhworker", "-addr=127.0.0.1:0", "-max-inflight", "-1"},
 		{"ewhworker", "-addr=127.0.0.1:0", "-tenant-max-bytes", "-1"},
 		{"ewhworker", "-addr=127.0.0.1:0", "-max-queue", "3"}, {"ewhworker", "-addr=127.0.0.1:0", "-queue-deadline", "1s"},
 		{"ewhplan", "-workload=zipf", "-n", "0"}, {"ewhplan", "-workload=bcb", "-x", "0"},

@@ -45,9 +45,29 @@ const (
 	numKinds
 )
 
-// kindNames names each job kind in a worker's Snapshot.
-var kindNames = [numKinds]string{kindCount: "count", kindPairs: "pairs", kindPlan: "plan",
-	kindPeer: "peer", kindStream: "stream", kindContrib: "contrib"}
+// jobKind is what an OPEN of one kind takes. Every kind but a stream runs at
+// epoch 0 and ends each run once: its base fills relation slot base, window w
+// slot 1+w. A stream's base is relation 2 and its windows relation 1, over
+// any epoch and window, which its goroutine checks.
+type jobKind struct {
+	name    string // in a worker's Snapshot
+	base    int    // the base run's slot: a fed job's resident side
+	wins    int    // windows at epoch 0; -1 for a stream's any
+	ordered bool   // keeps its runs in arrival order to EOS
+	admit   bool   // its open takes an admission slot
+	sender  bool   // its open names a sender, below maxPeerSenders
+}
+
+// kinds is every job kind's row. A peer job's relation 1 is its transfer,
+// and a contribution's one run is its share.
+var kinds = [numKinds]jobKind{
+	kindCount:   {name: "count", wins: 1, admit: true},
+	kindPairs:   {name: "pairs", wins: 1, ordered: true, admit: true},
+	kindPlan:    {name: "plan", wins: 2, ordered: true, admit: true, sender: true},
+	kindPeer:    {name: "peer", base: 1},
+	kindStream:  {name: "stream", base: 1, wins: -1},
+	kindContrib: {name: "contrib", ordered: true, sender: true},
+}
 
 // open is the OPEN record (frame 10). Counts travel in each relation's end
 // frame, so a job can stream its first relation before the second one's

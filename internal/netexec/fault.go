@@ -235,10 +235,10 @@ func (c *sessConn) workerFault(op string, id uint32, workerID int, m *reply) *Wo
 }
 
 // peerFaultError marks a worker-side failure as caused by the named peer —
-// a contribution that could not reach its target. Its Error() is
-// transparent (the text stays the wrapped error's), but the job's join
-// goroutine (sessStream.onEOS) lifts the address into reply.FaultAddr so the coordinator can mark the
-// machine that actually died, not the healthy worker reporting it.
+// a contribution that could not reach its target. Its Error() is transparent
+// (the text stays the wrapped error's), but the job's goroutine (onEOS) lifts
+// the address into reply.FaultAddr so the coordinator can mark the machine
+// that actually died, not the healthy worker reporting it.
 type peerFaultError struct {
 	addr string
 	err  error

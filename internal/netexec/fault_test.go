@@ -188,46 +188,6 @@ func TestJobLivenessDeadline(t *testing.T) {
 	}
 }
 
-func TestFailAfterJobs(t *testing.T) {
-	// The scheduled-crash testing hook: the worker completes exactly n jobs,
-	// then dies abruptly; the next job classifies as a transport fault and
-	// recovery proceeds over the survivor.
-	ws, addrs := startWorkerSet(t, 2)
-	ws[1].FailAfterJobs(2)
-	sess := dialSession(t, addrs)
-	r1 := randKeys(400, 200, 930)
-	r2 := randKeys(400, 200, 931)
-	scheme, err := partition.NewHash(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := exec.RunOver(sess, r1, r2, join.Equi{}, scheme, model,
-			exec.Config{Seed: uint64(i)}); err != nil {
-			t.Fatalf("job %d before the scheduled failure: %v", i, err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err = exec.RunOver(sess, r1, r2, join.Equi{}, scheme, model, exec.Config{Seed: 9})
-		if err != nil || time.Now().After(deadline) {
-			break
-		}
-		// The self-Close fires from a goroutine; one more job may slip in.
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err == nil {
-		t.Fatal("worker never failed after its scheduled job count")
-	}
-	if !exec.RetryableFault(err) {
-		t.Fatalf("scheduled crash not retryable: %v", err)
-	}
-	faults := Faults(err)
-	if len(faults) != 1 || faults[0].Worker != 1 {
-		t.Fatalf("fault attribution: %v", err)
-	}
-}
-
 func TestDialContextCancelPromptly(t *testing.T) {
 	leakCheck(t)
 	// The satellite fix: a dial blocked in the kernel handshake (full accept

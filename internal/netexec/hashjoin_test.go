@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -198,9 +199,12 @@ func TestBuildCacheKeysHeldChunks(t *testing.T) {
 // job but a plan job, a run past epoch 0, a frame after its run's end, a
 // window ahead of a count job's sealed base, a window on a peer-fed job (its
 // probe is the transfer) or on a contribution (its share is its base), and a
-// plan or contribution open naming a sender no transfer may have. The job
-// replies its error at EOS: each refused frame was consumed exactly, so the
-// connection serves the next job intact.
+// plan or contribution open naming a sender no transfer may have. A sweep
+// then sends every kind but a stream each run — the base, window 0, 1 or 2,
+// at epoch 0 or 1, as a key frame and as an end frame alone — that the kind
+// does not take, each refused. The job replies its error at EOS: each
+// refused frame was consumed exactly, so the connection serves the next job
+// intact.
 func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 	_, addrs := startWorkerSet(t, 1)
 	spec, err := join.SpecOf(join.Equi{})
@@ -222,10 +226,11 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 	baseRun := func(bw *bufio.Writer) error { return errors.Join(base(bw), writeStreamBaseEnd(bw, 1, 0, 1)) }
 	win := func(bw *bufio.Writer) error { return writeStreamWinKeys(bw, 1, 0, 0, []join.Key{3}) }
 	nosuch := join.Spec{Kind: "nosuch"}
-	for _, tc := range []struct {
+	type row struct {
 		name, want string
 		frames     func(bw *bufio.Writer) error
-	}{
+	}
+	rows := []row{
 		{"window 1 on a pairs job", "past epoch 0, window 0", func(bw *bufio.Writer) error {
 			return errors.Join(openPairs(bw), baseRun(bw), writeStreamWinKeys(bw, 1, 1, 0, []join.Key{3}))
 		}},
@@ -289,7 +294,47 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 		{"unknown condition on a stream", "unknown", func(bw *bufio.Writer) error {
 			return errors.Join(openKind(kindStream, nosuch)(bw), baseRun(bw))
 		}},
+	}
+	// The runs each kind takes at epoch 0: -1 is its base, w its window w. A
+	// window on a kind that takes none is refused naming the kind; any other
+	// run it does not take, as past its last run.
+	for _, k := range []struct {
+		name string
+		kind byte
+		runs []int
+	}{
+		{"count job", kindCount, []int{-1, 0}},
+		{"pairs job", kindPairs, []int{-1, 0}},
+		{"plan job", kindPlan, []int{-1, 0, 1}},
+		{"peer-fed job", kindPeer, []int{-1}},
+		{"contribution", kindContrib, []int{-1}},
 	} {
+		for run := -1; run <= 2; run++ {
+			for epoch := range uint32(2) {
+				if epoch == 0 && slices.Contains(k.runs, run) {
+					continue
+				}
+				want := "past epoch 0"
+				if run >= 0 && len(k.runs) == 1 {
+					want = "on a " + k.name
+				}
+				name := fmt.Sprintf("%s's run %d at epoch %d", k.name, run, epoch)
+				win := uint32(max(run, 0))
+				rows = append(rows, row{name + ", a key frame", want, func(bw *bufio.Writer) error {
+					if run < 0 {
+						return errors.Join(openKind(k.kind, spec)(bw), writeStreamBaseKeys(bw, 1, epoch, []join.Key{3}))
+					}
+					return errors.Join(openKind(k.kind, spec)(bw), writeStreamWinKeys(bw, 1, win, epoch, []join.Key{3}))
+				}}, row{name + ", an end frame", want, func(bw *bufio.Writer) error {
+					if run < 0 {
+						return errors.Join(openKind(k.kind, spec)(bw), writeStreamBaseEnd(bw, 1, epoch, 0))
+					}
+					return errors.Join(openKind(k.kind, spec)(bw), writeStreamWinEnd(bw, 1, win, epoch, 0))
+				}})
+			}
+		}
+	}
+	for _, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
 			bw, conn := dialV3(t, addrs[0], "")
 			br := bufio.NewReader(conn)

@@ -13,8 +13,8 @@ import (
 // The data frames' codec on a little-endian host, where a key (int64) or an
 // index pair (two uint32) lies in memory exactly as the wire carries it
 // (wire.go): a block is written as its own bytes and read straight into its
-// destination's, with no staging copy. keycodec_be.go is the same codec for
-// a big-endian host.
+// destination's, with no staging copy. A big-endian host stages every block
+// (keycodec_staged.go).
 
 // wireBytes is the memory of block as bytes — its wire form on this host.
 // The result aliases block.

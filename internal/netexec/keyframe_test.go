@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math"
 	"slices"
 	"testing"
@@ -113,8 +115,7 @@ func TestRunningCountCap(t *testing.T) {
 	frames := recordedKeyFrames(t)
 	for _, typ := range []byte{frameV3StreamBase, frameV3StreamWin} {
 		// A count job and a pairs job, each feeding its goroutine.
-		for _, j := range []*sessJob{{kind: kindCount, stream: &sessStream{resTag: 1}},
-			{kind: kindPairs, stream: &sessStream{resTag: 1}}} {
+		for _, j := range []*sessJob{{kind: kindCount}, {kind: kindPairs}} {
 			for i := range j.rels {
 				// One tuple short of the cap on whichever relation the type counts.
 				j.rels[i] = sessRel{pos: MaxRelationTuples - 1}
@@ -197,8 +198,7 @@ func FuzzKeyFrame(f *testing.F) {
 		typ := c.typ
 		w := ListenWorkerOn(nil)
 		// The job's goroutine is a channel the test drains.
-		j := &sessJob{ws: &workerSession{w: w}, kind: c.kind}
-		j.stream = &sessStream{resTag: resTags[c.kind], ch: make(chan streamEvent, 1), done: closed}
+		j := &sessJob{ws: &workerSession{w: w}, kind: c.kind, ch: make(chan streamEvent, 1), done: closed}
 		const sentinel = 0xEE
 		var next [v3FrameHeaderLen]byte
 		next[0] = sentinel
@@ -217,7 +217,7 @@ func FuzzKeyFrame(f *testing.F) {
 		}
 		buffered := 0
 		select {
-		case ev := <-j.stream.ch:
+		case ev := <-j.ch:
 			buffered = len(ev.keys)
 			bufpool.Keys.Put(ev.keys)
 		default:
@@ -279,12 +279,19 @@ func TestDecodedPairsChunkServedFromItsClass(t *testing.T) {
 	exec.PairBufs.Put(small)
 }
 
+// wireKeys and wirePairs are the blocks whose wire bytes
+// TestDataFrameWireBytes writes out by hand.
+var (
+	wireKeys  = []join.Key{0, 1, -1, math.MinInt64, math.MaxInt64, 0x0102030405060708}
+	wirePairs = []exec.PairIdx{{I1: 0x01020304, I2: 0xa0b0c0d0}, {I1: 0, I2: math.MaxUint32}}
+)
+
 // TestDataFrameWireBytes pins the data frames' wire form by literal bytes,
 // written out by hand little-endian, in both directions: the writers must
 // produce exactly these bytes and the decoders must read them back. A round
 // trip alone (FuzzKeyFrame) passes any codec that agrees with itself.
 func TestDataFrameWireBytes(t *testing.T) {
-	keys := []join.Key{0, 1, -1, math.MinInt64, math.MaxInt64, 0x0102030405060708}
+	keys := wireKeys
 	wantKeys := []byte{
 		frameV3StreamBase, 0x0d, 0x0c, 0x0b, 0x0a, 56, 0, 0, 0, // type, job 0x0a0b0c0d, payload 8+6·8
 		0x44, 0x33, 0x22, 0x11, 6, 0, 0, 0, // epoch 0x11223344, count 6
@@ -310,7 +317,7 @@ func TestDataFrameWireBytes(t *testing.T) {
 		t.Fatalf("decoded keys %v, want %v", got, keys)
 	}
 
-	pairs := []exec.PairIdx{{I1: 0x01020304, I2: 0xa0b0c0d0}, {I1: 0, I2: math.MaxUint32}}
+	pairs := wirePairs
 	wantPairs := []byte{
 		frameV3Pairs, 7, 0, 0, 0, 20, 0, 0, 0, // type, job 7, payload 4+2·8
 		2, 0, 0, 0, // count 2
@@ -336,4 +343,44 @@ func TestDataFrameWireBytes(t *testing.T) {
 		t.Fatalf("decoded pairs %v, want %v", gotPairs, pairs)
 	}
 	exec.PairBufs.Put(gotPairs)
+}
+
+// TestStagedCodecMatchesWire holds the staged codec, a big-endian host's, to
+// the one this host runs: wireKeys and wirePairs, and blocks longer than one
+// scratch buffer (a staging chunk holds scratchLen/8 = 8,192 elements),
+// encode to the same bytes and decode back.
+func TestStagedCodecMatchesWire(t *testing.T) {
+	const n = scratchLen/8 + 3
+	keys, pairs := make([]join.Key, n), make([]exec.PairIdx, n)
+	for i := range n {
+		keys[i] = join.Key(uint64(i+1) * 0x9e3779b97f4a7c15)
+		pairs[i] = exec.PairIdx{I1: uint32(i), I2: uint32(i+1) * 2654435761}
+	}
+	for _, keys := range [][]join.Key{wireKeys, keys} {
+		matchStaged(t, keys, writeKeysLE, writeKeysStaged, readKeysStaged)
+	}
+	for _, pairs := range [][]exec.PairIdx{wirePairs, pairs} {
+		matchStaged(t, pairs, writePairsLE, writePairsStaged, readPairsStaged)
+	}
+}
+
+// matchStaged checks that staged writes block as write does, and that read
+// decodes those bytes back to block.
+func matchStaged[T comparable](t *testing.T, block []T,
+	write, staged func(io.Writer, []T) error, read func(io.Reader, []T) error) {
+	t.Helper()
+	var want, got bytes.Buffer
+	if err := errors.Join(write(&want, block), staged(&got, block)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("%d elements: the staged codec wrote %d bytes unlike the wire's %d", len(block), got.Len(), want.Len())
+	}
+	back := make([]T, len(block))
+	if err := read(&got, back); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(back, block) {
+		t.Fatalf("%d elements: the staged codec read back other elements", len(block))
+	}
 }

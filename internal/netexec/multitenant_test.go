@@ -206,39 +206,63 @@ func TestSessionTypedAdmissionRejection(t *testing.T) {
 }
 
 // TestReadLoopAdmissionStampsAdmit pins where a count job's wait for its slot
-// lands in its stage record. The read loop admits the job at its open, after
-// the job's goroutine and clock have started, and hands the wait over: the
-// REPLY's record shows it as Admit, not as the job's first FrameWait.
+// lands in its stage record. The read loop admits the job at its open,
+// before the job's goroutine starts, with the job's clock running since the
+// open: the record shows the wait as Admit, not as the job's first
+// FrameWait — whether the slot is granted, or the wait runs past the queue
+// deadline and the job is refused. The worker's tally, which takes the
+// record of every reply, refused ones too, shows the same.
 func TestReadLoopAdmissionStampsAdmit(t *testing.T) {
 	const hold = 200 * time.Millisecond
-	ws, addrs := startTenantWorkerSet(t, 1, AdmissionConfig{MaxInFlight: 1}, nil)
-	// A count job opened on a raw connection takes the one slot and keeps it
-	// until the connection hangs up.
-	bw, conn := dialV3(t, addrs[0], "")
-	sendOpenJob(t, bw, 1, kindCount, 0)
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "the held open to take the slot", func() bool { return ws[0].Snapshot().Holdings.Running == 1 })
-	sess := dialSession(t, addrs)
-	r := randKeys(1000, 500, 70)
-	var res *exec.Result
-	done := make(chan error, 1)
-	go func() {
-		var err error
-		res, err = exec.RunOver(sess, r, r, join.Equi{}, partition.NewCI(1), model, exec.Config{Seed: 71})
-		done <- err
-	}()
-	waitFor(t, "the count job to queue for the slot", func() bool { return ws[0].Snapshot().Holdings.Waiting == 1 })
-	time.Sleep(hold)
-	_ = conn.Close()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	rec := res.Stages[0]
-	if admit, wait := time.Duration(rec[stage.Admit]), time.Duration(rec[stage.FrameWait]); admit < hold || wait >= hold {
-		t.Fatalf("queued %v behind a held slot, the job's record shows Admit %v and FrameWait %v; want the wait as Admit",
-			hold, admit, wait)
+	for _, tc := range []struct {
+		name     string
+		deadline time.Duration
+	}{
+		{"granted", 0},
+		{"refused past its queue deadline", hold},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws, addrs := startTenantWorkerSet(t, 1, AdmissionConfig{MaxInFlight: 1, QueueDeadline: tc.deadline}, nil)
+			// A count job opened on a raw connection takes the one slot and
+			// keeps it until the connection hangs up.
+			bw, conn := dialV3(t, addrs[0], "")
+			sendOpenJob(t, bw, 1, kindCount, 0)
+			if err := bw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the held open to take the slot", func() bool { return ws[0].Snapshot().Holdings.Running == 1 })
+			sess := dialSession(t, addrs)
+			r := randKeys(1000, 500, 70)
+			var res *exec.Result
+			done := make(chan error, 1)
+			go func() {
+				var err error
+				res, err = exec.RunOver(sess, r, r, join.Equi{}, partition.NewCI(1), model, exec.Config{Seed: 71})
+				done <- err
+			}()
+			waitFor(t, "the count job to queue for the slot", func() bool { return ws[0].Snapshot().Holdings.Waiting == 1 })
+			if tc.deadline == 0 {
+				time.Sleep(hold)
+				_ = conn.Close()
+			}
+			err := <-done
+			tally := ws[0].Snapshot().Jobs["count"]
+			switch {
+			case tc.deadline == 0 && err != nil:
+				t.Fatal(err)
+			case tc.deadline != 0 && !errors.Is(err, ErrAdmission):
+				t.Fatalf("a count job queued past its deadline: got %v, want ErrAdmission", err)
+			case tally.Finals != 1:
+				t.Fatalf("count tally %+v, want the one final reply of the queued job", tally)
+			case res != nil && res.Stages[0] != tally.Stages:
+				t.Fatalf("the REPLY's record %v, the worker tallied %v", res.Stages[0], tally.Stages)
+			}
+			rec := tally.Stages
+			if admit, wait := time.Duration(rec[stage.Admit]), time.Duration(rec[stage.FrameWait]); admit < hold || wait >= hold {
+				t.Fatalf("queued %v behind a held slot, the job's record shows Admit %v and FrameWait %v; want the wait as Admit",
+					hold, admit, wait)
+			}
+		})
 	}
 }
 

@@ -25,10 +25,10 @@
 // one job lifecycle each: the coordinator's subJob
 // (open/send/await/close, session.go) against the worker's openJob →
 // endFrame/dataFrame → join goroutine → retire (session_worker.go,
-// stream_worker.go), every job's goroutine started at its open. A job ends
-// one way short of its final reply: its ABORT, which cancels the job's
-// context at any point of its life, or its connection's or worker's context
-// ending under it. Every
+// stream_worker.go), each job one sessJob whose goroutine starts once its
+// open's refusals and admission are settled. A job ends one way short of its
+// final reply: its ABORT, which cancels the job's context at any point of its
+// life, or its connection's or worker's context ending under it. Every
 // key-carrying data frame has one writer (writeKeyFrames) and one sub-header
 // step (readKeySubHdr); one function (sessJob.runRel) decides which relation a
 // run's frame advances. See wire.go for the framing and
@@ -100,12 +100,8 @@ type Worker struct {
 	peersMu    sync.Mutex
 	peerStates map[uint64]*peerJobState
 
-	// failAfter > 0 schedules an abrupt self-Close after that many completed
-	// jobs (see FailAfterJobs); jobsDone counts completions toward it and
-	// failFired makes the kill fire exactly once.
-	failAfter atomic.Int64
-	jobsDone  atomic.Int64
-	failFired atomic.Bool
+	// jobsDone counts every job endJob retired.
+	jobsDone atomic.Int64
 
 	// Multi-tenant policy (see tenant.go): admit gates concurrent join
 	// execution with weighted-fair queuing (nil: disabled); ledger charges
@@ -195,7 +191,7 @@ type Snapshot struct {
 	Holdings
 	Admission AdmissionStats            // zero when admission control is off
 	Cache     localjoin.BuildCacheStats // zero when the cache is disabled
-	// Jobs is every job kind's tally, keyed by kindNames; it shadows
+	// Jobs is every job kind's tally, keyed by its name in kinds; it shadows
 	// Holdings.Jobs, the jobs in flight.
 	Jobs map[string]JobTally
 }
@@ -230,7 +226,7 @@ func (w *Worker) Snapshot() Snapshot {
 	s.Jobs = make(map[string]JobTally, numKinds)
 	w.tallyMu.Lock()
 	for k, t := range w.tally {
-		s.Jobs[kindNames[k]] = t
+		s.Jobs[kinds[k].name] = t
 	}
 	w.tallyMu.Unlock()
 	return s
@@ -247,15 +243,6 @@ func (w *Worker) tallyReply(kind byte, r *reply) {
 	}
 	t.Stages.Add(&r.Stages)
 	w.tallyMu.Unlock()
-}
-
-// FailAfterJobs schedules the worker to kill itself (abrupt Close, as a
-// crash would) after completing n jobs — a build-tag-free testing hook the
-// tests and ewhworker's -fail-after flag use to take workers down on a
-// deterministic schedule. Zero or negative disables the hook.
-// Call before Serve.
-func (w *Worker) FailAfterJobs(n int) {
-	w.failAfter.Store(int64(n))
 }
 
 // Addr returns the worker's bound address.
@@ -367,22 +354,16 @@ func (w *Worker) busyLocked() bool {
 }
 
 // endJob retires an in-flight job; the connection closes itself when the
-// worker is draining and this was its last job. When a FailAfterJobs
-// schedule is armed and this completion reaches it, the worker kills itself
-// abruptly — from a goroutine, since Close waits on nothing but must not
-// run under the caller's locks.
+// worker is draining and this was its last job.
 func (w *Worker) endJob(cs *connState) {
 	w.mu.Lock()
 	cs.active--
 	closeNow := w.draining && cs.active == 0
 	w.mu.Unlock()
 	w.jobs.Done()
+	w.jobsDone.Add(1)
 	if closeNow {
 		_ = cs.conn.Close()
-	}
-	if n := w.failAfter.Load(); n > 0 && w.jobsDone.Add(1) >= n &&
-		w.failFired.CompareAndSwap(false, true) {
-		go func() { _ = w.Close() }()
 	}
 }
 

@@ -164,8 +164,7 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 	// connected, and the worker's prelude deadline, not Timeouts.IO (unset
 	// here), closes it.
 	ws, addrs := startWorkerSet(t, 1)
-	ws[0].FailAfterJobs(1 << 30) // arms the completed-job counter
-	var hello bytes.Buffer       // a version-6 session's tenant declaration, frame type 23
+	var hello bytes.Buffer // a version-6 session's tenant declaration, frame type 23
 	if err := writeEndFrame(&hello, 23, 0, []byte(strings.Repeat("acme", 8))); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +248,6 @@ func TestControlFrameBound(t *testing.T) {
 	const declared = 1 << 27 // under maxDataPayload: the header reader admits it
 	t.Run("worker", func(t *testing.T) {
 		ws, addrs := startWorkerSet(t, 1)
-		ws[0].FailAfterJobs(1 << 30) // arms the completed-job counter
 		bw, conn := dialV3(t, addrs[0], "")
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -406,8 +404,8 @@ func TestControlFrameBound(t *testing.T) {
 }
 
 // assertNoJobsBegun checks that nothing the test threw at w reached beginJob
-// (every begun job ends, and FailAfterJobs makes endJob count): the refused
-// connections are gone and no job completed.
+// (every begun job ends, and endJob counts it): the refused connections are
+// gone and no job completed.
 func assertNoJobsBegun(t *testing.T, w *Worker) {
 	t.Helper()
 	waitFor(t, "refused connections to be dropped", func() bool {

@@ -521,7 +521,7 @@ func (j *subJob) account(rm *reply, m *exec.WorkerMetrics, recs []stage.Record) 
 // where the shuffle/socket overlap happens — relation 1's frames go out (and
 // flush, so the worker seals it) while relation 2 may still be scattering.
 func (j *subJob) sendJob(o *open, job *exec.Job) error {
-	arrival := o.Kind != kindCount
+	arrival := kinds[o.Kind].ordered
 	return j.send(func(bw *bufio.Writer) error {
 		if err := writeCtl(bw, frameV3Open, j.id, o); err != nil {
 			return err

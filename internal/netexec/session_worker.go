@@ -10,35 +10,35 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ewh/internal/bufpool"
 	"ewh/internal/exec"
 	"ewh/internal/join"
+	"ewh/internal/localjoin"
 	"ewh/internal/planio"
 	"ewh/internal/stage"
 )
 
 // This file is the worker side of the session protocol: one read loop per
 // connection demultiplexes numbered jobs. Every job walks the same path —
-// openJob registers it and starts its join goroutine (stream_worker.go),
-// endFrame/dataFrame decode its relations' base and window runs, each key
-// frame into its own pooled chunk handed to that goroutine, and retire is the
-// single exit, shared with ABORT and connection teardown. The open's kind
-// fixes how the goroutine joins: a pairs or stage-1 plan job keeps its runs'
-// chunks in arrival order and joins them at EOS; every other job joins while
-// the frames arrive. Either way the read loop keeps draining the next job's
-// frames. A job stays in the connection's table from its open until its
-// retire (or its goroutine's final reply), so its ABORT reaches it at any
-// point of its life: before its EOS the read loop retires it; after, the
-// ABORT cancels the job's context, which every wait the job parks in takes,
-// and the goroutine exits silently and retires it. Job-level protocol
-// violations fail only that job (its remaining
-// frames are read and discarded, then an error reply ends it); frame-level
-// corruption is connection-fatal — framing is the only thing that lets the
-// two sides stay in sync. A contribution sub-job, sent by a stage-1 peer,
-// walks the same path: its goroutine keeps its base run's chunks and commits
-// them to the transfer at EOS.
+// openJob registers it, settles its refusals and admission, then starts its
+// join goroutine (stream_worker.go), endFrame/dataFrame decode its base and
+// window runs, each key frame into its own pooled chunk handed to that
+// goroutine, and retire is the single exit, shared with ABORT and connection
+// teardown. The open's kind, one row of kinds, fixes the runs it takes and how
+// the goroutine joins: a pairs or stage-1 plan job keeps its runs' chunks in
+// arrival order and joins them at EOS; every other job joins while the frames
+// arrive. Either way the read loop keeps draining the next job's frames. A job
+// stays in the connection's table from its open until its retire (or its
+// goroutine's final reply), so its ABORT reaches it at any point of its life:
+// before its EOS the read loop retires it; after, the ABORT cancels the job's
+// context, which every wait the job parks in takes, and the goroutine exits
+// silently and retires it. Job-level protocol violations fail only that job
+// (its remaining frames are read and discarded, then an error reply ends it);
+// frame-level corruption is connection-fatal — framing is the only thing that
+// lets the two sides stay in sync. A contribution sub-job, sent by a stage-1
+// peer, walks the same path: its goroutine keeps its base run's chunks and
+// commits them to the transfer at EOS.
 
 // sessRel is one relation of an in-flight session job — or, in the job's
 // third slot, a plan job's re-key column, its window 1. Every relation
@@ -49,15 +49,19 @@ type sessRel struct {
 	pos      int
 }
 
-// sessJob is one numbered job in flight on a session connection.
+// sessJob is one numbered job in flight on a session connection, its fields
+// grouped by owner: the read loop decodes, checks and charges its frames; its
+// join goroutine (stream_worker.go) takes each run's chunks over ch, joins
+// them and is the job's only reply path.
 type sessJob struct {
+	// Set at the open, before the goroutine starts. st sizes a stream's
+	// window summaries and a plan job's summary of its matches.
 	id       uint32
-	kind     byte // the open's job kind
+	kind     byte // the open's job kind, its row of kinds
 	workerID int
 	cond     join.Condition
+	st       exec.StatsSpec
 	counted  bool // beginJob admitted it (draining workers refuse)
-	err      error
-	rels     [3]sessRel
 
 	// ctx is the job's one cancellation, derived from its connection's:
 	// its ABORT, the hang-up and Close each end it, and every wait the job
@@ -68,15 +72,15 @@ type sessJob struct {
 	// ws is the connection the job arrived on; its tenant keys the job's
 	// account in the worker's ledger. charged is the job's reservation there:
 	// the read loop charges each key frame before decoding it, a plan job its
-	// matches; a join goroutine credits buffers back as they leave worker
+	// matches; the goroutine credits buffers back as they leave worker
 	// memory, a contribution hands its run's charge to the transfer it
 	// commits, and release() sweeps the rest.
 	ws      *workerSession
 	charged atomic.Int64
-	// releaseSlot returns the job's admission slot (idempotent); nil while the
-	// job holds none (rejected at open; a peer or stream job, which admit per
-	// seal and per probe on the join goroutine; a contribution, which joins
-	// nothing).
+	// releaseSlot returns the admission slot the job's open took
+	// (idempotent); nil for a kind that takes none (a peer or stream job
+	// admits per seal and per probe on the goroutine; a contribution joins
+	// nothing) and for a job refused at its open.
 	releaseSlot func()
 
 	// token is a plan, peer or contribution job's transfer id. A plan job's
@@ -90,27 +94,64 @@ type sessJob struct {
 	plan2  chan *plan2
 	peerSt *peerJobState
 
-	// stream is the goroutine the job's key frames feed (see
-	// stream_worker.go), started at the job's open.
-	stream *sessStream
+	// Read loop: the job's first error, after which its frames drain, and
+	// each relation slot's run.
+	err  error
+	rels [3]sessRel
+
+	// Shared. ch carries the read loop's events to the goroutine, done closes
+	// as the goroutine exits. eosSeen is set by the read loop when it decodes
+	// the job's EOS: chunks a fed job consumes before that count as
+	// overlapped work, and the goroutine, not the read loop, retires the job.
+	ch      chan streamEvent
+	done    chan struct{}
+	stopO   sync.Once
+	eosSeen atomic.Bool
+
+	// Goroutine: its first error (nil is none), an ordered job's chunks per
+	// relation slot in arrival order, and a fed job's resident side.
+	failed error
+	runs   [3][][]join.Key
+	epoch  uint32
+	sealed bool
+	baseN  int
+	res    *localjoin.Resident
+	held   [][]join.Key // pooled chunks res keeps: until its seal, then until the window's end
+	// digests, on a count job's side, holds the digests of every chunk res
+	// was given, kept or copied out: folded at the seal, in any order, they
+	// are the side's content key in the worker's build cache, whatever form
+	// it seals into.
+	digests []localjoin.ChunkDigest
+
+	winOpen  bool
+	win      uint32
+	winKeys  []join.Key // a stream's window, sorted, summarized and probed at its end
+	winCount int64      // a fed job's matches, counted chunk by chunk
+
+	totIn, totOut int64
+	overlapped    int64
+	// clk is the job's stage record, started at its open: an admission wait
+	// there is its Admit, each receive ends a FrameWait, each handler stamps
+	// its own steps, and a window reply takes the record.
+	clk stage.Clock
 }
 
 // fail records the job's first error; subsequent data frames for the job
-// are drained and discarded. A stream's goroutine owns its reply path, so it
-// is told too.
+// are drained and discarded. The goroutine owns the job's reply path, so it
+// is told too. Read-loop side only.
 func (j *sessJob) fail(err error) {
 	if j.err != nil {
 		return
 	}
 	j.err = err
-	j.stream.feed(streamEvent{kind: evStreamFail, err: err})
+	j.feed(streamEvent{kind: evStreamFail, err: err})
 }
 
 func (j *sessJob) release() {
 	// Every job exit path lands here, so the join goroutine never outlives
 	// the job (a no-op wait when the goroutine itself retires the job after
 	// its EOS). It must be gone before the sweep below.
-	j.stream.stop()
+	j.stop()
 	j.ws.w.ledger.credit(j.ws.tenant, j.charged.Swap(0))
 }
 
@@ -149,41 +190,30 @@ func runEvent(typ byte, h []byte) streamEvent {
 }
 
 // runRel admits a frame of a base or window run (ev, less its keys) and
-// returns the relation it advances. A stream's runs span epochs and windows,
-// which its goroutine checks: its base is relation 2, its windows relation 1.
-// Every other job runs at epoch 0 and ends each run once: relation 1 is the
-// base (a peer job's base is its relation 2, and its probe is the transfer,
-// so it takes no window; a contribution's base is its share, and all it
-// takes), relation 2 window 0, and a plan job's re-key column window 1.
-func (j *sessJob) runRel(ev streamEvent) (*sessRel, error) {
+// returns the relation slot it advances, as its kind's row of kinds states.
+func (j *sessJob) runRel(ev streamEvent) (int, error) {
+	k := &kinds[j.kind]
 	base := ev.kind <= evStreamBaseEnd
-	if j.kind == kindStream {
-		if base {
-			return &j.rels[1], nil
-		}
-		return &j.rels[0], nil
-	}
-	lastWin := uint32(0)
-	if j.kind == kindPlan {
-		lastWin = 1 // the re-key column
-	}
-	i := 0
+	lastWin := uint32(max(k.wins-1, 0))
+	i := k.base
 	switch {
+	case k.wins < 0 && !base: // a stream's windows are relation 1
+		return 0, nil
+	case k.wins < 0:
+		return i, nil
 	case j.kind == kindPeer && !base:
-		return nil, fmt.Errorf("window frames on a peer-fed job, whose probe is the transfer")
+		return 0, fmt.Errorf("window frames on a peer-fed job, whose probe is the transfer")
 	case j.kind == kindContrib && !base:
-		return nil, fmt.Errorf("window frames on a contribution, whose share is its base")
+		return 0, fmt.Errorf("window frames on a contribution, whose share is its base")
 	case ev.epoch != 0 || ev.win > lastWin:
-		return nil, fmt.Errorf("a job's run at epoch %d, window %d, past epoch 0, window %d", ev.epoch, ev.win, lastWin)
-	case j.kind == kindPeer:
-		i = 1
+		return 0, fmt.Errorf("a job's run at epoch %d, window %d, past epoch 0, window %d", ev.epoch, ev.win, lastWin)
 	case !base:
 		i = 1 + int(ev.win)
 	}
 	if j.rels[i].declared {
-		return nil, fmt.Errorf("a job's frame after its run's end frame")
+		return 0, fmt.Errorf("a job's frame after its run's end frame")
 	}
-	return &j.rels[i], nil
+	return i, nil
 }
 
 // workerSession is the worker side of one session connection: the state its
@@ -222,7 +252,7 @@ func (ws *workerSession) job(id uint32) *sessJob {
 // feeding returns job id while it takes frames: in the table, its EOS not
 // yet read. A run or end frame for any other id is connection-fatal.
 func (ws *workerSession) feeding(id uint32) *sessJob {
-	if j := ws.job(id); j != nil && !j.stream.eosSeen.Load() {
+	if j := ws.job(id); j != nil && !j.eosSeen.Load() {
 		return j
 	}
 	return nil
@@ -270,16 +300,16 @@ func (ws *workerSession) retire(j *sessJob) {
 
 // openJob serves an OPEN: refuse a job number still in the table or a
 // payload over maxOpenPayload, decode the record, register the job (its
-// context, table and drain accounting) and start its join goroutine, then
-// take the kind's own step: a count, pairs or plan job takes its admission
-// slot, a peer job creates its transfer and answers with an interim REPLY —
-// the acknowledgment the coordinator awaits before any PLAN2, or the open's
-// refusal. An error is connection-fatal: job number reuse, an oversized or
-// undecodable open, a dead connection, or the worker killed while the open
-// queued for admission. A job a draining worker refuses, one
-// naming an unknown condition, or a plan or contribution naming a sender past
-// maxPeerSenders, is FAILED instead, its goroutine poisoned: its frames drain
-// and its reply carries the error.
+// context, table and drain accounting) and settle everything its open
+// decides before its join goroutine starts: a job a draining worker refuses,
+// one naming a sender past maxPeerSenders where its kind names one, or an
+// unknown condition; a peer job's transfer; a count, pairs or plan job's
+// admission slot. A job refused any of these starts poisoned: its frames
+// drain and its reply carries the error. A peer job then answers with an
+// interim REPLY — the acknowledgment the coordinator awaits before any
+// PLAN2, or the open's refusal. An error is connection-fatal: job number
+// reuse, an oversized or undecodable open, a dead connection, or the worker
+// killed while the open queued for admission.
 func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
 	var o open
 	if ws.job(id) != nil {
@@ -288,8 +318,9 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
 	if err := readCtl(br, n, maxOpenPayload, &o); err != nil {
 		return err
 	}
-	w := ws.w
-	j := &sessJob{id: id, kind: o.Kind, workerID: o.WorkerID, token: o.Token, ws: ws}
+	clk := stage.Start()
+	w, k := ws.w, &kinds[o.Kind]
+	j := &sessJob{id: id, kind: o.Kind, workerID: o.WorkerID, st: o.Stats, token: o.Token, ws: ws}
 	j.ctx, j.cancel = context.WithCancel(ws.ctx)
 	if o.Kind == kindPlan {
 		j.plan2 = make(chan *plan2, 1)
@@ -302,7 +333,7 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
 	switch {
 	case !j.counted:
 		j.err = &rejectError{code: codeDraining, msg: "worker shutting down"}
-	case (o.Kind == kindPlan || o.Kind == kindContrib) && o.WorkerID >= maxPeerSenders:
+	case k.sender && o.WorkerID >= maxPeerSenders:
 		j.err = fmt.Errorf("open names sender %d, want below %d", o.WorkerID, maxPeerSenders)
 	case o.Kind == kindContrib: // joins nothing: its condition is unused
 	case err != nil:
@@ -310,49 +341,39 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
 	default:
 		j.cond = cond
 	}
-	j.stream = newSessStream(j, o.Stats)
-	if o.Kind == kindPeer {
+	if o.Kind == kindPeer && j.err == nil {
 		// The token's transfer, complete at the open's sender count; the join
 		// goroutine parks on it at EOS. A refusal fails this job, never
-		// another's transfer, and is the acknowledgment's error.
-		if j.err == nil {
-			if j.peerSt, err = w.openTransfer(o.Token, o.Senders); err != nil {
-				j.fail(err)
-			}
-		}
-		var ack reply
-		if j.err != nil {
-			ack.Err, ack.Code = j.err.Error(), rejectCode(j.err)
-		}
-		return ws.reply(id, &ack)
+		// another's transfer.
+		j.peerSt, j.err = w.openTransfer(o.Token, o.Senders)
 	}
-	if j.err != nil || o.Kind == kindStream || o.Kind == kindContrib {
+	if k.admit && j.err == nil {
+		// A count, pairs or plan job is admitted HERE, before its data frames
+		// are read: an un-admitted job buffers nothing worker-side — its
+		// frames stay in the kernel socket buffer, TCP backpressure stalls
+		// the coordinator's (whole-job, contiguous) send, and a saturating
+		// tenant is throttled to the rate the fair scheduler dispatches it.
+		// Blocking this read loop is deadlock-free: sends are contiguous per
+		// job on a connection, so every earlier job here is fully received,
+		// and slot holders only ever do finite compute (plan jobs release
+		// before their stats park; peer and stream jobs hold none while
+		// parked, admitting per seal and per probe). A rejection fails just
+		// this job, with its typed code.
+		j.releaseSlot, j.err = w.admitJob(j.ctx, ws.tenant)
+		clk.Mark(stage.Admit)
+	}
+	j.start(clk)
+	if errors.Is(j.err, errAbandoned) {
+		return j.err // worker killed: the connection is going down anyway
+	}
+	if o.Kind != kindPeer {
 		return nil
 	}
-	// A count, pairs or plan job is admitted HERE, before its data frames are
-	// read: an un-admitted job buffers nothing worker-side — its frames stay in
-	// the kernel socket buffer, TCP backpressure stalls the coordinator's
-	// (whole-job, contiguous) send, and a saturating tenant is throttled to the
-	// rate the fair scheduler dispatches it. Blocking this read loop is
-	// deadlock-free: sends are contiguous per job on a connection, so every
-	// earlier job here is fully received, and slot holders only ever do finite
-	// compute (plan jobs release before their stats park; peer and stream jobs
-	// hold none while parked, admitting per seal and per probe). A rejection
-	// fails just this job — its frames drain and the reply carries the typed
-	// code. The job's clock has run since its open, so the goroutine is told
-	// the wait and charges it to Admit.
-	start := time.Now()
-	releaseSlot, aerr := w.admitJob(j.ctx, ws.tenant)
-	j.stream.admitted = int64(time.Since(start))
-	if errors.Is(aerr, errAbandoned) {
-		return aerr // worker killed: the connection is going down anyway
+	var ack reply
+	if j.err != nil {
+		ack.Err, ack.Code = j.err.Error(), rejectCode(j.err)
 	}
-	if aerr != nil {
-		j.fail(aerr)
-		return nil
-	}
-	j.releaseSlot = releaseSlot
-	return nil
+	return ws.reply(id, &ack)
 }
 
 // endFrame serves the fixed-layout frames that close a run of key frames
@@ -381,20 +402,22 @@ func (ws *workerSession) endFrame(br *bufio.Reader, typ byte, id uint32, n int) 
 // the coordinator collects windows in lockstep.
 func (j *sessJob) streamEnd(typ byte, h []byte) {
 	ev := runEvent(typ, h)
-	r, err := j.runRel(ev)
+	i, err := j.runRel(ev)
 	if err != nil {
 		j.fail(err)
 		return
 	}
+	r := &j.rels[i]
 	if r.pos != ev.total {
 		j.fail(fmt.Errorf("stream frame type %d ends a run of %d tuples, declares %d", typ, r.pos, ev.total))
 	}
-	if j.stream.fed() {
+	if j.fed() {
 		r.declared = true
 	} else {
 		r.pos = 0
 	}
-	j.stream.feed(ev)
+	ev.rel = i
+	j.feed(ev)
 }
 
 // dataFrame serves the key frames (BASE, WIN). A frame for a failed
@@ -439,7 +462,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState, t
 		var feeding []*sessJob
 		ws.mu.Lock()
 		for _, j := range ws.jobs {
-			if !j.stream.eosSeen.Load() {
+			if !j.eosSeen.Load() {
 				feeding = append(feeding, j)
 			}
 		}
@@ -496,8 +519,8 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState, t
 			// itself as it exits. Chunks a count job consumed before this
 			// frame decoded overlapped the stream — the counter the
 			// coordinator's BuildOverlappedChunks aggregates.
-			j.stream.eosSeen.Store(true)
-			j.stream.feed(streamEvent{kind: evStreamEOS})
+			j.eosSeen.Store(true)
+			j.feed(streamEvent{kind: evStreamEOS})
 
 		case frameV3Abort:
 			// The coordinator abandoned the job: mid-send (a validation
@@ -511,7 +534,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState, t
 			}
 			switch j := ws.job(id); {
 			case j == nil:
-			case j.stream.eosSeen.Load():
+			case j.eosSeen.Load():
 				j.cancel()
 			default:
 				ws.retire(j)
@@ -587,11 +610,11 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 		return drainFrame(br, n-len(h), &protoErr{msg: err.Error(), cause: err})
 	}
 	ev := runEvent(typ, h)
-	r, err := j.runRel(ev)
+	i, err := j.runRel(ev)
 	if err != nil {
 		return refuse(err)
 	}
-	if overRelationCap(r.pos, count) {
+	if overRelationCap(j.rels[i].pos, count) {
 		return refuse(fmt.Errorf("frame type %d runs past %d tuples", typ, MaxRelationTuples))
 	}
 	if err := j.charge(8 * int64(count)); err != nil {
@@ -602,19 +625,18 @@ func (j *sessJob) readKeyFrame(br *bufio.Reader, typ byte, n int) error {
 		bufpool.Keys.Put(keys)
 		return err
 	}
-	r.pos += count
-	ev.keys = keys
-	j.stream.feed(ev)
+	j.rels[i].pos += count
+	ev.rel, ev.keys = i, keys
+	j.feed(ev)
 	return nil
 }
 
-// validateComplete checks at EOS that every run of a job but a stream
-// ended, and that a plan job's re-key column covers relation 2. A peer job's
-// relation 1 is exempt: it is the transfer, which the join goroutine probes
-// straight out of the transfer table; a contribution has relation 1 alone.
+// validateComplete checks at EOS that every run a job but a stream takes
+// ended, and that a plan job's re-key column covers relation 2.
 func (j *sessJob) validateComplete() error {
+	k := &kinds[j.kind]
 	for i, r := range j.rels[:2] {
-		if !r.declared && !(j.kind == kindPeer && i == 0) && !(j.kind == kindContrib && i == 1) {
+		if !r.declared && (i == k.base || i == 1 && k.wins > 0) {
 			return fmt.Errorf("relation %d's run never ended", i+1)
 		}
 	}
@@ -639,7 +661,7 @@ func (j *sessJob) validateComplete() error {
 // the match count and the per-receiver count vector once every peer committed
 // its share. Errors name the peer address.
 func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64, []int64, error) {
-	w, clk := ws.w, &j.stream.clk
+	w, clk := ws.w, &j.clk
 	// The three stage-1 steps exec.Local runs too: materialize, summarize
 	// (which sorts the matches), and (after the park below) route in key order.
 	inter := exec.StageMatches(r1, r2, rekey, j.cond)
@@ -651,7 +673,7 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64
 		return 0, nil, err
 	}
 	sender := j.workerID
-	enc, err := exec.StageSummary(inter, j.stream.st, sender)
+	enc, err := exec.StageSummary(inter, j.st, sender)
 	if err != nil {
 		return 0, nil, err
 	}
