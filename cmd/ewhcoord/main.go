@@ -116,6 +116,9 @@ func main() {
 		if artifact, err = planio.Decode(data); err != nil {
 			fatal(err)
 		}
+		if err := exec.CheckScheme(artifact.Scheme, join.NewBand(*beta)); err != nil {
+			usage("-planin %s: %v", *planin, err)
+		}
 		fleet = artifact.Scheme.Workers()
 		fmt.Printf("plan artifact %s: %s with %d workers, seed %d (no planning phase)\n",
 			*planin, artifact.Scheme.Name(), fleet, artifact.Seed)

@@ -176,6 +176,10 @@ func describeArtifact(path string) {
 	fmt.Printf("artifact %s: scheme=%s workers=%d seed=%d (%d bytes)\n",
 		path, a.Scheme.Name(), a.Scheme.Workers(), a.Seed, len(data))
 	if rs, ok := a.Scheme.(*partition.RegionScheme); ok {
+		if spec, ok := rs.Spec(); ok {
+			cond, _ := spec.Condition() // Decode built the scheme from it
+			fmt.Printf("routes for %v: a tuple goes only to the regions where it can join\n", cond)
+		}
 		fmt.Println("regions:")
 		for i, r := range rs.Regions() {
 			fmt.Printf("  %2d: %v (input=%.0f output=%.0f)\n", i, r, r.Input, r.Output)

@@ -2,6 +2,7 @@ package cmd_test
 
 import (
 	"bufio"
+	"errors"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -61,5 +62,13 @@ func TestModesRunEndToEnd(t *testing.T) {
 				t.Errorf("ewhcoord %s: output lacks %q:\n%s", strings.Join(c.args, " "), want, out)
 			}
 		}
+	}
+
+	// The artifact routes for the band it was planned for (β = 3): under
+	// another band its tuples would miss regions, so the run is refused.
+	out, err := exec.Command(filepath.Join(bin, "ewhcoord"), "-planin", plan, "-n", "20000", "-beta", "5").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.HasPrefix(string(out), "ewhcoord: -planin "+plan+": ") {
+		t.Errorf("ewhcoord -planin under another band: ended with %v, want exit status 2 naming -planin\n%s", err, out)
 	}
 }

@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ewh/internal/cost"
 	"ewh/internal/histogram"
@@ -75,12 +76,17 @@ const highSelectivityRatio = 200
 // Plan is a ready-to-execute partitioning plan plus the diagnostics the
 // evaluation reports.
 type Plan struct {
-	// Scheme routes tuples; hand it to exec.Run.
+	// Scheme routes tuples; hand it to exec.Run. A region scheme is built
+	// for the condition the plan was made for, so it sends each tuple only to
+	// the regions where it can join (partition.NewRegionSchemeFor) and
+	// exec refuses it for a job under another condition.
 	Scheme partition.Scheme
 	// Regions is the equi-weight histogram MH (nil for CI).
 	Regions []tiling.Region
 	// EstimatedMaxWeight is the planner's max region weight (CSIO-EST. in
-	// Fig. 4h); compare against exec.Result.MaxWork.
+	// Fig. 4h); compare against exec.Result.MaxWork. A region's input is
+	// the tuples the scheme sends it, read off the sample stage's
+	// histograms, not the rectangle's semi-perimeter Region.Input.
 	EstimatedMaxWeight float64
 	// Stages is the planner's time by stage, zero for CI. Its total is the
 	// "stats time" of Fig. 4a; Matrix through Regionalize is the histogram
@@ -95,8 +101,63 @@ type Plan struct {
 	// Fallback reports that CSIO abandoned its scheme for CI (§VI-E).
 	Fallback bool
 
-	// dense retains the coarsened matrix for Refine; nil for CI plans.
+	// dense retains the coarsened matrix for Refine, and in what else
+	// re-tiling it needs; nil for CI plans.
 	dense *matrix.Dense
+	in    *tileInputs
+}
+
+// tileInputs is what a plan's regions are turned into a scheme with: the
+// condition it routes for, and both relations' histograms with the tuples a
+// bucket holds, which the scheme's per-region input is estimated from.
+type tileInputs struct {
+	cond                 join.Condition
+	rowBounds, colBounds []join.Key
+	rowUnit, colUnit     float64
+}
+
+func newTileInputs(sm *matrix.Sample, cond join.Condition) *tileInputs {
+	return &tileInputs{cond: cond, rowBounds: sm.RowBounds, colBounds: sm.ColBounds,
+		rowUnit: sm.RowUnit, colUnit: sm.ColUnit}
+}
+
+// scheme indexes regions for routing: for the plan's condition when it has a
+// wire spec (every condition package join defines), else by the rectangles
+// alone.
+func (in *tileInputs) scheme(name string, regions []tiling.Region) (*partition.RegionScheme, error) {
+	spec, err := join.SpecOf(in.cond)
+	if err != nil {
+		return partition.NewRegionScheme(name, regions), nil
+	}
+	return partition.NewRegionSchemeFor(name, regions, spec)
+}
+
+// maxWeight is the largest modeled weight of a region: the tuples the scheme
+// sends it of each relation, read off the histograms, and its estimated
+// output.
+func (in *tileInputs) maxWeight(s *partition.RegionScheme, model cost.Model) float64 {
+	heaviest := 0.0
+	for r, reg := range s.Regions() {
+		r1, r2 := s.Reach(r)
+		input := bucketTuples(in.rowBounds, in.rowUnit, r1) + bucketTuples(in.colBounds, in.colUnit, r2)
+		heaviest = max(heaviest, model.Weight(input, reg.Output))
+	}
+	return heaviest
+}
+
+// bucketTuples estimates the tuples of a histogram with bounds, unit tuples
+// a bucket, that sp holds: each bucket's share in proportion to the keys of
+// it sp covers.
+func bucketTuples(bounds []join.Key, unit float64, sp partition.Span) float64 {
+	n := 0.0
+	first, _ := slices.BinarySearch(bounds, sp.Lo)
+	for i := max(first-1, 0); i+1 < len(bounds) && bounds[i] <= sp.Hi; i++ {
+		lo, hi := max(bounds[i], sp.Lo), min(bounds[i+1]-1, sp.Hi)
+		if lo <= hi {
+			n += unit * float64(uint64(hi)-uint64(lo)+1) / float64(uint64(bounds[i+1])-uint64(bounds[i]))
+		}
+	}
+	return n
 }
 
 // Refine re-runs the regionalization with runtime feedback: measuredOutput
@@ -123,7 +184,7 @@ func Refine(plan *Plan, measuredOutput []int64, opts Options) (*Plan, error) {
 		factors[i] = float64(measuredOutput[i]) / max(reg.Output, 1)
 	}
 	clk := stage.Start()
-	refined, err := tilePlan(plan.dense.ScaleRegions(rects, factors), plan.Scheme.Name(), opts, &clk)
+	refined, err := tilePlan(plan.dense.ScaleRegions(rects, factors), plan.Scheme.Name(), plan.in, opts, &clk)
 	if err != nil {
 		return nil, err
 	}
@@ -320,7 +381,7 @@ func planCSIO(l left, r2 []join.Key, cond join.Condition, opts Options) (*Plan, 
 		return nil, err
 	}
 	clk.Mark(stage.Matrix)
-	plan, err := regionalizePlan(sm, "CSIO", opts, &clk)
+	plan, err := regionalizePlan(sm, "CSIO", cond, opts, &clk)
 	if err != nil {
 		return nil, err
 	}
@@ -415,7 +476,7 @@ func PlanCSI(r1, r2 []join.Key, cond join.Condition, p int, opts Options) (*Plan
 		return nil, err
 	}
 	clk.Mark(stage.Matrix)
-	plan, err := regionalizePlan(sm, "CSI", opts, &clk)
+	plan, err := regionalizePlan(sm, "CSI", cond, opts, &clk)
 	if err != nil {
 		return nil, err
 	}
@@ -424,8 +485,9 @@ func PlanCSI(r1, r2 []join.Key, cond join.Condition, p int, opts Options) (*Plan
 	return plan, nil
 }
 
-// regionalizePlan runs coarsening + regionalization over a built MS.
-func regionalizePlan(sm *matrix.Sample, name string, opts Options, clk *stage.Clock) (*Plan, error) {
+// regionalizePlan runs coarsening + regionalization over a built MS, for the
+// join cond.
+func regionalizePlan(sm *matrix.Sample, name string, cond join.Condition, opts Options, clk *stage.Clock) (*Plan, error) {
 	nc := opts.NC
 	if nc <= 0 {
 		nc = 2 * opts.J
@@ -433,7 +495,7 @@ func regionalizePlan(sm *matrix.Sample, name string, opts Options, clk *stage.Cl
 	rowCuts, colCuts := tiling.CoarsenGrid(sm, nc, opts.Model, tiling.CoarsenOptions{})
 	d := matrix.Coarsen(sm, rowCuts, colCuts)
 	clk.Mark(stage.Coarsen)
-	plan, err := tilePlan(d, name, opts, clk)
+	plan, err := tilePlan(d, name, newTileInputs(sm, cond), opts, clk)
 	if err != nil {
 		return nil, err
 	}
@@ -442,18 +504,23 @@ func regionalizePlan(sm *matrix.Sample, name string, opts Options, clk *stage.Cl
 }
 
 // tilePlan regionalizes a coarsened matrix and wraps the regions in a
-// routing scheme; d is retained for Refine.
-func tilePlan(d *matrix.Dense, name string, opts Options, clk *stage.Clock) (*Plan, error) {
+// routing scheme for in's condition; d and in are retained for Refine.
+func tilePlan(d *matrix.Dense, name string, in *tileInputs, opts Options, clk *stage.Clock) (*Plan, error) {
 	regions, err := tiling.Regionalize(d, opts.Model, opts.J, tiling.RegionalizeOptions{})
 	if err != nil {
 		return nil, err
 	}
 	defer clk.Mark(stage.Regionalize)
+	s, err := in.scheme(name, regions)
+	if err != nil {
+		return nil, err
+	}
 	return &Plan{
-		Scheme:             partition.NewRegionScheme(name, regions),
+		Scheme:             s,
 		Regions:            regions,
-		EstimatedMaxWeight: tiling.MaxWeight(regions),
+		EstimatedMaxWeight: in.maxWeight(s, opts.Model),
 		dense:              d,
+		in:                 in,
 	}, nil
 }
 

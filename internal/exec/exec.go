@@ -129,6 +129,9 @@ func Run(r1, r2 []join.Key, cond join.Condition, scheme partition.Scheme,
 func RunOver(rt Runtime, r1, r2 []join.Key, cond join.Condition,
 	scheme partition.Scheme, model cost.Model, cfg Config) (*Result, error) {
 
+	if err := CheckScheme(scheme, cond); err != nil {
+		return nil, err
+	}
 	cfg.defaults()
 	start := time.Now()
 	f1, f2 := newRelFuture(), newRelFuture()
@@ -147,6 +150,47 @@ func RunOver(rt Runtime, r1, r2 []join.Key, cond join.Condition,
 			func(k, _ *KeyShuffle) { f2.resolve(RelData{Keys: k}) })
 	}
 	return dispatch(rt, job, scheme, model, cfg, start)
+}
+
+// CondMismatchError refuses a region scheme built for one join condition
+// (partition.NewRegionSchemeFor) on a job that joins on another: the scheme
+// sends each tuple only where it joins under its own condition, so under the
+// job's some matches would meet in no region.
+type CondMismatchError struct {
+	Scheme string
+	// Planned is the condition the scheme routes for; Job the job's, zero
+	// when it has no wire spec.
+	Planned, Job join.Spec
+}
+
+func (e *CondMismatchError) Error() string {
+	return fmt.Sprintf("exec: %s scheme routes for %s, the job joins on %s", e.Scheme, specString(e.Planned), specString(e.Job))
+}
+
+func specString(s join.Spec) string {
+	if c, err := s.Condition(); err == nil {
+		return c.String()
+	}
+	return fmt.Sprintf("%+v", s)
+}
+
+// CheckScheme returns a *CondMismatchError when scheme is a region scheme
+// built for a join condition other than cond, the two compared by
+// join.SpecOf. Any other scheme passes: its routing does not depend on the
+// condition.
+func CheckScheme(scheme partition.Scheme, cond join.Condition) error {
+	rs, ok := scheme.(*partition.RegionScheme)
+	if !ok {
+		return nil
+	}
+	planned, ok := rs.Spec()
+	if !ok {
+		return nil
+	}
+	if job, err := join.SpecOf(cond); err != nil || job != planned {
+		return &CondMismatchError{Scheme: rs.Name(), Planned: planned, Job: job}
+	}
+	return nil
 }
 
 // dispatch is the drivers' shared path: run job through rt, recycle both

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"testing"
 
 	"ewh/internal/core"
@@ -268,5 +269,47 @@ func TestBroadcastWorksForBandJoins(t *testing.T) {
 	res := Run(r1, r2, cond, b, model, Config{Seed: 86})
 	if want := localjoin.NestedLoopCount(r1, r2, cond); res.Output != want {
 		t.Fatalf("output %d, want %d", res.Output, want)
+	}
+}
+
+// TestSchemeForAnotherConditionIsRefused pins that a region scheme built for
+// one condition is an error, not a silent reroute, on a job under another —
+// through both drivers — while the same condition and a scheme that routes
+// by its rectangles alone run.
+func TestSchemeForAnotherConditionIsRefused(t *testing.T) {
+	r1, r2 := randKeys(2000, 1000, 1), randKeys(2000, 1000, 2)
+	plan, err := core.PlanCSIO(r1, r2, join.NewBand(3), core.Options{J: 4, Model: model, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := plan.Scheme.(*partition.RegionScheme)
+	tiling := partition.NewRegionScheme(rs.Name(), rs.Regions())
+	emit := func(int, int, int) {}
+	for _, c := range []struct {
+		name string
+		run  func(partition.Scheme, join.Condition) (*Result, error)
+	}{
+		{"RunOver", func(s partition.Scheme, c join.Condition) (*Result, error) {
+			return RunOver(Local{}, r1, r2, c, s, model, Config{})
+		}},
+		{"RunPairsOver", func(s partition.Scheme, c join.Condition) (*Result, error) {
+			return RunPairsOver(Local{}, r1, r2, c, s, model, Config{}, emit)
+		}},
+	} {
+		// Both conditions' candidate cells lie inside band 3's, which the
+		// regions tile.
+		for _, cond := range []join.Condition{join.NewBand(2), join.Equi{}} {
+			_, err := c.run(rs, cond)
+			var mismatch *CondMismatchError
+			if !errors.As(err, &mismatch) || mismatch.Planned != (join.Spec{Kind: "band", Beta: 3}) {
+				t.Errorf("%s under %v: error %v, want a CondMismatchError naming band 3", c.name, cond, err)
+			}
+			if res, err := c.run(tiling, cond); err != nil || res.Output != localjoin.NestedLoopCount(r1, r2, cond) {
+				t.Errorf("%s under %v by the rectangles alone: %v", c.name, cond, err)
+			}
+		}
+		if res, err := c.run(rs, join.NewBand(3)); err != nil || res.Output != localjoin.NestedLoopCount(r1, r2, join.NewBand(3)) {
+			t.Errorf("%s under its own condition: %v", c.name, err)
+		}
 	}
 }

@@ -231,18 +231,18 @@ func TestGoldenDeterministicTriples(t *testing.T) {
 	}{
 		{"shuffle-hash", goldenTriple{0, 200000, 25267}, e.keyJoin(local, none, equi, e.hash)},
 		{"shuffle-ci-replicated", goldenTriple{0, 800000, 100338}, e.keyJoin(local, none, e.band, e.ci)},
-		{"run-csio-band", goldenTriple{999359, 491406, 91605.2}, e.keyJoin(local, e.r2, e.band, e.csio)},
+		{"run-csio-band", goldenTriple{999359, 400032, 80137.2}, e.keyJoin(local, e.r2, e.band, e.csio)},
 		{"exec-hashjoin-equi", goldenTriple{199566, 400000, 55436}, e.keyJoin(local, e.r2, equi, e.hash)},
 		{"localjoin-band-count", goldenTriple{999359, 0, 0}, e.localCount},
 		{"netexec-session-shuffle", goldenTriple{0, 200000, 25267}, e.keyJoin(sess, none, equi, e.hash)},
-		{"netexec-session-csio-band", goldenTriple{999359, 491406, 91605.2}, e.keyJoin(sess, e.r2, e.band, e.csio)},
+		{"netexec-session-csio-band", goldenTriple{999359, 400032, 80137.2}, e.keyJoin(sess, e.r2, e.band, e.csio)},
 		{"netexec-session-hashjoin-overlap", goldenTriple{199566, 400000, 55436}, e.keyJoin(sess, e.r2, equi, e.hash)},
 		{"netexec-session-tuple-pairs", goldenTriple{0, 200000, 25267}, e.tuplePairsShuffle(sess)},
-		{"netexec-peer-multiway-csio", goldenTriple{601514, 1374585, 129268.6}, e.chain3(sess)},
+		{"netexec-peer-multiway-csio", goldenTriple{601514, 1199247, 119054.8}, e.chain3(sess)},
 		// The pipelined peer path is the only stage-2 path now; this second run
 		// on the same session also pins that a repeat leaves the triple alone.
-		{"netexec-peer-multiway-pipelined", goldenTriple{601514, 1374585, 129268.6}, e.chain3(sess)},
-		{"netexec-stream-drift", goldenTriple{51576, 24199, 18633}, skewFlipStream(sess)},
+		{"netexec-peer-multiway-pipelined", goldenTriple{601514, 1199247, 119054.8}, e.chain3(sess)},
+		{"netexec-stream-drift", goldenTriple{51576, 20005, 17272}, skewFlipStream(sess)},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			got, err := c.run()

@@ -263,6 +263,9 @@ func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 	case sp.MaxWorkers < 1:
 		return nil, nil, fmt.Errorf("exec: stage plan needs a worker bound")
 	}
+	if err := CheckScheme(scheme, cond); err != nil {
+		return nil, nil, err
+	}
 	cfg.defaults()
 	start := time.Now()
 	j1 := scheme.Workers()
@@ -313,6 +316,9 @@ func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 		if s.Workers() > sp.MaxWorkers {
 			return nil, 0, fmt.Errorf("exec: replanned scheme routes to %d workers, pipeline bound %d",
 				s.Workers(), sp.MaxWorkers)
+		}
+		if err := CheckScheme(s, sp.Cond); err != nil {
+			return nil, 0, err
 		}
 		scheme2 = s
 		f3.resolve(RelData{Chunks: ShuffleKeysChunked(r3, s, 2, cfg3)})

@@ -85,6 +85,9 @@ func RunPairsOver(rt Runtime, r1, r2 []join.Key, cond join.Condition,
 	if emit == nil {
 		return RunOver(rt, r1, r2, cond, scheme, model, cfg)
 	}
+	if err := CheckScheme(scheme, cond); err != nil {
+		return nil, err
+	}
 	cfg.defaults()
 	start := time.Now()
 	f1, f2 := newRelFuture(), newRelFuture()

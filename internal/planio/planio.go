@@ -49,13 +49,22 @@ type Artifact struct {
 //	schemeTag 1 Hash:      u32 workers | u32 nheavy | nheavy × u64 key
 //	schemeTag 2 Broadcast: u32 workers
 //	schemeTag 3 CI:        u32 rows | u32 cols
-//	schemeTag 4 Region:    u8 nameLen | name | u32 nregions | nregions ×
-//	                       (4 × u32 rect | 4 × u64 key bounds | 3 × f64)
+//	schemeTag 4 Region:    u8 nameLen | name | [condition] | u32 nregions |
+//	                       nregions × (4 × u32 rect | 4 × u64 key bounds |
+//	                       3 × f64)
+//
+//	condition (version 2 only): u8 kindLen | kind | u64 beta | u8 op, the
+//	join.Spec a region scheme routes for
 //
 //	assignment body: u32 nregions | nregions × u32 machine |
 //	                 u32 nmachines | nmachines × (f64 load | f64 capacity)
+//
+// An artifact is written as version 2 exactly when its region scheme routes
+// for a join condition; every other artifact is written as version 1 did, so
+// its bytes, and a plan file written before conditions travelled, still read.
 const (
-	codecVersion = 1
+	codecVersion     = 1
+	codecVersionCond = 2
 
 	tagHash      = 1
 	tagBroadcast = 2
@@ -79,7 +88,13 @@ func Encode(a *Artifact) ([]byte, error) {
 	}
 	buf := make([]byte, 0, 64)
 	buf = append(buf, codecMagic[:]...)
-	buf = binary.LittleEndian.AppendUint16(buf, codecVersion)
+	version := uint16(codecVersion)
+	if rs, ok := a.Scheme.(*partition.RegionScheme); ok {
+		if _, cond := rs.Spec(); cond {
+			version = codecVersionCond
+		}
+	}
+	buf = binary.LittleEndian.AppendUint16(buf, version)
 	buf = binary.LittleEndian.AppendUint64(buf, a.Seed)
 	var err error
 	if buf, err = appendScheme(buf, a.Scheme); err != nil {
@@ -125,6 +140,15 @@ func appendScheme(buf []byte, s partition.Scheme) ([]byte, error) {
 		}
 		buf = append(buf, tagRegion, byte(len(name)))
 		buf = append(buf, name...)
+		if spec, ok := v.Spec(); ok {
+			if len(spec.Kind) > 255 {
+				return nil, fmt.Errorf("planio: condition kind %q too long", spec.Kind)
+			}
+			buf = append(buf, byte(len(spec.Kind)))
+			buf = append(buf, spec.Kind...)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(spec.Beta))
+			buf = append(buf, byte(spec.Op))
+		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(regions)))
 		for _, r := range regions {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Rect.R0))
@@ -271,15 +295,16 @@ func Decode(data []byte) (*Artifact, error) {
 	if magic := d.Bytes(len(codecMagic)); d.err == nil && string(magic) != string(codecMagic[:]) {
 		return nil, fmt.Errorf("planio: bad magic %q", magic)
 	}
-	if version := d.U16(); d.err == nil && version != codecVersion {
-		return nil, fmt.Errorf("planio: artifact version %d unsupported (want %d)", version, codecVersion)
+	version := d.U16()
+	if d.err == nil && version != codecVersion && version != codecVersionCond {
+		return nil, fmt.Errorf("planio: artifact version %d unsupported (want %d or %d)", version, codecVersion, codecVersionCond)
 	}
 	a := &Artifact{Seed: d.U64()}
 	if d.err != nil {
 		return nil, d.err
 	}
 	var err error
-	if a.Scheme, err = decodeScheme(d); err != nil {
+	if a.Scheme, err = decodeScheme(d, version == codecVersionCond); err != nil {
 		return nil, err
 	}
 	switch hasAssign := d.U8(); {
@@ -297,10 +322,15 @@ func Decode(data []byte) (*Artifact, error) {
 	return a, nil
 }
 
-func decodeScheme(d *Cursor) (partition.Scheme, error) {
+// decodeScheme reads a scheme body; cond says the artifact is a version 2
+// one, whose scheme must be a region scheme carrying its condition.
+func decodeScheme(d *Cursor, cond bool) (partition.Scheme, error) {
 	tag := d.U8()
 	if d.err != nil {
 		return nil, d.err
+	}
+	if cond && tag != tagRegion {
+		return nil, fmt.Errorf("planio: version %d artifact with scheme tag %d carries no condition", codecVersionCond, tag)
 	}
 	switch tag {
 	case tagHash:
@@ -343,6 +373,14 @@ func decodeScheme(d *Cursor) (partition.Scheme, error) {
 		return ci, nil
 	case tagRegion:
 		name := string(d.Bytes(int(d.U8())))
+		var spec join.Spec
+		if cond {
+			spec.Kind = string(d.Bytes(int(d.U8())))
+			spec.Beta, spec.Op = int64(d.U64()), join.Op(d.U8())
+			if _, err := spec.Condition(); d.err == nil && err != nil {
+				return nil, fmt.Errorf("planio: region scheme condition: %w", err)
+			}
+		}
 		regions := make([]tiling.Region, d.Count("region", maxCount, regionLen))
 		if d.err != nil {
 			return nil, d.err
@@ -361,10 +399,13 @@ func decodeScheme(d *Cursor) (partition.Scheme, error) {
 			r.Input, r.Output, r.Weight = d.F64(), d.F64(), d.F64()
 		}
 		// Nested key ranges cover ~n² slabs: refused before the index is built.
-		if n := partition.SlabIndexSize(regions); n > partition.MaxSlabIndex {
+		if n := partition.SlabIndexSize(regions, spec); n > partition.MaxSlabIndex {
 			return nil, fmt.Errorf("planio: regions need a routing index of %d entries, limit %d", n, partition.MaxSlabIndex)
 		}
-		return partition.NewRegionScheme(name, regions), nil
+		if !cond {
+			return partition.NewRegionScheme(name, regions), nil
+		}
+		return partition.NewRegionSchemeFor(name, regions, spec)
 	}
 	return nil, fmt.Errorf("planio: unknown scheme tag %d", tag)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -59,8 +60,30 @@ func randScheme(t testing.TB, kind int, rng *stats.RNG) partition.Scheme {
 				Weight: rng.Float64() * 1e6,
 			}
 		}
-		return partition.NewRegionScheme(name, regions)
+		if rng.Intn(2) == 0 {
+			return partition.NewRegionScheme(name, regions)
+		}
+		rs, err := partition.NewRegionSchemeFor(name, regions, randSpec(rng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
 	}
+}
+
+// randSpec draws one of the conditions a region scheme can route for.
+func randSpec(rng *stats.RNG) join.Spec {
+	specs := condSpecs()
+	return specs[rng.Intn(len(specs))]
+}
+
+// condSpecs is every kind of condition, bands at both ends of their range.
+func condSpecs() []join.Spec {
+	specs := []join.Spec{{Kind: "equi"}, {Kind: "band"}, {Kind: "band", Beta: 3}, {Kind: "band", Beta: math.MaxInt64}}
+	for op := join.Less; op <= join.GreaterEq; op++ {
+		specs = append(specs, join.Spec{Kind: "inequality", Op: op})
+	}
+	return specs
 }
 
 func randArtifact(t testing.TB, kind int, rng *stats.RNG) *Artifact {
@@ -159,6 +182,87 @@ func TestRoundTripAllSchemes(t *testing.T) {
 	}
 }
 
+// TestConditionRoundTrip pins the condition a region scheme routes for
+// through Encode∘Decode∘Encode: every kind comes back as it went, in a
+// version 2 artifact, while the same regions without one keep version 1's
+// bytes; a version 2 body whose condition is missing or malformed is refused.
+func TestConditionRoundTrip(t *testing.T) {
+	regions := nestedRegions(3)
+	plain, err := Encode(&Artifact{Scheme: partition.NewRegionScheme("CSIO", regions), Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint16(plain[4:]); v != codecVersion {
+		t.Fatalf("a scheme without a condition encodes as version %d", v)
+	}
+	for _, spec := range condSpecs() {
+		rs, err := partition.NewRegionSchemeFor("CSIO", regions, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := &Artifact{Scheme: rs, Seed: 5}
+		checkRoundTrip(t, a, 1)
+		enc, _ := Encode(a)
+		dec, _ := Decode(enc)
+		if got, ok := dec.Scheme.(*partition.RegionScheme).Spec(); !ok || got != spec {
+			t.Errorf("condition %+v round-tripped to %+v (%v)", spec, got, ok)
+		}
+		if v := binary.LittleEndian.Uint16(enc[4:]); v != codecVersionCond {
+			t.Errorf("condition %+v encodes as version %d", spec, v)
+		}
+		// The condition sits between the name and the region count.
+		body := len(codecMagic) + 2 + 8 + 1 + 1 + len("CSIO")
+		if !bytes.Equal(enc[:body], plainHead(plain, body)) || !bytes.Equal(enc[body+1+len(spec.Kind)+9:], plain[body:]) {
+			t.Errorf("condition %+v is not the only bytes beside version 1's", spec)
+		}
+	}
+	band, _ := Encode(&Artifact{Scheme: mustFor(t, regions, join.Spec{Kind: "band", Beta: 3}), Seed: 5})
+	body := len(codecMagic) + 2 + 8 + 1 + 1 + len("CSIO")
+	for name, data := range map[string][]byte{
+		"negative beta":   withBytes(band, body+1+len("band"), binary.LittleEndian.AppendUint64(nil, uint64(1<<63))),
+		"unknown kind":    withBytes(band, body+1, []byte("bend")),
+		"equi with beta":  withBytes(band, body+1, []byte("equi")),
+		"no condition":    withBytes(plain, 4, []byte{codecVersionCond, 0}),
+		"non-region body": withBytes(mustEncode(t, partition.NewCI(4)), 4, []byte{codecVersionCond, 0}),
+	} {
+		if _, err := Decode(data); err == nil {
+			t.Errorf("%s: decode accepted it", name)
+		}
+	}
+}
+
+// plainHead is a version 1 artifact's first n bytes with the version 2 tag.
+func plainHead(plain []byte, n int) []byte {
+	head := slices.Clone(plain[:n])
+	binary.LittleEndian.PutUint16(head[4:], codecVersionCond)
+	return head
+}
+
+// withBytes returns a copy of data with b written over it at off.
+func withBytes(data []byte, off int, b []byte) []byte {
+	out := slices.Clone(data)
+	copy(out[off:], b)
+	return out
+}
+
+func mustFor(t *testing.T, regions []tiling.Region, spec join.Spec) *partition.RegionScheme {
+	t.Helper()
+	rs, err := partition.NewRegionSchemeFor("CSIO", regions, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
+func mustEncode(t *testing.T, s partition.Scheme) []byte {
+	t.Helper()
+	enc, err := Encode(&Artifact{Scheme: s, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
 func TestDecodeRejectsCorruption(t *testing.T) {
 	a := &Artifact{Scheme: partition.NewCI(6), Seed: 7}
 	enc, err := Encode(a)
@@ -220,32 +324,33 @@ func TestDecodeAllocatesWhatItsBytesBack(t *testing.T) {
 
 // TestDecodeRefusesQuadraticRegionTable: a 562 KB artifact of 8,000 nested
 // regions passes every per-region check and asks for a 128 M-entry routing
-// index; Decode must refuse it having allocated next to nothing.
+// index; Decode must refuse it having allocated next to nothing. So must one
+// of 8,000 regions whose rectangles index in 32 k entries but which, routed
+// for R1.A < R2.A, take nested key ranges of R1.
 func TestDecodeRefusesQuadraticRegionTable(t *testing.T) {
-	regions := nestedRegions(8000)
-	// Encoded by hand: NewRegionScheme would build the index being refused.
-	enc := append(codecMagic[:], 0, 0)
-	binary.LittleEndian.PutUint16(enc[4:], codecVersion)
-	enc = binary.LittleEndian.AppendUint64(enc, 1) // seed
-	enc = append(enc, tagRegion, 4, 'C', 'S', 'I', 'O')
-	enc = binary.LittleEndian.AppendUint32(enc, uint32(len(regions)))
-	for _, r := range regions {
-		enc = append(enc, make([]byte, 16)...) // rect
-		for _, k := range []join.Key{r.RowLo, r.RowHi, r.ColLo, r.ColHi} {
-			enc = binary.LittleEndian.AppendUint64(enc, uint64(k))
+	staggered := make([]tiling.Region, 8000)
+	for i := range staggered {
+		staggered[i] = tiling.Region{RowLo: 0, RowHi: 10, ColLo: join.Key(10 * i), ColHi: join.Key(10*i + 10)}
+	}
+	less := join.Spec{Kind: "inequality", Op: join.Less}
+	if n := partition.SlabIndexSize(staggered, join.Spec{}); n > partition.MaxSlabIndex {
+		t.Fatalf("the staggered rectangles alone index in %d entries", n)
+	}
+	for name, c := range map[string]struct {
+		regions []tiling.Region
+		spec    join.Spec
+	}{"nested": {nestedRegions(8000), join.Spec{}}, "staggered under <": {staggered, less}} {
+		enc := handEncoded(c.regions, c.spec)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(enc)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: Decode accepted %d regions (%d bytes)", name, len(c.regions), len(enc))
 		}
-		enc = append(enc, make([]byte, 24)...) // input, output, weight
-	}
-	enc = append(enc, 0) // no assignment
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := Decode(enc)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatalf("Decode accepted %d nested regions (%d bytes)", len(regions), len(enc))
-	}
-	if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb >= 64 {
-		t.Fatalf("Decode allocated %d MB before refusing: %v", mb, err)
+		if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb >= 64 {
+			t.Fatalf("%s: Decode allocated %d MB before refusing: %v", name, mb, err)
+		}
 	}
 	// A table a planner could emit still decodes: 64 nested regions.
 	small, err := Encode(&Artifact{Scheme: partition.NewRegionScheme("CSIO", nestedRegions(64))})
@@ -255,6 +360,31 @@ func TestDecodeRefusesQuadraticRegionTable(t *testing.T) {
 	if _, err := Decode(small); err != nil {
 		t.Fatalf("Decode refused 64 nested regions: %v", err)
 	}
+}
+
+// handEncoded encodes a region scheme without building it, as Encode would
+// NewRegionSchemeFor(regions, spec) (NewRegionScheme's for a zero spec).
+func handEncoded(regions []tiling.Region, spec join.Spec) []byte {
+	version := uint16(codecVersion)
+	if spec.Kind != "" {
+		version = codecVersionCond
+	}
+	enc := binary.LittleEndian.AppendUint16(codecMagic[:], version)
+	enc = binary.LittleEndian.AppendUint64(enc, 1) // seed
+	enc = append(enc, tagRegion, 4, 'C', 'S', 'I', 'O')
+	if spec.Kind != "" {
+		enc = append(append(enc, byte(len(spec.Kind))), spec.Kind...)
+		enc = append(binary.LittleEndian.AppendUint64(enc, uint64(spec.Beta)), byte(spec.Op))
+	}
+	enc = binary.LittleEndian.AppendUint32(enc, uint32(len(regions)))
+	for _, r := range regions {
+		enc = append(enc, make([]byte, 16)...) // rect
+		for _, k := range []join.Key{r.RowLo, r.RowHi, r.ColLo, r.ColHi} {
+			enc = binary.LittleEndian.AppendUint64(enc, uint64(k))
+		}
+		enc = append(enc, make([]byte, 24)...) // input, output, weight
+	}
+	return append(enc, 0) // no assignment
 }
 
 func TestEncodeRejectsForeignScheme(t *testing.T) {
@@ -300,6 +430,7 @@ func FuzzDecode(f *testing.F) {
 	if enc, err := Encode(&Artifact{Scheme: partition.NewRegionScheme("CSIO", nestedRegions(6))}); err == nil {
 		f.Add(enc)
 	}
+	f.Add(handEncoded(nestedRegions(6), join.Spec{Kind: "band", Beta: 3}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := Decode(data)
 		if err != nil {

@@ -232,9 +232,9 @@ func (st *runState) openEpoch(planKeys []join.Key, sum *stats.Summary) error {
 	if err != nil {
 		return fmt.Errorf("streamjoin: plan epoch %d: %w", st.epoch+1, err)
 	}
-	st.plan = plan
-	st.epoch++
-	st.ref = nil
+	if err := st.adopt(plan); err != nil {
+		return err
+	}
 	shares, release, err := st.route(st.base, 2)
 	if err != nil {
 		return err
@@ -250,6 +250,18 @@ func (st *runState) openEpoch(planKeys []join.Key, sum *stats.Summary) error {
 	err = st.h.SendBase(st.epoch, shares)
 	release()
 	return err
+}
+
+// adopt makes plan the next epoch's, refusing (exec.CondMismatchError) a
+// scheme that routes for another condition than the stream's.
+func (st *runState) adopt(plan *core.Plan) error {
+	if err := exec.CheckScheme(plan.Scheme, st.spec.Cond); err != nil {
+		return err
+	}
+	st.plan = plan
+	st.epoch++
+	st.ref = nil
+	return nil
 }
 
 // route shuffles keys under the active plan's scheme and pads the shares out

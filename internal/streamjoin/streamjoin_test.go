@@ -1,6 +1,7 @@
 package streamjoin
 
 import (
+	"errors"
 	"testing"
 
 	"ewh/internal/core"
@@ -207,5 +208,27 @@ func TestRunValidation(t *testing.T) {
 		if _, err := Run(c.rt, c.base, c.windows, join.Equi{}, cfg); err == nil {
 			t.Errorf("%s: no error", c.name)
 		}
+	}
+}
+
+// TestEpochRefusesAnotherConditionsPlan pins that a stream opens no epoch
+// whose scheme routes for another condition than the stream's: the error is
+// exec's typed refusal and the active plan stays as it was.
+func TestEpochRefusesAnotherConditionsPlan(t *testing.T) {
+	base, windows := flipWorkload(t)
+	plan, err := core.PlanCSIO(windows[0], base, join.Equi{}, core.Options{J: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &runState{spec: exec.StreamSpec{Cond: join.NewBand(25)}}
+	var mismatch *exec.CondMismatchError
+	if err := st.adopt(plan); !errors.As(err, &mismatch) || st.plan != nil || st.epoch != 0 {
+		t.Fatalf("adopting an equi plan on a band stream: %v (epoch %d)", err, st.epoch)
+	}
+	if plan, err = core.PlanCSIO(windows[0], base, join.NewBand(25), core.Options{J: 4, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.adopt(plan); err != nil || st.epoch != 1 {
+		t.Fatalf("adopting the stream's own plan: %v (epoch %d)", err, st.epoch)
 	}
 }
