@@ -18,12 +18,6 @@ import (
 // conditions are encoded into one key (see CompositeSpec).
 type Key = int64
 
-const (
-	// MinKey and MaxKey bound the joinable range of inequality conditions.
-	MinKey Key = math.MinInt64 / 4
-	MaxKey Key = math.MaxInt64 / 4
-)
-
 // Condition is a monotonic join predicate between a key a from R1 and a key
 // b from R2.
 type Condition interface {
@@ -141,25 +135,26 @@ func (q Inequality) Matches(a, b Key) bool {
 	return false
 }
 
-// JoinableRange implements Condition. A strict comparison's open end saturates
-// at the int64 extreme instead of wrapping to the far side, which leaves the
-// range empty there: nothing is above MaxInt64 or below MinInt64.
+// JoinableRange implements Condition. The open end runs to the int64
+// extreme. A strict comparison's range is empty at the extreme key itself,
+// and only there: nothing is above MaxInt64 or below MinInt64. A sweep over
+// ascending keys skips that one empty range.
 func (q Inequality) JoinableRange(a Key) (Key, Key) {
 	switch q.Op {
 	case Less:
-		if a < math.MaxInt64 {
-			a++
+		if a == math.MaxInt64 {
+			return a, a - 1
 		}
-		return a, MaxKey
+		return a + 1, math.MaxInt64
 	case LessEq:
-		return a, MaxKey
+		return a, math.MaxInt64
 	case Greater:
-		if a > math.MinInt64 {
-			a--
+		if a == math.MinInt64 {
+			return a + 1, a
 		}
-		return MinKey, a
+		return math.MinInt64, a - 1
 	case GreaterEq:
-		return MinKey, a
+		return math.MinInt64, a
 	}
 	return 0, -1
 }

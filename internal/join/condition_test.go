@@ -102,18 +102,19 @@ func TestInequalityMatches(t *testing.T) {
 	}
 }
 
-// A strict inequality at the int64 extreme matches nothing, and its joinable
-// range must say so instead of wrapping a ±1 to the far side of the domain.
+// Every inequality's joinable range holds exactly the keys Matches takes, up
+// to the int64 extremes: a strict one's is empty at its extreme key instead
+// of wrapping a ±1 to the far side of the domain.
 func TestInequalityRangeAtTheInt64Extremes(t *testing.T) {
-	for _, c := range []struct {
-		op Op
-		a  Key
-	}{{Less, math.MaxInt64}, {Greater, math.MinInt64}} {
-		q := Inequality{c.op}
-		lo, hi := q.JoinableRange(c.a)
-		for _, b := range []Key{MinKey, 0, 5, 7, MaxKey} {
-			if inRange := lo <= b && b <= hi; inRange != q.Matches(c.a, b) {
-				t.Errorf("%v: JoinableRange(%d) = [%d, %d] holds %d, Matches says %v", q, c.a, lo, hi, b, q.Matches(c.a, b))
+	keys := []Key{math.MinInt64, math.MinInt64 + 1, math.MinInt64 / 2, 0, 5, 7, math.MaxInt64 / 2, math.MaxInt64 - 1, math.MaxInt64}
+	for op := Less; op <= GreaterEq; op++ {
+		q := Inequality{op}
+		for _, a := range keys {
+			lo, hi := q.JoinableRange(a)
+			for _, b := range keys {
+				if inRange := lo <= b && b <= hi; inRange != q.Matches(a, b) {
+					t.Errorf("%v: JoinableRange(%d) = [%d, %d] holds %d, Matches says %v", q, a, lo, hi, b, q.Matches(a, b))
+				}
 			}
 		}
 	}
@@ -163,7 +164,7 @@ func TestCompositeDecode(t *testing.T) {
 		t.Fatalf("Encode(-1, 3) = %d, want -5", k)
 	}
 	for _, c := range []struct{ p, s int64 }{
-		{0, 0}, {0, 5}, {123, 5}, {-1, 0}, {-1, 3}, {-1, 5}, {-2, 1}, {-1000, 4}, {MinKey / 8, 2},
+		{0, 0}, {0, 5}, {123, 5}, {-1, 0}, {-1, 3}, {-1, 5}, {-2, 1}, {-1000, 4}, {math.MinInt64 / 32, 2},
 	} {
 		if p, s := spec.Decode(spec.Encode(c.p, c.s)); p != c.p || s != c.s {
 			t.Errorf("Decode(Encode(%d, %d)) = (%d, %d)", c.p, c.s, p, s)

@@ -18,8 +18,8 @@ import (
 // joinable window of R2 keys is maintained with two advancing cursors — the
 // sorts are O(n) counting passes and the sweep is O(n1+n2), with no
 // per-tuple binary-search probes. It requires the condition's JoinableRange
-// endpoints to be nondecreasing in the R1 key, which holds for every
-// monotonic condition in this library (§III-B).
+// endpoints to be nondecreasing in the R1 key wherever the range is not
+// empty, which holds for every monotonic condition in this library (§III-B).
 func Count(r1, r2 []join.Key, cond join.Condition) int64 {
 	if len(r1) == 0 || len(r2) == 0 {
 		return 0
@@ -42,6 +42,9 @@ func CountSorted(s1, s2 []join.Key, cond join.Condition) int64 {
 	loIdx, hiIdx := 0, 0 // window [loIdx, hiIdx) of joinable s2 keys
 	for _, k := range s1 {
 		lo, hi := cond.JoinableRange(k)
+		if lo > hi {
+			continue // a strict inequality's extreme key joins nothing
+		}
 		for loIdx < len(s2) && s2[loIdx] < lo {
 			loIdx++
 		}

@@ -256,17 +256,16 @@ func (t *rankTable) probeCount(keys []join.Key, cond join.Condition, r1 bool) (o
 
 // converseRange returns the R1 keys a whose Inequality{Op: op} JoinableRange
 // holds the R2 key b: the flipped comparison, with the open end reaching the
-// int64 extreme, and none when b lies beyond the [MinKey, MaxKey] bound that
-// JoinableRange puts on R2 keys.
+// int64 extreme, and none past it for a strict one.
 func converseRange(op join.Op, b join.Key) (lo, hi join.Key) {
 	switch {
-	case op == join.Less && b <= join.MaxKey && b > math.MinInt64:
+	case op == join.Less && b > math.MinInt64:
 		return math.MinInt64, b - 1
-	case op == join.LessEq && b <= join.MaxKey:
+	case op == join.LessEq:
 		return math.MinInt64, b
-	case op == join.Greater && b >= join.MinKey && b < math.MaxInt64:
+	case op == join.Greater && b < math.MaxInt64:
 		return b + 1, math.MaxInt64
-	case op == join.GreaterEq && b >= join.MinKey:
+	case op == join.GreaterEq:
 		return b, math.MaxInt64
 	}
 	return 0, -1

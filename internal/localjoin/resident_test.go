@@ -133,28 +133,23 @@ func ascendingKeys(n int) []key {
 	return out
 }
 
-// keyOrders are the generators of the adversarial key-order table. wide marks
-// keys outside [join.MinKey, join.MaxKey], the domain the inequality
-// conditions' joinable ranges are bounded to: as R2 those rows run under the
-// equality and band conditions only (as R1 under every condition — a wide R1
-// key's range is still exact over an in-domain R2). form is the form a Build
-// is in after the first half of the row's keys, then after all of them
-// (TestBuildFormPerKeyOrder).
+// keyOrders are the generators of the adversarial key-order table. form is
+// the form a Build is in after the first half of the row's keys, then after
+// all of them (TestBuildFormPerKeyOrder).
 var keyOrders = []struct {
 	name string
-	wide bool
 	form string
 	gen  func(n int, seed uint64) []key
 }{
-	{"ascending", false, "dense", func(n int, _ uint64) []key { return ascendingKeys(n) }},
-	{"descending", false, "dense", func(n int, _ uint64) []key {
+	{"ascending", "dense", func(n int, _ uint64) []key { return ascendingKeys(n) }},
+	{"descending", "dense", func(n int, _ uint64) []key {
 		out := make([]key, n)
 		for i := range out {
 			out[i] = key((n-i)/2) - 20
 		}
 		return out
 	}},
-	{"shuffled", false, "dense", func(n int, seed uint64) []key {
+	{"shuffled", "dense", func(n int, seed uint64) []key {
 		out := ascendingKeys(n)
 		rng := stats.NewRNG(seed)
 		for i := n - 1; i > 0; i-- {
@@ -163,17 +158,17 @@ var keyOrders = []struct {
 		}
 		return out
 	}},
-	{"random", false, "dense", func(n int, seed uint64) []key { return randKeys(n, 100, seed) }},
-	{"dup-heavy", false, "dense", func(n int, seed uint64) []key { return dupHeavyKeys(n, seed) }},
-	{"signed", false, "dense", func(n int, seed uint64) []key { return signedKeys(n, seed) }},
-	{"all-equal", false, "dense", func(n int, _ uint64) []key {
+	{"random", "dense", func(n int, seed uint64) []key { return randKeys(n, 100, seed) }},
+	{"dup-heavy", "dense", func(n int, seed uint64) []key { return dupHeavyKeys(n, seed) }},
+	{"signed", "dense", func(n int, seed uint64) []key { return signedKeys(n, seed) }},
+	{"all-equal", "dense", func(n int, _ uint64) []key {
 		out := make([]key, n)
 		for i := range out {
 			out[i] = 7
 		}
 		return out
 	}},
-	{"two-valued", false, "dense", func(n int, _ uint64) []key {
+	{"two-valued", "dense", func(n int, _ uint64) []key {
 		out := make([]key, n)
 		for i := range out {
 			out[i] = []key{-3, 5}[i%2]
@@ -182,20 +177,21 @@ var keyOrders = []struct {
 	}},
 	// Every key lands in one partition of the hash form (and one radix bucket
 	// of the sort's first pass): the low byte is the partitioning digit.
-	{"equal-partition-digit", false, "sparse", func(n int, seed uint64) []key {
+	{"equal-partition-digit", "sparse", func(n int, seed uint64) []key {
 		out := randKeys(n, 40, seed)
 		for i := range out {
 			out[i] = (out[i]-20)<<8 | 0x5A
 		}
 		return out
 	}},
-	{"sparse", false, "sparse", func(n int, seed uint64) []key { return sparseKeys(n, seed) }},
-	{"dense-then-sparse", false, "dense, then sparse", func(n int, seed uint64) []key {
+	{"sparse", "sparse", func(n int, seed uint64) []key { return sparseKeys(n, seed) }},
+	{"dense-then-sparse", "dense, then sparse", func(n int, seed uint64) []key {
 		return append(ascendingKeys(n/2), sparseKeys(n-n/2, seed)...)
 	}},
-	{"quarter-domain-edges", false, "sparse", func(n int, seed uint64) []key {
-		edges := []key{join.MinKey, join.MinKey + 1, join.MinKey + 2, -1, 0, 1,
-			join.MaxKey - 2, join.MaxKey - 1, join.MaxKey}
+	// Keys past ±2^61, where an inequality's joinable range once stopped.
+	{"past-2^61", "sparse", func(n int, seed uint64) []key {
+		edges := []key{math.MinInt64 / 2, math.MinInt64/4 - 1, math.MinInt64 / 4, -1, 0, 1,
+			math.MaxInt64 / 4, math.MaxInt64/4 + 1, math.MaxInt64 / 2}
 		out := make([]key, n)
 		rng := stats.NewRNG(seed)
 		for i := range out {
@@ -203,7 +199,7 @@ var keyOrders = []struct {
 		}
 		return out
 	}},
-	{"int64-extremes", true, "sparse", func(n int, seed uint64) []key {
+	{"int64-extremes", "sparse", func(n int, seed uint64) []key {
 		edges := []key{math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 2, -1, 0, 1,
 			math.MaxInt64 - 2, math.MaxInt64 - 1, math.MaxInt64}
 		out := make([]key, n)
@@ -213,23 +209,23 @@ var keyOrders = []struct {
 		}
 		return out
 	}},
-	// Wide keys of a narrow span: a table side of them counts R2 keys over the
-	// converse range, which must reach past [MinKey, MaxKey] to the extremes.
-	{"near-int64-min", true, "dense", func(n int, seed uint64) []key {
+	// Keys of a narrow span at an int64 end: a table side of them counts R2
+	// keys over the converse range, which must reach the extremes.
+	{"near-int64-min", "dense", func(n int, seed uint64) []key {
 		out := randKeys(n, 100, seed)
 		for i := range out {
 			out[i] += math.MinInt64
 		}
 		return out
 	}},
-	{"near-int64-max", true, "dense", func(n int, seed uint64) []key {
+	{"near-int64-max", "dense", func(n int, seed uint64) []key {
 		out := randKeys(n, 100, seed)
 		for i := range out {
 			out[i] = math.MaxInt64 - out[i]
 		}
 		return out
 	}},
-	{"empty", false, "dense", func(int, uint64) []key { return nil }},
+	{"empty", "dense", func(int, uint64) []key { return nil }},
 }
 
 // TestBuildFormPerKeyOrder pins which form a Build of each key-order row is
@@ -419,9 +415,6 @@ func TestResidentKeyOrderTable(t *testing.T) {
 			keysort.Sort(s1)
 			keysort.Sort(s2)
 			for _, cond := range conds {
-				if _, bounded := cond.(join.Inequality); bounded && g2.wide {
-					continue
-				}
 				row := fmt.Sprintf("%s x %s, %v", g1.name, g2.name, cond)
 				want := NestedLoopCount(r1, r2, cond)
 				if got := Count(r1, r2, cond); got != want {
@@ -493,10 +486,40 @@ func TestStrictInequalityAtTheInt64Extremes(t *testing.T) {
 	if got := residentCount(r1, []key{math.MaxInt64}, join.Inequality{Op: join.Greater}, formTable, true, 0); got != 0 {
 		t.Errorf("{0, 5, 7} > {MaxInt64} through an R1 table = %d, want 0", got)
 	}
-	// R2 resident, the saturated range [MaxInt64, MaxKey] is empty, as the
-	// sweep has it, whatever R2 holds past MaxKey.
-	if got := residentCount([]key{math.MaxInt64}, []key{join.MaxKey + 5}, join.Inequality{Op: join.Less}, formTable, false, 0); got != 0 {
-		t.Errorf("{MaxInt64} < {MaxKey + 5} through an R2 table = %d, want 0", got)
+}
+
+// TestInequalityPastTheOldCap holds every inequality's count to the nested
+// loop on keys past ±2^61, where JoinableRange once stopped while Matches
+// went on: {0} < {MaxInt64, 2^61} is 2, not 0. Each side is resident in the
+// merge form, and in the table form where its span lets a test force one.
+func TestInequalityPastTheOldCap(t *testing.T) {
+	far := []key{math.MinInt64, math.MinInt64/4 - 1, -5, 0, 5, math.MaxInt64/4 + 1, math.MaxInt64}
+	if got, want := Count([]key{0}, []key{math.MaxInt64, math.MaxInt64/4 + 1}, join.Inequality{Op: join.Less}), int64(2); got != want {
+		t.Errorf("Count({0} < {MaxInt64, 2^61}) = %d, want %d", got, want)
+	}
+	for op := join.Less; op <= join.GreaterEq; op++ {
+		cond := join.Inequality{Op: op}
+		for _, r1 := range [][]key{far, {0}, {math.MinInt64}, {math.MaxInt64}} {
+			r2 := far
+			want := NestedLoopCount(r1, r2, cond)
+			if got := Count(r1, r2, cond); got != want {
+				t.Errorf("%v, %v x %v: Count = %d, want %d", cond, r1, r2, got, want)
+			}
+			for _, form := range []residentForm{formMerge, formTable} {
+				for _, residentR1 := range []bool{true, false} {
+					resident := r2
+					if residentR1 {
+						resident = r1
+					}
+					if form == formTable && spanOf(resident) > tableSpanCap {
+						continue
+					}
+					if got := residentCount(r1, r2, cond, form, residentR1, 0); got != want {
+						t.Errorf("%v, %v x %v, %v, R1 resident %v: count = %d, want %d", cond, r1, r2, form, residentR1, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -534,7 +557,9 @@ func TestResidentProperty(t *testing.T) {
 // either relation resident, also counts each probe chunk in key order and in
 // reverse: a count must not depend on the order a chunk's keys come in. Byte
 // keys span at most 256, so the sparse and converting forms are what keep the
-// hash partitions fuzzed, and every side fits the table form.
+// hash partitions fuzzed, and every side fits the table form. With sel's 0x40
+// bit the bytes at either end stand for keys at the int64 extremes and just
+// past ±2^61; a side spanning those stays off the table form.
 func FuzzEngineCount(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 3}, uint8(3), uint8(0))
 	f.Add([]byte{}, []byte{0, 0, 0, 0}, uint8(1), uint8(1))
@@ -543,6 +568,16 @@ func FuzzEngineCount(f *testing.F) {
 	// Dense as a whole (span 30 over 5 keys), too sparse as its first two
 	// single-key chunks (span 30 over 2).
 	f.Add([]byte{128, 158, 129, 130, 131}, []byte{128, 158}, uint8(1), uint8(0))
+	// Past ±2^61 (0x40; the condition is sel mod 7): {0} < {MaxInt64, 2^61}
+	// and {0} > {MinInt64, -2^61 - 1} with R1 resident, then R2; and every end
+	// key against every end key under <= and >=.
+	ends := []byte{0, 1, 2, 3, 127, 128, 129, 252, 253, 254, 255}
+	f.Add([]byte{128}, []byte{255, 252}, uint8(0), uint8(0x42))
+	f.Add([]byte{128}, []byte{0, 3}, uint8(0), uint8(0x44))
+	f.Add([]byte{128}, []byte{255, 252}, uint8(1), uint8(0xC0))
+	f.Add([]byte{128}, []byte{0, 3}, uint8(1), uint8(0xC2))
+	f.Add(ends, ends, uint8(2), uint8(0x43))
+	f.Add(ends, ends, uint8(3), uint8(0xC3))
 	conds := propertyConds
 	f.Fuzz(func(t *testing.T, b1, b2 []byte, split, sel uint8) {
 		if len(b1) > 1024 || len(b2) > 1024 {
@@ -555,6 +590,17 @@ func FuzzEngineCount(f *testing.F) {
 			out := make([]key, len(bs))
 			for i, v := range bs {
 				out[i] = key(int64(v) - 128)
+				switch {
+				case sel&0x40 == 0:
+				case v < 3:
+					out[i] = math.MinInt64 + key(v)
+				case v == 3:
+					out[i] = math.MinInt64/4 - 1
+				case v == 252:
+					out[i] = math.MaxInt64/4 + 1
+				case v > 252:
+					out[i] = math.MaxInt64 - key(255-v)
+				}
 			}
 			return out
 		}
@@ -570,15 +616,27 @@ func FuzzEngineCount(f *testing.F) {
 		if got := sealedForm(sealChunked(resident, cond, residentR1, int(split)%8)); got != whole {
 			t.Fatalf("%v, R1 resident %v: sealed %s in chunks of %d, %s in one", cond, residentR1, got, int(split)%8, whole)
 		}
+		fits := func(form residentForm, residentR1 bool) bool {
+			side := r2
+			if residentR1 {
+				side = r1
+			}
+			return form != formTable || spanOf(side) <= tableSpanCap
+		}
 		for _, form := range residentForms {
 			if !formServes(form, cond) {
 				continue
 			}
-			if got := residentCount(r1, r2, cond, form, residentR1, int(split)%8); got != want {
-				t.Fatalf("%v, %v, R1 resident %v, chunks of %d: count = %d, want %d",
-					cond, form, residentR1, int(split)%8, got, want)
+			if fits(form, residentR1) {
+				if got := residentCount(r1, r2, cond, form, residentR1, int(split)%8); got != want {
+					t.Fatalf("%v, %v, R1 resident %v, chunks of %d: count = %d, want %d",
+						cond, form, residentR1, int(split)%8, got, want)
+				}
 			}
 			for _, r1Resident := range []bool{true, false} {
+				if !fits(form, r1Resident) {
+					continue
+				}
 				for _, order := range []probeOrder{keyOrder, reverseKeyOrder} {
 					if got := residentCountIn(r1, r2, cond, form, r1Resident, int(split)%8, order); got != want {
 						t.Fatalf("%v, %v, R1 resident %v, chunks of %d in %v order: count = %d, want %d",

@@ -14,6 +14,7 @@ package matrix
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -104,10 +105,10 @@ func BuildSample(rh, ch *histogram.EquiDepth, cond join.Condition,
 	for i := 0; i < rows; i++ {
 		rLo, rHi := rh.Bounds(i)
 		if i == 0 {
-			rLo = join.MinKey
+			rLo = math.MinInt64
 		}
 		if i == rows-1 {
-			rHi = join.MaxKey
+			rHi = math.MaxInt64
 		}
 		jLo, _ := cond.JoinableRange(rLo)
 		_, jHi := cond.JoinableRange(rHi - 1)

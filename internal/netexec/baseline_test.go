@@ -1,21 +1,16 @@
 package netexec
 
 import (
-	"bufio"
 	"context"
 	"errors"
-	"io"
 	"net"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
-	"ewh/internal/core"
 	"ewh/internal/exec"
 	"ewh/internal/faultnet"
 	"ewh/internal/join"
-	"ewh/internal/multiway"
 	"ewh/internal/partition"
 	"ewh/internal/planio"
 )
@@ -446,461 +441,5 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 			workersIdle(t, ws...)
 			b.goroutinesSettled()
 		})
-	}
-}
-
-// The worker-side return-to-baseline table: the job kinds the join goroutine
-// (stream_worker.go) serves — a pairs job, equi and band count jobs, a
-// peer-fed job and a stream — crossed with every way such a job can leave the
-// worker, each driven frame by frame over a raw connection and asserting
-// workersIdle, a build cache untouched by a failed job and grown by a
-// completed count job, and the goroutine count back at the snapshot. The worker has ONE admission slot, so a fed job
-// whose goroutine queued for a second slot beside the one its open holds,
-// or a peer-fed job that sat on one while parked on its transfer, times out.
-
-const (
-	feedTenant = "fed"
-	feedBudget = 64 // tenant byte budget in the quota cell: 8 keys
-	feedJob    = 7
-	otherJob   = 8 // the job that takes the slot while feedJob is parked
-
-	buildSide = 0 // the resident side: a fed job's relation 1, a peer-fed job's relation 2, a stream's epoch-1 base
-	probeSide = 1 // a fed job's relation 2, a peer-fed job's transfer, a stream's window 0
-)
-
-// feedKind writes one kind's frames: the open, then per side the run's key
-// frames and end frame; bad is a build-side data frame the decoder must
-// refuse at job level. want is the kind's match count over the table's two
-// relations.
-type feedKind struct {
-	name  string
-	pairs bool // a pairs job: it holds its runs to EOS, with no side to seal
-	want  int64
-	token uint64 // the peer-fed kind's transfer, which its probe side fills
-	open  func(bw *bufio.Writer, conn net.Conn, br *bufio.Reader) error
-	keys  func(bw *bufio.Writer, side int, keys []join.Key) error
-	end   func(bw *bufio.Writer, side, total int) error
-	bad   func(bw *bufio.Writer) error
-}
-
-// run ships one side's complete run.
-func (k feedKind) run(bw *bufio.Writer, side int, keys []join.Key) error {
-	return errors.Join(k.keys(bw, side, keys), k.end(bw, side, len(keys)))
-}
-
-// chunkFedKind is a job under cond — a count job, or a pairs job
-// when pairs — whose relation 1 arrives as base frames and relation 2 as
-// window frames, at epoch 0 and window 0.
-func chunkFedKind(t *testing.T, name string, cond join.Condition, want int64, pairs bool) feedKind {
-	spec, err := join.SpecOf(cond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return feedKind{
-		name: name, want: want, pairs: pairs,
-		open: func(bw *bufio.Writer, _ net.Conn, _ *bufio.Reader) error {
-			o := open{Kind: kindCount, Cond: spec}
-			if pairs {
-				o.Kind = kindPairs
-			}
-			return writeCtl(bw, frameV3Open, feedJob, &o)
-		},
-		keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
-			if side == buildSide {
-				return writeStreamBaseKeys(bw, feedJob, 0, keys)
-			}
-			return writeStreamWinKeys(bw, feedJob, 0, 0, keys)
-		},
-		end: func(bw *bufio.Writer, side, total int) error {
-			if side == buildSide {
-				return writeStreamBaseEnd(bw, feedJob, 0, total)
-			}
-			return writeStreamWinEnd(bw, feedJob, 0, 0, total)
-		},
-		bad: func(bw *bufio.Writer) error { // a fed job runs at epoch 0 only
-			return writeStreamBaseKeys(bw, feedJob, 1, []join.Key{4})
-		},
-	}
-}
-
-// feedTableKinds builds the kinds against worker w, whose transfer table the
-// peer-fed kind's probe side writes straight into — a self-contribution, as a
-// stage-1 job on the same worker delivers it.
-func feedTableKinds(t *testing.T, w *Worker) []feedKind {
-	spec, err := join.SpecOf(join.Equi{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	token := newPeerToken()
-	return []feedKind{
-		// 2×2 matches on key 2, one on key 3.
-		chunkFedKind(t, "fed count job", join.Equi{}, 5, false),
-		// Build key 1 reaches the two 2s, each 2 the 2s and the 3, 3 the same.
-		chunkFedKind(t, "band fed count job", join.NewBand(1), 11, false),
-		{
-			name: "peer-fed job", want: 5, token: token,
-			// The open is acknowledged before the probe side's
-			// self-contribution can find its transfer.
-			open: func(bw *bufio.Writer, conn net.Conn, br *bufio.Reader) error {
-				if ack := sendPeerOpen(t, conn, br, bw, feedJob, token, 1); ack.Err != "" {
-					return errors.New(ack.Err)
-				}
-				return nil
-			},
-			keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
-				if side == probeSide {
-					return w.deliverLocal(token, 0, feedTenant, keys)
-				}
-				return writeStreamBaseKeys(bw, feedJob, 0, keys)
-			},
-			end: func(bw *bufio.Writer, side, total int) error {
-				if side == probeSide {
-					return nil // the one sender's contribution completed the transfer
-				}
-				return writeStreamBaseEnd(bw, feedJob, 0, total)
-			},
-			bad: func(bw *bufio.Writer) error { // its probe is the transfer, not windows
-				return writeStreamWinKeys(bw, feedJob, 0, 0, []join.Key{4})
-			},
-		}, {
-			name: "stream", want: 5,
-			open: func(bw *bufio.Writer, _ net.Conn, _ *bufio.Reader) error {
-				return writeCtl(bw, frameV3Open, feedJob,
-					&open{Kind: kindStream, Cond: spec, Stats: exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 1}})
-			},
-			keys: func(bw *bufio.Writer, side int, keys []join.Key) error {
-				if side == buildSide {
-					return writeStreamBaseKeys(bw, feedJob, 1, keys)
-				}
-				return writeStreamWinKeys(bw, feedJob, 0, 1, keys)
-			},
-			end: func(bw *bufio.Writer, side, total int) error {
-				if side == buildSide {
-					return writeStreamBaseEnd(bw, feedJob, 1, total)
-				}
-				return writeStreamWinEnd(bw, feedJob, 0, 1, total)
-			},
-			bad: func(bw *bufio.Writer) error { // a one-key frame declaring three
-				if err := writeV3FrameHeader(bw, frameV3StreamBase, feedJob, streamBaseHdrLen+8); err != nil {
-					return err
-				}
-				_, err := bw.Write([]byte{1, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0})
-				return err
-			},
-		},
-		// The equi count's 5 matches, as index pairs.
-		chunkFedKind(t, "pairs job", join.Equi{}, 5, true),
-	}
-}
-
-// awaitFeedMetrics reads job's reply frames up to its final REPLY, skipping
-// pairs and a stream's window replies.
-func awaitFeedMetrics(t *testing.T, conn net.Conn, br *bufio.Reader, job uint32) reply {
-	t.Helper()
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for {
-		typ, got, n, err := readV3FrameHeader(br)
-		if err != nil {
-			t.Fatalf("reading job %d's reply: %v", job, err)
-		}
-		if got != job {
-			t.Fatalf("reply for job %d, want %d", got, job)
-		}
-		if typ != frameV3Reply {
-			if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		var m reply
-		if err := readCtl(br, n, maxControlPayload, &m); err != nil {
-			t.Fatal(err)
-		}
-		if m.Final {
-			return m
-		}
-	}
-}
-
-func TestWorkerFeedReturnsToBaseline(t *testing.T) {
-	build := []join.Key{1, 2, 2, 3}
-	probe := []join.Key{2, 2, 3, 9}
-	eos := func(bw *bufio.Writer) error { return writeV3FrameHeader(bw, frameV3EOS, feedJob, 0) }
-	// midBuild leaves the build side part-shipped.
-	midBuild := func(k feedKind, bw *bufio.Writer) error {
-		return k.keys(bw, buildSide, build)
-	}
-
-	// cell is what an exit drives: the kind, the raw connection both ways, and
-	// the worker behind it.
-	type cell struct {
-		k    feedKind
-		bw   *bufio.Writer
-		br   *bufio.Reader
-		conn net.Conn
-		w    *Worker
-	}
-	// Each exit sends its frames after the open. One with a check then reads
-	// the job's final REPLY; one without abandoned the job and expects no reply.
-	// Only a success cell may grow the build cache. The peerOnly exits are the
-	// outcomes of a transfer the other kinds have no counterpart of; a pairs
-	// job has no side to seal, so it skips the sealed exit.
-	succeeded := func(c cell, m reply) bool { return m.Err == "" && m.Output == c.k.want }
-	failedWith := func(code int) func(cell, reply) bool {
-		return func(_ cell, m reply) bool { return m.Err != "" && m.Code == code }
-	}
-	exits := []struct {
-		name     string
-		budget   int64
-		peerOnly bool
-		sealed   bool
-		send     func(c cell) error
-		check    func(c cell, m reply) bool
-	}{
-		{name: "EOS",
-			send: func(c cell) error {
-				return errors.Join(c.k.run(c.bw, buildSide, build), c.k.run(c.bw, probeSide, probe), eos(c.bw))
-			},
-			check: succeeded},
-		{name: "ABORT mid-relation",
-			send: func(c cell) error {
-				return errors.Join(midBuild(c.k, c.bw), writeV3FrameHeader(c.bw, frameV3Abort, feedJob, 0))
-			}},
-		{name: "connection teardown mid-relation",
-			send: func(c cell) error {
-				if err := errors.Join(midBuild(c.k, c.bw), c.bw.Flush()); err != nil {
-					return err
-				}
-				// Hang up under a job the worker demonstrably holds.
-				waitFor(t, "the worker to register the job", func() bool { return c.w.Snapshot().Holdings.Jobs == 1 })
-				return c.conn.Close()
-			}},
-		{name: "refused data frame",
-			send: func(c cell) error {
-				return errors.Join(midBuild(c.k, c.bw), c.k.bad(c.bw), eos(c.bw))
-			},
-			check: failedWith(0)},
-		{name: "probe keys ahead of the sealed build side", sealed: true,
-			send: func(c cell) error {
-				return errors.Join(midBuild(c.k, c.bw),
-					c.k.keys(c.bw, probeSide, probe), eos(c.bw))
-			},
-			check: failedWith(0)},
-		{name: "tenant quota rejection mid-feed", budget: feedBudget,
-			send: func(c cell) error {
-				// The first frame fits the budget, the second overruns it.
-				return errors.Join(midBuild(c.k, c.bw),
-					c.k.keys(c.bw, buildSide, make([]join.Key, feedBudget/8)), eos(c.bw))
-			},
-			check: failedWith(codeQuota)},
-		{name: "tenant quota rejection, then the run's end frame", budget: feedBudget,
-			send: func(c cell) error {
-				// The end frame still reaches the goroutine, which must not seal
-				// (and publish) the side it failed on.
-				over := make([]join.Key, feedBudget/8)
-				return errors.Join(midBuild(c.k, c.bw), c.k.keys(c.bw, buildSide, over),
-					c.k.end(c.bw, buildSide, len(build)+len(over)), eos(c.bw))
-			},
-			check: failedWith(codeQuota)},
-		{name: "parked on its transfer while another job takes the one slot", peerOnly: true,
-			send: func(c cell) error {
-				// Sealed and parked: the one sender has not contributed yet.
-				if err := errors.Join(c.k.run(c.bw, buildSide, build), eos(c.bw), c.bw.Flush()); err != nil {
-					return err
-				}
-				waitFor(t, "the seal to have taken the slot and given it back", func() bool {
-					s := c.w.Snapshot()
-					return s.Admission.FastPath == 1 && s.Running == 0
-				})
-				// A pairs job now needs the worker's only slot — at its open,
-				// in the read loop — and must get it.
-				sendOpenJob(t, c.bw, otherJob, kindPairs, 0)
-				err := errors.Join(
-					writeRel(c.bw, otherJob, 1, []join.Key{2}),
-					writeRel(c.bw, otherJob, 2, []join.Key{2}),
-					writeV3FrameHeader(c.bw, frameV3EOS, otherJob, 0), c.bw.Flush())
-				if err != nil {
-					return err
-				}
-				if m := awaitFeedMetrics(t, c.conn, c.br, otherJob); m.Err != "" || m.Output != 1 {
-					t.Errorf("the job beside the parked one replied %+v", m)
-				}
-				return c.k.run(c.bw, probeSide, probe)
-			},
-			check: succeeded},
-		{name: "a sender past the open's count", peerOnly: true,
-			send: func(c cell) error {
-				// Sender 1 of a one-sender transfer is refused and fails it.
-				err := errors.Join(c.k.run(c.bw, buildSide, build), eos(c.bw))
-				if c.w.deliverLocal(c.k.token, 1, feedTenant, probe) == nil {
-					err = errors.Join(err, errors.New("sender 1 of a one-sender transfer was taken"))
-				}
-				return err
-			},
-			check: failedWith(0)},
-		{name: "a sender never contributes, coordinator hangs up", peerOnly: true,
-			send: func(c cell) error {
-				err := errors.Join(c.k.run(c.bw, buildSide, build), eos(c.bw), c.bw.Flush())
-				if err != nil {
-					return err
-				}
-				waitFor(t, "the worker to register the job", func() bool { return c.w.Snapshot().Holdings.Jobs == 1 })
-				return c.conn.Close()
-			}},
-	}
-
-	kinds := feedTableKinds(t, nil)
-	for ki := range kinds {
-		for _, x := range exits {
-			if x.peerOnly && kinds[ki].name != "peer-fed job" || x.sealed && kinds[ki].pairs {
-				continue
-			}
-			t.Run(kinds[ki].name+"/"+x.name, func(t *testing.T) {
-				b := snapshotBaseline(t)
-				w, err := ListenWorker("127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				w.SetAdmission(AdmissionConfig{MaxInFlight: 1})
-				w.SetTenantPolicy(feedTenant, TenantPolicy{MaxBytes: x.budget})
-				go func() { _ = w.Serve() }()
-				defer w.Close()
-				cacheBefore := w.Snapshot().Cache.Bytes
-
-				bw, conn := dialV3(t, w.Addr(), feedTenant)
-				c := cell{k: feedTableKinds(t, w)[ki], bw: bw, br: bufio.NewReader(conn), conn: conn, w: w}
-				err = errors.Join(c.k.open(bw, conn, c.br), x.send(c))
-				if err != nil {
-					t.Fatal(err)
-				}
-				_ = bw.Flush() // a teardown cell already hung up
-				if x.check != nil {
-					if m := awaitFeedMetrics(t, conn, c.br, feedJob); !x.check(c, m) {
-						t.Errorf("replied %+v, not as a %s", m, x.name)
-					}
-				}
-				workersIdle(t, w)
-				// Only a count job's side is cached, hash or table alike, and
-				// only a completed one.
-				grew := w.Snapshot().Cache.Bytes - cacheBefore
-				switch counted := strings.HasSuffix(c.k.name, "count job"); {
-				case x.name != "EOS" && grew != 0:
-					t.Errorf("failed job left %d bytes in the build cache", grew)
-				case x.name == "EOS" && counted && grew <= 0:
-					t.Errorf("the count job's sealed side left no entry in the build cache")
-				}
-				_ = conn.Close()
-				_ = w.Close()
-				b.goroutinesSettled()
-			})
-		}
-	}
-}
-
-// TestSnapshotTalliesEveryReply runs one job of each kind over a two-worker
-// fleet under admission — a count, a pairs, a multiway (a plan, a peer and a
-// contribution on each worker) and a stream of k windows — and then parks a
-// peer job on worker 0 and ABORTs it. The workers are fresh, so their
-// Snapshots are the run's delta: one final reply per job, the stream's k
-// window replies beside its final, nothing for the abandoned job, a slot
-// for every seal, probe and count or pairs or plan open, and nothing held.
-func TestSnapshotTalliesEveryReply(t *testing.T) {
-	const k = 3
-	ws, addrs := startTenantWorkerSet(t, 2, AdmissionConfig{MaxInFlight: 2, MaxQueue: 64}, nil)
-	sess := dialSession(t, addrs)
-	hash, err := partition.NewHash(2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, r2 := randKeys(2000, 1000, 1), randKeys(2000, 1000, 2)
-	cfg := exec.Config{Seed: 3}
-	count, err := exec.RunOver(sess, r1, r2, join.Equi{}, hash, model, cfg)
-	if err != nil {
-		t.Fatalf("count job: %v", err)
-	}
-	t1, t2 := make([]exec.Tuple[int], len(r1)), make([]exec.Tuple[int], len(r2))
-	for i := range r1 {
-		t1[i], t2[i] = exec.Tuple[int]{Key: r1[i]}, exec.Tuple[int]{Key: r2[i]}
-	}
-	_, err = exec.RunTuplesOver(sess, t1, t2, join.Equi{}, hash, model, cfg, func(int, exec.Tuple[int], exec.Tuple[int]) {})
-	if err != nil {
-		t.Fatalf("pairs job: %v", err)
-	}
-	q := multiway.Query{R1: r1, Mid: multiway.MidRelation{A: r2, B: randKeys(2000, 1000, 4)},
-		R3: randKeys(2000, 1000, 5), CondA: join.Equi{}, CondB: join.NewBand(1)}
-	mw, err := multiway.ExecuteOver(sess, q, core.Options{J: 2, Model: model, Seed: 6}, cfg)
-	if err != nil {
-		t.Fatalf("multiway job: %v", err)
-	}
-	if len(mw.Stages[0].Exec.Workers) != 2 || len(mw.Stages[1].Exec.Workers) != 2 {
-		t.Fatalf("the pipeline ran on %d and %d workers, want both stages on both",
-			len(mw.Stages[0].Exec.Workers), len(mw.Stages[1].Exec.Workers))
-	}
-	st, err := sess.OpenStream(exec.StreamSpec{Cond: join.Equi{}, Stats: exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 7}})
-	if err == nil {
-		err = st.SendBase(1, [][]join.Key{r2[:1000], r2[1000:]})
-	}
-	for win := range uint32(k) {
-		if err == nil {
-			err = st.SendWindow(win, 1, [][]join.Key{r1[:100], r1[100:200]})
-		}
-		if err == nil {
-			_, err = st.Collect(win, 1)
-		}
-	}
-	if cerr := st.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatalf("stream: %v", err)
-	}
-	// The abandoned job: sealed, parked past its EOS on a transfer no sender
-	// feeds, then ABORTed.
-	bw, conn := dialV3(t, addrs[0], "")
-	br := bufio.NewReader(conn)
-	if ack := sendPeerOpen(t, conn, br, bw, 1, newPeerToken(), 1); ack.Err != "" {
-		t.Fatalf("the peer open was refused: %+v", ack)
-	}
-	err = errors.Join(writeRel(bw, 1, 1, r1[:10]), writeV3FrameHeader(bw, frameV3EOS, 1, 0),
-		writeV3FrameHeader(bw, frameV3Abort, 1, 0), bw.Flush())
-	if err != nil {
-		t.Fatal(err)
-	}
-	workersIdle(t, ws...)
-
-	for i, w := range ws {
-		s := w.Snapshot()
-		if s.Holdings != (Holdings{}) {
-			t.Errorf("worker %d holds %+v at rest", i, s.Holdings)
-		}
-		for kind, tl := range s.Jobs {
-			replies := int64(1)
-			if kind == "stream" {
-				replies = k + 1
-			}
-			if tl.Finals != 1 || tl.Replies != replies {
-				t.Errorf("worker %d tallied %d replies, %d final, of its %s job; want %d, 1",
-					i, tl.Replies, tl.Finals, kind, replies)
-			}
-			if tl.Stages.Total() <= 0 {
-				t.Errorf("worker %d's %s replies carried no time", i, kind)
-			}
-		}
-		if len(s.Jobs) != int(numKinds) {
-			t.Errorf("worker %d tallies %d job kinds, want %d", i, len(s.Jobs), numKinds)
-		}
-		if got := s.Jobs["count"].Stages; got != count.Stages[i] {
-			t.Errorf("worker %d tallied %v for its count job, whose reply carried %v", i, got, count.Stages[i])
-		}
-		// A slot per count, pairs and plan open, per seal (a peer job's, the
-		// stream's, and worker 0's abandoned job's) and per probe (a peer
-		// job's, each stream window's).
-		slots := int64(1 + 1 + 1 + 2 + 1 + k)
-		if i == 0 {
-			slots++
-		}
-		if a := s.Admission; a.FastPath+a.Dispatched != slots || a.Rejected != 0 {
-			t.Errorf("worker %d admitted %+v, want %d slots taken", i, a, slots)
-		}
 	}
 }

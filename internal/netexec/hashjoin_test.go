@@ -1,12 +1,8 @@
 package netexec
 
 import (
-	"bufio"
 	"context"
-	"errors"
-	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"ewh/internal/exec"
@@ -189,174 +185,5 @@ func TestBuildCacheKeysHeldChunks(t *testing.T) {
 	}
 	if st := ws[0].Snapshot().Cache; st.Hits != 0 || st.Entries != 2 {
 		t.Fatalf("two distinct build sides: %d cache hits, %d entries, want 0 and 2", st.Hits, st.Entries)
-	}
-}
-
-// TestArrivalOrderJobsRefuseChunks pins the frames no job kind can take,
-// each as a job-level refusal. Every kind rides base and window runs at epoch
-// 0: relation 1 the base, relation 2 window 0 and a plan job's re-key column
-// window 1; the open's kind fixes which job it is. Refused: window 1 on any
-// job but a plan job, a run past epoch 0, a frame after its run's end, a
-// window ahead of a count job's sealed base, a window on a peer-fed job (its
-// probe is the transfer) or on a contribution (its share is its base), and a
-// plan or contribution open naming a sender no transfer may have. A sweep
-// then sends every kind but a stream each run — the base, window 0, 1 or 2,
-// at epoch 0 or 1, as a key frame and as an end frame alone — that the kind
-// does not take, each refused. The job replies its error at EOS: each
-// refused frame was consumed exactly, so the connection serves the next job
-// intact.
-func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
-	_, addrs := startWorkerSet(t, 1)
-	spec, err := join.SpecOf(join.Equi{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	openKind := func(kind byte, cond join.Spec) func(bw *bufio.Writer) error {
-		return func(bw *bufio.Writer) error {
-			return writeCtl(bw, frameV3Open, 1, &open{Kind: kind, Cond: cond, Token: newPeerToken(), Senders: 1})
-		}
-	}
-	openSender := func(kind byte, sender int) func(bw *bufio.Writer) error {
-		return func(bw *bufio.Writer) error {
-			return writeCtl(bw, frameV3Open, 1, &open{Kind: kind, WorkerID: sender, Cond: spec, Token: newPeerToken()})
-		}
-	}
-	open, openPairs, openPeer := openKind(kindCount, spec), openKind(kindPairs, spec), openKind(kindPeer, spec)
-	base := func(bw *bufio.Writer) error { return writeStreamBaseKeys(bw, 1, 0, []join.Key{3}) }
-	baseRun := func(bw *bufio.Writer) error { return errors.Join(base(bw), writeStreamBaseEnd(bw, 1, 0, 1)) }
-	win := func(bw *bufio.Writer) error { return writeStreamWinKeys(bw, 1, 0, 0, []join.Key{3}) }
-	nosuch := join.Spec{Kind: "nosuch"}
-	type row struct {
-		name, want string
-		frames     func(bw *bufio.Writer) error
-	}
-	rows := []row{
-		{"window 1 on a pairs job", "past epoch 0, window 0", func(bw *bufio.Writer) error {
-			return errors.Join(openPairs(bw), baseRun(bw), writeStreamWinKeys(bw, 1, 1, 0, []join.Key{3}))
-		}},
-		{"frame after its run's end on a pairs job", "after its run's end frame", func(bw *bufio.Writer) error {
-			return errors.Join(openPairs(bw), baseRun(bw), base(bw))
-		}},
-		{"plan job's run past epoch 0", "past epoch 0, window 1", func(bw *bufio.Writer) error {
-			return errors.Join(openKind(kindPlan, spec)(bw), writeStreamBaseKeys(bw, 1, 1, []join.Key{3}))
-		}},
-		{"window ahead of the base", "ahead of any sealed base", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), win(bw))
-		}},
-		{"base past epoch 0", "past epoch 0, window 0", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), writeStreamBaseKeys(bw, 1, 1, []join.Key{3}))
-		}},
-		{"base end past epoch 0", "past epoch 0, window 0", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), base(bw), writeStreamBaseEnd(bw, 1, 1, 1))
-		}},
-		{"window past window 0", "past epoch 0, window 0", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), baseRun(bw), writeStreamWinKeys(bw, 1, 1, 0, []join.Key{3}))
-		}},
-		{"window end past epoch 0", "past epoch 0, window 0", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), baseRun(bw), writeStreamWinEnd(bw, 1, 0, 1, 0))
-		}},
-		{"base frame after its end", "after its run's end frame", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), baseRun(bw), base(bw))
-		}},
-		{"window end after its end", "after its run's end frame", func(bw *bufio.Writer) error {
-			return errors.Join(open(bw), baseRun(bw), writeStreamWinEnd(bw, 1, 0, 0, 0), writeStreamWinEnd(bw, 1, 0, 0, 0))
-		}},
-		{"window on a peer-fed job", "on a peer-fed job", func(bw *bufio.Writer) error {
-			return errors.Join(openPeer(bw), baseRun(bw), win(bw))
-		}},
-		{"window end on a peer-fed job", "on a peer-fed job", func(bw *bufio.Writer) error {
-			return errors.Join(openPeer(bw), baseRun(bw), writeStreamWinEnd(bw, 1, 0, 0, 0))
-		}},
-		{"base past epoch 0 on a peer-fed job", "past epoch 0, window 0", func(bw *bufio.Writer) error {
-			return errors.Join(openPeer(bw), writeStreamBaseKeys(bw, 1, 2, []join.Key{3}))
-		}},
-		{"window on a contribution", "on a contribution", func(bw *bufio.Writer) error {
-			return errors.Join(openSender(kindContrib, 0)(bw), baseRun(bw), win(bw))
-		}},
-		// A job dead on arrival: its goroutine starts poisoned at the open.
-		// A plan job's sender id becomes its contributions' sender, which
-		// no transfer may have past maxPeerSenders.
-		{"plan job naming a sender past the bound", "names sender 4096", func(bw *bufio.Writer) error {
-			return errors.Join(openSender(kindPlan, maxPeerSenders)(bw), baseRun(bw))
-		}},
-		{"contribution naming a sender past the bound", "names sender 4096", func(bw *bufio.Writer) error {
-			return errors.Join(openSender(kindContrib, maxPeerSenders)(bw), baseRun(bw))
-		}},
-		{"unknown condition on a count job", "unknown", func(bw *bufio.Writer) error {
-			return errors.Join(openKind(kindCount, nosuch)(bw), baseRun(bw))
-		}},
-		{"unknown condition on a pairs job", "unknown", func(bw *bufio.Writer) error {
-			return errors.Join(openKind(kindPairs, nosuch)(bw), baseRun(bw))
-		}},
-		{"unknown condition on a peer-fed job", "unknown", func(bw *bufio.Writer) error {
-			return errors.Join(openKind(kindPeer, nosuch)(bw), baseRun(bw))
-		}},
-		{"unknown condition on a stream", "unknown", func(bw *bufio.Writer) error {
-			return errors.Join(openKind(kindStream, nosuch)(bw), baseRun(bw))
-		}},
-	}
-	// The runs each kind takes at epoch 0: -1 is its base, w its window w. A
-	// window on a kind that takes none is refused naming the kind; any other
-	// run it does not take, as past its last run.
-	for _, k := range []struct {
-		name string
-		kind byte
-		runs []int
-	}{
-		{"count job", kindCount, []int{-1, 0}},
-		{"pairs job", kindPairs, []int{-1, 0}},
-		{"plan job", kindPlan, []int{-1, 0, 1}},
-		{"peer-fed job", kindPeer, []int{-1}},
-		{"contribution", kindContrib, []int{-1}},
-	} {
-		for run := -1; run <= 2; run++ {
-			for epoch := range uint32(2) {
-				if epoch == 0 && slices.Contains(k.runs, run) {
-					continue
-				}
-				want := "past epoch 0"
-				if run >= 0 && len(k.runs) == 1 {
-					want = "on a " + k.name
-				}
-				name := fmt.Sprintf("%s's run %d at epoch %d", k.name, run, epoch)
-				win := uint32(max(run, 0))
-				rows = append(rows, row{name + ", a key frame", want, func(bw *bufio.Writer) error {
-					if run < 0 {
-						return errors.Join(openKind(k.kind, spec)(bw), writeStreamBaseKeys(bw, 1, epoch, []join.Key{3}))
-					}
-					return errors.Join(openKind(k.kind, spec)(bw), writeStreamWinKeys(bw, 1, win, epoch, []join.Key{3}))
-				}}, row{name + ", an end frame", want, func(bw *bufio.Writer) error {
-					if run < 0 {
-						return errors.Join(openKind(k.kind, spec)(bw), writeStreamBaseEnd(bw, 1, epoch, 0))
-					}
-					return errors.Join(openKind(k.kind, spec)(bw), writeStreamWinEnd(bw, 1, win, epoch, 0))
-				}})
-			}
-		}
-	}
-	for _, tc := range rows {
-		t.Run(tc.name, func(t *testing.T) {
-			bw, conn := dialV3(t, addrs[0], "")
-			br := bufio.NewReader(conn)
-			err := errors.Join(tc.frames(bw), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m := awaitFeedMetrics(t, conn, br, 1); !strings.Contains(m.Err, tc.want) {
-				t.Fatalf("replied %+v, want a refusal naming %q", m, tc.want)
-			}
-			// The next job on the connection: a pairs job, one key each side.
-			sendOpenJob(t, bw, 2, kindPairs, 0)
-			err = errors.Join(
-				writeRel(bw, 2, 1, []join.Key{3}),
-				writeRel(bw, 2, 2, []join.Key{3}),
-				writeV3FrameHeader(bw, frameV3EOS, 2, 0), bw.Flush())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m := awaitFeedMetrics(t, conn, br, 2); m.Err != "" || m.Output != 1 {
-				t.Fatalf("the job after the refusal replied %+v", m)
-			}
-		})
 	}
 }

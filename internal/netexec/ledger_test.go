@@ -260,38 +260,6 @@ func TestPeerBlocksDecodeSideBySide(t *testing.T) {
 	workersIdle(t, w)
 }
 
-// TestUndeclaredTransferRefusesContributions pins that only a stage-2 job's
-// open creates a transfer: a stage-1 plan job names its pipeline's token, yet
-// a contribution to that token on this worker — in memory or as a
-// contribution sub-job — finds no transfer, is refused with codeCancelled and
-// holds no byte; the coordinator's hang-up then leaves nothing behind.
-func TestUndeclaredTransferRefusesContributions(t *testing.T) {
-	ws, addrs := startWorkerSet(t, 1)
-	w, token := ws[0], newPeerToken()
-	bw, conn := dialV3(t, addrs[0], "")
-	sendOpenJob(t, bw, 1, kindPlan, token)
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "the plan job to register", func() bool { return w.Snapshot().Holdings.Jobs == 1 })
-	err := w.deliverLocal(token, 1, "", []join.Key{1, 2})
-	if held := w.Snapshot().Holdings.Bytes; rejectCode(err) != codeCancelled || held != 0 {
-		t.Fatalf("an in-memory contribution to an undeclared transfer: %v, %d bytes held; want a cancelled refusal holding none",
-			err, held)
-	}
-	err = contribute(context.Background(), addrs[0], "", Timeouts{}, token, 2, []join.Key{3})
-	if rejectCode(err) != codeCancelled {
-		t.Fatalf("a contribution sub-job to an undeclared transfer: %v, want a cancelled refusal", err)
-	}
-	// The refused sub-job's run is credited as it retires, after its reply;
-	// it opened no transfer, and the plan job is all the worker holds.
-	waitFor(t, "the refused contribution to be credited", func() bool {
-		return w.Snapshot().Holdings == Holdings{Jobs: 1}
-	})
-	_ = conn.Close()
-	workersIdle(t, w)
-}
-
 func writeBytes(bw *bufio.Writer, b []byte) error {
 	_, err := bw.Write(b)
 	return err

@@ -236,78 +236,6 @@ func TestDialWithRejectsUnreachableWorker(t *testing.T) {
 	}
 }
 
-// sendPeerOpen opens stage-2 peer job id over a raw connection, its transfer
-// complete at senders contributions, and returns the worker's acknowledgment:
-// once it is read, the transfer is open (or the reply says why not).
-func sendPeerOpen(t *testing.T, conn net.Conn, br *bufio.Reader, bw *bufio.Writer,
-	id uint32, token uint64, senders int) reply {
-	t.Helper()
-	spec, err := join.SpecOf(join.Equi{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := open{Kind: kindPeer, Cond: spec, Token: token, Senders: senders}
-	if err := errors.Join(writeCtl(bw, frameV3Open, id, &o), bw.Flush()); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, got, n, err := readV3FrameHeader(br)
-	if err != nil || typ != frameV3Reply || got != id {
-		t.Fatalf("awaiting job %d's acknowledgment: frame %d for job %d (%v)", id, typ, got, err)
-	}
-	var ack reply
-	if err := readCtl(br, n, maxControlPayload, &ack); err != nil {
-		t.Fatal(err)
-	}
-	if ack.Final {
-		t.Fatalf("job %d's open answered with a final reply %+v", id, ack)
-	}
-	return ack
-}
-
-// TestPeerJobExitRemovesTransfer pins the single retire path: however a
-// peer-fed job leaves before consuming its transfer — ABORT or the
-// coordinator hanging up — the transfer its open created leaves the table, so
-// a late contribution is refused with codeCancelled, its sender told why, and
-// credited instead of committing to a transfer nobody will read.
-func TestPeerJobExitRemovesTransfer(t *testing.T) {
-	ws, addrs := startWorkerSet(t, 1)
-	w := ws[0]
-	for _, tc := range []struct {
-		name  string
-		leave func(bw *bufio.Writer, conn net.Conn) error
-	}{
-		{"abort", func(bw *bufio.Writer, _ net.Conn) error {
-			if err := writeV3FrameHeader(bw, frameV3Abort, 1, 0); err != nil {
-				return err
-			}
-			return bw.Flush()
-		}},
-		{"hangup", func(_ *bufio.Writer, conn net.Conn) error { return conn.Close() }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			token := newPeerToken()
-			bw, conn := dialV3(t, addrs[0], "")
-			if ack := sendPeerOpen(t, conn, bufio.NewReader(conn), bw, 1, token, 1); ack.Err != "" {
-				t.Fatalf("the open was refused: %+v", ack)
-			}
-			if h := w.Snapshot().Holdings; h.Transfers != 1 {
-				t.Fatalf("an acknowledged open left the worker holding %+v, want its transfer", h)
-			}
-			if err := tc.leave(bw, conn); err != nil {
-				t.Fatal(err)
-			}
-			waitFor(t, "the transfer to leave the table", func() bool { return w.Snapshot().Holdings.Transfers == 0 })
-			// The one sender's contribution arrives anyway, late.
-			err := contribute(context.Background(), addrs[0], "", Timeouts{}, token, 0, []join.Key{7})
-			if rejectCode(err) != codeCancelled || !strings.Contains(err.Error(), "peer "+addrs[0]) {
-				t.Fatalf("a late contribution returned %v, want the peer's cancelled refusal", err)
-			}
-			workersIdle(t, w)
-		})
-	}
-}
-
 // mustOpenTransfer opens token's transfer for senders, as a stage-2 job's
 // open does; the caller closes it, as the job's retire does.
 func mustOpenTransfer(t *testing.T, w *Worker, token uint64, senders int) *peerJobState {
@@ -431,56 +359,6 @@ func TestPlan2AwaitsEveryAcknowledgment(t *testing.T) {
 		}
 		b.returned(sess, ws)
 	})
-}
-
-// TestUnknownPeerFrameFailsTransfer pins what a frame a contribution does not
-// know — here type 32, the mesh's retired payload segment — costs: the
-// connection dies, the contribution cut short commits nothing while the
-// senders before it stand, and the transfer waits for the coordinator, which
-// sees that sender's contribute fail and aborts the stage-2 job parked on
-// it — which ends silently, its transfer gone, instead of waiting.
-func TestUnknownPeerFrameFailsTransfer(t *testing.T) {
-	ws, addrs := startWorkerSet(t, 1)
-	w := ws[0]
-	token := newPeerToken()
-	// The stage-2 job: a two-sender transfer, parked on its probe.
-	bw, conn := dialV3(t, addrs[0], "")
-	br := bufio.NewReader(conn)
-	if ack := sendPeerOpen(t, conn, br, bw, 1, token, 2); ack.Err != "" {
-		t.Fatalf("the open was refused: %+v", ack)
-	}
-	err := errors.Join(writeRel(bw, 1, 1, []join.Key{7}), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A complete contribution from sender 0 commits as ever...
-	if err := contribute(context.Background(), addrs[0], "", Timeouts{}, token, 0, []join.Key{7, 8, 9}); err != nil {
-		t.Fatal(err)
-	}
-	// ...while sender 1's ships its run of two keys and then the unknown frame.
-	cbw, cconn := dialV3(t, addrs[0], "")
-	var payload [16]byte
-	err = errors.Join(writeCtl(cbw, frameV3Open, 1, &open{Kind: kindContrib, WorkerID: 1, Token: token}),
-		writeRel(cbw, 1, 1, []join.Key{8, 9}), writeEndFrame(cbw, 32, 1, payload[:]), cbw.Flush())
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectClosedSilently(t, cconn)
-	waitFor(t, "the cut contribution to retire", func() bool { return w.Snapshot().Holdings.Jobs == 1 })
-	w.peersMu.Lock()
-	st := w.peerStates[token]
-	w.peersMu.Unlock()
-	st.mu.Lock()
-	done, n, c0 := st.done, len(st.contrib), st.contrib[0]
-	st.mu.Unlock()
-	if done || n != 1 || c0 == nil {
-		t.Fatalf("transfer done=%v with %d contributions, want sender 0's alone and still waiting", done, n)
-	}
-	if err := errors.Join(writeV3FrameHeader(bw, frameV3Abort, 1, 0), bw.Flush()); err != nil {
-		t.Fatal(err)
-	}
-	workersIdle(t, w)
-	expectNoFrame(t, conn, br)
 }
 
 // TestPeerTransferCompletesAtSenderCount is the completion rule's table: a

@@ -318,6 +318,35 @@ func readV3Metrics(t *testing.T, conn net.Conn, wantJob uint32) reply {
 	}
 }
 
+// awaitFeedMetrics reads job's reply frames up to its final REPLY, skipping
+// pairs and a stream's window replies.
+func awaitFeedMetrics(t *testing.T, conn net.Conn, br *bufio.Reader, job uint32) reply {
+	t.Helper()
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		typ, got, n, err := readV3FrameHeader(br)
+		if err != nil {
+			t.Fatalf("reading job %d's reply: %v", job, err)
+		}
+		if got != job {
+			t.Fatalf("reply for job %d, want %d", got, job)
+		}
+		if typ != frameV3Reply {
+			if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		var m reply
+		if err := readCtl(br, n, maxControlPayload, &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Final {
+			return m
+		}
+	}
+}
+
 // readV3ErrMetrics returns the error string of the job's final reply.
 func readV3ErrMetrics(t *testing.T, conn net.Conn, wantJob uint32) string {
 	t.Helper()

@@ -238,14 +238,12 @@ func TestStatsReplanErrorCancelsAndDrains(t *testing.T) {
 	}
 }
 
-// TestAbortAroundThePark pins that a stage-1 plan job's ABORT reaches it
-// wherever it waits past its EOS: (a) parked on its PLAN2, once it replied
-// its summary, and (b) amid its contributions, its stage-2 peer taking the
-// contribution's frames and never committing them. Either way the job ends
-// silently — no reply — and nothing stays behind with the connection still
-// open: the worker holds no job and no byte, and Shutdown returns at once.
-// An ABORT is a job's last frame, so one ahead of the job's relations ends
-// it there, and the frames after it name no job.
+// TestAbortAroundThePark pins that a stage-1 plan job's ABORT reaches it amid
+// its contributions, once its PLAN2 came: its stage-2 peer takes the
+// contribution's prelude and never commits it. The job ends silently — no
+// reply — and nothing stays behind with the connection still open: the worker
+// holds no job and no byte, and Shutdown returns at once. The ABORT of a job
+// parked on its PLAN2 or its transfer is TestWorkerEventOrders'.
 func TestAbortAroundThePark(t *testing.T) {
 	r1, r2 := []join.Key{1, 2, 3}, []join.Key{2, 3, 4} // two matches
 	hash, err := partition.NewHash(1, nil)
@@ -256,68 +254,51 @@ func TestAbortAroundThePark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, contributing := range []bool{false, true} {
-		name := "after its summary"
-		if contributing {
-			name = "amid its contributions"
+	t.Run("amid its contributions", func(t *testing.T) {
+		ws, addrs := startWorkerSet(t, 1)
+		w := ws[0]
+		bw, conn := dialV3(t, addrs[0], "")
+		br := bufio.NewReader(conn)
+		sendOpenJob(t, bw, 1, kindPlan, newPeerToken())
+		err := errors.Join(
+			writeRel(bw, 1, 1, r1),
+			writeRel(bw, 1, 2, r2), writeRel(bw, 1, 3, r2),
+			writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			ws, addrs := startWorkerSet(t, 1)
-			w := ws[0]
-			bw, conn := dialV3(t, addrs[0], "")
-			br := bufio.NewReader(conn)
-			sendOpenJob(t, bw, 1, kindPlan, newPeerToken())
-			err := errors.Join(
-				writeRel(bw, 1, 1, r1),
-				writeRel(bw, 1, 2, r2), writeRel(bw, 1, 3, r2),
-				writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
-			if err != nil {
-				t.Fatal(err)
+		// The stage-2 peer reads the contribution's prelude and then nothing
+		// more: its sender waits for a commit that never comes.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		dialed := make(chan net.Conn, 1)
+		go func() {
+			if c, err := ln.Accept(); err == nil {
+				_, _ = io.ReadFull(c, make([]byte, len(prelude(protoVersionSession, ""))))
+				dialed <- c
 			}
-			if contributing {
-				// The stage-2 peer reads the contribution's prelude and then
-				// nothing more: its sender waits for a commit that never comes.
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer ln.Close()
-				dialed := make(chan net.Conn, 1)
-				go func() {
-					if c, err := ln.Accept(); err == nil {
-						_, _ = io.ReadFull(c, make([]byte, len(prelude(protoVersionSession, ""))))
-						dialed <- c
-					}
-				}()
-				answerStats(t, conn, br, bw, 1, plan2{Plan: plan, Peers: []string{ln.Addr().String()}, Self: -1})
-				select {
-				case c := <-dialed:
-					defer c.Close()
-				case <-time.After(5 * time.Second):
-					t.Fatal("the plan job never dialed its stage-2 peer")
-				}
-			} else {
-				_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-				typ, job, n, err := readV3FrameHeader(br)
-				if err != nil || typ != frameV3Reply || job != 1 {
-					t.Fatalf("awaiting the statistics: frame %d for job %d (%v)", typ, job, err)
-				}
-				if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := errors.Join(writeV3FrameHeader(bw, frameV3Abort, 1, 0), bw.Flush()); err != nil {
-				t.Fatal(err)
-			}
-			workersIdle(t, w)
-			expectNoFrame(t, conn, br)
-			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			defer cancel()
-			if err := w.Shutdown(ctx); err != nil {
-				t.Fatalf("Shutdown: %v", err)
-			}
-		})
-	}
+		}()
+		answerStats(t, conn, br, bw, 1, plan2{Plan: plan, Peers: []string{ln.Addr().String()}, Self: -1})
+		select {
+		case c := <-dialed:
+			defer c.Close()
+		case <-time.After(5 * time.Second):
+			t.Fatal("the plan job never dialed its stage-2 peer")
+		}
+		if err := errors.Join(writeV3FrameHeader(bw, frameV3Abort, 1, 0), bw.Flush()); err != nil {
+			t.Fatal(err)
+		}
+		workersIdle(t, w)
+		expectNoFrame(t, conn, br)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		if err := w.Shutdown(ctx); err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+	})
 }
 
 // expectNoFrame asserts that nothing arrives on a raw connection that is
@@ -330,58 +311,4 @@ func expectNoFrame(t *testing.T, conn net.Conn, br *bufio.Reader) {
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Fatalf("read frame %d for job %d (%v), want nothing on an open connection", typ, job, err)
 	}
-}
-
-// TestAbortAfterEOSRetiresParkedJobs pins that ABORT is the one way a
-// coordinator ends a worker job, past its EOS included: on one connection a
-// stage-2 peer job parked on its transfer and a stage-1 plan job parked on
-// its PLAN2 each end at their ABORT — no reply, no hang-up — and the worker
-// gives back everything: no job, no byte, no transfer. The connection then
-// serves the next job.
-func TestAbortAfterEOSRetiresParkedJobs(t *testing.T) {
-	ws, addrs := startWorkerSet(t, 1)
-	w := ws[0]
-	bw, conn := dialV3(t, addrs[0], "")
-	br := bufio.NewReader(conn)
-	const peerJob, planJob = 1, 2
-	if ack := sendPeerOpen(t, conn, br, bw, peerJob, newPeerToken(), 1); ack.Err != "" {
-		t.Fatalf("the peer open was refused: %+v", ack)
-	}
-	sendOpenJob(t, bw, planJob, kindPlan, newPeerToken())
-	r := []join.Key{1, 2, 3}
-	err := errors.Join(
-		writeRel(bw, peerJob, 1, r), writeV3FrameHeader(bw, frameV3EOS, peerJob, 0),
-		writeRel(bw, planJob, 1, r), writeRel(bw, planJob, 2, r), writeRel(bw, planJob, 3, r),
-		writeV3FrameHeader(bw, frameV3EOS, planJob, 0), bw.Flush())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, job, n, err := readV3FrameHeader(br)
-	if err != nil || typ != frameV3Reply || job != planJob {
-		t.Fatalf("awaiting the plan job's summary: frame %d for job %d (%v)", typ, job, err)
-	}
-	if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
-		t.Fatal(err)
-	}
-	if h := w.Snapshot().Holdings; h.Jobs != 2 || h.Transfers != 1 || h.Bytes == 0 {
-		t.Fatalf("the parked jobs hold %+v, want two jobs, a transfer and their keys", h)
-	}
-	err = errors.Join(writeV3FrameHeader(bw, frameV3Abort, peerJob, 0),
-		writeV3FrameHeader(bw, frameV3Abort, planJob, 0), bw.Flush())
-	if err != nil {
-		t.Fatal(err)
-	}
-	workersIdle(t, w)
-	expectNoFrame(t, conn, br)
-	sendOpenJob(t, bw, 3, kindPairs, 0)
-	err = errors.Join(writeRel(bw, 3, 1, r), writeRel(bw, 3, 2, r),
-		writeV3FrameHeader(bw, frameV3EOS, 3, 0), bw.Flush())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := awaitFeedMetrics(t, conn, br, 3); m.Err != "" || m.Output != 3 {
-		t.Fatalf("the next job replied %+v, want its 3 matches", m)
-	}
-	workersIdle(t, w)
 }

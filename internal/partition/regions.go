@@ -168,10 +168,18 @@ func widen(regions []tiling.Region, bounds func(tiling.Region) (lo, hi join.Key)
 // join there: the R1 keys a whose joinable range meets the columns, and the
 // R2 keys within the joinable ranges of the rows. Both ends of a joinable
 // range are monotone in a, so the R1 cut is a bisection per end and the R2
-// cut reads the ends at the rows' extremes.
+// cut reads the ends at the rows' extremes. A strict inequality's extreme key
+// joins nothing, and its empty range is the one break in that monotony, so it
+// leaves the rows first.
 func narrow(rows, cols Span, cond join.Condition) (r1, r2 Span) {
-	if rows.Empty() || cols.Empty() {
+	joinsNothing := func(a join.Key) bool { lo, hi := cond.JoinableRange(a); return lo > hi }
+	switch {
+	case rows.Empty() || cols.Empty(), rows.Lo == rows.Hi && joinsNothing(rows.Lo):
 		return emptySpan, emptySpan
+	case joinsNothing(rows.Lo):
+		rows.Lo++
+	case joinsNothing(rows.Hi):
+		rows.Hi--
 	}
 	lo, okLo := firstWhere(rows.Lo, rows.Hi, func(a join.Key) bool { _, hi := cond.JoinableRange(a); return hi >= cols.Lo })
 	hi, okHi := lastWhere(rows.Lo, rows.Hi, func(a join.Key) bool { lo, _ := cond.JoinableRange(a); return lo <= cols.Hi })

@@ -466,9 +466,10 @@ func narrowHead(kind, rows, cols, splits int) join.Key {
 }
 
 // narrowSeeds are FuzzNarrowedRoute's committed starting points: a grid per
-// condition kind, a band β at the int64 edge, and relations whose key ranges
+// condition kind, a band β at the int64 edge, relations whose key ranges
 // lie apart, so that an R2 key far above the columns' sampled range joins
-// rows that an edge key's would not.
+// rows that an edge key's would not, and a grid per inequality whose cuts
+// and probes lie past ±2^61 and at the int64 extremes.
 func narrowSeeds() [][]join.Key {
 	grid := []join.Key{-100, 0, 50, 100, 200, -10, 20, 30, 120, 3584, // cuts
 		0, 1 << 8, 1 | 2<<9, 3 | 1<<8 | 1<<9, 2, 5 | 1<<8, // splits
@@ -482,7 +483,15 @@ func narrowSeeds() [][]join.Key {
 		1000, 1500, 2000, 0, 50, 100, // cuts
 		0, 1 << 8, 1 | 1<<8, // splits
 		1550, 600, 1200, 99} // probes
-	return append(seeds, apart)
+	seeds = append(seeds, apart)
+	far := []join.Key{math.MinInt64/4 - 1, -5, 0, math.MaxInt64/4 + 1, math.MaxInt64 - 1, // cuts
+		math.MinInt64 + 1, math.MinInt64 / 2, 5, math.MaxInt64 / 4, math.MaxInt64 / 2,
+		0, 1 << 8, 1 | 2<<9, // splits
+		math.MaxInt64, math.MinInt64, math.MaxInt64/4 + 2, math.MinInt64/4 - 2} // probes
+	for kind := 2; kind <= 5; kind++ {
+		seeds = append(seeds, append([]join.Key{narrowHead(kind, 5, 5, 3), 0}, far...))
+	}
+	return seeds
 }
 
 func TestNarrowedRouteSeeds(t *testing.T) {

@@ -81,7 +81,7 @@ func checkSearch(t testing.TB, keys, extra []join.Key) {
 // key with its neighbours and the midpoint to the next distinct key.
 func searchProbes(keys, extra []join.Key) []join.Key {
 	distinct := slices.Compact(slices.Sorted(slices.Values(keys)))
-	probes := append([]join.Key{math.MinInt64, math.MaxInt64, join.MinKey, join.MaxKey}, extra...)
+	probes := append([]join.Key{math.MinInt64, math.MaxInt64}, extra...)
 	for i, k := range distinct {
 		probes = append(probes, k)
 		if k > math.MinInt64 {
@@ -117,23 +117,23 @@ func searchRows() map[string][]join.Key {
 		return out
 	}
 	return map[string][]join.Key{
-		"empty":                         nil,
-		"one key":                       {7},
-		"all keys equal":                slices.Repeat([]join.Key{-3}, 100),
-		"two keys, no room for a dir":   {-5, 9},
-		"only the int64 extremes":       {math.MaxInt64, math.MinInt64},
-		"run with repeats":              run(-20, 40, -20, 0, 0, 19),
-		"dense run + outlier at MaxKey": run(0, 1000, join.MaxKey),
-		"dense run + outlier at MinKey": run(-500, 1000, join.MinKey),
-		"span 2^64 - 1":                 run(-40, 80, math.MinInt64, math.MaxInt64, math.MaxInt64, math.MinInt64+1),
-		"span+2 = 5n (dense)":           spread(-1000, 5*300-2, 300),
-		"span+2 = 5n + 1 (sparse)":      spread(-1000, 5*300-1, 300),
-		"span 2^31 - 1":                 spread(1<<40, 1<<31-1, 300),
-		"negative base":                 spread(-1<<40, 700, 400),
-		"MaxInt64 in a dense span":      spread(math.MaxInt64-400, 400, 200),
-		"MinInt64 in a dense span":      spread(math.MinInt64, 400, 200),
-		"X shape, x = 2000":             workload.X(2000, stats.NewRNG(42)),
-		"zipf 0.8":                      workload.Zipfian(5000, 1000, 0.8, 42),
+		"empty":                        nil,
+		"one key":                      {7},
+		"all keys equal":               slices.Repeat([]join.Key{-3}, 100),
+		"two keys, no room for a dir":  {-5, 9},
+		"only the int64 extremes":      {math.MaxInt64, math.MinInt64},
+		"run with repeats":             run(-20, 40, -20, 0, 0, 19),
+		"dense run + outlier at 2^61":  run(0, 1000, math.MaxInt64/4),
+		"dense run + outlier at -2^61": run(-500, 1000, math.MinInt64/4),
+		"span 2^64 - 1":                run(-40, 80, math.MinInt64, math.MaxInt64, math.MaxInt64, math.MinInt64+1),
+		"span+2 = 5n (dense)":          spread(-1000, 5*300-2, 300),
+		"span+2 = 5n + 1 (sparse)":     spread(-1000, 5*300-1, 300),
+		"span 2^31 - 1":                spread(1<<40, 1<<31-1, 300),
+		"negative base":                spread(-1<<40, 700, 400),
+		"MaxInt64 in a dense span":     spread(math.MaxInt64-400, 400, 200),
+		"MinInt64 in a dense span":     spread(math.MinInt64, 400, 200),
+		"X shape, x = 2000":            workload.X(2000, stats.NewRNG(42)),
+		"zipf 0.8":                     workload.Zipfian(5000, 1000, 0.8, 42),
 	}
 }
 
@@ -349,7 +349,7 @@ func BenchmarkD2Pass(b *testing.B) {
 			for i := range dense {
 				dense[i] = join.Key(i)
 			}
-			dense[len(dense)-1] = join.MaxKey
+			dense[len(dense)-1] = math.MaxInt64 / 4
 			return workload.Uniform(1000000, 1000000, 42), dense, join.NewBand(3)
 		}, false},
 		// stream-flip's replan: a 1,024-key summary against a fresh 1M base,
