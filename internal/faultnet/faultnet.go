@@ -6,9 +6,10 @@
 // contribution; anything else is opaque), counts matching frames per rule
 // and fires each rule's action exactly once at a precise frame boundary —
 // kill after the N-th block, reset on the first window reply, stall
-// mid-transfer, or run an arbitrary hook (e.g. Close a victim worker at a
-// stage boundary). Faults are therefore reproducible: the same script
-// against the same workload fails at the same frame every run, which is what
+// mid-transfer, hold a frame until a frame on another connection passes, or
+// run an arbitrary hook (e.g. Close a victim worker at a stage boundary).
+// Faults are therefore reproducible: the same script against the same
+// workload fails at the same frame every run, which is what
 // lets the crosscheck assert recovered output bit-identical to a fault-free
 // reference instead of sampling failure windows probabilistically.
 //
@@ -24,6 +25,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Mirror of the netexec wire protocol, kept in lockstep by a parity test in
@@ -86,7 +88,8 @@ const (
 	ActReset
 	// ActStall blocks the matching I/O operation until the connection is
 	// closed — a wedged-but-alive peer, the failure mode deadlines exist
-	// for.
+	// for. A stall with a release (Rule.Until) is a hold instead: its frame
+	// is delivered intact once the release fires, or at holdBound.
 	ActStall
 	// ActHook runs Fn on the goroutine doing the I/O and lets the traffic
 	// continue — the drop-worker-at-stage-boundary primitive (Fn closes a
@@ -126,7 +129,16 @@ type Rule struct {
 	Action Action
 	// Fn is the hook for ActHook; ignored otherwise.
 	Fn func()
+	// Until releases an ActStall once every rule of that script has fired —
+	// the script of another listener's tap, or of a second tap wrapped around
+	// this one — or at holdBound, whichever comes first; a close still fails
+	// the I/O. Nil: only a close ends the stall.
+	Until *Script
 }
+
+// holdBound is how long a held frame waits for its release: a release that
+// never comes delays the frame rather than wedging the connection.
+const holdBound = 300 * time.Millisecond
 
 // errInjected is what a faulted operation returns to its endpoint.
 var errInjected = errors.New("faultnet: injected fault")
@@ -143,18 +155,23 @@ type scriptRule struct {
 type Script struct {
 	mu    sync.Mutex
 	rules []*scriptRule
-	seen  [2][256]int // frames carried, by direction and type
+	seen  [2][256]int   // frames carried, by direction and type
+	fired int           // rules fired so far
+	done  chan struct{} // closed once every rule has fired
 }
 
 // NewScript builds a script from rules. A nil or empty script is a
 // transparent tap.
 func NewScript(rules ...Rule) *Script {
-	s := &Script{}
+	s := &Script{done: make(chan struct{})}
 	for _, r := range rules {
 		if r.N < 1 {
 			r.N = 1
 		}
 		s.rules = append(s.rules, &scriptRule{Rule: r})
+	}
+	if len(rules) == 0 {
+		close(s.done)
 	}
 	return s
 }
@@ -168,12 +185,7 @@ func (s *Script) Fired() bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, r := range s.rules {
-		if !r.fired {
-			return false
-		}
-	}
-	return true
+	return s.fired == len(s.rules)
 }
 
 // Seen reports how many frames of type frame the script's connections have
@@ -202,6 +214,9 @@ func (s *Script) match(dir Dir, frame byte, conn int) *scriptRule {
 		r.seen++
 		if r.seen >= r.N {
 			r.fired = true
+			if s.fired++; s.fired == len(s.rules) {
+				close(s.done)
+			}
 			return r
 		}
 	}
@@ -277,10 +292,22 @@ func (c *Conn) reset() {
 }
 
 // stall blocks until the connection is closed, then reports the injected
-// fault.
-func (c *Conn) stall() error {
-	<-c.closed
-	return errInjected
+// fault. A hold (a stall with a release) returns nil instead once its
+// release fires or holdBound elapses, and its frame goes on.
+func (c *Conn) stall(until *Script) error {
+	if until == nil {
+		<-c.closed
+		return errInjected
+	}
+	bound := time.NewTimer(holdBound)
+	defer bound.Stop()
+	select {
+	case <-c.closed:
+		return errInjected
+	case <-until.done:
+	case <-bound.C:
+	}
+	return nil
 }
 
 // act executes a struck rule against the connection. It returns a non-nil
@@ -295,7 +322,7 @@ func (c *Conn) act(r *scriptRule) error {
 		c.reset()
 		return errInjected
 	case ActStall:
-		return c.stall()
+		return c.stall(r.Until)
 	}
 	if r.Fn != nil {
 		r.Fn()
@@ -315,7 +342,7 @@ type segment struct {
 // fault then lands at that frame on the endpoint's next Read: a close, reset
 // or stall with the frame (and the rest of the chunk) undelivered — a
 // mid-stream death, exactly as a crashed sender would leave the wire — and a
-// hook returns before the endpoint sees the frame.
+// hook returns, or a hold is released, before the endpoint sees the frame.
 func (c *Conn) Read(p []byte) (int, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -359,23 +386,35 @@ func (c *Conn) Read(p []byte) (int, error) {
 
 // Write taps the outbound stream symmetrically: the frames ahead of a struck
 // frame are written, then a close, reset or stall acts with the struck frame
-// and the rest of the chunk unwritten, and a hook runs once its frame is
-// written (with the rest of the chunk).
+// and the rest of the chunk unwritten, a released hold writes them, and a
+// hook runs once its frame is written (with the frames up to the next
+// strike).
 func (c *Conn) Write(p []byte) (int, error) {
 	c.wmu.Lock()
 	strikes := c.wt.feed(p)
 	c.wmu.Unlock()
-	end := len(p)
-	if k := len(strikes) - 1; k >= 0 && strikes[k].r.Action != ActHook {
-		end = strikes[k].at
-	}
-	n, err := c.Conn.Write(p[:end])
-	for _, s := range strikes {
-		if err == nil {
-			err = c.act(s.r)
+	n := 0
+	for {
+		k := 0
+		for k < len(strikes) && strikes[k].r.Action == ActHook {
+			k++
 		}
+		end := len(p)
+		if k < len(strikes) {
+			end = strikes[k].at
+		}
+		m, err := c.Conn.Write(p[n:end])
+		n += m
+		for _, s := range strikes[:min(k+1, len(strikes))] { // the hooks, then the fault
+			if err == nil {
+				err = c.act(s.r)
+			}
+		}
+		if err != nil || k == len(strikes) {
+			return n, err
+		}
+		strikes = strikes[k+1:]
 	}
-	return n, err
 }
 
 // tracker states.
@@ -420,9 +459,9 @@ type strike struct {
 }
 
 // feed advances the parser over one chunk and returns the rules its frames
-// fired, in frame order. It stops at the first close, reset or stall: the
-// frames past it never reach the endpoint, so they are neither parsed nor
-// counted.
+// fired, in frame order. It stops at the first close, reset or stall that is
+// not a hold: the frames past it never reach the endpoint, so they are
+// neither parsed nor counted.
 func (t *tracker) feed(p []byte) []strike {
 	var strikes []strike
 	for off := 0; off < len(p); {
@@ -470,7 +509,7 @@ func (t *tracker) feed(p []byte) []strike {
 			t.state = statePayload
 			if r := t.conn.script.match(t.dir, typ, t.conn.ordinal); r != nil {
 				strikes = append(strikes, strike{at: max(off-frameHeaderLen, 0), r: r})
-				if r.Action != ActHook {
+				if r.Action != ActHook && r.Until == nil {
 					return strikes
 				}
 			}

@@ -281,6 +281,60 @@ func TestStallReleasedByClose(t *testing.T) {
 	}
 }
 
+// TestHoldReleasedByAnotherConnection pins a stall with a release, inbound
+// and outbound: the held frame waits for a rule that fires on another
+// listener's connection, or for holdBound when that never fires, and is then
+// delivered intact.
+func TestHoldReleasedByAnotherConnection(t *testing.T) {
+	head := prelude(VersionSession, "")
+	frames := append(wireFrame(FrameOpen, 1, []byte("job")), wireFrame(FrameEOS, 1, nil)...)
+	whole := append(append([]byte(nil), head...), frames...)
+	for _, c := range []struct {
+		dir      Dir
+		released bool
+	}{{In, true}, {In, false}, {Out, true}} {
+		release := NewScript(Rule{Dir: In, Frame: FrameEOS, Action: ActHook})
+		fc, peer := pipeConn(t, NewScript(Rule{Dir: c.dir, Frame: FrameOpen, Action: ActStall, Until: release}))
+		other, otherPeer := pipeConn(t, release)
+		from, to, stream := io.Writer(peer), io.Reader(fc), whole
+		if c.dir == Out { // the endpoint writes once the prelude is in
+			go func() { _, _ = peer.Write(head) }()
+			if _, err := io.ReadFull(fc, make([]byte, len(head))); err != nil {
+				t.Fatal(err)
+			}
+			from, to, stream = fc, peer, frames
+		}
+		go func() { _, _ = from.Write(stream) }()
+		got := make(chan []byte, 1)
+		start := time.Now()
+		go func() {
+			b := make([]byte, len(stream))
+			n, _ := io.ReadFull(to, b)
+			got <- b[:n]
+		}()
+		select {
+		case <-got:
+			t.Fatalf("%+v: the held frame was delivered before its release", c)
+		case <-time.After(50 * time.Millisecond):
+		}
+		if c.released {
+			go func() { _, _ = otherPeer.Write(whole) }()
+			go func() { _, _ = io.ReadFull(other, make([]byte, len(whole))) }()
+		}
+		select {
+		case b := <-got:
+			if string(b) != string(stream) {
+				t.Fatalf("%+v: delivered %q, want %q", c, b, stream)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%+v: the held frame was never delivered", c)
+		}
+		if took := time.Since(start); c.released == (took >= holdBound) {
+			t.Fatalf("%+v: the held frame was delivered after %v, holdBound %v", c, took, holdBound)
+		}
+	}
+}
+
 // TestHookLetsTrafficContinue pins where a hook runs: an inbound frame's hook
 // runs once the bytes ahead of the frame are delivered and has returned
 // before Read delivers the frame, an outbound one's runs after the peer has

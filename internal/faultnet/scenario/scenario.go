@@ -4,11 +4,14 @@
 // exactly what exec.Run produces, faulted or not. One seed draws a whole run:
 // workload and size, condition, scheme, J and mappers, job kind, runtime,
 // and either no fault or one faultnet action at a frame of a job kind that
-// recovers, with one spare worker. The oracles never run the code under
-// test: a nested-loop total (localjoin.Count past a size bound), composite
-// matches over decoded (primary, secondary) fields, the pair contract read
-// outside-in, and exec.Run's per-worker metrics at the survivor width. A
-// failure prints its seed and drawn settings on one line.
+// recovers, with one spare worker; a session or pool run on two or more
+// workers, its fault not pinned, also holds one frame until a frame on
+// another connection passes.
+// The oracles never run the code under test: a nested-loop total
+// (localjoin.Count past a size bound), composite matches over decoded
+// (primary, secondary) fields, the pair contract read outside-in, and
+// exec.Run's per-worker metrics at the survivor width. A failure prints its
+// seed and drawn settings on one line.
 //
 // Only tests import it. faultnet's FuzzScenario runs seeds [0, Corpus) under
 // `go test` and draws further ones under `go test -fuzz`; a package's named
@@ -92,7 +95,7 @@ type Pin struct {
 	Scheme string
 	// NoFallback plans CSI and CSIO with the fallback to CI turned off.
 	NoFallback bool
-	// Fault strikes a session run (it implies Runtime Session).
+	// Fault strikes a session run (it implies Runtime Session, and no hold).
 	Fault *Fault
 }
 
@@ -122,6 +125,7 @@ type Scenario struct {
 	job      Job
 	rt       Runtime
 	fault    *faultSpec
+	hold     *holdSpec
 
 	r1, r2  []join.Key
 	q       multiway.Query // multiway jobs
@@ -181,6 +185,9 @@ func (sc *Scenario) String() string {
 	if sc.fault != nil {
 		d = append(d, "fault "+sc.fault.String())
 	}
+	if sc.hold != nil {
+		d = append(d, "hold "+sc.hold.String())
+	}
 	if sc.from != "" {
 		d[0] = fmt.Sprintf("%s (drawn from seed %d)", sc.from, sc.seed)
 	}
@@ -227,7 +234,70 @@ func Draw(seed uint64, pin Pin) *Scenario {
 	case Stream:
 		sc.drawStream(rng, small)
 	}
+	if sc.rt != Local && sc.j > 1 && pin.Fault == nil {
+		sc.hold = drawHold(stats.NewRNG(seed^0x401d), sc.job == Multiway && sc.rt == Session, sc.j)
+	}
 	return sc
+}
+
+// holdSpec is a run's one cross-connection order: a frame on one of worker
+// 0's connections is held until a frame on another connection passes, or for
+// faultnet's bound. Worker 0 runs a part of every job, whatever its plan's
+// width.
+type holdSpec struct {
+	hold, release faultnet.Rule
+	by            int // the worker whose listener sees the release
+}
+
+// drawHold draws the hold of a run on j workers. A multiway session's worker
+// 0 holds its peer OPEN or its peer job's EOS until its first contribution
+// session's reply — were PLAN2 sent ahead of the peer OPEN's acknowledgment,
+// that reply would be a refusal, and otherwise only the bound releases the
+// OPEN — or holds that session's OPEN until the peer job's EOS. Any other run
+// holds worker 0's first OPEN or EOS until another worker's first reply.
+func drawHold(rng *stats.RNG, peer bool, j int) *holdSpec {
+	h := &holdSpec{
+		hold: faultnet.Rule{Dir: faultnet.In, Frame: []byte{faultnet.FrameOpen, faultnet.FrameEOS}[rng.Intn(2)],
+			N: 1, Conn: 1, Action: faultnet.ActStall},
+		release: faultnet.Rule{Dir: faultnet.Out, Frame: faultnet.FrameReply, N: 1, Action: faultnet.ActHook},
+		by:      1 + rng.Intn(j-1),
+	}
+	if peer {
+		h.hold.N, h.release.Conn, h.by = 2, 2, 0
+		if h.hold.Frame == faultnet.FrameEOS && rng.Intn(2) == 0 {
+			h.hold.Frame, h.hold.N, h.hold.Conn = faultnet.FrameOpen, 1, 2
+			h.release = faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameEOS, N: 2, Conn: 1, Action: faultnet.ActHook}
+		}
+	}
+	return h
+}
+
+func (h *holdSpec) String() string {
+	return fmt.Sprintf("w0:%v-frame%d#%d@c%d until w%d:%v-frame%d#%d@c%d", h.hold.Dir, h.hold.Frame, h.hold.N,
+		h.hold.Conn, h.by, h.release.Dir, h.release.Frame, h.release.N, h.release.Conn)
+}
+
+// taps are a fleet of width's hold and release layers (none without a
+// hold): worker 0's listener holds, and worker by's sees the release,
+// wrapped around the hold when by is 0.
+func (h *holdSpec) taps(width int) (hold, release []*faultnet.Script) {
+	if h == nil {
+		return nil, nil
+	}
+	hold, release = make([]*faultnet.Script, width), make([]*faultnet.Script, width)
+	release[h.by] = faultnet.NewScript(h.release)
+	r := h.hold
+	r.Until = release[h.by]
+	hold[0] = faultnet.NewScript(r)
+	return hold, release
+}
+
+// struck fails a run whose drawn hold never struck: it proves nothing.
+func struck(hold []*faultnet.Script) error {
+	if hold != nil && !hold[0].Fired() {
+		return errors.New("the hold never struck; the run proves nothing")
+	}
+	return nil
 }
 
 // RunSeeds draws and runs n seeds from first on under pin.
@@ -781,13 +851,13 @@ func (sc *Scenario) checkSame(o *outcome, ref *reference) error {
 }
 
 // fleet is a set of loopback workers under admission control, worker i
-// behind taps[i] when that is set.
+// behind each layer's i-th tap that is set, the first layer innermost.
 type fleet struct {
 	workers []*netexec.Worker
 	addrs   []string
 }
 
-func startFleet(t testing.TB, n int, taps []*faultnet.Script) *fleet {
+func startFleet(t testing.TB, n int, layers ...[]*faultnet.Script) *fleet {
 	t.Helper()
 	f := &fleet{}
 	for i := 0; i < n; i++ {
@@ -795,8 +865,10 @@ func startFleet(t testing.TB, n int, taps []*faultnet.Script) *fleet {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i < len(taps) && taps[i] != nil {
-			ln = faultnet.Wrap(ln, taps[i])
+		for _, taps := range layers {
+			if i < len(taps) && taps[i] != nil {
+				ln = faultnet.Wrap(ln, taps[i])
+			}
 		}
 		w := netexec.ListenWorkerOn(ln)
 		w.SetAdmission(netexec.AdmissionConfig{MaxInFlight: 2, MaxQueue: 64})
@@ -913,11 +985,18 @@ func (sc *Scenario) runSession(t testing.TB) {
 			counts = append(counts, faultnet.NewScript())
 		}
 	}
-	f := startFleet(t, width, counts)
+	if sc.hold != nil && sc.hold.hold.Conn == 2 && len(ref.out.mw.Stages[0].Exec.Workers) < 2 {
+		sc.hold = nil // a stage 1 on one worker opens no contribution session
+	}
+	hold, release := sc.hold.taps(width)
+	f := startFleet(t, width, counts, hold, release)
 	sess := dial(t, sc, f.addrs, netexec.Timeouts{Dial: 2 * time.Second})
 	o, err := sc.runOnce(sess, false)
 	if err == nil {
 		err = sc.checkSame(o, ref)
+	}
+	if err == nil {
+		err = struck(hold)
 	}
 	if err == nil {
 		err = sc.checkRelay(sess, 0)
@@ -1114,6 +1193,7 @@ func (sc *Scenario) tenantJobs() [2][]*Scenario {
 			}
 			job := Draw(sc.seed^uint64(i*poolJobs+k)<<56, pin)
 			job.from = fmt.Sprintf("seed %d tenant %s job %d", sc.seed, tenants[i], k)
+			job.hold = nil // the pool's own hold is the run's one
 			jobs[i] = append(jobs[i], job)
 		}
 	}
@@ -1131,7 +1211,8 @@ func (sc *Scenario) runPool(t testing.TB) {
 			refs[i] = append(refs[i], job.reference(t, sc.j))
 		}
 	}
-	f := startFleet(t, sc.j, nil)
+	hold, release := sc.hold.taps(sc.j)
+	f := startFleet(t, sc.j, hold, release)
 	defer f.close()
 	pool, err := netexec.NewPool(f.addrs, netexec.Timeouts{Dial: 2 * time.Second})
 	if err != nil {
@@ -1178,7 +1259,10 @@ func (sc *Scenario) runPool(t testing.TB) {
 		t.Fatal(err)
 	}
 	maps.Copy(ran[0], ran[1])
-	err = f.tallied(ran[0])
+	err = struck(hold)
+	if err == nil {
+		err = f.tallied(ran[0])
+	}
 	if err == nil {
 		err = f.idle(nil)
 	}

@@ -3,7 +3,6 @@ package netexec
 import (
 	"context"
 	"errors"
-	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -81,56 +80,6 @@ func workersIdle(t *testing.T, ws ...*Worker) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-	}
-}
-
-// TestStreamCloseAfterJobFaultRetiresWorkerJob pins Close's abort: a stream a
-// job-level fault broke on a HEALTHY connection (here a quota rejection —
-// Collect returns it) still holds a poisoned job, its goroutine and its drain
-// accounting on the worker, and Close must retire them. Skipping the
-// connection because its fault is sticky left the worker undrainable for as
-// long as the session stayed open.
-func TestStreamCloseAfterJobFaultRetiresWorkerJob(t *testing.T) {
-	ws, addrs := startTenantWorkerSet(t, 1, AdmissionConfig{},
-		map[string]TenantPolicy{"small": {MaxBytes: 1024}})
-	sess, err := DialTenant(context.Background(), "small", addrs, Timeouts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	st, err := sess.OpenStream(exec.StreamSpec{Cond: join.Equi{},
-		Stats: exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SendBase(1, [][]join.Key{randKeys(500, 250, 90)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SendWindow(0, 1, [][]join.Key{randKeys(10, 250, 91)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Collect(0, 1); !errors.Is(err, ErrQuota) {
-		t.Fatalf("over-budget base: Collect returned %v, want ErrQuota", err)
-	}
-	if err := st.Close(); !errors.Is(err, ErrQuota) {
-		t.Fatalf("Close returned %v, want the stream's sticky ErrQuota", err)
-	}
-	c := sess.conns[0]
-	c.mu.Lock()
-	pending := len(c.pending)
-	c.mu.Unlock()
-	if pending != 0 {
-		t.Fatalf("%d reply handlers still registered after Close", pending)
-	}
-	// The session stays open — as a pooled one would — and the worker must
-	// drain anyway: nothing of the stream is left in flight on it.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := ws[0].Shutdown(ctx); err != nil {
-		t.Fatalf("worker still holds the closed stream's job: Shutdown: %v", err)
-	}
-	if used := ws[0].Snapshot().Holdings.Bytes; used != 0 {
-		t.Fatalf("closed stream left %d bytes reserved", used)
 	}
 }
 
@@ -331,22 +280,10 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 				if c.rule != nil {
 					script = faultnet.NewScript(*c.rule)
 				}
-				ws := make([]*Worker, tableWorkers)
-				addrs := make([]string, tableWorkers)
-				for i := range ws {
-					ln, err := net.Listen("tcp", "127.0.0.1:0")
-					if err != nil {
-						t.Fatal(err)
-					}
-					if i == 0 {
-						// Worker 0 is the tapped one; a nil script is transparent.
-						ln = faultnet.Wrap(ln, script)
-					}
-					w := ListenWorkerOn(ln)
+				// Worker 0 is the tapped one.
+				ws, addrs := startWorkers(t, func(w *Worker) {
 					w.SetTenantPolicy(tableTenant, TenantPolicy{MaxBytes: c.budget})
-					ws[i], addrs[i] = w, w.Addr()
-					go func() { _ = w.Serve() }()
-				}
+				}, script, nil)
 				sess, err := DialTenant(context.Background(), tableTenant, addrs, c.timeouts)
 				if err != nil {
 					t.Fatal(err)
@@ -385,21 +322,7 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 		t.Run("contribution/"+o.name, func(t *testing.T) {
 			b := snapshotBaseline(t)
 			script := faultnet.NewScript(o.rule)
-			ws := make([]*Worker, tableWorkers)
-			addrs := make([]string, tableWorkers)
-			for i := range ws {
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if i == 0 {
-					ln = faultnet.Wrap(ln, script)
-				}
-				w := ListenWorkerOn(ln)
-				w.SetTimeouts(Timeouts{Job: 300 * time.Millisecond})
-				ws[i], addrs[i] = w, w.Addr()
-				go func() { _ = w.Serve() }()
-			}
+			ws, addrs := startWorkers(t, func(w *Worker) { w.SetTimeouts(Timeouts{Job: 300 * time.Millisecond}) }, script, nil)
 			// The coordinator's own deadline is the backstop: were the
 			// sender's to fail, worker 1 would take the blame.
 			sess, err := DialTenant(context.Background(), tableTenant,

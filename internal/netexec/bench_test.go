@@ -6,32 +6,18 @@ import (
 	"testing"
 
 	"ewh/internal/exec"
+	"ewh/internal/faultnet"
 	"ewh/internal/join"
 	"ewh/internal/partition"
 )
-
-// startBenchWorkers mirrors startWorkerSet for benchmarks.
-func startBenchWorkers(b *testing.B, n int) []string {
-	b.Helper()
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		w, err := ListenWorker("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		addrs[i] = w.Addr()
-		go func() { _ = w.Serve() }()
-		b.Cleanup(func() { _ = w.Close() })
-	}
-	return addrs
-}
 
 // benchSession dials a persistent session to n fresh loopback workers
 // (untimed setup): each timed iteration is one numbered job over the
 // already-open connections.
 func benchSession(b *testing.B, n int) *Session {
 	b.Helper()
-	sess, err := Dial(startBenchWorkers(b, n))
+	_, addrs := startWorkers(b, nil, make([]*faultnet.Script, n)...)
+	sess, err := Dial(addrs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -34,13 +34,8 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 		rounds     = 3
 		perConnMax = 256 << 10 // a connection's own buffers: reader, writer, state
 	)
-	w, err := ListenWorker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.ledger.budget = budget
-	go func() { _ = w.Serve() }()
-	t.Cleanup(func() { _ = w.Close() })
+	ws, _ := startWorkers(t, func(w *Worker) { w.ledger.budget = budget }, nil)
+	w := ws[0]
 	spec, err := join.SpecOf(join.Equi{})
 	if err != nil {
 		t.Fatal(err)
@@ -190,13 +185,8 @@ func TestPeerContributionPastBudgetIsTyped(t *testing.T) {
 // arrive. A contribution whose connection hangs up mid-frame commits
 // nothing, and its frame's charge is credited.
 func TestPeerBlocksDecodeSideBySide(t *testing.T) {
-	leakCheck(t)
-	w, err := ListenWorker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = w.Serve() }()
-	t.Cleanup(func() { _ = w.Close() })
+	ws, _ := startWorkerSet(t, 1)
+	w := ws[0]
 	token := newPeerToken()
 	st := mustOpenTransfer(t, w, token, 3)
 	// contrib opens sender's contribution on a connection of its own and

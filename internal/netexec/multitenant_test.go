@@ -11,6 +11,7 @@ import (
 
 	"ewh/internal/core"
 	"ewh/internal/exec"
+	"ewh/internal/faultnet"
 	"ewh/internal/join"
 	"ewh/internal/multiway"
 	"ewh/internal/partition"
@@ -59,23 +60,12 @@ func TestTenantIDFitsThePrelude(t *testing.T) {
 func startTenantWorkerSet(t *testing.T, n int, adm AdmissionConfig, policies map[string]TenantPolicy) ([]*Worker, []string) {
 	t.Helper()
 	leakCheck(t)
-	ws := make([]*Worker, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		w, err := ListenWorker("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
+	return startWorkers(t, func(w *Worker) {
 		w.SetAdmission(adm)
 		for tn, p := range policies {
 			w.SetTenantPolicy(tn, p)
 		}
-		ws[i] = w
-		addrs[i] = w.Addr()
-		go func() { _ = w.Serve() }()
-		t.Cleanup(func() { _ = w.Close() })
-	}
-	return ws, addrs
+	}, make([]*faultnet.Script, n)...)
 }
 
 // TestSessionTypedQuotaRejection drives a budgeted tenant's over-sized join

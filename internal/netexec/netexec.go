@@ -197,9 +197,10 @@ type Snapshot struct {
 }
 
 // JobTally is one job kind's replies since start: how many, how many of them
-// final, and the sum of the stage records they carried. A stream's window
-// replies count with its final; a job abandoned short of its final reply
-// adds nothing.
+// final, and the sum of the stage records they carried. Every REPLY a job
+// sends counts — a peer open's acknowledgment, a plan job's summary, a
+// stream's window replies, each final — so a plan job abandoned past its
+// summary adds a reply, not a final.
 type JobTally struct {
 	Replies, Finals int64
 	Stages          stage.Record
@@ -230,19 +231,6 @@ func (w *Worker) Snapshot() Snapshot {
 	}
 	w.tallyMu.Unlock()
 	return s
-}
-
-// tallyReply adds one reply a job of kind sends to that kind's tally, before
-// it is written: a coordinator holding the reply finds it in a Snapshot.
-func (w *Worker) tallyReply(kind byte, r *reply) {
-	w.tallyMu.Lock()
-	t := &w.tally[kind]
-	t.Replies++
-	if r.Final {
-		t.Finals++
-	}
-	t.Stages.Add(&r.Stages)
-	w.tallyMu.Unlock()
 }
 
 // Addr returns the worker's bound address.

@@ -565,15 +565,10 @@ func TestSessionMultiBlockRelation(t *testing.T) {
 		{"budget for the frames, not the copy", frames + 8*500},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w, err := ListenWorker("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.ledger.budget = tc.budget
-			go func() { _ = w.Serve() }()
-			t.Cleanup(func() { _ = w.Close() })
-			bw, conn := dialV3(t, w.Addr(), "")
-			err = errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindPairs, Cond: spec}),
+			ws, addrs := startWorkers(t, func(w *Worker) { w.ledger.budget = tc.budget }, nil)
+			w := ws[0]
+			bw, conn := dialV3(t, addrs[0], "")
+			err := errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindPairs, Cond: spec}),
 				writeStreamBaseKeys(bw, 1, 0, r1[:300]), writeStreamBaseKeys(bw, 1, 0, r1[300:]),
 				writeStreamBaseEnd(bw, 1, 0, len(r1)),
 				writeStreamWinKeys(bw, 1, 0, 0, r2[:450]), writeStreamWinKeys(bw, 1, 0, 0, r2[450:]),

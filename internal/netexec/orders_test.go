@@ -195,12 +195,12 @@ type orderJob struct {
 }
 
 // orderWant is a frame the model expects: a REPLY on a link, final or
-// interim, refused or carrying in, tallied under kind unless untallied (an
-// acknowledgment or a plan job's summary); pairs precede a pairs job's.
+// interim, refused or carrying in, tallied under kind; pairs precede a pairs
+// job's.
 type orderWant struct {
-	contrib, final, refused, pairs, untallied bool
-	kind                                      byte
-	in                                        reply
+	contrib, final, refused, pairs bool
+	kind                           byte
+	in                             reply
 }
 
 // orderModel is the sweep's statement of what one worker does with the
@@ -264,7 +264,7 @@ func (m *orderModel) step(e orderEv) {
 		switch m.kind {
 		case kindPeer:
 			m.transfer = phFeeding
-			m.want = []orderWant{{untallied: true}}
+			m.want = []orderWant{{kind: kindPeer}}
 		case kindCount, kindPairs, kindPlan:
 			m.grants++
 		}
@@ -339,7 +339,7 @@ func (m *orderModel) eos() {
 	case final.refused:
 	case m.kind == kindPlan:
 		j.phase = phParked
-		m.want = []orderWant{{untallied: true}}
+		m.want = []orderWant{{kind: kindPlan}}
 		return
 	case m.kind == kindPeer && m.transfer != phParked:
 		j.phase = phParked
@@ -495,7 +495,7 @@ func (l *orderLink) expect(want orderWant) (reply, error) {
 			return r, fmt.Errorf("replied %+v, want %+v", r, want)
 		case r.Final && r.Stages.Total() <= 0:
 			return r, fmt.Errorf("a final reply %+v carries no stage time", r)
-		case want.refused || want.untallied:
+		case want.refused:
 		case r.Window != want.in.Window || r.Epoch != want.in.Epoch || r.InputR1 != want.in.InputR1 ||
 			r.InputR2 != want.in.InputR2 || r.Output != want.in.Output:
 			return r, fmt.Errorf("replied %+v, want %+v", r, want.in)
@@ -607,8 +607,8 @@ func runOrder(w *Worker, s orderSeq) error {
 			}
 		}
 	}()
-	// read is what the replies the worker tallies carried, per kind: every
-	// final and a stream's window replies.
+	// read is what the replies read carried, per kind: the worker tallies
+	// every one.
 	var read [numKinds]JobTally
 	tally := func(kind byte, r *reply) {
 		t := &read[kind]
@@ -643,9 +643,7 @@ func runOrder(w *Worker, s orderSeq) error {
 			if err != nil {
 				return fmt.Errorf("event %d: %w", i, err)
 			}
-			if !want.untallied {
-				tally(want.kind, &r)
-			}
+			tally(want.kind, &r)
 		}
 		if m.fatal {
 			if f, ok, err := l.next(1); ok || err != nil {

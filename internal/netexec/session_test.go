@@ -38,15 +38,29 @@ func leakCheck(t *testing.T) {
 func startWorkerSet(t *testing.T, n int) ([]*Worker, []string) {
 	t.Helper()
 	leakCheck(t)
-	ws := make([]*Worker, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		w, err := ListenWorker("127.0.0.1:0")
+	return startWorkers(t, nil, make([]*faultnet.Script, n)...)
+}
+
+// startWorkers starts one worker per script, behind a faultnet tap of it
+// where it is set, each configured by setup (when set) before it serves; the
+// test's cleanup closes them.
+func startWorkers(t testing.TB, setup func(*Worker), scripts ...*faultnet.Script) ([]*Worker, []string) {
+	t.Helper()
+	ws := make([]*Worker, len(scripts))
+	addrs := make([]string, len(scripts))
+	for i, s := range scripts {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws[i] = w
-		addrs[i] = w.Addr()
+		if s != nil {
+			ln = faultnet.Wrap(ln, s)
+		}
+		w := ListenWorkerOn(ln)
+		if setup != nil {
+			setup(w)
+		}
+		ws[i], addrs[i] = w, w.Addr()
 		go func() { _ = w.Serve() }()
 		t.Cleanup(func() { _ = w.Close() })
 	}
@@ -227,13 +241,8 @@ func TestSessionWorkerDiesBetweenJobsAndRedial(t *testing.T) {
 	}
 
 	// Restart a worker and redial: a fresh session works.
-	w2, err := ListenWorker("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = w2.Serve() }()
-	t.Cleanup(func() { _ = w2.Close() })
-	sess2 := dialSession(t, []string{addrs[0], w2.Addr()})
+	_, fresh := startWorkers(t, nil, nil)
+	sess2 := dialSession(t, []string{addrs[0], fresh[0]})
 	want := localjoin.NestedLoopCount(r1, r2, cond)
 	res, err := exec.RunOver(sess2, r1, r2, cond, scheme, model, cfg)
 	if err != nil {
@@ -550,14 +559,9 @@ func TestSessionRelationFormsByJobKind(t *testing.T) {
 		rules = append(rules, faultnet.Rule{Dir: faultnet.In, Frame: f, Action: faultnet.ActHook,
 			Fn: func() { arrived.Store(true) }})
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := ListenWorkerOn(faultnet.Wrap(ln, faultnet.NewScript(rules...)))
-	go func() { _ = w.Serve() }()
-	t.Cleanup(func() { _ = w.Close() })
-	sess := dialSession(t, []string{w.Addr()})
+	ws, addrs := startWorkers(t, nil, faultnet.NewScript(rules...))
+	w := ws[0]
+	sess := dialSession(t, addrs)
 
 	scheme, cfg := partition.NewCI(1), exec.Config{Seed: 141}
 

@@ -267,11 +267,21 @@ func (ws *workerSession) drop(j *sessJob) {
 	ws.mu.Unlock()
 }
 
-// reply writes one REPLY frame for job id and flushes it.
-func (ws *workerSession) reply(id uint32, r *reply) error {
+// reply writes one REPLY frame for job j and flushes it, tallying it under
+// j's kind first: a coordinator holding the reply finds it in a Snapshot.
+func (ws *workerSession) reply(j *sessJob, r *reply) error {
+	w := ws.w
+	w.tallyMu.Lock()
+	t := &w.tally[j.kind]
+	t.Replies++
+	if r.Final {
+		t.Finals++
+	}
+	t.Stages.Add(&r.Stages)
+	w.tallyMu.Unlock()
 	ws.wmu.Lock()
 	defer ws.wmu.Unlock()
-	if err := writeCtl(ws.bw, frameV3Reply, id, r); err != nil {
+	if err := writeCtl(ws.bw, frameV3Reply, j.id, r); err != nil {
 		return err
 	}
 	return ws.bw.Flush()
@@ -373,7 +383,7 @@ func (ws *workerSession) openJob(br *bufio.Reader, id uint32, n int) error {
 	if j.err != nil {
 		ack.Err, ack.Code = j.err.Error(), rejectCode(j.err)
 	}
-	return ws.reply(id, &ack)
+	return ws.reply(j, &ack)
 }
 
 // endFrame serves the fixed-layout frames that close a run of key frames
@@ -678,7 +688,7 @@ func (ws *workerSession) runPlanJob(j *sessJob, r1, r2, rekey []join.Key) (int64
 		return 0, nil, err
 	}
 	clk.Mark(stage.Summarize)
-	if ws.reply(j.id, &reply{Summary: enc}) != nil {
+	if ws.reply(j, &reply{Summary: enc}) != nil {
 		return 0, nil, errAbandoned // connection dead; nothing to reply to
 	}
 	clk.Mark(stage.Reply)

@@ -2,7 +2,6 @@ package netexec
 
 import (
 	"context"
-	"net"
 	"testing"
 	"time"
 
@@ -62,12 +61,8 @@ func TestStreamWorkerDeathAfterReplanRecovers(t *testing.T) {
 	want := streamRefCount(windows, base, cond)
 
 	const fleet, victim = 4, 2
-	var victimW *Worker
-	kill := func() {
-		if victimW != nil {
-			_ = victimW.Close()
-		}
-	}
+	var victimW *Worker // set before the job starts
+	kill := func() { _ = victimW.Close() }
 	// Window-end frames arrive once per window regardless of shard sizes, so
 	// the 4th one is window index 3 — the first full window AFTER the drift
 	// replan at window 2 cut the stream over to epoch 2.
@@ -76,27 +71,10 @@ func TestStreamWorkerDeathAfterReplanRecovers(t *testing.T) {
 		Action: faultnet.ActHook, Fn: kill,
 	})
 
-	addrs := make([]string, fleet)
-	for i := 0; i < fleet; i++ {
-		var w *Worker
-		if i == victim {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			w = ListenWorkerOn(faultnet.Wrap(ln, script))
-			victimW = w
-		} else {
-			var err error
-			w, err = ListenWorker("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		addrs[i] = w.Addr()
-		go func() { _ = w.Serve() }()
-		t.Cleanup(func() { _ = w.Close() })
-	}
+	scripts := make([]*faultnet.Script, fleet)
+	scripts[victim] = script
+	ws, addrs := startWorkers(t, nil, scripts...)
+	victimW = ws[victim]
 
 	sess, err := DialTenant(context.Background(), "", addrs, Timeouts{Dial: 2 * time.Second, Job: 10 * time.Second})
 	if err != nil {

@@ -391,8 +391,7 @@ func (j *sessJob) onWinEnd(ev streamEvent) {
 	// A failed write poisons the stream; the read loop sees the dead
 	// connection. The write itself is the next window's first stage.
 	r.Stages, j.clk.Record = j.clk.Record, stage.Record{}
-	j.ws.w.tallyReply(kindStream, &r)
-	j.poison(j.ws.reply(j.id, &r))
+	j.poison(j.ws.reply(j, &r))
 	j.clk.Mark(stage.Reply)
 }
 
@@ -517,6 +516,5 @@ func (j *sessJob) onEOS() {
 		}
 	}
 	m.Stages, m.Final = j.clk.Record, true
-	j.ws.w.tallyReply(j.kind, &m)
-	_ = j.ws.reply(j.id, &m) // nothing left to tell a dead connection
+	_ = j.ws.reply(j, &m) // nothing left to tell a dead connection
 }
