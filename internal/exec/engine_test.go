@@ -209,26 +209,35 @@ func FuzzJoinPairs(f *testing.F) {
 }
 
 // TestRunEngineSelection crosschecks the full Local pipeline under the engine
-// each condition selects: equi and band 0 on the hash engine through the
-// chunk-streamed path (each chunk inserted as it lands, the probe side after
-// the seal), band 2 on the merge engine.
+// each condition selects: equi and band 0 through the chunk-streamed path
+// (each chunk inserted as it lands, the probe side after the seal) into the
+// dense window, and over keys 64 slots apart into the sorted block, which
+// keeps the probe chunks to the last; band 2 on the flat scatter.
 func TestRunEngineSelection(t *testing.T) {
-	r1 := zipfKeys(20000, 5000, 0.9, 120)
-	r2 := zipfKeys(20000, 5000, 0.9, 121)
-	for _, cond := range []join.Condition{join.Equi{}, join.NewBand(0), join.NewBand(2)} {
-		want := localjoin.NestedLoopCount(r1, r2, cond)
+	dense1, dense2 := zipfKeys(20000, 5000, 0.9, 120), zipfKeys(20000, 5000, 0.9, 121)
+	wide1, wide2 := randKeys(4000, 64*4000, 122), randKeys(4000, 64*4000, 123)
+	for _, c := range []struct {
+		cond   join.Condition
+		r1, r2 []join.Key
+	}{
+		{join.Equi{}, dense1, dense2},
+		{join.NewBand(0), dense1, dense2},
+		{join.NewBand(2), dense1, dense2},
+		{join.Equi{}, wide1, wide2},
+	} {
+		want := localjoin.NestedLoopCount(c.r1, c.r2, c.cond)
 		for _, j := range []int{1, 4, 7} {
-			res := Run(r1, r2, cond, partition.NewCI(j), model, Config{Seed: 13, Mappers: 6})
+			res := Run(c.r1, c.r2, c.cond, partition.NewCI(j), model, Config{Seed: 13, Mappers: 6})
 			if res.Output != want {
-				t.Errorf("%v / J=%d: output %d, want %d", cond, j, res.Output, want)
+				t.Errorf("%v over %d keys / J=%d: output %d, want %d", c.cond, len(c.r1), j, res.Output, want)
 			}
 		}
 	}
 }
 
 // TestLocalStreamsChunksGate pins when Local consumes the chunked scatter: a
-// count-only job whose condition takes the hash engine; pairs and windowed
-// conditions keep the flat one.
+// count-only job whose condition is EquiLike; pairs and windowed conditions
+// keep the flat one.
 func TestLocalStreamsChunksGate(t *testing.T) {
 	cases := []struct {
 		cond  join.Condition

@@ -139,8 +139,8 @@ func RunOver(rt Runtime, r1, r2 []join.Key, cond join.Condition,
 	if streamsChunksFor(rt, job) {
 		// Chunk-consuming transports skip the flat scatter entirely: both
 		// relations resolve immediately as chunk streams and the transport
-		// frames sub-blocks onto sockets (or, for Local's hash engine, into
-		// the incremental build) as the mappers emit them.
+		// frames sub-blocks onto sockets (or, for Local's equi jobs, into
+		// the resident side) as the mappers emit them.
 		cs1, cs2 := shufflePairChunked(r1, r2, scheme, cfg)
 		f1.resolve(RelData{Chunks: cs1})
 		f2.resolve(RelData{Chunks: cs2})

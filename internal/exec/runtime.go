@@ -102,7 +102,7 @@ type ChunkStreamer interface {
 
 // JobChunkStreamer is the job-aware refinement of ChunkStreamer: a runtime
 // whose chunk appetite depends on the job (Local consumes chunks only when a
-// count-only job resolves to the incremental hash engine) implements this; blanket
+// count-only job's condition is EquiLike) implements this; blanket
 // streamers keep the plain interface.
 type JobChunkStreamer interface {
 	StreamsChunksFor(job *Job) bool
@@ -277,17 +277,17 @@ type Local struct{}
 func (Local) Label() string { return "" }
 
 // StreamsChunksFor implements JobChunkStreamer: Local consumes chunked
-// relations exactly when a count-only job's condition takes the hash engine
-// (localjoin.EquiLike). The workers then feed each routed sub-block into the
-// incremental build as the mappers emit it, overlapping build work with the
-// still-running scatter. Every other job keeps the flat scatter; a local
-// merge join gains nothing from chunking.
+// relations exactly when a count-only job's condition is localjoin.EquiLike.
+// The workers then feed each routed sub-block into the resident side as the
+// mappers emit it, overlapping build work with the still-running scatter.
+// Every other job keeps the flat scatter; a local merge join gains nothing
+// from chunking.
 func (Local) StreamsChunksFor(job *Job) bool {
 	return job.Pairs == nil && localjoin.EquiLike(job.Cond)
 }
 
 // RunJob implements Runtime. Count-only jobs run the condition's engine over
-// the (owned) key blocks — merge sorts in place, hash builds and probes;
+// the (owned) key blocks — merge sorts in place, a table counts and probes;
 // chunk-streamed jobs feed arriving sub-blocks straight into the resident
 // side. Pair jobs run the deterministic index-pair join.
 // Local never returns an error.

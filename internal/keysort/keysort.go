@@ -16,12 +16,10 @@ const cutoff = 256
 // sign bit makes uint64 comparison agree with int64 comparison.
 const signMask = 1 << 63
 
-// Digit returns the radix digit of k at the given bit shift under the same
-// sign-bias transform the counting passes use: negative and positive keys
-// order consistently across the whole byte range. Exported so localjoin's
-// partitioned hash build shares digit-for-digit the partitioning this sort
-// histograms — one radix scheme across sort and hash engines.
-func Digit(k int64, shift uint) byte {
+// digit returns the radix digit of k at the given bit shift under the
+// sign-bias transform: negative and positive keys order consistently across
+// the whole byte range.
+func digit(k int64, shift uint) byte {
 	return byte((uint64(k) ^ signMask) >> shift)
 }
 
@@ -58,7 +56,7 @@ func SortWithScratch(a, scratch []int64) {
 		}
 		var count [256]int
 		for _, v := range src {
-			count[Digit(v, shift)]++
+			count[digit(v, shift)]++
 		}
 		sum := 0
 		for i := range count {
@@ -67,7 +65,7 @@ func SortWithScratch(a, scratch []int64) {
 			sum += c
 		}
 		for _, v := range src {
-			b := Digit(v, shift)
+			b := digit(v, shift)
 			dst[count[b]] = v
 			count[b]++
 		}

@@ -10,15 +10,15 @@ import (
 
 // BuildCache shares immutable sealed resident sides between jobs that index
 // the same relation content — the multi-tenant fleet's "many queries probe the
-// same dimension table" case. A side is cached in the form it sealed into, a
-// hash Build or a rank table, and keyed by that form beside a 128-bit content
-// digest of its key block (plus its exact length): two tenants running the
-// same scheme over the same relation hit the same entry without any
-// coordination, while an equi Build and a band table over the same keys are
-// two entries that never shadow each other. Entries are evicted by size-capped
-// LRU. An evicted side stays valid for jobs still probing it (it is
-// immutable; the cache only drops its own reference), so eviction needs no
-// reference counting.
+// same dimension table" case. A side is cached in the direct-address form it
+// sealed into, a dense window or a rank table, and keyed by that form beside a
+// 128-bit content digest of its key block (plus its exact length): two tenants
+// running the same scheme over the same relation hit the same entry without
+// any coordination, while an equi window and a band table over the same keys
+// are two entries that never shadow each other. A sorted block is the job's
+// own and never cached. Entries are evicted by size-capped LRU. An evicted
+// side stays valid for jobs still probing it (it is immutable; the cache only
+// drops its own reference), so eviction needs no reference counting.
 
 // digest constants: two independent word-wise FNV-1a-style streams. 64 bits
 // each; H2 folds a rotated view of every key so the pair behaves as one
@@ -91,17 +91,17 @@ type BuildCache struct {
 	misses int64
 }
 
-// sealedSide is a form the cache holds: a sealed Build or a sealed rank
-// table, immutable either way.
+// sealedSide is a form the cache holds: a sealed dense window or a sealed
+// rank table, immutable either way.
 type sealedSide interface {
-	*Build | *rankTable
+	*denseWindow | *rankTable
 	MemBytes() int64
 }
 
 // cacheKey is an entry's content key and form.
 type cacheKey struct {
 	BuildKey
-	table bool // a rank table; a Build otherwise
+	table bool // a rank table; a dense window otherwise
 }
 
 type cacheEntry struct {

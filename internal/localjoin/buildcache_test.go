@@ -47,30 +47,32 @@ func TestDigestCombineMatchesChunkStructure(t *testing.T) {
 	}
 }
 
-func sealedBuild(keys []join.Key) *Build {
-	b := NewBuild()
-	b.Insert(keys)
-	b.Seal()
-	return b
+// sealedWindow is a dense window of keys, which must fit one.
+func sealedWindow(keys []join.Key) *denseWindow {
+	d := new(denseWindow)
+	if !d.add(keys) {
+		panic("the keys are past the dense window's budget")
+	}
+	return d
 }
 
 func TestBuildCacheHitMissEvict(t *testing.T) {
 	r1 := randKeys(2000, 100, 81)
-	b1 := sealedBuild(r1)
+	b1 := sealedWindow(r1)
 	c := NewBuildCache(4 * b1.MemBytes())
 
 	k1 := buildKeyOf(r1)
-	if cacheGet[*Build](c, k1) != nil {
+	if cacheGet[*denseWindow](c, k1) != nil {
 		t.Fatal("empty cache returned a build")
 	}
 	if got := cacheAdd(c, k1, b1); got != b1 {
 		t.Fatal("first Add did not return the added build")
 	}
-	if cacheGet[*Build](c, k1) != b1 {
+	if cacheGet[*denseWindow](c, k1) != b1 {
 		t.Fatal("Get missed a just-added entry")
 	}
 	// A racing Add of the same content yields the canonical first entry.
-	if got := cacheAdd(c, k1, sealedBuild(r1)); got != b1 {
+	if got := cacheAdd(c, k1, sealedWindow(r1)); got != b1 {
 		t.Fatal("duplicate Add did not return the canonical build")
 	}
 	st := c.Stats()
@@ -84,29 +86,29 @@ func TestBuildCacheHitMissEvict(t *testing.T) {
 		r := randKeys(2000, 100, 90+uint64(i))
 		k := buildKeyOf(r)
 		keys = append(keys, k)
-		cacheAdd(c, k, sealedBuild(r))
+		cacheAdd(c, k, sealedWindow(r))
 	}
 	st = c.Stats()
 	if st.Bytes > 4*b1.MemBytes() {
 		t.Fatalf("cache holds %d bytes, cap %d", st.Bytes, 4*b1.MemBytes())
 	}
-	if cacheGet[*Build](c, k1) != nil {
+	if cacheGet[*denseWindow](c, k1) != nil {
 		t.Fatal("LRU tail survived eviction")
 	}
-	if cacheGet[*Build](c, keys[len(keys)-1]) == nil {
+	if cacheGet[*denseWindow](c, keys[len(keys)-1]) == nil {
 		t.Fatal("most recent entry was evicted")
 	}
 }
 
 func TestBuildCacheOversizedAndNil(t *testing.T) {
 	r := randKeys(5000, 1000, 85)
-	b := sealedBuild(r)
+	b := sealedWindow(r)
 	c := NewBuildCache(b.MemBytes() / 2)
 	k := buildKeyOf(r)
 	if got := cacheAdd(c, k, b); got != b {
 		t.Fatal("oversized Add did not pass the build through")
 	}
-	if cacheGet[*Build](c, k) != nil || c.Stats().Entries != 0 {
+	if cacheGet[*denseWindow](c, k) != nil || c.Stats().Entries != 0 {
 		t.Fatal("oversized build was admitted")
 	}
 
@@ -115,7 +117,7 @@ func TestBuildCacheOversizedAndNil(t *testing.T) {
 	if nc != NewBuildCache(0) {
 		t.Fatal("NewBuildCache(0) should return nil")
 	}
-	if cacheGet[*Build](nc, k) != nil {
+	if cacheGet[*denseWindow](nc, k) != nil {
 		t.Fatal("nil cache returned a build")
 	}
 	if cacheAdd(nc, k, b) != b {
@@ -127,7 +129,7 @@ func TestBuildCacheOversizedAndNil(t *testing.T) {
 }
 
 // TestBuildCacheSharedProbes pins the sharing contract end to end: two "jobs"
-// over the same relation content resolve to one build, and both count
+// over the same relation content resolve to one dense window, and both count
 // correctly through it.
 func TestBuildCacheSharedProbes(t *testing.T) {
 	r1 := dupHeavyKeys(3000, 86)
@@ -139,21 +141,21 @@ func TestBuildCacheSharedProbes(t *testing.T) {
 	c := NewBuildCache(1 << 20)
 	// Job A: miss, build, publish.
 	k := buildKeyOf(r1)
-	bA := cacheGet[*Build](c, k)
+	bA := cacheGet[*denseWindow](c, k)
 	if bA != nil {
 		t.Fatal("unexpected hit")
 	}
-	bA = cacheAdd(c, k, sealedBuild(r1))
-	if got := bA.ProbeCount(probeA); got != wantA {
+	bA = cacheAdd(c, k, sealedWindow(r1))
+	if got := bA.probe(probeA); got != wantA {
 		t.Fatalf("job A count = %d, want %d", got, wantA)
 	}
 	// Job B: same content (chunked differently upstream doesn't matter here —
 	// same flat digest), hit, probe the shared build.
-	bB := cacheGet[*Build](c, buildKeyOf(append([]join.Key(nil), r1...)))
+	bB := cacheGet[*denseWindow](c, buildKeyOf(append([]join.Key(nil), r1...)))
 	if bB != bA {
 		t.Fatal("job B did not hit job A's build")
 	}
-	if got := bB.ProbeCount(probeB); got != wantB {
+	if got := bB.probe(probeB); got != wantB {
 		t.Fatalf("job B count = %d, want %d", got, wantB)
 	}
 	if st := c.Stats(); st.Hits != 1 {
@@ -161,36 +163,54 @@ func TestBuildCacheSharedProbes(t *testing.T) {
 	}
 }
 
-// TestBuildCacheConcurrentProbes is the race proof for the one place a Build
-// crosses goroutines: one job inserts, seals and publishes it through the
-// cache while other jobs spin on Get and probe it the moment it appears, over
-// a dense, a sparse and a converting relation. The cache's lock is the only
-// synchronization between them, and every count must match the oracle.
+// TestBuildCacheConcurrentProbes is the race proof for the one place a sealed
+// side crosses goroutines: one job inserts, seals and publishes it through
+// the cache while other jobs spin on Get and probe it the moment it appears,
+// over a dense window counted chunk by chunk, one whose chunks were each too
+// sparse and were kept until the seal, and a rank table. The cache's lock is
+// the only synchronization between them, and every count must match the
+// oracle.
 func TestBuildCacheConcurrentProbes(t *testing.T) {
-	probe := probeKeys(1000, 61)
-	for _, rel := range buildRelations(4000, 60) {
-		want := NestedLoopCount(rel.keys, probe, join.Equi{})
+	probe := append(dupHeavyKeys(500, 64), randKeys(500, 30_000, 63)...)
+	for _, rel := range []struct {
+		name string
+		cond join.Condition
+		keys []join.Key
+	}{
+		{"dense", join.Equi{}, dupHeavyKeys(4000, 60)},
+		{"dense, kept chunks", join.Equi{}, randKeys(4000, 30_000, 61)}, // 117 slots a key per chunk, 7.5 in all
+		{"table", join.NewBand(2), randKeys(4000, 30_000, 62)},
+	} {
+		if form := sealedForm(sealChunks(nil, rel.cond, rel.keys, 256)); form == "merge" {
+			t.Fatalf("%s: the side seals into the %s form, which the cache never holds", rel.name, form)
+		}
+		want := NestedLoopCount(rel.keys, probe, rel.cond)
 		c := NewBuildCache(1 << 24)
-		k := buildKeyOf(rel.keys)
+		var ds []ChunkDigest
+		for _, ch := range chunked(rel.keys, 256) {
+			ds = append(ds, DigestKeys(ch))
+		}
+		k := CombineDigests(ds)
 		counts := make([]int64, 4)
 		var wg sync.WaitGroup
 		for g := range counts {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				b := cacheGet[*Build](c, k)
-				for ; b == nil; b = cacheGet[*Build](c, k) {
+				for {
+					if d := cacheGet[*denseWindow](c, k); d != nil {
+						counts[g] = d.probe(probe)
+						return
+					}
+					if tbl := cacheGet[*rankTable](c, k); tbl != nil {
+						counts[g] = tbl.probeCount(probe, rel.cond, true)
+						return
+					}
 					runtime.Gosched()
 				}
-				counts[g] = b.ProbeCount(probe)
 			}()
 		}
-		b := NewBuild()
-		for _, ch := range chunked(rel.keys, 256) {
-			b.Insert(ch)
-		}
-		b.Seal()
-		cacheAdd(c, k, b)
+		sealChunks(c, rel.cond, rel.keys, 256)
 		wg.Wait()
 		for g, got := range counts {
 			if got != want {
@@ -281,24 +301,36 @@ func TestBuildCacheTableProbedWhileEvicted(t *testing.T) {
 	}
 }
 
-// TestBuildCacheKeysByForm caches a Build and a rank table over the same
-// content: each is found under its own form, and neither replaces the other.
+// TestBuildCacheKeysByForm caches a dense window and a rank table over the
+// same content: each is found under its own form, and neither replaces the
+// other. An equi side sealed past the dense budget, the sorted block, neither
+// looks in the cache nor publishes to it.
 func TestBuildCacheKeysByForm(t *testing.T) {
 	keys := randKeys(2000, 2000, 76)
 	k := buildKeyOf(keys)
 	c := NewBuildCache(1 << 20)
-	b := cacheAdd(c, k, sealedBuild(keys))
+	d := cacheAdd(c, k, sealedWindow(keys))
 	if got := cacheGet[*rankTable](c, k); got != nil {
-		t.Fatal("a Build's content key served a rank table")
+		t.Fatal("a dense window's content key served a rank table")
 	}
 	tbl := sealChunks(nil, join.NewBand(1), keys, 0).table
 	if got := cacheAdd(c, k, tbl); got != tbl {
-		t.Fatal("the table was not admitted beside the Build of the same content")
+		t.Fatal("the table was not admitted beside the window of the same content")
 	}
-	if cacheGet[*Build](c, k) != b || cacheGet[*rankTable](c, k) != tbl {
+	if cacheGet[*denseWindow](c, k) != d || cacheGet[*rankTable](c, k) != tbl {
 		t.Fatal("one form shadowed the other")
 	}
-	if st := c.Stats(); st.Entries != 2 || st.Bytes != b.MemBytes()+tbl.MemBytes() {
+	st := c.Stats()
+	if st.Entries != 2 || st.Bytes != d.MemBytes()+tbl.MemBytes() {
 		t.Fatalf("cache %+v, want both entries and their bytes", st)
+	}
+	wide := sparseKeys(2000, 77)
+	for range 2 {
+		if form := sealedForm(sealChunks(c, join.Equi{}, wide, 500)); form != "merge" {
+			t.Fatalf("an equi side past the dense budget sealed into the %s form", form)
+		}
+	}
+	if got := c.Stats(); got != st {
+		t.Fatalf("two equi sides past the dense budget moved the cache from %+v to %+v", st, got)
 	}
 }

@@ -2,6 +2,7 @@ package localjoin
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ewh/internal/join"
@@ -15,7 +16,7 @@ func dupHeavyKeys(n int, seed uint64) []join.Key {
 }
 
 // sparseKeys draws n keys from n/2 values uniform over 2⁴⁰: a span no
-// dense Build takes. The values come from one fixed stream, so relations of
+// dense window takes. The values come from one fixed stream, so relations of
 // any seed share them and join.
 func sparseKeys(n int, seed uint64) []join.Key {
 	values := randKeys(max(n/2, 1), 1<<40, 7)
@@ -28,7 +29,7 @@ func sparseKeys(n int, seed uint64) []join.Key {
 }
 
 // signedKeys mixes negative and positive keys around zero, exercising the
-// sign-biased partitioning digit.
+// sort's sign-biased digits.
 func signedKeys(n int, seed uint64) []join.Key {
 	r := stats.NewRNG(seed)
 	out := make([]join.Key, n)
@@ -39,7 +40,7 @@ func signedKeys(n int, seed uint64) []join.Key {
 }
 
 // TestEquiLike is the engine choice where it is made: the pure-equality
-// conditions, and they alone, get the hash form of a resident side.
+// conditions, and they alone, start a resident side in the dense window.
 func TestEquiLike(t *testing.T) {
 	cases := []struct {
 		cond join.Condition
@@ -57,8 +58,8 @@ func TestEquiLike(t *testing.T) {
 			t.Errorf("EquiLike(%v) = %v, want %v", c.cond, got, c.want)
 		}
 		for _, r1 := range []bool{true, false} {
-			if hash := NewResident(c.cond, r1).build != nil; hash != c.want {
-				t.Errorf("NewResident(%v, %v) takes the hash form: %v, want %v", c.cond, r1, hash, c.want)
+			if dense := NewResident(c.cond, r1).dense != nil; dense != c.want {
+				t.Errorf("NewResident(%v, %v) starts in the dense window: %v, want %v", c.cond, r1, dense, c.want)
 			}
 		}
 	}
@@ -87,71 +88,75 @@ func TestInsertChunkInvariance(t *testing.T) {
 		if got := b.ProbeCount(probe); got != want {
 			t.Fatalf("trial %d: chunked ProbeCount = %d, want %d", trial, got, want)
 		}
-		if b.MemBytes() <= 0 {
-			t.Fatalf("trial %d: MemBytes = %d, want > 0", trial, b.MemBytes())
+		if d := b.side.dense; d == nil || d.MemBytes() <= 0 {
+			t.Fatalf("trial %d: the build did not seal into a dense window of some bytes", trial)
 		}
 	}
 }
 
-// TestDenseWindowAtTheInt64Extremes grows a dense build towards each end of
+// TestDenseWindowAtTheInt64Extremes grows a dense window towards each end of
 // the int64 domain, so its slack wraps past the end: a key on the far side of
-// the wrap must count zero, not alias a slot, until inserting one converts the
-// build.
+// the wrap must count zero, not alias a slot, and counting one in must be
+// refused, which seals a side of all the keys into the sorted block.
 func TestDenseWindowAtTheInt64Extremes(t *testing.T) {
 	for _, end := range []join.Key{math.MinInt64, math.MaxInt64} {
 		step, far := join.Key(1), join.Key(math.MinInt64)
 		if end == math.MinInt64 {
 			step, far = -1, math.MaxInt64
 		}
-		b := NewBuild()
+		d := new(denseWindow)
 		want := map[join.Key]int64{}
-		var first []join.Key
+		var keys []join.Key
 		for k := end - 40*step; k != end; k += step {
-			first = append(first, k, k, k)
+			keys = append(keys, k, k, k)
 			want[k] = 3
 		}
-		b.Insert(first)
-		b.Insert([]join.Key{end, end, end}) // extends the window by a quarter
+		if !d.add(slices.Clone(keys)) || !d.add([]join.Key{end, end, end}) { // extends the window by a quarter
+			t.Fatalf("towards %d: the window refused keys within its budget", end)
+		}
+		keys = append(keys, end, end, end)
 		want[end] = 3
-		if b.dense.off(far) >= uint64(len(b.dense.counts)) {
+		if d.off(far) >= uint64(len(d.counts)) {
 			t.Fatalf("towards %d: the window does not wrap past the end", end)
 		}
 		for _, k := range []join.Key{far, far + step, end, end - 40*step, end - 41*step} {
-			if got := b.ProbeCount([]join.Key{k}); got != want[k] {
-				t.Errorf("towards %d: dense ProbeCount(%d) = %d, want %d", end, k, got, want[k])
+			if got := d.probe([]join.Key{k}); got != want[k] {
+				t.Errorf("towards %d: dense probe(%d) = %d, want %d", end, k, got, want[k])
 			}
 		}
-		if b.parts != nil {
-			t.Fatalf("towards %d: the build left the dense form early", end)
+		if d.add([]join.Key{far}) {
+			t.Fatalf("towards %d: the window counted a key at the far end", end)
 		}
-		b.Insert([]join.Key{far})
+		keys = append(keys, far)
 		want[far]++
-		b.Seal()
-		if b.parts == nil {
-			t.Fatalf("towards %d: a key at the far end did not convert the build", end)
+		side := sealChunked(keys, join.Equi{}, true, 3*41)
+		if got := sealedForm(side); got != "merge" {
+			t.Fatalf("towards %d: a side with a key at the far end sealed into the %s form, want merge", end, got)
 		}
 		for k, w := range want {
-			if got := b.ProbeCount([]join.Key{k}); got != w {
-				t.Errorf("towards %d: sparse ProbeCount(%d) = %d, want %d", end, k, got, w)
+			if got, _ := side.ProbeCount([]join.Key{k}, false); got != w {
+				t.Errorf("towards %d: merge ProbeCount(%d) = %d, want %d", end, k, got, w)
 			}
 		}
 	}
 }
 
-// buildRelations are the resident relations the prefix and shared-probe tests
-// build: one that stays dense, one sparse from its first chunk, and one that
-// converts halfway through.
+// buildRelations are the resident relations the build and shared-probe tests
+// seal: one that stays dense, one past the dense budget from its first chunk,
+// and one that crosses it halfway through, after its first chunks counted in.
 func buildRelations(n int, seed uint64) []struct {
 	name string
 	keys []join.Key
+	form string
 } {
 	return []struct {
 		name string
 		keys []join.Key
+		form string
 	}{
-		{"dense", dupHeavyKeys(n, seed)},
-		{"sparse", sparseKeys(n, seed+1)},
-		{"converting", append(dupHeavyKeys(n/2, seed+2), sparseKeys(n-n/2, seed+3)...)},
+		{"dense", dupHeavyKeys(n, seed), "dense"},
+		{"past the budget", sparseKeys(n, seed+1), "merge"},
+		{"crossing", append(dupHeavyKeys(n/2, seed+2), sparseKeys(n-n/2, seed+3)...), "merge"},
 	}
 }
 
@@ -160,42 +165,23 @@ func probeKeys(n int, seed uint64) []join.Key {
 	return append(dupHeavyKeys(n/2, seed), sparseKeys(n-n/2, seed+1)...)
 }
 
-// prefixCounts returns, for each c from 0 to the chunk count, the matches of
-// probe with the first c chunks of r1.
-func prefixCounts(r1, probe []join.Key, chunk int) []int64 {
-	mult := make(map[join.Key]int64)
-	for _, k := range probe {
-		mult[k]++
-	}
-	out := []int64{0}
-	for _, c := range chunked(r1, chunk) {
-		sum := out[len(out)-1]
-		for _, k := range c {
-			sum += mult[k]
-		}
-		out = append(out, sum)
-	}
-	return out
-}
-
-// TestProbeBeforeSeal pins incremental probing: against a part-built build,
-// ProbeCount must count exactly the inserted prefix's matches, chunk after
-// chunk, whether the build is dense, sparse or converting between them.
-func TestProbeBeforeSeal(t *testing.T) {
+// TestBuildCountsAcrossTheBudget drives the exported Build over each
+// buildRelations shape in chunks: it seals into the form the shape's span
+// takes, and counts exactly whether its chunks all counted into the dense
+// window, none did, or the first ones did before a chunk overflowed it.
+func TestBuildCountsAcrossTheBudget(t *testing.T) {
 	probe := probeKeys(300, 54)
 	for _, rel := range buildRelations(400, 53) {
-		const chunk = 37
-		prefix := prefixCounts(rel.keys, probe, chunk)
 		b := NewBuild()
-		for i, c := range chunked(rel.keys, chunk) {
+		for _, c := range chunked(slices.Clone(rel.keys), 37) {
 			b.Insert(c)
-			if got := b.ProbeCount(probe); got != prefix[i+1] {
-				t.Fatalf("%s: ProbeCount after %d chunks = %d, want %d", rel.name, i+1, got, prefix[i+1])
-			}
 		}
 		b.Seal()
-		if got, want := b.ProbeCount(probe), NestedLoopCount(rel.keys, probe, join.Equi{}); got != want {
-			t.Fatalf("%s: sealed ProbeCount = %d, want %d", rel.name, got, want)
+		if got := sealedForm(b.side); got != rel.form {
+			t.Errorf("%s: sealed into the %s form, want %s", rel.name, got, rel.form)
+		}
+		if got, want := b.ProbeCount(slices.Clone(probe)), NestedLoopCount(rel.keys, probe, join.Equi{}); got != want {
+			t.Errorf("%s: ProbeCount = %d, want %d", rel.name, got, want)
 		}
 	}
 }

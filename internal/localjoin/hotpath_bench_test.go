@@ -47,8 +47,8 @@ func zipfKeys(n int, domain int64, z float64, seed uint64) []join.Key {
 // over one worker's hot path: every local count engine against the equi and
 // band conditions it serves, on uniform, duplicate-heavy and Zipf-skewed
 // keys. Count copies and sorts per call (the non-owning entry
-// point); CountSorted amortizes the sort outside the loop; the hash-form
-// Resident and Count are the two engines localjoin.EquiLike chooses between.
+// point); CountSorted amortizes the sort outside the loop; the dense-window
+// Resident is the form an EquiLike side of these spans takes.
 // (The retired map-based baseline's numbers are in EXPERIMENTS.md.)
 func BenchmarkLocalJoinEngines(b *testing.B) {
 	const n = 1 << 17
@@ -91,11 +91,12 @@ func BenchmarkLocalJoinEngines(b *testing.B) {
 // axis: Insert (in two chunks, a worker's sub-blocks from two mappers, unless
 // the row says otherwise) and sealed ProbeCount, separately. The zipf rows
 // differ only in arrival order; one-key is the multiplicity extreme;
-// dense-distinct stays in the dense form, as does ascending-4096, whose 256
+// dense-distinct stays in the dense window, as does ascending-4096, whose 256
 // chunks each extend it (the growth rule: O(n) copying, not O(n²)); sparse is
-// the hash form's row, and zipf-4096 the zipf keys in chunks too small for
-// their span, so the build converts on its first; zipf0.6-2M is
-// replay-equi-zipf's whole relation.
+// past the window's budget and seals into the sorted block, whose probe sorts
+// a copy of the probe relation; zipf-4096 is the zipf keys in chunks too small
+// for their span, so every chunk is kept until Seal counts them all into the
+// window; zipf0.6-2M is replay-equi-zipf's whole relation.
 func BenchmarkBuildInsertProbe(b *testing.B) {
 	const n = 1 << 17
 	zipf, zipfProbe := zipfKeys(n, 1<<16, 0.9, 40), zipfKeys(n, 1<<16, 0.9, 41)
@@ -152,10 +153,14 @@ func BenchmarkBuildInsertProbe(b *testing.B) {
 			}
 		})
 		bld := build()
+		probe := slices.Clone(s.probe)
 		b.Run(s.name+"/probe", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sink = bld.ProbeCount(s.probe)
+				if bld.side.dense == nil {
+					copy(probe, s.probe) // the sorted block sorts its probe in place
+				}
+				sink = bld.ProbeCount(probe)
 			}
 		})
 	}

@@ -1,8 +1,9 @@
 // Package localjoin provides the algorithms each machine runs over its
 // region's tuples. The partitioning schemes are orthogonal to the local join
-// (§IV "Local Join Algorithm"): a count uses the hash join for pure equality
-// conditions, a rank table for a band or inequality side of bounded span, and
-// the sort-merge monotonic join otherwise.
+// (§IV "Local Join Algorithm"): a count holds one side in a direct-address
+// form while its span costs at most directBytesPerKey bytes a key — a dense
+// count window for pure equality conditions, a rank table for a band or
+// inequality — and uses the sort-merge monotonic join otherwise.
 package localjoin
 
 import (
@@ -61,29 +62,32 @@ func CountSorted(s1, s2 []join.Key, cond join.Condition) int64 {
 
 // directBytesPerKey is the byte budget of a resident side's direct-address
 // forms: a side takes one when a slot per value of its span costs at most this
-// many bytes a key, judged on the whole side. It is the sparse hash form's own
-// worst case, 12 B a slot just after a doubling at 3/8 load. At 4 B a slot the
-// dense Build gets denseSpan slots a key, at 2 B the rank table tableSpan.
+// many bytes a key, judged on the whole side, and is the sorted block
+// otherwise, at 8 B a key. At 4 B a slot the dense window gets denseSpan slots
+// a key, at 2 B the rank table tableSpan. It bounds memory, not speed: a
+// direct-address side holds at most four times the sorted block's bytes.
 const directBytesPerKey = 32
 
 // Resident is the side of a count join held while the other side streams
 // past it: Insert its chunks as they arrive, Seal it, then ProbeCount each
 // chunk of the other relation — the counts sum to |R1 ⋈ R2| however either
 // side was chunked, and the form it seals into does not depend on the
-// chunking either. The hash form (EquiLike conditions) is a Build: a chunk
-// counts in on arrival while the dense form holds the keys so far, and once
-// one would not, it and every later chunk are kept until Seal judges the whole
-// block, then extends the dense window once or converts once. A band or
-// inequality side keeps the chunks it is given until Seal counts them into a
-// rank table (ranktable.go) when their span is at most tableSpan slots per
-// key, and a probe chunk then counts on arrival. Any other side is the merge
-// form: Seal copies the chunks into one sorted block of exactly their size,
-// and a probe relation is swept over it once, when its last chunk is in.
+// chunking either. Every condition follows one rule: a direct-address form
+// while the whole side's span is within the budget, else the merge form.
+//   - An EquiLike side is a dense window (hashengine.go): a chunk counts in on
+//     arrival while the window holds the keys so far, and once one would not,
+//     it and every later chunk are kept until Seal judges the whole block.
+//   - A band or inequality side keeps its chunks until Seal counts them into a
+//     rank table (ranktable.go). Either direct-address form counts a probe
+//     chunk on arrival.
+//   - The merge form: Seal sorts the side's keys into one block of exactly
+//     their size, and a probe relation is swept over it once, when its last
+//     chunk is in.
 type Resident struct {
 	cond    join.Condition
 	r1      bool         // the resident side is relation 1
 	form    residentForm // the form it started in
-	build   *Build       // hash form; nil otherwise
+	dense   *denseWindow // dense form: the window; nil otherwise
 	runs    [][]join.Key // the chunks kept until Seal, in arrival order
 	table   *rankTable   // table form: the sealed side
 	base    []join.Key   // merge form: the sealed side, sorted
@@ -91,9 +95,10 @@ type Resident struct {
 }
 
 // NewResident returns an empty side, with R1 resident if r1 and R2 otherwise,
-// in the form the condition takes: hash exactly when EquiLike(cond), a rank
-// table or a sorted block for a band or inequality as Seal finds the keys'
-// span, and a sorted block for any other condition.
+// in the form the condition takes as Seal finds the keys' span: the dense
+// window for an EquiLike condition and a rank table for a band or
+// inequality within the budget, else a sorted block, which any other
+// condition always takes.
 func NewResident(cond join.Condition, r1 bool) *Resident {
 	form := formMerge
 	switch {
@@ -112,19 +117,15 @@ const (
 	formMerge  residentForm = iota // sorted block, swept by the merge engine
 	formRanked                     // rank table under the budget rule, else formMerge
 	formTable                      // rank table whatever the span (tests only)
-	formDense                      // a Build, dense until its keys are not
-	formSparse                     // a Build, sparse from the first key
+	formDense                      // dense window under the budget rule, else formMerge
 )
 
 // newResident is NewResident with the starting form forced; cond must be
-// EquiLike for either Build form, and ranked for either table form.
+// EquiLike for formDense, and ranked for either table form.
 func newResident(cond join.Condition, form residentForm, r1 bool) *Resident {
 	r := &Resident{cond: cond, r1: r1, form: form}
-	if form == formDense || form == formSparse {
-		r.build = NewBuild()
-	}
-	if form == formSparse {
-		r.build.toSparse()
+	if form == formDense {
+		r.dense = new(denseWindow)
 	}
 	return r
 }
@@ -133,7 +134,7 @@ func newResident(cond join.Condition, form residentForm, r1 bool) *Resident {
 // instead of copying the keys out: a kept chunk must stay untouched until
 // Seal returns, when it is the caller's again. Must not be called after Seal.
 func (r *Resident) Insert(keys []join.Key) (kept bool) {
-	if r.build != nil && len(r.runs) == 0 && r.build.insert(keys) {
+	if r.dense != nil && len(r.runs) == 0 && r.dense.add(keys) {
 		return false
 	}
 	r.runs = append(r.runs, keys)
@@ -144,47 +145,48 @@ func (r *Resident) Insert(keys []join.Key) (kept bool) {
 func (r *Resident) Seal() { r.SealShared(nil, BuildKey{}) }
 
 // SealShared is Seal for a side whose content key the caller digested from
-// every chunk it inserted, kept or not. A hash or table side is immutable once
-// sealed: on a cache hit it becomes the shared side of identical content and
-// form (a hash side's wasted inserts overlapped the wire anyway, and the
-// chunks either held are never counted), on a miss it counts them and
-// publishes its own. A merge side is the job's own.
+// every chunk it inserted, kept or not. A side within the budget seals into
+// its direct-address form, which is immutable: on a cache hit it becomes the
+// shared side of identical content and form (a window's counted chunks
+// overlapped the wire anyway, and the kept ones are never counted), on a miss
+// it counts the kept chunks and publishes its own. A side past the budget is
+// the merge form, the job's own: a window's counts expanded in key order and
+// the kept chunks, sorted into one block. Every sealed form is exactly sized
+// and holds no chunk: a pooled chunk of whatever capacity goes back to its
+// pool instead of staying pinned under it.
 func (r *Resident) SealShared(cache *BuildCache, key BuildKey) {
-	held := r.runs
+	runs := r.runs
 	r.runs = nil
-	if r.build == nil {
-		r.sealKept(held, cache, key)
-		return
-	}
-	if cached := cacheGet[*Build](cache, key); cached != nil {
-		r.build = cached
-		return
-	}
-	r.build.insertHeld(held)
-	r.build.Seal()
-	r.build = cacheAdd(cache, key, r.build)
-}
-
-// sealKept seals the runs of a side that is not a Build, into the table form
-// when its form allows and its keys fit, else into the merge form. Either is
-// exactly sized and holds no chunk: a pooled chunk of whatever capacity goes
-// back to its pool instead of staying pinned under it. Only a side bound for
-// the table form looks in the cache.
-func (r *Resident) sealKept(runs [][]join.Key, cache *BuildCache, key BuildKey) {
-	if r.form != formMerge {
-		lo, hi, n := keyRange(runs)
-		if r.form == formTable || tableFits(lo, hi, n) {
-			if r.table = cacheGet[*rankTable](cache, key); r.table != nil {
+	lo, hi, n := keyRange(runs)
+	var block []join.Key // the window's keys, when it overflowed
+	switch {
+	case r.dense != nil:
+		lo, hi, all, ok := r.dense.grow(lo, hi, n)
+		if ok {
+			if cached := cacheGet[*denseWindow](cache, key); cached != nil {
+				r.dense = cached
 				return
 			}
-			if t := newRankTable(runs, lo, hi, n); t != nil {
-				r.table = cacheAdd(cache, key, t)
-				return
-			}
+			r.dense.count(runs, lo, hi, all)
+			r.dense = cacheAdd(cache, key, r.dense)
+			return
+		}
+		block, r.dense = r.dense.appendKeys(make([]join.Key, 0, all)), nil
+	case r.form == formTable || r.form == formRanked && tableFits(lo, hi, n):
+		if r.table = cacheGet[*rankTable](cache, key); r.table != nil {
+			return
+		}
+		if t := newRankTable(runs, lo, hi, n); t != nil {
+			r.table = cacheAdd(cache, key, t)
+			return
 		}
 	}
-	r.base = slices.Concat(runs...)
-	sortKeys(r.base, len(runs) > 1)
+	chunked := len(runs) > 1 || len(block) > 0
+	r.base = slices.Grow(block, n)
+	for _, run := range runs {
+		r.base = append(r.base, run...)
+	}
+	sortKeys(r.base, chunked)
 }
 
 // sortKeys sorts one whole relation. One already sorted as a whole (a
@@ -210,13 +212,13 @@ func sortKeys(keys []join.Key, chunked bool) {
 // ProbeCount takes one chunk of the other relation; more says that further
 // chunks of it follow before its count is needed. The counts returned up to
 // the call with more false sum to the relation's matches with the sealed side:
-// the hash and table forms count each chunk as it comes; the merge form keeps
+// the direct-address forms count each chunk as it comes; the merge form keeps
 // a chunk that has successors — as Insert keeps one, until that last call
 // returns — and sweeps them all then, since a sweep per chunk would walk the
 // whole side every time. It may reorder keys.
 func (r *Resident) ProbeCount(keys []join.Key, more bool) (count int64, kept bool) {
-	if r.build != nil {
-		return r.build.ProbeCount(keys), false
+	if r.dense != nil {
+		return r.dense.probe(keys), false
 	}
 	if r.table != nil {
 		return r.table.probeCount(keys, r.cond, r.r1), false

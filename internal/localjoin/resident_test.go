@@ -28,20 +28,17 @@ func chunked(keys []key, size int) [][]key {
 	return append(out, keys)
 }
 
-// formConverting is the fourth form the tests force: a Build that starts
-// dense and converts to the sparse form once half its chunks are in.
-const formConverting = formSparse + 1
-
 // residentForms are every form a side is tested in; formServes says which
-// conditions each serves. The table form is forced whatever the keys' span.
-var residentForms = []residentForm{formMerge, formTable, formDense, formSparse, formConverting}
+// conditions each serves. The table form is forced whatever the keys' span;
+// the dense form seals into the sorted block past its budget, as in use.
+var residentForms = []residentForm{formMerge, formTable, formDense}
 
 func (f residentForm) String() string {
-	return [...]string{"merge", "ranked", "table", "dense", "sparse", "converting"}[f]
+	return [...]string{"merge", "ranked", "table", "dense"}[f]
 }
 
-// formServes reports whether a side in form counts under cond: the Build
-// forms serve the EquiLike conditions, the table form the ranked ones, and
+// formServes reports whether a side in form counts under cond: the dense
+// window serves the EquiLike conditions, the table form the ranked ones, and
 // the merge form every condition.
 func formServes(form residentForm, cond join.Condition) bool {
 	switch form {
@@ -93,17 +90,9 @@ func residentCountIn(r1, r2 []key, cond join.Condition, form residentForm, resid
 	if !residentR1 {
 		resident, probe = r2, r1
 	}
-	start := form
-	if form == formConverting {
-		start = formDense
-	}
-	side := newResident(cond, start, residentR1)
-	inserts := chunked(slices.Clone(resident), chunk)
-	for i, c := range inserts {
+	side := newResident(cond, form, residentR1)
+	for _, c := range chunked(slices.Clone(resident), chunk) {
 		side.Insert(c)
-		if form == formConverting && i == (len(inserts)-1)/2 {
-			side.build.toSparse()
-		}
 	}
 	side.Seal()
 	var out int64
@@ -134,8 +123,8 @@ func ascendingKeys(n int) []key {
 }
 
 // keyOrders are the generators of the adversarial key-order table. form is
-// the form a Build is in after the first half of the row's keys, then after
-// all of them (TestBuildFormPerKeyOrder).
+// the form an equi side seals into over the first half of the row's keys,
+// then over all of them (TestBuildFormPerKeyOrder).
 var keyOrders = []struct {
 	name string
 	form string
@@ -175,21 +164,21 @@ var keyOrders = []struct {
 		}
 		return out
 	}},
-	// Every key lands in one partition of the hash form (and one radix bucket
-	// of the sort's first pass): the low byte is the partitioning digit.
-	{"equal-partition-digit", "sparse", func(n int, seed uint64) []key {
+	// Every key lands in one radix bucket of the sort's first pass: the low
+	// byte is the digit it sorts by.
+	{"equal-low-digit", "merge", func(n int, seed uint64) []key {
 		out := randKeys(n, 40, seed)
 		for i := range out {
 			out[i] = (out[i]-20)<<8 | 0x5A
 		}
 		return out
 	}},
-	{"sparse", "sparse", func(n int, seed uint64) []key { return sparseKeys(n, seed) }},
-	{"dense-then-sparse", "dense, then sparse", func(n int, seed uint64) []key {
+	{"sparse", "merge", func(n int, seed uint64) []key { return sparseKeys(n, seed) }},
+	{"dense-then-sparse", "dense, then merge", func(n int, seed uint64) []key {
 		return append(ascendingKeys(n/2), sparseKeys(n-n/2, seed)...)
 	}},
 	// Keys past ±2^61, where an inequality's joinable range once stopped.
-	{"past-2^61", "sparse", func(n int, seed uint64) []key {
+	{"past-2^61", "merge", func(n int, seed uint64) []key {
 		edges := []key{math.MinInt64 / 2, math.MinInt64/4 - 1, math.MinInt64 / 4, -1, 0, 1,
 			math.MaxInt64 / 4, math.MaxInt64/4 + 1, math.MaxInt64 / 2}
 		out := make([]key, n)
@@ -199,7 +188,7 @@ var keyOrders = []struct {
 		}
 		return out
 	}},
-	{"int64-extremes", "sparse", func(n int, seed uint64) []key {
+	{"int64-extremes", "merge", func(n int, seed uint64) []key {
 		edges := []key{math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 2, -1, 0, 1,
 			math.MaxInt64 - 2, math.MaxInt64 - 1, math.MaxInt64}
 		out := make([]key, n)
@@ -228,38 +217,30 @@ var keyOrders = []struct {
 	{"empty", "dense", func(int, uint64) []key { return nil }},
 }
 
-// TestBuildFormPerKeyOrder pins which form a Build of each key-order row is
-// in, after half its keys and after all of them: the rows the table calls
-// dense never touch the hash, the sparse ones leave the dense form on their
-// first chunk, and dense-then-sparse converts at the half.
+// TestBuildFormPerKeyOrder pins which form an equi side of each key-order
+// row seals into, over half its keys and over all of them: the rows the table
+// calls dense stay in the dense window, the ones past its budget seal into
+// the sorted block from their first half on, and dense-then-sparse crosses
+// the budget in its second half.
 func TestBuildFormPerKeyOrder(t *testing.T) {
-	formOf := func(b *Build) string {
-		if b.parts != nil {
-			return "sparse"
-		}
-		return "dense"
-	}
 	for i, g := range keyOrders {
 		keys := g.gen(90, uint64(2*i+1))
-		b := NewBuild()
-		b.Insert(keys[:len(keys)/2])
-		got := formOf(b)
-		b.Insert(keys[len(keys)/2:])
-		b.Seal()
-		if last := formOf(b); last != got {
+		got := sealedForm(sealChunked(keys[:len(keys)/2], join.Equi{}, true, 0))
+		if last := sealedForm(sealChunked(keys, join.Equi{}, true, len(keys)/2)); last != got {
 			got += ", then " + last
 		}
 		if got != g.form {
-			t.Errorf("%s: a Build of its keys is %s, want %s", g.name, got, g.form)
+			t.Errorf("%s: an equi side of its keys seals into %s, want %s", g.name, got, g.form)
 		}
 	}
 }
 
-// TestResidentFormBySpan pins which form a band or inequality side seals
-// into: the rank table while its span is at most tableSpan slots per key and
-// no key range holds more keys than a 2-byte slot counts, the sorted block
-// otherwise. Each row's count is checked against Count with either relation
-// resident.
+// TestResidentFormBySpan pins which form a side seals into: a band or
+// inequality side the rank table while its span is at most tableSpan slots
+// per key and no key range holds more keys than a 2-byte slot counts, an equi
+// side the dense window while its span is under denseSpan slots per key, and
+// either the sorted block otherwise. Each row's count is checked against
+// Count with either relation resident.
 func TestResidentFormBySpan(t *testing.T) {
 	// spread is n keys from 0 to span, both ends included.
 	spread := func(n int, span int64) []key {
@@ -282,21 +263,25 @@ func TestResidentFormBySpan(t *testing.T) {
 	}
 	band := join.NewBand(2)
 	rows := []struct {
-		name  string
-		keys  []key
-		cond  join.Condition
-		table bool
+		name string
+		keys []key
+		cond join.Condition
+		form string
 	}{
-		{"span 16n", spread(1000, 16000), band, true},
-		{"span 16n + 1", spread(1000, 16001), band, false},
-		{"inequality, span 16n", spread(1000, 16000), join.Inequality{Op: join.Less}, true},
-		{"inequality, span 16n + 1", spread(1000, 16001), join.Inequality{Op: join.GreaterEq}, false},
-		{"a range holding 2^16 - 1 keys", firstRange(1<<16 - 1), band, true},
-		{"a range holding 2^16 keys", firstRange(1 << 16), band, false},
-		{"one key repeated 2^16 - 1 times", repeated(7, 1<<16-1), band, true},
-		{"one key repeated 2^16 times", repeated(7, 1<<16), band, false},
-		{"beta wider than a range", spread(1000, 8000), join.NewBand(100), true},
-		{"an empty resident", nil, band, true},
+		{"span 16n", spread(1000, 16000), band, "table"},
+		{"span 16n + 1", spread(1000, 16001), band, "merge"},
+		{"inequality, span 16n", spread(1000, 16000), join.Inequality{Op: join.Less}, "table"},
+		{"inequality, span 16n + 1", spread(1000, 16001), join.Inequality{Op: join.GreaterEq}, "merge"},
+		{"a range holding 2^16 - 1 keys", firstRange(1<<16 - 1), band, "table"},
+		{"a range holding 2^16 keys", firstRange(1 << 16), band, "merge"},
+		{"one key repeated 2^16 - 1 times", repeated(7, 1<<16-1), band, "table"},
+		{"one key repeated 2^16 times", repeated(7, 1<<16), band, "merge"},
+		{"beta wider than a range", spread(1000, 8000), join.NewBand(100), "table"},
+		{"an empty resident", nil, band, "table"},
+		{"equi, span 8n - 1", spread(1000, 7999), join.Equi{}, "dense"},
+		{"equi, span 8n", spread(1000, 8000), join.Equi{}, "merge"},
+		{"zero-width band, span 8n", spread(1000, 8000), join.NewBand(0), "merge"},
+		{"equi, an empty resident", nil, join.Equi{}, "dense"},
 	}
 	for _, row := range rows {
 		probe := randKeys(500, 16200, 9)
@@ -304,11 +289,9 @@ func TestResidentFormBySpan(t *testing.T) {
 			probe[i] -= 100
 		}
 		for _, residentR1 := range []bool{true, false} {
-			side := NewResident(row.cond, residentR1)
-			side.Insert(slices.Clone(row.keys))
-			side.Seal()
-			if got := side.table != nil; got != row.table {
-				t.Errorf("%s: sealed into the table form %v, want %v", row.name, got, row.table)
+			side := sealChunked(row.keys, row.cond, residentR1, 0)
+			if got := sealedForm(side); got != row.form {
+				t.Errorf("%s: sealed into the %s form, want %s", row.name, got, row.form)
 			}
 			got, _ := side.ProbeCount(slices.Clone(probe), false)
 			want := Count(row.keys, probe, row.cond)
@@ -325,9 +308,7 @@ func TestResidentFormBySpan(t *testing.T) {
 // sealedForm names the form a sealed side counts in.
 func sealedForm(r *Resident) string {
 	switch {
-	case r.build != nil && r.build.parts != nil:
-		return "sparse"
-	case r.build != nil:
+	case r.dense != nil:
 		return "dense"
 	case r.table != nil:
 		return "table"
@@ -370,7 +351,7 @@ func TestResidentFormIndependentOfChunking(t *testing.T) {
 		{"equi, 4 slots per key", block(4, 21), join.Equi{}, "dense"},
 		{"equi, 7.9 slots per key", block(7.9, 22), join.Equi{}, "dense"},
 		{"zero-width band, 7.9 slots per key", block(7.9, 23), join.NewBand(0), "dense"},
-		{"equi, 8.1 slots per key", block(8.1, 24), join.Equi{}, "sparse"},
+		{"equi, 8.1 slots per key", block(8.1, 24), join.Equi{}, "merge"},
 		{"band, 8.5 slots per key", block(8.5, 25), band, "table"},
 		{"band, 16 slots per key", block(16, 26), band, "table"},
 		{"inequality, 8.5 slots per key", block(8.5, 27), less, "table"},
@@ -556,10 +537,11 @@ func TestResidentProperty(t *testing.T) {
 // NewResident seals into does not depend on the chunking. Each form, with
 // either relation resident, also counts each probe chunk in key order and in
 // reverse: a count must not depend on the order a chunk's keys come in. Byte
-// keys span at most 256, so the sparse and converting forms are what keep the
-// hash partitions fuzzed, and every side fits the table form. With sel's 0x40
-// bit the bytes at either end stand for keys at the int64 extremes and just
-// past ±2^61; a side spanning those stays off the table form.
+// keys span at most 256, so every side fits the table form, and an equi side
+// of a few keys over a wide span crosses the dense window's budget, before or
+// after its first chunks counted in. With sel's 0x40 bit the bytes at either
+// end stand for keys at the int64 extremes and just past ±2^61; a side
+// spanning those stays off the table form.
 func FuzzEngineCount(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 3}, uint8(3), uint8(0))
 	f.Add([]byte{}, []byte{0, 0, 0, 0}, uint8(1), uint8(1))
@@ -578,6 +560,14 @@ func FuzzEngineCount(f *testing.F) {
 	f.Add([]byte{128}, []byte{0, 3}, uint8(1), uint8(0xC2))
 	f.Add(ends, ends, uint8(2), uint8(0x43))
 	f.Add(ends, ends, uint8(3), uint8(0xC3))
+	// An equi side past the dense budget (span 255 over 4 keys), in one chunk
+	// and in single keys.
+	f.Add([]byte{0, 255, 10, 200}, []byte{0, 255, 10, 11}, uint8(0), uint8(0))
+	f.Add([]byte{0, 255, 10, 200}, []byte{0, 255, 10, 11}, uint8(1), uint8(0))
+	// A zero-width band side whose first three chunks count into the window
+	// (span 2 over 6 keys) before {0, 255} overflows it: the sorted block
+	// must hold the window's keys too.
+	f.Add([]byte{128, 128, 129, 129, 130, 130, 0, 255}, []byte{128, 129, 0, 255, 130}, uint8(2), uint8(1))
 	conds := propertyConds
 	f.Fuzz(func(t *testing.T, b1, b2 []byte, split, sel uint8) {
 		if len(b1) > 1024 || len(b2) > 1024 {

@@ -18,11 +18,11 @@ func zipfKeys(n int, domain int64, z float64, seed uint64) []join.Key {
 }
 
 // TestSessionHashJoinOverlap is the chunk-overlap crosscheck for all three
-// resident forms, each selected by its condition and keys — equi for the hash
-// form, band 2 over dense keys for the rank table, band 64 over keys spread 64
-// slots apart for the merge form: a count job over the chunked session
-// scatter must produce the nested-loop answer AND prove the worker started
-// consuming chunks before the job's tail frames decoded —
+// resident forms, each selected by its condition and keys — equi over dense
+// keys for the dense window, band 2 over them for the rank table, and equi and
+// band 64 over keys spread 64 slots apart for the merge form: a count job over
+// the chunked session scatter must produce the nested-loop answer AND prove
+// the worker started consuming chunks before the job's tail frames decoded —
 // BuildOverlappedChunks, the join-side mirror of OverlappedStage2. The table
 // and merge sides seal relation 1 at its tail while relation 2's chunks are
 // still arriving; the merge side holds those chunks to relation 2's tail.
@@ -48,6 +48,7 @@ func TestSessionHashJoinOverlap(t *testing.T) {
 	}{
 		{join.Equi{}, dense1, dense2},
 		{join.NewBand(2), dense1, dense2},
+		{join.Equi{}, wide1, wide2},
 		{join.NewBand(64), wide1, wide2},
 	} {
 		before := sess.BuildOverlappedChunks()
@@ -69,7 +70,7 @@ func TestSessionHashJoinOverlap(t *testing.T) {
 
 // TestPoolBuildCacheHit is the shared-side acceptance test: two tenants of
 // one pool join different probe relations against the SAME relation 1, under
-// an equi condition (a hash build), a band and an inequality (rank tables);
+// an equi condition (a dense window), a band and an inequality (rank tables);
 // the second tenant's count jobs must each hit the first tenant's cached side
 // on every worker (identical content, identical chunk structure under the
 // shared seed), a repeat of the first tenant's job too, and every answer stays
@@ -135,7 +136,7 @@ func TestPoolBuildCacheHit(t *testing.T) {
 }
 
 // TestBuildCacheKeepsFormsApart runs an equi and a band count job over the
-// same relation 1, each twice in turn, on one worker: the hash build and the
+// same relation 1, each twice in turn, on one worker: the dense window and the
 // rank table over the same content are two entries, and each repeat hits its
 // own. A content-only key would hand one form the other's side.
 func TestBuildCacheKeepsFormsApart(t *testing.T) {
@@ -161,15 +162,17 @@ func TestBuildCacheKeepsFormsApart(t *testing.T) {
 }
 
 // TestBuildCacheKeysHeldChunks runs two equi count jobs on one worker whose
-// relation 1 shares its first mapper's chunk and differs in the second's. The
-// second chunk stretches the dense build past its bound, so the side holds it
-// until the seal: the content key must digest it all the same, or the second
-// job would probe the first one's cached build.
+// relation 1 shares its first mapper's chunk and differs in the second's.
+// Either chunk alone spans about 10 slots a key, past the dense window's
+// budget, so the side holds both until the seal, where the whole block (5
+// slots a key) counts into the window: the content key must digest the held
+// chunks all the same, or the second job would probe the first one's cached
+// window.
 func TestBuildCacheKeysHeldChunks(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 1)
-	shared := randKeys(1000, 1000, 160)
-	held1, held2 := randKeys(1000, 20_000, 161), randKeys(1000, 20_000, 162)
-	probe := append(randKeys(2000, 20_000, 163), held1...)
+	shared := randKeys(1000, 10_000, 160)
+	held1, held2 := randKeys(1000, 10_000, 161), randKeys(1000, 10_000, 162)
+	probe := append(randKeys(2000, 10_000, 163), held1...)
 	scheme := partition.NewCI(1)
 	cfg := exec.Config{Seed: 164, Mappers: 2}
 	sess := dialSession(t, addrs)

@@ -109,7 +109,7 @@ type Worker struct {
 	admit  *admitter
 	ledger *ledger
 
-	// buildCache shares count jobs' sealed sides, hash builds and rank
+	// buildCache shares count jobs' sealed sides, dense windows and rank
 	// tables, between jobs indexing the same relation content — across
 	// sessions and tenants, since a sealed side is immutable and
 	// content-addressed (see localjoin.BuildCache). Nil disables caching.

@@ -23,7 +23,7 @@ import (
 // joins them at EOS (joinInOrder) under the slot its open took; a
 // contribution keeps its one run's and commits them to its transfer at EOS
 // (commit). Every other job counts: it holds one relation as the join's
-// resident side (localjoin.Resident — hash, table or merge, the goroutine
+// resident side (localjoin.Resident — dense, table or merge, the goroutine
 // never asks which), seals it at that relation's end frame, and probes the
 // other relation against it, each kind taking its relations as base and
 // window frames:
@@ -306,9 +306,9 @@ func (j *sessJob) onBaseEnd(ev streamEvent) {
 		return
 	}
 	if j.kind == kindCount {
-		// A count job's side, hash or table, is shared through the build
-		// cache; a failed job returned above, so it publishes nothing. A
-		// stream's or peer-fed job's side stays uncached: job-unique, it
+		// A count job's side, dense window or table, is shared through the
+		// build cache; a failed job returned above, so it publishes nothing.
+		// A stream's or peer-fed job's side stays uncached: job-unique, it
 		// would only churn the LRU.
 		j.res.SealShared(j.ws.w.buildCache, localjoin.CombineDigests(j.digests))
 	} else {
