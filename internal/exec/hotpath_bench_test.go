@@ -160,18 +160,17 @@ func BenchmarkJoinPairs(b *testing.B) {
 // Each window starts from the shard in arrival order; ns/key is per window key.
 func BenchmarkWindowClose(b *testing.B) {
 	const span, nBase, nWin = 1_000_000, 250_000, 25_000
-	res := localjoin.NewResident(join.NewBand(25), false)
-	res.Insert(randKeys(nBase, span, 61))
-	res.Seal()
+	clk := stage.Start()
+	res := localjoin.NewResident(join.NewBand(25), false, nil, &clk)
+	res.Seal(randKeys(nBase, span, 61))
 	arrival := randKeys(nWin, span, 62)
 	win := make([]join.Key, nWin)
 	sp := StatsSpec{Cap: 1024, Buckets: 64, Seed: 63}
-	clk := stage.Start()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(win, arrival)
-		n, sum := CloseWindow(res, win, sp, 0, uint32(i), &clk)
+		n, sum := CloseWindow(res, win, sp, 0, uint32(i))
 		if sum == nil || sum.Count != nWin || n == 0 {
 			b.Fatalf("window %d: summary %v, count %d", i, sum, n)
 		}

@@ -297,7 +297,7 @@ func (Local) RunJob(job *Job, wm []WorkerMetrics) error {
 	forWorkers(job.Workers, job.Stages, func(w int, clk *stage.Clock) {
 		m := &wm[w]
 		if r1.Chunks != nil {
-			m.InputR1, m.InputR2, m.Output = localStreamCount(localjoin.NewResident(job.Cond, true),
+			m.InputR1, m.InputR2, m.Output = localStreamCount(localjoin.NewResident(job.Cond, true, nil, clk),
 				r1.Chunks.Worker(w), r2.Chunks.Worker(w), clk)
 			return
 		}
@@ -342,27 +342,17 @@ func forWorkers(n int, recs []stage.Record, f func(w int, clk *stage.Clock)) {
 }
 
 // sealChunks inserts one worker's chunk stream into the resident side as the
-// mappers route it (overlapping the scatter still running for later mappers),
-// seals the side and pools every sub-block it is done with. It returns the
-// tuple count.
+// mappers route it (overlapping the scatter still running for later mappers)
+// and seals the side, which pools every sub-block it is done with. It returns
+// the tuple count.
 func sealChunks(res *localjoin.Resident, c <-chan KeyChunk, clk *stage.Clock) (n int64) {
-	var held [][]join.Key
 	for ch := range c {
 		clk.Mark(stage.FrameWait)
 		n += int64(len(ch.Keys))
-		if res.Insert(ch.Keys) {
-			held = append(held, ch.Keys)
-		} else {
-			bufpool.Keys.Put(ch.Keys)
-		}
-		clk.Mark(stage.Build)
+		res.Insert(ch.Keys)
 	}
 	clk.Mark(stage.FrameWait)
 	res.Seal()
-	clk.Mark(stage.Build)
-	for _, keys := range held {
-		bufpool.Keys.Put(keys)
-	}
 	return n
 }
 
@@ -374,15 +364,10 @@ func localStreamCount(res *localjoin.Resident, c1, c2 <-chan KeyChunk, clk *stag
 	n1 = sealChunks(res, c1, clk)
 	for ch := range c2 {
 		clk.Mark(stage.FrameWait)
-		n, kept := res.ProbeCount(ch.Keys, true)
-		out, n2 = out+n, n2+int64(len(ch.Keys))
-		if !kept {
-			bufpool.Keys.Put(ch.Keys)
-		}
-		clk.Mark(stage.Probe)
+		n2 += int64(len(ch.Keys))
+		n, _ := res.Probe(ch.Keys)
+		out += n
 	}
 	clk.Mark(stage.FrameWait)
-	n, _ := res.ProbeCount(nil, false)
-	clk.Mark(stage.Probe)
-	return n1, n2, out + n
+	return n1, n2, out + res.Finish()
 }

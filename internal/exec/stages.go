@@ -142,17 +142,14 @@ func (Local) RunStages(first *Job, next *PlanJob, wm1, wm2 []WorkerMetrics) (int
 	})
 	r3 := next.R2.Wait()
 	forWorkers(j2, next.Stages, func(p int, clk *stage.Clock) {
-		m, res := &wm2[p], localjoin.NewResident(next.Cond, false)
+		m, res := &wm2[p], localjoin.NewResident(next.Cond, false, nil, clk)
 		m.InputR2 = sealChunks(res, r3.Chunks.Worker(p), clk)
-		for _, ks := range routed {
-			share := ks.Worker(p)
-			n, _ := res.ProbeCount(share, true)
-			m.InputR1 += int64(len(share))
-			m.Output += n
+		shares := make([][]join.Key, len(routed))
+		for w, ks := range routed {
+			shares[w] = ks.Worker(p)
+			m.InputR1 += int64(len(shares[w]))
 		}
-		n, _ := res.ProbeCount(nil, false)
-		m.Output += n
-		clk.Mark(stage.Probe)
+		m.Output = res.Finish(shares...)
 	})
 	var inter int64
 	for w, ks := range routed {

@@ -84,18 +84,15 @@ func StreamSummarySeed(seed uint64, worker int, window uint32) uint64 {
 // CloseWindow is one worker's end of a window, the step every StreamRuntime
 // takes so in-process and wire transports reply bit-identically: it sorts the
 // shard in place, summarizes it under the stream's stats spec (nil for an
-// empty shard) and counts it against res in key order, which also counts any
-// probe chunks res kept back, stamping both steps on clk.
-func CloseWindow(res *localjoin.Resident, keys []join.Key, sp StatsSpec, worker int, window uint32,
-	clk *stage.Clock) (int64, *stats.Summary) {
+// empty shard) and finishes res's probe relation with it, lent, in key order,
+// counting any probe chunks res kept back. Both steps stamp res's clock.
+func CloseWindow(res *localjoin.Resident, keys []join.Key, sp StatsSpec, worker int, window uint32) (int64, *stats.Summary) {
 	var sum *stats.Summary
 	if len(keys) > 0 {
 		sum = sp.summarize(keys, StreamSummarySeed(sp.Seed, worker, window))
 	}
-	clk.Mark(stage.Summarize)
-	n, _ := res.ProbeCount(keys, false)
-	clk.Mark(stage.Probe)
-	return n, sum
+	res.Mark(stage.Summarize)
+	return res.Finish(keys), sum
 }
 
 // LocalStreamRuntime hosts stream jobs in-process: one state slot per
@@ -115,15 +112,18 @@ func (l LocalStreamRuntime) OpenStream(spec StreamSpec) (StreamHandle, error) {
 	return &localStream{
 		spec:    spec,
 		shards:  make([]*localjoin.Resident, l.Workers),
+		clks:    make([]stage.Clock, l.Workers),
 		replies: make(map[uint64][]WindowReply),
 	}, nil
 }
 
-// localStream holds each simulated worker's sealed base shard (nil before SendBase).
+// localStream holds each simulated worker's sealed base shard (nil before
+// SendBase) and the clock it stamps, restarted for each window.
 type localStream struct {
 	spec    StreamSpec
 	epoch   uint32
 	shards  []*localjoin.Resident
+	clks    []stage.Clock
 	replies map[uint64][]WindowReply
 	closed  bool
 }
@@ -148,10 +148,8 @@ func (s *localStream) SendBase(epoch uint32, shares [][]join.Key) error {
 	}
 	s.epoch = epoch
 	for w := range s.shards {
-		res := localjoin.NewResident(s.spec.Cond, false)
-		res.Insert(shares[w])
-		res.Seal()
-		s.shards[w] = res
+		s.shards[w] = localjoin.NewResident(s.spec.Cond, false, nil, &s.clks[w])
+		s.shards[w].Seal(shares[w])
 	}
 	return nil
 }
@@ -166,9 +164,9 @@ func (s *localStream) SendWindow(window, epoch uint32, shares [][]join.Key) erro
 	rs := make([]WindowReply, len(s.shards))
 	for w := range s.shards {
 		r := WindowReply{Worker: w, Window: window, Epoch: epoch, Input: int64(len(shares[w]))}
-		keys, clk := slices.Clone(shares[w]), stage.Start()
-		r.Count, r.Summary = CloseWindow(s.shards[w], keys, s.spec.Stats, w, window, &clk)
-		r.Stages = clk.Record
+		s.clks[w] = stage.Start()
+		r.Count, r.Summary = CloseWindow(s.shards[w], slices.Clone(shares[w]), s.spec.Stats, w, window)
+		r.Stages = s.clks[w].Record
 		rs[w] = r
 	}
 	s.replies[winKey(window, epoch)] = rs

@@ -31,45 +31,33 @@ const (
 	fnvPrime2  = 0x0000010000000233
 )
 
-// ChunkDigest is the content digest of one key chunk. Digests of a streamed
-// relation's chunks combine, in whatever order they arrived, into the
-// relation's BuildKey, so hashing overlaps the stream instead of requiring
-// the assembled block.
-type ChunkDigest struct {
+// buildKey is the content digest of a key chunk or, its chunks' digests
+// folded by plus, of a relation: the cache's key for the relation's content.
+// A streamed relation's chunks fold as they arrive, so hashing overlaps the
+// stream instead of requiring the assembled block.
+type buildKey struct {
 	H1, H2 uint64
 	N      int64
 }
 
-// DigestKeys digests one chunk of keys.
-func DigestKeys(keys []join.Key) ChunkDigest {
+// digestKeys digests one chunk of keys.
+func digestKeys(keys []join.Key) buildKey {
 	h1, h2 := uint64(fnvOffset1), uint64(fnvOffset2)
 	for _, k := range keys {
 		x := uint64(k)
 		h1 = (h1 ^ x) * fnvPrime1
 		h2 = (h2 ^ bits.RotateLeft64(x, 31)) * fnvPrime2
 	}
-	return ChunkDigest{H1: h1, H2: h2, N: int64(len(keys))}
+	return buildKey{H1: h1, H2: h2, N: int64(len(keys))}
 }
 
-// BuildKey identifies a relation's content for cache lookups.
-type BuildKey struct {
-	H1, H2 uint64
-	N      int64
-}
-
-// CombineDigests folds per-chunk digests into a BuildKey by summing them, so
-// the fold does not depend on their order: a sealed side is a multiset of
-// keys, and arrival order is no part of its content. The same chunks key
-// identically however they interleave; another chunking of the same content
-// keys differently, a false miss, never a false hit.
-func CombineDigests(ds []ChunkDigest) BuildKey {
-	var k BuildKey
-	for _, d := range ds {
-		k.H1 += d.H1
-		k.H2 += d.H2
-		k.N += d.N
-	}
-	return k
+// plus folds d into k by summing them, so the fold does not depend on their
+// order: a sealed side is a multiset of keys, and arrival order is no part of
+// its content. The same chunks key identically however they interleave;
+// another chunking of the same content keys differently, a false miss, never
+// a false hit.
+func (k buildKey) plus(d buildKey) buildKey {
+	return buildKey{H1: k.H1 + d.H1, H2: k.H2 + d.H2, N: k.N + d.N}
 }
 
 // BuildCacheStats is a point-in-time snapshot of a cache's counters.
@@ -100,7 +88,7 @@ type sealedSide interface {
 
 // cacheKey is an entry's content key and form.
 type cacheKey struct {
-	BuildKey
+	buildKey
 	table bool // a rank table; a dense window otherwise
 }
 
@@ -111,7 +99,7 @@ type cacheEntry struct {
 }
 
 // keyOf is key in S's form.
-func keyOf[S sealedSide](key BuildKey) cacheKey {
+func keyOf[S sealedSide](key buildKey) cacheKey {
 	var none S
 	_, table := any(none).(*rankTable)
 	return cacheKey{key, table}
@@ -130,7 +118,7 @@ func NewBuildCache(maxBytes int64) *BuildCache {
 // cacheGet returns the side of S's form cached under key, or nil. Hit/miss
 // counters make the lookup observable (the benchmark's
 // localjoin.cache_hit_rate). Nil cache: always miss, uncounted.
-func cacheGet[S sealedSide](c *BuildCache, key BuildKey) S {
+func cacheGet[S sealedSide](c *BuildCache, key buildKey) S {
 	if c == nil {
 		return nil
 	}
@@ -151,7 +139,7 @@ func cacheGet[S sealedSide](c *BuildCache, key BuildKey) S {
 // the existing entry wins and the caller's side is discarded — every sharer
 // probes one immutable side. Sides larger than the whole cache are not
 // admitted (returned as-is). Nil cache: passthrough.
-func cacheAdd[S sealedSide](c *BuildCache, key BuildKey, s S) S {
+func cacheAdd[S sealedSide](c *BuildCache, key buildKey, s S) S {
 	if c == nil {
 		return s
 	}

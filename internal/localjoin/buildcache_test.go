@@ -8,42 +8,36 @@ import (
 	"ewh/internal/join"
 )
 
-// buildKeyOf is the BuildKey of a relation that arrived as one chunk.
-func buildKeyOf(keys []join.Key) BuildKey {
-	return CombineDigests([]ChunkDigest{DigestKeys(keys)})
-}
-
 func TestDigestCombineMatchesChunkStructure(t *testing.T) {
 	keys := randKeys(1000, 50, 80)
-	whole := buildKeyOf(keys)
-	if again := buildKeyOf(keys); again != whole {
+	whole := digestKeys(keys)
+	if again := digestKeys(keys); again != whole {
 		t.Fatal("the one-chunk build key is not deterministic")
 	}
 	// Same content, same chunk structure: identical key.
-	split := []ChunkDigest{DigestKeys(keys[:400]), DigestKeys(keys[400:])}
-	if CombineDigests(split) != CombineDigests(split) {
-		t.Fatal("CombineDigests is not deterministic")
+	split := digestKeys(keys[:400]).plus(digestKeys(keys[400:]))
+	if again := digestKeys(keys[:400]).plus(digestKeys(keys[400:])); again != split {
+		t.Fatal("plus is not deterministic")
 	}
 	// Different content must (overwhelmingly) key differently.
 	other := append([]join.Key(nil), keys...)
 	other[500]++
-	if buildKeyOf(other) == whole {
-		t.Fatal("distinct content produced the same BuildKey")
+	if digestKeys(other) == whole {
+		t.Fatal("distinct content produced the same buildKey")
 	}
 	// The fold is order-free: the same chunks arriving in another order are
 	// the same key→multiplicity table.
-	swapped := []ChunkDigest{split[1], split[0]}
-	if CombineDigests(swapped) != CombineDigests(split) {
-		t.Fatal("chunk arrival order changed the combined key")
+	if swapped := digestKeys(keys[400:]).plus(digestKeys(keys[:400])); swapped != split {
+		t.Fatal("chunk arrival order changed the folded key")
 	}
 	// Another chunking of the same content keys differently: a false miss,
 	// never a false hit.
-	resplit := []ChunkDigest{DigestKeys(keys[:600]), DigestKeys(keys[600:])}
-	if CombineDigests(resplit) == CombineDigests(split) || CombineDigests(split) == whole {
+	resplit := digestKeys(keys[:600]).plus(digestKeys(keys[600:]))
+	if resplit == split || split == whole {
 		t.Fatal("a different chunking of the same content keyed identically")
 	}
-	if got := CombineDigests(split).N; got != int64(len(keys)) {
-		t.Fatalf("combined N = %d, want %d", got, len(keys))
+	if got := split.N; got != int64(len(keys)) {
+		t.Fatalf("folded N = %d, want %d", got, len(keys))
 	}
 }
 
@@ -61,7 +55,7 @@ func TestBuildCacheHitMissEvict(t *testing.T) {
 	b1 := sealedWindow(r1)
 	c := NewBuildCache(4 * b1.MemBytes())
 
-	k1 := buildKeyOf(r1)
+	k1 := digestKeys(r1)
 	if cacheGet[*denseWindow](c, k1) != nil {
 		t.Fatal("empty cache returned a build")
 	}
@@ -81,10 +75,10 @@ func TestBuildCacheHitMissEvict(t *testing.T) {
 	}
 
 	// Fill past the byte cap: the LRU tail (k1, untouched below) evicts.
-	var keys []BuildKey
+	var keys []buildKey
 	for i := 0; i < 6; i++ {
 		r := randKeys(2000, 100, 90+uint64(i))
-		k := buildKeyOf(r)
+		k := digestKeys(r)
 		keys = append(keys, k)
 		cacheAdd(c, k, sealedWindow(r))
 	}
@@ -104,7 +98,7 @@ func TestBuildCacheOversizedAndNil(t *testing.T) {
 	r := randKeys(5000, 1000, 85)
 	b := sealedWindow(r)
 	c := NewBuildCache(b.MemBytes() / 2)
-	k := buildKeyOf(r)
+	k := digestKeys(r)
 	if got := cacheAdd(c, k, b); got != b {
 		t.Fatal("oversized Add did not pass the build through")
 	}
@@ -140,7 +134,7 @@ func TestBuildCacheSharedProbes(t *testing.T) {
 
 	c := NewBuildCache(1 << 20)
 	// Job A: miss, build, publish.
-	k := buildKeyOf(r1)
+	k := digestKeys(r1)
 	bA := cacheGet[*denseWindow](c, k)
 	if bA != nil {
 		t.Fatal("unexpected hit")
@@ -151,7 +145,7 @@ func TestBuildCacheSharedProbes(t *testing.T) {
 	}
 	// Job B: same content (chunked differently upstream doesn't matter here —
 	// same flat digest), hit, probe the shared build.
-	bB := cacheGet[*denseWindow](c, buildKeyOf(append([]join.Key(nil), r1...)))
+	bB := cacheGet[*denseWindow](c, digestKeys(append([]join.Key(nil), r1...)))
 	if bB != bA {
 		t.Fatal("job B did not hit job A's build")
 	}
@@ -186,11 +180,10 @@ func TestBuildCacheConcurrentProbes(t *testing.T) {
 		}
 		want := NestedLoopCount(rel.keys, probe, rel.cond)
 		c := NewBuildCache(1 << 24)
-		var ds []ChunkDigest
+		var k buildKey
 		for _, ch := range chunked(rel.keys, 256) {
-			ds = append(ds, DigestKeys(ch))
+			k = k.plus(digestKeys(ch))
 		}
-		k := CombineDigests(ds)
 		counts := make([]int64, 4)
 		var wg sync.WaitGroup
 		for g := range counts {
@@ -220,16 +213,14 @@ func TestBuildCacheConcurrentProbes(t *testing.T) {
 	}
 }
 
-// sealChunks seals keys, arrived in chunks of size, as a resident relation 1
-// under cond through c, keyed by the digests of those chunks.
+// sealChunks seals keys, streamed in chunks of size, as a resident relation 1
+// under cond through c, which keys it by the digests of those chunks.
 func sealChunks(c *BuildCache, cond join.Condition, keys []join.Key, size int) *Resident {
-	r := NewResident(cond, true)
-	var ds []ChunkDigest
-	for _, ch := range chunked(keys, size) {
-		ds = append(ds, DigestKeys(ch))
+	r := NewResident(cond, true, c, nil)
+	for _, ch := range pooledChunks(keys, size) {
 		r.Insert(ch)
 	}
-	r.SealShared(c, CombineDigests(ds))
+	r.Seal()
 	return r
 }
 
@@ -265,11 +256,7 @@ func TestBuildCacheTableProbedWhileEvicted(t *testing.T) {
 			}
 			hit.Done()
 			for {
-				var n int64
-				for _, ch := range chunked(probe, 128) {
-					got, _ := r.ProbeCount(ch, true)
-					n += got
-				}
+				n := r.Finish(chunked(probe, 128)...)
 				counts[g] = n
 				select {
 				case <-evicted:
@@ -307,7 +294,7 @@ func TestBuildCacheTableProbedWhileEvicted(t *testing.T) {
 // looks in the cache nor publishes to it.
 func TestBuildCacheKeysByForm(t *testing.T) {
 	keys := randKeys(2000, 2000, 76)
-	k := buildKeyOf(keys)
+	k := digestKeys(keys)
 	c := NewBuildCache(1 << 20)
 	d := cacheAdd(c, k, sealedWindow(keys))
 	if got := cacheGet[*rankTable](c, k); got != nil {

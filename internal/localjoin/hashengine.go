@@ -133,22 +133,22 @@ func (d *denseWindow) probe(keys []join.Key) (out int64) {
 // halves): Insert each chunk of relation 1, Seal, then ProbeCount relation 2.
 // It is a Resident under join.Equi, so it seals into the dense window or,
 // past its budget, the sorted block.
-type Build struct{ side *Resident }
+type Build struct {
+	side   *Resident
+	chunks [][]join.Key
+}
 
 // NewBuild returns an empty build.
-func NewBuild() *Build { return &Build{NewResident(join.Equi{}, true)} }
+func NewBuild() *Build { return &Build{side: NewResident(join.Equi{}, true, nil, nil)} }
 
 // Insert adds one chunk of keys; chunk boundaries do not affect the count.
-// The build may keep the slice until Seal returns, so the caller leaves it
+// The build keeps the slice until Seal returns, so the caller leaves it
 // untouched until then. Must not be called after Seal.
-func (b *Build) Insert(keys []join.Key) { b.side.Insert(keys) }
+func (b *Build) Insert(keys []join.Key) { b.chunks = append(b.chunks, keys) }
 
 // Seal finishes the build; ProbeCount is valid from here on.
-func (b *Build) Seal() { b.side.Seal() }
+func (b *Build) Seal() { b.side.Seal(b.chunks...) }
 
 // ProbeCount returns the equi-join matches of keys with the sealed build. It
 // may reorder keys; concurrent calls on distinct key slices are safe.
-func (b *Build) ProbeCount(keys []join.Key) int64 {
-	n, _ := b.side.ProbeCount(keys, false)
-	return n
-}
+func (b *Build) ProbeCount(keys []join.Key) int64 { return b.side.Finish(keys) }

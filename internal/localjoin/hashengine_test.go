@@ -58,7 +58,7 @@ func TestEquiLike(t *testing.T) {
 			t.Errorf("EquiLike(%v) = %v, want %v", c.cond, got, c.want)
 		}
 		for _, r1 := range []bool{true, false} {
-			if dense := NewResident(c.cond, r1).dense != nil; dense != c.want {
+			if dense := NewResident(c.cond, r1, nil, nil).dense != nil; dense != c.want {
 				t.Errorf("NewResident(%v, %v) starts in the dense window: %v, want %v", c.cond, r1, dense, c.want)
 			}
 		}
@@ -134,8 +134,8 @@ func TestDenseWindowAtTheInt64Extremes(t *testing.T) {
 			t.Fatalf("towards %d: a side with a key at the far end sealed into the %s form, want merge", end, got)
 		}
 		for k, w := range want {
-			if got, _ := side.ProbeCount([]join.Key{k}, false); got != w {
-				t.Errorf("towards %d: merge ProbeCount(%d) = %d, want %d", end, k, got, w)
+			if got := side.Finish([]join.Key{k}); got != w {
+				t.Errorf("towards %d: merge Finish(%d) = %d, want %d", end, k, got, w)
 			}
 		}
 	}

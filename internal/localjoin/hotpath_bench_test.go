@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"ewh/internal/bufpool"
 	"ewh/internal/join"
 	"ewh/internal/keysort"
 	"ewh/internal/stats"
@@ -70,7 +71,11 @@ func BenchmarkLocalJoinEngines(b *testing.B) {
 			name string
 			run  func() int64
 		}{
-			{"equi/hash-engine", func() int64 { return residentCount(d.r1, d.r2, join.Equi{}, formDense, true, 0) }},
+			{"equi/hash-engine", func() int64 {
+				side := newResident(join.Equi{}, formDense, true, nil, nil)
+				side.Seal(d.r1)
+				return side.Finish(d.r2)
+			}},
 			{"equi/merge-sorted", func() int64 { return CountSorted(s1, s2, join.Equi{}) }},
 			{"equi/merge-count", func() int64 { return Count(d.r1, d.r2, join.Equi{}) }},
 			{"band/merge-sorted", func() int64 { return CountSorted(s1, s2, band) }},
@@ -87,16 +92,20 @@ func BenchmarkLocalJoinEngines(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildInsertProbe isolates the incremental API over a key-shape
-// axis: Insert (in two chunks, a worker's sub-blocks from two mappers, unless
-// the row says otherwise) and sealed ProbeCount, separately. The zipf rows
-// differ only in arrival order; one-key is the multiplicity extreme;
-// dense-distinct stays in the dense window, as does ascending-4096, whose 256
-// chunks each extend it (the growth rule: O(n) copying, not O(n²)); sparse is
+// BenchmarkBuildInsertProbe isolates the equi side over a key-shape axis, in
+// chunks (two, a worker's sub-blocks from two mappers, unless the row says
+// otherwise): /insert builds through the Build wrapper, which lends them to
+// the side's Seal as one block; /stream feeds them one by one through Insert,
+// each copied into a pooled buffer as a worker decodes a frame (the copy is
+// part of the op); /probe is the sealed ProbeCount. The zipf rows differ only
+// in arrival order; one-key is the multiplicity extreme; dense-distinct stays
+// in the dense window, as does ascending-4096, whose 256 streamed chunks each
+// extend it on arrival (the growth rule: O(n) copying, not O(n²)); sparse is
 // past the window's budget and seals into the sorted block, whose probe sorts
-// a copy of the probe relation; zipf-4096 is the zipf keys in chunks too small
-// for their span, so every chunk is kept until Seal counts them all into the
-// window; zipf0.6-2M is replay-equi-zipf's whole relation.
+// a copy of the probe relation; zipf-4096 is the zipf keys in chunks each too
+// sparse for the window alone, so streamed, every chunk is kept until Seal
+// counts them all into the window; zipf0.6-2M is replay-equi-zipf's whole
+// relation.
 func BenchmarkBuildInsertProbe(b *testing.B) {
 	const n = 1 << 17
 	zipf, zipfProbe := zipfKeys(n, 1<<16, 0.9, 40), zipfKeys(n, 1<<16, 0.9, 41)
@@ -152,6 +161,14 @@ func BenchmarkBuildInsertProbe(b *testing.B) {
 				build()
 			}
 		})
+		b.Run(s.name+"/stream", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				side := NewResident(join.Equi{}, true, nil, nil)
+				stream(side, s.r1, chunk)
+				side.Seal()
+			}
+		})
 		bld := build()
 		probe := slices.Clone(s.probe)
 		b.Run(s.name+"/probe", func(b *testing.B) {
@@ -166,17 +183,18 @@ func BenchmarkBuildInsertProbe(b *testing.B) {
 	}
 }
 
-// BenchmarkResidentCount is one count job through a resident side: insert
-// R1 in chunks, seal, probe R2, as exec.Local counts a worker's block. The
-// first four shapes are adhoc-band's worker blocks — two dense ones, about
+// BenchmarkResidentCount is one count job through a resident side: seal R1,
+// lent whole, probe R2, as exec.Local counts a worker's block. The first
+// four shapes are adhoc-band's worker blocks — two dense ones, about
 // 100k keys over 16k values, and two of about 550k keys at span/n 6.9 and 4.0
 // — which seal into the rank table; wide-64, at span/n 64, stays on the sort +
 // sweep. The last two are pool-small-jobs' blocks: a band one at span/n 8.2,
 // within the table's budget, and an equi one at span/n 4.1 that arrives from
-// two mappers, its first chunk alone spanning 8.2 slots a key; judged whole,
-// it stays dense. sorted-probe-250k arrives in key order, as a stream window
-// or a stage-1 share does, against a merge-form side at span/n 80; at ten
-// times that side, its sort was most of the op.
+// two mappers, streamed through Insert as a worker decodes it, the first
+// chunk alone spanning 8.2 slots a key; judged whole at Seal, it stays dense.
+// sorted-probe-250k arrives in key order, as a stream window or a stage-1
+// share does, against a merge-form side at span/n 80; at ten times that
+// side, its sort was most of the op.
 func BenchmarkResidentCount(b *testing.B) {
 	band3 := join.NewBand(3)
 	shapes := []struct {
@@ -185,7 +203,7 @@ func BenchmarkResidentCount(b *testing.B) {
 		span1, span2 int64
 		seed1, seed2 uint64
 		cond         join.Condition
-		chunks       int
+		chunks       int  // above 1: streamed through Insert
 		sorted       bool // the probe arrives in key order
 	}{
 		{"dense-105k", 105_000, 120_000, 17_600, 20_100, 50, 51, band3, 1, false},
@@ -202,20 +220,29 @@ func BenchmarkResidentCount(b *testing.B) {
 		if s.sorted {
 			slices.Sort(r2)
 		}
-		chunks := chunked(r1, (s.n1+s.chunks-1)/s.chunks)
 		probe := make([]join.Key, len(r2))
 		b.Run(s.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				copy(probe, r2) // the merge form sorts its probe in place
-				side := NewResident(s.cond, true)
-				for _, c := range chunks {
-					side.Insert(c)
+				side := NewResident(s.cond, true, nil, nil)
+				if s.chunks > 1 {
+					stream(side, r1, (s.n1+s.chunks-1)/s.chunks)
+					side.Seal()
+				} else {
+					side.Seal(r1)
 				}
-				side.Seal()
-				sink, _ = side.ProbeCount(probe, false)
+				sink = side.Finish(probe)
 			}
 		})
+	}
+}
+
+// stream inserts keys into side in chunks of chunk keys, each copied into a
+// pooled buffer just before, as a worker decodes a frame into its chunk.
+func stream(side *Resident, keys []join.Key, chunk int) {
+	for c := range slices.Chunk(keys, chunk) {
+		side.Insert(append(bufpool.Keys.Get(len(c))[:0], c...))
 	}
 }
 

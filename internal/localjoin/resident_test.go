@@ -6,7 +6,9 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
+	"ewh/internal/bufpool"
 	"ewh/internal/join"
 	"ewh/internal/keysort"
 	"ewh/internal/stats"
@@ -77,27 +79,37 @@ func (o probeOrder) String() string {
 }
 
 // residentCount joins r1 and r2 through a Resident — in the given form, with
-// R1 or R2 resident — inserting the resident relation and probing the other in
-// chunks of chunk keys. Both relations are copied: a side may keep and sort
-// what it is given.
-func residentCount(r1, r2 []key, cond join.Condition, form residentForm, residentR1 bool, chunk int) int64 {
-	return residentCountIn(r1, r2, cond, form, residentR1, chunk, arrivalOrder)
+// R1 or R2 resident — in chunks of chunk keys, and fails t unless the side
+// returned every chunk it streamed, once, and nothing else (releaseWatch).
+func residentCount(t testing.TB, r1, r2 []key, cond join.Condition, form residentForm, residentR1 bool, chunk int) int64 {
+	return residentCountIn(t, r1, r2, cond, form, residentR1, chunk, arrivalOrder)
 }
 
 // residentCountIn is residentCount with each probe chunk in the given order.
-func residentCountIn(r1, r2 []key, cond join.Condition, form residentForm, residentR1 bool, chunk int, order probeOrder) int64 {
+// Odd chunk sizes stream every chunk of either relation but its last, which
+// Seal or Finish borrows; even ones stream every resident chunk and make each
+// probe chunk a probe relation of its own, which its Finish borrows. Both
+// relations are copied: a side may sort what it is lent.
+func residentCountIn(t testing.TB, r1, r2 []key, cond join.Condition, form residentForm, residentR1 bool, chunk int, order probeOrder) int64 {
 	resident, probe := r1, r2
 	if !residentR1 {
 		resident, probe = r2, r1
 	}
-	side := newResident(cond, form, residentR1)
-	for _, c := range chunked(slices.Clone(resident), chunk) {
-		side.Insert(c)
+	w := watchReleases(t)
+	defer w.check(fmt.Sprintf("%v, %v, R1 resident %v, chunks of %d in %v order", cond, form, residentR1, chunk, order))
+	odd := chunk%2 == 1
+	side := newResident(cond, form, residentR1, nil, nil)
+	parts, lent := chunked(slices.Clone(resident), chunk), [][]key(nil)
+	if odd {
+		parts, lent = parts[:len(parts)-1], parts[len(parts)-1:]
 	}
-	side.Seal()
+	for _, c := range parts {
+		side.Insert(w.own(c))
+	}
+	side.Seal(lent...)
 	var out int64
-	chunks := chunked(slices.Clone(probe), chunk)
-	for i, c := range chunks {
+	parts = chunked(slices.Clone(probe), chunk)
+	for i, c := range parts {
 		switch order {
 		case keyOrder:
 			slices.Sort(c)
@@ -105,12 +117,99 @@ func residentCountIn(r1, r2 []key, cond join.Condition, form residentForm, resid
 			slices.Sort(c)
 			slices.Reverse(c)
 		}
-		// Odd chunk sizes announce every chunk but the last as having a
-		// successor; even ones make each chunk a probe relation of its own.
-		n, _ := side.ProbeCount(c, chunk%2 == 1 && i < len(chunks)-1)
+		if !odd || i == len(parts)-1 {
+			out += side.Finish(c)
+			continue
+		}
+		before := w.keys
+		n, pooled := side.Probe(w.own(c))
+		if w.keys-before != pooled {
+			t.Errorf("%v, %v: Probe reported %d keys pooled, returned %d", cond, form, pooled, w.keys-before)
+		}
 		out += n
 	}
 	return out
+}
+
+// abandonResident drops a side twice over — before its seal, and after its
+// seal while it may hold probe chunks for Finish — and fails t unless either
+// side returned every chunk it was handed.
+func abandonResident(t testing.TB, r1, r2 []key, cond join.Condition, form residentForm, residentR1 bool, chunk int) {
+	resident, probe := r1, r2
+	if !residentR1 {
+		resident, probe = r2, r1
+	}
+	row := fmt.Sprintf("%v, %v, R1 resident %v, chunks of %d", cond, form, residentR1, chunk)
+	w := watchReleases(t)
+	side := newResident(cond, form, residentR1, nil, nil)
+	for _, c := range chunked(resident, chunk) {
+		side.Insert(w.own(c))
+	}
+	side.Drop()
+	w.check(row + ", dropped before its seal")
+	w = watchReleases(t)
+	side = newResident(cond, form, residentR1, nil, nil)
+	side.Seal(slices.Clone(resident))
+	for _, c := range chunked(probe, chunk) {
+		side.Probe(w.own(c))
+	}
+	side.Drop()
+	w.check(row + ", dropped amid a probe")
+}
+
+// releaseWatch stands in for release while a test drives a side: it knows
+// each chunk the test streamed by its first element, and counts what the
+// side hands back.
+type releaseWatch struct {
+	t     testing.TB
+	prev  func([]key)
+	back  map[*key]int // a streamed chunk: the times it came back
+	keys  int          // keys of the streamed chunks that came back
+	stray int          // slices that came back but were never streamed
+}
+
+// watchReleases swaps release for a watch until its check.
+func watchReleases(t testing.TB) *releaseWatch {
+	w := &releaseWatch{t: t, prev: release, back: map[*key]int{}}
+	release = func(s []key) {
+		p := unsafe.SliceData(s)
+		n, ok := w.back[p]
+		if !ok {
+			w.stray++
+			return
+		}
+		w.back[p] = n + 1
+		w.keys += len(s)
+	}
+	return w
+}
+
+// own copies c into a buffer from bufpool.Keys, as a worker decodes a frame,
+// for the side to own.
+func (w *releaseWatch) own(c []key) []key {
+	s := bufpool.Keys.Get(len(c))
+	copy(s, c)
+	w.back[unsafe.SliceData(s)] = 0
+	return s
+}
+
+// check restores release and fails the test unless every streamed chunk came
+// back exactly once and nothing else came back.
+func (w *releaseWatch) check(row string) {
+	release = w.prev
+	lost, twice := 0, 0
+	for _, n := range w.back {
+		switch {
+		case n == 0:
+			lost++
+		case n > 1:
+			twice++
+		}
+	}
+	if lost+twice+w.stray > 0 {
+		w.t.Errorf("%s: of %d streamed chunks %d never came back and %d more than once; %d slices never streamed came back",
+			row, len(w.back), lost, twice, w.stray)
+	}
 }
 
 // ascendingKeys is the ascending row's relation: every key twice, from -20 up.
@@ -293,7 +392,7 @@ func TestResidentFormBySpan(t *testing.T) {
 			if got := sealedForm(side); got != row.form {
 				t.Errorf("%s: sealed into the %s form, want %s", row.name, got, row.form)
 			}
-			got, _ := side.ProbeCount(slices.Clone(probe), false)
+			got := side.Finish(slices.Clone(probe))
 			want := Count(row.keys, probe, row.cond)
 			if !residentR1 {
 				want = Count(probe, row.keys, row.cond)
@@ -316,15 +415,25 @@ func sealedForm(r *Resident) string {
 	return "merge"
 }
 
-// sealChunked seals a side of keys, given as chunks of chunk keys (0: one
+// sealChunked seals a side of keys, streamed as chunks of chunk keys (0: one
 // chunk), under cond, and returns it.
 func sealChunked(keys []key, cond join.Condition, residentR1 bool, chunk int) *Resident {
-	side := NewResident(cond, residentR1)
-	for _, c := range chunked(slices.Clone(keys), chunk) {
+	side := NewResident(cond, residentR1, nil, nil)
+	for _, c := range pooledChunks(keys, chunk) {
 		side.Insert(c)
 	}
 	side.Seal()
 	return side
+}
+
+// pooledChunks is keys in chunks of chunk keys (0: one chunk), each copied
+// into a buffer of its own from bufpool.Keys, for a side to own.
+func pooledChunks(keys []key, chunk int) [][]key {
+	out := chunked(keys, chunk)
+	for i, c := range out {
+		out[i] = append(bufpool.Keys.Get(len(c))[:0], c...)
+	}
+	return out
 }
 
 // TestResidentFormIndependentOfChunking feeds each block as 1, 2, 4 and 8
@@ -370,7 +479,7 @@ func TestResidentFormIndependentOfChunking(t *testing.T) {
 				if got := sealedForm(side); got != row.form {
 					t.Errorf("%s in %d chunks, R1 resident %v: sealed %s, want %s", row.name, parts, residentR1, got, row.form)
 				}
-				if got, _ := side.ProbeCount(slices.Clone(probe), false); got != want {
+				if got := side.Finish(slices.Clone(probe)); got != want {
 					t.Errorf("%s in %d chunks, R1 resident %v: count %d, want %d", row.name, parts, residentR1, got, want)
 				}
 			}
@@ -417,7 +526,7 @@ func TestResidentKeyOrderTable(t *testing.T) {
 							continue
 						}
 						for _, chunk := range chunkings {
-							if got := residentCount(r1, r2, cond, form, residentR1, chunk); got != want {
+							if got := residentCount(t, r1, r2, cond, form, residentR1, chunk); got != want {
 								t.Errorf("%s: resident side (%v, R1 resident %v, chunks of %d) = %d, want %d",
 									row, form, residentR1, chunk, got, want)
 							}
@@ -461,10 +570,10 @@ func TestStrictInequalityAtTheInt64Extremes(t *testing.T) {
 	// The table form's converse ranges, R1 resident: the ±1 must not wrap
 	// either.
 	r1 := []key{0, 5, 7}
-	if got := residentCount(r1, []key{math.MinInt64}, join.Inequality{Op: join.Less}, formTable, true, 0); got != 0 {
+	if got := residentCount(t, r1, []key{math.MinInt64}, join.Inequality{Op: join.Less}, formTable, true, 0); got != 0 {
 		t.Errorf("{0, 5, 7} < {MinInt64} through an R1 table = %d, want 0", got)
 	}
-	if got := residentCount(r1, []key{math.MaxInt64}, join.Inequality{Op: join.Greater}, formTable, true, 0); got != 0 {
+	if got := residentCount(t, r1, []key{math.MaxInt64}, join.Inequality{Op: join.Greater}, formTable, true, 0); got != 0 {
 		t.Errorf("{0, 5, 7} > {MaxInt64} through an R1 table = %d, want 0", got)
 	}
 }
@@ -495,7 +604,7 @@ func TestInequalityPastTheOldCap(t *testing.T) {
 					if form == formTable && spanOf(resident) > tableSpanCap {
 						continue
 					}
-					if got := residentCount(r1, r2, cond, form, residentR1, 0); got != want {
+					if got := residentCount(t, r1, r2, cond, form, residentR1, 0); got != want {
 						t.Errorf("%v, %v x %v, %v, R1 resident %v: count = %d, want %d", cond, r1, r2, form, residentR1, got, want)
 					}
 				}
@@ -524,7 +633,7 @@ func TestResidentProperty(t *testing.T) {
 		if !formServes(fm, cond) {
 			fm = formMerge
 		}
-		return residentCount(r1, r2, cond, fm, residentR1, int(chunk)%9) == NestedLoopCount(r1, r2, cond)
+		return residentCount(t, r1, r2, cond, fm, residentR1, int(chunk)%9) == NestedLoopCount(r1, r2, cond)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -541,7 +650,10 @@ func TestResidentProperty(t *testing.T) {
 // of a few keys over a wide span crosses the dense window's budget, before or
 // after its first chunks counted in. With sel's 0x40 bit the bytes at either
 // end stand for keys at the int64 extremes and just past ±2^61; a side
-// spanning those stays off the table form.
+// spanning those stays off the table form. Every chunk a side streams comes
+// back to the pool exactly once — counted, at Seal, at Finish, or when the
+// side is dropped before its seal or amid a probe — and no block a terminal
+// call borrows does.
 func FuzzEngineCount(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 3}, uint8(3), uint8(0))
 	f.Add([]byte{}, []byte{0, 0, 0, 0}, uint8(1), uint8(1))
@@ -618,17 +730,18 @@ func FuzzEngineCount(f *testing.F) {
 				continue
 			}
 			if fits(form, residentR1) {
-				if got := residentCount(r1, r2, cond, form, residentR1, int(split)%8); got != want {
+				if got := residentCount(t, r1, r2, cond, form, residentR1, int(split)%8); got != want {
 					t.Fatalf("%v, %v, R1 resident %v, chunks of %d: count = %d, want %d",
 						cond, form, residentR1, int(split)%8, got, want)
 				}
+				abandonResident(t, r1, r2, cond, form, residentR1, int(split)%8)
 			}
 			for _, r1Resident := range []bool{true, false} {
 				if !fits(form, r1Resident) {
 					continue
 				}
 				for _, order := range []probeOrder{keyOrder, reverseKeyOrder} {
-					if got := residentCountIn(r1, r2, cond, form, r1Resident, int(split)%8, order); got != want {
+					if got := residentCountIn(t, r1, r2, cond, form, r1Resident, int(split)%8, order); got != want {
 						t.Fatalf("%v, %v, R1 resident %v, chunks of %d in %v order: count = %d, want %d",
 							cond, form, r1Resident, int(split)%8, order, got, want)
 					}

@@ -14,7 +14,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
+	"ewh/internal/bufpool"
 	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/stage"
@@ -89,6 +91,61 @@ func TestWorkerEventOrders(t *testing.T) {
 // ordersK is the longest sequence the sweep runs; orders_race_test.go
 // shortens it under the race detector.
 var ordersK = 5
+
+// TestFailedWindowPoolsKeptProbeChunks is a failure the sweep's whole runs
+// never reach: a count job whose side sealed into the sorted block keeps each
+// window chunk for its Finish, and the window fails between two of them. The
+// window's end credits the kept chunk to the ledger, so the chunk must leave
+// the side there, back to the pool, not linger to the job's exit. A weak
+// pointer tells: a pooled chunk is gone once two collections have emptied
+// the pool, a chunk the live side still holds is not.
+func TestFailedWindowPoolsKeptProbeChunks(t *testing.T) {
+	w := ListenWorkerOn(nil)
+	j := &sessJob{ws: &workerSession{w: w}, kind: kindCount, cond: join.Equi{}, releaseSlot: func() {}}
+	j.resetBase()
+	// chunk is n keys from the pool, 64 slots apart, charged as the read loop
+	// charges a frame's.
+	chunk := func(n int) []join.Key {
+		keys := bufpool.Keys.Get(n)
+		for i := range keys {
+			keys[i] = join.Key(64 * i)
+		}
+		if err := j.charge(8 * int64(n)); err != nil {
+			t.Fatal(err)
+		}
+		return keys
+	}
+	held := func() int64 { return w.Snapshot().Holdings.Bytes }
+	const nBase, nWin = 500, 700
+	j.onBase(streamEvent{keys: chunk(nBase)})
+	j.onBaseEnd(streamEvent{})
+	kept := func() weak.Pointer[join.Key] {
+		keys := chunk(nWin)
+		j.onWin(streamEvent{keys: keys})
+		return weak.Make(&keys[0])
+	}()
+	if got, want := held(), int64(8*(nBase+nWin)); j.failed != nil || got != want {
+		t.Fatalf("after a window chunk: %d bytes held, failed %v; want %d held by a sorted block that kept it", got, j.failed, want)
+	}
+	j.onWin(streamEvent{epoch: 1, keys: chunk(1)}) // routed for an epoch the base is not at
+	j.onWinEnd(streamEvent{total: nWin + 1})
+	if j.failed == nil {
+		t.Fatal("a window chunk routed for another epoch did not fail the job")
+	}
+	if got, want := held(), int64(8*nBase); got != want {
+		t.Fatalf("after the failed window's end: %d bytes held, want the base's %d", got, want)
+	}
+	for range 3 {
+		runtime.GC()
+	}
+	if kept.Value() != nil {
+		t.Error("the failed window's kept probe chunk was credited to the ledger but stays in the side")
+	}
+	j.resetBase()
+	if got := held(); got != 0 {
+		t.Errorf("after the side's drop: %d bytes held, want 0", got)
+	}
+}
 
 // orderEv is one letter of the alphabet: an event on the coordinator link,
 // or on the contribution session when contrib.

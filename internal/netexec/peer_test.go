@@ -52,49 +52,61 @@ func rekeyOf(keys []join.Key) []join.Key {
 }
 
 func TestPeerPipelineMatchesLocalReference(t *testing.T) {
-	// End-to-end stage pipeline over loopback workers, checked against a
-	// hand-composed in-process reference: stage 1's matches (the re-key
-	// column's entries of matched R2 rows), re-shuffled by the content-
+	// End-to-end stage pipeline over loopback workers and in process, checked
+	// against a hand-composed in-process reference: stage 1's matches (the
+	// re-key column's entries of matched R2 rows), re-shuffled by the content-
 	// deterministic Hash plan the Replan returns whatever the summaries say,
-	// joined against R3.
+	// joined against R3. Hashed over four workers, each worker's share of R3
+	// spans about 9 slots a key in the first row and 256 in the second: past
+	// the dense budget, every stage-2 side is the sorted block, swept once over
+	// the three senders' shares.
 	_, addrs := startWorkerSet(t, 4)
 	sess := dialSession(t, addrs)
 
 	r1 := randKeys(1200, 600, 200)
 	r2 := randKeys(1000, 600, 201)
-	r3 := randKeys(900, 2000, 202)
 	scheme1, err := partition.NewHash(3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme2, err := partition.NewHash(4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sp := statsStagePlan(t, join.Equi{}, 4, 77, nil)
 	cfg := exec.Config{Seed: 11, Mappers: 2}
 	model := cost.Model{Wi: 1, Wo: 0.2}
-
-	res1, res2, err := exec.RunStagesOver(sess, r1, r2, rekeyOf(r2),
-		join.Equi{}, scheme1, sp, r3, model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	scheme2, err := partition.NewHash(4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inter, ref := stageReference(t, r1, r2, r3, scheme1, scheme2, model, cfg)
-	if int64(len(inter)) != res1.Output {
-		t.Fatalf("stage 1 matched %d, reference %d", res1.Output, len(inter))
-	}
-	if res2.Output != ref.Output {
-		t.Fatalf("stage 2 output %d, reference %d", res2.Output, ref.Output)
-	}
-	if want := localjoin.NestedLoopCount(inter, r3, join.Equi{}); res2.Output != want {
-		t.Fatalf("stage 2 output %d, ground truth %d", res2.Output, want)
-	}
-	for w := range ref.Workers {
-		if res2.Workers[w] != ref.Workers[w] {
-			t.Fatalf("stage 2 worker %d metrics differ: peer %+v reference %+v",
-				w, res2.Workers[w], ref.Workers[w])
+	for _, row := range []struct {
+		name string
+		r3   []join.Key
+	}{
+		{"R3 at 2.2 slots a key", randKeys(900, 2000, 202)},
+		{"R3 at 64 slots a key", randKeys(900, 64*900, 203)},
+	} {
+		inter, ref := stageReference(t, r1, r2, row.r3, scheme1, scheme2, model, cfg)
+		want := localjoin.NestedLoopCount(inter, row.r3, join.Equi{})
+		for _, rt := range []struct {
+			name string
+			rt   exec.StageRuntime
+		}{{"session", sess}, {"local", exec.Local{}}} {
+			res1, res2, err := exec.RunStagesOver(rt.rt, r1, r2, rekeyOf(r2),
+				join.Equi{}, scheme1, sp, row.r3, model, cfg)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", row.name, rt.name, err)
+			}
+			if int64(len(inter)) != res1.Output {
+				t.Fatalf("%s, %s: stage 1 matched %d, reference %d", row.name, rt.name, res1.Output, len(inter))
+			}
+			if res2.Output != ref.Output || res2.Output != want {
+				t.Fatalf("%s, %s: stage 2 output %d, reference %d, ground truth %d",
+					row.name, rt.name, res2.Output, ref.Output, want)
+			}
+			for w := range ref.Workers {
+				if res2.Workers[w] != ref.Workers[w] {
+					t.Fatalf("%s, %s: stage 2 worker %d metrics differ: %+v, reference %+v",
+						row.name, rt.name, w, res2.Workers[w], ref.Workers[w])
+				}
+			}
 		}
 	}
 }

@@ -116,17 +116,12 @@ type sessJob struct {
 	sealed bool
 	baseN  int
 	res    *localjoin.Resident
-	held   [][]join.Key // pooled chunks res keeps: until its seal, then until the window's end
-	// digests, on a count job's side, holds the digests of every chunk res
-	// was given, kept or copied out: folded at the seal, in any order, they
-	// are the side's content key in the worker's build cache, whatever form
-	// it seals into.
-	digests []localjoin.ChunkDigest
 
 	winOpen  bool
 	win      uint32
 	winKeys  []join.Key // a stream's window, sorted, summarized and probed at its end
 	winCount int64      // a fed job's matches, counted chunk by chunk
+	winHeld  int        // keys of a fed job's probe chunks res keeps to the window's end
 
 	totIn, totOut int64
 	overlapped    int64

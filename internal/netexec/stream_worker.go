@@ -131,7 +131,7 @@ func (j *sessJob) poison(err error) {
 // closed, so retire's stop does not wait on its own caller.
 func (j *sessJob) run() {
 	defer func() {
-		j.recycleHeld() // release sweeps the reservation
+		j.res.Drop() // release sweeps the reservation
 		for _, run := range j.runs {
 			for _, keys := range run {
 				bufpool.Keys.Put(keys)
@@ -235,22 +235,18 @@ func (j *sessJob) joinInOrder() (reply, error) {
 	return m, nil
 }
 
-// recycleHeld pools the n keys of the chunks the side kept and is done with.
-func (j *sessJob) recycleHeld() (n int) {
-	for _, keys := range j.held {
-		n += len(keys)
-		bufpool.Keys.Put(keys)
-	}
-	j.held = nil
-	return n
-}
-
-// resetBase replaces the side with an empty one, crediting the old one's
-// reservation.
+// resetBase replaces the side with an empty one, dropping the old one and
+// crediting its reservation. A count job's side, dense window or table, is
+// shared through the worker's build cache; a stream's or peer-fed job's side
+// stays uncached: job-unique, it would only churn the LRU.
 func (j *sessJob) resetBase() {
-	j.recycleHeld()
+	j.res.Drop()
 	j.credit(8 * int64(j.baseN))
-	j.res, j.baseN, j.sealed = localjoin.NewResident(j.cond, kinds[j.kind].base == 0), 0, false
+	var cache *localjoin.BuildCache
+	if j.kind == kindCount {
+		cache = j.ws.w.buildCache
+	}
+	j.res, j.baseN, j.sealed = localjoin.NewResident(j.cond, kinds[j.kind].base == 0, cache, &j.clk), 0, false
 }
 
 func (j *sessJob) onBase(ev streamEvent) {
@@ -269,17 +265,9 @@ func (j *sessJob) onBase(ev streamEvent) {
 	}
 	// Kept or copied out, the keys now live in the side: the reservation
 	// stays until the epoch resets, covering that resident memory.
-	if j.kind == kindCount {
-		j.digests = append(j.digests, localjoin.DigestKeys(ev.keys))
-	}
-	if j.res.Insert(ev.keys) {
-		j.held = append(j.held, ev.keys)
-	} else {
-		bufpool.Keys.Put(ev.keys)
-	}
 	j.consumed()
 	j.baseN += len(ev.keys)
-	j.clk.Mark(stage.Build)
+	j.res.Insert(ev.keys)
 }
 
 func (j *sessJob) onBaseEnd(ev streamEvent) {
@@ -305,19 +293,10 @@ func (j *sessJob) onBaseEnd(ev streamEvent) {
 		j.poison(err)
 		return
 	}
-	if j.kind == kindCount {
-		// A count job's side, dense window or table, is shared through the
-		// build cache; a failed job returned above, so it publishes nothing.
-		// A stream's or peer-fed job's side stays uncached: job-unique, it
-		// would only churn the LRU.
-		j.res.SealShared(j.ws.w.buildCache, localjoin.CombineDigests(j.digests))
-	} else {
-		j.res.Seal()
-	}
-	j.recycleHeld()
+	// A failed job returned above, so it publishes nothing to the cache.
+	j.res.Seal()
 	release()
 	j.sealed = true
-	j.clk.Mark(stage.Build)
 }
 
 // enterWin admits keys or an end frame for window win, routed under epoch,
@@ -354,13 +333,11 @@ func (j *sessJob) onWin(ev streamEvent) {
 		// A fed job's probe chunk counts as it lands, overlapping the frames
 		// still on the wire; one the side keeps stays reserved to the tail.
 		j.consumed()
-		n, kept := j.res.ProbeCount(ev.keys, true)
+		n, pooled := j.res.Probe(ev.keys)
 		j.winCount += n
-		j.clk.Mark(stage.Probe)
-		if kept {
-			j.held = append(j.held, ev.keys)
-			return
-		}
+		j.winHeld += len(ev.keys) - pooled
+		j.credit(8 * int64(pooled))
+		return
 	}
 	bufpool.Keys.Put(ev.keys)
 	j.credit(8 * int64(len(ev.keys)))
@@ -377,9 +354,10 @@ func (j *sessJob) onWinEnd(ev streamEvent) {
 	if j.failed == nil {
 		j.poison(j.closeWindow(&r))
 	}
-	// The shard's receive bytes leave worker memory here.
-	j.credit(8 * int64(len(j.winKeys)+j.recycleHeld()))
-	j.winKeys = j.winKeys[:0]
+	// The shard's receive bytes, and a failed window's kept chunks, leave here.
+	j.res.Drop()
+	j.credit(8 * int64(len(j.winKeys)+j.winHeld))
+	j.winKeys, j.winHeld = j.winKeys[:0], 0
 	j.winOpen = false
 	if j.fed() {
 		return
@@ -404,7 +382,7 @@ func (j *sessJob) closeWindow(r *reply) error {
 		return err
 	}
 	defer release()
-	n, sum := exec.CloseWindow(j.res, j.winKeys, j.st, j.workerID, r.Window, &j.clk)
+	n, sum := exec.CloseWindow(j.res, j.winKeys, j.st, j.workerID, r.Window)
 	if sum != nil {
 		enc, err := planio.EncodeSummary(sum)
 		if err != nil {
@@ -458,19 +436,15 @@ func (j *sessJob) probeTransfer() error {
 	if stErr != nil {
 		return fmt.Errorf("peer transfer %d: %w", j.token, stErr)
 	}
+	var blocks [][]join.Key
 	for _, c := range contrib {
 		j.totIn += int64(c.n)
-		for _, keys := range c.chunks {
-			n, _ := j.res.ProbeCount(keys, true)
-			j.totOut += n
-		}
+		blocks = append(blocks, c.chunks...)
 	}
-	n, _ := j.res.ProbeCount(nil, false)
-	j.totOut += n
+	j.totOut += j.res.Finish(blocks...)
 	for _, c := range contrib {
 		c.recycle(w.ledger)
 	}
-	j.clk.Mark(stage.Probe)
 	return nil
 }
 
