@@ -185,10 +185,6 @@ func describeArtifact(path string) {
 			fmt.Printf("  %2d: %v (input=%.0f output=%.0f)\n", i, r, r.Input, r.Output)
 		}
 	}
-	if a.Assignment != nil {
-		fmt.Printf("assignment over %d machines, makespan=%.2f\n",
-			len(a.Assignment.Capacity), a.Assignment.Makespan())
-	}
 }
 
 func fatal(err error) {

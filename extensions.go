@@ -86,12 +86,12 @@ var ErrAdmission = netexec.ErrAdmission
 // budget: errors.Is(err, ErrQuota). Deterministic, never retried.
 var ErrQuota = netexec.ErrQuota
 
-// PlanArtifact is a serializable partitioning plan: the scheme, its routing
-// seed, and an optional heterogeneous-cluster assignment. Artifacts
-// round-trip byte-exactly through EncodePlanArtifact/DecodePlanArtifact, so
-// a plan built once executes identically anywhere — in files (ewhplan
-// -planout, ewhcoord -planin) and on the wire (the cluster broadcasts one
-// to its workers for the multiway peer re-shuffle).
+// PlanArtifact is a serializable partitioning plan: the scheme and its
+// routing seed, which is all an executor reads. Artifacts round-trip
+// byte-exactly through EncodePlanArtifact/DecodePlanArtifact, so a plan
+// built once executes identically anywhere — in files (ewhplan -planout,
+// ewhcoord -planin) and on the wire (the cluster broadcasts one to its
+// workers for the multiway peer re-shuffle).
 type PlanArtifact = planio.Artifact
 
 // EncodePlanArtifact serializes a plan artifact with the binary plan codec.

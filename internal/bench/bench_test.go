@@ -6,8 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"ewh/internal/cost"
 )
 
 func testCfg() Config { return Config{Scale: 1, J: 4, Seed: 42} }
@@ -30,19 +28,6 @@ func TestMakeJoinIDs(t *testing.T) {
 	}
 }
 
-func TestCalibrateThroughputPositive(t *testing.T) {
-	tp := CalibrateThroughput(cost.DefaultBand, 1)
-	if tp <= 0 {
-		t.Fatalf("throughput %v", tp)
-	}
-	if tp.Seconds(float64(tp)) < 0.99 || tp.Seconds(float64(tp)) > 1.01 {
-		t.Error("Seconds(1 second of work) != 1s")
-	}
-	if Throughput(0).Seconds(100) != 0 {
-		t.Error("zero throughput should yield 0 seconds")
-	}
-}
-
 func TestRunSchemeAll(t *testing.T) {
 	cfg := testCfg()
 	spec, err := MakeJoin("BCB-2", Config{Scale: 1, J: 4, Seed: 42})
@@ -52,15 +37,14 @@ func TestRunSchemeAll(t *testing.T) {
 	// Shrink for test speed.
 	spec.R1 = spec.R1[:20000]
 	spec.R2 = spec.R2[:20000]
-	tp := CalibrateThroughput(spec.Model, cfg.Seed)
 	var outputs []int64
 	for _, s := range Schemes {
-		r, err := RunScheme(spec, s, cfg, tp)
+		r, err := RunScheme(spec, s, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
-		if r.TotalSeconds < 0 || r.JoinSeconds < 0 {
-			t.Fatalf("%s: negative seconds", s)
+		if r.MaxWork <= 0 || r.StatsWork < 0 || r.TotalWork != r.StatsWork+r.MaxWork {
+			t.Fatalf("%s: total %g is not stats %g + max work %g", s, r.TotalWork, r.StatsWork, r.MaxWork)
 		}
 		outputs = append(outputs, r.Output)
 	}
@@ -68,7 +52,7 @@ func TestRunSchemeAll(t *testing.T) {
 	if outputs[0] != outputs[1] || outputs[1] != outputs[2] {
 		t.Fatalf("schemes disagree on output: %v", outputs)
 	}
-	if _, err := RunScheme(spec, "bogus", cfg, tp); err == nil {
+	if _, err := RunScheme(spec, "bogus", cfg); err == nil {
 		t.Error("bogus scheme accepted")
 	}
 }
@@ -198,11 +182,10 @@ func ratioGrowth(tb []Table) float64 {
 // TestPaperClaims gates the paper's §VI claims on the rows the drivers
 // return at Scale 1, J = 4, seed 42 — one row per claim: the driver, what
 // is claimed, the measured value and the bound it must meet (got ≥ bound,
-// or got ≤ bound when atMost). Every row is in model units or ratios, never
-// calibrated seconds: a ratio of two totals under one join's calibration is
-// fixed by the seed, the seconds themselves are not. Where the measured
-// shape disagrees with the paper the row gates what is measured and says
-// "Deviation"; EXPERIMENTS.md "Deviations" lists them.
+// or got ≤ bound when atMost). Every row is in model units or ratios of
+// them, never measured seconds, so each value is fixed by the seed. Where
+// the measured shape disagrees with the paper the row gates what is
+// measured and says "Deviation"; EXPERIMENTS.md "Deviations" lists them.
 func TestPaperClaims(t *testing.T) {
 	claims := []struct {
 		driver, claim string
@@ -233,7 +216,7 @@ func TestPaperClaims(t *testing.T) {
 		{"tab3", "MonotonicBSP explores fewer DP states than BSP at every nc (largest Mono/BSP)", func(tb []Table) float64 {
 			return slices.Max(ratios(column(tb, 0, "Mono states"), column(tb, 0, "BSP states")))
 		}, true, 0.5},
-		{"fig4a", "Deviation: CI's total time is below CSIO's on all eight joins (largest CI/CSIO)", func(tb []Table) float64 {
+		{"fig4a", "Deviation: CI's modeled total is below CSIO's on all eight joins (largest CI/CSIO)", func(tb []Table) float64 {
 			return slices.Max(column(tb, 0, "CI/CSIO"))
 		}, true, 1},
 		{"fig4b", "CSI/CSIO rises with ρoi (least step)", func(tb []Table) float64 {
@@ -248,8 +231,8 @@ func TestPaperClaims(t *testing.T) {
 		{"fig4c", "CI's replication costs it more memory than CSIO on every join (least CI/CSIO)", func(tb []Table) float64 {
 			return slices.Min(ratios(column(tb, 0, "CI"), column(tb, 0, "CSIO")))
 		}, false, 1.5},
-		{"fig4d", "CSIO's total time over CI's falls as input and J grow (CI/CSIO at 2J ÷ at J/2)", ratioGrowth, false, 1},
-		{"fig4f", "Deviation: on BEOCD CSIO's total time over CI's rises as input and J grow (CI/CSIO at 2J ÷ at J/2)", ratioGrowth, true, 1},
+		{"fig4d", "CSIO's modeled total over CI's falls as input and J grow (CI/CSIO at 2J ÷ at J/2)", ratioGrowth, false, 1},
+		{"fig4f", "Deviation: on BEOCD CSIO's modeled total over CI's rises as input and J grow (CI/CSIO at 2J ÷ at J/2)", ratioGrowth, true, 1},
 		{"fig4e", "CI's memory over CSIO's grows with J under weak scaling (CI/CSIO at 2J ÷ at J/2)", ratioGrowth, false, 1.5},
 		{"fig4g", "CI's memory over CSIO's grows with J under weak scaling (CI/CSIO at 2J ÷ at J/2)", ratioGrowth, false, 1.5},
 		{"fig4h", "CSIO's estimate is within 10 % of its measured max region weight (largest |est-err %|)", func(tb []Table) float64 {
@@ -324,7 +307,7 @@ func TestCSIOBeatsCIAndCSIOnMakespan(t *testing.T) {
 			}
 			work := map[string]float64{}
 			for _, s := range Schemes {
-				r, err := RunScheme(spec, s, cfg, 1) // throughput only scales the seconds fields, unread here
+				r, err := RunScheme(spec, s, cfg)
 				if err != nil {
 					t.Fatalf("J=%d %s %s: %v", j, id, s, err)
 				}

@@ -23,26 +23,25 @@ var Drivers = []struct {
 }{
 	{"fig1", Fig1}, {"fig3", Fig3}, {"tab4", TableIV}, {"tab3", TableIII},
 	{"fig4a", Fig4a}, {"fig4b", Fig4b}, {"fig4c", Fig4c},
-	{"fig4d", scaling("Fig 4d: BCB-3 scalability, total time (s)", "BCB-3", totalSeconds, 4)},
+	{"fig4d", scaling("Fig 4d: BCB-3 scalability, total cost (model units, millions)", "BCB-3", totalWork, 3)},
 	{"fig4e", scaling("Fig 4e: BCB-3 scalability, memory (MB)", "BCB-3", megabytes, 1)},
-	{"fig4f", scaling("Fig 4f: BEOCD scalability, total time (s)", "BEOCD", totalSeconds, 4)},
+	{"fig4f", scaling("Fig 4f: BEOCD scalability, total cost (model units, millions)", "BEOCD", totalWork, 3)},
 	{"fig4g", scaling("Fig 4g: BEOCD scalability, memory (MB)", "BEOCD", megabytes, 1)},
 	{"fig4h", Fig4h},
 	{"tab5", TableV}, {"worst", Worst}, {"ablate", Ablations},
 	{"equi", EquiComparison}, {"steal", WorkStealing},
 }
 
-// runSchemes builds join id at cfg and runs CI, CSI and CSIO over it under
-// one calibrated throughput, keyed by scheme.
+// runSchemes builds join id at cfg and runs CI, CSI and CSIO over it, keyed
+// by scheme.
 func runSchemes(id string, cfg Config) (*JoinSpec, map[string]*SchemeRun, error) {
 	spec, err := MakeJoin(id, cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	tp := CalibrateThroughput(spec.Model, cfg.Seed)
 	runs := map[string]*SchemeRun{}
 	for _, s := range Schemes {
-		if runs[s], err = RunScheme(spec, s, cfg, tp); err != nil {
+		if runs[s], err = RunScheme(spec, s, cfg); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -50,7 +49,7 @@ func runSchemes(id string, cfg Config) (*JoinSpec, map[string]*SchemeRun, error)
 }
 
 // ratioCols are CI's and CSI's value of a metric over CSIO's, beside the
-// values: at a large J the seconds shrink to one significant digit, the
+// values: at a large J the totals shrink to one significant digit, the
 // ratios do not.
 var ratioCols = cols(2, "CI/CSIO", "CSI/CSIO")
 
@@ -80,15 +79,15 @@ func TableIV(cfg Config) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// Fig4a reports total execution time (stats + join) for every Table IV join
-// under the three schemes.
+// Fig4a reports the modeled total cost (stats + join) for every Table IV
+// join under the three schemes.
 func Fig4a(cfg Config) ([]Table, error) {
 	cfg.Defaults()
 	t := Table{
-		Title: fmt.Sprintf("Fig 4a: total execution time (s), J=%d scale=%d", cfg.J, cfg.Scale),
+		Title: fmt.Sprintf("Fig 4a: total cost (model units, millions), J=%d scale=%d", cfg.J, cfg.Scale),
 		Label: "join",
-		Cols: slices.Concat([]Col{{"rho_oi", 2}}, cols(4, "CI total", "CSI total", "CSIO total"), ratioCols,
-			cols(4, "CSI stats", "CSIO stats")),
+		Cols: slices.Concat([]Col{{"rho_oi", 2}}, cols(3, "CI total", "CSI total", "CSIO total"), ratioCols,
+			cols(3, "CSI stats", "CSIO stats")),
 	}
 	for _, id := range TableIVJoins {
 		spec, runs, err := runSchemes(id, cfg)
@@ -96,18 +95,18 @@ func Fig4a(cfg Config) ([]Table, error) {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, Row{id, slices.Concat(
-			[]float64{RhoOI(spec), runs["CI"].TotalSeconds, runs["CSI"].TotalSeconds, runs["CSIO"].TotalSeconds},
-			csioRatios(runs, totalSeconds), []float64{runs["CSI"].StatsSeconds, runs["CSIO"].StatsSeconds})})
+			[]float64{RhoOI(spec)}, perScheme(runs, totalWork),
+			csioRatios(runs, totalWork), []float64{runs["CSI"].StatsWork / 1e6, runs["CSIO"].StatsWork / 1e6})})
 	}
 	return []Table{t}, nil
 }
 
-// Fig4b reports total execution time for the BCB-β sweep, normalized to
+// Fig4b reports the modeled total cost for the BCB-β sweep, normalized to
 // CSIO's, against the output/input ratio ρoi.
 func Fig4b(cfg Config) ([]Table, error) {
 	cfg.Defaults()
 	t := Table{
-		Title: fmt.Sprintf("Fig 4b: normalized total time vs rho_oi (BCB sweep), J=%d scale=%d", cfg.J, cfg.Scale),
+		Title: fmt.Sprintf("Fig 4b: total cost (model units) normalized to CSIO's vs rho_oi (BCB sweep), J=%d scale=%d", cfg.J, cfg.Scale),
 		Label: "join",
 		Cols:  cols(2, "rho_oi", "CI", "CSI", "CSIO"),
 	}
@@ -116,7 +115,7 @@ func Fig4b(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Rows = append(t.Rows, Row{id, slices.Concat([]float64{RhoOI(spec)}, csioRatios(runs, totalSeconds), []float64{1})})
+		t.Rows = append(t.Rows, Row{id, slices.Concat([]float64{RhoOI(spec)}, csioRatios(runs, totalWork), []float64{1})})
 	}
 	return []Table{t}, nil
 }
@@ -142,8 +141,10 @@ func Fig4c(cfg Config) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-func megabytes(r *SchemeRun) float64    { return float64(r.MemoryBytes) / (1 << 20) }
-func totalSeconds(r *SchemeRun) float64 { return r.TotalSeconds }
+func megabytes(r *SchemeRun) float64 { return float64(r.MemoryBytes) / (1 << 20) }
+
+// totalWork is a run's modeled total cost in millions of model units.
+func totalWork(r *SchemeRun) float64 { return r.TotalWork / 1e6 }
 
 // perScheme reads one metric off each scheme's run, in Schemes order.
 func perScheme(runs map[string]*SchemeRun, metric func(*SchemeRun) float64) []float64 {
@@ -209,25 +210,24 @@ func TableV(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		tp := CalibrateThroughput(spec.Model, cfg.Seed)
-		csio, err := RunScheme(spec, "CSIO", cfg, tp)
+		csio, err := RunScheme(spec, "CSIO", cfg)
 		if err != nil {
 			return nil, err
 		}
 		t := Table{
-			Title: fmt.Sprintf("Table V (%s): CSI vs p; CSIO max region weight %.0f, total %.4fs (hist alg %.3fs)",
-				id, csio.MaxWork, csio.TotalSeconds, csio.HistAlgSeconds),
+			Title: fmt.Sprintf("Table V (%s): CSI vs p; CSIO max region weight %.0f, total %.0f model units (hist alg %.3fs)",
+				id, csio.MaxWork, csio.TotalWork, csio.HistAlgSeconds),
 			Label: "p",
-			Cols:  []Col{{"hist alg (s)", 3}, {"join CSI/CSIO", 2}, {"total (s)", 4}},
+			Cols:  []Col{{"hist alg (s)", 3}, {"join CSI/CSIO", 2}, {"total (model units)", 0}},
 		}
 		for _, p := range []int{500, 1000, 2000, 4000, 8000, 16000} {
 			s := *spec
 			s.P = p
-			r, err := RunScheme(&s, "CSI", cfg, tp)
+			r, err := RunScheme(&s, "CSI", cfg)
 			if err != nil {
 				return nil, err
 			}
-			t.Rows = append(t.Rows, Row{fmt.Sprint(p), []float64{r.HistAlgSeconds, r.MaxWork / csio.MaxWork, r.TotalSeconds}})
+			t.Rows = append(t.Rows, Row{fmt.Sprint(p), []float64{r.HistAlgSeconds, r.MaxWork / csio.MaxWork, r.TotalWork}})
 		}
 		out = append(out, t)
 	}
@@ -282,7 +282,7 @@ func Worst(cfg Config) ([]Table, error) {
 		Title: "Worst case 1 (input-cost dominated; paper: CSIO/CSI <= 1.04x)",
 		Label: "join",
 		Cols:  cols(3, "CSIO/CSI total"),
-		Rows:  []Row{{"BICD", []float64{runs["CSIO"].TotalSeconds / runs["CSI"].TotalSeconds}}},
+		Rows:  []Row{{"BICD", []float64{runs["CSIO"].TotalWork / runs["CSI"].TotalWork}}},
 	}
 
 	// High-selectivity join: a near-Cartesian band join must trip the

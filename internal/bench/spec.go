@@ -6,23 +6,20 @@
 // on the returned rows, and EXPERIMENTS.md records, per id, the paper's
 // shape against the measured one and the claim row that gates it.
 //
-// Times are made commensurable the same way the paper does it: the join
+// Costs are in model units, as the paper's cost model states them: the join
 // phase's cost is the modeled makespan max_r w(r) = wi·input + wo·output,
-// converted to seconds with a throughput constant calibrated from a real
-// single-worker run (the paper fits wi, wo by regression on benchmark runs;
-// we additionally fit the seconds-per-weight-unit scale). Statistics
-// collection is measured wall-clock directly.
+// and statistics collection is two modeled scan passes under the same model.
+// Only the histogram algorithm's CPU time (Table V, Worst case 2, Ablation 2)
+// and the regionalization solvers' (Table III) are measured wall-clock.
 package bench
 
 import (
 	"fmt"
-	"time"
 
 	"ewh/internal/core"
 	"ewh/internal/cost"
 	"ewh/internal/exec"
 	"ewh/internal/join"
-	"ewh/internal/localjoin"
 	"ewh/internal/sample"
 	"ewh/internal/stage"
 	"ewh/internal/stats"
@@ -105,47 +102,18 @@ var TableIVJoins = []string{
 	"BICD", "BCB-1", "BCB-2", "BCB-3", "BCB-4", "BCB-8", "BCB-16", "BEOCD",
 }
 
-// Throughput is the calibrated conversion from modeled weight units to
-// seconds: weight units one worker processes per second.
-type Throughput float64
-
-// CalibrateThroughput measures a single worker's processing rate on a
-// band-join sized like one region's share, fitting the seconds-per-unit
-// scale of the cost model (§VI-A's regression, reduced to the scale factor
-// since wi/wo ratios ship with the model).
-func CalibrateThroughput(model cost.Model, seed uint64) Throughput {
-	const n = 200000
-	r1 := workload.Uniform(n, n, seed)
-	r2 := workload.Uniform(n, n, seed+1)
-	cond := join.NewBand(2)
-	start := time.Now()
-	out := localjoin.Count(r1, r2, cond)
-	elapsed := time.Since(start).Seconds()
-	w := model.Weight(float64(2*n), float64(out))
-	return Throughput(w / elapsed)
-}
-
-// Seconds converts a modeled weight to calibrated seconds.
-func (t Throughput) Seconds(weight float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return weight / float64(t)
-}
-
-// SchemeRun is one (join, scheme) measurement. Time accounting follows
-// DESIGN.md "Substitutions": the statistics scans and the join phase
-// are both expressed in modeled seconds under the same calibrated cost model
-// (in the paper both are network-dominated cluster passes; locally only the
-// histogram algorithm's CPU time is measured directly).
+// SchemeRun is one (join, scheme) measurement. Cost accounting follows
+// DESIGN.md "Substitutions": the statistics scans and the join phase are
+// both in model units under the join's cost model (in the paper both are
+// network-dominated cluster passes; locally only the histogram algorithm's
+// CPU time is measured).
 type SchemeRun struct {
-	// StatsSeconds is the modeled cost of two parallel statistics passes
-	// over the input; the histogram algorithm's time is not in it.
-	StatsSeconds float64
+	// StatsWork is the modeled cost of two parallel statistics passes over
+	// the input; the histogram algorithm's time is not in it.
+	StatsWork float64
 	// HistAlgSeconds is the measured histogram-algorithm CPU time (Table V).
 	HistAlgSeconds float64
-	JoinSeconds    float64 // calibrated from the modeled makespan
-	TotalSeconds   float64
+	TotalWork      float64 // StatsWork + MaxWork
 	Output         int64
 	MemoryBytes    int64
 	MaxWork        float64 // measured max region weight (Fig. 4h bars)
@@ -154,7 +122,7 @@ type SchemeRun struct {
 
 // RunScheme plans and executes one scheme over the join. scheme is "CI",
 // "CSI" or "CSIO".
-func RunScheme(spec *JoinSpec, scheme string, cfg Config, tp Throughput) (*SchemeRun, error) {
+func RunScheme(spec *JoinSpec, scheme string, cfg Config) (*SchemeRun, error) {
 	cfg.Defaults()
 	opts := core.Options{J: cfg.J, Model: spec.Model, Seed: cfg.Seed + 1}
 	var plan *core.Plan
@@ -173,7 +141,7 @@ func RunScheme(spec *JoinSpec, scheme string, cfg Config, tp Throughput) (*Schem
 		return nil, err
 	}
 	res := exec.Run(spec.R1, spec.R2, spec.Cond, plan.Scheme, spec.Model, exec.Config{Seed: cfg.Seed + 2})
-	statsSeconds := 0.0
+	statsWork := 0.0
 	if scheme != "CI" && !plan.Fallback {
 		// Two statistics passes over both relations, parallel over J
 		// machines (§IV-A: collecting stats repartitions the join keys).
@@ -182,20 +150,17 @@ func RunScheme(spec *JoinSpec, scheme string, cfg Config, tp Throughput) (*Schem
 		// both passes are network-dominated. The histogram algorithm's CPU
 		// time (sub-second at the paper's scale, reported separately via
 		// HistAlgSeconds / Table V) is excluded from the modeled total.
-		scanWork := spec.Model.Wi * 2 * float64(spec.InputSize()) / float64(cfg.J)
-		statsSeconds = tp.Seconds(scanWork)
+		statsWork = spec.Model.Wi * 2 * float64(spec.InputSize()) / float64(cfg.J)
 	}
-	run := &SchemeRun{
-		StatsSeconds:   statsSeconds,
+	return &SchemeRun{
+		StatsWork:      statsWork,
 		HistAlgSeconds: plan.Stages.Span(stage.Matrix, stage.Regionalize).Seconds(),
-		JoinSeconds:    tp.Seconds(res.MaxWork),
+		TotalWork:      statsWork + res.MaxWork,
 		Output:         res.Output,
 		MemoryBytes:    res.MemoryBytes,
 		MaxWork:        res.MaxWork,
 		EstMaxWork:     plan.EstimatedMaxWeight,
-	}
-	run.TotalSeconds = run.StatsSeconds + run.JoinSeconds
-	return run, nil
+	}, nil
 }
 
 // RhoOI measures output/input for a join spec (Table IV's ρoi).

@@ -45,8 +45,9 @@ func WorkStealing(cfg Config) ([]Table, error) {
 			return nil, err
 		}
 		res := exec.Run(spec.R1, spec.R2, spec.Cond, plan.Scheme, spec.Model, exec.Config{Seed: cfg.Seed + 2})
-		// Pull-scheduling of the measured region works onto J machines.
-		regions := plan.Regions
+		// Pull-scheduling of the measured region works onto J machines; the
+		// clone keeps the plan's scheme, which shares its regions, intact.
+		regions := slices.Clone(plan.Regions)
 		for i := range res.Workers {
 			regions[i].Weight = res.Workers[i].Work
 		}

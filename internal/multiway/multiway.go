@@ -189,25 +189,17 @@ func attempt(rt exec.StageRuntime, q Query, opts core.Options, cfg exec.Config) 
 }
 
 // replanStage2 is the coordinator half of the distributed statistics
-// exchange: fold the per-worker summaries (in worker order — the merge is
-// commutative but not exactly associative, so the fixed order keeps runs
-// reproducible) and build the CSIO stage-2 plan against R3. The fallback
-// rules, in order: an empty intermediate falls back to a statistics-free
-// scheme — Hash for equality, CI otherwise, both complete and duplicate-free
-// without seeing a tuple (there is nothing to balance) — and a
-// high-selectivity estimate falls back to CI inside PlanCSIOFromSummary
-// exactly as the in-process planner does (§VI-E).
+// exchange: fold the per-worker summaries in worker order and build the CSIO
+// stage-2 plan against R3. The fallback rules, in order: an empty
+// intermediate falls back to a statistics-free scheme — Hash for equality,
+// CI otherwise, both complete and duplicate-free without seeing a tuple
+// (there is nothing to balance) — and a high-selectivity estimate falls back
+// to CI inside PlanCSIOFromSummary exactly as the in-process planner does
+// (§VI-E).
 func replanStage2(summaries []*stats.Summary, q Query, opts core.Options) (partition.Scheme, error) {
-	var merged *stats.Summary
-	for i, s := range summaries {
-		if merged == nil {
-			merged = s
-			continue
-		}
-		var err error
-		if merged, err = stats.MergeSummaries(merged, s); err != nil {
-			return nil, fmt.Errorf("multiway: merging worker %d statistics: %w", i, err)
-		}
+	merged, err := stats.FoldSummaries(summaries)
+	if err != nil {
+		return nil, fmt.Errorf("multiway: merging worker statistics: %w", err)
 	}
 	if merged == nil || merged.Count == 0 {
 		if _, ok := q.CondB.(join.Equi); ok {

@@ -1,14 +1,13 @@
 // Package planio is the binary codec that makes partitioning plans
 // first-class, wire-encodable artifacts: every scheme the repo implements —
 // Hash (with PRPD heavy keys), Broadcast, CI, and the region schemes CSI and
-// CSIO (full region tables) — plus an optional heterogeneous-cluster
-// assignment and the routing RNG seed round-trip through a compact,
-// versioned, fixed-width little-endian encoding. A plan built anywhere
-// (coordinator, CLI, a file on disk) executes identically everywhere: the
-// netexec coordinator broadcasts an encoded artifact in the session
-// protocol's PLAN2 frame so each worker re-shuffles its stage-1 matches with
-// the exact scheme and seed the coordinator chose, and cmd/ewhplan persists
-// artifacts for plan-once/execute-many runs.
+// CSIO (full region tables) — and the routing RNG seed round-trip through a
+// compact, versioned, fixed-width little-endian encoding. A plan built
+// anywhere (coordinator, CLI, a file on disk) executes identically
+// everywhere: the netexec coordinator broadcasts an encoded artifact in the
+// session protocol's PLAN2 frame so each worker re-shuffles its stage-1
+// matches with the exact scheme and seed the coordinator chose, and
+// cmd/ewhplan persists artifacts for plan-once/execute-many runs.
 //
 // Encoding is canonical: Encode(Decode(Encode(a))) == Encode(a) byte for
 // byte, which the fuzz harness asserts across all schemes and seeds. Cursor,
@@ -27,8 +26,8 @@ import (
 )
 
 // Artifact is one serializable partitioning plan: the scheme that routes
-// tuples, the seed that drives its randomized routing decisions, and the
-// optional region→machine assignment for heterogeneous clusters.
+// tuples and the seed that drives its randomized routing decisions, which is
+// all an executor reads.
 type Artifact struct {
 	// Scheme routes tuples. Must be one of the package partition schemes.
 	Scheme partition.Scheme
@@ -36,15 +35,12 @@ type Artifact struct {
 	// scatter). Executors derive their shuffle RNG streams from it, so two
 	// holders of the same artifact route identically.
 	Seed uint64
-	// Assignment optionally maps the scheme's regions onto physical machines
-	// of heterogeneous capacity (§A5); nil when regions map 1:1 to workers.
-	Assignment *partition.Assignment
 }
 
 // Wire format (all integers little-endian, floats as IEEE-754 bits):
 //
 //	magic "EWHP" | u16 version | u64 seed | u8 schemeTag | scheme body |
-//	u8 hasAssignment | [assignment body]
+//	u8 reserved (always 0)
 //
 //	schemeTag 1 Hash:      u32 workers | u32 nheavy | nheavy × u64 key
 //	schemeTag 2 Broadcast: u32 workers
@@ -55,9 +51,6 @@ type Artifact struct {
 //
 //	condition (version 2 only): u8 kindLen | kind | u64 beta | u8 op, the
 //	join.Spec a region scheme routes for
-//
-//	assignment body: u32 nregions | nregions × u32 machine |
-//	                 u32 nmachines | nmachines × (f64 load | f64 capacity)
 //
 // An artifact is written as version 2 exactly when its region scheme routes
 // for a join condition; every other artifact is written as version 1 did, so
@@ -71,10 +64,10 @@ const (
 	tagCI        = 3
 	tagRegion    = 4
 
-	// maxCount bounds every decoded collection (heavy keys, regions,
-	// machines) and every scheme's workers: the decoder and the schemes'
-	// group tables allocate from declared counts, so the cap is what keeps a
-	// malformed artifact from OOMing its holder.
+	// maxCount bounds every decoded collection (heavy keys, regions) and
+	// every scheme's workers: the decoder and the schemes' group tables
+	// allocate from declared counts, so the cap is what keeps a malformed
+	// artifact from OOMing its holder.
 	maxCount = 1 << 20
 )
 
@@ -96,15 +89,11 @@ func Encode(a *Artifact) ([]byte, error) {
 	}
 	buf = binary.LittleEndian.AppendUint16(buf, version)
 	buf = binary.LittleEndian.AppendUint64(buf, a.Seed)
-	var err error
-	if buf, err = appendScheme(buf, a.Scheme); err != nil {
+	buf, err := appendScheme(buf, a.Scheme)
+	if err != nil {
 		return nil, err
 	}
-	if a.Assignment == nil {
-		return append(buf, 0), nil
-	}
-	buf = append(buf, 1)
-	return appendAssignment(buf, a.Assignment)
+	return append(buf, 0), nil // reserved
 }
 
 func appendScheme(buf []byte, s partition.Scheme) ([]byte, error) {
@@ -166,28 +155,6 @@ func appendScheme(buf []byte, s partition.Scheme) ([]byte, error) {
 		return buf, nil
 	}
 	return nil, fmt.Errorf("planio: scheme %T has no codec", s)
-}
-
-func appendAssignment(buf []byte, a *partition.Assignment) ([]byte, error) {
-	if len(a.MachineOf) > maxCount || len(a.Capacity) > maxCount {
-		return nil, fmt.Errorf("planio: assignment size exceeds codec limit %d", maxCount)
-	}
-	if len(a.Load) != len(a.Capacity) {
-		return nil, fmt.Errorf("planio: assignment has %d loads for %d capacities", len(a.Load), len(a.Capacity))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.MachineOf)))
-	for _, m := range a.MachineOf {
-		if m < 0 || m >= len(a.Capacity) {
-			return nil, fmt.Errorf("planio: region assigned to machine %d of %d", m, len(a.Capacity))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(m))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.Capacity)))
-	for i := range a.Capacity {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.Load[i]))
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.Capacity[i]))
-	}
-	return buf, nil
 }
 
 // Cursor is the one bounds-checked reader over a fixed-layout little-endian
@@ -307,14 +274,8 @@ func Decode(data []byte) (*Artifact, error) {
 	if a.Scheme, err = decodeScheme(d, version == codecVersionCond); err != nil {
 		return nil, err
 	}
-	switch hasAssign := d.U8(); {
-	case d.err != nil, hasAssign == 0:
-	case hasAssign == 1:
-		if a.Assignment, err = decodeAssignment(d); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("planio: assignment flag %d", hasAssign)
+	if reserved := d.U8(); d.err == nil && reserved != 0 {
+		return nil, fmt.Errorf("planio: reserved byte %d after the scheme, want 0", reserved)
 	}
 	if err := d.Done("artifact"); err != nil {
 		return nil, err
@@ -408,26 +369,4 @@ func decodeScheme(d *Cursor, cond bool) (partition.Scheme, error) {
 		return partition.NewRegionSchemeFor(name, regions, spec)
 	}
 	return nil, fmt.Errorf("planio: unknown scheme tag %d", tag)
-}
-
-func decodeAssignment(d *Cursor) (*partition.Assignment, error) {
-	a := &partition.Assignment{MachineOf: make([]int, d.Count("assigned region", maxCount, 4))}
-	for i := range a.MachineOf {
-		a.MachineOf[i] = int(d.U32())
-	}
-	nmachines := d.Count("machine", maxCount, 16)
-	a.Load = make([]float64, nmachines)
-	a.Capacity = make([]float64, nmachines)
-	for i := 0; i < nmachines; i++ {
-		a.Load[i], a.Capacity[i] = d.F64(), d.F64()
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	for i, m := range a.MachineOf {
-		if m >= nmachines {
-			return nil, fmt.Errorf("planio: region %d assigned to machine %d of %d", i, m, nmachines)
-		}
-	}
-	return a, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"ewh/internal/join"
@@ -88,25 +89,7 @@ func condSpecs() []join.Spec {
 
 func randArtifact(t testing.TB, kind int, rng *stats.RNG) *Artifact {
 	t.Helper()
-	a := &Artifact{Scheme: randScheme(t, kind, rng), Seed: rng.Uint64()}
-	if rng.Intn(3) == 0 {
-		nm := 1 + rng.Intn(4)
-		caps := make([]float64, nm)
-		for i := range caps {
-			caps[i] = 0.5 + rng.Float64()
-		}
-		nr := 1 + rng.Intn(8)
-		regions := make([]tiling.Region, nr)
-		for i := range regions {
-			regions[i].Weight = rng.Float64() * 100
-		}
-		assign, err := partition.AssignRegions(regions, caps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a.Assignment = assign
-	}
-	return a
+	return &Artifact{Scheme: randScheme(t, kind, rng), Seed: rng.Uint64()}
 }
 
 // checkRoundTrip asserts the codec's two invariants for one artifact: the
@@ -160,15 +143,6 @@ func checkRoundTrip(t testing.TB, a *Artifact, rngSeed uint64) {
 			if wa, wb := ba.Receivers(i), bb.Receivers(i); !slices.Equal(wa, wb) {
 				t.Fatalf("relation %d key %d routes to %v, decoded scheme to %v", rel+1, k, wa, wb)
 			}
-		}
-	}
-	if a.Assignment != nil {
-		if dec.Assignment == nil {
-			t.Fatal("assignment lost in round trip")
-		}
-		if fmt.Sprint(a.Assignment.MachineOf) != fmt.Sprint(dec.Assignment.MachineOf) {
-			t.Fatalf("assignment machines differ: %v vs %v",
-				a.Assignment.MachineOf, dec.Assignment.MachineOf)
 		}
 	}
 }
@@ -281,6 +255,22 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: decode accepted corrupt artifact", name)
 		}
 	}
+	// The last byte is reserved: every non-zero value is refused by name, 1
+	// included, which an artifact carrying a machine assignment once wrote.
+	for _, b := range []byte{1, 2, 255} {
+		_, err := Decode(withReserved(enc, b))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("reserved byte %d", b)) {
+			t.Errorf("reserved byte %d: decode returned %v", b, err)
+		}
+	}
+}
+
+// withReserved returns a copy of an encoded artifact whose trailing reserved
+// byte is b.
+func withReserved(enc []byte, b byte) []byte {
+	out := slices.Clone(enc)
+	out[len(out)-1] = b
+	return out
 }
 
 // nestedRegions returns n regions [i, 2n-i) on both axes: every region covers
@@ -384,7 +374,7 @@ func handEncoded(regions []tiling.Region, spec join.Spec) []byte {
 		}
 		enc = append(enc, make([]byte, 24)...) // input, output, weight
 	}
-	return append(enc, 0) // no assignment
+	return append(enc, 0) // reserved
 }
 
 func TestEncodeRejectsForeignScheme(t *testing.T) {
@@ -401,8 +391,8 @@ func (foreignScheme) RouteBatchR1([]join.Key, *stats.RNG, *partition.RouteBatch)
 func (foreignScheme) RouteBatchR2([]join.Key, *stats.RNG, *partition.RouteBatch) {}
 
 // FuzzArtifactRoundTrip drives the round-trip invariants from fuzzer-chosen
-// seeds: every scheme kind, random sizes, heavy keys, regions, assignments
-// and RNG seeds must re-encode byte-exactly and route identically.
+// seeds: every scheme kind, random sizes, heavy keys, regions and RNG seeds
+// must re-encode byte-exactly and route identically.
 func FuzzArtifactRoundTrip(f *testing.F) {
 	for seed := uint64(0); seed < 8; seed++ {
 		f.Add(seed, int(seed%4))
@@ -421,6 +411,7 @@ func FuzzArtifactRoundTrip(f *testing.F) {
 func FuzzDecode(f *testing.F) {
 	if enc, err := Encode(&Artifact{Scheme: partition.NewCI(8), Seed: 3}); err == nil {
 		f.Add(enc)
+		f.Add(withReserved(enc, 1))
 	}
 	if h, err := partition.NewHash(4, []join.Key{1, 2}); err == nil {
 		if enc, err := Encode(&Artifact{Scheme: h, Seed: 9}); err == nil {

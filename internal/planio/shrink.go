@@ -16,14 +16,12 @@ import (
 var ErrNeedsReplan = errors.New("planio: plan needs statistics to replan for a smaller fleet")
 
 // ShrinkToFleet re-targets an artifact at a fleet of j workers after some of
-// the original workers were excluded. Content-insensitive schemes (Hash,
-// Broadcast, CI) rebuild mechanically — their routing depends only on the
-// worker count. A region scheme's regions are the exactly-once join unit
-// (merging two regions' tuple sets onto one machine manufactures pairs no
-// region contains), so it is reusable only when the surviving fleet still
-// fits one region per worker: then the scheme itself is unchanged and only
-// the optional machine assignment is remapped over j uniform-capacity
-// survivors. With more regions than survivors it returns ErrNeedsReplan.
+// the original workers were excluded. A scheme that already fits is returned
+// unchanged. Content-insensitive schemes (Hash, Broadcast, CI) rebuild
+// mechanically — their routing depends only on the worker count. A region
+// scheme's regions are the exactly-once join unit (merging two regions'
+// tuple sets onto one machine manufactures pairs no region contains), so one
+// with more regions than survivors returns ErrNeedsReplan.
 //
 // The seed is preserved — same artifact, smaller fleet, reproducible
 // routing.
@@ -34,10 +32,7 @@ func ShrinkToFleet(a *Artifact, j int) (*Artifact, error) {
 	if j < 1 {
 		return nil, fmt.Errorf("planio: shrink to %d workers", j)
 	}
-	if _, region := a.Scheme.(*partition.RegionScheme); !region && a.Scheme.Workers() <= j {
-		// Already fits the surviving fleet; nothing to rebuild. (A region
-		// scheme that fits still falls through: its assignment may name
-		// machines that no longer exist.)
+	if a.Scheme.Workers() <= j {
 		return a, nil
 	}
 	out := &Artifact{Seed: a.Seed}
@@ -57,23 +52,8 @@ func ShrinkToFleet(a *Artifact, j int) (*Artifact, error) {
 	case *partition.CI:
 		out.Scheme = partition.NewCI(j)
 	case *partition.RegionScheme:
-		if v.Workers() > j {
-			return nil, fmt.Errorf("%w: %d regions, %d surviving workers",
-				ErrNeedsReplan, v.Workers(), j)
-		}
-		out.Scheme = v
-		if a.Assignment != nil {
-			caps := make([]float64, j)
-			for i := range caps {
-				caps[i] = 1
-			}
-			asn, err := partition.AssignRegions(v.Regions(), caps)
-			if err != nil {
-				return nil, fmt.Errorf("planio: remapping assignment: %w", err)
-			}
-			out.Assignment = asn
-		}
-		return out, nil
+		return nil, fmt.Errorf("%w: %d regions, %d surviving workers",
+			ErrNeedsReplan, v.Workers(), j)
 	default:
 		return nil, fmt.Errorf("planio: cannot shrink scheme %T", a.Scheme)
 	}

@@ -82,47 +82,20 @@ func TestShrinkFittingSchemeIsIdentity(t *testing.T) {
 }
 
 func TestShrinkRegionSchemeReusedWhenFits(t *testing.T) {
-	// 3 regions, fleet shrinks 4 → 3: the scheme (the exactly-once unit set)
-	// must be reused untouched, and the machine assignment remapped onto the
-	// 3 survivors.
-	regions := shrinkRegions(3)
-	s := partition.NewRegionScheme("CSIO", regions)
-	asn, err := partition.AssignRegions(regions, []float64{1, 1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := &Artifact{Scheme: s, Seed: 11, Assignment: asn}
-	out, err := ShrinkToFleet(a, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Scheme != s {
-		t.Fatal("region scheme was rebuilt; must be reused verbatim")
-	}
-	if out.Seed != 11 {
-		t.Fatalf("seed %d", out.Seed)
-	}
-	if out.Assignment == nil {
-		t.Fatal("assignment dropped")
-	}
-	if got := len(out.Assignment.Capacity); got != 3 {
-		t.Fatalf("assignment spans %d machines, want 3", got)
-	}
-	for r, m := range out.Assignment.MachineOf {
-		if m < 0 || m >= 3 {
-			t.Fatalf("region %d assigned to excluded machine %d", r, m)
+	// 3 or 2 regions on a fleet shrunk to 3 workers: the scheme (the
+	// exactly-once unit set) and the seed must be reused untouched.
+	for _, n := range []int{3, 2} {
+		a := &Artifact{Scheme: partition.NewRegionScheme("CSIO", shrinkRegions(n)), Seed: 11}
+		out, err := ShrinkToFleet(a, 3)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestShrinkRegionSchemeWithoutAssignment(t *testing.T) {
-	s := partition.NewRegionScheme("CSI", shrinkRegions(2))
-	out, err := ShrinkToFleet(&Artifact{Scheme: s, Seed: 3}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Scheme != s || out.Assignment != nil {
-		t.Fatalf("plain region artifact mangled: %+v", out)
+		if out.Scheme != a.Scheme {
+			t.Fatalf("%d regions: region scheme was rebuilt; must be reused verbatim", n)
+		}
+		if out.Seed != 11 {
+			t.Fatalf("%d regions: seed %d", n, out.Seed)
+		}
 	}
 }
 

@@ -113,8 +113,7 @@ func mergeSorted(a, b []join.Key) []join.Key {
 // commutative — MergeSummaries(a, b) and MergeSummaries(b, a) encode
 // identically — which the planio fuzz harness enforces. It is not exactly
 // associative (a fold may shed at most one sampled key per step), so
-// coordinators should fold worker summaries in a fixed order for
-// reproducibility.
+// coordinators fold worker summaries with FoldSummaries, in a fixed order.
 func MergeSummaries(a, b *Summary) (*Summary, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
@@ -189,4 +188,26 @@ func MergeSummaries(a, b *Summary) (*Summary, error) {
 	}
 	out.Bounds = slices.Clone(merged.Boundaries())
 	return out, nil
+}
+
+// FoldSummaries merges the summaries of disjoint shards left to right in
+// slice order, skipping nil entries; nil when every entry is. The fixed
+// order keeps a fold reproducible, since MergeSummaries is commutative but
+// not exactly associative. The first non-nil summary is returned as is when
+// it is the only one.
+func FoldSummaries(summaries []*Summary) (*Summary, error) {
+	var merged *Summary
+	for i, s := range summaries {
+		switch {
+		case s == nil:
+		case merged == nil:
+			merged = s
+		default:
+			var err error
+			if merged, err = MergeSummaries(merged, s); err != nil {
+				return nil, fmt.Errorf("stats: folding summary %d: %w", i, err)
+			}
+		}
+	}
+	return merged, nil
 }

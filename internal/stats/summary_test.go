@@ -2,6 +2,7 @@ package stats_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"ewh/internal/histogram"
@@ -148,5 +149,40 @@ func TestMergeSummariesSingleSlot(t *testing.T) {
 	}
 	if ab.Keys[0] != 5 {
 		t.Fatalf("one-slot merge kept %d, want the heavier shard's 5", ab.Keys[0])
+	}
+}
+
+// TestFoldSummariesInSliceOrder pins the one fold every coordinator uses:
+// nil entries are skipped, a lone summary comes back as is, and the rest
+// merge left to right, ((a ⊕ b) ⊕ c); a malformed entry names its index.
+func TestFoldSummariesInSliceOrder(t *testing.T) {
+	rng := stats.NewRNG(7)
+	a := buildSummary(t, randKeys(rng, 2000, 500), 64, 8)
+	b := buildSummary(t, randKeys(rng, 1500, 500), 96, 12)
+	c := buildSummary(t, randKeys(rng, 900, 500), 80, 10)
+	if got, err := stats.FoldSummaries([]*stats.Summary{nil, nil}); got != nil || err != nil {
+		t.Fatalf("all-nil fold: %+v, %v", got, err)
+	}
+	if got, err := stats.FoldSummaries([]*stats.Summary{nil, b, nil}); got != b || err != nil {
+		t.Fatalf("lone summary folded to %+v, %v", got, err)
+	}
+	ab, err := stats.MergeSummaries(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := stats.MergeSummaries(ab, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := stats.FoldSummaries([]*stats.Summary{a, nil, b, c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Count != want.Count || got.Cap != want.Cap ||
+		!slices.Equal(got.Keys, want.Keys) || !slices.Equal(got.Bounds, want.Bounds) {
+		t.Fatalf("fold %+v, want ((a ⊕ b) ⊕ c) %+v", got, want)
+	}
+	if _, err := stats.FoldSummaries([]*stats.Summary{a, {Cap: 0}}); err == nil || !strings.Contains(err.Error(), "summary 1") {
+		t.Fatalf("a malformed entry folded: %v", err)
 	}
 }

@@ -300,25 +300,18 @@ func (st *runState) window(i int) error {
 	}
 	stat := WindowStat{Window: i, Epoch: st.epoch}
 	var in int64
-	var merged *stats.Summary
-	for _, r := range replies {
+	summaries := make([]*stats.Summary, len(replies))
+	for j, r := range replies {
 		in += r.Input
 		stat.Count += r.Count
 		if w := st.model.Weight(float64(r.Input), float64(r.Count)); w > stat.Makespan {
 			stat.Makespan = w
 		}
-		// Fold in worker order: MergeSummaries is commutative but not
-		// exactly associative, so a fixed fold order keeps runs reproducible.
-		if r.Summary == nil {
-			continue
-		}
-		if merged == nil {
-			merged = r.Summary
-			continue
-		}
-		if merged, err = stats.MergeSummaries(merged, r.Summary); err != nil {
-			return fmt.Errorf("streamjoin: window %d summaries: %w", i, err)
-		}
+		summaries[j] = r.Summary
+	}
+	merged, err := stats.FoldSummaries(summaries)
+	if err != nil {
+		return fmt.Errorf("streamjoin: window %d summaries: %w", i, err)
 	}
 	// Replicating schemes ship some tuples to several regions, so the fleet
 	// may see MORE than the window's tuples — but never fewer.
