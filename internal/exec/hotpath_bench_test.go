@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
 
 	"ewh/internal/bufpool"
@@ -35,68 +36,93 @@ func BenchmarkShuffle(b *testing.B) {
 }
 
 // BenchmarkShuffleCI measures the replicating shuffle: CI routes every R1
-// tuple to a full grid row, stressing the group-table path.
+// tuple to a full grid row, stressing the group-table path. J = 4's rows of
+// two (pool-small-jobs' band scheme) take the scatter's two-receiver case;
+// J = 16's rows of four its walk.
 func BenchmarkShuffleCI(b *testing.B) {
 	const n1 = 1 << 19
 	r1 := randKeys(n1, 1<<40, 52)
 	var r2 []join.Key
-	scheme := partition.NewCI(16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := Run(r1, r2, join.NewBand(1), scheme, model, Config{Seed: 53, Mappers: 4})
-		if res.Output != 0 {
-			b.Fatalf("expected empty join, got %d", res.Output)
-		}
+	for _, j := range []int{4, 16} {
+		scheme := partition.NewCI(j)
+		b.Run(fmt.Sprintf("J=%d", j), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := Run(r1, r2, join.NewBand(1), scheme, model, Config{Seed: 53, Mappers: 4})
+				if res.Output != 0 {
+					b.Fatalf("expected empty join, got %d", res.Output)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkShuffleRegions measures the shuffle most joins run: both relations
-// of a zipf equi-join routed by a CSIO plan's regions (a slab lookup per key,
-// ~1.2 receivers each) and scattered, without the local joins. The flat row
-// is ShufflePair's two-pass form; the chunked row is the form every session
+// routed by a CSIO plan's regions (a slab lookup per key) and scattered,
+// without the local joins, on the two plans the benchmark's region workloads
+// replay: replay-equi-zipf's zipf equi-join and adhoc-band's BCB band join
+// (β = 3). Narrowed routing sends nearly every key of either to one region,
+// which receivers/tuple (routed ÷ input tuples) shows. The flat row is
+// ShufflePair's two-pass form; the chunked row is the form every session
 // count job and exec.Local's equi count take, each mapper's per-worker
 // sub-blocks drained as they arrive. ns/tuple is per input tuple of either
 // relation.
 func BenchmarkShuffleRegions(b *testing.B) {
 	const n = 1 << 20
-	r1, r2 := workload.Zipfian(n, n, 0.6, 57), workload.Zipfian(n, n, 0.6, 58)
-	plan, err := core.PlanCSIO(r1, r2, join.Equi{}, core.Options{J: 4, Model: model, Seed: 59})
-	if err != nil || plan.Fallback {
-		b.Fatalf("no region plan: fallback %v, err %v", plan.Fallback, err)
+	bcb1, bcb2, band := workload.BCB(200_000, 3, 61)
+	plans := []struct {
+		name   string
+		r1, r2 []join.Key
+		cond   join.Condition
+	}{
+		{"zipf-equi", workload.Zipfian(n, n, 0.6, 57), workload.Zipfian(n, n, 0.6, 58), join.Equi{}},
+		{"bcb-band", bcb1, bcb2, band},
 	}
 	cfg := Config{Seed: 60, Mappers: 4}
-	b.Run("flat", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s1, s2 := ShufflePair(r1, r2, plan.Scheme, cfg)
-			if s1.Total() < n || s2.Total() < n {
-				b.Fatalf("shuffled %d and %d tuples of %d each", s1.Total(), s2.Total(), n)
-			}
-			s1.Release()
-			s2.Release()
+	for _, p := range plans {
+		plan, err := core.PlanCSIO(p.r1, p.r2, p.cond, core.Options{J: 4, Model: model, Seed: 59})
+		if err != nil || plan.Fallback {
+			b.Fatalf("%s: no region plan: fallback %v, err %v", p.name, plan.Fallback, err)
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(2*n), "ns/tuple")
-	})
-	b.Run("chunked", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			c1, c2 := shufflePairChunked(r1, r2, plan.Scheme, cfg)
+		input := float64(len(p.r1) + len(p.r2))
+		report := func(b *testing.B, routed int) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/input, "ns/tuple")
+			b.ReportMetric(float64(routed)/input, "receivers/tuple")
+		}
+		b.Run(p.name+"/flat", func(b *testing.B) {
+			b.ReportAllocs()
 			routed := 0
-			for _, cs := range []*ChunkStream{c1, c2} {
-				for w := 0; w < cs.workers; w++ {
-					for c := range cs.Worker(w) {
-						routed += len(c.Keys)
-						bufpool.Keys.Put(c.Keys)
+			for i := 0; i < b.N; i++ {
+				s1, s2 := ShufflePair(p.r1, p.r2, plan.Scheme, cfg)
+				if routed = s1.Total() + s2.Total(); routed < int(input) {
+					b.Fatalf("shuffled %d tuples of %d", routed, int(input))
+				}
+				s1.Release()
+				s2.Release()
+			}
+			report(b, routed)
+		})
+		b.Run(p.name+"/chunked", func(b *testing.B) {
+			b.ReportAllocs()
+			routed := 0
+			for i := 0; i < b.N; i++ {
+				c1, c2 := shufflePairChunked(p.r1, p.r2, plan.Scheme, cfg)
+				routed = 0
+				for _, cs := range []*ChunkStream{c1, c2} {
+					for w := 0; w < cs.workers; w++ {
+						for c := range cs.Worker(w) {
+							routed += len(c.Keys)
+							bufpool.Keys.Put(c.Keys)
+						}
 					}
 				}
+				if routed < int(input) {
+					b.Fatalf("shuffled %d tuples of %d", routed, int(input))
+				}
 			}
-			if routed < 2*n {
-				b.Fatalf("shuffled %d tuples of %d", routed, 2*n)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(2*n), "ns/tuple")
-	})
+			report(b, routed)
+		})
+	}
 }
 
 // BenchmarkRunTuples measures the tuple adapter end to end: the two Keys

@@ -305,10 +305,10 @@ const maxLocalWorkers = 256
 // inside each; the chunked shuffle at the mapper's own per-worker buffers.
 // Either way worker w receives the mapper's tuples in route-emission order.
 //
-// A group of one or two workers (b.Table.Lead) takes two writes and no
-// branch on its size: a one-worker group's key is written into the same
-// slot twice, the first write leaving the position where it was. Groups of
-// more workers, or none, are walked.
+// A group of one worker (b.Table.Lead's First == Second), the group of
+// nearly every key a region plan's narrowed routing sends, takes one write
+// and one position step. A group of two, such as a CI(4) grid row or
+// column, takes two writes; groups of more workers, or none, are walked.
 func scatter(dst [][]join.Key, first []int, items []join.Key, b *partition.RouteBatch) {
 	var local [maxLocalWorkers]int
 	pos := local[:]
@@ -334,6 +334,12 @@ func scatter(dst [][]join.Key, first []int, items []join.Key, b *partition.Route
 	lead := b.Table.Lead
 	for ti, g := range groups {
 		item, l := items[ti], lead[g]
+		if l.First == l.Second && l.First >= 0 {
+			p := pos[l.First]
+			dst[l.First][p] = item
+			pos[l.First] = p + 1
+			continue
+		}
 		if l.First < 0 {
 			t := &b.Table
 			for _, w := range t.Recv[t.Off[g]:t.Off[g+1]] {
@@ -343,13 +349,9 @@ func scatter(dst [][]join.Key, first []int, items []join.Key, b *partition.Route
 			}
 			continue
 		}
-		adv := 0
-		if l.First != l.Second {
-			adv = 1
-		}
 		p := pos[l.Second]
 		dst[l.Second][p] = item
-		pos[l.Second] = p + adv
+		pos[l.Second] = p + 1
 		p = pos[l.First]
 		dst[l.First][p] = item
 		pos[l.First] = p + 1

@@ -13,14 +13,21 @@ import (
 	"ewh/internal/tiling"
 )
 
-// shuffleSchemes covers every RouteBatch shape the scatter kernel replays:
-// the identity table (Hash; Broadcast's R1 side), groups of one size (CI;
-// Broadcast's R2 side) and of several (a region scheme; PRPD Hash's R2 side,
-// whose heavy key broadcasts while the rest hash). Two schemes lie past the
-// kernels' stack bounds: a Hash of more than maxLocalWorkers workers, and a
-// staircase of regions with more than 256 slabs per axis (partition's
-// maxLocalGroups), whose groups have one worker, two, or none where a
-// region is missing.
+// shuffleSchemes covers every case the scatter kernel takes:
+//   - identity (a key's group is its worker): Hash, and the R1 sides of
+//     Broadcast and PRPD Hash;
+//   - one receiver: PRPD Hash's R2 side but for its heavy key, which
+//     broadcasts, and most keys of the CSIO plan, which routes a key only to
+//     the regions where it can join;
+//   - two receivers: every key of CI(4), whose 2×2 grid sends a key to a
+//     row or column of two;
+//   - the walk: every key of CI(16), whose rows and columns hold four, and
+//     of Broadcast's R2 side.
+//
+// Two schemes lie past the kernels' stack bounds: a Hash of more than
+// maxLocalWorkers workers, and a staircase of regions with more than 256
+// slabs per axis (partition's maxLocalGroups), whose groups have one worker,
+// two, or none where a region is missing.
 func shuffleSchemes(t *testing.T, r1, r2 []join.Key) []partition.Scheme {
 	t.Helper()
 	hash, err := partition.NewHash(8, nil)
@@ -61,7 +68,7 @@ func shuffleSchemes(t *testing.T, r1, r2 []join.Key) []partition.Scheme {
 	if len(edges)+1 <= 256 {
 		t.Fatalf("the staircase cuts each axis into %d slabs, want more than 256", len(edges)+1)
 	}
-	return []partition.Scheme{hash, partition.NewCI(16), csio.Scheme, prpd, bcast,
+	return []partition.Scheme{hash, partition.NewCI(4), partition.NewCI(16), csio.Scheme, prpd, bcast,
 		wide, partition.NewRegionScheme("stairs", stairs)}
 }
 

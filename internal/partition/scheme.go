@@ -35,9 +35,9 @@ type Scheme interface {
 type GroupTable struct {
 	Off, Recv []int32
 	// Lead[g] is group g's workers when it has one or two, the one repeated
-	// when it has one, so the scatter writes a key to both without a branch
-	// on the group's size; {-1, -1} when it has none or more than two, which
-	// the scatter walks in Recv.
+	// when it has one, so the scatter tells the two sizes apart with one
+	// compare; {-1, -1} when it has none or more than two, which the scatter
+	// walks in Recv.
 	Lead []GroupLead
 }
 
