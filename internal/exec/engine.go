@@ -32,11 +32,10 @@ func (JoinEngine) ForCond(cond join.Condition) JoinEngine {
 // CountOwned runs a count-only join over blocks the caller owns outright,
 // with r1 resident, both lent to the side: the dense window and the table form
 // count r1 into their index and probe r2 without mutating either; the merge
-// form copies r1 and sorts r2 IN PLACE. Its one caller in this module is
-// exec.Local's flat count job (a merge condition); a wire worker has no flat
-// count job — every count it runs is chunk-fed and holds the same resident
-// side on its feed goroutine, as Local's equi jobs do. The JoinEngine
-// parameter is ignored.
+// form copies r1 and sorts r2 IN PLACE. Every count job exec.Local runs takes
+// it, on the flat scatter; a wire worker has no flat count job — every count
+// it runs is chunk-fed, its base chunks kept in the same resident side until
+// its seal. The JoinEngine parameter is ignored.
 func CountOwned(_ JoinEngine, r1, r2 []join.Key, cond join.Condition) int64 {
 	return countOwned(r1, r2, cond, nil)
 }

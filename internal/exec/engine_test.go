@@ -208,11 +208,10 @@ func FuzzJoinPairs(f *testing.F) {
 	})
 }
 
-// TestRunEngineSelection crosschecks the full Local pipeline under the engine
-// each condition selects: equi and band 0 through the chunk-streamed path
-// (each chunk inserted as it lands, the probe side after the seal) into the
-// dense window, and over keys 64 slots apart into the sorted block, which
-// keeps the probe chunks to the last; band 2 on the flat scatter.
+// TestRunEngineSelection crosschecks the full Local pipeline, every job on
+// the flat scatter, under the form each condition and span select: equi and
+// band 0 seal into the dense window, and over keys 64 slots apart into the
+// sorted block; band 2 into the rank table.
 func TestRunEngineSelection(t *testing.T) {
 	dense1, dense2 := zipfKeys(20000, 5000, 0.9, 120), zipfKeys(20000, 5000, 0.9, 121)
 	wide1, wide2 := randKeys(4000, 64*4000, 122), randKeys(4000, 64*4000, 123)
@@ -231,31 +230,6 @@ func TestRunEngineSelection(t *testing.T) {
 			if res.Output != want {
 				t.Errorf("%v over %d keys / J=%d: output %d, want %d", c.cond, len(c.r1), j, res.Output, want)
 			}
-		}
-	}
-}
-
-// TestLocalStreamsChunksGate pins when Local consumes the chunked scatter: a
-// count-only job whose condition is EquiLike; pairs and windowed conditions
-// keep the flat one.
-func TestLocalStreamsChunksGate(t *testing.T) {
-	cases := []struct {
-		cond  join.Condition
-		pairs bool
-		want  bool
-	}{
-		{join.Equi{}, false, true},
-		{join.NewBand(0), false, true},
-		{join.NewBand(2), false, false},
-		{join.Equi{}, true, false},
-	}
-	for _, c := range cases {
-		job := &Job{Cond: c.cond, Workers: 2}
-		if c.pairs {
-			job.Pairs = func(int, []PairIdx) {}
-		}
-		if got := streamsChunksFor(Local{}, job); got != c.want {
-			t.Errorf("cond %v pairs %v: streams = %v, want %v", c.cond, c.pairs, got, c.want)
 		}
 	}
 }

@@ -136,11 +136,10 @@ func RunOver(rt Runtime, r1, r2 []join.Key, cond join.Condition,
 	start := time.Now()
 	f1, f2 := newRelFuture(), newRelFuture()
 	job := &Job{Cond: cond, Workers: scheme.Workers(), R1: f1, R2: f2}
-	if streamsChunksFor(rt, job) {
+	if streamsChunksFor(rt) {
 		// Chunk-consuming transports skip the flat scatter entirely: both
 		// relations resolve immediately as chunk streams and the transport
-		// frames sub-blocks onto sockets (or, for Local's equi jobs, into
-		// the resident side) as the mappers emit them.
+		// frames sub-blocks onto sockets as the mappers emit them.
 		cs1, cs2 := shufflePairChunked(r1, r2, scheme, cfg)
 		f1.resolve(RelData{Chunks: cs1})
 		f2.resolve(RelData{Chunks: cs2})

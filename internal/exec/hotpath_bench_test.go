@@ -63,8 +63,8 @@ func BenchmarkShuffleCI(b *testing.B) {
 // replay: replay-equi-zipf's zipf equi-join and adhoc-band's BCB band join
 // (β = 3). Narrowed routing sends nearly every key of either to one region,
 // which receivers/tuple (routed ÷ input tuples) shows. The flat row is
-// ShufflePair's two-pass form; the chunked row is the form every session
-// count job and exec.Local's equi count take, each mapper's per-worker
+// ShufflePair's two-pass form, which every exec.Local job takes; the chunked
+// row is the form every session count job takes, each mapper's per-worker
 // sub-blocks drained as they arrive. ns/tuple is per input tuple of either
 // relation.
 func BenchmarkShuffleRegions(b *testing.B) {

@@ -94,26 +94,22 @@ func ResolvedRelFuture(d RelData) *RelFuture {
 // true consumes RelData.Chunks relations (framing each routed sub-block the
 // moment it arrives) and the drivers hand it chunk streams for bare-key
 // relations instead of waiting out the flat scatter. The in-process runtime
-// does not implement it — a local join gains nothing from chunking and the
-// flat buffer feeds the reduce directly.
+// does not implement it: a resident side is built once, at its seal, so a
+// local join has nothing to overlap with the scatter, and the flat buffer
+// feeds it directly.
 type ChunkStreamer interface {
 	StreamsChunks() bool
 }
 
-// JobChunkStreamer is the job-aware refinement of ChunkStreamer: a runtime
-// whose chunk appetite depends on the job (Local consumes chunks only when a
-// count-only job's condition is EquiLike) implements this; blanket
-// streamers keep the plain interface.
+// JobChunkStreamer was a job-aware refinement of ChunkStreamer. Nothing in
+// this module implements or reads it: it is kept only because the benchmark
+// module compiles against it.
 type JobChunkStreamer interface {
 	StreamsChunksFor(job *Job) bool
 }
 
-// streamsChunksFor reports whether rt wants this job's relations chunked,
-// preferring the job-aware interface when implemented.
-func streamsChunksFor(rt Runtime, job *Job) bool {
-	if jcs, ok := rt.(JobChunkStreamer); ok {
-		return jcs.StreamsChunksFor(job)
-	}
+// streamsChunksFor reports whether rt wants a job's relations chunked.
+func streamsChunksFor(rt Runtime) bool {
 	cs, ok := rt.(ChunkStreamer)
 	return ok && cs.StreamsChunks()
 }
@@ -270,37 +266,21 @@ func searchKey(ts []keyIdx, k join.Key) int {
 }
 
 // Local is the in-process runtime: each worker is a goroutine joining its
-// shuffled blocks, bounded by GOMAXPROCS.
+// shuffled blocks, bounded by GOMAXPROCS. Every job takes the flat scatter.
 type Local struct{}
 
 // Label implements Runtime; in-process results carry the bare scheme name.
 func (Local) Label() string { return "" }
 
-// StreamsChunksFor implements JobChunkStreamer: Local consumes chunked
-// relations exactly when a count-only job's condition is localjoin.EquiLike.
-// The workers then feed each routed sub-block into the resident side as the
-// mappers emit it, overlapping build work with the still-running scatter.
-// Every other job keeps the flat scatter; a local merge join gains nothing
-// from chunking.
-func (Local) StreamsChunksFor(job *Job) bool {
-	return job.Pairs == nil && localjoin.EquiLike(job.Cond)
-}
-
-// RunJob implements Runtime. Count-only jobs run the condition's engine over
-// the (owned) key blocks — merge sorts in place, a table counts and probes;
-// chunk-streamed jobs feed arriving sub-blocks straight into the resident
-// side. Pair jobs run the deterministic index-pair join.
-// Local never returns an error.
+// RunJob implements Runtime. Count-only jobs seal relation 1's (owned) key
+// block into a resident side, in the form its condition and span take, and
+// probe relation 2's (countOwned). Pair jobs run the deterministic index-pair
+// join. Local never returns an error.
 func (Local) RunJob(job *Job, wm []WorkerMetrics) error {
 	r1 := job.R1.Wait()
 	r2 := job.R2.Wait()
 	forWorkers(job.Workers, job.Stages, func(w int, clk *stage.Clock) {
 		m := &wm[w]
-		if r1.Chunks != nil {
-			m.InputR1, m.InputR2, m.Output = localStreamCount(localjoin.NewResident(job.Cond, true, nil, clk),
-				r1.Chunks.Worker(w), r2.Chunks.Worker(w), clk)
-			return
-		}
 		in1, in2 := r1.Keys.Worker(w), r2.Keys.Worker(w)
 		var out int64
 		if job.Pairs == nil {
@@ -341,10 +321,9 @@ func forWorkers(n int, recs []stage.Record, f func(w int, clk *stage.Clock)) {
 	wg.Wait()
 }
 
-// sealChunks inserts one worker's chunk stream into the resident side as the
-// mappers route it (overlapping the scatter still running for later mappers)
-// and seals the side, which pools every sub-block it is done with. It returns
-// the tuple count.
+// sealChunks hands one worker's chunk stream to the resident side as the
+// mappers route it and seals the side once the stream ends; the side pools
+// every sub-block. It returns the tuple count.
 func sealChunks(res *localjoin.Resident, c <-chan KeyChunk, clk *stage.Clock) (n int64) {
 	for ch := range c {
 		clk.Mark(stage.FrameWait)
@@ -354,20 +333,4 @@ func sealChunks(res *localjoin.Resident, c <-chan KeyChunk, clk *stage.Clock) (n
 	clk.Mark(stage.FrameWait)
 	res.Seal()
 	return n
-}
-
-// localStreamCount is one in-process worker's incremental join over chunk
-// streams: R1's sub-blocks form the resident side (sealChunks), then R2's
-// probe as they arrive. The per-worker stream buffers are sized so producers
-// never block, which is what makes draining R1 before R2 deadlock-free.
-func localStreamCount(res *localjoin.Resident, c1, c2 <-chan KeyChunk, clk *stage.Clock) (n1, n2, out int64) {
-	n1 = sealChunks(res, c1, clk)
-	for ch := range c2 {
-		clk.Mark(stage.FrameWait)
-		n2 += int64(len(ch.Keys))
-		n, _ := res.Probe(ch.Keys)
-		out += n
-	}
-	clk.Mark(stage.FrameWait)
-	return n1, n2, out + res.Finish()
 }

@@ -43,8 +43,8 @@ func TestDigestCombineMatchesChunkStructure(t *testing.T) {
 
 // sealedWindow is a dense window of keys, which must fit one.
 func sealedWindow(keys []join.Key) *denseWindow {
-	d := new(denseWindow)
-	if !d.add(keys) {
+	d := sealChunks(nil, join.Equi{}, keys, 0).dense
+	if d == nil {
 		panic("the keys are past the dense window's budget")
 	}
 	return d
@@ -160,8 +160,8 @@ func TestBuildCacheSharedProbes(t *testing.T) {
 // TestBuildCacheConcurrentProbes is the race proof for the one place a sealed
 // side crosses goroutines: one job inserts, seals and publishes it through
 // the cache while other jobs spin on Get and probe it the moment it appears,
-// over a dense window counted chunk by chunk, one whose chunks were each too
-// sparse and were kept until the seal, and a rank table. The cache's lock is
+// over a dense window, one whose chunks are each too sparse for it alone, and
+// a rank table. The cache's lock is
 // the only synchronization between them, and every count must match the
 // oracle.
 func TestBuildCacheConcurrentProbes(t *testing.T) {
@@ -319,5 +319,60 @@ func TestBuildCacheKeysByForm(t *testing.T) {
 	}
 	if got := c.Stats(); got != st {
 		t.Fatalf("two equi sides past the dense budget moved the cache from %+v to %+v", st, got)
+	}
+}
+
+// streamedDense is 40,000 keys over a span of 20,000, streamed in chunks of
+// 10,000: each chunk alone is dense, and the span's ends are in the last.
+func streamedDense() (keys []join.Key, chunk int) {
+	keys = randKeys(40_000, 20_000, 78)
+	keys[len(keys)-2], keys[len(keys)-1] = 0, 20_000
+	return keys, 10_000
+}
+
+// TestBuildCacheHitBuildsNothing streams a dense side whose content the cache
+// already holds: it seals into the cached window without allocating one of its
+// own, so an op costs the side's bookkeeping, not the window's 80 kB.
+func TestBuildCacheHitBuildsNothing(t *testing.T) {
+	keys, chunk := streamedDense()
+	c := NewBuildCache(1 << 24)
+	cached := sealChunks(c, join.Equi{}, keys, chunk).dense
+	if cached == nil {
+		t.Fatal("the side did not seal into a dense window")
+	}
+	const ops = 20
+	streams := make([][][]join.Key, ops)
+	for i := range streams {
+		streams[i] = pooledChunks(keys, chunk)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, chunks := range streams {
+		r := NewResident(join.Equi{}, true, c, nil)
+		for _, ch := range chunks {
+			r.Insert(ch)
+		}
+		r.Seal()
+		if r.dense != cached {
+			t.Fatal("the side did not seal into the cached window")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / ops; perOp > 4<<10 {
+		t.Fatalf("a cache hit allocated %d B an op, want at most 4 KiB", perOp)
+	}
+}
+
+// TestBuildCacheChargesTheExactSpan streams a dense side through the cache:
+// the window it publishes, and the bytes the cache charges for it, are 4 B a
+// slot of the side's span, with no slack.
+func TestBuildCacheChargesTheExactSpan(t *testing.T) {
+	keys, chunk := streamedDense()
+	c := NewBuildCache(1 << 24)
+	if sealChunks(c, join.Equi{}, keys, chunk).dense == nil {
+		t.Fatal("the side did not seal into a dense window")
+	}
+	if got, want := c.Stats().Bytes, 4*(int64(spanOf(keys))+1); got != want {
+		t.Fatalf("the cache charges %d B for the window, want %d", got, want)
 	}
 }

@@ -40,7 +40,7 @@ func signedKeys(n int, seed uint64) []join.Key {
 }
 
 // TestEquiLike is the engine choice where it is made: the pure-equality
-// conditions, and they alone, start a resident side in the dense window.
+// conditions, and they alone, seal a dense side into the dense window.
 func TestEquiLike(t *testing.T) {
 	cases := []struct {
 		cond join.Condition
@@ -53,13 +53,14 @@ func TestEquiLike(t *testing.T) {
 		{join.Inequality{Op: join.Less}, false},
 		{join.Inequality{Op: join.GreaterEq}, false},
 	}
+	keys := dupHeavyKeys(100, 49)
 	for _, c := range cases {
 		if got := EquiLike(c.cond); got != c.want {
 			t.Errorf("EquiLike(%v) = %v, want %v", c.cond, got, c.want)
 		}
 		for _, r1 := range []bool{true, false} {
-			if dense := NewResident(c.cond, r1, nil, nil).dense != nil; dense != c.want {
-				t.Errorf("NewResident(%v, %v) starts in the dense window: %v, want %v", c.cond, r1, dense, c.want)
+			if dense := sealedForm(sealChunked(keys, c.cond, r1, 0)) == "dense"; dense != c.want {
+				t.Errorf("a dense side under %v, R1 resident %v, seals into the dense window: %v, want %v", c.cond, r1, dense, c.want)
 			}
 		}
 	}
@@ -94,38 +95,38 @@ func TestInsertChunkInvariance(t *testing.T) {
 	}
 }
 
-// TestDenseWindowAtTheInt64Extremes grows a dense window towards each end of
-// the int64 domain, so its slack wraps past the end: a key on the far side of
-// the wrap must count zero, not alias a slot, and counting one in must be
-// refused, which seals a side of all the keys into the sorted block.
+// TestDenseWindowAtTheInt64Extremes counts a dense window up to each end of
+// the int64 domain: its keys count at both ends of the exact window, a key
+// on the far side of the domain counts zero rather than alias a slot, and a
+// side holding one as well seals into the sorted block.
 func TestDenseWindowAtTheInt64Extremes(t *testing.T) {
 	for _, end := range []join.Key{math.MinInt64, math.MaxInt64} {
 		step, far := join.Key(1), join.Key(math.MinInt64)
 		if end == math.MinInt64 {
 			step, far = -1, math.MaxInt64
 		}
-		d := new(denseWindow)
 		want := map[join.Key]int64{}
 		var keys []join.Key
-		for k := end - 40*step; k != end; k += step {
+		for k := end - 40*step; ; k += step {
 			keys = append(keys, k, k, k)
 			want[k] = 3
+			if k == end {
+				break
+			}
 		}
-		if !d.add(slices.Clone(keys)) || !d.add([]join.Key{end, end, end}) { // extends the window by a quarter
-			t.Fatalf("towards %d: the window refused keys within its budget", end)
-		}
-		keys = append(keys, end, end, end)
-		want[end] = 3
-		if d.off(far) >= uint64(len(d.counts)) {
-			t.Fatalf("towards %d: the window does not wrap past the end", end)
+		runs := [][]join.Key{keys}
+		lo, hi, n := keyRange(runs)
+		d := newDenseWindow(runs, lo, hi, n)
+		if len(d.counts) != 41 {
+			t.Fatalf("towards %d: the window has %d slots, want 41", end, len(d.counts))
 		}
 		for _, k := range []join.Key{far, far + step, end, end - 40*step, end - 41*step} {
 			if got := d.probe([]join.Key{k}); got != want[k] {
 				t.Errorf("towards %d: dense probe(%d) = %d, want %d", end, k, got, want[k])
 			}
 		}
-		if d.add([]join.Key{far}) {
-			t.Fatalf("towards %d: the window counted a key at the far end", end)
+		if got := sealedForm(sealChunked(keys, join.Equi{}, true, 3*20)); got != "dense" {
+			t.Fatalf("towards %d: a side of the window's keys sealed into the %s form, want dense", end, got)
 		}
 		keys = append(keys, far)
 		want[far]++
@@ -143,7 +144,7 @@ func TestDenseWindowAtTheInt64Extremes(t *testing.T) {
 
 // buildRelations are the resident relations the build and shared-probe tests
 // seal: one that stays dense, one past the dense budget from its first chunk,
-// and one that crosses it halfway through, after its first chunks counted in.
+// and one whose first half alone is dense and whose whole is not.
 func buildRelations(n int, seed uint64) []struct {
 	name string
 	keys []join.Key
@@ -166,9 +167,8 @@ func probeKeys(n int, seed uint64) []join.Key {
 }
 
 // TestBuildCountsAcrossTheBudget drives the exported Build over each
-// buildRelations shape in chunks: it seals into the form the shape's span
-// takes, and counts exactly whether its chunks all counted into the dense
-// window, none did, or the first ones did before a chunk overflowed it.
+// buildRelations shape in chunks: it seals into the form the shape's whole
+// span takes, and counts exactly in either form.
 func TestBuildCountsAcrossTheBudget(t *testing.T) {
 	probe := probeKeys(300, 54)
 	for _, rel := range buildRelations(400, 53) {

@@ -99,13 +99,12 @@ func BenchmarkLocalJoinEngines(b *testing.B) {
 // each copied into a pooled buffer as a worker decodes a frame (the copy is
 // part of the op); /probe is the sealed ProbeCount. The zipf rows differ only
 // in arrival order; one-key is the multiplicity extreme; dense-distinct stays
-// in the dense window, as does ascending-4096, whose 256 streamed chunks each
-// extend it on arrival (the growth rule: O(n) copying, not O(n²)); sparse is
-// past the window's budget and seals into the sorted block, whose probe sorts
-// a copy of the probe relation; zipf-4096 is the zipf keys in chunks each too
-// sparse for the window alone, so streamed, every chunk is kept until Seal
-// counts them all into the window; zipf0.6-2M is replay-equi-zipf's whole
-// relation.
+// in the dense window, as does ascending-4096, 256 chunks each over its own
+// slice of the span; sparse is past the window's budget and seals into the
+// sorted block, whose probe sorts a copy of the probe relation; zipf-4096 is
+// the zipf keys in chunks each too sparse for the window alone, though dense
+// as a whole; zipf0.6-2M is replay-equi-zipf's whole relation. Either way in,
+// the side keeps its chunks and counts them into the window once, at Seal.
 func BenchmarkBuildInsertProbe(b *testing.B) {
 	const n = 1 << 17
 	zipf, zipfProbe := zipfKeys(n, 1<<16, 0.9, 40), zipfKeys(n, 1<<16, 0.9, 41)

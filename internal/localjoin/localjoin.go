@@ -1,10 +1,11 @@
 // Package localjoin provides the algorithms each machine runs over its
 // region's tuples. The partitioning schemes are orthogonal to the local join
-// (§IV "Local Join Algorithm"): a count holds one side in a direct-address
-// form while its span costs at most directBytesPerKey bytes a key — a dense
-// count window for pure equality conditions, a rank table for a band or
-// inequality — and uses the sort-merge monotonic join otherwise. The side owns
-// the chunks streamed to it and returns each to bufpool.Keys once done with it.
+// (§IV "Local Join Algorithm"): a count keeps one side's chunks and builds it
+// once, at its seal, in a direct-address form while its whole span costs at
+// most directBytesPerKey bytes a key — a dense count window for pure equality
+// conditions, a rank table for a band or inequality — and uses the sort-merge
+// monotonic join otherwise. The side owns the chunks streamed to it and
+// returns each to bufpool.Keys once done with it.
 package localjoin
 
 import (
@@ -74,32 +75,30 @@ const directBytesPerKey = 32
 // past it: Insert its chunks as they arrive, Seal it, then Probe each chunk of
 // the other relation and Finish it — the counts sum to |R1 ⋈ R2| however
 // either side was chunked, and the form it seals into does not depend on the
-// chunking either. Every condition follows one rule: a direct-address form
-// while the whole side's span is within the budget, else the merge form.
-//   - An EquiLike side is a dense window (hashengine.go): a chunk counts in on
-//     arrival while the window holds the keys so far, and once one would not,
-//     it and every later chunk are kept until Seal judges the whole block.
-//   - A band or inequality side keeps its chunks until Seal counts them into a
-//     rank table (ranktable.go). Either direct-address form counts a probe
+// chunking either. Insert only keeps a chunk; Seal builds the side once, in
+// the form one rule picks from the whole side: a direct-address form while its
+// span is within the budget, else the merge form.
+//   - An EquiLike side counts into a dense window (hashengine.go), a band or
+//     inequality side into a rank table (ranktable.go). Either counts a probe
 //     chunk on arrival.
 //   - The merge form: Seal sorts the side's keys into one block of exactly
 //     their size, and a probe relation is swept over it once, at Finish.
 //
 // The side owns the chunks it streams: a chunk handed to Insert or Probe
 // comes from bufpool.Keys, and the side returns it there once it has counted
-// or copied it — at once, at Seal for a base chunk, or at Finish for a probe
+// or copied it — at Seal for a base chunk, at once or at Finish for a probe
 // chunk — or when the side is dropped. A block handed to Seal or Finish is
 // lent for that call only; no sealed form holds a chunk of either kind.
 // The side stamps its Build and Probe stages on the clock it was built with.
 type Resident struct {
 	cond    join.Condition
 	r1      bool         // the resident side is relation 1
-	form    residentForm // the form it started in
+	form    residentForm // the form it seals into within the budget
 	cache   *BuildCache  // shares a direct-address form by content; nil: never
 	clk     *stage.Clock // stamped after each call; nil: not
 	key     buildKey     // with a cache: the digest of every chunk so far
-	dense   *denseWindow // dense form: the window; nil otherwise
 	runs    [][]join.Key // the chunks kept until Seal, in arrival order
+	dense   *denseWindow // dense form: the sealed side
 	table   *rankTable   // table form: the sealed side
 	base    []join.Key   // merge form: the sealed side, sorted
 	pending [][]join.Key // merge form: the probe chunks kept for Finish
@@ -123,7 +122,7 @@ func NewResident(cond join.Condition, r1 bool, cache *BuildCache, clk *stage.Clo
 	return newResident(cond, form, r1, cache, clk)
 }
 
-// residentForm is the layout a resident side starts in.
+// residentForm is the layout a resident side seals into within the budget.
 type residentForm int
 
 const (
@@ -133,38 +132,29 @@ const (
 	formDense                      // dense window under the budget rule, else formMerge
 )
 
-// newResident is NewResident with the starting form forced; cond must be
-// EquiLike for formDense, and ranked for either table form.
+// newResident is NewResident with the form forced; cond must be EquiLike for
+// formDense, and ranked for either table form.
 func newResident(cond join.Condition, form residentForm, r1 bool, cache *BuildCache, clk *stage.Clock) *Resident {
-	r := &Resident{cond: cond, r1: r1, form: form, cache: cache, clk: clk}
-	if form == formDense {
-		r.dense = new(denseWindow)
-	}
-	return r
+	return &Resident{cond: cond, r1: r1, form: form, cache: cache, clk: clk}
 }
 
 // Insert hands the side one chunk of its relation, which it owns from here
-// on. Must not be called after Seal.
+// on and keeps until Seal. Must not be called after Seal.
 func (r *Resident) Insert(keys []join.Key) {
 	if r.cache != nil {
 		r.key = r.key.plus(digestKeys(keys))
 	}
-	if r.dense != nil && len(r.runs) == 0 && r.dense.add(keys) {
-		release(keys)
-	} else {
-		r.runs = append(r.runs, keys)
-	}
+	r.runs = append(r.runs, keys)
 	r.clk.Mark(stage.Build)
 }
 
 // Seal completes the side with blocks, lent, as its last keys; Probe and
 // Finish are valid from here on. A side within the budget seals into its
 // direct-address form, which is immutable: on a cache hit it becomes the
-// shared side of identical content and form (a window's counted chunks
-// overlapped the wire anyway, and the kept ones are never counted), on a miss
-// it counts the kept chunks and publishes its own. A side past the budget is
-// the merge form, the job's own: a window's counts expanded in key order and
-// the kept chunks, sorted into one block. Every sealed form is exactly sized.
+// shared side of identical content and form, counting nothing, and on a miss
+// it counts its keys and publishes its own. A side past the budget is the
+// merge form, the job's own: its keys sorted into one block. Every sealed
+// form is exactly sized.
 func (r *Resident) Seal(blocks ...[]join.Key) {
 	defer r.clk.Mark(stage.Build)
 	defer releaseAll(r.runs)
@@ -176,20 +166,12 @@ func (r *Resident) Seal(blocks ...[]join.Key) {
 	runs := append(r.runs[:len(r.runs):len(r.runs)], blocks...)
 	r.runs = nil
 	lo, hi, n := keyRange(runs)
-	var block []join.Key // the window's keys, when it overflowed
 	switch {
-	case r.dense != nil:
-		lo, hi, all, ok := r.dense.grow(lo, hi, n)
-		if ok {
-			if cached := cacheGet[*denseWindow](r.cache, r.key); cached != nil {
-				r.dense = cached
-				return
-			}
-			r.dense.count(runs, lo, hi, all)
-			r.dense = cacheAdd(r.cache, r.key, r.dense)
-			return
+	case r.form == formDense && (n == 0 || uint64(hi)-uint64(lo) < denseSpan*uint64(n)):
+		if r.dense = cacheGet[*denseWindow](r.cache, r.key); r.dense == nil {
+			r.dense = cacheAdd(r.cache, r.key, newDenseWindow(runs, lo, hi, n))
 		}
-		block, r.dense = r.dense.appendKeys(make([]join.Key, 0, all)), nil
+		return
 	case r.form == formTable || r.form == formRanked && tableFits(lo, hi, n):
 		if r.table = cacheGet[*rankTable](r.cache, r.key); r.table != nil {
 			return
@@ -199,12 +181,11 @@ func (r *Resident) Seal(blocks ...[]join.Key) {
 			return
 		}
 	}
-	chunked := len(runs) > 1 || len(block) > 0
-	r.base = slices.Grow(block, n)
+	r.base = make([]join.Key, 0, n)
 	for _, run := range runs {
 		r.base = append(r.base, run...)
 	}
-	sortKeys(r.base, chunked)
+	sortKeys(r.base, len(runs) > 1)
 }
 
 // sortKeys sorts one whole relation. One already sorted as a whole (a

@@ -647,11 +647,11 @@ func TestResidentProperty(t *testing.T) {
 // either relation resident, also counts each probe chunk in key order and in
 // reverse: a count must not depend on the order a chunk's keys come in. Byte
 // keys span at most 256, so every side fits the table form, and an equi side
-// of a few keys over a wide span crosses the dense window's budget, before or
-// after its first chunks counted in. With sel's 0x40 bit the bytes at either
-// end stand for keys at the int64 extremes and just past ±2^61; a side
+// of a few keys over a wide span is past the dense window's budget, though
+// its first chunks alone may be within it. With sel's 0x40 bit the bytes at
+// either end stand for keys at the int64 extremes and just past ±2^61; a side
 // spanning those stays off the table form. Every chunk a side streams comes
-// back to the pool exactly once — counted, at Seal, at Finish, or when the
+// back to the pool exactly once — at Seal, at Finish, counted, or when the
 // side is dropped before its seal or amid a probe — and no block a terminal
 // call borrows does.
 func FuzzEngineCount(f *testing.F) {
@@ -676,9 +676,9 @@ func FuzzEngineCount(f *testing.F) {
 	// and in single keys.
 	f.Add([]byte{0, 255, 10, 200}, []byte{0, 255, 10, 11}, uint8(0), uint8(0))
 	f.Add([]byte{0, 255, 10, 200}, []byte{0, 255, 10, 11}, uint8(1), uint8(0))
-	// A zero-width band side whose first three chunks count into the window
-	// (span 2 over 6 keys) before {0, 255} overflows it: the sorted block
-	// must hold the window's keys too.
+	// A zero-width band side whose first three chunks alone are dense (span 2
+	// over 6 keys) and whole, with {0, 255}, is not: the sorted block must
+	// hold every chunk's keys.
 	f.Add([]byte{128, 128, 129, 129, 130, 130, 0, 255}, []byte{128, 129, 0, 255, 130}, uint8(2), uint8(1))
 	conds := propertyConds
 	f.Fuzz(func(t *testing.T, b1, b2 []byte, split, sel uint8) {

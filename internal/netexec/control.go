@@ -96,8 +96,9 @@ type plan2 struct {
 // PAIRS. A final reply ends the sub-job: its totals, PeerCounts (a stage-1
 // plan job's per-receiver routed counts, the ONLY thing about the
 // re-shuffled intermediate the coordinator ever receives) and
-// BuildOverlapped (the routed sub-blocks a count or peer job consumed BEFORE
-// the read loop decoded its EOS: the join overlapped the still-streaming
+// BuildOverlapped (the routed sub-blocks a count or peer job took BEFORE the
+// read loop decoded its EOS — a base chunk kept for the seal, a probe chunk
+// counted or kept for the sweep: the join overlapped the still-streaming
 // scatter). An interim reply answers a stream window (Window, Epoch, its
 // input in InputR1 and count in Output) or carries a plan job's Summary.
 // Stages is the job goroutine's record, since its previous window reply for

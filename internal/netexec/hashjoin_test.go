@@ -164,10 +164,9 @@ func TestBuildCacheKeepsFormsApart(t *testing.T) {
 // TestBuildCacheKeysHeldChunks runs two equi count jobs on one worker whose
 // relation 1 shares its first mapper's chunk and differs in the second's.
 // Either chunk alone spans about 10 slots a key, past the dense window's
-// budget, so the side holds both until the seal, where the whole block (5
-// slots a key) counts into the window: the content key must digest the held
-// chunks all the same, or the second job would probe the first one's cached
-// window.
+// budget; the side keeps both until the seal, where the whole block (5 slots
+// a key) counts into the window: the content key must digest every kept
+// chunk, or the second job would probe the first one's cached window.
 func TestBuildCacheKeysHeldChunks(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 1)
 	shared := randKeys(1000, 10_000, 160)

@@ -107,10 +107,10 @@ func (s *Session) RelayedPairs() int64 { return s.relayed.Load() }
 func (s *Session) OverlappedStage2() int64 { return s.overlapped.Load() }
 
 // BuildOverlappedChunks reports how many routed sub-blocks this session's
-// workers inserted into a resident side (or probed against one) before the
-// owning job's EOS had even been decoded — the join-side pipelining of the
-// worker's join feed, mirroring OverlappedStage2 for the scatter/join
-// boundary.
+// workers handed a resident side — a base chunk kept for its seal, or a probe
+// chunk — before the owning job's EOS had even been decoded: the join-side
+// pipelining of the worker's join feed, mirroring OverlappedStage2 for the
+// scatter/join boundary.
 func (s *Session) BuildOverlappedChunks() int64 { return s.buildOverlapped.Load() }
 
 // StreamsChunks implements exec.ChunkStreamer: a session's count jobs take

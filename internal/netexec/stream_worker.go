@@ -36,12 +36,12 @@ import (
 //     replace the side — mid-stream replanning without restarting the job.
 //     It admits per seal and per window.
 //   - A count job: a one-epoch, one-window stream at epoch 0, window 0.
-//     Relation 1 is the base, the resident side, sealed at its end frame
-//     while relation 2, the window, is still on the wire; the window's frames
-//     probe as they decode (a merge side keeps them for one sweep at the
-//     window's end). It shares the worker's build cache, counts the frames
-//     consumed before EOS (reply.BuildOverlapped) and runs under the slot its
-//     open took.
+//     Relation 1 is the base, the resident side: its frames are kept as they
+//     decode and built into the side once, at its end frame, while relation
+//     2, the window, is still on the wire; the window's frames probe as they
+//     decode (a merge side keeps them for one sweep at the window's end). It
+//     shares the worker's build cache, counts the frames taken before EOS
+//     (reply.BuildOverlapped) and runs under the slot its open took.
 //   - A peer job, stage 2: relation 2, the coordinator's base frames, arrives
 //     while stage 1 still runs and is the resident side; the probe is the
 //     transfer its senders contribute to, taken at EOS. It parks on the
@@ -263,7 +263,7 @@ func (j *sessJob) onBase(ev streamEvent) {
 		j.resetBase()
 		j.epoch = ev.epoch
 	}
-	// Kept or copied out, the keys now live in the side: the reservation
+	// Kept until the seal, the keys now live in the side: the reservation
 	// stays until the epoch resets, covering that resident memory.
 	j.consumed()
 	j.baseN += len(ev.keys)
