@@ -7,10 +7,10 @@ import (
 )
 
 // JoinEngine names the two forms of the local join. Nothing in this module
-// selects one: localjoin picks the form from the condition (hash exactly when
-// localjoin.EquiLike) and the resident side's span. The type, its two values,
-// ForCond, Config.Engine and CountOwned's first parameter are kept only
-// because the benchmark module compiles against them.
+// selects one: localjoin.FormOf picks the form from the condition and the
+// resident side's span. The type, its two values, ForCond, Config.Engine and
+// CountOwned's first parameter are kept only because the benchmark module
+// compiles against them.
 type JoinEngine int
 
 const (
@@ -21,9 +21,10 @@ const (
 	EngineHash
 )
 
-// ForCond reports the form localjoin runs for cond, whatever the receiver.
+// ForCond reports the family localjoin runs cond in, whatever the receiver:
+// FormOf's form for an empty side.
 func (JoinEngine) ForCond(cond join.Condition) JoinEngine {
-	if localjoin.EquiLike(cond) {
+	if localjoin.FormOf(cond, 0, 0, 0) == localjoin.Dense {
 		return EngineHash
 	}
 	return EngineMerge

@@ -12,13 +12,12 @@ import (
 )
 
 // TestForCondResolution pins the shim kept for the benchmark: whatever the
-// receiver, ForCond reports the engine localjoin picks for the condition.
+// receiver, ForCond reports the family localjoin runs the condition in.
 func TestForCondResolution(t *testing.T) {
-	for _, cond := range []join.Condition{join.Equi{}, join.NewBand(0), join.NewBand(3)} {
-		want := EngineMerge
-		if localjoin.EquiLike(cond) {
-			want = EngineHash
-		}
+	for cond, want := range map[join.Condition]JoinEngine{
+		join.Equi{}: EngineHash, join.NewBand(0): EngineHash,
+		join.NewBand(3): EngineMerge, join.Inequality{Op: join.Less}: EngineMerge,
+	} {
 		for _, e := range []JoinEngine{0, EngineMerge, EngineHash} {
 			if got := e.ForCond(cond); got != want {
 				t.Errorf("%d.ForCond(%v) = %d, want %d", e, cond, got, want)
@@ -80,8 +79,9 @@ func pairStream(r1, r2 []join.Key, cond join.Condition, form pairForm) (pairs []
 // TestJoinPairsMatchesNestedLoop pins the pair stream's ordering contract
 // against a nested-loop oracle — content, order, count and flush boundaries —
 // in both forms of relation 2, for equality, zero- and two-wide bands and
-// every inequality, over blocks on both sides of the table form's span rule
-// and its 2-byte slots, and keys at the int64 extremes.
+// every inequality, over blocks on both sides of the table's budget and its
+// 2-byte slots, and keys at the int64 extremes. Relation 2 takes the table
+// exactly where FormOf's table budget holds and no key range overflows.
 func TestJoinPairsMatchesNestedLoop(t *testing.T) {
 	// spread is n keys from 0 to span, both ends included.
 	spread := func(n int, span int64) []join.Key {
@@ -114,24 +114,25 @@ func TestJoinPairsMatchesNestedLoop(t *testing.T) {
 		name   string
 		r1, r2 []join.Key
 		conds  []join.Condition
-		// ranked: JoinPairs takes the table form for relation 2; forced: the
-		// table counts it when forced past the span rule.
-		ranked, forced bool
+		// ranges: no key range of relation 2 overflows a table's 2-byte slots.
+		ranges bool
 	}{
-		{"uniform", randKeys(1500, 500, 110), randKeys(1200, 500, 111), all, true, true},
-		{"dup-heavy", randKeys(2000, 40, 112), randKeys(1500, 40, 113), all, true, true},
-		{"all-equal", make([]join.Key, 300), make([]join.Key, 250), all, true, true},
-		{"empty", nil, randKeys(10, 5, 116), all, true, true},
-		{"sparse: 64 slots per key", randKeys(1000, 64_000, 117), randKeys(1000, 64_000, 118), all, false, true},
-		{"at the span bound: 16 slots per key", randKeys(1200, 16_000, 119), spread(1000, 16_000), all, true, true},
-		{"past the span bound: 16 slots per key and one", randKeys(1200, 16_001, 123), spread(1000, 16_001), all, false, true},
-		{"2^16 equal keys", []join.Key{6, 7, 8, 9}, slices.Repeat([]join.Key{7}, 1<<16), all, false, false},
-		{"int64 extremes", extremes, randKeys(300, 40, 120), all, true, true},
-		{"int64 top", extremes, near(math.MaxInt64, 121), all, true, true},
-		{"int64 bottom", extremes, near(math.MinInt64, 122), all, true, true},
+		{"uniform", randKeys(1500, 500, 110), randKeys(1200, 500, 111), all, true},
+		{"dup-heavy", randKeys(2000, 40, 112), randKeys(1500, 40, 113), all, true},
+		{"all-equal", make([]join.Key, 300), make([]join.Key, 250), all, true},
+		{"empty", nil, randKeys(10, 5, 116), all, true},
+		{"sparse: 64 slots per key", randKeys(1000, 64_000, 117), randKeys(1000, 64_000, 118), all, true},
+		{"span 16n - 1", randKeys(1200, 16_000, 119), spread(1000, 15_999), all, true},
+		{"span 16n", randKeys(1200, 16_001, 123), spread(1000, 16_000), all, true},
+		{"2^16 equal keys", []join.Key{6, 7, 8, 9}, slices.Repeat([]join.Key{7}, 1<<16), all, false},
+		{"int64 extremes", extremes, randKeys(300, 40, 120), all, true},
+		{"int64 top", extremes, near(math.MaxInt64, 121), all, true},
+		{"int64 bottom", extremes, near(math.MinInt64, 122), all, true},
 	}
 	for _, sh := range shapes {
-		for anySpan, want := range map[bool]bool{false: sh.ranked, true: sh.forced} {
+		// A band's form is the table budget's verdict on relation 2.
+		budget := localjoin.FormOf(join.NewBand(1), slices.Min(sh.r2), slices.Max(sh.r2), len(sh.r2)) == localjoin.Table
+		for anySpan, want := range map[bool]bool{false: budget && sh.ranges, true: sh.ranges} {
 			ro := localjoin.NewRankOrder(sh.r2, anySpan)
 			if (ro != nil) != want {
 				t.Errorf("%s: a table for relation 2 (forced %v) %v, want %v", sh.name, anySpan, ro != nil, want)
@@ -169,6 +170,10 @@ func FuzzJoinPairs(f *testing.F) {
 	f.Add([]byte{0, 1, 255}, []byte{0, 2, 9}, int64(math.MinInt64), uint8(1), uint8(7), uint8(5))
 	f.Add([]byte{3, 200, 17}, []byte{9, 60, 250, 31}, int64(-500), uint8(40), uint8(5), uint8(6))
 	f.Add([]byte("0123456789abcdefghijklmnopqrstuvwxyz"), []byte("05az"), int64(0), uint8(1), uint8(255), uint8(3))
+	// Relation 2 at the table's budget edge: two keys 31 apart take the table
+	// (span 16n - 1), 32 apart the argsort (span 16n).
+	f.Add([]byte{0, 1, 2}, []byte{0, 1}, int64(-40), uint8(31), uint8(0), uint8(2))
+	f.Add([]byte{0, 1, 2}, []byte{0, 1}, int64(-40), uint8(32), uint8(0), uint8(5))
 	conds := []join.Condition{join.Equi{}, join.NewBand(0), join.NewBand(2),
 		join.Inequality{Op: join.Less}, join.Inequality{Op: join.LessEq},
 		join.Inequality{Op: join.Greater}, join.Inequality{Op: join.GreaterEq}}

@@ -163,15 +163,17 @@ func JoinPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx)) in
 type pairForm int
 
 const (
-	pairRanked  pairForm = iota // rank table under localjoin's span rule, else pairArgsort
+	pairRanked  pairForm = iota // rank table within localjoin.FormOf's table budget, else pairArgsort
 	pairTable                   // rank table whatever the span (tests only)
 	pairArgsort                 // (key, index) argsort, one binary search per R1 key
 )
 
-// joinPairs is JoinPairs with relation 2's form chosen. The table form counts
-// R2 into a rank table and scatters its indices in (key, index) order; an R1
-// key's partners are then one slice, found in O(1). A block the table
-// refuses takes the argsort form.
+// joinPairs is JoinPairs with relation 2's form chosen. Either form orders
+// R2's arrival indices by (key, index), so an R1 key's partners are one run
+// of them, which one loop emits: the table form counts R2 into a rank table
+// and scatters its indices, finding a run in O(1); the argsort form sorts
+// (key, index) entries, finding a run's start by binary search. A block the
+// table refuses takes the argsort form.
 func joinPairs(r1, r2 []join.Key, cond join.Condition, form pairForm, flush func([]PairIdx)) int64 {
 	if len(r1) == 0 || len(r2) == 0 {
 		return 0
@@ -180,13 +182,28 @@ func joinPairs(r1, r2 []join.Key, cond join.Condition, form pairForm, flush func
 	if form != pairArgsort {
 		ro = localjoin.NewRankOrder(r2, form == pairTable)
 	}
+	var ord []keyIdx // the argsort form: R2 by (key, index)
+	var order []uint32
 	if ro == nil {
-		return argsortPairs(r1, r2, cond, flush)
+		ord, order = argsort(r2)
 	}
 	buf := PairBufs.Get(pairChunk)[:0]
 	var out int64
 	for i1, k := range r1 {
-		for _, i2 := range ro.Partners(cond.JoinableRange(k)) {
+		lo, hi := cond.JoinableRange(k)
+		var partners []uint32
+		if ro != nil {
+			partners = ro.Partners(lo, hi)
+		} else {
+			from, _ := slices.BinarySearchFunc(ord, lo,
+				func(e keyIdx, k join.Key) int { return cmp.Compare(e.key, k) })
+			to := from
+			for to < len(ord) && ord[to].key <= hi {
+				to++
+			}
+			partners = order[from:to]
+		}
+		for _, i2 := range partners {
 			buf = append(buf, PairIdx{I1: uint32(i1), I2: i2})
 			if len(buf) == pairChunk {
 				out += pairChunk
@@ -195,47 +212,40 @@ func joinPairs(r1, r2 []join.Key, cond join.Condition, form pairForm, flush func
 			}
 		}
 	}
-	ro.Release()
-	return out + flushTail(buf, flush)
-}
-
-// argsortPairs is the argsort form of joinPairs. It argsorts R2 by (key,
-// index) instead of sorting it in place: the blocks may be shared with the
-// driver's emission path, and the stable order is what makes the pair stream
-// deterministic.
-func argsortPairs(r1, r2 []join.Key, cond join.Condition, flush func([]PairIdx)) int64 {
-	ord := ordBufs.Get(len(r2))
-	for i, k := range r2 {
-		ord[i] = keyIdx{key: k, idx: uint32(i)}
+	if ro != nil {
+		ro.Release()
+	} else {
+		ordBufs.Put(ord)
+		orderBufs.Put(order)
 	}
-	sortKeyIdx(ord)
-	buf := PairBufs.Get(pairChunk)[:0]
-	var out int64
-	for i1, k := range r1 {
-		lo, hi := cond.JoinableRange(k)
-		i := searchKey(ord, lo)
-		for ; i < len(ord) && ord[i].key <= hi; i++ {
-			buf = append(buf, PairIdx{I1: uint32(i1), I2: ord[i].idx})
-			if len(buf) == pairChunk {
-				out += pairChunk
-				flush(buf)
-				buf = buf[:0]
-			}
-		}
-	}
-	ordBufs.Put(ord)
-	return out + flushTail(buf, flush)
-}
-
-// flushTail flushes a pair join's last, partial chunk, if any, returns its
-// buffer to the pool and reports its length.
-func flushTail(buf []PairIdx, flush func([]PairIdx)) int64 {
-	n := int64(len(buf))
-	if n > 0 {
+	if len(buf) > 0 {
+		out += int64(len(buf))
 		flush(buf)
 	}
 	PairBufs.Put(buf)
-	return n
+	return out
+}
+
+// argsort orders R2 by (key, arrival index) instead of sorting it in place:
+// the blocks may be shared with the driver's emission path, and the stable
+// order is what makes the pair stream deterministic (slices.SortFunc alone is
+// unstable). It returns the sorted entries and their indices alone, each R1
+// key's partners a run of them.
+func argsort(r2 []join.Key) (ord []keyIdx, order []uint32) {
+	ord, order = ordBufs.Get(len(r2)), orderBufs.Get(len(r2))
+	for i, k := range r2 {
+		ord[i] = keyIdx{key: k, idx: uint32(i)}
+	}
+	slices.SortFunc(ord, func(a, b keyIdx) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	for i, e := range ord {
+		order[i] = e.idx
+	}
+	return ord, order
 }
 
 // keyIdx is one argsort entry of JoinPairs: an R2 key and its arrival index.
@@ -244,26 +254,11 @@ type keyIdx struct {
 	idx uint32
 }
 
-var ordBufs bufpool.Pool[keyIdx] // serves the argsort form only
-
-// sortKeyIdx orders an argsort buffer by (key, arrival index) — the stable
-// order JoinPairs' determinism rests on (slices.SortFunc alone is unstable).
-func sortKeyIdx(ts []keyIdx) {
-	slices.SortFunc(ts, func(a, b keyIdx) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
-}
-
-// searchKey returns the first position in the (key, index)-sorted buffer
-// whose key is >= k.
-func searchKey(ts []keyIdx, k join.Key) int {
-	i, _ := slices.BinarySearchFunc(ts, k,
-		func(t keyIdx, k join.Key) int { return cmp.Compare(t.key, k) })
-	return i
-}
+// ordBufs and orderBufs serve the argsort form only.
+var (
+	ordBufs   bufpool.Pool[keyIdx]
+	orderBufs bufpool.Pool[uint32]
+)
 
 // Local is the in-process runtime: each worker is a goroutine joining its
 // shuffled blocks, bounded by GOMAXPROCS. Every job takes the flat scatter.

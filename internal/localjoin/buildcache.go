@@ -86,23 +86,16 @@ type sealedSide interface {
 	MemBytes() int64
 }
 
-// cacheKey is an entry's content key and form.
+// cacheKey is an entry's content key and the form it sealed into.
 type cacheKey struct {
 	buildKey
-	table bool // a rank table; a dense window otherwise
+	form Form
 }
 
 type cacheEntry struct {
 	key   cacheKey
 	side  any // the sealedSide
 	bytes int64
-}
-
-// keyOf is key in S's form.
-func keyOf[S sealedSide](key buildKey) cacheKey {
-	var none S
-	_, table := any(none).(*rankTable)
-	return cacheKey{key, table}
 }
 
 // NewBuildCache returns a cache holding at most maxBytes of sealed sides
@@ -115,16 +108,16 @@ func NewBuildCache(maxBytes int64) *BuildCache {
 	return &BuildCache{max: maxBytes, ll: list.New(), m: make(map[cacheKey]*list.Element)}
 }
 
-// cacheGet returns the side of S's form cached under key, or nil. Hit/miss
-// counters make the lookup observable (the benchmark's
+// cacheGet returns the side cached under key, whose form is S's, or nil.
+// Hit/miss counters make the lookup observable (the benchmark's
 // localjoin.cache_hit_rate). Nil cache: always miss, uncounted.
-func cacheGet[S sealedSide](c *BuildCache, key buildKey) S {
+func cacheGet[S sealedSide](c *BuildCache, key cacheKey) S {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el := c.m[keyOf[S](key)]
+	el := c.m[key]
 	if el == nil {
 		c.misses++
 		return nil
@@ -134,16 +127,16 @@ func cacheGet[S sealedSide](c *BuildCache, key buildKey) S {
 	return el.Value.(*cacheEntry).side.(S)
 }
 
-// cacheAdd caches a SEALED side under key and returns the canonical side for
-// that key and form: when a concurrent job raced the same content in first,
-// the existing entry wins and the caller's side is discarded — every sharer
-// probes one immutable side. Sides larger than the whole cache are not
+// cacheAdd caches a SEALED side, in key's form, under key and returns the
+// canonical side for that key: when a concurrent job raced the same content
+// in first, the existing entry wins and the caller's side is discarded —
+// every sharer probes one immutable side. Sides larger than the whole cache are not
 // admitted (returned as-is). Nil cache: passthrough.
-func cacheAdd[S sealedSide](c *BuildCache, key buildKey, s S) S {
+func cacheAdd[S sealedSide](c *BuildCache, k cacheKey, s S) S {
 	if c == nil {
 		return s
 	}
-	k, bytes := keyOf[S](key), s.MemBytes()
+	bytes := s.MemBytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el := c.m[k]; el != nil {

@@ -56,17 +56,17 @@ func TestBuildCacheHitMissEvict(t *testing.T) {
 	c := NewBuildCache(4 * b1.MemBytes())
 
 	k1 := digestKeys(r1)
-	if cacheGet[*denseWindow](c, k1) != nil {
+	if cacheGet[*denseWindow](c, cacheKey{k1, Dense}) != nil {
 		t.Fatal("empty cache returned a build")
 	}
-	if got := cacheAdd(c, k1, b1); got != b1 {
+	if got := cacheAdd(c, cacheKey{k1, Dense}, b1); got != b1 {
 		t.Fatal("first Add did not return the added build")
 	}
-	if cacheGet[*denseWindow](c, k1) != b1 {
+	if cacheGet[*denseWindow](c, cacheKey{k1, Dense}) != b1 {
 		t.Fatal("Get missed a just-added entry")
 	}
 	// A racing Add of the same content yields the canonical first entry.
-	if got := cacheAdd(c, k1, sealedWindow(r1)); got != b1 {
+	if got := cacheAdd(c, cacheKey{k1, Dense}, sealedWindow(r1)); got != b1 {
 		t.Fatal("duplicate Add did not return the canonical build")
 	}
 	st := c.Stats()
@@ -80,16 +80,16 @@ func TestBuildCacheHitMissEvict(t *testing.T) {
 		r := randKeys(2000, 100, 90+uint64(i))
 		k := digestKeys(r)
 		keys = append(keys, k)
-		cacheAdd(c, k, sealedWindow(r))
+		cacheAdd(c, cacheKey{k, Dense}, sealedWindow(r))
 	}
 	st = c.Stats()
 	if st.Bytes > 4*b1.MemBytes() {
 		t.Fatalf("cache holds %d bytes, cap %d", st.Bytes, 4*b1.MemBytes())
 	}
-	if cacheGet[*denseWindow](c, k1) != nil {
+	if cacheGet[*denseWindow](c, cacheKey{k1, Dense}) != nil {
 		t.Fatal("LRU tail survived eviction")
 	}
-	if cacheGet[*denseWindow](c, keys[len(keys)-1]) == nil {
+	if cacheGet[*denseWindow](c, cacheKey{keys[len(keys)-1], Dense}) == nil {
 		t.Fatal("most recent entry was evicted")
 	}
 }
@@ -99,10 +99,10 @@ func TestBuildCacheOversizedAndNil(t *testing.T) {
 	b := sealedWindow(r)
 	c := NewBuildCache(b.MemBytes() / 2)
 	k := digestKeys(r)
-	if got := cacheAdd(c, k, b); got != b {
+	if got := cacheAdd(c, cacheKey{k, Dense}, b); got != b {
 		t.Fatal("oversized Add did not pass the build through")
 	}
-	if cacheGet[*denseWindow](c, k) != nil || c.Stats().Entries != 0 {
+	if cacheGet[*denseWindow](c, cacheKey{k, Dense}) != nil || c.Stats().Entries != 0 {
 		t.Fatal("oversized build was admitted")
 	}
 
@@ -111,10 +111,10 @@ func TestBuildCacheOversizedAndNil(t *testing.T) {
 	if nc != NewBuildCache(0) {
 		t.Fatal("NewBuildCache(0) should return nil")
 	}
-	if cacheGet[*denseWindow](nc, k) != nil {
+	if cacheGet[*denseWindow](nc, cacheKey{k, Dense}) != nil {
 		t.Fatal("nil cache returned a build")
 	}
-	if cacheAdd(nc, k, b) != b {
+	if cacheAdd(nc, cacheKey{k, Dense}, b) != b {
 		t.Fatal("nil cache Add did not pass through")
 	}
 	if nc.Stats() != (BuildCacheStats{}) {
@@ -135,17 +135,17 @@ func TestBuildCacheSharedProbes(t *testing.T) {
 	c := NewBuildCache(1 << 20)
 	// Job A: miss, build, publish.
 	k := digestKeys(r1)
-	bA := cacheGet[*denseWindow](c, k)
+	bA := cacheGet[*denseWindow](c, cacheKey{k, Dense})
 	if bA != nil {
 		t.Fatal("unexpected hit")
 	}
-	bA = cacheAdd(c, k, sealedWindow(r1))
+	bA = cacheAdd(c, cacheKey{k, Dense}, sealedWindow(r1))
 	if got := bA.probe(probeA); got != wantA {
 		t.Fatalf("job A count = %d, want %d", got, wantA)
 	}
 	// Job B: same content (chunked differently upstream doesn't matter here —
 	// same flat digest), hit, probe the shared build.
-	bB := cacheGet[*denseWindow](c, digestKeys(append([]join.Key(nil), r1...)))
+	bB := cacheGet[*denseWindow](c, cacheKey{digestKeys(append([]join.Key(nil), r1...)), Dense})
 	if bB != bA {
 		t.Fatal("job B did not hit job A's build")
 	}
@@ -175,7 +175,7 @@ func TestBuildCacheConcurrentProbes(t *testing.T) {
 		{"dense, kept chunks", join.Equi{}, randKeys(4000, 30_000, 61)}, // 117 slots a key per chunk, 7.5 in all
 		{"table", join.NewBand(2), randKeys(4000, 30_000, 62)},
 	} {
-		if form := sealedForm(sealChunks(nil, rel.cond, rel.keys, 256)); form == "merge" {
+		if form := sealedForm(sealChunks(nil, rel.cond, rel.keys, 256)); form == Merge {
 			t.Fatalf("%s: the side seals into the %s form, which the cache never holds", rel.name, form)
 		}
 		want := NestedLoopCount(rel.keys, probe, rel.cond)
@@ -191,11 +191,11 @@ func TestBuildCacheConcurrentProbes(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for {
-					if d := cacheGet[*denseWindow](c, k); d != nil {
+					if d := cacheGet[*denseWindow](c, cacheKey{k, Dense}); d != nil {
 						counts[g] = d.probe(probe)
 						return
 					}
-					if tbl := cacheGet[*rankTable](c, k); tbl != nil {
+					if tbl := cacheGet[*rankTable](c, cacheKey{k, Table}); tbl != nil {
 						counts[g] = tbl.probeCount(probe, rel.cond, true)
 						return
 					}
@@ -296,15 +296,15 @@ func TestBuildCacheKeysByForm(t *testing.T) {
 	keys := randKeys(2000, 2000, 76)
 	k := digestKeys(keys)
 	c := NewBuildCache(1 << 20)
-	d := cacheAdd(c, k, sealedWindow(keys))
-	if got := cacheGet[*rankTable](c, k); got != nil {
+	d := cacheAdd(c, cacheKey{k, Dense}, sealedWindow(keys))
+	if got := cacheGet[*rankTable](c, cacheKey{k, Table}); got != nil {
 		t.Fatal("a dense window's content key served a rank table")
 	}
 	tbl := sealChunks(nil, join.NewBand(1), keys, 0).table
-	if got := cacheAdd(c, k, tbl); got != tbl {
+	if got := cacheAdd(c, cacheKey{k, Table}, tbl); got != tbl {
 		t.Fatal("the table was not admitted beside the window of the same content")
 	}
-	if cacheGet[*denseWindow](c, k) != d || cacheGet[*rankTable](c, k) != tbl {
+	if cacheGet[*denseWindow](c, cacheKey{k, Dense}) != d || cacheGet[*rankTable](c, cacheKey{k, Table}) != tbl {
 		t.Fatal("one form shadowed the other")
 	}
 	st := c.Stats()
@@ -313,7 +313,7 @@ func TestBuildCacheKeysByForm(t *testing.T) {
 	}
 	wide := sparseKeys(2000, 77)
 	for range 2 {
-		if form := sealedForm(sealChunks(c, join.Equi{}, wide, 500)); form != "merge" {
+		if form := sealedForm(sealChunks(c, join.Equi{}, wide, 500)); form != Merge {
 			t.Fatalf("an equi side past the dense budget sealed into the %s form", form)
 		}
 	}

@@ -8,27 +8,10 @@ import (
 // side: a count per key over the sealed side's span, counted once at Seal,
 // where a probe key is one bounds-checked load. The regions a plan routes are
 // key ranges, so a worker's block is usually dense. A side whose span costs
-// more than the budget, denseSpan slots a key, seals into the sorted block
-// instead, as a band or inequality side past the rank table's budget does
-// (Resident). A sealed window is immutable, so once published many jobs can
-// probe one shared window at once (see BuildCache, whose lock publishes it).
-
-// denseSpan bounds the dense window at this many count slots per key: the
-// directBytesPerKey budget at 4 B a slot.
-const denseSpan = directBytesPerKey / 4
-
-// EquiLike reports whether cond is a pure-equality predicate — join.Equi or
-// a zero-width band — i.e. the conditions a dense window counts. All other
-// conditions need an ordered window: the rank table's or the merge sweep's.
-func EquiLike(cond join.Condition) bool {
-	switch c := cond.(type) {
-	case join.Equi:
-		return true
-	case join.Band:
-		return c.Beta == 0
-	}
-	return false
-}
+// more than the budget seals into the sorted block instead, as a band or
+// inequality side past the rank table's budget does (FormOf). A sealed window
+// is immutable, so once published many jobs can probe one shared window at
+// once (see BuildCache, whose lock publishes it).
 
 // denseWindow is the dense form: counts[i] is the multiplicity of key base+i.
 // Offsets are taken in uint64 on the wrapping key ring, so a window near

@@ -39,31 +39,46 @@ func signedKeys(n int, seed uint64) []join.Key {
 	return out
 }
 
-// TestEquiLike is the engine choice where it is made: the pure-equality
-// conditions, and they alone, seal a dense side into the dense window.
-func TestEquiLike(t *testing.T) {
+// TestFormOfFamily is the engine choice where it is made: FormOf of an empty
+// side is the condition's family, and the pure-equality conditions, they
+// alone, seal a dense side into the dense window.
+func TestFormOfFamily(t *testing.T) {
 	cases := []struct {
 		cond join.Condition
-		want bool
+		want Form
 	}{
-		{join.Equi{}, true},
-		{join.NewBand(0), true},
-		{join.NewBand(1), false},
-		{join.NewBand(2), false},
-		{join.Inequality{Op: join.Less}, false},
-		{join.Inequality{Op: join.GreaterEq}, false},
+		{join.Equi{}, Dense},
+		{join.NewBand(0), Dense},
+		{join.NewBand(1), Table},
+		{join.NewBand(2), Table},
+		{join.Inequality{Op: join.Less}, Table},
+		{join.Inequality{Op: join.GreaterEq}, Table},
+		{successor{}, Merge},
 	}
 	keys := dupHeavyKeys(100, 49)
 	for _, c := range cases {
-		if got := EquiLike(c.cond); got != c.want {
-			t.Errorf("EquiLike(%v) = %v, want %v", c.cond, got, c.want)
+		if got := FormOf(c.cond, 0, 0, 0); got != c.want {
+			t.Errorf("FormOf(%v) of an empty side = %v, want %v", c.cond, got, c.want)
 		}
 		for _, r1 := range []bool{true, false} {
-			if dense := sealedForm(sealChunked(keys, c.cond, r1, 0)) == "dense"; dense != c.want {
-				t.Errorf("a dense side under %v, R1 resident %v, seals into the dense window: %v, want %v", c.cond, r1, dense, c.want)
+			if got := sealedForm(sealChunked(keys, c.cond, r1, 0)); got != c.want {
+				t.Errorf("a dense side under %v, R1 resident %v, seals into the %v form, want %v", c.cond, r1, got, c.want)
 			}
 		}
 	}
+}
+
+// successor is a condition from outside this library, R2.A = R1.A + 1: it
+// takes the sorted block whatever its span.
+type successor struct{}
+
+func (successor) Matches(a, b join.Key) bool { return a != math.MaxInt64 && b == a+1 }
+func (successor) String() string             { return "R2.A = R1.A + 1" }
+func (successor) JoinableRange(a join.Key) (lo, hi join.Key) {
+	if a == math.MaxInt64 {
+		return 0, -1
+	}
+	return a + 1, a + 1
 }
 
 // TestInsertChunkInvariance pins the incremental API's core contract: chunk
@@ -125,13 +140,13 @@ func TestDenseWindowAtTheInt64Extremes(t *testing.T) {
 				t.Errorf("towards %d: dense probe(%d) = %d, want %d", end, k, got, want[k])
 			}
 		}
-		if got := sealedForm(sealChunked(keys, join.Equi{}, true, 3*20)); got != "dense" {
+		if got := sealedForm(sealChunked(keys, join.Equi{}, true, 3*20)); got != Dense {
 			t.Fatalf("towards %d: a side of the window's keys sealed into the %s form, want dense", end, got)
 		}
 		keys = append(keys, far)
 		want[far]++
 		side := sealChunked(keys, join.Equi{}, true, 3*41)
-		if got := sealedForm(side); got != "merge" {
+		if got := sealedForm(side); got != Merge {
 			t.Fatalf("towards %d: a side with a key at the far end sealed into the %s form, want merge", end, got)
 		}
 		for k, w := range want {
@@ -148,16 +163,16 @@ func TestDenseWindowAtTheInt64Extremes(t *testing.T) {
 func buildRelations(n int, seed uint64) []struct {
 	name string
 	keys []join.Key
-	form string
+	form Form
 } {
 	return []struct {
 		name string
 		keys []join.Key
-		form string
+		form Form
 	}{
-		{"dense", dupHeavyKeys(n, seed), "dense"},
-		{"past the budget", sparseKeys(n, seed+1), "merge"},
-		{"crossing", append(dupHeavyKeys(n/2, seed+2), sparseKeys(n-n/2, seed+3)...), "merge"},
+		{"dense", dupHeavyKeys(n, seed), Dense},
+		{"past the budget", sparseKeys(n, seed+1), Merge},
+		{"crossing", append(dupHeavyKeys(n/2, seed+2), sparseKeys(n-n/2, seed+3)...), Merge},
 	}
 }
 

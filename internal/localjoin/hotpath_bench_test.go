@@ -49,7 +49,7 @@ func zipfKeys(n int, domain int64, z float64, seed uint64) []join.Key {
 // band conditions it serves, on uniform, duplicate-heavy and Zipf-skewed
 // keys. Count copies and sorts per call (the non-owning entry
 // point); CountSorted amortizes the sort outside the loop; the dense-window
-// Resident is the form an EquiLike side of these spans takes.
+// Resident is the form an equi side of these spans takes.
 // (The retired map-based baseline's numbers are in EXPERIMENTS.md.)
 func BenchmarkLocalJoinEngines(b *testing.B) {
 	const n = 1 << 17
@@ -72,7 +72,7 @@ func BenchmarkLocalJoinEngines(b *testing.B) {
 			run  func() int64
 		}{
 			{"equi/hash-engine", func() int64 {
-				side := newResident(join.Equi{}, formDense, true, nil, nil)
+				side := newResident(join.Equi{}, Dense, true, nil, nil)
 				side.Seal(d.r1)
 				return side.Finish(d.r2)
 			}},

@@ -1,11 +1,11 @@
 // Package localjoin provides the algorithms each machine runs over its
 // region's tuples. The partitioning schemes are orthogonal to the local join
 // (§IV "Local Join Algorithm"): a count keeps one side's chunks and builds it
-// once, at its seal, in a direct-address form while its whole span costs at
-// most directBytesPerKey bytes a key — a dense count window for pure equality
-// conditions, a rank table for a band or inequality — and uses the sort-merge
-// monotonic join otherwise. The side owns the chunks streamed to it and
-// returns each to bufpool.Keys once done with it.
+// once, at its seal, in the form one rule (FormOf) picks from the condition
+// and the whole side's span — a dense count window for pure equality
+// conditions and a rank table for a band or inequality while their slots fit
+// a byte budget, the sort-merge monotonic join otherwise. The side owns the
+// chunks streamed to it and returns each to bufpool.Keys once done with it.
 package localjoin
 
 import (
@@ -64,25 +64,70 @@ func CountSorted(s1, s2 []join.Key, cond join.Condition) int64 {
 }
 
 // directBytesPerKey is the byte budget of a resident side's direct-address
-// forms: a side takes one when a slot per value of its span costs at most this
-// many bytes a key, judged on the whole side, and is the sorted block
-// otherwise, at 8 B a key. At 4 B a slot the dense window gets denseSpan slots
-// a key, at 2 B the rank table tableSpan. It bounds memory, not speed: a
-// direct-address side holds at most four times the sorted block's bytes.
+// forms (FormOf). It bounds memory, not speed: a direct-address side holds at
+// most four times the sorted block's bytes, 8 B a key.
 const directBytesPerKey = 32
+
+// Form is the layout a resident side seals into.
+type Form int
+
+const (
+	Merge Form = iota + 1 // the sorted block, swept by the merge engine
+	Table                 // the rank table (ranktable.go), 2 B a slot
+	Dense                 // the dense count window (hashengine.go), 4 B a slot
+)
+
+// slotBytes is a direct-address form's bytes per value of its span.
+var slotBytes = [...]uint64{Table: 2, Dense: 4}
+
+// FormOf is the one rule for the form a side of n keys over [lo, hi] takes
+// under cond. The condition names the family: a pure equality (join.Equi, a
+// zero-width band) the dense window, a wider band or an inequality the rank
+// table, any other condition the sorted block. A side takes its family's
+// direct-address form while that fits the budget, judged on the whole side,
+// and the sorted block otherwise. An empty side fits, so an empty side's form
+// is its condition's family.
+//
+// One refusal is not the rule's: a rank table cannot count more than 65,535
+// keys in any one of its 256 key ranges, which (lo, hi, n) cannot show, and a
+// side it refuses seals into the sorted block.
+func FormOf(cond join.Condition, lo, hi join.Key, n int) Form {
+	form := Merge
+	switch c := cond.(type) {
+	case join.Equi:
+		form = Dense
+	case join.Band:
+		form = Table
+		if c.Beta == 0 {
+			form = Dense
+		}
+	case join.Inequality:
+		form = Table
+	}
+	if form == Merge || form.fits(lo, hi, n) {
+		return form
+	}
+	return Merge
+}
+
+// fits is the budget of direct-address form f: a slot per value of the span,
+// hi − lo + 1 of them, costs at most directBytesPerKey bytes a key. The slot
+// bytes divide the budget, so slots × slot bytes ≤ budget × n is the
+// comparison below, which cannot overflow on any span.
+func (f Form) fits(lo, hi join.Key, n int) bool {
+	return n == 0 || uint64(hi)-uint64(lo) < directBytesPerKey/slotBytes[f]*uint64(n)
+}
 
 // Resident is the side of a count join held while the other side streams
 // past it: Insert its chunks as they arrive, Seal it, then Probe each chunk of
 // the other relation and Finish it — the counts sum to |R1 ⋈ R2| however
 // either side was chunked, and the form it seals into does not depend on the
 // chunking either. Insert only keeps a chunk; Seal builds the side once, in
-// the form one rule picks from the whole side: a direct-address form while its
-// span is within the budget, else the merge form.
-//   - An EquiLike side counts into a dense window (hashengine.go), a band or
-//     inequality side into a rank table (ranktable.go). Either counts a probe
-//     chunk on arrival.
-//   - The merge form: Seal sorts the side's keys into one block of exactly
-//     their size, and a probe relation is swept over it once, at Finish.
+// the form FormOf picks from the whole side.
+//   - Dense counts into a dense window (hashengine.go), Table into a rank
+//     table (ranktable.go). Either counts a probe chunk on arrival.
+//   - Merge: Seal sorts the side's keys into one block of exactly their size,
+//     and a probe relation is swept over it once, at Finish.
 //
 // The side owns the chunks it streams: a chunk handed to Insert or Probe
 // comes from bufpool.Keys, and the side returns it there once it has counted
@@ -93,49 +138,24 @@ const directBytesPerKey = 32
 type Resident struct {
 	cond    join.Condition
 	r1      bool         // the resident side is relation 1
-	form    residentForm // the form it seals into within the budget
+	forced  Form         // tests only: the form Seal takes, not FormOf's; 0: FormOf's
 	cache   *BuildCache  // shares a direct-address form by content; nil: never
 	clk     *stage.Clock // stamped after each call; nil: not
 	key     buildKey     // with a cache: the digest of every chunk so far
 	runs    [][]join.Key // the chunks kept until Seal, in arrival order
-	dense   *denseWindow // dense form: the sealed side
-	table   *rankTable   // table form: the sealed side
-	base    []join.Key   // merge form: the sealed side, sorted
-	pending [][]join.Key // merge form: the probe chunks kept for Finish
+	dense   *denseWindow // Dense: the sealed side
+	table   *rankTable   // Table: the sealed side
+	base    []join.Key   // Merge: the sealed side, sorted
+	pending [][]join.Key // Merge: the probe chunks kept for Finish
 }
 
 // NewResident returns an empty side, with R1 resident if r1 and R2 otherwise,
-// in the form the condition takes as Seal finds the keys' span: the dense
-// window for an EquiLike condition and a rank table for a band or
-// inequality within the budget, else a sorted block, which any other
-// condition always takes. With a cache, a direct-address form is shared with
-// every side of identical content and form: the side digests each chunk it is
-// handed, in whatever order, as the content key.
+// which seals into the form FormOf gives cond and its keys. With a cache, a
+// direct-address form is shared with every side of identical content and
+// form: the side digests each chunk it is handed, in whatever order, as the
+// content key.
 func NewResident(cond join.Condition, r1 bool, cache *BuildCache, clk *stage.Clock) *Resident {
-	form := formMerge
-	switch {
-	case EquiLike(cond):
-		form = formDense
-	case ranked(cond):
-		form = formRanked
-	}
-	return newResident(cond, form, r1, cache, clk)
-}
-
-// residentForm is the layout a resident side seals into within the budget.
-type residentForm int
-
-const (
-	formMerge  residentForm = iota // sorted block, swept by the merge engine
-	formRanked                     // rank table under the budget rule, else formMerge
-	formTable                      // rank table whatever the span (tests only)
-	formDense                      // dense window under the budget rule, else formMerge
-)
-
-// newResident is NewResident with the form forced; cond must be EquiLike for
-// formDense, and ranked for either table form.
-func newResident(cond join.Condition, form residentForm, r1 bool, cache *BuildCache, clk *stage.Clock) *Resident {
-	return &Resident{cond: cond, r1: r1, form: form, cache: cache, clk: clk}
+	return &Resident{cond: cond, r1: r1, cache: cache, clk: clk}
 }
 
 // Insert hands the side one chunk of its relation, which it owns from here
@@ -149,12 +169,12 @@ func (r *Resident) Insert(keys []join.Key) {
 }
 
 // Seal completes the side with blocks, lent, as its last keys; Probe and
-// Finish are valid from here on. A side within the budget seals into its
-// direct-address form, which is immutable: on a cache hit it becomes the
-// shared side of identical content and form, counting nothing, and on a miss
-// it counts its keys and publishes its own. A side past the budget is the
-// merge form, the job's own: its keys sorted into one block. Every sealed
-// form is exactly sized.
+// Finish are valid from here on. A side FormOf gives a direct-address form
+// seals into it, immutable: on a cache hit it becomes the shared side of
+// identical content and form, counting nothing, and on a miss it counts its
+// keys and publishes its own. A Merge side, or one the rank table refuses, is
+// the job's own: its keys sorted into one block. Every sealed form is exactly
+// sized.
 func (r *Resident) Seal(blocks ...[]join.Key) {
 	defer r.clk.Mark(stage.Build)
 	defer releaseAll(r.runs)
@@ -166,18 +186,23 @@ func (r *Resident) Seal(blocks ...[]join.Key) {
 	runs := append(r.runs[:len(r.runs):len(r.runs)], blocks...)
 	r.runs = nil
 	lo, hi, n := keyRange(runs)
-	switch {
-	case r.form == formDense && (n == 0 || uint64(hi)-uint64(lo) < denseSpan*uint64(n)):
-		if r.dense = cacheGet[*denseWindow](r.cache, r.key); r.dense == nil {
-			r.dense = cacheAdd(r.cache, r.key, newDenseWindow(runs, lo, hi, n))
+	form := r.forced
+	if form == 0 {
+		form = FormOf(r.cond, lo, hi, n)
+	}
+	key := cacheKey{r.key, form}
+	switch form {
+	case Dense:
+		if r.dense = cacheGet[*denseWindow](r.cache, key); r.dense == nil {
+			r.dense = cacheAdd(r.cache, key, newDenseWindow(runs, lo, hi, n))
 		}
 		return
-	case r.form == formTable || r.form == formRanked && tableFits(lo, hi, n):
-		if r.table = cacheGet[*rankTable](r.cache, r.key); r.table != nil {
+	case Table:
+		if r.table = cacheGet[*rankTable](r.cache, key); r.table != nil {
 			return
 		}
 		if t := newRankTable(runs, lo, hi, n); t != nil {
-			r.table = cacheAdd(r.cache, r.key, t)
+			r.table = cacheAdd(r.cache, key, t)
 			return
 		}
 	}

@@ -16,14 +16,14 @@ import (
 //
 // The span is cut into at most rankParts ranges of 1<<shift slots each. A
 // slot holds the rank within its range in 2 bytes, a range the keys below it
-// in 4, so at the tableSpan bound the slots take the directBytesPerKey budget
-// and the range bases at most 1 KiB more. Keys are counted into their slots
+// in 4, so within FormOf's budget the slots take at most 32 B a key and the
+// range bases at most 1 KiB more. Keys are counted into their slots
 // where they lie and probed in arrival order: scattering either side by range
 // first, to keep each range's window of the table in cache, was slower on
 // sparse blocks too (EXPERIMENTS.md "Rejected forms").
 //
 // A pair join's relation 2 takes the same layout (RankOrder) under the same
-// bound: counted with exclusive sums, the slots are the cursors of a
+// budget: counted with exclusive sums, the slots are the cursors of a
 // counting scatter of arrival indices, which leaves them holding the ranks.
 
 // rankParts bounds the number of key ranges a rank table is cut into, which
@@ -43,17 +43,6 @@ type rankTable struct {
 // MemBytes is the table's storage: 2 B a slot and 4 B a range, the unit
 // BuildCache charges it.
 func (t *rankTable) MemBytes() int64 { return 2*int64(len(t.cum)) + 4*int64(len(t.base)) }
-
-// tableSpan bounds the table form at this many slots per key: the
-// directBytesPerKey budget at 2 B a slot.
-const tableSpan = directBytesPerKey / 2
-
-// tableFits is the budget rule: a side of n keys over [lo, hi] takes the table
-// form when its span is at most tableSpan slots per key, judged on the whole
-// side. An empty side does.
-func tableFits(lo, hi join.Key, n int) bool {
-	return n == 0 || uint64(hi)-uint64(lo) <= tableSpan*uint64(n)
-}
 
 // keyRange returns the least and greatest key of runs and their number; lo >
 // hi when there are none.
@@ -89,13 +78,14 @@ type RankOrder struct {
 
 var rankOrderPool sync.Pool // stores *RankOrder
 
-// NewRankOrder counts keys into a RankOrder when they pass the budget rule, or
-// whatever their span when anySpan (tests force the form with it, over spans
-// a table can be allocated for). It returns nil for keys the rule or the
-// table refuses. Release returns the buffers for the next call to reuse.
+// NewRankOrder counts keys into a RankOrder when the table's slots fit
+// FormOf's budget, or whatever their span when anySpan (tests force the form
+// with it, over spans a table can be allocated for). It returns nil for keys
+// the budget or the table refuses. Release returns the buffers for the next
+// call to reuse.
 func NewRankOrder(keys []join.Key, anySpan bool) *RankOrder {
 	lo, hi, _ := keyRange([][]join.Key{keys})
-	if !anySpan && !tableFits(lo, hi, len(keys)) {
+	if !anySpan && !Table.fits(lo, hi, len(keys)) {
 		return nil
 	}
 	o, _ := rankOrderPool.Get().(*RankOrder)
@@ -269,17 +259,4 @@ func converseRange(op join.Op, b join.Key) (lo, hi join.Key) {
 		return b, math.MaxInt64
 	}
 	return 0, -1
-}
-
-// ranked reports whether cond is one the table form counts: a band wider
-// than equality (composite keys included) or an inequality. Conditions from
-// outside this library stay on the sort + sweep.
-func ranked(cond join.Condition) bool {
-	switch c := cond.(type) {
-	case join.Band:
-		return c.Beta > 0
-	case join.Inequality:
-		return true
-	}
-	return false
 }

@@ -11,6 +11,7 @@ import (
 	"ewh/internal/bufpool"
 	"ewh/internal/join"
 	"ewh/internal/keysort"
+	"ewh/internal/stage"
 	"ewh/internal/stats"
 )
 
@@ -30,32 +31,38 @@ func chunked(keys []key, size int) [][]key {
 	return append(out, keys)
 }
 
-// residentForms are every form a side is tested in; formServes says which
-// conditions each serves. The table form is forced whatever the keys' span;
-// the dense form seals into the sorted block past its budget, as in use.
-var residentForms = []residentForm{formMerge, formTable, formDense}
+// residentForms are every form a side is tested in, each forced whatever
+// FormOf says; formServes says which conditions each serves.
+var residentForms = []Form{Merge, Table, Dense}
 
-func (f residentForm) String() string {
-	return [...]string{"merge", "ranked", "table", "dense"}[f]
+func (f Form) String() string {
+	return [...]string{"by rule", "merge", "table", "dense"}[f]
 }
 
-// formServes reports whether a side in form counts under cond: the dense
-// window serves the EquiLike conditions, the table form the ranked ones, and
-// the merge form every condition.
-func formServes(form residentForm, cond join.Condition) bool {
-	switch form {
-	case formMerge:
-		return true
-	case formTable:
-		return ranked(cond)
-	}
-	return EquiLike(cond)
+// formServes reports whether a side in form counts under cond: a
+// direct-address form serves its family's conditions, the merge form every
+// condition.
+func formServes(form Form, cond join.Condition) bool {
+	return form == Merge || FormOf(cond, 0, 0, 0) == form
 }
 
-// tableSpanCap bounds the span of a side the tests force into the table form,
-// which takes a slot per value of its span: the sparse and domain-edge rows
-// stay off it, as the span rule keeps them off in use.
-const tableSpanCap = 1 << 16
+// newResident is NewResident with the form forced; cond must be of form's
+// family (formServes).
+func newResident(cond join.Condition, form Form, r1 bool, cache *BuildCache, clk *stage.Clock) *Resident {
+	r := NewResident(cond, r1, cache, clk)
+	r.forced = form
+	return r
+}
+
+// spanCap bounds the span of a side the tests force into a direct-address
+// form, which takes a slot per value of its span: the sparse and domain-edge
+// rows stay off it, as FormOf's budget keeps them off in use.
+const spanCap = 1 << 16
+
+// fitsForced reports whether a side of keys may be forced into form.
+func fitsForced(form Form, keys []key) bool {
+	return form == Merge || spanOf(keys) <= spanCap
+}
 
 // spanOf is the distance from the least to the greatest of keys; 0 if none.
 func spanOf(keys []key) uint64 {
@@ -81,7 +88,7 @@ func (o probeOrder) String() string {
 // residentCount joins r1 and r2 through a Resident — in the given form, with
 // R1 or R2 resident — in chunks of chunk keys, and fails t unless the side
 // returned every chunk it streamed, once, and nothing else (releaseWatch).
-func residentCount(t testing.TB, r1, r2 []key, cond join.Condition, form residentForm, residentR1 bool, chunk int) int64 {
+func residentCount(t testing.TB, r1, r2 []key, cond join.Condition, form Form, residentR1 bool, chunk int) int64 {
 	return residentCountIn(t, r1, r2, cond, form, residentR1, chunk, arrivalOrder)
 }
 
@@ -90,7 +97,7 @@ func residentCount(t testing.TB, r1, r2 []key, cond join.Condition, form residen
 // Seal or Finish borrows; even ones stream every resident chunk and make each
 // probe chunk a probe relation of its own, which its Finish borrows. Both
 // relations are copied: a side may sort what it is lent.
-func residentCountIn(t testing.TB, r1, r2 []key, cond join.Condition, form residentForm, residentR1 bool, chunk int, order probeOrder) int64 {
+func residentCountIn(t testing.TB, r1, r2 []key, cond join.Condition, form Form, residentR1 bool, chunk int, order probeOrder) int64 {
 	resident, probe := r1, r2
 	if !residentR1 {
 		resident, probe = r2, r1
@@ -134,7 +141,7 @@ func residentCountIn(t testing.TB, r1, r2 []key, cond join.Condition, form resid
 // abandonResident drops a side twice over — before its seal, and after its
 // seal while it may hold probe chunks for Finish — and fails t unless either
 // side returned every chunk it was handed.
-func abandonResident(t testing.TB, r1, r2 []key, cond join.Condition, form residentForm, residentR1 bool, chunk int) {
+func abandonResident(t testing.TB, r1, r2 []key, cond join.Condition, form Form, residentR1 bool, chunk int) {
 	resident, probe := r1, r2
 	if !residentR1 {
 		resident, probe = r2, r1
@@ -324,8 +331,8 @@ var keyOrders = []struct {
 func TestBuildFormPerKeyOrder(t *testing.T) {
 	for i, g := range keyOrders {
 		keys := g.gen(90, uint64(2*i+1))
-		got := sealedForm(sealChunked(keys[:len(keys)/2], join.Equi{}, true, 0))
-		if last := sealedForm(sealChunked(keys, join.Equi{}, true, len(keys)/2)); last != got {
+		got := sealedForm(sealChunked(keys[:len(keys)/2], join.Equi{}, true, 0)).String()
+		if last := sealedForm(sealChunked(keys, join.Equi{}, true, len(keys)/2)).String(); last != got {
 			got += ", then " + last
 		}
 		if got != g.form {
@@ -335,11 +342,13 @@ func TestBuildFormPerKeyOrder(t *testing.T) {
 }
 
 // TestResidentFormBySpan pins which form a side seals into: a band or
-// inequality side the rank table while its span is at most tableSpan slots
-// per key and no key range holds more keys than a 2-byte slot counts, an equi
-// side the dense window while its span is under denseSpan slots per key, and
-// either the sorted block otherwise. Each row's count is checked against
-// Count with either relation resident.
+// inequality side the rank table while its span is under 16 slots per key
+// (2 B each) and no key range holds more keys than a 2-byte slot counts, an
+// equi side the dense window while its span is under 8 slots per key (4 B
+// each), and either the sorted block otherwise. FormOf gives each row's
+// sealed form, but for the slot overflow: there it says Table and the seal
+// refuses. Each row's count is checked against Count with either relation
+// resident.
 func TestResidentFormBySpan(t *testing.T) {
 	// spread is n keys from 0 to span, both ends included.
 	spread := func(n int, span int64) []key {
@@ -365,24 +374,33 @@ func TestResidentFormBySpan(t *testing.T) {
 		name string
 		keys []key
 		cond join.Condition
-		form string
+		form Form
+		full bool // a key range overflows its 2-byte slots
 	}{
-		{"span 16n", spread(1000, 16000), band, "table"},
-		{"span 16n + 1", spread(1000, 16001), band, "merge"},
-		{"inequality, span 16n", spread(1000, 16000), join.Inequality{Op: join.Less}, "table"},
-		{"inequality, span 16n + 1", spread(1000, 16001), join.Inequality{Op: join.GreaterEq}, "merge"},
-		{"a range holding 2^16 - 1 keys", firstRange(1<<16 - 1), band, "table"},
-		{"a range holding 2^16 keys", firstRange(1 << 16), band, "merge"},
-		{"one key repeated 2^16 - 1 times", repeated(7, 1<<16-1), band, "table"},
-		{"one key repeated 2^16 times", repeated(7, 1<<16), band, "merge"},
-		{"beta wider than a range", spread(1000, 8000), join.NewBand(100), "table"},
-		{"an empty resident", nil, band, "table"},
-		{"equi, span 8n - 1", spread(1000, 7999), join.Equi{}, "dense"},
-		{"equi, span 8n", spread(1000, 8000), join.Equi{}, "merge"},
-		{"zero-width band, span 8n", spread(1000, 8000), join.NewBand(0), "merge"},
-		{"equi, an empty resident", nil, join.Equi{}, "dense"},
+		{"span 16n - 1", spread(1000, 15999), band, Table, false},
+		{"span 16n", spread(1000, 16000), band, Merge, false},
+		{"inequality, span 16n - 1", spread(1000, 15999), join.Inequality{Op: join.Less}, Table, false},
+		{"inequality, span 16n", spread(1000, 16000), join.Inequality{Op: join.GreaterEq}, Merge, false},
+		{"a range holding 2^16 - 1 keys", firstRange(1<<16 - 1), band, Table, false},
+		{"a range holding 2^16 keys", firstRange(1 << 16), band, Merge, true},
+		{"one key repeated 2^16 - 1 times", repeated(7, 1<<16-1), band, Table, false},
+		{"one key repeated 2^16 times", repeated(7, 1<<16), band, Merge, true},
+		{"beta wider than a range", spread(1000, 8000), join.NewBand(100), Table, false},
+		{"an empty resident", nil, band, Table, false},
+		{"equi, span 8n - 1", spread(1000, 7999), join.Equi{}, Dense, false},
+		{"equi, span 8n", spread(1000, 8000), join.Equi{}, Merge, false},
+		{"zero-width band, span 8n", spread(1000, 8000), join.NewBand(0), Merge, false},
+		{"equi, an empty resident", nil, join.Equi{}, Dense, false},
 	}
 	for _, row := range rows {
+		rule := row.form
+		if row.full {
+			rule = Table
+		}
+		lo, hi, n := keyRange([][]key{row.keys})
+		if got := FormOf(row.cond, lo, hi, n); got != rule {
+			t.Errorf("%s: FormOf = %v, want %v", row.name, got, rule)
+		}
 		probe := randKeys(500, 16200, 9)
 		for i := range probe {
 			probe[i] -= 100
@@ -404,15 +422,15 @@ func TestResidentFormBySpan(t *testing.T) {
 	}
 }
 
-// sealedForm names the form a sealed side counts in.
-func sealedForm(r *Resident) string {
+// sealedForm is the form a sealed side counts in.
+func sealedForm(r *Resident) Form {
 	switch {
 	case r.dense != nil:
-		return "dense"
+		return Dense
 	case r.table != nil:
-		return "table"
+		return Table
 	}
-	return "merge"
+	return Merge
 }
 
 // sealChunked seals a side of keys, streamed as chunks of chunk keys (0: one
@@ -440,7 +458,7 @@ func pooledChunks(keys []key, chunk int) [][]key {
 // chunks: the direct-address budget is judged on the whole block, so the side
 // seals into one form and counts one total whatever the chunking. An equi
 // block under 8 slots per key stays dense though its first chunk alone spans
-// more, and a band or inequality block up to 16 takes the rank table.
+// more, and a band or inequality block under 16 takes the rank table.
 func TestResidentFormIndependentOfChunking(t *testing.T) {
 	const n = 4000
 	// block is n keys in random order over [0, n × slots], both ends included.
@@ -455,17 +473,17 @@ func TestResidentFormIndependentOfChunking(t *testing.T) {
 		name string
 		keys []key
 		cond join.Condition
-		form string
+		form Form
 	}{
-		{"equi, 4 slots per key", block(4, 21), join.Equi{}, "dense"},
-		{"equi, 7.9 slots per key", block(7.9, 22), join.Equi{}, "dense"},
-		{"zero-width band, 7.9 slots per key", block(7.9, 23), join.NewBand(0), "dense"},
-		{"equi, 8.1 slots per key", block(8.1, 24), join.Equi{}, "merge"},
-		{"band, 8.5 slots per key", block(8.5, 25), band, "table"},
-		{"band, 16 slots per key", block(16, 26), band, "table"},
-		{"inequality, 8.5 slots per key", block(8.5, 27), less, "table"},
-		{"inequality, 16 slots per key", block(16, 28), less, "table"},
-		{"band, 16.5 slots per key", block(16.5, 29), band, "merge"},
+		{"equi, 4 slots per key", block(4, 21), join.Equi{}, Dense},
+		{"equi, 7.9 slots per key", block(7.9, 22), join.Equi{}, Dense},
+		{"zero-width band, 7.9 slots per key", block(7.9, 23), join.NewBand(0), Dense},
+		{"equi, 8.1 slots per key", block(8.1, 24), join.Equi{}, Merge},
+		{"band, 8.5 slots per key", block(8.5, 25), band, Table},
+		{"band, 15.9 slots per key", block(15.9, 26), band, Table},
+		{"inequality, 8.5 slots per key", block(8.5, 27), less, Table},
+		{"inequality, 15.9 slots per key", block(15.9, 28), less, Table},
+		{"band, 16.5 slots per key", block(16.5, 29), band, Merge},
 	}
 	for _, row := range rows {
 		probe := randKeys(3000, int64(17*n), 30)
@@ -522,7 +540,7 @@ func TestResidentKeyOrderTable(t *testing.T) {
 						if residentR1 {
 							resident = r1
 						}
-						if form == formTable && spanOf(resident) > tableSpanCap {
+						if !fitsForced(form, resident) {
 							continue
 						}
 						for _, chunk := range chunkings {
@@ -570,10 +588,10 @@ func TestStrictInequalityAtTheInt64Extremes(t *testing.T) {
 	// The table form's converse ranges, R1 resident: the ±1 must not wrap
 	// either.
 	r1 := []key{0, 5, 7}
-	if got := residentCount(t, r1, []key{math.MinInt64}, join.Inequality{Op: join.Less}, formTable, true, 0); got != 0 {
+	if got := residentCount(t, r1, []key{math.MinInt64}, join.Inequality{Op: join.Less}, Table, true, 0); got != 0 {
 		t.Errorf("{0, 5, 7} < {MinInt64} through an R1 table = %d, want 0", got)
 	}
-	if got := residentCount(t, r1, []key{math.MaxInt64}, join.Inequality{Op: join.Greater}, formTable, true, 0); got != 0 {
+	if got := residentCount(t, r1, []key{math.MaxInt64}, join.Inequality{Op: join.Greater}, Table, true, 0); got != 0 {
 		t.Errorf("{0, 5, 7} > {MaxInt64} through an R1 table = %d, want 0", got)
 	}
 }
@@ -595,13 +613,13 @@ func TestInequalityPastTheOldCap(t *testing.T) {
 			if got := Count(r1, r2, cond); got != want {
 				t.Errorf("%v, %v x %v: Count = %d, want %d", cond, r1, r2, got, want)
 			}
-			for _, form := range []residentForm{formMerge, formTable} {
+			for _, form := range []Form{Merge, Table} {
 				for _, residentR1 := range []bool{true, false} {
 					resident := r2
 					if residentR1 {
 						resident = r1
 					}
-					if form == formTable && spanOf(resident) > tableSpanCap {
+					if !fitsForced(form, resident) {
 						continue
 					}
 					if got := residentCount(t, r1, r2, cond, form, residentR1, 0); got != want {
@@ -631,7 +649,7 @@ func TestResidentProperty(t *testing.T) {
 		cond := propertyConds[int(sel)%len(propertyConds)]
 		fm := residentForms[int(form)%len(residentForms)]
 		if !formServes(fm, cond) {
-			fm = formMerge
+			fm = Merge
 		}
 		return residentCount(t, r1, r2, cond, fm, residentR1, int(chunk)%9) == NestedLoopCount(r1, r2, cond)
 	}
@@ -643,17 +661,18 @@ func TestResidentProperty(t *testing.T) {
 // FuzzEngineCount cross-checks the resident side — every form, either
 // relation resident, fuzz-chosen chunking and condition — against the
 // nested-loop oracle on fuzz-chosen key bytes, and checks that the form
-// NewResident seals into does not depend on the chunking. Each form, with
-// either relation resident, also counts each probe chunk in key order and in
-// reverse: a count must not depend on the order a chunk's keys come in. Byte
-// keys span at most 256, so every side fits the table form, and an equi side
-// of a few keys over a wide span is past the dense window's budget, though
-// its first chunks alone may be within it. With sel's 0x40 bit the bytes at
+// NewResident seals into is FormOf's and does not depend on the chunking.
+// Each form, with either relation resident, also counts each probe chunk in
+// key order and in reverse: a count must not depend on the order a chunk's
+// keys come in. Byte keys span at most 256, so every side may be forced into
+// a direct-address form, and an equi side of a few keys over a wide span is
+// past the dense window's budget, though its first chunks alone may be within
+// it; seeds sit at both budgets' edges. With sel's 0x40 bit the bytes at
 // either end stand for keys at the int64 extremes and just past ±2^61; a side
-// spanning those stays off the table form. Every chunk a side streams comes
-// back to the pool exactly once — at Seal, at Finish, counted, or when the
-// side is dropped before its seal or amid a probe — and no block a terminal
-// call borrows does.
+// spanning those is only ever the sorted block. Every chunk a side streams
+// comes back to the pool exactly once — at Seal, at Finish, counted, or when
+// the side is dropped before its seal or amid a probe — and no block a
+// terminal call borrows does.
 func FuzzEngineCount(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 3}, uint8(3), uint8(0))
 	f.Add([]byte{}, []byte{0, 0, 0, 0}, uint8(1), uint8(1))
@@ -680,6 +699,14 @@ func FuzzEngineCount(f *testing.F) {
 	// over 6 keys) and whole, with {0, 255}, is not: the sorted block must
 	// hold every chunk's keys.
 	f.Add([]byte{128, 128, 129, 129, 130, 130, 0, 255}, []byte{128, 129, 0, 255, 130}, uint8(2), uint8(1))
+	// Sides of 4 keys at the budget's edges, spans 8n - 1, 8n, 16n - 1 and
+	// 16n: an equi side (R1 resident) is dense below 8n, a band side (R2
+	// resident) a table below 16n.
+	for _, span := range []byte{31, 32, 63, 64} {
+		side, other := []byte{100, 100 + span, 110, 120}, []byte{99, 100, 120, 100 + span}
+		f.Add(side, other, uint8(1), uint8(0))
+		f.Add(other, side, uint8(2), uint8(0x82))
+	}
 	conds := propertyConds
 	f.Fuzz(func(t *testing.T, b1, b2 []byte, split, sel uint8) {
 		if len(b1) > 1024 || len(b2) > 1024 {
@@ -710,26 +737,29 @@ func FuzzEngineCount(f *testing.F) {
 		cond := conds[int(sel)%len(conds)]
 		residentR1 := sel&0x80 == 0
 		want := NestedLoopCount(r1, r2, cond)
-		resident := r2
-		if residentR1 {
-			resident = r1
-		}
-		whole := sealedForm(sealChunked(resident, cond, residentR1, 0))
-		if got := sealedForm(sealChunked(resident, cond, residentR1, int(split)%8)); got != whole {
-			t.Fatalf("%v, R1 resident %v: sealed %s in chunks of %d, %s in one", cond, residentR1, got, int(split)%8, whole)
-		}
-		fits := func(form residentForm, residentR1 bool) bool {
-			side := r2
+		residentOf := func(residentR1 bool) []key {
 			if residentR1 {
-				side = r1
+				return r1
 			}
-			return form != formTable || spanOf(side) <= tableSpanCap
+			return r2
+		}
+		resident, probe := residentOf(residentR1), residentOf(!residentR1)
+		whole := sealedForm(sealChunked(resident, cond, residentR1, 0))
+		if lo, hi, n := keyRange([][]key{resident}); whole != FormOf(cond, lo, hi, n) {
+			t.Fatalf("%v, R1 resident %v: sealed %v, FormOf says %v", cond, residentR1, whole, FormOf(cond, lo, hi, n))
+		}
+		side := sealChunked(resident, cond, residentR1, int(split)%8)
+		if got := sealedForm(side); got != whole {
+			t.Fatalf("%v, R1 resident %v: sealed %v in chunks of %d, %v in one", cond, residentR1, got, int(split)%8, whole)
+		}
+		if got := side.Finish(slices.Clone(probe)); got != want {
+			t.Fatalf("%v, R1 resident %v, chunks of %d, %v by rule: count = %d, want %d", cond, residentR1, int(split)%8, whole, got, want)
 		}
 		for _, form := range residentForms {
 			if !formServes(form, cond) {
 				continue
 			}
-			if fits(form, residentR1) {
+			if fitsForced(form, resident) {
 				if got := residentCount(t, r1, r2, cond, form, residentR1, int(split)%8); got != want {
 					t.Fatalf("%v, %v, R1 resident %v, chunks of %d: count = %d, want %d",
 						cond, form, residentR1, int(split)%8, got, want)
@@ -737,7 +767,7 @@ func FuzzEngineCount(f *testing.F) {
 				abandonResident(t, r1, r2, cond, form, residentR1, int(split)%8)
 			}
 			for _, r1Resident := range []bool{true, false} {
-				if !fits(form, r1Resident) {
+				if !fitsForced(form, residentOf(r1Resident)) {
 					continue
 				}
 				for _, order := range []probeOrder{keyOrder, reverseKeyOrder} {
