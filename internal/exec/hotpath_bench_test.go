@@ -180,8 +180,8 @@ func BenchmarkJoinPairs(b *testing.B) {
 }
 
 // BenchmarkWindowClose times one stream worker closing a window in
-// stream-flip's shape: summarize a 25,000-key shard (the default summary
-// sizing), then count it against a sealed band-25 base of 250,000 keys over
+// stream-flip's shape: summarize a 25,000-key shard (the window summary's
+// size), then count it against a sealed band-25 base of 250,000 keys over
 // a 1,000,000-key span (a rank table), stamping both steps as a worker does.
 // Each window starts from the shard in arrival order; ns/key is per window key.
 func BenchmarkWindowClose(b *testing.B) {
@@ -191,7 +191,7 @@ func BenchmarkWindowClose(b *testing.B) {
 	res.Seal(randKeys(nBase, span, 61))
 	arrival := randKeys(nWin, span, 62)
 	win := make([]join.Key, nWin)
-	sp := StatsSpec{Cap: 1024, Buckets: 64, Seed: 63}
+	sp := StatsSpec{Seed: 63}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

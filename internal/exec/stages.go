@@ -26,38 +26,42 @@ import (
 //
 // The plan is STATS-DEFERRED, the content-sensitive planning the paper is
 // about: the transport has every stage-1 worker summarize its local matches
-// (Stats sizes the summaries), collects the summaries, calls Replan to build
+// (Stats seeds the summaries), collects the summaries, calls Replan to build
 // the plan from the merged statistics, and only then routes by it — only the
 // statistics summaries reach the driver.
 
-// StatsSpec sizes the per-worker statistics summaries of a stage plan (see
-// sample.Summarize).
+// StatsSpec seeds the per-worker statistics summaries of a stage plan or a
+// stream. Their sizes belong to the step that draws them (see below).
 type StatsSpec struct {
-	// Cap bounds each worker's uniform key sample.
-	Cap int
-	// Buckets is each worker's local equi-depth histogram resolution.
-	Buckets int
 	// Seed is the base summary-sampling seed; workers derive deterministic
 	// per-sender streams from it.
 	Seed uint64
-	// Adaptive lets each worker shrink its sample below Cap when its local
-	// match count is small (see sample.AdaptiveCap): a worker holding a few
-	// thousand matches ships a few hundred sample keys instead of the full
-	// Cap, trimming summary bytes and merge work without losing resolution
-	// where it matters. Cap remains the hard ceiling either way.
-	Adaptive bool
 }
 
-// summarize samples keys under the spec with the given sampling stream: the
-// one summary step behind window and stage summaries alike. Both own their
-// keys, so it sorts them in place (sample.SummarizeInPlace) and the caller
-// goes on in key order.
-func (sp StatsSpec) summarize(keys []join.Key, seed uint64) *stats.Summary {
-	cap := sp.Cap
-	if sp.Adaptive {
-		cap = sample.AdaptiveCap(len(keys), sp.Cap)
-	}
-	return sample.SummarizeInPlace(keys, cap, sp.Buckets, stats.NewRNG(seed))
+// A summary's size is fixed by the step that draws it, as the planner's ns
+// and si are fixed by n and J. A stage summary plans stage 2 of a pipeline:
+// at most AdaptiveCap(n, stageSampleCap) sampled keys, so a worker holding a
+// few thousand matches ships a few hundred, under a stageBuckets-bucket
+// equi-depth histogram. A window summary feeds a stream's drift detection
+// and replans: at most WindowSampleCap keys under WindowBuckets buckets,
+// which streamjoin's coordinator-side summary of a window reads too.
+const (
+	stageSampleCap  = 4096
+	stageBuckets    = 256
+	WindowSampleCap = 1024
+	WindowBuckets   = 64
+)
+
+// stageSummarySeed and streamSummarySeed derive the deterministic sampling
+// stream of one sender's stage summary and of one worker's summary of one
+// window, so a shard re-summarized after a fault (same content, same worker
+// id) reproduces bit-identically.
+func stageSummarySeed(seed uint64, sender int) uint64 {
+	return seed + 0x517cc1b727220a95*uint64(sender+1)
+}
+
+func streamSummarySeed(seed uint64, worker int, window uint32) uint64 {
+	return seed + 0x9e3779b97f4a7c15*uint64(worker+1) + 0x517cc1b727220a95*uint64(window+1)
 }
 
 // StageMatches is a stage-1 worker's first step: join its blocks and
@@ -74,11 +78,13 @@ func StageMatches(r1, r2, rekey []join.Key, cond join.Condition) []join.Key {
 }
 
 // StageSummary is the second step: sender's encoded summary of its matches,
-// sampled from a stream derived from sp.Seed and the sender. It sorts the
-// matches in place, so RouteStage sends them on in key order.
+// at the stage summary's size, sampled from a stream derived from sp.Seed
+// and the sender. It sorts the matches in place (sample.SummarizeInPlace),
+// so RouteStage sends them on in key order.
 func StageSummary(matches []join.Key, sp StatsSpec, sender int) ([]byte, error) {
-	seed := sp.Seed + 0x517cc1b727220a95*uint64(sender+1)
-	enc, err := planio.EncodeSummary(sp.summarize(matches, seed))
+	sum := sample.SummarizeInPlace(matches, sample.AdaptiveCap(len(matches), stageSampleCap),
+		stageBuckets, stats.NewRNG(stageSummarySeed(sp.Seed, sender)))
+	enc, err := planio.EncodeSummary(sum)
 	if err != nil {
 		return nil, fmt.Errorf("statistics summary: %w", err)
 	}
@@ -103,8 +109,8 @@ func (Local) RunStages(first *Job, next *PlanJob, wm1, wm2 []WorkerMetrics) (int
 	if first.Pairs != nil {
 		return 0, fmt.Errorf("exec: a stage pipeline's first job cannot stream pairs")
 	}
-	if next.Stats == nil || next.Replan == nil {
-		return 0, fmt.Errorf("exec: stage plan without a statistics spec and a replan function")
+	if next.Replan == nil {
+		return 0, fmt.Errorf("exec: stage plan without a replan function")
 	}
 	r1, r2 := first.R1.Wait(), first.R2.Wait()
 	if r2.Rekey == nil {
@@ -117,7 +123,7 @@ func (Local) RunStages(first *Job, next *PlanJob, wm1, wm2 []WorkerMetrics) (int
 		matches[w] = StageMatches(in1, in2, r2.Rekey.Worker(w), first.Cond)
 		clk.Mark(stage.Probe)
 		wm1[w] = WorkerMetrics{InputR1: int64(len(in1)), InputR2: int64(len(in2)), Output: int64(len(matches[w]))}
-		sums[w], errs[w] = StageSummary(matches[w], *next.Stats, w)
+		sums[w], errs[w] = StageSummary(matches[w], next.Stats, w)
 		clk.Mark(stage.Summarize)
 	})
 	if err := errors.Join(errs...); err != nil {
@@ -175,8 +181,8 @@ type PlanJob struct {
 	// driver cannot shuffle before it knows the scheme), so transports must
 	// not Wait on it before replanning completes.
 	R2 *RelFuture
-	// Stats sizes the per-worker summaries of the stage-1 matches.
-	Stats *StatsSpec
+	// Stats seeds the per-worker summaries of the stage-1 matches.
+	Stats StatsSpec
 	// Stages, when non-nil, receives each stage-2 worker's stage record, up
 	// to the worker count Replan returns.
 	Stages []stage.Record
@@ -208,15 +214,15 @@ type StageRuntime interface {
 }
 
 // StagePlan describes the downstream stage to RunStagesOver: its predicate,
-// and how to plan it from the stage-1 workers' statistics. Stats, MaxWorkers
-// and Replan are required. MaxIntermediate (when positive) caps the stage-1
+// and how to plan it from the stage-1 workers' statistics. MaxWorkers and
+// Replan are required. MaxIntermediate (when positive) caps the stage-1
 // match total before stage 2 dispatches.
 type StagePlan struct {
 	Cond            join.Condition
 	MaxIntermediate int64
 
-	// Stats sizes the per-worker summaries.
-	Stats *StatsSpec
+	// Stats seeds the per-worker summaries.
+	Stats StatsSpec
 	// MaxWorkers bounds the replanned scheme's worker count (the driver's J;
 	// it sizes the stage-2 metrics before the scheme exists).
 	MaxWorkers int
@@ -255,8 +261,6 @@ func RunStagesOver(rt StageRuntime, r1, r2, rekey []join.Key,
 	switch {
 	case sp.Replan == nil:
 		return nil, nil, fmt.Errorf("exec: stage plan without a replan function")
-	case sp.Stats == nil || sp.Stats.Cap < 1 || sp.Stats.Buckets < 1:
-		return nil, nil, fmt.Errorf("exec: stage plan needs a statistics spec")
 	case sp.MaxWorkers < 1:
 		return nil, nil, fmt.Errorf("exec: stage plan needs a worker bound")
 	}

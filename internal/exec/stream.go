@@ -6,6 +6,7 @@ import (
 
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
+	"ewh/internal/sample"
 	"ewh/internal/stage"
 	"ewh/internal/stats"
 )
@@ -27,7 +28,7 @@ type StreamSpec struct {
 	// Cond is the join condition; windows are relation 1, the base is
 	// relation 2 (the orientation band conditions care about).
 	Cond join.Condition
-	// Stats sizes the per-worker window summaries drift detection consumes.
+	// Stats seeds the per-worker window summaries drift detection consumes.
 	Stats StatsSpec
 }
 
@@ -73,23 +74,17 @@ type StreamRuntime interface {
 	OpenStream(spec StreamSpec) (StreamHandle, error)
 }
 
-// StreamSummarySeed derives the deterministic sampling stream for one
-// worker's summary of one window, decorrelated across both axes. Every
-// StreamRuntime implementation must use it so a window re-summarized after
-// a fault (same shard content, same worker id) reproduces bit-identically.
-func StreamSummarySeed(seed uint64, worker int, window uint32) uint64 {
-	return seed + 0x9e3779b97f4a7c15*uint64(worker+1) + 0x517cc1b727220a95*uint64(window+1)
-}
-
 // CloseWindow is one worker's end of a window, the step every StreamRuntime
 // takes so in-process and wire transports reply bit-identically: it sorts the
-// shard in place, summarizes it under the stream's stats spec (nil for an
-// empty shard) and finishes res's probe relation with it, lent, in key order,
-// counting any probe chunks res kept back. Both steps stamp res's clock.
+// shard in place, summarizes it at the window summary's size from a stream
+// derived from sp.Seed, the worker and the window (nil for an empty shard),
+// and finishes res's probe relation with it, lent, in key order, counting
+// any probe chunks res kept back. Both steps stamp res's clock.
 func CloseWindow(res *localjoin.Resident, keys []join.Key, sp StatsSpec, worker int, window uint32) (int64, *stats.Summary) {
 	var sum *stats.Summary
 	if len(keys) > 0 {
-		sum = sp.summarize(keys, StreamSummarySeed(sp.Seed, worker, window))
+		sum = sample.SummarizeInPlace(keys, WindowSampleCap, WindowBuckets,
+			stats.NewRNG(streamSummarySeed(sp.Seed, worker, window)))
 	}
 	res.Mark(stage.Summarize)
 	return res.Finish(keys), sum

@@ -54,7 +54,7 @@ const (
 )
 
 // VersionSession is the protocol version as it appears in the wire prelude.
-const VersionSession = 10
+const VersionSession = 11
 
 // Dir selects which byte stream a rule watches, relative to the wrapped
 // endpoint (the worker, for a wrapped listener).

@@ -501,7 +501,7 @@ func (sc *Scenario) streamConfig() streamjoin.Config {
 	return streamjoin.Config{
 		Opts:  sc.opts,
 		Exec:  sc.cfg,
-		Stats: exec.StatsSpec{Cap: 512, Buckets: 32, Seed: sc.seed + 7},
+		Stats: exec.StatsSpec{Seed: sc.seed + 7},
 	}
 }
 

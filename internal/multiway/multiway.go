@@ -90,16 +90,6 @@ const (
 	statsSeedDelta = 0x2545f491
 )
 
-// StatsSampleCap and StatsBuckets size the per-worker statistics summaries
-// of the distributed CSIO stage-2 planning: each worker ships at most
-// StatsSampleCap sampled keys plus a StatsBuckets-bucket equi-depth
-// histogram of its local intermediate — a few KB per worker, independent of
-// the intermediate size.
-const (
-	StatsSampleCap = 4096
-	StatsBuckets   = 256
-)
-
 // ExecuteOver runs the chain join through rt's stage pipeline
 // (exec.StageRuntime: exec.Local in process, a netexec session worker to
 // worker). Stage 2 is a genuine CSIO plan built from the stage-1 workers'
@@ -158,8 +148,7 @@ func attempt(rt exec.StageRuntime, q Query, opts core.Options, cfg exec.Config) 
 		Cond:            q.CondB,
 		MaxIntermediate: MaxIntermediate,
 		MaxWorkers:      opts.J,
-		Stats: &exec.StatsSpec{Cap: StatsSampleCap, Buckets: StatsBuckets,
-			Seed: cfg.Seed + statsSeedDelta, Adaptive: true},
+		Stats:           exec.StatsSpec{Seed: cfg.Seed + statsSeedDelta},
 		Replan: func(summaries []*stats.Summary) ([]byte, partition.Scheme, error) {
 			t0 := time.Now()
 			defer func() { plan2Dur = time.Since(t0) }()

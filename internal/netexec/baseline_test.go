@@ -163,7 +163,7 @@ func tableStages(sess *Session, n int, domain int64, badFirst, badNext bool) err
 	first := &exec.Job{Cond: join.Equi{}, Workers: tableWorkers,
 		R1: tableRel(s1, false, badFirst), R2: tableRel(s2, true, false)}
 	next := &exec.PlanJob{Cond: join.Equi{}, R2: exec.ResolvedRelFuture(r3),
-		Stats:  &exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 515},
+		Stats:  exec.StatsSpec{Seed: 515},
 		Replan: func([][]byte) ([]byte, int, error) { return plan, tableWorkers, nil }}
 	_, err = sess.RunStages(first, next,
 		make([]exec.WorkerMetrics, tableWorkers), make([]exec.WorkerMetrics, tableWorkers))
@@ -172,7 +172,7 @@ func tableStages(sess *Session, n int, domain int64, badFirst, badNext bool) err
 
 func tableStream(sess *Session, in tableInputs) error {
 	st, err := sess.OpenStream(exec.StreamSpec{Cond: join.Equi{},
-		Stats: exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 520}})
+		Stats: exec.StatsSpec{Seed: 520}})
 	if err != nil {
 		return err
 	}

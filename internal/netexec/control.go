@@ -31,7 +31,7 @@ import (
 //     senders peers under token; the coordinator ships its relation 2 WHILE
 //     stage 1 still runs.
 //   - stream: a continuous join whose windows each reply a count and a
-//     summary sized by stats.
+//     summary seeded by stats.
 //   - contribution: a stage-1 plan job's share for one stage-2 peer, sent by
 //     that job's worker: sender WorkerID's base run for transfer token, which
 //     the reply says the receiver committed.
@@ -76,7 +76,7 @@ type open struct {
 	Kind     byte
 	WorkerID int
 	Cond     join.Spec
-	Stats    exec.StatsSpec // plan, stream
+	Stats    exec.StatsSpec // plan, stream: the summaries' seed
 	Token    uint64         // plan, peer, contribution
 	Senders  int            // peer
 }
@@ -149,9 +149,8 @@ func readBool(c *planio.Cursor, what string) bool {
 func (o *open) append(b []byte) []byte {
 	b = le.AppendUint32(append(b, o.Kind), uint32(o.WorkerID))
 	b = append(le.AppendUint64(appendBlob(b, o.Cond.Kind), uint64(o.Cond.Beta)), byte(o.Cond.Op))
-	b = le.AppendUint32(le.AppendUint32(b, uint32(o.Stats.Cap)), uint32(o.Stats.Buckets))
-	b = appendBool(le.AppendUint64(b, o.Stats.Seed), o.Stats.Adaptive)
-	return le.AppendUint32(le.AppendUint64(b, o.Token), uint32(o.Senders))
+	b = le.AppendUint64(le.AppendUint64(b, o.Stats.Seed), o.Token)
+	return le.AppendUint32(b, uint32(o.Senders))
 }
 
 func (o *open) decode(c *planio.Cursor) {
@@ -160,8 +159,7 @@ func (o *open) decode(c *planio.Cursor) {
 	}
 	o.WorkerID = int(c.U32())
 	o.Cond = join.Spec{Kind: string(c.Blob()), Beta: int64(c.U64()), Op: join.Op(c.U8())}
-	o.Stats = exec.StatsSpec{Cap: int(c.U32()), Buckets: int(c.U32()), Seed: c.U64()}
-	o.Stats.Adaptive = readBool(c, "adaptive")
+	o.Stats = exec.StatsSpec{Seed: c.U64()}
 	o.Token, o.Senders = c.U64(), int(c.U32())
 }
 

@@ -3,6 +3,7 @@ package netexec
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ewh/internal/exec"
@@ -22,10 +23,22 @@ func FuzzControlRecord(f *testing.F) {
 		func() ctlRecord { return new(reply) },
 	}
 	spec := join.Spec{Kind: "band", Beta: 2}
-	stats := exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 5, Adaptive: true}
+	stats := exec.StatsSpec{Seed: 5}
 	for kind := kindCount; kind < numKinds; kind++ {
 		f.Add(byte(0), (&open{Kind: kind, WorkerID: 3, Cond: spec, Stats: stats, Token: 9, Senders: 4}).append(nil))
 	}
+	// An OPEN in version 10's layout, the summary's cap and buckets (u32
+	// each) before its seed and an adaptive byte after it, is refused.
+	o := open{Kind: kindPlan, WorkerID: 3, Cond: spec, Stats: stats, Token: 9, Senders: 4}
+	v11 := o.append(nil)
+	seedAt := len(v11) - 8 - 8 - 4
+	v10 := le.AppendUint32(le.AppendUint32(slices.Clone(v11[:seedAt]), 64), 8)
+	v10 = append(append(v10, v11[seedAt:seedAt+8]...), 1)
+	v10 = append(v10, v11[seedAt+8:]...)
+	if len(v10) != len(v11)+9 || decodeCtl(v10, new(open)) == nil {
+		f.Fatal("an OPEN in version 10's layout decoded")
+	}
+	f.Add(byte(0), v10)
 	f.Add(byte(1), (&plan2{Plan: []byte("EWHP\x01\x00"), Self: -1, Peers: []string{"127.0.0.1:1", "[::1]:2"}}).append(nil))
 	// A REPLY cut off inside its stage record is refused.
 	full := (&reply{Final: true, Stages: jobStages()}).append(nil)

@@ -8,6 +8,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -319,6 +320,24 @@ func TestFaultnetFrameParity(t *testing.T) {
 	}
 	if protoVersionSession != faultnet.VersionSession {
 		t.Error("protocol version constants diverged")
+	}
+	// The framing faultnet parses by: its magic, its prelude before the
+	// tenant (magic and version) and its frame header.
+	src, err := os.ReadFile("../faultnet/faultnet.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ decl, want string }{
+		{`var wireMagic = \[4\]byte\{'(.)', '(.)', '(.)', '(.)'\}`, string(protoMagic[:])},
+		{`(?m)^\tpreludeLen += (\d+)$`, strconv.Itoa(len(prelude(protoVersionSession, "")) - 1)},
+		{`(?m)^\tframeHeaderLen += (\d+)$`, strconv.Itoa(v3FrameHeaderLen)},
+	} {
+		m := regexp.MustCompile(c.decl).FindStringSubmatch(string(src))
+		if m == nil {
+			t.Errorf("faultnet.go has no declaration matching %s", c.decl)
+		} else if got := strings.Join(m[1:], ""); got != c.want {
+			t.Errorf("faultnet.go declares %q by %s, wire.go %q", got, c.decl, c.want)
+		}
 	}
 }
 

@@ -63,7 +63,7 @@ func TestStreamRunLeavesCallersRelations(t *testing.T) {
 		res, err := streamjoin.Run(r.rt, base, windows, cond, streamjoin.Config{
 			Opts:  core.Options{J: 4, Model: model, Seed: 5},
 			Exec:  exec.Config{Seed: 6},
-			Stats: exec.StatsSpec{Cap: 512, Buckets: 32, Seed: 7},
+			Stats: exec.StatsSpec{Seed: 7},
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
@@ -73,7 +73,7 @@ func TestStreamRunLeavesCallersRelations(t *testing.T) {
 		}
 		requireUntouched(t, r.name, names, rels, orig)
 
-		h, err := r.rt.OpenStream(exec.StreamSpec{Cond: cond, Stats: exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 8}})
+		h, err := r.rt.OpenStream(exec.StreamSpec{Cond: cond, Stats: exec.StatsSpec{Seed: 8}})
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}

@@ -319,7 +319,7 @@ func TestControlFrameBound(t *testing.T) {
 		}
 	}
 	count := &open{Kind: kindCount, Cond: spec}
-	plan := &open{Kind: kindPlan, Cond: spec, Stats: exec.StatsSpec{Cap: 8, Buckets: 4}, Token: 1}
+	plan := &open{Kind: kindPlan, Cond: spec, Token: 1}
 	t.Run("open over its bound", func(t *testing.T) {
 		// An OPEN (a count job's, or a plan job's carrying the statistics
 		// request the retired PLAN frame did) longer than any real one is

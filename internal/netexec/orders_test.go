@@ -575,7 +575,7 @@ func (l *orderLink) send(e orderEv, kind byte, token uint64) error {
 		err = writeCtl(l.bw, frameV3Open, 1, &open{Kind: kindContrib, Token: token})
 	case e.what == 'O':
 		err = writeCtl(l.bw, frameV3Open, 1, &open{Kind: kind, Cond: spec, Token: token, Senders: 1,
-			Stats: exec.StatsSpec{Cap: 8, Buckets: 4, Seed: 1}})
+			Stats: exec.StatsSpec{Seed: 1}})
 	case e.what == 'B' && e.contrib:
 		keys = orderShare
 		fallthrough

@@ -548,7 +548,7 @@ func TestPeerJobReplyCheckedAgainstSenderCounts(t *testing.T) {
 		R1: exec.ResolvedRelFuture(exec.RelData{Keys: s1}),
 		R2: exec.ResolvedRelFuture(exec.RelData{Keys: s2, Rekey: s2})}
 	next := &exec.PlanJob{Cond: join.Equi{}, R2: exec.ResolvedRelFuture(exec.RelData{Chunks: r3}),
-		Stats:  &exec.StatsSpec{Cap: 8, Buckets: 4, Seed: 6},
+		Stats:  exec.StatsSpec{Seed: 6},
 		Replan: func([][]byte) ([]byte, int, error) { return plan, 1, nil }}
 	_, err = sess.RunStages(first, next, make([]exec.WorkerMetrics, 1), make([]exec.WorkerMetrics, 1))
 	if err == nil || !strings.Contains(err.Error(), "worker joined 2 peer tuples, senders reported 3") {

@@ -362,8 +362,7 @@ func readV3ErrMetrics(t *testing.T, conn net.Conn, wantJob uint32) string {
 	return readV3Metrics(t, conn, wantJob).Err
 }
 
-// sendOpenJob opens an equi job of kind; a plan or peer job names token, and
-// a plan job requests a small summary.
+// sendOpenJob opens an equi job of kind; a plan or peer job names token.
 func sendOpenJob(t *testing.T, bw *bufio.Writer, id uint32, kind byte, token uint64) {
 	t.Helper()
 	spec, err := join.SpecOf(join.Equi{})
@@ -371,9 +370,6 @@ func sendOpenJob(t *testing.T, bw *bufio.Writer, id uint32, kind byte, token uin
 		t.Fatal(err)
 	}
 	o := open{Kind: kind, Cond: spec, Token: token, Senders: 1}
-	if kind == kindPlan {
-		o.Stats = exec.StatsSpec{Cap: 8, Buckets: 4}
-	}
 	if err := writeCtl(bw, frameV3Open, id, &o); err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestStreamRefusesOversizedShare(t *testing.T) {
 	}
 	defer sess.Close()
 	st, err := sess.OpenStream(exec.StreamSpec{Cond: join.Equi{},
-		Stats: exec.StatsSpec{Cap: 64, Buckets: 8, Seed: 1}})
+		Stats: exec.StatsSpec{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

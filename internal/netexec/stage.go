@@ -185,13 +185,13 @@ func (st *stagePipe) runStage1(spec1 join.Spec, first *exec.Job,
 	wm1 []exec.WorkerMetrics) ([]*subJob, error) {
 
 	s, next, j1 := st.s, st.next, first.Workers
-	if next.Stats == nil || next.Replan == nil {
-		return nil, fmt.Errorf("netexec: stage plan without a statistics spec and a replan function")
+	if next.Replan == nil {
+		return nil, fmt.Errorf("netexec: stage plan without a replan function")
 	}
 	jobs := make([]*subJob, j1)
 	sums := make([][]byte, j1)
 	err := fanOut(j1, func(w int) (err error) {
-		o := open{Kind: kindPlan, WorkerID: w, Cond: spec1, Stats: *next.Stats, Token: st.token}
+		o := open{Kind: kindPlan, WorkerID: w, Cond: spec1, Stats: next.Stats, Token: st.token}
 		jobs[w], sums[w], err = s.conns[w].openStatsStageJob(st.id1, &o, first)
 		return err
 	})

@@ -28,7 +28,7 @@ func statsStagePlan(t *testing.T, cond join.Condition, j2 int, seed uint64,
 	return exec.StagePlan{
 		Cond:       cond,
 		MaxWorkers: j2,
-		Stats:      &exec.StatsSpec{Cap: 512, Buckets: 32, Seed: seed},
+		Stats:      exec.StatsSpec{Seed: seed},
 		Replan: func(sums []*stats.Summary) ([]byte, partition.Scheme, error) {
 			if onReplan != nil {
 				return onReplan(sums)

@@ -86,7 +86,7 @@ func TestStreamWorkerDeathAfterReplanRecovers(t *testing.T) {
 	res, err := streamjoin.Run(sess, base, windows, cond, streamjoin.Config{
 		Opts:  core.Options{J: 4, Model: model, Seed: 5},
 		Exec:  exec.Config{Seed: 6},
-		Stats: exec.StatsSpec{Cap: 512, Buckets: 32, Seed: 7},
+		Stats: exec.StatsSpec{Seed: 7},
 	})
 	if err != nil {
 		t.Fatalf("recovery failed: %v", err)

@@ -30,15 +30,9 @@ import (
 const (
 	// protoVersionSession is the persistent-session protocol: numbered jobs
 	// multiplex over the connection until either side closes (session.go).
-	// Version 9 had frame 20, a cancel broadcast by transfer token that
-	// ABORT, reaching a job past its EOS, replaced; version 8 carried a
-	// REPLY's one duration where 9 carries a stage record;
-	// version 7 its control frames as gob, in three opens, a PLAN and
-	// two replies; version 6 was the worker→worker mesh, PEERHEAD and
-	// PEERBLOCK frames at job 0 (30 and 31), which a contribution sub-job
-	// replaced; version 5 a tenant-less mesh. A worker closes each at the
-	// prelude.
-	protoVersionSession = 10
+	// Version 11's OPEN carries a summary's seed and no size: the size is
+	// exec's. A worker closes any other version at the prelude.
+	protoVersionSession = 11
 
 	// Session frames. Every header carries a job number, so one connection
 	// interleaves many jobs' frames.

@@ -34,8 +34,8 @@ import (
 // between the active plan's reference CDF and a window's merged-summary CDF.
 // Small enough to catch a genuine distribution flip (which drives the
 // distance toward 1), large enough that sampling noise between
-// same-distribution windows — empirically well under 0.1 at the default
-// summary sizes — never fires.
+// same-distribution windows — empirically well under 0.1 at exec's window
+// summary size — never fires.
 const driftThreshold = 0.15
 
 // DefaultPlanHorizon is the number of upcoming windows one plan is expected
@@ -46,15 +46,6 @@ const driftThreshold = 0.15
 // planner happily parks the whole window stream on one worker.
 const DefaultPlanHorizon = 8
 
-// Default per-worker window summary sizing when Config.Stats leaves the
-// fields zero. The sample package would clamp zero values to 1, which makes
-// a drift metric blind; these give the drift CDFs real resolution at a few
-// KB per summary.
-const (
-	DefaultStatsCap     = 1024
-	DefaultStatsBuckets = 64
-)
-
 // Config tunes a continuous-join run.
 type Config struct {
 	// Opts are the planner options. J defaults to the stream's fleet width;
@@ -62,8 +53,8 @@ type Config struct {
 	Opts core.Options
 	// Exec configures routing (mapper parallelism, scheme seed).
 	Exec exec.Config
-	// Stats sizes the per-worker window summaries drift detection consumes;
-	// zero Cap/Buckets select DefaultStatsCap/DefaultStatsBuckets.
+	// Stats seeds the per-worker window summaries drift detection consumes;
+	// their size is exec's (exec.WindowSampleCap, exec.WindowBuckets).
 	Stats exec.StatsSpec
 	// FreezePlan disables drift-triggered replanning: the stream runs every
 	// window under the plan built for the first one. The control arm of the
@@ -154,12 +145,6 @@ func Run(rt exec.Runtime, base []join.Key, windows [][]join.Key, cond join.Condi
 	if len(base) == 0 {
 		return nil, errors.New("streamjoin: empty base relation")
 	}
-	if cfg.Stats.Cap <= 0 {
-		cfg.Stats.Cap = DefaultStatsCap
-	}
-	if cfg.Stats.Buckets <= 0 {
-		cfg.Stats.Buckets = DefaultStatsBuckets
-	}
 	st := &runState{
 		rt:      rt,
 		spec:    exec.StreamSpec{Cond: cond, Stats: cfg.Stats},
@@ -219,7 +204,7 @@ func Run(rt exec.Runtime, base []join.Key, windows [][]join.Key, cond join.Condi
 // new plan re-anchors it.
 func (st *runState) openEpoch(planKeys []join.Key, sum *stats.Summary) error {
 	if sum == nil {
-		sum = sample.Summarize(planKeys, st.cfg.Stats.Cap, st.cfg.Stats.Buckets,
+		sum = sample.Summarize(planKeys, exec.WindowSampleCap, exec.WindowBuckets,
 			stats.NewRNG(st.cfg.Stats.Seed))
 	}
 	// Scaling Count (sample and bounds untouched) scales the planner's R1

@@ -56,7 +56,7 @@ func flipConfig(freeze bool) Config {
 	return Config{
 		Opts:       core.Options{J: 4, Seed: 7},
 		Exec:       exec.Config{Seed: 11},
-		Stats:      exec.StatsSpec{Cap: 512, Buckets: 32, Seed: 9},
+		Stats:      exec.StatsSpec{Seed: 9},
 		FreezePlan: freeze,
 	}
 }
