@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -14,11 +15,26 @@ import (
 )
 
 // buildTools builds the three commands into a fresh directory and returns it.
+// The go command keys this package's cached result by what the test binary
+// links and by the files the test opens, and the binary links none of the
+// packages the commands build from. So buildTools also reads the directory
+// of each of them, which puts every file's size and modification time in
+// that key: an edit to any package the commands run reruns these tests.
 func buildTools(t *testing.T) string {
 	t.Helper()
+	tools := []string{"./ewhcoord", "./ewhplan", "./ewhworker"}
 	bin := t.TempDir()
-	if out, err := exec.Command("go", "build", "-o", bin, "./ewhcoord", "./ewhplan", "./ewhworker").CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", append([]string{"build", "-o", bin}, tools...)...).CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	deps, err := exec.Command("go", append([]string{"list", "-deps", "-f", "{{if not .Standard}}{{.Dir}}{{end}}"}, tools...)...).Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	for _, dir := range strings.Split(strings.TrimSpace(string(deps)), "\n") {
+		if _, err := os.ReadDir(dir); err != nil {
+			t.Fatalf("reading %s, a package the commands build from: %v", dir, err)
+		}
 	}
 	return bin
 }

@@ -162,7 +162,10 @@ func TestJoinPairsMatchesNestedLoop(t *testing.T) {
 // stream, its flush boundaries and the count must be identical. Each byte is
 // a key step, scaled by a fuzz-chosen spacing from a fuzz-chosen origin, so
 // blocks fall on both sides of the span rule and reach the int64 ends;
-// repeating a block makes it long enough to cross flush boundaries.
+// repeating a block makes it long enough to cross flush boundaries. The band
+// takes β = 2, 2^62 or MaxInt64 as sel/7 is 0, 1 or 2 (mod 3); seeds probe a
+// table at and within β of its ends, where a band's interior stops, and at
+// the int64 extremes under a β past 2^62, where it is empty.
 func FuzzJoinPairs(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 3}, int64(0), uint8(1), uint8(2), uint8(0))
 	f.Add([]byte{0, 0, 0}, []byte{0, 0, 0, 0}, int64(0), uint8(0), uint8(200), uint8(3))
@@ -174,6 +177,19 @@ func FuzzJoinPairs(f *testing.F) {
 	// (span 16n - 1), 32 apart the argsort (span 16n).
 	f.Add([]byte{0, 1, 2}, []byte{0, 1}, int64(-40), uint8(31), uint8(0), uint8(2))
 	f.Add([]byte{0, 1, 2}, []byte{0, 1}, int64(-40), uint8(32), uint8(0), uint8(5))
+	// R1 keys at, within β of and past the ends of relation 2's table, under
+	// the equality, band 2 and every inequality.
+	near := []byte{6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 18, 19, 20, 21, 22, 23, 24}
+	for _, sel := range []uint8{0, 2, 3, 4, 5, 6} {
+		f.Add(near, []byte{10, 12, 20, 20}, int64(0), uint8(1), uint8(0), sel)
+	}
+	// Tables at either int64 extreme under β = 2^62 (sel 9) and MaxInt64
+	// (sel 16).
+	for _, sel := range []uint8{9, 16} {
+		f.Add([]byte{0, 128, 250, 252, 253, 255}, []byte{252, 253, 254, 255}, int64(math.MaxInt64-255), uint8(1), uint8(0), sel)
+		f.Add([]byte{0, 1, 3, 5, 128, 255}, []byte{0, 1, 2, 3}, int64(math.MinInt64), uint8(1), uint8(0), sel)
+	}
+	betas := []int64{2, 1 << 62, math.MaxInt64}
 	conds := []join.Condition{join.Equi{}, join.NewBand(0), join.NewBand(2),
 		join.Inequality{Op: join.Less}, join.Inequality{Op: join.LessEq},
 		join.Inequality{Op: join.Greater}, join.Inequality{Op: join.GreaterEq}}
@@ -196,6 +212,9 @@ func FuzzJoinPairs(f *testing.F) {
 			t.Skip() // at most 8 MiB of pairs a form
 		}
 		cond := conds[int(sel)%len(conds)]
+		if b, ok := cond.(join.Band); ok && b.Beta > 0 {
+			cond = join.NewBand(betas[int(sel)/len(conds)%len(betas)])
+		}
 		want, wantCuts, wantN := pairStream(r1, r2, cond, pairArgsort)
 		forms := []pairForm{pairRanked}
 		// The forced table is allocated for the span, so only a narrow one is

@@ -171,9 +171,10 @@ const (
 // joinPairs is JoinPairs with relation 2's form chosen. Either form orders
 // R2's arrival indices by (key, index), so an R1 key's partners are one run
 // of them, which one loop emits: the table form counts R2 into a rank table
-// and scatters its indices, finding a run in O(1); the argsort form sorts
-// (key, index) entries, finding a run's start by binary search. A block the
-// table refuses takes the argsort form.
+// and scatters its indices, finding a run in O(1) under cond resolved once
+// (a band's interior key reads two slots); the argsort form sorts (key,
+// index) entries, finding a run's start by binary search. A block the table
+// refuses takes the argsort form.
 func joinPairs(r1, r2 []join.Key, cond join.Condition, form pairForm, flush func([]PairIdx)) int64 {
 	if len(r1) == 0 || len(r2) == 0 {
 		return 0
@@ -182,19 +183,22 @@ func joinPairs(r1, r2 []join.Key, cond join.Condition, form pairForm, flush func
 	if form != pairArgsort {
 		ro = localjoin.NewRankOrder(r2, form == pairTable)
 	}
+	var runs localjoin.PartnerRuns
 	var ord []keyIdx // the argsort form: R2 by (key, index)
 	var order []uint32
-	if ro == nil {
+	if ro != nil {
+		runs = ro.Runs(cond)
+	} else {
 		ord, order = argsort(r2)
 	}
 	buf := PairBufs.Get(pairChunk)[:0]
 	var out int64
 	for i1, k := range r1 {
-		lo, hi := cond.JoinableRange(k)
 		var partners []uint32
 		if ro != nil {
-			partners = ro.Partners(lo, hi)
+			partners = runs.Of(k)
 		} else {
+			lo, hi := cond.JoinableRange(k)
 			from, _ := slices.BinarySearchFunc(ord, lo,
 				func(e keyIdx, k join.Key) int { return cmp.Compare(e.key, k) })
 			to := from

@@ -40,15 +40,21 @@ type buildKey struct {
 	N      int64
 }
 
-// digestKeys digests one chunk of keys.
-func digestKeys(keys []join.Key) buildKey {
+// digestKeys digests one chunk of keys and gathers its span in the same
+// read: the min and max ride beside the two multiply chains.
+func digestKeys(keys []join.Key) (buildKey, keySpan) {
+	if len(keys) == 0 {
+		return buildKey{H1: fnvOffset1, H2: fnvOffset2}, keySpan{}
+	}
 	h1, h2 := uint64(fnvOffset1), uint64(fnvOffset2)
+	lo, hi := keys[0], keys[0]
 	for _, k := range keys {
 		x := uint64(k)
 		h1 = (h1 ^ x) * fnvPrime1
 		h2 = (h2 ^ bits.RotateLeft64(x, 31)) * fnvPrime2
+		lo, hi = min(lo, k), max(hi, k)
 	}
-	return buildKey{H1: h1, H2: h2, N: int64(len(keys))}
+	return buildKey{H1: h1, H2: h2, N: int64(len(keys))}, keySpan{lo, hi, len(keys)}
 }
 
 // plus folds d into k by summing them, so the fold does not depend on their

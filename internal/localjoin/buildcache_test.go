@@ -8,31 +8,62 @@ import (
 	"ewh/internal/join"
 )
 
+// digest is a chunk's content key alone.
+func digest(keys []join.Key) buildKey {
+	d, _ := digestKeys(keys)
+	return d
+}
+
+// TestDigestGathersTheSpan pins that the digest's one read gathers the span
+// keySpanOf reads, and that a relation's chunk spans fold into its own in any
+// order, as a side gathers them.
+func TestDigestGathersTheSpan(t *testing.T) {
+	keys := randKeys(1000, 5000, 81)
+	keys[417] = -3
+	for _, cut := range []int{0, 1, 417, 418, 999, 1000} {
+		_, a := digestKeys(keys[:cut])
+		_, b := digestKeys(keys[cut:])
+		want := keySpanOf(keys)
+		if got := a.plus(b); got != want {
+			t.Errorf("cut at %d: the chunks' spans fold to %+v, want %+v", cut, got, want)
+		}
+		if got := b.plus(a); got != want {
+			t.Errorf("cut at %d, swapped: the chunks' spans fold to %+v, want %+v", cut, got, want)
+		}
+		if got := keySpanOf(keys[:cut]); got != a {
+			t.Errorf("cut at %d: keySpanOf %+v, the digest's span %+v", cut, got, a)
+		}
+	}
+	if got := keySpanOf(nil); got.n != 0 {
+		t.Errorf("keySpanOf(nil) = %+v, want no keys", got)
+	}
+}
+
 func TestDigestCombineMatchesChunkStructure(t *testing.T) {
 	keys := randKeys(1000, 50, 80)
-	whole := digestKeys(keys)
-	if again := digestKeys(keys); again != whole {
+	whole := digest(keys)
+	if again := digest(keys); again != whole {
 		t.Fatal("the one-chunk build key is not deterministic")
 	}
 	// Same content, same chunk structure: identical key.
-	split := digestKeys(keys[:400]).plus(digestKeys(keys[400:]))
-	if again := digestKeys(keys[:400]).plus(digestKeys(keys[400:])); again != split {
+	split := digest(keys[:400]).plus(digest(keys[400:]))
+	if again := digest(keys[:400]).plus(digest(keys[400:])); again != split {
 		t.Fatal("plus is not deterministic")
 	}
 	// Different content must (overwhelmingly) key differently.
 	other := append([]join.Key(nil), keys...)
 	other[500]++
-	if digestKeys(other) == whole {
+	if digest(other) == whole {
 		t.Fatal("distinct content produced the same buildKey")
 	}
 	// The fold is order-free: the same chunks arriving in another order are
 	// the same key→multiplicity table.
-	if swapped := digestKeys(keys[400:]).plus(digestKeys(keys[:400])); swapped != split {
+	if swapped := digest(keys[400:]).plus(digest(keys[:400])); swapped != split {
 		t.Fatal("chunk arrival order changed the folded key")
 	}
 	// Another chunking of the same content keys differently: a false miss,
 	// never a false hit.
-	resplit := digestKeys(keys[:600]).plus(digestKeys(keys[600:]))
+	resplit := digest(keys[:600]).plus(digest(keys[600:]))
 	if resplit == split || split == whole {
 		t.Fatal("a different chunking of the same content keyed identically")
 	}
@@ -55,7 +86,7 @@ func TestBuildCacheHitMissEvict(t *testing.T) {
 	b1 := sealedWindow(r1)
 	c := NewBuildCache(4 * b1.MemBytes())
 
-	k1 := digestKeys(r1)
+	k1 := digest(r1)
 	if cacheGet[*denseWindow](c, cacheKey{k1, Dense}) != nil {
 		t.Fatal("empty cache returned a build")
 	}
@@ -78,7 +109,7 @@ func TestBuildCacheHitMissEvict(t *testing.T) {
 	var keys []buildKey
 	for i := 0; i < 6; i++ {
 		r := randKeys(2000, 100, 90+uint64(i))
-		k := digestKeys(r)
+		k := digest(r)
 		keys = append(keys, k)
 		cacheAdd(c, cacheKey{k, Dense}, sealedWindow(r))
 	}
@@ -98,7 +129,7 @@ func TestBuildCacheOversizedAndNil(t *testing.T) {
 	r := randKeys(5000, 1000, 85)
 	b := sealedWindow(r)
 	c := NewBuildCache(b.MemBytes() / 2)
-	k := digestKeys(r)
+	k := digest(r)
 	if got := cacheAdd(c, cacheKey{k, Dense}, b); got != b {
 		t.Fatal("oversized Add did not pass the build through")
 	}
@@ -134,7 +165,7 @@ func TestBuildCacheSharedProbes(t *testing.T) {
 
 	c := NewBuildCache(1 << 20)
 	// Job A: miss, build, publish.
-	k := digestKeys(r1)
+	k := digest(r1)
 	bA := cacheGet[*denseWindow](c, cacheKey{k, Dense})
 	if bA != nil {
 		t.Fatal("unexpected hit")
@@ -145,7 +176,7 @@ func TestBuildCacheSharedProbes(t *testing.T) {
 	}
 	// Job B: same content (chunked differently upstream doesn't matter here —
 	// same flat digest), hit, probe the shared build.
-	bB := cacheGet[*denseWindow](c, cacheKey{digestKeys(append([]join.Key(nil), r1...)), Dense})
+	bB := cacheGet[*denseWindow](c, cacheKey{digest(append([]join.Key(nil), r1...)), Dense})
 	if bB != bA {
 		t.Fatal("job B did not hit job A's build")
 	}
@@ -182,7 +213,7 @@ func TestBuildCacheConcurrentProbes(t *testing.T) {
 		c := NewBuildCache(1 << 24)
 		var k buildKey
 		for _, ch := range chunked(rel.keys, 256) {
-			k = k.plus(digestKeys(ch))
+			k = k.plus(digest(ch))
 		}
 		counts := make([]int64, 4)
 		var wg sync.WaitGroup
@@ -294,7 +325,7 @@ func TestBuildCacheTableProbedWhileEvicted(t *testing.T) {
 // looks in the cache nor publishes to it.
 func TestBuildCacheKeysByForm(t *testing.T) {
 	keys := randKeys(2000, 2000, 76)
-	k := digestKeys(keys)
+	k := digest(keys)
 	c := NewBuildCache(1 << 20)
 	d := cacheAdd(c, cacheKey{k, Dense}, sealedWindow(keys))
 	if got := cacheGet[*rankTable](c, cacheKey{k, Table}); got != nil {

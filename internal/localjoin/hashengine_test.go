@@ -130,8 +130,8 @@ func TestDenseWindowAtTheInt64Extremes(t *testing.T) {
 			}
 		}
 		runs := [][]join.Key{keys}
-		lo, hi, n := keyRange(runs)
-		d := newDenseWindow(runs, lo, hi, n)
+		s := keySpanOf(keys)
+		d := newDenseWindow(runs, s.lo, s.hi, s.n)
 		if len(d.counts) != 41 {
 			t.Fatalf("towards %d: the window has %d slots, want 41", end, len(d.counts))
 		}

@@ -142,6 +142,7 @@ type Resident struct {
 	cache   *BuildCache  // shares a direct-address form by content; nil: never
 	clk     *stage.Clock // stamped after each call; nil: not
 	key     buildKey     // with a cache: the digest of every chunk so far
+	span    keySpan      // every chunk so far, gathered as each arrives
 	runs    [][]join.Key // the chunks kept until Seal, in arrival order
 	dense   *denseWindow // Dense: the sealed side
 	table   *rankTable   // Table: the sealed side
@@ -161,11 +162,20 @@ func NewResident(cond join.Condition, r1 bool, cache *BuildCache, clk *stage.Clo
 // Insert hands the side one chunk of its relation, which it owns from here
 // on and keeps until Seal. Must not be called after Seal.
 func (r *Resident) Insert(keys []join.Key) {
-	if r.cache != nil {
-		r.key = r.key.plus(digestKeys(keys))
-	}
+	r.gather(keys)
 	r.runs = append(r.runs, keys)
 	r.clk.Mark(stage.Build)
+}
+
+// gather reads one chunk once: for its span and, with a cache, its digest in
+// the same pass.
+func (r *Resident) gather(keys []join.Key) {
+	if r.cache == nil {
+		r.span = r.span.plus(keySpanOf(keys))
+		return
+	}
+	d, s := digestKeys(keys)
+	r.key, r.span = r.key.plus(d), r.span.plus(s)
 }
 
 // Seal completes the side with blocks, lent, as its last keys; Probe and
@@ -174,18 +184,18 @@ func (r *Resident) Insert(keys []join.Key) {
 // identical content and form, counting nothing, and on a miss it counts its
 // keys and publishes its own. A Merge side, or one the rank table refuses, is
 // the job's own: its keys sorted into one block. Every sealed form is exactly
-// sized.
+// sized. The form is judged on the span gathered as each chunk arrived, so
+// the seal does not read the kept chunks again, and a cache hit reads each
+// key once, in that gathering.
 func (r *Resident) Seal(blocks ...[]join.Key) {
 	defer r.clk.Mark(stage.Build)
 	defer releaseAll(r.runs)
 	for _, b := range blocks {
-		if r.cache != nil {
-			r.key = r.key.plus(digestKeys(b))
-		}
+		r.gather(b)
 	}
 	runs := append(r.runs[:len(r.runs):len(r.runs)], blocks...)
 	r.runs = nil
-	lo, hi, n := keyRange(runs)
+	lo, hi, n := r.span.lo, r.span.hi, r.span.n
 	form := r.forced
 	if form == 0 {
 		form = FormOf(r.cond, lo, hi, n)

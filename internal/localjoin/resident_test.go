@@ -385,6 +385,9 @@ func TestResidentFormBySpan(t *testing.T) {
 		{"a range holding 2^16 keys", firstRange(1 << 16), band, Merge, true},
 		{"one key repeated 2^16 - 1 times", repeated(7, 1<<16-1), band, Table, false},
 		{"one key repeated 2^16 times", repeated(7, 1<<16), band, Merge, true},
+		// Its slot wraps to 0 and the range sums to 1: only the slots'
+		// total, short of n, refuses it.
+		{"one key repeated 2^16 times beside another", append(repeated(7, 1<<16), 9), band, Merge, true},
 		{"beta wider than a range", spread(1000, 8000), join.NewBand(100), Table, false},
 		{"an empty resident", nil, band, Table, false},
 		{"equi, span 8n - 1", spread(1000, 7999), join.Equi{}, Dense, false},
@@ -397,14 +400,17 @@ func TestResidentFormBySpan(t *testing.T) {
 		if row.full {
 			rule = Table
 		}
-		lo, hi, n := keyRange([][]key{row.keys})
-		if got := FormOf(row.cond, lo, hi, n); got != rule {
+		s := keySpanOf(row.keys)
+		if got := FormOf(row.cond, s.lo, s.hi, s.n); got != rule {
 			t.Errorf("%s: FormOf = %v, want %v", row.name, got, rule)
 		}
 		probe := randKeys(500, 16200, 9)
 		for i := range probe {
 			probe[i] -= 100
 		}
+		// Keys within β of the repeated key, whose slot a table that
+		// ignored the wrap would count as empty.
+		probe = append(probe, 5, 7, 9, 11)
 		for _, residentR1 := range []bool{true, false} {
 			side := sealChunked(row.keys, row.cond, residentR1, 0)
 			if got := sealedForm(side); got != row.form {
@@ -637,6 +643,10 @@ var propertyConds = []join.Condition{join.Equi{}, join.NewBand(0), join.NewBand(
 	join.Inequality{Op: join.Less}, join.Inequality{Op: join.LessEq},
 	join.Inequality{Op: join.Greater}, join.Inequality{Op: join.GreaterEq}}
 
+// fuzzBetas are the half-widths a fuzz test's wider band takes: the property
+// tests' β = 2, and two past 2^62, whose 2β + 1 slots no table holds.
+var fuzzBetas = []int64{2, 1 << 62, math.MaxInt64}
+
 func TestResidentProperty(t *testing.T) {
 	f := func(a, b []int64, form, sel uint8, residentR1 bool, chunk uint8) bool {
 		r1, r2 := make([]key, len(a)), make([]key, len(b))
@@ -672,7 +682,10 @@ func TestResidentProperty(t *testing.T) {
 // spanning those is only ever the sorted block. Every chunk a side streams
 // comes back to the pool exactly once — at Seal, at Finish, counted, or when
 // the side is dropped before its seal or amid a probe — and no block a
-// terminal call borrows does.
+// terminal call borrows does. split/8 picks the wider band's β from
+// fuzzBetas (2 below split 8); seeds hold a table's ends, where a band probe
+// leaves its two-slot interior, and a table at either int64 extreme under a β
+// past 2^62, where the interior is empty.
 func FuzzEngineCount(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, []byte{1, 2, 3}, uint8(3), uint8(0))
 	f.Add([]byte{}, []byte{0, 0, 0, 0}, uint8(1), uint8(1))
@@ -707,6 +720,33 @@ func FuzzEngineCount(f *testing.F) {
 		f.Add(side, other, uint8(1), uint8(0))
 		f.Add(other, side, uint8(2), uint8(0x82))
 	}
+	// selOf is the sel that picks propertyConds[c] with flags (0x40, 0x80).
+	selOf := func(c int, flags uint8) uint8 {
+		x := flags
+		for int(x)%len(propertyConds) != c {
+			x++
+		}
+		return x
+	}
+	// A band-2 table over bytes 100–120 probed at, and within β of, either
+	// end and past it, in one chunk and in threes, with either relation
+	// resident; an inequality's likewise.
+	table, near := []byte{100, 104, 110, 120, 120}, []byte{96, 97, 98, 99, 100, 101, 102, 103, 104, 110, 116, 117, 118, 119, 120, 121, 122, 123, 124}
+	for c := 2; c < len(propertyConds); c++ {
+		for _, split := range []uint8{0, 3} {
+			f.Add(table, near, split, selOf(c, 0))
+			f.Add(near, table, split, selOf(c, 0x80))
+		}
+	}
+	// Tables at either int64 extreme (0x40) under β = 2^62 and MaxInt64
+	// (split 8 and 16): no key is interior.
+	top, bottom, far := []byte{253, 254, 255}, []byte{0, 1, 2}, []byte{0, 1, 2, 3, 127, 128, 252, 253, 254, 255}
+	for _, split := range []uint8{8, 16, 19} {
+		f.Add(top, far, split, selOf(2, 0x40))
+		f.Add(far, top, split, selOf(2, 0xC0))
+		f.Add(bottom, far, split, selOf(2, 0x40))
+		f.Add(far, bottom, split, selOf(2, 0xC0))
+	}
 	conds := propertyConds
 	f.Fuzz(func(t *testing.T, b1, b2 []byte, split, sel uint8) {
 		if len(b1) > 1024 || len(b2) > 1024 {
@@ -735,6 +775,9 @@ func FuzzEngineCount(f *testing.F) {
 		}
 		r1, r2 := mk(b1), mk(b2)
 		cond := conds[int(sel)%len(conds)]
+		if b, ok := cond.(join.Band); ok && b.Beta > 0 {
+			cond = join.NewBand(fuzzBetas[int(split)/8%len(fuzzBetas)])
+		}
 		residentR1 := sel&0x80 == 0
 		want := NestedLoopCount(r1, r2, cond)
 		residentOf := func(residentR1 bool) []key {
@@ -745,8 +788,8 @@ func FuzzEngineCount(f *testing.F) {
 		}
 		resident, probe := residentOf(residentR1), residentOf(!residentR1)
 		whole := sealedForm(sealChunked(resident, cond, residentR1, 0))
-		if lo, hi, n := keyRange([][]key{resident}); whole != FormOf(cond, lo, hi, n) {
-			t.Fatalf("%v, R1 resident %v: sealed %v, FormOf says %v", cond, residentR1, whole, FormOf(cond, lo, hi, n))
+		if s := keySpanOf(resident); whole != FormOf(cond, s.lo, s.hi, s.n) {
+			t.Fatalf("%v, R1 resident %v: sealed %v, FormOf says %v", cond, residentR1, whole, FormOf(cond, s.lo, s.hi, s.n))
 		}
 		side := sealChunked(resident, cond, residentR1, int(split)%8)
 		if got := sealedForm(side); got != whole {
