@@ -2,7 +2,7 @@
 // wire protocol for testing recovery paths. It wraps a worker's net.Listener
 // so every accepted connection passes through a scriptable frame-aware tap:
 // the tap reads the prelude (magic, version, tenant), follows the session
-// protocol's frame header (version 10, a coordinator's session or a peer's
+// protocol's frame header (wire.Version, a coordinator's session or a peer's
 // contribution; anything else is opaque), counts matching frames per rule
 // and fires each rule's action exactly once at a precise frame boundary —
 // kill after the N-th block, reset on the first window reply, stall
@@ -19,42 +19,19 @@
 package faultnet
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"ewh/internal/wire"
 )
 
-// Mirror of the netexec wire protocol, kept in lockstep by a parity test in
-// netexec (the constants are unexported there; faultnet must stay
-// import-free of netexec so netexec tests can import faultnet).
-const (
-	// FrameAny matches every frame regardless of type.
-	FrameAny byte = 0
-
-	// v3 session frames. One OPEN opens every job kind; one REPLY carries
-	// every answer but pairs: a stream window's, a plan job's summary, and
-	// each job's final one.
-	FrameOpen  byte = 10
-	FrameEOS   byte = 14
-	FramePairs byte = 15
-	FrameReply byte = 16
-	FrameAbort byte = 17
-	FramePlan2 byte = 22
-
-	// v3 run frames: a continuous join's, and every other job's relations as
-	// base and window runs at epoch 0 — a contribution's share included.
-	FrameStreamBase    byte = 34
-	FrameStreamBaseEnd byte = 35
-	FrameStreamWin     byte = 36
-	FrameStreamWinEnd  byte = 37
-)
-
-// VersionSession is the protocol version as it appears in the wire prelude.
-const VersionSession = 11
+// FrameAny is a rule's frame that matches every frame regardless of type;
+// the frame types are internal/wire's.
+const FrameAny byte = 0
 
 // Dir selects which byte stream a rule watches, relative to the wrapped
 // endpoint (the worker, for a wrapped listener).
@@ -419,23 +396,13 @@ func (c *Conn) Write(p []byte) (int, error) {
 
 // tracker states.
 const (
-	statePrelude      = iota // collecting the prelude's 6-byte magic+version
+	statePrelude      = iota // collecting the prelude's magic and version
 	stateTenant              // reading the prelude's tenant length, to skip the tenant
 	stateAwaitVersion        // outbound: waiting for the inbound prelude's verdict
 	stateHeader              // collecting a frame header
 	statePayload             // skipping payload bytes
 	stateOpaque              // unframed traffic (unknown magic or version)
 )
-
-// preludeLen is magic "EWHB" + u16 version, which a u8 tenant length and the
-// tenant follow; frameHeaderLen is the frame header [type u8][job u32][len
-// u32].
-const (
-	preludeLen     = 6
-	frameHeaderLen = 9
-)
-
-var wireMagic = [4]byte{'E', 'W', 'H', 'B'}
 
 // tracker is a one-direction streaming frame parser. It accumulates just
 // enough bytes (prelude or header) to know each frame's type and length,
@@ -445,7 +412,7 @@ type tracker struct {
 	conn  *Conn
 	dir   Dir
 	state int
-	buf   [frameHeaderLen]byte // prelude or header accumulator
+	buf   [wire.HeaderLen]byte // prelude or header accumulator
 	have  int
 	skip  int // payload bytes left to skip
 }
@@ -478,14 +445,14 @@ func (t *tracker) feed(p []byte) []strike {
 			}
 			t.state = stateHeader
 		case statePrelude:
-			n := copy(t.buf[t.have:preludeLen], p[off:])
+			n := copy(t.buf[t.have:wire.PreludeLen], p[off:])
 			t.have += n
 			off += n
-			if t.have < preludeLen {
+			if t.have < wire.PreludeLen {
 				return strikes
 			}
 			t.have = 0
-			if [4]byte(t.buf[:4]) != wireMagic || binary.LittleEndian.Uint16(t.buf[4:6]) != VersionSession {
+			if !wire.IsSession(t.buf[:wire.PreludeLen]) {
 				t.state = stateOpaque
 				return strikes
 			}
@@ -500,15 +467,15 @@ func (t *tracker) feed(p []byte) []strike {
 			n := copy(t.buf[t.have:], p[off:])
 			t.have += n
 			off += n
-			if t.have < frameHeaderLen {
+			if t.have < wire.HeaderLen {
 				return strikes
 			}
 			t.have = 0
-			typ := t.buf[0]
-			t.skip = int(binary.LittleEndian.Uint32(t.buf[5:]))
+			typ, _, size := wire.Header(t.buf[:])
+			t.skip = int(size)
 			t.state = statePayload
 			if r := t.conn.script.match(t.dir, typ, t.conn.ordinal); r != nil {
-				strikes = append(strikes, strike{at: max(off-frameHeaderLen, 0), r: r})
+				strikes = append(strikes, strike{at: max(off-wire.HeaderLen, 0), r: r})
 				if r.Action != ActHook && r.Until == nil {
 					return strikes
 				}

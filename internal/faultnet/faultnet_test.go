@@ -1,29 +1,20 @@
 package faultnet
 
 import (
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
 	"testing"
 	"time"
+
+	"ewh/internal/wire"
 )
 
-// wireFrame encodes a frame: [type u8][job u32][len u32] + payload.
+// wireFrame encodes a frame: its header, then the payload.
 func wireFrame(typ byte, job uint32, payload []byte) []byte {
-	b := make([]byte, 9+len(payload))
-	b[0] = typ
-	binary.LittleEndian.PutUint32(b[1:5], job)
-	binary.LittleEndian.PutUint32(b[5:9], uint32(len(payload)))
-	copy(b[9:], payload)
-	return b
-}
-
-// prelude encodes a connection's opening: magic, version, and the tenant
-// behind its u8 length.
-func prelude(version uint16, tenant string) []byte {
-	b := binary.LittleEndian.AppendUint16([]byte("EWHB"), version)
-	return append(append(b, byte(len(tenant))), tenant...)
+	b := make([]byte, wire.HeaderLen, wire.HeaderLen+len(payload))
+	wire.PutHeader(b, typ, job, len(payload))
+	return append(b, payload...)
 }
 
 func pipeConn(t *testing.T, script *Script) (*Conn, net.Conn) {
@@ -36,41 +27,41 @@ func pipeConn(t *testing.T, script *Script) (*Conn, net.Conn) {
 
 func TestScriptCountingAndFired(t *testing.T) {
 	s := NewScript(
-		Rule{Dir: In, Frame: FrameStreamBase, N: 2, Action: ActClose},
+		Rule{Dir: In, Frame: wire.StreamBase, N: 2, Action: ActClose},
 		Rule{Dir: Out, Frame: FrameAny, Action: ActClose},
-		Rule{Dir: In, Frame: FrameOpen, Conn: 2, Action: ActClose},
+		Rule{Dir: In, Frame: wire.Open, Conn: 2, Action: ActClose},
 	)
 	if s.Fired() {
 		t.Fatal("fresh script reports fired")
 	}
-	if s.match(In, FrameStreamBase, 1) != nil {
+	if s.match(In, wire.StreamBase, 1) != nil {
 		t.Fatal("rule fired on the 1st match with N=2")
 	}
-	if s.match(In, FrameEOS, 1) != nil {
+	if s.match(In, wire.EOS, 1) != nil {
 		t.Fatal("rule matched the wrong frame type")
 	}
-	if s.match(Out, FrameStreamBase, 1) == nil {
+	if s.match(Out, wire.StreamBase, 1) == nil {
 		t.Fatal("FrameAny rule did not match")
 	}
-	if s.match(In, FrameOpen, 1) != nil {
+	if s.match(In, wire.Open, 1) != nil {
 		t.Fatal("a rule limited to the 2nd connection matched the 1st")
 	}
-	if s.match(In, FrameOpen, 2) == nil {
+	if s.match(In, wire.Open, 2) == nil {
 		t.Fatal("a rule limited to the 2nd connection did not match it")
 	}
-	r := s.match(In, FrameStreamBase, 3)
+	r := s.match(In, wire.StreamBase, 3)
 	if r == nil {
 		t.Fatal("rule did not fire on its 2nd match")
 	}
 	if !s.Fired() {
 		t.Fatal("all rules fired but Fired() is false")
 	}
-	if s.match(In, FrameStreamBase, 1) != nil {
+	if s.match(In, wire.StreamBase, 1) != nil {
 		t.Fatal("single-shot rule fired twice")
 	}
-	if s.Seen(In, FrameStreamBase) != 3 || s.Seen(In, FrameEOS) != 1 || s.Seen(Out, FrameStreamBase) != 1 {
+	if s.Seen(In, wire.StreamBase) != 3 || s.Seen(In, wire.EOS) != 1 || s.Seen(Out, wire.StreamBase) != 1 {
 		t.Fatalf("frames seen: in block %d, in eos %d, out block %d; want 3, 1, 1",
-			s.Seen(In, FrameStreamBase), s.Seen(In, FrameEOS), s.Seen(Out, FrameStreamBase))
+			s.Seen(In, wire.StreamBase), s.Seen(In, wire.EOS), s.Seen(Out, wire.StreamBase))
 	}
 	var nilScript *Script
 	if !nilScript.Fired() || nilScript.match(In, FrameAny, 1) != nil {
@@ -83,17 +74,17 @@ func TestTrackerFiresAtExactV3Frame(t *testing.T) {
 	// stream arrives one byte at a time — the prelude's tenant skipped like
 	// a payload — and must leave the 1st frame (and everything before the
 	// fatal header) delivered.
-	s := NewScript(Rule{Dir: In, Frame: FrameStreamBase, N: 2, Action: ActClose})
+	s := NewScript(Rule{Dir: In, Frame: wire.StreamBase, N: 2, Action: ActClose})
 	fc, _ := pipeConn(t, s)
 
 	var stream []byte
-	stream = append(stream, prelude(VersionSession, "tenant-a")...)
-	stream = append(stream, wireFrame(FrameOpen, 1, []byte("open-payload"))...)
-	stream = append(stream, wireFrame(FrameStreamBase, 1, make([]byte, 64))...)
-	stream = append(stream, wireFrame(FrameStreamBaseEnd, 1, []byte{1, 2, 3})...)
+	stream = append(stream, wire.Prelude(wire.Version, "tenant-a")...)
+	stream = append(stream, wireFrame(wire.Open, 1, []byte("open-payload"))...)
+	stream = append(stream, wireFrame(wire.StreamBase, 1, make([]byte, 64))...)
+	stream = append(stream, wireFrame(wire.StreamBaseEnd, 1, []byte{1, 2, 3})...)
 	cut := len(stream)
-	stream = append(stream, wireFrame(FrameStreamBase, 1, make([]byte, 32))...)
-	stream = append(stream, wireFrame(FrameEOS, 1, nil)...)
+	stream = append(stream, wireFrame(wire.StreamBase, 1, make([]byte, 32))...)
+	stream = append(stream, wireFrame(wire.EOS, 1, nil)...)
 
 	var strikes []strike
 	fed := 0
@@ -128,11 +119,11 @@ func TestTrackerFiresAtExactV3Frame(t *testing.T) {
 // side first, and only then does the close, reset or stall take effect, the
 // struck frame undelivered.
 func TestFaultLandsAtItsFrame(t *testing.T) {
-	head := append(prelude(VersionSession, "t"), wireFrame(FrameOpen, 1, make([]byte, 20))...)
-	struck := wireFrame(FrameStreamBase, 1, make([]byte, 16))
+	head := append(wire.Prelude(wire.Version, "t"), wireFrame(wire.Open, 1, make([]byte, 20))...)
+	struck := wireFrame(wire.StreamBase, 1, make([]byte, 16))
 	for _, action := range []Action{ActClose, ActReset, ActStall} {
 		t.Run("in/"+action.String(), func(t *testing.T) {
-			fc, peer := pipeConn(t, NewScript(Rule{Dir: In, Frame: FrameStreamBase, Action: action}))
+			fc, peer := pipeConn(t, NewScript(Rule{Dir: In, Frame: wire.StreamBase, Action: action}))
 			if action == ActStall { // released here, past both reads
 				time.AfterFunc(100*time.Millisecond, func() { _ = fc.Close() })
 			}
@@ -149,18 +140,18 @@ func TestFaultLandsAtItsFrame(t *testing.T) {
 		})
 	}
 	t.Run("out/close", func(t *testing.T) {
-		fc, peer := pipeConn(t, NewScript(Rule{Dir: Out, Frame: FrameReply, N: 2, Action: ActClose}))
-		go func() { _, _ = peer.Write(prelude(VersionSession, "")) }()
-		if _, err := io.ReadFull(fc, make([]byte, len(prelude(VersionSession, "")))); err != nil {
+		fc, peer := pipeConn(t, NewScript(Rule{Dir: Out, Frame: wire.Reply, N: 2, Action: ActClose}))
+		go func() { _, _ = peer.Write(wire.Prelude(wire.Version, "")) }()
+		if _, err := io.ReadFull(fc, make([]byte, len(wire.Prelude(wire.Version, "")))); err != nil {
 			t.Fatal(err)
 		}
-		first := wireFrame(FrameReply, 1, make([]byte, 12))
+		first := wireFrame(wire.Reply, 1, make([]byte, 12))
 		received := make(chan []byte, 1)
 		go func() {
 			b, _ := io.ReadAll(peer)
 			received <- b
 		}()
-		n, err := fc.Write(append(append([]byte(nil), first...), wireFrame(FrameReply, 1, make([]byte, 8))...))
+		n, err := fc.Write(append(append([]byte(nil), first...), wireFrame(wire.Reply, 1, make([]byte, 8))...))
 		if n != len(first) || !errors.Is(err, errInjected) {
 			t.Fatalf("the write = %d, %v; want %d, the injected fault", n, err, len(first))
 		}
@@ -174,14 +165,14 @@ func TestTrackerPeerHeaders(t *testing.T) {
 	// A peer's contribution frames like any session job — its OPEN, then its
 	// base run — and the tracker follows it across every frame; the retired
 	// mesh's version-6 prelude and its head and block frames are opaque.
-	for _, version := range []uint16{VersionSession, 6} {
-		s := NewScript(Rule{Dir: In, Frame: FrameStreamBase, N: 3, Action: ActClose},
+	for _, version := range []uint16{wire.Version, 6} {
+		s := NewScript(Rule{Dir: In, Frame: wire.StreamBase, N: 3, Action: ActClose},
 			Rule{Dir: In, Frame: 31, Action: ActClose})
 		fc, _ := pipeConn(t, s)
-		stream := prelude(version, "tenant-a")
-		stream = append(stream, wireFrame(FrameOpen, 1, make([]byte, 20))...)
+		stream := wire.Prelude(version, "tenant-a")
+		stream = append(stream, wireFrame(wire.Open, 1, make([]byte, 20))...)
 		for i := 0; i < 3; i++ {
-			stream = append(stream, wireFrame(FrameStreamBase, 1, make([]byte, 8+8*7))...)
+			stream = append(stream, wireFrame(wire.StreamBase, 1, make([]byte, 8+8*7))...)
 		}
 		struck := false
 		fed := 0
@@ -191,13 +182,13 @@ func TestTrackerPeerHeaders(t *testing.T) {
 				break
 			}
 		}
-		if version != VersionSession {
-			if struck || s.Seen(In, FrameOpen) != 0 {
+		if version != wire.Version {
+			if struck || s.Seen(In, wire.Open) != 0 {
 				t.Fatalf("version %d: the tracker framed retired traffic (struck %v)", version, struck)
 			}
 			continue
 		}
-		if !struck || s.Seen(In, FrameStreamBase) != 3 {
+		if !struck || s.Seen(In, wire.StreamBase) != 3 {
 			t.Fatalf("contribution rule did not fire (struck %v)", struck)
 		}
 		// The fatal byte is the last byte of the 3rd base frame's header.
@@ -225,14 +216,14 @@ func TestTrackerOpaqueOnUnknownMagic(t *testing.T) {
 func TestOutboundTrackerAdoptsInboundVersion(t *testing.T) {
 	// The prelude travels inbound only; the outbound tracker must pick up
 	// the sniffed version and then parse replies with the right header size.
-	s := NewScript(Rule{Dir: Out, Frame: FrameReply, N: 2, Action: ActClose})
+	s := NewScript(Rule{Dir: Out, Frame: wire.Reply, N: 2, Action: ActClose})
 	fc, _ := pipeConn(t, s)
-	if s := fc.rt.feed(prelude(VersionSession, "")); len(s) > 0 {
+	if s := fc.rt.feed(wire.Prelude(wire.Version, "")); len(s) > 0 {
 		t.Fatalf("the prelude struck %+v", s)
 	}
 	var out []byte
-	out = append(out, wireFrame(FrameReply, 1, make([]byte, 40))...)
-	out = append(out, wireFrame(FrameReply, 1, make([]byte, 10))...)
+	out = append(out, wireFrame(wire.Reply, 1, make([]byte, 40))...)
+	out = append(out, wireFrame(wire.Reply, 1, make([]byte, 10))...)
 	struck := false
 	for i := range out {
 		if struck = len(fc.wt.feed(out[i:i+1])) > 0; struck {
@@ -247,7 +238,7 @@ func TestOutboundTrackerAdoptsInboundVersion(t *testing.T) {
 func TestStallReleasedByClose(t *testing.T) {
 	// ActStall wedges the matching read until the connection is closed —
 	// and Close must win even while the stall holds the read path.
-	s := NewScript(Rule{Dir: In, Frame: FrameOpen, Action: ActStall})
+	s := NewScript(Rule{Dir: In, Frame: wire.Open, Action: ActStall})
 	fc, peer := pipeConn(t, s)
 
 	got := make(chan error, 1)
@@ -261,8 +252,8 @@ func TestStallReleasedByClose(t *testing.T) {
 		}
 	}()
 	go func() {
-		_, _ = peer.Write(prelude(VersionSession, ""))
-		_, _ = peer.Write(wireFrame(FrameOpen, 1, []byte("job")))
+		_, _ = peer.Write(wire.Prelude(wire.Version, ""))
+		_, _ = peer.Write(wireFrame(wire.Open, 1, []byte("job")))
 	}()
 
 	select {
@@ -286,15 +277,15 @@ func TestStallReleasedByClose(t *testing.T) {
 // listener's connection, or for holdBound when that never fires, and is then
 // delivered intact.
 func TestHoldReleasedByAnotherConnection(t *testing.T) {
-	head := prelude(VersionSession, "")
-	frames := append(wireFrame(FrameOpen, 1, []byte("job")), wireFrame(FrameEOS, 1, nil)...)
+	head := wire.Prelude(wire.Version, "")
+	frames := append(wireFrame(wire.Open, 1, []byte("job")), wireFrame(wire.EOS, 1, nil)...)
 	whole := append(append([]byte(nil), head...), frames...)
 	for _, c := range []struct {
 		dir      Dir
 		released bool
 	}{{In, true}, {In, false}, {Out, true}} {
-		release := NewScript(Rule{Dir: In, Frame: FrameEOS, Action: ActHook})
-		fc, peer := pipeConn(t, NewScript(Rule{Dir: c.dir, Frame: FrameOpen, Action: ActStall, Until: release}))
+		release := NewScript(Rule{Dir: In, Frame: wire.EOS, Action: ActHook})
+		fc, peer := pipeConn(t, NewScript(Rule{Dir: c.dir, Frame: wire.Open, Action: ActStall, Until: release}))
 		other, otherPeer := pipeConn(t, release)
 		from, to, stream := io.Writer(peer), io.Reader(fc), whole
 		if c.dir == Out { // the endpoint writes once the prelude is in
@@ -344,9 +335,9 @@ func TestHookLetsTrafficContinue(t *testing.T) {
 	outHook := make(chan bool, 1) // whether the peer had the frame when the hook ran
 	received := make(chan struct{})
 	s := NewScript(
-		Rule{Dir: In, Frame: FrameStreamBase, Action: ActHook,
+		Rule{Dir: In, Frame: wire.StreamBase, Action: ActHook,
 			Fn: func() { close(entered); <-release }},
-		Rule{Dir: Out, Frame: FrameReply, Action: ActHook, Fn: func() {
+		Rule{Dir: Out, Frame: wire.Reply, Action: ActHook, Fn: func() {
 			select {
 			case <-received:
 				outHook <- true
@@ -357,9 +348,9 @@ func TestHookLetsTrafficContinue(t *testing.T) {
 	)
 	fc, peer := pipeConn(t, s)
 	var stream []byte
-	stream = append(stream, prelude(VersionSession, "")...)
-	stream = append(stream, wireFrame(FrameStreamBase, 1, make([]byte, 16))...)
-	stream = append(stream, wireFrame(FrameEOS, 1, nil)...)
+	stream = append(stream, wire.Prelude(wire.Version, "")...)
+	stream = append(stream, wireFrame(wire.StreamBase, 1, make([]byte, 16))...)
+	stream = append(stream, wireFrame(wire.EOS, 1, nil)...)
 	go func() { _, _ = peer.Write(stream) }()
 
 	type result struct {
@@ -382,7 +373,7 @@ func TestHookLetsTrafficContinue(t *testing.T) {
 		t.Fatalf("Read after the hook = %d, %v; want %d, nil", r.n, r.err, len(stream))
 	}
 
-	reply := wireFrame(FrameReply, 1, make([]byte, 24))
+	reply := wireFrame(wire.Reply, 1, make([]byte, 24))
 	go func() {
 		if _, err := io.ReadFull(peer, make([]byte, len(reply))); err == nil {
 			close(received)
@@ -406,7 +397,7 @@ func TestWrappedListenerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScript(Rule{Dir: In, Frame: FrameEOS, Action: ActClose})
+	s := NewScript(Rule{Dir: In, Frame: wire.EOS, Action: ActClose})
 	wl := Wrap(ln, s)
 	defer wl.Close()
 
@@ -432,14 +423,14 @@ func TestWrappedListenerEndToEnd(t *testing.T) {
 	}
 	defer c.Close()
 	var head []byte
-	head = append(head, prelude(VersionSession, "")...)
-	head = append(head, wireFrame(FrameOpen, 7, make([]byte, 100))...)
+	head = append(head, wire.Prelude(wire.Version, "")...)
+	head = append(head, wireFrame(wire.Open, 7, make([]byte, 100))...)
 	if _, err := c.Write(head); err != nil {
 		t.Fatalf("pre-fault write: %v", err)
 	}
 	// The EOS ships separately, after the healthy chunk has landed.
 	time.Sleep(50 * time.Millisecond)
-	if _, err := c.Write(wireFrame(FrameEOS, 7, nil)); err != nil {
+	if _, err := c.Write(wireFrame(wire.EOS, 7, nil)); err != nil {
 		// The injected close races the write; either outcome is fine.
 		t.Logf("write after injection: %v", err)
 	}

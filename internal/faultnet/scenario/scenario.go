@@ -48,6 +48,7 @@ import (
 	"ewh/internal/stage"
 	"ewh/internal/stats"
 	"ewh/internal/streamjoin"
+	"ewh/internal/wire"
 	"ewh/internal/workload"
 )
 
@@ -257,16 +258,16 @@ type holdSpec struct {
 // holds worker 0's first OPEN or EOS until another worker's first reply.
 func drawHold(rng *stats.RNG, peer bool, j int) *holdSpec {
 	h := &holdSpec{
-		hold: faultnet.Rule{Dir: faultnet.In, Frame: []byte{faultnet.FrameOpen, faultnet.FrameEOS}[rng.Intn(2)],
+		hold: faultnet.Rule{Dir: faultnet.In, Frame: []byte{wire.Open, wire.EOS}[rng.Intn(2)],
 			N: 1, Conn: 1, Action: faultnet.ActStall},
-		release: faultnet.Rule{Dir: faultnet.Out, Frame: faultnet.FrameReply, N: 1, Action: faultnet.ActHook},
+		release: faultnet.Rule{Dir: faultnet.Out, Frame: wire.Reply, N: 1, Action: faultnet.ActHook},
 		by:      1 + rng.Intn(j-1),
 	}
 	if peer {
 		h.hold.N, h.release.Conn, h.by = 2, 2, 0
-		if h.hold.Frame == faultnet.FrameEOS && rng.Intn(2) == 0 {
-			h.hold.Frame, h.hold.N, h.hold.Conn = faultnet.FrameOpen, 1, 2
-			h.release = faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameEOS, N: 2, Conn: 1, Action: faultnet.ActHook}
+		if h.hold.Frame == wire.EOS && rng.Intn(2) == 0 {
+			h.hold.Frame, h.hold.N, h.hold.Conn = wire.Open, 1, 2
+			h.release = faultnet.Rule{Dir: faultnet.In, Frame: wire.EOS, N: 2, Conn: 1, Action: faultnet.ActHook}
 		}
 	}
 	return h
@@ -1034,16 +1035,16 @@ func (sc *Scenario) runSession(t testing.TB) {
 func faultFrames(job Job) (session []byte, shared []byte, out []byte) {
 	switch job {
 	case Count:
-		return []byte{faultnet.FrameOpen, faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd,
-			faultnet.FrameStreamWin, faultnet.FrameStreamWinEnd, faultnet.FrameEOS}, nil, nil
+		return []byte{wire.Open, wire.StreamBase, wire.StreamBaseEnd,
+			wire.StreamWin, wire.StreamWinEnd, wire.EOS}, nil, nil
 	case Multiway:
-		return []byte{faultnet.FrameStreamWin, faultnet.FrameStreamWinEnd, faultnet.FramePlan2},
-			[]byte{faultnet.FrameOpen, faultnet.FrameEOS, faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd},
-			[]byte{faultnet.FrameReply}
+		return []byte{wire.StreamWin, wire.StreamWinEnd, wire.Plan2},
+			[]byte{wire.Open, wire.EOS, wire.StreamBase, wire.StreamBaseEnd},
+			[]byte{wire.Reply}
 	}
 	// A stream recovers inside its window loop; the first epoch's base ship
 	// precedes it.
-	return []byte{faultnet.FrameStreamWin, faultnet.FrameStreamWinEnd}, nil, nil
+	return []byte{wire.StreamWin, wire.StreamWinEnd}, nil, nil
 }
 
 // drawFrame picks the victim and the frame among those the fault-free run
@@ -1067,8 +1068,8 @@ func (sc *Scenario) drawFrame(counts []*faultnet.Script) bool {
 					// open's acknowledgment follows every summary), and only a
 					// stage-1 job is sent a PLAN2: a later reply may be the
 					// pipeline's last, which nothing would need to retry.
-					n = min(n, count.Seen(faultnet.In, faultnet.FramePlan2))
-				case shared && stall && fr == faultnet.FrameOpen:
+					n = min(n, count.Seen(faultnet.In, wire.Plan2))
+				case shared && stall && fr == wire.Open:
 					n = min(n, 1)
 				case shared && stall:
 					n = 0

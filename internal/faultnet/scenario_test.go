@@ -5,6 +5,7 @@ import (
 
 	"ewh/internal/faultnet"
 	"ewh/internal/faultnet/scenario"
+	"ewh/internal/wire"
 )
 
 // FuzzScenario runs the bit-identity generator: `go test` draws the committed
@@ -36,31 +37,31 @@ func TestRecoveryBitIdenticalAcrossBoundaries(t *testing.T) {
 		fault scenario.Fault
 	}{
 		// The worker dies the instant its first stage-1 job arrives.
-		{"stage1-open", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FrameOpen, N: 1}},
+		{"stage1-open", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: wire.Open, N: 1}},
 		// The coordinator link dies while relation 2's block, the second
 		// key frame, is in flight; the worker stays up, excluded rather
 		// than dead.
-		{"mid-scatter", scenario.Fault{Action: faultnet.ActClose, Dir: faultnet.In, Frame: faultnet.FrameStreamWin, N: 1}},
+		{"mid-scatter", scenario.Fault{Action: faultnet.ActClose, Dir: faultnet.In, Frame: wire.StreamWin, N: 1}},
 		// The worker ships its statistics summary, then dies before the
 		// replanned stage-2 plan reaches it.
-		{"post-stats", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.Out, Frame: faultnet.FrameReply}},
+		{"post-stats", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.Out, Frame: wire.Reply}},
 		// The worker dies as the stage-2 plan lands, its matches summarized
 		// but never routed.
-		{"plan2-arrival", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FramePlan2}},
+		{"plan2-arrival", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: wire.Plan2}},
 		// The session link resets as the peer-fed stage-2 job opens, the
 		// victim's second OPEN.
-		{"stage2-open", scenario.Fault{Action: faultnet.ActReset, Dir: faultnet.In, Frame: faultnet.FrameOpen, N: 2}},
+		{"stage2-open", scenario.Fault{Action: faultnet.ActReset, Dir: faultnet.In, Frame: wire.Open, N: 2}},
 		// The worker dies as a peer's contribution opens on it: its third
 		// OPEN, past its stage-1 job's and its stage-2 job's, which goes out
 		// before any PLAN2 — an empty share still sends it.
-		{"peer-head", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FrameOpen, N: 3}},
+		{"peer-head", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: wire.Open, N: 3}},
 		// The worker dies while a contribution's base run lands on it: its
 		// fourth base frame, past its stage-1 relation 1's one and its
 		// stage-2 relation's one per mapper.
-		{"mid-peer-transfer", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FrameStreamBase, N: 4}},
+		{"mid-peer-transfer", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: wire.StreamBase, N: 4}},
 		// The worker dies after one mapper's base frame of a relation: the
 		// half-streamed relation is discarded and replanned onto survivors.
-		{"chunk-boundary", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: faultnet.FrameStreamBase, N: 2}},
+		{"chunk-boundary", scenario.Fault{Action: faultnet.ActHook, Dir: faultnet.In, Frame: wire.StreamBase, N: 2}},
 	} {
 		t.Run(b.name, func(t *testing.T) {
 			scenario.RunSeeds(t, scenario.Pin{Job: scenario.Multiway, J: 3, Mappers: 2, Fault: &b.fault}, 1000+uint64(i), 1)
@@ -77,8 +78,8 @@ func TestCountJobRecoveryAtStreamFrameBoundaries(t *testing.T) {
 		name  string
 		frame byte
 	}{
-		{"base-boundary", faultnet.FrameStreamBase},
-		{"window-boundary", faultnet.FrameStreamWin},
+		{"base-boundary", wire.StreamBase},
+		{"window-boundary", wire.StreamWin},
 	} {
 		t.Run(b.name, func(t *testing.T) {
 			pin := scenario.Pin{Job: scenario.Count, J: 3, Mappers: 2,
@@ -92,7 +93,7 @@ func TestCountJobRecoveryAtStreamFrameBoundaries(t *testing.T) {
 // on a job's first frame: only Timeouts.Job cuts the stall, and recovery
 // must then finish on the survivors with the reference result.
 func TestRecoveryFromStalledWorker(t *testing.T) {
-	stall := &scenario.Fault{Action: faultnet.ActStall, Dir: faultnet.In, Frame: faultnet.FrameOpen, N: 1}
+	stall := &scenario.Fault{Action: faultnet.ActStall, Dir: faultnet.In, Frame: wire.Open, N: 1}
 	scenario.RunSeeds(t, scenario.Pin{Job: scenario.Multiway, J: 2, Fault: stall}, 1200, 1)
 	scenario.RunSeeds(t, scenario.Pin{Job: scenario.Count, Fault: stall}, 1201, 1)
 }

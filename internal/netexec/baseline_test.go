@@ -12,6 +12,7 @@ import (
 	"ewh/internal/join"
 	"ewh/internal/partition"
 	"ewh/internal/planio"
+	"ewh/internal/wire"
 )
 
 // baseline is the one place this package's tests snapshot, and later
@@ -212,12 +213,12 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 		sendFrame     byte
 		sendN, replyN int
 	}{
-		{"plain", tablePlain, faultnet.FrameStreamBase, 1, 1},
+		{"plain", tablePlain, wire.StreamBase, 1, 1},
 		// The two halves of one stage-1 plan job: its open (its plan-kind
 		// OPEN in, its final REPLY out) and its statistics exchange (PLAN2
 		// in, the summary's REPLY out).
-		{"stage-1 plan", stage1, faultnet.FrameOpen, 1, 3},
-		{"stats stage", stage1, faultnet.FramePlan2, 1, 1},
+		{"stage-1 plan", stage1, wire.Open, 1, 3},
+		{"stats stage", stage1, wire.Plan2, 1, 1},
 		{"peer", func(s *Session, in tableInputs) error {
 			// What a peer job buffers is the intermediate: duplicate-heavy
 			// stage-1 keys make the block it assembles blow the budget.
@@ -226,8 +227,8 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 				domain = 4
 			}
 			return tableStages(s, tableSmall, domain, false, in.invalid)
-		}, faultnet.FrameOpen, 2, 4},
-		{"stream", tableStream, faultnet.FrameStreamWin, 1, 1},
+		}, wire.Open, 2, 4},
+		{"stream", tableStream, wire.StreamWin, 1, 1},
 	}
 	type cell struct {
 		in       tableInputs
@@ -268,7 +269,7 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 				rule:  &faultnet.Rule{Dir: faultnet.In, Frame: k.sendFrame, N: k.sendN, Conn: 1, Action: faultnet.ActClose},
 				check: faultKind(FaultConnLost)}},
 			{"liveness deadline", cell{
-				rule:     &faultnet.Rule{Dir: faultnet.Out, Frame: faultnet.FrameReply, N: k.replyN, Conn: 1, Action: faultnet.ActStall},
+				rule:     &faultnet.Rule{Dir: faultnet.Out, Frame: wire.Reply, N: k.replyN, Conn: 1, Action: faultnet.ActStall},
 				timeouts: Timeouts{Job: 300 * time.Millisecond},
 				check:    faultKind(FaultTimeout)}},
 		}
@@ -314,10 +315,10 @@ func TestSubJobsReturnToBaseline(t *testing.T) {
 		rule      faultnet.Rule
 		peerFault bool // the plan job fails naming worker 0
 	}{
-		{"kill its OPEN", faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameOpen, Conn: 2, Action: faultnet.ActClose}, true},
-		{"hang up mid-run", faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameStreamBase, Conn: 2, Action: faultnet.ActClose}, true},
-		{"stall its base", faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameStreamBase, Conn: 2, Action: faultnet.ActStall}, true},
-		{"coordinator link dies at the peer OPEN", faultnet.Rule{Dir: faultnet.In, Frame: faultnet.FrameOpen, N: 1, Conn: 1, Action: faultnet.ActClose}, false},
+		{"kill its OPEN", faultnet.Rule{Dir: faultnet.In, Frame: wire.Open, Conn: 2, Action: faultnet.ActClose}, true},
+		{"hang up mid-run", faultnet.Rule{Dir: faultnet.In, Frame: wire.StreamBase, Conn: 2, Action: faultnet.ActClose}, true},
+		{"stall its base", faultnet.Rule{Dir: faultnet.In, Frame: wire.StreamBase, Conn: 2, Action: faultnet.ActStall}, true},
+		{"coordinator link dies at the peer OPEN", faultnet.Rule{Dir: faultnet.In, Frame: wire.Open, N: 1, Conn: 1, Action: faultnet.ActClose}, false},
 	} {
 		t.Run("contribution/"+o.name, func(t *testing.T) {
 			b := snapshotBaseline(t)

@@ -9,6 +9,7 @@ import (
 	"ewh/internal/faultnet"
 	"ewh/internal/join"
 	"ewh/internal/partition"
+	"ewh/internal/wire"
 )
 
 // benchSession dials a persistent session to n fresh loopback workers
@@ -102,7 +103,7 @@ func BenchmarkLoopbackBandJoinSession(b *testing.B) {
 
 // BenchmarkControlFrameCodec times the control-record codec on the wire's
 // own path, one sub-job's worth per op: its OPEN and its final REPLY, each
-// through writeCtl and back through readV3FrameHeader and readCtl.
+// through writeCtl and back through readFrameHeader and readCtl.
 func BenchmarkControlFrameCodec(b *testing.B) {
 	spec, err := join.SpecOf(join.NewBand(2))
 	if err != nil {
@@ -114,16 +115,16 @@ func BenchmarkControlFrameCodec(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := writeCtl(&buf, frameV3Open, 1, &o); err != nil {
+		if err := writeCtl(&buf, wire.Open, 1, &o); err != nil {
 			b.Fatal(err)
 		}
-		if err := writeCtl(&buf, frameV3Reply, 1, &m); err != nil {
+		if err := writeCtl(&buf, wire.Reply, 1, &m); err != nil {
 			b.Fatal(err)
 		}
 		var gotOpen open
 		var gotM reply
 		for _, rec := range []ctlRecord{&gotOpen, &gotM} {
-			_, _, n, err := readV3FrameHeader(&buf)
+			_, _, n, err := readFrameHeader(&buf)
 			if err == nil {
 				err = readCtl(&buf, n, maxControlPayload, rec)
 			}
@@ -149,7 +150,7 @@ func BenchmarkKeyFrameCodec(b *testing.B) {
 	if err := writeStreamBaseKeys(&buf, 1, 0, keys); err != nil {
 		b.Fatal(err)
 	}
-	payload := slices.Clone(buf.Bytes()[v3FrameHeaderLen+streamBaseHdrLen:])
+	payload := slices.Clone(buf.Bytes()[wire.HeaderLen+streamBaseHdrLen:])
 	b.Run("write", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -158,7 +159,7 @@ func BenchmarkKeyFrameCodec(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if !bytes.Equal(buf.Bytes()[v3FrameHeaderLen+streamBaseHdrLen:], payload) {
+		if !bytes.Equal(buf.Bytes()[wire.HeaderLen+streamBaseHdrLen:], payload) {
 			b.Fatal("the last frame differs from the first")
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/key")

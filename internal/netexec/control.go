@@ -9,6 +9,7 @@ import (
 	"ewh/internal/join"
 	"ewh/internal/planio"
 	"ewh/internal/stage"
+	"ewh/internal/wire"
 )
 
 // Control records: OPEN, PLAN2 and REPLY, a few per job. Each is
@@ -216,12 +217,12 @@ func (r *reply) decode(c *planio.Cursor) {
 
 // writeCtl sends one control frame: header and record in one write.
 func writeCtl(w io.Writer, typ byte, job uint32, rec ctlRecord) error {
-	b := rec.append(make([]byte, v3FrameHeaderLen, 128))
-	n := len(b) - v3FrameHeaderLen
+	b := rec.append(make([]byte, wire.HeaderLen, 128))
+	n := len(b) - wire.HeaderLen
 	if n > maxControlPayload {
 		return fmt.Errorf("frame type %d payload %d exceeds control-frame limit %d", typ, n, maxControlPayload)
 	}
-	putFrameHeader(b, typ, job, n)
+	wire.PutHeader(b, typ, job, n)
 	_, err := w.Write(b)
 	return err
 }

@@ -1,8 +1,13 @@
 package netexec
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net"
 	"os"
@@ -15,9 +20,9 @@ import (
 	"time"
 
 	"ewh/internal/exec"
-	"ewh/internal/faultnet"
 	"ewh/internal/join"
 	"ewh/internal/partition"
+	"ewh/internal/wire"
 )
 
 func TestFaultClassificationWorkerKill(t *testing.T) {
@@ -275,99 +280,96 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// wireFrames reads the frame constants off a source file's declarations as
-// "NAME #number": frameV3Open = 10 in wire.go and FrameOpen byte = 10 in
-// faultnet.go both read "OPEN #10".
-func wireFrames(t *testing.T, file string, decl *regexp.Regexp) map[string]bool {
+// leafFrames reads internal/wire's frame types off its source as "NAME
+// #number": Open byte = 10 reads "OPEN #10".
+func leafFrames(t *testing.T) map[string]bool {
 	t.Helper()
-	src, err := os.ReadFile(file)
+	f, err := parser.ParseFile(token.NewFileSet(), "../wire/wire.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	frames := map[string]bool{}
-	for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
-		frames[strings.ToUpper(m[1])+" #"+m[2]] = true
+	for _, d := range f.Decls {
+		if d, ok := d.(*ast.GenDecl); ok && d.Tok == token.CONST {
+			for _, spec := range d.Specs {
+				v := spec.(*ast.ValueSpec)
+				if typ, ok := v.Type.(*ast.Ident); !ok || typ.Name != "byte" {
+					continue
+				}
+				for i, name := range v.Names {
+					frames[strings.ToUpper(name.Name)+" #"+v.Values[i].(*ast.BasicLit).Value] = true
+				}
+			}
+		}
 	}
 	return frames
 }
 
-// wireGoFrames is wire.go's frame constants: the session protocol's eleven.
-func wireGoFrames(t *testing.T) map[string]bool {
-	t.Helper()
-	wire := wireFrames(t, "wire.go", regexp.MustCompile(`(?m)^\tframe(?:V3)?([A-Z]\w*) += (\d+)\b`))
-	if len(wire) != 10 {
-		t.Fatalf("found %d frame constants in wire.go, want 10: %v", len(wire), wire)
-	}
-	return wire
-}
-
-func TestFaultnetFrameParity(t *testing.T) {
-	// faultnet mirrors the wire constants because it must not import
-	// netexec (netexec tests import faultnet); this is the lockstep check,
-	// read off both sources, so a frame added on one side only fails.
-	wire := wireGoFrames(t)
-	mirror := wireFrames(t, "../faultnet/faultnet.go", regexp.MustCompile(`(?m)^\tFrame([A-Z]\w*) +byte = (\d+)\b`))
-	delete(mirror, "ANY #0") // matches every frame
-	for f := range wire {
-		if !mirror[f] {
-			t.Errorf("wire.go frame %s has no faultnet constant", f)
-		}
-	}
-	for f := range mirror {
-		if !wire[f] {
-			t.Errorf("faultnet constant %s names no frame in wire.go", f)
-		}
-	}
-	if protoVersionSession != faultnet.VersionSession {
-		t.Error("protocol version constants diverged")
-	}
-	// The framing faultnet parses by: its magic, its prelude before the
-	// tenant (magic and version) and its frame header.
-	src, err := os.ReadFile("../faultnet/faultnet.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct{ decl, want string }{
-		{`var wireMagic = \[4\]byte\{'(.)', '(.)', '(.)', '(.)'\}`, string(protoMagic[:])},
-		{`(?m)^\tpreludeLen += (\d+)$`, strconv.Itoa(len(prelude(protoVersionSession, "")) - 1)},
-		{`(?m)^\tframeHeaderLen += (\d+)$`, strconv.Itoa(v3FrameHeaderLen)},
-	} {
-		m := regexp.MustCompile(c.decl).FindStringSubmatch(string(src))
-		if m == nil {
-			t.Errorf("faultnet.go has no declaration matching %s", c.decl)
-		} else if got := strings.Join(m[1:], ""); got != c.want {
-			t.Errorf("faultnet.go declares %q by %s, wire.go %q", got, c.decl, c.want)
-		}
-	}
-}
-
-// TestDesignFrameTableMatchesWire is TestFaultnetFrameParity's doc-side twin:
-// DESIGN.md's frame table is the normative one, so every frame constant in
-// wire.go must appear there under its number, and every row must name a live
-// constant — a frame added, renumbered or retired on one side only fails.
+// TestDesignFrameTableMatchesWire holds internal/wire to DESIGN.md, the
+// normative statement of the framing: a wrong constant shared by both ends
+// passes every round trip, so only the document pins it. "Transport" states
+// the magic, the version and the frame header's fields, each checked against
+// the constants and against the bytes Prelude and PutHeader write; every
+// frame type must appear in the frame table under its number, and every row
+// must name a live type.
 func TestDesignFrameTableMatchesWire(t *testing.T) {
 	doc, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, table, ok := strings.Cut(string(doc), "### Frame table")
+	_, transport, ok := strings.Cut(string(doc), "\n## Transport\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no \"Transport\" section")
+	}
+	transport, table, ok := strings.Cut(transport, "### Frame table")
 	if !ok {
 		t.Fatal("DESIGN.md has no \"Frame table\" section")
 	}
 	table, _, _ = strings.Cut(table, "\n#")
-	// "NAME #number", e.g. frameV3Open = 10 and the row "| 10 | OPEN |".
-	wire, rows := wireGoFrames(t), map[string]bool{}
+
+	magic := regexp.MustCompile("`\"(.+?)\"`").FindStringSubmatch(transport)
+	version := regexp.MustCompile(`version \*\*(\d+)\*\*`).FindStringSubmatch(transport)
+	header := regexp.MustCompile("`((?:\\[\\w+ u\\d+\\])+)\\[payload\\]`").FindStringSubmatch(transport)
+	if magic == nil || version == nil || header == nil {
+		t.Fatalf("DESIGN.md \"Transport\" states no magic, version or frame header: %q %q %q", magic, version, header)
+	}
+	if magic[1] != string(wire.Magic[:]) {
+		t.Errorf("DESIGN.md's magic is %q, wire.Magic %q", magic[1], wire.Magic[:])
+	}
+	if version[1] != strconv.Itoa(wire.Version) {
+		t.Errorf("DESIGN.md's session version is %s, wire.Version %d", version[1], wire.Version)
+	}
+	v, _ := strconv.Atoi(version[1])
+	want := binary.LittleEndian.AppendUint16([]byte(magic[1]), uint16(v))
+	if got := wire.Prelude(uint16(v), "t"); !bytes.Equal(got, append(want, 1, 't')) || wire.PreludeLen != len(want) || !wire.IsSession(got) {
+		t.Errorf("Prelude(%d, \"t\") = % x, PreludeLen %d; DESIGN.md's reads % x", v, got, wire.PreludeLen, append(want, 1, 't'))
+	}
+	// A header of distinct field values, laid out as DESIGN.md's fields say.
+	vals := map[string]uint32{"type": 0xa1, "job": 0x04030201, "len": 0x08070605}
+	want = nil
+	for _, f := range regexp.MustCompile(`\[(\w+) u(\d+)\]`).FindAllStringSubmatch(header[1], -1) {
+		bits, _ := strconv.Atoi(f[2])
+		want = binary.LittleEndian.AppendUint64(want, uint64(vals[f[1]]))[:len(want)+bits/8]
+	}
+	got := make([]byte, wire.HeaderLen)
+	wire.PutHeader(got, byte(vals["type"]), vals["job"], int(vals["len"]))
+	if typ, job, n := wire.Header(got); !bytes.Equal(got, want) || typ != byte(vals["type"]) || job != vals["job"] || n != vals["len"] {
+		t.Errorf("a %d-byte header reads % x; DESIGN.md's %s reads % x", wire.HeaderLen, got, header[1], want)
+	}
+
+	// "NAME #number", e.g. Open byte = 10 and the row "| 10 | OPEN |".
+	frames, rows := leafFrames(t), map[string]bool{}
 	for _, m := range regexp.MustCompile(`(?m)^\| (\d+) \| ([A-Z0-9]+)\b`).FindAllStringSubmatch(table, -1) {
 		rows[m[2]+" #"+m[1]] = true
 	}
-	for f := range wire {
+	for f := range frames {
 		if !rows[f] {
-			t.Errorf("wire.go frame %s has no row in DESIGN.md's frame table", f)
+			t.Errorf("wire frame %s has no row in DESIGN.md's frame table", f)
 		}
 	}
 	for f := range rows {
-		if !wire[f] {
-			t.Errorf("DESIGN.md's frame table row %s names no frame constant in wire.go", f)
+		if !frames[f] {
+			t.Errorf("DESIGN.md's frame table row %s names no frame type in internal/wire", f)
 		}
 	}
 }

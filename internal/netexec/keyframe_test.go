@@ -3,7 +3,6 @@ package netexec
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -13,6 +12,7 @@ import (
 	"ewh/internal/bufpool"
 	"ewh/internal/exec"
 	"ewh/internal/join"
+	"ewh/internal/wire"
 )
 
 // frameHeaders is a writer that parses the frame stream written into it,
@@ -32,11 +32,12 @@ func (f *frameHeaders) Write(p []byte) (int, error) {
 			p = p[k:]
 			continue
 		}
-		k := min(v3FrameHeaderLen-len(f.cur), len(p))
+		k := min(wire.HeaderLen-len(f.cur), len(p))
 		f.cur = append(f.cur, p[:k]...)
 		p = p[k:]
-		if len(f.cur) == v3FrameHeaderLen {
-			f.skip = int(binary.LittleEndian.Uint32(f.cur[v3FrameHeaderLen-4:]))
+		if len(f.cur) == wire.HeaderLen {
+			_, _, n := wire.Header(f.cur)
+			f.skip = int(n)
 			f.hdrs = append(f.hdrs, f.cur)
 			f.cur = nil
 		}
@@ -73,7 +74,7 @@ func TestMaximalKeyFramesPassTheHeaderReaders(t *testing.T) {
 			t.Fatalf("%s: %d frames for maxBlockKeys+1 keys, want a full one and a one-key one", c.name, len(fh.hdrs))
 		}
 		for i, h := range fh.hdrs {
-			_, _, n, err := readV3FrameHeader(bytes.NewReader(h))
+			_, _, n, err := readFrameHeader(bytes.NewReader(h))
 			if err != nil {
 				t.Errorf("%s frame %d: the worker's header reader refuses what the writer framed: %v", c.name, i, err)
 			}
@@ -84,9 +85,9 @@ func TestMaximalKeyFramesPassTheHeaderReaders(t *testing.T) {
 	}
 
 	// The largest payload any key frame may declare passes too.
-	var full [v3FrameHeaderLen]byte
-	binary.LittleEndian.PutUint32(full[5:], maxKeySubHdrLen+8*maxBlockKeys)
-	if _, _, _, err := readV3FrameHeader(bytes.NewReader(full[:])); err != nil {
+	var full [wire.HeaderLen]byte
+	wire.PutHeader(full[:], wire.StreamWin, 1, maxKeySubHdrLen+8*maxBlockKeys)
+	if _, _, _, err := readFrameHeader(bytes.NewReader(full[:])); err != nil {
 		t.Errorf("a full frame under the longest sub-header: %v", err)
 	}
 }
@@ -113,7 +114,7 @@ func TestRunningCountCap(t *testing.T) {
 	}
 
 	frames := recordedKeyFrames(t)
-	for _, typ := range []byte{frameV3StreamBase, frameV3StreamWin} {
+	for _, typ := range []byte{wire.StreamBase, wire.StreamWin} {
 		// A count job and a pairs job, each feeding its goroutine.
 		for _, j := range []*sessJob{{kind: kindCount}, {kind: kindPairs}} {
 			for i := range j.rels {
@@ -141,14 +142,14 @@ func recordedKeyFrames(t testing.TB) map[byte][]byte {
 	keys := []join.Key{7, -7}
 	out := make(map[byte][]byte)
 	for typ, write := range map[byte]func(*bytes.Buffer) error{
-		frameV3StreamBase: func(b *bytes.Buffer) error { return writeStreamBaseKeys(b, 1, 0, keys) },
-		frameV3StreamWin:  func(b *bytes.Buffer) error { return writeStreamWinKeys(b, 1, 0, 0, keys) },
+		wire.StreamBase: func(b *bytes.Buffer) error { return writeStreamBaseKeys(b, 1, 0, keys) },
+		wire.StreamWin:  func(b *bytes.Buffer) error { return writeStreamWinKeys(b, 1, 0, 0, keys) },
 	} {
 		var b bytes.Buffer
 		if err := write(&b); err != nil {
 			t.Fatal(err)
 		}
-		out[typ] = b.Bytes()[v3FrameHeaderLen:]
+		out[typ] = b.Bytes()[wire.HeaderLen:]
 	}
 	return out
 }
@@ -171,12 +172,12 @@ func FuzzKeyFrame(f *testing.F) {
 		typ  byte
 		kind byte
 	}{
-		{frameV3StreamBase, kindStream}, {frameV3StreamWin, kindStream},
-		{frameV3StreamBase, kindCount}, {frameV3StreamWin, kindCount},
-		{frameV3StreamBase, kindPeer}, {frameV3StreamWin, kindPeer},
-		{frameV3StreamBase, kindPairs}, {frameV3StreamWin, kindPairs},
-		{frameV3StreamBase, kindPlan}, {frameV3StreamWin, kindPlan},
-		{frameV3StreamBase, kindContrib}, {frameV3StreamWin, kindContrib},
+		{wire.StreamBase, kindStream}, {wire.StreamWin, kindStream},
+		{wire.StreamBase, kindCount}, {wire.StreamWin, kindCount},
+		{wire.StreamBase, kindPeer}, {wire.StreamWin, kindPeer},
+		{wire.StreamBase, kindPairs}, {wire.StreamWin, kindPairs},
+		{wire.StreamBase, kindPlan}, {wire.StreamWin, kindPlan},
+		{wire.StreamBase, kindContrib}, {wire.StreamWin, kindContrib},
 	}
 	for i, c := range cases {
 		f.Add(byte(i), recordedKeyFrames(f)[c.typ])
@@ -189,7 +190,7 @@ func FuzzKeyFrame(f *testing.F) {
 		if err := writeStreamWinKeys(&b, 1, 1, 0, make([]join.Key, c.keys)); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(c.sel, b.Bytes()[v3FrameHeaderLen:])
+		f.Add(c.sel, b.Bytes()[wire.HeaderLen:])
 	}
 	closed := make(chan struct{})
 	close(closed)
@@ -200,7 +201,7 @@ func FuzzKeyFrame(f *testing.F) {
 		// The job's goroutine is a channel the test drains.
 		j := &sessJob{ws: &workerSession{w: w}, kind: c.kind, ch: make(chan streamEvent, 1), done: closed}
 		const sentinel = 0xEE
-		var next [v3FrameHeaderLen]byte
+		var next [wire.HeaderLen]byte
 		next[0] = sentinel
 		br := bufio.NewReader(bytes.NewReader(append(append([]byte(nil), payload...), next[:]...)))
 
@@ -209,7 +210,7 @@ func FuzzKeyFrame(f *testing.F) {
 		_, refused := err.(*protoErr)
 		switch {
 		case err == nil || refused:
-			if got, _, _, herr := readV3FrameHeader(br); herr != nil || got != sentinel {
+			if got, _, _, herr := readFrameHeader(br); herr != nil || got != sentinel {
 				t.Fatalf("type %d, %d-byte frame (err %v): the next header reads as (%d, %v)", typ, n, err, got, herr)
 			}
 		case n >= hdr:
@@ -257,8 +258,8 @@ func TestDecodedPairsChunkServedFromItsClass(t *testing.T) {
 		if err := bw.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		typ, _, n, err := readV3FrameHeader(&b)
-		if err != nil || typ != frameV3Pairs {
+		typ, _, n, err := readFrameHeader(&b)
+		if err != nil || typ != wire.Pairs {
 			t.Fatalf("frame type %d, err %v; want a PAIRS frame", typ, err)
 		}
 		got, err := readPairsPayload(&b, n)
@@ -293,7 +294,7 @@ var (
 func TestDataFrameWireBytes(t *testing.T) {
 	keys := wireKeys
 	wantKeys := []byte{
-		frameV3StreamBase, 0x0d, 0x0c, 0x0b, 0x0a, 56, 0, 0, 0, // type, job 0x0a0b0c0d, payload 8+6·8
+		wire.StreamBase, 0x0d, 0x0c, 0x0b, 0x0a, 56, 0, 0, 0, // type, job 0x0a0b0c0d, payload 8+6·8
 		0x44, 0x33, 0x22, 0x11, 6, 0, 0, 0, // epoch 0x11223344, count 6
 		0, 0, 0, 0, 0, 0, 0, 0,
 		1, 0, 0, 0, 0, 0, 0, 0,
@@ -310,7 +311,7 @@ func TestDataFrameWireBytes(t *testing.T) {
 		t.Fatalf("STREAMBASE frame\n got % x\nwant % x", b.Bytes(), wantKeys)
 	}
 	got := make([]join.Key, len(keys))
-	if err := readKeysLE(bytes.NewReader(wantKeys[v3FrameHeaderLen+streamBaseHdrLen:]), got); err != nil {
+	if err := readKeysLE(bytes.NewReader(wantKeys[wire.HeaderLen+streamBaseHdrLen:]), got); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(got, keys) {
@@ -319,7 +320,7 @@ func TestDataFrameWireBytes(t *testing.T) {
 
 	pairs := wirePairs
 	wantPairs := []byte{
-		frameV3Pairs, 7, 0, 0, 0, 20, 0, 0, 0, // type, job 7, payload 4+2·8
+		wire.Pairs, 7, 0, 0, 0, 20, 0, 0, 0, // type, job 7, payload 4+2·8
 		2, 0, 0, 0, // count 2
 		0x04, 0x03, 0x02, 0x01, 0xd0, 0xc0, 0xb0, 0xa0,
 		0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff,
@@ -335,7 +336,7 @@ func TestDataFrameWireBytes(t *testing.T) {
 	if !bytes.Equal(b.Bytes(), wantPairs) {
 		t.Fatalf("PAIRS frame\n got % x\nwant % x", b.Bytes(), wantPairs)
 	}
-	gotPairs, err := readPairsPayload(bytes.NewReader(wantPairs[v3FrameHeaderLen:]), len(wantPairs)-v3FrameHeaderLen)
+	gotPairs, err := readPairsPayload(bytes.NewReader(wantPairs[wire.HeaderLen:]), len(wantPairs)-wire.HeaderLen)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"ewh/internal/join"
 	"ewh/internal/localjoin"
 	"ewh/internal/partition"
+	"ewh/internal/wire"
 )
 
 // TestDeclaredRunsAllocateOnArrival is the declare-then-stall adversary
@@ -45,7 +46,7 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 	// bytes take the count) and sends nothing past the sub-header.
 	stall := func(bw *bufio.Writer, typ byte, job uint32, sub []byte) error {
 		binary.LittleEndian.PutUint32(sub[len(sub)-4:], stallKeys)
-		err := writeV3FrameHeader(bw, typ, job, len(sub)+8*stallKeys)
+		err := writeFrameHeader(bw, typ, job, len(sub)+8*stallKeys)
 		if err == nil {
 			_, err = bw.Write(sub)
 		}
@@ -56,24 +57,24 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 		send func(bw *bufio.Writer, round int) error
 	}{
 		{"flat relation", func(bw *bufio.Writer, _ int) error {
-			return errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindPairs, Cond: spec}),
-				stall(bw, frameV3StreamBase, 1, make([]byte, streamBaseHdrLen)))
+			return errors.Join(writeCtl(bw, wire.Open, 1, &open{Kind: kindPairs, Cond: spec}),
+				stall(bw, wire.StreamBase, 1, make([]byte, streamBaseHdrLen)))
 		}},
 		{"count job base", func(bw *bufio.Writer, _ int) error {
-			return errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindCount, Cond: spec}),
-				stall(bw, frameV3StreamBase, 1, make([]byte, streamBaseHdrLen)))
+			return errors.Join(writeCtl(bw, wire.Open, 1, &open{Kind: kindCount, Cond: spec}),
+				stall(bw, wire.StreamBase, 1, make([]byte, streamBaseHdrLen)))
 		}},
 		{"stream base", func(bw *bufio.Writer, _ int) error {
-			return errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindStream, Cond: spec}),
-				stall(bw, frameV3StreamBase, 1, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
+			return errors.Join(writeCtl(bw, wire.Open, 1, &open{Kind: kindStream, Cond: spec}),
+				stall(bw, wire.StreamBase, 1, []byte{1, 0, 0, 0, 0, 0, 0, 0}))
 		}},
 		{"stream window", func(bw *bufio.Writer, _ int) error {
-			return errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindStream, Cond: spec}),
-				stall(bw, frameV3StreamWin, 1, make([]byte, streamWinHdrLen)))
+			return errors.Join(writeCtl(bw, wire.Open, 1, &open{Kind: kindStream, Cond: spec}),
+				stall(bw, wire.StreamWin, 1, make([]byte, streamWinHdrLen)))
 		}},
 		{"peer contribution", func(bw *bufio.Writer, round int) error {
-			return errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindContrib, Token: uint64(round + 1)}),
-				stall(bw, frameV3StreamBase, 1, make([]byte, streamBaseHdrLen)))
+			return errors.Join(writeCtl(bw, wire.Open, 1, &open{Kind: kindContrib, Token: uint64(round + 1)}),
+				stall(bw, wire.StreamBase, 1, make([]byte, streamBaseHdrLen)))
 		}},
 	}
 
@@ -89,7 +90,7 @@ func TestDeclaredRunsAllocateOnArrival(t *testing.T) {
 			}
 			stalled = append(stalled, conn)
 			bw := bufio.NewWriter(conn)
-			if err := errors.Join(writeBytes(bw, prelude(protoVersionSession, "")), k.send(bw, round), bw.Flush()); err != nil {
+			if err := errors.Join(writeBytes(bw, wire.Prelude(wire.Version, "")), k.send(bw, round), bw.Flush()); err != nil {
 				t.Fatalf("%s: %v", k.name, err)
 			}
 		}
@@ -196,8 +197,8 @@ func TestPeerBlocksDecodeSideBySide(t *testing.T) {
 		bw, conn := dialV3(t, w.Addr(), "")
 		var h [streamBaseHdrLen]byte
 		binary.LittleEndian.PutUint32(h[4:], 2)
-		err := errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindContrib, WorkerID: sender, Token: token}),
-			writeV3FrameHeader(bw, frameV3StreamBase, 1, streamBaseHdrLen+16),
+		err := errors.Join(writeCtl(bw, wire.Open, 1, &open{Kind: kindContrib, WorkerID: sender, Token: token}),
+			writeFrameHeader(bw, wire.StreamBase, 1, streamBaseHdrLen+16),
 			writeBytes(bw, h[:]), writeBytes(bw, make([]byte, sent)), bw.Flush())
 		if err != nil {
 			t.Fatal(err)
@@ -208,7 +209,7 @@ func TestPeerBlocksDecodeSideBySide(t *testing.T) {
 	// the commit.
 	finish := func(conn net.Conn, bw *bufio.Writer, rest int) {
 		err := errors.Join(writeBytes(bw, make([]byte, rest)), writeStreamBaseEnd(bw, 1, 0, 2),
-			writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+			writeFrameHeader(bw, wire.EOS, 1, 0), bw.Flush())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,11 +15,11 @@
 // There is one transport: the session protocol (Dial/Session, implementing
 // exec.Runtime) keeps one persistent connection per worker and multiplexes
 // numbered jobs over it, so N jobs cost one dial per worker. Every connection
-// opens with the prelude "EWHB" + version + the tenant its jobs are charged
-// to; workers speak exactly one version, 10, and close anything else. A
-// stage-1 worker re-shuffling its matches speaks it too: each peer's share is
-// a contribution sub-job on a session dialed under the plan job's tenant
-// (peer.go). One serialization: fixed-layout little-endian, key runs as
+// opens with the prelude wire.Magic + version + the tenant its jobs are
+// charged to; workers speak exactly one version, wire.Version, and close
+// anything else. A stage-1 worker re-shuffling its matches speaks it too: each
+// peer's share is a contribution sub-job on a session dialed under the plan
+// job's tenant (peer.go). One serialization: fixed-layout little-endian, key runs as
 // arrays and the three control records (one OPEN naming the job's kind,
 // PLAN2, one REPLY) through planio's Cursor (control.go). Both ends run
 // one job lifecycle each: the coordinator's subJob
@@ -31,14 +31,14 @@
 // life, or its connection's or worker's context ending under it. Every
 // key-carrying data frame has one writer (writeKeyFrames) and one sub-header
 // step (readKeySubHdr); one function (sessJob.runRel) decides which relation a
-// run's frame advances. See wire.go for the framing and
-// DESIGN.md's "Transport" section for the frame table and both lifecycles.
+// run's frame advances. internal/wire owns the framing, wire.go the payload
+// layouts, and DESIGN.md's "Transport" section states the frame table and
+// both lifecycles.
 package netexec
 
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -50,6 +50,7 @@ import (
 
 	"ewh/internal/localjoin"
 	"ewh/internal/stage"
+	"ewh/internal/wire"
 )
 
 // MaxRelationTuples bounds the tuples one relation, epoch base, window or
@@ -412,9 +413,8 @@ func (w *Worker) handle(conn net.Conn) {
 	}()
 	tc := newTimedConn(conn, w.timeouts.IO)
 	_ = conn.SetReadDeadline(time.Now().Add(preludeTimeout))
-	var head [len(protoMagic) + 2]byte
-	if _, err := io.ReadFull(tc, head[:]); err != nil || [4]byte(head[:4]) != protoMagic ||
-		binary.LittleEndian.Uint16(head[len(protoMagic):]) != protoVersionSession {
+	var head [wire.PreludeLen]byte
+	if _, err := io.ReadFull(tc, head[:]); err != nil || !wire.IsSession(head[:]) {
 		return
 	}
 	var tenantLen [1]byte

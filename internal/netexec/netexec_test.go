@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -25,6 +24,7 @@ import (
 	"ewh/internal/planio"
 	"ewh/internal/stats"
 	"ewh/internal/tiling"
+	"ewh/internal/wire"
 )
 
 var model = cost.Model{Wi: 1, Wo: 0.2}
@@ -168,7 +168,8 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 	if err := writeEndFrame(&hello, 23, 0, []byte(strings.Repeat("acme", 8))); err != nil {
 		t.Fatal(err)
 	}
-	tenantCut := prelude(protoVersionSession, "acme")
+	tenantCut := wire.Prelude(wire.Version, "acme")
+	head := func(version uint16) []byte { return wire.Prelude(version, "")[:wire.PreludeLen] } // no tenant length
 	rows := []struct {
 		name    string
 		opening []byte
@@ -176,41 +177,41 @@ func TestGarbagePreludeClosedSilently(t *testing.T) {
 	}{
 		{"wrong magic", []byte("GET / HTTP/1.1\r\n\r\n"), false},
 		{"gob-like", []byte{0x1f, 0xff, 0x81, 0x03, 0x01, 0x01, 0x09, 'h', 'a', 'n', 'd'}, false},
-		{"short magic then EOF", []byte("EWH"), true},
-		{"short magic then stall", []byte("EWH"), false},
-		{"magic and half a version then EOF", []byte("EWHB\x03"), true},
-		{"unknown version", binary.LittleEndian.AppendUint16([]byte("EWHB"), protoVersionSession+7), false},
+		{"short magic then EOF", wire.Magic[:3], true},
+		{"short magic then stall", wire.Magic[:3], false},
+		{"magic and half a version then EOF", head(wire.Version)[:wire.PreludeLen-1], true},
+		{"unknown version", head(wire.Version + 7), false},
 		// The mesh's job-less header ran under version 4: such a link is
 		// closed at its prelude, never read past it and misframed. Its head
 		// frame was type 30, 16 bytes long.
-		{"retired mesh version 4", append(binary.LittleEndian.AppendUint16([]byte("EWHB"), 4),
+		{"retired mesh version 4", append(head(4),
 			30, 16, 0, 0, 0), false},
 		// Version 5 meshes sent no tenant: such a link is closed at its
 		// prelude, its first header never read as one.
-		{"retired mesh version 5", append(binary.LittleEndian.AppendUint16([]byte("EWHB"), 5),
+		{"retired mesh version 5", append(head(5),
 			30, 0, 0, 0, 0, 16, 0, 0, 0), false},
 		// Version 6 was the mesh a contribution sub-job replaced: a link
 		// opening with its prelude and a well-formed head frame is closed at
 		// the prelude, the head never read.
-		{"retired mesh version 6", append(prelude(6, ""), append([]byte{30, 0, 0, 0, 0, 16, 0, 0, 0},
+		{"retired mesh version 6", append(wire.Prelude(6, ""), append([]byte{30, 0, 0, 0, 0, 16, 0, 0, 0},
 			make([]byte, 16)...)...), false},
 		// Version 3 sessions opened jobs without Pairs and shipped a pairs
 		// job's relations as heads and blocks: served, such a coordinator
 		// would have its pairs jobs counted, their pairs never sent.
-		{"retired session version 3", binary.LittleEndian.AppendUint16([]byte("EWHB"), 3), false},
+		{"retired session version 3", head(3), false},
 		// Version 6 sessions declared their tenant in a HELLO frame: such a
 		// link is closed at its prelude.
 		{"retired session version 6 and a HELLO",
-			append(binary.LittleEndian.AppendUint16([]byte("EWHB"), 6), hello.Bytes()...), false},
+			append(head(6), hello.Bytes()...), false},
 		// Version 7 sessions carried their control frames as gob: such a
 		// link is closed at its prelude, even its first frame a valid ABORT.
-		{"retired session version 7", append(prelude(7, ""), frameV3Abort, 1, 0, 0, 0, 0, 0, 0, 0), false},
+		{"retired session version 7", append(wire.Prelude(7, ""), wire.Abort, 1, 0, 0, 0, 0, 0, 0, 0), false},
 		// Version 8 sessions' REPLY carried one duration where a stage record
 		// now is: such a link is closed at its prelude, a valid ABORT unread.
-		{"retired session version 8", append(prelude(8, ""), frameV3Abort, 1, 0, 0, 0, 0, 0, 0, 0), false},
+		{"retired session version 8", append(wire.Prelude(8, ""), wire.Abort, 1, 0, 0, 0, 0, 0, 0, 0), false},
 		// Version 9 sessions cancelled a pipeline by transfer token in frame
 		// 20: such a link is closed at its prelude, a valid ABORT unread.
-		{"retired session version 9", append(prelude(9, ""), frameV3Abort, 1, 0, 0, 0, 0, 0, 0, 0), false},
+		{"retired session version 9", append(wire.Prelude(9, ""), wire.Abort, 1, 0, 0, 0, 0, 0, 0, 0), false},
 		{"tenant shorter than its length then EOF", tenantCut[:len(tenantCut)-2], true},
 		{"tenant shorter than its length then stall", tenantCut[:len(tenantCut)-2], false},
 	}
@@ -251,7 +252,7 @@ func TestControlFrameBound(t *testing.T) {
 		bw, conn := dialV3(t, addrs[0], "")
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if err := errors.Join(writeV3FrameHeader(bw, frameV3Plan2, 0, declared), bw.Flush()); err != nil {
+		if err := errors.Join(writeFrameHeader(bw, wire.Plan2, 0, declared), bw.Flush()); err != nil {
 			t.Fatal(err)
 		}
 		expectClosedSilently(t, conn)
@@ -270,10 +271,10 @@ func TestControlFrameBound(t *testing.T) {
 		_, addrs := startWorkerSet(t, 1)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		types := []byte{frameV3Open, frameV3Plan2}
+		types := []byte{wire.Open, wire.Plan2}
 		for _, typ := range types {
 			bw, _ := dialV3(t, addrs[0], "")
-			if err := errors.Join(writeV3FrameHeader(bw, typ, 1, maxControlPayload), bw.Flush()); err != nil {
+			if err := errors.Join(writeFrameHeader(bw, typ, 1, maxControlPayload), bw.Flush()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -296,7 +297,7 @@ func TestControlFrameBound(t *testing.T) {
 	trailing := func(typ byte, job uint32, rec ctlRecord, pad int) func(bw *bufio.Writer) error {
 		return func(bw *bufio.Writer) error {
 			b := append(rec.append(nil), make([]byte, pad)...)
-			return errors.Join(writeV3FrameHeader(bw, typ, job, len(b)), writeBytes(bw, b))
+			return errors.Join(writeFrameHeader(bw, typ, job, len(b)), writeBytes(bw, b))
 		}
 	}
 	refused := func(t *testing.T, rows map[string]func(bw *bufio.Writer) error) {
@@ -325,8 +326,8 @@ func TestControlFrameBound(t *testing.T) {
 		// request the retired PLAN frame did) longer than any real one is
 		// refused unread.
 		refused(t, map[string]func(bw *bufio.Writer) error{
-			"OPENJOB": trailing(frameV3Open, 1, count, maxOpenPayload),
-			"PLAN":    trailing(frameV3Open, 1, plan, maxOpenPayload),
+			"OPENJOB": trailing(wire.Open, 1, count, maxOpenPayload),
+			"PLAN":    trailing(wire.Open, 1, plan, maxOpenPayload),
 		})
 	})
 	t.Run("strict records", func(t *testing.T) {
@@ -335,14 +336,14 @@ func TestControlFrameBound(t *testing.T) {
 		kind5 := count.append(nil)
 		kind5[0] = numKinds
 		rows := map[string]func(bw *bufio.Writer) error{
-			"OPEN and a trailing byte":  trailing(frameV3Open, 1, count, 1),
-			"PLAN2 and a trailing byte": trailing(frameV3Plan2, 1, &plan2{Self: -1}, 1),
+			"OPEN and a trailing byte":  trailing(wire.Open, 1, count, 1),
+			"PLAN2 and a trailing byte": trailing(wire.Plan2, 1, &plan2{Self: -1}, 1),
 			"OPEN naming an unknown kind": func(bw *bufio.Writer) error {
-				return errors.Join(writeV3FrameHeader(bw, frameV3Open, 1, len(kind5)), writeBytes(bw, kind5))
+				return errors.Join(writeFrameHeader(bw, wire.Open, 1, len(kind5)), writeBytes(bw, kind5))
 			},
 			"truncated OPEN": func(bw *bufio.Writer) error {
 				b := count.append(nil)
-				return errors.Join(writeV3FrameHeader(bw, frameV3Open, 1, len(b)-1), writeBytes(bw, b[:len(b)-1]))
+				return errors.Join(writeFrameHeader(bw, wire.Open, 1, len(b)-1), writeBytes(bw, b[:len(b)-1]))
 			},
 		}
 		refused(t, rows)
@@ -359,7 +360,7 @@ func TestControlFrameBound(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			_ = writeV3FrameHeader(conn, frameV3Reply, 1, declared)
+			_ = writeFrameHeader(conn, wire.Reply, 1, declared)
 			_, _ = io.Copy(io.Discard, conn) // until the session hangs up
 		}()
 		sess := dialSession(t, []string{ln.Addr().String()})
@@ -384,10 +385,10 @@ func TestControlFrameBound(t *testing.T) {
 			ps.Peers[i] = "[ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff%interface0]:65535"
 		}
 		var b bytes.Buffer
-		if err := writeCtl(&b, frameV3Plan2, 1, &ps); err != nil {
+		if err := writeCtl(&b, wire.Plan2, 1, &ps); err != nil {
 			t.Fatal(err)
 		}
-		_, _, n, err := readV3FrameHeader(&b)
+		_, _, n, err := readFrameHeader(&b)
 		if err != nil || n > maxControlPayload/16 {
 			t.Fatalf("PLAN2: %d-byte payload (err %v), want far inside the %d bound", n, err, maxControlPayload)
 		}
@@ -396,7 +397,7 @@ func TestControlFrameBound(t *testing.T) {
 			t.Fatalf("PLAN2 decoded %d peers (err %v), want %d", len(got.Peers), err, maxPeerSenders)
 		}
 		b.Reset()
-		err = writeCtl(&b, frameV3Plan2, 1, &plan2{Plan: make([]byte, maxControlPayload)})
+		err = writeCtl(&b, wire.Plan2, 1, &plan2{Plan: make([]byte, maxControlPayload)})
 		if err == nil || b.Len() != 0 {
 			t.Fatalf("an oversized plan framed %d bytes (err %v), want a refusal at the frame boundary", b.Len(), err)
 		}
@@ -426,7 +427,8 @@ func TestShutdownSparesConnectionMidPrelude(t *testing.T) {
 	ws, addrs := startWorkerSet(t, 1)
 	w := ws[0]
 	dialSession(t, addrs) // an idle, identified session: the sweep's prey
-	half := dialRaw(t, addrs[0], []byte("EWH"))
+	prelude := wire.Prelude(wire.Version, "")
+	half := dialRaw(t, addrs[0], prelude[:3])
 	// Hold a job open so Shutdown parks in its drain between the two sweeps.
 	bw, _ := dialV3(t, addrs[0], "")
 	sendOpenJob(t, bw, 1, kindCount, 0)
@@ -460,7 +462,7 @@ func TestShutdownSparesConnectionMidPrelude(t *testing.T) {
 	})
 	// Mid-drain: the half-prelude connection is still open — finishing the
 	// prelude as a session now gets it served, not refused.
-	if _, err := half.Write([]byte{'B', protoVersionSession, 0, 0}); err != nil {
+	if _, err := half.Write(prelude[3:]); err != nil {
 		t.Fatalf("mid-prelude connection was closed by the drain sweep: %v", err)
 	}
 	_ = half.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
@@ -469,7 +471,7 @@ func TestShutdownSparesConnectionMidPrelude(t *testing.T) {
 		t.Fatalf("mid-prelude connection not left open during the drain: %v", err)
 	}
 	// Release the drain.
-	if err := writeV3FrameHeader(bw, frameV3Abort, 1, 0); err != nil {
+	if err := writeFrameHeader(bw, wire.Abort, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -513,7 +515,7 @@ func TestSessionDeclaredCountEnforced(t *testing.T) {
 		// Each case is the next job on the same connection.
 		id := uint32(id + 1)
 		sendOpenJob(t, bw, id, kindPairs, 0)
-		err := errors.Join(c.frames(id), writeRel(bw, id, 2, nil), writeV3FrameHeader(bw, frameV3EOS, id, 0), bw.Flush())
+		err := errors.Join(c.frames(id), writeRel(bw, id, 2, nil), writeFrameHeader(bw, wire.EOS, id, 0), bw.Flush())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -530,7 +532,7 @@ func TestSessionUnknownRelationRejected(t *testing.T) {
 	bw, conn := dialV3(t, addrs[0], "")
 	sendOpenJob(t, bw, 1, kindPairs, 0)
 	err := errors.Join(writeRel(bw, 1, 1, []join.Key{9}), writeStreamWinKeys(bw, 1, 2, 0, []join.Key{9}),
-		writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+		writeFrameHeader(bw, wire.EOS, 1, 0), bw.Flush())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,12 +570,12 @@ func TestSessionMultiBlockRelation(t *testing.T) {
 			ws, addrs := startWorkers(t, func(w *Worker) { w.ledger.budget = tc.budget }, nil)
 			w := ws[0]
 			bw, conn := dialV3(t, addrs[0], "")
-			err := errors.Join(writeCtl(bw, frameV3Open, 1, &open{Kind: kindPairs, Cond: spec}),
+			err := errors.Join(writeCtl(bw, wire.Open, 1, &open{Kind: kindPairs, Cond: spec}),
 				writeStreamBaseKeys(bw, 1, 0, r1[:300]), writeStreamBaseKeys(bw, 1, 0, r1[300:]),
 				writeStreamBaseEnd(bw, 1, 0, len(r1)),
 				writeStreamWinKeys(bw, 1, 0, 0, r2[:450]), writeStreamWinKeys(bw, 1, 0, 0, r2[450:]),
 				writeStreamWinEnd(bw, 1, 0, 0, len(r2)),
-				writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+				writeFrameHeader(bw, wire.EOS, 1, 0), bw.Flush())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -582,11 +584,11 @@ func TestSessionMultiBlockRelation(t *testing.T) {
 			var got []exec.PairIdx
 			var m reply
 			for {
-				typ, job, n, err := readV3FrameHeader(br)
+				typ, job, n, err := readFrameHeader(br)
 				if err != nil || job != 1 {
 					t.Fatalf("reply frame %d for job %d: %v", typ, job, err)
 				}
-				if typ == frameV3Reply {
+				if typ == wire.Reply {
 					if err := readCtl(br, n, maxControlPayload, &m); err != nil {
 						t.Fatal(err)
 					}

@@ -20,6 +20,7 @@ import (
 	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/stage"
+	"ewh/internal/wire"
 )
 
 // TestWorkerEventOrders feeds one worker every sequence of events up to
@@ -474,19 +475,19 @@ func dialOrderLink(w *Worker) *orderLink {
 	c, s := net.Pipe()
 	go w.handle(s)
 	l := &orderLink{conn: c, bw: bufio.NewWriter(c), frames: make(chan orderFrame), done: make(chan struct{})}
-	_, _ = l.bw.Write(prelude(protoVersionSession, ""))
+	_, _ = l.bw.Write(wire.Prelude(wire.Version, ""))
 	go func() {
 		defer close(l.frames)
 		br := bufio.NewReader(c)
 		for {
-			typ, job, n, err := readV3FrameHeader(br)
+			typ, job, n, err := readFrameHeader(br)
 			f := orderFrame{typ: typ, job: job}
 			switch {
 			case err != nil:
 				return
-			case typ == frameV3Reply:
+			case typ == wire.Reply:
 				err = readCtl(br, n, maxControlPayload, &f.r)
-			case typ == frameV3Pairs:
+			case typ == wire.Pairs:
 				var p []exec.PairIdx
 				if p, err = readPairsPayload(br, n); err == nil {
 					f.pairs = slices.Clone(p)
@@ -540,10 +541,10 @@ func (l *orderLink) expect(want orderWant) (reply, error) {
 			return reply{}, err
 		case !ok:
 			return reply{}, fmt.Errorf("the link ended ahead of a reply %+v", want)
-		case f.typ == frameV3Pairs && want.pairs:
+		case f.typ == wire.Pairs && want.pairs:
 			pairs = append(pairs, f.pairs...)
 			continue
-		case f.typ != frameV3Reply:
+		case f.typ != wire.Reply:
 			return reply{}, fmt.Errorf("frame type %d ahead of a reply %+v", f.typ, want)
 		}
 		r := f.r
@@ -572,9 +573,9 @@ func (l *orderLink) send(e orderEv, kind byte, token uint64) error {
 	keys := orderBase
 	switch {
 	case e.contrib && e.what == 'O':
-		err = writeCtl(l.bw, frameV3Open, 1, &open{Kind: kindContrib, Token: token})
+		err = writeCtl(l.bw, wire.Open, 1, &open{Kind: kindContrib, Token: token})
 	case e.what == 'O':
-		err = writeCtl(l.bw, frameV3Open, 1, &open{Kind: kind, Cond: spec, Token: token, Senders: 1,
+		err = writeCtl(l.bw, wire.Open, 1, &open{Kind: kind, Cond: spec, Token: token, Senders: 1,
 			Stats: exec.StatsSpec{Seed: 1}})
 	case e.what == 'B' && e.contrib:
 		keys = orderShare
@@ -584,9 +585,9 @@ func (l *orderLink) send(e orderEv, kind byte, token uint64) error {
 	case e.what == 'W':
 		err = writeRun(l.bw, 1, false, e.win, e.epoch, winKeys(e.win))
 	case e.what == 'E':
-		err = writeV3FrameHeader(l.bw, frameV3EOS, 1, 0)
+		err = writeFrameHeader(l.bw, wire.EOS, 1, 0)
 	case e.what == 'A':
-		err = writeV3FrameHeader(l.bw, frameV3Abort, 1, 0)
+		err = writeFrameHeader(l.bw, wire.Abort, 1, 0)
 	}
 	return errors.Join(err, l.bw.Flush())
 }
@@ -621,9 +622,9 @@ func settle(w *Worker, want Holdings) error {
 func (l *orderLink) nextJob() (reply, error) {
 	spec, err := join.SpecOf(join.Equi{})
 	if err == nil {
-		err = errors.Join(writeCtl(l.bw, frameV3Open, 2, &open{Kind: kindPairs, Cond: spec}),
+		err = errors.Join(writeCtl(l.bw, wire.Open, 2, &open{Kind: kindPairs, Cond: spec}),
 			writeRun(l.bw, 2, true, 0, 0, orderBase), writeRun(l.bw, 2, false, 0, 0, orderWin),
-			writeV3FrameHeader(l.bw, frameV3EOS, 2, 0), l.bw.Flush())
+			writeFrameHeader(l.bw, wire.EOS, 2, 0), l.bw.Flush())
 	}
 	if err != nil {
 		return reply{}, fmt.Errorf("the next job: %w", err)
@@ -638,7 +639,7 @@ func (l *orderLink) nextJob() (reply, error) {
 			return reply{}, errors.New("the link ended ahead of the next job's reply")
 		}
 		pairs = append(pairs, f.pairs...)
-		if f.typ != frameV3Reply {
+		if f.typ != wire.Reply {
 			continue
 		}
 		r := f.r
@@ -848,11 +849,11 @@ func TestArrivalOrderJobsRefuseChunks(t *testing.T) {
 			l := dialOrderLink(ws[0])
 			defer l.close()
 			tc.o.Token = newPeerToken()
-			err := writeCtl(l.bw, frameV3Open, 1, &tc.o)
+			err := writeCtl(l.bw, wire.Open, 1, &tc.o)
 			for _, f := range tc.frames {
 				err = errors.Join(err, f(l.bw))
 			}
-			err = errors.Join(err, writeV3FrameHeader(l.bw, frameV3EOS, 1, 0), l.bw.Flush())
+			err = errors.Join(err, writeFrameHeader(l.bw, wire.EOS, 1, 0), l.bw.Flush())
 			for err == nil {
 				f, ok, rerr := l.next(1)
 				switch {

@@ -12,6 +12,7 @@ import (
 
 	"ewh/internal/bufpool"
 	"ewh/internal/join"
+	"ewh/internal/wire"
 )
 
 // This file is the worker→worker half of the stage-aware pipeline: a
@@ -90,13 +91,13 @@ func (c *sessConn) runContribution(id uint32, token uint64, sender int, keys []j
 	}
 	defer j.close()
 	err = j.send(func(bw *bufio.Writer) error {
-		if err := writeCtl(bw, frameV3Open, j.id, &open{Kind: kindContrib, WorkerID: sender, Token: token}); err != nil {
+		if err := writeCtl(bw, wire.Open, j.id, &open{Kind: kindContrib, WorkerID: sender, Token: token}); err != nil {
 			return err
 		}
 		if err := writeRun(bw, j.id, true, 0, 0, keys); err != nil {
 			return err
 		}
-		return writeV3FrameHeader(bw, frameV3EOS, j.id, 0)
+		return writeFrameHeader(bw, wire.EOS, j.id, 0)
 	})
 	if err != nil {
 		return err

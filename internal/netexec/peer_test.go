@@ -19,6 +19,7 @@ import (
 	"ewh/internal/partition"
 	"ewh/internal/planio"
 	"ewh/internal/stats"
+	"ewh/internal/wire"
 )
 
 // stageReference is the hand-composed in-process twin of a stage pipeline
@@ -217,7 +218,7 @@ func TestWorkerIOTimeoutFailsStalledTransfer(t *testing.T) {
 	bw, conn := dialV3(t, w.Addr(), "")
 	sendOpenJob(t, bw, 1, kindCount, 0)
 	// Declare a 64-byte payload for a second open and send nothing.
-	if err := writeV3FrameHeader(bw, frameV3Open, 2, 64); err != nil {
+	if err := writeFrameHeader(bw, wire.Open, 2, 64); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
@@ -305,7 +306,7 @@ func TestPlan2AwaitsEveryAcknowledgment(t *testing.T) {
 		if !refused {
 			t.Fatalf("ended with %v, want worker 0's peer open refused as draining", err)
 		}
-		if n := scripts[0].Seen(faultnet.In, faultnet.FramePlan2) + scripts[1].Seen(faultnet.In, faultnet.FramePlan2); n != 0 {
+		if n := scripts[0].Seen(faultnet.In, wire.Plan2) + scripts[1].Seen(faultnet.In, wire.Plan2); n != 0 {
 			t.Fatalf("the stage-1 workers received %d PLAN2 frames past a refused open", n)
 		}
 		if err := <-drained; err != nil {
@@ -453,7 +454,7 @@ func TestRetiredSessionFrameIsConnectionFatal(t *testing.T) {
 		bw, conn := dialV3(t, addrs[0], "")
 		token := newPeerToken()
 		if typ >= 30 && typ <= 32 {
-			err := writeCtl(bw, frameV3Open, 1, &open{Kind: kindContrib, Token: token})
+			err := writeCtl(bw, wire.Open, 1, &open{Kind: kindContrib, Token: token})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -495,17 +496,17 @@ func TestPeerJobReplyCheckedAgainstSenderCounts(t *testing.T) {
 		}
 		defer conn.Close()
 		br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
-		if _, err := io.ReadFull(br, prelude(protoVersionSession, "")); err != nil {
+		if _, err := io.ReadFull(br, wire.Prelude(wire.Version, "")); err != nil {
 			return
 		}
 		peerJob := map[uint32]bool{}
 		for {
-			typ, id, n, err := readV3FrameHeader(br)
+			typ, id, n, err := readFrameHeader(br)
 			if err != nil {
 				return
 			}
 			var o open
-			if typ == frameV3Open {
+			if typ == wire.Open {
 				err = readCtl(br, n, maxOpenPayload, &o)
 			} else {
 				_, err = io.CopyN(io.Discard, br, int64(n))
@@ -514,15 +515,15 @@ func TestPeerJobReplyCheckedAgainstSenderCounts(t *testing.T) {
 				return
 			}
 			switch {
-			case typ == frameV3Open && o.Kind == kindPeer: // acknowledged: its transfer is open
+			case typ == wire.Open && o.Kind == kindPeer: // acknowledged: its transfer is open
 				peerJob[id] = true
-				err = writeCtl(bw, frameV3Reply, id, &reply{})
-			case typ == frameV3EOS && peerJob[id]:
-				err = writeCtl(bw, frameV3Reply, id, &reply{Final: true, InputR1: routed - 1})
-			case typ == frameV3EOS: // the stage-1 job: an empty summary, which Replan ignores
-				err = writeCtl(bw, frameV3Reply, id, &reply{})
-			case typ == frameV3Plan2:
-				err = writeCtl(bw, frameV3Reply, id, &reply{Final: true, Output: routed, PeerCounts: []int64{routed}})
+				err = writeCtl(bw, wire.Reply, id, &reply{})
+			case typ == wire.EOS && peerJob[id]:
+				err = writeCtl(bw, wire.Reply, id, &reply{Final: true, InputR1: routed - 1})
+			case typ == wire.EOS: // the stage-1 job: an empty summary, which Replan ignores
+				err = writeCtl(bw, wire.Reply, id, &reply{})
+			case typ == wire.Plan2:
+				err = writeCtl(bw, wire.Reply, id, &reply{Final: true, Output: routed, PeerCounts: []int64{routed}})
 			}
 			if err != nil || bw.Flush() != nil {
 				return

@@ -14,7 +14,7 @@ import (
 // set of worker addresses that any number of concurrent coordinators draw
 // sessions from, each under its own tenant identity. The pool itself holds
 // no connections — every Session dials its own persistent per-worker
-// connections (the v3 protocol multiplexes that tenant's jobs over them) —
+// connections (the session protocol multiplexes that tenant's jobs over them) —
 // but it is the bookkeeping point: it validates fleet capacity, tracks the
 // sessions it issued so Close can hang up a whole service at once, and
 // counts per-tenant sessions for introspection.

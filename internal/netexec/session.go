@@ -14,6 +14,7 @@ import (
 	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/stage"
+	"ewh/internal/wire"
 )
 
 // Session is the persistent-connection transport implementing exec.Runtime:
@@ -235,7 +236,7 @@ func dialSessConn(ctx context.Context, addr string, t Timeouts, sess *Session) (
 		bw:       bufio.NewWriterSize(conn, connBufSize),
 		pending:  make(map[uint32]*jobHandler),
 	}
-	if _, err := conn.Write(prelude(protoVersionSession, sess.tenant)); err != nil {
+	if _, err := conn.Write(wire.Prelude(wire.Version, sess.tenant)); err != nil {
 		_ = conn.Close()
 		return nil, &WorkerFault{Kind: FaultHandshake, Worker: -1, Addr: addr, Err: err, retry: true}
 	}
@@ -302,14 +303,14 @@ func (c *sessConn) readLoop() {
 	br := bufio.NewReaderSize(c.conn, connBufSize)
 	for {
 		disarmConn(c.conn)
-		typ, id, n, err := readV3FrameHeader(br)
+		typ, id, n, err := readFrameHeader(br)
 		if err != nil {
 			c.fail(fmt.Errorf("connection lost: %w", err))
 			return
 		}
 		armConn(c.conn)
 		switch typ {
-		case frameV3Pairs:
+		case wire.Pairs:
 			pairs, err := readPairsPayload(br, n)
 			if err != nil {
 				c.fail(fmt.Errorf("pairs frame: %w", err))
@@ -320,7 +321,7 @@ func (c *sessConn) readLoop() {
 				h.onPairs(pairs)
 			}
 			exec.PairBufs.Put(pairs)
-		case frameV3Reply:
+		case wire.Reply:
 			r := new(reply)
 			if err := readCtl(br, n, maxControlPayload, r); err != nil {
 				c.fail(fmt.Errorf("reply frame: %w", err))
@@ -393,7 +394,7 @@ func (j *subJob) send(write func(*bufio.Writer) error) error {
 		err := write(bw)
 		if err != nil {
 			j.over = true
-			_ = writeV3FrameHeader(bw, frameV3Abort, j.id, 0)
+			_ = writeFrameHeader(bw, wire.Abort, j.id, 0)
 		}
 		return err
 	})
@@ -458,7 +459,7 @@ func (j *subJob) close() {
 	if !j.over && !dead {
 		j.over = true
 		_ = j.c.locked(func(bw *bufio.Writer) error {
-			return writeV3FrameHeader(bw, frameV3Abort, j.id, 0)
+			return writeFrameHeader(bw, wire.Abort, j.id, 0)
 		})
 	}
 }
@@ -523,7 +524,7 @@ func (j *subJob) account(rm *reply, m *exec.WorkerMetrics, recs []stage.Record) 
 func (j *subJob) sendJob(o *open, job *exec.Job) error {
 	arrival := kinds[o.Kind].ordered
 	return j.send(func(bw *bufio.Writer) error {
-		if err := writeCtl(bw, frameV3Open, j.id, o); err != nil {
+		if err := writeCtl(bw, wire.Open, j.id, o); err != nil {
 			return err
 		}
 		if err := j.writeRelation(bw, 1, job.R1.Wait(), arrival); err != nil {
@@ -535,7 +536,7 @@ func (j *subJob) sendJob(o *open, job *exec.Job) error {
 		if err := j.writeRelation(bw, 2, job.R2.Wait(), arrival); err != nil {
 			return err
 		}
-		return writeV3FrameHeader(bw, frameV3EOS, j.id, 0)
+		return writeFrameHeader(bw, wire.EOS, j.id, 0)
 	})
 }
 

@@ -22,6 +22,7 @@ import (
 	"ewh/internal/localjoin"
 	"ewh/internal/partition"
 	"ewh/internal/planio"
+	"ewh/internal/wire"
 )
 
 // leakCheck snapshots the goroutine count and asserts at cleanup — after
@@ -153,7 +154,7 @@ func (l *writeLog) writesBefore(t *testing.T, typ byte) (all, before int) {
 	sent := l.sent.Bytes()
 	at := len(sent)
 	for off := 0; off < len(sent); {
-		ft, _, n, err := readV3FrameHeader(bytes.NewReader(sent[off:]))
+		ft, _, n, err := readFrameHeader(bytes.NewReader(sent[off:]))
 		if err != nil {
 			t.Fatalf("the log holds no frame at offset %d: %v", off, err)
 		}
@@ -161,7 +162,7 @@ func (l *writeLog) writesBefore(t *testing.T, typ byte) (all, before int) {
 			at = off
 			break
 		}
-		off += v3FrameHeaderLen + n
+		off += wire.HeaderLen + n
 	}
 	for _, end := range l.ends {
 		if end <= at {
@@ -202,7 +203,7 @@ func TestWholeJobSendWritesPerRelation(t *testing.T) {
 			t.Fatalf("%s: output %d, want %d", c.name, got.Output, want)
 		}
 		for w, l := range logs {
-			all, before := l.writesBefore(t, frameV3StreamBaseEnd)
+			all, before := l.writesBefore(t, wire.StreamBaseEnd)
 			t.Logf("%s: worker %d: %d writes, %d ahead of relation 1's end frame", c.name, w, all, before)
 			switch {
 			case c.small && all > 2:
@@ -288,7 +289,7 @@ func dialV3(t *testing.T, addr, tenant string) (*bufio.Writer, net.Conn) {
 	}
 	t.Cleanup(func() { _ = conn.Close() })
 	bw := bufio.NewWriter(conn)
-	if _, err := bw.Write(prelude(protoVersionSession, tenant)); err != nil {
+	if _, err := bw.Write(wire.Prelude(wire.Version, tenant)); err != nil {
 		t.Fatal(err)
 	}
 	return bw, conn
@@ -300,7 +301,7 @@ func readV3Metrics(t *testing.T, conn net.Conn, wantJob uint32) reply {
 	t.Helper()
 	br := bufio.NewReader(conn)
 	for {
-		typ, job, n, err := readV3FrameHeader(br)
+		typ, job, n, err := readFrameHeader(br)
 		if err != nil {
 			t.Fatalf("reading reply: %v", err)
 		}
@@ -308,11 +309,11 @@ func readV3Metrics(t *testing.T, conn net.Conn, wantJob uint32) reply {
 			t.Fatalf("reply for job %d, want %d", job, wantJob)
 		}
 		switch typ {
-		case frameV3Pairs:
+		case wire.Pairs:
 			if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
 				t.Fatal(err)
 			}
-		case frameV3Reply:
+		case wire.Reply:
 			var m reply
 			if err := readCtl(br, n, maxControlPayload, &m); err != nil {
 				t.Fatal(err)
@@ -333,14 +334,14 @@ func awaitFeedMetrics(t *testing.T, conn net.Conn, br *bufio.Reader, job uint32)
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for {
-		typ, got, n, err := readV3FrameHeader(br)
+		typ, got, n, err := readFrameHeader(br)
 		if err != nil {
 			t.Fatalf("reading job %d's reply: %v", job, err)
 		}
 		if got != job {
 			t.Fatalf("reply for job %d, want %d", got, job)
 		}
-		if typ != frameV3Reply {
+		if typ != wire.Reply {
 			if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
 				t.Fatal(err)
 			}
@@ -370,7 +371,7 @@ func sendOpenJob(t *testing.T, bw *bufio.Writer, id uint32, kind byte, token uin
 		t.Fatal(err)
 	}
 	o := open{Kind: kind, Cond: spec, Token: token, Senders: 1}
-	if err := writeCtl(bw, frameV3Open, id, &o); err != nil {
+	if err := writeCtl(bw, wire.Open, id, &o); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -388,14 +389,14 @@ func writeRel(w io.Writer, job uint32, rel int, keys []join.Key) error {
 func answerStats(t *testing.T, conn net.Conn, br *bufio.Reader, bw *bufio.Writer, job uint32, ps plan2) {
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, got, n, err := readV3FrameHeader(br)
-	if err != nil || typ != frameV3Reply || got != job {
+	typ, got, n, err := readFrameHeader(br)
+	if err != nil || typ != wire.Reply || got != job {
 		t.Fatalf("awaiting job %d's statistics: frame %d for job %d (%v)", job, typ, got, err)
 	}
 	if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
 		t.Fatal(err)
 	}
-	if err := errors.Join(writeCtl(bw, frameV3Plan2, job, &ps), bw.Flush()); err != nil {
+	if err := errors.Join(writeCtl(bw, wire.Plan2, job, &ps), bw.Flush()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -465,7 +466,7 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 				kind = kindPlan
 			}
 			sendOpenJob(t, bw, 1, kind, token)
-			err := errors.Join(c.send(bw), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+			err := errors.Join(c.send(bw), writeFrameHeader(bw, wire.EOS, 1, 0), bw.Flush())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -492,7 +493,7 @@ func TestSessionRekeyColumnEnforced(t *testing.T) {
 			err = errors.Join(
 				writeRel(bw, 2, 1, []join.Key{5}),
 				writeRel(bw, 2, 2, []join.Key{5}),
-				writeV3FrameHeader(bw, frameV3EOS, 2, 0), bw.Flush())
+				writeFrameHeader(bw, wire.EOS, 2, 0), bw.Flush())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -547,9 +548,9 @@ func TestSessionRelationFormsByJobKind(t *testing.T) {
 	leakCheck(t)
 	seen := map[byte]*atomic.Bool{}
 	var rules []faultnet.Rule
-	runFrames := []byte{faultnet.FrameStreamBase, faultnet.FrameStreamBaseEnd,
-		faultnet.FrameStreamWin, faultnet.FrameStreamWinEnd}
-	for _, f := range append([]byte{faultnet.FrameOpen, faultnet.FrameAbort}, runFrames...) {
+	runFrames := []byte{wire.StreamBase, wire.StreamBaseEnd,
+		wire.StreamWin, wire.StreamWinEnd}
+	for _, f := range append([]byte{wire.Open, wire.Abort}, runFrames...) {
 		arrived := new(atomic.Bool)
 		seen[f] = arrived
 		rules = append(rules, faultnet.Rule{Dir: faultnet.In, Frame: f, Action: faultnet.ActHook,
@@ -581,9 +582,9 @@ func TestSessionRelationFormsByJobKind(t *testing.T) {
 			}
 		}
 		waitFor(t, "the ABORT to retire the job on the worker", func() bool {
-			return seen[faultnet.FrameAbort].Load() && w.Snapshot().Holdings.Jobs == 0
+			return seen[wire.Abort].Load() && w.Snapshot().Holdings.Jobs == 0
 		})
-		if !seen[faultnet.FrameOpen].Load() {
+		if !seen[wire.Open].Load() {
 			t.Fatal("the job was never opened")
 		}
 		for _, f := range runFrames {
@@ -631,10 +632,10 @@ func TestSessionBlockLengthMismatchKeepsStreamInSync(t *testing.T) {
 	// (8 + 8): the extra 8 bytes must be drained as frame payload.
 	var frame [streamBaseHdrLen + 16]byte
 	binary.LittleEndian.PutUint32(frame[4:], 1)
-	err := errors.Join(writeV3FrameHeader(bw, frameV3StreamBase, 1, len(frame)), func() error {
+	err := errors.Join(writeFrameHeader(bw, wire.StreamBase, 1, len(frame)), func() error {
 		_, err := bw.Write(frame[:])
 		return err
-	}(), writeRel(bw, 1, 2, nil), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+	}(), writeRel(bw, 1, 2, nil), writeFrameHeader(bw, wire.EOS, 1, 0), bw.Flush())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +646,7 @@ func TestSessionBlockLengthMismatchKeepsStreamInSync(t *testing.T) {
 	// Same connection, next job: framing survived the bad frame.
 	sendOpenJob(t, bw, 2, kindPairs, 0)
 	err = errors.Join(writeRel(bw, 2, 1, []join.Key{5}), writeRel(bw, 2, 2, []join.Key{5}),
-		writeV3FrameHeader(bw, frameV3EOS, 2, 0), bw.Flush())
+		writeFrameHeader(bw, wire.EOS, 2, 0), bw.Flush())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,7 +684,7 @@ func TestWorkerShutdownDrainsInFlightJob(t *testing.T) {
 		t.Fatal("Shutdown returned while a job was still in flight")
 	}
 	// Finish the job; the drain completes and the reply still arrives.
-	err := errors.Join(writeRel(bw, 1, 2, []join.Key{2}), writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+	err := errors.Join(writeRel(bw, 1, 2, []join.Key{2}), writeFrameHeader(bw, wire.EOS, 1, 0), bw.Flush())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ import (
 	"ewh/internal/localjoin"
 	"ewh/internal/planio"
 	"ewh/internal/stage"
+	"ewh/internal/wire"
 )
 
 // This file is the worker side of the session protocol: one read loop per
@@ -175,10 +176,10 @@ func (j *sessJob) credit(n int64) {
 func runEvent(typ byte, h []byte) streamEvent {
 	u32 := func(i int) uint32 { return binary.LittleEndian.Uint32(h[i:]) }
 	ev := streamEvent{kind: evStreamBase, epoch: u32(0), total: int(u32(len(h) - 4))}
-	if typ == frameV3StreamWin || typ == frameV3StreamWinEnd {
+	if typ == wire.StreamWin || typ == wire.StreamWinEnd {
 		ev.kind, ev.win, ev.epoch = evStreamWin, u32(0), u32(4)
 	}
-	if typ == frameV3StreamBaseEnd || typ == frameV3StreamWinEnd {
+	if typ == wire.StreamBaseEnd || typ == wire.StreamWinEnd {
 		ev.kind++ // a run's end event follows its key event
 	}
 	return ev
@@ -276,7 +277,7 @@ func (ws *workerSession) reply(j *sessJob, r *reply) error {
 	w.tallyMu.Unlock()
 	ws.wmu.Lock()
 	defer ws.wmu.Unlock()
-	if err := writeCtl(ws.bw, frameV3Reply, j.id, r); err != nil {
+	if err := writeCtl(ws.bw, wire.Reply, j.id, r); err != nil {
 		return err
 	}
 	return ws.bw.Flush()
@@ -479,18 +480,18 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState, t
 
 	for {
 		disarmConn(conn)
-		typ, id, n, err := readV3FrameHeader(br)
+		typ, id, n, err := readFrameHeader(br)
 		if err != nil {
 			return
 		}
 		armConn(conn)
 		switch typ {
-		case frameV3Open:
+		case wire.Open:
 			if ws.openJob(br, id, n) != nil {
 				return
 			}
 
-		case frameV3Plan2:
+		case wire.Plan2:
 			var p plan2
 			if readCtl(br, n, maxControlPayload, &p) != nil {
 				return
@@ -505,17 +506,17 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState, t
 				}
 			}
 
-		case frameV3StreamBaseEnd, frameV3StreamWinEnd:
+		case wire.StreamBaseEnd, wire.StreamWinEnd:
 			if !ws.endFrame(br, typ, id, n) {
 				return
 			}
 
-		case frameV3StreamBase, frameV3StreamWin:
+		case wire.StreamBase, wire.StreamWin:
 			if !ws.dataFrame(br, typ, id, n) {
 				return
 			}
 
-		case frameV3EOS:
+		case wire.EOS:
 			j := ws.feeding(id)
 			if j == nil || n != 0 {
 				return
@@ -527,7 +528,7 @@ func (w *Worker) handleSession(br *bufio.Reader, conn net.Conn, cs *connState, t
 			j.eosSeen.Store(true)
 			j.feed(streamEvent{kind: evStreamEOS})
 
-		case frameV3Abort:
+		case wire.Abort:
 			// The coordinator abandoned the job: mid-send (a validation
 			// failure on its side), or parked past its EOS (a failed
 			// pipeline). Discard its state, reply with nothing. Before its

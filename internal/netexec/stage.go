@@ -9,6 +9,7 @@ import (
 	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/stage"
+	"ewh/internal/wire"
 )
 
 // This file is the coordinator side of the stage-aware pipeline
@@ -262,7 +263,7 @@ func (c *sessConn) openStatsStageJob(id uint32, o *open, job *exec.Job) (*subJob
 func (j *subJob) finishStatsStageJob(p *plan2, m *exec.WorkerMetrics, recs []stage.Record) ([]int64, error) {
 	defer j.close()
 	err := j.send(func(bw *bufio.Writer) error {
-		return writeCtl(bw, frameV3Plan2, j.id, p)
+		return writeCtl(bw, wire.Plan2, j.id, p)
 	})
 	if err != nil {
 		return nil, err
@@ -282,7 +283,7 @@ func (c *sessConn) openPeerJob(st *stagePipe, workerID int) (*subJob, error) {
 	}
 	err = j.send(func(bw *bufio.Writer) error {
 		o := open{Kind: kindPeer, WorkerID: workerID, Cond: st.spec2, Token: st.token, Senders: len(st.counts)}
-		return writeCtl(bw, frameV3Open, j.id, &o)
+		return writeCtl(bw, wire.Open, j.id, &o)
 	})
 	if err == nil {
 		_, err = j.await("acknowledgment", true)
@@ -309,7 +310,7 @@ func (j *subJob) sendPeerRelation(st *stagePipe) error {
 	if err := j.sendChunks(j.send, 2, rd.Chunks, true); err != nil {
 		return err
 	}
-	return j.send(func(bw *bufio.Writer) error { return writeV3FrameHeader(bw, frameV3EOS, j.id, 0) })
+	return j.send(func(bw *bufio.Writer) error { return writeFrameHeader(bw, wire.EOS, j.id, 0) })
 }
 
 // finishPeerJob awaits an opened peer job's final reply once stage 1

@@ -16,6 +16,7 @@ import (
 	"ewh/internal/partition"
 	"ewh/internal/planio"
 	"ewh/internal/stats"
+	"ewh/internal/wire"
 )
 
 // statsStagePlan builds a stage plan whose Replan runs onReplan over the
@@ -263,7 +264,7 @@ func TestAbortAroundThePark(t *testing.T) {
 		err := errors.Join(
 			writeRel(bw, 1, 1, r1),
 			writeRel(bw, 1, 2, r2), writeRel(bw, 1, 3, r2),
-			writeV3FrameHeader(bw, frameV3EOS, 1, 0), bw.Flush())
+			writeFrameHeader(bw, wire.EOS, 1, 0), bw.Flush())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +278,7 @@ func TestAbortAroundThePark(t *testing.T) {
 		dialed := make(chan net.Conn, 1)
 		go func() {
 			if c, err := ln.Accept(); err == nil {
-				_, _ = io.ReadFull(c, make([]byte, len(prelude(protoVersionSession, ""))))
+				_, _ = io.ReadFull(c, make([]byte, len(wire.Prelude(wire.Version, ""))))
 				dialed <- c
 			}
 		}()
@@ -288,7 +289,7 @@ func TestAbortAroundThePark(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("the plan job never dialed its stage-2 peer")
 		}
-		if err := errors.Join(writeV3FrameHeader(bw, frameV3Abort, 1, 0), bw.Flush()); err != nil {
+		if err := errors.Join(writeFrameHeader(bw, wire.Abort, 1, 0), bw.Flush()); err != nil {
 			t.Fatal(err)
 		}
 		workersIdle(t, w)
@@ -306,7 +307,7 @@ func TestAbortAroundThePark(t *testing.T) {
 func expectNoFrame(t *testing.T, conn net.Conn, br *bufio.Reader) {
 	t.Helper()
 	_ = conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	typ, job, _, err := readV3FrameHeader(br)
+	typ, job, _, err := readFrameHeader(br)
 	var ne net.Error
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Fatalf("read frame %d for job %d (%v), want nothing on an open connection", typ, job, err)

@@ -8,6 +8,7 @@ import (
 	"ewh/internal/exec"
 	"ewh/internal/join"
 	"ewh/internal/planio"
+	"ewh/internal/wire"
 )
 
 // This file is the coordinator side of the continuous-join stream protocol:
@@ -56,7 +57,7 @@ func (s *Session) OpenStream(spec exec.StreamSpec) (exec.StreamHandle, error) {
 			st.conns = append(st.conns, &streamConn{subJob: j})
 			o.WorkerID = w
 			err = j.send(func(bw *bufio.Writer) error {
-				return writeCtl(bw, frameV3Open, st.id, &o)
+				return writeCtl(bw, wire.Open, st.id, &o)
 			})
 		}
 		if err != nil {
@@ -168,7 +169,7 @@ func (st *Stream) Close() error {
 	for w, sc := range st.conns {
 		if sc.err == nil {
 			sc.err = sc.send(func(bw *bufio.Writer) error {
-				return writeV3FrameHeader(bw, frameV3EOS, st.id, 0)
+				return writeFrameHeader(bw, wire.EOS, st.id, 0)
 			})
 		}
 		if sc.err == nil {

@@ -13,6 +13,7 @@ import (
 	"ewh/internal/localjoin"
 	"ewh/internal/stats"
 	"ewh/internal/streamjoin"
+	"ewh/internal/wire"
 )
 
 func streamUniformKeys(rng *stats.RNG, n int, lo, span int64) []join.Key {
@@ -67,7 +68,7 @@ func TestStreamWorkerDeathAfterReplanRecovers(t *testing.T) {
 	// the 4th one is window index 3 — the first full window AFTER the drift
 	// replan at window 2 cut the stream over to epoch 2.
 	script := faultnet.NewScript(faultnet.Rule{
-		Dir: faultnet.In, Frame: faultnet.FrameStreamWinEnd, N: 4,
+		Dir: faultnet.In, Frame: wire.StreamWinEnd, N: 4,
 		Action: faultnet.ActHook, Fn: kill,
 	})
 

@@ -8,76 +8,33 @@ import (
 
 	"ewh/internal/exec"
 	"ewh/internal/join"
+	"ewh/internal/wire"
 )
 
-// Wire framing ("EWHB"). All integers are little-endian. Every connection
-// opens with the prelude
+// Payload layouts; internal/wire owns the framing. Every payload is
+// fixed-layout little-endian binary. Control frames (open, plan, reply — a few
+// per job) are records (control.go); data frames (key runs, pairs) are
+// fixed-width arrays, so the coordinator encodes straight out of the shuffle's
+// contiguous per-worker slices and the worker decodes straight into
+// exactly-sized pooled buffers.
 //
-//	magic "EWHB" | uint16 version | uint8 tenant length | tenant
-//
-// where version 10 is the one session protocol a worker speaks — to a
-// coordinator, or to a stage-1 peer shipping its contribution — and frames
-// everything after it as
-//
-//	[type u8][job u32][payloadLen u32][payload]
-//
-// Every payload is fixed-layout little-endian binary. Control frames (open,
-// plan, reply — a few per job) are records (control.go); data
-// frames (key runs, pairs) are fixed-width arrays, so the coordinator
-// encodes straight out of the shuffle's contiguous per-worker slices and the
-// worker decodes straight into exactly-sized pooled buffers. DESIGN.md's
-// "Transport" section is the normative frame table.
+// A stream's base frames ship the static side routed under the active plan
+// (re-shipped whole on every replan, tagged with a new epoch); window frames
+// append one window's routed shard, and its end frame triggers the worker's
+// probe + summary reply. All frames ride the session connection's FIFO, which
+// is the drain/cutover contract: windows sent before a new epoch's base are
+// processed under the old plan, windows after it under the new one. Every
+// other job rides the same frames at epoch 0, each relation a run as its
+// kind's row of kinds says; a count job's sub-blocks go out as routing fills
+// them, so its end frames carry totals known once every mapper has emitted.
 const (
-	// protoVersionSession is the persistent-session protocol: numbered jobs
-	// multiplex over the connection until either side closes (session.go).
-	// Version 11's OPEN carries a summary's seed and no size: the size is
-	// exec's. A worker closes any other version at the prelude.
-	protoVersionSession = 11
-
-	// Session frames. Every header carries a job number, so one connection
-	// interleaves many jobs' frames.
-	frameV3Open  = 10 // coord→worker open record: the job's kind, condition and what the kind needs
-	frameV3EOS   = 14 // coord→worker job data complete; worker joins
-	frameV3Pairs = 15 // worker→coord [count u32][count×(i1 u32, i2 u32)]
-	frameV3Reply = 16 // worker→coord reply record: final (ends the sub-job) or interim
-	frameV3Abort = 17 // coord→worker job abandoned, before or past its EOS; discard its state, no reply
-
-	// Stage-aware pipelines: a plan job's open carries a statistics request;
-	// the job joins, summarizes its matches, replies the summary and holds its
-	// re-shuffle until the coordinator plans stage 2 from the merged summaries
-	// and answers with PLAN2. Each worker then re-shuffles its own matches by
-	// the stage-2 plan straight to peer workers: only the summaries and pair
-	// counts — never the intermediate — transit the coordinator.
-	frameV3Plan2 = 22 // coord→worker plan2 record: the replanned stage-2 artifact + peer map
-
-	// Run frames. A stream job joins an unbounded sequence of tuple windows
-	// against a static base relation: base frames ship the static side
-	// routed under the active plan (re-shipped whole on every replan, tagged
-	// with a new epoch); window frames append one window's routed shard and
-	// its end frame triggers the worker's probe + summary reply. All frames
-	// ride the session connection's FIFO, which is the drain/cutover
-	// contract: windows sent before a new epoch's base are processed under
-	// the old plan, windows after it under the new one.
-	//
-	// Every other job rides the same frames at epoch 0: relation 1 as the
-	// base run (a peer-fed job's base is its relation 2) and relation 2 as
-	// window 0; a plan job's re-key column follows as window 1, and a
-	// contribution ships its share as its one base run. A count job's
-	// routed sub-blocks go out the moment routing fills them, so its end
-	// frames carry totals the coordinator only knows once every mapper has
-	// emitted; a pairs or plan job's relations ship whole.
-	frameV3StreamBase    = 34 // coord→worker [epoch u32][count u32][count×8 LE keys]
-	frameV3StreamBaseEnd = 35 // coord→worker [epoch u32][total u32]
-	frameV3StreamWin     = 36 // coord→worker [window u32][epoch u32][count u32][count×8 LE keys]
-	frameV3StreamWinEnd  = 37 // coord→worker [window u32][epoch u32][total u32]
-
-	// streamBaseHdrLen is frameV3StreamBase's sub-header [epoch u32][count u32];
-	// frameV3StreamBaseEnd reuses the layout with the exact total in the
-	// count slot.
+	// streamBaseHdrLen is STREAMBASE's sub-header [epoch u32][count u32],
+	// which its count×8 keys follow; STREAMBASEEND reuses the layout with the
+	// exact total in the count slot.
 	streamBaseHdrLen = 8
-	// streamWinHdrLen is frameV3StreamWin's sub-header
-	// [window u32][epoch u32][count u32]; frameV3StreamWinEnd reuses the
-	// layout with the exact total in the count slot.
+	// streamWinHdrLen is STREAMWIN's sub-header [window u32][epoch u32][count
+	// u32], which its count×8 keys follow; STREAMWINEND reuses the layout with
+	// the exact total in the count slot.
 	streamWinHdrLen = 12
 	// maxBlockKeys caps the keys one key-carrying frame holds (128 MiB); a
 	// longer run splits into consecutive frames (see writeKeyFrames).
@@ -106,49 +63,31 @@ const (
 	maxPeerSenders = 1 << 12
 )
 
-// protoMagic opens every connection.
-var protoMagic = [4]byte{'E', 'W', 'H', 'B'}
-
-// prelude is what every connection opens with: the magic, the version, and
-// the tenant its jobs are charged to behind a u8 length (at most
-// maxTenantLen bytes; "" is the anonymous tenant).
-func prelude(version uint16, tenant string) []byte {
-	b := binary.LittleEndian.AppendUint16(append([]byte(nil), protoMagic[:]...), version)
-	return append(append(b, byte(len(tenant))), tenant...)
-}
-
-// v3FrameHeaderLen is [type u8][job u32][payloadLen u32], the frame header.
-const v3FrameHeaderLen = 9
-
-func writeV3FrameHeader(w io.Writer, typ byte, job uint32, payloadLen int) error {
-	var hdr [v3FrameHeaderLen]byte
-	putFrameHeader(hdr[:], typ, job, payloadLen)
+func writeFrameHeader(w io.Writer, typ byte, job uint32, payloadLen int) error {
+	var hdr [wire.HeaderLen]byte
+	wire.PutHeader(hdr[:], typ, job, payloadLen)
 	_, err := w.Write(hdr[:])
 	return err
 }
 
-func putFrameHeader(h []byte, typ byte, job uint32, payloadLen int) {
-	h[0] = typ
-	binary.LittleEndian.PutUint32(h[1:], job)
-	binary.LittleEndian.PutUint32(h[5:], uint32(payloadLen))
-}
-
-func readV3FrameHeader(r io.Reader) (typ byte, job uint32, payloadLen int, err error) {
-	var hdr [v3FrameHeaderLen]byte
+// readFrameHeader reads one frame header and refuses a payload longer than
+// maxDataPayload.
+func readFrameHeader(r io.Reader) (typ byte, job uint32, payloadLen int, err error) {
+	var hdr [wire.HeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, 0, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[5:])
+	typ, job, n := wire.Header(hdr[:])
 	if n > maxDataPayload {
 		return 0, 0, 0, fmt.Errorf("frame payload %d exceeds limit %d", n, maxDataPayload)
 	}
-	return hdr[0], binary.LittleEndian.Uint32(hdr[1:]), int(n), nil
+	return typ, job, int(n), nil
 }
 
 // writeEndFrame writes one of the fixed-layout frames that close a run of key
 // frames (the worker's endFrame reads them).
 func writeEndFrame(w io.Writer, typ byte, job uint32, h []byte) error {
-	if err := writeV3FrameHeader(w, typ, job, len(h)); err != nil {
+	if err := writeFrameHeader(w, typ, job, len(h)); err != nil {
 		return err
 	}
 	_, err := w.Write(h)
@@ -169,7 +108,7 @@ func writeKeyFrames(w io.Writer, typ byte, job uint32, sub []byte, keys []join.K
 		if n > maxBlockKeys {
 			n = maxBlockKeys
 		}
-		if err := writeV3FrameHeader(w, typ, job, len(sub)+8*n); err != nil {
+		if err := writeFrameHeader(w, typ, job, len(sub)+8*n); err != nil {
 			return err
 		}
 		binary.LittleEndian.PutUint32(sub[len(sub)-4:], uint32(n))
@@ -186,10 +125,10 @@ func writeKeyFrames(w io.Writer, typ byte, job uint32, sub []byte, keys []join.K
 
 // endFrameLen is the payload length of each fixed-layout session frame that
 // closes a run of key frames.
-var endFrameLen = [...]int{frameV3StreamBaseEnd: streamBaseHdrLen, frameV3StreamWinEnd: streamWinHdrLen}
+var endFrameLen = [...]int{wire.StreamBaseEnd: streamBaseHdrLen, wire.StreamWinEnd: streamWinHdrLen}
 
 // keySubHdrLen is the sub-header length of each key-carrying frame.
-var keySubHdrLen = [...]int{frameV3StreamBase: streamBaseHdrLen, frameV3StreamWin: streamWinHdrLen}
+var keySubHdrLen = [...]int{wire.StreamBase: streamBaseHdrLen, wire.StreamWin: streamWinHdrLen}
 
 // writeRun ships keys whole as one run — the base of epoch, or window win of
 // it — and ends it with the exact total.
@@ -210,7 +149,7 @@ func writeRun(w io.Writer, job uint32, base bool, win, epoch uint32, keys []join
 func writeStreamBaseKeys(w io.Writer, job, epoch uint32, keys []join.Key) error {
 	var h [streamBaseHdrLen]byte
 	binary.LittleEndian.PutUint32(h[0:], epoch)
-	return writeKeyFrames(w, frameV3StreamBase, job, h[:], keys)
+	return writeKeyFrames(w, wire.StreamBase, job, h[:], keys)
 }
 
 // writeStreamWinKeys ships one window's shard for one worker. The epoch names
@@ -220,13 +159,13 @@ func writeStreamWinKeys(w io.Writer, job, window, epoch uint32, keys []join.Key)
 	var h [streamWinHdrLen]byte
 	binary.LittleEndian.PutUint32(h[0:], window)
 	binary.LittleEndian.PutUint32(h[4:], epoch)
-	return writeKeyFrames(w, frameV3StreamWin, job, h[:], keys)
+	return writeKeyFrames(w, wire.StreamWin, job, h[:], keys)
 }
 
 // writePairsFrame ships one chunk of matched index pairs back to the
-// coordinator.
+// coordinator: [count u32][count×(i1 u32, i2 u32)].
 func writePairsFrame(w *bufio.Writer, job uint32, pairs []exec.PairIdx) error {
-	if err := writeV3FrameHeader(w, frameV3Pairs, job, 4+8*len(pairs)); err != nil {
+	if err := writeFrameHeader(w, wire.Pairs, job, 4+8*len(pairs)); err != nil {
 		return err
 	}
 	var ch [4]byte
@@ -243,7 +182,7 @@ func writeStreamBaseEnd(w io.Writer, job, epoch uint32, total int) error {
 	var h [streamBaseHdrLen]byte
 	binary.LittleEndian.PutUint32(h[0:], epoch)
 	binary.LittleEndian.PutUint32(h[4:], uint32(total))
-	return writeEndFrame(w, frameV3StreamBaseEnd, job, h[:])
+	return writeEndFrame(w, wire.StreamBaseEnd, job, h[:])
 }
 
 // writeStreamWinEnd closes one window's shard with its exact total; the
@@ -254,7 +193,7 @@ func writeStreamWinEnd(w io.Writer, job, window, epoch uint32, total int) error 
 	binary.LittleEndian.PutUint32(h[0:], window)
 	binary.LittleEndian.PutUint32(h[4:], epoch)
 	binary.LittleEndian.PutUint32(h[8:], uint32(total))
-	return writeEndFrame(w, frameV3StreamWinEnd, job, h[:])
+	return writeEndFrame(w, wire.StreamWinEnd, job, h[:])
 }
 
 // readPairsPayload decodes one pairs frame's payload (already past the
