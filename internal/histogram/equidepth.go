@@ -110,20 +110,25 @@ func (h *EquiDepth) Buckets() int { return len(h.bounds) - 1 }
 // boundary map to bucket 0 and keys at or above the last map to the final
 // bucket, so routing is total even for keys the sample missed.
 func (h *EquiDepth) Bucket(k join.Key) int {
-	// First i with bounds[i] > k (bounds are strictly increasing); bucket is
-	// i-1.
-	i, found := slices.BinarySearch(h.bounds, k)
-	if found {
-		i++
+	// Bisect for the last boundary <= k, or 0 when none is, with a flag step
+	// rather than a branch: the sample matrix bins keys in no order, so a
+	// branch would mispredict on every other step.
+	b := h.bounds
+	base, n := 0, len(b)
+	for n > 1 {
+		half := n >> 1
+		base += half & -le(b[base+half], k)
+		n -= half
 	}
-	switch {
-	case i == 0:
-		return 0
-	case i > h.Buckets():
-		return h.Buckets() - 1
-	default:
-		return i - 1
+	return min(base, h.Buckets()-1)
+}
+
+// le is 1 when a <= b and 0 otherwise, a flag read rather than a branch.
+func le(a, b join.Key) int {
+	if a <= b {
+		return 1
 	}
+	return 0
 }
 
 // Bounds returns the half-open key range [lo, hi) of bucket i.

@@ -12,7 +12,6 @@
 package matrix
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -21,6 +20,7 @@ import (
 	"ewh/internal/cost"
 	"ewh/internal/histogram"
 	"ewh/internal/join"
+	"ewh/internal/keysort"
 )
 
 // Sample is the sparse sample matrix MS. Cell output estimates come from a
@@ -134,30 +134,43 @@ func BuildSample(rh, ch *histogram.EquiDepth, cond join.Condition,
 	}
 	enforceMonotoneSpans(s.CandLo, s.CandHi)
 
-	// Place output-sample hits.
 	if len(pairs) > 0 {
-		type cell struct{ r, c int32 }
-		counts := make(map[cell]int32, len(pairs))
-		for _, p := range pairs {
-			counts[cell{int32(rh.Bucket(p[0])), int32(ch.Bucket(p[1]))}]++
-		}
-		perRow := make(map[int32][]cell)
-		for c := range counts {
-			perRow[c.r] = append(perRow[c.r], c)
-		}
-		for r, cs := range perRow {
-			slices.SortFunc(cs, func(a, b cell) int { return cmp.Compare(a.c, b.c) })
-			colsArr := make([]int32, len(cs))
-			cntArr := make([]int32, len(cs))
-			for i, c := range cs {
-				colsArr[i] = c.c
-				cntArr[i] = counts[c]
-			}
-			s.hitCols[r] = colsArr
-			s.hitCnt[r] = cntArr
-		}
+		s.placeHits(rh, ch, pairs)
 	}
 	return s, nil
+}
+
+// placeHits bins the output-sample pairs into their cells. Each pair's cell
+// is packed into one word, row above column, so a sort lays the cells out
+// row by row and each row in column order; a cell's hits are then one run.
+// The rows' hit lists are windows of one array of each kind.
+func (s *Sample) placeHits(rh, ch *histogram.EquiDepth, pairs [][2]join.Key) {
+	cells := make([]int64, len(pairs))
+	for i, p := range pairs {
+		cells[i] = int64(rh.Bucket(p[0]))<<32 | int64(ch.Bucket(p[1]))
+	}
+	keysort.Sort(cells)
+	distinct := 1
+	for i := 1; i < len(cells); i++ {
+		if cells[i] != cells[i-1] {
+			distinct++
+		}
+	}
+	cols := make([]int32, 0, distinct)
+	cnt := make([]int32, 0, distinct)
+	for i := 0; i < len(cells); {
+		r, from := cells[i]>>32, len(cols)
+		for i < len(cells) && cells[i]>>32 == r {
+			j := i + 1
+			for j < len(cells) && cells[j] == cells[i] {
+				j++
+			}
+			cols = append(cols, int32(cells[i]))
+			cnt = append(cnt, int32(j-i))
+			i = j
+		}
+		s.hitCols[r], s.hitCnt[r] = cols[from:len(cols):len(cols)], cnt[from:len(cnt):len(cnt)]
+	}
 }
 
 // enforceMonotoneSpans patches empty rows so both span arrays stay

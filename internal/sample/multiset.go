@@ -3,6 +3,7 @@ package sample
 import (
 	"math"
 	"slices"
+	"unsafe"
 
 	"ewh/internal/histogram"
 	"ewh/internal/join"
@@ -57,10 +58,7 @@ func denseFits(n int, span uint64) bool {
 // else the sparse form's sort.
 func BuildMultiset(keys []join.Key) *KeyMultiset {
 	if len(keys) > 0 {
-		lo, hi := keys[0], keys[0]
-		for _, k := range keys[1:] {
-			lo, hi = min(lo, k), max(hi, k)
-		}
+		lo, hi := keyExtremes(keys)
 		if span := uint64(hi) - uint64(lo); denseFits(len(keys), span) {
 			return buildDense(keys, lo, span)
 		}
@@ -68,17 +66,54 @@ func BuildMultiset(keys []join.Key) *KeyMultiset {
 	return buildSparse(keys)
 }
 
+// keyExtremes returns the least and the greatest of the non-empty keys. It
+// keeps two running minima and two maxima, over the even and the odd
+// positions, so no compare waits on the one before it.
+func keyExtremes(keys []join.Key) (lo, hi join.Key) {
+	lo0, hi0 := keys[0], keys[0]
+	lo1, hi1 := lo0, hi0
+	i := 1
+	for ; i+1 < len(keys); i += 2 {
+		a, b := keys[i], keys[i+1]
+		lo0, hi0 = min(lo0, a), max(hi0, a)
+		lo1, hi1 = min(lo1, b), max(hi1, b)
+	}
+	if i < len(keys) {
+		lo0, hi0 = min(lo0, keys[i]), max(hi0, keys[i])
+	}
+	return min(lo0, lo1), max(hi0, hi1)
+}
+
 // buildDense counts keys, all within [base, base+span], into the cumulative
-// table.
+// table. The counts go first into one byte a slot, the last quarter of the
+// table's own memory, which a random increment misses in the cache far less
+// often than a 4-byte slot; the prefix pass then widens them in place. That is
+// safe because it reads slot v's byte before it writes slot v, and slot v's
+// four bytes end before slot v+1's byte: 4v+3 < 3·len + v + 1 for every
+// v < len. A key with 256 or more copies wraps its byte, which leaves the
+// total short of len(keys); the keys are then counted again, 4 bytes a slot.
 func buildDense(keys []join.Key, base join.Key, span uint64) *KeyMultiset {
 	cum := make([]uint32, span+2)
+	counts := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(cum))), 4*len(cum))[3*len(cum):]
+	counts = counts[:len(cum)] // one byte a slot, and no bounds check in the prefix pass
 	for _, k := range keys {
-		cum[uint64(k)-uint64(base)+1]++
+		counts[uint64(k)-uint64(base)+1]++
 	}
 	var below uint32
-	for v, c := range cum {
-		below += c
+	for v := range cum {
+		below += uint32(counts[v])
 		cum[v] = below
+	}
+	if below != uint32(len(keys)) {
+		clear(cum)
+		for _, k := range keys {
+			cum[uint64(k)-uint64(base)+1]++
+		}
+		below = 0
+		for v, c := range cum {
+			below += c
+			cum[v] = below
+		}
 	}
 	return &KeyMultiset{base: base, cum: cum}
 }
@@ -206,10 +241,20 @@ func (m *KeyMultiset) SelectAt(at int32, u int64) join.Key {
 }
 
 // Histogram returns the relation's exact ns-bucket equi-depth histogram: the
-// keys at ranks ⌊i·n/ns⌋, each found by SelectAt's prefix-sum search from the
-// first slot, so it needs neither a sample nor a sort (histogram.FromRanks).
+// keys at ranks ⌊i·n/ns⌋, so it needs neither a sample nor a sort
+// (histogram.FromRanks). FromRanks asks the ranks in ascending order, so each
+// is found by SelectAt's prefix-sum search galloping forward from the slot
+// that held the rank before it, not from the first slot.
 func (m *KeyMultiset) Histogram(ns int) (*histogram.EquiDepth, error) {
-	return histogram.FromRanks(int(m.Total()), ns, func(r int) join.Key { return m.SelectAt(0, int64(r)) })
+	next := 1 // the first slot whose prefix sum passes the last rank asked
+	return histogram.FromRanks(int(m.Total()), ns, func(r int) join.Key {
+		if m.cum != nil {
+			next = gallopUpper(m.cum, next, uint32(r))
+			return m.base + join.Key(next-1)
+		}
+		next = gallopUpper(m.prefix, next, int64(r))
+		return m.keys[next-1]
+	})
 }
 
 // D2At returns d2(k), the joinable-set size of the R1 key k under condition
@@ -229,6 +274,45 @@ func (m *KeyMultiset) D2At(c join.Condition, k join.Key) (int64, int32) {
 	i := m.lowerBound(lo)
 	j := gallopUpper(m.keys, i, hi)
 	return m.prefix[j] - m.prefix[i], int32(i)
+}
+
+// D2s is D2At over a run of R1 keys: d2s[i], ats[i] = D2At(c, keys[i]), and
+// it returns the sum of the d2s. Stream-Sample's weight pass asks it once per
+// shard. A band or an equality is resolved once for the run; on the dense
+// form an interior key k, base + β ≤ k ≤ base + span − β, then reads the two
+// slots k − β − base and k + β + 1 − base. Every other key, form or
+// condition takes D2At.
+func (m *KeyMultiset) D2s(c join.Condition, keys []join.Key, d2s []int64, ats []int32) (sum int64) {
+	d2s, ats = d2s[:len(keys)], ats[:len(keys)]
+	beta := int64(-1)
+	switch b := c.(type) {
+	case join.Band:
+		beta = b.Beta
+	case join.Equi:
+		beta = 0
+	}
+	// The interior's slots are two views of the table, k − β − base's and
+	// k + β + 1 − base's, each indexed by d = k − first and as long as the
+	// interior, so neither read is bounds-checked. The interior is not
+	// empty (2β + 1 < span + 2), so first = base + β does not pass MaxInt64,
+	// and d < len(below) holds for the interior keys and no others. Without
+	// an interior the views are empty and every key takes D2At.
+	var below, upto []uint32
+	var first uint64
+	if width := uint64(2*beta + 1); m.cum != nil && beta >= 0 && width < uint64(len(m.cum)) {
+		first = uint64(m.base) + uint64(beta)
+		below, upto = m.cum[:uint64(len(m.cum))-width], m.cum[width:]
+	}
+	upto = upto[:len(below)]
+	for i, k := range keys {
+		if d := uint64(k) - first; d < uint64(len(below)) {
+			d2s[i], ats[i] = int64(upto[d]-below[d]), int32(d)
+		} else {
+			d2s[i], ats[i] = m.D2At(c, k)
+		}
+		sum += d2s[i]
+	}
+	return sum
 }
 
 // denseD2 is D2At's dense form for the non-empty range [lo, hi], clamped to

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -23,9 +24,11 @@ var searchConds = []join.Condition{
 // against a slices.BinarySearch over the whole width of the sorted distinct
 // keys: Total, D2At's count, and SelectAt's first and last draw from the
 // index D2At hands out (the index itself depends on the form). The probes are
-// every key, its neighbours, the midpoint to the next key, both ends of the
-// key domain and extra, each asked as an R1 key under every condition and as
-// the lower end of a range up to the next probe.
+// every key, its neighbours, the midpoint to the next key, the keys within 4
+// of either end, both ends of the key domain and extra, each asked as an R1
+// key under every condition and as the lower end of a range up to the next
+// probe. D2s over all the probes, under every condition and under one whose
+// type it does not know, must give D2At's (d2, at) for each and their sum.
 func checkSearch(t testing.TB, keys, extra []join.Key) {
 	t.Helper()
 	sorted := slices.Clone(keys)
@@ -75,13 +78,40 @@ func checkSearch(t testing.TB, keys, extra []join.Key) {
 		}
 		ask(keyRange{k, probes[(i+1)%len(probes)]}, 0)
 	}
+	d2s, ats := make([]int64, len(probes)), make([]int32, len(probes))
+	for _, c := range append(slices.Clone(searchConds), keyRange{probes[len(probes)-1], probes[0]}) {
+		sum := m.D2s(c, probes, d2s, ats)
+		var want int64
+		for i, k := range probes {
+			d2, at := m.D2At(c, k)
+			if d2s[i] != d2 || ats[i] != at {
+				t.Fatalf("%v, key %d: D2s = (%d, %d), D2At = (%d, %d)", c, k, d2s[i], ats[i], d2, at)
+			}
+			want += d2
+		}
+		if sum != want {
+			t.Fatalf("%v: D2s sums to %d, D2At to %d", c, sum, want)
+		}
+	}
 }
 
-// searchProbes returns both ends of the key domain, extra, and every distinct
-// key with its neighbours and the midpoint to the next distinct key.
+// searchProbes returns both ends of the key domain, extra, every distinct
+// key with its neighbours and the midpoint to the next distinct key, and the
+// keys within 4 of the least and the greatest key, so that a band of up to 3
+// finds the ends of a dense table at and past each side of its interior.
 func searchProbes(keys, extra []join.Key) []join.Key {
 	distinct := slices.Compact(slices.Sorted(slices.Values(keys)))
 	probes := append([]join.Key{math.MinInt64, math.MaxInt64}, extra...)
+	if len(distinct) > 0 {
+		for _, end := range []join.Key{distinct[0], distinct[len(distinct)-1]} {
+			for d := join.Key(-4); d <= 4; d++ {
+				// Only the keys the addition reaches without wrapping.
+				if k := end + d; (k < end) == (d < 0) {
+					probes = append(probes, k)
+				}
+			}
+		}
+	}
 	for i, k := range distinct {
 		probes = append(probes, k)
 		if k > math.MinInt64 {
@@ -193,6 +223,15 @@ func bothForms(keys []join.Key) (dense, sparse *KeyMultiset) {
 func TestMultisetFormsAgree(t *testing.T) {
 	rows := searchRows()
 	rows["uniform 600 over 2000"] = workload.Uniform(600, 2000, 9)
+	// The dense build counts in bytes first: a key with 255 copies fills its
+	// byte, and 256 or 511 wrap it, so the count starts again in 4 bytes.
+	for _, c := range []struct {
+		key    join.Key
+		copies int
+	}{{199, 255}, {100, 256}, {0, 511}} {
+		keys := append(seqKeys(200), slices.Repeat([]join.Key{c.key}, c.copies-1)...)
+		rows[fmt.Sprintf("%d copies of key %d", c.copies, c.key)] = keys
+	}
 	for name, keys := range rows {
 		dense, sparse := bothForms(keys)
 		if dense == nil || len(keys) > 1000 {
@@ -320,7 +359,7 @@ func FuzzMultisetHistogram(f *testing.F) {
 	})
 }
 
-// BenchmarkD2Pass times Stream-Sample's step 2 alone — one D2At per R1 key,
+// BenchmarkD2Pass times Stream-Sample's step 2 alone — D2s over R1's keys,
 // in R1's arrival order, on one goroutine — over multisets large enough to
 // leave the cache (BenchmarkStreamSample's 50k-key domain is L2-resident and
 // cannot see a search that misses). ns/key is the metric to compare.
@@ -362,16 +401,14 @@ func BenchmarkD2Pass(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			r1, r2, cond := s.gen()
 			m2 := BuildMultiset(r2)
+			d2s, ats := make([]int64, len(r1)), make([]int32, len(r1))
 			var sum int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if s.build {
 					m2 = BuildMultiset(r2)
 				}
-				for _, k := range r1 {
-					d2, at := m2.D2At(cond, k)
-					sum += d2 + int64(at)
-				}
+				sum += m2.D2s(cond, r1, d2s, ats)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(r1)), "ns/key")
 			sinkD2 = sum

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ewh/internal/join"
@@ -35,6 +36,36 @@ func TestFixedSize(t *testing.T) {
 	}
 	if FixedSize(keys, 0, r) != nil {
 		t.Error("size 0 should return nil")
+	}
+}
+
+// TestFixedSizeMatchesAlgorithmR holds the reservoir, which writes every
+// draw, to Algorithm R written with the branch: at sizes at and around both
+// ends, the same sample, and the same draws, so the stream after it matches.
+func TestFixedSizeMatchesAlgorithmR(t *testing.T) {
+	branchy := func(keys []join.Key, size int, rng *stats.RNG) []join.Key {
+		if size <= 0 {
+			return nil
+		}
+		out := slices.Clone(keys[:min(size, len(keys))])
+		for i := size; i < len(keys); i++ {
+			if j := rng.Int64n(int64(i) + 1); j < int64(size) {
+				out[j] = keys[i]
+			}
+		}
+		return out
+	}
+	keys := seqKeys(500)
+	for _, size := range []int{0, 1, 2, len(keys) / 2, len(keys) - 1, len(keys), len(keys) + 1} {
+		for seed := range uint64(4) {
+			got, want := stats.NewRNG(seed), stats.NewRNG(seed)
+			if a, b := FixedSize(keys, size, got), branchy(keys, size, want); !slices.Equal(a, b) {
+				t.Fatalf("size %d, seed %d: sample %v, Algorithm R %v", size, seed, a, b)
+			}
+			if a, b := got.Uint64(), want.Uint64(); a != b {
+				t.Fatalf("size %d, seed %d: the next draw is %d, after Algorithm R %d", size, seed, a, b)
+			}
+		}
 	}
 }
 

@@ -70,13 +70,7 @@ func StreamSampleWith(r1 []join.Key, m2 *KeyMultiset, cond join.Condition, so, w
 		go func(w int) {
 			defer wg.Done()
 			lo, hi := shardBounds(n, workers, w)
-			var sum int64
-			for i, k := range r1[lo:hi] {
-				d2, at := m2.D2At(cond, k)
-				d2s[lo+i], ats[lo+i] = d2, at
-				sum += d2
-			}
-			shardW[w] = sum
+			shardW[w] = m2.D2s(cond, r1[lo:hi], d2s[lo:hi], ats[lo:hi])
 		}(w)
 	}
 	wg.Wait()

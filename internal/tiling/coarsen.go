@@ -7,6 +7,7 @@
 package tiling
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -95,23 +96,54 @@ func gridMaxCellWeight(sm *matrix.Sample, rowCuts, colCuts []int, model cost.Mod
 
 // optimizeDim chooses cuts along one dimension given fixed bands on the
 // other: binary search the smallest threshold T for which the greedy sweep
-// needs at most nc bands, then return that sweep's cuts.
+// needs at most nc bands, then return that sweep's cuts. A probe inside the
+// range of thresholds an earlier sweep settled takes that sweep's answer
+// instead of sweeping again; the probes and their answers are the same.
 func optimizeDim(sm *matrix.Sample, otherCuts []int, nc int, model cost.Model, transpose bool) []int {
 	sw := newSweeper(sm, otherCuts, transpose)
+	var known settled
+	sweep := func(t float64) []int {
+		if cuts, ok := known.answer(t); ok {
+			return cuts
+		}
+		r := sw.sweep(model, t, nc)
+		known = append(known, r)
+		return r.cuts
+	}
 	lo, hi := 0.0, sm.TotalWeight(model)+1
 	for p := 0; p < coarsenProbes && hi-lo > 1e-9*(hi+1); p++ {
 		mid := (lo + hi) / 2
-		if cuts := sw.sweep(model, mid, nc); cuts != nil {
+		if cuts := sweep(mid); cuts != nil {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
-	cuts := sw.sweep(model, hi, nc)
+	cuts := slices.Clone(sweep(hi))
 	if cuts == nil {
 		cuts = []int{0, sw.n} // defensive: one band always fits below TotalWeight+1
 	}
 	return refineCuts(cuts, nc)
+}
+
+// sweptRange is the thresholds [from, to) that sweep the same way as the one
+// a sweep was run at, and what that sweep returned.
+type sweptRange struct {
+	from, to float64
+	cuts     []int
+}
+
+// settled is the ranges of the sweeps one bisection has run.
+type settled []sweptRange
+
+// answer returns the cuts of a sweep at t when a range holds t.
+func (s settled) answer(t float64) ([]int, bool) {
+	for _, r := range s {
+		if r.from <= t && t < r.to {
+			return r.cuts, true
+		}
+	}
+	return nil, false
 }
 
 // refineCuts splits the longest bands at their midpoints until all nc bands
@@ -339,7 +371,32 @@ func (g *gatherer) colCandRows(c int) (int, int, bool) {
 // the cut vector or nil when more than ncMax bands are needed or a single
 // line already exceeds t. Spans are tracked in fixed bands: bandOf is
 // monotone, so the band of a span's end is the end of the lines' bands.
-func (s *sweeper) sweep(model cost.Model, t float64, ncMax int) []int {
+//
+// A sweep compares cell weights with t and does nothing else with it, so
+// every threshold from the largest weight it kept up to, not including, the
+// smallest weight it closed on sweeps the same way. The cuts come back in
+// that range.
+func (s *sweeper) sweep(model cost.Model, t float64, ncMax int) (same sweptRange) {
+	same.from, same.to = math.Inf(-1), math.Inf(1)
+	same.cuts = s.sweepIn(model, t, ncMax, &same)
+	return same
+}
+
+// over reports w > t and narrows r to the thresholds that answer alike. A
+// NaN weight is over no threshold and narrows nothing.
+func (r *sweptRange) over(w, t float64) bool {
+	if w > t {
+		r.to = min(r.to, w)
+		return true
+	}
+	if w > r.from {
+		r.from = w
+	}
+	return false
+}
+
+// sweepIn is sweep's body: each comparison with t goes through same.over.
+func (s *sweeper) sweepIn(model cost.Model, t float64, ncMax int, same *sweptRange) []int {
 	for _, b := range s.touched {
 		s.acc[b] = 0
 	}
@@ -388,7 +445,7 @@ func (s *sweeper) sweep(model cost.Model, t float64, ncMax int) []int {
 			}
 		}
 		cellW := model.Wi*float64(lines+1)*s.lineUnit + tryMax
-		if cellW > t && lines > 0 {
+		if lines > 0 && same.over(cellW, t) {
 			closeBand(i)
 			if len(cuts)-1 >= ncMax {
 				return nil
@@ -410,7 +467,7 @@ func (s *sweeper) sweep(model cost.Model, t float64, ncMax int) []int {
 			}
 			cellW = model.Wi*s.lineUnit + tryMax
 		}
-		if cellW > t {
+		if same.over(cellW, t) {
 			return nil
 		}
 		// Commit line i to the band.

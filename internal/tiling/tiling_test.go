@@ -2,6 +2,7 @@ package tiling
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ewh/internal/cost"
@@ -113,7 +114,7 @@ func TestSweepRespectsThreshold(t *testing.T) {
 	sw := newSweeper(sm, colCuts, false)
 	// Find a feasible threshold, then verify the resulting grid obeys it.
 	tWeight := sm.TotalWeight(testModel) / 4
-	cuts := sw.sweep(testModel, tWeight, 48)
+	cuts := sw.sweep(testModel, tWeight, 48).cuts
 	if cuts == nil {
 		t.Skip("threshold infeasible for this seed")
 	}
@@ -431,5 +432,110 @@ func TestCoarsenUsesAllBands(t *testing.T) {
 	if len(rowCuts)-1 != 16 || len(colCuts)-1 != 16 {
 		t.Fatalf("grid %dx%d, want 16x16 (refinement should fill bands)",
 			len(rowCuts)-1, len(colCuts)-1)
+	}
+}
+
+// coarsenSweepingEveryProbe is CoarsenGrid with a bisection that sweeps at
+// every probe, as it did before sweeps returned the thresholds they settle.
+func coarsenSweepingEveryProbe(sm *matrix.Sample, nc int, model cost.Model) (rowCuts, colCuts []int) {
+	optimize := func(otherCuts []int, transpose bool) []int {
+		sw := newSweeper(sm, otherCuts, transpose)
+		lo, hi := 0.0, sm.TotalWeight(model)+1
+		for p := 0; p < coarsenProbes && hi-lo > 1e-9*(hi+1); p++ {
+			mid := (lo + hi) / 2
+			if sw.sweep(model, mid, nc).cuts != nil {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		cuts := sw.sweep(model, hi, nc).cuts
+		if cuts == nil {
+			cuts = []int{0, sw.n}
+		}
+		return refineCuts(cuts, nc)
+	}
+	rowCuts, colCuts = evenCuts(sm.Rows, nc), evenCuts(sm.Cols, nc)
+	if sm.Rows <= nc && sm.Cols <= nc {
+		return rowCuts, colCuts
+	}
+	best := gridMaxCellWeight(sm, rowCuts, colCuts, model)
+	bestRows, bestCols := rowCuts, colCuts
+	for range coarsenRounds {
+		rowCuts = optimize(colCuts, false)
+		colCuts = optimize(rowCuts, true)
+		cur := gridMaxCellWeight(sm, rowCuts, colCuts, model)
+		if cur < best {
+			best, bestRows, bestCols = cur, rowCuts, colCuts
+		}
+		if cur >= best*0.999 {
+			break
+		}
+	}
+	return bestRows, bestCols
+}
+
+// TestCoarsenSkipsOnlySettledProbes holds CoarsenGrid, which answers a probe
+// inside a settled range without sweeping, to the bisection that sweeps every
+// probe: the same cuts, over uniform and skewed matrices and several seeds.
+func TestCoarsenSkipsOnlySettledProbes(t *testing.T) {
+	for _, c := range []struct {
+		n, ns int
+		beta  int64
+		so    int
+		zipf  float64
+		nc    int
+	}{
+		{3000, 48, 3, 400, 0, 8}, {3000, 48, 3, 400, 0.5, 8}, {4000, 128, 3, 600, 0.8, 16},
+		{2000, 64, 0, 300, 1.1, 4}, {5000, 200, 10, 900, 0.3, 32},
+	} {
+		for seed := range uint64(4) {
+			sm := buildMS(t, c.n, c.ns, c.beta, c.so, c.zipf, seed)
+			for _, model := range []cost.Model{testModel, cost.DefaultBand} {
+				gotR, gotC := CoarsenGrid(sm, c.nc, model, CoarsenOptions{})
+				wantR, wantC := coarsenSweepingEveryProbe(sm, c.nc, model)
+				if !slices.Equal(gotR, wantR) || !slices.Equal(gotC, wantC) {
+					t.Fatalf("%+v, seed %d, %+v: cuts %v / %v, sweeping every probe %v / %v",
+						c, seed, model, gotR, gotC, wantR, wantC)
+				}
+			}
+		}
+	}
+}
+
+// TestSweptRangeIsHalfOpen: every threshold in a sweep's range, its lowest
+// and the one just below its top, sweeps as the sweep did; the top itself
+// keeps a weight the sweep closed on, so it settles a range of its own, and
+// the ranges' lookup answers it no more than a threshold outside both.
+func TestSweptRangeIsHalfOpen(t *testing.T) {
+	sm := buildMS(t, 3000, 48, 3, 400, 0.5, 4)
+	sw := newSweeper(sm, evenCuts(sm.Cols, 8), false)
+	total := sm.TotalWeight(testModel)
+	checked := 0
+	for _, frac := range []float64{0.02, 0.05, 0.1, 0.25, 0.5} {
+		r := sw.sweep(testModel, total*frac, 8)
+		if !(r.from <= total*frac && total*frac < r.to) || math.IsInf(r.to, 1) {
+			continue
+		}
+		for _, at := range []float64{r.from, math.Nextafter(r.to, math.Inf(-1))} {
+			if got := sw.sweep(testModel, at, 8); !slices.Equal(got.cuts, r.cuts) || got.from != r.from || got.to != r.to {
+				t.Fatalf("threshold %v inside [%v, %v) sweeps to %v over [%v, %v), the range's sweep to %v",
+					at, r.from, r.to, got.cuts, got.from, got.to, r.cuts)
+			}
+		}
+		if top := sw.sweep(testModel, r.to, 8); top.from < r.to {
+			t.Fatalf("the top %v of [%v, %v) settles [%v, %v)", r.to, r.from, r.to, top.from, top.to)
+		}
+		known := settled{r}
+		if _, ok := known.answer(r.from); !ok {
+			t.Fatalf("[%v, %v) does not answer its lowest threshold", r.from, r.to)
+		}
+		if _, ok := known.answer(r.to); ok {
+			t.Fatalf("[%v, %v) answers its top", r.from, r.to)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no sweep settled a bounded range")
 	}
 }

@@ -58,6 +58,20 @@ var mutants = []mutant{
 		"uint64(t.lo) + uint64(beta) + 1", "uint64(t.lo) + uint64(beta)",
 		"./internal/exec", "FuzzJoinPairs"},
 
+	// The planner's fast paths, each held to its slow one.
+	{"multiset interior one key long", "internal/sample/multiset.go",
+		"d < uint64(len(below)) {", "d <= uint64(len(below)) {",
+		"./internal/sample", "TestMultisetSearchMatchesBisection"},
+	{"byte count's total check passes", "internal/sample/multiset.go",
+		"if below != uint32(len(keys)) {", "if false {",
+		"./internal/sample", "TestMultisetFormsAgree"},
+	{"settled range closed at its top", "internal/tiling/coarsen.go",
+		"r.from <= t && t < r.to", "r.from <= t && t <= r.to",
+		"./internal/tiling", "TestSweptRangeIsHalfOpen"},
+	{"bucket bisection's flag inverted", "internal/histogram/equidepth.go",
+		"base += half & -le(b[base+half], k)", "base += half &^ -le(b[base+half], k)",
+		"./internal/histogram", "TestBucketLookupConsistent"},
+
 	// The framing: both ends read one constant, so only DESIGN.md pins it.
 	{"wire magic", "internal/wire/wire.go", "'H', 'B'}", "'H', 'X'}",
 		"./internal/netexec", "TestDesignFrameTableMatchesWire"},
